@@ -62,12 +62,18 @@ def machines() -> int:
 
 @pytest.fixture(scope="session")
 def report():
-    """Persist a regenerated table to ``benchmarks/results`` and echo it."""
+    """Persist a regenerated table to ``benchmarks/results`` and echo it.
+
+    ``live`` is the same table with its measured seconds filled in: it is
+    echoed instead of ``body`` and never written, so the committed file is
+    byte-stable (``measured_seconds(..., golden=True)`` renders ``-``)
+    while the exact timings stay readable in the benchmark output.
+    """
     RESULTS_DIR.mkdir(exist_ok=True)
 
-    def _write(name: str, title: str, body: str) -> None:
-        text = f"{title}\n{'=' * len(title)}\n{body}\n"
-        (RESULTS_DIR / f"{name}.txt").write_text(text)
-        print(f"\n{text}")
+    def _write(name: str, title: str, body: str, live: "str | None" = None) -> None:
+        header = f"{title}\n{'=' * len(title)}\n"
+        (RESULTS_DIR / f"{name}.txt").write_text(f"{header}{body}\n")
+        print(f"\n{header}{live if live is not None else body}\n")
 
     return _write

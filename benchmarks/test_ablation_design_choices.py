@@ -16,7 +16,7 @@ from repro.bench.ablation import (
     output_sample_ablation,
     sample_matrix_size_ablation,
 )
-from repro.bench.reporting import format_rows
+from repro.bench.reporting import format_rows, measured_seconds
 from repro.sampling.sizes import sample_matrix_size
 from repro.workloads.definitions import make_bcb
 
@@ -48,26 +48,28 @@ def run_all():
 def test_ablation_design_choices(benchmark, report):
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
-    rows = []
-    for group in ("nc", "ns", "so"):
-        for row in results[group]:
-            rows.append(
-                [
-                    row.knob,
-                    f"{row.value:g}",
-                    f"{row.join_cost:,.0f}",
-                    f"{row.total_cost:,.0f}",
-                    f"{row.build_seconds:.3f}",
-                ]
-            )
-    table = format_rows(
-        ["knob", "value", "join cost", "total cost", "build (s)"], rows
-    )
+    def table(golden):
+        rows = [
+            [
+                row.knob,
+                f"{row.value:g}",
+                f"{row.join_cost:,.0f}",
+                f"{row.total_cost:,.0f}",
+                measured_seconds(row.build_seconds, golden=golden),
+            ]
+            for group in ("nc", "ns", "so")
+            for row in results[group]
+        ]
+        return format_rows(
+            ["knob", "value", "join cost", "total cost", "build (s)"], rows
+        )
+
     report(
         "ablation_design_choices",
         f"Ablations of the histogram algorithm's sizing choices "
         f"({results['workload'].name}, J = {results['machines']})",
-        table,
+        table(golden=True),
+        live=table(golden=False),
     )
 
     # Every configuration still produces correct output -- the knobs trade

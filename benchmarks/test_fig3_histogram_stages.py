@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench.reporting import format_rows
+from repro.bench.reporting import format_rows, measured_seconds
 from repro.core.histogram import build_equi_weight_histogram
 from repro.workloads.definitions import make_bcb
 
@@ -39,31 +39,40 @@ def test_figure3_histogram_stages(benchmark, report):
 
     ms = histogram.sample_matrix.grid
     mc = histogram.coarsening.grid
-    rows = [
-        [
-            "sampling (MS)",
-            f"{ms.num_rows} x {ms.num_cols}",
-            f"{ms.max_cell_weight(weight_fn, candidates_only=True):,.0f}",
-            f"{histogram.stage_seconds['sampling']:.3f}",
-        ],
-        [
-            "coarsening (MC)",
-            f"{mc.num_rows} x {mc.num_cols}",
-            f"{histogram.coarsening.max_cell_weight:,.0f}",
-            f"{histogram.stage_seconds['coarsening']:.3f}",
-        ],
-        [
-            "regionalization (MH)",
-            f"{histogram.num_regions} regions",
-            f"{histogram.estimated_max_weight:,.0f}",
-            f"{histogram.stage_seconds['regionalization']:.3f}",
-        ],
-    ]
-    table = format_rows(["stage", "size", "max cell/region weight", "seconds"], rows)
+
+    def table(golden):
+        def seconds(stage):
+            return measured_seconds(histogram.stage_seconds[stage], golden=golden)
+
+        rows = [
+            [
+                "sampling (MS)",
+                f"{ms.num_rows} x {ms.num_cols}",
+                f"{ms.max_cell_weight(weight_fn, candidates_only=True):,.0f}",
+                seconds("sampling"),
+            ],
+            [
+                "coarsening (MC)",
+                f"{mc.num_rows} x {mc.num_cols}",
+                f"{histogram.coarsening.max_cell_weight:,.0f}",
+                seconds("coarsening"),
+            ],
+            [
+                "regionalization (MH)",
+                f"{histogram.num_regions} regions",
+                f"{histogram.estimated_max_weight:,.0f}",
+                seconds("regionalization"),
+            ],
+        ]
+        return format_rows(
+            ["stage", "size", "max cell/region weight", "seconds"], rows
+        )
+
     report(
         "fig3_histogram_stages",
         f"Figure 3: histogram algorithm stages on {workload.name} (J = {machines})",
-        table,
+        table(golden=True),
+        live=table(golden=False),
     )
 
     # The chain shrinks the matrix at every stage.

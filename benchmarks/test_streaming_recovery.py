@@ -6,7 +6,7 @@ lifecycles and pins that elasticity is *free of behavioural cost*:
 
 * **uninterrupted** -- the plain engine run, the reference;
 * **crash + restore** -- a :class:`~repro.streaming.testing.CrashingBackend`
-  kills the fleet mid-stream (work call 19, around batch 18);
+  kills the fleet mid-stream (the 19th ``count_batch``, i.e. batch 18);
   :func:`~repro.streaming.checkpoint.run_resilient` restores the run from
   its last periodic checkpoint (every 6 batches) onto a fresh backend and
   replays the source.  The recovered run must be **bit-identical** to the
@@ -44,7 +44,7 @@ from bench_utils import scaled
 BAND = BandJoinCondition(beta=1.0)
 MACHINES = 8
 NUM_BATCHES = 24
-CRASH_AT_CALL = 19  # ~1 work call per batch: the fleet dies around batch 18
+CRASH_AT_CALL = 19  # scoped to count_batch, one per batch: dies in batch 18
 CHECKPOINT_EVERY = 6
 RESIZE_AT_BATCH = NUM_BATCHES // 2
 RESIZE_TO = 12
@@ -85,7 +85,9 @@ def test_crash_recovery_and_resize_cost_nothing(benchmark, report):
         results = {"uninterrupted": adaptive_engine().run(drift_source())}
 
         crashing = CrashingBackend(
-            SimulatedBackend(), crash_at_call=CRASH_AT_CALL
+            SimulatedBackend(),
+            crash_at_call=CRASH_AT_CALL,
+            crash_on=("count",),
         )
         results["crash+restore"] = run_resilient(
             lambda: adaptive_engine(backend=crashing),

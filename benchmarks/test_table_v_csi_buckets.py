@@ -10,7 +10,7 @@ than CSIO because it still knows nothing about the output distribution.
 
 from __future__ import annotations
 
-from repro.bench.reporting import format_rows
+from repro.bench.reporting import format_rows, measured_seconds
 from repro.bench.table5 import run_table_v
 from repro.workloads.definitions import make_bcb, make_beocd
 
@@ -39,38 +39,41 @@ def run_all():
 def test_table_v_bucket_sweep(benchmark, report):
     sweeps = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
-    rows = []
-    for sweep in sweeps:
-        for row in sweep.csi_rows:
+    def table(golden):
+        rows = []
+        for sweep in sweeps:
+            for row in sweep.csi_rows:
+                rows.append(
+                    [
+                        sweep.workload_name,
+                        "CSI",
+                        str(row.num_buckets),
+                        measured_seconds(row.histogram_seconds, golden=golden),
+                        f"{row.join_cost:,.0f}",
+                        f"{row.total_cost:,.0f}",
+                    ]
+                )
+            reference = sweep.csio_reference
             rows.append(
                 [
                     sweep.workload_name,
-                    "CSI",
-                    str(row.num_buckets),
-                    f"{row.histogram_seconds:.3f}",
-                    f"{row.join_cost:,.0f}",
-                    f"{row.total_cost:,.0f}",
+                    "CSIO (ref)",
+                    "-",
+                    measured_seconds(reference.build_seconds, golden=golden),
+                    f"{reference.join_cost:,.0f}",
+                    f"{reference.total_cost:,.0f}",
                 ]
             )
-        reference = sweep.csio_reference
-        rows.append(
-            [
-                sweep.workload_name,
-                "CSIO (ref)",
-                "-",
-                f"{reference.build_seconds:.3f}",
-                f"{reference.join_cost:,.0f}",
-                f"{reference.total_cost:,.0f}",
-            ]
+        return format_rows(
+            ["join", "scheme", "buckets p", "histogram alg (s)", "join cost", "total cost"],
+            rows,
         )
-    table = format_rows(
-        ["join", "scheme", "buckets p", "histogram alg (s)", "join cost", "total cost"],
-        rows,
-    )
+
     report(
         "table_v_csi_buckets",
         f"Table V: CSI bucket-count sweep vs CSIO (J = {bench_machines()})",
-        table,
+        table(golden=True),
+        live=table(golden=False),
     )
 
     for sweep in sweeps:

@@ -1,24 +1,27 @@
-"""API001: the ExecutionBackend protocol surface and sticky-call ordering.
+"""API001: the ExecutionBackend protocol surface and bind-before-use ordering.
 
-The engine drives execution backends through two protocols: stateless
-dispatch (``join_regions``) and — when a backend declares
-``owns_state = True`` — the sticky state-ownership protocol
-(``bind`` → per-batch ``count_batch`` / ``evict_state`` /
-``rebase_state`` / ``install_state``, plus ``resize`` and
-``drain_channel_bytes``).  Forgetting one method in a new backend only
-surfaces at run time, on the first stream that happens to exercise it
-(evictions need a window, installs need a migration); calling the per-batch
-operations before ``bind`` is a latent ordering bug of exactly the kind the
-backend can only report once it is too late.  This rule rejects both
-statically:
+The engine touches join state only through the backend's state-ownership
+protocol (``bind`` → per-batch ``count_batch`` / ``evict_state`` /
+``rebase_state`` / ``install_state``, plus ``resize``,
+``resident_indices`` and ``drain_channel_bytes``).  The base class
+implements all of it in-process on top of the one abstract method,
+``join_regions``; a backend that keeps the state elsewhere (sticky workers,
+a forwarding test double) overrides the protocol instead.  Overriding
+*part* of it is the bug: a backend whose ``count_batch`` ships arrivals to
+remote workers while the inherited ``evict_state`` trims an empty
+in-process table is half remote, and it only fails at run time on the first
+stream that happens to evict or migrate.  Calling the per-batch operations
+before ``bind`` is a latent ordering bug of the same kind.  This rule
+rejects both statically:
 
 * every class that directly subclasses ``ExecutionBackend`` must define
   ``join_regions`` in its own body (the abstract method made locally
   visible — intermediate bases like the test-double forwarding backend are
   subclassed by name, not re-checked);
-* a class-level ``owns_state = True`` obliges the full sticky surface;
+* a direct subclass that overrides *any* state-protocol method must
+  override *all* of them;
 * within one function body, the first ``.bind(...)`` call must precede the
-  first per-batch sticky call (``count_batch``/``evict_state``/
+  first per-batch protocol call (``count_batch``/``evict_state``/
   ``rebase_state``/``install_state``) — functions using only one side of
   the protocol are exempt, since binding and driving legitimately live in
   different engine phases.
@@ -33,32 +36,33 @@ from repro.analysis.engine import Rule, SourceContext, Violation
 
 __all__ = ["BackendProtocolRule"]
 
-#: The sticky state-ownership protocol surface, obliged by owns_state=True.
-STICKY_SURFACE = (
+#: The state-ownership protocol surface: override one, override all.
+STATE_PROTOCOL = (
     "bind",
     "count_batch",
     "evict_state",
     "rebase_state",
     "install_state",
     "resize",
+    "resident_indices",
     "drain_channel_bytes",
 )
 
-#: Per-batch sticky operations that must not precede bind in one body.
+#: Per-batch protocol operations that must not precede bind in one body.
 _AFTER_BIND = frozenset(
     {"count_batch", "evict_state", "rebase_state", "install_state"}
 )
 
 
 class BackendProtocolRule(Rule):
-    """API001: complete backend surfaces; bind before per-batch sticky calls."""
+    """API001: whole-or-nothing state protocol; bind before per-batch calls."""
 
     rule_id = "API001"
     name = "backend protocol surface"
     description = (
-        "ExecutionBackend subclasses must statically define the full "
-        "protocol surface, and sticky call sites must bind before "
-        "count_batch/evict_state in a function body"
+        "ExecutionBackend subclasses must define join_regions and override "
+        "the state-ownership protocol wholly or not at all, and call sites "
+        "must bind before count_batch/evict_state in a function body"
     )
     target_node_types = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -100,18 +104,6 @@ class BackendProtocolRule(Rule):
                 defined.add(statement.target.id)
         return defined
 
-    @staticmethod
-    def _owns_state(node: ast.ClassDef) -> bool:
-        """Whether the class body sets ``owns_state = True`` literally."""
-        for statement in node.body:
-            if isinstance(statement, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "owns_state"
-                for target in statement.targets
-            ):
-                value = statement.value
-                return isinstance(value, ast.Constant) and value.value is True
-        return False
-
     def _check_class(self, node: ast.ClassDef) -> Iterator[Violation]:
         if "ExecutionBackend" not in self._base_names(node):
             return
@@ -124,16 +116,17 @@ class BackendProtocolRule(Rule):
                 "protocol-only backends is fine) so the surface is "
                 "statically complete",
             )
-        if self._owns_state(node):
-            missing = [name for name in STICKY_SURFACE if name not in defined]
-            if missing:
-                yield Violation(
-                    node,
-                    f"backend {node.name!r} declares owns_state=True but "
-                    f"is missing sticky protocol methods {missing}; the "
-                    "engine will call them on the first stream that "
-                    "evicts, migrates or resizes",
-                )
+        overridden = [name for name in STATE_PROTOCOL if name in defined]
+        missing = [name for name in STATE_PROTOCOL if name not in defined]
+        if overridden and missing:
+            yield Violation(
+                node,
+                f"backend {node.name!r} overrides state-protocol methods "
+                f"{overridden} but inherits {missing} from the in-process "
+                "default; a half-remote backend diverges on the first "
+                "stream that evicts, migrates or resizes -- override the "
+                "whole protocol or none of it",
+            )
 
     # ------------------------------------------------------------------
     # Call-site ordering
@@ -164,6 +157,6 @@ class BackendProtocolRule(Rule):
             yield Violation(
                 first_batch_op,
                 f".{first_batch_attr}() is called before .bind() "
-                f"in {node.name!r}; the sticky protocol requires the "
-                "stream binding first",
+                f"in {node.name!r}; the state-ownership protocol requires "
+                "the stream binding first",
             )

@@ -25,6 +25,7 @@ __all__ = [
     "format_table_iv",
     "format_trace_summary",
     "format_rows",
+    "measured_seconds",
 ]
 
 
@@ -56,6 +57,18 @@ def bucket_seconds(seconds: float) -> str:
     if seconds < 100.0:
         return "10-100s"
     return ">=100s"
+
+
+def measured_seconds(seconds: float, golden: bool = False) -> str:
+    """Render a measured wall-clock duration: exact live, ``-`` in a golden.
+
+    The one place the golden-mode rule lives: a committed benchmark file
+    must be byte-stable across regenerations (tier-1 leaves ``git status``
+    clean), and any rendering of a measured duration -- even a
+    :func:`bucket_seconds` decade -- churns when a measurement sits near a
+    boundary.  Exact digits stay in the live (non-golden) output.
+    """
+    return "-" if golden else f"{seconds:.3f}"
 
 
 def bucket_ratio(ratio: float) -> str:
@@ -273,9 +286,9 @@ def format_streaming_table(
                     f"{result.backpressure}@{bound}",
                     f"{result.peak_queue_depth:,}",
                     f"{result.total_tuples_shed:,}",
-                    "-"
-                    if hide_stall
-                    else f"{result.producer_stall_seconds:.3f}",
+                    measured_seconds(
+                        result.producer_stall_seconds, golden=hide_stall
+                    ),
                 ]
         if elastic:
             row += [
@@ -285,7 +298,7 @@ def format_streaming_table(
             ]
         row += [
             _format_ratio(result.mean_throughput),
-            "-" if hide_join else f"{result.join_seconds:.3f}",
+            measured_seconds(result.join_seconds, golden=hide_join),
             "-"
             if result.total_bytes_pickled is None
             else f"{result.total_bytes_pickled / 1024:,.1f}",

@@ -17,10 +17,12 @@ Retained state is bounded by a pluggable
 :class:`~repro.streaming.window.WindowPolicy` (unbounded, sliding
 count-or-batch window, or exponential decay): expired tuples are evicted from
 every machine after each batch, the freed memory is charged into the metrics,
-and repartitioning migrates live state only.  Each side's region state is
-kept sorted by join key, so the per-batch output delta is counted
-incrementally in ``O(new log state)`` instead of re-counting whole regions
-(see ``docs/streaming.md`` for the full narrative).
+and repartitioning migrates live state only.  The join state has one owner
+-- the execution backend, driven through a single state-ownership protocol
+-- and each side of a machine's state is kept sorted by join key, so the
+per-batch output delta is counted incrementally in ``O(new log state)``
+instead of re-counting whole regions (see ``docs/streaming.md`` for the full
+narrative).
 
 A :class:`~repro.streaming.pipeline.StreamingPipeline` decouples the source
 from the engine with a bounded queue and a pluggable backpressure policy
@@ -47,6 +49,7 @@ from repro.streaming.backends import (
     ExecutionBackend,
     MultiprocessBackend,
     RegionJoinResult,
+    RegionStateTable,
     SimulatedBackend,
     SlowConsumerBackend,
     StickyWorkerBackend,
@@ -62,7 +65,6 @@ from repro.streaming.checkpoint import (
 from repro.streaming.shm import ShmArena, ShmReader
 from repro.streaming.drift import DriftDetector, DriftObservation
 from repro.streaming.engine import (
-    COUNTING_MODES,
     StreamingJoinEngine,
     compare_streaming_schemes,
 )
@@ -111,6 +113,7 @@ __all__ = [
     "StickyWorkerBackend",
     "SlowConsumerBackend",
     "RegionJoinResult",
+    "RegionStateTable",
     "ShmArena",
     "ShmReader",
     "default_mp_context",
@@ -140,7 +143,6 @@ __all__ = [
     "SlidingWindow",
     "ExponentialDecayWindow",
     "make_window",
-    "COUNTING_MODES",
     "BatchMetrics",
     "StreamRunResult",
     "RepartitioningPolicy",

@@ -1,32 +1,42 @@
-"""Pluggable execution backends for the streaming join engine.
+"""Pluggable execution backends: who owns the join state, and where it is counted.
 
-The engine decides *what* to join each micro-batch — the per-machine region
-state under the current partitioning — and an :class:`ExecutionBackend`
-decides *how* those per-region joins actually run:
+A region's tuples live in exactly one place -- the machine its EWH region
+was assigned to -- and here that place is the
+:class:`ExecutionBackend`.  The engine never holds join state; it drives
+every backend through one **state-ownership protocol**:
 
-* :class:`SimulatedBackend` counts each region's join output in the engine's
-  own process (the original simulator loop, extracted).  Cost-model load is
-  the quantity of interest; wall timings are recorded but reflect a single
-  core.
-* :class:`MultiprocessBackend` ships the busy regions to a persistent
-  ``ProcessPoolExecutor`` — the same worker-pool machinery as the batch
-  :func:`~repro.engine.executor.run_join_multiprocess` — so the incremental
-  joins of one batch run in parallel OS processes and the metrics carry
-  *real* per-region wall-clock timings.  The pool is created once and reused
-  across every batch of the stream, amortising process start-up.
-* :class:`StickyWorkerBackend` goes one step further: each worker process
-  *owns* its machines' :class:`~repro.streaming.incremental.SortedRegionState`
-  resident across batches, and the engine ships only the per-batch delta —
-  new-arrival index/key arrays over a :class:`~repro.streaming.shm.ShmArena`
-  shared-memory segment plus tiny pickled control messages for evictions,
-  trim points and migration moves.  Steady-state ``bytes_pickled`` collapses
-  to the control messages alone (the ``shm KB`` column meters the
-  shared-memory payload instead).
+``bind`` → per batch ``count_batch`` / ``evict_state`` / ``rebase_state`` →
+``install_state`` (migrations, restores) / ``resize`` (fleet changes), with
+``resident_indices`` as the one read-only view (migration planning,
+resident accounting, checkpoints) and ``drain_channel_bytes`` for byte
+metering.
 
-Every backend receives identical per-region key arrays and counts output with
-the same exact kernel, so the cost-model numbers, incremental output deltas
-and migration plans of a run are backend-independent; only the measured
-timings differ.  ``tests/test_backends.py`` locks that equivalence down.
+The protocol is implemented once, in-process, on the base class: a
+:class:`RegionStateTable` of sorted per-machine state whose ``count_batch``
+folds the batch in (``C(new1, state2 + new2) + C(state1, new2)``) and
+dispatches the resulting ``2J`` search tasks through the backend's own
+:meth:`~ExecutionBackend.join_regions`.  A backend therefore only decides
+*how a list of (keys1, keys2) tasks is counted*:
+
+* :class:`SimulatedBackend` counts each task in the engine's own process.
+  Cost-model load is the quantity of interest; wall timings are recorded
+  but reflect a single core.
+* :class:`MultiprocessBackend` ships the busy tasks to a persistent
+  ``ProcessPoolExecutor`` -- the same worker-pool machinery as the batch
+  :func:`~repro.engine.executor.run_join_multiprocess` -- so the metrics
+  carry *real* per-task wall-clock timings and pickle-channel bytes.
+* :class:`SlowConsumerBackend` decorates another backend's ``join_regions``
+  with a deterministic delay.
+
+:class:`StickyWorkerBackend` is the one override of the protocol itself:
+each worker *process* hosts the :class:`RegionStateTable` of its machines,
+resident across batches, and the engine ships only the per-batch delta --
+new-arrival index/key arrays over a :class:`~repro.streaming.shm.ShmArena`
+shared-memory segment plus tiny pickled control messages for evictions,
+trim points and migration moves.  The worker runs the *same* table fold
+and the same counting loop as the in-process default, so every backend
+counts bit-identical deltas; only the measured timings and byte counts
+differ.  ``tests/test_backends.py`` locks that equivalence down.
 
 Process-spawning backends pin an explicit multiprocessing start method
 (forkserver where available, else spawn) instead of the platform default:
@@ -50,7 +60,8 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -64,9 +75,11 @@ from repro.joins.local import count_join_output
 from repro.obs.clock import perf_counter
 from repro.streaming.incremental import SortedRegionState
 from repro.streaming.shm import ShmArena, ShmReader
+from repro.streaming.window import drop_expired
 
 __all__ = [
     "RegionJoinResult",
+    "RegionStateTable",
     "ExecutionBackend",
     "SimulatedBackend",
     "MultiprocessBackend",
@@ -75,6 +88,7 @@ __all__ = [
     "WorkerCrashError",
     "default_mp_context",
     "make_backend",
+    "state_layout",
 ]
 
 
@@ -141,11 +155,14 @@ class RegionJoinResult:
         segment instead of the pickle channel (the sticky backend's
         :class:`~repro.streaming.shm.ShmArena` transport).  ``None`` for
         backends without a shared-memory channel.
-    worker_pids:
-        OS pid of the process that joined each machine's region (``-1``
-        for machines that were never dispatched), or ``None`` for
-        in-process backends.  A tracer uses these to stitch per-worker
-        child spans under the dispatching batch's span.
+    worker_pids, worker_seconds:
+        Per dispatched unit of work, the OS pid of the process that ran it
+        (``-1`` for units that were never dispatched) and the seconds it
+        spent there; ``None`` for in-process backends.  A unit is one
+        region for :meth:`ExecutionBackend.join_regions` and the sticky
+        ``count_batch``, and one of a machine's two search tasks for the
+        in-process default ``count_batch``.  A tracer uses these to stitch
+        per-worker child spans under the dispatching batch's span.
     """
 
     per_machine_output: np.ndarray
@@ -155,6 +172,12 @@ class RegionJoinResult:
     bytes_unpickled: "int | None" = None
     bytes_shm: "int | None" = None
     worker_pids: "np.ndarray | None" = None
+    worker_seconds: "np.ndarray | None" = None
+
+    def __post_init__(self) -> None:
+        """Default the per-unit seconds to the per-region ones."""
+        if self.worker_pids is not None and self.worker_seconds is None:
+            self.worker_seconds = self.per_machine_seconds
 
     @property
     def total_output(self) -> int:
@@ -162,14 +185,146 @@ class RegionJoinResult:
         return int(self.per_machine_output.sum())
 
 
+class RegionStateTable:
+    """The sorted join state of a set of machines, and the fold that counts it.
+
+    The single implementation behind every owner of join state: the
+    in-process default on :class:`ExecutionBackend` hosts one table for the
+    whole cluster, each :class:`StickyWorkerBackend` worker process hosts
+    one for the machines it owns.  Per machine it keeps a
+    :class:`~repro.streaming.incremental.SortedRegionState` pair and
+    mutates it in place batch after batch, so two owners fed the same
+    protocol traffic hold bit-identical state.
+
+    Array inputs may be zero-copy views into a transient shared segment;
+    :class:`SortedRegionState` copies on insert and rebuild, so no view
+    survives past its call.
+    """
+
+    def __init__(self, machines: "Iterable[int]") -> None:
+        self.machines = tuple(machines)
+        self.state1 = {machine: SortedRegionState() for machine in self.machines}
+        self.state2 = {machine: SortedRegionState() for machine in self.machines}
+
+    def fold(
+        self, arrays: "list[np.ndarray]"
+    ) -> "list[tuple[np.ndarray, np.ndarray]]":
+        """Merge a batch's arrivals in; return two counting tasks per machine.
+
+        ``arrays`` is a :func:`state_layout` of the whole cluster; only the
+        slices of this table's machines are read.  A machine's output delta
+        decomposes exactly as ``C(new1, state2 + new2) + C(state1, new2)``:
+        its first task searches the just-updated sorted R2 state per new R1
+        key, its second searches the *pre-insert* sorted R1 state per new
+        R2 key (to be counted under the transposed condition).  Both
+        second arrays are sorted, so counting is ``O(new log state)``.
+        """
+        tasks: "list[tuple[np.ndarray, np.ndarray]]" = []
+        for machine in self.machines:
+            idx1, keys1, idx2, keys2 = arrays[4 * machine : 4 * machine + 4]
+            state1, state2 = self.state1[machine], self.state2[machine]
+            old_keys1 = state1.keys
+            state2.insert(idx2, keys2)
+            state1.insert(idx1, keys1)
+            tasks += [(keys1, state2.keys), (keys2, old_keys1)]
+        return tasks
+
+    def evict(self, expired1: np.ndarray, expired2: np.ndarray) -> int:
+        """Drop expired arrival indices everywhere; return entries dropped."""
+        dropped = 0
+        for machine in self.machines:
+            dropped += self.state1[machine].evict(expired1)
+            dropped += self.state2[machine].evict(expired2)
+        return dropped
+
+    def rebase(self, trim1: int, trim2: int) -> None:
+        """Shift every arrival index down by the per-side trimmed amounts."""
+        for machine in self.machines:
+            self.state1[machine].rebase(trim1)
+            self.state2[machine].rebase(trim2)
+
+    def install(self, arrays: "list[np.ndarray]") -> None:
+        """Replace every machine's state with its complete new columns.
+
+        ``arrays`` is a :func:`state_layout` of the whole cluster's
+        post-move state.  The rebuild is
+        :meth:`SortedRegionState.from_pairs`' stable key-sort, so every
+        owner installs bit-identical state from the same assignment.
+        """
+        for machine in self.machines:
+            idx1, keys1, idx2, keys2 = arrays[4 * machine : 4 * machine + 4]
+            self.state1[machine] = SortedRegionState.from_pairs(idx1, keys1)
+            self.state2[machine] = SortedRegionState.from_pairs(idx2, keys2)
+
+
+def state_layout(
+    indices1: "list[np.ndarray]",
+    indices2: "list[np.ndarray]",
+    history1: np.ndarray,
+    history2: np.ndarray,
+) -> "list[np.ndarray]":
+    """Machine-major array layout: (idx1, keys1, idx2, keys2) per machine.
+
+    The one shape protocol traffic takes on its way into a
+    :class:`RegionStateTable` -- per-machine arrival-index arrays with
+    their keys gathered from the histories -- whether the table sits in
+    this process or behind a shared-memory message.
+    """
+    arrays: "list[np.ndarray]" = []
+    for idx1, idx2 in zip(indices1, indices2):
+        idx1 = np.asarray(idx1, dtype=np.int64)
+        idx2 = np.asarray(idx2, dtype=np.int64)
+        arrays += [idx1, history1[idx1], idx2, history2[idx2]]
+    return arrays
+
+
+def _count_regions(
+    region_keys: "list[tuple[np.ndarray, np.ndarray]]",
+    conditions: "list[JoinCondition]",
+    keys2_sorted: bool,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Count each non-empty region in the calling process; time each one.
+
+    The one in-process counting loop: :class:`SimulatedBackend` runs it in
+    the engine's process, every sticky worker runs it in its own.  Regions
+    with an empty side produce nothing and are never timed.
+    """
+    outputs = np.zeros(len(region_keys), dtype=np.int64)
+    seconds = np.zeros(len(region_keys))
+    for region, (keys1, keys2) in enumerate(region_keys):
+        if len(keys1) == 0 or len(keys2) == 0:
+            continue
+        started = perf_counter()
+        outputs[region] = count_join_output(
+            keys1, keys2, conditions[region], keys2_sorted=keys2_sorted
+        )
+        seconds[region] = perf_counter() - started
+    return outputs, seconds
+
+
 class ExecutionBackend(abc.ABC):
-    """How the per-region joins of a micro-batch are executed.
+    """The owner of a stream's join state, and how its joins are executed.
+
+    The engine touches join state only through the **state-ownership
+    protocol** implemented here: :meth:`bind` once per stream, then per
+    batch :meth:`count_batch` / :meth:`evict_state` / :meth:`rebase_state`,
+    :meth:`install_state` on a migration or restore, :meth:`resize` on a
+    fleet change, :meth:`resident_indices` as the read-only view and
+    :meth:`drain_channel_bytes` for byte metering.  The default keeps a
+    :class:`RegionStateTable` in-process and dispatches each batch's
+    search tasks through :meth:`join_regions` -- the single abstract
+    method, so an in-process backend only decides how a task list is
+    counted.  A backend that keeps the state elsewhere
+    (:class:`StickyWorkerBackend`) overrides the whole protocol; overriding
+    part of it leaves half the state remote, which the static analyser
+    rejects (API001).
 
     Backends are resources: :class:`MultiprocessBackend` owns a worker pool,
     so every backend supports ``close()`` and the context-manager protocol.
-    A backend may be shared by several engines (e.g. to reuse one pool across
-    the schemes of a comparison); an engine only closes a backend it created
-    itself.
+    An in-process backend may be reused by several engines *one after
+    another* (e.g. one pool across the schemes of a comparison) -- each
+    ``bind`` starts from empty state -- and an engine only closes a backend
+    it created itself.
 
     ``close()`` is idempotent and final: calling :meth:`join_regions` on a
     closed backend raises ``RuntimeError`` instead of silently resurrecting
@@ -185,16 +340,14 @@ class ExecutionBackend(abc.ABC):
     #: modeled ones (see ``docs/observability.md`` on clock domains).
     clock_domain: str = "real"
 
-    #: Whether the backend keeps the per-machine join state resident on its
-    #: side (sticky workers).  The engine then drives the state-ownership
-    #: protocol -- ``bind`` / ``count_batch`` / ``evict_state`` /
-    #: ``rebase_state`` / ``install_state`` -- instead of shipping full
-    #: region state through :meth:`join_regions` every batch.
-    owns_state: bool = False
-
     #: Set by :meth:`close`; class-level default so subclasses need no
     #: ``__init__`` chaining.
     _closed: bool = False
+
+    #: The bound stream's state and its (original, transposed) conditions;
+    #: class-level defaults for the same reason.
+    _table: "RegionStateTable | None" = None
+    _fold_conditions: "tuple[JoinCondition, ...]" = ()
 
     @property
     def closed(self) -> bool:
@@ -209,6 +362,16 @@ class ExecutionBackend(abc.ABC):
                 "backend instead of reusing a closed one"
             )
 
+    def _bound_table(self) -> RegionStateTable:
+        """The bound stream's state table; raise unless open and bound."""
+        self._ensure_open()
+        if self._table is None:
+            raise RuntimeError(
+                f"{type(self).__name__} is not bound to a stream yet; the "
+                "engine calls bind() at the start of its run"
+            )
+        return self._table
+
     @abc.abstractmethod
     def join_regions(
         self,
@@ -216,18 +379,130 @@ class ExecutionBackend(abc.ABC):
         condition: "JoinCondition | list[JoinCondition]",
         keys2_sorted: bool = False,
     ) -> RegionJoinResult:
-        """Join each machine's (R1, R2) region state; count exact output.
+        """Join each (R1, R2) key-array pair; count exact output.
 
-        ``region_keys[m]`` is machine ``m``'s currently held key arrays.
-        Regions with an empty side produce no output and must not be charged
-        any work.  ``condition`` is shared by every region, or a list with
-        one condition per region (the engine's incremental counting mixes
-        the original and transposed orientations in one dispatch).
-        ``keys2_sorted`` promises every pair's second array is already
-        sorted ascending so the per-task sort can be skipped -- the engine's
-        incremental counting relies on this to stay ``O(new log state)`` per
-        batch.
+        Pairs with an empty side produce no output and must not be charged
+        any work.  ``condition`` is shared by every pair, or a list with
+        one condition per pair (:meth:`count_batch` mixes the original and
+        transposed orientations in one dispatch).  ``keys2_sorted``
+        promises every pair's second array is already sorted ascending so
+        the per-task sort can be skipped -- :meth:`count_batch` relies on
+        this to stay ``O(new log state)`` per batch.
         """
+
+    # ------------------------------------------------------------------
+    # State-ownership protocol (in-process default)
+    # ------------------------------------------------------------------
+    def bind(
+        self,
+        num_machines: int,
+        condition: JoinCondition,
+        transposed: JoinCondition,
+    ) -> None:
+        """Start owning one stream's state: ``num_machines`` empty machines."""
+        self._ensure_open()
+        if num_machines <= 0:
+            raise ValueError("num_machines must be positive")
+        self._table = RegionStateTable(range(num_machines))
+        self._fold_conditions = (condition, transposed)
+
+    def count_batch(
+        self,
+        new1: "list[np.ndarray]",
+        new2: "list[np.ndarray]",
+        history1: np.ndarray,
+        history2: np.ndarray,
+    ) -> RegionJoinResult:
+        """Fold one batch's arrivals into the state; count its output delta.
+
+        ``new1`` / ``new2`` are per-machine arrival-index arrays into the
+        key histories.  Every machine's two search tasks
+        (:meth:`RegionStateTable.fold`) go through :meth:`join_regions` as
+        one ``2J``-task dispatch (a single pool round-trip under the
+        multiprocess backend), so the returned timings and serialization
+        bytes are the backend's own; no full-region recount ever happens.
+        """
+        tasks = self._bound_table().fold(
+            state_layout(new1, new2, history1, history2)
+        )
+        execution = self.join_regions(
+            tasks, list(self._fold_conditions) * len(new1), keys2_sorted=True
+        )
+        # Two tasks per machine; worker_pids / worker_seconds stay per task.
+        return replace(
+            execution,
+            per_machine_output=execution.per_machine_output.reshape(-1, 2).sum(
+                axis=1
+            ),
+            per_machine_seconds=execution.per_machine_seconds.reshape(
+                -1, 2
+            ).sum(axis=1),
+        )
+
+    def evict_state(self, expired1: np.ndarray, expired2: np.ndarray) -> int:
+        """Drop expired arrival indices from every machine; return the count."""
+        return self._bound_table().evict(expired1, expired2)
+
+    def rebase_state(self, trim1: int, trim2: int) -> None:
+        """Rebase every resident arrival index after history compaction."""
+        self._bound_table().rebase(trim1, trim2)
+
+    def install_state(
+        self,
+        assignments1: "list[np.ndarray]",
+        assignments2: "list[np.ndarray]",
+        history1: np.ndarray,
+        history2: np.ndarray,
+    ) -> None:
+        """Replace every machine's state with complete index assignments.
+
+        The one way state moves wholesale -- a migration plan's new
+        assignments, a restored checkpoint's resident indices -- with the
+        keys gathered from the histories.
+        """
+        self._bound_table().install(
+            state_layout(assignments1, assignments2, history1, history2)
+        )
+
+    def resize(self, num_machines: int) -> None:
+        """Adopt a new fleet size, discarding all resident state.
+
+        The engine must follow up with :meth:`install_state` carrying the
+        complete post-resize state from its migration plan -- a resize
+        without a reinstall would silently drop everything.
+        """
+        self._bound_table()
+        if num_machines <= 0:
+            raise ValueError("num_machines must be positive")
+        self._table = RegionStateTable(range(num_machines))
+
+    def resident_indices(
+        self,
+    ) -> "tuple[list[np.ndarray], list[np.ndarray]]":
+        """Per-machine arrival indices held, R1 then R2 (read-only views).
+
+        What migration planning, resident accounting and checkpoints need
+        to know about the state without reading it back.  Order within a
+        machine is unspecified (the in-process default hands out its
+        key-sorted index columns with no copy); callers treat each array
+        as a set.
+        """
+        table = self._bound_table()
+        return (
+            [table.state1[machine].index for machine in table.machines],
+            [table.state2[machine].index for machine in table.machines],
+        )
+
+    def drain_channel_bytes(
+        self,
+    ) -> "tuple[int | None, int | None, int | None]":
+        """Protocol-channel bytes since the last drain: (pickled, unpickled, shm).
+
+        The in-process default has no channel of its own -- whatever
+        :meth:`join_regions` serialized is already on the execution it
+        returned -- so all three are ``None`` (not a measured zero).
+        """
+        return (None, None, None)
 
     def close(self) -> None:
         """Release any resources held by the backend (idempotent, final)."""
@@ -255,18 +530,12 @@ class SimulatedBackend(ExecutionBackend):
     ) -> RegionJoinResult:
         """Count each non-empty region's join output in the calling process."""
         self._ensure_open()
-        conditions = broadcast_conditions(condition, len(region_keys))
-        outputs = np.zeros(len(region_keys), dtype=np.int64)
-        seconds = np.zeros(len(region_keys))
         start = perf_counter()
-        for machine, (keys1, keys2) in enumerate(region_keys):
-            if len(keys1) == 0 or len(keys2) == 0:
-                continue
-            region_start = perf_counter()
-            outputs[machine] = count_join_output(
-                keys1, keys2, conditions[machine], keys2_sorted=keys2_sorted
-            )
-            seconds[machine] = perf_counter() - region_start
+        outputs, seconds = _count_regions(
+            region_keys,
+            broadcast_conditions(condition, len(region_keys)),
+            keys2_sorted,
+        )
         return RegionJoinResult(
             per_machine_output=outputs,
             per_machine_seconds=seconds,
@@ -384,121 +653,78 @@ class MultiprocessBackend(ExecutionBackend):
 
 
 class _StickyWorkerState:
-    """One sticky worker's resident state and command handlers.
+    """One sticky worker's command handlers over its resident state table.
 
-    The worker process owns the :class:`SortedRegionState` pair of every
-    machine assigned to it and mutates it in place batch after batch --
-    exactly the folds the engine's in-process incremental counter performs,
-    in the same order, so the counted deltas are bit-identical to the
+    The worker process hosts the :class:`RegionStateTable` of the machines
+    assigned to it and answers the backend's control messages with the very
+    same table operations and counting loop the in-process default runs,
+    in the same order -- so the counted deltas are bit-identical to the
     simulated backend's.  The handlers live on this (in-process testable)
     class; :func:`_sticky_worker_main` is only the recv/dispatch/send loop
     around it.
 
-    Every array handler input is a zero-copy view into the engine's shared
-    segment; :class:`SortedRegionState` copies on insert/rebuild, so no view
-    survives past its command.
+    Array payloads use one machine-major layout -- four arrays per machine:
+    R1 arrival indices, R1 keys, R2 arrival indices, R2 keys -- each a
+    zero-copy view into the engine's shared segment.
     """
 
     def __init__(self, machines: "tuple[int, ...]") -> None:
-        self.machines = machines
-        self.state1 = {machine: SortedRegionState() for machine in machines}
-        self.state2 = {machine: SortedRegionState() for machine in machines}
-        self.condition: "JoinCondition | None" = None
-        self.transposed: "JoinCondition | None" = None
+        self.table = RegionStateTable(machines)
+        self.conditions: "list[JoinCondition]" = []
 
     def init(self, condition: JoinCondition, transposed: JoinCondition):
         """Adopt the stream's conditions; reply with this worker's pid."""
-        self.condition = condition
-        self.transposed = transposed
+        self.conditions = [condition, transposed]
         return ("ok", os.getpid())
 
     def count(self, arrays: "list[np.ndarray]"):
         """Fold one batch's deltas into the resident state and count.
 
-        ``arrays`` is the batch's machine-major layout -- four arrays per
-        machine: R1 arrival indices, R1 keys, R2 arrival indices, R2 keys.
-        Per owned machine this replays the engine's exact delta
-        decomposition ``C(new1, state2 + new2) + C(state1, new2)``: insert
-        the R2 arrivals, search the updated sorted R2 state per new R1 key,
-        search the *pre-insert* sorted R1 state per new R2 key under the
-        transposed condition, then insert the R1 arrivals.  Empty sides are
-        skipped (and not timed), mirroring :class:`SimulatedBackend`.
+        :meth:`RegionStateTable.fold` takes the owned machines' slices of
+        the layout; the resulting task pairs are counted by
+        :func:`_count_regions` (empty sides skipped and untimed).  The
+        reply lists, per machine, both tasks' outputs and seconds.
         """
-        counted = []
-        for machine in self.machines:
-            idx1, keys1, idx2, keys2 = arrays[4 * machine : 4 * machine + 4]
-            state1 = self.state1[machine]
-            state2 = self.state2[machine]
-            old_keys1 = state1.keys
-            state2.insert(idx2, keys2)
-            out_a = out_b = 0
-            sec_a = sec_b = 0.0
-            if len(keys1) and len(state2.keys):
-                started = perf_counter()
-                out_a = count_join_output(
-                    keys1, state2.keys, self.condition, keys2_sorted=True
-                )
-                sec_a = perf_counter() - started
-            if len(keys2) and len(old_keys1):
-                started = perf_counter()
-                out_b = count_join_output(
-                    keys2, old_keys1, self.transposed, keys2_sorted=True
-                )
-                sec_b = perf_counter() - started
-            state1.insert(idx1, keys1)
-            counted.append((machine, int(out_a), int(out_b), sec_a, sec_b))
-        return ("counted", counted)
+        machines = self.table.machines
+        outputs, seconds = _count_regions(
+            self.table.fold(arrays),
+            self.conditions * len(machines),
+            keys2_sorted=True,
+        )
+        outputs = outputs.reshape(-1, 2).tolist()
+        seconds = seconds.reshape(-1, 2).tolist()
+        return (
+            "counted",
+            [
+                (machine, *outputs[slot], *seconds[slot])
+                for slot, machine in enumerate(machines)
+            ],
+        )
 
     def evict(self, arrays: "list[np.ndarray]"):
-        """Drop expired arrival indices from every owned machine's state.
-
-        ``arrays`` is the per-side expired index pair; the reply carries
-        how many state entries this worker actually held and dropped, so
-        the engine can check its ownership mirror against reality.
-        """
-        expired1, expired2 = arrays
-        dropped = 0
-        for machine in self.machines:
-            dropped += self.state1[machine].evict(expired1)
-            dropped += self.state2[machine].evict(expired2)
-        return ("evicted", dropped)
+        """Drop the per-side expired index pair; reply with entries dropped."""
+        return ("evicted", self.table.evict(*arrays))
 
     def rebase(self, trim1: int, trim2: int):
         """Shift every resident arrival index below the engine's trim points."""
-        for machine in self.machines:
-            self.state1[machine].rebase(trim1)
-            self.state2[machine].rebase(trim2)
+        self.table.rebase(trim1, trim2)
         return ("rebased",)
 
     def resize(self, machines: "tuple[int, ...]"):
         """Adopt a new owned-machine set, discarding all resident state.
 
         A fleet resize reassigns machine ownership wholesale, so the worker
-        starts from empty state for its new machines; the engine follows up
-        with an :meth:`install` carrying every machine's complete
-        post-resize state (the migration plan's new assignments).  The
-        reply repeats the worker's pid so the engine can rebuild its
-        machine-to-pid map for the new fleet.
+        starts from an empty table for its new machines; the backend
+        follows up with an :meth:`install` carrying every machine's
+        complete post-resize state.  The reply repeats the worker's pid so
+        the backend can rebuild its machine-to-pid map for the new fleet.
         """
-        self.machines = tuple(machines)
-        self.state1 = {machine: SortedRegionState() for machine in self.machines}
-        self.state2 = {machine: SortedRegionState() for machine in self.machines}
+        self.table = RegionStateTable(machines)
         return ("resized", os.getpid())
 
     def install(self, arrays: "list[np.ndarray]"):
-        """Replace every owned machine's state with migrated assignments.
-
-        Same machine-major layout as :meth:`count`, but the index/key pairs
-        are each machine's *complete* post-migration state (the migration
-        plan's new assignments, keys gathered engine-side).  The rebuild is
-        the same stable key-sort :meth:`SortedRegionState.from_indices`
-        performs, so post-migration worker state is bit-identical to the
-        in-process engine's.
-        """
-        for machine in self.machines:
-            idx1, keys1, idx2, keys2 = arrays[4 * machine : 4 * machine + 4]
-            self.state1[machine] = SortedRegionState.from_pairs(idx1, keys1)
-            self.state2[machine] = SortedRegionState.from_pairs(idx2, keys2)
+        """Replace every owned machine's state with its complete new columns."""
+        self.table.install(arrays)
         return ("installed",)
 
     def handle(self, command: tuple, reader: ShmReader):
@@ -566,13 +792,15 @@ class StickyWorkerBackend(ExecutionBackend):
     trim points and migration moves travel the same way: control messages
     with any array payload in shared memory, never through pickle.
 
-    The engine drives the backend through the state-ownership protocol
-    (``bind`` → per-batch ``count_batch`` / ``evict_state`` /
-    ``rebase_state`` / ``install_state`` → ``close``) and keeps a
-    per-machine arrival-index mirror so migration planning and resident
-    accounting need no state readback.  Counted outputs are bit-identical
-    to :class:`SimulatedBackend` -- the workers replay the exact same
-    incremental fold on the exact same arrays.
+    This is the one override of the state-ownership protocol: every call
+    becomes a control message, and the backend keeps a sorted per-machine
+    *arrival-index mirror* of what its workers hold, so
+    :meth:`resident_indices` (migration planning, resident accounting,
+    checkpoints) never reads state back.  The mirror is also the backend's
+    claim about worker state: every eviction's worker-reported drop count
+    is checked against it, and a divergence raises.  Counted outputs are
+    bit-identical to :class:`SimulatedBackend` -- the workers run the same
+    :class:`RegionStateTable` fold on the same arrays.
 
     Parameters
     ----------
@@ -597,7 +825,6 @@ class StickyWorkerBackend(ExecutionBackend):
     """
 
     name = "sticky"
-    owns_state = True
 
     def __init__(
         self,
@@ -615,6 +842,8 @@ class StickyWorkerBackend(ExecutionBackend):
         self._processes: list = []
         self._num_machines: "int | None" = None
         self._machine_pids: "np.ndarray | None" = None
+        self._held1: "list[np.ndarray]" = []
+        self._held2: "list[np.ndarray]" = []
         self._bytes_pickled = 0
         self._bytes_unpickled = 0
         self._bytes_shm = 0
@@ -666,6 +895,7 @@ class StickyWorkerBackend(ExecutionBackend):
             self.max_workers or os.cpu_count() or 1, num_machines
         )
         self._num_machines = num_machines
+        self._reset_mirror(num_machines)
         self._arena = ShmArena()
         for worker in range(workers):
             engine_end, worker_end = self._mp_context.Pipe()
@@ -685,6 +915,22 @@ class StickyWorkerBackend(ExecutionBackend):
         for worker, reply in enumerate(replies):
             pids[worker::workers] = reply[1]
         self._machine_pids = pids
+
+    def _reset_mirror(self, num_machines: int) -> None:
+        """Start the ownership mirror over: every machine holds nothing."""
+        empty = np.empty(0, dtype=np.int64)
+        self._held1 = [empty] * num_machines
+        self._held2 = [empty] * num_machines
+
+    @staticmethod
+    def _merge_sorted(held: np.ndarray, incoming: np.ndarray) -> np.ndarray:
+        """Merge new arrival indices into one machine's sorted mirror."""
+        incoming = np.sort(np.asarray(incoming, dtype=np.int64))
+        if len(incoming) == 0:
+            return held
+        if len(held) == 0:
+            return incoming
+        return np.insert(held, np.searchsorted(held, incoming), incoming)
 
     def _crashed(self, worker: int, cause: "BaseException | None" = None):
         """Build the :class:`WorkerCrashError` for a dead worker's channel."""
@@ -763,21 +1009,6 @@ class StickyWorkerBackend(ExecutionBackend):
         self._bytes_shm += message.payload_bytes
         return message
 
-    @staticmethod
-    def _state_layout(
-        indices1: "list[np.ndarray]",
-        indices2: "list[np.ndarray]",
-        history1: np.ndarray,
-        history2: np.ndarray,
-    ) -> "list[np.ndarray]":
-        """Machine-major array layout: (idx1, keys1, idx2, keys2) per machine."""
-        arrays: "list[np.ndarray]" = []
-        for idx1, idx2 in zip(indices1, indices2):
-            idx1 = np.asarray(idx1, dtype=np.int64)
-            idx2 = np.asarray(idx2, dtype=np.int64)
-            arrays += [idx1, history1[idx1], idx2, history2[idx2]]
-        return arrays
-
     def count_batch(
         self,
         new1: "list[np.ndarray]",
@@ -798,7 +1029,7 @@ class StickyWorkerBackend(ExecutionBackend):
         self._ensure_bound()
         start = perf_counter()
         message = self._write(
-            self._state_layout(new1, new2, history1, history2)
+            state_layout(new1, new2, history1, history2)
         )
         outputs = np.zeros(self._num_machines, dtype=np.int64)
         seconds = np.zeros(self._num_machines)
@@ -806,6 +1037,13 @@ class StickyWorkerBackend(ExecutionBackend):
             for machine, out_a, out_b, sec_a, sec_b in reply[1]:
                 outputs[machine] = out_a + out_b
                 seconds[machine] = sec_a + sec_b
+        for machine in range(self._num_machines):
+            self._held1[machine] = self._merge_sorted(
+                self._held1[machine], new1[machine]
+            )
+            self._held2[machine] = self._merge_sorted(
+                self._held2[machine], new2[machine]
+            )
         return RegionJoinResult(
             per_machine_output=outputs,
             per_machine_seconds=seconds,
@@ -816,20 +1054,37 @@ class StickyWorkerBackend(ExecutionBackend):
     def evict_state(
         self, expired1: np.ndarray, expired2: np.ndarray
     ) -> int:
-        """Drop expired arrival indices worker-side; return entries dropped."""
+        """Drop expired arrival indices worker-side; return entries dropped.
+
+        The workers report how many entries they really held and dropped;
+        the mirror is trimmed by the same sets, and a mismatch between the
+        two counts raises -- the mirror *is* this backend's claim about
+        worker state, and a divergence means migration planning would move
+        state that does not exist.
+        """
         self._ensure_bound()
-        message = self._write(
-            [
-                np.asarray(expired1, dtype=np.int64),
-                np.asarray(expired2, dtype=np.int64),
-            ]
-        )
-        return sum(reply[1] for reply in self._broadcast(("evict", message)))
+        expired1 = np.asarray(expired1, dtype=np.int64)
+        expired2 = np.asarray(expired2, dtype=np.int64)
+        message = self._write([expired1, expired2])
+        dropped = sum(reply[1] for reply in self._broadcast(("evict", message)))
+        before = sum(len(held) for held in self._held1 + self._held2)
+        self._held1 = [drop_expired(held, expired1) for held in self._held1]
+        self._held2 = [drop_expired(held, expired2) for held in self._held2]
+        expected = before - sum(len(held) for held in self._held1 + self._held2)
+        if dropped != expected:
+            raise RuntimeError(
+                f"sticky workers dropped {dropped} state entries but the "
+                f"backend's ownership mirror expected {expected}; "
+                "worker-resident state has diverged from the engine"
+            )
+        return dropped
 
     def rebase_state(self, trim1: int, trim2: int) -> None:
-        """Rebase every worker's arrival indices after history compaction."""
+        """Rebase the workers' arrival indices, and the mirror in lock-step."""
         self._ensure_bound()
         self._broadcast(("rebase", int(trim1), int(trim2)))
+        self._held1 = [held - trim1 for held in self._held1]
+        self._held2 = [held - trim2 for held in self._held2]
 
     def install_state(
         self,
@@ -840,16 +1095,25 @@ class StickyWorkerBackend(ExecutionBackend):
     ) -> None:
         """Move migrated state between workers through shared memory.
 
-        ``assignments*`` are the migration plan's complete per-machine
-        arrival-index arrays; each worker rebuilds its owned machines'
-        state from the shared message, so state never crosses the pickle
-        channel even when it changes owners.
+        ``assignments*`` are complete per-machine arrival-index arrays (a
+        migration plan's new assignments, a checkpoint's resident indices);
+        each worker rebuilds its owned machines' state from the shared
+        message, so state never crosses the pickle channel even when it
+        changes owners.
         """
         self._ensure_bound()
         message = self._write(
-            self._state_layout(assignments1, assignments2, history1, history2)
+            state_layout(assignments1, assignments2, history1, history2)
         )
         self._broadcast(("install", message))
+        self._held1 = [
+            np.sort(np.asarray(indices, dtype=np.int64))
+            for indices in assignments1
+        ]
+        self._held2 = [
+            np.sort(np.asarray(indices, dtype=np.int64))
+            for indices in assignments2
+        ]
 
     def resize(self, num_machines: int) -> None:
         """Reassign machine ownership across the workers for a new fleet size.
@@ -878,6 +1142,14 @@ class StickyWorkerBackend(ExecutionBackend):
             pids[worker::workers] = reply[1]
         self._num_machines = num_machines
         self._machine_pids = pids
+        self._reset_mirror(num_machines)
+
+    def resident_indices(
+        self,
+    ) -> "tuple[list[np.ndarray], list[np.ndarray]]":
+        """The ownership mirror: per-machine sorted arrival indices held."""
+        self._ensure_bound()
+        return self._held1, self._held2
 
     def drain_channel_bytes(
         self,
@@ -913,16 +1185,16 @@ class StickyWorkerBackend(ExecutionBackend):
 
         Shipping full region arrays through this entry point is exactly the
         serialization tax this backend exists to remove, so it raises
-        instead -- the engine recognises ``owns_state`` and drives the
-        stateful protocol (``bind`` / ``count_batch`` / ...); a decorator
-        that hides that flag (e.g. ``SlowConsumerBackend``) cannot be used
-        around a sticky backend.
+        instead -- state reaches the workers through the protocol
+        (``bind`` / ``count_batch`` / ...) only.  A decorator that works
+        by intercepting ``join_regions`` (``SlowConsumerBackend``) therefore
+        cannot be used around a sticky backend.
         """
         self._ensure_open()
         raise RuntimeError(
             "StickyWorkerBackend owns its workers' join state and does not "
-            "accept stateless join_regions dispatch; the engine must drive "
-            "the state-ownership protocol (bind/count_batch/...)"
+            "accept stateless join_regions dispatch; drive it through the "
+            "state-ownership protocol (bind/count_batch/...)"
         )
 
     def close(self) -> None:

@@ -1,7 +1,7 @@
 """Checkpoint/restore of a running streaming join, and crash-resilient driving.
 
-A streaming join is long-lived state: per-machine sorted region state, the
-flat key histories, window liveness, the histogram's decayed sample
+A streaming join is long-lived state: which arrivals every machine holds,
+the flat key histories, window liveness, the histogram's decayed sample
 reservoirs, the drift detector's EWMA and the engine's own random generator.
 :class:`StreamCheckpoint` captures *all* of it -- everything
 :meth:`~repro.streaming.engine.StreamingJoinEngine.process_batch` reads or
@@ -16,15 +16,23 @@ On-disk format
 ``to_bytes`` serializes a versioned, integrity-checked container::
 
     magic  b"RPSC"            4 bytes
-    version  uint32 LE        4 bytes   (refused on load if unknown)
+    version  uint32 LE        4 bytes   (refused on load unless current)
     payload length  uint64 LE 8 bytes
     sha256(payload)          32 bytes   (refused on load if it mismatches)
     payload                   pickle protocol 4 of the checkpoint fields
 
 The payload pins pickle protocol 4, so serializing the same state twice in
 one process yields byte-identical files -- ``save`` output is deterministic
-and safe to golden.  ``from_bytes`` refuses unknown versions and corrupt
+and safe to golden.  ``from_bytes`` refuses other versions and corrupt
 payloads with a clear ``ValueError`` instead of unpickling garbage.
+
+Version 2 stores join state as *indices only*: per machine and side, the
+sorted arrival indices resident there.  Keys are never stored twice -- a
+restore regathers them from the key history and key-sorts them stably,
+which reproduces the resident state on any backend, so a checkpoint taken
+on one backend restores onto any other.  Version 1 (verbatim key-sorted
+``index``/``keys`` columns for in-process state, plus the removed
+``counting`` mode and its ``prev_outputs`` baseline) is refused by name.
 
 Driving a crash-survivable run
 ------------------------------
@@ -67,8 +75,8 @@ __all__ = ["CHECKPOINT_VERSION", "StreamCheckpoint", "run_resilient"]
 _MAGIC = b"RPSC"
 
 #: Format version written by this build; :meth:`StreamCheckpoint.from_bytes`
-#: refuses anything else.
-CHECKPOINT_VERSION = 1
+#: refuses anything else (version 1 predates index-only state).
+CHECKPOINT_VERSION = 2
 
 #: Pickle protocol pinned for deterministic bytes (same state, same process,
 #: same serialization).
@@ -88,12 +96,12 @@ class StreamCheckpoint:
     fields split into the engine's *configuration* (scalars plus the live
     condition/weight/policy/window/histogram objects, pickled wholesale so
     the restored engine is constructed exactly like the original) and the
-    run's *mutable state* (histories, liveness, per-machine region state,
-    generator state, accumulated result).
+    run's *mutable state* (histories, liveness, per-machine resident
+    indices, generator state, accumulated result).
 
     Attributes
     ----------
-    num_machines, counting, repartition_mode, compact_history,
+    num_machines, repartition_mode, compact_history,
     migration_cost_factor, rebuild_scan_factor, seed:
         The engine constructor arguments at checkpoint time
         (``num_machines`` reflects any resize already adopted).
@@ -111,14 +119,11 @@ class StreamCheckpoint:
         The flat per-side key histories, batch-start lists and live
         arrival-index sets, in engine coordinates (rebased by whatever
         history compaction trimmed).
-    state_index1, state_keys1, state_index2, state_keys2:
-        Per-machine region state.  For engine-resident state both the index
-        and key columns are stored verbatim (restore is an exact
-        reconstruction); for a state-owning sticky backend the engine only
-        mirrors the indices, so the key lists are ``None`` and a restore
-        regathers keys from the history.
-    prev_outputs:
-        The recount baseline's cumulative per-machine counts.
+    state_index1, state_index2:
+        Per machine, the sorted arrival indices of the R1/R2 state resident
+        there (the backend's ``resident_indices``).  Indices only: a
+        restore regathers the keys from the history and rebuilds each
+        machine's key-sorted state through the backend's ``install_state``.
     region_to_machine:
         Where each region's state lives after any partial-repartitioning
         remap.
@@ -140,7 +145,6 @@ class StreamCheckpoint:
     """
 
     num_machines: int
-    counting: str
     repartition_mode: str
     compact_history: bool
     migration_cost_factor: float
@@ -160,10 +164,7 @@ class StreamCheckpoint:
     live1: np.ndarray
     live2: np.ndarray
     state_index1: "list[np.ndarray]"
-    state_keys1: "list[np.ndarray] | None"
     state_index2: "list[np.ndarray]"
-    state_keys2: "list[np.ndarray] | None"
-    prev_outputs: np.ndarray
     region_to_machine: np.ndarray
     last_batch_index: "int | None"
     position: int
@@ -196,7 +197,7 @@ class StreamCheckpoint:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "StreamCheckpoint":
-        """Parse the container format; refuse unknown versions and corruption."""
+        """Parse the container format; refuse other versions and corruption."""
         if len(raw) < _HEADER.size:
             raise ValueError(
                 f"truncated stream checkpoint: {len(raw)} bytes is shorter "
@@ -211,7 +212,9 @@ class StreamCheckpoint:
         if version != CHECKPOINT_VERSION:
             raise ValueError(
                 f"unsupported stream checkpoint version {version}; this "
-                f"build reads version {CHECKPOINT_VERSION} only"
+                f"build reads version {CHECKPOINT_VERSION} only (version 1 "
+                "stored key-sorted state columns and a counting mode that "
+                "no longer exist -- re-take the checkpoint)"
             )
         payload = raw[_HEADER.size :]
         if len(payload) != length:

@@ -1,53 +1,59 @@
 """The micro-batch streaming join engine.
 
 :class:`StreamingJoinEngine` consumes a :class:`~repro.streaming.source.StreamSource`
-and runs a stateful partitioned join over it:
+and runs a stateful partitioned join over it.  The join state itself has
+exactly one owner -- the :class:`~repro.streaming.backends.ExecutionBackend`
+-- and the engine reaches it only through the backend's state-ownership
+protocol (``bind`` / ``count_batch`` / ``evict_state`` / ``rebase_state`` /
+``install_state`` / ``resize`` / ``resident_indices`` /
+``drain_channel_bytes``).  What the engine holds is the arrival
+bookkeeping: the flat per-side key histories, the live arrival-index sets
+and the batch-start lists.  Per micro-batch it runs six stages:
 
-* every machine retains the tuples routed to its region, each side kept
-  sorted by join key (:class:`~repro.streaming.incremental.SortedRegionState`);
-  how long a tuple stays retained is the
-  :class:`~repro.streaming.window.WindowPolicy`'s decision -- unbounded
-  history (the default), a sliding count-or-batch window, or exponential
-  decay.  Evictions run after every batch, are charged into
-  :class:`~repro.streaming.metrics.BatchMetrics` (tuples evicted, bytes
-  freed, resident state) and bound both the per-machine join state and the
-  per-batch cost.  Under any bounded window the engine also *compacts* its
-  arrival bookkeeping after each eviction: the window reports a safe trim
-  point (everything below ``min(live)`` can never be referenced again), the
-  flat ``history1``/``history2`` key arrays and the batch-start lists are
-  trimmed below it, and every stored arrival index -- the live sets and
-  each :class:`~repro.streaming.incremental.SortedRegionState`'s index
-  column -- is rebased by the trimmed amount.  All routing, counting and
-  migration arithmetic runs in these rebased *engine coordinates*, so the
-  whole footprint is O(window) however long the stream runs
-  (``BatchMetrics.resident_bytes`` charges the three byte-weighted terms:
-  join state, key history and live sets; the trimmed batch-start lists are
-  O(window) entries too but too small to meter); compaction is pure bookkeeping and never changes
-  outputs, loads, evictions or migration plans (``compact_history=False``
-  keeps the uncompacted bookkeeping for equivalence testing);
-* each micro-batch is routed by the current partitioning and its exact
-  incremental output is counted by a pluggable
-  :class:`~repro.streaming.backends.ExecutionBackend` (in-process simulation
-  or a persistent multiprocess worker pool).  Under the default
-  ``counting="incremental"`` the batch's output delta is computed directly
-  -- the new arrivals are binary-searched against the maintained sorted
-  state, ``O(new log state)`` per machine -- instead of re-counting the full
-  region and differencing (``counting="recount"``, the legacy baseline,
-  ``O(state log state)`` per batch).  Both produce identical deltas; the
-  cost-model load is charged per machine either way (arrivals at the input
-  cost, produced output at the output cost);
-* after each batch the :class:`~repro.streaming.policies.RepartitioningPolicy`
-  may swap in a new partitioning, in which case the retained *live* state is
-  migrated (:mod:`repro.streaming.migration`) and the moved tuples are
-  charged into the same cost model -- rebalancing is never free.  Under the
-  default ``repartition_mode="partial"`` the engine diffs the old and new
-  region-to-machine mappings and migrates only the regions whose assignment
-  changed; ``"full"`` reproduces the naive positional rebuild that re-routes
-  the whole (live) history.
+* **ingest** -- fold the batch into the maintained sample state, build the
+  first partitioning once both sides have been seen, append the keys to the
+  histories and (under a window) the arrival indices to the live sets;
+* **route** -- assign the arrivals to regions under the current
+  partitioning and ship each region's arrivals to the machine actually
+  holding it (the adopted region-to-machine mapping is remembered between
+  rebuilds, so partial repartitioning never degrades correctness);
+* **count** -- hand the per-machine arrival indices to the backend, which
+  folds them into each machine's key-sorted state and counts the batch's
+  exact output delta by binary search, ``O(new log state)`` per machine
+  (``C(new1, state2 + new2) + C(state1, new2)``; no region is ever
+  re-counted).  The cost-model load is charged per machine: arrivals at
+  the input cost, produced output at the output cost;
+* **evict + compact** -- the :class:`~repro.streaming.window.WindowPolicy`
+  decides which tuples expire (unbounded history by default, a sliding
+  count-or-batch window, or exponential decay); evictions are charged into
+  :class:`~repro.streaming.metrics.BatchMetrics` and bound both the
+  per-machine state and the per-batch cost.  Under any bounded window the
+  engine then *compacts* its bookkeeping: the window reports a safe trim
+  point (everything below ``min(live)`` can never be referenced again),
+  the histories and batch-start lists are trimmed below it and every
+  stored arrival index -- the live sets here, the state's index columns
+  backend-side -- is rebased by the trimmed amount.  All routing, count
+  and migration arithmetic runs in these rebased *engine coordinates*, so
+  the whole footprint is O(window) however long the stream runs;
+  compaction is pure bookkeeping and never changes outputs, loads,
+  evictions or migration plans (``compact_history=False`` keeps the
+  uncompacted bookkeeping for equivalence testing);
+* **repartition** -- the :class:`~repro.streaming.policies.RepartitioningPolicy`
+  may swap in a new partitioning, in which case the retained *live* state
+  is migrated (:mod:`repro.streaming.migration`) and the moved tuples are
+  charged into the same cost model -- rebalancing is never free.  Under
+  the default ``repartition_mode="partial"`` only the regions whose
+  region-to-machine assignment changed migrate; ``"full"`` reproduces the
+  naive positional rebuild that re-routes the whole (live) history;
+* **account** -- drain the backend's channel bytes, record the resident
+  footprint and timings, and fold the batch into the run result and the
+  attached metrics registry.
 
-The adopted region-to-machine mapping is remembered between rebuilds: later
-arrivals routed to new region ``r`` are shipped to the machine that actually
-holds ``r``'s state, so partial repartitioning never degrades correctness.
+A mid-stream :meth:`StreamingJoinEngine.resize` goes through the same
+plan → ``install_state`` → charge step as a drift migration;
+:meth:`StreamingJoinEngine.checkpoint` stores the histories, the live sets
+and each machine's resident *indices* (keys are regathered from the
+history on restore, on whichever backend the run resumes).
 
 Correctness mirrors the batch simulator: grid-routed partitionings cover
 every candidate cell exactly once, so summing each machine's incremental
@@ -57,7 +63,10 @@ stream.  Under a window the ground truth changes -- an output pair exists
 exactly when the later tuple arrives while the earlier one is still live --
 so windowed runs skip the full-history check (``output_correct`` stays
 ``None``) and ``tests/test_window_properties.py`` pins the windowed
-semantics against an independent reference count instead.  All of this is
+semantics against an independent reference count instead.  The per-machine
+deltas are additionally pinned against a full recount of every region by
+the protocol oracle in :mod:`repro.streaming.testing`, the test-harness
+reference that replaced the engine's old ``recount`` mode.  All of this is
 backend-independent -- every backend counts with the same exact kernel --
 which ``tests/test_backends.py`` pins down.
 """
@@ -84,12 +93,12 @@ from repro.streaming.backends import (
     SimulatedBackend,
 )
 from repro.streaming.checkpoint import StreamCheckpoint
-from repro.streaming.incremental import IncrementalHistogram, SortedRegionState
+from repro.streaming.incremental import IncrementalHistogram
 from repro.streaming.metrics import BatchMetrics, StreamRunResult
 from repro.streaming.migration import (
     MIGRATION_MODES,
-    pad_assignments,
     plan_migration,
+    route_live,
 )
 from repro.streaming.policies import (
     DriftAdaptiveEWHPolicy,
@@ -98,32 +107,25 @@ from repro.streaming.policies import (
     StaticOneBucketPolicy,
 )
 from repro.streaming.source import MicroBatch, StreamSource
-from repro.streaming.window import WindowPolicy, make_window
+from repro.streaming.window import WindowPolicy, drop_expired, make_window
 
-__all__ = ["COUNTING_MODES", "StreamingJoinEngine", "compare_streaming_schemes"]
-
-#: Output-delta counting modes accepted by :class:`StreamingJoinEngine`.
-COUNTING_MODES = ("incremental", "recount")
+__all__ = ["StreamingJoinEngine", "compare_streaming_schemes"]
 
 
 class _RunState:
     """Mutable loop state of one engine run, hoisted off the stack.
 
     Everything :meth:`StreamingJoinEngine.process_batch` reads or writes
-    between batches lives here (the engine object itself holds only
-    configuration), so a checkpoint is a copy of this object's fields plus
-    the engine's collaborators, and a restore rebuilds exactly this.
+    between batches lives here or in the backend (the engine object itself
+    holds only configuration), so a checkpoint is a copy of this object's
+    fields, the backend's resident indices and the engine's collaborators,
+    and a restore rebuilds exactly this.
     """
 
     __slots__ = (
         "rng",
         "history1",
         "history2",
-        "state1",
-        "state2",
-        "held1",
-        "held2",
-        "prev_outputs",
         "partitioning",
         "region_to_machine",
         "live1",
@@ -152,28 +154,17 @@ class StreamingJoinEngine:
     policy:
         The repartitioning policy (defaults to drift-adaptive EWH).
     backend:
-        The :class:`~repro.streaming.backends.ExecutionBackend` running the
-        per-batch, per-region joins.  Defaults to a fresh
-        :class:`~repro.streaming.backends.SimulatedBackend`; a backend the
-        engine creates itself is closed at end of run, a caller-provided one
-        (e.g. a shared multiprocess pool) is left open.
+        The :class:`~repro.streaming.backends.ExecutionBackend` owning the
+        per-machine join state and running each batch's count.  Defaults
+        to a fresh :class:`~repro.streaming.backends.SimulatedBackend`; a
+        backend the engine creates itself is closed at end of run, a
+        caller-provided one (e.g. a shared multiprocess pool) is left open.
     window:
         The :class:`~repro.streaming.window.WindowPolicy` bounding the
         retained state, or a spec string for
         :func:`~repro.streaming.window.make_window` (``"batches:8"``,
         ``"tuples:5000"``, ``"decay:0.9"``).  ``None`` retains the full
         history (unbounded).
-    counting:
-        ``"incremental"`` (default) computes each batch's output delta by
-        binary-searching the new arrivals against the maintained sorted
-        state -- ``O(new log state)`` per machine per batch.  ``"recount"``
-        is the legacy baseline: re-count every machine's full region each
-        batch and difference against the previous total,
-        ``O(state log state)``.  The deltas are identical
-        (``benchmarks/test_streaming_window.py`` pins this bit-for-bit);
-        recount exists for that equivalence check and as the speedup
-        baseline, and only supports the unbounded window (differencing full
-        recounts breaks once eviction shrinks a region's count).
     repartition_mode:
         ``"partial"`` (default) migrates only the regions whose
         region-to-machine assignment changed on a rebuild; ``"full"``
@@ -208,10 +199,10 @@ class StreamingJoinEngine:
         randomised window policy).
     tracer:
         Optional :class:`~repro.obs.trace.Tracer` recording the span tree
-        ``run → batch → {route, incremental_count, join, evict, compact,
-        drift_decide, migrate}``; under the multiprocess backend each
-        counting span additionally stitches per-worker child spans keyed by
-        the pool pid that ran each task.  Defaults to the shared
+        ``run → batch → {route, incremental_count, evict, compact,
+        drift_decide, migrate}``; under a process-backed backend the
+        count span additionally stitches per-worker child spans keyed by
+        the pid that ran each unit of work.  Defaults to the shared
         zero-overhead :data:`~repro.obs.trace.NULL_TRACER`.  Tracing is
         observation only: it never touches the engine's random generator or
         arithmetic, so traced runs are behaviourally bit-identical to
@@ -232,7 +223,6 @@ class StreamingJoinEngine:
         policy: RepartitioningPolicy | None = None,
         backend: ExecutionBackend | None = None,
         window: WindowPolicy | str | None = None,
-        counting: str = "incremental",
         repartition_mode: str = "partial",
         compact_history: bool = True,
         histogram: IncrementalHistogram | None = None,
@@ -254,49 +244,20 @@ class StreamingJoinEngine:
                 f"unknown repartition_mode {repartition_mode!r} "
                 f"(expected one of {MIGRATION_MODES})"
             )
-        if counting not in COUNTING_MODES:
+        try:
+            self._transposed = condition.transposed
+        except NotImplementedError as error:
             raise ValueError(
-                f"unknown counting mode {counting!r} "
-                f"(expected one of {COUNTING_MODES})"
-            )
+                f"condition {condition!r} does not define .transposed, which "
+                "the incremental count needs to search the sorted R1 state"
+            ) from error
         self.window = make_window(window)
-        if counting == "recount" and not self.window.is_unbounded:
-            raise ValueError(
-                "counting='recount' differences full per-region recounts and "
-                "cannot account for evicted state; windowed runs require "
-                "counting='incremental'"
-            )
         self.num_machines = num_machines
         self.condition = condition
         self.weight_fn = weight_fn
         self.policy = policy or DriftAdaptiveEWHPolicy()
         self._owns_backend = backend is None
         self.backend = backend or SimulatedBackend()
-        # A state-owning backend (sticky workers) keeps each machine's
-        # SortedRegionState resident on its side; the engine then drives the
-        # state-ownership protocol (bind / count_batch / evict_state /
-        # rebase_state / install_state) and maintains only an arrival-index
-        # mirror.  That protocol *is* incremental counting, so recount mode
-        # cannot run on such a backend.
-        self._stateful = bool(getattr(self.backend, "owns_state", False))
-        if self._stateful and counting != "incremental":
-            raise ValueError(
-                f"backend {self.backend.name!r} owns its join state "
-                "(owns_state=True), which requires counting='incremental' -- "
-                "the recount baseline needs the full region state engine-side"
-            )
-        self.counting = counting
-        if counting == "incremental":
-            try:
-                self._transposed = condition.transposed
-            except NotImplementedError as error:
-                raise ValueError(
-                    f"condition {condition!r} does not define .transposed, "
-                    "which incremental counting needs to search the sorted "
-                    "R1 state; pass counting='recount' instead"
-                ) from error
-        else:
-            self._transposed = None
         self.repartition_mode = repartition_mode
         self.compact_history = compact_history
         self.histogram = histogram or IncrementalHistogram(
@@ -372,120 +333,16 @@ class StreamingJoinEngine:
             per_machine[machine] = np.asarray(local, dtype=np.int64) + offset
         return per_machine
 
-    def _count_incremental(
-        self,
-        state1: list[SortedRegionState],
-        state2: list[SortedRegionState],
-        new1: list[np.ndarray],
-        new2: list[np.ndarray],
-        history1: np.ndarray,
-        history2: np.ndarray,
-    ) -> tuple[np.ndarray, RegionJoinResult]:
-        """Fold a batch's arrivals into the sorted state and count the delta.
-
-        Per machine the delta decomposes exactly as
-        ``C(new1, state2 + new2) + C(state1, new2)`` -- the first term is
-        counted by searching the (just-updated) sorted R2 state per new R1
-        key, the second by searching the pre-insert sorted R1 state per new
-        R2 key under the transposed condition.  Both are ``O(new log
-        state)``, dispatched to the backend as one 2J-task execution (a
-        single pool round-trip under the multiprocess backend); no
-        full-region recount happens.  Returns the per-machine deltas and
-        the backend execution (for its timings and serialization bytes).
-
-        The whole fold-and-count is wrapped in an ``incremental_count``
-        span; under a profiling backend the execution's worker pids are
-        stitched as per-worker child spans.
-        """
-        J = self.num_machines
-        with self.tracer.span(
-            "incremental_count", category="stage", tasks=2 * J
-        ) as span:
-            tasks: list[tuple[np.ndarray, np.ndarray]] = []
-            conditions = []
-            for machine in range(J):
-                new_keys1 = history1[new1[machine]]
-                new_keys2 = history2[new2[machine]]
-                old_keys1 = state1[machine].keys
-                state2[machine].insert(new2[machine], new_keys2)
-                tasks.append((new_keys1, state2[machine].keys))
-                conditions.append(self.condition)
-                tasks.append((new_keys2, old_keys1))
-                conditions.append(self._transposed)
-                state1[machine].insert(new1[machine], new_keys1)
-            execution = self.backend.join_regions(
-                tasks, conditions, keys2_sorted=True
-            )
-        self._stitch_workers(execution, span)
-        deltas = execution.per_machine_output.reshape(J, 2).sum(axis=1)
-        combined = RegionJoinResult(
-            per_machine_output=deltas,
-            per_machine_seconds=execution.per_machine_seconds.reshape(J, 2).sum(
-                axis=1
-            ),
-            wall_seconds=execution.wall_seconds,
-            bytes_pickled=execution.bytes_pickled,
-            bytes_unpickled=execution.bytes_unpickled,
-        )
-        return deltas, combined
-
-    def _count_resident(
-        self,
-        new1: list[np.ndarray],
-        new2: list[np.ndarray],
-        history1: np.ndarray,
-        history2: np.ndarray,
-    ) -> tuple[np.ndarray, RegionJoinResult]:
-        """Count a batch's delta against state resident on a sticky backend.
-
-        The stateful twin of :meth:`_count_incremental`: the fold-and-count
-        happens *worker-side* against each worker's resident state, so the
-        engine ships only the per-machine arrival index/key arrays (over
-        the backend's shared-memory arena) instead of full region state.
-        The workers replay the exact delta decomposition
-        ``C(new1, state2 + new2) + C(state1, new2)``, so the per-machine
-        deltas are bit-identical to the in-process path.  Serialization
-        bytes are not on the returned execution -- they accrue on the
-        backend across the whole batch's commands and are drained once per
-        batch (``drain_channel_bytes``).
-        """
-        J = self.num_machines
-        with self.tracer.span(
-            "incremental_count", category="stage", tasks=2 * J
-        ) as span:
-            execution = self.backend.count_batch(
-                new1, new2, history1, history2
-            )
-        self._stitch_workers(execution, span)
-        return execution.per_machine_output, execution
-
-    @staticmethod
-    def _merge_sorted(held: np.ndarray, incoming: np.ndarray) -> np.ndarray:
-        """Merge new arrival indices into a sorted ownership mirror.
-
-        The engine's per-machine mirror of a sticky worker's resident
-        arrival indices -- the index sets migration planning and resident
-        accounting read without any worker round-trip.  Kept sorted so
-        eviction can drop expired indices with the same ``searchsorted``
-        membership pass the live sets use.
-        """
-        incoming = np.sort(np.asarray(incoming, dtype=np.int64))
-        if len(incoming) == 0:
-            return held
-        if len(held) == 0:
-            return incoming
-        return np.insert(held, np.searchsorted(held, incoming), incoming)
-
     def _stitch_workers(self, execution: RegionJoinResult, span) -> None:
         """Emit per-worker child spans for one backend execution.
 
-        Only the multiprocess backend reports ``worker_pids`` (and only for
-        the tasks it actually dispatched), so simulated runs emit no worker
+        Only process-backed backends report ``worker_pids`` (and only for
+        the work they actually dispatched), so simulated runs emit no worker
         spans at all -- which is what keeps simulated-mode traces
         byte-identical across runs: worker seconds are real wall-clock
         times and would otherwise leak nondeterminism into the trace.
         Each child starts at the parent span's start and lands on a per-pid
-        Chrome-trace track, so Perfetto shows the pool's real parallelism
+        Chrome-trace track, so Perfetto shows the fleet's real parallelism
         under the dispatching span.
         """
         pids = execution.worker_pids
@@ -497,7 +354,7 @@ class StreamingJoinEngine:
                 continue
             self.tracer.record(
                 "task",
-                float(execution.per_machine_seconds[task]),
+                float(execution.worker_seconds[task]),
                 category="worker",
                 start=span.start,
                 tid=pid,
@@ -509,13 +366,12 @@ class StreamingJoinEngine:
     def _accumulate_bytes(
         total: "int | None", measured: "int | None"
     ) -> "int | None":
-        """Fold one execution's byte count into a batch total.
+        """Fold one measured byte count into a batch total.
 
         ``None`` means "not measured" on both sides -- a batch only gets a
-        byte count once at least one of its executions went through a
-        profiling serialization channel, so simulated batches keep ``None``
-        (rendered ``-`` in the streaming tables) rather than a misleading
-        ``0``.
+        byte count once something it did went through a metered channel,
+        so simulated batches keep ``None`` (rendered ``-`` in the streaming
+        tables) rather than a misleading ``0``.
         """
         if measured is None:
             return total
@@ -555,98 +411,21 @@ class StreamingJoinEngine:
         registry.histogram("stream.max_load").observe(metrics.max_load)
         registry.pulse()
 
-    @staticmethod
-    def _remove_sorted(live: np.ndarray, expired: np.ndarray) -> np.ndarray:
-        """Drop ``expired`` (a sorted subset) from the sorted ``live`` array.
-
-        ``O(live log expired)`` membership via ``searchsorted`` -- cheaper
-        than ``np.isin``, which re-sorts both arrays, and this runs on every
-        windowed batch.
-        """
-        positions = np.searchsorted(expired, live)
-        positions[positions == len(expired)] = len(expired) - 1
-        return live[expired[positions] != live]
-
-    def _evict(
-        self,
-        metrics: BatchMetrics,
-        state1: list[SortedRegionState],
-        state2: list[SortedRegionState],
-        live1: np.ndarray,
-        live2: np.ndarray,
-        starts1: list[int],
-        starts2: list[int],
-        history1_len: int,
-        history2_len: int,
-        rng: np.random.Generator,
-        held1: "list[np.ndarray] | None" = None,
-        held2: "list[np.ndarray] | None" = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Apply the window policy after a batch; charge evictions to metrics.
-
-        Returns the updated per-side live index sets.  Per-machine region
-        state is trimmed in place; the freed entries and bytes land in
-        ``metrics.tuples_evicted`` / ``metrics.bytes_freed``.
-
-        On a state-owning backend the engine holds no region state --
-        ``held1`` / ``held2`` are its per-machine ownership mirrors.  The
-        mirrors are trimmed here and the expired sets shipped worker-side
-        (``evict_state``); the workers report how many entries they really
-        dropped, and a mismatch with the mirrors raises -- the mirror *is*
-        the engine's claim about worker state, and a divergence means
-        migration planning would move state that does not exist.
-        """
-        expired1 = self.window.evictions(live1, starts1, history1_len, rng)
-        expired2 = self.window.evictions(live2, starts2, history2_len, rng)
-        dropped = 0
-        if len(expired1):
-            live1 = self._remove_sorted(live1, expired1)
-            for state in state1:
-                dropped += state.evict(expired1)
-            if held1 is not None:
-                for machine, held in enumerate(held1):
-                    kept = self._remove_sorted(held, expired1)
-                    dropped += len(held) - len(kept)
-                    held1[machine] = kept
-        if len(expired2):
-            live2 = self._remove_sorted(live2, expired2)
-            for state in state2:
-                dropped += state.evict(expired2)
-            if held2 is not None:
-                for machine, held in enumerate(held2):
-                    kept = self._remove_sorted(held, expired2)
-                    dropped += len(held) - len(kept)
-                    held2[machine] = kept
-        if self._stateful and (len(expired1) or len(expired2)):
-            worker_dropped = self.backend.evict_state(expired1, expired2)
-            if worker_dropped != dropped:
-                raise RuntimeError(
-                    f"sticky workers dropped {worker_dropped} state entries "
-                    f"but the engine's ownership mirror expected {dropped}; "
-                    "worker-resident state has diverged from the engine"
-                )
-        metrics.tuples_evicted = dropped
-        metrics.bytes_freed = dropped * SortedRegionState.BYTES_PER_TUPLE
-        return live1, live2
-
     def _compact_side(
-        self,
-        history: np.ndarray,
-        live: np.ndarray,
-        starts: list[int],
-        states: list[SortedRegionState],
+        self, history: np.ndarray, live: np.ndarray, starts: list[int]
     ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Trim one side's dead history prefix and rebase all its indices.
+        """Trim one side's dead history prefix and rebase its bookkeeping.
 
         The window's safe trim point (``min(live)``, or the whole history
         once nothing is live) bounds every arrival index any future batch
         can reference, so the key history below it is copied out, the
-        batch-start list drops entries below it, and the live set, the
-        remaining starts and every machine's state indices shift down by
-        the trimmed amount.  Returns the compacted history, the rebased
-        live set and how many entries were trimmed.  Pure bookkeeping: the
-        keys any index resolves to are unchanged, so routing, counting and
-        migration are bit-identical with or without compaction.
+        batch-start list drops entries below it, and the live set and the
+        remaining starts shift down by the trimmed amount (the backend
+        rebases its state's index columns by the same amount).  Returns the
+        compacted history, the rebased live set and how many entries were
+        trimmed.  Pure bookkeeping: the keys any index resolves to are
+        unchanged, so routing, the count and migration are bit-identical
+        with or without compaction.
         """
         trim = self.window.trim_point(live, len(history))
         if trim <= 0:
@@ -659,9 +438,73 @@ class StreamingJoinEngine:
         while drop < len(starts) and starts[drop] < trim:
             drop += 1
         starts[:] = [start - trim for start in starts[drop:]]
-        for state in states:
-            state.rebase(trim)
         return history, live, trim
+
+    def _adopt(
+        self, replacement: Partitioning, machines: int, builds_before: int
+    ) -> dict:
+        """Plan → ``install_state`` → charge: move the state onto a new plan.
+
+        The one way a running join changes partitioning, shared by drift
+        migrations (same fleet) and :meth:`resize` (``machines`` differs):
+        :func:`~repro.streaming.migration.plan_migration` diffs what every
+        machine holds (the backend's ``resident_indices``) against where
+        the replacement routes the live history, the backend installs the
+        planned assignments (after adopting the new fleet size, if it
+        changed), and the moved tuples -- plus the histogram rebuild, if
+        one ran since ``builds_before`` -- are priced per machine of the
+        new fleet.  Returns the charges for :meth:`_charge`.
+        """
+        s = self._state
+        windowed = not self.window.is_unbounded
+        resident1, resident2 = self.backend.resident_indices()
+        plan = plan_migration(
+            resident1,
+            resident2,
+            replacement,
+            s.history1,
+            s.history2,
+            machines,
+            s.rng,
+            mode=self.repartition_mode,
+            live1=s.live1 if windowed else None,
+            live2=s.live2 if windowed else None,
+        )
+        if machines != self.num_machines:
+            self.backend.resize(machines)
+            self.num_machines = machines
+        self.backend.install_state(
+            plan.new_assignments1, plan.new_assignments2, s.history1, s.history2
+        )
+        s.partitioning = replacement
+        s.region_to_machine = plan.region_to_machine
+        load = (
+            self.migration_cost_factor
+            * self.weight_fn.input_cost
+            * plan.per_machine_arrivals.astype(np.float64)
+        )
+        rebuild_cost = 0.0
+        if self.histogram.rebuilds > builds_before:
+            rebuild_cost = self._rebuild_charge()
+            load = load + rebuild_cost
+        return {
+            "load": load,
+            "migrated": plan.total_moved,
+            "rebuild_cost": rebuild_cost,
+            # Keep the plan's figures for reports and equivalence tests,
+            # but drop the O(history) state index arrays -- the backend
+            # already holds them, and a result object must not pin
+            # full-history snapshots per rebuild.
+            "plan": replace(plan, new_assignments1=[], new_assignments2=[]),
+        }
+
+    @staticmethod
+    def _charge(metrics: BatchMetrics, charges: dict) -> None:
+        """Fold one :meth:`_adopt`'s charges into a batch's metrics."""
+        metrics.per_machine_load = metrics.per_machine_load + charges["load"]
+        metrics.migrated_tuples += charges["migrated"]
+        metrics.rebuild_cost += charges["rebuild_cost"]
+        metrics.migration_plan = charges["plan"]
 
     # ------------------------------------------------------------------
     # Main loop
@@ -690,7 +533,6 @@ class StreamingJoinEngine:
             machines=self.num_machines,
             backend=self.backend.name,
             window=self.window.name,
-            counting=self.counting,
         )
         self._run_span.__enter__()
 
@@ -715,22 +557,6 @@ class StreamingJoinEngine:
         s.rng = np.random.default_rng(self.seed)
         s.history1 = np.empty(0, dtype=np.float64)
         s.history2 = np.empty(0, dtype=np.float64)
-        if self._stateful:
-            # The workers own the region state; the engine keeps only a
-            # sorted per-machine mirror of the arrival indices each worker
-            # holds (enough for migration planning, eviction accounting and
-            # resident metrics, with no state readback ever).
-            self.backend.bind(J, self.condition, self._transposed)
-            s.state1 = []
-            s.state2 = []
-            empty_index = np.empty(0, dtype=np.int64)
-            s.held1 = [empty_index] * J
-            s.held2 = [empty_index] * J
-        else:
-            s.state1 = [SortedRegionState() for _ in range(J)]
-            s.state2 = [SortedRegionState() for _ in range(J)]
-            s.held1 = s.held2 = None
-        s.prev_outputs = np.zeros(J, dtype=np.int64)
         s.partitioning = None
         # Where each region's state lives; partial repartitioning may remap.
         s.region_to_machine = np.arange(J, dtype=np.int64)
@@ -749,12 +575,13 @@ class StreamingJoinEngine:
             num_machines=J,
             backend=self.backend.name,
             window=self.window.name,
-            counting=self.counting,
             join_clock=self.backend.clock_domain,
         )
         s.cumulative = np.zeros(J, dtype=np.float64)
         s.pending_resize = None
         self._state = s
+        # The backend owns the per-machine join state from here on.
+        self.backend.bind(J, self.condition, self._transposed)
         self._phase = "running"
         self._open_run_span()
 
@@ -821,15 +648,15 @@ class StreamingJoinEngine:
     ) -> "BatchMetrics | None":
         """Consume one micro-batch; return its metrics.
 
-        The stepwise core of :meth:`run`: route the arrivals, count the
-        incremental output, evict/compact under the window, let the policy
-        repartition, and append the batch's
-        :class:`~repro.streaming.metrics.BatchMetrics` to the running
-        result.  After :meth:`resume_from`, source batches at or below the
-        checkpoint's last consumed index are already part of the restored
-        state; they are skipped silently and return ``None`` (this is what
-        lets a driver replay a re-iterable source from the top after a
-        crash).
+        The stepwise core of :meth:`run`, six stages over the run state:
+        ingest the arrivals, route them, count the incremental output,
+        evict/compact under the window, let the policy repartition, and
+        account the batch's :class:`~repro.streaming.metrics.BatchMetrics`
+        into the running result.  After :meth:`resume_from`, source batches
+        at or below the checkpoint's last consumed index are already part
+        of the restored state; they are skipped silently and return
+        ``None`` (this is what lets a driver replay a re-iterable source
+        from the top after a crash).
         """
         if self._phase != "running":
             raise RuntimeError(
@@ -841,30 +668,40 @@ class StreamingJoinEngine:
                 return None
             self._skip_through = None
         s = self._state
-        J = self.num_machines
-        weight = self.weight_fn
-        windowed = not self.window.is_unbounded
-        compacting = windowed and self.compact_history
-        incremental = self.counting == "incremental"
-        stateful = self._stateful
-        tracer = self.tracer
-        rng = s.rng
-        history1, history2 = s.history1, s.history2
-        state1, state2 = s.state1, s.state2
-        held1, held2 = s.held1, s.held2
-        prev_outputs = s.prev_outputs
-        partitioning = s.partitioning
-        region_to_machine = s.region_to_machine
-        live1, live2 = s.live1, s.live2
-        starts1, starts2 = s.starts1, s.starts2
-
         start = perf_counter()
-        # Liveness and windows key off the engine's own
-        # processed-batch count, so any strictly increasing source
-        # numbering works -- but a non-monotone one would silently
-        # reorder time, and a gap in a contiguous stream usually
-        # means lost data, so gaps must be opted into
-        # (shed/coalesced pipelines, renumbered replays).
+        self._admit(s, batch, allow_gaps)
+        with self.tracer.span(
+            "batch",
+            category="batch",
+            index=batch.index,
+            position=s.position,
+            tuples=batch.num_tuples,
+        ) as batch_span:
+            offsets, rebuild_cost, initial_build = self._ingest(s, batch)
+            routed = self._route(s, batch, offsets, initial_build)
+            metrics = self._count(s, batch, routed, rebuild_cost)
+            self._evict_and_compact(s, metrics)
+            self._repartition(s, metrics)
+            self._account(s, metrics, start)
+            batch_span.set(
+                output_delta=metrics.output_delta,
+                repartitioned=metrics.repartitioned,
+            )
+        s.cumulative += metrics.per_machine_load
+        s.result.batches.append(metrics)
+        self._meter_batch(metrics)
+        return metrics
+
+    @staticmethod
+    def _admit(s: _RunState, batch: MicroBatch, allow_gaps: bool) -> None:
+        """Validate the batch's place in the stream; advance the position.
+
+        Liveness and windows key off the engine's own processed-batch
+        count, so any strictly increasing source numbering works -- but a
+        non-monotone one would silently reorder time, and a gap in a
+        contiguous stream usually means lost data, so gaps must be opted
+        into (shed/coalesced pipelines, renumbered replays).
+        """
         if s.last_batch_index is not None:
             if batch.index <= s.last_batch_index:
                 raise ValueError(
@@ -882,447 +719,259 @@ class StreamingJoinEngine:
                 )
         s.last_batch_index = batch.index
         s.position += 1
-        position = s.position
-        batch_span = tracer.span(
-            "batch",
-            category="batch",
-            index=batch.index,
-            position=position,
-            tuples=batch.num_tuples,
+
+    def _ingest(
+        self, s: _RunState, batch: MicroBatch
+    ) -> "tuple[tuple[int, int], float, bool]":
+        """Stage 1: sample, maybe build the first plan, append the arrivals.
+
+        Returns the per-side history offsets of the batch, the rebuild
+        charge of an initial build (zero otherwise) and whether this batch
+        performed the initial build.
+        """
+        if self.policy.needs_statistics(s.partitioning is not None):
+            self.histogram.observe(batch, s.rng)
+        rebuild_cost, initial_build = 0.0, False
+        if s.partitioning is None and self.policy.ready(self.histogram):
+            builds_before = self.histogram.rebuilds
+            s.partitioning = self.policy.initial_partitioning(
+                self.histogram, self.condition, s.rng
+            )
+            if self.histogram.rebuilds > builds_before:
+                rebuild_cost = self._rebuild_charge()
+            initial_build = True
+        offsets = len(s.history1), len(s.history2)
+        s.history1 = self._append_history(s.history1, batch.keys1)
+        s.history2 = self._append_history(s.history2, batch.keys2)
+        if not self.window.is_unbounded:
+            s.starts1.append(offsets[0])
+            s.starts2.append(offsets[1])
+            s.live1 = np.concatenate(
+                [s.live1, np.arange(offsets[0], len(s.history1), dtype=np.int64)]
+            )
+            s.live2 = np.concatenate(
+                [s.live2, np.arange(offsets[1], len(s.history2), dtype=np.int64)]
+            )
+        return offsets, rebuild_cost, initial_build
+
+    def _route(
+        self,
+        s: _RunState,
+        batch: MicroBatch,
+        offsets: "tuple[int, int]",
+        initial_build: bool,
+    ) -> "tuple[list[np.ndarray], list[np.ndarray]] | None":
+        """Stage 2: per-machine arrival indices of the batch, R1 then R2.
+
+        ``None`` while one side is still entirely unseen: no partitioning
+        can be built and no output is possible yet, so the arrivals just
+        accumulate in the (unrouted) history.  The initial build routes
+        that backlog -- the retained (live) history -- as one big batch of
+        arrivals into the empty state; every later batch routes only its
+        own arrivals, to the machine owning each region.
+        """
+        if s.partitioning is None:
+            return None
+        J = self.num_machines
+        with self.tracer.span(
+            "route", category="stage", initial_build=initial_build
+        ):
+            if initial_build:
+                windowed = not self.window.is_unbounded
+                s.region_to_machine = np.arange(J, dtype=np.int64)
+                return (
+                    route_live(
+                        s.partitioning.assign_r1,
+                        s.history1,
+                        s.live1 if windowed else None,
+                        J,
+                        s.rng,
+                    ),
+                    route_live(
+                        s.partitioning.assign_r2,
+                        s.history2,
+                        s.live2 if windowed else None,
+                        J,
+                        s.rng,
+                    ),
+                )
+            return (
+                self._globalise(
+                    s.partitioning.assign_r1(batch.keys1, s.rng),
+                    offsets[0],
+                    s.region_to_machine,
+                    J,
+                ),
+                self._globalise(
+                    s.partitioning.assign_r2(batch.keys2, s.rng),
+                    offsets[1],
+                    s.region_to_machine,
+                    J,
+                ),
+            )
+
+    def _count(
+        self,
+        s: _RunState,
+        batch: MicroBatch,
+        routed: "tuple[list[np.ndarray], list[np.ndarray]] | None",
+        rebuild_cost: float,
+    ) -> BatchMetrics:
+        """Stage 3: count the batch's output delta; open its metrics record.
+
+        The backend folds the routed arrivals into each machine's sorted
+        state and counts the delta there (``count_batch``), all inside one
+        ``incremental_count`` span with the execution's worker pids
+        stitched as child spans.  The record is opened with the batch's own
+        cost-model loads and ``live_imbalance``; charges parked by a
+        :meth:`resize` since the previous batch are folded in afterwards,
+        exactly like a drift migration's charges land after it.
+        """
+        J = self.num_machines
+        weight = self.weight_fn
+        if routed is None:
+            arrivals = deltas = np.zeros(J, dtype=np.int64)
+            execution = None
+        else:
+            new1, new2 = routed
+            arrivals = np.array(
+                [len(a) + len(b) for a, b in zip(new1, new2)], dtype=np.int64
+            )
+            with self.tracer.span(
+                "incremental_count", category="stage", tasks=2 * J
+            ) as span:
+                execution = self.backend.count_batch(
+                    new1, new2, s.history1, s.history2
+                )
+            self._stitch_workers(execution, span)
+            deltas = execution.per_machine_output
+        loads = (
+            weight.input_cost * arrivals.astype(np.float64)
+            + weight.output_cost * deltas.astype(np.float64)
+            + rebuild_cost
         )
-        if True:
-            with batch_span:
-                    if self.policy.needs_statistics(partitioning is not None):
-                        self.histogram.observe(batch, rng)
-
-                    rebuild_cost = 0.0
-                    initial_build = False
-                    if partitioning is None and self.policy.ready(self.histogram):
-                        builds_before = self.histogram.rebuilds
-                        partitioning = self.policy.initial_partitioning(
-                            self.histogram, self.condition, rng
-                        )
-                        if self.histogram.rebuilds > builds_before:
-                            rebuild_cost = self._rebuild_charge()
-                        initial_build = True
-
-                    offset1, offset2 = len(history1), len(history2)
-                    history1 = self._append_history(history1, batch.keys1)
-                    history2 = self._append_history(history2, batch.keys2)
-                    if windowed:
-                        starts1.append(offset1)
-                        starts2.append(offset2)
-                        live1 = np.concatenate(
-                            [
-                                live1,
-                                np.arange(
-                                    offset1, len(history1), dtype=np.int64
-                                ),
-                            ]
-                        )
-                        live2 = np.concatenate(
-                            [
-                                live2,
-                                np.arange(
-                                    offset2, len(history2), dtype=np.int64
-                                ),
-                            ]
-                        )
-
-                    join_seconds = 0.0
-                    per_machine_join_seconds = np.zeros(J)
-                    bytes_pickled: int | None = None
-                    bytes_unpickled: int | None = None
-                    bytes_shm: int | None = None
-                    if partitioning is None:
-                        # One side is still entirely unseen, so no
-                        # partitioning can be built and no output is possible
-                        # yet; the arrivals just accumulate in the (unrouted)
-                        # history.
-                        arrivals = np.zeros(J, dtype=np.int64)
-                        deltas = np.zeros(J, dtype=np.int64)
-                    else:
-                        with tracer.span(
-                            "route",
-                            category="stage",
-                            initial_build=initial_build,
-                        ):
-                            if initial_build:
-                                # Tuples that arrived before the first build
-                                # were never shipped anywhere: route the
-                                # retained (live) history as one big batch of
-                                # arrivals into the empty state.
-                                if windowed:
-                                    new1 = [
-                                        live1[local]
-                                        for local in pad_assignments(
-                                            partitioning.assign_r1(
-                                                history1[live1], rng
-                                            ),
-                                            J,
-                                        )
-                                    ]
-                                    new2 = [
-                                        live2[local]
-                                        for local in pad_assignments(
-                                            partitioning.assign_r2(
-                                                history2[live2], rng
-                                            ),
-                                            J,
-                                        )
-                                    ]
-                                else:
-                                    new1 = pad_assignments(
-                                        partitioning.assign_r1(history1, rng), J
-                                    )
-                                    new2 = pad_assignments(
-                                        partitioning.assign_r2(history2, rng), J
-                                    )
-                                region_to_machine = np.arange(J, dtype=np.int64)
-                            else:
-                                # Route only the batch's arrivals and fold
-                                # them into the held state of the machine
-                                # owning each region.
-                                new1 = self._globalise(
-                                    partitioning.assign_r1(batch.keys1, rng),
-                                    offset1,
-                                    region_to_machine,
-                                    J,
-                                )
-                                new2 = self._globalise(
-                                    partitioning.assign_r2(batch.keys2, rng),
-                                    offset2,
-                                    region_to_machine,
-                                    J,
-                                )
-                            arrivals = np.array(
-                                [
-                                    len(a) + len(b)
-                                    for a, b in zip(new1, new2)
-                                ],
-                                dtype=np.int64,
-                            )
-
-                        if stateful:
-                            deltas, execution = self._count_resident(
-                                new1, new2, history1, history2
-                            )
-                            for machine in range(J):
-                                held1[machine] = self._merge_sorted(
-                                    held1[machine], new1[machine]
-                                )
-                                held2[machine] = self._merge_sorted(
-                                    held2[machine], new2[machine]
-                                )
-                        elif incremental:
-                            deltas, execution = self._count_incremental(
-                                state1, state2, new1, new2, history1, history2
-                            )
-                        else:
-                            # Legacy recount: fold the arrivals in, re-count
-                            # each region's full held state and difference
-                            # against the previous cumulative count.
-                            # keys2_sorted is deliberately NOT passed: the
-                            # legacy engine sorted every region from scratch
-                            # each batch, and recount exists to reproduce
-                            # that cost profile as the speedup baseline.
-                            with tracer.span(
-                                "join", category="stage", tasks=J
-                            ) as join_span:
-                                for machine in range(J):
-                                    state1[machine].insert(
-                                        new1[machine], history1[new1[machine]]
-                                    )
-                                    state2[machine].insert(
-                                        new2[machine], history2[new2[machine]]
-                                    )
-                                execution = self.backend.join_regions(
-                                    [
-                                        (s1.keys, s2.keys)
-                                        for s1, s2 in zip(state1, state2)
-                                    ],
-                                    self.condition,
-                                )
-                            self._stitch_workers(execution, join_span)
-                            totals = execution.per_machine_output
-                            deltas = totals - prev_outputs
-                            prev_outputs = totals
-                        join_seconds += execution.wall_seconds
-                        per_machine_join_seconds += execution.per_machine_seconds
-                        bytes_pickled = self._accumulate_bytes(
-                            bytes_pickled, execution.bytes_pickled
-                        )
-                        bytes_unpickled = self._accumulate_bytes(
-                            bytes_unpickled, execution.bytes_unpickled
-                        )
-
-                    loads = (
-                        weight.input_cost * arrivals.astype(np.float64)
-                        + weight.output_cost * deltas.astype(np.float64)
-                        + rebuild_cost
-                    )
-                    mean_load = float(loads.mean()) if J else 0.0
-                    live_imbalance = (
-                        float(loads.max()) / mean_load if mean_load > 0 else 1.0
-                    )
-                    metrics = BatchMetrics(
-                        batch_index=batch.index,
-                        stream_position=position,
-                        new_tuples=batch.num_tuples,
-                        per_machine_load=loads,
-                        output_delta=int(deltas.sum()),
-                        rebuild_cost=rebuild_cost,
-                        live_imbalance=live_imbalance,
-                        predicted_imbalance=self.policy.predicted_imbalance(
-                            self.histogram
-                        ),
-                        per_machine_output_delta=deltas
-                        if partitioning is not None
-                        else None,
-                        join_clock=self.backend.clock_domain,
-                    )
-
-                    # A resize() between batches moved state immediately but
-                    # parked its charges; fold them into this batch, after
-                    # live_imbalance (computed above from the batch's own
-                    # loads) exactly like a drift migration's charges land
-                    # after it below.
-                    if s.pending_resize is not None:
-                        pending = s.pending_resize
-                        s.pending_resize = None
-                        metrics.resized_from = pending["resized_from"]
-                        metrics.migrated_tuples += pending["migrated"]
-                        metrics.rebuild_cost += pending["rebuild_cost"]
-                        metrics.per_machine_load = (
-                            metrics.per_machine_load + pending["load"]
-                        )
-                        metrics.migration_plan = pending["plan"]
-
-                    # Window eviction runs after the batch is counted and
-                    # *before* any repartitioning, so a migration only ever
-                    # ships live state.
-                    if windowed:
-                        with tracer.span(
-                            "evict", category="stage"
-                        ) as evict_span:
-                            live1, live2 = self._evict(
-                                metrics, state1, state2, live1, live2,
-                                starts1, starts2,
-                                len(history1), len(history2), rng,
-                                held1, held2,
-                            )
-                            evict_span.set(evicted=metrics.tuples_evicted)
-                        if compacting:
-                            # Compact the dead history prefix the eviction
-                            # exposed: trim both sides below their safe trim
-                            # points and rebase every stored arrival index by
-                            # the same amount.
-                            with tracer.span(
-                                "compact", category="stage"
-                            ) as compact_span:
-                                history1, live1, trim1 = self._compact_side(
-                                    history1, live1, starts1, state1
-                                )
-                                history2, live2, trim2 = self._compact_side(
-                                    history2, live2, starts2, state2
-                                )
-                                if stateful and (trim1 or trim2):
-                                    # The ownership mirrors and the workers'
-                                    # resident indices rebase by the same
-                                    # trims, so engine coordinates stay in
-                                    # lock-step on both sides of the channel.
-                                    held1 = [
-                                        held - trim1 for held in held1
-                                    ]
-                                    held2 = [
-                                        held - trim2 for held in held2
-                                    ]
-                                    self.backend.rebase_state(trim1, trim2)
-                                metrics.history_tuples_trimmed = trim1 + trim2
-                                compact_span.set(trimmed=trim1 + trim2)
-
-                    # Give the policy a chance to swap partitionings;
-                    # migration and rebuild charges land on this batch.
-                    # Before the initial build there is nothing to replace.
-                    builds_before = self.histogram.rebuilds
-                    if partitioning is not None:
-                        with tracer.span(
-                            "drift_decide", category="stage"
-                        ) as drift_span:
-                            replacement = self.policy.maybe_repartition(
-                                self.histogram, metrics, self.condition, rng
-                            )
-                            drift_span.set(
-                                repartition=replacement is not None
-                            )
-                    else:
-                        replacement = None
-                    if replacement is not None:
-                        with tracer.span(
-                            "migrate",
-                            category="stage",
-                            mode=self.repartition_mode,
-                        ) as migrate_span:
-                            plan = plan_migration(
-                                held1
-                                if stateful
-                                else [state.index for state in state1],
-                                held2
-                                if stateful
-                                else [state.index for state in state2],
-                                replacement,
-                                history1,
-                                history2,
-                                J,
-                                rng,
-                                mode=self.repartition_mode,
-                                live1=live1 if windowed else None,
-                                live2=live2 if windowed else None,
-                            )
-                            partitioning = replacement
-                            if stateful:
-                                # State moves worker-to-worker through the
-                                # shared arena: every machine's complete
-                                # post-migration index/key arrays are written
-                                # once and each worker rebuilds its machines
-                                # from them -- full state never crosses the
-                                # pickle channel.
-                                self.backend.install_state(
-                                    plan.new_assignments1,
-                                    plan.new_assignments2,
-                                    history1,
-                                    history2,
-                                )
-                                held1 = [
-                                    np.sort(
-                                        np.asarray(
-                                            indices, dtype=np.int64
-                                        )
-                                    )
-                                    for indices in plan.new_assignments1
-                                ]
-                                held2 = [
-                                    np.sort(
-                                        np.asarray(
-                                            indices, dtype=np.int64
-                                        )
-                                    )
-                                    for indices in plan.new_assignments2
-                                ]
-                            else:
-                                state1 = [
-                                    SortedRegionState.from_indices(
-                                        indices, history1
-                                    )
-                                    for indices in plan.new_assignments1
-                                ]
-                                state2 = [
-                                    SortedRegionState.from_indices(
-                                        indices, history2
-                                    )
-                                    for indices in plan.new_assignments2
-                                ]
-                            region_to_machine = plan.region_to_machine
-                            if not incremental:
-                                # The recount baseline differences cumulative
-                                # counts, so the post-migration layout must
-                                # be re-counted to reset the baseline.
-                                # Incremental counting charges output at
-                                # arrival time and needs no recount here.
-                                with tracer.span(
-                                    "join", category="stage", tasks=J
-                                ) as join_span:
-                                    execution = self.backend.join_regions(
-                                        [
-                                            (s1.keys, s2.keys)
-                                            for s1, s2 in zip(state1, state2)
-                                        ],
-                                        self.condition,
-                                    )
-                                self._stitch_workers(execution, join_span)
-                                join_seconds += execution.wall_seconds
-                                per_machine_join_seconds += (
-                                    execution.per_machine_seconds
-                                )
-                                bytes_pickled = self._accumulate_bytes(
-                                    bytes_pickled, execution.bytes_pickled
-                                )
-                                bytes_unpickled = self._accumulate_bytes(
-                                    bytes_unpickled, execution.bytes_unpickled
-                                )
-                                prev_outputs = execution.per_machine_output
-                            migration_load = (
-                                self.migration_cost_factor
-                                * weight.input_cost
-                                * plan.per_machine_arrivals.astype(np.float64)
-                            )
-                            if self.histogram.rebuilds > builds_before:
-                                charge = self._rebuild_charge()
-                                migration_load = migration_load + charge
-                                metrics.rebuild_cost += charge
-                            metrics.per_machine_load = (
-                                metrics.per_machine_load + migration_load
-                            )
-                            metrics.migrated_tuples += plan.total_moved
-                            metrics.repartitioned = True
-                            # Keep the plan's accounting for reports and
-                            # equivalence tests, but drop the O(history)
-                            # state index arrays -- the engine's own state
-                            # already holds them, and a result object must
-                            # not pin full-history snapshots per rebuild.
-                            metrics.migration_plan = replace(
-                                plan, new_assignments1=[], new_assignments2=[]
-                            )
-                            migrate_span.set(moved=plan.total_moved)
-
-                    if stateful:
-                        # One drain covers every command the batch issued
-                        # (count, evict, rebase, install); batches that
-                        # issued none keep None, like an unprofiled run.
-                        drained = self.backend.drain_channel_bytes()
-                        bytes_pickled = self._accumulate_bytes(
-                            bytes_pickled, drained[0]
-                        )
-                        bytes_unpickled = self._accumulate_bytes(
-                            bytes_unpickled, drained[1]
-                        )
-                        bytes_shm = self._accumulate_bytes(
-                            bytes_shm, drained[2]
-                        )
-                        metrics.resident_tuples = sum(
-                            len(held) for held in held1
-                        ) + sum(len(held) for held in held2)
-                    else:
-                        metrics.resident_tuples = sum(
-                            len(s) for s in state1
-                        ) + sum(len(s) for s in state2)
-                    metrics.resident_history_tuples = len(history1) + len(
-                        history2
-                    )
-                    metrics.resident_live_entries = len(live1) + len(live2)
-                    metrics.join_seconds = join_seconds
-                    metrics.per_machine_join_seconds = per_machine_join_seconds
-                    metrics.bytes_pickled = bytes_pickled
-                    metrics.bytes_unpickled = bytes_unpickled
-                    metrics.bytes_shm = bytes_shm
-                    metrics.wall_seconds = perf_counter() - start
-                    batch_span.set(
-                        output_delta=metrics.output_delta,
-                        repartitioned=metrics.repartitioned,
-                    )
-        # Write the rebound loop locals back onto the run state (the lists
-        # starts1/starts2 are mutated in place and stay aliased).
-        s.history1, s.history2 = history1, history2
-        s.state1, s.state2 = state1, state2
-        s.held1, s.held2 = held1, held2
-        s.prev_outputs = prev_outputs
-        s.partitioning = partitioning
-        s.region_to_machine = region_to_machine
-        s.live1, s.live2 = live1, live2
-        s.cumulative += metrics.per_machine_load
-        s.result.batches.append(metrics)
-        self._meter_batch(metrics)
+        mean_load = float(loads.mean()) if J else 0.0
+        metrics = BatchMetrics(
+            batch_index=batch.index,
+            stream_position=s.position,
+            new_tuples=batch.num_tuples,
+            per_machine_load=loads,
+            output_delta=int(deltas.sum()),
+            rebuild_cost=rebuild_cost,
+            live_imbalance=(
+                float(loads.max()) / mean_load if mean_load > 0 else 1.0
+            ),
+            predicted_imbalance=self.policy.predicted_imbalance(self.histogram),
+            per_machine_output_delta=deltas if routed is not None else None,
+            join_clock=self.backend.clock_domain,
+            per_machine_join_seconds=np.zeros(J),
+        )
+        if execution is not None:
+            metrics.join_seconds = execution.wall_seconds
+            metrics.per_machine_join_seconds = execution.per_machine_seconds
+            metrics.bytes_pickled = execution.bytes_pickled
+            metrics.bytes_unpickled = execution.bytes_unpickled
+        if s.pending_resize is not None:
+            metrics.resized_from = s.pending_resize["resized_from"]
+            self._charge(metrics, s.pending_resize)
+            s.pending_resize = None
         return metrics
+
+    def _evict_and_compact(self, s: _RunState, metrics: BatchMetrics) -> None:
+        """Stage 4: apply the window after the count; trim what it exposed.
+
+        Eviction runs after the batch is counted and *before* any
+        repartitioning, so a migration only ever ships live state.  The
+        live sets shrink here; the backend drops the same expired indices
+        from every machine's state and reports how many entries it really
+        held (charged as ``tuples_evicted`` / ``bytes_freed``).  With
+        ``compact_history`` the dead history prefix the eviction exposed is
+        then trimmed on both sides and every stored arrival index rebased
+        by the same amounts, so engine coordinates stay in lock-step on
+        both sides of the protocol.
+        """
+        if self.window.is_unbounded:
+            return
+        with self.tracer.span("evict", category="stage") as evict_span:
+            expired1 = self.window.evictions(
+                s.live1, s.starts1, len(s.history1), s.rng
+            )
+            expired2 = self.window.evictions(
+                s.live2, s.starts2, len(s.history2), s.rng
+            )
+            s.live1 = drop_expired(s.live1, expired1)
+            s.live2 = drop_expired(s.live2, expired2)
+            if len(expired1) or len(expired2):
+                metrics.tuples_evicted = self.backend.evict_state(
+                    expired1, expired2
+                )
+                metrics.bytes_freed = (
+                    metrics.tuples_evicted * BatchMetrics.STATE_BYTES
+                )
+            evict_span.set(evicted=metrics.tuples_evicted)
+        if not self.compact_history:
+            return
+        with self.tracer.span("compact", category="stage") as compact_span:
+            s.history1, s.live1, trim1 = self._compact_side(
+                s.history1, s.live1, s.starts1
+            )
+            s.history2, s.live2, trim2 = self._compact_side(
+                s.history2, s.live2, s.starts2
+            )
+            if trim1 or trim2:
+                self.backend.rebase_state(trim1, trim2)
+            metrics.history_tuples_trimmed = trim1 + trim2
+            compact_span.set(trimmed=trim1 + trim2)
+
+    def _repartition(self, s: _RunState, metrics: BatchMetrics) -> None:
+        """Stage 5: let the policy swap partitionings; migrate if it does.
+
+        Migration and rebuild charges land on this batch.  Before the
+        initial build there is nothing to replace.
+        """
+        if s.partitioning is None:
+            return
+        builds_before = self.histogram.rebuilds
+        with self.tracer.span("drift_decide", category="stage") as drift_span:
+            replacement = self.policy.maybe_repartition(
+                self.histogram, metrics, self.condition, s.rng
+            )
+            drift_span.set(repartition=replacement is not None)
+        if replacement is None:
+            return
+        with self.tracer.span(
+            "migrate", category="stage", mode=self.repartition_mode
+        ) as migrate_span:
+            charges = self._adopt(replacement, self.num_machines, builds_before)
+            self._charge(metrics, charges)
+            metrics.repartitioned = True
+            migrate_span.set(moved=charges["migrated"])
+
+    def _account(
+        self, s: _RunState, metrics: BatchMetrics, start: float
+    ) -> None:
+        """Stage 6: close the metrics record -- bytes, footprint, wall time.
+
+        One drain covers every protocol command the batch issued (count,
+        evict, rebase, install) on a backend with a metered channel;
+        batches that moved no metered bytes keep ``None``, like an
+        unprofiled run.
+        """
+        pickled, unpickled, shm = self.backend.drain_channel_bytes()
+        metrics.bytes_pickled = self._accumulate_bytes(
+            metrics.bytes_pickled, pickled
+        )
+        metrics.bytes_unpickled = self._accumulate_bytes(
+            metrics.bytes_unpickled, unpickled
+        )
+        metrics.bytes_shm = shm
+        resident1, resident2 = self.backend.resident_indices()
+        metrics.resident_tuples = sum(len(held) for held in resident1) + sum(
+            len(held) for held in resident2
+        )
+        metrics.resident_history_tuples = len(s.history1) + len(s.history2)
+        metrics.resident_live_entries = len(s.live1) + len(s.live2)
+        metrics.wall_seconds = perf_counter() - start
 
     def finish(self, verify: bool = True) -> StreamRunResult:
         """End the stream: finalise totals, verify, close the run span.
@@ -1378,13 +1027,14 @@ class StreamingJoinEngine:
         """Capture the complete resumable state at this batch boundary.
 
         The checkpoint is self-contained: configuration, policy and window
-        objects, sample state, RNG state, retained history, per-machine
-        region state (index mirrors for stateful backends, verbatim
-        index+key arrays otherwise), liveness bookkeeping and the
-        accumulated :class:`~repro.streaming.metrics.StreamRunResult`.
-        Everything is deep-copied, so the engine may keep running after
-        taking it.  :meth:`resume_from` on the checkpoint continues the
-        run bit-identically to never having stopped.
+        objects, sample state, RNG state, retained history, each machine's
+        resident arrival indices (sorted; the keys are reproducible from
+        the history, so no backend ever reads state back), liveness
+        bookkeeping and the accumulated
+        :class:`~repro.streaming.metrics.StreamRunResult`.  Everything is
+        copied, so the engine may keep running after taking it.
+        :meth:`resume_from` on the checkpoint continues the run
+        bit-identically to never having stopped.
         """
         if self._phase != "running":
             raise RuntimeError(
@@ -1396,21 +1046,9 @@ class StreamingJoinEngine:
             "checkpoint", category="run", position=s.position
         ) as span:
             s.result.checkpoints_taken += 1
-            if self._stateful:
-                # The workers' key arrays are reproducible from the index
-                # mirrors plus the history, so the checkpoint stays
-                # O(resident indices) and never reads state back.
-                state_index1 = [np.array(held) for held in s.held1]
-                state_index2 = [np.array(held) for held in s.held2]
-                state_keys1 = state_keys2 = None
-            else:
-                state_index1 = [np.array(st.index) for st in s.state1]
-                state_keys1 = [np.array(st.keys) for st in s.state1]
-                state_index2 = [np.array(st.index) for st in s.state2]
-                state_keys2 = [np.array(st.keys) for st in s.state2]
+            resident1, resident2 = self.backend.resident_indices()
             checkpoint = StreamCheckpoint(
                 num_machines=self.num_machines,
-                counting=self.counting,
                 repartition_mode=self.repartition_mode,
                 compact_history=self.compact_history,
                 migration_cost_factor=self.migration_cost_factor,
@@ -1429,11 +1067,8 @@ class StreamingJoinEngine:
                 starts2=list(s.starts2),
                 live1=np.array(s.live1),
                 live2=np.array(s.live2),
-                state_index1=state_index1,
-                state_keys1=state_keys1,
-                state_index2=state_index2,
-                state_keys2=state_keys2,
-                prev_outputs=np.array(s.prev_outputs),
+                state_index1=[np.sort(held) for held in resident1],
+                state_index2=[np.sort(held) for held in resident2],
                 region_to_machine=np.array(s.region_to_machine),
                 last_batch_index=s.last_batch_index,
                 position=s.position,
@@ -1453,19 +1088,19 @@ class StreamingJoinEngine:
         """Re-plan the join onto ``machines`` machines mid-stream.
 
         The policy rebuilds its partitioning for the new fleet
-        (:meth:`~repro.streaming.policies.RepartitioningPolicy.resize_partitioning`),
-        :func:`~repro.streaming.migration.plan_migration` moves the
-        resident state onto the new machine set (growing pads empty
-        machines in; shrinking drains the departing ones), and sticky
-        workers are rebound through the same evict/install protocol a
-        drift migration uses.  State moves immediately; the migration and
-        rebuild *charges* are parked and folded into the next processed
-        batch's metrics (marked via ``resized_from``), mirroring how a
-        drift migration's charges land on the batch that triggered it.
+        (:meth:`~repro.streaming.policies.RepartitioningPolicy.resize_partitioning`)
+        and the state moves onto it through the same
+        plan → ``install_state`` → charge step a drift migration uses
+        (growing pads empty machines in; shrinking drains the departing
+        ones).  State moves immediately; the migration and rebuild
+        *charges* are parked and folded into the next processed batch's
+        metrics (marked via ``resized_from``), mirroring how a drift
+        migration's charges land on the batch that triggered it.  Several
+        resizes before the next batch park additively: volumes and rebuild
+        costs sum, the per-machine loads are carried onto each new fleet,
+        and ``resized_from`` keeps the size the batch last saw.
 
-        Resizing to the current size is a no-op.  The recount baseline
-        differences cumulative per-machine counts and cannot survive a
-        fleet change, so ``counting="recount"`` engines refuse.
+        Resizing to the current size is a no-op.
         """
         if self._phase != "running":
             raise RuntimeError(
@@ -1474,13 +1109,6 @@ class StreamingJoinEngine:
             )
         if machines <= 0:
             raise ValueError("machines must be positive")
-        if self.counting == "recount":
-            raise ValueError(
-                "resize() is not supported with counting='recount': the "
-                "recount baseline differences cumulative per-machine "
-                "counts, which a fleet change invalidates; use "
-                "counting='incremental'"
-            )
         s = self._state
         if s.partitioning is None:
             raise RuntimeError(
@@ -1490,8 +1118,6 @@ class StreamingJoinEngine:
         old_machines = self.num_machines
         if machines == old_machines:
             return
-        windowed = not self.window.is_unbounded
-        weight = self.weight_fn
         with self.tracer.span(
             "resize",
             category="run",
@@ -1502,82 +1128,36 @@ class StreamingJoinEngine:
             replacement = self.policy.resize_partitioning(
                 machines, self.histogram, self.condition, s.rng
             )
-            plan = plan_migration(
-                s.held1
-                if self._stateful
-                else [state.index for state in s.state1],
-                s.held2
-                if self._stateful
-                else [state.index for state in s.state2],
-                replacement,
-                s.history1,
-                s.history2,
-                machines,
-                s.rng,
-                mode=self.repartition_mode,
-                live1=s.live1 if windowed else None,
-                live2=s.live2 if windowed else None,
-            )
-            self.num_machines = machines
-            s.partitioning = replacement
-            s.region_to_machine = plan.region_to_machine
-            if self._stateful:
-                self.backend.resize(machines)
-                self.backend.install_state(
-                    plan.new_assignments1,
-                    plan.new_assignments2,
-                    s.history1,
-                    s.history2,
-                )
-                s.held1 = [
-                    np.sort(np.asarray(indices, dtype=np.int64))
-                    for indices in plan.new_assignments1
-                ]
-                s.held2 = [
-                    np.sort(np.asarray(indices, dtype=np.int64))
-                    for indices in plan.new_assignments2
-                ]
-            else:
-                s.state1 = [
-                    SortedRegionState.from_indices(indices, s.history1)
-                    for indices in plan.new_assignments1
-                ]
-                s.state2 = [
-                    SortedRegionState.from_indices(indices, s.history2)
-                    for indices in plan.new_assignments2
-                ]
-            # Incremental counting charges output at arrival time, so the
-            # per-machine baseline resets cleanly with the fleet.
-            s.prev_outputs = np.zeros(machines, dtype=np.int64)
-            survivors = min(old_machines, machines)
-            cumulative = np.zeros(machines, dtype=np.float64)
-            cumulative[:survivors] = s.cumulative[:survivors]
-            s.cumulative = cumulative
+            charges = self._adopt(replacement, machines, builds_before)
+            s.cumulative = self._refit(s.cumulative, machines)
             s.result.num_machines = machines
-            migration_load = (
-                self.migration_cost_factor
-                * weight.input_cost
-                * plan.per_machine_arrivals.astype(np.float64)
-            )
-            rebuild_cost = 0.0
-            if self.histogram.rebuilds > builds_before:
-                # _rebuild_charge() spreads the scan over num_machines,
-                # which was updated above -- the charge is for the new
-                # fleet doing the rebuild.
-                rebuild_cost = self._rebuild_charge()
-                migration_load = migration_load + rebuild_cost
-            s.pending_resize = {
-                "resized_from": old_machines,
-                "load": migration_load,
-                "migrated": plan.total_moved,
-                "rebuild_cost": rebuild_cost,
-                "plan": replace(
-                    plan, new_assignments1=[], new_assignments2=[]
-                ),
-            }
-            span.set(moved=plan.total_moved)
+            charges["resized_from"] = old_machines
+            parked = s.pending_resize
+            if parked is not None:
+                # An earlier resize's charges are still waiting for a batch:
+                # rebalancing is never free, so they are summed, not dropped.
+                charges["resized_from"] = parked["resized_from"]
+                charges["load"] = charges["load"] + self._refit(
+                    parked["load"], machines
+                )
+                charges["migrated"] += parked["migrated"]
+                charges["rebuild_cost"] += parked["rebuild_cost"]
+            s.pending_resize = charges
+            span.set(moved=charges["plan"].total_moved)
         if self.metrics is not None:
             self.metrics.counter("stream.resizes").inc()
+
+    @staticmethod
+    def _refit(per_machine: np.ndarray, machines: int) -> np.ndarray:
+        """Carry a per-machine vector onto a fleet of ``machines`` machines.
+
+        Surviving machines keep their entries, new machines start at zero,
+        and the entries of machines leaving the cluster leave with them.
+        """
+        fitted = np.zeros(machines, dtype=np.float64)
+        survivors = min(len(per_machine), machines)
+        fitted[:survivors] = per_machine[:survivors]
+        return fitted
 
     @classmethod
     def resume_from(
@@ -1595,12 +1175,12 @@ class StreamingJoinEngine:
         checkpoint: same RNG stream, same sample state, same per-machine
         region state, same accumulated result.  ``backend`` provides the
         execution backend for the resumed run (default: a fresh simulated
-        backend); it need not match the original -- region state is
-        reinstalled through ``bind``/``install_state`` for stateful
-        backends and rebuilt from the checkpoint arrays otherwise.
-        ``machines`` optionally resizes onto a different fleet straight
-        away (crash recovery onto the survivors), which is exactly
-        :meth:`resize` from the restored state.
+        backend); it need not match the original -- every backend rebuilds
+        the state from the checkpoint's resident indices through
+        ``bind`` / ``install_state``.  ``machines`` optionally resizes onto
+        a different fleet straight away (crash recovery onto the
+        survivors), which is exactly :meth:`resize` from the restored
+        state.
 
         The checkpoint is deep-copied first, so one checkpoint can seed
         any number of resumed runs.
@@ -1613,7 +1193,6 @@ class StreamingJoinEngine:
             policy=checkpoint.policy,
             backend=backend,
             window=checkpoint.window,
-            counting=checkpoint.counting,
             repartition_mode=checkpoint.repartition_mode,
             compact_history=checkpoint.compact_history,
             histogram=checkpoint.histogram,
@@ -1641,7 +1220,6 @@ class StreamingJoinEngine:
         s.live1, s.live2 = checkpoint.live1, checkpoint.live2
         s.partitioning = checkpoint.partitioning
         s.region_to_machine = checkpoint.region_to_machine
-        s.prev_outputs = checkpoint.prev_outputs
         s.last_batch_index = checkpoint.last_batch_index
         s.position = checkpoint.position
         s.cumulative = checkpoint.cumulative
@@ -1659,53 +1237,17 @@ class StreamingJoinEngine:
         with self.tracer.span(
             "restore", category="run", position=s.position
         ) as span:
-            if self._stateful:
-                self.backend.bind(
-                    self.num_machines, self.condition, self._transposed
-                )
-                # Checkpoint index lists may be key-sorted (taken from a
-                # stateless engine); the held mirrors are index-sorted.
-                s.held1 = [
-                    np.sort(np.asarray(indices, dtype=np.int64))
-                    for indices in checkpoint.state_index1
-                ]
-                s.held2 = [
-                    np.sort(np.asarray(indices, dtype=np.int64))
-                    for indices in checkpoint.state_index2
-                ]
-                self.backend.install_state(
-                    s.held1, s.held2, s.history1, s.history2
-                )
-                s.state1 = []
-                s.state2 = []
-            else:
-                s.held1 = s.held2 = None
-                if checkpoint.state_keys1 is None:
-                    # Stateful-origin checkpoint: rebuild keys from the
-                    # index mirrors, exactly as install_state would.
-                    s.state1 = [
-                        SortedRegionState.from_indices(indices, s.history1)
-                        for indices in checkpoint.state_index1
-                    ]
-                    s.state2 = [
-                        SortedRegionState.from_indices(indices, s.history2)
-                        for indices in checkpoint.state_index2
-                    ]
-                else:
-                    # Verbatim restore preserves the exact duplicate-key
-                    # order the original engine held.
-                    s.state1 = [
-                        SortedRegionState(index=indices, keys=keys)
-                        for indices, keys in zip(
-                            checkpoint.state_index1, checkpoint.state_keys1
-                        )
-                    ]
-                    s.state2 = [
-                        SortedRegionState(index=indices, keys=keys)
-                        for indices, keys in zip(
-                            checkpoint.state_index2, checkpoint.state_keys2
-                        )
-                    ]
+            # The stable key-sort of index-sorted columns reproduces the
+            # key order of the state the checkpoint was taken from.
+            self.backend.bind(
+                self.num_machines, self.condition, self._transposed
+            )
+            self.backend.install_state(
+                checkpoint.state_index1,
+                checkpoint.state_index2,
+                s.history1,
+                s.history2,
+            )
             span.set(
                 batches=len(s.result.batches),
                 resident=checkpoint.resident_tuples,
@@ -1750,7 +1292,6 @@ def compare_streaming_schemes(
     policies: dict[str, RepartitioningPolicy] | None = None,
     backend_factory=None,
     window: WindowPolicy | str | None = None,
-    counting: str = "incremental",
     repartition_mode: str = "partial",
     compact_history: bool = True,
     ewh_config: EWHConfig | None = None,
@@ -1772,8 +1313,8 @@ def compare_streaming_schemes(
     :class:`~repro.streaming.backends.ExecutionBackend` per engine (e.g.
     ``lambda: MultiprocessBackend(max_workers=4)``); each backend is closed
     after its run.  The default runs every engine on the in-process
-    simulated backend.  ``window``, ``counting`` and ``compact_history``
-    apply to every engine (window policies are stateless, so one instance
+    simulated backend.  ``window`` and ``compact_history`` apply to every
+    engine (window policies are stateless, so one instance
     is safely shared).
 
     ``tracer`` is shared by every engine -- all runs land in one trace,
@@ -1801,7 +1342,6 @@ def compare_streaming_schemes(
             policy=policy,
             backend=backend,
             window=window,
-            counting=counting,
             repartition_mode=repartition_mode,
             compact_history=compact_history,
             sample_capacity=sample_capacity,

@@ -115,9 +115,8 @@ class BatchMetrics:
         sticky steady-state batches report near-zero pickled bytes and the
         whole delta here.
     per_machine_join_seconds:
-        The backend's per-region join timings, summed over the batch's
-        executions (the incremental count, plus the post-migration recount
-        on repartitioning batches).
+        The backend's per-machine timings of the batch's incremental
+        count.
     per_machine_output_delta:
         Exact incremental output produced by each machine in this batch
         (``output_delta`` is its sum); ``None`` before the first build.
@@ -247,10 +246,6 @@ class StreamRunResult:
     window:
         Reporting name of the window policy that bounded the retained state
         (``"unbounded"``, ``"batches:8"``, ``"tuples:5000"``, ...).
-    counting:
-        How per-batch output deltas were computed: ``"incremental"``
-        (maintained sorted state, ``O(new log state)`` per batch) or
-        ``"recount"`` (the legacy full per-region recount).
     batches:
         Per-batch metrics in stream order.
     cumulative_load:
@@ -294,7 +289,6 @@ class StreamRunResult:
     num_machines: int
     backend: str = "simulated"
     window: str = "unbounded"
-    counting: str = "incremental"
     batches: list[BatchMetrics] = field(default_factory=list)
     cumulative_load: np.ndarray | None = None
     total_output: int = 0

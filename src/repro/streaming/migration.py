@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.partitioning.base import Partitioning
 
-__all__ = ["MigrationPlan", "pad_assignments", "plan_migration"]
+__all__ = ["MigrationPlan", "pad_assignments", "plan_migration", "route_live"]
 
 #: Planning modes accepted by :func:`plan_migration`.
 MIGRATION_MODES = ("full", "partial")
@@ -232,7 +232,7 @@ def _best_region_map(
     return mapping
 
 
-def _route_live(
+def route_live(
     assign,
     keys: np.ndarray,
     live: np.ndarray | None,
@@ -241,6 +241,8 @@ def _route_live(
 ) -> list[np.ndarray]:
     """Route one side's live tuples; return per-region global-index arrays.
 
+    Shared by the migration planner and the engine's initial build (which
+    routes the backlog that arrived before any partitioning existed).
     With ``live=None`` the whole history is routed and the partitioning's
     batch-local indices already are global indices.  With a live set, only
     ``keys[live]`` is handed to the partitioning and the local indices are
@@ -304,10 +306,10 @@ def plan_migration(
         raise ValueError(
             f"unknown migration mode {mode!r} (expected one of {MIGRATION_MODES})"
         )
-    routed1 = _route_live(
+    routed1 = route_live(
         new_partitioning.assign_r1, keys1, live1, num_machines, rng
     )
-    routed2 = _route_live(
+    routed2 = route_live(
         new_partitioning.assign_r2, keys2, live2, num_machines, rng
     )
     # A resize may shrink the fleet: the old lists then outnumber the new

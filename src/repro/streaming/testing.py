@@ -1,10 +1,10 @@
-"""Test helpers for the streaming suites: equivalence assertions and faults.
+"""Test helpers for the streaming suites: equivalences, faults and the oracle.
 
 Several suites pin the same contract -- two engine runs over the same seeded
 stream must be *behaviourally bit-identical* -- from different angles:
-history compaction versus the uncompacted reference, incremental counting
-versus the legacy recount, one execution backend versus another, and a
-kill-and-restore run versus the run that never stopped.  Keeping the
+history compaction versus the uncompacted reference, one execution backend
+versus another, and a kill-and-restore run versus the run that never
+stopped.  Keeping the
 comparison in one place (:func:`assert_equivalent_runs`) means a metric
 added to the contract tightens every suite at once instead of silently
 weakening whichever copy was not updated.
@@ -21,7 +21,13 @@ fixed number of calls and then recovers (a transient fault).  Both wrap any
 :class:`~repro.streaming.backends.ExecutionBackend` -- simulated for fast
 deterministic tests, sticky/multiprocess for end-to-end ones -- and forward
 the full state-ownership protocol, so the engine cannot tell them from the
-real thing until the fault fires.  ``tests/conftest.py`` and
+real thing until the fault fires.
+
+:class:`RecountingBackend` is the reference implementation of the count
+itself, living here rather than as a mode of the production engine: a
+protocol decorator that shadows the traffic it forwards, recounts every
+machine's full region from scratch after each ``count_batch`` and asserts
+the reported incremental delta against it.  ``tests/conftest.py`` and
 ``benchmarks/conftest.py`` re-export the factory fixtures
 (:func:`crashing_backend`, :func:`flaky_backend`) so every suite can inject
 faults without owning backend cleanup.
@@ -31,6 +37,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.joins.local import count_join_output
+from repro.obs.clock import perf_counter
 from repro.streaming.backends import (
     ExecutionBackend,
     RegionJoinResult,
@@ -43,6 +51,7 @@ __all__ = [
     "assert_equivalent_runs",
     "CrashingBackend",
     "FlakyBackend",
+    "RecountingBackend",
 ]
 
 
@@ -102,21 +111,25 @@ def assert_equivalent_runs(
             assert act.migration_plan.mode == ref.migration_plan.mode
 
 
-#: Work operations a fault can be scoped to.  ``bind``, ``resize`` and
-#: ``drain_channel_bytes`` are deliberately not fault points: they are
-#: engine-side bookkeeping commands whose failure modes the crash tests for
-#: real backends already cover.
-FAULT_OPS = ("join", "count", "evict", "rebase", "install")
+#: Work operations a fault can be scoped to -- the state-ownership protocol
+#: calls that move or count state.  ``bind``, ``resize``,
+#: ``resident_indices`` and ``drain_channel_bytes`` are deliberately not
+#: fault points: they are bookkeeping commands whose failure modes the crash
+#: tests for real backends already cover.  (``join_regions`` is no longer
+#: one either: the engine never calls it on the backend it was given, only
+#: the in-process ``count_batch`` does, behind the ``count`` fault point.)
+FAULT_OPS = ("count", "evict", "rebase", "install")
 
 
 class _ForwardingBackend(ExecutionBackend):
-    """Transparent decorator over any backend, including the sticky protocol.
+    """Transparent decorator over any backend: the whole protocol, forwarded.
 
-    Subclasses inject faults by overriding :meth:`_before`, which runs ahead
-    of every *work* call (the operations in :data:`FAULT_OPS`).  Everything
-    else -- identity, clock domain, state ownership, byte accounting -- is
-    forwarded verbatim, so the engine drives the wrapped backend exactly as
-    it would drive the inner one.
+    The join state stays in the inner backend (in-process or sticky
+    alike); every state-ownership call is passed through.  Subclasses hook
+    :meth:`_before`, which runs ahead of every *work* call (the operations
+    in :data:`FAULT_OPS`).  Everything else -- identity, clock domain, the
+    resident view, byte metering -- is forwarded verbatim, so the engine
+    drives the wrapped backend exactly as it would drive the inner one.
     """
 
     #: Prefix composed into ``name`` (e.g. ``crashing(simulated)``).
@@ -137,20 +150,14 @@ class _ForwardingBackend(ExecutionBackend):
         """The inner backend's clock domain, forwarded."""
         return self.inner.clock_domain
 
-    @property
-    def owns_state(self) -> bool:  # type: ignore[override]
-        """Whether the inner backend keeps the join state resident."""
-        return bool(getattr(self.inner, "owns_state", False))
-
     def _before(self, op: str) -> None:
         """Fault hook; called before each work call with its operation name."""
 
     def join_regions(
         self, region_keys, condition, keys2_sorted: bool = False
     ) -> RegionJoinResult:
-        """Forward a stateless region join, faults permitting."""
+        """Forward a stateless region join (not a protocol call, no hook)."""
         self._ensure_open()
-        self._before("join")
         return self.inner.join_regions(
             region_keys, condition, keys2_sorted=keys2_sorted
         )
@@ -161,13 +168,13 @@ class _ForwardingBackend(ExecutionBackend):
         self.inner.bind(num_machines, condition, transposed)
 
     def count_batch(self, new1, new2, history1, history2) -> RegionJoinResult:
-        """Forward a stateful batch count, faults permitting."""
+        """Forward a batch count, faults permitting."""
         self._ensure_open()
         self._before("count")
         return self.inner.count_batch(new1, new2, history1, history2)
 
     def evict_state(self, expired1, expired2) -> int:
-        """Forward a worker-side eviction, faults permitting."""
+        """Forward an eviction, faults permitting."""
         self._ensure_open()
         self._before("evict")
         return self.inner.evict_state(expired1, expired2)
@@ -190,6 +197,10 @@ class _ForwardingBackend(ExecutionBackend):
         """Forward a fleet resize (never a fault point)."""
         self._ensure_open()
         self.inner.resize(num_machines)
+
+    def resident_indices(self):
+        """Forward the read-only resident view."""
+        return self.inner.resident_indices()
 
     def drain_channel_bytes(self):
         """Forward the per-batch byte accounting drain."""
@@ -286,6 +297,134 @@ class FlakyBackend(_ForwardingBackend):
                 f"injected transient fault at work call {self.calls} "
                 f"({op!r}); {self.failures_remaining} more will fail"
             )
+
+
+class RecountingBackend(_ForwardingBackend):
+    """The count's reference implementation: recount everything, every batch.
+
+    An oracle in the shape of a backend decorator.  It *shadows* the
+    protocol traffic it forwards -- per machine and side, the keys and
+    arrival indices the inner backend has been told to hold, in arrival
+    order, never sorted -- and after every ``count_batch`` joins each
+    machine's full shadow region from scratch
+    (:func:`~repro.joins.local.count_join_output`, the same kernel the
+    end-of-stream verification trusts) and asserts, per machine::
+
+        previous full count + reported incremental delta == full recount
+
+    Evictions and installs change a region's full count by something other
+    than a batch delta, so the baseline is re-taken after ``evict_state``
+    and ``install_state`` (and reset by ``bind`` / ``resize``).  This is
+    the legacy engine's ``O(state log state)`` recount-and-difference loop,
+    kept where reference implementations belong; ``recount_seconds`` (one
+    entry per ``count_batch``) lets a benchmark compare its cost with the
+    incremental count's.  Works over any inner backend, sticky included.
+    """
+
+    wrapper_name = "recounting"
+
+    def __init__(self, inner: ExecutionBackend) -> None:
+        super().__init__(inner)
+        #: Seconds spent recounting after each forwarded ``count_batch``.
+        self.recount_seconds: "list[float]" = []
+        self._condition = None
+        self._shadow1: "list[tuple[np.ndarray, np.ndarray]]" = []
+        self._shadow2: "list[tuple[np.ndarray, np.ndarray]]" = []
+        self._totals = np.zeros(0, dtype=np.int64)
+
+    @staticmethod
+    def _gather(assignments, history) -> "list[tuple[np.ndarray, np.ndarray]]":
+        """Per machine, the ``(indices, keys)`` columns of an assignment."""
+        columns = []
+        for indices in assignments:
+            indices = np.asarray(indices, dtype=np.int64)
+            columns.append((indices, np.asarray(history)[indices]))
+        return columns
+
+    def _reset(self, num_machines: int) -> None:
+        empty = np.empty(0, dtype=np.int64)
+        self._shadow1 = self._gather([empty] * num_machines, np.empty(0))
+        self._shadow2 = self._gather([empty] * num_machines, np.empty(0))
+        self._totals = np.zeros(num_machines, dtype=np.int64)
+
+    def _recount(self) -> np.ndarray:
+        """Join every machine's full shadow region from scratch."""
+        return np.array(
+            [
+                count_join_output(keys1, keys2, self._condition)
+                if len(keys1) and len(keys2)
+                else 0
+                for (_, keys1), (_, keys2) in zip(self._shadow1, self._shadow2)
+            ],
+            dtype=np.int64,
+        )
+
+    def bind(self, num_machines, condition, transposed) -> None:
+        """Forward the binding; start shadowing an empty cluster."""
+        super().bind(num_machines, condition, transposed)
+        self._condition = condition
+        self._reset(num_machines)
+
+    def count_batch(self, new1, new2, history1, history2) -> RegionJoinResult:
+        """Forward the count, then check its deltas against a full recount."""
+        execution = super().count_batch(new1, new2, history1, history2)
+        for shadow, arrivals in (
+            (self._shadow1, self._gather(new1, history1)),
+            (self._shadow2, self._gather(new2, history2)),
+        ):
+            for machine, (indices, keys) in enumerate(arrivals):
+                held_indices, held_keys = shadow[machine]
+                shadow[machine] = (
+                    np.concatenate([held_indices, indices]),
+                    np.concatenate([held_keys, keys]) if len(held_keys) else keys,
+                )
+        started = perf_counter()
+        recount = self._recount()
+        self.recount_seconds.append(perf_counter() - started)
+        np.testing.assert_array_equal(
+            self._totals + execution.per_machine_output,
+            recount,
+            err_msg="incremental delta != full recount difference",
+        )
+        self._totals = recount
+        return execution
+
+    def evict_state(self, expired1, expired2) -> int:
+        """Forward the eviction; drop the same indices; re-take the baseline."""
+        dropped = super().evict_state(expired1, expired2)
+        shadowed = 0
+        for shadow, expired in (
+            (self._shadow1, expired1),
+            (self._shadow2, expired2),
+        ):
+            for machine, (indices, keys) in enumerate(shadow):
+                keep = ~np.isin(indices, expired)
+                shadowed += int(len(keep) - keep.sum())
+                shadow[machine] = (indices[keep], keys[keep])
+        if dropped != shadowed:
+            raise AssertionError(
+                f"backend dropped {dropped} entries, the shadow {shadowed}"
+            )
+        self._totals = self._recount()
+        return dropped
+
+    def rebase_state(self, trim1: int, trim2: int) -> None:
+        """Forward the rebase; shift the shadow's indices alike."""
+        super().rebase_state(trim1, trim2)
+        self._shadow1 = [(idx - trim1, keys) for idx, keys in self._shadow1]
+        self._shadow2 = [(idx - trim2, keys) for idx, keys in self._shadow2]
+
+    def install_state(self, assignments1, assignments2, history1, history2):
+        """Forward the install; adopt the assignments; re-take the baseline."""
+        super().install_state(assignments1, assignments2, history1, history2)
+        self._shadow1 = self._gather(assignments1, history1)
+        self._shadow2 = self._gather(assignments2, history2)
+        self._totals = self._recount()
+
+    def resize(self, num_machines: int) -> None:
+        """Forward the resize; the shadow empties until the reinstall."""
+        super().resize(num_machines)
+        self._reset(num_machines)
 
 
 try:  # pragma: no cover - exercised via the test suites' conftests

@@ -59,6 +59,7 @@ __all__ = [
     "SlidingWindow",
     "ExponentialDecayWindow",
     "WINDOW_SPEC_FORMS",
+    "drop_expired",
     "make_window",
 ]
 
@@ -230,6 +231,22 @@ class ExponentialDecayWindow(WindowPolicy):
         if len(live) == 0:
             return live
         return live[rng.random(len(live)) >= self.survival]
+
+
+def drop_expired(held: np.ndarray, expired: np.ndarray) -> np.ndarray:
+    """Drop ``expired`` (sorted) from the sorted index array ``held``.
+
+    The membership pass every sorted arrival-index set shares -- the
+    engine's live sets and the sticky backend's ownership mirror.
+    ``O(held log expired)`` via ``searchsorted``: cheaper than ``np.isin``,
+    which re-sorts both arrays, and this runs on every windowed batch.
+    ``expired`` need not be a subset of ``held``.
+    """
+    if len(held) == 0 or len(expired) == 0:
+        return held
+    positions = np.searchsorted(expired, held)
+    positions[positions == len(expired)] = len(expired) - 1
+    return held[expired[positions] != held]
 
 
 def make_window(spec: "WindowPolicy | str | None") -> WindowPolicy:

@@ -360,23 +360,54 @@ class TestBackendProtocol:
         assert rule_ids(report) == ["API001"]
 
     def test_flags_sticky_backend_missing_surface(self):
+        # "Sticky" as in: state kept remotely -- a partial override is half remote.
         report = run(
             """
-            class StickyBackend(ExecutionBackend):
-                owns_state = True
-
+            class HalfRemoteBackend(ExecutionBackend):
                 def join_regions(self, *args):
                     return []
 
                 def bind(self, *args):
                     return None
+
+                def count_batch(self, *args):
+                    return None
             """
         )
         findings = [f for f in report.findings if not f.suppressed]
         assert rule_ids(report) == ["API001"]
-        assert "count_batch" in findings[0].message
+        assert "evict_state" in findings[0].message
+        assert "resident_indices" in findings[0].message
+
+    def test_clean_in_process_backend_overrides_nothing(self):
+        report = run(
+            """
+            class PoolBackend(ExecutionBackend):
+                def join_regions(self, *args):
+                    return []
+            """
+        )
+        assert rule_ids(report) == []
 
     def test_clean_full_sticky_surface(self):
+        methods = "\n".join(
+            f"    def {name}(self, *args):\n        return None"
+            for name in (
+                "join_regions",
+                "bind",
+                "count_batch",
+                "evict_state",
+                "rebase_state",
+                "install_state",
+                "resize",
+                "resident_indices",
+                "drain_channel_bytes",
+            )
+        )
+        report = run(f"class FullBackend(ExecutionBackend):\n{methods}\n")
+        assert rule_ids(report) == []
+
+    def test_full_protocol_minus_resident_indices_is_half_remote(self):
         methods = "\n".join(
             f"    def {name}(self, *args):\n        return None"
             for name in (
@@ -390,8 +421,8 @@ class TestBackendProtocol:
                 "drain_channel_bytes",
             )
         )
-        report = run(f"class FullBackend(ExecutionBackend):\n{methods}\n")
-        assert rule_ids(report) == []
+        report = run(f"class OldSticky(ExecutionBackend):\n{methods}\n")
+        assert rule_ids(report) == ["API001"]
 
     def test_flags_count_batch_before_bind(self):
         report = run(

@@ -28,6 +28,7 @@ from repro.streaming import (
     DriftDetector,
     DriftingZipfSource,
     MultiprocessBackend,
+    RegionStateTable,
     SimulatedBackend,
     SlowConsumerBackend,
     SortedRegionState,
@@ -140,7 +141,7 @@ class TestMakeBackend:
         backend = make_backend("sticky", max_workers=2)
         assert isinstance(backend, StickyWorkerBackend)
         assert backend.max_workers == 2
-        assert backend.owns_state
+        assert not hasattr(backend, "owns_state")  # one protocol, no flag
         backend.close()  # never bound: no workers to stop, still final
 
     def test_unknown_name(self):
@@ -227,11 +228,15 @@ class TestMultiprocessBackend:
 
 
 class TestStickyWorkerState:
-    """In-process checks of the sticky worker's resident-state handlers.
+    """The shared state table, and the sticky worker's handlers over it.
 
-    ``_StickyWorkerState`` is the code that actually runs inside the worker
-    processes; exercising it in-process pins the handler semantics exactly
-    (and keeps it visible to coverage, which cannot see subprocesses).
+    :class:`RegionStateTable` is the one fold implementation: the in-process
+    default hosts it on the backend, each sticky worker hosts one for its
+    machines.  The table tests pin the fold semantics exactly; the handler
+    tests pin the worker's machine-major message layout and replies
+    (``_StickyWorkerState`` is the code that runs inside the worker
+    processes -- exercising it in-process keeps it visible to coverage,
+    which cannot see subprocesses).
     """
 
     @staticmethod
@@ -244,6 +249,7 @@ class TestStickyWorkerState:
         return arrays
 
     def test_count_replays_the_incremental_fold(self, rng):
+        table = RegionStateTable([0])
         worker = _StickyWorkerState(machines=(0,))
         op, pid = worker.init(BAND, BAND.transposed)
         assert op == "ok" and pid == os.getpid()
@@ -255,7 +261,7 @@ class TestStickyWorkerState:
             idx1 = np.arange(lo, hi, dtype=np.int64)
             idx2 = np.arange(lo, hi, dtype=np.int64)
             keys1, keys2 = history1[idx1], history2[idx2]
-            # The engine's reference decomposition:
+            # The reference decomposition:
             # C(new1, state2 + new2) + C_transposed(new2, old state1).
             old_keys1 = state1.keys.copy()
             state2.insert(idx2, keys2)
@@ -267,14 +273,24 @@ class TestStickyWorkerState:
                     keys2, old_keys1, BAND.transposed, keys2_sorted=True
                 )
             state1.insert(idx1, keys1)
+            # The table hands back exactly those two search tasks ...
+            (new1, searched2), (new2, searched1) = table.fold(
+                [idx1, keys1, idx2, keys2]
+            )
+            np.testing.assert_array_equal(new1, keys1)
+            np.testing.assert_array_equal(searched2, state2.keys)
+            np.testing.assert_array_equal(new2, keys2)
+            np.testing.assert_array_equal(searched1, old_keys1)
+            # ... and the worker counts them.
             op, counted = worker.count([idx1, keys1, idx2, keys2])
             assert op == "counted"
             ((machine, out_a, out_b, sec_a, sec_b),) = counted
             assert machine == 0
             assert out_a + out_b == expected
             assert sec_a >= 0.0 and sec_b >= 0.0
-        np.testing.assert_array_equal(worker.state1[0].keys, state1.keys)
-        np.testing.assert_array_equal(worker.state2[0].keys, state2.keys)
+        for owner in (table, worker.table):
+            np.testing.assert_array_equal(owner.state1[0].keys, state1.keys)
+            np.testing.assert_array_equal(owner.state2[0].keys, state2.keys)
 
     def test_count_touches_owned_machines_only(self, rng):
         worker = _StickyWorkerState(machines=(1,))
@@ -284,8 +300,8 @@ class TestStickyWorkerState:
         op, counted = worker.count(self._layout(2, 1, idx, keys, idx, keys))
         assert op == "counted"
         assert [entry[0] for entry in counted] == [1]
-        assert 0 not in worker.state1
-        assert len(worker.state1[1]) == 20
+        assert 0 not in worker.table.state1
+        assert len(worker.table.state1[1]) == 20
 
     def test_empty_sides_are_skipped_and_untimed(self):
         worker = _StickyWorkerState(machines=(0,))
@@ -295,55 +311,178 @@ class TestStickyWorkerState:
         assert counted == [(0, 0, 0, 0.0, 0.0)]
 
     def test_evict_reports_entries_actually_dropped(self, rng):
-        worker = _StickyWorkerState(machines=(0,))
-        worker.init(BAND, BAND.transposed)
+        table = RegionStateTable([0, 1])
         idx = np.arange(10, dtype=np.int64)
         keys = rng.uniform(0, 50, 10)
-        worker.count([idx, keys, idx, keys])
+        table.fold(self._layout(2, 0, idx, keys, idx, keys))
         expired = np.array([2, 5, 7, 99], dtype=np.int64)  # 99 not resident
-        op, dropped = worker.evict([expired, expired])
-        assert op == "evicted"
-        assert dropped == 6  # three real entries per side
-        assert len(worker.state1[0]) == 7 and len(worker.state2[0]) == 7
+        assert table.evict(expired, expired) == 6  # three real entries per side
+        assert len(table.state1[0]) == 7 and len(table.state2[0]) == 7
+        assert len(table.state1[1]) == 0
+        # The worker's handler is that call behind a message.
+        worker = _StickyWorkerState(machines=(0,))
+        worker.init(BAND, BAND.transposed)
+        worker.count([idx, keys, idx, keys])
+        assert worker.evict([expired, expired]) == ("evicted", 6)
 
     def test_rebase_shifts_resident_arrival_indices(self, rng):
-        worker = _StickyWorkerState(machines=(0,))
-        worker.init(BAND, BAND.transposed)
+        table = RegionStateTable([0])
         idx = np.arange(10, 20, dtype=np.int64)
         keys = rng.uniform(0, 50, 10)
-        worker.count([idx, keys, idx, keys])
-        assert worker.rebase(10, 10) == ("rebased",)
-        assert worker.state1[0].index.min() == 0
-        assert worker.state2[0].index.max() == 9
+        table.fold([idx, keys, idx, keys])
+        table.rebase(10, 10)
+        assert table.state1[0].index.min() == 0
+        assert table.state2[0].index.max() == 9
+        worker = _StickyWorkerState(machines=(0,))
+        assert worker.rebase(0, 0) == ("rebased",)
 
     def test_install_rebuilds_bit_identical_to_from_indices(self, rng):
-        worker = _StickyWorkerState(machines=(0,))
-        worker.init(BAND, BAND.transposed)
+        table = RegionStateTable([0])
         history = rng.uniform(0, 50, 40)
         idx = rng.permutation(40)[:15].astype(np.int64)
+        table.install([idx, history[idx], idx, history[idx]])
+        reference = SortedRegionState.from_indices(idx, history)
+        np.testing.assert_array_equal(table.state1[0].keys, reference.keys)
+        np.testing.assert_array_equal(table.state1[0].index, reference.index)
+        worker = _StickyWorkerState(machines=(0,))
         op = worker.install([idx, history[idx], idx, history[idx]])[0]
         assert op == "installed"
-        reference = SortedRegionState.from_indices(idx, history)
-        np.testing.assert_array_equal(worker.state1[0].keys, reference.keys)
-        np.testing.assert_array_equal(worker.state1[0].index, reference.index)
+        np.testing.assert_array_equal(
+            worker.table.state1[0].index, reference.index
+        )
 
-    def test_state_never_aliases_the_message_views(self, rng):
-        # Handler inputs are views into a reused shared segment; resident
-        # state must copy them or the next message would corrupt it.
+    def test_worker_resize_adopts_new_machines_with_empty_state(self, rng):
         worker = _StickyWorkerState(machines=(0,))
         worker.init(BAND, BAND.transposed)
         idx = np.arange(5, dtype=np.int64)
         keys = rng.uniform(0, 50, 5)
         worker.count([idx, keys, idx, keys])
-        before = worker.state1[0].keys.copy()
+        assert worker.resize((1, 3)) == ("resized", os.getpid())
+        assert worker.table.machines == (1, 3)
+        assert all(len(state) == 0 for state in worker.table.state1.values())
+
+    def test_state_never_aliases_the_message_views(self, rng):
+        # Fold inputs may be views into a reused shared segment; resident
+        # state must copy them or the next message would corrupt it.
+        table = RegionStateTable([0])
+        idx = np.arange(5, dtype=np.int64)
+        keys = rng.uniform(0, 50, 5)
+        table.fold([idx, keys, idx, keys])
+        before = table.state1[0].keys.copy()
         keys[:] = -1.0  # simulate the arena overwriting the segment
         idx[:] = 0
-        np.testing.assert_array_equal(worker.state1[0].keys, before)
+        np.testing.assert_array_equal(table.state1[0].keys, before)
 
     def test_unknown_command_raises(self):
         worker = _StickyWorkerState(machines=(0,))
         with pytest.raises(ValueError, match="unknown sticky-worker command"):
             worker.handle(("bogus",), None)
+
+
+class TestInProcessStateProtocol:
+    """The base-class default: every in-process backend speaks the protocol."""
+
+    @staticmethod
+    def _traffic(rng):
+        history1 = rng.uniform(0, 50, 80)
+        history2 = rng.uniform(0, 50, 80)
+        split = [
+            np.arange(0, 40, dtype=np.int64),
+            np.arange(40, 80, dtype=np.int64),
+        ]
+        return history1, history2, split
+
+    def test_count_batch_folds_and_dispatches_through_join_regions(self, rng):
+        history1, history2, split = self._traffic(rng)
+        dispatched = []
+
+        class Spy(SimulatedBackend):
+            def join_regions(self, region_keys, condition, keys2_sorted=False):
+                dispatched.append((len(region_keys), keys2_sorted))
+                return super().join_regions(
+                    region_keys, condition, keys2_sorted=keys2_sorted
+                )
+
+        backend = Spy()
+        backend.bind(2, BAND, BAND.transposed)
+        result = backend.count_batch(split, split, history1, history2)
+        assert dispatched == [(4, True)]  # 2J tasks, one dispatch
+        expected = [
+            count_join_output(history1[idx], history2[idx], BAND)
+            for idx in split
+        ]
+        assert result.per_machine_output.tolist() == expected
+        assert result.per_machine_seconds.shape == (2,)
+        assert result.worker_pids is None and result.bytes_pickled is None
+        held1, held2 = backend.resident_indices()
+        assert [len(h) for h in held1] == [40, 40]
+        # The resident view is the state's own index column, not a copy.
+        assert held1[0] is backend._table.state1[0].index
+
+    def test_evict_rebase_install_resize_and_drain(self, rng):
+        history1, history2, split = self._traffic(rng)
+        backend = SimulatedBackend()
+        backend.bind(2, BAND, BAND.transposed)
+        backend.count_batch(split, split, history1, history2)
+        expired = np.arange(0, 10, dtype=np.int64)
+        assert backend.evict_state(expired, expired) == 20
+        backend.rebase_state(10, 10)
+        held1, held2 = backend.resident_indices()
+        assert sorted(held1[0].tolist()) == list(range(0, 30))
+        assert sorted(held2[1].tolist()) == list(range(30, 70))
+        swapped = [split[1], split[0]]
+        backend.install_state(swapped, swapped, history1, history2)
+        held1, _ = backend.resident_indices()
+        assert sorted(held1[0].tolist()) == split[1].tolist()
+        backend.resize(3)
+        held1, held2 = backend.resident_indices()
+        assert [len(h) for h in held1 + held2] == [0] * 6
+        assert backend.drain_channel_bytes() == (None, None, None)
+
+    def test_protocol_calls_before_bind_and_after_close_are_refused(self):
+        backend = SimulatedBackend()
+        empty = np.empty(0)
+        with pytest.raises(RuntimeError, match="not bound"):
+            backend.count_batch([], [], empty, empty)
+        with pytest.raises(RuntimeError, match="not bound"):
+            backend.resident_indices()
+        backend.bind(1, BAND, BAND.transposed)
+        backend.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            backend.evict_state(empty, empty)
+        with pytest.raises(RuntimeError, match="closed"):
+            backend.bind(1, BAND, BAND.transposed)
+
+    def test_rebinding_starts_a_fresh_stream(self, rng):
+        # An in-process backend may serve several engines one after another
+        # (a shared pool): each bind starts from empty state.
+        history1, history2, split = self._traffic(rng)
+        backend = SimulatedBackend()
+        backend.bind(2, BAND, BAND.transposed)
+        first = backend.count_batch(split, split, history1, history2)
+        backend.bind(2, BAND, BAND.transposed)
+        again = backend.count_batch(split, split, history1, history2)
+        np.testing.assert_array_equal(
+            first.per_machine_output, again.per_machine_output
+        )
+
+    def test_slow_consumer_keeps_its_delay_through_the_protocol(self, rng):
+        history1, history2, split = self._traffic(rng)
+        slow = SlowConsumerBackend(
+            SimulatedBackend(), seconds_per_call=2.0, seconds_per_tuple=0.5
+        )
+        slow.bind(2, BAND, BAND.transposed)
+        result = slow.count_batch(split, split, history1, history2)
+        # probe tuples = every task's first-side keys = the batch's arrivals.
+        assert result.wall_seconds >= 2.0 + 0.5 * 160
+        reference = SimulatedBackend()
+        reference.bind(2, BAND, BAND.transposed)
+        np.testing.assert_array_equal(
+            result.per_machine_output,
+            reference.count_batch(
+                split, split, history1, history2
+            ).per_machine_output,
+        )
 
 
 @pytest.mark.multiprocess
@@ -365,6 +504,40 @@ class TestStickyWorkerBackend:
             result = backend.count_batch(split, split, history1, history2)
         for machine, out_a, out_b, _sec_a, _sec_b in expected:
             assert result.per_machine_output[machine] == out_a + out_b
+
+    def test_resident_indices_mirror_tracks_every_protocol_call(self, rng):
+        history = rng.uniform(0, 50, 40)
+        first = [np.array([3, 1, 7], dtype=np.int64), np.array([2], dtype=np.int64)]
+        with StickyWorkerBackend(max_workers=2) as backend:
+            backend.bind(2, BAND, BAND.transposed)
+            backend.count_batch(first, first, history, history)
+            held1, held2 = backend.resident_indices()
+            assert [h.tolist() for h in held1] == [[1, 3, 7], [2]]
+            expired = np.array([1, 2], dtype=np.int64)
+            assert backend.evict_state(expired, expired) == 4
+            backend.rebase_state(3, 3)
+            held1, held2 = backend.resident_indices()
+            assert [h.tolist() for h in held1] == [[0, 4], []]
+            moved = [np.array([4], dtype=np.int64), np.array([9, 0], dtype=np.int64)]
+            backend.install_state(moved, moved, history, history)
+            held1, held2 = backend.resident_indices()
+            assert [h.tolist() for h in held2] == [[4], [0, 9]]
+            backend.resize(3)
+            held1, held2 = backend.resident_indices()
+            assert [len(h) for h in held1 + held2] == [0] * 6
+
+    def test_mirror_divergence_is_detected_on_eviction(self, rng):
+        # The mirror is the backend's claim about worker state; a worker
+        # that dropped a different number of entries is a fault, not noise.
+        history = rng.uniform(0, 50, 10)
+        idx = [np.arange(4, dtype=np.int64)]
+        with StickyWorkerBackend(max_workers=1) as backend:
+            backend.bind(1, BAND, BAND.transposed)
+            backend.count_batch(idx, idx, history, history)
+            backend._held1[0] = backend._held1[0][:2]  # corrupt the claim
+            expired = np.arange(4, dtype=np.int64)
+            with pytest.raises(RuntimeError, match="diverged"):
+                backend.evict_state(expired, expired)
 
     def test_rebind_refused(self):
         with StickyWorkerBackend(max_workers=1) as backend:

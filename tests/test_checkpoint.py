@@ -34,7 +34,9 @@ from repro.streaming import (
     DriftAdaptiveEWHPolicy,
     DriftDetector,
     DriftingZipfSource,
+    MicroBatch,
     MultiprocessBackend,
+    StaticEWHPolicy,
     StaticOneBucketPolicy,
     StickyWorkerBackend,
     StreamCheckpoint,
@@ -60,14 +62,14 @@ def make_source(seed: int, num_batches: int = NUM_BATCHES) -> DriftingZipfSource
 
 
 def make_engine(window=None, backend=None, seed=0, machines=MACHINES,
-                counting="incremental", metrics=None):
+                metrics=None):
     """A fresh adaptive engine with an eagerly re-triggering drift detector."""
     return StreamingJoinEngine(
         machines, BAND, UNIT,
         policy=DriftAdaptiveEWHPolicy(
             DriftDetector(threshold=1.2, warmup_batches=1, cooldown_batches=2)
         ),
-        backend=backend, window=window, counting=counting,
+        backend=backend, window=window,
         sample_capacity=256, seed=seed, metrics=metrics,
     )
 
@@ -190,12 +192,13 @@ def test_checkpoint_roundtrip(seed, stop_after, window):
     assert loaded.last_batch_index == checkpoint.last_batch_index
     np.testing.assert_array_equal(loaded.history1, checkpoint.history1)
     np.testing.assert_array_equal(loaded.history2, checkpoint.history2)
-    np.testing.assert_array_equal(
-        loaded.prev_outputs, checkpoint.prev_outputs
-    )
     assert loaded.rng_state == checkpoint.rng_state
     for mine, theirs in zip(loaded.state_index1, checkpoint.state_index1):
         np.testing.assert_array_equal(mine, theirs)
+        # Index-only state, canonically sorted: the same bytes whichever
+        # backend held it.
+        assert np.all(np.diff(mine) > 0)
+    assert not hasattr(loaded, "state_keys1")
     # The loaded checkpoint resumes bit-identically to the original run.
     resumed = resume_and_finish(loaded, source)
     assert_equivalent_runs(resumed, uninterrupted)
@@ -226,6 +229,12 @@ def test_from_bytes_refuses_garbage():
     versioned = bytearray(payload)
     versioned[4:8] = (99).to_bytes(4, "little")
     with pytest.raises(ValueError, match="version 99"):
+        StreamCheckpoint.from_bytes(bytes(versioned))
+    # Version 1 (key-sorted state columns, a counting mode) is refused by
+    # name, with the version this build does read.
+    assert CHECKPOINT_VERSION == 2
+    versioned[4:8] = (1).to_bytes(4, "little")
+    with pytest.raises(ValueError, match=r"version 1;.*reads version 2 only"):
         StreamCheckpoint.from_bytes(bytes(versioned))
     corrupted = bytearray(payload)
     corrupted[-1] ^= 0xFF
@@ -308,7 +317,7 @@ def test_resize_works_for_one_bucket_policy():
 
 
 def test_resize_validation():
-    """resize() refuses bad fleets, bad phases and the recount baseline."""
+    """resize() refuses bad fleets and bad phases."""
     engine = make_engine(seed=1)
     with pytest.raises(RuntimeError, match="running"):
         engine.resize(2)
@@ -325,13 +334,69 @@ def test_resize_validation():
     assert engine.num_machines == before
     engine.finish()
 
-    recount = make_engine(seed=1, counting="recount")
-    recount.start()
-    for batch in make_source(seed=1).batches():
-        recount.process_batch(batch)
-        break
-    with pytest.raises(ValueError, match="recount"):
-        recount.resize(2)
+
+def test_back_to_back_resizes_sum_their_parked_charges():
+    """A second resize() before the next batch keeps the first one's charges.
+
+    resize(8) then resize(6) with no batch in between used to overwrite the
+    parked charges: the next batch paid for the second migration only and
+    reported ``resized_from == 8``.  The single-step reference parks one
+    resize at a time by slipping an empty micro-batch between the two (it
+    routes nothing, counts nothing and draws nothing from the generator, so
+    both runs plan identical migrations); the folded batch must then carry
+    exactly the two single-step charges -- rebalancing is never free.
+    """
+
+    def static_engine():
+        engine = StreamingJoinEngine(
+            MACHINES, BAND, UNIT, policy=StaticEWHPolicy(),
+            sample_capacity=256, seed=3,
+        )
+        engine.start()
+        return engine
+
+    batches = list(make_source(seed=3).batches())[:4]
+    empty = np.empty(0, dtype=batches[0].keys1.dtype)
+
+    folded = static_engine()
+    for batch in batches[:3]:
+        folded.process_batch(batch)
+    folded.resize(8)
+    folded.resize(6)
+    both = folded.process_batch(batches[3])
+
+    stepped = static_engine()
+    for batch in batches[:3]:
+        stepped.process_batch(batch)
+    stepped.resize(8)
+    first = stepped.process_batch(MicroBatch(3, empty, empty))
+    stepped.resize(6)
+    second = stepped.process_batch(
+        MicroBatch(4, batches[3].keys1, batches[3].keys2)
+    )
+
+    assert first.migrated_tuples > 0 and second.migrated_tuples > 0
+    assert first.output_delta == 0 and first.resized_from == MACHINES
+    assert second.resized_from == 8
+    # The folded batch: both volumes, both rebuilds, the earliest fleet.
+    assert both.migrated_tuples == first.migrated_tuples + second.migrated_tuples
+    assert both.rebuild_cost == pytest.approx(
+        first.rebuild_cost + second.rebuild_cost
+    )
+    assert both.resized_from == MACHINES
+    assert both.output_delta == second.output_delta
+    # Loads: the first step's charges ride along on the machines that
+    # survive the second resize (8 -> 6 drops the last two).
+    np.testing.assert_allclose(
+        both.per_machine_load,
+        second.per_machine_load + first.per_machine_load[:6],
+    )
+    np.testing.assert_array_equal(
+        both.migration_plan.per_machine_arrivals,
+        second.migration_plan.per_machine_arrivals,
+    )
+    folded.finish(verify=False)
+    stepped.finish(verify=False)
 
 
 # ---------------------------------------------------------------------------

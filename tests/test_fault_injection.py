@@ -36,7 +36,6 @@ from repro.streaming import (
     DriftDetector,
     DriftingZipfSource,
     MultiprocessBackend,
-    SimulatedBackend,
     StickyWorkerBackend,
     StreamingJoinEngine,
     WorkerCrashError,
@@ -95,22 +94,60 @@ class TestCrashingBackend:
                 engine.process_batch(batch)
         assert backend.crashed
         with pytest.raises(WorkerCrashError, match="already dead"):
-            backend.join_regions([(np.zeros(1), np.zeros(1))], BAND)
+            backend.evict_state(np.zeros(1, dtype=np.int64), np.zeros(0))
         engine.close()
 
     def test_crash_during_migration_only(self, crashing_backend):
         """crash_on=("install",) fires exactly at the first state migration."""
-        backend = crashing_backend(
-            inner=SimulatedBackend(), crash_on=("install",), crash_at_call=1
+        source = make_source()
+        reference = make_engine().run(source)
+        first_migration = next(
+            batch.batch_index for batch in reference.batches
+            if batch.repartitioned
         )
-        # The simulated backend has no install protocol; drive the op
-        # directly to pin the scoping logic.
-        backend._before("count")
-        backend._before("join")
-        assert not backend.crashed
-        with pytest.raises(WorkerCrashError):
-            backend._before("install")
+        backend = crashing_backend(crash_on=("install",), crash_at_call=1)
+        engine = make_engine(backend=backend)
+        engine.start()
+        processed = 0
+        with pytest.raises(WorkerCrashError, match="'install'"):
+            for batch in source.batches():
+                engine.process_batch(batch)
+                processed += 1
+        # Every count before it went through; the fleet died mid-migration.
+        assert backend.crashed and backend.calls == 1
+        assert processed == first_migration
+        engine.close()
+
+    @pytest.mark.parametrize(
+        "crash_on, crash_at_call, window",
+        [
+            (("count",), 4, None),
+            (("install",), 1, None),
+            (("count",), 4, "batches:3"),
+            (("evict",), 2, "batches:3"),
+            (("rebase",), 2, "batches:3"),
+            (("install",), 1, "batches:3"),
+        ],
+    )
+    def test_every_protocol_call_is_a_recoverable_fault_point(
+        self, crashing_backend, crash_on, crash_at_call, window
+    ):
+        """The fault matrix over the in-process backend: whichever protocol
+        call the fleet dies in, run_resilient recovers bit-identically.
+        (Each cell's call number lands after the first checkpoint.)"""
+        source = make_source()
+        reference = make_engine(window=window).run(source)
+        backend = crashing_backend(
+            crash_on=crash_on, crash_at_call=crash_at_call
+        )
+        result = run_resilient(
+            lambda: make_engine(backend=backend, window=window),
+            source,
+            checkpoint_every=2,
+        )
         assert backend.crashed
+        assert result.restores == 1
+        assert_equivalent_runs(result, reference)
 
     def test_rejects_bad_configuration(self, crashing_backend):
         """Bad crash points and unknown operations are refused loudly."""
@@ -124,11 +161,13 @@ class TestFlakyBackend:
     def test_fails_then_recovers(self, flaky_backend):
         """The first ``failures`` work calls raise; later calls succeed."""
         backend = flaky_backend(failures=2)
-        tasks = [(np.array([1.0, 2.0]), np.array([1.5]))]
+        backend.bind(1, BAND, BAND.transposed)
+        index = np.arange(2, dtype=np.int64)
+        history1, history2 = np.array([1.0, 2.0]), np.array([1.5, 9.0])
         for _ in range(2):
             with pytest.raises(WorkerCrashError, match="transient"):
-                backend.join_regions(tasks, BAND)
-        result = backend.join_regions(tasks, BAND)
+                backend.count_batch([index], [index], history1, history2)
+        result = backend.count_batch([index], [index], history1, history2)
         assert result.per_machine_output.sum() == 2
         assert backend.failures_remaining == 0
 

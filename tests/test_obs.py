@@ -75,7 +75,6 @@ def make_source(seed: int = 7, num_batches: int = 6) -> DriftingZipfSource:
 def make_engine(
     adaptive: bool = True,
     window=None,
-    counting: str = "incremental",
     backend=None,
     tracer=None,
     metrics=None,
@@ -94,7 +93,6 @@ def make_engine(
         policy=policy,
         backend=backend,
         window=window,
-        counting=counting,
         sample_capacity=512,
         sample_decay=0.8,
         seed=0,
@@ -301,15 +299,6 @@ def test_tracing_and_metering_are_behaviourally_invisible(
     ).run(source)
     assert_equivalent_runs(observed, bare)
     assert registry.counter("stream.batches").value == observed.num_batches
-
-
-def test_tracing_is_invisible_under_recount_counting():
-    source = make_source()
-    bare = make_engine(adaptive=True, counting="recount").run(source)
-    traced = make_engine(
-        adaptive=True, counting="recount", tracer=Tracer(clock=TickClock())
-    ).run(source)
-    assert_equivalent_runs(traced, bare)
 
 
 def test_simulated_pipeline_trace_is_byte_identical_across_runs(tmp_path):

@@ -22,6 +22,7 @@ from repro.streaming import (
     IncrementalHistogram,
     MicroBatch,
     RateLimitedSource,
+    SimulatedBackend,
     SortedRegionState,
     StaticEWHPolicy,
     StaticOneBucketPolicy,
@@ -30,7 +31,7 @@ from repro.streaming import (
     compare_streaming_schemes,
     plan_migration,
 )
-from repro.streaming.testing import assert_equivalent_runs
+from repro.streaming.testing import RecountingBackend, assert_equivalent_runs
 from repro.workloads.definitions import make_bcb
 
 UNIT = WeightFunction(1.0, 1.0)
@@ -223,18 +224,22 @@ class TestIntegerKeyPrecision:
         assert result.total_output == 1
 
     def test_incremental_and_recount_agree_on_int_keys(self):
+        # The oracle recounts every machine's full region after each batch
+        # and asserts the incremental delta against the difference; keys
+        # above 2**53 make any float round-trip in either path show up.
         keys1, keys2 = self._int_stream(seed=9)
 
-        def run(counting):
+        def run(backend=None):
             return StreamingJoinEngine(
-                3, BAND, UNIT, policy=StaticEWHPolicy(),
-                counting=counting, sample_capacity=256, seed=2,
+                3, BAND, UNIT, policy=StaticEWHPolicy(), backend=backend,
+                sample_capacity=256, seed=2,
             ).run(ArrayStreamSource(keys1, keys2, 4))
 
-        incremental = run("incremental")
-        recount = run("recount")
-        assert incremental.output_correct and recount.output_correct
-        assert_equivalent_runs(incremental, recount)
+        oracle = RecountingBackend(SimulatedBackend())
+        checked = run(oracle)
+        assert checked.output_correct
+        assert len(oracle.recount_seconds) == checked.num_batches
+        assert_equivalent_runs(checked, run())
 
 
 class TestDriftingZipfSource:

@@ -19,6 +19,7 @@ from repro.streaming import (
     DriftingZipfSource,
     ExponentialDecayWindow,
     MicroBatch,
+    SimulatedBackend,
     SlidingWindow,
     SortedRegionState,
     StaticEWHPolicy,
@@ -28,6 +29,7 @@ from repro.streaming import (
     compare_streaming_schemes,
     make_window,
 )
+from repro.streaming.testing import RecountingBackend
 
 UNIT = WeightFunction(1.0, 1.0)
 BAND = BandJoinCondition(beta=1.0)
@@ -207,15 +209,11 @@ def drift_source(num_batches=10, seed=11):
 
 
 class TestWindowedEngine:
-    def test_recount_rejects_windows(self):
-        with pytest.raises(ValueError, match="incremental"):
-            StreamingJoinEngine(
-                2, BAND, UNIT, counting="recount", window="batches:2"
-            )
-
     def test_invalid_counting_mode(self):
-        with pytest.raises(ValueError, match="counting mode"):
-            StreamingJoinEngine(2, BAND, UNIT, counting="lazy")
+        # The engine has one count path; the removed ``counting`` knob is
+        # refused by name instead of being silently ignored.
+        with pytest.raises(TypeError, match="counting"):
+            StreamingJoinEngine(2, BAND, UNIT, counting="recount")
 
     def test_eviction_metrics_are_charged(self):
         engine = StreamingJoinEngine(
@@ -258,7 +256,6 @@ class TestWindowedEngine:
             4, BAND, UNIT, policy=StaticEWHPolicy(), sample_capacity=256, seed=2
         ).run(source)
         assert result.window == "unbounded"
-        assert result.counting == "incremental"
         assert result.output_correct
         assert result.total_evicted == 0
         # Resident state is the routed history and never shrinks.
@@ -312,13 +309,13 @@ class TestWindowedEngine:
         keys1 = np.array([0.1, 5.0, 7.0, 9.0])
         keys2 = np.array([0.1 + 0.2, 5.1, 7.1, 9.1])
         source = ArrayStreamSource(keys1, keys2, num_batches=2)
-        for counting in ("incremental", "recount"):
-            result = StreamingJoinEngine(
-                1, condition, UNIT, policy=StaticEWHPolicy(),
-                counting=counting, sample_capacity=64, seed=0,
-            ).run(source)
-            assert result.output_correct, counting
-            assert result.total_output == 4
+        result = StreamingJoinEngine(
+            1, condition, UNIT, policy=StaticEWHPolicy(),
+            backend=RecountingBackend(SimulatedBackend()),
+            sample_capacity=64, seed=0,
+        ).run(source)
+        assert result.output_correct
+        assert result.total_output == 4
 
     def test_incremental_supports_inequality_joins(self, rng):
         # The transposed condition drives the (state1 x new2) term; an

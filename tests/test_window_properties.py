@@ -8,10 +8,11 @@ sizes, window shapes and policies:
   only counts pairs whose halves were simultaneously live (the reference
   knows nothing about partitionings, machines or migrations, so this also
   proves a repartitioning can never resurrect expired state);
-* **the unbounded window reproduces the pre-window engine exactly** --
-  ``counting="recount"`` is the pre-window engine's counting loop, and the
-  incremental counter must match it batch by batch, machine by machine
-  (which simultaneously pins **incremental count == full recount**);
+* **incremental count == full recount** -- the
+  :class:`~repro.streaming.testing.RecountingBackend` oracle replays the
+  pre-window engine's counting loop (recount every machine's full region,
+  difference against the previous total) behind the protocol, and the
+  incremental deltas must match it batch by batch, machine by machine;
 * **a window never adds output** -- per batch, the windowed delta is at
   most the unbounded delta on the identical stream;
 * **history compaction is invisible and O(window)** -- the compacted
@@ -27,6 +28,7 @@ All streams use integer-valued keys so the band arithmetic is exact and
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,10 +39,12 @@ from repro.streaming import (
     DriftAdaptiveEWHPolicy,
     DriftDetector,
     DriftingZipfSource,
+    SimulatedBackend,
     StaticEWHPolicy,
+    StickyWorkerBackend,
     StreamingJoinEngine,
 )
-from repro.streaming.testing import assert_equivalent_runs
+from repro.streaming.testing import RecountingBackend, assert_equivalent_runs
 
 UNIT = WeightFunction(1.0, 1.0)
 BAND = BandJoinCondition(beta=1.0)
@@ -64,12 +68,12 @@ def make_policy(adaptive: bool):
     )
 
 
-def run_engine(source, num_machines, policy, window=None, counting="incremental",
+def run_engine(source, num_machines, policy, window=None, backend=None,
                compact=True, seed=0):
     """One engine run with the suite's small sample state."""
     engine = StreamingJoinEngine(
         num_machines, BAND, UNIT, policy=policy, window=window,
-        counting=counting, compact_history=compact, sample_capacity=256,
+        backend=backend, compact_history=compact, sample_capacity=256,
         seed=seed,
     )
     return engine.run(source)
@@ -174,26 +178,52 @@ def test_evicted_tuples_never_rejoin(
 def test_unbounded_incremental_reproduces_recount_exactly(
     seed, num_machines, adaptive
 ):
-    """Incremental counting == the pre-window full recount, bit for bit.
+    """Incremental counting == the full recount, bit for bit.
 
-    ``counting="recount"`` is the legacy engine's loop (full per-region
-    recount plus differencing, including the post-migration recount), so
-    this simultaneously pins "the unbounded window reproduces the
-    pre-window engine exactly" and "incremental count == full recount":
-    same deltas per batch and per machine, same loads, same migrations.
+    The oracle is the legacy engine's loop (full per-region recount plus
+    differencing, re-baselined after every migration) run behind the
+    protocol: it asserts, per batch and per machine, that the previous
+    full count plus the reported delta equals the new full count.  The
+    checked run must also be indistinguishable from the plain one -- the
+    oracle observes, it never steers.
     """
     source = make_source(seed)
     engine_seed = seed % 17
-    incremental = run_engine(
+    oracle = RecountingBackend(SimulatedBackend())
+    checked = run_engine(
+        source, num_machines, make_policy(adaptive),
+        backend=oracle, seed=engine_seed,
+    )
+    plain = run_engine(
         source, num_machines, make_policy(adaptive), seed=engine_seed
     )
-    recount = run_engine(
-        source, num_machines, make_policy(adaptive),
-        counting="recount", seed=engine_seed,
+    assert checked.output_correct and plain.output_correct
+    assert len(oracle.recount_seconds) == sum(
+        batch.per_machine_output_delta is not None for batch in checked.batches
     )
-    assert incremental.output_correct and recount.output_correct
-    assert incremental.num_repartitions == recount.num_repartitions
-    assert_equivalent_runs(incremental, recount)
+    assert_equivalent_runs(checked, plain)
+
+
+@pytest.mark.multiprocess
+@pytest.mark.parametrize("window", [None, "batches:3"])
+def test_recount_oracle_holds_over_sticky_workers(window):
+    """The same oracle over worker-resident state: the protocol is the seam.
+
+    Wrapped around ``StickyWorkerBackend`` the oracle sees exactly the
+    traffic the workers see, so this pins the worker-side fold (and, under
+    the window, worker-side evict/rebase/install) against full recounts.
+    """
+    source = make_source(seed=23)
+    oracle = RecountingBackend(StickyWorkerBackend(max_workers=2))
+    try:
+        checked = run_engine(
+            source, 4, make_policy(True), window=window, backend=oracle, seed=6
+        )
+    finally:
+        oracle.close()
+    plain = run_engine(source, 4, make_policy(True), window=window, seed=6)
+    assert oracle.recount_seconds
+    assert_equivalent_runs(checked, plain)
 
 
 @settings(max_examples=12, deadline=None)
