@@ -32,8 +32,10 @@ from repro.streaming import (
     DriftingZipfSource,
     StaticEWHPolicy,
     StaticOneBucketPolicy,
+    StreamingJoinEngine,
     compare_streaming_schemes,
 )
+from repro.streaming.testing import PositionalRebuildEngine
 
 from bench_utils import bench_machines, scaled
 
@@ -56,7 +58,7 @@ def adaptive_policy():
     )
 
 
-def run_sweep(repartition_mode="partial"):
+def run_sweep():
     machines = bench_machines()
     policies = {
         "CI-static": StaticOneBucketPolicy(machines),
@@ -69,7 +71,6 @@ def run_sweep(repartition_mode="partial"):
         BandJoinCondition(beta=1.0),
         BAND_JOIN_WEIGHTS,
         policies=policies,
-        repartition_mode=repartition_mode,
         sample_capacity=2048,
         sample_decay=0.7,
         migration_cost_factor=1.0,
@@ -119,31 +120,31 @@ def test_streaming_drift(benchmark, report):
 def test_partial_vs_full_repartitioning(benchmark, report):
     """Partial repartitioning ships strictly less state for the same joins.
 
-    The same drift-adaptive run under ``repartition_mode="full"`` (positional
-    rebuild: new region r lands on machine r) and ``"partial"`` (regions are
-    remapped to the machines already holding most of their state): the
-    partial plan must migrate strictly fewer tuples on the mid-stream skew
-    shift while triggering at the same batches and producing the identical
-    exact join output.
+    The same drift-adaptive run on the positional-rebuild reference engine
+    (``/full``: new region r lands on machine r) and on the production engine
+    (``/partial``: regions are remapped to the machines already holding most
+    of their state): the partial plan must migrate strictly fewer tuples on
+    the mid-stream skew shift while triggering at the same batches and
+    producing the identical exact join output.
     """
 
     def run_modes():
-        results = {}
-        for mode in ("full", "partial"):
-            engine_results = compare_streaming_schemes(
-                drift_source(),
+        return {
+            f"CSIO-adaptive/{mode}": engine_cls(
                 bench_machines(),
                 BandJoinCondition(beta=1.0),
                 BAND_JOIN_WEIGHTS,
-                policies={f"CSIO-adaptive/{mode}": adaptive_policy()},
-                repartition_mode=mode,
+                policy=adaptive_policy(),
                 sample_capacity=2048,
                 sample_decay=0.7,
                 migration_cost_factor=1.0,
                 seed=3,
+            ).run(drift_source())
+            for mode, engine_cls in (
+                ("full", PositionalRebuildEngine),
+                ("partial", StreamingJoinEngine),
             )
-            results.update(engine_results)
-        return results
+        }
 
     results = benchmark.pedantic(run_modes, rounds=1, iterations=1)
     report(

@@ -1,23 +1,25 @@
 """Streaming extension: zero-copy sticky workers vs the pickling pool.
 
-The multiprocess pool backend re-pickles every machine's *full* region key
-arrays through its executor channel on every batch, so its serialization
-volume grows with the retained state -- for a persistent streaming join the
-channel, not the join, becomes the bottleneck.  The sticky-worker backend
-keeps each machine's join state resident in its owner process and ships
-only the per-batch delta through a shared-memory arena, leaving the pickle
-channel to fixed-size control messages.
+The pickling-pool baseline (a stateless ``ProcessPoolExecutor`` backend kept
+in ``repro.streaming.testing``; its row is named ``multiprocess``) re-pickles
+every machine's *full* region key arrays through its executor channel on
+every batch, so its serialization volume grows with the retained state --
+for a persistent streaming join the channel, not the join, becomes the
+bottleneck.  The sticky-worker backend keeps each machine's join state
+resident in its owner process and ships only the per-batch delta through a
+shared-memory arena, leaving the pickle channel to fixed-size control
+messages.
 
 Claims verified on one fixed-seed drifting stream, per batch and end to
 end:
 
-* **bit identity** -- the simulated, multiprocess and sticky runs agree on
+* **bit identity** -- the simulated, pooled and sticky runs agree on
   every per-machine output delta, cost-model load and migration plan; the
   backend only changes *where* the counting runs, never what is counted;
 * **steady-state serialization collapse** -- over the second half of the
-  stream (state large, deltas constant) the multiprocess backend pushes at
-  least 10x more bytes through pickle than the sticky backend, whose array
-  payload travels as shared memory (``shm KB``) instead.
+  stream (state large, deltas constant) the pool pushes at least 10x more
+  bytes through pickle than the sticky backend, whose array payload travels
+  as shared memory (``shm KB``) instead.
 
 Byte totals are exact and deterministic (fixed seeds, fixed-width segment
 names), so the golden commits them verbatim; only wall-clock durations are
@@ -36,11 +38,11 @@ from repro.streaming import (
     DriftAdaptiveEWHPolicy,
     DriftDetector,
     DriftingZipfSource,
-    MultiprocessBackend,
     SimulatedBackend,
     StickyWorkerBackend,
     StreamingJoinEngine,
 )
+from repro.streaming.testing import PicklingPoolBackend
 
 from bench_utils import scaled
 
@@ -86,7 +88,7 @@ def test_sticky_workers_collapse_steady_state_serialization(benchmark, report):
         results = {
             "simulated": adaptive_engine(SimulatedBackend()).run(drift_source())
         }
-        with MultiprocessBackend(max_workers=WORKERS) as pool:
+        with PicklingPoolBackend(max_workers=WORKERS) as pool:
             results["multiprocess"] = adaptive_engine(pool).run(drift_source())
         with StickyWorkerBackend(max_workers=WORKERS) as sticky:
             results["sticky"] = adaptive_engine(sticky).run(drift_source())

@@ -36,8 +36,13 @@ from repro.streaming import (
     SimulatedBackend,
     StaticEWHPolicy,
     StreamingJoinEngine,
+    make_window,
 )
-from repro.streaming.testing import RecountingBackend, assert_equivalent_runs
+from repro.streaming.testing import (
+    NoTrimWindow,
+    RecountingBackend,
+    assert_equivalent_runs,
+)
 
 from bench_utils import scaled
 
@@ -58,7 +63,7 @@ def long_drift_source():
     )
 
 
-def adaptive_engine(window, compact=True):
+def adaptive_engine(window):
     """A drift-adaptive engine over 8 machines with the given window."""
     policy = DriftAdaptiveEWHPolicy(
         DriftDetector(threshold=1.3, warmup_batches=2, cooldown_batches=4)
@@ -69,7 +74,6 @@ def adaptive_engine(window, compact=True):
         BAND_JOIN_WEIGHTS,
         policy=policy,
         window=window,
-        compact_history=compact,
         sample_capacity=2048,
         sample_decay=0.7,
         seed=3,
@@ -142,9 +146,9 @@ def test_history_compaction_keeps_windowed_memory_flat(benchmark, report):
       full history is the verification ground truth);
     * **batches:8 compacted** (the default) -- total resident memory is
       flat across the stream tail;
-    * **batches:8 leaky** (``compact_history=False``, the pre-compaction
-      engine) -- join state is bounded but total memory still grows
-      linearly with the stream.
+    * **batches:8 leaky** (the window behind ``NoTrimWindow``, the
+      pre-compaction engine) -- join state is bounded but total memory
+      still grows linearly with the stream.
 
     Compaction must be pure bookkeeping: the compacted run's outputs,
     loads, evictions and migration plans are bit-identical to the leaky
@@ -160,7 +164,7 @@ def test_history_compaction_keeps_windowed_memory_flat(benchmark, report):
                 long_drift_source()
             ),
             "CSIO-adaptive/batches:8/leaky": adaptive_engine(
-                "batches:8", compact=False
+                NoTrimWindow(make_window("batches:8"))
             ).run(long_drift_source()),
         }
 

@@ -13,14 +13,13 @@ at first, then a hot spot at a fresh location) to three engines:
   assignment changed migrate state.
 
 The per-region joins of every batch run on a pluggable execution backend;
-pass ``--backend multiprocess`` to execute them on a persistent OS-process
-worker pool (real per-region wall-clock timings in the ``join s`` column)
-instead of the in-process simulator, or ``--backend sticky`` for the
-zero-copy variant: each worker process keeps its machines' join state
+pass ``--backend sticky`` to execute them on persistent OS worker processes
+(real per-region wall-clock timings in the ``join s`` column) instead of
+the in-process simulator: each worker keeps its machines' join state
 resident across batches and receives only the per-batch delta over shared
-memory, so the ``pickled KB`` column collapses to control-message noise
-while ``shm KB`` carries the actual payload.  The cost-model columns are
-identical under every backend.
+memory, so the ``pickled KB`` column carries control messages only while
+``shm KB`` carries the actual payload.  The cost-model columns are
+identical under either backend.
 
 Retained state is bounded by a window policy; pass ``--window batches:6``
 (tuples from the last 6 micro-batches stay live), ``--window tuples:5000``
@@ -44,7 +43,7 @@ queue``, ``shed`` and ``stall s`` columns.
 
 Pass ``--trace trace.json`` to record the span tree of all three runs --
 ``run → batch → {route, incremental_count, evict, compact, drift_decide,
-migrate}``, plus per-worker child spans under the multiprocess backend --
+migrate}``, plus per-worker child spans under the sticky backend --
 into one Chrome-trace file (load it at https://ui.perfetto.dev; a ``.jsonl``
 suffix writes the span log as JSON lines instead) and print a where-did-
 the-time-go summary table.  Pass ``--metrics metrics.json`` to collect each
@@ -53,7 +52,7 @@ the final counter/gauge/histogram snapshots as JSON.
 
 Run with::
 
-    python examples/streaming_join.py [--backend {simulated,multiprocess,sticky}]
+    python examples/streaming_join.py [--backend {simulated,sticky}]
                                       [--window SPEC]
                                       [--queue N]
                                       [--backpressure {block,shed,coalesce}]
@@ -90,7 +89,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--backend",
-        choices=["simulated", "multiprocess", "sticky"],
+        choices=["simulated", "sticky"],
         default="simulated",
         help="execution backend for the per-region joins (default: simulated)",
     )

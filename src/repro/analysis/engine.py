@@ -26,7 +26,7 @@ suppressions and both reporters know nothing about Python's :mod:`ast`.  A
 locate its nodes, and a :class:`BaseContext` carries the per-file facts
 rules consult; the Python specialisation (:class:`AstWalker`,
 :class:`SourceContext`) lives here because ``python -m repro.analysis`` uses
-it, while :mod:`repro.query` plugs sqlglot-style SQL expression trees into
+it, while :mod:`repro.query` plugs its SQL expression trees into
 the *same* engine for query-admission checks (``-- repro: ignore[...]``
 comments included).  The rule batteries live in :mod:`repro.analysis.rules`
 and :mod:`repro.query.rules`.  See ``docs/static_analysis.md`` for the rule
@@ -357,8 +357,8 @@ class Walker:
     """How the engine traverses and locates nodes of one AST dialect.
 
     The engine's walk, dispatch and finding machinery use only these two
-    methods, so any tree — Python :mod:`ast`, a sqlglot-style SQL
-    expression tree — plugs in by providing a walker.
+    methods, so any tree — Python :mod:`ast`, a SQL expression tree —
+    plugs in by providing a walker.
     """
 
     def children(self, node: Any) -> Iterable[Any]:

@@ -198,10 +198,10 @@ def format_streaming_table(
     keep the historical column set, so committed goldens stay byte-stable
     until a benchmark opts into elasticity.
 
-    ``pickled KB`` is the run's total serialization tax -- bytes the
-    multiprocess backend's task and result payloads shipped through its
-    pickle channel; runs whose backend has no serialization channel (the
-    in-process simulated backend) render ``-``, never a misleading ``0``.
+    ``pickled KB`` is the run's total serialization tax -- bytes a
+    process-backed backend shipped through its pickle channel; runs whose
+    backend has no serialization channel (the in-process simulated backend)
+    render ``-``, never a misleading ``0``.
     ``shm KB`` is the payload the sticky backend moved through its
     shared-memory arena instead -- the two columns together show *where*
     each run's data travelled.  ``clock`` says which clock domain each
@@ -332,7 +332,7 @@ def format_streaming_batches(results: dict[str, StreamRunResult]) -> str:
 
     When any run measured its serialization channel, one ``pickled KB``
     column per scheme appears too (the batch's pickle-channel bytes under
-    the multiprocess backend); batches with no measurement render ``-``,
+    a process-backed backend); batches with no measurement render ``-``,
     so mixing a profiled run with simulated ones stays unambiguous.  An
     ``shm KB`` column per scheme appears likewise when any run moved bytes
     through a shared-memory arena (the sticky backend's per-batch delta

@@ -50,10 +50,11 @@ class _CountingSink:
 def pickled_nbytes(obj: object) -> int:
     """Exact pickled size of ``obj``, in bytes, without keeping the pickle.
 
-    This is the serialization-profiling primitive: the streaming
-    :class:`~repro.streaming.backends.MultiprocessBackend` charges every
-    batch with the bytes its task payloads (region key arrays) and result
-    payloads would ship through the ``ProcessPoolExecutor`` pickle channel.
+    This is the serialization-profiling primitive:
+    :func:`join_assigned_regions` charges an execution with the bytes its
+    task payloads (region key arrays) and result payloads ship through the
+    ``ProcessPoolExecutor`` pickle channel, and the streaming sticky backend
+    meters its control messages with it.
     Measuring through a counting sink costs one serialization pass but
     never materialises the byte string, so profiling large key arrays does
     not double peak memory.
@@ -172,10 +173,10 @@ def join_assigned_regions(
     refactor is meant to drive to ~0.  The measurement costs one extra
     serialization pass over the payloads; pass ``False`` to skip it.
 
-    This is the piece :func:`run_join_multiprocess` and the streaming
-    :class:`~repro.streaming.backends.MultiprocessBackend` share: the caller
-    owns the pool, so a streaming engine can amortise process start-up over
-    every micro-batch instead of paying it per join.
+    The caller owns the pool: :func:`run_join_multiprocess` pays process
+    start-up once per join, and the streaming benchmarks' pickling-pool
+    baseline (``repro.streaming.testing``) keeps one pool alive across every
+    micro-batch.
     """
     conditions = broadcast_conditions(condition, len(region_keys))
     busy_machines = _busy_machines(region_keys)
@@ -288,8 +289,7 @@ def run_join_multiprocess(
         for machine, (idx1, idx2) in enumerate(zip(assignments1, assignments2))
     ]
 
-    # The wall clock includes pool start-up: a one-shot join pays it, which
-    # is exactly why the streaming backend keeps its pool alive instead.
+    # The wall clock includes pool start-up: a one-shot join pays it.
     # Pool start-up is skipped entirely when no region can produce output.
     start = perf_counter()
     if busy:

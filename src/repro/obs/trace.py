@@ -95,7 +95,7 @@ class Span:
         Nesting depth at open time (``0`` for a top-level span).
     tid:
         Chrome-trace thread id: :data:`ENGINE_TID` for engine spans, a
-        worker's OS pid for stitched multiprocess worker spans.
+        worker's OS pid for stitched worker-process spans.
     args:
         Deterministic key/value annotations (batch index, output delta,
         bytes pickled, ...) carried into every exporter.
@@ -239,7 +239,7 @@ class Tracer:
         """Store an externally-timed span (e.g. a worker's reported seconds).
 
         ``start`` defaults to the current clock reading; the engine passes
-        the enclosing join span's start so multiprocess worker spans sit
+        the enclosing join span's start so worker-process spans sit
         *under* the batch that dispatched them.  ``tid`` places the span on
         its own Chrome-trace track (workers use their OS pid) and
         ``thread_name`` labels that track in the exported trace.

@@ -18,9 +18,7 @@ Run it as a module::
     python -m repro.query check specs/ --format json --output report.json
     python -m repro.query plan examples/queries/admitted/band_window.sql
 
-The builtin parser has no dependencies; ``--dialect sqlglot`` routes the
-SQL core through sqlglot when the optional extra is installed
-(``pip install 'repro[query]'``).  Grammar, lowering table and rule
+The parser has no dependencies.  Grammar, lowering table and rule
 catalogue: ``docs/query.md``.
 """
 
@@ -34,7 +32,7 @@ from repro.query.compiler import (
     lower,
 )
 from repro.query.nodes import QueryContext, QueryWalker, SelectStmt
-from repro.query.parser import ParseError, parse_sql, sqlglot_available
+from repro.query.parser import ParseError, parse_sql
 from repro.query.plan import PlanReport, estimate_plan, format_plan_report
 from repro.query.rules import (
     ALL_QUERY_RULES,
@@ -55,7 +53,6 @@ __all__ = [
     "SelectStmt",
     "ParseError",
     "parse_sql",
-    "sqlglot_available",
     "PlanReport",
     "estimate_plan",
     "format_plan_report",

@@ -37,15 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
             "key literals, unparseable specs) before admission."
         ),
     )
-    parser.add_argument(
-        "--dialect",
-        choices=("builtin", "sqlglot", "auto"),
-        default="builtin",
-        help=(
-            "parser front-end; 'sqlglot' needs the optional query extra "
-            "(default: builtin)"
-        ),
-    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     check = commands.add_parser(
@@ -116,7 +107,7 @@ def _run_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     missing = [path for path in args.paths if not Path(path).exists()]
     if missing:
         parser.error(f"no such path(s): {', '.join(missing)}")
-    analyzer = QueryAnalyzer(rules, dialect=args.dialect)
+    analyzer = QueryAnalyzer(rules)
     report = analyzer.analyze_paths(args.paths)
     if args.format == "json":
         rendered = report_to_json(report, rules)
@@ -141,11 +132,7 @@ def _run_plan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if not path.exists():
         parser.error(f"no such file: {args.file}")
     try:
-        plan = compile_sql(
-            path.read_text(encoding="utf-8"),
-            dialect=args.dialect,
-            path=str(path),
-        )
+        plan = compile_sql(path.read_text(encoding="utf-8"), path=str(path))
     except (ParseError, CompileError, AdmissionError) as error:
         sys.stderr.write(f"{error}\n")
         return 1

@@ -322,7 +322,6 @@ def compile_spec(spec: QuerySpec) -> CompiledPlan:
 def compile_sql(
     sql: str,
     *,
-    dialect: str = "builtin",
     admit: bool = True,
     path: str = "<query>",
 ) -> CompiledPlan:
@@ -332,8 +331,6 @@ def compile_sql(
     ----------
     sql:
         The spec text.
-    dialect:
-        Parser front-end (see :func:`repro.query.parser.parse_sql`).
     admit:
         When true (the default — the front-door contract), run the
         admission battery first and raise :class:`AdmissionError` on any
@@ -345,7 +342,7 @@ def compile_sql(
     if admit:
         from repro.query.rules import QueryAnalyzer
 
-        report = QueryAnalyzer(dialect=dialect).analyze_source(sql, path)
+        report = QueryAnalyzer().analyze_source(sql, path)
         if report.error is not None:
             raise CompileError(report.error)
         if report.findings and any(
@@ -354,5 +351,5 @@ def compile_sql(
             raise AdmissionError(
                 [f for f in report.findings if not f.suppressed]
             )
-    statement = parse_sql(sql, dialect=dialect)
+    statement = parse_sql(sql)
     return compile_spec(lower(statement))

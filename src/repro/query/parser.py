@@ -1,20 +1,8 @@
 """Parsing SQL-ish join specs into :mod:`repro.query.nodes` trees.
 
-Two front-ends produce the same AST:
-
-* the **builtin** dialect — a self-contained tokenizer and recursive-descent
-  parser covering the full documented grammar (``docs/query.md``), with
-  exact token positions for findings and ``--`` comment capture for
-  suppressions.  No dependencies; this is the default.
-* the **sqlglot** dialect — routes the SQL core (SELECT/FROM/JOIN/ON/WHERE)
-  through `sqlglot <https://github.com/tobymao/sqlglot>`_ when the
-  ``query`` extra is installed (``pip install 'repro[query]'``), mapping
-  its expression nodes onto ours.  The engine-specific trailing clauses
-  (``WINDOW``/``POLICY``/``SCALE``/``KEYS``) are not SQL; they are always
-  split off by the builtin tokenizer first.
-
-``dialect="auto"`` uses sqlglot when importable and the builtin parser
-otherwise, so core behaviour never depends on the optional extra.
+One self-contained tokenizer and recursive-descent parser covers the full
+documented grammar (``docs/query.md``), with exact token positions for
+findings and ``--`` comment capture for suppressions.  No dependencies.
 
 The literal path preserves exact integers: a literal spelled without a
 decimal point or exponent is parsed with :func:`int`, never routed through
@@ -27,7 +15,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any
 
 from repro.query.nodes import (
     COMPARISON_OPS,
@@ -51,8 +38,6 @@ __all__ = [
     "Token",
     "tokenize_sql",
     "parse_sql",
-    "sqlglot_available",
-    "require_sqlglot",
 ]
 
 _KEYWORDS = frozenset(
@@ -155,7 +140,7 @@ def _literal_value(text: str) -> "int | float":
 
 
 class _Parser:
-    """Recursive-descent parser over the token stream (builtin dialect)."""
+    """Recursive-descent parser over the token stream."""
 
     def __init__(self, tokens: "list[Token]") -> None:
         self.tokens = tokens
@@ -535,255 +520,11 @@ class _Parser:
         return sign * float(self.expect_number(what).text)
 
 
-# ----------------------------------------------------------------------
-# The optional sqlglot dialect
-# ----------------------------------------------------------------------
-def sqlglot_available() -> bool:
-    """Whether the optional sqlglot dependency is importable."""
-    try:
-        import sqlglot  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def require_sqlglot() -> Any:
-    """Import sqlglot or fail with the install hint for the extra."""
-    try:
-        import sqlglot
-    except ImportError:
-        raise ImportError(
-            "the sqlglot dialect needs the optional 'query' extra; "
-            "install it with: pip install 'repro[query]'"
-        ) from None
-    return sqlglot
-
-
-#: The engine-specific trailing clauses the builtin tokenizer always owns.
-_EXTENSION_KEYWORDS = ("WINDOW", "POLICY", "SCALE", "KEYS")
-
-
-def _split_extensions(tokens: "list[Token]") -> int:
-    """Index of the first top-level extension token (EOF index if none)."""
-    depth = 0
-    for index, token in enumerate(tokens):
-        if token.kind == "OP" and token.text == "(":
-            depth += 1
-        elif token.kind == "OP" and token.text == ")":
-            depth -= 1
-        elif (
-            depth == 0
-            and token.kind == "KEYWORD"
-            and token.text.upper() in _EXTENSION_KEYWORDS
-        ):
-            return index
-    return len(tokens) - 1
-
-
-def _parse_with_sqlglot(sql: str) -> SelectStmt:
-    """Parse via sqlglot, mapping its expression tree onto our nodes.
-
-    The extension clauses are split off first (they are not SQL); the
-    remaining SELECT core goes through ``sqlglot.parse_one`` and the
-    resulting expressions are mapped.  Unsupported SQL shapes raise
-    :class:`ParseError` — the admission battery only reasons about the
-    documented grammar.
-    """
-    sqlglot = require_sqlglot()
-    exp = sqlglot.expressions
-    tokens, _ = tokenize_sql(sql)
-    boundary = _split_extensions(tokens)
-    if tokens[boundary].kind != "EOF":
-        # Reconstruct the extension tail from the original text so the
-        # builtin parser handles WINDOW/POLICY/SCALE/KEYS uniformly.
-        core_end = tokens[boundary].line, tokens[boundary].col
-        lines = sql.splitlines()
-        offset = sum(len(line) + 1 for line in lines[: core_end[0] - 1])
-        split_at = offset + core_end[1]
-        core_sql, tail_sql = sql[:split_at], sql[split_at:]
-    else:
-        core_sql, tail_sql = sql, ""
-
-    try:
-        parsed = sqlglot.parse_one(core_sql)
-    except sqlglot.errors.ParseError as error:
-        raise ParseError(f"sqlglot: {error}") from None
-    if not isinstance(parsed, exp.Select):
-        raise ParseError("expected a SELECT statement")
-
-    def map_column(node: Any) -> ColumnRef:
-        if not isinstance(node, exp.Column):
-            raise ParseError(f"expected a column, got {node.sql()!r}")
-        table = node.table or None
-        return ColumnRef(table=table, column=node.name)
-
-    def map_literal(node: Any) -> Literal:
-        if isinstance(node, exp.Neg):
-            inner = map_literal(node.this)
-            value = inner.value
-            if isinstance(value, bool):
-                raise ParseError("cannot negate a boolean literal")
-            return Literal(value=-value, raw=f"-{inner.raw}")
-        if isinstance(node, exp.Boolean):
-            return Literal(value=bool(node.this), raw=node.sql())
-        if not isinstance(node, exp.Literal) or node.is_string:
-            raise ParseError(f"expected a numeric literal, got {node.sql()!r}")
-        return Literal(value=_literal_value(node.name), raw=node.name)
-
-    def map_operand(node: Any) -> Node:
-        if isinstance(node, exp.Column):
-            return map_column(node)
-        return map_literal(node)
-
-    _OPS = {
-        exp.EQ: "=",
-        exp.LT: "<",
-        exp.LTE: "<=",
-        exp.GT: ">",
-        exp.GTE: ">=",
-        exp.NEQ: "<>",
-    }
-
-    def map_condition(node: Any) -> Node:
-        if isinstance(node, exp.Paren):
-            return map_condition(node.this)
-        if isinstance(node, exp.And):
-            terms: list[Node] = []
-            for side in (node.left, node.right):
-                mapped = map_condition(side)
-                if isinstance(mapped, AndCondition):
-                    terms.extend(mapped.terms)
-                else:
-                    terms.append(mapped)
-            return AndCondition(terms=tuple(terms))
-        if isinstance(node, exp.Between):
-            column = map_column(node.this)
-            low, high = node.args["low"], node.args["high"]
-            if not (isinstance(low, exp.Sub) and isinstance(high, exp.Add)):
-                raise ParseError(
-                    "BETWEEN band form must be col BETWEEN c - w AND c + w"
-                )
-            lo_col, lo_w = map_column(low.left), map_literal(low.right)
-            hi_col, hi_w = map_column(high.left), map_literal(high.right)
-            if (lo_col.table, lo_col.column) != (hi_col.table, hi_col.column):
-                raise ParseError(
-                    "BETWEEN band form must reference one column on both bounds"
-                )
-            if lo_w.raw != hi_w.raw:
-                raise ParseError(
-                    "BETWEEN band form must use one width on both bounds"
-                )
-            return BandPredicate(
-                left=column, right=lo_col, width=lo_w, form="between"
-            )
-        if isinstance(node, exp.LTE) and isinstance(node.left, exp.Abs):
-            diff = node.left.this
-            if not isinstance(diff, exp.Sub):
-                raise ParseError("ABS band form must be ABS(a.x - b.y) <= w")
-            return BandPredicate(
-                left=map_column(diff.left),
-                right=map_column(diff.right),
-                width=map_literal(node.right),
-                form="abs",
-            )
-        if isinstance(node, exp.Boolean):
-            return map_literal(node)
-        for op_type, op in _OPS.items():
-            if isinstance(node, op_type):
-                return Comparison(
-                    op=op,
-                    left=map_operand(node.left),
-                    right=map_operand(node.right),
-                )
-        raise ParseError(f"unsupported condition shape: {node.sql()!r}")
-
-    def map_table(node: Any) -> TableRef:
-        if not isinstance(node, exp.Table):
-            raise ParseError(f"expected a table, got {node.sql()!r}")
-        alias = node.alias or None
-        return TableRef(name=node.name, alias=alias)
-
-    from_clause = parsed.args.get("from")
-    if from_clause is None:
-        raise ParseError("expected a FROM clause")
-    left = map_table(from_clause.this)
-
-    joins = parsed.args.get("joins") or []
-    where = parsed.args.get("where")
-    condition: "Node | None" = None
-    if where is not None:
-        condition = map_condition(where.this)
-
-    if joins:
-        if len(joins) != 1:
-            raise ParseError("exactly one join is supported")
-        join_exp = joins[0]
-        table = map_table(join_exp.this)
-        on_exp = join_exp.args.get("on")
-        kind = (join_exp.kind or "").lower()
-        if on_exp is not None:
-            if condition is not None:
-                raise ParseError(
-                    "both ON and WHERE give a join condition; use one"
-                )
-            condition = map_condition(on_exp)
-        join = JoinClause(
-            kind="cross" if kind == "cross" else "inner",
-            table=table,
-            condition=condition,
-        )
-    else:
-        # sqlglot parses `FROM r1, r2` as the second table in a join list
-        # on modern versions; when it does not appear, there is no join.
-        raise ParseError("expected a JOIN (or a comma-joined second table)")
-
-    projection = "count(*)"
-    expressions = parsed.expressions
-    if len(expressions) == 1 and isinstance(expressions[0], exp.Star):
-        projection = "*"
-
-    core = SelectStmt(projection=projection, left=left, join=join)
-    if not tail_sql.strip():
-        return core
-    # Parse the extension tail with the builtin parser by prepending a
-    # minimal core, then graft the clauses onto the sqlglot-parsed core.
-    stub = f"SELECT COUNT(*) FROM a JOIN b ON a.x = b.x {tail_sql}"
-    tail = parse_sql(stub, dialect="builtin")
-    return SelectStmt(
-        projection=core.projection,
-        left=core.left,
-        join=core.join,
-        window=tail.window,
-        policy=tail.policy,
-        scale=tail.scale,
-        keys=tail.keys,
-    )
-
-
-def parse_sql(sql: str, dialect: str = "builtin") -> SelectStmt:
+def parse_sql(sql: str) -> SelectStmt:
     """Parse one join spec into a :class:`~repro.query.nodes.SelectStmt`.
 
-    Parameters
-    ----------
-    sql:
-        The spec text (``docs/query.md`` has the grammar).
-    dialect:
-        ``"builtin"`` (default, no dependencies), ``"sqlglot"`` (requires
-        the ``query`` extra; raises ``ImportError`` with the install hint
-        when absent) or ``"auto"`` (sqlglot when importable, else builtin).
-
-    Raises
-    ------
-    ParseError
-        When the text does not fit the grammar.
+    ``docs/query.md`` has the grammar.  Raises :class:`ParseError` when the
+    text does not fit it.
     """
-    if dialect == "auto":
-        dialect = "sqlglot" if sqlglot_available() else "builtin"
-    if dialect == "sqlglot":
-        return _parse_with_sqlglot(sql)
-    if dialect != "builtin":
-        raise ValueError(
-            f"unknown dialect {dialect!r}; choose 'builtin', 'sqlglot' or 'auto'"
-        )
     tokens, _ = tokenize_sql(sql)
     return _Parser(tokens).statement()

@@ -313,25 +313,14 @@ class QueryAnalyzer:
     The query-dialect counterpart of
     :class:`repro.analysis.engine.Analyzer`: same report types, same
     suppression handling, same reporters — only the parser and walker
-    differ.
-
-    Parameters
-    ----------
-    rules:
-        Rule instances to run; defaults to :func:`default_query_rules`.
-    dialect:
-        Parser front-end (see :func:`repro.query.parser.parse_sql`).
+    differ.  ``rules`` are the rule instances to run; defaults to
+    :func:`default_query_rules`.
     """
 
-    def __init__(
-        self,
-        rules: "Sequence[Rule] | None" = None,
-        dialect: str = "builtin",
-    ) -> None:
+    def __init__(self, rules: "Sequence[Rule] | None" = None) -> None:
         self.rules: list[Rule] = list(
             default_query_rules() if rules is None else rules
         )
-        self.dialect = dialect
 
     def analyze_source(self, source: str, path: str = "<query>") -> FileReport:
         """Analyze one spec's text; parse failures land in ``report.error``."""
@@ -339,7 +328,7 @@ class QueryAnalyzer:
         report = FileReport(path=posix)
         try:
             _, comment_tokens = tokenize_sql(source)
-            statement = parse_sql(source, dialect=self.dialect)
+            statement = parse_sql(source)
         except ParseError as error:
             report.error = f"ParseError: {error}"
             return report

@@ -8,10 +8,10 @@ state-migration cost explicitly -- when the prediction goes stale.  Rebuilds
 default to *partial repartitioning* (only the regions whose region-to-machine
 assignment changed migrate state), and the per-batch region joins execute on
 a pluggable :class:`~repro.streaming.backends.ExecutionBackend` (in-process
-simulation, a persistent multiprocess worker pool with real wall-clock
-timings, or zero-copy sticky workers that keep each machine's join state
-resident in its worker process and receive per-batch deltas over a
-:mod:`~repro.streaming.shm` shared-memory arena).
+simulation, or zero-copy sticky workers that keep each machine's join state
+resident in its worker process, receive per-batch deltas over a
+:mod:`~repro.streaming.shm` shared-memory arena and report real wall-clock
+timings).
 
 Retained state is bounded by a pluggable
 :class:`~repro.streaming.window.WindowPolicy` (unbounded, sliding
@@ -47,7 +47,6 @@ last checkpoint and replaying the source (see ``docs/fault_tolerance.md``).
 
 from repro.streaming.backends import (
     ExecutionBackend,
-    MultiprocessBackend,
     RegionJoinResult,
     RegionStateTable,
     SimulatedBackend,
@@ -109,7 +108,6 @@ from repro.streaming.source import (
 __all__ = [
     "ExecutionBackend",
     "SimulatedBackend",
-    "MultiprocessBackend",
     "StickyWorkerBackend",
     "SlowConsumerBackend",
     "RegionJoinResult",

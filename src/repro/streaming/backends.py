@@ -21,10 +21,6 @@ dispatches the resulting ``2J`` search tasks through the backend's own
 * :class:`SimulatedBackend` counts each task in the engine's own process.
   Cost-model load is the quantity of interest; wall timings are recorded
   but reflect a single core.
-* :class:`MultiprocessBackend` ships the busy tasks to a persistent
-  ``ProcessPoolExecutor`` -- the same worker-pool machinery as the batch
-  :func:`~repro.engine.executor.run_join_multiprocess` -- so the metrics
-  carry *real* per-task wall-clock timings and pickle-channel bytes.
 * :class:`SlowConsumerBackend` decorates another backend's ``join_regions``
   with a deterministic delay.
 
@@ -38,7 +34,7 @@ and the same counting loop as the in-process default, so every backend
 counts bit-identical deltas; only the measured timings and byte counts
 differ.  ``tests/test_backends.py`` locks that equivalence down.
 
-Process-spawning backends pin an explicit multiprocessing start method
+The process-spawning backend pins an explicit multiprocessing start method
 (forkserver where available, else spawn) instead of the platform default:
 ``fork`` — the Linux default up to Python 3.11 — forks whatever threads the
 parent has already started, which can deadlock a
@@ -48,7 +44,7 @@ fork time.
 Select a backend by passing it to :class:`StreamingJoinEngine` (default:
 simulated) or by name through :func:`make_backend`::
 
-    with make_backend("multiprocess", max_workers=4) as backend:
+    with make_backend("sticky", max_workers=4) as backend:
         engine = StreamingJoinEngine(8, condition, weights, backend=backend)
         result = engine.run(source)
 """
@@ -58,18 +54,12 @@ from __future__ import annotations
 import abc
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
 
-from repro.engine.executor import (
-    broadcast_conditions,
-    join_assigned_regions,
-    pickled_nbytes,
-)
+from repro.engine.executor import broadcast_conditions, pickled_nbytes
 from repro.joins.conditions import JoinCondition
 from repro.joins.local import count_join_output
 from repro.obs.clock import perf_counter
@@ -82,7 +72,6 @@ __all__ = [
     "RegionStateTable",
     "ExecutionBackend",
     "SimulatedBackend",
-    "MultiprocessBackend",
     "StickyWorkerBackend",
     "SlowConsumerBackend",
     "WorkerCrashError",
@@ -106,7 +95,7 @@ class WorkerCrashError(RuntimeError):
 
 
 def default_mp_context() -> multiprocessing.context.BaseContext:
-    """The start method process-spawning backends pin: forkserver, else spawn.
+    """The start method sticky workers are started with: forkserver, else spawn.
 
     Never ``fork``: forking a process that already runs threads (a
     ``StreamingPipeline(mode="thread")`` producer, a tracing exporter)
@@ -140,14 +129,13 @@ class RegionJoinResult:
         Exact join output counted for each machine's region state.
     per_machine_seconds:
         Wall-clock seconds spent joining each region (worker time under the
-        multiprocess backend, in-process time under the simulated one).
+        sticky backend, in-process time under the simulated one).
     wall_seconds:
         End-to-end time of the whole execution, including scheduling.
     bytes_pickled, bytes_unpickled:
-        Bytes the execution shipped through a serialization channel --
-        tasks out, results back over the multiprocess backend's
-        ``ProcessPoolExecutor`` pickle channel.  ``None`` (not ``0``) for
-        backends with no such channel: the in-process simulated backend
+        Bytes the execution shipped through a pickle channel -- tasks out,
+        results back.  ``None`` (not ``0``) for backends with no such
+        channel: the in-process simulated backend
         moves no bytes at all, and reporting renders the column as ``-``
         rather than claiming a measured zero.
     bytes_shm:
@@ -319,17 +307,17 @@ class ExecutionBackend(abc.ABC):
     part of it leaves half the state remote, which the static analyser
     rejects (API001).
 
-    Backends are resources: :class:`MultiprocessBackend` owns a worker pool,
-    so every backend supports ``close()`` and the context-manager protocol.
-    An in-process backend may be reused by several engines *one after
-    another* (e.g. one pool across the schemes of a comparison) -- each
-    ``bind`` starts from empty state -- and an engine only closes a backend
-    it created itself.
+    Backends are resources: :class:`StickyWorkerBackend` owns worker
+    processes and a shared-memory segment, so every backend supports
+    ``close()`` and the context-manager protocol.  An in-process backend may
+    be reused by several engines *one after another* -- each ``bind`` starts
+    from empty state -- and an engine only closes a backend it created
+    itself.
 
     ``close()`` is idempotent and final: calling :meth:`join_regions` on a
     closed backend raises ``RuntimeError`` instead of silently resurrecting
-    whatever resource the backend owned (a resurrected worker pool has no
-    remaining owner to shut it down -- a leak, not a convenience).
+    whatever resource the backend owned (resurrected workers have no
+    remaining owner to shut them down -- a leak, not a convenience).
     """
 
     #: Reporting name recorded on the run result.
@@ -418,8 +406,7 @@ class ExecutionBackend(abc.ABC):
         ``new1`` / ``new2`` are per-machine arrival-index arrays into the
         key histories.  Every machine's two search tasks
         (:meth:`RegionStateTable.fold`) go through :meth:`join_regions` as
-        one ``2J``-task dispatch (a single pool round-trip under the
-        multiprocess backend), so the returned timings and serialization
+        one ``2J``-task dispatch, so the returned timings and serialization
         bytes are the backend's own; no full-region recount ever happens.
         """
         tasks = self._bound_table().fold(
@@ -541,115 +528,6 @@ class SimulatedBackend(ExecutionBackend):
             per_machine_seconds=seconds,
             wall_seconds=perf_counter() - start,
         )
-
-
-class MultiprocessBackend(ExecutionBackend):
-    """Run each batch's busy regions on a persistent OS-process worker pool.
-
-    Parameters
-    ----------
-    max_workers:
-        Upper bound on concurrent worker processes (defaults to the pool's
-        own default, usually the CPU count).
-    profile_serialization:
-        Measure, per execution, the bytes the task payloads ship through
-        the pool's pickle channel and the bytes the results ship back
-        (``True`` by default).  This is the ``bytes_pickled`` /
-        ``bytes_unpickled`` metric on
-        :class:`~repro.streaming.metrics.BatchMetrics` -- the quantity the
-        :class:`StickyWorkerBackend` drives to ~0.  The measurement costs
-        one extra serialization pass over each payload; disable it for
-        timing-critical sweeps.
-    mp_context:
-        Multiprocessing context (or start-method name) for the worker pool.
-        Defaults to :func:`default_mp_context` -- forkserver where
-        available, else spawn -- never the platform default: ``fork``
-        inherits the parent's threads mid-flight and can deadlock under a
-        threaded :class:`~repro.streaming.pipeline.StreamingPipeline`.
-
-    The pool is created lazily on the first batch and kept alive for the
-    lifetime of the backend, so a stream of many small batches pays process
-    start-up once, not per batch.  ``close()`` shuts the pool down for good:
-    a later ``join_regions`` call raises ``RuntimeError`` rather than
-    silently starting a fresh pool that no caller would ever shut down.
-    """
-
-    name = "multiprocess"
-
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        profile_serialization: bool = True,
-        mp_context: "multiprocessing.context.BaseContext | str | None" = None,
-    ) -> None:
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError("max_workers must be positive")
-        self.max_workers = max_workers
-        self.profile_serialization = profile_serialization
-        self._mp_context = _resolve_mp_context(mp_context)
-        self._pool: ProcessPoolExecutor | None = None
-
-    @property
-    def start_method(self) -> str:
-        """Start method of the pinned multiprocessing context."""
-        return self._mp_context.get_start_method()
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.max_workers, mp_context=self._mp_context
-            )
-        return self._pool
-
-    def join_regions(
-        self,
-        region_keys: list[tuple[np.ndarray, np.ndarray]],
-        condition: "JoinCondition | list[JoinCondition]",
-        keys2_sorted: bool = False,
-    ) -> RegionJoinResult:
-        """Ship each non-empty region to the worker pool and count there.
-
-        A worker process dying mid-batch breaks the whole pool; the broken
-        executor is discarded (a later call lazily starts a fresh one) and
-        the failure surfaces as :class:`WorkerCrashError` so callers can
-        restore from a checkpoint instead of unpicking executor internals.
-        """
-        self._ensure_open()
-        try:
-            execution = join_assigned_regions(
-                self._ensure_pool(),
-                region_keys,
-                condition,
-                keys2_sorted=keys2_sorted,
-                profile_serialization=self.profile_serialization,
-            )
-        except BrokenProcessPool as error:
-            self._pool.shutdown(wait=False)
-            self._pool = None
-            raise WorkerCrashError(
-                "multiprocess worker pool broke mid-batch (a worker process "
-                f"died: {error}); the pool was discarded -- restore the run "
-                "from its last checkpoint"
-            ) from error
-        return RegionJoinResult(
-            per_machine_output=execution.per_machine_output,
-            per_machine_seconds=execution.per_machine_seconds,
-            wall_seconds=execution.wall_seconds,
-            bytes_pickled=(
-                execution.bytes_pickled if self.profile_serialization else None
-            ),
-            bytes_unpickled=(
-                execution.bytes_unpickled if self.profile_serialization else None
-            ),
-            worker_pids=execution.worker_pids,
-        )
-
-    def close(self) -> None:
-        """Shut the worker pool down; idempotent, and final (see the base)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-        super().close()
 
 
 class _StickyWorkerState:
@@ -779,13 +657,13 @@ def _sticky_worker_main(channel, machines: "tuple[int, ...]") -> None:
 class StickyWorkerBackend(ExecutionBackend):
     """Resident per-worker join state over shared memory (zero-copy deltas).
 
-    The multiprocess pool backend re-pickles every region's *full* key
-    arrays through its executor channel on every batch; for a persistent
-    streaming join that serialization tax dominates the join itself.  This
-    backend keeps the state where the work is: each of ``max_workers``
-    long-lived processes owns the :class:`SortedRegionState` pair of the
-    machines assigned to it (machine ``m`` lives on worker ``m % W``),
-    resident across batches.  Per batch the engine ships only the *delta*
+    Shipping every region's *full* key arrays to a worker pool on every
+    batch makes serialization, not the join, the cost of a persistent
+    streaming join (``benchmarks/test_streaming_scaling.py`` measures that
+    baseline).  This backend keeps the state where the work is: each of
+    ``max_workers`` long-lived processes owns the :class:`SortedRegionState`
+    pair of the machines assigned to it (machine ``m`` lives on worker
+    ``m % W``), resident across batches.  Per batch the engine ships only the *delta*
     -- each machine's new-arrival index/key arrays, written once into a
     :class:`~repro.streaming.shm.ShmArena` shared-memory segment -- plus a
     tiny pickled control message per worker.  Evictions, history-compaction
@@ -1292,7 +1170,6 @@ class SlowConsumerBackend(ExecutionBackend):
 
 _BACKENDS: dict[str, type[ExecutionBackend]] = {
     SimulatedBackend.name: SimulatedBackend,
-    MultiprocessBackend.name: MultiprocessBackend,
     StickyWorkerBackend.name: StickyWorkerBackend,
 }
 
@@ -1300,7 +1177,7 @@ _BACKENDS: dict[str, type[ExecutionBackend]] = {
 def make_backend(name: str, **kwargs: object) -> ExecutionBackend:
     """Instantiate an execution backend by its reporting name.
 
-    ``make_backend("simulated")`` or ``make_backend("multiprocess",
+    ``make_backend("simulated")`` or ``make_backend("sticky",
     max_workers=4)``; unknown names raise ``ValueError`` listing the
     available backends.
     """

@@ -9,7 +9,10 @@ writes -- so a run can be stopped at any batch boundary and resumed
 bit-identically: the restored run produces the same outputs, per-machine
 loads, migration plans and resident counts as the run that never stopped
 (``tests/test_checkpoint.py`` pins this with hypothesis across window
-policies, backends and crash points).
+policies, backends and crash points).  The format and the two functions
+that know its field list -- :func:`capture` and :func:`resume`, which the
+engine's ``checkpoint()`` / ``resume_from()`` delegate to -- live together
+in this module.
 
 On-disk format
 --------------
@@ -23,16 +26,17 @@ On-disk format
 
 The payload pins pickle protocol 4, so serializing the same state twice in
 one process yields byte-identical files -- ``save`` output is deterministic
-and safe to golden.  ``from_bytes`` refuses other versions and corrupt
-payloads with a clear ``ValueError`` instead of unpickling garbage.
+and safe to golden.  ``from_bytes`` refuses other versions, corrupt
+payloads and payloads whose keys are not exactly the checkpoint's fields
+with a clear ``ValueError`` instead of unpickling garbage.
 
-Version 2 stores join state as *indices only*: per machine and side, the
-sorted arrival indices resident there.  Keys are never stored twice -- a
-restore regathers them from the key history and key-sorts them stably,
-which reproduces the resident state on any backend, so a checkpoint taken
-on one backend restores onto any other.  Version 1 (verbatim key-sorted
-``index``/``keys`` columns for in-process state, plus the removed
-``counting`` mode and its ``prev_outputs`` baseline) is refused by name.
+Join state is stored as *indices only*: per machine and side, the sorted
+arrival indices resident there.  Keys are never stored twice -- a restore
+regathers them from the key history and key-sorts them stably, which
+reproduces the resident state on any backend, so a checkpoint taken on one
+backend restores onto any other.  Version 1 (verbatim key-sorted state
+columns and a counting mode) and version 2 (three engine options that no
+longer exist) are refused by name.
 
 Driving a crash-survivable run
 ------------------------------
@@ -57,6 +61,7 @@ be driven through the stepwise API directly with externally stored batches.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import pickle
 import struct
@@ -69,14 +74,22 @@ import numpy as np
 from repro.streaming.backends import WorkerCrashError
 from repro.streaming.metrics import StreamRunResult
 
-__all__ = ["CHECKPOINT_VERSION", "StreamCheckpoint", "run_resilient"]
+__all__ = [
+    "CHECKPOINT_VERSION",
+    "RunState",
+    "StreamCheckpoint",
+    "capture",
+    "resume",
+    "run_resilient",
+]
 
 #: Magic prefix of the serialized container ("RePro Stream Checkpoint").
 _MAGIC = b"RPSC"
 
 #: Format version written by this build; :meth:`StreamCheckpoint.from_bytes`
-#: refuses anything else (version 1 predates index-only state).
-CHECKPOINT_VERSION = 2
+#: refuses anything else (version 1 predates index-only state, version 2
+#: carried three since-removed engine options).
+CHECKPOINT_VERSION = 3
 
 #: Pickle protocol pinned for deterministic bytes (same state, same process,
 #: same serialization).
@@ -85,14 +98,41 @@ _PICKLE_PROTOCOL = 4
 _HEADER = struct.Struct("<4sIQ32s")
 
 
+class RunState:
+    """Mutable loop state of one engine run, hoisted off the stack.
+
+    Everything
+    :meth:`~repro.streaming.engine.StreamingJoinEngine.process_batch` reads
+    or writes between batches lives here or in the backend (the engine
+    object itself holds only configuration), so a checkpoint is a copy of
+    this object's fields, the backend's resident indices and the engine's
+    collaborators, and a restore rebuilds exactly this.
+    """
+
+    __slots__ = (
+        "rng",
+        "history1",
+        "history2",
+        "partitioning",
+        "region_to_machine",
+        "live1",
+        "live2",
+        "starts1",
+        "starts2",
+        "last_batch_index",
+        "position",
+        "cumulative",
+        "result",
+        "pending_resize",
+    )
+
+
 @dataclass(eq=False)
 class StreamCheckpoint:
     """The complete resumable state of a streaming join at a batch boundary.
 
-    Captured by
-    :meth:`~repro.streaming.engine.StreamingJoinEngine.checkpoint` and
-    consumed by
-    :meth:`~repro.streaming.engine.StreamingJoinEngine.resume_from`; the
+    Captured by :func:`capture` and consumed by :func:`resume` (the
+    engine's ``checkpoint()`` / ``resume_from()``); the
     fields split into the engine's *configuration* (scalars plus the live
     condition/weight/policy/window/histogram objects, pickled wholesale so
     the restored engine is constructed exactly like the original) and the
@@ -101,8 +141,7 @@ class StreamCheckpoint:
 
     Attributes
     ----------
-    num_machines, repartition_mode, compact_history,
-    migration_cost_factor, rebuild_scan_factor, seed:
+    num_machines, migration_cost_factor, seed:
         The engine constructor arguments at checkpoint time
         (``num_machines`` reflects any resize already adopted).
     condition, weight_fn, policy, window, histogram, partitioning:
@@ -145,10 +184,7 @@ class StreamCheckpoint:
     """
 
     num_machines: int
-    repartition_mode: str
-    compact_history: bool
     migration_cost_factor: float
-    rebuild_scan_factor: float
     seed: int
     condition: Any
     weight_fn: Any
@@ -213,8 +249,9 @@ class StreamCheckpoint:
             raise ValueError(
                 f"unsupported stream checkpoint version {version}; this "
                 f"build reads version {CHECKPOINT_VERSION} only (version 1 "
-                "stored key-sorted state columns and a counting mode that "
-                "no longer exist -- re-take the checkpoint)"
+                "stored key-sorted state columns and a counting mode, "
+                "version 2 three engine options, that no longer exist -- "
+                "re-take the checkpoint)"
             )
         payload = raw[_HEADER.size :]
         if len(payload) != length:
@@ -226,7 +263,16 @@ class StreamCheckpoint:
             raise ValueError(
                 "corrupt stream checkpoint: payload digest mismatch"
             )
-        return cls(version=version, **pickle.loads(payload))
+        captured = pickle.loads(payload)
+        expected = {f.name for f in fields(cls)} - {"version"}
+        if not isinstance(captured, dict) or set(captured) != expected:
+            found = set(captured) if isinstance(captured, dict) else set()
+            raise ValueError(
+                "malformed stream checkpoint: the payload's keys are not "
+                f"the checkpoint's fields (missing {sorted(expected - found)}, "
+                f"unexpected {sorted(found - expected, key=repr)})"
+            )
+        return cls(version=version, **captured)
 
     def save(self, path: "str | Path") -> int:
         """Write the serialized checkpoint to ``path``; return bytes written."""
@@ -245,6 +291,142 @@ class StreamCheckpoint:
         return sum(len(index) for index in self.state_index1) + sum(
             len(index) for index in self.state_index2
         )
+
+
+def capture(engine: Any) -> StreamCheckpoint:
+    """Capture a running engine's complete resumable state.
+
+    The body of
+    :meth:`~repro.streaming.engine.StreamingJoinEngine.checkpoint`: the one
+    place that lists what a checkpoint holds.  Each machine's resident
+    arrival indices come from the backend's read-only view (sorted; the
+    keys are reproducible from the history, so no backend ever reads state
+    back).  Everything is copied, so the engine may keep running after.
+    """
+    if engine.phase != "running":
+        raise RuntimeError(
+            "checkpoint() requires a running engine (between start()/"
+            "process_batch() and finish())"
+        )
+    s = engine._state
+    with engine.tracer.span(
+        "checkpoint", category="run", position=s.position
+    ) as span:
+        s.result.checkpoints_taken += 1
+        resident1, resident2 = engine.backend.resident_indices()
+        checkpoint = StreamCheckpoint(
+            num_machines=engine.num_machines,
+            migration_cost_factor=engine.migration_cost_factor,
+            seed=engine.seed,
+            condition=engine.condition,
+            weight_fn=engine.weight_fn,
+            policy=copy.deepcopy(engine.policy),
+            window=copy.deepcopy(engine.window),
+            histogram=copy.deepcopy(engine.histogram),
+            partitioning=copy.deepcopy(s.partitioning),
+            rng_state=copy.deepcopy(s.rng.bit_generator.state),
+            history1=np.array(s.history1),
+            history2=np.array(s.history2),
+            starts1=list(s.starts1),
+            starts2=list(s.starts2),
+            live1=np.array(s.live1),
+            live2=np.array(s.live2),
+            state_index1=[np.sort(held) for held in resident1],
+            state_index2=[np.sort(held) for held in resident2],
+            region_to_machine=np.array(s.region_to_machine),
+            last_batch_index=s.last_batch_index,
+            position=s.position,
+            cumulative=np.array(s.cumulative),
+            result=copy.deepcopy(s.result),
+            pending_resize=copy.deepcopy(s.pending_resize),
+        )
+        span.set(
+            batches=len(s.result.batches),
+            resident=checkpoint.resident_tuples,
+        )
+    if engine.metrics is not None:
+        engine.metrics.counter("stream.checkpoints").inc()
+    return checkpoint
+
+
+def resume(
+    engine_cls: Any,
+    checkpoint: StreamCheckpoint,
+    backend: Any = None,
+    machines: "int | None" = None,
+    tracer: Any = None,
+    metrics: Any = None,
+) -> Any:
+    """Build a running ``engine_cls`` engine from a checkpoint.
+
+    The body of
+    :meth:`~repro.streaming.engine.StreamingJoinEngine.resume_from` (see
+    there for the arguments): construct the engine from the captured
+    configuration, adopt the captured run state, and rebuild the join state
+    on ``backend`` through ``bind`` / ``install_state`` -- the stable
+    key-sort of index-sorted columns reproduces the key order of the state
+    the checkpoint was taken from.  The checkpoint is deep-copied first, so
+    one checkpoint can seed any number of resumed runs.
+    """
+    checkpoint = copy.deepcopy(checkpoint)
+    engine = engine_cls(
+        checkpoint.num_machines,
+        checkpoint.condition,
+        checkpoint.weight_fn,
+        policy=checkpoint.policy,
+        backend=backend,
+        window=checkpoint.window,
+        histogram=checkpoint.histogram,
+        migration_cost_factor=checkpoint.migration_cost_factor,
+        seed=checkpoint.seed,
+        tracer=tracer,
+        metrics=metrics,
+    )
+    engine._consumed = True
+    s = RunState()
+    s.rng = np.random.default_rng(engine.seed)
+    s.rng.bit_generator.state = checkpoint.rng_state
+    s.history1, s.history2 = checkpoint.history1, checkpoint.history2
+    s.starts1 = list(checkpoint.starts1)
+    s.starts2 = list(checkpoint.starts2)
+    s.live1, s.live2 = checkpoint.live1, checkpoint.live2
+    s.partitioning = checkpoint.partitioning
+    s.region_to_machine = checkpoint.region_to_machine
+    s.last_batch_index = checkpoint.last_batch_index
+    s.position = checkpoint.position
+    s.cumulative = checkpoint.cumulative
+    s.result = checkpoint.result
+    s.pending_resize = checkpoint.pending_resize
+    s.result.restores += 1
+    s.result.backend = engine.backend.name
+    s.result.join_clock = engine.backend.clock_domain
+    engine._state = s
+    engine._phase = "running"
+    # Replayed source batches at or below this index were already consumed
+    # before the checkpoint; process_batch skips them.
+    engine._skip_through = checkpoint.last_batch_index
+    engine._open_run_span()
+    with engine.tracer.span(
+        "restore", category="run", position=s.position
+    ) as span:
+        engine.backend.bind(
+            engine.num_machines, engine.condition, engine._transposed
+        )
+        engine.backend.install_state(
+            checkpoint.state_index1,
+            checkpoint.state_index2,
+            s.history1,
+            s.history2,
+        )
+        span.set(
+            batches=len(s.result.batches),
+            resident=checkpoint.resident_tuples,
+        )
+    if engine.metrics is not None:
+        engine.metrics.counter("stream.restores").inc()
+    if machines is not None and machines != engine.num_machines:
+        engine.resize(machines)
+    return engine
 
 
 def run_resilient(

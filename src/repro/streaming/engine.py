@@ -36,24 +36,24 @@ and the batch-start lists.  Per micro-batch it runs six stages:
   and migration arithmetic runs in these rebased *engine coordinates*, so
   the whole footprint is O(window) however long the stream runs;
   compaction is pure bookkeeping and never changes outputs, loads,
-  evictions or migration plans (``compact_history=False`` keeps the
-  uncompacted bookkeeping for equivalence testing);
+  evictions or migration plans (the uncompacted reference is the
+  :class:`~repro.streaming.testing.NoTrimWindow` decorator);
 * **repartition** -- the :class:`~repro.streaming.policies.RepartitioningPolicy`
   may swap in a new partitioning, in which case the retained *live* state
   is migrated (:mod:`repro.streaming.migration`) and the moved tuples are
-  charged into the same cost model -- rebalancing is never free.  Under
-  the default ``repartition_mode="partial"`` only the regions whose
-  region-to-machine assignment changed migrate; ``"full"`` reproduces the
-  naive positional rebuild that re-routes the whole (live) history;
+  charged into the same cost model -- rebalancing is never free.  Only
+  the regions whose region-to-machine assignment changed migrate (the
+  naive positional rebuild that re-routes the whole live history is the
+  :class:`~repro.streaming.testing.PositionalRebuildEngine` reference);
 * **account** -- drain the backend's channel bytes, record the resident
   footprint and timings, and fold the batch into the run result and the
   attached metrics registry.
 
 A mid-stream :meth:`StreamingJoinEngine.resize` goes through the same
-plan → ``install_state`` → charge step as a drift migration;
-:meth:`StreamingJoinEngine.checkpoint` stores the histories, the live sets
-and each machine's resident *indices* (keys are regathered from the
-history on restore, on whichever backend the run resumes).
+plan → ``install_state`` → charge step as a drift migration.  What a
+checkpoint captures and how a run resumes from one live beside the format
+in :mod:`repro.streaming.checkpoint`; :meth:`StreamingJoinEngine.checkpoint`
+and :meth:`StreamingJoinEngine.resume_from` delegate there.
 
 Correctness mirrors the batch simulator: grid-routed partitionings cover
 every candidate cell exactly once, so summing each machine's incremental
@@ -73,7 +73,6 @@ which ``tests/test_backends.py`` pins down.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import replace
 from typing import Iterable
 
@@ -92,14 +91,10 @@ from repro.streaming.backends import (
     RegionJoinResult,
     SimulatedBackend,
 )
-from repro.streaming.checkpoint import StreamCheckpoint
+from repro.streaming.checkpoint import RunState, StreamCheckpoint, capture, resume
 from repro.streaming.incremental import IncrementalHistogram
 from repro.streaming.metrics import BatchMetrics, StreamRunResult
-from repro.streaming.migration import (
-    MIGRATION_MODES,
-    plan_migration,
-    route_live,
-)
+from repro.streaming.migration import plan_migration, route_live
 from repro.streaming.policies import (
     DriftAdaptiveEWHPolicy,
     RepartitioningPolicy,
@@ -111,33 +106,10 @@ from repro.streaming.window import WindowPolicy, drop_expired, make_window
 
 __all__ = ["StreamingJoinEngine", "compare_streaming_schemes"]
 
-
-class _RunState:
-    """Mutable loop state of one engine run, hoisted off the stack.
-
-    Everything :meth:`StreamingJoinEngine.process_batch` reads or writes
-    between batches lives here or in the backend (the engine object itself
-    holds only configuration), so a checkpoint is a copy of this object's
-    fields, the backend's resident indices and the engine's collaborators,
-    and a restore rebuilds exactly this.
-    """
-
-    __slots__ = (
-        "rng",
-        "history1",
-        "history2",
-        "partitioning",
-        "region_to_machine",
-        "live1",
-        "live2",
-        "starts1",
-        "starts2",
-        "last_batch_index",
-        "position",
-        "cumulative",
-        "result",
-        "pending_resize",
-    )
+#: Per-tuple cost of scanning the sample state during a rebuild, as a
+#: fraction of the join input cost (mirrors the batch operators' statistics
+#: scan factor).
+REBUILD_SCAN_FACTOR = 0.5
 
 
 class StreamingJoinEngine:
@@ -158,27 +130,13 @@ class StreamingJoinEngine:
         per-machine join state and running each batch's count.  Defaults
         to a fresh :class:`~repro.streaming.backends.SimulatedBackend`; a
         backend the engine creates itself is closed at end of run, a
-        caller-provided one (e.g. a shared multiprocess pool) is left open.
+        caller-provided one is left open.
     window:
         The :class:`~repro.streaming.window.WindowPolicy` bounding the
         retained state, or a spec string for
         :func:`~repro.streaming.window.make_window` (``"batches:8"``,
         ``"tuples:5000"``, ``"decay:0.9"``).  ``None`` retains the full
         history (unbounded).
-    repartition_mode:
-        ``"partial"`` (default) migrates only the regions whose
-        region-to-machine assignment changed on a rebuild; ``"full"``
-        re-routes the whole live history positionally.
-    compact_history:
-        ``True`` (default) trims the per-side key histories, live sets and
-        batch-start lists below the window's safe trim point after every
-        eviction and rebases all stored arrival indices, keeping the whole
-        footprint O(window) under a bounded window.  ``False`` keeps the
-        uncompacted full-run bookkeeping (the pre-compaction engine);
-        outputs, loads, evictions and migration plans are bit-identical
-        either way, which ``tests/test_window_properties.py`` pins.  The
-        flag is irrelevant for unbounded runs: nothing is ever trimmed
-        because the end-of-stream verification needs the full history.
     histogram:
         Optional pre-configured :class:`IncrementalHistogram`; built from
         ``sample_capacity`` / ``sample_decay`` / ``ewh_config`` when omitted.
@@ -190,10 +148,6 @@ class StreamingJoinEngine:
     migration_cost_factor:
         Input-cost multiplier for migrated tuples (1.0 charges a migrated
         tuple like any other network arrival).
-    rebuild_scan_factor:
-        Per-tuple cost of scanning the sample state during a rebuild, as a
-        fraction of the join input cost (mirrors the batch operators'
-        statistics scan factor).
     seed:
         Seed of the engine's internal generator (routing, sampling and any
         randomised window policy).
@@ -215,6 +169,11 @@ class StreamingJoinEngine:
         :class:`~repro.obs.metrics.SnapshotReporter`).
     """
 
+    #: How :func:`~repro.streaming.migration.plan_migration` places rebuilt
+    #: regions.  Not an option: the positional ``"full"`` reference is a
+    #: subclass in :mod:`repro.streaming.testing`.
+    migration_mode = "partial"
+
     def __init__(
         self,
         num_machines: int,
@@ -223,14 +182,11 @@ class StreamingJoinEngine:
         policy: RepartitioningPolicy | None = None,
         backend: ExecutionBackend | None = None,
         window: WindowPolicy | str | None = None,
-        repartition_mode: str = "partial",
-        compact_history: bool = True,
         histogram: IncrementalHistogram | None = None,
         sample_capacity: int = 2048,
         sample_decay: float = 0.8,
         ewh_config: EWHConfig | None = None,
         migration_cost_factor: float = 1.0,
-        rebuild_scan_factor: float = 0.5,
         seed: int = 0,
         tracer: "Tracer | NullTracer | None" = None,
         metrics: MetricsRegistry | None = None,
@@ -239,11 +195,6 @@ class StreamingJoinEngine:
             raise ValueError("num_machines must be positive")
         if migration_cost_factor < 0:
             raise ValueError("migration_cost_factor must be non-negative")
-        if repartition_mode not in MIGRATION_MODES:
-            raise ValueError(
-                f"unknown repartition_mode {repartition_mode!r} "
-                f"(expected one of {MIGRATION_MODES})"
-            )
         try:
             self._transposed = condition.transposed
         except NotImplementedError as error:
@@ -258,8 +209,6 @@ class StreamingJoinEngine:
         self.policy = policy or DriftAdaptiveEWHPolicy()
         self._owns_backend = backend is None
         self.backend = backend or SimulatedBackend()
-        self.repartition_mode = repartition_mode
-        self.compact_history = compact_history
         self.histogram = histogram or IncrementalHistogram(
             num_machines,
             weight_fn,
@@ -268,7 +217,6 @@ class StreamingJoinEngine:
             config=ewh_config,
         )
         self.migration_cost_factor = migration_cost_factor
-        self.rebuild_scan_factor = rebuild_scan_factor
         self.seed = seed
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
@@ -276,7 +224,7 @@ class StreamingJoinEngine:
         # Stepwise-run lifecycle: "new" -> start() -> "running" ->
         # finish() -> "finished".  run() is a thin wrapper over the three.
         self._phase = "new"
-        self._state: "_RunState | None" = None
+        self._state: "RunState | None" = None
         self._run_span = None
         # After a restore, source batches at or below this index were
         # already processed before the checkpoint and are silently skipped
@@ -289,7 +237,7 @@ class StreamingJoinEngine:
     def _rebuild_charge(self) -> float:
         """Cost of one histogram (re)build, spread over the cluster."""
         return (
-            self.rebuild_scan_factor
+            REBUILD_SCAN_FACTOR
             * self.weight_fn.input_cost
             * self.histogram.sample_tuples
             / self.num_machines
@@ -466,7 +414,7 @@ class StreamingJoinEngine:
             s.history2,
             machines,
             s.rng,
-            mode=self.repartition_mode,
+            mode=self.migration_mode,
             live1=s.live1 if windowed else None,
             live2=s.live2 if windowed else None,
         )
@@ -553,7 +501,7 @@ class StreamingJoinEngine:
             )
         self._consumed = True
         J = self.num_machines
-        s = _RunState()
+        s = RunState()
         s.rng = np.random.default_rng(self.seed)
         s.history1 = np.empty(0, dtype=np.float64)
         s.history2 = np.empty(0, dtype=np.float64)
@@ -561,9 +509,8 @@ class StreamingJoinEngine:
         # Where each region's state lives; partial repartitioning may remap.
         s.region_to_machine = np.arange(J, dtype=np.int64)
         # Liveness bookkeeping (windowed runs only): sorted arrival indices
-        # still live per side and each batch's arrival-index start.  With
-        # compaction, all stored indices are rebased by the amount trimmed
-        # so far ("engine coordinates") and these structures stay O(window).
+        # still live per side and each batch's arrival-index start, rebased
+        # by the amount trimmed so far ("engine coordinates"): O(window).
         s.live1 = np.empty(0, dtype=np.int64)
         s.live2 = np.empty(0, dtype=np.int64)
         s.starts1 = []
@@ -693,7 +640,7 @@ class StreamingJoinEngine:
         return metrics
 
     @staticmethod
-    def _admit(s: _RunState, batch: MicroBatch, allow_gaps: bool) -> None:
+    def _admit(s: RunState, batch: MicroBatch, allow_gaps: bool) -> None:
         """Validate the batch's place in the stream; advance the position.
 
         Liveness and windows key off the engine's own processed-batch
@@ -721,7 +668,7 @@ class StreamingJoinEngine:
         s.position += 1
 
     def _ingest(
-        self, s: _RunState, batch: MicroBatch
+        self, s: RunState, batch: MicroBatch
     ) -> "tuple[tuple[int, int], float, bool]":
         """Stage 1: sample, maybe build the first plan, append the arrivals.
 
@@ -756,7 +703,7 @@ class StreamingJoinEngine:
 
     def _route(
         self,
-        s: _RunState,
+        s: RunState,
         batch: MicroBatch,
         offsets: "tuple[int, int]",
         initial_build: bool,
@@ -812,7 +759,7 @@ class StreamingJoinEngine:
 
     def _count(
         self,
-        s: _RunState,
+        s: RunState,
         batch: MicroBatch,
         routed: "tuple[list[np.ndarray], list[np.ndarray]] | None",
         rebuild_cost: float,
@@ -877,18 +824,17 @@ class StreamingJoinEngine:
             s.pending_resize = None
         return metrics
 
-    def _evict_and_compact(self, s: _RunState, metrics: BatchMetrics) -> None:
+    def _evict_and_compact(self, s: RunState, metrics: BatchMetrics) -> None:
         """Stage 4: apply the window after the count; trim what it exposed.
 
         Eviction runs after the batch is counted and *before* any
         repartitioning, so a migration only ever ships live state.  The
         live sets shrink here; the backend drops the same expired indices
         from every machine's state and reports how many entries it really
-        held (charged as ``tuples_evicted`` / ``bytes_freed``).  With
-        ``compact_history`` the dead history prefix the eviction exposed is
-        then trimmed on both sides and every stored arrival index rebased
-        by the same amounts, so engine coordinates stay in lock-step on
-        both sides of the protocol.
+        held (charged as ``tuples_evicted`` / ``bytes_freed``).  The dead
+        history prefix the eviction exposed is then trimmed on both sides
+        and every stored arrival index rebased by the same amounts, so
+        engine coordinates stay in lock-step on both sides of the protocol.
         """
         if self.window.is_unbounded:
             return
@@ -909,8 +855,6 @@ class StreamingJoinEngine:
                     metrics.tuples_evicted * BatchMetrics.STATE_BYTES
                 )
             evict_span.set(evicted=metrics.tuples_evicted)
-        if not self.compact_history:
-            return
         with self.tracer.span("compact", category="stage") as compact_span:
             s.history1, s.live1, trim1 = self._compact_side(
                 s.history1, s.live1, s.starts1
@@ -923,7 +867,7 @@ class StreamingJoinEngine:
             metrics.history_tuples_trimmed = trim1 + trim2
             compact_span.set(trimmed=trim1 + trim2)
 
-    def _repartition(self, s: _RunState, metrics: BatchMetrics) -> None:
+    def _repartition(self, s: RunState, metrics: BatchMetrics) -> None:
         """Stage 5: let the policy swap partitionings; migrate if it does.
 
         Migration and rebuild charges land on this batch.  Before the
@@ -940,7 +884,7 @@ class StreamingJoinEngine:
         if replacement is None:
             return
         with self.tracer.span(
-            "migrate", category="stage", mode=self.repartition_mode
+            "migrate", category="stage", mode=self.migration_mode
         ) as migrate_span:
             charges = self._adopt(replacement, self.num_machines, builds_before)
             self._charge(metrics, charges)
@@ -948,7 +892,7 @@ class StreamingJoinEngine:
             migrate_span.set(moved=charges["migrated"])
 
     def _account(
-        self, s: _RunState, metrics: BatchMetrics, start: float
+        self, s: RunState, metrics: BatchMetrics, start: float
     ) -> None:
         """Stage 6: close the metrics record -- bytes, footprint, wall time.
 
@@ -1026,63 +970,13 @@ class StreamingJoinEngine:
     def checkpoint(self) -> StreamCheckpoint:
         """Capture the complete resumable state at this batch boundary.
 
-        The checkpoint is self-contained: configuration, policy and window
-        objects, sample state, RNG state, retained history, each machine's
-        resident arrival indices (sorted; the keys are reproducible from
-        the history, so no backend ever reads state back), liveness
-        bookkeeping and the accumulated
-        :class:`~repro.streaming.metrics.StreamRunResult`.  Everything is
-        copied, so the engine may keep running after taking it.
-        :meth:`resume_from` on the checkpoint continues the run
-        bit-identically to never having stopped.
+        Self-contained and copied
+        (:func:`~repro.streaming.checkpoint.capture` lists what it holds),
+        so the engine may keep running after taking it; :meth:`resume_from`
+        on the checkpoint continues the run bit-identically to never having
+        stopped.
         """
-        if self._phase != "running":
-            raise RuntimeError(
-                "checkpoint() requires a running engine (between start()/"
-                "process_batch() and finish())"
-            )
-        s = self._state
-        with self.tracer.span(
-            "checkpoint", category="run", position=s.position
-        ) as span:
-            s.result.checkpoints_taken += 1
-            resident1, resident2 = self.backend.resident_indices()
-            checkpoint = StreamCheckpoint(
-                num_machines=self.num_machines,
-                repartition_mode=self.repartition_mode,
-                compact_history=self.compact_history,
-                migration_cost_factor=self.migration_cost_factor,
-                rebuild_scan_factor=self.rebuild_scan_factor,
-                seed=self.seed,
-                condition=self.condition,
-                weight_fn=self.weight_fn,
-                policy=copy.deepcopy(self.policy),
-                window=copy.deepcopy(self.window),
-                histogram=copy.deepcopy(self.histogram),
-                partitioning=copy.deepcopy(s.partitioning),
-                rng_state=copy.deepcopy(s.rng.bit_generator.state),
-                history1=np.array(s.history1),
-                history2=np.array(s.history2),
-                starts1=list(s.starts1),
-                starts2=list(s.starts2),
-                live1=np.array(s.live1),
-                live2=np.array(s.live2),
-                state_index1=[np.sort(held) for held in resident1],
-                state_index2=[np.sort(held) for held in resident2],
-                region_to_machine=np.array(s.region_to_machine),
-                last_batch_index=s.last_batch_index,
-                position=s.position,
-                cumulative=np.array(s.cumulative),
-                result=copy.deepcopy(s.result),
-                pending_resize=copy.deepcopy(s.pending_resize),
-            )
-            span.set(
-                batches=len(s.result.batches),
-                resident=checkpoint.resident_tuples,
-            )
-        if self.metrics is not None:
-            self.metrics.counter("stream.checkpoints").inc()
-        return checkpoint
+        return capture(self)
 
     def resize(self, machines: int) -> None:
         """Re-plan the join onto ``machines`` machines mid-stream.
@@ -1180,108 +1074,9 @@ class StreamingJoinEngine:
         ``bind`` / ``install_state``.  ``machines`` optionally resizes onto
         a different fleet straight away (crash recovery onto the
         survivors), which is exactly :meth:`resize` from the restored
-        state.
-
-        The checkpoint is deep-copied first, so one checkpoint can seed
-        any number of resumed runs.
+        state.  One checkpoint can seed any number of resumed runs.
         """
-        checkpoint = copy.deepcopy(checkpoint)
-        engine = cls(
-            checkpoint.num_machines,
-            checkpoint.condition,
-            checkpoint.weight_fn,
-            policy=checkpoint.policy,
-            backend=backend,
-            window=checkpoint.window,
-            repartition_mode=checkpoint.repartition_mode,
-            compact_history=checkpoint.compact_history,
-            histogram=checkpoint.histogram,
-            migration_cost_factor=checkpoint.migration_cost_factor,
-            rebuild_scan_factor=checkpoint.rebuild_scan_factor,
-            seed=checkpoint.seed,
-            tracer=tracer,
-            metrics=metrics,
-        )
-        engine._restore(checkpoint)
-        if machines is not None and machines != engine.num_machines:
-            engine.resize(machines)
-        return engine
-
-    def _restore(self, checkpoint: StreamCheckpoint) -> None:
-        """Adopt a (privately owned) checkpoint as this engine's run state."""
-        self._consumed = True
-        s = _RunState()
-        rng = np.random.default_rng(self.seed)
-        rng.bit_generator.state = checkpoint.rng_state
-        s.rng = rng
-        s.history1, s.history2 = checkpoint.history1, checkpoint.history2
-        s.starts1 = list(checkpoint.starts1)
-        s.starts2 = list(checkpoint.starts2)
-        s.live1, s.live2 = checkpoint.live1, checkpoint.live2
-        s.partitioning = checkpoint.partitioning
-        s.region_to_machine = checkpoint.region_to_machine
-        s.last_batch_index = checkpoint.last_batch_index
-        s.position = checkpoint.position
-        s.cumulative = checkpoint.cumulative
-        s.result = checkpoint.result
-        s.pending_resize = checkpoint.pending_resize
-        s.result.restores += 1
-        s.result.backend = self.backend.name
-        s.result.join_clock = self.backend.clock_domain
-        self._state = s
-        self._phase = "running"
-        # Replayed source batches at or below this index were already
-        # consumed before the checkpoint; process_batch skips them.
-        self._skip_through = checkpoint.last_batch_index
-        self._open_run_span()
-        with self.tracer.span(
-            "restore", category="run", position=s.position
-        ) as span:
-            # The stable key-sort of index-sorted columns reproduces the
-            # key order of the state the checkpoint was taken from.
-            self.backend.bind(
-                self.num_machines, self.condition, self._transposed
-            )
-            self.backend.install_state(
-                checkpoint.state_index1,
-                checkpoint.state_index2,
-                s.history1,
-                s.history2,
-            )
-            span.set(
-                batches=len(s.result.batches),
-                resident=checkpoint.resident_tuples,
-            )
-        if self.metrics is not None:
-            self.metrics.counter("stream.restores").inc()
-
-    def measured_machine_speeds(self, last_n: int = 8) -> "np.ndarray | None":
-        """Normalised machine speeds from recently measured join seconds.
-
-        The live analogue of :mod:`repro.engine.heterogeneous`'s static
-        speed vector: average each machine's measured join seconds over
-        the last ``last_n`` batches and invert, normalised to mean 1.0.
-        Returns None when nothing has been measured yet (simulated
-        backends before any real timing, or no batches).  A driver can
-        feed this into its own resize policy -- e.g. shrink when the
-        slowest machine is idle, grow when every machine is saturated.
-        """
-        if self._state is None:
-            return None
-        J = self.num_machines
-        totals = np.zeros(J)
-        for metrics in self._state.result.batches[-last_n:]:
-            seconds = metrics.per_machine_join_seconds
-            if seconds is not None and len(seconds) == J:
-                totals += np.asarray(seconds, dtype=np.float64)
-        busy = totals > 0
-        if not busy.any():
-            return None
-        speeds = np.zeros(J)
-        speeds[busy] = 1.0 / totals[busy]
-        if (~busy).any():
-            speeds[~busy] = speeds[busy].mean()
-        return speeds * (J / speeds.sum())
+        return resume(cls, checkpoint, backend, machines, tracer, metrics)
 
 
 def compare_streaming_schemes(
@@ -1292,8 +1087,6 @@ def compare_streaming_schemes(
     policies: dict[str, RepartitioningPolicy] | None = None,
     backend_factory=None,
     window: WindowPolicy | str | None = None,
-    repartition_mode: str = "partial",
-    compact_history: bool = True,
     ewh_config: EWHConfig | None = None,
     sample_capacity: int = 2048,
     sample_decay: float = 0.8,
@@ -1311,11 +1104,10 @@ def compare_streaming_schemes(
 
     ``backend_factory`` builds one fresh
     :class:`~repro.streaming.backends.ExecutionBackend` per engine (e.g.
-    ``lambda: MultiprocessBackend(max_workers=4)``); each backend is closed
+    ``lambda: StickyWorkerBackend(max_workers=4)``); each backend is closed
     after its run.  The default runs every engine on the in-process
-    simulated backend.  ``window`` and ``compact_history`` apply to every
-    engine (window policies are stateless, so one instance
-    is safely shared).
+    simulated backend.  ``window`` applies to every engine (window policies
+    are stateless, so one instance is safely shared).
 
     ``tracer`` is shared by every engine -- all runs land in one trace,
     each under its own ``run`` span tagged with its scheme, so a single
@@ -1342,8 +1134,6 @@ def compare_streaming_schemes(
             policy=policy,
             backend=backend,
             window=window,
-            repartition_mode=repartition_mode,
-            compact_history=compact_history,
             sample_capacity=sample_capacity,
             sample_decay=sample_decay,
             ewh_config=ewh_config,

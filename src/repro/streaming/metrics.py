@@ -81,7 +81,7 @@ class BatchMetrics:
         Real time spent processing the batch (including any rebuild).
     join_seconds:
         Time the execution backend spent running this batch's per-region
-        joins (worker wall clock under the multiprocess backend; in-process
+        joins (worker wall clock under the sticky backend; in-process
         time under the simulated one; partly *modeled* under a
         virtual-delay :class:`~repro.streaming.backends.SlowConsumerBackend`
         -- see ``join_clock``).
@@ -99,9 +99,9 @@ class BatchMetrics:
         explicitly so the mix is visible.
     bytes_pickled, bytes_unpickled:
         Bytes this batch shipped through the execution backend's
-        serialization channel: task payloads out (``bytes_pickled``) and
-        result payloads back (``bytes_unpickled``) over the multiprocess
-        backend's ``ProcessPoolExecutor`` pickle channel.  ``None`` when
+        serialization channel: commands or task payloads out
+        (``bytes_pickled``) and replies back (``bytes_unpickled``) over a
+        process-backed backend's pickle channel.  ``None`` when
         the backend has no such channel (the in-process simulated backend)
         or profiling was disabled -- reporting renders ``-`` rather than a
         measured zero.  This is the per-batch serialization tax the
@@ -242,7 +242,7 @@ class StreamRunResult:
         Cluster size ``J``.
     backend:
         Reporting name of the execution backend that ran the per-region
-        joins (``"simulated"`` or ``"multiprocess"``).
+        joins (``"simulated"`` or ``"sticky"``).
     window:
         Reporting name of the window policy that bounded the retained state
         (``"unbounded"``, ``"batches:8"``, ``"tuples:5000"``, ...).

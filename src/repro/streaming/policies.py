@@ -16,7 +16,7 @@ the comparison of interest:
   balance.
 
 Policies only pick the *partitioning*; how much state a rebuild actually
-moves is the engine's ``repartition_mode`` (partial vs. full migration, see
+moves is the engine's migration planning (partial vs. full migration, see
 :mod:`repro.streaming.migration`), and the policy's drift decisions are
 deliberately insensitive to it: the detector consumes the batch's live
 imbalance *before* migration charges land, and that ratio is invariant under

@@ -1,11 +1,11 @@
 """Zero-copy array transport over POSIX shared memory for sticky workers.
 
-The :class:`~repro.streaming.backends.MultiprocessBackend` re-pickles every
-region's full key arrays through the ``ProcessPoolExecutor`` channel on every
-batch -- for a persistent streaming join that serialization tax dominates the
-join itself (``BatchMetrics.bytes_pickled`` meters it exactly).  The sticky
-worker backend keeps each worker's join state *resident* and ships only the
-per-batch delta, and this module is the transport it ships it on:
+Re-pickling every region's full key arrays through a ``ProcessPoolExecutor``
+channel on every batch is a serialization tax that, for a persistent
+streaming join, dominates the join itself (``BatchMetrics.bytes_pickled``
+meters it exactly).  The sticky worker backend keeps each worker's join
+state *resident* and ships only the per-batch delta, and this module is the
+transport it ships it on:
 
 * :class:`ShmArena` is the engine-side writer.  It owns one resizable
   ``multiprocessing.shared_memory`` segment, reused across messages: each

@@ -1,4 +1,4 @@
-"""Test helpers for the streaming suites: equivalences, faults and the oracle.
+"""Test helpers for the streaming suites: equivalences, faults and references.
 
 Several suites pin the same contract -- two engine runs over the same seeded
 stream must be *behaviourally bit-identical* -- from different angles:
@@ -19,7 +19,7 @@ killing real processes: :class:`CrashingBackend` raises
 (and stays dead, like a real lost fleet), :class:`FlakyBackend` fails a
 fixed number of calls and then recovers (a transient fault).  Both wrap any
 :class:`~repro.streaming.backends.ExecutionBackend` -- simulated for fast
-deterministic tests, sticky/multiprocess for end-to-end ones -- and forward
+deterministic tests, sticky for end-to-end ones -- and forward
 the full state-ownership protocol, so the engine cannot tell them from the
 real thing until the fault fires.
 
@@ -27,7 +27,12 @@ real thing until the fault fires.
 itself, living here rather than as a mode of the production engine: a
 protocol decorator that shadows the traffic it forwards, recounts every
 machine's full region from scratch after each ``count_batch`` and asserts
-the reported incremental delta against it.  ``tests/conftest.py`` and
+the reported incremental delta against it.  Three more references sit
+beside it, each selected by *which class a test instantiates*, never by an
+option on production code: :class:`NoTrimWindow` (the uncompacted
+bookkeeping), :class:`PositionalRebuildEngine` (the naive ``"full"``
+migration) and :class:`PicklingPoolBackend` (the stateless worker pool the
+sticky backend is measured against).  ``tests/conftest.py`` and
 ``benchmarks/conftest.py`` re-export the factory fixtures
 (:func:`crashing_backend`, :func:`flaky_backend`) so every suite can inject
 faults without owning backend cleanup.
@@ -35,8 +40,11 @@ faults without owning backend cleanup.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 
+from repro.engine.executor import join_assigned_regions
 from repro.joins.local import count_join_output
 from repro.obs.clock import perf_counter
 from repro.streaming.backends import (
@@ -44,14 +52,20 @@ from repro.streaming.backends import (
     RegionJoinResult,
     SimulatedBackend,
     WorkerCrashError,
+    default_mp_context,
 )
+from repro.streaming.engine import StreamingJoinEngine
 from repro.streaming.metrics import StreamRunResult
+from repro.streaming.window import WindowPolicy
 
 __all__ = [
     "assert_equivalent_runs",
     "CrashingBackend",
     "FlakyBackend",
     "RecountingBackend",
+    "NoTrimWindow",
+    "PositionalRebuildEngine",
+    "PicklingPoolBackend",
 ]
 
 
@@ -425,6 +439,85 @@ class RecountingBackend(_ForwardingBackend):
         """Forward the resize; the shadow empties until the reinstall."""
         super().resize(num_machines)
         self._reset(num_machines)
+
+
+class NoTrimWindow(WindowPolicy):
+    """The uncompacted reference: any window, with history never trimmed.
+
+    Decorates a bounded :class:`~repro.streaming.window.WindowPolicy`:
+    evictions are the inner policy's, but the safe trim point is always 0,
+    so the engine keeps the full-run histories, live sets and batch-start
+    lists in global coordinates -- the pre-compaction engine.  Outputs,
+    loads, evictions and migration plans must be bit-identical to the
+    compacting run; only the footprint may differ.
+    """
+
+    def __init__(self, inner: WindowPolicy) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self.is_unbounded = inner.is_unbounded
+
+    def evictions(self, live, batch_starts, total_arrived, rng):
+        """The inner policy's evictions, unchanged."""
+        return self.inner.evictions(live, batch_starts, total_arrived, rng)
+
+    def trim_point(self, live, total_arrived) -> int:
+        """Nothing is ever safe to trim."""
+        return 0
+
+
+class PositionalRebuildEngine(StreamingJoinEngine):
+    """The naive-rebuild reference: new region ``r`` lands on machine ``r``.
+
+    Every rebuild re-routes the whole live history positionally
+    (``plan_migration(mode="full")``) instead of matching regions to the
+    machines already holding most of their state.  Output must equal the
+    production engine's; the migration volume is what partial
+    repartitioning is measured against.
+    """
+
+    migration_mode = "full"
+
+
+class PicklingPoolBackend(ExecutionBackend):
+    """The stateless-pool baseline: every task's full keys pickled per batch.
+
+    Each ``join_regions`` call ships the busy regions' complete key arrays
+    to a ``ProcessPoolExecutor`` through the batch side's
+    :func:`~repro.engine.executor.join_assigned_regions`, which meters the
+    pickle channel -- the serialization volume the sticky backend's
+    resident state is benchmarked against.  Counts are bit-identical to
+    every other backend.
+    """
+
+    name = "multiprocess"
+
+    def __init__(self, max_workers: int) -> None:
+        self._pool = ProcessPoolExecutor(
+            max_workers=max_workers, mp_context=default_mp_context()
+        )
+
+    def join_regions(
+        self, region_keys, condition, keys2_sorted: bool = False
+    ) -> RegionJoinResult:
+        """Count every busy region on the pool; report the pickled bytes."""
+        self._ensure_open()
+        execution = join_assigned_regions(
+            self._pool, region_keys, condition, keys2_sorted=keys2_sorted
+        )
+        return RegionJoinResult(
+            per_machine_output=execution.per_machine_output,
+            per_machine_seconds=execution.per_machine_seconds,
+            wall_seconds=execution.wall_seconds,
+            bytes_pickled=execution.bytes_pickled,
+            bytes_unpickled=execution.bytes_unpickled,
+            worker_pids=execution.worker_pids,
+        )
+
+    def close(self) -> None:
+        """Shut the pool down (idempotent, final)."""
+        self._pool.shutdown()
+        super().close()
 
 
 try:  # pragma: no cover - exercised via the test suites' conftests

@@ -5,11 +5,11 @@ backend computes the *same* per-region outputs for the same state -- the
 cost model, incremental deltas and migration plans must be backend
 independent, with only the measured wall timings differing.  The equivalence
 tests here run a full drifting-Zipf stream through the simulated and the
-multiprocess backend with fixed seeds and compare everything that must
-match, batch by batch.
+sticky backend with fixed seeds and compare everything that must match,
+batch by batch.
 
-Multiprocess tests are marked ``multiprocess`` so constrained runners can
-deselect them with ``-m "not multiprocess"``.
+Tests that spawn worker processes are marked ``multiprocess`` so constrained
+runners can deselect them with ``-m "not multiprocess"``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.streaming import (
     DriftAdaptiveEWHPolicy,
     DriftDetector,
     DriftingZipfSource,
-    MultiprocessBackend,
     RegionStateTable,
     SimulatedBackend,
     SlowConsumerBackend,
@@ -80,7 +79,7 @@ class TestSimulatedBackend:
             backend.join_regions(_region_keys(rng, size=10), BAND)
         backend.close()  # idempotent
         assert backend.closed
-        # Uniform resource contract with the pooled backend: a closed
+        # Uniform resource contract with the sticky backend: a closed
         # backend refuses work instead of silently coming back to life.
         with pytest.raises(RuntimeError, match="closed"):
             backend.join_regions(_region_keys(rng, size=10), BAND)
@@ -132,10 +131,6 @@ class TestSlowConsumerBackend:
 class TestMakeBackend:
     def test_by_name(self):
         assert isinstance(make_backend("simulated"), SimulatedBackend)
-        backend = make_backend("multiprocess", max_workers=2)
-        assert isinstance(backend, MultiprocessBackend)
-        assert backend.max_workers == 2
-        backend.close()
 
     def test_sticky_by_name(self):
         backend = make_backend("sticky", max_workers=2)
@@ -150,17 +145,15 @@ class TestMakeBackend:
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
-            MultiprocessBackend(max_workers=0)
-        with pytest.raises(ValueError):
             StickyWorkerBackend(max_workers=0)
 
 
 class TestStartMethodPinning:
-    """The process backends must never inherit the platform's fork default.
+    """The process backend must never inherit the platform's fork default.
 
     A forked worker inherits the parent's locks mid-state; combined with
-    ``StreamingPipeline(mode="thread")`` that is a textbook deadlock.  Both
-    process backends therefore pin an explicit context (forkserver where
+    ``StreamingPipeline(mode="thread")`` that is a textbook deadlock.  The
+    sticky backend therefore pins an explicit context (forkserver where
     available, else spawn) instead of trusting
     ``multiprocessing.get_start_method()``.
     """
@@ -171,60 +164,15 @@ class TestStartMethodPinning:
             "spawn",
         }
 
-    def test_multiprocess_backend_pins_the_default_context(self):
-        backend = MultiprocessBackend(max_workers=1)
-        assert backend.start_method in {"forkserver", "spawn"}
-        backend.close()
-
     def test_sticky_backend_pins_the_default_context(self):
         backend = StickyWorkerBackend(max_workers=1)
         assert backend.start_method in {"forkserver", "spawn"}
         backend.close()
 
     def test_explicit_context_accepted_by_name(self):
-        backend = MultiprocessBackend(max_workers=1, mp_context="spawn")
-        assert backend.start_method == "spawn"
-        backend.close()
         sticky = StickyWorkerBackend(max_workers=1, mp_context="spawn")
         assert sticky.start_method == "spawn"
         sticky.close()
-
-
-@pytest.mark.multiprocess
-class TestMultiprocessBackend:
-    def test_counts_match_simulated(self, rng):
-        region_keys = _region_keys(rng)
-        simulated = SimulatedBackend().join_regions(region_keys, BAND)
-        with MultiprocessBackend(max_workers=2) as backend:
-            parallel = backend.join_regions(region_keys, BAND)
-        np.testing.assert_array_equal(
-            parallel.per_machine_output, simulated.per_machine_output
-        )
-        # Busy regions were actually timed on the workers.
-        busy = simulated.per_machine_output > 0
-        assert np.all(parallel.per_machine_seconds[busy] > 0)
-
-    def test_pool_is_reused_across_batches(self, rng):
-        with MultiprocessBackend(max_workers=2) as backend:
-            backend.join_regions(_region_keys(rng, size=20), BAND)
-            pool = backend._pool
-            backend.join_regions(_region_keys(rng, size=20), BAND)
-            assert backend._pool is pool
-
-    def test_use_after_close_raises_instead_of_leaking_a_pool(self, rng):
-        # join_regions after close() used to silently resurrect the worker
-        # pool via _ensure_pool(), leaking a pool nobody would ever shut
-        # down.  Use-after-close must raise; close() stays idempotent.
-        backend = MultiprocessBackend(max_workers=2)
-        backend.join_regions(_region_keys(rng, size=20), BAND)
-        backend.close()
-        assert backend._pool is None
-        assert backend.closed
-        with pytest.raises(RuntimeError, match="closed"):
-            backend.join_regions(_region_keys(rng, size=20), BAND)
-        assert backend._pool is None
-        backend.close()
-        backend.close()  # idempotent
 
 
 class TestStickyWorkerState:
@@ -645,7 +593,7 @@ def _drift_source():
     )
 
 
-def _drift_engine(backend, repartition_mode="partial", window="unbounded"):
+def _drift_engine(backend, window="unbounded"):
     """A fixed-seed adaptive engine over the given backend."""
     policy = DriftAdaptiveEWHPolicy(
         DriftDetector(threshold=1.3, warmup_batches=1, cooldown_batches=2)
@@ -654,112 +602,23 @@ def _drift_engine(backend, repartition_mode="partial", window="unbounded"):
         4, BAND, UNIT,
         policy=policy,
         backend=backend,
-        repartition_mode=repartition_mode,
         sample_capacity=256,
         seed=4,
         window=window,
     )
 
 
-def _drift_run(backend, repartition_mode="partial", window="unbounded"):
+def _drift_run(backend, window="unbounded"):
     """One fixed-seed drifting-Zipf run on the given backend."""
-    return _drift_engine(backend, repartition_mode, window).run(_drift_source())
-
-
-@pytest.mark.multiprocess
-class TestCrossBackendEquivalence:
-    """Fixed seeds: simulated and multiprocess runs must agree exactly."""
-
-    @pytest.fixture(scope="class")
-    def runs(self):
-        simulated = _drift_run(SimulatedBackend())
-        with MultiprocessBackend(max_workers=2) as backend:
-            multiprocess = _drift_run(backend)
-        return simulated, multiprocess
-
-    def test_the_run_actually_exercises_repartitioning(self, runs):
-        simulated, _ = runs
-        assert simulated.num_repartitions >= 1
-        assert simulated.total_migrated > 0
-
-    def test_backend_names_are_recorded(self, runs):
-        simulated, multiprocess = runs
-        assert simulated.backend == "simulated"
-        assert multiprocess.backend == "multiprocess"
-
-    def test_total_output_identical_and_correct(self, runs):
-        simulated, multiprocess = runs
-        assert simulated.output_correct and multiprocess.output_correct
-        assert simulated.total_output == multiprocess.total_output
-
-    def test_per_region_output_counts_identical(self, runs):
-        simulated, multiprocess = runs
-        for sim_batch, mp_batch in zip(simulated.batches, multiprocess.batches):
-            if sim_batch.per_machine_output_delta is None:
-                assert mp_batch.per_machine_output_delta is None
-                continue
-            np.testing.assert_array_equal(
-                sim_batch.per_machine_output_delta,
-                mp_batch.per_machine_output_delta,
-            )
-            assert sim_batch.output_delta == mp_batch.output_delta
-
-    def test_cost_model_loads_identical(self, runs):
-        simulated, multiprocess = runs
-        np.testing.assert_allclose(
-            simulated.cumulative_load, multiprocess.cumulative_load
-        )
-        for sim_batch, mp_batch in zip(simulated.batches, multiprocess.batches):
-            np.testing.assert_allclose(
-                sim_batch.per_machine_load, mp_batch.per_machine_load
-            )
-            assert sim_batch.live_imbalance == pytest.approx(
-                mp_batch.live_imbalance
-            )
-
-    def test_migration_plans_identical(self, runs):
-        simulated, multiprocess = runs
-        sim_plans = [b.migration_plan for b in simulated.batches if b.repartitioned]
-        mp_plans = [b.migration_plan for b in multiprocess.batches if b.repartitioned]
-        assert [b.batch_index for b in simulated.batches if b.repartitioned] == [
-            b.batch_index for b in multiprocess.batches if b.repartitioned
-        ]
-        for sim_plan, mp_plan in zip(sim_plans, mp_plans):
-            assert sim_plan.mode == mp_plan.mode == "partial"
-            np.testing.assert_array_equal(
-                sim_plan.region_to_machine, mp_plan.region_to_machine
-            )
-            np.testing.assert_array_equal(
-                sim_plan.per_machine_arrivals, mp_plan.per_machine_arrivals
-            )
-            np.testing.assert_array_equal(
-                sim_plan.per_machine_departures, mp_plan.per_machine_departures
-            )
-            # The stored plans are slimmed (state index arrays dropped);
-            # post-migration state equivalence is pinned by the per-machine
-            # loads and output deltas of every later batch instead.
-            assert sim_plan.new_assignments1 == [] and mp_plan.new_assignments1 == []
-
-    def test_multiprocess_records_real_worker_timings(self, runs):
-        _, multiprocess = runs
-        assert multiprocess.join_seconds > 0
-        busy_batches = [
-            batch for batch in multiprocess.batches if batch.output_delta > 0
-        ]
-        assert busy_batches
-        assert all(
-            batch.per_machine_join_seconds is not None
-            and batch.per_machine_join_seconds.max() > 0
-            for batch in busy_batches
-        )
+    return _drift_engine(backend, window).run(_drift_source())
 
 
 @pytest.mark.multiprocess
 class TestStickyBackendEquivalence:
     """The sticky backend's worker-resident fold must be bit-identical.
 
-    Same fixed-seed drifting stream as the multiprocess equivalence class;
-    here the join state lives in the worker processes and the engine only
+    A fixed-seed drifting stream run on both backends; under sticky the
+    join state lives in the worker processes and the engine only
     ever ships deltas, so these tests pin the whole state-ownership
     protocol (count/evict/rebase/install) against the in-process engine.
     """
@@ -773,8 +632,9 @@ class TestStickyBackendEquivalence:
 
     def test_backend_name_and_repartitioning(self, runs):
         simulated, sticky = runs
-        assert sticky.backend == "sticky"
+        assert (simulated.backend, sticky.backend) == ("simulated", "sticky")
         assert simulated.num_repartitions >= 1
+        assert simulated.total_migrated > 0
         assert sticky.num_repartitions == simulated.num_repartitions
 
     def test_total_output_identical_and_correct(self, runs):
@@ -845,7 +705,7 @@ class TestStickyBackendEquivalence:
         assert all(b.bytes_shm is not None and b.bytes_shm > 0 for b in counting)
         # The pickle channel carries only control messages: far smaller
         # than the array payload it replaces (the hard >=10x steady-state
-        # bound against the multiprocess backend lives in
+        # bound against the pickling-pool baseline lives in
         # benchmarks/test_streaming_scaling.py).
         assert sticky.total_bytes_pickled < sticky.total_bytes_shm
 
@@ -914,28 +774,14 @@ class TestStickyWindowedEquivalence:
 @pytest.mark.multiprocess
 @pytest.mark.threads
 class TestThreadedPipelineOverProcessBackends:
-    """Real threads feeding a process-backed engine must not deadlock.
+    """Real threads feeding the process-backed engine must not deadlock.
 
     Under the platform-default fork start method a worker forked while the
     pipeline's producer thread holds an internal lock can inherit that lock
     mid-acquire and hang forever; the pinned forkserver/spawn context makes
-    the combination safe.  These runs also re-pin losslessness: block-mode
+    the combination safe.  The run also re-pins losslessness: block-mode
     pipelining never changes what is computed.
     """
-
-    def test_thread_pipeline_over_multiprocess_backend(self):
-        sync = _drift_run(SimulatedBackend())
-        with MultiprocessBackend(max_workers=2) as backend:
-            piped = StreamingPipeline(
-                _drift_source(),
-                _drift_engine(backend),
-                queue_batches=2,
-                backpressure="block",
-                mode="thread",
-            ).run()
-        assert piped.total_output == sync.total_output
-        assert piped.total_tuples_shed == 0
-        np.testing.assert_allclose(piped.cumulative_load, sync.cumulative_load)
 
     def test_thread_pipeline_over_sticky_backend(self):
         sync = _drift_run(SimulatedBackend())

@@ -21,6 +21,10 @@ growth and shrinkage alike.
 
 from __future__ import annotations
 
+import hashlib
+import pickle
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,12 +39,11 @@ from repro.streaming import (
     DriftDetector,
     DriftingZipfSource,
     MicroBatch,
-    MultiprocessBackend,
     StaticEWHPolicy,
     StaticOneBucketPolicy,
-    StickyWorkerBackend,
     StreamCheckpoint,
     StreamingJoinEngine,
+    make_backend,
     run_resilient,
 )
 from repro.streaming.testing import assert_equivalent_runs
@@ -135,15 +138,13 @@ def test_one_checkpoint_seeds_many_resumes(seed, stop_after, window):
 
 
 @pytest.mark.multiprocess
-@pytest.mark.parametrize("backend_name", ["multiprocess", "sticky"])
+@pytest.mark.parametrize("backend_name", ["sticky"])
 @pytest.mark.parametrize("window", [None, "batches:4"])
 def test_restore_bit_identical_across_real_backends(backend_name, window):
-    """Kill-and-restore holds on the real process-backed backends too."""
+    """Kill-and-restore holds on the real process-backed backend too."""
 
     def build_backend():
-        if backend_name == "multiprocess":
-            return MultiprocessBackend(max_workers=2)
-        return StickyWorkerBackend(max_workers=2)
+        return make_backend(backend_name, max_workers=2)
 
     source = make_source(seed=7)
     backend = build_backend()
@@ -230,18 +231,49 @@ def test_from_bytes_refuses_garbage():
     versioned[4:8] = (99).to_bytes(4, "little")
     with pytest.raises(ValueError, match="version 99"):
         StreamCheckpoint.from_bytes(bytes(versioned))
-    # Version 1 (key-sorted state columns, a counting mode) is refused by
-    # name, with the version this build does read.
-    assert CHECKPOINT_VERSION == 2
-    versioned[4:8] = (1).to_bytes(4, "little")
-    with pytest.raises(ValueError, match=r"version 1;.*reads version 2 only"):
-        StreamCheckpoint.from_bytes(bytes(versioned))
+    # Versions 1 (key-sorted state columns, a counting mode) and 2 (three
+    # removed engine options) are refused by name, with the version this
+    # build does read.
+    assert CHECKPOINT_VERSION == 3
+    for stale in (1, 2):
+        versioned[4:8] = stale.to_bytes(4, "little")
+        with pytest.raises(
+            ValueError,
+            match=rf"version {stale};.*reads version 3 only.*version 1.*version 2",
+        ):
+            StreamCheckpoint.from_bytes(bytes(versioned))
     corrupted = bytearray(payload)
     corrupted[-1] ^= 0xFF
     with pytest.raises(ValueError, match="digest mismatch"):
         StreamCheckpoint.from_bytes(bytes(corrupted))
     with pytest.raises(ValueError, match="payload bytes"):
         StreamCheckpoint.from_bytes(payload + b"trailing")
+
+
+def test_from_bytes_refuses_a_payload_with_the_wrong_keys():
+    """A digest-valid container whose keys are not the fields: ValueError."""
+    source = make_source(seed=3)
+    _, checkpoint = run_with_checkpoint(source, 4, seed=3)
+    raw = checkpoint.to_bytes()
+    header = struct.Struct("<4sIQ32s")
+    magic, version, _, _ = header.unpack_from(raw)
+
+    def container(captured):
+        payload = pickle.dumps(captured, protocol=4)
+        digest = hashlib.sha256(payload).digest()
+        return header.pack(magic, version, len(payload), digest) + payload
+
+    captured = pickle.loads(raw[header.size :])
+    assert StreamCheckpoint.from_bytes(container(captured)).position == checkpoint.position
+    del captured["seed"]
+    captured["stale_option"] = True
+    with pytest.raises(
+        ValueError,
+        match=r"missing \['seed'\], unexpected \['stale_option'\]",
+    ):
+        StreamCheckpoint.from_bytes(container(captured))
+    with pytest.raises(ValueError, match="malformed stream checkpoint"):
+        StreamCheckpoint.from_bytes(container(["not", "a", "dict"]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""Documentation gates: resolvable links and streaming docstring coverage.
+"""Documentation gates: links, documented imports, docstring coverage.
 
-Two things are enforced here (and re-run by the CI ``docs`` job):
+Three things are enforced here (and re-run by the CI ``docs`` job):
 
 * every relative link in ``README.md`` and ``docs/*.md`` points at a file
   that actually exists in the repository (external ``http(s)`` links and
   pure in-page anchors are skipped);
+* every ``import repro...`` / ``from repro... import ...`` statement inside
+  a fenced python block of those files executes, so deleting a public name
+  cannot leave a documented import dangling;
 * every public module, class, function and method in ``repro.streaming``
   and ``repro.obs`` carries a docstring -- the same contract as ruff's
   pydocstyle ``D1`` rules (minus ``D107``: ``__init__`` parameters are
@@ -25,6 +28,7 @@ STREAMING_DIR = REPO_ROOT / "src" / "repro" / "streaming"
 OBS_DIR = REPO_ROOT / "src" / "repro" / "obs"
 
 LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.DOTALL | re.MULTILINE)
 
 
 def markdown_files() -> list[Path]:
@@ -52,6 +56,28 @@ def test_markdown_links_resolve(path):
         if not target_path.exists():
             broken.append(target)
     assert not broken, f"{path.name}: broken relative links {broken}"
+
+
+@pytest.mark.parametrize("path", markdown_files(), ids=lambda p: p.name)
+def test_documented_repro_imports_execute(path):
+    """Every ``repro`` import in a fenced python block names real things."""
+    dangling = []
+    for block in PYTHON_BLOCK.findall(path.read_text()):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if not any(m.split(".")[0] == "repro" for m in modules):
+                continue
+            statement = ast.unparse(node)
+            try:
+                exec(statement, {})
+            except (ImportError, AttributeError) as error:
+                dangling.append(f"{statement!r}: {error}")
+    assert not dangling, f"{path.name}: dangling documented imports {dangling}"
 
 
 def _is_public(name: str) -> bool:

@@ -11,7 +11,7 @@ Three families of guarantees:
   bounded on a hot loop, and a simulated pipeline traced with a
   :class:`~repro.obs.trace.TickClock` exports a **byte-identical** trace
   on every replay;
-* **serialization profiling** -- under the multiprocess backend every
+* **serialization profiling** -- under the sticky (process) backend every
   counted batch reports nonzero pickle-channel bytes, which surface in
   :class:`~repro.streaming.metrics.BatchMetrics` and the streaming tables,
   while the simulated backend's runs render ``-`` there (``None``, never a
@@ -386,17 +386,19 @@ def test_simulated_runs_report_no_serialization_channel():
 
 @pytest.mark.multiprocess
 def test_multiprocess_runs_charge_pickle_bytes_per_batch():
-    """Every counted batch ships task and result payloads through the pool
-    pickle channel; the engine charges those bytes onto BatchMetrics and
-    the tables surface them."""
+    """Every counted batch ships control messages through the sticky
+    workers' pickle channel (and its arrays through shared memory); the
+    engine charges those bytes onto BatchMetrics and the tables surface
+    them."""
     tracer = Tracer()
-    with make_backend("multiprocess", max_workers=2) as backend:
+    with make_backend("sticky", max_workers=2) as backend:
         result = make_engine(backend=backend, tracer=tracer).run(make_source())
     counted = [b for b in result.batches if b.bytes_pickled is not None]
     assert counted, "no batch went through the serialization channel"
     assert all(batch.bytes_pickled > 0 for batch in counted)
     assert result.total_bytes_pickled == sum(b.bytes_pickled for b in counted)
     assert result.total_bytes_unpickled is not None
+    assert all(batch.bytes_shm > 0 for batch in counted)
 
     table = format_streaming_table({"mp": result})
     header, _, row = table.splitlines()[:3]
@@ -406,10 +408,11 @@ def test_multiprocess_runs_charge_pickle_bytes_per_batch():
     assert "mp pickled KB" in batches_table.splitlines()[0]
 
     # Worker spans were stitched under the dispatching batch, one Chrome
-    # track per pool pid.
+    # track per worker pid.
     worker_spans = [s for s in tracer.spans if s.category == "worker"]
     assert worker_spans
     assert all(span.tid > 0 for span in worker_spans)
+    assert len({span.tid for span in worker_spans}) == 2
 
 
 def test_trace_summary_renders_header_for_empty_trace():

@@ -403,14 +403,15 @@ class TestMultiprocessPipeline:
     def test_block_pipeline_matches_synchronous_across_backends(self):
         """The pipeline contract is backend-independent.
 
-        A block-mode pipelined run on the multiprocess backend must be
-        behaviourally bit-identical to the synchronous simulated-backend
-        run: the queue changes when work happens, never what is computed.
+        A block-mode pipelined run on the sticky (real-process) backend
+        must be behaviourally bit-identical to the synchronous
+        simulated-backend run: the queue changes when work happens, never
+        what is computed.
         """
         sync = make_engine().run(drift_source(num_batches=6))
-        from repro.streaming import MultiprocessBackend
+        from repro.streaming import StickyWorkerBackend
 
-        with MultiprocessBackend(max_workers=2) as backend:
+        with StickyWorkerBackend(max_workers=2) as backend:
             piped = simulated(
                 drift_source(num_batches=6), make_engine(backend=backend),
                 backpressure="block", queue=2, service=2.0, rate=1.0,

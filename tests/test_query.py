@@ -13,10 +13,6 @@ Four layers, mirroring ``tests/test_analysis.py``:
 * the CLI/JSON contract and the ``examples/queries`` fixture directory —
   admitted specs exit 0, every rejected fixture exits 1 with the rule id
   its filename promises (the CI gate's own semantics).
-
-The sqlglot dialect is exercised only where the optional extra is
-installed (CI's analysis job); everywhere else those tests skip and the
-ImportError hint is asserted instead.
 """
 
 from __future__ import annotations
@@ -45,9 +41,7 @@ from repro.query import (
     compile_sql,
     default_query_rules,
     estimate_plan,
-    lower,
     parse_sql,
-    sqlglot_available,
 )
 from repro.query.cli import main
 from repro.query.nodes import BandPredicate, Comparison
@@ -156,10 +150,6 @@ class TestParser:
             parse_sql(
                 "SELECT COUNT(*) FROM a JOIN b ON a.x BETWEEN b.y - 2 AND b.y + 3"
             )
-
-    def test_unknown_dialect_rejected(self):
-        with pytest.raises(ValueError, match="unknown dialect"):
-            parse_sql(EQUI, dialect="mystery")
 
 
 # ---------------------------------------------------------------------------
@@ -477,35 +467,3 @@ class TestExampleQueries:
     def test_whole_directory_exits_one(self):
         assert main(["check", str(QUERIES)]) == 1
 
-
-# ---------------------------------------------------------------------------
-# The optional sqlglot dialect
-# ---------------------------------------------------------------------------
-class TestSqlglotDialect:
-    @pytest.mark.skipif(not sqlglot_available(), reason="sqlglot not installed")
-    def test_dialects_agree_on_lowering(self):
-        for sql in (
-            EQUI + " WINDOW 'batches:8' POLICY 'shed' QUEUE 4",
-            "SELECT COUNT(*) FROM a JOIN b ON ABS(a.x - b.y) <= 4",
-            "SELECT COUNT(*) FROM a JOIN b ON a.x BETWEEN b.y - 4 AND b.y + 4",
-            "SELECT COUNT(*) FROM r1 JOIN r2 ON r1.k < r2.k WINDOW 'batches:4'",
-        ):
-            builtin = lower(parse_sql(sql, dialect="builtin"))
-            glot = lower(parse_sql(sql, dialect="sqlglot"))
-            assert builtin == glot, sql
-
-    @pytest.mark.skipif(not sqlglot_available(), reason="sqlglot not installed")
-    def test_sqlglot_dialect_compiles(self):
-        plan = compile_sql(EQUI, dialect="sqlglot")
-        assert isinstance(plan.condition, EquiJoinCondition)
-
-    @pytest.mark.skipif(
-        sqlglot_available(), reason="sqlglot installed; hint untestable"
-    )
-    def test_missing_sqlglot_raises_with_install_hint(self):
-        with pytest.raises(ImportError, match=r"pip install 'repro\[query\]'"):
-            parse_sql(EQUI, dialect="sqlglot")
-
-    def test_auto_dialect_always_parses(self):
-        stmt = parse_sql(EQUI, dialect="auto")
-        assert stmt.join.table.name == "r2"

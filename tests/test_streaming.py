@@ -29,9 +29,14 @@ from repro.streaming import (
     StreamingJoinEngine,
     StreamRunResult,
     compare_streaming_schemes,
+    make_backend,
     plan_migration,
 )
-from repro.streaming.testing import RecountingBackend, assert_equivalent_runs
+from repro.streaming.testing import (
+    PositionalRebuildEngine,
+    RecountingBackend,
+    assert_equivalent_runs,
+)
 from repro.workloads.definitions import make_bcb
 
 UNIT = WeightFunction(1.0, 1.0)
@@ -619,18 +624,31 @@ class TestStreamingJoinEngine:
             z_initial=0.1, z_final=1.2, shift_at_batch=4, seed=11,
         )
 
-        def run(mode):
+        def run(engine_cls, stop_after=None):
             policy = DriftAdaptiveEWHPolicy(
                 DriftDetector(threshold=1.3, warmup_batches=1, cooldown_batches=2)
             )
-            engine = StreamingJoinEngine(
-                8, BAND, UNIT, policy=policy, sample_capacity=512,
-                repartition_mode=mode, seed=4,
+            engine = engine_cls(
+                8, BAND, UNIT, policy=policy, sample_capacity=512, seed=4
             )
-            return engine.run(source)
+            if stop_after is None:
+                return engine.run(source)
+            # Checkpoint mid-stream and finish on the resumed engine: the
+            # reference class must survive resume_from (a classmethod).
+            engine.start()
+            for batch in source.batches():
+                engine.process_batch(batch)
+                if batch.index == stop_after:
+                    break
+            resumed = engine_cls.resume_from(engine.checkpoint())
+            assert type(resumed) is engine_cls
+            for batch in source.batches():
+                resumed.process_batch(batch)
+            return resumed.finish()
 
-        full = run("full")
-        partial = run("partial")
+        full = run(PositionalRebuildEngine)
+        partial = run(StreamingJoinEngine)
+        assert_equivalent_runs(run(PositionalRebuildEngine, stop_after=5), full)
         # The modes differ only in how much state a rebuild ships: joins,
         # trigger batches and exact output are identical.
         assert full.output_correct and partial.output_correct
@@ -642,9 +660,21 @@ class TestStreamingJoinEngine:
             plan.region_to_machine.tolist() == list(range(8)) for plan in full_plans
         )
 
-    def test_invalid_repartition_mode(self):
-        with pytest.raises(ValueError, match="repartition_mode"):
-            StreamingJoinEngine(2, BAND, UNIT, repartition_mode="lazy")
+    def test_removed_options_are_gone_by_name(self):
+        """The deleted knobs, dialect and backend are not silently accepted."""
+        from repro.query import parse_sql
+
+        for removed in (
+            {"compact_history": False},
+            {"repartition_mode": "full"},
+            {"rebuild_scan_factor": 0.5},
+        ):
+            with pytest.raises(TypeError, match=next(iter(removed))):
+                StreamingJoinEngine(2, BAND, UNIT, **removed)
+        with pytest.raises(TypeError, match="dialect"):
+            parse_sql("SELECT COUNT(*) FROM a JOIN b ON a.x = b.x", dialect="sqlglot")
+        with pytest.raises(ValueError, match="available: simulated, sticky"):
+            make_backend("multiprocess")
 
     def test_single_machine(self, rng):
         keys = rng.uniform(0, 50, 200)

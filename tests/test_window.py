@@ -23,13 +23,14 @@ from repro.streaming import (
     SlidingWindow,
     SortedRegionState,
     StaticEWHPolicy,
+    StreamCheckpoint,
     StreamingJoinEngine,
     StreamSource,
     UnboundedWindow,
     compare_streaming_schemes,
     make_window,
 )
-from repro.streaming.testing import RecountingBackend
+from repro.streaming.testing import NoTrimWindow, RecountingBackend
 
 UNIT = WeightFunction(1.0, 1.0)
 BAND = BandJoinCondition(beta=1.0)
@@ -433,10 +434,27 @@ class TestWindowedEngine:
             4, BAND, UNIT, policy=StaticEWHPolicy(), window="batches:2",
             sample_capacity=256, seed=3,
         ).run(drift_source())
-        reference = StreamingJoinEngine(
-            4, BAND, UNIT, policy=StaticEWHPolicy(), window="batches:2",
-            compact_history=False, sample_capacity=256, seed=3,
-        ).run(drift_source())
+        leaky = StreamingJoinEngine(
+            4, BAND, UNIT, policy=StaticEWHPolicy(),
+            window=NoTrimWindow(make_window("batches:2")),
+            sample_capacity=256, seed=3,
+        )
+        # Stop the uncompacted reference mid-stream and finish it from its
+        # serialized checkpoint: the window decorator must deep-copy and
+        # pickle like any other policy.
+        leaky.start()
+        for batch in drift_source().batches():
+            leaky.process_batch(batch)
+            if batch.index == 4:
+                break
+        resumed = StreamingJoinEngine.resume_from(
+            StreamCheckpoint.from_bytes(leaky.checkpoint().to_bytes())
+        )
+        assert isinstance(resumed.window, NoTrimWindow)
+        for batch in drift_source().batches():
+            resumed.process_batch(batch)
+        reference = resumed.finish()
+        assert reference.window == "batches:2"
         assert [b.output_delta for b in compacted.batches] == [
             b.output_delta for b in reference.batches
         ]

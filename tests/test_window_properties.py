@@ -43,8 +43,13 @@ from repro.streaming import (
     StaticEWHPolicy,
     StickyWorkerBackend,
     StreamingJoinEngine,
+    make_window,
 )
-from repro.streaming.testing import RecountingBackend, assert_equivalent_runs
+from repro.streaming.testing import (
+    NoTrimWindow,
+    RecountingBackend,
+    assert_equivalent_runs,
+)
 
 UNIT = WeightFunction(1.0, 1.0)
 BAND = BandJoinCondition(beta=1.0)
@@ -69,12 +74,11 @@ def make_policy(adaptive: bool):
 
 
 def run_engine(source, num_machines, policy, window=None, backend=None,
-               compact=True, seed=0):
+               seed=0):
     """One engine run with the suite's small sample state."""
     engine = StreamingJoinEngine(
         num_machines, BAND, UNIT, policy=policy, window=window,
-        backend=backend, compact_history=compact, sample_capacity=256,
-        seed=seed,
+        backend=backend, sample_capacity=256, seed=seed,
     )
     return engine.run(source)
 
@@ -242,12 +246,12 @@ def test_compaction_is_invisible_and_bounds_the_footprint(
     (a) Every per-batch metric of the compacted engine -- output deltas,
     per-machine loads, evictions, bytes freed, resident state, migration
     volumes and plans -- is bit-identical to an uncompacted reference run
-    (``compact_history=False``, the pre-compaction engine) on the same
-    seeded stream.  (b) The compacted engine's total footprint -- history
-    lengths, live-set lengths and resident state -- stays below a constant
-    derived only from the window shape, the per-batch arrival rate and the
-    cluster size, however long the stream runs; the uncompacted history
-    instead grows linearly.
+    (the same window behind :class:`~repro.streaming.testing.NoTrimWindow`,
+    the pre-compaction engine) on the same seeded stream.  (b) The
+    compacted engine's total footprint -- history lengths, live-set lengths
+    and resident state -- stays below a constant derived only from the
+    window shape, the per-batch arrival rate and the cluster size, however
+    long the stream runs; the uncompacted history instead grows linearly.
     """
     size = window_size if kind == "batches" else window_size * 90
     num_batches = 2 * NUM_BATCHES
@@ -258,7 +262,7 @@ def test_compaction_is_invisible_and_bounds_the_footprint(
     )
     reference = run_engine(
         make_source(seed, num_batches), num_machines, make_policy(adaptive),
-        window=f"{kind}:{size}", compact=False, seed=engine_seed,
+        window=NoTrimWindow(make_window(f"{kind}:{size}")), seed=engine_seed,
     )
 
     # (a) Compaction is pure bookkeeping: bit-identical behaviour.
