@@ -14,12 +14,6 @@ from repro.bench.reporting import format_rows
 from repro.workloads.definitions import make_bcb
 
 from bench_utils import bench_machines, scaled
-import pytest
-
-#: Heavy paper-figure regeneration (seconds to minutes): deselect with
-#: ``-m "not slow"`` for a fast signal; CI runs a fast job and a full job.
-pytestmark = pytest.mark.slow
-
 
 BETAS = (1, 2, 3, 4, 8, 16)
 

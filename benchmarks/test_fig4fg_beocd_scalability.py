@@ -15,12 +15,6 @@ from repro.bench.scalability import run_weak_scaling
 from repro.workloads.definitions import make_beocd
 
 from bench_utils import scaled
-import pytest
-
-#: Heavy paper-figure regeneration (seconds to minutes): deselect with
-#: ``-m "not slow"`` for a fast signal; CI runs a fast job and a full job.
-pytestmark = pytest.mark.slow
-
 
 
 def run_sweep():

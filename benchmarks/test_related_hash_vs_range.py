@@ -21,12 +21,6 @@ from repro.partitioning.ewh import build_ewh_partitioning
 from repro.partitioning.hash_repartition import HashRepartitioning
 
 from bench_utils import bench_machines, scaled
-import pytest
-
-#: Heavy paper-figure regeneration (seconds to minutes): deselect with
-#: ``-m "not slow"`` for a fast signal; CI runs a fast job and a full job.
-pytestmark = pytest.mark.slow
-
 
 BETAS = (0, 1, 2, 4, 8)
 

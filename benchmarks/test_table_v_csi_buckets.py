@@ -15,11 +15,6 @@ from repro.bench.table5 import run_table_v
 from repro.workloads.definitions import make_bcb, make_beocd
 
 from bench_utils import bench_machines, scaled
-import pytest
-
-#: Heavy paper-figure regeneration (seconds to minutes): deselect with
-#: ``-m "not slow"`` for a fast signal; CI runs a fast job and a full job.
-pytestmark = pytest.mark.slow
 
 
 BUCKET_COUNTS = (50, 100, 200, 400, 800)

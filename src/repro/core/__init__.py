@@ -16,7 +16,8 @@ Modules, in the order the 3-stage histogram algorithm uses them:
 * :mod:`repro.core.coarsening` -- stage 2 (coarsening): grid tiling of MS
   into MC, with the MonotonicCoarsening shortcut.
 * :mod:`repro.core.bsp` / :mod:`repro.core.monotonic_bsp` -- the tiling
-  algorithms used by stage 3.
+  algorithms used by stage 3, over the threshold-independent
+  :mod:`repro.core.tiling_tables` they share.
 * :mod:`repro.core.regionalization` -- stage 3: binary search over the
   region-weight threshold around a tiling algorithm.
 * :mod:`repro.core.histogram` -- the end-to-end equi-weight histogram

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from repro.core.grid import WeightedGrid
 from repro.core.region import GridRegion
+from repro.core.tiling_tables import Rect, TilingTables
 from repro.core.weights import WeightFunction
 
 __all__ = ["BSPResult", "bsp_partition"]
@@ -80,7 +81,16 @@ def bsp_partition(
         If the grid's larger dimension exceeds ``max_grid_size`` (the
         baseline is O(size^5); use MonotonicBSP instead).
     """
-    rows, cols = grid.shape
+    return bsp_tiling(TilingTables(grid, weight_fn), delta, max_grid_size)
+
+
+def bsp_tiling(
+    tables: TilingTables,
+    delta: float,
+    max_grid_size: int = DEFAULT_MAX_GRID_SIZE,
+) -> BSPResult:
+    """:func:`bsp_partition` over tables shared between thresholds."""
+    rows, cols = tables.shape
     if max(rows, cols) > max_grid_size:
         raise ValueError(
             f"baseline BSP refuses grids larger than {max_grid_size} per side "
@@ -88,87 +98,60 @@ def bsp_partition(
         )
 
     # DP over all rectangles, processed in increasing semi-perimeter order so
-    # the halves of any split are already solved.  A rectangle is keyed by
-    # (row_lo, row_hi, col_lo, col_hi).
-    counts: dict[tuple[int, int, int, int], int] = {}
-    plans: dict[tuple[int, int, int, int], object] = {}
-
-    def key(region: GridRegion) -> tuple[int, int, int, int]:
-        return (region.row_lo, region.row_hi, region.col_lo, region.col_hi)
-
-    rectangles: list[GridRegion] = [
-        GridRegion(r1, r2, c1, c2)
+    # the halves of any split are already solved.
+    rectangles: list[Rect] = [
+        (r1, r2, c1, c2)
         for r1 in range(rows)
         for r2 in range(r1, rows)
         for c1 in range(cols)
         for c2 in range(c1, cols)
     ]
-    rectangles.sort(key=lambda r: (r.semi_perimeter, r.num_rows))
+    rectangles.sort(key=lambda r: (r[1] - r[0] + r[3] - r[2], r[1] - r[0]))
 
+    counts: dict[Rect, int] = {}
+    # The rectangles to cover in a rectangle's stead: its minimal candidate
+    # rectangle, or the two halves of its best split; empty when it is one
+    # region itself or holds nothing to cover.
+    plans: dict[Rect, tuple[Rect, ...]] = {}
     for rect in rectangles:
-        minimal = grid.minimal_candidate_rectangle(rect)
-        if minimal is None:
-            counts[key(rect)] = 0
-            plans[key(rect)] = None
+        minimal_id = tables.shrink(rect)
+        if minimal_id < 0:
+            counts[rect] = 0
+            plans[rect] = ()
             continue
+        minimal = tables.rects[minimal_id]
         if minimal != rect:
             # Defer to the minimal candidate rectangle, which has a smaller
             # (or equal) semi-perimeter and is therefore already solved.
-            counts[key(rect)] = counts[key(minimal)]
-            plans[key(rect)] = ("shrink", minimal)
+            counts[rect] = counts[minimal]
+            plans[rect] = (minimal,)
             continue
-        weight = grid.region_weight(rect, weight_fn)
-        if weight <= delta or (rect.num_rows == 1 and rect.num_cols == 1):
-            counts[key(rect)] = 1
-            plans[key(rect)] = None
+        if tables.leaf_thresholds[minimal_id] <= delta:
+            counts[rect] = 1
+            plans[rect] = ()
             continue
-        best_count = None
-        best_plan = None
-        for after_row in range(rect.row_lo, rect.row_hi):
-            top, bottom = rect.split_horizontal(after_row)
-            total = counts[key(top)] + counts[key(bottom)]
-            if best_count is None or total < best_count:
-                best_count, best_plan = total, ("split", top, bottom)
-        for after_col in range(rect.col_lo, rect.col_hi):
-            left, right = rect.split_vertical(after_col)
-            total = counts[key(left)] + counts[key(right)]
-            if best_count is None or total < best_count:
-                best_count, best_plan = total, ("split", left, right)
-        counts[key(rect)] = best_count
-        plans[key(rect)] = best_plan
+        r1, r2, c1, c2 = rect
+        halves = [((r1, row, c1, c2), (row + 1, r2, c1, c2)) for row in range(r1, r2)]
+        halves += [((r1, r2, c1, col), (r1, r2, col + 1, c2)) for col in range(c1, c2)]
+        best_count = 0  # none yet: every split costs at least two regions
+        for first, second in halves:
+            total = counts[first] + counts[second]
+            if best_count == 0 or total < best_count:
+                best_count, plans[rect] = total, (first, second)
+        counts[rect] = best_count
 
-    root = grid.minimal_candidate_rectangle(grid.full_region())
-    if root is None:
-        return BSPResult(regions=[], max_region_weight=0.0, rectangles_evaluated=len(rectangles))
-
-    regions = _extract_regions(root, plans, grid)
-    max_weight = max(
-        (grid.region_weight(r, weight_fn) for r in regions), default=0.0
-    )
+    leaves: list[int] = []
+    pending = [(0, rows - 1, 0, cols - 1)]
+    while pending:
+        rect = pending.pop()
+        if plans[rect]:
+            pending.extend(plans[rect])
+        elif counts[rect]:
+            leaves.append(tables.shrink(rect))
     return BSPResult(
-        regions=regions,
-        max_region_weight=float(max_weight),
+        regions=[GridRegion(*tables.rects[leaf]) for leaf in leaves],
+        max_region_weight=float(
+            max((tables.weights[leaf] for leaf in leaves), default=0.0)
+        ),
         rectangles_evaluated=len(rectangles),
     )
-
-
-def _extract_regions(
-    root: GridRegion, plans: dict, grid: WeightedGrid
-) -> list[GridRegion]:
-    """Follow the recorded split plans from ``root`` and collect leaf regions."""
-    regions: list[GridRegion] = []
-    stack = [root]
-    while stack:
-        rect = stack.pop()
-        plan = plans[(rect.row_lo, rect.row_hi, rect.col_lo, rect.col_hi)]
-        if plan is None:
-            minimal = grid.minimal_candidate_rectangle(rect)
-            if minimal is not None:
-                regions.append(minimal)
-            continue
-        if plan[0] == "shrink":
-            stack.append(plan[1])
-        else:
-            stack.append(plan[1])
-            stack.append(plan[2])
-    return regions

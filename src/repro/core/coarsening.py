@@ -100,36 +100,67 @@ def _sweep_rows(
 ) -> np.ndarray | None:
     """Greedy sweep: group consecutive rows so every candidate block stays under
     ``threshold``.  Returns the boundary array or ``None`` when more than
-    ``max_groups`` groups would be needed."""
+    ``max_groups`` groups would be needed.
+
+    A group takes rows while its heaviest candidate block stays within
+    ``threshold``; a row met with an all-zero accumulator (no input, no
+    candidates yet -- above all the row that opens a group) is always taken.
+    Each group's end is found on whole look-ahead windows of rows at once.  Block
+    weights are running sums *from the group's first row*, added in row order
+    (``np.cumsum``), so they are the floats a row-by-row loop would compare
+    with ``threshold`` -- differences of one global prefix sum round
+    differently and would move boundaries.  Candidate counts are integers, so
+    for them prefix differences are exact.
+    """
     num_rows = len(row_input)
+    # Twice the mean group length: most groups close inside their first window.
+    window = max(8, 2 * -(-num_rows // max_groups))
+    cand_prefix = np.zeros((num_rows + 1, cand_by_group.shape[1]))
+    np.cumsum(cand_by_group, axis=0, out=cand_prefix[1:])
     boundaries = [0]
-    acc_freq = np.zeros(freq_by_group.shape[1])
-    acc_cand = np.zeros(freq_by_group.shape[1])
-    acc_row_input = 0.0
-    for row in range(num_rows):
-        cand_after = acc_cand + cand_by_group[row]
-        freq_after = acc_freq + freq_by_group[row]
-        row_input_after = acc_row_input + row_input[row]
-        weights = (
-            weight_fn.input_cost * (row_input_after + col_input_by_group)
-            + weight_fn.output_cost * freq_after
-        )
-        # Only blocks containing candidate cells count (MonotonicCoarsening:
-        # non-candidate cells weigh zero).
-        max_weight = float(weights[cand_after > 0].max()) if (cand_after > 0).any() else 0.0
-        is_first_row_of_group = acc_row_input == 0.0 and not acc_cand.any()
-        if max_weight <= threshold or is_first_row_of_group:
-            acc_freq = freq_after
-            acc_cand = cand_after
-            acc_row_input = row_input_after
-            continue
+    start = 0
+    while True:
+        # Find the first row that would overfill the group opened at ``start``.
+        # ``*_before`` are the group's sums ahead of the window: zero ahead of
+        # the first, carried over when a window does not hold the whole group.
+        closing_row = None
+        freq_before = np.zeros(freq_by_group.shape[1])
+        input_before = 0.0
+        for lo in range(start, num_rows, window):
+            freq_after = np.cumsum(
+                np.concatenate([freq_before[None, :], freq_by_group[lo : lo + window]]),
+                axis=0,
+            )[1:]
+            input_after = np.cumsum(
+                np.concatenate([[input_before], row_input[lo : lo + window]])
+            )[1:]
+            # Only blocks containing candidate cells count (MonotonicCoarsening:
+            # non-candidate cells weigh zero).
+            has_candidates = cand_prefix[lo + 1 : lo + 1 + len(input_after)] > cand_prefix[start]
+            weights = (
+                weight_fn.input_cost * (input_after[:, None] + col_input_by_group)
+                + weight_fn.output_cost * freq_after
+            )
+            heaviest = np.where(has_candidates, weights, -np.inf).max(axis=1)
+            for offset in np.flatnonzero(heaviest > threshold).tolist():
+                row = lo + offset
+                # A row met with an all-zero accumulator is taken whatever it
+                # weighs; the row that opens the group is the usual case.
+                input_so_far = input_after[offset - 1] if offset else input_before
+                if input_so_far == 0.0 and not (cand_prefix[row] > cand_prefix[start]).any():
+                    continue
+                closing_row = row
+                break
+            if closing_row is not None:
+                break
+            freq_before, input_before = freq_after[-1], input_after[-1]
+        if closing_row is None:
+            break
         # Close the current group before this row and start a new one.
-        boundaries.append(row)
+        boundaries.append(closing_row)
         if len(boundaries) > max_groups:
             return None
-        acc_freq = freq_by_group[row].copy()
-        acc_cand = cand_by_group[row].copy()
-        acc_row_input = float(row_input[row])
+        start = closing_row
     boundaries.append(num_rows)
     if len(boundaries) - 1 > max_groups:
         return None
@@ -141,10 +172,16 @@ def _optimize_axis(
     col_bounds: np.ndarray,
     weight_fn: WeightFunction,
     max_groups: int,
+    low: float,
     tolerance: float,
     max_search_steps: int,
 ) -> np.ndarray:
-    """Choose row boundaries minimising the max candidate-block weight for fixed columns."""
+    """Choose row boundaries minimising the max candidate-block weight for fixed columns.
+
+    ``low`` is the threshold search's lower end, the grid's heaviest candidate
+    cell; it is the same float for a grid and its transpose, so the caller
+    computes it once.
+    """
     freq_by_group, cand_by_group, col_input_by_group = _aggregate_columns(
         grid, col_bounds
     )
@@ -155,7 +192,6 @@ def _optimize_axis(
             weight_fn, threshold, max_groups,
         )
 
-    low = grid.max_cell_weight(weight_fn, candidates_only=True)
     high = weight_fn.weight(grid.total_input, grid.total_output)
     high = max(high, low)
     best = feasible(high)
@@ -247,14 +283,17 @@ def coarsen(
         candidate=grid.candidate.T,
     )
 
+    heaviest_cell = grid.max_cell_weight(weight_fn, candidates_only=True)
+
     for iteration in range(max_iterations):
         iterations_run = iteration + 1
         row_bounds = _optimize_axis(
-            grid, col_bounds, weight_fn, num_row_groups, tolerance, max_search_steps
+            grid, col_bounds, weight_fn, num_row_groups, heaviest_cell,
+            tolerance, max_search_steps,
         )
         col_bounds = _optimize_axis(
-            transposed, row_bounds, weight_fn, num_col_groups, tolerance,
-            max_search_steps,
+            transposed, row_bounds, weight_fn, num_col_groups, heaviest_cell,
+            tolerance, max_search_steps,
         )
         coarse = _build_coarse_grid(grid, row_bounds, col_bounds)
         weight = coarse.max_cell_weight(weight_fn, candidates_only=True)

@@ -13,12 +13,17 @@ The weight of a rectangle ``[r1..r2] x [c1..c2]`` under a
         + w_o * sum(frequency[r1..r2, c1..c2])
 
 and is evaluated in O(1) from prefix sums.  For monotonic joins the candidate
-cells of every row form one contiguous run; the grid precomputes those runs so
-minimal candidate rectangles can be found in O(log) time.
+cells of every row form one contiguous run; the grid precomputes each row's
+span (first and last candidate column), and a rectangle's minimal candidate
+rectangle is one pass over the spans of its rows -- linear in its row count.
+The tiling algorithms, which ask for the same rectangles again and again,
+keep their answers in a :class:`~repro.core.tiling_tables.TilingTables` that
+lives for one regionalization; the grid itself caches nothing.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +31,41 @@ import numpy as np
 from repro.core.region import GridRegion
 from repro.core.weights import WeightFunction
 
-__all__ = ["WeightedGrid"]
+__all__ = ["WeightedGrid", "shrink_to_candidates"]
+
+
+def shrink_to_candidates(
+    span_lo: Sequence[int],
+    span_hi: Sequence[int],
+    row_lo: int,
+    row_hi: int,
+    col_lo: int,
+    col_hi: int,
+) -> tuple[int, int, int, int] | None:
+    """Shrink a rectangle to the rows and columns its candidate cells occupy.
+
+    ``span_lo[r]`` / ``span_hi[r]`` are row ``r``'s first and last candidate
+    column (``-1`` for a row without candidates).  Returns the inclusive
+    ``(row_lo, row_hi, col_lo, col_hi)`` of the smallest rectangle holding
+    every row span clipped to the query, or ``None`` when no span reaches
+    into it.  One pass over the query's rows.
+    """
+    first = last = -1
+    min_lo, max_hi = col_hi, col_lo
+    for row in range(row_lo, row_hi + 1):
+        lo, hi = span_lo[row], span_hi[row]
+        if lo < 0 or lo > col_hi or hi < col_lo:
+            continue
+        if first < 0:
+            first = row
+        last = row
+        if lo < min_lo:
+            min_lo = lo
+        if hi > max_hi:
+            max_hi = hi
+    if first < 0:
+        return None
+    return first, last, max(min_lo, col_lo), min(max_hi, col_hi)
 
 
 @dataclass
@@ -56,7 +95,6 @@ class WeightedGrid:
     _cand_prefix: np.ndarray = field(init=False, repr=False)
     _row_cand_lo: np.ndarray = field(init=False, repr=False)
     _row_cand_hi: np.ndarray = field(init=False, repr=False)
-    _minimal_rect_cache: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.frequency = np.asarray(self.frequency, dtype=np.float64)
@@ -76,9 +114,9 @@ class WeightedGrid:
         # 2-D prefix sums with a zero border for O(1) rectangle sums.
         self._freq_prefix = np.zeros((rows + 1, cols + 1))
         self._freq_prefix[1:, 1:] = np.cumsum(np.cumsum(self.frequency, axis=0), axis=1)
-        self._cand_prefix = np.zeros((rows + 1, cols + 1))
+        self._cand_prefix = np.zeros((rows + 1, cols + 1), dtype=np.int64)
         self._cand_prefix[1:, 1:] = np.cumsum(
-            np.cumsum(self.candidate.astype(np.float64), axis=0), axis=1
+            np.cumsum(self.candidate, axis=0, dtype=np.int64), axis=1
         )
         self._row_prefix = np.concatenate([[0.0], np.cumsum(self.row_input)])
         self._col_prefix = np.concatenate([[0.0], np.cumsum(self.col_input)])
@@ -94,10 +132,6 @@ class WeightedGrid:
             self._row_cand_hi[any_cand] = (
                 cols - 1 - np.argmax(reversed_cand[any_cand], axis=1)
             )
-        # Minimal-candidate-rectangle queries recur heavily inside the tiling
-        # algorithms (the same half-rectangles reappear across the binary
-        # search over the weight threshold); cache them per grid instance.
-        self._minimal_rect_cache = {}
 
     # ------------------------------------------------------------------
     # Shape
@@ -220,31 +254,15 @@ class WeightedGrid:
     def minimal_candidate_rectangle(self, region: GridRegion) -> GridRegion | None:
         """Shrink ``region`` to the smallest rectangle containing its candidate cells.
 
-        Returns ``None`` when the region contains no candidate cell.  Runs in
-        time linear in the region's row span (the per-row candidate spans are
-        precomputed) and caches results, as the tiling algorithms ask for the
-        same rectangles repeatedly.
+        Returns ``None`` when the region contains no candidate cell.  One pass
+        over the per-row candidate spans of the region's rows; nothing is
+        cached.
         """
-        key = (region.row_lo, region.row_hi, region.col_lo, region.col_hi)
-        if key in self._minimal_rect_cache:
-            return self._minimal_rect_cache[key]
-        lo = self._row_cand_lo[region.row_lo : region.row_hi + 1]
-        hi = self._row_cand_hi[region.row_lo : region.row_hi + 1]
-        clipped_lo = np.maximum(lo, region.col_lo)
-        clipped_hi = np.minimum(hi, region.col_hi)
-        valid = (lo >= 0) & (clipped_lo <= clipped_hi)
-        if not valid.any():
-            self._minimal_rect_cache[key] = None
-            return None
-        valid_idx = np.flatnonzero(valid)
-        result = GridRegion(
-            row_lo=region.row_lo + int(valid_idx[0]),
-            row_hi=region.row_lo + int(valid_idx[-1]),
-            col_lo=int(clipped_lo[valid].min()),
-            col_hi=int(clipped_hi[valid].max()),
+        minimal = shrink_to_candidates(
+            self._row_cand_lo.tolist(), self._row_cand_hi.tolist(),
+            region.row_lo, region.row_hi, region.col_lo, region.col_hi,
         )
-        self._minimal_rect_cache[key] = result
-        return result
+        return None if minimal is None else GridRegion(*minimal)
 
     def full_region(self) -> GridRegion:
         """The region covering the whole grid."""

@@ -19,19 +19,20 @@ to minimal candidate rectangles:
   of the enumerated set -- and therefore never does more work than the
   bottom-up pass while returning the same optimum.
 
-Every split half is shrunk to its minimal candidate rectangle using the
-precomputed per-row candidate spans of :class:`~repro.core.grid.WeightedGrid`
-(vectorised, linear in the half's row span), matching the paper's
-``MinimalCandidateRectangle`` primitive.
+Everything about a rectangle that does not depend on the threshold -- what
+it shrinks to, what it weighs, which halves its splits leave -- comes from a
+:class:`~repro.core.tiling_tables.TilingTables`; the DP itself only looks
+region counts up and adds them.  The top-down walk keeps its own stack, so
+its depth (at most rows + columns) is not bounded by the interpreter's
+recursion limit, which it never touches.
 """
 
 from __future__ import annotations
 
-import sys
-
 from repro.core.bsp import BSPResult
 from repro.core.grid import WeightedGrid
 from repro.core.region import GridRegion
+from repro.core.tiling_tables import TilingTables
 from repro.core.weights import WeightFunction
 
 __all__ = ["enumerate_minimal_candidate_rectangles", "monotonic_bsp_partition"]
@@ -80,87 +81,73 @@ def monotonic_bsp_partition(
     minimal candidate rectangles, which is what makes the regionalization
     stage run in O(n) overall for monotonic joins (Lemma 3.5).
     """
-    memo: dict[GridRegion, tuple[int, object]] = {}
+    return monotonic_bsp_tiling(TilingTables(grid, weight_fn), delta)
 
-    def solve_half_pair(first: GridRegion, second: GridRegion):
-        """Shrink both halves of a split and solve them."""
-        first_min = grid.minimal_candidate_rectangle(first)
-        second_min = grid.minimal_candidate_rectangle(second)
-        count = 0
-        if first_min is not None:
-            count += solve(first_min)[0]
-        if second_min is not None:
-            count += solve(second_min)[0]
-        return count, (first_min, second_min)
 
-    def solve(region: GridRegion) -> tuple[int, object]:
-        cached = memo.get(region)
-        if cached is not None:
-            return cached
-        weight = grid.region_weight(region, weight_fn)
-        if weight <= delta or (region.num_rows == 1 and region.num_cols == 1):
-            result: tuple[int, object] = (1, None)
-            memo[region] = result
-            return result
-        best_count = None
-        best_plan = None
-        # A split of a minimal candidate rectangle always leaves candidates
-        # on both sides (its boundary rows/columns contain candidates), so
-        # no split can cost fewer than two regions -- stop early when found.
-        for after_row in range(region.row_lo, region.row_hi):
-            top, bottom = region.split_horizontal(after_row)
-            count, plan = solve_half_pair(top, bottom)
-            if best_count is None or count < best_count:
-                best_count, best_plan = count, plan
-                if best_count == 2:
-                    break
-        if best_count != 2:
-            for after_col in range(region.col_lo, region.col_hi):
-                left, right = region.split_vertical(after_col)
-                count, plan = solve_half_pair(left, right)
-                if best_count is None or count < best_count:
-                    best_count, best_plan = count, plan
-                    if best_count == 2:
-                        break
-        result = (best_count, best_plan)
-        memo[region] = result
-        return result
-
-    root = grid.minimal_candidate_rectangle(grid.full_region())
-    if root is None:
+def monotonic_bsp_tiling(tables: TilingTables, delta: float) -> BSPResult:
+    """:func:`monotonic_bsp_partition` over tables shared between thresholds."""
+    root = tables.root
+    if root < 0:
         return BSPResult(regions=[], max_region_weight=0.0, rectangles_evaluated=0)
+    leaf_thresholds = tables.leaf_thresholds
+    children = tables.children
+    counts: dict[int, int] = {}  # rectangle id -> fewest regions covering it
+    splits: dict[int, int] = {}  # split rectangle id -> offset of its best child pair
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10_000 + 4 * grid.num_rows * grid.num_cols))
-    try:
-        solve(root)
-        regions = _extract_regions(root, memo)
-    finally:
-        sys.setrecursionlimit(old_limit)
-
-    max_weight = max(
-        (grid.region_weight(r, weight_fn) for r in regions), default=0.0
-    )
-    return BSPResult(
-        regions=regions,
-        max_region_weight=float(max_weight),
-        rectangles_evaluated=len(memo),
-    )
-
-
-def _extract_regions(root: GridRegion, memo: dict) -> list[GridRegion]:
-    """Walk the memoised split plans from ``root`` and collect leaf regions."""
-    regions: list[GridRegion] = []
-    stack = [root]
+    # One frame per rectangle being split: [id, child list, next offset, best
+    # count so far (0: none yet), offset of the pair that achieved it].
+    stack: list[list] = []
+    if leaf_thresholds[root] <= delta:
+        counts[root] = 1
+    else:
+        stack.append([root, children(root), 0, 0, 0])
     while stack:
-        region = stack.pop()
-        _, plan = memo[region]
-        if plan is None:
-            regions.append(region)
+        frame = stack[-1]
+        rect, pairs, offset, best, best_offset = frame
+        unsolved = -1
+        end = len(pairs)
+        while offset < end:
+            first, second = pairs[offset], pairs[offset + 1]
+            first_count = counts.get(first)
+            if first_count is None:
+                if not leaf_thresholds[first] <= delta:
+                    unsolved = first
+                    break
+                counts[first] = first_count = 1
+            second_count = counts.get(second)
+            if second_count is None:
+                if not leaf_thresholds[second] <= delta:
+                    unsolved = second
+                    break
+                counts[second] = second_count = 1
+            total = first_count + second_count
+            if best == 0 or total < best:
+                best, best_offset = total, offset
+                # Both halves of a split hold candidates, so no split costs
+                # fewer than two regions -- stop at the first that does.
+                if best == 2:
+                    break
+            offset += 2
+        if unsolved >= 0:
+            # Solve the half first, then resume this rectangle at this pair.
+            frame[2:] = offset, best, best_offset
+            stack.append([unsolved, children(unsolved), 0, 0, 0])
             continue
-        first_min, second_min = plan
-        if first_min is not None:
-            stack.append(first_min)
-        if second_min is not None:
-            stack.append(second_min)
-    return regions
+        counts[rect] = best
+        splits[rect] = best_offset
+        stack.pop()
+
+    leaves: list[int] = []
+    pending = [root]
+    while pending:
+        rect = pending.pop()
+        best_offset = splits.get(rect)
+        if best_offset is None:
+            leaves.append(rect)
+        else:
+            pending.extend(children(rect)[best_offset : best_offset + 2])
+    return BSPResult(
+        regions=[GridRegion(*tables.rects[leaf]) for leaf in leaves],
+        max_region_weight=float(max(tables.weights[leaf] for leaf in leaves)),
+        rectangles_evaluated=len(counts),
+    )

@@ -10,6 +10,11 @@ tiling returns at most J regions, starting from the natural lower bound
 
 (no partitioning can beat either) and the trivial upper bound of covering
 everything with a single region.
+
+Every step of the search tiles the same grid, and what a rectangle shrinks
+to, weighs and splits into does not depend on the threshold; one
+:class:`~repro.core.tiling_tables.TilingTables` is built per call and handed
+to every step, then dropped.
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Literal
 
-from repro.core.bsp import BSPResult, bsp_partition
+from repro.core.bsp import BSPResult, bsp_tiling
 from repro.core.grid import WeightedGrid
-from repro.core.monotonic_bsp import monotonic_bsp_partition
+from repro.core.monotonic_bsp import monotonic_bsp_tiling
 from repro.core.region import GridRegion
+from repro.core.tiling_tables import TilingTables
 from repro.core.weights import WeightFunction
 
 __all__ = ["RegionalizationResult", "regionalize"]
@@ -86,11 +92,11 @@ def regionalize(
     """
     if num_machines <= 0:
         raise ValueError("num_machines must be positive")
-    tiling: Callable[[WeightedGrid, WeightFunction, float], BSPResult]
+    tiling: Callable[[TilingTables, float], BSPResult]
     if algorithm == "monotonic_bsp":
-        tiling = monotonic_bsp_partition
+        tiling = monotonic_bsp_tiling
     elif algorithm == "bsp":
-        tiling = bsp_partition
+        tiling = bsp_tiling
     else:
         raise ValueError(f"unknown tiling algorithm {algorithm!r}")
 
@@ -104,14 +110,13 @@ def regionalize(
         grid.max_cell_weight(weight_fn, candidates_only=True),
         total_weight / num_machines,
     )
-    root = grid.minimal_candidate_rectangle(grid.full_region())
-    upper = grid.region_weight(root, weight_fn)
-    upper = max(upper, lower)
+    tables = TilingTables(grid, weight_fn)
+    upper = max(tables.weights[tables.root], lower)
 
     steps = 0
 
     # The lower bound may already be feasible (perfectly balanced case).
-    result = tiling(grid, weight_fn, lower)
+    result = tiling(tables, lower)
     steps += 1
     if result.num_regions <= num_machines:
         return RegionalizationResult(
@@ -121,12 +126,12 @@ def regionalize(
             search_steps=steps,
         )
 
-    best = tiling(grid, weight_fn, upper)
+    best = tiling(tables, upper)
     steps += 1
     best_delta = upper
     while steps < max_search_steps and upper - lower > tolerance * max(upper, 1.0):
         mid = (lower + upper) / 2.0
-        candidate = tiling(grid, weight_fn, mid)
+        candidate = tiling(tables, mid)
         steps += 1
         if candidate.num_regions <= num_machines:
             upper = mid

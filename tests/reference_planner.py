@@ -1,0 +1,368 @@
+"""Reference planner kernels: the pre-rewrite tiling DP and coarsening sweep.
+
+Test-only.  These are the implementations ``repro.core`` shipped before the
+planner kernels were rewritten around shared tiling tables and a vectorised
+sweep, kept verbatim as the differential oracle: the production kernels must
+return bit-identical plans (same regions in the same order, same floats,
+same rectangle counts).  They are deliberately slow and self-contained --
+every rectangle is a frozen :class:`GridRegion`, every shrink is a numpy
+slice, every weight goes through ``WeightFunction.weight`` -- and share only
+``GridRegion``, ``WeightFunction`` and the grid's public arrays with the
+code under test.
+
+The one edit: the recursive DP no longer raises the interpreter's recursion
+limit, so use it on grids whose ``rows + cols`` stays in the low hundreds.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.bsp import BSPResult
+from repro.core.grid import WeightedGrid
+from repro.core.region import GridRegion
+from repro.core.regionalization import RegionalizationResult
+from repro.core.weights import WeightFunction
+
+
+# ----------------------------------------------------------------------
+# Grid primitives (were WeightedGrid methods over its numpy tables)
+# ----------------------------------------------------------------------
+class _Primitives:
+    """Region weight and shrink-to-candidates over numpy tables, memoised.
+
+    The tables are rebuilt here from the grid's four public arrays exactly as
+    the old ``WeightedGrid.__post_init__`` built them, so nothing below
+    depends on how the grid stores them today.
+    """
+
+    def __init__(self, grid: WeightedGrid, weight_fn: WeightFunction) -> None:
+        rows, cols = grid.frequency.shape
+        self.weight_fn = weight_fn
+        self.full = GridRegion(0, rows - 1, 0, cols - 1)
+        self._freq_prefix = np.zeros((rows + 1, cols + 1))
+        self._freq_prefix[1:, 1:] = np.cumsum(np.cumsum(grid.frequency, axis=0), axis=1)
+        self._row_prefix = np.concatenate([[0.0], np.cumsum(grid.row_input)])
+        self._col_prefix = np.concatenate([[0.0], np.cumsum(grid.col_input)])
+        self._row_cand_lo = np.full(rows, -1, dtype=np.int64)
+        self._row_cand_hi = np.full(rows, -1, dtype=np.int64)
+        any_cand = grid.candidate.any(axis=1)
+        if any_cand.any():
+            self._row_cand_lo[any_cand] = np.argmax(grid.candidate[any_cand], axis=1)
+            reversed_cand = grid.candidate[:, ::-1]
+            self._row_cand_hi[any_cand] = (
+                cols - 1 - np.argmax(reversed_cand[any_cand], axis=1)
+            )
+        self._minimal_rect_cache: dict = {}
+
+    def region_output(self, region: GridRegion) -> float:
+        p = self._freq_prefix
+        return float(
+            p[region.row_hi + 1, region.col_hi + 1]
+            - p[region.row_lo, region.col_hi + 1]
+            - p[region.row_hi + 1, region.col_lo]
+            + p[region.row_lo, region.col_lo]
+        )
+
+    def region_input(self, region: GridRegion) -> float:
+        rows = self._row_prefix[region.row_hi + 1] - self._row_prefix[region.row_lo]
+        cols = self._col_prefix[region.col_hi + 1] - self._col_prefix[region.col_lo]
+        return float(rows + cols)
+
+    def weight(self, region: GridRegion) -> float:
+        return self.weight_fn.weight(
+            self.region_input(region), self.region_output(region)
+        )
+
+    def minimal(self, region: GridRegion) -> GridRegion | None:
+        key = (region.row_lo, region.row_hi, region.col_lo, region.col_hi)
+        if key in self._minimal_rect_cache:
+            return self._minimal_rect_cache[key]
+        lo = self._row_cand_lo[region.row_lo : region.row_hi + 1]
+        hi = self._row_cand_hi[region.row_lo : region.row_hi + 1]
+        clipped_lo = np.maximum(lo, region.col_lo)
+        clipped_hi = np.minimum(hi, region.col_hi)
+        valid = (lo >= 0) & (clipped_lo <= clipped_hi)
+        if not valid.any():
+            self._minimal_rect_cache[key] = None
+            return None
+        valid_idx = np.flatnonzero(valid)
+        result = GridRegion(
+            row_lo=region.row_lo + int(valid_idx[0]),
+            row_hi=region.row_lo + int(valid_idx[-1]),
+            col_lo=int(clipped_lo[valid].min()),
+            col_hi=int(clipped_hi[valid].max()),
+        )
+        self._minimal_rect_cache[key] = result
+        return result
+
+
+# ----------------------------------------------------------------------
+# MonotonicBSP: recursive DP memoised on GridRegion
+# ----------------------------------------------------------------------
+def reference_monotonic_bsp(
+    grid: WeightedGrid, weight_fn: WeightFunction, delta: float
+) -> BSPResult:
+    """The lazy top-down DP over minimal candidate rectangles."""
+    prims = _Primitives(grid, weight_fn)
+    memo: dict[GridRegion, tuple[int, object]] = {}
+
+    def solve_half_pair(first: GridRegion, second: GridRegion):
+        """Shrink both halves of a split and solve them."""
+        first_min = prims.minimal(first)
+        second_min = prims.minimal(second)
+        count = 0
+        if first_min is not None:
+            count += solve(first_min)[0]
+        if second_min is not None:
+            count += solve(second_min)[0]
+        return count, (first_min, second_min)
+
+    def solve(region: GridRegion) -> tuple[int, object]:
+        cached = memo.get(region)
+        if cached is not None:
+            return cached
+        weight = prims.weight(region)
+        if weight <= delta or (region.num_rows == 1 and region.num_cols == 1):
+            result: tuple[int, object] = (1, None)
+            memo[region] = result
+            return result
+        best_count = None
+        best_plan = None
+        for after_row in range(region.row_lo, region.row_hi):
+            top, bottom = region.split_horizontal(after_row)
+            count, plan = solve_half_pair(top, bottom)
+            if best_count is None or count < best_count:
+                best_count, best_plan = count, plan
+                if best_count == 2:
+                    break
+        if best_count != 2:
+            for after_col in range(region.col_lo, region.col_hi):
+                left, right = region.split_vertical(after_col)
+                count, plan = solve_half_pair(left, right)
+                if best_count is None or count < best_count:
+                    best_count, best_plan = count, plan
+                    if best_count == 2:
+                        break
+        result = (best_count, best_plan)
+        memo[region] = result
+        return result
+
+    root = prims.minimal(prims.full)
+    if root is None:
+        return BSPResult(regions=[], max_region_weight=0.0, rectangles_evaluated=0)
+    solve(root)
+
+    regions: list[GridRegion] = []
+    stack = [root]
+    while stack:
+        region = stack.pop()
+        _, plan = memo[region]
+        if plan is None:
+            regions.append(region)
+            continue
+        first_min, second_min = plan
+        if first_min is not None:
+            stack.append(first_min)
+        if second_min is not None:
+            stack.append(second_min)
+
+    max_weight = max((prims.weight(r) for r in regions), default=0.0)
+    return BSPResult(
+        regions=regions,
+        max_region_weight=float(max_weight),
+        rectangles_evaluated=len(memo),
+    )
+
+
+# ----------------------------------------------------------------------
+# Baseline BSP: bottom-up DP over all rectangles
+# ----------------------------------------------------------------------
+def reference_bsp(
+    grid: WeightedGrid, weight_fn: WeightFunction, delta: float
+) -> BSPResult:
+    """The paper's Algorithm 1 over every rectangle of the grid."""
+    prims = _Primitives(grid, weight_fn)
+    rows, cols = grid.shape
+    counts: dict[tuple[int, int, int, int], int] = {}
+    plans: dict[tuple[int, int, int, int], object] = {}
+
+    def key(region: GridRegion) -> tuple[int, int, int, int]:
+        return (region.row_lo, region.row_hi, region.col_lo, region.col_hi)
+
+    rectangles: list[GridRegion] = [
+        GridRegion(r1, r2, c1, c2)
+        for r1 in range(rows)
+        for r2 in range(r1, rows)
+        for c1 in range(cols)
+        for c2 in range(c1, cols)
+    ]
+    rectangles.sort(key=lambda r: (r.semi_perimeter, r.num_rows))
+
+    for rect in rectangles:
+        minimal = prims.minimal(rect)
+        if minimal is None:
+            counts[key(rect)] = 0
+            plans[key(rect)] = None
+            continue
+        if minimal != rect:
+            counts[key(rect)] = counts[key(minimal)]
+            plans[key(rect)] = ("shrink", minimal)
+            continue
+        weight = prims.weight(rect)
+        if weight <= delta or (rect.num_rows == 1 and rect.num_cols == 1):
+            counts[key(rect)] = 1
+            plans[key(rect)] = None
+            continue
+        best_count = None
+        best_plan = None
+        for after_row in range(rect.row_lo, rect.row_hi):
+            top, bottom = rect.split_horizontal(after_row)
+            total = counts[key(top)] + counts[key(bottom)]
+            if best_count is None or total < best_count:
+                best_count, best_plan = total, ("split", top, bottom)
+        for after_col in range(rect.col_lo, rect.col_hi):
+            left, right = rect.split_vertical(after_col)
+            total = counts[key(left)] + counts[key(right)]
+            if best_count is None or total < best_count:
+                best_count, best_plan = total, ("split", left, right)
+        counts[key(rect)] = best_count
+        plans[key(rect)] = best_plan
+
+    root = prims.minimal(prims.full)
+    if root is None:
+        return BSPResult(
+            regions=[], max_region_weight=0.0, rectangles_evaluated=len(rectangles)
+        )
+
+    regions: list[GridRegion] = []
+    stack = [root]
+    while stack:
+        rect = stack.pop()
+        plan = plans[key(rect)]
+        if plan is None:
+            minimal = prims.minimal(rect)
+            if minimal is not None:
+                regions.append(minimal)
+            continue
+        if plan[0] == "shrink":
+            stack.append(plan[1])
+        else:
+            stack.append(plan[1])
+            stack.append(plan[2])
+    max_weight = max((prims.weight(r) for r in regions), default=0.0)
+    return BSPResult(
+        regions=regions,
+        max_region_weight=float(max_weight),
+        rectangles_evaluated=len(rectangles),
+    )
+
+
+# ----------------------------------------------------------------------
+# Regionalization: the binary search over delta, one fresh tiling per step
+# ----------------------------------------------------------------------
+def reference_regionalize(
+    grid: WeightedGrid,
+    num_machines: int,
+    weight_fn: WeightFunction,
+    algorithm: str = "monotonic_bsp",
+    tolerance: float = 0.01,
+    max_search_steps: int = 30,
+) -> RegionalizationResult:
+    """The binary search, re-running a from-scratch tiling at every step."""
+    tiling = {"monotonic_bsp": reference_monotonic_bsp, "bsp": reference_bsp}[algorithm]
+    if not grid.candidate.any():
+        return RegionalizationResult(
+            regions=[], delta=0.0, max_region_weight=0.0, search_steps=0
+        )
+
+    total_weight = weight_fn.weight(grid.total_input, grid.total_output)
+    lower = max(
+        grid.max_cell_weight(weight_fn, candidates_only=True),
+        total_weight / num_machines,
+    )
+    prims = _Primitives(grid, weight_fn)
+    upper = prims.weight(prims.minimal(prims.full))
+    upper = max(upper, lower)
+
+    steps = 0
+    result = tiling(grid, weight_fn, lower)
+    steps += 1
+    if result.num_regions <= num_machines:
+        return RegionalizationResult(
+            regions=result.regions,
+            delta=lower,
+            max_region_weight=result.max_region_weight,
+            search_steps=steps,
+        )
+
+    best = tiling(grid, weight_fn, upper)
+    steps += 1
+    best_delta = upper
+    while steps < max_search_steps and upper - lower > tolerance * max(upper, 1.0):
+        mid = (lower + upper) / 2.0
+        candidate = tiling(grid, weight_fn, mid)
+        steps += 1
+        if candidate.num_regions <= num_machines:
+            upper = mid
+            best = candidate
+            best_delta = mid
+        else:
+            lower = mid
+
+    return RegionalizationResult(
+        regions=best.regions,
+        delta=best_delta,
+        max_region_weight=best.max_region_weight,
+        search_steps=steps,
+    )
+
+
+# ----------------------------------------------------------------------
+# Coarsening: one Python iteration per sample row
+# ----------------------------------------------------------------------
+def reference_sweep_rows(
+    freq_by_group: np.ndarray,
+    cand_by_group: np.ndarray,
+    row_input: np.ndarray,
+    col_input_by_group: np.ndarray,
+    weight_fn: WeightFunction,
+    threshold: float,
+    max_groups: int,
+) -> np.ndarray | None:
+    """Greedy sweep: group consecutive rows so every candidate block stays under
+    ``threshold``.  Returns the boundary array or ``None`` when more than
+    ``max_groups`` groups would be needed."""
+    num_rows = len(row_input)
+    boundaries = [0]
+    acc_freq = np.zeros(freq_by_group.shape[1])
+    acc_cand = np.zeros(freq_by_group.shape[1])
+    acc_row_input = 0.0
+    for row in range(num_rows):
+        cand_after = acc_cand + cand_by_group[row]
+        freq_after = acc_freq + freq_by_group[row]
+        row_input_after = acc_row_input + row_input[row]
+        weights = (
+            weight_fn.input_cost * (row_input_after + col_input_by_group)
+            + weight_fn.output_cost * freq_after
+        )
+        # Only blocks containing candidate cells count (MonotonicCoarsening:
+        # non-candidate cells weigh zero).
+        max_weight = float(weights[cand_after > 0].max()) if (cand_after > 0).any() else 0.0
+        is_first_row_of_group = acc_row_input == 0.0 and not acc_cand.any()
+        if max_weight <= threshold or is_first_row_of_group:
+            acc_freq = freq_after
+            acc_cand = cand_after
+            acc_row_input = row_input_after
+            continue
+        # Close the current group before this row and start a new one.
+        boundaries.append(row)
+        if len(boundaries) > max_groups:
+            return None
+        acc_freq = freq_by_group[row].copy()
+        acc_cand = cand_by_group[row].copy()
+        acc_row_input = float(row_input[row])
+    boundaries.append(num_rows)
+    if len(boundaries) - 1 > max_groups:
+        return None
+    return np.asarray(boundaries, dtype=np.int64)

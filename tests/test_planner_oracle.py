@@ -1,0 +1,223 @@
+"""Differential tests: the planner kernels against their pre-rewrite selves.
+
+``tests/reference_planner.py`` holds the tiling DPs and the coarsening sweep
+as they were before they were rewritten for speed.  Every property here asks
+for *identical* results -- regions in the same order, floats equal to the last
+bit, the same rectangle counts -- because the plans the benchmarks and goldens
+pin depend on which of two equally good splits comes first and on how a
+weight rounds against a threshold.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_planner import (
+    _Primitives,
+    reference_bsp,
+    reference_monotonic_bsp,
+    reference_regionalize,
+    reference_sweep_rows,
+)
+
+from repro.core.bsp import bsp_partition
+from repro.core.coarsening import _sweep_rows
+from repro.core.grid import WeightedGrid
+from repro.core.monotonic_bsp import monotonic_bsp_partition
+from repro.core.region import GridRegion
+from repro.core.regionalization import regionalize
+from repro.core.tiling_tables import TilingTables
+from repro.core.weights import WeightFunction
+
+WEIGHT_FUNCTIONS = [
+    WeightFunction(1.0, 1.0),
+    WeightFunction(1.0, 0.2),
+    WeightFunction(0.0, 1.0),
+    WeightFunction(0.7, 0.0),
+]
+
+
+@st.composite
+def monotone_grids(draw, max_side: int = 14) -> WeightedGrid:
+    """Band- and inequality-shaped monotone grids with awkward corners.
+
+    Row spans move right monotonically; jumps between them leave empty
+    columns, a sixth of the rows lose their candidates, frequencies are
+    non-integer (some zero) and some rows and columns carry no input.
+    """
+    rows = draw(st.integers(1, max_side))
+    cols = draw(st.integers(1, max_side))
+    shape = draw(st.sampled_from(["band", "inequality"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = np.sort(rng.integers(0, cols, size=rows))
+    if shape == "band":
+        width = rng.integers(0, cols // 2 + 1, size=rows)
+        hi = np.minimum(np.maximum.accumulate(lo + width), cols - 1)
+    else:
+        hi = np.full(rows, cols - 1)
+    columns = np.arange(cols)[None, :]
+    candidate = (columns >= lo[:, None]) & (columns <= hi[:, None])
+    candidate[rng.random(rows) < 1 / 6] = False
+    frequency = np.where(candidate & (rng.random((rows, cols)) < 0.8),
+                         rng.random((rows, cols)) * 20.0, 0.0)
+    row_input = np.where(rng.random(rows) < 0.2, 0.0, rng.random(rows) * 10.0)
+    col_input = np.where(rng.random(cols) < 0.2, 0.0, rng.random(cols) * 10.0)
+    return WeightedGrid(frequency, row_input, col_input, candidate)
+
+
+def thresholds(grid: WeightedGrid, weight_fn: WeightFunction, fraction: float) -> list[float]:
+    """Thresholds above and below the heaviest candidate cell, and exactly on it."""
+    total = weight_fn.weight(grid.total_input, grid.total_output)
+    heaviest_cell = grid.max_cell_weight(weight_fn, candidates_only=True)
+    return [fraction * total, heaviest_cell, 0.5 * heaviest_cell]
+
+
+def assert_same_tiling(ours, reference) -> None:
+    assert ours.regions == reference.regions
+    assert ours.max_region_weight == reference.max_region_weight
+    assert ours.rectangles_evaluated == reference.rectangles_evaluated
+
+
+@given(grid=monotone_grids(), weight_fn=st.sampled_from(WEIGHT_FUNCTIONS),
+       fraction=st.floats(0.0, 1.1))
+@settings(max_examples=120, deadline=None)
+def test_monotonic_bsp_matches_the_recursive_dp(grid, weight_fn, fraction):
+    for delta in thresholds(grid, weight_fn, fraction):
+        assert_same_tiling(
+            monotonic_bsp_partition(grid, weight_fn, delta),
+            reference_monotonic_bsp(grid, weight_fn, delta),
+        )
+
+
+@given(grid=monotone_grids(max_side=7), weight_fn=st.sampled_from(WEIGHT_FUNCTIONS),
+       fraction=st.floats(0.0, 1.1))
+@settings(max_examples=40, deadline=None)
+def test_baseline_bsp_matches_the_gridregion_dp(grid, weight_fn, fraction):
+    for delta in thresholds(grid, weight_fn, fraction):
+        assert_same_tiling(
+            bsp_partition(grid, weight_fn, delta),
+            reference_bsp(grid, weight_fn, delta),
+        )
+
+
+@given(grid=monotone_grids(), weight_fn=st.sampled_from(WEIGHT_FUNCTIONS),
+       machines=st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_regionalize_matches_the_per_step_search(grid, weight_fn, machines):
+    ours = regionalize(grid, machines, weight_fn)
+    reference = reference_regionalize(grid, machines, weight_fn)
+    assert ours.regions == reference.regions
+    assert ours.delta == reference.delta
+    assert ours.max_region_weight == reference.max_region_weight
+    assert ours.search_steps == reference.search_steps
+
+
+@given(grid=monotone_grids(max_side=6), weight_fn=st.sampled_from(WEIGHT_FUNCTIONS),
+       machines=st.integers(1, 8))
+@settings(max_examples=25, deadline=None)
+def test_regionalize_with_baseline_bsp_matches(grid, weight_fn, machines):
+    ours = regionalize(grid, machines, weight_fn, algorithm="bsp")
+    reference = reference_regionalize(grid, machines, weight_fn, algorithm="bsp")
+    assert ours.regions == reference.regions
+    assert ours.delta == reference.delta
+    assert ours.max_region_weight == reference.max_region_weight
+    assert ours.search_steps == reference.search_steps
+
+
+@given(grid=monotone_grids(max_side=9), weight_fn=st.sampled_from(WEIGHT_FUNCTIONS))
+@settings(max_examples=40, deadline=None)
+def test_tables_agree_with_the_grid_on_every_rectangle(grid, weight_fn):
+    """Shrink and weight: tables == the grid's public methods == the numpy reference."""
+    tables = TilingTables(grid, weight_fn)
+    reference = _Primitives(grid, weight_fn)
+    for r1 in range(grid.num_rows):
+        for r2 in range(r1, grid.num_rows):
+            for c1 in range(grid.num_cols):
+                for c2 in range(c1, grid.num_cols):
+                    region = GridRegion(r1, r2, c1, c2)
+                    expected = reference.minimal(region)
+                    assert grid.minimal_candidate_rectangle(region) == expected
+                    minimal_id = tables.shrink((r1, r2, c1, c2))
+                    if expected is None:
+                        assert minimal_id == -1
+                        continue
+                    assert GridRegion(*tables.rects[minimal_id]) == expected
+                    weight = tables.weights[minimal_id]
+                    assert weight == reference.weight(expected)
+                    assert weight == grid.region_weight(expected, weight_fn)
+
+
+# ----------------------------------------------------------------------
+# Coarsening sweep
+# ----------------------------------------------------------------------
+@st.composite
+def sweep_inputs(draw):
+    """Column-aggregated sweep inputs: zero-input rows, candidate-free runs."""
+    rows = draw(st.integers(1, 40))
+    groups = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cand = np.where(rng.random((rows, groups)) < 0.5,
+                    rng.integers(1, 4, size=(rows, groups)), 0).astype(np.float64)
+    # Runs of rows with neither candidates nor input exercise the
+    # all-zero-accumulator escape, at the top and after a closed group.
+    blank = rng.random(rows) < draw(st.sampled_from([0.0, 0.2, 0.6]))
+    cand[blank] = 0.0
+    freq = np.where(cand > 0, rng.random((rows, groups)) * 20.0, 0.0)
+    row_input = np.where(blank | (rng.random(rows) < 0.2), 0.0, rng.random(rows) * 10.0)
+    col_input = np.where(rng.random(groups) < 0.2, 0.0, rng.random(groups) * 10.0)
+    return freq, cand, row_input, col_input
+
+
+def block_weights(freq, cand, row_input, col_input, weight_fn, start, stop):
+    """Candidate block weights of rows ``start..stop-1``, summed like the sweep does."""
+    acc_freq, acc_input = freq[start].copy(), float(row_input[start])
+    for row in range(start + 1, stop):
+        acc_freq = acc_freq + freq[row]
+        acc_input = acc_input + row_input[row]
+    weights = weight_fn.input_cost * (acc_input + col_input) + weight_fn.output_cost * acc_freq
+    return weights[cand[start:stop].sum(axis=0) > 0]
+
+
+@given(inputs=sweep_inputs(), weight_fn=st.sampled_from(WEIGHT_FUNCTIONS),
+       fraction=st.floats(0.0, 1.0), max_groups=st.integers(1, 12), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_sweep_matches_the_row_loop(inputs, weight_fn, fraction, max_groups, data):
+    freq, cand, row_input, col_input = inputs
+    rows = len(row_input)
+    everything = block_weights(freq, cand, row_input, col_input, weight_fn, 0, rows)
+    candidates = [fraction * float(everything.max(initial=0.0))]
+    # A threshold exactly equal to some block's weight: `<=` must keep the row.
+    start = data.draw(st.integers(0, rows - 1))
+    stop = data.draw(st.integers(start + 1, rows))
+    candidates.extend(block_weights(freq, cand, row_input, col_input, weight_fn, start, stop))
+    for threshold in candidates:
+        args = (freq, cand, row_input, col_input, weight_fn, float(threshold), max_groups)
+        ours, reference = _sweep_rows(*args), reference_sweep_rows(*args)
+        if reference is None:
+            assert ours is None
+        else:
+            assert ours is not None and ours.dtype == reference.dtype
+            assert ours.tolist() == reference.tolist()
+
+
+def test_sweep_runs_out_of_groups_exactly_when_the_row_loop_does():
+    """``max_groups`` exhaustion: None below the group count, boundaries at it."""
+    rng = np.random.default_rng(7)
+    rows, groups = 60, 4
+    cand = np.ones((rows, groups))
+    freq = rng.random((rows, groups)) * 5.0
+    row_input = rng.random(rows) + 0.5
+    col_input = rng.random(groups)
+    weight_fn = WeightFunction(1.0, 0.3)
+    threshold = 12.0
+    unlimited = reference_sweep_rows(freq, cand, row_input, col_input, weight_fn, threshold, rows)
+    needed = len(unlimited) - 1
+    assert needed > 3
+    for max_groups in (1, needed - 1, needed, needed + 1):
+        args = (freq, cand, row_input, col_input, weight_fn, threshold, max_groups)
+        ours, reference = _sweep_rows(*args), reference_sweep_rows(*args)
+        assert (reference is None) == (max_groups < needed)
+        assert (ours is None) == (reference is None)
+        if reference is not None:
+            assert ours.tolist() == reference.tolist() == unlimited.tolist()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,57 @@ class TestMonotonicBSP:
         coverage = validate_grid_regions(grid, result.regions)
         assert coverage.is_valid, coverage.summary()
         assert result.max_region_weight <= delta + 1e-9
+
+
+class TestRecursionLimitIsNeverTouched:
+    """The DP's depth grows with rows + columns; its stack must be its own.
+
+    Raising the interpreter's recursion limit is process-global: a restore in
+    ``finally`` can land while a pipeline producer thread, or any caller
+    thread, is deeper than the old limit.
+    """
+
+    @pytest.fixture(autouse=True)
+    def forbid_setrecursionlimit(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"sys.setrecursionlimit({limit}) called")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+
+    def test_single_row_of_600_cells(self):
+        # Only rectangles reaching the last, heavy column exceed delta, so the
+        # DP descends through [k..599] for every k: 599 nested splits, past
+        # the default limit of 1000 frames for a DP that recursed.
+        cols = 600
+        col_input = np.ones(cols)
+        col_input[-1] = 10_000.0
+        grid = WeightedGrid(
+            frequency=np.zeros((1, cols)),
+            row_input=np.ones(1),
+            col_input=col_input,
+            candidate=np.ones((1, cols), dtype=bool),
+        )
+        result = monotonic_bsp_partition(grid, UNIT, delta=5_000.0)
+        assert result.regions == [GridRegion(0, 0, cols - 1, cols - 1),
+                                  GridRegion(0, 0, 0, cols - 2)]
+        assert validate_grid_regions(grid, result.regions).is_valid
+
+    def test_diagonal_band_150_by_150(self):
+        size = 150
+        index = np.arange(size)
+        candidate = np.abs(index[:, None] - index[None, :]) <= 1
+        grid = WeightedGrid(
+            frequency=candidate.astype(np.float64),
+            row_input=np.ones(size),
+            col_input=np.ones(size),
+            candidate=candidate,
+        )
+        delta = UNIT.weight(grid.total_input, grid.total_output) / 1.5
+        result = monotonic_bsp_partition(grid, UNIT, delta)
+        coverage = validate_grid_regions(grid, result.regions)
+        assert coverage.is_valid, coverage.summary()
+        assert result.max_region_weight <= delta
+        assert result.num_regions == 2
 
 
 class TestEnumerateMinimalCandidateRectangles:
