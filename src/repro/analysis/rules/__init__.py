@@ -1,6 +1,6 @@
 """The domain rule battery for :mod:`repro.analysis`.
 
-Six rule families, one per discipline the repository's tests pin
+Seven rule families, one per discipline the repository's tests pin
 dynamically (see each module's docstring for the full rationale):
 
 ========  ==========================================================
@@ -9,6 +9,7 @@ DET002    no global-RNG calls — thread a seeded ``Generator``
 KEY001    no float coercion on join-key dataflow (exact int64 keys)
 CONC001   no fork / pickled lambdas / module-level mutable state
 API001    complete ``ExecutionBackend`` surfaces, bind-first ordering
+STATE001  no ``np.insert`` / ``np.isin`` under ``repro.streaming``
 SUP001    suppression comments must cite rule ids that exist
 ========  ==========================================================
 
@@ -25,6 +26,7 @@ from repro.analysis.rules.api import BackendProtocolRule
 from repro.analysis.rules.concurrency import MultiprocessingHygieneRule
 from repro.analysis.rules.determinism import DirectClockRule, GlobalRngRule
 from repro.analysis.rules.keys import FloatKeyCoercionRule
+from repro.analysis.rules.state import StateCopyRule
 from repro.analysis.rules.suppressions import UnknownSuppressionRule
 
 __all__ = [
@@ -35,6 +37,7 @@ __all__ = [
     "FloatKeyCoercionRule",
     "MultiprocessingHygieneRule",
     "BackendProtocolRule",
+    "StateCopyRule",
     "UnknownSuppressionRule",
 ]
 
@@ -45,6 +48,7 @@ ALL_RULES: "tuple[type[Rule], ...]" = (
     FloatKeyCoercionRule,
     MultiprocessingHygieneRule,
     BackendProtocolRule,
+    StateCopyRule,
     UnknownSuppressionRule,
 )
 

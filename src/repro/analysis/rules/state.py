@@ -1,0 +1,59 @@
+"""STATE001: no per-call ``O(state)`` array rebuilds in the streaming state path.
+
+The streaming engine's join state, key histories and live sets are touched
+on every micro-batch, so anything that copies or sorts a whole retained
+array per call makes a batch cost ``O(state)`` instead of ``O(new)`` --
+which is exactly how the state layer used to spend most of a batch:
+
+* ``np.insert(array, positions, values)`` allocates and copies the *whole*
+  array to add a few entries (54% of an unbounded-stream batch before the
+  sorted-run layout of :class:`~repro.streaming.incremental.SortedRegionState`);
+* ``np.isin(held, expired)`` re-sorts both arrays on every call (31% of a
+  windowed batch before :func:`~repro.streaming.window.surviving`).
+
+This rule flags both calls anywhere under ``repro/streaming`` so neither
+grows back.  Append to a run or an arena and merge geometrically instead of
+``np.insert``; test membership with ``surviving`` / ``drop_expired`` (a
+range check, else one ``searchsorted``) instead of ``np.isin``.  A call that
+is genuinely off the per-batch path of every measured workload, or part of
+a test oracle, carries an inline ``# repro: ignore[STATE001]`` saying so.
+"""
+
+from __future__ import annotations
+
+import ast
+from typing import Iterator
+
+from repro.analysis.engine import Rule, SourceContext, Violation
+
+__all__ = ["StateCopyRule"]
+
+
+class StateCopyRule(Rule):
+    """STATE001: ``np.insert`` / ``np.isin`` under ``repro.streaming``."""
+
+    rule_id = "STATE001"
+    name = "O(state) array rebuild"
+    description = (
+        "np.insert copies and np.isin re-sorts a whole retained array per "
+        "call; under repro.streaming append to a sorted run / arena and "
+        "test membership with window.surviving instead"
+    )
+    target_node_types = (ast.Call,)
+    include = ("repro/streaming/",)
+
+    #: Resolved callables whose every call is an ``O(state)`` copy or sort.
+    banned = {
+        "numpy.insert": "copies the whole array to add a few entries; append "
+        "a sorted run (SortedRegionState) or grow an arena instead",
+        "numpy.isin": "re-sorts both arrays on every call; use "
+        "repro.streaming.window.surviving / drop_expired instead",
+    }
+
+    def check(self, node: ast.AST, context: SourceContext) -> Iterator[Violation]:
+        """Flag calls resolving to the banned numpy functions."""
+        assert isinstance(node, ast.Call)
+        resolved = context.resolve(node.func)
+        reason = self.banned.get(resolved or "")
+        if reason is not None:
+            yield Violation(node, f"{resolved} {reason}")

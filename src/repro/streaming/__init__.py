@@ -19,9 +19,11 @@ count-or-batch window, or exponential decay): expired tuples are evicted from
 every machine after each batch, the freed memory is charged into the metrics,
 and repartitioning migrates live state only.  The join state has one owner
 -- the execution backend, driven through a single state-ownership protocol
--- and each side of a machine's state is kept sorted by join key, so the
-per-batch output delta is counted incrementally in ``O(new log state)``
-instead of re-counting whole regions (see ``docs/streaming.md`` for the full
+-- and each side of a machine's state is kept as a few key-sorted runs,
+merged geometrically, so the per-batch output delta is counted
+incrementally in ``O(new * runs * log state)`` searches plus amortised
+``O(new * ratio * log_ratio(state / new))`` copies instead of re-counting
+(or re-copying) whole regions (see ``docs/streaming.md`` for the full
 narrative).
 
 A :class:`~repro.streaming.pipeline.StreamingPipeline` decouples the source

@@ -8,13 +8,14 @@ every backend through one **state-ownership protocol**:
 ``bind`` → per batch ``count_batch`` / ``evict_state`` / ``rebase_state`` →
 ``install_state`` (migrations, restores) / ``resize`` (fleet changes), with
 ``resident_indices`` as the one read-only view (migration planning,
-resident accounting, checkpoints) and ``drain_channel_bytes`` for byte
+checkpoints) and ``drain_channel_bytes`` for byte
 metering.
 
 The protocol is implemented once, in-process, on the base class: a
 :class:`RegionStateTable` of sorted per-machine state whose ``count_batch``
 folds the batch in (``C(new1, state2 + new2) + C(state1, new2)``) and
-dispatches the resulting ``2J`` search tasks through the backend's own
+dispatches the resulting search tasks -- one per sorted run of each of a
+machine's two halves -- through the backend's own
 :meth:`~ExecutionBackend.join_regions`.  A backend therefore only decides
 *how a list of (keys1, keys2) tasks is counted*:
 
@@ -148,9 +149,11 @@ class RegionJoinResult:
         (``-1`` for units that were never dispatched) and the seconds it
         spent there; ``None`` for in-process backends.  A unit is one
         region for :meth:`ExecutionBackend.join_regions` and the sticky
-        ``count_batch``, and one of a machine's two search tasks for the
-        in-process default ``count_batch``.  A tracer uses these to stitch
-        per-worker child spans under the dispatching batch's span.
+        ``count_batch``; the in-process default ``count_batch`` has one
+        unit per (machine, half, run) -- each of a machine's two searches
+        is dispatched once per sorted run of the searched state.  A tracer
+        uses these to stitch per-worker child spans under the dispatching
+        batch's span.
     """
 
     per_machine_output: np.ndarray
@@ -186,7 +189,9 @@ class RegionStateTable:
 
     Array inputs may be zero-copy views into a transient shared segment;
     :class:`SortedRegionState` copies on insert and rebuild, so no view
-    survives past its call.
+    survives past its call.  The per-task ``(needles, run keys)`` pairs a
+    :meth:`fold` returns are the state's own arrays: read them, never
+    write to them (the state itself only ever swaps in fresh ones).
     """
 
     def __init__(self, machines: "Iterable[int]") -> None:
@@ -196,26 +201,49 @@ class RegionStateTable:
 
     def fold(
         self, arrays: "list[np.ndarray]"
-    ) -> "list[tuple[np.ndarray, np.ndarray]]":
-        """Merge a batch's arrivals in; return two counting tasks per machine.
+    ) -> "tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]":
+        """Merge a batch's arrivals in; return the counting tasks and their owners.
 
         ``arrays`` is a :func:`state_layout` of the whole cluster; only the
         slices of this table's machines are read.  A machine's output delta
         decomposes exactly as ``C(new1, state2 + new2) + C(state1, new2)``:
-        its first task searches the just-updated sorted R2 state per new R1
-        key, its second searches the *pre-insert* sorted R1 state per new
-        R2 key (to be counted under the transposed condition).  Both
-        second arrays are sorted, so counting is ``O(new log state)``.
+        its first half searches the just-updated R2 state per new R1 key,
+        its second searches the *pre-insert* R1 state per new R2 key (to be
+        counted under the transposed condition).  Each half is one task
+        ``(needles, run keys)`` per sorted run of the searched state -- the
+        needles are the batch's arrivals as the insert sorted them -- so
+        counting is ``O(new * runs * log state)`` and the per-run counts
+        sum exactly to the half.
+
+        ``owners[t]`` is ``2 * slot + half`` of task ``t``, with ``slot``
+        the machine's position in :attr:`machines` and ``half`` 0 for the
+        original condition, 1 for the transposed one; :meth:`sum_halves`
+        folds per-task values back.  A half whose searched state is empty
+        keeps one task with nothing to search, so every machine has at
+        least its two tasks and every arrival is a needle at least once.
         """
         tasks: "list[tuple[np.ndarray, np.ndarray]]" = []
-        for machine in self.machines:
+        owners: "list[int]" = []
+        for slot, machine in enumerate(self.machines):
             idx1, keys1, idx2, keys2 = arrays[4 * machine : 4 * machine + 4]
             state1, state2 = self.state1[machine], self.state2[machine]
-            old_keys1 = state1.keys
-            state2.insert(idx2, keys2)
-            state1.insert(idx1, keys1)
-            tasks += [(keys1, state2.keys), (keys2, old_keys1)]
-        return tasks
+            old_runs1 = state1.run_keys
+            needles2 = state2.insert(idx2, keys2)
+            needles1 = state1.insert(idx1, keys1)
+            for half, needles, searched in (
+                (0, needles1, state2.run_keys),
+                (1, needles2, old_runs1),
+            ):
+                searched = searched or [needles[:0]]
+                tasks += [(needles, run) for run in searched]
+                owners += [2 * slot + half] * len(searched)
+        return tasks, np.array(owners, dtype=np.int64)
+
+    def sum_halves(self, values: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        """Sum per-task ``values`` into a ``(machines, 2)`` array of halves."""
+        halves = np.zeros(2 * len(self.machines), dtype=values.dtype)
+        np.add.at(halves, owners, values)
+        return halves.reshape(-1, 2)
 
     def evict(self, expired1: np.ndarray, expired2: np.ndarray) -> int:
         """Drop expired arrival indices everywhere; return entries dropped."""
@@ -375,7 +403,8 @@ class ExecutionBackend(abc.ABC):
         transposed orientations in one dispatch).  ``keys2_sorted``
         promises every pair's second array is already sorted ascending so
         the per-task sort can be skipped -- :meth:`count_batch` relies on
-        this to stay ``O(new log state)`` per batch.
+        this to search, never sort, the retained state (``O(new * runs *
+        log state)`` per batch).
         """
 
     # ------------------------------------------------------------------
@@ -404,25 +433,28 @@ class ExecutionBackend(abc.ABC):
         """Fold one batch's arrivals into the state; count its output delta.
 
         ``new1`` / ``new2`` are per-machine arrival-index arrays into the
-        key histories.  Every machine's two search tasks
-        (:meth:`RegionStateTable.fold`) go through :meth:`join_regions` as
-        one ``2J``-task dispatch, so the returned timings and serialization
-        bytes are the backend's own; no full-region recount ever happens.
+        key histories.  Every machine's search tasks
+        (:meth:`RegionStateTable.fold`: two halves, one task per sorted run
+        searched) go through :meth:`join_regions` as one dispatch, so the
+        returned timings and serialization bytes are the backend's own; no
+        full-region recount ever happens.  Per-task outputs and seconds are
+        summed back to their machines; ``worker_pids`` /
+        ``worker_seconds`` stay per task.
         """
-        tasks = self._bound_table().fold(
-            state_layout(new1, new2, history1, history2)
-        )
+        table = self._bound_table()
+        tasks, owners = table.fold(state_layout(new1, new2, history1, history2))
         execution = self.join_regions(
-            tasks, list(self._fold_conditions) * len(new1), keys2_sorted=True
+            tasks,
+            [self._fold_conditions[owner & 1] for owner in owners.tolist()],
+            keys2_sorted=True,
         )
-        # Two tasks per machine; worker_pids / worker_seconds stay per task.
         return replace(
             execution,
-            per_machine_output=execution.per_machine_output.reshape(-1, 2).sum(
-                axis=1
-            ),
-            per_machine_seconds=execution.per_machine_seconds.reshape(
-                -1, 2
+            per_machine_output=table.sum_halves(
+                execution.per_machine_output, owners
+            ).sum(axis=1),
+            per_machine_seconds=table.sum_halves(
+                execution.per_machine_seconds, owners
             ).sum(axis=1),
         )
 
@@ -468,16 +500,17 @@ class ExecutionBackend(abc.ABC):
     ) -> "tuple[list[np.ndarray], list[np.ndarray]]":
         """Per-machine arrival indices held, R1 then R2 (read-only views).
 
-        What migration planning, resident accounting and checkpoints need
-        to know about the state without reading it back.  Order within a
-        machine is unspecified (the in-process default hands out its
-        key-sorted index columns with no copy); callers treat each array
-        as a set.
+        What migration planning and checkpoints need to know about the
+        state without reading it back.  Order within a machine is
+        unspecified (the in-process default concatenates its runs' index
+        columns, and hands out a single run's column with no copy); callers
+        treat each array as a set.  ``O(state)``: the per-batch path never
+        calls it.
         """
         table = self._bound_table()
         return (
-            [table.state1[machine].index for machine in table.machines],
-            [table.state2[machine].index for machine in table.machines],
+            [table.state1[m].arrival_indices() for m in table.machines],
+            [table.state2[m].arrival_indices() for m in table.machines],
         )
 
     def drain_channel_bytes(
@@ -559,23 +592,25 @@ class _StickyWorkerState:
         """Fold one batch's deltas into the resident state and count.
 
         :meth:`RegionStateTable.fold` takes the owned machines' slices of
-        the layout; the resulting task pairs are counted by
-        :func:`_count_regions` (empty sides skipped and untimed).  The
-        reply lists, per machine, both tasks' outputs and seconds.
+        the layout; the resulting per-run tasks are counted by
+        :func:`_count_regions` (empty sides skipped and untimed) and summed
+        per half here, in the worker, so the reply keeps one fixed-size
+        entry per machine -- both halves' outputs and seconds -- however
+        many runs the state holds.
         """
-        machines = self.table.machines
+        tasks, owners = self.table.fold(arrays)
         outputs, seconds = _count_regions(
-            self.table.fold(arrays),
-            self.conditions * len(machines),
+            tasks,
+            [self.conditions[owner & 1] for owner in owners.tolist()],
             keys2_sorted=True,
         )
-        outputs = outputs.reshape(-1, 2).tolist()
-        seconds = seconds.reshape(-1, 2).tolist()
+        outputs = self.table.sum_halves(outputs, owners).tolist()
+        seconds = self.table.sum_halves(seconds, owners).tolist()
         return (
             "counted",
             [
                 (machine, *outputs[slot], *seconds[slot])
-                for slot, machine in enumerate(machines)
+                for slot, machine in enumerate(self.table.machines)
             ],
         )
 
@@ -673,11 +708,11 @@ class StickyWorkerBackend(ExecutionBackend):
     This is the one override of the state-ownership protocol: every call
     becomes a control message, and the backend keeps a sorted per-machine
     *arrival-index mirror* of what its workers hold, so
-    :meth:`resident_indices` (migration planning, resident accounting,
-    checkpoints) never reads state back.  The mirror is also the backend's
-    claim about worker state: every eviction's worker-reported drop count
-    is checked against it, and a divergence raises.  Counted outputs are
-    bit-identical to :class:`SimulatedBackend` -- the workers run the same
+    :meth:`resident_indices` (migration planning, checkpoints) never reads
+    state back.  The mirror is also the backend's claim about worker
+    state: every eviction's worker-reported drop count is checked against
+    it, and a divergence raises.  Counted outputs are bit-identical to
+    :class:`SimulatedBackend` -- the workers run the same
     :class:`RegionStateTable` fold on the same arrays.
 
     Parameters
@@ -808,7 +843,7 @@ class StickyWorkerBackend(ExecutionBackend):
             return held
         if len(held) == 0:
             return incoming
-        return np.insert(held, np.searchsorted(held, incoming), incoming)
+        return np.insert(held, np.searchsorted(held, incoming), incoming)  # repro: ignore[STATE001]  # engine-side ownership mirror; no perf/ workload runs sticky, ROADMAP parks optimising it until one does
 
     def _crashed(self, worker: int, cause: "BaseException | None" = None):
         """Build the :class:`WorkerCrashError` for a dead worker's channel."""
@@ -1104,8 +1139,9 @@ class SlowConsumerBackend(ExecutionBackend):
     pipeline tests and benchmarks need a consumer whose slowness is a
     *parameter*, not an accident of the host machine.  This wrapper adds
     ``seconds_per_call + seconds_per_tuple * probe_tuples`` to every
-    execution (``probe_tuples`` counts each task's first-side keys -- the
-    batch's new arrivals under the engine's incremental counting).
+    execution (``probe_tuples`` counts each task's first-side keys --
+    under the engine's incremental counting, the batch's new arrivals once
+    per sorted run of retained state they are searched against).
 
     By default the delay is **virtual**: it is added to the reported
     ``wall_seconds`` without stalling anything, so simulated-clock tests

@@ -106,13 +106,21 @@ class RunState:
     or writes between batches lives here or in the backend (the engine
     object itself holds only configuration), so a checkpoint is a copy of
     this object's fields, the backend's resident indices and the engine's
-    collaborators, and a restore rebuilds exactly this.
+    collaborators, and a restore rebuilds exactly this.  Three slots are
+    derived and never captured: ``buffer1`` / ``buffer2`` are the
+    capacity-doubling arrays the ``history1`` / ``history2`` views sit at
+    the front of (a restore starts them at exactly the history), and
+    ``resident_tuples`` is the running count of state entries the backend
+    holds (a restore recounts it from the captured indices).
     """
 
     __slots__ = (
         "rng",
         "history1",
         "history2",
+        "buffer1",
+        "buffer2",
+        "resident_tuples",
         "partitioning",
         "region_to_machine",
         "live1",
@@ -386,7 +394,9 @@ def resume(
     s = RunState()
     s.rng = np.random.default_rng(engine.seed)
     s.rng.bit_generator.state = checkpoint.rng_state
-    s.history1, s.history2 = checkpoint.history1, checkpoint.history2
+    s.buffer1 = s.history1 = checkpoint.history1
+    s.buffer2 = s.history2 = checkpoint.history2
+    s.resident_tuples = checkpoint.resident_tuples
     s.starts1 = list(checkpoint.starts1)
     s.starts2 = list(checkpoint.starts2)
     s.live1, s.live2 = checkpoint.live1, checkpoint.live2

@@ -18,11 +18,13 @@ and the batch-start lists.  Per micro-batch it runs six stages:
   holding it (the adopted region-to-machine mapping is remembered between
   rebuilds, so partial repartitioning never degrades correctness);
 * **count** -- hand the per-machine arrival indices to the backend, which
-  folds them into each machine's key-sorted state and counts the batch's
-  exact output delta by binary search, ``O(new log state)`` per machine
+  folds them into each machine's key-sorted runs and counts the batch's
+  exact output delta by binary search, ``O(new * runs * log state)`` per
+  machine with the runs merged geometrically behind it
   (``C(new1, state2 + new2) + C(state1, new2)``; no region is ever
-  re-counted).  The cost-model load is charged per machine: arrivals at
-  the input cost, produced output at the output cost;
+  re-counted and no batch re-copies the state).  The cost-model load is
+  charged per machine: arrivals at the input cost, produced output at the
+  output cost;
 * **evict + compact** -- the :class:`~repro.streaming.window.WindowPolicy`
   decides which tuples expire (unbounded history by default, a sliding
   count-or-batch window, or exponential decay); evictions are charged into
@@ -244,19 +246,33 @@ class StreamingJoinEngine:
         )
 
     @staticmethod
-    def _append_history(history: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """Append a batch's keys to a side's history, preserving the dtype.
+    def _append_history(
+        buffer: np.ndarray, size: int, keys: np.ndarray
+    ) -> np.ndarray:
+        """Append a batch's keys after ``buffer[:size]``; return the buffer.
 
-        The first non-empty batch decides the side's history dtype (integer
-        keys stay integers -- int64 join keys above 2**53 must never round
-        through float64).  A later dtype change promotes via
-        ``np.concatenate``'s normal rules.
+        A side's key history is the first ``size`` entries of a buffer
+        whose capacity doubles when it runs out, so an append costs
+        ``O(new)`` amortised instead of re-copying the whole history every
+        batch; the caller hands out ``buffer[:size + len(keys)]``.  Views
+        handed out earlier stay valid: an append writes only past them, and
+        a full buffer or a dtype change allocates a new one.  The first
+        non-empty batch decides the side's dtype (integer keys stay
+        integers -- int64 join keys above 2**53 must never round through
+        float64); a later dtype change promotes by ``np.concatenate``'s
+        rules, and an empty batch changes nothing.
         """
-        if len(history) == 0:
-            return np.array(keys)
-        if len(keys) == 0:
-            return history
-        return np.concatenate([history, keys])
+        keys = np.asarray(keys)
+        if size and len(keys) == 0:
+            return buffer
+        needed = size + len(keys)
+        dtype = np.promote_types(buffer.dtype, keys.dtype) if size else keys.dtype
+        if dtype != buffer.dtype or needed > len(buffer):
+            grown = np.empty(max(needed, 2 * size), dtype=dtype)
+            grown[:size] = buffer[:size]
+            buffer = grown
+        buffer[size:needed] = keys
+        return buffer
 
     @staticmethod
     def _globalise(
@@ -424,6 +440,9 @@ class StreamingJoinEngine:
         self.backend.install_state(
             plan.new_assignments1, plan.new_assignments2, s.history1, s.history2
         )
+        s.resident_tuples = sum(
+            len(held) for held in plan.new_assignments1 + plan.new_assignments2
+        )
         s.partitioning = replacement
         s.region_to_machine = plan.region_to_machine
         load = (
@@ -503,8 +522,10 @@ class StreamingJoinEngine:
         J = self.num_machines
         s = RunState()
         s.rng = np.random.default_rng(self.seed)
-        s.history1 = np.empty(0, dtype=np.float64)
-        s.history2 = np.empty(0, dtype=np.float64)
+        # Key histories: views of capacity-doubling buffers (_append_history).
+        s.buffer1 = s.history1 = np.empty(0, dtype=np.float64)
+        s.buffer2 = s.history2 = np.empty(0, dtype=np.float64)
+        s.resident_tuples = 0
         s.partitioning = None
         # Where each region's state lives; partial repartitioning may remap.
         s.region_to_machine = np.arange(J, dtype=np.int64)
@@ -688,8 +709,10 @@ class StreamingJoinEngine:
                 rebuild_cost = self._rebuild_charge()
             initial_build = True
         offsets = len(s.history1), len(s.history2)
-        s.history1 = self._append_history(s.history1, batch.keys1)
-        s.history2 = self._append_history(s.history2, batch.keys2)
+        s.buffer1 = self._append_history(s.buffer1, offsets[0], batch.keys1)
+        s.buffer2 = self._append_history(s.buffer2, offsets[1], batch.keys2)
+        s.history1 = s.buffer1[: offsets[0] + len(batch.keys1)]
+        s.history2 = s.buffer2[: offsets[1] + len(batch.keys2)]
         if not self.window.is_unbounded:
             s.starts1.append(offsets[0])
             s.starts2.append(offsets[1])
@@ -792,6 +815,7 @@ class StreamingJoinEngine:
                 )
             self._stitch_workers(execution, span)
             deltas = execution.per_machine_output
+            s.resident_tuples += int(arrivals.sum())
         loads = (
             weight.input_cost * arrivals.astype(np.float64)
             + weight.output_cost * deltas.astype(np.float64)
@@ -854,6 +878,7 @@ class StreamingJoinEngine:
                 metrics.bytes_freed = (
                     metrics.tuples_evicted * BatchMetrics.STATE_BYTES
                 )
+                s.resident_tuples -= metrics.tuples_evicted
             evict_span.set(evicted=metrics.tuples_evicted)
         with self.tracer.span("compact", category="stage") as compact_span:
             s.history1, s.live1, trim1 = self._compact_side(
@@ -862,6 +887,10 @@ class StreamingJoinEngine:
             s.history2, s.live2, trim2 = self._compact_side(
                 s.history2, s.live2, s.starts2
             )
+            if trim1:
+                s.buffer1 = s.history1
+            if trim2:
+                s.buffer2 = s.history2
             if trim1 or trim2:
                 self.backend.rebase_state(trim1, trim2)
             metrics.history_tuples_trimmed = trim1 + trim2
@@ -899,7 +928,11 @@ class StreamingJoinEngine:
         One drain covers every protocol command the batch issued (count,
         evict, rebase, install) on a backend with a metered channel;
         batches that moved no metered bytes keep ``None``, like an
-        unprofiled run.
+        unprofiled run.  The resident count is the run state's running
+        total (arrivals folded in, minus what ``evict_state`` reported,
+        reset by every ``install_state``): asking the backend's
+        ``resident_indices`` for it would materialise the whole state's
+        index columns every batch just to take their lengths.
         """
         pickled, unpickled, shm = self.backend.drain_channel_bytes()
         metrics.bytes_pickled = self._accumulate_bytes(
@@ -909,10 +942,7 @@ class StreamingJoinEngine:
             metrics.bytes_unpickled, unpickled
         )
         metrics.bytes_shm = shm
-        resident1, resident2 = self.backend.resident_indices()
-        metrics.resident_tuples = sum(len(held) for held in resident1) + sum(
-            len(held) for held in resident2
-        )
+        metrics.resident_tuples = s.resident_tuples
         metrics.resident_history_tuples = len(s.history1) + len(s.history2)
         metrics.resident_live_entries = len(s.live1) + len(s.live2)
         metrics.wall_seconds = perf_counter() - start

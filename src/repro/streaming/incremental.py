@@ -8,9 +8,12 @@ both live here:
   at a cost proportional to the reservoir capacity instead of the stream
   length; and
 * each machine's **retained join state** (:class:`SortedRegionState`), kept
-  sorted by join key so the engine can count a batch's incremental output
-  with ``O(new log state)`` binary searches instead of re-sorting and
-  re-scanning the whole region every batch (``O(state log state)``).
+  as a few key-sorted runs merged geometrically, so the engine counts a
+  batch's incremental output with ``O(new * runs * log state)`` binary
+  searches and folds the batch in for an amortised ``O(new * ratio *
+  log_ratio(state / new))`` copies -- instead of re-sorting and re-scanning
+  the whole region every batch (``O(state log state)``) or re-copying it
+  (``O(state)``).
 
 The batch pipeline samples both relations from scratch every time it builds
 the histogram.  Over an unbounded stream that is impossible -- the input can
@@ -53,45 +56,83 @@ from repro.core.weights import WeightFunction
 from repro.joins.conditions import JoinCondition
 from repro.partitioning.ewh import EWHPartitioning
 from repro.streaming.source import MicroBatch
+from repro.streaming.window import surviving
 
 __all__ = ["DecayedReservoir", "IncrementalHistogram", "SortedRegionState"]
 
 
+#: A new run is merged into its predecessor while the predecessor is smaller
+#: than this many times the new run.  Measured, not tunable: every run is its
+#: own cache-cold binary-search descent per needle, so 2 (textbook binary
+#: merging) and 4 read clearly slower than 8 on both the unbounded and the
+#: windowed benchmark stream, while 8 to 32 are within noise of each other;
+#: 8 keeps at most four runs at 120K tuples per machine-side (the sweep is in
+#: ``docs/streaming.md``, "State layout").
+RUN_MERGE_RATIO = 8
+
+
+def _merge_runs(
+    older: "tuple[np.ndarray, np.ndarray]", newer: "tuple[np.ndarray, np.ndarray]"
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Merge two key-sorted ``(keys, index)`` runs into one fresh run.
+
+    A stable sort of the two runs laid end to end: numpy's stable sort is
+    a timsort, which finds the two sorted runs and merges them in one
+    linear pass -- measured about twice as fast as a ``searchsorted`` plus
+    scatter of both columns, at every run size from 1.5K to 400K.  Neither
+    input is modified, so a reader still holding the old run keeps a valid
+    snapshot.
+    """
+    keys = np.concatenate([older[0], newer[0]])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    return keys, np.concatenate([older[1], newer[1]])[order]
+
+
 class SortedRegionState:
-    """One machine's retained join state on one side, kept sorted by key.
+    """One machine's retained join state on one side: a few key-sorted runs.
 
     The engine's incremental counting needs, per batch and per machine, the
     number of joinable pairs between the batch's few arrivals and the
-    machine's (much larger) retained state.  Keeping the state sorted by
-    join key turns that into ``O(new log state)`` binary searches: arrivals
-    are merged in with :func:`numpy.searchsorted` + :func:`numpy.insert`,
-    and expired tuples are dropped with one vectorised mask -- no per-batch
-    re-sort of the full region ever happens.
+    machine's (much larger) retained state.  The state is a short list of
+    **runs**, each a ``(keys, index)`` column pair sorted by join key,
+    oldest and largest first.  A batch's arrivals are sorted once and
+    appended as the newest run, which is then merged into its predecessor
+    while the predecessor is smaller than :data:`RUN_MERGE_RATIO` times it
+    (the Bentley--Saxe logarithmic method, the sorted runs of an LSM tree):
+    adjacent runs stay at least that ratio apart, so ``N`` tuples inserted
+    ``m`` at a time sit in at most ``log_ratio(N / m) + 1`` runs and each
+    tuple is copied ``O(ratio * log_ratio(N / m))`` times over its life --
+    not once per later batch, as with one array and :func:`numpy.insert`.
+    Counting a batch is one binary search per arrival *per run*:
+    ``O(new * runs * log state)``.
 
-    The ``(index, keys)`` pair is also the unit of state portability:
+    Eviction masks each run by arrival index (:func:`~repro.streaming.window.surviving`:
+    two comparisons per entry for a sliding window's contiguous range, one
+    ``searchsorted`` membership pass otherwise), and no array is ever
+    modified in place -- every operation swaps in fresh columns -- so run
+    arrays handed out as search targets stay valid snapshots.
+
+    The ``(index, keys)`` set is also the unit of state portability:
     checkpoints (:class:`~repro.streaming.checkpoint.StreamCheckpoint`)
-    capture it verbatim, migrations and restores rebuild it with
-    :meth:`from_indices` / :meth:`from_pairs`, and because the key-sort is
-    stable, rebuilding from arrival-index-sorted inputs reproduces the
-    original ordering exactly -- the foundation of the kill-and-restore ==
-    uninterrupted-run guarantee.
+    capture the indices, migrations and restores rebuild a single run with
+    :meth:`from_indices` / :meth:`from_pairs`.  What is preserved is the
+    *set* of ``(index, key)`` pairs.  The order among equal keys is
+    unspecified -- it differs between an insert, a merge and a rebuild --
+    and nothing may depend on it: counts do not, checkpoints sort their
+    index columns, ``resident_indices`` is documented as a set.
 
-    Attributes
-    ----------
-    keys:
-        The retained join keys, ascending.  The dtype follows the stream's
-        key arrays: integer keys are retained as integers (int64 keys
-        above 2**53 must not round through float64), floats as float64.
-    index:
-        Arrival indices, parallel to ``keys`` (``keys[i]`` is the key of
-        history tuple ``index[i]``).  Unique within a machine: a machine
-        holds one region, and a region routes each tuple at most once.
-        Under history compaction these are *engine coordinates* -- the
-        global arrival index minus the tuples already trimmed from the
-        history (:meth:`rebase`); without compaction the two coincide.
+    All runs of one state share one key dtype, which follows the stream's
+    key arrays: integer keys are retained as integers (int64 keys above
+    2**53 must not round through float64), floats as float64.  Arrival
+    indices are unique within a machine: a machine holds one region, and a
+    region routes each tuple at most once.  Under history compaction they
+    are *engine coordinates* -- the global arrival index minus the tuples
+    already trimmed from the history (:meth:`rebase`); without compaction
+    the two coincide.
     """
 
-    __slots__ = ("keys", "index")
+    __slots__ = ("_runs",)
 
     #: Resident bytes per retained tuple (float64 key + int64 arrival index).
     BYTES_PER_TUPLE = 16
@@ -99,18 +140,15 @@ class SortedRegionState:
     def __init__(
         self, index: np.ndarray | None = None, keys: np.ndarray | None = None
     ) -> None:
-        self.index = (
-            np.empty(0, dtype=np.int64) if index is None else np.asarray(index)
-        )
-        self.keys = (
-            np.empty(0, dtype=np.float64) if keys is None else np.asarray(keys)
-        )
+        self._runs: "list[tuple[np.ndarray, np.ndarray]]" = []
+        if index is not None and len(index):
+            self._runs.append((np.asarray(keys), np.asarray(index)))
 
     @classmethod
     def from_indices(
         cls, indices: np.ndarray, history: np.ndarray
     ) -> "SortedRegionState":
-        """Build sorted state for ``indices`` looked up in the key history.
+        """Build single-run state for ``indices`` looked up in the key history.
 
         The history's dtype carries over, so integer-keyed streams keep
         exact integer state across migrations.
@@ -122,7 +160,7 @@ class SortedRegionState:
     def from_pairs(
         cls, indices: np.ndarray, keys: np.ndarray
     ) -> "SortedRegionState":
-        """Build sorted state from parallel arrival-index / key arrays.
+        """Build single-run state from parallel arrival-index / key arrays.
 
         Same stable key-sort as :meth:`from_indices`, for callers that have
         already gathered the keys -- a sticky worker rebuilding migrated
@@ -137,67 +175,133 @@ class SortedRegionState:
 
     def __len__(self) -> int:
         """Number of retained tuples."""
-        return len(self.index)
+        return sum(len(index) for _, index in self._runs)
 
     @property
     def nbytes(self) -> int:
         """Resident bytes of the retained state (keys + arrival indices)."""
-        return len(self.index) * self.BYTES_PER_TUPLE
+        return len(self) * self.BYTES_PER_TUPLE
 
-    def insert(self, new_indices: np.ndarray, new_keys: np.ndarray) -> None:
-        """Merge a batch's arrivals into the sorted state.
+    @property
+    def run_keys(self) -> "list[np.ndarray]":
+        """Each run's sorted key column, oldest run first (no copy).
 
-        ``O(new log state)`` searches plus one ``O(state + new)`` array
-        merge; the keys stay sorted so the next batch's counting can binary
-        search them directly.  The first insert into empty state adopts the
-        arrivals' dtype (exact integers stay integers); a later dtype
-        mismatch promotes the state, so a mixed int/float stream never
-        truncates a float key into an integer slot.
+        What a count searches: one binary-search pass per run.  The list is
+        a snapshot -- later inserts and evictions swap in new arrays and
+        never write into these.
         """
-        if len(new_indices) == 0:
-            return
-        new_indices = np.asarray(new_indices, dtype=np.int64)
+        return [keys for keys, _ in self._runs]
+
+    def _merged(self) -> "tuple[np.ndarray, np.ndarray]":
+        """The whole state as one key-sorted ``(keys, index)`` pair, uncached."""
+        if not self._runs:
+            return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
+        if len(self._runs) == 1:
+            return self._runs[0]
+        keys = np.concatenate([keys for keys, _ in self._runs])
+        order = np.argsort(keys, kind="stable")
+        index = np.concatenate([index for _, index in self._runs])
+        return keys[order], index[order]
+
+    @property
+    def keys(self) -> np.ndarray:
+        """Every retained join key, ascending (a read view for tests and tools).
+
+        Merged on demand from the runs -- ``O(state log runs)`` per read
+        and nothing is cached, so the state never holds a second copy of
+        itself.  The per-batch paths never read it.
+        """
+        return self._merged()[0]
+
+    @property
+    def index(self) -> np.ndarray:
+        """Arrival indices parallel to :attr:`keys` (``keys[i]`` is the key
+        of history tuple ``index[i]``); merged on demand like :attr:`keys`.
+        """
+        return self._merged()[1]
+
+    def arrival_indices(self) -> np.ndarray:
+        """Every arrival index held, in no particular order.
+
+        One concatenation of the runs' index columns and no merge (the
+        single run's own column, uncopied, when there is one): what
+        migration planning and checkpoints read, both of which treat it as
+        a set.
+        """
+        if len(self._runs) == 1:
+            return self._runs[0][1]
+        if not self._runs:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate([index for _, index in self._runs])
+
+    def insert(self, new_indices: np.ndarray, new_keys: np.ndarray) -> np.ndarray:
+        """Add a batch's arrivals as the newest run; merge geometrically.
+
+        The arrivals are key-sorted once (stable) and returned in that
+        order and their own dtype -- the needles the batch's count searches
+        with, which descend a large sorted run faster than unsorted ones.
+        The new run is merged into its predecessor while the predecessor
+        is smaller than :data:`RUN_MERGE_RATIO` times it, so the amortised
+        copy cost is ``O(new * ratio * log_ratio(state / new))`` and the
+        largest run is rewritten only once the runs behind it have grown to
+        an eighth of its size.
+
+        The first insert into empty state adopts the arrivals' dtype (exact
+        integers stay integers); a later dtype mismatch promotes *every*
+        run, so a mixed int/float stream never truncates a float key into
+        an integer slot and all runs keep one dtype.
+        """
         new_keys = np.asarray(new_keys)
+        if len(new_indices) == 0:
+            return new_keys
         order = np.argsort(new_keys, kind="stable")
-        new_keys = new_keys[order]
-        new_indices = new_indices[order]
-        if len(self.keys) == 0:
-            self.keys = new_keys
-            self.index = new_indices
-            return
-        if self.keys.dtype != new_keys.dtype:
-            target = np.promote_types(self.keys.dtype, new_keys.dtype)
-            self.keys = self.keys.astype(target)
+        needles = new_keys = new_keys[order]
+        new_indices = np.asarray(new_indices, dtype=np.int64)[order]
+        runs = self._runs
+        if runs and runs[0][0].dtype != new_keys.dtype:
+            target = np.promote_types(runs[0][0].dtype, new_keys.dtype)
+            runs[:] = [(keys.astype(target), index) for keys, index in runs]
             new_keys = new_keys.astype(target)
-        positions = np.searchsorted(self.keys, new_keys)
-        self.keys = np.insert(self.keys, positions, new_keys)
-        self.index = np.insert(self.index, positions, new_indices)
+        runs.append((new_keys, new_indices))
+        while len(runs) > 1 and len(runs[-2][1]) < RUN_MERGE_RATIO * len(runs[-1][1]):
+            newer = runs.pop()
+            runs[-1] = _merge_runs(runs[-1], newer)
+        return needles
 
     def rebase(self, shift: int) -> None:
         """Shift every arrival index down by ``shift`` (history compaction).
 
         The engine calls this after trimming ``shift`` expired tuples off
-        the front of the side's key history, so ``index`` keeps addressing
+        the front of the side's key history, so the indices keep addressing
         the same keys in the compacted array.  Every retained index must be
         ``>= shift`` (compaction only trims below the window's safe trim
         point, and eviction has already dropped anything older).
         """
         if shift:
-            self.index = self.index - shift
+            self._runs = [(keys, index - shift) for keys, index in self._runs]
 
     def evict(self, expired: np.ndarray) -> int:
         """Drop the given global arrival indices; return how many were held.
 
-        ``expired`` is the window policy's eviction set for the side; only
-        the tuples this machine actually holds are dropped (and counted).
+        ``expired`` is the window policy's eviction set for the side --
+        sorted ascending and unique; only the tuples this machine actually
+        holds are dropped (and counted).  Each run is masked by
+        :func:`~repro.streaming.window.surviving`; a run left empty is
+        removed, a run that held none of ``expired`` is left untouched.
         """
-        if len(self.index) == 0 or len(expired) == 0:
+        if not self._runs or len(expired) == 0:
             return 0
-        keep = ~np.isin(self.index, expired, assume_unique=True)
-        dropped = int(len(keep) - keep.sum())
-        if dropped:
-            self.index = self.index[keep]
-            self.keys = self.keys[keep]
+        dropped = 0
+        survivors = []
+        for keys, index in self._runs:
+            keep = surviving(index, expired)
+            kept = int(np.count_nonzero(keep))
+            if kept < len(index):
+                dropped += len(index) - kept
+                keys, index = keys[keep], index[keep]
+            if kept:
+                survivors.append((keys, index))
+        self._runs = survivors
         return dropped
 
 

@@ -61,6 +61,7 @@ __all__ = [
     "WINDOW_SPEC_FORMS",
     "drop_expired",
     "make_window",
+    "surviving",
 ]
 
 #: Every spec form :func:`make_window` accepts, aliases included.  The
@@ -233,20 +234,42 @@ class ExponentialDecayWindow(WindowPolicy):
         return live[rng.random(len(live)) >= self.survival]
 
 
-def drop_expired(held: np.ndarray, expired: np.ndarray) -> np.ndarray:
-    """Drop ``expired`` (sorted) from the sorted index array ``held``.
+def surviving(held: np.ndarray, expired: np.ndarray) -> np.ndarray:
+    """Boolean mask over ``held``: which arrival indices are *not* expired.
 
-    The membership pass every sorted arrival-index set shares -- the
-    engine's live sets and the sticky backend's ownership mirror.
-    ``O(held log expired)`` via ``searchsorted``: cheaper than ``np.isin``,
-    which re-sorts both arrays, and this runs on every windowed batch.
-    ``expired`` need not be a subset of ``held``.
+    The one membership test behind every eviction -- the engine's live
+    sets, the sticky backend's ownership mirror and each sorted run of
+    :class:`~repro.streaming.incremental.SortedRegionState`.  ``expired``
+    must be non-empty, sorted ascending and unique (every window policy's
+    eviction set is); ``held`` may be in any order and ``expired`` need not
+    be a subset of it.
+
+    A *contiguous* eviction set -- every :class:`SlidingWindow` one is: a
+    prefix of the consecutive live indices -- is recognised from its ends
+    (``hi - lo + 1 == len(expired)``) and becomes two comparisons per held
+    index, no membership test at all.  Anything else
+    (:class:`ExponentialDecayWindow`'s random survivors) is one
+    ``searchsorted`` of ``held`` into ``expired``, ``O(held log expired)``;
+    ``numpy.isin`` would re-sort both arrays on every windowed batch.
+    """
+    low, high = expired[0], expired[-1]
+    if high - low + 1 == len(expired):
+        return (held < low) | (held > high)
+    positions = np.searchsorted(expired, held)
+    positions[positions == len(expired)] = len(expired) - 1
+    return expired[positions] != held
+
+
+def drop_expired(held: np.ndarray, expired: np.ndarray) -> np.ndarray:
+    """Drop ``expired`` (sorted, unique) from the index array ``held``.
+
+    :func:`surviving` applied: the engine's live sets and the sticky
+    backend's ownership mirror shrink through here.  ``held`` is returned
+    as is when either side is empty.
     """
     if len(held) == 0 or len(expired) == 0:
         return held
-    positions = np.searchsorted(expired, held)
-    positions[positions == len(expired)] = len(expired) - 1
-    return held[expired[positions] != held]
+    return held[surviving(held, expired)]
 
 
 def make_window(spec: "WindowPolicy | str | None") -> WindowPolicy:

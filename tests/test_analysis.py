@@ -465,6 +465,63 @@ class TestBackendProtocol:
 
 
 # ---------------------------------------------------------------------------
+# STATE001 — no O(state) array rebuilds under repro.streaming
+# ---------------------------------------------------------------------------
+class TestStateCopy:
+    def test_flags_insert_and_isin_through_any_alias(self):
+        report = run(
+            """
+            import numpy
+            import numpy as np
+            from numpy import isin as member
+
+            def merge(state, positions, new, expired):
+                state = np.insert(state, positions, new)
+                keep = ~numpy.isin(state, expired)
+                return state[keep & ~member(state, expired)]
+            """
+        )
+        assert rule_ids(report) == ["STATE001"] * 3
+        assert "numpy.insert" in report.findings[0].message
+        assert "surviving" in report.findings[1].message
+
+    def test_clean_with_runs_and_the_membership_primitive(self):
+        report = run(
+            """
+            import numpy as np
+            from repro.streaming.window import surviving
+
+            def evict(index, expired, insert):
+                insert(index)  # a local named like the banned call is fine
+                return index[surviving(index, expired)]
+            """
+        )
+        assert rule_ids(report) == []
+
+    def test_only_the_streaming_package_is_in_scope(self):
+        source = """
+            import numpy as np
+
+            def calibrate(state, where, new):
+                return np.insert(state, where, new)
+            """
+        assert rule_ids(run(source, "src/repro/bench/example.py")) == []
+        assert rule_ids(run(source)) == ["STATE001"]
+
+    def test_suppression_needs_the_rule_id(self):
+        report = run(
+            """
+            import numpy as np
+
+            def mirror(held, incoming):
+                return np.insert(held, np.searchsorted(held, incoming), incoming)  # repro: ignore[STATE001]  # off the measured path
+            """
+        )
+        assert rule_ids(report) == []
+        assert [f.rule_id for f in report.findings if f.suppressed] == ["STATE001"]
+
+
+# ---------------------------------------------------------------------------
 # SUP001 — suppression comments must cite rule ids that exist
 # ---------------------------------------------------------------------------
 class TestUnknownSuppression:
@@ -606,7 +663,7 @@ class TestEngine:
 
     def test_every_rule_has_distinct_id_and_description(self):
         ids = [rule.rule_id for rule in ALL_RULES]
-        assert len(ids) == len(set(ids)) == 6
+        assert len(ids) == len(set(ids)) == 7
         for rule in ALL_RULES:
             assert rule.description
 
@@ -663,6 +720,7 @@ class TestCli:
             "DET001",
             "DET002",
             "KEY001",
+            "STATE001",
             "SUP001",
         ]
         statuses = {f["suppressed"] for f in payload["findings"]}
@@ -678,7 +736,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("DET001", "DET002", "KEY001", "CONC001", "API001"):
+        for rule_id in ("DET001", "DET002", "KEY001", "CONC001", "API001", "STATE001"):
             assert rule_id in out
 
     def test_module_entry_point(self, tmp_path):

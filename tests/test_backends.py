@@ -205,7 +205,10 @@ class TestStickyWorkerState:
         history2 = rng.uniform(0, 50, 60)
         state1 = SortedRegionState()
         state2 = SortedRegionState()
-        for lo, hi in ((0, 30), (30, 60)):
+        tasks_per_half = []
+        # 50, then 5, then 5 arrivals: the second batch stays its own run
+        # (50 >= 8 * 5), so the third batch's second half searches two runs.
+        for lo, hi in ((0, 50), (50, 55), (55, 60)):
             idx1 = np.arange(lo, hi, dtype=np.int64)
             idx2 = np.arange(lo, hi, dtype=np.int64)
             keys1, keys2 = history1[idx1], history2[idx2]
@@ -221,21 +224,32 @@ class TestStickyWorkerState:
                     keys2, old_keys1, BAND.transposed, keys2_sorted=True
                 )
             state1.insert(idx1, keys1)
-            # The table hands back exactly those two search tasks ...
-            (new1, searched2), (new2, searched1) = table.fold(
-                [idx1, keys1, idx2, keys2]
-            )
-            np.testing.assert_array_equal(new1, keys1)
-            np.testing.assert_array_equal(searched2, state2.keys)
-            np.testing.assert_array_equal(new2, keys2)
-            np.testing.assert_array_equal(searched1, old_keys1)
-            # ... and the worker counts them.
+            # The table hands back exactly those two searches, each split
+            # into one task per sorted run of the searched state, with the
+            # batch's sorted arrivals as needles ...
+            tasks, owners = table.fold([idx1, keys1, idx2, keys2])
+            assert len(tasks) == len(owners)
+            assert owners.tolist() == sorted(owners.tolist())  # half 0 first
+            for half, needles, searched in (
+                (0, keys1, state2.keys),
+                (1, keys2, old_keys1),
+            ):
+                mine = [task for task, owner in zip(tasks, owners) if owner == half]
+                for task_needles, run in mine:
+                    np.testing.assert_array_equal(task_needles, np.sort(needles))
+                    assert np.all(np.diff(run) >= 0)
+                np.testing.assert_array_equal(
+                    np.sort(np.concatenate([run for _, run in mine])), searched
+                )
+            tasks_per_half.append(np.bincount(owners, minlength=2).tolist())
+            # ... and the worker counts them, summing the runs per half.
             op, counted = worker.count([idx1, keys1, idx2, keys2])
             assert op == "counted"
             ((machine, out_a, out_b, sec_a, sec_b),) = counted
             assert machine == 0
             assert out_a + out_b == expected
             assert sec_a >= 0.0 and sec_b >= 0.0
+        assert tasks_per_half == [[1, 1], [2, 1], [1, 2]]
         for owner in (table, worker.table):
             np.testing.assert_array_equal(owner.state1[0].keys, state1.keys)
             np.testing.assert_array_equal(owner.state2[0].keys, state2.keys)
@@ -354,7 +368,7 @@ class TestInProcessStateProtocol:
         backend = Spy()
         backend.bind(2, BAND, BAND.transposed)
         result = backend.count_batch(split, split, history1, history2)
-        assert dispatched == [(4, True)]  # 2J tasks, one dispatch
+        assert dispatched == [(4, True)]  # 2J tasks (single-run state), one dispatch
         expected = [
             count_join_output(history1[idx], history2[idx], BAND)
             for idx in split
@@ -364,8 +378,17 @@ class TestInProcessStateProtocol:
         assert result.worker_pids is None and result.bytes_pickled is None
         held1, held2 = backend.resident_indices()
         assert [len(h) for h in held1] == [40, 40]
-        # The resident view is the state's own index column, not a copy.
-        assert held1[0] is backend._table.state1[0].index
+        # A single-run state hands out its own index column, not a copy.
+        assert np.shares_memory(held1[0], backend._table.state1[0].index)
+        # Once a machine holds several runs the view is their concatenation:
+        # still the same set, in no particular order.
+        tail = [np.array([80], dtype=np.int64), np.empty(0, dtype=np.int64)]
+        backend.count_batch(
+            tail, tail, np.append(history1, 1.0), np.append(history2, 1.0)
+        )
+        assert len(backend._table.state1[0].run_keys) == 2
+        held1, _ = backend.resident_indices()
+        assert sorted(held1[0].tolist()) == split[0].tolist() + [80]
 
     def test_evict_rebase_install_resize_and_drain(self, rng):
         history1, history2, split = self._traffic(rng)

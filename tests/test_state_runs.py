@@ -1,0 +1,363 @@
+"""Sorted-run join state: a differential oracle and the shape of its cost.
+
+Two kinds of test.  The hypothesis properties drive the production
+``RegionStateTable`` (geometrically merged sorted runs) and the pre-rewrite
+single-array ``SortedRegionState`` kept in ``tests/reference_state.py``
+through the same random insert / evict / rebase / install traffic and ask
+for the same ``(index, key)`` sets, the same eviction counts and the same
+per-machine fold totals.  The structural tests pin the complexity claim
+without a clock: how many runs there are, that the largest is not rewritten
+every batch, and that the engine's per-batch path never materialises the
+whole state.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_state import SortedRegionState as ReferenceState
+
+from repro.core.weights import WeightFunction
+from repro.joins.conditions import (
+    BandJoinCondition,
+    EquiJoinCondition,
+    InequalityJoinCondition,
+    InequalityOp,
+)
+from repro.joins.local import count_join_output
+from repro.streaming import (
+    MicroBatch,
+    RegionStateTable,
+    SimulatedBackend,
+    SortedRegionState,
+    StaticEWHPolicy,
+    StreamingJoinEngine,
+)
+from repro.streaming.incremental import RUN_MERGE_RATIO
+from repro.streaming.window import ExponentialDecayWindow, SlidingWindow, drop_expired
+
+CONDITIONS = [
+    BandJoinCondition(beta=2.0),
+    EquiJoinCondition(),
+    InequalityJoinCondition(InequalityOp.LE),
+]
+MACHINES = (0, 1)
+
+
+# ----------------------------------------------------------------------
+# Differential oracle
+# ----------------------------------------------------------------------
+def _draw_keys(rng: np.random.Generator, mode: str, size: int, batch: int) -> np.ndarray:
+    """A batch of keys in the stream's key style (see ``key_mode`` below)."""
+    if mode == "float":
+        return rng.uniform(0.0, 40.0, size).round(1)
+    if mode == "big_int":
+        # Neighbours above 2**53: float64 would collapse them onto each other.
+        return 2**53 + rng.integers(0, 40, size, dtype=np.int64)
+    if mode == "promote":
+        # Integer keys first, float keys from the fourth batch on.
+        if batch < 3:
+            return rng.integers(0, 40, size, dtype=np.int64)
+        return rng.uniform(0.0, 40.0, size).round(1)
+    assert mode == "duplicates"
+    return np.full(size, float(rng.integers(0, 4)))
+
+
+def _assert_same_state(ours: SortedRegionState, reference: ReferenceState) -> None:
+    """Same ``(index, key)`` set; our merged view is key-sorted and parallel."""
+    keys, index = ours.keys, ours.index
+    assert len(ours) == len(reference) == len(index)
+    assert ours.nbytes == reference.nbytes
+    assert np.all(keys[:-1] <= keys[1:])
+    order, reference_order = np.argsort(index), np.argsort(reference.index)
+    np.testing.assert_array_equal(index[order], reference.index[reference_order])
+    np.testing.assert_array_equal(keys[order], reference.keys[reference_order])
+    if len(reference):
+        assert keys.dtype == reference.keys.dtype
+    np.testing.assert_array_equal(
+        np.sort(ours.arrival_indices()), np.sort(reference.index)
+    )
+
+
+def _reference_fold(state1, state2, idx1, keys1, idx2, keys2, condition) -> int:
+    """The pre-rewrite fold: two searches over whole single-array states."""
+    old_keys1 = state1.keys
+    state2.insert(idx2, keys2)
+    state1.insert(idx1, keys1)
+    return count_join_output(
+        keys1, state2.keys, condition, keys2_sorted=True
+    ) + count_join_output(
+        keys2, old_keys1, condition.transposed, keys2_sorted=True
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    key_mode=st.sampled_from(["float", "big_int", "promote", "duplicates"]),
+    condition=st.sampled_from(CONDITIONS),
+    steps=st.integers(1, 40),
+)
+def test_runs_agree_with_the_single_array_reference(seed, key_mode, condition, steps):
+    rng = np.random.default_rng(seed)
+    table = RegionStateTable(MACHINES)
+    reference = {
+        (machine, side): ReferenceState() for machine in MACHINES for side in (1, 2)
+    }
+    # One growing key history per side, in engine coordinates (a rebase
+    # trims its front, exactly like the engine's compaction).
+    history = {1: np.empty(0), 2: np.empty(0)}
+    empty_idx = np.empty(0, dtype=np.int64)
+    batch = 0
+    for _ in range(steps):
+        op = rng.choice(["fold", "fold", "fold", "evict", "rebase", "install"])
+        if op == "fold":
+            layout, arrivals = [], {}
+            for side in (1, 2):
+                # Small and large batches, and now and then an empty side.
+                size = int(rng.choice([0, 1, 3, 17, 120]))
+                keys = _draw_keys(rng, key_mode, size, batch)
+                start = len(history[side])
+                history[side] = (
+                    np.concatenate([history[side], keys]) if start else keys
+                )
+                owner = rng.integers(0, len(MACHINES), size)
+                arrivals[side] = [
+                    np.arange(start, start + size, dtype=np.int64)[owner == slot]
+                    for slot in range(len(MACHINES))
+                ]
+            for slot in range(len(MACHINES)):
+                for side in (1, 2):
+                    idx = arrivals[side][slot]
+                    layout += [idx, history[side][idx]]
+            tasks, owners = table.fold(layout)
+            per_task = np.array(
+                [
+                    count_join_output(
+                        needles,
+                        run,
+                        condition if owner % 2 == 0 else condition.transposed,
+                        keys2_sorted=True,
+                    )
+                    for (needles, run), owner in zip(tasks, owners)
+                ],
+                dtype=np.int64,
+            )
+            totals = table.sum_halves(per_task, owners).sum(axis=1)
+            for slot, machine in enumerate(MACHINES):
+                idx1, keys1, idx2, keys2 = layout[4 * slot : 4 * slot + 4]
+                assert totals[slot] == _reference_fold(
+                    reference[machine, 1],
+                    reference[machine, 2],
+                    idx1, keys1, idx2, keys2, condition,
+                )
+            batch += 1
+        elif op == "evict":
+            expired = {}
+            for side in (1, 2):
+                span = len(history[side])
+                kind = rng.choice(["range", "holes", "foreign"])
+                if span == 0:
+                    expired[side] = empty_idx
+                elif kind == "range":  # what a SlidingWindow evicts
+                    low = int(rng.integers(0, span))
+                    high = int(rng.integers(low, span))
+                    expired[side] = np.arange(low, high + 1, dtype=np.int64)
+                elif kind == "holes":  # what an ExponentialDecayWindow evicts
+                    expired[side] = np.flatnonzero(rng.random(span) < 0.3)
+                else:  # indices nobody holds, mixed with some that are held
+                    expired[side] = np.unique(
+                        rng.integers(-5, span + 50, max(1, span // 4))
+                    )
+            dropped = table.evict(expired[1], expired[2])
+            assert dropped == sum(
+                state.evict(expired[side])
+                for (_, side), state in reference.items()
+            )
+        elif op == "rebase":
+            trims = {}
+            for side in (1, 2):
+                held = [
+                    state.index for (_, s), state in reference.items() if s == side
+                ]
+                floor = min((int(h.min()) for h in held if len(h)), default=0)
+                trims[side] = int(rng.integers(0, floor + 1))
+                history[side] = history[side][trims[side] :]
+            table.rebase(trims[1], trims[2])
+            for (_, side), state in reference.items():
+                state.rebase(trims[side])
+        else:
+            layout = []
+            for machine in MACHINES:
+                for side in (1, 2):
+                    span = len(history[side])
+                    idx = np.flatnonzero(rng.random(span) < 0.4).astype(np.int64)
+                    rng.shuffle(idx)
+                    layout += [idx, history[side][idx]]
+                    reference[machine, side] = ReferenceState.from_pairs(
+                        idx, history[side][idx]
+                    )
+            table.install(layout)
+            for machine in MACHINES:
+                assert len(table.state1[machine].run_keys) <= 1
+        for machine in MACHINES:
+            _assert_same_state(table.state1[machine], reference[machine, 1])
+            _assert_same_state(table.state2[machine], reference[machine, 2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    held=st.integers(0, 60),
+    kind=st.sampled_from(["range", "holes", "foreign"]),
+)
+def test_drop_expired_is_set_difference(seed, held, kind):
+    """The shared membership primitive, range fast path and fallback alike."""
+    rng = np.random.default_rng(seed)
+    held = rng.permutation(100)[:held].astype(np.int64)  # any order
+    if kind == "range":
+        low = int(rng.integers(0, 100))
+        expired = np.arange(low, int(rng.integers(low, 100)) + 1, dtype=np.int64)
+    elif kind == "holes":
+        expired = np.flatnonzero(rng.random(100) < 0.3)
+    else:
+        expired = np.unique(rng.integers(-20, 140, 30))
+    survivors = drop_expired(held, expired)
+    assert survivors.tolist() == [i for i in held.tolist() if i not in set(expired.tolist())]
+
+
+# ----------------------------------------------------------------------
+# The complexity claim, without a clock
+# ----------------------------------------------------------------------
+def test_run_count_is_logarithmic_and_the_big_run_is_not_rewritten(rng):
+    batch, inserts = 50, 256
+    state = SortedRegionState()
+    history = rng.integers(0, 5000, batch * inserts).astype(np.float64)
+    kept_largest = 0
+    for step in range(inserts):
+        largest_before = max(state._runs, key=lambda run: len(run[0]), default=None)
+        idx = np.arange(step * batch, (step + 1) * batch, dtype=np.int64)
+        state.insert(idx, history[idx])
+        runs = state._runs
+        resident = (step + 1) * batch
+        bound = math.ceil(math.log(resident / batch, RUN_MERGE_RATIO)) + 1
+        assert len(runs) <= bound
+        assert sum(len(index) for _, index in runs) == resident == len(state)
+        for keys, index in runs:
+            assert np.all(keys[:-1] <= keys[1:])
+            np.testing.assert_array_equal(keys, history[index])
+        every_index = np.concatenate([index for _, index in runs])
+        assert len(np.unique(every_index)) == resident
+        for older, newer in zip(runs, runs[1:]):
+            assert len(older[0]) >= RUN_MERGE_RATIO * len(newer[0])
+        if largest_before is not None and any(
+            keys is largest_before[0] for keys, _ in runs
+        ):
+            kept_largest += 1
+    # The point of the layout: the largest run is the same array object
+    # across most consecutive inserts (one array + np.insert rewrote it
+    # on every single one).
+    assert kept_largest >= 0.8 * (inserts - 1)
+
+
+def test_nothing_keeps_a_second_copy_of_the_state(rng):
+    state = SortedRegionState()
+    for step in range(40):
+        idx = np.arange(step * 10, (step + 1) * 10, dtype=np.int64)
+        state.insert(idx, rng.uniform(0, 100, 10))
+    assert SortedRegionState.__slots__ == ("_runs",)
+    assert len(state._runs) > 1
+    # The merged read views are built per read and not retained.
+    assert state.keys is not state.keys
+    assert len(state) == 400 and state.nbytes == 400 * 16
+
+
+def test_a_sliding_window_leaves_nothing_below_its_cutoff(rng):
+    window, batch = SlidingWindow(batches=4), 25
+    state = SortedRegionState()
+    live = np.empty(0, dtype=np.int64)
+    starts: list[int] = []
+    for step in range(64):
+        idx = np.arange(step * batch, (step + 1) * batch, dtype=np.int64)
+        starts.append(step * batch)
+        live = np.concatenate([live, idx])
+        state.insert(idx, rng.uniform(0, 100, batch))
+        expired = window.evictions(live, starts, (step + 1) * batch, rng)
+        # Every sliding-window eviction is one contiguous index range.
+        if len(expired):
+            assert expired[-1] - expired[0] + 1 == len(expired)
+        assert state.evict(expired) == len(expired)
+        live = drop_expired(live, expired)
+        cutoff = starts[-4] if len(starts) >= 4 else 0
+        for _, index in state._runs:
+            assert len(index) and index.min() >= cutoff
+        assert len(state) == len(live) <= 4 * batch
+        assert len(state._runs) <= 3
+
+
+def test_decay_evictions_take_the_membership_path(rng):
+    window = ExponentialDecayWindow(0.7)
+    state, reference = SortedRegionState(), ReferenceState()
+    live = np.empty(0, dtype=np.int64)
+    for step in range(30):
+        idx = np.arange(step * 20, (step + 1) * 20, dtype=np.int64)
+        keys = rng.uniform(0, 100, 20)
+        live = np.concatenate([live, idx])
+        state.insert(idx, keys)
+        reference.insert(idx, keys)
+        expired = window.evictions(live, [], len(live), rng)
+        assert state.evict(expired) == reference.evict(expired) == len(expired)
+        live = drop_expired(live, expired)
+        _assert_same_state(state, reference)
+
+
+def test_emptied_state_adopts_the_next_dtype():
+    state = SortedRegionState()
+    state.insert(np.arange(3, dtype=np.int64), np.array([5, 6, 7], dtype=np.int64))
+    assert state.keys.dtype == np.int64
+    assert state.evict(np.arange(3, dtype=np.int64)) == 3
+    assert len(state) == 0 and state._runs == []
+    state.insert(np.array([3], dtype=np.int64), np.array([0.5]))
+    assert state.keys.dtype == np.float64
+
+
+def test_process_batch_never_reads_the_resident_view(monkeypatch):
+    """Accounting is O(J): the whole-state read view is for migrations only."""
+    backend = SimulatedBackend()
+
+    def refuse():
+        raise AssertionError("resident_indices() called on the per-batch path")
+
+    rng = np.random.default_rng(7)
+    engine = StreamingJoinEngine(
+        4,
+        BandJoinCondition(beta=1.0),
+        WeightFunction(1.0, 1.0),
+        policy=StaticEWHPolicy(),
+        backend=backend,
+        window="batches:3",
+    )
+    engine.start()
+    monkeypatch.setattr(backend, "resident_indices", refuse)
+    table = backend._table
+    for index in range(12):
+        batch = MicroBatch(
+            index,
+            rng.integers(0, 200, 150).astype(np.float64),
+            rng.integers(0, 200, 150).astype(np.float64),
+        )
+        metrics = engine.process_batch(batch)
+        assert metrics.tuples_evicted > 0 or index < 3
+        # The running count is the truth, batch after batch.
+        assert metrics.resident_tuples == sum(
+            len(state)
+            for side in (table.state1, table.state2)
+            for state in side.values()
+        )
+    # The patch does bite where the view is legitimately read.
+    with pytest.raises(AssertionError, match="per-batch path"):
+        engine.checkpoint()
