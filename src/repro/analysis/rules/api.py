@@ -2,8 +2,8 @@
 
 The engine touches join state only through the backend's state-ownership
 protocol (``bind`` → per-batch ``count_batch`` / ``evict_state`` /
-``rebase_state`` / ``install_state``, plus ``resize``,
-``resident_indices`` and ``drain_channel_bytes``).  The base class
+``install_state``, plus ``resize``, ``resident_indices`` and
+``drain_channel_bytes``).  The base class
 implements all of it in-process on top of the one abstract method,
 ``join_regions``; a backend that keeps the state elsewhere (sticky workers,
 a forwarding test double) overrides the protocol instead.  Overriding
@@ -22,8 +22,8 @@ rejects both statically:
   override *all* of them;
 * within one function body, the first ``.bind(...)`` call must precede the
   first per-batch protocol call (``count_batch``/``evict_state``/
-  ``rebase_state``/``install_state``) — functions using only one side of
-  the protocol are exempt, since binding and driving legitimately live in
+  ``install_state``) — functions using only one side of the protocol are
+  exempt, since binding and driving legitimately live in
   different engine phases.
 """
 
@@ -41,7 +41,6 @@ STATE_PROTOCOL = (
     "bind",
     "count_batch",
     "evict_state",
-    "rebase_state",
     "install_state",
     "resize",
     "resident_indices",
@@ -49,9 +48,7 @@ STATE_PROTOCOL = (
 )
 
 #: Per-batch protocol operations that must not precede bind in one body.
-_AFTER_BIND = frozenset(
-    {"count_batch", "evict_state", "rebase_state", "install_state"}
-)
+_AFTER_BIND = frozenset({"count_batch", "evict_state", "install_state"})
 
 
 class BackendProtocolRule(Rule):

@@ -47,6 +47,7 @@ drives a run to completion across backend worker crashes
 last checkpoint and replaying the source (see ``docs/fault_tolerance.md``).
 """
 
+from repro.streaming.arrivals import ArrivalLog
 from repro.streaming.backends import (
     ExecutionBackend,
     RegionJoinResult,
@@ -138,6 +139,7 @@ __all__ = [
     "DriftObservation",
     "MigrationPlan",
     "plan_migration",
+    "ArrivalLog",
     "WindowPolicy",
     "UnboundedWindow",
     "SlidingWindow",

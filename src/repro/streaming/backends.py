@@ -5,11 +5,13 @@ was assigned to -- and here that place is the
 :class:`ExecutionBackend`.  The engine never holds join state; it drives
 every backend through one **state-ownership protocol**:
 
-``bind`` → per batch ``count_batch`` / ``evict_state`` / ``rebase_state`` →
-``install_state`` (migrations, restores) / ``resize`` (fleet changes), with
+``bind`` → per batch ``count_batch`` / ``evict_state`` → ``install_state``
+(migrations, restores) / ``resize`` (fleet changes), with
 ``resident_indices`` as the one read-only view (migration planning,
-checkpoints) and ``drain_channel_bytes`` for byte
-metering.
+checkpoints) and ``drain_channel_bytes`` for byte metering.  Arrival
+indices are global and stored as given (:mod:`repro.streaming.arrivals`);
+``history1`` / ``history2`` are anything indexable by global index arrays
+-- the engine's logs, or bare key arrays.
 
 The protocol is implemented once, in-process, on the base class: a
 :class:`RegionStateTable` of sorted per-machine state whose ``count_batch``
@@ -29,8 +31,8 @@ machine's two halves -- through the backend's own
 each worker *process* hosts the :class:`RegionStateTable` of its machines,
 resident across batches, and the engine ships only the per-batch delta --
 new-arrival index/key arrays over a :class:`~repro.streaming.shm.ShmArena`
-shared-memory segment plus tiny pickled control messages for evictions,
-trim points and migration moves.  The worker runs the *same* table fold
+shared-memory segment plus tiny pickled control messages for evictions and
+migration moves.  The worker runs the *same* table fold
 and the same counting loop as the in-process default, so every backend
 counts bit-identical deltas; only the measured timings and byte counts
 differ.  ``tests/test_backends.py`` locks that equivalence down.
@@ -64,6 +66,7 @@ from repro.engine.executor import broadcast_conditions, pickled_nbytes
 from repro.joins.conditions import JoinCondition
 from repro.joins.local import count_join_output
 from repro.obs.clock import perf_counter
+from repro.streaming.arrivals import ArrivalLog
 from repro.streaming.incremental import SortedRegionState
 from repro.streaming.shm import ShmArena, ShmReader
 from repro.streaming.window import drop_expired
@@ -253,12 +256,6 @@ class RegionStateTable:
             dropped += self.state2[machine].evict(expired2)
         return dropped
 
-    def rebase(self, trim1: int, trim2: int) -> None:
-        """Shift every arrival index down by the per-side trimmed amounts."""
-        for machine in self.machines:
-            self.state1[machine].rebase(trim1)
-            self.state2[machine].rebase(trim2)
-
     def install(self, arrays: "list[np.ndarray]") -> None:
         """Replace every machine's state with its complete new columns.
 
@@ -276,15 +273,16 @@ class RegionStateTable:
 def state_layout(
     indices1: "list[np.ndarray]",
     indices2: "list[np.ndarray]",
-    history1: np.ndarray,
-    history2: np.ndarray,
+    history1: "ArrivalLog | np.ndarray",
+    history2: "ArrivalLog | np.ndarray",
 ) -> "list[np.ndarray]":
     """Machine-major array layout: (idx1, keys1, idx2, keys2) per machine.
 
     The one shape protocol traffic takes on its way into a
     :class:`RegionStateTable` -- per-machine arrival-index arrays with
-    their keys gathered from the histories -- whether the table sits in
-    this process or behind a shared-memory message.
+    their keys gathered from the histories (logs or bare arrays: anything
+    indexable by global index arrays) -- whether the table sits in this
+    process or behind a shared-memory message.
     """
     arrays: "list[np.ndarray]" = []
     for idx1, idx2 in zip(indices1, indices2):
@@ -323,7 +321,7 @@ class ExecutionBackend(abc.ABC):
 
     The engine touches join state only through the **state-ownership
     protocol** implemented here: :meth:`bind` once per stream, then per
-    batch :meth:`count_batch` / :meth:`evict_state` / :meth:`rebase_state`,
+    batch :meth:`count_batch` / :meth:`evict_state`,
     :meth:`install_state` on a migration or restore, :meth:`resize` on a
     fleet change, :meth:`resident_indices` as the read-only view and
     :meth:`drain_channel_bytes` for byte metering.  The default keeps a
@@ -427,8 +425,8 @@ class ExecutionBackend(abc.ABC):
         self,
         new1: "list[np.ndarray]",
         new2: "list[np.ndarray]",
-        history1: np.ndarray,
-        history2: np.ndarray,
+        history1: "ArrivalLog | np.ndarray",
+        history2: "ArrivalLog | np.ndarray",
     ) -> RegionJoinResult:
         """Fold one batch's arrivals into the state; count its output delta.
 
@@ -462,16 +460,12 @@ class ExecutionBackend(abc.ABC):
         """Drop expired arrival indices from every machine; return the count."""
         return self._bound_table().evict(expired1, expired2)
 
-    def rebase_state(self, trim1: int, trim2: int) -> None:
-        """Rebase every resident arrival index after history compaction."""
-        self._bound_table().rebase(trim1, trim2)
-
     def install_state(
         self,
         assignments1: "list[np.ndarray]",
         assignments2: "list[np.ndarray]",
-        history1: np.ndarray,
-        history2: np.ndarray,
+        history1: "ArrivalLog | np.ndarray",
+        history2: "ArrivalLog | np.ndarray",
     ) -> None:
         """Replace every machine's state with complete index assignments.
 
@@ -618,11 +612,6 @@ class _StickyWorkerState:
         """Drop the per-side expired index pair; reply with entries dropped."""
         return ("evicted", self.table.evict(*arrays))
 
-    def rebase(self, trim1: int, trim2: int):
-        """Shift every resident arrival index below the engine's trim points."""
-        self.table.rebase(trim1, trim2)
-        return ("rebased",)
-
     def resize(self, machines: "tuple[int, ...]"):
         """Adopt a new owned-machine set, discarding all resident state.
 
@@ -647,8 +636,6 @@ class _StickyWorkerState:
             return self.count(reader.arrays(command[1]))
         if op == "evict":
             return self.evict(reader.arrays(command[1]))
-        if op == "rebase":
-            return self.rebase(command[1], command[2])
         if op == "install":
             return self.install(reader.arrays(command[1]))
         if op == "resize":
@@ -701,9 +688,9 @@ class StickyWorkerBackend(ExecutionBackend):
     ``m % W``), resident across batches.  Per batch the engine ships only the *delta*
     -- each machine's new-arrival index/key arrays, written once into a
     :class:`~repro.streaming.shm.ShmArena` shared-memory segment -- plus a
-    tiny pickled control message per worker.  Evictions, history-compaction
-    trim points and migration moves travel the same way: control messages
-    with any array payload in shared memory, never through pickle.
+    tiny pickled control message per worker.  Evictions and migration moves
+    travel the same way: control messages with any array payload in shared
+    memory, never through pickle.
 
     This is the one override of the state-ownership protocol: every call
     becomes a control message, and the backend keeps a sorted per-machine
@@ -926,8 +913,8 @@ class StickyWorkerBackend(ExecutionBackend):
         self,
         new1: "list[np.ndarray]",
         new2: "list[np.ndarray]",
-        history1: np.ndarray,
-        history2: np.ndarray,
+        history1: "ArrivalLog | np.ndarray",
+        history2: "ArrivalLog | np.ndarray",
     ) -> RegionJoinResult:
         """Ship one batch's per-machine deltas; fold and count worker-side.
 
@@ -992,19 +979,12 @@ class StickyWorkerBackend(ExecutionBackend):
             )
         return dropped
 
-    def rebase_state(self, trim1: int, trim2: int) -> None:
-        """Rebase the workers' arrival indices, and the mirror in lock-step."""
-        self._ensure_bound()
-        self._broadcast(("rebase", int(trim1), int(trim2)))
-        self._held1 = [held - trim1 for held in self._held1]
-        self._held2 = [held - trim2 for held in self._held2]
-
     def install_state(
         self,
         assignments1: "list[np.ndarray]",
         assignments2: "list[np.ndarray]",
-        history1: np.ndarray,
-        history2: np.ndarray,
+        history1: "ArrivalLog | np.ndarray",
+        history2: "ArrivalLog | np.ndarray",
     ) -> None:
         """Move migrated state between workers through shared memory.
 
@@ -1070,7 +1050,7 @@ class StickyWorkerBackend(ExecutionBackend):
         """Byte accounting since the last drain: (pickled, unpickled, shm).
 
         The engine calls this once per batch; the totals cover every
-        command the batch issued (count, evict, rebase, install).  All
+        command the batch issued (count, evict, install).  All
         three are ``None`` when no command ran since the last drain, and
         the pickle totals are ``None`` when profiling is disabled -- the
         shared-memory payload is always measured.
@@ -1189,14 +1169,7 @@ class SlowConsumerBackend(ExecutionBackend):
         result = self.inner.join_regions(
             region_keys, condition, keys2_sorted=keys2_sorted
         )
-        return RegionJoinResult(
-            per_machine_output=result.per_machine_output,
-            per_machine_seconds=result.per_machine_seconds,
-            wall_seconds=result.wall_seconds + delay,
-            bytes_pickled=result.bytes_pickled,
-            bytes_unpickled=result.bytes_unpickled,
-            worker_pids=result.worker_pids,
-        )
+        return replace(result, wall_seconds=result.wall_seconds + delay)
 
     def close(self) -> None:
         """Close the wrapped backend along with the decorator."""

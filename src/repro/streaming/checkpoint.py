@@ -34,9 +34,12 @@ Join state is stored as *indices only*: per machine and side, the sorted
 arrival indices resident there.  Keys are never stored twice -- a restore
 regathers them from the key history and key-sorts them stably, which
 reproduces the resident state on any backend, so a checkpoint taken on one
-backend restores onto any other.  Version 1 (verbatim key-sorted state
-columns and a counting mode) and version 2 (three engine options that no
-longer exist) are refused by name.
+backend restores onto any other.  Every stored arrival index is global
+(:mod:`repro.streaming.arrivals`); ``base1`` / ``base2`` say which index
+the retained keys start at.  Version 1 (verbatim key-sorted state columns
+and a counting mode), version 2 (three engine options that no longer
+exist) and version 3 (indices shifted by the trimmed history, no bases) are
+refused by name.
 
 Driving a crash-survivable run
 ------------------------------
@@ -63,6 +66,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import os
 import pickle
 import struct
 from dataclasses import dataclass, fields
@@ -71,6 +75,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
+from repro.streaming.arrivals import ArrivalLog
 from repro.streaming.backends import WorkerCrashError
 from repro.streaming.metrics import StreamRunResult
 
@@ -88,8 +93,9 @@ _MAGIC = b"RPSC"
 
 #: Format version written by this build; :meth:`StreamCheckpoint.from_bytes`
 #: refuses anything else (version 1 predates index-only state, version 2
-#: carried three since-removed engine options).
-CHECKPOINT_VERSION = 3
+#: carried three since-removed engine options, version 3 stored indices
+#: shifted down by the trimmed history).
+CHECKPOINT_VERSION = 4
 
 #: Pickle protocol pinned for deterministic bytes (same state, same process,
 #: same serialization).
@@ -106,27 +112,20 @@ class RunState:
     or writes between batches lives here or in the backend (the engine
     object itself holds only configuration), so a checkpoint is a copy of
     this object's fields, the backend's resident indices and the engine's
-    collaborators, and a restore rebuilds exactly this.  Three slots are
-    derived and never captured: ``buffer1`` / ``buffer2`` are the
-    capacity-doubling arrays the ``history1`` / ``history2`` views sit at
-    the front of (a restore starts them at exactly the history), and
-    ``resident_tuples`` is the running count of state entries the backend
-    holds (a restore recounts it from the captured indices).
+    collaborators, and a restore rebuilds exactly this.  ``log1`` /
+    ``log2`` are the per-side :class:`~repro.streaming.arrivals.ArrivalLog`
+    (keys, live set, batch starts); ``resident_tuples`` is derived and never
+    captured -- the running count of state entries the backend holds, which
+    a restore recounts from the captured indices.
     """
 
     __slots__ = (
         "rng",
-        "history1",
-        "history2",
-        "buffer1",
-        "buffer2",
+        "log1",
+        "log2",
         "resident_tuples",
         "partitioning",
         "region_to_machine",
-        "live1",
-        "live2",
-        "starts1",
-        "starts2",
         "last_batch_index",
         "position",
         "cumulative",
@@ -162,10 +161,10 @@ class StreamCheckpoint:
         The engine generator's ``bit_generator.state`` dict -- restoring it
         replays routing, reservoir sampling and decay-window survival draws
         exactly.
-    history1, history2, starts1, starts2, live1, live2:
-        The flat per-side key histories, batch-start lists and live
-        arrival-index sets, in engine coordinates (rebased by whatever
-        history compaction trimmed).
+    history1, history2, base1, base2, starts1, starts2, live1, live2:
+        Each side's arrival log: the retained keys, the global arrival
+        index of the first of them, the batch-start list and the live
+        arrival-index set.
     state_index1, state_index2:
         Per machine, the sorted arrival indices of the R1/R2 state resident
         there (the backend's ``resident_indices``).  Indices only: a
@@ -203,6 +202,8 @@ class StreamCheckpoint:
     rng_state: dict[str, Any]
     history1: np.ndarray
     history2: np.ndarray
+    base1: int
+    base2: int
     starts1: list[int]
     starts2: list[int]
     live1: np.ndarray
@@ -258,8 +259,9 @@ class StreamCheckpoint:
                 f"unsupported stream checkpoint version {version}; this "
                 f"build reads version {CHECKPOINT_VERSION} only (version 1 "
                 "stored key-sorted state columns and a counting mode, "
-                "version 2 three engine options, that no longer exist -- "
-                "re-take the checkpoint)"
+                "version 2 three engine options, that no longer exist; "
+                "version 3 stored arrival indices shifted by the trimmed "
+                "history -- re-take the checkpoint)"
             )
         payload = raw[_HEADER.size :]
         if len(payload) != length:
@@ -283,9 +285,23 @@ class StreamCheckpoint:
         return cls(version=version, **captured)
 
     def save(self, path: "str | Path") -> int:
-        """Write the serialized checkpoint to ``path``; return bytes written."""
+        """Atomically write the serialized checkpoint; return bytes written.
+
+        Write-temp, flush + fsync, rename: a failure at any point leaves
+        whatever ``path`` held before loadable and no temporary behind.
+        """
         data = self.to_bytes()
-        Path(path).write_bytes(data)
+        path = Path(path)
+        temporary = path.with_name(path.name + ".tmp")
+        try:
+            with open(temporary, "wb") as stream:
+                stream.write(data)
+                stream.flush()
+                os.fsync(stream.fileno())
+            os.replace(temporary, path)
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
         return len(data)
 
     @classmethod
@@ -333,12 +349,14 @@ def capture(engine: Any) -> StreamCheckpoint:
             histogram=copy.deepcopy(engine.histogram),
             partitioning=copy.deepcopy(s.partitioning),
             rng_state=copy.deepcopy(s.rng.bit_generator.state),
-            history1=np.array(s.history1),
-            history2=np.array(s.history2),
-            starts1=list(s.starts1),
-            starts2=list(s.starts2),
-            live1=np.array(s.live1),
-            live2=np.array(s.live2),
+            history1=np.array(s.log1.keys),
+            history2=np.array(s.log2.keys),
+            base1=s.log1.base,
+            base2=s.log2.base,
+            starts1=list(s.log1.starts),
+            starts2=list(s.log2.starts),
+            live1=np.array(s.log1.live),
+            live2=np.array(s.log2.live),
             state_index1=[np.sort(held) for held in resident1],
             state_index2=[np.sort(held) for held in resident2],
             region_to_machine=np.array(s.region_to_machine),
@@ -394,12 +412,14 @@ def resume(
     s = RunState()
     s.rng = np.random.default_rng(engine.seed)
     s.rng.bit_generator.state = checkpoint.rng_state
-    s.buffer1 = s.history1 = checkpoint.history1
-    s.buffer2 = s.history2 = checkpoint.history2
+    windowed = not engine.window.is_unbounded
+    s.log1 = ArrivalLog(
+        windowed, checkpoint.history1, checkpoint.base1, checkpoint.live1, checkpoint.starts1
+    )
+    s.log2 = ArrivalLog(
+        windowed, checkpoint.history2, checkpoint.base2, checkpoint.live2, checkpoint.starts2
+    )
     s.resident_tuples = checkpoint.resident_tuples
-    s.starts1 = list(checkpoint.starts1)
-    s.starts2 = list(checkpoint.starts2)
-    s.live1, s.live2 = checkpoint.live1, checkpoint.live2
     s.partitioning = checkpoint.partitioning
     s.region_to_machine = checkpoint.region_to_machine
     s.last_batch_index = checkpoint.last_batch_index
@@ -425,8 +445,8 @@ def resume(
         engine.backend.install_state(
             checkpoint.state_index1,
             checkpoint.state_index2,
-            s.history1,
-            s.history2,
+            s.log1,
+            s.log2,
         )
         span.set(
             batches=len(s.result.batches),

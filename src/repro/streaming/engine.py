@@ -4,15 +4,17 @@
 and runs a stateful partitioned join over it.  The join state itself has
 exactly one owner -- the :class:`~repro.streaming.backends.ExecutionBackend`
 -- and the engine reaches it only through the backend's state-ownership
-protocol (``bind`` / ``count_batch`` / ``evict_state`` / ``rebase_state`` /
+protocol (``bind`` / ``count_batch`` / ``evict_state`` /
 ``install_state`` / ``resize`` / ``resident_indices`` /
 ``drain_channel_bytes``).  What the engine holds is the arrival
-bookkeeping: the flat per-side key histories, the live arrival-index sets
-and the batch-start lists.  Per micro-batch it runs six stages:
+bookkeeping: one :class:`~repro.streaming.arrivals.ArrivalLog` per side
+(keys, live arrival indices, batch starts), in the one coordinate system
+:mod:`repro.streaming.arrivals` describes -- every arrival index is global
+and never rewritten.  Per micro-batch it runs six stages:
 
 * **ingest** -- fold the batch into the maintained sample state, build the
-  first partitioning once both sides have been seen, append the keys to the
-  histories and (under a window) the arrival indices to the live sets;
+  first partitioning once both sides have been seen, append the keys (and,
+  under a window, the liveness bookkeeping) to the logs;
 * **route** -- assign the arrivals to regions under the current
   partitioning and ship each region's arrivals to the machine actually
   holding it (the adopted region-to-machine mapping is remembered between
@@ -30,16 +32,13 @@ and the batch-start lists.  Per micro-batch it runs six stages:
   count-or-batch window, or exponential decay); evictions are charged into
   :class:`~repro.streaming.metrics.BatchMetrics` and bound both the
   per-machine state and the per-batch cost.  Under any bounded window the
-  engine then *compacts* its bookkeeping: the window reports a safe trim
-  point (everything below ``min(live)`` can never be referenced again),
-  the histories and batch-start lists are trimmed below it and every
-  stored arrival index -- the live sets here, the state's index columns
-  backend-side -- is rebased by the trimmed amount.  All routing, count
-  and migration arithmetic runs in these rebased *engine coordinates*, so
-  the whole footprint is O(window) however long the stream runs;
-  compaction is pure bookkeeping and never changes outputs, loads,
-  evictions or migration plans (the uncompacted reference is the
-  :class:`~repro.streaming.testing.NoTrimWindow` decorator);
+  logs are then *trimmed*: the window reports a safe trim point
+  (everything below ``min(live)`` can never be referenced again) and each
+  log gives up the keys and batch starts below it -- a pointer move, so
+  the whole footprint is O(window) however long the stream runs and no
+  output, load, eviction or migration plan changes (the untrimmed
+  reference is the :class:`~repro.streaming.testing.NoTrimWindow`
+  decorator);
 * **repartition** -- the :class:`~repro.streaming.policies.RepartitioningPolicy`
   may swap in a new partitioning, in which case the retained *live* state
   is migrated (:mod:`repro.streaming.migration`) and the moved tuples are
@@ -88,6 +87,7 @@ from repro.obs.clock import perf_counter
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.partitioning.base import Partitioning
+from repro.streaming.arrivals import ArrivalLog
 from repro.streaming.backends import (
     ExecutionBackend,
     RegionJoinResult,
@@ -104,7 +104,7 @@ from repro.streaming.policies import (
     StaticOneBucketPolicy,
 )
 from repro.streaming.source import MicroBatch, StreamSource
-from repro.streaming.window import WindowPolicy, drop_expired, make_window
+from repro.streaming.window import WindowPolicy, make_window
 
 __all__ = ["StreamingJoinEngine", "compare_streaming_schemes"]
 
@@ -246,35 +246,6 @@ class StreamingJoinEngine:
         )
 
     @staticmethod
-    def _append_history(
-        buffer: np.ndarray, size: int, keys: np.ndarray
-    ) -> np.ndarray:
-        """Append a batch's keys after ``buffer[:size]``; return the buffer.
-
-        A side's key history is the first ``size`` entries of a buffer
-        whose capacity doubles when it runs out, so an append costs
-        ``O(new)`` amortised instead of re-copying the whole history every
-        batch; the caller hands out ``buffer[:size + len(keys)]``.  Views
-        handed out earlier stay valid: an append writes only past them, and
-        a full buffer or a dtype change allocates a new one.  The first
-        non-empty batch decides the side's dtype (integer keys stay
-        integers -- int64 join keys above 2**53 must never round through
-        float64); a later dtype change promotes by ``np.concatenate``'s
-        rules, and an empty batch changes nothing.
-        """
-        keys = np.asarray(keys)
-        if size and len(keys) == 0:
-            return buffer
-        needed = size + len(keys)
-        dtype = np.promote_types(buffer.dtype, keys.dtype) if size else keys.dtype
-        if dtype != buffer.dtype or needed > len(buffer):
-            grown = np.empty(max(needed, 2 * size), dtype=dtype)
-            grown[:size] = buffer[:size]
-            buffer = grown
-        buffer[size:needed] = keys
-        return buffer
-
-    @staticmethod
     def _globalise(
         local_assignments: list[np.ndarray],
         offset: int,
@@ -283,12 +254,10 @@ class StreamingJoinEngine:
     ) -> list[np.ndarray]:
         """Convert per-region batch-local indices to per-machine arrival indices.
 
-        ``offset`` is the side's history length before the batch, so the
-        results are engine-coordinate arrival indices -- global indices
-        minus whatever history compaction has already trimmed (the two
-        coincide while nothing has been trimmed).  Region ``r``'s arrivals
-        are shipped to ``region_to_machine[r]`` -- the machine actually
-        holding that region's state after any partial repartitioning remap.
+        ``offset`` is the global arrival index of the batch's first tuple
+        on that side.  Region ``r``'s arrivals are shipped to
+        ``region_to_machine[r]`` -- the machine actually holding that
+        region's state after any partial repartitioning remap.
         """
         empty = np.empty(0, dtype=np.int64)
         per_machine: list[np.ndarray] = [empty] * num_machines
@@ -375,35 +344,6 @@ class StreamingJoinEngine:
         registry.histogram("stream.max_load").observe(metrics.max_load)
         registry.pulse()
 
-    def _compact_side(
-        self, history: np.ndarray, live: np.ndarray, starts: list[int]
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Trim one side's dead history prefix and rebase its bookkeeping.
-
-        The window's safe trim point (``min(live)``, or the whole history
-        once nothing is live) bounds every arrival index any future batch
-        can reference, so the key history below it is copied out, the
-        batch-start list drops entries below it, and the live set and the
-        remaining starts shift down by the trimmed amount (the backend
-        rebases its state's index columns by the same amount).  Returns the
-        compacted history, the rebased live set and how many entries were
-        trimmed.  Pure bookkeeping: the keys any index resolves to are
-        unchanged, so routing, the count and migration are bit-identical
-        with or without compaction.
-        """
-        trim = self.window.trim_point(live, len(history))
-        if trim <= 0:
-            return history, live, 0
-        # .copy() drops the reference to the old full-size buffer; a plain
-        # slice would be a view pinning it in memory.
-        history = history[trim:].copy()
-        live = live - trim
-        drop = 0
-        while drop < len(starts) and starts[drop] < trim:
-            drop += 1
-        starts[:] = [start - trim for start in starts[drop:]]
-        return history, live, trim
-
     def _adopt(
         self, replacement: Partitioning, machines: int, builds_before: int
     ) -> dict:
@@ -420,25 +360,22 @@ class StreamingJoinEngine:
         new fleet.  Returns the charges for :meth:`_charge`.
         """
         s = self._state
-        windowed = not self.window.is_unbounded
         resident1, resident2 = self.backend.resident_indices()
         plan = plan_migration(
             resident1,
             resident2,
             replacement,
-            s.history1,
-            s.history2,
+            s.log1,
+            s.log2,
             machines,
             s.rng,
             mode=self.migration_mode,
-            live1=s.live1 if windowed else None,
-            live2=s.live2 if windowed else None,
         )
         if machines != self.num_machines:
             self.backend.resize(machines)
             self.num_machines = machines
         self.backend.install_state(
-            plan.new_assignments1, plan.new_assignments2, s.history1, s.history2
+            plan.new_assignments1, plan.new_assignments2, s.log1, s.log2
         )
         s.resident_tuples = sum(
             len(held) for held in plan.new_assignments1 + plan.new_assignments2
@@ -522,20 +459,12 @@ class StreamingJoinEngine:
         J = self.num_machines
         s = RunState()
         s.rng = np.random.default_rng(self.seed)
-        # Key histories: views of capacity-doubling buffers (_append_history).
-        s.buffer1 = s.history1 = np.empty(0, dtype=np.float64)
-        s.buffer2 = s.history2 = np.empty(0, dtype=np.float64)
+        windowed = not self.window.is_unbounded
+        s.log1, s.log2 = ArrivalLog(windowed), ArrivalLog(windowed)
         s.resident_tuples = 0
         s.partitioning = None
         # Where each region's state lives; partial repartitioning may remap.
         s.region_to_machine = np.arange(J, dtype=np.int64)
-        # Liveness bookkeeping (windowed runs only): sorted arrival indices
-        # still live per side and each batch's arrival-index start, rebased
-        # by the amount trimmed so far ("engine coordinates"): O(window).
-        s.live1 = np.empty(0, dtype=np.int64)
-        s.live2 = np.empty(0, dtype=np.int64)
-        s.starts1 = []
-        s.starts2 = []
         s.last_batch_index = None
         s.position = -1
         s.result = StreamRunResult(
@@ -693,9 +622,9 @@ class StreamingJoinEngine:
     ) -> "tuple[tuple[int, int], float, bool]":
         """Stage 1: sample, maybe build the first plan, append the arrivals.
 
-        Returns the per-side history offsets of the batch, the rebuild
-        charge of an initial build (zero otherwise) and whether this batch
-        performed the initial build.
+        Returns the per-side global arrival index the batch starts at, the
+        rebuild charge of an initial build (zero otherwise) and whether
+        this batch performed the initial build.
         """
         if self.policy.needs_statistics(s.partitioning is not None):
             self.histogram.observe(batch, s.rng)
@@ -708,20 +637,7 @@ class StreamingJoinEngine:
             if self.histogram.rebuilds > builds_before:
                 rebuild_cost = self._rebuild_charge()
             initial_build = True
-        offsets = len(s.history1), len(s.history2)
-        s.buffer1 = self._append_history(s.buffer1, offsets[0], batch.keys1)
-        s.buffer2 = self._append_history(s.buffer2, offsets[1], batch.keys2)
-        s.history1 = s.buffer1[: offsets[0] + len(batch.keys1)]
-        s.history2 = s.buffer2[: offsets[1] + len(batch.keys2)]
-        if not self.window.is_unbounded:
-            s.starts1.append(offsets[0])
-            s.starts2.append(offsets[1])
-            s.live1 = np.concatenate(
-                [s.live1, np.arange(offsets[0], len(s.history1), dtype=np.int64)]
-            )
-            s.live2 = np.concatenate(
-                [s.live2, np.arange(offsets[1], len(s.history2), dtype=np.int64)]
-            )
+        offsets = s.log1.append(batch.keys1), s.log2.append(batch.keys2)
         return offsets, rebuild_cost, initial_build
 
     def _route(
@@ -747,23 +663,10 @@ class StreamingJoinEngine:
             "route", category="stage", initial_build=initial_build
         ):
             if initial_build:
-                windowed = not self.window.is_unbounded
                 s.region_to_machine = np.arange(J, dtype=np.int64)
                 return (
-                    route_live(
-                        s.partitioning.assign_r1,
-                        s.history1,
-                        s.live1 if windowed else None,
-                        J,
-                        s.rng,
-                    ),
-                    route_live(
-                        s.partitioning.assign_r2,
-                        s.history2,
-                        s.live2 if windowed else None,
-                        J,
-                        s.rng,
-                    ),
+                    route_live(s.partitioning.assign_r1, s.log1, J, s.rng),
+                    route_live(s.partitioning.assign_r2, s.log2, J, s.rng),
                 )
             return (
                 self._globalise(
@@ -810,9 +713,7 @@ class StreamingJoinEngine:
             with self.tracer.span(
                 "incremental_count", category="stage", tasks=2 * J
             ) as span:
-                execution = self.backend.count_batch(
-                    new1, new2, s.history1, s.history2
-                )
+                execution = self.backend.count_batch(new1, new2, s.log1, s.log2)
             self._stitch_workers(execution, span)
             deltas = execution.per_machine_output
             s.resident_tuples += int(arrivals.sum())
@@ -855,22 +756,14 @@ class StreamingJoinEngine:
         repartitioning, so a migration only ever ships live state.  The
         live sets shrink here; the backend drops the same expired indices
         from every machine's state and reports how many entries it really
-        held (charged as ``tuples_evicted`` / ``bytes_freed``).  The dead
-        history prefix the eviction exposed is then trimmed on both sides
-        and every stored arrival index rebased by the same amounts, so
-        engine coordinates stay in lock-step on both sides of the protocol.
+        held (charged as ``tuples_evicted`` / ``bytes_freed``).  Each log
+        then gives up the dead prefix the eviction exposed.
         """
         if self.window.is_unbounded:
             return
         with self.tracer.span("evict", category="stage") as evict_span:
-            expired1 = self.window.evictions(
-                s.live1, s.starts1, len(s.history1), s.rng
-            )
-            expired2 = self.window.evictions(
-                s.live2, s.starts2, len(s.history2), s.rng
-            )
-            s.live1 = drop_expired(s.live1, expired1)
-            s.live2 = drop_expired(s.live2, expired2)
+            expired1 = s.log1.expire(self.window, s.rng)
+            expired2 = s.log2.expire(self.window, s.rng)
             if len(expired1) or len(expired2):
                 metrics.tuples_evicted = self.backend.evict_state(
                     expired1, expired2
@@ -881,20 +774,9 @@ class StreamingJoinEngine:
                 s.resident_tuples -= metrics.tuples_evicted
             evict_span.set(evicted=metrics.tuples_evicted)
         with self.tracer.span("compact", category="stage") as compact_span:
-            s.history1, s.live1, trim1 = self._compact_side(
-                s.history1, s.live1, s.starts1
-            )
-            s.history2, s.live2, trim2 = self._compact_side(
-                s.history2, s.live2, s.starts2
-            )
-            if trim1:
-                s.buffer1 = s.history1
-            if trim2:
-                s.buffer2 = s.history2
-            if trim1 or trim2:
-                self.backend.rebase_state(trim1, trim2)
-            metrics.history_tuples_trimmed = trim1 + trim2
-            compact_span.set(trimmed=trim1 + trim2)
+            trimmed = s.log1.trim(self.window) + s.log2.trim(self.window)
+            metrics.history_tuples_trimmed = trimmed
+            compact_span.set(trimmed=trimmed)
 
     def _repartition(self, s: RunState, metrics: BatchMetrics) -> None:
         """Stage 5: let the policy swap partitionings; migrate if it does.
@@ -926,7 +808,7 @@ class StreamingJoinEngine:
         """Stage 6: close the metrics record -- bytes, footprint, wall time.
 
         One drain covers every protocol command the batch issued (count,
-        evict, rebase, install) on a backend with a metered channel;
+        evict, install) on a backend with a metered channel;
         batches that moved no metered bytes keep ``None``, like an
         unprofiled run.  The resident count is the run state's running
         total (arrivals folded in, minus what ``evict_state`` reported,
@@ -943,8 +825,8 @@ class StreamingJoinEngine:
         )
         metrics.bytes_shm = shm
         metrics.resident_tuples = s.resident_tuples
-        metrics.resident_history_tuples = len(s.history1) + len(s.history2)
-        metrics.resident_live_entries = len(s.live1) + len(s.live2)
+        metrics.resident_history_tuples = s.log1.retained + s.log2.retained
+        metrics.resident_live_entries = len(s.log1.live) + len(s.log2.live)
         metrics.wall_seconds = perf_counter() - start
 
     def finish(self, verify: bool = True) -> StreamRunResult:
@@ -969,7 +851,7 @@ class StreamingJoinEngine:
         if verify and self.window.is_unbounded:
             with self.tracer.span("verify", category="run") as verify_span:
                 result.expected_output = count_join_output(
-                    s.history1, s.history2, self.condition
+                    s.log1.keys, s.log2.keys, self.condition
                 )
                 result.output_correct = (
                     result.total_output == result.expected_output

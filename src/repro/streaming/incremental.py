@@ -126,10 +126,8 @@ class SortedRegionState:
     key arrays: integer keys are retained as integers (int64 keys above
     2**53 must not round through float64), floats as float64.  Arrival
     indices are unique within a machine: a machine holds one region, and a
-    region routes each tuple at most once.  Under history compaction they
-    are *engine coordinates* -- the global arrival index minus the tuples
-    already trimmed from the history (:meth:`rebase`); without compaction
-    the two coincide.
+    region routes each tuple at most once.  They are global and stored as
+    given (:mod:`repro.streaming.arrivals`).
     """
 
     __slots__ = ("_runs",)
@@ -267,18 +265,6 @@ class SortedRegionState:
             newer = runs.pop()
             runs[-1] = _merge_runs(runs[-1], newer)
         return needles
-
-    def rebase(self, shift: int) -> None:
-        """Shift every arrival index down by ``shift`` (history compaction).
-
-        The engine calls this after trimming ``shift`` expired tuples off
-        the front of the side's key history, so the indices keep addressing
-        the same keys in the compacted array.  Every retained index must be
-        ``>= shift`` (compaction only trims below the window's safe trim
-        point, and eviction has already dropped anything older).
-        """
-        if shift:
-            self._runs = [(keys, index - shift) for keys, index in self._runs]
 
     def evict(self, expired: np.ndarray) -> int:
         """Drop the given global arrival indices; return how many were held.

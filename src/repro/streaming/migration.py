@@ -26,23 +26,19 @@ Two planning modes exist:
   charged -- the partial-migration volume is therefore always at most the
   full-migration volume, and zero when the mapping is unchanged.
 
-Tuples are identified by their arrival index, so "already present on machine
-r" is an exact set test, and replicated tuples (a tuple may live on several
-machines under either partitioning) are handled naturally.  The planner is
-coordinate-agnostic: it only requires that the old assignments, the key
-arrays and the live sets agree on one indexing scheme.  The engine passes
-*engine coordinates* -- global arrival indices minus whatever its history
-compaction has trimmed -- and because every input is rebased together, the
-planned volumes, mappings and state are identical with or without
-compaction.  The plan also reports per-machine departures, so tests can
-assert tuple conservation (for non-replicating schemes, migrated-out ==
-migrated-in per rebuild).
+Tuples are identified by their global arrival index
+(:mod:`repro.streaming.arrivals`), so "already present on machine r" is an
+exact set test, and replicated tuples (a tuple may live on several machines
+under either partitioning) are handled naturally.  The plan also reports
+per-machine departures, so tests can assert tuple conservation (for
+non-replicating schemes, migrated-out == migrated-in per rebuild).
 
-When the engine runs under a window policy (:mod:`repro.streaming.window`)
-it passes the per-side live index sets (``live1`` / ``live2``): only live
-tuples are routed by the new partitioning, so a rebuild migrates live state
-only -- expired tuples are neither shipped nor resurrected onto machines
-that already dropped them.
+The key histories are :class:`~repro.streaming.arrivals.ArrivalLog` objects
+or bare key arrays.  Under a window policy (:mod:`repro.streaming.window`)
+only a log's *live* tuples are routed by the new partitioning, so a rebuild
+migrates live state only -- expired tuples are neither shipped nor
+resurrected onto machines that already dropped them.  A bare array is the
+log of a stream that never trimmed: everything in it is live.
 """
 
 from __future__ import annotations
@@ -52,6 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.partitioning.base import Partitioning
+from repro.streaming.arrivals import ArrivalLog
 
 __all__ = ["MigrationPlan", "pad_assignments", "plan_migration", "route_live"]
 
@@ -234,8 +231,7 @@ def _best_region_map(
 
 def route_live(
     assign,
-    keys: np.ndarray,
-    live: np.ndarray | None,
+    keys: "ArrivalLog | np.ndarray",
     num_machines: int,
     rng: np.random.Generator,
 ) -> list[np.ndarray]:
@@ -243,45 +239,47 @@ def route_live(
 
     Shared by the migration planner and the engine's initial build (which
     routes the backlog that arrived before any partitioning existed).
-    With ``live=None`` the whole history is routed and the partitioning's
-    batch-local indices already are global indices.  With a live set, only
-    ``keys[live]`` is handed to the partitioning and the local indices are
-    mapped back through ``live`` -- expired tuples are never routed, so a
-    migration ships (and a post-migration machine holds) live state only.
+    A bare key array or an unwindowed log is routed whole, and the
+    partitioning's batch-local indices already are global indices.  Of a
+    windowed log only the live keys are handed to the partitioning and the
+    local indices are mapped back through the live set -- expired tuples
+    are never routed, so a migration ships (and a post-migration machine
+    holds) live state only.
     """
-    keys = np.asarray(keys)
-    if live is None:
-        return pad_assignments(assign(keys, rng), num_machines)
-    live = np.asarray(live, dtype=np.int64)
-    local = pad_assignments(assign(keys[live], rng), num_machines)
-    return [live[indices] for indices in local]
+    if isinstance(keys, ArrivalLog):
+        if keys.windowed:
+            live = keys.live
+            local = pad_assignments(assign(keys[live], rng), num_machines)
+            return [live[indices] for indices in local]
+        keys = keys.keys
+    return pad_assignments(assign(np.asarray(keys), rng), num_machines)
 
 
 def plan_migration(
     old_assignments1: list[np.ndarray],
     old_assignments2: list[np.ndarray],
     new_partitioning: Partitioning,
-    keys1: np.ndarray,
-    keys2: np.ndarray,
+    keys1: "ArrivalLog | np.ndarray",
+    keys2: "ArrivalLog | np.ndarray",
     num_machines: int,
     rng: np.random.Generator,
     mode: str = "full",
-    live1: np.ndarray | None = None,
-    live2: np.ndarray | None = None,
 ) -> MigrationPlan:
     """Plan the state movement from the old machine assignment to a new scheme.
 
     Parameters
     ----------
     old_assignments1, old_assignments2:
-        Per-machine arrays of tuple arrival indices currently held (R1/R2),
-        in the same coordinates as ``keys1``/``keys2``.
+        Per-machine arrays of tuple arrival indices currently held (R1/R2).
     new_partitioning:
         The scheme taking over; it is asked to route the retained history
-        (all of it, or only the live subset when a window is active).
+        (all of it, or only the live subset of a windowed log).
     keys1, keys2:
-        The retained key history, indexed by the arrival indices (the
-        engine passes its compacted arrays; indices are rebased to match).
+        The key histories: the engine's arrival logs, or bare key arrays
+        indexed by arrival index (see :func:`route_live`).  Only live
+        tuples can appear in the planned state -- a rebuild never ships (or
+        resurrects) expired tuples, and the migration volume charged is the
+        live volume only.
     num_machines:
         The *target* cluster size (at least the region count of the new
         partitioning).  The old assignment lists may be longer -- a shrink
@@ -295,23 +293,13 @@ def plan_migration(
         ``"full"`` places new region ``r`` on machine ``r``; ``"partial"``
         remaps regions to the machines already holding most of their state
         and migrates only the difference (see the module docstring).
-    live1, live2:
-        Optional arrival-index arrays of the tuples still live under the
-        engine's window policy.  When given, only those tuples are routed
-        and can appear in the planned state -- a rebuild never ships (or
-        resurrects) expired tuples, and the migration volume charged is the
-        live volume only.  ``None`` routes the full history (unbounded).
     """
     if mode not in MIGRATION_MODES:
         raise ValueError(
             f"unknown migration mode {mode!r} (expected one of {MIGRATION_MODES})"
         )
-    routed1 = route_live(
-        new_partitioning.assign_r1, keys1, live1, num_machines, rng
-    )
-    routed2 = route_live(
-        new_partitioning.assign_r2, keys2, live2, num_machines, rng
-    )
+    routed1 = route_live(new_partitioning.assign_r1, keys1, num_machines, rng)
+    routed2 = route_live(new_partitioning.assign_r2, keys2, num_machines, rng)
     # A resize may shrink the fleet: the old lists then outnumber the new
     # machines.  Pad the old side to whichever count is larger so departing
     # machines' state is diffed (everything they hold departs), while the

@@ -2,7 +2,7 @@
 
 Several suites pin the same contract -- two engine runs over the same seeded
 stream must be *behaviourally bit-identical* -- from different angles:
-history compaction versus the uncompacted reference, one execution backend
+history trimming versus the untrimmed reference, one execution backend
 versus another, and a kill-and-restore run versus the run that never
 stopped.  Keeping the
 comparison in one place (:func:`assert_equivalent_runs`) means a metric
@@ -29,7 +29,7 @@ protocol decorator that shadows the traffic it forwards, recounts every
 machine's full region from scratch after each ``count_batch`` and asserts
 the reported incremental delta against it.  Three more references sit
 beside it, each selected by *which class a test instantiates*, never by an
-option on production code: :class:`NoTrimWindow` (the uncompacted
+option on production code: :class:`NoTrimWindow` (the untrimmed
 bookkeeping), :class:`PositionalRebuildEngine` (the naive ``"full"``
 migration) and :class:`PicklingPoolBackend` (the stateless worker pool the
 sticky backend is measured against).  ``tests/conftest.py`` and
@@ -81,7 +81,7 @@ def assert_equivalent_runs(
     (per-machine arrivals, departures and the region-to-machine mapping).
     Memory-footprint metrics (``resident_history_tuples``,
     ``resident_bytes``) are *not* compared -- they are exactly what history
-    compaction is allowed to change -- and neither are wall-clock timings.
+    trimming is allowed to change -- and neither are wall-clock timings.
     """
     assert actual.num_batches == reference.num_batches
     assert actual.total_output == reference.total_output
@@ -132,7 +132,7 @@ def assert_equivalent_runs(
 #: tests for real backends already cover.  (``join_regions`` is no longer
 #: one either: the engine never calls it on the backend it was given, only
 #: the in-process ``count_batch`` does, behind the ``count`` fault point.)
-FAULT_OPS = ("count", "evict", "rebase", "install")
+FAULT_OPS = ("count", "evict", "install")
 
 
 class _ForwardingBackend(ExecutionBackend):
@@ -192,12 +192,6 @@ class _ForwardingBackend(ExecutionBackend):
         self._ensure_open()
         self._before("evict")
         return self.inner.evict_state(expired1, expired2)
-
-    def rebase_state(self, trim1: int, trim2: int) -> None:
-        """Forward an index rebase, faults permitting."""
-        self._ensure_open()
-        self._before("rebase")
-        self.inner.rebase_state(trim1, trim2)
 
     def install_state(self, assignments1, assignments2, history1, history2):
         """Forward a state migration install, faults permitting."""
@@ -352,7 +346,7 @@ class RecountingBackend(_ForwardingBackend):
         columns = []
         for indices in assignments:
             indices = np.asarray(indices, dtype=np.int64)
-            columns.append((indices, np.asarray(history)[indices]))
+            columns.append((indices, history[indices]))
         return columns
 
     def _reset(self, num_machines: int) -> None:
@@ -422,12 +416,6 @@ class RecountingBackend(_ForwardingBackend):
         self._totals = self._recount()
         return dropped
 
-    def rebase_state(self, trim1: int, trim2: int) -> None:
-        """Forward the rebase; shift the shadow's indices alike."""
-        super().rebase_state(trim1, trim2)
-        self._shadow1 = [(idx - trim1, keys) for idx, keys in self._shadow1]
-        self._shadow2 = [(idx - trim2, keys) for idx, keys in self._shadow2]
-
     def install_state(self, assignments1, assignments2, history1, history2):
         """Forward the install; adopt the assignments; re-take the baseline."""
         super().install_state(assignments1, assignments2, history1, history2)
@@ -442,14 +430,14 @@ class RecountingBackend(_ForwardingBackend):
 
 
 class NoTrimWindow(WindowPolicy):
-    """The uncompacted reference: any window, with history never trimmed.
+    """The untrimmed reference: any window, with history never trimmed.
 
     Decorates a bounded :class:`~repro.streaming.window.WindowPolicy`:
     evictions are the inner policy's, but the safe trim point is always 0,
-    so the engine keeps the full-run histories, live sets and batch-start
-    lists in global coordinates -- the pre-compaction engine.  Outputs,
-    loads, evictions and migration plans must be bit-identical to the
-    compacting run; only the footprint may differ.
+    so the arrival logs never advance their base and keep the full-run
+    histories and batch-start lists.  Outputs, loads, evictions and
+    migration plans must be bit-identical to the trimming run; only the
+    footprint may differ.
     """
 
     def __init__(self, inner: WindowPolicy) -> None:

@@ -8,15 +8,15 @@ micro-batch, which retained tuples are still *live*.  Expired tuples are
 evicted from every machine's region state, the freed memory is charged into
 :class:`~repro.streaming.metrics.BatchMetrics` (tuples evicted, bytes freed,
 resident state), and a later repartitioning migrates only the surviving
-tuples (:func:`~repro.streaming.migration.plan_migration` with ``live1`` /
-``live2``).
+tuples (:func:`~repro.streaming.migration.plan_migration` routes a log's
+live set).
 
 Eviction also reports a **safe trim point** (:meth:`WindowPolicy.trim_point`):
 the arrival-index prefix that no liveness bookkeeping can ever reference
-again.  The engine compacts everything below it -- the flat per-side key
-history, the batch-start list and every stored arrival index are trimmed and
-rebased -- so a windowed run's total footprint (history + live sets + state)
-is O(window), not O(stream).
+again.  Each side's :class:`~repro.streaming.arrivals.ArrivalLog` gives up
+the keys and batch starts below it, so a windowed run's total footprint
+(history + live sets + state) is O(window), not O(stream).  Every index here
+is a global arrival index (:mod:`repro.streaming.arrivals`).
 
 Three policies are provided:
 
@@ -113,26 +113,24 @@ class WindowPolicy(abc.ABC):
         batch_starts:
             Arrival-index starts of recently processed batches, oldest
             first; ``batch_starts[-1]`` belongs to the batch just processed.
-            The engine appends one entry per *processed* batch (liveness is
-            a function of the engine's own batch count, never of a source's
-            ``MicroBatch.index`` numbering), and compaction may drop entries
-            below the trim point -- only the suffix a policy can still
+            One entry is appended per *processed* batch (liveness is a
+            function of the engine's own batch count, never of a source's
+            ``MicroBatch.index`` numbering), and entries below the trim
+            point are dropped -- only the suffix a policy can still
             reference is guaranteed to be present.
         total_arrived:
-            The side's arrivals retained plus this batch (the history
-            length, in the same coordinates as ``live``).
+            The side's arrivals so far, this batch included (one past the
+            largest arrival index).
         rng:
             The engine's seeded generator, for randomised policies.
 
-        All index arguments share one coordinate system: the engine rebases
-        ``live``, ``batch_starts`` and ``total_arrived`` together when it
-        compacts trimmed history, so cutoff arithmetic is unaffected.  The
-        result must be a sorted subset of ``live`` (``live`` itself is
-        sorted ascending, so any mask or prefix of it qualifies).
+        All index arguments are global arrival indices.  The result must
+        be a sorted subset of ``live`` (``live`` itself is sorted
+        ascending, so any mask or prefix of it qualifies).
         """
 
     def trim_point(self, live: np.ndarray, total_arrived: int) -> int:
-        """The arrival-index prefix that is safe to compact away.
+        """The arrival-index prefix that is safe to trim away.
 
         Everything strictly below the returned index can never be referenced
         again: ``live`` is sorted and eviction cutoffs only move forward, so
@@ -189,8 +187,8 @@ class SlidingWindow(WindowPolicy):
 
         The batch cutoff is positional from the *end* of ``batch_starts``
         (the engine's processed-batch count), so it is independent of any
-        ``MicroBatch.index`` numbering and survives the engine trimming the
-        list's dead prefix during history compaction.
+        ``MicroBatch.index`` numbering and survives the list's dead prefix
+        being trimmed.
         """
         if self.batches is not None:
             if len(batch_starts) < self.batches:

@@ -45,9 +45,6 @@ class SortedRegionState:
         Arrival indices, parallel to ``keys`` (``keys[i]`` is the key of
         history tuple ``index[i]``).  Unique within a machine: a machine
         holds one region, and a region routes each tuple at most once.
-        Under history compaction these are *engine coordinates* -- the
-        global arrival index minus the tuples already trimmed from the
-        history (:meth:`rebase`); without compaction the two coincide.
     """
 
     __slots__ = ("keys", "index")
@@ -131,18 +128,6 @@ class SortedRegionState:
         positions = np.searchsorted(self.keys, new_keys)
         self.keys = np.insert(self.keys, positions, new_keys)
         self.index = np.insert(self.index, positions, new_indices)
-
-    def rebase(self, shift: int) -> None:
-        """Shift every arrival index down by ``shift`` (history compaction).
-
-        The engine calls this after trimming ``shift`` expired tuples off
-        the front of the side's key history, so ``index`` keeps addressing
-        the same keys in the compacted array.  Every retained index must be
-        ``>= shift`` (compaction only trims below the window's safe trim
-        point, and eviction has already dropped anything older).
-        """
-        if shift:
-            self.index = self.index - shift
 
     def evict(self, expired: np.ndarray) -> int:
         """Drop the given global arrival indices; return how many were held.

@@ -397,7 +397,6 @@ class TestBackendProtocol:
                 "bind",
                 "count_batch",
                 "evict_state",
-                "rebase_state",
                 "install_state",
                 "resize",
                 "resident_indices",
@@ -415,7 +414,6 @@ class TestBackendProtocol:
                 "bind",
                 "count_batch",
                 "evict_state",
-                "rebase_state",
                 "install_state",
                 "resize",
                 "drain_channel_bytes",

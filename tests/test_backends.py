@@ -15,6 +15,7 @@ runners can deselect them with ``-m "not multiprocess"``.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.streaming import (
     DriftAdaptiveEWHPolicy,
     DriftDetector,
     DriftingZipfSource,
+    RegionJoinResult,
     RegionStateTable,
     SimulatedBackend,
     SlowConsumerBackend,
@@ -113,6 +115,28 @@ class TestSlowConsumerBackend:
         virtual = SlowConsumerBackend(SimulatedBackend(), seconds_per_call=10.0)
         result = virtual.join_regions(_region_keys(rng, size=10), BAND)
         assert result.wall_seconds >= 10.0
+
+    def test_every_field_of_the_inner_execution_survives(self):
+        # Only wall_seconds may change: bytes_shm and worker_seconds used to
+        # be dropped on the way to the engine's metering and span stitching.
+        inner_result = RegionJoinResult(
+            per_machine_output=np.array([3, 5]),
+            per_machine_seconds=np.array([0.1, 0.2]),
+            wall_seconds=1.0,
+            bytes_pickled=11,
+            bytes_unpickled=13,
+            bytes_shm=4096,
+            worker_pids=np.array([101, 102]),
+            worker_seconds=np.array([0.7, 0.9]),
+        )
+
+        class Stub(SimulatedBackend):
+            def join_regions(self, region_keys, condition, keys2_sorted=False):
+                return inner_result
+
+        result = SlowConsumerBackend(Stub(), seconds_per_call=2.0).join_regions([], BAND)
+        assert result == replace(inner_result, wall_seconds=3.0)
+        assert result.bytes_shm == 4096 and result.worker_seconds[1] == 0.9
 
     def test_close_closes_the_inner_backend_and_is_final(self, rng):
         inner = SimulatedBackend()
@@ -287,17 +311,6 @@ class TestStickyWorkerState:
         worker.count([idx, keys, idx, keys])
         assert worker.evict([expired, expired]) == ("evicted", 6)
 
-    def test_rebase_shifts_resident_arrival_indices(self, rng):
-        table = RegionStateTable([0])
-        idx = np.arange(10, 20, dtype=np.int64)
-        keys = rng.uniform(0, 50, 10)
-        table.fold([idx, keys, idx, keys])
-        table.rebase(10, 10)
-        assert table.state1[0].index.min() == 0
-        assert table.state2[0].index.max() == 9
-        worker = _StickyWorkerState(machines=(0,))
-        assert worker.rebase(0, 0) == ("rebased",)
-
     def test_install_rebuilds_bit_identical_to_from_indices(self, rng):
         table = RegionStateTable([0])
         history = rng.uniform(0, 50, 40)
@@ -390,17 +403,16 @@ class TestInProcessStateProtocol:
         held1, _ = backend.resident_indices()
         assert sorted(held1[0].tolist()) == split[0].tolist() + [80]
 
-    def test_evict_rebase_install_resize_and_drain(self, rng):
+    def test_evict_install_resize_and_drain(self, rng):
         history1, history2, split = self._traffic(rng)
         backend = SimulatedBackend()
         backend.bind(2, BAND, BAND.transposed)
         backend.count_batch(split, split, history1, history2)
         expired = np.arange(0, 10, dtype=np.int64)
         assert backend.evict_state(expired, expired) == 20
-        backend.rebase_state(10, 10)
         held1, held2 = backend.resident_indices()
-        assert sorted(held1[0].tolist()) == list(range(0, 30))
-        assert sorted(held2[1].tolist()) == list(range(30, 70))
+        assert sorted(held1[0].tolist()) == list(range(10, 40))
+        assert sorted(held2[1].tolist()) == list(range(40, 80))
         swapped = [split[1], split[0]]
         backend.install_state(swapped, swapped, history1, history2)
         held1, _ = backend.resident_indices()
@@ -486,9 +498,8 @@ class TestStickyWorkerBackend:
             assert [h.tolist() for h in held1] == [[1, 3, 7], [2]]
             expired = np.array([1, 2], dtype=np.int64)
             assert backend.evict_state(expired, expired) == 4
-            backend.rebase_state(3, 3)
             held1, held2 = backend.resident_indices()
-            assert [h.tolist() for h in held1] == [[0, 4], []]
+            assert [h.tolist() for h in held1] == [[3, 7], []]
             moved = [np.array([4], dtype=np.int64), np.array([9, 0], dtype=np.int64)]
             backend.install_state(moved, moved, history, history)
             held1, held2 = backend.resident_indices()
@@ -643,7 +654,7 @@ class TestStickyBackendEquivalence:
     A fixed-seed drifting stream run on both backends; under sticky the
     join state lives in the worker processes and the engine only
     ever ships deltas, so these tests pin the whole state-ownership
-    protocol (count/evict/rebase/install) against the in-process engine.
+    protocol (count/evict/install) against the in-process engine.
     """
 
     @pytest.fixture(scope="class")
@@ -748,13 +759,13 @@ class TestStickyBackendEquivalence:
 
 @pytest.mark.multiprocess
 class TestStickyWindowedEquivalence:
-    """Windowed runs drive evict + rebase through the ownership protocol.
+    """Windowed runs drive evictions through the ownership protocol.
 
-    A bounded window makes the engine evict expired state and compact its
-    history every batch, so the worker-resident copies must shrink and
-    rebase in lockstep with the in-process mirror -- any divergence either
-    trips the engine's drop-count cross-check or shows up here as a load or
-    output mismatch.
+    A bounded window makes the engine evict expired state and trim its
+    logs every batch, so the worker-resident copies must shrink in
+    lockstep with the in-process mirror -- any divergence either trips the
+    engine's drop-count cross-check or shows up here as a load or output
+    mismatch.
     """
 
     @pytest.fixture(scope="class")

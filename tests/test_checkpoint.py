@@ -22,6 +22,7 @@ growth and shrinkage alike.
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
 import struct
 
@@ -159,6 +160,8 @@ def test_restore_bit_identical_across_real_backends(backend_name, window):
         uninterrupted = engine.finish()
     finally:
         backend.close()
+    # Under the window history was trimmed first: both restores start at base > 0.
+    assert (checkpoint.base1 > 0) == (checkpoint.base2 > 0) == (window is not None)
     replacement = build_backend()
     try:
         resumed = resume_and_finish(checkpoint, source, backend=replacement)
@@ -217,6 +220,27 @@ def test_checkpoint_save_and_load_file(tmp_path):
     assert loaded.resident_tuples == checkpoint.resident_tuples
 
 
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    """A write that dies midway leaves the old file loadable, no temp behind."""
+    source = make_source(seed=3)
+    _, older = run_with_checkpoint(source, 2, seed=3)
+    _, newer = run_with_checkpoint(source, 6, seed=3)
+    path = tmp_path / "run.ckpt"
+    older.save(path)
+
+    def full_disk(fd):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "fsync", full_disk)
+    with pytest.raises(OSError, match="no space"):
+        newer.save(path)
+    monkeypatch.undo()
+    assert StreamCheckpoint.load(path).position == older.position
+    assert [entry.name for entry in tmp_path.iterdir()] == ["run.ckpt"]
+    newer.save(path)
+    assert StreamCheckpoint.load(path).position == newer.position
+
+
 def test_from_bytes_refuses_garbage():
     """Truncation, bad magic, unknown versions and corruption all raise."""
     source = make_source(seed=3)
@@ -231,15 +255,16 @@ def test_from_bytes_refuses_garbage():
     versioned[4:8] = (99).to_bytes(4, "little")
     with pytest.raises(ValueError, match="version 99"):
         StreamCheckpoint.from_bytes(bytes(versioned))
-    # Versions 1 (key-sorted state columns, a counting mode) and 2 (three
-    # removed engine options) are refused by name, with the version this
-    # build does read.
-    assert CHECKPOINT_VERSION == 3
-    for stale in (1, 2):
+    # Versions 1 (key-sorted state columns, a counting mode), 2 (three
+    # removed engine options) and 3 (arrival indices shifted by the trimmed
+    # history) are refused by name, with the version this build does read.
+    assert CHECKPOINT_VERSION == 4
+    for stale in (1, 2, 3):
         versioned[4:8] = stale.to_bytes(4, "little")
         with pytest.raises(
             ValueError,
-            match=rf"version {stale};.*reads version 3 only.*version 1.*version 2",
+            match=rf"version {stale};.*reads version 4 only"
+            r".*version 1.*version 2.*version 3",
         ):
             StreamCheckpoint.from_bytes(bytes(versioned))
     corrupted = bytearray(payload)

@@ -1,6 +1,6 @@
 """Documentation gates: links, documented imports, docstring coverage.
 
-Three things are enforced here (and re-run by the CI ``docs`` job):
+Four things are enforced here (and re-run by the CI ``docs`` job):
 
 * every relative link in ``README.md`` and ``docs/*.md`` points at a file
   that actually exists in the repository (external ``http(s)`` links and
@@ -8,6 +8,10 @@ Three things are enforced here (and re-run by the CI ``docs`` job):
 * every ``import repro...`` / ``from repro... import ...`` statement inside
   a fenced python block of those files executes, so deleting a public name
   cannot leave a documented import dangling;
+* every backticked state-protocol verb those files or the
+  ``repro.streaming`` sources name (``*_state``, ``count_batch``,
+  ``resident_indices``, ``drain_channel_bytes``) is a method of
+  ``ExecutionBackend``, so a deleted verb cannot survive in prose;
 * every public module, class, function and method in ``repro.streaming``
   and ``repro.obs`` carries a docstring -- the same contract as ruff's
   pydocstyle ``D1`` rules (minus ``D107``: ``__init__`` parameters are
@@ -29,6 +33,11 @@ OBS_DIR = REPO_ROOT / "src" / "repro" / "obs"
 
 LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.DOTALL | re.MULTILINE)
+PROTOCOL_VERB = re.compile(
+    r"`(?:[\w.~]*\.)?"
+    r"(\w+_state|count_batch|resident_indices|drain_channel_bytes)"
+    r"(?:\([^`]*\))?`"
+)
 
 
 def markdown_files() -> list[Path]:
@@ -78,6 +87,20 @@ def test_documented_repro_imports_execute(path):
             except (ImportError, AttributeError) as error:
                 dangling.append(f"{statement!r}: {error}")
     assert not dangling, f"{path.name}: dangling documented imports {dangling}"
+
+
+@pytest.mark.parametrize(
+    "path",
+    markdown_files() + sorted(STREAMING_DIR.glob("*.py")),
+    ids=lambda p: p.name,
+)
+def test_named_protocol_verbs_exist(path):
+    """Every backticked state-protocol verb is an ``ExecutionBackend`` method."""
+    from repro.streaming import ExecutionBackend
+
+    verbs = set(PROTOCOL_VERB.findall(path.read_text()))
+    stale = sorted(v for v in verbs if not callable(getattr(ExecutionBackend, v, None)))
+    assert not stale, f"{path.name} names removed protocol verbs {stale}"
 
 
 def _is_public(name: str) -> bool:

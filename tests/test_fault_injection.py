@@ -120,7 +120,6 @@ class TestCrashingBackend:
             (("install",), 1, None),
             (("count",), 4, "batches:3"),
             (("evict",), 2, "batches:3"),
-            (("rebase",), 2, "batches:3"),
             (("install",), 1, "batches:3"),
         ],
     )

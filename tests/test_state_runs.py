@@ -3,7 +3,7 @@
 Two kinds of test.  The hypothesis properties drive the production
 ``RegionStateTable`` (geometrically merged sorted runs) and the pre-rewrite
 single-array ``SortedRegionState`` kept in ``tests/reference_state.py``
-through the same random insert / evict / rebase / install traffic and ask
+through the same random insert / evict / install traffic and ask
 for the same ``(index, key)`` sets, the same eviction counts and the same
 per-machine fold totals.  The structural tests pin the complexity claim
 without a clock: how many runs there are, that the largest is not rewritten
@@ -108,13 +108,12 @@ def test_runs_agree_with_the_single_array_reference(seed, key_mode, condition, s
     reference = {
         (machine, side): ReferenceState() for machine in MACHINES for side in (1, 2)
     }
-    # One growing key history per side, in engine coordinates (a rebase
-    # trims its front, exactly like the engine's compaction).
+    # One growing key history per side, indexed by global arrival index.
     history = {1: np.empty(0), 2: np.empty(0)}
     empty_idx = np.empty(0, dtype=np.int64)
     batch = 0
     for _ in range(steps):
-        op = rng.choice(["fold", "fold", "fold", "evict", "rebase", "install"])
+        op = rng.choice(["fold", "fold", "fold", "evict", "install"])
         if op == "fold":
             layout, arrivals = [], {}
             for side in (1, 2):
@@ -178,18 +177,6 @@ def test_runs_agree_with_the_single_array_reference(seed, key_mode, condition, s
                 state.evict(expired[side])
                 for (_, side), state in reference.items()
             )
-        elif op == "rebase":
-            trims = {}
-            for side in (1, 2):
-                held = [
-                    state.index for (_, s), state in reference.items() if s == side
-                ]
-                floor = min((int(h.min()) for h in held if len(h)), default=0)
-                trims[side] = int(rng.integers(0, floor + 1))
-                history[side] = history[side][trims[side] :]
-            table.rebase(trims[1], trims[2])
-            for (_, side), state in reference.items():
-                state.rebase(trims[side])
         else:
             layout = []
             for machine in MACHINES:

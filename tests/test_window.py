@@ -133,15 +133,13 @@ class TestWindowPolicies:
     def test_batch_cutoff_is_positional_from_the_end(self, rng):
         # The cutoff is batch_starts[-batches], so it neither depends on a
         # source's MicroBatch.index numbering nor on how much dead prefix
-        # the engine's compaction dropped from the list.
+        # the log's trim dropped from the list.
         window = SlidingWindow(batches=2)
         live = np.arange(10, 40, dtype=np.int64)
         full = window.evictions(live, [0, 10, 20, 30], 40, rng)
         assert full.tolist() == list(range(10, 20))
-        # The engine trims 10 entries and rebases everything by 10: the
-        # same eviction comes out, shifted by the rebase.
-        rebased = window.evictions(live - 10, [0, 10, 20], 30, rng)
-        np.testing.assert_array_equal(rebased, full - 10)
+        trimmed = window.evictions(live, [10, 20, 30], 40, rng)
+        np.testing.assert_array_equal(trimmed, full)
 
 
 # ----------------------------------------------------------------------
@@ -177,18 +175,6 @@ class TestSortedRegionState:
         assert len(state) == 20
         assert np.all(state.index < 20)
         assert np.all(np.diff(state.keys) >= 0)
-
-    def test_rebase_shifts_indices_and_keeps_keys(self, rng):
-        history = rng.uniform(0, 50, 60)
-        state = SortedRegionState.from_indices(
-            np.arange(20, 50, dtype=np.int64), history
-        )
-        keys_before = state.keys.copy()
-        state.rebase(20)
-        # Indices now address the same keys in a history trimmed by 20.
-        np.testing.assert_array_equal(state.keys, keys_before)
-        np.testing.assert_array_equal(state.keys, history[20:][state.index])
-        assert state.index.min() == 0
 
     def test_nbytes_accounting(self):
         state = SortedRegionState.from_indices(

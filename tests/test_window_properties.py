@@ -19,7 +19,11 @@ sizes, window shapes and policies:
   engine's per-batch metrics (outputs, loads, evictions, migrations and
   plans) are bit-identical to an uncompacted reference run, while its
   total footprint (history + live sets + state) stays below a constant
-  derived from the window alone, however long the stream runs.
+  derived from the window alone, however long the stream runs;
+* **one coordinate system** -- after every batch, every arrival index
+  stored anywhere (resident state, live sets, batch starts) is a global
+  index the side's log still resolves to the key the *source* delivered at
+  that position.
 
 All streams use integer-valued keys so the band arithmetic is exact and
 "identical" means bit-identical, not approximately equal.
@@ -215,7 +219,7 @@ def test_recount_oracle_holds_over_sticky_workers(window):
 
     Wrapped around ``StickyWorkerBackend`` the oracle sees exactly the
     traffic the workers see, so this pins the worker-side fold (and, under
-    the window, worker-side evict/rebase/install) against full recounts.
+    the window, worker-side evict/install) against full recounts.
     """
     source = make_source(seed=23)
     oracle = RecountingBackend(StickyWorkerBackend(max_workers=2))
@@ -283,6 +287,46 @@ def test_compaction_is_invisible_and_bounds_the_footprint(
         == 2 * per_side * num_batches
     )
     assert compacted.total_history_trimmed > 0
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    window=st.sampled_from([None, "batches:2", "tuples:150", "decay:0.7"]),
+    recounting=st.booleans(),
+)
+def test_every_stored_arrival_index_is_global(seed, window, recounting):
+    """Nothing stored is ever rebased: indices stay global, keys stay put.
+
+    After every batch of a run with a mid-stream drift rebuild, each index
+    the backend holds and each entry of a log's live set and batch starts
+    lies in ``[base, total]`` of its side's log, and the log resolves it to
+    the key the source delivered at that global position.
+    """
+    backend = RecountingBackend(SimulatedBackend()) if recounting else SimulatedBackend()
+    engine = StreamingJoinEngine(
+        3, BAND, UNIT, policy=make_policy(True), window=window,
+        backend=backend, sample_capacity=256, seed=seed % 17,
+    )
+    engine.start()
+    delivered = [np.empty(0), np.empty(0)]
+    for batch in make_source(seed).batches():
+        delivered[0] = np.concatenate([delivered[0], batch.keys1])
+        delivered[1] = np.concatenate([delivered[1], batch.keys2])
+        engine.process_batch(batch)
+        logs = engine._state.log1, engine._state.log2
+        for log, keys, resident in zip(logs, delivered, backend.resident_indices()):
+            assert log.total == len(keys)
+            starts = np.asarray(log.starts, dtype=np.int64)
+            # A start equals total only for an empty batch: no key to check.
+            for stored in (*resident, log.live, starts[starts < log.total]):
+                assert np.all((log.base <= stored) & (stored < log.total))
+                np.testing.assert_array_equal(log[stored], keys[stored])
+            assert np.all(starts <= log.total)
+    result = engine.finish()
+    assert result.num_repartitions >= 1
+    if window in ("batches:2", "tuples:150"):  # a hard horizon must trim
+        assert engine._state.log1.base > 0 and engine._state.log2.base > 0
 
 
 @settings(max_examples=10, deadline=None)
