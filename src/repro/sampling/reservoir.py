@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import count, islice
+from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +29,29 @@ __all__ = [
     "merge_reservoirs",
     "wor_to_wr",
 ]
+
+
+def offer_entries(
+    heap: list, capacity: int, counter: int, priorities: Sequence, *columns: Sequence
+) -> int:
+    """Offer parallel columns of entries, in order, to a bounded min-heap.
+
+    The one heap loop of the sampling layer.  Entry ``i`` is the tuple
+    ``(priorities[i], counter + i, *columns[i])``: pushed while the heap
+    holds fewer than ``capacity``, afterwards it replaces the minimum when
+    its priority is strictly larger -- the push / ``heapreplace`` sequence
+    of offering one entry per call, so the heap *array* (whose order the
+    WOR -> WR draw and ``DecayedReservoir.keys()`` expose) is reproduced,
+    not merely the retained set.  Returns the next unused counter.
+    """
+    push, replace = heapq.heappush, heapq.heapreplace
+    entries = zip(priorities, count(counter), *columns)
+    for entry in islice(entries, max(capacity - len(heap), 0)):
+        push(heap, entry)
+    for entry in entries:
+        if entry[0] > heap[0][0]:
+            replace(heap, entry)
+    return counter + len(priorities)
 
 
 @dataclass
@@ -53,17 +78,18 @@ class WeightedReservoir:
         """Offer ``item`` with ``weight`` to the reservoir."""
         if weight <= 0:
             return
-        priority = float(rng.random()) ** (1.0 / weight)
+        priority = rng.random() ** (1.0 / weight)
         self.add_with_priority(item, weight, priority)
 
     def add_with_priority(self, item: object, weight: float, priority: float) -> None:
-        """Offer an item whose priority has already been drawn (used by merging)."""
-        entry = (priority, self._counter, item, weight)
-        self._counter += 1
-        if len(self._heap) < self.capacity:
-            heapq.heappush(self._heap, entry)
-        elif priority > self._heap[0][0]:
-            heapq.heapreplace(self._heap, entry)
+        """Offer an item whose priority has already been drawn."""
+        self._offer([priority], [item], [weight])
+
+    def _offer(self, priorities: Sequence, items: Sequence, weights: Sequence) -> None:
+        """Offer parallel columns of pre-drawn entries, in order."""
+        self._counter = offer_entries(
+            self._heap, self.capacity, self._counter, priorities, items, weights
+        )
 
     def items(self) -> list[object]:
         """The sampled items (unordered)."""
@@ -87,7 +113,8 @@ def weighted_sample_wor(
     """One-pass Efraimidis--Spirakis weighted sampling without replacement.
 
     Items with non-positive weight are never sampled (they cannot contribute
-    an output tuple).
+    an output tuple).  ``items`` goes through ``tolist()``: a retained item
+    is a Python scalar (a nested list for a 2-D ``items``), not a numpy one.
     """
     items = np.asarray(items)
     weights = np.asarray(weights, dtype=np.float64)
@@ -98,11 +125,9 @@ def weighted_sample_wor(
     if not positive.any():
         return reservoir
     # Vectorised priority draw, then a single heap pass.
-    priorities = np.full(len(items), -np.inf)
-    priorities[positive] = rng.random(int(positive.sum())) ** (1.0 / weights[positive])
-    for item, weight, priority in zip(items, weights, priorities):
-        if weight > 0:
-            reservoir.add_with_priority(item, float(weight), float(priority))
+    weights = weights[positive]
+    priorities = rng.random(len(weights)) ** (1.0 / weights)
+    reservoir._offer(priorities.tolist(), items[positive].tolist(), weights.tolist())
     return reservoir
 
 
@@ -114,9 +139,10 @@ def merge_reservoirs(
         raise ValueError("need at least one reservoir to merge")
     capacity = capacity or max(r.capacity for r in reservoirs)
     merged = WeightedReservoir(capacity=capacity)
-    for reservoir in reservoirs:
-        for priority, item, weight in reservoir.entries():
-            merged.add_with_priority(item, weight, priority)
+    entries = [entry for reservoir in reservoirs for entry in reservoir.entries()]
+    if entries:
+        priorities, items, weights = zip(*entries)
+        merged._offer(priorities, items, weights)
     return merged
 
 

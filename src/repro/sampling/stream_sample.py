@@ -134,18 +134,20 @@ def _sample_joinable_keys(
     condition: JoinCondition,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """For each sampled R1 key pick a joinable R2 key ∝ its multiplicity."""
-    result = np.empty(len(sampled_keys1), dtype=np.float64)
+    """For each sampled R1 key pick a joinable R2 key ∝ its multiplicity.
+
+    One vectorised draw: ``rng.integers(0, totals)`` over the array of
+    window sizes returns the values one scalar call per key would, and
+    leaves the generator in the same state (pinned in
+    ``tests/test_sampling_oracle.py``).  An empty sample draws nothing.
+    """
+    keys, prefix = d2_index.keys, d2_index.prefix
     lows, highs = condition.joinable_bounds(sampled_keys1)
-    lefts = np.searchsorted(d2_index.keys, lows, side="left")
-    rights = np.searchsorted(d2_index.keys, highs, side="right")
-    for i, (left, right) in enumerate(zip(lefts, rights)):
-        total = d2_index.prefix[right] - d2_index.prefix[left]
-        # The key was sampled with weight d2 > 0, so its window is non-empty.
-        target = d2_index.prefix[left] + rng.integers(0, total)
-        idx = int(np.searchsorted(d2_index.prefix, target, side="right")) - 1
-        result[i] = d2_index.keys[idx]
-    return result
+    starts = prefix[np.searchsorted(keys, lows, side="left")]
+    # Every key was sampled with weight d2 > 0, so its window is non-empty.
+    totals = prefix[np.searchsorted(keys, highs, side="right")] - starts
+    targets = starts + rng.integers(0, totals)
+    return keys[prefix.searchsorted(targets, side="right") - 1]
 
 
 def stream_sample(

@@ -42,7 +42,6 @@ the live load imbalance.
 
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
@@ -55,6 +54,7 @@ from repro.core.histogram import (
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import JoinCondition
 from repro.partitioning.ewh import EWHPartitioning
+from repro.sampling.reservoir import offer_entries
 from repro.streaming.source import MicroBatch
 from repro.streaming.window import surviving
 
@@ -339,17 +339,12 @@ class DecayedReservoir:
         priorities += batch_index * self._log_inv_decay
         if len(self._heap) >= self.capacity:
             # Entries below the current minimum can never enter (the heap
-            # minimum only rises), so drop them vectorised before the
-            # per-entry heap loop.
+            # minimum only rises): drop them vectorised before the heap loop.
             mask = priorities > self._heap[0][0]
             keys, priorities = keys[mask], priorities[mask]
-        for key, priority in zip(keys, priorities):
-            entry = (float(priority), self._counter, float(key))  # repro: ignore[KEY001]  # heap entry over the sampled float key
-            self._counter += 1
-            if len(self._heap) < self.capacity:
-                heapq.heappush(self._heap, entry)
-            elif entry[0] > self._heap[0][0]:
-                heapq.heapreplace(self._heap, entry)
+        self._counter = offer_entries(
+            self._heap, self.capacity, self._counter, priorities.tolist(), keys.tolist()
+        )
 
     def keys(self) -> np.ndarray:
         """Snapshot of the sampled keys (unordered)."""

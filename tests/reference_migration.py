@@ -1,0 +1,166 @@
+"""Reference migration planner: sort-based overlaps and ``setdiff1d`` counts.
+
+Test-only.  These are the bodies ``repro.streaming.migration`` shipped
+before the planner computed its overlaps once and derived the arrival and
+departure counts from them, kept verbatim as the differential oracle
+(``tests/test_migration_oracle.py``): a square overlap matrix per side built
+by sorting the held indices and searching every routed index in them, then
+four ``np.setdiff1d`` per machine to count what moves.  ``plan_migration``
+here must equal the production one field by field, in both modes.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.streaming.migration import (
+    MIGRATION_MODES,
+    MigrationPlan,
+    pad_assignments,
+    route_live,
+)
+
+
+def overlap_matrix(routed, held, num_machines: int) -> np.ndarray:
+    """J x J matrix of ``len(routed[r] & held[m])`` in one vectorised pass."""
+    J = num_machines
+    overlaps = np.zeros((J, J), dtype=np.int64)
+    routed_lengths = np.array([len(r) for r in routed], dtype=np.int64)
+    held_lengths = np.array([len(h) for h in held], dtype=np.int64)
+    if routed_lengths.sum() == 0 or held_lengths.sum() == 0:
+        return overlaps
+    routed_idx = np.concatenate(
+        [np.asarray(r, dtype=np.int64) for r in routed]
+    )
+    region_of = np.repeat(np.arange(J, dtype=np.int64), routed_lengths)
+    held_idx = np.concatenate([np.asarray(h, dtype=np.int64) for h in held])
+    machine_of = np.repeat(np.arange(J, dtype=np.int64), held_lengths)
+    order = np.argsort(held_idx, kind="stable")
+    held_idx = held_idx[order]
+    machine_of = machine_of[order]
+    lo = np.searchsorted(held_idx, routed_idx, side="left")
+    counts = np.searchsorted(held_idx, routed_idx, side="right") - lo
+    total = int(counts.sum())
+    if total == 0:
+        return overlaps
+    # Ragged expansion: for every routed index, the positions of its
+    # holders in the sorted held array (lo[i] .. lo[i]+counts[i]).
+    positions = (
+        np.repeat(lo, counts)
+        + np.arange(total, dtype=np.int64)
+        - np.repeat(np.cumsum(counts) - counts, counts)
+    )
+    pair_codes = np.repeat(region_of * J, counts) + machine_of[positions]
+    overlaps += np.bincount(pair_codes, minlength=J * J).reshape(J, J)
+    return overlaps
+
+
+def best_region_map(routed1, routed2, old1, old2, num_machines: int) -> np.ndarray:
+    """Bijective region-to-machine map maximising already-held tuples."""
+    overlaps = overlap_matrix(routed1, old1, num_machines) + overlap_matrix(
+        routed2, old2, num_machines
+    )
+
+    pairs = sorted(
+        (
+            (-overlaps[region, machine], region, machine)
+            for region in range(num_machines)
+            for machine in range(num_machines)
+            if overlaps[region, machine] > 0
+        )
+    )
+    mapping = np.full(num_machines, -1, dtype=np.int64)
+    taken = np.zeros(num_machines, dtype=bool)
+    for negative_overlap, region, machine in pairs:
+        if mapping[region] >= 0 or taken[machine]:
+            continue
+        mapping[region] = machine
+        taken[machine] = True
+    # Unmatched regions (no overlap anywhere) keep their positional slot
+    # when free, else take the lowest free machine.
+    free = [machine for machine in range(num_machines) if not taken[machine]]
+    for region in range(num_machines):
+        if mapping[region] >= 0:
+            continue
+        if not taken[region]:
+            mapping[region] = region
+            taken[region] = True
+            free.remove(region)
+        else:
+            machine = free.pop(0)
+            mapping[region] = machine
+            taken[machine] = True
+
+    greedy_total = int(overlaps[np.arange(num_machines), mapping].sum())
+    identity_total = int(np.trace(overlaps))
+    if greedy_total <= identity_total:
+        return np.arange(num_machines, dtype=np.int64)
+    return mapping
+
+
+def plan_migration(
+    old_assignments1,
+    old_assignments2,
+    new_partitioning,
+    keys1,
+    keys2,
+    num_machines: int,
+    rng: np.random.Generator,
+    mode: str = "full",
+) -> MigrationPlan:
+    """Plan the state movement from the old machine assignment to a new scheme."""
+    if mode not in MIGRATION_MODES:
+        raise ValueError(
+            f"unknown migration mode {mode!r} (expected one of {MIGRATION_MODES})"
+        )
+    routed1 = route_live(new_partitioning.assign_r1, keys1, num_machines, rng)
+    routed2 = route_live(new_partitioning.assign_r2, keys2, num_machines, rng)
+    old_machines = max(len(old_assignments1), len(old_assignments2), num_machines)
+    old1 = pad_assignments(old_assignments1, old_machines)
+    old2 = pad_assignments(old_assignments2, old_machines)
+
+    if mode == "partial":
+        region_to_machine = best_region_map(
+            routed1,
+            routed2,
+            old1[:num_machines],
+            old2[:num_machines],
+            num_machines,
+        )
+    else:
+        region_to_machine = np.arange(num_machines, dtype=np.int64)
+
+    empty = np.empty(0, dtype=np.int64)
+    new1: list[np.ndarray] = [empty] * num_machines
+    new2: list[np.ndarray] = [empty] * num_machines
+    for region, machine in enumerate(region_to_machine):
+        new1[machine] = routed1[region]
+        new2[machine] = routed2[region]
+
+    arrivals = np.zeros(num_machines, dtype=np.int64)
+    departures = np.zeros(old_machines, dtype=np.int64)
+    for machine in range(old_machines):
+        target1 = new1[machine] if machine < num_machines else empty
+        target2 = new2[machine] if machine < num_machines else empty
+        if machine < num_machines:
+            moved_in1 = np.setdiff1d(target1, old1[machine], assume_unique=True)
+            moved_in2 = np.setdiff1d(target2, old2[machine], assume_unique=True)
+            arrivals[machine] = len(moved_in1) + len(moved_in2)
+        moved_out1 = np.setdiff1d(old1[machine], target1, assume_unique=True)
+        moved_out2 = np.setdiff1d(old2[machine], target2, assume_unique=True)
+        departures[machine] = len(moved_out1) + len(moved_out2)
+    return MigrationPlan(
+        new_assignments1=new1,
+        new_assignments2=new2,
+        per_machine_arrivals=arrivals,
+        per_machine_departures=departures,
+        region_to_machine=region_to_machine,
+        mode=mode,
+    )
+
+
+def install(monkeypatch) -> None:
+    """Swap the reference planner in where the engine resolves ``plan_migration``."""
+    import repro.streaming.engine as engine
+
+    monkeypatch.setattr(engine, "plan_migration", plan_migration)

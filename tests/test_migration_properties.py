@@ -224,34 +224,80 @@ def test_planned_state_is_exactly_the_new_routing(
 @settings(max_examples=80, deadline=None)
 @given(
     keys=keys_strategy,
-    num_machines=machines_strategy,
+    num_regions=machines_strategy,
+    old_machines=machines_strategy,
     old_salt=salt_strategy,
     new_salt=salt_strategy,
     replicate=st.booleans(),
 )
 def test_overlap_matrix_equals_pairwise_intersections(
-    keys, num_machines, old_salt, new_salt, replicate
+    keys, num_regions, old_machines, old_salt, new_salt, replicate
 ):
-    """The vectorised overlap matrix equals the per-pair ``intersect1d`` it replaced.
+    """The one-pass overlap matrix equals the per-pair ``intersect1d`` definition.
 
-    ``_best_region_map`` used to build its J x J overlap matrix with one
-    ``np.intersect1d`` per (region, machine) pair -- J^2 sorts per rebuild.
-    The single sort/searchsorted pass must agree with that reference on
-    every entry, including empty sets and replicated (shared-index)
-    assignments.
+    Rectangular: regions of the new scheme by machines of the old fleet,
+    which differ on a resize.  Every entry must agree with the plain set
+    intersection, including empty regions, empty machines and replicated
+    (shared-index) assignments.
+    """
+    rng = np.random.default_rng(0)
+    scheme = ReplicatingPartitioning if replicate else ModPartitioning
+    held = pad_assignments(
+        scheme(old_machines, old_salt).assign_r1(keys, rng), old_machines + 1
+    )
+    routed = pad_assignments(
+        scheme(num_regions, new_salt).assign_r1(keys, rng), num_regions + 1
+    )
+    matrix = _overlap_matrix(routed, held)
+    assert matrix.shape == (num_regions + 1, old_machines + 1)
+    assert matrix.dtype == np.int64
+    for region in range(num_regions + 1):
+        for machine in range(old_machines + 1):
+            expected = len(np.intersect1d(routed[region], held[machine]))
+            assert matrix[region, machine] == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    keys1=keys_strategy,
+    keys2=keys_strategy,
+    old_machines=machines_strategy,
+    num_machines=machines_strategy,
+    old_salt=salt_strategy,
+    new_salt=salt_strategy,
+    replicate=st.booleans(),
+    mode=mode_strategy,
+)
+def test_arrivals_and_departures_equal_the_set_differences(
+    keys1, keys2, old_machines, num_machines, old_salt, new_salt, replicate, mode
+):
+    """The two count vectors equal the plain ``setdiff1d`` definition.
+
+    Arrivals are what a machine's planned state holds that its old state
+    did not; departures the reverse, over the old fleet (a machine leaving
+    on a shrink departs everything).  Grow, shrink and same-size rebuilds.
     """
     rng = np.random.default_rng(0)
     old_cls = ReplicatingPartitioning if replicate else ModPartitioning
-    new_cls = ReplicatingPartitioning if replicate else ModPartitioning
-    held = pad_assignments(
-        old_cls(num_machines, old_salt).assign_r1(keys, rng), num_machines
+    old1, old2 = _old_state(
+        old_cls(old_machines, old_salt), keys1, keys2, old_machines, rng
     )
-    routed = pad_assignments(
-        new_cls(num_machines, new_salt).assign_r1(keys, rng), num_machines
+    new_cls = ModPartitioning if replicate else ReplicatingPartitioning
+    plan = plan_migration(
+        old1, old2, new_cls(num_machines, new_salt),
+        keys1, keys2, num_machines, rng, mode=mode,
     )
-    matrix = _overlap_matrix(routed, held, num_machines)
-    assert matrix.shape == (num_machines, num_machines)
-    for region in range(num_machines):
-        for machine in range(num_machines):
-            expected = len(np.intersect1d(routed[region], held[machine]))
-            assert matrix[region, machine] == expected
+    fleet = max(old_machines, num_machines)
+    assert len(plan.per_machine_arrivals) == num_machines
+    assert len(plan.per_machine_departures) == fleet
+    empty = np.empty(0, dtype=np.int64)
+    for machine in range(fleet):
+        moved_in = moved_out = 0
+        for old, new in ((old1, plan.new_assignments1), (old2, plan.new_assignments2)):
+            before = old[machine] if machine < old_machines else empty
+            after = new[machine] if machine < num_machines else empty
+            moved_in += len(np.setdiff1d(after, before))
+            moved_out += len(np.setdiff1d(before, after))
+        if machine < num_machines:
+            assert plan.per_machine_arrivals[machine] == moved_in
+        assert plan.per_machine_departures[machine] == moved_out

@@ -1,14 +1,24 @@
-"""Tests for the sampling substrates: sizes, Bernoulli, equi-depth, reservoir."""
+"""Tests for the sampling substrates: sizes, Bernoulli, equi-depth, reservoir,
+and the two Stream-Sample drivers' statistical contract."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.joins.conditions import (
+    BandJoinCondition,
+    EquiJoinCondition,
+    InequalityJoinCondition,
+    InequalityOp,
+)
 from repro.sampling.bernoulli import bernoulli_sample, bernoulli_sample_rate
 from repro.sampling.equidepth import build_equidepth_histogram
+from repro.sampling.parallel_stream_sample import parallel_stream_sample
 from repro.sampling.reservoir import (
     WeightedReservoir,
     merge_reservoirs,
@@ -21,6 +31,12 @@ from repro.sampling.sizes import (
     output_sample_size,
     sample_matrix_size,
 )
+from repro.sampling.stream_sample import (
+    _sample_joinable_keys,
+    build_d2_index,
+    stream_sample,
+)
+from repro.streaming.incremental import DecayedReservoir
 
 
 class TestSampleSizes:
@@ -187,8 +203,7 @@ class TestWeightedReservoir:
             items = np.arange(20)
             weights = np.ones(20)
             weights[0] = 50.0
-            reservoir = weighted_sample_wor(items, weights, size=5, local_rng=None, rng=local) \
-                if False else weighted_sample_wor(items, weights, 5, local)
+            reservoir = weighted_sample_wor(items, weights, 5, local)
             if 0 in reservoir.items():
                 heavy_count += 1
         assert heavy_count > 0.9 * trials
@@ -220,3 +235,177 @@ class TestWeightedReservoir:
 
     def test_wor_to_wr_empty(self, rng):
         assert wor_to_wr(WeightedReservoir(capacity=3), 5, rng) == []
+
+
+# ----------------------------------------------------------------------
+# Stream-Sample: what both drivers promise, statistically.  These pin the
+# contract ("a uniform sample of the join output, and its exact size"),
+# not one implementation's draw, so they are also the oracle for any later
+# change that is allowed to redraw the sample.
+# ----------------------------------------------------------------------
+def _skewed_keys(size: int, domain: int, seed: int) -> np.ndarray:
+    """Zipf(0.9)-skewed integer-valued float keys over ``range(domain)``."""
+    local = np.random.default_rng(seed)
+    mass = 1.0 / np.arange(1, domain + 1) ** 0.9
+    return local.choice(domain, size=size, p=mass / mass.sum()).astype(np.float64)
+
+
+def _draw(driver: str, keys1, keys2, condition, size, seed):
+    """One sample from either driver, seeded; returns ``(sample, stats | None)``."""
+    local = np.random.default_rng(seed)
+    if driver == "sequential":
+        return stream_sample(keys1, keys2, condition, size, local), None
+    return parallel_stream_sample(keys1, keys2, condition, size, 3, local)
+
+
+def _output_cells(keys1, keys2, condition) -> dict:
+    """Exact join-output multiplicity of every joinable ``(k1, k2)`` key pair."""
+    values1, counts1 = np.unique(keys1, return_counts=True)
+    values2, counts2 = np.unique(keys2, return_counts=True)
+    return {
+        (float(k1), float(k2)): int(c1) * int(c2)
+        for k1, c1 in zip(values1, counts1)
+        for k2, c2 in zip(values2, counts2)
+        if condition.matches(k1, k2)
+    }
+
+
+def _cell_counts(pairs: np.ndarray, cells: dict) -> np.ndarray:
+    """Sampled pairs histogrammed over ``cells`` (a ``KeyError`` = unjoinable pair)."""
+    position = {cell: i for i, cell in enumerate(cells)}
+    observed = np.zeros(len(cells))
+    for k1, k2 in pairs:
+        observed[position[(float(k1), float(k2))]] += 1
+    return observed
+
+
+def _chi_square_fits(observed: np.ndarray, expected: np.ndarray) -> bool:
+    """Pearson's chi-square goodness of fit at the 1% level.
+
+    The critical value is the Wilson-Hilferty approximation of the 0.99
+    quantile with ``len(observed) - 1`` degrees of freedom (within 0.3% of
+    the exact quantile from 5 degrees up), so the test needs numpy only.
+    """
+    statistic = float(((observed - expected) ** 2 / expected).sum())
+    dof = len(observed) - 1
+    spread = 2.0 / (9.0 * dof)
+    critical = dof * (1.0 - spread + 2.3263478740408408 * math.sqrt(spread)) ** 3
+    return statistic < critical
+
+
+DRIVERS = pytest.mark.parametrize("driver", ["sequential", "parallel"])
+CONDITIONS = pytest.mark.parametrize(
+    "condition",
+    [
+        BandJoinCondition(beta=1.0),
+        BandJoinCondition(beta=3.0),
+        EquiJoinCondition(),
+        InequalityJoinCondition(op=InequalityOp.LE),
+    ],
+    ids=repr,
+)
+
+
+class TestStreamSampleContract:
+    @DRIVERS
+    @CONDITIONS
+    def test_total_output_is_the_exact_join_size(self, driver, condition):
+        keys1, keys2 = _skewed_keys(300, 40, 1), _skewed_keys(250, 40, 2)
+        brute = int(condition.matches_many(keys1[:, None], keys2[None, :]).sum())
+        sample, _ = _draw(driver, keys1, keys2, condition, 64, seed=3)
+        assert brute > 0
+        assert sample.total_output == brute
+
+    @DRIVERS
+    @CONDITIONS
+    def test_every_sampled_pair_is_joinable(self, driver, condition):
+        keys1, keys2 = _skewed_keys(300, 40, 4), _skewed_keys(250, 40, 5)
+        sample, _ = _draw(driver, keys1, keys2, condition, 200, seed=6)
+        assert sample.size == 200
+        assert condition.matches_many(sample.r1_keys, sample.r2_keys).all()
+        assert np.isin(sample.r1_keys, keys1).all()
+        assert np.isin(sample.r2_keys, keys2).all()
+
+    def test_parallel_scan_counts_sum_to_the_input_sizes(self):
+        keys1, keys2 = _skewed_keys(301, 40, 7), _skewed_keys(199, 40, 8)
+        local = np.random.default_rng(9)
+        sample, scan = parallel_stream_sample(
+            keys1, keys2, BandJoinCondition(beta=1.0), 50, 4, local
+        )
+        assert len(scan.r1_tuples_scanned) == len(scan.r2_tuples_scanned) == 4
+        assert sum(scan.r1_tuples_scanned) == len(keys1)
+        assert sum(scan.r2_tuples_scanned) == len(keys2)
+        assert scan.total_tuples_scanned == len(keys1) + len(keys2)
+        assert sum(scan.sample_pairs_produced) == sample.size == 50
+        assert len(scan.d2equi_entries_shipped) == 4
+
+    @DRIVERS
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sampled_pairs_follow_the_join_output_distribution(self, driver, seed):
+        """Chi-square over key-pair cells of a small skewed band join.
+
+        The sample size is at least ``|R1|``, so the reservoir holds every
+        joinable R1 tuple and each of the 4,000 pairs is an independent
+        draw with probability exactly ``1/m`` per output tuple.
+        """
+        condition = BandJoinCondition(beta=1.0)
+        keys1, keys2 = _skewed_keys(60, 10, 1), _skewed_keys(50, 10, 2)
+        cells = _output_cells(keys1, keys2, condition)
+        total = sum(cells.values())
+        sample, _ = _draw(driver, keys1, keys2, condition, 4000, seed)
+        assert sample.total_output == total
+        observed = _cell_counts(sample.pairs, cells)
+        expected = np.array(list(cells.values())) * (sample.size / total)
+        assert expected.min() >= 5  # the chi-square approximation holds
+        assert _chi_square_fits(observed, expected)
+
+    @DRIVERS
+    def test_a_truncated_reservoir_stays_close_to_uniform(self, driver):
+        """With ``s_o < |R1|`` the WOR -> WR conversion is only approximately
+        uniform (and one run's pairs share a reservoir): pooled over 300
+        seeds the cell frequencies stay within a total-variation bound
+        (0.09 - 0.10 measured, about 0.03 of it sampling noise)."""
+        condition = BandJoinCondition(beta=1.0)
+        keys1, keys2 = _skewed_keys(60, 10, 1), _skewed_keys(50, 10, 2)
+        cells = _output_cells(keys1, keys2, condition)
+        pooled = np.concatenate([
+            _draw(driver, keys1, keys2, condition, 15, seed)[0].pairs
+            for seed in range(300)
+        ])
+        observed = _cell_counts(pooled, cells)
+        exact = np.array(list(cells.values())) / sum(cells.values())
+        assert 0.5 * np.abs(observed / observed.sum() - exact).sum() < 0.15
+
+    def test_no_sample_draws_nothing(self, rng):
+        """An empty S1 yields an empty float64 array and leaves the generator alone."""
+        index = build_d2_index(np.array([1.0, 2.0, 2.0]))
+        before = rng.bit_generator.state
+        picked = _sample_joinable_keys(
+            np.empty(0), index, BandJoinCondition(beta=1.0), rng
+        )
+        assert picked.shape == (0,) and picked.dtype == np.float64
+        assert rng.bit_generator.state == before
+
+
+class TestDecayedReservoirRetention:
+    @pytest.mark.parametrize("capacity", [1, 4])
+    def test_retention_is_proportional_to_decay_to_the_age(self, capacity):
+        """A key offered ``a`` batches ago is retained with probability
+        proportional to ``decay ** a``: exactly so for a one-slot reservoir,
+        to first order while the capacity is small against the stream (4 of
+        120).  600 seeded trials, keys labelled by their batch."""
+        decay, batches, per_batch = 0.6, 6, 20
+        retained = np.zeros(batches)
+        for seed in range(600):
+            local = np.random.default_rng(seed)
+            reservoir = DecayedReservoir(capacity, decay)
+            for batch in range(batches):
+                reservoir.add_batch(np.full(per_batch, float(batch)), batch, local)
+            assert len(reservoir) == capacity
+            assert reservoir.tuples_seen == batches * per_batch
+            retained += np.bincount(
+                reservoir.keys().astype(np.int64), minlength=batches
+            )
+        share = decay ** (batches - 1 - np.arange(batches))
+        expected = share / share.sum() * retained.sum()
+        assert _chi_square_fits(retained, expected)

@@ -1,0 +1,237 @@
+"""Differential tests: the sampling kernels against their per-tuple originals.
+
+``tests/reference_sampling.py`` holds the loops ``_sample_joinable_keys``,
+``weighted_sample_wor``, ``merge_reservoirs`` and
+``DecayedReservoir.add_batch`` shipped before their per-tuple interpreter
+work was removed.  The rewrite must be invisible: equal outputs, equal heap
+*arrays* entry by entry (heap order feeds ``wor_to_wr``'s ``rng.choice`` and
+``DecayedReservoir.keys()``), equal counters, and the generator left in the
+same state -- so every sample, plan and checkpoint downstream is unchanged.
+The first test pins the numpy fact the vectorised draw stands on.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import numpy as np
+import pytest
+import reference_sampling as reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.joins.conditions import (
+    BandJoinCondition,
+    EquiJoinCondition,
+    InequalityJoinCondition,
+    InequalityOp,
+)
+from repro.sampling.parallel_stream_sample import parallel_stream_sample
+from repro.sampling.reservoir import (
+    WeightedReservoir,
+    merge_reservoirs,
+    weighted_sample_wor,
+)
+from repro.sampling.stream_sample import (
+    _sample_joinable_keys,
+    build_d2_index,
+    compute_joinable_set_sizes,
+    stream_sample,
+)
+from repro.streaming.incremental import DecayedReservoir
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+conditions = st.sampled_from(
+    [
+        BandJoinCondition(beta=0.0),
+        BandJoinCondition(beta=2.0),
+        BandJoinCondition(beta=7.5),
+        EquiJoinCondition(),
+        InequalityJoinCondition(op=InequalityOp.LT),
+        InequalityJoinCondition(op=InequalityOp.GE),
+    ]
+)
+key_arrays = st.lists(
+    st.integers(min_value=-20, max_value=40), min_size=1, max_size=60
+).map(lambda values: np.array(values, dtype=np.float64))
+
+
+def _twin_generators(seed: int):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+def _same_state(rng_a, rng_b) -> bool:
+    return rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+# ----------------------------------------------------------------------
+# The numpy fact
+# ----------------------------------------------------------------------
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=seeds,
+    highs=st.lists(
+        st.one_of(
+            st.just(1),
+            st.integers(min_value=1, max_value=1000),
+            st.integers(min_value=2**32 - 2, max_value=2**32 + 2),
+            st.integers(min_value=2**32, max_value=2**63 - 1),
+        ),
+        min_size=0,
+        max_size=40,
+    ),
+)
+def test_integers_over_an_array_of_highs_draws_the_scalar_stream(seed, highs):
+    """``rng.integers(0, highs)`` is ``[rng.integers(0, h) for h in highs]``.
+
+    Same values *and* the same generator state afterwards (the buffered
+    32-bit half included), for int64 highs of 1, below, around and above
+    2**32 in any mix.  ``_sample_joinable_keys`` stands on this: if a numpy
+    release changes it, this test says so, not a plan fingerprint three
+    layers up.
+    """
+    highs = np.array(highs, dtype=np.int64)
+    vectorised, scalar = _twin_generators(seed)
+    drawn = vectorised.integers(0, highs)
+    one_by_one = [scalar.integers(0, high) for high in highs]
+    assert drawn.dtype == np.int64
+    assert drawn.tolist() == [int(value) for value in one_by_one]
+    assert _same_state(vectorised, scalar)
+
+
+# ----------------------------------------------------------------------
+# Stream-Sample's draw
+# ----------------------------------------------------------------------
+@settings(max_examples=150, deadline=None)
+@given(seed=seeds, keys1=key_arrays, keys2=key_arrays, condition=conditions)
+def test_sample_joinable_keys_equals_the_scalar_loop(seed, keys1, keys2, condition):
+    index = build_d2_index(keys2)
+    sampled = keys1[compute_joinable_set_sizes(keys1, index, condition) > 0]
+    rng, reference_rng = _twin_generators(seed)
+    picked = _sample_joinable_keys(sampled, index, condition, rng)
+    expected = reference.sample_joinable_keys(sampled, index, condition, reference_rng)
+    assert picked.dtype == expected.dtype == np.float64
+    np.testing.assert_array_equal(picked, expected)
+    assert _same_state(rng, reference_rng)
+
+
+# ----------------------------------------------------------------------
+# The heaps
+# ----------------------------------------------------------------------
+def _assert_same_reservoir(reservoir, expected) -> None:
+    assert reservoir.capacity == expected.capacity
+    assert reservoir._counter == expected._counter
+    assert reservoir._heap == expected._heap  # the heap array, entry by entry
+
+
+weight_arrays = st.lists(
+    st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=50.0)),
+    min_size=0,
+    max_size=80,
+).map(lambda values: np.array(values, dtype=np.float64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=seeds, weights=weight_arrays, size=st.integers(1, 30))
+def test_weighted_sample_wor_equals_the_per_tuple_pass(seed, weights, size):
+    items = np.arange(len(weights), dtype=np.float64) * 0.5
+    rng, reference_rng = _twin_generators(seed)
+    reservoir = weighted_sample_wor(items, weights, size, rng)
+    expected = reference.weighted_sample_wor(items, weights, size, reference_rng)
+    _assert_same_reservoir(reservoir, expected)
+    assert _same_state(rng, reference_rng)
+    np.testing.assert_array_equal(reservoir.weights(), expected.weights())
+    assert reservoir.items() == expected.items()
+    # ``==`` cannot tell ``np.float64(1.0)`` from ``1.0``: the one intended
+    # difference from the reference is that items went through ``tolist()``.
+    for entry in reservoir._heap:
+        assert tuple(map(type, entry)) == (float, int, float, float)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=seeds,
+    parts=st.lists(weight_arrays, min_size=1, max_size=5),
+    size=st.integers(1, 20),
+    capacity=st.one_of(st.none(), st.integers(1, 25)),
+)
+def test_merge_reservoirs_equals_the_per_entry_merge(seed, parts, size, capacity):
+    rng = np.random.default_rng(seed)
+    reservoirs = [
+        weighted_sample_wor(np.arange(len(weights)) + 100.0 * i, weights, size, rng)
+        for i, weights in enumerate(parts)
+    ]
+    merged = merge_reservoirs(reservoirs, capacity)
+    expected = reference.merge_reservoirs(reservoirs, capacity)
+    _assert_same_reservoir(merged, expected)
+
+
+def test_add_with_priority_is_the_one_entry_form():
+    reservoir, expected = WeightedReservoir(capacity=3), WeightedReservoir(capacity=3)
+    offers = [("a", 1.0, 0.5), ("b", 2.0, 0.9), ("c", 1.0, 0.1), ("d", 1.0, 0.1),
+              ("e", 3.0, 0.7), ("f", 1.0, 0.05)]
+    for item, weight, priority in offers:
+        reservoir.add_with_priority(item, weight, priority)
+        reference.add_with_priority(expected, item, weight, priority)
+        _assert_same_reservoir(reservoir, expected)
+    assert sorted(reservoir.items()) == ["a", "b", "e"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=seeds,
+    capacity=st.integers(1, 40),
+    decay=st.sampled_from([1.0, 0.8, 0.5]),
+    batch_sizes=st.lists(st.integers(0, 60), min_size=1, max_size=8),
+)
+def test_decayed_reservoir_add_batch_equals_the_per_key_loop(
+    seed, capacity, decay, batch_sizes
+):
+    rng, reference_rng = _twin_generators(seed)
+    data = np.random.default_rng(seed + 1)
+    reservoir = DecayedReservoir(capacity, decay)
+    expected = DecayedReservoir(capacity, decay)
+    for batch_index, size in enumerate(batch_sizes):
+        keys = data.integers(0, 50, size=size)
+        reservoir.add_batch(keys, batch_index, rng)
+        reference.add_batch(expected, keys, batch_index, reference_rng)
+        assert reservoir._heap == expected._heap
+        assert reservoir._counter == expected._counter
+        assert reservoir.tuples_seen == expected.tuples_seen
+        assert _same_state(rng, reference_rng)
+    np.testing.assert_array_equal(reservoir.keys(), expected.keys())
+    # Plain ``(float, int, float)`` entries: a checkpoint pickles the same bytes.
+    assert all(
+        (type(p), type(c), type(k)) == (float, int, float)
+        for p, c, k in reservoir._heap
+    )
+    assert pickle.dumps(reservoir) == pickle.dumps(expected)
+
+
+# ----------------------------------------------------------------------
+# Both drivers end to end
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("driver", ["sequential", "parallel"])
+@pytest.mark.parametrize("seed", range(4))
+def test_drivers_draw_the_same_sample_as_with_the_reference_kernels(
+    driver, seed, monkeypatch
+):
+    data = np.random.default_rng(seed)
+    keys1 = data.integers(0, 300, size=2000).astype(np.float64)
+    keys2 = data.integers(0, 300, size=1500).astype(np.float64)
+    condition = BandJoinCondition(beta=2.0)
+
+    def draw():
+        rng = np.random.default_rng(seed + 10)
+        if driver == "sequential":
+            sample = stream_sample(keys1, keys2, condition, 120, rng)
+        else:
+            sample, _ = parallel_stream_sample(keys1, keys2, condition, 120, 4, rng)
+        return sample, rng
+
+    sample, rng = draw()
+    reference.install(monkeypatch)
+    expected, reference_rng = draw()
+    assert sample.total_output == expected.total_output
+    np.testing.assert_array_equal(sample.pairs, expected.pairs)
+    assert _same_state(rng, reference_rng)
