@@ -25,7 +25,7 @@ from bench_utils import bench_machines
 
 # Fault-injection factory fixtures, shared with the unit-test suite: the
 # recovery benchmark kills a backend mid-stream through the same wrappers.
-from repro.streaming.testing import (  # noqa: F401
+from streaming_harness import (  # noqa: F401
     crashing_backend,
     flaky_backend,
 )

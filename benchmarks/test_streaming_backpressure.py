@@ -51,7 +51,7 @@ from repro.streaming import (
     StreamingJoinEngine,
     StreamingPipeline,
 )
-from repro.streaming.testing import assert_equivalent_runs
+from streaming_harness import assert_equivalent_runs
 
 from bench_utils import scaled
 

@@ -35,7 +35,7 @@ from repro.streaming import (
     StreamingJoinEngine,
     compare_streaming_schemes,
 )
-from repro.streaming.testing import PositionalRebuildEngine
+from streaming_harness import PositionalRebuildEngine
 
 from bench_utils import bench_machines, scaled
 

@@ -5,7 +5,7 @@ This benchmark drives the same fixed-seed drifting stream through three
 lifecycles and pins that elasticity is *free of behavioural cost*:
 
 * **uninterrupted** -- the plain engine run, the reference;
-* **crash + restore** -- a :class:`~repro.streaming.testing.CrashingBackend`
+* **crash + restore** -- a :class:`~streaming_harness.CrashingBackend`
   kills the fleet mid-stream (the 19th ``count_batch``, i.e. batch 18);
   :func:`~repro.streaming.checkpoint.run_resilient` restores the run from
   its last periodic checkpoint (every 6 batches) onto a fresh backend and
@@ -37,7 +37,7 @@ from repro.streaming import (
     StreamingJoinEngine,
     run_resilient,
 )
-from repro.streaming.testing import CrashingBackend, assert_equivalent_runs
+from streaming_harness import CrashingBackend, assert_equivalent_runs
 
 from bench_utils import scaled
 

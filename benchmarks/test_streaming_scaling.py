@@ -1,7 +1,7 @@
 """Streaming extension: zero-copy sticky workers vs the pickling pool.
 
 The pickling-pool baseline (a stateless ``ProcessPoolExecutor`` backend kept
-in ``repro.streaming.testing``; its row is named ``multiprocess``) re-pickles
+in ``tests/streaming_harness.py``; its row is named ``multiprocess``) re-pickles
 every machine's *full* region key arrays through its executor channel on
 every batch, so its serialization volume grows with the retained state --
 for a persistent streaming join the channel, not the join, becomes the
@@ -42,7 +42,7 @@ from repro.streaming import (
     StickyWorkerBackend,
     StreamingJoinEngine,
 )
-from repro.streaming.testing import PicklingPoolBackend
+from streaming_harness import PicklingPoolBackend
 
 from bench_utils import scaled
 

@@ -14,7 +14,7 @@ windowed engine on a long drifting-Zipf run:
   join key turns the per-batch output delta into ``O(new log state)``
   binary searches.  The per-batch, per-machine deltas are checked against
   a full recount of every region by the
-  :class:`~repro.streaming.testing.RecountingBackend` oracle, and at long
+  :class:`~streaming_harness.RecountingBackend` oracle, and at long
   horizons the incremental counter's measured per-batch join time is at
   least twice as fast as that recount (in practice far more: the
   recount's work grows with the retained state, the incremental counter's
@@ -38,7 +38,7 @@ from repro.streaming import (
     StreamingJoinEngine,
     make_window,
 )
-from repro.streaming.testing import (
+from streaming_harness import (
     NoTrimWindow,
     RecountingBackend,
     assert_equivalent_runs,
@@ -220,7 +220,7 @@ def test_incremental_counting_matches_recount_and_is_faster(benchmark, report):
     """Incremental deltas equal the full recount's, and are >= 2x faster.
 
     One stationary-skew stream, one static-EWH engine, run over the
-    :class:`~repro.streaming.testing.RecountingBackend` oracle: after every
+    :class:`~streaming_harness.RecountingBackend` oracle: after every
     batch the oracle re-counts each machine's full region from scratch
     (``O(state log state)``, the pre-window engine's loop) and asserts the
     difference against the delta the engine got by binary-searching just

@@ -169,14 +169,14 @@ def join_assigned_regions(
 
     ``profile_serialization`` measures, via :func:`pickled_nbytes`, the
     bytes every task ships *to* the pool and every result ships *back* --
-    the per-batch serialization tax the ROADMAP's zero-copy sticky-worker
-    refactor is meant to drive to ~0.  The measurement costs one extra
+    the per-batch serialization tax the streaming side's sticky workers
+    avoid by keeping state resident.  The measurement costs one extra
     serialization pass over the payloads; pass ``False`` to skip it.
 
     The caller owns the pool: :func:`run_join_multiprocess` pays process
     start-up once per join, and the streaming benchmarks' pickling-pool
-    baseline (``repro.streaming.testing``) keeps one pool alive across every
-    micro-batch.
+    baseline (``PicklingPoolBackend`` in ``tests/streaming_harness.py``) keeps
+    one pool alive across every micro-batch.
     """
     conditions = broadcast_conditions(condition, len(region_keys))
     busy_machines = _busy_machines(region_keys)

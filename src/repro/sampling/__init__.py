@@ -7,11 +7,13 @@ The equi-weight histogram needs two kinds of statistics (paper, section IV):
   (:mod:`repro.sampling.equidepth`, :mod:`repro.sampling.bernoulli`), and
 * a uniform random sample of the *join output*, which cannot be obtained by
   joining input samples (Chaudhuri et al.); instead the Stream-Sample
-  algorithm is used, extended to band/inequality joins and parallelised
-  (:mod:`repro.sampling.stream_sample`,
-  :mod:`repro.sampling.parallel_stream_sample`).  Weighted reservoir
-  sampling (Efraimidis--Spirakis) underpins the parallel weighted sample
-  (:mod:`repro.sampling.reservoir`).
+  algorithm is used, extended to band/inequality joins and parallelised.
+  Its kernels (the ``d2equi`` index, joinable-set sizes, the R2-key draw)
+  live in :mod:`repro.sampling.stream_sample`; the one driver is
+  :func:`~repro.sampling.parallel_stream_sample.parallel_stream_sample`,
+  the paper's three jobs over ``J`` machines, with ``num_workers=1`` as the
+  one-machine case.  Weighted reservoir sampling (Efraimidis--Spirakis)
+  underpins the parallel weighted sample (:mod:`repro.sampling.reservoir`).
 
 :mod:`repro.sampling.sizes` centralises the sample-size formulas of the
 paper (s_i = Theta(n_s log n), s_o = Theta(n_s), n_s = sqrt(2 n J)).
@@ -34,7 +36,6 @@ from repro.sampling.sizes import (
 from repro.sampling.stream_sample import (
     JoinOutputSample,
     compute_joinable_set_sizes,
-    stream_sample,
 )
 
 __all__ = [
@@ -47,7 +48,6 @@ __all__ = [
     "merge_reservoirs",
     "JoinOutputSample",
     "compute_joinable_set_sizes",
-    "stream_sample",
     "parallel_stream_sample",
     "sample_matrix_size",
     "input_sample_size",

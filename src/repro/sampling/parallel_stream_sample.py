@@ -1,6 +1,6 @@
-"""Parallel Stream-Sample (paper, section IV-A).
+"""Parallel Stream-Sample (paper, section IV-A): the one Stream-Sample driver.
 
-The sequential Stream-Sample scans R1 and R2 on one machine.  The paper
+Stream-Sample as first published scans R1 and R2 on one machine.  The paper
 parallelises it as three MapReduce-style jobs running on the same J machines
 as the join itself:
 
@@ -22,8 +22,8 @@ as the join itself:
 This module executes the three jobs faithfully (same routing, same local
 computations, same merging) with the workers simulated as loop iterations; it
 also records per-worker scan counts so the engine can charge the statistics
-phase to the cost model.  The result is distributionally identical to
-:func:`repro.sampling.stream_sample.stream_sample`.
+phase to the cost model.  ``num_workers=1`` is the one-machine algorithm:
+one partition, one reservoir, the same draws in the same order.
 """
 
 from __future__ import annotations
@@ -118,9 +118,10 @@ def parallel_stream_sample(
     condition:
         Monotonic join condition.
     sample_size:
-        Output sample size ``s_o``.
+        Output sample size ``s_o``; ``0`` still runs jobs 1 and 2, so the
+        exact ``m`` is reported beside an empty sample.
     num_workers:
-        Number of simulated workers ``J``.
+        Number of simulated workers ``J`` (``1``: the one-machine case).
     rng:
         Random generator.
     histogram1, histogram2:
@@ -130,6 +131,8 @@ def parallel_stream_sample(
     """
     if num_workers <= 0:
         raise ValueError("num_workers must be positive")
+    if sample_size < 0:
+        raise ValueError("sample_size must be non-negative")
     keys1 = np.asarray(keys1, dtype=np.float64)
     keys2 = np.asarray(keys2, dtype=np.float64)
     stats = ParallelSampleStats()
@@ -139,7 +142,7 @@ def parallel_stream_sample(
     if histogram1 is None and len(keys1):
         histogram1 = build_equidepth_histogram(keys1, num_workers, len(keys1))
 
-    if len(keys1) == 0 or len(keys2) == 0 or sample_size == 0:
+    if len(keys1) == 0 or len(keys2) == 0:
         empty = JoinOutputSample(pairs=np.empty((0, 2)), total_output=0)
         return empty, stats
 
@@ -188,12 +191,12 @@ def parallel_stream_sample(
         stats.d2equi_entries_shipped.append(local_d2equi.num_distinct)
         d2_local = compute_joinable_set_sizes(part, local_d2equi, condition)
         total_output += int(d2_local.sum())
-        reservoirs.append(
-            weighted_sample_wor(part, d2_local.astype(np.float64), sample_size, rng)
-        )
+        if sample_size:
+            weights = d2_local.astype(np.float64)
+            reservoirs.append(weighted_sample_wor(part, weights, sample_size, rng))
 
-    if total_output == 0:
-        empty = JoinOutputSample(pairs=np.empty((0, 2)), total_output=0)
+    if total_output == 0 or sample_size == 0:
+        empty = JoinOutputSample(pairs=np.empty((0, 2)), total_output=total_output)
         return empty, stats
 
     merged = merge_reservoirs(reservoirs, capacity=sample_size)

@@ -6,7 +6,9 @@ Stream-Sample algorithm for equi-joins.  The paper extends it to band and
 inequality joins by generalising the *joinable set* of an R1 tuple to every
 R2 tuple whose key lies inside the joinable interval of the condition.
 
-The sequential algorithm implemented here:
+The algorithm, whose kernels live here (the one driver that runs them is
+:func:`repro.sampling.parallel_stream_sample.parallel_stream_sample`, the
+paper's three jobs over ``J`` machines; ``num_workers=1`` is one machine):
 
 1. Build ``d2equi``: the distinct R2 join keys with their multiplicities.
 2. For every R1 tuple ``t1`` compute ``d2(t1) = |joinable set of t1|`` with
@@ -27,14 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.joins.conditions import JoinCondition
-from repro.sampling.reservoir import weighted_sample_wor, wor_to_wr
 
 __all__ = [
     "D2Index",
     "JoinOutputSample",
     "build_d2_index",
     "compute_joinable_set_sizes",
-    "stream_sample",
 ]
 
 
@@ -57,16 +57,6 @@ class D2Index:
         """Number of distinct R2 join keys."""
         return len(self.keys)
 
-    @property
-    def num_tuples(self) -> int:
-        """Total number of R2 tuples."""
-        return int(self.prefix[-1]) if len(self.prefix) else 0
-
-    def count_in_interval(self, lo: float, hi: float) -> int:
-        """Number of R2 tuples with keys in the closed interval ``[lo, hi]``."""
-        left = int(np.searchsorted(self.keys, lo, side="left"))
-        right = int(np.searchsorted(self.keys, hi, side="right"))
-        return int(self.prefix[right] - self.prefix[left])
 
 
 @dataclass(frozen=True)
@@ -148,46 +138,3 @@ def _sample_joinable_keys(
     totals = prefix[np.searchsorted(keys, highs, side="right")] - starts
     targets = starts + rng.integers(0, totals)
     return keys[prefix.searchsorted(targets, side="right") - 1]
-
-
-def stream_sample(
-    keys1: np.ndarray,
-    keys2: np.ndarray,
-    condition: JoinCondition,
-    sample_size: int,
-    rng: np.random.Generator,
-) -> JoinOutputSample:
-    """Draw a uniform random sample of the join output (sequential Stream-Sample).
-
-    Parameters
-    ----------
-    keys1, keys2:
-        Join-key arrays of R1 and R2.  By convention R2 should be the smaller
-        relation (the d2equi index is built over it), but correctness does
-        not depend on it.
-    condition:
-        A monotonic join condition.
-    sample_size:
-        Number of output tuples to sample (``s_o``).
-    rng:
-        Random generator.
-
-    Returns
-    -------
-    JoinOutputSample
-        Sampled key pairs plus the exact output size ``m``.
-    """
-    if sample_size < 0:
-        raise ValueError("sample_size must be non-negative")
-    keys1 = np.asarray(keys1, dtype=np.float64)
-    d2_index = build_d2_index(keys2)
-    d2 = compute_joinable_set_sizes(keys1, d2_index, condition)
-    total_output = int(d2.sum())
-    if total_output == 0 or sample_size == 0:
-        return JoinOutputSample(pairs=np.empty((0, 2)), total_output=total_output)
-
-    reservoir = weighted_sample_wor(keys1, d2.astype(np.float64), sample_size, rng)
-    sampled_keys1 = np.asarray(wor_to_wr(reservoir, sample_size, rng), dtype=np.float64)
-    sampled_keys2 = _sample_joinable_keys(sampled_keys1, d2_index, condition, rng)
-    pairs = np.column_stack([sampled_keys1, sampled_keys2])
-    return JoinOutputSample(pairs=pairs, total_output=total_output)

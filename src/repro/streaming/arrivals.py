@@ -4,9 +4,8 @@ Every tuple of a join side has exactly one name, for the whole run and on
 both sides of the backend protocol: its **global arrival index**, the
 number of tuples that arrived on that side before it.  The live sets, the
 batch starts, the index columns of
-:class:`~repro.streaming.incremental.SortedRegionState`, the sticky
-backend's ownership mirror and a checkpoint's ``state_index*`` all store
-global indices, and nothing ever rewrites one.
+:class:`~repro.streaming.incremental.SortedRegionState` and a checkpoint's
+``state_index*`` all store global indices, and nothing ever rewrites one.
 
 What a bounded window reclaims is *storage*, not names.  An
 :class:`ArrivalLog` -- one per join side -- remembers the global index its
@@ -16,8 +15,8 @@ that needs room.  So a windowed run's footprint is O(window) however long
 the stream runs, no per-batch step touches more than the batch's arrivals
 (amortised), and -- because the key an index resolves to never changes --
 outputs, loads, evictions and migration plans are bit-identical with or
-without trimming (the untrimmed reference is the
-:class:`~repro.streaming.testing.NoTrimWindow` decorator).
+without trimming (the untrimmed reference is the ``NoTrimWindow``
+decorator in ``tests/streaming_harness.py``).
 
 Wherever the protocol and the migration planner take a key *history*, they
 take anything indexable by global index arrays: the engine passes its

@@ -29,20 +29,10 @@ machine's two halves -- through the backend's own
 
 :class:`StickyWorkerBackend` is the one override of the protocol itself:
 each worker *process* hosts the :class:`RegionStateTable` of its machines,
-resident across batches, and the engine ships only the per-batch delta --
-new-arrival index/key arrays over a :class:`~repro.streaming.shm.ShmArena`
-shared-memory segment plus tiny pickled control messages for evictions and
-migration moves.  The worker runs the *same* table fold
-and the same counting loop as the in-process default, so every backend
-counts bit-identical deltas; only the measured timings and byte counts
-differ.  ``tests/test_backends.py`` locks that equivalence down.
-
-The process-spawning backend pins an explicit multiprocessing start method
-(forkserver where available, else spawn) instead of the platform default:
-``fork`` — the Linux default up to Python 3.11 — forks whatever threads the
-parent has already started, which can deadlock a
-``StreamingPipeline(mode="thread")`` whose producer thread holds a lock at
-fork time.
+resident across batches, and only per-batch deltas travel, over shared
+memory.  The workers run the *same* table fold and counting loop as the
+in-process default, so every backend counts bit-identical deltas; only the
+measured timings and byte counts differ (``tests/test_backends.py``).
 
 Select a backend by passing it to :class:`StreamingJoinEngine` (default:
 simulated) or by name through :func:`make_backend`::
@@ -68,8 +58,7 @@ from repro.joins.local import count_join_output
 from repro.obs.clock import perf_counter
 from repro.streaming.arrivals import ArrivalLog
 from repro.streaming.incremental import SortedRegionState
-from repro.streaming.shm import ShmArena, ShmReader
-from repro.streaming.window import drop_expired
+from repro.streaming.shm import ShmArena, ShmMessage, ShmReader
 
 __all__ = [
     "RegionJoinResult",
@@ -83,6 +72,11 @@ __all__ = [
     "make_backend",
     "state_layout",
 ]
+
+
+#: Seconds :meth:`StickyWorkerBackend.close` waits at each step of shutting
+#: a worker down (handshake, join, terminate, kill) before escalating.
+CLOSE_GRACE_SECONDS = 0.5
 
 
 class WorkerCrashError(RuntimeError):
@@ -248,13 +242,14 @@ class RegionStateTable:
         np.add.at(halves, owners, values)
         return halves.reshape(-1, 2)
 
-    def evict(self, expired1: np.ndarray, expired2: np.ndarray) -> int:
-        """Drop expired arrival indices everywhere; return entries dropped."""
-        dropped = 0
-        for machine in self.machines:
-            dropped += self.state1[machine].evict(expired1)
-            dropped += self.state2[machine].evict(expired2)
-        return dropped
+    def evict(
+        self, expired1: np.ndarray, expired2: np.ndarray
+    ) -> "list[tuple[int, int]]":
+        """Drop expired arrival indices; per machine, ``(R1, R2)`` entries dropped."""
+        return [
+            (self.state1[m].evict(expired1), self.state2[m].evict(expired2))
+            for m in self.machines
+        ]
 
     def install(self, arrays: "list[np.ndarray]") -> None:
         """Replace every machine's state with its complete new columns.
@@ -458,7 +453,8 @@ class ExecutionBackend(abc.ABC):
 
     def evict_state(self, expired1: np.ndarray, expired2: np.ndarray) -> int:
         """Drop expired arrival indices from every machine; return the count."""
-        return self._bound_table().evict(expired1, expired2)
+        dropped = self._bound_table().evict(expired1, expired2)
+        return sum(side1 + side2 for side1, side2 in dropped)
 
     def install_state(
         self,
@@ -492,10 +488,10 @@ class ExecutionBackend(abc.ABC):
     def resident_indices(
         self,
     ) -> "tuple[list[np.ndarray], list[np.ndarray]]":
-        """Per-machine arrival indices held, R1 then R2 (read-only views).
+        """Per-machine arrival indices held, R1 then R2 (read, never write).
 
         What migration planning and checkpoints need to know about the
-        state without reading it back.  Order within a machine is
+        state: indices only, never keys.  Order within a machine is
         unspecified (the in-process default concatenates its runs' index
         columns, and hands out a single run's column with no copy); callers
         treat each array as a set.  ``O(state)``: the per-batch path never
@@ -568,84 +564,103 @@ class _StickyWorkerState:
     class; :func:`_sticky_worker_main` is only the recv/dispatch/send loop
     around it.
 
-    Array payloads use one machine-major layout -- four arrays per machine:
-    R1 arrival indices, R1 keys, R2 arrival indices, R2 keys -- each a
-    zero-copy view into the engine's shared segment.
+    Array payloads are zero-copy views into the engine's shared segment, in
+    :func:`state_layout` order.  A state verb's handler returns one row of
+    values per owned machine (or ``None``: no values); :meth:`handle`
+    prefixes each with the machine and what it held when the command arrived.
     """
 
-    def __init__(self, machines: "tuple[int, ...]") -> None:
-        self.table = RegionStateTable(machines)
-        self.conditions: "list[JoinCondition]" = []
+    #: The state verbs: commands whose payload is a shared-memory message.
+    VERBS = ("count", "evict", "install", "indices")
 
-    def init(self, condition: JoinCondition, transposed: JoinCondition):
-        """Adopt the stream's conditions; reply with this worker's pid."""
-        self.conditions = [condition, transposed]
-        return ("ok", os.getpid())
+    def __init__(self) -> None:
+        self.table = RegionStateTable(())
+        self.conditions: "tuple[JoinCondition, ...]" = ()
 
-    def count(self, arrays: "list[np.ndarray]"):
-        """Fold one batch's deltas into the resident state and count.
+    def own(
+        self,
+        machines: "tuple[int, ...]",
+        condition: JoinCondition,
+        transposed: JoinCondition,
+    ):
+        """Adopt an owned-machine set, empty; reply with this worker's pid.
 
-        :meth:`RegionStateTable.fold` takes the owned machines' slices of
-        the layout; the resulting per-run tasks are counted by
-        :func:`_count_regions` (empty sides skipped and untimed) and summed
-        per half here, in the worker, so the reply keeps one fixed-size
-        entry per machine -- both halves' outputs and seconds -- however
-        many runs the state holds.
+        ``bind`` sends it, and so does every ``resize`` -- ownership is
+        reassigned wholesale, and an :meth:`install` follows with every
+        machine's complete state.
         """
-        tasks, owners = self.table.fold(arrays)
+        self.table = RegionStateTable(machines)
+        self.conditions = (condition, transposed)
+        return ("owned", os.getpid())
+
+    def held(self) -> "list[tuple[int, int, int]]":
+        """Per owned machine: ``(machine, |R1 state|, |R2 state|)``."""
+        table = self.table
+        return [
+            (machine, len(table.state1[machine]), len(table.state2[machine]))
+            for machine in table.machines
+        ]
+
+    def count(self, arrays: "list[np.ndarray]") -> "list[tuple[int, float]]":
+        """Fold one batch's deltas in and count: ``(output, seconds)`` rows.
+
+        The per-run tasks of :meth:`RegionStateTable.fold` are counted by
+        :func:`_count_regions` and summed per machine here, in the worker,
+        so the reply is one fixed-size row per machine however many runs
+        the state holds.
+        """
+        table = self.table
+        tasks, owners = table.fold(arrays)
         outputs, seconds = _count_regions(
             tasks,
             [self.conditions[owner & 1] for owner in owners.tolist()],
             keys2_sorted=True,
         )
-        outputs = self.table.sum_halves(outputs, owners).tolist()
-        seconds = self.table.sum_halves(seconds, owners).tolist()
-        return (
-            "counted",
-            [
-                (machine, *outputs[slot], *seconds[slot])
-                for slot, machine in enumerate(self.table.machines)
-            ],
-        )
+        outputs = table.sum_halves(outputs, owners).sum(axis=1).tolist()
+        seconds = table.sum_halves(seconds, owners).sum(axis=1).tolist()
+        return list(zip(outputs, seconds))
 
-    def evict(self, arrays: "list[np.ndarray]"):
-        """Drop the per-side expired index pair; reply with entries dropped."""
-        return ("evicted", self.table.evict(*arrays))
+    def evict(self, arrays: "list[np.ndarray]") -> "list[tuple[int, int]]":
+        """Drop the per-side expired indices: ``(R1, R2)`` entries dropped."""
+        return self.table.evict(*arrays)
 
-    def resize(self, machines: "tuple[int, ...]"):
-        """Adopt a new owned-machine set, discarding all resident state.
-
-        A fleet resize reassigns machine ownership wholesale, so the worker
-        starts from an empty table for its new machines; the backend
-        follows up with an :meth:`install` carrying every machine's
-        complete post-resize state.  The reply repeats the worker's pid so
-        the backend can rebuild its machine-to-pid map for the new fleet.
-        """
-        self.table = RegionStateTable(machines)
-        return ("resized", os.getpid())
-
-    def install(self, arrays: "list[np.ndarray]"):
+    def install(self, arrays: "list[np.ndarray]") -> None:
         """Replace every owned machine's state with its complete new columns."""
         self.table.install(arrays)
-        return ("installed",)
+
+    def indices(self, arrays: "list[np.ndarray]") -> None:
+        """Write every owned machine's arrival indices into its reserved slices.
+
+        ``arrays`` is the backend's reservation: an R1 and an R2 int64 slice
+        per machine, sized from its counts.  A slice of the wrong length is
+        left unwritten -- the lengths :meth:`handle` reports make the
+        backend raise.
+        """
+        table = self.table
+        for machine in table.machines:
+            for slot, state in zip(
+                arrays[2 * machine : 2 * machine + 2],
+                (table.state1[machine], table.state2[machine]),
+            ):
+                if len(slot) == len(state):
+                    slot[:] = state.arrival_indices()
 
     def handle(self, command: tuple, reader: ShmReader):
-        """Dispatch one control-channel command tuple to its handler."""
+        """Dispatch one command; a state verb replies ``(op, rows)``.
+
+        One row per owned machine: ``(machine, held1, held2, *values)``.
+        """
         op = command[0]
-        if op == "count":
-            return self.count(reader.arrays(command[1]))
-        if op == "evict":
-            return self.evict(reader.arrays(command[1]))
-        if op == "install":
-            return self.install(reader.arrays(command[1]))
-        if op == "resize":
-            return self.resize(command[1])
-        if op == "init":
-            return self.init(command[1], command[2])
-        raise ValueError(f"unknown sticky-worker command {op!r}")
+        if op == "own":
+            return self.own(*command[1:])
+        if op not in self.VERBS:
+            raise ValueError(f"unknown sticky-worker command {op!r}")
+        held = self.held()
+        values = getattr(self, op)(reader.arrays(command[1])) or [()] * len(held)
+        return (op, [(*before, *row) for before, row in zip(held, values)])
 
 
-def _sticky_worker_main(channel, machines: "tuple[int, ...]") -> None:
+def _sticky_worker_main(channel) -> None:
     """Entry point of one sticky worker process: recv, handle, reply.
 
     Runs until a ``close`` command or the engine's end of the pipe
@@ -654,7 +669,7 @@ def _sticky_worker_main(channel, machines: "tuple[int, ...]") -> None:
     the backend raises them engine-side.  The shared-memory reader only
     ever unmaps; the engine's arena owns every segment.
     """
-    worker = _StickyWorkerState(machines)
+    worker = _StickyWorkerState()
     reader = ShmReader()
     try:
         while True:
@@ -676,31 +691,35 @@ def _sticky_worker_main(channel, machines: "tuple[int, ...]") -> None:
         channel.close()
 
 
+def _index_lengths(
+    indices1: "list[np.ndarray]", indices2: "list[np.ndarray]"
+) -> np.ndarray:
+    """``(machines, 2)`` lengths of per-machine R1 / R2 index arrays."""
+    lengths = [[len(idx1), len(idx2)] for idx1, idx2 in zip(indices1, indices2)]
+    return np.array(lengths, dtype=np.int64).reshape(-1, 2)
+
+
 class StickyWorkerBackend(ExecutionBackend):
     """Resident per-worker join state over shared memory (zero-copy deltas).
 
-    Shipping every region's *full* key arrays to a worker pool on every
-    batch makes serialization, not the join, the cost of a persistent
-    streaming join (``benchmarks/test_streaming_scaling.py`` measures that
-    baseline).  This backend keeps the state where the work is: each of
-    ``max_workers`` long-lived processes owns the :class:`SortedRegionState`
-    pair of the machines assigned to it (machine ``m`` lives on worker
-    ``m % W``), resident across batches.  Per batch the engine ships only the *delta*
-    -- each machine's new-arrival index/key arrays, written once into a
-    :class:`~repro.streaming.shm.ShmArena` shared-memory segment -- plus a
-    tiny pickled control message per worker.  Evictions and migration moves
-    travel the same way: control messages with any array payload in shared
-    memory, never through pickle.
+    Each of ``max_workers`` long-lived processes owns the
+    :class:`SortedRegionState` pair of the machines assigned to it (machine
+    ``m`` lives on worker ``m % W``), resident across batches, so per batch
+    the engine ships only the *delta*: every array payload -- arrivals,
+    eviction sets, migrated state -- rides a
+    :class:`~repro.streaming.shm.ShmArena` segment and the pickle channel
+    carries fixed-size control messages (``docs/streaming.md``, "Zero-copy
+    sticky workers", has the story and the measured baseline).
 
-    This is the one override of the state-ownership protocol: every call
-    becomes a control message, and the backend keeps a sorted per-machine
-    *arrival-index mirror* of what its workers hold, so
-    :meth:`resident_indices` (migration planning, checkpoints) never reads
-    state back.  The mirror is also the backend's claim about worker
-    state: every eviction's worker-reported drop count is checked against
-    it, and a divergence raises.  Counted outputs are bit-identical to
-    :class:`SimulatedBackend` -- the workers run the same
-    :class:`RegionStateTable` fold on the same arrays.
+    This is the one override of the state-ownership protocol, and the
+    workers hold the *only* copy of the state.  Engine-side the backend
+    keeps one integer per machine and side -- how many tuples it has told
+    that machine to hold -- and every reply opens with what the machine
+    really held when the command arrived; a disagreement raises before a
+    migration could plan around state that does not exist.
+    :meth:`resident_indices` reads the arrival indices back on demand.
+    Counted outputs are bit-identical to :class:`SimulatedBackend`: the
+    workers run the same :class:`RegionStateTable` fold on the same arrays.
 
     Parameters
     ----------
@@ -710,18 +729,17 @@ class StickyWorkerBackend(ExecutionBackend):
     profile_serialization:
         Meter the control channel's pickled bytes per command
         (``bytes_pickled`` / ``bytes_unpickled``).  The shared-memory
-        payload (``bytes_shm``) is always metered -- it is known exactly
-        from the arena write, costing nothing.
+        payload (``bytes_shm``) is always metered -- the arena layout
+        knows it exactly.
     mp_context:
         Multiprocessing context or start-method name; defaults to
         :func:`default_mp_context` (forkserver/spawn, never fork).
 
-    A sticky backend is bound to *one* stream: its workers' state survives
-    across batches, so re-binding (a second engine run) or any use after
-    ``close()`` raises ``RuntimeError`` instead of silently mixing two
-    streams' state.  ``close()`` shuts the workers down and unlinks the
-    shared segment -- the test suite asserts nothing is left in
-    ``/dev/shm``.
+    A sticky backend is bound to *one* stream: re-binding (a second engine
+    run) or any use after ``close()`` raises ``RuntimeError`` instead of
+    silently mixing two streams' state.  ``close()`` shuts the workers down
+    and unlinks the shared segment -- the test suite asserts nothing is
+    left in ``/dev/shm``.
     """
 
     name = "sticky"
@@ -740,10 +758,10 @@ class StickyWorkerBackend(ExecutionBackend):
         self._arena: "ShmArena | None" = None
         self._channels: list = []
         self._processes: list = []
-        self._num_machines: "int | None" = None
         self._machine_pids: "np.ndarray | None" = None
-        self._held1: "list[np.ndarray]" = []
-        self._held2: "list[np.ndarray]" = []
+        #: Tuples each machine has been told to hold, ``[machine, side]``:
+        #: all the backend keeps of the state (``None`` until ``bind``).
+        self._counts: "np.ndarray | None" = None
         self._bytes_pickled = 0
         self._bytes_unpickled = 0
         self._bytes_shm = 0
@@ -757,16 +775,17 @@ class StickyWorkerBackend(ExecutionBackend):
     @property
     def bound(self) -> bool:
         """Whether :meth:`bind` has attached this backend to a stream."""
-        return self._num_machines is not None
+        return self._counts is not None
 
-    def _ensure_bound(self) -> None:
-        """Raise unless the backend is open and bound to a stream."""
+    def _bound_arena(self) -> ShmArena:
+        """The bound stream's arena; raise unless open and bound."""
         self._ensure_open()
-        if not self.bound:
+        if self._arena is None or not self.bound:
             raise RuntimeError(
                 "StickyWorkerBackend is not bound to a stream yet; the "
                 "engine calls bind() at the start of its run"
             )
+        return self._arena
 
     def bind(
         self,
@@ -776,11 +795,10 @@ class StickyWorkerBackend(ExecutionBackend):
     ) -> None:
         """Start the workers and assign machine ownership for one stream.
 
-        Machine ``m`` is owned by worker ``m % W`` for the whole run.  A
-        sticky backend binds exactly once: the workers' resident state *is*
-        the stream's state, so a second ``bind`` (an engine restart onto
-        the same backend) raises ``RuntimeError`` -- restarting a stream
-        needs a fresh backend, never a silent adoption of stale state.
+        A sticky backend binds exactly once: the workers' resident state
+        *is* the stream's state, so a second ``bind`` raises -- restarting
+        a stream needs a fresh backend, never a silent adoption of stale
+        state.
         """
         self._ensure_open()
         if self.bound:
@@ -791,18 +809,14 @@ class StickyWorkerBackend(ExecutionBackend):
             )
         if num_machines <= 0:
             raise ValueError("num_machines must be positive")
-        workers = min(
-            self.max_workers or os.cpu_count() or 1, num_machines
-        )
-        self._num_machines = num_machines
-        self._reset_mirror(num_machines)
         self._arena = ShmArena()
-        for worker in range(workers):
+        for worker in range(
+            min(self.max_workers or os.cpu_count() or 1, num_machines)
+        ):
             engine_end, worker_end = self._mp_context.Pipe()
-            machines = tuple(range(worker, num_machines, workers))
             process = self._mp_context.Process(
                 target=_sticky_worker_main,
-                args=(worker_end, machines),
+                args=(worker_end,),
                 daemon=True,
                 name=f"sticky-worker-{worker}",
             )
@@ -810,27 +824,30 @@ class StickyWorkerBackend(ExecutionBackend):
             worker_end.close()
             self._channels.append(engine_end)
             self._processes.append(process)
+        self._fold_conditions = (condition, transposed)
+        self._assign(num_machines)
+
+    def _assign(self, num_machines: int) -> None:
+        """Hand machine ``m``, empty, to worker ``m % W``: bind's and resize's step.
+
+        One ``own`` command per worker (they differ, so not a
+        :meth:`_broadcast`), all sent before any reply is awaited; the
+        replies' pids rebuild the machine-to-pid map, and the counts start
+        over at zero.
+        """
+        workers = len(self._channels)
+        self._commands_since_drain = True
+        for worker in range(workers):
+            machines = tuple(range(worker, num_machines, workers))
+            command = ("own", machines, *self._fold_conditions)
+            if self.profile_serialization:
+                self._bytes_pickled += pickled_nbytes(command)
+            self._send(worker, command)
         pids = np.zeros(num_machines, dtype=np.int64)
-        replies = self._broadcast(("init", condition, transposed))
-        for worker, reply in enumerate(replies):
-            pids[worker::workers] = reply[1]
+        for worker in range(workers):
+            pids[worker::workers] = self._recv(worker)[1]
         self._machine_pids = pids
-
-    def _reset_mirror(self, num_machines: int) -> None:
-        """Start the ownership mirror over: every machine holds nothing."""
-        empty = np.empty(0, dtype=np.int64)
-        self._held1 = [empty] * num_machines
-        self._held2 = [empty] * num_machines
-
-    @staticmethod
-    def _merge_sorted(held: np.ndarray, incoming: np.ndarray) -> np.ndarray:
-        """Merge new arrival indices into one machine's sorted mirror."""
-        incoming = np.sort(np.asarray(incoming, dtype=np.int64))
-        if len(incoming) == 0:
-            return held
-        if len(held) == 0:
-            return incoming
-        return np.insert(held, np.searchsorted(held, incoming), incoming)  # repro: ignore[STATE001]  # engine-side ownership mirror; no perf/ workload runs sticky, ROADMAP parks optimising it until one does
+        self._counts = np.zeros((num_machines, 2), dtype=np.int64)
 
     def _crashed(self, worker: int, cause: "BaseException | None" = None):
         """Build the :class:`WorkerCrashError` for a dead worker's channel."""
@@ -855,13 +872,11 @@ class StickyWorkerBackend(ExecutionBackend):
     def _recv(self, worker: int):
         """Receive one reply, polling so a dead worker can never hang us.
 
-        The engine's copy of the worker end of each pipe is closed right
-        after the worker starts, so a worker death *eventually* surfaces as
-        ``EOFError`` on ``recv`` -- but a blocking ``recv`` still hangs if
-        the pipe breaks in ways that never deliver the EOF.  Polling with a
-        liveness check bounds the wait: once the process is dead, one grace
-        poll collects any reply it managed to send before exiting, then the
-        crash is raised.
+        A worker death *eventually* surfaces as ``EOFError`` on ``recv``,
+        but a blocking ``recv`` hangs if the pipe breaks in ways that never
+        deliver the EOF.  Polling with a liveness check bounds the wait:
+        once the process is dead, one grace poll collects any reply it
+        managed to send before exiting, then the crash is raised.
         """
         channel = self._channels[worker]
         process = self._processes[worker]
@@ -889,11 +904,10 @@ class StickyWorkerBackend(ExecutionBackend):
     def _broadcast(self, command: tuple) -> list:
         """Send one command to every worker; gather (and check) the replies.
 
-        The command is pickled per worker by the pipe itself; profiling
-        measures the payload once and charges it per worker.  Replies are
-        collected synchronously -- the arena's segment is only reused after
-        every worker has consumed the previous message, which this barrier
-        guarantees.  A worker dying mid-command surfaces as
+        Profiling measures the command's pickle once and charges it per
+        worker.  Replies are collected synchronously: the arena's segment
+        is only reused after every worker has consumed the previous
+        message.  A worker dying mid-command surfaces as
         :class:`WorkerCrashError`, never a hang (see :meth:`_recv`).
         """
         self._commands_since_drain = True
@@ -903,11 +917,31 @@ class StickyWorkerBackend(ExecutionBackend):
             self._send(worker, command)
         return [self._recv(worker) for worker in range(len(self._channels))]
 
-    def _write(self, arrays: "list[np.ndarray]"):
-        """Write an array payload into the shared arena; meter its bytes."""
-        message = self._arena.write(arrays)
+    def _command(self, op: str, message: ShmMessage) -> "list[tuple]":
+        """Broadcast → gather → check: the one body of every state verb.
+
+        ``message`` is the verb's arena payload (written, or reserved for
+        the workers to fill): its bytes are metered here, only its
+        descriptor is pickled.  Each worker answers one row per machine it
+        owns, ``(machine, held1, held2, *values)``; the ``values`` come
+        back in machine order.  What the machines held on receipt must
+        equal the backend's counts -- all it knows about worker state.
+        """
         self._bytes_shm += message.payload_bytes
-        return message
+        held = np.full_like(self._counts, -1)
+        values: "list[tuple]" = [()] * len(held)
+        for reply in self._broadcast((op, message)):
+            for machine, held1, held2, *row in reply[1]:
+                held[machine] = held1, held2
+                values[machine] = tuple(row)
+        if not np.array_equal(held, self._counts):
+            raise RuntimeError(
+                f"sticky workers held {held.tolist()} state entries (per "
+                f"machine: R1, R2) on receiving {op!r} but the backend's "
+                f"counts say {self._counts.tolist()}; worker-resident state "
+                "has diverged from the engine"
+            )
+        return values
 
     def count_batch(
         self,
@@ -918,66 +952,34 @@ class StickyWorkerBackend(ExecutionBackend):
     ) -> RegionJoinResult:
         """Ship one batch's per-machine deltas; fold and count worker-side.
 
-        ``new1`` / ``new2`` are the engine's per-machine arrival-index
-        arrays; the keys are gathered here and written with the indices to
-        the shared arena as one machine-major message.  Workers reply with
-        per-machine output counts and join timings; the byte accounting
-        accrues on the backend and is drained per batch by the engine
-        (:meth:`drain_channel_bytes`), covering every command of the batch,
-        not just the count.
+        The keys are gathered here and written with the indices to the
+        arena as one :func:`state_layout` message.  The byte accounting
+        accrues on the backend and is drained per batch
+        (:meth:`drain_channel_bytes`), covering every command of the batch.
         """
-        self._ensure_bound()
         start = perf_counter()
-        message = self._write(
-            state_layout(new1, new2, history1, history2)
-        )
-        outputs = np.zeros(self._num_machines, dtype=np.int64)
-        seconds = np.zeros(self._num_machines)
-        for reply in self._broadcast(("count", message)):
-            for machine, out_a, out_b, sec_a, sec_b in reply[1]:
-                outputs[machine] = out_a + out_b
-                seconds[machine] = sec_a + sec_b
-        for machine in range(self._num_machines):
-            self._held1[machine] = self._merge_sorted(
-                self._held1[machine], new1[machine]
-            )
-            self._held2[machine] = self._merge_sorted(
-                self._held2[machine], new2[machine]
-            )
+        layout = state_layout(new1, new2, history1, history2)
+        rows = self._command("count", self._bound_arena().write(layout))
+        self._counts += _index_lengths(new1, new2)
+        outputs, seconds = zip(*rows)
         return RegionJoinResult(
-            per_machine_output=outputs,
-            per_machine_seconds=seconds,
+            per_machine_output=np.array(outputs, dtype=np.int64),
+            per_machine_seconds=np.array(seconds),
             wall_seconds=perf_counter() - start,
             worker_pids=self._machine_pids.copy(),
         )
 
-    def evict_state(
-        self, expired1: np.ndarray, expired2: np.ndarray
-    ) -> int:
+    def evict_state(self, expired1: np.ndarray, expired2: np.ndarray) -> int:
         """Drop expired arrival indices worker-side; return entries dropped.
 
-        The workers report how many entries they really held and dropped;
-        the mirror is trimmed by the same sets, and a mismatch between the
-        two counts raises -- the mirror *is* this backend's claim about
-        worker state, and a divergence means migration planning would move
-        state that does not exist.
+        The workers report what each machine really dropped, per side; the
+        counts shrink by exactly that.
         """
-        self._ensure_bound()
-        expired1 = np.asarray(expired1, dtype=np.int64)
-        expired2 = np.asarray(expired2, dtype=np.int64)
-        message = self._write([expired1, expired2])
-        dropped = sum(reply[1] for reply in self._broadcast(("evict", message)))
-        before = sum(len(held) for held in self._held1 + self._held2)
-        self._held1 = [drop_expired(held, expired1) for held in self._held1]
-        self._held2 = [drop_expired(held, expired2) for held in self._held2]
-        expected = before - sum(len(held) for held in self._held1 + self._held2)
-        if dropped != expected:
-            raise RuntimeError(
-                f"sticky workers dropped {dropped} state entries but the "
-                f"backend's ownership mirror expected {expected}; "
-                "worker-resident state has diverged from the engine"
-            )
-        return dropped
+        expired = [np.asarray(e, dtype=np.int64) for e in (expired1, expired2)]
+        rows = self._command("evict", self._bound_arena().write(expired))
+        dropped = np.array(rows, dtype=np.int64)
+        self._counts -= dropped
+        return int(dropped.sum())
 
     def install_state(
         self,
@@ -988,61 +990,45 @@ class StickyWorkerBackend(ExecutionBackend):
     ) -> None:
         """Move migrated state between workers through shared memory.
 
-        ``assignments*`` are complete per-machine arrival-index arrays (a
-        migration plan's new assignments, a checkpoint's resident indices);
-        each worker rebuilds its owned machines' state from the shared
+        Each worker rebuilds its owned machines' state from the shared
         message, so state never crosses the pickle channel even when it
         changes owners.
         """
-        self._ensure_bound()
-        message = self._write(
-            state_layout(assignments1, assignments2, history1, history2)
-        )
-        self._broadcast(("install", message))
-        self._held1 = [
-            np.sort(np.asarray(indices, dtype=np.int64))
-            for indices in assignments1
-        ]
-        self._held2 = [
-            np.sort(np.asarray(indices, dtype=np.int64))
-            for indices in assignments2
-        ]
+        layout = state_layout(assignments1, assignments2, history1, history2)
+        self._command("install", self._bound_arena().write(layout))
+        self._counts = _index_lengths(assignments1, assignments2)
 
     def resize(self, num_machines: int) -> None:
         """Reassign machine ownership across the workers for a new fleet size.
 
-        The worker process count is fixed at :meth:`bind`; a resize only
-        redistributes machine ownership (machine ``m`` moves to worker
-        ``m % W`` of the *new* numbering) and resets every worker to empty
-        state for its new machines.  The engine must follow up with
-        :meth:`install_state` carrying the complete post-resize state from
-        its migration plan -- a resize without a reinstall would silently
-        drop all resident state.
+        The worker process count is fixed at :meth:`bind`; machine ``m``
+        moves to worker ``m % W`` of the *new* numbering and every worker
+        starts over empty, so the engine must follow up with
+        :meth:`install_state` carrying the complete post-resize state.
         """
-        self._ensure_bound()
+        self._bound_arena()
         if num_machines <= 0:
             raise ValueError("num_machines must be positive")
-        workers = len(self._channels)
-        self._commands_since_drain = True
-        for worker in range(workers):
-            command = ("resize", tuple(range(worker, num_machines, workers)))
-            if self.profile_serialization:
-                self._bytes_pickled += pickled_nbytes(command)
-            self._send(worker, command)
-        pids = np.zeros(num_machines, dtype=np.int64)
-        for worker in range(workers):
-            reply = self._recv(worker)
-            pids[worker::workers] = reply[1]
-        self._num_machines = num_machines
-        self._machine_pids = pids
-        self._reset_mirror(num_machines)
+        self._assign(num_machines)
 
     def resident_indices(
         self,
     ) -> "tuple[list[np.ndarray], list[np.ndarray]]":
-        """The ownership mirror: per-machine sorted arrival indices held."""
-        self._ensure_bound()
-        return self._held1, self._held2
+        """Read every machine's arrival indices back from its worker.
+
+        On demand, for a migration or a checkpoint -- never per batch.  The
+        backend reserves one arena slice per machine and side, sized from
+        its counts, and each worker writes its machines'
+        :meth:`SortedRegionState.arrival_indices` into them: the state
+        still never crosses the pickle channel, and the bytes are metered
+        as ``bytes_shm`` like a write.  Returns copies, which survive the
+        arena's next message.
+        """
+        arena = self._bound_arena()
+        message = arena.reserve(self._counts.ravel())
+        self._command("indices", message)
+        arrays = arena.read(message)
+        return arrays[0::2], arrays[1::2]
 
     def drain_channel_bytes(
         self,
@@ -1050,23 +1036,18 @@ class StickyWorkerBackend(ExecutionBackend):
         """Byte accounting since the last drain: (pickled, unpickled, shm).
 
         The engine calls this once per batch; the totals cover every
-        command the batch issued (count, evict, install).  All
-        three are ``None`` when no command ran since the last drain, and
-        the pickle totals are ``None`` when profiling is disabled -- the
-        shared-memory payload is always measured.
+        command since the previous drain.  All three are ``None`` when
+        none ran, and the pickle totals are ``None`` when profiling is
+        disabled -- the shared-memory payload is always measured.
         """
         if not self._commands_since_drain:
             return (None, None, None)
         self._commands_since_drain = False
-        pickled, unpickled, shm = (
-            self._bytes_pickled,
-            self._bytes_unpickled,
-            self._bytes_shm,
-        )
+        totals = (self._bytes_pickled, self._bytes_unpickled, self._bytes_shm)
         self._bytes_pickled = self._bytes_unpickled = self._bytes_shm = 0
         if not self.profile_serialization:
-            return (None, None, shm)
-        return (pickled, unpickled, shm)
+            return (None, None, totals[2])
+        return totals
 
     def join_regions(
         self,
@@ -1077,11 +1058,9 @@ class StickyWorkerBackend(ExecutionBackend):
         """Refuse stateless dispatch: sticky workers own their state.
 
         Shipping full region arrays through this entry point is exactly the
-        serialization tax this backend exists to remove, so it raises
-        instead -- state reaches the workers through the protocol
-        (``bind`` / ``count_batch`` / ...) only.  A decorator that works
-        by intercepting ``join_regions`` (``SlowConsumerBackend``) therefore
-        cannot be used around a sticky backend.
+        serialization tax this backend exists to remove.  A decorator that
+        works by intercepting ``join_regions`` (``SlowConsumerBackend``)
+        therefore cannot be used around a sticky backend.
         """
         self._ensure_open()
         raise RuntimeError(
@@ -1091,20 +1070,30 @@ class StickyWorkerBackend(ExecutionBackend):
         )
 
     def close(self) -> None:
-        """Stop the workers and unlink the shared segment (idempotent, final)."""
+        """Stop the workers and unlink the shared segment (idempotent, final).
+
+        Every wait is bounded by :data:`CLOSE_GRACE_SECONDS`: the ``close``
+        handshake is polled, so a worker that is alive but wedged cannot
+        hang the engine, and one that outlives ``join`` and ``terminate``
+        (SIGTERM never lands on a stopped process) is killed.
+        """
         for channel in self._channels:
             try:
                 channel.send(("close",))
-                channel.recv()
+                if channel.poll(CLOSE_GRACE_SECONDS):
+                    channel.recv()
             except (OSError, EOFError, BrokenPipeError):
                 pass
             channel.close()
         self._channels = []
         for process in self._processes:
-            process.join(timeout=10)
-            if process.is_alive():  # pragma: no cover - hung-worker backstop
+            process.join(timeout=CLOSE_GRACE_SECONDS)
+            if process.is_alive():
                 process.terminate()
-                process.join(timeout=10)
+                process.join(timeout=CLOSE_GRACE_SECONDS)
+            if process.is_alive():
+                process.kill()
+                process.join()
         self._processes = []
         if self._arena is not None:
             self._arena.close()

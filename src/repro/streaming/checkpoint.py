@@ -323,9 +323,11 @@ def capture(engine: Any) -> StreamCheckpoint:
     The body of
     :meth:`~repro.streaming.engine.StreamingJoinEngine.checkpoint`: the one
     place that lists what a checkpoint holds.  Each machine's resident
-    arrival indices come from the backend's read-only view (sorted; the
-    keys are reproducible from the history, so no backend ever reads state
-    back).  Everything is copied, so the engine may keep running after.
+    arrival indices come from the backend's ``resident_indices`` (sorted
+    here; keys are reproducible from the history and never read back; a
+    sticky backend reads the indices back from its workers, so there a
+    checkpoint can raise ``WorkerCrashError``).  Everything is copied, so
+    the engine may keep running after.
     """
     if engine.phase != "running":
         raise RuntimeError(
@@ -478,8 +480,8 @@ def run_resilient(
     When a :class:`~repro.streaming.backends.WorkerCrashError` surfaces the
     crashed engine is closed (which reaps an engine-owned backend; an
     *injected* backend stays the caller's to close, so a transient
-    :class:`~repro.streaming.testing.FlakyBackend` shared across restarts
-    survives), the run is restored from the last checkpoint onto a fresh
+    fault-injection backend (the test harness's ``FlakyBackend``) shared
+    across restarts survives), the run is restored from the last checkpoint onto a fresh
     backend (``backend_factory()`` when given, else the restored engine's
     default simulated backend) and the source is replayed -- the engine
     skips every batch at or below the checkpoint's position, so nothing is

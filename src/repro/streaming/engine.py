@@ -37,15 +37,14 @@ and never rewritten.  Per micro-batch it runs six stages:
   log gives up the keys and batch starts below it -- a pointer move, so
   the whole footprint is O(window) however long the stream runs and no
   output, load, eviction or migration plan changes (the untrimmed
-  reference is the :class:`~repro.streaming.testing.NoTrimWindow`
-  decorator);
+  reference is the test harness's ``NoTrimWindow`` decorator);
 * **repartition** -- the :class:`~repro.streaming.policies.RepartitioningPolicy`
   may swap in a new partitioning, in which case the retained *live* state
   is migrated (:mod:`repro.streaming.migration`) and the moved tuples are
   charged into the same cost model -- rebalancing is never free.  Only
   the regions whose region-to-machine assignment changed migrate (the
   naive positional rebuild that re-routes the whole live history is the
-  :class:`~repro.streaming.testing.PositionalRebuildEngine` reference);
+  test harness's ``PositionalRebuildEngine`` reference);
 * **account** -- drain the backend's channel bytes, record the resident
   footprint and timings, and fold the batch into the run result and the
   attached metrics registry.
@@ -66,8 +65,9 @@ so windowed runs skip the full-history check (``output_correct`` stays
 ``None``) and ``tests/test_window_properties.py`` pins the windowed
 semantics against an independent reference count instead.  The per-machine
 deltas are additionally pinned against a full recount of every region by
-the protocol oracle in :mod:`repro.streaming.testing`, the test-harness
-reference that replaced the engine's old ``recount`` mode.  All of this is
+the ``RecountingBackend`` protocol oracle of the test harness
+(``tests/streaming_harness.py``: test-side code, not part of the package),
+which replaced the engine's old ``recount`` mode.  All of this is
 backend-independent -- every backend counts with the same exact kernel --
 which ``tests/test_backends.py`` pins down.
 """
@@ -173,7 +173,7 @@ class StreamingJoinEngine:
 
     #: How :func:`~repro.streaming.migration.plan_migration` places rebuilt
     #: regions.  Not an option: the positional ``"full"`` reference is a
-    #: subclass in :mod:`repro.streaming.testing`.
+    #: subclass in the test harness (``tests/streaming_harness.py``).
     migration_mode = "partial"
 
     def __init__(

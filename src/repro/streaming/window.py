@@ -236,7 +236,7 @@ def surviving(held: np.ndarray, expired: np.ndarray) -> np.ndarray:
     """Boolean mask over ``held``: which arrival indices are *not* expired.
 
     The one membership test behind every eviction -- the engine's live
-    sets, the sticky backend's ownership mirror and each sorted run of
+    sets and each sorted run of
     :class:`~repro.streaming.incremental.SortedRegionState`.  ``expired``
     must be non-empty, sorted ascending and unique (every window policy's
     eviction set is); ``held`` may be in any order and ``expired`` need not
@@ -261,9 +261,8 @@ def surviving(held: np.ndarray, expired: np.ndarray) -> np.ndarray:
 def drop_expired(held: np.ndarray, expired: np.ndarray) -> np.ndarray:
     """Drop ``expired`` (sorted, unique) from the index array ``held``.
 
-    :func:`surviving` applied: the engine's live sets and the sticky
-    backend's ownership mirror shrink through here.  ``held`` is returned
-    as is when either side is empty.
+    :func:`surviving` applied: the engine's live sets shrink through here.
+    ``held`` is returned as is when either side is empty.
     """
     if len(held) == 0 or len(expired) == 0:
         return held

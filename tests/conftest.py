@@ -13,7 +13,7 @@ from repro.streaming.shm import SEGMENT_PREFIX
 
 # Fault-injection factory fixtures (CrashingBackend / FlakyBackend wrappers
 # with teardown-owned cleanup), shared with the benchmark suite.
-from repro.streaming.testing import (  # noqa: F401
+from streaming_harness import (  # noqa: F401
     crashing_backend,
     flaky_backend,
 )

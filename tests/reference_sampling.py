@@ -10,6 +10,11 @@ conversions -- per offered tuple.  They operate on the *production* classes'
 fields, so a reference pass and a production pass can be compared heap entry
 by heap entry, counter by counter, generator state by generator state, and
 either can be monkeypatched in for the other.
+
+:func:`stream_sample` is the other kind of reference: the sequential
+Stream-Sample *driver* ``repro.sampling`` shipped beside the parallel one,
+kept as the oracle ``parallel_stream_sample(num_workers=1)`` is pinned
+against.  It runs the production kernels, so only the driver differs.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import sys
 
 import numpy as np
 
+from repro.sampling import reservoir as production_reservoir
+from repro.sampling import stream_sample as production_kernels
 from repro.sampling.reservoir import WeightedReservoir
 from repro.streaming.incremental import DecayedReservoir
 
@@ -108,19 +115,48 @@ def add_batch(
             heapq.heapreplace(self._heap, entry)
 
 
+def stream_sample(keys1, keys2, condition, sample_size, rng):
+    """Draw a uniform random sample of the join output (sequential Stream-Sample).
+
+    One machine, no routing: ``d2equi`` over all of R2, ``d2`` over all of
+    R1, one reservoir, one draw.  Returns the
+    :class:`~repro.sampling.stream_sample.JoinOutputSample` alone.
+    """
+    if sample_size < 0:
+        raise ValueError("sample_size must be non-negative")
+    keys1 = np.asarray(keys1, dtype=np.float64)
+    d2_index = production_kernels.build_d2_index(keys2)
+    d2 = production_kernels.compute_joinable_set_sizes(keys1, d2_index, condition)
+    total_output = int(d2.sum())
+    if total_output == 0 or sample_size == 0:
+        return production_kernels.JoinOutputSample(
+            pairs=np.empty((0, 2)), total_output=total_output
+        )
+
+    reservoir = production_reservoir.weighted_sample_wor(
+        keys1, d2.astype(np.float64), sample_size, rng
+    )
+    sampled_keys1 = np.asarray(
+        production_reservoir.wor_to_wr(reservoir, sample_size, rng), dtype=np.float64
+    )
+    sampled_keys2 = production_kernels._sample_joinable_keys(
+        sampled_keys1, d2_index, condition, rng
+    )
+    pairs = np.column_stack([sampled_keys1, sampled_keys2])
+    return production_kernels.JoinOutputSample(pairs=pairs, total_output=total_output)
+
+
 def install(monkeypatch) -> None:
     """Swap every reference kernel in for its production counterpart.
 
-    Patches the names the callers resolve at call time (both Stream-Sample
-    drivers import the kernels into their own namespaces), so whole engine
+    Patches the names the caller resolves at call time (the Stream-Sample
+    driver imports the kernels into its own namespace), so whole engine
     runs and histogram builds go through the reference loops.
     """
-    # ``repro.sampling`` re-exports functions under its submodules' names,
-    # so the modules themselves come from ``sys.modules``.
-    sequential = sys.modules["repro.sampling.stream_sample"]
+    # ``repro.sampling`` re-exports the driver under its submodule's name,
+    # so the module itself comes from ``sys.modules``.
     parallel = sys.modules["repro.sampling.parallel_stream_sample"]
-    for module in (sequential, parallel):
-        monkeypatch.setattr(module, "_sample_joinable_keys", sample_joinable_keys)
-        monkeypatch.setattr(module, "weighted_sample_wor", weighted_sample_wor)
+    monkeypatch.setattr(parallel, "_sample_joinable_keys", sample_joinable_keys)
+    monkeypatch.setattr(parallel, "weighted_sample_wor", weighted_sample_wor)
     monkeypatch.setattr(parallel, "merge_reservoirs", merge_reservoirs)
     monkeypatch.setattr(DecayedReservoir, "add_batch", add_batch)

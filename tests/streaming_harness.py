@@ -1,5 +1,9 @@
 """Test helpers for the streaming suites: equivalences, faults and references.
 
+Test-only, like the ``reference_*`` modules beside it: ``tests/`` is on
+pytest's ``pythonpath`` (``pyproject.toml``), so ``benchmarks/`` imports it as
+``streaming_harness`` too.  Nothing under ``src/`` may.
+
 Several suites pin the same contract -- two engine runs over the same seeded
 stream must be *behaviourally bit-identical* -- from different angles:
 history trimming versus the untrimmed reference, one execution backend
@@ -43,6 +47,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+import pytest
 
 from repro.engine.executor import join_assigned_regions
 from repro.joins.local import count_join_output
@@ -66,6 +71,8 @@ __all__ = [
     "NoTrimWindow",
     "PositionalRebuildEngine",
     "PicklingPoolBackend",
+    "crashing_backend",
+    "flaky_backend",
 ]
 
 
@@ -508,52 +515,45 @@ class PicklingPoolBackend(ExecutionBackend):
         super().close()
 
 
-try:  # pragma: no cover - exercised via the test suites' conftests
-    import pytest
-except ImportError:  # pragma: no cover - pytest is a test-only dependency
-    pytest = None
+@pytest.fixture
+def crashing_backend():
+    """Factory fixture: build :class:`CrashingBackend` wrappers.
 
-if pytest is not None:
-    __all__ += ["crashing_backend", "flaky_backend"]
+    Call the factory with the same arguments as the class (``inner``
+    defaults to a fresh :class:`SimulatedBackend`); every backend it
+    built is closed at teardown, so tests do not own cleanup even when
+    the injected crash aborts them mid-run.
+    """
+    created = []
 
-    @pytest.fixture
-    def crashing_backend():
-        """Factory fixture: build :class:`CrashingBackend` wrappers.
+    def factory(inner=None, **kwargs):
+        backend = CrashingBackend(
+            inner if inner is not None else SimulatedBackend(), **kwargs
+        )
+        created.append(backend)
+        return backend
 
-        Call the factory with the same arguments as the class (``inner``
-        defaults to a fresh :class:`SimulatedBackend`); every backend it
-        built is closed at teardown, so tests do not own cleanup even when
-        the injected crash aborts them mid-run.
-        """
-        created = []
+    yield factory
+    for backend in created:
+        backend.close()
 
-        def factory(inner=None, **kwargs):
-            backend = CrashingBackend(
-                inner if inner is not None else SimulatedBackend(), **kwargs
-            )
-            created.append(backend)
-            return backend
 
-        yield factory
-        for backend in created:
-            backend.close()
+@pytest.fixture
+def flaky_backend():
+    """Factory fixture: build :class:`FlakyBackend` wrappers.
 
-    @pytest.fixture
-    def flaky_backend():
-        """Factory fixture: build :class:`FlakyBackend` wrappers.
+    Same shape as :func:`crashing_backend`: call with the class's
+    arguments, teardown closes everything the factory built.
+    """
+    created = []
 
-        Same shape as :func:`crashing_backend`: call with the class's
-        arguments, teardown closes everything the factory built.
-        """
-        created = []
+    def factory(inner=None, **kwargs):
+        backend = FlakyBackend(
+            inner if inner is not None else SimulatedBackend(), **kwargs
+        )
+        created.append(backend)
+        return backend
 
-        def factory(inner=None, **kwargs):
-            backend = FlakyBackend(
-                inner if inner is not None else SimulatedBackend(), **kwargs
-            )
-            created.append(backend)
-            return backend
-
-        yield factory
-        for backend in created:
-            backend.close()
+    yield factory
+    for backend in created:
+        backend.close()

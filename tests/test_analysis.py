@@ -775,6 +775,20 @@ class TestSourceTree:
         assert "file(s) scanned" in text
         json.loads(report_to_json(report, default_rules()))
 
+    def test_suppression_inventory_only_shrinks(self):
+        # A ratchet, not a target: lower the bound when a suppression goes,
+        # never raise it.  The join-state layer has none left -- no engine
+        # side copy of the state (STATE001) survives under streaming/.
+        report = Analyzer(default_rules()).analyze_paths([SRC_ROOT])
+        assert report.suppression_count <= 28
+        state_copies = [
+            finding.location()
+            for finding in report.suppressed
+            if finding.rule_id == "STATE001"
+            and "streaming" in Path(finding.path).parts
+        ]
+        assert state_copies == []
+
     def test_every_suppression_carries_a_justification(self):
         # Discipline: `# repro: ignore[RULE]` must be followed by a second
         # `#`-comment explaining why, so exceptions stay auditable.  Only

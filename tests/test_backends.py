@@ -15,6 +15,8 @@ runners can deselect them with ``-m "not multiprocess"``.
 from __future__ import annotations
 
 import os
+import signal
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -41,6 +43,7 @@ from repro.streaming import (
 )
 from repro.streaming.backends import _StickyWorkerState
 from repro.streaming.shm import SEGMENT_PREFIX
+from streaming_harness import _ForwardingBackend
 
 UNIT = WeightFunction(1.0, 1.0)
 BAND = BandJoinCondition(beta=1.0)
@@ -199,6 +202,16 @@ class TestStartMethodPinning:
         sticky.close()
 
 
+class _ArrayReader:
+    """Stands in for a worker's ``ShmReader``: the message *is* the arrays."""
+
+    def __init__(self, arrays):
+        self._arrays = arrays
+
+    def arrays(self, message):
+        return self._arrays
+
+
 class TestStickyWorkerState:
     """The shared state table, and the sticky worker's handlers over it.
 
@@ -222,9 +235,9 @@ class TestStickyWorkerState:
 
     def test_count_replays_the_incremental_fold(self, rng):
         table = RegionStateTable([0])
-        worker = _StickyWorkerState(machines=(0,))
-        op, pid = worker.init(BAND, BAND.transposed)
-        assert op == "ok" and pid == os.getpid()
+        worker = _StickyWorkerState()
+        op, pid = worker.own((0,), BAND, BAND.transposed)
+        assert op == "owned" and pid == os.getpid()
         history1 = rng.uniform(0, 50, 60)
         history2 = rng.uniform(0, 50, 60)
         state1 = SortedRegionState()
@@ -267,34 +280,30 @@ class TestStickyWorkerState:
                 )
             tasks_per_half.append(np.bincount(owners, minlength=2).tolist())
             # ... and the worker counts them, summing the runs per half.
-            op, counted = worker.count([idx1, keys1, idx2, keys2])
-            assert op == "counted"
-            ((machine, out_a, out_b, sec_a, sec_b),) = counted
-            assert machine == 0
-            assert out_a + out_b == expected
-            assert sec_a >= 0.0 and sec_b >= 0.0
+            ((output, seconds),) = worker.count([idx1, keys1, idx2, keys2])
+            assert output == expected
+            assert seconds >= 0.0
         assert tasks_per_half == [[1, 1], [2, 1], [1, 2]]
         for owner in (table, worker.table):
             np.testing.assert_array_equal(owner.state1[0].keys, state1.keys)
             np.testing.assert_array_equal(owner.state2[0].keys, state2.keys)
 
     def test_count_touches_owned_machines_only(self, rng):
-        worker = _StickyWorkerState(machines=(1,))
-        worker.init(BAND, BAND.transposed)
+        worker = _StickyWorkerState()
+        worker.own((1,), BAND, BAND.transposed)
         keys = rng.uniform(0, 50, 20)
         idx = np.arange(20, dtype=np.int64)
-        op, counted = worker.count(self._layout(2, 1, idx, keys, idx, keys))
-        assert op == "counted"
-        assert [entry[0] for entry in counted] == [1]
+        counted = worker.count(self._layout(2, 1, idx, keys, idx, keys))
+        assert len(counted) == 1  # one row per *owned* machine
         assert 0 not in worker.table.state1
-        assert len(worker.table.state1[1]) == 20
+        assert worker.held() == [(1, 20, 20)]
 
     def test_empty_sides_are_skipped_and_untimed(self):
-        worker = _StickyWorkerState(machines=(0,))
-        worker.init(BAND, BAND.transposed)
+        worker = _StickyWorkerState()
+        worker.own((0,), BAND, BAND.transposed)
         empty_i, empty_k = np.empty(0, dtype=np.int64), np.empty(0)
-        op, counted = worker.count([empty_i, empty_k, empty_i, empty_k])
-        assert counted == [(0, 0, 0, 0.0, 0.0)]
+        counted = worker.count([empty_i, empty_k, empty_i, empty_k])
+        assert counted == [(0, 0.0)]
 
     def test_evict_reports_entries_actually_dropped(self, rng):
         table = RegionStateTable([0, 1])
@@ -302,14 +311,16 @@ class TestStickyWorkerState:
         keys = rng.uniform(0, 50, 10)
         table.fold(self._layout(2, 0, idx, keys, idx, keys))
         expired = np.array([2, 5, 7, 99], dtype=np.int64)  # 99 not resident
-        assert table.evict(expired, expired) == 6  # three real entries per side
+        # Three real entries per side on machine 0, nothing on machine 1.
+        assert table.evict(expired, expired) == [(3, 3), (0, 0)]
         assert len(table.state1[0]) == 7 and len(table.state2[0]) == 7
         assert len(table.state1[1]) == 0
         # The worker's handler is that call behind a message.
-        worker = _StickyWorkerState(machines=(0,))
-        worker.init(BAND, BAND.transposed)
+        worker = _StickyWorkerState()
+        worker.own((0,), BAND, BAND.transposed)
         worker.count([idx, keys, idx, keys])
-        assert worker.evict([expired, expired]) == ("evicted", 6)
+        assert worker.evict([expired, expired]) == [(3, 3)]
+        assert worker.held() == [(0, 7, 7)]
 
     def test_install_rebuilds_bit_identical_to_from_indices(self, rng):
         table = RegionStateTable([0])
@@ -319,22 +330,24 @@ class TestStickyWorkerState:
         reference = SortedRegionState.from_indices(idx, history)
         np.testing.assert_array_equal(table.state1[0].keys, reference.keys)
         np.testing.assert_array_equal(table.state1[0].index, reference.index)
-        worker = _StickyWorkerState(machines=(0,))
-        op = worker.install([idx, history[idx], idx, history[idx]])[0]
-        assert op == "installed"
+        worker = _StickyWorkerState()
+        worker.own((0,), BAND, BAND.transposed)
+        reply = worker.handle(("install", None), _ArrayReader([idx, history[idx]] * 2))
+        assert reply == ("install", [(0, 0, 0)])  # held nothing on receipt
         np.testing.assert_array_equal(
             worker.table.state1[0].index, reference.index
         )
 
     def test_worker_resize_adopts_new_machines_with_empty_state(self, rng):
-        worker = _StickyWorkerState(machines=(0,))
-        worker.init(BAND, BAND.transposed)
+        worker = _StickyWorkerState()
+        worker.own((0,), BAND, BAND.transposed)
         idx = np.arange(5, dtype=np.int64)
         keys = rng.uniform(0, 50, 5)
         worker.count([idx, keys, idx, keys])
-        assert worker.resize((1, 3)) == ("resized", os.getpid())
+        # A resize is the same command bind sent, with the new machines.
+        assert worker.own((1, 3), BAND, BAND.transposed) == ("owned", os.getpid())
         assert worker.table.machines == (1, 3)
-        assert all(len(state) == 0 for state in worker.table.state1.values())
+        assert worker.held() == [(1, 0, 0), (3, 0, 0)]
 
     def test_state_never_aliases_the_message_views(self, rng):
         # Fold inputs may be views into a reused shared segment; resident
@@ -349,7 +362,7 @@ class TestStickyWorkerState:
         np.testing.assert_array_equal(table.state1[0].keys, before)
 
     def test_unknown_command_raises(self):
-        worker = _StickyWorkerState(machines=(0,))
+        worker = _StickyWorkerState()
         with pytest.raises(ValueError, match="unknown sticky-worker command"):
             worker.handle(("bogus",), None)
 
@@ -468,6 +481,60 @@ class TestInProcessStateProtocol:
         )
 
 
+class _ShadowingBackend(_ForwardingBackend):
+    """Forward every verb to the inner backend *and* an in-process twin.
+
+    After each verb the inner backend's ``resident_indices`` must equal the
+    twin's, per machine and side, as sets (order within a machine is
+    unspecified on every backend).  ``compared`` lists the verbs checked.
+    """
+
+    wrapper_name = "shadowing"
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.twin = SimulatedBackend()
+        self.compared: "list[str]" = []
+
+    def _compare(self, verb: str) -> None:
+        self.compared.append(verb)
+        for ours, theirs in zip(
+            self.inner.resident_indices(), self.twin.resident_indices()
+        ):
+            assert len(ours) == len(theirs)
+            for mine, expected in zip(ours, theirs):
+                assert sorted(mine.tolist()) == sorted(expected.tolist())
+
+    def bind(self, num_machines, condition, transposed) -> None:
+        super().bind(num_machines, condition, transposed)
+        self.twin.bind(num_machines, condition, transposed)
+
+    def count_batch(self, new1, new2, history1, history2):
+        execution = super().count_batch(new1, new2, history1, history2)
+        twin = self.twin.count_batch(new1, new2, history1, history2)
+        np.testing.assert_array_equal(
+            execution.per_machine_output, twin.per_machine_output
+        )
+        self._compare("count")
+        return execution
+
+    def evict_state(self, expired1, expired2) -> int:
+        dropped = super().evict_state(expired1, expired2)
+        assert dropped == self.twin.evict_state(expired1, expired2)
+        self._compare("evict")
+        return dropped
+
+    def install_state(self, assignments1, assignments2, history1, history2):
+        super().install_state(assignments1, assignments2, history1, history2)
+        self.twin.install_state(assignments1, assignments2, history1, history2)
+        self._compare("install")
+
+    def resize(self, num_machines: int) -> None:
+        super().resize(num_machines)
+        self.twin.resize(num_machines)
+        self._compare("resize")
+
+
 @pytest.mark.multiprocess
 class TestStickyWorkerBackend:
     """Lifecycle contract of the sticky backend: bind once, close cleanly."""
@@ -476,50 +543,97 @@ class TestStickyWorkerBackend:
         history1 = rng.uniform(0, 50, 80)
         history2 = rng.uniform(0, 50, 80)
         split = [np.arange(0, 40, dtype=np.int64), np.arange(40, 80, dtype=np.int64)]
-        reference = _StickyWorkerState(machines=(0, 1))
-        reference.init(BAND, BAND.transposed)
+        reference = _StickyWorkerState()
+        reference.own((0, 1), BAND, BAND.transposed)
         expected = reference.count(
             [split[0], history1[split[0]], split[0], history2[split[0]],
              split[1], history1[split[1]], split[1], history2[split[1]]]
-        )[1]
+        )
         with StickyWorkerBackend(max_workers=2) as backend:
             backend.bind(2, BAND, BAND.transposed)
             result = backend.count_batch(split, split, history1, history2)
-        for machine, out_a, out_b, _sec_a, _sec_b in expected:
-            assert result.per_machine_output[machine] == out_a + out_b
+        assert result.per_machine_output.tolist() == [out for out, _ in expected]
 
-    def test_resident_indices_mirror_tracks_every_protocol_call(self, rng):
-        history = rng.uniform(0, 50, 40)
-        first = [np.array([3, 1, 7], dtype=np.int64), np.array([2], dtype=np.int64)]
+    def test_read_back_matches_the_in_process_view_after_every_verb(self):
+        """Sticky workers hold the only copy; reading it back is the twin's view.
+
+        A windowed drift run (counts, evictions, a drift migration's install)
+        plus a mid-stream resize, every verb forwarded to the sticky backend
+        *and* an in-process twin: after each one the read-back equals the
+        twin's ``resident_indices``, per machine and side, as sets.
+        """
+        with StickyWorkerBackend(max_workers=2) as sticky:
+            shadowing = _ShadowingBackend(sticky)
+            engine = _drift_engine(shadowing, window="batches:3")
+            engine.start()
+            for batch in _drift_source().batches():
+                engine.process_batch(batch)
+                if batch.index == 5:
+                    engine.resize(6)
+            engine.finish(verify=False)
+            assert set(shadowing.compared) == {"count", "evict", "install", "resize"}
+            assert shadowing.compared.count("install") >= 2  # drift + resize
+
+    def test_bound_backend_keeps_counts_not_tuples(self, rng):
+        """Between batches the engine side holds no per-tuple array: one
+        integer per machine and side (plus the machine-to-pid map)."""
+        history = rng.uniform(0, 50, 4000)
+        idx = [np.arange(m, 4000, 4, dtype=np.int64) for m in range(4)]
+        with StickyWorkerBackend(max_workers=2) as backend:
+            backend.bind(4, BAND, BAND.transposed)
+            backend.count_batch(idx, idx, history, history)
+            backend.evict_state(np.arange(8, dtype=np.int64), np.empty(0, dtype=np.int64))
+            backend.resident_indices()
+            assert backend._counts.tolist() == [[998, 1000]] * 4
+            arrays = {
+                name: value.shape
+                for name, value in vars(backend).items()
+                if isinstance(value, np.ndarray)
+            }
+            assert arrays == {"_counts": (4, 2), "_machine_pids": (4,)}
+            assert not any(
+                isinstance(value, (list, dict)) and len(value) > backend.max_workers
+                for value in vars(backend).values()
+            )
+
+    def test_read_back_is_metered_copied_and_never_pickled(self, rng):
+        history = rng.uniform(0, 50, 64)
+        idx = [np.arange(0, 40, dtype=np.int64), np.arange(40, 64, dtype=np.int64)]
         with StickyWorkerBackend(max_workers=2) as backend:
             backend.bind(2, BAND, BAND.transposed)
-            backend.count_batch(first, first, history, history)
+            backend.count_batch(idx, idx, history, history)
+            backend.drain_channel_bytes()
             held1, held2 = backend.resident_indices()
-            assert [h.tolist() for h in held1] == [[1, 3, 7], [2]]
-            expired = np.array([1, 2], dtype=np.int64)
-            assert backend.evict_state(expired, expired) == 4
-            held1, held2 = backend.resident_indices()
-            assert [h.tolist() for h in held1] == [[3, 7], []]
-            moved = [np.array([4], dtype=np.int64), np.array([9, 0], dtype=np.int64)]
-            backend.install_state(moved, moved, history, history)
-            held1, held2 = backend.resident_indices()
-            assert [h.tolist() for h in held2] == [[4], [0, 9]]
-            backend.resize(3)
-            held1, held2 = backend.resident_indices()
-            assert [len(h) for h in held1 + held2] == [0] * 6
+            pickled, unpickled, shm = backend.drain_channel_bytes()
+            # 2 sides x 64 int64 indices rode the arena; the pickle channel
+            # carried a descriptor out and a few integers back per worker.
+            assert shm == 2 * 64 * 8
+            assert 0 < pickled < 2 * 600 and 0 < unpickled < 2 * 100
+            assert [sorted(h.tolist()) for h in held1] == [i.tolist() for i in idx]
+            # Copies: the next arena write must not change what was returned.
+            snapshot = [h.copy() for h in held1 + held2]
+            backend.install_state(idx[::-1], idx[::-1], history, history)
+            for array, before in zip(held1 + held2, snapshot):
+                np.testing.assert_array_equal(array, before)
 
-    def test_mirror_divergence_is_detected_on_eviction(self, rng):
-        # The mirror is the backend's claim about worker state; a worker
-        # that dropped a different number of entries is a fault, not noise.
+    def test_divergence_is_detected_on_evict_and_on_read_back(self, rng):
+        # The counts are the backend's claim about worker state; a worker
+        # whose resident length disagrees is a fault, not noise.
         history = rng.uniform(0, 50, 10)
         idx = [np.arange(4, dtype=np.int64)]
-        with StickyWorkerBackend(max_workers=1) as backend:
-            backend.bind(1, BAND, BAND.transposed)
-            backend.count_batch(idx, idx, history, history)
-            backend._held1[0] = backend._held1[0][:2]  # corrupt the claim
-            expired = np.arange(4, dtype=np.int64)
-            with pytest.raises(RuntimeError, match="diverged"):
-                backend.evict_state(expired, expired)
+        expired = np.arange(2, dtype=np.int64)
+        for verb in ("evict_state", "resident_indices"):
+            with StickyWorkerBackend(max_workers=1) as backend:
+                backend.bind(1, BAND, BAND.transposed)
+                backend.count_batch(idx, idx, history, history)
+                # Behind the backend's back: the worker drops two R1 entries.
+                message = backend._arena.write([expired, expired[:0]])
+                assert backend._broadcast(("evict", message))[0][1] == [(0, 4, 4, 2, 0)]
+                with pytest.raises(RuntimeError, match="diverged"):
+                    if verb == "evict_state":
+                        backend.evict_state(expired, expired)
+                    else:
+                        backend.resident_indices()
 
     def test_rebind_refused(self):
         with StickyWorkerBackend(max_workers=1) as backend:
@@ -570,6 +684,35 @@ class TestStickyWorkerBackend:
         backend.close()
         after = {p.name for p in shm_dir.glob(f"{SEGMENT_PREFIX}-*")}
         assert not (live & after)
+
+    def test_close_is_bounded_when_a_worker_is_wedged(self, rng):
+        """A worker that is alive but stopped cannot hang ``close()``.
+
+        The handshake is polled, and SIGTERM never lands on a stopped
+        process, so ``close()`` must escalate to SIGKILL -- and still
+        unlink the segment (the autouse leak fixture checks it too).
+        """
+        backend = StickyWorkerBackend(max_workers=2)
+        backend.bind(2, BAND, BAND.transposed)
+        idx = [np.arange(8, dtype=np.int64)] * 2
+        history = rng.uniform(0, 50, 8)
+        backend.count_batch(idx, idx, history, history)
+        segment = backend._arena.segment_name
+        processes = list(backend._processes)
+        os.kill(processes[0].pid, signal.SIGSTOP)
+        try:
+            started = time.perf_counter()
+            backend.close()
+            elapsed = time.perf_counter() - started
+        finally:
+            for process in processes:
+                if process.is_alive():  # pragma: no cover - only on failure
+                    process.kill()
+        assert elapsed < 5.0
+        assert not any(process.is_alive() for process in processes)
+        assert processes[0].exitcode == -signal.SIGKILL
+        assert not (Path("/dev/shm") / segment).exists()
+        assert backend.closed
 
     def test_worker_pids_are_real_and_follow_ownership(self, rng):
         with StickyWorkerBackend(max_workers=2) as backend:

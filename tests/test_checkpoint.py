@@ -47,7 +47,7 @@ from repro.streaming import (
     make_backend,
     run_resilient,
 )
-from repro.streaming.testing import assert_equivalent_runs
+from streaming_harness import assert_equivalent_runs
 
 UNIT = WeightFunction(1.0, 1.0)
 BAND = BandJoinCondition(beta=1.0)
@@ -171,6 +171,33 @@ def test_restore_bit_identical_across_real_backends(backend_name, window):
     # And the simulated backend continues the same checkpoint identically.
     simulated = resume_and_finish(checkpoint, source)
     assert_equivalent_runs(simulated, uninterrupted)
+
+
+@pytest.mark.multiprocess
+@pytest.mark.parametrize("window", [None, "batches:4"])
+def test_sticky_and_simulated_checkpoints_hold_the_same_state(window):
+    """Read back from the workers or viewed in-process, a checkpoint taken
+    at the same boundary holds the same per-machine arrival indices (the
+    run-so-far it also carries names its backend, so the bytes differ)."""
+    source = make_source(seed=7)
+    _, expected = run_with_checkpoint(source, stop_after=5, window=window, seed=7)
+    with make_backend("sticky", max_workers=2) as backend:
+        engine = make_engine(window=window, backend=backend, seed=7)
+        engine.start()
+        for batch in source.batches():
+            engine.process_batch(batch)
+            if batch.index == 5:
+                checkpoint = engine.checkpoint()
+                break
+        engine.close()
+    assert sum(len(held) for held in checkpoint.state_index1) > 0
+    for ours, theirs in (
+        (checkpoint.state_index1, expected.state_index1),
+        (checkpoint.state_index2, expected.state_index2),
+    ):
+        assert len(ours) == len(theirs) == MACHINES
+        for mine, reference in zip(ours, theirs):
+            np.testing.assert_array_equal(mine, reference)
 
 
 # ---------------------------------------------------------------------------

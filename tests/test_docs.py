@@ -8,8 +8,9 @@ Four things are enforced here (and re-run by the CI ``docs`` job):
 * every ``import repro...`` / ``from repro... import ...`` statement inside
   a fenced python block of those files executes, so deleting a public name
   cannot leave a documented import dangling;
-* every backticked state-protocol verb those files or the
-  ``repro.streaming`` sources name (``*_state``, ``count_batch``,
+* every backticked state-protocol verb those files, the
+  ``repro.streaming`` sources or the test harness that forwards the
+  protocol (``tests/streaming_harness.py``) name (``*_state``, ``count_batch``,
   ``resident_indices``, ``drain_channel_bytes``) is a method of
   ``ExecutionBackend``, so a deleted verb cannot survive in prose;
 * every public module, class, function and method in ``repro.streaming``
@@ -91,7 +92,9 @@ def test_documented_repro_imports_execute(path):
 
 @pytest.mark.parametrize(
     "path",
-    markdown_files() + sorted(STREAMING_DIR.glob("*.py")),
+    markdown_files()
+    + sorted(STREAMING_DIR.glob("*.py"))
+    + [REPO_ROOT / "tests" / "streaming_harness.py"],
     ids=lambda p: p.name,
 )
 def test_named_protocol_verbs_exist(path):

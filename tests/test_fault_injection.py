@@ -2,14 +2,15 @@
 
 Three layers are pinned here:
 
-* the **decorators** (:class:`~repro.streaming.testing.CrashingBackend`,
-  :class:`~repro.streaming.testing.FlakyBackend`) inject deterministic
+* the **decorators** (:class:`~streaming_harness.CrashingBackend`,
+  :class:`~streaming_harness.FlakyBackend`) inject deterministic
   :class:`~repro.streaming.backends.WorkerCrashError` faults at chosen work
   calls while staying otherwise transparent -- same outputs, same protocol;
 * the **real backend** must detect an actually-dead worker process
   *promptly* -- a killed sticky worker turns into ``WorkerCrashError``
   instead of a hang on a dead pipe, and the error names the crashed worker
-  and the recovery path;
+  and the recovery path.  A checkpoint reads state back from the workers,
+  so it is one of the fault points;
 * the **driver** (:func:`~repro.streaming.checkpoint.run_resilient`)
   survives all of it: restart-from-scratch before the first checkpoint,
   restore-from-checkpoint after, onto a fresh backend and optionally a
@@ -40,7 +41,7 @@ from repro.streaming import (
     WorkerCrashError,
     run_resilient,
 )
-from repro.streaming.testing import CrashingBackend, assert_equivalent_runs
+from streaming_harness import CrashingBackend, assert_equivalent_runs
 
 UNIT = WeightFunction(1.0, 1.0)
 BAND = BandJoinCondition(beta=1.0)
@@ -55,9 +56,12 @@ def make_source(seed=3, num_batches=12, tuples=150):
     )
 
 
-def make_engine(backend=None, window=None, seed=5, machines=MACHINES):
+def make_engine(
+    backend=None, window=None, seed=5, machines=MACHINES,
+    engine_cls=StreamingJoinEngine,
+):
     """A fresh adaptive engine over the given backend."""
-    return StreamingJoinEngine(
+    return engine_cls(
         machines, BAND, UNIT,
         policy=DriftAdaptiveEWHPolicy(
             DriftDetector(threshold=1.3, warmup_batches=2, cooldown_batches=3)
@@ -275,6 +279,58 @@ class TestRealWorkerCrashes:
             )
         finally:
             backend.close()
+        assert result.restores == 1
+        assert_equivalent_runs(result, reference)
+
+    def test_worker_killed_between_batches_fails_the_checkpoint_promptly(self):
+        """A checkpoint reads state back from the workers, so it is a fault
+        point: a worker that died since the last batch surfaces as
+        WorkerCrashError from ``engine.checkpoint()``, in bounded time."""
+        source = make_source()
+        backend = StickyWorkerBackend(max_workers=2)
+        try:
+            engine = make_engine(backend=backend)
+            engine.start()
+            batches = source.batches()
+            for _ in range(4):
+                engine.process_batch(next(batches))
+            engine.checkpoint()  # healthy fleet: the read-back works
+            engine.process_batch(next(batches))
+            backend._processes[1].kill()
+            backend._processes[1].join(timeout=5)
+            started = time.perf_counter()
+            with pytest.raises(WorkerCrashError, match="sticky worker 1"):
+                engine.checkpoint()
+            assert time.perf_counter() - started < 10.0
+            engine.close()
+        finally:
+            backend.close()
+
+    def test_run_resilient_recovers_from_a_crash_during_checkpoint(self):
+        """The second checkpoint's read-back hits a dead worker; the driver
+        restores the first checkpoint onto a fresh fleet and the finished
+        run is bit-identical to one that never crashed."""
+        source = make_source()
+        reference = make_engine().run(source)
+        doomed = StickyWorkerBackend(max_workers=2)
+
+        class KillingEngine(StreamingJoinEngine):
+            def checkpoint(self):
+                taken = self._state.result.checkpoints_taken
+                if self.backend is doomed and taken == 1:
+                    doomed._processes[0].kill()
+                    doomed._processes[0].join(timeout=5)
+                return super().checkpoint()
+
+        try:
+            result = run_resilient(
+                lambda: make_engine(backend=doomed, engine_cls=KillingEngine),
+                source,
+                checkpoint_every=3,
+                backend_factory=lambda: StickyWorkerBackend(max_workers=2),
+            )
+        finally:
+            doomed.close()
         assert result.restores == 1
         assert_equivalent_runs(result, reference)
 

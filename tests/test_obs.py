@@ -58,7 +58,7 @@ from repro.streaming import (
     StreamingPipeline,
     make_backend,
 )
-from repro.streaming.testing import assert_equivalent_runs
+from streaming_harness import assert_equivalent_runs
 
 UNIT = WeightFunction(1.0, 1.0)
 BAND = BandJoinCondition(beta=1.0)

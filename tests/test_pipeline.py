@@ -37,7 +37,7 @@ from repro.streaming import (
     make_backpressure,
     merge_batches,
 )
-from repro.streaming.testing import assert_equivalent_runs
+from streaming_harness import assert_equivalent_runs
 
 UNIT = WeightFunction(1.0, 1.0)
 BAND = BandJoinCondition(beta=1.0)

@@ -24,7 +24,7 @@ from repro.joins.conditions import make_condition
 from repro.query import compile_sql
 from repro.streaming.engine import StreamingJoinEngine
 from repro.streaming.source import ArrayStreamSource
-from repro.streaming.testing import assert_equivalent_runs
+from streaming_harness import assert_equivalent_runs
 from repro.streaming.window import make_window
 
 UNIT = WeightFunction(1.0, 1.0)

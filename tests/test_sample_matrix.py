@@ -18,7 +18,8 @@ from repro.core.region import GridRegion
 from repro.joins.conditions import BandJoinCondition
 from repro.joins.local import count_join_output
 from repro.sampling.equidepth import build_equidepth_histogram
-from repro.sampling.stream_sample import JoinOutputSample, stream_sample
+from repro.sampling.parallel_stream_sample import parallel_stream_sample
+from repro.sampling.stream_sample import JoinOutputSample
 from repro.sampling.sizes import sample_matrix_size
 
 
@@ -30,7 +31,8 @@ def make_histograms(keys1, keys2, ns):
 
 def exact_output_sample(keys1, keys2, condition, size, seed=0):
     rng = np.random.default_rng(seed)
-    return stream_sample(keys1, keys2, condition, size, rng)
+    sample, _ = parallel_stream_sample(keys1, keys2, condition, size, 1, rng)
+    return sample
 
 
 class TestCandidateMask:

@@ -1,5 +1,5 @@
 """Tests for the sampling substrates: sizes, Bernoulli, equi-depth, reservoir,
-and the two Stream-Sample drivers' statistical contract."""
+and the Stream-Sample driver's statistical contract on one machine and several."""
 
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ from repro.sampling.sizes import (
 from repro.sampling.stream_sample import (
     _sample_joinable_keys,
     build_d2_index,
-    stream_sample,
 )
 from repro.streaming.incremental import DecayedReservoir
 
@@ -238,7 +237,8 @@ class TestWeightedReservoir:
 
 
 # ----------------------------------------------------------------------
-# Stream-Sample: what both drivers promise, statistically.  These pin the
+# Stream-Sample: what the driver promises, statistically, on one machine
+# (W = 1, "sequential") and on three (W = 3, "parallel").  These pin the
 # contract ("a uniform sample of the join output, and its exact size"),
 # not one implementation's draw, so they are also the oracle for any later
 # change that is allowed to redraw the sample.
@@ -250,12 +250,10 @@ def _skewed_keys(size: int, domain: int, seed: int) -> np.ndarray:
     return local.choice(domain, size=size, p=mass / mass.sum()).astype(np.float64)
 
 
-def _draw(driver: str, keys1, keys2, condition, size, seed):
-    """One sample from either driver, seeded; returns ``(sample, stats | None)``."""
+def _draw(workers: int, keys1, keys2, condition, size, seed):
+    """One seeded sample over ``workers`` machines; returns ``(sample, stats)``."""
     local = np.random.default_rng(seed)
-    if driver == "sequential":
-        return stream_sample(keys1, keys2, condition, size, local), None
-    return parallel_stream_sample(keys1, keys2, condition, size, 3, local)
+    return parallel_stream_sample(keys1, keys2, condition, size, workers, local)
 
 
 def _output_cells(keys1, keys2, condition) -> dict:
@@ -293,7 +291,9 @@ def _chi_square_fits(observed: np.ndarray, expected: np.ndarray) -> bool:
     return statistic < critical
 
 
-DRIVERS = pytest.mark.parametrize("driver", ["sequential", "parallel"])
+WORKERS = pytest.mark.parametrize(
+    "workers", [pytest.param(1, id="sequential"), pytest.param(3, id="parallel")]
+)
 CONDITIONS = pytest.mark.parametrize(
     "condition",
     [
@@ -307,20 +307,20 @@ CONDITIONS = pytest.mark.parametrize(
 
 
 class TestStreamSampleContract:
-    @DRIVERS
+    @WORKERS
     @CONDITIONS
-    def test_total_output_is_the_exact_join_size(self, driver, condition):
+    def test_total_output_is_the_exact_join_size(self, workers, condition):
         keys1, keys2 = _skewed_keys(300, 40, 1), _skewed_keys(250, 40, 2)
         brute = int(condition.matches_many(keys1[:, None], keys2[None, :]).sum())
-        sample, _ = _draw(driver, keys1, keys2, condition, 64, seed=3)
+        sample, _ = _draw(workers, keys1, keys2, condition, 64, seed=3)
         assert brute > 0
         assert sample.total_output == brute
 
-    @DRIVERS
+    @WORKERS
     @CONDITIONS
-    def test_every_sampled_pair_is_joinable(self, driver, condition):
+    def test_every_sampled_pair_is_joinable(self, workers, condition):
         keys1, keys2 = _skewed_keys(300, 40, 4), _skewed_keys(250, 40, 5)
-        sample, _ = _draw(driver, keys1, keys2, condition, 200, seed=6)
+        sample, _ = _draw(workers, keys1, keys2, condition, 200, seed=6)
         assert sample.size == 200
         assert condition.matches_many(sample.r1_keys, sample.r2_keys).all()
         assert np.isin(sample.r1_keys, keys1).all()
@@ -339,9 +339,9 @@ class TestStreamSampleContract:
         assert sum(scan.sample_pairs_produced) == sample.size == 50
         assert len(scan.d2equi_entries_shipped) == 4
 
-    @DRIVERS
+    @WORKERS
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_sampled_pairs_follow_the_join_output_distribution(self, driver, seed):
+    def test_sampled_pairs_follow_the_join_output_distribution(self, workers, seed):
         """Chi-square over key-pair cells of a small skewed band join.
 
         The sample size is at least ``|R1|``, so the reservoir holds every
@@ -352,15 +352,15 @@ class TestStreamSampleContract:
         keys1, keys2 = _skewed_keys(60, 10, 1), _skewed_keys(50, 10, 2)
         cells = _output_cells(keys1, keys2, condition)
         total = sum(cells.values())
-        sample, _ = _draw(driver, keys1, keys2, condition, 4000, seed)
+        sample, _ = _draw(workers, keys1, keys2, condition, 4000, seed)
         assert sample.total_output == total
         observed = _cell_counts(sample.pairs, cells)
         expected = np.array(list(cells.values())) * (sample.size / total)
         assert expected.min() >= 5  # the chi-square approximation holds
         assert _chi_square_fits(observed, expected)
 
-    @DRIVERS
-    def test_a_truncated_reservoir_stays_close_to_uniform(self, driver):
+    @WORKERS
+    def test_a_truncated_reservoir_stays_close_to_uniform(self, workers):
         """With ``s_o < |R1|`` the WOR -> WR conversion is only approximately
         uniform (and one run's pairs share a reservoir): pooled over 300
         seeds the cell frequencies stay within a total-variation bound
@@ -369,7 +369,7 @@ class TestStreamSampleContract:
         keys1, keys2 = _skewed_keys(60, 10, 1), _skewed_keys(50, 10, 2)
         cells = _output_cells(keys1, keys2, condition)
         pooled = np.concatenate([
-            _draw(driver, keys1, keys2, condition, 15, seed)[0].pairs
+            _draw(workers, keys1, keys2, condition, 15, seed)[0].pairs
             for seed in range(300)
         ])
         observed = _cell_counts(pooled, cells)

@@ -36,7 +36,6 @@ from repro.sampling.stream_sample import (
     _sample_joinable_keys,
     build_d2_index,
     compute_joinable_set_sizes,
-    stream_sample,
 )
 from repro.streaming.incremental import DecayedReservoir
 
@@ -209,12 +208,14 @@ def test_decayed_reservoir_add_batch_equals_the_per_key_loop(
 
 
 # ----------------------------------------------------------------------
-# Both drivers end to end
+# The driver end to end, on one machine and on four
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("driver", ["sequential", "parallel"])
+@pytest.mark.parametrize(
+    "workers", [pytest.param(1, id="sequential"), pytest.param(4, id="parallel")]
+)
 @pytest.mark.parametrize("seed", range(4))
 def test_drivers_draw_the_same_sample_as_with_the_reference_kernels(
-    driver, seed, monkeypatch
+    workers, seed, monkeypatch
 ):
     data = np.random.default_rng(seed)
     keys1 = data.integers(0, 300, size=2000).astype(np.float64)
@@ -223,10 +224,7 @@ def test_drivers_draw_the_same_sample_as_with_the_reference_kernels(
 
     def draw():
         rng = np.random.default_rng(seed + 10)
-        if driver == "sequential":
-            sample = stream_sample(keys1, keys2, condition, 120, rng)
-        else:
-            sample, _ = parallel_stream_sample(keys1, keys2, condition, 120, 4, rng)
+        sample, _ = parallel_stream_sample(keys1, keys2, condition, 120, workers, rng)
         return sample, rng
 
     sample, rng = draw()
@@ -235,3 +233,86 @@ def test_drivers_draw_the_same_sample_as_with_the_reference_kernels(
     assert sample.total_output == expected.total_output
     np.testing.assert_array_equal(sample.pairs, expected.pairs)
     assert _same_state(rng, reference_rng)
+
+
+# ----------------------------------------------------------------------
+# One driver: W = 1 against the sequential body that used to ship beside it
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", range(48))
+def test_one_worker_is_the_sequential_driver(seed):
+    """``parallel_stream_sample(num_workers=1)`` *is* sequential Stream-Sample.
+
+    Same pairs, same exact ``m``, generator left in the same state -- over
+    skewed and uniform keys, every condition family, and sample sizes on
+    both sides of ``|R1|`` (below it the reservoir truncates; above it the
+    reservoir holds every joinable R1 tuple).
+    """
+    data = np.random.default_rng(1000 + seed)
+    size1, size2 = int(data.integers(1, 400)), int(data.integers(1, 300))
+    domain = int(data.integers(2, 120))
+    if seed % 2:
+        mass = 1.0 / np.arange(1, domain + 1) ** 0.9
+        keys1 = data.choice(domain, size=size1, p=mass / mass.sum()).astype(np.float64)
+    else:
+        keys1 = data.integers(0, domain, size=size1).astype(np.float64)
+    keys2 = data.integers(0, domain, size=size2).astype(np.float64)
+    condition = [
+        BandJoinCondition(beta=0.0),
+        BandJoinCondition(beta=2.0),
+        EquiJoinCondition(),
+        InequalityJoinCondition(op=InequalityOp.LT),
+    ][seed % 4]
+    sample_size = [max(size1 // 8, 1), size1, 3 * size1][seed % 3]
+    rng, reference_rng = _twin_generators(seed)
+    sample, stats = parallel_stream_sample(keys1, keys2, condition, sample_size, 1, rng)
+    expected = reference.stream_sample(
+        keys1, keys2, condition, sample_size, reference_rng
+    )
+    assert sample.total_output == expected.total_output
+    np.testing.assert_array_equal(sample.pairs, expected.pairs)
+    assert sample.pairs.shape == expected.pairs.shape
+    assert _same_state(rng, reference_rng)
+    assert stats.r1_tuples_scanned == [size1] and stats.r2_tuples_scanned == [size2]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize(
+    "keys1, keys2, exact",
+    [
+        (np.arange(10.0), np.arange(10.0), 28),  # 10 + 2 * 9 pairs within beta = 1
+        (np.arange(10.0), np.arange(100.0, 110.0), 0),  # nothing joins
+        (np.arange(10.0), np.empty(0), 0),
+        (np.empty(0), np.arange(10.0), 0),
+    ],
+    ids=["joining", "disjoint", "empty-r2", "empty-r1"],
+)
+def test_degenerate_sample_sizes(workers, keys1, keys2, exact):
+    """``sample_size=0`` still reports the exact ``m``; a negative size is refused.
+
+    The deleted sequential driver answered both this way; an empty sample
+    draws nothing, so the generator is left alone.
+    """
+    condition = BandJoinCondition(beta=1.0)
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    sample, stats = parallel_stream_sample(keys1, keys2, condition, 0, workers, rng)
+    assert sample.total_output == exact
+    assert sample.total_output == reference.stream_sample(
+        keys1, keys2, condition, 0, np.random.default_rng(5)
+    ).total_output
+    assert sample.pairs.shape == (0, 2)
+    assert rng.bit_generator.state == before
+    if len(keys1) and len(keys2):  # jobs 1 and 2 ran: every tuple was scanned
+        assert stats.total_tuples_scanned == len(keys1) + len(keys2)
+    with pytest.raises(ValueError, match="sample_size must be non-negative"):
+        parallel_stream_sample(keys1, keys2, condition, -1, workers, rng)
+
+
+def test_the_sequential_driver_is_gone_from_the_package():
+    """``repro.sampling.stream_sample`` names the kernel module, not a function."""
+    import repro.sampling
+
+    assert "stream_sample" not in repro.sampling.__all__
+    assert not callable(repro.sampling.stream_sample)
+    with pytest.raises(ImportError):
+        from repro.sampling.stream_sample import stream_sample  # noqa: F401

@@ -35,6 +35,7 @@ from repro.streaming import (
     SimulatedBackend,
     SortedRegionState,
     StaticEWHPolicy,
+    StickyWorkerBackend,
     StreamingJoinEngine,
 )
 from repro.streaming.incremental import RUN_MERGE_RATIO
@@ -173,10 +174,10 @@ def test_runs_agree_with_the_single_array_reference(seed, key_mode, condition, s
                         rng.integers(-5, span + 50, max(1, span // 4))
                     )
             dropped = table.evict(expired[1], expired[2])
-            assert dropped == sum(
-                state.evict(expired[side])
-                for (_, side), state in reference.items()
-            )
+            assert dropped == [
+                tuple(reference[machine, side].evict(expired[side]) for side in (1, 2))
+                for machine in MACHINES
+            ]
         else:
             layout = []
             for machine in MACHINES:
@@ -312,14 +313,8 @@ def test_emptied_state_adopts_the_next_dtype():
     assert state.keys.dtype == np.float64
 
 
-def test_process_batch_never_reads_the_resident_view(monkeypatch):
-    """Accounting is O(J): the whole-state read view is for migrations only."""
-    backend = SimulatedBackend()
-
-    def refuse():
-        raise AssertionError("resident_indices() called on the per-batch path")
-
-    rng = np.random.default_rng(7)
+def _windowed_static_engine(backend) -> StreamingJoinEngine:
+    """A started static-plan engine under ``batches:3`` on the given backend."""
     engine = StreamingJoinEngine(
         4,
         BandJoinCondition(beta=1.0),
@@ -329,15 +324,31 @@ def test_process_batch_never_reads_the_resident_view(monkeypatch):
         window="batches:3",
     )
     engine.start()
+    return engine
+
+
+def _random_batch(rng, index: int) -> MicroBatch:
+    """150 integer-valued keys per side from ``range(200)``."""
+    return MicroBatch(
+        index,
+        rng.integers(0, 200, 150).astype(np.float64),
+        rng.integers(0, 200, 150).astype(np.float64),
+    )
+
+
+def test_process_batch_never_reads_the_resident_view(monkeypatch):
+    """Accounting is O(J): the whole-state read view is for migrations only."""
+    backend = SimulatedBackend()
+
+    def refuse():
+        raise AssertionError("resident_indices() called on the per-batch path")
+
+    rng = np.random.default_rng(7)
+    engine = _windowed_static_engine(backend)
     monkeypatch.setattr(backend, "resident_indices", refuse)
     table = backend._table
     for index in range(12):
-        batch = MicroBatch(
-            index,
-            rng.integers(0, 200, 150).astype(np.float64),
-            rng.integers(0, 200, 150).astype(np.float64),
-        )
-        metrics = engine.process_batch(batch)
+        metrics = engine.process_batch(_random_batch(rng, index))
         assert metrics.tuples_evicted > 0 or index < 3
         # The running count is the truth, batch after batch.
         assert metrics.resident_tuples == sum(
@@ -348,3 +359,29 @@ def test_process_batch_never_reads_the_resident_view(monkeypatch):
     # The patch does bite where the view is legitimately read.
     with pytest.raises(AssertionError, match="per-batch path"):
         engine.checkpoint()
+
+
+@pytest.mark.multiprocess
+def test_sticky_process_batch_sends_no_indices_command(monkeypatch):
+    """Reading state back is for migrations and checkpoints: the per-batch
+    path of a sticky run neither calls ``resident_indices`` nor sends its
+    ``"indices"`` worker command."""
+    sent = []
+    rng = np.random.default_rng(7)
+    with StickyWorkerBackend(max_workers=2) as backend:
+        broadcast = backend._broadcast
+
+        def spy(command):
+            sent.append(command[0])
+            return broadcast(command)
+
+        engine = _windowed_static_engine(backend)
+        monkeypatch.setattr(backend, "_broadcast", spy)
+        for index in range(8):
+            metrics = engine.process_batch(_random_batch(rng, index))
+            # The running count agrees with the backend's per-machine counts.
+            assert metrics.resident_tuples == int(backend._counts.sum())
+        assert set(sent) == {"count", "evict"}
+        engine.checkpoint()
+        assert sent[-1] == "indices"
+        engine.close()

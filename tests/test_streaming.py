@@ -32,7 +32,7 @@ from repro.streaming import (
     make_backend,
     plan_migration,
 )
-from repro.streaming.testing import (
+from streaming_harness import (
     PositionalRebuildEngine,
     RecountingBackend,
     assert_equivalent_runs,

@@ -30,7 +30,7 @@ from repro.streaming import (
     compare_streaming_schemes,
     make_window,
 )
-from repro.streaming.testing import NoTrimWindow, RecountingBackend
+from streaming_harness import NoTrimWindow, RecountingBackend
 
 UNIT = WeightFunction(1.0, 1.0)
 BAND = BandJoinCondition(beta=1.0)

@@ -9,7 +9,7 @@ sizes, window shapes and policies:
   knows nothing about partitionings, machines or migrations, so this also
   proves a repartitioning can never resurrect expired state);
 * **incremental count == full recount** -- the
-  :class:`~repro.streaming.testing.RecountingBackend` oracle replays the
+  :class:`~streaming_harness.RecountingBackend` oracle replays the
   pre-window engine's counting loop (recount every machine's full region,
   difference against the previous total) behind the protocol, and the
   incremental deltas must match it batch by batch, machine by machine;
@@ -49,7 +49,7 @@ from repro.streaming import (
     StreamingJoinEngine,
     make_window,
 )
-from repro.streaming.testing import (
+from streaming_harness import (
     NoTrimWindow,
     RecountingBackend,
     assert_equivalent_runs,
@@ -250,7 +250,7 @@ def test_compaction_is_invisible_and_bounds_the_footprint(
     (a) Every per-batch metric of the compacted engine -- output deltas,
     per-machine loads, evictions, bytes freed, resident state, migration
     volumes and plans -- is bit-identical to an uncompacted reference run
-    (the same window behind :class:`~repro.streaming.testing.NoTrimWindow`,
+    (the same window behind :class:`~streaming_harness.NoTrimWindow`,
     the pre-compaction engine) on the same seeded stream.  (b) The
     compacted engine's total footprint -- history lengths, live-set lengths
     and resident state -- stays below a constant derived only from the
