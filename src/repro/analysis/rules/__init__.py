@@ -9,7 +9,7 @@ DET002    no global-RNG calls — thread a seeded ``Generator``
 KEY001    no float coercion on join-key dataflow (exact int64 keys)
 CONC001   no fork / pickled lambdas / module-level mutable state
 API001    complete ``ExecutionBackend`` surfaces, bind-first ordering
-STATE001  no ``np.insert`` / ``np.isin`` under ``repro.streaming``
+STATE001  no ``np.insert`` / ``isin`` / ``ufunc.at`` under streaming
 SUP001    suppression comments must cite rule ids that exist
 ========  ==========================================================
 

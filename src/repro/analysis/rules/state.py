@@ -1,4 +1,4 @@
-"""STATE001: no per-call ``O(state)`` array rebuilds in the streaming state path.
+"""STATE001: no ``O(state)`` array rebuilds or unbuffered scatters in the streaming state path.
 
 The streaming engine's join state, key histories and live sets are touched
 on every micro-batch, so anything that copies or sorts a whole retained
@@ -14,7 +14,13 @@ which is exactly how the state layer used to spend most of a batch:
 This rule flags both calls anywhere under ``repro/streaming`` so neither
 grows back.  Append to a run or an arena and merge geometrically instead of
 ``np.insert``; test membership with ``surviving`` / ``drop_expired`` (a
-range check, else one ``searchsorted``) instead of ``np.isin``.  A call that
+range check, else one ``searchsorted``) instead of ``np.isin``.
+
+It also flags ``np.add.at`` and every other ``np.<ufunc>.at``: an unbuffered
+scatter that handles one element at a time, where the per-batch paths always
+have their targets sorted (a fold's task owners ascend), so one
+``np.<ufunc>.reduceat`` over the segment starts is exact and one buffered
+pass (``RegionStateTable.sum_halves``).  A call that
 is genuinely off the per-batch path of every measured workload, or part of
 a test oracle, carries an inline ``# repro: ignore[STATE001]`` saying so.
 """
@@ -30,14 +36,15 @@ __all__ = ["StateCopyRule"]
 
 
 class StateCopyRule(Rule):
-    """STATE001: ``np.insert`` / ``np.isin`` under ``repro.streaming``."""
+    """STATE001: ``np.insert`` / ``np.isin`` / ``np.<ufunc>.at`` under ``repro.streaming``."""
 
     rule_id = "STATE001"
     name = "O(state) array rebuild"
     description = (
         "np.insert copies and np.isin re-sorts a whole retained array per "
-        "call; under repro.streaming append to a sorted run / arena and "
-        "test membership with window.surviving instead"
+        "call, and ufunc.at scatters one element at a time; under "
+        "repro.streaming append to a sorted run / arena, test membership "
+        "with window.surviving and sum sorted segments with ufunc.reduceat"
     )
     target_node_types = (ast.Call,)
     include = ("repro/streaming/",)
@@ -50,10 +57,19 @@ class StateCopyRule(Rule):
         "repro.streaming.window.surviving / drop_expired instead",
     }
 
+    #: Why every ``numpy.<ufunc>.at`` is flagged.
+    scatter_reason = (
+        "is an unbuffered scatter, one element per step; the per-batch "
+        "paths hold their targets sorted, so reduce each segment with the "
+        "ufunc's reduceat instead"
+    )
+
     def check(self, node: ast.AST, context: SourceContext) -> Iterator[Violation]:
         """Flag calls resolving to the banned numpy functions."""
         assert isinstance(node, ast.Call)
-        resolved = context.resolve(node.func)
-        reason = self.banned.get(resolved or "")
+        resolved = context.resolve(node.func) or ""
+        reason = self.banned.get(resolved)
+        if resolved.startswith("numpy.") and resolved.endswith(".at"):
+            reason = self.scatter_reason
         if reason is not None:
             yield Violation(node, f"{resolved} {reason}")

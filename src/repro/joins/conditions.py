@@ -197,9 +197,10 @@ class JoinCondition:
         keys1 = np.asarray(keys1)
         sorted_keys2 = np.asarray(sorted_keys2)
         lows, highs = self.joinable_bounds(keys1)
-        left = np.searchsorted(sorted_keys2, lows, side="left")
-        right = np.searchsorted(sorted_keys2, highs, side="right")
-        return (right - left).astype(np.int64)
+        # The difference of two intp index arrays is already a fresh int64.
+        return sorted_keys2.searchsorted(highs, "right") - sorted_keys2.searchsorted(
+            lows, "left"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{self.__class__.__name__}()"

@@ -48,13 +48,13 @@ import abc
 import multiprocessing
 import os
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
 
 from repro.engine.executor import broadcast_conditions, pickled_nbytes
-from repro.joins.conditions import JoinCondition
-from repro.joins.local import count_join_output
+from repro.joins.conditions import JoinCondition, normalise_keys
 from repro.obs.clock import perf_counter
 from repro.streaming.arrivals import ArrivalLog
 from repro.streaming.incremental import SortedRegionState
@@ -217,7 +217,11 @@ class RegionStateTable:
         original condition, 1 for the transposed one; :meth:`sum_halves`
         folds per-task values back.  A half whose searched state is empty
         keeps one task with nothing to search, so every machine has at
-        least its two tasks and every arrival is a needle at least once.
+        least its two tasks and every arrival is a needle at least once --
+        and ``owners`` ascends with every half present, which is what lets
+        :meth:`sum_halves` be one segmented reduction.  The tasks of one
+        half share their needles *array*, so the count kernel computes
+        joinable bounds for it once, not once per run.
         """
         tasks: "list[tuple[np.ndarray, np.ndarray]]" = []
         owners: "list[int]" = []
@@ -237,10 +241,14 @@ class RegionStateTable:
         return tasks, np.array(owners, dtype=np.int64)
 
     def sum_halves(self, values: np.ndarray, owners: np.ndarray) -> np.ndarray:
-        """Sum per-task ``values`` into a ``(machines, 2)`` array of halves."""
-        halves = np.zeros(2 * len(self.machines), dtype=values.dtype)
-        np.add.at(halves, owners, values)
-        return halves.reshape(-1, 2)
+        """Sum per-task ``values`` into a ``(machines, 2)`` array of halves.
+
+        ``owners`` is what :meth:`fold` returned: ascending, every half
+        present -- so each half is one contiguous stretch of tasks and the
+        sums are a single segmented reduction from where each starts.
+        """
+        starts = owners.searchsorted(np.arange(2 * len(self.machines)))
+        return np.add.reduceat(values, starts).reshape(-1, 2)
 
     def evict(
         self, expired1: np.ndarray, expired2: np.ndarray
@@ -297,16 +305,56 @@ def _count_regions(
     The one in-process counting loop: :class:`SimulatedBackend` runs it in
     the engine's process, every sticky worker runs it in its own.  Regions
     with an empty side produce nothing and are never timed.
+
+    Joinable bounds are computed **once per condition per dispatch**, not
+    once per region: the (normalised) first-side arrays of a condition's
+    non-empty regions are laid end to end, ``joinable_bounds`` runs once
+    over the lot and every region searches with its slice.  Bounds are
+    element-wise functions of the key, so a slice holds exactly what a
+    per-region call would have returned -- and a fold's dispatch (two
+    conditions, one task per sorted run, consecutive tasks sharing their
+    needles) costs two bounds passes however many runs there are.  What
+    stays per region, and is all that is timed: the two binary searches of
+    its second side (sorted first unless ``keys2_sorted``) and their sum.
     """
     outputs = np.zeros(len(region_keys), dtype=np.int64)
     seconds = np.zeros(len(region_keys))
+    # (condition, key dtype) -> the condition and its needle arrays.  The
+    # dtype is part of the key so that laying arrays end to end never
+    # promotes exact int64 keys to float.
+    groups: "dict[tuple, tuple[JoinCondition, list[np.ndarray]]]" = {}
+    # Per non-empty region: (region, second side, group, needles' position).
+    searches: "list[tuple[int, np.ndarray, tuple, int]]" = []
+    last_keys1 = last_condition = None
     for region, (keys1, keys2) in enumerate(region_keys):
         if len(keys1) == 0 or len(keys2) == 0:
             continue
-        started = perf_counter()
-        outputs[region] = count_join_output(
-            keys1, keys2, conditions[region], keys2_sorted=keys2_sorted
+        condition = conditions[region]
+        if keys1 is not last_keys1 or condition is not last_condition:
+            needles = normalise_keys(keys1)
+            group = (id(condition), needles.dtype)
+            arrays = groups.setdefault(group, (condition, []))[1]
+            arrays.append(needles)
+            last_keys1, last_condition = keys1, condition
+        searches.append((region, normalise_keys(keys2), group, len(arrays) - 1))
+    bounds = {}
+    for group, (condition, arrays) in groups.items():
+        lows, highs = condition.joinable_bounds(
+            arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
         )
+        stops = list(accumulate(map(len, arrays)))
+        bounds[group] = [
+            (lows[start:stop], highs[start:stop])
+            for start, stop in zip([0] + stops, stops)
+        ]
+    for region, run, group, position in searches:
+        lows, highs = bounds[group][position]
+        started = perf_counter()
+        if not keys2_sorted:
+            run = np.sort(run)
+        outputs[region] = (
+            run.searchsorted(highs, "right") - run.searchsorted(lows, "left")
+        ).sum()
         seconds[region] = perf_counter() - started
     return outputs, seconds
 

@@ -71,22 +71,23 @@ __all__ = ["DecayedReservoir", "IncrementalHistogram", "SortedRegionState"]
 RUN_MERGE_RATIO = 8
 
 
-def _merge_runs(
-    older: "tuple[np.ndarray, np.ndarray]", newer: "tuple[np.ndarray, np.ndarray]"
+def _merge_sorted(
+    runs: "list[tuple[np.ndarray, np.ndarray]]",
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Merge two key-sorted ``(keys, index)`` runs into one fresh run.
+    """Merge key-sorted ``(keys, index)`` runs, oldest first, into one fresh run.
 
-    A stable sort of the two runs laid end to end: numpy's stable sort is
-    a timsort, which finds the two sorted runs and merges them in one
-    linear pass -- measured about twice as fast as a ``searchsorted`` plus
-    scatter of both columns, at every run size from 1.5K to 400K.  Neither
-    input is modified, so a reader still holding the old run keeps a valid
-    snapshot.
+    One stable sort of the runs laid end to end: numpy's stable sort is a
+    timsort, which finds the sorted runs and merges them in linear passes
+    -- measured about twice as fast as a ``searchsorted`` plus scatter of
+    both columns, at every run size from 1.5K to 400K.  Equal keys keep
+    their oldest-run-first order, exactly as a cascade of pairwise merges
+    from the newest run back would leave them.  No input is modified, so a
+    reader still holding an old run keeps a valid snapshot.
     """
-    keys = np.concatenate([older[0], newer[0]])
+    keys = np.concatenate([keys for keys, _ in runs])
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    return keys, np.concatenate([older[1], newer[1]])[order]
+    index = np.concatenate([index for _, index in runs])
+    return keys[order], index[order]
 
 
 class SortedRegionState:
@@ -97,8 +98,9 @@ class SortedRegionState:
     machine's (much larger) retained state.  The state is a short list of
     **runs**, each a ``(keys, index)`` column pair sorted by join key,
     oldest and largest first.  A batch's arrivals are sorted once and
-    appended as the newest run, which is then merged into its predecessor
-    while the predecessor is smaller than :data:`RUN_MERGE_RATIO` times it
+    appended as the newest run, which then swallows its predecessor while
+    the predecessor is smaller than :data:`RUN_MERGE_RATIO` times it -- the
+    whole cascade merged in one pass
     (the Bentley--Saxe logarithmic method, the sorted runs of an LSM tree):
     adjacent runs stay at least that ratio apart, so ``N`` tuples inserted
     ``m`` at a time sit in at most ``log_ratio(N / m) + 1`` runs and each
@@ -107,9 +109,10 @@ class SortedRegionState:
     Counting a batch is one binary search per arrival *per run*:
     ``O(new * runs * log state)``.
 
-    Eviction masks each run by arrival index (:func:`~repro.streaming.window.surviving`:
-    two comparisons per entry for a sliding window's contiguous range, one
-    ``searchsorted`` membership pass otherwise), and no array is ever
+    Eviction masks each run by arrival index (two comparisons per entry
+    for a sliding window's contiguous range, recognised once per call; one
+    :func:`~repro.streaming.window.surviving` membership pass per run
+    otherwise), and no array is ever
     modified in place -- every operation swaps in fresh columns -- so run
     arrays handed out as search targets stay valid snapshots.
 
@@ -196,10 +199,7 @@ class SortedRegionState:
             return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
         if len(self._runs) == 1:
             return self._runs[0]
-        keys = np.concatenate([keys for keys, _ in self._runs])
-        order = np.argsort(keys, kind="stable")
-        index = np.concatenate([index for _, index in self._runs])
-        return keys[order], index[order]
+        return _merge_sorted(self._runs)
 
     @property
     def keys(self) -> np.ndarray:
@@ -242,7 +242,11 @@ class SortedRegionState:
         is smaller than :data:`RUN_MERGE_RATIO` times it, so the amortised
         copy cost is ``O(new * ratio * log_ratio(state / new))`` and the
         largest run is rewritten only once the runs behind it have grown to
-        an eighth of its size.
+        an eighth of its size.  How far that cascade reaches depends on run
+        lengths alone, so it is decided first and the whole suffix of runs
+        is merged in one pass (:func:`_merge_sorted`) -- the run list is
+        bit-identical to merging pairwise from the newest run back, equal
+        keys included.
 
         The first insert into empty state adopts the arrivals' dtype (exact
         integers stay integers); a later dtype mismatch promotes *every*
@@ -260,10 +264,15 @@ class SortedRegionState:
             target = np.promote_types(runs[0][0].dtype, new_keys.dtype)
             runs[:] = [(keys.astype(target), index) for keys, index in runs]
             new_keys = new_keys.astype(target)
+        # Which suffix of runs the arrivals cascade into is a question of
+        # lengths alone, so it is settled before anything is copied.
+        first, merged = len(runs), len(new_keys)
+        while first and len(runs[first - 1][1]) < RUN_MERGE_RATIO * merged:
+            first -= 1
+            merged += len(runs[first][1])
         runs.append((new_keys, new_indices))
-        while len(runs) > 1 and len(runs[-2][1]) < RUN_MERGE_RATIO * len(runs[-1][1]):
-            newer = runs.pop()
-            runs[-1] = _merge_runs(runs[-1], newer)
+        if first < len(runs) - 1:
+            runs[first:] = [_merge_sorted(runs[first:])]
         return needles
 
     def evict(self, expired: np.ndarray) -> int:
@@ -271,16 +280,24 @@ class SortedRegionState:
 
         ``expired`` is the window policy's eviction set for the side --
         sorted ascending and unique; only the tuples this machine actually
-        holds are dropped (and counted).  Each run is masked by
-        :func:`~repro.streaming.window.surviving`; a run left empty is
-        removed, a run that held none of ``expired`` is left untouched.
+        holds are dropped (and counted).  A contiguous ``expired`` (every
+        sliding-window eviction) is recognised once, from its ends, and
+        masks each run with two comparisons per entry; anything else goes
+        through :func:`~repro.streaming.window.surviving` run by run.  A
+        run left empty is removed, a run that held none of ``expired`` is
+        left untouched.
         """
         if not self._runs or len(expired) == 0:
             return 0
+        low, high = expired[0], expired[-1]
+        contiguous = high - low + 1 == len(expired)
         dropped = 0
         survivors = []
         for keys, index in self._runs:
-            keep = surviving(index, expired)
+            if contiguous:
+                keep = (index < low) | (index > high)
+            else:
+                keep = surviving(index, expired)
             kept = int(np.count_nonzero(keep))
             if kept < len(index):
                 dropped += len(index) - kept

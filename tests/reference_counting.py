@@ -1,0 +1,44 @@
+"""Reference count kernel: one ``joinable_bounds`` pass per task.
+
+Test-only.  These are the bodies ``repro.streaming.backends._count_regions``
+and ``RegionStateTable.sum_halves`` had before the bounds were hoisted out
+of the per-task loop, kept verbatim as the differential oracle
+(``tests/test_counting_oracle.py``): every non-empty task normalises both of
+its sides, recomputes its own joinable bounds through
+``count_join_output`` and is timed around the lot, and per-task values are
+scattered into their halves with an unbuffered ``np.add.at``.  The
+production kernel must return the same per-task outputs and read the clock
+exactly as often -- twice per non-empty task, in task order.
+
+``perf_counter`` is looked up in this module's globals at call time, so a
+test can give the reference its own tick clock.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.joins.local import count_join_output
+from repro.obs.clock import perf_counter
+
+
+def count_regions(region_keys, conditions, keys2_sorted):
+    """Count each non-empty region in the calling process; time each one."""
+    outputs = np.zeros(len(region_keys), dtype=np.int64)
+    seconds = np.zeros(len(region_keys))
+    for region, (keys1, keys2) in enumerate(region_keys):
+        if len(keys1) == 0 or len(keys2) == 0:
+            continue
+        started = perf_counter()
+        outputs[region] = count_join_output(
+            keys1, keys2, conditions[region], keys2_sorted=keys2_sorted
+        )
+        seconds[region] = perf_counter() - started
+    return outputs, seconds
+
+
+def sum_halves(num_machines: int, values: np.ndarray, owners: np.ndarray) -> np.ndarray:
+    """Sum per-task ``values`` into a ``(machines, 2)`` array of halves."""
+    halves = np.zeros(2 * num_machines, dtype=values.dtype)
+    np.add.at(halves, owners, values)
+    return halves.reshape(-1, 2)

@@ -9,11 +9,20 @@ class must hold the same ``(index, key)`` set after any sequence of protocol
 calls, report the same ``evict`` counts and count the same fold totals.
 Order among equal keys is unspecified on both sides, so comparisons go
 through ``sorted(index)`` / ``keys[argsort(index)]``.
+
+:class:`PairwiseRunState` is the other kind of reference: the sorted-run
+state as it merged before the one-pass merge -- ``_merge_runs`` and the
+``while`` cascade of ``insert``, and the per-run ``surviving`` call of
+``evict``, verbatim.  The production class must hold the *same run list*
+after every call: run count, both columns of every run, dtype, bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.streaming.incremental import RUN_MERGE_RATIO
+from repro.streaming.window import surviving
 
 
 class SortedRegionState:
@@ -142,4 +151,65 @@ class SortedRegionState:
         if dropped:
             self.index = self.index[keep]
             self.keys = self.keys[keep]
+        return dropped
+
+
+def _merge_runs(
+    older: "tuple[np.ndarray, np.ndarray]", newer: "tuple[np.ndarray, np.ndarray]"
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Merge two key-sorted ``(keys, index)`` runs into one fresh run.
+
+    A stable sort of the two runs laid end to end: numpy's stable sort is
+    a timsort, which finds the two sorted runs and merges them in one
+    linear pass -- measured about twice as fast as a ``searchsorted`` plus
+    scatter of both columns, at every run size from 1.5K to 400K.  Neither
+    input is modified, so a reader still holding the old run keeps a valid
+    snapshot.
+    """
+    keys = np.concatenate([older[0], newer[0]])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    return keys, np.concatenate([older[1], newer[1]])[order]
+
+
+class PairwiseRunState:
+    """Sorted runs merged by a cascade of pairwise merges, newest run back."""
+
+    def __init__(self) -> None:
+        self._runs: "list[tuple[np.ndarray, np.ndarray]]" = []
+
+    def insert(self, new_indices: np.ndarray, new_keys: np.ndarray) -> np.ndarray:
+        """Add a batch's arrivals as the newest run; merge geometrically."""
+        new_keys = np.asarray(new_keys)
+        if len(new_indices) == 0:
+            return new_keys
+        order = np.argsort(new_keys, kind="stable")
+        needles = new_keys = new_keys[order]
+        new_indices = np.asarray(new_indices, dtype=np.int64)[order]
+        runs = self._runs
+        if runs and runs[0][0].dtype != new_keys.dtype:
+            target = np.promote_types(runs[0][0].dtype, new_keys.dtype)
+            runs[:] = [(keys.astype(target), index) for keys, index in runs]
+            new_keys = new_keys.astype(target)
+        runs.append((new_keys, new_indices))
+        while len(runs) > 1 and len(runs[-2][1]) < RUN_MERGE_RATIO * len(runs[-1][1]):
+            newer = runs.pop()
+            runs[-1] = _merge_runs(runs[-1], newer)
+        return needles
+
+    def evict(self, expired: np.ndarray) -> int:
+        """Drop the given global arrival indices; return how many were held."""
+        if not self._runs or len(expired) == 0:
+            return 0
+        dropped = 0
+        survivors = []
+        for keys, index in self._runs:
+            keep = surviving(index, expired)
+            kept = int(np.count_nonzero(keep))
+            if kept < len(index):
+                dropped += len(index) - kept
+                keys, index = keys[keep], index[keep]
+            if kept:
+                survivors.append((keys, index))
+        self._runs = survivors
         return dropped

@@ -483,6 +483,23 @@ class TestStateCopy:
         assert "numpy.insert" in report.findings[0].message
         assert "surviving" in report.findings[1].message
 
+    def test_flags_unbuffered_ufunc_scatters(self):
+        report = run(
+            """
+            import numpy as np
+            from numpy import maximum
+
+            def sum_halves(halves, peaks, owners, values):
+                np.add.at(halves, owners, values)
+                maximum.at(peaks, owners, values)
+                return np.add.reduceat(values, owners)  # the exact, buffered way
+            """
+        )
+        assert rule_ids(report) == ["STATE001"] * 2
+        assert "numpy.add.at" in report.findings[0].message
+        assert "reduceat" in report.findings[0].message
+        assert "numpy.maximum.at" in report.findings[1].message
+
     def test_clean_with_runs_and_the_membership_primitive(self):
         report = run(
             """

@@ -70,6 +70,25 @@ class TestBandJoinCondition:
         counts = cond.count_matches_per_key(np.array([2.0, 10.0, 100.0]), sorted_keys2)
         np.testing.assert_array_equal(counts, np.array([3, 1, 0]))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint64])
+    def test_count_matches_per_key_is_int64_for_every_key_dtype(self, dtype):
+        # The result is the difference of two searchsorted index arrays --
+        # already a fresh int64, handed out with no further copy.
+        cond = BandJoinCondition(beta=1.0)
+        sorted_keys2 = np.array([1, 2, 3, 3, 10, 11], dtype=dtype)
+        keys1 = np.array([2, 10, 100, 0, 3], dtype=dtype)
+        counts = cond.count_matches_per_key(keys1, sorted_keys2)
+        assert isinstance(counts, np.ndarray) and counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, np.array([4, 2, 0, 1, 3]))
+        lows, highs = cond.joinable_bounds(keys1)
+        np.testing.assert_array_equal(
+            counts,
+            (
+                np.searchsorted(sorted_keys2, highs, side="right")
+                - np.searchsorted(sorted_keys2, lows, side="left")
+            ).astype(np.int64),
+        )
+
     def test_candidate_grid_matches_scalar_check(self):
         cond = BandJoinCondition(beta=2.5)
         row_lo = np.array([0.0, 5.0, 10.0])

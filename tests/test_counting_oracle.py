@@ -1,0 +1,230 @@
+"""Differential tests: the count kernel against its bounds-per-task original.
+
+``tests/reference_counting.py`` holds the loop ``_count_regions`` was before
+joinable bounds were hoisted out of it (one ``joinable_bounds`` pass per
+condition per dispatch, every task searching with its slice) and the
+``np.add.at`` scatter ``sum_halves`` was before it became a ``reduceat``.
+The rewrite must be invisible: equal per-task outputs for every condition
+and key dtype, whatever tasks share a dispatch, and the clock read exactly
+as often -- twice per non-empty task -- so tick-clock traces do not move.
+Both owners of the kernel are driven: ``SimulatedBackend`` and an in-process
+``_StickyWorkerState``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+
+import numpy as np
+import pytest
+import reference_counting as reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.joins.conditions import (
+    BandJoinCondition,
+    CompositeEquiBandCondition,
+    EquiJoinCondition,
+    InequalityJoinCondition,
+    InequalityOp,
+    JoinCondition,
+)
+from repro.obs.trace import TickClock
+from repro.streaming import RegionStateTable, SimulatedBackend
+from repro.streaming import backends as production
+from repro.streaming.backends import _StickyWorkerState, state_layout
+
+BAND = BandJoinCondition(beta=2.0)  # integral: exact on int64 keys above 2**53
+NARROW = BandJoinCondition(beta=0.3)
+COMPOSITE = CompositeEquiBandCondition(beta=1.0, scale=100.0, band_key_max=40.0)
+CONDITIONS: "list[JoinCondition]" = [
+    BAND,
+    BAND.transposed,
+    NARROW,
+    NARROW.transposed,
+    EquiJoinCondition(),
+    InequalityJoinCondition(InequalityOp.LT),
+    InequalityJoinCondition(InequalityOp.GE),
+    COMPOSITE,
+    COMPOSITE.transposed,
+]
+KEY_STYLES = ["float", "big_int", "small_int", "unsigned"]
+
+
+def _draw_keys(rng: np.random.Generator, style: str, size: int) -> np.ndarray:
+    if style == "float":
+        # A coarse grid, so keys land exactly on band boundaries.
+        return rng.integers(0, 400, size) / 10.0
+    if style == "big_int":
+        # Neighbours above 2**53: float64 would collapse them onto each other.
+        return 2**53 + rng.integers(0, 40, size, dtype=np.int64)
+    if style == "small_int":
+        return rng.integers(0, 40, size).astype(np.int32)
+    assert style == "unsigned"
+    return rng.integers(0, 40, size).astype(np.uint64)
+
+
+class CountingClock(TickClock):
+    """A tick clock that also says how often it was read."""
+
+    reads = 0
+
+    def __call__(self) -> float:
+        self.reads += 1
+        return super().__call__()
+
+
+@contextlib.contextmanager
+def tick_clocks():
+    """One tick clock under the production kernel, one under the reference."""
+    # Whole-second ticks: differences are exact whatever read they start at.
+    clocks = CountingClock(tick=1.0), CountingClock(tick=1.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(production, "perf_counter", clocks[0])
+        patch.setattr(reference, "perf_counter", clocks[1])
+        yield clocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_tasks=st.integers(0, 14),
+    keys2_sorted=st.booleans(),
+)
+def test_join_regions_counts_what_the_per_task_kernel_counts(
+    seed, num_tasks, keys2_sorted
+):
+    """Random dispatches: conditions, dtypes and shared needles all mixed."""
+    rng = np.random.default_rng(seed)
+    # A small pool of first sides, so several tasks share one array object
+    # (as a fold's per-run tasks do) while others hold equal-looking copies.
+    pool = [
+        _draw_keys(rng, rng.choice(KEY_STYLES), int(rng.choice([0, 1, 5, 40])))
+        for _ in range(4)
+    ]
+    # Few conditions per dispatch, so arrays of different dtypes meet in one
+    # condition's bounds pass.
+    active = rng.choice(len(CONDITIONS), size=rng.integers(1, 4))
+    tasks, conditions = [], []
+    for _ in range(num_tasks):
+        keys1 = pool[rng.integers(len(pool))]
+        if rng.random() < 0.2:
+            keys1 = keys1.copy()
+        keys2 = _draw_keys(rng, rng.choice(KEY_STYLES), int(rng.choice([0, 3, 60])))
+        tasks.append((keys1, np.sort(keys2) if keys2_sorted else keys2))
+        conditions.append(CONDITIONS[rng.choice(active)])
+    if rng.random() < 0.3:  # runs of one condition over shared needles
+        order = np.argsort([CONDITIONS.index(c) for c in conditions], kind="stable")
+        tasks = [tasks[i] for i in order]
+        conditions = [conditions[i] for i in order]
+
+    with tick_clocks() as (ours_clock, reference_clock):
+        execution = SimulatedBackend().join_regions(
+            tasks, conditions, keys2_sorted=keys2_sorted
+        )
+        outputs, seconds = reference.count_regions(tasks, conditions, keys2_sorted)
+
+    np.testing.assert_array_equal(execution.per_machine_output, outputs)
+    assert execution.per_machine_output.dtype == outputs.dtype == np.int64
+    # Two reads around every non-empty task (so one tick each), none around
+    # an empty one; join_regions adds its own pair around the whole dispatch.
+    np.testing.assert_array_equal(execution.per_machine_seconds, seconds)
+    non_empty = sum(1 for keys1, keys2 in tasks if len(keys1) and len(keys2))
+    assert reference_clock.reads == 2 * non_empty
+    assert ours_clock.reads == 2 * non_empty + 2
+
+
+def test_one_shared_condition_is_broadcast(rng):
+    tasks = [
+        (rng.uniform(0, 40, 30), np.sort(rng.uniform(0, 40, 50))) for _ in range(3)
+    ]
+    execution = SimulatedBackend().join_regions(tasks, NARROW, keys2_sorted=True)
+    outputs, _ = reference.count_regions(tasks, [NARROW] * 3, True)
+    np.testing.assert_array_equal(execution.per_machine_output, outputs)
+    assert execution.total_output > 0
+
+
+def test_the_unsorted_path_still_sorts(rng):
+    keys1 = rng.uniform(0, 40, 30)
+    keys2 = rng.uniform(0, 40, 50)
+    unsorted = SimulatedBackend().join_regions([(keys1, keys2)], BAND)
+    presorted = SimulatedBackend().join_regions(
+        [(keys1, np.sort(keys2))], BAND, keys2_sorted=True
+    )
+    assert unsorted.total_output == presorted.total_output > 0
+
+
+# ----------------------------------------------------------------------
+# The fold path: both owners of the kernel, batch after batch
+# ----------------------------------------------------------------------
+def _count_simulated(condition, machines):
+    backend = SimulatedBackend()
+    backend.bind(machines, condition, condition.transposed)
+
+    def count(new1, new2, history1, history2):
+        execution = backend.count_batch(new1, new2, history1, history2)
+        return list(
+            zip(
+                execution.per_machine_output.tolist(),
+                execution.per_machine_seconds.tolist(),
+            )
+        )
+
+    return count
+
+
+def _count_sticky(condition, machines):
+    worker = _StickyWorkerState()
+    worker.own(tuple(range(machines)), condition, condition.transposed)
+    return lambda *batch: worker.count(state_layout(*batch))
+
+
+@pytest.mark.parametrize("owner", [_count_simulated, _count_sticky])
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    style=st.sampled_from(["float", "big_int"]),
+    condition=st.sampled_from([BAND, NARROW, EquiJoinCondition(), CONDITIONS[6]]),
+    batches=st.integers(1, 12),
+)
+def test_a_fold_counts_what_the_per_task_kernel_counts(
+    owner, seed, style, condition, batches
+):
+    """Per machine and per batch: same output, same ticks, same clock reads."""
+    machines = 3
+    rng = np.random.default_rng(seed)
+    count = owner(condition, machines)
+    table = RegionStateTable(range(machines))  # the reference's own state
+    fold_conditions = (condition, condition.transposed)
+    history1 = history2 = _draw_keys(rng, style, 0)
+    with tick_clocks() as (ours_clock, reference_clock):
+        for batch in range(1, batches + 1):
+            new = []
+            for history in (history1, history2):
+                size = int(rng.choice([0, 1, 7, 90]))
+                machine = rng.integers(0, machines, size)
+                arrivals = len(history) + np.arange(size, dtype=np.int64)
+                new.append([arrivals[machine == slot] for slot in range(machines)])
+            new1, new2 = new
+            history1 = np.concatenate(
+                [history1, _draw_keys(rng, style, sum(map(len, new1)))]
+            )
+            history2 = np.concatenate(
+                [history2, _draw_keys(rng, style, sum(map(len, new2)))]
+            )
+
+            rows = count(new1, new2, history1, history2)
+            tasks, owners = table.fold(state_layout(new1, new2, history1, history2))
+            outputs, seconds = reference.count_regions(
+                tasks, [fold_conditions[owner & 1] for owner in owners.tolist()], True
+            )
+            assert rows == list(
+                zip(
+                    reference.sum_halves(machines, outputs, owners).sum(axis=1).tolist(),
+                    reference.sum_halves(machines, seconds, owners).sum(axis=1).tolist(),
+                )
+            )
+            # join_regions' own pair around each dispatch is the only
+            # difference in clock reads the two owners may show.
+            extra = 2 * batch if owner is _count_simulated else 0
+            assert ours_clock.reads - extra == reference_clock.reads

@@ -14,11 +14,13 @@ whole state.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_state import PairwiseRunState
 from reference_state import SortedRegionState as ReferenceState
 
 from repro.core.weights import WeightFunction
@@ -68,6 +70,20 @@ def _draw_keys(rng: np.random.Generator, mode: str, size: int, batch: int) -> np
     return np.full(size, float(rng.integers(0, 4)))
 
 
+def _random_expiry(rng: np.random.Generator, span: int) -> np.ndarray:
+    """An eviction set over arrival indices ``[0, span)``: sorted and unique."""
+    kind = rng.choice(["range", "holes", "foreign"])
+    if span == 0:
+        return np.empty(0, dtype=np.int64)
+    if kind == "range":  # what a SlidingWindow evicts
+        low = int(rng.integers(0, span))
+        return np.arange(low, int(rng.integers(low, span)) + 1, dtype=np.int64)
+    if kind == "holes":  # what an ExponentialDecayWindow evicts
+        return np.flatnonzero(rng.random(span) < 0.3)
+    # Indices nobody holds, mixed with some that are held.
+    return np.unique(rng.integers(-5, span + 50, max(1, span // 4)))
+
+
 def _assert_same_state(ours: SortedRegionState, reference: ReferenceState) -> None:
     """Same ``(index, key)`` set; our merged view is key-sorted and parallel."""
     keys, index = ours.keys, ours.index
@@ -111,7 +127,6 @@ def test_runs_agree_with_the_single_array_reference(seed, key_mode, condition, s
     }
     # One growing key history per side, indexed by global arrival index.
     history = {1: np.empty(0), 2: np.empty(0)}
-    empty_idx = np.empty(0, dtype=np.int64)
     batch = 0
     for _ in range(steps):
         op = rng.choice(["fold", "fold", "fold", "evict", "install"])
@@ -157,22 +172,9 @@ def test_runs_agree_with_the_single_array_reference(seed, key_mode, condition, s
                 )
             batch += 1
         elif op == "evict":
-            expired = {}
-            for side in (1, 2):
-                span = len(history[side])
-                kind = rng.choice(["range", "holes", "foreign"])
-                if span == 0:
-                    expired[side] = empty_idx
-                elif kind == "range":  # what a SlidingWindow evicts
-                    low = int(rng.integers(0, span))
-                    high = int(rng.integers(low, span))
-                    expired[side] = np.arange(low, high + 1, dtype=np.int64)
-                elif kind == "holes":  # what an ExponentialDecayWindow evicts
-                    expired[side] = np.flatnonzero(rng.random(span) < 0.3)
-                else:  # indices nobody holds, mixed with some that are held
-                    expired[side] = np.unique(
-                        rng.integers(-5, span + 50, max(1, span // 4))
-                    )
+            expired = {
+                side: _random_expiry(rng, len(history[side])) for side in (1, 2)
+            }
             dropped = table.evict(expired[1], expired[2])
             assert dropped == [
                 tuple(reference[machine, side].evict(expired[side]) for side in (1, 2))
@@ -195,6 +197,48 @@ def test_runs_agree_with_the_single_array_reference(seed, key_mode, condition, s
         for machine in MACHINES:
             _assert_same_state(table.state1[machine], reference[machine, 1])
             _assert_same_state(table.state2[machine], reference[machine, 2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    key_mode=st.sampled_from(["float", "big_int", "promote", "duplicates"]),
+    steps=st.integers(1, 60),
+)
+def test_one_pass_merge_leaves_the_pairwise_cascade_run_list(seed, key_mode, steps):
+    """Bit for bit: run count, both columns of every run, dtype.
+
+    The production insert picks the suffix of runs to merge from their
+    lengths and merges it with one stable sort; the reference is the
+    cascade of pairwise merges it replaced.  Equal keys (``duplicates`` is
+    nothing else) must come out in the same order, so the index columns
+    are compared as they lie, not as sets.
+    """
+    rng = np.random.default_rng(seed)
+    ours, reference = SortedRegionState(), PairwiseRunState()
+    arrived = batch = 0
+    for _ in range(steps):
+        if rng.random() < 0.8:
+            # Sizes a factor of eight apart and closer: appends, two-run
+            # merges and cascades through three or more runs all occur.
+            size = int(rng.choice([0, 1, 2, 9, 17, 120, 900]))
+            keys = _draw_keys(rng, key_mode, size, batch)
+            idx = np.arange(arrived, arrived + size, dtype=np.int64)
+            rng.shuffle(idx)
+            needles = ours.insert(idx, keys)
+            expected = reference.insert(idx, keys)
+            np.testing.assert_array_equal(needles, expected)
+            assert needles.dtype == expected.dtype
+            arrived += size
+            batch += 1
+        else:
+            expired = _random_expiry(rng, arrived)
+            assert ours.evict(expired) == reference.evict(expired)
+        assert len(ours._runs) == len(reference._runs)
+        for (keys, index), (ref_keys, ref_index) in zip(ours._runs, reference._runs):
+            assert keys.dtype == ref_keys.dtype and index.dtype == ref_index.dtype
+            np.testing.assert_array_equal(keys, ref_keys)
+            np.testing.assert_array_equal(index, ref_index)
 
 
 @settings(max_examples=60, deadline=None)
@@ -250,6 +294,78 @@ def test_run_count_is_logarithmic_and_the_big_run_is_not_rewritten(rng):
     # across most consecutive inserts (one array + np.insert rewrote it
     # on every single one).
     assert kept_largest >= 0.8 * (inserts - 1)
+
+
+def test_a_steady_batch_stays_call_light():
+    """A deterministic proxy for the count stage's cost: no clock, no ``perf/``.
+
+    The ``stream_steady`` shape -- J = 8, 1,000 tuples per side and batch,
+    Zipf(0.8) over 2,000 values, ``batches:16``, a static plan -- is
+    interpreter-bound, so what a batch costs is how many calls it makes.
+    With joinable bounds computed once per condition per dispatch, the run
+    merges done in one pass and the halves summed by one ``reduceat`` a
+    batch makes about 1,530 Python-level calls (``call`` + ``c_call``); with
+    bounds recomputed per task it made 2,150.  And the bounds themselves
+    are computed at most twice per ``count_batch``, once per condition,
+    however many runs the fold searched.
+    """
+    rng = np.random.default_rng([14, 1])
+    values = rng.permutation(2_000)
+    mass = 1.0 / np.arange(1, 2_001) ** 0.8
+    mass /= mass.sum()
+    batches = [
+        MicroBatch(
+            index,
+            *(
+                values[rng.choice(2_000, size=1_000, p=mass)].astype(np.float64)
+                for _ in range(2)
+            ),
+        )
+        for index in range(96)
+    ]
+    engine = StreamingJoinEngine(
+        8,
+        BandJoinCondition(beta=1.0),
+        WeightFunction(1.0, 0.2),
+        policy=StaticEWHPolicy(),
+        window="batches:16",
+        seed=14,
+    )
+    engine.start()
+    for batch in batches[:64]:
+        engine.process_batch(batch)
+
+    calls = bounds = tasks = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls, bounds, tasks
+        if event == "call":
+            calls += 1
+            name = frame.f_code.co_name
+            if name == "joinable_bounds":
+                bounds += 1
+            elif name == "join_regions":
+                tasks += len(frame.f_locals["region_keys"])
+        elif event == "c_call":
+            calls += 1
+
+    previous = sys.getprofile()
+    for batch in batches[64:]:
+        bounds = 0
+        sys.setprofile(profiler)
+        try:
+            engine.process_batch(batch)
+        finally:
+            sys.setprofile(previous)
+        assert 1 <= bounds <= 2
+    engine.close()
+    measured = len(batches) - 64
+    print(
+        f"steady count stage: {calls / measured:.0f} calls per batch "
+        f"over {tasks / measured:.1f} search tasks"
+    )
+    assert tasks >= 2 * 8 * measured
+    assert calls / measured <= 1_650
 
 
 def test_nothing_keeps_a_second_copy_of_the_state(rng):
