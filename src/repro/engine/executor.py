@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from repro.joins.conditions import JoinCondition
 from repro.joins.local import count_join_output
 from repro.obs.clock import perf_counter
 from repro.partitioning.base import Partitioning
+
+if TYPE_CHECKING:  # imported where a pool is made, not by ``import repro``
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "MultiprocessJoinResult",
@@ -293,6 +296,8 @@ def run_join_multiprocess(
     # Pool start-up is skipped entirely when no region can produce output.
     start = perf_counter()
     if busy:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             execution = join_assigned_regions(
                 pool, region_keys, condition, profile_serialization=False

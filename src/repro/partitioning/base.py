@@ -5,6 +5,13 @@ assign the R1 and R2 key arrays and receives, for every region, the indexes
 of the tuples that must be shipped to the machine owning that region.  A
 tuple may be assigned to several regions (replication) or to none (its row or
 column intersects no region because it cannot produce output).
+
+The streaming engine keeps every region's state key-sorted, so per batch it
+asks the same question through :meth:`Partitioning.sorted_arrivals`: the
+region's share of the batch *already in key order*.  The default answers by
+assigning and then sorting each share; a scheme whose regions are key ranges
+sorts the batch once and hands out slices
+(:class:`~repro.partitioning.grid_routed.GridRoutedPartitioning`).
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Partitioning", "RegionStatistics"]
+__all__ = ["Partitioning", "RegionStatistics", "sort_arrivals"]
 
 
 @dataclass(frozen=True)
@@ -31,6 +38,19 @@ class RegionStatistics:
 
     input_tuples: int
     output_tuples: int
+
+
+def sort_arrivals(
+    indices: np.ndarray, keys: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Stable key-sort of parallel ``(indices, keys)`` columns, both copied.
+
+    Ascending keys (NaN last), equal keys in their given order -- arrival
+    order when ``indices`` ascend.  The one sort behind every key-sorted
+    column pair the streaming state is built from.
+    """
+    order = np.argsort(keys, kind="stable")
+    return indices[order], keys[order]
 
 
 class Partitioning(abc.ABC):
@@ -59,6 +79,31 @@ class Partitioning(abc.ABC):
         self, keys: np.ndarray, rng: np.random.Generator
     ) -> list[np.ndarray]:
         """Return, per region, the indexes of R2 tuples routed to it."""
+
+    def sorted_arrivals(
+        self,
+        side: int,
+        keys: np.ndarray,
+        rng: np.random.Generator,
+        offset: int = 0,
+    ) -> "list[tuple[np.ndarray, np.ndarray]]":
+        """Per region, its share of one side's batch as key-sorted columns.
+
+        ``side`` is 1 for R1, 2 for R2.  Region ``r`` gets ``(indices,
+        keys)``: the batch positions routed to it shifted by ``offset`` (the
+        arrival index of the batch's first tuple) and their keys in the
+        batch's own dtype, ascending by key with equal keys in arrival
+        order.  The default assigns in arrival order -- a randomised scheme
+        draws from ``rng`` per tuple in that order, exactly as
+        :meth:`assign_r1` / :meth:`assign_r2` do -- then sorts each
+        region's share on its own.
+        """
+        keys = np.asarray(keys)
+        assign = self.assign_r1 if side == 1 else self.assign_r2
+        return [
+            sort_arrivals(np.asarray(local, dtype=np.int64) + offset, keys[local])
+            for local in assign(keys, rng)
+        ]
 
     # ------------------------------------------------------------------
     # Derived metrics

@@ -6,6 +6,29 @@ then: find the grid row (column) containing its join key, and ship it to
 every region whose row (column) range covers that index.  Keys outside the
 sampled key range clamp into the outermost rows/columns, whose key ranges the
 builders extend to +-infinity.
+
+**The slice rule.**  A region's row range is a key range, so its share of a
+key-sorted batch is one contiguous slice.  With ``b`` the ascending row
+boundaries, ``last = len(b) - 2`` and ``sorted_keys`` the batch in ascending
+order (NaN last, as every numpy sort and search orders it), region
+``[row_lo..row_hi]`` takes ``sorted_keys[start:stop]`` where::
+
+    start = 0                 if row_lo == 0    else searchsorted(sorted_keys, b[row_lo], "left")
+    stop  = len(sorted_keys)  if row_hi == last else searchsorted(sorted_keys, b[row_hi + 1], "left")
+
+This is exactly :meth:`GridRoutedPartitioning._row_index` membership.  That
+method puts key ``k`` in row ``clip(c(k) - 1, 0, last)``, ``c(k)`` being how
+many boundaries are ``<= k`` (all of them for NaN).  For ``row_lo >= 1`` the
+lower clamp cannot reach ``row_lo``, so ``row(k) >= row_lo`` iff ``c(k) >=
+row_lo + 1`` iff ``b[row_lo] <= k`` (``b`` ascends) -- the keys from ``start``
+on; for ``row_lo == 0`` the clamp makes it hold for every key -- ``start =
+0``, which is where keys below ``b[0]`` sit.  For ``row_hi < last`` the upper
+clamp cannot reach ``row_hi``, so ``row(k) <= row_hi`` iff ``c(k) <= row_hi +
+1`` iff ``k < b[row_hi + 1]`` -- the keys before ``stop``; for ``row_hi ==
+last`` it holds for every key -- ``stop = len``, which takes in the keys at or
+above ``b[-1]`` and the NaNs behind them.  ``start <= stop`` because ``b``
+ascends and ``row_lo <= row_hi``, which is why the constructor insists on
+both.  Columns and R2 keys likewise.
 """
 
 from __future__ import annotations
@@ -43,13 +66,52 @@ class GridRoutedPartitioning(Partitioning):
         self.col_boundaries = np.asarray(col_boundaries, dtype=np.float64)
         if len(self.row_boundaries) < 2 or len(self.col_boundaries) < 2:
             raise ValueError("boundary arrays must have at least two entries")
+        # Routing is a binary search of the boundaries (and, for a sorted
+        # batch, of the batch by the boundaries): anything but ascending
+        # boundaries misroutes silently instead of failing.
+        for name, boundaries in (
+            ("row_boundaries", self.row_boundaries),
+            ("col_boundaries", self.col_boundaries),
+        ):
+            if np.isnan(boundaries).any():
+                raise ValueError(f"{name} contains NaN: {boundaries}")
+            if (boundaries[1:] < boundaries[:-1]).any():
+                raise ValueError(f"{name} must ascend: {boundaries}")
         self.regions = list(regions)
         self.scheme_name = scheme_name
         num_rows = len(self.row_boundaries) - 1
         num_cols = len(self.col_boundaries) - 1
         for region in self.regions:
+            if min(region.row_lo, region.col_lo) < 0:
+                raise ValueError(f"negative coordinates in region {region}")
+            if region.row_lo > region.row_hi or region.col_lo > region.col_hi:
+                raise ValueError(f"inverted range in region {region}")
             if region.row_hi >= num_rows or region.col_hi >= num_cols:
                 raise ValueError(f"region {region} exceeds the grid {num_rows}x{num_cols}")
+        # Per side, what the slice rule (module docstring) needs of every
+        # region: its low and high boundary keys laid end to end for one
+        # search, and whether each end is open (clamped).
+        self._cuts = {
+            1: self._side_cuts(
+                self.row_boundaries, [(r.row_lo, r.row_hi) for r in self.regions]
+            ),
+            2: self._side_cuts(
+                self.col_boundaries, [(r.col_lo, r.col_hi) for r in self.regions]
+            ),
+        }
+
+    @staticmethod
+    def _side_cuts(
+        boundaries: np.ndarray, ranges: "list[tuple[int, int]]"
+    ) -> "tuple[np.ndarray, list[bool], list[bool]]":
+        """``(cut keys, open low ends, open high ends)`` of inclusive index ranges."""
+        lows = [lo for lo, _ in ranges]
+        highs = [hi + 1 for _, hi in ranges]
+        return (
+            boundaries[np.array(lows + highs, dtype=np.int64)],
+            [low == 0 for low in lows],
+            [high == len(boundaries) - 1 for high in highs],
+        )
 
     # ------------------------------------------------------------------
     # Partitioning API
@@ -81,6 +143,35 @@ class GridRoutedPartitioning(Partitioning):
             np.flatnonzero((cols >= region.col_lo) & (cols <= region.col_hi))
             for region in self.regions
         ]
+
+    def sorted_arrivals(
+        self,
+        side: int,
+        keys: np.ndarray,
+        rng: np.random.Generator,
+        offset: int = 0,
+    ) -> "list[tuple[np.ndarray, np.ndarray]]":
+        """One stable sort of the batch; every region takes its slice of it.
+
+        The slice rule of the module docstring: no per-region mask, gather
+        or sort.  The search runs on a float64 view of the sorted keys, as
+        :meth:`_row_index` compares them (the conversion is monotone, so
+        the view is sorted too); the keys handed out keep the batch's own
+        dtype.  Slices are views of two arrays made here, never of ``keys``.
+        """
+        keys = np.asarray(keys)
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        indices = order + offset
+        cut_keys, open_lo, open_hi = self._cuts[side]
+        cuts = np.asarray(sorted_keys, dtype=np.float64).searchsorted(cut_keys).tolist()
+        total, regions = len(keys), len(open_lo)
+        routed = []
+        for region in range(regions):
+            start = 0 if open_lo[region] else cuts[region]
+            stop = total if open_hi[region] else cuts[regions + region]
+            routed.append((indices[start:stop], sorted_keys[start:stop]))
+        return routed
 
     # ------------------------------------------------------------------
     # Introspection

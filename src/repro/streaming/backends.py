@@ -9,9 +9,11 @@ every backend through one **state-ownership protocol**:
 (migrations, restores) / ``resize`` (fleet changes), with
 ``resident_indices`` as the one read-only view (migration planning,
 checkpoints) and ``drain_channel_bytes`` for byte metering.  Arrival
-indices are global and stored as given (:mod:`repro.streaming.arrivals`);
-``history1`` / ``history2`` are anything indexable by global index arrays
--- the engine's logs, or bare key arrays.
+indices are global and stored as given (:mod:`repro.streaming.arrivals`).
+A batch's arrivals come with their keys, key-sorted by the router
+(``count_batch``); wholesale state comes as indices into ``history1`` /
+``history2`` (``install_state``) -- anything indexable by global index
+arrays: the engine's logs, or bare key arrays.
 
 The protocol is implemented once, in-process, on the base class: a
 :class:`RegionStateTable` of sorted per-machine state whose ``count_batch``
@@ -45,11 +47,10 @@ simulated) or by name through :func:`make_backend`::
 from __future__ import annotations
 
 import abc
-import multiprocessing
 import os
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -59,6 +60,9 @@ from repro.obs.clock import perf_counter
 from repro.streaming.arrivals import ArrivalLog
 from repro.streaming.incremental import SortedRegionState
 from repro.streaming.shm import ShmArena, ShmMessage, ShmReader
+
+if TYPE_CHECKING:  # only sticky backends pay for importing it (see below)
+    import multiprocessing.context
 
 __all__ = [
     "RegionJoinResult",
@@ -99,7 +103,13 @@ def default_mp_context() -> multiprocessing.context.BaseContext:
     ``StreamingPipeline(mode="thread")`` producer, a tracing exporter)
     duplicates whatever locks those threads hold and can deadlock the child
     — the classic Linux ≤3.11 default-start-method bug this choice fixes.
+
+    ``multiprocessing`` is imported here and in :func:`_resolve_mp_context`,
+    not at module level: ``import repro`` must not pay for it on behalf of
+    runs that never start a worker.
     """
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "forkserver" if "forkserver" in methods else "spawn"
@@ -113,6 +123,8 @@ def _resolve_mp_context(
     if mp_context is None:
         return default_mp_context()
     if isinstance(mp_context, str):
+        import multiprocessing
+
         return multiprocessing.get_context(mp_context)
     return mp_context
 
@@ -185,10 +197,12 @@ class RegionStateTable:
     protocol traffic hold bit-identical state.
 
     Array inputs may be zero-copy views into a transient shared segment;
-    :class:`SortedRegionState` copies on insert and rebuild, so no view
-    survives past its call.  The per-task ``(needles, run keys)`` pairs a
-    :meth:`fold` returns are the state's own arrays: read them, never
-    write to them (the state itself only ever swaps in fresh ones).
+    :class:`SortedRegionState` copies on append and rebuild, so the state
+    keeps no view past the call.  The per-task ``(needles, run keys)``
+    pairs a :meth:`fold` returns are the caller's own arrival keys and the
+    state's own runs: count them before the arrivals' storage is reused,
+    read them, never write to them (the state itself only ever swaps in
+    fresh arrays).
     """
 
     def __init__(self, machines: "Iterable[int]") -> None:
@@ -201,14 +215,25 @@ class RegionStateTable:
     ) -> "tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]":
         """Merge a batch's arrivals in; return the counting tasks and their owners.
 
-        ``arrays`` is a :func:`state_layout` of the whole cluster; only the
-        slices of this table's machines are read.  A machine's output delta
+        ``arrays`` is the machine-major layout of the whole cluster's
+        arrivals -- ``(idx1, keys1, idx2, keys2)`` per machine; only the
+        slices of this table's machines are read.  **Arrivals are
+        key-sorted, ties in arrival order**: each key column ascends (NaN
+        last) with equal keys in ascending arrival index, as
+        :meth:`Partitioning.sorted_arrivals
+        <repro.partitioning.base.Partitioning.sorted_arrivals>` routes
+        them, so they are appended to the state as they are
+        (:meth:`SortedRegionState.append_sorted
+        <repro.streaming.incremental.SortedRegionState.append_sorted>`,
+        which copies) and serve as the count's needles with no sort here.
+
+        A machine's output delta
         decomposes exactly as ``C(new1, state2 + new2) + C(state1, new2)``:
         its first half searches the just-updated R2 state per new R1 key,
-        its second searches the *pre-insert* R1 state per new R2 key (to be
+        its second searches the *pre-append* R1 state per new R2 key (to be
         counted under the transposed condition).  Each half is one task
         ``(needles, run keys)`` per sorted run of the searched state -- the
-        needles are the batch's arrivals as the insert sorted them -- so
+        needles are the batch's arrival keys -- so
         counting is ``O(new * runs * log state)`` and the per-run counts
         sum exactly to the half.
 
@@ -229,11 +254,11 @@ class RegionStateTable:
             idx1, keys1, idx2, keys2 = arrays[4 * machine : 4 * machine + 4]
             state1, state2 = self.state1[machine], self.state2[machine]
             old_runs1 = state1.run_keys
-            needles2 = state2.insert(idx2, keys2)
-            needles1 = state1.insert(idx1, keys1)
+            state2.append_sorted(idx2, keys2)
+            state1.append_sorted(idx1, keys1)
             for half, needles, searched in (
-                (0, needles1, state2.run_keys),
-                (1, needles2, old_runs1),
+                (0, keys1, state2.run_keys),
+                (1, keys2, old_runs1),
             ):
                 searched = searched or [needles[:0]]
                 tasks += [(needles, run) for run in searched]
@@ -274,25 +299,37 @@ class RegionStateTable:
 
 
 def state_layout(
-    indices1: "list[np.ndarray]",
-    indices2: "list[np.ndarray]",
-    history1: "ArrivalLog | np.ndarray",
-    history2: "ArrivalLog | np.ndarray",
+    columns1: "list[tuple[np.ndarray, np.ndarray]]",
+    columns2: "list[tuple[np.ndarray, np.ndarray]]",
 ) -> "list[np.ndarray]":
     """Machine-major array layout: (idx1, keys1, idx2, keys2) per machine.
 
     The one shape protocol traffic takes on its way into a
-    :class:`RegionStateTable` -- per-machine arrival-index arrays with
-    their keys gathered from the histories (logs or bare arrays: anything
-    indexable by global index arrays) -- whether the table sits in this
+    :class:`RegionStateTable` -- each machine's R1 and R2 ``(indices,
+    keys)`` column pairs laid end to end -- whether the table sits in this
     process or behind a shared-memory message.
     """
-    arrays: "list[np.ndarray]" = []
-    for idx1, idx2 in zip(indices1, indices2):
-        idx1 = np.asarray(idx1, dtype=np.int64)
-        idx2 = np.asarray(idx2, dtype=np.int64)
-        arrays += [idx1, history1[idx1], idx2, history2[idx2]]
-    return arrays
+    return [
+        array
+        for pair1, pair2 in zip(columns1, columns2)
+        for array in (*pair1, *pair2)
+    ]
+
+
+def _gather_columns(
+    assignments: "list[np.ndarray]", history: "ArrivalLog | np.ndarray"
+) -> "list[tuple[np.ndarray, np.ndarray]]":
+    """Per machine, an index assignment with its keys gathered from the history.
+
+    How wholesale state (a migration's assignments, a restore's resident
+    indices) gets its key column; a batch's arrivals never come this way
+    -- the router hands them over with their keys.
+    """
+    columns = []
+    for indices in assignments:
+        indices = np.asarray(indices, dtype=np.int64)
+        columns.append((indices, history[indices]))
+    return columns
 
 
 def _count_regions(
@@ -466,15 +503,14 @@ class ExecutionBackend(abc.ABC):
 
     def count_batch(
         self,
-        new1: "list[np.ndarray]",
-        new2: "list[np.ndarray]",
-        history1: "ArrivalLog | np.ndarray",
-        history2: "ArrivalLog | np.ndarray",
+        new1: "list[tuple[np.ndarray, np.ndarray]]",
+        new2: "list[tuple[np.ndarray, np.ndarray]]",
     ) -> RegionJoinResult:
         """Fold one batch's arrivals into the state; count its output delta.
 
-        ``new1`` / ``new2`` are per-machine arrival-index arrays into the
-        key histories.  Every machine's search tasks
+        ``new1`` / ``new2`` are per-machine ``(arrival indices, keys)``
+        column pairs, key-sorted as :meth:`RegionStateTable.fold` requires.
+        Every machine's search tasks
         (:meth:`RegionStateTable.fold`: two halves, one task per sorted run
         searched) go through :meth:`join_regions` as one dispatch, so the
         returned timings and serialization bytes are the backend's own; no
@@ -483,7 +519,7 @@ class ExecutionBackend(abc.ABC):
         ``worker_seconds`` stay per task.
         """
         table = self._bound_table()
-        tasks, owners = table.fold(state_layout(new1, new2, history1, history2))
+        tasks, owners = table.fold(state_layout(new1, new2))
         execution = self.join_regions(
             tasks,
             [self._fold_conditions[owner & 1] for owner in owners.tolist()],
@@ -518,7 +554,10 @@ class ExecutionBackend(abc.ABC):
         keys gathered from the histories.
         """
         self._bound_table().install(
-            state_layout(assignments1, assignments2, history1, history2)
+            state_layout(
+                _gather_columns(assignments1, history1),
+                _gather_columns(assignments2, history2),
+            )
         )
 
     def resize(self, num_machines: int) -> None:
@@ -993,22 +1032,20 @@ class StickyWorkerBackend(ExecutionBackend):
 
     def count_batch(
         self,
-        new1: "list[np.ndarray]",
-        new2: "list[np.ndarray]",
-        history1: "ArrivalLog | np.ndarray",
-        history2: "ArrivalLog | np.ndarray",
+        new1: "list[tuple[np.ndarray, np.ndarray]]",
+        new2: "list[tuple[np.ndarray, np.ndarray]]",
     ) -> RegionJoinResult:
         """Ship one batch's per-machine deltas; fold and count worker-side.
 
-        The keys are gathered here and written with the indices to the
-        arena as one :func:`state_layout` message.  The byte accounting
-        accrues on the backend and is drained per batch
+        The key-sorted ``(indices, keys)`` columns are written to the arena
+        as one :func:`state_layout` message, per machine as they came.  The
+        byte accounting accrues on the backend and is drained per batch
         (:meth:`drain_channel_bytes`), covering every command of the batch.
         """
         start = perf_counter()
-        layout = state_layout(new1, new2, history1, history2)
+        layout = state_layout(new1, new2)
         rows = self._command("count", self._bound_arena().write(layout))
-        self._counts += _index_lengths(new1, new2)
+        self._counts += _index_lengths(layout[0::4], layout[2::4])
         outputs, seconds = zip(*rows)
         return RegionJoinResult(
             per_machine_output=np.array(outputs, dtype=np.int64),
@@ -1042,7 +1079,10 @@ class StickyWorkerBackend(ExecutionBackend):
         message, so state never crosses the pickle channel even when it
         changes owners.
         """
-        layout = state_layout(assignments1, assignments2, history1, history2)
+        layout = state_layout(
+            _gather_columns(assignments1, history1),
+            _gather_columns(assignments2, history2),
+        )
         self._command("install", self._bound_arena().write(layout))
         self._counts = _index_lengths(assignments1, assignments2)
 

@@ -15,12 +15,14 @@ and never rewritten.  Per micro-batch it runs six stages:
 * **ingest** -- fold the batch into the maintained sample state, build the
   first partitioning once both sides have been seen, append the keys (and,
   under a window, the liveness bookkeeping) to the logs;
-* **route** -- assign the arrivals to regions under the current
-  partitioning and ship each region's arrivals to the machine actually
-  holding it (the adopted region-to-machine mapping is remembered between
-  rebuilds, so partial repartitioning never degrades correctness);
-* **count** -- hand the per-machine arrival indices to the backend, which
-  folds them into each machine's key-sorted runs and counts the batch's
+* **route** -- key-sort each side of the batch once and cut it into the
+  regions' shares under the current partitioning (a region of a grid-routed
+  plan is a key range, hence a slice), then ship each region's arrivals to
+  the machine actually holding it (the adopted region-to-machine mapping is
+  remembered between rebuilds, so partial repartitioning never degrades
+  correctness);
+* **count** -- hand the per-machine key-sorted arrivals to the backend, which
+  appends them to each machine's key-sorted runs and counts the batch's
   exact output delta by binary search, ``O(new * runs * log state)`` per
   machine with the runs merged geometrically behind it
   (``C(new1, state2 + new2) + C(state1, new2)``; no region is ever
@@ -86,7 +88,7 @@ from repro.joins.local import count_join_output
 from repro.obs.clock import perf_counter
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
-from repro.partitioning.base import Partitioning
+from repro.partitioning.base import Partitioning, sort_arrivals
 from repro.streaming.arrivals import ArrivalLog
 from repro.streaming.backends import (
     ExecutionBackend,
@@ -246,24 +248,22 @@ class StreamingJoinEngine:
         )
 
     @staticmethod
-    def _globalise(
-        local_assignments: list[np.ndarray],
-        offset: int,
+    def _to_machines(
+        per_region: "list[tuple[np.ndarray, np.ndarray]]",
+        keys: np.ndarray,
         region_to_machine: np.ndarray,
         num_machines: int,
-    ) -> list[np.ndarray]:
-        """Convert per-region batch-local indices to per-machine arrival indices.
+    ) -> "list[tuple[np.ndarray, np.ndarray]]":
+        """Hand each region's routed columns to the machine holding the region.
 
-        ``offset`` is the global arrival index of the batch's first tuple
-        on that side.  Region ``r``'s arrivals are shipped to
-        ``region_to_machine[r]`` -- the machine actually holding that
-        region's state after any partial repartitioning remap.
+        Region ``r``'s arrivals are shipped to ``region_to_machine[r]`` --
+        the machine actually holding that region's state after any partial
+        repartitioning remap; a machine holding no region receives empty
+        columns (of ``keys``' dtype).
         """
-        empty = np.empty(0, dtype=np.int64)
-        per_machine: list[np.ndarray] = [empty] * num_machines
-        for region, local in enumerate(local_assignments):
-            machine = int(region_to_machine[region])
-            per_machine[machine] = np.asarray(local, dtype=np.int64) + offset
+        per_machine = [(np.empty(0, dtype=np.int64), keys[:0])] * num_machines
+        for region, columns in enumerate(per_region):
+            per_machine[region_to_machine[region]] = columns
         return per_machine
 
     def _stitch_workers(self, execution: RegionJoinResult, span) -> None:
@@ -646,8 +646,15 @@ class StreamingJoinEngine:
         batch: MicroBatch,
         offsets: "tuple[int, int]",
         initial_build: bool,
-    ) -> "tuple[list[np.ndarray], list[np.ndarray]] | None":
-        """Stage 2: per-machine arrival indices of the batch, R1 then R2.
+    ) -> "tuple[list[tuple[np.ndarray, np.ndarray]], ...] | None":
+        """Stage 2: per-machine key-sorted arrivals of the batch, R1 then R2.
+
+        Per side, one ``(arrival indices, keys)`` column pair per machine,
+        ascending by key with equal keys in arrival order -- what
+        ``count_batch`` folds in as it is
+        (:meth:`Partitioning.sorted_arrivals
+        <repro.partitioning.base.Partitioning.sorted_arrivals>`; the batch's
+        own key arrays are sorted, the logs are not read).
 
         ``None`` while one side is still entirely unseen: no partitioning
         can be built and no output is possible yet, so the arrivals just
@@ -664,30 +671,34 @@ class StreamingJoinEngine:
         ):
             if initial_build:
                 s.region_to_machine = np.arange(J, dtype=np.int64)
-                return (
-                    route_live(s.partitioning.assign_r1, s.log1, J, s.rng),
-                    route_live(s.partitioning.assign_r2, s.log2, J, s.rng),
+                return tuple(
+                    [
+                        sort_arrivals(held, log[held])
+                        for held in route_live(assign, log, J, s.rng)
+                    ]
+                    for assign, log in (
+                        (s.partitioning.assign_r1, s.log1),
+                        (s.partitioning.assign_r2, s.log2),
+                    )
                 )
-            return (
-                self._globalise(
-                    s.partitioning.assign_r1(batch.keys1, s.rng),
-                    offsets[0],
+            return tuple(
+                self._to_machines(
+                    s.partitioning.sorted_arrivals(side, keys, s.rng, offset),
+                    keys,
                     s.region_to_machine,
                     J,
-                ),
-                self._globalise(
-                    s.partitioning.assign_r2(batch.keys2, s.rng),
-                    offsets[1],
-                    s.region_to_machine,
-                    J,
-                ),
+                )
+                for side, keys, offset in (
+                    (1, np.asarray(batch.keys1), offsets[0]),
+                    (2, np.asarray(batch.keys2), offsets[1]),
+                )
             )
 
     def _count(
         self,
         s: RunState,
         batch: MicroBatch,
-        routed: "tuple[list[np.ndarray], list[np.ndarray]] | None",
+        routed: "tuple[list[tuple[np.ndarray, np.ndarray]], ...] | None",
         rebuild_cost: float,
     ) -> BatchMetrics:
         """Stage 3: count the batch's output delta; open its metrics record.
@@ -708,12 +719,13 @@ class StreamingJoinEngine:
         else:
             new1, new2 = routed
             arrivals = np.array(
-                [len(a) + len(b) for a, b in zip(new1, new2)], dtype=np.int64
+                [len(a) + len(b) for (a, _), (b, _) in zip(new1, new2)],
+                dtype=np.int64,
             )
             with self.tracer.span(
                 "incremental_count", category="stage", tasks=2 * J
             ) as span:
-                execution = self.backend.count_batch(new1, new2, s.log1, s.log2)
+                execution = self.backend.count_batch(new1, new2)
             self._stitch_workers(execution, span)
             deltas = execution.per_machine_output
             s.resident_tuples += int(arrivals.sum())

@@ -53,6 +53,7 @@ from repro.core.histogram import (
 )
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import JoinCondition
+from repro.partitioning.base import sort_arrivals
 from repro.partitioning.ewh import EWHPartitioning
 from repro.sampling.reservoir import offer_entries
 from repro.streaming.source import MicroBatch
@@ -97,7 +98,9 @@ class SortedRegionState:
     number of joinable pairs between the batch's few arrivals and the
     machine's (much larger) retained state.  The state is a short list of
     **runs**, each a ``(keys, index)`` column pair sorted by join key,
-    oldest and largest first.  A batch's arrivals are sorted once and
+    oldest and largest first.  A batch's arrivals come key-sorted from the
+    router (:meth:`append_sorted`; :meth:`insert` sorts for callers that
+    hold them in arrival order) and are
     appended as the newest run, which then swallows its predecessor while
     the predecessor is smaller than :data:`RUN_MERGE_RATIO` times it -- the
     whole cascade merged in one pass
@@ -169,10 +172,10 @@ class SortedRegionState:
         but no key history.  Both inputs are copied (the pairs may be views
         into a transient shared segment).
         """
-        indices = np.asarray(indices, dtype=np.int64)
-        keys = np.asarray(keys)
-        order = np.argsort(keys, kind="stable")
-        return cls(index=indices[order], keys=keys[order])
+        indices, keys = sort_arrivals(
+            np.asarray(indices, dtype=np.int64), np.asarray(keys)
+        )
+        return cls(index=indices, keys=keys)
 
     def __len__(self) -> int:
         """Number of retained tuples."""
@@ -233,11 +236,27 @@ class SortedRegionState:
         return np.concatenate([index for _, index in self._runs])
 
     def insert(self, new_indices: np.ndarray, new_keys: np.ndarray) -> np.ndarray:
-        """Add a batch's arrivals as the newest run; merge geometrically.
+        """Key-sort a batch's arrivals (stable) and :meth:`append_sorted` them.
 
-        The arrivals are key-sorted once (stable) and returned in that
-        order and their own dtype -- the needles the batch's count searches
+        For callers holding arrivals in arrival order.  Returns the sorted
+        keys in their own dtype -- the needles the batch's count searches
         with, which descend a large sorted run faster than unsorted ones.
+        """
+        new_indices, new_keys = sort_arrivals(
+            np.asarray(new_indices, dtype=np.int64), np.asarray(new_keys)
+        )
+        self.append_sorted(new_indices, new_keys)
+        return new_keys
+
+    def append_sorted(self, new_indices: np.ndarray, new_keys: np.ndarray) -> None:
+        """Add key-sorted arrivals as the newest run; merge geometrically.
+
+        ``new_keys`` ascend, equal keys in arrival order, ``new_indices``
+        parallel to them.  Neither array is kept: they may be slices of a
+        routed batch or views into a transient shared segment, so the run
+        holds copies -- the merge's fresh columns, or explicit ones when
+        nothing merges.
+
         The new run is merged into its predecessor while the predecessor
         is smaller than :data:`RUN_MERGE_RATIO` times it, so the amortised
         copy cost is ``O(new * ratio * log_ratio(state / new))`` and the
@@ -248,17 +267,14 @@ class SortedRegionState:
         bit-identical to merging pairwise from the newest run back, equal
         keys included.
 
-        The first insert into empty state adopts the arrivals' dtype (exact
-        integers stay integers); a later dtype mismatch promotes *every*
-        run, so a mixed int/float stream never truncates a float key into
-        an integer slot and all runs keep one dtype.
+        The first arrivals into empty state set the dtype (exact integers
+        stay integers); a later dtype mismatch promotes *every* run, so a
+        mixed int/float stream never truncates a float key into an integer
+        slot and all runs keep one dtype.
         """
-        new_keys = np.asarray(new_keys)
         if len(new_indices) == 0:
-            return new_keys
-        order = np.argsort(new_keys, kind="stable")
-        needles = new_keys = new_keys[order]
-        new_indices = np.asarray(new_indices, dtype=np.int64)[order]
+            return
+        new_indices = np.asarray(new_indices, dtype=np.int64)
         runs = self._runs
         if runs and runs[0][0].dtype != new_keys.dtype:
             target = np.promote_types(runs[0][0].dtype, new_keys.dtype)
@@ -270,10 +286,10 @@ class SortedRegionState:
         while first and len(runs[first - 1][1]) < RUN_MERGE_RATIO * merged:
             first -= 1
             merged += len(runs[first][1])
-        runs.append((new_keys, new_indices))
-        if first < len(runs) - 1:
-            runs[first:] = [_merge_sorted(runs[first:])]
-        return needles
+        if first < len(runs):
+            runs[first:] = [_merge_sorted(runs[first:] + [(new_keys, new_indices)])]
+        else:
+            runs.append((new_keys.copy(), new_indices.copy()))
 
     def evict(self, expired: np.ndarray) -> int:
         """Drop the given global arrival indices; return how many were held.

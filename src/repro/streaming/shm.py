@@ -45,9 +45,12 @@ from __future__ import annotations
 import math
 import secrets
 from dataclasses import dataclass
-from multiprocessing import shared_memory
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # imported where a segment is made or attached, not here:
+    from multiprocessing import shared_memory  # ``import repro`` stays light
 
 __all__ = [
     "SEGMENT_PREFIX",
@@ -79,6 +82,8 @@ def attach_segment(name: str) -> shared_memory.SharedMemory:
     tracker at all -- the engine's create/unlink pair stays the segment's
     only tracker traffic.
     """
+    from multiprocessing import shared_memory
+
     try:
         return shared_memory.SharedMemory(name=name, track=False)
     except TypeError:  # Python < 3.13: no track parameter
@@ -170,6 +175,8 @@ class ShmArena:
         """Return a segment of at least ``nbytes``, reallocating if needed."""
         if self._segment is not None and self._segment.size >= nbytes:
             return self._segment
+        from multiprocessing import shared_memory
+
         if self._segment is not None:
             self._segment.close()
             self._segment.unlink()

@@ -52,6 +52,7 @@ import pytest
 from repro.engine.executor import join_assigned_regions
 from repro.joins.local import count_join_output
 from repro.obs.clock import perf_counter
+from repro.partitioning.base import sort_arrivals
 from repro.streaming.backends import (
     ExecutionBackend,
     RegionJoinResult,
@@ -64,6 +65,7 @@ from repro.streaming.metrics import StreamRunResult
 from repro.streaming.window import WindowPolicy
 
 __all__ = [
+    "arrivals",
     "assert_equivalent_runs",
     "CrashingBackend",
     "FlakyBackend",
@@ -74,6 +76,18 @@ __all__ = [
     "crashing_backend",
     "flaky_backend",
 ]
+
+
+def arrivals(assignments, history) -> "list[tuple[np.ndarray, np.ndarray]]":
+    """What ``count_batch`` takes for one side, from index arrays and a history.
+
+    Per machine, the ``(arrival indices, keys)`` columns key-sorted with
+    ties in arrival order -- the shape the engine's router hands over.
+    """
+    return [
+        sort_arrivals(indices, history[indices])
+        for indices in (np.asarray(a, dtype=np.int64) for a in assignments)
+    ]
 
 
 def assert_equivalent_runs(
@@ -188,11 +202,11 @@ class _ForwardingBackend(ExecutionBackend):
         self._ensure_open()
         self.inner.bind(num_machines, condition, transposed)
 
-    def count_batch(self, new1, new2, history1, history2) -> RegionJoinResult:
+    def count_batch(self, new1, new2) -> RegionJoinResult:
         """Forward a batch count, faults permitting."""
         self._ensure_open()
         self._before("count")
-        return self.inner.count_batch(new1, new2, history1, history2)
+        return self.inner.count_batch(new1, new2)
 
     def evict_state(self, expired1, expired2) -> int:
         """Forward an eviction, faults permitting."""
@@ -319,8 +333,8 @@ class RecountingBackend(_ForwardingBackend):
 
     An oracle in the shape of a backend decorator.  It *shadows* the
     protocol traffic it forwards -- per machine and side, the keys and
-    arrival indices the inner backend has been told to hold, in arrival
-    order, never sorted -- and after every ``count_batch`` joins each
+    arrival indices the inner backend has been told to hold, batch after
+    batch as they came, never merged -- and after every ``count_batch`` joins each
     machine's full shadow region from scratch
     (:func:`~repro.joins.local.count_join_output`, the same kernel the
     end-of-stream verification trusts) and asserts, per machine::
@@ -380,13 +394,10 @@ class RecountingBackend(_ForwardingBackend):
         self._condition = condition
         self._reset(num_machines)
 
-    def count_batch(self, new1, new2, history1, history2) -> RegionJoinResult:
+    def count_batch(self, new1, new2) -> RegionJoinResult:
         """Forward the count, then check its deltas against a full recount."""
-        execution = super().count_batch(new1, new2, history1, history2)
-        for shadow, arrivals in (
-            (self._shadow1, self._gather(new1, history1)),
-            (self._shadow2, self._gather(new2, history2)),
-        ):
+        execution = super().count_batch(new1, new2)
+        for shadow, arrivals in ((self._shadow1, new1), (self._shadow2, new2)):
             for machine, (indices, keys) in enumerate(arrivals):
                 held_indices, held_keys = shadow[machine]
                 shadow[machine] = (

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +45,22 @@ def test_no_duplicate_exports():
 def test_version_string():
     assert isinstance(repro.__version__, str)
     assert repro.__version__.count(".") >= 1
+
+
+def test_import_repro_leaves_the_process_machinery_unimported():
+    """``import repro`` is most of a short run's set-up time: the worker and
+    pool machinery is imported by the constructors that need it, not before."""
+    source = Path(repro.__file__).resolve().parents[1]
+    probe = (
+        "import sys, repro; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(source)},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_readme_quickstart_flow():

@@ -26,6 +26,7 @@ import pytest
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import BandJoinCondition
 from repro.joins.local import count_join_output
+from repro.partitioning.base import sort_arrivals
 from repro.streaming import (
     DriftAdaptiveEWHPolicy,
     DriftDetector,
@@ -41,9 +42,9 @@ from repro.streaming import (
     default_mp_context,
     make_backend,
 )
-from repro.streaming.backends import _StickyWorkerState
+from repro.streaming.backends import _StickyWorkerState, state_layout
 from repro.streaming.shm import SEGMENT_PREFIX
-from streaming_harness import _ForwardingBackend
+from streaming_harness import _ForwardingBackend, arrivals
 
 UNIT = WeightFunction(1.0, 1.0)
 BAND = BandJoinCondition(beta=1.0)
@@ -264,7 +265,8 @@ class TestStickyWorkerState:
             # The table hands back exactly those two searches, each split
             # into one task per sorted run of the searched state, with the
             # batch's sorted arrivals as needles ...
-            tasks, owners = table.fold([idx1, keys1, idx2, keys2])
+            layout = [*sort_arrivals(idx1, keys1), *sort_arrivals(idx2, keys2)]
+            tasks, owners = table.fold(layout)
             assert len(tasks) == len(owners)
             assert owners.tolist() == sorted(owners.tolist())  # half 0 first
             for half, needles, searched in (
@@ -280,7 +282,7 @@ class TestStickyWorkerState:
                 )
             tasks_per_half.append(np.bincount(owners, minlength=2).tolist())
             # ... and the worker counts them, summing the runs per half.
-            ((output, seconds),) = worker.count([idx1, keys1, idx2, keys2])
+            ((output, seconds),) = worker.count(layout)
             assert output == expected
             assert seconds >= 0.0
         assert tasks_per_half == [[1, 1], [2, 1], [1, 2]]
@@ -291,7 +293,7 @@ class TestStickyWorkerState:
     def test_count_touches_owned_machines_only(self, rng):
         worker = _StickyWorkerState()
         worker.own((1,), BAND, BAND.transposed)
-        keys = rng.uniform(0, 50, 20)
+        keys = np.sort(rng.uniform(0, 50, 20))
         idx = np.arange(20, dtype=np.int64)
         counted = worker.count(self._layout(2, 1, idx, keys, idx, keys))
         assert len(counted) == 1  # one row per *owned* machine
@@ -308,7 +310,7 @@ class TestStickyWorkerState:
     def test_evict_reports_entries_actually_dropped(self, rng):
         table = RegionStateTable([0, 1])
         idx = np.arange(10, dtype=np.int64)
-        keys = rng.uniform(0, 50, 10)
+        keys = np.sort(rng.uniform(0, 50, 10))
         table.fold(self._layout(2, 0, idx, keys, idx, keys))
         expired = np.array([2, 5, 7, 99], dtype=np.int64)  # 99 not resident
         # Three real entries per side on machine 0, nothing on machine 1.
@@ -342,7 +344,7 @@ class TestStickyWorkerState:
         worker = _StickyWorkerState()
         worker.own((0,), BAND, BAND.transposed)
         idx = np.arange(5, dtype=np.int64)
-        keys = rng.uniform(0, 50, 5)
+        keys = np.sort(rng.uniform(0, 50, 5))
         worker.count([idx, keys, idx, keys])
         # A resize is the same command bind sent, with the new machines.
         assert worker.own((1, 3), BAND, BAND.transposed) == ("owned", os.getpid())
@@ -350,16 +352,34 @@ class TestStickyWorkerState:
         assert worker.held() == [(1, 0, 0), (3, 0, 0)]
 
     def test_state_never_aliases_the_message_views(self, rng):
-        # Fold inputs may be views into a reused shared segment; resident
-        # state must copy them or the next message would corrupt it.
+        # Fold inputs are views into a reused shared segment (a sticky
+        # worker's arena) or slices of a routed batch.  The sorted append
+        # keeps neither: not in a run that nothing merged into (64, then 3:
+        # 64 >= 8 * 3), not in a merged one (3 more: 3 < 8 * 3 <= 64 / 2).
+        worker = _StickyWorkerState()
+        worker.own((0,), BAND, BAND.transposed)
         table = RegionStateTable([0])
-        idx = np.arange(5, dtype=np.int64)
-        keys = rng.uniform(0, 50, 5)
-        table.fold([idx, keys, idx, keys])
-        before = table.state1[0].keys.copy()
-        keys[:] = -1.0  # simulate the arena overwriting the segment
-        idx[:] = 0
-        np.testing.assert_array_equal(table.state1[0].keys, before)
+        for fold, owner in ((table.fold, table), (worker.count, worker.table)):
+            segment_keys = np.zeros(64)
+            segment_idx = np.zeros(64, dtype=np.int64)
+            first = 0
+            for size, runs in ((64, 1), (3, 2), (3, 2)):
+                keys, idx = segment_keys[:size], segment_idx[:size]
+                keys[:] = np.sort(rng.uniform(0, 50, size))
+                idx[:] = np.arange(first, first + size)
+                first += size
+                fold([idx, keys, idx, keys])
+                for state in (owner.state1[0], owner.state2[0]):
+                    assert len(state._runs) == runs
+                    for run in state._runs:
+                        for column in run:
+                            assert not np.shares_memory(column, segment_keys)
+                            assert not np.shares_memory(column, segment_idx)
+                before = owner.state1[0].keys.copy(), owner.state1[0].index.copy()
+                segment_keys[:] = -1.0  # the arena overwrites the segment
+                segment_idx[:] = 0
+                np.testing.assert_array_equal(owner.state1[0].keys, before[0])
+                np.testing.assert_array_equal(owner.state1[0].index, before[1])
 
     def test_unknown_command_raises(self):
         worker = _StickyWorkerState()
@@ -393,7 +413,9 @@ class TestInProcessStateProtocol:
 
         backend = Spy()
         backend.bind(2, BAND, BAND.transposed)
-        result = backend.count_batch(split, split, history1, history2)
+        result = backend.count_batch(
+            arrivals(split, history1), arrivals(split, history2)
+        )
         assert dispatched == [(4, True)]  # 2J tasks (single-run state), one dispatch
         expected = [
             count_join_output(history1[idx], history2[idx], BAND)
@@ -410,7 +432,8 @@ class TestInProcessStateProtocol:
         # still the same set, in no particular order.
         tail = [np.array([80], dtype=np.int64), np.empty(0, dtype=np.int64)]
         backend.count_batch(
-            tail, tail, np.append(history1, 1.0), np.append(history2, 1.0)
+            arrivals(tail, np.append(history1, 1.0)),
+            arrivals(tail, np.append(history2, 1.0)),
         )
         assert len(backend._table.state1[0].run_keys) == 2
         held1, _ = backend.resident_indices()
@@ -420,7 +443,7 @@ class TestInProcessStateProtocol:
         history1, history2, split = self._traffic(rng)
         backend = SimulatedBackend()
         backend.bind(2, BAND, BAND.transposed)
-        backend.count_batch(split, split, history1, history2)
+        backend.count_batch(arrivals(split, history1), arrivals(split, history2))
         expired = np.arange(0, 10, dtype=np.int64)
         assert backend.evict_state(expired, expired) == 20
         held1, held2 = backend.resident_indices()
@@ -439,7 +462,7 @@ class TestInProcessStateProtocol:
         backend = SimulatedBackend()
         empty = np.empty(0)
         with pytest.raises(RuntimeError, match="not bound"):
-            backend.count_batch([], [], empty, empty)
+            backend.count_batch([], [])
         with pytest.raises(RuntimeError, match="not bound"):
             backend.resident_indices()
         backend.bind(1, BAND, BAND.transposed)
@@ -455,9 +478,10 @@ class TestInProcessStateProtocol:
         history1, history2, split = self._traffic(rng)
         backend = SimulatedBackend()
         backend.bind(2, BAND, BAND.transposed)
-        first = backend.count_batch(split, split, history1, history2)
+        batch = arrivals(split, history1), arrivals(split, history2)
+        first = backend.count_batch(*batch)
         backend.bind(2, BAND, BAND.transposed)
-        again = backend.count_batch(split, split, history1, history2)
+        again = backend.count_batch(*batch)
         np.testing.assert_array_equal(
             first.per_machine_output, again.per_machine_output
         )
@@ -468,16 +492,15 @@ class TestInProcessStateProtocol:
             SimulatedBackend(), seconds_per_call=2.0, seconds_per_tuple=0.5
         )
         slow.bind(2, BAND, BAND.transposed)
-        result = slow.count_batch(split, split, history1, history2)
+        batch = arrivals(split, history1), arrivals(split, history2)
+        result = slow.count_batch(*batch)
         # probe tuples = every task's first-side keys = the batch's arrivals.
         assert result.wall_seconds >= 2.0 + 0.5 * 160
         reference = SimulatedBackend()
         reference.bind(2, BAND, BAND.transposed)
         np.testing.assert_array_equal(
             result.per_machine_output,
-            reference.count_batch(
-                split, split, history1, history2
-            ).per_machine_output,
+            reference.count_batch(*batch).per_machine_output,
         )
 
 
@@ -509,9 +532,9 @@ class _ShadowingBackend(_ForwardingBackend):
         super().bind(num_machines, condition, transposed)
         self.twin.bind(num_machines, condition, transposed)
 
-    def count_batch(self, new1, new2, history1, history2):
-        execution = super().count_batch(new1, new2, history1, history2)
-        twin = self.twin.count_batch(new1, new2, history1, history2)
+    def count_batch(self, new1, new2):
+        execution = super().count_batch(new1, new2)
+        twin = self.twin.count_batch(new1, new2)
         np.testing.assert_array_equal(
             execution.per_machine_output, twin.per_machine_output
         )
@@ -545,13 +568,11 @@ class TestStickyWorkerBackend:
         split = [np.arange(0, 40, dtype=np.int64), np.arange(40, 80, dtype=np.int64)]
         reference = _StickyWorkerState()
         reference.own((0, 1), BAND, BAND.transposed)
-        expected = reference.count(
-            [split[0], history1[split[0]], split[0], history2[split[0]],
-             split[1], history1[split[1]], split[1], history2[split[1]]]
-        )
+        batch = arrivals(split, history1), arrivals(split, history2)
+        expected = reference.count(state_layout(*batch))
         with StickyWorkerBackend(max_workers=2) as backend:
             backend.bind(2, BAND, BAND.transposed)
-            result = backend.count_batch(split, split, history1, history2)
+            result = backend.count_batch(*batch)
         assert result.per_machine_output.tolist() == [out for out, _ in expected]
 
     def test_read_back_matches_the_in_process_view_after_every_verb(self):
@@ -581,7 +602,7 @@ class TestStickyWorkerBackend:
         idx = [np.arange(m, 4000, 4, dtype=np.int64) for m in range(4)]
         with StickyWorkerBackend(max_workers=2) as backend:
             backend.bind(4, BAND, BAND.transposed)
-            backend.count_batch(idx, idx, history, history)
+            backend.count_batch(arrivals(idx, history), arrivals(idx, history))
             backend.evict_state(np.arange(8, dtype=np.int64), np.empty(0, dtype=np.int64))
             backend.resident_indices()
             assert backend._counts.tolist() == [[998, 1000]] * 4
@@ -601,7 +622,7 @@ class TestStickyWorkerBackend:
         idx = [np.arange(0, 40, dtype=np.int64), np.arange(40, 64, dtype=np.int64)]
         with StickyWorkerBackend(max_workers=2) as backend:
             backend.bind(2, BAND, BAND.transposed)
-            backend.count_batch(idx, idx, history, history)
+            backend.count_batch(arrivals(idx, history), arrivals(idx, history))
             backend.drain_channel_bytes()
             held1, held2 = backend.resident_indices()
             pickled, unpickled, shm = backend.drain_channel_bytes()
@@ -625,7 +646,7 @@ class TestStickyWorkerBackend:
         for verb in ("evict_state", "resident_indices"):
             with StickyWorkerBackend(max_workers=1) as backend:
                 backend.bind(1, BAND, BAND.transposed)
-                backend.count_batch(idx, idx, history, history)
+                backend.count_batch(arrivals(idx, history), arrivals(idx, history))
                 # Behind the backend's back: the worker drops two R1 entries.
                 message = backend._arena.write([expired, expired[:0]])
                 assert backend._broadcast(("evict", message))[0][1] == [(0, 4, 4, 2, 0)]
@@ -646,7 +667,7 @@ class TestStickyWorkerBackend:
         backend = StickyWorkerBackend(max_workers=1)
         empty = np.empty(0)
         with pytest.raises(RuntimeError, match="not bound"):
-            backend.count_batch([], [], empty, empty)
+            backend.count_batch([], [])
         with pytest.raises(RuntimeError, match="not bound"):
             backend.evict_state(empty, empty)
         backend.close()
@@ -659,7 +680,7 @@ class TestStickyWorkerBackend:
         with pytest.raises(RuntimeError, match="closed"):
             backend.bind(1, BAND, BAND.transposed)
         with pytest.raises(RuntimeError, match="closed"):
-            backend.count_batch([], [], np.empty(0), np.empty(0))
+            backend.count_batch([], [])
         backend.close()  # idempotent
 
     def test_join_regions_refused(self, rng):
@@ -676,7 +697,7 @@ class TestStickyWorkerBackend:
         backend.bind(1, BAND, BAND.transposed)
         idx = np.arange(16, dtype=np.int64)
         history = rng.uniform(0, 50, 16)
-        backend.count_batch([idx], [idx], history, history)
+        backend.count_batch(arrivals([idx], history), arrivals([idx], history))
         live = {
             p.name for p in shm_dir.glob(f"{SEGMENT_PREFIX}-*")
         } - before
@@ -696,7 +717,7 @@ class TestStickyWorkerBackend:
         backend.bind(2, BAND, BAND.transposed)
         idx = [np.arange(8, dtype=np.int64)] * 2
         history = rng.uniform(0, 50, 8)
-        backend.count_batch(idx, idx, history, history)
+        backend.count_batch(arrivals(idx, history), arrivals(idx, history))
         segment = backend._arena.segment_name
         processes = list(backend._processes)
         os.kill(processes[0].pid, signal.SIGSTOP)
@@ -720,7 +741,7 @@ class TestStickyWorkerBackend:
             idx = np.arange(8, dtype=np.int64)
             history = rng.uniform(0, 50, 8)
             result = backend.count_batch(
-                [idx] * 4, [idx] * 4, history, history
+                arrivals([idx] * 4, history), arrivals([idx] * 4, history)
             )
         pids = result.worker_pids
         assert pids is not None and np.all(pids > 0)
@@ -744,7 +765,7 @@ class TestStickyWorkerBackend:
             assert backend.drain_channel_bytes() == (None, None, None)
             idx = np.arange(8, dtype=np.int64)
             history = rng.uniform(0, 50, 8)
-            backend.count_batch([idx], [idx], history, history)
+            backend.count_batch(arrivals([idx], history), arrivals([idx], history))
             pickled, unpickled, shm = backend.drain_channel_bytes()
             assert pickled > 0 and unpickled > 0
             assert shm == 4 * 8 * 8  # two index + two key arrays, 8 int64/f64
@@ -756,7 +777,7 @@ class TestStickyWorkerBackend:
             backend.bind(1, BAND, BAND.transposed)
             idx = np.arange(4, dtype=np.int64)
             history = rng.uniform(0, 50, 4)
-            backend.count_batch([idx], [idx], history, history)
+            backend.count_batch(arrivals([idx], history), arrivals([idx], history))
             pickled, unpickled, shm = backend.drain_channel_bytes()
             assert pickled is None and unpickled is None
             assert shm == 4 * 8 * 4

@@ -20,6 +20,7 @@ import pytest
 import reference_counting as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from streaming_harness import arrivals as sorted_batch
 
 from repro.joins.conditions import (
     BandJoinCondition,
@@ -161,8 +162,8 @@ def _count_simulated(condition, machines):
     backend = SimulatedBackend()
     backend.bind(machines, condition, condition.transposed)
 
-    def count(new1, new2, history1, history2):
-        execution = backend.count_batch(new1, new2, history1, history2)
+    def count(new1, new2):
+        execution = backend.count_batch(new1, new2)
         return list(
             zip(
                 execution.per_machine_output.tolist(),
@@ -203,8 +204,8 @@ def test_a_fold_counts_what_the_per_task_kernel_counts(
             for history in (history1, history2):
                 size = int(rng.choice([0, 1, 7, 90]))
                 machine = rng.integers(0, machines, size)
-                arrivals = len(history) + np.arange(size, dtype=np.int64)
-                new.append([arrivals[machine == slot] for slot in range(machines)])
+                arrived = len(history) + np.arange(size, dtype=np.int64)
+                new.append([arrived[machine == slot] for slot in range(machines)])
             new1, new2 = new
             history1 = np.concatenate(
                 [history1, _draw_keys(rng, style, sum(map(len, new1)))]
@@ -213,8 +214,9 @@ def test_a_fold_counts_what_the_per_task_kernel_counts(
                 [history2, _draw_keys(rng, style, sum(map(len, new2)))]
             )
 
-            rows = count(new1, new2, history1, history2)
-            tasks, owners = table.fold(state_layout(new1, new2, history1, history2))
+            new1, new2 = sorted_batch(new1, history1), sorted_batch(new2, history2)
+            rows = count(new1, new2)
+            tasks, owners = table.fold(state_layout(new1, new2))
             outputs, seconds = reference.count_regions(
                 tasks, [fold_conditions[owner & 1] for owner in owners.tolist()], True
             )

@@ -161,11 +161,11 @@ class TestFlakyBackend:
         backend = flaky_backend(failures=2)
         backend.bind(1, BAND, BAND.transposed)
         index = np.arange(2, dtype=np.int64)
-        history1, history2 = np.array([1.0, 2.0]), np.array([1.5, 9.0])
+        new1, new2 = [(index, np.array([1.0, 2.0]))], [(index, np.array([1.5, 9.0]))]
         for _ in range(2):
             with pytest.raises(WorkerCrashError, match="transient"):
-                backend.count_batch([index], [index], history1, history2)
-        result = backend.count_batch([index], [index], history1, history2)
+                backend.count_batch(new1, new2)
+        result = backend.count_batch(new1, new2)
         assert result.per_machine_output.sum() == 2
         assert backend.failures_remaining == 0
 

@@ -144,6 +144,35 @@ class TestGridRoutedPartitioning:
         with pytest.raises(ValueError):
             GridRoutedPartitioning(np.array([0.0]), np.array([0.0, 1.0]), [])
 
+    @pytest.mark.parametrize("bad", ["row_boundaries", "col_boundaries"])
+    def test_descending_or_nan_boundaries_rejected_by_name(self, bad):
+        # Both used to be accepted and then misrouted through searchsorted.
+        good = np.array([-np.inf, 1.0, 1.0, np.inf])  # ties are fine
+        for broken, complaint in (
+            (np.array([0.0, 2.0, 1.0]), "must ascend"),
+            (np.array([0.0, np.nan, 3.0]), "contains NaN"),
+        ):
+            arrays = {"row_boundaries": good, "col_boundaries": good, bad: broken}
+            with pytest.raises(ValueError, match=f"{bad} {complaint}"):
+                GridRoutedPartitioning(**arrays, regions=[])
+
+    def test_negative_or_inverted_region_ranges_rejected_by_region(self):
+        # GridRegion refuses these itself; a region is duck-typed here, so
+        # the partitioning must not rely on that.
+        from types import SimpleNamespace
+
+        boundaries = np.array([0.0, 1.0, 2.0, 3.0])
+        for coordinates, complaint in (
+            (dict(row_lo=-1, row_hi=1, col_lo=0, col_hi=0), "negative coordinates"),
+            (dict(row_lo=0, row_hi=0, col_lo=-2, col_hi=0), "negative coordinates"),
+            (dict(row_lo=2, row_hi=1, col_lo=0, col_hi=0), "inverted range"),
+            (dict(row_lo=0, row_hi=0, col_lo=1, col_hi=0), "inverted range"),
+        ):
+            region = SimpleNamespace(**coordinates)
+            with pytest.raises(ValueError, match=complaint) as refusal:
+                GridRoutedPartitioning(boundaries, boundaries, [region])
+            assert "namespace(" in str(refusal.value)  # names the region
+
 
 class TestMBucket:
     def test_region_budget_and_correctness(self, small_join):

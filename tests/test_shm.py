@@ -166,3 +166,44 @@ class TestShmReader:
         assert _segment_exists(message.segment)
         arena.close()
         assert not _segment_exists(message.segment)
+
+    def test_a_workers_state_never_aliases_the_arena(self):
+        """What a worker folds in are views of a segment the next message
+        overwrites: its sorted state must hold copies -- the arrivals no
+        longer pass through a sort that used to make them."""
+        from repro.joins.conditions import BandJoinCondition
+        from repro.streaming.backends import _StickyWorkerState
+
+        band = BandJoinCondition(beta=1.0)
+        worker = _StickyWorkerState()
+        worker.own((0,), band, band.transposed)
+        arena = ShmArena()
+        reader = ShmReader()
+        try:
+            first = 0
+            # 64, then 3 (appended unmerged: 64 >= 8 * 3), then 3 (merged).
+            for size in (64, 3, 3):
+                idx = np.arange(first, first + size, dtype=np.int64)
+                keys = np.linspace(0.0, 50.0, size) + first
+                first += size
+                message = arena.write([idx, keys, idx, keys])
+                views = reader.arrays(message)
+                worker.handle(("count", message), reader)
+                held = worker.table.state1[0], worker.table.state2[0]
+                for state in held:
+                    for run in state._runs:
+                        for column in run:
+                            assert column.flags.owndata
+                            assert not any(
+                                np.shares_memory(column, view) for view in views
+                            )
+                before = [(s.keys.copy(), s.index.copy()) for s in held]
+                del views
+                # The next message reuses the segment under the old views.
+                arena.write([np.full(2 * size, -1, dtype=np.int64)] * 4)
+                for state, (keys_before, index_before) in zip(held, before):
+                    np.testing.assert_array_equal(state.keys, keys_before)
+                    np.testing.assert_array_equal(state.index, index_before)
+        finally:
+            reader.close()
+            arena.close()

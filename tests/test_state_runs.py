@@ -31,7 +31,9 @@ from repro.joins.conditions import (
     InequalityOp,
 )
 from repro.joins.local import count_join_output
+from repro.partitioning.base import sort_arrivals
 from repro.streaming import (
+    ArrivalLog,
     MicroBatch,
     RegionStateTable,
     SimulatedBackend,
@@ -148,7 +150,7 @@ def test_runs_agree_with_the_single_array_reference(seed, key_mode, condition, s
             for slot in range(len(MACHINES)):
                 for side in (1, 2):
                     idx = arrivals[side][slot]
-                    layout += [idx, history[side][idx]]
+                    layout += sort_arrivals(idx, history[side][idx])
             tasks, owners = table.fold(layout)
             per_task = np.array(
                 [
@@ -302,10 +304,12 @@ def test_a_steady_batch_stays_call_light():
     The ``stream_steady`` shape -- J = 8, 1,000 tuples per side and batch,
     Zipf(0.8) over 2,000 values, ``batches:16``, a static plan -- is
     interpreter-bound, so what a batch costs is how many calls it makes.
-    With joinable bounds computed once per condition per dispatch, the run
-    merges done in one pass and the halves summed by one ``reduceat`` a
-    batch makes about 1,530 Python-level calls (``call`` + ``c_call``); with
-    bounds recomputed per task it made 2,150.  And the bounds themselves
+    With each side of the batch sorted once and handed to the machines as
+    slices, joinable bounds computed once per condition per dispatch, the
+    run merges done in one pass and the halves summed by one ``reduceat`` a
+    batch makes about 1,190 Python-level calls (``call`` + ``c_call``); with
+    per-machine masks, gathers and argsorts on the route it made 1,530, and
+    with bounds recomputed per task on top 2,150.  And the bounds themselves
     are computed at most twice per ``count_batch``, once per condition,
     however many runs the fold searched.
     """
@@ -335,10 +339,10 @@ def test_a_steady_batch_stays_call_light():
     for batch in batches[:64]:
         engine.process_batch(batch)
 
-    calls = bounds = tasks = 0
+    calls = bounds = tasks = gathers = sorts = 0
 
     def profiler(frame, event, arg):
-        nonlocal calls, bounds, tasks
+        nonlocal calls, bounds, tasks, gathers, sorts
         if event == "call":
             calls += 1
             name = frame.f_code.co_name
@@ -346,26 +350,40 @@ def test_a_steady_batch_stays_call_light():
                 bounds += 1
             elif name == "join_regions":
                 tasks += len(frame.f_locals["region_keys"])
+            elif name == "__getitem__" and isinstance(
+                frame.f_locals.get("self"), ArrivalLog
+            ):
+                gathers += 1
+            elif name == "argsort" and frame.f_back.f_code.co_name != "_merge_sorted":
+                sorts += 1
         elif event == "c_call":
             calls += 1
 
     previous = sys.getprofile()
+    route_sorts = 0
     for batch in batches[64:]:
-        bounds = 0
+        bounds = gathers = sorts = 0
         sys.setprofile(profiler)
         try:
             engine.process_batch(batch)
         finally:
             sys.setprofile(previous)
         assert 1 <= bounds <= 2
+        # The router sorts each side of the batch once and hands out slices
+        # with their keys: nothing is gathered back out of the logs, and the
+        # only other sorts are the state's run merges.
+        assert gathers == 0
+        assert 1 <= sorts <= 2
+        route_sorts += sorts
     engine.close()
     measured = len(batches) - 64
     print(
-        f"steady count stage: {calls / measured:.0f} calls per batch "
-        f"over {tasks / measured:.1f} search tasks"
+        f"steady route + count stages: {calls / measured:.0f} calls per batch "
+        f"over {tasks / measured:.1f} search tasks, {route_sorts / measured:.0f} "
+        "argsorts outside run merges, 0 gathers from the arrival logs"
     )
     assert tasks >= 2 * 8 * measured
-    assert calls / measured <= 1_650
+    assert calls / measured <= 1_310
 
 
 def test_nothing_keeps_a_second_copy_of_the_state(rng):
