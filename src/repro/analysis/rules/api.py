@@ -2,7 +2,7 @@
 
 The engine touches join state only through the backend's state-ownership
 protocol (``bind`` → per-batch ``count_batch`` / ``evict_state`` /
-``install_state``, plus ``resize``, ``resident_indices`` and
+``install_state``, plus ``resident_indices`` and
 ``drain_channel_bytes``).  The base class
 implements all of it in-process on top of the one abstract method,
 ``join_regions``; a backend that keeps the state elsewhere (sticky workers,
@@ -36,13 +36,14 @@ from repro.analysis.engine import Rule, SourceContext, Violation
 
 __all__ = ["BackendProtocolRule"]
 
-#: The state-ownership protocol surface: override one, override all.
+#: The state-ownership protocol surface: override one, override all.  The
+#: public methods of ``ExecutionBackend`` minus ``join_regions`` and
+#: ``close`` (``tests/test_analysis.py`` holds the two equal).
 STATE_PROTOCOL = (
     "bind",
     "count_batch",
     "evict_state",
     "install_state",
-    "resize",
     "resident_indices",
     "drain_channel_bytes",
 )

@@ -6,8 +6,9 @@ of the tuples that must be shipped to the machine owning that region.  A
 tuple may be assigned to several regions (replication) or to none (its row or
 column intersects no region because it cannot produce output).
 
-The streaming engine keeps every region's state key-sorted, so per batch it
-asks the same question through :meth:`Partitioning.sorted_arrivals`: the
+The streaming engine keeps every region's state key-sorted, so per batch --
+and for the live history a build or migration routes -- it asks the same
+question through :meth:`Partitioning.sorted_arrivals`: the
 region's share of the batch *already in key order*.  The default answers by
 assigning and then sorting each share; a scheme whose regions are key ranges
 sorts the batch once and hands out slices

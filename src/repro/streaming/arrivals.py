@@ -18,10 +18,11 @@ outputs, loads, evictions and migration plans are bit-identical with or
 without trimming (the untrimmed reference is the ``NoTrimWindow``
 decorator in ``tests/streaming_harness.py``).
 
-Wherever the protocol and the migration planner take a key *history*, they
-take anything indexable by global index arrays: the engine passes its
-logs, and a bare key array is the log of a stream that never trimmed
-(base 0, everything live).
+Wherever the migration planner takes a key *history*, it takes anything
+indexable by global index arrays: the engine passes its logs, and a bare
+key array is the log of a stream that never trimmed (base 0, everything
+live).  The backend protocol takes no history: state reaches it as
+key-sorted ``(arrival indices, keys)`` columns.
 """
 
 from __future__ import annotations

@@ -6,14 +6,14 @@ was assigned to -- and here that place is the
 every backend through one **state-ownership protocol**:
 
 ``bind`` → per batch ``count_batch`` / ``evict_state`` → ``install_state``
-(migrations, restores) / ``resize`` (fleet changes), with
-``resident_indices`` as the one read-only view (migration planning,
-checkpoints) and ``drain_channel_bytes`` for byte metering.  Arrival
-indices are global and stored as given (:mod:`repro.streaming.arrivals`).
-A batch's arrivals come with their keys, key-sorted by the router
-(``count_batch``); wholesale state comes as indices into ``history1`` /
-``history2`` (``install_state``) -- anything indexable by global index
-arrays: the engine's logs, or bare key arrays.
+(migrations, resizes, restores), with ``resident_indices`` as the one
+read-only view (migration planning, checkpoints) and
+``drain_channel_bytes`` for byte metering.  Arrival indices are global and
+stored as given (:mod:`repro.streaming.arrivals`).  State enters a machine
+in one shape: per machine, ``(arrival indices, keys)`` columns key-sorted
+by the router (:meth:`RegionStateTable.fold` states the contract) -- a
+batch's arrivals (``count_batch``) and a machine's complete state
+(``install_state``, whose column lists also say the fleet size) alike.
 
 The protocol is implemented once, in-process, on the base class: a
 :class:`RegionStateTable` of sorted per-machine state whose ``count_batch``
@@ -54,10 +54,9 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.engine.executor import broadcast_conditions, pickled_nbytes
+from repro.engine.executor import pickled_nbytes
 from repro.joins.conditions import JoinCondition, normalise_keys
 from repro.obs.clock import perf_counter
-from repro.streaming.arrivals import ArrivalLog
 from repro.streaming.incremental import SortedRegionState
 from repro.streaming.shm import ShmArena, ShmMessage, ShmReader
 
@@ -288,14 +287,17 @@ class RegionStateTable:
         """Replace every machine's state with its complete new columns.
 
         ``arrays`` is a :func:`state_layout` of the whole cluster's
-        post-move state.  The rebuild is
-        :meth:`SortedRegionState.from_pairs`' stable key-sort, so every
-        owner installs bit-identical state from the same assignment.
+        post-move state, key-sorted as :meth:`fold` requires: each machine
+        starts over empty and appends its columns as one run, with the
+        fold's own :meth:`SortedRegionState.append_sorted
+        <repro.streaming.incremental.SortedRegionState.append_sorted>`.
         """
         for machine in self.machines:
             idx1, keys1, idx2, keys2 = arrays[4 * machine : 4 * machine + 4]
-            self.state1[machine] = SortedRegionState.from_pairs(idx1, keys1)
-            self.state2[machine] = SortedRegionState.from_pairs(idx2, keys2)
+            self.state1[machine] = SortedRegionState()
+            self.state2[machine] = SortedRegionState()
+            self.state1[machine].append_sorted(idx1, keys1)
+            self.state2[machine].append_sorted(idx2, keys2)
 
 
 def state_layout(
@@ -316,32 +318,29 @@ def state_layout(
     ]
 
 
-def _gather_columns(
-    assignments: "list[np.ndarray]", history: "ArrivalLog | np.ndarray"
-) -> "list[tuple[np.ndarray, np.ndarray]]":
-    """Per machine, an index assignment with its keys gathered from the history.
-
-    How wholesale state (a migration's assignments, a restore's resident
-    indices) gets its key column; a batch's arrivals never come this way
-    -- the router hands them over with their keys.
-    """
-    columns = []
-    for indices in assignments:
-        indices = np.asarray(indices, dtype=np.int64)
-        columns.append((indices, history[indices]))
-    return columns
+def _fleet_size(
+    state1: "list[tuple[np.ndarray, np.ndarray]]",
+    state2: "list[tuple[np.ndarray, np.ndarray]]",
+) -> int:
+    """The machine count an ``install_state`` names: one column pair each."""
+    if not state1 or len(state1) != len(state2):
+        raise ValueError(
+            "install_state takes one R1 and one R2 column pair per machine, "
+            f"for at least one machine; got {len(state1)} and {len(state2)}"
+        )
+    return len(state1)
 
 
 def _count_regions(
     region_keys: "list[tuple[np.ndarray, np.ndarray]]",
     conditions: "list[JoinCondition]",
-    keys2_sorted: bool,
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Count each non-empty region in the calling process; time each one.
 
     The one in-process counting loop: :class:`SimulatedBackend` runs it in
     the engine's process, every sticky worker runs it in its own.  Regions
-    with an empty side produce nothing and are never timed.
+    with an empty side produce nothing and are never timed; every second
+    side is sorted ascending (a run of the state).
 
     Joinable bounds are computed **once per condition per dispatch**, not
     once per region: the (normalised) first-side arrays of a condition's
@@ -352,7 +351,7 @@ def _count_regions(
     conditions, one task per sorted run, consecutive tasks sharing their
     needles) costs two bounds passes however many runs there are.  What
     stays per region, and is all that is timed: the two binary searches of
-    its second side (sorted first unless ``keys2_sorted``) and their sum.
+    its second side and their sum.
     """
     outputs = np.zeros(len(region_keys), dtype=np.int64)
     seconds = np.zeros(len(region_keys))
@@ -387,8 +386,6 @@ def _count_regions(
     for region, run, group, position in searches:
         lows, highs = bounds[group][position]
         started = perf_counter()
-        if not keys2_sorted:
-            run = np.sort(run)
         outputs[region] = (
             run.searchsorted(highs, "right") - run.searchsorted(lows, "left")
         ).sum()
@@ -402,8 +399,8 @@ class ExecutionBackend(abc.ABC):
     The engine touches join state only through the **state-ownership
     protocol** implemented here: :meth:`bind` once per stream, then per
     batch :meth:`count_batch` / :meth:`evict_state`,
-    :meth:`install_state` on a migration or restore, :meth:`resize` on a
-    fleet change, :meth:`resident_indices` as the read-only view and
+    :meth:`install_state` on a migration, resize or restore,
+    :meth:`resident_indices` as the read-only view and
     :meth:`drain_channel_bytes` for byte metering.  The default keeps a
     :class:`RegionStateTable` in-process and dispatches each batch's
     search tasks through :meth:`join_regions` -- the single abstract
@@ -469,20 +466,17 @@ class ExecutionBackend(abc.ABC):
     @abc.abstractmethod
     def join_regions(
         self,
-        region_keys: list[tuple[np.ndarray, np.ndarray]],
-        condition: "JoinCondition | list[JoinCondition]",
-        keys2_sorted: bool = False,
+        tasks: list[tuple[np.ndarray, np.ndarray]],
+        conditions: "list[JoinCondition]",
     ) -> RegionJoinResult:
-        """Join each (R1, R2) key-array pair; count exact output.
+        """Join each ``(needles, run keys)`` task; count exact output.
 
-        Pairs with an empty side produce no output and must not be charged
-        any work.  ``condition`` is shared by every pair, or a list with
-        one condition per pair (:meth:`count_batch` mixes the original and
-        transposed orientations in one dispatch).  ``keys2_sorted``
-        promises every pair's second array is already sorted ascending so
-        the per-task sort can be skipped -- :meth:`count_batch` relies on
-        this to search, never sort, the retained state (``O(new * runs *
-        log state)`` per batch).
+        Tasks with an empty side produce no output and must not be charged
+        any work.  ``conditions[t]`` is task ``t``'s condition
+        (:meth:`count_batch` mixes the original and transposed orientations
+        in one dispatch), and every task's second array is a sorted run of
+        the state, searched, never sorted (``O(new * runs * log state)``
+        per batch).
         """
 
     # ------------------------------------------------------------------
@@ -521,9 +515,7 @@ class ExecutionBackend(abc.ABC):
         table = self._bound_table()
         tasks, owners = table.fold(state_layout(new1, new2))
         execution = self.join_regions(
-            tasks,
-            [self._fold_conditions[owner & 1] for owner in owners.tolist()],
-            keys2_sorted=True,
+            tasks, [self._fold_conditions[owner & 1] for owner in owners.tolist()]
         )
         return replace(
             execution,
@@ -542,35 +534,21 @@ class ExecutionBackend(abc.ABC):
 
     def install_state(
         self,
-        assignments1: "list[np.ndarray]",
-        assignments2: "list[np.ndarray]",
-        history1: "ArrivalLog | np.ndarray",
-        history2: "ArrivalLog | np.ndarray",
+        state1: "list[tuple[np.ndarray, np.ndarray]]",
+        state2: "list[tuple[np.ndarray, np.ndarray]]",
     ) -> None:
-        """Replace every machine's state with complete index assignments.
+        """Replace every machine's state with its complete new columns.
 
-        The one way state moves wholesale -- a migration plan's new
-        assignments, a restored checkpoint's resident indices -- with the
-        keys gathered from the histories.
-        """
-        self._bound_table().install(
-            state_layout(
-                _gather_columns(assignments1, history1),
-                _gather_columns(assignments2, history2),
-            )
-        )
-
-    def resize(self, num_machines: int) -> None:
-        """Adopt a new fleet size, discarding all resident state.
-
-        The engine must follow up with :meth:`install_state` carrying the
-        complete post-resize state from its migration plan -- a resize
-        without a reinstall would silently drop everything.
+        The one way state moves wholesale -- a migration plan's new state, a
+        restored checkpoint's resident state -- in the shape
+        :meth:`count_batch` takes: per machine, ``(arrival indices, keys)``
+        columns key-sorted as :meth:`RegionStateTable.fold` requires.  The
+        fleet size is ``len(state1)``: installing onto a different one is
+        how the fleet resizes.
         """
         self._bound_table()
-        if num_machines <= 0:
-            raise ValueError("num_machines must be positive")
-        self._table = RegionStateTable(range(num_machines))
+        self._table = RegionStateTable(range(_fleet_size(state1, state2)))
+        self._table.install(state_layout(state1, state2))
 
     def resident_indices(
         self,
@@ -621,18 +599,13 @@ class SimulatedBackend(ExecutionBackend):
 
     def join_regions(
         self,
-        region_keys: list[tuple[np.ndarray, np.ndarray]],
-        condition: "JoinCondition | list[JoinCondition]",
-        keys2_sorted: bool = False,
+        tasks: list[tuple[np.ndarray, np.ndarray]],
+        conditions: "list[JoinCondition]",
     ) -> RegionJoinResult:
-        """Count each non-empty region's join output in the calling process."""
+        """Count each non-empty task's join output in the calling process."""
         self._ensure_open()
         start = perf_counter()
-        outputs, seconds = _count_regions(
-            region_keys,
-            broadcast_conditions(condition, len(region_keys)),
-            keys2_sorted,
-        )
+        outputs, seconds = _count_regions(tasks, conditions)
         return RegionJoinResult(
             per_machine_output=outputs,
             per_machine_seconds=seconds,
@@ -672,9 +645,9 @@ class _StickyWorkerState:
     ):
         """Adopt an owned-machine set, empty; reply with this worker's pid.
 
-        ``bind`` sends it, and so does every ``resize`` -- ownership is
-        reassigned wholesale, and an :meth:`install` follows with every
-        machine's complete state.
+        ``bind`` sends it, and so does an ``install_state`` onto a new fleet
+        size -- ownership is reassigned wholesale, and the :meth:`install`
+        that follows carries every machine's complete state.
         """
         self.table = RegionStateTable(machines)
         self.conditions = (condition, transposed)
@@ -699,9 +672,7 @@ class _StickyWorkerState:
         table = self.table
         tasks, owners = table.fold(arrays)
         outputs, seconds = _count_regions(
-            tasks,
-            [self.conditions[owner & 1] for owner in owners.tolist()],
-            keys2_sorted=True,
+            tasks, [self.conditions[owner & 1] for owner in owners.tolist()]
         )
         outputs = table.sum_halves(outputs, owners).sum(axis=1).tolist()
         seconds = table.sum_halves(seconds, owners).sum(axis=1).tolist()
@@ -1068,36 +1039,25 @@ class StickyWorkerBackend(ExecutionBackend):
 
     def install_state(
         self,
-        assignments1: "list[np.ndarray]",
-        assignments2: "list[np.ndarray]",
-        history1: "ArrivalLog | np.ndarray",
-        history2: "ArrivalLog | np.ndarray",
+        state1: "list[tuple[np.ndarray, np.ndarray]]",
+        state2: "list[tuple[np.ndarray, np.ndarray]]",
     ) -> None:
         """Move migrated state between workers through shared memory.
 
         Each worker rebuilds its owned machines' state from the shared
         message, so state never crosses the pickle channel even when it
-        changes owners.
+        changes owners.  Onto a new fleet size, machine ownership is
+        reassigned first (:meth:`_assign`: machine ``m`` to worker
+        ``m % W`` of the new numbering; the worker count is fixed at
+        :meth:`bind`).
         """
-        layout = state_layout(
-            _gather_columns(assignments1, history1),
-            _gather_columns(assignments2, history2),
-        )
-        self._command("install", self._bound_arena().write(layout))
-        self._counts = _index_lengths(assignments1, assignments2)
-
-    def resize(self, num_machines: int) -> None:
-        """Reassign machine ownership across the workers for a new fleet size.
-
-        The worker process count is fixed at :meth:`bind`; machine ``m``
-        moves to worker ``m % W`` of the *new* numbering and every worker
-        starts over empty, so the engine must follow up with
-        :meth:`install_state` carrying the complete post-resize state.
-        """
-        self._bound_arena()
-        if num_machines <= 0:
-            raise ValueError("num_machines must be positive")
-        self._assign(num_machines)
+        arena = self._bound_arena()
+        machines = _fleet_size(state1, state2)
+        if machines != len(self._counts):
+            self._assign(machines)
+        layout = state_layout(state1, state2)
+        self._command("install", arena.write(layout))
+        self._counts = _index_lengths(layout[0::4], layout[2::4])
 
     def resident_indices(
         self,
@@ -1139,9 +1099,8 @@ class StickyWorkerBackend(ExecutionBackend):
 
     def join_regions(
         self,
-        region_keys: list[tuple[np.ndarray, np.ndarray]],
-        condition: "JoinCondition | list[JoinCondition]",
-        keys2_sorted: bool = False,
+        tasks: list[tuple[np.ndarray, np.ndarray]],
+        conditions: "list[JoinCondition]",
     ) -> RegionJoinResult:
         """Refuse stateless dispatch: sticky workers own their state.
 
@@ -1232,20 +1191,17 @@ class SlowConsumerBackend(ExecutionBackend):
 
     def join_regions(
         self,
-        region_keys: list[tuple[np.ndarray, np.ndarray]],
-        condition: "JoinCondition | list[JoinCondition]",
-        keys2_sorted: bool = False,
+        tasks: list[tuple[np.ndarray, np.ndarray]],
+        conditions: "list[JoinCondition]",
     ) -> RegionJoinResult:
         """Run the inner backend, slowed by the configured delay."""
         self._ensure_open()
         delay = self.seconds_per_call + self.seconds_per_tuple * sum(
-            len(keys1) for keys1, _ in region_keys
+            len(keys1) for keys1, _ in tasks
         )
         if self._sleep is not None and delay > 0:
             self._sleep(delay)
-        result = self.inner.join_regions(
-            region_keys, condition, keys2_sorted=keys2_sorted
-        )
+        result = self.inner.join_regions(tasks, conditions)
         return replace(result, wall_seconds=result.wall_seconds + delay)
 
     def close(self) -> None:

@@ -32,14 +32,15 @@ with a clear ``ValueError`` instead of unpickling garbage.
 
 Join state is stored as *indices only*: per machine and side, the sorted
 arrival indices resident there.  Keys are never stored twice -- a restore
-regathers them from the key history and key-sorts them stably, which
-reproduces the resident state on any backend, so a checkpoint taken on one
-backend restores onto any other.  Every stored arrival index is global
-(:mod:`repro.streaming.arrivals`); ``base1`` / ``base2`` say which index
-the retained keys start at.  Version 1 (verbatim key-sorted state columns
-and a counting mode), version 2 (three engine options that no longer
-exist) and version 3 (indices shifted by the trimmed history, no bases) are
-refused by name.
+is the one place index-only state becomes the backend's columns: it
+regathers the keys from the key history and key-sorts them stably
+(``sort_arrivals``), which reproduces the resident state on any backend, so
+a checkpoint taken on one backend restores onto any other.  Every stored
+arrival index is global (:mod:`repro.streaming.arrivals`); ``base1`` /
+``base2`` say which index the retained keys start at.  Version 1 (verbatim
+key-sorted state columns and a counting mode), version 2 (three engine
+options that no longer exist) and version 3 (indices shifted by the trimmed
+history, no bases) are refused by name.
 
 Driving a crash-survivable run
 ------------------------------
@@ -75,6 +76,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
+from repro.partitioning.base import sort_arrivals
 from repro.streaming.arrivals import ArrivalLog
 from repro.streaming.backends import WorkerCrashError
 from repro.streaming.metrics import StreamRunResult
@@ -391,10 +393,11 @@ def resume(
     :meth:`~repro.streaming.engine.StreamingJoinEngine.resume_from` (see
     there for the arguments): construct the engine from the captured
     configuration, adopt the captured run state, and rebuild the join state
-    on ``backend`` through ``bind`` / ``install_state`` -- the stable
-    key-sort of index-sorted columns reproduces the key order of the state
-    the checkpoint was taken from.  The checkpoint is deep-copied first, so
-    one checkpoint can seed any number of resumed runs.
+    on ``backend`` through ``bind`` / ``install_state`` -- each machine's
+    keys gathered from the logs and stably key-sorted, which reproduces the
+    key order of the state the checkpoint was taken from.  The checkpoint
+    is deep-copied first, so one checkpoint can seed any number of resumed
+    runs.
     """
     checkpoint = copy.deepcopy(checkpoint)
     engine = engine_cls(
@@ -445,10 +448,8 @@ def resume(
             engine.num_machines, engine.condition, engine._transposed
         )
         engine.backend.install_state(
-            checkpoint.state_index1,
-            checkpoint.state_index2,
-            s.log1,
-            s.log2,
+            [sort_arrivals(held, s.log1[held]) for held in checkpoint.state_index1],
+            [sort_arrivals(held, s.log2[held]) for held in checkpoint.state_index2],
         )
         span.set(
             batches=len(s.result.batches),

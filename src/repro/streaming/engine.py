@@ -5,8 +5,8 @@ and runs a stateful partitioned join over it.  The join state itself has
 exactly one owner -- the :class:`~repro.streaming.backends.ExecutionBackend`
 -- and the engine reaches it only through the backend's state-ownership
 protocol (``bind`` / ``count_batch`` / ``evict_state`` /
-``install_state`` / ``resize`` / ``resident_indices`` /
-``drain_channel_bytes``).  What the engine holds is the arrival
+``install_state`` / ``resident_indices`` / ``drain_channel_bytes``).
+What the engine holds is the arrival
 bookkeeping: one :class:`~repro.streaming.arrivals.ArrivalLog` per side
 (keys, live arrival indices, batch starts), in the one coordinate system
 :mod:`repro.streaming.arrivals` describes -- every arrival index is global
@@ -88,7 +88,7 @@ from repro.joins.local import count_join_output
 from repro.obs.clock import perf_counter
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
-from repro.partitioning.base import Partitioning, sort_arrivals
+from repro.partitioning.base import Partitioning
 from repro.streaming.arrivals import ArrivalLog
 from repro.streaming.backends import (
     ExecutionBackend,
@@ -98,7 +98,7 @@ from repro.streaming.backends import (
 from repro.streaming.checkpoint import RunState, StreamCheckpoint, capture, resume
 from repro.streaming.incremental import IncrementalHistogram
 from repro.streaming.metrics import BatchMetrics, StreamRunResult
-from repro.streaming.migration import plan_migration, route_live
+from repro.streaming.migration import _to_machines, plan_migration, route_live
 from repro.streaming.policies import (
     DriftAdaptiveEWHPolicy,
     RepartitioningPolicy,
@@ -247,25 +247,6 @@ class StreamingJoinEngine:
             / self.num_machines
         )
 
-    @staticmethod
-    def _to_machines(
-        per_region: "list[tuple[np.ndarray, np.ndarray]]",
-        keys: np.ndarray,
-        region_to_machine: np.ndarray,
-        num_machines: int,
-    ) -> "list[tuple[np.ndarray, np.ndarray]]":
-        """Hand each region's routed columns to the machine holding the region.
-
-        Region ``r``'s arrivals are shipped to ``region_to_machine[r]`` --
-        the machine actually holding that region's state after any partial
-        repartitioning remap; a machine holding no region receives empty
-        columns (of ``keys``' dtype).
-        """
-        per_machine = [(np.empty(0, dtype=np.int64), keys[:0])] * num_machines
-        for region, columns in enumerate(per_region):
-            per_machine[region_to_machine[region]] = columns
-        return per_machine
-
     def _stitch_workers(self, execution: RegionJoinResult, span) -> None:
         """Emit per-worker child spans for one backend execution.
 
@@ -354,10 +335,11 @@ class StreamingJoinEngine:
         :func:`~repro.streaming.migration.plan_migration` diffs what every
         machine holds (the backend's ``resident_indices``) against where
         the replacement routes the live history, the backend installs the
-        planned assignments (after adopting the new fleet size, if it
-        changed), and the moved tuples -- plus the histogram rebuild, if
-        one ran since ``builds_before`` -- are priced per machine of the
-        new fleet.  Returns the charges for :meth:`_charge`.
+        planned state (on ``machines`` machines: a fleet change is an
+        install of a different length), and the moved tuples -- plus the
+        histogram rebuild, if one ran since ``builds_before`` -- are priced
+        per machine of the new fleet.  Returns the charges for
+        :meth:`_charge`.
         """
         s = self._state
         resident1, resident2 = self.backend.resident_indices()
@@ -371,14 +353,10 @@ class StreamingJoinEngine:
             s.rng,
             mode=self.migration_mode,
         )
-        if machines != self.num_machines:
-            self.backend.resize(machines)
-            self.num_machines = machines
-        self.backend.install_state(
-            plan.new_assignments1, plan.new_assignments2, s.log1, s.log2
-        )
+        self.backend.install_state(plan.new_state1, plan.new_state2)
+        self.num_machines = machines
         s.resident_tuples = sum(
-            len(held) for held in plan.new_assignments1 + plan.new_assignments2
+            len(held) for held, _ in plan.new_state1 + plan.new_state2
         )
         s.partitioning = replacement
         s.region_to_machine = plan.region_to_machine
@@ -399,7 +377,7 @@ class StreamingJoinEngine:
             # but drop the O(history) state index arrays -- the backend
             # already holds them, and a result object must not pin
             # full-history snapshots per rebuild.
-            "plan": replace(plan, new_assignments1=[], new_assignments2=[]),
+            "plan": replace(plan, new_state1=[], new_state2=[]),
         }
 
     @staticmethod
@@ -659,9 +637,10 @@ class StreamingJoinEngine:
         ``None`` while one side is still entirely unseen: no partitioning
         can be built and no output is possible yet, so the arrivals just
         accumulate in the (unrouted) history.  The initial build routes
-        that backlog -- the retained (live) history -- as one big batch of
-        arrivals into the empty state; every later batch routes only its
-        own arrivals, to the machine owning each region.
+        that backlog -- the retained (live) history -- the same way, as one
+        big batch of arrivals into the empty state
+        (:func:`~repro.streaming.migration.route_live`); every later batch
+        routes only its own arrivals, to the machine owning each region.
         """
         if s.partitioning is None:
             return None
@@ -671,18 +650,12 @@ class StreamingJoinEngine:
         ):
             if initial_build:
                 s.region_to_machine = np.arange(J, dtype=np.int64)
-                return tuple(
-                    [
-                        sort_arrivals(held, log[held])
-                        for held in route_live(assign, log, J, s.rng)
-                    ]
-                    for assign, log in (
-                        (s.partitioning.assign_r1, s.log1),
-                        (s.partitioning.assign_r2, s.log2),
-                    )
+                return (
+                    route_live(s.partitioning, 1, s.log1, s.rng, J),
+                    route_live(s.partitioning, 2, s.log2, s.rng, J),
                 )
             return tuple(
-                self._to_machines(
+                _to_machines(
                     s.partitioning.sorted_arrivals(side, keys, s.rng, offset),
                     keys,
                     s.region_to_machine,

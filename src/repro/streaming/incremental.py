@@ -121,8 +121,9 @@ class SortedRegionState:
 
     The ``(index, keys)`` set is also the unit of state portability:
     checkpoints (:class:`~repro.streaming.checkpoint.StreamCheckpoint`)
-    capture the indices, migrations and restores rebuild a single run with
-    :meth:`from_indices` / :meth:`from_pairs`.  What is preserved is the
+    capture the indices, migrations and restores append the key-sorted
+    columns to empty state as a single run (:meth:`append_sorted`;
+    :meth:`from_indices` sorts them first).  What is preserved is the
     *set* of ``(index, key)`` pairs.  The order among equal keys is
     unspecified -- it differs between an insert, a merge and a rebuild --
     and nothing may depend on it: counts do not, checkpoints sort their
@@ -158,23 +159,7 @@ class SortedRegionState:
         exact integer state across migrations.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        return cls.from_pairs(indices, np.asarray(history)[indices])
-
-    @classmethod
-    def from_pairs(
-        cls, indices: np.ndarray, keys: np.ndarray
-    ) -> "SortedRegionState":
-        """Build single-run state from parallel arrival-index / key arrays.
-
-        Same stable key-sort as :meth:`from_indices`, for callers that have
-        already gathered the keys -- a sticky worker rebuilding migrated
-        state from a shared-memory message holds ``(indices, keys)`` pairs
-        but no key history.  Both inputs are copied (the pairs may be views
-        into a transient shared segment).
-        """
-        indices, keys = sort_arrivals(
-            np.asarray(indices, dtype=np.int64), np.asarray(keys)
-        )
+        indices, keys = sort_arrivals(indices, np.asarray(history)[indices])
         return cls(index=indices, keys=keys)
 
     def __len__(self) -> int:

@@ -39,6 +39,11 @@ only a log's *live* tuples are routed by the new partitioning, so a rebuild
 migrates live state only -- expired tuples are neither shipped nor
 resurrected onto machines that already dropped them.  A bare array is the
 log of a stream that never trimmed: everything in it is live.
+
+The planned state is in the one shape state enters a machine: per machine,
+key-sorted ``(arrival indices, keys)`` columns, routed like a batch
+(:func:`route_live`) and placed like one (:func:`_to_machines`), so the
+backend's ``install_state`` appends them as they are.
 """
 
 from __future__ import annotations
@@ -62,9 +67,10 @@ class MigrationPlan:
 
     Attributes
     ----------
-    new_assignments1, new_assignments2:
-        Per-machine arrival-index arrays of the retained R1/R2 state under
-        the *new* partitioning (machines whose new region is empty hold
+    new_state1, new_state2:
+        Per machine, the key-sorted ``(arrival indices, keys)`` columns of
+        the retained R1/R2 state under the *new* partitioning -- what
+        ``install_state`` takes (machines whose new region is empty hold
         nothing).
     per_machine_arrivals:
         Tuples each machine must newly receive (it did not hold them under
@@ -86,8 +92,8 @@ class MigrationPlan:
         which is what the engine charges into the cost model.
     """
 
-    new_assignments1: list[np.ndarray]
-    new_assignments2: list[np.ndarray]
+    new_state1: "list[tuple[np.ndarray, np.ndarray]]"
+    new_state2: "list[tuple[np.ndarray, np.ndarray]]"
     per_machine_arrivals: np.ndarray
     per_machine_departures: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=np.int64)
@@ -111,12 +117,10 @@ class MigrationPlan:
 def pad_assignments(
     assignments: list[np.ndarray], num_machines: int
 ) -> list[np.ndarray]:
-    """Extend a per-region assignment list to the full machine count.
+    """Extend a per-machine index-array list to ``num_machines`` entries.
 
-    A partitioning may produce fewer regions than there are machines (the
-    equi-weight histogram uses at most J); machines beyond the region count
-    hold nothing.  Shared by the engine's routing and the migration planner
-    so both paths pad identically.
+    The planner's view of the old state: machines beyond the list (a grow)
+    hold nothing.
     """
     empty = np.empty(0, dtype=np.int64)
     padded = [np.asarray(a, dtype=np.int64) for a in assignments]
@@ -213,30 +217,68 @@ def _best_region_map(overlaps: np.ndarray) -> np.ndarray:
     return mapping
 
 
-def route_live(
-    assign,
-    keys: "ArrivalLog | np.ndarray",
+def _to_machines(
+    per_region: "list[tuple[np.ndarray, np.ndarray]]",
+    history: "ArrivalLog | np.ndarray",
+    region_to_machine,
     num_machines: int,
+) -> "list[tuple[np.ndarray, np.ndarray]]":
+    """Hand each region's routed columns to the machine holding the region.
+
+    The one regions-to-machines placement -- of a batch's arrivals, of the
+    initial build's backlog and of a migration plan's new state.  Region
+    ``r``'s columns go to ``region_to_machine[r]``, the machine actually
+    holding that region's state after any partial-repartitioning remap; a
+    machine holding no region gets empty columns, the keys in the dtype of
+    ``history`` (the keys the regions were routed from).
+    """
+    empty = np.empty(0, dtype=np.int64)
+    per_machine = [(empty, history[empty])] * num_machines
+    for region, columns in enumerate(per_region):
+        per_machine[region_to_machine[region]] = columns
+    return per_machine
+
+
+def route_live(
+    partitioning: Partitioning,
+    side: int,
+    keys: "ArrivalLog | np.ndarray",
     rng: np.random.Generator,
-) -> list[np.ndarray]:
-    """Route one side's live tuples; return per-region global-index arrays.
+    num_machines: int,
+) -> "list[tuple[np.ndarray, np.ndarray]]":
+    """Route one side's live tuples like a batch: per region, sorted columns.
 
     Shared by the migration planner and the engine's initial build (which
     routes the backlog that arrived before any partitioning existed).
-    A bare key array or an unwindowed log is routed whole, and the
-    partitioning's batch-local indices already are global indices.  Of a
-    windowed log only the live keys are handed to the partitioning and the
-    local indices are mapped back through the live set -- expired tuples
-    are never routed, so a migration ships (and a post-migration machine
-    holds) live state only.
+    Region ``r`` gets its share as key-sorted ``(arrival indices, keys)``
+    columns (:meth:`Partitioning.sorted_arrivals
+    <repro.partitioning.base.Partitioning.sorted_arrivals>`), and the list
+    is padded with empty columns to ``num_machines`` -- which must be at
+    least the partitioning's region count.  A bare key array or an
+    unwindowed log is routed whole, and the partitioning's batch-local
+    indices already are global indices.  Of a windowed log only the live
+    keys are handed to the partitioning and the local indices are mapped
+    back through the live set (ascending, so ties stay in arrival order) --
+    expired tuples are never routed, so a migration ships (and a
+    post-migration machine holds) live state only.
     """
+    if partitioning.num_regions > num_machines:
+        raise ValueError(
+            f"a partitioning of {partitioning.num_regions} regions needs at "
+            f"least {partitioning.num_regions} machines, got {num_machines}"
+        )
+    history = keys
+    live = None
     if isinstance(keys, ArrivalLog):
         if keys.windowed:
             live = keys.live
-            local = pad_assignments(assign(keys[live], rng), num_machines)
-            return [live[indices] for indices in local]
-        keys = keys.keys
-    return pad_assignments(assign(np.asarray(keys), rng), num_machines)
+            keys = keys[live]
+        else:
+            keys = keys.keys
+    routed = partitioning.sorted_arrivals(side, np.asarray(keys), rng)
+    if live is not None:
+        routed = [(live[local], held) for local, held in routed]
+    return _to_machines(routed, history, range(num_machines), num_machines)
 
 
 def plan_migration(
@@ -265,12 +307,13 @@ def plan_migration(
         resurrects) expired tuples, and the migration volume charged is the
         live volume only.
     num_machines:
-        The *target* cluster size (at least the region count of the new
-        partitioning).  The old assignment lists may be longer -- a shrink
-        plans the surviving ``num_machines`` fleet and every tuple held by
-        a departing machine counts as a departure there (and as an arrival
-        on its new holder, if it is still live).  Shorter old lists (a
-        grow) are padded with empty machines as before.
+        The *target* cluster size, at least the region count of the new
+        partitioning (``ValueError`` naming both otherwise: every region
+        needs a machine of its own).  The old assignment lists may be
+        longer -- a shrink plans the surviving ``num_machines`` fleet and
+        every tuple held by a departing machine counts as a departure there
+        (and as an arrival on its new holder, if it is still live).
+        Shorter old lists (a grow) are padded with empty machines as before.
     rng:
         Generator for randomised schemes.
     mode:
@@ -282,8 +325,10 @@ def plan_migration(
         raise ValueError(
             f"unknown migration mode {mode!r} (expected one of {MIGRATION_MODES})"
         )
-    routed1 = route_live(new_partitioning.assign_r1, keys1, num_machines, rng)
-    routed2 = route_live(new_partitioning.assign_r2, keys2, num_machines, rng)
+    routed1 = route_live(new_partitioning, 1, keys1, rng, num_machines)
+    routed2 = route_live(new_partitioning, 2, keys2, rng, num_machines)
+    index1 = [indices for indices, _ in routed1]
+    index2 = [indices for indices, _ in routed2]
     # A resize may shrink the fleet: the old lists then outnumber the new
     # machines.  Pad the old side to whichever count is larger so departing
     # machines' state is diffed (everything they hold departs), while the
@@ -295,18 +340,13 @@ def plan_migration(
 
     # One overlap pass per side serves both the matching and the counts:
     # entry (r, m) is how much of new region r old machine m already holds.
-    overlaps = _overlap_matrix(routed1, old1) + _overlap_matrix(routed2, old2)
+    overlaps = _overlap_matrix(index1, old1) + _overlap_matrix(index2, old2)
     if mode == "partial":
         region_to_machine = _best_region_map(overlaps[:, :num_machines])
     else:
         region_to_machine = np.arange(num_machines, dtype=np.int64)
-
-    empty = np.empty(0, dtype=np.int64)
-    new1: list[np.ndarray] = [empty] * num_machines
-    new2: list[np.ndarray] = [empty] * num_machines
-    for region, machine in enumerate(region_to_machine):
-        new1[machine] = routed1[region]
-        new2[machine] = routed2[region]
+    new1 = _to_machines(routed1, keys1, region_to_machine, num_machines)
+    new2 = _to_machines(routed2, keys2, region_to_machine, num_machines)
 
     # Indices are unique within a region and a machine, so what a machine
     # receives is its new state minus what it already held of it, and what
@@ -314,11 +354,12 @@ def plan_migration(
     # on a shrink keeps nothing.
     kept = np.zeros(old_machines, dtype=np.int64)
     kept[region_to_machine] = overlaps[np.arange(num_machines), region_to_machine]
-    arrivals = _sizes(new1) + _sizes(new2) - kept[:num_machines]
+    held = [len(idx1) + len(idx2) for (idx1, _), (idx2, _) in zip(new1, new2)]
+    arrivals = np.array(held, dtype=np.int64) - kept[:num_machines]
     departures = _sizes(old1) + _sizes(old2) - kept
     return MigrationPlan(
-        new_assignments1=new1,
-        new_assignments2=new2,
+        new_state1=new1,
+        new_state2=new2,
         per_machine_arrivals=arrivals,
         per_machine_departures=departures,
         region_to_machine=region_to_machine,

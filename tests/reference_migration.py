@@ -5,20 +5,57 @@ before the planner computed its overlaps once and derived the arrival and
 departure counts from them, kept verbatim as the differential oracle
 (``tests/test_migration_oracle.py``): a square overlap matrix per side built
 by sorting the held indices and searching every routed index in them, then
-four ``np.setdiff1d`` per machine to count what moves.  ``plan_migration``
-here must equal the production one field by field, in both modes.
+four ``np.setdiff1d`` per machine to count what moves.
+
+Two more bodies are kept from before state moved as key-sorted columns:
+:func:`route_live`, which routed the live history with ``assign_r1`` /
+``assign_r2`` into per-region *index* arrays padded to the fleet, and the
+:class:`MigrationPlan` that carried those index arrays
+(``new_assignments1`` / ``new_assignments2``).  ``plan_migration`` here
+returns that plan; the production plan must equal it field by field, its
+``new_state*`` columns being the stable key-sort of these index arrays.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from repro.streaming.migration import (
-    MIGRATION_MODES,
-    MigrationPlan,
-    pad_assignments,
-    route_live,
-)
+from repro.streaming.arrivals import ArrivalLog
+from repro.streaming.migration import MIGRATION_MODES, pad_assignments
+
+
+@dataclass
+class MigrationPlan:
+    """The plan as it carried index assignments, not columns."""
+
+    new_assignments1: list[np.ndarray]
+    new_assignments2: list[np.ndarray]
+    per_machine_arrivals: np.ndarray
+    per_machine_departures: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64)
+    )
+    region_to_machine: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64)
+    )
+    mode: str = "full"
+
+
+def route_live(
+    assign,
+    keys: "ArrivalLog | np.ndarray",
+    num_machines: int,
+    rng: np.random.Generator,
+) -> list[np.ndarray]:
+    """Route one side's live tuples; return per-region global-index arrays."""
+    if isinstance(keys, ArrivalLog):
+        if keys.windowed:
+            live = keys.live
+            local = pad_assignments(assign(keys[live], rng), num_machines)
+            return [live[indices] for indices in local]
+        keys = keys.keys
+    return pad_assignments(assign(np.asarray(keys), rng), num_machines)
 
 
 def overlap_matrix(routed, held, num_machines: int) -> np.ndarray:
@@ -160,7 +197,15 @@ def plan_migration(
 
 
 def install(monkeypatch) -> None:
-    """Swap the reference planner in where the engine resolves ``plan_migration``."""
+    """Swap the reference planner in where the engine resolves ``plan_migration``.
+
+    The engine installs what a plan holds, so the swapped-in planner hands
+    back the production plan type, its columns built from the reference's
+    index arrays by the old install's gather and stable key-sort
+    (:func:`reference_install.plan_columns`).
+    """
+    import reference_install
+
     import repro.streaming.engine as engine
 
-    monkeypatch.setattr(engine, "plan_migration", plan_migration)
+    monkeypatch.setattr(engine, "plan_migration", reference_install.plan_columns)

@@ -24,10 +24,10 @@ modules; nothing under ``src/`` may import it.
 from __future__ import annotations
 
 import numpy as np
+from reference_migration import route_live
 
 from repro.partitioning.grid_routed import GridRoutedPartitioning
 from repro.streaming.engine import StreamingJoinEngine
-from repro.streaming.migration import route_live
 
 __all__ = [
     "ReferenceRouteEngine",

@@ -147,10 +147,10 @@ def assert_equivalent_runs(
 
 
 #: Work operations a fault can be scoped to -- the state-ownership protocol
-#: calls that move or count state.  ``bind``, ``resize``,
-#: ``resident_indices`` and ``drain_channel_bytes`` are deliberately not
-#: fault points: they are bookkeeping commands whose failure modes the crash
-#: tests for real backends already cover.  (``join_regions`` is no longer
+#: calls that move or count state.  ``bind``, ``resident_indices`` and
+#: ``drain_channel_bytes`` are deliberately not fault points: they are
+#: bookkeeping commands whose failure modes the crash tests for real
+#: backends already cover.  (``join_regions`` is no longer
 #: one either: the engine never calls it on the backend it was given, only
 #: the in-process ``count_batch`` does, behind the ``count`` fault point.)
 FAULT_OPS = ("count", "evict", "install")
@@ -188,14 +188,10 @@ class _ForwardingBackend(ExecutionBackend):
     def _before(self, op: str) -> None:
         """Fault hook; called before each work call with its operation name."""
 
-    def join_regions(
-        self, region_keys, condition, keys2_sorted: bool = False
-    ) -> RegionJoinResult:
+    def join_regions(self, tasks, conditions) -> RegionJoinResult:
         """Forward a stateless region join (not a protocol call, no hook)."""
         self._ensure_open()
-        return self.inner.join_regions(
-            region_keys, condition, keys2_sorted=keys2_sorted
-        )
+        return self.inner.join_regions(tasks, conditions)
 
     def bind(self, num_machines, condition, transposed) -> None:
         """Forward the stream binding (never a fault point)."""
@@ -214,18 +210,11 @@ class _ForwardingBackend(ExecutionBackend):
         self._before("evict")
         return self.inner.evict_state(expired1, expired2)
 
-    def install_state(self, assignments1, assignments2, history1, history2):
+    def install_state(self, state1, state2):
         """Forward a state migration install, faults permitting."""
         self._ensure_open()
         self._before("install")
-        return self.inner.install_state(
-            assignments1, assignments2, history1, history2
-        )
-
-    def resize(self, num_machines: int) -> None:
-        """Forward a fleet resize (never a fault point)."""
-        self._ensure_open()
-        self.inner.resize(num_machines)
+        return self.inner.install_state(state1, state2)
 
     def resident_indices(self):
         """Forward the read-only resident view."""
@@ -343,7 +332,7 @@ class RecountingBackend(_ForwardingBackend):
 
     Evictions and installs change a region's full count by something other
     than a batch delta, so the baseline is re-taken after ``evict_state``
-    and ``install_state`` (and reset by ``bind`` / ``resize``).  This is
+    and ``install_state`` (and reset by ``bind``).  This is
     the legacy engine's ``O(state log state)`` recount-and-difference loop,
     kept where reference implementations belong; ``recount_seconds`` (one
     entry per ``count_batch``) lets a benchmark compare its cost with the
@@ -361,19 +350,10 @@ class RecountingBackend(_ForwardingBackend):
         self._shadow2: "list[tuple[np.ndarray, np.ndarray]]" = []
         self._totals = np.zeros(0, dtype=np.int64)
 
-    @staticmethod
-    def _gather(assignments, history) -> "list[tuple[np.ndarray, np.ndarray]]":
-        """Per machine, the ``(indices, keys)`` columns of an assignment."""
-        columns = []
-        for indices in assignments:
-            indices = np.asarray(indices, dtype=np.int64)
-            columns.append((indices, history[indices]))
-        return columns
-
     def _reset(self, num_machines: int) -> None:
-        empty = np.empty(0, dtype=np.int64)
-        self._shadow1 = self._gather([empty] * num_machines, np.empty(0))
-        self._shadow2 = self._gather([empty] * num_machines, np.empty(0))
+        empty = (np.empty(0, dtype=np.int64), np.empty(0))
+        self._shadow1 = [empty] * num_machines
+        self._shadow2 = [empty] * num_machines
         self._totals = np.zeros(num_machines, dtype=np.int64)
 
     def _recount(self) -> np.ndarray:
@@ -434,17 +414,11 @@ class RecountingBackend(_ForwardingBackend):
         self._totals = self._recount()
         return dropped
 
-    def install_state(self, assignments1, assignments2, history1, history2):
-        """Forward the install; adopt the assignments; re-take the baseline."""
-        super().install_state(assignments1, assignments2, history1, history2)
-        self._shadow1 = self._gather(assignments1, history1)
-        self._shadow2 = self._gather(assignments2, history2)
+    def install_state(self, state1, state2):
+        """Forward the install; adopt its columns; re-take the baseline."""
+        super().install_state(state1, state2)
+        self._shadow1, self._shadow2 = list(state1), list(state2)
         self._totals = self._recount()
-
-    def resize(self, num_machines: int) -> None:
-        """Forward the resize; the shadow empties until the reinstall."""
-        super().resize(num_machines)
-        self._reset(num_machines)
 
 
 class NoTrimWindow(WindowPolicy):
@@ -503,13 +477,15 @@ class PicklingPoolBackend(ExecutionBackend):
             max_workers=max_workers, mp_context=default_mp_context()
         )
 
-    def join_regions(
-        self, region_keys, condition, keys2_sorted: bool = False
-    ) -> RegionJoinResult:
-        """Count every busy region on the pool; report the pickled bytes."""
+    def join_regions(self, tasks, conditions) -> RegionJoinResult:
+        """Count every busy task on the pool; report the pickled bytes.
+
+        The second sides are sorted runs of the state, so the pool searches
+        them as they are.
+        """
         self._ensure_open()
         execution = join_assigned_regions(
-            self._pool, region_keys, condition, keys2_sorted=keys2_sorted
+            self._pool, tasks, conditions, keys2_sorted=True
         )
         return RegionJoinResult(
             per_machine_output=execution.per_machine_output,

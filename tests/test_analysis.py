@@ -350,6 +350,19 @@ class TestMultiprocessingHygiene:
 # API001 — backend protocol surface and bind ordering
 # ---------------------------------------------------------------------------
 class TestBackendProtocol:
+    def test_the_rule_knows_the_backend_protocol(self):
+        """``STATE_PROTOCOL`` is a hand-kept copy: it must not go stale."""
+        from repro.analysis.rules.api import STATE_PROTOCOL
+        from repro.streaming import ExecutionBackend
+
+        public = {
+            name
+            for name, value in vars(ExecutionBackend).items()
+            if callable(value) and not name.startswith("_")
+        }
+        assert set(STATE_PROTOCOL) == public - {"join_regions", "close"}
+        assert len(STATE_PROTOCOL) == 6
+
     def test_flags_backend_missing_join_regions(self):
         report = run(
             """
@@ -398,7 +411,6 @@ class TestBackendProtocol:
                 "count_batch",
                 "evict_state",
                 "install_state",
-                "resize",
                 "resident_indices",
                 "drain_channel_bytes",
             )
@@ -415,7 +427,6 @@ class TestBackendProtocol:
                 "count_batch",
                 "evict_state",
                 "install_state",
-                "resize",
                 "drain_channel_bytes",
             )
         )

@@ -51,20 +51,28 @@ BAND = BandJoinCondition(beta=1.0)
 
 
 def _region_keys(rng, num_regions=4, size=120):
-    """Random per-region key pairs, including one empty-sided region."""
+    """Random per-region tasks, including one empty-sided region.
+
+    Each second side is sorted, as a run of the state is.
+    """
     region_keys = [
-        (rng.uniform(0, 50, size), rng.uniform(0, 50, size))
+        (rng.uniform(0, 50, size), np.sort(rng.uniform(0, 50, size)))
         for _ in range(num_regions - 1)
     ]
-    region_keys.append((np.empty(0), rng.uniform(0, 50, size)))
+    region_keys.append((np.empty(0), np.sort(rng.uniform(0, 50, size))))
     return region_keys
+
+
+def _bands(tasks) -> list:
+    """One band condition per task."""
+    return [BAND] * len(tasks)
 
 
 class TestSimulatedBackend:
     def test_counts_match_exact_kernel(self, rng):
         backend = SimulatedBackend()
         region_keys = _region_keys(rng)
-        result = backend.join_regions(region_keys, BAND)
+        result = backend.join_regions(region_keys, _bands(region_keys))
         expected = [
             count_join_output(k1, k2, BAND) if len(k1) and len(k2) else 0
             for k1, k2 in region_keys
@@ -74,32 +82,34 @@ class TestSimulatedBackend:
 
     def test_empty_regions_charge_no_time(self, rng):
         backend = SimulatedBackend()
-        result = backend.join_regions(_region_keys(rng), BAND)
+        tasks = _region_keys(rng)
+        result = backend.join_regions(tasks, _bands(tasks))
         # The empty-sided region produced nothing and was never timed.
         assert result.per_machine_output[-1] == 0
         assert result.per_machine_seconds[-1] == 0.0
         assert result.wall_seconds >= 0.0
 
     def test_close_is_final_and_context_manager_works(self, rng):
+        tasks = _region_keys(rng, size=10)
         with SimulatedBackend() as backend:
-            backend.join_regions(_region_keys(rng, size=10), BAND)
+            backend.join_regions(tasks, _bands(tasks))
         backend.close()  # idempotent
         assert backend.closed
         # Uniform resource contract with the sticky backend: a closed
         # backend refuses work instead of silently coming back to life.
         with pytest.raises(RuntimeError, match="closed"):
-            backend.join_regions(_region_keys(rng, size=10), BAND)
+            backend.join_regions(tasks, _bands(tasks))
 
 
 class TestSlowConsumerBackend:
     def test_results_unchanged_and_wall_time_inflated(self, rng):
         region_keys = _region_keys(rng)
         inner = SimulatedBackend()
-        reference = SimulatedBackend().join_regions(region_keys, BAND)
+        reference = SimulatedBackend().join_regions(region_keys, _bands(region_keys))
         slow = SlowConsumerBackend(
             inner, seconds_per_call=2.0, seconds_per_tuple=0.5
         )
-        result = slow.join_regions(region_keys, BAND)
+        result = slow.join_regions(region_keys, _bands(region_keys))
         np.testing.assert_array_equal(
             result.per_machine_output, reference.per_machine_output
         )
@@ -113,11 +123,12 @@ class TestSlowConsumerBackend:
         slow = SlowConsumerBackend(
             SimulatedBackend(), seconds_per_call=0.25, sleep=slept.append
         )
-        slow.join_regions(_region_keys(rng, size=10), BAND)
+        tasks = _region_keys(rng, size=10)
+        slow.join_regions(tasks, _bands(tasks))
         assert slept == [0.25]
         # Without a sleep callable, nothing stalls: only the report inflates.
         virtual = SlowConsumerBackend(SimulatedBackend(), seconds_per_call=10.0)
-        result = virtual.join_regions(_region_keys(rng, size=10), BAND)
+        result = virtual.join_regions(tasks, _bands(tasks))
         assert result.wall_seconds >= 10.0
 
     def test_every_field_of_the_inner_execution_survives(self):
@@ -135,10 +146,10 @@ class TestSlowConsumerBackend:
         )
 
         class Stub(SimulatedBackend):
-            def join_regions(self, region_keys, condition, keys2_sorted=False):
+            def join_regions(self, tasks, conditions):
                 return inner_result
 
-        result = SlowConsumerBackend(Stub(), seconds_per_call=2.0).join_regions([], BAND)
+        result = SlowConsumerBackend(Stub(), seconds_per_call=2.0).join_regions([], [])
         assert result == replace(inner_result, wall_seconds=3.0)
         assert result.bytes_shm == 4096 and result.worker_seconds[1] == 0.9
 
@@ -149,7 +160,7 @@ class TestSlowConsumerBackend:
         slow.close()  # idempotent
         assert inner.closed and slow.closed
         with pytest.raises(RuntimeError, match="closed"):
-            slow.join_regions(_region_keys(rng, size=10), BAND)
+            slow.join_regions(_region_keys(rng, size=10), _bands(range(4)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -328,13 +339,14 @@ class TestStickyWorkerState:
         table = RegionStateTable([0])
         history = rng.uniform(0, 50, 40)
         idx = rng.permutation(40)[:15].astype(np.int64)
-        table.install([idx, history[idx], idx, history[idx]])
+        columns = [*sort_arrivals(idx, history[idx])] * 2
+        table.install(columns)
         reference = SortedRegionState.from_indices(idx, history)
         np.testing.assert_array_equal(table.state1[0].keys, reference.keys)
         np.testing.assert_array_equal(table.state1[0].index, reference.index)
         worker = _StickyWorkerState()
         worker.own((0,), BAND, BAND.transposed)
-        reply = worker.handle(("install", None), _ArrayReader([idx, history[idx]] * 2))
+        reply = worker.handle(("install", None), _ArrayReader(columns))
         assert reply == ("install", [(0, 0, 0)])  # held nothing on receipt
         np.testing.assert_array_equal(
             worker.table.state1[0].index, reference.index
@@ -346,7 +358,7 @@ class TestStickyWorkerState:
         idx = np.arange(5, dtype=np.int64)
         keys = np.sort(rng.uniform(0, 50, 5))
         worker.count([idx, keys, idx, keys])
-        # A resize is the same command bind sent, with the new machines.
+        # Resizing is the same command bind sent, with the new machines.
         assert worker.own((1, 3), BAND, BAND.transposed) == ("owned", os.getpid())
         assert worker.table.machines == (1, 3)
         assert worker.held() == [(1, 0, 0), (3, 0, 0)]
@@ -405,18 +417,16 @@ class TestInProcessStateProtocol:
         dispatched = []
 
         class Spy(SimulatedBackend):
-            def join_regions(self, region_keys, condition, keys2_sorted=False):
-                dispatched.append((len(region_keys), keys2_sorted))
-                return super().join_regions(
-                    region_keys, condition, keys2_sorted=keys2_sorted
-                )
+            def join_regions(self, tasks, conditions):
+                dispatched.append((len(tasks), len(conditions)))
+                return super().join_regions(tasks, conditions)
 
         backend = Spy()
         backend.bind(2, BAND, BAND.transposed)
         result = backend.count_batch(
             arrivals(split, history1), arrivals(split, history2)
         )
-        assert dispatched == [(4, True)]  # 2J tasks (single-run state), one dispatch
+        assert dispatched == [(4, 4)]  # 2J tasks (single-run state), one dispatch
         expected = [
             count_join_output(history1[idx], history2[idx], BAND)
             for idx in split
@@ -450,12 +460,16 @@ class TestInProcessStateProtocol:
         assert sorted(held1[0].tolist()) == list(range(10, 40))
         assert sorted(held2[1].tolist()) == list(range(40, 80))
         swapped = [split[1], split[0]]
-        backend.install_state(swapped, swapped, history1, history2)
+        backend.install_state(arrivals(swapped, history1), arrivals(swapped, history2))
         held1, _ = backend.resident_indices()
         assert sorted(held1[0].tolist()) == split[1].tolist()
-        backend.resize(3)
+        # An install of another length resizes the fleet.
+        grown = [split[0], np.empty(0, dtype=np.int64), split[1]]
+        backend.install_state(arrivals(grown, history1), arrivals(grown, history2))
         held1, held2 = backend.resident_indices()
-        assert [len(h) for h in held1 + held2] == [0] * 6
+        assert [len(h) for h in held1 + held2] == [40, 0, 40] * 2
+        with pytest.raises(ValueError, match="one R1 and one R2 column pair"):
+            backend.install_state([], [])
         assert backend.drain_channel_bytes() == (None, None, None)
 
     def test_protocol_calls_before_bind_and_after_close_are_refused(self):
@@ -547,15 +561,10 @@ class _ShadowingBackend(_ForwardingBackend):
         self._compare("evict")
         return dropped
 
-    def install_state(self, assignments1, assignments2, history1, history2):
-        super().install_state(assignments1, assignments2, history1, history2)
-        self.twin.install_state(assignments1, assignments2, history1, history2)
+    def install_state(self, state1, state2):
+        super().install_state(state1, state2)
+        self.twin.install_state(state1, state2)
         self._compare("install")
-
-    def resize(self, num_machines: int) -> None:
-        super().resize(num_machines)
-        self.twin.resize(num_machines)
-        self._compare("resize")
 
 
 @pytest.mark.multiprocess
@@ -592,7 +601,7 @@ class TestStickyWorkerBackend:
                 if batch.index == 5:
                     engine.resize(6)
             engine.finish(verify=False)
-            assert set(shadowing.compared) == {"count", "evict", "install", "resize"}
+            assert set(shadowing.compared) == {"count", "evict", "install"}
             assert shadowing.compared.count("install") >= 2  # drift + resize
 
     def test_bound_backend_keeps_counts_not_tuples(self, rng):
@@ -633,9 +642,36 @@ class TestStickyWorkerBackend:
             assert [sorted(h.tolist()) for h in held1] == [i.tolist() for i in idx]
             # Copies: the next arena write must not change what was returned.
             snapshot = [h.copy() for h in held1 + held2]
-            backend.install_state(idx[::-1], idx[::-1], history, history)
+            backend.install_state(arrivals(idx[::-1], history), arrivals(idx[::-1], history))
             for array, before in zip(held1 + held2, snapshot):
                 np.testing.assert_array_equal(array, before)
+
+    def test_an_install_onto_a_new_fleet_reassigns_ownership_first(
+        self, rng, monkeypatch
+    ):
+        # Resizing is part of the install: an "own" command per worker, then
+        # the install itself -- and only when the machine count changes.
+        history = rng.uniform(0, 50, 12)
+        idx = [np.arange(0, 6, dtype=np.int64), np.arange(6, 12, dtype=np.int64)]
+        grown = [idx[1], np.empty(0, dtype=np.int64), idx[0]]
+        with StickyWorkerBackend(max_workers=2) as backend:
+            backend.bind(2, BAND, BAND.transposed)
+            sent = []
+            send = backend._send
+            monkeypatch.setattr(
+                backend, "_send",
+                lambda worker, command: (sent.append(command[0]), send(worker, command)),
+            )
+            backend.install_state(arrivals(grown, history), arrivals(grown, history))
+            assert sent == ["own", "own", "install", "install"]
+            assert backend._counts.tolist() == [[6, 6], [0, 0], [6, 6]]
+            assert len(backend._machine_pids) == 3
+            del sent[:]
+            backend.install_state(arrivals(grown, history), arrivals(grown[::-1], history))
+            assert sent == ["install", "install"]
+            held1, held2 = backend.resident_indices()
+        assert [sorted(h.tolist()) for h in held1] == [list(range(6, 12)), [], list(range(6))]
+        assert [sorted(h.tolist()) for h in held2] == [list(range(6)), [], list(range(6, 12))]
 
     def test_divergence_is_detected_on_evict_and_on_read_back(self, rng):
         # The counts are the backend's claim about worker state; a worker
@@ -685,8 +721,9 @@ class TestStickyWorkerBackend:
 
     def test_join_regions_refused(self, rng):
         with StickyWorkerBackend(max_workers=1) as backend:
+            tasks = _region_keys(rng, size=10)
             with pytest.raises(RuntimeError, match="state-ownership protocol"):
-                backend.join_regions(_region_keys(rng, size=10), BAND)
+                backend.join_regions(tasks, _bands(tasks))
 
     def test_close_unlinks_the_shared_segment(self, rng):
         shm_dir = Path("/dev/shm")

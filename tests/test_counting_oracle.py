@@ -87,14 +87,8 @@ def tick_clocks():
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    num_tasks=st.integers(0, 14),
-    keys2_sorted=st.booleans(),
-)
-def test_join_regions_counts_what_the_per_task_kernel_counts(
-    seed, num_tasks, keys2_sorted
-):
+@given(seed=st.integers(0, 2**32 - 1), num_tasks=st.integers(0, 14))
+def test_join_regions_counts_what_the_per_task_kernel_counts(seed, num_tasks):
     """Random dispatches: conditions, dtypes and shared needles all mixed."""
     rng = np.random.default_rng(seed)
     # A small pool of first sides, so several tasks share one array object
@@ -112,7 +106,7 @@ def test_join_regions_counts_what_the_per_task_kernel_counts(
         if rng.random() < 0.2:
             keys1 = keys1.copy()
         keys2 = _draw_keys(rng, rng.choice(KEY_STYLES), int(rng.choice([0, 3, 60])))
-        tasks.append((keys1, np.sort(keys2) if keys2_sorted else keys2))
+        tasks.append((keys1, np.sort(keys2)))
         conditions.append(CONDITIONS[rng.choice(active)])
     if rng.random() < 0.3:  # runs of one condition over shared needles
         order = np.argsort([CONDITIONS.index(c) for c in conditions], kind="stable")
@@ -120,10 +114,8 @@ def test_join_regions_counts_what_the_per_task_kernel_counts(
         conditions = [conditions[i] for i in order]
 
     with tick_clocks() as (ours_clock, reference_clock):
-        execution = SimulatedBackend().join_regions(
-            tasks, conditions, keys2_sorted=keys2_sorted
-        )
-        outputs, seconds = reference.count_regions(tasks, conditions, keys2_sorted)
+        execution = SimulatedBackend().join_regions(tasks, conditions)
+        outputs, seconds = reference.count_regions(tasks, conditions, True)
 
     np.testing.assert_array_equal(execution.per_machine_output, outputs)
     assert execution.per_machine_output.dtype == outputs.dtype == np.int64
@@ -133,26 +125,6 @@ def test_join_regions_counts_what_the_per_task_kernel_counts(
     non_empty = sum(1 for keys1, keys2 in tasks if len(keys1) and len(keys2))
     assert reference_clock.reads == 2 * non_empty
     assert ours_clock.reads == 2 * non_empty + 2
-
-
-def test_one_shared_condition_is_broadcast(rng):
-    tasks = [
-        (rng.uniform(0, 40, 30), np.sort(rng.uniform(0, 40, 50))) for _ in range(3)
-    ]
-    execution = SimulatedBackend().join_regions(tasks, NARROW, keys2_sorted=True)
-    outputs, _ = reference.count_regions(tasks, [NARROW] * 3, True)
-    np.testing.assert_array_equal(execution.per_machine_output, outputs)
-    assert execution.total_output > 0
-
-
-def test_the_unsorted_path_still_sorts(rng):
-    keys1 = rng.uniform(0, 40, 30)
-    keys2 = rng.uniform(0, 40, 50)
-    unsorted = SimulatedBackend().join_regions([(keys1, keys2)], BAND)
-    presorted = SimulatedBackend().join_regions(
-        [(keys1, np.sort(keys2))], BAND, keys2_sorted=True
-    )
-    assert unsorted.total_output == presorted.total_output > 0
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.partitioning.base import Partitioning
 from repro.streaming.migration import (
     _overlap_matrix,
     pad_assignments,
@@ -29,12 +30,16 @@ from repro.streaming.migration import (
 )
 
 
-class ModPartitioning:
+class ModPartitioning(Partitioning):
     """Deterministic non-replicating scheme: key ``k`` lives on ``(k + salt) % J``."""
 
     def __init__(self, num_machines: int, salt: int = 0) -> None:
-        self.num_regions = num_machines
+        self.regions = num_machines
         self.salt = salt
+
+    @property
+    def num_regions(self) -> int:
+        return self.regions
 
     def _assign(self, keys: np.ndarray) -> list[np.ndarray]:
         machines = (np.asarray(keys).astype(np.int64) + self.salt) % self.num_regions
@@ -63,6 +68,11 @@ class ReplicatingPartitioning(ModPartitioning):
 
 def _held(assignments: list[np.ndarray]) -> int:
     return sum(len(a) for a in assignments)
+
+
+def _indices(state) -> list[np.ndarray]:
+    """A plan's per-machine index columns (its ``new_state*`` minus the keys)."""
+    return [indices for indices, _ in state]
 
 
 keys_strategy = st.lists(
@@ -102,8 +112,8 @@ def test_tuple_conservation_without_replication(
         keys1, keys2, num_machines, rng, mode=mode,
     )
     assert plan.total_moved == plan.total_departed
-    assert _held(plan.new_assignments1) == len(keys1)
-    assert _held(plan.new_assignments2) == len(keys2)
+    assert _held(_indices(plan.new_state1)) == len(keys1)
+    assert _held(_indices(plan.new_state2)) == len(keys2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,7 +137,7 @@ def test_conservation_accounts_for_replication_changes(
         old1, old2, new_scheme, keys1, keys2, num_machines, rng, mode=mode
     )
     old_total = _held(old1) + _held(old2)
-    new_total = _held(plan.new_assignments1) + _held(plan.new_assignments2)
+    new_total = _held(_indices(plan.new_state1)) + _held(_indices(plan.new_state2))
     assert plan.total_moved - plan.total_departed == new_total - old_total
 
 
@@ -214,10 +224,10 @@ def test_planned_state_is_exactly_the_new_routing(
     routed2 = pad_assignments(new_scheme.assign_r2(keys2, rng), num_machines)
     for region, machine in enumerate(plan.region_to_machine):
         np.testing.assert_array_equal(
-            np.sort(plan.new_assignments1[machine]), np.sort(routed1[region])
+            np.sort(plan.new_state1[machine][0]), np.sort(routed1[region])
         )
         np.testing.assert_array_equal(
-            np.sort(plan.new_assignments2[machine]), np.sort(routed2[region])
+            np.sort(plan.new_state2[machine][0]), np.sort(routed2[region])
         )
 
 
@@ -293,7 +303,7 @@ def test_arrivals_and_departures_equal_the_set_differences(
     empty = np.empty(0, dtype=np.int64)
     for machine in range(fleet):
         moved_in = moved_out = 0
-        for old, new in ((old1, plan.new_assignments1), (old2, plan.new_assignments2)):
+        for old, new in ((old1, _indices(plan.new_state1)), (old2, _indices(plan.new_state2))):
             before = old[machine] if machine < old_machines else empty
             after = new[machine] if machine < num_machines else empty
             moved_in += len(np.setdiff1d(after, before))

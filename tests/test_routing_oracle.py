@@ -45,6 +45,7 @@ from repro.streaming import (
     StickyWorkerBackend,
     StreamingJoinEngine,
 )
+from repro.streaming.migration import _to_machines
 
 # ----------------------------------------------------------------------
 # Column for column, per machine
@@ -113,9 +114,7 @@ def _columns_match(candidate, partitioning_cls, seed: int, dtype: str) -> None:
             partitioning, side, keys, None, offset, region_to_machine, num_machines, history
         )
         routed = candidate(partitioning, side, keys, offset)
-        actual = StreamingJoinEngine._to_machines(
-            routed, keys, region_to_machine, num_machines
-        )
+        actual = _to_machines(routed, keys, region_to_machine, num_machines)
         assert len(actual) == len(expected) == num_machines
         for (idx, held), (ref_idx, ref_held) in zip(actual, expected):
             assert idx.dtype == ref_idx.dtype == np.int64
@@ -213,7 +212,7 @@ def test_the_default_assigns_in_arrival_order_then_sorts(seed, scheme, machines)
         expected = reference_route(
             partitioning, side, keys, theirs, offset, region_to_machine, machines, history
         )
-        actual = StreamingJoinEngine._to_machines(
+        actual = _to_machines(
             partitioning.sorted_arrivals(side, keys, ours, offset),
             keys, region_to_machine, machines,
         )
@@ -260,7 +259,7 @@ def _source() -> DriftingZipfSource:
 
 
 def _run(engine_cls, policy, backend, window, monkeypatch, resize_to=None):
-    """Run the stream, checkpointing after batch 6: (result, checkpoint bytes).
+    """Run on a fresh ``backend()``, checkpointing after batch 6: (result, bytes).
 
     Both engines read a tick clock, so what is left in a checkpoint of the
     machine rather than the behaviour is a sticky worker's own seconds and
@@ -268,7 +267,7 @@ def _run(engine_cls, policy, backend, window, monkeypatch, resize_to=None):
     """
     for module in CLOCKED_MODULES:
         monkeypatch.setattr(sys.modules[module], "perf_counter", TickClock())
-    with BACKENDS[backend]() as owner:
+    with backend() as owner:
         engine = engine_cls(
             MACHINES, BAND, WEIGHTS,
             policy=POLICIES[policy](), backend=owner, window=window,
@@ -295,9 +294,11 @@ def test_engine_runs_and_checkpoints_match_the_reference_route(
     policy, window, monkeypatch
 ):
     expected, expected_raw = _run(
-        ReferenceRouteEngine, policy, "simulated", window, monkeypatch
+        ReferenceRouteEngine, policy, BACKENDS["simulated"], window, monkeypatch
     )
-    actual, raw = _run(StreamingJoinEngine, policy, "simulated", window, monkeypatch)
+    actual, raw = _run(
+        StreamingJoinEngine, policy, BACKENDS["simulated"], window, monkeypatch
+    )
     assert_equivalent_runs(actual, expected)
     assert raw == expected_raw
     if window == "unbounded":
@@ -313,9 +314,11 @@ def test_sticky_runs_and_checkpoints_match_the_reference_route(
     policy, window, monkeypatch
 ):
     expected, expected_raw = _run(
-        ReferenceRouteEngine, policy, "sticky", window, monkeypatch
+        ReferenceRouteEngine, policy, BACKENDS["sticky"], window, monkeypatch
     )
-    actual, raw = _run(StreamingJoinEngine, policy, "sticky", window, monkeypatch)
+    actual, raw = _run(
+        StreamingJoinEngine, policy, BACKENDS["sticky"], window, monkeypatch
+    )
     assert_equivalent_runs(actual, expected)
     assert actual.backend == "sticky"
     assert raw == expected_raw
@@ -323,12 +326,11 @@ def test_sticky_runs_and_checkpoints_match_the_reference_route(
 
 @pytest.mark.parametrize("resize_to", [3, 6])
 def test_a_resize_matches_the_reference_route(resize_to, monkeypatch):
-    expected, expected_raw = _run(
-        ReferenceRouteEngine, "adaptive", "simulated", "batches:3", monkeypatch, resize_to
-    )
-    actual, raw = _run(
-        StreamingJoinEngine, "adaptive", "simulated", "batches:3", monkeypatch, resize_to
-    )
+    runs = [
+        _run(engine_cls, "adaptive", SimulatedBackend, "batches:3", monkeypatch, resize_to)
+        for engine_cls in (ReferenceRouteEngine, StreamingJoinEngine)
+    ]
+    (expected, expected_raw), (actual, raw) = runs
     assert_equivalent_runs(actual, expected)
     assert raw == expected_raw
     assert actual.num_machines == resize_to

@@ -188,8 +188,7 @@ def test_runs_agree_with_the_single_array_reference(seed, key_mode, condition, s
                 for side in (1, 2):
                     span = len(history[side])
                     idx = np.flatnonzero(rng.random(span) < 0.4).astype(np.int64)
-                    rng.shuffle(idx)
-                    layout += [idx, history[side][idx]]
+                    layout += sort_arrivals(idx, history[side][idx])
                     reference[machine, side] = ReferenceState.from_pairs(
                         idx, history[side][idx]
                     )
@@ -349,7 +348,7 @@ def test_a_steady_batch_stays_call_light():
             if name == "joinable_bounds":
                 bounds += 1
             elif name == "join_regions":
-                tasks += len(frame.f_locals["region_keys"])
+                tasks += len(frame.f_locals["tasks"])
             elif name == "__getitem__" and isinstance(
                 frame.f_locals.get("self"), ArrivalLog
             ):

@@ -11,6 +11,7 @@ from repro.bench.reporting import format_streaming_batches, format_streaming_tab
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import BandJoinCondition
 from repro.joins.local import count_join_output
+from repro.partitioning.base import Partitioning
 from repro.partitioning.one_bucket import build_one_bucket_partitioning
 from repro.joins.conditions import EquiJoinCondition
 from repro.streaming import (
@@ -483,7 +484,7 @@ class TestMigration:
         # Re-routing with the same generator state reproduces the assignment.
         replay_rng = np.random.default_rng(7)
 
-        class _Fixed:
+        class _Fixed(Partitioning):
             num_regions = partitioning.num_regions
 
             def assign_r1(self, keys, rng):
@@ -500,7 +501,7 @@ class TestMigration:
         old1 = [np.arange(10, dtype=np.int64), np.empty(0, dtype=np.int64)]
         old2 = [np.arange(10, dtype=np.int64), np.empty(0, dtype=np.int64)]
 
-        class _Swapped:
+        class _Swapped(Partitioning):
             num_regions = 2
 
             def assign_r1(self, k, rng):
@@ -520,7 +521,7 @@ class TestMigration:
         ]
         old2 = list(old1)
 
-        class _Single:
+        class _Single(Partitioning):
             num_regions = 1
 
             def assign_r1(self, k, rng):
@@ -530,8 +531,70 @@ class TestMigration:
                 return [np.arange(6, dtype=np.int64)]
 
         plan = plan_migration(old1, old2, _Single(), keys, keys, 4, rng)
-        assert len(plan.new_assignments1) == 4
+        assert len(plan.new_state1) == 4
         assert plan.total_moved == 0
+
+    @pytest.mark.parametrize("mode", ["full", "partial"])
+    def test_more_regions_than_machines_is_refused(self, rng, mode):
+        # Full mode used to drop the regions past the fleet silently, partial
+        # mode to raise an IndexError: every region needs its own machine.
+        keys = rng.uniform(0, 100, 400)
+        old = [np.arange(100 * m, 100 * (m + 1), dtype=np.int64) for m in range(4)]
+        partitioning = build_one_bucket_partitioning(8)
+        with pytest.raises(ValueError, match="8 regions .* got 4"):
+            plan_migration(old, old, partitioning, keys, keys, 4, rng, mode=mode)
+
+
+class _OversizedPlans(StaticOneBucketPolicy):
+    """1-Bucket on the fleet, until it hands out a plan for twice the fleet."""
+
+    def __init__(self, num_machines: int, oversize_at: "int | None") -> None:
+        super().__init__(num_machines)
+        self.oversize_at = oversize_at
+
+    def maybe_repartition(self, histogram, metrics, condition, rng):
+        if metrics.stream_position == self.oversize_at:
+            return build_one_bucket_partitioning(2 * self.num_machines)
+        return None
+
+    def resize_partitioning(self, num_machines, histogram, condition, rng):
+        return build_one_bucket_partitioning(2 * num_machines)
+
+
+class TestOversizedPlans:
+    """A plan with more regions than machines is refused wherever it is adopted."""
+
+    @staticmethod
+    def _engine(policy) -> StreamingJoinEngine:
+        engine = StreamingJoinEngine(4, BAND, UNIT, policy=policy, seed=3)
+        engine.start()
+        return engine
+
+    @staticmethod
+    def _batch(index: int) -> MicroBatch:
+        rng = np.random.default_rng(index)
+        return MicroBatch(index, rng.uniform(0, 50, 40), rng.uniform(0, 50, 40))
+
+    def test_at_the_initial_build(self):
+        # Used to die in batch 0 with an unnamed numpy broadcast error.
+        engine = self._engine(StaticOneBucketPolicy(8))
+        with pytest.raises(ValueError, match="8 regions .* got 4"):
+            engine.process_batch(self._batch(0))
+        engine.close()
+
+    def test_at_a_drift_rebuild(self):
+        engine = self._engine(_OversizedPlans(4, oversize_at=1))
+        engine.process_batch(self._batch(0))
+        with pytest.raises(ValueError, match="8 regions .* got 4"):
+            engine.process_batch(self._batch(1))
+        engine.close()
+
+    def test_at_a_resize(self):
+        engine = self._engine(_OversizedPlans(4, oversize_at=None))
+        engine.process_batch(self._batch(0))
+        with pytest.raises(ValueError, match="6 regions .* got 3"):
+            engine.resize(3)
+        engine.close()
 
 
 # ----------------------------------------------------------------------
