@@ -77,7 +77,7 @@ def main() -> None:
         )
         print(
             f"  {name:5s} output {result.total_output:9,}  "
-            f"slowest worker {result.max_machine_seconds * 1e3:7.1f} ms  "
+            f"slowest worker {result.per_machine_seconds.max() * 1e3:7.1f} ms  "
             f"end-to-end {result.wall_seconds * 1e3:7.1f} ms"
         )
     print(

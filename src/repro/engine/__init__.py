@@ -17,7 +17,9 @@ substrate with:
   too expensive).
 * :mod:`repro.engine.executor` -- a real ``multiprocessing`` executor that
   joins the per-region partitions in parallel OS processes (Python's GIL
-  rules out shared-memory threading) and reports wall-clock times.
+  rules out shared-memory threading) and reports wall-clock times in a
+  :class:`~repro.engine.executor.RegionJoinResult`, the streaming backends'
+  result type too.
 * :mod:`repro.engine.calibration` -- linear regression of the cost-model
   coefficients ``w_i`` and ``w_o`` from measured runs.
 """
@@ -25,7 +27,7 @@ substrate with:
 from repro.engine.adaptive import AdaptiveOperator
 from repro.engine.calibration import CalibrationSample, calibrate_cost_weights
 from repro.engine.cluster import JoinExecutionResult, run_partitioned_join
-from repro.engine.executor import MultiprocessJoinResult, run_join_multiprocess
+from repro.engine.executor import RegionJoinResult, run_join_multiprocess
 from repro.engine.heterogeneous import (
     HeterogeneousAssignment,
     HeterogeneousJoinResult,
@@ -50,7 +52,7 @@ __all__ = [
     "CSIOperator",
     "CSIOOperator",
     "AdaptiveOperator",
-    "MultiprocessJoinResult",
+    "RegionJoinResult",
     "run_join_multiprocess",
     "CalibrationSample",
     "calibrate_cost_weights",

@@ -3,10 +3,14 @@
 ``run_partitioned_join`` executes a join under a given partitioning exactly
 the way the paper's runtime would, but bookkeeping-only: every region's
 machine receives the tuples the scheme routes to it (counting replication),
-joins them locally (the output count is computed with the vectorised
-sort-merge counter, not materialised), and the per-machine input/output
-counters feed the cost model.  The simulator therefore measures the
-quantities Figure 4 reports:
+joins them locally (the output count is computed, not materialised), and the
+per-machine input/output counters feed the cost model.  Routing and counting
+are the streaming engine's own: each side is routed once through
+:meth:`Partitioning.sorted_arrivals
+<repro.partitioning.base.Partitioning.sorted_arrivals>` -- a grid scheme
+sorts the side once and hands every region a slice -- and every region is
+counted by :func:`~repro.joins.local.count_regions`, in the keys' own dtype.
+The simulator therefore measures the quantities Figure 4 reports:
 
 * ``join cost`` -- the maximum machine weight ``w_i*input + w_o*output``
   (the paper validates in Fig. 4h that this is proportional to the join
@@ -27,7 +31,7 @@ import numpy as np
 
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import JoinCondition
-from repro.joins.local import count_join_output
+from repro.joins.local import count_regions
 from repro.partitioning.base import Partitioning
 
 __all__ = ["JoinExecutionResult", "run_partitioned_join"]
@@ -85,6 +89,32 @@ class JoinExecutionResult:
         )
 
 
+def _route_regions(
+    partitioning: Partitioning,
+    keys1: np.ndarray,
+    keys2: np.ndarray,
+    rng: np.random.Generator,
+) -> "list[tuple[np.ndarray, np.ndarray]]":
+    """Per region, its R1 and R2 keys, each share key-sorted in the keys' dtype.
+
+    The one routing step of batch execution, shared with the multiprocess
+    executor: one :meth:`~repro.partitioning.base.Partitioning.sorted_arrivals`
+    call per side, R1 first, so a randomised scheme draws from ``rng`` exactly
+    as ``assign_r1`` then ``assign_r2`` would.
+    """
+    shares = []
+    for side, keys in ((1, keys1), (2, keys2)):
+        routed = partitioning.sorted_arrivals(side, np.asarray(keys), rng)
+        if len(routed) != partitioning.num_regions:
+            raise ValueError(
+                f"the partitioning routed R{side} to {len(routed)} regions, "
+                f"but has {partitioning.num_regions}: routing must return one "
+                "share per region"
+            )
+        shares.append([region_keys for _, region_keys in routed])
+    return list(zip(*shares))
+
+
 def run_partitioned_join(
     partitioning: Partitioning,
     keys1: np.ndarray,
@@ -99,7 +129,8 @@ def run_partitioned_join(
     partitioning:
         Any partitioning scheme (CI, CSI, CSIO, ...).
     keys1, keys2:
-        Join keys of R1 and R2.
+        Join keys of R1 and R2, counted in their own dtype (integer keys
+        above 2**53 stay exact).
     condition:
         The join condition evaluated by the local joins.
     rng:
@@ -107,27 +138,11 @@ def run_partitioned_join(
         is used when omitted.
     """
     rng = rng or np.random.default_rng(0)
-    keys1 = np.asarray(keys1, dtype=np.float64)
-    keys2 = np.asarray(keys2, dtype=np.float64)
-
-    assignments1 = partitioning.assign_r1(keys1, rng)
-    assignments2 = partitioning.assign_r2(keys2, rng)
-    if len(assignments1) != partitioning.num_regions:
-        raise ValueError("assign_r1 must return one index array per region")
-    if len(assignments2) != partitioning.num_regions:
-        raise ValueError("assign_r2 must return one index array per region")
-
-    num_machines = partitioning.num_regions
-    per_machine_input = np.zeros(num_machines, dtype=np.int64)
-    per_machine_output = np.zeros(num_machines, dtype=np.int64)
-
-    for machine, (idx1, idx2) in enumerate(zip(assignments1, assignments2)):
-        per_machine_input[machine] = len(idx1) + len(idx2)
-        if len(idx1) == 0 or len(idx2) == 0:
-            continue
-        per_machine_output[machine] = count_join_output(
-            keys1[idx1], keys2[idx2], condition
-        )
+    tasks = _route_regions(partitioning, keys1, keys2, rng)
+    per_machine_input = np.array(
+        [len(share1) + len(share2) for share1, share2 in tasks], dtype=np.int64
+    )
+    per_machine_output, _ = count_regions(tasks, [condition] * len(tasks))
 
     total_input_shipped = int(per_machine_input.sum())
     total_tuples = len(keys1) + len(keys2)

@@ -1,25 +1,35 @@
 """A real parallel executor built on ``multiprocessing``.
 
-The cluster simulator models time through the cost model; this executor
-actually runs the per-region local joins in parallel OS processes and reports
-wall-clock times.  Python's global interpreter lock makes shared-memory
-threading useless for CPU-bound joins, so worker processes are the honest
-equivalent of the paper's per-core reducers.  It is intended for the examples
-and for calibrating the cost model, not for the large benchmark sweeps (the
-process start-up and pickling overhead dominates tiny inputs).
+The cluster simulator (:func:`~repro.engine.cluster.run_partitioned_join`)
+counts every region in the calling process; this executor ships the same
+routed regions to parallel OS processes and reports wall-clock times.  Both
+ask a partitioning the same routing question the streaming engine asks
+(:meth:`Partitioning.sorted_arrivals
+<repro.partitioning.base.Partitioning.sorted_arrivals>`), so every region's
+R2 share arrives key-sorted and no worker sorts it again.  Python's global
+interpreter lock makes shared-memory threading useless for CPU-bound joins,
+so worker processes are the honest equivalent of the paper's per-core
+reducers.  It is intended for the examples and for calibrating the cost
+model, not for the large benchmark sweeps (the process start-up and
+pickling overhead dominates tiny inputs).
+
+Executing per-region joins has one result type, :class:`RegionJoinResult`:
+this executor returns it, and so does every streaming backend
+(:mod:`repro.streaming.backends` re-exports it).
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.engine.cluster import _route_regions
 from repro.joins.conditions import JoinCondition
-from repro.joins.local import count_join_output
+from repro.joins.local import count_regions
 from repro.obs.clock import perf_counter
 from repro.partitioning.base import Partitioning
 
@@ -27,9 +37,7 @@ if TYPE_CHECKING:  # imported where a pool is made, not by ``import repro``
     from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
-    "MultiprocessJoinResult",
-    "RegionExecution",
-    "broadcast_conditions",
+    "RegionJoinResult",
     "join_assigned_regions",
     "pickled_nbytes",
     "run_join_multiprocess",
@@ -67,150 +75,132 @@ def pickled_nbytes(obj: object) -> int:
     return sink.nbytes
 
 
-def broadcast_conditions(
-    condition: "JoinCondition | list[JoinCondition]", num_regions: int
-) -> "list[JoinCondition]":
-    """Normalise the one-or-per-region condition argument to a full list.
-
-    Shared by every region-join entry point (:func:`join_assigned_regions`
-    and the streaming backends) so the list-or-scalar contract is validated
-    in exactly one place.
-    """
-    if isinstance(condition, list):
-        if len(condition) != num_regions:
-            raise ValueError("need exactly one condition per region")
-        return condition
-    return [condition] * num_regions
-
-
-def _join_region(
-    args: tuple[np.ndarray, np.ndarray, JoinCondition, bool],
-) -> tuple[int, float, int]:
-    """Worker: join one region's tuples, return (output, seconds, worker pid).
-
-    The pid identifies which pool process actually ran the region, so a
-    tracer can stitch per-worker child spans under the dispatching batch.
-    """
-    keys1, keys2, condition, keys2_sorted = args
-    start = perf_counter()
-    output = count_join_output(keys1, keys2, condition, keys2_sorted=keys2_sorted)
-    return output, perf_counter() - start, os.getpid()
-
-
-def _busy_machines(pairs: list[tuple]) -> list[int]:
-    """Machines whose region has both sides non-empty and so can produce output.
-
-    The single definition of the skip rule, shared by the pool caller (which
-    uses it on index arrays, before materializing any keys) and
-    :func:`join_assigned_regions` (which uses it on the key arrays).
-    """
-    return [
-        machine
-        for machine, (side1, side2) in enumerate(pairs)
-        if len(side1) > 0 and len(side2) > 0
-    ]
-
-
 @dataclass
-class RegionExecution:
-    """Everything measured while executing one set of region joins on a pool.
+class RegionJoinResult:
+    """Output counts and timings of executing a set of per-region joins.
+
+    A streaming batch's joins (every :mod:`repro.streaming.backends`
+    backend) and a batch join's regions on a worker pool
+    (:func:`join_assigned_regions`, :func:`run_join_multiprocess`) alike.
 
     Attributes
     ----------
     per_machine_output:
-        Exact join output counted for each machine's region.
+        Exact join output counted for each machine's region state.
     per_machine_seconds:
-        Wall-clock seconds each worker spent joining its region.
+        Wall-clock seconds spent joining each region (worker time under the
+        sticky backend and on a pool, in-process time under the simulated
+        backend).
     wall_seconds:
-        End-to-end time of the parallel execution, including scheduling.
-    bytes_pickled:
-        Bytes the task payloads (key arrays + condition) ship through the
-        pool's pickle channel; zero when profiling is disabled.
-    bytes_unpickled:
-        Bytes the result payloads ship back; zero when profiling is
-        disabled.
-    worker_pids:
-        OS pid of the pool process that ran each machine's region
-        (``-1`` for machines whose region had an empty side and was never
-        dispatched) -- what trace stitching keys worker tracks off.
+        End-to-end time of the whole execution, including scheduling.
+    bytes_pickled, bytes_unpickled:
+        Bytes the execution shipped through a pickle channel -- tasks out,
+        results back.  ``None`` (not ``0``) for backends with no such
+        channel, or when metering is off: the in-process simulated backend
+        moves no bytes at all, and reporting renders the column as ``-``
+        rather than claiming a measured zero.
+    bytes_shm:
+        Array payload bytes the execution moved through a shared-memory
+        segment instead of the pickle channel (the sticky backend's
+        :class:`~repro.streaming.shm.ShmArena` transport).  ``None`` for
+        backends without a shared-memory channel.
+    worker_pids, worker_seconds:
+        Per dispatched unit of work, the OS pid of the process that ran it
+        (``-1`` for units that were never dispatched) and the seconds it
+        spent there; ``None`` for in-process backends.  A unit is one
+        region on a pool and under the sticky ``count_batch``; the
+        in-process default ``count_batch`` has one unit per (machine, half,
+        run) -- each of a machine's two searches is dispatched once per
+        sorted run of the searched state.  A tracer uses these to stitch
+        per-worker child spans under the dispatching batch's span.
     """
 
     per_machine_output: np.ndarray
     per_machine_seconds: np.ndarray
     wall_seconds: float
-    bytes_pickled: int = 0
-    bytes_unpickled: int = 0
-    worker_pids: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64)
-    )
+    bytes_pickled: "int | None" = None
+    bytes_unpickled: "int | None" = None
+    bytes_shm: "int | None" = None
+    worker_pids: "np.ndarray | None" = None
+    worker_seconds: "np.ndarray | None" = None
+
+    def __post_init__(self) -> None:
+        """Default the per-unit seconds to the per-region ones."""
+        if self.worker_pids is not None and self.worker_seconds is None:
+            self.worker_seconds = self.per_machine_seconds
+
+    @property
+    def total_output(self) -> int:
+        """Total output tuples across machines."""
+        return int(self.per_machine_output.sum())
+
+
+def _join_region(
+    args: tuple[np.ndarray, np.ndarray, JoinCondition, bool],
+) -> tuple[int, float, int]:
+    """Worker: count one region with the in-process kernel, return (output, seconds, worker pid).
+
+    The pid identifies which pool process actually ran the region, so a
+    tracer can stitch per-worker child spans under the dispatching batch.
+    The payload's last slot is always ``True`` -- the second side arrives
+    sorted -- and is kept so the pickled task has the shape it always had.
+    """
+    keys1, keys2, condition, _ = args
+    outputs, seconds = count_regions([(keys1, keys2)], [condition])
+    return int(outputs[0]), float(seconds[0]), os.getpid()
 
 
 def join_assigned_regions(
     pool: ProcessPoolExecutor,
-    region_keys: list[tuple[np.ndarray, np.ndarray]],
-    condition: "JoinCondition | list[JoinCondition]",
-    keys2_sorted: bool = False,
+    tasks: list[tuple[np.ndarray, np.ndarray]],
+    conditions: "list[JoinCondition]",
     profile_serialization: bool = True,
-) -> RegionExecution:
+) -> RegionJoinResult:
     """Join already-assigned regions on an existing worker pool.
 
-    ``region_keys[m]`` holds the (R1, R2) key arrays of machine ``m``'s
-    region.  Regions with an empty side cannot produce output and are never
-    shipped to a worker.  Returns a :class:`RegionExecution` with the
+    ``tasks[m]`` holds the (R1, R2) key arrays of machine ``m``'s region and
+    ``conditions[m]`` its condition -- the streaming engine's incremental
+    counting mixes the original and the transposed orientation in a single
+    dispatch so each batch costs one pool round-trip, not two.  Every second
+    key array must be sorted ascending, as :func:`count_regions
+    <repro.joins.local.count_regions>` requires: a routed region's R2 share
+    and a run of the streaming state both are.  Regions with an empty side
+    cannot produce output and are never shipped to a worker.  Returns the
     per-machine output counts, worker seconds and pids, the end-to-end wall
     time, and the pickle-channel byte counts.
-
-    ``condition`` is one condition shared by every region, or a list with
-    one condition per region -- the streaming engine's incremental counting
-    mixes the original and the transposed orientation in a single dispatch
-    so each batch costs one pool round-trip, not two.
-
-    ``keys2_sorted`` promises that every region's second key array is
-    already sorted ascending, letting the workers skip the per-region sort
-    -- the streaming engine's incremental counting maintains its state
-    sorted exactly so this path stays ``O(new log state)``.
 
     ``profile_serialization`` measures, via :func:`pickled_nbytes`, the
     bytes every task ships *to* the pool and every result ships *back* --
     the per-batch serialization tax the streaming side's sticky workers
     avoid by keeping state resident.  The measurement costs one extra
-    serialization pass over the payloads; pass ``False`` to skip it.
+    serialization pass over the payloads; pass ``False`` to skip it (the
+    byte counts are then ``None``).
 
     The caller owns the pool: :func:`run_join_multiprocess` pays process
     start-up once per join, and the streaming benchmarks' pickling-pool
     baseline (``PicklingPoolBackend`` in ``tests/streaming_harness.py``) keeps
     one pool alive across every micro-batch.
     """
-    conditions = broadcast_conditions(condition, len(region_keys))
-    busy_machines = _busy_machines(region_keys)
-    tasks = [
-        (
-            region_keys[machine][0],
-            region_keys[machine][1],
-            conditions[machine],
-            keys2_sorted,
-        )
-        for machine in busy_machines
+    busy = [
+        machine
+        for machine, (keys1, keys2) in enumerate(tasks)
+        if len(keys1) > 0 and len(keys2) > 0
     ]
-    bytes_pickled = (
-        sum(pickled_nbytes(task) for task in tasks)
-        if profile_serialization
-        else 0
-    )
-    bytes_unpickled = 0
+    payloads = [(*tasks[machine], conditions[machine], True) for machine in busy]
+    bytes_pickled = bytes_unpickled = None
+    if profile_serialization:
+        bytes_pickled = sum(map(pickled_nbytes, payloads))
+        bytes_unpickled = 0
     start = perf_counter()
-    outputs = np.zeros(len(region_keys), dtype=np.int64)
-    seconds = np.zeros(len(region_keys))
-    pids = np.full(len(region_keys), -1, dtype=np.int64)
-    if tasks:
-        for machine, result in zip(busy_machines, pool.map(_join_region, tasks)):
-            output, elapsed, pid = result
-            outputs[machine] = output
-            seconds[machine] = elapsed
-            pids[machine] = pid
+    outputs = np.zeros(len(tasks), dtype=np.int64)
+    seconds = np.zeros(len(tasks))
+    pids = np.full(len(tasks), -1, dtype=np.int64)
+    if payloads:
+        for machine, reply in zip(busy, pool.map(_join_region, payloads)):
+            outputs[machine], seconds[machine], pids[machine] = reply
             if profile_serialization:
-                bytes_unpickled += pickled_nbytes(result)
-    return RegionExecution(
+                bytes_unpickled += pickled_nbytes(reply)
+    return RegionJoinResult(
         per_machine_output=outputs,
         per_machine_seconds=seconds,
         wall_seconds=perf_counter() - start,
@@ -220,39 +210,6 @@ def join_assigned_regions(
     )
 
 
-@dataclass
-class MultiprocessJoinResult:
-    """Wall-clock results of a multiprocess partitioned join.
-
-    Attributes
-    ----------
-    per_machine_output:
-        Output tuples produced by each region's worker.
-    per_machine_seconds:
-        Wall-clock seconds each worker spent joining its region.
-    wall_seconds:
-        End-to-end time of the parallel execution (including scheduling).
-    total_output:
-        Sum of the per-machine outputs.
-    """
-
-    per_machine_output: np.ndarray
-    per_machine_seconds: np.ndarray
-    wall_seconds: float
-
-    @property
-    def total_output(self) -> int:
-        """Total output tuples across machines."""
-        return int(self.per_machine_output.sum())
-
-    @property
-    def max_machine_seconds(self) -> float:
-        """Time of the slowest worker -- the quantity load balancing minimises."""
-        if len(self.per_machine_seconds) == 0:
-            return 0.0
-        return float(self.per_machine_seconds.max())
-
-
 def run_join_multiprocess(
     partitioning: Partitioning,
     keys1: np.ndarray,
@@ -260,7 +217,7 @@ def run_join_multiprocess(
     condition: JoinCondition,
     max_workers: int | None = None,
     rng: np.random.Generator | None = None,
-) -> MultiprocessJoinResult:
+) -> RegionJoinResult:
     """Execute a partitioned join with one OS process per busy region.
 
     Parameters
@@ -268,7 +225,7 @@ def run_join_multiprocess(
     partitioning:
         Any partitioning scheme.
     keys1, keys2:
-        Join keys of R1 and R2.
+        Join keys of R1 and R2, counted in their own dtype.
     condition:
         The join condition.
     max_workers:
@@ -276,40 +233,25 @@ def run_join_multiprocess(
         own default, usually the CPU count).
     rng:
         Random generator for randomised schemes.
+
+    The result's ``wall_seconds`` includes pool start-up -- a one-shot join
+    pays it -- and the slowest worker is ``per_machine_seconds.max()``.  A
+    join in which no region has both sides makes no pool at all.
     """
     rng = rng or np.random.default_rng(0)
-    keys1 = np.asarray(keys1, dtype=np.float64)
-    keys2 = np.asarray(keys2, dtype=np.float64)
+    tasks = _route_regions(partitioning, keys1, keys2, rng)
+    if not any(len(share1) and len(share2) for share1, share2 in tasks):
+        return RegionJoinResult(
+            per_machine_output=np.zeros(len(tasks), dtype=np.int64),
+            per_machine_seconds=np.zeros(len(tasks)),
+            wall_seconds=0.0,
+            worker_pids=np.full(len(tasks), -1, dtype=np.int64),
+        )
+    from concurrent.futures import ProcessPoolExecutor
 
-    assignments1 = partitioning.assign_r1(keys1, rng)
-    assignments2 = partitioning.assign_r2(keys2, rng)
-    # Regions with an empty side are never joined, so their keys are never
-    # materialized either -- only busy regions pay the fancy-index copy.
-    empty = np.empty(0, dtype=np.float64)
-    busy = set(_busy_machines(list(zip(assignments1, assignments2))))
-    region_keys = [
-        (keys1[idx1], keys2[idx2]) if machine in busy else (empty, empty)
-        for machine, (idx1, idx2) in enumerate(zip(assignments1, assignments2))
-    ]
-
-    # The wall clock includes pool start-up: a one-shot join pays it.
-    # Pool start-up is skipped entirely when no region can produce output.
     start = perf_counter()
-    if busy:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            execution = join_assigned_regions(
-                pool, region_keys, condition, profile_serialization=False
-            )
-            outputs = execution.per_machine_output
-            seconds = execution.per_machine_seconds
-    else:
-        outputs = np.zeros(len(region_keys), dtype=np.int64)
-        seconds = np.zeros(len(region_keys))
-    wall = perf_counter() - start
-    return MultiprocessJoinResult(
-        per_machine_output=outputs,
-        per_machine_seconds=seconds,
-        wall_seconds=wall,
-    )
+    with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        execution = join_assigned_regions(
+            pool, tasks, [condition] * len(tasks), profile_serialization=False
+        )
+    return replace(execution, wall_seconds=perf_counter() - start)

@@ -17,10 +17,15 @@ Three algorithms are provided:
 
 For the simulator we rarely need materialised pairs, only their number;
 :func:`count_join_output` computes the output cardinality of a key-range
-region with two binary searches per tuple.
+region with two binary searches per tuple, and :func:`count_regions` counts
+many regions at once -- the per-region count loop every engine runs, batch
+(:func:`~repro.engine.cluster.run_partitioned_join`) and streaming (the
+in-process backends and every sticky worker) alike.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -30,6 +35,7 @@ from repro.joins.conditions import (
     JoinCondition,
     normalise_keys,
 )
+from repro.obs.clock import perf_counter
 
 __all__ = [
     "nested_loop_join",
@@ -37,6 +43,7 @@ __all__ = [
     "hash_equi_join",
     "join_output_pairs",
     "count_join_output",
+    "count_regions",
 ]
 
 
@@ -151,3 +158,73 @@ def count_join_output(
         keys2 = np.sort(keys2)
     counts = condition.count_matches_per_key(keys1, keys2)
     return int(counts.sum())
+
+
+def count_regions(
+    tasks: "list[tuple[np.ndarray, np.ndarray]]",
+    conditions: "list[JoinCondition]",
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Count each non-empty ``(keys1, keys2)`` task in the calling process; time each one.
+
+    The one per-region count loop:
+    :func:`~repro.engine.cluster.run_partitioned_join` runs it over a batch
+    join's routed regions,
+    :class:`~repro.streaming.backends.SimulatedBackend` over a stream
+    batch's search tasks in the engine's process, every sticky worker over
+    the same tasks in its own, and a pool worker of
+    :func:`~repro.engine.executor.join_assigned_regions` over its one
+    region.  ``conditions[t]`` is task ``t``'s
+    condition.  Tasks with an empty side produce nothing and are never
+    timed; every second side is sorted ascending (a region's share as the
+    router sorted it, or a run of the streaming state).  Keys are counted
+    in their own dtype (:func:`~repro.joins.conditions.normalise_keys`).
+
+    Joinable bounds are computed **once per condition per dispatch**, not
+    once per task: the (normalised) first-side arrays of a condition's
+    non-empty tasks are laid end to end, ``joinable_bounds`` runs once
+    over the lot and every task searches with its slice.  Bounds are
+    element-wise functions of the key, so a slice holds exactly what a
+    per-task call would have returned -- and a fold's dispatch (two
+    conditions, one task per sorted run, consecutive tasks sharing their
+    needles) costs two bounds passes however many runs there are.  What
+    stays per task, and is all that is timed: the two binary searches of
+    its second side and their sum.
+    """
+    outputs = np.zeros(len(tasks), dtype=np.int64)
+    seconds = np.zeros(len(tasks))
+    # (condition, key dtype) -> the condition and its needle arrays.  The
+    # dtype is part of the key so that laying arrays end to end never
+    # promotes exact int64 keys to float.
+    groups: "dict[tuple, tuple[JoinCondition, list[np.ndarray]]]" = {}
+    # Per non-empty task: (task, second side, group, needles' position).
+    searches: "list[tuple[int, np.ndarray, tuple, int]]" = []
+    last_keys1 = last_condition = None
+    for task, (keys1, keys2) in enumerate(tasks):
+        if len(keys1) == 0 or len(keys2) == 0:
+            continue
+        condition = conditions[task]
+        if keys1 is not last_keys1 or condition is not last_condition:
+            needles = normalise_keys(keys1)
+            group = (id(condition), needles.dtype)
+            arrays = groups.setdefault(group, (condition, []))[1]
+            arrays.append(needles)
+            last_keys1, last_condition = keys1, condition
+        searches.append((task, normalise_keys(keys2), group, len(arrays) - 1))
+    bounds = {}
+    for group, (condition, arrays) in groups.items():
+        lows, highs = condition.joinable_bounds(
+            arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        )
+        stops = list(accumulate(map(len, arrays)))
+        bounds[group] = [
+            (lows[start:stop], highs[start:stop])
+            for start, stop in zip([0] + stops, stops)
+        ]
+    for task, run, group, position in searches:
+        lows, highs = bounds[group][position]
+        started = perf_counter()
+        outputs[task] = (
+            run.searchsorted(highs, "right") - run.searchsorted(lows, "left")
+        ).sum()
+        seconds[task] = perf_counter() - started
+    return outputs, seconds

@@ -17,7 +17,7 @@ they know and therefore how well the resulting regions balance work:
   histogram and balance the total work.
 """
 
-from repro.partitioning.base import Partitioning, RegionStatistics
+from repro.partitioning.base import Partitioning
 from repro.partitioning.ewh import EWHPartitioning, build_ewh_partitioning
 from repro.partitioning.grid_routed import GridRoutedPartitioning
 from repro.partitioning.hash_repartition import (
@@ -37,7 +37,6 @@ from repro.partitioning.one_bucket import (
 
 __all__ = [
     "Partitioning",
-    "RegionStatistics",
     "GridRoutedPartitioning",
     "HashRepartitioning",
     "build_hash_repartitioning",

@@ -1,44 +1,29 @@
 """The common interface of all partitioning schemes.
 
-A :class:`Partitioning` routes tuples to regions.  The engine asks it to
-assign the R1 and R2 key arrays and receives, for every region, the indexes
-of the tuples that must be shipped to the machine owning that region.  A
-tuple may be assigned to several regions (replication) or to none (its row or
-column intersects no region because it cannot produce output).
+A :class:`Partitioning` routes tuples to regions: for every region, the
+tuples that must be shipped to the machine owning it.  A tuple may be
+assigned to several regions (replication) or to none (its row or column
+intersects no region because it cannot produce output).
 
-The streaming engine keeps every region's state key-sorted, so per batch --
-and for the live history a build or migration routes -- it asks the same
-question through :meth:`Partitioning.sorted_arrivals`: the
-region's share of the batch *already in key order*.  The default answers by
-assigning and then sorting each share; a scheme whose regions are key ranges
-sorts the batch once and hands out slices
+Both engines ask one routing question, :meth:`Partitioning.sorted_arrivals`:
+a region's share of a side *already in key order*.  The streaming engine
+asks it per batch -- and for the live history a build or migration routes --
+because it keeps every region's state key-sorted; batch execution
+(:func:`~repro.engine.cluster.run_partitioned_join` and the multiprocess
+executor) asks it once per side, so every region's R2 share arrives sorted
+for the count.  The default answers by assigning (:meth:`assign_r1` /
+:meth:`assign_r2`) and then sorting each share; a scheme whose regions are
+key ranges sorts the side once and hands out slices
 (:class:`~repro.partitioning.grid_routed.GridRoutedPartitioning`).
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Partitioning", "RegionStatistics", "sort_arrivals"]
-
-
-@dataclass(frozen=True)
-class RegionStatistics:
-    """Per-region input/output statistics measured after an execution.
-
-    Attributes
-    ----------
-    input_tuples:
-        Tuples received by the region's machine (R1 + R2, after replication).
-    output_tuples:
-        Output tuples the machine produced.
-    """
-
-    input_tuples: int
-    output_tuples: int
+__all__ = ["Partitioning", "sort_arrivals"]
 
 
 def sort_arrivals(
@@ -90,6 +75,8 @@ class Partitioning(abc.ABC):
     ) -> "list[tuple[np.ndarray, np.ndarray]]":
         """Per region, its share of one side's batch as key-sorted columns.
 
+        The routing question both engines ask (module docstring): the
+        streaming engine per batch, batch execution once per side.
         ``side`` is 1 for R1, 2 for R2.  Region ``r`` gets ``(indices,
         keys)``: the batch positions routed to it shifted by ``offset`` (the
         arrival index of the batch's first tuple) and their keys in the

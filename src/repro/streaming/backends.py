@@ -34,7 +34,10 @@ each worker *process* hosts the :class:`RegionStateTable` of its machines,
 resident across batches, and only per-batch deltas travel, over shared
 memory.  The workers run the *same* table fold and counting loop as the
 in-process default, so every backend counts bit-identical deltas; only the
-measured timings and byte counts differ (``tests/test_backends.py``).
+measured timings and byte counts differ (``tests/test_backends.py``).  That
+loop is :func:`repro.joins.local.count_regions`, the batch simulator's too,
+and every backend reports a :class:`~repro.engine.executor.RegionJoinResult`
+(re-exported here), the batch executor's result type.
 
 Select a backend by passing it to :class:`StreamingJoinEngine` (default:
 simulated) or by name through :func:`make_backend`::
@@ -48,14 +51,14 @@ from __future__ import annotations
 
 import abc
 import os
-from dataclasses import dataclass, replace
-from itertools import accumulate
+from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.engine.executor import pickled_nbytes
-from repro.joins.conditions import JoinCondition, normalise_keys
+from repro.engine.executor import RegionJoinResult, pickled_nbytes
+from repro.joins.conditions import JoinCondition
+from repro.joins.local import count_regions
 from repro.obs.clock import perf_counter
 from repro.streaming.incremental import SortedRegionState
 from repro.streaming.shm import ShmArena, ShmMessage, ShmReader
@@ -126,62 +129,6 @@ def _resolve_mp_context(
 
         return multiprocessing.get_context(mp_context)
     return mp_context
-
-
-@dataclass
-class RegionJoinResult:
-    """Output counts and timings of executing one batch's per-region joins.
-
-    Attributes
-    ----------
-    per_machine_output:
-        Exact join output counted for each machine's region state.
-    per_machine_seconds:
-        Wall-clock seconds spent joining each region (worker time under the
-        sticky backend, in-process time under the simulated one).
-    wall_seconds:
-        End-to-end time of the whole execution, including scheduling.
-    bytes_pickled, bytes_unpickled:
-        Bytes the execution shipped through a pickle channel -- tasks out,
-        results back.  ``None`` (not ``0``) for backends with no such
-        channel: the in-process simulated backend
-        moves no bytes at all, and reporting renders the column as ``-``
-        rather than claiming a measured zero.
-    bytes_shm:
-        Array payload bytes the execution moved through a shared-memory
-        segment instead of the pickle channel (the sticky backend's
-        :class:`~repro.streaming.shm.ShmArena` transport).  ``None`` for
-        backends without a shared-memory channel.
-    worker_pids, worker_seconds:
-        Per dispatched unit of work, the OS pid of the process that ran it
-        (``-1`` for units that were never dispatched) and the seconds it
-        spent there; ``None`` for in-process backends.  A unit is one
-        region for :meth:`ExecutionBackend.join_regions` and the sticky
-        ``count_batch``; the in-process default ``count_batch`` has one
-        unit per (machine, half, run) -- each of a machine's two searches
-        is dispatched once per sorted run of the searched state.  A tracer
-        uses these to stitch per-worker child spans under the dispatching
-        batch's span.
-    """
-
-    per_machine_output: np.ndarray
-    per_machine_seconds: np.ndarray
-    wall_seconds: float
-    bytes_pickled: "int | None" = None
-    bytes_unpickled: "int | None" = None
-    bytes_shm: "int | None" = None
-    worker_pids: "np.ndarray | None" = None
-    worker_seconds: "np.ndarray | None" = None
-
-    def __post_init__(self) -> None:
-        """Default the per-unit seconds to the per-region ones."""
-        if self.worker_pids is not None and self.worker_seconds is None:
-            self.worker_seconds = self.per_machine_seconds
-
-    @property
-    def total_output(self) -> int:
-        """Total output tuples across machines."""
-        return int(self.per_machine_output.sum())
 
 
 class RegionStateTable:
@@ -329,68 +276,6 @@ def _fleet_size(
             f"for at least one machine; got {len(state1)} and {len(state2)}"
         )
     return len(state1)
-
-
-def _count_regions(
-    region_keys: "list[tuple[np.ndarray, np.ndarray]]",
-    conditions: "list[JoinCondition]",
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Count each non-empty region in the calling process; time each one.
-
-    The one in-process counting loop: :class:`SimulatedBackend` runs it in
-    the engine's process, every sticky worker runs it in its own.  Regions
-    with an empty side produce nothing and are never timed; every second
-    side is sorted ascending (a run of the state).
-
-    Joinable bounds are computed **once per condition per dispatch**, not
-    once per region: the (normalised) first-side arrays of a condition's
-    non-empty regions are laid end to end, ``joinable_bounds`` runs once
-    over the lot and every region searches with its slice.  Bounds are
-    element-wise functions of the key, so a slice holds exactly what a
-    per-region call would have returned -- and a fold's dispatch (two
-    conditions, one task per sorted run, consecutive tasks sharing their
-    needles) costs two bounds passes however many runs there are.  What
-    stays per region, and is all that is timed: the two binary searches of
-    its second side and their sum.
-    """
-    outputs = np.zeros(len(region_keys), dtype=np.int64)
-    seconds = np.zeros(len(region_keys))
-    # (condition, key dtype) -> the condition and its needle arrays.  The
-    # dtype is part of the key so that laying arrays end to end never
-    # promotes exact int64 keys to float.
-    groups: "dict[tuple, tuple[JoinCondition, list[np.ndarray]]]" = {}
-    # Per non-empty region: (region, second side, group, needles' position).
-    searches: "list[tuple[int, np.ndarray, tuple, int]]" = []
-    last_keys1 = last_condition = None
-    for region, (keys1, keys2) in enumerate(region_keys):
-        if len(keys1) == 0 or len(keys2) == 0:
-            continue
-        condition = conditions[region]
-        if keys1 is not last_keys1 or condition is not last_condition:
-            needles = normalise_keys(keys1)
-            group = (id(condition), needles.dtype)
-            arrays = groups.setdefault(group, (condition, []))[1]
-            arrays.append(needles)
-            last_keys1, last_condition = keys1, condition
-        searches.append((region, normalise_keys(keys2), group, len(arrays) - 1))
-    bounds = {}
-    for group, (condition, arrays) in groups.items():
-        lows, highs = condition.joinable_bounds(
-            arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-        )
-        stops = list(accumulate(map(len, arrays)))
-        bounds[group] = [
-            (lows[start:stop], highs[start:stop])
-            for start, stop in zip([0] + stops, stops)
-        ]
-    for region, run, group, position in searches:
-        lows, highs = bounds[group][position]
-        started = perf_counter()
-        outputs[region] = (
-            run.searchsorted(highs, "right") - run.searchsorted(lows, "left")
-        ).sum()
-        seconds[region] = perf_counter() - started
-    return outputs, seconds
 
 
 class ExecutionBackend(abc.ABC):
@@ -593,7 +478,7 @@ class ExecutionBackend(abc.ABC):
 
 
 class SimulatedBackend(ExecutionBackend):
-    """Count every region's join in-process (the simulator's original loop)."""
+    """Count every task in-process, with the batch simulator's kernel."""
 
     name = "simulated"
 
@@ -605,7 +490,7 @@ class SimulatedBackend(ExecutionBackend):
         """Count each non-empty task's join output in the calling process."""
         self._ensure_open()
         start = perf_counter()
-        outputs, seconds = _count_regions(tasks, conditions)
+        outputs, seconds = count_regions(tasks, conditions)
         return RegionJoinResult(
             per_machine_output=outputs,
             per_machine_seconds=seconds,
@@ -665,13 +550,13 @@ class _StickyWorkerState:
         """Fold one batch's deltas in and count: ``(output, seconds)`` rows.
 
         The per-run tasks of :meth:`RegionStateTable.fold` are counted by
-        :func:`_count_regions` and summed per machine here, in the worker,
-        so the reply is one fixed-size row per machine however many runs
-        the state holds.
+        :func:`~repro.joins.local.count_regions` and summed per machine
+        here, in the worker, so the reply is one fixed-size row per machine
+        however many runs the state holds.
         """
         table = self.table
         tasks, owners = table.fold(arrays)
-        outputs, seconds = _count_regions(
+        outputs, seconds = count_regions(
             tasks, [self.conditions[owner & 1] for owner in owners.tolist()]
         )
         outputs = table.sum_halves(outputs, owners).sum(axis=1).tolist()

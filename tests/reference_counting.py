@@ -1,6 +1,6 @@
 """Reference count kernel: one ``joinable_bounds`` pass per task.
 
-Test-only.  These are the bodies ``repro.streaming.backends._count_regions``
+Test-only.  These are the bodies ``repro.joins.local.count_regions``
 and ``RegionStateTable.sum_halves`` had before the bounds were hoisted out
 of the per-task loop, kept verbatim as the differential oracle
 (``tests/test_counting_oracle.py``): every non-empty task normalises both of

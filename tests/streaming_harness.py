@@ -484,17 +484,7 @@ class PicklingPoolBackend(ExecutionBackend):
         them as they are.
         """
         self._ensure_open()
-        execution = join_assigned_regions(
-            self._pool, tasks, conditions, keys2_sorted=True
-        )
-        return RegionJoinResult(
-            per_machine_output=execution.per_machine_output,
-            per_machine_seconds=execution.per_machine_seconds,
-            wall_seconds=execution.wall_seconds,
-            bytes_pickled=execution.bytes_pickled,
-            bytes_unpickled=execution.bytes_unpickled,
-            worker_pids=execution.worker_pids,
-        )
+        return join_assigned_regions(self._pool, tasks, conditions)
 
     def close(self) -> None:
         """Shut the pool down (idempotent, final)."""

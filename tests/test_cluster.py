@@ -7,9 +7,11 @@ import pytest
 
 from repro.core.weights import WeightFunction
 from repro.engine.cluster import run_partitioned_join
-from repro.joins.conditions import BandJoinCondition
+from repro.core.region import GridRegion
+from repro.joins.conditions import BandJoinCondition, EquiJoinCondition
 from repro.joins.local import count_join_output
 from repro.partitioning.base import Partitioning
+from repro.partitioning.grid_routed import GridRoutedPartitioning
 from repro.partitioning.one_bucket import build_one_bucket_partitioning
 from repro.partitioning.ewh import build_ewh_partitioning
 from repro.partitioning.m_bucket import MBucketConfig, build_m_bucket_partitioning
@@ -109,6 +111,26 @@ class TestRunPartitionedJoin:
         keys1, keys2, condition = join_inputs
         with pytest.raises(ValueError):
             run_partitioned_join(_BrokenPartitioning(), keys1, keys2, condition)
+
+    @pytest.mark.parametrize("scheme", ["CI", "CSIO"])
+    def test_integer_keys_are_counted_exactly(self, scheme):
+        """Keys above 2**53 are counted as integers, not as their float64 images.
+
+        In float64, 2**53 + 1 rounds onto 2**53 and an equi join of these
+        sides finds one match; exactly, it finds none.
+        """
+        keys1 = np.array([2**53, 2**53 + 2], dtype=np.int64)
+        keys2 = np.array([2**53 + 1, 2**53 + 3], dtype=np.int64)
+        condition = EquiJoinCondition()
+        if scheme == "CI":
+            partitioning = build_one_bucket_partitioning(4)
+        else:  # one key-range region over the whole grid
+            partitioning = GridRoutedPartitioning(
+                [-np.inf, np.inf], [-np.inf, np.inf], [GridRegion(0, 0, 0, 0)]
+            )
+        assert count_join_output(keys1, keys2, condition) == 0
+        result = run_partitioned_join(partitioning, keys1, keys2, condition)
+        assert result.total_output == 0
 
     def test_empty_inputs(self):
         partitioning = build_one_bucket_partitioning(3)

@@ -1,14 +1,15 @@
 """Differential tests: the count kernel against its bounds-per-task original.
 
-``tests/reference_counting.py`` holds the loop ``_count_regions`` was before
+``tests/reference_counting.py`` holds the loop ``count_regions`` was before
 joinable bounds were hoisted out of it (one ``joinable_bounds`` pass per
 condition per dispatch, every task searching with its slice) and the
 ``np.add.at`` scatter ``sum_halves`` was before it became a ``reduceat``.
 The rewrite must be invisible: equal per-task outputs for every condition
 and key dtype, whatever tasks share a dispatch, and the clock read exactly
 as often -- twice per non-empty task -- so tick-clock traces do not move.
-Both owners of the kernel are driven: ``SimulatedBackend`` and an in-process
-``_StickyWorkerState``.
+Both streaming owners of the kernel are driven: ``SimulatedBackend`` and an
+in-process ``_StickyWorkerState`` (the batch simulator's use of it is
+``tests/test_cluster_oracle.py``'s subject).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.joins.conditions import (
 )
 from repro.obs.trace import TickClock
 from repro.streaming import RegionStateTable, SimulatedBackend
+from repro.joins import local as kernel
 from repro.streaming import backends as production
 from repro.streaming.backends import _StickyWorkerState, state_layout
 
@@ -81,6 +83,8 @@ def tick_clocks():
     # Whole-second ticks: differences are exact whatever read they start at.
     clocks = CountingClock(tick=1.0), CountingClock(tick=1.0)
     with pytest.MonkeyPatch.context() as patch:
+        # The kernel and the backend around it read one clock.
+        patch.setattr(kernel, "perf_counter", clocks[0])
         patch.setattr(production, "perf_counter", clocks[0])
         patch.setattr(reference, "perf_counter", clocks[1])
         yield clocks

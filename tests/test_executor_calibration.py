@@ -12,7 +12,7 @@ from repro.engine.calibration import (
     collect_calibration_samples,
 )
 from repro.engine.executor import run_join_multiprocess
-from repro.joins.conditions import BandJoinCondition
+from repro.joins.conditions import BandJoinCondition, EquiJoinCondition
 from repro.joins.local import count_join_output
 from repro.partitioning.one_bucket import build_one_bucket_partitioning
 from repro.partitioning.m_bucket import MBucketConfig, build_m_bucket_partitioning
@@ -35,7 +35,7 @@ class TestMultiprocessExecutor:
         assert result.total_output == exact
         assert len(result.per_machine_output) == partitioning.num_regions
         assert result.wall_seconds > 0
-        assert result.max_machine_seconds <= result.wall_seconds
+        assert result.per_machine_seconds.max() <= result.wall_seconds
 
     def test_one_bucket_partitioning_supported(self):
         rng = np.random.default_rng(3)
@@ -48,6 +48,40 @@ class TestMultiprocessExecutor:
             rng=np.random.default_rng(1),
         )
         assert result.total_output == count_join_output(keys1, keys2, condition)
+
+    def test_integer_keys_are_counted_exactly(self):
+        """Keys above 2**53 reach the workers as integers, not float64 images.
+
+        In float64, 2**53 + 1 rounds onto 2**53 and an equi join of these
+        sides finds one match; exactly, it finds none.
+        """
+        keys1 = np.array([2**53, 2**53 + 2], dtype=np.int64)
+        keys2 = np.array([2**53 + 1, 2**53 + 3], dtype=np.int64)
+        condition = EquiJoinCondition()
+        assert count_join_output(keys1, keys2, condition) == 0
+        result = run_join_multiprocess(
+            build_one_bucket_partitioning(4), keys1, keys2, condition, max_workers=2
+        )
+        assert result.total_output == 0
+
+    def test_no_pool_when_no_region_has_both_sides(self, monkeypatch):
+        """An empty side leaves every region idle: no pool, no process."""
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool was made for a join with no busy region")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        keys1 = np.arange(50, dtype=np.int64)
+        result = run_join_multiprocess(
+            build_one_bucket_partitioning(4), keys1, keys1[:0], BandJoinCondition(beta=1.0),
+            rng=np.random.default_rng(1),
+        )
+        np.testing.assert_array_equal(result.per_machine_output, np.zeros(4, np.int64))
+        np.testing.assert_array_equal(result.per_machine_seconds, np.zeros(4))
+        np.testing.assert_array_equal(result.worker_pids, np.full(4, -1))
+        assert result.total_output == 0
+        assert result.wall_seconds == 0.0
 
 
 class TestCalibration:

@@ -163,6 +163,7 @@ MACHINES, PER_SIDE, WINDOW = 12, 1_000, "batches:16"
 CLOCKED_MODULES = (
     "repro.streaming.engine",
     "repro.streaming.backends",
+    "repro.joins.local",
     "repro.core.histogram",
 )
 

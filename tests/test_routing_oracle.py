@@ -234,6 +234,7 @@ WINDOWS = ["unbounded", "batches:3", "tuples:500", "decay:0.8"]
 CLOCKED_MODULES = (
     "repro.streaming.engine",
     "repro.streaming.backends",
+    "repro.joins.local",
     "repro.core.histogram",
 )
 
