@@ -50,10 +50,7 @@ class JoinMatrix:
                 "toy/test scale only -- use the sampling pipeline instead"
             )
         # Vectorised pairwise evaluation: broadcast rows against columns.
-        lows, highs = condition.joinable_bounds(self.keys1)
-        self.cells = (self.keys2[None, :] >= lows[:, None]) & (
-            self.keys2[None, :] <= highs[:, None]
-        )
+        self.cells = condition.matches_many(self.keys1[:, None], self.keys2[None, :])
 
     # ------------------------------------------------------------------
     # Shape and totals
@@ -124,15 +121,7 @@ class JoinMatrix:
         """
         row_boundaries = np.asarray(row_boundaries, dtype=np.float64)
         col_boundaries = np.asarray(col_boundaries, dtype=np.float64)
-        p_rows = len(row_boundaries) - 1
-        p_cols = len(col_boundaries) - 1
-        mask = np.zeros((p_rows, p_cols), dtype=bool)
-        for i in range(p_rows):
-            for j in range(p_cols):
-                mask[i, j] = self.condition.cell_is_candidate(
-                    row_boundaries[i],
-                    row_boundaries[i + 1],
-                    col_boundaries[j],
-                    col_boundaries[j + 1],
-                )
-        return mask
+        return self.condition.candidate_grid(
+            row_boundaries[:-1], row_boundaries[1:],
+            col_boundaries[:-1], col_boundaries[1:],
+        )

@@ -7,28 +7,44 @@ inequality joins (``<``, ``<=``, ``>``, ``>=``) all belong to this class, as
 do conjunctions of an equality condition with a band condition when keys are
 encoded lexicographically (the BE_OCD join of the paper).
 
-Every condition exposes three views of the same predicate:
+Every concrete condition states its predicate exactly twice, both
+vectorised, plus its :attr:`~JoinCondition.transposed`:
 
-``matches(k1, k2)``
-    Does a tuple from R1 with join key ``k1`` join with a tuple from R2 with
-    join key ``k2``?
+joinable bounds (the ``_bounds`` hook behind ``joinable_bounds(keys1)``)
+    For each R1 key, the closed interval ``[lo, hi]`` of R2 keys it joins.
+    The count kernel binary-searches these, and Stream-Sample reads its
+    joinable-set sizes d2 from them.
 
-``joinable_interval(k1)``
-    The closed interval of R2 join keys that join with ``k1``.  This is what
-    Stream-Sample uses to compute joinable-set sizes and what hash-based
-    schemes cannot exploit for non-equi conditions.
+``candidate_grid(row_lo, row_hi, col_lo, col_hi)``
+    For each cell of key ranges ``[row_lo[i], row_hi[i]] x [col_lo[j],
+    col_hi[j]]``, can *any* pair in it join?  Non-candidate cells are never
+    assigned to a machine by the content-sensitive schemes.
 
-``cell_is_candidate(lo1, hi1, lo2, hi2)``
-    Can *any* pair of keys drawn from the closed key ranges ``[lo1, hi1]``
-    (R1 side) and ``[lo2, hi2]`` (R2 side) satisfy the join?  Grid cells for
-    which this returns ``False`` are non-candidates and are never assigned to
-    a machine by the content-sensitive schemes.
+:class:`JoinCondition` derives every other view from those two, once:
+``matches`` and ``matches_many`` test ``lo <= k2 <= hi``,
+``joinable_interval`` is one key's bounds, ``cell_is_candidate`` is a 1x1
+grid and ``count_matches_per_key`` is two searches.  The kernel, the
+samplers, the planner and the scalar test therefore cannot disagree about a
+pair.
+
+Keys that join nothing are ruled on once, in
+:meth:`JoinCondition.joinable_bounds`: they get the empty interval
+(:func:`_empty_interval`; ``(nan, +inf)`` for floats), so every count path
+counts zero for them and ``_bounds`` never sees one.  A NaN key joins
+nothing under every condition, and a strict inequality key at the far end
+of its domain (``+-inf``, or the int64 extremes) joins nothing because
+nothing lies beyond it.
+
+Bounds are in the keys' normalised dtype (:func:`normalise_keys`), to be
+searched in a side of the same dtype: ``matches_many``,
+``count_matches_per_key`` and the count kernel bring both sides to their
+common dtype first, so integer keys meet a float side as floats (``5 <
+5.5``, though the integer step ``5 + 1`` is not ``<= 5.5``).
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +78,7 @@ def exact_integer_keys(keys) -> "np.ndarray | None":
     promotion in mixed comparisons).  Float and other dtypes -- and the
     pathological uint64 beyond int64 range -- return ``None``: callers
     needing a total function fall back to ``float64`` themselves.  Used by
-    the band/equi exact-count paths here, by
+    the exact-count paths here, by
     :func:`~repro.joins.local.count_join_output` and by the streaming
     sources, so the edge rules can never silently diverge.
     """
@@ -70,7 +86,7 @@ def exact_integer_keys(keys) -> "np.ndarray | None":
     if keys.dtype.kind == "i":
         return keys.astype(np.int64, copy=False)
     if keys.dtype.kind == "u":
-        if len(keys) == 0 or keys.max() <= np.iinfo(np.int64).max:
+        if keys.size == 0 or keys.max() <= np.iinfo(np.int64).max:
             return keys.astype(np.int64)
     return None
 
@@ -88,30 +104,66 @@ def normalise_keys(keys) -> np.ndarray:
     return np.asarray(keys, dtype=np.float64)
 
 
+def _common_keys(keys1, keys2) -> "tuple[np.ndarray, np.ndarray]":
+    """Both sides normalised into their common dtype (float if either is)."""
+    keys1, keys2 = normalise_keys(keys1), normalise_keys(keys2)
+    dtype = np.promote_types(keys1.dtype, keys2.dtype)
+    return keys1.astype(dtype, copy=False), keys2.astype(dtype, copy=False)
+
+
+_INT64_MIN = np.int64(np.iinfo(np.int64).min)
+_INT64_MAX = np.int64(np.iinfo(np.int64).max)
+
+
+def _empty_interval(shape, dtype: np.dtype) -> "tuple[np.ndarray, np.ndarray]":
+    """Bounds of keys that join nothing: ``(top, just below top)`` each.
+
+    ``top`` sorts last in ``dtype`` -- NaN for floats, the int64 maximum for
+    integers -- so no key lies in the interval, and on a sorted run of the
+    same dtype both bounds search to the same index.
+    """
+    top, below = (np.nan, np.inf) if dtype.kind == "f" else (_INT64_MAX, _INT64_MAX - 1)
+    return np.full(shape, top, dtype), np.full(shape, below, dtype)
+
+
+def _edges(*edges) -> "list[np.ndarray]":
+    """Cell edges of a candidate grid as float64 arrays."""
+    return [np.asarray(edge, dtype=np.float64) for edge in edges]
+
+
 class JoinCondition:
     """Abstract base class for monotonic join conditions.
 
-    Subclasses must implement :meth:`matches`, :meth:`joinable_interval` and
-    :meth:`cell_is_candidate`.  The vectorised helpers are implemented once
-    here on top of those primitives but are overridden where a faster
-    numpy-native formulation exists.
+    A subclass states its predicate twice -- ``_bounds`` (the joinable
+    bounds of keys that join something) and :meth:`candidate_grid` -- plus
+    :attr:`transposed`.  Everything else is derived here, once.
     """
 
     #: Human-readable name used in reports and benchmark output.
     name: str = "join"
 
-    def matches(self, k1: float, k2: float) -> bool:
-        """Return ``True`` iff keys ``k1`` (from R1) and ``k2`` (from R2) join."""
+    def _bounds(self, keys1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Closed joinable bounds of normalised R1 keys that join something."""
         raise NotImplementedError
 
-    def joinable_interval(self, k1: float) -> tuple[float, float]:
-        """Return the closed interval ``[lo, hi]`` of R2 keys joinable with ``k1``."""
-        raise NotImplementedError
+    def _joins_nothing(self, keys1: np.ndarray) -> "np.ndarray | None":
+        """Mask of the normalised, non-empty ``keys1`` that join nothing, or ``None``.
 
-    def cell_is_candidate(
-        self, lo1: float, hi1: float, lo2: float, hi2: float
-    ) -> bool:
-        """Return ``True`` iff the key ranges ``[lo1, hi1] x [lo2, hi2]`` may join."""
+        A NaN key joins nothing.  A NaN-free array costs one reduction
+        (``min`` propagates NaN) and no allocation.
+        """
+        if keys1.dtype.kind == "f" and np.isnan(keys1.min()):
+            return np.isnan(keys1)
+        return None
+
+    def candidate_grid(
+        self,
+        row_lo: np.ndarray,
+        row_hi: np.ndarray,
+        col_lo: np.ndarray,
+        col_hi: np.ndarray,
+    ) -> np.ndarray:
+        """Candidate mask of a grid: rows are R1 key ranges, columns R2 key ranges."""
         raise NotImplementedError
 
     @property
@@ -133,54 +185,48 @@ class JoinCondition:
             f"{self.__class__.__name__} does not define a transposed condition"
         )
 
-    # ------------------------------------------------------------------
-    # Vectorised helpers
-    # ------------------------------------------------------------------
-    def candidate_grid(
-        self,
-        row_lo: np.ndarray,
-        row_hi: np.ndarray,
-        col_lo: np.ndarray,
-        col_hi: np.ndarray,
-    ) -> np.ndarray:
-        """Candidate mask of a grid: rows are R1 key ranges, columns R2 key ranges.
-
-        The default implementation loops over cells; band and inequality
-        conditions override it with a broadcasted numpy formulation, which is
-        what keeps candidate-mask construction fast for fine grids.
-        """
-        row_lo = np.asarray(row_lo, dtype=np.float64)
-        row_hi = np.asarray(row_hi, dtype=np.float64)
-        col_lo = np.asarray(col_lo, dtype=np.float64)
-        col_hi = np.asarray(col_hi, dtype=np.float64)
-        mask = np.zeros((len(row_lo), len(col_lo)), dtype=bool)
-        for i in range(len(row_lo)):
-            for j in range(len(col_lo)):
-                mask[i, j] = self.cell_is_candidate(
-                    float(row_lo[i]), float(row_hi[i]),
-                    float(col_lo[j]), float(col_hi[j]),
-                )
-        return mask
-    def matches_many(self, keys1: np.ndarray, keys2: np.ndarray) -> np.ndarray:
-        """Element-wise :meth:`matches` over two equal-length key arrays."""
-        keys1 = np.asarray(keys1, dtype=np.float64)  # repro: ignore[KEY001]  # base-class float fallback; exact-int subclasses override
-        keys2 = np.asarray(keys2, dtype=np.float64)  # repro: ignore[KEY001]  # base-class float fallback; exact-int subclasses override
-        if keys1.shape != keys2.shape:
-            raise ValueError("matches_many requires equal-length key arrays")
-        return np.fromiter(
-            (self.matches(a, b) for a, b in zip(keys1, keys2)),
-            dtype=bool,
-            count=len(keys1),
-        )
-
     def joinable_bounds(self, keys1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`joinable_interval`: arrays of lower and upper bounds."""
-        keys1 = np.asarray(keys1, dtype=np.float64)  # repro: ignore[KEY001]  # k is a float64 array element here
-        lows = np.empty(len(keys1), dtype=np.float64)
-        highs = np.empty(len(keys1), dtype=np.float64)
-        for i, k in enumerate(keys1):
-            lows[i], highs[i] = self.joinable_interval(float(k))
+        """Per-key closed bounds ``[lo, hi]`` of the R2 keys each R1 key joins.
+
+        Keys are normalised (:func:`normalise_keys`) and the bounds are in
+        their dtype.  The one rule for keys that join nothing lives here:
+        the keys :meth:`_joins_nothing` marks get the empty interval
+        (:func:`_empty_interval`) and never reach ``_bounds``.
+        """
+        keys1 = normalise_keys(keys1)
+        nothing = self._joins_nothing(keys1) if keys1.size else None
+        if nothing is None:
+            return self._bounds(keys1)
+        joins = ~nothing
+        some_lows, some_highs = self._bounds(keys1[joins])
+        lows, highs = _empty_interval(keys1.shape, some_lows.dtype)
+        lows[joins], highs[joins] = some_lows, some_highs
         return lows, highs
+
+    def joinable_interval(self, k1: float) -> tuple[float, float]:
+        """Return the closed interval ``[lo, hi]`` of R2 keys joinable with ``k1``."""
+        lows, highs = self.joinable_bounds(np.array([k1]))
+        return lows[0].item(), highs[0].item()
+
+    def matches_many(self, keys1: np.ndarray, keys2: np.ndarray) -> np.ndarray:
+        """Broadcast match: ``keys2`` inside the joinable bounds of ``keys1``.
+
+        ``matches_many(k1[:, None], k2[None, :])`` is the whole join matrix.
+        Keys are compared in their common normalised dtype.
+        """
+        keys1, keys2 = _common_keys(keys1, keys2)
+        lows, highs = self.joinable_bounds(keys1)
+        return (keys2 >= lows) & (keys2 <= highs)
+
+    def matches(self, k1: float, k2: float) -> bool:
+        """Return ``True`` iff keys ``k1`` (from R1) and ``k2`` (from R2) join."""
+        return bool(self.matches_many(np.array([k1]), np.array([k2]))[0])
+
+    def cell_is_candidate(
+        self, lo1: float, hi1: float, lo2: float, hi2: float
+    ) -> bool:
+        """Return ``True`` iff the key ranges ``[lo1, hi1] x [lo2, hi2]`` may join."""
+        return bool(self.candidate_grid([lo1], [hi1], [lo2], [hi2])[0, 0])
 
     def count_matches_per_key(
         self, keys1: np.ndarray, sorted_keys2: np.ndarray
@@ -189,13 +235,11 @@ class JoinCondition:
 
         ``sorted_keys2`` must be sorted ascending.  This is the joinable-set
         size d2(k1) used by Stream-Sample, computed with binary search.
-        Input dtypes are preserved: integer key arrays are searched as
-        integers, so a band/equi condition with an integral width counts
-        int64 keys above 2**53 exactly (see
-        :meth:`BandJoinCondition.joinable_bounds`).
+        Both sides are searched in their common normalised dtype: two
+        integer sides stay integers, so a condition with an exact integer
+        path counts int64 keys above 2**53 exactly.
         """
-        keys1 = np.asarray(keys1)
-        sorted_keys2 = np.asarray(sorted_keys2)
+        keys1, sorted_keys2 = _common_keys(keys1, sorted_keys2)
         lows, highs = self.joinable_bounds(keys1)
         # The difference of two intp index arrays is already a fresh int64.
         return sorted_keys2.searchsorted(highs, "right") - sorted_keys2.searchsorted(
@@ -223,15 +267,6 @@ class BandJoinCondition(JoinCondition):
     def name(self) -> str:  # type: ignore[override]
         return f"band(beta={self.beta:g})"
 
-    def matches(self, k1: float, k2: float) -> bool:
-        # Phrased as the interval test (not abs(k1 - k2) <= beta) so that
-        # matches() and joinable_interval() agree bit-for-bit under floating
-        # point rounding.
-        return k1 - self.beta <= k2 <= k1 + self.beta
-
-    def joinable_interval(self, k1: float) -> tuple[float, float]:
-        return (k1 - self.beta, k1 + self.beta)
-
     @property
     def transposed(self) -> "JoinCondition":
         # A band is symmetric mathematically, but the interval test
@@ -239,13 +274,6 @@ class BandJoinCondition(JoinCondition):
         # wrapper inverts those rounded bounds exactly (see
         # _TransposedBandCondition) so both orientations agree bit-for-bit.
         return _TransposedBandCondition(self)
-
-    def cell_is_candidate(
-        self, lo1: float, hi1: float, lo2: float, hi2: float
-    ) -> bool:
-        # The ranges can produce a match unless they are separated by more
-        # than beta on either side.
-        return not (lo2 - hi1 > self.beta or lo1 - hi2 > self.beta)
 
     def _integral_beta(self) -> "np.int64 | None":
         """The band width as an exact int64, or ``None`` if not integral.
@@ -265,7 +293,7 @@ class BandJoinCondition(JoinCondition):
             return np.int64(beta)
         return None
 
-    def joinable_bounds(self, keys1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _bounds(self, keys1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-key closed bounds ``[k - beta, k + beta]``, dtype-aware.
 
         Integer keys with an integral band width are bounded in exact
@@ -273,25 +301,13 @@ class BandJoinCondition(JoinCondition):
         casting integer keys above 2**53 to float64 rounds them, which can
         move a key across the band boundary and change the join output.
         (The int64 path assumes ``|key| + beta`` stays inside the int64
-        range, which any realistic key domain does.)
+        range, which any realistic key domain does.)  Float keys, or a
+        fractional width, bound in float64.
         """
         beta = self._integral_beta()
-        exact = exact_integer_keys(keys1) if beta is not None else None
-        if exact is not None:
-            return exact - beta, exact + beta
-        keys1 = np.asarray(keys1, dtype=np.float64)
-        return keys1 - self.beta, keys1 + self.beta
-
-    def matches_many(self, keys1: np.ndarray, keys2: np.ndarray) -> np.ndarray:
-        beta = self._integral_beta()
-        if beta is not None:
-            exact1 = exact_integer_keys(keys1)
-            exact2 = exact_integer_keys(keys2)
-            if exact1 is not None and exact2 is not None:
-                return (exact2 >= exact1 - beta) & (exact2 <= exact1 + beta)
-        keys1 = np.asarray(keys1, dtype=np.float64)
-        keys2 = np.asarray(keys2, dtype=np.float64)
-        return (keys2 >= keys1 - self.beta) & (keys2 <= keys1 + self.beta)
+        if beta is None or keys1.dtype.kind == "f":
+            beta = float(self.beta)
+        return keys1 - beta, keys1 + beta
 
     def candidate_grid(
         self,
@@ -300,10 +316,8 @@ class BandJoinCondition(JoinCondition):
         col_lo: np.ndarray,
         col_hi: np.ndarray,
     ) -> np.ndarray:
-        row_lo = np.asarray(row_lo, dtype=np.float64)
-        row_hi = np.asarray(row_hi, dtype=np.float64)
-        col_lo = np.asarray(col_lo, dtype=np.float64)
-        col_hi = np.asarray(col_hi, dtype=np.float64)
+        """A cell may join unless its ranges are more than beta apart."""
+        row_lo, row_hi, col_lo, col_hi = _edges(row_lo, row_hi, col_lo, col_hi)
         too_high = col_lo[None, :] - row_hi[:, None] > self.beta
         too_low = row_lo[:, None] - col_hi[None, :] > self.beta
         return ~(too_high | too_low)
@@ -335,9 +349,18 @@ class InequalityOp(enum.Enum):
     GE = ">="
 
 
+#: Swaps ``<`` and ``>`` in an operator's symbol: the operator seen from R2.
+_FLIP = str.maketrans("<>", "><")
+
+
 @dataclass(frozen=True, repr=False)
 class InequalityJoinCondition(JoinCondition):
-    """Inequality join ``R1.key <op> R2.key`` for ``op`` in ``<, <=, >, >=``."""
+    """Inequality join ``R1.key <op> R2.key`` for ``op`` in ``<, <=, >, >=``.
+
+    One rule with two parts.  Direction: ``<`` and ``<=`` join the R2 keys
+    above ``k1``, ``>`` and ``>=`` the keys below.  Strictness: the strict
+    operators start one step away from ``k1``.
+    """
 
     op: InequalityOp
 
@@ -345,65 +368,57 @@ class InequalityJoinCondition(JoinCondition):
     def name(self) -> str:  # type: ignore[override]
         return f"inequality({self.op.value})"
 
-    def matches(self, k1: float, k2: float) -> bool:
-        if self.op is InequalityOp.LT:
-            return k1 < k2
-        if self.op is InequalityOp.LE:
-            return k1 <= k2
-        if self.op is InequalityOp.GT:
-            return k1 > k2
-        return k1 >= k2
+    @property
+    def _above(self) -> bool:
+        """Whether ``k1`` joins the R2 keys above it (``<``, ``<=``)."""
+        return self.op in (InequalityOp.LT, InequalityOp.LE)
 
-    def joinable_interval(self, k1: float) -> tuple[float, float]:
-        if self.op is InequalityOp.LT:
-            return (math.nextafter(k1, math.inf), math.inf)
-        if self.op is InequalityOp.LE:
-            return (k1, math.inf)
-        if self.op is InequalityOp.GT:
-            return (-math.inf, math.nextafter(k1, -math.inf))
-        return (-math.inf, k1)
+    @property
+    def _strict(self) -> bool:
+        """Whether ``k1`` itself is excluded (``<``, ``>``)."""
+        return self.op in (InequalityOp.LT, InequalityOp.GT)
 
     @property
     def transposed(self) -> "InequalityJoinCondition":
         # k1 < k2 seen from the R2 side is k2 > k1: flip the operator.
-        flipped = {
-            InequalityOp.LT: InequalityOp.GT,
-            InequalityOp.LE: InequalityOp.GE,
-            InequalityOp.GT: InequalityOp.LT,
-            InequalityOp.GE: InequalityOp.LE,
-        }
-        return InequalityJoinCondition(flipped[self.op])
+        return InequalityJoinCondition(InequalityOp(self.op.value.translate(_FLIP)))
 
-    def cell_is_candidate(
-        self, lo1: float, hi1: float, lo2: float, hi2: float
-    ) -> bool:
-        if self.op in (InequalityOp.LT, InequalityOp.LE):
-            strict = self.op is InequalityOp.LT
-            return lo1 < hi2 if strict else lo1 <= hi2
-        strict = self.op is InequalityOp.GT
-        return hi1 > lo2 if strict else hi1 >= lo2
+    def _far(self, keys1: np.ndarray) -> "float | int":
+        """The end of the keys' domain ``k1`` looks towards.
 
-    def matches_many(self, keys1: np.ndarray, keys2: np.ndarray) -> np.ndarray:
-        keys1 = np.asarray(keys1, dtype=np.float64)  # repro: ignore[KEY001]  # inequality predicates are float-ordered by definition
-        keys2 = np.asarray(keys2, dtype=np.float64)  # repro: ignore[KEY001]  # inequality predicates are float-ordered by definition
-        if self.op is InequalityOp.LT:
-            return keys1 < keys2
-        if self.op is InequalityOp.LE:
-            return keys1 <= keys2
-        if self.op is InequalityOp.GT:
-            return keys1 > keys2
-        return keys1 >= keys2
+        ``+-inf`` for float keys, the int64 extremes for integer keys.
+        """
+        ends = (-np.inf, np.inf) if keys1.dtype.kind == "f" else (_INT64_MIN, _INT64_MAX)
+        return ends[self._above]
 
-    def joinable_bounds(self, keys1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        keys1 = np.asarray(keys1, dtype=np.float64)  # repro: ignore[KEY001]  # inequality predicates are float-ordered by definition
-        inf = np.full(len(keys1), np.inf)
-        if self.op is InequalityOp.LT:
-            return np.nextafter(keys1, np.inf), inf
-        if self.op is InequalityOp.LE:
-            return keys1, inf
-        if self.op is InequalityOp.GT:
-            return -inf, np.nextafter(keys1, -np.inf)
-        return -inf, keys1
+    def _joins_nothing(self, keys1: np.ndarray) -> "np.ndarray | None":
+        """NaN keys, and strict keys at the far end: nothing lies beyond it.
+
+        ``fmax`` / ``fmin`` skip NaN, so the check is one more reduction.
+        """
+        nothing = super()._joins_nothing(keys1)
+        far = self._far(keys1)
+        if self._strict and (np.fmax if self._above else np.fmin).reduce(keys1) == far:
+            beyond = keys1 == far
+            nothing = beyond if nothing is None else beyond | nothing
+        return nothing
+
+    def _bounds(self, keys1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``[k1 (+ step), far]`` above ``k1`` or ``[far, k1 (- step)]`` below.
+
+        Integer keys are bounded in exact int64 arithmetic with ``k +- 1`` as
+        the strict step (a key at the far end joins nothing, so the step
+        never overflows); float keys step by one ulp (``nextafter``).
+        """
+        far = self._far(keys1)
+        near = keys1
+        if self._strict:
+            if keys1.dtype.kind == "f":
+                near = np.nextafter(keys1, far)
+            else:
+                near = keys1 + (1 if self._above else -1)
+        ends = np.full_like(keys1, far)
+        return (near, ends) if self._above else (ends, near)
 
     def candidate_grid(
         self,
@@ -412,24 +427,20 @@ class InequalityJoinCondition(JoinCondition):
         col_lo: np.ndarray,
         col_hi: np.ndarray,
     ) -> np.ndarray:
-        row_lo = np.asarray(row_lo, dtype=np.float64)
-        row_hi = np.asarray(row_hi, dtype=np.float64)
-        col_lo = np.asarray(col_lo, dtype=np.float64)
-        col_hi = np.asarray(col_hi, dtype=np.float64)
-        if self.op is InequalityOp.LT:
-            return row_lo[:, None] < col_hi[None, :]
-        if self.op is InequalityOp.LE:
-            return row_lo[:, None] <= col_hi[None, :]
-        if self.op is InequalityOp.GT:
-            return row_hi[:, None] > col_lo[None, :]
-        return row_hi[:, None] >= col_lo[None, :]
+        """A cell may join iff its most favourable pair does."""
+        row_lo, row_hi, col_lo, col_hi = _edges(row_lo, row_hi, col_lo, col_hi)
+        if self._above:
+            lower, upper = row_lo[:, None], col_hi[None, :]
+        else:
+            lower, upper = col_lo[None, :], row_hi[:, None]
+        return lower < upper if self._strict else lower <= upper
 
     def __repr__(self) -> str:
         return f"InequalityJoinCondition(op=InequalityOp.{self.op.name})"
 
 
 @dataclass(frozen=True, repr=False)
-class CompositeEquiBandCondition(JoinCondition):
+class CompositeEquiBandCondition(BandJoinCondition):
     """Conjunction of an equality and a band condition (the BE_OCD join).
 
     The paper's BE_OCD join requires ``O1.custkey = O2.custkey`` *and*
@@ -439,7 +450,8 @@ class CompositeEquiBandCondition(JoinCondition):
     band_key`` where ``scale`` strictly exceeds the band key's span plus the
     band width.  Under that encoding the composite join is exactly a band
     join of width ``beta`` on encoded keys, so every algorithm in the library
-    (candidate checks, Stream-Sample, tiling) applies unchanged.
+    (candidate checks, Stream-Sample, tiling) applies unchanged: this class
+    *is* a :class:`BandJoinCondition` on encoded keys.
 
     Parameters
     ----------
@@ -453,14 +465,12 @@ class CompositeEquiBandCondition(JoinCondition):
         and by :meth:`encode`.
     """
 
-    beta: float
     scale: float
     band_key_min: float = 0.0
     band_key_max: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.beta < 0:
-            raise ValueError(f"band width must be non-negative, got {self.beta}")
+        super().__post_init__()
         span = self.band_key_max - self.band_key_min
         if span < 0:
             raise ValueError("band_key_max must be >= band_key_min")
@@ -474,7 +484,6 @@ class CompositeEquiBandCondition(JoinCondition):
     def name(self) -> str:  # type: ignore[override]
         return f"equi+band(beta={self.beta:g})"
 
-    # -- encoding -------------------------------------------------------
     def encode(self, equi_key, band_key):
         """Encode composite ``(equi_key, band_key)`` into a scalar join key.
 
@@ -491,50 +500,6 @@ class CompositeEquiBandCondition(JoinCondition):
         band = encoded - equi * self.scale
         return equi, band
 
-    # -- JoinCondition API on encoded keys ------------------------------
-    def matches(self, k1: float, k2: float) -> bool:
-        # Interval phrasing keeps matches() consistent with
-        # joinable_interval() under floating point (see BandJoinCondition).
-        return k1 - self.beta <= k2 <= k1 + self.beta
-
-    def joinable_interval(self, k1: float) -> tuple[float, float]:
-        return (k1 - self.beta, k1 + self.beta)
-
-    @property
-    def transposed(self) -> "JoinCondition":
-        # On encoded keys the composite predicate is a band; use the exact
-        # inverse-bound wrapper like BandJoinCondition does.
-        return _TransposedBandCondition(self)
-
-    def cell_is_candidate(
-        self, lo1: float, hi1: float, lo2: float, hi2: float
-    ) -> bool:
-        return not (lo2 - hi1 > self.beta or lo1 - hi2 > self.beta)
-
-    def joinable_bounds(self, keys1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        keys1 = np.asarray(keys1, dtype=np.float64)  # repro: ignore[KEY001]  # decoding operates on float64-encoded composites
-        return keys1 - self.beta, keys1 + self.beta
-
-    def matches_many(self, keys1: np.ndarray, keys2: np.ndarray) -> np.ndarray:
-        keys1 = np.asarray(keys1, dtype=np.float64)  # repro: ignore[KEY001]  # band test on float64-encoded composite keys
-        keys2 = np.asarray(keys2, dtype=np.float64)  # repro: ignore[KEY001]  # band test on float64-encoded composite keys
-        return (keys2 >= keys1 - self.beta) & (keys2 <= keys1 + self.beta)
-
-    def candidate_grid(
-        self,
-        row_lo: np.ndarray,
-        row_hi: np.ndarray,
-        col_lo: np.ndarray,
-        col_hi: np.ndarray,
-    ) -> np.ndarray:
-        row_lo = np.asarray(row_lo, dtype=np.float64)
-        row_hi = np.asarray(row_hi, dtype=np.float64)
-        col_lo = np.asarray(col_lo, dtype=np.float64)
-        col_hi = np.asarray(col_hi, dtype=np.float64)
-        too_high = col_lo[None, :] - row_hi[:, None] > self.beta
-        too_low = row_lo[:, None] - col_hi[None, :] > self.beta
-        return ~(too_high | too_low)
-
     def matches_composite(self, equi1, band1, equi2, band2) -> bool:
         """Match directly on un-encoded composite keys (reference semantics)."""
         return equi1 == equi2 and abs(band1 - band2) <= self.beta
@@ -544,9 +509,6 @@ class CompositeEquiBandCondition(JoinCondition):
             f"CompositeEquiBandCondition(beta={self.beta!r}, scale={self.scale!r}, "
             f"band_key_min={self.band_key_min!r}, band_key_max={self.band_key_max!r})"
         )
-
-
-_INT64_MIN = np.int64(np.iinfo(np.int64).min)
 
 
 def _to_ordinal(x: np.ndarray) -> np.ndarray:
@@ -706,7 +668,7 @@ class _TransposedBandCondition(JoinCondition):
     relies on.
     """
 
-    base: JoinCondition
+    base: BandJoinCondition
 
     @property
     def name(self) -> str:  # type: ignore[override]
@@ -718,50 +680,29 @@ class _TransposedBandCondition(JoinCondition):
         """Transposing twice restores the original orientation."""
         return self.base
 
-    def matches(self, k1: float, k2: float) -> bool:
-        """Swapped-argument match: this object's R1 side is the base's R2."""
-        return self.base.matches(k2, k1)
-
-    def joinable_interval(self, k1: float) -> tuple[float, float]:
-        """Exact interval of base-R1 keys joinable with base-R2 key ``k1``."""
-        keys = np.asarray([k1], dtype=np.float64)  # repro: ignore[KEY001]  # exact inverse bounds are computed in the float64 image
-        beta = self.base.beta
-        return (
-            float(_band_lower_inverse(keys, beta)[0]),  # repro: ignore[KEY001]  # exact inverse bounds are computed in the float64 image
-            float(_band_upper_inverse(keys, beta)[0]),  # repro: ignore[KEY001]  # exact inverse bounds are computed in the float64 image
-        )
-
-    def joinable_bounds(self, keys1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _bounds(self, keys1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised exact inverse bounds (what incremental counting uses).
 
-        Integer keys (signed, or unsigned with an exact int64 image) with
-        an integral band width take the exact int64 path: the integer band
-        test is perfectly symmetric (no rounding happens in ``k +- beta``),
-        so the inverse bounds are simply ``[k - beta, k + beta]`` -- the
-        float-ordinal inversion machinery exists only because *float*
-        bounds round.
+        NaN keys never get here (:meth:`JoinCondition.joinable_bounds`), so
+        none is bisected.  Integer keys with an integral band width take the
+        base's exact int64 path: the integer band test rounds nothing in
+        ``k +- beta``, so it is its own inverse -- the float-ordinal
+        inversion machinery exists only because *float* bounds round.
         """
+        if keys1.dtype.kind == "i" and self.base._integral_beta() is not None:
+            return self.base._bounds(keys1)
         beta = self.base.beta
-        integral = (
-            self.base._integral_beta()
-            if isinstance(self.base, BandJoinCondition)
-            else None
-        )
-        exact = exact_integer_keys(keys1) if integral is not None else None
-        if exact is not None:
-            return exact - integral, exact + integral
-        keys1 = np.asarray(keys1, dtype=np.float64)
         return _band_lower_inverse(keys1, beta), _band_upper_inverse(keys1, beta)
 
-    def cell_is_candidate(
-        self, lo1: float, hi1: float, lo2: float, hi2: float
-    ) -> bool:
-        """Delegate to the base condition with the ranges swapped."""
-        return self.base.cell_is_candidate(lo2, hi2, lo1, hi1)
-
-    def matches_many(self, keys1: np.ndarray, keys2: np.ndarray) -> np.ndarray:
-        """Element-wise swapped match."""
-        return self.base.matches_many(keys2, keys1)
+    def candidate_grid(
+        self,
+        row_lo: np.ndarray,
+        row_hi: np.ndarray,
+        col_lo: np.ndarray,
+        col_hi: np.ndarray,
+    ) -> np.ndarray:
+        """The base condition's grid with the sides swapped, transposed."""
+        return self.base.candidate_grid(col_lo, col_hi, row_lo, row_hi).T
 
     def __repr__(self) -> str:
         return f"_TransposedBandCondition({self.base!r})"

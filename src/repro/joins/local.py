@@ -15,10 +15,9 @@ Three algorithms are provided:
 * :func:`nested_loop_join` -- O(n*m) reference implementation used by the
   tests as ground truth.
 
-For the simulator we rarely need materialised pairs, only their number;
-:func:`count_join_output` computes the output cardinality of a key-range
-region with two binary searches per tuple, and :func:`count_regions` counts
-many regions at once -- the per-region count loop every engine runs, batch
+For the simulator we rarely need materialised pairs, only their number:
+:func:`count_regions` counts key-range regions with two binary searches per
+tuple -- the per-region count loop every engine runs, batch
 (:func:`~repro.engine.cluster.run_partitioned_join`) and streaming (the
 in-process backends and every sticky worker) alike.
 """
@@ -50,19 +49,16 @@ __all__ = [
 def nested_loop_join(
     keys1: np.ndarray, keys2: np.ndarray, condition: JoinCondition
 ) -> list[tuple[float, float]]:
-    """Join two key arrays by exhaustive comparison.
+    """Join two key arrays by testing every pair, in row-major order.
 
-    Quadratic; only suitable for small inputs.  Used as the reference
-    implementation in tests.
+    Quadratic (one broadcast ``matches_many`` over the whole join matrix);
+    only suitable for small inputs.  Used as the reference implementation
+    in tests.
     """
     keys1 = np.asarray(keys1, dtype=np.float64)  # repro: ignore[KEY001]  # reference oracle is float-keyed by design
     keys2 = np.asarray(keys2, dtype=np.float64)  # repro: ignore[KEY001]  # reference oracle is float-keyed by design
-    out: list[tuple[float, float]] = []
-    for k1 in keys1:
-        for k2 in keys2:
-            if condition.matches(float(k1), float(k2)):
-                out.append((float(k1), float(k2)))
-    return out
+    rows, cols = np.nonzero(condition.matches_many(keys1[:, None], keys2[None, :]))
+    return list(zip(keys1[rows].tolist(), keys2[cols].tolist()))
 
 
 def sort_merge_band_join(
@@ -127,37 +123,19 @@ def join_output_pairs(
 
 
 def count_join_output(
-    keys1: np.ndarray, keys2: np.ndarray, condition: JoinCondition,
-    keys2_sorted: bool = False,
+    keys1: np.ndarray, keys2: np.ndarray, condition: JoinCondition
 ) -> int:
     """Count output tuples of joining two key arrays without materialising them.
 
-    This is the workhorse of the cluster simulator: it computes, per R1 key,
-    the number of joinable R2 keys via binary search over the sorted R2 side.
-
-    Parameters
-    ----------
-    keys1, keys2:
-        Join-key arrays of the two sides.  Integer arrays are counted as
-        integers (unsigned ones via their exact int64 image when the
-        values fit) -- band/equi conditions with an integral width stay
-        exact for integer keys above 2**53, which a ``float64`` coercion
-        would silently round onto their neighbours.  Other inputs are
-        coerced to ``float64`` as before.
-    condition:
-        A monotonic join condition.
-    keys2_sorted:
-        Set to ``True`` when ``keys2`` is already sorted ascending to skip
-        the sort.
+    One single-task :func:`count_regions` call on the sorted second side,
+    so a whole-relation count and a region's count are the same kernel.
+    Keys are counted in their own dtype
+    (:func:`~repro.joins.conditions.normalise_keys`): integer keys stay
+    exact above 2**53, which a ``float64`` coercion would silently round
+    onto their neighbours.
     """
-    keys1 = normalise_keys(keys1)
-    keys2 = normalise_keys(keys2)
-    if len(keys1) == 0 or len(keys2) == 0:
-        return 0
-    if not keys2_sorted:
-        keys2 = np.sort(keys2)
-    counts = condition.count_matches_per_key(keys1, keys2)
-    return int(counts.sum())
+    outputs, _ = count_regions([(keys1, np.sort(normalise_keys(keys2)))], [condition])
+    return int(outputs[0])
 
 
 def count_regions(
@@ -176,8 +154,11 @@ def count_regions(
     region.  ``conditions[t]`` is task ``t``'s
     condition.  Tasks with an empty side produce nothing and are never
     timed; every second side is sorted ascending (a region's share as the
-    router sorted it, or a run of the streaming state).  Keys are counted
-    in their own dtype (:func:`~repro.joins.conditions.normalise_keys`).
+    router sorted it, or a run of the streaming state).  Each task's keys
+    are counted in the common dtype of its two normalised sides
+    (:func:`~repro.joins.conditions.normalise_keys`): integer needles
+    meeting a float run are bounded as floats, so a strict integer step
+    ``k +- 1`` never skips a fractional key.
 
     Joinable bounds are computed **once per condition per dispatch**, not
     once per task: the (normalised) first-side arrays of a condition's
@@ -198,18 +179,24 @@ def count_regions(
     groups: "dict[tuple, tuple[JoinCondition, list[np.ndarray]]]" = {}
     # Per non-empty task: (task, second side, group, needles' position).
     searches: "list[tuple[int, np.ndarray, tuple, int]]" = []
-    last_keys1 = last_condition = None
+    last_keys1 = last_condition = last_dtype = None
     for task, (keys1, keys2) in enumerate(tasks):
         if len(keys1) == 0 or len(keys2) == 0:
             continue
         condition = conditions[task]
-        if keys1 is not last_keys1 or condition is not last_condition:
+        run = normalise_keys(keys2)
+        if (
+            keys1 is not last_keys1
+            or condition is not last_condition
+            or run.dtype != last_dtype
+        ):
             needles = normalise_keys(keys1)
-            group = (id(condition), needles.dtype)
+            dtype = np.promote_types(needles.dtype, run.dtype)
+            group = (id(condition), dtype)
             arrays = groups.setdefault(group, (condition, []))[1]
-            arrays.append(needles)
-            last_keys1, last_condition = keys1, condition
-        searches.append((task, normalise_keys(keys2), group, len(arrays) - 1))
+            arrays.append(needles.astype(dtype, copy=False))
+            last_keys1, last_condition, last_dtype = keys1, condition, run.dtype
+        searches.append((task, run, group, len(arrays) - 1))
     bounds = {}
     for group, (condition, arrays) in groups.items():
         lows, highs = condition.joinable_bounds(

@@ -2,11 +2,11 @@
 
 Test-only.  These are the bodies ``repro.joins.local.count_regions``
 and ``RegionStateTable.sum_halves`` had before the bounds were hoisted out
-of the per-task loop, kept verbatim as the differential oracle
+of the per-task loop, kept as the differential oracle
 (``tests/test_counting_oracle.py``): every non-empty task normalises both of
 its sides, recomputes its own joinable bounds through
-``count_join_output`` and is timed around the lot, and per-task values are
-scattered into their halves with an unbuffered ``np.add.at``.  The
+``count_matches_per_key`` and is timed around the lot, and per-task values
+are scattered into their halves with an unbuffered ``np.add.at``.  The
 production kernel must return the same per-task outputs and read the clock
 exactly as often -- twice per non-empty task, in task order.
 
@@ -18,20 +18,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.joins.local import count_join_output
+from repro.joins.conditions import normalise_keys
 from repro.obs.clock import perf_counter
 
 
-def count_regions(region_keys, conditions, keys2_sorted):
-    """Count each non-empty region in the calling process; time each one."""
+def count_regions(region_keys, conditions):
+    """Count each non-empty region in the calling process; time each one.
+
+    Every second side must be sorted ascending.
+    """
     outputs = np.zeros(len(region_keys), dtype=np.int64)
     seconds = np.zeros(len(region_keys))
     for region, (keys1, keys2) in enumerate(region_keys):
         if len(keys1) == 0 or len(keys2) == 0:
             continue
         started = perf_counter()
-        outputs[region] = count_join_output(
-            keys1, keys2, conditions[region], keys2_sorted=keys2_sorted
+        outputs[region] = (
+            conditions[region]
+            .count_matches_per_key(normalise_keys(keys1), normalise_keys(keys2))
+            .sum()
         )
         seconds[region] = perf_counter() - started
     return outputs, seconds

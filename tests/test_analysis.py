@@ -808,7 +808,7 @@ class TestSourceTree:
         # never raise it.  The join-state layer has none left -- no engine
         # side copy of the state (STATE001) survives under streaming/.
         report = Analyzer(default_rules()).analyze_paths([SRC_ROOT])
-        assert report.suppression_count <= 28
+        assert report.suppression_count <= 16
         state_copies = [
             finding.location()
             for finding in report.suppressed

@@ -265,13 +265,9 @@ class TestStickyWorkerState:
             # C(new1, state2 + new2) + C_transposed(new2, old state1).
             old_keys1 = state1.keys.copy()
             state2.insert(idx2, keys2)
-            expected = count_join_output(
-                keys1, state2.keys, BAND, keys2_sorted=True
-            )
+            expected = count_join_output(keys1, state2.keys, BAND)
             if len(old_keys1):
-                expected += count_join_output(
-                    keys2, old_keys1, BAND.transposed, keys2_sorted=True
-                )
+                expected += count_join_output(keys2, old_keys1, BAND.transposed)
             state1.insert(idx1, keys1)
             # The table hands back exactly those two searches, each split
             # into one task per sorted run of the searched state, with the

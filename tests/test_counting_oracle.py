@@ -119,7 +119,7 @@ def test_join_regions_counts_what_the_per_task_kernel_counts(seed, num_tasks):
 
     with tick_clocks() as (ours_clock, reference_clock):
         execution = SimulatedBackend().join_regions(tasks, conditions)
-        outputs, seconds = reference.count_regions(tasks, conditions, True)
+        outputs, seconds = reference.count_regions(tasks, conditions)
 
     np.testing.assert_array_equal(execution.per_machine_output, outputs)
     assert execution.per_machine_output.dtype == outputs.dtype == np.int64
@@ -194,7 +194,7 @@ def test_a_fold_counts_what_the_per_task_kernel_counts(
             rows = count(new1, new2)
             tasks, owners = table.fold(state_layout(new1, new2))
             outputs, seconds = reference.count_regions(
-                tasks, [fold_conditions[owner & 1] for owner in owners.tolist()], True
+                tasks, [fold_conditions[owner & 1] for owner in owners.tolist()]
             )
             assert rows == list(
                 zip(

@@ -107,10 +107,8 @@ def _reference_fold(state1, state2, idx1, keys1, idx2, keys2, condition) -> int:
     old_keys1 = state1.keys
     state2.insert(idx2, keys2)
     state1.insert(idx1, keys1)
-    return count_join_output(
-        keys1, state2.keys, condition, keys2_sorted=True
-    ) + count_join_output(
-        keys2, old_keys1, condition.transposed, keys2_sorted=True
+    return count_join_output(keys1, state2.keys, condition) + count_join_output(
+        keys2, old_keys1, condition.transposed
     )
 
 
@@ -158,7 +156,6 @@ def test_runs_agree_with_the_single_array_reference(seed, key_mode, condition, s
                         needles,
                         run,
                         condition if owner % 2 == 0 else condition.transposed,
-                        keys2_sorted=True,
                     )
                     for (needles, run), owner in zip(tasks, owners)
                 ],
