@@ -18,112 +18,113 @@ Quickstart::
             workload.weight_fn,
         )
         print(result.scheme, f"total cost {result.total_cost:,.0f}")
+
+Every package exports lazily (:func:`lazy_exports`): ``import repro`` loads
+no submodule, and a name's defining module is imported on first access, so a
+run compiles only the code it executes.
 """
 
-from repro.core.histogram import (
-    EWHConfig,
-    EquiWeightHistogram,
-    build_equi_weight_histogram,
-)
-from repro.core.weights import (
-    BAND_JOIN_WEIGHTS,
-    EQUI_BAND_JOIN_WEIGHTS,
-    WeightFunction,
-)
-from repro.engine.adaptive import AdaptiveOperator
-from repro.engine.heterogeneous import run_heterogeneous_join
-from repro.engine.cluster import run_partitioned_join
-from repro.engine.executor import run_join_multiprocess
-from repro.engine.operators import CIOperator, CSIOOperator, CSIOperator
-from repro.joins.conditions import (
-    BandJoinCondition,
-    CompositeEquiBandCondition,
-    EquiJoinCondition,
-    InequalityJoinCondition,
-    InequalityOp,
-)
-from repro.joins.multiway import MultiwayJoinStep, run_multiway_join
-from repro.joins.relations import Relation
-from repro.partitioning.ewh import build_ewh_partitioning
-from repro.partitioning.m_bucket import MBucketConfig, build_m_bucket_partitioning
-from repro.partitioning.one_bucket import build_one_bucket_partitioning
-from repro.streaming import (
-    ArrayStreamSource,
-    BatchMetrics,
-    DriftAdaptiveEWHPolicy,
-    DriftDetector,
-    DriftingZipfSource,
-    ExponentialDecayWindow,
-    IncrementalHistogram,
-    MicroBatch,
-    SlidingWindow,
-    StaticEWHPolicy,
-    StaticOneBucketPolicy,
-    StreamingJoinEngine,
-    StreamRunResult,
-    StreamSource,
-    UnboundedWindow,
-    WindowPolicy,
-    compare_streaming_schemes,
-    make_window,
-)
-from repro.workloads.definitions import make_bcb, make_beocd, make_bicd
+from __future__ import annotations
+
+import importlib
+import sys
+from typing import Any, Callable
+
+
+def lazy_exports(
+    package: str, exports: "dict[str, str]"
+) -> "tuple[list[str], Callable[[str], Any], Callable[[], list[str]]]":
+    """A package's ``__all__`` and its PEP 562 ``__getattr__`` / ``__dir__``.
+
+    ``exports`` is the package's one export table: each public name, mapped
+    to the module that defines it, in ``__all__`` order.  ``__getattr__``
+    imports a name's module on first access and binds the name on the
+    package, so later reads are plain attribute reads; any other name
+    resolves to the package's submodule of that name
+    (``repro.sampling.stream_sample``), or raises ``AttributeError`` naming
+    the package.  Call it as the last statement of the package's
+    ``__init__``::
+
+        __all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+    """
+    namespace = vars(sys.modules[package])
+
+    def __getattr__(name: str) -> Any:
+        if name not in exports:
+            submodule = f"{package}.{name}"
+            try:
+                return importlib.import_module(submodule)
+            except ModuleNotFoundError as error:
+                if error.name != submodule:
+                    raise
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(exports[name]), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> "list[str]":
+        return sorted({*namespace, *exports})
+
+    return list(exports), __getattr__, __dir__
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+_EXPORTS = {
+    "__version__": __name__,
     # Join conditions and relations.
-    "BandJoinCondition",
-    "EquiJoinCondition",
-    "InequalityJoinCondition",
-    "InequalityOp",
-    "CompositeEquiBandCondition",
-    "Relation",
+    "BandJoinCondition": "repro.joins.conditions",
+    "EquiJoinCondition": "repro.joins.conditions",
+    "InequalityJoinCondition": "repro.joins.conditions",
+    "InequalityOp": "repro.joins.conditions",
+    "CompositeEquiBandCondition": "repro.joins.conditions",
+    "Relation": "repro.joins.relations",
     # Cost model.
-    "WeightFunction",
-    "BAND_JOIN_WEIGHTS",
-    "EQUI_BAND_JOIN_WEIGHTS",
+    "WeightFunction": "repro.core.weights",
+    "BAND_JOIN_WEIGHTS": "repro.core.weights",
+    "EQUI_BAND_JOIN_WEIGHTS": "repro.core.weights",
     # The equi-weight histogram.
-    "EWHConfig",
-    "EquiWeightHistogram",
-    "build_equi_weight_histogram",
+    "EWHConfig": "repro.core.histogram",
+    "EquiWeightHistogram": "repro.core.histogram",
+    "build_equi_weight_histogram": "repro.core.histogram",
     # Partitioning schemes.
-    "build_one_bucket_partitioning",
-    "build_m_bucket_partitioning",
-    "MBucketConfig",
-    "build_ewh_partitioning",
+    "build_one_bucket_partitioning": "repro.partitioning.one_bucket",
+    "build_m_bucket_partitioning": "repro.partitioning.m_bucket",
+    "MBucketConfig": "repro.partitioning.m_bucket",
+    "build_ewh_partitioning": "repro.partitioning.ewh",
     # Engine.
-    "run_partitioned_join",
-    "run_join_multiprocess",
-    "CIOperator",
-    "CSIOperator",
-    "CSIOOperator",
-    "AdaptiveOperator",
-    "run_heterogeneous_join",
-    "MultiwayJoinStep",
-    "run_multiway_join",
+    "run_partitioned_join": "repro.engine.cluster",
+    "run_join_multiprocess": "repro.engine.executor",
+    "CIOperator": "repro.engine.operators",
+    "CSIOperator": "repro.engine.operators",
+    "CSIOOperator": "repro.engine.operators",
+    "AdaptiveOperator": "repro.engine.adaptive",
+    "run_heterogeneous_join": "repro.engine.heterogeneous",
+    "MultiwayJoinStep": "repro.joins.multiway",
+    "run_multiway_join": "repro.joins.multiway",
     # Streaming subsystem.
-    "MicroBatch",
-    "StreamSource",
-    "ArrayStreamSource",
-    "DriftingZipfSource",
-    "IncrementalHistogram",
-    "DriftDetector",
-    "BatchMetrics",
-    "StreamRunResult",
-    "StaticOneBucketPolicy",
-    "StaticEWHPolicy",
-    "DriftAdaptiveEWHPolicy",
-    "WindowPolicy",
-    "UnboundedWindow",
-    "SlidingWindow",
-    "ExponentialDecayWindow",
-    "make_window",
-    "StreamingJoinEngine",
-    "compare_streaming_schemes",
+    "MicroBatch": "repro.streaming.source",
+    "StreamSource": "repro.streaming.source",
+    "ArrayStreamSource": "repro.streaming.source",
+    "DriftingZipfSource": "repro.streaming.source",
+    "IncrementalHistogram": "repro.streaming.incremental",
+    "DriftDetector": "repro.streaming.drift",
+    "BatchMetrics": "repro.streaming.metrics",
+    "StreamRunResult": "repro.streaming.metrics",
+    "StaticOneBucketPolicy": "repro.streaming.policies",
+    "StaticEWHPolicy": "repro.streaming.policies",
+    "DriftAdaptiveEWHPolicy": "repro.streaming.policies",
+    "WindowPolicy": "repro.streaming.window",
+    "UnboundedWindow": "repro.streaming.window",
+    "SlidingWindow": "repro.streaming.window",
+    "ExponentialDecayWindow": "repro.streaming.window",
+    "make_window": "repro.streaming.window",
+    "StreamingJoinEngine": "repro.streaming.engine",
+    "compare_streaming_schemes": "repro.streaming.engine",
     # Workloads.
-    "make_bicd",
-    "make_bcb",
-    "make_beocd",
-]
+    "make_bicd": "repro.workloads.definitions",
+    "make_bcb": "repro.workloads.definitions",
+    "make_beocd": "repro.workloads.definitions",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -24,42 +24,29 @@ Modules, in the order the 3-stage histogram algorithm uses them:
   builder gluing the three stages together.
 """
 
-from repro.core.bsp import bsp_partition
-from repro.core.coarsening import CoarseningResult, coarsen
-from repro.core.grid import WeightedGrid
-from repro.core.histogram import EquiWeightHistogram, build_equi_weight_histogram
-from repro.core.matrix import JoinMatrix
-from repro.core.monotonic_bsp import enumerate_minimal_candidate_rectangles, monotonic_bsp_partition
-from repro.core.region import GridRegion, KeyRegion
-from repro.core.regionalization import RegionalizationResult, regionalize
-from repro.core.sample_matrix import SampleMatrix, build_sample_matrix
-from repro.core.validation import (
-    GridCoverage,
-    PartitioningValidation,
-    validate_grid_regions,
-    validate_partitioning,
-)
-from repro.core.weights import WeightFunction
+from repro import lazy_exports
 
-__all__ = [
-    "WeightFunction",
-    "WeightedGrid",
-    "JoinMatrix",
-    "GridRegion",
-    "KeyRegion",
-    "SampleMatrix",
-    "build_sample_matrix",
-    "CoarseningResult",
-    "coarsen",
-    "bsp_partition",
-    "monotonic_bsp_partition",
-    "enumerate_minimal_candidate_rectangles",
-    "RegionalizationResult",
-    "regionalize",
-    "EquiWeightHistogram",
-    "build_equi_weight_histogram",
-    "GridCoverage",
-    "PartitioningValidation",
-    "validate_grid_regions",
-    "validate_partitioning",
-]
+_EXPORTS = {
+    "WeightFunction": "repro.core.weights",
+    "WeightedGrid": "repro.core.grid",
+    "JoinMatrix": "repro.core.matrix",
+    "GridRegion": "repro.core.region",
+    "KeyRegion": "repro.core.region",
+    "SampleMatrix": "repro.core.sample_matrix",
+    "build_sample_matrix": "repro.core.sample_matrix",
+    "CoarseningResult": "repro.core.coarsening",
+    "coarsen": "repro.core.coarsening",
+    "bsp_partition": "repro.core.bsp",
+    "monotonic_bsp_partition": "repro.core.monotonic_bsp",
+    "enumerate_minimal_candidate_rectangles": "repro.core.monotonic_bsp",
+    "RegionalizationResult": "repro.core.regionalization",
+    "regionalize": "repro.core.regionalization",
+    "EquiWeightHistogram": "repro.core.histogram",
+    "build_equi_weight_histogram": "repro.core.histogram",
+    "GridCoverage": "repro.core.validation",
+    "PartitioningValidation": "repro.core.validation",
+    "validate_grid_regions": "repro.core.validation",
+    "validate_partitioning": "repro.core.validation",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -10,16 +10,16 @@
   80/20 proportion whose small segments produce most of the output).
 """
 
-from repro.data.tpch import TPCHConfig, generate_orders
-from repro.data.xdataset import XDatasetConfig, generate_x_dataset
-from repro.data.zipf import uniform_keys, zipf_keys, zipf_multiplicities
+from repro import lazy_exports
 
-__all__ = [
-    "zipf_keys",
-    "zipf_multiplicities",
-    "uniform_keys",
-    "TPCHConfig",
-    "generate_orders",
-    "XDatasetConfig",
-    "generate_x_dataset",
-]
+_EXPORTS = {
+    "zipf_keys": "repro.data.zipf",
+    "zipf_multiplicities": "repro.data.zipf",
+    "uniform_keys": "repro.data.zipf",
+    "TPCHConfig": "repro.data.tpch",
+    "generate_orders": "repro.data.tpch",
+    "XDatasetConfig": "repro.data.xdataset",
+    "generate_x_dataset": "repro.data.xdataset",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

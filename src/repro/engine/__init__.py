@@ -24,41 +24,26 @@ substrate with:
   coefficients ``w_i`` and ``w_o`` from measured runs.
 """
 
-from repro.engine.adaptive import AdaptiveOperator
-from repro.engine.calibration import CalibrationSample, calibrate_cost_weights
-from repro.engine.cluster import JoinExecutionResult, run_partitioned_join
-from repro.engine.executor import RegionJoinResult, run_join_multiprocess
-from repro.engine.heterogeneous import (
-    HeterogeneousAssignment,
-    HeterogeneousJoinResult,
-    assign_regions_to_machines,
-    plan_virtual_regions,
-    run_heterogeneous_join,
-)
-from repro.engine.operators import (
-    CIOperator,
-    CSIOOperator,
-    CSIOperator,
-    Operator,
-    OperatorRunResult,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "JoinExecutionResult",
-    "run_partitioned_join",
-    "Operator",
-    "OperatorRunResult",
-    "CIOperator",
-    "CSIOperator",
-    "CSIOOperator",
-    "AdaptiveOperator",
-    "RegionJoinResult",
-    "run_join_multiprocess",
-    "CalibrationSample",
-    "calibrate_cost_weights",
-    "HeterogeneousAssignment",
-    "HeterogeneousJoinResult",
-    "plan_virtual_regions",
-    "assign_regions_to_machines",
-    "run_heterogeneous_join",
-]
+_EXPORTS = {
+    "JoinExecutionResult": "repro.engine.cluster",
+    "run_partitioned_join": "repro.engine.cluster",
+    "Operator": "repro.engine.operators",
+    "OperatorRunResult": "repro.engine.operators",
+    "CIOperator": "repro.engine.operators",
+    "CSIOperator": "repro.engine.operators",
+    "CSIOOperator": "repro.engine.operators",
+    "AdaptiveOperator": "repro.engine.adaptive",
+    "RegionJoinResult": "repro.engine.executor",
+    "run_join_multiprocess": "repro.engine.executor",
+    "CalibrationSample": "repro.engine.calibration",
+    "calibrate_cost_weights": "repro.engine.calibration",
+    "HeterogeneousAssignment": "repro.engine.heterogeneous",
+    "HeterogeneousJoinResult": "repro.engine.heterogeneous",
+    "plan_virtual_regions": "repro.engine.heterogeneous",
+    "assign_regions_to_machines": "repro.engine.heterogeneous",
+    "run_heterogeneous_join": "repro.engine.heterogeneous",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

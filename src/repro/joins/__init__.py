@@ -11,34 +11,21 @@ This subpackage is the substrate every partitioning scheme relies on:
   vectorised output counting used by the simulator and the benchmarks.
 """
 
-from repro.joins.conditions import (
-    BandJoinCondition,
-    CompositeEquiBandCondition,
-    EquiJoinCondition,
-    InequalityJoinCondition,
-    InequalityOp,
-    JoinCondition,
-)
-from repro.joins.local import (
-    count_join_output,
-    hash_equi_join,
-    join_output_pairs,
-    nested_loop_join,
-    sort_merge_band_join,
-)
-from repro.joins.relations import Relation
+from repro import lazy_exports
 
-__all__ = [
-    "JoinCondition",
-    "EquiJoinCondition",
-    "BandJoinCondition",
-    "InequalityJoinCondition",
-    "InequalityOp",
-    "CompositeEquiBandCondition",
-    "Relation",
-    "sort_merge_band_join",
-    "hash_equi_join",
-    "nested_loop_join",
-    "join_output_pairs",
-    "count_join_output",
-]
+_EXPORTS = {
+    "JoinCondition": "repro.joins.conditions",
+    "EquiJoinCondition": "repro.joins.conditions",
+    "BandJoinCondition": "repro.joins.conditions",
+    "InequalityJoinCondition": "repro.joins.conditions",
+    "InequalityOp": "repro.joins.conditions",
+    "CompositeEquiBandCondition": "repro.joins.conditions",
+    "Relation": "repro.joins.relations",
+    "sort_merge_band_join": "repro.joins.local",
+    "hash_equi_join": "repro.joins.local",
+    "nested_loop_join": "repro.joins.local",
+    "join_output_pairs": "repro.joins.local",
+    "count_join_output": "repro.joins.local",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -24,36 +24,23 @@ traced runs are behaviourally bit-identical to untraced runs, which
 ``docs/observability.md`` for the full narrative.
 """
 
-from repro.obs.clock import monotonic, perf_counter, wall_time
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    SnapshotReporter,
-)
-from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    TickClock,
-    Tracer,
-    summarize_spans,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Span",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "TickClock",
-    "summarize_spans",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "SnapshotReporter",
-    "perf_counter",
-    "monotonic",
-    "wall_time",
-]
+_EXPORTS = {
+    "Span": "repro.obs.trace",
+    "Tracer": "repro.obs.trace",
+    "NullTracer": "repro.obs.trace",
+    "NULL_TRACER": "repro.obs.trace",
+    "TickClock": "repro.obs.trace",
+    "summarize_spans": "repro.obs.trace",
+    "Counter": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "SnapshotReporter": "repro.obs.metrics",
+    "perf_counter": "repro.obs.clock",
+    "monotonic": "repro.obs.clock",
+    "wall_time": "repro.obs.clock",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

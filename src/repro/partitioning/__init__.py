@@ -17,35 +17,21 @@ they know and therefore how well the resulting regions balance work:
   histogram and balance the total work.
 """
 
-from repro.partitioning.base import Partitioning
-from repro.partitioning.ewh import EWHPartitioning, build_ewh_partitioning
-from repro.partitioning.grid_routed import GridRoutedPartitioning
-from repro.partitioning.hash_repartition import (
-    HashRepartitioning,
-    build_hash_repartitioning,
-)
-from repro.partitioning.m_bucket import (
-    MBucketConfig,
-    MBucketPartitioning,
-    build_m_bucket_partitioning,
-)
-from repro.partitioning.one_bucket import (
-    OneBucketPartitioning,
-    build_one_bucket_partitioning,
-    machine_grid_shape,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Partitioning",
-    "GridRoutedPartitioning",
-    "HashRepartitioning",
-    "build_hash_repartitioning",
-    "OneBucketPartitioning",
-    "build_one_bucket_partitioning",
-    "machine_grid_shape",
-    "MBucketConfig",
-    "MBucketPartitioning",
-    "build_m_bucket_partitioning",
-    "EWHPartitioning",
-    "build_ewh_partitioning",
-]
+_EXPORTS = {
+    "Partitioning": "repro.partitioning.base",
+    "GridRoutedPartitioning": "repro.partitioning.grid_routed",
+    "HashRepartitioning": "repro.partitioning.hash_repartition",
+    "build_hash_repartitioning": "repro.partitioning.hash_repartition",
+    "OneBucketPartitioning": "repro.partitioning.one_bucket",
+    "build_one_bucket_partitioning": "repro.partitioning.one_bucket",
+    "machine_grid_shape": "repro.partitioning.one_bucket",
+    "MBucketConfig": "repro.partitioning.m_bucket",
+    "MBucketPartitioning": "repro.partitioning.m_bucket",
+    "build_m_bucket_partitioning": "repro.partitioning.m_bucket",
+    "EWHPartitioning": "repro.partitioning.ewh",
+    "build_ewh_partitioning": "repro.partitioning.ewh",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,37 +19,22 @@ The equi-weight histogram needs two kinds of statistics (paper, section IV):
 paper (s_i = Theta(n_s log n), s_o = Theta(n_s), n_s = sqrt(2 n J)).
 """
 
-from repro.sampling.bernoulli import bernoulli_sample
-from repro.sampling.equidepth import EquiDepthHistogram, build_equidepth_histogram
-from repro.sampling.parallel_stream_sample import parallel_stream_sample
-from repro.sampling.reservoir import (
-    WeightedReservoir,
-    merge_reservoirs,
-    weighted_sample_wor,
-    wor_to_wr,
-)
-from repro.sampling.sizes import (
-    input_sample_size,
-    output_sample_size,
-    sample_matrix_size,
-)
-from repro.sampling.stream_sample import (
-    JoinOutputSample,
-    compute_joinable_set_sizes,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "bernoulli_sample",
-    "EquiDepthHistogram",
-    "build_equidepth_histogram",
-    "WeightedReservoir",
-    "weighted_sample_wor",
-    "wor_to_wr",
-    "merge_reservoirs",
-    "JoinOutputSample",
-    "compute_joinable_set_sizes",
-    "parallel_stream_sample",
-    "sample_matrix_size",
-    "input_sample_size",
-    "output_sample_size",
-]
+_EXPORTS = {
+    "bernoulli_sample": "repro.sampling.bernoulli",
+    "EquiDepthHistogram": "repro.sampling.equidepth",
+    "build_equidepth_histogram": "repro.sampling.equidepth",
+    "WeightedReservoir": "repro.sampling.reservoir",
+    "weighted_sample_wor": "repro.sampling.reservoir",
+    "wor_to_wr": "repro.sampling.reservoir",
+    "merge_reservoirs": "repro.sampling.reservoir",
+    "JoinOutputSample": "repro.sampling.stream_sample",
+    "compute_joinable_set_sizes": "repro.sampling.stream_sample",
+    "parallel_stream_sample": "repro.sampling.parallel_stream_sample",
+    "sample_matrix_size": "repro.sampling.sizes",
+    "input_sample_size": "repro.sampling.sizes",
+    "output_sample_size": "repro.sampling.sizes",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -47,114 +47,57 @@ drives a run to completion across backend worker crashes
 last checkpoint and replaying the source (see ``docs/fault_tolerance.md``).
 """
 
-from repro.streaming.arrivals import ArrivalLog
-from repro.streaming.backends import (
-    ExecutionBackend,
-    RegionJoinResult,
-    RegionStateTable,
-    SimulatedBackend,
-    SlowConsumerBackend,
-    StickyWorkerBackend,
-    WorkerCrashError,
-    default_mp_context,
-    make_backend,
-)
-from repro.streaming.checkpoint import (
-    CHECKPOINT_VERSION,
-    StreamCheckpoint,
-    run_resilient,
-)
-from repro.streaming.shm import ShmArena, ShmReader
-from repro.streaming.drift import DriftDetector, DriftObservation
-from repro.streaming.engine import (
-    StreamingJoinEngine,
-    compare_streaming_schemes,
-)
-from repro.streaming.incremental import (
-    DecayedReservoir,
-    IncrementalHistogram,
-    SortedRegionState,
-)
-from repro.streaming.metrics import BatchMetrics, StreamRunResult
-from repro.streaming.migration import MigrationPlan, plan_migration
-from repro.streaming.pipeline import (
-    BACKPRESSURE_MODES,
-    BackpressurePolicy,
-    BlockPolicy,
-    CoalescePolicy,
-    ShedPolicy,
-    StreamingPipeline,
-    make_backpressure,
-    merge_batches,
-)
-from repro.streaming.window import (
-    ExponentialDecayWindow,
-    SlidingWindow,
-    UnboundedWindow,
-    WindowPolicy,
-    make_window,
-)
-from repro.streaming.policies import (
-    DriftAdaptiveEWHPolicy,
-    RepartitioningPolicy,
-    StaticEWHPolicy,
-    StaticOneBucketPolicy,
-)
-from repro.streaming.source import (
-    ArrayStreamSource,
-    DriftingZipfSource,
-    MicroBatch,
-    RateLimitedSource,
-    StreamSource,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ExecutionBackend",
-    "SimulatedBackend",
-    "StickyWorkerBackend",
-    "SlowConsumerBackend",
-    "RegionJoinResult",
-    "RegionStateTable",
-    "ShmArena",
-    "ShmReader",
-    "default_mp_context",
-    "make_backend",
-    "MicroBatch",
-    "StreamSource",
-    "ArrayStreamSource",
-    "DriftingZipfSource",
-    "RateLimitedSource",
-    "BACKPRESSURE_MODES",
-    "BackpressurePolicy",
-    "BlockPolicy",
-    "ShedPolicy",
-    "CoalescePolicy",
-    "make_backpressure",
-    "merge_batches",
-    "StreamingPipeline",
-    "DecayedReservoir",
-    "IncrementalHistogram",
-    "SortedRegionState",
-    "DriftDetector",
-    "DriftObservation",
-    "MigrationPlan",
-    "plan_migration",
-    "ArrivalLog",
-    "WindowPolicy",
-    "UnboundedWindow",
-    "SlidingWindow",
-    "ExponentialDecayWindow",
-    "make_window",
-    "BatchMetrics",
-    "StreamRunResult",
-    "RepartitioningPolicy",
-    "StaticOneBucketPolicy",
-    "StaticEWHPolicy",
-    "DriftAdaptiveEWHPolicy",
-    "StreamingJoinEngine",
-    "compare_streaming_schemes",
-    "WorkerCrashError",
-    "CHECKPOINT_VERSION",
-    "StreamCheckpoint",
-    "run_resilient",
-]
+_EXPORTS = {
+    "ExecutionBackend": "repro.streaming.backends",
+    "SimulatedBackend": "repro.streaming.backends",
+    "StickyWorkerBackend": "repro.streaming.backends",
+    "SlowConsumerBackend": "repro.streaming.backends",
+    "RegionJoinResult": "repro.engine.executor",
+    "RegionStateTable": "repro.streaming.backends",
+    "ShmArena": "repro.streaming.shm",
+    "ShmReader": "repro.streaming.shm",
+    "default_mp_context": "repro.streaming.backends",
+    "make_backend": "repro.streaming.backends",
+    "MicroBatch": "repro.streaming.source",
+    "StreamSource": "repro.streaming.source",
+    "ArrayStreamSource": "repro.streaming.source",
+    "DriftingZipfSource": "repro.streaming.source",
+    "RateLimitedSource": "repro.streaming.source",
+    "BACKPRESSURE_MODES": "repro.streaming.pipeline",
+    "BackpressurePolicy": "repro.streaming.pipeline",
+    "BlockPolicy": "repro.streaming.pipeline",
+    "ShedPolicy": "repro.streaming.pipeline",
+    "CoalescePolicy": "repro.streaming.pipeline",
+    "make_backpressure": "repro.streaming.pipeline",
+    "merge_batches": "repro.streaming.pipeline",
+    "StreamingPipeline": "repro.streaming.pipeline",
+    "DecayedReservoir": "repro.streaming.incremental",
+    "IncrementalHistogram": "repro.streaming.incremental",
+    "SortedRegionState": "repro.streaming.incremental",
+    "DriftDetector": "repro.streaming.drift",
+    "DriftObservation": "repro.streaming.drift",
+    "MigrationPlan": "repro.streaming.migration",
+    "plan_migration": "repro.streaming.migration",
+    "ArrivalLog": "repro.streaming.arrivals",
+    "WindowPolicy": "repro.streaming.window",
+    "UnboundedWindow": "repro.streaming.window",
+    "SlidingWindow": "repro.streaming.window",
+    "ExponentialDecayWindow": "repro.streaming.window",
+    "make_window": "repro.streaming.window",
+    "BatchMetrics": "repro.streaming.metrics",
+    "StreamRunResult": "repro.streaming.metrics",
+    "RepartitioningPolicy": "repro.streaming.policies",
+    "StaticOneBucketPolicy": "repro.streaming.policies",
+    "StaticEWHPolicy": "repro.streaming.policies",
+    "DriftAdaptiveEWHPolicy": "repro.streaming.policies",
+    "StreamingJoinEngine": "repro.streaming.engine",
+    "compare_streaming_schemes": "repro.streaming.engine",
+    "WorkerCrashError": "repro.streaming.backends",
+    "CHECKPOINT_VERSION": "repro.streaming.checkpoint",
+    "StreamCheckpoint": "repro.streaming.checkpoint",
+    "run_resilient": "repro.streaming.checkpoint",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

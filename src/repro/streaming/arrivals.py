@@ -121,9 +121,21 @@ class ArrivalLog:
         return first
 
     def expire(self, window: WindowPolicy, rng: np.random.Generator) -> np.ndarray:
-        """Drop what ``window`` expires from the live set; return it (sorted)."""
-        expired = window.evictions(self.live, self.starts, self.total, rng)
-        self.live = drop_expired(self.live, expired)
+        """Drop what ``window`` expires from the live set; return it (sorted).
+
+        An eviction that is a prefix of the live set -- every
+        :class:`~repro.streaming.window.SlidingWindow` one is -- is cut off
+        by slicing, after an ``O(expired)`` check; any other eviction set
+        (decay windows, custom policies) goes through
+        :func:`~repro.streaming.window.drop_expired`.
+        """
+        live = self.live
+        expired = window.evictions(live, self.starts, self.total, rng)
+        cut = len(expired)
+        if cut and np.array_equal(live[:cut], expired):
+            self.live = live[cut:]
+        else:
+            self.live = drop_expired(live, expired)
         return expired
 
     def trim(self, window: WindowPolicy) -> int:

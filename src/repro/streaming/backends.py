@@ -61,10 +61,11 @@ from repro.joins.conditions import JoinCondition
 from repro.joins.local import count_regions
 from repro.obs.clock import perf_counter
 from repro.streaming.incremental import SortedRegionState
-from repro.streaming.shm import ShmArena, ShmMessage, ShmReader
 
-if TYPE_CHECKING:  # only sticky backends pay for importing it (see below)
+if TYPE_CHECKING:  # only sticky backends pay for importing these (see below)
     import multiprocessing.context
+
+    from repro.streaming.shm import ShmArena, ShmMessage, ShmReader
 
 __all__ = [
     "RegionJoinResult",
@@ -612,6 +613,8 @@ def _sticky_worker_main(channel) -> None:
     the backend raises them engine-side.  The shared-memory reader only
     ever unmaps; the engine's arena owns every segment.
     """
+    from repro.streaming.shm import ShmReader
+
     worker = _StickyWorkerState()
     reader = ShmReader()
     try:
@@ -752,6 +755,8 @@ class StickyWorkerBackend(ExecutionBackend):
             )
         if num_machines <= 0:
             raise ValueError("num_machines must be positive")
+        from repro.streaming.shm import ShmArena
+
         self._arena = ShmArena()
         for worker in range(
             min(self.max_workers or os.cpu_count() or 1, num_machines)

@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.joins.conditions import JoinCondition
 from repro.partitioning.base import Partitioning
-from repro.partitioning.one_bucket import build_one_bucket_partitioning
 from repro.streaming.drift import DriftDetector
 from repro.streaming.incremental import IncrementalHistogram
 from repro.streaming.metrics import BatchMetrics
@@ -128,6 +127,8 @@ class StaticOneBucketPolicy(RepartitioningPolicy):
 
     def initial_partitioning(self, histogram, condition, rng):
         """Build the 1-Bucket grid; the sample state is never consulted."""
+        from repro.partitioning.one_bucket import build_one_bucket_partitioning
+
         return build_one_bucket_partitioning(self.num_machines)
 
     def needs_statistics(self, has_partitioning: bool) -> bool:
@@ -140,6 +141,8 @@ class StaticOneBucketPolicy(RepartitioningPolicy):
 
     def resize_partitioning(self, num_machines, histogram, condition, rng):
         """Rebuild the 1-Bucket grid for the new fleet; no statistics needed."""
+        from repro.partitioning.one_bucket import build_one_bucket_partitioning
+
         self.num_machines = num_machines
         return build_one_bucket_partitioning(num_machines)
 

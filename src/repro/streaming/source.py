@@ -28,7 +28,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.data.zipf import sample_zipf_multiplicities
 from repro.joins.conditions import normalise_keys
 
 __all__ = [
@@ -238,6 +237,8 @@ class DriftingZipfSource(StreamSource):
 
     def batches(self) -> Iterator[MicroBatch]:
         """Yield the drifting-Zipf batches deterministically from the seed."""
+        from repro.data.zipf import sample_zipf_multiplicities
+
         rng = np.random.default_rng(self.seed)
         values = np.arange(
             self.domain_min, self.domain_min + self.num_values, dtype=np.int64

@@ -235,12 +235,13 @@ class ExponentialDecayWindow(WindowPolicy):
 def surviving(held: np.ndarray, expired: np.ndarray) -> np.ndarray:
     """Boolean mask over ``held``: which arrival indices are *not* expired.
 
-    The one membership test behind every eviction -- the engine's live
-    sets and each sorted run of
-    :class:`~repro.streaming.incremental.SortedRegionState`.  ``expired``
-    must be non-empty, sorted ascending and unique (every window policy's
-    eviction set is); ``held`` may be in any order and ``expired`` need not
-    be a subset of it.
+    The one membership test behind eviction: each sorted run of
+    :class:`~repro.streaming.incremental.SortedRegionState`, and a live set
+    whose eviction is not a prefix of it (a sliding window's is, and
+    :meth:`~repro.streaming.arrivals.ArrivalLog.expire` slices it off
+    instead).  ``expired`` must be non-empty, sorted ascending and unique
+    (every window policy's eviction set is); ``held`` may be in any order
+    and ``expired`` need not be a subset of it.
 
     A *contiguous* eviction set -- every :class:`SlidingWindow` one is: a
     prefix of the consecutive live indices -- is recognised from its ends
@@ -261,7 +262,8 @@ def surviving(held: np.ndarray, expired: np.ndarray) -> np.ndarray:
 def drop_expired(held: np.ndarray, expired: np.ndarray) -> np.ndarray:
     """Drop ``expired`` (sorted, unique) from the index array ``held``.
 
-    :func:`surviving` applied: the engine's live sets shrink through here.
+    :func:`surviving` applied: a live set shrinks through here when its
+    eviction is not a prefix of it (decay windows, custom policies).
     ``held`` is returned as is when either side is empty.
     """
     if len(held) == 0 or len(expired) == 0:

@@ -14,18 +14,14 @@ regression associates with that join class, and lazily computed exact
 input/output sizes (the Table IV columns).
 """
 
-from repro.workloads.definitions import (
-    JoinWorkload,
-    make_bcb,
-    make_beocd,
-    make_bicd,
-    table_iv_workloads,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "JoinWorkload",
-    "make_bicd",
-    "make_bcb",
-    "make_beocd",
-    "table_iv_workloads",
-]
+_EXPORTS = {
+    "JoinWorkload": "repro.workloads.definitions",
+    "make_bicd": "repro.workloads.definitions",
+    "make_bcb": "repro.workloads.definitions",
+    "make_beocd": "repro.workloads.definitions",
+    "table_iv_workloads": "repro.workloads.definitions",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -44,6 +44,7 @@ faults without owning backend cleanup.
 
 from __future__ import annotations
 
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -52,6 +53,7 @@ import pytest
 from repro.engine.executor import join_assigned_regions
 from repro.joins.local import count_join_output
 from repro.obs.clock import perf_counter
+from repro.obs.trace import TickClock
 from repro.partitioning.base import sort_arrivals
 from repro.streaming.backends import (
     ExecutionBackend,
@@ -65,6 +67,7 @@ from repro.streaming.metrics import StreamRunResult
 from repro.streaming.window import WindowPolicy
 
 __all__ = [
+    "use_tick_clocks",
     "arrivals",
     "assert_equivalent_runs",
     "CrashingBackend",
@@ -76,6 +79,24 @@ __all__ = [
     "crashing_backend",
     "flaky_backend",
 ]
+
+#: Every in-process module whose measured seconds end up inside a checkpoint.
+CLOCKED_MODULES = (
+    "repro.streaming.engine",
+    "repro.streaming.backends",
+    "repro.joins.local",
+    "repro.core.histogram",
+)
+
+
+def use_tick_clocks(monkeypatch) -> None:
+    """Put each of :data:`CLOCKED_MODULES` on a fresh tick clock.
+
+    Two runs that do the same work then write the same seconds, so their
+    checkpoints can be compared byte for byte.
+    """
+    for module in CLOCKED_MODULES:
+        monkeypatch.setattr(sys.modules[module], "perf_counter", TickClock())
 
 
 def arrivals(assignments, history) -> "list[tuple[np.ndarray, np.ndarray]]":

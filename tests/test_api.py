@@ -23,7 +23,11 @@ PACKAGES = [
     "repro.partitioning",
     "repro.engine",
     "repro.workloads",
+    "repro.streaming",
+    "repro.obs",
     "repro.bench",
+    "repro.query",
+    "repro.analysis",
 ]
 
 
@@ -33,6 +37,31 @@ def test_all_exports_resolve(package_name):
     assert hasattr(package, "__all__")
     for name in package.__all__:
         assert hasattr(package, name), f"{package_name}.{name} missing"
+    assert set(package.__all__) <= set(dir(package))
+
+
+@pytest.mark.parametrize("package_name", PACKAGES)
+def test_an_unknown_name_is_an_attribute_error_naming_the_package(package_name):
+    package = importlib.import_module(package_name)
+    with pytest.raises(AttributeError, match=f"'{package_name}' has no attribute 'no_such_name'"):
+        getattr(package, "no_such_name")
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from repro import *", namespace)
+    assert set(repro.__all__) <= set(namespace)
+    assert namespace["StreamingJoinEngine"] is repro.streaming.StreamingJoinEngine
+
+
+def test_an_export_is_the_object_its_module_defines():
+    """``repro.X``, ``repro.<package>.X`` and the defining module agree."""
+    from repro.streaming import engine, shm
+
+    assert repro.StreamingJoinEngine is repro.streaming.StreamingJoinEngine
+    assert repro.streaming.StreamingJoinEngine is engine.StreamingJoinEngine
+    assert repro.streaming.ShmArena is shm.ShmArena
+    assert repro.streaming.RegionJoinResult is repro.engine.RegionJoinResult
 
 
 def test_no_duplicate_exports():
@@ -47,20 +76,48 @@ def test_version_string():
     assert repro.__version__.count(".") >= 1
 
 
-def test_import_repro_leaves_the_process_machinery_unimported():
-    """``import repro`` is most of a short run's set-up time: the worker and
-    pool machinery is imported by the constructors that need it, not before."""
+def _loaded_by(statement: str) -> "set[str]":
+    """The modules a fresh interpreter holds after running ``statement``."""
     source = Path(repro.__file__).resolve().parents[1]
-    probe = (
-        "import sys, repro; "
-        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
-    )
     result = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", f"import sys\n{statement}\nprint(*sys.modules)"],
         env={**os.environ, "PYTHONPATH": str(source)},
         capture_output=True, text=True, check=True,
     )
-    assert result.stdout.strip() == "[]"
+    return set(result.stdout.split())
+
+
+def _within(loaded: "set[str]", *names: str) -> "set[str]":
+    """The loaded modules that are one of ``names`` or inside one of them."""
+    return {m for m in loaded if any(m == n or m.startswith(n + ".") for n in names)}
+
+
+def test_import_repro_leaves_the_process_machinery_unimported():
+    """``import repro`` loads no submodule and no process machinery.
+
+    Eager package imports compiled 64 modules (14,445 source lines) on every
+    entry point: ~120 ms of ``-X importtime`` after numpy on a 2-core Xeon
+    with no bytecode cache, most of a short run's set-up time.  With lazy
+    exports ``import repro`` takes ~1 ms, the CSIO batch path loads 32
+    modules (5,178 lines) and the stream engine 44 (10,837); the worker and
+    pool machinery is imported by the constructors that need it."""
+    loaded = _loaded_by("import repro")
+    assert not _within(loaded, "multiprocessing", "concurrent.futures")
+    assert _within(loaded, "repro") == {"repro"}
+
+
+def test_the_batch_operator_loads_no_streaming_module():
+    assert not _within(_loaded_by("from repro import CSIOOperator"), "repro.streaming")
+
+
+def test_the_stream_engine_loads_only_what_it_runs():
+    loaded = _loaded_by("from repro import StreamingJoinEngine")
+    assert not _within(
+        loaded,
+        "repro.engine.operators", "repro.joins.multiway", "repro.workloads",
+        "repro.data", "repro.partitioning.one_bucket", "repro.streaming.pipeline",
+        "repro.streaming.shm", "secrets", "hmac",
+    )
 
 
 def test_readme_quickstart_flow():

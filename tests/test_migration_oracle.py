@@ -22,6 +22,7 @@ import reference_migration
 import reference_sampling
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from streaming_harness import use_tick_clocks
 from test_migration_properties import (
     ModPartitioning,
     ReplicatingPartitioning,
@@ -32,7 +33,6 @@ from test_migration_properties import (
 
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import BandJoinCondition
-from repro.obs.trace import TickClock
 from repro.partitioning.base import sort_arrivals
 from repro.streaming import (
     ArrivalLog,
@@ -159,14 +159,6 @@ def test_square_overlap_matrix_equals_the_sort_based_one(
 # ----------------------------------------------------------------------
 MACHINES, PER_SIDE, WINDOW = 12, 1_000, "batches:16"
 
-#: Every module whose measured seconds end up inside a checkpoint.
-CLOCKED_MODULES = (
-    "repro.streaming.engine",
-    "repro.streaming.backends",
-    "repro.joins.local",
-    "repro.core.histogram",
-)
-
 
 def _drifting_batches(num_batches: int, redraw_every: int) -> "list[MicroBatch]":
     """Zipf(0.9) over 2,000 values whose value permutation is redrawn periodically."""
@@ -213,8 +205,7 @@ def test_mid_run_checkpoint_bytes_equal_with_the_reference_kernels(monkeypatch):
     batches = _drifting_batches(40, redraw_every=12)
 
     def payload() -> "tuple[bytes, int]":
-        for module in CLOCKED_MODULES:
-            monkeypatch.setattr(sys.modules[module], "perf_counter", TickClock())
+        use_tick_clocks(monkeypatch)
         engine = _engine()
         engine.start()
         for batch in batches:

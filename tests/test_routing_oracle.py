@@ -17,19 +17,16 @@ checkpoint bytes over windows x policies x backends, and across a resize.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_routing import ReferenceRouteEngine, reference_route
-from streaming_harness import assert_equivalent_runs
+from streaming_harness import assert_equivalent_runs, use_tick_clocks
 
 from repro.core.region import GridRegion
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import BandJoinCondition
-from repro.obs.trace import TickClock
 from repro.partitioning import (
     GridRoutedPartitioning,
     build_hash_repartitioning,
@@ -230,14 +227,6 @@ BAND = BandJoinCondition(beta=2.0)
 WEIGHTS = WeightFunction(input_cost=1.0, output_cost=0.2)
 WINDOWS = ["unbounded", "batches:3", "tuples:500", "decay:0.8"]
 
-#: Every in-process module whose measured seconds end up inside a checkpoint.
-CLOCKED_MODULES = (
-    "repro.streaming.engine",
-    "repro.streaming.backends",
-    "repro.joins.local",
-    "repro.core.histogram",
-)
-
 POLICIES = {
     "static": StaticEWHPolicy,
     "adaptive": lambda: DriftAdaptiveEWHPolicy(
@@ -266,8 +255,7 @@ def _run(engine_cls, policy, backend, window, monkeypatch, resize_to=None):
     machine rather than the behaviour is a sticky worker's own seconds and
     the pickled size of its pid; both are blanked before encoding.
     """
-    for module in CLOCKED_MODULES:
-        monkeypatch.setattr(sys.modules[module], "perf_counter", TickClock())
+    use_tick_clocks(monkeypatch)
     with backend() as owner:
         engine = engine_cls(
             MACHINES, BAND, WEIGHTS,
