@@ -21,6 +21,11 @@ paper (s_i = Theta(n_s log n), s_o = Theta(n_s), n_s = sqrt(2 n J)).
 
 from repro import lazy_exports
 
+# The driver shares its submodule's name.  Importing a submodule binds it on
+# the package, which would shadow a lazily resolved driver, so this one export
+# is bound eagerly, after its submodule; every run that samples loads it anyway.
+from repro.sampling.parallel_stream_sample import parallel_stream_sample
+
 _EXPORTS = {
     "bernoulli_sample": "repro.sampling.bernoulli",
     "EquiDepthHistogram": "repro.sampling.equidepth",
