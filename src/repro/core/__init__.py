@@ -6,7 +6,8 @@ Modules, in the order the 3-stage histogram algorithm uses them:
 * :mod:`repro.core.grid` -- :class:`~repro.core.grid.WeightedGrid`, the
   shared representation of the sample matrix MS and the coarsened matrix MC
   (per-row/column input sizes, per-cell output frequencies, candidate mask,
-  O(1) rectangle weights via prefix sums).
+  O(1) rectangle weights via prefix sums), and ``smallest_feasible``, the
+  one threshold search of coarsening, regionalization and M-Bucket.
 * :mod:`repro.core.matrix` -- the exact join-matrix model used for toy
   examples, ground truth in tests and the Figure 1 reproduction.
 * :mod:`repro.core.region` -- rectangular regions and minimal candidate
@@ -19,7 +20,7 @@ Modules, in the order the 3-stage histogram algorithm uses them:
   algorithms used by stage 3, over the threshold-independent
   :mod:`repro.core.tiling_tables` they share.
 * :mod:`repro.core.regionalization` -- stage 3: binary search over the
-  region-weight threshold around a tiling algorithm.
+  region-weight threshold around MonotonicBSP.
 * :mod:`repro.core.histogram` -- the end-to-end equi-weight histogram
   builder gluing the three stages together.
 """

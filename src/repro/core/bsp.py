@@ -81,21 +81,13 @@ def bsp_partition(
         If the grid's larger dimension exceeds ``max_grid_size`` (the
         baseline is O(size^5); use MonotonicBSP instead).
     """
-    return bsp_tiling(TilingTables(grid, weight_fn), delta, max_grid_size)
-
-
-def bsp_tiling(
-    tables: TilingTables,
-    delta: float,
-    max_grid_size: int = DEFAULT_MAX_GRID_SIZE,
-) -> BSPResult:
-    """:func:`bsp_partition` over tables shared between thresholds."""
-    rows, cols = tables.shape
+    rows, cols = grid.shape
     if max(rows, cols) > max_grid_size:
         raise ValueError(
             f"baseline BSP refuses grids larger than {max_grid_size} per side "
             f"(got {rows}x{cols}); use monotonic_bsp_partition instead"
         )
+    tables = TilingTables(grid, weight_fn)
 
     # DP over all rectangles, processed in increasing semi-perimeter order so
     # the halves of any split are already solved.

@@ -25,10 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.grid import WeightedGrid
+from repro.core.grid import WeightedGrid, smallest_feasible
 from repro.core.weights import WeightFunction
 
 __all__ = ["CoarseningResult", "coarsen", "coarsened_size"]
+
+#: Alternating row/column refinement passes at most.
+MAX_ITERATIONS = 4
+
+#: Midpoints each axis's threshold search may try after its two ends.
+MAX_MIDPOINTS = 25
 
 
 def coarsened_size(num_machines: int, grid_size: int,
@@ -173,8 +179,6 @@ def _optimize_axis(
     weight_fn: WeightFunction,
     max_groups: int,
     low: float,
-    tolerance: float,
-    max_search_steps: int,
 ) -> np.ndarray:
     """Choose row boundaries minimising the max candidate-block weight for fixed columns.
 
@@ -192,27 +196,13 @@ def _optimize_axis(
             weight_fn, threshold, max_groups,
         )
 
-    high = weight_fn.weight(grid.total_input, grid.total_output)
-    high = max(high, low)
-    best = feasible(high)
-    if best is None:
-        # A single group per row always fits max_groups >= 1 at an infinite
-        # threshold; reaching here means max_groups < 1, which is invalid.
+    high = max(weight_fn.weight(grid.total_input, grid.total_output), low)
+    _, bounds, _ = smallest_feasible(feasible, low, high, MAX_MIDPOINTS)
+    if bounds is None:
+        # The sweep sums a block row by row, which can round one step above
+        # the total weight: with max_groups == 1 even ``high`` may not fit.
         raise RuntimeError("coarsening sweep failed at the trivial threshold")
-    result = feasible(low)
-    if result is not None:
-        return result
-    for _ in range(max_search_steps):
-        if high - low <= tolerance * max(high, 1.0):
-            break
-        mid = (low + high) / 2.0
-        candidate_bounds = feasible(mid)
-        if candidate_bounds is None:
-            low = mid
-        else:
-            high = mid
-            best = candidate_bounds
-    return best
+    return bounds
 
 
 def _build_coarse_grid(
@@ -243,11 +233,11 @@ def coarsen(
     num_row_groups: int,
     num_col_groups: int | None = None,
     weight_fn: WeightFunction | None = None,
-    max_iterations: int = 4,
-    tolerance: float = 0.01,
-    max_search_steps: int = 25,
 ) -> CoarseningResult:
     """Coarsen a weighted grid into ``num_row_groups x num_col_groups`` blocks.
+
+    At most ``MAX_ITERATIONS`` alternating row/column refinement passes run;
+    the first pass that does not lower the maximum cell weight ends them.
 
     Parameters
     ----------
@@ -258,10 +248,6 @@ def coarsen(
         defaults to ``num_row_groups``.
     weight_fn:
         Cost model; defaults to unit input and output costs.
-    max_iterations:
-        Number of alternating row/column refinement passes.
-    tolerance, max_search_steps:
-        Convergence controls of the threshold binary search.
     """
     weight_fn = weight_fn or WeightFunction()
     num_col_groups = num_col_groups or num_row_groups
@@ -285,15 +271,13 @@ def coarsen(
 
     heaviest_cell = grid.max_cell_weight(weight_fn, candidates_only=True)
 
-    for iteration in range(max_iterations):
+    for iteration in range(MAX_ITERATIONS):
         iterations_run = iteration + 1
         row_bounds = _optimize_axis(
-            grid, col_bounds, weight_fn, num_row_groups, heaviest_cell,
-            tolerance, max_search_steps,
+            grid, col_bounds, weight_fn, num_row_groups, heaviest_cell
         )
         col_bounds = _optimize_axis(
-            transposed, row_bounds, weight_fn, num_col_groups, heaviest_cell,
-            tolerance, max_search_steps,
+            transposed, row_bounds, weight_fn, num_col_groups, heaviest_cell
         )
         coarse = _build_coarse_grid(grid, row_bounds, col_bounds)
         weight = coarse.max_cell_weight(weight_fn, candidates_only=True)

@@ -19,19 +19,76 @@ rectangle is one pass over the spans of its rows -- linear in its row count.
 The tiling algorithms, which ask for the same rectangles again and again,
 keep their answers in a :class:`~repro.core.tiling_tables.TilingTables` that
 lives for one regionalization; the grid itself caches nothing.
+
+Coarsening, regionalization and M-Bucket each look for the smallest weight
+threshold at which a greedy cover of a grid fits; :func:`smallest_feasible`
+is that one binary search.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 import numpy as np
 
 from repro.core.region import GridRegion
 from repro.core.weights import WeightFunction
 
-__all__ = ["WeightedGrid", "shrink_to_candidates"]
+__all__ = ["SEARCH_TOLERANCE", "WeightedGrid", "candidate_spans", "shrink_to_candidates",
+           "smallest_feasible"]
+
+Cover = TypeVar("Cover")
+
+#: Relative gap between an infeasible and a feasible threshold at which
+#: :func:`smallest_feasible` stops (relative to ``max(high, 1)``).
+SEARCH_TOLERANCE = 0.01
+
+
+def smallest_feasible(
+    feasible: Callable[[float], Cover | None],
+    low: float,
+    high: float,
+    max_midpoints: int,
+) -> tuple[float, Cover | None, int]:
+    """Binary-search the smallest threshold at which ``feasible`` returns a cover.
+
+    ``feasible(threshold)`` returns a cover, or ``None`` when none fits.  The
+    search tries ``low``, then ``high``, then at most ``max_midpoints``
+    midpoints, and stops once ``high - low <= SEARCH_TOLERANCE * max(high,
+    1)``.  Returns ``(threshold, cover, evaluations)``: ``low`` and its cover
+    when ``low`` fits, otherwise the lowest fitting threshold tried and its
+    cover -- ``high`` and ``None`` when neither ``high`` nor a midpoint fits,
+    which leaves the fallback to the caller.
+    """
+    cover = feasible(low)
+    if cover is not None:
+        return low, cover, 1
+    cover, evaluations = feasible(high), 2
+    for _ in range(max_midpoints):
+        if high - low <= SEARCH_TOLERANCE * max(high, 1.0):
+            break
+        mid = (low + high) / 2.0
+        candidate = feasible(mid)
+        evaluations += 1
+        if candidate is None:
+            low = mid
+        else:
+            high, cover = mid, candidate
+    return high, cover, evaluations
+
+
+def candidate_spans(candidate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a candidate mask, its first and last candidate column (-1: none)."""
+    rows, cols = candidate.shape
+    lo = np.full(rows, -1, dtype=np.int64)
+    hi = np.full(rows, -1, dtype=np.int64)
+    has_any = candidate.any(axis=1)
+    if has_any.any():
+        lo[has_any] = np.argmax(candidate[has_any], axis=1)
+        hi[has_any] = cols - 1 - np.argmax(candidate[has_any, ::-1], axis=1)
+    return lo, hi
 
 
 def shrink_to_candidates(
@@ -121,17 +178,7 @@ class WeightedGrid:
         self._row_prefix = np.concatenate([[0.0], np.cumsum(self.row_input)])
         self._col_prefix = np.concatenate([[0.0], np.cumsum(self.col_input)])
 
-        # Per-row contiguous candidate runs (first and last candidate column,
-        # or -1 when the row has none).
-        self._row_cand_lo = np.full(rows, -1, dtype=np.int64)
-        self._row_cand_hi = np.full(rows, -1, dtype=np.int64)
-        any_cand = self.candidate.any(axis=1)
-        if any_cand.any():
-            self._row_cand_lo[any_cand] = np.argmax(self.candidate[any_cand], axis=1)
-            reversed_cand = self.candidate[:, ::-1]
-            self._row_cand_hi[any_cand] = (
-                cols - 1 - np.argmax(reversed_cand[any_cand], axis=1)
-            )
+        self._row_cand_lo, self._row_cand_hi = candidate_spans(self.candidate)
 
     # ------------------------------------------------------------------
     # Shape

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.coarsening import CoarseningResult, coarsen, coarsened_size
-from repro.core.region import GridRegion, KeyRegion
+from repro.core.region import GridRegion, KeyRegion, key_regions
 from repro.core.regionalization import RegionalizationResult, regionalize
 from repro.core.sample_matrix import (
     SampleMatrix,
@@ -35,7 +35,7 @@ from repro.core.sample_matrix import (
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import JoinCondition
 from repro.obs.clock import perf_counter
-from repro.sampling.equidepth import build_equidepth_histogram
+from repro.sampling.equidepth import build_equidepth_histogram, open_ends
 from repro.sampling.parallel_stream_sample import (
     ParallelSampleStats,
     parallel_stream_sample,
@@ -56,6 +56,10 @@ class EWHConfig:
     The defaults follow the paper; the caps exist because this reproduction
     runs the tiling algorithms in pure Python and very large sample or
     coarsened matrices make the build phase (not the join) the bottleneck.
+    The stages' own constants are not knobs: regionalization always tiles
+    with MonotonicBSP, coarsening refines at most
+    :data:`~repro.core.coarsening.MAX_ITERATIONS` times, and every threshold
+    search is :func:`~repro.core.grid.smallest_feasible`.
 
     Parameters
     ----------
@@ -72,10 +76,6 @@ class EWHConfig:
     output_sample_multiple:
         ``s_o`` as a multiple of the number of candidate MS cells (the paper
         uses 2).
-    coarsening_iterations:
-        Alternating refinement passes of the coarsening stage.
-    tiling_algorithm:
-        ``"monotonic_bsp"`` (default) or ``"bsp"`` for the baseline.
     seed:
         Seed for the internal random generator when the caller does not
         provide one.
@@ -86,8 +86,6 @@ class EWHConfig:
     max_coarsened_size: int | None = None
     adjust_for_output_ratio: bool = True
     output_sample_multiple: float = 2.0
-    coarsening_iterations: int = 4
-    tiling_algorithm: str = "monotonic_bsp"
     seed: int = 2016
 
 
@@ -141,14 +139,6 @@ class EquiWeightHistogram:
     def build_seconds(self) -> float:
         """Total wall-clock seconds spent building the histogram."""
         return float(sum(self.stage_seconds.values()))
-
-
-def _extend_boundaries(boundaries: np.ndarray) -> np.ndarray:
-    """Open the outermost key boundaries to +-infinity for routing."""
-    extended = np.asarray(boundaries, dtype=np.float64).copy()
-    extended[0] = -np.inf
-    extended[-1] = np.inf
-    return extended
 
 
 def build_equi_weight_histogram(
@@ -234,44 +224,26 @@ def build_equi_weight_histogram(
     nc = coarsened_size(
         num_machines, sample_matrix.grid.num_rows, config.max_coarsened_size
     )
-    coarsening = coarsen(
-        sample_matrix.grid, nc, nc, weight_fn,
-        max_iterations=config.coarsening_iterations,
-    )
+    coarsening = coarsen(sample_matrix.grid, nc, nc, weight_fn)
     stage_seconds["coarsening"] = perf_counter() - start
 
     # ------------------------------------------------------------------
     # Stage 3: regionalization.
     # ------------------------------------------------------------------
     start = perf_counter()
-    regionalization = regionalize(
-        coarsening.grid, num_machines, weight_fn,
-        algorithm=config.tiling_algorithm,
-    )
+    regionalization = regionalize(coarsening.grid, num_machines, weight_fn)
     stage_seconds["regionalization"] = perf_counter() - start
 
     # ------------------------------------------------------------------
     # Map grid regions back to join-key space.
     # ------------------------------------------------------------------
-    mc_row_boundaries = _extend_boundaries(
-        sample_matrix.row_boundaries[coarsening.row_groups]
-    )
-    mc_col_boundaries = _extend_boundaries(
-        sample_matrix.col_boundaries[coarsening.col_groups]
-    )
-    key_regions = [
-        KeyRegion(
-            r1_lo=float(mc_row_boundaries[region.row_lo]),
-            r1_hi=float(mc_row_boundaries[region.row_hi + 1]),
-            r2_lo=float(mc_col_boundaries[region.col_lo]),
-            r2_hi=float(mc_col_boundaries[region.col_hi + 1]),
-            region_id=index,
-        )
-        for index, region in enumerate(regionalization.regions)
-    ]
+    mc_row_boundaries = open_ends(sample_matrix.row_boundaries[coarsening.row_groups])
+    mc_col_boundaries = open_ends(sample_matrix.col_boundaries[coarsening.col_groups])
 
     return EquiWeightHistogram(
-        key_regions=key_regions,
+        key_regions=key_regions(
+            regionalization.regions, mc_row_boundaries, mc_col_boundaries
+        ),
         grid_regions=regionalization.regions,
         mc_row_boundaries=mc_row_boundaries,
         mc_col_boundaries=mc_col_boundaries,

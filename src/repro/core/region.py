@@ -17,9 +17,12 @@ Two coordinate systems appear:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-__all__ = ["GridRegion", "KeyRegion"]
+import numpy as np
+
+__all__ = ["GridRegion", "KeyRegion", "key_regions"]
 
 
 @dataclass(frozen=True, order=True)
@@ -123,3 +126,19 @@ class KeyRegion:
         if math.isinf(self.r2_hi):
             return key >= self.r2_lo
         return self.r2_lo <= key < self.r2_hi
+
+
+def key_regions(
+    regions: Sequence[GridRegion], row_boundaries: np.ndarray, col_boundaries: np.ndarray
+) -> list[KeyRegion]:
+    """Grid regions as key regions, numbered in order, over the grid's key boundaries."""
+    return [
+        KeyRegion(
+            r1_lo=float(row_boundaries[region.row_lo]),
+            r1_hi=float(row_boundaries[region.row_hi + 1]),
+            r2_lo=float(col_boundaries[region.col_lo]),
+            r2_hi=float(col_boundaries[region.col_hi + 1]),
+            region_id=index,
+        )
+        for index, region in enumerate(regions)
+    ]

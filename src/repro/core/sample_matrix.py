@@ -21,14 +21,13 @@ regionalization never get stuck with an over-weight indivisible cell.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.grid import WeightedGrid
 from repro.joins.conditions import JoinCondition
-from repro.sampling.equidepth import EquiDepthHistogram
+from repro.sampling.equidepth import EquiDepthHistogram, bucket_index, open_ends
 from repro.sampling.stream_sample import JoinOutputSample
 
 __all__ = [
@@ -46,20 +45,13 @@ def candidate_mask(
 ) -> np.ndarray:
     """Candidate mask of the grid defined by the two boundary arrays.
 
-    The outermost boundaries are treated as extending to +-infinity so that
-    join keys beyond the sampled key range (which routing clamps into the
-    first/last bucket) can never land in a cell wrongly marked
-    non-candidate.
+    The outermost boundaries are treated as extending to +-infinity
+    (:func:`~repro.sampling.equidepth.open_ends`) so that join keys beyond the
+    sampled key range (which routing clamps into the first/last bucket) can
+    never land in a cell wrongly marked non-candidate.
     """
-    row_lo = row_boundaries[:-1].astype(np.float64).copy()
-    row_hi = row_boundaries[1:].astype(np.float64).copy()
-    col_lo = col_boundaries[:-1].astype(np.float64).copy()
-    col_hi = col_boundaries[1:].astype(np.float64).copy()
-    row_lo[0] = -math.inf
-    row_hi[-1] = math.inf
-    col_lo[0] = -math.inf
-    col_hi[-1] = math.inf
-    return condition.candidate_grid(row_lo, row_hi, col_lo, col_hi)
+    rows, cols = open_ends(row_boundaries), open_ends(col_boundaries)
+    return condition.candidate_grid(rows[:-1], rows[1:], cols[:-1], cols[1:])
 
 
 def candidate_cell_count(
@@ -112,26 +104,6 @@ class SampleMatrix:
         """Grid dimensions ``(rows, cols)``."""
         return self.grid.shape
 
-    def row_of_key(self, key: float) -> int:
-        """Grid row of an R1 join key (clamped into the grid)."""
-        idx = int(np.searchsorted(self.row_boundaries, key, side="right")) - 1
-        return min(max(idx, 0), self.grid.num_rows - 1)
-
-    def col_of_key(self, key: float) -> int:
-        """Grid column of an R2 join key (clamped into the grid)."""
-        idx = int(np.searchsorted(self.col_boundaries, key, side="right")) - 1
-        return min(max(idx, 0), self.grid.num_cols - 1)
-
-    def rows_of_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`row_of_key`."""
-        idx = np.searchsorted(self.row_boundaries, np.asarray(keys), side="right") - 1
-        return np.clip(idx, 0, self.grid.num_rows - 1)
-
-    def cols_of_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`col_of_key`."""
-        idx = np.searchsorted(self.col_boundaries, np.asarray(keys), side="right") - 1
-        return np.clip(idx, 0, self.grid.num_cols - 1)
-
 
 def build_sample_matrix(
     histogram1: EquiDepthHistogram,
@@ -162,14 +134,8 @@ def build_sample_matrix(
     frequency = np.zeros((num_rows, num_cols))
     sample_size = output_sample.size
     if sample_size > 0 and output_sample.total_output > 0:
-        rows = np.clip(
-            np.searchsorted(row_boundaries, output_sample.r1_keys, side="right") - 1,
-            0, num_rows - 1,
-        )
-        cols = np.clip(
-            np.searchsorted(col_boundaries, output_sample.r2_keys, side="right") - 1,
-            0, num_cols - 1,
-        )
+        rows = bucket_index(row_boundaries, output_sample.r1_keys)
+        cols = bucket_index(col_boundaries, output_sample.r2_keys)
         np.add.at(frequency, (rows, cols), 1.0)
         frequency *= output_sample.total_output / sample_size
         # Sampled pairs always satisfy the join, so their cells are genuine

@@ -90,8 +90,7 @@ class AdaptiveOperator(Operator):
         expected_output: int | None = None,
     ) -> OperatorRunResult:
         rng = rng or np.random.default_rng(0)
-        keys1 = np.asarray(keys1, dtype=np.float64)
-        keys2 = np.asarray(keys2, dtype=np.float64)
+        keys1, keys2 = np.asarray(keys1), np.asarray(keys2)
         if expected_output is None:
             expected_output = count_join_output(keys1, keys2, condition)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.histogram import EWHConfig
-from repro.core.weights import WeightFunction
+from repro.core.weights import STATS_SCAN_FACTOR, WeightFunction
 from repro.engine.cluster import JoinExecutionResult, run_partitioned_join
 from repro.joins.conditions import JoinCondition
 from repro.joins.local import count_join_output
@@ -42,16 +42,7 @@ __all__ = [
     "CIOperator",
     "CSIOperator",
     "CSIOOperator",
-    "DEFAULT_STATS_SCAN_FACTOR",
 ]
-
-#: Cost of scanning one tuple during the statistics phase, as a fraction of
-#: the join-phase input cost ``w_i``.  Statistics scans read and repartition
-#: tuples but do not run the local join, so they are cheaper per tuple; the
-#: default reproduces the paper's observation that building the CSIO scheme
-#: takes roughly a third of the total time for input-dominated joins and
-#: under 10% for output-dominated ones.
-DEFAULT_STATS_SCAN_FACTOR = 0.5
 
 
 @dataclass
@@ -117,11 +108,13 @@ class Operator(abc.ABC):
         """Build the scheme, execute the partitioned join and report metrics.
 
         ``expected_output`` (the exact join size) enables the correctness
-        check; when omitted it is computed once from the inputs.
+        check; when omitted it is computed once from the inputs.  Keys keep
+        their own dtype: the builders sample them as float64 for statistics,
+        but routing and counting compare the keys themselves, so int64 keys
+        above 2**53 are counted exactly.
         """
         rng = rng or np.random.default_rng(0)
-        keys1 = np.asarray(keys1, dtype=np.float64)
-        keys2 = np.asarray(keys2, dtype=np.float64)
+        keys1, keys2 = np.asarray(keys1), np.asarray(keys2)
         if expected_output is None:
             expected_output = count_join_output(keys1, keys2, condition)
 
@@ -189,11 +182,9 @@ class CSIOperator(Operator):
         self,
         num_machines: int,
         config: MBucketConfig | None = None,
-        stats_scan_factor: float = DEFAULT_STATS_SCAN_FACTOR,
     ) -> None:
         super().__init__(num_machines)
         self.config = config or MBucketConfig()
-        self.stats_scan_factor = stats_scan_factor
 
     def build_partitioning(self, keys1, keys2, condition, weight_fn, rng):
         partitioning = build_m_bucket_partitioning(
@@ -204,7 +195,7 @@ class CSIOperator(Operator):
         # parallelised over the machines.
         scan_tuples = 2.0 * (len(keys1) + len(keys2))
         stats_cost = (
-            self.stats_scan_factor
+            STATS_SCAN_FACTOR
             * weight_fn.input_cost
             * scan_tuples
             / self.num_machines
@@ -221,11 +212,9 @@ class CSIOOperator(Operator):
         self,
         num_machines: int,
         config: EWHConfig | None = None,
-        stats_scan_factor: float = DEFAULT_STATS_SCAN_FACTOR,
     ) -> None:
         super().__init__(num_machines)
         self.config = config or EWHConfig()
-        self.stats_scan_factor = stats_scan_factor
 
     def build_partitioning(self, keys1, keys2, condition, weight_fn, rng):
         partitioning = build_ewh_partitioning(
@@ -240,7 +229,7 @@ class CSIOOperator(Operator):
             stats.sample_pairs_produced
         )
         stats_cost = (
-            self.stats_scan_factor
+            STATS_SCAN_FACTOR
             * weight_fn.input_cost
             * (scan_tuples + extra_tuples)
             / self.num_machines

@@ -16,9 +16,10 @@ order (NaN last, as every numpy sort and search orders it), region
     start = 0                 if row_lo == 0    else searchsorted(sorted_keys, b[row_lo], "left")
     stop  = len(sorted_keys)  if row_hi == last else searchsorted(sorted_keys, b[row_hi + 1], "left")
 
-This is exactly :meth:`GridRoutedPartitioning._row_index` membership.  That
-method puts key ``k`` in row ``clip(c(k) - 1, 0, last)``, ``c(k)`` being how
-many boundaries are ``<= k`` (all of them for NaN).  For ``row_lo >= 1`` the
+This is exactly membership by :func:`~repro.sampling.equidepth.bucket_index`,
+the rule :meth:`GridRoutedPartitioning.assign_r1` routes by.  It puts key
+``k`` in row ``clip(c(k) - 1, 0, last)``, ``c(k)`` being how many boundaries
+are ``<= k`` (all of them for NaN).  For ``row_lo >= 1`` the
 lower clamp cannot reach ``row_lo``, so ``row(k) >= row_lo`` iff ``c(k) >=
 row_lo + 1`` iff ``b[row_lo] <= k`` (``b`` ascends) -- the keys from ``start``
 on; for ``row_lo == 0`` the clamp makes it hold for every key -- ``start =
@@ -35,8 +36,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.region import GridRegion, KeyRegion
+from repro.core.region import GridRegion, KeyRegion, key_regions
 from repro.partitioning.base import Partitioning
+from repro.sampling.equidepth import bucket_index
 
 __all__ = ["GridRoutedPartitioning"]
 
@@ -120,25 +122,15 @@ class GridRoutedPartitioning(Partitioning):
     def num_regions(self) -> int:
         return len(self.regions)
 
-    def _row_index(self, keys: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.row_boundaries, np.asarray(keys, dtype=np.float64),
-                              side="right") - 1
-        return np.clip(idx, 0, len(self.row_boundaries) - 2)
-
-    def _col_index(self, keys: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.col_boundaries, np.asarray(keys, dtype=np.float64),
-                              side="right") - 1
-        return np.clip(idx, 0, len(self.col_boundaries) - 2)
-
     def assign_r1(self, keys: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
-        rows = self._row_index(keys)
+        rows = bucket_index(self.row_boundaries, keys)
         return [
             np.flatnonzero((rows >= region.row_lo) & (rows <= region.row_hi))
             for region in self.regions
         ]
 
     def assign_r2(self, keys: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
-        cols = self._col_index(keys)
+        cols = bucket_index(self.col_boundaries, keys)
         return [
             np.flatnonzero((cols >= region.col_lo) & (cols <= region.col_hi))
             for region in self.regions
@@ -155,7 +147,7 @@ class GridRoutedPartitioning(Partitioning):
 
         The slice rule of the module docstring: no per-region mask, gather
         or sort.  The search runs on a float64 view of the sorted keys, as
-        :meth:`_row_index` compares them (the conversion is monotone, so
+        ``bucket_index`` compares them (the conversion is monotone, so
         the view is sorted too); the keys handed out keep the batch's own
         dtype.  Slices are views of two arrays made here, never of ``keys``.
         """
@@ -178,16 +170,7 @@ class GridRoutedPartitioning(Partitioning):
     # ------------------------------------------------------------------
     def key_regions(self) -> list[KeyRegion]:
         """The regions expressed as rectangles in join-key space."""
-        return [
-            KeyRegion(
-                r1_lo=float(self.row_boundaries[region.row_lo]),
-                r1_hi=float(self.row_boundaries[region.row_hi + 1]),
-                r2_lo=float(self.col_boundaries[region.col_lo]),
-                r2_hi=float(self.col_boundaries[region.col_hi + 1]),
-                region_id=index,
-            )
-            for index, region in enumerate(self.regions)
-        ]
+        return key_regions(self.regions, self.row_boundaries, self.col_boundaries)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

@@ -23,16 +23,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.grid import candidate_spans, smallest_feasible
 from repro.core.region import GridRegion
 from repro.core.sample_matrix import candidate_mask
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import JoinCondition
 from repro.obs.clock import perf_counter
 from repro.partitioning.grid_routed import GridRoutedPartitioning
-from repro.sampling.equidepth import EquiDepthHistogram, build_equidepth_histogram
+from repro.sampling.equidepth import build_equidepth_histogram, open_ends
 from repro.sampling.sizes import input_sample_size
 
 __all__ = ["MBucketConfig", "MBucketPartitioning", "build_m_bucket_partitioning"]
+
+#: Midpoints the region-weight threshold search may try after its two ends.
+MAX_MIDPOINTS = 25
 
 
 @dataclass(frozen=True)
@@ -44,19 +48,16 @@ class MBucketConfig:
     num_buckets:
         ``p``, the number of equi-depth buckets per relation (the paper's
         baseline uses 2000 at cluster scale and sweeps it in Table V).
-    max_band_rows:
-        Cap on how many grid rows a single horizontal band may span while
-        searching for the best band height (bounds the heuristic's cost);
-        ``None`` means no cap.
-    max_search_steps:
-        Iterations of the binary search over the region-weight threshold.
     seed:
         Seed used when the caller does not pass a random generator.
+
+    The region search is not configurable: bands may span any number of
+    rows, and the threshold search is
+    :func:`~repro.core.grid.smallest_feasible` with at most
+    :data:`MAX_MIDPOINTS` midpoints.
     """
 
     num_buckets: int = 200
-    max_band_rows: int | None = None
-    max_search_steps: int = 25
     seed: int = 2016
 
 
@@ -76,18 +77,6 @@ class MBucketPartitioning(GridRoutedPartitioning):
         super().__init__(row_boundaries, col_boundaries, regions, scheme_name="CSI")
         self.num_candidate_cells = num_candidate_cells
         self.build_seconds = build_seconds
-
-
-def _row_candidate_spans(candidate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row first/last candidate column (-1 when the row has none)."""
-    rows, cols = candidate.shape
-    lo = np.full(rows, -1, dtype=np.int64)
-    hi = np.full(rows, -1, dtype=np.int64)
-    has_any = candidate.any(axis=1)
-    if has_any.any():
-        lo[has_any] = np.argmax(candidate[has_any], axis=1)
-        hi[has_any] = cols - 1 - np.argmax(candidate[has_any, ::-1], axis=1)
-    return lo, hi
 
 
 def _cover_band(
@@ -126,7 +115,6 @@ def _cover(
     bucket_size2: float,
     weight_fn: WeightFunction,
     threshold: float,
-    max_band_rows: int | None,
 ) -> list[GridRegion] | None:
     """Cover all candidate cells with regions under ``threshold`` (M-Bucket-I sweep)."""
     num_rows = len(span_lo)
@@ -141,8 +129,7 @@ def _cover(
         best_regions: list[GridRegion] | None = None
         band_col_lo = None
         band_col_hi = None
-        limit = num_rows if max_band_rows is None else min(num_rows, row + max_band_rows)
-        for end in range(row, limit):
+        for end in range(row, num_rows):
             if span_lo[end] >= 0:
                 if band_col_lo is None:
                     band_col_lo, band_col_hi = int(span_lo[end]), int(span_hi[end])
@@ -215,54 +202,45 @@ def build_m_bucket_partitioning(
     hist2 = build_equidepth_histogram(sample2, p, len(keys2))
 
     candidate = candidate_mask(hist1.boundaries, hist2.boundaries, condition)
-    span_lo, span_hi = _row_candidate_spans(candidate)
-    bucket_size1 = hist1.expected_bucket_size
-    bucket_size2 = hist2.expected_bucket_size
-
-    # Binary search the smallest input-weight threshold coverable with <= J regions.
-    lower = weight_fn.input_cost * (bucket_size1 + bucket_size2)
-    upper = weight_fn.input_cost * (
-        hist1.num_buckets * bucket_size1 + hist2.num_buckets * bucket_size2
+    regions = _m_bucket_regions(
+        candidate, hist1.expected_bucket_size, hist2.expected_bucket_size,
+        weight_fn, num_machines,
     )
-    upper = max(upper, lower)
+    build_seconds = perf_counter() - start
+    return MBucketPartitioning(
+        row_boundaries=open_ends(hist1.boundaries),
+        col_boundaries=open_ends(hist2.boundaries),
+        regions=regions,
+        num_candidate_cells=int(candidate.sum()),
+        build_seconds=build_seconds,
+    )
+
+
+def _m_bucket_regions(
+    candidate: np.ndarray,
+    bucket_size1: float,
+    bucket_size2: float,
+    weight_fn: WeightFunction,
+    num_machines: int,
+) -> list[GridRegion]:
+    """At most ``num_machines`` regions covering the candidate cells, balanced on input.
+
+    Searches the smallest input-weight threshold the M-Bucket-I sweep covers
+    with at most J regions, between one cell's input and the whole grid's.
+    """
+    span_lo, span_hi = candidate_spans(candidate)
+    num_rows, num_cols = candidate.shape
+    lower = weight_fn.input_cost * (bucket_size1 + bucket_size2)
+    upper = weight_fn.input_cost * (num_rows * bucket_size1 + num_cols * bucket_size2)
 
     def feasible(threshold: float) -> list[GridRegion] | None:
-        regions = _cover(
-            span_lo, span_hi, bucket_size1, bucket_size2, weight_fn, threshold,
-            config.max_band_rows,
-        )
+        regions = _cover(span_lo, span_hi, bucket_size1, bucket_size2, weight_fn, threshold)
         if regions is None or len(regions) > num_machines:
             return None
         return regions
 
-    best = feasible(upper)
-    if best is None:
+    _, regions, _ = smallest_feasible(feasible, lower, max(upper, lower), MAX_MIDPOINTS)
+    if regions is None:
         # Even a single full-matrix region is a valid cover; fall back to it.
-        best = [GridRegion(0, hist1.num_buckets - 1, 0, hist2.num_buckets - 1)]
-    low_result = feasible(lower)
-    if low_result is not None:
-        best = low_result
-    else:
-        for _ in range(config.max_search_steps):
-            if upper - lower <= 0.01 * max(upper, 1.0):
-                break
-            mid = (lower + upper) / 2.0
-            result = feasible(mid)
-            if result is None:
-                lower = mid
-            else:
-                upper = mid
-                best = result
-
-    row_boundaries = hist1.boundaries.copy()
-    col_boundaries = hist2.boundaries.copy()
-    row_boundaries[0], row_boundaries[-1] = -np.inf, np.inf
-    col_boundaries[0], col_boundaries[-1] = -np.inf, np.inf
-    build_seconds = perf_counter() - start
-    return MBucketPartitioning(
-        row_boundaries=row_boundaries,
-        col_boundaries=col_boundaries,
-        regions=best,
-        num_candidate_cells=int(candidate.sum()),
-        build_seconds=build_seconds,
-    )
+        regions = [GridRegion(0, num_rows - 1, 0, num_cols - 1)]
+    return regions

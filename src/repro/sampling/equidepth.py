@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EquiDepthHistogram", "build_equidepth_histogram"]
+__all__ = ["EquiDepthHistogram", "bucket_index", "build_equidepth_histogram", "open_ends"]
 
 
 @dataclass(frozen=True)
@@ -54,30 +54,31 @@ class EquiDepthHistogram:
         """Expected number of tuples per bucket (``n / num_buckets``)."""
         return self.num_tuples / self.num_buckets
 
-    def bucket_of(self, key: float) -> int:
-        """Index of the bucket containing ``key`` (clamped to the domain)."""
-        idx = int(np.searchsorted(self.boundaries, key, side="right")) - 1
-        return min(max(idx, 0), self.num_buckets - 1)
 
-    def buckets_of(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`bucket_of`."""
-        keys = np.asarray(keys, dtype=np.float64)
-        idx = np.searchsorted(self.boundaries, keys, side="right") - 1
-        return np.clip(idx, 0, self.num_buckets - 1)
+def bucket_index(boundaries: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The bucket (grid row or column) of each key over ascending ``boundaries``.
 
-    def bucket_range(self, index: int) -> tuple[float, float]:
-        """Closed key range ``[lo, hi]`` covered by bucket ``index``."""
-        if not 0 <= index < self.num_buckets:
-            raise IndexError(f"bucket index {index} out of range")
-        return float(self.boundaries[index]), float(self.boundaries[index + 1])
+    Key ``k`` lands in bucket ``i`` when ``boundaries[i] <= k <
+    boundaries[i + 1]``, clamped into ``0 .. len(boundaries) - 2``: keys below
+    the first boundary fall in the first bucket, and keys at or above the last
+    one (and NaN) in the last.  Keys are compared as float64.  The sample
+    matrix, Stream-Sample's per-bucket counts and grid routing all place keys
+    by this one rule.
+    """
+    index = np.searchsorted(boundaries, np.asarray(keys, dtype=np.float64), side="right") - 1
+    return np.clip(index, 0, len(boundaries) - 2)
 
-    def buckets_overlapping(self, lo: float, hi: float) -> tuple[int, int]:
-        """Inclusive range of bucket indexes intersecting the key range ``[lo, hi]``."""
-        if hi < lo:
-            raise ValueError("hi must be >= lo")
-        first = self.bucket_of(lo)
-        last = self.bucket_of(hi)
-        return first, last
+
+def open_ends(boundaries: np.ndarray) -> np.ndarray:
+    """A float64 copy of ``boundaries`` with the outermost two opened to -inf / +inf.
+
+    :func:`bucket_index` clamps keys outside the sampled range into the first
+    or last bucket, so those buckets' key ranges extend to infinity -- in the
+    candidate mask and in the routed plan.
+    """
+    opened = np.asarray(boundaries, dtype=np.float64).copy()
+    opened[0], opened[-1] = -np.inf, np.inf
+    return opened
 
 
 def build_equidepth_histogram(

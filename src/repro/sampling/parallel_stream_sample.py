@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.joins.conditions import JoinCondition
-from repro.sampling.equidepth import EquiDepthHistogram, build_equidepth_histogram
+from repro.sampling.equidepth import EquiDepthHistogram, bucket_index, build_equidepth_histogram
 from repro.sampling.reservoir import merge_reservoirs, weighted_sample_wor, wor_to_wr
 from repro.sampling.stream_sample import (
     D2Index,
@@ -89,7 +89,7 @@ def _partition_by_histogram(
     keys: np.ndarray, histogram: EquiDepthHistogram, num_workers: int
 ) -> list[np.ndarray]:
     """Route keys to workers by contiguous equi-depth bucket ranges."""
-    buckets = histogram.buckets_of(keys)
+    buckets = bucket_index(histogram.boundaries, keys)
     # Map each histogram bucket to a worker so that consecutive buckets go to
     # the same worker (range partitioning over bucket indexes).
     worker_of_bucket = (

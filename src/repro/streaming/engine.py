@@ -82,7 +82,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.histogram import EWHConfig
-from repro.core.weights import WeightFunction
+from repro.core.weights import STATS_SCAN_FACTOR, WeightFunction
 from repro.joins.conditions import JoinCondition
 from repro.joins.local import count_join_output
 from repro.obs.clock import perf_counter
@@ -109,11 +109,6 @@ from repro.streaming.source import MicroBatch, StreamSource
 from repro.streaming.window import WindowPolicy, make_window
 
 __all__ = ["StreamingJoinEngine", "compare_streaming_schemes"]
-
-#: Per-tuple cost of scanning the sample state during a rebuild, as a
-#: fraction of the join input cost (mirrors the batch operators' statistics
-#: scan factor).
-REBUILD_SCAN_FACTOR = 0.5
 
 
 class StreamingJoinEngine:
@@ -241,7 +236,7 @@ class StreamingJoinEngine:
     def _rebuild_charge(self) -> float:
         """Cost of one histogram (re)build, spread over the cluster."""
         return (
-            REBUILD_SCAN_FACTOR
+            STATS_SCAN_FACTOR
             * self.weight_fn.input_cost
             * self.histogram.sample_tuples
             / self.num_machines

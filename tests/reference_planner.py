@@ -1,10 +1,12 @@
-"""Reference planner kernels: the pre-rewrite tiling DP and coarsening sweep.
+"""Reference planner kernels: the pre-rewrite tiling DP, sweep and searches.
 
 Test-only.  These are the implementations ``repro.core`` shipped before the
 planner kernels were rewritten around shared tiling tables and a vectorised
-sweep, kept verbatim as the differential oracle: the production kernels must
-return bit-identical plans (same regions in the same order, same floats,
-same rectangle counts).  They are deliberately slow and self-contained --
+sweep, and the three threshold searches (regionalization, coarsening's
+per-axis search, M-Bucket's region search) as each was written out before
+they became one ``smallest_feasible``, kept verbatim as the differential
+oracle: the production kernels must return bit-identical plans (same regions
+in the same order, same floats, same rectangle counts, same search steps).  They are deliberately slow and self-contained --
 every rectangle is a frozen :class:`GridRegion`, every shrink is a numpy
 slice, every weight goes through ``WeightFunction.weight`` -- and share only
 ``GridRegion``, ``WeightFunction`` and the grid's public arrays with the
@@ -19,6 +21,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.bsp import BSPResult
+from repro.core.coarsening import (
+    CoarseningResult,
+    _aggregate_columns,
+    _build_coarse_grid,
+    _even_boundaries,
+    _sweep_rows,
+)
 from repro.core.grid import WeightedGrid
 from repro.core.region import GridRegion
 from repro.core.regionalization import RegionalizationResult
@@ -265,12 +274,11 @@ def reference_regionalize(
     grid: WeightedGrid,
     num_machines: int,
     weight_fn: WeightFunction,
-    algorithm: str = "monotonic_bsp",
     tolerance: float = 0.01,
     max_search_steps: int = 30,
 ) -> RegionalizationResult:
     """The binary search, re-running a from-scratch tiling at every step."""
-    tiling = {"monotonic_bsp": reference_monotonic_bsp, "bsp": reference_bsp}[algorithm]
+    tiling = reference_monotonic_bsp
     if not grid.candidate.any():
         return RegionalizationResult(
             regions=[], delta=0.0, max_region_weight=0.0, search_steps=0
@@ -366,3 +374,255 @@ def reference_sweep_rows(
     if len(boundaries) - 1 > max_groups:
         return None
     return np.asarray(boundaries, dtype=np.int64)
+
+
+# ----------------------------------------------------------------------
+# Coarsening: the per-axis threshold search and the alternating passes
+# ----------------------------------------------------------------------
+def reference_optimize_axis(
+    grid: WeightedGrid,
+    col_bounds: np.ndarray,
+    weight_fn: WeightFunction,
+    max_groups: int,
+    low: float,
+    tolerance: float,
+    max_search_steps: int,
+) -> np.ndarray:
+    """Choose row boundaries minimising the max candidate-block weight for fixed columns."""
+    freq_by_group, cand_by_group, col_input_by_group = _aggregate_columns(
+        grid, col_bounds
+    )
+
+    def feasible(threshold: float) -> np.ndarray | None:
+        return _sweep_rows(
+            freq_by_group, cand_by_group, grid.row_input, col_input_by_group,
+            weight_fn, threshold, max_groups,
+        )
+
+    high = weight_fn.weight(grid.total_input, grid.total_output)
+    high = max(high, low)
+    best = feasible(high)
+    if best is None:
+        # A single group per row always fits max_groups >= 1 at an infinite
+        # threshold; reaching here means max_groups < 1, which is invalid.
+        raise RuntimeError("coarsening sweep failed at the trivial threshold")
+    result = feasible(low)
+    if result is not None:
+        return result
+    for _ in range(max_search_steps):
+        if high - low <= tolerance * max(high, 1.0):
+            break
+        mid = (low + high) / 2.0
+        candidate_bounds = feasible(mid)
+        if candidate_bounds is None:
+            low = mid
+        else:
+            high = mid
+            best = candidate_bounds
+    return best
+
+
+def reference_coarsen(
+    grid: WeightedGrid,
+    num_row_groups: int,
+    num_col_groups: int | None = None,
+    weight_fn: WeightFunction | None = None,
+    max_iterations: int = 4,
+    tolerance: float = 0.01,
+    max_search_steps: int = 25,
+) -> CoarseningResult:
+    """Coarsen a weighted grid into ``num_row_groups x num_col_groups`` blocks."""
+    weight_fn = weight_fn or WeightFunction()
+    num_col_groups = num_col_groups or num_row_groups
+    num_row_groups = max(1, min(num_row_groups, grid.num_rows))
+    num_col_groups = max(1, min(num_col_groups, grid.num_cols))
+
+    row_bounds = _even_boundaries(grid.num_rows, num_row_groups)
+    col_bounds = _even_boundaries(grid.num_cols, num_col_groups)
+
+    best_grid = _build_coarse_grid(grid, row_bounds, col_bounds)
+    best_weight = best_grid.max_cell_weight(weight_fn, candidates_only=True)
+    best_bounds = (row_bounds, col_bounds)
+    iterations_run = 0
+
+    transposed = WeightedGrid(
+        frequency=grid.frequency.T,
+        row_input=grid.col_input,
+        col_input=grid.row_input,
+        candidate=grid.candidate.T,
+    )
+
+    heaviest_cell = grid.max_cell_weight(weight_fn, candidates_only=True)
+
+    for iteration in range(max_iterations):
+        iterations_run = iteration + 1
+        row_bounds = reference_optimize_axis(
+            grid, col_bounds, weight_fn, num_row_groups, heaviest_cell,
+            tolerance, max_search_steps,
+        )
+        col_bounds = reference_optimize_axis(
+            transposed, row_bounds, weight_fn, num_col_groups, heaviest_cell,
+            tolerance, max_search_steps,
+        )
+        coarse = _build_coarse_grid(grid, row_bounds, col_bounds)
+        weight = coarse.max_cell_weight(weight_fn, candidates_only=True)
+        if weight < best_weight - 1e-12:
+            best_weight = weight
+            best_grid = coarse
+            best_bounds = (row_bounds, col_bounds)
+        else:
+            break
+
+    return CoarseningResult(
+        grid=best_grid,
+        row_groups=np.asarray(best_bounds[0], dtype=np.int64),
+        col_groups=np.asarray(best_bounds[1], dtype=np.int64),
+        max_cell_weight=float(best_weight),
+        iterations=iterations_run,
+    )
+
+
+# ----------------------------------------------------------------------
+# M-Bucket: the M-Bucket-I sweep and its region-weight threshold search
+# ----------------------------------------------------------------------
+def _row_candidate_spans(candidate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row first/last candidate column (-1 when the row has none)."""
+    rows, cols = candidate.shape
+    lo = np.full(rows, -1, dtype=np.int64)
+    hi = np.full(rows, -1, dtype=np.int64)
+    has_any = candidate.any(axis=1)
+    if has_any.any():
+        lo[has_any] = np.argmax(candidate[has_any], axis=1)
+        hi[has_any] = cols - 1 - np.argmax(candidate[has_any, ::-1], axis=1)
+    return lo, hi
+
+
+def _cover_band(
+    row_lo: int,
+    row_hi: int,
+    col_lo: int,
+    col_hi: int,
+    bucket_size1: float,
+    bucket_size2: float,
+    weight_fn: WeightFunction,
+    threshold: float,
+) -> list[GridRegion] | None:
+    """Cover columns ``[col_lo..col_hi]`` of a row band with side-by-side regions."""
+    rows = row_hi - row_lo + 1
+    row_cost = weight_fn.input_cost * rows * bucket_size1
+    col_unit = weight_fn.input_cost * bucket_size2
+    budget = threshold - row_cost
+    if col_unit <= 0:
+        return [GridRegion(row_lo, row_hi, col_lo, col_hi)]
+    max_width = int(budget // col_unit)
+    if max_width < 1:
+        return None
+    regions = []
+    col = col_lo
+    while col <= col_hi:
+        end = min(col_hi, col + max_width - 1)
+        regions.append(GridRegion(row_lo, row_hi, col, end))
+        col = end + 1
+    return regions
+
+
+def _cover(
+    span_lo: np.ndarray,
+    span_hi: np.ndarray,
+    bucket_size1: float,
+    bucket_size2: float,
+    weight_fn: WeightFunction,
+    threshold: float,
+    max_band_rows: int | None,
+) -> list[GridRegion] | None:
+    """Cover all candidate cells with regions under ``threshold`` (M-Bucket-I sweep)."""
+    num_rows = len(span_lo)
+    regions: list[GridRegion] = []
+    row = 0
+    while row < num_rows:
+        if span_lo[row] < 0:
+            row += 1
+            continue
+        best_score = -1.0
+        best_end = None
+        best_regions: list[GridRegion] | None = None
+        band_col_lo = None
+        band_col_hi = None
+        limit = num_rows if max_band_rows is None else min(num_rows, row + max_band_rows)
+        for end in range(row, limit):
+            if span_lo[end] >= 0:
+                if band_col_lo is None:
+                    band_col_lo, band_col_hi = int(span_lo[end]), int(span_hi[end])
+                else:
+                    band_col_lo = min(band_col_lo, int(span_lo[end]))
+                    band_col_hi = max(band_col_hi, int(span_hi[end]))
+            if band_col_lo is None:
+                continue
+            band_regions = _cover_band(
+                row, end, band_col_lo, band_col_hi,
+                bucket_size1, bucket_size2, weight_fn, threshold,
+            )
+            if band_regions is None:
+                break
+            score = (end - row + 1) / max(len(band_regions), 1)
+            if score > best_score + 1e-12:
+                best_score = score
+                best_end = end
+                best_regions = band_regions
+        if best_regions is None:
+            return None
+        regions.extend(best_regions)
+        row = best_end + 1
+    return regions
+
+
+def reference_m_bucket_regions(
+    candidate: np.ndarray,
+    bucket_size1: float,
+    bucket_size2: float,
+    weight_fn: WeightFunction,
+    num_machines: int,
+    max_band_rows: int | None = None,
+    max_search_steps: int = 25,
+) -> list[GridRegion]:
+    """M-Bucket's regions over a candidate mask: the search as it was written
+    inside ``build_m_bucket_partitioning``, with ``hist1.num_buckets`` /
+    ``hist2.num_buckets`` read off the mask's shape."""
+    num_buckets1, num_buckets2 = candidate.shape
+    span_lo, span_hi = _row_candidate_spans(candidate)
+
+    # Binary search the smallest input-weight threshold coverable with <= J regions.
+    lower = weight_fn.input_cost * (bucket_size1 + bucket_size2)
+    upper = weight_fn.input_cost * (
+        num_buckets1 * bucket_size1 + num_buckets2 * bucket_size2
+    )
+    upper = max(upper, lower)
+
+    def feasible(threshold: float) -> list[GridRegion] | None:
+        regions = _cover(
+            span_lo, span_hi, bucket_size1, bucket_size2, weight_fn, threshold,
+            max_band_rows,
+        )
+        if regions is None or len(regions) > num_machines:
+            return None
+        return regions
+
+    best = feasible(upper)
+    if best is None:
+        # Even a single full-matrix region is a valid cover; fall back to it.
+        best = [GridRegion(0, num_buckets1 - 1, 0, num_buckets2 - 1)]
+    low_result = feasible(lower)
+    if low_result is not None:
+        best = low_result
+    else:
+        for _ in range(max_search_steps):
+            if upper - lower <= 0.01 * max(upper, 1.0):
+                break
+            mid = (lower + upper) / 2.0
+            result = feasible(mid)
+            if result is None:
+                lower = mid
+            else:
+                upper = mid
+                best = result
+    return best

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.coarsening import coarsen, coarsened_size
+from repro.core.coarsening import MAX_ITERATIONS, coarsen, coarsened_size
 from repro.core.grid import WeightedGrid
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import BandJoinCondition
@@ -134,8 +134,8 @@ class TestCoarsen:
 
     def test_iterations_reported(self):
         grid = band_grid(16, beta=20.0, seed=9)
-        result = coarsen(grid, 4, max_iterations=3)
-        assert 1 <= result.iterations <= 3
+        result = coarsen(grid, 4)
+        assert 1 <= result.iterations <= MAX_ITERATIONS
 
     @given(seed=st.integers(0, 200), groups=st.integers(2, 6))
     @settings(max_examples=20, deadline=None)

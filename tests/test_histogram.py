@@ -111,15 +111,6 @@ class TestConfiguration:
         )
         assert histogram.sample_matrix.grid.num_rows <= 20
 
-    def test_baseline_bsp_tiling_option(self, skewed_inputs):
-        keys1, keys2 = skewed_inputs
-        config = EWHConfig(tiling_algorithm="bsp", max_coarsened_size=8)
-        histogram = build_equi_weight_histogram(
-            keys1, keys2, BandJoinCondition(beta=2.0), 4,
-            WeightFunction(), config=config, rng=np.random.default_rng(1),
-        )
-        assert 1 <= histogram.num_regions <= 4
-
     def test_empty_relation_rejected(self):
         with pytest.raises(ValueError):
             build_equi_weight_histogram(

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core.histogram import EWHConfig
-from repro.core.weights import WeightFunction
+from repro.core.weights import STATS_SCAN_FACTOR, WeightFunction
 from repro.engine.adaptive import AdaptiveOperator
 from repro.engine.operators import CIOperator, CSIOOperator, CSIOperator
-from repro.joins.conditions import BandJoinCondition
+from repro.joins.conditions import BandJoinCondition, EquiJoinCondition
 from repro.joins.local import count_join_output
 from repro.partitioning.m_bucket import MBucketConfig
 
@@ -56,16 +56,14 @@ class TestOperatorRuns:
 
     def test_csi_charges_two_scans(self, jps_workload):
         keys1, keys2, condition, weight_fn, _ = jps_workload
-        operator = CSIOperator(8, stats_scan_factor=0.5)
-        result = operator.run(keys1, keys2, condition, weight_fn)
-        expected = 0.5 * weight_fn.input_cost * 2 * (len(keys1) + len(keys2)) / 8
+        result = CSIOperator(8).run(keys1, keys2, condition, weight_fn)
+        expected = STATS_SCAN_FACTOR * weight_fn.input_cost * 2 * (len(keys1) + len(keys2)) / 8
         assert result.stats_cost == pytest.approx(expected)
 
     def test_csio_charges_at_least_one_scan(self, jps_workload):
         keys1, keys2, condition, weight_fn, _ = jps_workload
-        operator = CSIOOperator(8, stats_scan_factor=0.5)
-        result = operator.run(keys1, keys2, condition, weight_fn)
-        one_scan = 0.5 * weight_fn.input_cost * (len(keys1) + len(keys2)) / 8
+        result = CSIOOperator(8).run(keys1, keys2, condition, weight_fn)
+        one_scan = STATS_SCAN_FACTOR * weight_fn.input_cost * (len(keys1) + len(keys2)) / 8
         assert result.stats_cost >= one_scan
         # ...but the extra d2equi/output-sample work is small relative to a
         # full second scan (the paper's efficiency argument).
@@ -117,6 +115,23 @@ class TestOperatorRuns:
         result = CIOperator(4).run(keys1, keys2, condition, weight_fn)
         assert result.output_correct
         assert result.total_output == exact
+
+    @pytest.mark.parametrize("make_operator", [
+        CIOperator, CSIOperator, CSIOOperator,
+        lambda machines: AdaptiveOperator(machines, fallback_seconds_per_million=10_000.0),
+    ], ids=["CI", "CSI", "CSIO", "CSIO-adaptive"])
+    def test_integer_keys_are_counted_in_their_own_dtype(self, make_operator):
+        """Above 2**53 a float64 cast merges neighbouring int64 keys: equi on
+        2**53 vs 2**53 + 1 would match, and the expected count with it."""
+        big = 2**53
+        keys1 = np.array([big, big + 2, 5, 9], dtype=np.int64)
+        keys2 = np.array([big + 1, big + 3, 5, 9], dtype=np.int64)
+        result = make_operator(2).run(
+            keys1, keys2, EquiJoinCondition(), WeightFunction(),
+            rng=np.random.default_rng(0),
+        )
+        assert result.total_output == 2
+        assert result.output_correct
 
 
 class TestAdaptiveOperator:

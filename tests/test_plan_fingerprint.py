@@ -4,8 +4,9 @@ Three jobs shaped like the wall-clock benchmark's (generated inline with
 numpy, fixed seeds) pin a SHA-256 of everything that defines the plan a
 build hands to the router: the key regions in order, the threshold the
 binary search settled on and its step count, and the coarsening boundaries.
-The digests were recorded before the tiling and coarsening kernels were
-rewritten, so a failure here means a plan moved -- a float summed in another
+The CSIO digests were recorded before the tiling and coarsening kernels were
+rewritten, and the CSI (M-Bucket) ones before the three threshold searches
+became one, so a failure here means a plan moved -- a float summed in another
 order, a tie broken differently -- not that timing changed.
 """
 
@@ -19,6 +20,7 @@ import pytest
 from repro.core.histogram import build_equi_weight_histogram
 from repro.core.weights import BAND_JOIN_WEIGHTS
 from repro.joins.conditions import BandJoinCondition
+from repro.partitioning.m_bucket import build_m_bucket_partitioning
 
 
 def sparse_keys(rng: np.random.Generator, size: int) -> list[np.ndarray]:
@@ -49,18 +51,23 @@ def zipf_keys(rng: np.random.Generator, size: int) -> list[np.ndarray]:
     return [rng.choice(num_values, size=size, p=weights) for _ in range(2)]
 
 
+def key_regions_text(key_regions) -> str:
+    """The key regions in order, floats rendered exactly."""
+    return ";".join(
+        ",".join(
+            [float(bound).hex() for bound in
+             (region.r1_lo, region.r1_hi, region.r2_lo, region.r2_hi)]
+            + [str(region.region_id)]
+        )
+        for region in key_regions
+    )
+
+
 def plan_fingerprint(histogram) -> str:
     """SHA-256 over the plan-defining fields, floats rendered exactly."""
     regionalization = histogram.regionalization
     parts = [
-        ";".join(
-            ",".join(
-                [float(bound).hex() for bound in
-                 (region.r1_lo, region.r1_hi, region.r2_lo, region.r2_hi)]
-                + [str(region.region_id)]
-            )
-            for region in histogram.key_regions
-        ),
+        key_regions_text(histogram.key_regions),
         float(regionalization.delta).hex(),
         str(regionalization.search_steps),
         ",".join(map(str, histogram.coarsening.row_groups.tolist())),
@@ -90,3 +97,33 @@ def test_plan_fingerprint_is_pinned(name):
     )
     assert 1 <= histogram.num_regions <= machines
     assert plan_fingerprint(histogram) == expected
+
+
+#: CSI digests of the same jobs: key regions in order, grid regions, and the
+#: candidate-cell count of the M-Bucket grid.
+M_BUCKET_DIGESTS = {
+    "sparse": "003eb10a11fae6153df71f28da027a2889aae1af6c41e461dc93fa541ffca489",
+    "hot_segment": "e70ac9ca98bf101c7209b3bc2d7d84f2752c57a46830175a49608f9b5342c376",
+    "zipf": "fae2b74434a518bb449eb5b9742801b5f556f73754ceb911a162885b8240a613",
+}
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_m_bucket_plan_fingerprint_is_pinned(name):
+    make_keys, size, beta, machines, seed, _ = JOBS[name]
+    keys1, keys2 = make_keys(np.random.default_rng(seed), size)
+    partitioning = build_m_bucket_partitioning(
+        keys1.astype(np.float64), keys2.astype(np.float64),
+        BandJoinCondition(beta=beta), machines, BAND_JOIN_WEIGHTS,
+        rng=np.random.default_rng(seed),
+    )
+    assert 1 <= partitioning.num_regions <= machines
+    parts = [
+        key_regions_text(partitioning.key_regions()),
+        ";".join(
+            f"{r.row_lo},{r.row_hi},{r.col_lo},{r.col_hi}" for r in partitioning.regions
+        ),
+        str(partitioning.num_candidate_cells),
+    ]
+    digest = hashlib.sha256("|".join(parts).encode()).hexdigest()
+    assert digest == M_BUCKET_DIGESTS[name]

@@ -1,34 +1,41 @@
 """Differential tests: the planner kernels against their pre-rewrite selves.
 
 ``tests/reference_planner.py`` holds the tiling DPs and the coarsening sweep
-as they were before they were rewritten for speed.  Every property here asks
-for *identical* results -- regions in the same order, floats equal to the last
-bit, the same rectangle counts -- because the plans the benchmarks and goldens
-pin depend on which of two equally good splits comes first and on how a
-weight rounds against a threshold.
+as they were before they were rewritten for speed, and the three threshold
+searches (regionalization, coarsening, M-Bucket) as each was written out
+before they became one ``smallest_feasible``.  Every property here asks for
+*identical* results -- regions in the same order, floats equal to the last
+bit, the same rectangle counts and search steps -- because the plans the
+benchmarks and goldens pin depend on which of two equally good splits comes
+first, on how a weight rounds against a threshold and on where a search
+stops.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_planner import (
     _Primitives,
     reference_bsp,
+    reference_coarsen,
+    reference_m_bucket_regions,
     reference_monotonic_bsp,
     reference_regionalize,
     reference_sweep_rows,
 )
 
 from repro.core.bsp import bsp_partition
-from repro.core.coarsening import _sweep_rows
+from repro.core.coarsening import _sweep_rows, coarsen
 from repro.core.grid import WeightedGrid
 from repro.core.monotonic_bsp import monotonic_bsp_partition
 from repro.core.region import GridRegion
 from repro.core.regionalization import regionalize
 from repro.core.tiling_tables import TilingTables
 from repro.core.weights import WeightFunction
+from repro.partitioning.m_bucket import _m_bucket_regions
 
 WEIGHT_FUNCTIONS = [
     WeightFunction(1.0, 1.0),
@@ -101,8 +108,27 @@ def test_baseline_bsp_matches_the_gridregion_dp(grid, weight_fn, fraction):
         )
 
 
+# Two grids a random draw almost never produces.  On TIE_GRID the δ search
+# meets a gap exactly equal to its tolerance (1.125 = 0.01 * 112.5), where
+# it must stop.  On DEEP_GRID it runs out of midpoints: the tolerance is
+# relative to the threshold, and the root rectangle outweighs the two-region
+# optimum ~10^8 times.  No grid with non-negative inputs gets there (the root
+# outweighs the lower bound at most J times), so candidate rows carry +1e9
+# input and columns -1e9, and a candidate-free row brings the total to ~0.
+TIE_GRID = WeightedGrid(
+    [[26.0, 8.0, 2.0], [24.0, 5.0, 2.0], [12.0, 27.0, 21.0]],
+    [2.0, 28.0, 27.0], [17.0, 2.0, 13.0], np.ones((3, 3), dtype=bool),
+)
+DEEP_GRID = WeightedGrid(
+    np.zeros((4, 2)), [1e9 + 1, 1e9 + 2, 1e9 + 1, -3e9], [-1e9 + 1, -1e9 + 1],
+    np.array([[True, True], [True, True], [True, True], [False, False]]),
+)
+
+
 @given(grid=monotone_grids(), weight_fn=st.sampled_from(WEIGHT_FUNCTIONS),
        machines=st.integers(1, 8))
+@example(grid=TIE_GRID, weight_fn=WeightFunction(1.0, 1.0), machines=3)
+@example(grid=DEEP_GRID, weight_fn=WeightFunction(1.0, 0.0), machines=2)
 @settings(max_examples=60, deadline=None)
 def test_regionalize_matches_the_per_step_search(grid, weight_fn, machines):
     ours = regionalize(grid, machines, weight_fn)
@@ -113,16 +139,40 @@ def test_regionalize_matches_the_per_step_search(grid, weight_fn, machines):
     assert ours.search_steps == reference.search_steps
 
 
-@given(grid=monotone_grids(max_side=6), weight_fn=st.sampled_from(WEIGHT_FUNCTIONS),
-       machines=st.integers(1, 8))
-@settings(max_examples=25, deadline=None)
-def test_regionalize_with_baseline_bsp_matches(grid, weight_fn, machines):
-    ours = regionalize(grid, machines, weight_fn, algorithm="bsp")
-    reference = reference_regionalize(grid, machines, weight_fn, algorithm="bsp")
-    assert ours.regions == reference.regions
-    assert ours.delta == reference.delta
-    assert ours.max_region_weight == reference.max_region_weight
-    assert ours.search_steps == reference.search_steps
+@given(grid=monotone_grids(), weight_fn=st.sampled_from(WEIGHT_FUNCTIONS),
+       row_groups=st.integers(1, 8), col_groups=st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_coarsen_matches_the_per_axis_search(grid, weight_fn, row_groups, col_groups):
+    try:
+        reference = reference_coarsen(grid, row_groups, col_groups, weight_fn)
+    except RuntimeError:
+        # A one-group sweep can sum a block one rounding above the total
+        # weight, so even the search's upper end fails; both give up alike.
+        with pytest.raises(RuntimeError):
+            coarsen(grid, row_groups, col_groups, weight_fn)
+        return
+    ours = coarsen(grid, row_groups, col_groups, weight_fn)
+    assert ours.row_groups.tolist() == reference.row_groups.tolist()
+    assert ours.col_groups.tolist() == reference.col_groups.tolist()
+    assert ours.iterations == reference.iterations
+    assert ours.max_cell_weight == reference.max_cell_weight
+
+
+# Bucket sizes at which the whole-grid threshold rounds one column short of
+# covering the single row: no threshold fits J = 1, and M-Bucket falls back
+# to one region over the full grid.
+ROUNDING_ROW = WeightedGrid(np.zeros((1, 3)), [0.0], [0.0] * 3, np.ones((1, 3), dtype=bool))
+
+
+@given(grid=monotone_grids(), weight_fn=st.sampled_from(WEIGHT_FUNCTIONS),
+       machines=st.integers(1, 8),
+       bucket_sizes=st.tuples(st.floats(0.01, 100.0), st.floats(0.01, 100.0)))
+@example(grid=ROUNDING_ROW, weight_fn=WeightFunction(1.0, 0.2), machines=1,
+         bucket_sizes=(8.59, 3.37))
+@settings(max_examples=100, deadline=None)
+def test_m_bucket_search_matches_its_own_loop(grid, weight_fn, machines, bucket_sizes):
+    args = (grid.candidate, *bucket_sizes, weight_fn, machines)
+    assert _m_bucket_regions(*args) == reference_m_bucket_regions(*args)
 
 
 @given(grid=monotone_grids(max_side=9), weight_fn=st.sampled_from(WEIGHT_FUNCTIONS))

@@ -17,7 +17,7 @@ from repro.core.weights import WeightFunction
 from repro.core.region import GridRegion
 from repro.joins.conditions import BandJoinCondition
 from repro.joins.local import count_join_output
-from repro.sampling.equidepth import build_equidepth_histogram
+from repro.sampling.equidepth import bucket_index, build_equidepth_histogram
 from repro.sampling.parallel_stream_sample import parallel_stream_sample
 from repro.sampling.stream_sample import JoinOutputSample
 from repro.sampling.sizes import sample_matrix_size
@@ -113,19 +113,22 @@ class TestBuildSampleMatrix:
         )
 
     def test_key_lookup_roundtrip(self):
+        """Every key lands in a grid row/column, as sampled output pairs do."""
         for key in (self.keys1.min(), 1000.0, self.keys1.max()):
-            row = self.matrix.row_of_key(key)
+            row = bucket_index(self.matrix.row_boundaries, key)
             assert 0 <= row < self.matrix.grid.num_rows
-        rows = self.matrix.rows_of_keys(self.keys1[:50])
-        cols = self.matrix.cols_of_keys(self.keys2[:50])
+        rows = bucket_index(self.matrix.row_boundaries, self.keys1[:50])
+        cols = bucket_index(self.matrix.col_boundaries, self.keys2[:50])
         assert rows.min() >= 0 and rows.max() < self.matrix.grid.num_rows
         assert cols.min() >= 0 and cols.max() < self.matrix.grid.num_cols
 
     def test_out_of_range_keys_clamp(self):
-        assert self.matrix.row_of_key(-1e9) == 0
-        assert self.matrix.row_of_key(1e9) == self.matrix.grid.num_rows - 1
-        assert self.matrix.col_of_key(-1e9) == 0
-        assert self.matrix.col_of_key(1e9) == self.matrix.grid.num_cols - 1
+        rows, cols = self.matrix.row_boundaries, self.matrix.col_boundaries
+        assert bucket_index(rows, -1e9) == 0
+        assert bucket_index(rows, 1e9) == self.matrix.grid.num_rows - 1
+        assert bucket_index(rows, np.nan) == self.matrix.grid.num_rows - 1
+        assert bucket_index(cols, -1e9) == 0
+        assert bucket_index(cols, 1e9) == self.matrix.grid.num_cols - 1
 
     def test_empty_output_sample(self):
         empty = JoinOutputSample(pairs=np.empty((0, 2)), total_output=0)

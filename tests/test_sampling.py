@@ -17,7 +17,7 @@ from repro.joins.conditions import (
     InequalityOp,
 )
 from repro.sampling.bernoulli import bernoulli_sample, bernoulli_sample_rate
-from repro.sampling.equidepth import build_equidepth_histogram
+from repro.sampling.equidepth import bucket_index, build_equidepth_histogram, open_ends
 from repro.sampling.parallel_stream_sample import parallel_stream_sample
 from repro.sampling.reservoir import (
     WeightedReservoir,
@@ -120,7 +120,7 @@ class TestEquiDepthHistogram:
     def test_buckets_are_roughly_equal_depth(self, rng):
         keys = rng.normal(0, 100, size=50_000)
         hist = build_equidepth_histogram(keys, num_buckets=20, num_tuples=50_000)
-        buckets = hist.buckets_of(keys)
+        buckets = bucket_index(hist.boundaries, keys)
         counts = np.bincount(buckets, minlength=20)
         assert counts.max() < 2.0 * counts.mean()
 
@@ -134,28 +134,29 @@ class TestEquiDepthHistogram:
     def test_bucket_of_clamps_out_of_range(self, rng):
         keys = rng.integers(10, 20, size=100).astype(float)
         hist = build_equidepth_histogram(keys, 4, 100)
-        assert hist.bucket_of(-100) == 0
-        assert hist.bucket_of(1000) == hist.num_buckets - 1
+        assert bucket_index(hist.boundaries, -100) == 0
+        assert bucket_index(hist.boundaries, 1000) == hist.num_buckets - 1
 
     def test_buckets_of_matches_scalar(self, rng):
         keys = rng.integers(0, 50, size=500).astype(float)
         hist = build_equidepth_histogram(keys, 8, 500)
-        probes = rng.integers(-10, 60, size=50).astype(float)
-        vectorised = hist.buckets_of(probes)
+        probes = rng.integers(-10, 60, size=50)
+        vectorised = bucket_index(hist.boundaries, probes)
         for probe, bucket in zip(probes, vectorised):
-            assert hist.bucket_of(probe) == bucket
+            assert bucket_index(hist.boundaries, probe) == bucket
+            # Bucket i holds [boundaries[i], boundaries[i+1]) inside the domain.
+            if hist.boundaries[0] <= probe < hist.boundaries[-1]:
+                assert hist.boundaries[bucket] <= probe < hist.boundaries[bucket + 1]
 
     def test_bucket_range_and_overlap(self, rng):
         keys = np.arange(100, dtype=float)
         hist = build_equidepth_histogram(keys, 10, 100)
-        lo, hi = hist.bucket_range(0)
-        assert lo <= hi
-        first, last = hist.buckets_overlapping(5, 95)
+        first, last = bucket_index(hist.boundaries, np.array([5.0, 95.0]))
         assert first <= last
-        with pytest.raises(IndexError):
-            hist.bucket_range(100)
-        with pytest.raises(ValueError):
-            hist.buckets_overlapping(10, 5)
+        assert hist.boundaries[first] <= 5 and 95 <= hist.boundaries[last + 1]
+        opened = open_ends(hist.boundaries)
+        assert opened[0] == -np.inf and opened[-1] == np.inf
+        np.testing.assert_array_equal(opened[1:-1], hist.boundaries[1:-1])
 
     def test_expected_bucket_size(self):
         hist = build_equidepth_histogram(np.arange(100.0), 10, 100_000)
@@ -165,7 +166,7 @@ class TestEquiDepthHistogram:
         # A single repeated key must not break the histogram.
         keys = np.full(1000, 7.0)
         hist = build_equidepth_histogram(keys, 8, 1000)
-        assert hist.bucket_of(7.0) >= 0
+        assert bucket_index(hist.boundaries, 7.0) >= 0
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):

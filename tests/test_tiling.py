@@ -293,21 +293,6 @@ class TestRegionalize:
         with pytest.raises(ValueError):
             regionalize(band_grid(5, 6.0), 0, UNIT)
 
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ValueError):
-            regionalize(band_grid(5, 6.0), 2, UNIT, algorithm="mystery")
-
-    def test_bsp_algorithm_option(self):
-        grid = band_grid(8, beta=10.0, seed=5)
-        mono = regionalize(grid, 3, UNIT, algorithm="monotonic_bsp")
-        base = regionalize(grid, 3, UNIT, algorithm="bsp")
-        assert base.num_regions <= 3
-        assert mono.num_regions <= 3
-        # The two solve the same problem; their achieved max weights are close.
-        assert mono.max_region_weight == pytest.approx(
-            base.max_region_weight, rel=0.25
-        )
-
     def test_estimate_tracks_regions(self):
         grid = band_grid(10, beta=12.0, seed=6)
         result = regionalize(grid, 4, UNIT)
