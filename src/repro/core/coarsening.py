@@ -184,8 +184,13 @@ def _optimize_axis(
 
     ``low`` is the threshold search's lower end, the grid's heaviest candidate
     cell; it is the same float for a grid and its transpose, so the caller
-    computes it once.
+    computes it once.  One group is the only cover ``max_groups == 1``
+    allows, so it is returned without a search: the sweep sums a block row
+    by row, which can round one step above the total weight the search
+    takes as its upper end, so the search could miss it.
     """
+    if max_groups == 1:
+        return np.array([0, grid.num_rows], dtype=np.int64)
     freq_by_group, cand_by_group, col_input_by_group = _aggregate_columns(
         grid, col_bounds
     )
@@ -199,8 +204,6 @@ def _optimize_axis(
     high = max(weight_fn.weight(grid.total_input, grid.total_output), low)
     _, bounds, _ = smallest_feasible(feasible, low, high, MAX_MIDPOINTS)
     if bounds is None:
-        # The sweep sums a block row by row, which can round one step above
-        # the total weight: with max_groups == 1 even ``high`` may not fit.
         raise RuntimeError("coarsening sweep failed at the trivial threshold")
     return bounds
 

@@ -29,13 +29,17 @@ __all__ = ["Partitioning", "sort_arrivals"]
 def sort_arrivals(
     indices: np.ndarray, keys: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Stable key-sort of parallel ``(indices, keys)`` columns, both copied.
+    """Key-sort of parallel ``(indices, keys)`` columns, both copied.
 
-    Ascending keys (NaN last), equal keys in their given order -- arrival
-    order when ``indices`` ascend.  The one sort behind every key-sorted
-    column pair the streaming state is built from.
+    Ascending keys (NaN last); the order among equal keys is unspecified
+    but deterministic for a given input and numpy build.  Nothing reads it
+    -- a count searches by key value, and state is a set of ``(index,
+    key)`` pairs -- so this is numpy's default (unstable, vectorised) sort,
+    several times faster than the stable one on unsorted arrivals.  The one
+    sort behind every key-sorted column pair the streaming state is built
+    from.
     """
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     return indices[order], keys[order]
 
 
@@ -80,8 +84,9 @@ class Partitioning(abc.ABC):
         ``side`` is 1 for R1, 2 for R2.  Region ``r`` gets ``(indices,
         keys)``: the batch positions routed to it shifted by ``offset`` (the
         arrival index of the batch's first tuple) and their keys in the
-        batch's own dtype, ascending by key with equal keys in arrival
-        order.  The default assigns in arrival order -- a randomised scheme
+        batch's own dtype, ascending by key (NaN last); the order among
+        equal keys is unspecified (:func:`sort_arrivals`).  The default
+        assigns in arrival order -- a randomised scheme
         draws from ``rng`` per tuple in that order, exactly as
         :meth:`assign_r1` / :meth:`assign_r2` do -- then sorts each
         region's share on its own.

@@ -29,7 +29,9 @@ clamp cannot reach ``row_hi``, so ``row(k) <= row_hi`` iff ``c(k) <= row_hi +
 last`` it holds for every key -- ``stop = len``, which takes in the keys at or
 above ``b[-1]`` and the NaNs behind them.  ``start <= stop`` because ``b``
 ascends and ``row_lo <= row_hi``, which is why the constructor insists on
-both.  Columns and R2 keys likewise.
+both.  Columns and R2 keys likewise.  The rule reads key values only, so any
+key-ascending order of the batch hands every region the same set of
+tuples: the order among equal keys is left to the sort.
 """
 
 from __future__ import annotations
@@ -143,16 +145,19 @@ class GridRoutedPartitioning(Partitioning):
         rng: np.random.Generator,
         offset: int = 0,
     ) -> "list[tuple[np.ndarray, np.ndarray]]":
-        """One stable sort of the batch; every region takes its slice of it.
+        """One key sort of the batch; every region takes its slice of it.
 
         The slice rule of the module docstring: no per-region mask, gather
-        or sort.  The search runs on a float64 view of the sorted keys, as
+        or sort.  The sort is numpy's default, so equal keys come out in an
+        unspecified (deterministic) order, as
+        :func:`~repro.partitioning.base.sort_arrivals` leaves them.  The
+        search runs on a float64 view of the sorted keys, as
         ``bucket_index`` compares them (the conversion is monotone, so
         the view is sorted too); the keys handed out keep the batch's own
         dtype.  Slices are views of two arrays made here, never of ``keys``.
         """
         keys = np.asarray(keys)
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys)
         sorted_keys = keys[order]
         indices = order + offset
         cut_keys, open_lo, open_hi = self._cuts[side]

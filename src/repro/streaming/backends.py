@@ -165,8 +165,8 @@ class RegionStateTable:
         ``arrays`` is the machine-major layout of the whole cluster's
         arrivals -- ``(idx1, keys1, idx2, keys2)`` per machine; only the
         slices of this table's machines are read.  **Arrivals are
-        key-sorted, ties in arrival order**: each key column ascends (NaN
-        last) with equal keys in ascending arrival index, as
+        key-sorted**: each key column ascends (NaN last), equal keys in an
+        unspecified order that no count reads, as
         :meth:`Partitioning.sorted_arrivals
         <repro.partitioning.base.Partitioning.sorted_arrivals>` routes
         them, so they are appended to the state as they are

@@ -33,10 +33,11 @@ with a clear ``ValueError`` instead of unpickling garbage.
 Join state is stored as *indices only*: per machine and side, the sorted
 arrival indices resident there.  Keys are never stored twice -- a restore
 is the one place index-only state becomes the backend's columns: it
-regathers the keys from the key history and key-sorts them stably
-(``sort_arrivals``), which reproduces the resident state on any backend, so
-a checkpoint taken on one backend restores onto any other.  Every stored
-arrival index is global (:mod:`repro.streaming.arrivals`); ``base1`` /
+regathers the keys from the key history and key-sorts them
+(``sort_arrivals``), which reproduces the resident ``(index, key)`` set on
+any backend -- the order among equal keys is unspecified and nothing reads
+it -- so a checkpoint taken on one backend restores onto any other.  Every
+stored arrival index is global (:mod:`repro.streaming.arrivals`); ``base1`` /
 ``base2`` say which index the retained keys start at.  Version 1 (verbatim
 key-sorted state columns and a counting mode), version 2 (three engine
 options that no longer exist) and version 3 (indices shifted by the trimmed
@@ -394,10 +395,10 @@ def resume(
     there for the arguments): construct the engine from the captured
     configuration, adopt the captured run state, and rebuild the join state
     on ``backend`` through ``bind`` / ``install_state`` -- each machine's
-    keys gathered from the logs and stably key-sorted, which reproduces the
-    key order of the state the checkpoint was taken from.  The checkpoint
-    is deep-copied first, so one checkpoint can seed any number of resumed
-    runs.
+    keys gathered from the logs and key-sorted, which reproduces the
+    ``(index, key)`` set of the state the checkpoint was taken from.  The
+    checkpoint is deep-copied first, so one checkpoint can seed any number
+    of resumed runs.
     """
     checkpoint = copy.deepcopy(checkpoint)
     engine = engine_cls(

@@ -623,7 +623,7 @@ class StreamingJoinEngine:
         """Stage 2: per-machine key-sorted arrivals of the batch, R1 then R2.
 
         Per side, one ``(arrival indices, keys)`` column pair per machine,
-        ascending by key with equal keys in arrival order -- what
+        ascending by key, equal keys in an unspecified order -- what
         ``count_batch`` folds in as it is
         (:meth:`Partitioning.sorted_arrivals
         <repro.partitioning.base.Partitioning.sorted_arrivals>`; the batch's

@@ -251,16 +251,16 @@ def route_live(
     Shared by the migration planner and the engine's initial build (which
     routes the backlog that arrived before any partitioning existed).
     Region ``r`` gets its share as key-sorted ``(arrival indices, keys)``
-    columns (:meth:`Partitioning.sorted_arrivals
+    columns, equal keys in an unspecified order
+    (:meth:`Partitioning.sorted_arrivals
     <repro.partitioning.base.Partitioning.sorted_arrivals>`), and the list
     is padded with empty columns to ``num_machines`` -- which must be at
     least the partitioning's region count.  A bare key array or an
     unwindowed log is routed whole, and the partitioning's batch-local
     indices already are global indices.  Of a windowed log only the live
     keys are handed to the partitioning and the local indices are mapped
-    back through the live set (ascending, so ties stay in arrival order) --
-    expired tuples are never routed, so a migration ships (and a
-    post-migration machine holds) live state only.
+    back through the live set -- expired tuples are never routed, so a
+    migration ships (and a post-migration machine holds) live state only.
     """
     if partitioning.num_regions > num_machines:
         raise ValueError(

@@ -102,8 +102,8 @@ def use_tick_clocks(monkeypatch) -> None:
 def arrivals(assignments, history) -> "list[tuple[np.ndarray, np.ndarray]]":
     """What ``count_batch`` takes for one side, from index arrays and a history.
 
-    Per machine, the ``(arrival indices, keys)`` columns key-sorted with
-    ties in arrival order -- the shape the engine's router hands over.
+    Per machine, the ``(arrival indices, keys)`` columns key-sorted, equal
+    keys in an unspecified order -- the shape the engine's router hands over.
     """
     return [
         sort_arrivals(indices, history[indices])

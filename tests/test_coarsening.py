@@ -126,6 +126,20 @@ class TestCoarsen:
         assert result.grid.shape == (1, 1)
         assert result.grid.total_output == pytest.approx(grid.total_output)
 
+    def test_one_group_survives_a_sweep_that_rounds_above_the_total(self):
+        """Summed row by row, the block lands one rounding step above the
+        total weight the threshold search stops at; one group is still the
+        only cover, and coarsening returns it instead of raising."""
+        grid = WeightedGrid(
+            frequency=np.array([[0.0, 0.2], [0.8, 0.2]]),
+            row_input=np.array([0.2, 0.3]),
+            col_input=np.array([0.6, 0.8]),
+            candidate=np.ones((2, 2), dtype=bool),
+        )
+        result = coarsen(grid, 1, weight_fn=WeightFunction(1.0, 0.2))
+        assert result.row_groups.tolist() == result.col_groups.tolist() == [0, 2]
+        assert result.grid.shape == (1, 1)
+
     def test_requesting_more_groups_than_rows_clamps(self):
         grid = band_grid(5, beta=10.0, seed=8)
         result = coarsen(grid, 50)

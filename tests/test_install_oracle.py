@@ -8,7 +8,8 @@ fleet, then an install that gathered every machine's keys back out of the
 logs and key-sorted them per machine.  The one-shape path -- ``route_live``
 through ``sorted_arrivals``, ``plan_migration``'s ``new_state*`` columns, an
 ``install_state`` that appends them and resizes by their length -- must
-leave every machine the same run list, bit for bit.
+leave every machine the same run list: as many runs, each holding the same
+``(index, key bits)`` pairs with keys ascending (equal keys in any order).
 
 The first half holds a single install to that, machine by machine, over
 random histories and schemes (the sticky worker's install handler too).  The
@@ -41,6 +42,7 @@ from test_routing_oracle import (
     _draw_keys,
     _draw_regions,
     _run,
+    assert_same_columns,
 )
 
 from repro.partitioning import GridRoutedPartitioning, build_one_bucket_partitioning
@@ -87,12 +89,13 @@ def _live(history) -> np.ndarray:
 
 
 def _assert_same_runs(ours, theirs) -> None:
-    """Run count, both columns of every run and their dtypes, bit for bit."""
+    """Run count and, per run, the same ``(index, key bits)`` multiset and dtypes.
+
+    Ties are unspecified, so ``-0.0`` and ``0.0`` may swap places.
+    """
     assert len(ours._runs) == len(theirs._runs)
     for (keys, index), (ref_keys, ref_index) in zip(ours._runs, theirs._runs):
-        assert keys.dtype == ref_keys.dtype and index.dtype == ref_index.dtype
-        assert keys.tobytes() == ref_keys.tobytes()  # NaN == NaN, -0.0 != 0.0
-        np.testing.assert_array_equal(index, ref_index)
+        assert_same_columns(index, keys, ref_index, ref_keys)
 
 
 @settings(max_examples=250, deadline=None)

@@ -4,9 +4,10 @@
 router sorted a batch once and cut it into slices: per-region masks, a
 per-machine offset, a per-machine gather from the key history and a
 per-machine stable argsort.  ``Partitioning.sorted_arrivals`` must hand each
-machine the same two columns, element for element and dtype for dtype --
-that is what keeps run lists, counts, loads, plans and checkpoints
-bit-identical.
+machine the same ``(arrival index, key bits)`` pairs, dtype for dtype, with
+keys ascending -- the order among equal keys is unspecified, and nothing
+reads it: counts, loads, plans and checkpoints stay bit-identical
+(``tests/test_tie_order.py`` runs whole engines with the ties reversed).
 
 The first half holds the production route to the chain column by column
 over random grids; two deliberate mutants of the slice rule must fail the
@@ -92,6 +93,23 @@ def _draw_keys(rng, boundaries: np.ndarray, dtype: str, size: int) -> np.ndarray
     return (2**53 + rng.integers(-4, 5, size)).astype(np.int64)
 
 
+def assert_same_columns(idx, held, ref_idx, ref_held) -> None:
+    """One machine-side: the same ``(index, key bits)`` multiset, keys ascending.
+
+    The order among equal keys is unspecified (``sort_arrivals``), so the
+    pairs are compared sorted by ``(index, key bits)``, and the key column
+    as it lies must only never decrease (NaN last).  Key bytes, not values:
+    NaN == NaN and -0.0 != 0.0 here.
+    """
+    assert idx.dtype == ref_idx.dtype == np.int64
+    assert held.dtype == ref_held.dtype
+    bits, ref_bits = held.view(f"u{held.itemsize}"), ref_held.view(f"u{held.itemsize}")
+    order, ref_order = np.lexsort((bits, idx)), np.lexsort((ref_bits, ref_idx))
+    np.testing.assert_array_equal(idx[order], ref_idx[ref_order])
+    np.testing.assert_array_equal(bits[order], ref_bits[ref_order])
+    assert np.array_equal(held, np.sort(held), equal_nan=True)
+
+
 def _columns_match(candidate, partitioning_cls, seed: int, dtype: str) -> None:
     """One random grid, map and batch: ``candidate`` against the old chain."""
     rng = np.random.default_rng(seed)
@@ -114,11 +132,8 @@ def _columns_match(candidate, partitioning_cls, seed: int, dtype: str) -> None:
         actual = _to_machines(routed, keys, region_to_machine, num_machines)
         assert len(actual) == len(expected) == num_machines
         for (idx, held), (ref_idx, ref_held) in zip(actual, expected):
-            assert idx.dtype == ref_idx.dtype == np.int64
-            assert held.dtype == ref_held.dtype == keys.dtype
-            np.testing.assert_array_equal(idx, ref_idx)
-            # Bytes, not values: NaN == NaN and -0.0 != 0.0 here.
-            assert held.tobytes() == ref_held.tobytes()
+            assert held.dtype == keys.dtype
+            assert_same_columns(idx, held, ref_idx, ref_held)
 
 
 def _production(partitioning, side, keys, offset):
@@ -215,8 +230,7 @@ def test_the_default_assigns_in_arrival_order_then_sorts(seed, scheme, machines)
         )
         assert ours.bit_generator.state == theirs.bit_generator.state
         for (idx, held), (ref_idx, ref_held) in zip(actual, expected):
-            np.testing.assert_array_equal(idx, ref_idx)
-            assert held.tobytes() == ref_held.tobytes() and held.dtype == ref_held.dtype
+            assert_same_columns(idx, held, ref_idx, ref_held)
 
 
 # ----------------------------------------------------------------------
