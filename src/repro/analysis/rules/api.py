@@ -2,8 +2,7 @@
 
 The engine touches join state only through the backend's state-ownership
 protocol (``bind`` → per-batch ``count_batch`` / ``evict_state`` /
-``install_state``, plus ``resident_indices`` and
-``drain_channel_bytes``).  The base class
+``install_state``, plus ``drain_channel_bytes``).  The base class
 implements all of it in-process on top of the one abstract method,
 ``join_regions``; a backend that keeps the state elsewhere (sticky workers,
 a forwarding test double) overrides the protocol instead.  Overriding
@@ -44,7 +43,6 @@ STATE_PROTOCOL = (
     "count_batch",
     "evict_state",
     "install_state",
-    "resident_indices",
     "drain_channel_bytes",
 )
 

@@ -135,30 +135,32 @@ class RegionJoinResult:
         return int(self.per_machine_output.sum())
 
 
-def _join_region(
-    args: tuple[np.ndarray, np.ndarray, JoinCondition, bool],
-) -> tuple[int, float, int]:
+def _join_region(args: tuple) -> tuple[int, float, int]:
     """Worker: count one region with the in-process kernel, return (output, seconds, worker pid).
 
-    The pid identifies which pool process actually ran the region, so a
-    tracer can stitch per-worker child spans under the dispatching batch.
-    The payload's last slot is always ``True`` -- the second side arrives
-    sorted -- and is kept so the pickled task has the shape it always had.
+    ``args`` is the task's arrays (``count_regions``' task shape), its
+    condition and ``True``.  The pid identifies which pool process actually
+    ran the region, so a tracer can stitch per-worker child spans under the
+    dispatching batch.  The payload's last slot is always ``True`` -- the
+    second side arrives sorted -- and is kept so the pickled task has the
+    shape it always had.
     """
-    keys1, keys2, condition, _ = args
-    outputs, seconds = count_regions([(keys1, keys2)], [condition])
+    *task, condition, _ = args
+    outputs, seconds = count_regions([tuple(task)], [condition])
     return int(outputs[0]), float(seconds[0]), os.getpid()
 
 
 def join_assigned_regions(
     pool: ProcessPoolExecutor,
-    tasks: list[tuple[np.ndarray, np.ndarray]],
+    tasks: "list[tuple[np.ndarray, ...]]",
     conditions: "list[JoinCondition]",
     profile_serialization: bool = True,
 ) -> RegionJoinResult:
     """Join already-assigned regions on an existing worker pool.
 
-    ``tasks[m]`` holds the (R1, R2) key arrays of machine ``m``'s region and
+    ``tasks[m]`` holds the (R1, R2) key arrays of machine ``m``'s region
+    (and, for a counted run of the streaming state, its cumulative counts,
+    :func:`count_regions <repro.joins.local.count_regions>`) and
     ``conditions[m]`` its condition -- the streaming engine's incremental
     counting mixes the original and the transposed orientation in a single
     dispatch so each batch costs one pool round-trip, not two.  Every second
@@ -183,7 +185,7 @@ def join_assigned_regions(
     """
     busy = [
         machine
-        for machine, (keys1, keys2) in enumerate(tasks)
+        for machine, (keys1, keys2, *_) in enumerate(tasks)
         if len(keys1) > 0 and len(keys2) > 0
     ]
     payloads = [(*tasks[machine], conditions[machine], True) for machine in busy]

@@ -169,7 +169,9 @@ class CIOperator(Operator):
     scheme_name = "CI"
 
     def build_partitioning(self, keys1, keys2, condition, weight_fn, rng):
-        partitioning = build_one_bucket_partitioning(self.num_machines)
+        partitioning = build_one_bucket_partitioning(
+            self.num_machines, int(rng.integers(2**63))
+        )
         return partitioning, 0.0, 0.0
 
 

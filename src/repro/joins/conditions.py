@@ -300,14 +300,19 @@ class BandJoinCondition(JoinCondition):
         int64 arithmetic (unsigned arrays via their exact int64 image):
         casting integer keys above 2**53 to float64 rounds them, which can
         move a key across the band boundary and change the join output.
-        (The int64 path assumes ``|key| + beta`` stays inside the int64
-        range, which any realistic key domain does.)  Float keys, or a
-        fractional width, bound in float64.
+        ``k +- beta`` past the int64 range saturates at its extremes -- no
+        int64 key lies beyond them, so the bound is exact, where the
+        wrapped sum would silently turn the interval inside out.  Float
+        keys, or a fractional width, bound in float64.
         """
         beta = self._integral_beta()
         if beta is None or keys1.dtype.kind == "f":
             beta = float(self.beta)
-        return keys1 - beta, keys1 + beta
+            return keys1 - beta, keys1 + beta
+        lows, highs = keys1 - beta, keys1 + beta
+        lows[keys1 < _INT64_MIN + beta] = _INT64_MIN
+        highs[keys1 > _INT64_MAX - beta] = _INT64_MAX
+        return lows, highs
 
     def candidate_grid(
         self,

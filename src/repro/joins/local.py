@@ -139,10 +139,10 @@ def count_join_output(
 
 
 def count_regions(
-    tasks: "list[tuple[np.ndarray, np.ndarray]]",
+    tasks: "list[tuple[np.ndarray, ...]]",
     conditions: "list[JoinCondition]",
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Count each non-empty ``(keys1, keys2)`` task in the calling process; time each one.
+    """Count each non-empty ``(keys1, keys2[, cum])`` task in the calling process; time each one.
 
     The one per-region count loop:
     :func:`~repro.engine.cluster.run_partitioned_join` runs it over a batch
@@ -170,6 +170,14 @@ def count_regions(
     needles) costs two bounds passes however many runs there are.  What
     stays per task, and is all that is timed: the two binary searches of
     its second side and their sum.
+
+    A task's optional third entry makes its second side a *counted* run
+    of the streaming state
+    (:class:`~repro.streaming.incremental.SortedRegionState`): ``cum``
+    holds the cumulative multiplicities of the sorted keys (``cum[0] ==
+    0``, any sign), and a needle joins ``cum[hi] - cum[lo]`` of them
+    instead of ``hi - lo``.  ``None``, or no third entry, counts every key
+    once.
     """
     outputs = np.zeros(len(tasks), dtype=np.int64)
     seconds = np.zeros(len(tasks))
@@ -177,10 +185,10 @@ def count_regions(
     # dtype is part of the key so that laying arrays end to end never
     # promotes exact int64 keys to float.
     groups: "dict[tuple, tuple[JoinCondition, list[np.ndarray]]]" = {}
-    # Per non-empty task: (task, second side, group, needles' position).
-    searches: "list[tuple[int, np.ndarray, tuple, int]]" = []
+    # Per non-empty task: (task, second side, its counts, group, needles' position).
+    searches: "list[tuple]" = []
     last_keys1 = last_condition = last_dtype = None
-    for task, (keys1, keys2) in enumerate(tasks):
+    for task, (keys1, keys2, *cum) in enumerate(tasks):
         if len(keys1) == 0 or len(keys2) == 0:
             continue
         condition = conditions[task]
@@ -196,7 +204,7 @@ def count_regions(
             arrays = groups.setdefault(group, (condition, []))[1]
             arrays.append(needles.astype(dtype, copy=False))
             last_keys1, last_condition, last_dtype = keys1, condition, run.dtype
-        searches.append((task, run, group, len(arrays) - 1))
+        searches.append((task, run, cum[0] if cum else None, group, len(arrays) - 1))
     bounds = {}
     for group, (condition, arrays) in groups.items():
         lows, highs = condition.joinable_bounds(
@@ -207,11 +215,13 @@ def count_regions(
             (lows[start:stop], highs[start:stop])
             for start, stop in zip([0] + stops, stops)
         ]
-    for task, run, group, position in searches:
+    for task, run, cum, group, position in searches:
         lows, highs = bounds[group][position]
         started = perf_counter()
-        outputs[task] = (
-            run.searchsorted(highs, "right") - run.searchsorted(lows, "left")
-        ).sum()
+        high, low = run.searchsorted(highs, "right"), run.searchsorted(lows, "left")
+        if cum is None:
+            outputs[task] = (high - low).sum()
+        else:
+            outputs[task] = (cum[high] - cum[low]).sum()
         seconds[task] = perf_counter() - started
     return outputs, seconds

@@ -7,14 +7,18 @@ intersects no region because it cannot produce output).
 
 Both engines ask one routing question, :meth:`Partitioning.sorted_arrivals`:
 a region's share of a side *already in key order*.  The streaming engine
-asks it per batch -- and for the live history a build or migration routes --
-because it keeps every region's state key-sorted; batch execution
-(:func:`~repro.engine.cluster.run_partitioned_join` and the multiprocess
-executor) asks it once per side, so every region's R2 share arrives sorted
-for the count.  The default answers by assigning (:meth:`assign_r1` /
-:meth:`assign_r2`) and then sorting each share; a scheme whose regions are
-key ranges sorts the side once and hands out slices
-(:class:`~repro.partitioning.grid_routed.GridRoutedPartitioning`).
+asks it per batch, per eviction and for the live history a build, migration
+or checkpoint routes, because it keeps every region's state key-sorted;
+batch execution (:func:`~repro.engine.cluster.run_partitioned_join` and the
+multiprocess executor) asks it once per side, so every region's R2 share
+arrives sorted for the count.  The default answers by assigning
+(:meth:`assign_r1` / :meth:`assign_r2`) and then sorting each share; a scheme
+whose regions are key ranges sorts the side once and hands out slices
+(:class:`~repro.partitioning.grid_routed.GridRoutedPartitioning`), and a side
+already sorted is cut by :meth:`Partitioning.cut_sorted`.  The schemes here
+route as a pure function of each tuple's key and global arrival index -- none
+draws from ``rng`` to route -- so routing the same tuples again reproduces
+the shares exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +28,11 @@ import abc
 import numpy as np
 
 __all__ = ["Partitioning", "sort_arrivals"]
+
+
+def _named(local: np.ndarray, offset: "int | np.ndarray") -> np.ndarray:
+    """Global arrival indices of batch positions ``local`` (see ``offset``)."""
+    return offset[local] if isinstance(offset, np.ndarray) else local + offset
 
 
 def sort_arrivals(
@@ -60,8 +69,8 @@ class Partitioning(abc.ABC):
     ) -> list[np.ndarray]:
         """Return, per region, the indexes of R1 tuples routed to it.
 
-        ``rng`` is only used by randomised schemes (1-Bucket); deterministic
-        schemes ignore it.
+        ``rng`` is there for randomised schemes; every scheme shipped here
+        ignores it (1-Bucket draws from a key fixed per plan).
         """
 
     @abc.abstractmethod
@@ -75,28 +84,65 @@ class Partitioning(abc.ABC):
         side: int,
         keys: np.ndarray,
         rng: np.random.Generator,
-        offset: int = 0,
+        offset: "int | np.ndarray" = 0,
     ) -> "list[tuple[np.ndarray, np.ndarray]]":
         """Per region, its share of one side's batch as key-sorted columns.
 
-        The routing question both engines ask (module docstring): the
-        streaming engine per batch, batch execution once per side.
-        ``side`` is 1 for R1, 2 for R2.  Region ``r`` gets ``(indices,
-        keys)``: the batch positions routed to it shifted by ``offset`` (the
-        arrival index of the batch's first tuple) and their keys in the
+        The routing question both engines ask (module docstring).  ``side``
+        is 1 for R1, 2 for R2.  ``offset`` names the tuples: the global
+        arrival index of ``keys[0]`` when the batch is contiguous, or an
+        array of every key's index.  Region ``r`` gets ``(indices, keys)``:
+        the indices of the tuples routed to it and their keys in the
         batch's own dtype, ascending by key (NaN last); the order among
         equal keys is unspecified (:func:`sort_arrivals`).  The default
-        assigns in arrival order -- a randomised scheme
-        draws from ``rng`` per tuple in that order, exactly as
-        :meth:`assign_r1` / :meth:`assign_r2` do -- then sorts each
-        region's share on its own.
+        assigns in arrival order -- a randomised scheme draws from ``rng``
+        per tuple in that order, exactly as :meth:`assign_r1` /
+        :meth:`assign_r2` do -- then sorts each region's share on its own;
+        a scheme that cuts key-sorted tuples directly sorts the batch once
+        and calls :meth:`cut_sorted`.
         """
         keys = np.asarray(keys)
         assign = self.assign_r1 if side == 1 else self.assign_r2
         return [
-            sort_arrivals(np.asarray(local, dtype=np.int64) + offset, keys[local])
+            sort_arrivals(_named(np.asarray(local, dtype=np.int64), offset), keys[local])
             for local in assign(keys, rng)
         ]
+
+    def _sort_then_cut(
+        self,
+        side: int,
+        keys: np.ndarray,
+        rng: np.random.Generator,
+        offset: "int | np.ndarray" = 0,
+    ) -> "list[tuple[np.ndarray, np.ndarray]]":
+        """:meth:`sorted_arrivals` of a scheme that overrides :meth:`cut_sorted`.
+
+        One key sort of the batch, numpy's default, so equal keys come out
+        in an unspecified (deterministic) order, as :func:`sort_arrivals`
+        leaves them; the shares are cut from two arrays made here, never
+        from ``keys``.
+        """
+        keys = np.asarray(keys)
+        order = np.argsort(keys)
+        return self.cut_sorted(side, keys[order], _named(order, offset), rng)
+
+    def cut_sorted(
+        self,
+        side: int,
+        keys: np.ndarray,
+        indices: np.ndarray,
+        rng: np.random.Generator,
+    ) -> "list[tuple[np.ndarray, np.ndarray]]":
+        """Per region, its share of key-sorted tuples as ``(indices, keys)``.
+
+        ``keys`` ascend (NaN last) and ``indices`` are their global arrival
+        indices -- a side's live tuples sorted once
+        (:func:`~repro.streaming.migration.sorted_live`), cut by one plan
+        after another.  The default routes them like a batch
+        (:meth:`sorted_arrivals`); a scheme whose shares of sorted tuples
+        are slices or subsequences overrides it.
+        """
+        return self.sorted_arrivals(side, keys, rng, indices)
 
     # ------------------------------------------------------------------
     # Derived metrics

@@ -138,36 +138,31 @@ class GridRoutedPartitioning(Partitioning):
             for region in self.regions
         ]
 
-    def sorted_arrivals(
+    sorted_arrivals = Partitioning._sort_then_cut
+
+    def cut_sorted(
         self,
         side: int,
         keys: np.ndarray,
+        indices: np.ndarray,
         rng: np.random.Generator,
-        offset: int = 0,
     ) -> "list[tuple[np.ndarray, np.ndarray]]":
-        """One key sort of the batch; every region takes its slice of it.
+        """Every region takes its slice of the key-sorted tuples.
 
         The slice rule of the module docstring: no per-region mask, gather
-        or sort.  The sort is numpy's default, so equal keys come out in an
-        unspecified (deterministic) order, as
-        :func:`~repro.partitioning.base.sort_arrivals` leaves them.  The
-        search runs on a float64 view of the sorted keys, as
-        ``bucket_index`` compares them (the conversion is monotone, so
-        the view is sorted too); the keys handed out keep the batch's own
-        dtype.  Slices are views of two arrays made here, never of ``keys``.
+        or sort.  The search runs on a float64 view of the sorted keys, as
+        ``bucket_index`` compares them (the conversion is monotone, so the
+        view is sorted too); the keys handed out keep their own dtype.
+        Slices are views of ``keys`` and ``indices``.
         """
-        keys = np.asarray(keys)
-        order = np.argsort(keys)
-        sorted_keys = keys[order]
-        indices = order + offset
         cut_keys, open_lo, open_hi = self._cuts[side]
-        cuts = np.asarray(sorted_keys, dtype=np.float64).searchsorted(cut_keys).tolist()
+        cuts = np.asarray(keys, dtype=np.float64).searchsorted(cut_keys).tolist()
         total, regions = len(keys), len(open_lo)
         routed = []
         for region in range(regions):
             start = 0 if open_lo[region] else cuts[region]
             stop = total if open_hi[region] else cuts[regions + region]
-            routed.append((indices[start:stop], sorted_keys[start:stop]))
+            routed.append((indices[start:stop], keys[start:stop]))
         return routed
 
     # ------------------------------------------------------------------

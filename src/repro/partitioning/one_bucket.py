@@ -9,6 +9,13 @@ output pair is therefore produced by exactly one region -- the intersection
 of the chosen row and column -- and, because the choices are random, regions
 receive near-identical input and output *in expectation*.
 
+The choice is a counter-based random draw: the ``i``-th output of a
+SplitMix64 stream (Steele, Lea & Flood, 2014) seeded by the plan's ``key``
+and the side, ``i`` being the tuple's global arrival index.  It reads no
+generator state, so routing the same tuples again -- the streaming engine
+re-derives each machine's state from its arrival log that way -- makes the
+same choices.
+
 The scheme needs no statistics at all (zero stats time), is immune to any
 skew, and is output-optimal; its weakness is the heavy input replication,
 which the near-square factorisation of J below minimises but cannot avoid.
@@ -27,6 +34,20 @@ __all__ = [
     "OneBucketPartitioning",
     "build_one_bucket_partitioning",
 ]
+
+#: SplitMix64's increment (the golden ratio in 64-bit fixed point).
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
+
+
+def _splitmix(state: "np.ndarray | int") -> "np.ndarray | int":
+    """SplitMix64's output function; uint64 arrays wrap, Python ints are masked."""
+    masked = isinstance(state, int)
+    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        state = (state ^ (state >> shift)) * multiplier
+        if masked:
+            state &= _MASK
+    return state ^ (state >> 31)
 
 
 def machine_grid_shape(num_machines: int) -> tuple[int, int]:
@@ -47,15 +68,20 @@ def machine_grid_shape(num_machines: int) -> tuple[int, int]:
 
 
 class OneBucketPartitioning(Partitioning):
-    """The randomised 1-Bucket partitioning over a ``rows x cols`` region grid."""
+    """The randomised 1-Bucket partitioning over a ``rows x cols`` region grid.
+
+    ``key`` seeds the plan's row and column draws (module docstring); two
+    plans with the same grid and key route every tuple alike.
+    """
 
     scheme_name = "CI"
 
-    def __init__(self, grid_rows: int, grid_cols: int) -> None:
+    def __init__(self, grid_rows: int, grid_cols: int, key: int = 0) -> None:
         if grid_rows <= 0 or grid_cols <= 0:
             raise ValueError("grid dimensions must be positive")
         self.grid_rows = grid_rows
         self.grid_cols = grid_cols
+        self.key = int(key)
 
     @property
     def num_regions(self) -> int:
@@ -71,32 +97,49 @@ class OneBucketPartitioning(Partitioning):
         """Copies made of every R2 tuple (one per region-grid row)."""
         return self.grid_rows
 
-    def _region_id(self, row: int, col: int) -> int:
-        return row * self.grid_cols + col
+    def _shares(self, side: int, indices: np.ndarray) -> "list[np.ndarray]":
+        """Per region, the positions of ``indices`` whose draw picks it.
+
+        An R1 tuple draws one of ``rows`` grid rows and joins every region
+        of it; an R2 tuple draws one of ``cols`` columns likewise.
+        """
+        choices = self.grid_rows if side == 1 else self.grid_cols
+        stream = _splitmix((self.key + side * _GAMMA) & _MASK)
+        counters = np.asarray(indices).astype(np.uint64) + np.uint64(1)
+        drawn = _splitmix(counters * np.uint64(_GAMMA) + np.uint64(stream)) % np.uint64(choices)
+        picked = [np.flatnonzero(drawn == choice) for choice in range(choices)]
+        if side == 1:
+            return [picked[region // self.grid_cols] for region in range(self.num_regions)]
+        return [picked[region % self.grid_cols] for region in range(self.num_regions)]
 
     def assign_r1(self, keys: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
-        keys = np.asarray(keys)
-        chosen_rows = rng.integers(0, self.grid_rows, size=len(keys))
-        assignments: list[np.ndarray] = []
-        for region in range(self.num_regions):
-            region_row = region // self.grid_cols
-            assignments.append(np.flatnonzero(chosen_rows == region_row))
-        return assignments
+        """Route R1 tuples by position: tuple ``i`` has arrival index ``i``."""
+        return self._shares(1, np.arange(len(keys)))
 
     def assign_r2(self, keys: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
-        keys = np.asarray(keys)
-        chosen_cols = rng.integers(0, self.grid_cols, size=len(keys))
-        assignments: list[np.ndarray] = []
-        for region in range(self.num_regions):
-            region_col = region % self.grid_cols
-            assignments.append(np.flatnonzero(chosen_cols == region_col))
-        return assignments
+        """Route R2 tuples by position: tuple ``i`` has arrival index ``i``."""
+        return self._shares(2, np.arange(len(keys)))
+
+    sorted_arrivals = Partitioning._sort_then_cut
+
+    def cut_sorted(self, side, keys, indices, rng):
+        """Draw each tuple's row or column from its own arrival index.
+
+        A region's share is a subsequence of the sorted tuples, so it stays
+        sorted.
+        """
+        return [(indices[local], keys[local]) for local in self._shares(side, indices)]
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"OneBucketPartitioning(grid={self.grid_rows}x{self.grid_cols})"
 
 
-def build_one_bucket_partitioning(num_machines: int) -> OneBucketPartitioning:
-    """Build the 1-Bucket partitioning for ``num_machines`` machines."""
+def build_one_bucket_partitioning(num_machines: int, key: int = 0) -> OneBucketPartitioning:
+    """Build the 1-Bucket partitioning for ``num_machines`` machines.
+
+    ``key`` seeds its draws; a caller holding a generator draws one per
+    plan (``rng.integers(2**63)``), so runs under different seeds route
+    differently.
+    """
     rows, cols = machine_grid_shape(num_machines)
-    return OneBucketPartitioning(grid_rows=rows, grid_cols=cols)
+    return OneBucketPartitioning(grid_rows=rows, grid_cols=cols, key=key)

@@ -6,14 +6,15 @@ was assigned to -- and here that place is the
 every backend through one **state-ownership protocol**:
 
 ``bind`` → per batch ``count_batch`` / ``evict_state`` → ``install_state``
-(migrations, resizes, restores), with ``resident_indices`` as the one
-read-only view (migration planning, checkpoints) and
-``drain_channel_bytes`` for byte metering.  Arrival indices are global and
-stored as given (:mod:`repro.streaming.arrivals`).  State enters a machine
-in one shape: per machine, ``(arrival indices, keys)`` columns key-sorted
-by the router (:meth:`RegionStateTable.fold` states the contract) -- a
-batch's arrivals (``count_batch``) and a machine's complete state
-(``install_state``, whose column lists also say the fleet size) alike.
+(migrations, resizes, restores), with ``drain_channel_bytes`` for byte
+metering.  State enters a machine in one shape: per machine, its keys
+sorted by the router (:meth:`RegionStateTable.fold` states the contract) --
+a batch's arrivals (``count_batch``), the expired keys an eviction routes
+to it (``evict_state``) and a machine's complete state (``install_state``,
+whose key lists also say the fleet size) alike.  A machine holds a key
+multiset and nothing else: which tuples it holds is the engine's to derive
+from its arrival logs (:func:`~repro.streaming.migration.placement`), so
+no verb reads state back.
 
 The protocol is implemented once, in-process, on the base class: a
 :class:`RegionStateTable` of sorted per-machine state whose ``count_batch``
@@ -144,12 +145,12 @@ class RegionStateTable:
     protocol traffic hold bit-identical state.
 
     Array inputs may be zero-copy views into a transient shared segment;
-    :class:`SortedRegionState` copies on append and rebuild, so the state
-    keeps no view past the call.  The per-task ``(needles, run keys)``
-    pairs a :meth:`fold` returns are the caller's own arrival keys and the
-    state's own runs: count them before the arrivals' storage is reused,
-    read them, never write to them (the state itself only ever swaps in
-    fresh arrays).
+    :class:`SortedRegionState` copies on append, tombstone and install, so
+    the state keeps no view past the call.  The per-task ``(needles, run
+    keys, run counts)`` a :meth:`fold` returns are the caller's own arrival
+    keys and the state's own runs: count them before the arrivals' storage
+    is reused, read them, never write to them (the state itself only ever
+    swaps in fresh arrays).
     """
 
     def __init__(self, machines: "Iterable[int]") -> None:
@@ -159,15 +160,13 @@ class RegionStateTable:
 
     def fold(
         self, arrays: "list[np.ndarray]"
-    ) -> "tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]":
+    ) -> "tuple[list[tuple[np.ndarray, ...]], np.ndarray]":
         """Merge a batch's arrivals in; return the counting tasks and their owners.
 
         ``arrays`` is the machine-major layout of the whole cluster's
-        arrivals -- ``(idx1, keys1, idx2, keys2)`` per machine; only the
-        slices of this table's machines are read.  **Arrivals are
-        key-sorted**: each key column ascends (NaN last), equal keys in an
-        unspecified order that no count reads, as
-        :meth:`Partitioning.sorted_arrivals
+        arrivals -- ``(keys1, keys2)`` per machine; only the slices of this
+        table's machines are read.  **Arrivals are key-sorted**: each key
+        array ascends (NaN last), as :meth:`Partitioning.sorted_arrivals
         <repro.partitioning.base.Partitioning.sorted_arrivals>` routes
         them, so they are appended to the state as they are
         (:meth:`SortedRegionState.append_sorted
@@ -179,10 +178,12 @@ class RegionStateTable:
         its first half searches the just-updated R2 state per new R1 key,
         its second searches the *pre-append* R1 state per new R2 key (to be
         counted under the transposed condition).  Each half is one task
-        ``(needles, run keys)`` per sorted run of the searched state -- the
-        needles are the batch's arrival keys -- so
-        counting is ``O(new * runs * log state)`` and the per-run counts
-        sum exactly to the half.
+        ``(needles, run keys, run counts)`` per run of the searched state
+        -- the needles are the batch's arrival keys, the counts a run's
+        cumulative multiplicities (``None`` for a fresh run,
+        :func:`~repro.joins.local.count_regions`) -- so counting is
+        ``O(new * runs * log distinct)`` and the per-run counts sum exactly
+        to the half.
 
         ``owners[t]`` is ``2 * slot + half`` of task ``t``, with ``slot``
         the machine's position in :attr:`machines` and ``half`` 0 for the
@@ -195,20 +196,20 @@ class RegionStateTable:
         half share their needles *array*, so the count kernel computes
         joinable bounds for it once, not once per run.
         """
-        tasks: "list[tuple[np.ndarray, np.ndarray]]" = []
+        tasks: "list[tuple[np.ndarray, ...]]" = []
         owners: "list[int]" = []
         for slot, machine in enumerate(self.machines):
-            idx1, keys1, idx2, keys2 = arrays[4 * machine : 4 * machine + 4]
+            keys1, keys2 = arrays[2 * machine : 2 * machine + 2]
             state1, state2 = self.state1[machine], self.state2[machine]
-            old_runs1 = state1.run_keys
-            state2.append_sorted(idx2, keys2)
-            state1.append_sorted(idx1, keys1)
+            old_runs1 = state1.runs
+            state2.append_sorted(keys2)
+            state1.append_sorted(keys1)
             for half, needles, searched in (
-                (0, keys1, state2.run_keys),
+                (0, keys1, state2.runs),
                 (1, keys2, old_runs1),
             ):
-                searched = searched or [needles[:0]]
-                tasks += [(needles, run) for run in searched]
+                searched = searched or [(needles[:0], None)]
+                tasks += [(needles, keys, cum) for keys, cum in searched]
                 owners += [2 * slot + half] * len(searched)
         return tasks, np.array(owners, dtype=np.int64)
 
@@ -222,61 +223,63 @@ class RegionStateTable:
         starts = owners.searchsorted(np.arange(2 * len(self.machines)))
         return np.add.reduceat(values, starts).reshape(-1, 2)
 
-    def evict(
-        self, expired1: np.ndarray, expired2: np.ndarray
-    ) -> "list[tuple[int, int]]":
-        """Drop expired arrival indices; per machine, ``(R1, R2)`` entries dropped."""
-        return [
-            (self.state1[m].evict(expired1), self.state2[m].evict(expired2))
-            for m in self.machines
-        ]
+    def evict(self, arrays: "list[np.ndarray]") -> "list[tuple[int, int]]":
+        """Tombstone each machine's expired keys; per machine, ``(R1, R2)`` counts.
+
+        ``arrays`` is the machine-major ``(keys1, keys2)`` layout of what
+        the router sent each machine of the expired slices, key-sorted like
+        a batch (:meth:`SortedRegionState.tombstone
+        <repro.streaming.incremental.SortedRegionState.tombstone>`).
+        """
+        dropped = []
+        for machine in self.machines:
+            keys1, keys2 = arrays[2 * machine : 2 * machine + 2]
+            self.state1[machine].tombstone(keys1)
+            self.state2[machine].tombstone(keys2)
+            dropped.append((len(keys1), len(keys2)))
+        return dropped
 
     def install(self, arrays: "list[np.ndarray]") -> None:
-        """Replace every machine's state with its complete new columns.
+        """Replace every machine's state with its complete new keys.
 
         ``arrays`` is a :func:`state_layout` of the whole cluster's
-        post-move state, key-sorted as :meth:`fold` requires: each machine
-        starts over empty and appends its columns as one run, with the
-        fold's own :meth:`SortedRegionState.append_sorted
-        <repro.streaming.incremental.SortedRegionState.append_sorted>`.
+        post-move state, key-sorted as :meth:`fold` requires; each machine
+        becomes one counted run of them
+        (:meth:`SortedRegionState.install
+        <repro.streaming.incremental.SortedRegionState.install>`).
         """
         for machine in self.machines:
-            idx1, keys1, idx2, keys2 = arrays[4 * machine : 4 * machine + 4]
-            self.state1[machine] = SortedRegionState()
-            self.state2[machine] = SortedRegionState()
-            self.state1[machine].append_sorted(idx1, keys1)
-            self.state2[machine].append_sorted(idx2, keys2)
+            keys1, keys2 = arrays[2 * machine : 2 * machine + 2]
+            self.state1[machine].install(keys1)
+            self.state2[machine].install(keys2)
 
 
 def state_layout(
-    columns1: "list[tuple[np.ndarray, np.ndarray]]",
-    columns2: "list[tuple[np.ndarray, np.ndarray]]",
+    keys1: "list[np.ndarray]", keys2: "list[np.ndarray]"
 ) -> "list[np.ndarray]":
-    """Machine-major array layout: (idx1, keys1, idx2, keys2) per machine.
+    """Machine-major array layout: (keys1, keys2) per machine.
 
     The one shape protocol traffic takes on its way into a
-    :class:`RegionStateTable` -- each machine's R1 and R2 ``(indices,
-    keys)`` column pairs laid end to end -- whether the table sits in this
-    process or behind a shared-memory message.
+    :class:`RegionStateTable` -- each machine's sorted R1 and R2 keys laid
+    end to end -- whether the table sits in this process or behind a
+    shared-memory message.
     """
-    return [
-        array
-        for pair1, pair2 in zip(columns1, columns2)
-        for array in (*pair1, *pair2)
-    ]
+    return [keys for pair in zip(keys1, keys2) for keys in pair]
 
 
-def _fleet_size(
-    state1: "list[tuple[np.ndarray, np.ndarray]]",
-    state2: "list[tuple[np.ndarray, np.ndarray]]",
-) -> int:
-    """The machine count an ``install_state`` names: one column pair each."""
+def _fleet_size(state1: "list[np.ndarray]", state2: "list[np.ndarray]") -> int:
+    """The machine count an ``install_state`` names: one key array per side each."""
     if not state1 or len(state1) != len(state2):
         raise ValueError(
-            "install_state takes one R1 and one R2 column pair per machine, "
+            "install_state takes one R1 and one R2 key array per machine, "
             f"for at least one machine; got {len(state1)} and {len(state2)}"
         )
     return len(state1)
+
+
+def _lengths(layout: "list[np.ndarray]") -> np.ndarray:
+    """``(machines, 2)`` lengths of a :func:`state_layout`'s R1 / R2 keys."""
+    return np.array([len(keys) for keys in layout], dtype=np.int64).reshape(-1, 2)
 
 
 class ExecutionBackend(abc.ABC):
@@ -285,8 +288,7 @@ class ExecutionBackend(abc.ABC):
     The engine touches join state only through the **state-ownership
     protocol** implemented here: :meth:`bind` once per stream, then per
     batch :meth:`count_batch` / :meth:`evict_state`,
-    :meth:`install_state` on a migration, resize or restore,
-    :meth:`resident_indices` as the read-only view and
+    :meth:`install_state` on a migration, resize or restore and
     :meth:`drain_channel_bytes` for byte metering.  The default keeps a
     :class:`RegionStateTable` in-process and dispatches each batch's
     search tasks through :meth:`join_regions` -- the single abstract
@@ -352,7 +354,7 @@ class ExecutionBackend(abc.ABC):
     @abc.abstractmethod
     def join_regions(
         self,
-        tasks: list[tuple[np.ndarray, np.ndarray]],
+        tasks: "list[tuple[np.ndarray, ...]]",
         conditions: "list[JoinCondition]",
     ) -> RegionJoinResult:
         """Join each ``(needles, run keys)`` task; count exact output.
@@ -382,16 +384,13 @@ class ExecutionBackend(abc.ABC):
         self._fold_conditions = (condition, transposed)
 
     def count_batch(
-        self,
-        new1: "list[tuple[np.ndarray, np.ndarray]]",
-        new2: "list[tuple[np.ndarray, np.ndarray]]",
+        self, new1: "list[np.ndarray]", new2: "list[np.ndarray]"
     ) -> RegionJoinResult:
         """Fold one batch's arrivals into the state; count its output delta.
 
-        ``new1`` / ``new2`` are per-machine ``(arrival indices, keys)``
-        column pairs, key-sorted as :meth:`RegionStateTable.fold` requires.
-        Every machine's search tasks
-        (:meth:`RegionStateTable.fold`: two halves, one task per sorted run
+        ``new1`` / ``new2`` are per-machine arrival keys, key-sorted as
+        :meth:`RegionStateTable.fold` requires.  Every machine's search
+        tasks (:meth:`RegionStateTable.fold`: two halves, one task per run
         searched) go through :meth:`join_regions` as one dispatch, so the
         returned timings and serialization bytes are the backend's own; no
         full-region recount ever happens.  Per-task outputs and seconds are
@@ -413,46 +412,34 @@ class ExecutionBackend(abc.ABC):
             ).sum(axis=1),
         )
 
-    def evict_state(self, expired1: np.ndarray, expired2: np.ndarray) -> int:
-        """Drop expired arrival indices from every machine; return the count."""
-        dropped = self._bound_table().evict(expired1, expired2)
+    def evict_state(
+        self, expired1: "list[np.ndarray]", expired2: "list[np.ndarray]"
+    ) -> int:
+        """Tombstone each machine's expired keys; return how many.
+
+        ``expired1`` / ``expired2`` are, per machine, the keys of the
+        expired tuples it holds, key-sorted -- the router's share of the
+        expired slices, in :meth:`count_batch`'s shape.
+        """
+        dropped = self._bound_table().evict(state_layout(expired1, expired2))
         return sum(side1 + side2 for side1, side2 in dropped)
 
     def install_state(
-        self,
-        state1: "list[tuple[np.ndarray, np.ndarray]]",
-        state2: "list[tuple[np.ndarray, np.ndarray]]",
+        self, state1: "list[np.ndarray]", state2: "list[np.ndarray]"
     ) -> None:
-        """Replace every machine's state with its complete new columns.
+        """Replace every machine's state with its complete new keys.
 
-        The one way state moves wholesale -- a migration plan's new state, a
-        restored checkpoint's resident state -- in the shape
-        :meth:`count_batch` takes: per machine, ``(arrival indices, keys)``
-        columns key-sorted as :meth:`RegionStateTable.fold` requires.  The
-        fleet size is ``len(state1)``: installing onto a different one is
-        how the fleet resizes.
+        The one way state moves wholesale -- the initial build's backlog is
+        counted as a batch, but a migration plan's new state and a
+        restore's routed live state come here -- in the shape
+        :meth:`count_batch` takes: per machine, keys sorted as
+        :meth:`RegionStateTable.fold` requires.  The fleet size is
+        ``len(state1)``: installing onto a different one is how the fleet
+        resizes.
         """
         self._bound_table()
         self._table = RegionStateTable(range(_fleet_size(state1, state2)))
         self._table.install(state_layout(state1, state2))
-
-    def resident_indices(
-        self,
-    ) -> "tuple[list[np.ndarray], list[np.ndarray]]":
-        """Per-machine arrival indices held, R1 then R2 (read, never write).
-
-        What migration planning and checkpoints need to know about the
-        state: indices only, never keys.  Order within a machine is
-        unspecified (the in-process default concatenates its runs' index
-        columns, and hands out a single run's column with no copy); callers
-        treat each array as a set.  ``O(state)``: the per-batch path never
-        calls it.
-        """
-        table = self._bound_table()
-        return (
-            [table.state1[m].arrival_indices() for m in table.machines],
-            [table.state2[m].arrival_indices() for m in table.machines],
-        )
 
     def drain_channel_bytes(
         self,
@@ -485,7 +472,7 @@ class SimulatedBackend(ExecutionBackend):
 
     def join_regions(
         self,
-        tasks: list[tuple[np.ndarray, np.ndarray]],
+        tasks: "list[tuple[np.ndarray, ...]]",
         conditions: "list[JoinCondition]",
     ) -> RegionJoinResult:
         """Count each non-empty task's join output in the calling process."""
@@ -517,7 +504,7 @@ class _StickyWorkerState:
     """
 
     #: The state verbs: commands whose payload is a shared-memory message.
-    VERBS = ("count", "evict", "install", "indices")
+    VERBS = ("count", "evict", "install")
 
     def __init__(self) -> None:
         self.table = RegionStateTable(())
@@ -565,29 +552,12 @@ class _StickyWorkerState:
         return list(zip(outputs, seconds))
 
     def evict(self, arrays: "list[np.ndarray]") -> "list[tuple[int, int]]":
-        """Drop the per-side expired indices: ``(R1, R2)`` entries dropped."""
-        return self.table.evict(*arrays)
+        """Tombstone each owned machine's expired keys: ``(R1, R2)`` counts."""
+        return self.table.evict(arrays)
 
     def install(self, arrays: "list[np.ndarray]") -> None:
-        """Replace every owned machine's state with its complete new columns."""
+        """Replace every owned machine's state with its complete new keys."""
         self.table.install(arrays)
-
-    def indices(self, arrays: "list[np.ndarray]") -> None:
-        """Write every owned machine's arrival indices into its reserved slices.
-
-        ``arrays`` is the backend's reservation: an R1 and an R2 int64 slice
-        per machine, sized from its counts.  A slice of the wrong length is
-        left unwritten -- the lengths :meth:`handle` reports make the
-        backend raise.
-        """
-        table = self.table
-        for machine in table.machines:
-            for slot, state in zip(
-                arrays[2 * machine : 2 * machine + 2],
-                (table.state1[machine], table.state2[machine]),
-            ):
-                if len(slot) == len(state):
-                    slot[:] = state.arrival_indices()
 
     def handle(self, command: tuple, reader: ShmReader):
         """Dispatch one command; a state verb replies ``(op, rows)``.
@@ -637,14 +607,6 @@ def _sticky_worker_main(channel) -> None:
         channel.close()
 
 
-def _index_lengths(
-    indices1: "list[np.ndarray]", indices2: "list[np.ndarray]"
-) -> np.ndarray:
-    """``(machines, 2)`` lengths of per-machine R1 / R2 index arrays."""
-    lengths = [[len(idx1), len(idx2)] for idx1, idx2 in zip(indices1, indices2)]
-    return np.array(lengths, dtype=np.int64).reshape(-1, 2)
-
-
 class StickyWorkerBackend(ExecutionBackend):
     """Resident per-worker join state over shared memory (zero-copy deltas).
 
@@ -661,9 +623,9 @@ class StickyWorkerBackend(ExecutionBackend):
     workers hold the *only* copy of the state.  Engine-side the backend
     keeps one integer per machine and side -- how many tuples it has told
     that machine to hold -- and every reply opens with what the machine
-    really held when the command arrived; a disagreement raises before a
-    migration could plan around state that does not exist.
-    :meth:`resident_indices` reads the arrival indices back on demand.
+    really held when the command arrived; a disagreement raises instead of
+    counting against state that does not exist.  Nothing is ever read back:
+    what a machine holds is derived engine-side from the arrival logs.
     Counted outputs are bit-identical to :class:`SimulatedBackend`: the
     workers run the same :class:`RegionStateTable` fold on the same arrays.
 
@@ -868,9 +830,8 @@ class StickyWorkerBackend(ExecutionBackend):
     def _command(self, op: str, message: ShmMessage) -> "list[tuple]":
         """Broadcast → gather → check: the one body of every state verb.
 
-        ``message`` is the verb's arena payload (written, or reserved for
-        the workers to fill): its bytes are metered here, only its
-        descriptor is pickled.  Each worker answers one row per machine it
+        ``message`` is the verb's arena payload: its bytes are metered
+        here, only its descriptor is pickled.  Each worker answers one row per machine it
         owns, ``(machine, held1, held2, *values)``; the ``values`` come
         back in machine order.  What the machines held on receipt must
         equal the backend's counts -- all it knows about worker state.
@@ -892,21 +853,19 @@ class StickyWorkerBackend(ExecutionBackend):
         return values
 
     def count_batch(
-        self,
-        new1: "list[tuple[np.ndarray, np.ndarray]]",
-        new2: "list[tuple[np.ndarray, np.ndarray]]",
+        self, new1: "list[np.ndarray]", new2: "list[np.ndarray]"
     ) -> RegionJoinResult:
         """Ship one batch's per-machine deltas; fold and count worker-side.
 
-        The key-sorted ``(indices, keys)`` columns are written to the arena
-        as one :func:`state_layout` message, per machine as they came.  The
-        byte accounting accrues on the backend and is drained per batch
+        The key-sorted arrivals are written to the arena as one
+        :func:`state_layout` message, per machine as they came.  The byte
+        accounting accrues on the backend and is drained per batch
         (:meth:`drain_channel_bytes`), covering every command of the batch.
         """
         start = perf_counter()
         layout = state_layout(new1, new2)
         rows = self._command("count", self._bound_arena().write(layout))
-        self._counts += _index_lengths(layout[0::4], layout[2::4])
+        self._counts += _lengths(layout)
         outputs, seconds = zip(*rows)
         return RegionJoinResult(
             per_machine_output=np.array(outputs, dtype=np.int64),
@@ -915,22 +874,22 @@ class StickyWorkerBackend(ExecutionBackend):
             worker_pids=self._machine_pids.copy(),
         )
 
-    def evict_state(self, expired1: np.ndarray, expired2: np.ndarray) -> int:
-        """Drop expired arrival indices worker-side; return entries dropped.
+    def evict_state(
+        self, expired1: "list[np.ndarray]", expired2: "list[np.ndarray]"
+    ) -> int:
+        """Ship each machine's expired keys; the workers tombstone them.
 
-        The workers report what each machine really dropped, per side; the
-        counts shrink by exactly that.
+        One :func:`state_layout` message, like a batch; the counts shrink
+        by what each machine was sent.
         """
-        expired = [np.asarray(e, dtype=np.int64) for e in (expired1, expired2)]
-        rows = self._command("evict", self._bound_arena().write(expired))
-        dropped = np.array(rows, dtype=np.int64)
+        layout = state_layout(expired1, expired2)
+        self._command("evict", self._bound_arena().write(layout))
+        dropped = _lengths(layout)
         self._counts -= dropped
         return int(dropped.sum())
 
     def install_state(
-        self,
-        state1: "list[tuple[np.ndarray, np.ndarray]]",
-        state2: "list[tuple[np.ndarray, np.ndarray]]",
+        self, state1: "list[np.ndarray]", state2: "list[np.ndarray]"
     ) -> None:
         """Move migrated state between workers through shared memory.
 
@@ -947,26 +906,7 @@ class StickyWorkerBackend(ExecutionBackend):
             self._assign(machines)
         layout = state_layout(state1, state2)
         self._command("install", arena.write(layout))
-        self._counts = _index_lengths(layout[0::4], layout[2::4])
-
-    def resident_indices(
-        self,
-    ) -> "tuple[list[np.ndarray], list[np.ndarray]]":
-        """Read every machine's arrival indices back from its worker.
-
-        On demand, for a migration or a checkpoint -- never per batch.  The
-        backend reserves one arena slice per machine and side, sized from
-        its counts, and each worker writes its machines'
-        :meth:`SortedRegionState.arrival_indices` into them: the state
-        still never crosses the pickle channel, and the bytes are metered
-        as ``bytes_shm`` like a write.  Returns copies, which survive the
-        arena's next message.
-        """
-        arena = self._bound_arena()
-        message = arena.reserve(self._counts.ravel())
-        self._command("indices", message)
-        arrays = arena.read(message)
-        return arrays[0::2], arrays[1::2]
+        self._counts = _lengths(layout)
 
     def drain_channel_bytes(
         self,
@@ -989,7 +929,7 @@ class StickyWorkerBackend(ExecutionBackend):
 
     def join_regions(
         self,
-        tasks: list[tuple[np.ndarray, np.ndarray]],
+        tasks: "list[tuple[np.ndarray, ...]]",
         conditions: "list[JoinCondition]",
     ) -> RegionJoinResult:
         """Refuse stateless dispatch: sticky workers own their state.
@@ -1081,13 +1021,13 @@ class SlowConsumerBackend(ExecutionBackend):
 
     def join_regions(
         self,
-        tasks: list[tuple[np.ndarray, np.ndarray]],
+        tasks: "list[tuple[np.ndarray, ...]]",
         conditions: "list[JoinCondition]",
     ) -> RegionJoinResult:
         """Run the inner backend, slowed by the configured delay."""
         self._ensure_open()
         delay = self.seconds_per_call + self.seconds_per_tuple * sum(
-            len(keys1) for keys1, _ in tasks
+            len(task[0]) for task in tasks
         )
         if self._sleep is not None and delay > 0:
             self._sleep(delay)

@@ -30,18 +30,20 @@ and safe to golden.  ``from_bytes`` refuses other versions, corrupt
 payloads and payloads whose keys are not exactly the checkpoint's fields
 with a clear ``ValueError`` instead of unpickling garbage.
 
-Join state is stored as *indices only*: per machine and side, the sorted
-arrival indices resident there.  Keys are never stored twice -- a restore
-is the one place index-only state becomes the backend's columns: it
-regathers the keys from the key history and key-sorts them
-(``sort_arrivals``), which reproduces the resident ``(index, key)`` set on
-any backend -- the order among equal keys is unspecified and nothing reads
-it -- so a checkpoint taken on one backend restores onto any other.  Every
-stored arrival index is global (:mod:`repro.streaming.arrivals`); ``base1`` /
-``base2`` say which index the retained keys start at.  Version 1 (verbatim
-key-sorted state columns and a counting mode), version 2 (three engine
-options that no longer exist) and version 3 (indices shifted by the trimmed
-history, no bases) are refused by name.
+No backend state is read.  Every tuple a machine holds reached it through
+the current plan, so a machine's state is the live log routed by that plan
+and placed by ``region_to_machine``
+(:func:`~repro.streaming.migration.placement`): :func:`capture` records it
+as ``state_index*`` -- per machine and side, the sorted arrival indices
+resident there -- and a restore is a migration from nothing, the same
+route followed by ``install_state``.  That reproduces every machine's key
+multiset on any backend, so a checkpoint taken on one backend restores onto
+any other.  Every stored arrival index is global
+(:mod:`repro.streaming.arrivals`); ``base1`` / ``base2`` say which index the
+retained keys start at.  Version 1 (verbatim key-sorted state columns and a
+counting mode), version 2 (three engine options that no longer exist) and
+version 3 (indices shifted by the trimmed history, no bases) are refused by
+name.
 
 Driving a crash-survivable run
 ------------------------------
@@ -77,10 +79,10 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from repro.partitioning.base import sort_arrivals
 from repro.streaming.arrivals import ArrivalLog
 from repro.streaming.backends import WorkerCrashError
 from repro.streaming.metrics import StreamRunResult
+from repro.streaming.migration import placement
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -113,13 +115,15 @@ class RunState:
     Everything
     :meth:`~repro.streaming.engine.StreamingJoinEngine.process_batch` reads
     or writes between batches lives here or in the backend (the engine
-    object itself holds only configuration), so a checkpoint is a copy of
-    this object's fields, the backend's resident indices and the engine's
-    collaborators, and a restore rebuilds exactly this.  ``log1`` /
-    ``log2`` are the per-side :class:`~repro.streaming.arrivals.ArrivalLog`
-    (keys, live set, batch starts); ``resident_tuples`` is derived and never
-    captured -- the running count of state entries the backend holds, which
-    a restore recounts from the captured indices.
+    object itself holds only configuration), and the backend's state is a
+    function of it (the live logs routed by ``partitioning`` and
+    ``region_to_machine``), so a checkpoint is a copy of this object's
+    fields and the engine's collaborators, and a restore rebuilds exactly
+    this.  ``log1`` / ``log2`` are the per-side
+    :class:`~repro.streaming.arrivals.ArrivalLog` (keys, live set, batch
+    starts); ``resident_tuples`` is derived and never captured -- the
+    running count of state entries the backend holds, which a restore
+    recounts from what it installs.
     """
 
     __slots__ = (
@@ -170,9 +174,9 @@ class StreamCheckpoint:
         arrival-index set.
     state_index1, state_index2:
         Per machine, the sorted arrival indices of the R1/R2 state resident
-        there (the backend's ``resident_indices``).  Indices only: a
-        restore regathers the keys from the history and rebuilds each
-        machine's key-sorted state through the backend's ``install_state``.
+        there: the live logs routed by ``partitioning`` and placed by
+        ``region_to_machine`` (:func:`~repro.streaming.migration.placement`).
+        A restore routes again rather than reading them.
     region_to_machine:
         Where each region's state lives after any partial-repartitioning
         remap.
@@ -326,11 +330,11 @@ def capture(engine: Any) -> StreamCheckpoint:
     The body of
     :meth:`~repro.streaming.engine.StreamingJoinEngine.checkpoint`: the one
     place that lists what a checkpoint holds.  Each machine's resident
-    arrival indices come from the backend's ``resident_indices`` (sorted
-    here; keys are reproducible from the history and never read back; a
-    sticky backend reads the indices back from its workers, so there a
-    checkpoint can raise ``WorkerCrashError``).  Everything is copied, so
-    the engine may keep running after.
+    arrival indices are derived, not read back: the live logs routed by
+    the current plan (:func:`~repro.streaming.migration.placement`, one key
+    sort per side), sorted here.  The backend is never asked, so a
+    checkpoint cannot fail on a dead worker.  Everything is copied, so the
+    engine may keep running after.
     """
     if engine.phase != "running":
         raise RuntimeError(
@@ -342,7 +346,15 @@ def capture(engine: Any) -> StreamCheckpoint:
         "checkpoint", category="run", position=s.position
     ) as span:
         s.result.checkpoints_taken += 1
-        resident1, resident2 = engine.backend.resident_indices()
+        resident1, resident2 = (
+            [
+                indices
+                for indices, _ in placement(
+                    s.partitioning, side, log, s.rng, engine.num_machines, s.region_to_machine
+                )
+            ]
+            for side, log in ((1, s.log1), (2, s.log2))
+        )
         checkpoint = StreamCheckpoint(
             num_machines=engine.num_machines,
             migration_cost_factor=engine.migration_cost_factor,
@@ -394,11 +406,12 @@ def resume(
     :meth:`~repro.streaming.engine.StreamingJoinEngine.resume_from` (see
     there for the arguments): construct the engine from the captured
     configuration, adopt the captured run state, and rebuild the join state
-    on ``backend`` through ``bind`` / ``install_state`` -- each machine's
-    keys gathered from the logs and key-sorted, which reproduces the
-    ``(index, key)`` set of the state the checkpoint was taken from.  The
-    checkpoint is deep-copied first, so one checkpoint can seed any number
-    of resumed runs.
+    on ``backend`` through ``bind`` / ``install_state`` -- a migration from
+    nothing: the live logs routed by the captured plan and placed by its
+    ``region_to_machine``, which reproduces every machine's key multiset
+    as it stood when the checkpoint was taken.  The checkpoint is
+    deep-copied first, so one checkpoint can seed any number of resumed
+    runs.
     """
     checkpoint = copy.deepcopy(checkpoint)
     engine = engine_cls(
@@ -449,8 +462,15 @@ def resume(
             engine.num_machines, engine.condition, engine._transposed
         )
         engine.backend.install_state(
-            [sort_arrivals(held, s.log1[held]) for held in checkpoint.state_index1],
-            [sort_arrivals(held, s.log2[held]) for held in checkpoint.state_index2],
+            *(
+                [
+                    keys
+                    for _, keys in placement(
+                        s.partitioning, side, log, s.rng, engine.num_machines, s.region_to_machine
+                    )
+                ]
+                for side, log in ((1, s.log1), (2, s.log2))
+            )
         )
         span.set(
             batches=len(s.result.batches),

@@ -5,12 +5,16 @@ and runs a stateful partitioned join over it.  The join state itself has
 exactly one owner -- the :class:`~repro.streaming.backends.ExecutionBackend`
 -- and the engine reaches it only through the backend's state-ownership
 protocol (``bind`` / ``count_batch`` / ``evict_state`` /
-``install_state`` / ``resident_indices`` / ``drain_channel_bytes``).
+``install_state`` / ``drain_channel_bytes``), which carries keys only.
 What the engine holds is the arrival
 bookkeeping: one :class:`~repro.streaming.arrivals.ArrivalLog` per side
 (keys, live arrival indices, batch starts), in the one coordinate system
 :mod:`repro.streaming.arrivals` describes -- every arrival index is global
-and never rewritten.  Per micro-batch it runs six stages:
+and never rewritten.  Every tuple a machine holds got there through the
+current plan, so which tuples it holds is never asked of the backend: it
+is the live log routed by the plan
+(:func:`~repro.streaming.migration.placement`).  Per micro-batch it runs
+six stages:
 
 * **ingest** -- fold the batch into the maintained sample state, build the
   first partitioning once both sides have been seen, append the keys (and,
@@ -22,8 +26,8 @@ and never rewritten.  Per micro-batch it runs six stages:
   remembered between rebuilds, so partial repartitioning never degrades
   correctness);
 * **count** -- hand the per-machine key-sorted arrivals to the backend, which
-  appends them to each machine's key-sorted runs and counts the batch's
-  exact output delta by binary search, ``O(new * runs * log state)`` per
+  appends them to each machine's counted key runs and counts the batch's
+  exact output delta by binary search, ``O(new * runs * log distinct)`` per
   machine with the runs merged geometrically behind it
   (``C(new1, state2 + new2) + C(state1, new2)``; no region is ever
   re-counted and no batch re-copies the state).  The cost-model load is
@@ -31,7 +35,9 @@ and never rewritten.  Per micro-batch it runs six stages:
   output cost;
 * **evict + compact** -- the :class:`~repro.streaming.window.WindowPolicy`
   decides which tuples expire (unbounded history by default, a sliding
-  count-or-batch window, or exponential decay); evictions are charged into
+  count-or-batch window, or exponential decay); the expired slice is routed
+  through the current plan exactly like a batch and each machine
+  tombstones its share.  Evictions are charged into
   :class:`~repro.streaming.metrics.BatchMetrics` and bound both the
   per-machine state and the per-batch cost.  Under any bounded window the
   logs are then *trimmed*: the window reports a safe trim point
@@ -98,7 +104,13 @@ from repro.streaming.backends import (
 from repro.streaming.checkpoint import RunState, StreamCheckpoint, capture, resume
 from repro.streaming.incremental import IncrementalHistogram
 from repro.streaming.metrics import BatchMetrics, StreamRunResult
-from repro.streaming.migration import _to_machines, plan_migration, route_live
+from repro.streaming.migration import (
+    _to_machines,
+    placement,
+    plan_migration,
+    route_live,
+    sorted_live,
+)
 from repro.streaming.policies import (
     DriftAdaptiveEWHPolicy,
     RepartitioningPolicy,
@@ -109,6 +121,11 @@ from repro.streaming.source import MicroBatch, StreamSource
 from repro.streaming.window import WindowPolicy, make_window
 
 __all__ = ["StreamingJoinEngine", "compare_streaming_schemes"]
+
+
+def _keys(columns: "list[tuple[np.ndarray, np.ndarray]]") -> "list[np.ndarray]":
+    """The key column of each machine's routed ``(indices, keys)`` columns."""
+    return [keys for _, keys in columns]
 
 
 class StreamingJoinEngine:
@@ -328,27 +345,37 @@ class StreamingJoinEngine:
         The one way a running join changes partitioning, shared by drift
         migrations (same fleet) and :meth:`resize` (``machines`` differs):
         :func:`~repro.streaming.migration.plan_migration` diffs what every
-        machine holds (the backend's ``resident_indices``) against where
-        the replacement routes the live history, the backend installs the
-        planned state (on ``machines`` machines: a fleet change is an
-        install of a different length), and the moved tuples -- plus the
-        histogram rebuild, if one ran since ``builds_before`` -- are priced
-        per machine of the new fleet.  Returns the charges for
-        :meth:`_charge`.
+        machine holds -- the live logs routed by the current plan
+        (:func:`~repro.streaming.migration.placement`) -- against where the
+        replacement routes them, each side's live tuples key-sorted once
+        for both routes.  The backend installs the planned keys (on
+        ``machines`` machines: a fleet change is an install of a different
+        length), and the moved tuples -- plus the histogram rebuild, if one
+        ran since ``builds_before`` -- are priced per machine of the new
+        fleet.  Returns the charges for :meth:`_charge`.
         """
         s = self._state
-        resident1, resident2 = self.backend.resident_indices()
+        live1, live2 = sorted_live(s.log1), sorted_live(s.log2)
+        old1, old2 = (
+            [
+                indices
+                for indices, _ in placement(
+                    s.partitioning, side, live, s.rng, self.num_machines, s.region_to_machine
+                )
+            ]
+            for side, live in ((1, live1), (2, live2))
+        )
         plan = plan_migration(
-            resident1,
-            resident2,
+            old1,
+            old2,
             replacement,
-            s.log1,
-            s.log2,
+            live1,
+            live2,
             machines,
             s.rng,
             mode=self.migration_mode,
         )
-        self.backend.install_state(plan.new_state1, plan.new_state2)
+        self.backend.install_state(_keys(plan.new_state1), _keys(plan.new_state2))
         self.num_machines = machines
         s.resident_tuples = sum(
             len(held) for held, _ in plan.new_state1 + plan.new_state2
@@ -369,9 +396,9 @@ class StreamingJoinEngine:
             "migrated": plan.total_moved,
             "rebuild_cost": rebuild_cost,
             # Keep the plan's figures for reports and equivalence tests,
-            # but drop the O(history) state index arrays -- the backend
-            # already holds them, and a result object must not pin
-            # full-history snapshots per rebuild.
+            # but drop the O(history) state columns -- the backend already
+            # holds the keys, and a result object must not pin full-history
+            # snapshots per rebuild.
             "plan": replace(plan, new_state1=[], new_state2=[]),
         }
 
@@ -619,15 +646,12 @@ class StreamingJoinEngine:
         batch: MicroBatch,
         offsets: "tuple[int, int]",
         initial_build: bool,
-    ) -> "tuple[list[tuple[np.ndarray, np.ndarray]], ...] | None":
-        """Stage 2: per-machine key-sorted arrivals of the batch, R1 then R2.
+    ) -> "tuple[list[np.ndarray], list[np.ndarray]] | None":
+        """Stage 2: per-machine key-sorted arrival keys of the batch, R1 then R2.
 
-        Per side, one ``(arrival indices, keys)`` column pair per machine,
-        ascending by key, equal keys in an unspecified order -- what
-        ``count_batch`` folds in as it is
-        (:meth:`Partitioning.sorted_arrivals
-        <repro.partitioning.base.Partitioning.sorted_arrivals>`; the batch's
-        own key arrays are sorted, the logs are not read).
+        Per side, one key array per machine, ascending, as
+        ``count_batch`` folds it in (:meth:`_routed`; the batch's own key
+        arrays are sorted, the logs are not read).
 
         ``None`` while one side is still entirely unseen: no partitioning
         can be built and no output is possible yet, so the arrivals just
@@ -639,34 +663,48 @@ class StreamingJoinEngine:
         """
         if s.partitioning is None:
             return None
-        J = self.num_machines
         with self.tracer.span(
             "route", category="stage", initial_build=initial_build
         ):
             if initial_build:
+                J = self.num_machines
                 s.region_to_machine = np.arange(J, dtype=np.int64)
                 return (
-                    route_live(s.partitioning, 1, s.log1, s.rng, J),
-                    route_live(s.partitioning, 2, s.log2, s.rng, J),
+                    _keys(route_live(s.partitioning, 1, s.log1, s.rng, J)),
+                    _keys(route_live(s.partitioning, 2, s.log2, s.rng, J)),
                 )
-            return tuple(
-                _to_machines(
-                    s.partitioning.sorted_arrivals(side, keys, s.rng, offset),
-                    keys,
-                    s.region_to_machine,
-                    J,
-                )
-                for side, keys, offset in (
-                    (1, np.asarray(batch.keys1), offsets[0]),
-                    (2, np.asarray(batch.keys2), offsets[1]),
-                )
+            return (
+                self._routed(s, 1, batch.keys1, offsets[0]),
+                self._routed(s, 2, batch.keys2, offsets[1]),
             )
+
+    def _routed(
+        self, s: RunState, side: int, keys, offset: "int | np.ndarray"
+    ) -> "list[np.ndarray]":
+        """Per machine, the sorted keys the current plan sends it of ``keys``.
+
+        The one route of tuples the machines already agree on: a batch's
+        arrivals (``offset`` the first one's arrival index) and an expired
+        slice (``offset`` its arrival indices) alike
+        (:meth:`Partitioning.sorted_arrivals
+        <repro.partitioning.base.Partitioning.sorted_arrivals>`, then each
+        region to the machine holding it).
+        """
+        keys = np.asarray(keys)
+        return _keys(
+            _to_machines(
+                s.partitioning.sorted_arrivals(side, keys, s.rng, offset),
+                keys,
+                s.region_to_machine,
+                self.num_machines,
+            )
+        )
 
     def _count(
         self,
         s: RunState,
         batch: MicroBatch,
-        routed: "tuple[list[tuple[np.ndarray, np.ndarray]], ...] | None",
+        routed: "tuple[list[np.ndarray], list[np.ndarray]] | None",
         rebuild_cost: float,
     ) -> BatchMetrics:
         """Stage 3: count the batch's output delta; open its metrics record.
@@ -687,8 +725,7 @@ class StreamingJoinEngine:
         else:
             new1, new2 = routed
             arrivals = np.array(
-                [len(a) + len(b) for (a, _), (b, _) in zip(new1, new2)],
-                dtype=np.int64,
+                [len(a) + len(b) for a, b in zip(new1, new2)], dtype=np.int64
             )
             with self.tracer.span(
                 "incremental_count", category="stage", tasks=2 * J
@@ -734,9 +771,11 @@ class StreamingJoinEngine:
 
         Eviction runs after the batch is counted and *before* any
         repartitioning, so a migration only ever ships live state.  The
-        live sets shrink here; the backend drops the same expired indices
-        from every machine's state and reports how many entries it really
-        held (charged as ``tuples_evicted`` / ``bytes_freed``).  Each log
+        live sets shrink here, and the expired slices -- their keys still
+        in the logs until the trim -- are routed through the current plan
+        like a batch (:meth:`_routed`): every machine tombstones exactly
+        the keys it received when those tuples arrived, and the count of
+        them is charged as ``tuples_evicted`` / ``bytes_freed``.  Each log
         then gives up the dead prefix the eviction exposed.
         """
         if self.window.is_unbounded:
@@ -744,9 +783,10 @@ class StreamingJoinEngine:
         with self.tracer.span("evict", category="stage") as evict_span:
             expired1 = s.log1.expire(self.window, s.rng)
             expired2 = s.log2.expire(self.window, s.rng)
-            if len(expired1) or len(expired2):
+            if s.partitioning is not None and (len(expired1) or len(expired2)):
                 metrics.tuples_evicted = self.backend.evict_state(
-                    expired1, expired2
+                    self._routed(s, 1, s.log1[expired1], expired1),
+                    self._routed(s, 2, s.log2[expired2], expired2),
                 )
                 metrics.bytes_freed = (
                     metrics.tuples_evicted * BatchMetrics.STATE_BYTES
@@ -792,9 +832,7 @@ class StreamingJoinEngine:
         batches that moved no metered bytes keep ``None``, like an
         unprofiled run.  The resident count is the run state's running
         total (arrivals folded in, minus what ``evict_state`` reported,
-        reset by every ``install_state``): asking the backend's
-        ``resident_indices`` for it would materialise the whole state's
-        index columns every batch just to take their lengths.
+        reset by every ``install_state``); nothing asks the backend.
         """
         pickled, unpickled, shm = self.backend.drain_channel_bytes()
         metrics.bytes_pickled = self._accumulate_bytes(
@@ -962,8 +1000,8 @@ class StreamingJoinEngine:
         region state, same accumulated result.  ``backend`` provides the
         execution backend for the resumed run (default: a fresh simulated
         backend); it need not match the original -- every backend rebuilds
-        the state from the checkpoint's resident indices through
-        ``bind`` / ``install_state``.  ``machines`` optionally resizes onto
+        the state through ``bind`` / ``install_state`` from the
+        checkpoint's live logs routed by its plan.  ``machines`` optionally resizes onto
         a different fleet straight away (crash recovery onto the
         survivors), which is exactly :meth:`resize` from the restored
         state.  One checkpoint can seed any number of resumed runs.

@@ -7,13 +7,13 @@ both live here:
   :class:`IncrementalHistogram`), so the partitioning can be rebuilt online
   at a cost proportional to the reservoir capacity instead of the stream
   length; and
-* each machine's **retained join state** (:class:`SortedRegionState`), kept
-  as a few key-sorted runs merged geometrically, so the engine counts a
-  batch's incremental output with ``O(new * runs * log state)`` binary
-  searches and folds the batch in for an amortised ``O(new * ratio *
-  log_ratio(state / new))`` copies -- instead of re-sorting and re-scanning
-  the whole region every batch (``O(state log state)``) or re-copying it
-  (``O(state)``).
+* each machine's **retained join state** (:class:`SortedRegionState`), a
+  key multiset kept as a few key-sorted counted runs merged geometrically,
+  so the engine counts a batch's incremental output with ``O(new * runs *
+  log distinct)`` binary searches and folds the batch in for an amortised
+  ``O(new * ratio * log_ratio(distinct / new))`` copies -- instead of
+  re-sorting and re-scanning the whole region every batch (``O(state log
+  state)``) or re-copying it (``O(state)``).
 
 The batch pipeline samples both relations from scratch every time it builds
 the histogram.  Over an unbounded stream that is impossible -- the input can
@@ -53,268 +53,279 @@ from repro.core.histogram import (
 )
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import JoinCondition
-from repro.partitioning.base import sort_arrivals
 from repro.partitioning.ewh import EWHPartitioning
 from repro.sampling.reservoir import offer_entries
 from repro.streaming.source import MicroBatch
-from repro.streaming.window import surviving
 
 __all__ = ["DecayedReservoir", "IncrementalHistogram", "SortedRegionState"]
 
 
-#: A new run is merged into its predecessor while the predecessor is smaller
-#: than this many times the new run.  Measured, not tunable: every run is its
-#: own cache-cold binary-search descent per needle, so 2 (textbook binary
-#: merging) and 4 read clearly slower than 8 on both the unbounded and the
-#: windowed benchmark stream, while 8 to 32 are within noise of each other;
-#: 8 keeps at most four runs at 120K tuples per machine-side (the sweep is in
-#: ``docs/streaming.md``, "State layout").
+#: A new run is merged into its predecessor while the predecessor holds
+#: fewer than this many times the *distinct* keys merged so far.  Measured,
+#: not tunable: every run is its own cache-cold binary-search descent per
+#: needle, so 2 (textbook binary merging) and 4 read clearly slower than 8
+#: on both the unbounded and the windowed benchmark stream, while 8 to 32
+#: were within noise of each other.  That sweep was taken on runs of
+#: *tuples*, before runs were counted (``docs/streaming.md``, "State
+#: layout").  Applied to distinct lengths the same 8 collapses a skewed
+#: machine-side to one or two runs; applied to tuple totals instead it read
+#: 20% slower per ``stream_growth``-shaped batch.
 RUN_MERGE_RATIO = 8
 
 
+def _group_ends(keys: np.ndarray) -> np.ndarray:
+    """Positions of the last element of every group of equal sorted keys.
+
+    NaN != NaN, so the NaNs -- sorted last -- are made one group by hand.
+    """
+    last = np.empty(keys.size, dtype=bool)
+    last[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+    if keys.dtype.kind == "f" and keys[-1] != keys[-1]:
+        last[keys.searchsorted(keys[-1]) : -1] = False
+    return last.nonzero()[0]
+
+
 def _merge_sorted(
-    runs: "list[tuple[np.ndarray, np.ndarray]]",
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Merge key-sorted ``(keys, index)`` runs, oldest first, into one fresh run.
+    runs: "list[tuple[np.ndarray, np.ndarray | None]]",
+) -> "tuple[np.ndarray, np.ndarray] | None":
+    """Merge key-sorted runs, oldest first, into one counted run.
 
     One stable sort of the runs laid end to end: numpy's stable sort is a
-    timsort, which finds the sorted runs and merges them in linear passes
-    -- measured about twice as fast as a ``searchsorted`` plus scatter of
-    both columns, at every run size from 1.5K to 400K.  This is the one
-    stable sort left on the state path, kept for speed, not for tie order:
-    on two concatenated runs it beats numpy's default sort, which does not
-    look for runs (about 20 vs 100 us at 5,700 + 380 keys and 0.4 vs 1.7 ms
-    at 100K + 12K on an AVX-512 Xeon, numpy 2.4), while on *unsorted*
-    arrivals the default sort wins
-    (:func:`~repro.partitioning.base.sort_arrivals`).  Equal keys keep
-    their oldest-run-first order, exactly as a cascade of pairwise merges
-    from the newest run back would leave them.  No input is modified, so a
-    reader still holding an old run keeps a valid snapshot.
+    timsort, which finds the sorted runs and merges them in linear passes.
+    This is the one stable sort left on the state path, kept for speed, not
+    for tie order: on concatenated sorted runs it beats numpy's default
+    sort, which does not look for runs (about 20 vs 100 us at 5,700 + 380
+    keys on an AVX-512 Xeon, numpy 2.4), while on *unsorted* arrivals the
+    default sort wins (:func:`~repro.partitioning.base.sort_arrivals`).
+    Equal keys -- every NaN among them -- then become one entry whose count
+    is the sum of their multiplicities: the running total of the sorted
+    multiplicities, read at the last element of each group, *is* the merged
+    run's ``cum``.  Keys whose count sums to zero (a tombstone meeting the
+    tuple it expires) are dropped.  Returns distinct ascending keys and
+    their cumulative counts (``cum[0] == 0``), or ``None`` when everything
+    cancelled.  ``-0.0`` and ``0.0`` compare equal and share an entry:
+    counts read values, nothing reads bit patterns.  No input is modified,
+    so a reader still holding an old run keeps a valid snapshot.
     """
     keys = np.concatenate([keys for keys, _ in runs])
-    order = np.argsort(keys, kind="stable")
-    index = np.concatenate([index for _, index in runs])
-    return keys[order], index[order]
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    counts = np.empty(keys.size, dtype=np.int64)
+    start = 0
+    for run, cum in runs:
+        stop = start + run.size
+        counts[start:stop] = 1 if cum is None else cum[1:] - cum[:-1]
+        start = stop
+    running = counts[order].cumsum()
+    last = _group_ends(keys)
+    cum = np.empty(last.size + 1, dtype=np.int64)
+    cum[0] = 0
+    cum[1:] = running[last]
+    kept = (cum[1:] != cum[:-1]).nonzero()[0]
+    if kept.size < last.size:
+        if kept.size == 0:
+            return None
+        last = last[kept]
+        cum = np.concatenate([cum[:1], cum[1:][kept]])
+    return keys[last], cum
 
 
 class SortedRegionState:
-    """One machine's retained join state on one side: a few key-sorted runs.
+    """One machine's retained join state on one side: a key multiset in runs.
 
     The engine's incremental counting needs, per batch and per machine, the
     number of joinable pairs between the batch's few arrivals and the
-    machine's (much larger) retained state.  The state is a short list of
-    **runs**, each a ``(keys, index)`` column pair sorted by join key,
-    oldest and largest first.  A batch's arrivals come key-sorted from the
-    router (:meth:`append_sorted`; :meth:`insert` sorts for callers that
-    hold them unsorted) and are
+    machine's (much larger) retained state.  Nothing about a retained tuple
+    but its key is ever read -- which machine holds which tuple is the
+    router applied to the arrival logs (``docs/streaming.md``, "State
+    layout") -- so the state is a key *multiset*: a short list of **runs**,
+    each ``(keys, cum)`` with ``keys`` ascending, oldest run first.
+
+    * A **fresh run** is a routed batch's sorted keys as they came, ``cum``
+      ``None``: every key counts once.
+    * A **tombstone run** is a routed eviction's sorted keys with ``cum =
+      -arange(n + 1)``: every key counts minus once (:meth:`tombstone`).
+    * A **counted run** is what a merge leaves: distinct ascending keys and
+      ``cum``, their cumulative counts, ``cum[0] == 0``.
+
+    Counting needles against a run is ``cum[searchsorted(keys, hi,
+    'right')] - cum[searchsorted(keys, lo, 'left')]`` per needle (plain
+    position differences for a fresh run), so the per-run counts of live,
+    expired and re-arrived keys sum exactly to the live multiset's.  A
+    batch's arrivals come key-sorted from the router (:meth:`append_sorted`;
+    :meth:`insert` sorts for callers that hold them unsorted) and are
     appended as the newest run, which then swallows its predecessor while
-    the predecessor is smaller than :data:`RUN_MERGE_RATIO` times it -- the
-    whole cascade merged in one pass
-    (the Bentley--Saxe logarithmic method, the sorted runs of an LSM tree):
-    adjacent runs stay at least that ratio apart, so ``N`` tuples inserted
-    ``m`` at a time sit in at most ``log_ratio(N / m) + 1`` runs and each
-    tuple is copied ``O(ratio * log_ratio(N / m))`` times over its life --
-    not once per later batch, as with one array and :func:`numpy.insert`.
-    Counting a batch is one binary search per arrival *per run*:
-    ``O(new * runs * log state)``.
-
-    Eviction masks each run by arrival index (two comparisons per entry
-    for a sliding window's contiguous range, recognised once per call; one
-    :func:`~repro.streaming.window.surviving` membership pass per run
-    otherwise), and no array is ever
-    modified in place -- every operation swaps in fresh columns -- so run
+    the predecessor holds fewer than :data:`RUN_MERGE_RATIO` times its
+    distinct keys -- the whole cascade merged in one pass (the Bentley--Saxe
+    logarithmic method, the sorted runs of an LSM tree, O'Neil et al. 1996,
+    whose tombstones the negative runs are).  Under skew a merged run is
+    many times shorter than the tuples it counts, so a machine-side settles
+    at one or two short runs.  An eviction appends its tombstones without
+    any cascade; the next batch's merge cancels them against the tuples
+    they expire and drops the zero counts, so no run is ever masked or
+    rewritten to shrink it.  No array is ever modified in place, so run
     arrays handed out as search targets stay valid snapshots.
-
-    The ``(index, keys)`` set is also the unit of state portability:
-    checkpoints (:class:`~repro.streaming.checkpoint.StreamCheckpoint`)
-    capture the indices, migrations and restores append the key-sorted
-    columns to empty state as a single run (:meth:`append_sorted`;
-    :meth:`from_indices` sorts them first).  What is preserved is the
-    *set* of ``(index, key)`` pairs.  The order among equal keys is
-    unspecified -- it differs between an insert, a merge and a rebuild --
-    and nothing may depend on it: counts do not, checkpoints sort their
-    index columns, ``resident_indices`` is documented as a set.
 
     All runs of one state share one key dtype, which follows the stream's
     key arrays: integer keys are retained as integers (int64 keys above
-    2**53 must not round through float64), floats as float64.  Arrival
-    indices are unique within a machine: a machine holds one region, and a
-    region routes each tuple at most once.  They are global and stored as
-    given (:mod:`repro.streaming.arrivals`).
+    2**53 must not round through float64), floats as float64.
     """
 
     __slots__ = ("_runs",)
 
-    #: Resident bytes per retained tuple (float64 key + int64 arrival index).
-    BYTES_PER_TUPLE = 16
-
-    def __init__(
-        self, index: np.ndarray | None = None, keys: np.ndarray | None = None
-    ) -> None:
-        self._runs: "list[tuple[np.ndarray, np.ndarray]]" = []
-        if index is not None and len(index):
-            self._runs.append((np.asarray(keys), np.asarray(index)))
+    def __init__(self) -> None:
+        self._runs: "list[tuple[np.ndarray, np.ndarray | None]]" = []
 
     @classmethod
     def from_indices(
         cls, indices: np.ndarray, history: np.ndarray
     ) -> "SortedRegionState":
-        """Build single-run state for ``indices`` looked up in the key history.
+        """Build single-run state of the keys ``history[indices]``.
 
         The history's dtype carries over, so integer-keyed streams keep
-        exact integer state across migrations.
+        exact integer state.  Only the keys are kept.
         """
-        indices = np.asarray(indices, dtype=np.int64)
-        indices, keys = sort_arrivals(indices, np.asarray(history)[indices])
-        return cls(index=indices, keys=keys)
+        state = cls()
+        state.insert(np.asarray(history)[np.asarray(indices, dtype=np.int64)])
+        return state
 
     def __len__(self) -> int:
-        """Number of retained tuples."""
-        return sum(len(index) for _, index in self._runs)
+        """Number of retained tuples (the multiset's size)."""
+        return sum(
+            len(keys) if cum is None else int(cum[-1]) for keys, cum in self._runs
+        )
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of the retained state (keys + arrival indices)."""
-        return len(self) * self.BYTES_PER_TUPLE
+        """Resident bytes of the runs' arrays (keys and cumulative counts)."""
+        return sum(
+            keys.nbytes + (0 if cum is None else cum.nbytes) for keys, cum in self._runs
+        )
 
     @property
-    def run_keys(self) -> "list[np.ndarray]":
-        """Each run's sorted key column, oldest run first (no copy).
+    def runs(self) -> "list[tuple[np.ndarray, np.ndarray | None]]":
+        """Each run's ``(keys, cum)``, oldest run first (no copy).
 
         What a count searches: one binary-search pass per run.  The list is
-        a snapshot -- later inserts and evictions swap in new arrays and
-        never write into these.
+        a snapshot -- later appends swap in new arrays and never write into
+        these.
         """
-        return [keys for keys, _ in self._runs]
-
-    def _merged(self) -> "tuple[np.ndarray, np.ndarray]":
-        """The whole state as one key-sorted ``(keys, index)`` pair, uncached."""
-        if not self._runs:
-            return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
-        if len(self._runs) == 1:
-            return self._runs[0]
-        return _merge_sorted(self._runs)
+        return list(self._runs)
 
     @property
     def keys(self) -> np.ndarray:
-        """Every retained join key, ascending (a read view for tests and tools).
+        """Every retained join key with its multiplicity, ascending.
 
-        Merged on demand from the runs -- ``O(state log runs)`` per read
-        and nothing is cached, so the state never holds a second copy of
-        itself.  The per-batch paths never read it.
+        A read view for tests and tools, expanded on demand from one merge
+        of the runs -- nothing is cached, so the state never holds a second
+        copy of itself.  The per-batch paths never read it.
         """
-        return self._merged()[0]
-
-    @property
-    def index(self) -> np.ndarray:
-        """Arrival indices parallel to :attr:`keys` (``keys[i]`` is the key
-        of history tuple ``index[i]``); merged on demand like :attr:`keys`.
-        """
-        return self._merged()[1]
-
-    def arrival_indices(self) -> np.ndarray:
-        """Every arrival index held, in no particular order.
-
-        One concatenation of the runs' index columns and no merge (the
-        single run's own column, uncopied, when there is one): what
-        migration planning and checkpoints read, both of which treat it as
-        a set.
-        """
-        if len(self._runs) == 1:
-            return self._runs[0][1]
         if not self._runs:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([index for _, index in self._runs])
+            return np.empty(0, dtype=np.float64)
+        keys, cum = self._runs[0]
+        if len(self._runs) == 1 and cum is None:
+            return keys
+        merged = _merge_sorted(self._runs)
+        if merged is None:
+            return keys[:0]
+        keys, cum = merged
+        return np.repeat(keys, np.diff(cum))
 
-    def insert(self, new_indices: np.ndarray, new_keys: np.ndarray) -> np.ndarray:
-        """Key-sort a batch's arrivals and :meth:`append_sorted` them.
+    def insert(self, *columns: np.ndarray) -> np.ndarray:
+        """Key-sort arrivals and :meth:`append_sorted` them; return the sorted keys.
 
-        For callers holding arrivals unsorted; equal keys end up in an
-        unspecified order (:func:`~repro.partitioning.base.sort_arrivals`).
-        Returns the sorted keys in their own dtype -- the needles the
-        batch's count searches with, which descend a large sorted run
-        faster than unsorted ones.
+        ``columns`` is the arrivals' keys, or a routed ``(arrival indices,
+        keys)`` pair whose indices are not kept.  For callers holding
+        arrivals unsorted; the sorted keys, in their own dtype, are the
+        needles a count searches with.
         """
-        new_indices, new_keys = sort_arrivals(
-            np.asarray(new_indices, dtype=np.int64), np.asarray(new_keys)
-        )
-        self.append_sorted(new_indices, new_keys)
-        return new_keys
+        keys = np.sort(np.asarray(columns[-1]))
+        self.append_sorted(keys)
+        return keys
 
-    def append_sorted(self, new_indices: np.ndarray, new_keys: np.ndarray) -> None:
+    def evict(self, keys: np.ndarray) -> int:
+        """Key-sort expired keys and :meth:`tombstone` them; return how many."""
+        keys = np.sort(np.asarray(keys))
+        self.tombstone(keys)
+        return len(keys)
+
+    def _conform(self, keys: np.ndarray) -> np.ndarray:
+        """``keys`` in the runs' dtype, promoting *every* run on a mismatch.
+
+        The first keys into empty state set the dtype (exact integers stay
+        integers); a later mismatch promotes all runs, so a mixed int/float
+        stream never truncates a float key into an integer slot.
+        """
+        runs = self._runs
+        if runs and runs[0][0].dtype != keys.dtype:
+            target = np.promote_types(runs[0][0].dtype, keys.dtype)
+            runs[:] = [(run.astype(target), cum) for run, cum in runs]
+            keys = keys.astype(target)
+        return keys
+
+    def append_sorted(self, keys: np.ndarray) -> None:
         """Add key-sorted arrivals as the newest run; merge geometrically.
 
-        ``new_keys`` ascend (NaN last), equal keys in any order,
-        ``new_indices`` parallel to them.  Neither array is kept: they may
-        be slices of a routed batch or views into a transient shared
-        segment, so the run holds copies -- the merge's fresh columns, or
-        explicit ones when nothing merges.
+        ``keys`` ascend (NaN last).  They are not kept: they may be a slice
+        of a routed batch or a view into a transient shared segment, so the
+        run holds a copy -- the merge's fresh arrays, or an explicit one
+        when nothing merges.
 
         The new run is merged into its predecessor while the predecessor
-        is smaller than :data:`RUN_MERGE_RATIO` times it, so the amortised
-        copy cost is ``O(new * ratio * log_ratio(state / new))`` and the
-        largest run is rewritten only once the runs behind it have grown to
-        an eighth of its size.  How far that cascade reaches depends on run
-        lengths alone, so it is decided first and the whole suffix of runs
-        is merged in one pass (:func:`_merge_sorted`) -- the run list is
-        bit-identical to merging pairwise from the newest run back, equal
-        keys included.
-
-        The first arrivals into empty state set the dtype (exact integers
-        stay integers); a later dtype mismatch promotes *every* run, so a
-        mixed int/float stream never truncates a float key into an integer
-        slot and all runs keep one dtype.
+        holds fewer than :data:`RUN_MERGE_RATIO` times the distinct keys
+        merged so far, so the amortised copy cost is ``O(new * ratio *
+        log_ratio(distinct / new))``.  How far that cascade reaches depends
+        on run lengths alone, so it is decided first and the whole suffix
+        of runs is merged in one pass (:func:`_merge_sorted`).
         """
-        if len(new_indices) == 0:
+        if keys.size == 0:
             return
-        new_indices = np.asarray(new_indices, dtype=np.int64)
+        keys = self._conform(keys)
         runs = self._runs
-        if runs and runs[0][0].dtype != new_keys.dtype:
-            target = np.promote_types(runs[0][0].dtype, new_keys.dtype)
-            runs[:] = [(keys.astype(target), index) for keys, index in runs]
-            new_keys = new_keys.astype(target)
         # Which suffix of runs the arrivals cascade into is a question of
         # lengths alone, so it is settled before anything is copied.
-        first, merged = len(runs), len(new_keys)
-        while first and len(runs[first - 1][1]) < RUN_MERGE_RATIO * merged:
+        last = first = len(runs)
+        merged = keys.size
+        while first and runs[first - 1][0].size < RUN_MERGE_RATIO * merged:
             first -= 1
-            merged += len(runs[first][1])
-        if first < len(runs):
-            runs[first:] = [_merge_sorted(runs[first:] + [(new_keys, new_indices)])]
-        else:
-            runs.append((new_keys.copy(), new_indices.copy()))
+            merged += runs[first][0].size
+        if first == last:
+            runs.append((keys.copy(), None))
+            return
+        run = _merge_sorted(runs[first:] + [(keys, None)])
+        runs[first:] = [] if run is None else [run]
 
-    def evict(self, expired: np.ndarray) -> int:
-        """Drop the given global arrival indices; return how many were held.
+    def install(self, keys: np.ndarray) -> None:
+        """Become exactly the key-sorted multiset ``keys``, as one counted run.
 
-        ``expired`` is the window policy's eviction set for the side --
-        sorted ascending and unique; only the tuples this machine actually
-        holds are dropped (and counted).  A contiguous ``expired`` (every
-        sliding-window eviction) is recognised once, from its ends, and
-        masks each run with two comparisons per entry; anything else goes
-        through :func:`~repro.streaming.window.surviving` run by run.  A
-        run left empty is removed, a run that held none of ``expired`` is
-        left untouched.
+        Wholesale state -- a migration's or a restore's routed live keys --
+        is counted at once, so later batches cascade into a run of distinct
+        keys rather than of tuples.
         """
-        if not self._runs or len(expired) == 0:
-            return 0
-        low, high = expired[0], expired[-1]
-        contiguous = high - low + 1 == len(expired)
-        dropped = 0
-        survivors = []
-        for keys, index in self._runs:
-            if contiguous:
-                keep = (index < low) | (index > high)
-            else:
-                keep = surviving(index, expired)
-            kept = int(np.count_nonzero(keep))
-            if kept < len(index):
-                dropped += len(index) - kept
-                keys, index = keys[keep], index[keep]
-            if kept:
-                survivors.append((keys, index))
-        self._runs = survivors
-        return dropped
+        if keys.size == 0:
+            self._runs = []
+            return
+        # Every key counts once, so the running total at a group's last
+        # element is its position plus one: no sort, no sum.
+        last = _group_ends(keys)
+        cum = np.empty(last.size + 1, dtype=np.int64)
+        cum[0] = 0
+        np.add(last, 1, out=cum[1:])
+        self._runs = [(keys[last], cum)]
+
+    def tombstone(self, keys: np.ndarray) -> None:
+        """Record key-sorted expired keys as one negative run, merging nothing.
+
+        ``keys`` are tuples this state holds (the router's share of an
+        expired slice, which the state received when it arrived).  The run
+        counts each of them minus once until the next :meth:`append_sorted`
+        merge cancels it against the tuple it expires.
+        """
+        if keys.size == 0:
+            return
+        keys = self._conform(keys)
+        self._runs.append((keys.copy(), -np.arange(keys.size + 1, dtype=np.int64)))
 
 
 class DecayedReservoir:
@@ -354,9 +365,15 @@ class DecayedReservoir:
     def add_batch(
         self, keys: np.ndarray, batch_index: int, rng: np.random.Generator
     ) -> None:
-        """Offer one micro-batch of keys, all weighted by the batch's age."""
+        """Offer one micro-batch of keys, all weighted by the batch's age.
+
+        A NaN key joins nothing, so it is never offered: no histogram built
+        from the sample can get a NaN boundary.
+        """
         keys = np.asarray(keys, dtype=np.float64)  # repro: ignore[KEY001]  # reservoir samples feed float EWH boundaries, not join state
         self.tuples_seen += len(keys)
+        if len(keys) and np.isnan(keys.min()):
+            keys = keys[~np.isnan(keys)]
         if len(keys) == 0:
             return
         with np.errstate(divide="ignore"):

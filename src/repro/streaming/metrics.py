@@ -12,8 +12,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.streaming.incremental import SortedRegionState
-
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from repro.streaming.migration import MigrationPlan
 
@@ -183,10 +181,13 @@ class BatchMetrics:
     consumer_idle_seconds: float = 0.0
     resized_from: int | None = None
 
-    #: Bytes per retained state entry (float64 key + int64 arrival index)
-    #: and per history / live-set entry (one float64 key, one int64 index
+    #: Bytes charged per retained state entry -- a float64 key and the
+    #: int64 arrival index that names it in the log, the unit every
+    #: resident-memory figure has been reported in; a machine's counted
+    #: runs store less under skew (``SortedRegionState.nbytes``) -- and per
+    #: history / live-set entry (one float64 key, one int64 index
     #: respectively).
-    STATE_BYTES = SortedRegionState.BYTES_PER_TUPLE
+    STATE_BYTES = 16
     KEY_BYTES = 8
     INDEX_BYTES = 8
 

@@ -33,29 +33,44 @@ under either partitioning) are handled naturally.  The plan also reports
 per-machine departures, so tests can assert tuple conservation (for
 non-replicating schemes, migrated-out == migrated-in per rebuild).
 
-The key histories are :class:`~repro.streaming.arrivals.ArrivalLog` objects
-or bare key arrays.  Under a window policy (:mod:`repro.streaming.window`)
-only a log's *live* tuples are routed by the new partitioning, so a rebuild
-migrates live state only -- expired tuples are neither shipped nor
-resurrected onto machines that already dropped them.  A bare array is the
-log of a stream that never trimmed: everything in it is live.
+Machines hold keys only, so the old per-machine index sets are *derived*:
+every tuple a machine holds reached it through the current plan, so its
+state is the live log routed by that plan and placed by the adopted
+region-to-machine map (:func:`placement`).  The engine sorts each side's
+live tuples once (:func:`sorted_live`) and cuts that one sort by the old
+plan and by the new.
 
-The planned state is in the one shape state enters a machine: per machine,
-key-sorted ``(arrival indices, keys)`` columns, routed like a batch
-(:func:`route_live`) and placed like one (:func:`_to_machines`), so the
-backend's ``install_state`` appends them as they are.
+The key histories are :class:`~repro.streaming.arrivals.ArrivalLog` objects,
+bare key arrays or a :class:`LiveKeys` sort of either.  Under a window
+policy (:mod:`repro.streaming.window`) only a log's *live* tuples are
+routed, so a rebuild migrates live state only -- expired tuples are neither
+shipped nor resurrected onto machines that already dropped them.  A bare
+array is the log of a stream that never trimmed: everything in it is live.
+
+The planned state is per machine key-sorted ``(arrival indices, keys)``
+columns, routed like a batch and placed like one (:func:`_to_machines`);
+the backend's ``install_state`` takes their keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.partitioning.base import Partitioning
+from repro.partitioning.base import Partitioning, sort_arrivals
 from repro.streaming.arrivals import ArrivalLog
 
-__all__ = ["MigrationPlan", "pad_assignments", "plan_migration", "route_live"]
+__all__ = [
+    "LiveKeys",
+    "MigrationPlan",
+    "pad_assignments",
+    "placement",
+    "plan_migration",
+    "route_live",
+    "sorted_live",
+]
 
 #: Planning modes accepted by :func:`plan_migration`.
 MIGRATION_MODES = ("full", "partial")
@@ -69,9 +84,9 @@ class MigrationPlan:
     ----------
     new_state1, new_state2:
         Per machine, the key-sorted ``(arrival indices, keys)`` columns of
-        the retained R1/R2 state under the *new* partitioning -- what
-        ``install_state`` takes (machines whose new region is empty hold
-        nothing).
+        the retained R1/R2 state under the *new* partitioning -- whose keys
+        are what ``install_state`` takes (machines whose new region is
+        empty hold nothing).
     per_machine_arrivals:
         Tuples each machine must newly receive (it did not hold them under
         the old partitioning).
@@ -219,74 +234,116 @@ def _best_region_map(overlaps: np.ndarray) -> np.ndarray:
 
 def _to_machines(
     per_region: "list[tuple[np.ndarray, np.ndarray]]",
-    history: "ArrivalLog | np.ndarray",
+    keys: np.ndarray,
     region_to_machine,
     num_machines: int,
 ) -> "list[tuple[np.ndarray, np.ndarray]]":
     """Hand each region's routed columns to the machine holding the region.
 
-    The one regions-to-machines placement -- of a batch's arrivals, of the
-    initial build's backlog and of a migration plan's new state.  Region
-    ``r``'s columns go to ``region_to_machine[r]``, the machine actually
-    holding that region's state after any partial-repartitioning remap; a
-    machine holding no region gets empty columns, the keys in the dtype of
-    ``history`` (the keys the regions were routed from).
+    The one regions-to-machines placement -- of a batch's arrivals, an
+    eviction's expired slice, the live state a build, migration, restore or
+    checkpoint routes.  Region ``r``'s columns go to
+    ``region_to_machine[r]``, the machine actually holding that region's
+    state after any partial-repartitioning remap; a machine holding no
+    region gets empty columns, the keys in the dtype of ``keys`` (the keys
+    the regions were routed from).
     """
-    empty = np.empty(0, dtype=np.int64)
-    per_machine = [(empty, history[empty])] * num_machines
+    empty = (np.empty(0, dtype=np.int64), keys[:0])
+    per_machine = [empty] * num_machines
     for region, columns in enumerate(per_region):
         per_machine[region_to_machine[region]] = columns
     return per_machine
 
 
+class LiveKeys(NamedTuple):
+    """One side's live tuples, key-sorted once: global indices and their keys."""
+
+    indices: np.ndarray
+    keys: np.ndarray
+
+
+def sorted_live(keys: "ArrivalLog | np.ndarray | LiveKeys") -> LiveKeys:
+    """One side's live tuples as :class:`LiveKeys`: one key sort, NaN last.
+
+    Of a windowed log only the live tuples are taken -- expired tuples are
+    never routed, so a migration ships (and a post-migration machine holds)
+    live state only.  An unwindowed log or a bare key array is live whole,
+    its indices counted from the log's base (0 for an array).  A
+    :class:`LiveKeys` passes through, so callers that cut one sort by
+    several plans sort once.
+    """
+    if isinstance(keys, LiveKeys):
+        return keys
+    base = 0
+    if isinstance(keys, ArrivalLog):
+        if keys.windowed:
+            return LiveKeys(*sort_arrivals(keys.live, keys[keys.live]))
+        base, keys = keys.base, keys.keys
+    keys = np.asarray(keys)
+    return LiveKeys(*sort_arrivals(np.arange(base, base + len(keys)), keys))
+
+
 def route_live(
     partitioning: Partitioning,
     side: int,
-    keys: "ArrivalLog | np.ndarray",
+    keys: "ArrivalLog | np.ndarray | LiveKeys",
     rng: np.random.Generator,
     num_machines: int,
 ) -> "list[tuple[np.ndarray, np.ndarray]]":
-    """Route one side's live tuples like a batch: per region, sorted columns.
+    """Route one side's live tuples like a batch: region ``r`` to machine ``r``.
 
     Shared by the migration planner and the engine's initial build (which
-    routes the backlog that arrived before any partitioning existed).
-    Region ``r`` gets its share as key-sorted ``(arrival indices, keys)``
-    columns, equal keys in an unspecified order
-    (:meth:`Partitioning.sorted_arrivals
-    <repro.partitioning.base.Partitioning.sorted_arrivals>`), and the list
-    is padded with empty columns to ``num_machines`` -- which must be at
-    least the partitioning's region count.  A bare key array or an
-    unwindowed log is routed whole, and the partitioning's batch-local
-    indices already are global indices.  Of a windowed log only the live
-    keys are handed to the partitioning and the local indices are mapped
-    back through the live set -- expired tuples are never routed, so a
-    migration ships (and a post-migration machine holds) live state only.
+    routes the backlog that arrived before any partitioning existed): per
+    region, key-sorted ``(arrival indices, keys)`` columns, equal keys in
+    an unspecified order (:meth:`Partitioning.cut_sorted
+    <repro.partitioning.base.Partitioning.cut_sorted>` of
+    :func:`sorted_live`), padded with empty columns to ``num_machines`` --
+    which must be at least the partitioning's region count.
     """
     if partitioning.num_regions > num_machines:
         raise ValueError(
             f"a partitioning of {partitioning.num_regions} regions needs at "
             f"least {partitioning.num_regions} machines, got {num_machines}"
         )
-    history = keys
-    live = None
-    if isinstance(keys, ArrivalLog):
-        if keys.windowed:
-            live = keys.live
-            keys = keys[live]
-        else:
-            keys = keys.keys
-    routed = partitioning.sorted_arrivals(side, np.asarray(keys), rng)
-    if live is not None:
-        routed = [(live[local], held) for local, held in routed]
-    return _to_machines(routed, history, range(num_machines), num_machines)
+    return placement(partitioning, side, keys, rng, num_machines, range(num_machines))
+
+
+def placement(
+    partitioning: "Partitioning | None",
+    side: int,
+    keys: "ArrivalLog | np.ndarray | LiveKeys",
+    rng: np.random.Generator,
+    num_machines: int,
+    region_to_machine,
+) -> "list[tuple[np.ndarray, np.ndarray]]":
+    """Per machine, the live tuples of one side it holds, as sorted columns.
+
+    Machines keep no index of what they hold; every tuple reached its
+    machine through ``partitioning`` (a batch, an eviction, a build, a
+    migration and a restore all route by the current plan, and routing is
+    a pure function of key and arrival index), so it is the live log cut by
+    the plan (:func:`sorted_live`, :meth:`Partitioning.cut_sorted
+    <repro.partitioning.base.Partitioning.cut_sorted>`) and region ``r``'s
+    share placed on ``region_to_machine[r]``: ``(arrival indices, keys)``
+    per machine, keys ascending.  Before any plan exists nothing is held.
+    A migration reads the indices (the old placement), a checkpoint the
+    indices and a restore the keys.
+    """
+    live = sorted_live(keys)
+    routed = (
+        []
+        if partitioning is None
+        else partitioning.cut_sorted(side, live.keys, live.indices, rng)
+    )
+    return _to_machines(routed, live.keys, region_to_machine, num_machines)
 
 
 def plan_migration(
     old_assignments1: list[np.ndarray],
     old_assignments2: list[np.ndarray],
     new_partitioning: Partitioning,
-    keys1: "ArrivalLog | np.ndarray",
-    keys2: "ArrivalLog | np.ndarray",
+    keys1: "ArrivalLog | np.ndarray | LiveKeys",
+    keys2: "ArrivalLog | np.ndarray | LiveKeys",
     num_machines: int,
     rng: np.random.Generator,
     mode: str = "full",
@@ -296,16 +353,17 @@ def plan_migration(
     Parameters
     ----------
     old_assignments1, old_assignments2:
-        Per-machine arrays of tuple arrival indices currently held (R1/R2).
+        Per-machine arrays of tuple arrival indices currently held (R1/R2);
+        the engine derives them with :func:`placement`.
     new_partitioning:
         The scheme taking over; it is asked to route the retained history
         (all of it, or only the live subset of a windowed log).
     keys1, keys2:
-        The key histories: the engine's arrival logs, or bare key arrays
-        indexed by arrival index (see :func:`route_live`).  Only live
-        tuples can appear in the planned state -- a rebuild never ships (or
-        resurrects) expired tuples, and the migration volume charged is the
-        live volume only.
+        The key histories: the engine's arrival logs, bare key arrays
+        indexed by arrival index, or their :class:`LiveKeys` (see
+        :func:`sorted_live`).  Only live tuples can appear in the planned
+        state -- a rebuild never ships (or resurrects) expired tuples, and
+        the migration volume charged is the live volume only.
     num_machines:
         The *target* cluster size, at least the region count of the new
         partitioning (``ValueError`` naming both otherwise: every region
@@ -325,6 +383,7 @@ def plan_migration(
         raise ValueError(
             f"unknown migration mode {mode!r} (expected one of {MIGRATION_MODES})"
         )
+    keys1, keys2 = sorted_live(keys1), sorted_live(keys2)
     routed1 = route_live(new_partitioning, 1, keys1, rng, num_machines)
     routed2 = route_live(new_partitioning, 2, keys2, rng, num_machines)
     index1 = [indices for indices, _ in routed1]
@@ -345,8 +404,8 @@ def plan_migration(
         region_to_machine = _best_region_map(overlaps[:, :num_machines])
     else:
         region_to_machine = np.arange(num_machines, dtype=np.int64)
-    new1 = _to_machines(routed1, keys1, region_to_machine, num_machines)
-    new2 = _to_machines(routed2, keys2, region_to_machine, num_machines)
+    new1 = _to_machines(routed1, keys1.keys, region_to_machine, num_machines)
+    new2 = _to_machines(routed2, keys2.keys, region_to_machine, num_machines)
 
     # Indices are unique within a region and a machine, so what a machine
     # receives is its new state minus what it already held of it, and what

@@ -126,10 +126,10 @@ class StaticOneBucketPolicy(RepartitioningPolicy):
         self.num_machines = num_machines
 
     def initial_partitioning(self, histogram, condition, rng):
-        """Build the 1-Bucket grid; the sample state is never consulted."""
+        """Build the 1-Bucket grid, its draws keyed from ``rng``; no statistics."""
         from repro.partitioning.one_bucket import build_one_bucket_partitioning
 
-        return build_one_bucket_partitioning(self.num_machines)
+        return build_one_bucket_partitioning(self.num_machines, int(rng.integers(2**63)))
 
     def needs_statistics(self, has_partitioning: bool) -> bool:
         """Random routing never consults the sample state."""
@@ -144,7 +144,7 @@ class StaticOneBucketPolicy(RepartitioningPolicy):
         from repro.partitioning.one_bucket import build_one_bucket_partitioning
 
         self.num_machines = num_machines
-        return build_one_bucket_partitioning(num_machines)
+        return build_one_bucket_partitioning(num_machines, int(rng.integers(2**63)))
 
 
 class _EWHPolicyBase(RepartitioningPolicy):

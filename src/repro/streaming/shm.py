@@ -12,9 +12,8 @@ transport it ships it on:
   :meth:`ShmArena.write` call copies a list of numpy arrays into the segment
   at aligned offsets and returns a tiny :class:`ShmMessage` descriptor
   (segment name, dtypes, shapes, offsets).  Only that descriptor crosses the
-  pickle channel -- the array payload never does.  Reading back is the
-  same in reverse: :meth:`ShmArena.reserve` lays out slices for the workers
-  to fill through their (writable) views, :meth:`ShmArena.read` copies out.
+  pickle channel -- the array payload never does.  Traffic is one-way:
+  nothing is read back from the workers.
 * :class:`ShmReader` is the worker-side counterpart.  It attaches to the
   named segment once (attachments are cached until the arena grows and the
   name changes) and materialises each message's arrays as **zero-copy numpy
@@ -42,7 +41,6 @@ the pickled size of a :class:`ShmMessage` is independent of pid or sequence
 
 from __future__ import annotations
 
-import math
 import secrets
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -144,13 +142,12 @@ def _views(
 class ShmArena:
     """Engine-side writer owning one resizable shared-memory segment.
 
-    One arena serves one sticky backend: every outgoing payload --
-    per-batch deltas, eviction sets, migrated state -- is written through
-    :meth:`write`; the one incoming payload (arrival indices read back) is
-    laid out by :meth:`reserve` and collected by :meth:`read`.  Either reuses
-    the current segment when it is large enough and reallocates (unlinking
-    the old one) when it is not.  Capacity only grows, so a steady-state
-    stream settles into zero allocations per batch.
+    One arena serves one sticky backend: every payload -- per-batch
+    arrivals, expired keys, migrated state -- is written through
+    :meth:`write`, which reuses the current segment when it is large enough
+    and reallocates (unlinking the old one) when it is not.  Capacity only
+    grows, so a steady-state stream settles into zero allocations per
+    batch.
     """
 
     def __init__(self) -> None:
@@ -190,53 +187,29 @@ class ShmArena:
         )
         return self._segment
 
-    def _layout(
-        self, shapes: "list[tuple[np.dtype, tuple[int, ...]]]"
-    ) -> ShmMessage:
-        """Place ``(dtype, shape)`` arrays back to back at aligned offsets."""
-        if self._closed:
-            raise RuntimeError("ShmArena has been closed")
-        specs = []
-        cursor = payload = 0
-        for dtype, shape in shapes:
-            nbytes = dtype.itemsize * math.prod(shape)
-            specs.append(ArraySpec(dtype=dtype.str, shape=shape, offset=cursor))
-            cursor += _aligned(nbytes)
-            payload += nbytes
-        segment = self._ensure_capacity(cursor)
-        return ShmMessage(
-            segment=segment.name, specs=tuple(specs), payload_bytes=payload
-        )
-
     def write(self, arrays: "list[np.ndarray]") -> ShmMessage:
         """Copy ``arrays`` into the segment; return their descriptor.
 
         Arrays are laid out back to back at aligned offsets.  The returned
         :class:`ShmMessage` is safe to pickle (it carries no buffers) and
-        stays valid until the *next* :meth:`write` or :meth:`reserve` -- the
-        arena reuses its segment, so a reader must consume a message before
-        the writer moves on, which the sticky backend's synchronous command
-        protocol guarantees.
+        stays valid until the *next* :meth:`write` -- the arena reuses its
+        segment, so a reader must consume a message before the writer moves
+        on, which the sticky backend's synchronous command protocol
+        guarantees.
         """
+        if self._closed:
+            raise RuntimeError("ShmArena has been closed")
         arrays = [np.asarray(array) for array in arrays]
-        message = self._layout([(array.dtype, array.shape) for array in arrays])
-        for view, array in zip(_views(self._segment, message.specs), arrays):
+        specs = []
+        cursor = payload = 0
+        for array in arrays:
+            specs.append(ArraySpec(dtype=array.dtype.str, shape=array.shape, offset=cursor))
+            cursor += _aligned(array.nbytes)
+            payload += array.nbytes
+        segment = self._ensure_capacity(cursor)
+        for view, array in zip(_views(segment, specs), arrays):
             view[...] = array
-        return message
-
-    def reserve(self, lengths: "list[int] | np.ndarray") -> ShmMessage:
-        """Lay out one unwritten int64 slice per length, for readers to fill.
-
-        ``payload_bytes`` is the reserved total, so a read-back is metered
-        like the write it mirrors.
-        """
-        int64 = np.dtype(np.int64)
-        return self._layout([(int64, (int(length),)) for length in lengths])
-
-    def read(self, message: ShmMessage) -> "list[np.ndarray]":
-        """Copies (they outlive the next message) of a message's arrays as
-        the segment holds them now."""
-        return [view.copy() for view in _views(self._segment, message.specs)]
+        return ShmMessage(segment=segment.name, specs=tuple(specs), payload_bytes=payload)
 
     def close(self) -> None:
         """Unlink the segment and release the mapping (idempotent)."""

@@ -25,19 +25,24 @@ from repro.obs.clock import perf_counter
 def count_regions(region_keys, conditions):
     """Count each non-empty region in the calling process; time each one.
 
-    Every second side must be sorted ascending.
+    Every second side must be sorted ascending.  A counted run of the
+    streaming state (a third entry, its cumulative counts) is expanded into
+    the keys it counts, minus the ones it counts negatively.
     """
     outputs = np.zeros(len(region_keys), dtype=np.int64)
     seconds = np.zeros(len(region_keys))
-    for region, (keys1, keys2) in enumerate(region_keys):
+    for region, (keys1, keys2, *cum) in enumerate(region_keys):
         if len(keys1) == 0 or len(keys2) == 0:
             continue
         started = perf_counter()
-        outputs[region] = (
-            conditions[region]
-            .count_matches_per_key(normalise_keys(keys1), normalise_keys(keys2))
-            .sum()
-        )
+        counts = np.diff(cum[0]) if cum and cum[0] is not None else np.ones(len(keys2), int)
+        for sign in (1, -1):
+            side = np.repeat(keys2, np.clip(sign * counts, 0, None))
+            outputs[region] += sign * (
+                conditions[region]
+                .count_matches_per_key(normalise_keys(keys1), normalise_keys(side))
+                .sum()
+            )
         seconds[region] = perf_counter() - started
     return outputs, seconds
 

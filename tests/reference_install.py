@@ -7,22 +7,19 @@ and a restore reached the backend in three steps:
 1. ``route_live`` (kept in ``tests/reference_migration.py``) -- the live
    history routed by ``assign_r1`` / ``assign_r2`` into per-region index
    arrays padded to the fleet, then placed by the planner's own loop; the
-   initial build instead gathered and stably sorted each machine's keys
-   right away;
+   initial build instead gathered and sorted each machine's keys right away;
 2. ``ExecutionBackend.resize`` -- a fresh, empty table of the new size (the
    sticky backend: new machine ownership, ``_assign``) when the fleet size
    changed, which on its own dropped everything;
 3. ``install_state(assignments1, assignments2, history1, history2)`` --
-   ``_gather_columns`` pulled each machine's keys back out of the logs and
-   ``RegionStateTable.install`` rebuilt every machine with
-   ``SortedRegionState.from_pairs``' stable key-sort.
+   each machine's keys gathered back out of the logs by index and sorted,
+   then installed.
 
-The functions and methods below are those bodies as they stood.  A sticky
-worker is production code in another process and no longer sorts what it
-installs, so :class:`ReferenceStickyBackend` applies ``from_pairs``' sort
-engine-side before shipping -- the same arrays, of the same sizes, as the
-old install wrote.  :class:`ReferenceInstallEngine` runs the chain in a
-real engine.  Nothing under ``src/`` may import this module.
+The functions and methods below are those steps, ending in the keys a
+machine holds now.  :class:`ReferenceInstallEngine` runs the chain in a real
+engine; what every machine held before a migration it derives as production
+does (``repro.streaming.migration.placement``), since no backend can say.
+Nothing under ``src/`` may import this module.
 """
 
 from __future__ import annotations
@@ -37,59 +34,42 @@ from repro.streaming.backends import (
     RegionStateTable,
     SimulatedBackend,
     StickyWorkerBackend,
-    _index_lengths,
+    _lengths,
     state_layout,
 )
 from repro.streaming.engine import StreamingJoinEngine
-from repro.streaming.incremental import SortedRegionState
 
 __all__ = [
     "ReferenceInstallBackend",
     "ReferenceInstallEngine",
     "ReferenceStickyBackend",
-    "from_pairs",
-    "install_table",
+    "as_history",
     "plan_columns",
-    "sorted_columns",
+    "sorted_keys",
 ]
 
 
-# ----------------------------------------------------------------------
-# 3. The install: gather, then a stable key-sort per machine
-# ----------------------------------------------------------------------
-def _gather_columns(
-    assignments: "list[np.ndarray]", history: "ArrivalLog | np.ndarray"
-) -> "list[tuple[np.ndarray, np.ndarray]]":
-    """Per machine, an index assignment with its keys gathered from the history."""
-    columns = []
-    for indices in assignments:
-        indices = np.asarray(indices, dtype=np.int64)
-        columns.append((indices, history[indices]))
-    return columns
+def as_history(keys):
+    """A history indexable by global arrival index, from any planner input.
+
+    :class:`~repro.streaming.migration.LiveKeys` -- the engine's one sort of
+    a side's live tuples -- become a windowed log whose live set is theirs
+    (in arrival order); logs and bare arrays pass through.
+    """
+    if not isinstance(keys, migration.LiveKeys):
+        return keys
+    if len(keys.indices) == 0:
+        return ArrivalLog(True, keys=keys.keys[:0])
+    order = np.argsort(keys.indices, kind="stable")
+    live = keys.indices[order]
+    dense = np.zeros(live[-1] - live[0] + 1, dtype=keys.keys.dtype)
+    dense[live - live[0]] = keys.keys[order]
+    return ArrivalLog(True, keys=dense, base=int(live[0]), live=live)
 
 
-def from_pairs(indices: np.ndarray, keys: np.ndarray) -> SortedRegionState:
-    """Build single-run state from parallel arrival-index / key arrays."""
-    indices, keys = sort_arrivals(
-        np.asarray(indices, dtype=np.int64), np.asarray(keys)
-    )
-    return SortedRegionState(index=indices, keys=keys)
-
-
-def install_table(table: RegionStateTable, arrays: "list[np.ndarray]") -> None:
-    """``RegionStateTable.install``: every machine rebuilt by ``from_pairs``."""
-    for machine in table.machines:
-        idx1, keys1, idx2, keys2 = arrays[4 * machine : 4 * machine + 4]
-        table.state1[machine] = from_pairs(idx1, keys1)
-        table.state2[machine] = from_pairs(idx2, keys2)
-
-
-def sorted_columns(assignments, history) -> "list[tuple[np.ndarray, np.ndarray]]":
-    """Per machine, the columns the old install held: gathered, then sorted."""
-    return [
-        sort_arrivals(np.asarray(indices, dtype=np.int64), np.asarray(keys))
-        for indices, keys in _gather_columns(assignments, history)
-    ]
+def sorted_keys(assignments, history) -> "list[np.ndarray]":
+    """Per machine, the keys of an index assignment gathered from the history, sorted."""
+    return [np.sort(history[np.asarray(indices, dtype=np.int64)]) for indices in assignments]
 
 
 def plan_columns(*arguments, **options) -> migration.MigrationPlan:
@@ -98,11 +78,22 @@ def plan_columns(*arguments, **options) -> migration.MigrationPlan:
     ``arguments`` are ``plan_migration``'s; the histories are the fourth
     and fifth.
     """
+    arguments = list(arguments)
+    arguments[3:5] = [as_history(keys) for keys in arguments[3:5]]
     plan = reference_migration.plan_migration(*arguments, **options)
-    keys1, keys2 = arguments[3], arguments[4]
+    columns = [
+        [
+            sort_arrivals(np.asarray(indices, dtype=np.int64), history[indices])
+            for indices in assignments
+        ]
+        for assignments, history in (
+            (plan.new_assignments1, arguments[3]),
+            (plan.new_assignments2, arguments[4]),
+        )
+    ]
     return migration.MigrationPlan(
-        new_state1=sorted_columns(plan.new_assignments1, keys1),
-        new_state2=sorted_columns(plan.new_assignments2, keys2),
+        new_state1=columns[0],
+        new_state2=columns[1],
         per_machine_arrivals=plan.per_machine_arrivals,
         per_machine_departures=plan.per_machine_departures,
         region_to_machine=plan.region_to_machine,
@@ -118,12 +109,10 @@ class ReferenceInstallBackend(SimulatedBackend):
 
     def install_state(self, assignments1, assignments2, history1, history2):
         """Replace every machine's state with complete index assignments."""
-        install_table(
-            self._bound_table(),
+        self._bound_table().install(
             state_layout(
-                _gather_columns(assignments1, history1),
-                _gather_columns(assignments2, history2),
-            ),
+                sorted_keys(assignments1, history1), sorted_keys(assignments2, history2)
+            )
         )
 
     def resize(self, num_machines: int) -> None:
@@ -140,11 +129,10 @@ class ReferenceStickyBackend(StickyWorkerBackend):
     def install_state(self, assignments1, assignments2, history1, history2):
         """Move migrated state between workers through shared memory."""
         layout = state_layout(
-            sorted_columns(assignments1, history1),
-            sorted_columns(assignments2, history2),
+            sorted_keys(assignments1, history1), sorted_keys(assignments2, history2)
         )
         self._command("install", self._bound_arena().write(layout))
-        self._counts = _index_lengths(assignments1, assignments2)
+        self._counts = _lengths(layout)
 
     def resize(self, num_machines: int) -> None:
         """Reassign machine ownership across the workers for a new fleet size."""
@@ -171,10 +159,7 @@ class ReferenceInstallEngine(StreamingJoinEngine):
         with self.tracer.span("route", category="stage", initial_build=initial_build):
             s.region_to_machine = np.arange(J, dtype=np.int64)
             return tuple(
-                [
-                    sort_arrivals(held, log[held])
-                    for held in reference_migration.route_live(assign, log, J, s.rng)
-                ]
+                sorted_keys(reference_migration.route_live(assign, log, J, s.rng), log)
                 for assign, log in (
                     (s.partitioning.assign_r1, s.log1),
                     (s.partitioning.assign_r2, s.log2),
@@ -183,7 +168,15 @@ class ReferenceInstallEngine(StreamingJoinEngine):
 
     def _adopt(self, replacement, machines, builds_before):
         s = self._state
-        resident1, resident2 = self.backend.resident_indices()
+        resident1, resident2 = (
+            [
+                indices
+                for indices, _ in migration.placement(
+                    s.partitioning, side, log, s.rng, self.num_machines, s.region_to_machine
+                )
+            ]
+            for side, log in ((1, s.log1), (2, s.log2))
+        )
         plan = reference_migration.plan_migration(
             resident1,
             resident2,

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.partitioning.one_bucket import OneBucketPartitioning
 from repro.streaming.arrivals import ArrivalLog
 from repro.streaming.migration import MIGRATION_MODES, pad_assignments
 
@@ -42,6 +43,19 @@ class MigrationPlan:
     mode: str = "full"
 
 
+def _assign(assign, keys: np.ndarray, indices: np.ndarray, rng) -> list[np.ndarray]:
+    """``assign(keys, rng)`` for tuples of global arrival indices ``indices``.
+
+    Every scheme routes by key except 1-Bucket, which draws each tuple's
+    row or column from its arrival index: its shares are drawn from
+    ``indices`` rather than from the positions ``assign`` would use.
+    """
+    owner = getattr(assign, "__self__", None)
+    if isinstance(owner, OneBucketPartitioning):
+        return owner._shares(1 if assign.__name__ == "assign_r1" else 2, indices)
+    return assign(keys, rng)
+
+
 def route_live(
     assign,
     keys: "ArrivalLog | np.ndarray",
@@ -52,10 +66,11 @@ def route_live(
     if isinstance(keys, ArrivalLog):
         if keys.windowed:
             live = keys.live
-            local = pad_assignments(assign(keys[live], rng), num_machines)
+            local = pad_assignments(_assign(assign, keys[live], live, rng), num_machines)
             return [live[indices] for indices in local]
         keys = keys.keys
-    return pad_assignments(assign(np.asarray(keys), rng), num_machines)
+    keys = np.asarray(keys)
+    return pad_assignments(_assign(assign, keys, np.arange(len(keys)), rng), num_machines)
 
 
 def overlap_matrix(routed, held, num_machines: int) -> np.ndarray:

@@ -27,6 +27,7 @@ import numpy as np
 from reference_migration import route_live
 
 from repro.partitioning.grid_routed import GridRoutedPartitioning
+from repro.partitioning.one_bucket import OneBucketPartitioning
 from repro.streaming.engine import StreamingJoinEngine
 
 __all__ = [
@@ -133,14 +134,21 @@ def reference_route(
     holds the batch at ``offset`` (an ``ArrivalLog`` or a bare array).
     """
     assign = assign_r1 if side == 1 else assign_r2
-    per_machine = globalise(
-        assign(partitioning, keys, rng), offset, region_to_machine, num_machines
-    )
+    if isinstance(partitioning, OneBucketPartitioning):
+        # 1-Bucket draws each tuple's row or column from its arrival index.
+        local = partitioning._shares(side, offset + np.arange(len(keys)))
+    else:
+        local = assign(partitioning, keys, rng)
+    per_machine = globalise(local, offset, region_to_machine, num_machines)
     return [sorted_columns(idx, held) for idx, held in gather_layout(per_machine, history)]
 
 
 class ReferenceRouteEngine(StreamingJoinEngine):
-    """A production engine whose route stage is the old four-step chain."""
+    """A production engine whose route stage is the old four-step chain.
+
+    ``count_batch`` takes each machine's keys, so the chain's columns are
+    handed over without their indices.
+    """
 
     def _route(self, s, batch, offsets, initial_build):
         if s.partitioning is None:
@@ -150,15 +158,22 @@ class ReferenceRouteEngine(StreamingJoinEngine):
             if initial_build:
                 s.region_to_machine = np.arange(J, dtype=np.int64)
                 return tuple(
-                    [sorted_columns(idx, held) for idx, held in gather_layout(routed, log)]
+                    [sorted_columns(idx, held)[1] for idx, held in gather_layout(routed, log)]
                     for routed, log in (
                         (route_live(s.partitioning.assign_r1, s.log1, J, s.rng), s.log1),
                         (route_live(s.partitioning.assign_r2, s.log2, J, s.rng), s.log2),
                     )
                 )
-            return (
-                reference_route(s.partitioning, 1, batch.keys1, s.rng, offsets[0],
-                                s.region_to_machine, J, s.log1),
-                reference_route(s.partitioning, 2, batch.keys2, s.rng, offsets[1],
-                                s.region_to_machine, J, s.log2),
+            return tuple(
+                [
+                    held
+                    for _, held in reference_route(
+                        s.partitioning, side, keys, s.rng, offset,
+                        s.region_to_machine, J, log,
+                    )
+                ]
+                for side, keys, offset, log in (
+                    (1, batch.keys1, offsets[0], s.log1),
+                    (2, batch.keys2, offsets[1], s.log2),
+                )
             )

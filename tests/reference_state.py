@@ -1,23 +1,30 @@
-"""Reference join state: the pre-rewrite single-array ``SortedRegionState``.
+"""Reference join state: index columns, and a merge by counting key values.
 
-Test-only.  This is the class ``repro.streaming.incremental`` shipped before
-the state was re-laid out as geometrically merged sorted runs, kept verbatim
-as the differential oracle (``tests/test_state_runs.py``): one key-sorted
-array pair per machine-side, ``np.insert`` on every batch, ``np.isin`` on
-every eviction -- ``O(state)`` per call, and obviously right.  The production
-class must hold the same ``(index, key)`` set after any sequence of protocol
-calls, report the same ``evict`` counts and count the same fold totals.
-Order among equal keys is unspecified on both sides, so comparisons go
-through ``sorted(index)`` / ``keys[argsort(index)]``.
+Test-only, the differential oracles of ``tests/test_state_runs.py``.  The
+production ``SortedRegionState`` holds a key multiset in counted runs and
+evicts by tombstones; these hold or merge the same state the obvious way.
 
-:class:`PairwiseRunState` is the other kind of reference: the sorted-run
-state as it merged before the one-pass merge -- ``_merge_runs`` and the
-``while`` cascade of ``insert``, and the per-run ``surviving`` call of
-``evict``, verbatim.  The production class must hold the *same run list*
-after every call: run count, both columns of every run, dtype, bit for bit.
+* :class:`SortedRegionState` -- the single-array state: one key-sorted
+  ``(index, keys)`` column pair per machine-side, ``np.insert`` on every
+  batch, ``np.isin`` on every eviction.  ``O(state)`` per call, and
+  obviously right.
+* :class:`IndexedRunState` -- the state as machines held it before they
+  held key multisets: geometrically merged runs of ``(keys, index)``
+  columns, evicted by masking every run by arrival index, and read back by
+  ``arrival_indices`` (the sticky backend's ``resident_indices`` verb).
+  The production table must hold, machine-side for machine-side, the key
+  multiset of its index set; a test tombstones what it evicts.
+* :class:`PairwiseRunState` -- counted runs merged by a cascade of pairwise
+  merges, newest run back, each merge a :class:`collections.Counter` of key
+  values.  The production one-pass merge must leave the same run list.
+
+Key equality is by value: ``-0.0`` and ``0.0`` are one key, every NaN is
+one key.  Nothing under ``src/`` may import this module.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -28,38 +35,15 @@ from repro.streaming.window import surviving
 class SortedRegionState:
     """One machine's retained join state on one side, kept sorted by key.
 
-    The engine's incremental counting needs, per batch and per machine, the
-    number of joinable pairs between the batch's few arrivals and the
-    machine's (much larger) retained state.  Keeping the state sorted by
-    join key turns that into ``O(new log state)`` binary searches: arrivals
-    are merged in with :func:`numpy.searchsorted` + :func:`numpy.insert`,
-    and expired tuples are dropped with one vectorised mask -- no per-batch
-    re-sort of the full region ever happens.
-
-    The ``(index, keys)`` pair is also the unit of state portability:
-    checkpoints (:class:`~repro.streaming.checkpoint.StreamCheckpoint`)
-    capture it verbatim, migrations and restores rebuild it with
-    :meth:`from_indices` / :meth:`from_pairs`, and because the key-sort is
-    stable, rebuilding from arrival-index-sorted inputs reproduces the
-    original ordering exactly -- the foundation of the kill-and-restore ==
-    uninterrupted-run guarantee.
-
     Attributes
     ----------
     keys:
-        The retained join keys, ascending.  The dtype follows the stream's
-        key arrays: integer keys are retained as integers (int64 keys
-        above 2**53 must not round through float64), floats as float64.
+        The retained join keys, ascending, in the stream's dtype.
     index:
-        Arrival indices, parallel to ``keys`` (``keys[i]`` is the key of
-        history tuple ``index[i]``).  Unique within a machine: a machine
-        holds one region, and a region routes each tuple at most once.
+        Arrival indices, parallel to ``keys``; unique within a machine.
     """
 
     __slots__ = ("keys", "index")
-
-    #: Resident bytes per retained tuple (float64 key + int64 arrival index).
-    BYTES_PER_TUPLE = 16
 
     def __init__(
         self, index: np.ndarray | None = None, keys: np.ndarray | None = None
@@ -72,29 +56,10 @@ class SortedRegionState:
         )
 
     @classmethod
-    def from_indices(
-        cls, indices: np.ndarray, history: np.ndarray
-    ) -> "SortedRegionState":
-        """Build sorted state for ``indices`` looked up in the key history.
-
-        The history's dtype carries over, so integer-keyed streams keep
-        exact integer state across migrations.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        return cls.from_pairs(indices, np.asarray(history)[indices])
-
-    @classmethod
     def from_pairs(
         cls, indices: np.ndarray, keys: np.ndarray
     ) -> "SortedRegionState":
-        """Build sorted state from parallel arrival-index / key arrays.
-
-        Same stable key-sort as :meth:`from_indices`, for callers that have
-        already gathered the keys -- a sticky worker rebuilding migrated
-        state from a shared-memory message holds ``(indices, keys)`` pairs
-        but no key history.  Both inputs are copied (the pairs may be views
-        into a transient shared segment).
-        """
+        """Build sorted state from parallel arrival-index / key arrays."""
         indices = np.asarray(indices, dtype=np.int64)
         keys = np.asarray(keys)
         order = np.argsort(keys, kind="stable")
@@ -104,21 +69,8 @@ class SortedRegionState:
         """Number of retained tuples."""
         return len(self.index)
 
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes of the retained state (keys + arrival indices)."""
-        return len(self.index) * self.BYTES_PER_TUPLE
-
     def insert(self, new_indices: np.ndarray, new_keys: np.ndarray) -> None:
-        """Merge a batch's arrivals into the sorted state.
-
-        ``O(new log state)`` searches plus one ``O(state + new)`` array
-        merge; the keys stay sorted so the next batch's counting can binary
-        search them directly.  The first insert into empty state adopts the
-        arrivals' dtype (exact integers stay integers); a later dtype
-        mismatch promotes the state, so a mixed int/float stream never
-        truncates a float key into an integer slot.
-        """
+        """Merge a batch's arrivals into the sorted state (promoting dtypes)."""
         if len(new_indices) == 0:
             return
         new_indices = np.asarray(new_indices, dtype=np.int64)
@@ -138,12 +90,13 @@ class SortedRegionState:
         self.keys = np.insert(self.keys, positions, new_keys)
         self.index = np.insert(self.index, positions, new_indices)
 
-    def evict(self, expired: np.ndarray) -> int:
-        """Drop the given global arrival indices; return how many were held.
+    def expired_keys(self, expired: np.ndarray) -> np.ndarray:
+        """The keys of the held tuples ``expired`` names, sorted: what to tombstone."""
+        held = np.isin(self.index, expired, assume_unique=True)
+        return np.sort(self.keys[held])
 
-        ``expired`` is the window policy's eviction set for the side; only
-        the tuples this machine actually holds are dropped (and counted).
-        """
+    def evict(self, expired: np.ndarray) -> int:
+        """Drop the given global arrival indices; return how many were held."""
         if len(self.index) == 0 or len(expired) == 0:
             return 0
         keep = ~np.isin(self.index, expired, assume_unique=True)
@@ -154,48 +107,57 @@ class SortedRegionState:
         return dropped
 
 
-def _merge_runs(
-    older: "tuple[np.ndarray, np.ndarray]", newer: "tuple[np.ndarray, np.ndarray]"
+def _merge_indexed(
+    runs: "list[tuple[np.ndarray, np.ndarray]]",
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Merge two key-sorted ``(keys, index)`` runs into one fresh run.
-
-    A stable sort of the two runs laid end to end: numpy's stable sort is
-    a timsort, which finds the two sorted runs and merges them in one
-    linear pass -- measured about twice as fast as a ``searchsorted`` plus
-    scatter of both columns, at every run size from 1.5K to 400K.  Neither
-    input is modified, so a reader still holding the old run keeps a valid
-    snapshot.
-    """
-    keys = np.concatenate([older[0], newer[0]])
+    """Merge key-sorted ``(keys, index)`` runs, oldest first, into one run."""
+    keys = np.concatenate([keys for keys, _ in runs])
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    return keys, np.concatenate([older[1], newer[1]])[order]
+    index = np.concatenate([index for _, index in runs])
+    return keys[order], index[order]
 
 
-class PairwiseRunState:
-    """Sorted runs merged by a cascade of pairwise merges, newest run back."""
+class IndexedRunState:
+    """Sorted ``(keys, index)`` runs merged geometrically; evicted by index."""
 
     def __init__(self) -> None:
         self._runs: "list[tuple[np.ndarray, np.ndarray]]" = []
 
-    def insert(self, new_indices: np.ndarray, new_keys: np.ndarray) -> np.ndarray:
-        """Add a batch's arrivals as the newest run; merge geometrically."""
-        new_keys = np.asarray(new_keys)
+    def __len__(self) -> int:
+        """Number of retained tuples."""
+        return sum(len(index) for _, index in self._runs)
+
+    @property
+    def keys(self) -> np.ndarray:
+        """Every retained key, ascending."""
+        if not self._runs:
+            return np.empty(0)
+        return _merge_indexed(self._runs)[0]
+
+    def arrival_indices(self) -> np.ndarray:
+        """Every arrival index held, in no particular order."""
+        if not self._runs:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate([index for _, index in self._runs])
+
+    def append_sorted(self, new_indices: np.ndarray, new_keys: np.ndarray) -> None:
+        """Add key-sorted arrivals as the newest run; merge geometrically."""
         if len(new_indices) == 0:
-            return new_keys
-        order = np.argsort(new_keys, kind="stable")
-        needles = new_keys = new_keys[order]
-        new_indices = np.asarray(new_indices, dtype=np.int64)[order]
+            return
+        new_indices = np.asarray(new_indices, dtype=np.int64)
         runs = self._runs
         if runs and runs[0][0].dtype != new_keys.dtype:
             target = np.promote_types(runs[0][0].dtype, new_keys.dtype)
             runs[:] = [(keys.astype(target), index) for keys, index in runs]
             new_keys = new_keys.astype(target)
-        runs.append((new_keys, new_indices))
-        while len(runs) > 1 and len(runs[-2][1]) < RUN_MERGE_RATIO * len(runs[-1][1]):
-            newer = runs.pop()
-            runs[-1] = _merge_runs(runs[-1], newer)
-        return needles
+        first, merged = len(runs), len(new_keys)
+        while first and len(runs[first - 1][1]) < RUN_MERGE_RATIO * merged:
+            first -= 1
+            merged += len(runs[first][1])
+        if first < len(runs):
+            runs[first:] = [_merge_indexed(runs[first:] + [(new_keys, new_indices)])]
+        else:
+            runs.append((new_keys.copy(), new_indices.copy()))
 
     def evict(self, expired: np.ndarray) -> int:
         """Drop the given global arrival indices; return how many were held."""
@@ -213,3 +175,85 @@ class PairwiseRunState:
                 survivors.append((keys, index))
         self._runs = survivors
         return dropped
+
+
+def resident_indices(states: "list[IndexedRunState]") -> "list[np.ndarray]":
+    """Per machine, the arrival indices held: what machines were asked to read back."""
+    return [state.arrival_indices() for state in states]
+
+
+# ----------------------------------------------------------------------
+# Counted runs, merged pairwise by counting key values
+# ----------------------------------------------------------------------
+_NAN = "nan"
+
+
+def _tally(run: "tuple[np.ndarray, np.ndarray | None]") -> Counter:
+    """A run's multiplicity per key value (NaN under one name)."""
+    keys, cum = run
+    counts = [1] * len(keys) if cum is None else np.diff(cum).tolist()
+    tally: Counter = Counter()
+    for key, count in zip(keys.tolist(), counts):
+        tally[_NAN if key != key else key] += count
+    return tally
+
+
+def _merge_pair(older, newer) -> "tuple[np.ndarray, np.ndarray] | None":
+    """Two runs into one counted run: distinct ascending keys, ``cum``."""
+    tally = _tally(older)
+    tally.update(_tally(newer))
+    dtype = older[0].dtype
+    keys = sorted(key for key, count in tally.items() if count and key != _NAN)
+    if tally[_NAN]:
+        keys.append(_NAN)
+    if not keys:
+        return None
+    counts = [tally[key] for key in keys]
+    values = [np.nan if key == _NAN else key for key in keys]
+    return np.array(values, dtype=dtype), np.concatenate([[0], np.cumsum(counts)])
+
+
+class PairwiseRunState:
+    """Counted runs merged by a cascade of pairwise merges, newest run back.
+
+    The cascade reaches as far as the production rule says -- decided
+    first, from the runs' distinct lengths -- and is then merged one pair
+    at a time.
+    """
+
+    def __init__(self) -> None:
+        self._runs: "list[tuple[np.ndarray, np.ndarray | None]]" = []
+
+    def _conform(self, keys: np.ndarray) -> np.ndarray:
+        runs = self._runs
+        if runs and runs[0][0].dtype != keys.dtype:
+            target = np.promote_types(runs[0][0].dtype, keys.dtype)
+            runs[:] = [(run.astype(target), cum) for run, cum in runs]
+            keys = keys.astype(target)
+        return keys
+
+    def append_sorted(self, keys: np.ndarray) -> None:
+        """Add key-sorted arrivals as the newest run; cascade pairwise."""
+        if len(keys) == 0:
+            return
+        keys = self._conform(keys)
+        runs = self._runs
+        first, merged = len(runs), len(keys)
+        while first and len(runs[first - 1][0]) < RUN_MERGE_RATIO * merged:
+            first -= 1
+            merged += len(runs[first][0])
+        if first == len(runs):
+            runs.append((keys.copy(), None))
+            return
+        merged_run = (keys, None)
+        for older in reversed(runs[first:]):
+            merged_run = _merge_pair(older, merged_run)
+            if merged_run is None:
+                merged_run = (keys[:0], np.zeros(1, dtype=np.int64))
+        runs[first:] = [merged_run] if len(merged_run[0]) else []
+
+    def tombstone(self, keys: np.ndarray) -> None:
+        """Record key-sorted expired keys as one negative run."""
+        if len(keys):
+            keys = self._conform(keys)
+            self._runs.append((keys.copy(), -np.arange(len(keys) + 1)))

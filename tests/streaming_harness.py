@@ -54,7 +54,6 @@ from repro.engine.executor import join_assigned_regions
 from repro.joins.local import count_join_output
 from repro.obs.clock import perf_counter
 from repro.obs.trace import TickClock
-from repro.partitioning.base import sort_arrivals
 from repro.streaming.backends import (
     ExecutionBackend,
     RegionJoinResult,
@@ -69,6 +68,7 @@ from repro.streaming.window import WindowPolicy
 __all__ = [
     "use_tick_clocks",
     "arrivals",
+    "multiset_difference",
     "assert_equivalent_runs",
     "CrashingBackend",
     "FlakyBackend",
@@ -99,16 +99,33 @@ def use_tick_clocks(monkeypatch) -> None:
         monkeypatch.setattr(sys.modules[module], "perf_counter", TickClock())
 
 
-def arrivals(assignments, history) -> "list[tuple[np.ndarray, np.ndarray]]":
+def arrivals(assignments, history) -> "list[np.ndarray]":
     """What ``count_batch`` takes for one side, from index arrays and a history.
 
-    Per machine, the ``(arrival indices, keys)`` columns key-sorted, equal
-    keys in an unspecified order -- the shape the engine's router hands over.
+    Per machine, the keys of its arrival indices, sorted -- the shape the
+    engine's router hands over.
     """
-    return [
-        sort_arrivals(indices, history[indices])
-        for indices in (np.asarray(a, dtype=np.int64) for a in assignments)
-    ]
+    return [np.sort(history[np.asarray(a, dtype=np.int64)]) for a in assignments]
+
+
+def multiset_difference(held: np.ndarray, removed: np.ndarray) -> np.ndarray:
+    """``held`` minus ``removed`` as key multisets, sorted; raise unless a subset.
+
+    Each removed key takes the first still-unclaimed equal key of the
+    sorted ``held`` (equal keys -- ``-0.0`` and ``0.0``, every NaN -- are
+    interchangeable, as they are to a count).
+    """
+    held, removed = np.sort(held), np.sort(removed)
+    rank = np.arange(len(removed)) - removed.searchsorted(removed, "left")
+    positions = held.searchsorted(removed, "left") + rank
+    if len(removed) and (
+        positions[-1] >= len(held)
+        or not np.array_equal(held[positions], removed, equal_nan=True)
+    ):
+        raise AssertionError("removed keys the multiset does not hold")
+    keep = np.ones(len(held), dtype=bool)
+    keep[positions] = False
+    return held[keep]
 
 
 def assert_equivalent_runs(
@@ -168,8 +185,8 @@ def assert_equivalent_runs(
 
 
 #: Work operations a fault can be scoped to -- the state-ownership protocol
-#: calls that move or count state.  ``bind``, ``resident_indices`` and
-#: ``drain_channel_bytes`` are deliberately not fault points: they are
+#: calls that move or count state.  ``bind`` and ``drain_channel_bytes``
+#: are deliberately not fault points: they are
 #: bookkeeping commands whose failure modes the crash tests for real
 #: backends already cover.  (``join_regions`` is no longer
 #: one either: the engine never calls it on the backend it was given, only
@@ -183,9 +200,9 @@ class _ForwardingBackend(ExecutionBackend):
     The join state stays in the inner backend (in-process or sticky
     alike); every state-ownership call is passed through.  Subclasses hook
     :meth:`_before`, which runs ahead of every *work* call (the operations
-    in :data:`FAULT_OPS`).  Everything else -- identity, clock domain, the
-    resident view, byte metering -- is forwarded verbatim, so the engine
-    drives the wrapped backend exactly as it would drive the inner one.
+    in :data:`FAULT_OPS`).  Everything else -- identity, clock domain, byte
+    metering -- is forwarded verbatim, so the engine drives the wrapped
+    backend exactly as it would drive the inner one.
     """
 
     #: Prefix composed into ``name`` (e.g. ``crashing(simulated)``).
@@ -236,10 +253,6 @@ class _ForwardingBackend(ExecutionBackend):
         self._ensure_open()
         self._before("install")
         return self.inner.install_state(state1, state2)
-
-    def resident_indices(self):
-        """Forward the read-only resident view."""
-        return self.inner.resident_indices()
 
     def drain_channel_bytes(self):
         """Forward the per-batch byte accounting drain."""
@@ -342,9 +355,9 @@ class RecountingBackend(_ForwardingBackend):
     """The count's reference implementation: recount everything, every batch.
 
     An oracle in the shape of a backend decorator.  It *shadows* the
-    protocol traffic it forwards -- per machine and side, the keys and
-    arrival indices the inner backend has been told to hold, batch after
-    batch as they came, never merged -- and after every ``count_batch`` joins each
+    protocol traffic it forwards -- per machine and side, the keys the
+    inner backend has been told to hold, batch after batch as they came,
+    never merged -- and after every ``count_batch`` joins each
     machine's full shadow region from scratch
     (:func:`~repro.joins.local.count_join_output`, the same kernel the
     end-of-stream verification trusts) and asserts, per machine::
@@ -353,7 +366,9 @@ class RecountingBackend(_ForwardingBackend):
 
     Evictions and installs change a region's full count by something other
     than a batch delta, so the baseline is re-taken after ``evict_state``
-    and ``install_state`` (and reset by ``bind``).  This is
+    and ``install_state`` (and reset by ``bind``).  An eviction must name
+    keys the machine holds: the shadow drops them as a multiset difference
+    (:func:`multiset_difference`), which raises otherwise.  This is
     the legacy engine's ``O(state log state)`` recount-and-difference loop,
     kept where reference implementations belong; ``recount_seconds`` (one
     entry per ``count_batch``) lets a benchmark compare its cost with the
@@ -367,14 +382,13 @@ class RecountingBackend(_ForwardingBackend):
         #: Seconds spent recounting after each forwarded ``count_batch``.
         self.recount_seconds: "list[float]" = []
         self._condition = None
-        self._shadow1: "list[tuple[np.ndarray, np.ndarray]]" = []
-        self._shadow2: "list[tuple[np.ndarray, np.ndarray]]" = []
+        self._shadow1: "list[np.ndarray]" = []
+        self._shadow2: "list[np.ndarray]" = []
         self._totals = np.zeros(0, dtype=np.int64)
 
     def _reset(self, num_machines: int) -> None:
-        empty = (np.empty(0, dtype=np.int64), np.empty(0))
-        self._shadow1 = [empty] * num_machines
-        self._shadow2 = [empty] * num_machines
+        self._shadow1 = [np.empty(0)] * num_machines
+        self._shadow2 = [np.empty(0)] * num_machines
         self._totals = np.zeros(num_machines, dtype=np.int64)
 
     def _recount(self) -> np.ndarray:
@@ -384,7 +398,7 @@ class RecountingBackend(_ForwardingBackend):
                 count_join_output(keys1, keys2, self._condition)
                 if len(keys1) and len(keys2)
                 else 0
-                for (_, keys1), (_, keys2) in zip(self._shadow1, self._shadow2)
+                for keys1, keys2 in zip(self._shadow1, self._shadow2)
             ],
             dtype=np.int64,
         )
@@ -399,12 +413,9 @@ class RecountingBackend(_ForwardingBackend):
         """Forward the count, then check its deltas against a full recount."""
         execution = super().count_batch(new1, new2)
         for shadow, arrivals in ((self._shadow1, new1), (self._shadow2, new2)):
-            for machine, (indices, keys) in enumerate(arrivals):
-                held_indices, held_keys = shadow[machine]
-                shadow[machine] = (
-                    np.concatenate([held_indices, indices]),
-                    np.concatenate([held_keys, keys]) if len(held_keys) else keys,
-                )
+            for machine, keys in enumerate(arrivals):
+                held = shadow[machine]
+                shadow[machine] = np.concatenate([held, keys]) if len(held) else keys
         started = perf_counter()
         recount = self._recount()
         self.recount_seconds.append(perf_counter() - started)
@@ -417,17 +428,16 @@ class RecountingBackend(_ForwardingBackend):
         return execution
 
     def evict_state(self, expired1, expired2) -> int:
-        """Forward the eviction; drop the same indices; re-take the baseline."""
+        """Forward the eviction; drop the same keys; re-take the baseline."""
         dropped = super().evict_state(expired1, expired2)
         shadowed = 0
         for shadow, expired in (
             (self._shadow1, expired1),
             (self._shadow2, expired2),
         ):
-            for machine, (indices, keys) in enumerate(shadow):
-                keep = ~np.isin(indices, expired)  # repro: ignore[STATE001]  # the oracle stays independent of the membership primitive it checks
-                shadowed += int(len(keep) - keep.sum())
-                shadow[machine] = (indices[keep], keys[keep])
+            for machine, keys in enumerate(expired):
+                shadow[machine] = multiset_difference(shadow[machine], keys)
+                shadowed += len(keys)
         if dropped != shadowed:
             raise AssertionError(
                 f"backend dropped {dropped} entries, the shadow {shadowed}"

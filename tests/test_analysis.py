@@ -361,7 +361,7 @@ class TestBackendProtocol:
             if callable(value) and not name.startswith("_")
         }
         assert set(STATE_PROTOCOL) == public - {"join_regions", "close"}
-        assert len(STATE_PROTOCOL) == 6
+        assert len(STATE_PROTOCOL) == 5
 
     def test_flags_backend_missing_join_regions(self):
         report = run(
@@ -390,7 +390,7 @@ class TestBackendProtocol:
         findings = [f for f in report.findings if not f.suppressed]
         assert rule_ids(report) == ["API001"]
         assert "evict_state" in findings[0].message
-        assert "resident_indices" in findings[0].message
+        assert "drain_channel_bytes" in findings[0].message
 
     def test_clean_in_process_backend_overrides_nothing(self):
         report = run(
@@ -411,14 +411,13 @@ class TestBackendProtocol:
                 "count_batch",
                 "evict_state",
                 "install_state",
-                "resident_indices",
                 "drain_channel_bytes",
             )
         )
         report = run(f"class FullBackend(ExecutionBackend):\n{methods}\n")
         assert rule_ids(report) == []
 
-    def test_full_protocol_minus_resident_indices_is_half_remote(self):
+    def test_full_protocol_minus_drain_channel_bytes_is_half_remote(self):
         methods = "\n".join(
             f"    def {name}(self, *args):\n        return None"
             for name in (
@@ -427,7 +426,6 @@ class TestBackendProtocol:
                 "count_batch",
                 "evict_state",
                 "install_state",
-                "drain_channel_bytes",
             )
         )
         report = run(f"class OldSticky(ExecutionBackend):\n{methods}\n")

@@ -26,7 +26,6 @@ import pytest
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import BandJoinCondition
 from repro.joins.local import count_join_output
-from repro.partitioning.base import sort_arrivals
 from repro.streaming import (
     DriftAdaptiveEWHPolicy,
     DriftDetector,
@@ -237,12 +236,10 @@ class TestStickyWorkerState:
     """
 
     @staticmethod
-    def _layout(num_machines, machine, idx1, keys1, idx2, keys2):
+    def _layout(num_machines, machine, keys1, keys2):
         """A machine-major message with one populated machine."""
-        empty_i = np.empty(0, dtype=np.int64)
-        empty_k = np.empty(0)
-        arrays = [empty_i, empty_k, empty_i, empty_k] * num_machines
-        arrays[4 * machine : 4 * machine + 4] = [idx1, keys1, idx2, keys2]
+        arrays = [np.empty(0)] * (2 * num_machines)
+        arrays[2 * machine : 2 * machine + 2] = [keys1, keys2]
         return arrays
 
     def test_count_replays_the_incremental_fold(self, rng):
@@ -264,15 +261,15 @@ class TestStickyWorkerState:
             # The reference decomposition:
             # C(new1, state2 + new2) + C_transposed(new2, old state1).
             old_keys1 = state1.keys.copy()
-            state2.insert(idx2, keys2)
+            state2.insert(keys2)
             expected = count_join_output(keys1, state2.keys, BAND)
             if len(old_keys1):
                 expected += count_join_output(keys2, old_keys1, BAND.transposed)
-            state1.insert(idx1, keys1)
+            state1.insert(keys1)
             # The table hands back exactly those two searches, each split
             # into one task per sorted run of the searched state, with the
             # batch's sorted arrivals as needles ...
-            layout = [*sort_arrivals(idx1, keys1), *sort_arrivals(idx2, keys2)]
+            layout = [np.sort(keys1), np.sort(keys2)]
             tasks, owners = table.fold(layout)
             assert len(tasks) == len(owners)
             assert owners.tolist() == sorted(owners.tolist())  # half 0 first
@@ -281,12 +278,14 @@ class TestStickyWorkerState:
                 (1, keys2, old_keys1),
             ):
                 mine = [task for task, owner in zip(tasks, owners) if owner == half]
-                for task_needles, run in mine:
+                for task_needles, run, _ in mine:
                     np.testing.assert_array_equal(task_needles, np.sort(needles))
                     assert np.all(np.diff(run) >= 0)
-                np.testing.assert_array_equal(
-                    np.sort(np.concatenate([run for _, run in mine])), searched
-                )
+                expanded = [
+                    run if cum is None else np.repeat(run, np.diff(cum))
+                    for _, run, cum in mine
+                ]
+                np.testing.assert_array_equal(np.sort(np.concatenate(expanded)), searched)
             tasks_per_half.append(np.bincount(owners, minlength=2).tolist())
             # ... and the worker counts them, summing the runs per half.
             ((output, seconds),) = worker.count(layout)
@@ -301,8 +300,7 @@ class TestStickyWorkerState:
         worker = _StickyWorkerState()
         worker.own((1,), BAND, BAND.transposed)
         keys = np.sort(rng.uniform(0, 50, 20))
-        idx = np.arange(20, dtype=np.int64)
-        counted = worker.count(self._layout(2, 1, idx, keys, idx, keys))
+        counted = worker.count(self._layout(2, 1, keys, keys))
         assert len(counted) == 1  # one row per *owned* machine
         assert 0 not in worker.table.state1
         assert worker.held() == [(1, 20, 20)]
@@ -310,50 +308,50 @@ class TestStickyWorkerState:
     def test_empty_sides_are_skipped_and_untimed(self):
         worker = _StickyWorkerState()
         worker.own((0,), BAND, BAND.transposed)
-        empty_i, empty_k = np.empty(0, dtype=np.int64), np.empty(0)
-        counted = worker.count([empty_i, empty_k, empty_i, empty_k])
+        empty = np.empty(0)
+        counted = worker.count([empty, empty])
         assert counted == [(0, 0.0)]
 
     def test_evict_reports_entries_actually_dropped(self, rng):
         table = RegionStateTable([0, 1])
-        idx = np.arange(10, dtype=np.int64)
         keys = np.sort(rng.uniform(0, 50, 10))
-        table.fold(self._layout(2, 0, idx, keys, idx, keys))
-        expired = np.array([2, 5, 7, 99], dtype=np.int64)  # 99 not resident
-        # Three real entries per side on machine 0, nothing on machine 1.
-        assert table.evict(expired, expired) == [(3, 3), (0, 0)]
+        table.fold(self._layout(2, 0, keys, keys))
+        expired = keys[[2, 5, 7]]
+        # Three entries per side on machine 0, nothing on machine 1.
+        assert table.evict(self._layout(2, 0, expired, expired)) == [(3, 3), (0, 0)]
         assert len(table.state1[0]) == 7 and len(table.state2[0]) == 7
         assert len(table.state1[1]) == 0
+        np.testing.assert_array_equal(table.state1[0].keys, np.delete(keys, [2, 5, 7]))
         # The worker's handler is that call behind a message.
         worker = _StickyWorkerState()
         worker.own((0,), BAND, BAND.transposed)
-        worker.count([idx, keys, idx, keys])
+        worker.count([keys, keys])
         assert worker.evict([expired, expired]) == [(3, 3)]
         assert worker.held() == [(0, 7, 7)]
 
     def test_install_rebuilds_bit_identical_to_from_indices(self, rng):
         table = RegionStateTable([0])
-        history = rng.uniform(0, 50, 40)
+        history = rng.integers(0, 12, 40).astype(np.float64)  # repeated keys
         idx = rng.permutation(40)[:15].astype(np.int64)
-        columns = [*sort_arrivals(idx, history[idx])] * 2
+        columns = [np.sort(history[idx])] * 2
         table.install(columns)
         reference = SortedRegionState.from_indices(idx, history)
         np.testing.assert_array_equal(table.state1[0].keys, reference.keys)
-        np.testing.assert_array_equal(table.state1[0].index, reference.index)
+        # One counted run: each distinct key once, with its count.
+        ((keys, cum),) = table.state1[0].runs
+        np.testing.assert_array_equal(keys, np.unique(history[idx]))
+        assert cum[-1] == 15
         worker = _StickyWorkerState()
         worker.own((0,), BAND, BAND.transposed)
         reply = worker.handle(("install", None), _ArrayReader(columns))
         assert reply == ("install", [(0, 0, 0)])  # held nothing on receipt
-        np.testing.assert_array_equal(
-            worker.table.state1[0].index, reference.index
-        )
+        np.testing.assert_array_equal(worker.table.state1[0].keys, reference.keys)
 
     def test_worker_resize_adopts_new_machines_with_empty_state(self, rng):
         worker = _StickyWorkerState()
         worker.own((0,), BAND, BAND.transposed)
-        idx = np.arange(5, dtype=np.int64)
         keys = np.sort(rng.uniform(0, 50, 5))
-        worker.count([idx, keys, idx, keys])
+        worker.count([keys, keys])
         # Resizing is the same command bind sent, with the new machines.
         assert worker.own((1, 3), BAND, BAND.transposed) == ("owned", os.getpid())
         assert worker.table.machines == (1, 3)
@@ -368,26 +366,19 @@ class TestStickyWorkerState:
         worker.own((0,), BAND, BAND.transposed)
         table = RegionStateTable([0])
         for fold, owner in ((table.fold, table), (worker.count, worker.table)):
-            segment_keys = np.zeros(64)
-            segment_idx = np.zeros(64, dtype=np.int64)
-            first = 0
+            segment = np.zeros(64)
             for size, runs in ((64, 1), (3, 2), (3, 2)):
-                keys, idx = segment_keys[:size], segment_idx[:size]
+                keys = segment[:size]
                 keys[:] = np.sort(rng.uniform(0, 50, size))
-                idx[:] = np.arange(first, first + size)
-                first += size
-                fold([idx, keys, idx, keys])
+                fold([keys, keys])
                 for state in (owner.state1[0], owner.state2[0]):
-                    assert len(state._runs) == runs
-                    for run in state._runs:
+                    assert len(state.runs) == runs
+                    for run in state.runs:
                         for column in run:
-                            assert not np.shares_memory(column, segment_keys)
-                            assert not np.shares_memory(column, segment_idx)
-                before = owner.state1[0].keys.copy(), owner.state1[0].index.copy()
-                segment_keys[:] = -1.0  # the arena overwrites the segment
-                segment_idx[:] = 0
-                np.testing.assert_array_equal(owner.state1[0].keys, before[0])
-                np.testing.assert_array_equal(owner.state1[0].index, before[1])
+                            assert column is None or not np.shares_memory(column, segment)
+                before = owner.state1[0].keys.copy()
+                segment[:] = -1.0  # the arena overwrites the segment
+                np.testing.assert_array_equal(owner.state1[0].keys, before)
 
     def test_unknown_command_raises(self):
         worker = _StickyWorkerState()
@@ -430,41 +421,45 @@ class TestInProcessStateProtocol:
         assert result.per_machine_output.tolist() == expected
         assert result.per_machine_seconds.shape == (2,)
         assert result.worker_pids is None and result.bytes_pickled is None
-        held1, held2 = backend.resident_indices()
-        assert [len(h) for h in held1] == [40, 40]
-        # A single-run state hands out its own index column, not a copy.
-        assert np.shares_memory(held1[0], backend._table.state1[0].index)
-        # Once a machine holds several runs the view is their concatenation:
-        # still the same set, in no particular order.
+        table = backend._table
+        assert [len(table.state1[m]) for m in (0, 1)] == [40, 40]
+        # A machine holding several runs holds their union, as a multiset.
         tail = [np.array([80], dtype=np.int64), np.empty(0, dtype=np.int64)]
         backend.count_batch(
             arrivals(tail, np.append(history1, 1.0)),
             arrivals(tail, np.append(history2, 1.0)),
         )
-        assert len(backend._table.state1[0].run_keys) == 2
-        held1, _ = backend.resident_indices()
-        assert sorted(held1[0].tolist()) == split[0].tolist() + [80]
+        assert len(table.state1[0].runs) == 2
+        np.testing.assert_array_equal(
+            table.state1[0].keys, np.sort(np.append(history1[split[0]], 1.0))
+        )
 
     def test_evict_install_resize_and_drain(self, rng):
         history1, history2, split = self._traffic(rng)
         backend = SimulatedBackend()
         backend.bind(2, BAND, BAND.transposed)
         backend.count_batch(arrivals(split, history1), arrivals(split, history2))
-        expired = np.arange(0, 10, dtype=np.int64)
-        assert backend.evict_state(expired, expired) == 20
-        held1, held2 = backend.resident_indices()
-        assert sorted(held1[0].tolist()) == list(range(10, 40))
-        assert sorted(held2[1].tolist()) == list(range(40, 80))
+        # Machine 0 expires its first ten arrivals, machine 1 nothing.
+        expired = [np.arange(0, 10, dtype=np.int64), np.empty(0, dtype=np.int64)]
+        assert backend.evict_state(
+            arrivals(expired, history1), arrivals(expired, history2)
+        ) == 20
+        table = backend._table
+        np.testing.assert_array_equal(table.state1[0].keys, np.sort(history1[10:40]))
+        np.testing.assert_array_equal(table.state2[1].keys, np.sort(history2[40:80]))
         swapped = [split[1], split[0]]
         backend.install_state(arrivals(swapped, history1), arrivals(swapped, history2))
-        held1, _ = backend.resident_indices()
-        assert sorted(held1[0].tolist()) == split[1].tolist()
+        np.testing.assert_array_equal(
+            backend._table.state1[0].keys, np.sort(history1[split[1]])
+        )
         # An install of another length resizes the fleet.
         grown = [split[0], np.empty(0, dtype=np.int64), split[1]]
         backend.install_state(arrivals(grown, history1), arrivals(grown, history2))
-        held1, held2 = backend.resident_indices()
-        assert [len(h) for h in held1 + held2] == [40, 0, 40] * 2
-        with pytest.raises(ValueError, match="one R1 and one R2 column pair"):
+        table = backend._table
+        assert [
+            len(side[m]) for side in (table.state1, table.state2) for m in range(3)
+        ] == [40, 0, 40] * 2
+        with pytest.raises(ValueError, match="one R1 and one R2 key array"):
             backend.install_state([], [])
         assert backend.drain_channel_bytes() == (None, None, None)
 
@@ -474,7 +469,7 @@ class TestInProcessStateProtocol:
         with pytest.raises(RuntimeError, match="not bound"):
             backend.count_batch([], [])
         with pytest.raises(RuntimeError, match="not bound"):
-            backend.resident_indices()
+            backend.install_state([empty], [empty])
         backend.bind(1, BAND, BAND.transposed)
         backend.close()
         with pytest.raises(RuntimeError, match="closed"):
@@ -515,11 +510,12 @@ class TestInProcessStateProtocol:
 
 
 class _ShadowingBackend(_ForwardingBackend):
-    """Forward every verb to the inner backend *and* an in-process twin.
+    """Forward every verb to a sticky backend *and* an in-process twin.
 
-    After each verb the inner backend's ``resident_indices`` must equal the
-    twin's, per machine and side, as sets (order within a machine is
-    unspecified on every backend).  ``compared`` lists the verbs checked.
+    Nothing is read back from a worker, so what is compared is what the
+    backend knows of its workers -- the per-machine counts every reply
+    confirms -- against the twin's state, plus every count's output.
+    ``compared`` lists the verbs checked.
     """
 
     wrapper_name = "shadowing"
@@ -531,12 +527,11 @@ class _ShadowingBackend(_ForwardingBackend):
 
     def _compare(self, verb: str) -> None:
         self.compared.append(verb)
-        for ours, theirs in zip(
-            self.inner.resident_indices(), self.twin.resident_indices()
-        ):
-            assert len(ours) == len(theirs)
-            for mine, expected in zip(ours, theirs):
-                assert sorted(mine.tolist()) == sorted(expected.tolist())
+        table = self.twin._table
+        held = [
+            [len(table.state1[m]), len(table.state2[m])] for m in table.machines
+        ]
+        assert self.inner._counts.tolist() == held
 
     def bind(self, num_machines, condition, transposed) -> None:
         super().bind(num_machines, condition, transposed)
@@ -580,13 +575,13 @@ class TestStickyWorkerBackend:
             result = backend.count_batch(*batch)
         assert result.per_machine_output.tolist() == [out for out, _ in expected]
 
-    def test_read_back_matches_the_in_process_view_after_every_verb(self):
-        """Sticky workers hold the only copy; reading it back is the twin's view.
+    def test_worker_counts_match_the_in_process_view_after_every_verb(self):
+        """Sticky workers hold the only copy; what the backend knows of it is the twin's.
 
         A windowed drift run (counts, evictions, a drift migration's install)
         plus a mid-stream resize, every verb forwarded to the sticky backend
-        *and* an in-process twin: after each one the read-back equals the
-        twin's ``resident_indices``, per machine and side, as sets.
+        *and* an in-process twin: after each one every count's outputs and
+        the per-machine sizes the workers confirmed equal the twin's.
         """
         with StickyWorkerBackend(max_workers=2) as sticky:
             shadowing = _ShadowingBackend(sticky)
@@ -608,8 +603,8 @@ class TestStickyWorkerBackend:
         with StickyWorkerBackend(max_workers=2) as backend:
             backend.bind(4, BAND, BAND.transposed)
             backend.count_batch(arrivals(idx, history), arrivals(idx, history))
-            backend.evict_state(np.arange(8, dtype=np.int64), np.empty(0, dtype=np.int64))
-            backend.resident_indices()
+            expired = [held[:2] for held in idx]
+            backend.evict_state(arrivals(expired, history), [np.empty(0)] * 4)
             assert backend._counts.tolist() == [[998, 1000]] * 4
             arrays = {
                 name: value.shape
@@ -621,26 +616,6 @@ class TestStickyWorkerBackend:
                 isinstance(value, (list, dict)) and len(value) > backend.max_workers
                 for value in vars(backend).values()
             )
-
-    def test_read_back_is_metered_copied_and_never_pickled(self, rng):
-        history = rng.uniform(0, 50, 64)
-        idx = [np.arange(0, 40, dtype=np.int64), np.arange(40, 64, dtype=np.int64)]
-        with StickyWorkerBackend(max_workers=2) as backend:
-            backend.bind(2, BAND, BAND.transposed)
-            backend.count_batch(arrivals(idx, history), arrivals(idx, history))
-            backend.drain_channel_bytes()
-            held1, held2 = backend.resident_indices()
-            pickled, unpickled, shm = backend.drain_channel_bytes()
-            # 2 sides x 64 int64 indices rode the arena; the pickle channel
-            # carried a descriptor out and a few integers back per worker.
-            assert shm == 2 * 64 * 8
-            assert 0 < pickled < 2 * 600 and 0 < unpickled < 2 * 100
-            assert [sorted(h.tolist()) for h in held1] == [i.tolist() for i in idx]
-            # Copies: the next arena write must not change what was returned.
-            snapshot = [h.copy() for h in held1 + held2]
-            backend.install_state(arrivals(idx[::-1], history), arrivals(idx[::-1], history))
-            for array, before in zip(held1 + held2, snapshot):
-                np.testing.assert_array_equal(array, before)
 
     def test_an_install_onto_a_new_fleet_reassigns_ownership_first(
         self, rng, monkeypatch
@@ -665,28 +640,23 @@ class TestStickyWorkerBackend:
             del sent[:]
             backend.install_state(arrivals(grown, history), arrivals(grown[::-1], history))
             assert sent == ["install", "install"]
-            held1, held2 = backend.resident_indices()
-        assert [sorted(h.tolist()) for h in held1] == [list(range(6, 12)), [], list(range(6))]
-        assert [sorted(h.tolist()) for h in held2] == [list(range(6)), [], list(range(6, 12))]
+            assert backend._counts.tolist() == [[6, 6], [0, 0], [6, 6]]
 
-    def test_divergence_is_detected_on_evict_and_on_read_back(self, rng):
+    def test_divergence_is_detected_on_evict_and_on_count(self, rng):
         # The counts are the backend's claim about worker state; a worker
         # whose resident length disagrees is a fault, not noise.
         history = rng.uniform(0, 50, 10)
         idx = [np.arange(4, dtype=np.int64)]
-        expired = np.arange(2, dtype=np.int64)
-        for verb in ("evict_state", "resident_indices"):
+        expired = arrivals([np.arange(2, dtype=np.int64)], history)
+        for verb in ("evict_state", "count_batch"):
             with StickyWorkerBackend(max_workers=1) as backend:
                 backend.bind(1, BAND, BAND.transposed)
                 backend.count_batch(arrivals(idx, history), arrivals(idx, history))
                 # Behind the backend's back: the worker drops two R1 entries.
-                message = backend._arena.write([expired, expired[:0]])
+                message = backend._arena.write([expired[0], expired[0][:0]])
                 assert backend._broadcast(("evict", message))[0][1] == [(0, 4, 4, 2, 0)]
                 with pytest.raises(RuntimeError, match="diverged"):
-                    if verb == "evict_state":
-                        backend.evict_state(expired, expired)
-                    else:
-                        backend.resident_indices()
+                    getattr(backend, verb)(expired, expired)
 
     def test_rebind_refused(self):
         with StickyWorkerBackend(max_workers=1) as backend:
@@ -801,7 +771,7 @@ class TestStickyWorkerBackend:
             backend.count_batch(arrivals([idx], history), arrivals([idx], history))
             pickled, unpickled, shm = backend.drain_channel_bytes()
             assert pickled > 0 and unpickled > 0
-            assert shm == 4 * 8 * 8  # two index + two key arrays, 8 int64/f64
+            assert shm == 2 * 8 * 8  # two key arrays of 8 float64
 
     def test_drain_without_profiling_still_meters_shm(self, rng):
         with StickyWorkerBackend(
@@ -813,7 +783,7 @@ class TestStickyWorkerBackend:
             backend.count_batch(arrivals([idx], history), arrivals([idx], history))
             pickled, unpickled, shm = backend.drain_channel_bytes()
             assert pickled is None and unpickled is None
-            assert shm == 4 * 8 * 4
+            assert shm == 2 * 8 * 4
 
 
 def _drift_source():

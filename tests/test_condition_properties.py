@@ -76,8 +76,9 @@ KEY_STYLES = {
     "uint64": st.integers(0, 6)
     | st.integers(-4, 4).map(lambda k: 2**53 + k)
     | st.just(2**62),
-    # The ends of the int64 domain, where a strict step has nowhere to go.
-    # Only inequalities draw them: a band assumes |key| + beta fits int64.
+    # The ends of the int64 domain, where a strict step has nowhere to go
+    # and ``k +- beta`` leaves the range.  Inequalities and bands with an
+    # integral width draw them (a fractional width bounds integers in float64).
     "int64 extremes": st.integers(-3, 3)
     | st.sampled_from([2**63 - 1, 2**63 - 2, -(2**63), -(2**63) + 1]),
     # Small integers are exact in float64, so they may meet a float side.
@@ -103,6 +104,14 @@ def _inexact_width(condition) -> bool:
     return isinstance(base, BandJoinCondition) and base._integral_beta() is None
 
 
+def _exact_at_the_extremes(condition) -> bool:
+    """An inequality, or a band (or its transposition) of integral width."""
+    base = getattr(condition, "base", condition)
+    if isinstance(base, InequalityJoinCondition):
+        return True
+    return type(base) in (BandJoinCondition, EquiJoinCondition) and not _inexact_width(base)
+
+
 @st.composite
 def joins(draw):
     """A condition and two key arrays of one style pair."""
@@ -111,7 +120,7 @@ def joins(draw):
     # A fractional width rounds integer keys above 2**53 through float64;
     # the Python reference compares them exactly, so the two cannot agree.
     assume(not (_inexact_width(condition) and style1 in ("int64", "uint64")))
-    assume(style1 != "int64 extremes" or isinstance(condition, InequalityJoinCondition))
+    assume(style1 != "int64 extremes" or _exact_at_the_extremes(condition))
     keys1 = np.array(draw(st.lists(KEY_STYLES[style1], max_size=24)), dtype=DTYPES[style1])
     keys2 = np.array(draw(st.lists(KEY_STYLES[style2], max_size=24)), dtype=DTYPES[style2])
     return condition, keys1, keys2
@@ -203,6 +212,18 @@ def test_inequalities_compare_integers_above_2_53_exactly(dtype):
     assert count_join_output(high, low, GE.transposed) == 0
     lows, _ = LT.joinable_bounds(low)
     assert lows.dtype == np.int64 and lows[0] == 2**53 + 1
+
+
+@pytest.mark.parametrize("condition", [BandJoinCondition(beta=1), BandJoinCondition(beta=1).transposed])
+def test_a_band_saturates_at_the_int64_extremes(condition):
+    """``k +- beta`` past the int64 range must not wrap the interval inside out."""
+    top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+    high = np.array([top, top - 1, 5], dtype=np.int64)
+    low = np.array([bottom, bottom + 1], dtype=np.int64)
+    assert count_join_output(high, high, condition) == 5
+    assert count_join_output(low, low, condition) == 4
+    lows, highs = condition.joinable_bounds(np.array([top, bottom], dtype=np.int64))
+    assert highs.tolist()[0] == top and lows.tolist()[1] == bottom
 
 
 def test_nothing_lies_beyond_the_int64_extremes():

@@ -135,6 +135,7 @@ def test_join_regions_counts_what_the_per_task_kernel_counts(seed, num_tasks):
 # The fold path: both owners of the kernel, batch after batch
 # ----------------------------------------------------------------------
 def _count_simulated(condition, machines):
+    """``(count, evict)`` of an in-process backend."""
     backend = SimulatedBackend()
     backend.bind(machines, condition, condition.transposed)
 
@@ -147,13 +148,17 @@ def _count_simulated(condition, machines):
             )
         )
 
-    return count
+    return count, backend.evict_state
 
 
 def _count_sticky(condition, machines):
+    """``(count, evict)`` of a sticky worker's handlers, in-process."""
     worker = _StickyWorkerState()
     worker.own(tuple(range(machines)), condition, condition.transposed)
-    return lambda *batch: worker.count(state_layout(*batch))
+    return (
+        lambda *batch: worker.count(state_layout(*batch)),
+        lambda *expired: worker.evict(state_layout(*expired)),
+    )
 
 
 @pytest.mark.parametrize("owner", [_count_simulated, _count_sticky])
@@ -167,15 +172,30 @@ def _count_sticky(condition, machines):
 def test_a_fold_counts_what_the_per_task_kernel_counts(
     owner, seed, style, condition, batches
 ):
-    """Per machine and per batch: same output, same ticks, same clock reads."""
+    """Per machine and per batch: same output, same ticks, same clock reads.
+
+    Between batches some held tuples expire: their keys are tombstoned on
+    both owners, so the searched runs carry negative counts too.
+    """
     machines = 3
     rng = np.random.default_rng(seed)
-    count = owner(condition, machines)
+    count, evict = owner(condition, machines)
     table = RegionStateTable(range(machines))  # the reference's own state
     fold_conditions = (condition, condition.transposed)
     history1 = history2 = _draw_keys(rng, style, 0)
+    held = [[np.empty(0, dtype=np.int64)] * machines for _ in range(2)]
     with tick_clocks() as (ours_clock, reference_clock):
         for batch in range(1, batches + 1):
+            if rng.random() < 0.5:
+                expired = []
+                for side, history in enumerate((history1, history2)):
+                    gone = [indices[rng.random(len(indices)) < 0.3] for indices in held[side]]
+                    held[side] = [
+                        np.setdiff1d(indices, out) for indices, out in zip(held[side], gone)
+                    ]
+                    expired.append(sorted_batch(gone, history))
+                evict(*expired)
+                table.evict(state_layout(*expired))
             new = []
             for history in (history1, history2):
                 size = int(rng.choice([0, 1, 7, 90]))
@@ -183,6 +203,10 @@ def test_a_fold_counts_what_the_per_task_kernel_counts(
                 arrived = len(history) + np.arange(size, dtype=np.int64)
                 new.append([arrived[machine == slot] for slot in range(machines)])
             new1, new2 = new
+            for side, arrived in enumerate(new):
+                held[side] = [
+                    np.concatenate([indices, mine]) for indices, mine in zip(held[side], arrived)
+                ]
             history1 = np.concatenate(
                 [history1, _draw_keys(rng, style, sum(map(len, new1)))]
             )

@@ -160,8 +160,7 @@ class TestFlakyBackend:
         """The first ``failures`` work calls raise; later calls succeed."""
         backend = flaky_backend(failures=2)
         backend.bind(1, BAND, BAND.transposed)
-        index = np.arange(2, dtype=np.int64)
-        new1, new2 = [(index, np.array([1.0, 2.0]))], [(index, np.array([1.5, 9.0]))]
+        new1, new2 = [np.array([1.0, 2.0])], [np.array([1.5, 9.0])]
         for _ in range(2):
             with pytest.raises(WorkerCrashError, match="transient"):
                 backend.count_batch(new1, new2)
@@ -282,10 +281,11 @@ class TestRealWorkerCrashes:
         assert result.restores == 1
         assert_equivalent_runs(result, reference)
 
-    def test_worker_killed_between_batches_fails_the_checkpoint_promptly(self):
-        """A checkpoint reads state back from the workers, so it is a fault
-        point: a worker that died since the last batch surfaces as
-        WorkerCrashError from ``engine.checkpoint()``, in bounded time."""
+    def test_worker_killed_between_batches_fails_the_next_batch_promptly(self):
+        """A checkpoint reads nothing from the workers -- what they hold is
+        derived from the arrival logs -- so it still succeeds after a worker
+        died; the next batch's count is the fault point, and surfaces the
+        death as WorkerCrashError in bounded time."""
         source = make_source()
         backend = StickyWorkerBackend(max_workers=2)
         try:
@@ -294,22 +294,25 @@ class TestRealWorkerCrashes:
             batches = source.batches()
             for _ in range(4):
                 engine.process_batch(next(batches))
-            engine.checkpoint()  # healthy fleet: the read-back works
-            engine.process_batch(next(batches))
+            healthy = engine.checkpoint()
             backend._processes[1].kill()
             backend._processes[1].join(timeout=5)
+            dead = engine.checkpoint()
+            for ours, theirs in zip(dead.state_index1, healthy.state_index1):
+                np.testing.assert_array_equal(ours, theirs)
             started = time.perf_counter()
             with pytest.raises(WorkerCrashError, match="sticky worker 1"):
-                engine.checkpoint()
+                engine.process_batch(next(batches))
             assert time.perf_counter() - started < 10.0
             engine.close()
         finally:
             backend.close()
 
     def test_run_resilient_recovers_from_a_crash_during_checkpoint(self):
-        """The second checkpoint's read-back hits a dead worker; the driver
-        restores the first checkpoint onto a fresh fleet and the finished
-        run is bit-identical to one that never crashed."""
+        """A worker dies as the second checkpoint is taken; the checkpoint
+        reads nothing back, so the next batch's count hits the dead worker,
+        the driver restores the second checkpoint onto a fresh fleet and
+        the finished run is bit-identical to one that never crashed."""
         source = make_source()
         reference = make_engine().run(source)
         doomed = StickyWorkerBackend(max_workers=2)

@@ -3,13 +3,13 @@
 ``tests/reference_install.py`` (with the assign-based ``route_live`` and the
 index-array planner of ``tests/reference_migration.py``) holds how a
 migration, a resize and a restore moved state before ``install_state`` took
-key-sorted columns: per-region index arrays, a ``resize`` that emptied the
+key-sorted arrays: per-region index arrays, a ``resize`` that emptied the
 fleet, then an install that gathered every machine's keys back out of the
-logs and key-sorted them per machine.  The one-shape path -- ``route_live``
+logs and sorted them per machine.  The one-shape path -- ``route_live``
 through ``sorted_arrivals``, ``plan_migration``'s ``new_state*`` columns, an
-``install_state`` that appends them and resizes by their length -- must
-leave every machine the same run list: as many runs, each holding the same
-``(index, key bits)`` pairs with keys ascending (equal keys in any order).
+``install_state`` of their keys that resizes by their length -- must leave
+every machine the same run list: one counted run of the same distinct keys
+and counts.
 
 The first half holds a single install to that, machine by machine, over
 random histories and schemes (the sticky worker's install handler too).  The
@@ -89,13 +89,15 @@ def _live(history) -> np.ndarray:
 
 
 def _assert_same_runs(ours, theirs) -> None:
-    """Run count and, per run, the same ``(index, key bits)`` multiset and dtypes.
+    """Run count and, per run, the same distinct keys (by value) and counts.
 
-    Ties are unspecified, so ``-0.0`` and ``0.0`` may swap places.
+    ``-0.0`` and ``0.0`` are one key, whichever of them names it.
     """
-    assert len(ours._runs) == len(theirs._runs)
-    for (keys, index), (ref_keys, ref_index) in zip(ours._runs, theirs._runs):
-        assert_same_columns(index, keys, ref_index, ref_keys)
+    assert len(ours.runs) <= 1 and len(ours.runs) == len(theirs.runs)
+    for (keys, cum), (ref_keys, ref_cum) in zip(ours.runs, theirs.runs):
+        assert keys.dtype == ref_keys.dtype
+        np.testing.assert_array_equal(keys, ref_keys)
+        np.testing.assert_array_equal(cum, ref_cum)
 
 
 @settings(max_examples=250, deadline=None)
@@ -130,9 +132,21 @@ def test_an_install_leaves_the_reference_run_lists(
         expected = reference_plan(*old, partitioning, *logs, num_machines, theirs, mode)
     assert ours.bit_generator.state == theirs.bit_generator.state
 
+    for ours, theirs, log in (
+        (plan.new_state1, expected.new_assignments1, logs[0]),
+        (plan.new_state2, expected.new_assignments2, logs[1]),
+    ):
+        for (indices, keys), reference_indices in zip(ours, theirs):
+            reference_indices = np.asarray(reference_indices, dtype=np.int64)
+            order = np.argsort(log[reference_indices], kind="stable")
+            assert_same_columns(
+                indices, keys, reference_indices[order], log[reference_indices][order]
+            )
+    keys1 = [keys for _, keys in plan.new_state1]
+    keys2 = [keys for _, keys in plan.new_state2]
     production = SimulatedBackend()
     production.bind(old_machines, BAND, BAND.transposed)
-    production.install_state(plan.new_state1, plan.new_state2)
+    production.install_state(keys1, keys2)
     reference = ReferenceInstallBackend()
     reference.bind(old_machines, BAND, BAND.transposed)
     if num_machines != old_machines:
@@ -140,7 +154,7 @@ def test_an_install_leaves_the_reference_run_lists(
     reference.install_state(expected.new_assignments1, expected.new_assignments2, *logs)
     worker = _StickyWorkerState()
     worker.own(tuple(range(num_machines)), BAND, BAND.transposed)
-    worker.install(state_layout(plan.new_state1, plan.new_state2))
+    worker.install(state_layout(keys1, keys2))
 
     table = reference._table
     for owner in (production._table, worker.table):

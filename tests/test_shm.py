@@ -183,27 +183,27 @@ class TestShmReader:
             first = 0
             # 64, then 3 (appended unmerged: 64 >= 8 * 3), then 3 (merged).
             for size in (64, 3, 3):
-                idx = np.arange(first, first + size, dtype=np.int64)
                 keys = np.linspace(0.0, 50.0, size) + first
                 first += size
-                message = arena.write([idx, keys, idx, keys])
+                message = arena.write([keys, keys])
                 views = reader.arrays(message)
                 worker.handle(("count", message), reader)
                 held = worker.table.state1[0], worker.table.state2[0]
                 for state in held:
-                    for run in state._runs:
+                    for run in state.runs:
                         for column in run:
+                            if column is None:
+                                continue
                             assert column.flags.owndata
                             assert not any(
                                 np.shares_memory(column, view) for view in views
                             )
-                before = [(s.keys.copy(), s.index.copy()) for s in held]
+                before = [state.keys.copy() for state in held]
                 del views
                 # The next message reuses the segment under the old views.
-                arena.write([np.full(2 * size, -1, dtype=np.int64)] * 4)
-                for state, (keys_before, index_before) in zip(held, before):
+                arena.write([np.full(2 * size, -1.0)] * 2)
+                for state, keys_before in zip(held, before):
                     np.testing.assert_array_equal(state.keys, keys_before)
-                    np.testing.assert_array_equal(state.index, index_before)
         finally:
             reader.close()
             arena.close()

@@ -1,14 +1,17 @@
-"""Sorted-run join state: a differential oracle and the shape of its cost.
+"""Counted-run join state: differential oracles and the shape of its cost.
 
 Two kinds of test.  The hypothesis properties drive the production
-``RegionStateTable`` (geometrically merged sorted runs) and the pre-rewrite
-single-array ``SortedRegionState`` kept in ``tests/reference_state.py``
-through the same random insert / evict / install traffic and ask
-for the same ``(index, key)`` sets, the same eviction counts and the same
-per-machine fold totals.  The structural tests pin the complexity claim
-without a clock: how many runs there are, that the largest is not rewritten
-every batch, and that the engine's per-batch path never materialises the
-whole state.
+``RegionStateTable`` (a key multiset per machine-side, in geometrically
+merged counted runs, evicted by tombstones) and the references kept in
+``tests/reference_state.py`` through the same random insert / evict /
+install traffic: the single-array ``(index, key)`` state must hold the same
+key multisets and count the same per-machine fold totals -- eviction there
+is by arrival index, here by tombstoning the keys of the expired tuples a
+machine holds -- and the pairwise cascade must leave the same run list.
+The structural tests pin the complexity claim without a clock: how many
+runs there are, how short they are under skew, that the largest is not
+rewritten every batch, and that the engine's per-batch path never
+re-derives the whole state.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_state import PairwiseRunState
+from reference_state import IndexedRunState, PairwiseRunState, resident_indices
 from reference_state import SortedRegionState as ReferenceState
+from streaming_harness import multiset_difference
 
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import (
@@ -31,7 +35,6 @@ from repro.joins.conditions import (
     InequalityOp,
 )
 from repro.joins.local import count_join_output
-from repro.partitioning.base import sort_arrivals
 from repro.streaming import (
     ArrivalLog,
     MicroBatch,
@@ -68,8 +71,14 @@ def _draw_keys(rng: np.random.Generator, mode: str, size: int, batch: int) -> np
         if batch < 3:
             return rng.integers(0, 40, size, dtype=np.int64)
         return rng.uniform(0.0, 40.0, size).round(1)
+    if mode == "specials":
+        # NaN and both signed zeros, through tombstones and merges.
+        return rng.choice([np.nan, -0.0, 0.0, 1.0, 2.5], size)
     assert mode == "duplicates"
     return np.full(size, float(rng.integers(0, 4)))
+
+
+KEY_MODES = ["float", "big_int", "promote", "specials", "duplicates"]
 
 
 def _random_expiry(rng: np.random.Generator, span: int) -> np.ndarray:
@@ -86,20 +95,20 @@ def _random_expiry(rng: np.random.Generator, span: int) -> np.ndarray:
     return np.unique(rng.integers(-5, span + 50, max(1, span // 4)))
 
 
+def assert_same_multiset(actual: np.ndarray, expected: np.ndarray) -> None:
+    """The same keys with the same multiplicities, by value (NaN == NaN)."""
+    assert len(actual) == len(expected)
+    np.testing.assert_array_equal(np.sort(actual), np.sort(expected))
+    if len(expected):
+        assert actual.dtype == expected.dtype
+
+
 def _assert_same_state(ours: SortedRegionState, reference: ReferenceState) -> None:
-    """Same ``(index, key)`` set; our merged view is key-sorted and parallel."""
-    keys, index = ours.keys, ours.index
-    assert len(ours) == len(reference) == len(index)
-    assert ours.nbytes == reference.nbytes
-    assert np.all(keys[:-1] <= keys[1:])
-    order, reference_order = np.argsort(index), np.argsort(reference.index)
-    np.testing.assert_array_equal(index[order], reference.index[reference_order])
-    np.testing.assert_array_equal(keys[order], reference.keys[reference_order])
-    if len(reference):
-        assert keys.dtype == reference.keys.dtype
-    np.testing.assert_array_equal(
-        np.sort(ours.arrival_indices()), np.sort(reference.index)
-    )
+    """Same key multiset; our merged view is ascending."""
+    keys = ours.keys
+    assert len(ours) == len(reference)
+    assert np.array_equal(keys, np.sort(keys), equal_nan=True)
+    assert_same_multiset(keys, reference.keys)
 
 
 def _reference_fold(state1, state2, idx1, keys1, idx2, keys2, condition) -> int:
@@ -112,14 +121,31 @@ def _reference_fold(state1, state2, idx1, keys1, idx2, keys2, condition) -> int:
     )
 
 
+def _signed_count(needles, run, cum, condition) -> int:
+    """A counted run's count the long way: its multiset expanded, by sign."""
+    counts = np.ones(len(run), dtype=np.int64) if cum is None else np.diff(cum)
+    positive = np.repeat(run, np.clip(counts, 0, None))
+    negative = np.repeat(run, np.clip(-counts, 0, None))
+    return count_join_output(needles, positive, condition) - count_join_output(
+        needles, negative, condition
+    )
+
+
+def _sorted_columns(idx: np.ndarray, history: np.ndarray):
+    """``(indices, keys)`` key-sorted, as the router hands them over."""
+    order = np.argsort(history[idx])
+    return idx[order], history[idx][order]
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    key_mode=st.sampled_from(["float", "big_int", "promote", "duplicates"]),
+    key_mode=st.sampled_from(KEY_MODES),
     condition=st.sampled_from(CONDITIONS),
     steps=st.integers(1, 40),
 )
 def test_runs_agree_with_the_single_array_reference(seed, key_mode, condition, steps):
+    """Evicting by index there, by tombstoning the expired keys held here."""
     rng = np.random.default_rng(seed)
     table = RegionStateTable(MACHINES)
     reference = {
@@ -131,7 +157,7 @@ def test_runs_agree_with_the_single_array_reference(seed, key_mode, condition, s
     for _ in range(steps):
         op = rng.choice(["fold", "fold", "fold", "evict", "install"])
         if op == "fold":
-            layout, arrivals = [], {}
+            columns, arrivals = [], {}
             for side in (1, 2):
                 # Small and large batches, and now and then an empty side.
                 size = int(rng.choice([0, 1, 3, 17, 120]))
@@ -147,23 +173,21 @@ def test_runs_agree_with_the_single_array_reference(seed, key_mode, condition, s
                 ]
             for slot in range(len(MACHINES)):
                 for side in (1, 2):
-                    idx = arrivals[side][slot]
-                    layout += sort_arrivals(idx, history[side][idx])
-            tasks, owners = table.fold(layout)
+                    columns.append(_sorted_columns(arrivals[side][slot], history[side]))
+            tasks, owners = table.fold([keys for _, keys in columns])
             per_task = np.array(
                 [
-                    count_join_output(
-                        needles,
-                        run,
+                    _signed_count(
+                        needles, run, cum,
                         condition if owner % 2 == 0 else condition.transposed,
                     )
-                    for (needles, run), owner in zip(tasks, owners)
+                    for (needles, run, cum), owner in zip(tasks, owners)
                 ],
                 dtype=np.int64,
             )
             totals = table.sum_halves(per_task, owners).sum(axis=1)
             for slot, machine in enumerate(MACHINES):
-                idx1, keys1, idx2, keys2 = layout[4 * slot : 4 * slot + 4]
+                (idx1, keys1), (idx2, keys2) = columns[2 * slot : 2 * slot + 2]
                 assert totals[slot] == _reference_fold(
                     reference[machine, 1],
                     reference[machine, 2],
@@ -174,7 +198,12 @@ def test_runs_agree_with_the_single_array_reference(seed, key_mode, condition, s
             expired = {
                 side: _random_expiry(rng, len(history[side])) for side in (1, 2)
             }
-            dropped = table.evict(expired[1], expired[2])
+            tombstones = [
+                reference[machine, side].expired_keys(expired[side])
+                for machine in MACHINES
+                for side in (1, 2)
+            ]
+            dropped = table.evict(tombstones)
             assert dropped == [
                 tuple(reference[machine, side].evict(expired[side]) for side in (1, 2))
                 for machine in MACHINES
@@ -185,13 +214,13 @@ def test_runs_agree_with_the_single_array_reference(seed, key_mode, condition, s
                 for side in (1, 2):
                     span = len(history[side])
                     idx = np.flatnonzero(rng.random(span) < 0.4).astype(np.int64)
-                    layout += sort_arrivals(idx, history[side][idx])
+                    layout.append(np.sort(history[side][idx]))
                     reference[machine, side] = ReferenceState.from_pairs(
                         idx, history[side][idx]
                     )
             table.install(layout)
             for machine in MACHINES:
-                assert len(table.state1[machine].run_keys) <= 1
+                assert len(table.state1[machine].runs) <= 1
         for machine in MACHINES:
             _assert_same_state(table.state1[machine], reference[machine, 1])
             _assert_same_state(table.state2[machine], reference[machine, 2])
@@ -200,44 +229,47 @@ def test_runs_agree_with_the_single_array_reference(seed, key_mode, condition, s
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    key_mode=st.sampled_from(["float", "big_int", "promote", "duplicates"]),
+    key_mode=st.sampled_from(KEY_MODES),
     steps=st.integers(1, 60),
 )
 def test_one_pass_merge_leaves_the_pairwise_cascade_run_list(seed, key_mode, steps):
-    """Bit for bit: run count, both columns of every run, dtype.
+    """Run for run: count, distinct keys by value, cumulative counts, dtype.
 
     The production append picks the suffix of runs to merge from their
-    lengths and merges it with one stable sort; the reference is the
-    cascade of pairwise merges it replaced.  Both are fed the same
-    key-sorted arrivals (the order among equal keys of an arrival sort is
-    unspecified, the merge's is not), and equal keys (``duplicates`` is
-    nothing else) must come out of the merges in the same order, so the
-    index columns are compared as they lie, not as sets.
+    distinct lengths and merges it with one stable sort and one running
+    total; the reference merges the same suffix a pair at a time by
+    counting key values.  Tombstones of held keys ride along, so runs
+    cancel, vanish and come back.
     """
     rng = np.random.default_rng(seed)
     ours, reference = SortedRegionState(), PairwiseRunState()
-    arrived = batch = 0
+    held = np.empty(0)
+    batch = 0
     for _ in range(steps):
-        if rng.random() < 0.8:
+        if rng.random() < 0.75 or len(held) == 0:
             # Sizes a factor of eight apart and closer: appends, two-run
             # merges and cascades through three or more runs all occur.
             size = int(rng.choice([0, 1, 2, 9, 17, 120, 900]))
-            keys = _draw_keys(rng, key_mode, size, batch)
-            idx = np.arange(arrived, arrived + size, dtype=np.int64)
-            rng.shuffle(idx)
-            idx, keys = sort_arrivals(idx, keys)
-            ours.append_sorted(idx, keys)
-            reference.insert(idx, keys)
-            arrived += size
+            keys = np.sort(_draw_keys(rng, key_mode, size, batch))
+            ours.append_sorted(keys)
+            reference.append_sorted(keys)
+            held = np.concatenate([held, keys]) if len(held) else keys
             batch += 1
         else:
-            expired = _random_expiry(rng, arrived)
-            assert ours.evict(expired) == reference.evict(expired)
-        assert len(ours._runs) == len(reference._runs)
-        for (keys, index), (ref_keys, ref_index) in zip(ours._runs, reference._runs):
-            assert keys.dtype == ref_keys.dtype and index.dtype == ref_index.dtype
+            expired = np.sort(held[rng.random(len(held)) < 0.3])
+            ours.tombstone(expired)
+            reference.tombstone(expired)
+            held = multiset_difference(held, expired)
+        assert len(ours.runs) == len(reference._runs)
+        for (keys, cum), (ref_keys, ref_cum) in zip(ours.runs, reference._runs):
+            assert keys.dtype == ref_keys.dtype
             np.testing.assert_array_equal(keys, ref_keys)
-            np.testing.assert_array_equal(index, ref_index)
+            if cum is None or ref_cum is None:
+                assert cum is None and ref_cum is None
+            else:
+                np.testing.assert_array_equal(cum, ref_cum)
+        assert len(ours) == len(held)
+        assert_same_multiset(ours.keys, held.astype(ours.keys.dtype))
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,7 +279,7 @@ def test_one_pass_merge_leaves_the_pairwise_cascade_run_list(seed, key_mode, ste
     kind=st.sampled_from(["range", "holes", "foreign"]),
 )
 def test_drop_expired_is_set_difference(seed, held, kind):
-    """The shared membership primitive, range fast path and fallback alike."""
+    """The live-set membership primitive, range fast path and fallback alike."""
     rng = np.random.default_rng(seed)
     held = rng.permutation(100)[:held].astype(np.int64)  # any order
     if kind == "range":
@@ -270,21 +302,19 @@ def test_run_count_is_logarithmic_and_the_big_run_is_not_rewritten(rng):
     history = rng.integers(0, 5000, batch * inserts).astype(np.float64)
     kept_largest = 0
     for step in range(inserts):
-        largest_before = max(state._runs, key=lambda run: len(run[0]), default=None)
-        idx = np.arange(step * batch, (step + 1) * batch, dtype=np.int64)
-        state.insert(idx, history[idx])
-        runs = state._runs
+        largest_before = max(state.runs, key=lambda run: len(run[0]), default=None)
+        state.insert(history[step * batch : (step + 1) * batch])
+        runs = state.runs
         resident = (step + 1) * batch
-        bound = math.ceil(math.log(resident / batch, RUN_MERGE_RATIO)) + 1
-        assert len(runs) <= bound
-        assert sum(len(index) for _, index in runs) == resident == len(state)
-        for keys, index in runs:
+        assert len(state) == resident
+        np.testing.assert_array_equal(state.keys, np.sort(history[:resident]))
+        for keys, _ in runs:
             assert np.all(keys[:-1] <= keys[1:])
-            np.testing.assert_array_equal(keys, history[index])
-        every_index = np.concatenate([index for _, index in runs])
-        assert len(np.unique(every_index)) == resident
+        # Adjacent runs stay a ratio apart in *distinct* keys, so the run
+        # count is logarithmic in the distinct keys the oldest run holds.
         for older, newer in zip(runs, runs[1:]):
             assert len(older[0]) >= RUN_MERGE_RATIO * len(newer[0])
+        assert len(runs) <= math.floor(math.log(len(runs[0][0]), RUN_MERGE_RATIO)) + 1
         if largest_before is not None and any(
             keys is largest_before[0] for keys, _ in runs
         ):
@@ -293,6 +323,8 @@ def test_run_count_is_logarithmic_and_the_big_run_is_not_rewritten(rng):
     # across most consecutive inserts (one array + np.insert rewrote it
     # on every single one).
     assert kept_largest >= 0.8 * (inserts - 1)
+    # And it counts: 12,800 tuples over at most 5,000 distinct keys.
+    assert sum(len(keys) for keys, _ in state.runs) <= 5_000 + batch
 
 
 def test_a_steady_batch_stays_call_light():
@@ -304,11 +336,17 @@ def test_a_steady_batch_stays_call_light():
     With each side of the batch sorted once and handed to the machines as
     slices, joinable bounds computed once per condition per dispatch, the
     run merges done in one pass and the halves summed by one ``reduceat`` a
-    batch makes about 1,190 Python-level calls (``call`` + ``c_call``); with
-    per-machine masks, gathers and argsorts on the route it made 1,530, and
-    with bounds recomputed per task on top 2,150.  And the bounds themselves
-    are computed at most twice per ``count_batch``, once per condition,
-    however many runs the fold searched.
+    batch made about 1,227 Python-level calls (``call`` + ``c_call``),
+    evictions masking every run by arrival index included; with per-machine
+    masks, gathers and argsorts on the route it made 1,530, and with bounds
+    recomputed per task on top 2,150.  Counted runs and tombstones make it
+    about 1,190: the eviction now routes each side's expired slice like a
+    batch (two more sorts and two gathers from the logs) and a merge groups
+    equal keys, but no run is masked, and under the window's skew each
+    machine-side is one or two short runs, so the merges and searches are
+    fewer calls.  The bound stays at 1,310.  And the bounds themselves are
+    computed at most twice per ``count_batch``, once per condition, however
+    many runs the fold searched.
     """
     rng = np.random.default_rng([14, 1])
     values = rng.permutation(2_000)
@@ -366,36 +404,91 @@ def test_a_steady_batch_stays_call_light():
         finally:
             sys.setprofile(previous)
         assert 1 <= bounds <= 2
-        # The router sorts each side of the batch once and hands out slices
-        # with their keys: nothing is gathered back out of the logs, and the
+        # The router sorts each side of the batch once, and each side's
+        # expired slice once, and hands out slices with their keys: the
+        # expired keys are the only thing gathered out of the logs, and the
         # only other sorts are the state's run merges.
-        assert gathers == 0
-        assert 1 <= sorts <= 2
+        assert gathers == 2
+        assert sorts == 4
         route_sorts += sorts
     engine.close()
     measured = len(batches) - 64
     print(
-        f"steady route + count stages: {calls / measured:.0f} calls per batch "
-        f"over {tasks / measured:.1f} search tasks, {route_sorts / measured:.0f} "
-        "argsorts outside run merges, 0 gathers from the arrival logs"
+        f"steady route + count + evict stages: {calls / measured:.0f} calls per "
+        f"batch over {tasks / measured:.1f} search tasks, {route_sorts / measured:.0f} "
+        "argsorts outside run merges, 2 gathers from the arrival logs"
     )
     assert tasks >= 2 * 8 * measured
     assert calls / measured <= 1_310
 
 
+def test_a_growth_batch_searches_distinct_keys():
+    """A deterministic proxy for what counted runs save: no clock, no ``perf/``.
+
+    The ``stream_growth`` shape scaled down -- J = 8, Zipf(0.5) keys, an
+    unbounded insert-only stream, a static plan -- with 1,000 tuples per
+    side and batch over 5,000 values for 128 batches.  A batch's count
+    searches every run of the state once per half; runs of tuples made that
+    the whole resident state, about as many elements as tuples held.
+    Counted runs hold each distinct key once, so a late batch searches at
+    most a tenth of the tuples resident (about 4% measured).
+    """
+    rng = np.random.default_rng([14, 1])
+    values = rng.permutation(5_000)
+    mass = 1.0 / np.arange(1, 5_001) ** 0.5
+    mass /= mass.sum()
+    searched: "list[int]" = []
+
+    class Searching(SimulatedBackend):
+        def join_regions(self, tasks, conditions):
+            searched.append(sum(len(task[1]) for task in tasks))
+            return super().join_regions(tasks, conditions)
+
+    engine = StreamingJoinEngine(
+        8,
+        BandJoinCondition(beta=1.0),
+        WeightFunction(1.0, 0.2),
+        policy=StaticEWHPolicy(),
+        backend=Searching(),
+        seed=14,
+    )
+    engine.start()
+    for index in range(128):
+        metrics = engine.process_batch(
+            MicroBatch(
+                index,
+                *(
+                    values[rng.choice(5_000, size=1_000, p=mass)].astype(np.float64)
+                    for _ in range(2)
+                ),
+            )
+        )
+        if index >= 96:
+            assert searched[-1] <= metrics.resident_tuples / 10
+    engine.close()
+    print(
+        f"growth batch: {searched[-1]:,} elements searched against "
+        f"{metrics.resident_tuples:,} resident tuples "
+        f"({searched[-1] / metrics.resident_tuples:.1%})"
+    )
+
+
 def test_nothing_keeps_a_second_copy_of_the_state(rng):
     state = SortedRegionState()
-    for step in range(40):
-        idx = np.arange(step * 10, (step + 1) * 10, dtype=np.int64)
-        state.insert(idx, rng.uniform(0, 100, 10))
+    for _ in range(40):
+        state.insert(rng.uniform(0, 100, 10))
     assert SortedRegionState.__slots__ == ("_runs",)
-    assert len(state._runs) > 1
-    # The merged read views are built per read and not retained.
+    assert len(state.runs) > 1
+    # The merged read view is built per read and not retained.
     assert state.keys is not state.keys
-    assert len(state) == 400 and state.nbytes == 400 * 16
+    assert len(state) == 400
+    assert state.nbytes == sum(
+        keys.nbytes + (0 if cum is None else cum.nbytes) for keys, cum in state.runs
+    )
 
 
 def test_a_sliding_window_leaves_nothing_below_its_cutoff(rng):
+    """Keys are arrival indices here, so the multiset shows what is live."""
     window, batch = SlidingWindow(batches=4), 25
     state = SortedRegionState()
     live = np.empty(0, dtype=np.int64)
@@ -404,44 +497,55 @@ def test_a_sliding_window_leaves_nothing_below_its_cutoff(rng):
         idx = np.arange(step * batch, (step + 1) * batch, dtype=np.int64)
         starts.append(step * batch)
         live = np.concatenate([live, idx])
-        state.insert(idx, rng.uniform(0, 100, batch))
+        state.insert(idx.astype(np.float64))
         expired = window.evictions(live, starts, (step + 1) * batch, rng)
-        # Every sliding-window eviction is one contiguous index range.
-        if len(expired):
-            assert expired[-1] - expired[0] + 1 == len(expired)
-        assert state.evict(expired) == len(expired)
+        assert state.evict(expired.astype(np.float64)) == len(expired)
         live = drop_expired(live, expired)
-        cutoff = starts[-4] if len(starts) >= 4 else 0
-        for _, index in state._runs:
-            assert len(index) and index.min() >= cutoff
+        np.testing.assert_array_equal(state.keys, live.astype(np.float64))
         assert len(state) == len(live) <= 4 * batch
-        assert len(state._runs) <= 3
+        # The tombstones wait for the next append's merge: one run of live
+        # and expired keys, one of arrivals, one of tombstones at most.
+        assert len(state.runs) <= 3
 
 
 def test_decay_evictions_take_the_membership_path(rng):
+    """Random survivors: tombstoning the expired keys held equals index eviction.
+
+    The reference is the state as machines held it before they held key
+    multisets (``IndexedRunState``): runs of ``(keys, index)`` columns
+    evicted by masking every run through the ``surviving`` membership test,
+    with ``resident_indices`` read back.  Tombstoning the keys of the
+    expired indices it held leaves the production state the same multiset.
+    """
     window = ExponentialDecayWindow(0.7)
-    state, reference = SortedRegionState(), ReferenceState()
+    state, reference = SortedRegionState(), IndexedRunState()
+    history = np.empty(0)
     live = np.empty(0, dtype=np.int64)
     for step in range(30):
         idx = np.arange(step * 20, (step + 1) * 20, dtype=np.int64)
-        keys = rng.uniform(0, 100, 20)
+        history = np.concatenate([history, rng.integers(0, 12, 20).astype(np.float64)])
         live = np.concatenate([live, idx])
-        state.insert(idx, keys)
-        reference.insert(idx, keys)
+        state.insert(history[idx])
+        order = np.argsort(history[idx])
+        reference.append_sorted(idx[order], history[idx][order])
         expired = window.evictions(live, [], len(live), rng)
-        assert state.evict(expired) == reference.evict(expired) == len(expired)
+        (held,) = resident_indices([reference])
+        held = np.intersect1d(held, expired)
+        assert state.evict(history[held]) == reference.evict(expired) == len(expired)
         live = drop_expired(live, expired)
-        _assert_same_state(state, reference)
+        assert len(state) == len(reference) == len(live)
+        assert_same_multiset(state.keys, reference.keys)
 
 
 def test_emptied_state_adopts_the_next_dtype():
     state = SortedRegionState()
-    state.insert(np.arange(3, dtype=np.int64), np.array([5, 6, 7], dtype=np.int64))
+    state.insert(np.array([5, 6, 7], dtype=np.int64))
     assert state.keys.dtype == np.int64
-    assert state.evict(np.arange(3, dtype=np.int64)) == 3
-    assert len(state) == 0 and state._runs == []
-    state.insert(np.array([3], dtype=np.int64), np.array([0.5]))
+    assert state.evict(np.array([7, 5, 6], dtype=np.int64)) == 3
+    assert len(state) == 0
+    state.insert(np.array([0.5]))
     assert state.keys.dtype == np.float64
+    assert state.runs[0][0].tolist() == [0.5] and len(state.runs) == 1
 
 
 def _windowed_static_engine(backend) -> StreamingJoinEngine:
@@ -468,15 +572,20 @@ def _random_batch(rng, index: int) -> MicroBatch:
 
 
 def test_process_batch_never_reads_the_resident_view(monkeypatch):
-    """Accounting is O(J): the whole-state read view is for migrations only."""
+    """Accounting is O(J): deriving what machines hold is for migrations
+    and checkpoints, never for a batch."""
+    import repro.streaming.checkpoint as checkpoint_module
+    import repro.streaming.engine as engine_module
+
     backend = SimulatedBackend()
 
-    def refuse():
-        raise AssertionError("resident_indices() called on the per-batch path")
+    def refuse(*args, **kwargs):
+        raise AssertionError("placement() called on the per-batch path")
 
     rng = np.random.default_rng(7)
     engine = _windowed_static_engine(backend)
-    monkeypatch.setattr(backend, "resident_indices", refuse)
+    monkeypatch.setattr(engine_module, "placement", refuse)
+    monkeypatch.setattr(checkpoint_module, "placement", refuse)
     table = backend._table
     for index in range(12):
         metrics = engine.process_batch(_random_batch(rng, index))
@@ -487,16 +596,15 @@ def test_process_batch_never_reads_the_resident_view(monkeypatch):
             for side in (table.state1, table.state2)
             for state in side.values()
         )
-    # The patch does bite where the view is legitimately read.
+    # The patch does bite where the state is legitimately derived.
     with pytest.raises(AssertionError, match="per-batch path"):
         engine.checkpoint()
 
 
 @pytest.mark.multiprocess
 def test_sticky_process_batch_sends_no_indices_command(monkeypatch):
-    """Reading state back is for migrations and checkpoints: the per-batch
-    path of a sticky run neither calls ``resident_indices`` nor sends its
-    ``"indices"`` worker command."""
+    """Nothing is read back from a worker: the per-batch path sends only
+    ``"count"`` and ``"evict"``, and a checkpoint sends nothing at all."""
     sent = []
     rng = np.random.default_rng(7)
     with StickyWorkerBackend(max_workers=2) as backend:
@@ -513,6 +621,7 @@ def test_sticky_process_batch_sends_no_indices_command(monkeypatch):
             # The running count agrees with the backend's per-machine counts.
             assert metrics.resident_tuples == int(backend._counts.sum())
         assert set(sent) == {"count", "evict"}
+        del sent[:]
         engine.checkpoint()
-        assert sent[-1] == "indices"
+        assert sent == []
         engine.close()

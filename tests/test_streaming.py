@@ -477,23 +477,12 @@ class TestMigration:
     def test_unchanged_partitioning_moves_nothing(self, rng):
         keys1 = rng.uniform(0, 100, 300)
         keys2 = rng.uniform(0, 100, 300)
-        partitioning = build_one_bucket_partitioning(4)
-        routing_rng = np.random.default_rng(7)
-        old1 = partitioning.assign_r1(keys1, routing_rng)
-        old2 = partitioning.assign_r2(keys2, routing_rng)
-        # Re-routing with the same generator state reproduces the assignment.
-        replay_rng = np.random.default_rng(7)
-
-        class _Fixed(Partitioning):
-            num_regions = partitioning.num_regions
-
-            def assign_r1(self, keys, rng):
-                return partitioning.assign_r1(keys, replay_rng)
-
-            def assign_r2(self, keys, rng):
-                return partitioning.assign_r2(keys, replay_rng)
-
-        plan = plan_migration(old1, old2, _Fixed(), keys1, keys2, 4, rng)
+        partitioning = build_one_bucket_partitioning(4, key=7)
+        old1 = partitioning.assign_r1(keys1, rng)
+        old2 = partitioning.assign_r2(keys2, rng)
+        # Re-routing reproduces the assignment: 1-Bucket draws each tuple's
+        # row or column from its arrival index, not from the generator.
+        plan = plan_migration(old1, old2, partitioning, keys1, keys2, 4, rng)
         assert plan.total_moved == 0
 
     def test_disjoint_assignment_moves_everything(self, rng):

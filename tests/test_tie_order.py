@@ -52,7 +52,7 @@ STREAMS = ["one_key", "two_keys", "signed_zeros", "big_int"]
 NUM_BATCHES, PER_SIDE, CHECKPOINT_AT = 10, 120, 5
 
 #: The sorts whose tie order is unspecified: the callers of the patched argsort.
-ARRIVAL_SORTS = ("sort_arrivals", "sorted_arrivals")
+ARRIVAL_SORTS = ("sort_arrivals", "sorted_arrivals", "_sort_then_cut")
 
 _argsort = np.argsort
 
@@ -215,9 +215,11 @@ def _argsorts_by_kind(monkeypatch) -> "dict[str, int]":
 def test_unsorted_arrivals_take_no_stable_sort(monkeypatch):
     """One steady batch and one migration: zero ``kind="stable"`` argsorts.
 
-    Outside the run merge, a steady batch sorts each side once and a
-    migration routes each side's live history once -- two default-kind
-    sorts each; with the stable sort on arrivals both made two stable ones.
+    Outside the run merge, a steady batch sorts each side's arrivals and
+    each side's expired slice once -- four default-kind sorts -- and a
+    migration sorts each side's live history once, for the old plan's
+    placement and the new plan's route alike -- two; with the stable sort
+    on arrivals they made stable ones.
     """
     batches = _drifting_batches(40, redraw_every=12)
     engine = StreamingJoinEngine(
@@ -251,5 +253,5 @@ def test_unsorted_arrivals_take_no_stable_sort(monkeypatch):
     assert migrations, "the stream never repartitioned"
     migration = migrations[0]
     print(f"argsorts outside run merges: steady batch {steady}, migration {migration}")
-    assert steady == {"default": 2}
+    assert steady == {"default": 4}
     assert migration == {"default": 2}

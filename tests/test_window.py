@@ -147,42 +147,45 @@ class TestWindowPolicies:
 # ----------------------------------------------------------------------
 class TestSortedRegionState:
     def test_insert_keeps_keys_sorted_and_parallel(self, rng):
-        history = rng.uniform(0, 100, 200)
+        history = rng.integers(0, 60, 200).astype(np.float64)  # repeated keys
         state = SortedRegionState()
         for chunk in np.array_split(np.arange(200, dtype=np.int64), 7):
-            state.insert(chunk, history[chunk])
+            state.insert(history[chunk])
         assert len(state) == 200
-        assert np.all(np.diff(state.keys) >= 0)
-        np.testing.assert_array_equal(state.keys, history[state.index])
-        np.testing.assert_array_equal(np.sort(state.index), np.arange(200))
+        np.testing.assert_array_equal(state.keys, np.sort(history))
+        # Counted: the runs hold each distinct key once.
+        assert sum(len(keys) for keys, _ in state.runs) < 200
 
     def test_from_indices_sorts(self, rng):
         history = rng.uniform(0, 50, 100)
         indices = rng.permutation(100)[:40].astype(np.int64)
         state = SortedRegionState.from_indices(indices, history)
         assert np.all(np.diff(state.keys) >= 0)
-        np.testing.assert_array_equal(np.sort(state.index), np.sort(indices))
-        np.testing.assert_array_equal(state.keys, history[state.index])
+        np.testing.assert_array_equal(state.keys, np.sort(history[indices]))
 
     def test_evict_drops_only_held(self, rng):
         history = rng.uniform(0, 50, 60)
         state = SortedRegionState.from_indices(
             np.arange(30, dtype=np.int64), history
         )
-        expired = np.arange(20, 40, dtype=np.int64)  # half held, half not
-        dropped = state.evict(expired)
-        assert dropped == 10
+        # Tombstones name tuples the state holds: the keys of 20..29.
+        assert state.evict(history[20:30]) == 10
         assert len(state) == 20
-        assert np.all(state.index < 20)
-        assert np.all(np.diff(state.keys) >= 0)
+        state.insert(history[30:40])  # the next append's merge cancels them
+        np.testing.assert_array_equal(
+            state.keys, np.sort(np.concatenate([history[:20], history[30:40]]))
+        )
+        assert len(state.runs) == 1 and len(state.runs[0][0]) == 30
 
     def test_nbytes_accounting(self):
         state = SortedRegionState.from_indices(
             np.arange(5, dtype=np.int64), np.arange(10.0)
         )
-        assert state.nbytes == 5 * SortedRegionState.BYTES_PER_TUPLE
-        assert state.evict(np.arange(5, dtype=np.int64)) == 5
-        assert state.nbytes == 0
+        assert state.nbytes == 5 * 8  # one fresh run: its keys
+        assert state.evict(np.arange(5.0)) == 5
+        state.insert(np.array([7.0, 7.0]))
+        # One counted run: the one distinct key left and its two counts.
+        assert len(state) == 2 and state.nbytes == 8 + 2 * 8
 
 
 # ----------------------------------------------------------------------

@@ -49,6 +49,7 @@ from repro.streaming import (
     StreamingJoinEngine,
     make_window,
 )
+from repro.streaming.migration import placement
 from streaming_harness import (
     NoTrimWindow,
     RecountingBackend,
@@ -299,9 +300,10 @@ def test_every_stored_arrival_index_is_global(seed, window, recounting):
     """Nothing stored is ever rebased: indices stay global, keys stay put.
 
     After every batch of a run with a mid-stream drift rebuild, each index
-    the backend holds and each entry of a log's live set and batch starts
-    lies in ``[base, total]`` of its side's log, and the log resolves it to
-    the key the source delivered at that global position.
+    a machine holds (as a checkpoint derives it) and each entry of a log's
+    live set and batch starts lies in ``[base, total]`` of its side's log,
+    and the log resolves it to the key the source delivered at that global
+    position.
     """
     backend = RecountingBackend(SimulatedBackend()) if recounting else SimulatedBackend()
     engine = StreamingJoinEngine(
@@ -314,8 +316,18 @@ def test_every_stored_arrival_index_is_global(seed, window, recounting):
         delivered[0] = np.concatenate([delivered[0], batch.keys1])
         delivered[1] = np.concatenate([delivered[1], batch.keys2])
         engine.process_batch(batch)
-        logs = engine._state.log1, engine._state.log2
-        for log, keys, resident in zip(logs, delivered, backend.resident_indices()):
+        s = engine._state
+        logs = s.log1, s.log2
+        held = [
+            [
+                indices
+                for indices, _ in placement(
+                    s.partitioning, side, log, s.rng, engine.num_machines, s.region_to_machine
+                )
+            ]
+            for side, log in zip((1, 2), logs)
+        ]
+        for log, keys, resident in zip(logs, delivered, held):
             assert log.total == len(keys)
             starts = np.asarray(log.starts, dtype=np.int64)
             # A start equals total only for an empty batch: no key to check.
