@@ -13,12 +13,21 @@ The weight of a rectangle ``[r1..r2] x [c1..c2]`` under a
         + w_o * sum(frequency[r1..r2, c1..c2])
 
 and is evaluated in O(1) from prefix sums.  For monotonic joins the candidate
-cells of every row form one contiguous run; the grid precomputes each row's
-span (first and last candidate column), and a rectangle's minimal candidate
+cells of every row form one contiguous run; the grid knows each row's span
+(first and last candidate column), and a rectangle's minimal candidate
 rectangle is one pass over the spans of its rows -- linear in its row count.
-The tiling algorithms, which ask for the same rectangles again and again,
-keep their answers in a :class:`~repro.core.tiling_tables.TilingTables` that
-lives for one regionalization; the grid itself caches nothing.
+
+The constructor only normalises and checks the four arrays.  Every table --
+the input, frequency and candidate prefix sums and the row spans -- is built
+on first read and kept on the grid.  In a plan only the coarsened matrix's
+:class:`~repro.core.tiling_tables.TilingTables` reads the 2-D ones, so the
+``n_s x n_s`` sample matrix and coarsening's transposed copy never build
+one.  ``total_output`` needs no table: it adds each column's sequential sum
+in column order with ``np.cumsum``, the same float additions in the same
+order that give the double cumsum's corner (C- and F-ordered arrays alike),
+so it is that corner bit for bit.  The tiling algorithms, which ask for the
+same rectangles again and again, keep their answers in a ``TilingTables``
+that lives for one regionalization.
 
 Coarsening, regionalization and M-Bucket each look for the smallest weight
 threshold at which a greedy cover of a grid fits; :func:`smallest_feasible`
@@ -28,7 +37,8 @@ is that one binary search.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TypeVar
 
 import numpy as np
@@ -145,14 +155,6 @@ class WeightedGrid:
     col_input: np.ndarray
     candidate: np.ndarray
 
-    # Derived structures (built in __post_init__).
-    _freq_prefix: np.ndarray = field(init=False, repr=False)
-    _row_prefix: np.ndarray = field(init=False, repr=False)
-    _col_prefix: np.ndarray = field(init=False, repr=False)
-    _cand_prefix: np.ndarray = field(init=False, repr=False)
-    _row_cand_lo: np.ndarray = field(init=False, repr=False)
-    _row_cand_hi: np.ndarray = field(init=False, repr=False)
-
     def __post_init__(self) -> None:
         self.frequency = np.asarray(self.frequency, dtype=np.float64)
         self.row_input = np.asarray(self.row_input, dtype=np.float64)
@@ -163,22 +165,48 @@ class WeightedGrid:
             raise ValueError("candidate mask shape must match frequency shape")
         if len(self.row_input) != rows or len(self.col_input) != cols:
             raise ValueError("row_input/col_input lengths must match the grid shape")
-        if np.any(self.frequency < 0):
-            raise ValueError("frequencies must be non-negative")
+        for name, values in (("frequency", self.frequency),
+                             ("row_input", self.row_input),
+                             ("col_input", self.col_input)):
+            # ``>= 0`` is False for NaN; the finiteness pass catches +inf.
+            if not ((values >= 0).all() and np.isfinite(values).all()):
+                raise ValueError(f"{name} must be finite and non-negative")
         if np.any(self.frequency[~self.candidate] > 0):
             raise ValueError("non-candidate cells cannot carry output frequency")
 
-        # 2-D prefix sums with a zero border for O(1) rectangle sums.
-        self._freq_prefix = np.zeros((rows + 1, cols + 1))
-        self._freq_prefix[1:, 1:] = np.cumsum(np.cumsum(self.frequency, axis=0), axis=1)
-        self._cand_prefix = np.zeros((rows + 1, cols + 1), dtype=np.int64)
-        self._cand_prefix[1:, 1:] = np.cumsum(
-            np.cumsum(self.candidate, axis=0, dtype=np.int64), axis=1
-        )
-        self._row_prefix = np.concatenate([[0.0], np.cumsum(self.row_input)])
-        self._col_prefix = np.concatenate([[0.0], np.cumsum(self.col_input)])
+    # ------------------------------------------------------------------
+    # Tables built on first read
+    # ------------------------------------------------------------------
+    @cached_property
+    def _row_prefix(self) -> np.ndarray:
+        """Row-input prefix sums with a leading zero."""
+        return np.concatenate([[0.0], np.cumsum(self.row_input)])
 
-        self._row_cand_lo, self._row_cand_hi = candidate_spans(self.candidate)
+    @cached_property
+    def _col_prefix(self) -> np.ndarray:
+        """Column-input prefix sums with a leading zero."""
+        return np.concatenate([[0.0], np.cumsum(self.col_input)])
+
+    @cached_property
+    def _freq_prefix(self) -> np.ndarray:
+        """2-D frequency prefix sums with a zero border, for O(1) rectangle sums."""
+        rows, cols = self.shape
+        prefix = np.zeros((rows + 1, cols + 1))
+        prefix[1:, 1:] = np.cumsum(np.cumsum(self.frequency, axis=0), axis=1)
+        return prefix
+
+    @cached_property
+    def _cand_prefix(self) -> np.ndarray:
+        """2-D candidate-count prefix sums with a zero border."""
+        rows, cols = self.shape
+        prefix = np.zeros((rows + 1, cols + 1), dtype=np.int64)
+        prefix[1:, 1:] = np.cumsum(np.cumsum(self.candidate, axis=0, dtype=np.int64), axis=1)
+        return prefix
+
+    @cached_property
+    def _row_cand_spans(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's first and last candidate column (see :func:`candidate_spans`)."""
+        return candidate_spans(self.candidate)
 
     # ------------------------------------------------------------------
     # Shape
@@ -205,13 +233,15 @@ class WeightedGrid:
 
     @property
     def total_output(self) -> float:
-        """Total (estimated) output tuples."""
-        return float(self._freq_prefix[-1, -1])
+        """Total (estimated) output tuples, bit-identical to the prefix table's corner."""
+        if self.frequency.size == 0:
+            return 0.0
+        return float(np.cumsum(np.cumsum(self.frequency, axis=0)[-1])[-1])
 
     @property
     def num_candidate_cells(self) -> int:
         """Number of candidate cells in the grid."""
-        return int(self._cand_prefix[-1, -1])
+        return int(np.count_nonzero(self.candidate))
 
     # ------------------------------------------------------------------
     # Rectangle metrics
@@ -269,14 +299,15 @@ class WeightedGrid:
     # ------------------------------------------------------------------
     def row_candidate_span(self, row: int) -> tuple[int, int] | None:
         """Inclusive column span of candidate cells in ``row`` (None if empty)."""
-        lo = int(self._row_cand_lo[row])
+        span_lo, span_hi = self._row_cand_spans
+        lo = int(span_lo[row])
         if lo < 0:
             return None
-        return lo, int(self._row_cand_hi[row])
+        return lo, int(span_hi[row])
 
     def candidate_rows(self) -> np.ndarray:
         """Indexes of rows containing at least one candidate cell."""
-        return np.flatnonzero(self._row_cand_lo >= 0)
+        return np.flatnonzero(self._row_cand_spans[0] >= 0)
 
     def is_monotonic(self) -> bool:
         """Check the paper's monotonicity property of the candidate mask.
@@ -292,8 +323,9 @@ class WeightedGrid:
         rows = self.candidate_rows()
         if len(rows) <= 1:
             return True
-        los = self._row_cand_lo[rows]
-        his = self._row_cand_hi[rows]
+        span_lo, span_hi = self._row_cand_spans
+        los = span_lo[rows]
+        his = span_hi[rows]
         non_decreasing = bool(np.all(np.diff(los) >= 0) and np.all(np.diff(his) >= 0))
         non_increasing = bool(np.all(np.diff(los) <= 0) and np.all(np.diff(his) <= 0))
         return non_decreasing or non_increasing
@@ -305,8 +337,9 @@ class WeightedGrid:
         over the per-row candidate spans of the region's rows; nothing is
         cached.
         """
+        span_lo, span_hi = self._row_cand_spans
         minimal = shrink_to_candidates(
-            self._row_cand_lo.tolist(), self._row_cand_hi.tolist(),
+            span_lo.tolist(), span_hi.tolist(),
             region.row_lo, region.row_hi, region.col_lo, region.col_hi,
         )
         return None if minimal is None else GridRegion(*minimal)

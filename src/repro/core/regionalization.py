@@ -33,7 +33,8 @@ from repro.core.weights import WeightFunction
 
 __all__ = ["RegionalizationResult", "regionalize"]
 
-#: Midpoints the δ search may try after its two ends (30 tilings in all).
+#: Midpoints the δ search may try after its two ends: a budget of 30 tilings
+#: in all (a ``batch_plan`` build measures 11-12).
 MAX_MIDPOINTS = 28
 
 

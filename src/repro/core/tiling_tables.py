@@ -1,8 +1,9 @@
 """The tiling algorithms' working set: delta-independent tables of one grid.
 
-Regionalization runs a tiling algorithm up to 30 times on the same grid, each
-time with another weight threshold ``delta``.  Three things a tiling step
-needs do not depend on ``delta``:
+Regionalization runs a tiling algorithm on the same grid up to 30 times (its
+budget; a ``batch_plan`` build takes 11-12), each time with another weight
+threshold ``delta``.  Three things a tiling step needs do not depend on
+``delta``:
 
 * the **minimal candidate rectangle** a rectangle shrinks to,
 * a minimal rectangle's **weight**, and
@@ -18,9 +19,9 @@ later step is dictionary lookups and integer adds.  Rectangles are plain
 gets a dense integer id, and weights and child lists are Python lists indexed
 by that id (a :class:`~repro.core.region.GridRegion` is built only for the
 regions a tiling returns).  The prefix sums and per-row candidate spans are
-the grid's own arrays copied to Python lists: a float taken out of a list is
-the same IEEE double numpy held, and list indexing is several times cheaper
-than numpy scalar indexing.
+the grid's own arrays, which the grid builds on this first read, copied to
+Python lists: a float taken out of a list is the same IEEE double numpy
+held, and list indexing is several times cheaper than numpy scalar indexing.
 
 **The float order is a contract.**  A rectangle's weight is
 ``weight_fn.weight(rows + cols, output)`` with ``rows``, ``cols`` and
@@ -33,7 +34,7 @@ golden with it.  ``tests/test_planner_oracle.py`` holds the tables to the
 grid's public methods and to the pre-tables implementation, bit for bit.
 
 A ``TilingTables`` belongs to one ``regionalize`` (or one stand-alone tiling)
-call and dies with it; nothing is cached on the grid.
+call and dies with it; the grid keeps only its prefix sums and spans.
 """
 
 from __future__ import annotations
@@ -73,8 +74,9 @@ class TilingTables:
         self._freq_prefix: list[list[float]] = grid._freq_prefix.tolist()
         self._row_prefix: list[float] = grid._row_prefix.tolist()
         self._col_prefix: list[float] = grid._col_prefix.tolist()
-        self._span_lo: list[int] = grid._row_cand_lo.tolist()
-        self._span_hi: list[int] = grid._row_cand_hi.tolist()
+        span_lo, span_hi = grid._row_cand_spans
+        self._span_lo: list[int] = span_lo.tolist()
+        self._span_hi: list[int] = span_hi.tolist()
         self.rects: list[Rect] = []
         self.weights: list[float] = []
         self.leaf_thresholds: list[float] = []

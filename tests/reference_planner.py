@@ -38,11 +38,12 @@ from repro.core.weights import WeightFunction
 # Grid primitives (were WeightedGrid methods over its numpy tables)
 # ----------------------------------------------------------------------
 class _Primitives:
-    """Region weight and shrink-to-candidates over numpy tables, memoised.
+    """Region weight, candidate count and shrink over numpy tables, memoised.
 
-    The tables are rebuilt here from the grid's four public arrays exactly as
-    the old ``WeightedGrid.__post_init__`` built them, so nothing below
-    depends on how the grid stores them today.
+    The tables are built here, eagerly, from the grid's four public arrays
+    exactly as the old ``WeightedGrid.__post_init__`` built them, so nothing
+    below depends on how (or when) the grid builds its own; they are the
+    oracle for the grid's on-demand tables.
     """
 
     def __init__(self, grid: WeightedGrid, weight_fn: WeightFunction) -> None:
@@ -53,6 +54,10 @@ class _Primitives:
         self._freq_prefix[1:, 1:] = np.cumsum(np.cumsum(grid.frequency, axis=0), axis=1)
         self._row_prefix = np.concatenate([[0.0], np.cumsum(grid.row_input)])
         self._col_prefix = np.concatenate([[0.0], np.cumsum(grid.col_input)])
+        self._cand_prefix = np.zeros((rows + 1, cols + 1), dtype=np.int64)
+        self._cand_prefix[1:, 1:] = np.cumsum(
+            np.cumsum(grid.candidate, axis=0, dtype=np.int64), axis=1
+        )
         self._row_cand_lo = np.full(rows, -1, dtype=np.int64)
         self._row_cand_hi = np.full(rows, -1, dtype=np.int64)
         any_cand = grid.candidate.any(axis=1)
@@ -67,6 +72,15 @@ class _Primitives:
     def region_output(self, region: GridRegion) -> float:
         p = self._freq_prefix
         return float(
+            p[region.row_hi + 1, region.col_hi + 1]
+            - p[region.row_lo, region.col_hi + 1]
+            - p[region.row_hi + 1, region.col_lo]
+            + p[region.row_lo, region.col_lo]
+        )
+
+    def candidate_count(self, region: GridRegion) -> int:
+        p = self._cand_prefix
+        return int(
             p[region.row_hi + 1, region.col_hi + 1]
             - p[region.row_lo, region.col_hi + 1]
             - p[region.row_hi + 1, region.col_lo]

@@ -75,6 +75,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_grid([[-1, 0], [0, 0]])
 
+    def test_nan_frequency_rejected(self):
+        # NaN passes ``frequency < 0``; a plan on it died far from the cause.
+        with pytest.raises(ValueError, match="frequency must be finite and non-negative"):
+            make_grid([[np.nan, 1.0], [0.0, 1.0]], candidate=np.ones((2, 2), dtype=bool))
+
+    def test_negative_row_input_rejected(self):
+        # row_input = -1 cancels the column input: total_input was 0.0.
+        with pytest.raises(ValueError, match="row_input must be finite and non-negative"):
+            make_grid([[1.0]], row_input=[-1.0], col_input=[1.0])
+
+    def test_infinite_frequency_rejected(self):
+        with pytest.raises(ValueError, match="frequency must be finite and non-negative"):
+            make_grid([[np.inf, 1.0]])
+
     def test_noncandidate_with_output_rejected(self):
         with pytest.raises(ValueError):
             WeightedGrid(

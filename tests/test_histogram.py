@@ -156,3 +156,29 @@ class TestConfiguration:
         )
         assert 1 <= histogram.num_regions <= 6
         assert histogram.total_output == count_join_output(keys1, keys2, condition)
+
+
+def test_a_csio_build_builds_2d_tables_only_on_the_coarse_grid():
+    """One CSIO build (20K sparse keys per side, band 2, J=12: n_s ~ 620).
+
+    Only the coarsened matrix's tiling tables read a 2-D prefix table, so the
+    ~620 x 620 sample matrix must come out of a build without one (building
+    them eagerly was about an eighth of such a build).  The coarse
+    grid holds what ``TilingTables`` reads: the frequency table and the spans
+    (nothing in a plan reads its candidate-count table).
+    """
+    size = 20_000
+    rng = np.random.default_rng(12)
+    keys1, keys2 = (rng.choice(4 * size, size=size, replace=False).astype(float)
+                    for _ in range(2))
+    histogram = build_equi_weight_histogram(
+        keys1, keys2, BandJoinCondition(beta=2.0), num_machines=12,
+        weight_fn=WeightFunction(1.0, 0.2), rng=np.random.default_rng(0),
+    )
+    sample_tables = vars(histogram.sample_matrix.grid)
+    coarse_tables = vars(histogram.coarsening.grid)
+    assert min(histogram.sample_matrix.grid.shape) > 600
+    assert "_freq_prefix" not in sample_tables and "_cand_prefix" not in sample_tables
+    assert "_freq_prefix" in coarse_tables and "_row_cand_spans" in coarse_tables
+    print(f"\nsample matrix {histogram.sample_matrix.grid.shape}: "
+          f"{sorted(sample_tables)}; coarse grid: {sorted(coarse_tables)}")

@@ -13,6 +13,9 @@ stops.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -107,6 +110,13 @@ def test_baseline_bsp_matches_the_gridregion_dp(grid, weight_fn, fraction):
         )
 
 
+class UncheckedGrid(WeightedGrid):
+    """A grid the constructor does not check: it takes what no plan can meet."""
+
+    def __post_init__(self) -> None:
+        pass
+
+
 # Two grids a random draw almost never produces.  On TIE_GRID the δ search
 # meets a gap exactly equal to its tolerance (1.125 = 0.01 * 112.5), where
 # it must stop.  On DEEP_GRID it runs out of midpoints: the tolerance is
@@ -114,12 +124,15 @@ def test_baseline_bsp_matches_the_gridregion_dp(grid, weight_fn, fraction):
 # optimum ~10^8 times.  No grid with non-negative inputs gets there (the root
 # outweighs the lower bound at most J times), so candidate rows carry +1e9
 # input and columns -1e9, and a candidate-free row brings the total to ~0.
+# The constructor rejects negative inputs, so DEEP_GRID is built unchecked:
+# it pins the midpoint budget, which no valid grid this small can exhaust.
 TIE_GRID = WeightedGrid(
     [[26.0, 8.0, 2.0], [24.0, 5.0, 2.0], [12.0, 27.0, 21.0]],
     [2.0, 28.0, 27.0], [17.0, 2.0, 13.0], np.ones((3, 3), dtype=bool),
 )
-DEEP_GRID = WeightedGrid(
-    np.zeros((4, 2)), [1e9 + 1, 1e9 + 2, 1e9 + 1, -3e9], [-1e9 + 1, -1e9 + 1],
+DEEP_GRID = UncheckedGrid(
+    np.zeros((4, 2)), np.array([1e9 + 1, 1e9 + 2, 1e9 + 1, -3e9]),
+    np.array([-1e9 + 1, -1e9 + 1]),
     np.array([[True, True], [True, True], [True, True], [False, False]]),
 )
 
@@ -196,6 +209,71 @@ def test_tables_agree_with_the_grid_on_every_rectangle(grid, weight_fn):
                     weight = tables.weights[minimal_id]
                     assert weight == reference.weight(expected)
                     assert weight == grid.region_weight(expected, weight_fn)
+
+
+# ----------------------------------------------------------------------
+# The grid's on-demand tables
+# ----------------------------------------------------------------------
+def build_tables(grid: WeightedGrid) -> WeightedGrid:
+    """Read every table the grid builds on demand, so all of them exist."""
+    grid._row_prefix, grid._col_prefix, grid._freq_prefix, grid._cand_prefix
+    grid._row_cand_spans
+    return grid
+
+
+def grid_copies(grid: WeightedGrid) -> list[WeightedGrid]:
+    """The grid, its transpose as coarsening builds it (F-ordered views) and a copy."""
+    transposed = WeightedGrid(grid.frequency.T, grid.col_input, grid.row_input,
+                              grid.candidate.T)
+    return [grid, transposed, dataclasses.replace(grid), dataclasses.replace(transposed)]
+
+
+def same_float(ours: float, expected) -> bool:
+    return float(ours).hex() == float(expected).hex()
+
+
+@given(grid=monotone_grids(max_side=9))
+@settings(max_examples=40, deadline=None)
+def test_derived_tables_match_the_eager_formulas(grid):
+    """Totals, rectangle sums and spans == the eager tables, before or after the grid's."""
+    assert grid_copies(grid)[1].frequency.flags.f_contiguous
+    for tables_first in (False, True):
+        for view in grid_copies(dataclasses.replace(grid)):
+            if tables_first:
+                build_tables(view)
+            reference = _Primitives(view, WeightFunction())
+            assert same_float(view.total_output, reference._freq_prefix[-1, -1])
+            assert same_float(view.total_input,
+                              reference._row_prefix[-1] + reference._col_prefix[-1])
+            assert view.num_candidate_cells == reference._cand_prefix[-1, -1]
+            for row in range(view.num_rows):
+                lo, hi = reference._row_cand_lo[row], reference._row_cand_hi[row]
+                expected = None if lo < 0 else (lo, hi)
+                assert view.row_candidate_span(row) == expected
+            for (r1, r2), (c1, c2) in itertools.product(
+                itertools.combinations_with_replacement(range(view.num_rows), 2),
+                itertools.combinations_with_replacement(range(view.num_cols), 2),
+            ):
+                region = GridRegion(r1, r2, c1, c2)
+                assert same_float(view.region_output(region), reference.region_output(region))
+                assert view.candidate_count(region) == reference.candidate_count(region)
+
+
+@given(grid=monotone_grids(), weight_fn=st.sampled_from(WEIGHT_FUNCTIONS),
+       machines=st.integers(1, 8))
+@settings(max_examples=40, deadline=None)
+def test_a_plan_does_not_depend_on_which_tables_exist(grid, weight_fn, machines):
+    fresh, built = dataclasses.replace(grid), build_tables(dataclasses.replace(grid))
+    ours, theirs = (coarsen(g, machines, weight_fn=weight_fn) for g in (fresh, built))
+    assert ours.row_groups.tolist() == theirs.row_groups.tolist()
+    assert ours.col_groups.tolist() == theirs.col_groups.tolist()
+    assert ours.iterations == theirs.iterations
+    assert same_float(ours.max_cell_weight, theirs.max_cell_weight)
+    ours, theirs = (regionalize(g, machines, weight_fn) for g in (fresh, built))
+    assert ours.regions == theirs.regions
+    assert same_float(ours.delta, theirs.delta)
+    assert same_float(ours.max_region_weight, theirs.max_region_weight)
+    assert ours.search_steps == theirs.search_steps
 
 
 # ----------------------------------------------------------------------
