@@ -35,7 +35,11 @@ from repro.core.sample_matrix import (
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import JoinCondition
 from repro.obs.clock import perf_counter
-from repro.sampling.equidepth import build_equidepth_histogram, open_ends
+from repro.sampling.equidepth import (
+    build_equidepth_histogram,
+    open_ends,
+    sample_joining_keys,
+)
 from repro.sampling.parallel_stream_sample import (
     ParallelSampleStats,
     parallel_stream_sample,
@@ -187,8 +191,8 @@ def build_equi_weight_histogram(
     ns = min(ns, config.max_sample_matrix_size)
 
     si = input_sample_size(ns, n)
-    sample1 = rng.choice(keys1, size=min(si, len(keys1)), replace=False)
-    sample2 = rng.choice(keys2, size=min(si, len(keys2)), replace=False)
+    sample1 = sample_joining_keys(keys1, si, rng)
+    sample2 = sample_joining_keys(keys2, si, rng)
     hist1 = build_equidepth_histogram(sample1, ns, len(keys1))
     hist2 = build_equidepth_histogram(sample2, ns, len(keys2))
 

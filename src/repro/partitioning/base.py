@@ -24,10 +24,12 @@ the shares exactly.
 from __future__ import annotations
 
 import abc
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Partitioning", "sort_arrivals"]
+__all__ = ["Partitioning", "Spans", "sort_arrivals"]
 
 
 def _named(local: np.ndarray, offset: "int | np.ndarray") -> np.ndarray:
@@ -50,6 +52,55 @@ def sort_arrivals(
     """
     order = np.argsort(keys)
     return indices[order], keys[order]
+
+
+@dataclass(eq=False, slots=True)
+class Spans:
+    """Shares of one key-sorted side as slices: share ``i`` is ``[starts[i], stops[i])``.
+
+    Per region of a plan (:meth:`Partitioning.cut_spans`, as int lists, which
+    a batch route slices by directly), or per machine of a placement
+    (:func:`~repro.streaming.migration.held_by_machine`, as int arrays).
+    ``len`` is the number of shares.
+    """
+
+    starts: "Sequence[int]"
+    stops: "Sequence[int]"
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Tuples per share."""
+        return np.subtract(self.stops, self.starts, dtype=np.int64)
+
+    def columns(
+        self, indices: np.ndarray, keys: np.ndarray
+    ) -> "list[tuple[np.ndarray, np.ndarray]]":
+        """Each share's ``(indices, keys)`` columns: views of the sorted side."""
+        return [
+            (indices[start:stop], keys[start:stop])
+            for start, stop in zip(self.starts, self.stops)
+        ]
+
+    def padded(self, count: int) -> "Spans":
+        """These shares followed by empty ones, ``count`` in all, as arrays."""
+        starts = np.zeros(count, dtype=np.int64)
+        stops = np.zeros(count, dtype=np.int64)
+        starts[: len(self)], stops[: len(self)] = self.starts, self.stops
+        return Spans(starts, stops)
+
+    def overlaps(self, other: "Spans") -> np.ndarray:
+        """``len(self[i] & other[j])`` for every pair: span arithmetic.
+
+        Both must cut the same sort, whose positions are its tuples one to
+        one, so an intersection of slices is the intersection of shares:
+        ``max(0, min(stop_i, stop_j) - max(start_i, start_j))``.
+        """
+        low = np.maximum.outer(self.starts, other.starts)
+        high = np.minimum.outer(self.stops, other.stops)
+        return np.maximum(high - low, 0)
 
 
 class Partitioning(abc.ABC):
@@ -126,6 +177,17 @@ class Partitioning(abc.ABC):
         order = np.argsort(keys)
         return self.cut_sorted(side, keys[order], _named(order, offset), rng)
 
+    def cut_spans(self, side: int, keys: np.ndarray) -> "Spans | None":
+        """Per region, its share of ascending ``keys`` as a slice, or ``None``.
+
+        A scheme whose regions are key ranges hands every region one
+        contiguous ``keys[starts[r]:stops[r]]`` of a key-sorted side and
+        says so here; the default -- shares that are not slices -- returns
+        ``None``.  Two plans that cut the same sort into slices overlap by
+        span arithmetic (:func:`~repro.streaming.migration.plan_migration`).
+        """
+        return None
+
     def cut_sorted(
         self,
         side: int,
@@ -138,11 +200,15 @@ class Partitioning(abc.ABC):
         ``keys`` ascend (NaN last) and ``indices`` are their global arrival
         indices -- a side's live tuples sorted once
         (:func:`~repro.streaming.migration.sorted_live`), cut by one plan
-        after another.  The default routes them like a batch
-        (:meth:`sorted_arrivals`); a scheme whose shares of sorted tuples
-        are slices or subsequences overrides it.
+        after another.  A scheme with :meth:`cut_spans` hands out those
+        slices (views of ``indices`` and ``keys``); the default routes the
+        tuples like a batch (:meth:`sorted_arrivals`); a scheme whose shares
+        are subsequences overrides it.
         """
-        return self.sorted_arrivals(side, keys, rng, indices)
+        spans = self.cut_spans(side, keys)
+        if spans is None:
+            return self.sorted_arrivals(side, keys, rng, indices)
+        return spans.columns(indices, keys)
 
     # ------------------------------------------------------------------
     # Derived metrics

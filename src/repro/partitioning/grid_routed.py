@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.region import GridRegion, KeyRegion, key_regions
-from repro.partitioning.base import Partitioning
+from repro.partitioning.base import Partitioning, Spans
 from repro.sampling.equidepth import bucket_index
 
 __all__ = ["GridRoutedPartitioning"]
@@ -140,30 +140,24 @@ class GridRoutedPartitioning(Partitioning):
 
     sorted_arrivals = Partitioning._sort_then_cut
 
-    def cut_sorted(
-        self,
-        side: int,
-        keys: np.ndarray,
-        indices: np.ndarray,
-        rng: np.random.Generator,
-    ) -> "list[tuple[np.ndarray, np.ndarray]]":
-        """Every region takes its slice of the key-sorted tuples.
+    def cut_spans(self, side: int, keys: np.ndarray) -> Spans:
+        """Every region's slice of the ascending ``keys``: the slice rule.
 
-        The slice rule of the module docstring: no per-region mask, gather
-        or sort.  The search runs on a float64 view of the sorted keys, as
+        The rule of the module docstring: no per-region mask, gather or
+        sort.  The search runs on a float64 view of the sorted keys, as
         ``bucket_index`` compares them (the conversion is monotone, so the
-        view is sorted too); the keys handed out keep their own dtype.
-        Slices are views of ``keys`` and ``indices``.
+        view is sorted too).  :meth:`cut_sorted` hands out these slices.
         """
         cut_keys, open_lo, open_hi = self._cuts[side]
         cuts = np.asarray(keys, dtype=np.float64).searchsorted(cut_keys).tolist()
-        total, regions = len(keys), len(open_lo)
-        routed = []
+        regions = len(open_lo)
+        starts, stops = cuts[:regions], cuts[regions:]
         for region in range(regions):
-            start = 0 if open_lo[region] else cuts[region]
-            stop = total if open_hi[region] else cuts[regions + region]
-            routed.append((indices[start:stop], keys[start:stop]))
-        return routed
+            if open_lo[region]:
+                starts[region] = 0
+            if open_hi[region]:
+                stops[region] = len(keys)
+        return Spans(starts, stops)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -30,7 +30,11 @@ from repro.core.weights import WeightFunction
 from repro.joins.conditions import JoinCondition
 from repro.obs.clock import perf_counter
 from repro.partitioning.grid_routed import GridRoutedPartitioning
-from repro.sampling.equidepth import build_equidepth_histogram, open_ends
+from repro.sampling.equidepth import (
+    build_equidepth_histogram,
+    open_ends,
+    sample_joining_keys,
+)
 from repro.sampling.sizes import input_sample_size
 
 __all__ = ["MBucketConfig", "MBucketPartitioning", "build_m_bucket_partitioning"]
@@ -196,8 +200,8 @@ def build_m_bucket_partitioning(
     start = perf_counter()
     p = max(1, min(config.num_buckets, len(keys1), len(keys2)))
     si = input_sample_size(p, max(len(keys1), len(keys2)))
-    sample1 = rng.choice(keys1, size=min(si, len(keys1)), replace=False)
-    sample2 = rng.choice(keys2, size=min(si, len(keys2)), replace=False)
+    sample1 = sample_joining_keys(keys1, si, rng)
+    sample2 = sample_joining_keys(keys2, si, rng)
     hist1 = build_equidepth_histogram(sample1, p, len(keys1))
     hist2 = build_equidepth_histogram(sample2, p, len(keys2))
 

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EquiDepthHistogram", "bucket_index", "build_equidepth_histogram", "open_ends"]
+__all__ = [
+    "EquiDepthHistogram",
+    "bucket_index",
+    "build_equidepth_histogram",
+    "open_ends",
+    "sample_joining_keys",
+]
 
 
 @dataclass(frozen=True)
@@ -79,6 +85,21 @@ def open_ends(boundaries: np.ndarray) -> np.ndarray:
     opened = np.asarray(boundaries, dtype=np.float64).copy()
     opened[0], opened[-1] = -np.inf, np.inf
     return opened
+
+
+def sample_joining_keys(
+    keys: np.ndarray, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """A uniform sample, without replacement, of ``min(size, n)`` of the ``n`` non-NaN keys.
+
+    A NaN joins nothing, so it is never sampled: no histogram built from the
+    sample can get a NaN boundary.  A NaN-free array costs one reduction
+    and is sampled as it stands -- no copy, the same draws.
+    """
+    keys = np.asarray(keys, dtype=np.float64)
+    if len(keys) and np.isnan(keys.min()):
+        keys = keys[~np.isnan(keys)]
+    return rng.choice(keys, size=min(size, len(keys)), replace=False)
 
 
 def build_equidepth_histogram(

@@ -20,10 +20,16 @@ as the join itself:
    a joinable R2 key with probability proportional to its multiplicity.
 
 This module executes the three jobs faithfully (same routing, same local
-computations, same merging) with the workers simulated as loop iterations; it
-also records per-worker scan counts so the engine can charge the statistics
-phase to the cost model.  ``num_workers=1`` is the one-machine algorithm:
-one partition, one reservoir, the same draws in the same order.
+computations, same merging, the same draws in the same order) as array passes
+over all J simulated workers at once: each key is given its worker once per
+relation, one stable sort lays the partitions end to end in worker order, and
+every local computation runs over that one array -- worker ``w``'s slice is
+what worker ``w`` would compute.  Only the E--S reservoirs stay per worker:
+their heap arrays feed the merge and the WOR -> WR draw.  It also records
+per-worker scan counts so the engine can charge the statistics phase to the
+cost model.  ``num_workers=1`` is the one-machine algorithm: one partition,
+one reservoir, the same draws in the same order.
+(``tests/reference_sampling.py`` keeps the per-worker loop as the oracle.)
 """
 
 from __future__ import annotations
@@ -34,13 +40,12 @@ import numpy as np
 
 from repro.joins.conditions import JoinCondition
 from repro.sampling.equidepth import EquiDepthHistogram, bucket_index, build_equidepth_histogram
-from repro.sampling.reservoir import merge_reservoirs, weighted_sample_wor, wor_to_wr
+from repro.sampling.reservoir import merge_reservoirs, weighted_samples_wor, wor_to_wr
 from repro.sampling.stream_sample import (
     D2Index,
     JoinOutputSample,
     _sample_joinable_keys,
     build_d2_index,
-    compute_joinable_set_sizes,
 )
 
 __all__ = ["ParallelSampleStats", "parallel_stream_sample"]
@@ -85,18 +90,58 @@ class ParallelSampleStats:
         return max(per_worker) if per_worker else 0
 
 
-def _partition_by_histogram(
+def _workers(
     keys: np.ndarray, histogram: EquiDepthHistogram, num_workers: int
-) -> list[np.ndarray]:
-    """Route keys to workers by contiguous equi-depth bucket ranges."""
+) -> np.ndarray:
+    """Each key's worker: contiguous equi-depth bucket ranges, in key order.
+
+    Consecutive buckets go to the same worker (range partitioning over
+    bucket indexes), so equal keys share a worker and worker key ranges
+    ascend.  The workers come in the smallest unsigned dtype that holds
+    ``num_workers - 1``: a stable argsort of it is numpy's radix sort.
+    """
     buckets = bucket_index(histogram.boundaries, keys)
-    # Map each histogram bucket to a worker so that consecutive buckets go to
-    # the same worker (range partitioning over bucket indexes).
     worker_of_bucket = (
         np.arange(histogram.num_buckets) * num_workers // histogram.num_buckets
-    )
-    workers = worker_of_bucket[buckets]
-    return [keys[workers == w] for w in range(num_workers)]
+    ).astype(np.min_scalar_type(num_workers - 1))
+    return worker_of_bucket[buckets]
+
+
+def _by_worker(
+    keys: np.ndarray, histogram: EquiDepthHistogram, num_workers: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """``keys`` routed to workers and laid end to end, with each worker's count.
+
+    Worker ``w``'s slice is its partition in arrival order -- exactly what a
+    per-worker mask would select -- so one pass over the whole array does
+    what ``num_workers`` local passes in worker order would.
+    """
+    workers = _workers(keys, histogram, num_workers)
+    order = np.argsort(workers, kind="stable")
+    return keys[order], np.bincount(workers, minlength=num_workers)
+
+
+def _shipped(
+    d2_index: D2Index, lows: np.ndarray, highs: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """``d2equi`` entries each worker needs: those inside the hull of its bounds.
+
+    ``lows`` / ``highs`` are the joinable bounds of the worker-ordered R1
+    keys, ``counts`` the keys per worker.  A key that joins nothing has the
+    empty interval, whose low end is NaN (``JoinCondition.joinable_bounds``):
+    it widens neither end of the hull, and a worker holding only such keys
+    needs nothing.
+    """
+    shipped = np.zeros(len(counts), dtype=np.int64)
+    busy = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[busy]
+    highs = np.where(np.isnan(lows), np.nan, highs)
+    lo = np.fmin.reduceat(lows, starts)
+    hi = np.fmax.reduceat(highs, starts)
+    left = d2_index.keys.searchsorted(lo, side="left")
+    right = d2_index.keys.searchsorted(hi, side="right")
+    shipped[busy] = np.where(np.isnan(lo), 0, right - left)
+    return shipped
 
 
 def parallel_stream_sample(
@@ -147,71 +192,44 @@ def parallel_stream_sample(
         return empty, stats
 
     # ------------------------------------------------------------------
-    # Job 1: build d2equi, partitioned by R2's equi-depth histogram.
+    # Job 1: build d2equi, partitioned by R2's equi-depth histogram.  Equal
+    # keys share a worker and worker key ranges ascend, so the local indexes
+    # laid end to end in worker order are the global one.
     # ------------------------------------------------------------------
-    r2_parts = _partition_by_histogram(keys2, histogram2, num_workers)
-    local_indexes: list[D2Index] = []
-    for part in r2_parts:
-        stats.r2_tuples_scanned.append(len(part))
-        local_indexes.append(build_d2_index(part))
-    # Key ranges are disjoint, so concatenating the sorted local indexes (in
-    # worker order, which follows key order) yields the global index.
-    all_keys = np.concatenate([idx.keys for idx in local_indexes])
-    all_counts = np.concatenate([idx.multiplicities for idx in local_indexes])
-    order = np.argsort(all_keys, kind="stable")
-    d2_index = D2Index(
-        keys=all_keys[order],
-        multiplicities=all_counts[order],
-        prefix=np.concatenate([[0], np.cumsum(all_counts[order])]),
-    )
+    stats.r2_tuples_scanned = np.bincount(
+        _workers(keys2, histogram2, num_workers), minlength=num_workers
+    ).tolist()
+    d2_index = build_d2_index(keys2)
 
     # ------------------------------------------------------------------
     # Job 2: build d2 and the weighted sample S1, partitioned by R1's
     # histogram; each worker sees only the d2equi entries it can need.
+    # Every worker's slice of d2equi covers its keys' bounds, so searching
+    # the global index gives the local d2 integers.
     # ------------------------------------------------------------------
-    r1_parts = _partition_by_histogram(keys1, histogram1, num_workers)
-    reservoirs = []
-    total_output = 0
-    for part in r1_parts:
-        stats.r1_tuples_scanned.append(len(part))
-        if len(part) == 0:
-            stats.d2equi_entries_shipped.append(0)
-            continue
-        lo_bound, hi_bound = condition.joinable_bounds(part)
-        lo, hi = float(np.min(lo_bound)), float(np.max(hi_bound))
-        left = int(np.searchsorted(d2_index.keys, lo, side="left"))
-        right = int(np.searchsorted(d2_index.keys, hi, side="right"))
-        local_d2equi = D2Index(
-            keys=d2_index.keys[left:right],
-            multiplicities=d2_index.multiplicities[left:right],
-            prefix=np.concatenate(
-                [[0], np.cumsum(d2_index.multiplicities[left:right])]
-            ),
-        )
-        stats.d2equi_entries_shipped.append(local_d2equi.num_distinct)
-        d2_local = compute_joinable_set_sizes(part, local_d2equi, condition)
-        total_output += int(d2_local.sum())
-        if sample_size:
-            weights = d2_local.astype(np.float64)
-            reservoirs.append(weighted_sample_wor(part, weights, sample_size, rng))
+    keys1, scanned = _by_worker(keys1, histogram1, num_workers)
+    stats.r1_tuples_scanned = scanned.tolist()
+    lows, highs = condition.joinable_bounds(keys1)
+    d2 = d2_index.count_within(lows, highs)
+    stats.d2equi_entries_shipped = _shipped(d2_index, lows, highs, scanned).tolist()
+    total_output = int(d2.sum())
 
     if total_output == 0 or sample_size == 0:
         empty = JoinOutputSample(pairs=np.empty((0, 2)), total_output=total_output)
         return empty, stats
 
+    # One E-S reservoir per worker, merged by the largest priorities.
+    reservoirs = weighted_samples_wor(
+        keys1, d2.astype(np.float64), sample_size, rng, scanned
+    )
     merged = merge_reservoirs(reservoirs, capacity=sample_size)
     sampled_keys1 = np.asarray(wor_to_wr(merged, sample_size, rng), dtype=np.float64)
 
     # ------------------------------------------------------------------
     # Job 3: map-only production of output key pairs.
     # ------------------------------------------------------------------
-    sample_parts = _partition_by_histogram(sampled_keys1, histogram1, num_workers)
-    pair_chunks = []
-    for part in sample_parts:
-        stats.sample_pairs_produced.append(len(part))
-        if len(part) == 0:
-            continue
-        sampled_keys2 = _sample_joinable_keys(part, d2_index, condition, rng)
-        pair_chunks.append(np.column_stack([part, sampled_keys2]))
-    pairs = np.concatenate(pair_chunks) if pair_chunks else np.empty((0, 2))
+    sampled_keys1, produced = _by_worker(sampled_keys1, histogram1, num_workers)
+    stats.sample_pairs_produced = produced.tolist()
+    sampled_keys2 = _sample_joinable_keys(sampled_keys1, d2_index, condition, rng)
+    pairs = np.column_stack([sampled_keys1, sampled_keys2])
     return JoinOutputSample(pairs=pairs, total_output=total_output), stats

@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import count, islice
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ import numpy as np
 __all__ = [
     "WeightedReservoir",
     "weighted_sample_wor",
+    "weighted_samples_wor",
     "merge_reservoirs",
     "wor_to_wr",
 ]
@@ -97,7 +99,8 @@ class WeightedReservoir:
 
     def weights(self) -> np.ndarray:
         """Weights of the sampled items, aligned with :meth:`items`."""
-        return np.array([entry[3] for entry in self._heap], dtype=np.float64)
+        heap = self._heap
+        return np.fromiter(map(itemgetter(3), heap), dtype=np.float64, count=len(heap))
 
     def entries(self) -> list[tuple[float, object, float]]:
         """``(priority, item, weight)`` triples (unordered)."""
@@ -116,19 +119,43 @@ def weighted_sample_wor(
     an output tuple).  ``items`` goes through ``tolist()``: a retained item
     is a Python scalar (a nested list for a 2-D ``items``), not a numpy one.
     """
+    return weighted_samples_wor(items, weights, size, rng, [len(items)])[0]
+
+
+def weighted_samples_wor(
+    items: np.ndarray,
+    weights: np.ndarray,
+    size: int,
+    rng: np.random.Generator,
+    lengths: Sequence[int],
+) -> list[WeightedReservoir]:
+    """:func:`weighted_sample_wor` of consecutive parts of ``items``, one reservoir each.
+
+    Part ``i`` is the next ``lengths[i]`` items.  The priorities come from
+    one ``rng.random`` over every positive weight in order -- the stream
+    the per-part calls draw one after the other -- and each part's
+    reservoir is offered its own entries in order, so every heap array is
+    the one its own call would build.
+    """
     items = np.asarray(items)
     weights = np.asarray(weights, dtype=np.float64)
     if len(items) != len(weights):
         raise ValueError("items and weights must have the same length")
-    reservoir = WeightedReservoir(capacity=size)
     positive = weights > 0
-    if not positive.any():
-        return reservoir
-    # Vectorised priority draw, then a single heap pass.
+    # Where each part's positive entries start and stop among all of them.
+    bounds = np.concatenate([[0], np.cumsum(positive)])[
+        np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+    ].tolist()
+    reservoirs = [WeightedReservoir(capacity=size) for _ in lengths]
+    if bounds[-1] == 0:
+        return reservoirs
+    # Vectorised priority draw, then a single heap pass per part.
     weights = weights[positive]
-    priorities = rng.random(len(weights)) ** (1.0 / weights)
-    reservoir._offer(priorities.tolist(), items[positive].tolist(), weights.tolist())
-    return reservoir
+    priorities = (rng.random(len(weights)) ** (1.0 / weights)).tolist()
+    items, weights = items[positive].tolist(), weights.tolist()
+    for reservoir, start, stop in zip(reservoirs, bounds, bounds[1:]):
+        reservoir._offer(priorities[start:stop], items[start:stop], weights[start:stop])
+    return reservoirs
 
 
 def merge_reservoirs(
@@ -139,9 +166,9 @@ def merge_reservoirs(
         raise ValueError("need at least one reservoir to merge")
     capacity = capacity or max(r.capacity for r in reservoirs)
     merged = WeightedReservoir(capacity=capacity)
-    entries = [entry for reservoir in reservoirs for entry in reservoir.entries()]
-    if entries:
-        priorities, items, weights = zip(*entries)
+    heap = [entry for reservoir in reservoirs for entry in reservoir._heap]
+    if heap:
+        priorities, _, items, weights = zip(*heap)
         merged._offer(priorities, items, weights)
     return merged
 
@@ -150,10 +177,12 @@ def wor_to_wr(
     reservoir: WeightedReservoir, size: int, rng: np.random.Generator
 ) -> list[object]:
     """Convert a WOR reservoir to a with-replacement weighted sample of ``size``."""
-    items = reservoir.items()
-    if not items:
+    heap = reservoir._heap
+    if not heap:
         return []
     weights = reservoir.weights()
     probabilities = weights / weights.sum()
-    indexes = rng.choice(len(items), size=size, replace=True, p=probabilities)
-    return [items[i] for i in indexes]
+    indexes = rng.choice(len(heap), size=size, replace=True, p=probabilities)
+    # An object array holds the items themselves, so the gather hands them back.
+    items = np.fromiter(map(itemgetter(2), heap), dtype=object, count=len(heap))
+    return items[indexes].tolist()

@@ -57,6 +57,11 @@ class D2Index:
         """Number of distinct R2 join keys."""
         return len(self.keys)
 
+    def count_within(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        """R2 tuples with keys in each closed interval ``[lows[i], highs[i]]``."""
+        left = self.keys.searchsorted(lows, side="left")
+        right = self.keys.searchsorted(highs, side="right")
+        return self.prefix[right] - self.prefix[left]
 
 
 @dataclass(frozen=True)
@@ -112,10 +117,7 @@ def compute_joinable_set_sizes(
     keys1 = np.asarray(keys1, dtype=np.float64)
     if len(keys1) == 0 or d2_index.num_distinct == 0:
         return np.zeros(len(keys1), dtype=np.int64)
-    lows, highs = condition.joinable_bounds(keys1)
-    left = np.searchsorted(d2_index.keys, lows, side="left")
-    right = np.searchsorted(d2_index.keys, highs, side="right")
-    return (d2_index.prefix[right] - d2_index.prefix[left]).astype(np.int64)
+    return d2_index.count_within(*condition.joinable_bounds(keys1)).astype(np.int64)
 
 
 def _sample_joinable_keys(

@@ -106,7 +106,7 @@ from repro.streaming.incremental import IncrementalHistogram
 from repro.streaming.metrics import BatchMetrics, StreamRunResult
 from repro.streaming.migration import (
     _to_machines,
-    placement,
+    held_by_machine,
     plan_migration,
     route_live,
     sorted_live,
@@ -346,23 +346,21 @@ class StreamingJoinEngine:
         migrations (same fleet) and :meth:`resize` (``machines`` differs):
         :func:`~repro.streaming.migration.plan_migration` diffs what every
         machine holds -- the live logs routed by the current plan
-        (:func:`~repro.streaming.migration.placement`) -- against where the
-        replacement routes them, each side's live tuples key-sorted once
-        for both routes.  The backend installs the planned keys (on
-        ``machines`` machines: a fleet change is an install of a different
-        length), and the moved tuples -- plus the histogram rebuild, if one
-        ran since ``builds_before`` -- are priced per machine of the new
-        fleet.  Returns the charges for :meth:`_charge`.
+        (:func:`~repro.streaming.migration.held_by_machine`) -- against where
+        the replacement routes them, each side's live tuples key-sorted once
+        for both routes (so two grid plans overlap by span arithmetic).  The
+        backend installs the planned keys (on ``machines`` machines: a fleet
+        change is an install of a different length), and the moved tuples --
+        plus the histogram rebuild, if one ran since ``builds_before`` -- are
+        priced per machine of the new fleet.  Returns the charges for
+        :meth:`_charge`.
         """
         s = self._state
         live1, live2 = sorted_live(s.log1), sorted_live(s.log2)
         old1, old2 = (
-            [
-                indices
-                for indices, _ in placement(
-                    s.partitioning, side, live, s.rng, self.num_machines, s.region_to_machine
-                )
-            ]
+            held_by_machine(
+                s.partitioning, side, live, s.rng, self.num_machines, s.region_to_machine
+            )
             for side, live in ((1, live1), (2, live2))
         )
         plan = plan_migration(

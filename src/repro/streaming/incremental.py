@@ -43,6 +43,7 @@ the live load imbalance.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -390,8 +391,9 @@ class DecayedReservoir:
         )
 
     def keys(self) -> np.ndarray:
-        """Snapshot of the sampled keys (unordered)."""
-        return np.array([entry[2] for entry in self._heap], dtype=np.float64)
+        """Snapshot of the sampled keys, in heap-array order."""
+        heap = self._heap
+        return np.fromiter(map(itemgetter(2), heap), dtype=np.float64, count=len(heap))
 
 
 class IncrementalHistogram:

@@ -38,7 +38,13 @@ every tuple a machine holds reached it through the current plan, so its
 state is the live log routed by that plan and placed by the adopted
 region-to-machine map (:func:`placement`).  The engine sorts each side's
 live tuples once (:func:`sorted_live`) and cuts that one sort by the old
-plan and by the new.
+plan and by the new.  A grid plan's shares are slices of that sort
+(:meth:`~repro.partitioning.base.Partitioning.cut_spans`) and positions
+map one to one to arrival indices, so when both plans are grids the
+overlap of new region ``r`` with old machine ``m`` is span arithmetic --
+``max(0, min(stop_r, stop_m) - max(start_r, start_m))``, one ``J x J``
+broadcast (:func:`held_by_machine`); any other plan is overlapped by
+marking arrival indices (:func:`_overlap_matrix`).
 
 The key histories are :class:`~repro.streaming.arrivals.ArrivalLog` objects,
 bare key arrays or a :class:`LiveKeys` sort of either.  Under a window
@@ -59,12 +65,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.partitioning.base import Partitioning, sort_arrivals
+from repro.partitioning.base import Partitioning, Spans, sort_arrivals
 from repro.streaming.arrivals import ArrivalLog
 
 __all__ = [
     "LiveKeys",
     "MigrationPlan",
+    "held_by_machine",
     "pad_assignments",
     "placement",
     "plan_migration",
@@ -143,8 +150,10 @@ def pad_assignments(
     return padded
 
 
-def _sizes(assignments: list[np.ndarray]) -> np.ndarray:
-    """Per-machine tuple counts of an assignment list."""
+def _sizes(assignments: "list[np.ndarray] | Spans") -> np.ndarray:
+    """Per-machine tuple counts of an assignment list or of slices."""
+    if isinstance(assignments, Spans):
+        return assignments.sizes
     return np.array([len(indices) for indices in assignments], dtype=np.int64)
 
 
@@ -159,9 +168,13 @@ def _overlap_matrix(routed: list[np.ndarray], held: list[np.ndarray]) -> np.ndar
     Indices are unique within a region and within a machine (a region routes
     a tuple at most once, a machine holds it at most once), so each mark
     gathered is one intersection member; an index held by several machines
-    is counted once per holder.  Linear in J and measured at J = 8 and 12
-    only: at a much larger J, time it against the J-independent sort-based
-    ``tests/reference_migration._overlap_matrix`` before relying on it.
+    is counted once per holder.  The pass for shares that are not slices of
+    one sort -- a 1-Bucket plan on either side, or index arrays from the
+    caller; two grid plans overlap by span arithmetic instead
+    (:meth:`Spans.overlaps <repro.partitioning.base.Spans.overlaps>`).  Its
+    time is linear in J, and it was measured at J = 8 and 12 only: at a much
+    larger J, time it against the J-independent sort-based
+    ``tests/reference_migration.overlap_matrix`` before relying on it.
     """
     overlaps = np.zeros((len(routed), len(held)), dtype=np.int64)
     routed_idx, held_idx = np.concatenate(routed), np.concatenate(held)
@@ -255,6 +268,15 @@ def _to_machines(
     return per_machine
 
 
+def _spans_to_machines(spans: Spans, region_to_machine, num_machines: int) -> Spans:
+    """:func:`_to_machines` of slices: region ``r``'s on ``region_to_machine[r]``."""
+    machines = np.asarray(region_to_machine, dtype=np.int64)[: len(spans)]
+    starts = np.zeros(num_machines, dtype=np.int64)
+    stops = np.zeros(num_machines, dtype=np.int64)
+    starts[machines], stops[machines] = spans.starts, spans.stops
+    return Spans(starts, stops)
+
+
 class LiveKeys(NamedTuple):
     """One side's live tuples, key-sorted once: global indices and their keys."""
 
@@ -283,6 +305,40 @@ def sorted_live(keys: "ArrivalLog | np.ndarray | LiveKeys") -> LiveKeys:
     return LiveKeys(*sort_arrivals(np.arange(base, base + len(keys)), keys))
 
 
+def _cut(
+    partitioning: Partitioning, side: int, live: LiveKeys, rng: np.random.Generator
+) -> "tuple[list[tuple[np.ndarray, np.ndarray]], Spans | None]":
+    """Per region, its share of ``live`` as columns, and as slices when it is one.
+
+    A plan whose shares are slices of the sort (:meth:`Partitioning.cut_spans
+    <repro.partitioning.base.Partitioning.cut_spans>`) is searched once for
+    both; any other plan is cut by :meth:`Partitioning.cut_sorted
+    <repro.partitioning.base.Partitioning.cut_sorted>` and has no spans.
+    """
+    spans = partitioning.cut_spans(side, live.keys)
+    if spans is None:
+        return partitioning.cut_sorted(side, live.keys, live.indices, rng), None
+    return spans.columns(live.indices, live.keys), spans
+
+
+def _route(
+    partitioning: Partitioning,
+    side: int,
+    live: LiveKeys,
+    rng: np.random.Generator,
+    num_machines: int,
+) -> "tuple[list[tuple[np.ndarray, np.ndarray]], Spans | None]":
+    """:func:`route_live`, plus its shares as slices when the plan cuts slices."""
+    if partitioning.num_regions > num_machines:
+        raise ValueError(
+            f"a partitioning of {partitioning.num_regions} regions needs at "
+            f"least {partitioning.num_regions} machines, got {num_machines}"
+        )
+    routed, spans = _cut(partitioning, side, live, rng)
+    columns = _to_machines(routed, live.keys, range(num_machines), num_machines)
+    return columns, None if spans is None else spans.padded(num_machines)
+
+
 def route_live(
     partitioning: Partitioning,
     side: int,
@@ -300,12 +356,7 @@ def route_live(
     :func:`sorted_live`), padded with empty columns to ``num_machines`` --
     which must be at least the partitioning's region count.
     """
-    if partitioning.num_regions > num_machines:
-        raise ValueError(
-            f"a partitioning of {partitioning.num_regions} regions needs at "
-            f"least {partitioning.num_regions} machines, got {num_machines}"
-        )
-    return placement(partitioning, side, keys, rng, num_machines, range(num_machines))
+    return _route(partitioning, side, sorted_live(keys), rng, num_machines)[0]
 
 
 def placement(
@@ -326,21 +377,75 @@ def placement(
     <repro.partitioning.base.Partitioning.cut_sorted>`) and region ``r``'s
     share placed on ``region_to_machine[r]``: ``(arrival indices, keys)``
     per machine, keys ascending.  Before any plan exists nothing is held.
-    A migration reads the indices (the old placement), a checkpoint the
-    indices and a restore the keys.
+    A checkpoint reads the indices and a restore the keys; a migration
+    reads :func:`held_by_machine`.
     """
     live = sorted_live(keys)
-    routed = (
-        []
-        if partitioning is None
-        else partitioning.cut_sorted(side, live.keys, live.indices, rng)
-    )
+    routed = [] if partitioning is None else _cut(partitioning, side, live, rng)[0]
     return _to_machines(routed, live.keys, region_to_machine, num_machines)
 
 
+def held_by_machine(
+    partitioning: "Partitioning | None",
+    side: int,
+    keys: "ArrivalLog | np.ndarray | LiveKeys",
+    rng: np.random.Generator,
+    num_machines: int,
+    region_to_machine,
+) -> "Spans | list[np.ndarray]":
+    """What every machine holds of one side, as :func:`plan_migration` reads it.
+
+    :func:`placement`'s arrival indices -- or, when the plan cuts slices,
+    each machine's slice of the :func:`sorted_live` sort, which the planner
+    overlaps by span arithmetic.  Spans are positions in that one sort, so
+    the planner must be handed the same :class:`LiveKeys` (the engine sorts
+    each side once and passes it to both).
+    """
+    live = sorted_live(keys)
+    if partitioning is not None:
+        spans = partitioning.cut_spans(side, live.keys)
+        if spans is not None:
+            return _spans_to_machines(spans, region_to_machine, num_machines)
+    return [
+        indices
+        for indices, _ in placement(
+            partitioning, side, live, rng, num_machines, region_to_machine
+        )
+    ]
+
+
+def _padded(
+    assignments: "list[np.ndarray] | Spans", num_machines: int
+) -> "list[np.ndarray] | Spans":
+    """Either form of an old assignment, extended with empty machines."""
+    if isinstance(assignments, Spans):
+        return assignments.padded(num_machines)
+    return pad_assignments(assignments, num_machines)
+
+
+def _overlaps(
+    routed: "list[tuple[np.ndarray, np.ndarray]]",
+    spans: "Spans | None",
+    held: "list[np.ndarray] | Spans",
+    live: LiveKeys,
+) -> np.ndarray:
+    """``len(routed[r] & held[m])`` for one side, every region and machine.
+
+    When both the new routing and the old holding are slices of ``live``,
+    the intersections are span arithmetic (one ``J x J`` broadcast);
+    otherwise -- a 1-Bucket plan on either side, or index arrays from the
+    caller -- the marks pass over arrival indices.
+    """
+    if spans is not None and isinstance(held, Spans):
+        return spans.overlaps(held)
+    if isinstance(held, Spans):
+        held = [indices for indices, _ in held.columns(live.indices, live.keys)]
+    return _overlap_matrix([indices for indices, _ in routed], held)
+
+
 def plan_migration(
-    old_assignments1: list[np.ndarray],
-    old_assignments2: list[np.ndarray],
+    old_assignments1: "list[np.ndarray] | Spans",
+    old_assignments2: "list[np.ndarray] | Spans",
     new_partitioning: Partitioning,
     keys1: "ArrivalLog | np.ndarray | LiveKeys",
     keys2: "ArrivalLog | np.ndarray | LiveKeys",
@@ -353,8 +458,10 @@ def plan_migration(
     Parameters
     ----------
     old_assignments1, old_assignments2:
-        Per-machine arrays of tuple arrival indices currently held (R1/R2);
-        the engine derives them with :func:`placement`.
+        Per-machine arrays of tuple arrival indices currently held (R1/R2),
+        or per-machine slices of ``keys1`` / ``keys2`` (which must then be
+        the very :class:`LiveKeys` the slices cut); the engine derives them
+        with :func:`held_by_machine`.
     new_partitioning:
         The scheme taking over; it is asked to route the retained history
         (all of it, or only the live subset of a windowed log).
@@ -384,22 +491,22 @@ def plan_migration(
             f"unknown migration mode {mode!r} (expected one of {MIGRATION_MODES})"
         )
     keys1, keys2 = sorted_live(keys1), sorted_live(keys2)
-    routed1 = route_live(new_partitioning, 1, keys1, rng, num_machines)
-    routed2 = route_live(new_partitioning, 2, keys2, rng, num_machines)
-    index1 = [indices for indices, _ in routed1]
-    index2 = [indices for indices, _ in routed2]
+    routed1, spans1 = _route(new_partitioning, 1, keys1, rng, num_machines)
+    routed2, spans2 = _route(new_partitioning, 2, keys2, rng, num_machines)
     # A resize may shrink the fleet: the old lists then outnumber the new
     # machines.  Pad the old side to whichever count is larger so departing
     # machines' state is diffed (everything they hold departs), while the
     # new state, the matching and the arrival vector live on the target
     # fleet only.
     old_machines = max(len(old_assignments1), len(old_assignments2), num_machines)
-    old1 = pad_assignments(old_assignments1, old_machines)
-    old2 = pad_assignments(old_assignments2, old_machines)
+    old1 = _padded(old_assignments1, old_machines)
+    old2 = _padded(old_assignments2, old_machines)
 
     # One overlap pass per side serves both the matching and the counts:
     # entry (r, m) is how much of new region r old machine m already holds.
-    overlaps = _overlap_matrix(index1, old1) + _overlap_matrix(index2, old2)
+    overlaps = _overlaps(routed1, spans1, old1, keys1) + _overlaps(
+        routed2, spans2, old2, keys2
+    )
     if mode == "partial":
         region_to_machine = _best_region_map(overlaps[:, :num_machines])
     else:

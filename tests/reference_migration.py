@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.partitioning.one_bucket import OneBucketPartitioning
 from repro.streaming.arrivals import ArrivalLog
-from repro.streaming.migration import MIGRATION_MODES, pad_assignments
+from repro.streaming.migration import MIGRATION_MODES, pad_assignments, placement
 
 
 @dataclass
@@ -211,16 +211,32 @@ def plan_migration(
     )
 
 
+def held_indices(partitioning, side, keys, rng, num_machines, region_to_machine):
+    """What every machine holds, as the engine read it before spans existed.
+
+    :func:`~repro.streaming.migration.placement`'s arrival indices, for
+    every plan: the planner then overlaps index arrays, never slices.
+    """
+    return [
+        indices
+        for indices, _ in placement(
+            partitioning, side, keys, rng, num_machines, region_to_machine
+        )
+    ]
+
+
 def install(monkeypatch) -> None:
     """Swap the reference planner in where the engine resolves ``plan_migration``.
 
     The engine installs what a plan holds, so the swapped-in planner hands
     back the production plan type, its columns built from the reference's
     index arrays by the old install's gather and stable key-sort
-    (:func:`reference_install.plan_columns`).
+    (:func:`reference_install.plan_columns`).  It reads the old placement
+    as index arrays (:func:`held_indices`).
     """
     import reference_install
 
     import repro.streaming.engine as engine
 
+    monkeypatch.setattr(engine, "held_by_machine", held_indices)
     monkeypatch.setattr(engine, "plan_migration", reference_install.plan_columns)

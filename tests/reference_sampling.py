@@ -15,18 +15,34 @@ either can be monkeypatched in for the other.
 Stream-Sample *driver* ``repro.sampling`` shipped beside the parallel one,
 kept as the oracle ``parallel_stream_sample(num_workers=1)`` is pinned
 against.  It runs the production kernels, so only the driver differs.
+
+:func:`parallel_stream_sample` is the parallel driver as it shipped with
+its workers simulated as loop iterations: one boolean mask per worker and
+relation, one ``build_d2_index`` / ``compute_joinable_set_sizes`` /
+``weighted_sample_wor`` / ``_sample_joinable_keys`` call per worker, a
+d2equi slice cut from each worker's bound hull.  It runs the reference
+kernels above (and :func:`wor_to_wr`, the list-comprehension snapshot
+read), so installing it swaps in the whole per-worker, per-tuple rebuild.
 """
 
 from __future__ import annotations
 
 import heapq
-import sys
 
 import numpy as np
 
+import repro.core.histogram as histogram_module
 from repro.sampling import reservoir as production_reservoir
 from repro.sampling import stream_sample as production_kernels
+from repro.sampling.equidepth import bucket_index, build_equidepth_histogram
+from repro.sampling.parallel_stream_sample import ParallelSampleStats
 from repro.sampling.reservoir import WeightedReservoir
+from repro.sampling.stream_sample import (
+    D2Index,
+    JoinOutputSample,
+    build_d2_index,
+    compute_joinable_set_sizes,
+)
 from repro.streaming.incremental import DecayedReservoir
 
 
@@ -88,6 +104,22 @@ def merge_reservoirs(reservoirs, capacity=None) -> WeightedReservoir:
     return merged
 
 
+def wor_to_wr(reservoir: WeightedReservoir, size: int, rng) -> list:
+    """Convert a WOR reservoir to a with-replacement weighted sample of ``size``."""
+    items = [entry[2] for entry in reservoir._heap]
+    if not items:
+        return []
+    weights = np.array([entry[3] for entry in reservoir._heap], dtype=np.float64)
+    probabilities = weights / weights.sum()
+    indexes = rng.choice(len(items), size=size, replace=True, p=probabilities)
+    return [items[i] for i in indexes]
+
+
+def decayed_keys(self: DecayedReservoir) -> np.ndarray:
+    """Snapshot of the sampled keys (unordered)."""
+    return np.array([entry[2] for entry in self._heap], dtype=np.float64)
+
+
 def add_batch(
     self: DecayedReservoir, keys, batch_index: int, rng: np.random.Generator
 ) -> None:
@@ -146,17 +178,119 @@ def stream_sample(keys1, keys2, condition, sample_size, rng):
     return production_kernels.JoinOutputSample(pairs=pairs, total_output=total_output)
 
 
+def _partition_by_histogram(keys, histogram, num_workers: int) -> list:
+    """Route keys to workers by contiguous equi-depth bucket ranges."""
+    buckets = bucket_index(histogram.boundaries, keys)
+    # Map each histogram bucket to a worker so that consecutive buckets go to
+    # the same worker (range partitioning over bucket indexes).
+    worker_of_bucket = (
+        np.arange(histogram.num_buckets) * num_workers // histogram.num_buckets
+    )
+    workers = worker_of_bucket[buckets]
+    return [keys[workers == w] for w in range(num_workers)]
+
+
+def parallel_stream_sample(
+    keys1,
+    keys2,
+    condition,
+    sample_size: int,
+    num_workers: int,
+    rng: np.random.Generator,
+    histogram1=None,
+    histogram2=None,
+):
+    """Run the 3-job parallel Stream-Sample, one loop iteration per worker."""
+    if num_workers <= 0:
+        raise ValueError("num_workers must be positive")
+    if sample_size < 0:
+        raise ValueError("sample_size must be non-negative")
+    keys1 = np.asarray(keys1, dtype=np.float64)
+    keys2 = np.asarray(keys2, dtype=np.float64)
+    stats = ParallelSampleStats()
+
+    if histogram2 is None and len(keys2):
+        histogram2 = build_equidepth_histogram(keys2, num_workers, len(keys2))
+    if histogram1 is None and len(keys1):
+        histogram1 = build_equidepth_histogram(keys1, num_workers, len(keys1))
+
+    if len(keys1) == 0 or len(keys2) == 0:
+        empty = JoinOutputSample(pairs=np.empty((0, 2)), total_output=0)
+        return empty, stats
+
+    # Job 1: build d2equi, partitioned by R2's equi-depth histogram.
+    r2_parts = _partition_by_histogram(keys2, histogram2, num_workers)
+    local_indexes: list[D2Index] = []
+    for part in r2_parts:
+        stats.r2_tuples_scanned.append(len(part))
+        local_indexes.append(build_d2_index(part))
+    # Key ranges are disjoint, so concatenating the sorted local indexes (in
+    # worker order, which follows key order) yields the global index.
+    all_keys = np.concatenate([idx.keys for idx in local_indexes])
+    all_counts = np.concatenate([idx.multiplicities for idx in local_indexes])
+    order = np.argsort(all_keys, kind="stable")
+    d2_index = D2Index(
+        keys=all_keys[order],
+        multiplicities=all_counts[order],
+        prefix=np.concatenate([[0], np.cumsum(all_counts[order])]),
+    )
+
+    # Job 2: build d2 and the weighted sample S1, partitioned by R1's
+    # histogram; each worker sees only the d2equi entries it can need.
+    r1_parts = _partition_by_histogram(keys1, histogram1, num_workers)
+    reservoirs = []
+    total_output = 0
+    for part in r1_parts:
+        stats.r1_tuples_scanned.append(len(part))
+        if len(part) == 0:
+            stats.d2equi_entries_shipped.append(0)
+            continue
+        lo_bound, hi_bound = condition.joinable_bounds(part)
+        lo, hi = float(np.min(lo_bound)), float(np.max(hi_bound))
+        left = int(np.searchsorted(d2_index.keys, lo, side="left"))
+        right = int(np.searchsorted(d2_index.keys, hi, side="right"))
+        local_d2equi = D2Index(
+            keys=d2_index.keys[left:right],
+            multiplicities=d2_index.multiplicities[left:right],
+            prefix=np.concatenate(
+                [[0], np.cumsum(d2_index.multiplicities[left:right])]
+            ),
+        )
+        stats.d2equi_entries_shipped.append(local_d2equi.num_distinct)
+        d2_local = compute_joinable_set_sizes(part, local_d2equi, condition)
+        total_output += int(d2_local.sum())
+        if sample_size:
+            weights = d2_local.astype(np.float64)
+            reservoirs.append(weighted_sample_wor(part, weights, sample_size, rng))
+
+    if total_output == 0 or sample_size == 0:
+        empty = JoinOutputSample(pairs=np.empty((0, 2)), total_output=total_output)
+        return empty, stats
+
+    merged = merge_reservoirs(reservoirs, capacity=sample_size)
+    sampled_keys1 = np.asarray(wor_to_wr(merged, sample_size, rng), dtype=np.float64)
+
+    # Job 3: map-only production of output key pairs.
+    sample_parts = _partition_by_histogram(sampled_keys1, histogram1, num_workers)
+    pair_chunks = []
+    for part in sample_parts:
+        stats.sample_pairs_produced.append(len(part))
+        if len(part) == 0:
+            continue
+        sampled_keys2 = sample_joinable_keys(part, d2_index, condition, rng)
+        pair_chunks.append(np.column_stack([part, sampled_keys2]))
+    pairs = np.concatenate(pair_chunks) if pair_chunks else np.empty((0, 2))
+    return JoinOutputSample(pairs=pairs, total_output=total_output), stats
+
+
 def install(monkeypatch) -> None:
     """Swap every reference kernel in for its production counterpart.
 
-    Patches the names the caller resolves at call time (the Stream-Sample
-    driver imports the kernels into its own namespace), so whole engine
-    runs and histogram builds go through the reference loops.
+    Patches the names the callers resolve at call time: the histogram build
+    runs the per-worker driver above (which runs the reference kernels), and
+    a streaming rebuild reads and feeds its reservoirs through the
+    per-key loops.
     """
-    # ``repro.sampling`` re-exports the driver under its submodule's name,
-    # so the module itself comes from ``sys.modules``.
-    parallel = sys.modules["repro.sampling.parallel_stream_sample"]
-    monkeypatch.setattr(parallel, "_sample_joinable_keys", sample_joinable_keys)
-    monkeypatch.setattr(parallel, "weighted_sample_wor", weighted_sample_wor)
-    monkeypatch.setattr(parallel, "merge_reservoirs", merge_reservoirs)
+    monkeypatch.setattr(histogram_module, "parallel_stream_sample", parallel_stream_sample)
     monkeypatch.setattr(DecayedReservoir, "add_batch", add_batch)
+    monkeypatch.setattr(DecayedReservoir, "keys", decayed_keys)

@@ -99,6 +99,28 @@ def use_tick_clocks(monkeypatch) -> None:
         monkeypatch.setattr(sys.modules[module], "perf_counter", TickClock())
 
 
+def interpreter_calls(function, *args, **kwargs) -> "tuple[object, int]":
+    """``function(*args, **kwargs)`` and the Python-level calls it made.
+
+    ``call`` + ``c_call`` profile events: a deterministic stand-in for time
+    that counts interpreter work and ignores what numpy does inside a call.
+    """
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        result = function(*args, **kwargs)
+    finally:
+        sys.setprofile(previous)
+    return result, calls
+
+
 def arrivals(assignments, history) -> "list[np.ndarray]":
     """What ``count_batch`` takes for one side, from index arrays and a history.
 

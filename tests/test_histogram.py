@@ -7,8 +7,10 @@ import pytest
 
 from repro.core.histogram import EWHConfig, build_equi_weight_histogram
 from repro.core.weights import WeightFunction
+from repro.engine.operators import CSIOOperator, CSIOperator
 from repro.joins.conditions import BandJoinCondition, CompositeEquiBandCondition
 from repro.joins.local import count_join_output
+from repro.sampling.equidepth import sample_joining_keys
 
 
 @pytest.fixture(scope="module")
@@ -182,3 +184,52 @@ def test_a_csio_build_builds_2d_tables_only_on_the_coarse_grid():
     assert "_freq_prefix" in coarse_tables and "_row_cand_spans" in coarse_tables
     print(f"\nsample matrix {histogram.sample_matrix.grid.shape}: "
           f"{sorted(sample_tables)}; coarse grid: {sorted(coarse_tables)}")
+
+
+# ----------------------------------------------------------------------
+# NaN keys: they join nothing, so no sample may draw one
+# ----------------------------------------------------------------------
+def _int_valued_keys(seed: int, size: int = 20_000) -> "tuple[np.ndarray, np.ndarray]":
+    rng = np.random.default_rng(seed)
+    return tuple(rng.integers(0, 5_000, size=size).astype(np.float64) for _ in range(2))
+
+
+@pytest.mark.parametrize(
+    "operator", [CSIOOperator(8), CSIOperator(8)], ids=["CSIO", "CSI"]
+)
+def test_a_single_nan_key_plans_and_counts_exactly(operator):
+    """One NaN among 20K keys used to reach a histogram boundary and the
+    planner refused the grid (``row_boundaries contains NaN``)."""
+    keys1, keys2 = _int_valued_keys(0)
+    keys1[123] = np.nan
+    condition = BandJoinCondition(beta=2.0)
+    result = operator.run(keys1, keys2, condition, WeightFunction(1.0, 0.2))
+    assert result.output_correct
+    assert result.total_output == count_join_output(keys1, keys2, condition)
+
+
+@pytest.mark.parametrize("side", [1, 2])
+def test_the_histogram_never_samples_a_nan(side):
+    """A NaN in either relation, drawn for sure (a third of the keys)."""
+    keys = list(_int_valued_keys(1, 3_000))
+    keys[side - 1][::3] = np.nan
+    condition = BandJoinCondition(beta=2.0)
+    histogram = build_equi_weight_histogram(
+        *keys, condition, 6, WeightFunction(1.0, 0.2), rng=np.random.default_rng(4)
+    )
+    for boundaries in (histogram.mc_row_boundaries, histogram.mc_col_boundaries):
+        assert not np.isnan(boundaries).any()
+    assert histogram.total_output == count_join_output(*keys, condition)
+
+
+def test_nan_free_keys_are_sampled_as_they_stand():
+    """No copy and the same draws: the generator moves as ``rng.choice`` does."""
+    keys, _ = _int_valued_keys(2, 500)
+    rng, reference_rng = np.random.default_rng(9), np.random.default_rng(9)
+    np.testing.assert_array_equal(
+        sample_joining_keys(keys, 100, rng),
+        reference_rng.choice(keys, size=100, replace=False),
+    )
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    with_nan = np.append(keys, [np.nan, np.nan])
+    assert not np.isnan(sample_joining_keys(with_nan, len(with_nan), rng)).any()

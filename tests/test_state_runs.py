@@ -580,11 +580,11 @@ def test_process_batch_never_reads_the_resident_view(monkeypatch):
     backend = SimulatedBackend()
 
     def refuse(*args, **kwargs):
-        raise AssertionError("placement() called on the per-batch path")
+        raise AssertionError("machine state derived on the per-batch path")
 
     rng = np.random.default_rng(7)
     engine = _windowed_static_engine(backend)
-    monkeypatch.setattr(engine_module, "placement", refuse)
+    monkeypatch.setattr(engine_module, "held_by_machine", refuse)
     monkeypatch.setattr(checkpoint_module, "placement", refuse)
     table = backend._table
     for index in range(12):
