@@ -21,12 +21,6 @@ from repro.sampling.sizes import sample_matrix_size
 from repro.workloads.definitions import make_bcb
 
 from bench_utils import bench_machines, scaled
-import pytest
-
-#: Heavy paper-figure regeneration (seconds to minutes): deselect with
-#: ``-m "not slow"`` for a fast signal; CI runs a fast job and a full job.
-pytestmark = pytest.mark.slow
-
 
 
 def run_all():

@@ -18,12 +18,6 @@ from repro.bench.reporting import format_comparison_table
 from repro.workloads.definitions import make_bcb, make_beocd, make_bicd
 
 from bench_utils import bench_machines, scaled
-import pytest
-
-#: Heavy paper-figure regeneration (seconds to minutes): deselect with
-#: ``-m "not slow"`` for a fast signal; CI runs a fast job and a full job.
-pytestmark = pytest.mark.slow
-
 
 
 def run_all():

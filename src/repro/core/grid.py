@@ -14,8 +14,10 @@ The weight of a rectangle ``[r1..r2] x [c1..c2]`` under a
 
 and is evaluated in O(1) from prefix sums.  For monotonic joins the candidate
 cells of every row form one contiguous run; the grid knows each row's span
-(first and last candidate column), and a rectangle's minimal candidate
-rectangle is one pass over the spans of its rows -- linear in its row count.
+(first and last candidate column) and which way the spans move down the
+rows (:meth:`WeightedGrid.span_direction`).  Its own
+:meth:`~WeightedGrid.minimal_candidate_rectangle` is one pass over the spans
+of a rectangle's rows -- linear in its row count, and right for any grid.
 
 The constructor only normalises and checks the four arrays.  Every table --
 the input, frequency and candidate prefix sums and the row spans -- is built
@@ -27,7 +29,8 @@ in column order with ``np.cumsum``, the same float additions in the same
 order that give the double cumsum's corner (C- and F-ordered arrays alike),
 so it is that corner bit for bit.  The tiling algorithms, which ask for the
 same rectangles again and again, keep their answers in a ``TilingTables``
-that lives for one regionalization.
+that lives for one regionalization and shrinks a rectangle of a monotone
+grid with four list lookups instead of that pass.
 
 Coarsening, regionalization and M-Bucket each look for the smallest weight
 threshold at which a greedy cover of a grid fits; :func:`smallest_feasible`
@@ -99,6 +102,18 @@ def candidate_spans(candidate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lo[has_any] = np.argmax(candidate[has_any], axis=1)
         hi[has_any] = cols - 1 - np.argmax(candidate[has_any, ::-1], axis=1)
     return lo, hi
+
+
+def _span_direction(span_lo: np.ndarray, span_hi: np.ndarray) -> int:
+    """``1`` / ``-1`` when the candidate rows' spans never decrease / increase, else ``0``."""
+    has_candidates = span_lo >= 0
+    lo_steps = np.diff(span_lo[has_candidates])
+    hi_steps = np.diff(span_hi[has_candidates])
+    if (lo_steps >= 0).all() and (hi_steps >= 0).all():
+        return 1
+    if (lo_steps <= 0).all() and (hi_steps <= 0).all():
+        return -1
+    return 0
 
 
 def shrink_to_candidates(
@@ -320,22 +335,38 @@ class WeightedGrid:
                 idx = np.flatnonzero(row)
                 if len(idx) and (idx[-1] - idx[0] + 1) != len(idx):
                     return False
-        rows = self.candidate_rows()
-        if len(rows) <= 1:
-            return True
-        span_lo, span_hi = self._row_cand_spans
-        los = span_lo[rows]
-        his = span_hi[rows]
-        non_decreasing = bool(np.all(np.diff(los) >= 0) and np.all(np.diff(his) >= 0))
-        non_increasing = bool(np.all(np.diff(los) <= 0) and np.all(np.diff(his) <= 0))
-        return non_decreasing or non_increasing
+        return _span_direction(*self._row_cand_spans) != 0
+
+    def span_direction(self) -> int:
+        """Which way the candidate rows' column spans move down the grid.
+
+        ``1`` when neither end of a span ever moves left from one candidate
+        row to the next (a band or an inequality), ``-1`` when neither ever
+        moves right (an anti-diagonal band).  Spans that never move -- at most
+        one candidate row, or equal spans -- count as ``1``.  Lemma 3.4, and
+        every table built on it, holds only for spans moving one way.
+
+        Raises
+        ------
+        ValueError
+            If the spans move both ways.
+        """
+        direction = _span_direction(*self._row_cand_spans)
+        if direction == 0:
+            raise ValueError(
+                "the candidate rows' column spans must move in one direction "
+                "(both ends non-decreasing, or both non-increasing, down the rows)"
+            )
+        return direction
 
     def minimal_candidate_rectangle(self, region: GridRegion) -> GridRegion | None:
         """Shrink ``region`` to the smallest rectangle containing its candidate cells.
 
         Returns ``None`` when the region contains no candidate cell.  One pass
-        over the per-row candidate spans of the region's rows; nothing is
-        cached.
+        over the per-row candidate spans of the region's rows
+        (:func:`shrink_to_candidates`), right for any grid; nothing is
+        cached.  The tiling tables answer the same question for a grid whose
+        spans move one way with list lookups of their own.
         """
         span_lo, span_hi = self._row_cand_spans
         minimal = shrink_to_candidates(

@@ -2,11 +2,12 @@
 
 The baseline BSP enumerates arbitrary sub-rectangles of the coarsened matrix,
 which costs O(n_c^4) space and O(n_c^5) time.  For *monotonic* joins only a
-tiny fraction of those rectangles can ever matter: by Lemma 3.4 every
-defining corner (upper-left and lower-right) of a minimal candidate rectangle
-is itself a candidate cell, so there are only O(n_cc^2) = O(n_c^2) minimal
-candidate rectangles.  MonotonicBSP runs the same dynamic program restricted
-to minimal candidate rectangles:
+tiny fraction of those rectangles can ever matter: by Lemma 3.4 both
+defining corners of a minimal candidate rectangle are candidate cells -- the
+upper-left and lower-right ones when the candidate rows' spans move right,
+the upper-right and lower-left ones when they move left -- so there are only
+O(n_cc^2) = O(n_c^2) minimal candidate rectangles.  MonotonicBSP runs the
+same dynamic program restricted to minimal candidate rectangles:
 
 * :func:`enumerate_minimal_candidate_rectangles` lists them exactly as
   Algorithm 2's ``GenerateCandidateRectangles`` does (every ordered pair of
@@ -21,13 +22,16 @@ to minimal candidate rectangles:
 
 Everything about a rectangle that does not depend on the threshold -- what
 it shrinks to, what it weighs, which halves its splits leave -- comes from a
-:class:`~repro.core.tiling_tables.TilingTables`; the DP itself only looks
-region counts up and adds them.  The top-down walk keeps its own stack, so
-its depth (at most rows + columns) is not bounded by the interpreter's
-recursion limit, which it never touches.
+:class:`~repro.core.tiling_tables.TilingTables`, which answers each in O(1)
+per rectangle, the cost Lemma 3.5's O(n) bound assumes.  The DP itself only
+looks region counts up in lists indexed by rectangle id and adds them.  The
+top-down walk keeps its own stack, so its depth (at most rows + columns) is
+not bounded by the interpreter's recursion limit, which it never touches.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.core.bsp import BSPResult
 from repro.core.grid import WeightedGrid
@@ -42,28 +46,24 @@ def enumerate_minimal_candidate_rectangles(grid: WeightedGrid) -> list[GridRegio
     """Enumerate every rectangle whose defining corners are candidate cells.
 
     This mirrors ``GenerateCandidateRectangles`` of Algorithm 2: for each
-    ordered pair of candidate cells (one acting as the upper-left corner, the
-    other as the lower-right), emit the rectangle they define, sorted by
-    semi-perimeter.  By Lemma 3.4 this set contains all minimal candidate
-    rectangles of a monotonic join matrix; its size is O(n_cc^2) where n_cc
-    is the number of candidate cells.
+    ordered pair of candidate cells, one in the rectangle's top row and one
+    in its bottom row, emit the rectangle they define, sorted by
+    semi-perimeter.  The corners are the upper-left and lower-right ones, or
+    the upper-right and lower-left ones when the candidate rows' spans move
+    left (:meth:`WeightedGrid.span_direction`, which also rejects a grid
+    whose spans move both ways).  By Lemma 3.4 this set contains all minimal
+    candidate rectangles of a monotonic join matrix; its size is O(n_cc^2)
+    where n_cc is the number of candidate cells.
     """
+    direction = grid.span_direction()
+    cells = np.argwhere(grid.candidate).tolist()
     rectangles: list[GridRegion] = []
-    candidate_rows = grid.candidate_rows()
-    spans = {int(r): grid.row_candidate_span(int(r)) for r in candidate_rows}
-    for r1 in candidate_rows:
-        lo1, hi1 = spans[int(r1)]
-        for c1 in range(lo1, hi1 + 1):
-            if not grid.candidate[r1, c1]:
-                continue
-            for r2 in candidate_rows:
-                if r2 < r1:
-                    continue
-                lo2, hi2 = spans[int(r2)]
-                for c2 in range(lo2, hi2 + 1):
-                    if c2 < c1 or not grid.candidate[r2, c2]:
-                        continue
-                    rectangles.append(GridRegion(int(r1), int(r2), int(c1), int(c2)))
+    for row1, col1 in cells:
+        for row2, col2 in cells:
+            if row2 >= row1 and direction * (col2 - col1) >= 0:
+                rectangles.append(
+                    GridRegion(row1, row2, min(col1, col2), max(col1, col2))
+                )
     rectangles.sort(key=lambda r: r.semi_perimeter)
     return rectangles
 
@@ -91,16 +91,21 @@ def monotonic_bsp_tiling(tables: TilingTables, delta: float) -> BSPResult:
         return BSPResult(regions=[], max_region_weight=0.0, rectangles_evaluated=0)
     leaf_thresholds = tables.leaf_thresholds
     children = tables.children
-    counts: dict[int, int] = {}  # rectangle id -> fewest regions covering it
-    splits: dict[int, int] = {}  # split rectangle id -> offset of its best child pair
+    num_rows, num_cols = tables.shape
+    unsplit = num_rows * num_cols + 1  # more regions than any split costs
 
     # One frame per rectangle being split: [id, child list, next offset, best
-    # count so far (0: none yet), offset of the pair that achieved it].
+    # count so far, offset of the pair that achieved it].
     stack: list[list] = []
-    if leaf_thresholds[root] <= delta:
+    if not leaf_thresholds[root] <= delta:
+        stack.append([root, children(root), 0, unsplit, 0])
+    # Indexed by rectangle id: the fewest regions covering it (0: unsolved)
+    # and, for a split rectangle, the offset of its best child pair.  Both
+    # grow when a child list brings rectangles the tables had not met.
+    counts = [0] * len(leaf_thresholds)
+    splits = [0] * len(leaf_thresholds)
+    if not stack:
         counts[root] = 1
-    else:
-        stack.append([root, children(root), 0, 0, 0])
     while stack:
         frame = stack[-1]
         rect, pairs, offset, best, best_offset = frame
@@ -108,20 +113,20 @@ def monotonic_bsp_tiling(tables: TilingTables, delta: float) -> BSPResult:
         end = len(pairs)
         while offset < end:
             first, second = pairs[offset], pairs[offset + 1]
-            first_count = counts.get(first)
-            if first_count is None:
+            first_count = counts[first]
+            if not first_count:
                 if not leaf_thresholds[first] <= delta:
                     unsolved = first
                     break
                 counts[first] = first_count = 1
-            second_count = counts.get(second)
-            if second_count is None:
+            second_count = counts[second]
+            if not second_count:
                 if not leaf_thresholds[second] <= delta:
                     unsolved = second
                     break
                 counts[second] = second_count = 1
             total = first_count + second_count
-            if best == 0 or total < best:
+            if total < best:
                 best, best_offset = total, offset
                 # Both halves of a split hold candidates, so no split costs
                 # fewer than two regions -- stop at the first that does.
@@ -131,7 +136,11 @@ def monotonic_bsp_tiling(tables: TilingTables, delta: float) -> BSPResult:
         if unsolved >= 0:
             # Solve the half first, then resume this rectangle at this pair.
             frame[2:] = offset, best, best_offset
-            stack.append([unsolved, children(unsolved), 0, 0, 0])
+            stack.append([unsolved, children(unsolved), 0, unsplit, 0])
+            if len(counts) < len(leaf_thresholds):
+                grown = [0] * (len(leaf_thresholds) - len(counts))
+                counts += grown
+                splits += grown
             continue
         counts[rect] = best
         splits[rect] = best_offset
@@ -141,13 +150,13 @@ def monotonic_bsp_tiling(tables: TilingTables, delta: float) -> BSPResult:
     pending = [root]
     while pending:
         rect = pending.pop()
-        best_offset = splits.get(rect)
-        if best_offset is None:
+        if counts[rect] == 1:
             leaves.append(rect)
         else:
+            best_offset = splits[rect]
             pending.extend(children(rect)[best_offset : best_offset + 2])
     return BSPResult(
         regions=[GridRegion(*tables.rects[leaf]) for leaf in leaves],
         max_region_weight=float(max(tables.weights[leaf] for leaf in leaves)),
-        rectangles_evaluated=len(counts),
+        rectangles_evaluated=len(counts) - counts.count(0),
     )

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.core.histogram import EWHConfig, build_equi_weight_histogram
+from repro.core.region import GridRegion
+from repro.core.tiling_tables import TilingTables
 from repro.core.weights import WeightFunction
 from repro.engine.operators import CSIOOperator, CSIOperator
 from repro.joins.conditions import BandJoinCondition, CompositeEquiBandCondition
@@ -160,7 +164,23 @@ class TestConfiguration:
         assert histogram.total_output == count_join_output(keys1, keys2, condition)
 
 
-def test_a_csio_build_builds_2d_tables_only_on_the_coarse_grid():
+@pytest.fixture(scope="module")
+def sparse_j12_build():
+    """One CSIO build (20K sparse keys per side, band 2, J=12: n_s ~ 620)."""
+    size = 20_000
+    rng = np.random.default_rng(12)
+    keys1, keys2 = (rng.choice(4 * size, size=size, replace=False).astype(float)
+                    for _ in range(2))
+    return build_equi_weight_histogram(
+        keys1, keys2, BandJoinCondition(beta=2.0), num_machines=12,
+        weight_fn=SPARSE_J12_WEIGHTS, rng=np.random.default_rng(0),
+    )
+
+
+SPARSE_J12_WEIGHTS = WeightFunction(1.0, 0.2)
+
+
+def test_a_csio_build_builds_2d_tables_only_on_the_coarse_grid(sparse_j12_build):
     """One CSIO build (20K sparse keys per side, band 2, J=12: n_s ~ 620).
 
     Only the coarsened matrix's tiling tables read a 2-D prefix table, so the
@@ -169,14 +189,7 @@ def test_a_csio_build_builds_2d_tables_only_on_the_coarse_grid():
     grid holds what ``TilingTables`` reads: the frequency table and the spans
     (nothing in a plan reads its candidate-count table).
     """
-    size = 20_000
-    rng = np.random.default_rng(12)
-    keys1, keys2 = (rng.choice(4 * size, size=size, replace=False).astype(float)
-                    for _ in range(2))
-    histogram = build_equi_weight_histogram(
-        keys1, keys2, BandJoinCondition(beta=2.0), num_machines=12,
-        weight_fn=WeightFunction(1.0, 0.2), rng=np.random.default_rng(0),
-    )
+    histogram = sparse_j12_build
     sample_tables = vars(histogram.sample_matrix.grid)
     coarse_tables = vars(histogram.coarsening.grid)
     assert min(histogram.sample_matrix.grid.shape) > 600
@@ -184,6 +197,50 @@ def test_a_csio_build_builds_2d_tables_only_on_the_coarse_grid():
     assert "_freq_prefix" in coarse_tables and "_row_cand_spans" in coarse_tables
     print(f"\nsample matrix {histogram.sample_matrix.grid.shape}: "
           f"{sorted(sample_tables)}; coarse grid: {sorted(coarse_tables)}")
+
+
+def test_a_regionalize_shrinks_by_lookup_alone(sparse_j12_build, monkeypatch):
+    """The same build's coarse grid (24 x 24), regionalized again.
+
+    The tiling tables shrink a rectangle with four list lookups, so the
+    row scan behind ``WeightedGrid.minimal_candidate_rectangle`` is never
+    called (a scanning shrink made 17,242 calls here), and their id table
+    holds the minimal rectangles the search meets and nothing else (1,128;
+    memoising every un-shrunk rectangle met made it 17,870).
+    """
+    import repro.core.grid as grid_module
+    import repro.core.regionalization as regionalization
+
+    scan = grid_module.shrink_to_candidates
+    scans = []
+
+    def counted_scan(*args):
+        scans.append(args)
+        return scan(*args)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("repro")]:
+        if getattr(module, "shrink_to_candidates", None) is scan:
+            monkeypatch.setattr(module, "shrink_to_candidates", counted_scan)
+    built = []
+
+    class RecordedTables(TilingTables):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(regionalization, "TilingTables", RecordedTables)
+    grid = sparse_j12_build.coarsening.grid
+    result = regionalization.regionalize(grid, 12, SPARSE_J12_WEIGHTS)
+    (tables,) = built
+    scanned = len(scans)
+    print(f"\ncoarse grid {grid.shape}: {scanned} row scans, "
+          f"{len(tables.rects)} minimal rectangles, {result.search_steps} tilings")
+    assert result.regions == sparse_j12_build.grid_regions
+    assert scanned == 0
+    assert len(tables._ids) == len(tables.rects) == 1128
+    for rect_id in tables._ids.values():
+        rect = GridRegion(*tables.rects[rect_id])
+        assert grid.minimal_candidate_rectangle(rect) == rect
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ import dataclasses
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_planner import (
@@ -31,7 +32,7 @@ from reference_planner import (
 
 from repro.core.bsp import bsp_partition
 from repro.core.coarsening import _sweep_rows, coarsen
-from repro.core.grid import WeightedGrid
+from repro.core.grid import WeightedGrid, shrink_to_candidates
 from repro.core.monotonic_bsp import monotonic_bsp_partition
 from repro.core.region import GridRegion
 from repro.core.regionalization import regionalize
@@ -47,13 +48,21 @@ WEIGHT_FUNCTIONS = [
 ]
 
 
+def mirrored(grid: WeightedGrid) -> WeightedGrid:
+    """The grid with its columns in reverse order: descending spans for ascending."""
+    return WeightedGrid(np.ascontiguousarray(grid.frequency[:, ::-1]), grid.row_input,
+                        np.ascontiguousarray(grid.col_input[::-1]),
+                        np.ascontiguousarray(grid.candidate[:, ::-1]))
+
+
 @st.composite
 def monotone_grids(draw, max_side: int = 14) -> WeightedGrid:
     """Band- and inequality-shaped monotone grids with awkward corners.
 
-    Row spans move right monotonically; jumps between them leave empty
-    columns, a sixth of the rows lose their candidates, frequencies are
-    non-integer (some zero) and some rows and columns carry no input.
+    Row spans move right monotonically, or left in a mirrored grid; jumps
+    between them leave empty columns, a sixth of the rows lose their
+    candidates, frequencies are non-integer (some zero) and some rows and
+    columns carry no input.
     """
     rows = draw(st.integers(1, max_side))
     cols = draw(st.integers(1, max_side))
@@ -72,7 +81,8 @@ def monotone_grids(draw, max_side: int = 14) -> WeightedGrid:
                          rng.random((rows, cols)) * 20.0, 0.0)
     row_input = np.where(rng.random(rows) < 0.2, 0.0, rng.random(rows) * 10.0)
     col_input = np.where(rng.random(cols) < 0.2, 0.0, rng.random(cols) * 10.0)
-    return WeightedGrid(frequency, row_input, col_input, candidate)
+    grid = WeightedGrid(frequency, row_input, col_input, candidate)
+    return mirrored(grid) if draw(st.booleans()) else grid
 
 
 def thresholds(grid: WeightedGrid, weight_fn: WeightFunction, fraction: float) -> list[float]:
@@ -209,6 +219,75 @@ def test_tables_agree_with_the_grid_on_every_rectangle(grid, weight_fn):
                     weight = tables.weights[minimal_id]
                     assert weight == reference.weight(expected)
                     assert weight == grid.region_weight(expected, weight_fn)
+
+
+def span_grid(lo, hi, num_cols: int, holes=(), descending: bool = False) -> WeightedGrid:
+    """A grid whose row ``r`` holds candidates from ``lo[r]`` to ``hi[r]`` (-1: none).
+
+    ``holes`` are ``(row, col)`` cells inside a span left out of it: the
+    tables read only the spans, so a hole must change nothing.
+    """
+    candidate = np.zeros((len(lo), num_cols), dtype=bool)
+    for row, (start, end) in enumerate(zip(lo, hi)):
+        if start >= 0:
+            candidate[row, start : end + 1] = True
+    for row, col in holes:
+        if lo[row] < col < hi[row]:
+            candidate[row, col] = False
+    grid = WeightedGrid(candidate.astype(np.float64), np.ones(len(lo)), np.ones(num_cols),
+                        candidate)
+    return mirrored(grid) if descending else grid
+
+
+@st.composite
+def span_monotone_grids(draw, max_side: int = 9) -> WeightedGrid:
+    """Spans ascending (or, mirrored, descending) with empty rows anywhere.
+
+    A row is empty with probability a quarter, and the first and last rows
+    and one middle row are emptied on demand, so the position lookups meet
+    runs of empty rows at either end and inside.
+    """
+    rows = draw(st.integers(1, max_side))
+    cols = draw(st.integers(1, max_side))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = np.sort(rng.integers(0, cols, size=rows))
+    hi = np.minimum(np.maximum.accumulate(lo + rng.integers(0, cols, size=rows)), cols - 1)
+    empty = rng.random(rows) < 0.25
+    for row in draw(st.sets(st.sampled_from([0, rows // 2, rows - 1]))):
+        empty[row] = True
+    lo, hi = np.where(empty, -1, lo), np.where(empty, -1, hi)
+    holes = [(int(r), int(c)) for r, c in zip(rng.integers(0, rows, size=3),
+                                              rng.integers(0, cols, size=3))]
+    return span_grid(lo.tolist(), hi.tolist(), cols, holes, draw(st.booleans()))
+
+
+@given(grid=span_monotone_grids())
+@example(grid=span_grid([0], [4], 6))
+@example(grid=span_grid([1], [3], 6, descending=True))
+@example(grid=span_grid([-1, 0, -1, 0, 0, -1], [-1, 0, -1, 0, 0, -1], 1))
+@example(grid=span_grid([-1, 0, 1, -1, 2, 4, -1], [-1, 2, 3, -1, 4, 4, -1], 5, [(1, 1)],
+                        descending=True))
+@example(grid=span_grid([-1, -1], [-1, -1], 3))
+@settings(max_examples=150, deadline=None)
+def test_the_lookups_shrink_every_rectangle_as_the_row_scan_does(grid):
+    """O(1) shrink == one pass over the rows' spans, on every sub-rectangle."""
+    tables = TilingTables(grid, WeightFunction())
+    span_lo, span_hi = (spans.tolist() for spans in grid._row_cand_spans)
+    for (r1, r2), (c1, c2) in itertools.product(
+        itertools.combinations_with_replacement(range(grid.num_rows), 2),
+        itertools.combinations_with_replacement(range(grid.num_cols), 2),
+    ):
+        expected = shrink_to_candidates(span_lo, span_hi, r1, r2, c1, c2)
+        minimal_id = tables.shrink((r1, r2, c1, c2))
+        assert (None if minimal_id < 0 else tables.rects[minimal_id]) == expected
+
+
+def test_tables_refuse_spans_moving_both_ways():
+    """The first row's span holds the second's: one end moves right, the other left."""
+    grid = WeightedGrid(np.zeros((3, 3)), np.ones(3), np.ones(3),
+                        np.array([[1, 0, 1], [0, 1, 0], [0, 0, 0]], dtype=bool))
+    with pytest.raises(ValueError, match="one direction"):
+        TilingTables(grid, WeightFunction())
 
 
 # ----------------------------------------------------------------------

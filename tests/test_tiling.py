@@ -14,9 +14,11 @@ from repro.core.grid import WeightedGrid
 from repro.core.monotonic_bsp import (
     enumerate_minimal_candidate_rectangles,
     monotonic_bsp_partition,
+    monotonic_bsp_tiling,
 )
 from repro.core.region import GridRegion
 from repro.core.regionalization import regionalize
+from repro.core.tiling_tables import TilingTables
 from repro.core.validation import validate_grid_regions
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import BandJoinCondition
@@ -239,6 +241,34 @@ class TestEnumerateMinimalCandidateRectangles:
 
     def test_empty_grid(self):
         assert enumerate_minimal_candidate_rectangles(empty_grid()) == []
+
+    @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+    @pytest.mark.parametrize("shape", ["diagonal", "band"])
+    def test_contains_every_rectangle_the_dp_reaches(self, descending, shape):
+        """Lemma 3.4 in either span direction.  At delta = 0 every rectangle
+        of two or more cells splits, so the tables meet every minimal
+        candidate rectangle the DP can reach; the enumeration lists them all
+        (descending spans define theirs by upper-right and lower-left
+        corners).  The descending diagonal is the 8 x 8 anti-diagonal band."""
+        if shape == "diagonal":
+            index = np.arange(8)
+            candidate = np.abs(index[:, None] - index[None, :]) <= 1
+            grid = WeightedGrid(candidate.astype(np.float64), np.ones(8), np.ones(8),
+                                candidate)
+        else:
+            grid = band_grid(7, beta=9.0, seed=6)
+        if descending:
+            grid = WeightedGrid(grid.frequency[:, ::-1].copy(), grid.row_input,
+                                grid.col_input[::-1].copy(), grid.candidate[:, ::-1].copy())
+        assert grid.span_direction() == (-1 if descending else 1)
+        tables = TilingTables(grid, UNIT)
+        monotonic_bsp_tiling(tables, 0.0)
+        reached = {GridRegion(*rect) for rect in tables.rects}
+        enumerated = enumerate_minimal_candidate_rectangles(grid)
+        assert len(set(enumerated)) == len(enumerated)
+        assert reached <= set(enumerated), len(reached - set(enumerated))
+        if shape == "diagonal":
+            assert len(reached) == 246
 
 
 class TestRegionalize:
