@@ -18,9 +18,10 @@ range check, else one ``searchsorted``) instead of ``np.isin``.
 
 It also flags ``np.add.at`` and every other ``np.<ufunc>.at``: an unbuffered
 scatter that handles one element at a time, where the per-batch paths always
-have their targets sorted (a fold's task owners ascend), so one
-``np.<ufunc>.reduceat`` over the segment starts is exact and one buffered
-pass (``RegionStateTable.sum_halves``).  A call that
+have their targets sorted (a clipped count's needles lie segment after
+segment), so one ``np.<ufunc>.reduceat`` over the segment starts is exact
+and one buffered pass (the per-segment sums of
+``repro.joins.local.count_regions``).  A call that
 is genuinely off the per-batch path of every measured workload, or part of
 a test oracle, carries an inline ``# repro: ignore[STATE001]`` saying so.
 """

@@ -88,9 +88,11 @@ class RegionJoinResult:
     per_machine_output:
         Exact join output counted for each machine's region state.
     per_machine_seconds:
-        Wall-clock seconds spent joining each region (worker time under the
-        sticky backend and on a pool, in-process time under the simulated
-        backend).
+        Wall-clock seconds spent joining each region (worker time on a
+        pool, in-process time under the batch simulator and a stateless
+        ``join_regions`` dispatch, per machine under a sticky worker);
+        ``None`` for the in-process streaming ``count_batch``, which counts
+        every machine in one pass.
     wall_seconds:
         End-to-end time of the whole execution, including scheduling.
     bytes_pickled, bytes_unpickled:
@@ -108,15 +110,13 @@ class RegionJoinResult:
         Per dispatched unit of work, the OS pid of the process that ran it
         (``-1`` for units that were never dispatched) and the seconds it
         spent there; ``None`` for in-process backends.  A unit is one
-        region on a pool and under the sticky ``count_batch``; the
-        in-process default ``count_batch`` has one unit per (machine, half,
-        run) -- each of a machine's two searches is dispatched once per
-        sorted run of the searched state.  A tracer uses these to stitch
-        per-worker child spans under the dispatching batch's span.
+        region on a pool and one worker process under the sticky
+        ``count_batch``.  A tracer uses these to stitch per-worker child
+        spans under the dispatching batch's span.
     """
 
     per_machine_output: np.ndarray
-    per_machine_seconds: np.ndarray
+    per_machine_seconds: "np.ndarray | None"
     wall_seconds: float
     bytes_pickled: "int | None" = None
     bytes_unpickled: "int | None" = None

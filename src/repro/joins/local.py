@@ -25,6 +25,7 @@ in-process backends and every sticky worker) alike.
 from __future__ import annotations
 
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +44,8 @@ __all__ = [
     "join_output_pairs",
     "count_join_output",
     "count_regions",
+    "Segments",
+    "segments",
 ]
 
 
@@ -138,18 +141,55 @@ def count_join_output(
     return int(outputs[0])
 
 
+#: Key dtypes :func:`~repro.joins.conditions.normalise_keys` returns as they are.
+_NORMALISED = (np.dtype(np.float64), np.dtype(np.int64))
+
+
+class Segments(NamedTuple):
+    """Needle slices of one array, each a machine's share: the gather a clipped task reads.
+
+    Derived once from the per-segment slices (:func:`segments`) and shared
+    by every run a half searches: how many segments there are; the window
+    ``[first, last)`` they lie in; ``picked``, the window positions of the
+    needles laid segment after segment (a needle two segments share appears
+    in both), and ``segment``, which segment each gathered needle is of;
+    the non-empty segments, ``busy``, and where each begins in the gathered
+    order.
+    """
+
+    count: int
+    first: int
+    last: int
+    picked: np.ndarray
+    segment: np.ndarray
+    busy: np.ndarray
+    begins: np.ndarray
+
+
+def segments(starts: np.ndarray, stops: np.ndarray) -> Segments:
+    """The :class:`Segments` of per-segment ``[starts, stops)`` int64 slices of one needle array."""
+    sizes = stops - starts
+    first, last = np.minimum.reduce(starts), np.maximum.reduce(stops)
+    ends = sizes.cumsum()
+    begins = ends - sizes
+    segment = np.arange(sizes.size).repeat(sizes)
+    picked = np.arange(ends[-1]) + (starts - first - begins)[segment]
+    busy = sizes.nonzero()[0]
+    return Segments(sizes.size, first, last, picked, segment, busy, begins[busy])
+
+
 def count_regions(
-    tasks: "list[tuple[np.ndarray, ...]]",
+    tasks: "list[tuple]",
     conditions: "list[JoinCondition]",
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Count each non-empty ``(keys1, keys2[, cum])`` task in the calling process; time each one.
+    """Count each non-empty ``(keys1, keys2[, cum[, clip]])`` task in the calling process; time each one.
 
     The one per-region count loop:
     :func:`~repro.engine.cluster.run_partitioned_join` runs it over a batch
     join's routed regions,
     :class:`~repro.streaming.backends.SimulatedBackend` over a stream
     batch's search tasks in the engine's process, every sticky worker over
-    the same tasks in its own, and a pool worker of
+    its own, and a pool worker of
     :func:`~repro.engine.executor.join_assigned_regions` over its one
     region.  ``conditions[t]`` is task ``t``'s
     condition.  Tasks with an empty side produce nothing and are never
@@ -178,33 +218,54 @@ def count_regions(
     0``, any sign), and a needle joins ``cum[hi] - cum[lo]`` of them
     instead of ``hi - lo``.  ``None``, or no third entry, counts every key
     once.
+
+    A fourth entry ``(segments, lows, highs)`` *clips* the task: the
+    needles are the :class:`Segments` of ``keys1`` -- one per machine
+    reading the searched state -- and segment ``s`` sees only the run's
+    positions ``[lows[s], highs[s])``, its machine's key range cut from
+    the run (``None`` for both: the whole run); a clipped task whose
+    segments are all empty is an empty task.  The searches run once over
+    the segments' window; each needle's ``[lo, hi)`` is then clipped,
+    ``lo = max(lo, lows[s])``, ``hi = max(lo, min(hi, highs[s]))``, and the
+    counts are summed per segment.  A clipped task has one output per
+    segment, an unclipped task one: ``outputs`` lays them end to end in
+    task order, ``seconds`` has one entry per task.
     """
-    outputs = np.zeros(len(tasks), dtype=np.int64)
-    seconds = np.zeros(len(tasks))
+    # Where each task's outputs start; a clipped task has one per segment.
+    offsets = [0] * (len(tasks) + 1)
+    position = -1
     # (condition, key dtype) -> the condition and its needle arrays.  The
     # dtype is part of the key so that laying arrays end to end never
     # promotes exact int64 keys to float.
     groups: "dict[tuple, tuple[JoinCondition, list[np.ndarray]]]" = {}
-    # Per non-empty task: (task, second side, its counts, group, needles' position).
+    # Per non-empty task: (task, second side, its counts, clip, group, needles' position).
     searches: "list[tuple]" = []
     last_keys1 = last_condition = last_dtype = None
-    for task, (keys1, keys2, *cum) in enumerate(tasks):
-        if len(keys1) == 0 or len(keys2) == 0:
+    for task, (keys1, keys2, *extra) in enumerate(tasks):
+        clip = extra[1] if extra[1:] else None
+        offsets[task + 1] = offsets[task] + (1 if clip is None else clip[0].count)
+        if len(keys1) == 0 or keys2.size == 0 or (clip and not clip[0].busy.size):
             continue
         condition = conditions[task]
-        run = normalise_keys(keys2)
+        run = keys2 if keys2.dtype in _NORMALISED else normalise_keys(keys2)
         if (
             keys1 is not last_keys1
             or condition is not last_condition
             or run.dtype != last_dtype
         ):
-            needles = normalise_keys(keys1)
+            needles = keys1
+            if not (isinstance(keys1, np.ndarray) and keys1.dtype in _NORMALISED):
+                needles = normalise_keys(keys1)
             dtype = np.promote_types(needles.dtype, run.dtype)
             group = (id(condition), dtype)
             arrays = groups.setdefault(group, (condition, []))[1]
             arrays.append(needles.astype(dtype, copy=False))
+            position = len(arrays) - 1
             last_keys1, last_condition, last_dtype = keys1, condition, run.dtype
-        searches.append((task, run, cum[0] if cum else None, group, len(arrays) - 1))
+        cum = extra[0] if extra else None
+        searches.append((task, run, cum, clip, group, position))
+    outputs = np.zeros(offsets[-1], dtype=np.int64)
+    seconds = np.zeros(len(tasks))
     bounds = {}
     for group, (condition, arrays) in groups.items():
         lows, highs = condition.joinable_bounds(
@@ -215,13 +276,32 @@ def count_regions(
             (lows[start:stop], highs[start:stop])
             for start, stop in zip([0] + stops, stops)
         ]
-    for task, run, cum, group, position in searches:
+    for task, run, cum, clip, group, position in searches:
         lows, highs = bounds[group][position]
         started = perf_counter()
-        high, low = run.searchsorted(highs, "right"), run.searchsorted(lows, "left")
-        if cum is None:
-            outputs[task] = (high - low).sum()
+        if clip is None:
+            high, low = run.searchsorted(highs, "right"), run.searchsorted(lows, "left")
+            if cum is None:
+                outputs[offsets[task]] = (high - low).sum()
+            else:
+                outputs[offsets[task]] = (cum[high] - cum[low]).sum()
         else:
-            outputs[task] = (cum[high] - cum[low]).sum()
+            _count_clipped(
+                run, cum, lows, highs, clip, outputs[offsets[task] : offsets[task + 1]]
+            )
         seconds[task] = perf_counter() - started
     return outputs, seconds
+
+
+def _count_clipped(run, cum, lows, highs, clip, out: np.ndarray) -> None:
+    """Write a clipped task's per-segment counts into ``out`` (see :func:`count_regions`)."""
+    needles, clip_lows, clip_highs = clip
+    window = slice(needles.first, needles.last)
+    high = run.searchsorted(highs[window], "right")[needles.picked]
+    low = run.searchsorted(lows[window], "left")[needles.picked]
+    if clip_lows is not None:
+        np.maximum(low, clip_lows[needles.segment], out=low)
+        np.minimum(high, clip_highs[needles.segment], out=high)
+        np.maximum(high, low, out=high)
+    counts = high - low if cum is None else cum[high] - cum[low]
+    out[needles.busy] = np.add.reduceat(counts, needles.begins)

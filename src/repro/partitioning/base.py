@@ -188,6 +188,19 @@ class Partitioning(abc.ABC):
         """
         return None
 
+    def share_groups(self, side: int) -> np.ndarray:
+        """Per region, which group of identical shares of ``side`` it receives.
+
+        Regions in one group are routed the same tuples of that side, so a
+        state owner keeps their state once (1-Bucket: every region of a grid
+        row gets the same R1 tuples).  Read for plans whose shares are not
+        key ranges; a
+        :class:`~repro.partitioning.grid_routed.GridRoutedPartitioning`'s
+        are, and are read from one state by range instead.  The default:
+        every region its own group.
+        """
+        return np.arange(self.num_regions)
+
     def cut_sorted(
         self,
         side: int,

@@ -144,20 +144,57 @@ class GridRoutedPartitioning(Partitioning):
         """Every region's slice of the ascending ``keys``: the slice rule.
 
         The rule of the module docstring: no per-region mask, gather or
-        sort.  The search runs on a float64 view of the sorted keys, as
-        ``bucket_index`` compares them (the conversion is monotone, so the
-        view is sorted too).  :meth:`cut_sorted` hands out these slices.
+        sort -- :meth:`machine_slicer` with region ``r`` on machine ``r``.
+        :meth:`cut_sorted` hands out these slices.
+        """
+        regions = len(self.regions)
+        slices = self.machine_slicer(side, np.arange(regions), regions)
+        starts, stops = slices(np.asarray(keys))
+        return Spans(starts.tolist(), stops.tolist())
+
+    def machine_slicer(self, side: int, region_to_machine, num_machines: int):
+        """The slice rule per machine, for one placement of the regions.
+
+        Returns a function of ascending keys that gives every machine's
+        ``(starts, stops)``: machine ``region_to_machine[r]`` gets region
+        ``r``'s slice, a machine holding no region an empty one -- one
+        search of the keys' float64 view (as ``bucket_index`` compares them;
+        the conversion is monotone, so the view is sorted too) and two
+        gathers per call, however many machines there are.
         """
         cut_keys, open_lo, open_hi = self._cuts[side]
-        cuts = np.asarray(keys, dtype=np.float64).searchsorted(cut_keys).tolist()
         regions = len(open_lo)
-        starts, stops = cuts[:regions], cuts[regions:]
-        for region in range(regions):
-            if open_lo[region]:
-                starts[region] = 0
-            if open_hi[region]:
-                stops[region] = len(keys)
-        return Spans(starts, stops)
+        # Where each machine's start and stop are read from: its region's
+        # cut, or one of the two ends appended behind the cuts (0 and n).
+        first = np.full(num_machines, 2 * regions, dtype=np.int64)
+        last = np.full(num_machines, 2 * regions, dtype=np.int64)
+        machines = np.asarray(region_to_machine, dtype=np.int64)[:regions]
+        own = np.arange(regions)
+        first[machines] = np.where(open_lo, 2 * regions, own)
+        last[machines] = np.where(open_hi, 2 * regions + 1, regions + own)
+
+        def slices(keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+            if keys.dtype != np.float64:
+                keys = keys.astype(np.float64)
+            cuts = np.empty(2 * regions + 2, dtype=np.int64)
+            cuts[: 2 * regions] = keys.searchsorted(cut_keys)
+            cuts[2 * regions :] = 0, keys.size
+            return cuts[first], cuts[last]
+
+        return slices
+
+    def covers_all(self, side: int) -> bool:
+        """Whether every key of ``side`` routes to at least one region."""
+        reach = -1
+        for low, high in sorted(
+            (r.row_lo, r.row_hi) if side == 1 else (r.col_lo, r.col_hi)
+            for r in self.regions
+        ):
+            if low > reach + 1:
+                return False
+            reach = max(reach, high)
+        boundaries = self.row_boundaries if side == 1 else self.col_boundaries
+        return reach == len(boundaries) - 2
 
     # ------------------------------------------------------------------
     # Introspection

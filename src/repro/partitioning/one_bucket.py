@@ -122,6 +122,11 @@ class OneBucketPartitioning(Partitioning):
 
     sorted_arrivals = Partitioning._sort_then_cut
 
+    def share_groups(self, side: int) -> np.ndarray:
+        """A region's grid row (R1) or column (R2): the draw its share is."""
+        regions = np.arange(self.num_regions)
+        return regions // self.grid_cols if side == 1 else regions % self.grid_cols
+
     def cut_sorted(self, side, keys, indices, rng):
         """Draw each tuple's row or column from its own arrival index.
 

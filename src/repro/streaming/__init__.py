@@ -55,7 +55,6 @@ _EXPORTS = {
     "StickyWorkerBackend": "repro.streaming.backends",
     "SlowConsumerBackend": "repro.streaming.backends",
     "RegionJoinResult": "repro.engine.executor",
-    "RegionStateTable": "repro.streaming.backends",
     "ShmArena": "repro.streaming.shm",
     "ShmReader": "repro.streaming.shm",
     "default_mp_context": "repro.streaming.backends",

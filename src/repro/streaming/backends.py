@@ -1,44 +1,54 @@
 """Pluggable execution backends: who owns the join state, and where it is counted.
 
-A region's tuples live in exactly one place -- the machine its EWH region
-was assigned to -- and here that place is the
-:class:`ExecutionBackend`.  The engine never holds join state; it drives
-every backend through one **state-ownership protocol**:
+A region's tuples live where its EWH region was assigned -- and here that
+place is the :class:`ExecutionBackend`.  The engine never holds join state;
+it drives every backend through one **state-ownership protocol**:
 
 ``bind`` → per batch ``count_batch`` / ``evict_state`` → ``install_state``
 (migrations, resizes, restores), with ``drain_channel_bytes`` for byte
-metering.  State enters a machine in one shape: per machine, its keys
-sorted by the router (:meth:`RegionStateTable.fold` states the contract) --
-a batch's arrivals (``count_batch``), the expired keys an eviction routes
-to it (``evict_state``) and a machine's complete state (``install_state``,
-whose key lists also say the fleet size) alike.  A machine holds a key
-multiset and nothing else: which tuples it holds is the engine's to derive
-from its arrival logs (:func:`~repro.streaming.migration.placement`), so
-no verb reads state back.
+metering.  State enters in one shape, a :class:`RoutedSide` per side:
+one key array and, per machine, the slice of it the router sends that
+machine (key-sorted) -- a batch's arrivals (``count_batch``), the expired
+keys an eviction routes (``evict_state``) and the complete live state
+(``install_state``, whose slices also say the fleet size) alike -- plus the
+plan's :class:`SideLayout`, how its machines read the state.  Which
+tuples a machine holds is the engine's to derive from its arrival logs
+(:func:`~repro.streaming.migration.placement`), so no verb reads state back.
 
-The protocol is implemented once, in-process, on the base class: a
-:class:`RegionStateTable` of sorted per-machine state whose ``count_batch``
-folds the batch in (``C(new1, state2 + new2) + C(state1, new2)``) and
-dispatches the resulting search tasks -- one per sorted run of each of a
-machine's two halves -- through the backend's own
+The state is held once per **owner** (:class:`StateOwner`), not once per
+machine.  An owner keeps each side's live keys in a few counted
+:class:`~repro.streaming.incremental.SortedRegionState` groups -- one
+for a grid-routed plan, one per draw group for 1-Bucket -- and a machine
+reads its group through its region's key range (the slice rule of
+:mod:`repro.partitioning.grid_routed`, applied to each sorted run).  A
+batch's count is therefore a fixed number of clipped searches per side
+and run however many machines there are, an eviction is one tombstone run
+per group, and a migration whose plans cover the same keys moves nothing.
+
+The protocol is implemented once, in-process, on the base class: one
+owner of every machine, whose fold (``C(new1, state2 + new2) + C(state1,
+new2)``) dispatches its search tasks -- one per sorted run of each half's
+searched group -- through the backend's own
 :meth:`~ExecutionBackend.join_regions`.  A backend therefore only decides
-*how a list of (keys1, keys2) tasks is counted*:
+*how a list of search tasks is counted*:
 
 * :class:`SimulatedBackend` counts each task in the engine's own process.
-  Cost-model load is the quantity of interest; wall timings are recorded
-  but reflect a single core.
-* :class:`SlowConsumerBackend` decorates another backend's ``join_regions``
-  with a deterministic delay.
+  Cost-model load is the quantity of interest; one pass counts every
+  machine, so no per-machine time is measured.
 
-:class:`StickyWorkerBackend` is the one override of the protocol itself:
-each worker *process* hosts the :class:`RegionStateTable` of its machines,
+:class:`StickyWorkerBackend` overrides the protocol itself: each worker
+*process* hosts a :class:`StateOwner` for the machines assigned to it,
 resident across batches, and only per-batch deltas travel, over shared
-memory.  The workers run the *same* table fold and counting loop as the
-in-process default, so every backend counts bit-identical deltas; only the
-measured timings and byte counts differ (``tests/test_backends.py``).  That
-loop is :func:`repro.joins.local.count_regions`, the batch simulator's too,
-and every backend reports a :class:`~repro.engine.executor.RegionJoinResult`
+memory, as per-machine arrays -- so a worker's owner holds a group per
+machine, and times each machine's searches.  The workers run the same
+owner fold and counting loop as the in-process default, so every backend
+counts bit-identical deltas; only the measured timings and byte counts
+differ (``tests/test_backends.py``).  That loop is
+:func:`repro.joins.local.count_regions`, the batch simulator's too, and
+every backend reports a :class:`~repro.engine.executor.RegionJoinResult`
 (re-exported here), the batch executor's result type.
+:class:`SlowConsumerBackend` forwards the protocol to another backend and
+adds a deterministic delay to every batch.
 
 Select a backend by passing it to :class:`StreamingJoinEngine` (default:
 simulated) or by name through :func:`make_backend`::
@@ -53,13 +63,13 @@ from __future__ import annotations
 import abc
 import os
 from dataclasses import replace
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from repro.engine.executor import RegionJoinResult, pickled_nbytes
 from repro.joins.conditions import JoinCondition
-from repro.joins.local import count_regions
+from repro.joins.local import count_regions, segments
 from repro.obs.clock import perf_counter
 from repro.streaming.incremental import SortedRegionState
 
@@ -70,7 +80,9 @@ if TYPE_CHECKING:  # only sticky backends pay for importing these (see below)
 
 __all__ = [
     "RegionJoinResult",
-    "RegionStateTable",
+    "RoutedSide",
+    "SideLayout",
+    "StateOwner",
     "ExecutionBackend",
     "SimulatedBackend",
     "StickyWorkerBackend",
@@ -78,7 +90,6 @@ __all__ = [
     "WorkerCrashError",
     "default_mp_context",
     "make_backend",
-    "state_layout",
 ]
 
 
@@ -133,152 +144,334 @@ def _resolve_mp_context(
     return mp_context
 
 
-class RegionStateTable:
-    """The sorted join state of a set of machines, and the fold that counts it.
+class SideLayout:
+    """How the machines of one plan read one side's join state.
+
+    A side's state is a few groups, each one counted
+    :class:`~repro.streaming.incremental.SortedRegionState`, and every
+    machine reads one of them: ``readers[g]`` lists the machines reading
+    group ``g``, ascending (a machine holding no region reads none).
+    ``cut`` says which part: given a key-sorted run of a group, every
+    machine's slice of it as ``(lows, highs)`` position arrays aligned with
+    ``readers[0]`` -- the machines' key ranges under the slice rule of
+    :mod:`repro.partitioning.grid_routed`.  ``None`` means every reader sees
+    its group whole.  ``whole`` says the ranges cover every key, so the one
+    group holds everything routed.
+
+    A grid-routed plan is one group read through ``cut``; 1-Bucket is one
+    group per draw (grid rows for R1, grid columns for R2), read whole;
+    per-machine arrays (:meth:`RoutedSide.of`) are one group per machine.
+    """
+
+    __slots__ = ("readers", "cut", "whole")
+
+    def __init__(
+        self,
+        readers: "list[np.ndarray]",
+        cut: "Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None" = None,
+        whole: bool = False,
+    ) -> None:
+        self.readers = [np.asarray(machines, dtype=np.int64) for machines in readers]
+        self.cut = cut
+        self.whole = whole
+
+
+class RoutedSide(NamedTuple):
+    """One side's routed keys: every machine's share is a slice of one array.
+
+    Machine ``m`` receives ``keys[starts[m]:stops[m]]``, ascending (NaN
+    last).  Slices may overlap -- a replicated tuple is in several -- and a
+    machine holding no region has an empty one.  ``layout`` is the plan's
+    :class:`SideLayout` (``None`` before any plan exists: nothing is
+    routed, nothing held).  Keys are read, never written, and never kept:
+    the state copies what it appends.
+    """
+
+    keys: np.ndarray
+    starts: np.ndarray
+    stops: np.ndarray
+    layout: "SideLayout | None"
+
+    @classmethod
+    def of(cls, per_machine: "list[np.ndarray]") -> "RoutedSide":
+        """Per-machine key-sorted arrays as one routed side, a group per machine.
+
+        The shape a sticky worker receives and tests build by hand: each
+        machine's keys laid end to end, every machine reading a group of
+        its own.
+        """
+        sizes = np.array([len(keys) for keys in per_machine], dtype=np.int64)
+        stops = sizes.cumsum()
+        busy = [keys for keys in per_machine if len(keys)]
+        if busy:
+            keys = busy[0] if len(busy) == 1 else np.concatenate(busy)
+        else:
+            keys = per_machine[0][:0] if len(per_machine) else np.empty(0)
+        layout = SideLayout([[machine] for machine in range(len(per_machine))])
+        return cls(keys, stops - sizes, stops, layout)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Keys per machine (a replicated key counts once per machine)."""
+        return self.stops - self.starts
+
+    def columns(self) -> "list[np.ndarray]":
+        """Each machine's keys: views of :attr:`keys`."""
+        keys = self.keys
+        return [
+            keys[start:stop]
+            for start, stop in zip(self.starts.tolist(), self.stops.tolist())
+        ]
+
+    def group_keys(self, group: int) -> np.ndarray:
+        """The keys group ``group`` holds of these: its readers' slices, each key once.
+
+        The union of the readers' slices -- all of :attr:`keys` when the
+        layout's ranges cover every key, one slice when the readers all read
+        the same one (a draw group, a machine of its own) -- ascending.
+        """
+        if self.layout.whole:
+            return self.keys
+        readers = self.layout.readers[group]
+        pieces = _union(self.starts[readers], self.stops[readers])
+        if len(pieces) == 1:
+            start, stop = pieces[0]
+            return self.keys[start:stop]
+        return np.concatenate([self.keys[start:stop] for start, stop in pieces] or [self.keys[:0]])
+
+
+def _union(starts: np.ndarray, stops: np.ndarray) -> "list[tuple[int, int]]":
+    """The non-empty slices ``[starts[i], stops[i])`` merged into disjoint ascending ones."""
+    merged: "list[tuple[int, int]]" = []
+    for start, stop in sorted(zip(starts.tolist(), stops.tolist())):
+        if start >= stop:
+            continue
+        if merged and start <= merged[-1][1]:
+            if stop > merged[-1][1]:
+                merged[-1] = (merged[-1][0], stop)
+        else:
+            merged.append((start, stop))
+    return merged
+
+
+class StateOwner:
+    """The join state of one owner, each side held once, and the fold that counts it.
 
     The single implementation behind every owner of join state: the
-    in-process default on :class:`ExecutionBackend` hosts one table for the
-    whole cluster, each :class:`StickyWorkerBackend` worker process hosts
-    one for the machines it owns.  Per machine it keeps a
-    :class:`~repro.streaming.incremental.SortedRegionState` pair and
-    mutates it in place batch after batch, so two owners fed the same
-    protocol traffic hold bit-identical state.
+    in-process default on :class:`ExecutionBackend` is one owner of every
+    machine, each :class:`StickyWorkerBackend` worker process one owner of
+    its machines.  Per side it keeps one counted
+    :class:`~repro.streaming.incremental.SortedRegionState` per group of
+    the side's :class:`SideLayout`, holding each live key that routes to at
+    least one of the group's readers exactly once, and mutates it in place
+    batch after batch -- so two owners fed the same protocol traffic hold
+    bit-identical state.  A machine's state is its group cut by its key
+    range: the same multiset a per-machine table would hold
+    (``tests/reference_state.py`` keeps that table as the oracle).
 
     Array inputs may be zero-copy views into a transient shared segment;
     :class:`SortedRegionState` copies on append, tombstone and install, so
-    the state keeps no view past the call.  The per-task ``(needles, run
-    keys, run counts)`` a :meth:`fold` returns are the caller's own arrival
-    keys and the state's own runs: count them before the arrivals' storage
-    is reused, read them, never write to them (the state itself only ever
-    swaps in fresh arrays).
+    the state keeps no view past the call.  The tasks a :meth:`fold`
+    returns hold the caller's arrival keys and the state's own runs: count
+    them before the arrivals' storage is reused, read them, never write to
+    them (the state itself only ever swaps in fresh arrays).
     """
 
-    def __init__(self, machines: "Iterable[int]") -> None:
-        self.machines = tuple(machines)
-        self.state1 = {machine: SortedRegionState() for machine in self.machines}
-        self.state2 = {machine: SortedRegionState() for machine in self.machines}
+    def __init__(self) -> None:
+        self.states: "tuple[list[SortedRegionState], list[SortedRegionState]]" = ([], [])
+        self.layouts: "list[SideLayout | None]" = [None, None]
+        #: Per side, the cuts of the runs the last fold searched under the
+        #: side's layout: ``id(run keys)`` -> ``(run keys, lows, highs)``.
+        #: Runs never change, so a run that outlives a batch is not cut (an
+        #: integer run not viewed as float64) again.
+        self._cuts: "tuple[dict, dict]" = ({}, {})
+
+    def _conform(self, side1: RoutedSide, side2: RoutedSide) -> None:
+        """Read each side through its routed layout from now on."""
+        for side, routed in enumerate((side1, side2)):
+            if routed.layout is not None and routed.layout is not self.layouts[side]:
+                self._read_through(side, routed.layout)
+
+    def _read_through(self, side: int, layout: SideLayout) -> None:
+        """Read ``side`` through ``layout`` from now on; its groups start empty if new."""
+        states = self.states[side]
+        if not states:
+            states[:] = [SortedRegionState() for _ in layout.readers]
+        elif len(states) != len(layout.readers):
+            raise ValueError(
+                f"a layout of {len(layout.readers)} groups cannot read state held "
+                f"in {len(states)}; install_state moves state onto a new layout"
+            )
+        self.layouts[side] = layout
+        self._cuts[side].clear()
+
+    def _cut(self, side: int, keys: np.ndarray, used: dict) -> "tuple[np.ndarray, np.ndarray]":
+        """Every reader's slice of one run, recorded in ``used``; cached across folds."""
+        run = id(keys)
+        hit = self._cuts[side].get(run)
+        if hit is None or hit[0] is not keys:
+            hit = (keys, *self.layouts[side].cut(keys))
+        used[run] = hit
+        return hit[1], hit[2]
 
     def fold(
-        self, arrays: "list[np.ndarray]"
-    ) -> "tuple[list[tuple[np.ndarray, ...]], np.ndarray]":
-        """Merge a batch's arrivals in; return the counting tasks and their owners.
+        self, new1: RoutedSide, new2: RoutedSide
+    ) -> "tuple[list[tuple], list[int], list[tuple[np.ndarray, int]]]":
+        """Merge a batch's arrivals in; return the counting tasks and how to sum them.
 
-        ``arrays`` is the machine-major layout of the whole cluster's
-        arrivals -- ``(keys1, keys2)`` per machine; only the slices of this
-        table's machines are read.  **Arrivals are key-sorted**: each key
-        array ascends (NaN last), as :meth:`Partitioning.sorted_arrivals
-        <repro.partitioning.base.Partitioning.sorted_arrivals>` routes
-        them, so they are appended to the state as they are
-        (:meth:`SortedRegionState.append_sorted
-        <repro.streaming.incremental.SortedRegionState.append_sorted>`,
-        which copies) and serve as the count's needles with no sort here.
+        A machine's output delta decomposes exactly as ``C(new1, state2 +
+        new2) + C(state1, new2)``: its first half searches the just-updated
+        R2 state per new R1 key, its second the *pre-append* R1 state per
+        new R2 key (to be counted under the transposed condition).  Each
+        half is one task per sorted run of each group it searches: the
+        needles are the batch's whole routed array, each reader's share a
+        segment of it (:func:`~repro.joins.local.segments`), clipped to the
+        reader's key range on that run (:func:`~repro.joins.local.count_regions`),
+        so a run is searched once for every machine reading it.
 
-        A machine's output delta
-        decomposes exactly as ``C(new1, state2 + new2) + C(state1, new2)``:
-        its first half searches the just-updated R2 state per new R1 key,
-        its second searches the *pre-append* R1 state per new R2 key (to be
-        counted under the transposed condition).  Each half is one task
-        ``(needles, run keys, run counts)`` per run of the searched state
-        -- the needles are the batch's arrival keys, the counts a run's
-        cumulative multiplicities (``None`` for a fresh run,
-        :func:`~repro.joins.local.count_regions`) -- so counting is
-        ``O(new * runs * log distinct)`` and the per-run counts sum exactly
-        to the half.
-
-        ``owners[t]`` is ``2 * slot + half`` of task ``t``, with ``slot``
-        the machine's position in :attr:`machines` and ``half`` 0 for the
-        original condition, 1 for the transposed one; :meth:`sum_halves`
-        folds per-task values back.  A half whose searched state is empty
-        keeps one task with nothing to search, so every machine has at
-        least its two tasks and every arrival is a needle at least once --
-        and ``owners`` ascends with every half present, which is what lets
-        :meth:`sum_halves` be one segmented reduction.  The tasks of one
-        half share their needles *array*, so the count kernel computes
-        joinable bounds for it once, not once per run.
+        Returns ``(tasks, halves, blocks)``: ``halves[t]`` is task ``t``'s
+        half (0 for the original condition, 1 for the transposed one) and
+        ``blocks`` what :meth:`sums` folds the per-segment outputs with --
+        per searched group in task order, its readers and its run count.  A
+        group with no runs, or whose readers received no needles, has no
+        task: its readers count zero.
         """
-        tasks: "list[tuple[np.ndarray, ...]]" = []
-        owners: "list[int]" = []
-        for slot, machine in enumerate(self.machines):
-            keys1, keys2 = arrays[2 * machine : 2 * machine + 2]
-            state1, state2 = self.state1[machine], self.state2[machine]
-            old_runs1 = state1.runs
-            state2.append_sorted(keys2)
-            state1.append_sorted(keys1)
-            for half, needles, searched in (
-                (0, keys1, state2.runs),
-                (1, keys2, old_runs1),
-            ):
-                searched = searched or [(needles[:0], None)]
-                tasks += [(needles, keys, cum) for keys, cum in searched]
-                owners += [2 * slot + half] * len(searched)
-        return tasks, np.array(owners, dtype=np.int64)
+        self._conform(new1, new2)
+        states1, states2 = self.states
+        old_runs1 = [state.runs for state in states1]
+        for states, new in ((states2, new2), (states1, new1)):
+            for group, state in enumerate(states):
+                state.append_sorted(new.group_keys(group))
+        tasks: "list[tuple]" = []
+        halves: "list[int]" = []
+        blocks: "list[tuple[np.ndarray, int]]" = []
+        used: "tuple[dict, dict]" = ({}, {})
+        for half, needles, side, searched in (
+            (0, new1, 1, [state.runs for state in states2]),
+            (1, new2, 0, old_runs1),
+        ):
+            layout = self.layouts[side]
+            for group, runs in enumerate(searched):
+                readers = layout.readers[group]
+                if not runs or not readers.size:
+                    continue
+                if readers.size == needles.starts.size:  # every machine, ascending
+                    shares = segments(needles.starts, needles.stops)
+                else:
+                    shares = segments(needles.starts[readers], needles.stops[readers])
+                if not shares.busy.size:
+                    continue
+                for keys, cum in runs:
+                    clip = (
+                        (None, None)
+                        if layout.cut is None
+                        else self._cut(side, keys, used[side])
+                    )
+                    tasks.append((needles.keys, keys, cum, (shares, *clip)))
+                halves += [half] * len(runs)
+                blocks.append((readers, len(runs)))
+        self._cuts = used
+        return tasks, halves, blocks
 
-    def sum_halves(self, values: np.ndarray, owners: np.ndarray) -> np.ndarray:
-        """Sum per-task ``values`` into a ``(machines, 2)`` array of halves.
+    @staticmethod
+    def sums(
+        outputs: np.ndarray, blocks: "list[tuple[np.ndarray, int]]", machines: int
+    ) -> np.ndarray:
+        """Fold :meth:`fold`'s per-segment outputs into one total per machine.
 
-        ``owners`` is what :meth:`fold` returned: ascending, every half
-        present -- so each half is one contiguous stretch of tasks and the
-        sums are a single segmented reduction from where each starts.
+        Each block's tasks have one output per reader, run after run, so a
+        block is one ``(runs, readers)`` reshape summed over its runs; a
+        group's readers are distinct, so adding it into the totals is one
+        buffered fancy-index add.
         """
-        starts = owners.searchsorted(np.arange(2 * len(self.machines)))
-        return np.add.reduceat(values, starts).reshape(-1, 2)
+        totals = np.zeros(machines, dtype=outputs.dtype)
+        start = 0
+        for readers, runs in blocks:
+            stop = start + runs * len(readers)
+            totals[readers] += np.add.reduce(
+                outputs[start:stop].reshape(runs, len(readers)), axis=0
+            )
+            start = stop
+        return totals
 
-    def evict(self, arrays: "list[np.ndarray]") -> "list[tuple[int, int]]":
-        """Tombstone each machine's expired keys; per machine, ``(R1, R2)`` counts.
+    def evict(self, expired1: RoutedSide, expired2: RoutedSide) -> None:
+        """Tombstone the expired keys: one run per group, each key once."""
+        self._conform(expired1, expired2)
+        for side, expired in enumerate((expired1, expired2)):
+            for group, state in enumerate(self.states[side]):
+                state.tombstone(expired.group_keys(group))
 
-        ``arrays`` is the machine-major ``(keys1, keys2)`` layout of what
-        the router sent each machine of the expired slices, key-sorted like
-        a batch (:meth:`SortedRegionState.tombstone
-        <repro.streaming.incremental.SortedRegionState.tombstone>`).
-        """
-        dropped = []
-        for machine in self.machines:
-            keys1, keys2 = arrays[2 * machine : 2 * machine + 2]
-            self.state1[machine].tombstone(keys1)
-            self.state2[machine].tombstone(keys2)
-            dropped.append((len(keys1), len(keys2)))
-        return dropped
+    def install(self, state1: RoutedSide, state2: RoutedSide) -> None:
+        """Hold exactly the complete live state given, read through its layout.
 
-    def install(self, arrays: "list[np.ndarray]") -> None:
-        """Replace every machine's state with its complete new keys.
-
-        ``arrays`` is a :func:`state_layout` of the whole cluster's
-        post-move state, key-sorted as :meth:`fold` requires; each machine
-        becomes one counted run of them
+        Each group becomes one counted run of its keys
         (:meth:`SortedRegionState.install
-        <repro.streaming.incremental.SortedRegionState.install>`).
+        <repro.streaming.incremental.SortedRegionState.install>`) -- unless
+        the state already holds them: when the old and the new layout are
+        both one group whose key ranges cover every key, the state stays as
+        it is and only the layout changes.  That is every migration and
+        resize between EWH plans, so in-process they move nothing.
         """
-        for machine in self.machines:
-            keys1, keys2 = arrays[2 * machine : 2 * machine + 2]
-            self.state1[machine].install(keys1)
-            self.state2[machine].install(keys2)
+        for side, state in enumerate((state1, state2)):
+            layout, states = state.layout, self.states[side]
+            if layout is None:
+                states.clear()
+            elif not self._holds(side, state):
+                states[:] = [SortedRegionState() for _ in layout.readers]
+                for group, held in enumerate(states):
+                    held.install(state.group_keys(group))
+            self.layouts[side] = layout
+            self._cuts[side].clear()
+
+    def _holds(self, side: int, state: RoutedSide) -> bool:
+        """Whether ``side``'s state already is ``state``'s complete keys.
+
+        It is when the old and the new layout both hold everything routed
+        in one group: every live key, once.
+        """
+        old, new = self.layouts[side], state.layout
+        return old is not None and old.whole and new.whole
+
+    def held(self) -> "tuple[int, int]":
+        """Tuples held per side, each once (``(R1, R2)``)."""
+        return tuple(sum(len(state) for state in states) for states in self.states)
+
+    def view(self, side: int, machine: int) -> np.ndarray:
+        """Machine ``machine``'s keys of one side (0 for R1), expanded, ascending.
+
+        A read view for tests and tools -- its group's multiset cut by its
+        key range; the per-batch paths never read it.
+        """
+        layout = self.layouts[side]
+        for group, readers in enumerate(layout.readers if layout else []):
+            where = (readers == machine).nonzero()[0]
+            if where.size:
+                keys = self.states[side][group].keys
+                if layout.cut is None:
+                    return keys
+                lows, highs = layout.cut(keys)
+                return keys[lows[where[0]] : highs[where[0]]]
+        return np.empty(0)
 
 
-def state_layout(
-    keys1: "list[np.ndarray]", keys2: "list[np.ndarray]"
-) -> "list[np.ndarray]":
-    """Machine-major array layout: (keys1, keys2) per machine.
-
-    The one shape protocol traffic takes on its way into a
-    :class:`RegionStateTable` -- each machine's sorted R1 and R2 keys laid
-    end to end -- whether the table sits in this process or behind a
-    shared-memory message.
-    """
-    return [keys for pair in zip(keys1, keys2) for keys in pair]
+def _per_machine(state1: RoutedSide, state2: RoutedSide) -> "list[np.ndarray]":
+    """Machine-major arrays, ``(keys1, keys2)`` per machine: a sticky message's layout."""
+    return [keys for pair in zip(state1.columns(), state2.columns()) for keys in pair]
 
 
-def _fleet_size(state1: "list[np.ndarray]", state2: "list[np.ndarray]") -> int:
-    """The machine count an ``install_state`` names: one key array per side each."""
-    if not state1 or len(state1) != len(state2):
+def _fleet_size(state1: RoutedSide, state2: RoutedSide) -> int:
+    """The machine count an ``install_state`` names: one slice per side each."""
+    if not len(state1.starts) or len(state1.starts) != len(state2.starts):
         raise ValueError(
-            "install_state takes one R1 and one R2 key array per machine, "
-            f"for at least one machine; got {len(state1)} and {len(state2)}"
+            "install_state takes one R1 and one R2 share per machine, "
+            f"for at least one machine; got {len(state1.starts)} and "
+            f"{len(state2.starts)}"
         )
-    return len(state1)
+    return len(state1.starts)
 
 
 def _lengths(layout: "list[np.ndarray]") -> np.ndarray:
-    """``(machines, 2)`` lengths of a :func:`state_layout`'s R1 / R2 keys."""
+    """``(machines, 2)`` lengths of :func:`_per_machine`'s R1 / R2 keys."""
     return np.array([len(keys) for keys in layout], dtype=np.int64).reshape(-1, 2)
 
 
@@ -289,12 +482,13 @@ class ExecutionBackend(abc.ABC):
     protocol** implemented here: :meth:`bind` once per stream, then per
     batch :meth:`count_batch` / :meth:`evict_state`,
     :meth:`install_state` on a migration, resize or restore and
-    :meth:`drain_channel_bytes` for byte metering.  The default keeps a
-    :class:`RegionStateTable` in-process and dispatches each batch's
-    search tasks through :meth:`join_regions` -- the single abstract
-    method, so an in-process backend only decides how a task list is
-    counted.  A backend that keeps the state elsewhere
-    (:class:`StickyWorkerBackend`) overrides the whole protocol; overriding
+    :meth:`drain_channel_bytes` for byte metering.  The default keeps one
+    :class:`StateOwner` of every machine in-process and dispatches each
+    batch's search tasks through :meth:`join_regions` -- the single
+    abstract method, so an in-process backend only decides how a task list
+    is counted.  A backend that keeps the state elsewhere
+    (:class:`StickyWorkerBackend`) or decorates another
+    (:class:`SlowConsumerBackend`) overrides the whole protocol; overriding
     part of it leaves half the state remote, which the static analyser
     rejects (API001).
 
@@ -325,7 +519,7 @@ class ExecutionBackend(abc.ABC):
 
     #: The bound stream's state and its (original, transposed) conditions;
     #: class-level defaults for the same reason.
-    _table: "RegionStateTable | None" = None
+    _owner: "StateOwner | None" = None
     _fold_conditions: "tuple[JoinCondition, ...]" = ()
 
     @property
@@ -341,30 +535,32 @@ class ExecutionBackend(abc.ABC):
                 "backend instead of reusing a closed one"
             )
 
-    def _bound_table(self) -> RegionStateTable:
-        """The bound stream's state table; raise unless open and bound."""
+    def _bound_owner(self) -> StateOwner:
+        """The bound stream's state owner; raise unless open and bound."""
         self._ensure_open()
-        if self._table is None:
+        if self._owner is None:
             raise RuntimeError(
                 f"{type(self).__name__} is not bound to a stream yet; the "
                 "engine calls bind() at the start of its run"
             )
-        return self._table
+        return self._owner
 
     @abc.abstractmethod
     def join_regions(
         self,
-        tasks: "list[tuple[np.ndarray, ...]]",
+        tasks: "list[tuple]",
         conditions: "list[JoinCondition]",
     ) -> RegionJoinResult:
-        """Join each ``(needles, run keys)`` task; count exact output.
+        """Join each ``(needles, run keys[, cum[, clip]])`` task; count exact output.
 
         Tasks with an empty side produce no output and must not be charged
         any work.  ``conditions[t]`` is task ``t``'s condition
         (:meth:`count_batch` mixes the original and transposed orientations
         in one dispatch), and every task's second array is a sorted run of
-        the state, searched, never sorted (``O(new * runs * log state)``
-        per batch).
+        the state, searched, never sorted.  ``per_machine_output`` holds
+        :func:`~repro.joins.local.count_regions`' outputs -- one per task,
+        or one per segment of a clipped task -- and ``per_machine_seconds``
+        one entry per task.
         """
 
     # ------------------------------------------------------------------
@@ -380,66 +576,63 @@ class ExecutionBackend(abc.ABC):
         self._ensure_open()
         if num_machines <= 0:
             raise ValueError("num_machines must be positive")
-        self._table = RegionStateTable(range(num_machines))
+        self._owner = StateOwner()
         self._fold_conditions = (condition, transposed)
 
-    def count_batch(
-        self, new1: "list[np.ndarray]", new2: "list[np.ndarray]"
-    ) -> RegionJoinResult:
+    def count_batch(self, new1: RoutedSide, new2: RoutedSide) -> RegionJoinResult:
         """Fold one batch's arrivals into the state; count its output delta.
 
-        ``new1`` / ``new2`` are per-machine arrival keys, key-sorted as
-        :meth:`RegionStateTable.fold` requires.  Every machine's search
-        tasks (:meth:`RegionStateTable.fold`: two halves, one task per run
-        searched) go through :meth:`join_regions` as one dispatch, so the
-        returned timings and serialization bytes are the backend's own; no
-        full-region recount ever happens.  Per-task outputs and seconds are
-        summed back to their machines; ``worker_pids`` /
-        ``worker_seconds`` stay per task.
+        ``new1`` / ``new2`` are the batch's routed sides.  The owner's
+        search tasks (:meth:`StateOwner.fold`: two halves, one task per run
+        searched) go through :meth:`join_regions` as one dispatch,
+        so the returned timings and serialization bytes are the backend's
+        own; no full-region recount ever happens.  Per-segment outputs are
+        summed back to their machines.  One pass counts every machine, so
+        ``per_machine_seconds`` is ``None``: no per-machine time was
+        measured.
         """
-        table = self._bound_table()
-        tasks, owners = table.fold(state_layout(new1, new2))
+        owner = self._bound_owner()
+        tasks, halves, blocks = owner.fold(new1, new2)
         execution = self.join_regions(
-            tasks, [self._fold_conditions[owner & 1] for owner in owners.tolist()]
+            tasks, [self._fold_conditions[half] for half in halves]
         )
-        return replace(
-            execution,
-            per_machine_output=table.sum_halves(
-                execution.per_machine_output, owners
-            ).sum(axis=1),
-            per_machine_seconds=table.sum_halves(
-                execution.per_machine_seconds, owners
-            ).sum(axis=1),
+        # The execution is this dispatch's own: its per-task fields become
+        # per machine in place.
+        execution.per_machine_output = owner.sums(
+            execution.per_machine_output, blocks, len(new1.starts)
         )
+        execution.per_machine_seconds = None
+        return execution
 
-    def evict_state(
-        self, expired1: "list[np.ndarray]", expired2: "list[np.ndarray]"
-    ) -> int:
-        """Tombstone each machine's expired keys; return how many.
+    def evict_state(self, expired1: RoutedSide, expired2: RoutedSide) -> int:
+        """Tombstone the expired keys; return how many the machines held.
 
-        ``expired1`` / ``expired2`` are, per machine, the keys of the
-        expired tuples it holds, key-sorted -- the router's share of the
-        expired slices, in :meth:`count_batch`'s shape.
+        ``expired1`` / ``expired2`` are the expired slices routed like a
+        batch.  The owner tombstones each expired key once per group; the
+        count returned is per machine, a replicated key once for every
+        machine that held it.
         """
-        dropped = self._bound_table().evict(state_layout(expired1, expired2))
-        return sum(side1 + side2 for side1, side2 in dropped)
+        owner = self._bound_owner()
+        owner.evict(expired1, expired2)
+        return int(
+            np.add.reduce(expired1.stops - expired1.starts)
+            + np.add.reduce(expired2.stops - expired2.starts)
+        )
 
-    def install_state(
-        self, state1: "list[np.ndarray]", state2: "list[np.ndarray]"
-    ) -> None:
-        """Replace every machine's state with its complete new keys.
+    def install_state(self, state1: RoutedSide, state2: RoutedSide) -> None:
+        """Hold the complete new state: the live keys routed by a new plan.
 
         The one way state moves wholesale -- the initial build's backlog is
-        counted as a batch, but a migration plan's new state and a
+        counted as a batch, but a migration's and a resize's new plan and a
         restore's routed live state come here -- in the shape
-        :meth:`count_batch` takes: per machine, keys sorted as
-        :meth:`RegionStateTable.fold` requires.  The fleet size is
-        ``len(state1)``: installing onto a different one is how the fleet
-        resizes.
+        :meth:`count_batch` takes.  The fleet size is the number of
+        machines the sides are routed to: installing onto a different one
+        is how the fleet resizes.  In-process, a new plan that covers the
+        keys already held moves nothing (:meth:`StateOwner.install`).
         """
-        self._bound_table()
-        self._table = RegionStateTable(range(_fleet_size(state1, state2)))
-        self._table.install(state_layout(state1, state2))
+        owner = self._bound_owner()
+        _fleet_size(state1, state2)
+        owner.install(state1, state2)
 
     def drain_channel_bytes(
         self,
@@ -487,27 +680,30 @@ class SimulatedBackend(ExecutionBackend):
 
 
 class _StickyWorkerState:
-    """One sticky worker's command handlers over its resident state table.
+    """One sticky worker's command handlers over its resident state owner.
 
-    The worker process hosts the :class:`RegionStateTable` of the machines
+    The worker process hosts the :class:`StateOwner` of the machines
     assigned to it and answers the backend's control messages with the very
-    same table operations and counting loop the in-process default runs,
+    same owner operations and counting loop the in-process default runs,
     in the same order -- so the counted deltas are bit-identical to the
     simulated backend's.  The handlers live on this (in-process testable)
     class; :func:`_sticky_worker_main` is only the recv/dispatch/send loop
     around it.
 
-    Array payloads are zero-copy views into the engine's shared segment, in
-    :func:`state_layout` order.  A state verb's handler returns one row of
-    values per owned machine (or ``None``: no values); :meth:`handle`
-    prefixes each with the machine and what it held when the command arrived.
+    Array payloads are zero-copy views into the engine's shared segment,
+    ``(keys1, keys2)`` per machine of the whole fleet; the worker reads its
+    own machines' and hands them to its owner as per-machine routed sides
+    (:meth:`RoutedSide.of`: a group per machine).  A state verb's reply is
+    what the owner held per side when the command arrived and the verb's
+    values.
     """
 
     #: The state verbs: commands whose payload is a shared-memory message.
     VERBS = ("count", "evict", "install")
 
     def __init__(self) -> None:
-        self.table = RegionStateTable(())
+        self.owner = StateOwner()
+        self.machines: "tuple[int, ...]" = ()
         self.conditions: "tuple[JoinCondition, ...]" = ()
 
     def own(
@@ -522,56 +718,65 @@ class _StickyWorkerState:
         size -- ownership is reassigned wholesale, and the :meth:`install`
         that follows carries every machine's complete state.
         """
-        self.table = RegionStateTable(machines)
+        self.owner = StateOwner()
+        self.machines = tuple(machines)
         self.conditions = (condition, transposed)
         return ("owned", os.getpid())
 
-    def held(self) -> "list[tuple[int, int, int]]":
-        """Per owned machine: ``(machine, |R1 state|, |R2 state|)``."""
-        table = self.table
-        return [
-            (machine, len(table.state1[machine]), len(table.state2[machine]))
-            for machine in table.machines
-        ]
-
-    def count(self, arrays: "list[np.ndarray]") -> "list[tuple[int, float]]":
-        """Fold one batch's deltas in and count: ``(output, seconds)`` rows.
-
-        The per-run tasks of :meth:`RegionStateTable.fold` are counted by
-        :func:`~repro.joins.local.count_regions` and summed per machine
-        here, in the worker, so the reply is one fixed-size row per machine
-        however many runs the state holds.
-        """
-        table = self.table
-        tasks, owners = table.fold(arrays)
-        outputs, seconds = count_regions(
-            tasks, [self.conditions[owner & 1] for owner in owners.tolist()]
+    def _mine(self, arrays: "list[np.ndarray]") -> "tuple[RoutedSide, RoutedSide]":
+        """This worker's machines' share of a machine-major message, per side."""
+        return (
+            RoutedSide.of([arrays[2 * machine] for machine in self.machines]),
+            RoutedSide.of([arrays[2 * machine + 1] for machine in self.machines]),
         )
-        outputs = table.sum_halves(outputs, owners).sum(axis=1).tolist()
-        seconds = table.sum_halves(seconds, owners).sum(axis=1).tolist()
-        return list(zip(outputs, seconds))
 
-    def evict(self, arrays: "list[np.ndarray]") -> "list[tuple[int, int]]":
-        """Tombstone each owned machine's expired keys: ``(R1, R2)`` counts."""
-        return self.table.evict(arrays)
+    def count(self, arrays: "list[np.ndarray]") -> "tuple[list[int], list[float]]":
+        """Fold one batch's deltas in and count: per owned machine its output and seconds.
+
+        The owner's tasks (:meth:`StateOwner.fold`) are counted by
+        :func:`~repro.joins.local.count_regions` and summed per machine
+        here, in the worker, so the reply is two numbers per machine however
+        many runs the state holds.  Each group is one machine's
+        (:meth:`RoutedSide.of`), so every task of a block is its reader's
+        and the task seconds add up to real per-machine seconds.
+        """
+        owner = self.owner
+        tasks, halves, blocks = owner.fold(*self._mine(arrays))
+        outputs, seconds = count_regions(
+            tasks, [self.conditions[half] for half in halves]
+        )
+        machine_of_task = np.repeat(
+            np.array([readers[0] for readers, _ in blocks], dtype=np.int64),
+            [runs for _, runs in blocks],
+        )
+        per_machine = np.bincount(
+            machine_of_task, weights=seconds, minlength=len(self.machines)
+        )
+        return (
+            owner.sums(outputs, blocks, len(self.machines)).tolist(),
+            per_machine.tolist(),
+        )
+
+    def evict(self, arrays: "list[np.ndarray]") -> None:
+        """Tombstone each owned machine's expired keys."""
+        self.owner.evict(*self._mine(arrays))
 
     def install(self, arrays: "list[np.ndarray]") -> None:
-        """Replace every owned machine's state with its complete new keys."""
-        self.table.install(arrays)
+        """Hold every owned machine's complete new keys."""
+        self.owner.install(*self._mine(arrays))
 
     def handle(self, command: tuple, reader: ShmReader):
-        """Dispatch one command; a state verb replies ``(op, rows)``.
+        """Dispatch one command; a state verb replies ``(op, held, values)``.
 
-        One row per owned machine: ``(machine, held1, held2, *values)``.
+        ``held`` is the owner's ``(R1, R2)`` tuple count on receipt.
         """
         op = command[0]
         if op == "own":
             return self.own(*command[1:])
         if op not in self.VERBS:
             raise ValueError(f"unknown sticky-worker command {op!r}")
-        held = self.held()
-        values = getattr(self, op)(reader.arrays(command[1])) or [()] * len(held)
-        return (op, [(*before, *row) for before, row in zip(held, values)])
+        held = self.owner.held()
+        return (op, held, getattr(self, op)(reader.arrays(command[1])))
 
 
 def _sticky_worker_main(channel) -> None:
@@ -610,24 +815,27 @@ def _sticky_worker_main(channel) -> None:
 class StickyWorkerBackend(ExecutionBackend):
     """Resident per-worker join state over shared memory (zero-copy deltas).
 
-    Each of ``max_workers`` long-lived processes owns the
-    :class:`SortedRegionState` pair of the machines assigned to it (machine
-    ``m`` lives on worker ``m % W``), resident across batches, so per batch
+    Each of ``max_workers`` long-lived processes is the :class:`StateOwner`
+    of the machines assigned to it (machine ``m`` lives on worker ``m %
+    W``), resident across batches, so per batch
     the engine ships only the *delta*: every array payload -- arrivals,
     eviction sets, migrated state -- rides a
     :class:`~repro.streaming.shm.ShmArena` segment and the pickle channel
     carries fixed-size control messages (``docs/streaming.md``, "Zero-copy
     sticky workers", has the story and the measured baseline).
 
-    This is the one override of the state-ownership protocol, and the
-    workers hold the *only* copy of the state.  Engine-side the backend
+    The workers hold the *only* copy of the state.  Engine-side the backend
     keeps one integer per machine and side -- how many tuples it has told
-    that machine to hold -- and every reply opens with what the machine
-    really held when the command arrived; a disagreement raises instead of
-    counting against state that does not exist.  Nothing is ever read back:
-    what a machine holds is derived engine-side from the arrival logs.
-    Counted outputs are bit-identical to :class:`SimulatedBackend`: the
-    workers run the same :class:`RegionStateTable` fold on the same arrays.
+    that machine to hold -- and every reply opens with what the worker's
+    owner really held per side when the command arrived, which must be its
+    machines' sum; a disagreement raises instead of counting against state
+    that does not exist.  Nothing is ever read back: what a machine holds
+    is derived engine-side from the arrival logs.  Counted outputs are
+    bit-identical to :class:`SimulatedBackend`: the workers run the same
+    :class:`StateOwner` fold.  The messages carry per-machine arrays, so a
+    worker's owner holds a group per machine and times each machine's
+    searches: a batch reports real per-machine seconds, and their sum per
+    worker as ``worker_pids`` / ``worker_seconds``.
 
     Parameters
     ----------
@@ -666,7 +874,7 @@ class StickyWorkerBackend(ExecutionBackend):
         self._arena: "ShmArena | None" = None
         self._channels: list = []
         self._processes: list = []
-        self._machine_pids: "np.ndarray | None" = None
+        self._worker_pids: "np.ndarray | None" = None
         #: Tuples each machine has been told to hold, ``[machine, side]``:
         #: all the backend keeps of the state (``None`` until ``bind``).
         self._counts: "np.ndarray | None" = None
@@ -742,8 +950,7 @@ class StickyWorkerBackend(ExecutionBackend):
 
         One ``own`` command per worker (they differ, so not a
         :meth:`_broadcast`), all sent before any reply is awaited; the
-        replies' pids rebuild the machine-to-pid map, and the counts start
-        over at zero.
+        replies' pids are the workers', and the counts start over at zero.
         """
         workers = len(self._channels)
         self._commands_since_drain = True
@@ -753,10 +960,9 @@ class StickyWorkerBackend(ExecutionBackend):
             if self.profile_serialization:
                 self._bytes_pickled += pickled_nbytes(command)
             self._send(worker, command)
-        pids = np.zeros(num_machines, dtype=np.int64)
-        for worker in range(workers):
-            pids[worker::workers] = self._recv(worker)[1]
-        self._machine_pids = pids
+        self._worker_pids = np.array(
+            [self._recv(worker)[1] for worker in range(workers)], dtype=np.int64
+        )
         self._counts = np.zeros((num_machines, 2), dtype=np.int64)
 
     def _crashed(self, worker: int, cause: "BaseException | None" = None):
@@ -827,70 +1033,74 @@ class StickyWorkerBackend(ExecutionBackend):
             self._send(worker, command)
         return [self._recv(worker) for worker in range(len(self._channels))]
 
-    def _command(self, op: str, message: ShmMessage) -> "list[tuple]":
+    def _command(self, op: str, message: ShmMessage) -> "list":
         """Broadcast → gather → check: the one body of every state verb.
 
         ``message`` is the verb's arena payload: its bytes are metered
-        here, only its descriptor is pickled.  Each worker answers one row per machine it
-        owns, ``(machine, held1, held2, *values)``; the ``values`` come
-        back in machine order.  What the machines held on receipt must
-        equal the backend's counts -- all it knows about worker state.
+        here, only its descriptor is pickled.  Each worker answers
+        ``(op, held, values)``: what its owner held per side on receipt --
+        which must equal the sum of the backend's counts over the worker's
+        machines, all it knows about worker state -- and the verb's values,
+        returned in worker order.
         """
         self._bytes_shm += message.payload_bytes
-        held = np.full_like(self._counts, -1)
-        values: "list[tuple]" = [()] * len(held)
-        for reply in self._broadcast((op, message)):
-            for machine, held1, held2, *row in reply[1]:
-                held[machine] = held1, held2
-                values[machine] = tuple(row)
-        if not np.array_equal(held, self._counts):
+        workers = len(self._channels)
+        replies = self._broadcast((op, message))
+        held = np.array([reply[1] for reply in replies], dtype=np.int64)
+        told = np.array(
+            [self._counts[worker::workers].sum(axis=0) for worker in range(workers)]
+        )
+        if not np.array_equal(held, told):
             raise RuntimeError(
                 f"sticky workers held {held.tolist()} state entries (per "
-                f"machine: R1, R2) on receiving {op!r} but the backend's "
-                f"counts say {self._counts.tolist()}; worker-resident state "
-                "has diverged from the engine"
+                f"worker: R1, R2) on receiving {op!r} but the backend's "
+                f"counts say {told.tolist()}; worker-resident state has "
+                "diverged from the engine"
             )
-        return values
+        return [reply[2] for reply in replies]
 
-    def count_batch(
-        self, new1: "list[np.ndarray]", new2: "list[np.ndarray]"
-    ) -> RegionJoinResult:
+    def count_batch(self, new1: RoutedSide, new2: RoutedSide) -> RegionJoinResult:
         """Ship one batch's per-machine deltas; fold and count worker-side.
 
         The key-sorted arrivals are written to the arena as one
-        :func:`state_layout` message, per machine as they came.  The byte
-        accounting accrues on the backend and is drained per batch
-        (:meth:`drain_channel_bytes`), covering every command of the batch.
+        machine-major message, each machine's keys as the router sliced
+        them.  The byte accounting accrues on the backend and is drained
+        per batch (:meth:`drain_channel_bytes`), covering every command of
+        the batch.
         """
         start = perf_counter()
-        layout = state_layout(new1, new2)
-        rows = self._command("count", self._bound_arena().write(layout))
+        arena = self._bound_arena()
+        layout = _per_machine(new1, new2)
+        replies = self._command("count", arena.write(layout))
         self._counts += _lengths(layout)
-        outputs, seconds = zip(*rows)
+        workers = len(replies)
+        outputs = np.zeros(len(self._counts), dtype=np.int64)
+        seconds = np.zeros(len(self._counts))
+        for worker, (machine_outputs, machine_seconds) in enumerate(replies):
+            outputs[worker::workers] = machine_outputs
+            seconds[worker::workers] = machine_seconds
         return RegionJoinResult(
-            per_machine_output=np.array(outputs, dtype=np.int64),
-            per_machine_seconds=np.array(seconds),
+            per_machine_output=outputs,
+            per_machine_seconds=seconds,
             wall_seconds=perf_counter() - start,
-            worker_pids=self._machine_pids.copy(),
+            worker_pids=self._worker_pids.copy(),
+            worker_seconds=np.array([sum(times) for _, times in replies]),
         )
 
-    def evict_state(
-        self, expired1: "list[np.ndarray]", expired2: "list[np.ndarray]"
-    ) -> int:
+    def evict_state(self, expired1: RoutedSide, expired2: RoutedSide) -> int:
         """Ship each machine's expired keys; the workers tombstone them.
 
-        One :func:`state_layout` message, like a batch; the counts shrink
-        by what each machine was sent.
+        One machine-major message, like a batch; the counts shrink by what
+        each machine was sent.
         """
-        layout = state_layout(expired1, expired2)
-        self._command("evict", self._bound_arena().write(layout))
+        arena = self._bound_arena()
+        layout = _per_machine(expired1, expired2)
+        self._command("evict", arena.write(layout))
         dropped = _lengths(layout)
         self._counts -= dropped
         return int(dropped.sum())
 
-    def install_state(
-        self, state1: "list[np.ndarray]", state2: "list[np.ndarray]"
-    ) -> None:
+    def install_state(self, state1: RoutedSide, state2: RoutedSide) -> None:
         """Move migrated state between workers through shared memory.
 
         Each worker rebuilds its owned machines' state from the shared
@@ -904,7 +1114,7 @@ class StickyWorkerBackend(ExecutionBackend):
         machines = _fleet_size(state1, state2)
         if machines != len(self._counts):
             self._assign(machines)
-        layout = state_layout(state1, state2)
+        layout = _per_machine(state1, state2)
         self._command("install", arena.write(layout))
         self._counts = _lengths(layout)
 
@@ -983,11 +1193,13 @@ class SlowConsumerBackend(ExecutionBackend):
 
     Backpressure only matters when the consumer cannot keep up, so the
     pipeline tests and benchmarks need a consumer whose slowness is a
-    *parameter*, not an accident of the host machine.  This wrapper adds
-    ``seconds_per_call + seconds_per_tuple * probe_tuples`` to every
-    execution (``probe_tuples`` counts each task's first-side keys --
-    under the engine's incremental counting, the batch's new arrivals once
-    per sorted run of retained state they are searched against).
+    *parameter*, not an accident of the host machine.  This wrapper
+    forwards the state-ownership protocol to ``inner`` -- which keeps the
+    state -- and adds ``seconds_per_call + seconds_per_tuple * routed``
+    to every ``count_batch``, ``routed`` being the batch's routed arrivals
+    (a replicated tuple once per machine it reaches).  A direct
+    :meth:`join_regions` dispatch is slowed likewise, per task's first-side
+    keys.
 
     By default the delay is **virtual**: it is added to the reported
     ``wall_seconds`` without stalling anything, so simulated-clock tests
@@ -1019,20 +1231,56 @@ class SlowConsumerBackend(ExecutionBackend):
             inner.clock_domain if sleep is not None else "simulated"
         )
 
+    def _delay(self, tuples: int) -> float:
+        """The slowdown for ``tuples`` probed tuples; stalls when really sleeping."""
+        delay = self.seconds_per_call + self.seconds_per_tuple * tuples
+        if self._sleep is not None and delay > 0:
+            self._sleep(delay)
+        return delay
+
     def join_regions(
         self,
-        tasks: "list[tuple[np.ndarray, ...]]",
+        tasks: "list[tuple]",
         conditions: "list[JoinCondition]",
     ) -> RegionJoinResult:
         """Run the inner backend, slowed by the configured delay."""
         self._ensure_open()
-        delay = self.seconds_per_call + self.seconds_per_tuple * sum(
-            len(task[0]) for task in tasks
-        )
-        if self._sleep is not None and delay > 0:
-            self._sleep(delay)
+        delay = self._delay(sum(len(task[0]) for task in tasks))
         result = self.inner.join_regions(tasks, conditions)
         return replace(result, wall_seconds=result.wall_seconds + delay)
+
+    def bind(
+        self,
+        num_machines: int,
+        condition: JoinCondition,
+        transposed: JoinCondition,
+    ) -> None:
+        """Bind the inner backend."""
+        self._ensure_open()
+        self.inner.bind(num_machines, condition, transposed)
+
+    def count_batch(self, new1: RoutedSide, new2: RoutedSide) -> RegionJoinResult:
+        """Count on the inner backend, slowed per routed arrival."""
+        self._ensure_open()
+        delay = self._delay(int(new1.sizes.sum() + new2.sizes.sum()))
+        result = self.inner.count_batch(new1, new2)
+        return replace(result, wall_seconds=result.wall_seconds + delay)
+
+    def evict_state(self, expired1: RoutedSide, expired2: RoutedSide) -> int:
+        """Evict on the inner backend."""
+        self._ensure_open()
+        return self.inner.evict_state(expired1, expired2)
+
+    def install_state(self, state1: RoutedSide, state2: RoutedSide) -> None:
+        """Install on the inner backend."""
+        self._ensure_open()
+        self.inner.install_state(state1, state2)
+
+    def drain_channel_bytes(
+        self,
+    ) -> "tuple[int | None, int | None, int | None]":
+        """The inner backend's channel bytes."""
+        return self.inner.drain_channel_bytes()
 
     def close(self) -> None:
         """Close the wrapped backend along with the decorator."""

@@ -80,9 +80,9 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from repro.streaming.arrivals import ArrivalLog
-from repro.streaming.backends import WorkerCrashError
+from repro.streaming.backends import RoutedSide, WorkerCrashError
 from repro.streaming.metrics import StreamRunResult
-from repro.streaming.migration import placement
+from repro.streaming.migration import placement, route_live
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -133,6 +133,7 @@ class RunState:
         "resident_tuples",
         "partitioning",
         "region_to_machine",
+        "layouts",
         "last_batch_index",
         "position",
         "cumulative",
@@ -392,6 +393,24 @@ def capture(engine: Any) -> StreamCheckpoint:
     return checkpoint
 
 
+def _restored_state(s: RunState, machines: int) -> tuple:
+    """Both sides' live logs routed by the captured plan: what a restore installs.
+
+    Sets the run state's layouts on the way; before the initial build
+    there is no plan, and nothing is held.
+    """
+    if s.partitioning is None:
+        s.layouts = None
+        empty = np.zeros(machines, dtype=np.int64)
+        return tuple(
+            RoutedSide(log.keys[:0], empty, empty, None) for log in (s.log1, s.log2)
+        )
+    s.layouts, routed = route_live(
+        s.partitioning, s.log1, s.log2, s.rng, s.region_to_machine, machines
+    )
+    return routed
+
+
 def resume(
     engine_cls: Any,
     checkpoint: StreamCheckpoint,
@@ -461,17 +480,7 @@ def resume(
         engine.backend.bind(
             engine.num_machines, engine.condition, engine._transposed
         )
-        engine.backend.install_state(
-            *(
-                [
-                    keys
-                    for _, keys in placement(
-                        s.partitioning, side, log, s.rng, engine.num_machines, s.region_to_machine
-                    )
-                ]
-                for side, log in ((1, s.log1), (2, s.log2))
-            )
-        )
+        engine.backend.install_state(*_restored_state(s, engine.num_machines))
         span.set(
             batches=len(s.result.batches),
             resident=checkpoint.resident_tuples,

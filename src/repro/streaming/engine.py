@@ -82,7 +82,6 @@ which ``tests/test_backends.py`` pins down.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable
 
 import numpy as np
@@ -99,15 +98,16 @@ from repro.streaming.arrivals import ArrivalLog
 from repro.streaming.backends import (
     ExecutionBackend,
     RegionJoinResult,
+    RoutedSide,
     SimulatedBackend,
 )
 from repro.streaming.checkpoint import RunState, StreamCheckpoint, capture, resume
 from repro.streaming.incremental import IncrementalHistogram
 from repro.streaming.metrics import BatchMetrics, StreamRunResult
 from repro.streaming.migration import (
-    _to_machines,
     held_by_machine,
-    plan_migration,
+    plan_install,
+    route_batch,
     route_live,
     sorted_live,
 )
@@ -121,11 +121,6 @@ from repro.streaming.source import MicroBatch, StreamSource
 from repro.streaming.window import WindowPolicy, make_window
 
 __all__ = ["StreamingJoinEngine", "compare_streaming_schemes"]
-
-
-def _keys(columns: "list[tuple[np.ndarray, np.ndarray]]") -> "list[np.ndarray]":
-    """The key column of each machine's routed ``(indices, keys)`` columns."""
-    return [keys for _, keys in columns]
 
 
 class StreamingJoinEngine:
@@ -344,16 +339,17 @@ class StreamingJoinEngine:
 
         The one way a running join changes partitioning, shared by drift
         migrations (same fleet) and :meth:`resize` (``machines`` differs):
-        :func:`~repro.streaming.migration.plan_migration` diffs what every
+        :func:`~repro.streaming.migration.plan_install` diffs what every
         machine holds -- the live logs routed by the current plan
         (:func:`~repro.streaming.migration.held_by_machine`) -- against where
         the replacement routes them, each side's live tuples key-sorted once
         for both routes (so two grid plans overlap by span arithmetic).  The
-        backend installs the planned keys (on ``machines`` machines: a fleet
-        change is an install of a different length), and the moved tuples --
-        plus the histogram rebuild, if one ran since ``builds_before`` -- are
-        priced per machine of the new fleet.  Returns the charges for
-        :meth:`_charge`.
+        backend is handed the replacement's route of that sort, the one the
+        diff read (on ``machines`` machines: a fleet change is an install of
+        a different length); an in-process owner whose keys the new plan
+        covers already moves nothing.  The moved tuples -- plus the histogram rebuild, if one ran
+        since ``builds_before`` -- are priced per machine of the new fleet.
+        Returns the charges for :meth:`_charge`.
         """
         s = self._state
         live1, live2 = sorted_live(s.log1), sorted_live(s.log2)
@@ -363,7 +359,7 @@ class StreamingJoinEngine:
             )
             for side, live in ((1, live1), (2, live2))
         )
-        plan = plan_migration(
+        plan, s.layouts, (state1, state2) = plan_install(
             old1,
             old2,
             replacement,
@@ -373,11 +369,9 @@ class StreamingJoinEngine:
             s.rng,
             mode=self.migration_mode,
         )
-        self.backend.install_state(_keys(plan.new_state1), _keys(plan.new_state2))
+        self.backend.install_state(state1, state2)
         self.num_machines = machines
-        s.resident_tuples = sum(
-            len(held) for held, _ in plan.new_state1 + plan.new_state2
-        )
+        s.resident_tuples = int(state1.sizes.sum() + state2.sizes.sum())
         s.partitioning = replacement
         s.region_to_machine = plan.region_to_machine
         load = (
@@ -393,11 +387,10 @@ class StreamingJoinEngine:
             "load": load,
             "migrated": plan.total_moved,
             "rebuild_cost": rebuild_cost,
-            # Keep the plan's figures for reports and equivalence tests,
-            # but drop the O(history) state columns -- the backend already
-            # holds the keys, and a result object must not pin full-history
-            # snapshots per rebuild.
-            "plan": replace(plan, new_state1=[], new_state2=[]),
+            # The plan's figures, for reports and equivalence tests: it
+            # holds no state columns, so a result object pins no
+            # full-history snapshot per rebuild.
+            "plan": plan,
         }
 
     @staticmethod
@@ -461,6 +454,7 @@ class StreamingJoinEngine:
         s.log1, s.log2 = ArrivalLog(windowed), ArrivalLog(windowed)
         s.resident_tuples = 0
         s.partitioning = None
+        s.layouts = None
         # Where each region's state lives; partial repartitioning may remap.
         s.region_to_machine = np.arange(J, dtype=np.int64)
         s.last_batch_index = None
@@ -644,12 +638,12 @@ class StreamingJoinEngine:
         batch: MicroBatch,
         offsets: "tuple[int, int]",
         initial_build: bool,
-    ) -> "tuple[list[np.ndarray], list[np.ndarray]] | None":
-        """Stage 2: per-machine key-sorted arrival keys of the batch, R1 then R2.
+    ) -> "tuple[RoutedSide, RoutedSide] | None":
+        """Stage 2: the batch's routed sides, R1 then R2.
 
-        Per side, one key array per machine, ascending, as
-        ``count_batch`` folds it in (:meth:`_routed`; the batch's own key
-        arrays are sorted, the logs are not read).
+        Per side, the batch's keys sorted once and every machine's share a
+        slice of them, as ``count_batch`` folds them in (:meth:`_routed`;
+        the logs are not read).
 
         ``None`` while one side is still entirely unseen: no partitioning
         can be built and no output is possible yet, so the arrivals just
@@ -667,10 +661,10 @@ class StreamingJoinEngine:
             if initial_build:
                 J = self.num_machines
                 s.region_to_machine = np.arange(J, dtype=np.int64)
-                return (
-                    _keys(route_live(s.partitioning, 1, s.log1, s.rng, J)),
-                    _keys(route_live(s.partitioning, 2, s.log2, s.rng, J)),
+                s.layouts, routed = route_live(
+                    s.partitioning, s.log1, s.log2, s.rng, s.region_to_machine, J
                 )
+                return routed
             return (
                 self._routed(s, 1, batch.keys1, offsets[0]),
                 self._routed(s, 2, batch.keys2, offsets[1]),
@@ -678,37 +672,31 @@ class StreamingJoinEngine:
 
     def _routed(
         self, s: RunState, side: int, keys, offset: "int | np.ndarray"
-    ) -> "list[np.ndarray]":
-        """Per machine, the sorted keys the current plan sends it of ``keys``.
+    ) -> RoutedSide:
+        """The current plan's route of ``keys``: every machine's share a slice.
 
         The one route of tuples the machines already agree on: a batch's
         arrivals (``offset`` the first one's arrival index) and an expired
         slice (``offset`` its arrival indices) alike
-        (:meth:`Partitioning.sorted_arrivals
-        <repro.partitioning.base.Partitioning.sorted_arrivals>`, then each
-        region to the machine holding it).
+        (:func:`~repro.streaming.migration.route_batch`: each region's
+        share to the machine holding it).
         """
-        keys = np.asarray(keys)
-        return _keys(
-            _to_machines(
-                s.partitioning.sorted_arrivals(side, keys, s.rng, offset),
-                keys,
-                s.region_to_machine,
-                self.num_machines,
-            )
+        return route_batch(
+            s.partitioning, side, keys, s.rng, offset, s.layouts[side - 1],
+            s.region_to_machine, self.num_machines,
         )
 
     def _count(
         self,
         s: RunState,
         batch: MicroBatch,
-        routed: "tuple[list[np.ndarray], list[np.ndarray]] | None",
+        routed: "tuple[RoutedSide, RoutedSide] | None",
         rebuild_cost: float,
     ) -> BatchMetrics:
         """Stage 3: count the batch's output delta; open its metrics record.
 
-        The backend folds the routed arrivals into each machine's sorted
-        state and counts the delta there (``count_batch``), all inside one
+        The backend folds the routed arrivals into its sorted state and
+        counts every machine's delta there (``count_batch``), all inside one
         ``incremental_count`` span with the execution's worker pids
         stitched as child spans.  The record is opened with the batch's own
         cost-model loads and ``live_imbalance``; charges parked by a
@@ -722,16 +710,14 @@ class StreamingJoinEngine:
             execution = None
         else:
             new1, new2 = routed
-            arrivals = np.array(
-                [len(a) + len(b) for a, b in zip(new1, new2)], dtype=np.int64
-            )
+            arrivals = new1.sizes + new2.sizes
             with self.tracer.span(
                 "incremental_count", category="stage", tasks=2 * J
             ) as span:
                 execution = self.backend.count_batch(new1, new2)
             self._stitch_workers(execution, span)
             deltas = execution.per_machine_output
-            s.resident_tuples += int(arrivals.sum())
+            s.resident_tuples += int(np.add.reduce(arrivals))
         loads = (
             weight.input_cost * arrivals.astype(np.float64)
             + weight.output_cost * deltas.astype(np.float64)
@@ -751,7 +737,6 @@ class StreamingJoinEngine:
             predicted_imbalance=self.policy.predicted_imbalance(self.histogram),
             per_machine_output_delta=deltas if routed is not None else None,
             join_clock=self.backend.clock_domain,
-            per_machine_join_seconds=np.zeros(J),
         )
         if execution is not None:
             metrics.join_seconds = execution.wall_seconds

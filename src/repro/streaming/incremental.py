@@ -7,13 +7,15 @@ both live here:
   :class:`IncrementalHistogram`), so the partitioning can be rebuilt online
   at a cost proportional to the reservoir capacity instead of the stream
   length; and
-* each machine's **retained join state** (:class:`SortedRegionState`), a
-  key multiset kept as a few key-sorted counted runs merged geometrically,
-  so the engine counts a batch's incremental output with ``O(new * runs *
-  log distinct)`` binary searches and folds the batch in for an amortised
-  ``O(new * ratio * log_ratio(distinct / new))`` copies -- instead of
-  re-sorting and re-scanning the whole region every batch (``O(state log
-  state)``) or re-copying it (``O(state)``).
+* the **retained join state** (:class:`SortedRegionState`), a key
+  multiset kept as a few key-sorted counted runs merged geometrically --
+  held once per side by each state owner
+  (:class:`~repro.streaming.backends.StateOwner`), every machine reading it
+  through its key range -- so the engine counts a batch's incremental
+  output with ``O(new * runs * log distinct)`` binary searches and folds
+  the batch in for an amortised ``O(new * ratio * log_ratio(distinct /
+  new))`` copies -- instead of re-sorting and re-scanning the whole state
+  every batch (``O(state log state)``) or re-copying it (``O(state)``).
 
 The batch pipeline samples both relations from scratch every time it builds
 the histogram.  Over an unbounded stream that is impossible -- the input can
@@ -63,14 +65,15 @@ __all__ = ["DecayedReservoir", "IncrementalHistogram", "SortedRegionState"]
 
 #: A new run is merged into its predecessor while the predecessor holds
 #: fewer than this many times the *distinct* keys merged so far.  Measured,
-#: not tunable: every run is its own cache-cold binary-search descent per
-#: needle, so 2 (textbook binary merging) and 4 read clearly slower than 8
-#: on both the unbounded and the windowed benchmark stream, while 8 to 32
-#: were within noise of each other.  That sweep was taken on runs of
-#: *tuples*, before runs were counted (``docs/streaming.md``, "State
-#: layout").  Applied to distinct lengths the same 8 collapses a skewed
-#: machine-side to one or two runs; applied to tuple totals instead it read
-#: 20% slower per ``stream_growth``-shaped batch.
+#: not tunable: every run is its own binary-search descent per needle, so a
+#: small ratio buys cheap merges with many searches.  Re-measured on
+#: owner-side runs -- each side held once for all machines -- over five
+#: interleaved runs each (``docs/streaming.md``, "State layout"): 4 read
+#: within noise of 8 (`stream_steady` median 2,640K vs 2,638K tuples/s, 2/5
+#: runs ahead; `stream_growth` 2,597K vs 2,629K, 1/5) and 16 slower on both
+#: (2,565K, 2,451K), so neither beat 8 on both.  Applied to tuple totals
+#: instead of distinct lengths it read 20% slower per
+#: ``stream_growth``-shaped batch (per-machine runs, PR 31).
 RUN_MERGE_RATIO = 8
 
 
@@ -110,19 +113,24 @@ def _merge_sorted(
     so a reader still holding an old run keeps a valid snapshot.
     """
     keys = np.concatenate([keys for keys, _ in runs])
-    order = keys.argsort(kind="stable")
-    keys = keys[order]
     counts = np.empty(keys.size, dtype=np.int64)
     start = 0
     for run, cum in runs:
         stop = start + run.size
         counts[start:stop] = 1 if cum is None else cum[1:] - cum[:-1]
         start = stop
-    running = counts[order].cumsum()
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    # Sum in place, the unsorted counts and the order freed first: a merge
+    # into a side's largest run is the biggest transient of a batch.
+    running = counts[order]
+    del counts, order
+    running.cumsum(out=running)
     last = _group_ends(keys)
     cum = np.empty(last.size + 1, dtype=np.int64)
     cum[0] = 0
     cum[1:] = running[last]
+    del running
     kept = (cum[1:] != cum[:-1]).nonzero()[0]
     if kept.size < last.size:
         if kept.size == 0:
@@ -133,11 +141,14 @@ def _merge_sorted(
 
 
 class SortedRegionState:
-    """One machine's retained join state on one side: a key multiset in runs.
+    """Retained join state on one side: a key multiset in runs.
 
     The engine's incremental counting needs, per batch and per machine, the
     number of joinable pairs between the batch's few arrivals and the
-    machine's (much larger) retained state.  Nothing about a retained tuple
+    machine's (much larger) retained state.  A state owner holds one of
+    these per side (or per 1-Bucket draw group) and every machine reads it
+    through its key range
+    (:class:`~repro.streaming.backends.StateOwner`).  Nothing about a retained tuple
     but its key is ever read -- which machine holds which tuple is the
     router applied to the arrival logs (``docs/streaming.md``, "State
     layout") -- so the state is a key *multiset*: a short list of **runs**,
@@ -161,8 +172,8 @@ class SortedRegionState:
     distinct keys -- the whole cascade merged in one pass (the Bentley--Saxe
     logarithmic method, the sorted runs of an LSM tree, O'Neil et al. 1996,
     whose tombstones the negative runs are).  Under skew a merged run is
-    many times shorter than the tuples it counts, so a machine-side settles
-    at one or two short runs.  An eviction appends its tombstones without
+    many times shorter than the tuples it counts, so a side settles at one
+    or two short runs.  An eviction appends its tombstones without
     any cascade; the next batch's merge cancels them against the tuples
     they expire and drops the zero counts, so no run is ever masked or
     rewritten to shrink it.  No array is ever modified in place, so run

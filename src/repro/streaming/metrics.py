@@ -114,7 +114,10 @@ class BatchMetrics:
         whole delta here.
     per_machine_join_seconds:
         The backend's per-machine timings of the batch's incremental
-        count.
+        count, where it measured any; ``None`` otherwise -- never zeros.
+        The in-process backends count every machine in one pass and the
+        sticky workers time per worker (traced as worker spans), so both
+        leave it ``None``.
     per_machine_output_delta:
         Exact incremental output produced by each machine in this batch
         (``output_delta`` is its sum); ``None`` before the first build.

@@ -54,8 +54,14 @@ shipped nor resurrected onto machines that already dropped them.  A bare
 array is the log of a stream that never trimmed: everything in it is live.
 
 The planned state is per machine key-sorted ``(arrival indices, keys)``
-columns, routed like a batch and placed like one (:func:`_to_machines`);
-the backend's ``install_state`` takes their keys.
+columns, routed like a batch and placed like one (:func:`_to_machines`).
+What the backend protocol takes is built here too: a plan's
+:func:`side_layout` (how its machines read a side's state) and a side
+routed into one key array with a slice per machine -- a batch or an
+expired slice (:func:`route_batch`), or the live state an initial build
+or restore hands ``install_state`` (:func:`route_live`).  A running
+engine's migration is :func:`plan_install`: the plan's figures and the
+new plan's routed sides from the one route the diff read, no column built.
 """
 
 from __future__ import annotations
@@ -66,7 +72,9 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.partitioning.base import Partitioning, Spans, sort_arrivals
+from repro.partitioning.grid_routed import GridRoutedPartitioning
 from repro.streaming.arrivals import ArrivalLog
+from repro.streaming.backends import RoutedSide, SideLayout
 
 __all__ = [
     "LiveKeys",
@@ -74,8 +82,12 @@ __all__ = [
     "held_by_machine",
     "pad_assignments",
     "placement",
+    "plan_install",
     "plan_migration",
+    "route_batch",
     "route_live",
+    "route_sorted",
+    "side_layout",
     "sorted_live",
 ]
 
@@ -277,6 +289,124 @@ def _spans_to_machines(spans: Spans, region_to_machine, num_machines: int) -> Sp
     return Spans(starts, stops)
 
 
+def _check_fleet(partitioning: Partitioning, num_machines: int) -> None:
+    """Raise unless every region of the plan can have a machine of its own."""
+    if partitioning.num_regions > num_machines:
+        raise ValueError(
+            f"a partitioning of {partitioning.num_regions} regions needs at "
+            f"least {partitioning.num_regions} machines, got {num_machines}"
+        )
+
+
+def side_layout(
+    partitioning: Partitioning, side: int, region_to_machine, num_machines: int
+) -> SideLayout:
+    """How ``num_machines`` machines read one side's state under a plan.
+
+    Region ``r`` is on machine ``region_to_machine[r]``.  A grid plan's
+    shares are key ranges: one group every machine reads through its
+    region's range, cut from each sorted run by the plan's slice rule
+    (:meth:`GridRoutedPartitioning.machine_slicer
+    <repro.partitioning.grid_routed.GridRoutedPartitioning.machine_slicer>`).
+    Any other plan has a group per set of identical shares
+    (:meth:`Partitioning.share_groups
+    <repro.partitioning.base.Partitioning.share_groups>`), read whole.
+    """
+    _check_fleet(partitioning, num_machines)
+    if isinstance(partitioning, GridRoutedPartitioning):
+        return SideLayout(
+            [np.arange(num_machines, dtype=np.int64)],
+            partitioning.machine_slicer(side, region_to_machine, num_machines),
+            whole=partitioning.covers_all(side),
+        )
+    groups = partitioning.share_groups(side)
+    machines = np.asarray(region_to_machine, dtype=np.int64)[: partitioning.num_regions]
+    return SideLayout(
+        [np.sort(machines[groups == group]) for group in range(int(groups.max()) + 1)]
+    )
+
+
+def route_sorted(
+    partitioning: Partitioning,
+    side: int,
+    keys: np.ndarray,
+    indices: "np.ndarray | None",
+    rng: np.random.Generator,
+    layout: SideLayout,
+    region_to_machine,
+    num_machines: int,
+) -> RoutedSide:
+    """Key-sorted tuples of one side, routed: what the backend protocol takes.
+
+    ``keys`` ascend (NaN last) and ``indices`` are their arrival indices,
+    read only by shares that are not key ranges.  A grid plan's shares are
+    slices of ``keys`` as they are; any other plan's shares are laid end to
+    end, one per group of ``layout`` (:func:`side_layout`), and every
+    machine gets its region's group's slice.
+    """
+    if layout.cut is not None:
+        return RoutedSide(keys, *layout.cut(keys), layout)
+    shares = partitioning.cut_sorted(side, keys, indices, rng)
+    return _grouped(partitioning, side, shares, layout, region_to_machine, num_machines)
+
+
+def _grouped(
+    partitioning: Partitioning,
+    side: int,
+    shares: "list[tuple[np.ndarray, np.ndarray]]",
+    layout: SideLayout,
+    region_to_machine,
+    num_machines: int,
+) -> RoutedSide:
+    """Per-region shares that are not key ranges as one routed side.
+
+    Regions of one group of ``layout`` receive the same share, so it is laid
+    down once, the groups end to end, and every machine gets its region's
+    group's slice.
+    """
+    machines = np.asarray(region_to_machine, dtype=np.int64)[: partitioning.num_regions]
+    groups = partitioning.share_groups(side)
+    first: "dict[int, int]" = {}
+    for region, group in enumerate(groups.tolist()):
+        first.setdefault(group, region)
+    pieces = [shares[first[group]][1] for group in range(len(layout.readers))]
+    sizes = np.array([len(piece) for piece in pieces], dtype=np.int64)
+    ends = sizes.cumsum()
+    starts = np.zeros(num_machines, dtype=np.int64)
+    stops = np.zeros(num_machines, dtype=np.int64)
+    starts[machines], stops[machines] = (ends - sizes)[groups], ends[groups]
+    return RoutedSide(np.concatenate(pieces), starts, stops, layout)
+
+
+def route_batch(
+    partitioning: Partitioning,
+    side: int,
+    keys: np.ndarray,
+    rng: np.random.Generator,
+    offset: "int | np.ndarray",
+    layout: SideLayout,
+    region_to_machine,
+    num_machines: int,
+) -> RoutedSide:
+    """:func:`route_sorted` of unsorted arrivals: a batch, or an expired slice.
+
+    ``offset`` names the tuples as in :meth:`Partitioning.sorted_arrivals
+    <repro.partitioning.base.Partitioning.sorted_arrivals>`.  Key-range
+    shares never read an arrival index, so their keys are sorted alone;
+    any other plan sorts the indices along (:func:`sort_arrivals`).
+    """
+    keys = np.asarray(keys)
+    if layout.cut is not None:
+        indices, keys = None, np.sort(keys)
+    else:
+        local = np.arange(len(keys), dtype=np.int64)
+        named = offset[local] if isinstance(offset, np.ndarray) else local + offset
+        indices, keys = sort_arrivals(named, keys)
+    return route_sorted(
+        partitioning, side, keys, indices, rng, layout, region_to_machine, num_machines
+    )
+
+
 class LiveKeys(NamedTuple):
     """One side's live tuples, key-sorted once: global indices and their keys."""
 
@@ -305,58 +435,71 @@ def sorted_live(keys: "ArrivalLog | np.ndarray | LiveKeys") -> LiveKeys:
     return LiveKeys(*sort_arrivals(np.arange(base, base + len(keys)), keys))
 
 
-def _cut(
-    partitioning: Partitioning, side: int, live: LiveKeys, rng: np.random.Generator
-) -> "tuple[list[tuple[np.ndarray, np.ndarray]], Spans | None]":
-    """Per region, its share of ``live`` as columns, and as slices when it is one.
-
-    A plan whose shares are slices of the sort (:meth:`Partitioning.cut_spans
-    <repro.partitioning.base.Partitioning.cut_spans>`) is searched once for
-    both; any other plan is cut by :meth:`Partitioning.cut_sorted
-    <repro.partitioning.base.Partitioning.cut_sorted>` and has no spans.
-    """
-    spans = partitioning.cut_spans(side, live.keys)
-    if spans is None:
-        return partitioning.cut_sorted(side, live.keys, live.indices, rng), None
-    return spans.columns(live.indices, live.keys), spans
-
-
 def _route(
     partitioning: Partitioning,
     side: int,
     live: LiveKeys,
     rng: np.random.Generator,
     num_machines: int,
-) -> "tuple[list[tuple[np.ndarray, np.ndarray]], Spans | None]":
-    """:func:`route_live`, plus its shares as slices when the plan cuts slices."""
-    if partitioning.num_regions > num_machines:
-        raise ValueError(
-            f"a partitioning of {partitioning.num_regions} regions needs at "
-            f"least {partitioning.num_regions} machines, got {num_machines}"
-        )
-    routed, spans = _cut(partitioning, side, live, rng)
-    columns = _to_machines(routed, live.keys, range(num_machines), num_machines)
-    return columns, None if spans is None else spans.padded(num_machines)
+) -> "tuple[list[tuple[np.ndarray, np.ndarray]] | None, Spans | None]":
+    """One side's live tuples routed by a plan, region ``r`` to machine ``r``.
+
+    Its shares as slices of ``live`` when the plan cuts slices
+    (:meth:`Partitioning.cut_spans
+    <repro.partitioning.base.Partitioning.cut_spans>`) -- no column is
+    built -- and otherwise as per-region key-sorted ``(arrival indices,
+    keys)`` columns (:meth:`Partitioning.cut_sorted
+    <repro.partitioning.base.Partitioning.cut_sorted>`); either padded with
+    empty shares to ``num_machines``, which must be at least the
+    partitioning's region count.
+    """
+    _check_fleet(partitioning, num_machines)
+    spans = partitioning.cut_spans(side, live.keys)
+    if spans is not None:
+        return None, spans.padded(num_machines)
+    shares = partitioning.cut_sorted(side, live.keys, live.indices, rng)
+    return _to_machines(shares, live.keys, range(num_machines), num_machines), None
+
+
+def _columns(
+    shares: "list[tuple[np.ndarray, np.ndarray]] | None",
+    spans: "Spans | None",
+    live: LiveKeys,
+) -> "list[tuple[np.ndarray, np.ndarray]]":
+    """Per region, the columns of one :func:`_route`: views of ``live`` for slices."""
+    return shares if spans is None else spans.columns(live.indices, live.keys)
 
 
 def route_live(
     partitioning: Partitioning,
-    side: int,
-    keys: "ArrivalLog | np.ndarray | LiveKeys",
+    live1: "ArrivalLog | np.ndarray | LiveKeys",
+    live2: "ArrivalLog | np.ndarray | LiveKeys",
     rng: np.random.Generator,
+    region_to_machine,
     num_machines: int,
-) -> "list[tuple[np.ndarray, np.ndarray]]":
-    """Route one side's live tuples like a batch: region ``r`` to machine ``r``.
+) -> "tuple[tuple[SideLayout, SideLayout], tuple[RoutedSide, RoutedSide]]":
+    """Both sides' live tuples routed by a plan: what ``install_state`` takes.
 
-    Shared by the migration planner and the engine's initial build (which
-    routes the backlog that arrived before any partitioning existed): per
-    region, key-sorted ``(arrival indices, keys)`` columns, equal keys in
-    an unspecified order (:meth:`Partitioning.cut_sorted
-    <repro.partitioning.base.Partitioning.cut_sorted>` of
-    :func:`sorted_live`), padded with empty columns to ``num_machines`` --
-    which must be at least the partitioning's region count.
+    The initial build (its backlog, counted as one batch), a migration and
+    a restore all hand the backend a side's live tuples sorted once
+    (:func:`sorted_live`) and routed by the plan (:func:`route_sorted`).
+    Returns the plan's two :func:`side_layout` and the two routed sides.
     """
-    return _route(partitioning, side, sorted_live(keys), rng, num_machines)[0]
+    layouts = tuple(
+        side_layout(partitioning, side, region_to_machine, num_machines)
+        for side in (1, 2)
+    )
+    routed = tuple(
+        route_sorted(
+            partitioning, side, live.keys, live.indices, rng, layout,
+            region_to_machine, num_machines,
+        )
+        for side, live, layout in (
+            (1, sorted_live(live1), layouts[0]),
+            (2, sorted_live(live2), layouts[1]),
+        )
+    )
+    return layouts, routed
 
 
 def placement(
@@ -381,7 +524,10 @@ def placement(
     reads :func:`held_by_machine`.
     """
     live = sorted_live(keys)
-    routed = [] if partitioning is None else _cut(partitioning, side, live, rng)[0]
+    routed = (
+        [] if partitioning is None
+        else partitioning.cut_sorted(side, live.keys, live.indices, rng)
+    )
     return _to_machines(routed, live.keys, region_to_machine, num_machines)
 
 
@@ -424,12 +570,12 @@ def _padded(
 
 
 def _overlaps(
-    routed: "list[tuple[np.ndarray, np.ndarray]]",
+    shares: "list[tuple[np.ndarray, np.ndarray]] | None",
     spans: "Spans | None",
     held: "list[np.ndarray] | Spans",
     live: LiveKeys,
 ) -> np.ndarray:
-    """``len(routed[r] & held[m])`` for one side, every region and machine.
+    """``len(routed[r] & held[m])`` of one side's :func:`_route`, every region and machine.
 
     When both the new routing and the old holding are slices of ``live``,
     the intersections are span arithmetic (one ``J x J`` broadcast);
@@ -440,7 +586,7 @@ def _overlaps(
         return spans.overlaps(held)
     if isinstance(held, Spans):
         held = [indices for indices, _ in held.columns(live.indices, live.keys)]
-    return _overlap_matrix([indices for indices, _ in routed], held)
+    return _overlap_matrix([indices for indices, _ in _columns(shares, spans, live)], held)
 
 
 def plan_migration(
@@ -486,48 +632,133 @@ def plan_migration(
         remaps regions to the machines already holding most of their state
         and migrates only the difference (see the module docstring).
     """
+    plan, lives, routes = _plan(
+        old_assignments1,
+        old_assignments2,
+        new_partitioning,
+        keys1,
+        keys2,
+        num_machines,
+        rng,
+        mode,
+    )
+    plan.new_state1, plan.new_state2 = (
+        _to_machines(_columns(*route, live), live.keys, plan.region_to_machine, num_machines)
+        for route, live in zip(routes, lives)
+    )
+    return plan
+
+
+def plan_install(
+    old_assignments1: "list[np.ndarray] | Spans",
+    old_assignments2: "list[np.ndarray] | Spans",
+    new_partitioning: Partitioning,
+    keys1: "ArrivalLog | np.ndarray | LiveKeys",
+    keys2: "ArrivalLog | np.ndarray | LiveKeys",
+    num_machines: int,
+    rng: np.random.Generator,
+    mode: str = "full",
+) -> "tuple[MigrationPlan, tuple[SideLayout, SideLayout], tuple[RoutedSide, RoutedSide]]":
+    """:func:`plan_migration`'s figures, and the new state as ``install_state`` takes it.
+
+    What a running engine adopts a plan with.  Each side's live tuples are
+    routed by the new plan once, and that one route is both diffed against
+    the old holdings and handed out.  Returns the plan -- its
+    ``new_state1`` / ``new_state2`` left empty, no column is built -- the
+    new plan's two :func:`side_layout` and its two routed sides
+    (:class:`RoutedSide`, as :func:`route_live` would route them under the
+    plan's region map).  A grid plan's routed side is the live sort itself,
+    sliced by the spans.
+    """
+    plan, lives, routes = _plan(
+        old_assignments1,
+        old_assignments2,
+        new_partitioning,
+        keys1,
+        keys2,
+        num_machines,
+        rng,
+        mode,
+    )
+    layouts = tuple(
+        side_layout(new_partitioning, side, plan.region_to_machine, num_machines)
+        for side in (1, 2)
+    )
+    routed = []
+    for side, (shares, spans), live, layout in zip((1, 2), routes, lives, layouts):
+        if spans is None:
+            routed.append(
+                _grouped(
+                    new_partitioning, side, shares, layout, plan.region_to_machine,
+                    num_machines,
+                )
+            )
+        else:
+            placed = _spans_to_machines(spans, plan.region_to_machine, num_machines)
+            routed.append(RoutedSide(live.keys, placed.starts, placed.stops, layout))
+    return plan, layouts, tuple(routed)
+
+
+def _plan(
+    old_assignments1: "list[np.ndarray] | Spans",
+    old_assignments2: "list[np.ndarray] | Spans",
+    new_partitioning: Partitioning,
+    keys1: "ArrivalLog | np.ndarray | LiveKeys",
+    keys2: "ArrivalLog | np.ndarray | LiveKeys",
+    num_machines: int,
+    rng: np.random.Generator,
+    mode: str,
+) -> "tuple[MigrationPlan, tuple[LiveKeys, LiveKeys], list]":
+    """The body of both planners: one :func:`_route` per side, diffed once.
+
+    Returns the plan with empty ``new_state1`` / ``new_state2``, the two
+    sides' :class:`LiveKeys` and their routes, region ``r`` on machine ``r``.
+    """
     if mode not in MIGRATION_MODES:
         raise ValueError(
             f"unknown migration mode {mode!r} (expected one of {MIGRATION_MODES})"
         )
-    keys1, keys2 = sorted_live(keys1), sorted_live(keys2)
-    routed1, spans1 = _route(new_partitioning, 1, keys1, rng, num_machines)
-    routed2, spans2 = _route(new_partitioning, 2, keys2, rng, num_machines)
+    lives = sorted_live(keys1), sorted_live(keys2)
+    routes = [
+        _route(new_partitioning, side, live, rng, num_machines)
+        for side, live in zip((1, 2), lives)
+    ]
     # A resize may shrink the fleet: the old lists then outnumber the new
     # machines.  Pad the old side to whichever count is larger so departing
     # machines' state is diffed (everything they hold departs), while the
     # new state, the matching and the arrival vector live on the target
     # fleet only.
     old_machines = max(len(old_assignments1), len(old_assignments2), num_machines)
-    old1 = _padded(old_assignments1, old_machines)
-    old2 = _padded(old_assignments2, old_machines)
+    olds = (
+        _padded(old_assignments1, old_machines),
+        _padded(old_assignments2, old_machines),
+    )
 
     # One overlap pass per side serves both the matching and the counts:
     # entry (r, m) is how much of new region r old machine m already holds.
-    overlaps = _overlaps(routed1, spans1, old1, keys1) + _overlaps(
-        routed2, spans2, old2, keys2
+    overlaps = sum(
+        _overlaps(*route, old, live) for route, old, live in zip(routes, olds, lives)
     )
     if mode == "partial":
         region_to_machine = _best_region_map(overlaps[:, :num_machines])
     else:
         region_to_machine = np.arange(num_machines, dtype=np.int64)
-    new1 = _to_machines(routed1, keys1.keys, region_to_machine, num_machines)
-    new2 = _to_machines(routed2, keys2.keys, region_to_machine, num_machines)
 
     # Indices are unique within a region and a machine, so what a machine
-    # receives is its new state minus what it already held of it, and what
+    # receives is its new share minus what it already held of it, and what
     # it drops is its old state minus the same overlap.  A machine leaving
     # on a shrink keeps nothing.
     kept = np.zeros(old_machines, dtype=np.int64)
     kept[region_to_machine] = overlaps[np.arange(num_machines), region_to_machine]
-    held = [len(idx1) + len(idx2) for (idx1, _), (idx2, _) in zip(new1, new2)]
-    arrivals = np.array(held, dtype=np.int64) - kept[:num_machines]
-    departures = _sizes(old1) + _sizes(old2) - kept
-    return MigrationPlan(
-        new_state1=new1,
-        new_state2=new2,
-        per_machine_arrivals=arrivals,
-        per_machine_departures=departures,
+    held = np.zeros(num_machines, dtype=np.int64)
+    for shares, spans in routes:
+        held[region_to_machine] += _sizes(spans if shares is None else [i for i, _ in shares])
+    plan = MigrationPlan(
+        new_state1=[],
+        new_state2=[],
+        per_machine_arrivals=held - kept[:num_machines],
+        per_machine_departures=_sizes(olds[0]) + _sizes(olds[1]) - kept,
         region_to_machine=region_to_machine,
         mode=mode,
     )
+    return plan, lives, routes

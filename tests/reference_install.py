@@ -16,8 +16,10 @@ and a restore reached the backend in three steps:
    then installed.
 
 The functions and methods below are those steps, ending in the keys a
-machine holds now.  :class:`ReferenceInstallEngine` runs the chain in a real
-engine; what every machine held before a migration it derives as production
+machine holds now, handed to a backend as the one-array ``RoutedSide`` it
+takes (``reference_routing.as_routed``, which checks each machine's keys
+are what the plan's layout can say).  :class:`ReferenceInstallEngine` runs
+the chain in a real engine; what every machine held before a migration it derives as production
 does (``repro.streaming.migration.placement``), since no backend can say.
 Nothing under ``src/`` may import this module.
 """
@@ -30,12 +32,14 @@ import reference_migration
 from repro.partitioning.base import sort_arrivals
 from repro.streaming import migration
 from repro.streaming.arrivals import ArrivalLog
+from reference_routing import as_routed
+from reference_state import state_layout
+
 from repro.streaming.backends import (
-    RegionStateTable,
     SimulatedBackend,
+    StateOwner,
     StickyWorkerBackend,
     _lengths,
-    state_layout,
 )
 from repro.streaming.engine import StreamingJoinEngine
 
@@ -45,6 +49,7 @@ __all__ = [
     "ReferenceStickyBackend",
     "as_history",
     "plan_columns",
+    "plan_install",
     "sorted_keys",
 ]
 
@@ -101,32 +106,57 @@ def plan_columns(*arguments, **options) -> migration.MigrationPlan:
     )
 
 
+def plan_install(*arguments, **options):
+    """``plan_install`` from the reference planner: :func:`plan_columns` routed.
+
+    The plan's columns become the two ``RoutedSide`` the backend takes
+    (``reference_routing.as_routed``, each machine's keys checked against
+    the new plan's layout); the plan returned keeps its figures only.
+    """
+    plan = plan_columns(*arguments, **options)
+    partitioning, lives, machines = arguments[2], arguments[3:5], arguments[5]
+    layouts = tuple(
+        migration.side_layout(partitioning, side, plan.region_to_machine, machines)
+        for side in (1, 2)
+    )
+    routed = tuple(
+        as_routed([keys for _, keys in columns], live.keys, layout)
+        for columns, live, layout in zip((plan.new_state1, plan.new_state2), lives, layouts)
+    )
+    plan.new_state1, plan.new_state2 = [], []
+    return plan, layouts, routed
+
+
 # ----------------------------------------------------------------------
 # 2. + 3. The backends' resize and index-assignment install
 # ----------------------------------------------------------------------
-class ReferenceInstallBackend(SimulatedBackend):
-    """The in-process default's ``resize`` and four-argument ``install_state``."""
+def _live_keys(log) -> np.ndarray:
+    """Every live key of a log, in arrival order: what a route cuts."""
+    return log[log.live] if log.windowed else log.keys
 
-    def install_state(self, assignments1, assignments2, history1, history2):
-        """Replace every machine's state with complete index assignments."""
-        self._bound_table().install(
-            state_layout(
-                sorted_keys(assignments1, history1), sorted_keys(assignments2, history2)
-            )
+
+class ReferenceInstallBackend(SimulatedBackend):
+    """The in-process default's ``resize`` and index-assignment ``install_state``."""
+
+    def install_state(self, assignments1, assignments2, history1, history2, layouts):
+        """Hold complete index assignments, read through the new plan's ``layouts``."""
+        super().install_state(
+            as_routed(sorted_keys(assignments1, history1), _live_keys(history1), layouts[0]),
+            as_routed(sorted_keys(assignments2, history2), _live_keys(history2), layouts[1]),
         )
 
     def resize(self, num_machines: int) -> None:
         """Adopt a new fleet size, discarding all resident state."""
-        self._bound_table()
+        self._bound_owner()
         if num_machines <= 0:
             raise ValueError("num_machines must be positive")
-        self._table = RegionStateTable(range(num_machines))
+        self._owner = StateOwner()
 
 
 class ReferenceStickyBackend(StickyWorkerBackend):
-    """The sticky backend's ``resize`` and four-argument ``install_state``."""
+    """The sticky backend's ``resize`` and index-assignment ``install_state``."""
 
-    def install_state(self, assignments1, assignments2, history1, history2):
+    def install_state(self, assignments1, assignments2, history1, history2, layouts):
         """Move migrated state between workers through shared memory."""
         layout = state_layout(
             sorted_keys(assignments1, history1), sorted_keys(assignments2, history2)
@@ -158,11 +188,19 @@ class ReferenceInstallEngine(StreamingJoinEngine):
         J = self.num_machines
         with self.tracer.span("route", category="stage", initial_build=initial_build):
             s.region_to_machine = np.arange(J, dtype=np.int64)
+            s.layouts = tuple(
+                migration.side_layout(s.partitioning, side, s.region_to_machine, J)
+                for side in (1, 2)
+            )
             return tuple(
-                sorted_keys(reference_migration.route_live(assign, log, J, s.rng), log)
-                for assign, log in (
-                    (s.partitioning.assign_r1, s.log1),
-                    (s.partitioning.assign_r2, s.log2),
+                as_routed(
+                    sorted_keys(reference_migration.route_live(assign, log, J, s.rng), log),
+                    _live_keys(log),
+                    layout,
+                )
+                for assign, log, layout in (
+                    (s.partitioning.assign_r1, s.log1, s.layouts[0]),
+                    (s.partitioning.assign_r2, s.log2, s.layouts[1]),
                 )
             )
 
@@ -190,8 +228,12 @@ class ReferenceInstallEngine(StreamingJoinEngine):
         if machines != self.num_machines:
             self.backend.resize(machines)
             self.num_machines = machines
+        s.layouts = tuple(
+            migration.side_layout(replacement, side, plan.region_to_machine, machines)
+            for side in (1, 2)
+        )
         self.backend.install_state(
-            plan.new_assignments1, plan.new_assignments2, s.log1, s.log2
+            plan.new_assignments1, plan.new_assignments2, s.log1, s.log2, s.layouts
         )
         s.resident_tuples = sum(
             len(held) for held in plan.new_assignments1 + plan.new_assignments2

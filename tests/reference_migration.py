@@ -226,17 +226,17 @@ def held_indices(partitioning, side, keys, rng, num_machines, region_to_machine)
 
 
 def install(monkeypatch) -> None:
-    """Swap the reference planner in where the engine resolves ``plan_migration``.
+    """Swap the reference planner in where the engine resolves ``plan_install``.
 
-    The engine installs what a plan holds, so the swapped-in planner hands
-    back the production plan type, its columns built from the reference's
-    index arrays by the old install's gather and stable key-sort
-    (:func:`reference_install.plan_columns`).  It reads the old placement
-    as index arrays (:func:`held_indices`).
+    The engine installs the new plan's route of the live state, so the
+    swapped-in planner hands back the production plan type and routed
+    sides, built from the reference's index arrays by the old install's
+    gather and stable key-sort (:func:`reference_install.plan_install`).
+    It reads the old placement as index arrays (:func:`held_indices`).
     """
     import reference_install
 
     import repro.streaming.engine as engine
 
     monkeypatch.setattr(engine, "held_by_machine", held_indices)
-    monkeypatch.setattr(engine, "plan_migration", reference_install.plan_columns)
+    monkeypatch.setattr(engine, "plan_install", reference_install.plan_install)

@@ -17,7 +17,10 @@ The functions below are those four bodies as they stood, and
 :func:`reference_route` chains them into what the production route must
 hand ``count_batch``: per machine, ``(arrival indices, keys)`` ascending by
 key with equal keys in arrival order.  :class:`ReferenceRouteEngine` installs
-the chain in a real engine.  Test-only, like the other ``reference_*``
+the chain in a real engine: :func:`as_routed` hands its columns over as the
+one-array ``RoutedSide`` the backends take, and checks on the way that they
+are what that shape can say -- for a key-range plan each machine's keys a
+slice of the sorted batch, for 1-Bucket one share per draw group.  Test-only, like the other ``reference_*``
 modules; nothing under ``src/`` may import it.
 """
 
@@ -28,7 +31,9 @@ from reference_migration import route_live
 
 from repro.partitioning.grid_routed import GridRoutedPartitioning
 from repro.partitioning.one_bucket import OneBucketPartitioning
+from repro.streaming.backends import RoutedSide
 from repro.streaming.engine import StreamingJoinEngine
+from repro.streaming.migration import side_layout
 
 __all__ = [
     "ReferenceRouteEngine",
@@ -38,6 +43,7 @@ __all__ = [
     "gather_layout",
     "sorted_columns",
     "reference_route",
+    "as_routed",
 ]
 
 
@@ -143,11 +149,41 @@ def reference_route(
     return [sorted_columns(idx, held) for idx, held in gather_layout(per_machine, history)]
 
 
+def as_routed(columns: "list[np.ndarray]", keys: np.ndarray, layout) -> RoutedSide:
+    """Per-machine sorted keys as a ``RoutedSide`` read through ``layout``.
+
+    ``keys`` is everything routed (the batch, or the live backlog).  Under
+    key ranges every machine's keys must be one slice of ``keys`` sorted;
+    under draw groups every reader of a group must hold the same keys.
+    Either is asserted, so a chain that routed otherwise fails here.
+    """
+    machines = len(columns)
+    starts = np.zeros(machines, dtype=np.int64)
+    stops = np.zeros(machines, dtype=np.int64)
+    if layout.cut is not None:
+        whole = np.sort(keys)
+        for machine, held in enumerate(columns):
+            if len(held):
+                starts[machine] = np.searchsorted(whole, held[0], side="left")
+                stops[machine] = starts[machine] + len(held)
+                np.testing.assert_array_equal(whole[starts[machine] : stops[machine]], held)
+        return RoutedSide(whole, starts, stops, layout)
+    pieces, start = [], 0
+    for readers in layout.readers:
+        share = columns[readers[0]]
+        for machine in readers.tolist():
+            np.testing.assert_array_equal(columns[machine], share)
+            starts[machine], stops[machine] = start, start + len(share)
+        pieces.append(share)
+        start += len(share)
+    return RoutedSide(np.concatenate(pieces), starts, stops, layout)
+
+
 class ReferenceRouteEngine(StreamingJoinEngine):
     """A production engine whose route stage is the old four-step chain.
 
     ``count_batch`` takes each machine's keys, so the chain's columns are
-    handed over without their indices.
+    handed over without their indices (:func:`as_routed`).
     """
 
     def _route(self, s, batch, offsets, initial_build):
@@ -157,23 +193,35 @@ class ReferenceRouteEngine(StreamingJoinEngine):
         with self.tracer.span("route", category="stage", initial_build=initial_build):
             if initial_build:
                 s.region_to_machine = np.arange(J, dtype=np.int64)
+                s.layouts = tuple(
+                    side_layout(s.partitioning, side, s.region_to_machine, J)
+                    for side in (1, 2)
+                )
                 return tuple(
-                    [sorted_columns(idx, held)[1] for idx, held in gather_layout(routed, log)]
-                    for routed, log in (
-                        (route_live(s.partitioning.assign_r1, s.log1, J, s.rng), s.log1),
-                        (route_live(s.partitioning.assign_r2, s.log2, J, s.rng), s.log2),
+                    as_routed(
+                        [sorted_columns(idx, held)[1] for idx, held in gather_layout(routed, log)],
+                        log[log.live] if log.windowed else log.keys,
+                        layout,
+                    )
+                    for routed, log, layout in (
+                        (route_live(s.partitioning.assign_r1, s.log1, J, s.rng), s.log1, s.layouts[0]),
+                        (route_live(s.partitioning.assign_r2, s.log2, J, s.rng), s.log2, s.layouts[1]),
                     )
                 )
             return tuple(
-                [
-                    held
-                    for _, held in reference_route(
-                        s.partitioning, side, keys, s.rng, offset,
-                        s.region_to_machine, J, log,
-                    )
-                ]
-                for side, keys, offset, log in (
-                    (1, batch.keys1, offsets[0], s.log1),
-                    (2, batch.keys2, offsets[1], s.log2),
+                as_routed(
+                    [
+                        held
+                        for _, held in reference_route(
+                            s.partitioning, side, keys, s.rng, offset,
+                            s.region_to_machine, J, log,
+                        )
+                    ],
+                    np.asarray(keys),
+                    layout,
+                )
+                for side, keys, offset, log, layout in (
+                    (1, batch.keys1, offsets[0], s.log1, s.layouts[0]),
+                    (2, batch.keys2, offsets[1], s.log2, s.layouts[1]),
                 )
             )

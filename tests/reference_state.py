@@ -17,6 +17,12 @@ evicts by tombstones; these hold or merge the same state the obvious way.
 * :class:`PairwiseRunState` -- counted runs merged by a cascade of pairwise
   merges, newest run back, each merge a :class:`collections.Counter` of key
   values.  The production one-pass merge must leave the same run list.
+* :class:`RegionStateTable` -- the join state as the engine held it before
+  a side was held once per owner: a counted-run pair per *machine*, fed
+  each machine's own sorted keys, and its fold (one search task per
+  machine, half and run).  A production owner's per-machine counts and
+  views must equal it batch for batch (``tests/test_state_derivation.py``),
+  and the test harness's ``PicklingPoolBackend`` ships its tasks.
 
 Key equality is by value: ``-0.0`` and ``0.0`` are one key, every NaN is
 one key.  Nothing under ``src/`` may import this module.
@@ -29,6 +35,7 @@ from collections import Counter
 import numpy as np
 
 from repro.streaming.incremental import RUN_MERGE_RATIO
+from repro.streaming.incremental import SortedRegionState as CountedRuns
 from repro.streaming.window import surviving
 
 
@@ -257,3 +264,69 @@ class PairwiseRunState:
         if len(keys):
             keys = self._conform(keys)
             self._runs.append((keys.copy(), -np.arange(len(keys) + 1)))
+
+
+def state_layout(
+    keys1: "list[np.ndarray]", keys2: "list[np.ndarray]"
+) -> "list[np.ndarray]":
+    """Machine-major array layout: (keys1, keys2) per machine."""
+    return [keys for pair in zip(keys1, keys2) for keys in pair]
+
+
+class RegionStateTable:
+    """The sorted join state of a set of machines, a counted-run pair each, and its fold.
+
+    ``state1[m]`` / ``state2[m]`` hold machine ``m``'s key multisets as
+    production counted runs, fed machine ``m``'s keys only -- so a key
+    replicated to several machines is held once per machine.
+    """
+
+    def __init__(self, machines) -> None:
+        self.machines = tuple(machines)
+        self.state1 = {machine: CountedRuns() for machine in self.machines}
+        self.state2 = {machine: CountedRuns() for machine in self.machines}
+
+    def fold(self, arrays: "list[np.ndarray]"):
+        """Merge a batch's machine-major sorted arrivals in; return tasks and owners.
+
+        ``C(new1, state2 + new2) + C(state1, new2)`` per machine: half 0
+        searches the just-updated R2 state per new R1 key, half 1 the
+        pre-append R1 state per new R2 key.  One ``(needles, run keys, run
+        counts)`` task per run searched -- a half with nothing to search
+        keeps one empty task -- and ``owners[t] = 2 * slot + half``,
+        ascending.
+        """
+        tasks, owners = [], []
+        for slot, machine in enumerate(self.machines):
+            keys1, keys2 = arrays[2 * machine : 2 * machine + 2]
+            state1, state2 = self.state1[machine], self.state2[machine]
+            old_runs1 = state1.runs
+            state2.append_sorted(keys2)
+            state1.append_sorted(keys1)
+            for half, needles, searched in ((0, keys1, state2.runs), (1, keys2, old_runs1)):
+                searched = searched or [(needles[:0], None)]
+                tasks += [(needles, keys, cum) for keys, cum in searched]
+                owners += [2 * slot + half] * len(searched)
+        return tasks, np.array(owners, dtype=np.int64)
+
+    def sum_halves(self, values: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        """Sum per-task ``values`` into a ``(machines, 2)`` array of halves."""
+        starts = owners.searchsorted(np.arange(2 * len(self.machines)))
+        return np.add.reduceat(values, starts).reshape(-1, 2)
+
+    def evict(self, arrays: "list[np.ndarray]") -> "list[tuple[int, int]]":
+        """Tombstone each machine's expired keys; per machine, ``(R1, R2)`` counts."""
+        dropped = []
+        for machine in self.machines:
+            keys1, keys2 = arrays[2 * machine : 2 * machine + 2]
+            self.state1[machine].tombstone(keys1)
+            self.state2[machine].tombstone(keys2)
+            dropped.append((len(keys1), len(keys2)))
+        return dropped
+
+    def install(self, arrays: "list[np.ndarray]") -> None:
+        """Replace every machine's state with its complete new keys."""
+        for machine in self.machines:
+            keys1, keys2 = arrays[2 * machine : 2 * machine + 2]
+            self.state1[machine].install(keys1)
+            self.state2[machine].install(keys2)

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,6 +58,7 @@ from repro.obs.trace import TickClock
 from repro.streaming.backends import (
     ExecutionBackend,
     RegionJoinResult,
+    RoutedSide,
     SimulatedBackend,
     WorkerCrashError,
     default_mp_context,
@@ -64,10 +66,12 @@ from repro.streaming.backends import (
 from repro.streaming.engine import StreamingJoinEngine
 from repro.streaming.metrics import StreamRunResult
 from repro.streaming.window import WindowPolicy
+from reference_state import RegionStateTable, state_layout
 
 __all__ = [
     "use_tick_clocks",
     "arrivals",
+    "columns",
     "multiset_difference",
     "assert_equivalent_runs",
     "CrashingBackend",
@@ -121,13 +125,20 @@ def interpreter_calls(function, *args, **kwargs) -> "tuple[object, int]":
     return result, calls
 
 
-def arrivals(assignments, history) -> "list[np.ndarray]":
+def arrivals(assignments, history) -> RoutedSide:
     """What ``count_batch`` takes for one side, from index arrays and a history.
 
-    Per machine, the keys of its arrival indices, sorted -- the shape the
-    engine's router hands over.
+    Per machine, the keys of its arrival indices, sorted, as a routed side
+    with a group per machine (``RoutedSide.of``).
     """
-    return [np.sort(history[np.asarray(a, dtype=np.int64)]) for a in assignments]
+    return RoutedSide.of(
+        [np.sort(history[np.asarray(a, dtype=np.int64)]) for a in assignments]
+    )
+
+
+def columns(side: RoutedSide) -> "list[np.ndarray]":
+    """Each machine's keys of a protocol argument."""
+    return side.columns()
 
 
 def multiset_difference(held: np.ndarray, removed: np.ndarray) -> np.ndarray:
@@ -435,7 +446,7 @@ class RecountingBackend(_ForwardingBackend):
         """Forward the count, then check its deltas against a full recount."""
         execution = super().count_batch(new1, new2)
         for shadow, arrivals in ((self._shadow1, new1), (self._shadow2, new2)):
-            for machine, keys in enumerate(arrivals):
+            for machine, keys in enumerate(columns(arrivals)):
                 held = shadow[machine]
                 shadow[machine] = np.concatenate([held, keys]) if len(held) else keys
         started = perf_counter()
@@ -457,7 +468,7 @@ class RecountingBackend(_ForwardingBackend):
             (self._shadow1, expired1),
             (self._shadow2, expired2),
         ):
-            for machine, keys in enumerate(expired):
+            for machine, keys in enumerate(columns(expired)):
                 shadow[machine] = multiset_difference(shadow[machine], keys)
                 shadowed += len(keys)
         if dropped != shadowed:
@@ -470,7 +481,7 @@ class RecountingBackend(_ForwardingBackend):
     def install_state(self, state1, state2):
         """Forward the install; adopt its columns; re-take the baseline."""
         super().install_state(state1, state2)
-        self._shadow1, self._shadow2 = list(state1), list(state2)
+        self._shadow1, self._shadow2 = columns(state1), columns(state2)
         self._totals = self._recount()
 
 
@@ -515,12 +526,14 @@ class PositionalRebuildEngine(StreamingJoinEngine):
 class PicklingPoolBackend(ExecutionBackend):
     """The stateless-pool baseline: every task's full keys pickled per batch.
 
-    Each ``join_regions`` call ships the busy regions' complete key arrays
-    to a ``ProcessPoolExecutor`` through the batch side's
+    The join state stays engine-side, a counted-run pair per machine
+    (``reference_state.RegionStateTable``), and each batch's fold ships
+    every busy task -- one per machine, half and run -- to a
+    ``ProcessPoolExecutor`` through the batch side's
     :func:`~repro.engine.executor.join_assigned_regions`, which meters the
-    pickle channel -- the serialization volume the sticky backend's
-    resident state is benchmarked against.  Counts are bit-identical to
-    every other backend.
+    pickle channel: the serialization volume the sticky backend's resident
+    state is benchmarked against.  Counts are bit-identical to every other
+    backend.
     """
 
     name = "multiprocess"
@@ -529,6 +542,8 @@ class PicklingPoolBackend(ExecutionBackend):
         self._pool = ProcessPoolExecutor(
             max_workers=max_workers, mp_context=default_mp_context()
         )
+        self._table = RegionStateTable(())
+        self._conditions = ()
 
     def join_regions(self, tasks, conditions) -> RegionJoinResult:
         """Count every busy task on the pool; report the pickled bytes.
@@ -538,6 +553,44 @@ class PicklingPoolBackend(ExecutionBackend):
         """
         self._ensure_open()
         return join_assigned_regions(self._pool, tasks, conditions)
+
+    def bind(self, num_machines, condition, transposed) -> None:
+        """Start from empty per-machine state."""
+        self._ensure_open()
+        self._table = RegionStateTable(range(num_machines))
+        self._conditions = (condition, transposed)
+
+    def count_batch(self, new1, new2) -> RegionJoinResult:
+        """Fold the batch into the per-machine table; count its tasks on the pool."""
+        table = self._table
+        tasks, owners = table.fold(state_layout(columns(new1), columns(new2)))
+        execution = self.join_regions(
+            tasks, [self._conditions[owner & 1] for owner in owners.tolist()]
+        )
+        return replace(
+            execution,
+            per_machine_output=table.sum_halves(
+                execution.per_machine_output, owners
+            ).sum(axis=1),
+            per_machine_seconds=table.sum_halves(
+                execution.per_machine_seconds, owners
+            ).sum(axis=1),
+        )
+
+    def evict_state(self, expired1, expired2) -> int:
+        """Tombstone each machine's expired keys."""
+        dropped = self._table.evict(state_layout(columns(expired1), columns(expired2)))
+        return sum(side1 + side2 for side1, side2 in dropped)
+
+    def install_state(self, state1, state2) -> None:
+        """Replace every machine's state; the fleet is the number of shares."""
+        state1, state2 = columns(state1), columns(state2)
+        self._table = RegionStateTable(range(len(state1)))
+        self._table.install(state_layout(state1, state2))
+
+    def drain_channel_bytes(self):
+        """No channel of its own: the bytes are on each execution."""
+        return (None, None, None)
 
     def close(self) -> None:
         """Shut the pool down (idempotent, final)."""

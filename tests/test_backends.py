@@ -31,7 +31,6 @@ from repro.streaming import (
     DriftDetector,
     DriftingZipfSource,
     RegionJoinResult,
-    RegionStateTable,
     SimulatedBackend,
     SlowConsumerBackend,
     SortedRegionState,
@@ -41,8 +40,9 @@ from repro.streaming import (
     default_mp_context,
     make_backend,
 )
-from repro.streaming.backends import _StickyWorkerState, state_layout
+from repro.streaming.backends import RoutedSide, StateOwner, _StickyWorkerState
 from repro.streaming.shm import SEGMENT_PREFIX
+from reference_state import state_layout
 from streaming_harness import _ForwardingBackend, arrivals
 
 UNIT = WeightFunction(1.0, 1.0)
@@ -224,15 +224,17 @@ class _ArrayReader:
 
 
 class TestStickyWorkerState:
-    """The shared state table, and the sticky worker's handlers over it.
+    """The state owner, and the sticky worker's handlers over it.
 
-    :class:`RegionStateTable` is the one fold implementation: the in-process
-    default hosts it on the backend, each sticky worker hosts one for its
-    machines.  The table tests pin the fold semantics exactly; the handler
-    tests pin the worker's machine-major message layout and replies
+    :class:`StateOwner` is the one fold implementation: the in-process
+    default is one owner of every machine, each sticky worker one owner of
+    its machines.  The owner tests pin the fold semantics exactly on
+    per-machine arrays (a group per machine); the handler tests pin the
+    worker's machine-major message layout and replies
     (``_StickyWorkerState`` is the code that runs inside the worker
     processes -- exercising it in-process keeps it visible to coverage,
-    which cannot see subprocesses).
+    which cannot see subprocesses).  Key ranges over one group are
+    ``tests/test_state_runs.py``'s and ``tests/test_state_derivation.py``'s.
     """
 
     @staticmethod
@@ -243,7 +245,7 @@ class TestStickyWorkerState:
         return arrays
 
     def test_count_replays_the_incremental_fold(self, rng):
-        table = RegionStateTable([0])
+        owner = StateOwner()
         worker = _StickyWorkerState()
         op, pid = worker.own((0,), BAND, BAND.transposed)
         assert op == "owned" and pid == os.getpid()
@@ -255,9 +257,7 @@ class TestStickyWorkerState:
         # 50, then 5, then 5 arrivals: the second batch stays its own run
         # (50 >= 8 * 5), so the third batch's second half searches two runs.
         for lo, hi in ((0, 50), (50, 55), (55, 60)):
-            idx1 = np.arange(lo, hi, dtype=np.int64)
-            idx2 = np.arange(lo, hi, dtype=np.int64)
-            keys1, keys2 = history1[idx1], history2[idx2]
+            keys1, keys2 = history1[lo:hi], history2[lo:hi]
             # The reference decomposition:
             # C(new1, state2 + new2) + C_transposed(new2, old state1).
             old_keys1 = state1.keys.copy()
@@ -266,86 +266,98 @@ class TestStickyWorkerState:
             if len(old_keys1):
                 expected += count_join_output(keys2, old_keys1, BAND.transposed)
             state1.insert(keys1)
-            # The table hands back exactly those two searches, each split
+            # The owner hands back exactly those two searches, each split
             # into one task per sorted run of the searched state, with the
-            # batch's sorted arrivals as needles ...
+            # batch's sorted arrivals as needles -- and none for a half
+            # whose searched state is still empty ...
             layout = [np.sort(keys1), np.sort(keys2)]
-            tasks, owners = table.fold(layout)
-            assert len(tasks) == len(owners)
-            assert owners.tolist() == sorted(owners.tolist())  # half 0 first
+            tasks, halves, blocks = owner.fold(
+                RoutedSide.of([layout[0]]), RoutedSide.of([layout[1]])
+            )
+            assert len(tasks) == len(halves) == sum(runs for _, runs in blocks)
+            assert halves == sorted(halves)  # half 0 first
             for half, needles, searched in (
                 (0, keys1, state2.keys),
                 (1, keys2, old_keys1),
             ):
-                mine = [task for task, owner in zip(tasks, owners) if owner == half]
-                for task_needles, run, _ in mine:
+                mine = [task for task, owner_half in zip(tasks, halves) if owner_half == half]
+                for task_needles, run, _, (shares, lows, highs) in mine:
                     np.testing.assert_array_equal(task_needles, np.sort(needles))
+                    assert shares.count == 1
+                    assert shares.picked.tolist() == list(range(len(needles)))
+                    assert lows is None and highs is None  # read whole
                     assert np.all(np.diff(run) >= 0)
                 expanded = [
                     run if cum is None else np.repeat(run, np.diff(cum))
-                    for _, run, cum in mine
-                ]
+                    for _, run, cum, _ in mine
+                ] or [old_keys1]
                 np.testing.assert_array_equal(np.sort(np.concatenate(expanded)), searched)
-            tasks_per_half.append(np.bincount(owners, minlength=2).tolist())
-            # ... and the worker counts them, summing the runs per half.
-            ((output, seconds),) = worker.count(layout)
-            assert output == expected
-            assert seconds >= 0.0
-        assert tasks_per_half == [[1, 1], [2, 1], [1, 2]]
-        for owner in (table, worker.table):
-            np.testing.assert_array_equal(owner.state1[0].keys, state1.keys)
-            np.testing.assert_array_equal(owner.state2[0].keys, state2.keys)
+            tasks_per_half.append(np.bincount(halves, minlength=2).tolist())
+            # ... and the worker counts them, summing the runs per machine.
+            outputs, seconds = worker.count(layout)
+            assert outputs == [expected]
+            assert len(seconds) == 1 and seconds[0] >= 0.0
+        assert tasks_per_half == [[1, 0], [2, 1], [1, 2]]
+        for held in (owner, worker.owner):
+            np.testing.assert_array_equal(held.view(0, 0), state1.keys)
+            np.testing.assert_array_equal(held.view(1, 0), state2.keys)
 
     def test_count_touches_owned_machines_only(self, rng):
         worker = _StickyWorkerState()
         worker.own((1,), BAND, BAND.transposed)
         keys = np.sort(rng.uniform(0, 50, 20))
-        counted = worker.count(self._layout(2, 1, keys, keys))
-        assert len(counted) == 1  # one row per *owned* machine
-        assert 0 not in worker.table.state1
-        assert worker.held() == [(1, 20, 20)]
+        outputs, _ = worker.count(self._layout(2, 1, keys, keys))
+        assert len(outputs) == 1  # one output per *owned* machine
+        assert worker.owner.held() == (20, 20)
 
     def test_empty_sides_are_skipped_and_untimed(self):
         worker = _StickyWorkerState()
         worker.own((0,), BAND, BAND.transposed)
         empty = np.empty(0)
-        counted = worker.count([empty, empty])
-        assert counted == [(0, 0.0)]
+        assert worker.count([empty, empty]) == ([0], [0.0])
 
     def test_evict_reports_entries_actually_dropped(self, rng):
-        table = RegionStateTable([0, 1])
+        owner = StateOwner()
         keys = np.sort(rng.uniform(0, 50, 10))
-        table.fold(self._layout(2, 0, keys, keys))
+        empty = keys[:0]
+        owner.fold(RoutedSide.of([keys, empty]), RoutedSide.of([keys, empty]))
         expired = keys[[2, 5, 7]]
         # Three entries per side on machine 0, nothing on machine 1.
-        assert table.evict(self._layout(2, 0, expired, expired)) == [(3, 3), (0, 0)]
-        assert len(table.state1[0]) == 7 and len(table.state2[0]) == 7
-        assert len(table.state1[1]) == 0
-        np.testing.assert_array_equal(table.state1[0].keys, np.delete(keys, [2, 5, 7]))
+        owner.evict(RoutedSide.of([expired, empty]), RoutedSide.of([expired, empty]))
+        assert owner.held() == (7, 7)
+        np.testing.assert_array_equal(owner.view(0, 0), np.delete(keys, [2, 5, 7]))
+        assert len(owner.view(0, 1)) == 0
+        # The backend reports the entries its machines dropped.
+        backend = SimulatedBackend()
+        backend.bind(2, BAND, BAND.transposed)
+        backend.count_batch(RoutedSide.of([keys, empty]), RoutedSide.of([keys, empty]))
+        assert backend.evict_state(
+            RoutedSide.of([expired, empty]), RoutedSide.of([expired, empty])
+        ) == 6
         # The worker's handler is that call behind a message.
         worker = _StickyWorkerState()
         worker.own((0,), BAND, BAND.transposed)
         worker.count([keys, keys])
-        assert worker.evict([expired, expired]) == [(3, 3)]
-        assert worker.held() == [(0, 7, 7)]
+        assert worker.evict([expired, expired]) is None
+        assert worker.owner.held() == (7, 7)
 
     def test_install_rebuilds_bit_identical_to_from_indices(self, rng):
-        table = RegionStateTable([0])
+        owner = StateOwner()
         history = rng.integers(0, 12, 40).astype(np.float64)  # repeated keys
         idx = rng.permutation(40)[:15].astype(np.int64)
         columns = [np.sort(history[idx])] * 2
-        table.install(columns)
+        owner.install(RoutedSide.of(columns[:1]), RoutedSide.of(columns[1:]))
         reference = SortedRegionState.from_indices(idx, history)
-        np.testing.assert_array_equal(table.state1[0].keys, reference.keys)
+        np.testing.assert_array_equal(owner.view(0, 0), reference.keys)
         # One counted run: each distinct key once, with its count.
-        ((keys, cum),) = table.state1[0].runs
+        ((keys, cum),) = owner.states[0][0].runs
         np.testing.assert_array_equal(keys, np.unique(history[idx]))
         assert cum[-1] == 15
         worker = _StickyWorkerState()
         worker.own((0,), BAND, BAND.transposed)
         reply = worker.handle(("install", None), _ArrayReader(columns))
-        assert reply == ("install", [(0, 0, 0)])  # held nothing on receipt
-        np.testing.assert_array_equal(worker.table.state1[0].keys, reference.keys)
+        assert reply == ("install", (0, 0), None)  # held nothing on receipt
+        np.testing.assert_array_equal(worker.owner.view(0, 0), reference.keys)
 
     def test_worker_resize_adopts_new_machines_with_empty_state(self, rng):
         worker = _StickyWorkerState()
@@ -354,8 +366,8 @@ class TestStickyWorkerState:
         worker.count([keys, keys])
         # Resizing is the same command bind sent, with the new machines.
         assert worker.own((1, 3), BAND, BAND.transposed) == ("owned", os.getpid())
-        assert worker.table.machines == (1, 3)
-        assert worker.held() == [(1, 0, 0), (3, 0, 0)]
+        assert worker.machines == (1, 3)
+        assert worker.owner.held() == (0, 0)
 
     def test_state_never_aliases_the_message_views(self, rng):
         # Fold inputs are views into a reused shared segment (a sticky
@@ -364,21 +376,25 @@ class TestStickyWorkerState:
         # 64 >= 8 * 3), not in a merged one (3 more: 3 < 8 * 3 <= 64 / 2).
         worker = _StickyWorkerState()
         worker.own((0,), BAND, BAND.transposed)
-        table = RegionStateTable([0])
-        for fold, owner in ((table.fold, table), (worker.count, worker.table)):
+        owner = StateOwner()
+
+        def fold(arrays):
+            owner.fold(RoutedSide.of(arrays[:1]), RoutedSide.of(arrays[1:]))
+
+        for count, held in ((fold, owner), (worker.count, worker.owner)):
             segment = np.zeros(64)
             for size, runs in ((64, 1), (3, 2), (3, 2)):
                 keys = segment[:size]
                 keys[:] = np.sort(rng.uniform(0, 50, size))
-                fold([keys, keys])
-                for state in (owner.state1[0], owner.state2[0]):
-                    assert len(state.runs) == runs
-                    for run in state.runs:
+                count([keys, keys])
+                for states in held.states:
+                    assert len(states[0].runs) == runs
+                    for run in states[0].runs:
                         for column in run:
                             assert column is None or not np.shares_memory(column, segment)
-                before = owner.state1[0].keys.copy()
+                before = held.view(0, 0).copy()
                 segment[:] = -1.0  # the arena overwrites the segment
-                np.testing.assert_array_equal(owner.state1[0].keys, before)
+                np.testing.assert_array_equal(held.view(0, 0), before)
 
     def test_unknown_command_raises(self):
         worker = _StickyWorkerState()
@@ -413,25 +429,27 @@ class TestInProcessStateProtocol:
         result = backend.count_batch(
             arrivals(split, history1), arrivals(split, history2)
         )
-        assert dispatched == [(4, 4)]  # 2J tasks (single-run state), one dispatch
+        # One task per machine's group and run of the R2 state; the R1
+        # state was empty before the batch, so half 1 searches nothing.
+        assert dispatched == [(2, 2)]
         expected = [
             count_join_output(history1[idx], history2[idx], BAND)
             for idx in split
         ]
         assert result.per_machine_output.tolist() == expected
-        assert result.per_machine_seconds.shape == (2,)
+        assert result.per_machine_seconds is None  # one pass, no per-machine time
         assert result.worker_pids is None and result.bytes_pickled is None
-        table = backend._table
-        assert [len(table.state1[m]) for m in (0, 1)] == [40, 40]
+        owner = backend._owner
+        assert [len(owner.view(0, m)) for m in (0, 1)] == [40, 40]
         # A machine holding several runs holds their union, as a multiset.
         tail = [np.array([80], dtype=np.int64), np.empty(0, dtype=np.int64)]
         backend.count_batch(
             arrivals(tail, np.append(history1, 1.0)),
             arrivals(tail, np.append(history2, 1.0)),
         )
-        assert len(table.state1[0].runs) == 2
+        assert len(owner.states[0][0].runs) == 2
         np.testing.assert_array_equal(
-            table.state1[0].keys, np.sort(np.append(history1[split[0]], 1.0))
+            owner.view(0, 0), np.sort(np.append(history1[split[0]], 1.0))
         )
 
     def test_evict_install_resize_and_drain(self, rng):
@@ -444,24 +462,22 @@ class TestInProcessStateProtocol:
         assert backend.evict_state(
             arrivals(expired, history1), arrivals(expired, history2)
         ) == 20
-        table = backend._table
-        np.testing.assert_array_equal(table.state1[0].keys, np.sort(history1[10:40]))
-        np.testing.assert_array_equal(table.state2[1].keys, np.sort(history2[40:80]))
+        owner = backend._owner
+        np.testing.assert_array_equal(owner.view(0, 0), np.sort(history1[10:40]))
+        np.testing.assert_array_equal(owner.view(1, 1), np.sort(history2[40:80]))
         swapped = [split[1], split[0]]
         backend.install_state(arrivals(swapped, history1), arrivals(swapped, history2))
-        np.testing.assert_array_equal(
-            backend._table.state1[0].keys, np.sort(history1[split[1]])
-        )
+        np.testing.assert_array_equal(owner.view(0, 0), np.sort(history1[split[1]]))
         # An install of another length resizes the fleet.
         grown = [split[0], np.empty(0, dtype=np.int64), split[1]]
         backend.install_state(arrivals(grown, history1), arrivals(grown, history2))
-        table = backend._table
         assert [
-            len(side[m]) for side in (table.state1, table.state2) for m in range(3)
+            len(owner.view(side, m)) for side in (0, 1) for m in range(3)
         ] == [40, 0, 40] * 2
-        with pytest.raises(ValueError, match="one R1 and one R2 key array"):
-            backend.install_state([], [])
+        with pytest.raises(ValueError, match="one R1 and one R2 share"):
+            backend.install_state(RoutedSide.of([]), RoutedSide.of([]))
         assert backend.drain_channel_bytes() == (None, None, None)
+
 
     def test_protocol_calls_before_bind_and_after_close_are_refused(self):
         backend = SimulatedBackend()
@@ -527,9 +543,10 @@ class _ShadowingBackend(_ForwardingBackend):
 
     def _compare(self, verb: str) -> None:
         self.compared.append(verb)
-        table = self.twin._table
+        owner = self.twin._owner
         held = [
-            [len(table.state1[m]), len(table.state2[m])] for m in table.machines
+            [len(owner.view(0, m)), len(owner.view(1, m))]
+            for m in range(len(self.inner._counts))
         ]
         assert self.inner._counts.tolist() == held
 
@@ -569,11 +586,11 @@ class TestStickyWorkerBackend:
         reference = _StickyWorkerState()
         reference.own((0, 1), BAND, BAND.transposed)
         batch = arrivals(split, history1), arrivals(split, history2)
-        expected = reference.count(state_layout(*batch))
+        expected, _ = reference.count(state_layout(*(side.columns() for side in batch)))
         with StickyWorkerBackend(max_workers=2) as backend:
             backend.bind(2, BAND, BAND.transposed)
             result = backend.count_batch(*batch)
-        assert result.per_machine_output.tolist() == [out for out, _ in expected]
+        assert result.per_machine_output.tolist() == expected
 
     def test_worker_counts_match_the_in_process_view_after_every_verb(self):
         """Sticky workers hold the only copy; what the backend knows of it is the twin's.
@@ -597,21 +614,21 @@ class TestStickyWorkerBackend:
 
     def test_bound_backend_keeps_counts_not_tuples(self, rng):
         """Between batches the engine side holds no per-tuple array: one
-        integer per machine and side (plus the machine-to-pid map)."""
+        integer per machine and side (plus the workers' pids)."""
         history = rng.uniform(0, 50, 4000)
         idx = [np.arange(m, 4000, 4, dtype=np.int64) for m in range(4)]
         with StickyWorkerBackend(max_workers=2) as backend:
             backend.bind(4, BAND, BAND.transposed)
             backend.count_batch(arrivals(idx, history), arrivals(idx, history))
             expired = [held[:2] for held in idx]
-            backend.evict_state(arrivals(expired, history), [np.empty(0)] * 4)
+            backend.evict_state(arrivals(expired, history), RoutedSide.of([np.empty(0)] * 4))
             assert backend._counts.tolist() == [[998, 1000]] * 4
             arrays = {
                 name: value.shape
                 for name, value in vars(backend).items()
                 if isinstance(value, np.ndarray)
             }
-            assert arrays == {"_counts": (4, 2), "_machine_pids": (4,)}
+            assert arrays == {"_counts": (4, 2), "_worker_pids": (2,)}
             assert not any(
                 isinstance(value, (list, dict)) and len(value) > backend.max_workers
                 for value in vars(backend).values()
@@ -636,7 +653,7 @@ class TestStickyWorkerBackend:
             backend.install_state(arrivals(grown, history), arrivals(grown, history))
             assert sent == ["own", "own", "install", "install"]
             assert backend._counts.tolist() == [[6, 6], [0, 0], [6, 6]]
-            assert len(backend._machine_pids) == 3
+            assert len(backend._worker_pids) == 2
             del sent[:]
             backend.install_state(arrivals(grown, history), arrivals(grown[::-1], history))
             assert sent == ["install", "install"]
@@ -654,7 +671,7 @@ class TestStickyWorkerBackend:
                 backend.count_batch(arrivals(idx, history), arrivals(idx, history))
                 # Behind the backend's back: the worker drops two R1 entries.
                 message = backend._arena.write([expired[0], expired[0][:0]])
-                assert backend._broadcast(("evict", message))[0][1] == [(0, 4, 4, 2, 0)]
+                assert backend._broadcast(("evict", message))[0] == ("evict", (4, 4), None)
                 with pytest.raises(RuntimeError, match="diverged"):
                     getattr(backend, verb)(expired, expired)
 
@@ -749,9 +766,14 @@ class TestStickyWorkerBackend:
         pids = result.worker_pids
         assert pids is not None and np.all(pids > 0)
         assert not np.any(pids == os.getpid())
-        # Machine m lives on worker m % W: machines 0/2 and 1/3 share pids.
-        assert pids[0] == pids[2] and pids[1] == pids[3]
-        assert pids[0] != pids[1]
+        # One pid per worker; a worker's counting time is its machines' sum
+        # (machine m lives on worker m % 2).
+        assert len(pids) == 2 and pids[0] != pids[1]
+        seconds = result.per_machine_seconds
+        assert seconds.shape == (4,) and np.all(seconds > 0)
+        np.testing.assert_allclose(
+            result.worker_seconds, [seconds[0::2].sum(), seconds[1::2].sum()]
+        )
 
     def test_worker_errors_surface_engine_side(self):
         with StickyWorkerBackend(max_workers=1) as backend:

@@ -3,12 +3,16 @@
 ``tests/reference_counting.py`` holds the loop ``count_regions`` was before
 joinable bounds were hoisted out of it (one ``joinable_bounds`` pass per
 condition per dispatch, every task searching with its slice) and the
-``np.add.at`` scatter ``sum_halves`` was before it became a ``reduceat``.
-The rewrite must be invisible: equal per-task outputs for every condition
-and key dtype, whatever tasks share a dispatch, and the clock read exactly
-as often -- twice per non-empty task -- so tick-clock traces do not move.
-Both streaming owners of the kernel are driven: ``SimulatedBackend`` and an
-in-process ``_StickyWorkerState`` (the batch simulator's use of it is
+``np.add.at`` scatter the per-machine halves were summed with.  The rewrite
+must be invisible: equal per-task outputs for every condition and key
+dtype, whatever tasks share a dispatch, and the clock read exactly as often
+-- twice per non-empty task -- so tick-clock traces do not move.  A
+*clipped* task (needle segments, each seeing one slice of the run) must
+count per segment what the reference counts on that segment's needles
+against that slice of the run.  Both streaming owners of the kernel are
+driven batch after batch -- ``SimulatedBackend`` and an in-process
+``_StickyWorkerState`` -- against the per-machine table kept in
+``tests/reference_state.py`` (the batch simulator's use of the kernel is
 ``tests/test_cluster_oracle.py``'s subject).
 """
 
@@ -31,11 +35,13 @@ from repro.joins.conditions import (
     InequalityOp,
     JoinCondition,
 )
+from reference_state import RegionStateTable, state_layout
+
 from repro.obs.trace import TickClock
-from repro.streaming import RegionStateTable, SimulatedBackend
+from repro.streaming import SimulatedBackend
 from repro.joins import local as kernel
 from repro.streaming import backends as production
-from repro.streaming.backends import _StickyWorkerState, state_layout
+from repro.streaming.backends import _StickyWorkerState
 
 BAND = BandJoinCondition(beta=2.0)  # integral: exact on int64 keys above 2**53
 NARROW = BandJoinCondition(beta=0.3)
@@ -131,22 +137,73 @@ def test_join_regions_counts_what_the_per_task_kernel_counts(seed, num_tasks):
     assert ours_clock.reads == 2 * non_empty + 2
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    style=st.sampled_from(KEY_STYLES),
+    condition=st.sampled_from(CONDITIONS),
+    counted=st.booleans(),
+    runs=st.integers(1, 3),
+)
+def test_a_clipped_task_counts_each_segment_on_its_slice(
+    seed, style, condition, counted, runs
+):
+    """Per segment: the reference's count of its needles against its run slice.
+
+    Segments overlap, nest, repeat and are empty; slices are empty, whole,
+    or anywhere in the run; runs are counted (negative counts too) or
+    fresh.  The clock is read twice per task with any needle, never per
+    segment.
+    """
+    rng = np.random.default_rng(seed)
+    needles = np.sort(_draw_keys(rng, style, int(rng.choice([1, 7, 60]))))
+    segments = int(rng.integers(1, 6))
+    starts = rng.integers(0, len(needles) + 1, segments)
+    stops = np.minimum(starts + rng.integers(0, len(needles) + 1, segments), len(needles))
+    shares = kernel.segments(starts, stops)
+    tasks, expected_tasks, widths = [], [], []
+    for _ in range(runs):
+        run = np.sort(_draw_keys(rng, style, int(rng.choice([1, 5, 50]))))
+        cum = None
+        if counted:
+            cum = np.concatenate([[0], np.cumsum(rng.integers(-2, 4, len(run)))])
+        lows = rng.integers(0, len(run) + 1, segments)
+        highs = np.maximum(lows, rng.integers(0, len(run) + 1, segments))
+        clip = (None, None) if rng.random() < 0.3 else (lows, highs)
+        tasks.append((needles, run, cum, (shares, *clip)))
+        for start, stop, low, high in zip(
+            starts.tolist(), stops.tolist(), lows.tolist(), highs.tolist()
+        ):
+            if clip[0] is None:
+                low, high = 0, len(run)
+            sliced = None if cum is None else cum[low : high + 1] - cum[low]
+            expected_tasks.append((needles[start:stop], run[low:high], sliced))
+        widths.append(segments)
+    with tick_clocks() as (ours_clock, reference_clock):
+        outputs, _ = kernel.count_regions(tasks, [condition] * len(tasks))
+        expected, _ = reference.count_regions(
+            expected_tasks, [condition] * len(expected_tasks)
+        )
+    np.testing.assert_array_equal(outputs, expected)
+    busy = int((stops > starts).any())
+    assert ours_clock.reads == 2 * busy * runs
+
+
 # ----------------------------------------------------------------------
 # The fold path: both owners of the kernel, batch after batch
 # ----------------------------------------------------------------------
+def _layout(sides):
+    """A sticky message of routed sides: ``(keys1, keys2)`` per machine."""
+    return state_layout(*(side.columns() for side in sides))
+
+
 def _count_simulated(condition, machines):
-    """``(count, evict)`` of an in-process backend."""
+    """``(count, evict)`` of an in-process backend: per-machine outputs."""
     backend = SimulatedBackend()
     backend.bind(machines, condition, condition.transposed)
 
     def count(new1, new2):
-        execution = backend.count_batch(new1, new2)
-        return list(
-            zip(
-                execution.per_machine_output.tolist(),
-                execution.per_machine_seconds.tolist(),
-            )
-        )
+        return backend.count_batch(new1, new2).per_machine_output.tolist()
 
     return count, backend.evict_state
 
@@ -156,8 +213,8 @@ def _count_sticky(condition, machines):
     worker = _StickyWorkerState()
     worker.own(tuple(range(machines)), condition, condition.transposed)
     return (
-        lambda *batch: worker.count(state_layout(*batch)),
-        lambda *expired: worker.evict(state_layout(*expired)),
+        lambda *batch: worker.count(_layout(batch))[0],
+        lambda *expired: worker.evict(_layout(expired)),
     )
 
 
@@ -172,10 +229,12 @@ def _count_sticky(condition, machines):
 def test_a_fold_counts_what_the_per_task_kernel_counts(
     owner, seed, style, condition, batches
 ):
-    """Per machine and per batch: same output, same ticks, same clock reads.
+    """Per machine and per batch: the owner's output is the per-machine table's.
 
     Between batches some held tuples expire: their keys are tombstoned on
-    both owners, so the searched runs carry negative counts too.
+    both owners, so the searched runs carry negative counts too.  The owner
+    holds a group per machine here (per-machine arrays), so each of its
+    tasks is one of the table's and the clock is read as often.
     """
     machines = 3
     rng = np.random.default_rng(seed)
@@ -195,7 +254,7 @@ def test_a_fold_counts_what_the_per_task_kernel_counts(
                     ]
                     expired.append(sorted_batch(gone, history))
                 evict(*expired)
-                table.evict(state_layout(*expired))
+                table.evict(_layout(expired))
             new = []
             for history in (history1, history2):
                 size = int(rng.choice([0, 1, 7, 90]))
@@ -216,15 +275,12 @@ def test_a_fold_counts_what_the_per_task_kernel_counts(
 
             new1, new2 = sorted_batch(new1, history1), sorted_batch(new2, history2)
             rows = count(new1, new2)
-            tasks, owners = table.fold(state_layout(new1, new2))
+            tasks, owners = table.fold(_layout((new1, new2)))
             outputs, seconds = reference.count_regions(
                 tasks, [fold_conditions[owner & 1] for owner in owners.tolist()]
             )
-            assert rows == list(
-                zip(
-                    reference.sum_halves(machines, outputs, owners).sum(axis=1).tolist(),
-                    reference.sum_halves(machines, seconds, owners).sum(axis=1).tolist(),
-                )
+            assert rows == (
+                reference.sum_halves(machines, outputs, owners).sum(axis=1).tolist()
             )
             # join_regions' own pair around each dispatch is the only
             # difference in clock reads the two owners may show.

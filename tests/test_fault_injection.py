@@ -41,6 +41,7 @@ from repro.streaming import (
     WorkerCrashError,
     run_resilient,
 )
+from repro.streaming.backends import RoutedSide
 from streaming_harness import CrashingBackend, assert_equivalent_runs
 
 UNIT = WeightFunction(1.0, 1.0)
@@ -160,7 +161,7 @@ class TestFlakyBackend:
         """The first ``failures`` work calls raise; later calls succeed."""
         backend = flaky_backend(failures=2)
         backend.bind(1, BAND, BAND.transposed)
-        new1, new2 = [np.array([1.0, 2.0])], [np.array([1.5, 9.0])]
+        new1, new2 = RoutedSide.of([np.array([1.0, 2.0])]), RoutedSide.of([np.array([1.5, 9.0])])
         for _ in range(2):
             with pytest.raises(WorkerCrashError, match="transient"):
                 backend.count_batch(new1, new2)

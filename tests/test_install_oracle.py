@@ -28,8 +28,10 @@ from reference_install import (
     ReferenceInstallBackend,
     ReferenceInstallEngine,
     ReferenceStickyBackend,
+    sorted_keys,
 )
 from reference_migration import plan_migration as reference_plan
+from reference_state import RegionStateTable, state_layout
 from streaming_harness import assert_equivalent_runs
 from test_migration_properties import ReplicatingPartitioning
 from test_routing_oracle import (
@@ -52,7 +54,8 @@ from repro.streaming import (
     StreamingJoinEngine,
     plan_migration,
 )
-from repro.streaming.backends import _StickyWorkerState, state_layout
+from repro.streaming.backends import RoutedSide, _StickyWorkerState
+from repro.streaming.migration import plan_install
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +133,20 @@ def test_an_install_leaves_the_reference_run_lists(
     with np.errstate(invalid="ignore"):  # the mod scheme casts NaN / inf keys
         plan = plan_migration(*old, partitioning, *logs, num_machines, ours, mode)
         expected = reference_plan(*old, partitioning, *logs, num_machines, theirs, mode)
+        installed, _, routed = plan_install(
+            *old, partitioning, *logs, num_machines, np.random.default_rng(seed), mode
+        )
     assert ours.bit_generator.state == theirs.bit_generator.state
+    # The engine's planner routes once: the figures are plan_migration's,
+    # and every machine's routed keys are its planned column's.
+    for name in ("per_machine_arrivals", "per_machine_departures", "region_to_machine"):
+        np.testing.assert_array_equal(getattr(installed, name), getattr(plan, name))
+    assert installed.new_state1 == installed.new_state2 == []
+    for side, columns in zip(routed, (plan.new_state1, plan.new_state2)):
+        assert len(side.columns()) == len(columns) == num_machines
+        for keys, (_, planned) in zip(side.columns(), columns):
+            assert keys.dtype == planned.dtype
+            np.testing.assert_array_equal(keys, planned)
 
     for ours, theirs, log in (
         (plan.new_state1, expected.new_assignments1, logs[0]),
@@ -146,22 +162,23 @@ def test_an_install_leaves_the_reference_run_lists(
     keys2 = [keys for _, keys in plan.new_state2]
     production = SimulatedBackend()
     production.bind(old_machines, BAND, BAND.transposed)
-    production.install_state(keys1, keys2)
-    reference = ReferenceInstallBackend()
-    reference.bind(old_machines, BAND, BAND.transposed)
-    if num_machines != old_machines:
-        reference.resize(num_machines)
-    reference.install_state(expected.new_assignments1, expected.new_assignments2, *logs)
+    production.install_state(RoutedSide.of(keys1), RoutedSide.of(keys2))
+    table = RegionStateTable(range(num_machines))
+    table.install(
+        state_layout(
+            sorted_keys(expected.new_assignments1, logs[0]),
+            sorted_keys(expected.new_assignments2, logs[1]),
+        )
+    )
     worker = _StickyWorkerState()
     worker.own(tuple(range(num_machines)), BAND, BAND.transposed)
     worker.install(state_layout(keys1, keys2))
 
-    table = reference._table
-    for owner in (production._table, worker.table):
-        assert owner.machines == table.machines
+    # Per-machine arrays are a group per machine, on both owners.
+    for owner in (production._owner, worker.owner):
         for machine in table.machines:
-            _assert_same_runs(owner.state1[machine], table.state1[machine])
-            _assert_same_runs(owner.state2[machine], table.state2[machine])
+            _assert_same_runs(owner.states[0][machine], table.state1[machine])
+            _assert_same_runs(owner.states[1][machine], table.state2[machine])
 
 
 # ----------------------------------------------------------------------

@@ -188,7 +188,9 @@ def _old_and_new_overlaps(old_scheme, new_scheme, live, old_machines, num_machin
     width = max(old_machines, num_machines)
     ours = migration._overlaps(routed, spans, migration._padded(held, width), live)
     expected = reference_migration.overlap_matrix(
-        pad_assignments([indices for indices, _ in routed], width),
+        pad_assignments(
+            [indices for indices, _ in migration._columns(routed, spans, live)], width
+        ),
         pad_assignments(
             reference_migration.held_indices(old_scheme, 1, live, rng, old_machines, remap),
             width,

@@ -188,7 +188,7 @@ class TestShmReader:
                 message = arena.write([keys, keys])
                 views = reader.arrays(message)
                 worker.handle(("count", message), reader)
-                held = worker.table.state1[0], worker.table.state2[0]
+                held = worker.owner.states[0][0], worker.owner.states[1][0]
                 for state in held:
                     for run in state.runs:
                         for column in run:

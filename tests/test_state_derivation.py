@@ -1,4 +1,4 @@
-"""Machine state is derived: each machine-side holds its plan's route of the live log.
+"""Owner state is derived: each side holds the plan's route of the live log, once.
 
 Machines hold key multisets and nothing else, so whenever the engine needs
 to know *which* tuples a machine holds -- the old placement of a migration,
@@ -7,16 +7,22 @@ reached its machine through the current plan (a batch, an expired slice, the
 initial build, a migration, a resize, a restore all route by it, and routing
 is a pure function of key and arrival index), so machine ``m``'s tuples are
 the live log routed by the plan and placed by ``region_to_machine``
-(``repro.streaming.migration.placement``).  This file checks that invariant
-after every batch: every machine-side's expanded multiset equals the keys
-of its derived placement, over every window, for static EWH, adaptive EWH
-and 1-Bucket, on the in-process and the sticky backend, across a partial
-repartitioning that remaps regions to other machines, and across resizes.
+(``repro.streaming.migration.placement``).
+
+The backend's ``StateOwner`` holds each side once, in groups (one for a
+key-range plan, one per draw group for 1-Bucket), and a machine reads its
+group through its key range.  This file checks the owner invariant after
+every batch: every group holds exactly the live keys routed to at least one
+of its readers, each once, and every machine's view -- its group cut by its
+range -- equals the keys of its derived placement.  Over every window, for
+static EWH, adaptive EWH and 1-Bucket, on the in-process and the sticky
+backend, across a partial repartitioning that remaps regions to other
+machines, and across resizes.
 
 Sticky workers cannot be read, so a sticky run forwards every verb to the
-workers *and* an in-process twin: the twin's state is checked against the
-derivation, and every count's outputs and the per-machine sizes each worker
-confirmed must equal the twin's.
+workers *and* an in-process twin: the twin's owner is checked against the
+derivation, and every count's outputs and the per-machine sizes the backend
+has told its workers must equal the twin's views.
 """
 
 from __future__ import annotations
@@ -62,8 +68,11 @@ class _TwinBackend(_ForwardingBackend):
         self.twin = SimulatedBackend()
 
     def _held(self) -> None:
-        table = self.twin._table
-        held = [[len(table.state1[m]), len(table.state2[m])] for m in table.machines]
+        owner = self.twin._owner
+        held = [
+            [len(owner.view(0, m)), len(owner.view(1, m))]
+            for m in range(len(self.inner._counts))
+        ]
         assert self.inner._counts.tolist() == held
 
     def bind(self, num_machines, condition, transposed) -> None:
@@ -91,25 +100,37 @@ class _TwinBackend(_ForwardingBackend):
         self._held()
 
 
-def _table(backend):
-    """The in-process state table that holds (or mirrors) the run's state."""
-    return (backend.twin if isinstance(backend, _TwinBackend) else backend)._table
+def _owner(backend):
+    """The in-process state owner that holds (or mirrors) the run's state."""
+    return (backend.twin if isinstance(backend, _TwinBackend) else backend)._owner
 
 
 def assert_state_is_derived(engine: StreamingJoinEngine) -> None:
-    """Every machine-side's key multiset is its derived placement's keys."""
+    """Each group holds its readers' derived placement once; each view is a placement."""
     s = engine._state
-    table = _table(engine.backend)
-    assert table.machines == tuple(range(engine.num_machines))
-    for side, log, states in ((1, s.log1, table.state1), (2, s.log2, table.state2)):
+    owner = _owner(engine.backend)
+    for side, log in ((1, s.log1), (2, s.log2)):
         held = placement(
             s.partitioning, side, log, np.random.default_rng(0),
             engine.num_machines, s.region_to_machine,
         )
+        layout = owner.layouts[side - 1]
+        if layout is None:
+            assert s.partitioning is None and not owner.states[side - 1]
+            continue
+        assert layout is s.layouts[side - 1]
+        for group, readers in enumerate(layout.readers):
+            routed = np.unique(
+                np.concatenate([held[m][0] for m in readers.tolist()] + [np.empty(0, int)])
+            ).astype(np.int64)
+            np.testing.assert_array_equal(
+                owner.states[side - 1][group].keys, np.sort(log[routed])
+            )
         for machine, (indices, keys) in enumerate(held):
-            assert len(states[machine]) == len(indices)
             np.testing.assert_array_equal(keys, log[indices])
-            np.testing.assert_array_equal(states[machine].keys, np.sort(log[indices]))
+            np.testing.assert_array_equal(
+                owner.view(side - 1, machine), np.sort(log[indices])
+            )
 
 
 def _source(seed: int = 23) -> DriftingZipfSource:

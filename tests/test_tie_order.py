@@ -1,11 +1,13 @@
 """Arrivals are sorted by key alone: the order among equal keys is unobservable.
 
-``repro.partitioning.base.sort_arrivals`` and
-``GridRoutedPartitioning.sorted_arrivals`` sort unsorted arrivals with
-numpy's default sort, so equal keys reach a machine's state in an order
-nobody specifies.  The first half runs whole engines twice -- once as they
-are, once with those two sorts emitting every run of equal keys in
-*reverse* arrival order -- and asks for the same per-batch deltas, loads,
+``repro.partitioning.base.sort_arrivals``,
+``GridRoutedPartitioning.sorted_arrivals`` and
+``repro.streaming.migration.route_batch`` (which sorts a key-range plan's
+batch keys alone) sort unsorted arrivals with numpy's default sort, so equal
+keys reach the state in an order nobody specifies.  The first half runs
+whole engines twice -- once as they are, once with those sorts emitting
+every run of equal keys in *reverse* arrival order -- and asks for the same
+per-batch deltas, loads,
 repartition decisions, totals and mid-run checkpoint bytes, and for the
 same again after a ``resume_from`` that checkpoint.  The streams are made
 of ties: one key only, fewer distinct keys than machines, ``-0.0`` beside
@@ -54,7 +56,11 @@ NUM_BATCHES, PER_SIDE, CHECKPOINT_AT = 10, 120, 5
 #: The sorts whose tie order is unspecified: the callers of the patched argsort.
 ARRIVAL_SORTS = ("sort_arrivals", "sorted_arrivals", "_sort_then_cut")
 
+#: The callers of the patched ``np.sort``: a key-range plan's batch route.
+KEY_SORTS = ("route_batch",)
+
 _argsort = np.argsort
+_sort = np.sort
 
 
 def _stream(kind: str) -> "list[MicroBatch]":
@@ -99,6 +105,18 @@ def _reversed_ties(keys, *args, **kwargs):
     return order[np.lexsort((-np.arange(len(order)), group))]
 
 
+def _reversed_key_ties(keys, *args, **kwargs):
+    """``np.sort``, except that the batch route gets equal keys reversed."""
+    if args or kwargs or sys._getframe(1).f_code.co_name not in KEY_SORTS:
+        return _sort(keys, *args, **kwargs)
+
+    def sort_arrivals(keys):
+        return _reversed_ties(keys)
+
+    keys = np.asarray(keys)
+    return keys[sort_arrivals(keys)]
+
+
 def test_the_reversed_sort_reverses_only_the_ties():
     keys = np.array([3.0, -0.0, np.nan, 1.0, 0.0, 3.0, np.nan, 1.0])
 
@@ -108,6 +126,12 @@ def test_the_reversed_sort_reverses_only_the_ties():
     order = sort_arrivals(keys)
     assert order.tolist() == [4, 1, 7, 3, 5, 0, 6, 2]
     assert _reversed_ties(keys, kind="stable").tolist() == [1, 4, 3, 7, 0, 5, 2, 6]
+
+    def route_batch(keys):
+        return _reversed_key_ties(keys)
+
+    signs = np.signbit(route_batch(np.array([0.0, 1.0, -0.0])))
+    assert signs.tolist() == [True, False, False]
 
 
 def _run(policy: str, window: str, stream: str, backend, monkeypatch):
@@ -147,6 +171,7 @@ def _assert_ties_unobservable(policy, window, stream, backend, monkeypatch) -> N
         policy, window, stream, backend, monkeypatch
     )
     monkeypatch.setattr(np, "argsort", _reversed_ties)
+    monkeypatch.setattr(np, "sort", _reversed_key_ties)
     actual, raw, resumed = _run(policy, window, stream, backend, monkeypatch)
     assert_equivalent_runs(actual, expected)
     assert raw == expected_raw
@@ -181,17 +206,21 @@ def test_the_streams_repartition_and_hold_ties(monkeypatch):
     """What the matrix above exercises: a drift migration, and ties on every path."""
     reversed_ties = 0
 
-    def counting(keys, *args, **kwargs):
-        nonlocal reversed_ties
-        if not args and not kwargs and sys._getframe(1).f_code.co_name in ARRIVAL_SORTS:
-            reversed_ties += int(len(np.unique(keys)) < len(keys))
-        return _argsort(keys, *args, **kwargs)
+    def counting(sort, callers):
+        def sorting(keys, *args, **kwargs):
+            nonlocal reversed_ties
+            if not args and not kwargs and sys._getframe(1).f_code.co_name in callers:
+                reversed_ties += int(len(np.unique(keys)) < len(keys))
+            return sort(keys, *args, **kwargs)
 
-    monkeypatch.setattr(np, "argsort", counting)
+        return sorting
+
+    monkeypatch.setattr(np, "argsort", counting(_argsort, ARRIVAL_SORTS))
+    monkeypatch.setattr(np, "sort", counting(_sort, KEY_SORTS))
     result, _, _ = _run("adaptive", "batches:3", "signed_zeros", SimulatedBackend, monkeypatch)
     assert result.num_repartitions >= 1
-    # Two sides per routed batch, the initial build's and each migration's
-    # routes, and the restore's one sort per machine-side.
+    # Two sides per routed batch and per expired slice, the initial build's
+    # and each migration's live sorts, and the restore's.
     assert reversed_ties >= 2 * NUM_BATCHES
 
 
@@ -199,25 +228,30 @@ def test_the_streams_repartition_and_hold_ties(monkeypatch):
 # No stable sort on unsorted arrivals
 # ----------------------------------------------------------------------
 def _argsorts_by_kind(monkeypatch) -> "dict[str, int]":
-    """Patch ``np.argsort`` to count calls by ``kind``, run merges excluded."""
+    """Patch ``np.argsort`` and ``np.sort`` to count calls by ``kind``, run merges excluded."""
     kinds: "dict[str, int]" = {}
 
-    def counting(keys, *args, **kwargs):
-        if sys._getframe(1).f_code.co_name != "_merge_sorted":
-            kind = str(kwargs.get("kind", "default"))
-            kinds[kind] = kinds.get(kind, 0) + 1
-        return _argsort(keys, *args, **kwargs)
+    def counting(name, sort):
+        def sorting(keys, *args, **kwargs):
+            if sys._getframe(1).f_code.co_name != "_merge_sorted":
+                kind = f"{name} {kwargs.get('kind', 'default')}"
+                kinds[kind] = kinds.get(kind, 0) + 1
+            return sort(keys, *args, **kwargs)
 
-    monkeypatch.setattr(np, "argsort", counting)
+        return sorting
+
+    monkeypatch.setattr(np, "argsort", counting("argsort", _argsort))
+    monkeypatch.setattr(np, "sort", counting("sort", _sort))
     return kinds
 
 
 def test_unsorted_arrivals_take_no_stable_sort(monkeypatch):
-    """One steady batch and one migration: zero ``kind="stable"`` argsorts.
+    """One steady batch and one migration: zero ``kind="stable"`` sorts.
 
-    Outside the run merge, a steady batch sorts each side's arrivals and
-    each side's expired slice once -- four default-kind sorts -- and a
-    migration sorts each side's live history once, for the old plan's
+    Outside the run merge, a steady batch sorts the keys of each side's
+    arrivals and of each side's expired slice once -- four default-kind
+    ``np.sort`` calls: a key-range plan reads no arrival index -- and a
+    migration argsorts each side's live history once, for the old plan's
     placement and the new plan's route alike -- two; with the stable sort
     on arrivals they made stable ones.
     """
@@ -253,5 +287,5 @@ def test_unsorted_arrivals_take_no_stable_sort(monkeypatch):
     assert migrations, "the stream never repartitioned"
     migration = migrations[0]
     print(f"argsorts outside run merges: steady batch {steady}, migration {migration}")
-    assert steady == {"default": 4}
-    assert migration == {"default": 2}
+    assert steady == {"sort default": 4}
+    assert migration == {"argsort default": 2}
