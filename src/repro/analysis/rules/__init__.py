@@ -1,6 +1,6 @@
 """The domain rule battery for :mod:`repro.analysis`.
 
-Seven rule families, one per discipline the repository's tests pin
+Eight rule families, one per discipline the repository's tests pin
 dynamically (see each module's docstring for the full rationale):
 
 ========  ==========================================================
@@ -10,6 +10,7 @@ KEY001    no float coercion on join-key dataflow (exact int64 keys)
 CONC001   no fork / pickled lambdas / module-level mutable state
 API001    complete ``ExecutionBackend`` surfaces, bind-first ordering
 STATE001  no ``np.insert`` / ``isin`` / ``ufunc.at`` under streaming
+FFI001    ``ctypes`` / ``cffi`` only in the count kernel's loader
 SUP001    suppression comments must cite rule ids that exist
 ========  ==========================================================
 
@@ -26,6 +27,7 @@ from repro.analysis.rules.api import BackendProtocolRule
 from repro.analysis.rules.concurrency import MultiprocessingHygieneRule
 from repro.analysis.rules.determinism import DirectClockRule, GlobalRngRule
 from repro.analysis.rules.keys import FloatKeyCoercionRule
+from repro.analysis.rules.native import NativeCodeRule
 from repro.analysis.rules.state import StateCopyRule
 from repro.analysis.rules.suppressions import UnknownSuppressionRule
 
@@ -38,6 +40,7 @@ __all__ = [
     "MultiprocessingHygieneRule",
     "BackendProtocolRule",
     "StateCopyRule",
+    "NativeCodeRule",
     "UnknownSuppressionRule",
 ]
 
@@ -49,6 +52,7 @@ ALL_RULES: "tuple[type[Rule], ...]" = (
     MultiprocessingHygieneRule,
     BackendProtocolRule,
     StateCopyRule,
+    NativeCodeRule,
     UnknownSuppressionRule,
 )
 

@@ -19,7 +19,9 @@ For the simulator we rarely need materialised pairs, only their number:
 :func:`count_regions` counts key-range regions with two binary searches per
 tuple -- the per-region count loop every engine runs, batch
 (:func:`~repro.engine.cluster.run_partitioned_join`) and streaming (the
-in-process backends and every sticky worker) alike.
+in-process backends and every sticky worker) alike.  Its inner loop runs in
+the compiled count kernel (:mod:`repro.joins.native`) where one could be
+built, and in numpy otherwise.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.joins import native
 from repro.joins.conditions import (
     BandJoinCondition,
     EquiJoinCondition,
@@ -208,8 +211,15 @@ def count_regions(
     per-task call would have returned -- and a fold's dispatch (two
     conditions, one task per sorted run, consecutive tasks sharing their
     needles) costs two bounds passes however many runs there are.  What
-    stays per task, and is all that is timed: the two binary searches of
-    its second side and their sum.
+    stays per task, and is all that is timed: the searches of its second
+    side and their sum -- one call of the compiled count kernel
+    (:func:`repro.joins.native.count`: a galloping search per bound from
+    the previous needle's answer, the clip and the per-segment sums in one
+    C loop), or, where the kernel is not loaded or does not take the
+    task's arrays, the numpy reference it equals bit for bit
+    (``_count_task``: two ``searchsorted`` passes, the clip ufuncs, a
+    gather and ``reduceat``).  Either way the clock is read twice per
+    non-empty task.
 
     A task's optional third entry makes its second side a *counted* run
     of the streaming state
@@ -278,23 +288,24 @@ def count_regions(
         ]
     for task, run, cum, clip, group, position in searches:
         lows, highs = bounds[group][position]
+        out = outputs[offsets[task] : offsets[task + 1]]
         started = perf_counter()
-        if clip is None:
-            high, low = run.searchsorted(highs, "right"), run.searchsorted(lows, "left")
-            if cum is None:
-                outputs[offsets[task]] = (high - low).sum()
-            else:
-                outputs[offsets[task]] = (cum[high] - cum[low]).sum()
-        else:
-            _count_clipped(
-                run, cum, lows, highs, clip, outputs[offsets[task] : offsets[task + 1]]
-            )
+        if not native.count(run, cum, lows, highs, clip, out):
+            _count_task(run, cum, lows, highs, clip, out)
         seconds[task] = perf_counter() - started
     return outputs, seconds
 
 
-def _count_clipped(run, cum, lows, highs, clip, out: np.ndarray) -> None:
-    """Write a clipped task's per-segment counts into ``out`` (see :func:`count_regions`)."""
+def _count_task(run, cum, lows, highs, clip, out: np.ndarray) -> None:
+    """Write one task's counts into ``out`` with numpy (see :func:`count_regions`).
+
+    The reference the compiled kernel (:func:`repro.joins.native.count`)
+    is held to bit for bit, and the path wherever it does not run.
+    """
+    if clip is None:
+        high, low = run.searchsorted(highs, "right"), run.searchsorted(lows, "left")
+        out[0] = (high - low).sum() if cum is None else (cum[high] - cum[low]).sum()
+        return
     needles, clip_lows, clip_highs = clip
     window = slice(needles.first, needles.last)
     high = run.searchsorted(highs[window], "right")[needles.picked]

@@ -55,6 +55,7 @@ from repro.core.histogram import (
     build_equi_weight_histogram,
 )
 from repro.core.weights import WeightFunction
+from repro.joins import native
 from repro.joins.conditions import JoinCondition
 from repro.partitioning.ewh import EWHPartitioning
 from repro.sampling.reservoir import offer_entries
@@ -65,13 +66,13 @@ __all__ = ["DecayedReservoir", "IncrementalHistogram", "SortedRegionState"]
 
 #: A new run is merged into its predecessor while the predecessor holds
 #: fewer than this many times the *distinct* keys merged so far.  Measured,
-#: not tunable: every run is its own binary-search descent per needle, so a
-#: small ratio buys cheap merges with many searches.  Re-measured on
-#: owner-side runs -- each side held once for all machines -- over five
-#: interleaved runs each (``docs/streaming.md``, "State layout"): 4 read
-#: within noise of 8 (`stream_steady` median 2,640K vs 2,638K tuples/s, 2/5
-#: runs ahead; `stream_growth` 2,597K vs 2,629K, 1/5) and 16 slower on both
-#: (2,565K, 2,451K), so neither beat 8 on both.  Applied to tuple totals
+#: not tunable: every run is its own search per needle, so a small ratio
+#: buys cheap merges with many searches.  Re-measured under the compiled
+#: kernel's linear merge, over five interleaved runs each
+#: (``docs/streaming.md``, "State layout"): 16 read ahead of 8 on
+#: `stream_growth` (median 4,232K vs 4,059K tuples/s, 4/5 runs) but behind
+#: on `stream_steady` (3,286K vs 3,467K, 1/5), and 4 behind on both
+#: (3,993K, 3,307K), so none beat 8 on both.  Applied to tuple totals
 #: instead of distinct lengths it read 20% slower per
 #: ``stream_growth``-shaped batch (per-machine runs, PR 31).
 RUN_MERGE_RATIO = 8
@@ -95,23 +96,34 @@ def _merge_sorted(
 ) -> "tuple[np.ndarray, np.ndarray] | None":
     """Merge key-sorted runs, oldest first, into one counted run.
 
-    One stable sort of the runs laid end to end: numpy's stable sort is a
-    timsort, which finds the sorted runs and merges them in linear passes.
-    This is the one stable sort left on the state path, kept for speed, not
-    for tie order: on concatenated sorted runs it beats numpy's default
-    sort, which does not look for runs (about 20 vs 100 us at 5,700 + 380
-    keys on an AVX-512 Xeon, numpy 2.4), while on *unsorted* arrivals the
-    default sort wins (:func:`~repro.partitioning.base.sort_arrivals`).
-    Equal keys -- every NaN among them -- then become one entry whose count
-    is the sum of their multiplicities: the running total of the sorted
-    multiplicities, read at the last element of each group, *is* the merged
-    run's ``cum``.  Keys whose count sums to zero (a tombstone meeting the
-    tuple it expires) are dropped.  Returns distinct ascending keys and
-    their cumulative counts (``cum[0] == 0``), or ``None`` when everything
-    cancelled.  ``-0.0`` and ``0.0`` compare equal and share an entry:
-    counts read values, nothing reads bit patterns.  No input is modified,
-    so a reader still holding an old run keeps a valid snapshot.
+    Equal keys -- every NaN among them -- become one entry whose count is
+    the sum of their multiplicities (1 per key of a fresh run, ``cum[i +
+    1] - cum[i]`` of a counted or tombstone run), keeping the key that
+    comes last in (run, position) order; keys whose count sums to zero (a
+    tombstone meeting the tuple it expires) are dropped.  Returns distinct
+    ascending keys and their cumulative counts (``cum[0] == 0``), or
+    ``None`` when everything cancelled.  ``-0.0`` and ``0.0`` compare equal
+    and share an entry: counts read values, nothing reads bit patterns.  No
+    input is modified, so a reader still holding an old run keeps a valid
+    snapshot.
+
+    The compiled count kernel does it in one linear k-way pass
+    (:func:`repro.joins.native.merge`: a run's stretch below every other
+    run's head is taken whole, a key several runs hold is gathered from
+    each, oldest first).  Where the kernel is not loaded, the numpy
+    reference it equals byte for byte runs: one stable sort of the runs
+    laid end to end -- numpy's stable sort is a timsort, which finds the
+    sorted runs and merges them in linear passes, about 20 vs 100 us for
+    its default sort at 5,700 + 380 keys on an AVX-512 Xeon, numpy 2.4 --
+    whose running total of the sorted multiplicities, read at the last
+    element of each group, *is* the merged run's ``cum``.  It is the one
+    stable sort on the state path, kept for speed, not for tie order; on
+    *unsorted* arrivals the default sort wins
+    (:func:`~repro.partitioning.base.sort_arrivals`).
     """
+    merged = native.merge(runs)
+    if merged is not False:
+        return merged
     keys = np.concatenate([keys for keys, _ in runs])
     counts = np.empty(keys.size, dtype=np.int64)
     start = 0

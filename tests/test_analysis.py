@@ -546,6 +546,52 @@ class TestStateCopy:
 
 
 # ---------------------------------------------------------------------------
+# FFI001 — native code only through the count kernel's loader
+# ---------------------------------------------------------------------------
+class TestNativeCode:
+    def test_flags_every_foreign_function_interface(self):
+        report = run(
+            """
+            import ctypes
+            import ctypes.util as util
+            from _ctypes import dlopen
+            import cffi
+            import numpy as np
+
+            def load(path):
+                return np.ctypeslib.load_library(path, ".")
+            """,
+            "src/repro/engine/example.py",
+        )
+        assert rule_ids(report) == ["FFI001"] * 5
+        assert "ctypes" in report.findings[0].message
+        assert "repro.joins.native" in report.findings[0].message
+        assert "numpy.ctypeslib.load_library" in report.findings[4].message
+
+    def test_flags_from_imports_of_the_numpy_loader(self):
+        report = run("from numpy.ctypeslib import load_library\nfrom numpy import ctypeslib\n")
+        assert rule_ids(report) == ["FFI001"] * 2
+
+    def test_clean_without_ffi(self):
+        report = run(
+            """
+            import numpy as np
+            from repro.joins import native
+
+            def count_path(keys):
+                ctypes = keys.copy()  # a local named like the module is fine
+                return native.COUNT_PATH, np.sort(ctypes)
+            """
+        )
+        assert rule_ids(report) == []
+
+    def test_the_kernel_loader_is_the_one_exception(self):
+        source = "import ctypes\nLIBRARY = ctypes.CDLL\n"
+        assert rule_ids(run(source, "src/repro/joins/native.py")) == []
+        assert rule_ids(run(source, "src/repro/joins/local.py")) == ["FFI001"]
+
+
+# ---------------------------------------------------------------------------
 # SUP001 — suppression comments must cite rule ids that exist
 # ---------------------------------------------------------------------------
 class TestUnknownSuppression:
@@ -687,7 +733,7 @@ class TestEngine:
 
     def test_every_rule_has_distinct_id_and_description(self):
         ids = [rule.rule_id for rule in ALL_RULES]
-        assert len(ids) == len(set(ids)) == 7
+        assert len(ids) == len(set(ids)) == 8
         for rule in ALL_RULES:
             assert rule.description
 
@@ -743,6 +789,7 @@ class TestCli:
             "CONC001",
             "DET001",
             "DET002",
+            "FFI001",
             "KEY001",
             "STATE001",
             "SUP001",
