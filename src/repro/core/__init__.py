@@ -8,8 +8,6 @@ Modules, in the order the 3-stage histogram algorithm uses them:
   (per-row/column input sizes, per-cell output frequencies, candidate mask,
   O(1) rectangle weights via prefix sums), and ``smallest_feasible``, the
   one threshold search of coarsening, regionalization and M-Bucket.
-* :mod:`repro.core.matrix` -- the exact join-matrix model used for toy
-  examples, ground truth in tests and the Figure 1 reproduction.
 * :mod:`repro.core.region` -- rectangular regions and minimal candidate
   rectangles.
 * :mod:`repro.core.sample_matrix` -- stage 1 (sampling): build MS from
@@ -30,7 +28,6 @@ from repro import lazy_exports
 _EXPORTS = {
     "WeightFunction": "repro.core.weights",
     "WeightedGrid": "repro.core.grid",
-    "JoinMatrix": "repro.core.matrix",
     "GridRegion": "repro.core.region",
     "KeyRegion": "repro.core.region",
     "SampleMatrix": "repro.core.sample_matrix",
@@ -44,10 +41,6 @@ _EXPORTS = {
     "regionalize": "repro.core.regionalization",
     "EquiWeightHistogram": "repro.core.histogram",
     "build_equi_weight_histogram": "repro.core.histogram",
-    "GridCoverage": "repro.core.validation",
-    "PartitioningValidation": "repro.core.validation",
-    "validate_grid_regions": "repro.core.validation",
-    "validate_partitioning": "repro.core.validation",
 }
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

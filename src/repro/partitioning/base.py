@@ -183,8 +183,9 @@ class Partitioning(abc.ABC):
         A scheme whose regions are key ranges hands every region one
         contiguous ``keys[starts[r]:stops[r]]`` of a key-sorted side and
         says so here; the default -- shares that are not slices -- returns
-        ``None``.  Two plans that cut the same sort into slices overlap by
-        span arithmetic (:func:`~repro.streaming.migration.plan_migration`).
+        ``None``.  A migration between two plans that cut the same sort
+        into slices overlaps them by span arithmetic and installs the sort
+        itself, sliced (:func:`~repro.streaming.migration.plan_install`).
         """
         return None
 

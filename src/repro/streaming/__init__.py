@@ -78,7 +78,7 @@ _EXPORTS = {
     "DriftDetector": "repro.streaming.drift",
     "DriftObservation": "repro.streaming.drift",
     "MigrationPlan": "repro.streaming.migration",
-    "plan_migration": "repro.streaming.migration",
+    "plan_install": "repro.streaming.migration",
     "ArrivalLog": "repro.streaming.arrivals",
     "WindowPolicy": "repro.streaming.window",
     "UnboundedWindow": "repro.streaming.window",

@@ -3,9 +3,9 @@
 Every tuple of a join side has exactly one name, for the whole run and on
 both sides of the backend protocol: its **global arrival index**, the
 number of tuples that arrived on that side before it.  The live sets, the
-batch starts, the index columns of
-:class:`~repro.streaming.incremental.SortedRegionState` and a checkpoint's
-``state_index*`` all store global indices, and nothing ever rewrites one.
+batch starts and a checkpoint's copy of both store global indices, and
+nothing ever rewrites one.  Machines hold keys alone: which tuples a machine
+holds is the live log routed by the current plan.
 
 What a bounded window reclaims is *storage*, not names.  An
 :class:`ArrivalLog` -- one per join side -- remembers the global index its
@@ -21,8 +21,9 @@ decorator in ``tests/streaming_harness.py``).
 Wherever the migration planner takes a key *history*, it takes anything
 indexable by global index arrays: the engine passes its logs, and a bare
 key array is the log of a stream that never trimmed (base 0, everything
-live).  The backend protocol takes no history: state reaches it as
-key-sorted ``(arrival indices, keys)`` columns.
+live).  The backend protocol takes no history and no index: state reaches
+it as keys, one key-sorted array per side with a slice per machine
+(:class:`~repro.streaming.backends.RoutedSide`).
 """
 
 from __future__ import annotations

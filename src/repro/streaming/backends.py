@@ -13,7 +13,7 @@ keys an eviction routes (``evict_state``) and the complete live state
 (``install_state``, whose slices also say the fleet size) alike -- plus the
 plan's :class:`SideLayout`, how its machines read the state.  Which
 tuples a machine holds is the engine's to derive from its arrival logs
-(:func:`~repro.streaming.migration.placement`), so no verb reads state back.
+(:func:`~repro.streaming.migration.held_by_machine`), so no verb reads state back.
 
 The state is held once per **owner** (:class:`StateOwner`), not once per
 machine.  An owner keeps each side's live keys in a few counted

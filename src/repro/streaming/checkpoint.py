@@ -1,11 +1,11 @@
 """Checkpoint/restore of a running streaming join, and crash-resilient driving.
 
-A streaming join is long-lived state: which arrivals every machine holds,
-the flat key histories, window liveness, the histogram's decayed sample
-reservoirs, the drift detector's EWMA and the engine's own random generator.
-:class:`StreamCheckpoint` captures *all* of it -- everything
-:meth:`~repro.streaming.engine.StreamingJoinEngine.process_batch` reads or
-writes -- so a run can be stopped at any batch boundary and resumed
+A streaming join is long-lived state: the flat key histories, window
+liveness, the current plan and where its regions live, the histogram's
+decayed sample reservoirs, the drift detector's EWMA and the engine's own
+random generator.  :class:`StreamCheckpoint` captures *all* of it --
+everything :meth:`~repro.streaming.engine.StreamingJoinEngine.process_batch`
+reads or writes -- so a run can be stopped at any batch boundary and resumed
 bit-identically: the restored run produces the same outputs, per-machine
 loads, migration plans and resident counts as the run that never stopped
 (``tests/test_checkpoint.py`` pins this with hypothesis across window
@@ -30,20 +30,22 @@ and safe to golden.  ``from_bytes`` refuses other versions, corrupt
 payloads and payloads whose keys are not exactly the checkpoint's fields
 with a clear ``ValueError`` instead of unpickling garbage.
 
-No backend state is read.  Every tuple a machine holds reached it through
-the current plan, so a machine's state is the live log routed by that plan
-and placed by ``region_to_machine``
-(:func:`~repro.streaming.migration.placement`): :func:`capture` records it
-as ``state_index*`` -- per machine and side, the sorted arrival indices
-resident there -- and a restore is a migration from nothing, the same
-route followed by ``install_state``.  That reproduces every machine's key
-multiset on any backend, so a checkpoint taken on one backend restores onto
-any other.  Every stored arrival index is global
-(:mod:`repro.streaming.arrivals`); ``base1`` / ``base2`` say which index the
-retained keys start at.  Version 1 (verbatim key-sorted state columns and a
-counting mode), version 2 (three engine options that no longer exist) and
-version 3 (indices shifted by the trimmed history, no bases) are refused by
-name.
+No machine state is stored, and no backend state is read.  Every tuple a
+machine holds reached it through the current plan, so a machine's state is
+the live log routed by that plan and placed by ``region_to_machine``: a
+checkpoint is the two arrival logs, the plan and the region map, copied --
+:func:`capture` routes nothing and sorts nothing -- and a restore is a
+migration from nothing, the logs routed by the captured plan
+(:func:`~repro.streaming.migration.route_live`) and handed to
+``install_state``.  That reproduces every machine's key multiset on any
+backend, so a checkpoint taken on one backend restores onto any other, and
+a dead worker cannot fail a checkpoint.  Every stored arrival index is
+global (:mod:`repro.streaming.arrivals`); ``base1`` / ``base2`` say which
+index the retained keys start at.  Version 1 (verbatim key-sorted state
+columns and a counting mode), version 2 (three engine options that no
+longer exist), version 3 (indices shifted by the trimmed history, no
+bases) and version 4 (per-machine arrival indices, ``state_index*``) are
+refused by name.
 
 Driving a crash-survivable run
 ------------------------------
@@ -82,7 +84,7 @@ import numpy as np
 from repro.streaming.arrivals import ArrivalLog
 from repro.streaming.backends import RoutedSide, WorkerCrashError
 from repro.streaming.metrics import StreamRunResult
-from repro.streaming.migration import placement, route_live
+from repro.streaming.migration import route_live
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -99,8 +101,9 @@ _MAGIC = b"RPSC"
 #: Format version written by this build; :meth:`StreamCheckpoint.from_bytes`
 #: refuses anything else (version 1 predates index-only state, version 2
 #: carried three since-removed engine options, version 3 stored indices
-#: shifted down by the trimmed history).
-CHECKPOINT_VERSION = 4
+#: shifted down by the trimmed history, version 4 stored every machine's
+#: arrival indices).
+CHECKPOINT_VERSION = 5
 
 #: Pickle protocol pinned for deterministic bytes (same state, same process,
 #: same serialization).
@@ -151,8 +154,10 @@ class StreamCheckpoint:
     fields split into the engine's *configuration* (scalars plus the live
     condition/weight/policy/window/histogram objects, pickled wholesale so
     the restored engine is constructed exactly like the original) and the
-    run's *mutable state* (histories, liveness, per-machine resident
-    indices, generator state, accumulated result).
+    run's *mutable state* (histories, liveness, region map, generator
+    state, accumulated result).  No machine's state is held: it is the
+    live logs routed by ``partitioning`` and placed by
+    ``region_to_machine``, which a restore routes again.
 
     Attributes
     ----------
@@ -173,11 +178,6 @@ class StreamCheckpoint:
         Each side's arrival log: the retained keys, the global arrival
         index of the first of them, the batch-start list and the live
         arrival-index set.
-    state_index1, state_index2:
-        Per machine, the sorted arrival indices of the R1/R2 state resident
-        there: the live logs routed by ``partitioning`` and placed by
-        ``region_to_machine`` (:func:`~repro.streaming.migration.placement`).
-        A restore routes again rather than reading them.
     region_to_machine:
         Where each region's state lives after any partial-repartitioning
         remap.
@@ -216,8 +216,6 @@ class StreamCheckpoint:
     starts2: list[int]
     live1: np.ndarray
     live2: np.ndarray
-    state_index1: "list[np.ndarray]"
-    state_index2: "list[np.ndarray]"
     region_to_machine: np.ndarray
     last_batch_index: "int | None"
     position: int
@@ -269,7 +267,8 @@ class StreamCheckpoint:
                 "stored key-sorted state columns and a counting mode, "
                 "version 2 three engine options, that no longer exist; "
                 "version 3 stored arrival indices shifted by the trimmed "
-                "history -- re-take the checkpoint)"
+                "history; version 4 stored per-machine arrival indices, "
+                "state_index* -- re-take the checkpoint)"
             )
         payload = raw[_HEADER.size :]
         if len(payload) != length:
@@ -317,23 +316,15 @@ class StreamCheckpoint:
         """Read a checkpoint written by :meth:`save` (validating the format)."""
         return cls.from_bytes(Path(path).read_bytes())
 
-    @property
-    def resident_tuples(self) -> int:
-        """State entries captured across all machines and both sides."""
-        return sum(len(index) for index in self.state_index1) + sum(
-            len(index) for index in self.state_index2
-        )
-
 
 def capture(engine: Any) -> StreamCheckpoint:
     """Capture a running engine's complete resumable state.
 
     The body of
     :meth:`~repro.streaming.engine.StreamingJoinEngine.checkpoint`: the one
-    place that lists what a checkpoint holds.  Each machine's resident
-    arrival indices are derived, not read back: the live logs routed by
-    the current plan (:func:`~repro.streaming.migration.placement`, one key
-    sort per side), sorted here.  The backend is never asked, so a
+    place that lists what a checkpoint holds.  No machine's state is
+    captured: it is the live logs routed by the current plan, so nothing is
+    routed, sorted or drawn here, and the backend is never asked, so a
     checkpoint cannot fail on a dead worker.  Everything is copied, so the
     engine may keep running after.
     """
@@ -347,15 +338,6 @@ def capture(engine: Any) -> StreamCheckpoint:
         "checkpoint", category="run", position=s.position
     ) as span:
         s.result.checkpoints_taken += 1
-        resident1, resident2 = (
-            [
-                indices
-                for indices, _ in placement(
-                    s.partitioning, side, log, s.rng, engine.num_machines, s.region_to_machine
-                )
-            ]
-            for side, log in ((1, s.log1), (2, s.log2))
-        )
         checkpoint = StreamCheckpoint(
             num_machines=engine.num_machines,
             migration_cost_factor=engine.migration_cost_factor,
@@ -375,8 +357,6 @@ def capture(engine: Any) -> StreamCheckpoint:
             starts2=list(s.log2.starts),
             live1=np.array(s.log1.live),
             live2=np.array(s.log2.live),
-            state_index1=[np.sort(held) for held in resident1],
-            state_index2=[np.sort(held) for held in resident2],
             region_to_machine=np.array(s.region_to_machine),
             last_batch_index=s.last_batch_index,
             position=s.position,
@@ -384,10 +364,7 @@ def capture(engine: Any) -> StreamCheckpoint:
             result=copy.deepcopy(s.result),
             pending_resize=copy.deepcopy(s.pending_resize),
         )
-        span.set(
-            batches=len(s.result.batches),
-            resident=checkpoint.resident_tuples,
-        )
+        span.set(batches=len(s.result.batches), resident=s.resident_tuples)
     if engine.metrics is not None:
         engine.metrics.counter("stream.checkpoints").inc()
     return checkpoint
@@ -428,7 +405,8 @@ def resume(
     on ``backend`` through ``bind`` / ``install_state`` -- a migration from
     nothing: the live logs routed by the captured plan and placed by its
     ``region_to_machine``, which reproduces every machine's key multiset
-    as it stood when the checkpoint was taken.  The checkpoint is
+    as it stood when the checkpoint was taken.  The resident count is
+    that of the state installed.  The checkpoint is
     deep-copied first, so one checkpoint can seed any number of resumed
     runs.
     """
@@ -457,7 +435,6 @@ def resume(
     s.log2 = ArrivalLog(
         windowed, checkpoint.history2, checkpoint.base2, checkpoint.live2, checkpoint.starts2
     )
-    s.resident_tuples = checkpoint.resident_tuples
     s.partitioning = checkpoint.partitioning
     s.region_to_machine = checkpoint.region_to_machine
     s.last_batch_index = checkpoint.last_batch_index
@@ -480,11 +457,10 @@ def resume(
         engine.backend.bind(
             engine.num_machines, engine.condition, engine._transposed
         )
-        engine.backend.install_state(*_restored_state(s, engine.num_machines))
-        span.set(
-            batches=len(s.result.batches),
-            resident=checkpoint.resident_tuples,
-        )
+        routed = _restored_state(s, engine.num_machines)
+        engine.backend.install_state(*routed)
+        s.resident_tuples = int(sum(side.sizes.sum() for side in routed))
+        span.set(batches=len(s.result.batches), resident=s.resident_tuples)
     if engine.metrics is not None:
         engine.metrics.counter("stream.restores").inc()
     if machines is not None and machines != engine.num_machines:

@@ -13,7 +13,7 @@ bookkeeping: one :class:`~repro.streaming.arrivals.ArrivalLog` per side
 and never rewritten.  Every tuple a machine holds got there through the
 current plan, so which tuples it holds is never asked of the backend: it
 is the live log routed by the plan
-(:func:`~repro.streaming.migration.placement`).  Per micro-batch it runs
+(:func:`~repro.streaming.migration.held_by_machine`).  Per micro-batch it runs
 six stages:
 
 * **ingest** -- fold the batch into the maintained sample state, build the
@@ -181,7 +181,7 @@ class StreamingJoinEngine:
         :class:`~repro.obs.metrics.SnapshotReporter`).
     """
 
-    #: How :func:`~repro.streaming.migration.plan_migration` places rebuilt
+    #: How :func:`~repro.streaming.migration.plan_install` places rebuilt
     #: regions.  Not an option: the positional ``"full"`` reference is a
     #: subclass in the test harness (``tests/streaming_harness.py``).
     migration_mode = "partial"

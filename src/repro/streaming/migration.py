@@ -4,8 +4,8 @@ A streaming join is stateful: every machine retains the tuples routed to its
 region so far, because future arrivals on the other side must join against
 them.  Swapping in a new partitioning therefore has a real cost -- every
 retained tuple whose new home includes a machine that does not already hold
-it must be shipped there.  :func:`plan_migration` computes that plan exactly
-from the old per-machine index sets and the new partitioning, and the engine
+it must be shipped there.  :func:`plan_install` computes that volume exactly
+from what every machine holds and the new partitioning, and the engine
 charges the moved tuples into the cost model (they are received,
 demarshalled and indexed like any other network arrival).
 
@@ -33,18 +33,18 @@ under either partitioning) are handled naturally.  The plan also reports
 per-machine departures, so tests can assert tuple conservation (for
 non-replicating schemes, migrated-out == migrated-in per rebuild).
 
-Machines hold keys only, so the old per-machine index sets are *derived*:
-every tuple a machine holds reached it through the current plan, so its
-state is the live log routed by that plan and placed by the adopted
-region-to-machine map (:func:`placement`).  The engine sorts each side's
-live tuples once (:func:`sorted_live`) and cuts that one sort by the old
-plan and by the new.  A grid plan's shares are slices of that sort
+Machines hold keys only, so what every machine holds is *derived*: every
+tuple a machine holds reached it through the current plan, so its state is
+the live log routed by that plan and placed by the adopted region-to-machine
+map (:func:`held_by_machine`).  The engine sorts each side's live tuples
+once (:func:`sorted_live`) and cuts that one sort by the old plan and by the
+new.  A grid plan's shares are slices of that sort
 (:meth:`~repro.partitioning.base.Partitioning.cut_spans`) and positions
 map one to one to arrival indices, so when both plans are grids the
 overlap of new region ``r`` with old machine ``m`` is span arithmetic --
 ``max(0, min(stop_r, stop_m) - max(start_r, start_m))``, one ``J x J``
-broadcast (:func:`held_by_machine`); any other plan is overlapped by
-marking arrival indices (:func:`_overlap_matrix`).
+broadcast; any other plan is overlapped by marking arrival indices
+(:func:`_overlap_matrix`).
 
 The key histories are :class:`~repro.streaming.arrivals.ArrivalLog` objects,
 bare key arrays or a :class:`LiveKeys` sort of either.  Under a window
@@ -53,15 +53,14 @@ routed, so a rebuild migrates live state only -- expired tuples are neither
 shipped nor resurrected onto machines that already dropped them.  A bare
 array is the log of a stream that never trimmed: everything in it is live.
 
-The planned state is per machine key-sorted ``(arrival indices, keys)``
-columns, routed like a batch and placed like one (:func:`_to_machines`).
 What the backend protocol takes is built here too: a plan's
 :func:`side_layout` (how its machines read a side's state) and a side
 routed into one key array with a slice per machine -- a batch or an
 expired slice (:func:`route_batch`), or the live state an initial build
-or restore hands ``install_state`` (:func:`route_live`).  A running
-engine's migration is :func:`plan_install`: the plan's figures and the
-new plan's routed sides from the one route the diff read, no column built.
+or restore hands ``install_state`` (:func:`route_live`).  A migration's
+new state is the route its diff read, handed out as it is: the plan's
+figures and the two routed sides come from one call, and no per-machine
+column of arrival indices is built.
 """
 
 from __future__ import annotations
@@ -81,9 +80,7 @@ __all__ = [
     "MigrationPlan",
     "held_by_machine",
     "pad_assignments",
-    "placement",
     "plan_install",
-    "plan_migration",
     "route_batch",
     "route_live",
     "route_sorted",
@@ -91,7 +88,7 @@ __all__ = [
     "sorted_live",
 ]
 
-#: Planning modes accepted by :func:`plan_migration`.
+#: Planning modes accepted by :func:`plan_install`.
 MIGRATION_MODES = ("full", "partial")
 
 
@@ -101,11 +98,6 @@ class MigrationPlan:
 
     Attributes
     ----------
-    new_state1, new_state2:
-        Per machine, the key-sorted ``(arrival indices, keys)`` columns of
-        the retained R1/R2 state under the *new* partitioning -- whose keys
-        are what ``install_state`` takes (machines whose new region is
-        empty hold nothing).
     per_machine_arrivals:
         Tuples each machine must newly receive (it did not hold them under
         the old partitioning).
@@ -126,8 +118,6 @@ class MigrationPlan:
         which is what the engine charges into the cost model.
     """
 
-    new_state1: "list[tuple[np.ndarray, np.ndarray]]"
-    new_state2: "list[tuple[np.ndarray, np.ndarray]]"
     per_machine_arrivals: np.ndarray
     per_machine_departures: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=np.int64)
@@ -265,9 +255,10 @@ def _to_machines(
 ) -> "list[tuple[np.ndarray, np.ndarray]]":
     """Hand each region's routed columns to the machine holding the region.
 
-    The one regions-to-machines placement -- of a batch's arrivals, an
-    eviction's expired slice, the live state a build, migration, restore or
-    checkpoint routes.  Region ``r``'s columns go to
+    The one regions-to-machines placement of per-region columns -- a new
+    plan's shares padded to the fleet, and what every machine holds under a
+    plan whose shares are not slices (:func:`held_by_machine`).  Region
+    ``r``'s columns go to
     ``region_to_machine[r]``, the machine actually holding that region's
     state after any partial-repartitioning remap; a machine holding no
     region gets empty columns, the keys in the dtype of ``keys`` (the keys
@@ -461,15 +452,6 @@ def _route(
     return _to_machines(shares, live.keys, range(num_machines), num_machines), None
 
 
-def _columns(
-    shares: "list[tuple[np.ndarray, np.ndarray]] | None",
-    spans: "Spans | None",
-    live: LiveKeys,
-) -> "list[tuple[np.ndarray, np.ndarray]]":
-    """Per region, the columns of one :func:`_route`: views of ``live`` for slices."""
-    return shares if spans is None else spans.columns(live.indices, live.keys)
-
-
 def route_live(
     partitioning: Partitioning,
     live1: "ArrivalLog | np.ndarray | LiveKeys",
@@ -502,35 +484,6 @@ def route_live(
     return layouts, routed
 
 
-def placement(
-    partitioning: "Partitioning | None",
-    side: int,
-    keys: "ArrivalLog | np.ndarray | LiveKeys",
-    rng: np.random.Generator,
-    num_machines: int,
-    region_to_machine,
-) -> "list[tuple[np.ndarray, np.ndarray]]":
-    """Per machine, the live tuples of one side it holds, as sorted columns.
-
-    Machines keep no index of what they hold; every tuple reached its
-    machine through ``partitioning`` (a batch, an eviction, a build, a
-    migration and a restore all route by the current plan, and routing is
-    a pure function of key and arrival index), so it is the live log cut by
-    the plan (:func:`sorted_live`, :meth:`Partitioning.cut_sorted
-    <repro.partitioning.base.Partitioning.cut_sorted>`) and region ``r``'s
-    share placed on ``region_to_machine[r]``: ``(arrival indices, keys)``
-    per machine, keys ascending.  Before any plan exists nothing is held.
-    A checkpoint reads the indices and a restore the keys; a migration
-    reads :func:`held_by_machine`.
-    """
-    live = sorted_live(keys)
-    routed = (
-        [] if partitioning is None
-        else partitioning.cut_sorted(side, live.keys, live.indices, rng)
-    )
-    return _to_machines(routed, live.keys, region_to_machine, num_machines)
-
-
 def held_by_machine(
     partitioning: "Partitioning | None",
     side: int,
@@ -539,25 +492,31 @@ def held_by_machine(
     num_machines: int,
     region_to_machine,
 ) -> "Spans | list[np.ndarray]":
-    """What every machine holds of one side, as :func:`plan_migration` reads it.
+    """What every machine holds of one side, as :func:`plan_install` reads it.
 
-    :func:`placement`'s arrival indices -- or, when the plan cuts slices,
-    each machine's slice of the :func:`sorted_live` sort, which the planner
-    overlaps by span arithmetic.  Spans are positions in that one sort, so
-    the planner must be handed the same :class:`LiveKeys` (the engine sorts
-    each side once and passes it to both).
+    Machines keep no index of what they hold; every tuple reached its
+    machine through ``partitioning`` (a batch, an eviction, a build, a
+    migration and a restore all route by the current plan, and routing is
+    a pure function of key and arrival index), so it is the live log cut by
+    the plan and region ``r``'s share placed on ``region_to_machine[r]``.
+    When the plan cuts slices, each machine's slice of the
+    :func:`sorted_live` sort, which the planner overlaps by span
+    arithmetic; otherwise each machine's arrival indices
+    (:meth:`Partitioning.cut_sorted
+    <repro.partitioning.base.Partitioning.cut_sorted>`).  Spans are
+    positions in that one sort, so the planner must be handed the same
+    :class:`LiveKeys` (the engine sorts each side once and passes it to
+    both).  Before any plan exists nothing is held.
     """
     live = sorted_live(keys)
+    shares = []
     if partitioning is not None:
         spans = partitioning.cut_spans(side, live.keys)
         if spans is not None:
             return _spans_to_machines(spans, region_to_machine, num_machines)
-    return [
-        indices
-        for indices, _ in placement(
-            partitioning, side, live, rng, num_machines, region_to_machine
-        )
-    ]
+        shares = partitioning.cut_sorted(side, live.keys, live.indices, rng)
+    placed = _to_machines(shares, live.keys, region_to_machine, num_machines)
+    return [indices for indices, _ in placed]
 
 
 def _padded(
@@ -586,10 +545,12 @@ def _overlaps(
         return spans.overlaps(held)
     if isinstance(held, Spans):
         held = [indices for indices, _ in held.columns(live.indices, live.keys)]
-    return _overlap_matrix([indices for indices, _ in _columns(shares, spans, live)], held)
+    if spans is not None:
+        shares = spans.columns(live.indices, live.keys)
+    return _overlap_matrix([indices for indices, _ in shares], held)
 
 
-def plan_migration(
+def plan_install(
     old_assignments1: "list[np.ndarray] | Spans",
     old_assignments2: "list[np.ndarray] | Spans",
     new_partitioning: Partitioning,
@@ -598,8 +559,16 @@ def plan_migration(
     num_machines: int,
     rng: np.random.Generator,
     mode: str = "full",
-) -> MigrationPlan:
-    """Plan the state movement from the old machine assignment to a new scheme.
+) -> "tuple[MigrationPlan, tuple[SideLayout, SideLayout], tuple[RoutedSide, RoutedSide]]":
+    """Plan the state movement to a new scheme, and route the new state.
+
+    What a running engine adopts a plan with.  Each side's live tuples are
+    routed by the new plan once, and that one route is both diffed against
+    the old holdings and handed out.  Returns the plan's figures
+    (:class:`MigrationPlan`), the new plan's two :func:`side_layout` and
+    its two routed sides (:class:`RoutedSide`, as :func:`route_live` would
+    route them under the plan's region map).  A grid plan's routed side is
+    the live sort itself, sliced by the spans.
 
     Parameters
     ----------
@@ -614,9 +583,9 @@ def plan_migration(
     keys1, keys2:
         The key histories: the engine's arrival logs, bare key arrays
         indexed by arrival index, or their :class:`LiveKeys` (see
-        :func:`sorted_live`).  Only live tuples can appear in the planned
-        state -- a rebuild never ships (or resurrects) expired tuples, and
-        the migration volume charged is the live volume only.
+        :func:`sorted_live`).  Only live tuples are routed -- a rebuild
+        never ships (or resurrects) expired tuples, and the migration
+        volume charged is the live volume only.
     num_machines:
         The *target* cluster size, at least the region count of the new
         partitioning (``ValueError`` naming both otherwise: every region
@@ -624,95 +593,13 @@ def plan_migration(
         longer -- a shrink plans the surviving ``num_machines`` fleet and
         every tuple held by a departing machine counts as a departure there
         (and as an arrival on its new holder, if it is still live).
-        Shorter old lists (a grow) are padded with empty machines as before.
+        Shorter old lists (a grow) are padded with empty machines.
     rng:
         Generator for randomised schemes.
     mode:
         ``"full"`` places new region ``r`` on machine ``r``; ``"partial"``
         remaps regions to the machines already holding most of their state
         and migrates only the difference (see the module docstring).
-    """
-    plan, lives, routes = _plan(
-        old_assignments1,
-        old_assignments2,
-        new_partitioning,
-        keys1,
-        keys2,
-        num_machines,
-        rng,
-        mode,
-    )
-    plan.new_state1, plan.new_state2 = (
-        _to_machines(_columns(*route, live), live.keys, plan.region_to_machine, num_machines)
-        for route, live in zip(routes, lives)
-    )
-    return plan
-
-
-def plan_install(
-    old_assignments1: "list[np.ndarray] | Spans",
-    old_assignments2: "list[np.ndarray] | Spans",
-    new_partitioning: Partitioning,
-    keys1: "ArrivalLog | np.ndarray | LiveKeys",
-    keys2: "ArrivalLog | np.ndarray | LiveKeys",
-    num_machines: int,
-    rng: np.random.Generator,
-    mode: str = "full",
-) -> "tuple[MigrationPlan, tuple[SideLayout, SideLayout], tuple[RoutedSide, RoutedSide]]":
-    """:func:`plan_migration`'s figures, and the new state as ``install_state`` takes it.
-
-    What a running engine adopts a plan with.  Each side's live tuples are
-    routed by the new plan once, and that one route is both diffed against
-    the old holdings and handed out.  Returns the plan -- its
-    ``new_state1`` / ``new_state2`` left empty, no column is built -- the
-    new plan's two :func:`side_layout` and its two routed sides
-    (:class:`RoutedSide`, as :func:`route_live` would route them under the
-    plan's region map).  A grid plan's routed side is the live sort itself,
-    sliced by the spans.
-    """
-    plan, lives, routes = _plan(
-        old_assignments1,
-        old_assignments2,
-        new_partitioning,
-        keys1,
-        keys2,
-        num_machines,
-        rng,
-        mode,
-    )
-    layouts = tuple(
-        side_layout(new_partitioning, side, plan.region_to_machine, num_machines)
-        for side in (1, 2)
-    )
-    routed = []
-    for side, (shares, spans), live, layout in zip((1, 2), routes, lives, layouts):
-        if spans is None:
-            routed.append(
-                _grouped(
-                    new_partitioning, side, shares, layout, plan.region_to_machine,
-                    num_machines,
-                )
-            )
-        else:
-            placed = _spans_to_machines(spans, plan.region_to_machine, num_machines)
-            routed.append(RoutedSide(live.keys, placed.starts, placed.stops, layout))
-    return plan, layouts, tuple(routed)
-
-
-def _plan(
-    old_assignments1: "list[np.ndarray] | Spans",
-    old_assignments2: "list[np.ndarray] | Spans",
-    new_partitioning: Partitioning,
-    keys1: "ArrivalLog | np.ndarray | LiveKeys",
-    keys2: "ArrivalLog | np.ndarray | LiveKeys",
-    num_machines: int,
-    rng: np.random.Generator,
-    mode: str,
-) -> "tuple[MigrationPlan, tuple[LiveKeys, LiveKeys], list]":
-    """The body of both planners: one :func:`_route` per side, diffed once.
-
-    Returns the plan with empty ``new_state1`` / ``new_state2``, the two
-    sides' :class:`LiveKeys` and their routes, region ``r`` on machine ``r``.
     """
     if mode not in MIGRATION_MODES:
         raise ValueError(
@@ -754,11 +641,25 @@ def _plan(
     for shares, spans in routes:
         held[region_to_machine] += _sizes(spans if shares is None else [i for i, _ in shares])
     plan = MigrationPlan(
-        new_state1=[],
-        new_state2=[],
         per_machine_arrivals=held - kept[:num_machines],
         per_machine_departures=_sizes(olds[0]) + _sizes(olds[1]) - kept,
         region_to_machine=region_to_machine,
         mode=mode,
     )
-    return plan, lives, routes
+    layouts = tuple(
+        side_layout(new_partitioning, side, region_to_machine, num_machines)
+        for side in (1, 2)
+    )
+    routed = []
+    for side, (shares, spans), live, layout in zip((1, 2), routes, lives, layouts):
+        if spans is None:
+            routed.append(
+                _grouped(
+                    new_partitioning, side, shares, layout, region_to_machine,
+                    num_machines,
+                )
+            )
+        else:
+            placed = _spans_to_machines(spans, region_to_machine, num_machines)
+            routed.append(RoutedSide(live.keys, placed.starts, placed.stops, layout))
+    return plan, layouts, tuple(routed)

@@ -8,7 +8,7 @@ micro-batch, which retained tuples are still *live*.  Expired tuples are
 evicted from every machine's region state, the freed memory is charged into
 :class:`~repro.streaming.metrics.BatchMetrics` (tuples evicted, bytes freed,
 resident state), and a later repartitioning migrates only the surviving
-tuples (:func:`~repro.streaming.migration.plan_migration` routes a log's
+tuples (:func:`~repro.streaming.migration.plan_install` routes a log's
 live set).
 
 Eviction also reports a **safe trim point** (:meth:`WindowPolicy.trim_point`):

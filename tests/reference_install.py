@@ -20,7 +20,7 @@ machine holds now, handed to a backend as the one-array ``RoutedSide`` it
 takes (``reference_routing.as_routed``, which checks each machine's keys
 are what the plan's layout can say).  :class:`ReferenceInstallEngine` runs
 the chain in a real engine; what every machine held before a migration it derives as production
-does (``repro.streaming.migration.placement``), since no backend can say.
+does (``reference_migration.placement``), since no backend can say.
 Nothing under ``src/`` may import this module.
 """
 
@@ -29,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 import reference_migration
 
-from repro.partitioning.base import sort_arrivals
 from repro.streaming import migration
 from repro.streaming.arrivals import ArrivalLog
 from reference_routing import as_routed
@@ -48,7 +47,6 @@ __all__ = [
     "ReferenceInstallEngine",
     "ReferenceStickyBackend",
     "as_history",
-    "plan_columns",
     "plan_install",
     "sorted_keys",
 ]
@@ -77,54 +75,42 @@ def sorted_keys(assignments, history) -> "list[np.ndarray]":
     return [np.sort(history[np.asarray(indices, dtype=np.int64)]) for indices in assignments]
 
 
-def plan_columns(*arguments, **options) -> migration.MigrationPlan:
-    """The reference planner's plan as the production type, columns sorted.
+def plan_install(*arguments, **options):
+    """``plan_install`` from the reference planner: its index arrays routed.
 
-    ``arguments`` are ``plan_migration``'s; the histories are the fourth
-    and fifth.
+    ``arguments`` are ``plan_install``'s; the histories are the fourth and
+    fifth.  Each machine's index array becomes its keys, gathered from the
+    history and sorted, and the two ``RoutedSide`` the backend takes
+    (``reference_routing.as_routed``, each machine's keys checked against
+    the new plan's layout); the plan returned is the production type,
+    figures only.
     """
     arguments = list(arguments)
+    lives = [migration.sorted_live(keys) for keys in arguments[3:5]]
     arguments[3:5] = [as_history(keys) for keys in arguments[3:5]]
-    plan = reference_migration.plan_migration(*arguments, **options)
-    columns = [
-        [
-            sort_arrivals(np.asarray(indices, dtype=np.int64), history[indices])
-            for indices in assignments
-        ]
-        for assignments, history in (
-            (plan.new_assignments1, arguments[3]),
-            (plan.new_assignments2, arguments[4]),
+    expected = reference_migration.plan_migration(*arguments, **options)
+    partitioning, histories, machines = arguments[2], arguments[3:5], arguments[5]
+    layouts = tuple(
+        migration.side_layout(partitioning, side, expected.region_to_machine, machines)
+        for side in (1, 2)
+    )
+    routed = tuple(
+        as_routed(sorted_keys(assignments, history), live.keys, layout)
+        for assignments, history, live, layout in zip(
+            (expected.new_assignments1, expected.new_assignments2), histories, lives, layouts
         )
-    ]
+    )
+    return _figures(expected), layouts, routed
+
+
+def _figures(plan) -> migration.MigrationPlan:
+    """What the production engine keeps of a reference plan: the figures."""
     return migration.MigrationPlan(
-        new_state1=columns[0],
-        new_state2=columns[1],
         per_machine_arrivals=plan.per_machine_arrivals,
         per_machine_departures=plan.per_machine_departures,
         region_to_machine=plan.region_to_machine,
         mode=plan.mode,
     )
-
-
-def plan_install(*arguments, **options):
-    """``plan_install`` from the reference planner: :func:`plan_columns` routed.
-
-    The plan's columns become the two ``RoutedSide`` the backend takes
-    (``reference_routing.as_routed``, each machine's keys checked against
-    the new plan's layout); the plan returned keeps its figures only.
-    """
-    plan = plan_columns(*arguments, **options)
-    partitioning, lives, machines = arguments[2], arguments[3:5], arguments[5]
-    layouts = tuple(
-        migration.side_layout(partitioning, side, plan.region_to_machine, machines)
-        for side in (1, 2)
-    )
-    routed = tuple(
-        as_routed([keys for _, keys in columns], live.keys, layout)
-        for columns, live, layout in zip((plan.new_state1, plan.new_state2), lives, layouts)
-    )
-    plan.new_state1, plan.new_state2 = [], []
-    return plan, layouts, routed
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +195,7 @@ class ReferenceInstallEngine(StreamingJoinEngine):
         resident1, resident2 = (
             [
                 indices
-                for indices, _ in migration.placement(
+                for indices, _ in reference_migration.placement(
                     s.partitioning, side, log, s.rng, self.num_machines, s.region_to_machine
                 )
             ]
@@ -253,13 +239,5 @@ class ReferenceInstallEngine(StreamingJoinEngine):
             "load": load,
             "migrated": int(plan.per_machine_arrivals.sum()),
             "rebuild_cost": rebuild_cost,
-            # What the production engine keeps of a plan: the figures, no state.
-            "plan": migration.MigrationPlan(
-                new_state1=[],
-                new_state2=[],
-                per_machine_arrivals=plan.per_machine_arrivals,
-                per_machine_departures=plan.per_machine_departures,
-                region_to_machine=plan.region_to_machine,
-                mode=plan.mode,
-            ),
+            "plan": _figures(plan),
         }

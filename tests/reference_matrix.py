@@ -7,6 +7,9 @@ algorithm never materialises this matrix for real workloads -- it would *be*
 the join result -- but the model is exactly what the toy example of Figure 1
 shows, what the tests use as ground truth, and what the tiling algorithms are
 validated against at small scale.
+
+Test-only: no code under ``src/`` reads the exact matrix, so the model
+lives beside the other references (``tests/test_matrix.py`` pins it).
 """
 
 from __future__ import annotations

@@ -12,8 +12,13 @@ Two more bodies are kept from before state moved as key-sorted columns:
 ``assign_r2`` into per-region *index* arrays padded to the fleet, and the
 :class:`MigrationPlan` that carried those index arrays
 (``new_assignments1`` / ``new_assignments2``).  ``plan_migration`` here
-returns that plan; the production plan must equal it field by field, its
-``new_state*`` columns being the stable key-sort of these index arrays.
+returns that plan; production's ``plan_install`` must return the same
+figures, and route every machine the keys of these index arrays.
+
+:func:`placement` is the derived state as production computed it for its
+checkpoints until they stopped storing machine state: the live log cut by
+the plan, region ``r``'s share on ``region_to_machine[r]``, as ``(arrival
+indices, keys)`` columns per machine.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ import numpy as np
 
 from repro.partitioning.one_bucket import OneBucketPartitioning
 from repro.streaming.arrivals import ArrivalLog
-from repro.streaming.migration import MIGRATION_MODES, pad_assignments, placement
+from repro.streaming import migration
+from repro.streaming.migration import MIGRATION_MODES, pad_assignments
 
 
 @dataclass
@@ -211,11 +217,28 @@ def plan_migration(
     )
 
 
+def placement(partitioning, side, keys, rng, num_machines, region_to_machine):
+    """Per machine, the live tuples of one side it holds, as sorted columns.
+
+    Every tuple reached its machine through ``partitioning`` and routing is
+    a pure function of key and arrival index, so it is the live log cut by
+    the plan and region ``r``'s share placed on ``region_to_machine[r]``:
+    ``(arrival indices, keys)`` per machine, keys ascending.  Before any
+    plan exists nothing is held.
+    """
+    live = migration.sorted_live(keys)
+    routed = (
+        [] if partitioning is None
+        else partitioning.cut_sorted(side, live.keys, live.indices, rng)
+    )
+    return migration._to_machines(routed, live.keys, region_to_machine, num_machines)
+
+
 def held_indices(partitioning, side, keys, rng, num_machines, region_to_machine):
     """What every machine holds, as the engine read it before spans existed.
 
-    :func:`~repro.streaming.migration.placement`'s arrival indices, for
-    every plan: the planner then overlaps index arrays, never slices.
+    :func:`placement`'s arrival indices, for every plan: the planner then
+    overlaps index arrays, never slices.
     """
     return [
         indices

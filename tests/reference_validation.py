@@ -17,6 +17,9 @@ Two validators are provided at different granularities:
   executes the partitioned join at pair granularity and compares the multiset
   of produced pairs against the reference join.  It is exact but materialises
   output pairs, so it is meant for test- and example-scale inputs.
+
+Test-only: no code under ``src/`` validates a plan against the exact join,
+so the validators live beside the other references.
 """
 
 from __future__ import annotations

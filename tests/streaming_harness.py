@@ -66,6 +66,7 @@ from repro.streaming.backends import (
 from repro.streaming.engine import StreamingJoinEngine
 from repro.streaming.metrics import StreamRunResult
 from repro.streaming.window import WindowPolicy
+from reference_migration import placement
 from reference_state import RegionStateTable, state_layout
 
 __all__ = [
@@ -215,6 +216,41 @@ def assert_equivalent_runs(
                 ref.migration_plan.region_to_machine,
             )
             assert act.migration_plan.mode == ref.migration_plan.mode
+
+
+def assert_same_checkpoint_state(ours, theirs) -> int:
+    """Two checkpoints at one boundary hold the same state; returns its size.
+
+    A checkpoint stores no machine state -- it is the live logs routed by
+    the plan -- so the same state is equal logs (keys, bases, batch
+    starts, live sets), plan and region map, and each checkpoint restored
+    onto the in-process backend holds the same keys on every machine
+    (``StateOwner.view``).  Plans are compared by what they place on every
+    machine (``reference_migration.placement``; the plan objects also carry
+    measured seconds).  Returns the number of keys held, summed over
+    machines and sides.
+    """
+    for name in ("history1", "history2", "live1", "live2", "region_to_machine"):
+        np.testing.assert_array_equal(getattr(ours, name), getattr(theirs, name))
+    for name in ("num_machines", "base1", "base2", "starts1", "starts2"):
+        assert getattr(ours, name) == getattr(theirs, name)
+    assert type(ours.partitioning) is type(theirs.partitioning)
+    held = []
+    for checkpoint in (ours, theirs):
+        engine = StreamingJoinEngine.resume_from(checkpoint)
+        s, owner = engine._state, engine.backend._owner
+        held.append([])
+        for side, log in enumerate((s.log1, s.log2)):
+            placed = placement(
+                s.partitioning, side + 1, log, np.random.default_rng(0),
+                engine.num_machines, s.region_to_machine,
+            )
+            for machine, columns in enumerate(placed):
+                held[-1].extend((*columns, owner.view(side, machine)))
+        engine.close()
+    for mine, reference in zip(*held):
+        np.testing.assert_array_equal(mine, reference)
+    return sum(len(view) for view in held[0][2::3])
 
 
 #: Work operations a fault can be scoped to -- the state-ownership protocol
@@ -514,7 +550,7 @@ class PositionalRebuildEngine(StreamingJoinEngine):
     """The naive-rebuild reference: new region ``r`` lands on machine ``r``.
 
     Every rebuild re-routes the whole live history positionally
-    (``plan_migration(mode="full")``) instead of matching regions to the
+    (``plan_install(mode="full")``) instead of matching regions to the
     machines already holding most of their state.  Output must equal the
     production engine's; the migration volume is what partial
     repartitioning is measured against.

@@ -25,6 +25,7 @@ import hashlib
 import os
 import pickle
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ from repro.streaming import (
     make_backend,
     run_resilient,
 )
-from streaming_harness import assert_equivalent_runs
+from streaming_harness import assert_equivalent_runs, assert_same_checkpoint_state
 
 UNIT = WeightFunction(1.0, 1.0)
 BAND = BandJoinCondition(beta=1.0)
@@ -176,9 +177,10 @@ def test_restore_bit_identical_across_real_backends(backend_name, window):
 @pytest.mark.multiprocess
 @pytest.mark.parametrize("window", [None, "batches:4"])
 def test_sticky_and_simulated_checkpoints_hold_the_same_state(window):
-    """Read back from the workers or viewed in-process, a checkpoint taken
-    at the same boundary holds the same per-machine arrival indices (the
-    run-so-far it also carries names its backend, so the bytes differ)."""
+    """Taken from the workers or in-process, a checkpoint at the same
+    boundary holds the same logs, plan and region map, and restores to the
+    same keys on every machine (the run-so-far it also carries names its
+    backend, so the bytes differ)."""
     source = make_source(seed=7)
     _, expected = run_with_checkpoint(source, stop_after=5, window=window, seed=7)
     with make_backend("sticky", max_workers=2) as backend:
@@ -190,14 +192,132 @@ def test_sticky_and_simulated_checkpoints_hold_the_same_state(window):
                 checkpoint = engine.checkpoint()
                 break
         engine.close()
-    assert sum(len(held) for held in checkpoint.state_index1) > 0
-    for ours, theirs in (
-        (checkpoint.state_index1, expected.state_index1),
-        (checkpoint.state_index2, expected.state_index2),
-    ):
-        assert len(ours) == len(theirs) == MACHINES
-        for mine, reference in zip(ours, theirs):
-            np.testing.assert_array_equal(mine, reference)
+    assert checkpoint.num_machines == MACHINES
+    assert assert_same_checkpoint_state(checkpoint, expected) > 0
+
+
+#: Functions that route or sort a side's state: a checkpoint calls none.
+ROUTING = frozenset({"cut_sorted", "cut_spans", "sort_arrivals"})
+
+
+def _routing_calls(function) -> "tuple[object, int]":
+    """``function()`` and how many routing or sorting calls it made.
+
+    Counted by code name, so every override of ``cut_sorted`` /
+    ``cut_spans`` and every module's binding of ``sort_arrivals`` counts.
+    """
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name in ROUTING:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        value = function()
+    finally:
+        sys.setprofile(previous)
+    return value, calls
+
+
+@pytest.mark.parametrize(
+    "policy, window",
+    [("adaptive", None), ("adaptive", "batches:4"), ("one_bucket", "decay:0.85")],
+)
+def test_a_checkpoint_routes_nothing(policy, window):
+    """A checkpoint is a copy of the logs, the plan and the region map:
+    ``capture`` cuts, slices and sorts nothing, and leaves the engine's
+    generator where it was (a restore routes, once)."""
+    source = make_source(seed=5)
+    engine = (
+        make_engine(window=window, seed=5) if policy == "adaptive"
+        else StreamingJoinEngine(
+            MACHINES, BAND, UNIT, policy=StaticOneBucketPolicy(MACHINES), window=window,
+            seed=5,
+        )
+    )
+    engine.start()
+    for batch in list(source.batches())[:6]:
+        engine.process_batch(batch)
+    before = engine._state.rng.bit_generator.state
+    checkpoint, calls = _routing_calls(engine.checkpoint)
+    print(f"{policy}/{window}: {calls} routing calls in a checkpoint")
+    assert calls == 0
+    assert engine._state.rng.bit_generator.state == before
+    assert checkpoint.partitioning is not None
+    resumed, calls = _routing_calls(lambda: StreamingJoinEngine.resume_from(checkpoint))
+    assert calls > 0  # the proxy counts: a restore routes the live logs
+    resumed.close()
+    engine.close()
+
+
+def _edge_batches(seed, silent_side, silent, distinct) -> "list[MicroBatch]":
+    """Integer keys from ``range(distinct)``; one side empty for ``silent`` batches."""
+    rng = np.random.default_rng(seed)
+    batches = []
+    for index in range(NUM_BATCHES):
+        sides = [rng.integers(0, distinct, 60).astype(np.float64) for _ in range(2)]
+        if index < silent:
+            sides[silent_side - 1] = np.empty(0, dtype=np.float64)
+        batches.append(MicroBatch(index, *sides))
+    return batches
+
+
+def _edge_run(batches, beta, checkpoint_after=None):
+    """A drift-adaptive run over ``batches``; the checkpoint after one, if asked."""
+    engine = StreamingJoinEngine(
+        8, BandJoinCondition(beta=beta), UNIT,
+        policy=DriftAdaptiveEWHPolicy(
+            DriftDetector(threshold=1.2, warmup_batches=1, cooldown_batches=2)
+        ),
+        sample_capacity=64, seed=3,
+    )
+    engine.start()
+    checkpoint = None
+    for batch in batches:
+        engine.process_batch(batch)
+        if batch.index == checkpoint_after:
+            checkpoint = engine.checkpoint()
+    return engine.finish(), checkpoint
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    silent_side=st.sampled_from([1, 2]),
+    silent=st.integers(0, NUM_BATCHES // 2),
+    distinct=st.integers(1, 12),
+    beta=st.sampled_from(["zero", "span", "unit"]),
+    stop_after=st.integers(0, NUM_BATCHES - 2),
+)
+def test_edge_streams_join_exactly_and_restore_identically(
+    seed, silent_side, silent, distinct, beta, stop_after
+):
+    """One side silent for up to half the stream, beta = 0 and beta at
+    least the key span, fewer distinct keys than machines (8): the
+    unbounded run's output is exact, and a restore at any boundary -- one
+    before the initial build too, which restores an empty fleet -- is the
+    uninterrupted run, batch for batch."""
+    width = {"zero": 0.0, "span": float(distinct), "unit": 1.0}[beta]
+    batches = _edge_batches(seed, silent_side, silent, distinct)
+    uninterrupted, checkpoint = _edge_run(batches, width, checkpoint_after=stop_after)
+    assert uninterrupted.output_correct is True
+    restored = StreamingJoinEngine.resume_from(StreamCheckpoint.from_bytes(checkpoint.to_bytes()))
+    if stop_after < silent:
+        assert checkpoint.partitioning is None
+        owner = restored.backend._owner
+        assert not any(
+            len(owner.view(side, machine))
+            for side in (0, 1)
+            for machine in range(restored.num_machines)
+        )
+    for batch in batches:
+        restored.process_batch(batch)
+    resumed = restored.finish()
+    assert resumed.output_correct is True
+    assert_equivalent_runs(resumed, uninterrupted)
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +344,9 @@ def test_checkpoint_roundtrip(seed, stop_after, window):
     np.testing.assert_array_equal(loaded.history1, checkpoint.history1)
     np.testing.assert_array_equal(loaded.history2, checkpoint.history2)
     assert loaded.rng_state == checkpoint.rng_state
-    for mine, theirs in zip(loaded.state_index1, checkpoint.state_index1):
-        np.testing.assert_array_equal(mine, theirs)
-        # Index-only state, canonically sorted: the same bytes whichever
-        # backend held it.
-        assert np.all(np.diff(mine) > 0)
-    assert not hasattr(loaded, "state_keys1")
+    assert_same_checkpoint_state(loaded, checkpoint)
+    # No machine state is stored: it is the logs routed by the plan.
+    assert not hasattr(loaded, "state_index1") and not hasattr(loaded, "state_keys1")
     # The loaded checkpoint resumes bit-identically to the original run.
     resumed = resume_and_finish(loaded, source)
     assert_equivalent_runs(resumed, uninterrupted)
@@ -244,7 +361,7 @@ def test_checkpoint_save_and_load_file(tmp_path):
     assert written == path.stat().st_size > 0
     loaded = StreamCheckpoint.load(path)
     assert loaded.position == checkpoint.position
-    assert loaded.resident_tuples == checkpoint.resident_tuples
+    assert_same_checkpoint_state(loaded, checkpoint)
 
 
 def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
@@ -283,15 +400,16 @@ def test_from_bytes_refuses_garbage():
     with pytest.raises(ValueError, match="version 99"):
         StreamCheckpoint.from_bytes(bytes(versioned))
     # Versions 1 (key-sorted state columns, a counting mode), 2 (three
-    # removed engine options) and 3 (arrival indices shifted by the trimmed
-    # history) are refused by name, with the version this build does read.
-    assert CHECKPOINT_VERSION == 4
-    for stale in (1, 2, 3):
+    # removed engine options), 3 (arrival indices shifted by the trimmed
+    # history) and 4 (per-machine arrival indices) are refused by name, with
+    # the version this build does read.
+    assert CHECKPOINT_VERSION == 5
+    for stale in (1, 2, 3, 4):
         versioned[4:8] = stale.to_bytes(4, "little")
         with pytest.raises(
             ValueError,
-            match=rf"version {stale};.*reads version 4 only"
-            r".*version 1.*version 2.*version 3",
+            match=rf"version {stale};.*reads version 5 only"
+            r".*version 1.*version 2.*version 3.*version 4",
         ):
             StreamCheckpoint.from_bytes(bytes(versioned))
     corrupted = bytearray(payload)
@@ -326,6 +444,29 @@ def test_from_bytes_refuses_a_payload_with_the_wrong_keys():
         StreamCheckpoint.from_bytes(container(captured))
     with pytest.raises(ValueError, match="malformed stream checkpoint"):
         StreamCheckpoint.from_bytes(container(["not", "a", "dict"]))
+
+
+def test_a_version_4_checkpoint_is_refused_by_name():
+    """A digest-valid version-4 container -- this build's fields plus the
+    per-machine arrival indices it stored -- is refused, naming what
+    version 4 held, before anything is unpickled."""
+    source = make_source(seed=3)
+    _, checkpoint = run_with_checkpoint(source, 4, seed=3)
+    raw = checkpoint.to_bytes()
+    header = struct.Struct("<4sIQ32s")
+    magic, _, _, _ = header.unpack_from(raw)
+    captured = pickle.loads(raw[header.size :])
+    captured["state_index1"] = captured["state_index2"] = [
+        np.arange(3, dtype=np.int64) for _ in range(MACHINES)
+    ]
+    payload = pickle.dumps(captured, protocol=4)
+    stale = header.pack(magic, 4, len(payload), hashlib.sha256(payload).digest()) + payload
+    with pytest.raises(
+        ValueError,
+        match=r"version 4; this build reads version 5 only.*"
+        r"version 4 stored per-machine arrival indices, state_index\*",
+    ):
+        StreamCheckpoint.from_bytes(stale)
 
 
 # ---------------------------------------------------------------------------

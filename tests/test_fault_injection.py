@@ -42,7 +42,11 @@ from repro.streaming import (
     run_resilient,
 )
 from repro.streaming.backends import RoutedSide
-from streaming_harness import CrashingBackend, assert_equivalent_runs
+from streaming_harness import (
+    CrashingBackend,
+    assert_equivalent_runs,
+    assert_same_checkpoint_state,
+)
 
 UNIT = WeightFunction(1.0, 1.0)
 BAND = BandJoinCondition(beta=1.0)
@@ -299,8 +303,7 @@ class TestRealWorkerCrashes:
             backend._processes[1].kill()
             backend._processes[1].join(timeout=5)
             dead = engine.checkpoint()
-            for ours, theirs in zip(dead.state_index1, healthy.state_index1):
-                np.testing.assert_array_equal(ours, theirs)
+            assert_same_checkpoint_state(dead, healthy)
             started = time.perf_counter()
             with pytest.raises(WorkerCrashError, match="sticky worker 1"):
                 engine.process_batch(next(batches))

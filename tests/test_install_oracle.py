@@ -6,7 +6,7 @@ migration, a resize and a restore moved state before ``install_state`` took
 key-sorted arrays: per-region index arrays, a ``resize`` that emptied the
 fleet, then an install that gathered every machine's keys back out of the
 logs and sorted them per machine.  The one-shape path -- ``route_live``
-through ``sorted_arrivals``, ``plan_migration``'s ``new_state*`` columns, an
+through ``sorted_arrivals``, ``plan_install``'s routed sides, an
 ``install_state`` of their keys that resizes by their length -- must leave
 every machine the same run list: one counted run of the same distinct keys
 and counts.
@@ -44,7 +44,7 @@ from test_routing_oracle import (
     _draw_keys,
     _draw_regions,
     _run,
-    assert_same_columns,
+    assert_same_keys,
 )
 
 from repro.partitioning import GridRoutedPartitioning, build_one_bucket_partitioning
@@ -52,10 +52,9 @@ from repro.streaming import (
     ArrivalLog,
     SimulatedBackend,
     StreamingJoinEngine,
-    plan_migration,
+    plan_install,
 )
 from repro.streaming.backends import RoutedSide, _StickyWorkerState
-from repro.streaming.migration import plan_install
 
 
 # ----------------------------------------------------------------------
@@ -131,45 +130,29 @@ def test_an_install_leaves_the_reference_run_lists(
     ]
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     with np.errstate(invalid="ignore"):  # the mod scheme casts NaN / inf keys
-        plan = plan_migration(*old, partitioning, *logs, num_machines, ours, mode)
+        plan, _, routed = plan_install(*old, partitioning, *logs, num_machines, ours, mode)
         expected = reference_plan(*old, partitioning, *logs, num_machines, theirs, mode)
-        installed, _, routed = plan_install(
-            *old, partitioning, *logs, num_machines, np.random.default_rng(seed), mode
-        )
     assert ours.bit_generator.state == theirs.bit_generator.state
-    # The engine's planner routes once: the figures are plan_migration's,
-    # and every machine's routed keys are its planned column's.
+    # The figures are the reference planner's, and every machine's routed
+    # keys are its reference index array's keys (bit for bit: gathered,
+    # not sorted -- ``np.sort`` may swap the bits of -0.0 and 0.0).
     for name in ("per_machine_arrivals", "per_machine_departures", "region_to_machine"):
-        np.testing.assert_array_equal(getattr(installed, name), getattr(plan, name))
-    assert installed.new_state1 == installed.new_state2 == []
-    for side, columns in zip(routed, (plan.new_state1, plan.new_state2)):
-        assert len(side.columns()) == len(columns) == num_machines
-        for keys, (_, planned) in zip(side.columns(), columns):
-            assert keys.dtype == planned.dtype
-            np.testing.assert_array_equal(keys, planned)
-
-    for ours, theirs, log in (
-        (plan.new_state1, expected.new_assignments1, logs[0]),
-        (plan.new_state2, expected.new_assignments2, logs[1]),
+        np.testing.assert_array_equal(getattr(plan, name), getattr(expected, name))
+    for side, assignments, log in zip(
+        routed, (expected.new_assignments1, expected.new_assignments2), logs
     ):
-        for (indices, keys), reference_indices in zip(ours, theirs):
-            reference_indices = np.asarray(reference_indices, dtype=np.int64)
-            order = np.argsort(log[reference_indices], kind="stable")
-            assert_same_columns(
-                indices, keys, reference_indices[order], log[reference_indices][order]
-            )
-    keys1 = [keys for _, keys in plan.new_state1]
-    keys2 = [keys for _, keys in plan.new_state2]
+        assert len(side.columns()) == len(assignments) == num_machines
+        for keys, indices in zip(side.columns(), assignments):
+            assert_same_keys(keys, log[np.asarray(indices, dtype=np.int64)])
+    reference1 = sorted_keys(expected.new_assignments1, logs[0])
+    reference2 = sorted_keys(expected.new_assignments2, logs[1])
+
+    keys1, keys2 = routed[0].columns(), routed[1].columns()
     production = SimulatedBackend()
     production.bind(old_machines, BAND, BAND.transposed)
     production.install_state(RoutedSide.of(keys1), RoutedSide.of(keys2))
     table = RegionStateTable(range(num_machines))
-    table.install(
-        state_layout(
-            sorted_keys(expected.new_assignments1, logs[0]),
-            sorted_keys(expected.new_assignments2, logs[1]),
-        )
-    )
+    table.install(state_layout(reference1, reference2))
     worker = _StickyWorkerState()
     worker.own(tuple(range(num_machines)), BAND, BAND.transposed)
     worker.install(state_layout(keys1, keys2))

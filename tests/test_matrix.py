@@ -1,4 +1,4 @@
-"""Tests for the exact join-matrix model (repro.core.matrix)."""
+"""Tests for the exact join-matrix model (tests/reference_matrix.py)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.matrix import JoinMatrix
+from reference_matrix import JoinMatrix
 from repro.core.region import GridRegion
 from repro.joins.conditions import BandJoinCondition, EquiJoinCondition
 from repro.joins.local import nested_loop_join

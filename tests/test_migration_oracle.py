@@ -3,9 +3,11 @@
 ``tests/reference_migration.py`` holds the planner ``repro.streaming.migration``
 shipped before it computed its overlaps once: a sort-and-search overlap
 matrix per side, then ``np.setdiff1d`` four times per machine.  The one-pass
-planner must return the same :class:`MigrationPlan` field by field, in both
-modes, over replicated and non-replicated assignments, grows, shrinks, empty
-regions, empty machines and windowed :class:`ArrivalLog` histories.
+planner, ``plan_install``, must return the same figures field by field and
+leave the generator where the reference left it, and route every machine
+the keys of the reference's index arrays, in both modes, over replicated
+and non-replicated assignments, grows, shrinks, empty regions, empty
+machines and windowed :class:`ArrivalLog` histories.
 
 The second half drives the engine through real repartitions with *every*
 reference kernel (sampling and migration) monkeypatched in: a checkpoint
@@ -29,7 +31,7 @@ from test_routing_oracle import (
     _draw_boundaries,
     _draw_keys,
     _draw_regions,
-    assert_same_columns,
+    assert_same_keys,
 )
 from test_migration_properties import (
     ModPartitioning,
@@ -46,7 +48,7 @@ from repro.partitioning import (
     build_ewh_partitioning,
     build_one_bucket_partitioning,
 )
-from repro.partitioning.base import Spans, sort_arrivals
+from repro.partitioning.base import Spans
 from repro.streaming import (
     ArrivalLog,
     DriftAdaptiveEWHPolicy,
@@ -60,7 +62,7 @@ from repro.streaming.migration import (
     _overlap_matrix,
     held_by_machine,
     pad_assignments,
-    plan_migration,
+    plan_install,
     sorted_live,
 )
 
@@ -79,11 +81,13 @@ def _log(keys: np.ndarray, windowed: bool, base: int, seed: int):
     return ArrivalLog(True, keys=keys, base=base, live=live)
 
 
-def _assert_same_plan(plan, expected, keys1, keys2) -> None:
-    """Field by field; the new state as the key-sort of the reference's indices.
+def _assert_same_plan(plan, routed, expected, keys1, keys2) -> None:
+    """Figures field by field; each machine's routed keys as the reference's.
 
-    Equal keys come out of a sort in an unspecified order, so each
-    machine-side's columns are compared as ``(index, key bits)`` pairs.
+    The reference's new state is index arrays: each machine's keys are
+    gathered from the history.  Equal keys come out of a sort in an
+    unspecified order, so each machine-side is compared as a key-bit
+    multiset, ours ascending.
     """
     assert plan.mode == expected.mode
     np.testing.assert_array_equal(plan.region_to_machine, expected.region_to_machine)
@@ -95,16 +99,14 @@ def _assert_same_plan(plan, expected, keys1, keys2) -> None:
     )
     assert plan.per_machine_arrivals.dtype == expected.per_machine_arrivals.dtype
     assert plan.per_machine_departures.dtype == expected.per_machine_departures.dtype
-    for ours, theirs, history in (
-        (plan.new_state1, expected.new_assignments1, keys1),
-        (plan.new_state2, expected.new_assignments2, keys2),
+    for side, theirs, history in (
+        (routed[0], expected.new_assignments1, keys1),
+        (routed[1], expected.new_assignments2, keys2),
     ):
+        ours = side.columns()
         assert len(ours) == len(theirs)
-        for (held, keys), reference_held in zip(ours, theirs):
-            reference_held, reference_keys = sort_arrivals(
-                reference_held, history[reference_held]
-            )
-            assert_same_columns(held, keys, reference_held, reference_keys)
+        for keys, indices in zip(ours, theirs):
+            assert_same_keys(keys, history[np.asarray(indices, dtype=np.int64)])
 
 
 @settings(max_examples=300, deadline=None)
@@ -142,10 +144,13 @@ def test_plan_equals_the_reference_planner(
     new_scheme = new_cls(min(new_regions, num_machines), new_salt)
     old1 = reference_migration.route_live(old_scheme.assign_r1, log1, old_machines, rng)
     old2 = reference_migration.route_live(old_scheme.assign_r2, log2, old_machines, rng)
-    arguments = (old1, old2, new_scheme, log1, log2, num_machines, rng)
-    plan = plan_migration(*arguments, mode=mode)
-    expected = reference_migration.plan_migration(*arguments, mode=mode)
-    _assert_same_plan(plan, expected, log1, log2)
+    arguments = (old1, old2, new_scheme, log1, log2, num_machines)
+    ours, theirs = (np.random.default_rng(0) for _ in range(2))
+    ours.bit_generator.state = theirs.bit_generator.state = rng.bit_generator.state
+    plan, _, routed = plan_install(*arguments, ours, mode=mode)
+    expected = reference_migration.plan_migration(*arguments, theirs, mode=mode)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    _assert_same_plan(plan, routed, expected, log1, log2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -187,10 +192,9 @@ def _old_and_new_overlaps(old_scheme, new_scheme, live, old_machines, num_machin
     routed, spans = migration._route(new_scheme, 1, live, rng, num_machines)
     width = max(old_machines, num_machines)
     ours = migration._overlaps(routed, spans, migration._padded(held, width), live)
+    shares = routed if spans is None else spans.columns(live.indices, live.keys)
     expected = reference_migration.overlap_matrix(
-        pad_assignments(
-            [indices for indices, _ in migration._columns(routed, spans, live)], width
-        ),
+        pad_assignments([indices for indices, _ in shares], width),
         pad_assignments(
             reference_migration.held_indices(old_scheme, 1, live, rng, old_machines, remap),
             width,
@@ -253,11 +257,11 @@ def test_ewh_to_ewh_overlaps_are_spans_equal_to_the_sort_based_matrix(
         for side in (1, 2)
     ]
     for mode in MIGRATION_MODES:
-        plan = plan_migration(*held, new, live, live, num_machines, rng, mode=mode)
+        plan, _, routed = plan_install(*held, new, live, live, num_machines, rng, mode=mode)
         expected_plan = reference_migration.plan_migration(
             *indices, new, log, log, num_machines, rng, mode=mode
         )
-        _assert_same_plan(plan, expected_plan, log, log)
+        _assert_same_plan(plan, routed, expected_plan, log, log)
 
 
 @settings(max_examples=200, deadline=None)

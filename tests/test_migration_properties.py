@@ -1,8 +1,12 @@
 """Property-based invariants of the migration planner.
 
-``plan_migration`` is the piece later performance work is most likely to
+``plan_install`` is the piece later performance work is most likely to
 break subtly, so its invariants are pinned with hypothesis over randomly
-generated histories and partitionings:
+generated histories and partitionings.  It builds no index column, so every
+call here also runs the reference planner (``tests/reference_migration.py``)
+from the same generator state: the figures must agree, every machine's
+routed keys must be the keys of the reference's index array, and the
+index-level invariants read those arrays:
 
 * **tuple conservation** -- for non-replicating schemes every rebuild moves
   as many tuples out of machines as into them (and with replication, the
@@ -19,6 +23,7 @@ generated histories and partitionings:
 from __future__ import annotations
 
 import numpy as np
+import reference_migration
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +31,7 @@ from repro.partitioning.base import Partitioning
 from repro.streaming.migration import (
     _overlap_matrix,
     pad_assignments,
-    plan_migration,
+    plan_install,
 )
 
 
@@ -70,9 +75,26 @@ def _held(assignments: list[np.ndarray]) -> int:
     return sum(len(a) for a in assignments)
 
 
-def _indices(state) -> list[np.ndarray]:
-    """A plan's per-machine index columns (its ``new_state*`` minus the keys)."""
-    return [indices for indices, _ in state]
+def _plan(old1, old2, scheme, keys1, keys2, num_machines, mode):
+    """``plan_install``'s plan, and the reference planner's new index arrays.
+
+    Both run from the same generator state and must leave it in the same
+    state; the figures must be the reference's, and each machine's routed
+    keys the keys of its reference index array, sorted.
+    """
+    ours, theirs = np.random.default_rng(0), np.random.default_rng(0)
+    arguments = (old1, old2, scheme, keys1, keys2, num_machines)
+    plan, _, routed = plan_install(*arguments, ours, mode=mode)
+    expected = reference_migration.plan_migration(*arguments, theirs, mode=mode)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    for name in ("per_machine_arrivals", "per_machine_departures", "region_to_machine"):
+        np.testing.assert_array_equal(getattr(plan, name), getattr(expected, name))
+    new = expected.new_assignments1, expected.new_assignments2
+    for side, assignments, keys in zip(routed, new, (keys1, keys2)):
+        assert len(side.columns()) == len(assignments) == num_machines
+        for held, indices in zip(side.columns(), assignments):
+            np.testing.assert_array_equal(held, np.sort(keys[indices]))
+    return plan, *new
 
 
 keys_strategy = st.lists(
@@ -107,13 +129,13 @@ def test_tuple_conservation_without_replication(
     old1, old2 = _old_state(
         ModPartitioning(num_machines, old_salt), keys1, keys2, num_machines, rng
     )
-    plan = plan_migration(
+    plan, new1, new2 = _plan(
         old1, old2, ModPartitioning(num_machines, new_salt),
-        keys1, keys2, num_machines, rng, mode=mode,
+        keys1, keys2, num_machines, mode,
     )
     assert plan.total_moved == plan.total_departed
-    assert _held(_indices(plan.new_state1)) == len(keys1)
-    assert _held(_indices(plan.new_state2)) == len(keys2)
+    assert _held(new1) == len(keys1)
+    assert _held(new2) == len(keys2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,11 +155,11 @@ def test_conservation_accounts_for_replication_changes(
     old_scheme = ModPartitioning(num_machines, old_salt)
     new_scheme = ReplicatingPartitioning(num_machines, new_salt)
     old1, old2 = _old_state(old_scheme, keys1, keys2, num_machines, rng)
-    plan = plan_migration(
-        old1, old2, new_scheme, keys1, keys2, num_machines, rng, mode=mode
+    plan, new1, new2 = _plan(
+        old1, old2, new_scheme, keys1, keys2, num_machines, mode
     )
     old_total = _held(old1) + _held(old2)
-    new_total = _held(_indices(plan.new_state1)) + _held(_indices(plan.new_state2))
+    new_total = _held(new1) + _held(new2)
     assert plan.total_moved - plan.total_departed == new_total - old_total
 
 
@@ -156,9 +178,7 @@ def test_unchanged_mapping_is_a_zero_cost_noop(
     rng = np.random.default_rng(0)
     scheme = ModPartitioning(num_machines, salt)
     old1, old2 = _old_state(scheme, keys1, keys2, num_machines, rng)
-    plan = plan_migration(
-        old1, old2, scheme, keys1, keys2, num_machines, rng, mode=mode
-    )
+    plan, _, _ = _plan(old1, old2, scheme, keys1, keys2, num_machines, mode)
     assert plan.total_moved == 0
     assert plan.total_departed == 0
     assert np.all(plan.per_machine_arrivals == 0)
@@ -183,12 +203,8 @@ def test_partial_never_migrates_more_than_full(
     )
     new_cls = ReplicatingPartitioning if replicate else ModPartitioning
     new_scheme = new_cls(num_machines, new_salt)
-    full = plan_migration(
-        old1, old2, new_scheme, keys1, keys2, num_machines, rng, mode="full"
-    )
-    partial = plan_migration(
-        old1, old2, new_scheme, keys1, keys2, num_machines, rng, mode="partial"
-    )
+    full, _, _ = _plan(old1, old2, new_scheme, keys1, keys2, num_machines, "full")
+    partial, _, _ = _plan(old1, old2, new_scheme, keys1, keys2, num_machines, "partial")
     assert partial.total_moved <= full.total_moved
 
 
@@ -216,19 +232,16 @@ def test_planned_state_is_exactly_the_new_routing(
         ModPartitioning(num_machines, old_salt), keys1, keys2, num_machines, rng
     )
     new_scheme = ModPartitioning(num_machines, new_salt)
-    plan = plan_migration(
+    plan, _, routed = plan_install(
         old1, old2, new_scheme, keys1, keys2, num_machines, rng, mode=mode
     )
     assert sorted(plan.region_to_machine.tolist()) == list(range(num_machines))
     routed1 = pad_assignments(new_scheme.assign_r1(keys1, rng), num_machines)
     routed2 = pad_assignments(new_scheme.assign_r2(keys2, rng), num_machines)
+    held1, held2 = routed[0].columns(), routed[1].columns()
     for region, machine in enumerate(plan.region_to_machine):
-        np.testing.assert_array_equal(
-            np.sort(plan.new_state1[machine][0]), np.sort(routed1[region])
-        )
-        np.testing.assert_array_equal(
-            np.sort(plan.new_state2[machine][0]), np.sort(routed2[region])
-        )
+        np.testing.assert_array_equal(held1[machine], np.sort(keys1[routed1[region]]))
+        np.testing.assert_array_equal(held2[machine], np.sort(keys2[routed2[region]]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -293,9 +306,8 @@ def test_arrivals_and_departures_equal_the_set_differences(
         old_cls(old_machines, old_salt), keys1, keys2, old_machines, rng
     )
     new_cls = ModPartitioning if replicate else ReplicatingPartitioning
-    plan = plan_migration(
-        old1, old2, new_cls(num_machines, new_salt),
-        keys1, keys2, num_machines, rng, mode=mode,
+    plan, new1, new2 = _plan(
+        old1, old2, new_cls(num_machines, new_salt), keys1, keys2, num_machines, mode
     )
     fleet = max(old_machines, num_machines)
     assert len(plan.per_machine_arrivals) == num_machines
@@ -303,7 +315,7 @@ def test_arrivals_and_departures_equal_the_set_differences(
     empty = np.empty(0, dtype=np.int64)
     for machine in range(fleet):
         moved_in = moved_out = 0
-        for old, new in ((old1, _indices(plan.new_state1)), (old2, _indices(plan.new_state2))):
+        for old, new in ((old1, new1), (old2, new2)):
             before = old[machine] if machine < old_machines else empty
             after = new[machine] if machine < num_machines else empty
             moved_in += len(np.setdiff1d(after, before))

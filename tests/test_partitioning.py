@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.histogram import EWHConfig
 from repro.core.region import GridRegion
-from repro.core.validation import validate_partitioning
+from reference_validation import validate_partitioning
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import BandJoinCondition, EquiJoinCondition
 from repro.partitioning.ewh import build_ewh_partitioning

@@ -110,6 +110,18 @@ def assert_same_columns(idx, held, ref_idx, ref_held) -> None:
     assert np.array_equal(held, np.sort(held), equal_nan=True)
 
 
+def assert_same_keys(held, ref_held) -> None:
+    """One machine-side's keys: the same key-bit multiset, ``held`` ascending.
+
+    :func:`assert_same_columns` without the indices, for state that reaches
+    a machine as keys alone; ``ref_held`` may lie in any order.
+    """
+    assert held.dtype == ref_held.dtype
+    bits, ref_bits = held.view(f"u{held.itemsize}"), ref_held.view(f"u{held.itemsize}")
+    np.testing.assert_array_equal(np.sort(bits), np.sort(ref_bits))
+    assert np.array_equal(held, np.sort(held), equal_nan=True)
+
+
 def _columns_match(candidate, partitioning_cls, seed: int, dtype: str) -> None:
     """One random grid, map and batch: ``candidate`` against the old chain."""
     rng = np.random.default_rng(seed)

@@ -1,13 +1,13 @@
 """Owner state is derived: each side holds the plan's route of the live log, once.
 
 Machines hold key multisets and nothing else, so whenever the engine needs
-to know *which* tuples a machine holds -- the old placement of a migration,
-the resident indices of a checkpoint -- it derives them: every tuple
-reached its machine through the current plan (a batch, an expired slice, the
-initial build, a migration, a resize, a restore all route by it, and routing
-is a pure function of key and arrival index), so machine ``m``'s tuples are
-the live log routed by the plan and placed by ``region_to_machine``
-(``repro.streaming.migration.placement``).
+to know *which* tuples a machine holds -- the old placement of a migration
+-- it derives them, and a checkpoint stores none: every tuple reached its
+machine through the current plan (a batch, an expired slice, the initial
+build, a migration, a resize, a restore all route by it, and routing is a
+pure function of key and arrival index), so machine ``m``'s tuples are the
+live log routed by the plan and placed by ``region_to_machine``
+(``reference_migration.placement``).
 
 The backend's ``StateOwner`` holds each side once, in groups (one for a
 key-range plan, one per draw group for 1-Bucket), and a machine reads its
@@ -43,7 +43,7 @@ from repro.streaming import (
     StickyWorkerBackend,
     StreamingJoinEngine,
 )
-from repro.streaming.migration import placement
+from reference_migration import placement
 
 MACHINES = 4
 BAND = BandJoinCondition(beta=2.0)

@@ -597,9 +597,8 @@ def _random_batch(rng, index: int) -> MicroBatch:
 
 
 def test_process_batch_never_reads_the_resident_view(monkeypatch):
-    """Accounting is O(J): deriving what machines hold is for migrations
-    and checkpoints, never for a batch."""
-    import repro.streaming.checkpoint as checkpoint_module
+    """Accounting is O(J): deriving what machines hold is for migrations,
+    never for a batch (or a checkpoint, which stores no machine state)."""
     import repro.streaming.engine as engine_module
 
     backend = SimulatedBackend()
@@ -610,7 +609,6 @@ def test_process_batch_never_reads_the_resident_view(monkeypatch):
     rng = np.random.default_rng(7)
     engine = _windowed_static_engine(backend)
     monkeypatch.setattr(engine_module, "held_by_machine", refuse)
-    monkeypatch.setattr(checkpoint_module, "placement", refuse)
     owner = backend._owner
     for index in range(12):
         metrics = engine.process_batch(_random_batch(rng, index))
@@ -622,9 +620,10 @@ def test_process_batch_never_reads_the_resident_view(monkeypatch):
             for side in (0, 1)
             for machine in range(engine.num_machines)
         )
+    engine.checkpoint()
     # The patch does bite where the state is legitimately derived.
     with pytest.raises(AssertionError, match="per-batch path"):
-        engine.checkpoint()
+        engine.resize(engine.num_machines + 1)
 
 
 @pytest.mark.multiprocess

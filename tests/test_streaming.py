@@ -31,8 +31,9 @@ from repro.streaming import (
     StreamRunResult,
     compare_streaming_schemes,
     make_backend,
-    plan_migration,
+    plan_install,
 )
+import reference_migration
 from streaming_harness import (
     PositionalRebuildEngine,
     RecountingBackend,
@@ -473,6 +474,17 @@ class TestDriftDetector:
 # ----------------------------------------------------------------------
 # Migration
 # ----------------------------------------------------------------------
+def _plan(*arguments, mode="full"):
+    """``plan_install``'s plan and routed sides; its figures are the reference planner's."""
+    theirs = np.random.default_rng()
+    theirs.bit_generator.state = arguments[-1].bit_generator.state
+    plan, _, routed = plan_install(*arguments, mode=mode)
+    expected = reference_migration.plan_migration(*arguments[:-1], theirs, mode=mode)
+    for name in ("per_machine_arrivals", "per_machine_departures", "region_to_machine"):
+        np.testing.assert_array_equal(getattr(plan, name), getattr(expected, name))
+    return plan, routed
+
+
 class TestMigration:
     def test_unchanged_partitioning_moves_nothing(self, rng):
         keys1 = rng.uniform(0, 100, 300)
@@ -482,7 +494,7 @@ class TestMigration:
         old2 = partitioning.assign_r2(keys2, rng)
         # Re-routing reproduces the assignment: 1-Bucket draws each tuple's
         # row or column from its arrival index, not from the generator.
-        plan = plan_migration(old1, old2, partitioning, keys1, keys2, 4, rng)
+        plan, _ = _plan(old1, old2, partitioning, keys1, keys2, 4, rng)
         assert plan.total_moved == 0
 
     def test_disjoint_assignment_moves_everything(self, rng):
@@ -499,7 +511,7 @@ class TestMigration:
             def assign_r2(self, k, rng):
                 return [np.empty(0, dtype=np.int64), np.arange(10, dtype=np.int64)]
 
-        plan = plan_migration(old1, old2, _Swapped(), keys, keys, 2, rng)
+        plan, _ = _plan(old1, old2, _Swapped(), keys, keys, 2, rng)
         assert plan.total_moved == 20
         assert plan.per_machine_arrivals.tolist() == [0, 20]
 
@@ -519,8 +531,8 @@ class TestMigration:
             def assign_r2(self, k, rng):
                 return [np.arange(6, dtype=np.int64)]
 
-        plan = plan_migration(old1, old2, _Single(), keys, keys, 4, rng)
-        assert len(plan.new_state1) == 4
+        plan, routed = _plan(old1, old2, _Single(), keys, keys, 4, rng)
+        assert [len(held) for held in routed[0].columns()] == [6, 0, 0, 0]
         assert plan.total_moved == 0
 
     @pytest.mark.parametrize("mode", ["full", "partial"])
@@ -531,7 +543,7 @@ class TestMigration:
         old = [np.arange(100 * m, 100 * (m + 1), dtype=np.int64) for m in range(4)]
         partitioning = build_one_bucket_partitioning(8)
         with pytest.raises(ValueError, match="8 regions .* got 4"):
-            plan_migration(old, old, partitioning, keys, keys, 4, rng, mode=mode)
+            plan_install(old, old, partitioning, keys, keys, 4, rng, mode=mode)
 
 
 class _OversizedPlans(StaticOneBucketPolicy):

@@ -19,7 +19,7 @@ from repro.core.monotonic_bsp import (
 from repro.core.region import GridRegion
 from repro.core.regionalization import regionalize
 from repro.core.tiling_tables import TilingTables
-from repro.core.validation import validate_grid_regions
+from reference_validation import validate_grid_regions
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import BandJoinCondition
 

