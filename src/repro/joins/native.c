@@ -9,6 +9,9 @@
  *            the body of repro.joins.local.count_regions for one task.
  * merge_<t>  merges key-sorted runs, oldest first, into one counted run in
  *            a single linear pass: repro.streaming.incremental._merge_sorted.
+ * offer      offers one batch of entries to a bounded Efraimidis-Spirakis
+ *            min-heap held as three parallel arrays:
+ *            repro.streaming.incremental.DecayedReservoir.add_batch.
  *
  * <t> is f64 (double keys) or i64 (int64_t keys); one macro below writes
  * both.  Every result equals the numpy reference bit for bit, so the order
@@ -301,3 +304,109 @@ static int64_t size_of(const uint64_t *table, int64_t r)
 
 KERNELS(f64, double, FLOAT_IS_NAN)
 KERNELS(i64, int64_t, NEVER_NAN)
+
+/*
+ * The reservoir heap.  Entry i is (priorities[i], counters[i], keys[i]),
+ * and the arrays are the list of tuples Python's heapq would hold, entry
+ * for entry, because the heap array's order is what the reservoir's keys()
+ * exposes.  So every step mirrors CPython's heapq: heappush sifts the new
+ * entry down from the end; heapreplace puts it at the root, promotes the
+ * smaller child all the way down to a leaf and sifts the entry back up from
+ * there (_siftup, then _siftdown).  Entries compare as the tuples do: by
+ * priority, ties by counter.  Priorities are never NaN and counters are
+ * unique, so the key is never compared.
+ */
+static int before(double priority, int64_t counter, double other_priority,
+                  int64_t other_counter)
+{
+    return priority < other_priority
+           || (priority == other_priority && counter < other_counter);
+}
+
+/* heapq's _siftdown: the entry at pos moves up past every parent it sorts
+ * before, stopping at start. */
+static void sift_down(double *priorities, int64_t *counters, double *keys,
+                      int64_t start, int64_t pos)
+{
+    double priority = priorities[pos], key = keys[pos];
+    int64_t counter = counters[pos];
+    while (pos > start) {
+        int64_t parent = (pos - 1) >> 1;
+        if (!before(priority, counter, priorities[parent], counters[parent]))
+            break;
+        priorities[pos] = priorities[parent];
+        counters[pos] = counters[parent];
+        keys[pos] = keys[parent];
+        pos = parent;
+    }
+    priorities[pos] = priority;
+    counters[pos] = counter;
+    keys[pos] = key;
+}
+
+/* heapq's _siftup from the root of a heap of `end` entries. */
+static void sift_up(double *priorities, int64_t *counters, double *keys,
+                    int64_t end)
+{
+    double priority = priorities[0], key = keys[0];
+    int64_t counter = counters[0], pos = 0, child;
+    while (pos < end >> 1) {
+        child = 2 * pos + 1;
+        if (child + 1 < end
+            && !before(priorities[child], counters[child],
+                       priorities[child + 1], counters[child + 1]))
+            child++;
+        priorities[pos] = priorities[child];
+        counters[pos] = counters[child];
+        keys[pos] = keys[child];
+        pos = child;
+    }
+    priorities[pos] = priority;
+    counters[pos] = counter;
+    keys[pos] = key;
+    sift_down(priorities, counters, keys, 0, pos);
+}
+
+/*
+ * Offer n entries, in order, to a heap of `size` entries and room for
+ * `capacity`: repro.sampling.reservoir.offer_entries behind
+ * DecayedReservoir.add_batch's batch-start filter.  When the heap starts
+ * the batch full, only entries whose priority is above its minimum at that
+ * moment take a counter; otherwise every entry does.  An entry with a
+ * counter is pushed while the heap holds fewer than `capacity`, and
+ * afterwards replaces the minimum when its priority is strictly larger.
+ * The arrays must hold room for min(capacity, size + n) entries.  Returns
+ * the next unused counter, or -1 (nothing written) unless 0 <= size <=
+ * capacity, 0 < capacity and 0 <= counter.
+ */
+int64_t offer(double *priorities, int64_t *counters, double *keys,
+              int64_t size, int64_t capacity, int64_t counter,
+              const double *new_priorities, const double *new_keys, int64_t n)
+{
+    int64_t i;
+    int full;
+    double floor;
+    if (capacity <= 0 || size < 0 || size > capacity || counter < 0)
+        return -1;
+    full = size == capacity;
+    floor = full ? priorities[0] : 0.0;
+    for (i = 0; i < n; i++) {
+        double priority = new_priorities[i];
+        if (full && !(priority > floor))
+            continue;
+        if (size < capacity) {
+            priorities[size] = priority;
+            counters[size] = counter;
+            keys[size] = new_keys[i];
+            sift_down(priorities, counters, keys, 0, size);
+            size++;
+        } else if (priority > priorities[0]) {
+            priorities[0] = priority;
+            counters[0] = counter;
+            keys[0] = new_keys[i];
+            sift_up(priorities, counters, keys, size);
+        }
+        counter++;
+    }
+    return counter;
+}

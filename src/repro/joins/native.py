@@ -1,15 +1,20 @@
-"""The compiled count kernel: ``native.c``, built on first use and loaded through ``ctypes``.
+"""The compiled kernel: ``native.c``, built on first use and loaded through ``ctypes``.
 
-The count stage is most of a stream batch, and what is left of it is two
-inner loops that numpy can only run as a dozen small-array calls each: the
-searches of one sorted run for a batch's needles (clipped and summed per
-machine), and the merge of a state's sorted runs.  ``native.c`` does each
-in one call -- :func:`count` for one task of
+A stream batch spends most of its interpreter time in three inner loops
+that numpy can only run as a dozen small-array calls each, or as one
+Python-level step per element: the searches of one sorted run for a
+batch's needles (clipped and summed per machine), the merge of a state's
+sorted runs, and the offer of a batch's arrivals to the stream histogram's
+sample reservoir, a ``heapq`` push / ``heapreplace`` per key.  ``native.c``
+does each in one call -- :func:`count` for one task of
 :func:`~repro.joins.local.count_regions`, :func:`merge` for
-:func:`~repro.streaming.incremental._merge_sorted` -- and its results equal
-the numpy code's bit for bit (``tests/test_native_kernel.py``).
+:func:`~repro.streaming.incremental._merge_sorted`, :func:`offer` for
+:meth:`~repro.streaming.incremental.DecayedReservoir.add_batch` -- and its
+results equal the Python code's bit for bit: counts and merged runs
+(``tests/test_native_kernel.py``), and the reservoir's heap array entry
+for entry (``tests/test_sampling_oracle.py``).
 
-The numpy code stays: it is the reference the kernel is tested against,
+The Python code stays: it is the reference the kernel is tested against,
 and the path whenever the kernel cannot run.  Which path runs is observed,
 never configured.  On import the module compiles ``native.c`` with the C
 compiler (the ``CC`` environment variable, else the one Python was built
@@ -38,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["COUNT_PATH", "KERNEL", "count", "merge"]
+__all__ = ["COUNT_PATH", "KERNEL", "count", "merge", "offer"]
 
 SOURCE = Path(__file__).with_name("native.c")
 
@@ -53,6 +58,7 @@ _POINTER, _SIZE = ctypes.c_void_p, ctypes.c_int64
 _COUNT_ARGS = (_POINTER, _SIZE, _POINTER, _POINTER, _POINTER, _SIZE, _POINTER,
                _POINTER, _SIZE, _POINTER, _POINTER, _SIZE, _POINTER)
 _MERGE_ARGS = (_SIZE, _POINTER, _POINTER, _POINTER)
+_OFFER_ARGS = (_POINTER, _POINTER, _POINTER, _SIZE, _SIZE, _SIZE, _POINTER, _POINTER, _SIZE)
 
 
 def _build() -> ctypes.CDLL:
@@ -91,6 +97,7 @@ def _build() -> ctypes.CDLL:
         function.argtypes, function.restype = _COUNT_ARGS, ctypes.c_int
         function = getattr(loaded, f"merge_{key}")
         function.argtypes, function.restype = _MERGE_ARGS, ctypes.c_int64
+    loaded.offer.argtypes, loaded.offer.restype = _OFFER_ARGS, ctypes.c_int64
     return loaded
 
 
@@ -104,7 +111,8 @@ def _load() -> "tuple[ctypes.CDLL | None, str]":
 
 #: The loaded library, or ``None`` when the numpy path runs.
 KERNEL: "ctypes.CDLL | None"
-#: Which path counts: ``"native"``, or ``"numpy: <why the kernel is not loaded>"``.
+#: Which path counts, merges and offers to the reservoirs: ``"native"``, or
+#: ``"numpy: <why the kernel is not loaded>"``.
 COUNT_PATH: str
 KERNEL, COUNT_PATH = _load()
 
@@ -234,3 +242,42 @@ def merge(runs: "list[tuple[np.ndarray, np.ndarray | None]]"):
     merged_keys.resize(entries, refcheck=False)
     merged_cum.resize(entries + 1, refcheck=False)
     return merged_keys, merged_cum
+
+
+def offer(heap, size: int, capacity: int, counter: int, priorities, keys) -> "int | None":
+    """:meth:`~repro.streaming.incremental.DecayedReservoir.add_batch`'s heap loop in the kernel.
+
+    ``heap`` is the reservoir's ``(priorities, counters, keys)`` arrays,
+    whose first ``size`` entries are the heap, ``counter`` its next unused
+    counter, and ``priorities`` / ``keys`` the batch's entries in offer
+    order.  The kernel writes the heap array
+    :func:`~repro.sampling.reservoir.offer_entries` would leave behind the
+    batch-start filter, and this returns the next unused counter; the heap
+    then holds ``min(capacity, size + len(keys))`` entries.  Returns
+    ``None``, having written nothing, when the kernel is not loaded or an
+    input is not one it takes (float64 priorities and keys, int64
+    counters; the heap's arrays with room for that many entries; every
+    array writable, C-contiguous and aligned).
+    """
+    kernel = KERNEL
+    heap_priorities, counters, heap_keys = heap
+    room = min(capacity, size + keys.size)
+    if (
+        kernel is None
+        or priorities.dtype != _FLOAT
+        or keys.dtype != _FLOAT
+        or priorities.size != keys.size
+        or heap_priorities.dtype != _FLOAT
+        or counters.dtype != _INT
+        or heap_keys.dtype != _FLOAT
+        or min(heap_priorities.size, counters.size, heap_keys.size) < room
+    ):
+        return None
+    addresses = _addresses([*heap, priorities, keys])
+    if addresses is None:
+        return None
+    *target, batch_priorities, batch_keys = addresses
+    counter = kernel.offer(
+        *target, size, capacity, counter, batch_priorities, batch_keys, keys.size
+    )
+    return None if counter < 0 else counter

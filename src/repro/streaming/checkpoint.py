@@ -41,11 +41,14 @@ migration from nothing, the logs routed by the captured plan
 backend, so a checkpoint taken on one backend restores onto any other, and
 a dead worker cannot fail a checkpoint.  Every stored arrival index is
 global (:mod:`repro.streaming.arrivals`); ``base1`` / ``base2`` say which
-index the retained keys start at.  Version 1 (verbatim key-sorted state
-columns and a counting mode), version 2 (three engine options that no
-longer exist), version 3 (indices shifted by the trimmed history, no
-bases) and version 4 (per-machine arrival indices, ``state_index*``) are
-refused by name.
+index the retained keys start at.  The histogram's two sample reservoirs
+are pickled as the live entries of their heap arrays (priorities,
+counters, keys), with no spare room, so two saves of one state are the
+same bytes.  Version 1 (verbatim key-sorted state columns and a counting
+mode), version 2 (three engine options that no longer exist), version 3
+(indices shifted by the trimmed history, no bases), version 4 (per-machine
+arrival indices, ``state_index*``) and version 5 (the sample reservoirs as
+lists of heap tuples) are refused by name.
 
 Driving a crash-survivable run
 ------------------------------
@@ -102,8 +105,8 @@ _MAGIC = b"RPSC"
 #: refuses anything else (version 1 predates index-only state, version 2
 #: carried three since-removed engine options, version 3 stored indices
 #: shifted down by the trimmed history, version 4 stored every machine's
-#: arrival indices).
-CHECKPOINT_VERSION = 5
+#: arrival indices, version 5 stored the sample reservoirs as heap tuples).
+CHECKPOINT_VERSION = 6
 
 #: Pickle protocol pinned for deterministic bytes (same state, same process,
 #: same serialization).
@@ -268,7 +271,8 @@ class StreamCheckpoint:
                 "version 2 three engine options, that no longer exist; "
                 "version 3 stored arrival indices shifted by the trimmed "
                 "history; version 4 stored per-machine arrival indices, "
-                "state_index* -- re-take the checkpoint)"
+                "state_index*; version 5 stored the sample reservoirs as "
+                "heap tuples -- re-take the checkpoint)"
             )
         payload = raw[_HEADER.size :]
         if len(payload) != length:

@@ -29,7 +29,11 @@ alive across micro-batches and rebuilds the histogram from it on demand:
   ``decay ** a``, so the reservoir tracks the *recent* key distribution and
   forgets stale phases at a configurable half-life.  Priorities are kept in
   log space (``ln(u) / w``) so the geometric weights never overflow or lose
-  float resolution.
+  float resolution.  Its heap is three arrays, and a batch is one call of
+  the compiled kernel (:func:`repro.joins.native.offer`) -- the same heap
+  array the ``heapq`` loop it replaces builds, entry for entry -- so
+  observing a batch costs a fixed number of interpreter calls per side,
+  however many keys it offers.
 * Rebuilding runs the ordinary 3-stage pipeline
   (:func:`~repro.core.histogram.build_equi_weight_histogram`) over the two
   reservoir snapshots.  The cost is proportional to the reservoir capacity,
@@ -368,7 +372,22 @@ class DecayedReservoir:
     which is strictly increasing in the original priority and grows only
     linearly with the batch index.  The retained set is exactly the weighted
     sample without replacement.
+
+    The heap is held as three parallel arrays -- priorities (float64),
+    counters (int64) and keys (float64) -- whose first ``len(self)``
+    entries are, entry for entry, the list of tuples ``heapq`` would hold
+    (:func:`~repro.sampling.reservoir.offer_entries`): :meth:`keys` exposes
+    heap order to the rebuild's sampler.  A batch is one call of the
+    compiled kernel (:func:`repro.joins.native.offer`), which mirrors
+    ``heapq``'s steps.  Where the kernel is not loaded (or declines the
+    batch), the heap becomes that list of tuples and ``offer_entries`` runs;
+    the list stays the heap until a pickle writes it back into the arrays,
+    so a run of such batches, and :meth:`keys`, convert nothing.  A pickle
+    (a checkpoint) holds the heap's entries and no spare room.
     """
+
+    #: The heap's parallel arrays, in tuple order.
+    _HEAP = ("_priorities", "_counters", "_keys")
 
     def __init__(self, capacity: int, decay: float = 1.0) -> None:
         if capacity <= 0:
@@ -378,13 +397,48 @@ class DecayedReservoir:
         self.capacity = capacity
         self.decay = decay
         self._log_inv_decay = -math.log(decay)
-        self._heap: list[tuple[float, int, float]] = []
+        self._size = 0
+        self._priorities = np.empty(capacity, dtype=np.float64)
+        self._counters = np.empty(capacity, dtype=np.int64)
+        self._keys = np.empty(capacity, dtype=np.float64)
+        #: The heap as ``offer_entries``' tuples while the fallback holds it,
+        #: the arrays then stale; ``None`` when the arrays are the heap.
+        self._entries: list[tuple[float, int, float]] | None = None
         self._counter = 0
         self.tuples_seen = 0
 
     def __len__(self) -> int:
         """Number of keys currently held in the reservoir."""
-        return len(self._heap)
+        return self._size
+
+    def __getstate__(self) -> dict:
+        """The fields, each heap array cut to the heap's entries.
+
+        The fallback's tuples, if they hold the heap, are written back into
+        the arrays first, so either path pickles the same bytes.
+        """
+        heap, self._entries = self._entries, None
+        if heap:
+            size = len(heap)
+            self._priorities[:size], self._counters[:size], self._keys[:size] = zip(*heap)
+        state = self.__dict__.copy()
+        del state["_entries"]
+        for name in self._HEAP:
+            state[name] = state[name][: self._size]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        """The fields, each heap array an own one of ``capacity`` entries.
+
+        The kernel writes the heap in place, up to ``capacity`` entries.
+        """
+        self.__dict__.update(state)
+        self._entries = None
+        for name in self._HEAP:
+            live = state[name]
+            array = np.empty(self.capacity, dtype=live.dtype)
+            array[: live.size] = live
+            setattr(self, name, array)
 
     def add_batch(
         self, keys: np.ndarray, batch_index: int, rng: np.random.Generator
@@ -392,7 +446,9 @@ class DecayedReservoir:
         """Offer one micro-batch of keys, all weighted by the batch's age.
 
         A NaN key joins nothing, so it is never offered: no histogram built
-        from the sample can get a NaN boundary.
+        from the sample can get a NaN boundary.  When the heap starts the
+        batch full, entries at or below its minimum can never enter (the
+        minimum only rises), so they take no counter.
         """
         keys = np.asarray(keys, dtype=np.float64)  # repro: ignore[KEY001]  # reservoir samples feed float EWH boundaries, not join state
         self.tuples_seen += len(keys)
@@ -404,19 +460,42 @@ class DecayedReservoir:
             # -ln(-ln u): u -> 0 gives -inf (never sampled), u -> 1 gives +inf.
             priorities = -np.log(-np.log(rng.random(len(keys))))
         priorities += batch_index * self._log_inv_decay
-        if len(self._heap) >= self.capacity:
-            # Entries below the current minimum can never enter (the heap
-            # minimum only rises): drop them vectorised before the heap loop.
-            mask = priorities > self._heap[0][0]
+        size = min(self.capacity, self._size + len(keys))
+        counter = None
+        if self._entries is None:
+            heap = (self._priorities, self._counters, self._keys)
+            counter = native.offer(
+                heap, self._size, self.capacity, self._counter, priorities, keys
+            )
+        if counter is None:
+            counter = self._offer_entries(priorities, keys)
+        self._size, self._counter = size, counter
+
+    def _offer_entries(self, priorities: np.ndarray, keys: np.ndarray) -> int:
+        """The batch through ``offer_entries`` on the heap as tuples; the next counter."""
+        heap = self._entries
+        if heap is None:
+            size = self._size
+            heap = self._entries = list(
+                zip(
+                    self._priorities[:size].tolist(),
+                    self._counters[:size].tolist(),
+                    self._keys[:size].tolist(),
+                )
+            )
+        if len(heap) >= self.capacity:
+            mask = priorities > heap[0][0]
             keys, priorities = keys[mask], priorities[mask]
-        self._counter = offer_entries(
-            self._heap, self.capacity, self._counter, priorities.tolist(), keys.tolist()
+        return offer_entries(
+            heap, self.capacity, self._counter, priorities.tolist(), keys.tolist()
         )
 
     def keys(self) -> np.ndarray:
         """Snapshot of the sampled keys, in heap-array order."""
-        heap = self._heap
-        return np.fromiter(map(itemgetter(2), heap), dtype=np.float64, count=len(heap))
+        heap = self._entries
+        if heap is not None:
+            return np.fromiter(map(itemgetter(2), heap), dtype=np.float64, count=len(heap))
+        return self._keys[: self._size].copy()
 
 
 class IncrementalHistogram:

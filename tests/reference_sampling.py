@@ -1,15 +1,21 @@
 """Reference sampling kernels: the per-tuple loops the sampling layer shipped.
 
-Test-only.  These are the bodies ``repro.sampling.stream_sample``,
-``repro.sampling.reservoir`` and ``DecayedReservoir.add_batch`` had before
-their per-tuple interpreter work was taken out, kept verbatim as the
-differential oracle (``tests/test_sampling_oracle.py``): one scalar
-``rng.integers`` and one scalar ``searchsorted`` per sampled key, one
-``add_with_priority`` call -- a tuple build and three ``float()``
-conversions -- per offered tuple.  They operate on the *production* classes'
-fields, so a reference pass and a production pass can be compared heap entry
-by heap entry, counter by counter, generator state by generator state, and
-either can be monkeypatched in for the other.
+Test-only.  These are the bodies ``repro.sampling.stream_sample`` and
+``repro.sampling.reservoir`` had before their per-tuple interpreter work was
+taken out, kept verbatim as the differential oracle
+(``tests/test_sampling_oracle.py``): one scalar ``rng.integers`` and one
+scalar ``searchsorted`` per sampled key, one ``add_with_priority`` call -- a
+tuple build and three ``float()`` conversions -- per offered tuple.  They
+operate on the *production* classes' fields, so a reference pass and a
+production pass can be compared heap entry by heap entry, counter by
+counter, generator state by generator state, and either can be
+monkeypatched in for the other.
+
+:class:`TupleReservoir` is the stream histogram's decayed reservoir as it
+shipped -- a ``heapq`` list of tuples fed one key at a time -- before the
+production one became three arrays offered to by the compiled kernel.  It
+is its own class and meets the production reservoir only through its
+pickled state.
 
 :func:`stream_sample` is the other kind of reference: the sequential
 Stream-Sample *driver* ``repro.sampling`` shipped beside the parallel one,
@@ -28,6 +34,7 @@ read), so installing it swaps in the whole per-worker, per-tuple rebuild.
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
@@ -115,36 +122,98 @@ def wor_to_wr(reservoir: WeightedReservoir, size: int, rng) -> list:
     return [items[i] for i in indexes]
 
 
+class TupleReservoir:
+    """The stream histogram's decayed reservoir as it shipped: ``heapq`` tuples.
+
+    A list of ``(priority, counter, key)`` tuples, one ``heappush`` /
+    ``heapreplace`` per offered key, behind the batch-start filter (when
+    the heap starts a batch full, only keys above its minimum take a
+    counter).  Its own class, not a ``DecayedReservoir``: it reads and
+    writes the production reservoir only through the production pickled
+    state (:meth:`from_state`, :meth:`state`), so comparing a production
+    reservoir with this one compares what a checkpoint holds.
+    """
+
+    def __init__(self, capacity: int, decay: float = 1.0) -> None:
+        self.capacity = capacity
+        self.log_inv_decay = -math.log(decay)
+        self.heap: "list[tuple[float, int, float]]" = []
+        self.counter = 0
+        self.tuples_seen = 0
+
+    @classmethod
+    def from_state(cls, state: dict) -> "TupleReservoir":
+        """The reservoir a production ``DecayedReservoir.__getstate__()`` describes."""
+        reservoir = cls(state["capacity"], state["decay"])
+        reservoir.heap = list(
+            zip(
+                state["_priorities"].tolist(),
+                state["_counters"].tolist(),
+                state["_keys"].tolist(),
+            )
+        )
+        reservoir.counter = state["_counter"]
+        reservoir.tuples_seen = state["tuples_seen"]
+        return reservoir
+
+    def state(self, state: dict) -> dict:
+        """``state`` (a production pickled state) with this reservoir's heap and counts."""
+        columns = list(zip(*self.heap)) or [(), (), ()]
+        return {
+            **state,
+            "_size": len(self.heap),
+            "_priorities": np.array(columns[0], dtype=np.float64),
+            "_counters": np.array(columns[1], dtype=np.int64),
+            "_keys": np.array(columns[2], dtype=np.float64),
+            "_counter": self.counter,
+            "tuples_seen": self.tuples_seen,
+        }
+
+    def add_batch(self, keys, batch_index: int, rng) -> None:
+        """Offer one micro-batch of keys, all weighted by the batch's age."""
+        keys = np.asarray(keys, dtype=np.float64)
+        self.tuples_seen += len(keys)
+        keys = keys[~np.isnan(keys)]
+        if len(keys) == 0:
+            return
+        with np.errstate(divide="ignore"):
+            # -ln(-ln u): u -> 0 gives -inf (never sampled), u -> 1 gives +inf.
+            priorities = -np.log(-np.log(rng.random(len(keys))))
+        priorities += batch_index * self.log_inv_decay
+        if len(self.heap) >= self.capacity:
+            # Entries below the current minimum can never enter (the heap
+            # minimum only rises), so drop them vectorised before the
+            # per-entry heap loop.
+            mask = priorities > self.heap[0][0]
+            keys, priorities = keys[mask], priorities[mask]
+        for key, priority in zip(keys, priorities):
+            entry = (float(priority), self.counter, float(key))
+            self.counter += 1
+            if len(self.heap) < self.capacity:
+                heapq.heappush(self.heap, entry)
+            elif entry[0] > self.heap[0][0]:
+                heapq.heapreplace(self.heap, entry)
+
+    def keys(self) -> np.ndarray:
+        """Snapshot of the sampled keys, in heap-array order."""
+        return np.array([entry[2] for entry in self.heap], dtype=np.float64)
+
+
+def add_batch(self: DecayedReservoir, keys, batch_index: int, rng) -> None:
+    """``DecayedReservoir.add_batch`` run by :class:`TupleReservoir`.
+
+    The production reservoir's pickled state in, the reference's heap and
+    counts back through ``__setstate__``.
+    """
+    state = self.__getstate__()
+    reference = TupleReservoir.from_state(state)
+    reference.add_batch(keys, batch_index, rng)
+    self.__setstate__(reference.state(state))
+
+
 def decayed_keys(self: DecayedReservoir) -> np.ndarray:
-    """Snapshot of the sampled keys (unordered)."""
-    return np.array([entry[2] for entry in self._heap], dtype=np.float64)
-
-
-def add_batch(
-    self: DecayedReservoir, keys, batch_index: int, rng: np.random.Generator
-) -> None:
-    """Offer one micro-batch of keys, all weighted by the batch's age."""
-    keys = np.asarray(keys, dtype=np.float64)
-    self.tuples_seen += len(keys)
-    if len(keys) == 0:
-        return
-    with np.errstate(divide="ignore"):
-        # -ln(-ln u): u -> 0 gives -inf (never sampled), u -> 1 gives +inf.
-        priorities = -np.log(-np.log(rng.random(len(keys))))
-    priorities += batch_index * self._log_inv_decay
-    if len(self._heap) >= self.capacity:
-        # Entries below the current minimum can never enter (the heap
-        # minimum only rises), so drop them vectorised before the
-        # per-entry heap loop.
-        mask = priorities > self._heap[0][0]
-        keys, priorities = keys[mask], priorities[mask]
-    for key, priority in zip(keys, priorities):
-        entry = (float(priority), self._counter, float(key))
-        self._counter += 1
-        if len(self._heap) < self.capacity:
-            heapq.heappush(self._heap, entry)
-        elif entry[0] > self._heap[0][0]:
-            heapq.heapreplace(self._heap, entry)
+    """``DecayedReservoir.keys`` read by :class:`TupleReservoir`."""
+    return TupleReservoir.from_state(self.__getstate__()).keys()
 
 
 def stream_sample(keys1, keys2, condition, sample_size, rng):
@@ -288,8 +357,8 @@ def install(monkeypatch) -> None:
 
     Patches the names the callers resolve at call time: the histogram build
     runs the per-worker driver above (which runs the reference kernels), and
-    a streaming rebuild reads and feeds its reservoirs through the
-    per-key loops.
+    the stream histogram feeds and reads its reservoirs through
+    :class:`TupleReservoir`'s per-key loop.
     """
     monkeypatch.setattr(histogram_module, "parallel_stream_sample", parallel_stream_sample)
     monkeypatch.setattr(DecayedReservoir, "add_batch", add_batch)

@@ -33,10 +33,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.weights import WeightFunction
+from repro.joins import native
 from repro.joins.conditions import BandJoinCondition
 from repro.obs.metrics import MetricsRegistry
 from repro.streaming import (
     CHECKPOINT_VERSION,
+    DecayedReservoir,
     DriftAdaptiveEWHPolicy,
     DriftDetector,
     DriftingZipfSource,
@@ -401,15 +403,15 @@ def test_from_bytes_refuses_garbage():
         StreamCheckpoint.from_bytes(bytes(versioned))
     # Versions 1 (key-sorted state columns, a counting mode), 2 (three
     # removed engine options), 3 (arrival indices shifted by the trimmed
-    # history) and 4 (per-machine arrival indices) are refused by name, with
-    # the version this build does read.
-    assert CHECKPOINT_VERSION == 5
-    for stale in (1, 2, 3, 4):
+    # history), 4 (per-machine arrival indices) and 5 (reservoirs as heap
+    # tuples) are refused by name, with the version this build does read.
+    assert CHECKPOINT_VERSION == 6
+    for stale in (1, 2, 3, 4, 5):
         versioned[4:8] = stale.to_bytes(4, "little")
         with pytest.raises(
             ValueError,
-            match=rf"version {stale};.*reads version 5 only"
-            r".*version 1.*version 2.*version 3.*version 4",
+            match=rf"version {stale};.*reads version 6 only"
+            r".*version 1.*version 2.*version 3.*version 4.*version 5",
         ):
             StreamCheckpoint.from_bytes(bytes(versioned))
     corrupted = bytearray(payload)
@@ -463,10 +465,100 @@ def test_a_version_4_checkpoint_is_refused_by_name():
     stale = header.pack(magic, 4, len(payload), hashlib.sha256(payload).digest()) + payload
     with pytest.raises(
         ValueError,
-        match=r"version 4; this build reads version 5 only.*"
+        match=r"version 4; this build reads version 6 only.*"
         r"version 4 stored per-machine arrival indices, state_index\*",
     ):
         StreamCheckpoint.from_bytes(stale)
+
+
+def _as_version_5(reservoir: DecayedReservoir) -> DecayedReservoir:
+    """The reservoir with the fields version 5 held: the heap a list of
+    ``(priority, counter, key)`` tuples."""
+    state = reservoir.__getstate__()
+    heap = zip(
+        state.pop("_priorities").tolist(),
+        state.pop("_counters").tolist(),
+        state.pop("_keys").tolist(),
+    )
+    del state["_size"]
+    stale = DecayedReservoir.__new__(DecayedReservoir)
+    stale.__dict__.update(state, _heap=list(heap))
+    return stale
+
+
+def test_a_version_5_checkpoint_is_refused_by_name(monkeypatch):
+    """A digest-valid version-5 container -- this build's fields with the
+    sample reservoirs as heap tuples -- is refused, naming what version 5
+    held, before anything is unpickled."""
+    source = make_source(seed=3)
+    _, checkpoint = run_with_checkpoint(source, 4, seed=3)
+    raw = checkpoint.to_bytes()
+    header = struct.Struct("<4sIQ32s")
+    magic, _, _, _ = header.unpack_from(raw)
+    captured = pickle.loads(raw[header.size :])
+    histogram = captured["histogram"]
+    assert len(histogram.reservoir1) and len(histogram.reservoir2)
+    histogram.reservoir1 = _as_version_5(histogram.reservoir1)
+    histogram.reservoir2 = _as_version_5(histogram.reservoir2)
+    with monkeypatch.context() as patch:
+        # Pickled as version 5 pickled it: the instance dict as it is.
+        patch.delattr(DecayedReservoir, "__getstate__")
+        payload = pickle.dumps(captured, protocol=4)
+    assert b"_heap" in payload and b"_priorities" not in payload
+    stale = header.pack(magic, 5, len(payload), hashlib.sha256(payload).digest()) + payload
+
+    def unpickled(*args, **kwargs):
+        raise AssertionError("a stale payload was unpickled")
+
+    monkeypatch.setattr(pickle, "loads", unpickled)
+    with pytest.raises(
+        ValueError,
+        match=r"version 5; this build reads version 6 only.*"
+        r"version 5 stored the sample reservoirs as heap tuples",
+    ):
+        StreamCheckpoint.from_bytes(stale)
+
+
+@pytest.mark.skipif(native.KERNEL is None, reason=native.COUNT_PATH)
+@pytest.mark.parametrize(
+    "taken_on, resumed_on", [("kernel", "numpy"), ("numpy", "kernel")]
+)
+def test_a_checkpoint_restores_across_reservoir_paths(taken_on, resumed_on, monkeypatch):
+    """A drift-adaptive checkpoint taken with the compiled kernel resumes
+    with it swapped out, and the reverse; each equals the uninterrupted run
+    batch for batch, and both paths checkpoint the same state: the same
+    reservoir bytes, generator and logs."""
+    source = make_source(seed=5, num_batches=14)
+
+    def path(name):
+        patch = pytest.MonkeyPatch()
+        if name == "numpy":
+            patch.setattr(native, "KERNEL", None)
+            patch.setattr(native, "COUNT_PATH", "numpy: swapped out by the test")
+        return patch
+
+    runs = {}
+    for name in (taken_on, resumed_on):
+        patch = path(name)
+        try:
+            runs[name] = run_with_checkpoint(source, 6, window="batches:4", seed=5)
+        finally:
+            patch.undo()
+    uninterrupted, checkpoint = runs[taken_on]
+    assert checkpoint.histogram.rebuilds and len(checkpoint.histogram.reservoir1)
+    other = runs[resumed_on][1]
+    for name in ("reservoir1", "reservoir2"):
+        mine, theirs = getattr(checkpoint.histogram, name), getattr(other.histogram, name)
+        assert pickle.dumps(mine) == pickle.dumps(theirs)
+    assert checkpoint.rng_state == other.rng_state
+    assert_same_checkpoint_state(checkpoint, other)
+    assert_equivalent_runs(runs[resumed_on][0], uninterrupted)
+    patch = path(resumed_on)
+    try:
+        resumed = resume_and_finish(StreamCheckpoint.from_bytes(checkpoint.to_bytes()), source)
+    finally:
+        patch.undo()
+    assert_equivalent_runs(resumed, uninterrupted)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ oracles run once more on the numpy path in ``tests/test_numpy_count_path.py``.
 from __future__ import annotations
 
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -191,6 +192,51 @@ def test_inputs_it_does_not_take_are_left_to_numpy():
 
     assert native.merge([(run.astype(np.float32), None)]) is False
     assert native.merge([(run, None), (run, np.arange(10))]) is False
+
+
+@needs_kernel
+def test_offers_it_does_not_take_are_left_to_offer_entries():
+    """Other dtypes, strided, short or read-only arrays, a bad size: ``None``, nothing written."""
+    heap = (np.full(4, 7.0), np.full(4, 7, dtype=np.int64), np.full(4, 7.0))
+    priorities, keys = np.arange(3.0), np.arange(3.0) + 10
+    assert native.offer(heap, 0, 4, 0, priorities.astype(np.float32), keys) is None
+    assert native.offer(heap, 0, 4, 0, priorities, keys.astype(np.int64)) is None
+    assert native.offer(heap, 0, 4, 0, priorities, np.arange(6.0)[::2]) is None
+    assert native.offer(heap, 0, 4, 0, priorities[:2], keys) is None
+    short = tuple(column[:3] for column in heap)
+    assert native.offer(short, 1, 4, 0, priorities, keys) is None  # room for 3, not 4
+    assert native.offer(heap, 5, 4, 0, priorities[:0], keys[:0]) is None  # size > capacity
+    assert native.offer(heap, 0, 4, -1, priorities, keys) is None
+    narrow = (heap[0], heap[1].astype(np.int32), heap[2])
+    assert native.offer(narrow, 0, 4, 0, priorities, keys) is None
+    frozen = heap[0].copy()
+    frozen.flags.writeable = False
+    assert native.offer((frozen, heap[1], heap[2]), 0, 4, 0, priorities, keys) is None
+    assert native.offer(heap, 0, 4, 0, priorities, np.frombuffer(keys.tobytes())) is None
+    assert [column.tolist() for column in heap] == [[7.0] * 4, [7] * 4, [7.0] * 4]
+    assert native.offer(heap, 0, 4, 5, priorities, keys) == 8
+    assert heap[1][:3].tolist() == [5, 6, 7]
+
+
+@needs_kernel
+def test_a_batch_the_kernel_declines_leaves_the_same_heap():
+    """A read-only batch goes through ``offer_entries``, and the batches after
+    it with it, to the heap and generator state an all-kernel run leaves."""
+    data = np.random.default_rng(0)
+    batches = [data.integers(0, 50, 30).astype(np.float64) for _ in range(6)]
+    frozen = batches[2].copy()
+    frozen.flags.writeable = False
+    reservoirs, rngs = [], []
+    for keys in (batches, batches[:2] + [frozen] + batches[3:]):
+        reservoir, rng = incremental.DecayedReservoir(40, 0.8), np.random.default_rng(1)
+        for batch_index, batch in enumerate(keys):
+            reservoir.add_batch(batch, batch_index, rng)
+        reservoirs.append(reservoir)
+        rngs.append(rng.bit_generator.state)
+    assert reservoirs[1]._entries is not None  # the fallback held the heap
+    assert reservoirs[1].keys().tolist() == reservoirs[0].keys().tolist()
+    assert rngs[0] == rngs[1]
+    assert pickle.dumps(reservoirs[1]) == pickle.dumps(reservoirs[0])
 
 
 def test_the_count_path_says_which_kernel_loaded():

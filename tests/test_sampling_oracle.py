@@ -1,27 +1,36 @@
 """Differential tests: the sampling kernels against their per-tuple originals.
 
 ``tests/reference_sampling.py`` holds the loops ``_sample_joinable_keys``,
-``weighted_sample_wor``, ``merge_reservoirs`` and
-``DecayedReservoir.add_batch`` shipped before their per-tuple interpreter
-work was removed.  The rewrite must be invisible: equal outputs, equal heap
+``weighted_sample_wor`` and ``merge_reservoirs`` shipped before their
+per-tuple interpreter work was removed, and the stream histogram's
+reservoir as a ``heapq`` list of tuples (``TupleReservoir``), which the
+production ``DecayedReservoir`` now holds as three arrays offered to by the
+compiled kernel.  The rewrite must be invisible: equal outputs, equal heap
 *arrays* entry by entry (heap order feeds ``wor_to_wr``'s ``rng.choice`` and
 ``DecayedReservoir.keys()``), equal counters, and the generator left in the
 same state -- so every sample, plan and checkpoint downstream is unchanged.
-The first test pins the numpy fact the vectorised draw stands on.
+The reservoir is held to it on the kernel path and on the ``offer_entries``
+fallback, and ``tests/test_numpy_count_path.py`` collects its tests again
+with the kernel swapped out.  The first test pins the numpy fact the
+vectorised draw stands on.
 """
 
 from __future__ import annotations
 
 import pickle
+from contextlib import contextmanager, nullcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import reference_sampling as reference
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from streaming_harness import interpreter_calls
 
 import repro.core.histogram as histogram_module
+from repro.core.weights import WeightFunction
+from repro.joins import native
 from repro.joins.conditions import (
     BandJoinCondition,
     EquiJoinCondition,
@@ -40,7 +49,10 @@ from repro.sampling.stream_sample import (
     build_d2_index,
     compute_joinable_set_sizes,
 )
-from repro.streaming.incremental import DecayedReservoir
+from repro.streaming.incremental import DecayedReservoir, IncrementalHistogram
+from repro.streaming.source import MicroBatch
+
+needs_kernel = pytest.mark.skipif(native.KERNEL is None, reason=native.COUNT_PATH)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 conditions = st.sampled_from(
@@ -179,35 +191,146 @@ def test_add_with_priority_is_the_one_entry_form():
     assert sorted(reservoir.items()) == ["a", "b", "e"]
 
 
+# ----------------------------------------------------------------------
+# The stream histogram's reservoir: kernel or fallback, against the tuples
+# ----------------------------------------------------------------------
+@contextmanager
+def _numpy_path():
+    """The reservoir offers through ``offer_entries``, the kernel swapped out."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "KERNEL", None)
+        yield
+
+
+def _bits(values) -> "list[int]":
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _entries(reservoir) -> tuple:
+    """A production reservoir's heap array -- priority bits, counter, key
+    bits per entry -- its next counter and tuples seen, as pickled."""
+    state = reservoir.__getstate__()
+    heap = list(
+        zip(_bits(state["_priorities"]), state["_counters"].tolist(), _bits(state["_keys"]))
+    )
+    assert len(heap) == len(reservoir) == state["_size"]
+    return heap, state["_counter"], state["tuples_seen"]
+
+
+def _reference_entries(reservoir: "reference.TupleReservoir") -> tuple:
+    """:func:`_entries` of the reference's list of tuples."""
+    heap = [
+        (_bits([priority])[0], counter, _bits([key])[0])
+        for priority, counter, key in reservoir.heap
+    ]
+    return heap, reservoir.counter, reservoir.tuples_seen
+
+
+def _assert_offers_equal(make_rng, capacity, decay, batches) -> DecayedReservoir:
+    """Offer ``batches`` to a production reservoir on the path loaded, one
+    on the fallback path and the reference; compare after every batch.  A
+    second fallback reservoir is read only at the end, so its heap stays a
+    list of tuples from batch to batch."""
+    rngs = [make_rng() for _ in range(4)]
+    reservoirs = [DecayedReservoir(capacity, decay) for _ in range(3)]
+    expected = reference.TupleReservoir(capacity, decay)
+    for batch_index, keys in enumerate(batches):
+        reservoirs[0].add_batch(keys, batch_index, rngs[0])
+        with _numpy_path():
+            reservoirs[1].add_batch(keys, batch_index, rngs[1])
+            reservoirs[2].add_batch(keys, batch_index, rngs[2])
+        expected.add_batch(keys, batch_index, rngs[3])
+        for reservoir, rng in zip(reservoirs[:2], rngs):
+            assert _entries(reservoir) == _reference_entries(expected)
+            assert _same_state(rng, rngs[3])
+            assert _bits(reservoir.keys()) == _bits(expected.keys())
+    assert _same_state(rngs[2], rngs[3])
+    assert _bits(reservoirs[2].keys()) == _bits(expected.keys())
+    # A checkpoint pickles the same bytes whichever path filled the heap.
+    assert pickle.dumps(reservoirs[0]) == pickle.dumps(reservoirs[1])
+    assert pickle.dumps(reservoirs[2]) == pickle.dumps(reservoirs[1])
+    return reservoirs[0]
+
+
+reservoir_keys = st.lists(
+    st.one_of(
+        st.integers(0, 50).map(float),
+        st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0]),
+    ),
+    max_size=90,
+).map(lambda values: np.array(values, dtype=np.float64))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=seeds,
-    capacity=st.integers(1, 40),
+    capacity=st.one_of(st.just(1), st.integers(1, 40)),
     decay=st.sampled_from([1.0, 0.8, 0.5]),
-    batch_sizes=st.lists(st.integers(0, 60), min_size=1, max_size=8),
+    batches=st.lists(reservoir_keys, min_size=1, max_size=8),
 )
+@example(seed=0, capacity=1, decay=1.0, batches=[np.arange(5.0), np.arange(3.0)])
+@example(seed=1, capacity=3, decay=0.8, batches=[np.array([np.nan, -0.0, np.inf] * 20)])
 def test_decayed_reservoir_add_batch_equals_the_per_key_loop(
-    seed, capacity, decay, batch_sizes
+    seed, capacity, decay, batches
 ):
-    rng, reference_rng = _twin_generators(seed)
-    data = np.random.default_rng(seed + 1)
-    reservoir = DecayedReservoir(capacity, decay)
-    expected = DecayedReservoir(capacity, decay)
-    for batch_index, size in enumerate(batch_sizes):
-        keys = data.integers(0, 50, size=size)
-        reservoir.add_batch(keys, batch_index, rng)
-        reference.add_batch(expected, keys, batch_index, reference_rng)
-        assert reservoir._heap == expected._heap
-        assert reservoir._counter == expected._counter
-        assert reservoir.tuples_seen == expected.tuples_seen
-        assert _same_state(rng, reference_rng)
-    np.testing.assert_array_equal(reservoir.keys(), expected.keys())
-    # Plain ``(float, int, float)`` entries: a checkpoint pickles the same bytes.
-    assert all(
-        (type(p), type(c), type(k)) == (float, int, float)
-        for p, c, k in reservoir._heap
+    """Heap arrays (priority and key bits), counters, tuples seen and the
+    generator equal the reference's after every batch, on both paths."""
+    _assert_offers_equal(lambda: np.random.default_rng(seed), capacity, decay, batches)
+
+
+class _RepeatingGenerator:
+    """A generator stub whose ``random(n)`` cycles through a few values, so
+    priorities tie and the counter breaks the ties (0.0 gives ``-inf``)."""
+
+    values = np.array([0.5, 0.25, 0.5, 0.75, 0.0, 0.25, 0.5])
+
+    def __init__(self) -> None:
+        self.bit_generator = SimpleNamespace(state={"drawn": 0})
+
+    def random(self, size: int) -> np.ndarray:
+        drawn = self.bit_generator.state["drawn"]
+        self.bit_generator.state = {"drawn": drawn + size}
+        return self.values[(drawn + np.arange(size)) % self.values.size]
+
+
+@pytest.mark.parametrize("decay", [1.0, 0.5])
+@pytest.mark.parametrize("capacity", [1, 3, 8, 40])
+def test_tied_priorities_break_by_counter(capacity, decay):
+    data = np.random.default_rng(capacity)
+    batches = [data.integers(0, 50, size).astype(np.float64) for size in (10, 0, 25, 7, 60, 3)]
+    reservoir = _assert_offers_equal(_RepeatingGenerator, capacity, decay, batches)
+    if capacity > 1:
+        priorities = reservoir.__getstate__()["_priorities"]
+        assert np.unique(priorities).size < priorities.size  # ties were held
+
+
+@needs_kernel
+def test_observe_makes_the_same_calls_at_any_batch_size():
+    """One kernel call per side: ``IncrementalHistogram.observe`` makes as
+    many interpreter calls at 8,000 keys per side as at 1,000 (both
+    reservoirs full).  ``-s`` prints them, and the growing count of the
+    ``offer_entries`` fallback."""
+    calls = {}
+    for path in ("kernel", "fallback"):
+        for per_side in (1_000, 8_000):
+            histogram = IncrementalHistogram(12, WeightFunction(1.0, 0.2))
+            rng, data = np.random.default_rng(0), np.random.default_rng(1)
+            batches = [
+                MicroBatch(index, *data.integers(0, 2_000, (2, per_side)).astype(np.float64))
+                for index in range(4)
+            ]
+            for batch in batches[:3]:
+                histogram.observe(batch, rng)
+            with _numpy_path() if path == "fallback" else nullcontext():
+                _, calls[path, per_side] = interpreter_calls(
+                    histogram.observe, batches[3], rng
+                )
+    print(
+        "observe: "
+        + ", ".join(f"{per:,} keys/side {calls[path, per]} calls ({path})"
+                    for path, per in calls)
     )
-    assert pickle.dumps(reservoir) == pickle.dumps(expected)
+    assert calls["kernel", 1_000] == calls["kernel", 8_000]
 
 
 # ----------------------------------------------------------------------
