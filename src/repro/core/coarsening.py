@@ -7,7 +7,11 @@ MAX-WEIGHT-ID metric (Muthukrishnan & Suel); the best known approximation has
 ratio 2.  The implementation follows the standard iterative-refinement
 recipe: alternately re-optimise the row boundaries for fixed column
 boundaries and vice versa, where each 1-D optimisation is a binary search
-over the cell-weight threshold combined with a greedy sweep.
+over the cell-weight threshold combined with a greedy sweep.  Each sweep
+is one call of the compiled kernel (:func:`repro.joins.native.sweep_rows`);
+:func:`_sweep_rows` is its numpy fallback, wherever the kernel is not
+loaded or declines an input, and the reference it equals boundary for
+boundary.
 
 The paper's **MonotonicCoarsening** observation -- non-candidate cells weigh
 zero, so only candidate cells need their weights computed -- is applied
@@ -27,6 +31,7 @@ import numpy as np
 
 from repro.core.grid import WeightedGrid, smallest_feasible
 from repro.core.weights import WeightFunction
+from repro.joins import native
 
 __all__ = ["CoarseningResult", "coarsen", "coarsened_size"]
 
@@ -117,6 +122,10 @@ def _sweep_rows(
     with ``threshold`` -- differences of one global prefix sum round
     differently and would move boundaries.  Candidate counts are integers, so
     for them prefix differences are exact.
+
+    The compiled kernel (:func:`repro.joins.native.sweep_rows`) runs the same
+    sweep row by row in one call; this is its fallback and the reference
+    it is held to, boundary for boundary.
     """
     num_rows = len(row_input)
     # Twice the mean group length: most groups close inside their first window.
@@ -194,12 +203,18 @@ def _optimize_axis(
     freq_by_group, cand_by_group, col_input_by_group = _aggregate_columns(
         grid, col_bounds
     )
+    # The kernel reads C order; the transposed grid's aggregates are F-ordered.
+    sweep = tuple(map(np.ascontiguousarray, (
+        freq_by_group, cand_by_group, grid.row_input, col_input_by_group
+    )))
 
     def feasible(threshold: float) -> np.ndarray | None:
-        return _sweep_rows(
-            freq_by_group, cand_by_group, grid.row_input, col_input_by_group,
-            weight_fn, threshold, max_groups,
+        bounds = native.sweep_rows(
+            *sweep, weight_fn.input_cost, weight_fn.output_cost, threshold, max_groups
         )
+        if bounds is False:
+            return _sweep_rows(*sweep, weight_fn, threshold, max_groups)
+        return bounds
 
     high = max(weight_fn.weight(grid.total_input, grid.total_output), low)
     _, bounds, _ = smallest_feasible(feasible, low, high, MAX_MIDPOINTS)
@@ -247,13 +262,18 @@ def coarsen(
     grid:
         The sample matrix MS (or any weighted grid).
     num_row_groups, num_col_groups:
-        Target dimensions ``n_c`` of the coarsened matrix; ``num_col_groups``
-        defaults to ``num_row_groups``.
+        Target dimensions ``n_c`` of the coarsened matrix, each positive;
+        ``num_col_groups`` defaults (``None``) to ``num_row_groups``.
     weight_fn:
         Cost model; defaults to unit input and output costs.
     """
+    if num_col_groups is None:
+        num_col_groups = num_row_groups
+    if num_row_groups <= 0:
+        raise ValueError("num_row_groups must be positive")
+    if num_col_groups <= 0:
+        raise ValueError("num_col_groups must be positive")
     weight_fn = weight_fn or WeightFunction()
-    num_col_groups = num_col_groups or num_row_groups
     num_row_groups = max(1, min(num_row_groups, grid.num_rows))
     num_col_groups = max(1, min(num_col_groups, grid.num_cols))
 

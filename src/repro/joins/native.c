@@ -1,5 +1,5 @@
 /*
- * The count kernel's two inner loops, compiled on first use by
+ * The kernel's four inner loops, compiled on first use by
  * repro/joins/native.py and called through ctypes.
  *
  * count_<t>  searches one ascending run for every needle's joinable bounds
@@ -12,6 +12,9 @@
  * offer      offers one batch of entries to a bounded Efraimidis-Spirakis
  *            min-heap held as three parallel arrays:
  *            repro.streaming.incremental.DecayedReservoir.add_batch.
+ * sweep_rows groups consecutive rows of a column-aggregated sample matrix
+ *            so that no candidate block outweighs a threshold: one greedy
+ *            sweep of repro.core.coarsening._sweep_rows.
  *
  * <t> is f64 (double keys) or i64 (int64_t keys); one macro below writes
  * both.  Every result equals the numpy reference bit for bit, so the order
@@ -26,10 +29,18 @@
  * indexes before anything is written: an out-of-range one makes count_<t>
  * return nonzero having read nothing out of bounds and written nothing, and
  * the caller counts with numpy instead.
+ *
+ * sweep_rows is the kernel's one floating-point arithmetic, and it must
+ * round as numpy does: every product and sum once, in numpy's order.  So
+ * the library is built with -ffp-contract=off.  Otherwise a compiler for a
+ * target with fused multiply-add (aarch64, x86-64 with -mfma) may fuse
+ * a * b + c * d into one instruction that rounds once where numpy rounds
+ * twice, and a block weight lands on the other side of the threshold.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define FLOAT_IS_NAN(x) ((x) != (x))
 #define NEVER_NAN(x) ((void)(x), 0)
@@ -409,4 +420,83 @@ int64_t offer(double *priorities, int64_t *counters, double *keys,
         counter++;
     }
     return counter;
+}
+
+/*
+ * One greedy sweep of coarsening's per-axis threshold search:
+ * repro.core.coarsening._sweep_rows.  freq and cand are rows x cols,
+ * row-major: each row's output frequency and candidate count per column
+ * group; row_input has rows entries and col_input cols.  A group takes rows
+ * while each column's block -- the group's rows in that column -- weighs
+ *
+ *     w_i * (input + col_input[g]) + w_o * freq[g]
+ *
+ * at most `threshold`, where input and freq[g] are running sums from the
+ * group's first row, added in row order (np.cumsum's order).  Only a column
+ * whose candidate count since the group opened is above 0 is compared.
+ * Counts are whole and non-negative (reduceat sums of a boolean mask), so
+ * these running sums are exact and agree with _sweep_rows's differences of
+ * one prefix sum.  A row overfills when such a column weighs more than
+ * threshold and none of them weighs NaN (numpy's max of the row is then
+ * NaN, never above).  An overfilling row met while the group's input is 0.0
+ * and no candidate has been seen is taken anyway (the row that opens a
+ * group always is); any other closes the group before it, and the next
+ * group opens there.
+ *
+ * out has room for max_groups + 1 entries.  Returns the boundaries
+ * written -- out[0] = 0, one per group start, out[last] = rows -- or 0 when
+ * more than max_groups groups are needed, or -1 (nothing computed) unless
+ * 1 <= max_groups and scratch memory could be had.
+ */
+int64_t sweep_rows(const double *freq, const double *cand,
+                   const double *row_input, const double *col_input,
+                   int64_t rows, int64_t cols, double w_i, double w_o,
+                   double threshold, int64_t max_groups, int64_t *out)
+{
+    /* The group's block frequencies and candidate counts so far. */
+    double *sums, *counts, input = 0.0;
+    int64_t row = 0, m = 1, g;
+    int seen = 0;
+    if (max_groups < 1)
+        return -1;
+    sums = calloc(2 * (size_t)(cols > 0 ? cols : 1), sizeof *sums);
+    if (!sums)
+        return -1;
+    counts = sums + cols;
+    out[0] = 0;
+    while (row < rows) {
+        const double *f = freq + row * cols, *c = cand + row * cols;
+        double after = input + row_input[row];
+        int over = 0, nan = 0, seen_after = 0;
+        for (g = 0; g < cols; g++) {
+            sums[g] += f[g];
+            counts[g] += c[g];
+            if (counts[g] > 0) {
+                double weight = w_i * (after + col_input[g]) + w_o * sums[g];
+                seen_after = 1;
+                if (weight != weight)
+                    nan = 1;
+                else if (weight > threshold)
+                    over = 1;
+            }
+        }
+        if (over && !nan && (input != 0.0 || seen)) {
+            /* Close the group before this row; the row opens the next. */
+            if (m >= max_groups) {
+                free(sums);
+                return 0;
+            }
+            out[m++] = row;
+            memset(sums, 0, 2 * (size_t)cols * sizeof *sums);
+            input = 0.0;
+            seen = 0;
+            continue;
+        }
+        input = after;
+        seen = seen_after;
+        row++;
+    }
+    out[m++] = rows;
+    free(sums);
+    return m;
 }

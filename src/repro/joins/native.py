@@ -1,32 +1,37 @@
 """The compiled kernel: ``native.c``, built on first use and loaded through ``ctypes``.
 
-A stream batch spends most of its interpreter time in three inner loops
-that numpy can only run as a dozen small-array calls each, or as one
-Python-level step per element: the searches of one sorted run for a
-batch's needles (clipped and summed per machine), the merge of a state's
-sorted runs, and the offer of a batch's arrivals to the stream histogram's
-sample reservoir, a ``heapq`` push / ``heapreplace`` per key.  ``native.c``
-does each in one call -- :func:`count` for one task of
-:func:`~repro.joins.local.count_regions`, :func:`merge` for
+The stream batch and the plan build spend most of their interpreter time
+in four inner loops that numpy can only run as a dozen small-array calls
+each, or as one Python-level step per element: the searches of one sorted
+run for a batch's needles (clipped and summed per machine), the merge of a
+state's sorted runs, the offer of a batch's arrivals to the stream
+histogram's sample reservoir, a ``heapq`` push / ``heapreplace`` per key,
+and coarsening's greedy sweep, a group of small cumulative sums per window
+of rows.  ``native.c`` does each in one call -- :func:`count` for one task
+of :func:`~repro.joins.local.count_regions`, :func:`merge` for
 :func:`~repro.streaming.incremental._merge_sorted`, :func:`offer` for
-:meth:`~repro.streaming.incremental.DecayedReservoir.add_batch` -- and its
-results equal the Python code's bit for bit: counts and merged runs
-(``tests/test_native_kernel.py``), and the reservoir's heap array entry
-for entry (``tests/test_sampling_oracle.py``).
+:meth:`~repro.streaming.incremental.DecayedReservoir.add_batch`,
+:func:`sweep_rows` for one threshold probe of
+:func:`~repro.core.coarsening._sweep_rows` -- and its results equal the
+Python code's bit for bit: counts and merged runs
+(``tests/test_native_kernel.py``), the reservoir's heap array entry for
+entry (``tests/test_sampling_oracle.py``), and the sweep's boundaries
+(``tests/test_planner_oracle.py``).
 
 The Python code stays: it is the reference the kernel is tested against,
 and the path whenever the kernel cannot run.  Which path runs is observed,
 never configured.  On import the module compiles ``native.c`` with the C
 compiler (the ``CC`` environment variable, else the one Python was built
-with, ``-O2 -shared -fPIC``) into this package's own ``__pycache__/``,
-named by a SHA-256 of the source, the compiler's argv and the platform, so
-a checkout compiles once and every later process -- set-up children,
-sticky and pool workers -- loads the cached library.  It is written to a
-temporary name and renamed into place, so concurrent first imports never
-load a partial file; a world-writable cache directory is refused.  If any
-step fails (no compiler, a read-only package, a ``dlopen`` error)
-:data:`KERNEL` is ``None``, :data:`COUNT_PATH` says why, and every caller
-takes its numpy path.
+with, ``-O2 -ffp-contract=off -shared -fPIC``: the sweep must round
+every product and sum on its own, as numpy does) into this package's own
+``__pycache__/``, named by a SHA-256 of the source, the compiler's argv
+and the platform, so a checkout compiles once and every later process --
+set-up children, sticky and pool workers -- loads the cached library.  It
+is written to a temporary name and renamed into place, so concurrent first
+imports never load a partial file; a world-writable cache directory is
+refused.  If any step fails (no compiler, a read-only package, a
+``dlopen`` error) :data:`KERNEL` is ``None``, :data:`COUNT_PATH` says why,
+and every caller takes its numpy path.
 
 This module is the one place native code enters the process (analyzer rule
 ``FFI001``).
@@ -43,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["COUNT_PATH", "KERNEL", "count", "merge", "offer"]
+__all__ = ["COUNT_PATH", "KERNEL", "count", "merge", "offer", "sweep_rows"]
 
 SOURCE = Path(__file__).with_name("native.c")
 
@@ -59,12 +64,15 @@ _COUNT_ARGS = (_POINTER, _SIZE, _POINTER, _POINTER, _POINTER, _SIZE, _POINTER,
                _POINTER, _SIZE, _POINTER, _POINTER, _SIZE, _POINTER)
 _MERGE_ARGS = (_SIZE, _POINTER, _POINTER, _POINTER)
 _OFFER_ARGS = (_POINTER, _POINTER, _POINTER, _SIZE, _SIZE, _SIZE, _POINTER, _POINTER, _SIZE)
+_DOUBLE = ctypes.c_double
+_SWEEP_ARGS = (_POINTER, _POINTER, _POINTER, _POINTER, _SIZE, _SIZE, _DOUBLE, _DOUBLE,
+               _DOUBLE, _SIZE, _POINTER)
 
 
 def _build() -> ctypes.CDLL:
     """Compile ``native.c`` unless its library is cached; load it; declare its functions."""
     compiler = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()
-    argv = [*compiler, "-O2", "-shared", "-fPIC"]
+    argv = [*compiler, "-O2", "-ffp-contract=off", "-shared", "-fPIC"]
     digest = hashlib.sha256(SOURCE.read_bytes())
     for part in (*argv, sysconfig.get_platform()):
         digest.update(b"\0" + part.encode())
@@ -98,6 +106,7 @@ def _build() -> ctypes.CDLL:
         function = getattr(loaded, f"merge_{key}")
         function.argtypes, function.restype = _MERGE_ARGS, ctypes.c_int64
     loaded.offer.argtypes, loaded.offer.restype = _OFFER_ARGS, ctypes.c_int64
+    loaded.sweep_rows.argtypes, loaded.sweep_rows.restype = _SWEEP_ARGS, ctypes.c_int64
     return loaded
 
 
@@ -111,7 +120,8 @@ def _load() -> "tuple[ctypes.CDLL | None, str]":
 
 #: The loaded library, or ``None`` when the numpy path runs.
 KERNEL: "ctypes.CDLL | None"
-#: Which path counts, merges and offers to the reservoirs: ``"native"``, or
+#: Which path counts, merges, offers to the reservoirs and sweeps coarsening's
+#: rows: ``"native"``, or
 #: ``"numpy: <why the kernel is not loaded>"``.
 COUNT_PATH: str
 KERNEL, COUNT_PATH = _load()
@@ -281,3 +291,46 @@ def offer(heap, size: int, capacity: int, counter: int, priorities, keys) -> "in
         *target, size, capacity, counter, batch_priorities, batch_keys, keys.size
     )
     return None if counter < 0 else counter
+
+
+def sweep_rows(freq, cand, row_input, col_input, w_i, w_o, threshold, max_groups):
+    """One greedy sweep of :func:`~repro.core.coarsening._sweep_rows` in the kernel.
+
+    ``freq`` / ``cand`` are the rows' frequencies and candidate counts by
+    column group (rows x groups), ``row_input`` / ``col_input`` the rows'
+    and the groups' input, ``w_i`` / ``w_o`` the cost model's coefficients.
+    Returns the boundary array ``_sweep_rows`` returns, ``None`` when more
+    than ``max_groups`` groups are needed, or ``False`` -- nothing computed
+    -- when the kernel is not loaded or an input is not one it takes
+    (float64 arrays of matching shapes, each writable, C-contiguous and
+    aligned; ``max_groups`` at least 1).  Candidate counts must be whole
+    and non-negative, as ``_aggregate_columns`` makes them: the kernel sums
+    them from each group's first row.  An F-ordered aggregate is
+    declined, never read with the wrong strides: the caller makes its
+    arrays C-contiguous once per axis.
+    """
+    kernel = KERNEL
+    if (
+        kernel is None
+        or freq.dtype != _FLOAT
+        or cand.dtype != _FLOAT
+        or row_input.dtype != _FLOAT
+        or col_input.dtype != _FLOAT
+        or freq.ndim != 2
+        or cand.shape != freq.shape
+        or row_input.shape != freq.shape[:1]
+        or col_input.shape != freq.shape[1:]
+        or max_groups < 1
+    ):
+        return False
+    out = np.empty(max_groups + 1, dtype=_INT)
+    addresses = _addresses([freq, cand, row_input, col_input, out])
+    if addresses is None:
+        return False
+    *inputs, target = addresses
+    written = kernel.sweep_rows(
+        *inputs, *freq.shape, w_i, w_o, threshold, max_groups, target
+    )
+    if written < 0:
+        return False
+    return out[:written] if written else None

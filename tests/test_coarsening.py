@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streaming_harness import interpreter_calls
+
+from repro.core import coarsening
 from repro.core.coarsening import MAX_ITERATIONS, coarsen, coarsened_size
-from repro.core.grid import WeightedGrid
+from repro.core.grid import WeightedGrid, smallest_feasible
 from repro.core.weights import WeightFunction
+from repro.joins import native
 from repro.joins.conditions import BandJoinCondition
 
 
@@ -140,6 +144,18 @@ class TestCoarsen:
         assert result.row_groups.tolist() == result.col_groups.tolist() == [0, 2]
         assert result.grid.shape == (1, 1)
 
+    def test_group_counts_must_be_positive(self):
+        """Zero or negative groups raise, naming the count; only ``None``
+        means "as many column groups as row groups"."""
+        grid = band_grid(8, beta=10.0, seed=10)
+        for rows, cols, name in ((0, None, "num_row_groups"), (-2, 3, "num_row_groups"),
+                                 (3, 0, "num_col_groups"), (3, -1, "num_col_groups")):
+            with pytest.raises(ValueError, match=name):
+                coarsen(grid, rows, cols)
+        default, explicit = coarsen(grid, 3), coarsen(grid, 3, 3)
+        assert default.row_groups.tolist() == explicit.row_groups.tolist()
+        assert default.col_groups.tolist() == explicit.col_groups.tolist()
+
     def test_requesting_more_groups_than_rows_clamps(self):
         grid = band_grid(5, beta=10.0, seed=8)
         result = coarsen(grid, 50)
@@ -164,3 +180,36 @@ class TestCoarsen:
         assert result.grid.max_cell_weight(
             WeightFunction(), candidates_only=True
         ) >= fine_max - 1e-9
+
+
+@pytest.mark.skipif(native.KERNEL is None, reason=native.COUNT_PATH)
+def test_a_threshold_probe_makes_the_same_calls_at_any_sample_size():
+    """One threshold probe of coarsening's search (``feasible``) is one kernel
+    call: it makes as many interpreter calls at n_s = 1,024 as at 128.  ``-s``
+    prints them, and the numpy sweep's: a group of numpy calls per window of
+    rows, and a window is twice the mean group's rows, so hundreds of calls
+    at either size."""
+    calls = {}
+    for path in ("kernel", "numpy"):
+        for size in (128, 1_024):
+            probes = []
+
+            def measured(feasible, low, high, max_midpoints):
+                # The probe at the threshold the search settles on: the
+                # sweep that closes the most groups.
+                found = smallest_feasible(feasible, low, high, max_midpoints)
+                if not probes:
+                    probes.append(interpreter_calls(feasible, found[0])[1])
+                return found
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(coarsening, "smallest_feasible", measured)
+                if path == "numpy":
+                    patch.setattr(native, "KERNEL", None)
+                coarsen(band_grid(size, beta=20.0, seed=11), 16)
+            calls[path, size] = probes[0]
+    print(
+        "coarsening probe: "
+        + ", ".join(f"n_s {size:,} {calls[path, size]} calls ({path})" for path, size in calls)
+    )
+    assert calls["kernel", 128] == calls["kernel", 1_024]

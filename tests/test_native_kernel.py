@@ -13,6 +13,9 @@ counted and tombstone runs; clips that cut a run to nothing.  Inputs the
 kernel does not take -- other dtypes, strided arrays, indices out of range
 -- must leave it untouched so that numpy counts them.  The engine-level
 oracles run once more on the numpy path in ``tests/test_numpy_count_path.py``.
+Coarsening's sweep (``native.sweep_rows``) is held to ``_sweep_rows`` in
+``tests/test_planner_oracle.py``; here are the inputs it declines and the
+rounding its build must keep.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +34,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.coarsening import _sweep_rows
 from repro.core.weights import WeightFunction
 from repro.joins import local, native
 from repro.joins.conditions import BandJoinCondition
@@ -237,6 +242,67 @@ def test_a_batch_the_kernel_declines_leaves_the_same_heap():
     assert reservoirs[1].keys().tolist() == reservoirs[0].keys().tolist()
     assert rngs[0] == rngs[1]
     assert pickle.dumps(reservoirs[1]) == pickle.dumps(reservoirs[0])
+
+
+@needs_kernel
+def test_sweeps_it_does_not_take_are_left_to_numpy():
+    """Other dtypes, strided, F-ordered or read-only arrays, mismatched shapes,
+    fewer than one group: ``False``, nothing computed and nothing written."""
+    rng = np.random.default_rng(3)
+    freq, cand = rng.random((6, 3)), np.ones((6, 3))
+    row_input, col_input = rng.random(6), rng.random(3)
+    inputs = (freq, cand, row_input, col_input)
+    before = [array.copy() for array in inputs]
+    frozen = row_input.copy()
+    frozen.flags.writeable = False
+    declined = [
+        (freq.astype(np.float32), cand, row_input, col_input),
+        (freq, cand.astype(np.int64), row_input, col_input),
+        (freq, cand, row_input.astype(np.int64), col_input),
+        (np.asfortranarray(freq), cand, row_input, col_input),
+        (freq, np.ones((6, 6))[:, ::2], row_input, col_input),
+        (freq, cand, np.arange(12.0)[::2], col_input),
+        (freq, cand, frozen, col_input),
+        (freq, cand[:5], row_input, col_input),
+        (freq, cand, row_input[:5], col_input),
+        (freq, cand, row_input, col_input[:2]),
+        (freq[0], cand[0], row_input[:1], col_input),
+    ]
+    for arrays in declined:
+        assert native.sweep_rows(*arrays, 1.0, 0.2, 5.0, 3) is False
+    assert native.sweep_rows(*inputs, 1.0, 0.2, 5.0, 0) is False
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, before))
+    taken = native.sweep_rows(*inputs, 1.0, 0.2, 5.0, 6)
+    expected = _sweep_rows(*inputs, WeightFunction(1.0, 0.2), 5.0, 6)
+    assert taken.tolist() == expected.tolist()
+
+
+@needs_kernel
+def test_a_block_weight_rounds_twice_as_numpy_rounds_it():
+    """The kernel is built with ``-ffp-contract=off``: fused into one
+    multiply-add, ``w_i * input + w_o * freq`` would round once and land
+    above the threshold that numpy's two roundings meet exactly.
+
+    Both products are inexact: 0.2 * 5 rounds down to 1.0, and 0.2 *
+    5 * 2**-53 down to 2**-53.  Rounded each, their sum is the midpoint
+    1 + 2**-53, which rounds to even, 1.0: not above the threshold, so the
+    second row joins the first.  Fusing either product leaves the sum above
+    the midpoint, 1 + 2**-52, and the row would open a second group.  (A
+    target without FMA instructions never fuses.)
+    """
+    tiny = 2.0**-53
+    freq = np.array([[2 * tiny], [3 * tiny]])
+    row_input = np.array([2.0, 3.0])
+    cand, col_input = np.ones((2, 1)), np.zeros(1)
+    w, threshold = 0.2, 1.0
+    exact_input = Fraction(w) * Fraction(row_input.sum())
+    exact_output = Fraction(w) * Fraction(freq.sum())
+    assert float(exact_input) + float(exact_output) == threshold
+    assert float(exact_input + Fraction(float(exact_output))) > threshold
+    assert float(Fraction(float(exact_input)) + exact_output) > threshold
+    args = (freq, cand, row_input, col_input)
+    assert _sweep_rows(*args, WeightFunction(w, w), threshold, 2).tolist() == [0, 2]
+    assert native.sweep_rows(*args, w, w, threshold, 2).tolist() == [0, 2]
 
 
 def test_the_count_path_says_which_kernel_loaded():

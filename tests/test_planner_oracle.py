@@ -3,7 +3,9 @@
 ``tests/reference_planner.py`` holds the tiling DPs and the coarsening sweep
 as they were before they were rewritten for speed, and the three threshold
 searches (regionalization, coarsening, M-Bucket) as each was written out
-before they became one ``smallest_feasible``.  Every property here asks for
+before they became one ``smallest_feasible``.  The coarsening sweep has a
+third form, the compiled kernel's (``repro.joins.native.sweep_rows``), held
+to both.  Every property here asks for
 *identical* results -- regions in the same order, floats equal to the last
 bit, the same rectangle counts and search steps -- because the plans the
 benchmarks and goldens pin depend on which of two equally good splits comes
@@ -38,6 +40,7 @@ from repro.core.region import GridRegion
 from repro.core.regionalization import regionalize
 from repro.core.tiling_tables import TilingTables
 from repro.core.weights import WeightFunction
+from repro.joins import native
 from repro.partitioning.m_bucket import _m_bucket_regions
 
 WEIGHT_FUNCTIONS = [
@@ -428,3 +431,70 @@ def test_sweep_runs_out_of_groups_exactly_when_the_row_loop_does():
         assert (ours is None) == (reference is None)
         if reference is not None:
             assert ours.tolist() == reference.tolist() == unlimited.tolist()
+
+
+@st.composite
+def edged_sweep_inputs(draw):
+    """Sweep inputs with candidate-free rows at the start, in the middle and at
+    the end, and zero-input rows wherever a group may open."""
+    freq, cand, row_input, col_input = (array.copy() for array in draw(sweep_inputs()))
+    rows = len(row_input)
+    blank = np.zeros(rows, dtype=bool)
+    blank[: draw(st.integers(0, rows // 3))] = True
+    blank[rows - draw(st.integers(0, rows // 3)):] = True
+    middle = draw(st.integers(0, rows - 1))
+    blank[middle : middle + draw(st.integers(0, 3))] = True
+    cand[blank] = 0.0
+    freq[blank] = 0.0
+    row_input[np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))] = 0.0
+    return freq, cand, row_input, col_input
+
+
+def met_weights(freq, cand, row_input, col_input, weight_fn, bounds) -> list:
+    """Every candidate block weight a sweep ending in ``bounds`` compares with
+    its threshold (each group's rows up to and including the one closing it),
+    summed as the sweep sums them."""
+    met = []
+    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        for end in range(start + 1, min(stop + 1, len(row_input)) + 1):
+            met.extend(block_weights(freq, cand, row_input, col_input, weight_fn, start, end))
+    return met
+
+
+@given(inputs=edged_sweep_inputs(), weight_fn=st.sampled_from(WEIGHT_FUNCTIONS),
+       fraction=st.floats(0.0, 1.0), order=st.sampled_from("CF"), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_kernel_sweeps_as_numpy_and_the_row_loop_do(inputs, weight_fn, fraction, order, data):
+    """``native.sweep_rows`` == ``_sweep_rows`` == the row loop, boundary for
+    boundary and on running out of groups.  Thresholds are the exact block
+    weights a sweep meets, so every ``>`` meets its tie; an F-ordered input
+    is declined, never read with the wrong strides.  Without the kernel
+    every input is declined."""
+    freq, cand, row_input, col_input = inputs
+    rows = len(row_input)
+    first = fraction * float(
+        block_weights(freq, cand, row_input, col_input, weight_fn, 0, rows).max(initial=0.0)
+    )
+    bounds = reference_sweep_rows(freq, cand, row_input, col_input, weight_fn, first, rows)
+    met = met_weights(freq, cand, row_input, col_input, weight_fn, bounds)
+    thresholds = [first, *data.draw(st.lists(st.sampled_from(met), max_size=4) if met
+                                    else st.just([]))]
+    max_groups = data.draw(st.integers(min(2, rows), rows))
+    ordered = [np.asarray(array, order=order) for array in (freq, cand)]
+    for threshold in thresholds:
+        args = (row_input, col_input, weight_fn, float(threshold), max_groups)
+        reference = reference_sweep_rows(freq, cand, *args)
+        ours = _sweep_rows(freq, cand, *args)
+        costs = (weight_fn.input_cost, weight_fn.output_cost, float(threshold), max_groups)
+        swept = native.sweep_rows(*ordered, row_input, col_input, *costs)
+        if not ordered[0].flags.c_contiguous:
+            assert swept is False
+            swept = native.sweep_rows(freq, cand, row_input, col_input, *costs)
+        if native.KERNEL is None:
+            assert swept is False
+            swept = ours
+        if reference is None:
+            assert ours is None and swept is None
+        else:
+            assert swept.dtype == ours.dtype == reference.dtype
+            assert swept.tolist() == ours.tolist() == reference.tolist()
