@@ -9,9 +9,8 @@ recipe: alternately re-optimise the row boundaries for fixed column
 boundaries and vice versa, where each 1-D optimisation is a binary search
 over the cell-weight threshold combined with a greedy sweep.  Each sweep
 is one call of the compiled kernel (:func:`repro.joins.native.sweep_rows`);
-:func:`_sweep_rows` is its numpy fallback, wherever the kernel is not
-loaded or declines an input, and the reference it equals boundary for
-boundary.
+``tests/reference_planner.py`` keeps the numpy sweep and the row-by-row
+loop it equals boundary for boundary.
 
 The paper's **MonotonicCoarsening** observation -- non-candidate cells weigh
 zero, so only candidate cells need their weights computed -- is applied
@@ -100,88 +99,6 @@ def _aggregate_columns(grid: WeightedGrid, col_bounds: np.ndarray) -> tuple[
     return freq_by_group, cand_by_group, col_input_by_group
 
 
-def _sweep_rows(
-    freq_by_group: np.ndarray,
-    cand_by_group: np.ndarray,
-    row_input: np.ndarray,
-    col_input_by_group: np.ndarray,
-    weight_fn: WeightFunction,
-    threshold: float,
-    max_groups: int,
-) -> np.ndarray | None:
-    """Greedy sweep: group consecutive rows so every candidate block stays under
-    ``threshold``.  Returns the boundary array or ``None`` when more than
-    ``max_groups`` groups would be needed.
-
-    A group takes rows while its heaviest candidate block stays within
-    ``threshold``; a row met with an all-zero accumulator (no input, no
-    candidates yet -- above all the row that opens a group) is always taken.
-    Each group's end is found on whole look-ahead windows of rows at once.  Block
-    weights are running sums *from the group's first row*, added in row order
-    (``np.cumsum``), so they are the floats a row-by-row loop would compare
-    with ``threshold`` -- differences of one global prefix sum round
-    differently and would move boundaries.  Candidate counts are integers, so
-    for them prefix differences are exact.
-
-    The compiled kernel (:func:`repro.joins.native.sweep_rows`) runs the same
-    sweep row by row in one call; this is its fallback and the reference
-    it is held to, boundary for boundary.
-    """
-    num_rows = len(row_input)
-    # Twice the mean group length: most groups close inside their first window.
-    window = max(8, 2 * -(-num_rows // max_groups))
-    cand_prefix = np.zeros((num_rows + 1, cand_by_group.shape[1]))
-    np.cumsum(cand_by_group, axis=0, out=cand_prefix[1:])
-    boundaries = [0]
-    start = 0
-    while True:
-        # Find the first row that would overfill the group opened at ``start``.
-        # ``*_before`` are the group's sums ahead of the window: zero ahead of
-        # the first, carried over when a window does not hold the whole group.
-        closing_row = None
-        freq_before = np.zeros(freq_by_group.shape[1])
-        input_before = 0.0
-        for lo in range(start, num_rows, window):
-            freq_after = np.cumsum(
-                np.concatenate([freq_before[None, :], freq_by_group[lo : lo + window]]),
-                axis=0,
-            )[1:]
-            input_after = np.cumsum(
-                np.concatenate([[input_before], row_input[lo : lo + window]])
-            )[1:]
-            # Only blocks containing candidate cells count (MonotonicCoarsening:
-            # non-candidate cells weigh zero).
-            has_candidates = cand_prefix[lo + 1 : lo + 1 + len(input_after)] > cand_prefix[start]
-            weights = (
-                weight_fn.input_cost * (input_after[:, None] + col_input_by_group)
-                + weight_fn.output_cost * freq_after
-            )
-            heaviest = np.where(has_candidates, weights, -np.inf).max(axis=1)
-            for offset in np.flatnonzero(heaviest > threshold).tolist():
-                row = lo + offset
-                # A row met with an all-zero accumulator is taken whatever it
-                # weighs; the row that opens the group is the usual case.
-                input_so_far = input_after[offset - 1] if offset else input_before
-                if input_so_far == 0.0 and not (cand_prefix[row] > cand_prefix[start]).any():
-                    continue
-                closing_row = row
-                break
-            if closing_row is not None:
-                break
-            freq_before, input_before = freq_after[-1], input_after[-1]
-        if closing_row is None:
-            break
-        # Close the current group before this row and start a new one.
-        boundaries.append(closing_row)
-        if len(boundaries) > max_groups:
-            return None
-        start = closing_row
-    boundaries.append(num_rows)
-    if len(boundaries) - 1 > max_groups:
-        return None
-    return np.asarray(boundaries, dtype=np.int64)
-
-
 def _optimize_axis(
     grid: WeightedGrid,
     col_bounds: np.ndarray,
@@ -209,12 +126,9 @@ def _optimize_axis(
     )))
 
     def feasible(threshold: float) -> np.ndarray | None:
-        bounds = native.sweep_rows(
+        return native.sweep_rows(
             *sweep, weight_fn.input_cost, weight_fn.output_cost, threshold, max_groups
         )
-        if bounds is False:
-            return _sweep_rows(*sweep, weight_fn, threshold, max_groups)
-        return bounds
 
     high = max(weight_fn.weight(grid.total_input, grid.total_output), low)
     _, bounds, _ = smallest_feasible(feasible, low, high, MAX_MIDPOINTS)

@@ -20,8 +20,7 @@ For the simulator we rarely need materialised pairs, only their number:
 tuple -- the per-region count loop every engine runs, batch
 (:func:`~repro.engine.cluster.run_partitioned_join`) and streaming (the
 in-process backends and every sticky worker) alike.  Its inner loop runs in
-the compiled count kernel (:mod:`repro.joins.native`) where one could be
-built, and in numpy otherwise.
+the compiled count kernel (:mod:`repro.joins.native`).
 """
 
 from __future__ import annotations
@@ -212,14 +211,13 @@ def count_regions(
     conditions, one task per sorted run, consecutive tasks sharing their
     needles) costs two bounds passes however many runs there are.  What
     stays per task, and is all that is timed: the searches of its second
-    side and their sum -- one call of the compiled count kernel
+    side and their sum, one call of the compiled count kernel
     (:func:`repro.joins.native.count`: a galloping search per bound from
     the previous needle's answer, the clip and the per-segment sums in one
-    C loop), or, where the kernel is not loaded or does not take the
-    task's arrays, the numpy reference it equals bit for bit
-    (``_count_task``: two ``searchsorted`` passes, the clip ufuncs, a
-    gather and ``reduceat``).  Either way the clock is read twice per
-    non-empty task.
+    C loop; ``tests/reference_counting.py`` keeps the numpy form it equals
+    bit for bit).  An integer run meeting float bounds is first cast to
+    float64, as ``searchsorted`` would cast it.  The clock is read twice
+    per non-empty task.
 
     A task's optional third entry makes its second side a *counted* run
     of the streaming state
@@ -290,29 +288,8 @@ def count_regions(
         lows, highs = bounds[group][position]
         out = outputs[offsets[task] : offsets[task + 1]]
         started = perf_counter()
-        if not native.count(run, cum, lows, highs, clip, out):
-            _count_task(run, cum, lows, highs, clip, out)
+        if run.dtype != lows.dtype:  # integer keys, a condition's float bounds
+            run = run.astype(np.float64)
+        native.count(run, cum, lows, highs, clip, out)
         seconds[task] = perf_counter() - started
     return outputs, seconds
-
-
-def _count_task(run, cum, lows, highs, clip, out: np.ndarray) -> None:
-    """Write one task's counts into ``out`` with numpy (see :func:`count_regions`).
-
-    The reference the compiled kernel (:func:`repro.joins.native.count`)
-    is held to bit for bit, and the path wherever it does not run.
-    """
-    if clip is None:
-        high, low = run.searchsorted(highs, "right"), run.searchsorted(lows, "left")
-        out[0] = (high - low).sum() if cum is None else (cum[high] - cum[low]).sum()
-        return
-    needles, clip_lows, clip_highs = clip
-    window = slice(needles.first, needles.last)
-    high = run.searchsorted(highs[window], "right")[needles.picked]
-    low = run.searchsorted(lows[window], "left")[needles.picked]
-    if clip_lows is not None:
-        np.maximum(low, clip_lows[needles.segment], out=low)
-        np.minimum(high, clip_highs[needles.segment], out=high)
-        np.maximum(high, low, out=high)
-    counts = high - low if cum is None else cum[high] - cum[low]
-    out[needles.busy] = np.add.reduceat(counts, needles.begins)

@@ -14,12 +14,13 @@
  *            repro.streaming.incremental.DecayedReservoir.add_batch.
  * sweep_rows groups consecutive rows of a column-aggregated sample matrix
  *            so that no candidate block outweighs a threshold: one greedy
- *            sweep of repro.core.coarsening._sweep_rows.
+ *            sweep of repro.core.coarsening's per-axis threshold search.
  *
  * <t> is f64 (double keys) or i64 (int64_t keys); one macro below writes
- * both.  Every result equals the numpy reference bit for bit, so the order
- * is numpy's: NaN sorts after everything and NaNs are equal to each other,
- * -0.0 == 0.0, and +-inf are ordinary values.  The inner loops compare with
+ * both.  Every result equals the numpy reference (kept in the test harness,
+ * tests/reference_*.py) bit for bit, so the order is numpy's: NaN sorts
+ * after everything and NaNs are equal to each other, -0.0 == 0.0, and +-inf
+ * are ordinary values.  The inner loops compare with
  * the plain `<`, which agrees with that order on every non-NaN pair: each
  * run's NaN tail is located once, searches run over the part before it, and
  * a NaN bound is answered at the tail's boundary.
@@ -28,7 +29,7 @@
  * do.  Every index read from an input is checked against the array it
  * indexes before anything is written: an out-of-range one makes count_<t>
  * return nonzero having read nothing out of bounds and written nothing, and
- * the caller counts with numpy instead.
+ * the caller raises.
  *
  * sweep_rows is the kernel's one floating-point arithmetic, and it must
  * round as numpy does: every product and sum once, in numpy's order.  So
@@ -380,7 +381,7 @@ static void sift_up(double *priorities, int64_t *counters, double *keys,
 
 /*
  * Offer n entries, in order, to a heap of `size` entries and room for
- * `capacity`: repro.sampling.reservoir.offer_entries behind
+ * `capacity`: a heapq push / heapreplace loop behind
  * DecayedReservoir.add_batch's batch-start filter.  When the heap starts
  * the batch full, only entries whose priority is above its minimum at that
  * moment take a counter; otherwise every entry does.  An entry with a
@@ -424,7 +425,7 @@ int64_t offer(double *priorities, int64_t *counters, double *keys,
 
 /*
  * One greedy sweep of coarsening's per-axis threshold search:
- * repro.core.coarsening._sweep_rows.  freq and cand are rows x cols,
+ * repro.core.coarsening's feasibility probe.  freq and cand are rows x cols,
  * row-major: each row's output frequency and candidate count per column
  * group; row_input has rows entries and col_input cols.  A group takes rows
  * while each column's block -- the group's rows in that column -- weighs
@@ -435,8 +436,8 @@ int64_t offer(double *priorities, int64_t *counters, double *keys,
  * group's first row, added in row order (np.cumsum's order).  Only a column
  * whose candidate count since the group opened is above 0 is compared.
  * Counts are whole and non-negative (reduceat sums of a boolean mask), so
- * these running sums are exact and agree with _sweep_rows's differences of
- * one prefix sum.  A row overfills when such a column weighs more than
+ * these running sums are exact and agree with the numpy sweep's differences
+ * of one prefix sum.  A row overfills when such a column weighs more than
  * threshold and none of them weighs NaN (numpy's max of the row is then
  * NaN, never above).  An overfilling row met while the group's input is 0.0
  * and no candidate has been seen is taken anyway (the row that opens a

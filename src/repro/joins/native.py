@@ -1,4 +1,4 @@
-"""The compiled kernel: ``native.c``, built on first use and loaded through ``ctypes``.
+"""The compiled kernel: ``native.c``, built on first import and loaded through ``ctypes``.
 
 The stream batch and the plan build spend most of their interpreter time
 in four inner loops that numpy can only run as a dozen small-array calls
@@ -7,31 +7,36 @@ run for a batch's needles (clipped and summed per machine), the merge of a
 state's sorted runs, the offer of a batch's arrivals to the stream
 histogram's sample reservoir, a ``heapq`` push / ``heapreplace`` per key,
 and coarsening's greedy sweep, a group of small cumulative sums per window
-of rows.  ``native.c`` does each in one call -- :func:`count` for one task
-of :func:`~repro.joins.local.count_regions`, :func:`merge` for
+of rows.  ``native.c`` does each in one call, and each call is the only
+way production runs that loop: :func:`count` for one task of
+:func:`~repro.joins.local.count_regions`, :func:`merge` for
 :func:`~repro.streaming.incremental._merge_sorted`, :func:`offer` for
 :meth:`~repro.streaming.incremental.DecayedReservoir.add_batch`,
-:func:`sweep_rows` for one threshold probe of
-:func:`~repro.core.coarsening._sweep_rows` -- and its results equal the
-Python code's bit for bit: counts and merged runs
-(``tests/test_native_kernel.py``), the reservoir's heap array entry for
-entry (``tests/test_sampling_oracle.py``), and the sweep's boundaries
-(``tests/test_planner_oracle.py``).
+:func:`sweep_rows` for one threshold probe of coarsening's per-axis
+search.  The numpy and ``heapq`` forms they replaced live in the test
+harness (``tests/reference_*.py``), which holds the kernel to them bit for
+bit: counts and merged runs (``tests/test_native_kernel.py``), the
+reservoir's heap array entry for entry (``tests/test_sampling_oracle.py``)
+and the sweep's boundaries (``tests/test_planner_oracle.py``).
 
-The Python code stays: it is the reference the kernel is tested against,
-and the path whenever the kernel cannot run.  Which path runs is observed,
-never configured.  On import the module compiles ``native.c`` with the C
-compiler (the ``CC`` environment variable, else the one Python was built
-with, ``-O2 -ffp-contract=off -shared -fPIC``: the sweep must round
-every product and sum on its own, as numpy does) into this package's own
-``__pycache__/``, named by a SHA-256 of the source, the compiler's argv
-and the platform, so a checkout compiles once and every later process --
-set-up children, sticky and pool workers -- loads the cached library.  It
-is written to a temporary name and renamed into place, so concurrent first
-imports never load a partial file; a world-writable cache directory is
-refused.  If any step fails (no compiler, a read-only package, a
-``dlopen`` error) :data:`KERNEL` is ``None``, :data:`COUNT_PATH` says why,
-and every caller takes its numpy path.
+On import the module compiles ``native.c`` with the C compiler (the ``CC``
+environment variable, else the one Python was built with, ``-O2
+-ffp-contract=off -shared -fPIC``: the sweep must round every product and
+sum on its own, as numpy does) into this package's own ``__pycache__/``,
+named by a SHA-256 of the source, the compiler's argv and the platform, so
+a checkout compiles once and every later process -- set-up children,
+sticky and pool workers -- loads the cached library.  It is written to a
+temporary name and renamed into place, so concurrent first imports never
+load a partial file.  The engine needs the kernel: where it cannot be
+built or loaded -- no C compiler, a cache directory that cannot be
+written or is world-writable, a ``dlopen`` error -- the import raises
+:class:`KernelUnavailable`, naming the step that failed.
+
+A wrapper takes the arrays its C function reads and writes as they are,
+with no copy: keys float64 or int64, counts and positions int64, every
+array C-contiguous and aligned, every array it writes writable.  Anything
+else raises a :class:`TypeError` (a dtype) or :class:`ValueError` (a
+shape, a size, a layout) that names the input, having written nothing.
 
 This module is the one place native code enters the process (analyzer rule
 ``FFI001``).
@@ -48,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["COUNT_PATH", "KERNEL", "count", "merge", "offer", "sweep_rows"]
+__all__ = ["KernelUnavailable", "count", "merge", "offer", "sweep_rows"]
 
 SOURCE = Path(__file__).with_name("native.c")
 
@@ -69,6 +74,15 @@ _SWEEP_ARGS = (_POINTER, _POINTER, _POINTER, _POINTER, _SIZE, _SIZE, _DOUBLE, _D
                _DOUBLE, _SIZE, _POINTER)
 
 
+class KernelUnavailable(ImportError):
+    """``native.c`` could not be built or loaded, so the engine cannot run.
+
+    The message names the step: the compiler's argv with its exit status
+    and stderr, the cache directory that could not be written or was
+    refused as world-writable, or the library ``dlopen`` rejected.
+    """
+
+
 def _build() -> ctypes.CDLL:
     """Compile ``native.c`` unless its library is cached; load it; declare its functions."""
     compiler = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()
@@ -77,159 +91,176 @@ def _build() -> ctypes.CDLL:
     for part in (*argv, sysconfig.get_platform()):
         digest.update(b"\0" + part.encode())
     cache = SOURCE.parent / "__pycache__"
-    cache.mkdir(exist_ok=True)
+    try:
+        cache.mkdir(exist_ok=True)
+    except OSError as error:
+        raise KernelUnavailable(f"cannot make the kernel's cache {cache}: {error}") from None
     if cache.stat().st_mode & stat.S_IWOTH:
-        raise OSError(f"{cache} is world-writable")
+        raise KernelUnavailable(
+            f"{cache} is world-writable: a library anyone could have planted is never loaded"
+        )
     library = cache / f"native.{digest.hexdigest()[:32]}.so"
     if not library.exists():
         import subprocess
 
         partial = cache / f"{library.name}.{os.getpid()}.tmp"
+        command = [*argv, "-o", str(partial), str(SOURCE)]
         try:
-            try:
-                done = subprocess.run(
-                    [*argv, "-o", str(partial), str(SOURCE)],
-                    capture_output=True, text=True, errors="replace", timeout=300,
-                )
-            except subprocess.TimeoutExpired as error:
-                raise OSError(f"{argv[0]} ran past {error.timeout:.0f} s") from None
+            done = subprocess.run(
+                command, capture_output=True, text=True, errors="replace", timeout=300
+            )
             if done.returncode:
-                message = (done.stderr.strip().splitlines() or [""])[-1]
-                raise OSError(f"{argv[0]} exited {done.returncode} {message}".strip())
+                raise KernelUnavailable(
+                    f"{command} exited with status {done.returncode}; "
+                    f"stderr: {done.stderr.strip() or '(empty)'}"
+                )
             os.replace(partial, library)
+        except subprocess.TimeoutExpired as error:
+            raise KernelUnavailable(f"{command} ran past {error.timeout:.0f} s") from None
+        except OSError as error:  # no such compiler, or an unwritable cache
+            raise KernelUnavailable(f"{command} failed: {error}") from None
         finally:
             partial.unlink(missing_ok=True)
-    loaded = ctypes.CDLL(str(library))
-    for key in ("f64", "i64"):
-        function = getattr(loaded, f"count_{key}")
-        function.argtypes, function.restype = _COUNT_ARGS, ctypes.c_int
-        function = getattr(loaded, f"merge_{key}")
-        function.argtypes, function.restype = _MERGE_ARGS, ctypes.c_int64
-    loaded.offer.argtypes, loaded.offer.restype = _OFFER_ARGS, ctypes.c_int64
-    loaded.sweep_rows.argtypes, loaded.sweep_rows.restype = _SWEEP_ARGS, ctypes.c_int64
+    try:
+        loaded = ctypes.CDLL(str(library))
+        for key in ("f64", "i64"):
+            function = getattr(loaded, f"count_{key}")
+            function.argtypes, function.restype = _COUNT_ARGS, ctypes.c_int
+            function = getattr(loaded, f"merge_{key}")
+            function.argtypes, function.restype = _MERGE_ARGS, ctypes.c_int64
+        loaded.offer.argtypes, loaded.offer.restype = _OFFER_ARGS, ctypes.c_int64
+        loaded.sweep_rows.argtypes, loaded.sweep_rows.restype = _SWEEP_ARGS, ctypes.c_int64
+    except (OSError, AttributeError) as error:  # a dlopen error or a missing symbol
+        raise KernelUnavailable(f"cannot load {library}: {error}") from None
     return loaded
 
 
-def _load() -> "tuple[ctypes.CDLL | None, str]":
-    """The loaded kernel and ``"native"``, or ``None`` and why the numpy path runs."""
-    try:
-        return _build(), "native"
-    except (OSError, AttributeError) as error:  # no compiler, cache or symbol
-        return None, f"numpy: {type(error).__name__}: {error}"
+_LIBRARY = _build()
 
 
-#: The loaded library, or ``None`` when the numpy path runs.
-KERNEL: "ctypes.CDLL | None"
-#: Which path counts, merges, offers to the reservoirs and sweeps coarsening's
-#: rows: ``"native"``, or
-#: ``"numpy: <why the kernel is not loaded>"``.
-COUNT_PATH: str
-KERNEL, COUNT_PATH = _load()
-
-
-def _addresses(arrays: "list[np.ndarray]") -> "list[int] | None":
-    """Each array's data address, or ``None`` unless every one is writable, C-contiguous and aligned.
+def _addresses(arrays: "list[np.ndarray]", names: "tuple[str, ...] | str", written: int) -> "list[int]":
+    """Each array's data address; the first ``written`` of them the kernel writes.
 
     Read through the buffer protocol -- a zero-length ``ctypes`` view of
     each array, iterated by ``map`` in C -- for about 0.5 us an array,
     where ``__array_interface__`` builds a dict for about 2 us and
-    ``ndarray.ctypes`` costs as much again in Python-level calls.
+    ``ndarray.ctypes`` costs as much again in Python-level calls.  A view
+    needs a writable buffer, so a read-only input's address is read from
+    ``ndarray.ctypes``, on that branch only; the kernel reads its inputs
+    through ``const`` pointers.  Raises a :class:`ValueError` naming an
+    array (by its entry of ``names``, or by ``names`` itself when it is one
+    string) that is not C-contiguous and aligned, or that the kernel writes
+    and is read-only.
     """
     for array in arrays:
-        if not array.flags.carray:
-            return None
-    return list(map(_addressof, map(_VIEW.from_buffer, arrays)))
+        if not array.flags.carray:  # C-contiguous, aligned and writable
+            break
+    else:
+        return list(map(_addressof, map(_VIEW.from_buffer, arrays)))
+    addresses = []
+    for at, array in enumerate(arrays):
+        name = names if isinstance(names, str) else names[at]
+        flags = array.flags
+        if not (flags.c_contiguous and flags.aligned):
+            raise ValueError(f"{name} is not C-contiguous and aligned")
+        if flags.writeable:
+            addresses.append(_addressof(_VIEW.from_buffer(array)))
+        elif at < written:
+            raise ValueError(f"{name} is read-only, and the kernel writes it")
+        else:
+            addresses.append(array.ctypes.data)
+    return addresses
 
 
-def count(run, cum, lows, highs, clip, out: np.ndarray) -> bool:
-    """One task of :func:`~repro.joins.local.count_regions` in the kernel; whether it ran.
+#: The names :func:`count` gives its arrays in an error: unclipped, clipped, cut.
+_TASK: "tuple[str, ...]" = ("out", "run", "lows", "highs")
+_SEGMENTS = (*_TASK, "picked", "segment")
+_CUT = (*_SEGMENTS, "clip lows", "clip highs")
+
+
+def count(run, cum, lows, highs, clip, out: np.ndarray) -> None:
+    """One task of :func:`~repro.joins.local.count_regions`: its outputs, written into ``out``.
 
     ``run`` is the sorted second side, ``cum`` its cumulative counts or
     ``None``, ``lows`` / ``highs`` the needles' joinable bounds, ``clip``
-    the task's ``(segments, lows, highs)`` or ``None``, and ``out`` the
-    task's outputs, which it writes.  Returns ``False``, having written
-    nothing, when the kernel is not loaded or an input is not one it takes
-    (float64 or int64 keys, the bounds in the run's dtype; int64 counts and
-    positions, in range; every array writable, C-contiguous and aligned);
-    the caller then counts with numpy.
+    the task's ``(segments, lows, highs)`` or ``None``.  Keys are float64
+    or int64 and the bounds in the run's dtype (the caller brings them to
+    one); counts and positions are int64, ``cum`` one longer than the run,
+    and ``out`` has an entry for the task (unclipped) or for each of its
+    segments.  Otherwise, or when a clip's index lies outside what it
+    indexes, this raises by name and writes nothing.
     """
-    kernel = KERNEL
     dtype = run.dtype
-    if (
-        kernel is None
-        or not (dtype == _FLOAT or dtype == _INT)
-        or lows.dtype != dtype
-        or highs.dtype != dtype
-        or highs.size != lows.size
-        or out.dtype != _INT
-        or not out.size
-        or not (cum is None or (cum.dtype == _INT and cum.size == run.size + 1))
-    ):
-        return False
+    if not (dtype == _FLOAT or dtype == _INT):
+        raise TypeError(f"run is {dtype}: the kernel counts float64 or int64 keys")
+    if lows.dtype != dtype or highs.dtype != dtype:
+        raise TypeError(f"lows / highs are {lows.dtype} / {highs.dtype}, not the run's {dtype}")
+    if highs.size != lows.size:
+        raise ValueError(f"{lows.size} lows but {highs.size} highs")
+    if out.dtype != _INT:
+        raise TypeError(f"out is {out.dtype}, not int64")
+    if cum is not None and (cum.dtype != _INT or cum.size != run.size + 1):
+        raise ValueError(f"cum is {cum.size} {cum.dtype}, not {run.size + 1} int64")
     gathered = segments = 0
     if clip is None:
-        arrays = [run, lows, highs, out]
+        if not out.size:
+            raise ValueError("out has no entry for the task")
+        arrays, names = [out, run, lows, highs], _TASK
     else:
         shares, clip_lows, clip_highs = clip
         window = slice(shares.first, shares.last)
         lows, highs = lows[window], highs[window]
         gathered, segments = shares.picked.size, shares.count
-        arrays = [run, lows, highs, out, shares.picked, shares.segment]
         if out.size < segments:
-            return False
-        if clip_lows is not None:
-            if not (
-                clip_lows.dtype == _INT == clip_highs.dtype
-                and segments <= clip_lows.size
-                and segments <= clip_highs.size
-            ):
-                return False
-            arrays += clip_lows, clip_highs
+            raise ValueError(f"out has {out.size} entries for {segments} segments")
         if shares.picked.dtype != _INT or shares.segment.dtype != _INT:
-            return False
+            raise TypeError("a clip's picked and segment indices must be int64")
+        arrays, names = [out, run, lows, highs, shares.picked, shares.segment], _SEGMENTS
+        if clip_lows is not None:
+            if clip_lows.dtype != _INT or clip_highs.dtype != _INT:
+                raise TypeError("a clip's lows and highs must be int64 positions")
+            if clip_lows.size < segments or clip_highs.size < segments:
+                raise ValueError(f"a clip's lows and highs need {segments} entries each")
+            arrays += clip_lows, clip_highs
+            names = _CUT
     if cum is not None:
         arrays.append(cum)
-    addresses = _addresses(arrays)
-    if addresses is None:
-        return False
-    keys, low, high, target, *rest = addresses
+        names += ("cum",)
+    target, keys, low, high, *rest = _addresses(arrays, names, 1)
     counts = rest.pop() if cum is not None else None
     picked, segment, clip_lows, clip_highs = (*rest, None, None, None, None)[:4]
-    function = kernel.count_f64 if dtype == _FLOAT else kernel.count_i64
-    return not function(
+    function = _LIBRARY.count_f64 if dtype == _FLOAT else _LIBRARY.count_i64
+    if function(
         keys, run.size, counts, low, high, lows.size, picked, segment, gathered,
         clip_lows, clip_highs, segments, target,
-    )
+    ):
+        raise ValueError("a clip's index lies outside the needles, segments or run it indexes")
 
 
 def merge(runs: "list[tuple[np.ndarray, np.ndarray | None]]"):
-    """:func:`~repro.streaming.incremental._merge_sorted` in the kernel, or ``False``.
+    """:func:`~repro.streaming.incremental._merge_sorted` in one linear pass.
 
-    Returns the merged ``(keys, cum)``, ``None`` when every count
-    cancelled, or ``False`` -- nothing computed -- when the kernel is not
-    loaded or a run is not one it takes (keys float64 or int64, all of one
-    dtype; ``cum`` int64, one longer than its keys; writable, C-contiguous
-    and aligned).
+    Returns the merged ``(keys, cum)``, or ``None`` when every count
+    cancelled.  Keys are float64 or int64, all of one dtype, and each
+    ``cum`` int64 and one longer than its keys; otherwise this raises by
+    name.
     """
-    kernel = KERNEL
     dtype = runs[0][0].dtype
-    if kernel is None or not (dtype == _FLOAT or dtype == _INT):
-        return False
+    if not (dtype == _FLOAT or dtype == _INT):
+        raise TypeError(f"run keys are {dtype}: the kernel merges float64 or int64 keys")
     arrays = []
     total = 0
     for keys, cum in runs:
         if keys.dtype != dtype:
-            return False
+            raise TypeError(f"runs of {dtype} and {keys.dtype} keys cannot be merged")
         total += keys.size
         if cum is None:
             arrays.append(keys)
         elif cum.dtype == _INT and cum.size == keys.size + 1:
             arrays += keys, cum
         else:
-            return False
-    addresses = _addresses(arrays)
-    if addresses is None:
-        return False
+            raise ValueError(f"a run's cum is {cum.size} {cum.dtype}, not {keys.size + 1} int64")
+    addresses = _addresses(arrays, "a run's keys or cum", 0)
     # Per run: its keys' address, their number and its counts' address (0: none).
     table = []
     at = 0
@@ -238,14 +269,14 @@ def merge(runs: "list[tuple[np.ndarray, np.ndarray | None]]"):
         at += 1 if cum is None else 2
     merged_keys = np.empty(total, dtype=dtype)
     merged_cum = np.empty(total + 1, dtype=np.int64)
-    function = kernel.merge_f64 if dtype == _FLOAT else kernel.merge_i64
+    function = _LIBRARY.merge_f64 if dtype == _FLOAT else _LIBRARY.merge_i64
     entries = function(
         len(runs),
         (ctypes.c_uint64 * (3 * len(runs)))(*table),
-        *_addresses([merged_keys, merged_cum]),
+        *_addresses([merged_keys, merged_cum], ("merged keys", "merged cum"), 2),
     )
     if entries < 0:
-        return False
+        raise MemoryError("the kernel's merge could not allocate its run positions")
     if entries == 0:
         return None
     # Give back the room no entry took (a realloc in place, no copy).
@@ -254,83 +285,87 @@ def merge(runs: "list[tuple[np.ndarray, np.ndarray | None]]"):
     return merged_keys, merged_cum
 
 
-def offer(heap, size: int, capacity: int, counter: int, priorities, keys) -> "int | None":
-    """:meth:`~repro.streaming.incremental.DecayedReservoir.add_batch`'s heap loop in the kernel.
+_OFFER = ("heap priorities", "heap counters", "heap keys", "priorities", "keys")
+
+
+def offer(heap, size: int, capacity: int, counter: int, priorities, keys) -> int:
+    """:meth:`~repro.streaming.incremental.DecayedReservoir.add_batch`'s heap loop; the next counter.
 
     ``heap`` is the reservoir's ``(priorities, counters, keys)`` arrays,
     whose first ``size`` entries are the heap, ``counter`` its next unused
     counter, and ``priorities`` / ``keys`` the batch's entries in offer
-    order.  The kernel writes the heap array
-    :func:`~repro.sampling.reservoir.offer_entries` would leave behind the
-    batch-start filter, and this returns the next unused counter; the heap
-    then holds ``min(capacity, size + len(keys))`` entries.  Returns
-    ``None``, having written nothing, when the kernel is not loaded or an
-    input is not one it takes (float64 priorities and keys, int64
-    counters; the heap's arrays with room for that many entries; every
-    array writable, C-contiguous and aligned).
+    order.  The kernel writes the heap array ``heapq`` would leave behind
+    the batch-start filter (``tests/reference_sampling.py``); the heap then
+    holds ``min(capacity, size + len(keys))`` entries.  Priorities and keys
+    are float64, counters int64, and the heap's arrays have room for that
+    many entries; ``0 <= size <= capacity`` and ``0 <= counter``.
+    Otherwise this raises by name and writes nothing.
     """
-    kernel = KERNEL
     heap_priorities, counters, heap_keys = heap
-    room = min(capacity, size + keys.size)
-    if (
-        kernel is None
-        or priorities.dtype != _FLOAT
-        or keys.dtype != _FLOAT
-        or priorities.size != keys.size
-        or heap_priorities.dtype != _FLOAT
-        or counters.dtype != _INT
-        or heap_keys.dtype != _FLOAT
-        or min(heap_priorities.size, counters.size, heap_keys.size) < room
+    if not (
+        priorities.dtype == keys.dtype == heap_priorities.dtype == heap_keys.dtype == _FLOAT
+        and counters.dtype == _INT
     ):
-        return None
-    addresses = _addresses([*heap, priorities, keys])
-    if addresses is None:
-        return None
-    *target, batch_priorities, batch_keys = addresses
-    counter = kernel.offer(
+        raise TypeError(
+            f"priorities {priorities.dtype}, keys {keys.dtype}, heap priorities "
+            f"{heap_priorities.dtype}, heap counters {counters.dtype}, heap keys "
+            f"{heap_keys.dtype}: the kernel takes float64 and int64 counters"
+        )
+    if priorities.size != keys.size:
+        raise ValueError(f"{priorities.size} priorities but {keys.size} keys")
+    room = min(capacity, size + keys.size)
+    if min(heap_priorities.size, counters.size, heap_keys.size) < room:
+        raise ValueError(f"the heap's arrays have no room for {room} entries")
+    *target, batch_priorities, batch_keys = _addresses([*heap, priorities, keys], _OFFER, 3)
+    next_counter = _LIBRARY.offer(
         *target, size, capacity, counter, batch_priorities, batch_keys, keys.size
     )
-    return None if counter < 0 else counter
+    if next_counter < 0:
+        raise ValueError(
+            f"size {size}, capacity {capacity}, counter {counter}: a heap needs "
+            "0 <= size <= capacity, 0 < capacity and 0 <= counter"
+        )
+    return next_counter
+
+
+_SWEEP = ("out", "freq", "cand", "row_input", "col_input")
 
 
 def sweep_rows(freq, cand, row_input, col_input, w_i, w_o, threshold, max_groups):
-    """One greedy sweep of :func:`~repro.core.coarsening._sweep_rows` in the kernel.
+    """One greedy sweep of coarsening's per-axis threshold search.
 
     ``freq`` / ``cand`` are the rows' frequencies and candidate counts by
     column group (rows x groups), ``row_input`` / ``col_input`` the rows'
     and the groups' input, ``w_i`` / ``w_o`` the cost model's coefficients.
-    Returns the boundary array ``_sweep_rows`` returns, ``None`` when more
-    than ``max_groups`` groups are needed, or ``False`` -- nothing computed
-    -- when the kernel is not loaded or an input is not one it takes
-    (float64 arrays of matching shapes, each writable, C-contiguous and
-    aligned; ``max_groups`` at least 1).  Candidate counts must be whole
-    and non-negative, as ``_aggregate_columns`` makes them: the kernel sums
-    them from each group's first row.  An F-ordered aggregate is
-    declined, never read with the wrong strides: the caller makes its
-    arrays C-contiguous once per axis.
+    Returns the boundary array -- 0, each group's first row, the row count
+    -- or ``None`` when more than ``max_groups`` groups are needed.  Every
+    array is float64 of matching shape and C order (an F-ordered aggregate
+    raises, never read with the wrong strides: the caller makes its arrays
+    C-contiguous once per axis), and ``max_groups`` at least 1; otherwise
+    this raises by name.  Candidate counts must be whole and non-negative,
+    as coarsening's column aggregates make them: the kernel sums them from
+    each group's first row.  ``tests/reference_planner.py`` holds the numpy
+    sweep and the row-by-row loop it equals boundary for boundary.
     """
-    kernel = KERNEL
-    if (
-        kernel is None
-        or freq.dtype != _FLOAT
-        or cand.dtype != _FLOAT
-        or row_input.dtype != _FLOAT
-        or col_input.dtype != _FLOAT
-        or freq.ndim != 2
-        or cand.shape != freq.shape
-        or row_input.shape != freq.shape[:1]
-        or col_input.shape != freq.shape[1:]
-        or max_groups < 1
-    ):
-        return False
+    if not (freq.dtype == cand.dtype == row_input.dtype == col_input.dtype == _FLOAT):
+        raise TypeError(
+            f"freq {freq.dtype}, cand {cand.dtype}, row_input {row_input.dtype}, "
+            f"col_input {col_input.dtype}: the sweep takes float64"
+        )
+    if freq.ndim != 2 or cand.shape != freq.shape:
+        raise ValueError(f"freq {freq.shape} and cand {cand.shape} are not one matrix")
+    if row_input.shape != freq.shape[:1] or col_input.shape != freq.shape[1:]:
+        raise ValueError(
+            f"row_input {row_input.shape} and col_input {col_input.shape} "
+            f"do not fit a {freq.shape} matrix"
+        )
+    if max_groups < 1:
+        raise ValueError(f"max_groups is {max_groups}: a sweep needs at least one group")
     out = np.empty(max_groups + 1, dtype=_INT)
-    addresses = _addresses([freq, cand, row_input, col_input, out])
-    if addresses is None:
-        return False
-    *inputs, target = addresses
-    written = kernel.sweep_rows(
+    target, *inputs = _addresses([out, freq, cand, row_input, col_input], _SWEEP, 1)
+    written = _LIBRARY.sweep_rows(
         *inputs, *freq.shape, w_i, w_o, threshold, max_groups, target
     )
     if written < 0:
-        return False
+        raise MemoryError("the kernel's sweep could not allocate its block sums")
     return out[:written] if written else None

@@ -33,29 +33,6 @@ __all__ = [
 ]
 
 
-def offer_entries(
-    heap: list, capacity: int, counter: int, priorities: Sequence, *columns: Sequence
-) -> int:
-    """Offer parallel columns of entries, in order, to a bounded min-heap.
-
-    The one heap loop of the sampling layer.  Entry ``i`` is the tuple
-    ``(priorities[i], counter + i, *columns[i])``: pushed while the heap
-    holds fewer than ``capacity``, afterwards it replaces the minimum when
-    its priority is strictly larger -- the push / ``heapreplace`` sequence
-    of offering one entry per call, so the heap *array* (whose order the
-    WOR -> WR draw and ``DecayedReservoir.keys()`` expose) is reproduced,
-    not merely the retained set.  Returns the next unused counter.
-    """
-    push, replace = heapq.heappush, heapq.heapreplace
-    entries = zip(priorities, count(counter), *columns)
-    for entry in islice(entries, max(capacity - len(heap), 0)):
-        push(heap, entry)
-    for entry in entries:
-        if entry[0] > heap[0][0]:
-            replace(heap, entry)
-    return counter + len(priorities)
-
-
 @dataclass
 class WeightedReservoir:
     """A bounded min-heap of ``(priority, item, weight)`` entries.
@@ -88,10 +65,23 @@ class WeightedReservoir:
         self._offer([priority], [item], [weight])
 
     def _offer(self, priorities: Sequence, items: Sequence, weights: Sequence) -> None:
-        """Offer parallel columns of pre-drawn entries, in order."""
-        self._counter = offer_entries(
-            self._heap, self.capacity, self._counter, priorities, items, weights
-        )
+        """Offer parallel columns of pre-drawn entries, in order.
+
+        Entry ``i`` is the tuple ``(priorities[i], counter + i, items[i],
+        weights[i])``: pushed while the heap holds fewer than ``capacity``,
+        afterwards it replaces the minimum when its priority is strictly
+        larger -- the push / ``heapreplace`` sequence of offering one entry
+        per call, so the heap *array* (whose order the WOR -> WR draw
+        exposes) is reproduced, not merely the retained set.
+        """
+        heap, push, replace = self._heap, heapq.heappush, heapq.heapreplace
+        entries = zip(priorities, count(self._counter), items, weights)
+        for entry in islice(entries, max(self.capacity - len(heap), 0)):
+            push(heap, entry)
+        for entry in entries:
+            if entry[0] > heap[0][0]:
+                replace(heap, entry)
+        self._counter += len(priorities)
 
     def items(self) -> list[object]:
         """The sampled items (unordered)."""

@@ -88,7 +88,6 @@ import numpy as np
 
 from repro.core.histogram import EWHConfig
 from repro.core.weights import STATS_SCAN_FACTOR, WeightFunction
-from repro.joins import native
 from repro.joins.conditions import JoinCondition
 from repro.joins.local import count_join_output
 from repro.obs.clock import perf_counter
@@ -699,12 +698,10 @@ class StreamingJoinEngine:
         The backend folds the routed arrivals into its sorted state and
         counts every machine's delta there (``count_batch``), all inside one
         ``incremental_count`` span with the execution's worker pids
-        stitched as child spans; when this process counts with numpy rather
-        than the compiled kernel, the span says so and why (``count_path``,
-        :data:`repro.joins.native.COUNT_PATH`).  The record is opened with
-        the batch's own cost-model loads and ``live_imbalance``; charges
-        parked by a :meth:`resize` since the previous batch are folded in
-        afterwards, exactly like a drift migration's charges land after it.
+        stitched as child spans.  The record is opened with the batch's own
+        cost-model loads and ``live_imbalance``; charges parked by a
+        :meth:`resize` since the previous batch are folded in afterwards,
+        exactly like a drift migration's charges land after it.
         """
         J = self.num_machines
         weight = self.weight_fn
@@ -717,8 +714,6 @@ class StreamingJoinEngine:
             with self.tracer.span(
                 "incremental_count", category="stage", tasks=2 * J
             ) as span:
-                if native.COUNT_PATH != "native":
-                    span.set(count_path=native.COUNT_PATH)
                 execution = self.backend.count_batch(new1, new2)
             self._stitch_workers(execution, span)
             deltas = execution.per_machine_output

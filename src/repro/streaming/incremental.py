@@ -49,7 +49,6 @@ the live load imbalance.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 
 import numpy as np
 
@@ -62,7 +61,6 @@ from repro.core.weights import WeightFunction
 from repro.joins import native
 from repro.joins.conditions import JoinCondition
 from repro.partitioning.ewh import EWHPartitioning
-from repro.sampling.reservoir import offer_entries
 from repro.streaming.source import MicroBatch
 
 __all__ = ["DecayedReservoir", "IncrementalHistogram", "SortedRegionState"]
@@ -111,49 +109,13 @@ def _merge_sorted(
     input is modified, so a reader still holding an old run keeps a valid
     snapshot.
 
-    The compiled count kernel does it in one linear k-way pass
+    It is one linear k-way pass of the compiled kernel
     (:func:`repro.joins.native.merge`: a run's stretch below every other
     run's head is taken whole, a key several runs hold is gathered from
-    each, oldest first).  Where the kernel is not loaded, the numpy
-    reference it equals byte for byte runs: one stable sort of the runs
-    laid end to end -- numpy's stable sort is a timsort, which finds the
-    sorted runs and merges them in linear passes, about 20 vs 100 us for
-    its default sort at 5,700 + 380 keys on an AVX-512 Xeon, numpy 2.4 --
-    whose running total of the sorted multiplicities, read at the last
-    element of each group, *is* the merged run's ``cum``.  It is the one
-    stable sort on the state path, kept for speed, not for tie order; on
-    *unsorted* arrivals the default sort wins
-    (:func:`~repro.partitioning.base.sort_arrivals`).
+    each, oldest first); ``tests/reference_state.py`` keeps the stable-sort
+    form it equals byte for byte.
     """
-    merged = native.merge(runs)
-    if merged is not False:
-        return merged
-    keys = np.concatenate([keys for keys, _ in runs])
-    counts = np.empty(keys.size, dtype=np.int64)
-    start = 0
-    for run, cum in runs:
-        stop = start + run.size
-        counts[start:stop] = 1 if cum is None else cum[1:] - cum[:-1]
-        start = stop
-    order = keys.argsort(kind="stable")
-    keys = keys[order]
-    # Sum in place, the unsorted counts and the order freed first: a merge
-    # into a side's largest run is the biggest transient of a batch.
-    running = counts[order]
-    del counts, order
-    running.cumsum(out=running)
-    last = _group_ends(keys)
-    cum = np.empty(last.size + 1, dtype=np.int64)
-    cum[0] = 0
-    cum[1:] = running[last]
-    del running
-    kept = (cum[1:] != cum[:-1]).nonzero()[0]
-    if kept.size < last.size:
-        if kept.size == 0:
-            return None
-        last = last[kept]
-        cum = np.concatenate([cum[:1], cum[1:][kept]])
-    return keys[last], cum
+    return native.merge(runs)
 
 
 class SortedRegionState:
@@ -376,14 +338,10 @@ class DecayedReservoir:
     The heap is held as three parallel arrays -- priorities (float64),
     counters (int64) and keys (float64) -- whose first ``len(self)``
     entries are, entry for entry, the list of tuples ``heapq`` would hold
-    (:func:`~repro.sampling.reservoir.offer_entries`): :meth:`keys` exposes
-    heap order to the rebuild's sampler.  A batch is one call of the
-    compiled kernel (:func:`repro.joins.native.offer`), which mirrors
-    ``heapq``'s steps.  Where the kernel is not loaded (or declines the
-    batch), the heap becomes that list of tuples and ``offer_entries`` runs;
-    the list stays the heap until a pickle writes it back into the arrays,
-    so a run of such batches, and :meth:`keys`, convert nothing.  A pickle
-    (a checkpoint) holds the heap's entries and no spare room.
+    (``tests/reference_sampling.py``): :meth:`keys` exposes heap order to
+    the rebuild's sampler.  A batch is one call of the compiled kernel
+    (:func:`repro.joins.native.offer`), which mirrors ``heapq``'s steps.  A
+    pickle (a checkpoint) holds the heap's entries and no spare room.
     """
 
     #: The heap's parallel arrays, in tuple order.
@@ -401,9 +359,6 @@ class DecayedReservoir:
         self._priorities = np.empty(capacity, dtype=np.float64)
         self._counters = np.empty(capacity, dtype=np.int64)
         self._keys = np.empty(capacity, dtype=np.float64)
-        #: The heap as ``offer_entries``' tuples while the fallback holds it,
-        #: the arrays then stale; ``None`` when the arrays are the heap.
-        self._entries: list[tuple[float, int, float]] | None = None
         self._counter = 0
         self.tuples_seen = 0
 
@@ -412,17 +367,8 @@ class DecayedReservoir:
         return self._size
 
     def __getstate__(self) -> dict:
-        """The fields, each heap array cut to the heap's entries.
-
-        The fallback's tuples, if they hold the heap, are written back into
-        the arrays first, so either path pickles the same bytes.
-        """
-        heap, self._entries = self._entries, None
-        if heap:
-            size = len(heap)
-            self._priorities[:size], self._counters[:size], self._keys[:size] = zip(*heap)
+        """The fields, each heap array cut to the heap's entries."""
         state = self.__dict__.copy()
-        del state["_entries"]
         for name in self._HEAP:
             state[name] = state[name][: self._size]
         return state
@@ -433,7 +379,6 @@ class DecayedReservoir:
         The kernel writes the heap in place, up to ``capacity`` entries.
         """
         self.__dict__.update(state)
-        self._entries = None
         for name in self._HEAP:
             live = state[name]
             array = np.empty(self.capacity, dtype=live.dtype)
@@ -450,7 +395,7 @@ class DecayedReservoir:
         batch full, entries at or below its minimum can never enter (the
         minimum only rises), so they take no counter.
         """
-        keys = np.asarray(keys, dtype=np.float64)  # repro: ignore[KEY001]  # reservoir samples feed float EWH boundaries, not join state
+        keys = np.ascontiguousarray(keys, dtype=np.float64)  # repro: ignore[KEY001]  # reservoir samples feed float EWH boundaries, not join state
         self.tuples_seen += len(keys)
         if len(keys) and np.isnan(keys.min()):
             keys = keys[~np.isnan(keys)]
@@ -460,41 +405,14 @@ class DecayedReservoir:
             # -ln(-ln u): u -> 0 gives -inf (never sampled), u -> 1 gives +inf.
             priorities = -np.log(-np.log(rng.random(len(keys))))
         priorities += batch_index * self._log_inv_decay
-        size = min(self.capacity, self._size + len(keys))
-        counter = None
-        if self._entries is None:
-            heap = (self._priorities, self._counters, self._keys)
-            counter = native.offer(
-                heap, self._size, self.capacity, self._counter, priorities, keys
-            )
-        if counter is None:
-            counter = self._offer_entries(priorities, keys)
-        self._size, self._counter = size, counter
-
-    def _offer_entries(self, priorities: np.ndarray, keys: np.ndarray) -> int:
-        """The batch through ``offer_entries`` on the heap as tuples; the next counter."""
-        heap = self._entries
-        if heap is None:
-            size = self._size
-            heap = self._entries = list(
-                zip(
-                    self._priorities[:size].tolist(),
-                    self._counters[:size].tolist(),
-                    self._keys[:size].tolist(),
-                )
-            )
-        if len(heap) >= self.capacity:
-            mask = priorities > heap[0][0]
-            keys, priorities = keys[mask], priorities[mask]
-        return offer_entries(
-            heap, self.capacity, self._counter, priorities.tolist(), keys.tolist()
+        heap = (self._priorities, self._counters, self._keys)
+        self._counter = native.offer(
+            heap, self._size, self.capacity, self._counter, priorities, keys
         )
+        self._size = min(self.capacity, self._size + len(keys))
 
     def keys(self) -> np.ndarray:
         """Snapshot of the sampled keys, in heap-array order."""
-        heap = self._entries
-        if heap is not None:
-            return np.fromiter(map(itemgetter(2), heap), dtype=np.float64, count=len(heap))
         return self._keys[: self._size].copy()
 
 

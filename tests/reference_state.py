@@ -17,6 +17,9 @@ evicts by tombstones; these hold or merge the same state the obvious way.
 * :class:`PairwiseRunState` -- counted runs merged by a cascade of pairwise
   merges, newest run back, each merge a :class:`collections.Counter` of key
   values.  The production one-pass merge must leave the same run list.
+* :func:`merge_sorted` -- one merge of counted runs by a stable sort, as it
+  ran before the compiled kernel (``repro.joins.native.merge``), which
+  ``tests/test_native_kernel.py`` holds to it byte for byte.
 * :class:`RegionStateTable` -- the join state as the engine held it before
   a side was held once per owner: a counted-run pair per *machine*, fed
   each machine's own sorted keys, and its fold (one search task per
@@ -34,7 +37,7 @@ from collections import Counter
 
 import numpy as np
 
-from repro.streaming.incremental import RUN_MERGE_RATIO
+from repro.streaming.incremental import RUN_MERGE_RATIO, _group_ends
 from repro.streaming.incremental import SortedRegionState as CountedRuns
 from repro.streaming.window import surviving
 
@@ -203,6 +206,39 @@ def _tally(run: "tuple[np.ndarray, np.ndarray | None]") -> Counter:
     for key, count in zip(keys.tolist(), counts):
         tally[_NAN if key != key else key] += count
     return tally
+
+
+def merge_sorted(
+    runs: "list[tuple[np.ndarray, np.ndarray | None]]",
+) -> "tuple[np.ndarray, np.ndarray] | None":
+    """``repro.streaming.incremental._merge_sorted`` by one stable sort.
+
+    The runs laid end to end are sorted stably -- numpy's stable sort is a
+    timsort, which finds the sorted runs and merges them in linear passes --
+    and the running total of the sorted multiplicities, read at the last
+    element of each group, *is* the merged run's ``cum``.
+    """
+    keys = np.concatenate([keys for keys, _ in runs])
+    counts = np.empty(keys.size, dtype=np.int64)
+    start = 0
+    for run, cum in runs:
+        stop = start + run.size
+        counts[start:stop] = 1 if cum is None else cum[1:] - cum[:-1]
+        start = stop
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    running = counts[order].cumsum()
+    last = _group_ends(keys)
+    cum = np.empty(last.size + 1, dtype=np.int64)
+    cum[0] = 0
+    cum[1:] = running[last]
+    kept = (cum[1:] != cum[:-1]).nonzero()[0]
+    if kept.size < last.size:
+        if kept.size == 0:
+            return None
+        last = last[kept]
+        cum = np.concatenate([cum[:1], cum[1:][kept]])
+    return keys[last], cum
 
 
 def _merge_pair(older, newer) -> "tuple[np.ndarray, np.ndarray] | None":

@@ -580,7 +580,7 @@ class TestNativeCode:
 
             def count_path(keys):
                 ctypes = keys.copy()  # a local named like the module is fine
-                return native.COUNT_PATH, np.sort(ctypes)
+                return native.SOURCE, np.sort(ctypes)
             """
         )
         assert rule_ids(report) == []

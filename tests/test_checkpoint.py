@@ -33,7 +33,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.weights import WeightFunction
-from repro.joins import native
 from repro.joins.conditions import BandJoinCondition
 from repro.obs.metrics import MetricsRegistry
 from repro.streaming import (
@@ -517,48 +516,6 @@ def test_a_version_5_checkpoint_is_refused_by_name(monkeypatch):
         r"version 5 stored the sample reservoirs as heap tuples",
     ):
         StreamCheckpoint.from_bytes(stale)
-
-
-@pytest.mark.skipif(native.KERNEL is None, reason=native.COUNT_PATH)
-@pytest.mark.parametrize(
-    "taken_on, resumed_on", [("kernel", "numpy"), ("numpy", "kernel")]
-)
-def test_a_checkpoint_restores_across_reservoir_paths(taken_on, resumed_on, monkeypatch):
-    """A drift-adaptive checkpoint taken with the compiled kernel resumes
-    with it swapped out, and the reverse; each equals the uninterrupted run
-    batch for batch, and both paths checkpoint the same state: the same
-    reservoir bytes, generator and logs."""
-    source = make_source(seed=5, num_batches=14)
-
-    def path(name):
-        patch = pytest.MonkeyPatch()
-        if name == "numpy":
-            patch.setattr(native, "KERNEL", None)
-            patch.setattr(native, "COUNT_PATH", "numpy: swapped out by the test")
-        return patch
-
-    runs = {}
-    for name in (taken_on, resumed_on):
-        patch = path(name)
-        try:
-            runs[name] = run_with_checkpoint(source, 6, window="batches:4", seed=5)
-        finally:
-            patch.undo()
-    uninterrupted, checkpoint = runs[taken_on]
-    assert checkpoint.histogram.rebuilds and len(checkpoint.histogram.reservoir1)
-    other = runs[resumed_on][1]
-    for name in ("reservoir1", "reservoir2"):
-        mine, theirs = getattr(checkpoint.histogram, name), getattr(other.histogram, name)
-        assert pickle.dumps(mine) == pickle.dumps(theirs)
-    assert checkpoint.rng_state == other.rng_state
-    assert_same_checkpoint_state(checkpoint, other)
-    assert_equivalent_runs(runs[resumed_on][0], uninterrupted)
-    patch = path(resumed_on)
-    try:
-        resumed = resume_and_finish(StreamCheckpoint.from_bytes(checkpoint.to_bytes()), source)
-    finally:
-        patch.undo()
-    assert_equivalent_runs(resumed, uninterrupted)
 
 
 # ---------------------------------------------------------------------------

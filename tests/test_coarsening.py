@@ -13,7 +13,6 @@ from repro.core import coarsening
 from repro.core.coarsening import MAX_ITERATIONS, coarsen, coarsened_size
 from repro.core.grid import WeightedGrid, smallest_feasible
 from repro.core.weights import WeightFunction
-from repro.joins import native
 from repro.joins.conditions import BandJoinCondition
 
 
@@ -182,34 +181,25 @@ class TestCoarsen:
         ) >= fine_max - 1e-9
 
 
-@pytest.mark.skipif(native.KERNEL is None, reason=native.COUNT_PATH)
 def test_a_threshold_probe_makes_the_same_calls_at_any_sample_size():
     """One threshold probe of coarsening's search (``feasible``) is one kernel
     call: it makes as many interpreter calls at n_s = 1,024 as at 128.  ``-s``
-    prints them, and the numpy sweep's: a group of numpy calls per window of
-    rows, and a window is twice the mean group's rows, so hundreds of calls
-    at either size."""
+    prints them."""
     calls = {}
-    for path in ("kernel", "numpy"):
-        for size in (128, 1_024):
-            probes = []
+    for size in (128, 1_024):
+        probes = []
 
-            def measured(feasible, low, high, max_midpoints):
-                # The probe at the threshold the search settles on: the
-                # sweep that closes the most groups.
-                found = smallest_feasible(feasible, low, high, max_midpoints)
-                if not probes:
-                    probes.append(interpreter_calls(feasible, found[0])[1])
-                return found
+        def measured(feasible, low, high, max_midpoints):
+            # The probe at the threshold the search settles on: the
+            # sweep that closes the most groups.
+            found = smallest_feasible(feasible, low, high, max_midpoints)
+            if not probes:
+                probes.append(interpreter_calls(feasible, found[0])[1])
+            return found
 
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(coarsening, "smallest_feasible", measured)
-                if path == "numpy":
-                    patch.setattr(native, "KERNEL", None)
-                coarsen(band_grid(size, beta=20.0, seed=11), 16)
-            calls[path, size] = probes[0]
-    print(
-        "coarsening probe: "
-        + ", ".join(f"n_s {size:,} {calls[path, size]} calls ({path})" for path, size in calls)
-    )
-    assert calls["kernel", 128] == calls["kernel", 1_024]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(coarsening, "smallest_feasible", measured)
+            coarsen(band_grid(size, beta=20.0, seed=11), 16)
+        calls[size] = probes[0]
+    print("coarsening probe: " + ", ".join(f"n_s {size:,} {calls[size]} calls" for size in calls))
+    assert calls[128] == calls[1_024]

@@ -1,21 +1,21 @@
-"""Differential tests: the compiled count kernel against the numpy code it replaces.
+"""Differential tests: the compiled kernel against the numpy code it replaced.
 
 ``repro.joins.native`` runs one task of ``count_regions`` (search, clip,
 per-segment sum) and one run merge of ``SortedRegionState`` in C.  The
-numpy bodies it replaces stay in place as the fallback and are the
-reference here: ``repro.joins.local._count_task`` and
-``repro.streaming.incremental._merge_sorted`` with the kernel swapped out.
+numpy bodies it replaced are the reference here:
+``reference_counting.count_task`` and ``reference_state.merge_sorted``.
 Per-segment outputs must be equal and merged runs equal **byte for byte**
 (keys and cumulative counts), over float64 and int64 keys with NaN (two
 payloads), +-inf, -0.0 and 0.0, the int64 extremes and 2**53 + 1; unsorted
 needles and bounds in any order; empty runs, needles and segments; fresh,
 counted and tombstone runs; clips that cut a run to nothing.  Inputs the
 kernel does not take -- other dtypes, strided arrays, indices out of range
--- must leave it untouched so that numpy counts them.  The engine-level
-oracles run once more on the numpy path in ``tests/test_numpy_count_path.py``.
-Coarsening's sweep (``native.sweep_rows``) is held to ``_sweep_rows`` in
-``tests/test_planner_oracle.py``; here are the inputs it declines and the
-rounding its build must keep.
+-- raise by name and leave everything untouched; read-only inputs are read.
+Coarsening's sweep (``native.sweep_rows``) is held to the numpy sweep and
+the row loop of ``tests/reference_planner.py`` in
+``tests/test_planner_oracle.py``; here are the inputs it refuses and the
+rounding its build must keep.  Without a C compiler, or with a cache anyone
+could write to, the import raises ``KernelUnavailable``.
 """
 
 from __future__ import annotations
@@ -25,23 +25,20 @@ import pickle
 import shutil
 import subprocess
 import sys
-import sysconfig
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_counting
+import reference_state
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_planner import numpy_sweep_rows
 
-from repro.core.coarsening import _sweep_rows
 from repro.core.weights import WeightFunction
 from repro.joins import local, native
-from repro.joins.conditions import BandJoinCondition
-from repro.obs.trace import TickClock, Tracer
-from repro.streaming import MicroBatch, StaticEWHPolicy, StreamingJoinEngine, incremental
-
-needs_kernel = pytest.mark.skipif(native.KERNEL is None, reason=native.COUNT_PATH)
+from repro.streaming import incremental
 
 #: A NaN with the sign bit set: a second payload, so a merge that kept the
 #: wrong NaN would differ in its bytes.
@@ -85,7 +82,6 @@ def _run(rng: np.random.Generator, dtype: str, kind: str, size: int):
     return keys, np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
 
 
-@needs_kernel
 @settings(max_examples=400, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -117,20 +113,12 @@ def test_a_task_counts_what_numpy_counts(seed, dtype, kind, clip, size, needles)
         task_clip = (shares, *cut)
     width = 1 if task_clip is None else task_clip[0].count
     ours, theirs = np.full(width, -7, dtype=np.int64), np.zeros(width, dtype=np.int64)
-    assert native.count(run, cum, lows, highs, task_clip, ours)
+    native.count(run, cum, lows, highs, task_clip, ours)
     if task_clip is None or task_clip[0].busy.size:
-        local._count_task(run, cum, lows, highs, task_clip, theirs)
+        reference_counting.count_task(run, cum, lows, highs, task_clip, theirs)
     np.testing.assert_array_equal(ours, theirs)
 
 
-def _numpy_merge(runs):
-    """``_merge_sorted`` on its numpy path."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(native, "KERNEL", None)
-        return incremental._merge_sorted(runs)
-
-
-@needs_kernel
 @settings(max_examples=400, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -149,135 +137,184 @@ def test_a_merge_is_numpy_s_merge_byte_for_byte(seed, dtype, kinds):
     runs = [_run(rng, dtype, kind, int(rng.choice([0, 1, 4, 30]))) for kind in kinds]
     if not any(keys.size for keys, _ in runs):  # the state never merges nothing
         runs.append(_run(rng, dtype, "fresh", 1))
-    ours, theirs = native.merge(runs), _numpy_merge(runs)
+    ours, theirs = native.merge(runs), reference_state.merge_sorted(runs)
     if theirs is None:
         assert ours is None
         return
-    assert ours is not False and ours is not None
+    assert ours is not None
     assert ours[0].dtype == theirs[0].dtype and ours[1].dtype == theirs[1].dtype
     assert ours[0].tobytes() == theirs[0].tobytes()
     assert ours[1].tobytes() == theirs[1].tobytes()
 
 
-@needs_kernel
 def test_a_tombstone_cancels_what_it_expires():
-    """Everything cancelled is ``None`` on both paths; a partial cancel drops zeros."""
+    """Everything cancelled is ``None``, as in numpy; a partial cancel drops zeros."""
     keys = np.array([-0.0, 0.0, 1.0, np.nan, NEGATIVE_NAN])
     runs = [(keys, None), (keys, -np.arange(6, dtype=np.int64))]
-    assert native.merge(runs) is None and _numpy_merge(runs) is None
+    assert native.merge(runs) is None and reference_state.merge_sorted(runs) is None
     runs[1] = (keys[:2], -np.arange(3, dtype=np.int64))
     keys, cum = native.merge(runs)
     assert keys[0] == 1.0 and np.isnan(keys[1]) and cum.tolist() == [0, 1, 3]
-    assert keys.tobytes() == _numpy_merge(runs)[0].tobytes()
+    assert keys.tobytes() == reference_state.merge_sorted(runs)[0].tobytes()
 
 
-@needs_kernel
-def test_inputs_it_does_not_take_are_left_to_numpy():
-    """Other dtypes, strided arrays and out-of-range indices: ``False``, nothing written."""
+def test_inputs_it_does_not_take_raise():
+    """Other dtypes and sizes, strided arrays, out-of-range indices, a
+    read-only output: a ``TypeError`` / ``ValueError`` naming the input,
+    nothing written.  Read-only inputs are read."""
     run = np.arange(10.0)
     lows, highs = np.arange(4.0), np.arange(4.0) + 2
     out = np.full(1, -7, dtype=np.int64)
-    assert not native.count(run.astype(np.float32), None, lows, highs, None, out)
-    assert not native.count(run, None, lows.astype(np.int64), highs, None, out)
-    assert not native.count(run[::2], None, lows, highs, None, out)
-    assert not native.count(run, np.arange(10), lows, highs, None, out)  # cum too short
+    frozen_out = out.copy()
+    frozen_out.flags.writeable = False
+    refused = [
+        (TypeError, "run is float32", (run.astype(np.float32), None, lows, highs)),
+        (TypeError, "lows / highs are int64 / float64", (run, None, lows.astype(np.int64), highs)),
+        (ValueError, "4 lows but 3 highs", (run, None, lows, highs[:3])),
+        (ValueError, "run is not C-contiguous", (run[::2], None, lows, highs)),
+        (ValueError, "cum is 10 int64, not 11 int64", (run, np.arange(10), lows, highs)),
+    ]
+    for error, message, args in refused:
+        with pytest.raises(error, match=message):
+            native.count(*args, None, out)
+    with pytest.raises(TypeError, match="out is int32"):
+        native.count(run, None, lows, highs, None, out.astype(np.int32))
+    with pytest.raises(ValueError, match="out is read-only"):
+        native.count(run, None, lows, highs, None, frozen_out)
     assert out.tolist() == [-7]
 
     shares = local.segments(np.array([0, 2]), np.array([3, 4]))
     outs = np.full(2, -7, dtype=np.int64)
-    beyond = (shares, np.array([0, 4]), np.array([5, 11]))  # the run has 10 keys
-    assert not native.count(run, None, lows, highs, beyond, outs)
     stray = shares._replace(picked=shares.picked + 10)
-    assert not native.count(run, None, lows, highs, (stray, None, None), outs)
-    few = (shares, np.array([0]), np.array([5]))  # one clip for two segments
-    assert not native.count(run, None, lows, highs, few, outs)
-    assert not native.count(run, None, lows, highs, (shares, None, None), outs[:1])
-    assert not native.count(run, None, lows, highs, None, outs[:0])
+    refused = [
+        ("outside", (shares, np.array([0, 4]), np.array([5, 11])), outs),  # 10 keys
+        ("outside", (stray, None, None), outs),
+        ("need 2 entries each", (shares, np.array([0]), np.array([5])), outs),
+        ("1 entries for 2 segments", (shares, None, None), outs[:1]),
+        ("no entry for the task", None, outs[:0]),
+    ]
+    for message, clip, target in refused:
+        with pytest.raises(ValueError, match=message):
+            native.count(run, None, lows, highs, clip, target)
     assert outs.tolist() == [-7, -7]
 
-    assert native.merge([(run.astype(np.float32), None)]) is False
-    assert native.merge([(run, None), (run, np.arange(10))]) is False
+    with pytest.raises(TypeError, match="run keys are float32"):
+        native.merge([(run.astype(np.float32), None)])
+    with pytest.raises(TypeError, match="runs of float64 and int64 keys"):
+        native.merge([(run, None), (run.astype(np.int64), None)])
+    with pytest.raises(ValueError, match="cum is 10 int64, not 11 int64"):
+        native.merge([(run, None), (run, np.arange(10))])
+    with pytest.raises(ValueError, match="a run's keys or cum is not C-contiguous"):
+        native.merge([(run, None), (run[::2], None)])
+
+    read_only = [array.copy() for array in (run, lows, highs)]
+    for array in read_only:
+        array.flags.writeable = False
+    expected = np.zeros(1, dtype=np.int64)
+    reference_counting.count_task(run, None, lows, highs, None, expected)
+    native.count(read_only[0], None, *read_only[1:], None, out)
+    assert out.tolist() == expected.tolist()
+    runs = [(read_only[0], None), (run, -np.arange(11, dtype=np.int64))]
+    assert native.merge(runs) is None is reference_state.merge_sorted(runs)
 
 
-@needs_kernel
-def test_offers_it_does_not_take_are_left_to_offer_entries():
-    """Other dtypes, strided, short or read-only arrays, a bad size: ``None``, nothing written."""
+def test_offers_it_does_not_take_raise():
+    """Other dtypes and sizes, strided or short arrays, a bad size or counter,
+    a read-only heap: a ``TypeError`` / ``ValueError`` naming the input,
+    nothing written.  A read-only batch is read."""
     heap = (np.full(4, 7.0), np.full(4, 7, dtype=np.int64), np.full(4, 7.0))
     priorities, keys = np.arange(3.0), np.arange(3.0) + 10
-    assert native.offer(heap, 0, 4, 0, priorities.astype(np.float32), keys) is None
-    assert native.offer(heap, 0, 4, 0, priorities, keys.astype(np.int64)) is None
-    assert native.offer(heap, 0, 4, 0, priorities, np.arange(6.0)[::2]) is None
-    assert native.offer(heap, 0, 4, 0, priorities[:2], keys) is None
     short = tuple(column[:3] for column in heap)
-    assert native.offer(short, 1, 4, 0, priorities, keys) is None  # room for 3, not 4
-    assert native.offer(heap, 5, 4, 0, priorities[:0], keys[:0]) is None  # size > capacity
-    assert native.offer(heap, 0, 4, -1, priorities, keys) is None
     narrow = (heap[0], heap[1].astype(np.int32), heap[2])
-    assert native.offer(narrow, 0, 4, 0, priorities, keys) is None
     frozen = heap[0].copy()
     frozen.flags.writeable = False
-    assert native.offer((frozen, heap[1], heap[2]), 0, 4, 0, priorities, keys) is None
-    assert native.offer(heap, 0, 4, 0, priorities, np.frombuffer(keys.tobytes())) is None
+    refused = [
+        (TypeError, "priorities float32", (heap, 0, 4, 0, priorities.astype(np.float32), keys)),
+        (TypeError, "keys int64", (heap, 0, 4, 0, priorities, keys.astype(np.int64))),
+        (TypeError, "heap counters int32", (narrow, 0, 4, 0, priorities, keys)),
+        (ValueError, "keys is not C-contiguous", (heap, 0, 4, 0, priorities, np.arange(6.0)[::2])),
+        (ValueError, "2 priorities but 3 keys", (heap, 0, 4, 0, priorities[:2], keys)),
+        (ValueError, "no room for 4 entries", (short, 1, 4, 0, priorities, keys)),
+        (ValueError, "size 5, capacity 4, counter 0", (heap, 5, 4, 0, priorities[:0], keys[:0])),
+        (ValueError, "counter -5", (heap, 0, 4, -5, priorities, keys)),
+        (ValueError, "heap priorities is read-only", ((frozen, *heap[1:]), 0, 4, 0, priorities, keys)),
+    ]
+    for error, message, args in refused:
+        with pytest.raises(error, match=message):
+            native.offer(*args)
     assert [column.tolist() for column in heap] == [[7.0] * 4, [7] * 4, [7.0] * 4]
-    assert native.offer(heap, 0, 4, 5, priorities, keys) == 8
+    assert native.offer(heap, 0, 4, 5, priorities, np.frombuffer(keys.tobytes())) == 8
     assert heap[1][:3].tolist() == [5, 6, 7]
+    assert sorted(heap[2][:3].tolist()) == keys.tolist()
 
 
-@needs_kernel
-def test_a_batch_the_kernel_declines_leaves_the_same_heap():
-    """A read-only batch goes through ``offer_entries``, and the batches after
-    it with it, to the heap and generator state an all-kernel run leaves."""
+def test_a_batch_the_kernel_declines_leaves_the_same_heap(monkeypatch):
+    """A read-only batch -- a frozen copy, or ``np.frombuffer`` over bytes --
+    or a strided one is offered by the kernel as its writable, contiguous
+    twin is: the same heap arrays, generator state and pickle after it and
+    after the batches that follow, one kernel call per batch."""
     data = np.random.default_rng(0)
     batches = [data.integers(0, 50, 30).astype(np.float64) for _ in range(6)]
     frozen = batches[2].copy()
     frozen.flags.writeable = False
+    strided = np.repeat(batches[4], 2)[::2]
+    assert not strided.flags.c_contiguous
+    read_only = batches[:2] + [frozen, np.frombuffer(batches[3].tobytes()), strided, batches[5]]
+    offers = []
+    offer = native.offer
+
+    def counted(*args):
+        offers.append(args[-1].flags.writeable)
+        return offer(*args)
+
+    monkeypatch.setattr(native, "offer", counted)
     reservoirs, rngs = [], []
-    for keys in (batches, batches[:2] + [frozen] + batches[3:]):
+    for keys in (batches, read_only):
         reservoir, rng = incremental.DecayedReservoir(40, 0.8), np.random.default_rng(1)
         for batch_index, batch in enumerate(keys):
             reservoir.add_batch(batch, batch_index, rng)
         reservoirs.append(reservoir)
         rngs.append(rng.bit_generator.state)
-    assert reservoirs[1]._entries is not None  # the fallback held the heap
+    assert offers == [True] * 6 + [True, True, False, False, True, True]
     assert reservoirs[1].keys().tolist() == reservoirs[0].keys().tolist()
     assert rngs[0] == rngs[1]
     assert pickle.dumps(reservoirs[1]) == pickle.dumps(reservoirs[0])
 
 
-@needs_kernel
-def test_sweeps_it_does_not_take_are_left_to_numpy():
-    """Other dtypes, strided, F-ordered or read-only arrays, mismatched shapes,
-    fewer than one group: ``False``, nothing computed and nothing written."""
+def test_sweeps_it_does_not_take_raise():
+    """Other dtypes, strided or F-ordered arrays, mismatched shapes, fewer
+    than one group: a ``TypeError`` / ``ValueError`` naming the input,
+    nothing computed and nothing written.  A read-only input is read."""
     rng = np.random.default_rng(3)
     freq, cand = rng.random((6, 3)), np.ones((6, 3))
     row_input, col_input = rng.random(6), rng.random(3)
     inputs = (freq, cand, row_input, col_input)
     before = [array.copy() for array in inputs]
+    refused = [
+        (TypeError, "freq float32", (freq.astype(np.float32), cand, row_input, col_input)),
+        (TypeError, "cand int64", (freq, cand.astype(np.int64), row_input, col_input)),
+        (TypeError, "row_input int64", (freq, cand, row_input.astype(np.int64), col_input)),
+        (ValueError, "freq is not C-contiguous", (np.asfortranarray(freq), cand, row_input, col_input)),
+        (ValueError, "cand is not C-contiguous", (freq, np.ones((6, 6))[:, ::2], row_input, col_input)),
+        (ValueError, "row_input is not C-contiguous", (freq, cand, np.arange(12.0)[::2], col_input)),
+        (ValueError, "not one matrix", (freq, cand[:5], row_input, col_input)),
+        (ValueError, "do not fit", (freq, cand, row_input[:5], col_input)),
+        (ValueError, "do not fit", (freq, cand, row_input, col_input[:2])),
+        (ValueError, "not one matrix", (freq[0], cand[0], row_input[:1], col_input)),
+    ]
+    for error, message, arrays in refused:
+        with pytest.raises(error, match=message):
+            native.sweep_rows(*arrays, 1.0, 0.2, 5.0, 3)
+    with pytest.raises(ValueError, match="max_groups is 0"):
+        native.sweep_rows(*inputs, 1.0, 0.2, 5.0, 0)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, before))
+    expected = numpy_sweep_rows(*inputs, WeightFunction(1.0, 0.2), 5.0, 6).tolist()
+    assert native.sweep_rows(*inputs, 1.0, 0.2, 5.0, 6).tolist() == expected
     frozen = row_input.copy()
     frozen.flags.writeable = False
-    declined = [
-        (freq.astype(np.float32), cand, row_input, col_input),
-        (freq, cand.astype(np.int64), row_input, col_input),
-        (freq, cand, row_input.astype(np.int64), col_input),
-        (np.asfortranarray(freq), cand, row_input, col_input),
-        (freq, np.ones((6, 6))[:, ::2], row_input, col_input),
-        (freq, cand, np.arange(12.0)[::2], col_input),
-        (freq, cand, frozen, col_input),
-        (freq, cand[:5], row_input, col_input),
-        (freq, cand, row_input[:5], col_input),
-        (freq, cand, row_input, col_input[:2]),
-        (freq[0], cand[0], row_input[:1], col_input),
-    ]
-    for arrays in declined:
-        assert native.sweep_rows(*arrays, 1.0, 0.2, 5.0, 3) is False
-    assert native.sweep_rows(*inputs, 1.0, 0.2, 5.0, 0) is False
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, before))
-    taken = native.sweep_rows(*inputs, 1.0, 0.2, 5.0, 6)
-    expected = _sweep_rows(*inputs, WeightFunction(1.0, 0.2), 5.0, 6)
-    assert taken.tolist() == expected.tolist()
+    assert native.sweep_rows(freq, cand, frozen, col_input, 1.0, 0.2, 5.0, 6).tolist() == expected
 
 
-@needs_kernel
 def test_a_block_weight_rounds_twice_as_numpy_rounds_it():
     """The kernel is built with ``-ffp-contract=off``: fused into one
     multiply-add, ``w_i * input + w_o * freq`` would round once and land
@@ -301,71 +338,49 @@ def test_a_block_weight_rounds_twice_as_numpy_rounds_it():
     assert float(exact_input + Fraction(float(exact_output))) > threshold
     assert float(Fraction(float(exact_input)) + exact_output) > threshold
     args = (freq, cand, row_input, col_input)
-    assert _sweep_rows(*args, WeightFunction(w, w), threshold, 2).tolist() == [0, 2]
+    assert numpy_sweep_rows(*args, WeightFunction(w, w), threshold, 2).tolist() == [0, 2]
     assert native.sweep_rows(*args, w, w, threshold, 2).tolist() == [0, 2]
 
 
-def test_the_count_path_says_which_kernel_loaded():
-    """``COUNT_PATH`` is ``"native"`` exactly when the kernel loaded -- as it must
-    wherever the default C compiler exists -- and names the reason otherwise."""
-    assert (native.KERNEL is None) == native.COUNT_PATH.startswith("numpy: ")
-    assert native.KERNEL is not None or native.COUNT_PATH != "native"
-    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
-    if "CC" not in os.environ and shutil.which(compiler):
-        assert native.COUNT_PATH == "native"
+#: Imports the kernel in a fresh interpreter; prints the error's name and message.
+IMPORT_PROBE = (
+    "try:\n"
+    "    import repro.joins.native\n"
+    "except Exception as error:\n"
+    "    print(type(error).__name__, error)\n"
+    "else:\n"
+    "    print('loaded')\n"
+)
+
+
+def _import_kernel(package: Path, **environment: str) -> str:
+    """:data:`IMPORT_PROBE`'s output with ``package`` on the path."""
+    return subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE],
+        env={**os.environ, "PYTHONPATH": str(package), **environment},
+        capture_output=True, text=True, check=True,
+    ).stdout.strip()
 
 
 @pytest.mark.skipif(shutil.which("false") is None, reason="needs a `false` command")
-def test_without_a_compiler_numpy_counts_and_says_why():
-    """``CC=false``: the build fails, numpy counts, and ``COUNT_PATH`` names the reason."""
+def test_without_a_compiler_the_import_says_why(tmp_path):
+    """``CC=false``, or a compiler that fails: the import raises
+    ``KernelUnavailable`` with the compiler's argv, exit status and stderr."""
     source = Path(local.__file__).resolve().parents[2]
-    probe = (
-        "import numpy as np\n"
-        "from repro.joins import native\n"
-        "from repro.joins.local import count_join_output\n"
-        "from repro.joins.conditions import BandJoinCondition\n"
-        "print(native.COUNT_PATH)\n"
-        "print(count_join_output(np.arange(50.0), np.arange(50.0), BandJoinCondition(1.0)))\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(source), "CC": "false"},
-        capture_output=True, text=True, check=True,
-    )
-    path, output = result.stdout.splitlines()
-    assert path.startswith("numpy: ") and "false" in path
-    assert int(output) == 50 + 2 * 49
-
-
-def _count_span_args() -> "list[dict]":
-    """The ``incremental_count`` spans' arguments of a short traced stream."""
-    rng = np.random.default_rng(5)
-    tracer = Tracer(clock=TickClock())
-    engine = StreamingJoinEngine(
-        4, BandJoinCondition(beta=1.0), WeightFunction(1.0, 0.2),
-        policy=StaticEWHPolicy(), tracer=tracer, seed=5,
-    )
-    engine.start()
-    for index in range(20):
-        engine.process_batch(MicroBatch(index, *rng.integers(0, 50, (2, 40)).astype(float)))
-    engine.close()
-    return [span.args for span in tracer.spans if span.name == "incremental_count"]
-
-
-def test_a_trace_says_when_numpy_counted(monkeypatch):
-    """``count_path`` is on the count spans exactly when the kernel did not run."""
-    spans = _count_span_args()
-    assert spans and all("count_path" not in args for args in spans) == (
-        native.COUNT_PATH == "native"
-    )
-    monkeypatch.setattr(native, "KERNEL", None)
-    monkeypatch.setattr(native, "COUNT_PATH", "numpy: swapped out by the test")
-    spans = _count_span_args()
-    assert spans and all(args["count_path"] == native.COUNT_PATH for args in spans)
+    said = _import_kernel(source, CC="false")
+    assert said.startswith("KernelUnavailable ['false', '-O2', '-ffp-contract=off'")
+    assert "exited with status 1; stderr: (empty)" in said
+    compiler = tmp_path / "cc"
+    compiler.write_text("#!/bin/sh\necho 'cc: no such target' >&2\nexit 3\n")
+    compiler.chmod(0o755)
+    said = _import_kernel(source, CC=str(compiler))
+    assert said.startswith(f"KernelUnavailable ['{compiler}', '-O2'")
+    assert said.endswith("exited with status 3; stderr: cc: no such target")
 
 
 def test_a_world_writable_cache_is_refused(tmp_path):
-    """A library anyone could have planted is never loaded: numpy counts instead."""
+    """A library anyone could have planted is never loaded: the import
+    raises ``KernelUnavailable`` naming the cache, and nothing is built."""
     package = tmp_path / "src"
     shutil.copytree(
         Path(native.__file__).resolve().parents[1], package / "repro",
@@ -374,10 +389,6 @@ def test_a_world_writable_cache_is_refused(tmp_path):
     cache = package / "repro" / "joins" / "__pycache__"
     cache.mkdir()
     cache.chmod(0o777)
-    result = subprocess.run(
-        [sys.executable, "-c", "from repro.joins import native; print(native.COUNT_PATH)"],
-        env={**os.environ, "PYTHONPATH": str(package)},
-        capture_output=True, text=True, check=True,
-    )
-    assert result.stdout.startswith("numpy: OSError: ") and "world-writable" in result.stdout
+    said = _import_kernel(package)
+    assert said.startswith(f"KernelUnavailable {cache} is world-writable")
     assert not list(cache.iterdir())

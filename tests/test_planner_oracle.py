@@ -29,11 +29,12 @@ from reference_planner import (
     reference_m_bucket_regions,
     reference_monotonic_bsp,
     reference_regionalize,
+    numpy_sweep_rows,
     reference_sweep_rows,
 )
 
 from repro.core.bsp import bsp_partition
-from repro.core.coarsening import _sweep_rows, coarsen
+from repro.core.coarsening import coarsen
 from repro.core.grid import WeightedGrid, shrink_to_candidates
 from repro.core.monotonic_bsp import monotonic_bsp_partition
 from repro.core.region import GridRegion
@@ -379,6 +380,12 @@ def sweep_inputs(draw):
     return freq, cand, row_input, col_input
 
 
+def kernel_sweep(freq, cand, row_input, col_input, weight_fn, threshold, max_groups):
+    """``native.sweep_rows`` called with the reference sweeps' arguments."""
+    costs = (weight_fn.input_cost, weight_fn.output_cost, threshold, max_groups)
+    return native.sweep_rows(freq, cand, row_input, col_input, *costs)
+
+
 def block_weights(freq, cand, row_input, col_input, weight_fn, start, stop):
     """Candidate block weights of rows ``start..stop-1``, summed like the sweep does."""
     acc_freq, acc_input = freq[start].copy(), float(row_input[start])
@@ -403,7 +410,7 @@ def test_sweep_matches_the_row_loop(inputs, weight_fn, fraction, max_groups, dat
     candidates.extend(block_weights(freq, cand, row_input, col_input, weight_fn, start, stop))
     for threshold in candidates:
         args = (freq, cand, row_input, col_input, weight_fn, float(threshold), max_groups)
-        ours, reference = _sweep_rows(*args), reference_sweep_rows(*args)
+        ours, reference = kernel_sweep(*args), reference_sweep_rows(*args)
         if reference is None:
             assert ours is None
         else:
@@ -426,7 +433,7 @@ def test_sweep_runs_out_of_groups_exactly_when_the_row_loop_does():
     assert needed > 3
     for max_groups in (1, needed - 1, needed, needed + 1):
         args = (freq, cand, row_input, col_input, weight_fn, threshold, max_groups)
-        ours, reference = _sweep_rows(*args), reference_sweep_rows(*args)
+        ours, reference = kernel_sweep(*args), reference_sweep_rows(*args)
         assert (reference is None) == (max_groups < needed)
         assert (ours is None) == (reference is None)
         if reference is not None:
@@ -465,11 +472,10 @@ def met_weights(freq, cand, row_input, col_input, weight_fn, bounds) -> list:
        fraction=st.floats(0.0, 1.0), order=st.sampled_from("CF"), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_the_kernel_sweeps_as_numpy_and_the_row_loop_do(inputs, weight_fn, fraction, order, data):
-    """``native.sweep_rows`` == ``_sweep_rows`` == the row loop, boundary for
+    """``native.sweep_rows`` == the numpy sweep == the row loop, boundary for
     boundary and on running out of groups.  Thresholds are the exact block
     weights a sweep meets, so every ``>`` meets its tie; an F-ordered input
-    is declined, never read with the wrong strides.  Without the kernel
-    every input is declined."""
+    raises, never read with the wrong strides."""
     freq, cand, row_input, col_input = inputs
     rows = len(row_input)
     first = fraction * float(
@@ -484,15 +490,14 @@ def test_the_kernel_sweeps_as_numpy_and_the_row_loop_do(inputs, weight_fn, fract
     for threshold in thresholds:
         args = (row_input, col_input, weight_fn, float(threshold), max_groups)
         reference = reference_sweep_rows(freq, cand, *args)
-        ours = _sweep_rows(freq, cand, *args)
+        ours = numpy_sweep_rows(freq, cand, *args)
         costs = (weight_fn.input_cost, weight_fn.output_cost, float(threshold), max_groups)
-        swept = native.sweep_rows(*ordered, row_input, col_input, *costs)
-        if not ordered[0].flags.c_contiguous:
-            assert swept is False
+        if ordered[0].flags.c_contiguous:
+            swept = native.sweep_rows(*ordered, row_input, col_input, *costs)
+        else:
+            with pytest.raises(ValueError, match="not C-contiguous"):
+                native.sweep_rows(*ordered, row_input, col_input, *costs)
             swept = native.sweep_rows(freq, cand, row_input, col_input, *costs)
-        if native.KERNEL is None:
-            assert swept is False
-            swept = ours
         if reference is None:
             assert ours is None and swept is None
         else:

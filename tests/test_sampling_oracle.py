@@ -9,16 +9,11 @@ compiled kernel.  The rewrite must be invisible: equal outputs, equal heap
 *arrays* entry by entry (heap order feeds ``wor_to_wr``'s ``rng.choice`` and
 ``DecayedReservoir.keys()``), equal counters, and the generator left in the
 same state -- so every sample, plan and checkpoint downstream is unchanged.
-The reservoir is held to it on the kernel path and on the ``offer_entries``
-fallback, and ``tests/test_numpy_count_path.py`` collects its tests again
-with the kernel swapped out.  The first test pins the numpy fact the
-vectorised draw stands on.
+The first test pins the numpy fact the vectorised draw stands on.
 """
 
 from __future__ import annotations
 
-import pickle
-from contextlib import contextmanager, nullcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +25,6 @@ from streaming_harness import interpreter_calls
 
 import repro.core.histogram as histogram_module
 from repro.core.weights import WeightFunction
-from repro.joins import native
 from repro.joins.conditions import (
     BandJoinCondition,
     EquiJoinCondition,
@@ -51,8 +45,6 @@ from repro.sampling.stream_sample import (
 )
 from repro.streaming.incremental import DecayedReservoir, IncrementalHistogram
 from repro.streaming.source import MicroBatch
-
-needs_kernel = pytest.mark.skipif(native.KERNEL is None, reason=native.COUNT_PATH)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 conditions = st.sampled_from(
@@ -192,16 +184,8 @@ def test_add_with_priority_is_the_one_entry_form():
 
 
 # ----------------------------------------------------------------------
-# The stream histogram's reservoir: kernel or fallback, against the tuples
+# The stream histogram's reservoir: the kernel against the tuples
 # ----------------------------------------------------------------------
-@contextmanager
-def _numpy_path():
-    """The reservoir offers through ``offer_entries``, the kernel swapped out."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(native, "KERNEL", None)
-        yield
-
-
 def _bits(values) -> "list[int]":
     return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
 
@@ -227,29 +211,18 @@ def _reference_entries(reservoir: "reference.TupleReservoir") -> tuple:
 
 
 def _assert_offers_equal(make_rng, capacity, decay, batches) -> DecayedReservoir:
-    """Offer ``batches`` to a production reservoir on the path loaded, one
-    on the fallback path and the reference; compare after every batch.  A
-    second fallback reservoir is read only at the end, so its heap stays a
-    list of tuples from batch to batch."""
-    rngs = [make_rng() for _ in range(4)]
-    reservoirs = [DecayedReservoir(capacity, decay) for _ in range(3)]
+    """Offer ``batches`` to a production reservoir and to the reference;
+    compare after every batch."""
+    rng, reference_rng = make_rng(), make_rng()
+    reservoir = DecayedReservoir(capacity, decay)
     expected = reference.TupleReservoir(capacity, decay)
     for batch_index, keys in enumerate(batches):
-        reservoirs[0].add_batch(keys, batch_index, rngs[0])
-        with _numpy_path():
-            reservoirs[1].add_batch(keys, batch_index, rngs[1])
-            reservoirs[2].add_batch(keys, batch_index, rngs[2])
-        expected.add_batch(keys, batch_index, rngs[3])
-        for reservoir, rng in zip(reservoirs[:2], rngs):
-            assert _entries(reservoir) == _reference_entries(expected)
-            assert _same_state(rng, rngs[3])
-            assert _bits(reservoir.keys()) == _bits(expected.keys())
-    assert _same_state(rngs[2], rngs[3])
-    assert _bits(reservoirs[2].keys()) == _bits(expected.keys())
-    # A checkpoint pickles the same bytes whichever path filled the heap.
-    assert pickle.dumps(reservoirs[0]) == pickle.dumps(reservoirs[1])
-    assert pickle.dumps(reservoirs[2]) == pickle.dumps(reservoirs[1])
-    return reservoirs[0]
+        reservoir.add_batch(keys, batch_index, rng)
+        expected.add_batch(keys, batch_index, reference_rng)
+        assert _entries(reservoir) == _reference_entries(expected)
+        assert _same_state(rng, reference_rng)
+        assert _bits(reservoir.keys()) == _bits(expected.keys())
+    return reservoir
 
 
 reservoir_keys = st.lists(
@@ -274,7 +247,7 @@ def test_decayed_reservoir_add_batch_equals_the_per_key_loop(
     seed, capacity, decay, batches
 ):
     """Heap arrays (priority and key bits), counters, tuples seen and the
-    generator equal the reference's after every batch, on both paths."""
+    generator equal the reference's after every batch."""
     _assert_offers_equal(lambda: np.random.default_rng(seed), capacity, decay, batches)
 
 
@@ -304,33 +277,23 @@ def test_tied_priorities_break_by_counter(capacity, decay):
         assert np.unique(priorities).size < priorities.size  # ties were held
 
 
-@needs_kernel
 def test_observe_makes_the_same_calls_at_any_batch_size():
     """One kernel call per side: ``IncrementalHistogram.observe`` makes as
     many interpreter calls at 8,000 keys per side as at 1,000 (both
-    reservoirs full).  ``-s`` prints them, and the growing count of the
-    ``offer_entries`` fallback."""
+    reservoirs full).  ``-s`` prints them."""
     calls = {}
-    for path in ("kernel", "fallback"):
-        for per_side in (1_000, 8_000):
-            histogram = IncrementalHistogram(12, WeightFunction(1.0, 0.2))
-            rng, data = np.random.default_rng(0), np.random.default_rng(1)
-            batches = [
-                MicroBatch(index, *data.integers(0, 2_000, (2, per_side)).astype(np.float64))
-                for index in range(4)
-            ]
-            for batch in batches[:3]:
-                histogram.observe(batch, rng)
-            with _numpy_path() if path == "fallback" else nullcontext():
-                _, calls[path, per_side] = interpreter_calls(
-                    histogram.observe, batches[3], rng
-                )
-    print(
-        "observe: "
-        + ", ".join(f"{per:,} keys/side {calls[path, per]} calls ({path})"
-                    for path, per in calls)
-    )
-    assert calls["kernel", 1_000] == calls["kernel", 8_000]
+    for per_side in (1_000, 8_000):
+        histogram = IncrementalHistogram(12, WeightFunction(1.0, 0.2))
+        rng, data = np.random.default_rng(0), np.random.default_rng(1)
+        batches = [
+            MicroBatch(index, *data.integers(0, 2_000, (2, per_side)).astype(np.float64))
+            for index in range(4)
+        ]
+        for batch in batches[:3]:
+            histogram.observe(batch, rng)
+        _, calls[per_side] = interpreter_calls(histogram.observe, batches[3], rng)
+    print("observe: " + ", ".join(f"{per:,} keys/side {calls[per]} calls" for per in calls))
+    assert calls[1_000] == calls[8_000]
 
 
 # ----------------------------------------------------------------------

@@ -404,7 +404,7 @@ def test_a_steady_batch_stays_call_light():
                 frame.f_locals.get("self"), ArrivalLog
             ):
                 gathers += 1
-            elif name in ("argsort", "sort") and frame.f_back.f_code.co_name != "_merge_sorted":
+            elif name in ("argsort", "sort"):
                 sorts += 1
         elif event == "c_call":
             calls += 1
@@ -421,8 +421,8 @@ def test_a_steady_batch_stays_call_light():
         assert 1 <= bounds <= 2
         # The router sorts the keys of each side of the batch once, and of
         # each side's expired slice once, and hands out slices: the expired
-        # keys are the only thing gathered out of the logs, and the only
-        # other sorts are the state's run merges.
+        # keys are the only thing gathered out of the logs, and a run merge
+        # sorts nothing.
         assert gathers == 2
         assert sorts == 4
         route_sorts += sorts
@@ -431,7 +431,7 @@ def test_a_steady_batch_stays_call_light():
     print(
         f"steady route + count + evict stages: {calls / measured:.0f} calls per "
         f"batch over {tasks / measured:.1f} search tasks, {route_sorts / measured:.0f} "
-        "sorts outside run merges, 2 gathers from the arrival logs"
+        "sorts, 2 gathers from the arrival logs"
     )
     # A few runs per side, each searched once for every machine.
     assert 2 * measured <= tasks <= 4 * measured

@@ -14,8 +14,8 @@ of ties: one key only, fewer distinct keys than machines, ``-0.0`` beside
 ``0.0``, and int64 keys near 2**53.
 
 The second half is a call-count proxy for the speed-up: one steady batch
-and one migration make no stable sort outside the run merge
-(``_merge_sorted``, where timsort's run detection is what makes it fast).
+and one migration make no stable sort (a run merge sorts nothing: the
+compiled kernel merges the sorted runs in one pass).
 """
 
 from __future__ import annotations
@@ -228,14 +228,13 @@ def test_the_streams_repartition_and_hold_ties(monkeypatch):
 # No stable sort on unsorted arrivals
 # ----------------------------------------------------------------------
 def _argsorts_by_kind(monkeypatch) -> "dict[str, int]":
-    """Patch ``np.argsort`` and ``np.sort`` to count calls by ``kind``, run merges excluded."""
+    """Patch ``np.argsort`` and ``np.sort`` to count calls by ``kind``."""
     kinds: "dict[str, int]" = {}
 
     def counting(name, sort):
         def sorting(keys, *args, **kwargs):
-            if sys._getframe(1).f_code.co_name != "_merge_sorted":
-                kind = f"{name} {kwargs.get('kind', 'default')}"
-                kinds[kind] = kinds.get(kind, 0) + 1
+            kind = f"{name} {kwargs.get('kind', 'default')}"
+            kinds[kind] = kinds.get(kind, 0) + 1
             return sort(keys, *args, **kwargs)
 
         return sorting
@@ -248,7 +247,7 @@ def _argsorts_by_kind(monkeypatch) -> "dict[str, int]":
 def test_unsorted_arrivals_take_no_stable_sort(monkeypatch):
     """One steady batch and one migration: zero ``kind="stable"`` sorts.
 
-    Outside the run merge, a steady batch sorts the keys of each side's
+    A steady batch sorts the keys of each side's
     arrivals and of each side's expired slice once -- four default-kind
     ``np.sort`` calls: a key-range plan reads no arrival index -- and a
     migration argsorts each side's live history once, for the old plan's
