@@ -23,12 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.grid import WeightedGrid
 from repro.core.region import GridRegion
 from repro.core.tiling_tables import Rect, TilingTables
 from repro.core.weights import WeightFunction
 
-__all__ = ["BSPResult", "bsp_partition"]
+__all__ = ["BSPResult", "bsp_partition", "check_threshold"]
 
 #: Default refusal threshold on the grid side length for the baseline DP.
 DEFAULT_MAX_GRID_SIZE = 28
@@ -61,6 +63,12 @@ class BSPResult:
         return len(self.regions)
 
 
+def check_threshold(delta: float) -> None:
+    """Refuse a NaN ``delta``: nothing compares below it, so no cell is ever a leaf."""
+    if delta != delta:
+        raise ValueError(f"delta is {delta}: a tiling's threshold must be comparable")
+
+
 def bsp_partition(
     grid: WeightedGrid,
     weight_fn: WeightFunction,
@@ -79,15 +87,19 @@ def bsp_partition(
     ------
     ValueError
         If the grid's larger dimension exceeds ``max_grid_size`` (the
-        baseline is O(size^5); use MonotonicBSP instead).
+        baseline is O(size^5); use MonotonicBSP instead), or if ``delta`` is
+        NaN.
     """
+    check_threshold(delta)
     rows, cols = grid.shape
     if max(rows, cols) > max_grid_size:
         raise ValueError(
             f"baseline BSP refuses grids larger than {max_grid_size} per side "
             f"(got {rows}x{cols}); use monotonic_bsp_partition instead"
         )
-    tables = TilingTables(grid, weight_fn)
+    # Only shrink and weigh are read here: tables for no threshold below +inf
+    # split nothing, so their closure is the root alone.
+    tables = TilingTables(grid, weight_fn, float("inf"))
 
     # DP over all rectangles, processed in increasing semi-perimeter order so
     # the halves of any split are already solved.
@@ -99,6 +111,14 @@ def bsp_partition(
         for c2 in range(c1, cols)
     ]
     rectangles.sort(key=lambda r: (r[1] - r[0] + r[3] - r[2], r[1] - r[0]))
+    # Every rectangle's minimal candidate rectangle (a row of -1: none) and
+    # its weight, in one pass each.
+    shrunk = tables.shrink(np.array(rectangles, dtype=np.int64))
+    held = shrunk[:, 0] >= 0
+    weights = np.zeros(len(rectangles))
+    weights[held] = tables.weigh(shrunk[held])
+    minimal_of = dict(zip(rectangles, map(tuple, shrunk.tolist())))
+    weight_of = dict(zip(rectangles, weights.tolist()))
 
     counts: dict[Rect, int] = {}
     # The rectangles to cover in a rectangle's stead: its minimal candidate
@@ -106,23 +126,22 @@ def bsp_partition(
     # region itself or holds nothing to cover.
     plans: dict[Rect, tuple[Rect, ...]] = {}
     for rect in rectangles:
-        minimal_id = tables.shrink(rect)
-        if minimal_id < 0:
+        minimal = minimal_of[rect]
+        if minimal[0] < 0:
             counts[rect] = 0
             plans[rect] = ()
             continue
-        minimal = tables.rects[minimal_id]
         if minimal != rect:
             # Defer to the minimal candidate rectangle, which has a smaller
             # (or equal) semi-perimeter and is therefore already solved.
             counts[rect] = counts[minimal]
             plans[rect] = (minimal,)
             continue
-        if tables.leaf_thresholds[minimal_id] <= delta:
+        r1, r2, c1, c2 = rect
+        if (r1 == r2 and c1 == c2) or weight_of[rect] <= delta:
             counts[rect] = 1
             plans[rect] = ()
             continue
-        r1, r2, c1, c2 = rect
         halves = [((r1, row, c1, c2), (row + 1, r2, c1, c2)) for row in range(r1, r2)]
         halves += [((r1, r2, c1, col), (r1, r2, col + 1, c2)) for col in range(c1, c2)]
         best_count = 0  # none yet: every split costs at least two regions
@@ -132,18 +151,16 @@ def bsp_partition(
                 best_count, plans[rect] = total, (first, second)
         counts[rect] = best_count
 
-    leaves: list[int] = []
+    leaves: list[Rect] = []
     pending = [(0, rows - 1, 0, cols - 1)]
     while pending:
         rect = pending.pop()
         if plans[rect]:
             pending.extend(plans[rect])
         elif counts[rect]:
-            leaves.append(tables.shrink(rect))
+            leaves.append(rect)
     return BSPResult(
-        regions=[GridRegion(*tables.rects[leaf]) for leaf in leaves],
-        max_region_weight=float(
-            max((tables.weights[leaf] for leaf in leaves), default=0.0)
-        ),
+        regions=[GridRegion(*leaf) for leaf in leaves],
+        max_region_weight=float(max((weight_of[leaf] for leaf in leaves), default=0.0)),
         rectangles_evaluated=len(rectangles),
     )

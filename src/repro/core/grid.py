@@ -30,7 +30,7 @@ order that give the double cumsum's corner (C- and F-ordered arrays alike),
 so it is that corner bit for bit.  The tiling algorithms, which ask for the
 same rectangles again and again, keep their answers in a ``TilingTables``
 that lives for one regionalization and shrinks a rectangle of a monotone
-grid with four list lookups instead of that pass.
+grid with four lookups instead of that pass.
 
 Coarsening, regionalization and M-Bucket each look for the smallest weight
 threshold at which a greedy cover of a grid fits; :func:`smallest_feasible`
@@ -366,7 +366,7 @@ class WeightedGrid:
         over the per-row candidate spans of the region's rows
         (:func:`shrink_to_candidates`), right for any grid; nothing is
         cached.  The tiling tables answer the same question for a grid whose
-        spans move one way with list lookups of their own.
+        spans move one way with lookups of their own.
         """
         span_lo, span_hi = self._row_cand_spans
         minimal = shrink_to_candidates(

@@ -22,22 +22,27 @@ same dynamic program restricted to minimal candidate rectangles:
 
 Everything about a rectangle that does not depend on the threshold -- what
 it shrinks to, what it weighs, which halves its splits leave -- comes from a
-:class:`~repro.core.tiling_tables.TilingTables`, which answers each in O(1)
-per rectangle, the cost Lemma 3.5's O(n) bound assumes.  The DP itself only
-looks region counts up in lists indexed by rectangle id and adds them.  The
-top-down walk keeps its own stack, so its depth (at most rows + columns) is
-not bounded by the interpreter's recursion limit, which it never touches.
+:class:`~repro.core.tiling_tables.TilingTables`, which builds the closure of
+the child relation from the root once per grid, for every threshold from a
+least one on.  The DP at one threshold is
+then one call of the compiled kernel (:func:`repro.joins.native.tile`): it
+walks the child table with its own stack, so its depth (at most rows +
+columns) meets no recursion limit, compares each rectangle's leaf threshold
+with ``delta`` and adds region counts -- no float is formed in it.  Python
+reads the leaves off the counts it returns.  The pure-Python DP it replaced
+is the differential oracle in ``tests/reference_planner.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bsp import BSPResult
+from repro.core.bsp import BSPResult, check_threshold
 from repro.core.grid import WeightedGrid
 from repro.core.region import GridRegion
 from repro.core.tiling_tables import TilingTables
 from repro.core.weights import WeightFunction
+from repro.joins import native
 
 __all__ = ["enumerate_minimal_candidate_rectangles", "monotonic_bsp_partition"]
 
@@ -80,72 +85,31 @@ def monotonic_bsp_partition(
     its minimal candidate rectangle -- but the search space is restricted to
     minimal candidate rectangles, which is what makes the regionalization
     stage run in O(n) overall for monotonic joins (Lemma 3.5).
+
+    Raises
+    ------
+    ValueError
+        If ``delta`` is NaN: no rectangle, not even a single cell, is one
+        region at a threshold nothing compares below.
     """
-    return monotonic_bsp_tiling(TilingTables(grid, weight_fn), delta)
+    check_threshold(delta)
+    return monotonic_bsp_tiling(TilingTables(grid, weight_fn, delta), delta)
 
 
 def monotonic_bsp_tiling(tables: TilingTables, delta: float) -> BSPResult:
-    """:func:`monotonic_bsp_partition` over tables shared between thresholds."""
+    """:func:`monotonic_bsp_partition` over tables shared between thresholds.
+
+    ``delta`` must not be below the tables' ``least_delta``: a rectangle
+    one region there has no children in them.
+    """
+    if delta < tables.least_delta:
+        raise ValueError(f"delta {delta} is below the {tables.least_delta} the tables "
+                         "were built for")
     root = tables.root
     if root < 0:
         return BSPResult(regions=[], max_region_weight=0.0, rectangles_evaluated=0)
-    leaf_thresholds = tables.leaf_thresholds
     children = tables.children
-    num_rows, num_cols = tables.shape
-    unsplit = num_rows * num_cols + 1  # more regions than any split costs
-
-    # One frame per rectangle being split: [id, child list, next offset, best
-    # count so far, offset of the pair that achieved it].
-    stack: list[list] = []
-    if not leaf_thresholds[root] <= delta:
-        stack.append([root, children(root), 0, unsplit, 0])
-    # Indexed by rectangle id: the fewest regions covering it (0: unsolved)
-    # and, for a split rectangle, the offset of its best child pair.  Both
-    # grow when a child list brings rectangles the tables had not met.
-    counts = [0] * len(leaf_thresholds)
-    splits = [0] * len(leaf_thresholds)
-    if not stack:
-        counts[root] = 1
-    while stack:
-        frame = stack[-1]
-        rect, pairs, offset, best, best_offset = frame
-        unsolved = -1
-        end = len(pairs)
-        while offset < end:
-            first, second = pairs[offset], pairs[offset + 1]
-            first_count = counts[first]
-            if not first_count:
-                if not leaf_thresholds[first] <= delta:
-                    unsolved = first
-                    break
-                counts[first] = first_count = 1
-            second_count = counts[second]
-            if not second_count:
-                if not leaf_thresholds[second] <= delta:
-                    unsolved = second
-                    break
-                counts[second] = second_count = 1
-            total = first_count + second_count
-            if total < best:
-                best, best_offset = total, offset
-                # Both halves of a split hold candidates, so no split costs
-                # fewer than two regions -- stop at the first that does.
-                if best == 2:
-                    break
-            offset += 2
-        if unsolved >= 0:
-            # Solve the half first, then resume this rectangle at this pair.
-            frame[2:] = offset, best, best_offset
-            stack.append([unsolved, children(unsolved), 0, unsplit, 0])
-            if len(counts) < len(leaf_thresholds):
-                grown = [0] * (len(leaf_thresholds) - len(counts))
-                counts += grown
-                splits += grown
-            continue
-        counts[rect] = best
-        splits[rect] = best_offset
-        stack.pop()
-
+    counts, splits = native.tile(tables.offsets, children, tables.leaf_thresholds, root, delta)
     leaves: list[int] = []
     pending = [root]
     while pending:
@@ -153,10 +117,10 @@ def monotonic_bsp_tiling(tables: TilingTables, delta: float) -> BSPResult:
         if counts[rect] == 1:
             leaves.append(rect)
         else:
-            best_offset = splits[rect]
-            pending.extend(children(rect)[best_offset : best_offset + 2])
+            best = splits[rect]
+            pending += children[best], children[best + 1]
     return BSPResult(
-        regions=[GridRegion(*tables.rects[leaf]) for leaf in leaves],
-        max_region_weight=float(max(tables.weights[leaf] for leaf in leaves)),
-        rectangles_evaluated=len(counts) - counts.count(0),
+        regions=[GridRegion(*rect) for rect in tables.rects[leaves].tolist()],
+        max_region_weight=max(tables.weights[leaves].tolist()),
+        rectangles_evaluated=int(np.count_nonzero(counts)),
     )

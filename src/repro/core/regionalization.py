@@ -13,10 +13,14 @@ J regions, starting from the natural lower bound
 everything with a single region.
 
 Every step of the search tiles the same grid, and what a rectangle shrinks
-to, weighs and splits into does not depend on the threshold; one
-:class:`~repro.core.tiling_tables.TilingTables` is built per call and handed
-to every step, then dropped.  The baseline BSP solves the same dual problem
-on small grids only; Table III reaches it through
+to, weighs and splits into does not depend on the threshold.  So one
+:class:`~repro.core.tiling_tables.TilingTables` is built per call, for
+every threshold from the lower bound on -- the closure of the child
+relation from the root, a round of rectangles per call of the compiled
+kernel, each round weighed in one numpy pass -- and every step is one more
+kernel call (:func:`repro.joins.native.tile`) over that child table, then
+the tables are dropped.  The baseline BSP solves the same dual problem on small
+grids only; Table III reaches it through
 :func:`~repro.core.bsp.bsp_partition`.
 """
 
@@ -95,8 +99,8 @@ def regionalize(
         grid.max_cell_weight(weight_fn, candidates_only=True),
         total_weight / num_machines,
     )
-    tables = TilingTables(grid, weight_fn)
-    upper = max(tables.weights[tables.root], lower)
+    tables = TilingTables(grid, weight_fn, lower)  # every step's delta is >= lower
+    upper = max(float(tables.weights[tables.root]), lower)
 
     def feasible(delta: float) -> BSPResult | None:
         tiling = monotonic_bsp_tiling(tables, delta)

@@ -7,54 +7,61 @@ threshold ``delta``.  Three things a tiling step needs do not depend on
 
 * the **minimal candidate rectangle** a rectangle shrinks to,
 * a minimal rectangle's **weight**, and
-* a minimal rectangle's **child list** -- the shrunk halves of every
+* a minimal rectangle's **children** -- the shrunk halves of every
   horizontal split (top to bottom) followed by every vertical split (left to
   right), which is the order the dynamic programs try splits in and
   therefore the order that breaks ties between equally good ones.
 
-:class:`TilingTables` answers each of them in O(1), the cost per rectangle
-Lemma 3.5's O(n) bound for the stage assumes.  A monotonic join's candidate
-rows have column spans whose two ends both move right down the grid, or both
-move left (:meth:`WeightedGrid.span_direction`); the tables work on spans
-that move right, mirroring the columns of a grid whose spans move left.
-Four lists built once per grid then shrink any rectangle: per row, the
-position of the next candidate row at or below it and of the previous one at
-or above it; per column, the first position whose span ends at or after it
-and the last whose span starts at or before it.  The rows a rectangle keeps
-run from the larger of its two "first" lookups to the smaller of its two
-"last" ones, and its columns are clipped by the first row's span start and
-the last row's span end.  The halves of a split of a minimal rectangle need
-one such lookup each, so a child list is built in closed form, with no shrink
-of the halves and no memo of un-shrunk rectangles.
+A monotonic join's candidate rows have column spans whose two ends both move
+right down the grid, or both move left (:meth:`WeightedGrid.span_direction`);
+the tables work on spans that move right, mirroring the columns of a grid
+whose spans move left.  Four lookups built once per grid then shrink any
+rectangle in O(1), the cost per rectangle Lemma 3.5's O(n) bound for the
+stage assumes: per row, the position of the next candidate row at or below
+it and of the previous one at or above it; per column, the first position
+whose span ends at or after it and the last whose span starts at or before
+it.  The rows a rectangle keeps run from the larger of its two "first"
+lookups to the smaller of its two "last" ones, and its columns are clipped
+by the first row's span start and the last row's span end.  The halves of a
+split of a minimal rectangle need one such lookup each, so children come in
+closed form, with no shrink of the halves.
 
-Weights and child lists are computed on first use and kept, so the first
-step of a binary search pays for the rectangles it visits and every later
-step is list lookups and integer adds.  Rectangles are plain
-``(row_lo, row_hi, col_lo, col_hi)`` tuples; every *minimal* rectangle met
-gets a dense integer id -- the id table holds minimal rectangles only -- and
-weights and child lists are Python lists indexed by that id (a
-:class:`~repro.core.region.GridRegion` is built only for the regions a
-tiling returns).  The prefix sums and per-row candidate spans are the grid's
-own arrays, which the grid builds on this first read, copied to Python
-lists: a float taken out of a list is the same IEEE double numpy held, and
-list indexing is several times cheaper than numpy scalar indexing.
-:meth:`WeightedGrid.minimal_candidate_rectangle` keeps its own pass over a
-rectangle's rows for queries on arbitrary grids;
-``tests/test_planner_oracle.py`` holds the two to the same answer on every
-sub-rectangle of span-monotone grids.
+:class:`TilingTables` builds all of it once, on construction, for every
+threshold from a least one on (a regionalization's lower bound, where its
+search starts):
+
+* **the closure** -- every minimal rectangle reachable from the whole
+  grid's by splitting rectangles heavier than the least threshold, and a
+  CSR table of their children -- built by the compiled kernel
+  (:func:`repro.joins.native.closure`: integers only, ids from an
+  open-addressed table in C) one round of new rectangles at a time, three
+  to five rounds on a coarse grid, and
+* **the weights** of each round's rectangles in one numpy pass, which say
+  which of them split in the next round.
+
+A rectangle no heavier than the least threshold is one region at every
+threshold the tables serve, so it needs no children: without that cut the
+closure of a single 600-cell row would hold all 180K of its intervals'
+children (about 72M entries), where the search needs those of 600.  A tiling
+step is then one kernel call (:func:`repro.joins.native.tile`), which reads
+nothing but the child table and the leaf thresholds.
 
 **The float order is a contract.**  A rectangle's weight is
 ``weight_fn.weight(rows + cols, output)`` with ``rows``, ``cols`` and
-``output`` formed from the same prefix sums, by the same subtractions in the
-same order, as :meth:`WeightedGrid.region_input` and
-:meth:`WeightedGrid.region_output`.  The binary search compares these weights
-with ``delta`` and returns one of them as the plan's estimated maximum, so a
-reassociated sum would move a region boundary on some input and a committed
-golden with it.  ``tests/test_planner_oracle.py`` holds the tables to the
-grid's public methods and to the pre-tables implementation, bit for bit.
+``output`` formed from the grid's prefix sums by the same subtractions in
+the same order as :meth:`WeightedGrid.region_input` and
+:meth:`WeightedGrid.region_output`, element by element.  The binary search
+compares these weights with ``delta`` and returns one of them as the plan's
+estimated maximum, so a reassociated sum would move a region boundary on
+some input and a committed golden with it.  ``tests/test_planner_oracle.py``
+holds the tables to the grid's public methods and the kernel's tilings to
+the Python DP they replaced (``tests/reference_planner.py``), bit for bit.
 
-A ``TilingTables`` belongs to one ``regionalize`` (or one stand-alone tiling)
-call and dies with it; the grid keeps only its prefix sums and spans.
+:meth:`TilingTables.shrink` answers the same lookups for any rectangles;
+only the baseline BSP (:mod:`repro.core.bsp`), which tiles every rectangle
+of the grid, asks for it.  A ``TilingTables`` belongs to one
+``regionalize`` (or one stand-alone tiling) call and dies with it; the grid
+keeps only its prefix sums and spans.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ import numpy as np
 
 from repro.core.grid import WeightedGrid
 from repro.core.weights import WeightFunction
+from repro.joins import native
 
 __all__ = ["Rect", "TilingTables"]
 
@@ -71,23 +79,34 @@ Rect = tuple[int, int, int, int]
 
 
 class TilingTables:
-    """Lazily filled weight / child-list tables of one weighted grid.
+    """The closure of one weighted grid's minimal rectangles, weighed.
 
     Attributes
     ----------
     shape:
         ``(num_rows, num_cols)`` of the grid.
     rects:
-        ``rects[i]`` is the minimal candidate rectangle with id ``i``.
+        ``rects[i]`` is the minimal candidate rectangle with id ``i``
+        (int64, one row of ``(row_lo, row_hi, col_lo, col_hi)`` each).
     weights:
         ``weights[i]`` is its weight under the tables' weight function.
     leaf_thresholds:
         The smallest ``delta`` at which rectangle ``i`` needs no split: its
         weight, or ``-inf`` for a single cell (which cannot be split, so it
         is one region however heavy).
+    offsets, children:
+        Rectangle ``i``'s children are ``children[offsets[i]:offsets[i + 1]]``,
+        ``[first_0, second_0, first_1, second_1, ...]``: the halves of each
+        split, horizontal splits from the top, then vertical splits from
+        the left; none for a rectangle one region at ``least_delta``.  Both
+        halves of a split of a minimal rectangle hold candidates (its
+        boundary rows and columns do), so every entry is a valid id.
     root:
-        Id of the whole grid's minimal candidate rectangle, ``-1`` when the
-        grid has no candidate cell.
+        Id of the whole grid's minimal candidate rectangle (0), ``-1`` when
+        the grid has no candidate cell.
+    least_delta:
+        The least threshold the tables serve: a rectangle whose leaf
+        threshold is no higher has no children.
 
     Raises
     ------
@@ -97,15 +116,12 @@ class TilingTables:
         below, hold only for a monotonic join's grid.
     """
 
-    def __init__(self, grid: WeightedGrid, weight_fn: WeightFunction) -> None:
+    def __init__(self, grid: WeightedGrid, weight_fn: WeightFunction, least_delta: float) -> None:
         self.shape = num_rows, num_cols = grid.shape
-        self._weight = weight_fn.weight
-        self._freq_prefix: list[list[float]] = grid._freq_prefix.tolist()
-        self._row_prefix: list[float] = grid._row_prefix.tolist()
-        self._col_prefix: list[float] = grid._col_prefix.tolist()
+        self._grid, self._weight_fn = grid, weight_fn
         # Descending spans are ascending in mirrored columns: the tables work
         # on column ``num_cols - 1 - c`` in their stead and mirror a
-        # rectangle back when they weigh it or hand it out.
+        # rectangle back before they weigh it or hand it out.
         self._mirrored = grid.span_direction() < 0
         span_lo, span_hi = grid._row_cand_spans
         rows = np.flatnonzero(span_lo >= 0)
@@ -113,28 +129,59 @@ class TilingTables:
         if self._mirrored:
             lo, hi = num_cols - 1 - hi, num_cols - 1 - lo
         every_row, every_col = np.arange(num_rows), np.arange(num_cols)
-        # The candidate rows by position, with their (ascending) spans.
-        self._rows: list[int] = rows.tolist()
-        self._lo: list[int] = lo.tolist()
-        self._hi: list[int] = hi.tolist()
-        # Per row: the position of the first candidate row at or below it
-        # and of the last at or above it.
-        self._next: list[int] = np.searchsorted(rows, every_row).tolist()
-        self._prev: list[int] = (np.searchsorted(rows, every_row, side="right") - 1).tolist()
-        # Per column: the first position whose span ends at or after it and
-        # the last whose span starts at or before it.
-        self._first: list[int] = np.searchsorted(hi, every_col).tolist()
-        self._last: list[int] = (np.searchsorted(lo, every_col, side="right") - 1).tolist()
-        self.rects: list[Rect] = []
-        self.weights: list[float] = []
-        self.leaf_thresholds: list[float] = []
-        self._keys: list[Rect] = []  # rects[i] in the tables' own columns
-        self._children: list[list[int] | None] = []
-        self._ids: dict[Rect, int] = {}
-        self.root = self.shrink((0, num_rows - 1, 0, num_cols - 1)) if self._rows else -1
+        # The candidate rows by position, with their (ascending) spans; per
+        # row, the position of the first candidate row at or below it and of
+        # the last at or above it; per column, the first position whose span
+        # ends at or after it and the last whose span starts at or before it.
+        self._lookups = (
+            rows, lo, hi,
+            np.searchsorted(rows, every_row),
+            np.searchsorted(rows, every_row, side="right") - 1,
+            np.searchsorted(hi, every_col),
+            np.searchsorted(lo, every_col, side="right") - 1,
+        )
+        # Each round of the closure weighs the rectangles it met, and those
+        # that are one region at every threshold from ``least_delta`` on get
+        # no children.
+        weighed: list[tuple[np.ndarray, np.ndarray]] = [(np.empty(0), np.empty(0))]
 
-    def shrink(self, rect: Rect) -> int:
-        """Id of the minimal candidate rectangle of ``rect`` (-1: no candidates).
+        def split(keys: np.ndarray) -> np.ndarray:
+            rects = self._unmirror(keys)
+            weights = self.weigh(rects)
+            single_cell = (rects[:, 0] == rects[:, 1]) & (rects[:, 2] == rects[:, 3])
+            thresholds = np.where(single_cell, -np.inf, weights)
+            weighed.append((weights, thresholds))
+            return thresholds > least_delta
+
+        keys, self.offsets, self.children = native.closure(*self._lookups, self._mirrored, split)
+        self.rects = self._unmirror(keys)
+        self.weights, self.leaf_thresholds = map(np.concatenate, zip(*weighed))
+        self.least_delta = least_delta
+        self.root = 0 if len(keys) else -1
+
+    def _unmirror(self, keys: np.ndarray) -> np.ndarray:
+        """Rectangles in the tables' columns, in the grid's (int64 rows of four)."""
+        if not self._mirrored:
+            return keys
+        rects = keys.copy()
+        rects[:, 2:] = self.shape[1] - 1 - keys[:, 3:1:-1]
+        return rects
+
+    def weigh(self, rects: np.ndarray) -> np.ndarray:
+        """The weights of rectangles given as int64 rows of four, in one pass."""
+        grid = self._grid
+        row_lo, row_hi, col_lo, col_hi = rects.T
+        row_prefix, col_prefix, freq_prefix = grid._row_prefix, grid._col_prefix, grid._freq_prefix
+        rows = row_prefix[row_hi + 1] - row_prefix[row_lo]
+        cols = col_prefix[col_hi + 1] - col_prefix[col_lo]
+        output = (
+            freq_prefix[row_hi + 1, col_hi + 1] - freq_prefix[row_lo, col_hi + 1]
+            - freq_prefix[row_hi + 1, col_lo] + freq_prefix[row_lo, col_lo]
+        )
+        return self._weight_fn.weight(rows + cols, output)
+
+    def shrink(self, rects: np.ndarray) -> np.ndarray:
+        """The minimal candidate rectangles of int64 rows of four; ``-1`` rows hold none.
 
         The candidate rows reaching into columns ``col_lo..col_hi`` are a
         run of positions: ascending spans end at or after ``col_lo`` from
@@ -142,92 +189,18 @@ class TilingTables:
         position.  The run's first row starts the leftmost span, its last
         row ends the rightmost.
         """
-        row_lo, row_hi, col_lo, col_hi = rect
+        rows, lo, hi, below, above, first_end, last_start = self._lookups
+        row_lo, row_hi, col_lo, col_hi = rects.T
         if self._mirrored:
             mirror = self.shape[1] - 1
             col_lo, col_hi = mirror - col_hi, mirror - col_lo
-        first = max(self._next[row_lo], self._first[col_lo])
-        last = min(self._prev[row_hi], self._last[col_hi])
-        if first > last:
-            return -1
-        key = (self._rows[first], self._rows[last],
-               max(self._lo[first], col_lo), min(self._hi[last], col_hi))
-        rect_id = self._ids.get(key)
-        return self._weigh(key) if rect_id is None else rect_id
-
-    def _weigh(self, key: Rect) -> int:
-        """Give a minimal rectangle met for the first time its id and weight."""
-        row_lo, row_hi, col_lo, col_hi = key
-        if self._mirrored:
-            mirror = self.shape[1] - 1
-            col_lo, col_hi = mirror - col_hi, mirror - col_lo
-        rows = self._row_prefix[row_hi + 1] - self._row_prefix[row_lo]
-        cols = self._col_prefix[col_hi + 1] - self._col_prefix[col_lo]
-        above, through = self._freq_prefix[row_lo], self._freq_prefix[row_hi + 1]
-        output = (
-            through[col_hi + 1] - above[col_hi + 1] - through[col_lo] + above[col_lo]
-        )
-        weight = self._weight(rows + cols, output)
-        single_cell = row_lo == row_hi and col_lo == col_hi
-        rect_id = self._ids[key] = len(self.rects)
-        self.rects.append((row_lo, row_hi, col_lo, col_hi))
-        self._keys.append(key)
-        self.weights.append(weight)
-        self.leaf_thresholds.append(float("-inf") if single_cell else weight)
-        self._children.append(None)
-        return rect_id
-
-    def children(self, rect_id: int) -> list[int]:
-        """Shrunk halves of every split of rectangle ``rect_id``, as a flat list.
-
-        ``[first_0, second_0, first_1, second_1, ...]``: horizontal splits
-        from the top, then vertical splits from the left.  Both halves of a
-        split of a minimal rectangle hold candidates (its boundary rows and
-        columns do), so every entry is a valid id.
-
-        In the tables' columns a half is its rectangle with one row end and
-        one column end moved, each read off one lookup.  Above a horizontal
-        cut the rows end at the last candidate row above it, whose span end
-        clips the right column; below it they start at the first candidate
-        row below it, whose span start clips the left column.  Left of a
-        vertical cut the rows end at the last one whose span starts left of
-        the cut, right of it they start at the first whose span ends right
-        of it.
-        """
-        children = self._children[rect_id]
-        if children is None:
-            row_lo, row_hi, col_lo, col_hi = self._keys[rect_id]
-            rows, lo, hi = self._rows, self._lo, self._hi
-            below, above, first, last = self._next, self._prev, self._first, self._last
-            top, bottom = below[row_lo], above[row_hi]
-            ids, weigh = self._ids, self._weigh
-            children = []
-            for row in range(row_lo, row_hi):
-                end, start = above[row], below[row + 1]
-                end_hi, start_lo = hi[end], lo[start]
-                for half in ((row_lo, rows[end], col_lo,
-                              end_hi if end_hi < col_hi else col_hi),
-                             (rows[start], row_hi,
-                              start_lo if start_lo > col_lo else col_lo, col_hi)):
-                    half_id = ids.get(half)
-                    children.append(weigh(half) if half_id is None else half_id)
-            cuts = []
-            for col in range(col_lo, col_hi):
-                end, start = last[col], first[col + 1]
-                if end > bottom:
-                    end = bottom
-                if start < top:
-                    start = top
-                end_hi, start_lo = hi[end], lo[start]
-                for half in ((row_lo, rows[end], col_lo, end_hi if end_hi < col else col),
-                             (rows[start], row_hi,
-                              start_lo if start_lo > col + 1 else col + 1, col_hi)):
-                    half_id = ids.get(half)
-                    cuts.append(weigh(half) if half_id is None else half_id)
-            if self._mirrored:
-                # Mirrored columns cut from the right, and a pair's left half
-                # is the grid's right one.
-                cuts.reverse()
-            children += cuts
-            self._children[rect_id] = children
-        return children
+        first = np.maximum(below[row_lo], first_end[col_lo])
+        last = np.minimum(above[row_hi], last_start[col_hi])
+        held = first <= last
+        first, last = first[held], last[held]
+        minimal = np.full((len(rects), 4), -1, dtype=np.int64)
+        minimal[held] = self._unmirror(np.stack([
+            rows[first], rows[last],
+            np.maximum(lo[first], col_lo[held]), np.minimum(hi[last], col_hi[held]),
+        ], axis=1))
+        return minimal

@@ -1,6 +1,6 @@
 /*
- * The kernel's four inner loops, compiled on first use by
- * repro/joins/native.py and called through ctypes.
+ * The kernel's inner loops, compiled on first use by repro/joins/native.py
+ * and called through ctypes.
  *
  * count_<t>  searches one ascending run for every needle's joinable bounds
  *            (numpy's searchsorted, side "left" for the low bound and
@@ -15,6 +15,11 @@
  * sweep_rows groups consecutive rows of a column-aggregated sample matrix
  *            so that no candidate block outweighs a threshold: one greedy
  *            sweep of repro.core.coarsening's per-axis threshold search.
+ * closure    builds every minimal candidate rectangle MonotonicBSP can
+ *            reach from a grid's root, with its child pairs: once per
+ *            repro.core.tiling_tables.TilingTables.
+ * tile       runs MonotonicBSP's dynamic program over that closure at one
+ *            threshold: once per probe of regionalization's search.
  *
  * <t> is f64 (double keys) or i64 (int64_t keys); one macro below writes
  * both.  Every result equals the numpy reference (kept in the test harness,
@@ -29,9 +34,12 @@
  * do.  Every index read from an input is checked against the array it
  * indexes before anything is written: an out-of-range one makes count_<t>
  * return nonzero having read nothing out of bounds and written nothing, and
- * the caller raises.
+ * the caller raises.  closure and tile check each index as they read it,
+ * and return -2 at the first one out of range.
  *
- * sweep_rows is the kernel's one floating-point arithmetic, and it must
+ * sweep_rows is the kernel's one floating-point arithmetic (closure is
+ * integers only, and tile only compares a rectangle's leaf threshold with
+ * delta; the weights are numpy's, summed before the call), and it must
  * round as numpy does: every product and sum once, in numpy's order.  So
  * the library is built with -ffp-contract=off.  Otherwise a compiler for a
  * target with fused multiply-add (aarch64, x86-64 with -mfma) may fuse
@@ -500,4 +508,377 @@ int64_t sweep_rows(const double *freq, const double *cand,
     out[m++] = rows;
     free(sums);
     return m;
+}
+
+/*
+ * One round of the closure of MonotonicBSP's child relation: the minimal
+ * candidate rectangles reachable from the whole grid's by splitting the
+ * rectangles that need it, with their children.  The tables are
+ * repro.core.tiling_tables.TilingTables' lookups, in its own
+ * (ascending-span) columns: rows/lo/hi hold the `candidates` candidate rows
+ * by position with their spans; per grid row, below[r] is the first
+ * position at or below it and above[r] the last at or above it; per column,
+ * first[c] is the first position whose span ends at or after c and last[c]
+ * the last whose span starts at or before it.
+ *
+ * A rectangle is four int64s (row_lo, row_hi, col_lo, col_hi), given ids in
+ * the order they are met; keys[0:count) are those met so far.  With count
+ * 0 the round meets the root -- the whole grid shrunk -- as id 0 (or
+ * nothing, without a candidate row).  Otherwise it gives each rectangle i
+ * of [start, count) for which split[i - start] is set its children, in id
+ * order, and none to the others: children[offsets[i]:offsets[i + 1]], one
+ * pair per split, each half shrunk, horizontal cuts from the top, then
+ * vertical cuts from the left -- the vertical part reversed, entry by
+ * entry, when `mirrored` (columns cut from the grid's right, and a pair's
+ * first half is the grid's right one).  That is the order the DP tries
+ * splits in, and so the order that breaks ties between equally good ones.
+ * A half met for the first time takes the next id; the next round decides
+ * whether it splits.  Integers only: which rectangles split is the
+ * caller's to weigh.
+ *
+ * keys has room for rect_room rectangles (4 each) and offsets for rect_room
+ * + 1 entries; children holds `entries` entries, offsets[start] == entries,
+ * and has room for child_room.  Returns 0 with sizes[0] the new count and
+ * sizes[1] the new entries, 1 when keys ran out of room and 2 when children
+ * did (keys[0:count), offsets[0:start + 1] and children[0:entries) are as
+ * they were: grow the full one and call again), -1 when scratch memory
+ * could not be had, or -2 when a lookup points outside the table it
+ * indexes (the tables are not a monotone grid's).
+ */
+
+/* The open-addressed id table.  A rectangle's key packs its four
+ * coordinates, 16 bits each (closure refuses a larger grid); a slot holds a
+ * key and its id, or id -1 when empty.  At most half the slots are full. */
+typedef struct {
+    uint64_t key;
+    int64_t id;
+} Slot;
+
+typedef struct {
+    int64_t *keys;   /* the caller's: 4 coordinates per rectangle, by id */
+    int64_t count;   /* rectangles met */
+    int64_t room;    /* rectangles keys has room for */
+    Slot *slots;
+    uint64_t mask;   /* the number of slots - 1 */
+} Rects;
+
+static uint64_t pack(const int64_t *key)
+{
+    return (uint64_t)key[0] | (uint64_t)key[1] << 16 | (uint64_t)key[2] << 32
+           | (uint64_t)key[3] << 48;
+}
+
+static Slot *slot_of(Slot *slots, uint64_t mask, uint64_t key)
+{
+    /* splitmix64's finalizer: every key bit moves every slot bit. */
+    uint64_t at = (key ^ key >> 30) * 0xbf58476d1ce4e5b9u;
+    at = (at ^ at >> 27) * 0x94d049bb133111ebu;
+    at = (at ^ at >> 31) & mask;
+    while (slots[at].id >= 0 && slots[at].key != key)
+        at = (at + 1) & mask;
+    return slots + at;
+}
+
+/* Give the table mask + 1 slots, holding keys[0:count).  0, or -1 when
+ * the memory could not be had. */
+static int rects_slot(Rects *rects, uint64_t mask)
+{
+    int64_t id;
+    Slot *slots = malloc(((size_t)mask + 1) * sizeof *slots);
+    if (!slots)
+        return -1;
+    memset(slots, 0xff, ((size_t)mask + 1) * sizeof *slots);
+    for (id = 0; id < rects->count; id++) {
+        uint64_t key = pack(rects->keys + 4 * id);
+        Slot *slot = slot_of(slots, mask, key);
+        slot->key = key;
+        slot->id = id;
+    }
+    free(rects->slots);
+    rects->slots = slots;
+    rects->mask = mask;
+    return 0;
+}
+
+/* The id of rectangle (a, b, c, d), giving it the next one if it is new:
+ * -1 when keys has no room for it, -2 when the table could not grow. */
+static int64_t rect_id(Rects *rects, int64_t a, int64_t b, int64_t c, int64_t d)
+{
+    int64_t *held, key[4];
+    uint64_t packed;
+    Slot *slot;
+    key[0] = a;
+    key[1] = b;
+    key[2] = c;
+    key[3] = d;
+    packed = pack(key);
+    slot = slot_of(rects->slots, rects->mask, packed);
+    if (slot->id >= 0)
+        return slot->id;
+    if (rects->count == rects->room)
+        return -1;
+    if (2 * (uint64_t)(rects->count + 1) > rects->mask + 1) {
+        if (rects_slot(rects, 2 * rects->mask + 1))
+            return -2;
+        slot = slot_of(rects->slots, rects->mask, packed);
+    }
+    held = rects->keys + 4 * rects->count;
+    memcpy(held, key, sizeof key);
+    slot->key = packed;
+    slot->id = rects->count;
+    return rects->count++;
+}
+
+/* Is every lookup a position in [0, candidates) (below and first may also
+ * be candidates, above and last -1: no such row), and every span inside
+ * the grid's columns? */
+static int lookups_fit(const int64_t *rows, const int64_t *lo,
+                       const int64_t *hi, int64_t candidates,
+                       const int64_t *below, const int64_t *above,
+                       int64_t num_rows, const int64_t *first,
+                       const int64_t *last, int64_t num_cols)
+{
+    int64_t i;
+    for (i = 0; i < candidates; i++)
+        if ((uint64_t)rows[i] >= (uint64_t)num_rows
+            || (uint64_t)lo[i] >= (uint64_t)num_cols
+            || (uint64_t)hi[i] >= (uint64_t)num_cols)
+            return 0;
+    for (i = 0; i < num_rows; i++)
+        if ((uint64_t)below[i] > (uint64_t)candidates || above[i] < -1
+            || above[i] >= candidates)
+            return 0;
+    for (i = 0; i < num_cols; i++)
+        if ((uint64_t)first[i] > (uint64_t)candidates || last[i] < -1
+            || last[i] >= candidates)
+            return 0;
+    return 1;
+}
+
+/* Append rectangle (a, b, c, d)'s id to children, or leave the round: 1
+ * when keys is full, -1 when the id table could not grow. */
+#define CHILD(a, b, c, d)                                                      \
+    do {                                                                       \
+        int64_t id = rect_id(&rects, a, b, c, d);                              \
+        if (id < 0) {                                                          \
+            status = id == -1 ? 1 : -1;                                        \
+            goto out;                                                          \
+        }                                                                      \
+        children[entries++] = id;                                              \
+    } while (0)
+
+int64_t closure(const int64_t *rows, const int64_t *lo, const int64_t *hi,
+                int64_t candidates, const int64_t *below,
+                const int64_t *above, int64_t num_rows, const int64_t *first,
+                const int64_t *last, int64_t num_cols, int64_t mirrored,
+                int64_t *keys, int64_t count, int64_t rect_room,
+                const uint8_t *split, int64_t start, int64_t *offsets,
+                int64_t *children, int64_t entries, int64_t child_room,
+                int64_t *sizes)
+{
+    Rects rects = {NULL, 0, 0, NULL, 0};
+    int64_t i, end = count, status = 0;
+    uint64_t mask = 1023;
+    if (num_rows < 1 || num_cols < 1 || num_rows > 65536 || num_cols > 65536
+        || candidates < 0 || count < 0 || count > rect_room || start < 0
+        || start > count || entries < 0 || entries > child_room
+        || !lookups_fit(rows, lo, hi, candidates, below, above, num_rows,
+                        first, last, num_cols))
+        return -2;
+    if (count == 0) {
+        /* The root: the whole grid shrunk, as TilingTables.shrink does it. */
+        int64_t top = below[0] > first[0] ? below[0] : first[0];
+        int64_t bottom = above[num_rows - 1] < last[num_cols - 1]
+                             ? above[num_rows - 1] : last[num_cols - 1];
+        if (top <= bottom) {
+            if (rect_room < 1)
+                return 1;
+            keys[0] = rows[top];
+            keys[1] = rows[bottom];
+            keys[2] = lo[top];
+            keys[3] = hi[bottom];
+            count = 1;
+        }
+        sizes[0] = count;
+        sizes[1] = entries;
+        return 0;
+    }
+    /* The id table, rebuilt from the rectangles met so far. */
+    for (i = 0; i < count; i++) {
+        const int64_t *key = keys + 4 * i;
+        if ((uint64_t)key[0] >= (uint64_t)num_rows
+            || (uint64_t)key[1] >= (uint64_t)num_rows
+            || (uint64_t)key[2] >= (uint64_t)num_cols
+            || (uint64_t)key[3] >= (uint64_t)num_cols)
+            return -2;
+    }
+    rects.keys = keys;
+    rects.count = count;
+    rects.room = rect_room;
+    while (mask + 1 < 2 * (uint64_t)count)
+        mask = 2 * mask + 1;
+    if (rects_slot(&rects, mask))
+        return -1;
+    for (i = start; i < end; i++) {
+        int64_t row_lo = keys[4 * i], row_hi = keys[4 * i + 1];
+        int64_t col_lo = keys[4 * i + 2], col_hi = keys[4 * i + 3];
+        int64_t row, col, cuts, top, bottom;
+        if (row_lo > row_hi || col_lo > col_hi) {
+            status = -2;
+            goto out;
+        }
+        if (split[i - start]) {
+            if (entries + 2 * (row_hi - row_lo + col_hi - col_lo) > child_room) {
+                status = 2;
+                goto out;
+            }
+            top = below[row_lo];
+            bottom = above[row_hi];
+            /* Above a horizontal cut the rows end at the last candidate
+             * row above it, whose span end clips the right column; below
+             * it they start at the first candidate row below it, whose
+             * span start clips the left column. */
+            for (row = row_lo; row < row_hi; row++) {
+                int64_t cut_end = above[row], cut_start = below[row + 1];
+                if (cut_end < 0 || cut_start >= candidates) {
+                    status = -2;
+                    goto out;
+                }
+                CHILD(row_lo, rows[cut_end], col_lo,
+                      hi[cut_end] < col_hi ? hi[cut_end] : col_hi);
+                CHILD(rows[cut_start], row_hi,
+                      lo[cut_start] > col_lo ? lo[cut_start] : col_lo, col_hi);
+            }
+            /* Left of a vertical cut the rows end at the last one whose
+             * span starts left of it, right of it they start at the first
+             * whose span ends right of it. */
+            cuts = entries;
+            for (col = col_lo; col < col_hi; col++) {
+                int64_t cut_end = last[col] < bottom ? last[col] : bottom;
+                int64_t cut_start = first[col + 1] > top ? first[col + 1] : top;
+                if (cut_end < 0 || cut_start >= candidates) {
+                    status = -2;
+                    goto out;
+                }
+                CHILD(row_lo, rows[cut_end], col_lo, hi[cut_end] < col ? hi[cut_end] : col);
+                CHILD(rows[cut_start], row_hi,
+                      lo[cut_start] > col + 1 ? lo[cut_start] : col + 1, col_hi);
+            }
+            if (mirrored) {
+                int64_t left = cuts, right = entries - 1;
+                for (; left < right; left++, right--) {
+                    int64_t swap = children[left];
+                    children[left] = children[right];
+                    children[right] = swap;
+                }
+            }
+        }
+        offsets[i + 1] = entries;
+    }
+    sizes[0] = rects.count;
+    sizes[1] = entries;
+out:
+    free(rects.slots);
+    return status;
+}
+#undef CHILD
+
+/*
+ * MonotonicBSP's dynamic program at one threshold, over a closure: the
+ * fewest regions of weight <= delta covering each rectangle the search
+ * from `root` meets.  A rectangle is one region when
+ * leaf_thresholds[x] <= delta (its weight, or -inf for a single cell);
+ * otherwise it splits, trying its children's pairs in order, solving an
+ * unsolved half before going on, keeping the first pair of strictly fewest
+ * regions and stopping at the first pair of two (no split does better).
+ * The walk keeps its own stack, one frame per rectangle being split.
+ *
+ * counts and splits have n entries.  On return counts[x] is x's region
+ * count (0: never met) and splits[x], for a split x, the offset into
+ * children of its best pair (0 for any other).  Returns 0, -1 when the stack could not be
+ * had, or -2 when an offset or a child lies outside what it indexes or a
+ * rectangle above delta has no pair to split by.
+ */
+int64_t tile(const int64_t *offsets, const int64_t *children,
+             const double *leaf_thresholds, int64_t n, int64_t m,
+             int64_t root, double delta, int64_t *counts, int64_t *splits)
+{
+    /* Per frame: rectangle, next offset, best count, offset of the best. */
+    int64_t *stack, depth = 0;
+    if ((uint64_t)root >= (uint64_t)n)
+        return -2;
+    memset(counts, 0, (size_t)n * sizeof *counts);
+    memset(splits, 0, (size_t)n * sizeof *splits);
+    if (leaf_thresholds[root] <= delta) {
+        counts[root] = 1;
+        return 0;
+    }
+    stack = malloc((size_t)n * 4 * sizeof *stack);
+    if (!stack)
+        return -1;
+#define PUSH(x)                                                                \
+    do {                                                                       \
+        int64_t *frame = stack + 4 * depth++;                                  \
+        if (offsets[x] < 0 || offsets[x] > offsets[(x) + 1]                    \
+            || offsets[(x) + 1] > m || (offsets[(x) + 1] - offsets[x]) % 2     \
+            || offsets[(x) + 1] == offsets[x] || depth > n) {                  \
+            free(stack);                                                       \
+            return -2;                                                         \
+        }                                                                      \
+        frame[0] = (x);                                                        \
+        frame[1] = offsets[x];                                                 \
+        frame[2] = INT64_MAX;                                                  \
+        frame[3] = 0;                                                          \
+    } while (0)
+    PUSH(root);
+    while (depth) {
+        int64_t *frame = stack + 4 * (depth - 1);
+        int64_t rect = frame[0], offset = frame[1], best = frame[2];
+        int64_t best_offset = frame[3], end = offsets[rect + 1], unsolved = -1;
+        while (offset < end) {
+            int64_t first = children[offset], second = children[offset + 1];
+            int64_t first_count, second_count;
+            if ((uint64_t)first >= (uint64_t)n || (uint64_t)second >= (uint64_t)n) {
+                free(stack);
+                return -2;
+            }
+            first_count = counts[first];
+            if (!first_count) {
+                if (!(leaf_thresholds[first] <= delta)) {
+                    unsolved = first;
+                    break;
+                }
+                counts[first] = first_count = 1;
+            }
+            second_count = counts[second];
+            if (!second_count) {
+                if (!(leaf_thresholds[second] <= delta)) {
+                    unsolved = second;
+                    break;
+                }
+                counts[second] = second_count = 1;
+            }
+            if (first_count + second_count < best) {
+                best = first_count + second_count;
+                best_offset = offset;
+                if (best == 2)
+                    break;
+            }
+            offset += 2;
+        }
+        if (unsolved >= 0) {
+            /* Solve the half first, then resume this rectangle here. */
+            frame[1] = offset;
+            frame[2] = best;
+            frame[3] = best_offset;
+            PUSH(unsolved);
+            continue;
+        }
+        counts[rect] = best;
+        splits[rect] = best_offset;
+        depth--;
+    }
+#undef PUSH
+    free(stack);
+    return 0;
 }

@@ -1,23 +1,27 @@
 """The compiled kernel: ``native.c``, built on first import and loaded through ``ctypes``.
 
 The stream batch and the plan build spend most of their interpreter time
-in four inner loops that numpy can only run as a dozen small-array calls
+in five inner loops that numpy can only run as a dozen small-array calls
 each, or as one Python-level step per element: the searches of one sorted
 run for a batch's needles (clipped and summed per machine), the merge of a
 state's sorted runs, the offer of a batch's arrivals to the stream
 histogram's sample reservoir, a ``heapq`` push / ``heapreplace`` per key,
-and coarsening's greedy sweep, a group of small cumulative sums per window
-of rows.  ``native.c`` does each in one call, and each call is the only
-way production runs that loop: :func:`count` for one task of
-:func:`~repro.joins.local.count_regions`, :func:`merge` for
+coarsening's greedy sweep, a group of small cumulative sums per window of
+rows, and MonotonicBSP's tiling DP, a stack walk over a grid's minimal
+rectangles per threshold.  ``native.c`` does each in one call, and each
+call is the only way production runs that loop: :func:`count` for one
+task of :func:`~repro.joins.local.count_regions`, :func:`merge` for
 :func:`~repro.streaming.incremental._merge_sorted`, :func:`offer` for
 :meth:`~repro.streaming.incremental.DecayedReservoir.add_batch`,
 :func:`sweep_rows` for one threshold probe of coarsening's per-axis
-search.  The numpy and ``heapq`` forms they replaced live in the test
-harness (``tests/reference_*.py``), which holds the kernel to them bit for
-bit: counts and merged runs (``tests/test_native_kernel.py``), the
-reservoir's heap array entry for entry (``tests/test_sampling_oracle.py``)
-and the sweep's boundaries (``tests/test_planner_oracle.py``).
+search, :func:`tile` for one threshold probe of regionalization's, over
+the child table :func:`closure` builds once per grid (a few calls, one per
+round of rectangles that need children).  The numpy, ``heapq`` and Python
+forms they replaced live in the test harness (``tests/reference_*.py``),
+which holds the kernel to them bit for bit: counts and merged runs
+(``tests/test_native_kernel.py``), the reservoir's heap array entry for
+entry (``tests/test_sampling_oracle.py``), and the sweep's boundaries and
+the tilings' regions and rectangle counts (``tests/test_planner_oracle.py``).
 
 On import the module compiles ``native.c`` with the C compiler (the ``CC``
 environment variable, else the one Python was built with, ``-O2
@@ -33,8 +37,9 @@ written or is world-writable, a ``dlopen`` error -- the import raises
 :class:`KernelUnavailable`, naming the step that failed.
 
 A wrapper takes the arrays its C function reads and writes as they are,
-with no copy: keys float64 or int64, counts and positions int64, every
-array C-contiguous and aligned, every array it writes writable.  Anything
+with no copy: keys float64 or int64, counts, positions, lookups and ids
+int64, every array C-contiguous and aligned, every array it writes
+writable.  Anything
 else raises a :class:`TypeError` (a dtype) or :class:`ValueError` (a
 shape, a size, a layout) that names the input, having written nothing.
 
@@ -53,7 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["KernelUnavailable", "count", "merge", "offer", "sweep_rows"]
+__all__ = ["KernelUnavailable", "closure", "count", "merge", "offer", "sweep_rows", "tile"]
 
 SOURCE = Path(__file__).with_name("native.c")
 
@@ -72,6 +77,10 @@ _OFFER_ARGS = (_POINTER, _POINTER, _POINTER, _SIZE, _SIZE, _SIZE, _POINTER, _POI
 _DOUBLE = ctypes.c_double
 _SWEEP_ARGS = (_POINTER, _POINTER, _POINTER, _POINTER, _SIZE, _SIZE, _DOUBLE, _DOUBLE,
                _DOUBLE, _SIZE, _POINTER)
+_CLOSURE_ARGS = (_POINTER, _POINTER, _POINTER, _SIZE, _POINTER, _POINTER, _SIZE, _POINTER,
+                 _POINTER, _SIZE, _SIZE, _POINTER, _SIZE, _SIZE, _POINTER, _SIZE, _POINTER,
+                 _POINTER, _SIZE, _SIZE, _POINTER)
+_TILE_ARGS = (_POINTER, _POINTER, _POINTER, _SIZE, _SIZE, _SIZE, _DOUBLE, _POINTER, _POINTER)
 
 
 class KernelUnavailable(ImportError):
@@ -130,6 +139,8 @@ def _build() -> ctypes.CDLL:
             function.argtypes, function.restype = _MERGE_ARGS, ctypes.c_int64
         loaded.offer.argtypes, loaded.offer.restype = _OFFER_ARGS, ctypes.c_int64
         loaded.sweep_rows.argtypes, loaded.sweep_rows.restype = _SWEEP_ARGS, ctypes.c_int64
+        loaded.closure.argtypes, loaded.closure.restype = _CLOSURE_ARGS, ctypes.c_int64
+        loaded.tile.argtypes, loaded.tile.restype = _TILE_ARGS, ctypes.c_int64
     except (OSError, AttributeError) as error:  # a dlopen error or a missing symbol
         raise KernelUnavailable(f"cannot load {library}: {error}") from None
     return loaded
@@ -369,3 +380,133 @@ def sweep_rows(freq, cand, row_input, col_input, w_i, w_o, threshold, max_groups
     if written < 0:
         raise MemoryError("the kernel's sweep could not allocate its block sums")
     return out[:written] if written else None
+
+
+_LOOKUPS = ("rows", "lo", "hi", "below", "above", "first", "last")
+
+
+def closure(rows, lo, hi, below, above, first, last, mirrored: bool, split):
+    """The minimal candidate rectangles MonotonicBSP can reach, with their child pairs.
+
+    The first seven arguments are :class:`~repro.core.tiling_tables.TilingTables`'
+    lookups, in its own (ascending-span) columns: the candidate rows by
+    position with their spans (``rows``, ``lo``, ``hi``), per grid row the
+    first candidate position at or below it and the last at or above it
+    (``below``, ``above``), per column the first position whose span ends
+    at or after it and the last whose span starts at or before it
+    (``first``, ``last``); ``mirrored`` when the grid's spans descend.
+    ``split(keys)`` is called once per round with the rectangles met in
+    the round before (the root, first) and says, one bool each, which of
+    them need children; the kernel gives them their children in the next.
+    ``keys`` is a view of a buffer the next round may move: ``split`` keeps
+    nothing of it.
+
+    Returns ``(keys, offsets, children)``: ``keys[i]`` is rectangle ``i``'s
+    ``(row_lo, row_hi, col_lo, col_hi)`` in the tables' columns, the root
+    first, and ``children[offsets[i]:offsets[i + 1]]`` its halves, pair by
+    pair in the order the DP tries splits (none for a rectangle ``split``
+    refused).  No candidate row gives no rectangle.  Every lookup is int64
+    and indexes what it looks up, and the grid has 1 to 65,536 rows and
+    columns (a rectangle's id is keyed on its corners, 16 bits each);
+    otherwise this raises by name.
+    """
+    lookups = [rows, lo, hi, below, above, first, last]
+    for name, array in zip(_LOOKUPS, lookups):
+        if array.dtype != _INT:
+            raise TypeError(f"{name} is {array.dtype}, not int64")
+    if not rows.size == lo.size == hi.size:
+        raise ValueError(f"{rows.size} rows but {lo.size} lo and {hi.size} hi")
+    if below.size != above.size or first.size != last.size:
+        raise ValueError(
+            f"below / above have {below.size} / {above.size} rows and first / last "
+            f"{first.size} / {last.size} columns"
+        )
+    num_rows, num_cols = below.size, first.size
+    if not (0 < num_rows <= 65_536 and 0 < num_cols <= 65_536):
+        raise ValueError(f"a {num_rows} x {num_cols} grid: the closure takes 1 to 65,536 "
+                         "rows and columns")
+    rows_at, lo_at, hi_at, below_at, above_at, first_at, last_at = _addresses(lookups, _LOOKUPS, 0)
+    tables = (rows_at, lo_at, hi_at, rows.size, below_at, above_at, num_rows, first_at, last_at,
+              num_cols, bool(mirrored))
+    # Room for a 24 x 24 band grid's 1,128 rectangles and 34K children; a
+    # round that runs out of either is run again in twice the room.
+    keys = np.empty((2_048, 4), dtype=_INT)
+    offsets = np.empty(2_049, dtype=_INT)
+    children = np.empty(65_536, dtype=_INT)
+    offsets[0] = count = start = entries = 0
+    flags = np.empty(0, dtype=np.bool_)
+    sizes = np.empty(2, dtype=_INT)
+    while True:
+        keys_at, offsets_at, children_at, sizes_at = _addresses(
+            [keys, offsets, children, sizes], ("keys", "offsets", "children", "sizes"), 4
+        )
+        status = _LIBRARY.closure(
+            *tables, keys_at, count, len(keys), flags.ctypes.data, start, offsets_at,
+            children_at, entries, children.size, sizes_at,
+        )
+        if status == 1:
+            keys = np.concatenate([keys, np.empty_like(keys)])
+            offsets = np.concatenate([offsets, np.empty(len(keys) + 1 - offsets.size, _INT)])
+            continue
+        if status == 2:
+            children = np.concatenate([children, np.empty_like(children)])
+            continue
+        if status == -1:
+            raise MemoryError("the kernel's closure could not allocate its id table")
+        if status:
+            raise ValueError("a lookup points outside the table it indexes: "
+                             "these are not a monotone grid's tables")
+        start, (count, entries) = count, sizes.tolist()
+        if start == count:
+            # Give back the room no entry took (a realloc, no copy): every
+            # array ends where its entries do.
+            keys.resize((count, 4), refcheck=False)
+            offsets.resize(count + 1, refcheck=False)
+            children.resize(entries, refcheck=False)
+            return keys, offsets, children
+        flags = np.ascontiguousarray(split(keys[start:count]), dtype=np.bool_)
+        if flags.shape != (count - start,):
+            raise ValueError(f"split said {flags.shape} for {count - start} rectangles")
+
+
+_TILE = ("counts", "splits", "offsets", "children", "leaf_thresholds")
+
+
+def tile(offsets, children, leaf_thresholds, root: int, delta: float):
+    """MonotonicBSP's dynamic program at threshold ``delta`` over a :func:`closure`.
+
+    ``offsets`` / ``children`` are the closure's child table,
+    ``leaf_thresholds[x]`` the smallest threshold at which rectangle ``x``
+    is one region (its weight; ``-inf`` for a single cell) and ``root`` the
+    rectangle to cover.  Returns ``(counts, splits)``: ``counts[x]`` is the
+    fewest regions covering ``x`` (0: the search never met it), and for a
+    rectangle that splits (``counts[x] > 1``) ``children[splits[x]]`` and
+    ``children[splits[x] + 1]`` are the halves of its best split (``splits``
+    is 0 elsewhere).  Offsets and children are int64 and index what they
+    index, thresholds float64, ``offsets`` one longer than them, ``root`` a
+    rectangle and ``delta`` not NaN (no rectangle is one region at a NaN
+    threshold, not even a single cell); otherwise this raises by name.
+    """
+    if offsets.dtype != _INT or children.dtype != _INT:
+        raise TypeError(f"offsets {offsets.dtype}, children {children.dtype}: not int64")
+    if leaf_thresholds.dtype != _FLOAT:
+        raise TypeError(f"leaf_thresholds is {leaf_thresholds.dtype}, not float64")
+    size = leaf_thresholds.size
+    if offsets.size != size + 1:
+        raise ValueError(f"{offsets.size} offsets for {size} rectangles")
+    if not 0 <= root < size:
+        raise ValueError(f"root {root} is not one of the {size} rectangles")
+    if delta != delta:
+        raise ValueError(f"delta is {delta}: a tiling's threshold must be comparable")
+    counts = np.empty(size, dtype=_INT)
+    splits = np.empty(size, dtype=_INT)
+    *targets, table, pairs, thresholds = _addresses(
+        [counts, splits, offsets, children, leaf_thresholds], _TILE, 2
+    )
+    status = _LIBRARY.tile(table, pairs, thresholds, size, children.size, root, delta, *targets)
+    if status == -1:
+        raise MemoryError("the kernel's tiling could not allocate its stack")
+    if status:
+        raise ValueError("an offset or a child lies outside what it indexes, or a "
+                         "rectangle above delta has no split")
+    return counts, splits

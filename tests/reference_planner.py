@@ -6,11 +6,16 @@ sweep, and the three threshold searches (regionalization, coarsening's
 per-axis search, M-Bucket's region search) as each was written out before
 they became one ``smallest_feasible``, kept verbatim as the differential
 oracle: the production kernels must return bit-identical plans (same regions
-in the same order, same floats, same rectangle counts, same search steps).  They are deliberately slow and self-contained --
-every rectangle is a frozen :class:`GridRegion`, every shrink is a numpy
-slice, every weight goes through ``WeightFunction.weight`` -- and share only
-``GridRegion``, ``WeightFunction`` and the grid's public arrays with the
-code under test.
+in the same order, same floats, same rectangle counts, same search steps).
+They are deliberately slow and self-contained -- every rectangle is a frozen
+:class:`GridRegion`, every shrink is a numpy slice, every weight goes
+through ``WeightFunction.weight`` -- and share only ``GridRegion``,
+``WeightFunction`` and the grid's public arrays with the code under test.
+The exception is the tiling tables as production built them before the
+compiled kernel took over (``LazyTilingTables``: child lists and weights
+filled on first use, list lookups) with the Python DP over them
+(``lazy_monotonic_bsp_tiling``), kept verbatim as the kernel's
+``closure`` / ``tile`` reference.
 
 The one edit: the recursive DP no longer raises the interpreter's recursion
 limit, so use it on grids whose ``rows + cols`` stays in the low hundreds.
@@ -30,6 +35,7 @@ from repro.core.coarsening import (
 from repro.core.grid import WeightedGrid
 from repro.core.region import GridRegion
 from repro.core.regionalization import RegionalizationResult
+from repro.core.tiling_tables import Rect
 from repro.core.weights import WeightFunction
 
 
@@ -194,6 +200,251 @@ def reference_monotonic_bsp(
         regions=regions,
         max_region_weight=float(max_weight),
         rectangles_evaluated=len(memo),
+    )
+
+
+# ----------------------------------------------------------------------
+# MonotonicBSP over lazily filled tiling tables: the Python DP the kernel's
+# ``tile`` replaced, and the child lists its ``closure`` replaced
+# ----------------------------------------------------------------------
+class LazyTilingTables:
+    """Lazily filled weight / child-list tables of one weighted grid.
+
+    Attributes
+    ----------
+    shape:
+        ``(num_rows, num_cols)`` of the grid.
+    rects:
+        ``rects[i]`` is the minimal candidate rectangle with id ``i``.
+    weights:
+        ``weights[i]`` is its weight under the tables' weight function.
+    leaf_thresholds:
+        The smallest ``delta`` at which rectangle ``i`` needs no split: its
+        weight, or ``-inf`` for a single cell (which cannot be split, so it
+        is one region however heavy).
+    root:
+        Id of the whole grid's minimal candidate rectangle, ``-1`` when the
+        grid has no candidate cell.
+
+    Raises
+    ------
+    ValueError
+        If the candidate rows' column spans do not move in one direction
+        (:meth:`WeightedGrid.span_direction`): Lemma 3.4, and the lookups
+        below, hold only for a monotonic join's grid.
+    """
+
+    def __init__(self, grid: WeightedGrid, weight_fn: WeightFunction) -> None:
+        self.shape = num_rows, num_cols = grid.shape
+        self._weight = weight_fn.weight
+        self._freq_prefix: list[list[float]] = grid._freq_prefix.tolist()
+        self._row_prefix: list[float] = grid._row_prefix.tolist()
+        self._col_prefix: list[float] = grid._col_prefix.tolist()
+        # Descending spans are ascending in mirrored columns: the tables work
+        # on column ``num_cols - 1 - c`` in their stead and mirror a
+        # rectangle back when they weigh it or hand it out.
+        self._mirrored = grid.span_direction() < 0
+        span_lo, span_hi = grid._row_cand_spans
+        rows = np.flatnonzero(span_lo >= 0)
+        lo, hi = span_lo[rows], span_hi[rows]
+        if self._mirrored:
+            lo, hi = num_cols - 1 - hi, num_cols - 1 - lo
+        every_row, every_col = np.arange(num_rows), np.arange(num_cols)
+        # The candidate rows by position, with their (ascending) spans.
+        self._rows: list[int] = rows.tolist()
+        self._lo: list[int] = lo.tolist()
+        self._hi: list[int] = hi.tolist()
+        # Per row: the position of the first candidate row at or below it
+        # and of the last at or above it.
+        self._next: list[int] = np.searchsorted(rows, every_row).tolist()
+        self._prev: list[int] = (np.searchsorted(rows, every_row, side="right") - 1).tolist()
+        # Per column: the first position whose span ends at or after it and
+        # the last whose span starts at or before it.
+        self._first: list[int] = np.searchsorted(hi, every_col).tolist()
+        self._last: list[int] = (np.searchsorted(lo, every_col, side="right") - 1).tolist()
+        self.rects: list[Rect] = []
+        self.weights: list[float] = []
+        self.leaf_thresholds: list[float] = []
+        self._keys: list[Rect] = []  # rects[i] in the tables' own columns
+        self._children: list[list[int] | None] = []
+        self._ids: dict[Rect, int] = {}
+        self.root = self.shrink((0, num_rows - 1, 0, num_cols - 1)) if self._rows else -1
+
+    def shrink(self, rect: Rect) -> int:
+        """Id of the minimal candidate rectangle of ``rect`` (-1: no candidates).
+
+        The candidate rows reaching into columns ``col_lo..col_hi`` are a
+        run of positions: ascending spans end at or after ``col_lo`` from
+        some position on and start at or before ``col_hi`` up to some
+        position.  The run's first row starts the leftmost span, its last
+        row ends the rightmost.
+        """
+        row_lo, row_hi, col_lo, col_hi = rect
+        if self._mirrored:
+            mirror = self.shape[1] - 1
+            col_lo, col_hi = mirror - col_hi, mirror - col_lo
+        first = max(self._next[row_lo], self._first[col_lo])
+        last = min(self._prev[row_hi], self._last[col_hi])
+        if first > last:
+            return -1
+        key = (self._rows[first], self._rows[last],
+               max(self._lo[first], col_lo), min(self._hi[last], col_hi))
+        rect_id = self._ids.get(key)
+        return self._weigh(key) if rect_id is None else rect_id
+
+    def _weigh(self, key: Rect) -> int:
+        """Give a minimal rectangle met for the first time its id and weight."""
+        row_lo, row_hi, col_lo, col_hi = key
+        if self._mirrored:
+            mirror = self.shape[1] - 1
+            col_lo, col_hi = mirror - col_hi, mirror - col_lo
+        rows = self._row_prefix[row_hi + 1] - self._row_prefix[row_lo]
+        cols = self._col_prefix[col_hi + 1] - self._col_prefix[col_lo]
+        above, through = self._freq_prefix[row_lo], self._freq_prefix[row_hi + 1]
+        output = (
+            through[col_hi + 1] - above[col_hi + 1] - through[col_lo] + above[col_lo]
+        )
+        weight = self._weight(rows + cols, output)
+        single_cell = row_lo == row_hi and col_lo == col_hi
+        rect_id = self._ids[key] = len(self.rects)
+        self.rects.append((row_lo, row_hi, col_lo, col_hi))
+        self._keys.append(key)
+        self.weights.append(weight)
+        self.leaf_thresholds.append(float("-inf") if single_cell else weight)
+        self._children.append(None)
+        return rect_id
+
+    def children(self, rect_id: int) -> list[int]:
+        """Shrunk halves of every split of rectangle ``rect_id``, as a flat list.
+
+        ``[first_0, second_0, first_1, second_1, ...]``: horizontal splits
+        from the top, then vertical splits from the left.  Both halves of a
+        split of a minimal rectangle hold candidates (its boundary rows and
+        columns do), so every entry is a valid id.
+
+        In the tables' columns a half is its rectangle with one row end and
+        one column end moved, each read off one lookup.  Above a horizontal
+        cut the rows end at the last candidate row above it, whose span end
+        clips the right column; below it they start at the first candidate
+        row below it, whose span start clips the left column.  Left of a
+        vertical cut the rows end at the last one whose span starts left of
+        the cut, right of it they start at the first whose span ends right
+        of it.
+        """
+        children = self._children[rect_id]
+        if children is None:
+            row_lo, row_hi, col_lo, col_hi = self._keys[rect_id]
+            rows, lo, hi = self._rows, self._lo, self._hi
+            below, above, first, last = self._next, self._prev, self._first, self._last
+            top, bottom = below[row_lo], above[row_hi]
+            ids, weigh = self._ids, self._weigh
+            children = []
+            for row in range(row_lo, row_hi):
+                end, start = above[row], below[row + 1]
+                end_hi, start_lo = hi[end], lo[start]
+                for half in ((row_lo, rows[end], col_lo,
+                              end_hi if end_hi < col_hi else col_hi),
+                             (rows[start], row_hi,
+                              start_lo if start_lo > col_lo else col_lo, col_hi)):
+                    half_id = ids.get(half)
+                    children.append(weigh(half) if half_id is None else half_id)
+            cuts = []
+            for col in range(col_lo, col_hi):
+                end, start = last[col], first[col + 1]
+                if end > bottom:
+                    end = bottom
+                if start < top:
+                    start = top
+                end_hi, start_lo = hi[end], lo[start]
+                for half in ((row_lo, rows[end], col_lo, end_hi if end_hi < col else col),
+                             (rows[start], row_hi,
+                              start_lo if start_lo > col + 1 else col + 1, col_hi)):
+                    half_id = ids.get(half)
+                    cuts.append(weigh(half) if half_id is None else half_id)
+            if self._mirrored:
+                # Mirrored columns cut from the right, and a pair's left half
+                # is the grid's right one.
+                cuts.reverse()
+            children += cuts
+            self._children[rect_id] = children
+        return children
+
+
+def lazy_monotonic_bsp_tiling(tables: LazyTilingTables, delta: float) -> BSPResult:
+    """The DP over tables shared between thresholds, one list lookup per step."""
+    root = tables.root
+    if root < 0:
+        return BSPResult(regions=[], max_region_weight=0.0, rectangles_evaluated=0)
+    leaf_thresholds = tables.leaf_thresholds
+    children = tables.children
+    num_rows, num_cols = tables.shape
+    unsplit = num_rows * num_cols + 1  # more regions than any split costs
+
+    # One frame per rectangle being split: [id, child list, next offset, best
+    # count so far, offset of the pair that achieved it].
+    stack: list[list] = []
+    if not leaf_thresholds[root] <= delta:
+        stack.append([root, children(root), 0, unsplit, 0])
+    # Indexed by rectangle id: the fewest regions covering it (0: unsolved)
+    # and, for a split rectangle, the offset of its best child pair.  Both
+    # grow when a child list brings rectangles the tables had not met.
+    counts = [0] * len(leaf_thresholds)
+    splits = [0] * len(leaf_thresholds)
+    if not stack:
+        counts[root] = 1
+    while stack:
+        frame = stack[-1]
+        rect, pairs, offset, best, best_offset = frame
+        unsolved = -1
+        end = len(pairs)
+        while offset < end:
+            first, second = pairs[offset], pairs[offset + 1]
+            first_count = counts[first]
+            if not first_count:
+                if not leaf_thresholds[first] <= delta:
+                    unsolved = first
+                    break
+                counts[first] = first_count = 1
+            second_count = counts[second]
+            if not second_count:
+                if not leaf_thresholds[second] <= delta:
+                    unsolved = second
+                    break
+                counts[second] = second_count = 1
+            total = first_count + second_count
+            if total < best:
+                best, best_offset = total, offset
+                # Both halves of a split hold candidates, so no split costs
+                # fewer than two regions -- stop at the first that does.
+                if best == 2:
+                    break
+            offset += 2
+        if unsolved >= 0:
+            # Solve the half first, then resume this rectangle at this pair.
+            frame[2:] = offset, best, best_offset
+            stack.append([unsolved, children(unsolved), 0, unsplit, 0])
+            if len(counts) < len(leaf_thresholds):
+                grown = [0] * (len(leaf_thresholds) - len(counts))
+                counts += grown
+                splits += grown
+            continue
+        counts[rect] = best
+        splits[rect] = best_offset
+        stack.pop()
+
+    leaves: list[int] = []
+    pending = [root]
+    while pending:
+        rect = pending.pop()
+        if counts[rect] == 1:
+            leaves.append(rect)
+        else:
+            best_offset = splits[rect]
+            pending.extend(children(rect)[best_offset : best_offset + 2])
+    return BSPResult(
+        regions=[GridRegion(*tables.rects[leaf]) for leaf in leaves],
+        max_region_weight=float(max(tables.weights[leaf] for leaf in leaves)),
+        rectangles_evaluated=len(counts) - counts.count(0),
     )
 
 

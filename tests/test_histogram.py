@@ -7,11 +7,16 @@ import sys
 import numpy as np
 import pytest
 
+from reference_planner import LazyTilingTables, lazy_monotonic_bsp_tiling
+from streaming_harness import interpreter_calls
+
+from repro.core.grid import WeightedGrid, smallest_feasible
 from repro.core.histogram import EWHConfig, build_equi_weight_histogram
 from repro.core.region import GridRegion
 from repro.core.tiling_tables import TilingTables
 from repro.core.weights import WeightFunction
 from repro.engine.operators import CSIOOperator, CSIOperator
+from repro.joins import native
 from repro.joins.conditions import BandJoinCondition, CompositeEquiBandCondition
 from repro.joins.local import count_join_output
 from repro.sampling.equidepth import sample_joining_keys
@@ -202,11 +207,12 @@ def test_a_csio_build_builds_2d_tables_only_on_the_coarse_grid(sparse_j12_build)
 def test_a_regionalize_shrinks_by_lookup_alone(sparse_j12_build, monkeypatch):
     """The same build's coarse grid (24 x 24), regionalized again.
 
-    The tiling tables shrink a rectangle with four list lookups, so the
-    row scan behind ``WeightedGrid.minimal_candidate_rectangle`` is never
-    called (a scanning shrink made 17,242 calls here), and their id table
-    holds the minimal rectangles the search meets and nothing else (1,128;
-    memoising every un-shrunk rectangle met made it 17,870).
+    The tiling tables shrink a rectangle with four lookups, so the row scan
+    behind ``WeightedGrid.minimal_candidate_rectangle`` is never called (a
+    scanning shrink made 17,242 calls here), and their closure holds the
+    minimal rectangles a lazy search over the same thresholds meets and
+    nothing else (1,128; memoising every un-shrunk rectangle met made it
+    17,870).
     """
     import repro.core.grid as grid_module
     import repro.core.regionalization as regionalization
@@ -228,19 +234,66 @@ def test_a_regionalize_shrinks_by_lookup_alone(sparse_j12_build, monkeypatch):
             super().__init__(*args)
             built.append(self)
 
+    deltas = []
+    tile = native.tile
+
+    def recorded_tile(offsets, children, leaf_thresholds, root, delta):
+        deltas.append(delta)
+        return tile(offsets, children, leaf_thresholds, root, delta)
+
     monkeypatch.setattr(regionalization, "TilingTables", RecordedTables)
+    monkeypatch.setattr(native, "tile", recorded_tile)
     grid = sparse_j12_build.coarsening.grid
     result = regionalization.regionalize(grid, 12, SPARSE_J12_WEIGHTS)
     (tables,) = built
     scanned = len(scans)
     print(f"\ncoarse grid {grid.shape}: {scanned} row scans, "
-          f"{len(tables.rects)} minimal rectangles, {result.search_steps} tilings")
+          f"{len(tables.rects)} minimal rectangles, {tables.children.size} children, "
+          f"{result.search_steps} tilings")
     assert result.regions == sparse_j12_build.grid_regions
     assert scanned == 0
-    assert len(tables._ids) == len(tables.rects) == 1128
-    for rect_id in tables._ids.values():
-        rect = GridRegion(*tables.rects[rect_id])
-        assert grid.minimal_candidate_rectangle(rect) == rect
+    rects = set(map(tuple, tables.rects.tolist()))
+    assert len(rects) == len(tables.rects) == 1128
+    for rect in rects:
+        assert grid.minimal_candidate_rectangle(GridRegion(*rect)) == GridRegion(*rect)
+    lazy = LazyTilingTables(grid, SPARSE_J12_WEIGHTS)
+    for delta in deltas:
+        lazy_monotonic_bsp_tiling(lazy, delta)
+    assert len(deltas) == result.search_steps
+    assert set(lazy.rects) == rects
+
+
+def test_a_tiling_probe_makes_the_same_calls_at_any_grid_size():
+    """One probe of regionalization's search (``feasible``) is one kernel call
+    over the tables' child table: it makes as many interpreter calls on a
+    32 x 32 coarse grid as on a 16 x 16 one (the Python DP's calls grew with
+    the rectangles it split).  ``-s`` prints them."""
+    import repro.core.regionalization as regionalization
+
+    calls = {}
+    for size in (16, 32):
+        probes = []
+
+        def measured(feasible, low, high, max_midpoints):
+            # The probe at the threshold the search settles on.
+            found = smallest_feasible(feasible, low, high, max_midpoints)
+            probes.append(interpreter_calls(feasible, found[0]))
+            return found
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(regionalization, "smallest_feasible", measured)
+            regionalization.regionalize(diagonal_grid(size), 4, SPARSE_J12_WEIGHTS)
+        (tiling, calls[size]), = probes
+        assert tiling.num_regions == 4
+    print("tiling probe: " + ", ".join(f"{size} x {size} {calls[size]} calls" for size in calls))
+    assert calls[16] == calls[32]
+
+
+def diagonal_grid(size: int) -> WeightedGrid:
+    """A band of width 3 down the diagonal, every cell of it equally heavy."""
+    index = np.arange(size)
+    candidate = np.abs(index[:, None] - index[None, :]) <= 1
+    return WeightedGrid(candidate * 4.0, np.ones(size), np.ones(size), candidate)
 
 
 # ----------------------------------------------------------------------

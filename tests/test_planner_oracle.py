@@ -23,7 +23,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_planner import (
+    LazyTilingTables,
     _Primitives,
+    lazy_monotonic_bsp_tiling,
     reference_bsp,
     reference_coarsen,
     reference_m_bucket_regions,
@@ -36,7 +38,7 @@ from reference_planner import (
 from repro.core.bsp import bsp_partition
 from repro.core.coarsening import coarsen
 from repro.core.grid import WeightedGrid, shrink_to_candidates
-from repro.core.monotonic_bsp import monotonic_bsp_partition
+from repro.core.monotonic_bsp import monotonic_bsp_partition, monotonic_bsp_tiling
 from repro.core.region import GridRegion
 from repro.core.regionalization import regionalize
 from repro.core.tiling_tables import TilingTables
@@ -206,23 +208,35 @@ def test_m_bucket_search_matches_its_own_loop(grid, weight_fn, machines, bucket_
 @settings(max_examples=40, deadline=None)
 def test_tables_agree_with_the_grid_on_every_rectangle(grid, weight_fn):
     """Shrink and weight: tables == the grid's public methods == the numpy reference."""
-    tables = TilingTables(grid, weight_fn)
+    tables = TilingTables(grid, weight_fn, -np.inf)
     reference = _Primitives(grid, weight_fn)
-    for r1 in range(grid.num_rows):
-        for r2 in range(r1, grid.num_rows):
-            for c1 in range(grid.num_cols):
-                for c2 in range(c1, grid.num_cols):
-                    region = GridRegion(r1, r2, c1, c2)
-                    expected = reference.minimal(region)
-                    assert grid.minimal_candidate_rectangle(region) == expected
-                    minimal_id = tables.shrink((r1, r2, c1, c2))
-                    if expected is None:
-                        assert minimal_id == -1
-                        continue
-                    assert GridRegion(*tables.rects[minimal_id]) == expected
-                    weight = tables.weights[minimal_id]
-                    assert weight == reference.weight(expected)
-                    assert weight == grid.region_weight(expected, weight_fn)
+    boxes = every_rectangle(grid)
+    shrunk = tables.shrink(boxes)
+    weights = tables.weigh(np.maximum(shrunk, 0)).tolist()
+    for box, minimal, weight in zip(boxes.tolist(), shrunk.tolist(), weights):
+        region = GridRegion(*box)
+        expected = reference.minimal(region)
+        assert grid.minimal_candidate_rectangle(region) == expected
+        if expected is None:
+            assert minimal == [-1] * 4
+            continue
+        assert GridRegion(*minimal) == expected
+        assert weight == reference.weight(expected)
+        assert weight == grid.region_weight(expected, weight_fn)
+    # The closure's rectangles are minimal and weighed the same way.
+    for rect, weight in zip(tables.rects.tolist(), tables.weights.tolist()):
+        assert reference.minimal(GridRegion(*rect)) == GridRegion(*rect)
+        assert weight == reference.weight(GridRegion(*rect))
+
+
+def every_rectangle(grid: WeightedGrid) -> np.ndarray:
+    """Every sub-rectangle of the grid, as int64 rows ``(r1, r2, c1, c2)``."""
+    return np.array([
+        (r1, r2, c1, c2) for (r1, r2), (c1, c2) in itertools.product(
+            itertools.combinations_with_replacement(range(grid.num_rows), 2),
+            itertools.combinations_with_replacement(range(grid.num_cols), 2),
+        )
+    ], dtype=np.int64)
 
 
 def span_grid(lo, hi, num_cols: int, holes=(), descending: bool = False) -> WeightedGrid:
@@ -275,15 +289,12 @@ def span_monotone_grids(draw, max_side: int = 9) -> WeightedGrid:
 @settings(max_examples=150, deadline=None)
 def test_the_lookups_shrink_every_rectangle_as_the_row_scan_does(grid):
     """O(1) shrink == one pass over the rows' spans, on every sub-rectangle."""
-    tables = TilingTables(grid, WeightFunction())
+    tables = TilingTables(grid, WeightFunction(), -np.inf)
     span_lo, span_hi = (spans.tolist() for spans in grid._row_cand_spans)
-    for (r1, r2), (c1, c2) in itertools.product(
-        itertools.combinations_with_replacement(range(grid.num_rows), 2),
-        itertools.combinations_with_replacement(range(grid.num_cols), 2),
-    ):
-        expected = shrink_to_candidates(span_lo, span_hi, r1, r2, c1, c2)
-        minimal_id = tables.shrink((r1, r2, c1, c2))
-        assert (None if minimal_id < 0 else tables.rects[minimal_id]) == expected
+    boxes = every_rectangle(grid)
+    for box, minimal in zip(boxes.tolist(), tables.shrink(boxes).tolist()):
+        expected = shrink_to_candidates(span_lo, span_hi, *box)
+        assert (None if minimal[0] < 0 else tuple(minimal)) == expected
 
 
 def test_tables_refuse_spans_moving_both_ways():
@@ -291,7 +302,138 @@ def test_tables_refuse_spans_moving_both_ways():
     grid = WeightedGrid(np.zeros((3, 3)), np.ones(3), np.ones(3),
                         np.array([[1, 0, 1], [0, 1, 0], [0, 0, 0]], dtype=bool))
     with pytest.raises(ValueError, match="one direction"):
-        TilingTables(grid, WeightFunction())
+        TilingTables(grid, WeightFunction(), 0.0)
+
+
+# ----------------------------------------------------------------------
+# The tiling kernel: the closure once per grid, the DP once per threshold
+# ----------------------------------------------------------------------
+ONE_ROW = span_grid([0], [5], 6)
+ONE_COLUMN = span_grid([0, 0, -1, 0], [0, 0, -1, 0], 1)
+NO_CANDIDATE = span_grid([-1, -1], [-1, -1], 3)
+
+
+def lazy_children(lazy: LazyTilingTables, rect_id: int) -> list:
+    """The rectangles of the lazy tables' child list of ``rect_id``, in order."""
+    return [lazy.rects[child] for child in lazy._children[rect_id]]
+
+
+@given(grid=st.one_of(monotone_grids(max_side=10), span_monotone_grids()),
+       weight_fn=st.sampled_from(WEIGHT_FUNCTIONS), data=st.data())
+@example(grid=ONE_ROW, weight_fn=WeightFunction(1.0, 1.0), data=None)
+@example(grid=mirrored(ONE_ROW), weight_fn=WeightFunction(1.0, 0.2), data=None)
+@example(grid=ONE_COLUMN, weight_fn=WeightFunction(1.0, 1.0), data=None)
+@example(grid=NO_CANDIDATE, weight_fn=WeightFunction(1.0, 1.0), data=None)
+@settings(max_examples=150, deadline=None)
+def test_the_kernel_tiles_as_the_python_dp_does(grid, weight_fn, data):
+    """``native.tile`` over the closure == the lazy Python DP == the recursive DP.
+
+    Thresholds are the exact weights the tables hold (every ``<=`` meets its
+    tie), ``-inf`` (single cells are the only leaves) and the root's weight
+    (one region).  The closure is built for the threshold and for every
+    threshold (``-inf``); the rectangles the lazy search meets are the
+    closure's, and each child list it builds is the closure's, in order.
+    """
+    full = TilingTables(grid, weight_fn, -np.inf)
+    weights = full.weights.tolist()
+    deltas = [-np.inf, *weights[:1]]
+    if data is not None and weights:
+        deltas += data.draw(st.lists(st.sampled_from(weights), min_size=1, max_size=3))
+    for delta in deltas:
+        ours = monotonic_bsp_partition(grid, weight_fn, delta)
+        lazy = LazyTilingTables(grid, weight_fn)
+        assert_same_tiling(ours, lazy_monotonic_bsp_tiling(lazy, delta))
+        assert_same_tiling(ours, reference_monotonic_bsp(grid, weight_fn, delta))
+        assert_same_tiling(monotonic_bsp_tiling(full, delta), ours)
+        tables = TilingTables(grid, weight_fn, delta)
+        ids = {rect: rect_id for rect_id, rect in enumerate(map(tuple, tables.rects.tolist()))}
+        assert len(ids) == len(tables.rects)
+        assert set(lazy.rects) <= set(ids)
+        for rect_id, children in enumerate(lazy._children):
+            if children is not None:
+                at = ids[lazy.rects[rect_id]]
+                kids = tables.children[tables.offsets[at]:tables.offsets[at + 1]].tolist()
+                assert [tuple(tables.rects[kid].tolist()) for kid in kids] == \
+                    lazy_children(lazy, rect_id)
+
+
+def test_the_closure_is_what_a_lazy_search_meets_on_the_diagonal():
+    """At delta = 0 every rectangle of two or more cells splits, and the lazy
+    search meets all 246 minimal rectangles of the 8 x 8 diagonal band (ascending
+    and mirrored): the closure holds those and no more."""
+    index = np.arange(8)
+    candidate = np.abs(index[:, None] - index[None, :]) <= 1
+    grid = WeightedGrid(candidate.astype(np.float64), np.ones(8), np.ones(8), candidate)
+    for view in (grid, mirrored(grid)):
+        lazy = LazyTilingTables(view, WeightFunction())
+        lazy_monotonic_bsp_tiling(lazy, 0.0)
+        tables = TilingTables(view, WeightFunction(), 0.0)
+        assert set(map(tuple, tables.rects.tolist())) == set(lazy.rects)
+        assert len(tables.rects) == 246
+
+
+def kernel_tables(grid: WeightedGrid = TIE_GRID):
+    """A closure's lookups and child table, and its leaf thresholds."""
+    tables = TilingTables(grid, WeightFunction(), -np.inf)
+    return tables, list(tables._lookups)
+
+
+def test_closures_and_tilings_it_does_not_take_raise():
+    tables, lookups = kernel_tables()
+    closure_args = (*lookups, False, lambda keys: np.ones(len(keys), dtype=bool))
+    for at, name in enumerate(native._LOOKUPS):
+        args = list(closure_args)
+        args[at] = lookups[at].astype(np.float64)
+        with pytest.raises(TypeError, match=f"{name} is float64"):
+            native.closure(*args)
+    with pytest.raises(ValueError, match="rows but"):
+        native.closure(lookups[0][:-1], *closure_args[1:])
+    with pytest.raises(ValueError, match="below / above"):
+        native.closure(*lookups[:3], lookups[3][:-1], *closure_args[4:])
+    empty = np.empty(0, dtype=np.int64)
+    with pytest.raises(ValueError, match="0 x 3 grid"):
+        native.closure(*lookups[:3], empty, empty, *closure_args[5:])
+    wide = np.zeros(65_537, dtype=np.int64)
+    with pytest.raises(ValueError, match="3 x 65537 grid"):
+        native.closure(*lookups[:5], wide, wide - 1, *closure_args[7:])
+    outside = lookups[3].copy()
+    outside[0] = 7
+    with pytest.raises(ValueError, match="outside the table"):
+        native.closure(*lookups[:3], outside, *closure_args[4:])
+    strided = np.repeat(lookups[1], 2)[::2]
+    with pytest.raises(ValueError, match="lo is not C-contiguous"):
+        native.closure(lookups[0], strided, *closure_args[2:])
+    with pytest.raises(ValueError, match="split said"):
+        native.closure(*lookups, False, lambda keys: np.ones(len(keys) + 1, dtype=bool))
+
+    args = (tables.offsets, tables.children, tables.leaf_thresholds, 0, 50.0)
+    expected = [array.tolist() for array in native.tile(*args)]
+    with pytest.raises(TypeError, match="offsets float64"):
+        native.tile(tables.offsets.astype(np.float64), *args[1:])
+    with pytest.raises(TypeError, match="leaf_thresholds is float32"):
+        native.tile(*args[:2], tables.leaf_thresholds.astype(np.float32), *args[3:])
+    with pytest.raises(ValueError, match="offsets for"):
+        native.tile(tables.offsets[:-1], *args[1:])
+    for root in (-1, len(tables.rects)):
+        with pytest.raises(ValueError, match=f"root {root} is not one"):
+            native.tile(*args[:3], root, 50.0)
+    with pytest.raises(ValueError, match="delta is nan"):
+        native.tile(*args[:4], float("nan"))
+    bad = tables.children.copy()
+    bad[tables.offsets[1] - 1] = len(tables.rects)
+    with pytest.raises(ValueError, match="lies outside what it indexes"):
+        native.tile(tables.offsets, bad, *args[2:4], -np.inf)
+    unsplit = tables.offsets.copy()
+    unsplit[1] = unsplit[0]
+    with pytest.raises(ValueError, match="no split"):
+        native.tile(unsplit, *args[1:4], -np.inf)
+    # Read-only inputs are read; nothing above moved what a tiling returns.
+    frozen = [array.copy() for array in args[:3]]
+    for array in frozen:
+        array.flags.writeable = False
+    assert [array.tolist() for array in native.tile(*frozen, *args[3:])] == expected
+    with pytest.raises(ValueError, match="below the"):
+        monotonic_bsp_tiling(TilingTables(TIE_GRID, WeightFunction(), 50.0), 49.0)
 
 
 # ----------------------------------------------------------------------

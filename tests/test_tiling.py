@@ -158,6 +158,21 @@ class TestMonotonicBSP:
         assert result.max_region_weight <= delta + 1e-9
 
 
+@pytest.mark.parametrize("tiling", [monotonic_bsp_partition, bsp_partition],
+                         ids=["monotonic", "baseline"])
+def test_a_nan_threshold_is_refused_by_name(tiling):
+    """Nothing compares below NaN (``-inf <= nan`` is false), so not even a
+    single cell is a leaf: both tilings refuse the threshold, naming it,
+    where they used to fail on an empty ``max`` or a missing rectangle."""
+    index = np.arange(4)
+    candidate = np.abs(index[:, None] - index[None, :]) <= 1
+    grid = WeightedGrid(candidate.astype(np.float64), np.ones(4), np.ones(4), candidate)
+    with pytest.raises(ValueError, match="delta is nan"):
+        tiling(grid, UNIT, float("nan"))
+    with pytest.raises(ValueError, match="delta is nan"):
+        tiling(empty_grid(), UNIT, float("nan"))
+
+
 class TestRecursionLimitIsNeverTouched:
     """The DP's depth grows with rows + columns; its stack must be its own.
 
@@ -261,7 +276,7 @@ class TestEnumerateMinimalCandidateRectangles:
             grid = WeightedGrid(grid.frequency[:, ::-1].copy(), grid.row_input,
                                 grid.col_input[::-1].copy(), grid.candidate[:, ::-1].copy())
         assert grid.span_direction() == (-1 if descending else 1)
-        tables = TilingTables(grid, UNIT)
+        tables = TilingTables(grid, UNIT, 0.0)
         monotonic_bsp_tiling(tables, 0.0)
         reached = {GridRegion(*rect) for rect in tables.rects}
         enumerated = enumerate_minimal_candidate_rectangles(grid)
