@@ -10,8 +10,11 @@
  * merge_<t>  merges key-sorted runs, oldest first, into one counted run in
  *            a single linear pass: repro.streaming.incremental._merge_sorted.
  * offer      offers one batch of entries to a bounded Efraimidis-Spirakis
- *            min-heap held as three parallel arrays:
- *            repro.streaming.incremental.DecayedReservoir.add_batch.
+ *            min-heap held as three parallel arrays (priority, counter,
+ *            payload): repro.streaming.incremental.DecayedReservoir.add_batch
+ *            (payload: the key) and repro.sampling.reservoir's
+ *            WeightedReservoir (payload: the entry's position in the
+ *            offered pool), one call per Stream-Sample worker and merge.
  * sweep_rows groups consecutive rows of a column-aggregated sample matrix
  *            so that no candidate block outweighs a threshold: one greedy
  *            sweep of repro.core.coarsening's per-axis threshold search.
@@ -327,14 +330,15 @@ KERNELS(i64, int64_t, NEVER_NAN)
 
 /*
  * The reservoir heap.  Entry i is (priorities[i], counters[i], keys[i]),
- * and the arrays are the list of tuples Python's heapq would hold, entry
- * for entry, because the heap array's order is what the reservoir's keys()
- * exposes.  So every step mirrors CPython's heapq: heappush sifts the new
+ * keys[i] its payload (a key, or a position in Stream-Sample's pool), and
+ * the arrays are the list of tuples Python's heapq would hold, entry for
+ * entry, because the heap array's order is what the reservoir's keys() and
+ * Stream-Sample's with-replacement draw expose.  So every step mirrors CPython's heapq: heappush sifts the new
  * entry down from the end; heapreplace puts it at the root, promotes the
  * smaller child all the way down to a leaf and sifts the entry back up from
  * there (_siftup, then _siftdown).  Entries compare as the tuples do: by
  * priority, ties by counter.  Priorities are never NaN and counters are
- * unique, so the key is never compared.
+ * unique, so the payload is never compared.
  */
 static int before(double priority, int64_t counter, double other_priority,
                   int64_t other_counter)
@@ -390,7 +394,8 @@ static void sift_up(double *priorities, int64_t *counters, double *keys,
 /*
  * Offer n entries, in order, to a heap of `size` entries and room for
  * `capacity`: a heapq push / heapreplace loop behind
- * DecayedReservoir.add_batch's batch-start filter.  When the heap starts
+ * DecayedReservoir.add_batch's batch-start filter (a WeightedReservoir
+ * offers several entries only to an empty heap).  When the heap starts
  * the batch full, only entries whose priority is above its minimum at that
  * moment take a counter; otherwise every entry does.  An entry with a
  * counter is pushed while the heap holds fewer than `capacity`, and

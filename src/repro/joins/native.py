@@ -4,22 +4,25 @@ The stream batch and the plan build spend most of their interpreter time
 in five inner loops that numpy can only run as a dozen small-array calls
 each, or as one Python-level step per element: the searches of one sorted
 run for a batch's needles (clipped and summed per machine), the merge of a
-state's sorted runs, the offer of a batch's arrivals to the stream
-histogram's sample reservoir, a ``heapq`` push / ``heapreplace`` per key,
+state's sorted runs, the offer of entries to an Efraimidis--Spirakis
+reservoir (the stream histogram's per batch, Stream-Sample's per worker
+and per merge), a ``heapq`` push / ``heapreplace`` per entry,
 coarsening's greedy sweep, a group of small cumulative sums per window of
 rows, and MonotonicBSP's tiling DP, a stack walk over a grid's minimal
 rectangles per threshold.  ``native.c`` does each in one call, and each
 call is the only way production runs that loop: :func:`count` for one
 task of :func:`~repro.joins.local.count_regions`, :func:`merge` for
 :func:`~repro.streaming.incremental._merge_sorted`, :func:`offer` for
-:meth:`~repro.streaming.incremental.DecayedReservoir.add_batch`,
+:meth:`~repro.streaming.incremental.DecayedReservoir.add_batch` and for
+:class:`~repro.sampling.reservoir.WeightedReservoir`'s offers (its payload
+an entry's position in the offered pool),
 :func:`sweep_rows` for one threshold probe of coarsening's per-axis
 search, :func:`tile` for one threshold probe of regionalization's, over
 the child table :func:`closure` builds once per grid (a few calls, one per
 round of rectangles that need children).  The numpy, ``heapq`` and Python
 forms they replaced live in the test harness (``tests/reference_*.py``),
 which holds the kernel to them bit for bit: counts and merged runs
-(``tests/test_native_kernel.py``), the reservoir's heap array entry for
+(``tests/test_native_kernel.py``), both reservoirs' heap arrays entry for
 entry (``tests/test_sampling_oracle.py``), and the sweep's boundaries and
 the tilings' regions and rectangle counts (``tests/test_planner_oracle.py``).
 
@@ -31,10 +34,12 @@ named by a SHA-256 of the source, the compiler's argv and the platform, so
 a checkout compiles once and every later process -- set-up children,
 sticky and pool workers -- loads the cached library.  It is written to a
 temporary name and renamed into place, so concurrent first imports never
-load a partial file.  The engine needs the kernel: where it cannot be
-built or loaded -- no C compiler, a cache directory that cannot be
-written or is world-writable, a ``dlopen`` error -- the import raises
-:class:`KernelUnavailable`, naming the step that failed.
+load a partial file, and a build removes the cache's other libraries
+(stale sources or compilers); a loader whose library such a build removed
+before its ``dlopen`` builds it again.  The engine needs the kernel:
+where it cannot be built or loaded -- no C compiler, a cache directory
+that cannot be written or is world-writable, a ``dlopen`` error -- the
+import raises :class:`KernelUnavailable`, naming the step that failed.
 
 A wrapper takes the arrays its C function reads and writes as they are,
 with no copy: keys float64 or int64, counts, positions, lookups and ids
@@ -92,6 +97,41 @@ class KernelUnavailable(ImportError):
     """
 
 
+def _compile(argv: "list[str]", library: Path) -> None:
+    """Compile ``native.c`` into ``library``, then remove the cache's other libraries.
+
+    The library is written to a temporary name and renamed into place, so
+    a concurrent loader never opens a partial file.  The other
+    ``native.*.so`` files are stale builds (another source or compiler
+    argv): removing them keeps the cache at one library per build in use.
+    A process that loaded one keeps its mapping, and one about to load one
+    builds it again (:func:`_build`).
+    """
+    import subprocess
+
+    partial = library.with_name(f"{library.name}.{os.getpid()}.tmp")
+    command = [*argv, "-o", str(partial), str(SOURCE)]
+    try:
+        done = subprocess.run(
+            command, capture_output=True, text=True, errors="replace", timeout=300
+        )
+        if done.returncode:
+            raise KernelUnavailable(
+                f"{command} exited with status {done.returncode}; "
+                f"stderr: {done.stderr.strip() or '(empty)'}"
+            )
+        os.replace(partial, library)
+    except subprocess.TimeoutExpired as error:
+        raise KernelUnavailable(f"{command} ran past {error.timeout:.0f} s") from None
+    except OSError as error:  # no such compiler, or an unwritable cache
+        raise KernelUnavailable(f"{command} failed: {error}") from None
+    finally:
+        partial.unlink(missing_ok=True)
+    for stale in library.parent.glob("native.*.so"):
+        if stale != library:
+            stale.unlink(missing_ok=True)
+
+
 def _build() -> ctypes.CDLL:
     """Compile ``native.c`` unless its library is cached; load it; declare its functions."""
     compiler = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()
@@ -109,29 +149,17 @@ def _build() -> ctypes.CDLL:
             f"{cache} is world-writable: a library anyone could have planted is never loaded"
         )
     library = cache / f"native.{digest.hexdigest()[:32]}.so"
-    if not library.exists():
-        import subprocess
-
-        partial = cache / f"{library.name}.{os.getpid()}.tmp"
-        command = [*argv, "-o", str(partial), str(SOURCE)]
+    for retry in (False, True):
+        if not library.exists():
+            _compile(argv, library)
         try:
-            done = subprocess.run(
-                command, capture_output=True, text=True, errors="replace", timeout=300
-            )
-            if done.returncode:
-                raise KernelUnavailable(
-                    f"{command} exited with status {done.returncode}; "
-                    f"stderr: {done.stderr.strip() or '(empty)'}"
-                )
-            os.replace(partial, library)
-        except subprocess.TimeoutExpired as error:
-            raise KernelUnavailable(f"{command} ran past {error.timeout:.0f} s") from None
-        except OSError as error:  # no such compiler, or an unwritable cache
-            raise KernelUnavailable(f"{command} failed: {error}") from None
-        finally:
-            partial.unlink(missing_ok=True)
+            loaded = ctypes.CDLL(str(library))
+            break
+        except OSError as error:  # a dlopen error
+            # Another build removed it as stale after the check: build it again, once.
+            if retry or library.exists():
+                raise KernelUnavailable(f"cannot load {library}: {error}") from None
     try:
-        loaded = ctypes.CDLL(str(library))
         for key in ("f64", "i64"):
             function = getattr(loaded, f"count_{key}")
             function.argtypes, function.restype = _COUNT_ARGS, ctypes.c_int
@@ -141,7 +169,7 @@ def _build() -> ctypes.CDLL:
         loaded.sweep_rows.argtypes, loaded.sweep_rows.restype = _SWEEP_ARGS, ctypes.c_int64
         loaded.closure.argtypes, loaded.closure.restype = _CLOSURE_ARGS, ctypes.c_int64
         loaded.tile.argtypes, loaded.tile.restype = _TILE_ARGS, ctypes.c_int64
-    except (OSError, AttributeError) as error:  # a dlopen error or a missing symbol
+    except AttributeError as error:  # a missing symbol
         raise KernelUnavailable(f"cannot load {library}: {error}") from None
     return loaded
 
@@ -300,13 +328,16 @@ _OFFER = ("heap priorities", "heap counters", "heap keys", "priorities", "keys")
 
 
 def offer(heap, size: int, capacity: int, counter: int, priorities, keys) -> int:
-    """:meth:`~repro.streaming.incremental.DecayedReservoir.add_batch`'s heap loop; the next counter.
+    """A reservoir's heap loop over a batch of entries; the next counter.
 
-    ``heap`` is the reservoir's ``(priorities, counters, keys)`` arrays,
-    whose first ``size`` entries are the heap, ``counter`` its next unused
-    counter, and ``priorities`` / ``keys`` the batch's entries in offer
-    order.  The kernel writes the heap array ``heapq`` would leave behind
-    the batch-start filter (``tests/reference_sampling.py``); the heap then
+    The loop of :meth:`~repro.streaming.incremental.DecayedReservoir.add_batch`
+    (payload: keys) and of :class:`~repro.sampling.reservoir.WeightedReservoir`'s
+    offers (payload: pool positions).  ``heap`` is the reservoir's
+    ``(priorities, counters, keys)`` arrays, whose first ``size`` entries
+    are the heap, ``counter`` its next unused counter, and ``priorities`` /
+    ``keys`` the batch's entries and payloads in offer order.  The kernel
+    writes the heap array ``heapq`` would leave behind the batch-start
+    filter (``tests/reference_sampling.py``); the heap then
     holds ``min(capacity, size + len(keys))`` entries.  Priorities and keys
     are float64, counters int64, and the heap's arrays have room for that
     many entries; ``0 <= size <= capacity`` and ``0 <= counter``.

@@ -16,13 +16,11 @@ weights, following Chaudhuri et al.'s use in Stream-Sample.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from itertools import count, islice
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
+
+from repro.joins import native
 
 __all__ = [
     "WeightedReservoir",
@@ -32,26 +30,39 @@ __all__ = [
     "wor_to_wr",
 ]
 
+_NO_FLOATS = np.empty(0)
+_NO_COUNTERS = np.empty(0, dtype=np.int64)
 
-@dataclass
+
 class WeightedReservoir:
-    """A bounded min-heap of ``(priority, item, weight)`` entries.
+    """A bounded min-heap of the ``capacity`` largest-priority offers.
 
-    The reservoir keeps the ``capacity`` entries with the largest priorities
-    seen so far.  Items may be arbitrary hashable or unhashable objects; they
-    are carried through untouched.
+    Offered items with positive weight form the reservoir's *pool* (an
+    array of items and one of their weights, position by position); items
+    may be of any kind, and are carried through untouched.  The heap is
+    three parallel arrays -- priorities (float64), counters (int64) and
+    each entry's pool position (float64, exact below 2**53) -- whose first
+    ``len(self)`` entries are, entry for entry, the list of ``(priority,
+    counter, item, weight)`` tuples ``heapq`` would hold
+    (``tests/reference_sampling.py``): heap order is what :func:`wor_to_wr`
+    draws over.  A batch of offers is one call of the compiled kernel
+    (:func:`repro.joins.native.offer`), which mirrors ``heapq``'s steps;
+    items and weights are gathered by position only when read.
     """
 
-    capacity: int
-    _heap: list[tuple[float, int, object, float]] = field(default_factory=list)
-    _counter: int = 0
-
-    def __post_init__(self) -> None:
-        if self.capacity <= 0:
+    def __init__(self, capacity: int) -> None:
+        if capacity <= 0:
             raise ValueError("reservoir capacity must be positive")
+        self.capacity = capacity
+        self._size = 0
+        self._counter = 0
+        # Empty until offered to: an offer replaces them, never writes them.
+        self._items: np.ndarray = _NO_FLOATS
+        self._weights = self._priorities = self._positions = _NO_FLOATS
+        self._counters = _NO_COUNTERS
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._size
 
     def add(self, item: object, weight: float, rng: np.random.Generator) -> None:
         """Offer ``item`` with ``weight`` to the reservoir."""
@@ -61,40 +72,56 @@ class WeightedReservoir:
         self.add_with_priority(item, weight, priority)
 
     def add_with_priority(self, item: object, weight: float, priority: float) -> None:
-        """Offer an item whose priority has already been drawn."""
-        self._offer([priority], [item], [weight])
+        """Offer an item whose priority has already been drawn.
 
-    def _offer(self, priorities: Sequence, items: Sequence, weights: Sequence) -> None:
-        """Offer parallel columns of pre-drawn entries, in order.
-
-        Entry ``i`` is the tuple ``(priorities[i], counter + i, items[i],
-        weights[i])``: pushed while the heap holds fewer than ``capacity``,
-        afterwards it replaces the minimum when its priority is strictly
-        larger -- the push / ``heapreplace`` sequence of offering one entry
-        per call, so the heap *array* (whose order the WOR -> WR draw
-        exposes) is reproduced, not merely the retained set.
+        The pool grows by a copy per call: for many items, draw once and
+        offer them together (:func:`weighted_sample_wor`).
         """
-        heap, push, replace = self._heap, heapq.heappush, heapq.heapreplace
-        entries = zip(priorities, count(self._counter), items, weights)
-        for entry in islice(entries, max(self.capacity - len(heap), 0)):
-            push(heap, entry)
-        for entry in entries:
-            if entry[0] > heap[0][0]:
-                replace(heap, entry)
-        self._counter += len(priorities)
+        entry = np.empty(1, dtype=object)
+        entry[0] = item
+        start = len(self._weights)
+        self._items = np.concatenate([self._items, entry])
+        self._weights = np.append(self._weights, float(weight))
+        self._offer(np.array([priority], dtype=np.float64), np.array([float(start)]))
+
+    def _offer(self, priorities: np.ndarray, positions: np.ndarray) -> None:
+        """Offer entries with these priorities and pool positions, in order.
+
+        Entry ``i`` is ``(priorities[i], counter + i, positions[i])``:
+        pushed while the heap holds fewer than ``capacity``, afterwards it
+        replaces the minimum when its priority is strictly larger -- the
+        push / ``heapreplace`` sequence of offering one entry per call, so
+        the heap *array* is reproduced, not merely the retained set.  Every
+        entry takes a counter, as in that loop: an offer of several entries
+        starts from an empty heap, so the kernel's batch-start filter (it
+        gives no counter to what a full heap drops) only ever drops a lone
+        entry.  The arrays grow to the room the heap then needs (at least
+        double, so one-entry offers copy amortised O(1)).
+        """
+        size = self._size
+        room = min(self.capacity, size + positions.size)
+        if self._priorities.size < room:
+            grown = max(room, min(self.capacity, 2 * self._priorities.size))
+            self._priorities, self._counters, self._positions = (
+                np.concatenate([heap[:size], np.empty(grown - size, dtype=heap.dtype)])
+                for heap in (self._priorities, self._counters, self._positions)
+            )
+        heap = (self._priorities, self._counters, self._positions)
+        native.offer(heap, size, self.capacity, self._counter, priorities, positions)
+        self._counter += positions.size
+        self._size = room
+
+    def _held(self) -> np.ndarray:
+        """The pool positions of the heap's entries, in heap-array order."""
+        return self._positions[: self._size].astype(np.int64)
 
     def items(self) -> list[object]:
-        """The sampled items (unordered)."""
-        return [entry[2] for entry in self._heap]
+        """The sampled items, in heap-array order (``tolist()``'s Python objects)."""
+        return self._items[self._held()].tolist()
 
     def weights(self) -> np.ndarray:
         """Weights of the sampled items, aligned with :meth:`items`."""
-        heap = self._heap
-        return np.fromiter(map(itemgetter(3), heap), dtype=np.float64, count=len(heap))
-
-    def entries(self) -> list[tuple[float, object, float]]:
-        """``(priority, item, weight)`` triples (unordered)."""
-        return [(entry[0], entry[2], entry[3]) for entry in self._heap]
+        return self._weights[self._held()]
 
 
 def weighted_sample_wor(
@@ -106,8 +133,9 @@ def weighted_sample_wor(
     """One-pass Efraimidis--Spirakis weighted sampling without replacement.
 
     Items with non-positive weight are never sampled (they cannot contribute
-    an output tuple).  ``items`` goes through ``tolist()``: a retained item
-    is a Python scalar (a nested list for a 2-D ``items``), not a numpy one.
+    an output tuple).  Items are read back through ``tolist()``: a sampled
+    item is a Python scalar (a nested list for a 2-D ``items``), not a numpy
+    one.
     """
     return weighted_samples_wor(items, weights, size, rng, [len(items)])[0]
 
@@ -121,45 +149,70 @@ def weighted_samples_wor(
 ) -> list[WeightedReservoir]:
     """:func:`weighted_sample_wor` of consecutive parts of ``items``, one reservoir each.
 
-    Part ``i`` is the next ``lengths[i]`` items.  The priorities come from
-    one ``rng.random`` over every positive weight in order -- the stream
-    the per-part calls draw one after the other -- and each part's
-    reservoir is offered its own entries in order, so every heap array is
-    the one its own call would build.
+    Part ``i`` is the next ``lengths[i]`` items; the lengths are
+    non-negative and sum to ``len(items)``.  The priorities come from one
+    ``rng.random`` over every positive weight in order -- the stream the
+    per-part calls draw one after the other -- and each part's reservoir
+    is offered its own slice of them in one kernel call, so every heap
+    array is the one its own call would build.  The reservoirs share one
+    pool, the positive-weight items.
     """
     items = np.asarray(items)
     weights = np.asarray(weights, dtype=np.float64)
     if len(items) != len(weights):
         raise ValueError("items and weights must have the same length")
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if (lengths < 0).any() or lengths.sum() != len(items):
+        raise ValueError(
+            f"lengths {lengths.tolist()} must be non-negative and sum to the "
+            f"{len(items)} items"
+        )
     positive = weights > 0
-    # Where each part's positive entries start and stop among all of them.
-    bounds = np.concatenate([[0], np.cumsum(positive)])[
-        np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
-    ].tolist()
+    # Where each part's positive entries start and stop among all of them,
+    # and where its heap's room does in one block (up to ``size`` each).
+    starts = np.concatenate([[0], np.cumsum(lengths)])
+    bounds = np.concatenate([[0], np.cumsum(positive)])[starts]
+    rooms = np.concatenate([[0], np.cumsum(np.minimum(np.diff(bounds), size))]).tolist()
+    bounds = bounds.tolist()
     reservoirs = [WeightedReservoir(capacity=size) for _ in lengths]
     if bounds[-1] == 0:
         return reservoirs
-    # Vectorised priority draw, then a single heap pass per part.
-    weights = weights[positive]
-    priorities = (rng.random(len(weights)) ** (1.0 / weights)).tolist()
-    items, weights = items[positive].tolist(), weights.tolist()
-    for reservoir, start, stop in zip(reservoirs, bounds, bounds[1:]):
-        reservoir._offer(priorities[start:stop], items[start:stop], weights[start:stop])
+    # Vectorised priority draw, then one kernel call per part.
+    pool_items, pool_weights = items[positive], weights[positive]
+    priorities = rng.random(len(pool_weights)) ** (1.0 / pool_weights)
+    positions = np.arange(len(pool_weights), dtype=np.float64)
+    block = (np.empty(rooms[-1]), np.empty(rooms[-1], dtype=np.int64), np.empty(rooms[-1]))
+    parts = zip(reservoirs, bounds, bounds[1:], rooms, rooms[1:])
+    for reservoir, start, stop, low, high in parts:
+        reservoir._items, reservoir._weights = pool_items, pool_weights
+        reservoir._priorities, reservoir._counters, reservoir._positions = (
+            block[0][low:high], block[1][low:high], block[2][low:high]
+        )
+        reservoir._offer(priorities[start:stop], positions[start:stop])
     return reservoirs
 
 
 def merge_reservoirs(
     reservoirs: list[WeightedReservoir], capacity: int | None = None
 ) -> WeightedReservoir:
-    """Merge per-worker reservoirs into one by keeping the largest priorities."""
+    """Merge per-worker reservoirs into one by keeping the largest priorities.
+
+    The heap arrays are offered, laid end to end in reservoir order, to a
+    fresh heap in one kernel call: the entries a per-entry merge offers, in
+    its order.  The merged pool is the held items alone.
+    """
     if not reservoirs:
         raise ValueError("need at least one reservoir to merge")
     capacity = capacity or max(r.capacity for r in reservoirs)
     merged = WeightedReservoir(capacity=capacity)
-    heap = [entry for reservoir in reservoirs for entry in reservoir._heap]
-    if heap:
-        priorities, _, items, weights = zip(*heap)
-        merged._offer(priorities, items, weights)
+    held = [(reservoir, reservoir._held()) for reservoir in reservoirs if reservoir._size]
+    if held:
+        merged._items = np.concatenate([reservoir._items[at] for reservoir, at in held])
+        merged._weights = np.concatenate([reservoir._weights[at] for reservoir, at in held])
+        priorities = np.concatenate(
+            [reservoir._priorities[: reservoir._size] for reservoir, _ in held]
+        )
+        merged._offer(priorities, np.arange(len(priorities), dtype=np.float64))
     return merged
 
 
@@ -167,12 +220,10 @@ def wor_to_wr(
     reservoir: WeightedReservoir, size: int, rng: np.random.Generator
 ) -> list[object]:
     """Convert a WOR reservoir to a with-replacement weighted sample of ``size``."""
-    heap = reservoir._heap
-    if not heap:
+    held = reservoir._held()
+    if not held.size:
         return []
-    weights = reservoir.weights()
+    weights = reservoir._weights[held]
     probabilities = weights / weights.sum()
-    indexes = rng.choice(len(heap), size=size, replace=True, p=probabilities)
-    # An object array holds the items themselves, so the gather hands them back.
-    items = np.fromiter(map(itemgetter(2), heap), dtype=object, count=len(heap))
-    return items[indexes].tolist()
+    indexes = rng.choice(held.size, size=size, replace=True, p=probabilities)
+    return reservoir._items[held[indexes]].tolist()

@@ -5,11 +5,15 @@ Test-only.  These are the bodies ``repro.sampling.stream_sample`` and
 taken out, kept verbatim as the differential oracle
 (``tests/test_sampling_oracle.py``): one scalar ``rng.integers`` and one
 scalar ``searchsorted`` per sampled key, one ``add_with_priority`` call -- a
-tuple build and three ``float()`` conversions -- per offered tuple.  They
-operate on the *production* classes' fields, so a reference pass and a
-production pass can be compared heap entry by heap entry, counter by
-counter, generator state by generator state, and either can be
-monkeypatched in for the other.
+tuple build and three ``float()`` conversions -- per offered tuple.
+
+:class:`TupleWeightedReservoir` is Stream-Sample's E-S reservoir as it
+shipped, a ``heapq`` list of ``(priority, counter, item, weight)`` tuples,
+before the production ``WeightedReservoir`` became three arrays offered to
+by the compiled kernel; :func:`weighted_sample_wor`,
+:func:`merge_reservoirs` and :func:`wor_to_wr` run on it, so a reference
+pass and a production pass can be compared heap entry by heap entry,
+counter by counter, generator state by generator state.
 
 :class:`TupleReservoir` is the stream histogram's decayed reservoir as it
 shipped -- a ``heapq`` list of tuples fed one key at a time -- before the
@@ -43,7 +47,6 @@ from repro.sampling import reservoir as production_reservoir
 from repro.sampling import stream_sample as production_kernels
 from repro.sampling.equidepth import bucket_index, build_equidepth_histogram
 from repro.sampling.parallel_stream_sample import ParallelSampleStats
-from repro.sampling.reservoir import WeightedReservoir
 from repro.sampling.stream_sample import (
     D2Index,
     JoinOutputSample,
@@ -68,25 +71,54 @@ def sample_joinable_keys(sampled_keys1, d2_index, condition, rng) -> np.ndarray:
     return result
 
 
-def add_with_priority(
-    reservoir: WeightedReservoir, item: object, weight: float, priority: float
-) -> None:
-    """Offer an item whose priority has already been drawn (used by merging)."""
-    entry = (priority, reservoir._counter, item, weight)
-    reservoir._counter += 1
-    if len(reservoir._heap) < reservoir.capacity:
-        heapq.heappush(reservoir._heap, entry)
-    elif priority > reservoir._heap[0][0]:
-        heapq.heapreplace(reservoir._heap, entry)
+class TupleWeightedReservoir:
+    """Stream-Sample's E-S reservoir as it shipped: a ``heapq`` list of tuples.
+
+    ``(priority, counter, item, weight)`` entries, one ``heappush`` /
+    ``heapreplace`` per offered item.  The production
+    ``WeightedReservoir`` holds the same heap as three arrays, an entry's
+    item and weight replaced by its position in the offered pool, and must
+    equal this one entry for entry.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        if capacity <= 0:
+            raise ValueError("reservoir capacity must be positive")
+        self.capacity = capacity
+        self.heap: "list[tuple[float, int, object, float]]" = []
+        self.counter = 0
+
+    def add(self, item: object, weight: float, rng) -> None:
+        """Offer ``item`` with ``weight``: a priority drawn, unless the weight is not positive."""
+        if weight <= 0:
+            return
+        self.add_with_priority(item, weight, rng.random() ** (1.0 / weight))
+
+    def add_with_priority(self, item: object, weight: float, priority: float) -> None:
+        """Offer an item whose priority has already been drawn (used by merging)."""
+        entry = (priority, self.counter, item, weight)
+        self.counter += 1
+        if len(self.heap) < self.capacity:
+            heapq.heappush(self.heap, entry)
+        elif priority > self.heap[0][0]:
+            heapq.heapreplace(self.heap, entry)
+
+    def items(self) -> list:
+        """The sampled items, in heap-array order."""
+        return [entry[2] for entry in self.heap]
+
+    def weights(self) -> np.ndarray:
+        """Weights of the sampled items, aligned with :meth:`items`."""
+        return np.array([entry[3] for entry in self.heap], dtype=np.float64)
 
 
-def weighted_sample_wor(items, weights, size, rng) -> WeightedReservoir:
+def weighted_sample_wor(items, weights, size, rng) -> TupleWeightedReservoir:
     """One-pass Efraimidis--Spirakis weighted sampling without replacement."""
     items = np.asarray(items)
     weights = np.asarray(weights, dtype=np.float64)
     if len(items) != len(weights):
         raise ValueError("items and weights must have the same length")
-    reservoir = WeightedReservoir(capacity=size)
+    reservoir = TupleWeightedReservoir(capacity=size)
     positive = weights > 0
     if not positive.any():
         return reservoir
@@ -95,28 +127,28 @@ def weighted_sample_wor(items, weights, size, rng) -> WeightedReservoir:
     priorities[positive] = rng.random(int(positive.sum())) ** (1.0 / weights[positive])
     for item, weight, priority in zip(items, weights, priorities):
         if weight > 0:
-            add_with_priority(reservoir, item, float(weight), float(priority))
+            reservoir.add_with_priority(item, float(weight), float(priority))
     return reservoir
 
 
-def merge_reservoirs(reservoirs, capacity=None) -> WeightedReservoir:
+def merge_reservoirs(reservoirs, capacity=None) -> TupleWeightedReservoir:
     """Merge per-worker reservoirs into one by keeping the largest priorities."""
     if not reservoirs:
         raise ValueError("need at least one reservoir to merge")
     capacity = capacity or max(r.capacity for r in reservoirs)
-    merged = WeightedReservoir(capacity=capacity)
+    merged = TupleWeightedReservoir(capacity=capacity)
     for reservoir in reservoirs:
-        for priority, item, weight in reservoir.entries():
-            add_with_priority(merged, item, weight, priority)
+        for priority, _, item, weight in reservoir.heap:
+            merged.add_with_priority(item, weight, priority)
     return merged
 
 
-def wor_to_wr(reservoir: WeightedReservoir, size: int, rng) -> list:
+def wor_to_wr(reservoir: TupleWeightedReservoir, size: int, rng) -> list:
     """Convert a WOR reservoir to a with-replacement weighted sample of ``size``."""
-    items = [entry[2] for entry in reservoir._heap]
+    items = reservoir.items()
     if not items:
         return []
-    weights = np.array([entry[3] for entry in reservoir._heap], dtype=np.float64)
+    weights = reservoir.weights()
     probabilities = weights / weights.sum()
     indexes = rng.choice(len(items), size=size, replace=True, p=probabilities)
     return [items[i] for i in indexes]

@@ -44,6 +44,7 @@ faults without owning backend cleanup.
 
 from __future__ import annotations
 
+import gc
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -109,6 +110,9 @@ def interpreter_calls(function, *args, **kwargs) -> "tuple[object, int]":
 
     ``call`` + ``c_call`` profile events: a deterministic stand-in for time
     that counts interpreter work and ignores what numpy does inside a call.
+    The cycle collector is off meanwhile: a collection that happens to
+    start inside ``function`` runs ``gc.callbacks`` (hypothesis registers
+    one that reads a clock), which would count as its calls.
     """
     calls = 0
 
@@ -118,11 +122,15 @@ def interpreter_calls(function, *args, **kwargs) -> "tuple[object, int]":
             calls += 1
 
     previous = sys.getprofile()
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         result = function(*args, **kwargs)
     finally:
         sys.setprofile(previous)
+        if collecting:
+            gc.enable()
     return result, calls
 
 

@@ -353,10 +353,10 @@ IMPORT_PROBE = (
 )
 
 
-def _import_kernel(package: Path, **environment: str) -> str:
-    """:data:`IMPORT_PROBE`'s output with ``package`` on the path."""
+def _import_kernel(package: Path, probe: str = IMPORT_PROBE, **environment: str) -> str:
+    """``probe``'s output with ``package`` on the path."""
     return subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE],
+        [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(package), **environment},
         capture_output=True, text=True, check=True,
     ).stdout.strip()
@@ -378,17 +378,60 @@ def test_without_a_compiler_the_import_says_why(tmp_path):
     assert said.endswith("exited with status 3; stderr: cc: no such target")
 
 
-def test_a_world_writable_cache_is_refused(tmp_path):
-    """A library anyone could have planted is never loaded: the import
-    raises ``KernelUnavailable`` naming the cache, and nothing is built."""
+def _package_copy(tmp_path: Path) -> "tuple[Path, Path]":
+    """A copy of the ``repro`` package with no kernel cache, and where its cache goes."""
     package = tmp_path / "src"
     shutil.copytree(
         Path(native.__file__).resolve().parents[1], package / "repro",
         ignore=shutil.ignore_patterns("__pycache__"),
     )
-    cache = package / "repro" / "joins" / "__pycache__"
+    return package, package / "repro" / "joins" / "__pycache__"
+
+
+def test_a_world_writable_cache_is_refused(tmp_path):
+    """A library anyone could have planted is never loaded: the import
+    raises ``KernelUnavailable`` naming the cache, and nothing is built."""
+    package, cache = _package_copy(tmp_path)
     cache.mkdir()
     cache.chmod(0o777)
     said = _import_kernel(package)
     assert said.startswith(f"KernelUnavailable {cache} is world-writable")
     assert not list(cache.iterdir())
+
+
+def test_a_build_removes_the_stale_libraries(tmp_path):
+    """A build leaves one library in the cache: the ones other sources or
+    compiler argvs built are removed, another build's partial file is not."""
+    package, cache = _package_copy(tmp_path)
+    cache.mkdir()
+    stale = cache / "native.0123456789abcdef0123456789abcdef.so"
+    stale.write_bytes(b"an old build")
+    partial = cache / f"{stale.name}.12345.tmp"
+    partial.write_bytes(b"")
+    assert _import_kernel(package) == "loaded"
+    libraries = list(cache.glob("native.*.so"))
+    assert len(libraries) == 1 and not stale.exists() and partial.exists()
+    assert _import_kernel(package) == "loaded"
+    assert list(cache.glob("native.*.so")) == libraries
+
+
+#: :data:`IMPORT_PROBE` with the library removed just before its one ``dlopen``.
+VANISHING_PROBE = (
+    "import ctypes, os\n"
+    "load = ctypes.CDLL\n"
+    "def vanishing(path, *args, **kwargs):\n"
+    "    ctypes.CDLL = load\n"
+    "    os.unlink(path)\n"
+    "    return load(path, *args, **kwargs)\n"
+    "ctypes.CDLL = vanishing\n"
+) + IMPORT_PROBE
+
+
+def test_a_library_removed_before_its_load_is_built_again(tmp_path):
+    """Another build may remove a library as stale between a loader's
+    check and its ``dlopen``: the loader builds it again instead of raising."""
+    package, cache = _package_copy(tmp_path)
+    assert _import_kernel(package) == "loaded"
+    (library,) = cache.glob("native.*.so")
+    assert _import_kernel(package, VANISHING_PROBE) == "loaded"
+    assert list(cache.glob("native.*.so")) == [library]

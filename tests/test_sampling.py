@@ -23,6 +23,7 @@ from repro.sampling.reservoir import (
     WeightedReservoir,
     merge_reservoirs,
     weighted_sample_wor,
+    weighted_samples_wor,
     wor_to_wr,
 )
 from repro.sampling.sizes import (
@@ -211,6 +212,20 @@ class TestWeightedReservoir:
     def test_weighted_sample_wor_validates_lengths(self, rng):
         with pytest.raises(ValueError):
             weighted_sample_wor(np.arange(3), np.ones(4), 2, rng)
+
+    @pytest.mark.parametrize(
+        "lengths", [[2], [-1, 6], [4, 4]], ids=["dropping-3", "negative", "past-the-end"]
+    )
+    def test_weighted_samples_wor_refuses_lengths_that_do_not_cover_the_items(
+        self, rng, lengths
+    ):
+        """Parts are the next ``lengths[i]`` items: non-negative lengths
+        summing to the 5 items, or a ``ValueError`` naming them (they used
+        to drop items, shift them between parts, or raise an ``IndexError``)."""
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"^lengths \["):
+            weighted_samples_wor(np.arange(5.0), np.ones(5), 2, rng, lengths)
+        assert rng.bit_generator.state == before
 
     def test_merge_reservoirs_keeps_top_priorities(self, rng):
         r1 = WeightedReservoir(capacity=3)

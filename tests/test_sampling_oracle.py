@@ -1,11 +1,12 @@
 """Differential tests: the sampling kernels against their per-tuple originals.
 
 ``tests/reference_sampling.py`` holds the loops ``_sample_joinable_keys``,
-``weighted_sample_wor`` and ``merge_reservoirs`` shipped before their
-per-tuple interpreter work was removed, and the stream histogram's
-reservoir as a ``heapq`` list of tuples (``TupleReservoir``), which the
-production ``DecayedReservoir`` now holds as three arrays offered to by the
-compiled kernel.  The rewrite must be invisible: equal outputs, equal heap
+``weighted_sample_wor``, ``merge_reservoirs`` and ``wor_to_wr`` shipped
+before their per-tuple interpreter work was removed, and both reservoirs as
+``heapq`` lists of tuples (``TupleWeightedReservoir`` for Stream-Sample,
+``TupleReservoir`` for the stream histogram), which the production
+``WeightedReservoir`` and ``DecayedReservoir`` now hold as three arrays
+offered to by the compiled kernel.  The rewrite must be invisible: equal outputs, equal heap
 *arrays* entry by entry (heap order feeds ``wor_to_wr``'s ``rng.choice`` and
 ``DecayedReservoir.keys()``), equal counters, and the generator left in the
 same state -- so every sample, plan and checkpoint downstream is unchanged.
@@ -37,6 +38,8 @@ from repro.sampling.reservoir import (
     WeightedReservoir,
     merge_reservoirs,
     weighted_sample_wor,
+    weighted_samples_wor,
+    wor_to_wr,
 )
 from repro.sampling.stream_sample import (
     _sample_joinable_keys,
@@ -122,18 +125,63 @@ def test_sample_joinable_keys_equals_the_scalar_loop(seed, keys1, keys2, conditi
 
 
 # ----------------------------------------------------------------------
-# The heaps
+# Stream-Sample's reservoirs: the kernel against the tuples
 # ----------------------------------------------------------------------
+def _bits(values) -> "list[int]":
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _heap(reservoir) -> tuple:
+    """A production ``WeightedReservoir``'s heap array -- priority bits,
+    counter, item, weight bits per entry, items and weights gathered by
+    position -- and its next counter."""
+    size = reservoir._size
+    held = reservoir._positions[:size].astype(np.int64)
+    assert (held == reservoir._positions[:size]).all()  # whole positions
+    heap = list(
+        zip(
+            _bits(reservoir._priorities[:size]),
+            reservoir._counters[:size].tolist(),
+            reservoir._items[held].tolist(),
+            _bits(reservoir._weights[held]),
+        )
+    )
+    assert len(heap) == len(reservoir)
+    return heap, reservoir._counter
+
+
+def _reference_heap(expected: "reference.TupleWeightedReservoir") -> tuple:
+    """:func:`_heap` of the reference's list of tuples."""
+    priorities, counters, items, weights = zip(*expected.heap) if expected.heap else [()] * 4
+    heap = list(zip(_bits(priorities), counters, _plain(items), _bits(weights)))
+    return heap, expected.counter
+
+
+def _plain(items) -> list:
+    """Items as ``tolist()`` gives them (the reference holds numpy scalars and rows)."""
+    return [np.asarray(item).tolist() for item in items]
+
+
 def _assert_same_reservoir(reservoir, expected) -> None:
     assert reservoir.capacity == expected.capacity
-    assert reservoir._counter == expected._counter
-    assert reservoir._heap == expected._heap  # the heap array, entry by entry
+    assert _heap(reservoir) == _reference_heap(expected)  # the heap array, entry by entry
 
 
 weight_arrays = st.lists(
     st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=50.0)),
     min_size=0,
     max_size=80,
+).map(lambda values: np.array(values, dtype=np.float64))
+
+#: Weights no positive-weight path may mistake: zero, negative and NaN ones
+#: are never offered; ``inf`` and the smallest subnormal give priorities of
+#: exactly 1.0 and 0.0, so several of either tie and counters break the ties.
+edge_weights = st.lists(
+    st.one_of(
+        st.floats(min_value=0.01, max_value=50.0),
+        st.sampled_from([0.0, -0.0, -1.0, np.nan, np.inf, 5e-324]),
+    ),
+    max_size=40,
 ).map(lambda values: np.array(values, dtype=np.float64))
 
 
@@ -149,9 +197,8 @@ def test_weighted_sample_wor_equals_the_per_tuple_pass(seed, weights, size):
     np.testing.assert_array_equal(reservoir.weights(), expected.weights())
     assert reservoir.items() == expected.items()
     # ``==`` cannot tell ``np.float64(1.0)`` from ``1.0``: the one intended
-    # difference from the reference is that items went through ``tolist()``.
-    for entry in reservoir._heap:
-        assert tuple(map(type, entry)) == (float, int, float, float)
+    # difference from the reference is that items go through ``tolist()``.
+    assert all(type(item) is float for item in reservoir.items())
 
 
 @settings(max_examples=100, deadline=None)
@@ -162,34 +209,122 @@ def test_weighted_sample_wor_equals_the_per_tuple_pass(seed, weights, size):
     capacity=st.one_of(st.none(), st.integers(1, 25)),
 )
 def test_merge_reservoirs_equals_the_per_entry_merge(seed, parts, size, capacity):
-    rng = np.random.default_rng(seed)
-    reservoirs = [
-        weighted_sample_wor(np.arange(len(weights)) + 100.0 * i, weights, size, rng)
-        for i, weights in enumerate(parts)
-    ]
+    rng, reference_rng = _twin_generators(seed)
+    reservoirs, expected = [], []
+    for i, weights in enumerate(parts):
+        items = np.arange(len(weights)) + 100.0 * i
+        reservoirs.append(weighted_sample_wor(items, weights, size, rng))
+        expected.append(reference.weighted_sample_wor(items, weights, size, reference_rng))
+    _assert_same_reservoir(
+        merge_reservoirs(reservoirs, capacity), reference.merge_reservoirs(expected, capacity)
+    )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # 1 / 5e-324
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=seeds,
+    parts=st.lists(edge_weights, min_size=1, max_size=6),
+    size=st.one_of(st.integers(1, 12), st.just(300)),
+    capacity=st.one_of(st.none(), st.integers(1, 30), st.just(300)),
+    columns=st.sampled_from([None, 2]),
+    draws=st.integers(0, 40),
+)
+@example(  # every priority 1.0: the counters alone order the heaps
+    seed=0, parts=[np.full(9, np.inf), np.full(5, np.inf)], size=4, capacity=None,
+    columns=None, draws=10,
+)
+@example(  # empty parts, and a part of zero weights only
+    seed=1, parts=[np.empty(0), np.zeros(4), np.ones(3), np.empty(0)], size=2, capacity=3,
+    columns=2, draws=5,
+)
+def test_parts_merge_and_draw_equal_the_per_tuple_passes(
+    seed, parts, size, capacity, columns, draws
+):
+    """``weighted_samples_wor`` over consecutive parts, their merge and the
+    WR draw: heap arrays entry by entry, counters, the sample and the
+    generator equal the reference's per-part passes, per-entry merge and
+    list draw (an ``inf`` weight held makes both draws refuse).  ``size``
+    300 holds every entry (capacity >= n); 2-D items are carried as rows."""
+    weights = np.concatenate(parts)
+    items = np.arange(weights.size, dtype=np.float64) * 0.25
+    if columns:
+        items = np.column_stack([items, -items])
+    lengths = [part.size for part in parts]
+    rng, reference_rng = _twin_generators(seed)
+    reservoirs = weighted_samples_wor(items, weights, size, rng, lengths)
+    expected, start = [], 0
+    for length in lengths:
+        expected.append(reference.weighted_sample_wor(
+            items[start:start + length], weights[start:start + length], size, reference_rng
+        ))
+        start += length
+    for reservoir, reference_reservoir in zip(reservoirs, expected, strict=True):
+        _assert_same_reservoir(reservoir, reference_reservoir)
+    assert _same_state(rng, reference_rng)
     merged = merge_reservoirs(reservoirs, capacity)
-    expected = reference.merge_reservoirs(reservoirs, capacity)
-    _assert_same_reservoir(merged, expected)
+    reference_merged = reference.merge_reservoirs(expected, capacity)
+    _assert_same_reservoir(merged, reference_merged)
+    if np.isinf(merged.weights()).any():  # no proportional draw: both refuse it
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
+            wor_to_wr(merged, draws, rng)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
+            reference.wor_to_wr(reference_merged, draws, reference_rng)
+    else:
+        sample = wor_to_wr(merged, draws, rng)
+        assert sample == _plain(reference.wor_to_wr(reference_merged, draws, reference_rng))
+    assert _same_state(rng, reference_rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=seeds,
+    offers=st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "c", 7, 2.5]),
+            st.one_of(st.floats(0.01, 10.0), st.sampled_from([0.0, -2.0, np.inf])),
+            st.one_of(st.none(), st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+        ),
+        max_size=30,
+    ),
+    capacity=st.integers(1, 6),
+)
+def test_add_drives_the_kernel_as_the_per_entry_loop(seed, offers, capacity):
+    """``add`` (a drawn priority) and ``add_with_priority`` (a given one,
+    tied ones too) offer one entry per kernel call: the heap array, the
+    counters -- a lone entry a full heap drops still uses one -- and the
+    generator equal the ``heapq`` loop's after every offer."""
+    rng, reference_rng = _twin_generators(seed)
+    reservoir = WeightedReservoir(capacity=capacity)
+    expected = reference.TupleWeightedReservoir(capacity=capacity)
+    for item, weight, priority in offers:
+        if priority is None:
+            reservoir.add(item, weight, rng)
+            expected.add(item, weight, reference_rng)
+        elif weight > 0:
+            reservoir.add_with_priority(item, weight, priority)
+            expected.add_with_priority(item, weight, priority)
+        _assert_same_reservoir(reservoir, expected)
+        assert _same_state(rng, reference_rng)
+    assert reservoir.items() == expected.items()
 
 
 def test_add_with_priority_is_the_one_entry_form():
-    reservoir, expected = WeightedReservoir(capacity=3), WeightedReservoir(capacity=3)
+    reservoir = WeightedReservoir(capacity=3)
+    expected = reference.TupleWeightedReservoir(capacity=3)
     offers = [("a", 1.0, 0.5), ("b", 2.0, 0.9), ("c", 1.0, 0.1), ("d", 1.0, 0.1),
               ("e", 3.0, 0.7), ("f", 1.0, 0.05)]
     for item, weight, priority in offers:
         reservoir.add_with_priority(item, weight, priority)
-        reference.add_with_priority(expected, item, weight, priority)
+        expected.add_with_priority(item, weight, priority)
         _assert_same_reservoir(reservoir, expected)
     assert sorted(reservoir.items()) == ["a", "b", "e"]
+    assert reservoir._counter == len(offers)
 
 
 # ----------------------------------------------------------------------
 # The stream histogram's reservoir: the kernel against the tuples
 # ----------------------------------------------------------------------
-def _bits(values) -> "list[int]":
-    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
-
-
 def _entries(reservoir) -> tuple:
     """A production reservoir's heap array -- priority bits, counter, key
     bits per entry -- its next counter and tuples seen, as pickled."""
@@ -378,6 +513,27 @@ def test_the_driver_is_the_per_worker_driver(
     assert _same_state(rng, reference_rng)
 
 
+@pytest.mark.parametrize("workers", [1, 8, 16])
+@pytest.mark.parametrize("sample_size", [400, 5_000])
+def test_the_driver_is_the_per_worker_driver_on_skewed_keys(workers, sample_size):
+    """The same, on 3,000 Zipf(0.9) keys per side: a sample of 400 fills
+    every worker's reservoir and truncates the merge, one of 5,000 holds
+    every joinable R1 tuple."""
+    data = np.random.default_rng(workers)
+    mass = 1.0 / np.arange(1, 501) ** 0.9
+    keys1, keys2 = (
+        data.choice(500, size=3_000, p=mass / mass.sum()).astype(np.float64) for _ in range(2)
+    )
+    rng, reference_rng = _twin_generators(workers + sample_size)
+    arguments = (keys1, keys2, BandJoinCondition(beta=2.0), sample_size, workers)
+    sample, stats = parallel_stream_sample(*arguments, rng)
+    expected, expected_stats = reference.parallel_stream_sample(*arguments, reference_rng)
+    assert sample.total_output == expected.total_output
+    np.testing.assert_array_equal(sample.pairs, expected.pairs)
+    assert stats == expected_stats
+    assert _same_state(rng, reference_rng)
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 def test_a_nan_r1_key_hides_no_other_key(workers):
     """A NaN joins nothing, and takes its worker's other keys down with it no more.
@@ -429,9 +585,10 @@ def _calls_per_extra_worker(driver) -> float:
 def test_stream_sample_calls_per_extra_worker_stay_few():
     """A simulated worker is a slice of one pass, plus its own E-S reservoir.
 
-    Measured: 6 calls per extra worker (its reservoir and that reservoir's
-    offer), bound 12.  The per-worker loop this replaced cost 175.6 at the
-    same inputs; with the per-tuple reference kernels it costs about 168.
+    Measured: 8.8 calls per extra worker (its reservoir, that reservoir's
+    kernel offer, and the gather of what it holds in the merge), bound 12.
+    The per-worker loop this replaced cost 175.6 at the same inputs; with
+    the per-tuple reference kernels it costs about 158.
     """
     production = _calls_per_extra_worker(parallel_stream_sample)
     reference_calls = _calls_per_extra_worker(reference.parallel_stream_sample)
@@ -440,6 +597,28 @@ def test_stream_sample_calls_per_extra_worker_stay_few():
         f"{reference_calls:.1f} with the per-worker reference driver"
     )
     assert production <= 12, production
+
+
+def test_stream_sample_makes_the_same_calls_at_any_input_size():
+    """No per-tuple interpreter work is left in Stream-Sample: one
+    ``parallel_stream_sample`` makes as many interpreter calls at 20,000
+    keys per side as at 1,000 (J = 8, band 2, a 500-tuple output sample,
+    so every worker's reservoir fills).  The ``heapq`` reservoirs made one
+    push or replace per offered tuple: 2,393 and 12,603 calls.  ``-s``
+    prints them."""
+    calls = {}
+    for per_side in (1_000, 20_000):
+        data = np.random.default_rng(4)
+        keys1, keys2 = (
+            data.integers(0, per_side, per_side).astype(np.float64) for _ in range(2)
+        )
+        arguments = (keys1, keys2, BandJoinCondition(beta=2.0), 500, 8)
+        parallel_stream_sample(*arguments, np.random.default_rng(0))  # numpy's caches warm
+        _, calls[per_side] = interpreter_calls(
+            parallel_stream_sample, *arguments, np.random.default_rng(0)
+        )
+    print("Stream-Sample: " + ", ".join(f"{per:,} keys/side {calls[per]} calls" for per in calls))
+    assert calls[1_000] == calls[20_000]
 
 
 # ----------------------------------------------------------------------
