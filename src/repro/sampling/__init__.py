@@ -8,8 +8,8 @@ The equi-weight histogram needs two kinds of statistics (paper, section IV):
 * a uniform random sample of the *join output*, which cannot be obtained by
   joining input samples (Chaudhuri et al.); instead the Stream-Sample
   algorithm is used, extended to band/inequality joins and parallelised.
-  Its kernels (the ``d2equi`` index, joinable-set sizes, the R2-key draw)
-  live in :mod:`repro.sampling.stream_sample`; the one driver is
+  Its structures (the ``d2equi`` index, joinable-set sizes) live in
+  :mod:`repro.sampling.stream_sample`; the one driver, draws included, is
   :func:`~repro.sampling.parallel_stream_sample.parallel_stream_sample`,
   the paper's three jobs over ``J`` machines, with ``num_workers=1`` as the
   one-machine case.  Weighted reservoir sampling (Efraimidis--Spirakis)

@@ -8,6 +8,12 @@ quantiles.  The histogram's bucket boundaries over both relations form the
 grid that defines the sample matrix MS, and the same structure (with many
 more buckets) is the whole of the statistics used by the M-Bucket (CSI)
 baseline.
+
+The quantiles are the inverted-CDF ones (``np.quantile``'s
+``method="inverted_cdf"``), read by index from the one sorted sample: the
+sample already holds every boundary, so no partition or interpolation runs.
+A NaN key joins nothing and has no place in the key order, so a histogram
+refuses NaN by name -- in the sample it is built from and in its boundaries.
 """
 
 from __future__ import annotations
@@ -46,7 +52,10 @@ class EquiDepthHistogram:
         b = np.asarray(self.boundaries, dtype=np.float64)
         if b.ndim != 1 or len(b) < 2:
             raise ValueError("boundaries must be a 1-D array of length >= 2")
-        if np.any(np.diff(b) < 0):
+        if np.isnan(b).any():
+            at = int(np.flatnonzero(np.isnan(b))[0])
+            raise ValueError(f"boundaries must not be NaN: boundary {at} of {len(b)} is")
+        if np.any(b[1:] < b[:-1]):  # compared, not subtracted: -inf / inf ends are fine
             raise ValueError("boundaries must be non-decreasing")
         object.__setattr__(self, "boundaries", b)
 
@@ -125,12 +134,28 @@ def build_equidepth_histogram(
         raise ValueError("num_buckets must be positive")
     if num_tuples <= 0:
         raise ValueError("num_tuples must be positive")
+    if np.isnan(sample_keys[-1]):  # NaN sorts last
+        raise ValueError(
+            "cannot build a histogram from a sample holding NaN: a NaN key "
+            "joins nothing, so sample the non-NaN keys (sample_joining_keys)"
+        )
     num_buckets = min(num_buckets, len(sample_keys))
-    quantiles = np.linspace(0.0, 1.0, num_buckets + 1)
-    boundaries = np.quantile(sample_keys, quantiles, method="inverted_cdf")
-    boundaries = np.asarray(boundaries, dtype=np.float64)
-    # Make sure the histogram spans the whole sampled key range.
-    boundaries[0] = sample_keys[0]
-    boundaries[-1] = sample_keys[-1]
-    boundaries = np.maximum.accumulate(boundaries)
+    boundaries = sample_keys[_inverted_cdf_indexes(len(sample_keys), num_buckets)]
     return EquiDepthHistogram(boundaries=boundaries, num_tuples=num_tuples)
+
+
+def _inverted_cdf_indexes(n: int, num_buckets: int) -> np.ndarray:
+    """Indexes of the ``num_buckets + 1`` even inverted-CDF quantiles in a sorted sample.
+
+    Of ``n`` sorted keys, quantile ``q`` is the ``ceil(n q)``-th smallest:
+    index ``n q - 1``, rounded up unless it is whole, and clipped into the
+    sample -- what ``np.quantile(sorted_sample, q, method="inverted_cdf")``
+    selects, in its float arithmetic, without the partition.  The indexes
+    never descend, so the boundaries read at them ascend; ``q = 0`` and
+    ``q = 1`` read the smallest and largest key, so the histogram spans the
+    sampled key range.
+    """
+    index = n * np.linspace(0.0, 1.0, num_buckets + 1) - 1
+    previous = np.floor(index)
+    index = np.where(index == previous, previous, previous + 1).astype(np.intp)
+    return np.clip(index, 0, n - 1)

@@ -21,14 +21,18 @@ as the join itself:
 
 This module executes the three jobs faithfully (same routing, same local
 computations, same merging, the same draws in the same order) as array passes
-over all J simulated workers at once: each key is given its worker once per
-relation, one stable sort lays the partitions end to end in worker order, and
-every local computation runs over that one array -- worker ``w``'s slice is
-what worker ``w`` would compute.  Only the E--S reservoirs stay per worker:
-their heap arrays feed the merge and the WOR -> WR draw.  It also records
-per-worker scan counts so the engine can charge the statistics phase to the
-cost model.  ``num_workers=1`` is the one-machine algorithm: one partition,
-one reservoir, the same draws in the same order.
+over all J simulated workers at once, in key order: equal keys share a worker,
+a joinable window and a ``d2``, so each relation's sorted distinct keys are
+given their workers once and R1's are searched in ``d2equi`` once, and every
+tuple gathers its key's answers.  One stable sort lays R1's partitions end to
+end in worker order, and every local computation runs over that one array --
+worker ``w``'s slice is what worker ``w`` would compute.  Only the E--S
+reservoirs stay per worker: their heap arrays feed the merge and the WOR ->
+WR draw.  A sampled item is a position in the worker-ordered R1, so job 3
+gathers each sampled tuple's worker and window instead of searching for them.
+It also records per-worker scan counts so the engine can charge the
+statistics phase to the cost model.  ``num_workers=1`` is the one-machine
+algorithm: one partition, one reservoir, the same draws in the same order.
 (``tests/reference_sampling.py`` keeps the per-worker loop as the oracle.)
 """
 
@@ -41,12 +45,7 @@ import numpy as np
 from repro.joins.conditions import JoinCondition
 from repro.sampling.equidepth import EquiDepthHistogram, bucket_index, build_equidepth_histogram
 from repro.sampling.reservoir import merge_reservoirs, weighted_samples_wor, wor_to_wr
-from repro.sampling.stream_sample import (
-    D2Index,
-    JoinOutputSample,
-    _sample_joinable_keys,
-    build_d2_index,
-)
+from repro.sampling.stream_sample import D2Index, JoinOutputSample, build_d2_index
 
 __all__ = ["ParallelSampleStats", "parallel_stream_sample"]
 
@@ -107,18 +106,17 @@ def _workers(
     return worker_of_bucket[buckets]
 
 
-def _by_worker(
-    keys: np.ndarray, histogram: EquiDepthHistogram, num_workers: int
-) -> "tuple[np.ndarray, np.ndarray]":
-    """``keys`` routed to workers and laid end to end, with each worker's count.
+def _default_histogram(keys: np.ndarray, num_workers: int) -> EquiDepthHistogram:
+    """The exact ``num_workers``-bucket histogram of the keys that join.
 
-    Worker ``w``'s slice is its partition in arrival order -- exactly what a
-    per-worker mask would select -- so one pass over the whole array does
-    what ``num_workers`` local passes in worker order would.
+    A NaN joins nothing, so it places no boundary: NaN keys fall in the last
+    bucket, as :func:`~repro.sampling.equidepth.bucket_index` clamps them.
+    A side of NaN keys alone gets one bucket.
     """
-    workers = _workers(keys, histogram, num_workers)
-    order = np.argsort(workers, kind="stable")
-    return keys[order], np.bincount(workers, minlength=num_workers)
+    joining = keys[~np.isnan(keys)]
+    if len(joining) == 0:
+        return EquiDepthHistogram(np.array([-np.inf, np.inf]), len(keys))
+    return build_equidepth_histogram(joining, num_workers, len(keys))
 
 
 def _shipped(
@@ -126,11 +124,12 @@ def _shipped(
 ) -> np.ndarray:
     """``d2equi`` entries each worker needs: those inside the hull of its bounds.
 
-    ``lows`` / ``highs`` are the joinable bounds of the worker-ordered R1
-    keys, ``counts`` the keys per worker.  A key that joins nothing has the
-    empty interval, whose low end is NaN (``JoinCondition.joinable_bounds``):
-    it widens neither end of the hull, and a worker holding only such keys
-    needs nothing.
+    ``lows`` / ``highs`` are the joinable bounds of R1's distinct keys in
+    key order -- worker order too -- and ``counts`` the distinct keys per
+    worker: the hull of a worker's tuples is the hull of its distinct keys.
+    A key that joins nothing has the empty interval, whose low end is NaN
+    (``JoinCondition.joinable_bounds``): it widens neither end of the hull,
+    and a worker holding only such keys needs nothing.
     """
     shipped = np.zeros(len(counts), dtype=np.int64)
     busy = np.flatnonzero(counts)
@@ -183,9 +182,9 @@ def parallel_stream_sample(
     stats = ParallelSampleStats()
 
     if histogram2 is None and len(keys2):
-        histogram2 = build_equidepth_histogram(keys2, num_workers, len(keys2))
+        histogram2 = _default_histogram(keys2, num_workers)
     if histogram1 is None and len(keys1):
-        histogram1 = build_equidepth_histogram(keys1, num_workers, len(keys1))
+        histogram1 = _default_histogram(keys1, num_workers)
 
     if len(keys1) == 0 or len(keys2) == 0:
         empty = JoinOutputSample(pairs=np.empty((0, 2)), total_output=0)
@@ -194,42 +193,75 @@ def parallel_stream_sample(
     # ------------------------------------------------------------------
     # Job 1: build d2equi, partitioned by R2's equi-depth histogram.  Equal
     # keys share a worker and worker key ranges ascend, so the local indexes
-    # laid end to end in worker order are the global one.
+    # laid end to end in worker order are the global one, and a worker scans
+    # the multiplicities of its distinct keys.
     # ------------------------------------------------------------------
-    stats.r2_tuples_scanned = np.bincount(
-        _workers(keys2, histogram2, num_workers), minlength=num_workers
-    ).tolist()
     d2_index = build_d2_index(keys2)
+    stats.r2_tuples_scanned = (
+        np.bincount(
+            _workers(d2_index.keys, histogram2, num_workers),
+            weights=d2_index.multiplicities,
+            minlength=num_workers,
+        )
+        .astype(np.int64)
+        .tolist()
+    )
 
     # ------------------------------------------------------------------
     # Job 2: build d2 and the weighted sample S1, partitioned by R1's
     # histogram; each worker sees only the d2equi entries it can need.
     # Every worker's slice of d2equi covers its keys' bounds, so searching
-    # the global index gives the local d2 integers.
+    # the global index gives the local d2 integers.  Equal keys share a
+    # worker, bounds and window, so each distinct key is searched once, in
+    # key order, and a tuple gathers its key's.
     # ------------------------------------------------------------------
-    keys1, scanned = _by_worker(keys1, histogram1, num_workers)
+    distinct, inverse = np.unique(keys1, return_inverse=True)
+    workers = _workers(distinct, histogram1, num_workers)
+    lows, highs = condition.joinable_bounds(distinct)
+    left = d2_index.keys.searchsorted(lows, side="left")
+    right = d2_index.keys.searchsorted(highs, side="right")
+    stats.d2equi_entries_shipped = _shipped(
+        d2_index, lows, highs, np.bincount(workers, minlength=num_workers)
+    ).tolist()
+    # R1 laid end to end in worker order (each worker's tuples in arrival
+    # order); ``held`` is each of those tuples' distinct key.
+    tuple_workers = workers[inverse]
+    order = np.argsort(tuple_workers, kind="stable")
+    held = inverse[order]
+    scanned = np.bincount(tuple_workers, minlength=num_workers)
     stats.r1_tuples_scanned = scanned.tolist()
-    lows, highs = condition.joinable_bounds(keys1)
-    d2 = d2_index.count_within(lows, highs)
-    stats.d2equi_entries_shipped = _shipped(d2_index, lows, highs, scanned).tolist()
+    prefix = d2_index.prefix
+    d2 = (prefix[right] - prefix[left])[held]
     total_output = int(d2.sum())
 
     if total_output == 0 or sample_size == 0:
         empty = JoinOutputSample(pairs=np.empty((0, 2)), total_output=total_output)
         return empty, stats
 
-    # One E-S reservoir per worker, merged by the largest priorities.
+    # One E-S reservoir per worker, merged by the largest priorities.  The
+    # items are positions in the worker-ordered R1.
     reservoirs = weighted_samples_wor(
-        keys1, d2.astype(np.float64), sample_size, rng, scanned
+        np.arange(len(held)), d2.astype(np.float64), sample_size, rng, scanned
     )
     merged = merge_reservoirs(reservoirs, capacity=sample_size)
-    sampled_keys1 = np.asarray(wor_to_wr(merged, sample_size, rng), dtype=np.float64)
+    sampled = np.asarray(wor_to_wr(merged, sample_size, rng), dtype=np.intp)
 
     # ------------------------------------------------------------------
-    # Job 3: map-only production of output key pairs.
+    # Job 3: map-only production of output key pairs.  A sampled tuple's
+    # worker and joinable window are its distinct key's, gathered; each
+    # worker draws for its own tuples in sample order, one joinable R2 key
+    # per tuple with probability proportional to its multiplicity.
+    # ``rng.integers(0, totals)`` draws what one scalar call per tuple would.
     # ------------------------------------------------------------------
-    sampled_keys1, produced = _by_worker(sampled_keys1, histogram1, num_workers)
-    stats.sample_pairs_produced = produced.tolist()
-    sampled_keys2 = _sample_joinable_keys(sampled_keys1, d2_index, condition, rng)
-    pairs = np.column_stack([sampled_keys1, sampled_keys2])
+    sampled_workers = workers[held[sampled]]
+    sampled = sampled[np.argsort(sampled_workers, kind="stable")]
+    stats.sample_pairs_produced = np.bincount(
+        sampled_workers, minlength=num_workers
+    ).tolist()
+    at = held[sampled]
+    starts = prefix[left[at]]
+    # Every tuple was sampled with weight d2 > 0, so its window is non-empty.
+    targets = starts + rng.integers(0, prefix[right[at]] - starts)
+    sampled_keys2 = d2_index.keys[prefix.searchsorted(targets, side="right") - 1]
+    pairs = np.column_stack([keys1[order[sampled]], sampled_keys2])
     return JoinOutputSample(pairs=pairs, total_output=total_output), stats

@@ -219,11 +219,21 @@ def merge_reservoirs(
 def wor_to_wr(
     reservoir: WeightedReservoir, size: int, rng: np.random.Generator
 ) -> list[object]:
-    """Convert a WOR reservoir to a with-replacement weighted sample of ``size``."""
+    """Convert a WOR reservoir to a with-replacement weighted sample of ``size``.
+
+    A held ``inf`` weight (``add`` and :func:`weighted_sample_wor` take one)
+    is refused by name: no draw is proportional to it.
+    """
     held = reservoir._held()
     if not held.size:
         return []
     weights = reservoir._weights[held]
+    if np.isinf(weights).any():
+        entry = int(np.argmax(np.isinf(weights)))
+        raise ValueError(
+            f"cannot draw in proportion to an infinite weight: heap entry {entry} "
+            f"of the reservoir's {held.size} has weight {weights[entry]}"
+        )
     probabilities = weights / weights.sum()
     indexes = rng.choice(held.size, size=size, replace=True, p=probabilities)
     return reservoir._items[held[indexes]].tolist()

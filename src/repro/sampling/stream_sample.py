@@ -6,7 +6,8 @@ Stream-Sample algorithm for equi-joins.  The paper extends it to band and
 inequality joins by generalising the *joinable set* of an R1 tuple to every
 R2 tuple whose key lies inside the joinable interval of the condition.
 
-The algorithm, whose kernels live here (the one driver that runs them is
+The algorithm, whose ``d2equi`` index and joinable-set sizes live here (the
+one driver, which also makes the draws, is
 :func:`repro.sampling.parallel_stream_sample.parallel_stream_sample`, the
 paper's three jobs over ``J`` machines; ``num_workers=1`` is one machine):
 
@@ -119,24 +120,3 @@ def compute_joinable_set_sizes(
         return np.zeros(len(keys1), dtype=np.int64)
     return d2_index.count_within(*condition.joinable_bounds(keys1)).astype(np.int64)
 
-
-def _sample_joinable_keys(
-    sampled_keys1: np.ndarray,
-    d2_index: D2Index,
-    condition: JoinCondition,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """For each sampled R1 key pick a joinable R2 key ∝ its multiplicity.
-
-    One vectorised draw: ``rng.integers(0, totals)`` over the array of
-    window sizes returns the values one scalar call per key would, and
-    leaves the generator in the same state (pinned in
-    ``tests/test_sampling_oracle.py``).  An empty sample draws nothing.
-    """
-    keys, prefix = d2_index.keys, d2_index.prefix
-    lows, highs = condition.joinable_bounds(sampled_keys1)
-    starts = prefix[np.searchsorted(keys, lows, side="left")]
-    # Every key was sampled with weight d2 > 0, so its window is non-empty.
-    totals = prefix[np.searchsorted(keys, highs, side="right")] - starts
-    targets = starts + rng.integers(0, totals)
-    return keys[prefix.searchsorted(targets, side="right") - 1]

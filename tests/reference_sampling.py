@@ -29,10 +29,19 @@ against.  It runs the production kernels, so only the driver differs.
 :func:`parallel_stream_sample` is the parallel driver as it shipped with
 its workers simulated as loop iterations: one boolean mask per worker and
 relation, one ``build_d2_index`` / ``compute_joinable_set_sizes`` /
-``weighted_sample_wor`` / ``_sample_joinable_keys`` call per worker, a
+``weighted_sample_wor`` / ``sample_joinable_keys`` call per worker, a
 d2equi slice cut from each worker's bound hull.  It runs the reference
 kernels above (and :func:`wor_to_wr`, the list-comprehension snapshot
 read), so installing it swaps in the whole per-worker, per-tuple rebuild.
+One fix since: a worker's hull is taken over the keys that join something,
+so a NaN key (whose low bound is NaN) no longer empties its worker's slice.
+
+The numpy forms the one-pass driver and the histogram build replaced are
+kept too: :func:`numpy_sample_joinable_keys` and :func:`by_worker` search
+every sampled and every R1 tuple where the driver now searches each
+distinct key once and gathers, and :func:`quantile_histogram` reads the
+equi-depth boundaries through ``np.quantile`` where the build now reads
+them from its sorted sample by index.
 """
 
 from __future__ import annotations
@@ -45,8 +54,12 @@ import numpy as np
 import repro.core.histogram as histogram_module
 from repro.sampling import reservoir as production_reservoir
 from repro.sampling import stream_sample as production_kernels
-from repro.sampling.equidepth import bucket_index, build_equidepth_histogram
-from repro.sampling.parallel_stream_sample import ParallelSampleStats
+from repro.sampling.equidepth import EquiDepthHistogram, bucket_index
+from repro.sampling.parallel_stream_sample import (
+    ParallelSampleStats,
+    _default_histogram,
+    _workers,
+)
 from repro.sampling.stream_sample import (
     D2Index,
     JoinOutputSample,
@@ -69,6 +82,58 @@ def sample_joinable_keys(sampled_keys1, d2_index, condition, rng) -> np.ndarray:
         idx = int(np.searchsorted(d2_index.prefix, target, side="right")) - 1
         result[i] = d2_index.keys[idx]
     return result
+
+
+def numpy_sample_joinable_keys(sampled_keys1, d2_index, condition, rng) -> np.ndarray:
+    """:func:`sample_joinable_keys` as one vectorised draw: the searches Stream-Sample made.
+
+    ``rng.integers(0, totals)`` over the array of window sizes returns the
+    values one scalar call per key would, and leaves the generator in the
+    same state.  An empty sample draws nothing.  The driver now gathers each
+    sampled tuple's window by its position instead of searching for it.
+    """
+    keys, prefix = d2_index.keys, d2_index.prefix
+    lows, highs = condition.joinable_bounds(sampled_keys1)
+    starts = prefix[np.searchsorted(keys, lows, side="left")]
+    # Every key was sampled with weight d2 > 0, so its window is non-empty.
+    totals = prefix[np.searchsorted(keys, highs, side="right")] - starts
+    targets = starts + rng.integers(0, totals)
+    return keys[prefix.searchsorted(targets, side="right") - 1]
+
+
+def by_worker(keys, histogram, num_workers: int) -> "tuple[np.ndarray, np.ndarray]":
+    """``keys`` routed to workers and laid end to end, with each worker's count.
+
+    The numpy form the driver routed every R1 tuple and every sampled tuple
+    by -- one search per tuple, one stable argsort -- before it searched
+    the distinct keys once and gathered.
+    """
+    workers = _workers(keys, histogram, num_workers)
+    order = np.argsort(workers, kind="stable")
+    return keys[order], np.bincount(workers, minlength=num_workers)
+
+
+def quantile_histogram(sample_keys, num_buckets: int, num_tuples: int) -> EquiDepthHistogram:
+    """``build_equidepth_histogram`` as ``np.quantile`` read its boundaries.
+
+    Sort, ``np.quantile(method="inverted_cdf")`` at the evenly spaced
+    quantiles, the ends pinned to the sample's and a running maximum --
+    the build before it read the boundaries from the sorted sample by index.
+    """
+    sample_keys = np.sort(np.asarray(sample_keys, dtype=np.float64))
+    num_buckets = min(num_buckets, len(sample_keys))
+    quantiles = np.linspace(0.0, 1.0, num_buckets + 1)
+    # Asked 4,096 quantiles at a time: each is read on its own, and numpy's
+    # partition takes ~0.7 s for ten thousand or more at once.
+    boundaries = np.concatenate([
+        np.quantile(sample_keys, chunk, method="inverted_cdf")
+        for chunk in np.split(quantiles, range(4096, len(quantiles), 4096))
+    ])
+    boundaries = np.asarray(boundaries, dtype=np.float64)
+    boundaries[0] = sample_keys[0]
+    boundaries[-1] = sample_keys[-1]
+    boundaries = np.maximum.accumulate(boundaries)
+    return EquiDepthHistogram(boundaries=boundaries, num_tuples=num_tuples)
 
 
 class TupleWeightedReservoir:
@@ -272,9 +337,7 @@ def stream_sample(keys1, keys2, condition, sample_size, rng):
     sampled_keys1 = np.asarray(
         production_reservoir.wor_to_wr(reservoir, sample_size, rng), dtype=np.float64
     )
-    sampled_keys2 = production_kernels._sample_joinable_keys(
-        sampled_keys1, d2_index, condition, rng
-    )
+    sampled_keys2 = numpy_sample_joinable_keys(sampled_keys1, d2_index, condition, rng)
     pairs = np.column_stack([sampled_keys1, sampled_keys2])
     return production_kernels.JoinOutputSample(pairs=pairs, total_output=total_output)
 
@@ -311,9 +374,9 @@ def parallel_stream_sample(
     stats = ParallelSampleStats()
 
     if histogram2 is None and len(keys2):
-        histogram2 = build_equidepth_histogram(keys2, num_workers, len(keys2))
+        histogram2 = _default_histogram(keys2, num_workers)
     if histogram1 is None and len(keys1):
-        histogram1 = build_equidepth_histogram(keys1, num_workers, len(keys1))
+        histogram1 = _default_histogram(keys1, num_workers)
 
     if len(keys1) == 0 or len(keys2) == 0:
         empty = JoinOutputSample(pairs=np.empty((0, 2)), total_output=0)
@@ -346,10 +409,17 @@ def parallel_stream_sample(
         if len(part) == 0:
             stats.d2equi_entries_shipped.append(0)
             continue
+        # The hull of the bounds of the keys that join something: a key
+        # that joins nothing has a NaN low bound, which must not hide the
+        # worker's other keys (``np.min`` would return it, and the slice
+        # would be empty).
         lo_bound, hi_bound = condition.joinable_bounds(part)
-        lo, hi = float(np.min(lo_bound)), float(np.max(hi_bound))
-        left = int(np.searchsorted(d2_index.keys, lo, side="left"))
-        right = int(np.searchsorted(d2_index.keys, hi, side="right"))
+        joins = ~np.isnan(lo_bound)
+        left = right = 0
+        if joins.any():
+            lo, hi = float(np.min(lo_bound[joins])), float(np.max(hi_bound[joins]))
+            left = int(np.searchsorted(d2_index.keys, lo, side="left"))
+            right = int(np.searchsorted(d2_index.keys, hi, side="right"))
         local_d2equi = D2Index(
             keys=d2_index.keys[left:right],
             multiplicities=d2_index.multiplicities[left:right],

@@ -17,7 +17,12 @@ from repro.joins.conditions import (
     InequalityOp,
 )
 from repro.sampling.bernoulli import bernoulli_sample, bernoulli_sample_rate
-from repro.sampling.equidepth import bucket_index, build_equidepth_histogram, open_ends
+from repro.sampling.equidepth import (
+    EquiDepthHistogram,
+    bucket_index,
+    build_equidepth_histogram,
+    open_ends,
+)
 from repro.sampling.parallel_stream_sample import parallel_stream_sample
 from repro.sampling.reservoir import (
     WeightedReservoir,
@@ -31,10 +36,6 @@ from repro.sampling.sizes import (
     input_sample_size,
     output_sample_size,
     sample_matrix_size,
-)
-from repro.sampling.stream_sample import (
-    _sample_joinable_keys,
-    build_d2_index,
 )
 from repro.streaming.incremental import DecayedReservoir
 
@@ -177,6 +178,15 @@ class TestEquiDepthHistogram:
         hist = build_equidepth_histogram(np.array([1.0, 2.0, 3.0]), 10, 3)
         assert hist.num_buckets <= 3
 
+    def test_a_nan_is_refused_by_name(self):
+        """A NaN has no place in the key order: the build used to return
+        boundaries ``[1, nan, nan]`` for this sample, which ``bucket_index``
+        then misrouted keys by."""
+        with pytest.raises(ValueError, match="sample holding NaN"):
+            build_equidepth_histogram(np.array([1.0, np.nan, 3.0]), 2, 3)
+        with pytest.raises(ValueError, match="boundaries must not be NaN"):
+            EquiDepthHistogram(np.array([1.0, np.nan, 3.0]), 3)
+
 
 class TestWeightedReservoir:
     def test_capacity_respected(self, rng):
@@ -250,6 +260,13 @@ class TestWeightedReservoir:
 
     def test_wor_to_wr_empty(self, rng):
         assert wor_to_wr(WeightedReservoir(capacity=3), 5, rng) == []
+
+    def test_wor_to_wr_refuses_an_infinite_weight_by_name(self, rng):
+        reservoir = weighted_sample_wor(np.arange(3.0), np.array([1.0, np.inf, 2.0]), 3, rng)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="infinite weight: heap entry [0-2] .* weight inf"):
+            wor_to_wr(reservoir, 5, rng)
+        assert rng.bit_generator.state == before
 
 
 # ----------------------------------------------------------------------
@@ -393,13 +410,14 @@ class TestStreamSampleContract:
         assert 0.5 * np.abs(observed / observed.sum() - exact).sum() < 0.15
 
     def test_no_sample_draws_nothing(self, rng):
-        """An empty S1 yields an empty float64 array and leaves the generator alone."""
-        index = build_d2_index(np.array([1.0, 2.0, 2.0]))
+        """An empty S1 yields an empty float64 sample and leaves the generator alone."""
         before = rng.bit_generator.state
-        picked = _sample_joinable_keys(
-            np.empty(0), index, BandJoinCondition(beta=1.0), rng
+        sample, _ = parallel_stream_sample(
+            np.array([1.0, 2.0]), np.array([1.0, 2.0, 2.0]), BandJoinCondition(beta=1.0),
+            0, 3, rng,
         )
-        assert picked.shape == (0,) and picked.dtype == np.float64
+        assert sample.pairs.shape == (0, 2) and sample.pairs.dtype == np.float64
+        assert sample.total_output == 6
         assert rng.bit_generator.state == before
 
 

@@ -1,6 +1,6 @@
 """Differential tests: the sampling kernels against their per-tuple originals.
 
-``tests/reference_sampling.py`` holds the loops ``_sample_joinable_keys``,
+``tests/reference_sampling.py`` holds the loops ``sample_joinable_keys``,
 ``weighted_sample_wor``, ``merge_reservoirs`` and ``wor_to_wr`` shipped
 before their per-tuple interpreter work was removed, and both reservoirs as
 ``heapq`` lists of tuples (``TupleWeightedReservoir`` for Stream-Sample,
@@ -10,11 +10,15 @@ offered to by the compiled kernel.  The rewrite must be invisible: equal outputs
 *arrays* entry by entry (heap order feeds ``wor_to_wr``'s ``rng.choice`` and
 ``DecayedReservoir.keys()``), equal counters, and the generator left in the
 same state -- so every sample, plan and checkpoint downstream is unchanged.
-The first test pins the numpy fact the vectorised draw stands on.
+The first test pins the numpy fact the vectorised draw stands on.  The
+numpy forms the key-order passes replaced -- ``np.quantile``'s equi-depth
+boundaries, the per-tuple worker search ``by_worker`` and the per-tuple
+window search ``numpy_sample_joinable_keys`` -- are references here too.
 """
 
 from __future__ import annotations
 
+import importlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,11 +45,7 @@ from repro.sampling.reservoir import (
     weighted_samples_wor,
     wor_to_wr,
 )
-from repro.sampling.stream_sample import (
-    _sample_joinable_keys,
-    build_d2_index,
-    compute_joinable_set_sizes,
-)
+from repro.sampling.stream_sample import build_d2_index, compute_joinable_set_sizes
 from repro.streaming.incremental import DecayedReservoir, IncrementalHistogram
 from repro.streaming.source import MicroBatch
 
@@ -95,7 +95,7 @@ def test_integers_over_an_array_of_highs_draws_the_scalar_stream(seed, highs):
 
     Same values *and* the same generator state afterwards (the buffered
     32-bit half included), for int64 highs of 1, below, around and above
-    2**32 in any mix.  ``_sample_joinable_keys`` stands on this: if a numpy
+    2**32 in any mix.  Job 3's draw stands on this: if a numpy
     release changes it, this test says so, not a plan fingerprint three
     layers up.
     """
@@ -109,6 +109,71 @@ def test_integers_over_an_array_of_highs_draws_the_scalar_stream(seed, highs):
 
 
 # ----------------------------------------------------------------------
+# The equi-depth boundaries: read by index against np.quantile
+# ----------------------------------------------------------------------
+#: Keys no index read may mistake: the float ends, both zeros, the extremes.
+SPECIAL_KEYS = np.array([-np.inf, np.inf, -0.0, 0.0, 1e300, -1e300, 5e-324])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=seeds,
+    size=st.one_of(st.integers(1, 64), st.integers(1, 30_000)),
+    domain=st.sampled_from([1, 3, 100, 10**9]),
+    specials=st.sampled_from([0.0, 0.3, 1.0]),
+    data=st.data(),
+)
+@example(seed=0, size=1, domain=1, specials=0.0, data=None)  # one key: one bucket
+@example(seed=1, size=30_000, domain=100, specials=0.3, data=None)  # every key a boundary
+def test_the_index_read_is_np_quantiles_inverted_cdf(seed, size, domain, specials, data):
+    """``build_equidepth_histogram``'s boundaries equal the ``np.quantile``
+    build's, over sizes 1 to 30,000, one bucket to ``n`` buckets and more
+    than ``n`` (clamped to ``n``), duplicate-heavy or distinct keys, +-inf,
+    both zeros and the extremes.
+
+    Compared as values: the sign of a zero boundary is whichever of the
+    equal keys a sort or partition placed at that rank -- ``np.quantile``'s
+    partition and the build's sort may place them differently, and every
+    reader of a boundary only compares it.  Every other boundary is
+    bit-identical.
+    """
+    if data is None:  # an explicit example: every key a boundary, and more
+        buckets = 2 * size + 1
+    else:
+        up_to_n, more = st.integers(1, size), st.integers(size + 1, 2 * size)
+        buckets = data.draw(st.one_of(st.integers(1, 64), up_to_n, more), label="buckets")
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(-domain, domain + 1, size) * (1e300 / 10**9 if domain > 100 else 0.5)
+    keys = np.where(rng.random(size) < specials, rng.choice(SPECIAL_KEYS, size), keys)
+    histogram = build_equidepth_histogram(keys, buckets, size + 7)
+    expected = reference.quantile_histogram(keys, buckets, size + 7)
+    assert histogram.num_buckets == expected.num_buckets == min(buckets, size)
+    assert histogram.num_tuples == expected.num_tuples
+    np.testing.assert_array_equal(histogram.boundaries, expected.boundaries)
+    nonzero = histogram.boundaries != 0
+    assert _bits(histogram.boundaries[nonzero]) == _bits(expected.boundaries[nonzero])
+
+
+def test_an_equidepth_build_makes_the_same_calls_at_any_size():
+    """The index read leaves no per-key or per-bucket interpreter work:
+    ``build_equidepth_histogram`` makes as many interpreter calls at 20,000
+    keys as at 1,000, and at 4,096 buckets as at 64.  ``-s`` prints them."""
+    calls = {}
+    for size in (1_000, 20_000):
+        keys = np.random.default_rng(size).integers(0, size // 2, size).astype(np.float64)
+        for buckets in (64, 4_096):
+            build_equidepth_histogram(keys, buckets, size)  # numpy's caches warm
+            _, calls[size, buckets] = interpreter_calls(
+                build_equidepth_histogram, keys, buckets, size
+            )
+    print("equi-depth build: " + ", ".join(
+        f"{size:,} keys x {buckets:,} buckets {count} calls"
+        for (size, buckets), count in calls.items()
+    ))
+    assert len(set(calls.values())) == 1, calls
+
+
+# ----------------------------------------------------------------------
 # Stream-Sample's draw
 # ----------------------------------------------------------------------
 @settings(max_examples=150, deadline=None)
@@ -117,7 +182,7 @@ def test_sample_joinable_keys_equals_the_scalar_loop(seed, keys1, keys2, conditi
     index = build_d2_index(keys2)
     sampled = keys1[compute_joinable_set_sizes(keys1, index, condition) > 0]
     rng, reference_rng = _twin_generators(seed)
-    picked = _sample_joinable_keys(sampled, index, condition, rng)
+    picked = reference.numpy_sample_joinable_keys(sampled, index, condition, rng)
     expected = reference.sample_joinable_keys(sampled, index, condition, reference_rng)
     assert picked.dtype == expected.dtype == np.float64
     np.testing.assert_array_equal(picked, expected)
@@ -244,7 +309,8 @@ def test_parts_merge_and_draw_equal_the_per_tuple_passes(
     """``weighted_samples_wor`` over consecutive parts, their merge and the
     WR draw: heap arrays entry by entry, counters, the sample and the
     generator equal the reference's per-part passes, per-entry merge and
-    list draw (an ``inf`` weight held makes both draws refuse).  ``size``
+    list draw (an ``inf`` weight held makes both draws refuse: production
+    by name, before the divide; the reference as numpy does).  ``size``
     300 holds every entry (capacity >= n); 2-D items are carried as rows."""
     weights = np.concatenate(parts)
     items = np.arange(weights.size, dtype=np.float64) * 0.25
@@ -266,7 +332,7 @@ def test_parts_merge_and_draw_equal_the_per_tuple_passes(
     reference_merged = reference.merge_reservoirs(expected, capacity)
     _assert_same_reservoir(merged, reference_merged)
     if np.isinf(merged.weights()).any():  # no proportional draw: both refuse it
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(ValueError, match="infinite weight: heap entry .* weight inf"):
             wor_to_wr(merged, draws, rng)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
             reference.wor_to_wr(reference_merged, draws, reference_rng)
@@ -466,9 +532,13 @@ def test_drivers_draw_the_same_sample_as_with_the_reference_kernels(
 # ----------------------------------------------------------------------
 # The one-pass driver against the per-worker loop it replaced
 # ----------------------------------------------------------------------
-side_keys = st.lists(st.integers(min_value=-20, max_value=40), max_size=80).map(
-    lambda values: np.array(values, dtype=np.float64)
-)
+side_keys = st.lists(
+    st.one_of(
+        st.integers(min_value=-20, max_value=40).map(float),
+        st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 1e300]),
+    ),
+    max_size=80,
+).map(lambda values: np.array(values, dtype=np.float64))
 
 
 @settings(max_examples=300, deadline=None)
@@ -481,23 +551,33 @@ side_keys = st.lists(st.integers(min_value=-20, max_value=40), max_size=80).map(
     size=st.sampled_from(["zero", "small", "larger than n"]),
     buckets=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
 )
+@example(  # a NaN hid its worker's other keys from the per-worker driver's hull
+    seed=0, workers=1, keys1=np.array([0.0, np.nan]), keys2=np.array([0.0]),
+    condition=BandJoinCondition(beta=0.0), size="small", buckets=None,
+)
+@example(  # so did a key a strict inequality joins nothing to
+    seed=0, workers=1, keys1=np.array([0.0, np.inf]), keys2=np.array([1.0]),
+    condition=InequalityJoinCondition(op=InequalityOp.LT), size="small", buckets=1,
+)
 def test_the_driver_is_the_per_worker_driver(
     seed, workers, keys1, keys2, condition, size, buckets
 ):
     """Same pairs, ``m``, four stats lists and generator state, bit for bit.
 
-    Duplicate keys (a small domain), empty sides, and more workers than
-    buckets -- the default histograms clamp to the keys at hand, and an
-    explicit one may have as few as one bucket.
+    Duplicate keys (a small domain), NaN, +-inf, -0.0 and 1e300, empty
+    sides, and more workers than buckets -- the default histograms clamp to
+    the keys at hand, and an explicit one (built, as a histogram must be,
+    from the non-NaN keys) may have as few as one bucket.
     """
     sample_size = {"zero": 0, "small": max(len(keys1) // 4, 1)}.get(
         size, 2 * len(keys1) + 5
     )
     histograms = {}
-    if buckets is not None and len(keys1) and len(keys2):
+    joining1, joining2 = keys1[~np.isnan(keys1)], keys2[~np.isnan(keys2)]
+    if buckets is not None and len(joining1) and len(joining2):
         histograms = {
-            "histogram1": build_equidepth_histogram(keys1, buckets, len(keys1)),
-            "histogram2": build_equidepth_histogram(keys2, buckets, len(keys2)),
+            "histogram1": build_equidepth_histogram(joining1, buckets, len(keys1)),
+            "histogram2": build_equidepth_histogram(joining2, buckets, len(keys2)),
         }
     rng, reference_rng = _twin_generators(seed)
     arguments = (keys1, keys2, condition, sample_size, workers)
@@ -507,6 +587,9 @@ def test_the_driver_is_the_per_worker_driver(
     )
     assert sample.total_output == expected.total_output
     np.testing.assert_array_equal(sample.pairs, expected.pairs)
+    # An R1 key is a sampled tuple's own, -0.0 or 0.0; an R2 key is d2equi's
+    # representative of its equal keys, whichever np.unique met first.
+    assert _bits(sample.r1_keys) == _bits(expected.r1_keys)
     assert sample.pairs.shape == expected.pairs.shape
     assert sample.pairs.dtype == expected.pairs.dtype
     assert stats == expected_stats
@@ -531,6 +614,58 @@ def test_the_driver_is_the_per_worker_driver_on_skewed_keys(workers, sample_size
     assert sample.total_output == expected.total_output
     np.testing.assert_array_equal(sample.pairs, expected.pairs)
     assert stats == expected_stats
+    assert _same_state(rng, reference_rng)
+
+
+@pytest.mark.parametrize("workers", [1, 5, 16])
+@pytest.mark.parametrize(
+    "condition",
+    [BandJoinCondition(beta=2.0), InequalityJoinCondition(op=InequalityOp.GE)],
+    ids=["band", "inequality"],
+)
+def test_job_3_gathers_what_the_searches_found(workers, condition, monkeypatch):
+    """Job 3 reads a sampled tuple's worker and joinable window by its
+    position in the worker-ordered R1; the numpy form searched for both.
+
+    From the positions ``wor_to_wr`` drew and the generator as it left
+    it, ``by_worker`` (R1, then the sample: one search per tuple) and
+    ``numpy_sample_joinable_keys`` (one window search per sampled key)
+    give the same R1 keys bit for bit (-0.0 and 0.0 both held), the same
+    R2 keys, the same per-worker counts and the same generator state.
+    """
+    data = np.random.default_rng(workers)
+    keys1, keys2 = (data.integers(-100, 100, 2_000).astype(np.float64) for _ in range(2))
+    keys1[data.choice(2_000, 60, replace=False)] = [-0.0, 0.0, np.nan] * 20
+    histogram1 = build_equidepth_histogram(keys1[~np.isnan(keys1)], 3 * workers, 2_000)
+    drawn = {}
+
+    def recording_wor_to_wr(reservoir, size, rng):
+        drawn["positions"] = wor_to_wr(reservoir, size, rng)
+        drawn["state"] = rng.bit_generator.state
+        return drawn["positions"]
+
+    monkeypatch.setattr(
+        importlib.import_module("repro.sampling.parallel_stream_sample"),
+        "wor_to_wr", recording_wor_to_wr,
+    )
+    rng = np.random.default_rng(workers + 40)
+    sample, stats = parallel_stream_sample(
+        keys1, keys2, condition, 700, workers, rng, histogram1=histogram1
+    )
+    reference_rng = np.random.default_rng()
+    reference_rng.bit_generator.state = drawn["state"]
+    worker_ordered, _ = reference.by_worker(keys1, histogram1, workers)
+    sampled_keys1, produced = reference.by_worker(
+        worker_ordered[drawn["positions"]], histogram1, workers
+    )
+    sampled_keys2 = reference.numpy_sample_joinable_keys(
+        sampled_keys1, build_d2_index(keys2), condition, reference_rng
+    )
+    assert sample.size == 700
+    assert _bits(sample.r1_keys) == _bits(sampled_keys1)
+    assert (sample.r1_keys == 0).any()
+    np.testing.assert_array_equal(sample.r2_keys, sampled_keys2)
+    assert stats.sample_pairs_produced == produced.tolist()
     assert _same_state(rng, reference_rng)
 
 
@@ -603,7 +738,8 @@ def test_stream_sample_makes_the_same_calls_at_any_input_size():
     """No per-tuple interpreter work is left in Stream-Sample: one
     ``parallel_stream_sample`` makes as many interpreter calls at 20,000
     keys per side as at 1,000 (J = 8, band 2, a 500-tuple output sample,
-    so every worker's reservoir fills).  The ``heapq`` reservoirs made one
+    so every worker's reservoir fills): 481 and 481, with the jobs in key
+    order (586 while job 3 searched).  The ``heapq`` reservoirs made one
     push or replace per offered tuple: 2,393 and 12,603 calls.  ``-s``
     prints them."""
     calls = {}
