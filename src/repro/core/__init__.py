@@ -4,10 +4,11 @@ Modules, in the order the 3-stage histogram algorithm uses them:
 
 * :mod:`repro.core.weights` -- the cost model ``w(r) = w_i*input + w_o*output``.
 * :mod:`repro.core.grid` -- :class:`~repro.core.grid.WeightedGrid`, the
-  shared representation of the sample matrix MS and the coarsened matrix MC
-  (per-row/column input sizes, per-cell output frequencies, candidate mask,
-  O(1) rectangle weights via prefix sums), and ``smallest_feasible``, the
-  one threshold search of coarsening, regionalization and M-Bucket.
+  coarsened matrix MC (per-row/column input sizes, per-cell output
+  frequencies, candidate mask, O(1) rectangle weights via prefix sums),
+  :class:`~repro.core.grid.BandGrid`, the sample matrix MS as its candidate
+  runs and sampled entries, and ``smallest_feasible``, the one threshold
+  search of coarsening, regionalization and M-Bucket.
 * :mod:`repro.core.region` -- rectangular regions and minimal candidate
   rectangles.
 * :mod:`repro.core.sample_matrix` -- stage 1 (sampling): build MS from
@@ -28,6 +29,7 @@ from repro import lazy_exports
 _EXPORTS = {
     "WeightFunction": "repro.core.weights",
     "WeightedGrid": "repro.core.grid",
+    "BandGrid": "repro.core.grid",
     "GridRegion": "repro.core.region",
     "KeyRegion": "repro.core.region",
     "SampleMatrix": "repro.core.sample_matrix",

@@ -15,7 +15,14 @@ loop it equals boundary for boundary.
 The paper's **MonotonicCoarsening** observation -- non-candidate cells weigh
 zero, so only candidate cells need their weights computed -- is applied
 throughout: a block that contains no candidate MS cell contributes nothing to
-the maximum.
+the maximum.  So coarsening runs on MS as its candidate band
+(:class:`~repro.core.grid.BandGrid`): each pass aggregates the sampled
+entries by group with the compiled kernel
+(:func:`repro.joins.native.group_sums`, numpy's ``reduceat`` bit for bit)
+and counts the runs' candidate cells by group, never building an ``n_s x
+n_s`` array.  A dense :class:`~repro.core.grid.WeightedGrid` argument is
+converted to its band once, on entry.  ``tests/reference_planner.py`` keeps
+the dense aggregation the band equals.
 
 ``n_c = 2J`` keeps the accuracy loss of working on a grid rather than the
 original matrix to a factor below 4 (paper §III-D) while keeping the
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.grid import WeightedGrid, smallest_feasible
+from repro.core.grid import BandGrid, WeightedGrid, smallest_feasible
 from repro.core.weights import WeightFunction
 from repro.joins import native
 
@@ -86,82 +93,106 @@ def _even_boundaries(size: int, groups: int) -> np.ndarray:
     return np.unique(np.linspace(0, size, groups + 1).round().astype(np.int64))
 
 
-def _aggregate_columns(grid: WeightedGrid, col_bounds: np.ndarray) -> tuple[
-    np.ndarray, np.ndarray, np.ndarray
-]:
-    """Aggregate frequencies, candidate counts and column input by column group."""
-    starts = col_bounds[:-1]
-    freq_by_group = np.add.reduceat(grid.frequency, starts, axis=1)
-    cand_by_group = np.add.reduceat(
-        grid.candidate.astype(np.float64), starts, axis=1
-    )
-    col_input_by_group = np.add.reduceat(grid.col_input, starts)
-    return freq_by_group, cand_by_group, col_input_by_group
+#: A pass's aggregates of its lines by group: frequencies, candidate
+#: counts (both lines x groups, C order) and the groups' input.
+Aggregates = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _group_columns(grid: BandGrid, bounds: np.ndarray) -> Aggregates:
+    """Each row's frequency, candidate count and the input by column group.
+
+    ``rows x groups`` C-ordered float64 arrays plus the groups' input: the
+    dense grid's ``np.add.reduceat`` along the columns bit for bit.  The
+    frequencies are the kernel's; the counts are each run's overlap with
+    each group (whole numbers, exact in any order).
+    """
+    freq = native.group_sums(grid.entry_ptr, grid.entry_col, grid.entry_value, bounds)
+    groups = bounds.size - 1
+    clipped = np.clip(bounds, grid.run_lo[:, None], grid.run_hi[:, None])
+    overlap = np.empty((grid.run_lo.size, groups))
+    np.subtract(clipped[:, 1:], clipped[:, :-1], out=overlap)
+    del clipped
+    cand = np.zeros((grid.num_rows, groups))
+    rows = np.flatnonzero(np.diff(grid.run_ptr))
+    if rows.size:
+        cand[rows] = np.add.reduceat(overlap, grid.run_ptr[rows], axis=0)
+    return freq, cand, np.add.reduceat(grid.col_input, bounds[:-1])
+
+
+def _group_rows(grid: BandGrid, bounds: np.ndarray) -> Aggregates:
+    """:func:`_group_columns` of the transposed grid: ``columns x groups``.
+
+    The dense reduceat down the rows, transposed.  The counts come from one
+    difference array per row group, each run adding 1 at its first column
+    and -1 past its last.
+    """
+    freq = native.group_sums(*grid.entries_by_column, bounds)
+    groups, width = bounds.size - 1, grid.num_cols + 1
+    steps = np.searchsorted(bounds, grid.run_rows, side="right") * width - width
+    counts = np.bincount(steps + grid.run_lo, minlength=groups * width)
+    counts -= np.bincount(steps + grid.run_hi, minlength=groups * width)
+    counts = counts.reshape(groups, width)
+    np.cumsum(counts, axis=1, out=counts)
+    cand = np.ascontiguousarray(counts[:, :-1].T, dtype=np.float64)
+    return freq, cand, np.add.reduceat(grid.row_input, bounds[:-1])
 
 
 def _optimize_axis(
-    grid: WeightedGrid,
-    col_bounds: np.ndarray,
+    aggregates: Aggregates,
+    line_input: np.ndarray,
     weight_fn: WeightFunction,
     max_groups: int,
     low: float,
+    high: float,
 ) -> np.ndarray:
-    """Choose row boundaries minimising the max candidate-block weight for fixed columns.
+    """Choose line boundaries minimising the max candidate-block weight for fixed groups.
 
-    ``low`` is the threshold search's lower end, the grid's heaviest candidate
-    cell; it is the same float for a grid and its transpose, so the caller
-    computes it once.  One group is the only cover ``max_groups == 1``
-    allows, so it is returned without a search: the sweep sums a block row
-    by row, which can round one step above the total weight the search
-    takes as its upper end, so the search could miss it.
+    ``aggregates`` are the lines' frequencies, candidate counts and the
+    groups' input (:func:`_group_columns` for rows, :func:`_group_rows` for
+    columns); ``line_input`` is the lines' input.  ``low`` is the threshold
+    search's lower end, the grid's heaviest candidate cell, the same float
+    on both axes; ``high`` the grid's total weight as that axis's dense grid
+    summed it, at least ``low``.  One group is the only cover ``max_groups
+    == 1`` allows, so it is returned without a search: the sweep sums a
+    block line by line, which can round one step above the total weight
+    the search takes as its upper end, so the search could miss it.
     """
     if max_groups == 1:
-        return np.array([0, grid.num_rows], dtype=np.int64)
-    freq_by_group, cand_by_group, col_input_by_group = _aggregate_columns(
-        grid, col_bounds
-    )
-    # The kernel reads C order; the transposed grid's aggregates are F-ordered.
-    sweep = tuple(map(np.ascontiguousarray, (
-        freq_by_group, cand_by_group, grid.row_input, col_input_by_group
-    )))
+        return np.array([0, line_input.size], dtype=np.int64)
+    freq_by_group, cand_by_group, input_by_group = aggregates
 
     def feasible(threshold: float) -> np.ndarray | None:
         return native.sweep_rows(
-            *sweep, weight_fn.input_cost, weight_fn.output_cost, threshold, max_groups
+            freq_by_group, cand_by_group, line_input, input_by_group,
+            weight_fn.input_cost, weight_fn.output_cost, threshold, max_groups,
         )
 
-    high = max(weight_fn.weight(grid.total_input, grid.total_output), low)
     _, bounds, _ = smallest_feasible(feasible, low, high, MAX_MIDPOINTS)
     if bounds is None:
         raise RuntimeError("coarsening sweep failed at the trivial threshold")
     return bounds
 
 
-def _build_coarse_grid(
-    grid: WeightedGrid, row_bounds: np.ndarray, col_bounds: np.ndarray
-) -> WeightedGrid:
-    """Aggregate the fine grid into the coarse grid defined by the boundaries."""
-    row_starts = row_bounds[:-1]
-    col_starts = col_bounds[:-1]
-    freq = np.add.reduceat(
-        np.add.reduceat(grid.frequency, row_starts, axis=0), col_starts, axis=1
-    )
-    cand_counts = np.add.reduceat(
-        np.add.reduceat(grid.candidate.astype(np.float64), row_starts, axis=0),
-        col_starts, axis=1,
-    )
-    row_input = np.add.reduceat(grid.row_input, row_starts)
-    col_input = np.add.reduceat(grid.col_input, col_starts)
+def _build_coarse_grid(by_rows: Aggregates, col_bounds: np.ndarray,
+                       col_input: np.ndarray) -> WeightedGrid:
+    """The coarse grid from the columns' aggregates by row group (:func:`_group_rows`).
+
+    The dense grid's row pass, ``np.add.reduceat`` down the rows, is that
+    aggregate transposed, so only the column pass runs here, on the small
+    ``n_c x n_s`` arrays.
+    """
+    freq_t, cand_t, row_input = by_rows
+    starts = col_bounds[:-1]
     return WeightedGrid(
-        frequency=freq,
+        frequency=np.ascontiguousarray(np.add.reduceat(freq_t.T, starts, axis=1)),
         row_input=row_input,
-        col_input=col_input,
-        candidate=cand_counts > 0,
+        col_input=np.add.reduceat(col_input, starts),
+        candidate=np.add.reduceat(cand_t.T, starts, axis=1) > 0,
     )
 
 
 def coarsen(
-    grid: WeightedGrid,
+    grid: BandGrid | WeightedGrid,
     num_row_groups: int,
     num_col_groups: int | None = None,
     weight_fn: WeightFunction | None = None,
@@ -174,7 +205,8 @@ def coarsen(
     Parameters
     ----------
     grid:
-        The sample matrix MS (or any weighted grid).
+        The sample matrix MS as its band, or any weighted grid (converted to
+        its band once).
     num_row_groups, num_col_groups:
         Target dimensions ``n_c`` of the coarsened matrix, each positive;
         ``num_col_groups`` defaults (``None``) to ``num_row_groups``.
@@ -188,35 +220,38 @@ def coarsen(
     if num_col_groups <= 0:
         raise ValueError("num_col_groups must be positive")
     weight_fn = weight_fn or WeightFunction()
+    if isinstance(grid, WeightedGrid):
+        grid = BandGrid.from_dense(grid)
     num_row_groups = max(1, min(num_row_groups, grid.num_rows))
     num_col_groups = max(1, min(num_col_groups, grid.num_cols))
 
     row_bounds = _even_boundaries(grid.num_rows, num_row_groups)
     col_bounds = _even_boundaries(grid.num_cols, num_col_groups)
 
-    best_grid = _build_coarse_grid(grid, row_bounds, col_bounds)
+    best_grid = _build_coarse_grid(_group_rows(grid, row_bounds), col_bounds, grid.col_input)
     best_weight = best_grid.max_cell_weight(weight_fn, candidates_only=True)
     best_bounds = (row_bounds, col_bounds)
     iterations_run = 0
 
-    transposed = WeightedGrid(
-        frequency=grid.frequency.T,
-        row_input=grid.col_input,
-        col_input=grid.row_input,
-        candidate=grid.candidate.T,
-    )
-
     heaviest_cell = grid.max_cell_weight(weight_fn, candidates_only=True)
+    # Each axis's search ends at the total weight as that axis's dense grid
+    # (MS, or its transpose) added it up.
+    total_input = grid.total_input
+    row_high = max(weight_fn.weight(total_input, grid.total_output), heaviest_cell)
+    col_high = max(weight_fn.weight(total_input, grid.transposed_total_output), heaviest_cell)
 
     for iteration in range(MAX_ITERATIONS):
         iterations_run = iteration + 1
         row_bounds = _optimize_axis(
-            grid, col_bounds, weight_fn, num_row_groups, heaviest_cell
+            _group_columns(grid, col_bounds), grid.row_input, weight_fn,
+            num_row_groups, heaviest_cell, row_high,
         )
+        # The columns' sweep and the coarse grid's row pass share it.
+        by_rows = _group_rows(grid, row_bounds)
         col_bounds = _optimize_axis(
-            transposed, row_bounds, weight_fn, num_col_groups, heaviest_cell
+            by_rows, grid.col_input, weight_fn, num_col_groups, heaviest_cell, col_high,
         )
-        coarse = _build_coarse_grid(grid, row_bounds, col_bounds)
+        coarse = _build_coarse_grid(by_rows, col_bounds, grid.col_input)
         weight = coarse.max_cell_weight(weight_fn, candidates_only=True)
         if weight < best_weight - 1e-12:
             best_weight = weight

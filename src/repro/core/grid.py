@@ -21,16 +21,24 @@ of a rectangle's rows -- linear in its row count, and right for any grid.
 
 The constructor only normalises and checks the four arrays.  Every table --
 the input, frequency and candidate prefix sums and the row spans -- is built
-on first read and kept on the grid.  In a plan only the coarsened matrix's
-:class:`~repro.core.tiling_tables.TilingTables` reads the 2-D ones, so the
-``n_s x n_s`` sample matrix and coarsening's transposed copy never build
-one.  ``total_output`` needs no table: it adds each column's sequential sum
-in column order with ``np.cumsum``, the same float additions in the same
-order that give the double cumsum's corner (C- and F-ordered arrays alike),
-so it is that corner bit for bit.  The tiling algorithms, which ask for the
-same rectangles again and again, keep their answers in a ``TilingTables``
-that lives for one regionalization and shrinks a rectangle of a monotone
-grid with four lookups instead of that pass.
+on first read and kept on the grid.  Only the coarsened matrix's
+:class:`~repro.core.tiling_tables.TilingTables` reads the 2-D ones.
+``total_output`` needs no table: it adds each column's sequential sum in
+column order with ``np.cumsum``, the same float additions in the same order
+that give the double cumsum's corner (C- and F-ordered arrays alike), so it
+is that corner bit for bit.  The tiling algorithms, which ask for the same
+rectangles again and again, keep their answers in a ``TilingTables`` that
+lives for one regionalization and shrinks a rectangle of a monotone grid
+with four lookups instead of that pass.
+
+The sample matrix MS is a :class:`BandGrid` instead: the paper's
+MonotonicCoarsening rests on non-candidate cells weighing zero, and MS holds
+a few candidate cells per row, so it keeps each row's runs of candidate
+columns and its sampled frequency entries, O(n_s + s_o) in all, and answers
+what coarsening asks -- totals, the heaviest candidate cell, and the
+frequencies and candidate counts by column or row group -- with the same
+floats the dense arrays gave.  The ``n_s x n_s`` sample matrix and
+coarsening's transposed copy never build one.
 
 Coarsening, regionalization and M-Bucket each look for the smallest weight
 threshold at which a greedy cover of a grid fits; :func:`smallest_feasible`
@@ -49,8 +57,8 @@ import numpy as np
 from repro.core.region import GridRegion
 from repro.core.weights import WeightFunction
 
-__all__ = ["SEARCH_TOLERANCE", "WeightedGrid", "candidate_spans", "shrink_to_candidates",
-           "smallest_feasible"]
+__all__ = ["SEARCH_TOLERANCE", "BandGrid", "WeightedGrid", "candidate_spans",
+           "shrink_to_candidates", "smallest_feasible"]
 
 Cover = TypeVar("Cover")
 
@@ -378,3 +386,183 @@ class WeightedGrid:
     def full_region(self) -> GridRegion:
         """The region covering the whole grid."""
         return GridRegion(0, self.num_rows - 1, 0, self.num_cols - 1)
+
+
+def _lines(ptr: np.ndarray) -> np.ndarray:
+    """The line (row) of each item of a CSR with offsets ``ptr``."""
+    return np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+
+
+def _total(lines: np.ndarray, values: np.ndarray, size: int) -> float:
+    """Each line's values summed in order, then the line sums added in line order.
+
+    ``np.bincount`` adds a line's values one by one from 0.0, as a dense
+    ``np.cumsum`` down the line does (adding 0.0 is exact), so this is the
+    double cumsum's corner bit for bit.
+    """
+    if not size:
+        return 0.0
+    return float(np.cumsum(np.bincount(lines, weights=values, minlength=size))[-1])
+
+
+@dataclass
+class BandGrid:
+    """The sample matrix MS as its candidate band: runs of candidate cells and sampled entries.
+
+    Parameters
+    ----------
+    row_input, col_input:
+        Input tuples falling in each grid row (R1 side) / column (R2 side).
+    run_ptr, run_lo, run_hi:
+        Row ``r``'s candidate columns are the runs ``[run_lo[i], run_hi[i])``
+        for ``i`` in ``run_ptr[r]:run_ptr[r + 1]``, non-empty, ascending and
+        disjoint: one run per row of a monotone grid, plus a one-cell run for
+        a sampled cell the condition's run missed.
+    entry_ptr, entry_col, entry_value:
+        Row ``r``'s nonzero output frequencies are ``entry_value[i]`` at
+        column ``entry_col[i]`` for ``i`` in ``entry_ptr[r]:entry_ptr[r + 1]``,
+        columns ascending, each inside one of the row's runs.
+
+    Every other cell weighs its input alone, and a cell outside the runs is
+    no candidate.  :meth:`from_dense` converts a :class:`WeightedGrid`.
+    """
+
+    row_input: np.ndarray
+    col_input: np.ndarray
+    run_ptr: np.ndarray
+    run_lo: np.ndarray
+    run_hi: np.ndarray
+    entry_ptr: np.ndarray
+    entry_col: np.ndarray
+    entry_value: np.ndarray
+
+    def __post_init__(self) -> None:
+        # C-contiguous: the kernel reads the entries as they are.
+        for name in ("row_input", "col_input", "entry_value"):
+            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float64))
+        for name in ("run_ptr", "run_lo", "run_hi", "entry_ptr", "entry_col"):
+            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.int64))
+        rows, cols = self.shape
+        for name, values in (("row_input", self.row_input), ("col_input", self.col_input),
+                             ("entry_value", self.entry_value)):
+            # ``>= 0`` is False for NaN; the finiteness pass catches +inf.
+            if not ((values >= 0).all() and np.isfinite(values).all()):
+                raise ValueError(f"{name} must be finite and non-negative")
+        for name, ptr, items in (("run", self.run_ptr, self.run_lo),
+                                 ("entry", self.entry_ptr, self.entry_col)):
+            if (ptr.shape != (rows + 1,) or ptr[0] != 0 or ptr[-1] != items.size
+                    or (np.diff(ptr) < 0).any()):
+                raise ValueError(f"{name}_ptr must rise from 0 to the {name}s, one per row")
+        if self.run_hi.shape != self.run_lo.shape or self.entry_value.shape != self.entry_col.shape:
+            raise ValueError("run_lo/run_hi and entry_col/entry_value lengths must match")
+        # Row-major keys: a row's cells and its runs' ends, rows apart.
+        width = cols + 1
+        run_base = self.run_rows * width
+        ends = np.column_stack([run_base + self.run_lo, run_base + self.run_hi]).ravel()
+        if not ((self.run_lo >= 0).all() and (self.run_hi <= cols).all()
+                and (self.run_lo < self.run_hi).all() and (np.diff(ends) >= 0).all()):
+            raise ValueError("runs must be non-empty column ranges, ascending and disjoint")
+        cells = self.entry_rows * width + self.entry_col
+        if not ((self.entry_col >= 0).all() and (self.entry_col < cols).all()
+                and (np.diff(cells) > 0).all()):
+            raise ValueError("a row's entry columns must be distinct, ascending and in the grid")
+        run = np.searchsorted(ends[::2], cells, side="right") - 1
+        if cells.size and ((run < 0).any() or (cells >= ends[1::2][run]).any()):
+            raise ValueError("non-candidate cells cannot carry output frequency")
+
+    @classmethod
+    def from_dense(cls, grid: WeightedGrid) -> "BandGrid":
+        """The band of a dense grid: its candidate runs and nonzero frequencies."""
+        rows, cols = grid.shape
+        edges = np.diff(np.pad(grid.candidate, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+        run_rows, run_lo = np.nonzero(edges == 1)
+        run_hi = np.nonzero(edges == -1)[1]
+        entry_rows, entry_col = np.nonzero(grid.frequency)
+        return cls(
+            grid.row_input, grid.col_input,
+            np.searchsorted(run_rows, np.arange(rows + 1)), run_lo, run_hi,
+            np.searchsorted(entry_rows, np.arange(rows + 1)), entry_col,
+            grid.frequency[entry_rows, entry_col],
+        )
+
+    # ------------------------------------------------------------------
+    # Shape and totals
+    # ------------------------------------------------------------------
+    @property
+    def num_rows(self) -> int:
+        """Number of grid rows."""
+        return self.row_input.size
+
+    @property
+    def num_cols(self) -> int:
+        """Number of grid columns."""
+        return self.col_input.size
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """``(num_rows, num_cols)``."""
+        return self.num_rows, self.num_cols
+
+    @property
+    def num_candidate_cells(self) -> int:
+        """Number of candidate cells in the grid."""
+        return int((self.run_hi - self.run_lo).sum())
+
+    @property
+    def total_input(self) -> float:
+        """Total input tuples, as :attr:`WeightedGrid.total_input` adds them."""
+        rows = np.cumsum(self.row_input)[-1] if self.num_rows else 0.0
+        cols = np.cumsum(self.col_input)[-1] if self.num_cols else 0.0
+        return float(rows + cols)
+
+    @property
+    def total_output(self) -> float:
+        """Total output, as :attr:`WeightedGrid.total_output` adds the dense grid's."""
+        return _total(self.entry_col, self.entry_value, self.num_cols)
+
+    @property
+    def transposed_total_output(self) -> float:
+        """Total output as the transposed dense grid adds it: row sums first."""
+        return _total(self.entry_rows, self.entry_value, self.num_rows)
+
+    def max_cell_weight(self, weight_fn: WeightFunction,
+                        candidates_only: bool = False) -> float:
+        """Maximum single-cell weight, optionally restricted to candidate cells.
+
+        The dense grid's floats: an entry's cell weighs ``w_i * (row + col)
+        + w_o * frequency``, any other ``w_i * (row + col) + w_o * 0.0``.
+        Rounding is monotone, so the heaviest such cell of a run (or of the
+        grid) is the one with the largest column input.
+        """
+        w_i, w_o = weight_fn.input_cost, weight_fn.output_cost
+        heaviest = w_i * (self.row_input[self.entry_rows] + self.col_input[self.entry_col]) \
+            + w_o * self.entry_value
+        if candidates_only:
+            if not self.run_lo.size:
+                return 0.0
+            # Each run's largest column input: maxima over [lo, hi) pairs.
+            bounds = np.column_stack([self.run_lo, self.run_hi]).ravel()
+            col_max = np.maximum.reduceat(np.append(self.col_input, 0.0), bounds)[::2]
+            row = self.row_input[self.run_rows]
+        else:
+            col_max, row = self.col_input.max(), self.row_input.max()
+        empty = w_i * (row + col_max) + w_o * 0.0
+        return float(max(np.max(empty), np.max(heaviest, initial=-np.inf)))
+
+    @cached_property
+    def run_rows(self) -> np.ndarray:
+        """The row of each run."""
+        return _lines(self.run_ptr)
+
+    @cached_property
+    def entry_rows(self) -> np.ndarray:
+        """The row of each entry."""
+        return _lines(self.entry_ptr)
+
+    @cached_property
+    def entries_by_column(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries column by column: ``(ptr, rows, values)``, each column's rows ascending."""
+        order = np.argsort(self.entry_col, kind="stable")
+        counts = np.bincount(self.entry_col, minlength=self.num_cols)
+        ptr = np.concatenate([[0], np.cumsum(counts)])
+        return ptr, self.entry_rows[order], self.entry_value[order]

@@ -31,6 +31,7 @@ from repro.core.sample_matrix import (
     SampleMatrix,
     build_sample_matrix,
     candidate_cell_count,
+    histogram_spans,
 )
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import JoinCondition
@@ -196,7 +197,8 @@ def build_equi_weight_histogram(
     hist1 = build_equidepth_histogram(sample1, ns, len(keys1))
     hist2 = build_equidepth_histogram(sample2, ns, len(keys2))
 
-    nsc = candidate_cell_count(hist1, hist2, condition)
+    spans = histogram_spans(hist1, hist2, condition)
+    nsc = candidate_cell_count(hist1, hist2, condition, spans)
     so = output_sample_size(nsc, multiple=config.output_sample_multiple)
     output_sample, sampling_stats = parallel_stream_sample(
         keys1, keys2, condition, so, num_machines, rng,
@@ -217,8 +219,9 @@ def build_equi_weight_histogram(
                 ns = adjusted
                 hist1 = build_equidepth_histogram(sample1, ns, len(keys1))
                 hist2 = build_equidepth_histogram(sample2, ns, len(keys2))
+                spans = histogram_spans(hist1, hist2, condition)
 
-    sample_matrix = build_sample_matrix(hist1, hist2, output_sample, condition)
+    sample_matrix = build_sample_matrix(hist1, hist2, output_sample, condition, spans)
     stage_seconds["sampling"] = perf_counter() - start
 
     # ------------------------------------------------------------------

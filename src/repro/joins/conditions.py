@@ -15,17 +15,29 @@ joinable bounds (the ``_bounds`` hook behind ``joinable_bounds(keys1)``)
     The count kernel binary-searches these, and Stream-Sample reads its
     joinable-set sizes d2 from them.
 
-``candidate_grid(row_lo, row_hi, col_lo, col_hi)``
-    For each cell of key ranges ``[row_lo[i], row_hi[i]] x [col_lo[j],
-    col_hi[j]]``, can *any* pair in it join?  Non-candidate cells are never
-    assigned to a machine by the content-sensitive schemes.
+the candidate rule (the ``_excluded`` hook behind ``candidate_spans``)
+    For a cell of key ranges ``[row_lo, row_hi] x [col_lo, col_hi]``, does
+    it lie left or right of every pair its row can join?  A cell that does
+    neither is a *candidate*: some pair in it may join.  Non-candidate cells
+    are never assigned to a machine by the content-sensitive schemes.
 
 :class:`JoinCondition` derives every other view from those two, once:
 ``matches`` and ``matches_many`` test ``lo <= k2 <= hi``,
-``joinable_interval`` is one key's bounds, ``cell_is_candidate`` is a 1x1
-grid and ``count_matches_per_key`` is two searches.  The kernel, the
-samplers, the planner and the scalar test therefore cannot disagree about a
-pair.
+``joinable_interval`` is one key's bounds, ``candidate_spans`` is each grid
+row's run of candidate columns ``[first, stop)``, ``candidate_grid`` the
+mask of those runs, ``cell_is_candidate`` a 1x1 grid and
+``count_matches_per_key`` two searches.  The kernel, the samplers, the
+planner and the scalar test therefore cannot disagree about a pair.
+
+A monotone condition's candidate cells form one run per row.  The rule is
+the rounded test the dense mask used to evaluate cell by cell (``fl(col_lo
+- row_hi) > beta`` for a band), and rounding is monotone, so on ascending
+edges each half of it holds on a prefix (left) or a suffix (right) of the
+columns.  ``candidate_spans`` finds both ends exactly with a vectorised
+search over all rows: three rounds, each testing a few
+columns per row, so the number of numpy calls does not grow with the grid.
+Searching shifted boundaries (``searchsorted(col_hi, row_lo - beta)``)
+rounds differently from the test and is not exact.
 
 Keys that join nothing are ruled on once, in
 :meth:`JoinCondition.joinable_bounds`: they get the empty interval
@@ -131,12 +143,23 @@ def _edges(*edges) -> "list[np.ndarray]":
     return [np.asarray(edge, dtype=np.float64) for edge in edges]
 
 
+#: Rounds of :meth:`JoinCondition.candidate_spans`' search.  Each round
+#: tests ``b - 1`` columns per row, ``b`` the smallest base with ``b **
+#: rounds`` at least the column count plus one, and cuts each row's range
+#: of possible answers to a ``b``-th.  A grid narrower than
+#: ``_ONE_ROUND_COLUMNS`` takes one round that tests every column: fewer
+#: numpy calls, over at most that many columns per row.
+_SPAN_ROUNDS = 3
+_ONE_ROUND_COLUMNS = 64
+
+
 class JoinCondition:
     """Abstract base class for monotonic join conditions.
 
     A subclass states its predicate twice -- ``_bounds`` (the joinable
-    bounds of keys that join something) and :meth:`candidate_grid` -- plus
-    :attr:`transposed`.  Everything else is derived here, once.
+    bounds of keys that join something) and ``_excluded`` (the candidate
+    rule) -- plus :attr:`transposed`.  Everything else is derived here,
+    once.
     """
 
     #: Human-readable name used in reports and benchmark output.
@@ -156,6 +179,78 @@ class JoinCondition:
             return np.isnan(keys1)
         return None
 
+    def _excluded(
+        self,
+        row_lo: np.ndarray,
+        row_hi: np.ndarray,
+        col_lo: np.ndarray,
+        col_hi: np.ndarray,
+    ) -> "tuple[np.ndarray | None, np.ndarray | None]":
+        """The candidate rule, elementwise over broadcast cell edges.
+
+        Returns ``(left, right)``: whether each cell lies left of every pair
+        its row joins (even its highest key ``col_hi`` is too low) and
+        whether it lies right of them (even ``col_lo`` is too high); ``None``
+        for a side the condition never excludes.  ``left`` reads only the
+        row edges and ``col_hi``, ``right`` only the row edges and
+        ``col_lo``, so one call can test two different columns per row.
+        """
+        raise NotImplementedError
+
+    def candidate_spans(
+        self,
+        row_lo: np.ndarray,
+        row_hi: np.ndarray,
+        col_lo: np.ndarray,
+        col_hi: np.ndarray,
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Each grid row's candidate columns ``[first, stop)`` (``stop >= first``).
+
+        Rows are R1 key ranges ``[row_lo[i], row_hi[i]]``, columns R2 key
+        ranges, each edge array ascending as a grid's are.  ``left`` of
+        :meth:`_excluded` holds on a prefix of a row's columns and
+        ``right`` on a suffix, so ``first`` is where ``left`` stops holding
+        and ``stop`` where ``right`` starts.  Each of a few rounds tests
+        evenly spaced columns inside every row's range of possible answers
+        with one call of the rule; the columns found on the wrong side of an
+        end narrow that range, and the last round leaves one answer.  The rule is the one the dense mask evaluated, so the
+        spans are its runs cell for cell.
+        """
+        row_lo, row_hi, col_lo, col_hi = _edges(row_lo, row_hi, col_lo, col_hi)
+        rows, columns = row_lo.size, col_lo.size
+        first = np.zeros(rows, dtype=np.int64)
+        stop = np.full(rows, columns, dtype=np.int64)
+        if not rows or not columns:
+            return first, np.maximum(first, stop)
+        rounds = 1 if columns < _ONE_ROUND_COLUMNS else _SPAN_ROUNDS
+        base = 2
+        while base**rounds <= columns:
+            base += 1
+        # Each row's answers lie in [first, first_last] and [stop_first, stop].
+        first_last, stop_first = stop.copy(), first.copy()
+        row_lo, row_hi = row_lo[:, None], row_hi[:, None]
+        width = columns + 1
+        for _ in range(rounds):
+            width = -(-width // base)
+            offsets = np.arange(width - 1, (base - 1) * width, width)
+            at_first = first[:, None] + offsets
+            at_stop = stop_first[:, None] + offsets
+            left, right = self._excluded(
+                row_lo, row_hi,
+                col_lo.take(at_stop, mode="clip"), col_hi.take(at_first, mode="clip"),
+            )
+            # A tested column past the grid is its last: on the wrong side
+            # only when the answer is the column count, which the clamps keep.
+            if left is not None:
+                passed = left.sum(axis=1) * width
+                first_last = np.minimum(first_last, first + passed + (width - 1))
+                first = np.minimum(first + passed, first_last)
+            if right is not None:
+                passed = (~right).sum(axis=1) * width
+                stop = np.minimum(stop, stop_first + passed + (width - 1))
+                stop_first = np.minimum(stop_first + passed, stop)
+        return first, np.maximum(first, stop)
+
     def candidate_grid(
         self,
         row_lo: np.ndarray,
@@ -163,8 +258,14 @@ class JoinCondition:
         col_lo: np.ndarray,
         col_hi: np.ndarray,
     ) -> np.ndarray:
-        """Candidate mask of a grid: rows are R1 key ranges, columns R2 key ranges."""
-        raise NotImplementedError
+        """Candidate mask of a grid: rows are R1 key ranges, columns R2 key ranges.
+
+        The mask of :meth:`candidate_spans`' runs, for edges ascending as a
+        grid's are.
+        """
+        first, stop = self.candidate_spans(row_lo, row_hi, col_lo, col_hi)
+        columns = np.arange(np.size(col_lo))
+        return (columns >= first[:, None]) & (columns < stop[:, None])
 
     @property
     def transposed(self) -> "JoinCondition":
@@ -314,18 +415,9 @@ class BandJoinCondition(JoinCondition):
         highs[keys1 > _INT64_MAX - beta] = _INT64_MAX
         return lows, highs
 
-    def candidate_grid(
-        self,
-        row_lo: np.ndarray,
-        row_hi: np.ndarray,
-        col_lo: np.ndarray,
-        col_hi: np.ndarray,
-    ) -> np.ndarray:
+    def _excluded(self, row_lo, row_hi, col_lo, col_hi):
         """A cell may join unless its ranges are more than beta apart."""
-        row_lo, row_hi, col_lo, col_hi = _edges(row_lo, row_hi, col_lo, col_hi)
-        too_high = col_lo[None, :] - row_hi[:, None] > self.beta
-        too_low = row_lo[:, None] - col_hi[None, :] > self.beta
-        return ~(too_high | too_low)
+        return row_lo - col_hi > self.beta, col_lo - row_hi > self.beta
 
     def __repr__(self) -> str:
         return f"BandJoinCondition(beta={self.beta!r})"
@@ -425,20 +517,18 @@ class InequalityJoinCondition(JoinCondition):
         ends = np.full_like(keys1, far)
         return (near, ends) if self._above else (ends, near)
 
-    def candidate_grid(
-        self,
-        row_lo: np.ndarray,
-        row_hi: np.ndarray,
-        col_lo: np.ndarray,
-        col_hi: np.ndarray,
-    ) -> np.ndarray:
-        """A cell may join iff its most favourable pair does."""
-        row_lo, row_hi, col_lo, col_hi = _edges(row_lo, row_hi, col_lo, col_hi)
+    def _excluded(self, row_lo, row_hi, col_lo, col_hi):
+        """A cell may join iff its most favourable pair does.
+
+        Above ``k1`` the cells too far left are excluded, below it those
+        too far right.
+        """
         if self._above:
-            lower, upper = row_lo[:, None], col_hi[None, :]
+            lower, upper = row_lo, col_hi
         else:
-            lower, upper = col_lo[None, :], row_hi[:, None]
-        return lower < upper if self._strict else lower <= upper
+            lower, upper = col_lo, row_hi
+        joins = lower < upper if self._strict else lower <= upper
+        return (~joins, None) if self._above else (None, ~joins)
 
     def __repr__(self) -> str:
         return f"InequalityJoinCondition(op=InequalityOp.{self.op.name})"
@@ -699,15 +789,14 @@ class _TransposedBandCondition(JoinCondition):
         beta = self.base.beta
         return _band_lower_inverse(keys1, beta), _band_upper_inverse(keys1, beta)
 
-    def candidate_grid(
-        self,
-        row_lo: np.ndarray,
-        row_hi: np.ndarray,
-        col_lo: np.ndarray,
-        col_hi: np.ndarray,
-    ) -> np.ndarray:
-        """The base condition's grid with the sides swapped, transposed."""
-        return self.base.candidate_grid(col_lo, col_hi, row_lo, row_hi).T
+    def _excluded(self, row_lo, row_hi, col_lo, col_hi):
+        """The base condition's rule, unchanged.
+
+        The base grid with the sides swapped and transposed tests
+        ``fl(row_lo - col_hi) > beta`` and ``fl(col_lo - row_hi) > beta``
+        on each cell: the base's two halves, each on the other side.
+        """
+        return self.base._excluded(row_lo, row_hi, col_lo, col_hi)
 
     def __repr__(self) -> str:
         return f"_TransposedBandCondition({self.base!r})"

@@ -15,6 +15,9 @@
  *            (payload: the key) and repro.sampling.reservoir's
  *            WeightedReservoir (payload: the entry's position in the
  *            offered pool), one call per Stream-Sample worker and merge.
+ * group_sums sums a sparse matrix's rows by column group as np.add.reduceat
+ *            sums its dense form: coarsening's aggregates of the band
+ *            sample matrix, a few calls per refinement pass.
  * sweep_rows groups consecutive rows of a column-aggregated sample matrix
  *            so that no candidate block outweighs a threshold: one greedy
  *            sweep of repro.core.coarsening's per-axis threshold search.
@@ -40,11 +43,11 @@
  * the caller raises.  closure and tile check each index as they read it,
  * and return -2 at the first one out of range.
  *
- * sweep_rows is the kernel's one floating-point arithmetic (closure is
- * integers only, and tile only compares a rectangle's leaf threshold with
- * delta; the weights are numpy's, summed before the call), and it must
- * round as numpy does: every product and sum once, in numpy's order.  So
- * the library is built with -ffp-contract=off.  Otherwise a compiler for a
+ * group_sums and sweep_rows are the kernel's floating-point arithmetic
+ * (closure is integers only, and tile only compares a rectangle's leaf
+ * threshold with delta; its weights are numpy's, summed before the call),
+ * and they must round as numpy does: every product and sum once, in
+ * numpy's order.  So the library is built with -ffp-contract=off.  Otherwise a compiler for a
  * target with fused multiply-add (aarch64, x86-64 with -mfma) may fuse
  * a * b + c * d into one instruction that rounds once where numpy rounds
  * twice, and a block weight lands on the other side of the threshold.
@@ -434,6 +437,109 @@ int64_t offer(double *priorities, int64_t *counters, double *keys,
         counter++;
     }
     return counter;
+}
+
+/*
+ * numpy's pairwise sum (pairwise_sum_DOUBLE in its umath loops) of the n
+ * dense values at positions [p, p + n) of a sparse row, whose nonzero
+ * entries are index[e0:e1) (ascending, every one inside) with their values.
+ * Below 8 values numpy adds them in order to 0.0; up to 128 it keeps eight
+ * lanes (position i in lane i % 8) over the first n - n % 8 positions,
+ * combines them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and
+ * adds the rest in order; above that it splits at n / 2 rounded down to a
+ * multiple of 8.  The values are non-negative, so a zero left out adds
+ * 0.0 exactly: walking the entries through the same tree is the same sum.
+ */
+static double pairwise(const int64_t *index, const double *value, int64_t e0,
+                       int64_t e1, int64_t p, int64_t n)
+{
+    int64_t e, half, lo, hi;
+    if (e0 == e1)
+        return 0.0;
+    if (n < 8) {
+        double res = 0.0;
+        for (e = e0; e < e1; e++)
+            res += value[e];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0}, res;
+        int64_t blocked = p + n - n % 8;
+        for (e = e0; e < e1 && index[e] < blocked; e++)
+            r[(index[e] - p) % 8] += value[e];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; e < e1; e++)
+            res += value[e];
+        return res;
+    }
+    half = n / 2;
+    half -= half % 8;
+    /* The first entry at or after the split. */
+    lo = e0;
+    hi = e1;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (index[mid] < p + half)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return pairwise(index, value, e0, lo, p, half)
+           + pairwise(index, value, lo, e1, p + half, n - half);
+}
+
+/*
+ * A sparse matrix's sums by column group, as np.add.reduceat sums its dense
+ * form along the columns: coarsening's aggregates of the band sample
+ * matrix, row-major (entries sorted by row, then column) or column-major.
+ * Row m holds the entries ptr[m]..ptr[m + 1] of index (their columns,
+ * ascending) and value (non-negative); group g covers columns
+ * bounds[g]..bounds[g + 1], with bounds[0] = 0 and bounds[groups] the column
+ * count.  reduceat copies a segment's first value and adds numpy's pairwise
+ * sum of the rest to it, so out[m * groups + g] is that first value (0.0
+ * without an entry there) plus pairwise() of the rest, and equals the dense
+ * reduceat bit for bit on either axis and any stride.
+ *
+ * Writes all rows x groups sums.  Returns 0, or -2 (out untouched past the
+ * row it stopped at) when ptr does not run from 0 up to entries, a row's
+ * columns are not ascending inside [0, bounds[groups]), or the bounds do
+ * not rise from 0.
+ */
+int64_t group_sums(const int64_t *ptr, const int64_t *index,
+                   const double *value, int64_t rows, int64_t entries,
+                   const int64_t *bounds, int64_t groups, double *out)
+{
+    int64_t m, g, e;
+    if (rows < 0 || groups < 1 || bounds[0] != 0 || ptr[0] != 0
+        || ptr[rows] != entries)
+        return -2;
+    for (g = 0; g < groups; g++)
+        if (bounds[g + 1] <= bounds[g])
+            return -2;
+    for (m = 0; m < rows; m++) {
+        int64_t start = ptr[m], stop = ptr[m + 1];
+        if (stop < start || stop > entries)
+            return -2;
+        for (e = start; e < stop; e++)
+            if (index[e] < (e > start ? index[e - 1] + 1 : 0)
+                || index[e] >= bounds[groups])
+                return -2;
+        e = start;
+        for (g = 0; g < groups; g++) {
+            int64_t p = bounds[g], end = bounds[g + 1], rest;
+            double head = 0.0;
+            if (e < stop && index[e] == p)
+                head = value[e++];
+            rest = e;
+            while (e < stop && index[e] < end)
+                e++;
+            /* A one-column segment is its first value, nothing added. */
+            out[m * groups + g] =
+                end - p > 1 ? head + pairwise(index, value, rest, e, p + 1, end - p - 1)
+                            : head;
+        }
+    }
+    return 0;
 }
 
 /*

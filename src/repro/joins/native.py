@@ -1,14 +1,15 @@
 """The compiled kernel: ``native.c``, built on first import and loaded through ``ctypes``.
 
 The stream batch and the plan build spend most of their interpreter time
-in five inner loops that numpy can only run as a dozen small-array calls
+in six inner loops that numpy can only run as a dozen small-array calls
 each, or as one Python-level step per element: the searches of one sorted
 run for a batch's needles (clipped and summed per machine), the merge of a
 state's sorted runs, the offer of entries to an Efraimidis--Spirakis
 reservoir (the stream histogram's per batch, Stream-Sample's per worker
 and per merge), a ``heapq`` push / ``heapreplace`` per entry,
-coarsening's greedy sweep, a group of small cumulative sums per window of
-rows, and MonotonicBSP's tiling DP, a stack walk over a grid's minimal
+coarsening's sums of the band sample matrix by group, numpy's pairwise
+``reduceat`` tree over the sampled entries only, its greedy sweep, a group
+of small cumulative sums per window of rows, and MonotonicBSP's tiling DP, a stack walk over a grid's minimal
 rectangles per threshold.  ``native.c`` does each in one call, and each
 call is the only way production runs that loop: :func:`count` for one
 task of :func:`~repro.joins.local.count_regions`, :func:`merge` for
@@ -16,15 +17,18 @@ task of :func:`~repro.joins.local.count_regions`, :func:`merge` for
 :meth:`~repro.streaming.incremental.DecayedReservoir.add_batch` and for
 :class:`~repro.sampling.reservoir.WeightedReservoir`'s offers (its payload
 an entry's position in the offered pool),
-:func:`sweep_rows` for one threshold probe of coarsening's per-axis
-search, :func:`tile` for one threshold probe of regionalization's, over
-the child table :func:`closure` builds once per grid (a few calls, one per
-round of rectangles that need children).  The numpy, ``heapq`` and Python
+:func:`group_sums` for coarsening's aggregates of the band sample matrix
+(the dense ``np.add.reduceat`` it equals bit for bit), :func:`sweep_rows`
+for one threshold probe of coarsening's per-axis search, :func:`tile` for
+one threshold probe of regionalization's, over the child table
+:func:`closure` builds once per grid (a few calls, one per round of
+rectangles that need children).  The numpy, ``heapq`` and Python
 forms they replaced live in the test harness (``tests/reference_*.py``),
 which holds the kernel to them bit for bit: counts and merged runs
 (``tests/test_native_kernel.py``), both reservoirs' heap arrays entry for
-entry (``tests/test_sampling_oracle.py``), and the sweep's boundaries and
-the tilings' regions and rectangle counts (``tests/test_planner_oracle.py``).
+entry (``tests/test_sampling_oracle.py``), the group sums' floats
+(``tests/test_coarsening.py``), and the sweep's boundaries and the
+tilings' regions and rectangle counts (``tests/test_planner_oracle.py``).
 
 On import the module compiles ``native.c`` with the C compiler (the ``CC``
 environment variable, else the one Python was built with, ``-O2
@@ -63,7 +67,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["KernelUnavailable", "closure", "count", "merge", "offer", "sweep_rows", "tile"]
+__all__ = ["KernelUnavailable", "closure", "count", "group_sums", "merge", "offer", "sweep_rows",
+           "tile"]
 
 SOURCE = Path(__file__).with_name("native.c")
 
@@ -80,6 +85,7 @@ _COUNT_ARGS = (_POINTER, _SIZE, _POINTER, _POINTER, _POINTER, _SIZE, _POINTER,
 _MERGE_ARGS = (_SIZE, _POINTER, _POINTER, _POINTER)
 _OFFER_ARGS = (_POINTER, _POINTER, _POINTER, _SIZE, _SIZE, _SIZE, _POINTER, _POINTER, _SIZE)
 _DOUBLE = ctypes.c_double
+_GROUP_ARGS = (_POINTER, _POINTER, _POINTER, _SIZE, _SIZE, _POINTER, _SIZE, _POINTER)
 _SWEEP_ARGS = (_POINTER, _POINTER, _POINTER, _POINTER, _SIZE, _SIZE, _DOUBLE, _DOUBLE,
                _DOUBLE, _SIZE, _POINTER)
 _CLOSURE_ARGS = (_POINTER, _POINTER, _POINTER, _SIZE, _POINTER, _POINTER, _SIZE, _POINTER,
@@ -166,6 +172,7 @@ def _build() -> ctypes.CDLL:
             function = getattr(loaded, f"merge_{key}")
             function.argtypes, function.restype = _MERGE_ARGS, ctypes.c_int64
         loaded.offer.argtypes, loaded.offer.restype = _OFFER_ARGS, ctypes.c_int64
+        loaded.group_sums.argtypes, loaded.group_sums.restype = _GROUP_ARGS, ctypes.c_int64
         loaded.sweep_rows.argtypes, loaded.sweep_rows.restype = _SWEEP_ARGS, ctypes.c_int64
         loaded.closure.argtypes, loaded.closure.restype = _CLOSURE_ARGS, ctypes.c_int64
         loaded.tile.argtypes, loaded.tile.restype = _TILE_ARGS, ctypes.c_int64
@@ -368,6 +375,47 @@ def offer(heap, size: int, capacity: int, counter: int, priorities, keys) -> int
             "0 <= size <= capacity, 0 < capacity and 0 <= counter"
         )
     return next_counter
+
+
+_GROUPS = ("out", "ptr", "index", "value", "bounds")
+
+
+def group_sums(ptr, index, value, bounds):
+    """A sparse matrix's row sums by column group, equal to the dense ``np.add.reduceat``.
+
+    Row ``m`` holds the entries ``ptr[m]:ptr[m + 1]`` of ``index`` (their
+    columns, ascending) and ``value`` (non-negative); ``bounds`` runs from 0
+    up through each group's first column to the column count.  Returns the
+    rows x groups float64 array, C-ordered, whose ``[m, g]`` is
+    ``np.add.reduceat(dense, bounds[:-1], axis=1)[m, g]`` bit for bit:
+    numpy's pairwise sum walked over the nonzero entries only (adding 0.0
+    is exact).  The same call with the entries by column gives the
+    transposed aggregate ``np.add.reduceat(dense, bounds[:-1], axis=0).T``.
+    ``ptr``, ``index`` and ``bounds`` are int64, ``value`` float64,
+    ``index`` and ``value`` one length, with at least one group; a ``ptr``
+    that does not run from 0 up to that length, a row's columns out of
+    order or range, or bounds that do not rise from 0 raise by name.
+    """
+    if not (ptr.dtype == index.dtype == bounds.dtype == _INT):
+        raise TypeError(
+            f"ptr {ptr.dtype}, index {index.dtype}, bounds {bounds.dtype}: not int64"
+        )
+    if value.dtype != _FLOAT:
+        raise TypeError(f"value is {value.dtype}, not float64")
+    if ptr.ndim != 1 or ptr.size < 1 or index.shape != value.shape or index.ndim != 1:
+        raise ValueError(
+            f"ptr {ptr.shape}, index {index.shape} and value {value.shape} are not one CSR"
+        )
+    if bounds.ndim != 1 or bounds.size < 2:
+        raise ValueError(f"bounds {bounds.shape} hold no group")
+    rows, groups = ptr.size - 1, bounds.size - 1
+    out = np.empty((rows, groups), dtype=_FLOAT)
+    target, *inputs = _addresses([out, ptr, index, value, bounds], _GROUPS, 1)
+    status = _LIBRARY.group_sums(*inputs[:3], rows, index.size, inputs[3], groups, target)
+    if status:
+        raise ValueError("ptr does not run from 0 to the entries, a row's index is out "
+                         "of order or range, or the bounds do not rise from 0")
+    return out
 
 
 _SWEEP = ("out", "freq", "cand", "row_input", "col_input")

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.grid import candidate_spans, smallest_feasible
+from repro.core.grid import smallest_feasible
 from repro.core.region import GridRegion
-from repro.core.sample_matrix import candidate_mask
+from repro.core.sample_matrix import histogram_spans
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import JoinCondition
 from repro.obs.clock import perf_counter
@@ -205,23 +205,27 @@ def build_m_bucket_partitioning(
     hist1 = build_equidepth_histogram(sample1, p, len(keys1))
     hist2 = build_equidepth_histogram(sample2, p, len(keys2))
 
-    candidate = candidate_mask(hist1.boundaries, hist2.boundaries, condition)
+    first, stop = histogram_spans(hist1, hist2, condition)
+    # Inclusive spans, -1 for a row without candidates.
+    empty = stop == first
     regions = _m_bucket_regions(
-        candidate, hist1.expected_bucket_size, hist2.expected_bucket_size,
-        weight_fn, num_machines,
+        np.where(empty, -1, first), np.where(empty, -1, stop - 1), hist2.num_buckets,
+        hist1.expected_bucket_size, hist2.expected_bucket_size, weight_fn, num_machines,
     )
     build_seconds = perf_counter() - start
     return MBucketPartitioning(
         row_boundaries=open_ends(hist1.boundaries),
         col_boundaries=open_ends(hist2.boundaries),
         regions=regions,
-        num_candidate_cells=int(candidate.sum()),
+        num_candidate_cells=int((stop - first).sum()),
         build_seconds=build_seconds,
     )
 
 
 def _m_bucket_regions(
-    candidate: np.ndarray,
+    span_lo: np.ndarray,
+    span_hi: np.ndarray,
+    num_cols: int,
     bucket_size1: float,
     bucket_size2: float,
     weight_fn: WeightFunction,
@@ -229,11 +233,13 @@ def _m_bucket_regions(
 ) -> list[GridRegion]:
     """At most ``num_machines`` regions covering the candidate cells, balanced on input.
 
-    Searches the smallest input-weight threshold the M-Bucket-I sweep covers
-    with at most J regions, between one cell's input and the whole grid's.
+    ``span_lo[r]`` / ``span_hi[r]`` are row ``r``'s first and last candidate
+    column (``-1`` for a row without candidates) of a grid ``num_cols``
+    wide.  Searches the smallest input-weight threshold the M-Bucket-I
+    sweep covers with at most J regions, between one cell's input and the
+    whole grid's.
     """
-    span_lo, span_hi = candidate_spans(candidate)
-    num_rows, num_cols = candidate.shape
+    num_rows = len(span_lo)
     lower = weight_fn.input_cost * (bucket_size1 + bucket_size2)
     upper = weight_fn.input_cost * (num_rows * bucket_size1 + num_cols * bucket_size2)
 

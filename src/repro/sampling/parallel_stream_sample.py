@@ -244,7 +244,7 @@ def parallel_stream_sample(
         np.arange(len(held)), d2.astype(np.float64), sample_size, rng, scanned
     )
     merged = merge_reservoirs(reservoirs, capacity=sample_size)
-    sampled = np.asarray(wor_to_wr(merged, sample_size, rng), dtype=np.intp)
+    sampled = wor_to_wr(merged, sample_size, rng)
 
     # ------------------------------------------------------------------
     # Job 3: map-only production of output key pairs.  A sampled tuple's

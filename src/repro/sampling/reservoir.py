@@ -218,15 +218,17 @@ def merge_reservoirs(
 
 def wor_to_wr(
     reservoir: WeightedReservoir, size: int, rng: np.random.Generator
-) -> list[object]:
+) -> np.ndarray:
     """Convert a WOR reservoir to a with-replacement weighted sample of ``size``.
 
-    A held ``inf`` weight (``add`` and :func:`weighted_sample_wor` take one)
-    is refused by name: no draw is proportional to it.
+    Returns the drawn items as an array of the reservoir's items (empty when
+    it holds none).  A held ``inf`` weight (``add`` and
+    :func:`weighted_sample_wor` take one) is refused by name: no draw is
+    proportional to it.
     """
     held = reservoir._held()
     if not held.size:
-        return []
+        return reservoir._items[held]
     weights = reservoir._weights[held]
     if np.isinf(weights).any():
         entry = int(np.argmax(np.isinf(weights)))
@@ -236,4 +238,4 @@ def wor_to_wr(
         )
     probabilities = weights / weights.sum()
     indexes = rng.choice(held.size, size=size, replace=True, p=probabilities)
-    return reservoir._items[held[indexes]].tolist()
+    return reservoir._items[held[indexes]]

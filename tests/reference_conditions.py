@@ -13,6 +13,8 @@ too, to pin production's bounds of finite float keys bit for bit.
 
 :func:`reference_count` is the brute-force count over Python scalars
 (``tolist``), whose int/int and int/float comparisons are exact.
+:func:`candidate_mask` is the dense mask of a histogram grid as the sample
+matrix and M-Bucket built it before they read the conditions' spans.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.joins.conditions import (
     _band_upper_inverse,
     _TransposedBandCondition,
 )
+from repro.sampling.equidepth import open_ends
 
 
 @dataclass(frozen=True)
@@ -190,3 +193,13 @@ def reference_count(condition: JoinCondition, keys1, keys2) -> int:
         for k1 in np.asarray(keys1).tolist()
         for k2 in np.asarray(keys2).tolist()
     )
+
+
+def candidate_mask(row_boundaries, col_boundaries, condition: JoinCondition) -> np.ndarray:
+    """The reference candidate mask of the grid two boundary arrays define.
+
+    The outermost boundaries extend to +-infinity
+    (:func:`~repro.sampling.equidepth.open_ends`), as the sample matrix's.
+    """
+    rows, cols = open_ends(row_boundaries), open_ends(col_boundaries)
+    return reference(condition).candidate_grid(rows[:-1], rows[1:], cols[:-1], cols[1:])

@@ -17,6 +17,11 @@ filled on first use, list lookups) with the Python DP over them
 (``lazy_monotonic_bsp_tiling``), kept verbatim as the kernel's
 ``closure`` / ``tile`` reference.
 
+The dense sample matrix and coarsening's dense aggregates
+(``dense_sample_matrix``, ``_aggregate_columns``, ``_build_coarse_grid``)
+are kept too: production holds MS as its candidate band and must give the
+same floats.  ``dense_grid`` is a band's dense view.
+
 The one edit: the recursive DP no longer raises the interpreter's recursion
 limit, so use it on grids whose ``rows + cols`` stays in the low hundreds.
 """
@@ -26,17 +31,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.bsp import BSPResult
-from repro.core.coarsening import (
-    CoarseningResult,
-    _aggregate_columns,
-    _build_coarse_grid,
-    _even_boundaries,
-)
-from repro.core.grid import WeightedGrid
+from repro.core.coarsening import CoarseningResult, _even_boundaries
+from repro.core.grid import BandGrid, WeightedGrid
 from repro.core.region import GridRegion
 from repro.core.regionalization import RegionalizationResult
 from repro.core.tiling_tables import Rect
 from repro.core.weights import WeightFunction
+from repro.sampling.equidepth import bucket_index
 
 
 # ----------------------------------------------------------------------
@@ -723,8 +724,79 @@ def numpy_sweep_rows(
 
 
 # ----------------------------------------------------------------------
-# Coarsening: the per-axis threshold search and the alternating passes
+# Coarsening: the dense aggregates, the per-axis threshold search and the
+# alternating passes
 # ----------------------------------------------------------------------
+def dense_grid(band: BandGrid) -> WeightedGrid:
+    """The dense grid a band stands for: its runs' mask, its entries' frequencies."""
+    rows, cols = band.shape
+    candidate = np.zeros((rows, cols), dtype=bool)
+    for row, lo, hi in zip(band.run_rows.tolist(), band.run_lo.tolist(), band.run_hi.tolist()):
+        candidate[row, lo:hi] = True
+    frequency = np.zeros((rows, cols))
+    frequency[band.entry_rows, band.entry_col] = band.entry_value
+    return WeightedGrid(frequency, band.row_input, band.col_input, candidate)
+
+
+def dense_sample_matrix(histogram1, histogram2, output_sample, candidate) -> WeightedGrid:
+    """MS as ``build_sample_matrix`` built it densely over a candidate mask.
+
+    ``np.add.at`` into an ``n_s x n_s`` array, scaled by ``m / s_o``, and the
+    tie rule ``candidate |= frequency > 0``.
+    """
+    frequency = np.zeros((histogram1.num_buckets, histogram2.num_buckets))
+    candidate = candidate.copy()
+    sample_size = output_sample.size
+    if sample_size > 0 and output_sample.total_output > 0:
+        rows = bucket_index(histogram1.boundaries, output_sample.r1_keys)
+        cols = bucket_index(histogram2.boundaries, output_sample.r2_keys)
+        np.add.at(frequency, (rows, cols), 1.0)
+        frequency *= output_sample.total_output / sample_size
+        candidate |= frequency > 0
+    return WeightedGrid(
+        frequency=frequency,
+        row_input=np.full(histogram1.num_buckets, histogram1.expected_bucket_size),
+        col_input=np.full(histogram2.num_buckets, histogram2.expected_bucket_size),
+        candidate=candidate,
+    )
+
+
+def _aggregate_columns(grid: WeightedGrid, col_bounds: np.ndarray) -> tuple[
+    np.ndarray, np.ndarray, np.ndarray
+]:
+    """Aggregate frequencies, candidate counts and column input by column group."""
+    starts = col_bounds[:-1]
+    freq_by_group = np.add.reduceat(grid.frequency, starts, axis=1)
+    cand_by_group = np.add.reduceat(
+        grid.candidate.astype(np.float64), starts, axis=1
+    )
+    col_input_by_group = np.add.reduceat(grid.col_input, starts)
+    return freq_by_group, cand_by_group, col_input_by_group
+
+
+def _build_coarse_grid(
+    grid: WeightedGrid, row_bounds: np.ndarray, col_bounds: np.ndarray
+) -> WeightedGrid:
+    """Aggregate the fine grid into the coarse grid defined by the boundaries."""
+    row_starts = row_bounds[:-1]
+    col_starts = col_bounds[:-1]
+    freq = np.add.reduceat(
+        np.add.reduceat(grid.frequency, row_starts, axis=0), col_starts, axis=1
+    )
+    cand_counts = np.add.reduceat(
+        np.add.reduceat(grid.candidate.astype(np.float64), row_starts, axis=0),
+        col_starts, axis=1,
+    )
+    row_input = np.add.reduceat(grid.row_input, row_starts)
+    col_input = np.add.reduceat(grid.col_input, col_starts)
+    return WeightedGrid(
+        frequency=freq,
+        row_input=row_input,
+        col_input=col_input,
+        candidate=cand_counts > 0,
+    )
+
+
 def reference_optimize_axis(
     grid: WeightedGrid,
     col_bounds: np.ndarray,

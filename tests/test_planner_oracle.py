@@ -24,7 +24,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_planner import (
     LazyTilingTables,
+    _aggregate_columns,
     _Primitives,
+    dense_grid,
     lazy_monotonic_bsp_tiling,
     reference_bsp,
     reference_coarsen,
@@ -36,8 +38,8 @@ from reference_planner import (
 )
 
 from repro.core.bsp import bsp_partition
-from repro.core.coarsening import coarsen
-from repro.core.grid import WeightedGrid, shrink_to_candidates
+from repro.core.coarsening import _even_boundaries, _group_columns, _group_rows, coarsen
+from repro.core.grid import BandGrid, WeightedGrid, candidate_spans, shrink_to_candidates
 from repro.core.monotonic_bsp import monotonic_bsp_partition, monotonic_bsp_tiling
 from repro.core.region import GridRegion
 from repro.core.regionalization import regionalize
@@ -200,8 +202,10 @@ ROUNDING_ROW = WeightedGrid(np.zeros((1, 3)), [0.0], [0.0] * 3, np.ones((1, 3), 
          bucket_sizes=(8.59, 3.37))
 @settings(max_examples=100, deadline=None)
 def test_m_bucket_search_matches_its_own_loop(grid, weight_fn, machines, bucket_sizes):
-    args = (grid.candidate, *bucket_sizes, weight_fn, machines)
-    assert _m_bucket_regions(*args) == reference_m_bucket_regions(*args)
+    spans = (*candidate_spans(grid.candidate), grid.num_cols)
+    assert _m_bucket_regions(*spans, *bucket_sizes, weight_fn, machines) == (
+        reference_m_bucket_regions(grid.candidate, *bucket_sizes, weight_fn, machines)
+    )
 
 
 @given(grid=monotone_grids(max_side=9), weight_fn=st.sampled_from(WEIGHT_FUNCTIONS))
@@ -499,6 +503,59 @@ def test_a_plan_does_not_depend_on_which_tables_exist(grid, weight_fn, machines)
     assert same_float(ours.delta, theirs.delta)
     assert same_float(ours.max_region_weight, theirs.max_region_weight)
     assert ours.search_steps == theirs.search_steps
+
+
+# ----------------------------------------------------------------------
+# Coarsening on the band
+# ----------------------------------------------------------------------
+def same_bits(ours: np.ndarray, expected: np.ndarray) -> bool:
+    expected = np.ascontiguousarray(expected)
+    return ours.shape == expected.shape and ours.tobytes() == expected.tobytes()
+
+
+@given(grid=st.one_of(monotone_grids(), span_monotone_grids()),
+       weight_fn=st.sampled_from(WEIGHT_FUNCTIONS),
+       row_groups=st.integers(1, 8), col_groups=st.integers(1, 8))
+@example(grid=span_grid([-1, 0, 1, -1, 2, 4, -1], [-1, 2, 3, -1, 4, 4, -1], 5, [(1, 1), (4, 3)]),
+         weight_fn=WeightFunction(1.0, 1.0), row_groups=3, col_groups=2)
+@example(grid=span_grid([-1, -1], [-1, -1], 3), weight_fn=WeightFunction(1.0, 0.2),
+         row_groups=2, col_groups=2)
+@settings(max_examples=120, deadline=None)
+def test_the_band_coarsens_as_the_dense_grid_does(grid, weight_fn, row_groups, col_groups):
+    """A grid's band (holes split a row's run in two, empty rows have none)
+    is the grid again; its totals, heaviest cells and aggregates by column
+    and by row group are the dense reduceats' floats; and coarsening it is
+    the dense reference's coarsening, boundary for boundary."""
+    band = BandGrid.from_dense(grid)
+    view = dense_grid(band)
+    assert same_bits(view.frequency, grid.frequency)
+    np.testing.assert_array_equal(view.candidate, grid.candidate)
+    transposed = WeightedGrid(grid.frequency.T, grid.col_input, grid.row_input, grid.candidate.T)
+    assert band.num_candidate_cells == grid.num_candidate_cells
+    assert same_float(band.total_output, grid.total_output)
+    assert same_float(band.transposed_total_output, transposed.total_output)
+    assert same_float(band.total_input, grid.total_input)
+    for candidates_only in (True, False):
+        assert same_float(band.max_cell_weight(weight_fn, candidates_only),
+                          grid.max_cell_weight(weight_fn, candidates_only))
+    col_bounds = _even_boundaries(grid.num_cols, min(col_groups, grid.num_cols))
+    row_bounds = _even_boundaries(grid.num_rows, min(row_groups, grid.num_rows))
+    for ours, expected in (
+        (_group_columns(band, col_bounds), _aggregate_columns(grid, col_bounds)),
+        (_group_rows(band, row_bounds), _aggregate_columns(transposed, row_bounds)),
+    ):
+        assert all(same_bits(*pair) for pair in zip(ours, expected))
+    try:
+        reference = reference_coarsen(grid, row_groups, col_groups, weight_fn)
+    except RuntimeError:  # a one-group sweep rounding above the total, as above
+        return
+    ours = coarsen(band, row_groups, col_groups, weight_fn)
+    assert ours.row_groups.tolist() == reference.row_groups.tolist()
+    assert ours.col_groups.tolist() == reference.col_groups.tolist()
+    assert ours.iterations == reference.iterations
+    assert same_float(ours.max_cell_weight, reference.max_cell_weight)
+    assert same_bits(ours.grid.frequency, reference.grid.frequency)
+    np.testing.assert_array_equal(ours.grid.candidate, reference.grid.candidate)
 
 
 # ----------------------------------------------------------------------

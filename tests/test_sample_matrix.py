@@ -6,18 +6,35 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from reference_conditions import candidate_mask, reference
+from reference_planner import (
+    WeightedGrid,
+    dense_grid,
+    dense_sample_matrix,
+    reference_coarsen,
+)
+
+from repro.core.coarsening import coarsen
 from repro.core.sample_matrix import (
     SampleMatrix,
     build_sample_matrix,
     candidate_cell_count,
-    candidate_mask,
+    histogram_spans,
 )
 from repro.core.weights import WeightFunction
 from repro.core.region import GridRegion
-from repro.joins.conditions import BandJoinCondition
+from repro.joins.conditions import (
+    BandJoinCondition,
+    CompositeEquiBandCondition,
+    EquiJoinCondition,
+    InequalityJoinCondition,
+    InequalityOp,
+)
 from repro.joins.local import count_join_output
-from repro.sampling.equidepth import bucket_index, build_equidepth_histogram
+from repro.sampling.equidepth import EquiDepthHistogram, bucket_index, build_equidepth_histogram
 from repro.sampling.parallel_stream_sample import parallel_stream_sample
 from repro.sampling.stream_sample import JoinOutputSample
 from repro.sampling.sizes import sample_matrix_size
@@ -100,9 +117,8 @@ class TestBuildSampleMatrix:
         )
 
     def test_frequencies_only_on_candidates(self):
-        freq = self.matrix.grid.frequency
-        cand = self.matrix.grid.candidate
-        assert not np.any(freq[~cand] > 0)
+        dense = dense_grid(self.matrix.grid)
+        assert not np.any(dense.frequency[~dense.candidate] > 0)
 
     def test_row_and_col_input_use_expected_bucket_size(self):
         np.testing.assert_allclose(
@@ -139,7 +155,7 @@ class TestBuildSampleMatrix:
     def test_region_weight_proximity(self):
         """MS region weights approximate the exact region weights (paper §III-A)."""
         weight_fn = WeightFunction(input_cost=1.0, output_cost=1.0)
-        grid = self.matrix.grid
+        grid = dense_grid(self.matrix.grid)
         # Pick a few rectangular regions aligned to the MS grid and compare
         # the estimated weight against the exact weight computed from the
         # raw keys of the corresponding key ranges.
@@ -194,3 +210,123 @@ class TestSampleMatrixSizing:
         # histograms are built from the full keys here, so the bound should
         # hold with a small slack for sampling noise in the output estimate.
         assert sigma <= 0.75 * w_opt_lower
+
+
+# ----------------------------------------------------------------------
+# The band: spans and the band matrix against the dense forms
+# ----------------------------------------------------------------------
+BASE_CONDITIONS = [
+    BandJoinCondition(1.0),
+    BandJoinCondition(0.3),
+    BandJoinCondition(2**60 + 1),  # integral, above 2**53: rounds to a float
+    EquiJoinCondition(),
+    CompositeEquiBandCondition(beta=1.0, scale=10.0, band_key_min=0.0, band_key_max=5.0),
+    *(InequalityJoinCondition(op) for op in InequalityOp),
+]
+SPAN_CONDITIONS = BASE_CONDITIONS + [BandJoinCondition(1.0).transposed,
+                                     BandJoinCondition(0.3).transposed]
+EDGE_VALUES = [-np.inf, np.inf, -1e300, 1e300, -0.0, 0.0, 5e-324, 0.1, 1.0, 2.0**53, 2.0**60]
+edges = st.lists(st.sampled_from(EDGE_VALUES) | st.integers(-12, 12).map(lambda k: k / 4),
+                 min_size=2, max_size=70)
+
+
+@given(condition=st.sampled_from(SPAN_CONDITIONS), row_edges=edges, col_edges=edges)
+@example(condition=BandJoinCondition(1.0), row_edges=[0.0] * 5, col_edges=[-np.inf, np.inf])
+@example(condition=InequalityJoinCondition(InequalityOp.LT), row_edges=[np.inf] * 3,
+         col_edges=[-np.inf, 0.0, np.inf, np.inf])
+@settings(max_examples=300, deadline=None)
+def test_spans_are_the_runs_of_the_broadcast_mask(condition, row_edges, col_edges):
+    """Each row's ``[first, stop)`` holds exactly the cells the reference
+    broadcast mask marks, on ascending edges with duplicates, +-inf, 1e300,
+    -0.0 and widths that round; the histogram form opens the outer ends."""
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, as the dense form met it
+        rows, cols = np.sort(row_edges), np.sort(col_edges)
+        grid_edges = rows[:-1], rows[1:], cols[:-1], cols[1:]
+        first, stop = condition.candidate_spans(*grid_edges)
+        expected = reference(condition).candidate_grid(*grid_edges)
+        columns = np.arange(cols.size - 1)
+        mask = (columns >= first[:, None]) & (columns < stop[:, None])
+        np.testing.assert_array_equal(mask, expected)
+        assert ((0 <= first) & (first <= stop) & (stop <= columns.size)).all()
+        assert first.dtype == stop.dtype == np.int64
+        np.testing.assert_array_equal(condition.candidate_grid(*grid_edges), expected)
+        hist1, hist2 = EquiDepthHistogram(rows, 10), EquiDepthHistogram(cols, 10)
+        first, stop = histogram_spans(hist1, hist2, condition)
+        expected = candidate_mask(rows, cols, condition)
+        np.testing.assert_array_equal((columns >= first[:, None]) & (columns < stop[:, None]),
+                                      expected)
+        assert candidate_cell_count(hist1, hist2, condition) == expected.sum()
+
+
+@st.composite
+def sampled_matrices(draw):
+    """Histograms, an output sample and a condition: a few sampled pairs may
+    lie outside every candidate cell, as a boundary tie can put them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    condition = draw(st.sampled_from(BASE_CONDITIONS[:2] + BASE_CONDITIONS[3:]))
+    keys1 = np.round(rng.uniform(0, 60, draw(st.integers(1, 300))), draw(st.integers(0, 2)))
+    keys2 = np.round(rng.uniform(0, 60, draw(st.integers(1, 300))), 1)
+    hist1 = build_equidepth_histogram(keys1, draw(st.integers(1, 40)), 5 * keys1.size)
+    hist2 = build_equidepth_histogram(keys2, draw(st.integers(1, 40)), 5 * keys2.size)
+    pairs = rng.choice(keys1, draw(st.integers(0, 200)))
+    pairs = np.column_stack([pairs, pairs + rng.uniform(-1.0, 1.0, pairs.size)])
+    strays = draw(st.integers(0, 3))
+    pairs[:strays, 1] = pairs[:strays, 0] + rng.choice([-40.0, 40.0], min(strays, pairs.shape[0]))
+    total = draw(st.sampled_from([0, 1, 7_919, 10**9 + 7]))
+    return hist1, hist2, JoinOutputSample(pairs=pairs, total_output=total), condition
+
+
+def same_float(ours, expected) -> bool:
+    return float(ours).hex() == float(expected).hex()
+
+
+@given(case=sampled_matrices(), groups=st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_the_band_sample_matrix_is_the_dense_one(case, groups):
+    """The band MS holds the dense MS's cells and floats: frequencies bit for
+    bit, the candidate mask with the tie rule, the totals both ways round,
+    the heaviest cells, and the coarsening the dense reference makes of it."""
+    hist1, hist2, sample, condition = case
+    band = build_sample_matrix(hist1, hist2, sample, condition).grid
+    dense = dense_sample_matrix(
+        hist1, hist2, sample, candidate_mask(hist1.boundaries, hist2.boundaries, condition)
+    )
+    view = dense_grid(band)
+    assert view.frequency.tobytes() == dense.frequency.tobytes()
+    np.testing.assert_array_equal(view.candidate, dense.candidate)
+    assert view.row_input.tobytes() == dense.row_input.tobytes()
+    assert view.col_input.tobytes() == dense.col_input.tobytes()
+    assert band.num_candidate_cells == dense.num_candidate_cells
+    transposed = WeightedGrid(dense.frequency.T, dense.col_input, dense.row_input,
+                              dense.candidate.T)
+    assert same_float(band.total_output, dense.total_output)
+    assert same_float(band.transposed_total_output, transposed.total_output)
+    assert same_float(band.total_input, dense.total_input)
+    for weight_fn in (WeightFunction(1.0, 0.2), WeightFunction(0.0, 1.0)):
+        for candidates_only in (True, False):
+            assert same_float(band.max_cell_weight(weight_fn, candidates_only),
+                              dense.max_cell_weight(weight_fn, candidates_only))
+    weight_fn = WeightFunction(1.0, 0.2)
+    try:
+        expected = reference_coarsen(dense, groups, groups, weight_fn)
+    except RuntimeError:  # a one-group sweep rounding above the total
+        return
+    ours = coarsen(band, groups, groups, weight_fn)
+    assert ours.row_groups.tolist() == expected.row_groups.tolist()
+    assert ours.col_groups.tolist() == expected.col_groups.tolist()
+    assert ours.grid.frequency.tobytes() == expected.grid.frequency.tobytes()
+    assert same_float(ours.max_cell_weight, expected.max_cell_weight)
+
+
+def test_a_sampled_cell_outside_the_run_is_a_run_of_its_own():
+    """A pair whose cell the condition's run misses (here a pair that does not
+    join at all) is still a candidate: a one-cell run beside the row's."""
+    boundaries = np.arange(0.0, 50.0, 10.0)
+    hist = EquiDepthHistogram(boundaries, 40)
+    sample = JoinOutputSample(pairs=np.array([[5.0, 45.0], [5.0, 6.0]]), total_output=10)
+    grid = build_sample_matrix(hist, hist, sample, BandJoinCondition(1.0)).grid
+    assert grid.run_ptr.tolist() == [0, 2, 3, 4, 5]
+    assert list(zip(grid.run_lo.tolist(), grid.run_hi.tolist()))[:2] == [(0, 2), (3, 4)]
+    assert grid.entry_col.tolist() == [0, 3]
+    assert grid.entry_value.tolist() == [5.0, 5.0]
+    assert grid.num_candidate_cells == dense_grid(grid).num_candidate_cells == 3 + 3 + 3 + 2

@@ -259,7 +259,7 @@ class TestWeightedReservoir:
         assert set(wr) <= set(reservoir.items())
 
     def test_wor_to_wr_empty(self, rng):
-        assert wor_to_wr(WeightedReservoir(capacity=3), 5, rng) == []
+        assert wor_to_wr(WeightedReservoir(capacity=3), 5, rng).tolist() == []
 
     def test_wor_to_wr_refuses_an_infinite_weight_by_name(self, rng):
         reservoir = weighted_sample_wor(np.arange(3.0), np.array([1.0, np.inf, 2.0]), 3, rng)
