@@ -17,11 +17,11 @@ grows back.  Append to a run or an arena and merge geometrically instead of
 range check, else one ``searchsorted``) instead of ``np.isin``.
 
 It also flags ``np.add.at`` and every other ``np.<ufunc>.at``: an unbuffered
-scatter that handles one element at a time, where the per-batch paths always
-have their targets sorted (a clipped count's needles lie segment after
-segment), so one ``np.<ufunc>.reduceat`` over the segment starts is exact
-and one buffered pass (the per-segment sums of
-``repro.joins.local.count_regions``).  A call that
+scatter that handles one element at a time, where the per-batch paths never
+scatter (a stream batch's per-machine totals are summed inside the compiled
+kernel, ``repro.joins.native.count_half``), and a sum over sorted
+segments is one ``np.<ufunc>.reduceat`` over the segment starts, exact and
+one buffered pass.  A call that
 is genuinely off the per-batch path of every measured workload, or part of
 a test oracle, carries an inline ``# repro: ignore[STATE001]`` saying so.
 """

@@ -61,6 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.joins import native
+
 __all__ = [
     "JoinCondition",
     "EquiJoinCondition",
@@ -416,8 +418,18 @@ class BandJoinCondition(JoinCondition):
         return lows, highs
 
     def _excluded(self, row_lo, row_hi, col_lo, col_hi):
-        """A cell may join unless its ranges are more than beta apart."""
-        return row_lo - col_hi > self.beta, col_lo - row_hi > self.beta
+        """A cell may join unless its ranges are more than beta apart.
+
+        Edges may be infinite (a histogram's open ends).  IEEE 754 makes
+        the difference of two infinities of one sign NaN (an invalid
+        operation) and ``NaN > beta`` false, so such a cell is never
+        excluded -- rightly: both ranges reach the same infinite key, and
+        ``inf`` joins ``inf``.  A finite difference past the largest double
+        rounds to ``+-inf`` (an overflow), which compares as the true
+        difference does.  Neither is an error here, so neither warns.
+        """
+        with np.errstate(invalid="ignore", over="ignore"):
+            return row_lo - col_hi > self.beta, col_lo - row_hi > self.beta
 
     def __repr__(self) -> str:
         return f"BandJoinCondition(beta={self.beta!r})"
@@ -511,7 +523,11 @@ class InequalityJoinCondition(JoinCondition):
         near = keys1
         if self._strict:
             if keys1.dtype.kind == "f":
-                near = np.nextafter(keys1, far)
+                # IEEE 754's nextafter from the largest finite double toward
+                # inf is inf, flagged as an overflow: the exact strict bound,
+                # since no finite key lies beyond it.
+                with np.errstate(over="ignore"):
+                    near = np.nextafter(keys1, far)
             else:
                 near = keys1 + (1 if self._above else -1)
         ends = np.full_like(keys1, far)
@@ -606,147 +622,6 @@ class CompositeEquiBandCondition(BandJoinCondition):
         )
 
 
-def _to_ordinal(x: np.ndarray) -> np.ndarray:
-    """Map float64s to int64 ordinals that preserve the numeric order.
-
-    Positive floats already sort by their bit patterns; negative floats
-    sort in reverse, so their bits are reflected (the classic
-    total-ordering trick).  The map is an involution with
-    :func:`_from_ordinal` (up to ``-0.0 == 0.0``).
-    """
-    bits = np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
-    return np.where(bits >= 0, bits, _INT64_MIN - bits)
-
-
-def _from_ordinal(ordinal: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_to_ordinal`."""
-    bits = np.where(ordinal >= 0, ordinal, _INT64_MIN - ordinal)
-    return bits.view(np.float64)
-
-
-def _ordinal_midpoint(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Overflow-safe elementwise int64 midpoint with ``lo <= mid <= hi``."""
-    return (lo >> 1) + (hi >> 1) + (lo & hi & 1)
-
-
-#: Memoised bisection results, keyed by (beta, key, is_lower).  Bisected
-#: keys are the rare scale-mismatch cases (e.g. ``k2 - beta`` near zero),
-#: and streams revisit the same hot key values batch after batch, so the
-#: cache turns the 66-iteration bisection into a dict hit from the second
-#: occurrence on.  Bounded; per process (workers build their own).
-_INVERSE_CACHE: dict[tuple[float, float, bool], float] = {}
-_INVERSE_CACHE_LIMIT = 65536
-
-
-def _bisect_inverse(pending: np.ndarray, beta: float, lower: bool) -> np.ndarray:
-    """Exact inverse band bounds by bisecting float *ordinals*.
-
-    For ``lower=True``: minimal ``x`` with ``fl(x + beta) >= k2``, bracket
-    ``(-inf`` unsatisfied, ``k2`` satisfied] -- rounding a real ``>= k2``
-    cannot fall below the representable ``k2``.  For ``lower=False``:
-    maximal ``x`` with ``fl(x - beta) <= k2``, bracket ``[k2`` satisfied,
-    ``+inf`` unsatisfied).  The whole float range spans fewer than 2**65
-    ordinals, so 66 halvings always reach a gap of one.
-    """
-    if lower:
-        lo = _to_ordinal(np.full_like(pending, -np.inf))
-        hi = _to_ordinal(pending)
-    else:
-        lo = _to_ordinal(pending)
-        hi = _to_ordinal(np.full_like(pending, np.inf))
-    for _ in range(66):
-        mid = _ordinal_midpoint(lo, hi)
-        x = _from_ordinal(mid)
-        satisfied = (x + beta) >= pending if lower else (x - beta) <= pending
-        if lower:
-            hi = np.where(satisfied, mid, hi)
-            lo = np.where(satisfied, lo, mid)
-        else:
-            lo = np.where(satisfied, mid, lo)
-            hi = np.where(satisfied, hi, mid)
-    return _from_ordinal(hi if lower else lo)
-
-
-def _bisect_cached(keys: np.ndarray, beta: float, lower: bool) -> np.ndarray:
-    """Deduplicated, memoised wrapper around :func:`_bisect_inverse`."""
-    unique, inverse = np.unique(keys, return_inverse=True)
-    out = np.empty(len(unique), dtype=np.float64)
-    misses = []
-    for position, key in enumerate(unique):
-        hit = _INVERSE_CACHE.get((beta, float(key), lower))  # repro: ignore[KEY001]  # cache is keyed by the float ordinal being bisected
-        if hit is None:
-            misses.append(position)
-        else:
-            out[position] = hit
-    if misses:
-        solved = _bisect_inverse(unique[misses], beta, lower)
-        for position, value in zip(misses, solved):
-            out[position] = value
-            if len(_INVERSE_CACHE) < _INVERSE_CACHE_LIMIT:
-                _INVERSE_CACHE[(beta, float(unique[position]), lower)] = float(
-                    value
-                )
-    return out[inverse]
-
-
-def _band_lower_inverse(keys2: np.ndarray, beta: float) -> np.ndarray:
-    """Smallest ``x`` per key with ``fl(x + beta) >= k2`` (exact inverse).
-
-    The band test from the R1 side is ``k2 <= fl(k1 + beta)``; seen from the
-    R2 side that is ``k1 >= L(k2)`` with ``L`` this inverse.  ``fl(k2 -
-    beta)`` is within a couple of ulps *of the sum's scale*, so a few
-    :func:`numpy.nextafter` nudges settle the common same-scale case; keys
-    whose own ulp is far smaller than the sum's (e.g. ``x`` near zero with a
-    large ``beta``) would need astronomically many single-ulp steps, so any
-    lane not settled falls back to a memoised float-ordinal bisection
-    (:func:`_bisect_cached`), guaranteed to terminate.
-    """
-    keys2 = np.asarray(keys2, dtype=np.float64)  # repro: ignore[KEY001]  # band inverse works in the keys' float64 image
-    x = keys2 - beta
-    for _ in range(4):
-        unsatisfied = (x + beta) < keys2
-        if unsatisfied.any():
-            x = np.where(unsatisfied, np.nextafter(x, np.inf), x)
-            continue
-        predecessor = np.nextafter(x, -np.inf)
-        movable = (predecessor + beta) >= keys2
-        if not movable.any():
-            return x
-        x = np.where(movable, predecessor, x)
-    settled = ((x + beta) >= keys2) & ((np.nextafter(x, -np.inf) + beta) < keys2)
-    if not settled.all():
-        x = x.copy()
-        pending = ~settled
-        x[pending] = _bisect_cached(keys2[pending], beta, lower=True)
-    return x
-
-
-def _band_upper_inverse(keys2: np.ndarray, beta: float) -> np.ndarray:
-    """Largest ``x`` per key with ``fl(x - beta) <= k2`` (exact inverse).
-
-    Mirror of :func:`_band_lower_inverse` for the ``fl(k1 - beta) <= k2``
-    half of the band test, with the same nudge-then-bisect structure.
-    """
-    keys2 = np.asarray(keys2, dtype=np.float64)  # repro: ignore[KEY001]  # band inverse works in the keys' float64 image
-    x = keys2 + beta
-    for _ in range(4):
-        unsatisfied = (x - beta) > keys2
-        if unsatisfied.any():
-            x = np.where(unsatisfied, np.nextafter(x, -np.inf), x)
-            continue
-        successor = np.nextafter(x, np.inf)
-        movable = (successor - beta) <= keys2
-        if not movable.any():
-            return x
-        x = np.where(movable, successor, x)
-    settled = ((x - beta) <= keys2) & ((np.nextafter(x, np.inf) - beta) > keys2)
-    if not settled.all():
-        x = x.copy()
-        pending = ~settled
-        x[pending] = _bisect_cached(keys2[pending], beta, lower=False)
-    return x
-
-
 @dataclass(frozen=True, repr=False)
 class _TransposedBandCondition(JoinCondition):
     """A band-like condition evaluated from the R2 side, float-exactly.
@@ -755,10 +630,10 @@ class _TransposedBandCondition(JoinCondition):
     fl(k1 + beta)``, evaluated per R1 key.  Counting from the R2 side needs
     the set of R1 keys matching a given ``k2`` -- and because the bounds are
     *rounded* functions of ``k1``, that set is ``[L(k2), U(k2)]`` for the
-    exact inverses computed by :func:`_band_lower_inverse` /
-    :func:`_band_upper_inverse`, not the naively mirrored ``[fl(k2 - beta),
-    fl(k2 + beta)]`` (which can disagree by one ulp exactly at a band
-    boundary).  With this wrapper both orientations agree bit-for-bit on
+    exact inverses the compiled kernel computes
+    (:func:`repro.joins.native.band_inverse`), not the naively mirrored
+    ``[fl(k2 - beta), fl(k2 + beta)]`` (which can disagree by one ulp
+    exactly at a band boundary).  With this wrapper both orientations agree bit-for-bit on
     every float input, which the streaming engine's incremental counting
     relies on.
     """
@@ -786,8 +661,8 @@ class _TransposedBandCondition(JoinCondition):
         """
         if keys1.dtype.kind == "i" and self.base._integral_beta() is not None:
             return self.base._bounds(keys1)
-        beta = self.base.beta
-        return _band_lower_inverse(keys1, beta), _band_upper_inverse(keys1, beta)
+        keys1 = np.ascontiguousarray(keys1, dtype=np.float64)  # repro: ignore[KEY001]  # band inverse works in the keys' float64 image
+        return native.band_inverse(keys1, float(self.base.beta))
 
     def _excluded(self, row_lo, row_hi, col_lo, col_hi):
         """The base condition's rule, unchanged.

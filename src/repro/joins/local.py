@@ -17,16 +17,16 @@ Three algorithms are provided:
 
 For the simulator we rarely need materialised pairs, only their number:
 :func:`count_regions` counts key-range regions with two binary searches per
-tuple -- the per-region count loop every engine runs, batch
-(:func:`~repro.engine.cluster.run_partitioned_join`) and streaming (the
-in-process backends and every sticky worker) alike.  Its inner loop runs in
-the compiled count kernel (:mod:`repro.joins.native`).
+tuple -- the per-region count loop of the batch engines
+(:func:`~repro.engine.cluster.run_partitioned_join` and the pool workers).
+Its inner loop runs in the compiled count kernel (:mod:`repro.joins.native`),
+whose other count function counts a stream batch against a state owner's
+runs (:meth:`~repro.streaming.backends.StateOwner.count`).
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,6 @@ __all__ = [
     "join_output_pairs",
     "count_join_output",
     "count_regions",
-    "Segments",
-    "segments",
 ]
 
 
@@ -147,53 +145,19 @@ def count_join_output(
 _NORMALISED = (np.dtype(np.float64), np.dtype(np.int64))
 
 
-class Segments(NamedTuple):
-    """Needle slices of one array, each a machine's share: the gather a clipped task reads.
-
-    Derived once from the per-segment slices (:func:`segments`) and shared
-    by every run a half searches: how many segments there are; the window
-    ``[first, last)`` they lie in; ``picked``, the window positions of the
-    needles laid segment after segment (a needle two segments share appears
-    in both), and ``segment``, which segment each gathered needle is of;
-    the non-empty segments, ``busy``, and where each begins in the gathered
-    order.
-    """
-
-    count: int
-    first: int
-    last: int
-    picked: np.ndarray
-    segment: np.ndarray
-    busy: np.ndarray
-    begins: np.ndarray
-
-
-def segments(starts: np.ndarray, stops: np.ndarray) -> Segments:
-    """The :class:`Segments` of per-segment ``[starts, stops)`` int64 slices of one needle array."""
-    sizes = stops - starts
-    first, last = np.minimum.reduce(starts), np.maximum.reduce(stops)
-    ends = sizes.cumsum()
-    begins = ends - sizes
-    segment = np.arange(sizes.size).repeat(sizes)
-    picked = np.arange(ends[-1]) + (starts - first - begins)[segment]
-    busy = sizes.nonzero()[0]
-    return Segments(sizes.size, first, last, picked, segment, busy, begins[busy])
-
-
 def count_regions(
     tasks: "list[tuple]",
     conditions: "list[JoinCondition]",
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Count each non-empty ``(keys1, keys2[, cum[, clip]])`` task in the calling process; time each one.
+    """Count each non-empty ``(keys1, keys2[, cum])`` task in the calling process; time each one.
 
     The one per-region count loop:
     :func:`~repro.engine.cluster.run_partitioned_join` runs it over a batch
-    join's routed regions,
-    :class:`~repro.streaming.backends.SimulatedBackend` over a stream
-    batch's search tasks in the engine's process, every sticky worker over
-    its own, and a pool worker of
+    join's routed regions and a pool worker of
     :func:`~repro.engine.executor.join_assigned_regions` over its one
-    region.  ``conditions[t]`` is task ``t``'s
+    region.  (A stream batch is counted by its state owner instead, two
+    kernel calls per batch: :meth:`~repro.streaming.backends.StateOwner.count`.)
+    ``conditions[t]`` is task ``t``'s
     condition.  Tasks with an empty side produce nothing and are never
     timed; every second side is sorted ascending (a region's share as the
     router sorted it, or a run of the streaming state).  Each task's keys
@@ -207,52 +171,35 @@ def count_regions(
     non-empty tasks are laid end to end, ``joinable_bounds`` runs once
     over the lot and every task searches with its slice.  Bounds are
     element-wise functions of the key, so a slice holds exactly what a
-    per-task call would have returned -- and a fold's dispatch (two
-    conditions, one task per sorted run, consecutive tasks sharing their
-    needles) costs two bounds passes however many runs there are.  What
-    stays per task, and is all that is timed: the searches of its second
-    side and their sum, one call of the compiled count kernel
-    (:func:`repro.joins.native.count`: a galloping search per bound from
-    the previous needle's answer, the clip and the per-segment sums in one
-    C loop; ``tests/reference_counting.py`` keeps the numpy form it equals
-    bit for bit).  An integer run meeting float bounds is first cast to
-    float64, as ``searchsorted`` would cast it.  The clock is read twice
-    per non-empty task.
+    per-task call would have returned.  What stays per task, and is all
+    that is timed: the searches of its second side and their sum, one call
+    of the compiled count kernel (:func:`repro.joins.native.count`: a
+    galloping search per bound from the previous needle's answer;
+    ``tests/reference_counting.py`` keeps the numpy form it equals bit for
+    bit).  An integer run meeting float bounds is first cast to float64, as
+    ``searchsorted`` would cast it.  The clock is read twice per non-empty
+    task.
 
     A task's optional third entry makes its second side a *counted* run
     of the streaming state
     (:class:`~repro.streaming.incremental.SortedRegionState`): ``cum``
     holds the cumulative multiplicities of the sorted keys (``cum[0] ==
     0``, any sign), and a needle joins ``cum[hi] - cum[lo]`` of them
-    instead of ``hi - lo``.  ``None``, or no third entry, counts every key
-    once.
-
-    A fourth entry ``(segments, lows, highs)`` *clips* the task: the
-    needles are the :class:`Segments` of ``keys1`` -- one per machine
-    reading the searched state -- and segment ``s`` sees only the run's
-    positions ``[lows[s], highs[s])``, its machine's key range cut from
-    the run (``None`` for both: the whole run); a clipped task whose
-    segments are all empty is an empty task.  The searches run once over
-    the segments' window; each needle's ``[lo, hi)`` is then clipped,
-    ``lo = max(lo, lows[s])``, ``hi = max(lo, min(hi, highs[s]))``, and the
-    counts are summed per segment.  A clipped task has one output per
-    segment, an unclipped task one: ``outputs`` lays them end to end in
-    task order, ``seconds`` has one entry per task.
+    instead of ``hi - lo`` -- what a pool worker counts when the
+    streaming state's runs are shipped to it.  ``None``, or no third
+    entry, counts every key once.  ``outputs`` and ``seconds`` have one
+    entry per task.
     """
-    # Where each task's outputs start; a clipped task has one per segment.
-    offsets = [0] * (len(tasks) + 1)
-    position = -1
     # (condition, key dtype) -> the condition and its needle arrays.  The
     # dtype is part of the key so that laying arrays end to end never
     # promotes exact int64 keys to float.
     groups: "dict[tuple, tuple[JoinCondition, list[np.ndarray]]]" = {}
-    # Per non-empty task: (task, second side, its counts, clip, group, needles' position).
+    # Per non-empty task: (task, second side, its counts, group, needles' position).
     searches: "list[tuple]" = []
+    position = -1
     last_keys1 = last_condition = last_dtype = None
     for task, (keys1, keys2, *extra) in enumerate(tasks):
-        clip = extra[1] if extra[1:] else None
-        offsets[task + 1] = offsets[task] + (1 if clip is None else clip[0].count)
-        if len(keys1) == 0 or keys2.size == 0 or (clip and not clip[0].busy.size):
+        if len(keys1) == 0 or keys2.size == 0:
             continue
         condition = conditions[task]
         run = keys2 if keys2.dtype in _NORMALISED else normalise_keys(keys2)
@@ -271,8 +218,8 @@ def count_regions(
             position = len(arrays) - 1
             last_keys1, last_condition, last_dtype = keys1, condition, run.dtype
         cum = extra[0] if extra else None
-        searches.append((task, run, cum, clip, group, position))
-    outputs = np.zeros(offsets[-1], dtype=np.int64)
+        searches.append((task, run, cum, group, position))
+    outputs = np.zeros(len(tasks), dtype=np.int64)
     seconds = np.zeros(len(tasks))
     bounds = {}
     for group, (condition, arrays) in groups.items():
@@ -284,12 +231,11 @@ def count_regions(
             (lows[start:stop], highs[start:stop])
             for start, stop in zip([0] + stops, stops)
         ]
-    for task, run, cum, clip, group, position in searches:
+    for task, run, cum, group, position in searches:
         lows, highs = bounds[group][position]
-        out = outputs[offsets[task] : offsets[task + 1]]
         started = perf_counter()
         if run.dtype != lows.dtype:  # integer keys, a condition's float bounds
             run = run.astype(np.float64)
-        native.count(run, cum, lows, highs, clip, out)
+        native.count(run, cum, lows, highs, outputs[task : task + 1])
         seconds[task] = perf_counter() - started
     return outputs, seconds

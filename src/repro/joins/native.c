@@ -4,9 +4,14 @@
  *
  * count_<t>  searches one ascending run for every needle's joinable bounds
  *            (numpy's searchsorted, side "left" for the low bound and
- *            "right" for the high one), optionally clips each needle to its
- *            segment's slice of the run, and sums the counts per segment:
- *            the body of repro.joins.local.count_regions for one task.
+ *            "right" for the high one) and sums the counts: one task of
+ *            repro.joins.local.count_regions, the batch join's per region.
+ * count_half_<t>
+ *            counts one half of a stream batch against a state owner's
+ *            runs: each machine's needles searched in every run it reads,
+ *            clipped to its slice of the run and summed into its total.
+ *            Two calls per batch (repro.streaming.backends.StateOwner.count),
+ *            or two per machine where each machine is timed on its own.
  * merge_<t>  merges key-sorted runs, oldest first, into one counted run in
  *            a single linear pass: repro.streaming.incremental._merge_sorted.
  * offer      offers one batch of entries to a bounded Efraimidis-Spirakis
@@ -38,10 +43,10 @@
  *
  * Counts are summed in uint64_t, so they wrap exactly as numpy's int64 sums
  * do.  Every index read from an input is checked against the array it
- * indexes before anything is written: an out-of-range one makes count_<t>
- * return nonzero having read nothing out of bounds and written nothing, and
- * the caller raises.  closure and tile check each index as they read it,
- * and return -2 at the first one out of range.
+ * indexes before anything is written: an out-of-range one makes
+ * count_half_<t> return nonzero having read nothing out of bounds and
+ * written nothing, and the caller raises.  closure and tile check each
+ * index as they read it, and return -2 at the first one out of range.
  *
  * group_sums and sweep_rows are the kernel's floating-point arithmetic
  * (closure is integers only, and tile only compares a rectangle's leaf
@@ -53,6 +58,7 @@
  * twice, and a block weight lands on the other side of the threshold.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -77,6 +83,41 @@ static const int64_t *cum_of(const uint64_t *table, int64_t r)
 static int64_t size_of(const uint64_t *table, int64_t r)
 {
     return (int64_t)table[3 * r + 1];
+}
+
+/* A run count_half_<t> searches: STATE_WORDS words of its table, the
+ * run's keys, length and counts (0: every key counts once), the machines
+ * reading it and how many there are, and the slice rule each reader reads
+ * it through (0: every reader reads it whole): the cut keys (doubles) and
+ * their number, and per reader where its slice starts and stops -- an index
+ * of the cut keys, their number for 0 or their number + 1 for the run's
+ * length. */
+#define STATE_WORDS 9
+
+struct state_run {
+    const void *keys;
+    int64_t size;
+    const int64_t *cum, *readers;
+    int64_t count;
+    const double *cut_keys;
+    int64_t cuts;
+    const int64_t *first, *last;
+};
+
+static struct state_run run_of(const uint64_t *table, int64_t r)
+{
+    const uint64_t *words = table + STATE_WORDS * r;
+    struct state_run run;
+    run.keys = (const void *)(uintptr_t)words[0];
+    run.size = (int64_t)words[1];
+    run.cum = (const int64_t *)(uintptr_t)words[2];
+    run.readers = (const int64_t *)(uintptr_t)words[3];
+    run.count = (int64_t)words[4];
+    run.cut_keys = (const double *)(uintptr_t)words[5];
+    run.cuts = (int64_t)words[6];
+    run.first = (const int64_t *)(uintptr_t)words[7];
+    run.last = (const int64_t *)(uintptr_t)words[8];
+    return run;
 }
 
 /* Element x lies before the answer of a left search for v (x < v), or of a
@@ -145,59 +186,110 @@ static int64_t size_of(const uint64_t *table, int64_t r)
     }                                                                          \
                                                                                \
     /*                                                                         \
-     * One task of count_regions.  run[0:size) ascends; cum (size + 1          \
-     * entries) or NULL.  lows / highs hold `needles` joinable bounds.         \
-     * Unclipped (picked NULL): out[0] is the sum over every needle of its     \
-     * count.  Clipped: gathered needle j is needle picked[j] of segment       \
-     * segment[j]; its positions are clipped to [clip_lows[s],                 \
-     * clip_highs[s]) when clip_lows is given, and out[s] sums segment s for   \
-     * s in [0, segments).  Returns 0, or 1 on an index out of range.          \
+     * One search task: run[0:size) ascends; cum (size + 1 entries) or         \
+     * NULL.  lows / highs hold `needles` joinable bounds; out[0] is the       \
+     * sum over every needle of its count.                                     \
      */                                                                        \
-    int count_##T(const KEY *run, int64_t size, const int64_t *cum,            \
-                  const KEY *lows, const KEY *highs, int64_t needles,          \
-                  const int64_t *picked, const int64_t *segment,               \
-                  int64_t gathered, const int64_t *clip_lows,                  \
-                  const int64_t *clip_highs, int64_t segments, int64_t *out)   \
+    void count_##T(const KEY *run, int64_t size, const int64_t *cum,           \
+                   const KEY *lows, const KEY *highs, int64_t needles,         \
+                   int64_t *out)                                               \
     {                                                                          \
         int64_t tail = nan_tail_##T(run, size), lo = 0, hi = 0, j;             \
         uint64_t sum = 0;                                                      \
-        if (!picked) {                                                         \
-            for (j = 0; j < needles; j++) {                                    \
-                KEY low = lows[j], high = highs[j];                            \
-                lo = IS_NAN(low) ? tail : lower_##T(run, tail, low, lo);       \
-                hi = IS_NAN(high) ? size : upper_##T(run, tail, high, hi);     \
-                sum += SPAN(cum, lo, hi);                                      \
-            }                                                                  \
-            out[0] = (int64_t)sum;                                             \
-            return 0;                                                          \
-        }                                                                      \
-        /* Every index is checked before anything is read through it. */       \
-        for (j = 0; j < gathered; j++)                                         \
-            if ((uint64_t)picked[j] >= (uint64_t)needles                       \
-                || (uint64_t)segment[j] >= (uint64_t)segments)                 \
-                return 1;                                                      \
-        for (j = 0; clip_lows && j < segments; j++)                            \
-            if ((uint64_t)clip_lows[j] > (uint64_t)size                        \
-                || (uint64_t)clip_highs[j] > (uint64_t)size)                   \
-                return 1;                                                      \
-        for (j = 0; j < segments; j++)                                         \
-            out[j] = 0;                                                        \
-        for (j = 0; j < gathered; j++) {                                       \
-            int64_t s = segment[j], a, b;                                      \
-            KEY low = lows[picked[j]], high = highs[picked[j]];                \
+        for (j = 0; j < needles; j++) {                                        \
+            KEY low = lows[j], high = highs[j];                                \
             lo = IS_NAN(low) ? tail : lower_##T(run, tail, low, lo);           \
             hi = IS_NAN(high) ? size : upper_##T(run, tail, high, hi);         \
-            a = lo;                                                            \
-            b = hi;                                                            \
-            if (clip_lows) {                                                   \
-                if (a < clip_lows[s])                                          \
-                    a = clip_lows[s];                                          \
-                if (b > clip_highs[s])                                         \
-                    b = clip_highs[s];                                         \
-                if (b < a)                                                     \
-                    b = a;                                                     \
+            sum += SPAN(cum, lo, hi);                                          \
+        }                                                                      \
+        out[0] = (int64_t)sum;                                                 \
+    }                                                                          \
+                                                                               \
+    /*                                                                         \
+     * Where the slice rule cuts ascending keys at a cut key c: the first      \
+     * position whose key, as a double, is not below c (numpy's searchsorted   \
+     * of the keys' float64 view, side "left"), NaNs sorting last.             \
+     */                                                                        \
+    static int64_t cut_##T(const KEY *keys, int64_t tail, double c)            \
+    {                                                                          \
+        int64_t lo = 0, hi = tail;                                             \
+        while (lo < hi) {                                                      \
+            int64_t mid = lo + (hi - lo) / 2;                                  \
+            if ((double)keys[mid] < c)                                         \
+                lo = mid + 1;                                                  \
+            else                                                               \
+                hi = mid;                                                      \
+        }                                                                      \
+        return lo;                                                             \
+    }                                                                          \
+                                                                               \
+    /* A reader's slice bound: cut `at` of the run, or 0, or its length. */    \
+    static int64_t bound_##T(const KEY *keys, int64_t size, int64_t tail,      \
+                             const double *cut_keys, int64_t cuts, int64_t at) \
+    {                                                                          \
+        if (at < cuts)                                                         \
+            return cut_##T(keys, tail, cut_keys[at]);                          \
+        return at == cuts ? 0 : size;                                          \
+    }                                                                          \
+                                                                               \
+    /*                                                                         \
+     * One half of a stream batch's count, every machine's total at once.      \
+     * lows / highs hold the joinable bounds of `needles` routed keys, and     \
+     * machine m's share of them is [starts[m], stops[m]).  The table has      \
+     * STATE_WORDS words per searched run (see run_of).  Each reader's         \
+     * needles are searched in the run, each answer clipped to the reader's    \
+     * slice of the run, and the counts added to out[reader].  Returns 0,      \
+     * or, having written nothing: 1 for a reader that is no machine, 2 for    \
+     * a share outside the needles, 3 for a slice bound that indexes no cut.   \
+     */                                                                        \
+    int count_half_##T(const KEY *lows, const KEY *highs, int64_t needles,     \
+                        const int64_t *starts, const int64_t *stops,           \
+                        int64_t machines, int64_t runs,                        \
+                        const uint64_t *table, int64_t *out)                   \
+    {                                                                          \
+        int64_t r, i, j;                                                       \
+        /* Every index is checked before anything is read through it. */       \
+        for (r = 0; r < runs; r++) {                                           \
+            struct state_run run = run_of(table, r);                           \
+            for (i = 0; i < run.count; i++) {                                  \
+                int64_t m = run.readers[i];                                    \
+                if ((uint64_t)m >= (uint64_t)machines)                         \
+                    return 1;                                                  \
+                if ((uint64_t)starts[m] > (uint64_t)needles                    \
+                    || (uint64_t)stops[m] > (uint64_t)needles)                 \
+                    return 2;                                                  \
+                if (run.cut_keys                                               \
+                    && ((uint64_t)run.first[i] > (uint64_t)run.cuts + 1        \
+                        || (uint64_t)run.last[i] > (uint64_t)run.cuts + 1))    \
+                    return 3;                                                  \
             }                                                                  \
-            out[s] = (int64_t)((uint64_t)out[s] + SPAN(cum, a, b));            \
+        }                                                                      \
+        for (r = 0; r < runs; r++) {                                           \
+            struct state_run run = run_of(table, r);                           \
+            const KEY *keys = (const KEY *)run.keys;                           \
+            int64_t size = run.size, tail = nan_tail_##T(keys, size);          \
+            int64_t lo = 0, hi = 0;                                            \
+            for (i = 0; i < run.count; i++) {                                  \
+                int64_t m = run.readers[i], first = 0, last = size;            \
+                uint64_t sum = 0;                                              \
+                if (run.cut_keys) {                                            \
+                    first = bound_##T(keys, size, tail, run.cut_keys, run.cuts,\
+                                      run.first[i]);                           \
+                    last = bound_##T(keys, size, tail, run.cut_keys, run.cuts, \
+                                     run.last[i]);                             \
+                }                                                              \
+                for (j = starts[m]; j < stops[m]; j++) {                       \
+                    KEY low = lows[j], high = highs[j];                        \
+                    int64_t a, b;                                              \
+                    lo = IS_NAN(low) ? tail : lower_##T(keys, tail, low, lo);  \
+                    hi = IS_NAN(high) ? size : upper_##T(keys, tail, high, hi);\
+                    a = lo < first ? first : lo;                               \
+                    b = hi > last ? last : hi;                                 \
+                    if (b > a)                                                 \
+                        sum += SPAN(run.cum, a, b);                            \
+                }                                                              \
+                out[m] = (int64_t)((uint64_t)out[m] + sum);                    \
+            }                                                                  \
         }                                                                      \
         return 0;                                                              \
     }                                                                          \
@@ -330,6 +422,120 @@ static int64_t size_of(const uint64_t *table, int64_t r)
 
 KERNELS(f64, double, FLOAT_IS_NAN)
 KERNELS(i64, int64_t, NEVER_NAN)
+
+/*
+ * The exact inverse of a band's rounded bounds.  From the R1 side the band
+ * test is fl(k1 - beta) <= k2 <= fl(k1 + beta); from the R2 side it is
+ * L(k2) <= k1 <= U(k2), where L(k) is the smallest double x with
+ * fl(x + beta) >= k and U(k) the largest with fl(x - beta) <= k.  Rounding
+ * is monotone, so each is one value, and fl(k -+ beta) lies within a few
+ * ulps of it unless k's ulp is far finer than the sum's (k near zero, a
+ * wide band): NUDGES single-ulp steps settle the common case, and a key
+ * they do not settle is bisected over the doubles' ordinals, whose range
+ * spans fewer than 2**65 of them, so 66 halvings close it.  Steps move the
+ * bits (nextafter toward +-inf), so nothing overflows: the step above the
+ * largest double is +inf, and +-inf step no further outward.
+ */
+#define NUDGES 4
+#define HALVINGS 66
+
+/* An order-preserving int64 image of a double (both zeros are 0), and back. */
+static int64_t ordinal_of(double x)
+{
+    int64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    return bits >= 0 ? bits : INT64_MIN - bits;
+}
+
+static double from_ordinal(int64_t ordinal)
+{
+    int64_t bits = ordinal >= 0 ? ordinal : INT64_MIN - ordinal;
+    double x;
+    memcpy(&x, &bits, sizeof x);
+    return x;
+}
+
+/* nextafter(x, up ? +inf : -inf) for a double that is not NaN. */
+static double step(double x, int up)
+{
+    uint64_t bits;
+    if (x == 0.0)
+        bits = up ? 1 : UINT64_C(0x8000000000000001);
+    else {
+        memcpy(&bits, &x, sizeof bits);
+        if ((x > 0.0) != up)
+            bits -= 1; /* toward zero */
+        else if (!isinf(x))
+            bits += 1; /* away from zero, at most to +-inf */
+    }
+    memcpy(&x, &bits, sizeof x);
+    return x;
+}
+
+/* L(k): the smallest x with fl(x + beta) >= k. */
+static double lower_inverse(double k, double beta)
+{
+    double x = k - beta;
+    int64_t lo, hi, i;
+    for (i = 0; i < NUDGES; i++) {
+        if (x + beta < k)
+            x = step(x, 1);
+        else if (step(x, 0) + beta >= k)
+            x = step(x, 0);
+        else
+            return x;
+    }
+    if (x + beta >= k && step(x, 0) + beta < k)
+        return x;
+    lo = ordinal_of(-INFINITY);
+    hi = ordinal_of(k);
+    for (i = 0; i < HALVINGS; i++) {
+        int64_t mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1);
+        if (from_ordinal(mid) + beta >= k)
+            hi = mid;
+        else
+            lo = mid;
+    }
+    return from_ordinal(hi);
+}
+
+/* U(k): the largest x with fl(x - beta) <= k. */
+static double upper_inverse(double k, double beta)
+{
+    double x = k + beta;
+    int64_t lo, hi, i;
+    for (i = 0; i < NUDGES; i++) {
+        if (x - beta > k)
+            x = step(x, 0);
+        else if (step(x, 1) - beta <= k)
+            x = step(x, 1);
+        else
+            return x;
+    }
+    if (x - beta <= k && step(x, 1) - beta > k)
+        return x;
+    lo = ordinal_of(k);
+    hi = ordinal_of(INFINITY);
+    for (i = 0; i < HALVINGS; i++) {
+        int64_t mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1);
+        if (from_ordinal(mid) - beta <= k)
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return from_ordinal(lo);
+}
+
+/* lows[i] = L(keys[i]) and highs[i] = U(keys[i]), for keys that are not NaN. */
+void band_inverse(const double *keys, int64_t size, double beta, double *lows,
+                  double *highs)
+{
+    int64_t i;
+    for (i = 0; i < size; i++) {
+        lows[i] = lower_inverse(keys[i], beta);
+        highs[i] = upper_inverse(keys[i], beta);
+    }
+}
 
 /*
  * The reservoir heap.  Entry i is (priorities[i], counters[i], keys[i]),

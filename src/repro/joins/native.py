@@ -1,9 +1,11 @@
 """The compiled kernel: ``native.c``, built on first import and loaded through ``ctypes``.
 
 The stream batch and the plan build spend most of their interpreter time
-in six inner loops that numpy can only run as a dozen small-array calls
-each, or as one Python-level step per element: the searches of one sorted
-run for a batch's needles (clipped and summed per machine), the merge of a
+in inner loops that numpy can only run as a dozen small-array calls
+each, or as one Python-level step per element: the searches of a state's
+runs for a batch's needles (each machine's slice cut, its needles
+searched and its counts summed), a transposed band's exact inverse
+bounds, the merge of a
 state's sorted runs, the offer of entries to an Efraimidis--Spirakis
 reservoir (the stream histogram's per batch, Stream-Sample's per worker
 and per merge), a ``heapq`` push / ``heapreplace`` per entry,
@@ -11,8 +13,11 @@ coarsening's sums of the band sample matrix by group, numpy's pairwise
 ``reduceat`` tree over the sampled entries only, its greedy sweep, a group
 of small cumulative sums per window of rows, and MonotonicBSP's tiling DP, a stack walk over a grid's minimal
 rectangles per threshold.  ``native.c`` does each in one call, and each
-call is the only way production runs that loop: :func:`count` for one
-task of :func:`~repro.joins.local.count_regions`, :func:`merge` for
+call is the only way production runs that loop: :func:`count_half` for
+one half of a stream batch's count
+(:meth:`~repro.streaming.backends.StateOwner.count`), :func:`count` for
+one task of a batch join's :func:`~repro.joins.local.count_regions`,
+:func:`band_inverse` for the transposed band's bounds, :func:`merge` for
 :func:`~repro.streaming.incremental._merge_sorted`, :func:`offer` for
 :meth:`~repro.streaming.incremental.DecayedReservoir.add_batch` and for
 :class:`~repro.sampling.reservoir.WeightedReservoir`'s offers (its payload
@@ -25,7 +30,8 @@ one threshold probe of regionalization's, over the child table
 rectangles that need children).  The numpy, ``heapq`` and Python
 forms they replaced live in the test harness (``tests/reference_*.py``),
 which holds the kernel to them bit for bit: counts and merged runs
-(``tests/test_native_kernel.py``), both reservoirs' heap arrays entry for
+(``tests/test_native_kernel.py``, ``tests/test_count_half.py``), the
+band inverses (``tests/test_condition_properties.py``), both reservoirs' heap arrays entry for
 entry (``tests/test_sampling_oracle.py``), the group sums' floats
 (``tests/test_coarsening.py``), and the sweep's boundaries and the
 tilings' regions and rectangle counts (``tests/test_planner_oracle.py``).
@@ -67,8 +73,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["KernelUnavailable", "closure", "count", "group_sums", "merge", "offer", "sweep_rows",
-           "tile"]
+__all__ = ["KernelUnavailable", "band_inverse", "closure", "count", "count_half", "group_sums",
+           "merge", "offer", "sweep_rows", "tile"]
 
 SOURCE = Path(__file__).with_name("native.c")
 
@@ -80,8 +86,8 @@ _VIEW = ctypes.c_char * 0
 _addressof = ctypes.addressof
 
 _POINTER, _SIZE = ctypes.c_void_p, ctypes.c_int64
-_COUNT_ARGS = (_POINTER, _SIZE, _POINTER, _POINTER, _POINTER, _SIZE, _POINTER,
-               _POINTER, _SIZE, _POINTER, _POINTER, _SIZE, _POINTER)
+_COUNT_ARGS = (_POINTER, _SIZE, _POINTER, _POINTER, _POINTER, _SIZE, _POINTER)
+_HALF_ARGS = (_POINTER, _POINTER, _SIZE, _POINTER, _POINTER, _SIZE, _SIZE, _POINTER, _POINTER)
 _MERGE_ARGS = (_SIZE, _POINTER, _POINTER, _POINTER)
 _OFFER_ARGS = (_POINTER, _POINTER, _POINTER, _SIZE, _SIZE, _SIZE, _POINTER, _POINTER, _SIZE)
 _DOUBLE = ctypes.c_double
@@ -92,6 +98,7 @@ _CLOSURE_ARGS = (_POINTER, _POINTER, _POINTER, _SIZE, _POINTER, _POINTER, _SIZE,
                  _POINTER, _SIZE, _SIZE, _POINTER, _SIZE, _SIZE, _POINTER, _SIZE, _POINTER,
                  _POINTER, _SIZE, _SIZE, _POINTER)
 _TILE_ARGS = (_POINTER, _POINTER, _POINTER, _SIZE, _SIZE, _SIZE, _DOUBLE, _POINTER, _POINTER)
+_INVERSE_ARGS = (_POINTER, _SIZE, _DOUBLE, _POINTER, _POINTER)
 
 
 class KernelUnavailable(ImportError):
@@ -168,7 +175,9 @@ def _build() -> ctypes.CDLL:
     try:
         for key in ("f64", "i64"):
             function = getattr(loaded, f"count_{key}")
-            function.argtypes, function.restype = _COUNT_ARGS, ctypes.c_int
+            function.argtypes, function.restype = _COUNT_ARGS, None
+            function = getattr(loaded, f"count_half_{key}")
+            function.argtypes, function.restype = _HALF_ARGS, ctypes.c_int
             function = getattr(loaded, f"merge_{key}")
             function.argtypes, function.restype = _MERGE_ARGS, ctypes.c_int64
         loaded.offer.argtypes, loaded.offer.restype = _OFFER_ARGS, ctypes.c_int64
@@ -176,6 +185,7 @@ def _build() -> ctypes.CDLL:
         loaded.sweep_rows.argtypes, loaded.sweep_rows.restype = _SWEEP_ARGS, ctypes.c_int64
         loaded.closure.argtypes, loaded.closure.restype = _CLOSURE_ARGS, ctypes.c_int64
         loaded.tile.argtypes, loaded.tile.restype = _TILE_ARGS, ctypes.c_int64
+        loaded.band_inverse.argtypes, loaded.band_inverse.restype = _INVERSE_ARGS, None
     except AttributeError as error:  # a missing symbol
         raise KernelUnavailable(f"cannot load {library}: {error}") from None
     return loaded
@@ -218,23 +228,19 @@ def _addresses(arrays: "list[np.ndarray]", names: "tuple[str, ...] | str", writt
     return addresses
 
 
-#: The names :func:`count` gives its arrays in an error: unclipped, clipped, cut.
-_TASK: "tuple[str, ...]" = ("out", "run", "lows", "highs")
-_SEGMENTS = (*_TASK, "picked", "segment")
-_CUT = (*_SEGMENTS, "clip lows", "clip highs")
+#: The names :func:`count` gives its arrays in an error.
+_TASK = ("out", "run", "lows", "highs")
 
 
-def count(run, cum, lows, highs, clip, out: np.ndarray) -> None:
-    """One task of :func:`~repro.joins.local.count_regions`: its outputs, written into ``out``.
+def count(run, cum, lows, highs, out: np.ndarray) -> None:
+    """One task of :func:`~repro.joins.local.count_regions`: its output, written into ``out[0]``.
 
     ``run`` is the sorted second side, ``cum`` its cumulative counts or
-    ``None``, ``lows`` / ``highs`` the needles' joinable bounds, ``clip``
-    the task's ``(segments, lows, highs)`` or ``None``.  Keys are float64
-    or int64 and the bounds in the run's dtype (the caller brings them to
-    one); counts and positions are int64, ``cum`` one longer than the run,
-    and ``out`` has an entry for the task (unclipped) or for each of its
-    segments.  Otherwise, or when a clip's index lies outside what it
-    indexes, this raises by name and writes nothing.
+    ``None``, ``lows`` / ``highs`` the needles' joinable bounds.  Keys are
+    float64 or int64 and the bounds in the run's dtype (the caller brings
+    them to one); counts are int64, ``cum`` one longer than the run, and
+    ``out`` has an entry.  Otherwise this raises by name and writes
+    nothing.
     """
     dtype = run.dtype
     if not (dtype == _FLOAT or dtype == _INT):
@@ -245,42 +251,127 @@ def count(run, cum, lows, highs, clip, out: np.ndarray) -> None:
         raise ValueError(f"{lows.size} lows but {highs.size} highs")
     if out.dtype != _INT:
         raise TypeError(f"out is {out.dtype}, not int64")
-    if cum is not None and (cum.dtype != _INT or cum.size != run.size + 1):
-        raise ValueError(f"cum is {cum.size} {cum.dtype}, not {run.size + 1} int64")
-    gathered = segments = 0
-    if clip is None:
-        if not out.size:
-            raise ValueError("out has no entry for the task")
-        arrays, names = [out, run, lows, highs], _TASK
-    else:
-        shares, clip_lows, clip_highs = clip
-        window = slice(shares.first, shares.last)
-        lows, highs = lows[window], highs[window]
-        gathered, segments = shares.picked.size, shares.count
-        if out.size < segments:
-            raise ValueError(f"out has {out.size} entries for {segments} segments")
-        if shares.picked.dtype != _INT or shares.segment.dtype != _INT:
-            raise TypeError("a clip's picked and segment indices must be int64")
-        arrays, names = [out, run, lows, highs, shares.picked, shares.segment], _SEGMENTS
-        if clip_lows is not None:
-            if clip_lows.dtype != _INT or clip_highs.dtype != _INT:
-                raise TypeError("a clip's lows and highs must be int64 positions")
-            if clip_lows.size < segments or clip_highs.size < segments:
-                raise ValueError(f"a clip's lows and highs need {segments} entries each")
-            arrays += clip_lows, clip_highs
-            names = _CUT
+    if not out.size:
+        raise ValueError("out has no entry for the task")
+    arrays, names = [out, run, lows, highs], _TASK
     if cum is not None:
+        if cum.dtype != _INT or cum.size != run.size + 1:
+            raise ValueError(f"cum is {cum.size} {cum.dtype}, not {run.size + 1} int64")
         arrays.append(cum)
         names += ("cum",)
-    target, keys, low, high, *rest = _addresses(arrays, names, 1)
-    counts = rest.pop() if cum is not None else None
-    picked, segment, clip_lows, clip_highs = (*rest, None, None, None, None)[:4]
+    target, keys, low, high, *counts = _addresses(arrays, names, 1)
     function = _LIBRARY.count_f64 if dtype == _FLOAT else _LIBRARY.count_i64
-    if function(
-        keys, run.size, counts, low, high, lows.size, picked, segment, gathered,
-        clip_lows, clip_highs, segments, target,
-    ):
-        raise ValueError("a clip's index lies outside the needles, segments or run it indexes")
+    function(keys, run.size, counts[0] if counts else None, low, high, lows.size, target)
+
+
+#: :func:`count_half`'s refusals by the kernel's status, and the words a run takes in its table.
+_HALF_ERRORS = {
+    1: "a run's reader is not one of the machines",
+    2: "a machine's share lies outside the needles",
+    3: "a reader's slice bound indexes no cut",
+}
+_HALF_WORDS = 9
+
+
+def count_half(lows, highs, starts, stops, runs, out: np.ndarray) -> None:
+    """One half of a stream batch's count: every machine's output, added into ``out``.
+
+    ``lows`` / ``highs`` are the joinable bounds of a batch's routed keys
+    on one side, and machine ``m``'s share of them is ``[starts[m],
+    stops[m])``.  ``runs`` lists the state runs the half searches, each
+    ``(keys, cum, readers, cut)``: a run's ascending keys and cumulative
+    counts (``None``: every key counts once), the machines reading it, and
+    the slice rule they read it through -- ``(cut_keys, first, last)``, a
+    :class:`~repro.partitioning.grid_routed.MachineSlices` whose
+    ``first[i]`` / ``last[i]`` say where reader ``i``'s slice of the run
+    starts and stops -- or ``None`` when every reader reads it whole.  For
+    each reader, the kernel cuts its slice from the run, searches each
+    needle of its share in the run (numpy's ``searchsorted``, side "left"
+    for the low bound and "right" for the high one), clips the answer to
+    the slice and sums the counts into ``out[reader]`` -- one C call however
+    many runs and machines there are, with nothing gathered or
+    materialised per needle; ``tests/reference_counting.py`` holds the
+    per-task numpy form it equals.
+
+    Keys are float64 or int64, the bounds and every run in one of them, and
+    cut keys float64; ``starts``, ``stops``, ``out``, ``cum``, readers and
+    slice bounds are int64, ``starts`` / ``stops`` one entry per machine of
+    ``out``, ``cum`` one longer than its run and ``first`` / ``last`` at
+    least one entry per reader.  Otherwise, or when a reader is no machine,
+    a share lies outside the needles or a slice bound indexes no cut, this
+    raises by name and writes nothing.
+    """
+    dtype = lows.dtype
+    if not (dtype == _FLOAT or dtype == _INT):
+        raise TypeError(f"lows are {dtype}: the kernel counts float64 or int64 keys")
+    if highs.dtype != dtype or highs.size != lows.size:
+        raise ValueError(f"{lows.size} {dtype} lows but {highs.size} {highs.dtype} highs")
+    if not (starts.dtype == stops.dtype == out.dtype == _INT):
+        raise TypeError(f"starts {starts.dtype}, stops {stops.dtype}, out {out.dtype}: not int64")
+    machines = out.size
+    if starts.size != machines or stops.size != machines:
+        raise ValueError(f"{starts.size} starts and {stops.size} stops for {machines} machines")
+    arrays = [out, lows, highs, starts, stops]
+    for keys, cum, readers, cut in runs:
+        if keys.dtype != dtype:
+            raise TypeError(f"a run's keys are {keys.dtype}, not the bounds' {dtype}")
+        if readers.dtype != _INT:
+            raise TypeError(f"a run's readers are {readers.dtype}, not int64")
+        if cum is not None and (cum.dtype != _INT or cum.size != keys.size + 1):
+            raise ValueError(f"cum is {cum.size} {cum.dtype}, not {keys.size + 1} int64")
+        if cut is not None:
+            cut_keys, first, last = cut
+            if cut_keys.dtype != _FLOAT or first.dtype != _INT or last.dtype != _INT:
+                raise TypeError("a slice rule takes float64 cut keys and int64 bounds")
+            if first.size < readers.size or last.size < readers.size:
+                raise ValueError(f"a slice rule needs {readers.size} firsts and lasts")
+        # Six arrays a run; its keys stand in for what it lacks (the kernel
+        # reads no counts or slice rule that its table entry says are none).
+        arrays += keys, readers, keys if cum is None else cum, *(cut or (keys, keys, keys))
+    target, low, high, first_at, last_at, *addresses = _addresses(
+        arrays, "out, a bound, a share, a run or a slice rule", 1
+    )
+    # Per run: keys, length, counts, readers, their number, cut keys, their
+    # number, firsts, lasts (0 for counts or cut keys: none).
+    table = []
+    at = 0
+    for keys, cum, readers, cut in runs:
+        keys_at, readers_at, cum_at, cuts_at, firsts_at, lasts_at = addresses[at : at + 6]
+        at += 6
+        table += (
+            keys_at, keys.size, 0 if cum is None else cum_at, readers_at, readers.size,
+            0 if cut is None else cuts_at, 0 if cut is None else cut[0].size,
+            firsts_at, lasts_at,
+        )
+    function = _LIBRARY.count_half_f64 if dtype == _FLOAT else _LIBRARY.count_half_i64
+    status = function(
+        low, high, lows.size, first_at, last_at, machines, len(runs),
+        (ctypes.c_uint64 * (_HALF_WORDS * len(runs)))(*table), target,
+    )
+    if status:
+        raise ValueError(_HALF_ERRORS[status])
+
+
+def band_inverse(keys: np.ndarray, beta: float) -> "tuple[np.ndarray, np.ndarray]":
+    """A band's exact inverse bounds ``(L, U)``: the R1 keys each R2 key in ``keys`` joins.
+
+    The band test from the R1 side is ``fl(k1 - beta) <= k2 <= fl(k1 +
+    beta)``; from the R2 side it is ``L(k2) <= k1 <= U(k2)``, ``L(k)`` the
+    smallest ``x`` with ``fl(x + beta) >= k`` and ``U(k)`` the largest with
+    ``fl(x - beta) <= k``.  Each is a few one-ulp steps from ``fl(k -+
+    beta)``, or a bisection over the doubles' ordinals where the key's ulp
+    is far finer than the sum's; no step overflows (the step above the
+    largest double is ``inf``) and nothing warns.  Both are float64 in the
+    keys' shape.  ``keys`` are float64, C-contiguous and not NaN; otherwise
+    this raises by name.  ``tests/reference_conditions.py`` keeps the numpy
+    form they equal bit for bit.
+    """
+    if keys.dtype != _FLOAT:
+        raise TypeError(f"keys are {keys.dtype}, not float64")
+    lows, highs = np.empty(keys.shape, dtype=_FLOAT), np.empty(keys.shape, dtype=_FLOAT)
+    low, high, source = _addresses([lows, highs, keys], ("lows", "highs", "keys"), 2)
+    _LIBRARY.band_inverse(source, keys.size, beta, low, high)
+    return lows, highs
 
 
 def merge(runs: "list[tuple[np.ndarray, np.ndarray | None]]"):

@@ -36,13 +36,44 @@ tuples: the order among equal keys is left to the sort.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.core.region import GridRegion, KeyRegion, key_regions
 from repro.partitioning.base import Partitioning, Spans
 from repro.sampling.equidepth import bucket_index
 
-__all__ = ["GridRoutedPartitioning"]
+__all__ = ["GridRoutedPartitioning", "MachineSlices"]
+
+
+class MachineSlices(NamedTuple):
+    """Every machine's slice of ascending keys under the slice rule, as data.
+
+    ``cut_keys`` are the regions' cut keys on one side (float64: every
+    region's low cut, then every high cut), and machine ``m``'s slice of
+    ascending keys starts where ``first[m]`` says and stops where
+    ``last[m]`` says: at cut ``i``'s search position (``searchsorted`` of
+    the keys' float64 view, side "left") for ``i < len(cut_keys)``, at 0
+    for ``len(cut_keys)`` and at the keys' length for ``len(cut_keys) +
+    1``.  Calling it with ascending keys gives every machine's ``(starts,
+    stops)``; the count kernel applies the same rule to each run it
+    searches (:func:`repro.joins.native.count_half`).
+    """
+
+    cut_keys: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+
+    def __call__(self, keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Every machine's ``(starts, stops)`` in the ascending ``keys``."""
+        if keys.dtype != np.float64:
+            keys = keys.astype(np.float64)
+        count = self.cut_keys.size
+        cuts = np.empty(count + 2, dtype=np.int64)
+        cuts[:count] = keys.searchsorted(self.cut_keys)
+        cuts[count:] = 0, keys.size
+        return cuts[self.first], cuts[self.last]
 
 
 class GridRoutedPartitioning(Partitioning):
@@ -112,7 +143,9 @@ class GridRoutedPartitioning(Partitioning):
         lows = [lo for lo, _ in ranges]
         highs = [hi + 1 for _, hi in ranges]
         return (
-            boundaries[np.array(lows + highs, dtype=np.int64)],
+            np.ascontiguousarray(
+                boundaries[np.array(lows + highs, dtype=np.int64)], dtype=np.float64
+            ),
             [low == 0 for low in lows],
             [high == len(boundaries) - 1 for high in highs],
         )
@@ -152,36 +185,27 @@ class GridRoutedPartitioning(Partitioning):
         starts, stops = slices(np.asarray(keys))
         return Spans(starts.tolist(), stops.tolist())
 
-    def machine_slicer(self, side: int, region_to_machine, num_machines: int):
+    def machine_slicer(
+        self, side: int, region_to_machine, num_machines: int
+    ) -> "MachineSlices":
         """The slice rule per machine, for one placement of the regions.
 
-        Returns a function of ascending keys that gives every machine's
-        ``(starts, stops)``: machine ``region_to_machine[r]`` gets region
-        ``r``'s slice, a machine holding no region an empty one -- one
-        search of the keys' float64 view (as ``bucket_index`` compares them;
-        the conversion is monotone, so the view is sorted too) and two
-        gathers per call, however many machines there are.
+        Machine ``region_to_machine[r]`` gets region ``r``'s slice, a
+        machine holding no region an empty one (:class:`MachineSlices`:
+        called with ascending keys, one search of their float64 view and two
+        gathers, however many machines there are).
         """
         cut_keys, open_lo, open_hi = self._cuts[side]
         regions = len(open_lo)
         # Where each machine's start and stop are read from: its region's
-        # cut, or one of the two ends appended behind the cuts (0 and n).
+        # cut, or one of the two ends behind the cuts (0 and n).
         first = np.full(num_machines, 2 * regions, dtype=np.int64)
         last = np.full(num_machines, 2 * regions, dtype=np.int64)
         machines = np.asarray(region_to_machine, dtype=np.int64)[:regions]
         own = np.arange(regions)
         first[machines] = np.where(open_lo, 2 * regions, own)
         last[machines] = np.where(open_hi, 2 * regions + 1, regions + own)
-
-        def slices(keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-            if keys.dtype != np.float64:
-                keys = keys.astype(np.float64)
-            cuts = np.empty(2 * regions + 2, dtype=np.int64)
-            cuts[: 2 * regions] = keys.searchsorted(cut_keys)
-            cuts[2 * regions :] = 0, keys.size
-            return cuts[first], cuts[last]
-
-        return slices
+        return MachineSlices(cut_keys, first, last)
 
     def covers_all(self, side: int) -> bool:
         """Whether every key of ``side`` routes to at least one region."""

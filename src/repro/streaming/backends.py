@@ -21,32 +21,31 @@ machine.  An owner keeps each side's live keys in a few counted
 for a grid-routed plan, one per draw group for 1-Bucket -- and a machine
 reads its group through its region's key range (the slice rule of
 :mod:`repro.partitioning.grid_routed`, applied to each sorted run).  A
-batch's count is therefore a fixed number of clipped searches per side
-and run however many machines there are, an eviction is one tombstone run
-per group, and a migration whose plans cover the same keys moves nothing.
+batch's count is therefore two calls of the compiled kernel, one per half
+of the fold, however many runs and machines there are, an eviction is one
+tombstone run per group, and a migration whose plans cover the same keys
+moves nothing.
 
 The protocol is implemented once, in-process, on the base class: one
-owner of every machine, whose fold (``C(new1, state2 + new2) + C(state1,
-new2)``) dispatches its search tasks -- one per sorted run of each half's
-searched group -- through the backend's own
-:meth:`~ExecutionBackend.join_regions`.  A backend therefore only decides
-*how a list of search tasks is counted*:
+owner of every machine, whose count (``C(new1, state2 + new2) + C(state1,
+new2)``, :meth:`StateOwner.count`) runs in the engine's own process.
 
-* :class:`SimulatedBackend` counts each task in the engine's own process.
-  Cost-model load is the quantity of interest; one pass counts every
-  machine, so no per-machine time is measured.
+* :class:`SimulatedBackend` is that default.  Cost-model load is the
+  quantity of interest; one pass counts every machine, so no per-machine
+  time is measured.
 
 :class:`StickyWorkerBackend` overrides the protocol itself: each worker
 *process* hosts a :class:`StateOwner` for the machines assigned to it,
 resident across batches, and only per-batch deltas travel, over shared
 memory, as per-machine arrays -- so a worker's owner holds a group per
 machine, and times each machine's searches.  The workers run the same
-owner fold and counting loop as the in-process default, so every backend
-counts bit-identical deltas; only the measured timings and byte counts
-differ (``tests/test_backends.py``).  That loop is
-:func:`repro.joins.local.count_regions`, the batch simulator's too, and
-every backend reports a :class:`~repro.engine.executor.RegionJoinResult`
-(re-exported here), the batch executor's result type.
+owner count as the in-process default, so every backend counts
+bit-identical deltas; only the measured timings and byte counts differ
+(``tests/test_backends.py``).  Every backend reports a
+:class:`~repro.engine.executor.RegionJoinResult` (re-exported here), the
+batch executor's result type, and :meth:`~ExecutionBackend.join_regions`
+counts a list of region tasks statelessly with the batch simulator's
+loop, :func:`repro.joins.local.count_regions`.
 :class:`SlowConsumerBackend` forwards the protocol to another backend and
 adds a deterministic delay to every batch.
 
@@ -63,19 +62,21 @@ from __future__ import annotations
 import abc
 import os
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.engine.executor import RegionJoinResult, pickled_nbytes
-from repro.joins.conditions import JoinCondition
-from repro.joins.local import count_regions, segments
+from repro.joins import native
+from repro.joins.conditions import JoinCondition, normalise_keys
+from repro.joins.local import count_regions
 from repro.obs.clock import perf_counter
 from repro.streaming.incremental import SortedRegionState
 
 if TYPE_CHECKING:  # only sticky backends pay for importing these (see below)
     import multiprocessing.context
 
+    from repro.partitioning.grid_routed import MachineSlices
     from repro.streaming.shm import ShmArena, ShmMessage, ShmReader
 
 __all__ = [
@@ -151,12 +152,14 @@ class SideLayout:
     :class:`~repro.streaming.incremental.SortedRegionState`, and every
     machine reads one of them: ``readers[g]`` lists the machines reading
     group ``g``, ascending (a machine holding no region reads none).
-    ``cut`` says which part: given a key-sorted run of a group, every
-    machine's slice of it as ``(lows, highs)`` position arrays aligned with
-    ``readers[0]`` -- the machines' key ranges under the slice rule of
-    :mod:`repro.partitioning.grid_routed`.  ``None`` means every reader sees
-    its group whole.  ``whole`` says the ranges cover every key, so the one
-    group holds everything routed.
+    ``cut`` says which part: the machines' key ranges under the slice rule
+    of :mod:`repro.partitioning.grid_routed`, as a
+    :class:`~repro.partitioning.grid_routed.MachineSlices` aligned with
+    ``readers[0]`` -- called with a key-sorted run of a group, every
+    machine's slice of it as ``(lows, highs)`` position arrays; read by the
+    count kernel, the same rule applied in C.  ``None`` means every reader
+    sees its group whole.  ``whole`` says the ranges cover every key, so
+    the one group holds everything routed.
 
     A grid-routed plan is one group read through ``cut``; 1-Bucket is one
     group per draw (grid rows for R1, grid columns for R2), read whole;
@@ -168,7 +171,7 @@ class SideLayout:
     def __init__(
         self,
         readers: "list[np.ndarray]",
-        cut: "Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None" = None,
+        cut: "MachineSlices | None" = None,
         whole: bool = False,
     ) -> None:
         self.readers = [np.asarray(machines, dtype=np.int64) for machines in readers]
@@ -240,6 +243,20 @@ class RoutedSide(NamedTuple):
         return np.concatenate([self.keys[start:stop] for start, stop in pieces] or [self.keys[:0]])
 
 
+def _bounds(
+    condition: JoinCondition, keys: np.ndarray, dtype: np.dtype
+) -> "tuple[np.ndarray, np.ndarray]":
+    """``condition``'s joinable bounds of ``keys`` brought to their common dtype with ``dtype``.
+
+    Integer needles meeting float runs are bounded as floats, so a strict
+    integer step ``k +- 1`` never skips a fractional key.
+    """
+    needles = normalise_keys(keys)
+    return condition.joinable_bounds(
+        needles.astype(np.promote_types(needles.dtype, dtype), copy=False)
+    )
+
+
 def _union(starts: np.ndarray, stops: np.ndarray) -> "list[tuple[int, int]]":
     """The non-empty slices ``[starts[i], stops[i])`` merged into disjoint ascending ones."""
     merged: "list[tuple[int, int]]" = []
@@ -255,7 +272,7 @@ def _union(starts: np.ndarray, stops: np.ndarray) -> "list[tuple[int, int]]":
 
 
 class StateOwner:
-    """The join state of one owner, each side held once, and the fold that counts it.
+    """The join state of one owner, each side held once, and the count that folds a batch in.
 
     The single implementation behind every owner of join state: the
     in-process default on :class:`ExecutionBackend` is one owner of every
@@ -271,20 +288,14 @@ class StateOwner:
 
     Array inputs may be zero-copy views into a transient shared segment;
     :class:`SortedRegionState` copies on append, tombstone and install, so
-    the state keeps no view past the call.  The tasks a :meth:`fold`
-    returns hold the caller's arrival keys and the state's own runs: count
-    them before the arrivals' storage is reused, read them, never write to
-    them (the state itself only ever swaps in fresh arrays).
+    the state keeps no view past the call, and a :meth:`count` reads the
+    arrival keys only while it runs (the state itself only ever swaps in
+    fresh arrays, so the runs it searches are never written).
     """
 
     def __init__(self) -> None:
         self.states: "tuple[list[SortedRegionState], list[SortedRegionState]]" = ([], [])
         self.layouts: "list[SideLayout | None]" = [None, None]
-        #: Per side, the cuts of the runs the last fold searched under the
-        #: side's layout: ``id(run keys)`` -> ``(run keys, lows, highs)``.
-        #: Runs never change, so a run that outlives a batch is not cut (an
-        #: integer run not viewed as float64) again.
-        self._cuts: "tuple[dict, dict]" = ({}, {})
 
     def _conform(self, side1: RoutedSide, side2: RoutedSide) -> None:
         """Read each side through its routed layout from now on."""
@@ -303,38 +314,35 @@ class StateOwner:
                 f"in {len(states)}; install_state moves state onto a new layout"
             )
         self.layouts[side] = layout
-        self._cuts[side].clear()
 
-    def _cut(self, side: int, keys: np.ndarray, used: dict) -> "tuple[np.ndarray, np.ndarray]":
-        """Every reader's slice of one run, recorded in ``used``; cached across folds."""
-        run = id(keys)
-        hit = self._cuts[side].get(run)
-        if hit is None or hit[0] is not keys:
-            hit = (keys, *self.layouts[side].cut(keys))
-        used[run] = hit
-        return hit[1], hit[2]
-
-    def fold(
-        self, new1: RoutedSide, new2: RoutedSide
-    ) -> "tuple[list[tuple], list[int], list[tuple[np.ndarray, int]]]":
-        """Merge a batch's arrivals in; return the counting tasks and how to sum them.
+    def count(
+        self,
+        new1: RoutedSide,
+        new2: RoutedSide,
+        conditions: "tuple[JoinCondition, JoinCondition]",
+        seconds: "np.ndarray | None" = None,
+    ) -> np.ndarray:
+        """Merge a batch's arrivals in; return its output delta per machine.
 
         A machine's output delta decomposes exactly as ``C(new1, state2 +
         new2) + C(state1, new2)``: its first half searches the just-updated
-        R2 state per new R1 key, its second the *pre-append* R1 state per
-        new R2 key (to be counted under the transposed condition).  Each
-        half is one task per sorted run of each group it searches: the
-        needles are the batch's whole routed array, each reader's share a
-        segment of it (:func:`~repro.joins.local.segments`), clipped to the
-        reader's key range on that run (:func:`~repro.joins.local.count_regions`),
-        so a run is searched once for every machine reading it.
+        R2 state per new R1 key under ``conditions[0]``, its second the
+        *pre-append* R1 state per new R2 key under ``conditions[1]`` (the
+        transposed condition).  A half's needles are the batch's routed
+        keys of its side, bounded in one ``joinable_bounds`` pass; each
+        machine searches its share of them in every run of the group it
+        reads, clipped to its key range on that run.  The half is one call
+        of the compiled kernel (:func:`repro.joins.native.count_half`),
+        which adds each machine's counts straight into its total, so a run
+        is searched once for every machine reading it and nothing is built
+        per machine or per needle.  A group with no runs or no readers is
+        not searched: its readers count zero.
 
-        Returns ``(tasks, halves, blocks)``: ``halves[t]`` is task ``t``'s
-        half (0 for the original condition, 1 for the transposed one) and
-        ``blocks`` what :meth:`sums` folds the per-segment outputs with --
-        per searched group in task order, its readers and its run count.  A
-        group with no runs, or whose readers received no needles, has no
-        task: its readers count zero.
+        With ``seconds`` (a float per machine), each group is counted in
+        calls of its own, one per half, and their time is added to its
+        first reader's entry -- a real per-machine clock when every group is
+        one machine's, as a sticky worker's are (:meth:`RoutedSide.of`).  A
+        group whose readers received no needles is never timed.
         """
         self._conform(new1, new2)
         states1, states2 = self.states
@@ -342,56 +350,43 @@ class StateOwner:
         for states, new in ((states2, new2), (states1, new1)):
             for group, state in enumerate(states):
                 state.append_sorted(new.group_keys(group))
-        tasks: "list[tuple]" = []
-        halves: "list[int]" = []
-        blocks: "list[tuple[np.ndarray, int]]" = []
-        used: "tuple[dict, dict]" = ({}, {})
-        for half, needles, side, searched in (
-            (0, new1, 1, [state.runs for state in states2]),
-            (1, new2, 0, old_runs1),
+        totals = np.zeros(len(new1.starts), dtype=np.int64)
+        for condition, needles, side, searched in (
+            (conditions[0], new1, 1, [state.runs for state in states2]),
+            (conditions[1], new2, 0, old_runs1),
         ):
+            if not needles.keys.size:
+                continue
             layout = self.layouts[side]
+            # The runs' dtype -> the bounds they are searched with and the
+            # runs (one entry but for integer needles meeting float runs).
+            calls: "dict[np.dtype, tuple]" = {}
             for group, runs in enumerate(searched):
                 readers = layout.readers[group]
                 if not runs or not readers.size:
                     continue
-                if readers.size == needles.starts.size:  # every machine, ascending
-                    shares = segments(needles.starts, needles.stops)
-                else:
-                    shares = segments(needles.starts[readers], needles.stops[readers])
-                if not shares.busy.size:
-                    continue
-                for keys, cum in runs:
-                    clip = (
-                        (None, None)
-                        if layout.cut is None
-                        else self._cut(side, keys, used[side])
+                dtype = runs[0][0].dtype
+                if dtype not in calls:
+                    calls[dtype] = (*_bounds(condition, needles.keys, dtype), [])
+                lows, highs, tasks = calls[dtype]
+                mine = [
+                    (
+                        keys if keys.dtype == lows.dtype else keys.astype(np.float64),  # repro: ignore[KEY001]  # an integer run meets a condition's float bounds: searched as float64, as searchsorted would cast it
+                        cum,
+                        readers,
+                        layout.cut,
                     )
-                    tasks.append((needles.keys, keys, cum, (shares, *clip)))
-                halves += [half] * len(runs)
-                blocks.append((readers, len(runs)))
-        self._cuts = used
-        return tasks, halves, blocks
-
-    @staticmethod
-    def sums(
-        outputs: np.ndarray, blocks: "list[tuple[np.ndarray, int]]", machines: int
-    ) -> np.ndarray:
-        """Fold :meth:`fold`'s per-segment outputs into one total per machine.
-
-        Each block's tasks have one output per reader, run after run, so a
-        block is one ``(runs, readers)`` reshape summed over its runs; a
-        group's readers are distinct, so adding it into the totals is one
-        buffered fancy-index add.
-        """
-        totals = np.zeros(machines, dtype=outputs.dtype)
-        start = 0
-        for readers, runs in blocks:
-            stop = start + runs * len(readers)
-            totals[readers] += np.add.reduce(
-                outputs[start:stop].reshape(runs, len(readers)), axis=0
-            )
-            start = stop
+                    for keys, cum in runs
+                ]
+                if seconds is None:
+                    tasks += mine
+                elif (needles.stops[readers] > needles.starts[readers]).any():
+                    started = perf_counter()
+                    native.count_half(lows, highs, needles.starts, needles.stops, mine, totals)
+                    seconds[readers[0]] += perf_counter() - started
+            if seconds is None:
+                for lows, highs, tasks in calls.values():
+                    native.count_half(lows, highs, needles.starts, needles.stops, tasks, totals)
         return totals
 
     def evict(self, expired1: RoutedSide, expired2: RoutedSide) -> None:
@@ -421,7 +416,6 @@ class StateOwner:
                 for group, held in enumerate(states):
                     held.install(state.group_keys(group))
             self.layouts[side] = layout
-            self._cuts[side].clear()
 
     def _holds(self, side: int, state: RoutedSide) -> bool:
         """Whether ``side``'s state already is ``state``'s complete keys.
@@ -483,10 +477,10 @@ class ExecutionBackend(abc.ABC):
     batch :meth:`count_batch` / :meth:`evict_state`,
     :meth:`install_state` on a migration, resize or restore and
     :meth:`drain_channel_bytes` for byte metering.  The default keeps one
-    :class:`StateOwner` of every machine in-process and dispatches each
-    batch's search tasks through :meth:`join_regions` -- the single
-    abstract method, so an in-process backend only decides how a task list
-    is counted.  A backend that keeps the state elsewhere
+    :class:`StateOwner` of every machine in-process and counts each batch
+    with it (:meth:`StateOwner.count`).  :meth:`join_regions`, the single
+    abstract method, counts a list of region tasks statelessly.  A backend
+    that keeps the state elsewhere
     (:class:`StickyWorkerBackend`) or decorates another
     (:class:`SlowConsumerBackend`) overrides the whole protocol; overriding
     part of it leaves half the state remote, which the static analyser
@@ -551,16 +545,15 @@ class ExecutionBackend(abc.ABC):
         tasks: "list[tuple]",
         conditions: "list[JoinCondition]",
     ) -> RegionJoinResult:
-        """Join each ``(needles, run keys[, cum[, clip]])`` task; count exact output.
+        """Join each ``(needles, sorted keys[, cum])`` task; count exact output.
 
         Tasks with an empty side produce no output and must not be charged
-        any work.  ``conditions[t]`` is task ``t``'s condition
-        (:meth:`count_batch` mixes the original and transposed orientations
-        in one dispatch), and every task's second array is a sorted run of
-        the state, searched, never sorted.  ``per_machine_output`` holds
-        :func:`~repro.joins.local.count_regions`' outputs -- one per task,
-        or one per segment of a clipped task -- and ``per_machine_seconds``
-        one entry per task.
+        any work.  ``conditions[t]`` is task ``t``'s condition, and every
+        task's second array is sorted, searched, never sorted (a counted
+        run's ``cum`` makes each key count its multiplicity).
+        ``per_machine_output`` holds
+        :func:`~repro.joins.local.count_regions`' outputs and
+        ``per_machine_seconds`` its seconds, one entry per task each.
         """
 
     # ------------------------------------------------------------------
@@ -582,27 +575,21 @@ class ExecutionBackend(abc.ABC):
     def count_batch(self, new1: RoutedSide, new2: RoutedSide) -> RegionJoinResult:
         """Fold one batch's arrivals into the state; count its output delta.
 
-        ``new1`` / ``new2`` are the batch's routed sides.  The owner's
-        search tasks (:meth:`StateOwner.fold`: two halves, one task per run
-        searched) go through :meth:`join_regions` as one dispatch,
-        so the returned timings and serialization bytes are the backend's
-        own; no full-region recount ever happens.  Per-segment outputs are
-        summed back to their machines.  One pass counts every machine, so
-        ``per_machine_seconds`` is ``None``: no per-machine time was
-        measured.
+        ``new1`` / ``new2`` are the batch's routed sides.  The owner merges
+        them in and counts every machine at once (:meth:`StateOwner.count`:
+        two kernel calls, one per half), so no full-region recount ever
+        happens and nothing is dispatched per task.  One pass counts every
+        machine, so ``per_machine_seconds`` is ``None``: no per-machine
+        time was measured.
         """
         owner = self._bound_owner()
-        tasks, halves, blocks = owner.fold(new1, new2)
-        execution = self.join_regions(
-            tasks, [self._fold_conditions[half] for half in halves]
+        start = perf_counter()
+        outputs = owner.count(new1, new2, self._fold_conditions)
+        return RegionJoinResult(
+            per_machine_output=outputs,
+            per_machine_seconds=None,
+            wall_seconds=perf_counter() - start,
         )
-        # The execution is this dispatch's own: its per-task fields become
-        # per machine in place.
-        execution.per_machine_output = owner.sums(
-            execution.per_machine_output, blocks, len(new1.starts)
-        )
-        execution.per_machine_seconds = None
-        return execution
 
     def evict_state(self, expired1: RoutedSide, expired2: RoutedSide) -> int:
         """Tombstone the expired keys; return how many the machines held.
@@ -733,29 +720,15 @@ class _StickyWorkerState:
     def count(self, arrays: "list[np.ndarray]") -> "tuple[list[int], list[float]]":
         """Fold one batch's deltas in and count: per owned machine its output and seconds.
 
-        The owner's tasks (:meth:`StateOwner.fold`) are counted by
-        :func:`~repro.joins.local.count_regions` and summed per machine
-        here, in the worker, so the reply is two numbers per machine however
-        many runs the state holds.  Each group is one machine's
-        (:meth:`RoutedSide.of`), so every task of a block is its reader's
-        and the task seconds add up to real per-machine seconds.
+        The owner counts each owned machine on its own
+        (:meth:`StateOwner.count` with ``seconds``: each group is one
+        machine's, :meth:`RoutedSide.of`), two kernel calls per machine,
+        one per half, so the seconds are real per-machine seconds and the
+        reply is two numbers per machine however many runs the state holds.
         """
-        owner = self.owner
-        tasks, halves, blocks = owner.fold(*self._mine(arrays))
-        outputs, seconds = count_regions(
-            tasks, [self.conditions[half] for half in halves]
-        )
-        machine_of_task = np.repeat(
-            np.array([readers[0] for readers, _ in blocks], dtype=np.int64),
-            [runs for _, runs in blocks],
-        )
-        per_machine = np.bincount(
-            machine_of_task, weights=seconds, minlength=len(self.machines)
-        )
-        return (
-            owner.sums(outputs, blocks, len(self.machines)).tolist(),
-            per_machine.tolist(),
-        )
+        seconds = np.zeros(len(self.machines))
+        outputs = self.owner.count(*self._mine(arrays), self.conditions, seconds)
+        return outputs.tolist(), seconds.tolist()
 
     def evict(self, arrays: "list[np.ndarray]") -> None:
         """Tombstone each owned machine's expired keys."""
@@ -832,7 +805,7 @@ class StickyWorkerBackend(ExecutionBackend):
     that does not exist.  Nothing is ever read back: what a machine holds
     is derived engine-side from the arrival logs.  Counted outputs are
     bit-identical to :class:`SimulatedBackend`: the workers run the same
-    :class:`StateOwner` fold.  The messages carry per-machine arrays, so a
+    :class:`StateOwner` count.  The messages carry per-machine arrays, so a
     worker's owner holds a group per machine and times each machine's
     searches: a batch reports real per-machine seconds, and their sum per
     worker as ``worker_pids`` / ``worker_seconds``.

@@ -9,7 +9,11 @@ had before that, kept verbatim as the independent oracle
 inequality's comparison, and a transposed band that swaps the arguments of
 its base (``CompositeEquiBandCondition`` carried the band's copies, so it
 maps to :class:`Band`).  The inequality's float ``joinable_bounds`` is kept
-too, to pin production's bounds of finite float keys bit for bit.
+too, to pin production's bounds of finite float keys bit for bit, and so is
+the transposed band's: :func:`_band_lower_inverse` /
+:func:`_band_upper_inverse` are the numpy inverses (a few ``nextafter``
+nudges, then a memoised float-ordinal bisection) production computed before
+the compiled kernel's ``repro.joins.native.band_inverse``.
 
 :func:`reference_count` is the brute-force count over Python scalars
 (``tolist``), whose int/int and int/float comparisons are exact.
@@ -27,11 +31,152 @@ from repro.joins.conditions import (
     InequalityJoinCondition,
     InequalityOp,
     JoinCondition,
-    _band_lower_inverse,
-    _band_upper_inverse,
     _TransposedBandCondition,
 )
 from repro.sampling.equidepth import open_ends
+
+_INT64_MIN = np.int64(np.iinfo(np.int64).min)
+
+
+def _to_ordinal(x: np.ndarray) -> np.ndarray:
+    """Map float64s to int64 ordinals that preserve the numeric order.
+
+    Positive floats already sort by their bit patterns; negative floats
+    sort in reverse, so their bits are reflected (the classic
+    total-ordering trick).  The map is an involution with
+    :func:`_from_ordinal` (up to ``-0.0 == 0.0``).
+    """
+    bits = np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+    return np.where(bits >= 0, bits, _INT64_MIN - bits)
+
+
+def _from_ordinal(ordinal: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_to_ordinal`."""
+    bits = np.where(ordinal >= 0, ordinal, _INT64_MIN - ordinal)
+    return bits.view(np.float64)
+
+
+def _ordinal_midpoint(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Overflow-safe elementwise int64 midpoint with ``lo <= mid <= hi``."""
+    return (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+
+
+#: Memoised bisection results, keyed by (beta, key, is_lower).  Bisected
+#: keys are the rare scale-mismatch cases (e.g. ``k2 - beta`` near zero),
+#: and streams revisit the same hot key values batch after batch, so the
+#: cache turns the 66-iteration bisection into a dict hit from the second
+#: occurrence on.  Bounded; per process (workers build their own).
+_INVERSE_CACHE: dict[tuple[float, float, bool], float] = {}
+_INVERSE_CACHE_LIMIT = 65536
+
+
+def _bisect_inverse(pending: np.ndarray, beta: float, lower: bool) -> np.ndarray:
+    """Exact inverse band bounds by bisecting float *ordinals*.
+
+    For ``lower=True``: minimal ``x`` with ``fl(x + beta) >= k2``, bracket
+    ``(-inf`` unsatisfied, ``k2`` satisfied] -- rounding a real ``>= k2``
+    cannot fall below the representable ``k2``.  For ``lower=False``:
+    maximal ``x`` with ``fl(x - beta) <= k2``, bracket ``[k2`` satisfied,
+    ``+inf`` unsatisfied).  The whole float range spans fewer than 2**65
+    ordinals, so 66 halvings always reach a gap of one.
+    """
+    if lower:
+        lo = _to_ordinal(np.full_like(pending, -np.inf))
+        hi = _to_ordinal(pending)
+    else:
+        lo = _to_ordinal(pending)
+        hi = _to_ordinal(np.full_like(pending, np.inf))
+    for _ in range(66):
+        mid = _ordinal_midpoint(lo, hi)
+        x = _from_ordinal(mid)
+        satisfied = (x + beta) >= pending if lower else (x - beta) <= pending
+        if lower:
+            hi = np.where(satisfied, mid, hi)
+            lo = np.where(satisfied, lo, mid)
+        else:
+            lo = np.where(satisfied, mid, lo)
+            hi = np.where(satisfied, hi, mid)
+    return _from_ordinal(hi if lower else lo)
+
+
+def _bisect_cached(keys: np.ndarray, beta: float, lower: bool) -> np.ndarray:
+    """Deduplicated, memoised wrapper around :func:`_bisect_inverse`."""
+    unique, inverse = np.unique(keys, return_inverse=True)
+    out = np.empty(len(unique), dtype=np.float64)
+    misses = []
+    for position, key in enumerate(unique):
+        hit = _INVERSE_CACHE.get((beta, float(key), lower))  # repro: ignore[KEY001]  # cache is keyed by the float ordinal being bisected
+        if hit is None:
+            misses.append(position)
+        else:
+            out[position] = hit
+    if misses:
+        solved = _bisect_inverse(unique[misses], beta, lower)
+        for position, value in zip(misses, solved):
+            out[position] = value
+            if len(_INVERSE_CACHE) < _INVERSE_CACHE_LIMIT:
+                _INVERSE_CACHE[(beta, float(unique[position]), lower)] = float(
+                    value
+                )
+    return out[inverse]
+
+
+def _band_lower_inverse(keys2: np.ndarray, beta: float) -> np.ndarray:
+    """Smallest ``x`` per key with ``fl(x + beta) >= k2`` (exact inverse).
+
+    The band test from the R1 side is ``k2 <= fl(k1 + beta)``; seen from the
+    R2 side that is ``k1 >= L(k2)`` with ``L`` this inverse.  ``fl(k2 -
+    beta)`` is within a couple of ulps *of the sum's scale*, so a few
+    :func:`numpy.nextafter` nudges settle the common same-scale case; keys
+    whose own ulp is far smaller than the sum's (e.g. ``x`` near zero with a
+    large ``beta``) would need astronomically many single-ulp steps, so any
+    lane not settled falls back to a memoised float-ordinal bisection
+    (:func:`_bisect_cached`), guaranteed to terminate.
+    """
+    keys2 = np.asarray(keys2, dtype=np.float64)  # repro: ignore[KEY001]  # band inverse works in the keys' float64 image
+    x = keys2 - beta
+    for _ in range(4):
+        unsatisfied = (x + beta) < keys2
+        if unsatisfied.any():
+            x = np.where(unsatisfied, np.nextafter(x, np.inf), x)
+            continue
+        predecessor = np.nextafter(x, -np.inf)
+        movable = (predecessor + beta) >= keys2
+        if not movable.any():
+            return x
+        x = np.where(movable, predecessor, x)
+    settled = ((x + beta) >= keys2) & ((np.nextafter(x, -np.inf) + beta) < keys2)
+    if not settled.all():
+        x = x.copy()
+        pending = ~settled
+        x[pending] = _bisect_cached(keys2[pending], beta, lower=True)
+    return x
+
+
+def _band_upper_inverse(keys2: np.ndarray, beta: float) -> np.ndarray:
+    """Largest ``x`` per key with ``fl(x - beta) <= k2`` (exact inverse).
+
+    Mirror of :func:`_band_lower_inverse` for the ``fl(k1 - beta) <= k2``
+    half of the band test, with the same nudge-then-bisect structure.
+    """
+    keys2 = np.asarray(keys2, dtype=np.float64)  # repro: ignore[KEY001]  # band inverse works in the keys' float64 image
+    x = keys2 + beta
+    for _ in range(4):
+        unsatisfied = (x - beta) > keys2
+        if unsatisfied.any():
+            x = np.where(unsatisfied, np.nextafter(x, -np.inf), x)
+            continue
+        successor = np.nextafter(x, np.inf)
+        movable = (successor - beta) <= keys2
+        if not movable.any():
+            return x
+        x = np.where(movable, successor, x)
+    settled = ((x - beta) <= keys2) & ((np.nextafter(x, np.inf) - beta) > keys2)
+    if not settled.all():
+        x = x.copy()
+        pending = ~settled
+        x[pending] = _bisect_cached(keys2[pending], beta, lower=False)
+    return x
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Reference count kernels: one ``joinable_bounds`` pass per task, and one task in numpy.
+"""Reference count kernels: one ``joinable_bounds`` pass per task, and the kernel's loops in numpy.
 
 Test-only.  :func:`count_regions` and :func:`sum_halves` are the bodies
 ``repro.joins.local.count_regions`` and ``RegionStateTable.sum_halves`` had
@@ -11,7 +11,12 @@ per-task values are scattered into their halves with an unbuffered
 outputs and read the clock exactly as often -- twice per non-empty task, in
 task order.  :func:`count_task` is one task of the hoisted loop in numpy,
 as it counted before the compiled kernel (``repro.joins.native.count``),
-which ``tests/test_native_kernel.py`` holds to it bit for bit.
+and :func:`count_half` one half of a stream batch as the state owner
+counted it before ``repro.joins.native.count_half``: one task per run,
+its needles gathered segment by segment, clipped and summed per segment
+with ``reduceat``, then added into the machines' totals.
+``tests/test_native_kernel.py`` and ``tests/test_count_half.py`` hold the
+kernel to them bit for bit.
 
 ``perf_counter`` is looked up in this module's globals at call time, so a
 test can give the reference its own tick clock.
@@ -57,22 +62,42 @@ def sum_halves(num_machines: int, values: np.ndarray, owners: np.ndarray) -> np.
     return halves.reshape(-1, 2)
 
 
-def count_task(run, cum, lows, highs, clip, out: np.ndarray) -> None:
-    """Write one task's counts into ``out`` with numpy (``native.count``'s arguments).
+def count_task(run, cum, lows, highs, out: np.ndarray) -> None:
+    """Write one task's count into ``out[0]`` with numpy (``native.count``'s arguments).
 
-    Two ``searchsorted`` passes, the clip ufuncs, a gather and ``reduceat``.
+    Two ``searchsorted`` passes and a sum.
     """
-    if clip is None:
-        high, low = run.searchsorted(highs, "right"), run.searchsorted(lows, "left")
-        out[0] = (high - low).sum() if cum is None else (cum[high] - cum[low]).sum()
-        return
-    needles, clip_lows, clip_highs = clip
-    window = slice(needles.first, needles.last)
-    high = run.searchsorted(highs[window], "right")[needles.picked]
-    low = run.searchsorted(lows[window], "left")[needles.picked]
-    if clip_lows is not None:
-        np.maximum(low, clip_lows[needles.segment], out=low)
-        np.minimum(high, clip_highs[needles.segment], out=high)
-        np.maximum(high, low, out=high)
-    counts = high - low if cum is None else cum[high] - cum[low]
-    out[needles.busy] = np.add.reduceat(counts, needles.begins)
+    high, low = run.searchsorted(highs, "right"), run.searchsorted(lows, "left")
+    out[0] = (high - low).sum() if cum is None else (cum[high] - cum[low]).sum()
+
+
+def count_half(lows, highs, starts, stops, runs, out: np.ndarray) -> None:
+    """Add one half of a batch's per-machine counts into ``out`` (``native.count_half``'s arguments).
+
+    Per run, the readers' slices of it are cut by the slice rule (its
+    ``MachineSlices``, called), the readers' needle shares gathered segment
+    after segment (a needle two readers share appears in both), searched
+    with two ``searchsorted`` passes over the window they lie in, clipped to
+    each reader's slice, summed per reader with ``reduceat`` and added into
+    the readers' totals.
+    """
+    for keys, cum, readers, cut in runs:
+        first, last = starts[readers], stops[readers]
+        sizes = np.maximum(last - first, 0)
+        if not sizes.any():
+            continue
+        window = slice(first[sizes > 0].min(), last[sizes > 0].max())
+        ends = sizes.cumsum()
+        begins = ends - sizes
+        segment = np.arange(sizes.size).repeat(sizes)
+        picked = np.arange(ends[-1]) + (first - window.start - begins)[segment]
+        high = keys.searchsorted(highs[window], "right")[picked]
+        low = keys.searchsorted(lows[window], "left")[picked]
+        if cut is not None:
+            clip_lows, clip_highs = cut(keys)
+            np.maximum(low, clip_lows[: readers.size][segment], out=low)
+            np.minimum(high, clip_highs[: readers.size][segment], out=high)
+            np.maximum(high, low, out=high)
+        counts = high - low if cum is None else cum[high] - cum[low]
+        busy = sizes.nonzero()[0]
+        out[readers[busy]] += np.add.reduceat(counts, begins[busy])

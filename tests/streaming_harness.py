@@ -266,8 +266,8 @@ def assert_same_checkpoint_state(ours, theirs) -> int:
 #: are deliberately not fault points: they are
 #: bookkeeping commands whose failure modes the crash tests for real
 #: backends already cover.  (``join_regions`` is no longer
-#: one either: the engine never calls it on the backend it was given, only
-#: the in-process ``count_batch`` does, behind the ``count`` fault point.)
+#: one either: no protocol call dispatches through it, the in-process
+#: ``count_batch`` included.)
 FAULT_OPS = ("count", "evict", "install")
 
 

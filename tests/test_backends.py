@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core.weights import WeightFunction
+from repro.joins import native
 from repro.joins.conditions import BandJoinCondition
 from repro.joins.local import count_join_output
 from repro.streaming import (
@@ -244,7 +245,7 @@ class TestStickyWorkerState:
         arrays[2 * machine : 2 * machine + 2] = [keys1, keys2]
         return arrays
 
-    def test_count_replays_the_incremental_fold(self, rng):
+    def test_count_replays_the_incremental_fold(self, rng, monkeypatch):
         owner = StateOwner()
         worker = _StickyWorkerState()
         op, pid = worker.own((0,), BAND, BAND.transposed)
@@ -253,7 +254,15 @@ class TestStickyWorkerState:
         history2 = rng.uniform(0, 50, 60)
         state1 = SortedRegionState()
         state2 = SortedRegionState()
-        tasks_per_half = []
+        calls = []
+        count_half = native.count_half
+
+        def spy(lows, highs, starts, stops, runs, out):
+            calls.append((starts.tolist(), stops.tolist(), runs))
+            count_half(lows, highs, starts, stops, runs, out)
+
+        monkeypatch.setattr(native, "count_half", spy)
+        runs_per_half = []
         # 50, then 5, then 5 arrivals: the second batch stays its own run
         # (50 >= 8 * 5), so the third batch's second half searches two runs.
         for lo, hi in ((0, 50), (50, 55), (55, 60)):
@@ -266,38 +275,33 @@ class TestStickyWorkerState:
             if len(old_keys1):
                 expected += count_join_output(keys2, old_keys1, BAND.transposed)
             state1.insert(keys1)
-            # The owner hands back exactly those two searches, each split
-            # into one task per sorted run of the searched state, with the
-            # batch's sorted arrivals as needles -- and none for a half
-            # whose searched state is still empty ...
+            # The owner makes exactly those two searches, one kernel call
+            # per half over every sorted run of the searched state, the
+            # batch's sorted arrivals the needles -- and none for a half
+            # whose searched state is still empty.
             layout = [np.sort(keys1), np.sort(keys2)]
-            tasks, halves, blocks = owner.fold(
-                RoutedSide.of([layout[0]]), RoutedSide.of([layout[1]])
+            calls.clear()
+            outputs = owner.count(
+                RoutedSide.of([layout[0]]), RoutedSide.of([layout[1]]), (BAND, BAND.transposed)
             )
-            assert len(tasks) == len(halves) == sum(runs for _, runs in blocks)
-            assert halves == sorted(halves)  # half 0 first
-            for half, needles, searched in (
-                (0, keys1, state2.keys),
-                (1, keys2, old_keys1),
-            ):
-                mine = [task for task, owner_half in zip(tasks, halves) if owner_half == half]
-                for task_needles, run, _, (shares, lows, highs) in mine:
-                    np.testing.assert_array_equal(task_needles, np.sort(needles))
-                    assert shares.count == 1
-                    assert shares.picked.tolist() == list(range(len(needles)))
-                    assert lows is None and highs is None  # read whole
+            assert outputs.tolist() == [expected]
+            halves = [(keys1, state2.keys)] + [(keys2, old_keys1)] * bool(len(old_keys1))
+            assert len(calls) == len(halves)
+            for (starts, stops, runs), (needles, searched) in zip(calls, halves):
+                assert (starts, stops) == ([0], [len(needles)])
+                for run, _, readers, clip in runs:
+                    assert readers.tolist() == [0] and clip is None  # read whole
                     assert np.all(np.diff(run) >= 0)
                 expanded = [
-                    run if cum is None else np.repeat(run, np.diff(cum))
-                    for _, run, cum, _ in mine
-                ] or [old_keys1]
+                    run if cum is None else np.repeat(run, np.diff(cum)) for run, cum, _, _ in runs
+                ]
                 np.testing.assert_array_equal(np.sort(np.concatenate(expanded)), searched)
-            tasks_per_half.append(np.bincount(halves, minlength=2).tolist())
-            # ... and the worker counts them, summing the runs per machine.
+            runs_per_half.append([len(runs) for _, _, runs in calls] + [0] * (2 - len(calls)))
+            # ... and the worker counts them the same way, per machine.
             outputs, seconds = worker.count(layout)
             assert outputs == [expected]
             assert len(seconds) == 1 and seconds[0] >= 0.0
-        assert tasks_per_half == [[1, 0], [2, 1], [1, 2]]
+        assert runs_per_half == [[1, 0], [2, 1], [1, 2]]
         for held in (owner, worker.owner):
             np.testing.assert_array_equal(held.view(0, 0), state1.keys)
             np.testing.assert_array_equal(held.view(1, 0), state2.keys)
@@ -320,7 +324,7 @@ class TestStickyWorkerState:
         owner = StateOwner()
         keys = np.sort(rng.uniform(0, 50, 10))
         empty = keys[:0]
-        owner.fold(RoutedSide.of([keys, empty]), RoutedSide.of([keys, empty]))
+        owner.count(RoutedSide.of([keys, empty]), RoutedSide.of([keys, empty]), (BAND, BAND))
         expired = keys[[2, 5, 7]]
         # Three entries per side on machine 0, nothing on machine 1.
         owner.evict(RoutedSide.of([expired, empty]), RoutedSide.of([expired, empty]))
@@ -379,7 +383,7 @@ class TestStickyWorkerState:
         owner = StateOwner()
 
         def fold(arrays):
-            owner.fold(RoutedSide.of(arrays[:1]), RoutedSide.of(arrays[1:]))
+            owner.count(RoutedSide.of(arrays[:1]), RoutedSide.of(arrays[1:]), (BAND, BAND))
 
         for count, held in ((fold, owner), (worker.count, worker.owner)):
             segment = np.zeros(64)
@@ -415,23 +419,25 @@ class TestInProcessStateProtocol:
         ]
         return history1, history2, split
 
-    def test_count_batch_folds_and_dispatches_through_join_regions(self, rng):
+    def test_count_batch_makes_two_kernel_calls(self, rng, monkeypatch):
         history1, history2, split = self._traffic(rng)
-        dispatched = []
+        calls = []
+        count_half = native.count_half
 
-        class Spy(SimulatedBackend):
-            def join_regions(self, tasks, conditions):
-                dispatched.append((len(tasks), len(conditions)))
-                return super().join_regions(tasks, conditions)
+        def spy(lows, highs, starts, stops, runs, out):
+            calls.append(len(runs))
+            count_half(lows, highs, starts, stops, runs, out)
 
-        backend = Spy()
+        monkeypatch.setattr(native, "count_half", spy)
+        backend = SimulatedBackend()
         backend.bind(2, BAND, BAND.transposed)
         result = backend.count_batch(
             arrivals(split, history1), arrivals(split, history2)
         )
-        # One task per machine's group and run of the R2 state; the R1
-        # state was empty before the batch, so half 1 searches nothing.
-        assert dispatched == [(2, 2)]
+        # One call per half, over every machine's group and run of the R2
+        # state; the R1 state was empty before the batch, so half 1
+        # searches nothing and makes no call.
+        assert calls == [2]
         expected = [
             count_join_output(history1[idx], history2[idx], BAND)
             for idx in split
@@ -443,10 +449,14 @@ class TestInProcessStateProtocol:
         assert [len(owner.view(0, m)) for m in (0, 1)] == [40, 40]
         # A machine holding several runs holds their union, as a multiset.
         tail = [np.array([80], dtype=np.int64), np.empty(0, dtype=np.int64)]
+        calls.clear()
         backend.count_batch(
             arrivals(tail, np.append(history1, 1.0)),
             arrivals(tail, np.append(history2, 1.0)),
         )
+        # Both halves now: machine 0's two R2 runs and machine 1's one, then
+        # each machine's pre-batch R1 run.
+        assert calls == [3, 2]
         assert len(owner.states[0][0].runs) == 2
         np.testing.assert_array_equal(
             owner.view(0, 0), np.sort(np.append(history1[split[0]], 1.0))
@@ -931,6 +941,29 @@ class TestStickyBackendEquivalence:
         # bound against the pickling-pool baseline lives in
         # benchmarks/test_streaming_scaling.py).
         assert sticky.total_bytes_pickled < sticky.total_bytes_shm
+
+    def test_every_machine_is_timed_on_its_own_and_counts_as_simulated(self, runs):
+        """Per batch, one measured entry per machine and the simulated counts.
+
+        A sticky worker counts each of its machines in kernel calls of its
+        own, one per half, so ``per_machine_join_seconds`` stays a real
+        per-machine clock (what fitting the cost model to measured seconds
+        reads): every machine that counted output spent measured time, and
+        the counts are the in-process backend's, which measures none.
+        """
+        simulated, sticky = runs
+        timed = 0
+        for sim_batch, sticky_batch in zip(simulated.batches, sticky.batches):
+            delta = sticky_batch.per_machine_output_delta
+            if delta is None:
+                continue
+            np.testing.assert_array_equal(delta, sim_batch.per_machine_output_delta)
+            assert sim_batch.per_machine_join_seconds is None
+            seconds = sticky_batch.per_machine_join_seconds
+            assert seconds is not None and seconds.shape == delta.shape
+            assert (seconds >= 0).all() and (seconds[delta > 0] > 0).all()
+            timed += int((delta > 0).sum())
+        assert timed > 0
 
     def test_sticky_records_real_worker_timings(self, runs):
         _, sticky = runs

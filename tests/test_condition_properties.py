@@ -18,6 +18,8 @@ fractional float key is compared as a float.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -330,3 +332,77 @@ def test_the_nan_stream_counts_exactly_as_a_batch_join(condition, expected):
                 plan, keys1, keys2, condition, np.random.default_rng(1)
             )
         assert result.total_output == expected, plan
+
+
+#: The IEEE specials a condition meets on purpose: both infinities (a
+#: histogram's open ends, stream keys) and the largest double either way.
+EXTREMES = np.array([np.inf, -np.inf, np.finfo(float).max, -np.finfo(float).max, 0.0])
+
+
+@pytest.mark.parametrize("condition", CONDITIONS, ids=repr)
+def test_bounds_at_the_infinities_and_the_largest_double_raise_no_warning(condition):
+    """Strict steps past the largest double and the band inverses there.
+
+    ``nextafter(max, inf)`` is ``inf`` and the transposed band's inverse of
+    ``+-inf`` and ``+-max`` steps past ``max``: none may warn, and every
+    bound is the reference's, bit for bit (the reference's own numpy
+    nudges overflow, so its warnings are silenced here).
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = condition.joinable_bounds(EXTREMES)
+        counted = count_join_output(EXTREMES, EXTREMES, condition)
+    with np.errstate(all="ignore"):
+        theirs = reference(condition).joinable_bounds(EXTREMES)
+    joins = ~np.isnan(ours[0])  # keys that join nothing get the empty interval
+    for mine, expected in zip(ours, theirs):
+        np.testing.assert_array_equal(mine[joins].view(np.int64), expected[joins].view(np.int64))
+    assert counted == reference_count(condition, EXTREMES.tolist(), EXTREMES.tolist())
+
+
+@pytest.mark.parametrize("condition", CONDITIONS, ids=repr)
+def test_a_grid_between_infinite_edges_raises_no_warning(condition):
+    """``inf - inf`` between a cell's edges is NaN, and such a cell stays a candidate."""
+    edges = np.array([-np.inf, -np.finfo(float).max, 0.0, np.finfo(float).max, np.inf])
+    cells = edges[:-1], edges[1:], edges[:-1], edges[1:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = condition.candidate_grid(*cells)
+    with np.errstate(all="ignore"):
+        expected = reference(condition).candidate_grid(*cells)
+    np.testing.assert_array_equal(grid, expected)
+    assert grid[-1, -1] and grid[0, 0]  # [max, inf] x [max, inf], [-inf, -max] x [-inf, -max]
+
+
+BETAS = [0.0, 0.3, 1.0, 2.5, 1e16, 1e300, 5e-324, 1e-310, np.finfo(float).max, np.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    beta=st.sampled_from(BETAS),
+    keys=st.lists(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, np.inf, -np.inf])
+        | st.sampled_from([np.finfo(float).max, -np.finfo(float).max, 2.0**53, 1e-300])
+        | st.floats(allow_nan=False)
+        | st.integers(-3, 3).map(float),
+        max_size=24,
+    ),
+)
+def test_the_band_inverse_kernel_is_the_numpy_inverse(beta, keys):
+    """Bit for bit: keys of every scale, the band width itself and its
+    negation and their neighbours (where a nudge cannot settle and the
+    kernel bisects), the infinities and the largest double, for widths from
+    zero through subnormal to infinite.  No warning from the kernel."""
+    if np.isfinite(beta):
+        with np.errstate(over="ignore"):
+            for edge in (beta, -beta):
+                keys += [edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf)]
+    keys = np.array(keys, dtype=np.float64)
+    condition = BandJoinCondition(beta=beta).transposed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = condition.joinable_bounds(keys)
+    with np.errstate(all="ignore"):
+        theirs = reference(condition).joinable_bounds(keys)
+    for mine, expected in zip(ours, theirs):
+        np.testing.assert_array_equal(mine.view(np.int64), expected.view(np.int64))

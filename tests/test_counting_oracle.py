@@ -6,13 +6,14 @@ condition per dispatch, every task searching with its slice) and the
 ``np.add.at`` scatter the per-machine halves were summed with.  The rewrite
 must be invisible: equal per-task outputs for every condition and key
 dtype, whatever tasks share a dispatch, and the clock read exactly as often
--- twice per non-empty task -- so tick-clock traces do not move.  A
-*clipped* task (needle segments, each seeing one slice of the run) must
-count per segment what the reference counts on that segment's needles
-against that slice of the run.  Both streaming owners of the kernel are
-driven batch after batch -- ``SimulatedBackend`` and an in-process
-``_StickyWorkerState`` -- against the per-machine table kept in
-``tests/reference_state.py`` (the batch simulator's use of the kernel is
+-- twice per non-empty task -- so tick-clock traces do not move.  A stream
+batch's half (``native.count_half``: reader segments of the needles, each
+seeing one slice of each run) must count per reader what the reference
+counts on that reader's needles against that slice of the runs.  Both
+streaming owners of the kernel are driven batch after batch --
+``SimulatedBackend`` and an in-process ``_StickyWorkerState`` -- against the
+per-machine table kept in ``tests/reference_state.py``, with their clock
+reads (the batch simulator's use of the kernel is
 ``tests/test_cluster_oracle.py``'s subject).
 """
 
@@ -40,8 +41,11 @@ from reference_state import RegionStateTable, state_layout
 from repro.obs.trace import TickClock
 from repro.streaming import SimulatedBackend
 from repro.joins import local as kernel
+from repro.joins import native
+from repro.joins.conditions import normalise_keys
 from repro.streaming import backends as production
-from repro.streaming.backends import _StickyWorkerState
+from repro.partitioning.grid_routed import MachineSlices
+from repro.streaming.backends import _StickyWorkerState, _bounds
 
 BAND = BandJoinCondition(beta=2.0)  # integral: exact on int64 keys above 2**53
 NARROW = BandJoinCondition(beta=0.3)
@@ -148,45 +152,52 @@ def test_join_regions_counts_what_the_per_task_kernel_counts(seed, num_tasks):
 def test_a_clipped_task_counts_each_segment_on_its_slice(
     seed, style, condition, counted, runs
 ):
-    """Per segment: the reference's count of its needles against its run slice.
+    """Per reader: the reference's count of its needles against its run slice.
 
-    Segments overlap, nest, repeat and are empty; slices are empty, whole,
-    or anywhere in the run; runs are counted (negative counts too) or
-    fresh.  The clock is read twice per task with any needle, never per
-    segment.
+    One half of a batch as the state owner counts it
+    (:func:`repro.joins.native.count_half`, bounded as the owner bounds
+    them), against the reference's per-task loop over every reader's needle
+    segment and its slice of each run.  Segments overlap, nest, repeat and
+    are empty; slices are empty, whole, or anywhere in the run; runs are
+    counted (negative counts too) or fresh, and of any key style, so
+    integer needles meet float runs.
     """
     rng = np.random.default_rng(seed)
     needles = np.sort(_draw_keys(rng, style, int(rng.choice([1, 7, 60]))))
     segments = int(rng.integers(1, 6))
     starts = rng.integers(0, len(needles) + 1, segments)
     stops = np.minimum(starts + rng.integers(0, len(needles) + 1, segments), len(needles))
-    shares = kernel.segments(starts, stops)
-    tasks, expected_tasks, widths = [], [], []
+    readers = np.arange(segments, dtype=np.int64)
+    tasks, expected_tasks = [], []
+    run_style = style if rng.random() < 0.5 else rng.choice(KEY_STYLES)
+    dtype = normalise_keys(_draw_keys(rng, run_style, 0)).dtype
+    lows, highs = _bounds(condition, needles, dtype)
+    # Key ranges as an EWH plan's slice rule cuts them: a cut pair per
+    # reader, or an open end (0 or the run's length).
+    cut_keys = np.sort(normalise_keys(_draw_keys(rng, run_style, 2 * segments))).astype(np.float64)
+    first = np.where(rng.random(segments) < 0.2, 2 * segments, np.arange(segments))
+    last = np.where(rng.random(segments) < 0.2, 2 * segments + 1, segments + np.arange(segments))
+    slices = MachineSlices(np.concatenate([cut_keys[::2], cut_keys[1::2]]), first, last)
     for _ in range(runs):
-        run = np.sort(_draw_keys(rng, style, int(rng.choice([1, 5, 50]))))
+        run = np.sort(normalise_keys(_draw_keys(rng, run_style, int(rng.choice([1, 5, 50])))))
         cum = None
         if counted:
             cum = np.concatenate([[0], np.cumsum(rng.integers(-2, 4, len(run)))])
-        lows = rng.integers(0, len(run) + 1, segments)
-        highs = np.maximum(lows, rng.integers(0, len(run) + 1, segments))
-        clip = (None, None) if rng.random() < 0.3 else (lows, highs)
-        tasks.append((needles, run, cum, (shares, *clip)))
+        cut = None if rng.random() < 0.3 else slices
+        searched = run if run.dtype == lows.dtype else run.astype(np.float64)
+        tasks.append((searched, cum, readers, cut))
+        clip_lows, clip_highs = slices(run)
         for start, stop, low, high in zip(
-            starts.tolist(), stops.tolist(), lows.tolist(), highs.tolist()
+            starts.tolist(), stops.tolist(), clip_lows.tolist(), clip_highs.tolist()
         ):
-            if clip[0] is None:
+            if cut is None:
                 low, high = 0, len(run)
             sliced = None if cum is None else cum[low : high + 1] - cum[low]
             expected_tasks.append((needles[start:stop], run[low:high], sliced))
-        widths.append(segments)
-    with tick_clocks() as (ours_clock, reference_clock):
-        outputs, _ = kernel.count_regions(tasks, [condition] * len(tasks))
-        expected, _ = reference.count_regions(
-            expected_tasks, [condition] * len(expected_tasks)
-        )
-    np.testing.assert_array_equal(outputs, expected)
-    busy = int((stops > starts).any())
-    assert ours_clock.reads == 2 * busy * runs
+    outputs = np.zeros(segments, dtype=np.int64)
+    native.count_half(lows, highs, starts, stops, tasks, outputs)
+    expected, _ = reference.count_regions(expected_tasks, [condition] * len(expected_tasks))
+    np.testing.assert_array_equal(outputs, expected.reshape(runs, segments).sum(axis=0))
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +254,8 @@ def test_a_fold_counts_what_the_per_task_kernel_counts(
     fold_conditions = (condition, condition.transposed)
     history1 = history2 = _draw_keys(rng, style, 0)
     held = [[np.empty(0, dtype=np.int64)] * machines for _ in range(2)]
-    with tick_clocks() as (ours_clock, reference_clock):
+    reads = 0
+    with tick_clocks() as (ours_clock, _):
         for batch in range(1, batches + 1):
             if rng.random() < 0.5:
                 expired = []
@@ -282,7 +294,14 @@ def test_a_fold_counts_what_the_per_task_kernel_counts(
             assert rows == (
                 reference.sum_halves(machines, outputs, owners).sum(axis=1).tolist()
             )
-            # join_regions' own pair around each dispatch is the only
-            # difference in clock reads the two owners may show.
-            extra = 2 * batch if owner is _count_simulated else 0
-            assert ours_clock.reads - extra == reference_clock.reads
+            # The simulated backend reads the clock twice per batch, around
+            # the whole count; a sticky worker twice around each machine's
+            # call per half with needles and runs to search, where the
+            # reference reads it twice per run searched.
+            if owner is _count_simulated:
+                reads += 2
+            else:
+                reads += 2 * len(
+                    {slot for task, slot in zip(tasks, owners.tolist()) if len(task[0]) and len(task[1])}
+                )
+            assert ours_clock.reads == reads

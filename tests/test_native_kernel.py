@@ -1,16 +1,16 @@
 """Differential tests: the compiled kernel against the numpy code it replaced.
 
-``repro.joins.native`` runs one task of ``count_regions`` (search, clip,
-per-segment sum) and one run merge of ``SortedRegionState`` in C.  The
-numpy bodies it replaced are the reference here:
-``reference_counting.count_task`` and ``reference_state.merge_sorted``.
-Per-segment outputs must be equal and merged runs equal **byte for byte**
-(keys and cumulative counts), over float64 and int64 keys with NaN (two
-payloads), +-inf, -0.0 and 0.0, the int64 extremes and 2**53 + 1; unsorted
-needles and bounds in any order; empty runs, needles and segments; fresh,
-counted and tombstone runs; clips that cut a run to nothing.  Inputs the
-kernel does not take -- other dtypes, strided arrays, indices out of range
--- raise by name and leave everything untouched; read-only inputs are read.
+``repro.joins.native`` runs one task of ``count_regions`` (search and sum)
+and one run merge of ``SortedRegionState`` in C.  The numpy bodies it
+replaced are the reference here: ``reference_counting.count_task`` and
+``reference_state.merge_sorted``.  Outputs must be equal and merged runs
+equal **byte for byte** (keys and cumulative counts), over float64 and int64
+keys with NaN (two payloads), +-inf, -0.0 and 0.0, the int64 extremes and
+2**53 + 1; unsorted needles and bounds in any order; empty runs and
+needles; fresh, counted and tombstone runs.  Inputs the kernel does not
+take -- other dtypes and sizes, strided arrays -- raise by name and leave
+everything untouched; read-only inputs are read.  (A stream batch's count,
+``native.count_half``, is ``tests/test_count_half.py``'s subject.)
 Coarsening's sweep (``native.sweep_rows``) is held to the numpy sweep and
 the row loop of ``tests/reference_planner.py`` in
 ``tests/test_planner_oracle.py``; here are the inputs it refuses and the
@@ -37,7 +37,7 @@ from hypothesis import strategies as st
 from reference_planner import numpy_sweep_rows
 
 from repro.core.weights import WeightFunction
-from repro.joins import local, native
+from repro.joins import native
 from repro.streaming import incremental
 
 #: A NaN with the sign bit set: a second payload, so a merge that kept the
@@ -87,35 +87,20 @@ def _run(rng: np.random.Generator, dtype: str, kind: str, size: int):
     seed=st.integers(0, 2**32 - 1),
     dtype=st.sampled_from(["float", "int"]),
     kind=st.sampled_from(["fresh", "counted", "tombstone"]),
-    clip=st.sampled_from(["none", "whole", "cut"]),
     size=st.sampled_from([0, 1, 2, 9, 60]),
     needles=st.sampled_from([0, 1, 3, 40]),
 )
-@example(seed=1, dtype="float", kind="counted", clip="cut", size=0, needles=3)
-@example(seed=2, dtype="int", kind="tombstone", clip="none", size=1, needles=0)
-def test_a_task_counts_what_numpy_counts(seed, dtype, kind, clip, size, needles):
+@example(seed=1, dtype="float", kind="counted", size=0, needles=3)
+@example(seed=2, dtype="int", kind="tombstone", size=1, needles=0)
+def test_a_task_counts_what_numpy_counts(seed, dtype, kind, size, needles):
     """Any bounds (NaN, +-inf, low above high), in any order, on any run."""
     rng = np.random.default_rng(seed)
     run, cum = _run(rng, dtype, kind, size)
     lows = _keys(rng, dtype, needles)
     highs = np.where(rng.random(needles) < 0.8, np.maximum(lows, _keys(rng, dtype, needles)), lows)
-    task_clip = None
-    if clip != "none" and needles:
-        segments = int(rng.integers(1, 6))
-        starts = rng.integers(0, needles + 1, segments)
-        stops = np.minimum(starts + rng.integers(0, needles + 1, segments), needles)
-        shares = local.segments(starts, stops)
-        cut = (None, None)
-        if clip == "cut":  # anywhere in the run, nothing of it included
-            clip_lows = rng.integers(0, size + 1, segments)
-            clip_highs = rng.integers(0, size + 1, segments)
-            cut = (clip_lows, np.where(rng.random(segments) < 0.2, clip_lows, clip_highs))
-        task_clip = (shares, *cut)
-    width = 1 if task_clip is None else task_clip[0].count
-    ours, theirs = np.full(width, -7, dtype=np.int64), np.zeros(width, dtype=np.int64)
-    native.count(run, cum, lows, highs, task_clip, ours)
-    if task_clip is None or task_clip[0].busy.size:
-        reference_counting.count_task(run, cum, lows, highs, task_clip, theirs)
+    ours, theirs = np.full(1, -7, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    native.count(run, cum, lows, highs, ours)
+    reference_counting.count_task(run, cum, lows, highs, theirs)
     np.testing.assert_array_equal(ours, theirs)
 
 
@@ -159,9 +144,9 @@ def test_a_tombstone_cancels_what_it_expires():
 
 
 def test_inputs_it_does_not_take_raise():
-    """Other dtypes and sizes, strided arrays, out-of-range indices, a
-    read-only output: a ``TypeError`` / ``ValueError`` naming the input,
-    nothing written.  Read-only inputs are read."""
+    """Other dtypes and sizes, strided arrays, a read-only output: a
+    ``TypeError`` / ``ValueError`` naming the input, nothing written.
+    Read-only inputs are read."""
     run = np.arange(10.0)
     lows, highs = np.arange(4.0), np.arange(4.0) + 2
     out = np.full(1, -7, dtype=np.int64)
@@ -176,27 +161,14 @@ def test_inputs_it_does_not_take_raise():
     ]
     for error, message, args in refused:
         with pytest.raises(error, match=message):
-            native.count(*args, None, out)
+            native.count(*args, out)
     with pytest.raises(TypeError, match="out is int32"):
-        native.count(run, None, lows, highs, None, out.astype(np.int32))
+        native.count(run, None, lows, highs, out.astype(np.int32))
     with pytest.raises(ValueError, match="out is read-only"):
-        native.count(run, None, lows, highs, None, frozen_out)
+        native.count(run, None, lows, highs, frozen_out)
+    with pytest.raises(ValueError, match="no entry for the task"):
+        native.count(run, None, lows, highs, out[:0])
     assert out.tolist() == [-7]
-
-    shares = local.segments(np.array([0, 2]), np.array([3, 4]))
-    outs = np.full(2, -7, dtype=np.int64)
-    stray = shares._replace(picked=shares.picked + 10)
-    refused = [
-        ("outside", (shares, np.array([0, 4]), np.array([5, 11])), outs),  # 10 keys
-        ("outside", (stray, None, None), outs),
-        ("need 2 entries each", (shares, np.array([0]), np.array([5])), outs),
-        ("1 entries for 2 segments", (shares, None, None), outs[:1]),
-        ("no entry for the task", None, outs[:0]),
-    ]
-    for message, clip, target in refused:
-        with pytest.raises(ValueError, match=message):
-            native.count(run, None, lows, highs, clip, target)
-    assert outs.tolist() == [-7, -7]
 
     with pytest.raises(TypeError, match="run keys are float32"):
         native.merge([(run.astype(np.float32), None)])
@@ -211,8 +183,8 @@ def test_inputs_it_does_not_take_raise():
     for array in read_only:
         array.flags.writeable = False
     expected = np.zeros(1, dtype=np.int64)
-    reference_counting.count_task(run, None, lows, highs, None, expected)
-    native.count(read_only[0], None, *read_only[1:], None, out)
+    reference_counting.count_task(run, None, lows, highs, expected)
+    native.count(read_only[0], None, *read_only[1:], out)
     assert out.tolist() == expected.tolist()
     runs = [(read_only[0], None), (run, -np.arange(11, dtype=np.int64))]
     assert native.merge(runs) is None is reference_state.merge_sorted(runs)
@@ -366,7 +338,7 @@ def _import_kernel(package: Path, probe: str = IMPORT_PROBE, **environment: str)
 def test_without_a_compiler_the_import_says_why(tmp_path):
     """``CC=false``, or a compiler that fails: the import raises
     ``KernelUnavailable`` with the compiler's argv, exit status and stderr."""
-    source = Path(local.__file__).resolve().parents[2]
+    source = Path(native.__file__).resolve().parents[2]
     said = _import_kernel(source, CC="false")
     assert said.startswith("KernelUnavailable ['false', '-O2', '-ffp-contract=off'")
     assert "exited with status 1; stderr: (empty)" in said

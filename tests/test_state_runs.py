@@ -31,7 +31,7 @@ from reference_state import (
     resident_indices,
 )
 from reference_state import SortedRegionState as ReferenceState
-from streaming_harness import multiset_difference
+from streaming_harness import interpreter_calls, multiset_difference
 from test_migration_oracle import MACHINES as FLEET
 from test_migration_oracle import _drifting_batches
 from test_migration_oracle import _engine as _drifting_engine
@@ -43,6 +43,7 @@ from repro.joins.conditions import (
     InequalityJoinCondition,
     InequalityOp,
 )
+from repro.joins import native
 from repro.joins.local import count_join_output
 from repro.streaming import (
     ArrivalLog,
@@ -54,6 +55,8 @@ from repro.streaming import (
     StreamingJoinEngine,
 )
 from repro.streaming import incremental
+from repro.partitioning.grid_routed import MachineSlices
+from repro.streaming.backends import RoutedSide, SideLayout, StateOwner
 from repro.streaming.incremental import RUN_MERGE_RATIO
 from repro.streaming.window import ExponentialDecayWindow, SlidingWindow, drop_expired
 
@@ -63,6 +66,7 @@ CONDITIONS = [
     InequalityJoinCondition(InequalityOp.LE),
 ]
 MACHINES = (0, 1)
+BAND = BandJoinCondition(beta=1.0)
 
 
 # ----------------------------------------------------------------------
@@ -358,10 +362,14 @@ def test_a_steady_batch_stays_call_light():
     owner's few runs once for all eight machines, clipped to each machine's
     key range, where it searched every machine's runs (about 3 search
     tasks per batch instead of 2 x 8 x runs), and a batch appends and
-    tombstones one run per side instead of sixteen.  The bound is that plus
-    10%, 480.  And the bounds themselves are computed at most twice per
-    ``count_batch``, once per condition, however many runs the fold
-    searched.
+    tombstones one run per side instead of sixteen (bound 480).  Counting
+    each half in one kernel call -- each machine's slice cut from each run,
+    its needles searched and its counts summed into its total in C, the
+    transposed band's exact inverse bounds one more call -- makes it about
+    324: no search task, cut or reshape-sum per run, no gathered segments.
+    The bound is that plus 10%, 356.  And every batch computes its bounds
+    exactly twice and calls the count kernel exactly twice, once per half,
+    however many runs it searched.
     """
     rng = np.random.default_rng([14, 1])
     values = rng.permutation(2_000)
@@ -389,17 +397,18 @@ def test_a_steady_batch_stays_call_light():
     for batch in batches[:64]:
         engine.process_batch(batch)
 
-    calls = bounds = tasks = gathers = sorts = 0
+    calls = bounds = kernels = runs = gathers = sorts = 0
 
     def profiler(frame, event, arg):
-        nonlocal calls, bounds, tasks, gathers, sorts
+        nonlocal calls, bounds, kernels, runs, gathers, sorts
         if event == "call":
             calls += 1
             name = frame.f_code.co_name
             if name == "joinable_bounds":
                 bounds += 1
-            elif name == "join_regions":
-                tasks += len(frame.f_locals["tasks"])
+            elif name == "count_half":
+                kernels += 1
+                runs += len(frame.f_locals["runs"])
             elif name == "__getitem__" and isinstance(
                 frame.f_locals.get("self"), ArrivalLog
             ):
@@ -412,13 +421,14 @@ def test_a_steady_batch_stays_call_light():
     previous = sys.getprofile()
     route_sorts = 0
     for batch in batches[64:]:
-        bounds = gathers = sorts = 0
+        bounds = kernels = gathers = sorts = 0
         sys.setprofile(profiler)
         try:
             engine.process_batch(batch)
         finally:
             sys.setprofile(previous)
-        assert 1 <= bounds <= 2
+        # One bounds pass and one kernel call per half.
+        assert bounds == kernels == 2
         # The router sorts the keys of each side of the batch once, and of
         # each side's expired slice once, and hands out slices: the expired
         # keys are the only thing gathered out of the logs, and a run merge
@@ -430,15 +440,15 @@ def test_a_steady_batch_stays_call_light():
     measured = len(batches) - 64
     print(
         f"steady route + count + evict stages: {calls / measured:.0f} calls per "
-        f"batch over {tasks / measured:.1f} search tasks, {route_sorts / measured:.0f} "
-        "sorts, 2 gathers from the arrival logs"
+        f"batch, 2 kernel calls over {runs / measured:.1f} runs, "
+        f"{route_sorts / measured:.0f} sorts, 2 gathers from the arrival logs"
     )
     # A few runs per side, each searched once for every machine.
-    assert 2 * measured <= tasks <= 4 * measured
-    assert calls / measured <= 480
+    assert 2 * measured <= runs <= 4 * measured
+    assert calls / measured <= 356
 
 
-def test_a_growth_batch_searches_distinct_keys():
+def test_a_growth_batch_searches_distinct_keys(monkeypatch):
     """A deterministic proxy for what counted runs save: no clock, no ``perf/``.
 
     The ``stream_growth`` shape scaled down -- J = 8, Zipf(0.5) keys, an
@@ -457,13 +467,14 @@ def test_a_growth_batch_searches_distinct_keys():
     mass = 1.0 / np.arange(1, 5_001) ** 0.5
     mass /= mass.sum()
     searched: "list[int]" = []
+    count_half = native.count_half
 
-    class Searching(SimulatedBackend):
-        def join_regions(self, tasks, conditions):
-            searched.append(sum(len(task[1]) for task in tasks))
-            return super().join_regions(tasks, conditions)
+    def searching(lows, highs, starts, stops, runs, out):
+        searched[-1] += sum(len(keys) for keys, *_ in runs)
+        count_half(lows, highs, starts, stops, runs, out)
 
-    backend = Searching()
+    monkeypatch.setattr(native, "count_half", searching)
+    backend = SimulatedBackend()
 
     engine = StreamingJoinEngine(
         8,
@@ -478,6 +489,7 @@ def test_a_growth_batch_searches_distinct_keys():
         distinct = sum(
             len(np.unique(state.keys)) for states in backend._owner.states for state in states
         )
+        searched.append(0)
         metrics = engine.process_batch(
             MicroBatch(
                 index,
@@ -496,6 +508,61 @@ def test_a_growth_batch_searches_distinct_keys():
         f"{metrics.resident_tuples:,} resident tuples "
         f"({searched[-1] / metrics.resident_tuples:.1%})"
     )
+
+
+def _growth_owner(machines: int, runs: int):
+    """A state owner in ``stream_growth``'s layout, each side ``runs`` runs, and a batch.
+
+    One group every machine reads through its key range (an EWH grid plan's
+    slice rule over 20,000 values cut into ``machines`` equal ranges), the
+    state a counted run of 100,000 distinct keys per side and, for three
+    runs, two younger runs of 10,000 and 1,000 keys that the cascade leaves
+    alone.  The batch has 100 arrivals per side, which become a run of
+    their own too, so a count merges nothing, whatever the runs.
+    """
+    rng = np.random.default_rng([46, machines, runs])
+    bounds = np.linspace(0.0, 20_000.0, machines + 1)
+    regions = np.arange(machines)
+    slices = MachineSlices(
+        np.concatenate([bounds[:-1], bounds[1:]]),
+        np.where(regions == 0, 2 * machines, regions),
+        np.where(regions == machines - 1, 2 * machines + 1, machines + regions),
+    )
+    layout = SideLayout([np.arange(machines, dtype=np.int64)], slices, whole=True)
+
+    def routed(size):
+        keys = np.sort(rng.uniform(0.0, 20_000.0, size))
+        return RoutedSide(keys, *slices(keys), layout)
+
+    owner = StateOwner()
+    owner.install(routed(100_000), routed(100_000))
+    for size in (10_000, 1_000)[: runs - 1]:
+        owner.count(routed(size), routed(size), (BAND, BAND.transposed))
+    assert [len(states[0].runs) for states in owner.states] == [runs, runs]
+    return owner, routed(100), routed(100)
+
+
+def test_a_batch_count_makes_the_same_calls_at_any_fleet_size_and_run_count():
+    """A deterministic proxy for the count's fixed cost: no clock, no ``perf/``.
+
+    A ``stream_growth``-shaped batch's count (``StateOwner.count``: merge
+    the arrivals in, bound each half once, one kernel call per half) makes
+    the same interpreter calls at J = 8 and J = 16, and with one run per
+    side or three: the kernel cuts each machine's slice from each run and
+    sums it into the machine's total, so nothing in the interpreter is done
+    per machine or per run.  (A count made one search task per run, each a
+    kernel call with its own wrapper, a cut and a reshape-sum per group,
+    before both halves became one kernel call each.)
+    """
+    calls = {}
+    for machines in (8, 16):
+        for runs in (1, 3):
+            owner, new1, new2 = _growth_owner(machines, runs)
+            _, calls[machines, runs] = interpreter_calls(
+                owner.count, new1, new2, (BAND, BAND.transposed)
+            )
+    print(f"a growth batch's count: {calls} interpreter calls (J, runs per side)")
+    assert len(set(calls.values())) == 1
 
 
 def test_nothing_keeps_a_second_copy_of_the_state(rng):
