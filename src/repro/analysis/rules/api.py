@@ -3,22 +3,20 @@
 The engine touches join state only through the backend's state-ownership
 protocol (``bind`` → per-batch ``count_batch`` / ``evict_state`` /
 ``install_state``, plus ``drain_channel_bytes``).  The base class
-implements all of it in-process on top of the one abstract method,
-``join_regions``; a backend that keeps the state elsewhere (sticky workers,
-a forwarding test double) overrides the protocol instead.  Overriding
-*part* of it is the bug: a backend whose ``count_batch`` ships arrivals to
-remote workers while the inherited ``evict_state`` trims an empty
-in-process table is half remote, and it only fails at run time on the first
-stream that happens to evict or migrate.  Calling the per-batch operations
+implements all of it in-process; a backend that keeps the state elsewhere
+(sticky workers, a forwarding test double) overrides the protocol
+instead.  Overriding *part* of it is the bug: a backend whose
+``count_batch`` ships arrivals to remote workers while the inherited
+``evict_state`` trims an empty in-process table is half remote, and it
+only fails at run time on the first stream that happens to evict or
+migrate.  Calling the per-batch operations
 before ``bind`` is a latent ordering bug of the same kind.  This rule
 rejects both statically:
 
-* every class that directly subclasses ``ExecutionBackend`` must define
-  ``join_regions`` in its own body (the abstract method made locally
-  visible — intermediate bases like the test-double forwarding backend are
-  subclassed by name, not re-checked);
-* a direct subclass that overrides *any* state-protocol method must
-  override *all* of them;
+* a class that directly subclasses ``ExecutionBackend`` and overrides
+  *any* state-protocol method must override *all* of them (intermediate
+  bases like the test-double forwarding backend are subclassed by name,
+  not re-checked);
 * within one function body, the first ``.bind(...)`` call must precede the
   first per-batch protocol call (``count_batch``/``evict_state``/
   ``install_state``) — functions using only one side of the protocol are
@@ -36,8 +34,8 @@ from repro.analysis.engine import Rule, SourceContext, Violation
 __all__ = ["BackendProtocolRule"]
 
 #: The state-ownership protocol surface: override one, override all.  The
-#: public methods of ``ExecutionBackend`` minus ``join_regions`` and
-#: ``close`` (``tests/test_analysis.py`` holds the two equal).
+#: public methods of ``ExecutionBackend`` minus ``close``
+#: (``tests/test_analysis.py`` holds the two equal).
 STATE_PROTOCOL = (
     "bind",
     "count_batch",
@@ -56,8 +54,8 @@ class BackendProtocolRule(Rule):
     rule_id = "API001"
     name = "backend protocol surface"
     description = (
-        "ExecutionBackend subclasses must define join_regions and override "
-        "the state-ownership protocol wholly or not at all, and call sites "
+        "ExecutionBackend subclasses must override the state-ownership "
+        "protocol wholly or not at all, and call sites "
         "must bind before count_batch/evict_state in a function body"
     )
     target_node_types = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
@@ -104,14 +102,6 @@ class BackendProtocolRule(Rule):
         if "ExecutionBackend" not in self._base_names(node):
             return
         defined = self._defined(node)
-        if "join_regions" not in defined:
-            yield Violation(
-                node,
-                f"backend {node.name!r} subclasses ExecutionBackend but "
-                "does not define join_regions; define it (raising for "
-                "protocol-only backends is fine) so the surface is "
-                "statically complete",
-            )
         overridden = [name for name in STATE_PROTOCOL if name in defined]
         missing = [name for name in STATE_PROTOCOL if name not in defined]
         if overridden and missing:

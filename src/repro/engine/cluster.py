@@ -5,11 +5,12 @@ the way the paper's runtime would, but bookkeeping-only: every region's
 machine receives the tuples the scheme routes to it (counting replication),
 joins them locally (the output count is computed, not materialised), and the
 per-machine input/output counters feed the cost model.  Routing and counting
-are the streaming engine's own: each side is routed once through
-:meth:`Partitioning.sorted_arrivals
-<repro.partitioning.base.Partitioning.sorted_arrivals>` -- a grid scheme
-sorts the side once and hands every region a slice -- and every region is
-counted by :func:`~repro.joins.local.count_regions`, in the keys' own dtype.
+are the streaming engine's own: each side is routed once
+(:func:`~repro.partitioning.routing.route_batch` -- a grid scheme sorts the
+side once and hands every region a slice), and the join is counted as the
+first half of a stream batch into empty state: R1's routed keys against
+R2's routed groups in one :func:`~repro.joins.local.count_runs` call, in
+the keys' own dtype.
 The simulator therefore measures the quantities Figure 4 reports:
 
 * ``join cost`` -- the maximum machine weight ``w_i*input + w_o*output``
@@ -30,9 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.weights import WeightFunction
-from repro.joins.conditions import JoinCondition
-from repro.joins.local import count_regions
+from repro.joins.conditions import JoinCondition, normalise_keys
+from repro.joins.local import count_runs
 from repro.partitioning.base import Partitioning
+from repro.partitioning.routing import RoutedSide, route_batch, side_layout
 
 __all__ = ["JoinExecutionResult", "run_partitioned_join"]
 
@@ -89,30 +91,30 @@ class JoinExecutionResult:
         )
 
 
-def _route_regions(
+def _route(
     partitioning: Partitioning,
     keys1: np.ndarray,
     keys2: np.ndarray,
     rng: np.random.Generator,
-) -> "list[tuple[np.ndarray, np.ndarray]]":
-    """Per region, its R1 and R2 keys, each share key-sorted in the keys' dtype.
+) -> "tuple[RoutedSide, RoutedSide]":
+    """Both sides of a batch join routed, region ``r`` to machine ``r``.
 
     The one routing step of batch execution, shared with the multiprocess
-    executor: one :meth:`~repro.partitioning.base.Partitioning.sorted_arrivals`
-    call per side, R1 first, so a randomised scheme draws from ``rng`` exactly
-    as ``assign_r1`` then ``assign_r2`` would.
+    executor: each side normalised (:func:`~repro.joins.conditions.normalise_keys`)
+    and routed once by the stream's own route
+    (:func:`~repro.partitioning.routing.route_batch`), R1 first, so a
+    randomised scheme draws from ``rng`` exactly as ``assign_r1`` then
+    ``assign_r2`` would.
     """
-    shares = []
-    for side, keys in ((1, keys1), (2, keys2)):
-        routed = partitioning.sorted_arrivals(side, np.asarray(keys), rng)
-        if len(routed) != partitioning.num_regions:
-            raise ValueError(
-                f"the partitioning routed R{side} to {len(routed)} regions, "
-                f"but has {partitioning.num_regions}: routing must return one "
-                "share per region"
-            )
-        shares.append([region_keys for _, region_keys in routed])
-    return list(zip(*shares))
+    machines = partitioning.num_regions
+    regions = np.arange(machines, dtype=np.int64)
+    return tuple(
+        route_batch(
+            partitioning, side, normalise_keys(keys), rng, 0,
+            side_layout(partitioning, side, regions, machines), regions, machines,
+        )
+        for side, keys in ((1, keys1), (2, keys2))
+    )
 
 
 def run_partitioned_join(
@@ -138,11 +140,20 @@ def run_partitioned_join(
         is used when omitted.
     """
     rng = rng or np.random.default_rng(0)
-    tasks = _route_regions(partitioning, keys1, keys2, rng)
-    per_machine_input = np.array(
-        [len(share1) + len(share2) for share1, share2 in tasks], dtype=np.int64
+    routed1, routed2 = _route(partitioning, keys1, keys2, rng)
+    per_machine_input = routed1.sizes + routed2.sizes
+    # The first half of a stream batch into empty state: R1's needles
+    # against R2's routed groups, each machine reading its own.
+    per_machine_output = np.zeros(len(per_machine_input), dtype=np.int64)
+    layout = routed2.layout
+    count_runs(
+        condition, routed1.keys, routed1.starts, routed1.stops,
+        [
+            ([(routed2.group_keys(group), None)], readers)
+            for group, readers in enumerate(layout.readers)
+        ],
+        layout.cut, per_machine_output,
     )
-    per_machine_output, _ = count_regions(tasks, [condition] * len(tasks))
 
     total_input_shipped = int(per_machine_input.sum())
     total_tuples = len(keys1) + len(keys2)

@@ -3,10 +3,11 @@
 The cluster simulator (:func:`~repro.engine.cluster.run_partitioned_join`)
 counts every region in the calling process; this executor ships the same
 routed regions to parallel OS processes and reports wall-clock times.  Both
-ask a partitioning the same routing question the streaming engine asks
-(:meth:`Partitioning.sorted_arrivals
-<repro.partitioning.base.Partitioning.sorted_arrivals>`), so every region's
-R2 share arrives key-sorted and no worker sorts it again.  Python's global
+route with the streaming engine's route
+(:func:`~repro.partitioning.routing.route_batch`), so every region's R2
+share arrives key-sorted and no worker sorts it again, and every worker
+counts with the same kernel entry (:func:`~repro.joins.local.count_runs`,
+one reader and one run).  Python's global
 interpreter lock makes shared-memory threading useless for CPU-bound joins,
 so worker processes are the honest equivalent of the paper's per-core
 reducers.  It is intended for the examples and for calibrating the cost
@@ -27,9 +28,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.engine.cluster import _route_regions
-from repro.joins.conditions import JoinCondition
-from repro.joins.local import count_regions
+from repro.engine.cluster import _route
+from repro.joins.conditions import JoinCondition, normalise_keys
+from repro.joins.local import count_runs
 from repro.obs.clock import perf_counter
 from repro.partitioning.base import Partitioning
 
@@ -89,8 +90,7 @@ class RegionJoinResult:
         Exact join output counted for each machine's region state.
     per_machine_seconds:
         Wall-clock seconds spent joining each region (worker time on a
-        pool, in-process time under the batch simulator and a stateless
-        ``join_regions`` dispatch, per machine under a sticky worker);
+        pool, per machine under a sticky worker);
         ``None`` for the in-process streaming ``count_batch``, which counts
         every machine in one pass.
     wall_seconds:
@@ -138,16 +138,23 @@ class RegionJoinResult:
 def _join_region(args: tuple) -> tuple[int, float, int]:
     """Worker: count one region with the in-process kernel, return (output, seconds, worker pid).
 
-    ``args`` is the task's arrays (``count_regions``' task shape), its
-    condition and ``True``.  The pid identifies which pool process actually
-    ran the region, so a tracer can stitch per-worker child spans under the
-    dispatching batch.  The payload's last slot is always ``True`` -- the
-    second side arrives sorted -- and is kept so the pickled task has the
-    shape it always had.
+    ``args`` is the task's arrays -- needles, the sorted second side and,
+    for a counted run, its ``cum`` -- its condition and ``True``; they are
+    counted as one reader's needles against one run
+    (:func:`~repro.joins.local.count_runs`).  The pid identifies which pool
+    process actually ran the region, so a tracer can stitch per-worker child
+    spans under the dispatching batch.  The payload's last slot is always
+    ``True`` -- the second side arrives sorted -- and is kept so the pickled
+    task has the shape it always had.
     """
-    *task, condition, _ = args
-    outputs, seconds = count_regions([tuple(task)], [condition])
-    return int(outputs[0]), float(seconds[0]), os.getpid()
+    needles, keys, *cum, condition, _ = args
+    first = np.zeros(1, dtype=np.int64)
+    output, seconds = np.zeros(1, dtype=np.int64), np.zeros(1)
+    count_runs(
+        condition, needles, first, np.array([len(needles)], dtype=np.int64),
+        [([(normalise_keys(keys), cum[0] if cum else None)], first)], None, output, seconds,
+    )
+    return int(output[0]), float(seconds[0]), os.getpid()
 
 
 def join_assigned_regions(
@@ -160,13 +167,12 @@ def join_assigned_regions(
 
     ``tasks[m]`` holds the (R1, R2) key arrays of machine ``m``'s region
     (and, for a counted run of the streaming state, its cumulative counts,
-    :func:`count_regions <repro.joins.local.count_regions>`) and
+    :func:`count_runs <repro.joins.local.count_runs>`) and
     ``conditions[m]`` its condition -- the streaming engine's incremental
     counting mixes the original and the transposed orientation in a single
     dispatch so each batch costs one pool round-trip, not two.  Every second
-    key array must be sorted ascending, as :func:`count_regions
-    <repro.joins.local.count_regions>` requires: a routed region's R2 share
-    and a run of the streaming state both are.  Regions with an empty side
+    key array must be sorted ascending, as a run is: a routed region's R2
+    share and a run of the streaming state both are.  Regions with an empty side
     cannot produce output and are never shipped to a worker.  Returns the
     per-machine output counts, worker seconds and pids, the end-to-end wall
     time, and the pickle-channel byte counts.
@@ -241,7 +247,8 @@ def run_join_multiprocess(
     join in which no region has both sides makes no pool at all.
     """
     rng = rng or np.random.default_rng(0)
-    tasks = _route_regions(partitioning, keys1, keys2, rng)
+    routed1, routed2 = _route(partitioning, keys1, keys2, rng)
+    tasks = list(zip(routed1.columns(), routed2.columns()))
     if not any(len(share1) and len(share2) for share1, share2 in tasks):
         return RegionJoinResult(
             per_machine_output=np.zeros(len(tasks), dtype=np.int64),

@@ -16,17 +16,17 @@ Three algorithms are provided:
   tests as ground truth.
 
 For the simulator we rarely need materialised pairs, only their number:
-:func:`count_regions` counts key-range regions with two binary searches per
-tuple -- the per-region count loop of the batch engines
-(:func:`~repro.engine.cluster.run_partitioned_join` and the pool workers).
-Its inner loop runs in the compiled count kernel (:mod:`repro.joins.native`),
-whose other count function counts a stream batch against a state owner's
-runs (:meth:`~repro.streaming.backends.StateOwner.count`).
+:func:`count_runs` counts routed needles against sorted runs with two
+binary searches per needle and run.  It is the one count of every engine
+-- a stream batch's half (:meth:`~repro.streaming.backends.StateOwner.count`),
+a batch join (:func:`~repro.engine.cluster.run_partitioned_join`), a pool
+worker's task and :func:`count_join_output` -- and its inner loop runs in
+the compiled count kernel (:func:`repro.joins.native.count_half`).
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -39,13 +39,16 @@ from repro.joins.conditions import (
 )
 from repro.obs.clock import perf_counter
 
+if TYPE_CHECKING:
+    from repro.partitioning.grid_routed import MachineSlices
+
 __all__ = [
     "nested_loop_join",
     "sort_merge_band_join",
     "hash_equi_join",
     "join_output_pairs",
     "count_join_output",
-    "count_regions",
+    "count_runs",
 ]
 
 
@@ -130,112 +133,104 @@ def count_join_output(
 ) -> int:
     """Count output tuples of joining two key arrays without materialising them.
 
-    One single-task :func:`count_regions` call on the sorted second side,
-    so a whole-relation count and a region's count are the same kernel.
-    Keys are counted in their own dtype
+    One :func:`count_runs` call with one reader and one run, the sorted
+    second side, so a whole-relation count, a batch join and a stream batch
+    are the same kernel.  Keys are counted in their own dtype
     (:func:`~repro.joins.conditions.normalise_keys`): integer keys stay
     exact above 2**53, which a ``float64`` coercion would silently round
     onto their neighbours.
     """
-    outputs, _ = count_regions([(keys1, np.sort(normalise_keys(keys2)))], [condition])
-    return int(outputs[0])
+    keys1 = np.asarray(keys1)
+    out = np.zeros(1, dtype=np.int64)
+    count_runs(
+        condition, keys1, _FIRST, np.array([keys1.size], dtype=np.int64),
+        [([(np.sort(normalise_keys(keys2)), None)], _FIRST)], None, out,
+    )
+    return int(out[0])
 
 
-#: Key dtypes :func:`~repro.joins.conditions.normalise_keys` returns as they are.
-_NORMALISED = (np.dtype(np.float64), np.dtype(np.int64))
+#: Machine 0 alone: the reader, and the start of its share, of a one-machine count.
+_FIRST = np.zeros(1, dtype=np.int64)
 
 
-def count_regions(
-    tasks: "list[tuple]",
-    conditions: "list[JoinCondition]",
+def _bounds(
+    condition: JoinCondition, keys: np.ndarray, dtype: np.dtype
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Count each non-empty ``(keys1, keys2[, cum])`` task in the calling process; time each one.
+    """``condition``'s joinable bounds of ``keys`` brought to their common dtype with ``dtype``.
 
-    The one per-region count loop:
-    :func:`~repro.engine.cluster.run_partitioned_join` runs it over a batch
-    join's routed regions and a pool worker of
-    :func:`~repro.engine.executor.join_assigned_regions` over its one
-    region.  (A stream batch is counted by its state owner instead, two
-    kernel calls per batch: :meth:`~repro.streaming.backends.StateOwner.count`.)
-    ``conditions[t]`` is task ``t``'s
-    condition.  Tasks with an empty side produce nothing and are never
-    timed; every second side is sorted ascending (a region's share as the
-    router sorted it, or a run of the streaming state).  Each task's keys
-    are counted in the common dtype of its two normalised sides
-    (:func:`~repro.joins.conditions.normalise_keys`): integer needles
-    meeting a float run are bounded as floats, so a strict integer step
-    ``k +- 1`` never skips a fractional key.
-
-    Joinable bounds are computed **once per condition per dispatch**, not
-    once per task: the (normalised) first-side arrays of a condition's
-    non-empty tasks are laid end to end, ``joinable_bounds`` runs once
-    over the lot and every task searches with its slice.  Bounds are
-    element-wise functions of the key, so a slice holds exactly what a
-    per-task call would have returned.  What stays per task, and is all
-    that is timed: the searches of its second side and their sum, one call
-    of the compiled count kernel (:func:`repro.joins.native.count`: a
-    galloping search per bound from the previous needle's answer;
-    ``tests/reference_counting.py`` keeps the numpy form it equals bit for
-    bit).  An integer run meeting float bounds is first cast to float64, as
-    ``searchsorted`` would cast it.  The clock is read twice per non-empty
-    task.
-
-    A task's optional third entry makes its second side a *counted* run
-    of the streaming state
-    (:class:`~repro.streaming.incremental.SortedRegionState`): ``cum``
-    holds the cumulative multiplicities of the sorted keys (``cum[0] ==
-    0``, any sign), and a needle joins ``cum[hi] - cum[lo]`` of them
-    instead of ``hi - lo`` -- what a pool worker counts when the
-    streaming state's runs are shipped to it.  ``None``, or no third
-    entry, counts every key once.  ``outputs`` and ``seconds`` have one
-    entry per task.
+    Integer needles meeting float runs are bounded as floats, so a strict
+    integer step ``k +- 1`` never skips a fractional key.
     """
-    # (condition, key dtype) -> the condition and its needle arrays.  The
-    # dtype is part of the key so that laying arrays end to end never
-    # promotes exact int64 keys to float.
-    groups: "dict[tuple, tuple[JoinCondition, list[np.ndarray]]]" = {}
-    # Per non-empty task: (task, second side, its counts, group, needles' position).
-    searches: "list[tuple]" = []
-    position = -1
-    last_keys1 = last_condition = last_dtype = None
-    for task, (keys1, keys2, *extra) in enumerate(tasks):
-        if len(keys1) == 0 or keys2.size == 0:
+    needles = normalise_keys(keys)
+    return condition.joinable_bounds(
+        needles.astype(np.promote_types(needles.dtype, dtype), copy=False)
+    )
+
+
+def count_runs(
+    condition: JoinCondition,
+    needles: np.ndarray,
+    starts: np.ndarray,
+    stops: np.ndarray,
+    groups: "Iterable[tuple[list[tuple[np.ndarray, np.ndarray | None]], np.ndarray]]",
+    cut: "MachineSlices | None",
+    out: np.ndarray,
+    seconds: "np.ndarray | None" = None,
+) -> None:
+    """Count routed needles against sorted runs; add each machine's output into ``out``.
+
+    The one Python entry to the compiled count
+    (:func:`repro.joins.native.count_half`): one half of a stream batch
+    (:meth:`~repro.streaming.backends.StateOwner.count`), a batch join
+    (:func:`~repro.engine.cluster.run_partitioned_join`, the first half of
+    a batch into empty state), a pool worker's task and
+    :func:`count_join_output` (one reader, one run).  Machine ``m``'s
+    needles are ``needles[starts[m]:stops[m]]``.  ``groups`` lists, per
+    group of the searched side, its ``(keys, cum)`` runs -- ascending keys,
+    float64 or int64 and one dtype per group, ``cum`` their cumulative
+    counts (``cum[0] == 0``, any sign) or ``None`` when every key counts
+    once -- and the machines reading it; ``cut`` is the slice rule the
+    readers read every run through
+    (:class:`~repro.partitioning.grid_routed.MachineSlices`), or ``None``
+    when each reads its group whole.  A group with no runs or no readers is
+    not searched: its readers count zero.
+
+    The needles are bounded in one ``joinable_bounds`` pass per run dtype,
+    in their common dtype with the runs (:func:`_bounds`; an integer run
+    meeting float bounds is searched as float64, as ``searchsorted`` would
+    cast it), and every run of that dtype is searched in one kernel call,
+    which adds each machine's counts straight into its total.  With
+    ``seconds`` (a float per machine), each group is counted in a call of
+    its own, and its time -- two clock reads -- is added to its first
+    reader's entry; a group whose readers received no needles is never
+    timed.
+    """
+    if not needles.size:
+        return
+    # A run dtype -> the bounds its runs are searched with, and the runs.
+    calls: "dict[np.dtype, tuple]" = {}
+    for runs, readers in groups:
+        if not runs or not readers.size:
             continue
-        condition = conditions[task]
-        run = keys2 if keys2.dtype in _NORMALISED else normalise_keys(keys2)
-        if (
-            keys1 is not last_keys1
-            or condition is not last_condition
-            or run.dtype != last_dtype
-        ):
-            needles = keys1
-            if not (isinstance(keys1, np.ndarray) and keys1.dtype in _NORMALISED):
-                needles = normalise_keys(keys1)
-            dtype = np.promote_types(needles.dtype, run.dtype)
-            group = (id(condition), dtype)
-            arrays = groups.setdefault(group, (condition, []))[1]
-            arrays.append(needles.astype(dtype, copy=False))
-            position = len(arrays) - 1
-            last_keys1, last_condition, last_dtype = keys1, condition, run.dtype
-        cum = extra[0] if extra else None
-        searches.append((task, run, cum, group, position))
-    outputs = np.zeros(len(tasks), dtype=np.int64)
-    seconds = np.zeros(len(tasks))
-    bounds = {}
-    for group, (condition, arrays) in groups.items():
-        lows, highs = condition.joinable_bounds(
-            arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-        )
-        stops = list(accumulate(map(len, arrays)))
-        bounds[group] = [
-            (lows[start:stop], highs[start:stop])
-            for start, stop in zip([0] + stops, stops)
+        dtype = runs[0][0].dtype
+        if dtype not in calls:
+            calls[dtype] = (*_bounds(condition, needles, dtype), [])
+        lows, highs, tasks = calls[dtype]
+        mine = [
+            (
+                keys if keys.dtype == lows.dtype else keys.astype(np.float64),  # repro: ignore[KEY001]  # an integer run meets a condition's float bounds: searched as float64, as searchsorted would cast it
+                cum,
+                readers,
+                cut,
+            )
+            for keys, cum in runs
         ]
-    for task, run, cum, group, position in searches:
-        lows, highs = bounds[group][position]
-        started = perf_counter()
-        if run.dtype != lows.dtype:  # integer keys, a condition's float bounds
-            run = run.astype(np.float64)
-        native.count(run, cum, lows, highs, outputs[task : task + 1])
-        seconds[task] = perf_counter() - started
-    return outputs, seconds
+        if seconds is None:
+            tasks += mine
+        elif (stops[readers] > starts[readers]).any():
+            started = perf_counter()
+            native.count_half(lows, highs, starts, stops, mine, out)
+            seconds[readers[0]] += perf_counter() - started
+    if seconds is None:
+        for lows, highs, tasks in calls.values():
+            native.count_half(lows, highs, starts, stops, tasks, out)

@@ -2,16 +2,15 @@
  * The kernel's inner loops, compiled on first use by repro/joins/native.py
  * and called through ctypes.
  *
- * count_<t>  searches one ascending run for every needle's joinable bounds
- *            (numpy's searchsorted, side "left" for the low bound and
- *            "right" for the high one) and sums the counts: one task of
- *            repro.joins.local.count_regions, the batch join's per region.
  * count_half_<t>
- *            counts one half of a stream batch against a state owner's
- *            runs: each machine's needles searched in every run it reads,
+ *            counts routed needles against sorted runs: each machine's
+ *            needles searched in every run it reads (numpy's searchsorted,
+ *            side "left" for the low bound and "right" for the high one),
  *            clipped to its slice of the run and summed into its total.
- *            Two calls per batch (repro.streaming.backends.StateOwner.count),
- *            or two per machine where each machine is timed on its own.
+ *            The one count, behind repro.joins.local.count_runs: two calls
+ *            per stream batch (one per half, or two per machine where each
+ *            machine is timed on its own), one per batch join (the first
+ *            half of a batch into empty state) and one per pool task.
  * merge_<t>  merges key-sorted runs, oldest first, into one counted run in
  *            a single linear pass: repro.streaming.incremental._merge_sorted.
  * offer      offers one batch of entries to a bounded Efraimidis-Spirakis
@@ -183,26 +182,6 @@ static struct state_run run_of(const uint64_t *table, int64_t r)
                 lo = mid + 1;                                                  \
         }                                                                      \
         return lo;                                                             \
-    }                                                                          \
-                                                                               \
-    /*                                                                         \
-     * One search task: run[0:size) ascends; cum (size + 1 entries) or         \
-     * NULL.  lows / highs hold `needles` joinable bounds; out[0] is the       \
-     * sum over every needle of its count.                                     \
-     */                                                                        \
-    void count_##T(const KEY *run, int64_t size, const int64_t *cum,           \
-                   const KEY *lows, const KEY *highs, int64_t needles,         \
-                   int64_t *out)                                               \
-    {                                                                          \
-        int64_t tail = nan_tail_##T(run, size), lo = 0, hi = 0, j;             \
-        uint64_t sum = 0;                                                      \
-        for (j = 0; j < needles; j++) {                                        \
-            KEY low = lows[j], high = highs[j];                                \
-            lo = IS_NAN(low) ? tail : lower_##T(run, tail, low, lo);           \
-            hi = IS_NAN(high) ? size : upper_##T(run, tail, high, hi);         \
-            sum += SPAN(cum, lo, hi);                                          \
-        }                                                                      \
-        out[0] = (int64_t)sum;                                                 \
     }                                                                          \
                                                                                \
     /*                                                                         \

@@ -14,9 +14,9 @@ coarsening's sums of the band sample matrix by group, numpy's pairwise
 of small cumulative sums per window of rows, and MonotonicBSP's tiling DP, a stack walk over a grid's minimal
 rectangles per threshold.  ``native.c`` does each in one call, and each
 call is the only way production runs that loop: :func:`count_half` for
-one half of a stream batch's count
-(:meth:`~repro.streaming.backends.StateOwner.count`), :func:`count` for
-one task of a batch join's :func:`~repro.joins.local.count_regions`,
+every count, through :func:`~repro.joins.local.count_runs` (one half of a
+stream batch, a batch join as the first half of a batch into empty state,
+a pool worker's task),
 :func:`band_inverse` for the transposed band's bounds, :func:`merge` for
 :func:`~repro.streaming.incremental._merge_sorted`, :func:`offer` for
 :meth:`~repro.streaming.incremental.DecayedReservoir.add_batch` and for
@@ -73,8 +73,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["KernelUnavailable", "band_inverse", "closure", "count", "count_half", "group_sums",
-           "merge", "offer", "sweep_rows", "tile"]
+__all__ = ["KernelUnavailable", "band_inverse", "closure", "count_half", "group_sums", "merge",
+           "offer", "sweep_rows", "tile"]
 
 SOURCE = Path(__file__).with_name("native.c")
 
@@ -86,7 +86,6 @@ _VIEW = ctypes.c_char * 0
 _addressof = ctypes.addressof
 
 _POINTER, _SIZE = ctypes.c_void_p, ctypes.c_int64
-_COUNT_ARGS = (_POINTER, _SIZE, _POINTER, _POINTER, _POINTER, _SIZE, _POINTER)
 _HALF_ARGS = (_POINTER, _POINTER, _SIZE, _POINTER, _POINTER, _SIZE, _SIZE, _POINTER, _POINTER)
 _MERGE_ARGS = (_SIZE, _POINTER, _POINTER, _POINTER)
 _OFFER_ARGS = (_POINTER, _POINTER, _POINTER, _SIZE, _SIZE, _SIZE, _POINTER, _POINTER, _SIZE)
@@ -174,8 +173,6 @@ def _build() -> ctypes.CDLL:
                 raise KernelUnavailable(f"cannot load {library}: {error}") from None
     try:
         for key in ("f64", "i64"):
-            function = getattr(loaded, f"count_{key}")
-            function.argtypes, function.restype = _COUNT_ARGS, None
             function = getattr(loaded, f"count_half_{key}")
             function.argtypes, function.restype = _HALF_ARGS, ctypes.c_int
             function = getattr(loaded, f"merge_{key}")
@@ -226,42 +223,6 @@ def _addresses(arrays: "list[np.ndarray]", names: "tuple[str, ...] | str", writt
         else:
             addresses.append(array.ctypes.data)
     return addresses
-
-
-#: The names :func:`count` gives its arrays in an error.
-_TASK = ("out", "run", "lows", "highs")
-
-
-def count(run, cum, lows, highs, out: np.ndarray) -> None:
-    """One task of :func:`~repro.joins.local.count_regions`: its output, written into ``out[0]``.
-
-    ``run`` is the sorted second side, ``cum`` its cumulative counts or
-    ``None``, ``lows`` / ``highs`` the needles' joinable bounds.  Keys are
-    float64 or int64 and the bounds in the run's dtype (the caller brings
-    them to one); counts are int64, ``cum`` one longer than the run, and
-    ``out`` has an entry.  Otherwise this raises by name and writes
-    nothing.
-    """
-    dtype = run.dtype
-    if not (dtype == _FLOAT or dtype == _INT):
-        raise TypeError(f"run is {dtype}: the kernel counts float64 or int64 keys")
-    if lows.dtype != dtype or highs.dtype != dtype:
-        raise TypeError(f"lows / highs are {lows.dtype} / {highs.dtype}, not the run's {dtype}")
-    if highs.size != lows.size:
-        raise ValueError(f"{lows.size} lows but {highs.size} highs")
-    if out.dtype != _INT:
-        raise TypeError(f"out is {out.dtype}, not int64")
-    if not out.size:
-        raise ValueError("out has no entry for the task")
-    arrays, names = [out, run, lows, highs], _TASK
-    if cum is not None:
-        if cum.dtype != _INT or cum.size != run.size + 1:
-            raise ValueError(f"cum is {cum.size} {cum.dtype}, not {run.size + 1} int64")
-        arrays.append(cum)
-        names += ("cum",)
-    target, keys, low, high, *counts = _addresses(arrays, names, 1)
-    function = _LIBRARY.count_f64 if dtype == _FLOAT else _LIBRARY.count_i64
-    function(keys, run.size, counts[0] if counts else None, low, high, lows.size, target)
 
 
 #: :func:`count_half`'s refusals by the kernel's status, and the words a run takes in its table.

@@ -6,12 +6,13 @@ assigned to several regions (replication) or to none (its row or column
 intersects no region because it cannot produce output).
 
 Both engines ask one routing question, :meth:`Partitioning.sorted_arrivals`:
-a region's share of a side *already in key order*.  The streaming engine
-asks it per batch, per eviction and for the live history a build, migration
-or checkpoint routes, because it keeps every region's state key-sorted;
-batch execution (:func:`~repro.engine.cluster.run_partitioned_join` and the
-multiprocess executor) asks it once per side, so every region's R2 share
-arrives sorted for the count.  The default answers by assigning
+a region's share of a side *already in key order*, asked through one route
+(:mod:`repro.partitioning.routing`).  The streaming engine routes every
+batch, eviction and the live history a build, migration or checkpoint
+routes, because it keeps every region's state key-sorted; batch execution
+(:func:`~repro.engine.cluster.run_partitioned_join` and the multiprocess
+executor) routes each side once, so every region's R2 share arrives sorted
+for the count.  The default answers by assigning
 (:meth:`assign_r1` / :meth:`assign_r2`) and then sorting each share; a scheme
 whose regions are key ranges sorts the side once and hands out slices
 (:class:`~repro.partitioning.grid_routed.GridRoutedPartitioning`), and a side

@@ -23,7 +23,7 @@ indexable by global index arrays: the engine passes its logs, and a bare
 key array is the log of a stream that never trimmed (base 0, everything
 live).  The backend protocol takes no history and no index: state reaches
 it as keys, one key-sorted array per side with a slice per machine
-(:class:`~repro.streaming.backends.RoutedSide`).
+(:class:`~repro.partitioning.routing.RoutedSide`).
 """
 
 from __future__ import annotations

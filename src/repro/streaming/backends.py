@@ -6,14 +6,16 @@ it drives every backend through one **state-ownership protocol**:
 
 ``bind`` → per batch ``count_batch`` / ``evict_state`` → ``install_state``
 (migrations, resizes, restores), with ``drain_channel_bytes`` for byte
-metering.  State enters in one shape, a :class:`RoutedSide` per side:
-one key array and, per machine, the slice of it the router sends that
-machine (key-sorted) -- a batch's arrivals (``count_batch``), the expired
-keys an eviction routes (``evict_state``) and the complete live state
+metering.  State enters in one shape, a
+:class:`~repro.partitioning.routing.RoutedSide` per side: one key array
+and, per machine, the slice of it the router sends that machine
+(key-sorted) -- a batch's arrivals (``count_batch``), the expired keys an
+eviction routes (``evict_state``) and the complete live state
 (``install_state``, whose slices also say the fleet size) alike -- plus the
-plan's :class:`SideLayout`, how its machines read the state.  Which
-tuples a machine holds is the engine's to derive from its arrival logs
-(:func:`~repro.streaming.migration.held_by_machine`), so no verb reads state back.
+plan's :class:`~repro.partitioning.routing.SideLayout`, how its machines
+read the state.  Which tuples a machine holds is the engine's to derive
+from its arrival logs (:func:`~repro.streaming.migration.held_by_machine`),
+so no verb reads state back.
 
 The state is held once per **owner** (:class:`StateOwner`), not once per
 machine.  An owner keeps each side's live keys in a few counted
@@ -43,9 +45,8 @@ owner count as the in-process default, so every backend counts
 bit-identical deltas; only the measured timings and byte counts differ
 (``tests/test_backends.py``).  Every backend reports a
 :class:`~repro.engine.executor.RegionJoinResult` (re-exported here), the
-batch executor's result type, and :meth:`~ExecutionBackend.join_regions`
-counts a list of region tasks statelessly with the batch simulator's
-loop, :func:`repro.joins.local.count_regions`.
+batch executor's result type; batch execution counts with the same
+kernel entry, :func:`repro.joins.local.count_runs`.
 :class:`SlowConsumerBackend` forwards the protocol to another backend and
 adds a deterministic delay to every batch.
 
@@ -59,30 +60,26 @@ simulated) or by name through :func:`make_backend`::
 
 from __future__ import annotations
 
-import abc
 import os
 from dataclasses import replace
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.engine.executor import RegionJoinResult, pickled_nbytes
-from repro.joins import native
-from repro.joins.conditions import JoinCondition, normalise_keys
-from repro.joins.local import count_regions
+from repro.joins.conditions import JoinCondition
+from repro.joins.local import count_runs
 from repro.obs.clock import perf_counter
+from repro.partitioning.routing import RoutedSide, SideLayout
 from repro.streaming.incremental import SortedRegionState
 
 if TYPE_CHECKING:  # only sticky backends pay for importing these (see below)
     import multiprocessing.context
 
-    from repro.partitioning.grid_routed import MachineSlices
     from repro.streaming.shm import ShmArena, ShmMessage, ShmReader
 
 __all__ = [
     "RegionJoinResult",
-    "RoutedSide",
-    "SideLayout",
     "StateOwner",
     "ExecutionBackend",
     "SimulatedBackend",
@@ -145,132 +142,6 @@ def _resolve_mp_context(
     return mp_context
 
 
-class SideLayout:
-    """How the machines of one plan read one side's join state.
-
-    A side's state is a few groups, each one counted
-    :class:`~repro.streaming.incremental.SortedRegionState`, and every
-    machine reads one of them: ``readers[g]`` lists the machines reading
-    group ``g``, ascending (a machine holding no region reads none).
-    ``cut`` says which part: the machines' key ranges under the slice rule
-    of :mod:`repro.partitioning.grid_routed`, as a
-    :class:`~repro.partitioning.grid_routed.MachineSlices` aligned with
-    ``readers[0]`` -- called with a key-sorted run of a group, every
-    machine's slice of it as ``(lows, highs)`` position arrays; read by the
-    count kernel, the same rule applied in C.  ``None`` means every reader
-    sees its group whole.  ``whole`` says the ranges cover every key, so
-    the one group holds everything routed.
-
-    A grid-routed plan is one group read through ``cut``; 1-Bucket is one
-    group per draw (grid rows for R1, grid columns for R2), read whole;
-    per-machine arrays (:meth:`RoutedSide.of`) are one group per machine.
-    """
-
-    __slots__ = ("readers", "cut", "whole")
-
-    def __init__(
-        self,
-        readers: "list[np.ndarray]",
-        cut: "MachineSlices | None" = None,
-        whole: bool = False,
-    ) -> None:
-        self.readers = [np.asarray(machines, dtype=np.int64) for machines in readers]
-        self.cut = cut
-        self.whole = whole
-
-
-class RoutedSide(NamedTuple):
-    """One side's routed keys: every machine's share is a slice of one array.
-
-    Machine ``m`` receives ``keys[starts[m]:stops[m]]``, ascending (NaN
-    last).  Slices may overlap -- a replicated tuple is in several -- and a
-    machine holding no region has an empty one.  ``layout`` is the plan's
-    :class:`SideLayout` (``None`` before any plan exists: nothing is
-    routed, nothing held).  Keys are read, never written, and never kept:
-    the state copies what it appends.
-    """
-
-    keys: np.ndarray
-    starts: np.ndarray
-    stops: np.ndarray
-    layout: "SideLayout | None"
-
-    @classmethod
-    def of(cls, per_machine: "list[np.ndarray]") -> "RoutedSide":
-        """Per-machine key-sorted arrays as one routed side, a group per machine.
-
-        The shape a sticky worker receives and tests build by hand: each
-        machine's keys laid end to end, every machine reading a group of
-        its own.
-        """
-        sizes = np.array([len(keys) for keys in per_machine], dtype=np.int64)
-        stops = sizes.cumsum()
-        busy = [keys for keys in per_machine if len(keys)]
-        if busy:
-            keys = busy[0] if len(busy) == 1 else np.concatenate(busy)
-        else:
-            keys = per_machine[0][:0] if len(per_machine) else np.empty(0)
-        layout = SideLayout([[machine] for machine in range(len(per_machine))])
-        return cls(keys, stops - sizes, stops, layout)
-
-    @property
-    def sizes(self) -> np.ndarray:
-        """Keys per machine (a replicated key counts once per machine)."""
-        return self.stops - self.starts
-
-    def columns(self) -> "list[np.ndarray]":
-        """Each machine's keys: views of :attr:`keys`."""
-        keys = self.keys
-        return [
-            keys[start:stop]
-            for start, stop in zip(self.starts.tolist(), self.stops.tolist())
-        ]
-
-    def group_keys(self, group: int) -> np.ndarray:
-        """The keys group ``group`` holds of these: its readers' slices, each key once.
-
-        The union of the readers' slices -- all of :attr:`keys` when the
-        layout's ranges cover every key, one slice when the readers all read
-        the same one (a draw group, a machine of its own) -- ascending.
-        """
-        if self.layout.whole:
-            return self.keys
-        readers = self.layout.readers[group]
-        pieces = _union(self.starts[readers], self.stops[readers])
-        if len(pieces) == 1:
-            start, stop = pieces[0]
-            return self.keys[start:stop]
-        return np.concatenate([self.keys[start:stop] for start, stop in pieces] or [self.keys[:0]])
-
-
-def _bounds(
-    condition: JoinCondition, keys: np.ndarray, dtype: np.dtype
-) -> "tuple[np.ndarray, np.ndarray]":
-    """``condition``'s joinable bounds of ``keys`` brought to their common dtype with ``dtype``.
-
-    Integer needles meeting float runs are bounded as floats, so a strict
-    integer step ``k +- 1`` never skips a fractional key.
-    """
-    needles = normalise_keys(keys)
-    return condition.joinable_bounds(
-        needles.astype(np.promote_types(needles.dtype, dtype), copy=False)
-    )
-
-
-def _union(starts: np.ndarray, stops: np.ndarray) -> "list[tuple[int, int]]":
-    """The non-empty slices ``[starts[i], stops[i])`` merged into disjoint ascending ones."""
-    merged: "list[tuple[int, int]]" = []
-    for start, stop in sorted(zip(starts.tolist(), stops.tolist())):
-        if start >= stop:
-            continue
-        if merged and start <= merged[-1][1]:
-            if stop > merged[-1][1]:
-                merged[-1] = (merged[-1][0], stop)
-        else:
-            merged.append((start, stop))
-    return merged
-
-
 class StateOwner:
     """The join state of one owner, each side held once, and the count that folds a batch in.
 
@@ -331,12 +202,12 @@ class StateOwner:
         transposed condition).  A half's needles are the batch's routed
         keys of its side, bounded in one ``joinable_bounds`` pass; each
         machine searches its share of them in every run of the group it
-        reads, clipped to its key range on that run.  The half is one call
-        of the compiled kernel (:func:`repro.joins.native.count_half`),
-        which adds each machine's counts straight into its total, so a run
-        is searched once for every machine reading it and nothing is built
-        per machine or per needle.  A group with no runs or no readers is
-        not searched: its readers count zero.
+        reads, clipped to its key range on that run.  The half is one
+        :func:`~repro.joins.local.count_runs` call, one call of the compiled
+        kernel, which adds each machine's counts straight into its total, so
+        a run is searched once for every machine reading it and nothing is
+        built per machine or per needle.  A group with no runs or no readers
+        is not searched: its readers count zero.
 
         With ``seconds`` (a float per machine), each group is counted in
         calls of its own, one per half, and their time is added to its
@@ -355,38 +226,11 @@ class StateOwner:
             (conditions[0], new1, 1, [state.runs for state in states2]),
             (conditions[1], new2, 0, old_runs1),
         ):
-            if not needles.keys.size:
-                continue
             layout = self.layouts[side]
-            # The runs' dtype -> the bounds they are searched with and the
-            # runs (one entry but for integer needles meeting float runs).
-            calls: "dict[np.dtype, tuple]" = {}
-            for group, runs in enumerate(searched):
-                readers = layout.readers[group]
-                if not runs or not readers.size:
-                    continue
-                dtype = runs[0][0].dtype
-                if dtype not in calls:
-                    calls[dtype] = (*_bounds(condition, needles.keys, dtype), [])
-                lows, highs, tasks = calls[dtype]
-                mine = [
-                    (
-                        keys if keys.dtype == lows.dtype else keys.astype(np.float64),  # repro: ignore[KEY001]  # an integer run meets a condition's float bounds: searched as float64, as searchsorted would cast it
-                        cum,
-                        readers,
-                        layout.cut,
-                    )
-                    for keys, cum in runs
-                ]
-                if seconds is None:
-                    tasks += mine
-                elif (needles.stops[readers] > needles.starts[readers]).any():
-                    started = perf_counter()
-                    native.count_half(lows, highs, needles.starts, needles.stops, mine, totals)
-                    seconds[readers[0]] += perf_counter() - started
-            if seconds is None:
-                for lows, highs, tasks in calls.values():
-                    native.count_half(lows, highs, needles.starts, needles.stops, tasks, totals)
+            count_runs(
+                condition, needles.keys, needles.starts, needles.stops,
+                zip(searched, layout.readers), layout.cut, totals, seconds,
+            )
         return totals
 
     def evict(self, expired1: RoutedSide, expired2: RoutedSide) -> None:
@@ -469,7 +313,7 @@ def _lengths(layout: "list[np.ndarray]") -> np.ndarray:
     return np.array([len(keys) for keys in layout], dtype=np.int64).reshape(-1, 2)
 
 
-class ExecutionBackend(abc.ABC):
+class ExecutionBackend:
     """The owner of a stream's join state, and how its joins are executed.
 
     The engine touches join state only through the **state-ownership
@@ -478,10 +322,8 @@ class ExecutionBackend(abc.ABC):
     :meth:`install_state` on a migration, resize or restore and
     :meth:`drain_channel_bytes` for byte metering.  The default keeps one
     :class:`StateOwner` of every machine in-process and counts each batch
-    with it (:meth:`StateOwner.count`).  :meth:`join_regions`, the single
-    abstract method, counts a list of region tasks statelessly.  A backend
-    that keeps the state elsewhere
-    (:class:`StickyWorkerBackend`) or decorates another
+    with it (:meth:`StateOwner.count`).  A backend that keeps the state
+    elsewhere (:class:`StickyWorkerBackend`) or decorates another
     (:class:`SlowConsumerBackend`) overrides the whole protocol; overriding
     part of it leaves half the state remote, which the static analyser
     rejects (API001).
@@ -493,7 +335,7 @@ class ExecutionBackend(abc.ABC):
     from empty state -- and an engine only closes a backend it created
     itself.
 
-    ``close()`` is idempotent and final: calling :meth:`join_regions` on a
+    ``close()`` is idempotent and final: calling a protocol verb on a
     closed backend raises ``RuntimeError`` instead of silently resurrecting
     whatever resource the backend owned (resurrected workers have no
     remaining owner to shut them down -- a leak, not a convenience).
@@ -538,23 +380,6 @@ class ExecutionBackend(abc.ABC):
                 "engine calls bind() at the start of its run"
             )
         return self._owner
-
-    @abc.abstractmethod
-    def join_regions(
-        self,
-        tasks: "list[tuple]",
-        conditions: "list[JoinCondition]",
-    ) -> RegionJoinResult:
-        """Join each ``(needles, sorted keys[, cum])`` task; count exact output.
-
-        Tasks with an empty side produce no output and must not be charged
-        any work.  ``conditions[t]`` is task ``t``'s condition, and every
-        task's second array is sorted, searched, never sorted (a counted
-        run's ``cum`` makes each key count its multiplicity).
-        ``per_machine_output`` holds
-        :func:`~repro.joins.local.count_regions`' outputs and
-        ``per_machine_seconds`` its seconds, one entry per task each.
-        """
 
     # ------------------------------------------------------------------
     # State-ownership protocol (in-process default)
@@ -626,9 +451,8 @@ class ExecutionBackend(abc.ABC):
     ) -> "tuple[int | None, int | None, int | None]":
         """Protocol-channel bytes since the last drain: (pickled, unpickled, shm).
 
-        The in-process default has no channel of its own -- whatever
-        :meth:`join_regions` serialized is already on the execution it
-        returned -- so all three are ``None`` (not a measured zero).
+        The in-process default has no channel of its own, so all three are
+        ``None`` (not a measured zero).
         """
         return (None, None, None)
 
@@ -646,24 +470,9 @@ class ExecutionBackend(abc.ABC):
 
 
 class SimulatedBackend(ExecutionBackend):
-    """Count every task in-process, with the batch simulator's kernel."""
+    """The protocol's in-process default: one state owner of every machine."""
 
     name = "simulated"
-
-    def join_regions(
-        self,
-        tasks: "list[tuple[np.ndarray, ...]]",
-        conditions: "list[JoinCondition]",
-    ) -> RegionJoinResult:
-        """Count each non-empty task's join output in the calling process."""
-        self._ensure_open()
-        start = perf_counter()
-        outputs, seconds = count_regions(tasks, conditions)
-        return RegionJoinResult(
-            per_machine_output=outputs,
-            per_machine_seconds=seconds,
-            wall_seconds=perf_counter() - start,
-        )
 
 
 class _StickyWorkerState:
@@ -1110,25 +919,6 @@ class StickyWorkerBackend(ExecutionBackend):
             return (None, None, totals[2])
         return totals
 
-    def join_regions(
-        self,
-        tasks: "list[tuple[np.ndarray, ...]]",
-        conditions: "list[JoinCondition]",
-    ) -> RegionJoinResult:
-        """Refuse stateless dispatch: sticky workers own their state.
-
-        Shipping full region arrays through this entry point is exactly the
-        serialization tax this backend exists to remove.  A decorator that
-        works by intercepting ``join_regions`` (``SlowConsumerBackend``)
-        therefore cannot be used around a sticky backend.
-        """
-        self._ensure_open()
-        raise RuntimeError(
-            "StickyWorkerBackend owns its workers' join state and does not "
-            "accept stateless join_regions dispatch; drive it through the "
-            "state-ownership protocol (bind/count_batch/...)"
-        )
-
     def close(self) -> None:
         """Stop the workers and unlink the shared segment (idempotent, final).
 
@@ -1170,9 +960,7 @@ class SlowConsumerBackend(ExecutionBackend):
     forwards the state-ownership protocol to ``inner`` -- which keeps the
     state -- and adds ``seconds_per_call + seconds_per_tuple * routed``
     to every ``count_batch``, ``routed`` being the batch's routed arrivals
-    (a replicated tuple once per machine it reaches).  A direct
-    :meth:`join_regions` dispatch is slowed likewise, per task's first-side
-    keys.
+    (a replicated tuple once per machine it reaches).
 
     By default the delay is **virtual**: it is added to the reported
     ``wall_seconds`` without stalling anything, so simulated-clock tests
@@ -1210,17 +998,6 @@ class SlowConsumerBackend(ExecutionBackend):
         if self._sleep is not None and delay > 0:
             self._sleep(delay)
         return delay
-
-    def join_regions(
-        self,
-        tasks: "list[tuple]",
-        conditions: "list[JoinCondition]",
-    ) -> RegionJoinResult:
-        """Run the inner backend, slowed by the configured delay."""
-        self._ensure_open()
-        delay = self._delay(sum(len(task[0]) for task in tasks))
-        result = self.inner.join_regions(tasks, conditions)
-        return replace(result, wall_seconds=result.wall_seconds + delay)
 
     def bind(
         self,

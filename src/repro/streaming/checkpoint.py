@@ -84,8 +84,9 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
+from repro.partitioning.routing import RoutedSide
 from repro.streaming.arrivals import ArrivalLog
-from repro.streaming.backends import RoutedSide, WorkerCrashError
+from repro.streaming.backends import WorkerCrashError
 from repro.streaming.metrics import StreamRunResult
 from repro.streaming.migration import route_live
 

@@ -94,20 +94,15 @@ from repro.obs.clock import perf_counter
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.partitioning.base import Partitioning
+from repro.partitioning.routing import RoutedSide, route_batch
 from repro.streaming.arrivals import ArrivalLog
-from repro.streaming.backends import (
-    ExecutionBackend,
-    RegionJoinResult,
-    RoutedSide,
-    SimulatedBackend,
-)
+from repro.streaming.backends import ExecutionBackend, RegionJoinResult, SimulatedBackend
 from repro.streaming.checkpoint import RunState, StreamCheckpoint, capture, resume
 from repro.streaming.incremental import IncrementalHistogram
 from repro.streaming.metrics import BatchMetrics, StreamRunResult
 from repro.streaming.migration import (
     held_by_machine,
     plan_install,
-    route_batch,
     route_live,
     sorted_live,
 )
@@ -678,7 +673,7 @@ class StreamingJoinEngine:
         The one route of tuples the machines already agree on: a batch's
         arrivals (``offset`` the first one's arrival index) and an expired
         slice (``offset`` its arrival indices) alike
-        (:func:`~repro.streaming.migration.route_batch`: each region's
+        (:func:`~repro.partitioning.routing.route_batch`: each region's
         share to the machine holding it).
         """
         return route_batch(

@@ -53,11 +53,11 @@ routed, so a rebuild migrates live state only -- expired tuples are neither
 shipped nor resurrected onto machines that already dropped them.  A bare
 array is the log of a stream that never trimmed: everything in it is live.
 
-What the backend protocol takes is built here too: a plan's
-:func:`side_layout` (how its machines read a side's state) and a side
-routed into one key array with a slice per machine -- a batch or an
-expired slice (:func:`route_batch`), or the live state an initial build
-or restore hands ``install_state`` (:func:`route_live`).  A migration's
+The live state an initial build or restore hands ``install_state`` is
+routed here too (:func:`route_live`), in the shape every backend verb
+takes (:mod:`repro.partitioning.routing`: a side routed into one key
+array with a slice per machine, read through the plan's
+:func:`~repro.partitioning.routing.side_layout`).  A migration's
 new state is the route its diff read, handed out as it is: the plan's
 figures and the two routed sides come from one call, and no per-machine
 column of arrival indices is built.
@@ -71,9 +71,15 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.partitioning.base import Partitioning, Spans, sort_arrivals
-from repro.partitioning.grid_routed import GridRoutedPartitioning
+from repro.partitioning.routing import (
+    RoutedSide,
+    SideLayout,
+    _check_fleet,
+    _grouped,
+    route_sorted,
+    side_layout,
+)
 from repro.streaming.arrivals import ArrivalLog
-from repro.streaming.backends import RoutedSide, SideLayout
 
 __all__ = [
     "LiveKeys",
@@ -81,10 +87,7 @@ __all__ = [
     "held_by_machine",
     "pad_assignments",
     "plan_install",
-    "route_batch",
     "route_live",
-    "route_sorted",
-    "side_layout",
     "sorted_live",
 ]
 
@@ -280,124 +283,6 @@ def _spans_to_machines(spans: Spans, region_to_machine, num_machines: int) -> Sp
     return Spans(starts, stops)
 
 
-def _check_fleet(partitioning: Partitioning, num_machines: int) -> None:
-    """Raise unless every region of the plan can have a machine of its own."""
-    if partitioning.num_regions > num_machines:
-        raise ValueError(
-            f"a partitioning of {partitioning.num_regions} regions needs at "
-            f"least {partitioning.num_regions} machines, got {num_machines}"
-        )
-
-
-def side_layout(
-    partitioning: Partitioning, side: int, region_to_machine, num_machines: int
-) -> SideLayout:
-    """How ``num_machines`` machines read one side's state under a plan.
-
-    Region ``r`` is on machine ``region_to_machine[r]``.  A grid plan's
-    shares are key ranges: one group every machine reads through its
-    region's range, cut from each sorted run by the plan's slice rule
-    (:meth:`GridRoutedPartitioning.machine_slicer
-    <repro.partitioning.grid_routed.GridRoutedPartitioning.machine_slicer>`).
-    Any other plan has a group per set of identical shares
-    (:meth:`Partitioning.share_groups
-    <repro.partitioning.base.Partitioning.share_groups>`), read whole.
-    """
-    _check_fleet(partitioning, num_machines)
-    if isinstance(partitioning, GridRoutedPartitioning):
-        return SideLayout(
-            [np.arange(num_machines, dtype=np.int64)],
-            partitioning.machine_slicer(side, region_to_machine, num_machines),
-            whole=partitioning.covers_all(side),
-        )
-    groups = partitioning.share_groups(side)
-    machines = np.asarray(region_to_machine, dtype=np.int64)[: partitioning.num_regions]
-    return SideLayout(
-        [np.sort(machines[groups == group]) for group in range(int(groups.max()) + 1)]
-    )
-
-
-def route_sorted(
-    partitioning: Partitioning,
-    side: int,
-    keys: np.ndarray,
-    indices: "np.ndarray | None",
-    rng: np.random.Generator,
-    layout: SideLayout,
-    region_to_machine,
-    num_machines: int,
-) -> RoutedSide:
-    """Key-sorted tuples of one side, routed: what the backend protocol takes.
-
-    ``keys`` ascend (NaN last) and ``indices`` are their arrival indices,
-    read only by shares that are not key ranges.  A grid plan's shares are
-    slices of ``keys`` as they are; any other plan's shares are laid end to
-    end, one per group of ``layout`` (:func:`side_layout`), and every
-    machine gets its region's group's slice.
-    """
-    if layout.cut is not None:
-        return RoutedSide(keys, *layout.cut(keys), layout)
-    shares = partitioning.cut_sorted(side, keys, indices, rng)
-    return _grouped(partitioning, side, shares, layout, region_to_machine, num_machines)
-
-
-def _grouped(
-    partitioning: Partitioning,
-    side: int,
-    shares: "list[tuple[np.ndarray, np.ndarray]]",
-    layout: SideLayout,
-    region_to_machine,
-    num_machines: int,
-) -> RoutedSide:
-    """Per-region shares that are not key ranges as one routed side.
-
-    Regions of one group of ``layout`` receive the same share, so it is laid
-    down once, the groups end to end, and every machine gets its region's
-    group's slice.
-    """
-    machines = np.asarray(region_to_machine, dtype=np.int64)[: partitioning.num_regions]
-    groups = partitioning.share_groups(side)
-    first: "dict[int, int]" = {}
-    for region, group in enumerate(groups.tolist()):
-        first.setdefault(group, region)
-    pieces = [shares[first[group]][1] for group in range(len(layout.readers))]
-    sizes = np.array([len(piece) for piece in pieces], dtype=np.int64)
-    ends = sizes.cumsum()
-    starts = np.zeros(num_machines, dtype=np.int64)
-    stops = np.zeros(num_machines, dtype=np.int64)
-    starts[machines], stops[machines] = (ends - sizes)[groups], ends[groups]
-    return RoutedSide(np.concatenate(pieces), starts, stops, layout)
-
-
-def route_batch(
-    partitioning: Partitioning,
-    side: int,
-    keys: np.ndarray,
-    rng: np.random.Generator,
-    offset: "int | np.ndarray",
-    layout: SideLayout,
-    region_to_machine,
-    num_machines: int,
-) -> RoutedSide:
-    """:func:`route_sorted` of unsorted arrivals: a batch, or an expired slice.
-
-    ``offset`` names the tuples as in :meth:`Partitioning.sorted_arrivals
-    <repro.partitioning.base.Partitioning.sorted_arrivals>`.  Key-range
-    shares never read an arrival index, so their keys are sorted alone;
-    any other plan sorts the indices along (:func:`sort_arrivals`).
-    """
-    keys = np.asarray(keys)
-    if layout.cut is not None:
-        indices, keys = None, np.sort(keys)
-    else:
-        local = np.arange(len(keys), dtype=np.int64)
-        named = offset[local] if isinstance(offset, np.ndarray) else local + offset
-        indices, keys = sort_arrivals(named, keys)
-    return route_sorted(
-        partitioning, side, keys, indices, rng, layout, region_to_machine, num_machines
-    )
-
-
 class LiveKeys(NamedTuple):
     """One side's live tuples, key-sorted once: global indices and their keys."""
 
@@ -464,8 +349,10 @@ def route_live(
 
     The initial build (its backlog, counted as one batch), a migration and
     a restore all hand the backend a side's live tuples sorted once
-    (:func:`sorted_live`) and routed by the plan (:func:`route_sorted`).
-    Returns the plan's two :func:`side_layout` and the two routed sides.
+    (:func:`sorted_live`) and routed by the plan
+    (:func:`~repro.partitioning.routing.route_sorted`).  Returns the plan's
+    two :func:`~repro.partitioning.routing.side_layout` and the two routed
+    sides.
     """
     layouts = tuple(
         side_layout(partitioning, side, region_to_machine, num_machines)
@@ -565,8 +452,8 @@ def plan_install(
     What a running engine adopts a plan with.  Each side's live tuples are
     routed by the new plan once, and that one route is both diffed against
     the old holdings and handed out.  Returns the plan's figures
-    (:class:`MigrationPlan`), the new plan's two :func:`side_layout` and
-    its two routed sides (:class:`RoutedSide`, as :func:`route_live` would
+    (:class:`MigrationPlan`), the new plan's two
+    :func:`~repro.partitioning.routing.side_layout` and its two routed sides (:class:`RoutedSide`, as :func:`route_live` would
     route them under the plan's region map).  A grid plan's routed side is
     the live sort itself, sliced by the spans.
 

@@ -6,10 +6,10 @@ kept verbatim as the differential oracle (``tests/test_cluster_oracle.py``):
 both sides are cast to float64, routed by ``assign_r1`` / ``assign_r2``
 (one index array per region), gathered region by region, and every region
 with two non-empty sides is counted by its own ``count_join_output`` call,
-which sorts its R2 side again.  The production path -- one
-``Partitioning.sorted_arrivals`` call per side and one ``count_regions``
-dispatch -- must give every machine the same input and output, and leave
-the generator in the same state.
+which sorts its R2 side again.  The production path -- each side routed
+once by the stream's route and counted as the first half of a stream batch
+into empty state, one kernel call -- must give every machine the same input
+and output, and leave the generator in the same state.
 
 The float64 cast is the behaviour the production path dropped (it counts
 in the keys' own dtype), so the oracle is only comparable on keys that

@@ -1,8 +1,9 @@
 """Reference count kernels: one ``joinable_bounds`` pass per task, and the kernel's loops in numpy.
 
-Test-only.  :func:`count_regions` and :func:`sum_halves` are the bodies
-``repro.joins.local.count_regions`` and ``RegionStateTable.sum_halves`` had
-before the bounds were hoisted out of the per-task loop, kept as the
+Test-only.  :func:`count_regions` and :func:`sum_halves` are the bodies the
+per-region count loop (since replaced by ``repro.joins.local.count_runs``)
+and ``RegionStateTable.sum_halves`` had before the bounds were hoisted out
+of the per-task loop, kept as the
 differential oracle (``tests/test_counting_oracle.py``): every non-empty
 task normalises both of its sides, recomputes its own joinable bounds
 through ``count_matches_per_key`` and is timed around the lot, and
@@ -10,7 +11,8 @@ per-task values are scattered into their halves with an unbuffered
 ``np.add.at``.  The production kernel must return the same per-task
 outputs and read the clock exactly as often -- twice per non-empty task, in
 task order.  :func:`count_task` is one task of the hoisted loop in numpy,
-as it counted before the compiled kernel (``repro.joins.native.count``),
+as it counted before the compiled kernel (one reader's needles against one
+run, ``repro.joins.native.count_half`` with no cut),
 and :func:`count_half` one half of a stream batch as the state owner
 counted it before ``repro.joins.native.count_half``: one task per run,
 its needles gathered segment by segment, clipped and summed per segment
@@ -63,7 +65,7 @@ def sum_halves(num_machines: int, values: np.ndarray, owners: np.ndarray) -> np.
 
 
 def count_task(run, cum, lows, highs, out: np.ndarray) -> None:
-    """Write one task's count into ``out[0]`` with numpy (``native.count``'s arguments).
+    """Write one task's count into ``out[0]`` with numpy: one reader's needles, one run, no cut.
 
     Two ``searchsorted`` passes and a sum.
     """

@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 import reference_migration
 
+from repro.partitioning.routing import side_layout
 from repro.streaming import migration
 from repro.streaming.arrivals import ArrivalLog
 from reference_routing import as_routed
@@ -91,7 +92,7 @@ def plan_install(*arguments, **options):
     expected = reference_migration.plan_migration(*arguments, **options)
     partitioning, histories, machines = arguments[2], arguments[3:5], arguments[5]
     layouts = tuple(
-        migration.side_layout(partitioning, side, expected.region_to_machine, machines)
+        side_layout(partitioning, side, expected.region_to_machine, machines)
         for side in (1, 2)
     )
     routed = tuple(
@@ -175,7 +176,7 @@ class ReferenceInstallEngine(StreamingJoinEngine):
         with self.tracer.span("route", category="stage", initial_build=initial_build):
             s.region_to_machine = np.arange(J, dtype=np.int64)
             s.layouts = tuple(
-                migration.side_layout(s.partitioning, side, s.region_to_machine, J)
+                side_layout(s.partitioning, side, s.region_to_machine, J)
                 for side in (1, 2)
             )
             return tuple(
@@ -215,7 +216,7 @@ class ReferenceInstallEngine(StreamingJoinEngine):
             self.backend.resize(machines)
             self.num_machines = machines
         s.layouts = tuple(
-            migration.side_layout(replacement, side, plan.region_to_machine, machines)
+            side_layout(replacement, side, plan.region_to_machine, machines)
             for side in (1, 2)
         )
         self.backend.install_state(

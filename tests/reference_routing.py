@@ -31,9 +31,8 @@ from reference_migration import route_live
 
 from repro.partitioning.grid_routed import GridRoutedPartitioning
 from repro.partitioning.one_bucket import OneBucketPartitioning
-from repro.streaming.backends import RoutedSide
+from repro.partitioning.routing import RoutedSide, side_layout
 from repro.streaming.engine import StreamingJoinEngine
-from repro.streaming.migration import side_layout
 
 __all__ = [
     "ReferenceRouteEngine",

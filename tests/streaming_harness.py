@@ -56,10 +56,10 @@ from repro.engine.executor import join_assigned_regions
 from repro.joins.local import count_join_output
 from repro.obs.clock import perf_counter
 from repro.obs.trace import TickClock
+from repro.partitioning.routing import RoutedSide
 from repro.streaming.backends import (
     ExecutionBackend,
     RegionJoinResult,
-    RoutedSide,
     SimulatedBackend,
     WorkerCrashError,
     default_mp_context,
@@ -265,9 +265,7 @@ def assert_same_checkpoint_state(ours, theirs) -> int:
 #: calls that move or count state.  ``bind`` and ``drain_channel_bytes``
 #: are deliberately not fault points: they are
 #: bookkeeping commands whose failure modes the crash tests for real
-#: backends already cover.  (``join_regions`` is no longer
-#: one either: no protocol call dispatches through it, the in-process
-#: ``count_batch`` included.)
+#: backends already cover.
 FAULT_OPS = ("count", "evict", "install")
 
 
@@ -302,11 +300,6 @@ class _ForwardingBackend(ExecutionBackend):
 
     def _before(self, op: str) -> None:
         """Fault hook; called before each work call with its operation name."""
-
-    def join_regions(self, tasks, conditions) -> RegionJoinResult:
-        """Forward a stateless region join (not a protocol call, no hook)."""
-        self._ensure_open()
-        return self.inner.join_regions(tasks, conditions)
 
     def bind(self, num_machines, condition, transposed) -> None:
         """Forward the stream binding (never a fault point)."""
@@ -589,15 +582,6 @@ class PicklingPoolBackend(ExecutionBackend):
         self._table = RegionStateTable(())
         self._conditions = ()
 
-    def join_regions(self, tasks, conditions) -> RegionJoinResult:
-        """Count every busy task on the pool; report the pickled bytes.
-
-        The second sides are sorted runs of the state, so the pool searches
-        them as they are.
-        """
-        self._ensure_open()
-        return join_assigned_regions(self._pool, tasks, conditions)
-
     def bind(self, num_machines, condition, transposed) -> None:
         """Start from empty per-machine state."""
         self._ensure_open()
@@ -605,11 +589,16 @@ class PicklingPoolBackend(ExecutionBackend):
         self._conditions = (condition, transposed)
 
     def count_batch(self, new1, new2) -> RegionJoinResult:
-        """Fold the batch into the per-machine table; count its tasks on the pool."""
+        """Fold the batch into the per-machine table; count its tasks on the pool.
+
+        The second sides are sorted runs of the state, so the pool searches
+        them as they are, and the pickled bytes are reported.
+        """
+        self._ensure_open()
         table = self._table
         tasks, owners = table.fold(state_layout(columns(new1), columns(new2)))
-        execution = self.join_regions(
-            tasks, [self._conditions[owner & 1] for owner in owners.tolist()]
+        execution = join_assigned_regions(
+            self._pool, tasks, [self._conditions[owner & 1] for owner in owners.tolist()]
         )
         return replace(
             execution,

@@ -360,26 +360,14 @@ class TestBackendProtocol:
             for name, value in vars(ExecutionBackend).items()
             if callable(value) and not name.startswith("_")
         }
-        assert set(STATE_PROTOCOL) == public - {"join_regions", "close"}
+        assert set(STATE_PROTOCOL) == public - {"close"}
         assert len(STATE_PROTOCOL) == 5
-
-    def test_flags_backend_missing_join_regions(self):
-        report = run(
-            """
-            class BrokenBackend(ExecutionBackend):
-                pass
-            """
-        )
-        assert rule_ids(report) == ["API001"]
 
     def test_flags_sticky_backend_missing_surface(self):
         # "Sticky" as in: state kept remotely -- a partial override is half remote.
         report = run(
             """
             class HalfRemoteBackend(ExecutionBackend):
-                def join_regions(self, *args):
-                    return []
-
                 def bind(self, *args):
                     return None
 
@@ -396,8 +384,7 @@ class TestBackendProtocol:
         report = run(
             """
             class PoolBackend(ExecutionBackend):
-                def join_regions(self, *args):
-                    return []
+                name = "pool"
             """
         )
         assert rule_ids(report) == []
@@ -406,7 +393,6 @@ class TestBackendProtocol:
         methods = "\n".join(
             f"    def {name}(self, *args):\n        return None"
             for name in (
-                "join_regions",
                 "bind",
                 "count_batch",
                 "evict_state",
@@ -421,7 +407,6 @@ class TestBackendProtocol:
         methods = "\n".join(
             f"    def {name}(self, *args):\n        return None"
             for name in (
-                "join_regions",
                 "bind",
                 "count_batch",
                 "evict_state",
@@ -464,7 +449,8 @@ class TestBackendProtocol:
         report = run(
             """
             class ProtoBackend(ExecutionBackend):  # repro: ignore[API001]  # doc-only stub
-                pass
+                def count_batch(self, *args):
+                    return None
             """
         )
         assert rule_ids(report) == []

@@ -119,7 +119,27 @@ def test_import_repro_leaves_the_process_machinery_unimported():
 
 
 def test_the_batch_operator_loads_no_streaming_module():
-    assert not _within(_loaded_by("from repro import CSIOOperator"), "repro.streaming")
+    """Neither importing nor running batch execution loads ``repro.streaming``.
+
+    A CSIO join and a 1-Bucket ``run_partitioned_join`` run in the child,
+    so an import made inside the batch route or count is caught too.
+    """
+    loaded = _loaded_by(
+        "import numpy as np\n"
+        "from repro import BandJoinCondition, CSIOOperator, WeightFunction\n"
+        "from repro import build_one_bucket_partitioning, run_partitioned_join\n"
+        "rng = np.random.default_rng(0)\n"
+        "keys1, keys2 = rng.integers(0, 50, 200), rng.integers(0, 50, 200)\n"
+        "condition = BandJoinCondition(beta=1.0)\n"
+        "result = CSIOOperator(num_machines=4).run(\n"
+        "    keys1, keys2, condition, WeightFunction(1.0, 0.2), rng=rng\n"
+        ")\n"
+        "assert result.output_correct\n"
+        "batch = run_partitioned_join(build_one_bucket_partitioning(4), keys1, keys2, condition)\n"
+        "assert batch.total_output > 0"
+    )
+    assert {"repro.engine.cluster", "repro.partitioning.one_bucket"} <= loaded
+    assert not _within(loaded, "repro.streaming")
 
 
 def test_the_stream_engine_loads_only_what_it_runs():

@@ -41,7 +41,8 @@ from repro.streaming import (
     default_mp_context,
     make_backend,
 )
-from repro.streaming.backends import RoutedSide, StateOwner, _StickyWorkerState
+from repro.partitioning.routing import RoutedSide
+from repro.streaming.backends import StateOwner, _StickyWorkerState
 from repro.streaming.shm import SEGMENT_PREFIX
 from reference_state import state_layout
 from streaming_harness import _ForwardingBackend, arrivals
@@ -51,28 +52,34 @@ BAND = BandJoinCondition(beta=1.0)
 
 
 def _region_keys(rng, num_regions=4, size=120):
-    """Random per-region tasks, including one empty-sided region.
-
-    Each second side is sorted, as a run of the state is.
-    """
+    """Random per-region sides, key-sorted, including one empty-sided region."""
     region_keys = [
-        (rng.uniform(0, 50, size), np.sort(rng.uniform(0, 50, size)))
+        (np.sort(rng.uniform(0, 50, size)), np.sort(rng.uniform(0, 50, size)))
         for _ in range(num_regions - 1)
     ]
     region_keys.append((np.empty(0), np.sort(rng.uniform(0, 50, size))))
     return region_keys
 
 
-def _bands(tasks) -> list:
-    """One band condition per task."""
-    return [BAND] * len(tasks)
+def _first_batch(region_keys) -> "tuple[RoutedSide, RoutedSide]":
+    """Per-region sides as a stream's first batch, a machine per region."""
+    return (
+        RoutedSide.of([keys1 for keys1, _ in region_keys]),
+        RoutedSide.of([keys2 for _, keys2 in region_keys]),
+    )
+
+
+def _bound(backend, machines=4):
+    """``backend``, bound to a band join of ``machines`` machines."""
+    backend.bind(machines, BAND, BAND.transposed)
+    return backend
 
 
 class TestSimulatedBackend:
     def test_counts_match_exact_kernel(self, rng):
-        backend = SimulatedBackend()
+        """A first batch into empty state counts each region's whole join."""
         region_keys = _region_keys(rng)
-        result = backend.join_regions(region_keys, _bands(region_keys))
+        result = _bound(SimulatedBackend()).count_batch(*_first_batch(region_keys))
         expected = [
             count_join_output(k1, k2, BAND) if len(k1) and len(k2) else 0
             for k1, k2 in region_keys
@@ -81,40 +88,38 @@ class TestSimulatedBackend:
         assert result.total_output == sum(expected)
 
     def test_empty_regions_charge_no_time(self, rng):
-        backend = SimulatedBackend()
-        tasks = _region_keys(rng)
-        result = backend.join_regions(tasks, _bands(tasks))
-        # The empty-sided region produced nothing and was never timed.
+        result = _bound(SimulatedBackend()).count_batch(*_first_batch(_region_keys(rng)))
+        # The empty-sided region produced nothing; one pass counts every
+        # machine, so no machine is charged a time of its own.
         assert result.per_machine_output[-1] == 0
-        assert result.per_machine_seconds[-1] == 0.0
+        assert result.per_machine_seconds is None
         assert result.wall_seconds >= 0.0
 
     def test_close_is_final_and_context_manager_works(self, rng):
-        tasks = _region_keys(rng, size=10)
+        batch = _first_batch(_region_keys(rng, size=10))
         with SimulatedBackend() as backend:
-            backend.join_regions(tasks, _bands(tasks))
+            _bound(backend).count_batch(*batch)
         backend.close()  # idempotent
         assert backend.closed
         # Uniform resource contract with the sticky backend: a closed
         # backend refuses work instead of silently coming back to life.
         with pytest.raises(RuntimeError, match="closed"):
-            backend.join_regions(tasks, _bands(tasks))
+            backend.count_batch(*batch)
 
 
 class TestSlowConsumerBackend:
     def test_results_unchanged_and_wall_time_inflated(self, rng):
-        region_keys = _region_keys(rng)
-        inner = SimulatedBackend()
-        reference = SimulatedBackend().join_regions(region_keys, _bands(region_keys))
+        batch = _first_batch(_region_keys(rng))
+        reference = _bound(SimulatedBackend()).count_batch(*batch)
         slow = SlowConsumerBackend(
-            inner, seconds_per_call=2.0, seconds_per_tuple=0.5
+            SimulatedBackend(), seconds_per_call=2.0, seconds_per_tuple=0.5
         )
-        result = slow.join_regions(region_keys, _bands(region_keys))
+        result = _bound(slow).count_batch(*batch)
         np.testing.assert_array_equal(
             result.per_machine_output, reference.per_machine_output
         )
-        probe_tuples = sum(len(k1) for k1, _ in region_keys)
-        expected_delay = 2.0 + 0.5 * probe_tuples
+        routed = int(batch[0].sizes.sum() + batch[1].sizes.sum())
+        expected_delay = 2.0 + 0.5 * routed
         assert result.wall_seconds >= expected_delay
         assert slow.name == "slow(simulated)"
 
@@ -123,12 +128,12 @@ class TestSlowConsumerBackend:
         slow = SlowConsumerBackend(
             SimulatedBackend(), seconds_per_call=0.25, sleep=slept.append
         )
-        tasks = _region_keys(rng, size=10)
-        slow.join_regions(tasks, _bands(tasks))
+        batch = _first_batch(_region_keys(rng, size=10))
+        _bound(slow).count_batch(*batch)
         assert slept == [0.25]
         # Without a sleep callable, nothing stalls: only the report inflates.
         virtual = SlowConsumerBackend(SimulatedBackend(), seconds_per_call=10.0)
-        result = virtual.join_regions(tasks, _bands(tasks))
+        result = _bound(virtual).count_batch(*batch)
         assert result.wall_seconds >= 10.0
 
     def test_every_field_of_the_inner_execution_survives(self):
@@ -146,21 +151,24 @@ class TestSlowConsumerBackend:
         )
 
         class Stub(SimulatedBackend):
-            def join_regions(self, tasks, conditions):
+            def count_batch(self, new1, new2):
                 return inner_result
 
-        result = SlowConsumerBackend(Stub(), seconds_per_call=2.0).join_regions([], [])
+        nothing = RoutedSide.of([np.empty(0)] * 2)
+        result = SlowConsumerBackend(Stub(), seconds_per_call=2.0).count_batch(
+            nothing, nothing
+        )
         assert result == replace(inner_result, wall_seconds=3.0)
         assert result.bytes_shm == 4096 and result.worker_seconds[1] == 0.9
 
     def test_close_closes_the_inner_backend_and_is_final(self, rng):
         inner = SimulatedBackend()
-        slow = SlowConsumerBackend(inner, seconds_per_call=0.01)
+        slow = _bound(SlowConsumerBackend(inner, seconds_per_call=0.01))
         slow.close()
         slow.close()  # idempotent
         assert inner.closed and slow.closed
         with pytest.raises(RuntimeError, match="closed"):
-            slow.join_regions(_region_keys(rng, size=10), _bands(range(4)))
+            slow.count_batch(*_first_batch(_region_keys(rng, size=10)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -711,12 +719,6 @@ class TestStickyWorkerBackend:
         with pytest.raises(RuntimeError, match="closed"):
             backend.count_batch([], [])
         backend.close()  # idempotent
-
-    def test_join_regions_refused(self, rng):
-        with StickyWorkerBackend(max_workers=1) as backend:
-            tasks = _region_keys(rng, size=10)
-            with pytest.raises(RuntimeError, match="state-ownership protocol"):
-                backend.join_regions(tasks, _bands(tasks))
 
     def test_close_unlinks_the_shared_segment(self, rng):
         shm_dir = Path("/dev/shm")

@@ -15,6 +15,7 @@ from repro.partitioning.grid_routed import GridRoutedPartitioning
 from repro.partitioning.one_bucket import build_one_bucket_partitioning
 from repro.partitioning.ewh import build_ewh_partitioning
 from repro.partitioning.m_bucket import MBucketConfig, build_m_bucket_partitioning
+from repro.streaming.migration import route_live
 
 
 @pytest.fixture(scope="module")
@@ -109,8 +110,17 @@ class TestRunPartitionedJoin:
 
     def test_broken_partitioning_rejected(self, join_inputs):
         keys1, keys2, condition = join_inputs
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="routing must return one share per region"):
             run_partitioned_join(_BrokenPartitioning(), keys1, keys2, condition)
+
+    def test_the_stream_route_names_a_broken_partitioning(self, join_inputs):
+        """The route a stream's build, migration and restore take raises it too."""
+        keys1, keys2, _ = join_inputs
+        with pytest.raises(ValueError, match="routed R1 to 1 regions, but has 3"):
+            route_live(
+                _BrokenPartitioning(), keys1, keys2, np.random.default_rng(0),
+                np.arange(3), 3,
+            )
 
     @pytest.mark.parametrize("scheme", ["CI", "CSIO"])
     def test_integer_keys_are_counted_exactly(self, scheme):

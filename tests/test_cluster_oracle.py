@@ -4,9 +4,11 @@
 before batch execution took the streaming engine's route and kernel: assign
 with one index array per region, gather every region's keys, count each
 region with its own ``count_join_output`` call.  Production routes each side
-once through ``Partitioning.sorted_arrivals`` (a grid scheme slices one
-sorted copy, every other scheme assigns and sorts each share) and counts
-every region in one ``count_regions`` dispatch.  The rewrite must be
+once by the stream's route, ``repro.partitioning.routing.route_batch`` (a
+grid scheme slices one sorted copy, every other scheme assigns in arrival
+order and sorts each share), and counts R1's routed keys against R2's routed
+groups in one kernel call, the first half of a stream batch into empty
+state.  The rewrite must be
 invisible: the same per-machine input and output, total, memory, network and
 replication factor, and the same generator state after the run -- over
 EWH, M-Bucket, 1-Bucket, hash and an assign-only custom scheme, on float

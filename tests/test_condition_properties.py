@@ -4,7 +4,7 @@ Production conditions state each predicate once, as joinable bounds plus a
 candidate grid, and derive the rest.  ``tests/reference_conditions.py``
 holds each class's scalar test and grid as they were stated before, so the
 checks here are independent of the kernel: every count path
-(``count_join_output``, ``count_regions`` and a broadcast ``matches_many``)
+(``count_join_output``, a 1-Bucket batch join and a broadcast ``matches_many``)
 equals the brute-force reference count, for every condition kind and its
 ``transposed``, on float keys with NaN / ±inf / −0.0 / subnormals, int32,
 int64 around 2**53 and at the int64 extremes, uint64, and integer keys
@@ -34,9 +34,8 @@ from repro.joins.conditions import (
     EquiJoinCondition,
     InequalityJoinCondition,
     InequalityOp,
-    normalise_keys,
 )
-from repro.joins.local import count_join_output, count_regions
+from repro.joins.local import count_join_output
 from repro.partitioning.hash_repartition import build_hash_repartitioning
 from repro.partitioning.one_bucket import build_one_bucket_partitioning
 from repro.streaming import (
@@ -135,10 +134,8 @@ def test_every_count_path_equals_the_reference_count(join):
     expected = reference_count(condition, keys1, keys2)
     with np.errstate(invalid="raise"):  # no NaN reaches the arithmetic
         assert count_join_output(keys1, keys2, condition) == expected
-        outputs, _ = count_regions(
-            [(keys1, np.sort(normalise_keys(keys2)))], [condition]
-        )
-        assert outputs[0] == expected
+        batch = run_partitioned_join(build_one_bucket_partitioning(4), keys1, keys2, condition)
+        assert batch.total_output == expected
         assert condition.matches_many(keys1[:, None], keys2[None, :]).sum() == expected
 
 

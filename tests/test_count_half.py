@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 from repro.joins import native
 from repro.joins.conditions import BandJoinCondition
 from repro.partitioning.grid_routed import MachineSlices
-from repro.streaming.backends import _bounds
+from repro.joins.local import _bounds
 
 FLOAT_POOL = np.concatenate(
     [np.arange(-8, 9) / 2.0, [np.nan, -np.inf, np.inf, -0.0, 0.0, -1e308, 1e308]]

@@ -1,25 +1,25 @@
 """Differential tests: the count kernel against its bounds-per-task original.
 
-``tests/reference_counting.py`` holds the loop ``count_regions`` was before
-joinable bounds were hoisted out of it (one ``joinable_bounds`` pass per
-condition per dispatch, every task searching with its slice) and the
-``np.add.at`` scatter the per-machine halves were summed with.  The rewrite
-must be invisible: equal per-task outputs for every condition and key
-dtype, whatever tasks share a dispatch, and the clock read exactly as often
--- twice per non-empty task -- so tick-clock traces do not move.  A stream
-batch's half (``native.count_half``: reader segments of the needles, each
-seeing one slice of each run) must count per reader what the reference
-counts on that reader's needles against that slice of the runs.  Both
-streaming owners of the kernel are driven batch after batch --
-``SimulatedBackend`` and an in-process ``_StickyWorkerState`` -- against the
-per-machine table kept in ``tests/reference_state.py``, with their clock
-reads (the batch simulator's use of the kernel is
-``tests/test_cluster_oracle.py``'s subject).
+``tests/reference_counting.py`` holds the per-region count loop as it was
+before joinable bounds were hoisted out of it (bounds recomputed per task,
+every task timed on its own) and the ``np.add.at`` scatter the per-machine
+halves were summed with.  Every count goes through one entry,
+``repro.joins.local.count_runs``, and it must be invisible: a batch join's
+per-machine outputs equal the reference's count of every routed region, for
+every condition and key dtype.  A stream batch's half
+(``native.count_half``: reader segments of the needles, each seeing one
+slice of each run) must count per reader what the reference counts on that
+reader's needles against that slice of the runs.  Both streaming owners of
+the kernel are driven batch after batch -- ``SimulatedBackend`` and an
+in-process ``_StickyWorkerState`` -- against the per-machine table kept in
+``tests/reference_state.py``, with their clock reads (a batch join's totals
+and generator state are ``tests/test_cluster_oracle.py``'s subject).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 
 import numpy as np
 import pytest
@@ -38,14 +38,20 @@ from repro.joins.conditions import (
 )
 from reference_state import RegionStateTable, state_layout
 
+from repro.engine.cluster import run_partitioned_join
 from repro.obs.trace import TickClock
+from repro.partitioning.base import Partitioning
+from repro.partitioning.ewh import build_ewh_partitioning
+from repro.partitioning.hash_repartition import build_hash_repartitioning
+from repro.partitioning.one_bucket import build_one_bucket_partitioning
 from repro.streaming import SimulatedBackend
 from repro.joins import local as kernel
 from repro.joins import native
 from repro.joins.conditions import normalise_keys
 from repro.streaming import backends as production
 from repro.partitioning.grid_routed import MachineSlices
-from repro.streaming.backends import _StickyWorkerState, _bounds
+from repro.joins.local import _bounds
+from repro.streaming.backends import _StickyWorkerState
 
 BAND = BandJoinCondition(beta=2.0)  # integral: exact on int64 keys above 2**53
 NARROW = BandJoinCondition(beta=0.3)
@@ -100,45 +106,54 @@ def tick_clocks():
         yield clocks
 
 
+@functools.lru_cache(maxsize=None)
+def _plan(scheme: str) -> Partitioning:
+    """One plan per scheme: key ranges, draw groups, or a region per hash bucket."""
+    if scheme == "ewh":
+        rng = np.random.default_rng(3)
+        keys1, keys2 = rng.integers(0, 400, 300) / 10.0, rng.integers(0, 400, 200) / 10.0
+        return build_ewh_partitioning(keys1, keys2, BAND, 4, rng=np.random.default_rng(1))
+    if scheme == "one_bucket":
+        return build_one_bucket_partitioning(6)
+    assert scheme == "hash"
+    return build_hash_repartitioning(3, band_width=2.0)
+
+
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), num_tasks=st.integers(0, 14))
-def test_join_regions_counts_what_the_per_task_kernel_counts(seed, num_tasks):
-    """Random dispatches: conditions, dtypes and shared needles all mixed."""
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scheme=st.sampled_from(["ewh", "one_bucket", "hash"]),
+    condition=st.sampled_from(CONDITIONS),
+    styles=st.tuples(st.sampled_from(KEY_STYLES), st.sampled_from(KEY_STYLES)),
+    sizes=st.tuples(st.sampled_from([0, 1, 9, 80]), st.sampled_from([0, 1, 9, 80])),
+)
+def test_batch_execution_counts_what_the_per_task_kernel_counts(
+    seed, scheme, condition, styles, sizes
+):
+    """Per machine: a batch join's output is the reference's count of its routed region.
+
+    The batch join counts R1's routed keys against R2's routed groups in one
+    kernel call; the reference counts every region on its own, its shares
+    routed by ``Partitioning.sorted_arrivals`` from the same generator
+    state.  Conditions and key dtypes are mixed, so integer needles meet
+    float runs and the other way round.
+    """
     rng = np.random.default_rng(seed)
-    # A small pool of first sides, so several tasks share one array object
-    # (as a fold's per-run tasks do) while others hold equal-looking copies.
-    pool = [
-        _draw_keys(rng, rng.choice(KEY_STYLES), int(rng.choice([0, 1, 5, 40])))
-        for _ in range(4)
-    ]
-    # Few conditions per dispatch, so arrays of different dtypes meet in one
-    # condition's bounds pass.
-    active = rng.choice(len(CONDITIONS), size=rng.integers(1, 4))
-    tasks, conditions = [], []
-    for _ in range(num_tasks):
-        keys1 = pool[rng.integers(len(pool))]
-        if rng.random() < 0.2:
-            keys1 = keys1.copy()
-        keys2 = _draw_keys(rng, rng.choice(KEY_STYLES), int(rng.choice([0, 3, 60])))
-        tasks.append((keys1, np.sort(keys2)))
-        conditions.append(CONDITIONS[rng.choice(active)])
-    if rng.random() < 0.3:  # runs of one condition over shared needles
-        order = np.argsort([CONDITIONS.index(c) for c in conditions], kind="stable")
-        tasks = [tasks[i] for i in order]
-        conditions = [conditions[i] for i in order]
-
-    with tick_clocks() as (ours_clock, reference_clock):
-        execution = SimulatedBackend().join_regions(tasks, conditions)
-        outputs, seconds = reference.count_regions(tasks, conditions)
-
-    np.testing.assert_array_equal(execution.per_machine_output, outputs)
-    assert execution.per_machine_output.dtype == outputs.dtype == np.int64
-    # Two reads around every non-empty task (so one tick each), none around
-    # an empty one; join_regions adds its own pair around the whole dispatch.
-    np.testing.assert_array_equal(execution.per_machine_seconds, seconds)
-    non_empty = sum(1 for keys1, keys2 in tasks if len(keys1) and len(keys2))
-    assert reference_clock.reads == 2 * non_empty
-    assert ours_clock.reads == 2 * non_empty + 2
+    keys1, keys2 = (_draw_keys(rng, style, size) for style, size in zip(styles, sizes))
+    plan = _plan(scheme)
+    with np.errstate(invalid="ignore"):  # hash routing rounds the keys it buckets
+        execution = run_partitioned_join(
+            plan, keys1, keys2, condition, np.random.default_rng(seed)
+        )
+        generator = np.random.default_rng(seed)
+        shares = [
+            [keys for _, keys in plan.sorted_arrivals(side, normalise_keys(keys), generator)]
+            for side, keys in ((1, keys1), (2, keys2))
+        ]
+    tasks = list(zip(*shares))
+    expected, _ = reference.count_regions(tasks, [condition] * len(tasks))
+    np.testing.assert_array_equal(execution.per_machine_output, expected)
+    assert execution.per_machine_output.dtype == np.int64
 
 
 @settings(max_examples=150, deadline=None)

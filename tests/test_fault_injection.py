@@ -41,7 +41,7 @@ from repro.streaming import (
     WorkerCrashError,
     run_resilient,
 )
-from repro.streaming.backends import RoutedSide
+from repro.partitioning.routing import RoutedSide
 from streaming_harness import (
     CrashingBackend,
     assert_equivalent_runs,

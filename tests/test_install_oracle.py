@@ -54,7 +54,8 @@ from repro.streaming import (
     StreamingJoinEngine,
     plan_install,
 )
-from repro.streaming.backends import RoutedSide, _StickyWorkerState
+from repro.partitioning.routing import RoutedSide
+from repro.streaming.backends import _StickyWorkerState
 
 
 # ----------------------------------------------------------------------

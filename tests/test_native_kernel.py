@@ -1,16 +1,18 @@
 """Differential tests: the compiled kernel against the numpy code it replaced.
 
-``repro.joins.native`` runs one task of ``count_regions`` (search and sum)
-and one run merge of ``SortedRegionState`` in C.  The numpy bodies it
-replaced are the reference here: ``reference_counting.count_task`` and
+``repro.joins.native`` runs the count (``count_half``: search and sum) and
+one run merge of ``SortedRegionState`` in C.  The numpy bodies it replaced
+are the reference here: ``reference_counting.count_task`` (a count of one
+reader's needles against one run, with no cut) and
 ``reference_state.merge_sorted``.  Outputs must be equal and merged runs
 equal **byte for byte** (keys and cumulative counts), over float64 and int64
 keys with NaN (two payloads), +-inf, -0.0 and 0.0, the int64 extremes and
 2**53 + 1; unsorted needles and bounds in any order; empty runs and
 needles; fresh, counted and tombstone runs.  Inputs the kernel does not
 take -- other dtypes and sizes, strided arrays -- raise by name and leave
-everything untouched; read-only inputs are read.  (A stream batch's count,
-``native.count_half``, is ``tests/test_count_half.py``'s subject.)
+everything untouched; read-only inputs are read.  (Many readers, runs and
+cuts at once -- a stream batch's half -- are ``tests/test_count_half.py``'s
+subject.)
 Coarsening's sweep (``native.sweep_rows``) is held to the numpy sweep and
 the row loop of ``tests/reference_planner.py`` in
 ``tests/test_planner_oracle.py``; here are the inputs it refuses and the
@@ -99,9 +101,20 @@ def test_a_task_counts_what_numpy_counts(seed, dtype, kind, size, needles):
     lows = _keys(rng, dtype, needles)
     highs = np.where(rng.random(needles) < 0.8, np.maximum(lows, _keys(rng, dtype, needles)), lows)
     ours, theirs = np.full(1, -7, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    native.count(run, cum, lows, highs, ours)
+    _count_one(run, cum, lows, highs, ours)
     reference_counting.count_task(run, cum, lows, highs, theirs)
-    np.testing.assert_array_equal(ours, theirs)
+    # The kernel adds into its output: what it counted is the change.
+    np.testing.assert_array_equal(ours + 7, theirs)
+
+
+#: One machine, reading its share whole.
+_ONE = np.zeros(1, dtype=np.int64)
+
+
+def _count_one(run, cum, lows, highs, out, readers=_ONE) -> None:
+    """Every needle one machine's, one run searched whole: ``count_half`` of one task."""
+    stops = np.array([lows.size], dtype=np.int64)
+    native.count_half(lows, highs, _ONE, stops, [(run, cum, readers, None)], out)
 
 
 @settings(max_examples=400, deadline=None)
@@ -153,21 +166,23 @@ def test_inputs_it_does_not_take_raise():
     frozen_out = out.copy()
     frozen_out.flags.writeable = False
     refused = [
-        (TypeError, "run is float32", (run.astype(np.float32), None, lows, highs)),
-        (TypeError, "lows / highs are int64 / float64", (run, None, lows.astype(np.int64), highs)),
-        (ValueError, "4 lows but 3 highs", (run, None, lows, highs[:3])),
-        (ValueError, "run is not C-contiguous", (run[::2], None, lows, highs)),
+        (TypeError, "a run's keys are float32", (run.astype(np.float32), None, lows, highs)),
+        (ValueError, "4 int64 lows but 4 float64 highs", (run, None, lows.astype(np.int64), highs)),
+        (ValueError, "4 float64 lows but 3 float64 highs", (run, None, lows, highs[:3])),
+        (ValueError, "a run or a slice rule is not C-contiguous", (run[::2], None, lows, highs)),
         (ValueError, "cum is 10 int64, not 11 int64", (run, np.arange(10), lows, highs)),
     ]
     for error, message, args in refused:
         with pytest.raises(error, match=message):
-            native.count(*args, out)
-    with pytest.raises(TypeError, match="out is int32"):
-        native.count(run, None, lows, highs, out.astype(np.int32))
-    with pytest.raises(ValueError, match="out is read-only"):
-        native.count(run, None, lows, highs, frozen_out)
-    with pytest.raises(ValueError, match="no entry for the task"):
-        native.count(run, None, lows, highs, out[:0])
+            _count_one(*args, out)
+    with pytest.raises(TypeError, match="out int32: not int64"):
+        _count_one(run, None, lows, highs, out.astype(np.int32))
+    with pytest.raises(ValueError, match="slice rule is read-only, and the kernel writes it"):
+        _count_one(run, None, lows, highs, frozen_out)
+    with pytest.raises(ValueError, match="1 starts and 1 stops for 0 machines"):
+        _count_one(run, None, lows, highs, out[:0])
+    with pytest.raises(ValueError, match="a run's reader is not one of the machines"):
+        _count_one(run, None, lows, highs, out, readers=np.ones(1, dtype=np.int64))
     assert out.tolist() == [-7]
 
     with pytest.raises(TypeError, match="run keys are float32"):
@@ -184,7 +199,8 @@ def test_inputs_it_does_not_take_raise():
         array.flags.writeable = False
     expected = np.zeros(1, dtype=np.int64)
     reference_counting.count_task(run, None, lows, highs, expected)
-    native.count(read_only[0], None, *read_only[1:], out)
+    out[:] = 0
+    _count_one(read_only[0], None, read_only[1], read_only[2], out)
     assert out.tolist() == expected.tolist()
     runs = [(read_only[0], None), (run, -np.arange(11, dtype=np.int64))]
     assert native.merge(runs) is None is reference_state.merge_sorted(runs)

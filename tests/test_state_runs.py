@@ -56,7 +56,8 @@ from repro.streaming import (
 )
 from repro.streaming import incremental
 from repro.partitioning.grid_routed import MachineSlices
-from repro.streaming.backends import RoutedSide, SideLayout, StateOwner
+from repro.partitioning.routing import RoutedSide, SideLayout
+from repro.streaming.backends import StateOwner
 from repro.streaming.incremental import RUN_MERGE_RATIO
 from repro.streaming.window import ExponentialDecayWindow, SlidingWindow, drop_expired
 

@@ -2,7 +2,7 @@
 
 ``repro.partitioning.base.sort_arrivals``,
 ``GridRoutedPartitioning.sorted_arrivals`` and
-``repro.streaming.migration.route_batch`` (which sorts a key-range plan's
+``repro.partitioning.routing.route_batch`` (which sorts a key-range plan's
 batch keys alone) sort unsorted arrivals with numpy's default sort, so equal
 keys reach the state in an order nobody specifies.  The first half runs
 whole engines twice -- once as they are, once with those sorts emitting
