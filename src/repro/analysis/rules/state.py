@@ -19,7 +19,7 @@ range check, else one ``searchsorted``) instead of ``np.isin``.
 It also flags ``np.add.at`` and every other ``np.<ufunc>.at``: an unbuffered
 scatter that handles one element at a time, where the per-batch paths never
 scatter (a stream batch's per-machine totals are summed inside the compiled
-kernel, ``repro.joins.native.count_half``), and a sum over sorted
+kernel, ``repro.joins.native.fold``), and a sum over sorted
 segments is one ``np.<ufunc>.reduceat`` over the segment starts, exact and
 one buffered pass.  A call that
 is genuinely off the per-batch path of every measured workload, or part of

@@ -6,8 +6,8 @@ routed regions to parallel OS processes and reports wall-clock times.  Both
 route with the streaming engine's route
 (:func:`~repro.partitioning.routing.route_batch`), so every region's R2
 share arrives key-sorted and no worker sorts it again, and every worker
-counts with the same kernel entry (:func:`~repro.joins.local.count_runs`,
-one reader and one run).  Python's global
+counts with the same kernel (:func:`~repro.joins.local.count_runs`, a fold
+of one half: one reader and one run).  Python's global
 interpreter lock makes shared-memory threading useless for CPU-bound joins,
 so worker processes are the honest equivalent of the paper's per-core
 reducers.  It is intended for the examples and for calibrating the cost

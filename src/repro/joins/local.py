@@ -16,12 +16,15 @@ Three algorithms are provided:
   tests as ground truth.
 
 For the simulator we rarely need materialised pairs, only their number:
-:func:`count_runs` counts routed needles against sorted runs with two
-binary searches per needle and run.  It is the one count of every engine
--- a stream batch's half (:meth:`~repro.streaming.backends.StateOwner.count`),
-a batch join (:func:`~repro.engine.cluster.run_partitioned_join`), a pool
-worker's task and :func:`count_join_output` -- and its inner loop runs in
-the compiled count kernel (:func:`repro.joins.native.count_half`).
+routed needles are counted against sorted runs with two binary searches
+per needle and run, in the compiled kernel's fold
+(:func:`repro.joins.native.fold`).  :func:`search_half` states one half
+of a count as the fold takes it -- a stream batch's two halves ride one
+fold with the batch's run merges
+(:meth:`~repro.streaming.backends.StateOwner.count`) -- and
+:func:`count_runs` is a count with no state to fold in: a batch join
+(:func:`~repro.engine.cluster.run_partitioned_join`), a pool worker's task
+and :func:`count_join_output`.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ __all__ = [
     "join_output_pairs",
     "count_join_output",
     "count_runs",
+    "search_half",
 ]
 
 
@@ -167,6 +171,47 @@ def _bounds(
     )
 
 
+def search_half(
+    condition: JoinCondition,
+    needles: np.ndarray,
+    starts: np.ndarray,
+    stops: np.ndarray,
+    groups: "Iterable[tuple[list, np.ndarray, int | None, np.dtype]]",
+    cut: "MachineSlices | None",
+    bounds: "dict | None" = None,
+) -> "Iterable[tuple]":
+    """One half of a count as :func:`repro.joins.native.fold` takes it: its entries.
+
+    Machine ``m``'s needles are ``needles[starts[m]:stops[m]]``.
+    ``groups`` lists, per group of the searched side, its ``(keys, cum)``
+    runs -- ascending keys, float64 or int64, ``cum`` their cumulative
+    counts (``cum[0] == 0``, any sign) or ``None`` when every key counts
+    once -- the machines reading it, the fold cascade whose merged run it
+    searches too (or ``None``) and the dtype of its keys; ``cut`` is the
+    slice rule the readers read every run through
+    (:class:`~repro.partitioning.grid_routed.MachineSlices`), or ``None``
+    when each reads its group whole.  A group with nothing to search or no
+    readers is left out: its readers count zero.  The needles are bounded
+    in one ``joinable_bounds`` pass per key dtype, in their common dtype
+    with the keys (:func:`_bounds`; an integer run meeting float bounds is
+    searched as float64, as ``searchsorted`` would cast it), so the half is
+    one fold entry per key dtype.  ``bounds`` (a dict, key dtype -> the
+    bounds) keeps them for the next call over the same needles.
+    """
+    bounds = {} if bounds is None else bounds
+    # A key dtype -> the bounds its groups are searched with, and the groups.
+    halves: "dict[np.dtype, tuple]" = {}
+    for runs, readers, merge, dtype in groups:
+        if not (runs or merge is not None) or not readers.size:
+            continue
+        if dtype not in halves:
+            if dtype not in bounds:
+                bounds[dtype] = _bounds(condition, needles, dtype)
+            halves[dtype] = (*bounds[dtype], starts, stops, [])
+        halves[dtype][4].append((runs, readers, cut, merge))
+    return halves.values()
+
+
 def count_runs(
     condition: JoinCondition,
     needles: np.ndarray,
@@ -179,58 +224,30 @@ def count_runs(
 ) -> None:
     """Count routed needles against sorted runs; add each machine's output into ``out``.
 
-    The one Python entry to the compiled count
-    (:func:`repro.joins.native.count_half`): one half of a stream batch
-    (:meth:`~repro.streaming.backends.StateOwner.count`), a batch join
+    A count with no state to fold in: a batch join
     (:func:`~repro.engine.cluster.run_partitioned_join`, the first half of
     a batch into empty state), a pool worker's task and
-    :func:`count_join_output` (one reader, one run).  Machine ``m``'s
-    needles are ``needles[starts[m]:stops[m]]``.  ``groups`` lists, per
-    group of the searched side, its ``(keys, cum)`` runs -- ascending keys,
-    float64 or int64 and one dtype per group, ``cum`` their cumulative
-    counts (``cum[0] == 0``, any sign) or ``None`` when every key counts
-    once -- and the machines reading it; ``cut`` is the slice rule the
-    readers read every run through
-    (:class:`~repro.partitioning.grid_routed.MachineSlices`), or ``None``
-    when each reads its group whole.  A group with no runs or no readers is
-    not searched: its readers count zero.
-
-    The needles are bounded in one ``joinable_bounds`` pass per run dtype,
-    in their common dtype with the runs (:func:`_bounds`; an integer run
-    meeting float bounds is searched as float64, as ``searchsorted`` would
-    cast it), and every run of that dtype is searched in one kernel call,
-    which adds each machine's counts straight into its total.  With
-    ``seconds`` (a float per machine), each group is counted in a call of
-    its own, and its time -- two clock reads -- is added to its first
-    reader's entry; a group whose readers received no needles is never
-    timed.
+    :func:`count_join_output` (one reader, one run).  ``groups`` lists,
+    per group of the searched side, its ``(keys, cum)`` runs (one dtype
+    per group) and the machines reading it; the rest is
+    :func:`search_half`'s.  It is one :func:`repro.joins.native.fold` call
+    with one half and no merge, which adds each machine's counts straight
+    into its total.  With ``seconds`` (a float per machine), each group is
+    counted in a call of its own, and its time -- two clock reads -- is
+    added to its first reader's entry; a group whose readers received no
+    needles is never timed.
     """
     if not needles.size:
         return
-    # A run dtype -> the bounds its runs are searched with, and the runs.
-    calls: "dict[np.dtype, tuple]" = {}
-    for runs, readers in groups:
-        if not runs or not readers.size:
-            continue
-        dtype = runs[0][0].dtype
-        if dtype not in calls:
-            calls[dtype] = (*_bounds(condition, needles, dtype), [])
-        lows, highs, tasks = calls[dtype]
-        mine = [
-            (
-                keys if keys.dtype == lows.dtype else keys.astype(np.float64),  # repro: ignore[KEY001]  # an integer run meets a condition's float bounds: searched as float64, as searchsorted would cast it
-                cum,
-                readers,
-                cut,
-            )
-            for keys, cum in runs
-        ]
-        if seconds is None:
-            tasks += mine
-        elif (stops[readers] > starts[readers]).any():
-            started = perf_counter()
-            native.count_half(lows, highs, starts, stops, mine, out)
-            seconds[readers[0]] += perf_counter() - started
+    groups = [(runs, readers, None, runs[0][0].dtype) for runs, readers in groups if runs]
     if seconds is None:
-        for lows, highs, tasks in calls.values():
-            native.count_half(lows, highs, starts, stops, tasks, out)
+        native.fold([], search_half(condition, needles, starts, stops, groups, cut), out)
+        return
+    bounds: dict = {}
+    for group in groups:
+        readers = group[1]
+        if (stops[readers] > starts[readers]).any():
+            started = perf_counter()
+            half = search_half(condition, needles, starts, stops, [group], cut, bounds)
+            native.fold([], half, out)
+            seconds[readers[0]] += perf_counter() - started

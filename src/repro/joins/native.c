@@ -2,17 +2,17 @@
  * The kernel's inner loops, compiled on first use by repro/joins/native.py
  * and called through ctypes.
  *
- * count_half_<t>
- *            counts routed needles against sorted runs: each machine's
- *            needles searched in every run it reads (numpy's searchsorted,
- *            side "left" for the low bound and "right" for the high one),
- *            clipped to its slice of the run and summed into its total.
- *            The one count, behind repro.joins.local.count_runs: two calls
- *            per stream batch (one per half, or two per machine where each
- *            machine is timed on its own), one per batch join (the first
- *            half of a batch into empty state) and one per pool task.
- * merge_<t>  merges key-sorted runs, oldest first, into one counted run in
- *            a single linear pass: repro.streaming.incremental._merge_sorted.
+ * fold       a stream batch's state work and count in one call: each merge
+ *            cascade the batch's arrivals start (the runs of a group they
+ *            fold into, merged into one counted run), then each half of the
+ *            count -- routed needles searched in the runs of every group
+ *            they meet (numpy's searchsorted, side "left" for the low bound
+ *            and "right" for the high one), each answer clipped to every
+ *            reader's slice of the run and summed into its total.  One call
+ *            per stream batch (one per machine where each machine is timed
+ *            on its own), one with a half and no merge per batch join (the
+ *            first half of a batch into empty state) and pool task, one with
+ *            a merge and no half for repro.streaming.incremental's appends.
  * offer      offers one batch of entries to a bounded Efraimidis-Spirakis
  *            min-heap held as three parallel arrays (priority, counter,
  *            payload): repro.streaming.incremental.DecayedReservoir.add_batch
@@ -31,21 +31,23 @@
  * tile       runs MonotonicBSP's dynamic program over that closure at one
  *            threshold: once per probe of regionalization's search.
  *
- * <t> is f64 (double keys) or i64 (int64_t keys); one macro below writes
- * both.  Every result equals the numpy reference (kept in the test harness,
- * tests/reference_*.py) bit for bit, so the order is numpy's: NaN sorts
- * after everything and NaNs are equal to each other, -0.0 == 0.0, and +-inf
- * are ordinary values.  The inner loops compare with
+ * Keys are doubles (f64) or int64_t (i64); the macros below write each loop
+ * for both, and the search once more for int64 runs searched with double
+ * bounds (each key compared as the double it rounds to, as numpy's
+ * searchsorted casts it).  Every result equals the numpy reference (kept in
+ * the test harness, tests/reference_*.py) bit for bit, so the order is
+ * numpy's: NaN sorts after everything and NaNs are equal to each other,
+ * -0.0 == 0.0, and +-inf are ordinary values.  The inner loops compare with
  * the plain `<`, which agrees with that order on every non-NaN pair: each
- * run's NaN tail is located once, searches run over the part before it, and
- * a NaN bound is answered at the tail's boundary.
+ * run's NaN tail is located once, searches and merges run over the part
+ * before it, and a NaN bound is answered at the tail's boundary.
  *
  * Counts are summed in uint64_t, so they wrap exactly as numpy's int64 sums
  * do.  Every index read from an input is checked against the array it
- * indexes before anything is written: an out-of-range one makes
- * count_half_<t> return nonzero having read nothing out of bounds and
- * written nothing, and the caller raises.  closure and tile check each
- * index as they read it, and return -2 at the first one out of range.
+ * indexes before anything is written: an out-of-range one makes fold
+ * return nonzero having read nothing out of bounds and written nothing, and
+ * the caller raises.  closure and tile check each index as they read it,
+ * and return -2 at the first one out of range.
  *
  * group_sums and sweep_rows are the kernel's floating-point arithmetic
  * (closure is integers only, and tile only compares a rectangle's leaf
@@ -65,57 +67,32 @@
 #define FLOAT_IS_NAN(x) ((x) != (x))
 #define NEVER_NAN(x) ((void)(x), 0)
 
+/* A key dtype in fold's table. */
+#define F64 0
+#define I64 1
+/* A group's merged index when it searches no merge's output. */
+#define NO_MERGE UINT64_MAX
+
 /* A needle's count between run positions lo and hi: cum[hi] - cum[lo] for
  * a counted run, hi - lo when every key counts once (cum NULL). */
 #define SPAN(cum, lo, hi)                                                      \
     ((cum) ? (uint64_t)(cum)[hi] - (uint64_t)(cum)[lo]                         \
            : (uint64_t)(hi) - (uint64_t)(lo))
 
-/* Run r's counts (NULL: every key counts once) and length, out of a merge's
- * table: three words per run, its keys' address, its length, its counts'
- * address. */
-static const int64_t *cum_of(const uint64_t *table, int64_t r)
-{
-    return (const int64_t *)(uintptr_t)table[3 * r + 2];
-}
-
-static int64_t size_of(const uint64_t *table, int64_t r)
-{
-    return (int64_t)table[3 * r + 1];
-}
-
-/* A run count_half_<t> searches: STATE_WORDS words of its table, the
- * run's keys, length and counts (0: every key counts once), the machines
- * reading it and how many there are, and the slice rule each reader reads
- * it through (0: every reader reads it whole): the cut keys (doubles) and
- * their number, and per reader where its slice starts and stops -- an index
- * of the cut keys, their number for 0 or their number + 1 for the run's
- * length. */
-#define STATE_WORDS 9
-
-struct state_run {
+/* A run: ascending keys, their number and their cumulative counts (NULL:
+ * every key counts once).  Three words of fold's table. */
+struct run {
     const void *keys;
     int64_t size;
-    const int64_t *cum, *readers;
-    int64_t count;
-    const double *cut_keys;
-    int64_t cuts;
-    const int64_t *first, *last;
+    const int64_t *cum;
 };
 
-static struct state_run run_of(const uint64_t *table, int64_t r)
+static struct run run_at(const uint64_t *words)
 {
-    const uint64_t *words = table + STATE_WORDS * r;
-    struct state_run run;
+    struct run run;
     run.keys = (const void *)(uintptr_t)words[0];
     run.size = (int64_t)words[1];
     run.cum = (const int64_t *)(uintptr_t)words[2];
-    run.readers = (const int64_t *)(uintptr_t)words[3];
-    run.count = (int64_t)words[4];
-    run.cut_keys = (const double *)(uintptr_t)words[5];
-    run.cuts = (int64_t)words[6];
-    run.first = (const int64_t *)(uintptr_t)words[7];
-    run.last = (const int64_t *)(uintptr_t)words[8];
     return run;
 }
 
@@ -126,20 +103,21 @@ static struct state_run run_of(const uint64_t *table, int64_t r)
 
 /*
  * The first i in [0, size) whose keys[i] is not BEFORE v, or size, for
- * keys ascending and free of NaN.  It gallops from `from` (the previous
- * needle's answer) in whichever direction the answer lies, then bisects,
- * so sorted needles cost O(log gap) each and any order stays exact.
+ * keys ascending and free of NaN, each compared as a BOUND.  It gallops
+ * from `from` (the previous needle's answer) in whichever direction the
+ * answer lies, then bisects, so sorted needles cost O(log gap) each and
+ * any order stays exact.
  */
-#define GALLOP(NAME, KEY, BEFORE)                                              \
-    static int64_t NAME(const KEY *keys, int64_t size, KEY v, int64_t from)    \
+#define GALLOP(NAME, KEY, BOUND, BEFORE)                                       \
+    static int64_t NAME(const KEY *keys, int64_t size, BOUND v, int64_t from)  \
     {                                                                          \
         int64_t lo, hi, step = 1;                                              \
         if (from > size)                                                       \
             from = size;                                                       \
-        if (from < size && BEFORE(keys[from], v)) {                            \
+        if (from < size && BEFORE((BOUND)keys[from], v)) {                     \
             /* Right of from: keys[lo - 1] is before v. */                     \
             lo = hi = from + 1;                                                \
-            while (hi < size && BEFORE(keys[hi], v)) {                         \
+            while (hi < size && BEFORE((BOUND)keys[hi], v)) {                  \
                 lo = hi + 1;                                                   \
                 hi = size - hi > step ? hi + step : size;                      \
                 step *= 2;                                                     \
@@ -147,7 +125,7 @@ static struct state_run run_of(const uint64_t *table, int64_t r)
         } else {                                                               \
             /* At or left of from: keys[hi] is not before v, or hi == size. */ \
             lo = hi = from;                                                    \
-            while (lo > 0 && !BEFORE(keys[lo - 1], v)) {                       \
+            while (lo > 0 && !BEFORE((BOUND)keys[lo - 1], v)) {                \
                 hi = lo - 1;                                                   \
                 lo = hi > step ? hi - step : 0;                                \
                 step *= 2;                                                     \
@@ -155,7 +133,7 @@ static struct state_run run_of(const uint64_t *table, int64_t r)
         }                                                                      \
         while (lo < hi) {                                                      \
             int64_t mid = lo + (hi - lo) / 2;                                  \
-            if (BEFORE(keys[mid], v))                                          \
+            if (BEFORE((BOUND)keys[mid], v))                                   \
                 lo = mid + 1;                                                  \
             else                                                               \
                 hi = mid;                                                      \
@@ -163,10 +141,9 @@ static struct state_run run_of(const uint64_t *table, int64_t r)
         return lo;                                                             \
     }
 
-#define KERNELS(T, KEY, IS_NAN)                                                \
-                                                                               \
-    GALLOP(lower_##T, KEY, BEFORE_LEFT)                                        \
-    GALLOP(upper_##T, KEY, BEFORE_RIGHT)                                       \
+/* What fold does with one key dtype: locate a run's NaN tail, cut a run by
+ * the slice rule, merge a cascade of runs. */
+#define RUNS(T, KEY, IS_NAN)                                                   \
                                                                                \
     /* Where the NaN tail of ascending keys begins (size if there is none). */ \
     static int64_t nan_tail_##T(const KEY *keys, int64_t size)                 \
@@ -202,205 +179,448 @@ static struct state_run run_of(const uint64_t *table, int64_t r)
         return lo;                                                             \
     }                                                                          \
                                                                                \
-    /* A reader's slice bound: cut `at` of the run, or 0, or its length. */    \
-    static int64_t bound_##T(const KEY *keys, int64_t size, int64_t tail,      \
-                             const double *cut_keys, int64_t cuts, int64_t at) \
-    {                                                                          \
-        if (at < cuts)                                                         \
-            return cut_##T(keys, tail, cut_keys[at]);                          \
-        return at == cuts ? 0 : size;                                          \
-    }                                                                          \
-                                                                               \
     /*                                                                         \
-     * One half of a stream batch's count, every machine's total at once.      \
-     * lows / highs hold the joinable bounds of `needles` routed keys, and     \
-     * machine m's share of them is [starts[m], stops[m]).  The table has      \
-     * STATE_WORDS words per searched run (see run_of).  Each reader's         \
-     * needles are searched in the run, each answer clipped to the reader's    \
-     * slice of the run, and the counts added to out[reader].  Returns 0,      \
-     * or, having written nothing: 1 for a reader that is no machine, 2 for    \
-     * a share outside the needles, 3 for a slice bound that indexes no cut.   \
+     * Merge the older run a into the newer run b: one entry per stretch of    \
+     * equal keys -- all NaNs one, last -- counting what both runs count       \
+     * there, keeping b's last key of the stretch if b holds it and a's        \
+     * otherwise.  With `drop`, entries that count zero are left out; without  \
+     * it they stay, so a later merge keeps the key of the newest run that     \
+     * held it.  Writes out_cum[0] = 0; returns the entries written.           \
      */                                                                        \
-    int count_half_##T(const KEY *lows, const KEY *highs, int64_t needles,     \
-                        const int64_t *starts, const int64_t *stops,           \
-                        int64_t machines, int64_t runs,                        \
-                        const uint64_t *table, int64_t *out)                   \
+    static int64_t merge2_##T(struct run a, struct run b, KEY *out_keys,       \
+                              int64_t *out_cum, int drop)                      \
     {                                                                          \
-        int64_t r, i, j;                                                       \
-        /* Every index is checked before anything is read through it. */       \
-        for (r = 0; r < runs; r++) {                                           \
-            struct state_run run = run_of(table, r);                           \
-            for (i = 0; i < run.count; i++) {                                  \
-                int64_t m = run.readers[i];                                    \
-                if ((uint64_t)m >= (uint64_t)machines)                         \
-                    return 1;                                                  \
-                if ((uint64_t)starts[m] > (uint64_t)needles                    \
-                    || (uint64_t)stops[m] > (uint64_t)needles)                 \
-                    return 2;                                                  \
-                if (run.cut_keys                                               \
-                    && ((uint64_t)run.first[i] > (uint64_t)run.cuts + 1        \
-                        || (uint64_t)run.last[i] > (uint64_t)run.cuts + 1))    \
-                    return 3;                                                  \
-            }                                                                  \
-        }                                                                      \
-        for (r = 0; r < runs; r++) {                                           \
-            struct state_run run = run_of(table, r);                           \
-            const KEY *keys = (const KEY *)run.keys;                           \
-            int64_t size = run.size, tail = nan_tail_##T(keys, size);          \
-            int64_t lo = 0, hi = 0;                                            \
-            for (i = 0; i < run.count; i++) {                                  \
-                int64_t m = run.readers[i], first = 0, last = size;            \
-                uint64_t sum = 0;                                              \
-                if (run.cut_keys) {                                            \
-                    first = bound_##T(keys, size, tail, run.cut_keys, run.cuts,\
-                                      run.first[i]);                           \
-                    last = bound_##T(keys, size, tail, run.cut_keys, run.cuts, \
-                                     run.last[i]);                             \
-                }                                                              \
-                for (j = starts[m]; j < stops[m]; j++) {                       \
-                    KEY low = lows[j], high = highs[j];                        \
-                    int64_t a, b;                                              \
-                    lo = IS_NAN(low) ? tail : lower_##T(keys, tail, low, lo);  \
-                    hi = IS_NAN(high) ? size : upper_##T(keys, tail, high, hi);\
-                    a = lo < first ? first : lo;                               \
-                    b = hi > last ? last : hi;                                 \
-                    if (b > a)                                                 \
-                        sum += SPAN(run.cum, a, b);                            \
-                }                                                              \
-                out[m] = (int64_t)((uint64_t)out[m] + sum);                    \
-            }                                                                  \
-        }                                                                      \
-        return 0;                                                              \
-    }                                                                          \
-                                                                               \
-    /* Run r's keys, out of a merge's table. */                                \
-    static const KEY *keys_##T(const uint64_t *table, int64_t r)               \
-    {                                                                          \
-        return (const KEY *)(uintptr_t)table[3 * r];                           \
-    }                                                                          \
-                                                                               \
-    /* Emit keys[start:stop) of a run no other run shares these keys with:     \
-     * one entry per stretch of equal keys, its last key kept. */              \
-    static int64_t alone_##T(const KEY *keys, const int64_t *cum,              \
-                             int64_t start, int64_t stop, KEY *out_keys,       \
-                             int64_t *out_cum, int64_t m, uint64_t *total)     \
-    {                                                                          \
-        while (start < stop) {                                                 \
-            int64_t end = start + 1;                                           \
-            uint64_t count;                                                    \
-            while (end < stop && !(keys[start] < keys[end]))                   \
-                end++;                                                         \
-            count = SPAN(cum, start, end);                                     \
-            if (count) {                                                       \
-                out_keys[m] = keys[end - 1];                                   \
-                *total += count;                                               \
-                out_cum[++m] = (int64_t)*total;                                \
-            }                                                                  \
-            start = end;                                                       \
-        }                                                                      \
-        return m;                                                              \
-    }                                                                          \
-                                                                               \
-    /*                                                                         \
-     * Merge `runs` ascending runs, oldest first, into one counted run.        \
-     * table[3 r] is run r's key address, table[3 r + 1] its length and        \
-     * table[3 r + 2] its cum address (0: every key counts once).  Equal keys  \
-     * become one entry -- all NaNs one -- whose count is the sum of their     \
-     * multiplicities, keeping the key that comes last in (run, position)      \
-     * order; zero counts are dropped.  out_keys holds room for every key,     \
-     * out_cum one more.  Returns the entries written (out_cum[0] = 0), or -1  \
-     * if scratch memory could not be had.                                     \
-     */                                                                        \
-    int64_t merge_##T(int64_t runs, const uint64_t *table, KEY *out_keys,      \
-                      int64_t *out_cum)                                        \
-    {                                                                          \
-        /* at[r]: run r's next position; tails[r]: where its NaNs begin. */    \
-        int64_t *at = malloc(2 * (size_t)(runs > 0 ? runs : 1) * sizeof *at);  \
-        int64_t *tails, m = 0, r;                                              \
-        uint64_t total = 0, nans = 0;                                          \
-        const KEY *last = NULL;                                                \
-        if (!at)                                                               \
-            return -1;                                                         \
-        tails = at + runs;                                                     \
+        const KEY *ak = (const KEY *)a.keys, *bk = (const KEY *)b.keys;        \
+        int64_t at = nan_tail_##T(ak, a.size), bt = nan_tail_##T(bk, b.size);  \
+        int64_t i = 0, j = 0, m = 0, ie, je;                                   \
+        uint64_t total = 0, count;                                             \
+        KEY key;                                                               \
         out_cum[0] = 0;                                                        \
-        for (r = 0; r < runs; r++) {                                           \
-            at[r] = 0;                                                         \
-            tails[r] = nan_tail_##T(keys_##T(table, r), size_of(table, r));    \
-        }                                                                      \
         for (;;) {                                                             \
-            /* The run with the smallest head (the oldest on a tie), and the   \
-             * one with the next smallest. */                                  \
-            int64_t first = -1, second = -1, stop;                             \
-            const KEY *keys;                                                   \
-            KEY head;                                                          \
-            uint64_t count = 0;                                                \
-            for (r = 0; r < runs; r++) {                                       \
-                if (at[r] == tails[r])                                         \
-                    continue;                                                  \
-                head = keys_##T(table, r)[at[r]];                              \
-                if (first < 0 || head < keys_##T(table, first)[at[first]]) {   \
-                    second = first;                                            \
-                    first = r;                                                 \
-                } else if (second < 0                                          \
-                           || head < keys_##T(table, second)[at[second]]) {    \
-                    second = r;                                                \
-                }                                                              \
-            }                                                                  \
-            if (first < 0)                                                     \
+            /* The next stretch of equal keys: from a, from b or from both. */ \
+            if (i < at && (j == bt || ak[i] < bk[j])) {                        \
+                key = ak[i];                                                   \
+                for (ie = i + 1; ie < at && !(key < ak[ie]); ie++)             \
+                    ;                                                          \
+                count = SPAN(a.cum, i, ie);                                    \
+                key = ak[ie - 1];                                              \
+                i = ie;                                                        \
+            } else if (j < bt && (i == at || bk[j] < ak[i])) {                 \
+                key = bk[j];                                                   \
+                for (je = j + 1; je < bt && !(key < bk[je]); je++)             \
+                    ;                                                          \
+                count = SPAN(b.cum, j, je);                                    \
+                key = bk[je - 1];                                              \
+                j = je;                                                        \
+            } else if (i < at) {                                               \
+                key = ak[i];                                                   \
+                for (ie = i + 1; ie < at && !(key < ak[ie]); ie++)             \
+                    ;                                                          \
+                for (je = j + 1; je < bt && !(key < bk[je]); je++)             \
+                    ;                                                          \
+                count = SPAN(a.cum, i, ie) + SPAN(b.cum, j, je);               \
+                key = bk[je - 1];                                              \
+                i = ie;                                                        \
+                j = je;                                                        \
+            } else                                                             \
                 break;                                                         \
-            /* What the first run holds below every other head is its own. */  \
-            keys = keys_##T(table, first);                                     \
-            stop = tails[first];                                               \
-            if (second >= 0) {                                                 \
-                head = keys_##T(table, second)[at[second]];                    \
-                stop = lower_##T(keys, stop, head, at[first]);                 \
-            }                                                                  \
-            if (stop > at[first]) {                                            \
-                m = alone_##T(keys, cum_of(table, first),                      \
-                              at[first], stop, out_keys, out_cum, m, &total);  \
-                at[first] = stop;                                              \
-                continue;                                                      \
-            }                                                                  \
-            /* A key several runs hold: take it from each, oldest first. */    \
-            head = keys[at[first]];                                            \
-            for (r = 0; r < runs; r++) {                                       \
-                const int64_t *cum = cum_of(table, r);                         \
-                int64_t end = at[r];                                           \
-                keys = keys_##T(table, r);                                     \
-                while (end < tails[r] && !(head < keys[end]))                  \
-                    end++;                                                     \
-                if (end > at[r]) {                                             \
-                    count += SPAN(cum, at[r], end);                            \
-                    last = keys + end - 1;                                     \
-                    at[r] = end;                                               \
-                }                                                              \
-            }                                                                  \
-            if (count) {                                                       \
-                out_keys[m] = *last;                                           \
+            if (count || !drop) {                                              \
+                out_keys[m] = key;                                             \
                 total += count;                                                \
                 out_cum[++m] = (int64_t)total;                                 \
             }                                                                  \
         }                                                                      \
-        /* The NaNs, one entry after everything else. */                       \
-        for (r = 0; r < runs; r++) {                                           \
-            const int64_t *cum = cum_of(table, r);                             \
-            int64_t size = size_of(table, r);                                  \
-            if (tails[r] < size) {                                             \
-                nans += SPAN(cum, tails[r], size);                             \
-                last = keys_##T(table, r) + size - 1;                          \
+        if (at < a.size || bt < b.size) {                                      \
+            count = SPAN(a.cum, at, a.size) + SPAN(b.cum, bt, b.size);         \
+            if (count || !drop) {                                              \
+                out_keys[m] = bt < b.size ? bk[b.size - 1] : ak[a.size - 1];   \
+                total += count;                                                \
+                out_cum[++m] = (int64_t)total;                                 \
             }                                                                  \
         }                                                                      \
-        if (nans) {                                                            \
-            out_keys[m] = *last;                                               \
-            total += nans;                                                     \
-            out_cum[++m] = (int64_t)total;                                     \
+        return m;                                                              \
+    }                                                                          \
+                                                                               \
+    /*                                                                         \
+     * Merge `runs` runs (three table words each, oldest first) into one       \
+     * counted run: a right fold of two-way merges, the newest pair first,     \
+     * each older run merged into what the newer ones made.  Zero counts are   \
+     * kept until the last step, so every entry keeps the key that comes last  \
+     * in (run, position) order, and dropped there.  out_keys holds room for   \
+     * every key, out_cum one more.  Returns the entries written, or -1 if     \
+     * scratch memory could not be had.                                        \
+     */                                                                        \
+    static int64_t merge_##T(const uint64_t *words, int64_t runs,              \
+                             KEY *out_keys, int64_t *out_cum)                  \
+    {                                                                          \
+        struct run empty = {NULL, 0, NULL}, newer;                             \
+        int64_t total = 0, r, m = 0;                                           \
+        size_t room;                                                           \
+        char *scratch = NULL;                                                  \
+        if (runs == 1)                                                         \
+            return merge2_##T(run_at(words), empty, out_keys, out_cum, 1);     \
+        for (r = 0; r < runs; r++)                                             \
+            total += run_at(words + 3 * r).size;                               \
+        /* A step before the last writes one of two buffers, in turn: keys,    \
+         * then cum. */                                                        \
+        room = (size_t)total * sizeof(KEY) + ((size_t)total + 1) * 8;          \
+        if (runs > 2 && !(scratch = malloc(2 * room)))                         \
+            return -1;                                                         \
+        newer = run_at(words + 3 * (runs - 1));                                \
+        for (r = runs - 2; r >= 0; r--) {                                      \
+            KEY *keys = out_keys;                                              \
+            int64_t *cum = out_cum;                                            \
+            if (r) {                                                           \
+                keys = (KEY *)(scratch + (size_t)(r % 2) * room);              \
+                cum = (int64_t *)(keys + total);                               \
+            }                                                                  \
+            m = merge2_##T(run_at(words + 3 * r), newer, keys, cum, r == 0);   \
+            newer.keys = keys;                                                 \
+            newer.size = m;                                                    \
+            newer.cum = cum;                                                   \
         }                                                                      \
-        free(at);                                                              \
+        free(scratch);                                                         \
         return m;                                                              \
     }
 
-KERNELS(f64, double, FLOAT_IS_NAN)
-KERNELS(i64, int64_t, NEVER_NAN)
+RUNS(f64, double, FLOAT_IS_NAN)
+RUNS(i64, int64_t, NEVER_NAN)
+
+/*
+ * One search: S names the (run key, bound) pair -- f64 (double, double),
+ * i64 (int64, int64) or mixed (int64 keys, double bounds).  Each needle of
+ * the spans [spans[2 u], spans[2 u + 1]) gets its [lo, hi) in the run once,
+ * written to lo_at / hi_at.
+ */
+#define SEARCH(S, KEY, BOUND, IS_NAN)                                          \
+    GALLOP(lower_##S, KEY, BOUND, BEFORE_LEFT)                                 \
+    GALLOP(upper_##S, KEY, BOUND, BEFORE_RIGHT)                                \
+                                                                               \
+    static void search_##S(const void *lows, const void *highs,                \
+                           const int64_t *spans, int64_t count,                \
+                           struct run run, int64_t tail, int64_t *lo_at,       \
+                           int64_t *hi_at)                                     \
+    {                                                                          \
+        const KEY *keys = (const KEY *)run.keys;                               \
+        int64_t lo = 0, hi = 0, u, j;                                          \
+        for (u = 0; u < count; u++)                                            \
+            for (j = spans[2 * u]; j < spans[2 * u + 1]; j++) {                \
+                BOUND low = ((const BOUND *)lows)[j];                          \
+                BOUND high = ((const BOUND *)highs)[j];                        \
+                lo = IS_NAN(low) ? tail : lower_##S(keys, tail, low, lo);      \
+                hi = IS_NAN(high) ? run.size                                   \
+                                  : upper_##S(keys, tail, high, hi);           \
+                lo_at[j] = lo;                                                 \
+                hi_at[j] = hi;                                                 \
+            }                                                                  \
+    }
+
+SEARCH(f64, double, double, FLOAT_IS_NAN)
+SEARCH(i64, int64_t, int64_t, NEVER_NAN)
+SEARCH(mixed, int64_t, double, FLOAT_IS_NAN)
+
+/*
+ * fold's table, one uint64 word per entry: the merges, then the halves.
+ *
+ *   merges
+ *   per merge:  dtype, runs, out keys, out cum, then per run (oldest first)
+ *               keys, size, cum (0: every key counts once)
+ *   halves
+ *   per half:   the bounds' dtype, lows, highs, needles, starts, stops,
+ *               groups
+ *   per group:  the keys' dtype, readers, their number, cut keys (0: every
+ *               reader reads the runs whole), their number, firsts, lasts,
+ *               merge (NO_MERGE: none), runs, then per run keys, size, cum
+ *
+ * Machine m's needles are [starts[m], stops[m]) of the half's lows / highs.
+ * A group's readers read its runs and, unless NO_MERGE, the run that merge
+ * made, each through its slice: where it starts and stops is a slice bound,
+ * an index of the cut keys, their number for 0 or their number + 1 for the
+ * run's length.
+ */
+struct half {
+    int64_t dtype;
+    const void *lows, *highs;
+    int64_t needles;
+    const int64_t *starts, *stops;
+    int64_t groups;
+};
+
+struct group {
+    int64_t dtype;
+    const int64_t *readers;
+    int64_t count;
+    const double *cut_keys;
+    int64_t cuts;
+    const int64_t *first, *last;
+    uint64_t merge;
+    int64_t runs;
+    const uint64_t *run_words;
+};
+
+#define HALF_WORDS 7
+#define GROUP_WORDS 9
+#define MERGE_WORDS 4
+
+static struct half half_at(const uint64_t *words)
+{
+    struct half half;
+    half.dtype = (int64_t)words[0];
+    half.lows = (const void *)(uintptr_t)words[1];
+    half.highs = (const void *)(uintptr_t)words[2];
+    half.needles = (int64_t)words[3];
+    half.starts = (const int64_t *)(uintptr_t)words[4];
+    half.stops = (const int64_t *)(uintptr_t)words[5];
+    half.groups = (int64_t)words[6];
+    return half;
+}
+
+static struct group group_at(const uint64_t *words)
+{
+    struct group group;
+    group.dtype = (int64_t)words[0];
+    group.readers = (const int64_t *)(uintptr_t)words[1];
+    group.count = (int64_t)words[2];
+    group.cut_keys = (const double *)(uintptr_t)words[3];
+    group.cuts = (int64_t)words[4];
+    group.first = (const int64_t *)(uintptr_t)words[5];
+    group.last = (const int64_t *)(uintptr_t)words[6];
+    group.merge = words[7];
+    group.runs = (int64_t)words[8];
+    group.run_words = words + GROUP_WORDS;
+    return group;
+}
+
+/* Merge `merge`'s words in fold's table (merges_at: its first merge's). */
+static const uint64_t *merge_words(const uint64_t *merges_at, uint64_t merge)
+{
+    for (; merge; merge--)
+        merges_at += MERGE_WORDS + 3 * merges_at[1];
+    return merges_at;
+}
+
+/* A reader's slice bound: cut `at` of the run, or 0, or its length. */
+static int64_t slice_bound(struct run run, int64_t dtype, int64_t tail,
+                           const struct group *group, int64_t at)
+{
+    if (at == group->cuts)
+        return 0;
+    if (at > group->cuts)
+        return run.size;
+    return dtype == F64 ? cut_f64((const double *)run.keys, tail, group->cut_keys[at])
+                        : cut_i64((const int64_t *)run.keys, tail, group->cut_keys[at]);
+}
+
+/*
+ * Count one run of a group: each needle its readers hold searched once
+ * (spans: the union of their shares), then every reader's needles clipped
+ * to its slice of the run and summed into its total.
+ */
+static void count_run(const struct half *half, const struct group *group,
+                      struct run run, const int64_t *spans, int64_t count,
+                      int64_t *lo_at, int64_t *hi_at, int64_t *out)
+{
+    int64_t tail, i, j;
+    if (group->dtype == F64) {
+        tail = nan_tail_f64((const double *)run.keys, run.size);
+        search_f64(half->lows, half->highs, spans, count, run, tail, lo_at, hi_at);
+    } else {
+        tail = run.size; /* int64 keys have no NaN */
+        if (half->dtype == I64)
+            search_i64(half->lows, half->highs, spans, count, run, tail, lo_at, hi_at);
+        else
+            search_mixed(half->lows, half->highs, spans, count, run, tail, lo_at, hi_at);
+    }
+    for (i = 0; i < group->count; i++) {
+        int64_t m = group->readers[i], first = 0, last = run.size;
+        uint64_t sum = 0;
+        if (group->cut_keys) {
+            first = slice_bound(run, group->dtype, tail, group, group->first[i]);
+            last = slice_bound(run, group->dtype, tail, group, group->last[i]);
+        }
+        for (j = half->starts[m]; j < half->stops[m]; j++) {
+            int64_t a = lo_at[j] < first ? first : lo_at[j];
+            int64_t b = hi_at[j] > last ? last : hi_at[j];
+            if (b > a)
+                sum += SPAN(run.cum, a, b);
+        }
+        out[m] = (int64_t)((uint64_t)out[m] + sum);
+    }
+}
+
+/* The union of a group's readers' shares as disjoint ascending spans, two
+ * words each; returns how many. */
+static int64_t shares_of(const struct half *half, const struct group *group,
+                         int64_t *spans)
+{
+    int64_t i, k, count = 0;
+    for (i = 0; i < group->count; i++) {
+        int64_t m = group->readers[i], start = half->starts[m], stop = half->stops[m];
+        if (start >= stop)
+            continue;
+        /* Insert by start (readers come nearly sorted: few moves). */
+        for (k = count; k > 0 && spans[2 * k - 2] > start; k--) {
+            spans[2 * k] = spans[2 * k - 2];
+            spans[2 * k + 1] = spans[2 * k - 1];
+        }
+        spans[2 * k] = start;
+        spans[2 * k + 1] = stop;
+        count++;
+    }
+    /* Merge the overlapping and touching ones. */
+    for (i = k = 0; i < count; i++) {
+        if (k && spans[2 * i] <= spans[2 * k - 1]) {
+            if (spans[2 * i + 1] > spans[2 * k - 1])
+                spans[2 * k - 1] = spans[2 * i + 1];
+        } else {
+            spans[2 * k] = spans[2 * i];
+            spans[2 * k + 1] = spans[2 * i + 1];
+            k++;
+        }
+    }
+    return k;
+}
+
+/*
+ * Check fold's table: every word inside it, dtypes the kernel takes, every
+ * reader a machine, every share inside its needles, every slice bound an
+ * index of its cuts and every merge a merge of the group's dtype.  Returns
+ * 0, or 1 for a reader that is no machine, 2 for a share outside the
+ * needles, 3 for a slice bound that indexes no cut, 4 for a table that is
+ * not one; sets the most needles of a half and readers of a group.
+ */
+static int check_table(const uint64_t *table, int64_t words, int64_t machines,
+                       int64_t *needles, int64_t *readers)
+{
+    const uint64_t *at = table, *end = table + words, *merges_at;
+    int64_t merges, halves, h, g, i;
+    if (words < 1)
+        return 4;
+    merges = (int64_t)*at++;
+    merges_at = at;
+    for (i = 0; i < merges; i++) {
+        int64_t runs;
+        if (end - at < MERGE_WORDS || at[0] > I64 || (int64_t)at[1] < 1)
+            return 4;
+        runs = (int64_t)at[1];
+        if ((end - at - MERGE_WORDS) / 3 < runs)
+            return 4;
+        at += MERGE_WORDS + 3 * runs;
+    }
+    if (end - at < 1)
+        return 4;
+    halves = (int64_t)*at++;
+    *needles = *readers = 0;
+    for (h = 0; h < halves; h++) {
+        struct half half;
+        if (end - at < HALF_WORDS)
+            return 4;
+        half = half_at(at);
+        at += HALF_WORDS;
+        if ((uint64_t)half.dtype > I64 || half.needles < 0 || half.groups < 0)
+            return 4;
+        if (half.needles > *needles)
+            *needles = half.needles;
+        for (g = 0; g < half.groups; g++) {
+            struct group group;
+            if (end - at < GROUP_WORDS)
+                return 4;
+            group = group_at(at);
+            if (group.runs < 0 || (end - at - GROUP_WORDS) / 3 < group.runs
+                || (uint64_t)group.dtype > I64 || group.count < 0
+                || (group.dtype == F64 && half.dtype == I64))
+                return 4;
+            if (group.merge != NO_MERGE
+                && (group.merge >= (uint64_t)merges
+                    || (int64_t)merge_words(merges_at, group.merge)[0] != group.dtype))
+                return 4;
+            at += GROUP_WORDS + 3 * group.runs;
+            if (group.count > *readers)
+                *readers = group.count;
+            for (i = 0; i < group.count; i++) {
+                int64_t m = group.readers[i];
+                if ((uint64_t)m >= (uint64_t)machines)
+                    return 1;
+                if ((uint64_t)half.starts[m] > (uint64_t)half.needles
+                    || (uint64_t)half.stops[m] > (uint64_t)half.needles)
+                    return 2;
+                if (group.cut_keys
+                    && ((uint64_t)group.first[i] > (uint64_t)group.cuts + 1
+                        || (uint64_t)group.last[i] > (uint64_t)group.cuts + 1))
+                    return 3;
+            }
+        }
+    }
+    return at == end ? 0 : 4;
+}
+
+/*
+ * A stream batch's state work and count in one call, over the table above
+ * (`words` words).  First every merge: its runs merged into its out keys
+ * and cum (merge_<t>), the entries written stored in entries[merge]; then
+ * every half: each group's runs -- and the run its merge made -- searched
+ * for the needles its readers hold, once per needle and run, each answer
+ * clipped to every reader's slice and the counts added to out[reader]
+ * (`machines` entries).  Returns 0; or, having written nothing to out, 1
+ * for a reader that is no machine, 2 for a share outside the needles, 3
+ * for a slice bound that indexes no cut, 4 for a malformed table, or -1 if
+ * scratch memory could not be had.
+ */
+int64_t fold(const uint64_t *table, int64_t words, int64_t machines,
+             int64_t *out, int64_t *entries)
+{
+    const uint64_t *at = table;
+    int64_t needles = 0, readers = 0, merges, halves, i, h, g, r;
+    int64_t *scratch, *spans, *lo_at, *hi_at;
+    int status = check_table(table, words, machines, &needles, &readers);
+    if (status)
+        return status;
+    scratch = malloc(((size_t)2 * needles + 2 * (size_t)readers + 1) * sizeof *scratch);
+    if (!scratch)
+        return -1;
+    lo_at = scratch;
+    hi_at = lo_at + needles;
+    spans = hi_at + needles;
+    merges = (int64_t)*at++;
+    for (i = 0; i < merges; i++) {
+        int64_t dtype = (int64_t)at[0], runs = (int64_t)at[1];
+        void *keys = (void *)(uintptr_t)at[2];
+        int64_t *cum = (int64_t *)(uintptr_t)at[3];
+        entries[i] = dtype == F64 ? merge_f64(at + MERGE_WORDS, runs, (double *)keys, cum)
+                                  : merge_i64(at + MERGE_WORDS, runs, (int64_t *)keys, cum);
+        if (entries[i] < 0) {
+            free(scratch);
+            return -1;
+        }
+        at += MERGE_WORDS + 3 * runs;
+    }
+    halves = (int64_t)*at++;
+    for (h = 0; h < halves; h++) {
+        struct half half = half_at(at);
+        at += HALF_WORDS;
+        for (g = 0; g < half.groups; g++) {
+            struct group group = group_at(at);
+            int64_t count = shares_of(&half, &group, spans);
+            at += GROUP_WORDS + 3 * group.runs;
+            if (!count)
+                continue;
+            for (r = 0; r < group.runs; r++)
+                count_run(&half, &group, run_at(group.run_words + 3 * r), spans,
+                          count, lo_at, hi_at, out);
+            if (group.merge != NO_MERGE) {
+                /* The merge's run: its out keys and cum, its entries. */
+                const uint64_t *merge = merge_words(table + 1, group.merge);
+                struct run run;
+                run.keys = (const void *)(uintptr_t)merge[2];
+                run.size = entries[group.merge];
+                run.cum = (const int64_t *)(uintptr_t)merge[3];
+                count_run(&half, &group, run, spans, count, lo_at, hi_at, out);
+            }
+        }
+    }
+    free(scratch);
+    return 0;
+}
 
 /*
  * The exact inverse of a band's rounded bounds.  From the R1 side the band

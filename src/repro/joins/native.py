@@ -2,23 +2,24 @@
 
 The stream batch and the plan build spend most of their interpreter time
 in inner loops that numpy can only run as a dozen small-array calls
-each, or as one Python-level step per element: the searches of a state's
-runs for a batch's needles (each machine's slice cut, its needles
-searched and its counts summed), a transposed band's exact inverse
-bounds, the merge of a
-state's sorted runs, the offer of entries to an Efraimidis--Spirakis
+each, or as one Python-level step per element: a batch's state work and
+count (each side's run cascade merged, each machine's slice of every run
+cut, its needles searched and its counts summed), a transposed band's
+exact inverse bounds, the offer of entries to an Efraimidis--Spirakis
 reservoir (the stream histogram's per batch, Stream-Sample's per worker
 and per merge), a ``heapq`` push / ``heapreplace`` per entry,
 coarsening's sums of the band sample matrix by group, numpy's pairwise
 ``reduceat`` tree over the sampled entries only, its greedy sweep, a group
 of small cumulative sums per window of rows, and MonotonicBSP's tiling DP, a stack walk over a grid's minimal
 rectangles per threshold.  ``native.c`` does each in one call, and each
-call is the only way production runs that loop: :func:`count_half` for
-every count, through :func:`~repro.joins.local.count_runs` (one half of a
-stream batch, a batch join as the first half of a batch into empty state,
-a pool worker's task),
-:func:`band_inverse` for the transposed band's bounds, :func:`merge` for
-:func:`~repro.streaming.incremental._merge_sorted`, :func:`offer` for
+call is the only way production runs that loop: :func:`fold` for every
+merge and count -- a stream batch's
+(:meth:`~repro.streaming.backends.StateOwner.count`: both sides'
+cascades and both halves), a count through
+:func:`~repro.joins.local.count_runs` (a batch join as the first half of
+a batch into empty state, a pool worker's task) and a merge of
+:class:`~repro.streaming.incremental.SortedRegionState` --
+:func:`band_inverse` for the transposed band's bounds, :func:`offer` for
 :meth:`~repro.streaming.incremental.DecayedReservoir.add_batch` and for
 :class:`~repro.sampling.reservoir.WeightedReservoir`'s offers (its payload
 an entry's position in the offered pool),
@@ -73,8 +74,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["KernelUnavailable", "band_inverse", "closure", "count_half", "group_sums", "merge",
-           "offer", "sweep_rows", "tile"]
+__all__ = ["KernelUnavailable", "band_inverse", "closure", "fold", "group_sums", "offer",
+           "sweep_rows", "tile"]
 
 SOURCE = Path(__file__).with_name("native.c")
 
@@ -86,8 +87,7 @@ _VIEW = ctypes.c_char * 0
 _addressof = ctypes.addressof
 
 _POINTER, _SIZE = ctypes.c_void_p, ctypes.c_int64
-_HALF_ARGS = (_POINTER, _POINTER, _SIZE, _POINTER, _POINTER, _SIZE, _SIZE, _POINTER, _POINTER)
-_MERGE_ARGS = (_SIZE, _POINTER, _POINTER, _POINTER)
+_FOLD_ARGS = (_POINTER, _SIZE, _SIZE, _POINTER, _POINTER)
 _OFFER_ARGS = (_POINTER, _POINTER, _POINTER, _SIZE, _SIZE, _SIZE, _POINTER, _POINTER, _SIZE)
 _DOUBLE = ctypes.c_double
 _GROUP_ARGS = (_POINTER, _POINTER, _POINTER, _SIZE, _SIZE, _POINTER, _SIZE, _POINTER)
@@ -172,11 +172,7 @@ def _build() -> ctypes.CDLL:
             if retry or library.exists():
                 raise KernelUnavailable(f"cannot load {library}: {error}") from None
     try:
-        for key in ("f64", "i64"):
-            function = getattr(loaded, f"count_half_{key}")
-            function.argtypes, function.restype = _HALF_ARGS, ctypes.c_int
-            function = getattr(loaded, f"merge_{key}")
-            function.argtypes, function.restype = _MERGE_ARGS, ctypes.c_int64
+        loaded.fold.argtypes, loaded.fold.restype = _FOLD_ARGS, ctypes.c_int64
         loaded.offer.argtypes, loaded.offer.restype = _OFFER_ARGS, ctypes.c_int64
         loaded.group_sums.argtypes, loaded.group_sums.restype = _GROUP_ARGS, ctypes.c_int64
         loaded.sweep_rows.argtypes, loaded.sweep_rows.restype = _SWEEP_ARGS, ctypes.c_int64
@@ -225,92 +221,176 @@ def _addresses(arrays: "list[np.ndarray]", names: "tuple[str, ...] | str", writt
     return addresses
 
 
-#: :func:`count_half`'s refusals by the kernel's status, and the words a run takes in its table.
-_HALF_ERRORS = {
-    1: "a run's reader is not one of the machines",
+#: :func:`fold`'s refusals by the kernel's status.
+_FOLD_ERRORS = {
+    1: "a group's reader is not one of the machines",
     2: "a machine's share lies outside the needles",
     3: "a reader's slice bound indexes no cut",
+    4: "the fold's table is malformed",
 }
-_HALF_WORDS = 9
+#: A key dtype's word in the fold's table, and a group's merge word for none.
+_DTYPE_WORDS = {_FLOAT: 0, _INT: 1}
+_NO_MERGE = 2**64 - 1
+_FOLD_ARRAYS = "out, a bound, a share, a run, a reader or a slice rule"
 
 
-def count_half(lows, highs, starts, stops, runs, out: np.ndarray) -> None:
-    """One half of a stream batch's count: every machine's output, added into ``out``.
+def _run_words(runs, dtype, table: list, at: int, arrays: list, slots: list) -> "tuple[int, int]":
+    """Append each ``(keys, cum)`` run's three words -- keys, length, counts -- to ``table``.
 
-    ``lows`` / ``highs`` are the joinable bounds of a batch's routed keys
-    on one side, and machine ``m``'s share of them is ``[starts[m],
-    stops[m])``.  ``runs`` lists the state runs the half searches, each
-    ``(keys, cum, readers, cut)``: a run's ascending keys and cumulative
-    counts (``None``: every key counts once), the machines reading it, and
-    the slice rule they read it through -- ``(cut_keys, first, last)``, a
-    :class:`~repro.partitioning.grid_routed.MachineSlices` whose
-    ``first[i]`` / ``last[i]`` say where reader ``i``'s slice of the run
-    starts and stops -- or ``None`` when every reader reads it whole.  For
-    each reader, the kernel cuts its slice from the run, searches each
-    needle of its share in the run (numpy's ``searchsorted``, side "left"
-    for the low bound and "right" for the high one), clips the answer to
-    the slice and sums the counts into ``out[reader]`` -- one C call however
-    many runs and machines there are, with nothing gathered or
+    ``at`` is ``len(table)``.  Each array's address is filled in later: the
+    array goes to ``arrays`` and the word that takes its address to
+    ``slots`` (a fresh run's counts word stays 0).  Returns the runs' keys
+    in all and the runs.  Nothing here calls per run, so a fold's
+    interpreter calls do not grow with its runs.
+    """
+    total = count = 0
+    for keys, cum in runs:
+        if keys.dtype != dtype:
+            raise TypeError(f"a run's keys are {keys.dtype}, not its group's {dtype}")
+        table += 0, keys.size, 0
+        total += keys.size
+        if cum is None:
+            arrays += (keys,)
+            slots += (at,)
+        elif cum.dtype == _INT and cum.size == keys.size + 1:
+            arrays += keys, cum
+            slots += at, at + 2
+        else:
+            raise ValueError(f"cum is {cum.size} {cum.dtype}, not {keys.size + 1} int64")
+        at += 3
+        count += 1
+    return total, count
+
+
+def fold(merges, halves, out: np.ndarray) -> list:
+    """A stream batch's merges and count in one kernel call; the merged runs.
+
+    ``merges`` lists run cascades, each the ``(keys, cum)`` runs of one
+    group, oldest first, that fold into one counted run: ascending keys and
+    their cumulative counts (``None``: every key counts once).  The kernel
+    merges each as a right fold of two-way merges, the newest pair first,
+    keeping the key that comes last in (run, position) order for every
+    stretch of equal keys (all NaNs one) and dropping the zero counts at
+    the last step only -- the stable-sort merge kept in
+    ``tests/reference_state.py``, byte for byte.  It returns, per cascade,
+    the merged ``(keys, cum)``, or ``None`` when every count cancelled.
+
+    ``halves`` lists the count's halves, each ``(lows, highs, starts,
+    stops, groups)``: the joinable bounds of a side's routed keys, machine
+    ``m``'s share of them ``[starts[m], stops[m])``, and the groups they
+    search, each ``(runs, readers, cut, merge)`` -- its ``(keys, cum)``
+    runs, the machines reading it, the slice rule they read every run
+    through (a :class:`~repro.partitioning.grid_routed.MachineSlices`
+    whose ``first[i]`` / ``last[i]`` say where reader ``i``'s slice starts
+    and stops, or ``None``: each reads the runs whole) and the index of a
+    cascade whose merged run it searches too (or ``None``).  After the
+    merges, the kernel searches each needle its readers hold once in each
+    run (numpy's ``searchsorted``, side "left" for the low bound and
+    "right" for the high one), clips the answer to every reader's slice
+    and adds the counts into ``out[reader]`` -- one C call however many
+    cascades, groups, runs and machines there are, with nothing gathered or
     materialised per needle; ``tests/reference_counting.py`` holds the
     per-task numpy form it equals.
 
-    Keys are float64 or int64, the bounds and every run in one of them, and
-    cut keys float64; ``starts``, ``stops``, ``out``, ``cum``, readers and
-    slice bounds are int64, ``starts`` / ``stops`` one entry per machine of
-    ``out``, ``cum`` one longer than its run and ``first`` / ``last`` at
-    least one entry per reader.  Otherwise, or when a reader is no machine,
-    a share lies outside the needles or a slice bound indexes no cut, this
-    raises by name and writes nothing.
+    Keys are float64 or int64, one dtype per cascade and per group, and
+    the bounds float64 or int64: a group's keys in the bounds' dtype, or
+    int64 keys searched with float64 bounds (each compared as the float64
+    it casts to, as ``searchsorted`` casts it).  Cut keys are float64;
+    ``starts``, ``stops``, ``out``, ``cum``, readers and slice bounds are
+    int64, ``starts`` / ``stops`` one entry per machine of ``out``, ``cum``
+    one longer than its run and ``first`` / ``last`` at least one entry per
+    reader.  Otherwise, or when a reader is no machine, a share lies
+    outside the needles or a slice bound indexes no cut, this raises by
+    name having merged nothing and written nothing into ``out``.
     """
-    dtype = lows.dtype
-    if not (dtype == _FLOAT or dtype == _INT):
-        raise TypeError(f"lows are {dtype}: the kernel counts float64 or int64 keys")
-    if highs.dtype != dtype or highs.size != lows.size:
-        raise ValueError(f"{lows.size} {dtype} lows but {highs.size} {highs.dtype} highs")
-    if not (starts.dtype == stops.dtype == out.dtype == _INT):
-        raise TypeError(f"starts {starts.dtype}, stops {stops.dtype}, out {out.dtype}: not int64")
+    if out.dtype != _INT:
+        raise TypeError(f"out is {out.dtype}, not int64")
     machines = out.size
-    if starts.size != machines or stops.size != machines:
-        raise ValueError(f"{starts.size} starts and {stops.size} stops for {machines} machines")
-    arrays = [out, lows, highs, starts, stops]
-    for keys, cum, readers, cut in runs:
-        if keys.dtype != dtype:
-            raise TypeError(f"a run's keys are {keys.dtype}, not the bounds' {dtype}")
-        if readers.dtype != _INT:
-            raise TypeError(f"a run's readers are {readers.dtype}, not int64")
-        if cum is not None and (cum.dtype != _INT or cum.size != keys.size + 1):
-            raise ValueError(f"cum is {cum.size} {cum.dtype}, not {keys.size + 1} int64")
-        if cut is not None:
-            cut_keys, first, last = cut
-            if cut_keys.dtype != _FLOAT or first.dtype != _INT or last.dtype != _INT:
-                raise TypeError("a slice rule takes float64 cut keys and int64 bounds")
-            if first.size < readers.size or last.size < readers.size:
-                raise ValueError(f"a slice rule needs {readers.size} firsts and lasts")
-        # Six arrays a run; its keys stand in for what it lacks (the kernel
-        # reads no counts or slice rule that its table entry says are none).
-        arrays += keys, readers, keys if cum is None else cum, *(cut or (keys, keys, keys))
-    target, low, high, first_at, last_at, *addresses = _addresses(
-        arrays, "out, a bound, a share, a run or a slice rule", 1
-    )
-    # Per run: keys, length, counts, readers, their number, cut keys, their
-    # number, firsts, lasts (0 for counts or cut keys: none).
-    table = []
-    at = 0
-    for keys, cum, readers, cut in runs:
-        keys_at, readers_at, cum_at, cuts_at, firsts_at, lasts_at = addresses[at : at + 6]
-        at += 6
-        table += (
-            keys_at, keys.size, 0 if cum is None else cum_at, readers_at, readers.size,
-            0 if cut is None else cuts_at, 0 if cut is None else cut[0].size,
-            firsts_at, lasts_at,
-        )
-    function = _LIBRARY.count_half_f64 if dtype == _FLOAT else _LIBRARY.count_half_i64
-    status = function(
-        low, high, lows.size, first_at, last_at, machines, len(runs),
-        (ctypes.c_uint64 * (_HALF_WORDS * len(runs)))(*table), target,
-    )
+    entries = np.empty(len(merges) or 1, dtype=_INT)
+    # The kernel writes out, entries and the merged runs, so they come
+    # first among the arrays; each array after out and entries has a slot,
+    # the table word that takes its address.  `at` is len(table).
+    results, dtypes, written, written_slots, inputs, slots = [], [], [out, entries], [], [], []
+    table = [len(merges)]
+    at = 1
+    for runs in merges:
+        dtype = runs[0][0].dtype
+        word = _DTYPE_WORDS.get(dtype)
+        if word is None:
+            raise TypeError(f"run keys are {dtype}: the kernel merges float64 or int64 keys")
+        table += word, 0, 0, 0
+        written_slots += at + 2, at + 3
+        total, count = _run_words(runs, dtype, table, at + 4, inputs, slots)
+        table[at + 1] = count
+        at += 4 + 3 * count
+        merged = np.empty(total, dtype=dtype), np.empty(total + 1, dtype=_INT)
+        results += (merged,)
+        dtypes += (dtype,)
+        written += merged
+    table += (len(halves),)
+    at += 1
+    for lows, highs, starts, stops, groups in halves:
+        bound = lows.dtype
+        word = _DTYPE_WORDS.get(bound)
+        if word is None:
+            raise TypeError(f"lows are {bound}: the kernel counts float64 or int64 keys")
+        if highs.dtype != bound or highs.size != lows.size:
+            raise ValueError(f"{lows.size} {bound} lows but {highs.size} {highs.dtype} highs")
+        if not (starts.dtype == stops.dtype == _INT):
+            raise TypeError(f"starts {starts.dtype}, stops {stops.dtype}: not int64")
+        if starts.size != machines or stops.size != machines:
+            raise ValueError(f"{starts.size} starts and {stops.size} stops for {machines} machines")
+        table += word, 0, 0, lows.size, 0, 0, 0
+        inputs += lows, highs, starts, stops
+        slots += at + 1, at + 2, at + 4, at + 5
+        counted, at = at + 6, at + 7
+        for runs, readers, cut, merge in groups:
+            if merge is None:
+                if not runs:
+                    raise ValueError("a group searches no run")
+                dtype, merge = runs[0][0].dtype, _NO_MERGE
+            elif 0 <= merge < len(results):
+                dtype = dtypes[merge]
+            else:
+                raise ValueError(f"merge {merge} is not one of the {len(results)} cascades")
+            if not (dtype == bound or (dtype == _INT and bound == _FLOAT)):
+                raise TypeError(f"a run's keys are {dtype}, not the bounds' {bound}")
+            if readers.dtype != _INT:
+                raise TypeError(f"a group's readers are {readers.dtype}, not int64")
+            table += _DTYPE_WORDS[dtype], 0, readers.size, 0, 0, 0, 0, merge, 0
+            inputs += (readers,)
+            slots += (at + 1,)
+            if cut is not None:
+                cut_keys, first, last = cut
+                if cut_keys.dtype != _FLOAT or first.dtype != _INT or last.dtype != _INT:
+                    raise TypeError("a slice rule takes float64 cut keys and int64 bounds")
+                if first.size < readers.size or last.size < readers.size:
+                    raise ValueError(f"a slice rule needs {readers.size} firsts and lasts")
+                table[at + 4] = cut_keys.size
+                inputs += cut
+                slots += at + 3, at + 5, at + 6
+            _, count = _run_words(runs, dtype, table, at + 9, inputs, slots)
+            table[at + 8] = count
+            at += 9 + 3 * count
+            table[counted] += 1
+    target, counts, *addresses = _addresses(written + inputs, _FOLD_ARRAYS, len(written))
+    for slot, address in zip(written_slots + slots, addresses):
+        table[slot] = address
+    status = _LIBRARY.fold((ctypes.c_uint64 * at)(*table), at, machines, target, counts)
+    if status < 0:
+        raise MemoryError("the kernel's fold could not allocate its scratch")
     if status:
-        raise ValueError(_HALF_ERRORS[status])
+        raise ValueError(_FOLD_ERRORS[status])
+    folded = []
+    for (keys, cum), size in zip(results, entries.tolist()):
+        if size:
+            # Give back the room no entry took (a realloc in place, no copy).
+            keys.resize(size, refcheck=False)
+            cum.resize(size + 1, refcheck=False)
+            folded += ((keys, cum),)
+        else:
+            folded += (None,)
+    return folded
 
 
 def band_inverse(keys: np.ndarray, beta: float) -> "tuple[np.ndarray, np.ndarray]":
@@ -333,54 +413,6 @@ def band_inverse(keys: np.ndarray, beta: float) -> "tuple[np.ndarray, np.ndarray
     low, high, source = _addresses([lows, highs, keys], ("lows", "highs", "keys"), 2)
     _LIBRARY.band_inverse(source, keys.size, beta, low, high)
     return lows, highs
-
-
-def merge(runs: "list[tuple[np.ndarray, np.ndarray | None]]"):
-    """:func:`~repro.streaming.incremental._merge_sorted` in one linear pass.
-
-    Returns the merged ``(keys, cum)``, or ``None`` when every count
-    cancelled.  Keys are float64 or int64, all of one dtype, and each
-    ``cum`` int64 and one longer than its keys; otherwise this raises by
-    name.
-    """
-    dtype = runs[0][0].dtype
-    if not (dtype == _FLOAT or dtype == _INT):
-        raise TypeError(f"run keys are {dtype}: the kernel merges float64 or int64 keys")
-    arrays = []
-    total = 0
-    for keys, cum in runs:
-        if keys.dtype != dtype:
-            raise TypeError(f"runs of {dtype} and {keys.dtype} keys cannot be merged")
-        total += keys.size
-        if cum is None:
-            arrays.append(keys)
-        elif cum.dtype == _INT and cum.size == keys.size + 1:
-            arrays += keys, cum
-        else:
-            raise ValueError(f"a run's cum is {cum.size} {cum.dtype}, not {keys.size + 1} int64")
-    addresses = _addresses(arrays, "a run's keys or cum", 0)
-    # Per run: its keys' address, their number and its counts' address (0: none).
-    table = []
-    at = 0
-    for keys, cum in runs:
-        table += addresses[at], keys.size, 0 if cum is None else addresses[at + 1]
-        at += 1 if cum is None else 2
-    merged_keys = np.empty(total, dtype=dtype)
-    merged_cum = np.empty(total + 1, dtype=np.int64)
-    function = _LIBRARY.merge_f64 if dtype == _FLOAT else _LIBRARY.merge_i64
-    entries = function(
-        len(runs),
-        (ctypes.c_uint64 * (3 * len(runs)))(*table),
-        *_addresses([merged_keys, merged_cum], ("merged keys", "merged cum"), 2),
-    )
-    if entries < 0:
-        raise MemoryError("the kernel's merge could not allocate its run positions")
-    if entries == 0:
-        return None
-    # Give back the room no entry took (a realloc in place, no copy).
-    merged_keys.resize(entries, refcheck=False)
-    merged_cum.resize(entries + 1, refcheck=False)
-    return merged_keys, merged_cum
 
 
 _OFFER = ("heap priorities", "heap counters", "heap keys", "priorities", "keys")

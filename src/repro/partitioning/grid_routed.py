@@ -58,7 +58,7 @@ class MachineSlices(NamedTuple):
     for ``len(cut_keys)`` and at the keys' length for ``len(cut_keys) +
     1``.  Calling it with ascending keys gives every machine's ``(starts,
     stops)``; the count kernel applies the same rule to each run it
-    searches (:func:`repro.joins.native.count_half`).
+    searches (:func:`repro.joins.native.fold`).
     """
 
     cut_keys: np.ndarray

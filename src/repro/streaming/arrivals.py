@@ -56,14 +56,15 @@ class ArrivalLog:
     ----------
     base, total:
         The retained keys are those of global indices ``[base, total)``.
-    live:
-        Sorted global indices of the tuples still live.
     starts:
         Global index each processed batch started at, oldest first;
         :meth:`trim` drops the entries below ``base``.
     """
 
-    __slots__ = ("windowed", "base", "total", "live", "starts", "_buffer", "_origin")
+    __slots__ = (
+        "windowed", "base", "total", "starts", "_buffer", "_origin", "_live", "_live_start",
+        "_live_stop",
+    )
 
     def __init__(self, windowed: bool, keys=(), base: int = 0, live=(), starts=()) -> None:
         self.windowed = windowed
@@ -72,8 +73,25 @@ class ArrivalLog:
         self._buffer = np.asarray(keys)
         self._origin = self.base = base
         self.total = base + len(self._buffer)
-        self.live = np.asarray(live, dtype=np.int64)
+        self.live = live
         self.starts = list(starts)
+
+    @property
+    def live(self) -> np.ndarray:
+        """Sorted global indices of the tuples still live (a view; never written to later).
+
+        They are ``_live[_live_start:_live_stop]``: an append writes past
+        the stop (into a fresh buffer of twice the live set when the buffer
+        is full, dropping the expired prefix), and a prefix expiry moves
+        the start, so neither touches more than its own indices (amortised).
+        """
+        return self._live[self._live_start : self._live_stop]
+
+    @live.setter
+    def live(self, indices) -> None:
+        """Hold ``indices`` (sorted global indices) as the live set."""
+        self._live = np.asarray(indices, dtype=np.int64)
+        self._live_start, self._live_stop = 0, self._live.size
 
     @property
     def retained(self) -> int:
@@ -96,29 +114,36 @@ class ArrivalLog:
         retained keys to the front of a *fresh* one of twice their size,
         dropping the trimmed prefix -- so the buffer stays within 2x
         retained plus one batch, and a view handed out earlier is never
-        written to.  The first retained non-empty batch decides the dtype
-        (integer keys stay integers -- int64 join keys above 2**53 must
-        never round through float64); a later dtype change promotes by
-        ``np.promote_types``, and an empty batch only records its start.
+        written to.  The live set grows the same way.  The first retained
+        non-empty batch decides the dtype (integer keys stay integers --
+        int64 join keys above 2**53 must never round through float64); a
+        later dtype change promotes by ``np.promote_types``, and an empty
+        batch only records its start.
         """
         keys = np.asarray(keys)
-        first, retained = self.total, self.retained
+        first, new = self.total, keys.size
         if self.windowed:
             self.starts.append(first)
-        if len(keys) == 0:
+        if new == 0:
             return first
-        dtype = np.promote_types(self._buffer.dtype, keys.dtype) if retained else keys.dtype
+        retained, buffer = first - self.base, self._buffer
+        dtype = np.promote_types(buffer.dtype, keys.dtype) if retained else keys.dtype
         end = first - self._origin
-        if dtype != self._buffer.dtype or end + len(keys) > len(self._buffer):
-            grown = np.empty(max(retained + len(keys), 2 * retained), dtype=dtype)
+        if dtype != buffer.dtype or end + new > buffer.size:
+            grown = np.empty(max(retained + new, 2 * retained), dtype=dtype)
             grown[:retained] = self.keys
             self._buffer, self._origin, end = grown, self.base, retained
-        self._buffer[end : end + len(keys)] = keys
-        self.total += len(keys)
+        self._buffer[end : end + new] = keys
+        self.total += new
         if self.windowed:
-            self.live = np.concatenate(
-                [self.live, np.arange(first, self.total, dtype=np.int64)]
-            )
+            stop = self._live_stop
+            if stop + new > self._live.size:
+                live = self.live
+                grown = np.empty(max(live.size + new, 2 * live.size), dtype=np.int64)
+                grown[: live.size] = live
+                self._live, self._live_start, stop = grown, 0, live.size
+            self._live[stop : stop + new] = np.arange(first, self.total, dtype=np.int64)
+            self._live_stop = stop + new
         return first
 
     def expire(self, window: WindowPolicy, rng: np.random.Generator) -> np.ndarray:
@@ -126,7 +151,8 @@ class ArrivalLog:
 
         An eviction that is a prefix of the live set -- every
         :class:`~repro.streaming.window.SlidingWindow` one is -- is cut off
-        by slicing, after an ``O(expired)`` check; any other eviction set
+        by moving the live set's start, after an ``O(expired)`` check; any
+        other eviction set
         (decay windows, custom policies) goes through
         :func:`~repro.streaming.window.drop_expired`.
         """
@@ -134,7 +160,7 @@ class ArrivalLog:
         expired = window.evictions(live, self.starts, self.total, rng)
         cut = len(expired)
         if cut and np.array_equal(live[:cut], expired):
-            self.live = live[cut:]
+            self._live_start += cut
         else:
             self.live = drop_expired(live, expired)
         return expired
@@ -148,8 +174,9 @@ class ArrivalLog:
         is touched.  A trim point past a live tuple would let that tuple's
         index resolve to some other key later, so it is refused here.
         """
-        point = window.trim_point(self.live, self.total)
-        if point > (self.live[0] if len(self.live) else self.total):
+        live = self.live
+        point = window.trim_point(live, self.total)
+        if point > (live[0] if live.size else self.total):
             raise ValueError(
                 f"{type(window).__name__}.trim_point returned {point}, past "
                 "the oldest live arrival index"

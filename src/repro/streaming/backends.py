@@ -23,8 +23,8 @@ machine.  An owner keeps each side's live keys in a few counted
 for a grid-routed plan, one per draw group for 1-Bucket -- and a machine
 reads its group through its region's key range (the slice rule of
 :mod:`repro.partitioning.grid_routed`, applied to each sorted run).  A
-batch's count is therefore two calls of the compiled kernel, one per half
-of the fold, however many runs and machines there are, an eviction is one
+batch's merges and count are therefore one call of the compiled kernel
+(the fold), however many runs and machines there are, an eviction is one
 tombstone run per group, and a migration whose plans cover the same keys
 moves nothing.
 
@@ -46,7 +46,8 @@ bit-identical deltas; only the measured timings and byte counts differ
 (``tests/test_backends.py``).  Every backend reports a
 :class:`~repro.engine.executor.RegionJoinResult` (re-exported here), the
 batch executor's result type; batch execution counts with the same
-kernel entry, :func:`repro.joins.local.count_runs`.
+kernel, :func:`repro.joins.native.fold` (through
+:func:`repro.joins.local.count_runs`: one half, no merge).
 :class:`SlowConsumerBackend` forwards the protocol to another backend and
 adds a deterministic delay to every batch.
 
@@ -68,7 +69,8 @@ import numpy as np
 
 from repro.engine.executor import RegionJoinResult, pickled_nbytes
 from repro.joins.conditions import JoinCondition
-from repro.joins.local import count_runs
+from repro.joins import native
+from repro.joins.local import search_half
 from repro.obs.clock import perf_counter
 from repro.partitioning.routing import RoutedSide, SideLayout
 from repro.streaming.incremental import SortedRegionState
@@ -168,23 +170,32 @@ class StateOwner:
         self.states: "tuple[list[SortedRegionState], list[SortedRegionState]]" = ([], [])
         self.layouts: "list[SideLayout | None]" = [None, None]
 
-    def _conform(self, side1: RoutedSide, side2: RoutedSide) -> None:
-        """Read each side through its routed layout from now on."""
-        for side, routed in enumerate((side1, side2)):
-            if routed.layout is not None and routed.layout is not self.layouts[side]:
-                self._read_through(side, routed.layout)
+    def _reading(self, sides: "tuple[RoutedSide, RoutedSide]") -> list:
+        """Each side's ``(layout, groups)`` as it reads the routed ``sides``; nothing changed yet.
 
-    def _read_through(self, side: int, layout: SideLayout) -> None:
-        """Read ``side`` through ``layout`` from now on; its groups start empty if new."""
-        states = self.states[side]
-        if not states:
-            states[:] = [SortedRegionState() for _ in layout.readers]
-        elif len(states) != len(layout.readers):
-            raise ValueError(
-                f"a layout of {len(layout.readers)} groups cannot read state held "
-                f"in {len(states)}; install_state moves state onto a new layout"
-            )
-        self.layouts[side] = layout
+        A side switches to its routed layout; its groups start empty if it
+        held none.
+        """
+        reading: list = []
+        for side, routed in enumerate(sides):
+            layout, states = self.layouts[side], self.states[side]
+            if routed.layout is not None and routed.layout is not layout:
+                layout = routed.layout
+                if not states:
+                    states = [SortedRegionState() for _ in layout.readers]
+                elif len(states) != len(layout.readers):
+                    raise ValueError(
+                        f"a layout of {len(layout.readers)} groups cannot read state held "
+                        f"in {len(states)}; install_state moves state onto a new layout"
+                    )
+            reading += ((layout, states),)
+        return reading
+
+    def _adopt(self, reading: list) -> None:
+        """Read each side through its layout of ``reading`` from now on."""
+        for side, (layout, states) in enumerate(reading):
+            self.layouts[side] = layout
+            self.states[side][:] = states
 
     def count(
         self,
@@ -200,42 +211,96 @@ class StateOwner:
         R2 state per new R1 key under ``conditions[0]``, its second the
         *pre-append* R1 state per new R2 key under ``conditions[1]`` (the
         transposed condition).  A half's needles are the batch's routed
-        keys of its side, bounded in one ``joinable_bounds`` pass; each
-        machine searches its share of them in every run of the group it
-        reads, clipped to its key range on that run.  The half is one
-        :func:`~repro.joins.local.count_runs` call, one call of the compiled
-        kernel, which adds each machine's counts straight into its total, so
-        a run is searched once for every machine reading it and nothing is
-        built per machine or per needle.  A group with no runs or no readers
-        is not searched: its readers count zero.
+        keys of its side, bounded in one ``joinable_bounds`` pass
+        (:func:`~repro.joins.local.search_half`); each machine searches its
+        share of them in every run of the group it reads, clipped to its key
+        range on that run.  The whole batch -- each group's merge cascade
+        (:meth:`SortedRegionState.cascade
+        <repro.streaming.incremental.SortedRegionState.cascade>`) and both
+        halves -- is one call of the compiled kernel
+        (:func:`repro.joins.native.fold`), which merges first, then searches
+        each needle once per run for all the machines reading it and adds
+        each machine's counts straight into its total.  A group with no runs
+        or no readers is not searched: its readers count zero.  The merged
+        runs and any new layout are swapped in only after the call
+        succeeds, so a refused fold leaves the state as it was.
 
-        With ``seconds`` (a float per machine), each group is counted in
-        calls of its own, one per half, and their time is added to its
-        first reader's entry -- a real per-machine clock when every group is
-        one machine's, as a sticky worker's are (:meth:`RoutedSide.of`).  A
-        group whose readers received no needles is never timed.
+        With ``seconds`` (a float per machine), each group is folded in a
+        call of its own -- group ``g`` of both sides, one machine's, as a
+        sticky worker's are (:meth:`RoutedSide.of`) -- and its time is added
+        to that machine's entry: a real per-machine clock.  A machine that
+        received no arrivals is neither folded nor timed.
         """
-        self._conform(new1, new2)
-        states1, states2 = self.states
-        old_runs1 = [state.runs for state in states1]
-        for states, new in ((states2, new2), (states1, new1)):
-            for group, state in enumerate(states):
-                state.append_sorted(new.group_keys(group))
+        reading = self._reading((new1, new2))
+        cascades = [
+            [state.cascade(new.group_keys(group)) for group, state in enumerate(states)]
+            for (_, states), new in zip(reading, (new1, new2))
+        ]
         totals = np.zeros(len(new1.starts), dtype=np.int64)
-        for condition, needles, side, searched in (
-            (conditions[0], new1, 1, [state.runs for state in states2]),
-            (conditions[1], new2, 0, old_runs1),
-        ):
-            layout = self.layouts[side]
-            count_runs(
-                condition, needles.keys, needles.starts, needles.stops,
-                zip(searched, layout.readers), layout.cut, totals, seconds,
-            )
+        bounds: "tuple[dict, dict]" = ({}, {})  # per half, however many calls fold it
+
+        def fold_groups(groups) -> list:
+            """Fold ``groups`` (per side, group indices) in one kernel call; ``(side, group, run)``.
+
+            Each cascade that merges is one of the call's merges; the first
+            half searches the R2 groups after the append (the runs the
+            cascade keeps, then its merged run or the arrivals), the second
+            the R1 groups before it.  ``run`` is a group's merged run
+            (``None``: everything cancelled) or a copy of its arrivals.
+            """
+            searched: "tuple[list, list]" = ([], [])
+            merges: list = []
+            merged: list = []
+            fresh: list = []
+            for side, indices in enumerate(groups):
+                layout, states = reading[side]
+                for group in indices:
+                    kept, merging, keys = cascades[side][group]
+                    merge = None
+                    if merging is not None:
+                        merge = len(merges)
+                        merges += (merging,)
+                        merged += ((side, group),)
+                    elif keys.size:
+                        fresh += ((side, group, (keys.copy(), None)),)
+                    if side == 0:  # the second half searches R1 before the append
+                        runs, merge = states[group].runs, None
+                    else:
+                        runs = kept if merge is not None or not keys.size else [*kept, (keys, None)]
+                    dtype = runs[0][0].dtype if runs else keys.dtype
+                    searched[side].append((runs, layout.readers[group], merge, dtype))
+            halves: list = []
+            for half, (condition, needles, side) in enumerate(
+                ((conditions[0], new1, 1), (conditions[1], new2, 0))
+            ):
+                if needles.keys.size:
+                    layout = reading[side][0]
+                    halves += search_half(
+                        condition, needles.keys, needles.starts, needles.stops, searched[side],
+                        layout.cut if layout else None, bounds[half],
+                    )
+            runs = native.fold(merges, halves, totals)
+            return fresh + [(side, group, run) for (side, group), run in zip(merged, runs)]
+
+        if seconds is None:
+            folded = fold_groups([range(len(cascade)) for cascade in cascades])
+        else:
+            if len(cascades[0]) != len(cascades[1]):
+                raise ValueError("a timed count folds one machine's group of each side at a time")
+            folded = []
+            for group, (mine1, mine2) in enumerate(zip(*cascades)):
+                if mine1[2].size or mine2[2].size:
+                    started = perf_counter()
+                    folded += fold_groups([[group], [group]])
+                    seconds[reading[0][0].readers[group][0]] += perf_counter() - started
+        for side, group, run in folded:
+            reading[side][1][group].commit(cascades[side][group][0], run)
+        self._adopt(reading)
         return totals
 
     def evict(self, expired1: RoutedSide, expired2: RoutedSide) -> None:
         """Tombstone the expired keys: one run per group, each key once."""
-        self._conform(expired1, expired2)
+        self._adopt(self._reading((expired1, expired2)))
         for side, expired in enumerate((expired1, expired2)):
             for group, state in enumerate(self.states[side]):
                 state.tombstone(expired.group_keys(group))
@@ -402,7 +467,7 @@ class ExecutionBackend:
 
         ``new1`` / ``new2`` are the batch's routed sides.  The owner merges
         them in and counts every machine at once (:meth:`StateOwner.count`:
-        two kernel calls, one per half), so no full-region recount ever
+        one kernel call), so no full-region recount ever
         happens and nothing is dispatched per task.  One pass counts every
         machine, so ``per_machine_seconds`` is ``None``: no per-machine
         time was measured.
@@ -529,11 +594,12 @@ class _StickyWorkerState:
     def count(self, arrays: "list[np.ndarray]") -> "tuple[list[int], list[float]]":
         """Fold one batch's deltas in and count: per owned machine its output and seconds.
 
-        The owner counts each owned machine on its own
+        The owner folds each owned machine on its own
         (:meth:`StateOwner.count` with ``seconds``: each group is one
-        machine's, :meth:`RoutedSide.of`), two kernel calls per machine,
-        one per half, so the seconds are real per-machine seconds and the
-        reply is two numbers per machine however many runs the state holds.
+        machine's, :meth:`RoutedSide.of`), one kernel call per machine that
+        received arrivals, so the seconds are real per-machine seconds and
+        the reply is two numbers per machine however many runs the state
+        holds.
         """
         seconds = np.zeros(len(self.machines))
         outputs = self.owner.count(*self._mine(arrays), self.conditions, seconds)

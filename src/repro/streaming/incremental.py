@@ -109,13 +109,17 @@ def _merge_sorted(
     input is modified, so a reader still holding an old run keeps a valid
     snapshot.
 
-    It is one linear k-way pass of the compiled kernel
-    (:func:`repro.joins.native.merge`: a run's stretch below every other
-    run's head is taken whole, a key several runs hold is gathered from
-    each, oldest first); ``tests/reference_state.py`` keeps the stable-sort
-    form it equals byte for byte.
+    It is one compiled-kernel fold with this cascade and no half
+    (:func:`repro.joins.native.fold`: a right fold of two-way merges, the
+    newest pair first); ``tests/reference_state.py`` keeps the stable-sort
+    form it equals byte for byte.  A stream batch's merges ride the
+    batch's own fold (:meth:`~repro.streaming.backends.StateOwner.count`).
     """
-    return native.merge(runs)
+    return native.fold([runs], [], _NO_MACHINES)[0]
+
+
+#: The totals of a fold that counts nothing.
+_NO_MACHINES = np.zeros(0, dtype=np.int64)
 
 
 class SortedRegionState:
@@ -147,15 +151,16 @@ class SortedRegionState:
     :meth:`insert` sorts for callers that hold them unsorted) and are
     appended as the newest run, which then swallows its predecessor while
     the predecessor holds fewer than :data:`RUN_MERGE_RATIO` times its
-    distinct keys -- the whole cascade merged in one pass (the Bentley--Saxe
+    distinct keys -- the cascade settled first (:meth:`cascade`) and merged
+    in one kernel call, inside a stream batch's own fold (the Bentley--Saxe
     logarithmic method, the sorted runs of an LSM tree, O'Neil et al. 1996,
     whose tombstones the negative runs are).  Under skew a merged run is
     many times shorter than the tuples it counts, so a side settles at one
     or two short runs.  An eviction appends its tombstones without
     any cascade; the next batch's merge cancels them against the tuples
     they expire and drops the zero counts, so no run is ever masked or
-    rewritten to shrink it.  No array is ever modified in place, so run
-    arrays handed out as search targets stay valid snapshots.
+    rewritten to shrink it.  No array and no list of runs is ever modified
+    in place, so runs handed out as search targets stay valid snapshots.
 
     All runs of one state share one key dtype, which follows the stream's
     key arrays: integer keys are retained as integers (int64 keys above
@@ -240,19 +245,52 @@ class SortedRegionState:
         self.tombstone(keys)
         return len(keys)
 
-    def _conform(self, keys: np.ndarray) -> np.ndarray:
-        """``keys`` in the runs' dtype, promoting *every* run on a mismatch.
+    def _conform(self, keys: np.ndarray) -> "tuple[list, np.ndarray]":
+        """The runs and ``keys`` in one dtype, promoting *every* run on a mismatch.
 
         The first keys into empty state set the dtype (exact integers stay
         integers); a later mismatch promotes all runs, so a mixed int/float
-        stream never truncates a float key into an integer slot.
+        stream never truncates a float key into an integer slot.  The runs
+        come back as a list the caller may hold (promoted copies on a
+        mismatch): nothing is swapped in until the caller commits, and no
+        list of runs is ever changed in place.
         """
         runs = self._runs
         if runs and runs[0][0].dtype != keys.dtype:
             target = np.promote_types(runs[0][0].dtype, keys.dtype)
-            runs[:] = [(run.astype(target), cum) for run, cum in runs]
+            runs = [(run.astype(target), cum) for run, cum in runs]
             keys = keys.astype(target)
-        return keys
+        return runs, keys
+
+    def cascade(self, keys: np.ndarray) -> "tuple[list, list | None, np.ndarray]":
+        """Where key-sorted arrivals go: ``(kept, merging, keys)``, nothing changed yet.
+
+        The new run is merged into its predecessor while the predecessor
+        holds fewer than :data:`RUN_MERGE_RATIO` times the distinct keys
+        merged so far, so the amortised copy cost is ``O(new * ratio *
+        log_ratio(distinct / new))``.  How far that cascade reaches depends
+        on run lengths alone, so it is decided here, before anything is
+        copied: ``kept`` are the runs it leaves alone, ``merging`` the runs
+        it merges, oldest first and the arrivals last -- ``None`` when the
+        arrivals become a run of their own -- and ``keys`` the arrivals in
+        the runs' dtype.  The caller merges ``merging`` (in a batch's fold,
+        or :func:`_merge_sorted`) and hands the result to :meth:`commit`.
+        """
+        runs = self._runs
+        if runs and keys.size and runs[0][0].dtype != keys.dtype:
+            runs, keys = self._conform(keys)
+        first = last = len(runs)
+        merged = keys.size
+        while merged and first and runs[first - 1][0].size < RUN_MERGE_RATIO * merged:
+            first -= 1
+            merged += runs[first][0].size
+        if first == last:
+            return runs, None, keys
+        return runs[:first], [*runs[first:], (keys, None)], keys
+
+    def commit(self, kept: list, run: "tuple[np.ndarray, np.ndarray | None] | None") -> None:
+        """Hold ``kept`` and then ``run`` (``None``: nothing more) as the runs."""
+        self._runs = kept if run is None else [*kept, run]
 
     def append_sorted(self, keys: np.ndarray) -> None:
         """Add key-sorted arrivals as the newest run; merge geometrically.
@@ -260,31 +298,13 @@ class SortedRegionState:
         ``keys`` ascend (NaN last).  They are not kept: they may be a slice
         of a routed batch or a view into a transient shared segment, so the
         run holds a copy -- the merge's fresh arrays, or an explicit one
-        when nothing merges.
-
-        The new run is merged into its predecessor while the predecessor
-        holds fewer than :data:`RUN_MERGE_RATIO` times the distinct keys
-        merged so far, so the amortised copy cost is ``O(new * ratio *
-        log_ratio(distinct / new))``.  How far that cascade reaches depends
-        on run lengths alone, so it is decided first and the whole suffix
-        of runs is merged in one pass (:func:`_merge_sorted`).
+        when nothing merges.  The cascade is :meth:`cascade`'s, the whole
+        suffix of runs merged in one fold (:func:`_merge_sorted`).
         """
         if keys.size == 0:
             return
-        keys = self._conform(keys)
-        runs = self._runs
-        # Which suffix of runs the arrivals cascade into is a question of
-        # lengths alone, so it is settled before anything is copied.
-        last = first = len(runs)
-        merged = keys.size
-        while first and runs[first - 1][0].size < RUN_MERGE_RATIO * merged:
-            first -= 1
-            merged += runs[first][0].size
-        if first == last:
-            runs.append((keys.copy(), None))
-            return
-        run = _merge_sorted(runs[first:] + [(keys, None)])
-        runs[first:] = [] if run is None else [run]
+        kept, merging, keys = self.cascade(keys)
+        self.commit(kept, (keys.copy(), None) if merging is None else _merge_sorted(merging))
 
     def install(self, keys: np.ndarray) -> None:
         """Become exactly the key-sorted multiset ``keys``, as one counted run.
@@ -314,8 +334,8 @@ class SortedRegionState:
         """
         if keys.size == 0:
             return
-        keys = self._conform(keys)
-        self._runs.append((keys.copy(), -np.arange(keys.size + 1, dtype=np.int64)))
+        runs, keys = self._conform(keys)
+        self._runs = [*runs, (keys.copy(), -np.arange(keys.size + 1, dtype=np.int64))]
 
 
 class DecayedReservoir:

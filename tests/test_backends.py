@@ -263,13 +263,14 @@ class TestStickyWorkerState:
         state1 = SortedRegionState()
         state2 = SortedRegionState()
         calls = []
-        count_half = native.count_half
+        fold = native.fold
 
-        def spy(lows, highs, starts, stops, runs, out):
-            calls.append((starts.tolist(), stops.tolist(), runs))
-            count_half(lows, highs, starts, stops, runs, out)
+        def spy(merges, halves, out):
+            merged = fold(merges, halves, out)
+            calls.append((halves, merged))
+            return merged
 
-        monkeypatch.setattr(native, "count_half", spy)
+        monkeypatch.setattr(native, "fold", spy)
         runs_per_half = []
         # 50, then 5, then 5 arrivals: the second batch stays its own run
         # (50 >= 8 * 5), so the third batch's second half searches two runs.
@@ -283,28 +284,32 @@ class TestStickyWorkerState:
             if len(old_keys1):
                 expected += count_join_output(keys2, old_keys1, BAND.transposed)
             state1.insert(keys1)
-            # The owner makes exactly those two searches, one kernel call
-            # per half over every sorted run of the searched state, the
-            # batch's sorted arrivals the needles -- and none for a half
-            # whose searched state is still empty.
+            # The owner makes one kernel call: both halves, each over every
+            # sorted run of the searched state (the merged run the fold
+            # makes among them), the batch's sorted arrivals the needles --
+            # and no half whose searched state is still empty.
             layout = [np.sort(keys1), np.sort(keys2)]
+            halves = [(keys1, state2.keys)] + [(keys2, old_keys1)] * bool(len(old_keys1))
             calls.clear()
             outputs = owner.count(
                 RoutedSide.of([layout[0]]), RoutedSide.of([layout[1]]), (BAND, BAND.transposed)
             )
             assert outputs.tolist() == [expected]
-            halves = [(keys1, state2.keys)] + [(keys2, old_keys1)] * bool(len(old_keys1))
-            assert len(calls) == len(halves)
-            for (starts, stops, runs), (needles, searched) in zip(calls, halves):
-                assert (starts, stops) == ([0], [len(needles)])
-                for run, _, readers, clip in runs:
-                    assert readers.tolist() == [0] and clip is None  # read whole
+            assert len(calls) == 1
+            seen, merged = calls[0]
+            assert len(seen) == len(halves)
+            searched_runs = []
+            for (_, _, starts, stops, groups), (needles, searched) in zip(seen, halves):
+                assert (starts.tolist(), stops.tolist()) == ([0], [len(needles)])
+                ((runs, readers, clip, merge),) = groups
+                assert readers.tolist() == [0] and clip is None  # read whole
+                runs = runs + ([] if merge is None else [merged[merge]])
+                for run, _ in runs:
                     assert np.all(np.diff(run) >= 0)
-                expanded = [
-                    run if cum is None else np.repeat(run, np.diff(cum)) for run, cum, _, _ in runs
-                ]
+                expanded = [run if cum is None else np.repeat(run, np.diff(cum)) for run, cum in runs]
                 np.testing.assert_array_equal(np.sort(np.concatenate(expanded)), searched)
-            runs_per_half.append([len(runs) for _, _, runs in calls] + [0] * (2 - len(calls)))
+                searched_runs.append(len(runs))
+            runs_per_half.append(searched_runs + [0] * (2 - len(searched_runs)))
             # ... and the worker counts them the same way, per machine.
             outputs, seconds = worker.count(layout)
             assert outputs == [expected]
@@ -427,25 +432,28 @@ class TestInProcessStateProtocol:
         ]
         return history1, history2, split
 
-    def test_count_batch_makes_two_kernel_calls(self, rng, monkeypatch):
+    def test_count_batch_makes_one_kernel_call(self, rng, monkeypatch):
         history1, history2, split = self._traffic(rng)
         calls = []
-        count_half = native.count_half
+        fold = native.fold
 
-        def spy(lows, highs, starts, stops, runs, out):
-            calls.append(len(runs))
-            count_half(lows, highs, starts, stops, runs, out)
+        def spy(merges, halves, out):
+            calls.append(
+                [sum(len(runs) + (merge is not None) for runs, *_, merge in groups)
+                 for *_, groups in halves]
+            )
+            return fold(merges, halves, out)
 
-        monkeypatch.setattr(native, "count_half", spy)
+        monkeypatch.setattr(native, "fold", spy)
         backend = SimulatedBackend()
         backend.bind(2, BAND, BAND.transposed)
         result = backend.count_batch(
             arrivals(split, history1), arrivals(split, history2)
         )
-        # One call per half, over every machine's group and run of the R2
-        # state; the R1 state was empty before the batch, so half 1
-        # searches nothing and makes no call.
-        assert calls == [2]
+        # One call, a half over every machine's group and run of the R2
+        # state; the R1 state was empty before the batch, so the second
+        # half searches nothing and is left out.
+        assert calls == [[2]]
         expected = [
             count_join_output(history1[idx], history2[idx], BAND)
             for idx in split
@@ -462,9 +470,9 @@ class TestInProcessStateProtocol:
             arrivals(tail, np.append(history1, 1.0)),
             arrivals(tail, np.append(history2, 1.0)),
         )
-        # Both halves now: machine 0's two R2 runs and machine 1's one, then
-        # each machine's pre-batch R1 run.
-        assert calls == [3, 2]
+        # Both halves in one call: machine 0's two R2 runs and machine 1's
+        # one, then each machine's pre-batch R1 run.
+        assert calls == [[3, 2]]
         assert len(owner.states[0][0].runs) == 2
         np.testing.assert_array_equal(
             owner.view(0, 0), np.sort(np.append(history1[split[0]], 1.0))

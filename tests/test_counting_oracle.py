@@ -3,12 +3,12 @@
 ``tests/reference_counting.py`` holds the per-region count loop as it was
 before joinable bounds were hoisted out of it (bounds recomputed per task,
 every task timed on its own) and the ``np.add.at`` scatter the per-machine
-halves were summed with.  Every count goes through one entry,
-``repro.joins.local.count_runs``, and it must be invisible: a batch join's
-per-machine outputs equal the reference's count of every routed region, for
-every condition and key dtype.  A stream batch's half
-(``native.count_half``: reader segments of the needles, each seeing one
-slice of each run) must count per reader what the reference counts on that
+halves were summed with.  Every count is a fold of the compiled kernel
+(``repro.joins.native.fold``), and it must be invisible: a batch join's
+per-machine outputs (``repro.joins.local.count_runs``) equal the
+reference's count of every routed region, for every condition and key
+dtype.  A stream batch's half (a fold half: reader segments of the needles,
+each seeing one slice of each run) must count per reader what the reference counts on that
 reader's needles against that slice of the runs.  Both streaming owners of
 the kernel are driven batch after batch -- ``SimulatedBackend`` and an
 in-process ``_StickyWorkerState`` -- against the per-machine table kept in
@@ -170,7 +170,7 @@ def test_a_clipped_task_counts_each_segment_on_its_slice(
     """Per reader: the reference's count of its needles against its run slice.
 
     One half of a batch as the state owner counts it
-    (:func:`repro.joins.native.count_half`, bounded as the owner bounds
+    (a :func:`repro.joins.native.fold` half, bounded as the owner bounds
     them), against the reference's per-task loop over every reader's needle
     segment and its slice of each run.  Segments overlap, nest, repeat and
     are empty; slices are empty, whole, or anywhere in the run; runs are
@@ -199,8 +199,9 @@ def test_a_clipped_task_counts_each_segment_on_its_slice(
         if counted:
             cum = np.concatenate([[0], np.cumsum(rng.integers(-2, 4, len(run)))])
         cut = None if rng.random() < 0.3 else slices
-        searched = run if run.dtype == lows.dtype else run.astype(np.float64)
-        tasks.append((searched, cum, readers, cut))
+        # An integer run meeting float bounds is searched as it is: the
+        # kernel compares each key as the float64 it casts to.
+        tasks.append(([(run, cum)], readers, cut, None))
         clip_lows, clip_highs = slices(run)
         for start, stop, low, high in zip(
             starts.tolist(), stops.tolist(), clip_lows.tolist(), clip_highs.tolist()
@@ -210,7 +211,7 @@ def test_a_clipped_task_counts_each_segment_on_its_slice(
             sliced = None if cum is None else cum[low : high + 1] - cum[low]
             expected_tasks.append((needles[start:stop], run[low:high], sliced))
     outputs = np.zeros(segments, dtype=np.int64)
-    native.count_half(lows, highs, starts, stops, tasks, outputs)
+    native.fold([], [(lows, highs, starts, stops, tasks)], outputs)
     expected, _ = reference.count_regions(expected_tasks, [condition] * len(expected_tasks))
     np.testing.assert_array_equal(outputs, expected.reshape(runs, segments).sum(axis=0))
 
@@ -310,13 +311,11 @@ def test_a_fold_counts_what_the_per_task_kernel_counts(
                 reference.sum_halves(machines, outputs, owners).sum(axis=1).tolist()
             )
             # The simulated backend reads the clock twice per batch, around
-            # the whole count; a sticky worker twice around each machine's
-            # call per half with needles and runs to search, where the
+            # the whole count; a sticky worker twice around each fold of a
+            # machine that received arrivals on either side, where the
             # reference reads it twice per run searched.
             if owner is _count_simulated:
                 reads += 2
             else:
-                reads += 2 * len(
-                    {slot for task, slot in zip(tasks, owners.tolist()) if len(task[0]) and len(task[1])}
-                )
+                reads += 2 * int(np.count_nonzero(new1.sizes + new2.sizes))
             assert ours_clock.reads == reads

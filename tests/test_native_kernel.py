@@ -1,18 +1,19 @@
 """Differential tests: the compiled kernel against the numpy code it replaced.
 
-``repro.joins.native`` runs the count (``count_half``: search and sum) and
-one run merge of ``SortedRegionState`` in C.  The numpy bodies it replaced
-are the reference here: ``reference_counting.count_task`` (a count of one
-reader's needles against one run, with no cut) and
-``reference_state.merge_sorted``.  Outputs must be equal and merged runs
+``repro.joins.native`` runs the count and the run merges of
+``SortedRegionState`` in C, in one entry (``fold``: merge cascades, then
+search and sum).  The numpy bodies it replaced are the reference here:
+``reference_counting.count_task`` (a fold of one half: one reader's needles
+against one run, with no cut) and ``reference_state.merge_sorted`` (a fold
+of one cascade and no half).  Outputs must be equal and merged runs
 equal **byte for byte** (keys and cumulative counts), over float64 and int64
 keys with NaN (two payloads), +-inf, -0.0 and 0.0, the int64 extremes and
 2**53 + 1; unsorted needles and bounds in any order; empty runs and
 needles; fresh, counted and tombstone runs.  Inputs the kernel does not
 take -- other dtypes and sizes, strided arrays -- raise by name and leave
-everything untouched; read-only inputs are read.  (Many readers, runs and
-cuts at once -- a stream batch's half -- are ``tests/test_count_half.py``'s
-subject.)
+everything untouched; read-only inputs are read.  (Many readers, runs,
+cuts and cascades at once -- a stream batch's fold -- are
+``tests/test_count_half.py``'s subject.)
 Coarsening's sweep (``native.sweep_rows``) is held to the numpy sweep and
 the row loop of ``tests/reference_planner.py`` in
 ``tests/test_planner_oracle.py``; here are the inputs it refuses and the
@@ -112,9 +113,14 @@ _ONE = np.zeros(1, dtype=np.int64)
 
 
 def _count_one(run, cum, lows, highs, out, readers=_ONE) -> None:
-    """Every needle one machine's, one run searched whole: ``count_half`` of one task."""
+    """Every needle one machine's, one run searched whole: a fold of one task and no merge."""
     stops = np.array([lows.size], dtype=np.int64)
-    native.count_half(lows, highs, _ONE, stops, [(run, cum, readers, None)], out)
+    native.fold([], [(lows, highs, _ONE, stops, [([(run, cum)], readers, None, None)])], out)
+
+
+def _merge(runs):
+    """A fold of one cascade and no half: the merged ``(keys, cum)``, or ``None``."""
+    return native.fold([runs], [], np.zeros(0, dtype=np.int64))[0]
 
 
 @settings(max_examples=400, deadline=None)
@@ -135,7 +141,7 @@ def test_a_merge_is_numpy_s_merge_byte_for_byte(seed, dtype, kinds):
     runs = [_run(rng, dtype, kind, int(rng.choice([0, 1, 4, 30]))) for kind in kinds]
     if not any(keys.size for keys, _ in runs):  # the state never merges nothing
         runs.append(_run(rng, dtype, "fresh", 1))
-    ours, theirs = native.merge(runs), reference_state.merge_sorted(runs)
+    ours, theirs = _merge(runs), reference_state.merge_sorted(runs)
     if theirs is None:
         assert ours is None
         return
@@ -149,9 +155,9 @@ def test_a_tombstone_cancels_what_it_expires():
     """Everything cancelled is ``None``, as in numpy; a partial cancel drops zeros."""
     keys = np.array([-0.0, 0.0, 1.0, np.nan, NEGATIVE_NAN])
     runs = [(keys, None), (keys, -np.arange(6, dtype=np.int64))]
-    assert native.merge(runs) is None and reference_state.merge_sorted(runs) is None
+    assert _merge(runs) is None and reference_state.merge_sorted(runs) is None
     runs[1] = (keys[:2], -np.arange(3, dtype=np.int64))
-    keys, cum = native.merge(runs)
+    keys, cum = _merge(runs)
     assert keys[0] == 1.0 and np.isnan(keys[1]) and cum.tolist() == [0, 1, 3]
     assert keys.tobytes() == reference_state.merge_sorted(runs)[0].tobytes()
 
@@ -169,30 +175,30 @@ def test_inputs_it_does_not_take_raise():
         (TypeError, "a run's keys are float32", (run.astype(np.float32), None, lows, highs)),
         (ValueError, "4 int64 lows but 4 float64 highs", (run, None, lows.astype(np.int64), highs)),
         (ValueError, "4 float64 lows but 3 float64 highs", (run, None, lows, highs[:3])),
-        (ValueError, "a run or a slice rule is not C-contiguous", (run[::2], None, lows, highs)),
+        (ValueError, "a slice rule is not C-contiguous", (run[::2], None, lows, highs)),
         (ValueError, "cum is 10 int64, not 11 int64", (run, np.arange(10), lows, highs)),
     ]
     for error, message, args in refused:
         with pytest.raises(error, match=message):
             _count_one(*args, out)
-    with pytest.raises(TypeError, match="out int32: not int64"):
+    with pytest.raises(TypeError, match="out is int32, not int64"):
         _count_one(run, None, lows, highs, out.astype(np.int32))
     with pytest.raises(ValueError, match="slice rule is read-only, and the kernel writes it"):
         _count_one(run, None, lows, highs, frozen_out)
     with pytest.raises(ValueError, match="1 starts and 1 stops for 0 machines"):
         _count_one(run, None, lows, highs, out[:0])
-    with pytest.raises(ValueError, match="a run's reader is not one of the machines"):
+    with pytest.raises(ValueError, match="a group's reader is not one of the machines"):
         _count_one(run, None, lows, highs, out, readers=np.ones(1, dtype=np.int64))
     assert out.tolist() == [-7]
 
     with pytest.raises(TypeError, match="run keys are float32"):
-        native.merge([(run.astype(np.float32), None)])
-    with pytest.raises(TypeError, match="runs of float64 and int64 keys"):
-        native.merge([(run, None), (run.astype(np.int64), None)])
+        _merge([(run.astype(np.float32), None)])
+    with pytest.raises(TypeError, match="a run's keys are int64, not its group's float64"):
+        _merge([(run, None), (run.astype(np.int64), None)])
     with pytest.raises(ValueError, match="cum is 10 int64, not 11 int64"):
-        native.merge([(run, None), (run, np.arange(10))])
-    with pytest.raises(ValueError, match="a run's keys or cum is not C-contiguous"):
-        native.merge([(run, None), (run[::2], None)])
+        _merge([(run, None), (run, np.arange(10))])
+    with pytest.raises(ValueError, match="a run, a reader or a slice rule is not C-contiguous"):
+        _merge([(run, None), (run[::2], None)])
 
     read_only = [array.copy() for array in (run, lows, highs)]
     for array in read_only:
@@ -203,7 +209,7 @@ def test_inputs_it_does_not_take_raise():
     _count_one(read_only[0], None, read_only[1], read_only[2], out)
     assert out.tolist() == expected.tolist()
     runs = [(read_only[0], None), (run, -np.arange(11, dtype=np.int64))]
-    assert native.merge(runs) is None is reference_state.merge_sorted(runs)
+    assert _merge(runs) is None is reference_state.merge_sorted(runs)
 
 
 def test_offers_it_does_not_take_raise():

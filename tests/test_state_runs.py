@@ -366,11 +366,13 @@ def test_a_steady_batch_stays_call_light():
     tombstones one run per side instead of sixteen (bound 480).  Counting
     each half in one kernel call -- each machine's slice cut from each run,
     its needles searched and its counts summed into its total in C, the
-    transposed band's exact inverse bounds one more call -- makes it about
-    324: no search task, cut or reshape-sum per run, no gathered segments.
-    The bound is that plus 10%, 356.  And every batch computes its bounds
-    exactly twice and calls the count kernel exactly twice, once per half,
-    however many runs it searched.
+    transposed band's exact inverse bounds one more call -- made it about
+    324: no search task, cut or reshape-sum per run, no gathered segments
+    (bound 356).  Folding the whole batch -- both sides' run merges and
+    both halves -- into one kernel call, and appending the live sets in
+    place, makes it about 316; the bound is that plus 10%, 347.  And every
+    batch computes its bounds exactly twice, once per half, and calls the
+    kernel exactly once, however many runs it merged and searched.
     """
     rng = np.random.default_rng([14, 1])
     values = rng.permutation(2_000)
@@ -407,9 +409,13 @@ def test_a_steady_batch_stays_call_light():
             name = frame.f_code.co_name
             if name == "joinable_bounds":
                 bounds += 1
-            elif name == "count_half":
+            elif name == "fold":
                 kernels += 1
-                runs += len(frame.f_locals["runs"])
+                runs += sum(
+                    len(group_runs) + (merge is not None)
+                    for *_, groups in frame.f_locals["halves"]
+                    for group_runs, _, _, merge in groups
+                )
             elif name == "__getitem__" and isinstance(
                 frame.f_locals.get("self"), ArrivalLog
             ):
@@ -428,8 +434,8 @@ def test_a_steady_batch_stays_call_light():
             engine.process_batch(batch)
         finally:
             sys.setprofile(previous)
-        # One bounds pass and one kernel call per half.
-        assert bounds == kernels == 2
+        # One bounds pass per half, and one kernel call for the batch.
+        assert bounds == 2 and kernels == 1
         # The router sorts the keys of each side of the batch once, and of
         # each side's expired slice once, and hands out slices: the expired
         # keys are the only thing gathered out of the logs, and a run merge
@@ -441,12 +447,12 @@ def test_a_steady_batch_stays_call_light():
     measured = len(batches) - 64
     print(
         f"steady route + count + evict stages: {calls / measured:.0f} calls per "
-        f"batch, 2 kernel calls over {runs / measured:.1f} runs, "
+        f"batch, 1 kernel call over {runs / measured:.1f} runs, "
         f"{route_sorts / measured:.0f} sorts, 2 gathers from the arrival logs"
     )
     # A few runs per side, each searched once for every machine.
     assert 2 * measured <= runs <= 4 * measured
-    assert calls / measured <= 356
+    assert calls / measured <= 347
 
 
 def test_a_growth_batch_searches_distinct_keys(monkeypatch):
@@ -468,13 +474,18 @@ def test_a_growth_batch_searches_distinct_keys(monkeypatch):
     mass = 1.0 / np.arange(1, 5_001) ** 0.5
     mass /= mass.sum()
     searched: "list[int]" = []
-    count_half = native.count_half
+    fold = native.fold
 
-    def searching(lows, highs, starts, stops, runs, out):
-        searched[-1] += sum(len(keys) for keys, *_ in runs)
-        count_half(lows, highs, starts, stops, runs, out)
+    def searching(merges, halves, out):
+        merged = fold(merges, halves, out)
+        for *_, groups in halves:
+            for runs, _, _, merge in groups:
+                searched[-1] += sum(len(keys) for keys, _ in runs)
+                if merge is not None and merged[merge] is not None:
+                    searched[-1] += len(merged[merge][0])
+        return merged
 
-    monkeypatch.setattr(native, "count_half", searching)
+    monkeypatch.setattr(native, "fold", searching)
     backend = SimulatedBackend()
 
     engine = StreamingJoinEngine(
@@ -546,14 +557,15 @@ def _growth_owner(machines: int, runs: int):
 def test_a_batch_count_makes_the_same_calls_at_any_fleet_size_and_run_count():
     """A deterministic proxy for the count's fixed cost: no clock, no ``perf/``.
 
-    A ``stream_growth``-shaped batch's count (``StateOwner.count``: merge
-    the arrivals in, bound each half once, one kernel call per half) makes
-    the same interpreter calls at J = 8 and J = 16, and with one run per
-    side or three: the kernel cuts each machine's slice from each run and
-    sums it into the machine's total, so nothing in the interpreter is done
-    per machine or per run.  (A count made one search task per run, each a
+    A ``stream_growth``-shaped batch's count (``StateOwner.count``: each
+    side's cascade settled, each half bounded once, one fold call for the
+    batch) makes the same interpreter calls at J = 8 and J = 16, and with
+    one run per side or three: the kernel cuts each machine's slice from
+    each run and sums it into the machine's total, so nothing in the
+    interpreter is done per machine or per run, and the fold's table takes
+    a run without a call.  (A count made one search task per run, each a
     kernel call with its own wrapper, a cut and a reshape-sum per group,
-    before both halves became one kernel call each.)
+    before both halves became one kernel call each, and then one fold.)
     """
     calls = {}
     for machines in (8, 16):
@@ -564,6 +576,47 @@ def test_a_batch_count_makes_the_same_calls_at_any_fleet_size_and_run_count():
             )
     print(f"a growth batch's count: {calls} interpreter calls (J, runs per side)")
     assert len(set(calls.values())) == 1
+
+
+def test_a_refused_fold_changes_nothing():
+    """A broken layout raises by name, and the owner holds what it held, run for run.
+
+    The fold checks every reader, share and slice bound before it merges or
+    writes anything, and the owner swaps in the merged runs and a new
+    layout only after the call succeeds -- so a refusal in the middle of a
+    batch leaves no side half-applied.  The batch here cascades into two
+    of the three runs on each side, so there are merges to discard.
+    """
+    owner, _, _ = _growth_owner(8, 3)
+    layout = owner.layouts[1]
+    keys = np.sort(np.random.default_rng(48).uniform(0.0, 20_000.0, 1_000))
+    good = RoutedSide(keys, *layout.cut(keys), layout)
+    cut = layout.cut
+    broken = [
+        ("a group's reader is not one of the machines",
+         SideLayout([np.array([0, 1, 2, 3, 4, 5, 6, 8])], cut, whole=True), None),
+        ("a reader's slice bound indexes no cut",
+         SideLayout(layout.readers, cut._replace(last=cut.last + 100), whole=True), None),
+        ("a machine's share lies outside the needles", layout, good.stops + keys.size),
+    ]
+
+    def snapshot():
+        return [
+            [(run.tobytes(), None if cum is None else cum.tobytes()) for run, cum in state.runs]
+            for states in owner.states
+            for state in states
+        ]
+
+    before, held, layouts = snapshot(), owner.held(), list(owner.layouts)
+    for message, bad_layout, stops in broken:
+        bad = good._replace(layout=bad_layout, stops=good.stops if stops is None else stops)
+        with pytest.raises(ValueError, match=message):
+            owner.count(good, bad, (BAND, BAND.transposed))
+        assert owner.held() == held and snapshot() == before
+        assert all(now is then for now, then in zip(owner.layouts, layouts))
+    owner.count(good, good, (BAND, BAND.transposed))
+    assert owner.held() == (held[0] + keys.size, held[1] + keys.size)
+    assert [len(states[0].runs) for states in owner.states] == [2, 2]
 
 
 def test_nothing_keeps_a_second_copy_of_the_state(rng):
@@ -727,24 +780,24 @@ def test_an_in_process_migration_moves_nothing(monkeypatch):
     machine reads it through its region's key range, so adopting a grid
     plan that covers every key changes the ranges and nothing else: inside
     ``_adopt`` no state is installed (``SortedRegionState.install``) and no
-    run is merged (``_merge_sorted``) -- while the migration is still
+    run is merged (no cascade in a ``native.fold``) -- while the migration is still
     planned and charged (``tuples_moved``).  Per-machine tables installed
     every machine's new keys on every migration and resize.
     """
     moved = {"install": 0, "merge": 0}
     adopting = False
-    install, merge = SortedRegionState.install, incremental._merge_sorted
+    install, fold = SortedRegionState.install, native.fold
 
     def counted_install(self, keys):
         moved["install"] += adopting
         return install(self, keys)
 
-    def counted_merge(runs):
-        moved["merge"] += adopting
-        return merge(runs)
+    def counted_fold(merges, halves, out):
+        moved["merge"] += adopting * len(merges)
+        return fold(merges, halves, out)
 
     monkeypatch.setattr(SortedRegionState, "install", counted_install)
-    monkeypatch.setattr(incremental, "_merge_sorted", counted_merge)
+    monkeypatch.setattr(native, "fold", counted_fold)
     engine = _drifting_engine()
     adopt = engine._adopt
     charged = []
