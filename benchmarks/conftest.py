@@ -25,33 +25,16 @@ from bench_utils import bench_machines
 
 # Fault-injection factory fixtures, shared with the unit-test suite: the
 # recovery benchmark kills a backend mid-stream through the same wrappers.
+# The autouse leak check fails a benchmark that leaves one of its arenas'
+# shared-memory segments behind, as it fails a unit test.
 from streaming_harness import (  # noqa: F401
+    arena_tokens,
     crashing_backend,
     flaky_backend,
+    no_leaked_shm_segments,
 )
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_shm_segments():
-    """Fail any benchmark that leaves a sticky-backend shm segment behind.
-
-    Mirrors the unit-test suite's fixture: every arena segment is named
-    ``rshm-...`` and must be unlinked by ``close()``; a leftover in
-    ``/dev/shm`` leaks host memory past the process.
-    """
-    from repro.streaming.shm import SEGMENT_PREFIX
-
-    shm_dir = Path("/dev/shm")
-    if not shm_dir.is_dir():
-        yield
-        return
-    before = {path.name for path in shm_dir.glob(f"{SEGMENT_PREFIX}-*")}
-    yield
-    after = {path.name for path in shm_dir.glob(f"{SEGMENT_PREFIX}-*")}
-    leaked = after - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
 
 
 @pytest.fixture(scope="session")

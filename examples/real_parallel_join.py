@@ -6,9 +6,15 @@ a real machine:
 
 1. it times single-process joins of growing size and fits ``w_i`` and ``w_o``
    by least squares (the paper's linear-regression calibration);
-2. it executes a CSIO-partitioned join with one OS process per region
-   (Python's GIL rules out shared-memory threads) and compares the wall-clock
-   time of the slowest worker across schemes.
+2. it executes the partitioned join on worker processes (Python's GIL rules
+   out shared-memory threads) and compares the wall-clock time of the
+   slowest machine across schemes.  The executor runs the join as the first
+   batch of the streaming engine's sticky workers: machine ``m`` on worker
+   ``m % W``, its tuples shipped over shared memory, counted in place.
+
+The workers start with forkserver (else spawn), which imports this script
+in each of them: a script that calls the executor needs its
+``if __name__ == "__main__":`` guard, as this one has.
 
 Run with::
 
@@ -55,7 +61,7 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------
-    # 2. Execute the partitioned join with one OS process per region.
+    # 2. Execute the partitioned join on up to one worker process per machine.
     # ------------------------------------------------------------------
     schemes = {
         "CI": build_one_bucket_partitioning(num_machines),
@@ -77,11 +83,11 @@ def main() -> None:
         )
         print(
             f"  {name:5s} output {result.total_output:9,}  "
-            f"slowest worker {result.per_machine_seconds.max() * 1e3:7.1f} ms  "
+            f"slowest machine {result.per_machine_seconds.max() * 1e3:7.1f} ms  "
             f"end-to-end {result.wall_seconds * 1e3:7.1f} ms"
         )
     print(
-        "\nThe slowest-worker times follow the same ordering as the cost-model "
+        "\nThe slowest-machine times follow the same ordering as the cost-model "
         "weights: the equi-weight histogram keeps the busiest worker's load "
         "(and hence the join latency) the smallest."
     )

@@ -6,7 +6,8 @@ surface as deadlocks or unpicklable-task errors on some platforms:
 
 * the ``fork`` start method duplicates the parent's threads' held locks
   into the child — the classic deadlock under a threaded
-  ``StreamingPipeline`` (see ``default_mp_context``);
+  ``StreamingPipeline`` (see ``default_mp_context``), named or left to a
+  process pool made with no context, which forks on Linux before 3.14;
 * lambdas (and other unpicklable callables) submitted to executors or used
   as ``Process`` targets fail to pickle under spawn/forkserver — often only
   on the platform that CI doesn't run;
@@ -31,6 +32,14 @@ __all__ = ["MultiprocessingHygieneRule"]
 #: Executor/pool methods whose callable argument crosses a pickle boundary.
 _SUBMIT_METHODS = frozenset({"submit", "map", "map_async", "apply", "apply_async"})
 
+#: Process pools by imported name: the argument (keyword, position) that
+#: pins their start method.  A context's own ``ctx.Pool()`` carries its own.
+_POOL_CONTEXT_ARGUMENTS = {
+    "concurrent.futures.ProcessPoolExecutor": ("mp_context", 1),
+    "multiprocessing.Pool": ("context", 4),
+    "multiprocessing.pool.Pool": ("context", 4),
+}
+
 #: Packages whose modules are imported inside worker processes.
 _WORKER_PACKAGES = ("repro/streaming/", "repro/engine/", "repro/joins/")
 
@@ -46,9 +55,9 @@ class MultiprocessingHygieneRule(Rule):
     rule_id = "CONC001"
     name = "multiprocessing hygiene"
     description = (
-        "no 'fork' start method, no lambdas submitted to executors or "
-        "Process targets, no module-level mutable state in worker-imported "
-        "modules"
+        "no 'fork' start method, named or a pool's default, no lambdas "
+        "submitted to executors or Process targets, no module-level "
+        "mutable state in worker-imported modules"
     )
     target_node_types = (ast.Call, ast.Assign, ast.AnnAssign)
 
@@ -67,6 +76,20 @@ class MultiprocessingHygieneRule(Rule):
         attr = func.attr if isinstance(func, ast.Attribute) else (
             func.id if isinstance(func, ast.Name) else None
         )
+        pinning = _POOL_CONTEXT_ARGUMENTS.get(context.resolve(func) or "")
+        if pinning is not None:
+            keyword, position = pinning
+            if len(node.args) <= position and not any(
+                given.arg in (keyword, None) for given in node.keywords
+            ):
+                yield Violation(
+                    node,
+                    f"{attr}(...) without {keyword}= starts its workers with "
+                    "the platform's default start method -- 'fork' on Linux "
+                    "before Python 3.14; pass a forkserver or spawn context "
+                    "(see default_mp_context)",
+                )
+            return
         if attr in ("get_context", "set_start_method"):
             first = node.args[0] if node.args else None
             if (

@@ -15,11 +15,11 @@ substrate with:
 * :mod:`repro.engine.adaptive` -- the high-selectivity fallback operator
   (start with CSIO statistics, switch to CI when building the scheme becomes
   too expensive).
-* :mod:`repro.engine.executor` -- a real ``multiprocessing`` executor that
-  joins the per-region partitions in parallel OS processes (Python's GIL
-  rules out shared-memory threading) and reports wall-clock times in a
-  :class:`~repro.engine.executor.RegionJoinResult`, the streaming backends'
-  result type too.
+* :mod:`repro.engine.executor` -- a real parallel executor that runs the
+  routed regions as the first batch of the streaming engine's sticky worker
+  processes (Python's GIL rules out shared-memory threading) and reports
+  wall-clock times in a :class:`~repro.engine.executor.RegionJoinResult`,
+  the streaming backends' result type too.
 * :mod:`repro.engine.calibration` -- linear regression of the cost-model
   coefficients ``w_i`` and ``w_o`` from measured runs.
 """

@@ -5,10 +5,11 @@ measured per-machine processing time against the number of input and output
 tuples each machine handled over several benchmark runs (their cluster yields
 ``w_i = 1, w_o = 0.2`` for band joins and ``w_o = 0.3`` for equi/band joins).
 This module reproduces that procedure: collect ``(input, output, seconds)``
-samples -- e.g. from :func:`repro.engine.executor.run_join_multiprocess` or
-from single-machine timed joins -- and solve the least-squares problem with a
-non-negativity constraint.  Coefficients are conventionally normalised so
-that ``w_i = 1``.
+samples -- e.g. from the per-machine seconds of
+:func:`repro.engine.executor.run_join_multiprocess` (each machine's count on
+its sticky worker process) or from single-machine timed joins -- and solve
+the least-squares problem with a non-negativity constraint.  Coefficients
+are conventionally normalised so that ``w_i = 1``.
 """
 
 from __future__ import annotations

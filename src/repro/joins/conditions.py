@@ -74,6 +74,7 @@ __all__ = [
     "make_condition",
     "exact_integer_keys",
     "normalise_keys",
+    "transposed_of",
 ]
 
 #: The condition kinds :func:`make_condition` constructs, in catalogue
@@ -116,6 +117,17 @@ def normalise_keys(keys) -> np.ndarray:
     if exact is not None:
         return exact
     return np.asarray(keys, dtype=np.float64)
+
+
+def transposed_of(condition: "JoinCondition") -> "JoinCondition":
+    """``condition.transposed``, or a ``ValueError`` naming a condition without one."""
+    try:
+        return condition.transposed
+    except NotImplementedError as error:
+        raise ValueError(
+            f"condition {condition!r} does not define .transposed, which "
+            "the incremental count needs to search the sorted R1 state"
+        ) from error
 
 
 def _common_keys(keys1, keys2) -> "tuple[np.ndarray, np.ndarray]":
@@ -661,7 +673,7 @@ class _TransposedBandCondition(JoinCondition):
         """
         if keys1.dtype.kind == "i" and self.base._integral_beta() is not None:
             return self.base._bounds(keys1)
-        keys1 = np.ascontiguousarray(keys1, dtype=np.float64)  # repro: ignore[KEY001]  # band inverse works in the keys' float64 image
+        keys1 = np.ascontiguousarray(keys1, dtype=np.float64)  # band inverse works in the keys' float64 image
         return native.band_inverse(keys1, float(self.base.beta))
 
     def _excluded(self, row_lo, row_hi, col_lo, col_hi):

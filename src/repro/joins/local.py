@@ -23,8 +23,8 @@ of a count as the fold takes it -- a stream batch's two halves ride one
 fold with the batch's run merges
 (:meth:`~repro.streaming.backends.StateOwner.count`) -- and
 :func:`count_runs` is a count with no state to fold in: a batch join
-(:func:`~repro.engine.cluster.run_partitioned_join`), a pool worker's task
-and :func:`count_join_output`.
+(:func:`~repro.engine.cluster.run_partitioned_join`) and
+:func:`count_join_output`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from repro.joins.conditions import (
     JoinCondition,
     normalise_keys,
 )
-from repro.obs.clock import perf_counter
 
 if TYPE_CHECKING:
     from repro.partitioning.grid_routed import MachineSlices
@@ -220,34 +219,18 @@ def count_runs(
     groups: "Iterable[tuple[list[tuple[np.ndarray, np.ndarray | None]], np.ndarray]]",
     cut: "MachineSlices | None",
     out: np.ndarray,
-    seconds: "np.ndarray | None" = None,
 ) -> None:
     """Count routed needles against sorted runs; add each machine's output into ``out``.
 
     A count with no state to fold in: a batch join
     (:func:`~repro.engine.cluster.run_partitioned_join`, the first half of
-    a batch into empty state), a pool worker's task and
-    :func:`count_join_output` (one reader, one run).  ``groups`` lists,
-    per group of the searched side, its ``(keys, cum)`` runs (one dtype
-    per group) and the machines reading it; the rest is
-    :func:`search_half`'s.  It is one :func:`repro.joins.native.fold` call
-    with one half and no merge, which adds each machine's counts straight
-    into its total.  With ``seconds`` (a float per machine), each group is
-    counted in a call of its own, and its time -- two clock reads -- is
-    added to its first reader's entry; a group whose readers received no
-    needles is never timed.
+    a batch into empty state) and :func:`count_join_output` (one reader,
+    one run).  ``groups`` lists, per group of the searched side, its
+    ``(keys, cum)`` runs (one dtype per group) and the machines reading
+    it; the rest is :func:`search_half`'s.  It is one
+    :func:`repro.joins.native.fold` call with one half and no merge, which
+    adds each machine's counts straight into its total.
     """
-    if not needles.size:
-        return
-    groups = [(runs, readers, None, runs[0][0].dtype) for runs, readers in groups if runs]
-    if seconds is None:
+    if needles.size:
+        groups = [(runs, readers, None, runs[0][0].dtype) for runs, readers in groups if runs]
         native.fold([], search_half(condition, needles, starts, stops, groups, cut), out)
-        return
-    bounds: dict = {}
-    for group in groups:
-        readers = group[1]
-        if (stops[readers] > starts[readers]).any():
-            started = perf_counter()
-            half = search_half(condition, needles, starts, stops, [group], cut, bounds)
-            native.fold([], half, out)
-            seconds[readers[0]] += perf_counter() - started

@@ -17,7 +17,7 @@ merge and count -- a stream batch's
 (:meth:`~repro.streaming.backends.StateOwner.count`: both sides'
 cascades and both halves), a count through
 :func:`~repro.joins.local.count_runs` (a batch join as the first half of
-a batch into empty state, a pool worker's task) and a merge of
+a batch into empty state) and a merge of
 :class:`~repro.streaming.incremental.SortedRegionState` --
 :func:`band_inverse` for the transposed band's bounds, :func:`offer` for
 :meth:`~repro.streaming.incremental.DecayedReservoir.add_batch` and for
@@ -43,7 +43,7 @@ environment variable, else the one Python was built with, ``-O2
 sum on its own, as numpy does) into this package's own ``__pycache__/``,
 named by a SHA-256 of the source, the compiler's argv and the platform, so
 a checkout compiles once and every later process -- set-up children,
-sticky and pool workers -- loads the cached library.  It is written to a
+sticky workers -- loads the cached library.  It is written to a
 temporary name and renamed into place, so concurrent first imports never
 load a partial file, and a build removes the cache's other libraries
 (stale sources or compilers); a loader whose library such a build removed

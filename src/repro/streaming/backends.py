@@ -44,10 +44,8 @@ machine, and times each machine's searches.  The workers run the same
 owner count as the in-process default, so every backend counts
 bit-identical deltas; only the measured timings and byte counts differ
 (``tests/test_backends.py``).  Every backend reports a
-:class:`~repro.engine.executor.RegionJoinResult` (re-exported here), the
-batch executor's result type; batch execution counts with the same
-kernel, :func:`repro.joins.native.fold` (through
-:func:`repro.joins.local.count_runs`: one half, no merge).
+:class:`~repro.engine.executor.RegionJoinResult` (re-exported here); the
+batch executor is a sticky backend's first batch into empty state.
 :class:`SlowConsumerBackend` forwards the protocol to another backend and
 adds a deterministic delay to every batch.
 

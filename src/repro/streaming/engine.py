@@ -88,7 +88,7 @@ import numpy as np
 
 from repro.core.histogram import EWHConfig
 from repro.core.weights import STATS_SCAN_FACTOR, WeightFunction
-from repro.joins.conditions import JoinCondition
+from repro.joins.conditions import JoinCondition, transposed_of
 from repro.joins.local import count_join_output
 from repro.obs.clock import perf_counter
 from repro.obs.metrics import MetricsRegistry
@@ -201,13 +201,7 @@ class StreamingJoinEngine:
             raise ValueError("num_machines must be positive")
         if migration_cost_factor < 0:
             raise ValueError("migration_cost_factor must be non-negative")
-        try:
-            self._transposed = condition.transposed
-        except NotImplementedError as error:
-            raise ValueError(
-                f"condition {condition!r} does not define .transposed, which "
-                "the incremental count needs to search the sorted R1 state"
-            ) from error
+        self._transposed = transposed_of(condition)
         self.window = make_window(window)
         self.num_machines = num_machines
         self.condition = condition
@@ -264,10 +258,7 @@ class StreamingJoinEngine:
         pids = execution.worker_pids
         if pids is None or not self.tracer.enabled:
             return
-        for task, pid in enumerate(pids):
-            pid = int(pid)
-            if pid < 0:
-                continue
+        for task, pid in enumerate(pids.tolist()):
             self.tracer.record(
                 "task",
                 float(execution.worker_seconds[task]),

@@ -1,6 +1,6 @@
 """Zero-copy array transport over POSIX shared memory for sticky workers.
 
-Re-pickling every region's full key arrays through a ``ProcessPoolExecutor``
+Re-pickling every region's full key arrays through a worker pool's pickle
 channel on every batch is a serialization tax that, for a persistent
 streaming join, dominates the join itself (``BatchMetrics.bytes_pickled``
 meters it exactly).  The sticky worker backend keeps each worker's join

@@ -2,43 +2,21 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import BandJoinCondition
-from repro.streaming.shm import SEGMENT_PREFIX
 
 # Fault-injection factory fixtures (CrashingBackend / FlakyBackend wrappers
-# with teardown-owned cleanup), shared with the benchmark suite.
+# with teardown-owned cleanup) and the autouse shared-memory leak check,
+# shared with the benchmark suite.
 from streaming_harness import (  # noqa: F401
+    arena_tokens,
     crashing_backend,
     flaky_backend,
+    no_leaked_shm_segments,
 )
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_shm_segments():
-    """Fail any test that leaves one of our shared-memory segments behind.
-
-    Every segment the sticky backend's arena creates is named
-    ``rshm-...`` (:data:`repro.streaming.shm.SEGMENT_PREFIX`), and
-    ``StickyWorkerBackend.close()`` / ``ShmArena.close()`` must unlink it
-    -- a leftover in ``/dev/shm`` outlives the process and leaks host
-    memory.  Skips silently on platforms without a ``/dev/shm`` (POSIX shm
-    is mounted elsewhere); the check still runs everywhere Linux CI runs.
-    """
-    shm_dir = Path("/dev/shm")
-    if not shm_dir.is_dir():
-        yield
-        return
-    before = {path.name for path in shm_dir.glob(f"{SEGMENT_PREFIX}-*")}
-    yield
-    after = {path.name for path in shm_dir.glob(f"{SEGMENT_PREFIX}-*")}
-    leaked = after - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
 
 
 @pytest.fixture

@@ -39,21 +39,26 @@ migration) and :class:`PicklingPoolBackend` (the stateless worker pool the
 sticky backend is measured against).  ``tests/conftest.py`` and
 ``benchmarks/conftest.py`` re-export the factory fixtures
 (:func:`crashing_backend`, :func:`flaky_backend`) so every suite can inject
-faults without owning backend cleanup.
+faults without owning backend cleanup, and the shared-memory leak check
+(:func:`no_leaked_shm_segments`, autouse) so every suite fails a test that
+leaves one of its arenas' segments behind.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.engine.executor import join_assigned_regions
-from repro.joins.local import count_join_output
+from repro.engine.executor import pickled_nbytes
+from repro.joins.conditions import normalise_keys
+from repro.joins.local import count_join_output, count_runs
 from repro.obs.clock import perf_counter
 from repro.obs.trace import TickClock
 from repro.partitioning.routing import RoutedSide
@@ -66,6 +71,7 @@ from repro.streaming.backends import (
 )
 from repro.streaming.engine import StreamingJoinEngine
 from repro.streaming.metrics import StreamRunResult
+from repro.streaming.shm import SEGMENT_PREFIX, ShmArena
 from repro.streaming.window import WindowPolicy
 from reference_migration import placement
 from reference_state import RegionStateTable, state_layout
@@ -84,13 +90,15 @@ __all__ = [
     "PicklingPoolBackend",
     "crashing_backend",
     "flaky_backend",
+    "arena_tokens",
+    "shm_leak_check",
+    "no_leaked_shm_segments",
 ]
 
 #: Every in-process module whose measured seconds end up inside a checkpoint.
 CLOCKED_MODULES = (
     "repro.streaming.engine",
     "repro.streaming.backends",
-    "repro.joins.local",
     "repro.core.histogram",
 )
 
@@ -560,17 +568,37 @@ class PositionalRebuildEngine(StreamingJoinEngine):
     migration_mode = "full"
 
 
+def _join_region(args: tuple) -> "tuple[int, float, int]":
+    """Pool task: count one region; return its output, seconds and worker pid.
+
+    ``args`` is the task's arrays -- needles, the sorted second side and,
+    for a counted run, its ``cum`` -- its condition and ``True``, counted as
+    one reader's needles against one run
+    (:func:`~repro.joins.local.count_runs`) between two clock reads.  The
+    last slot (the second side arrives sorted) keeps the pickled task the
+    shape the measured baseline pins.
+    """
+    needles, keys, *cum, condition, _ = args
+    first = np.zeros(1, dtype=np.int64)
+    output = np.zeros(1, dtype=np.int64)
+    started = perf_counter()
+    count_runs(
+        condition, needles, first, np.array([len(needles)], dtype=np.int64),
+        [([(normalise_keys(keys), cum[0] if cum else None)], first)], None, output,
+    )
+    return int(output[0]), perf_counter() - started, os.getpid()
+
+
 class PicklingPoolBackend(ExecutionBackend):
     """The stateless-pool baseline: every task's full keys pickled per batch.
 
     The join state stays engine-side, a counted-run pair per machine
     (``reference_state.RegionStateTable``), and each batch's fold ships
-    every busy task -- one per machine, half and run -- to a
-    ``ProcessPoolExecutor`` through the batch side's
-    :func:`~repro.engine.executor.join_assigned_regions`, which meters the
-    pickle channel: the serialization volume the sticky backend's resident
-    state is benchmarked against.  Counts are bit-identical to every other
-    backend.
+    every busy task -- one per machine, half and run, with both sides
+    non-empty -- to a ``ProcessPoolExecutor`` (:func:`_join_region`),
+    metering every task's and reply's pickle (``pickled_nbytes``): the
+    serialization volume the sticky backend's resident state is
+    benchmarked against.  Counts are bit-identical to every other backend.
     """
 
     name = "multiprocess"
@@ -597,17 +625,25 @@ class PicklingPoolBackend(ExecutionBackend):
         self._ensure_open()
         table = self._table
         tasks, owners = table.fold(state_layout(columns(new1), columns(new2)))
-        execution = join_assigned_regions(
-            self._pool, tasks, [self._conditions[owner & 1] for owner in owners.tolist()]
-        )
-        return replace(
-            execution,
-            per_machine_output=table.sum_halves(
-                execution.per_machine_output, owners
-            ).sum(axis=1),
-            per_machine_seconds=table.sum_halves(
-                execution.per_machine_seconds, owners
-            ).sum(axis=1),
+        conditions = [self._conditions[owner & 1] for owner in owners.tolist()]
+        busy = [task for task, (keys1, keys2, *_) in enumerate(tasks) if len(keys1) and len(keys2)]
+        payloads = [(*tasks[task], conditions[task], True) for task in busy]
+        bytes_pickled, bytes_unpickled = sum(map(pickled_nbytes, payloads)), 0
+        start = perf_counter()
+        outputs = np.zeros(len(tasks), dtype=np.int64)
+        seconds = np.zeros(len(tasks))
+        pids = np.zeros(len(busy), dtype=np.int64)
+        for unit, (task, reply) in enumerate(zip(busy, self._pool.map(_join_region, payloads))):
+            outputs[task], seconds[task], pids[unit] = reply
+            bytes_unpickled += pickled_nbytes(reply)
+        return RegionJoinResult(
+            per_machine_output=table.sum_halves(outputs, owners).sum(axis=1),
+            per_machine_seconds=table.sum_halves(seconds, owners).sum(axis=1),
+            wall_seconds=perf_counter() - start,
+            bytes_pickled=bytes_pickled,
+            bytes_unpickled=bytes_unpickled,
+            worker_pids=pids,
+            worker_seconds=seconds[busy],
         )
 
     def evict_state(self, expired1, expired2) -> int:
@@ -673,3 +709,63 @@ def flaky_backend():
     yield factory
     for backend in created:
         backend.close()
+
+
+#: Where Linux mounts POSIX shared memory: one file per segment.
+SHM_DIR = Path("/dev/shm")
+
+
+@pytest.fixture(scope="session")
+def arena_tokens() -> "set[str]":
+    """The token of every :class:`~repro.streaming.shm.ShmArena` this process makes.
+
+    An arena's segments are named ``rshm-<token>-<sequence>``, and arenas
+    live engine-side only, so the tokens tell this process's segments from
+    those of another process -- a concurrent test run's sticky backends
+    write to the same ``/dev/shm``.
+    """
+    tokens: "set[str]" = set()
+    made = ShmArena.__init__
+
+    def record(arena) -> None:
+        made(arena)
+        tokens.add(arena._token)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ShmArena, "__init__", record)
+        yield tokens
+
+
+@contextmanager
+def shm_leak_check(tokens: "set[str]"):
+    """Fail if the block leaves behind a segment of an arena whose token is in ``tokens``."""
+
+    def held() -> "set[str]":
+        return {
+            path.name
+            for path in SHM_DIR.glob(f"{SEGMENT_PREFIX}-*")
+            if path.name.split("-")[1] in tokens
+        }
+
+    before = held()
+    yield
+    leaked = held() - before
+    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_shm_segments(arena_tokens):
+    """Fail any test that leaves one of this process's shared-memory segments behind.
+
+    ``StickyWorkerBackend.close()`` / ``ShmArena.close()`` must unlink every
+    segment the arena made -- a leftover in ``/dev/shm`` outlives the
+    process and leaks host memory.  Only this process's arenas count
+    (:func:`arena_tokens`): a segment another process makes meanwhile is
+    not this test's.  Skips on platforms without a ``/dev/shm`` (POSIX shm
+    is mounted elsewhere); the check still runs everywhere Linux CI runs.
+    """
+    if not SHM_DIR.is_dir():
+        yield
+        return
+    with shm_leak_check(arena_tokens):
+        yield

@@ -14,13 +14,15 @@ replication factor, and the same generator state after the run -- over
 EWH, M-Bucket, 1-Bucket, hash and an assign-only custom scheme, on float
 keys with NaN / ±inf / −0.0, int32 keys and int64 keys below 2**53 (the
 reference casts to float64, which holds those exactly), empty sides
-included.  The multiprocess executor shares the route, so it must give every
-machine the output the simulator gives it.
+included.  The multiprocess executor shares the route and runs it as the
+first batch of the sticky workers, so it must give every machine the output
+the simulator gives it.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 
 import numpy as np
 import pytest
@@ -178,19 +180,24 @@ def test_the_multiprocess_executor_counts_what_the_simulator_counts(scheme, styl
     """Same route, same counts: per machine, and the generator state after."""
     rng = np.random.default_rng(11)
     keys1, keys2 = _keys(rng, style, 300), _keys(rng, style, 60)
-    simulated_rng, pooled_rng = np.random.default_rng(5), np.random.default_rng(5)
+    simulated_rng, executed_rng = np.random.default_rng(5), np.random.default_rng(5)
     with np.errstate(invalid="ignore"):
         simulated = run_partitioned_join(
             _plan(scheme), keys1, keys2, BAND, simulated_rng
         )
-        pooled = run_join_multiprocess(
-            _plan(scheme), keys1, keys2, BAND, max_workers=2, rng=pooled_rng
+        executed = run_join_multiprocess(
+            _plan(scheme), keys1, keys2, BAND, max_workers=2, rng=executed_rng
         )
-    np.testing.assert_array_equal(pooled.per_machine_output, simulated.per_machine_output)
-    assert pooled.per_machine_output.dtype == np.int64
-    assert pooled.total_output == simulated.total_output
-    assert pooled_rng.bit_generator.state == simulated_rng.bit_generator.state
-    # A worker pid and worker seconds for exactly the regions with two sides.
-    busy = (pooled.worker_pids >= 0)
-    assert busy.any()
-    assert (pooled.per_machine_seconds[~busy] == 0).all()
+    np.testing.assert_array_equal(executed.per_machine_output, simulated.per_machine_output)
+    assert executed.per_machine_output.dtype == np.int64
+    assert executed.total_output == simulated.total_output
+    assert executed_rng.bit_generator.state == simulated_rng.bit_generator.state
+    # A distinct pid per worker process, none of them this one's; a
+    # machine's seconds are 0 exactly where it received no arrivals.
+    workers = min(2, len(simulated.per_machine_input))
+    assert len(set(executed.worker_pids.tolist())) == executed.worker_pids.size == workers
+    assert (executed.worker_pids > 0).all() and os.getpid() not in executed.worker_pids
+    assert executed.worker_seconds.shape == (workers,)
+    np.testing.assert_array_equal(
+        executed.per_machine_seconds == 0, simulated.per_machine_input == 0
+    )

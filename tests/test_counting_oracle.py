@@ -45,7 +45,6 @@ from repro.partitioning.ewh import build_ewh_partitioning
 from repro.partitioning.hash_repartition import build_hash_repartitioning
 from repro.partitioning.one_bucket import build_one_bucket_partitioning
 from repro.streaming import SimulatedBackend
-from repro.joins import local as kernel
 from repro.joins import native
 from repro.joins.conditions import normalise_keys
 from repro.streaming import backends as production
@@ -99,8 +98,7 @@ def tick_clocks():
     # Whole-second ticks: differences are exact whatever read they start at.
     clocks = CountingClock(tick=1.0), CountingClock(tick=1.0)
     with pytest.MonkeyPatch.context() as patch:
-        # The kernel and the backend around it read one clock.
-        patch.setattr(kernel, "perf_counter", clocks[0])
+        # The backend times the kernel; the kernel reads no clock.
         patch.setattr(production, "perf_counter", clocks[0])
         patch.setattr(reference, "perf_counter", clocks[1])
         yield clocks

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing.process
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,11 @@ from repro.engine.calibration import (
     collect_calibration_samples,
 )
 from repro.engine.executor import run_join_multiprocess
-from repro.joins.conditions import BandJoinCondition, EquiJoinCondition
+from repro.joins.conditions import BandJoinCondition, EquiJoinCondition, JoinCondition
 from repro.joins.local import count_join_output
 from repro.partitioning.one_bucket import build_one_bucket_partitioning
 from repro.partitioning.m_bucket import MBucketConfig, build_m_bucket_partitioning
+from repro.streaming.backends import StickyWorkerBackend
 
 
 class TestMultiprocessExecutor:
@@ -64,14 +67,13 @@ class TestMultiprocessExecutor:
         )
         assert result.total_output == 0
 
-    def test_no_pool_when_no_region_has_both_sides(self, monkeypatch):
-        """An empty side leaves every region idle: no pool, no process."""
-        import concurrent.futures
+    def test_no_worker_when_no_region_has_both_sides(self, monkeypatch):
+        """An empty side leaves every region idle: no worker is started."""
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a pool was made for a join with no busy region")
+            raise AssertionError("workers were started for a join with no busy region")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(StickyWorkerBackend, "bind", refuse)
         keys1 = np.arange(50, dtype=np.int64)
         result = run_join_multiprocess(
             build_one_bucket_partitioning(4), keys1, keys1[:0], BandJoinCondition(beta=1.0),
@@ -79,9 +81,37 @@ class TestMultiprocessExecutor:
         )
         np.testing.assert_array_equal(result.per_machine_output, np.zeros(4, np.int64))
         np.testing.assert_array_equal(result.per_machine_seconds, np.zeros(4))
-        np.testing.assert_array_equal(result.worker_pids, np.full(4, -1))
+        assert result.worker_pids.size == result.worker_seconds.size == 0
         assert result.total_output == 0
         assert result.wall_seconds == 0.0
+
+    def test_the_workers_never_start_with_fork(self, monkeypatch):
+        """Forking a process that runs threads can deadlock the child.
+
+        Every process started during the join goes through
+        ``BaseProcess.start``; its class names its start method.
+        """
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def record(process):
+            started.append(process._start_method)
+            return start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", record)
+        keys = np.arange(40, dtype=np.int64)
+        result = run_join_multiprocess(
+            build_one_bucket_partitioning(2), keys, keys, EquiJoinCondition(), max_workers=2
+        )
+        assert result.total_output == 40
+        assert started and "fork" not in started
+
+    def test_a_condition_without_a_transpose_is_refused_by_name(self):
+        keys = np.arange(10, dtype=np.int64)
+        with pytest.raises(ValueError, match="does not define .transposed"):
+            run_join_multiprocess(
+                build_one_bucket_partitioning(2), keys, keys, JoinCondition()
+            )
 
 
 class TestCalibration:

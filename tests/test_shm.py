@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import secrets
+from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from repro.streaming.shm import (
     ShmReader,
     attach_segment,
 )
+from streaming_harness import SHM_DIR, shm_leak_check
 
 
 def _segment_exists(name: str) -> bool:
@@ -206,4 +209,32 @@ class TestShmReader:
                     np.testing.assert_array_equal(state.keys, keys_before)
         finally:
             reader.close()
+            arena.close()
+
+
+@pytest.mark.skipif(not SHM_DIR.is_dir(), reason="POSIX shm is not mounted at /dev/shm here")
+class TestLeakCheck:
+    """The autouse leak check counts only the segments of this process's arenas."""
+
+    def test_a_foreign_segment_does_not_fail_a_test(self, arena_tokens):
+        # Another process's arena -- a concurrent test run's sticky backend
+        # -- makes a segment during the test and still holds it after.
+        name = f"{SEGMENT_PREFIX}-{secrets.token_hex(6)}-0000"
+        foreign = None
+        try:
+            with shm_leak_check(arena_tokens):
+                foreign = shared_memory.SharedMemory(name=name, create=True, size=16)
+            assert _segment_exists(name)
+        finally:
+            if foreign is not None:
+                foreign.close()
+                foreign.unlink()
+
+    def test_an_unclosed_arena_still_fails(self, arena_tokens):
+        arena = ShmArena()
+        try:
+            with pytest.raises(AssertionError, match="leaked shared-memory segments"):
+                with shm_leak_check(arena_tokens):
+                    arena.write([np.arange(4)])
+        finally:
             arena.close()
