@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.weights import WeightFunction
@@ -59,13 +59,14 @@ from streaming_harness import (
 UNIT = WeightFunction(1.0, 1.0)
 BAND = BandJoinCondition(beta=1.0)
 NUM_BATCHES = 7
+SHIFT_BATCH = 3
 
 
 def make_source(seed: int, num_batches: int = NUM_BATCHES) -> DriftingZipfSource:
     """A short drifting stream with integer-valued (exact) keys."""
     return DriftingZipfSource(
         num_batches=num_batches, tuples_per_batch=120, num_values=40,
-        z_initial=0.2, z_final=1.2, shift_at_batch=3, seed=seed,
+        z_initial=0.2, z_final=1.2, shift_at_batch=SHIFT_BATCH, seed=seed,
     )
 
 
@@ -76,6 +77,29 @@ def make_policy(adaptive: bool):
     return DriftAdaptiveEWHPolicy(
         DriftDetector(threshold=1.2, warmup_batches=1, cooldown_batches=2)
     )
+
+
+class RebuildAtShiftPolicy(DriftAdaptiveEWHPolicy):
+    """The adaptive policy, plus one rebuild forced at the source's shift.
+
+    The detector fires only when the drift outgrows the predicted imbalance,
+    which a short random stream need not do (seed 359 never does); a
+    property of what a rebuild keeps must not hang on that.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(make_policy(True).detector)
+
+    def maybe_repartition(self, histogram, metrics, condition, rng):
+        """Rebuild on drift, or at the shift batch if the detector stayed quiet."""
+        rebuilt = super().maybe_repartition(histogram, metrics, condition, rng)
+        if (
+            rebuilt is None
+            and metrics.stream_position == SHIFT_BATCH
+            and histogram.can_build()
+        ):
+            return histogram.build_partitioning(condition, rng)
+        return rebuilt
 
 
 def run_engine(source, num_machines, policy, window=None, backend=None,
@@ -296,6 +320,7 @@ def test_compaction_is_invisible_and_bounds_the_footprint(
     window=st.sampled_from([None, "batches:2", "tuples:150", "decay:0.7"]),
     recounting=st.booleans(),
 )
+@example(seed=359, window=None, recounting=False)
 def test_every_stored_arrival_index_is_global(seed, window, recounting):
     """Nothing stored is ever rebased: indices stay global, keys stay put.
 
@@ -307,7 +332,7 @@ def test_every_stored_arrival_index_is_global(seed, window, recounting):
     """
     backend = RecountingBackend(SimulatedBackend()) if recounting else SimulatedBackend()
     engine = StreamingJoinEngine(
-        3, BAND, UNIT, policy=make_policy(True), window=window,
+        3, BAND, UNIT, policy=RebuildAtShiftPolicy(), window=window,
         backend=backend, sample_capacity=256, seed=seed % 17,
     )
     engine.start()
