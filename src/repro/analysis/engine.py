@@ -221,6 +221,9 @@ class BaseContext:
         #: Rule ids registered with the analyzer running this check —
         #: the id universe suppression-hygiene rules validate against.
         self.known_rule_ids: frozenset[str] = frozenset()
+        #: ``(comment line, rule id)`` for each suppression that waived a
+        #: finding so far.  Maintained by :func:`check_tree`.
+        self.waived: set[tuple[int, str]] = set()
 
     def line_of(self, lineno: int) -> str:
         """The 1-based source line, stripped, or ``""`` out of range."""
@@ -242,7 +245,8 @@ class SourceContext(BaseContext):
     def __init__(self, path: str, source: str, tree: ast.Module) -> None:
         super().__init__(path, source)
         self.tree = tree
-        #: ``alias -> module`` for ``import x`` / ``import x.y as z``.
+        #: ``alias -> module`` for ``import x`` / ``import x.y as z``
+        #: (``import x.y`` binds ``x``).
         self.module_aliases: dict[str, str] = {}
         #: ``local name -> "module.name"`` for ``from x import y [as z]``.
         self.imported_names: dict[str, str] = {}
@@ -252,7 +256,11 @@ class SourceContext(BaseContext):
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    self.module_aliases[alias.asname or alias.name] = alias.name
+                    if alias.asname:
+                        self.module_aliases[alias.asname] = alias.name
+                    else:
+                        root = alias.name.split(".")[0]
+                        self.module_aliases[root] = root
             elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
                 for alias in node.names:
                     self.imported_names[alias.asname or alias.name] = (
@@ -304,7 +312,9 @@ class Rule:
     nodes — as long as the analyzer's :class:`Walker` knows the dialect.
     A rule may additionally (or instead) implement :meth:`check_file`,
     which runs once per file after the walk — the hook file-scoped checks
-    like suppression hygiene use.
+    like suppression hygiene use.  A rule that sets ``reads_waivers``
+    runs its :meth:`check_file` after every other rule's, so the context's
+    ``waived`` holds every suppression that waived a finding.
 
     Attributes
     ----------
@@ -320,6 +330,9 @@ class Rule:
         Path fragments the rule is restricted to (empty = every file).
     exclude:
         Path fragments the rule never applies to (wins over ``include``).
+    reads_waivers:
+        Whether :meth:`check_file` reads ``context.waived`` (and so runs
+        last).
     """
 
     rule_id: ClassVar[str] = "RULE000"
@@ -328,6 +341,7 @@ class Rule:
     target_node_types: ClassVar["tuple[type[Any], ...]"] = ()
     include: ClassVar[tuple[str, ...]] = ()
     exclude: ClassVar[tuple[str, ...]] = ()
+    reads_waivers: ClassVar[bool] = False
 
     def applies_to(self, path: str) -> bool:
         """Whether this rule runs on ``path`` (posix fragment matching)."""
@@ -438,7 +452,10 @@ def _pin_finding(
     suppressed: "Mapping[int, frozenset[str] | None]",
     walker: Walker,
 ) -> Finding:
-    """Pin a violation to its location and apply line suppressions."""
+    """Pin a violation to its location and apply line suppressions.
+
+    A waiver is recorded on ``context.waived`` by the comment's line.
+    """
     if violation.node is not None:
         line, col, end = walker.location(violation.node)
     else:
@@ -450,6 +467,7 @@ def _pin_finding(
         ids = suppressed.get(candidate, frozenset())
         if ids is None or rule.rule_id in (ids or frozenset()):
             waived = True
+            context.waived.add((candidate, rule.rule_id))
             break
     return Finding(
         rule_id=rule.rule_id,
@@ -476,7 +494,8 @@ def check_tree(
     every node to the rules registered for its exact type, maintains the
     ancestor stack on ``context.parents``, runs every rule's
     :meth:`Rule.check_file` hook after the walk, and returns the findings
-    sorted by position.
+    sorted by position.  Rules that read the waivers run their file hook
+    last.
     """
     context.known_rule_ids = frozenset(rule.rule_id for rule in rules)
     dispatch: "dict[type[Any], list[Rule]]" = {}
@@ -498,7 +517,7 @@ def check_tree(
 
     if dispatch:
         visit(tree)
-    for rule in rules:
+    for rule in sorted(rules, key=lambda rule: rule.reads_waivers):
         for violation in rule.check_file(context):
             findings.append(
                 _pin_finding(rule, violation, context, suppressed, walker)

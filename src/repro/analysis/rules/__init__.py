@@ -10,8 +10,8 @@ KEY001    no float coercion on join-key dataflow (exact int64 keys)
 CONC001   no fork / pickled lambdas / module-level mutable state
 API001    complete ``ExecutionBackend`` surfaces, bind-first ordering
 STATE001  no ``np.insert`` / ``isin`` / ``ufunc.at`` under streaming
-FFI001    ``ctypes`` / ``cffi`` only in the count kernel's loader
-SUP001    suppression comments must cite rule ids that exist
+FFI001    no ``ctypes`` / ``cffi``; extensions load in the loader only
+SUP001    suppressions cite rule ids that exist, and waive a finding
 ========  ==========================================================
 
 To add a rule: subclass :class:`repro.analysis.engine.Rule` in a module

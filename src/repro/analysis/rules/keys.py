@@ -10,7 +10,8 @@ join-key dataflow in ``repro/joins`` and ``repro/streaming``:
 
 * ``float(<key expression>)`` calls;
 * ``<key expression>.astype(float | np.float16/32/64 | "float...")``;
-* ``np.asarray(<key expression>, dtype=<float...>)`` (and ``np.array``);
+* ``np.asarray(<key expression>, dtype=<float...>)`` (and ``np.array``,
+  ``np.ascontiguousarray``);
 * ``==`` / ``!=`` comparisons between a key expression and a float literal
   or an explicit ``float(...)`` coercion.
 
@@ -131,10 +132,10 @@ class FloatKeyCoercionRule(Rule):
                 "above 2**53",
             )
             return
-        # np.asarray(<key expr>, dtype=<float>) / np.array(...)
+        # np.asarray(<key expr>, dtype=<float>) / np.array(...) / np.ascontiguousarray(...)
         if (
             isinstance(func, ast.Attribute)
-            and func.attr in ("asarray", "array", "full", "zeros", "ones")
+            and func.attr in ("asarray", "array", "ascontiguousarray", "full", "zeros", "ones")
             and node.args
         ):
             dtype = next(

@@ -673,7 +673,7 @@ class _TransposedBandCondition(JoinCondition):
         """
         if keys1.dtype.kind == "i" and self.base._integral_beta() is not None:
             return self.base._bounds(keys1)
-        keys1 = np.ascontiguousarray(keys1, dtype=np.float64)  # band inverse works in the keys' float64 image
+        keys1 = np.ascontiguousarray(keys1, dtype=np.float64)  # repro: ignore[KEY001]  # band inverse works in the keys' float64 image
         return native.band_inverse(keys1, float(self.base.beta))
 
     def _excluded(self, row_lo, row_hi, col_lo, col_hi):

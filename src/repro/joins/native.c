@@ -1,6 +1,7 @@
 /*
- * The kernel's inner loops, compiled on first use by repro/joins/native.py
- * and called through ctypes.
+ * The kernel's inner loops, as the CPython extension module
+ * repro.joins._native: compiled on first use by repro/joins/native.py and
+ * loaded as any extension module is.
  *
  * fold       a stream batch's state work and count in one call: each merge
  *            cascade the batch's arrivals start (the runs of a group they
@@ -13,6 +14,7 @@
  *            on its own), one with a half and no merge per batch join (the
  *            first half of a batch into empty state) and pool task, one with
  *            a merge and no half for repro.streaming.incremental's appends.
+ * band_inverse  the transposed band's exact inverse bounds.
  * offer      offers one batch of entries to a bounded Efraimidis-Spirakis
  *            min-heap held as three parallel arrays (priority, counter,
  *            payload): repro.streaming.incremental.DecayedReservoir.add_batch
@@ -31,6 +33,14 @@
  * tile       runs MonotonicBSP's dynamic program over that closure at one
  *            threshold: once per probe of regionalization's search.
  *
+ * The file is in two parts.  The first is the loops, in plain C over
+ * pointers and lengths.  The second (at the end) is the module: one
+ * function per entry point, which takes the numpy arrays as objects,
+ * checks each with numpy's C API -- dtype, C-contiguous and aligned,
+ * writable where a loop writes it, sizes and index ranges -- and raises
+ * TypeError, ValueError or MemoryError naming what it refused, having
+ * written nothing; then it releases the GIL around the loop it calls.
+ *
  * Keys are doubles (f64) or int64_t (i64); the macros below write each loop
  * for both, and the search once more for int64 runs searched with double
  * bounds (each key compared as the double it rounds to, as numpy's
@@ -43,11 +53,10 @@
  * before it, and a NaN bound is answered at the tail's boundary.
  *
  * Counts are summed in uint64_t, so they wrap exactly as numpy's int64 sums
- * do.  Every index read from an input is checked against the array it
- * indexes before anything is written: an out-of-range one makes fold
- * return nonzero having read nothing out of bounds and written nothing, and
- * the caller raises.  closure and tile check each index as they read it,
- * and return -2 at the first one out of range.
+ * do.  Every index fold reads from an input is checked against the array it
+ * indexes while the call is parsed, before anything is merged or written.
+ * closure and tile check each index as they read it, and return -2 at the
+ * first one out of range.
  *
  * group_sums and sweep_rows are the kernel's floating-point arithmetic
  * (closure is integers only, and tile only compares a rectangle's leaf
@@ -59,6 +68,11 @@
  * twice, and a block weight lands on the other side of the threshold.
  */
 
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
+#include <numpy/arrayobject.h>
+
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -67,11 +81,10 @@
 #define FLOAT_IS_NAN(x) ((x) != (x))
 #define NEVER_NAN(x) ((void)(x), 0)
 
-/* A key dtype in fold's table. */
+/* A key dtype: F64 or I64 (NO_KEY: neither). */
 #define F64 0
 #define I64 1
-/* A group's merged index when it searches no merge's output. */
-#define NO_MERGE UINT64_MAX
+#define NO_KEY (-1)
 
 /* A needle's count between run positions lo and hi: cum[hi] - cum[lo] for
  * a counted run, hi - lo when every key counts once (cum NULL). */
@@ -80,21 +93,13 @@
            : (uint64_t)(hi) - (uint64_t)(lo))
 
 /* A run: ascending keys, their number and their cumulative counts (NULL:
- * every key counts once).  Three words of fold's table. */
+ * every key counts once). */
 struct run {
     const void *keys;
     int64_t size;
     const int64_t *cum;
 };
 
-static struct run run_at(const uint64_t *words)
-{
-    struct run run;
-    run.keys = (const void *)(uintptr_t)words[0];
-    run.size = (int64_t)words[1];
-    run.cum = (const int64_t *)(uintptr_t)words[2];
-    return run;
-}
 
 /* Element x lies before the answer of a left search for v (x < v), or of a
  * right search (x <= v, written so that it needs only `<`). */
@@ -242,39 +247,39 @@ static struct run run_at(const uint64_t *words)
     }                                                                          \
                                                                                \
     /*                                                                         \
-     * Merge `runs` runs (three table words each, oldest first) into one       \
-     * counted run: a right fold of two-way merges, the newest pair first,     \
-     * each older run merged into what the newer ones made.  Zero counts are   \
-     * kept until the last step, so every entry keeps the key that comes last  \
-     * in (run, position) order, and dropped there.  out_keys holds room for   \
-     * every key, out_cum one more.  Returns the entries written, or -1 if     \
-     * scratch memory could not be had.                                        \
+     * Merge `count` runs (oldest first) into one counted run: a right fold    \
+     * of two-way merges, the newest pair first, each older run merged into    \
+     * what the newer ones made.  Zero counts are kept until the last step,    \
+     * so every entry keeps the key that comes last in (run, position) order,  \
+     * and dropped there.  out_keys holds room for every key, out_cum one      \
+     * more.  Returns the entries written, or -1 if scratch memory could not   \
+     * be had.                                                                 \
      */                                                                        \
-    static int64_t merge_##T(const uint64_t *words, int64_t runs,              \
+    static int64_t merge_##T(const struct run *runs, int64_t count,           \
                              KEY *out_keys, int64_t *out_cum)                  \
     {                                                                          \
         struct run empty = {NULL, 0, NULL}, newer;                             \
         int64_t total = 0, r, m = 0;                                           \
         size_t room;                                                           \
         char *scratch = NULL;                                                  \
-        if (runs == 1)                                                         \
-            return merge2_##T(run_at(words), empty, out_keys, out_cum, 1);     \
-        for (r = 0; r < runs; r++)                                             \
-            total += run_at(words + 3 * r).size;                               \
+        if (count == 1)                                                        \
+            return merge2_##T(runs[0], empty, out_keys, out_cum, 1);           \
+        for (r = 0; r < count; r++)                                            \
+            total += runs[r].size;                                             \
         /* A step before the last writes one of two buffers, in turn: keys,    \
          * then cum. */                                                        \
         room = (size_t)total * sizeof(KEY) + ((size_t)total + 1) * 8;          \
-        if (runs > 2 && !(scratch = malloc(2 * room)))                         \
+        if (count > 2 && !(scratch = malloc(2 * room)))                        \
             return -1;                                                         \
-        newer = run_at(words + 3 * (runs - 1));                                \
-        for (r = runs - 2; r >= 0; r--) {                                      \
+        newer = runs[count - 1];                                               \
+        for (r = count - 2; r >= 0; r--) {                                     \
             KEY *keys = out_keys;                                              \
             int64_t *cum = out_cum;                                            \
             if (r) {                                                           \
                 keys = (KEY *)(scratch + (size_t)(r % 2) * room);              \
                 cum = (int64_t *)(keys + total);                               \
             }                                                                  \
-            m = merge2_##T(run_at(words + 3 * r), newer, keys, cum, r == 0);   \
+            m = merge2_##T(runs[r], newer, keys, cum, r == 0);                 \
             newer.keys = keys;                                                 \
             newer.size = m;                                                    \
             newer.cum = cum;                                                   \
@@ -320,87 +325,45 @@ SEARCH(i64, int64_t, int64_t, NEVER_NAN)
 SEARCH(mixed, int64_t, double, FLOAT_IS_NAN)
 
 /*
- * fold's table, one uint64 word per entry: the merges, then the halves.
- *
- *   merges
- *   per merge:  dtype, runs, out keys, out cum, then per run (oldest first)
- *               keys, size, cum (0: every key counts once)
- *   halves
- *   per half:   the bounds' dtype, lows, highs, needles, starts, stops,
- *               groups
- *   per group:  the keys' dtype, readers, their number, cut keys (0: every
- *               reader reads the runs whole), their number, firsts, lasts,
- *               merge (NO_MERGE: none), runs, then per run keys, size, cum
- *
- * Machine m's needles are [starts[m], stops[m]) of the half's lows / highs.
- * A group's readers read its runs and, unless NO_MERGE, the run that merge
- * made, each through its slice: where it starts and stops is a slice bound,
- * an index of the cut keys, their number for 0 or their number + 1 for the
- * run's length.
+ * A fold, as the module parses it: the merges, then the halves.  Machine
+ * m's needles are [starts[m], stops[m]) of a half's lows / highs.  A
+ * group's readers read its runs and, unless merge is -1, the run that merge
+ * made, each through its slice: where it starts and stops is a slice
+ * bound, an index of the cut keys, their number for 0 or their number + 1
+ * for the run's length (cut_keys NULL: every reader reads the runs whole).
  */
-struct half {
-    int64_t dtype;
-    const void *lows, *highs;
-    int64_t needles;
-    const int64_t *starts, *stops;
-    int64_t groups;
+struct merge {
+    int dtype;
+    const struct run *runs; /* oldest first */
+    int64_t count;
+    void *keys;   /* room for every key of the runs */
+    int64_t *cum; /* and one more */
+    int64_t entries;
 };
 
 struct group {
-    int64_t dtype;
+    int dtype;
     const int64_t *readers;
     int64_t count;
     const double *cut_keys;
     int64_t cuts;
     const int64_t *first, *last;
-    uint64_t merge;
-    int64_t runs;
-    const uint64_t *run_words;
+    int64_t merge;
+    const struct run *runs;
+    int64_t runs_count;
 };
 
-#define HALF_WORDS 7
-#define GROUP_WORDS 9
-#define MERGE_WORDS 4
-
-static struct half half_at(const uint64_t *words)
-{
-    struct half half;
-    half.dtype = (int64_t)words[0];
-    half.lows = (const void *)(uintptr_t)words[1];
-    half.highs = (const void *)(uintptr_t)words[2];
-    half.needles = (int64_t)words[3];
-    half.starts = (const int64_t *)(uintptr_t)words[4];
-    half.stops = (const int64_t *)(uintptr_t)words[5];
-    half.groups = (int64_t)words[6];
-    return half;
-}
-
-static struct group group_at(const uint64_t *words)
-{
-    struct group group;
-    group.dtype = (int64_t)words[0];
-    group.readers = (const int64_t *)(uintptr_t)words[1];
-    group.count = (int64_t)words[2];
-    group.cut_keys = (const double *)(uintptr_t)words[3];
-    group.cuts = (int64_t)words[4];
-    group.first = (const int64_t *)(uintptr_t)words[5];
-    group.last = (const int64_t *)(uintptr_t)words[6];
-    group.merge = words[7];
-    group.runs = (int64_t)words[8];
-    group.run_words = words + GROUP_WORDS;
-    return group;
-}
-
-/* Merge `merge`'s words in fold's table (merges_at: its first merge's). */
-static const uint64_t *merge_words(const uint64_t *merges_at, uint64_t merge)
-{
-    for (; merge; merge--)
-        merges_at += MERGE_WORDS + 3 * merges_at[1];
-    return merges_at;
-}
+struct half {
+    int dtype;
+    const void *lows, *highs;
+    int64_t needles;
+    const int64_t *starts, *stops;
+    const struct group *groups;
+    int64_t count;
+};
 
 /* A reader's slice bound: cut `at` of the run, or 0, or its length. */
-static int64_t slice_bound(struct run run, int64_t dtype, int64_t tail,
+static int64_t slice_bound(struct run run, int dtype, int64_t tail,
                            const struct group *group, int64_t at)
 {
     if (at == group->cuts)
@@ -482,139 +445,53 @@ static int64_t shares_of(const struct half *half, const struct group *group,
 }
 
 /*
- * Check fold's table: every word inside it, dtypes the kernel takes, every
- * reader a machine, every share inside its needles, every slice bound an
- * index of its cuts and every merge a merge of the group's dtype.  Returns
- * 0, or 1 for a reader that is no machine, 2 for a share outside the
- * needles, 3 for a slice bound that indexes no cut, 4 for a table that is
- * not one; sets the most needles of a half and readers of a group.
+ * A stream batch's state work and count in one call, over a parsed fold
+ * whose indices are all in range.  First every merge: its runs merged into
+ * its keys and cum (merge_<t>), the entries written stored in its entries;
+ * then every half: each group's runs -- and the run its merge made --
+ * searched for the needles its readers hold, once per needle and run, each
+ * answer clipped to every reader's slice and the counts added to
+ * out[reader].  `needles` is the most needles of a half, `readers` the
+ * most readers of a group.  Returns 0, or -1 if scratch memory could not
+ * be had.
  */
-static int check_table(const uint64_t *table, int64_t words, int64_t machines,
-                       int64_t *needles, int64_t *readers)
+static int fold(struct merge *merges, int64_t merge_count, const struct half *halves,
+                int64_t half_count, int64_t needles, int64_t readers, int64_t *out)
 {
-    const uint64_t *at = table, *end = table + words, *merges_at;
-    int64_t merges, halves, h, g, i;
-    if (words < 1)
-        return 4;
-    merges = (int64_t)*at++;
-    merges_at = at;
-    for (i = 0; i < merges; i++) {
-        int64_t runs;
-        if (end - at < MERGE_WORDS || at[0] > I64 || (int64_t)at[1] < 1)
-            return 4;
-        runs = (int64_t)at[1];
-        if ((end - at - MERGE_WORDS) / 3 < runs)
-            return 4;
-        at += MERGE_WORDS + 3 * runs;
-    }
-    if (end - at < 1)
-        return 4;
-    halves = (int64_t)*at++;
-    *needles = *readers = 0;
-    for (h = 0; h < halves; h++) {
-        struct half half;
-        if (end - at < HALF_WORDS)
-            return 4;
-        half = half_at(at);
-        at += HALF_WORDS;
-        if ((uint64_t)half.dtype > I64 || half.needles < 0 || half.groups < 0)
-            return 4;
-        if (half.needles > *needles)
-            *needles = half.needles;
-        for (g = 0; g < half.groups; g++) {
-            struct group group;
-            if (end - at < GROUP_WORDS)
-                return 4;
-            group = group_at(at);
-            if (group.runs < 0 || (end - at - GROUP_WORDS) / 3 < group.runs
-                || (uint64_t)group.dtype > I64 || group.count < 0
-                || (group.dtype == F64 && half.dtype == I64))
-                return 4;
-            if (group.merge != NO_MERGE
-                && (group.merge >= (uint64_t)merges
-                    || (int64_t)merge_words(merges_at, group.merge)[0] != group.dtype))
-                return 4;
-            at += GROUP_WORDS + 3 * group.runs;
-            if (group.count > *readers)
-                *readers = group.count;
-            for (i = 0; i < group.count; i++) {
-                int64_t m = group.readers[i];
-                if ((uint64_t)m >= (uint64_t)machines)
-                    return 1;
-                if ((uint64_t)half.starts[m] > (uint64_t)half.needles
-                    || (uint64_t)half.stops[m] > (uint64_t)half.needles)
-                    return 2;
-                if (group.cut_keys
-                    && ((uint64_t)group.first[i] > (uint64_t)group.cuts + 1
-                        || (uint64_t)group.last[i] > (uint64_t)group.cuts + 1))
-                    return 3;
-            }
-        }
-    }
-    return at == end ? 0 : 4;
-}
-
-/*
- * A stream batch's state work and count in one call, over the table above
- * (`words` words).  First every merge: its runs merged into its out keys
- * and cum (merge_<t>), the entries written stored in entries[merge]; then
- * every half: each group's runs -- and the run its merge made -- searched
- * for the needles its readers hold, once per needle and run, each answer
- * clipped to every reader's slice and the counts added to out[reader]
- * (`machines` entries).  Returns 0; or, having written nothing to out, 1
- * for a reader that is no machine, 2 for a share outside the needles, 3
- * for a slice bound that indexes no cut, 4 for a malformed table, or -1 if
- * scratch memory could not be had.
- */
-int64_t fold(const uint64_t *table, int64_t words, int64_t machines,
-             int64_t *out, int64_t *entries)
-{
-    const uint64_t *at = table;
-    int64_t needles = 0, readers = 0, merges, halves, i, h, g, r;
+    int64_t i, h, g, r;
     int64_t *scratch, *spans, *lo_at, *hi_at;
-    int status = check_table(table, words, machines, &needles, &readers);
-    if (status)
-        return status;
+    for (i = 0; i < merge_count; i++) {
+        struct merge *merge = merges + i;
+        merge->entries = merge->dtype == F64
+            ? merge_f64(merge->runs, merge->count, (double *)merge->keys, merge->cum)
+            : merge_i64(merge->runs, merge->count, (int64_t *)merge->keys, merge->cum);
+        if (merge->entries < 0)
+            return -1;
+    }
+    if (!half_count)
+        return 0;
     scratch = malloc(((size_t)2 * needles + 2 * (size_t)readers + 1) * sizeof *scratch);
     if (!scratch)
         return -1;
     lo_at = scratch;
     hi_at = lo_at + needles;
     spans = hi_at + needles;
-    merges = (int64_t)*at++;
-    for (i = 0; i < merges; i++) {
-        int64_t dtype = (int64_t)at[0], runs = (int64_t)at[1];
-        void *keys = (void *)(uintptr_t)at[2];
-        int64_t *cum = (int64_t *)(uintptr_t)at[3];
-        entries[i] = dtype == F64 ? merge_f64(at + MERGE_WORDS, runs, (double *)keys, cum)
-                                  : merge_i64(at + MERGE_WORDS, runs, (int64_t *)keys, cum);
-        if (entries[i] < 0) {
-            free(scratch);
-            return -1;
-        }
-        at += MERGE_WORDS + 3 * runs;
-    }
-    halves = (int64_t)*at++;
-    for (h = 0; h < halves; h++) {
-        struct half half = half_at(at);
-        at += HALF_WORDS;
-        for (g = 0; g < half.groups; g++) {
-            struct group group = group_at(at);
-            int64_t count = shares_of(&half, &group, spans);
-            at += GROUP_WORDS + 3 * group.runs;
+    for (h = 0; h < half_count; h++) {
+        const struct half *half = halves + h;
+        for (g = 0; g < half->count; g++) {
+            const struct group *group = half->groups + g;
+            int64_t count = shares_of(half, group, spans);
             if (!count)
                 continue;
-            for (r = 0; r < group.runs; r++)
-                count_run(&half, &group, run_at(group.run_words + 3 * r), spans,
-                          count, lo_at, hi_at, out);
-            if (group.merge != NO_MERGE) {
-                /* The merge's run: its out keys and cum, its entries. */
-                const uint64_t *merge = merge_words(table + 1, group.merge);
+            for (r = 0; r < group->runs_count; r++)
+                count_run(half, group, group->runs[r], spans, count, lo_at, hi_at, out);
+            if (group->merge >= 0) {
+                const struct merge *merge = merges + group->merge;
                 struct run run;
-                run.keys = (const void *)(uintptr_t)merge[2];
-                run.size = entries[group.merge];
-                run.cum = (const int64_t *)(uintptr_t)merge[3];
-                count_run(&half, &group, run, spans, count, lo_at, hi_at, out);
+                run.keys = merge->keys;
+                run.size = merge->entries;
+                run.cum = merge->cum;
+                count_run(half, group, run, spans, count, lo_at, hi_at, out);
             }
         }
     }
@@ -726,8 +603,8 @@ static double upper_inverse(double k, double beta)
 }
 
 /* lows[i] = L(keys[i]) and highs[i] = U(keys[i]), for keys that are not NaN. */
-void band_inverse(const double *keys, int64_t size, double beta, double *lows,
-                  double *highs)
+static void band_inverse(const double *keys, int64_t size, double beta, double *lows,
+                         double *highs)
 {
     int64_t i;
     for (i = 0; i < size; i++) {
@@ -812,9 +689,9 @@ static void sift_up(double *priorities, int64_t *counters, double *keys,
  * the next unused counter, or -1 (nothing written) unless 0 <= size <=
  * capacity, 0 < capacity and 0 <= counter.
  */
-int64_t offer(double *priorities, int64_t *counters, double *keys,
-              int64_t size, int64_t capacity, int64_t counter,
-              const double *new_priorities, const double *new_keys, int64_t n)
+static int64_t offer(double *priorities, int64_t *counters, double *keys,
+                     int64_t size, int64_t capacity, int64_t counter,
+                     const double *new_priorities, const double *new_keys, int64_t n)
 {
     int64_t i;
     int full;
@@ -910,9 +787,9 @@ static double pairwise(const int64_t *index, const double *value, int64_t e0,
  * columns are not ascending inside [0, bounds[groups]), or the bounds do
  * not rise from 0.
  */
-int64_t group_sums(const int64_t *ptr, const int64_t *index,
-                   const double *value, int64_t rows, int64_t entries,
-                   const int64_t *bounds, int64_t groups, double *out)
+static int64_t group_sums(const int64_t *ptr, const int64_t *index,
+                          const double *value, int64_t rows, int64_t entries,
+                          const int64_t *bounds, int64_t groups, double *out)
 {
     int64_t m, g, e;
     if (rows < 0 || groups < 1 || bounds[0] != 0 || ptr[0] != 0
@@ -973,10 +850,10 @@ int64_t group_sums(const int64_t *ptr, const int64_t *index,
  * more than max_groups groups are needed, or -1 (nothing computed) unless
  * 1 <= max_groups and scratch memory could be had.
  */
-int64_t sweep_rows(const double *freq, const double *cand,
-                   const double *row_input, const double *col_input,
-                   int64_t rows, int64_t cols, double w_i, double w_o,
-                   double threshold, int64_t max_groups, int64_t *out)
+static int64_t sweep_rows(const double *freq, const double *cand,
+                          const double *row_input, const double *col_input,
+                          int64_t rows, int64_t cols, double w_i, double w_o,
+                          double threshold, int64_t max_groups, int64_t *out)
 {
     /* The group's block frequencies and candidate counts so far. */
     double *sums, *counts, input = 0.0;
@@ -1183,14 +1060,14 @@ static int lookups_fit(const int64_t *rows, const int64_t *lo,
         children[entries++] = id;                                              \
     } while (0)
 
-int64_t closure(const int64_t *rows, const int64_t *lo, const int64_t *hi,
-                int64_t candidates, const int64_t *below,
-                const int64_t *above, int64_t num_rows, const int64_t *first,
-                const int64_t *last, int64_t num_cols, int64_t mirrored,
-                int64_t *keys, int64_t count, int64_t rect_room,
-                const uint8_t *split, int64_t start, int64_t *offsets,
-                int64_t *children, int64_t entries, int64_t child_room,
-                int64_t *sizes)
+static int64_t closure(const int64_t *rows, const int64_t *lo, const int64_t *hi,
+                       int64_t candidates, const int64_t *below,
+                       const int64_t *above, int64_t num_rows, const int64_t *first,
+                       const int64_t *last, int64_t num_cols, int64_t mirrored,
+                       int64_t *keys, int64_t count, int64_t rect_room,
+                       const uint8_t *split, int64_t start, int64_t *offsets,
+                       int64_t *children, int64_t entries, int64_t child_room,
+                       int64_t *sizes)
 {
     Rects rects = {NULL, 0, 0, NULL, 0};
     int64_t i, end = count, status = 0;
@@ -1315,9 +1192,9 @@ out:
  * had, or -2 when an offset or a child lies outside what it indexes or a
  * rectangle above delta has no pair to split by.
  */
-int64_t tile(const int64_t *offsets, const int64_t *children,
-             const double *leaf_thresholds, int64_t n, int64_t m,
-             int64_t root, double delta, int64_t *counts, int64_t *splits)
+static int64_t tile(const int64_t *offsets, const int64_t *children,
+                    const double *leaf_thresholds, int64_t n, int64_t m,
+                    int64_t root, double delta, int64_t *counts, int64_t *splits)
 {
     /* Per frame: rectangle, next offset, best count, offset of the best. */
     int64_t *stack, depth = 0;
@@ -1397,4 +1274,1166 @@ int64_t tile(const int64_t *offsets, const int64_t *children,
 #undef PUSH
     free(stack);
     return 0;
+}
+
+/* ---------------------------------------------------------------------- */
+/* The module: each entry point checks its arguments, then runs its loop
+ * with the GIL released. */
+
+/* An array's dtype, for a message's %S. */
+#define DTYPE(array) ((PyObject *)PyArray_DESCR(array))
+/* What every array a fold reads or writes is called in a layout error. */
+#define FOLD_ARRAYS "out, a bound, a share, a run, a reader or a slice rule"
+
+static const char *key_name(int dtype)
+{
+    return dtype == F64 ? "float64" : "int64";
+}
+
+/* An array's key dtype: F64, I64 or NO_KEY (any other, or byte-swapped). */
+static int key_dtype(PyArrayObject *array)
+{
+    int type = PyArray_TYPE(array);
+    if (!PyArray_ISNOTSWAPPED(array))
+        return NO_KEY;
+    if (type == NPY_DOUBLE)
+        return F64;
+    if (type == NPY_LONGLONG || (type == NPY_LONG && NPY_SIZEOF_LONG == 8))
+        return I64;
+    return NO_KEY;
+}
+
+#define IS_F64(array) (key_dtype(array) == F64)
+#define IS_I64(array) (key_dtype(array) == I64)
+#define SIZE(array) ((Py_ssize_t)PyArray_SIZE(array))
+
+/* obj as an array (borrowed), or NULL with a TypeError naming it. */
+static PyArrayObject *array_arg(PyObject *obj, const char *name)
+{
+    if (PyArray_Check(obj))
+        return (PyArrayObject *)obj;
+    PyErr_Format(PyExc_TypeError, "%s is a %.200s, not a numpy array", name,
+                 Py_TYPE(obj)->tp_name);
+    return NULL;
+}
+
+/* Whether a loop may read the array through a pointer -- C-contiguous and
+ * aligned -- and write it when `written`; 0 with a ValueError naming it
+ * otherwise. */
+static int laid_out(PyArrayObject *array, const char *name, int written)
+{
+    if (!PyArray_IS_C_CONTIGUOUS(array) || !PyArray_ISALIGNED(array)) {
+        PyErr_Format(PyExc_ValueError, "%s is not C-contiguous and aligned", name);
+        return 0;
+    }
+    if (written && !PyArray_ISWRITEABLE(array)) {
+        PyErr_Format(PyExc_ValueError, "%s is read-only, and the kernel writes it", name);
+        return 0;
+    }
+    return 1;
+}
+
+/* An array's shape as Python prints the tuple: "(6, 3)", "(4,)", "()". */
+static const char *shape_text(PyArrayObject *array, char *text, size_t room)
+{
+    int i, ndim = PyArray_NDIM(array);
+    size_t at = 1;
+    text[0] = '(';
+    text[1] = '\0';
+    for (i = 0; i < ndim && at < room; i++)
+        at += (size_t)snprintf(text + at, room - at, i ? ", %zd" : "%zd",
+                               (Py_ssize_t)PyArray_DIM(array, i));
+    if (at < room)
+        snprintf(text + at, room - at, ndim == 1 ? ",)" : ")");
+    return text;
+}
+
+static int same_shape(PyArrayObject *a, PyArrayObject *b)
+{
+    int i;
+    if (PyArray_NDIM(a) != PyArray_NDIM(b))
+        return 0;
+    for (i = 0; i < PyArray_NDIM(a); i++)
+        if (PyArray_DIM(a, i) != PyArray_DIM(b, i))
+            return 0;
+    return 1;
+}
+
+/* A new C-ordered array, or NULL with an error set. */
+static PyArrayObject *new_array(int ndim, npy_intp *shape, int type)
+{
+    return (PyArrayObject *)PyArray_SimpleNew(ndim, shape, type);
+}
+
+/* Shrink an array in place to `size` entries along its first axis (a
+ * realloc, no copy).  0, or -1 with an error set. */
+static int shrink(PyArrayObject *array, npy_intp size)
+{
+    npy_intp shape[2];
+    PyArray_Dims dims;
+    PyObject *done;
+    shape[0] = size;
+    shape[1] = PyArray_NDIM(array) > 1 ? PyArray_DIM(array, 1) : 0;
+    dims.ptr = shape;
+    dims.len = PyArray_NDIM(array);
+    done = PyArray_Resize(array, &dims, 0, NPY_CORDER);
+    Py_XDECREF(done);
+    return done ? 0 : -1;
+}
+
+/*
+ * fold's parse.  Structs go to pools that grow as the walk meets them, so
+ * a merge, a group and a half refer to their runs and groups by index until
+ * the walk is done; every object the loop reads through is held, so no
+ * other thread frees a buffer while the GIL is released.
+ */
+struct pool {
+    char *items;
+    Py_ssize_t size, room;
+    size_t width;
+};
+
+/* The pool's next item, or NULL with a MemoryError. */
+static void *pool_add(struct pool *pool)
+{
+    if (pool->size == pool->room) {
+        Py_ssize_t room = pool->room ? 2 * pool->room : 32;
+        char *items = PyMem_Realloc(pool->items, (size_t)room * pool->width);
+        if (!items) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+        pool->items = items;
+        pool->room = room;
+    }
+    return pool->items + pool->width * (size_t)pool->size++;
+}
+
+#define POOL(type) {NULL, 0, 0, sizeof(type)}
+/* Item i of a pool (NULL for an empty pool, which has no items). */
+#define AT(pool, type, i) ((pool).items ? (type *)(pool).items + (i) : NULL)
+
+struct parse {
+    struct pool runs, merges, groups, halves, held;
+    Py_ssize_t machines;
+    /* Each merge's, half's and group's first run or group, in the order
+     * the walk met them, kept apart from the structs the loop reads. */
+    struct pool firsts;
+};
+
+/* Hold a new reference until the fold is done (stolen).  0, or -1 with a
+ * MemoryError (the reference dropped). */
+static int hold(struct parse *parse, PyObject *obj)
+{
+    PyObject **slot = pool_add(&parse->held);
+    if (!slot) {
+        Py_DECREF(obj);
+        return -1;
+    }
+    *slot = obj;
+    return 0;
+}
+
+/* obj's items as a held list or tuple, or NULL with a TypeError. */
+static PyObject *items_of(struct parse *parse, PyObject *obj, const char *what)
+{
+    PyObject *items = PySequence_Fast(obj, what);
+    if (!items || hold(parse, items))
+        return NULL;
+    return items;
+}
+
+/* obj as a held array, or NULL with a TypeError naming it. */
+static PyArrayObject *held_array(struct parse *parse, PyObject *obj, const char *name)
+{
+    PyArrayObject *array = array_arg(obj, name);
+    if (!array)
+        return NULL;
+    Py_INCREF(obj);
+    return hold(parse, obj) ? NULL : array;
+}
+
+/* obj's n items into parts (borrowed from a held sequence).  0, or -1 with
+ * an error naming `what`. */
+static int unpack(struct parse *parse, PyObject *obj, Py_ssize_t n, const char *what,
+                  PyObject **parts)
+{
+    PyObject *items = items_of(parse, obj, what);
+    Py_ssize_t i;
+    if (!items)
+        return -1;
+    if (PySequence_Fast_GET_SIZE(items) != n) {
+        PyErr_Format(PyExc_ValueError, "%s is %zd items, not %zd", what,
+                     PySequence_Fast_GET_SIZE(items), n);
+        return -1;
+    }
+    for (i = 0; i < n; i++)
+        parts[i] = PySequence_Fast_GET_ITEM(items, i);
+    return 0;
+}
+
+/* The keys of a run sequence's first run: a new reference, or NULL with a
+ * ValueError saying `none` when there is no run, or another error. */
+static PyArrayObject *first_keys(PyObject *runs, const char *none)
+{
+    PyObject *run, *keys;
+    Py_ssize_t count = PySequence_Size(runs);
+    if (count < 1) {
+        if (count == 0)
+            PyErr_SetString(PyExc_ValueError, none);
+        return NULL;
+    }
+    if (!(run = PySequence_GetItem(runs, 0)))
+        return NULL;
+    keys = PySequence_GetItem(run, 0);
+    Py_DECREF(run);
+    if (keys && !array_arg(keys, "a run's keys"))
+        Py_CLEAR(keys);
+    return (PyArrayObject *)keys;
+}
+
+/* Each (keys, cum) run of `obj` added to the pool, keys of `dtype`: the
+ * index of the first in *first, their number in *count and their keys
+ * added to *total.  0, or -1 with an error set. */
+static int parse_runs(struct parse *parse, PyObject *obj, int dtype, Py_ssize_t *first,
+                      int64_t *count, int64_t *total)
+{
+    PyObject *items = items_of(parse, obj, "runs are not a sequence");
+    Py_ssize_t i;
+    if (!items)
+        return -1;
+    *first = parse->runs.size;
+    *count = PySequence_Fast_GET_SIZE(items);
+    for (i = 0; i < *count; i++) {
+        PyObject *pair[2];
+        PyArrayObject *keys, *cum = NULL;
+        struct run *run;
+        if (unpack(parse, PySequence_Fast_GET_ITEM(items, i), 2, "a run", pair)
+            || !(keys = held_array(parse, pair[0], "a run's keys")))
+            return -1;
+        if (key_dtype(keys) != dtype) {
+            PyErr_Format(PyExc_TypeError, "a run's keys are %S, not its group's %s",
+                         DTYPE(keys), key_name(dtype));
+            return -1;
+        }
+        if (pair[1] != Py_None) {
+            if (!(cum = held_array(parse, pair[1], "cum")))
+                return -1;
+            if (!IS_I64(cum) || SIZE(cum) != SIZE(keys) + 1) {
+                PyErr_Format(PyExc_ValueError, "cum is %zd %S, not %zd int64", SIZE(cum),
+                             DTYPE(cum), SIZE(keys) + 1);
+                return -1;
+            }
+        }
+        if (!laid_out(keys, FOLD_ARRAYS, 0) || (cum && !laid_out(cum, FOLD_ARRAYS, 0))
+            || !(run = pool_add(&parse->runs)))
+            return -1;
+        run->keys = PyArray_DATA(keys);
+        run->size = SIZE(keys);
+        run->cum = cum ? (const int64_t *)PyArray_DATA(cum) : NULL;
+        *total += run->size;
+    }
+    return 0;
+}
+
+/* One merge cascade: its runs, oldest first. */
+static int parse_merge(struct parse *parse, PyObject *obj)
+{
+    PyArrayObject *keys = first_keys(obj, "a cascade merges no run");
+    struct merge *merge;
+    Py_ssize_t *first;
+    int dtype;
+    if (!keys)
+        return -1;
+    dtype = key_dtype(keys);
+    if (dtype == NO_KEY)
+        PyErr_Format(PyExc_TypeError,
+                     "run keys are %S: the kernel merges float64 or int64 keys", DTYPE(keys));
+    Py_DECREF(keys);
+    if (dtype == NO_KEY || !(merge = pool_add(&parse->merges))
+        || !(first = pool_add(&parse->firsts)))
+        return -1;
+    merge->dtype = dtype;
+    merge->keys = NULL;
+    merge->cum = NULL;
+    /* Its run total, until fold_results makes its arrays. */
+    merge->entries = 0;
+    return parse_runs(parse, obj, dtype, first, &merge->count, &merge->entries);
+}
+
+/*
+ * One group of a half whose bounds are `bound` and whose shares are
+ * starts / stops over `needles` needles: its dtype the bounds' (or int64
+ * under float64 bounds), every reader a machine whose share lies inside
+ * the needles, every slice bound an index of the cuts.
+ */
+static int parse_group(struct parse *parse, PyObject *obj, int bound, int64_t needles,
+                       const int64_t *starts, const int64_t *stops)
+{
+    PyObject *parts[4]; /* runs, readers, cut, merge */
+    PyArrayObject *readers, *cut[3] = {NULL, NULL, NULL};
+    struct group group;
+    Py_ssize_t i, *first;
+    int64_t total = 0;
+    if (unpack(parse, obj, 4, "a group", parts))
+        return -1;
+    group.merge = -1;
+    if (parts[3] == Py_None) {
+        PyArrayObject *keys = first_keys(parts[0], "a group searches no run");
+        if (!keys)
+            return -1;
+        group.dtype = key_dtype(keys);
+        if (!(group.dtype == bound || (group.dtype == I64 && bound == F64)))
+            PyErr_Format(PyExc_TypeError, "a run's keys are %S, not the bounds' %s",
+                         DTYPE(keys), key_name(bound));
+        Py_DECREF(keys);
+        if (PyErr_Occurred())
+            return -1;
+    } else {
+        Py_ssize_t merge = PyNumber_AsSsize_t(parts[3], NULL);
+        if (merge == -1 && PyErr_Occurred())
+            return -1;
+        if (merge < 0 || merge >= parse->merges.size) {
+            PyErr_Format(PyExc_ValueError, "merge %zd is not one of the %zd cascades", merge,
+                         parse->merges.size);
+            return -1;
+        }
+        group.merge = merge;
+        group.dtype = AT(parse->merges, struct merge, merge)->dtype;
+        if (!(group.dtype == bound || (group.dtype == I64 && bound == F64))) {
+            PyErr_Format(PyExc_TypeError, "a run's keys are %s, not the bounds' %s",
+                         key_name(group.dtype), key_name(bound));
+            return -1;
+        }
+    }
+    if (!(readers = held_array(parse, parts[1], "a group's readers")))
+        return -1;
+    if (!IS_I64(readers)) {
+        PyErr_Format(PyExc_TypeError, "a group's readers are %S, not int64", DTYPE(readers));
+        return -1;
+    }
+    group.readers = PyArray_DATA(readers);
+    group.count = SIZE(readers);
+    group.cut_keys = NULL;
+    group.cuts = 0;
+    group.first = group.last = NULL;
+    if (parts[2] != Py_None) {
+        PyObject *rule[3];
+        if (unpack(parse, parts[2], 3, "a slice rule", rule))
+            return -1;
+        for (i = 0; i < 3; i++)
+            if (!(cut[i] = held_array(parse, rule[i], "a slice rule")))
+                return -1;
+        if (!IS_F64(cut[0]) || !IS_I64(cut[1]) || !IS_I64(cut[2])) {
+            PyErr_SetString(PyExc_TypeError,
+                            "a slice rule takes float64 cut keys and int64 bounds");
+            return -1;
+        }
+        if (SIZE(cut[1]) < group.count || SIZE(cut[2]) < group.count) {
+            PyErr_Format(PyExc_ValueError, "a slice rule needs %zd firsts and lasts",
+                         (Py_ssize_t)group.count);
+            return -1;
+        }
+        group.cut_keys = PyArray_DATA(cut[0]);
+        group.cuts = SIZE(cut[0]);
+        group.first = PyArray_DATA(cut[1]);
+        group.last = PyArray_DATA(cut[2]);
+    }
+    if (!(first = pool_add(&parse->firsts))
+        || parse_runs(parse, parts[0], group.dtype, first, &group.runs_count, &total))
+        return -1;
+    if (!laid_out(readers, FOLD_ARRAYS, 0))
+        return -1;
+    for (i = 0; i < 3; i++)
+        if (cut[i] && !laid_out(cut[i], FOLD_ARRAYS, 0))
+            return -1;
+    for (i = 0; i < group.count; i++) {
+        int64_t m = group.readers[i];
+        if ((uint64_t)m >= (uint64_t)parse->machines) {
+            PyErr_SetString(PyExc_ValueError, "a group's reader is not one of the machines");
+            return -1;
+        }
+        if ((uint64_t)starts[m] > (uint64_t)needles || (uint64_t)stops[m] > (uint64_t)needles) {
+            PyErr_SetString(PyExc_ValueError, "a machine's share lies outside the needles");
+            return -1;
+        }
+        if (group.cut_keys
+            && ((uint64_t)group.first[i] > (uint64_t)group.cuts + 1
+                || (uint64_t)group.last[i] > (uint64_t)group.cuts + 1)) {
+            PyErr_SetString(PyExc_ValueError, "a reader's slice bound indexes no cut");
+            return -1;
+        }
+    }
+    group.runs = NULL;
+    {
+        struct group *slot = pool_add(&parse->groups);
+        if (!slot)
+            return -1;
+        *slot = group;
+    }
+    return 0;
+}
+
+/* One half: (lows, highs, starts, stops, groups). */
+static int parse_half(struct parse *parse, PyObject *obj)
+{
+    PyObject *parts[5], *groups;
+    PyArrayObject *array[4]; /* lows, highs, starts, stops */
+    static const char *names[4] = {"lows", "highs", "starts", "stops"};
+    struct half half;
+    Py_ssize_t i, *first;
+    if (unpack(parse, obj, 5, "a half", parts))
+        return -1;
+    for (i = 0; i < 4; i++)
+        if (!(array[i] = held_array(parse, parts[i], names[i])))
+            return -1;
+    half.dtype = key_dtype(array[0]);
+    if (half.dtype == NO_KEY) {
+        PyErr_Format(PyExc_TypeError, "lows are %S: the kernel counts float64 or int64 keys",
+                     DTYPE(array[0]));
+        return -1;
+    }
+    if (key_dtype(array[1]) != half.dtype || SIZE(array[1]) != SIZE(array[0])) {
+        PyErr_Format(PyExc_ValueError, "%zd %S lows but %zd %S highs", SIZE(array[0]),
+                     DTYPE(array[0]), SIZE(array[1]), DTYPE(array[1]));
+        return -1;
+    }
+    if (!IS_I64(array[2]) || !IS_I64(array[3])) {
+        PyErr_Format(PyExc_TypeError, "starts %S, stops %S: not int64", DTYPE(array[2]),
+                     DTYPE(array[3]));
+        return -1;
+    }
+    if (SIZE(array[2]) != parse->machines || SIZE(array[3]) != parse->machines) {
+        PyErr_Format(PyExc_ValueError, "%zd starts and %zd stops for %zd machines",
+                     SIZE(array[2]), SIZE(array[3]), parse->machines);
+        return -1;
+    }
+    for (i = 0; i < 4; i++)
+        if (!laid_out(array[i], FOLD_ARRAYS, 0))
+            return -1;
+    half.lows = PyArray_DATA(array[0]);
+    half.highs = PyArray_DATA(array[1]);
+    half.needles = SIZE(array[0]);
+    half.starts = PyArray_DATA(array[2]);
+    half.stops = PyArray_DATA(array[3]);
+    half.groups = NULL;
+    if (!(groups = items_of(parse, parts[4], "a half's groups are not a sequence"))
+        || !(first = pool_add(&parse->firsts)))
+        return -1;
+    *first = parse->groups.size;
+    half.count = PySequence_Fast_GET_SIZE(groups);
+    for (i = 0; i < half.count; i++)
+        if (parse_group(parse, PySequence_Fast_GET_ITEM(groups, i), half.dtype, half.needles,
+                        half.starts, half.stops))
+            return -1;
+    {
+        struct half *slot = pool_add(&parse->halves);
+        if (!slot)
+            return -1;
+        *slot = half;
+    }
+    return 0;
+}
+
+/* Each merge's output arrays, room for every key of its runs (its
+ * `entries` until then): the results list of (keys, cum) pairs, the loop
+ * pointed at them.  NULL with an error set. */
+static PyObject *fold_results(struct parse *parse)
+{
+    PyObject *results = PyList_New(parse->merges.size);
+    Py_ssize_t i;
+    if (!results)
+        return NULL;
+    for (i = 0; i < parse->merges.size; i++) {
+        struct merge *merge = AT(parse->merges, struct merge, i);
+        npy_intp total = merge->entries, room = total + 1;
+        PyArrayObject *keys = new_array(1, &total, merge->dtype == F64 ? NPY_DOUBLE : NPY_INT64);
+        PyArrayObject *cum = keys ? new_array(1, &room, NPY_INT64) : NULL;
+        if (!cum) {
+            Py_XDECREF(keys);
+            Py_DECREF(results);
+            return NULL;
+        }
+        PyList_SET_ITEM(results, i, Py_BuildValue("NN", keys, cum));
+        if (!PyList_GET_ITEM(results, i)) {
+            Py_DECREF(results);
+            return NULL;
+        }
+        merge->keys = PyArray_DATA(keys);
+        merge->cum = PyArray_DATA(cum);
+    }
+    return results;
+}
+
+static void parse_free(struct parse *parse)
+{
+    Py_ssize_t i;
+    for (i = 0; i < parse->held.size; i++)
+        Py_DECREF(*AT(parse->held, PyObject *, i));
+    PyMem_Free(parse->runs.items);
+    PyMem_Free(parse->merges.items);
+    PyMem_Free(parse->groups.items);
+    PyMem_Free(parse->halves.items);
+    PyMem_Free(parse->held.items);
+    PyMem_Free(parse->firsts.items);
+}
+
+PyDoc_STRVAR(fold_doc,
+"fold(merges, halves, out)\n--\n\n"
+"A stream batch's merges and count in one kernel call; the merged runs.\n\n"
+"``merges`` lists run cascades, each the ``(keys, cum)`` runs of one\n"
+"group, oldest first, that fold into one counted run: ascending keys and\n"
+"their cumulative counts (``None``: every key counts once).  The kernel\n"
+"merges each as a right fold of two-way merges, the newest pair first,\n"
+"keeping the key that comes last in (run, position) order for every\n"
+"stretch of equal keys (all NaNs one) and dropping the zero counts at\n"
+"the last step only -- the stable-sort merge kept in\n"
+"``tests/reference_state.py``, byte for byte.  It returns, per cascade,\n"
+"the merged ``(keys, cum)``, or ``None`` when every count cancelled.\n\n"
+"``halves`` lists the count's halves, each ``(lows, highs, starts,\n"
+"stops, groups)``: the joinable bounds of a side's routed keys, machine\n"
+"``m``'s share of them ``[starts[m], stops[m])``, and the groups they\n"
+"search, each ``(runs, readers, cut, merge)`` -- its ``(keys, cum)``\n"
+"runs, the machines reading it, the slice rule they read every run\n"
+"through (a :class:`~repro.partitioning.grid_routed.MachineSlices`\n"
+"whose ``first[i]`` / ``last[i]`` say where reader ``i``'s slice starts\n"
+"and stops, or ``None``: each reads the runs whole) and the index of a\n"
+"cascade whose merged run it searches too (or ``None``).  After the\n"
+"merges, the kernel searches each needle its readers hold once in each\n"
+"run (numpy's ``searchsorted``, side \"left\" for the low bound and\n"
+"\"right\" for the high one), clips the answer to every reader's slice\n"
+"and adds the counts into ``out[reader]`` -- one C call however many\n"
+"cascades, groups, runs and machines there are, with nothing gathered or\n"
+"materialised per needle; ``tests/reference_counting.py`` holds the\n"
+"per-task numpy form it equals.\n\n"
+"Keys are float64 or int64, one dtype per cascade and per group, and\n"
+"the bounds float64 or int64: a group's keys in the bounds' dtype, or\n"
+"int64 keys searched with float64 bounds (each compared as the float64\n"
+"it casts to, as ``searchsorted`` casts it).  Cut keys are float64;\n"
+"``starts``, ``stops``, ``out``, ``cum``, readers and slice bounds are\n"
+"int64, ``starts`` / ``stops`` one entry per machine of ``out``, ``cum``\n"
+"one longer than its run and ``first`` / ``last`` at least one entry per\n"
+"reader; every array C-contiguous and aligned, ``out`` writable.\n"
+"Otherwise, or when a reader is no machine, a share lies outside the\n"
+"needles or a slice bound indexes no cut, this raises by name having\n"
+"merged nothing and written nothing into ``out``.");
+
+static PyObject *py_fold(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
+{
+    static char *keywords[] = {"merges", "halves", "out", NULL};
+    PyObject *merges_obj, *halves_obj, *out_obj, *items, *results = NULL;
+    PyArrayObject *out;
+    struct parse parse = {POOL(struct run), POOL(struct merge), POOL(struct group),
+                          POOL(struct half), POOL(PyObject *), 0, POOL(Py_ssize_t)};
+    Py_ssize_t i, j, at = 0;
+    int64_t needles = 0, readers = 0;
+    int status;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:fold", keywords,
+                                     &merges_obj, &halves_obj, &out_obj)
+        || !(out = array_arg(out_obj, "out")))
+        return NULL;
+    if (!IS_I64(out)) {
+        PyErr_Format(PyExc_TypeError, "out is %S, not int64", DTYPE(out));
+        return NULL;
+    }
+    if (!laid_out(out, FOLD_ARRAYS, 1))
+        return NULL;
+    parse.machines = SIZE(out);
+    if (!(items = items_of(&parse, merges_obj, "merges are not a sequence")))
+        goto done;
+    for (i = 0; i < PySequence_Fast_GET_SIZE(items); i++)
+        if (parse_merge(&parse, PySequence_Fast_GET_ITEM(items, i)))
+            goto done;
+    if (!(items = items_of(&parse, halves_obj, "halves are not a sequence")))
+        goto done;
+    for (i = 0; i < PySequence_Fast_GET_SIZE(items); i++)
+        if (parse_half(&parse, PySequence_Fast_GET_ITEM(items, i)))
+            goto done;
+    /* The pools are full: point each merge, group and half at its own
+     * (firsts holds their first indices in parse order: each merge's, then
+     * each half's and its groups'). */
+    for (i = 0; i < parse.merges.size; i++) {
+        struct merge *merge = AT(parse.merges, struct merge, i);
+        merge->runs = AT(parse.runs, struct run, *AT(parse.firsts, Py_ssize_t, at++));
+    }
+    for (i = 0; i < parse.halves.size; i++) {
+        struct half *half = AT(parse.halves, struct half, i);
+        half->groups = AT(parse.groups, struct group, *AT(parse.firsts, Py_ssize_t, at++));
+        for (j = 0; j < half->count; j++) {
+            struct group *group = (struct group *)half->groups + j;
+            group->runs = AT(parse.runs, struct run, *AT(parse.firsts, Py_ssize_t, at++));
+            if (group->count > readers)
+                readers = group->count;
+        }
+        if (half->needles > needles)
+            needles = half->needles;
+    }
+    if (!(results = fold_results(&parse)))
+        goto done;
+    Py_BEGIN_ALLOW_THREADS
+    status = fold(AT(parse.merges, struct merge, 0), parse.merges.size,
+                  AT(parse.halves, struct half, 0), parse.halves.size, needles, readers,
+                  PyArray_DATA(out));
+    Py_END_ALLOW_THREADS
+    if (status) {
+        PyErr_SetString(PyExc_MemoryError, "the kernel's fold could not allocate its scratch");
+        Py_CLEAR(results);
+        goto done;
+    }
+    for (i = 0; i < parse.merges.size; i++) {
+        int64_t entries = AT(parse.merges, struct merge, i)->entries;
+        PyObject *pair = PyList_GET_ITEM(results, i);
+        if (!entries) {
+            Py_INCREF(Py_None);
+            PyList_SET_ITEM(results, i, Py_None);
+            Py_DECREF(pair);
+        } else if (shrink((PyArrayObject *)PyTuple_GET_ITEM(pair, 0), entries)
+                   || shrink((PyArrayObject *)PyTuple_GET_ITEM(pair, 1), entries + 1)) {
+            Py_CLEAR(results);
+            goto done;
+        }
+    }
+done:
+    parse_free(&parse);
+    return results;
+}
+
+PyDoc_STRVAR(band_inverse_doc,
+"band_inverse(keys, beta)\n--\n\n"
+"A band's exact inverse bounds ``(L, U)``: the R1 keys each R2 key in ``keys`` joins.\n\n"
+"The band test from the R1 side is ``fl(k1 - beta) <= k2 <= fl(k1 +\n"
+"beta)``; from the R2 side it is ``L(k2) <= k1 <= U(k2)``, ``L(k)`` the\n"
+"smallest ``x`` with ``fl(x + beta) >= k`` and ``U(k)`` the largest with\n"
+"``fl(x - beta) <= k``.  Each is a few one-ulp steps from ``fl(k -+\n"
+"beta)``, or a bisection over the doubles' ordinals where the key's ulp\n"
+"is far finer than the sum's; no step overflows (the step above the\n"
+"largest double is ``inf``) and nothing warns.  Both are float64 in the\n"
+"keys' shape.  ``keys`` are float64, C-contiguous and not NaN; otherwise\n"
+"this raises by name.  ``tests/reference_conditions.py`` keeps the numpy\n"
+"form they equal bit for bit.");
+
+static PyObject *py_band_inverse(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
+{
+    static char *keywords[] = {"keys", "beta", NULL};
+    PyObject *keys_obj;
+    PyArrayObject *keys, *lows, *highs;
+    double beta;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Od:band_inverse", keywords,
+                                     &keys_obj, &beta)
+        || !(keys = array_arg(keys_obj, "keys")))
+        return NULL;
+    if (!IS_F64(keys)) {
+        PyErr_Format(PyExc_TypeError, "keys are %S, not float64", DTYPE(keys));
+        return NULL;
+    }
+    if (!laid_out(keys, "keys", 0)
+        || !(lows = new_array(PyArray_NDIM(keys), PyArray_DIMS(keys), NPY_DOUBLE)))
+        return NULL;
+    if (!(highs = new_array(PyArray_NDIM(keys), PyArray_DIMS(keys), NPY_DOUBLE))) {
+        Py_DECREF(lows);
+        return NULL;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    band_inverse(PyArray_DATA(keys), SIZE(keys), beta, PyArray_DATA(lows), PyArray_DATA(highs));
+    Py_END_ALLOW_THREADS
+    return Py_BuildValue("NN", lows, highs);
+}
+
+PyDoc_STRVAR(offer_doc,
+"offer(heap, size, capacity, counter, priorities, keys)\n--\n\n"
+"A reservoir's heap loop over a batch of entries; the next counter.\n\n"
+"The loop of :meth:`~repro.streaming.incremental.DecayedReservoir.add_batch`\n"
+"(payload: keys) and of :class:`~repro.sampling.reservoir.WeightedReservoir`'s\n"
+"offers (payload: pool positions).  ``heap`` is the reservoir's\n"
+"``(priorities, counters, keys)`` arrays, whose first ``size`` entries\n"
+"are the heap, ``counter`` its next unused counter, and ``priorities`` /\n"
+"``keys`` the batch's entries and payloads in offer order.  The kernel\n"
+"writes the heap array ``heapq`` would leave behind the batch-start\n"
+"filter (``tests/reference_sampling.py``); the heap then\n"
+"holds ``min(capacity, size + len(keys))`` entries.  Priorities and keys\n"
+"are float64, counters int64, and the heap's arrays have room for that\n"
+"many entries; ``0 <= size <= capacity`` and ``0 <= counter``.\n"
+"Otherwise this raises by name and writes nothing.");
+
+static PyObject *py_offer(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
+{
+    static char *keywords[] = {"heap", "size", "capacity", "counter", "priorities", "keys", NULL};
+    static const char *names[5] = {"heap priorities", "heap counters", "heap keys",
+                                   "priorities", "keys"};
+    PyObject *objs[5];
+    PyArrayObject *array[5]; /* the heap's three, then the batch's two */
+    Py_ssize_t size, capacity, counter, room, i;
+    int64_t next;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "(OOO)nnnOO:offer", keywords,
+                                     &objs[0], &objs[1], &objs[2], &size, &capacity,
+                                     &counter, &objs[3], &objs[4]))
+        return NULL;
+    for (i = 0; i < 5; i++)
+        if (!(array[i] = array_arg(objs[i], names[i])))
+            return NULL;
+    if (!(IS_F64(array[3]) && IS_F64(array[4]) && IS_F64(array[0]) && IS_F64(array[2])
+          && IS_I64(array[1]))) {
+        PyErr_Format(PyExc_TypeError,
+                     "priorities %S, keys %S, heap priorities %S, heap counters %S, heap "
+                     "keys %S: the kernel takes float64 and int64 counters",
+                     DTYPE(array[3]), DTYPE(array[4]), DTYPE(array[0]), DTYPE(array[1]),
+                     DTYPE(array[2]));
+        return NULL;
+    }
+    if (SIZE(array[3]) != SIZE(array[4])) {
+        PyErr_Format(PyExc_ValueError, "%zd priorities but %zd keys", SIZE(array[3]),
+                     SIZE(array[4]));
+        return NULL;
+    }
+    room = size + SIZE(array[4]) < capacity ? size + SIZE(array[4]) : capacity;
+    if (SIZE(array[0]) < room || SIZE(array[1]) < room || SIZE(array[2]) < room) {
+        PyErr_Format(PyExc_ValueError, "the heap's arrays have no room for %zd entries", room);
+        return NULL;
+    }
+    for (i = 0; i < 5; i++)
+        if (!laid_out(array[i], names[i], i < 3))
+            return NULL;
+    if (capacity <= 0 || size < 0 || size > capacity || counter < 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "size %zd, capacity %zd, counter %zd: a heap needs 0 <= size <= "
+                     "capacity, 0 < capacity and 0 <= counter",
+                     size, capacity, counter);
+        return NULL;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    next = offer(PyArray_DATA(array[0]), PyArray_DATA(array[1]), PyArray_DATA(array[2]), size,
+                 capacity, counter, PyArray_DATA(array[3]), PyArray_DATA(array[4]),
+                 SIZE(array[4]));
+    Py_END_ALLOW_THREADS
+    return PyLong_FromLongLong(next);
+}
+
+PyDoc_STRVAR(group_sums_doc,
+"group_sums(ptr, index, value, bounds)\n--\n\n"
+"A sparse matrix's row sums by column group, equal to the dense ``np.add.reduceat``.\n\n"
+"Row ``m`` holds the entries ``ptr[m]:ptr[m + 1]`` of ``index`` (their\n"
+"columns, ascending) and ``value`` (non-negative); ``bounds`` runs from 0\n"
+"up through each group's first column to the column count.  Returns the\n"
+"rows x groups float64 array, C-ordered, whose ``[m, g]`` is\n"
+"``np.add.reduceat(dense, bounds[:-1], axis=1)[m, g]`` bit for bit:\n"
+"numpy's pairwise sum walked over the nonzero entries only (adding 0.0\n"
+"is exact).  The same call with the entries by column gives the\n"
+"transposed aggregate ``np.add.reduceat(dense, bounds[:-1], axis=0).T``.\n"
+"``ptr``, ``index`` and ``bounds`` are int64, ``value`` float64,\n"
+"``index`` and ``value`` one length, with at least one group; a ``ptr``\n"
+"that does not run from 0 up to that length, a row's columns out of\n"
+"order or range, or bounds that do not rise from 0 raise by name.");
+
+static PyObject *py_group_sums(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
+{
+    static char *keywords[] = {"ptr", "index", "value", "bounds", NULL};
+    static const char *names[5] = {"out", "ptr", "index", "value", "bounds"};
+    PyObject *objs[4];
+    PyArrayObject *array[5]; /* out, then the four inputs */
+    char shapes[3][160];
+    npy_intp shape[2];
+    int64_t status;
+    int i;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOO:group_sums", keywords,
+                                     &objs[0], &objs[1], &objs[2], &objs[3]))
+        return NULL;
+    for (i = 1; i < 5; i++)
+        if (!(array[i] = array_arg(objs[i - 1], names[i])))
+            return NULL;
+    if (!(IS_I64(array[1]) && IS_I64(array[2]) && IS_I64(array[4]))) {
+        PyErr_Format(PyExc_TypeError, "ptr %S, index %S, bounds %S: not int64", DTYPE(array[1]),
+                     DTYPE(array[2]), DTYPE(array[4]));
+        return NULL;
+    }
+    if (!IS_F64(array[3])) {
+        PyErr_Format(PyExc_TypeError, "value is %S, not float64", DTYPE(array[3]));
+        return NULL;
+    }
+    if (PyArray_NDIM(array[1]) != 1 || SIZE(array[1]) < 1 || !same_shape(array[2], array[3])
+        || PyArray_NDIM(array[2]) != 1) {
+        PyErr_Format(PyExc_ValueError, "ptr %s, index %s and value %s are not one CSR",
+                     shape_text(array[1], shapes[0], sizeof shapes[0]),
+                     shape_text(array[2], shapes[1], sizeof shapes[1]),
+                     shape_text(array[3], shapes[2], sizeof shapes[2]));
+        return NULL;
+    }
+    if (PyArray_NDIM(array[4]) != 1 || SIZE(array[4]) < 2) {
+        PyErr_Format(PyExc_ValueError, "bounds %s hold no group",
+                     shape_text(array[4], shapes[0], sizeof shapes[0]));
+        return NULL;
+    }
+    for (i = 1; i < 5; i++)
+        if (!laid_out(array[i], names[i], 0))
+            return NULL;
+    shape[0] = SIZE(array[1]) - 1;
+    shape[1] = SIZE(array[4]) - 1;
+    if (!(array[0] = new_array(2, shape, NPY_DOUBLE)))
+        return NULL;
+    Py_BEGIN_ALLOW_THREADS
+    status = group_sums(PyArray_DATA(array[1]), PyArray_DATA(array[2]), PyArray_DATA(array[3]),
+                        shape[0], SIZE(array[2]), PyArray_DATA(array[4]), shape[1],
+                        PyArray_DATA(array[0]));
+    Py_END_ALLOW_THREADS
+    if (status) {
+        Py_DECREF(array[0]);
+        PyErr_SetString(PyExc_ValueError,
+                        "ptr does not run from 0 to the entries, a row's index is out of "
+                        "order or range, or the bounds do not rise from 0");
+        return NULL;
+    }
+    return (PyObject *)array[0];
+}
+
+PyDoc_STRVAR(sweep_rows_doc,
+"sweep_rows(freq, cand, row_input, col_input, w_i, w_o, threshold, max_groups)\n--\n\n"
+"One greedy sweep of coarsening's per-axis threshold search.\n\n"
+"``freq`` / ``cand`` are the rows' frequencies and candidate counts by\n"
+"column group (rows x groups), ``row_input`` / ``col_input`` the rows'\n"
+"and the groups' input, ``w_i`` / ``w_o`` the cost model's coefficients.\n"
+"Returns the boundary array -- 0, each group's first row, the row count\n"
+"-- or ``None`` when more than ``max_groups`` groups are needed.  Every\n"
+"array is float64 of matching shape and C order (an F-ordered aggregate\n"
+"raises, never read with the wrong strides: the caller makes its arrays\n"
+"C-contiguous once per axis), and ``max_groups`` at least 1; otherwise\n"
+"this raises by name.  Candidate counts must be whole and non-negative,\n"
+"as coarsening's column aggregates make them: the kernel sums them from\n"
+"each group's first row.  ``tests/reference_planner.py`` holds the numpy\n"
+"sweep and the row-by-row loop it equals boundary for boundary.");
+
+static PyObject *py_sweep_rows(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
+{
+    static char *keywords[] = {"freq", "cand", "row_input", "col_input", "w_i", "w_o",
+                               "threshold", "max_groups", NULL};
+    static const char *names[5] = {"out", "freq", "cand", "row_input", "col_input"};
+    PyObject *objs[4];
+    PyArrayObject *array[5]; /* out, then the four inputs */
+    char shapes[3][160];
+    double w_i, w_o, threshold;
+    Py_ssize_t max_groups;
+    npy_intp room;
+    int64_t written;
+    int i;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOdddn:sweep_rows", keywords,
+                                     &objs[0], &objs[1], &objs[2], &objs[3], &w_i, &w_o,
+                                     &threshold, &max_groups))
+        return NULL;
+    for (i = 1; i < 5; i++)
+        if (!(array[i] = array_arg(objs[i - 1], names[i])))
+            return NULL;
+    if (!(IS_F64(array[1]) && IS_F64(array[2]) && IS_F64(array[3]) && IS_F64(array[4]))) {
+        PyErr_Format(PyExc_TypeError,
+                     "freq %S, cand %S, row_input %S, col_input %S: the sweep takes float64",
+                     DTYPE(array[1]), DTYPE(array[2]), DTYPE(array[3]), DTYPE(array[4]));
+        return NULL;
+    }
+    if (PyArray_NDIM(array[1]) != 2 || !same_shape(array[2], array[1])) {
+        PyErr_Format(PyExc_ValueError, "freq %s and cand %s are not one matrix",
+                     shape_text(array[1], shapes[0], sizeof shapes[0]),
+                     shape_text(array[2], shapes[1], sizeof shapes[1]));
+        return NULL;
+    }
+    if (PyArray_NDIM(array[3]) != 1 || PyArray_DIM(array[3], 0) != PyArray_DIM(array[1], 0)
+        || PyArray_NDIM(array[4]) != 1 || PyArray_DIM(array[4], 0) != PyArray_DIM(array[1], 1)) {
+        PyErr_Format(PyExc_ValueError, "row_input %s and col_input %s do not fit a %s matrix",
+                     shape_text(array[3], shapes[0], sizeof shapes[0]),
+                     shape_text(array[4], shapes[1], sizeof shapes[1]),
+                     shape_text(array[1], shapes[2], sizeof shapes[2]));
+        return NULL;
+    }
+    if (max_groups < 1) {
+        PyErr_Format(PyExc_ValueError, "max_groups is %zd: a sweep needs at least one group",
+                     max_groups);
+        return NULL;
+    }
+    for (i = 1; i < 5; i++)
+        if (!laid_out(array[i], names[i], 0))
+            return NULL;
+    room = max_groups + 1;
+    if (!(array[0] = new_array(1, &room, NPY_INT64)))
+        return NULL;
+    Py_BEGIN_ALLOW_THREADS
+    written = sweep_rows(PyArray_DATA(array[1]), PyArray_DATA(array[2]), PyArray_DATA(array[3]),
+                         PyArray_DATA(array[4]), PyArray_DIM(array[1], 0),
+                         PyArray_DIM(array[1], 1), w_i, w_o, threshold, max_groups,
+                         PyArray_DATA(array[0]));
+    Py_END_ALLOW_THREADS
+    if (written <= 0) {
+        Py_DECREF(array[0]);
+        if (written < 0)
+            return PyErr_NoMemory();
+        Py_RETURN_NONE;
+    }
+    if (shrink(array[0], written)) {
+        Py_DECREF(array[0]);
+        return NULL;
+    }
+    return (PyObject *)array[0];
+}
+
+/* A copy of an array with `rows` entries along its first axis, the first
+ * `kept` of them the array's; the array's reference is dropped.  NULL
+ * with an error set (the reference dropped too). */
+static PyArrayObject *grown(PyArrayObject *array, npy_intp rows, npy_intp kept)
+{
+    npy_intp shape[2];
+    PyArrayObject *bigger;
+    shape[0] = rows;
+    shape[1] = PyArray_NDIM(array) > 1 ? PyArray_DIM(array, 1) : 0;
+    bigger = new_array(PyArray_NDIM(array), shape, NPY_INT64);
+    if (bigger)
+        memcpy(PyArray_DATA(bigger), PyArray_DATA(array),
+               (size_t)kept * (size_t)PyArray_STRIDE(array, 0));
+    Py_DECREF(array);
+    return bigger;
+}
+
+PyDoc_STRVAR(closure_doc,
+"closure(rows, lo, hi, below, above, first, last, mirrored, split)\n--\n\n"
+"The minimal candidate rectangles MonotonicBSP can reach, with their child pairs.\n\n"
+"The first seven arguments are :class:`~repro.core.tiling_tables.TilingTables`'\n"
+"lookups, in its own (ascending-span) columns: the candidate rows by\n"
+"position with their spans (``rows``, ``lo``, ``hi``), per grid row the\n"
+"first candidate position at or below it and the last at or above it\n"
+"(``below``, ``above``), per column the first position whose span ends\n"
+"at or after it and the last whose span starts at or before it\n"
+"(``first``, ``last``); ``mirrored`` when the grid's spans descend.\n"
+"``split(keys)`` is called once per round with the rectangles met in\n"
+"the round before (the root, first) and says, one bool each, which of\n"
+"them need children; the kernel gives them their children in the next.\n"
+"``keys`` is a view of a buffer the next round may move: ``split`` keeps\n"
+"nothing of it.\n\n"
+"Returns ``(keys, offsets, children)``: ``keys[i]`` is rectangle ``i``'s\n"
+"``(row_lo, row_hi, col_lo, col_hi)`` in the tables' columns, the root\n"
+"first, and ``children[offsets[i]:offsets[i + 1]]`` its halves, pair by\n"
+"pair in the order the DP tries splits (none for a rectangle ``split``\n"
+"refused).  No candidate row gives no rectangle.  Every lookup is int64\n"
+"and indexes what it looks up, and the grid has 1 to 65,536 rows and\n"
+"columns (a rectangle's id is keyed on its corners, 16 bits each);\n"
+"otherwise this raises by name.");
+
+static PyObject *py_closure(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
+{
+    static char *keywords[] = {"rows", "lo", "hi", "below", "above", "first", "last",
+                               "mirrored", "split", NULL};
+    static const char *names[7] = {"rows", "lo", "hi", "below", "above", "first", "last"};
+    PyObject *objs[7], *split, *said, *result = NULL;
+    PyArrayObject *lookup[7], *keys = NULL, *offsets = NULL, *children = NULL, *flags = NULL;
+    npy_intp shape[2] = {2048, 4}, room = 2049, child_room = 65536;
+    int64_t count = 0, start = 0, entries = 0, sizes[2], status;
+    Py_ssize_t num_rows, num_cols;
+    char text[160];
+    int mirrored, i;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOOOpO:closure", keywords,
+                                     &objs[0], &objs[1], &objs[2], &objs[3], &objs[4],
+                                     &objs[5], &objs[6], &mirrored, &split))
+        return NULL;
+    for (i = 0; i < 7; i++) {
+        if (!(lookup[i] = array_arg(objs[i], names[i])))
+            return NULL;
+        if (!IS_I64(lookup[i])) {
+            PyErr_Format(PyExc_TypeError, "%s is %S, not int64", names[i], DTYPE(lookup[i]));
+            return NULL;
+        }
+    }
+    if (SIZE(lookup[0]) != SIZE(lookup[1]) || SIZE(lookup[0]) != SIZE(lookup[2])) {
+        PyErr_Format(PyExc_ValueError, "%zd rows but %zd lo and %zd hi", SIZE(lookup[0]),
+                     SIZE(lookup[1]), SIZE(lookup[2]));
+        return NULL;
+    }
+    if (SIZE(lookup[3]) != SIZE(lookup[4]) || SIZE(lookup[5]) != SIZE(lookup[6])) {
+        PyErr_Format(PyExc_ValueError,
+                     "below / above have %zd / %zd rows and first / last %zd / %zd columns",
+                     SIZE(lookup[3]), SIZE(lookup[4]), SIZE(lookup[5]), SIZE(lookup[6]));
+        return NULL;
+    }
+    num_rows = SIZE(lookup[3]);
+    num_cols = SIZE(lookup[5]);
+    if (!(0 < num_rows && num_rows <= 65536 && 0 < num_cols && num_cols <= 65536)) {
+        PyErr_Format(PyExc_ValueError,
+                     "a %zd x %zd grid: the closure takes 1 to 65,536 rows and columns",
+                     num_rows, num_cols);
+        return NULL;
+    }
+    for (i = 0; i < 7; i++)
+        if (!laid_out(lookup[i], names[i], 0))
+            return NULL;
+    /* Room for a 24 x 24 band grid's 1,128 rectangles and 34K children; a
+     * round that runs out of either is run again in twice the room. */
+    if (!(keys = new_array(2, shape, NPY_INT64)) || !(offsets = new_array(1, &room, NPY_INT64))
+        || !(children = new_array(1, &child_room, NPY_INT64)))
+        goto done;
+    ((int64_t *)PyArray_DATA(offsets))[0] = 0;
+    for (;;) {
+        Py_BEGIN_ALLOW_THREADS
+        status = closure(PyArray_DATA(lookup[0]), PyArray_DATA(lookup[1]),
+                         PyArray_DATA(lookup[2]), SIZE(lookup[0]), PyArray_DATA(lookup[3]),
+                         PyArray_DATA(lookup[4]), num_rows, PyArray_DATA(lookup[5]),
+                         PyArray_DATA(lookup[6]), num_cols, mirrored, PyArray_DATA(keys), count,
+                         PyArray_DIM(keys, 0), flags ? PyArray_DATA(flags) : NULL, start,
+                         PyArray_DATA(offsets), PyArray_DATA(children), entries,
+                         SIZE(children), sizes);
+        Py_END_ALLOW_THREADS
+        if (status == 1) {
+            npy_intp rects = 2 * PyArray_DIM(keys, 0);
+            if (!(keys = grown(keys, rects, count))
+                || !(offsets = grown(offsets, rects + 1, start + 1)))
+                goto done;
+            continue;
+        }
+        if (status == 2) {
+            if (!(children = grown(children, 2 * SIZE(children), entries)))
+                goto done;
+            continue;
+        }
+        if (status == -1) {
+            PyErr_SetString(PyExc_MemoryError,
+                            "the kernel's closure could not allocate its id table");
+            goto done;
+        }
+        if (status) {
+            PyErr_SetString(PyExc_ValueError, "a lookup points outside the table it indexes: "
+                                              "these are not a monotone grid's tables");
+            goto done;
+        }
+        start = count;
+        count = sizes[0];
+        entries = sizes[1];
+        if (start == count)
+            break;
+        {
+            PyObject *met = PySequence_GetSlice((PyObject *)keys, start, count);
+            said = met ? PyObject_CallFunctionObjArgs(split, met, NULL) : NULL;
+            Py_XDECREF(met);
+        }
+        Py_CLEAR(flags);
+        if (!said)
+            goto done;
+        flags = (PyArrayObject *)PyArray_FromAny(said, PyArray_DescrFromType(NPY_BOOL), 0, 0,
+                                                 NPY_ARRAY_CARRAY_RO | NPY_ARRAY_FORCECAST, NULL);
+        Py_DECREF(said);
+        if (!flags)
+            goto done;
+        if (PyArray_NDIM(flags) > 1 || SIZE(flags) != count - start) {
+            PyErr_Format(PyExc_ValueError, "split said %s for %zd rectangles",
+                         shape_text(flags, text, sizeof text), (Py_ssize_t)(count - start));
+            goto done;
+        }
+    }
+    /* Give back the room no entry took: every array ends where its entries do. */
+    if (!shrink(keys, count) && !shrink(offsets, count + 1) && !shrink(children, entries))
+        result = Py_BuildValue("OOO", keys, offsets, children);
+done:
+    Py_XDECREF(keys);
+    Py_XDECREF(offsets);
+    Py_XDECREF(children);
+    Py_XDECREF(flags);
+    return result;
+}
+
+PyDoc_STRVAR(tile_doc,
+"tile(offsets, children, leaf_thresholds, root, delta)\n--\n\n"
+"MonotonicBSP's dynamic program at threshold ``delta`` over a :func:`closure`.\n\n"
+"``offsets`` / ``children`` are the closure's child table,\n"
+"``leaf_thresholds[x]`` the smallest threshold at which rectangle ``x``\n"
+"is one region (its weight; ``-inf`` for a single cell) and ``root`` the\n"
+"rectangle to cover.  Returns ``(counts, splits)``: ``counts[x]`` is the\n"
+"fewest regions covering ``x`` (0: the search never met it), and for a\n"
+"rectangle that splits (``counts[x] > 1``) ``children[splits[x]]`` and\n"
+"``children[splits[x] + 1]`` are the halves of its best split (``splits``\n"
+"is 0 elsewhere).  Offsets and children are int64 and index what they\n"
+"index, thresholds float64, ``offsets`` one longer than them, ``root`` a\n"
+"rectangle and ``delta`` not NaN (no rectangle is one region at a NaN\n"
+"threshold, not even a single cell); otherwise this raises by name.");
+
+static PyObject *py_tile(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
+{
+    static char *keywords[] = {"offsets", "children", "leaf_thresholds", "root", "delta", NULL};
+    static const char *names[5] = {"counts", "splits", "offsets", "children", "leaf_thresholds"};
+    PyObject *objs[3];
+    PyArrayObject *array[5]; /* counts, splits, then the three inputs */
+    Py_ssize_t root, size;
+    npy_intp shape;
+    double delta;
+    int64_t status;
+    int i;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOnd:tile", keywords,
+                                     &objs[0], &objs[1], &objs[2], &root, &delta))
+        return NULL;
+    for (i = 2; i < 5; i++)
+        if (!(array[i] = array_arg(objs[i - 2], names[i])))
+            return NULL;
+    if (!IS_I64(array[2]) || !IS_I64(array[3])) {
+        PyErr_Format(PyExc_TypeError, "offsets %S, children %S: not int64", DTYPE(array[2]),
+                     DTYPE(array[3]));
+        return NULL;
+    }
+    if (!IS_F64(array[4])) {
+        PyErr_Format(PyExc_TypeError, "leaf_thresholds is %S, not float64", DTYPE(array[4]));
+        return NULL;
+    }
+    size = SIZE(array[4]);
+    if (SIZE(array[2]) != size + 1) {
+        PyErr_Format(PyExc_ValueError, "%zd offsets for %zd rectangles", SIZE(array[2]), size);
+        return NULL;
+    }
+    if (!(0 <= root && root < size)) {
+        PyErr_Format(PyExc_ValueError, "root %zd is not one of the %zd rectangles", root, size);
+        return NULL;
+    }
+    if (delta != delta) {
+        PyErr_SetString(PyExc_ValueError,
+                        "delta is nan: a tiling's threshold must be comparable");
+        return NULL;
+    }
+    for (i = 2; i < 5; i++)
+        if (!laid_out(array[i], names[i], 0))
+            return NULL;
+    shape = size;
+    if (!(array[0] = new_array(1, &shape, NPY_INT64)))
+        return NULL;
+    if (!(array[1] = new_array(1, &shape, NPY_INT64))) {
+        Py_DECREF(array[0]);
+        return NULL;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    status = tile(PyArray_DATA(array[2]), PyArray_DATA(array[3]), PyArray_DATA(array[4]), size,
+                  SIZE(array[3]), root, delta, PyArray_DATA(array[0]), PyArray_DATA(array[1]));
+    Py_END_ALLOW_THREADS
+    if (status) {
+        Py_DECREF(array[0]);
+        Py_DECREF(array[1]);
+        if (status == -1)
+            PyErr_SetString(PyExc_MemoryError, "the kernel's tiling could not allocate its stack");
+        else
+            PyErr_SetString(PyExc_ValueError, "an offset or a child lies outside what it "
+                                              "indexes, or a rectangle above delta has no split");
+        return NULL;
+    }
+    return Py_BuildValue("NN", array[0], array[1]);
+}
+
+/* An entry point taking positional and keyword arguments. */
+#define ENTRY(name) (PyCFunction)(void (*)(void))py_##name, METH_VARARGS | METH_KEYWORDS, name##_doc
+
+static PyMethodDef methods[] = {
+    {"fold", ENTRY(fold)},
+    {"band_inverse", ENTRY(band_inverse)},
+    {"offer", ENTRY(offer)},
+    {"group_sums", ENTRY(group_sums)},
+    {"sweep_rows", ENTRY(sweep_rows)},
+    {"closure", ENTRY(closure)},
+    {"tile", ENTRY(tile)},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "repro.joins._native",
+    "The compiled kernel's entry points; repro.joins.native builds, loads and documents it.",
+    -1, methods, NULL, NULL, NULL, NULL,
+};
+
+PyMODINIT_FUNC PyInit__native(void)
+{
+    import_array();
+    return PyModule_Create(&module);
 }

@@ -14,7 +14,7 @@ QRY002    bandless inequality requires a bounded window
 QRY003    unbounded window + shed policy silently loses data
 QRY004    float literals against integer key columns (mirrors KEY001)
 QRY005    window/policy specs must parse against the factories
-SUP001    suppression comments must cite rule ids that exist
+SUP001    suppressions cite rule ids that exist, and waive a finding
 ========  ==========================================================
 
 ``docs/query.md`` carries the full catalogue with examples; the fixture

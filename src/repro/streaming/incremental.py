@@ -415,7 +415,7 @@ class DecayedReservoir:
         batch full, entries at or below its minimum can never enter (the
         minimum only rises), so they take no counter.
         """
-        keys = np.ascontiguousarray(keys, dtype=np.float64)  # reservoir samples feed float EWH boundaries, not join state
+        keys = np.ascontiguousarray(keys, dtype=np.float64)  # repro: ignore[KEY001]  # reservoir samples feed float EWH boundaries, not join state
         self.tuples_seen += len(keys)
         if len(keys) and np.isnan(keys.min()):
             keys = keys[~np.isnan(keys)]

@@ -28,6 +28,7 @@ import pickle
 import shutil
 import subprocess
 import sys
+import sysconfig
 from fractions import Fraction
 from pathlib import Path
 
@@ -409,23 +410,39 @@ def test_a_build_removes_the_stale_libraries(tmp_path):
     assert list(cache.glob("native.*.so")) == libraries
 
 
-#: :data:`IMPORT_PROBE` with the library removed just before its one ``dlopen``.
+#: :data:`IMPORT_PROBE` with the kernel's module removed just before its one load.
 VANISHING_PROBE = (
-    "import ctypes, os\n"
-    "load = ctypes.CDLL\n"
-    "def vanishing(path, *args, **kwargs):\n"
-    "    ctypes.CDLL = load\n"
-    "    os.unlink(path)\n"
-    "    return load(path, *args, **kwargs)\n"
-    "ctypes.CDLL = vanishing\n"
+    "import os\n"
+    "from importlib.machinery import ExtensionFileLoader\n"
+    "import numpy\n"
+    "load = ExtensionFileLoader.create_module\n"
+    "def vanishing(self, spec):\n"
+    "    if os.path.basename(self.path).startswith('native.'):\n"
+    "        ExtensionFileLoader.create_module = load\n"
+    "        os.unlink(self.path)\n"
+    "    return load(self, spec)\n"
+    "ExtensionFileLoader.create_module = vanishing\n"
 ) + IMPORT_PROBE
 
 
 def test_a_library_removed_before_its_load_is_built_again(tmp_path):
     """Another build may remove a library as stale between a loader's
-    check and its ``dlopen``: the loader builds it again instead of raising."""
+    check and its load: the loader builds it again instead of raising."""
     package, cache = _package_copy(tmp_path)
     assert _import_kernel(package) == "loaded"
     (library,) = cache.glob("native.*.so")
     assert _import_kernel(package, VANISHING_PROBE) == "loaded"
     assert list(cache.glob("native.*.so")) == [library]
+
+
+def test_the_cache_name_changes_with_the_interpreter_abi_and_numpy():
+    """A module built for another interpreter ABI or against another numpy
+    is another build: each gives another name, and the loaded module's name
+    is this interpreter's and this numpy's."""
+    argv = native._argv()
+    soabis = ("cpython-311-x86_64-linux-gnu", "cpython-312-x86_64-linux-gnu")
+    versions = ("1.26.4", "2.4.6")
+    names = {native._digest(argv, soabi, version) for soabi in soabis for version in versions}
+    assert len(names) == 4
+    live = native._digest(argv, sysconfig.get_config_var("SOABI") or "", np.__version__)
+    assert Path(native._KERNEL.__file__).name == f"native.{live}.so"

@@ -385,7 +385,7 @@ def kernel_tables(grid: WeightedGrid = TIE_GRID):
 def test_closures_and_tilings_it_does_not_take_raise():
     tables, lookups = kernel_tables()
     closure_args = (*lookups, False, lambda keys: np.ones(len(keys), dtype=bool))
-    for at, name in enumerate(native._LOOKUPS):
+    for at, name in enumerate(("rows", "lo", "hi", "below", "above", "first", "last")):
         args = list(closure_args)
         args[at] = lookups[at].astype(np.float64)
         with pytest.raises(TypeError, match=f"{name} is float64"):
