@@ -388,9 +388,14 @@ class WeightedGrid:
         return GridRegion(0, self.num_rows - 1, 0, self.num_cols - 1)
 
 
+def _finite_non_negative(values: np.ndarray) -> bool:
+    """Every value finite and ``>= 0``: a NaN minimum compares False, an inf maximum too."""
+    return not values.size or bool(values.min() >= 0 and values.max() < np.inf)
+
+
 def _lines(ptr: np.ndarray) -> np.ndarray:
     """The line (row) of each item of a CSR with offsets ``ptr``."""
-    return np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+    return np.repeat(np.arange(ptr.size - 1), ptr[1:] - ptr[:-1])
 
 
 def _total(lines: np.ndarray, values: np.ndarray, size: int) -> float:
@@ -443,31 +448,39 @@ class BandGrid:
         for name in ("run_ptr", "run_lo", "run_hi", "entry_ptr", "entry_col"):
             setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.int64))
         rows, cols = self.shape
-        for name, values in (("row_input", self.row_input), ("col_input", self.col_input),
-                             ("entry_value", self.entry_value)):
-            # ``>= 0`` is False for NaN; the finiteness pass catches +inf.
-            if not ((values >= 0).all() and np.isfinite(values).all()):
-                raise ValueError(f"{name} must be finite and non-negative")
+        # Each check reads every array of its kind at once (a minimum or a
+        # maximum where a comparison would need an ``all``); a failure names
+        # the first offender.
+        floats = (("row_input", self.row_input), ("col_input", self.col_input),
+                  ("entry_value", self.entry_value))
+        if not _finite_non_negative(np.concatenate([values for _, values in floats])):
+            name = next(name for name, values in floats if not _finite_non_negative(values))
+            raise ValueError(f"{name} must be finite and non-negative")
         for name, ptr, items in (("run", self.run_ptr, self.run_lo),
                                  ("entry", self.entry_ptr, self.entry_col)):
             if (ptr.shape != (rows + 1,) or ptr[0] != 0 or ptr[-1] != items.size
-                    or (np.diff(ptr) < 0).any()):
+                    or (ptr[1:] < ptr[:-1]).any()):
                 raise ValueError(f"{name}_ptr must rise from 0 to the {name}s, one per row")
         if self.run_hi.shape != self.run_lo.shape or self.entry_value.shape != self.entry_col.shape:
             raise ValueError("run_lo/run_hi and entry_col/entry_value lengths must match")
-        # Row-major keys: a row's cells and its runs' ends, rows apart.
+        # Row-major keys: a row's cells and its runs' ends, rows apart.  The
+        # ends' steps alternate: a run's width (positive), then the gap to
+        # the next run (not negative).
         width = cols + 1
         run_base = self.run_rows * width
         ends = np.column_stack([run_base + self.run_lo, run_base + self.run_hi]).ravel()
-        if not ((self.run_lo >= 0).all() and (self.run_hi <= cols).all()
-                and (self.run_lo < self.run_hi).all() and (np.diff(ends) >= 0).all()):
+        steps = ends[1:] - ends[:-1]
+        if self.run_lo.size and not (self.run_lo.min() >= 0 and self.run_hi.max() <= cols
+                                     and steps[::2].min() > 0
+                                     and (steps.size < 2 or steps[1::2].min() >= 0)):
             raise ValueError("runs must be non-empty column ranges, ascending and disjoint")
         cells = self.entry_rows * width + self.entry_col
-        if not ((self.entry_col >= 0).all() and (self.entry_col < cols).all()
-                and (np.diff(cells) > 0).all()):
+        if cells.size and not (self.entry_col.min() >= 0 and self.entry_col.max() < cols
+                               and not (cells[1:] <= cells[:-1]).any()):
             raise ValueError("a row's entry columns must be distinct, ascending and in the grid")
-        run = np.searchsorted(ends[::2], cells, side="right") - 1
-        if cells.size and ((run < 0).any() or (cells >= ends[1::2][run]).any()):
+        # A cell lies in a run exactly when an odd number of ends are at or
+        # below it: the run's start, and not yet its stop.
+        if cells.size and not (np.searchsorted(ends, cells, side="right") & 1).all():
             raise ValueError("non-candidate cells cannot carry output frequency")
 
     @classmethod

@@ -47,9 +47,13 @@ def sort_arrivals(
     but deterministic for a given input and numpy build.  Nothing reads it
     -- a count searches by key value, and state is a set of ``(index,
     key)`` pairs -- so this is numpy's default (unstable, vectorised) sort,
-    several times faster than the stable one on unsorted arrivals.  The one
-    sort behind every key-sorted column pair the streaming state is built
-    from.
+    several times faster than the stable one on unsorted arrivals.  An
+    argsort and two gathers: the sort for shares that read arrival indices
+    (the default :meth:`Partitioning.sorted_arrivals`, and a side's live
+    tuples under a plan that routes by index,
+    :func:`~repro.streaming.migration.sorted_live`).  Key-range shares read
+    keys alone, so their sorts are values sorts (``np.sort``), several
+    times faster again.
     """
     order = np.argsort(keys)
     return indices[order], keys[order]

@@ -21,7 +21,14 @@ import numpy as np
 from repro.partitioning.base import Partitioning
 from repro.partitioning.grid_routed import GridRoutedPartitioning, MachineSlices
 
-__all__ = ["RoutedSide", "SideLayout", "route_batch", "route_sorted", "side_layout"]
+__all__ = [
+    "RoutedSide",
+    "SideLayout",
+    "reads_indices",
+    "route_batch",
+    "route_sorted",
+    "side_layout",
+]
 
 
 class SideLayout:
@@ -173,6 +180,18 @@ def side_layout(
     )
 
 
+def reads_indices(partitioning: "Partitioning | None") -> bool:
+    """Whether routing a key-sorted side by ``partitioning`` reads arrival indices.
+
+    A grid plan's shares are key ranges, cut from the keys alone (its
+    layout's ``cut``); any other plan's are cut by
+    :meth:`~repro.partitioning.base.Partitioning.cut_sorted`, which names
+    its tuples by arrival index (1-Bucket draws from it).  ``None``, no
+    plan yet, routes nothing and reads none.
+    """
+    return partitioning is not None and not isinstance(partitioning, GridRoutedPartitioning)
+
+
 def route_sorted(
     partitioning: Partitioning,
     side: int,
@@ -186,7 +205,8 @@ def route_sorted(
     """Key-sorted tuples of one side, routed: what the backend protocol takes.
 
     ``keys`` ascend (NaN last) and ``indices`` are their arrival indices,
-    read only by shares that are not key ranges.  A grid plan's shares are
+    read only by shares that are not key ranges (:func:`reads_indices`;
+    ``None`` otherwise).  A grid plan's shares are
     slices of ``keys`` as they are; any other plan's shares are laid end to
     end, one per group of ``layout`` (:func:`side_layout`), and every
     machine gets its region's group's slice.

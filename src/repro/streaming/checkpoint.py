@@ -378,8 +378,11 @@ def capture(engine: Any) -> StreamCheckpoint:
 def _restored_state(s: RunState, machines: int) -> tuple:
     """Both sides' live logs routed by the captured plan: what a restore installs.
 
-    Sets the run state's layouts on the way; before the initial build
-    there is no plan, and nothing is held.
+    One sort per side (:func:`~repro.streaming.migration.route_live`): of
+    the live keys alone under a key-range plan, of the ``(arrival index,
+    key)`` pairs under one that routes by index.  Sets the run state's
+    layouts on the way; before the initial build there is no plan, and
+    nothing is held.
     """
     if s.partitioning is None:
         s.layouts = None

@@ -94,7 +94,7 @@ from repro.obs.clock import perf_counter
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.partitioning.base import Partitioning
-from repro.partitioning.routing import RoutedSide, route_batch
+from repro.partitioning.routing import RoutedSide, reads_indices, route_batch
 from repro.streaming.arrivals import ArrivalLog
 from repro.streaming.backends import ExecutionBackend, RegionJoinResult, SimulatedBackend
 from repro.streaming.checkpoint import RunState, StreamCheckpoint, capture, resume
@@ -329,7 +329,9 @@ class StreamingJoinEngine:
         machine holds -- the live logs routed by the current plan
         (:func:`~repro.streaming.migration.held_by_machine`) -- against where
         the replacement routes them, each side's live tuples key-sorted once
-        for both routes (so two grid plans overlap by span arithmetic).  The
+        for both routes: the keys alone when both plans are key ranges (so
+        they overlap by span arithmetic), with their arrival indices when
+        either routes by them.  The
         backend is handed the replacement's route of that sort, the one the
         diff read (on ``machines`` machines: a fleet change is an install of
         a different length); an in-process owner whose keys the new plan
@@ -338,7 +340,8 @@ class StreamingJoinEngine:
         Returns the charges for :meth:`_charge`.
         """
         s = self._state
-        live1, live2 = sorted_live(s.log1), sorted_live(s.log2)
+        indexed = reads_indices(s.partitioning) or reads_indices(replacement)
+        live1, live2 = sorted_live(s.log1, indexed), sorted_live(s.log2, indexed)
         old1, old2 = (
             held_by_machine(
                 s.partitioning, side, live, s.rng, self.num_machines, s.region_to_machine

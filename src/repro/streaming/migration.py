@@ -38,12 +38,17 @@ tuple a machine holds reached it through the current plan, so its state is
 the live log routed by that plan and placed by the adopted region-to-machine
 map (:func:`held_by_machine`).  The engine sorts each side's live tuples
 once (:func:`sorted_live`) and cuts that one sort by the old plan and by the
-new.  A grid plan's shares are slices of that sort
-(:meth:`~repro.partitioning.base.Partitioning.cut_spans`) and positions
-map one to one to arrival indices, so when both plans are grids the
-overlap of new region ``r`` with old machine ``m`` is span arithmetic --
-``max(0, min(stop_r, stop_m) - max(start_r, start_m))``, one ``J x J``
-broadcast; any other plan is overlapped by marking arrival indices
+new.  A grid plan's shares are key ranges: slices of that sort
+(:meth:`~repro.partitioning.base.Partitioning.cut_spans`), found from the
+keys alone.  When both plans are grids the sort is therefore one values
+sort of the live keys -- no argsort, no arrival index -- and, positions
+being tuples one to one, the overlap of new region ``r`` with old machine
+``m`` is span arithmetic -- ``max(0, min(stop_r, stop_m) - max(start_r,
+start_m))``, one ``J x J`` broadcast.  A plan that routes by arrival index
+(:func:`~repro.partitioning.routing.reads_indices`: 1-Bucket, any
+``cut_sorted`` scheme) on either side makes the sort one argsort of the
+``(arrival index, key)`` pairs, so every route of it reads indices and keys
+of the same sort, and its overlaps mark arrival indices
 (:func:`_overlap_matrix`).
 
 The key histories are :class:`~repro.streaming.arrivals.ArrivalLog` objects,
@@ -54,7 +59,8 @@ shipped nor resurrected onto machines that already dropped them.  A bare
 array is the log of a stream that never trimmed: everything in it is live.
 
 The live state an initial build or restore hands ``install_state`` is
-routed here too (:func:`route_live`), in the shape every backend verb
+routed here too (:func:`route_live`, from the same one sort, indexed only
+for a plan that reads indices), in the shape every backend verb
 takes (:mod:`repro.partitioning.routing`: a side routed into one key
 array with a slice per machine, read through the plan's
 :func:`~repro.partitioning.routing.side_layout`).  A migration's
@@ -76,6 +82,7 @@ from repro.partitioning.routing import (
     SideLayout,
     _check_fleet,
     _grouped,
+    reads_indices,
     route_sorted,
     side_layout,
 )
@@ -284,31 +291,53 @@ def _spans_to_machines(spans: Spans, region_to_machine, num_machines: int) -> Sp
 
 
 class LiveKeys(NamedTuple):
-    """One side's live tuples, key-sorted once: global indices and their keys."""
+    """One side's live tuples, key-sorted once: their keys, and global indices if read.
 
-    indices: np.ndarray
+    ``indices`` is ``None`` when the keys were sorted alone (:func:`sorted_live`).
+    """
+
+    indices: "np.ndarray | None"
     keys: np.ndarray
 
 
-def sorted_live(keys: "ArrivalLog | np.ndarray | LiveKeys") -> LiveKeys:
+def sorted_live(
+    keys: "ArrivalLog | np.ndarray | LiveKeys", indexed: bool = False
+) -> LiveKeys:
     """One side's live tuples as :class:`LiveKeys`: one key sort, NaN last.
 
     Of a windowed log only the live tuples are taken -- expired tuples are
     never routed, so a migration ships (and a post-migration machine holds)
     live state only.  An unwindowed log or a bare key array is live whole,
-    its indices counted from the log's base (0 for an array).  A
-    :class:`LiveKeys` passes through, so callers that cut one sort by
-    several plans sort once.
+    its indices counted from the log's base (0 for an array).
+
+    A plan whose shares are key ranges cuts the sort by key alone, so the
+    live keys are sorted as values (``np.sort``) and no index is made.
+    ``indexed`` asks for the arrival indices too -- for a plan that routes
+    by them (:func:`~repro.partitioning.routing.reads_indices`) -- and makes
+    the sort one argsort of the pairs
+    (:func:`~repro.partitioning.base.sort_arrivals`), so indices and keys
+    come from the same sort.  A :class:`LiveKeys` passes through, so callers
+    that cut one sort by several plans sort once; ``ValueError`` if
+    ``indexed`` and it holds no indices.
     """
     if isinstance(keys, LiveKeys):
+        if indexed and keys.indices is None:
+            raise ValueError(
+                "these live keys were sorted without their arrival indices, "
+                "which a plan that is not key ranges routes by"
+            )
         return keys
-    base = 0
-    if isinstance(keys, ArrivalLog):
-        if keys.windowed:
-            return LiveKeys(*sort_arrivals(keys.live, keys[keys.live]))
-        base, keys = keys.base, keys.keys
-    keys = np.asarray(keys)
-    return LiveKeys(*sort_arrivals(np.arange(base, base + len(keys)), keys))
+    if isinstance(keys, ArrivalLog) and keys.windowed:
+        indices, keys = keys.live, keys[keys.live]
+    else:
+        base = keys.base if isinstance(keys, ArrivalLog) else 0
+        keys = np.asarray(keys.keys if isinstance(keys, ArrivalLog) else keys)
+        indices = None
+    if not indexed:
+        return LiveKeys(None, np.sort(keys))
+    if indices is None:
+        indices = np.arange(base, base + len(keys))
+    return LiveKeys(*sort_arrivals(indices, keys))
 
 
 def _route(
@@ -349,7 +378,8 @@ def route_live(
 
     The initial build (its backlog, counted as one batch), a migration and
     a restore all hand the backend a side's live tuples sorted once
-    (:func:`sorted_live`) and routed by the plan
+    (:func:`sorted_live`, indexed only when the plan routes by arrival
+    index) and routed by the plan
     (:func:`~repro.partitioning.routing.route_sorted`).  Returns the plan's
     two :func:`~repro.partitioning.routing.side_layout` and the two routed
     sides.
@@ -358,14 +388,15 @@ def route_live(
         side_layout(partitioning, side, region_to_machine, num_machines)
         for side in (1, 2)
     )
+    indexed = reads_indices(partitioning)
     routed = tuple(
         route_sorted(
             partitioning, side, live.keys, live.indices, rng, layout,
             region_to_machine, num_machines,
         )
         for side, live, layout in (
-            (1, sorted_live(live1), layouts[0]),
-            (2, sorted_live(live2), layouts[1]),
+            (1, sorted_live(live1, indexed), layouts[0]),
+            (2, sorted_live(live2, indexed), layouts[1]),
         )
     )
     return layouts, routed
@@ -390,18 +421,19 @@ def held_by_machine(
     :func:`sorted_live` sort, which the planner overlaps by span
     arithmetic; otherwise each machine's arrival indices
     (:meth:`Partitioning.cut_sorted
-    <repro.partitioning.base.Partitioning.cut_sorted>`).  Spans are
-    positions in that one sort, so the planner must be handed the same
-    :class:`LiveKeys` (the engine sorts each side once and passes it to
-    both).  Before any plan exists nothing is held.
+    <repro.partitioning.base.Partitioning.cut_sorted>`, so ``keys`` must
+    then be indexed).  Spans are positions in that one sort, so the planner
+    must be handed the same :class:`LiveKeys` (the engine sorts each side
+    once and passes it to both).  Before any plan exists nothing is held:
+    every machine an empty slice.
     """
-    live = sorted_live(keys)
-    shares = []
-    if partitioning is not None:
-        spans = partitioning.cut_spans(side, live.keys)
-        if spans is not None:
-            return _spans_to_machines(spans, region_to_machine, num_machines)
-        shares = partitioning.cut_sorted(side, live.keys, live.indices, rng)
+    if partitioning is None:
+        return Spans(*(np.zeros(num_machines, dtype=np.int64) for _ in range(2)))
+    live = sorted_live(keys, reads_indices(partitioning))
+    spans = partitioning.cut_spans(side, live.keys)
+    if spans is not None:
+        return _spans_to_machines(spans, region_to_machine, num_machines)
+    shares = partitioning.cut_sorted(side, live.keys, live.indices, rng)
     placed = _to_machines(shares, live.keys, region_to_machine, num_machines)
     return [indices for indices, _ in placed]
 
@@ -470,7 +502,9 @@ def plan_install(
     keys1, keys2:
         The key histories: the engine's arrival logs, bare key arrays
         indexed by arrival index, or their :class:`LiveKeys` (see
-        :func:`sorted_live`).  Only live tuples are routed -- a rebuild
+        :func:`sorted_live`; indexed when the new plan, or an old holding
+        given as index arrays, reads arrival indices).  Only live tuples
+        are routed -- a rebuild
         never ships (or resurrects) expired tuples, and the migration
         volume charged is the live volume only.
     num_machines:
@@ -492,7 +526,12 @@ def plan_install(
         raise ValueError(
             f"unknown migration mode {mode!r} (expected one of {MIGRATION_MODES})"
         )
-    lives = sorted_live(keys1), sorted_live(keys2)
+    # Index arrays of the old holdings are overlapped by the marks pass,
+    # which reads the new route's indices too.
+    indexed = reads_indices(new_partitioning) or not (
+        isinstance(old_assignments1, Spans) and isinstance(old_assignments2, Spans)
+    )
+    lives = sorted_live(keys1, indexed), sorted_live(keys2, indexed)
     routes = [
         _route(new_partitioning, side, live, rng, num_machines)
         for side, live in zip((1, 2), lives)

@@ -87,7 +87,7 @@ def plan_install(*arguments, **options):
     figures only.
     """
     arguments = list(arguments)
-    lives = [migration.sorted_live(keys) for keys in arguments[3:5]]
+    lives = [reference_migration.argsort_live(keys) for keys in arguments[3:5]]
     arguments[3:5] = [as_history(keys) for keys in arguments[3:5]]
     expected = reference_migration.plan_migration(*arguments, **options)
     partitioning, histories, machines = arguments[2], arguments[3:5], arguments[5]

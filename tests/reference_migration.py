@@ -19,6 +19,15 @@ figures, and route every machine the keys of these index arrays.
 checkpoints until they stopped storing machine state: the live log cut by
 the plan, region ``r``'s share on ``region_to_machine[r]``, as ``(arrival
 indices, keys)`` columns per machine.
+
+The last section is the argsort route, kept from before a key-range plan's
+live tuples were sorted as values: :func:`argsort_live` argsorts every
+side's ``(arrival index, key)`` pairs whatever the plans, and
+:func:`argsort_held_by_machine`, :func:`argsort_plan_install` and
+:func:`argsort_route_live` are the bodies that read it.  Production's
+``plan_install`` / ``route_live`` must give the same plan arrays, layouts
+and slices, and keys equal as values
+(``tests/test_live_route_oracle.py``).
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.partitioning.one_bucket import OneBucketPartitioning
+from repro.partitioning.routing import RoutedSide, _grouped, route_sorted, side_layout
 from repro.streaming.arrivals import ArrivalLog
 from repro.streaming import migration
 from repro.streaming.migration import MIGRATION_MODES, pad_assignments
@@ -226,7 +236,7 @@ def placement(partitioning, side, keys, rng, num_machines, region_to_machine):
     ``(arrival indices, keys)`` per machine, keys ascending.  Before any
     plan exists nothing is held.
     """
-    live = migration.sorted_live(keys)
+    live = argsort_live(keys)
     routed = (
         [] if partitioning is None
         else partitioning.cut_sorted(side, live.keys, live.indices, rng)
@@ -261,5 +271,117 @@ def install(monkeypatch) -> None:
 
     import repro.streaming.engine as engine
 
+    monkeypatch.setattr(engine, "sorted_live", argsort_live)
     monkeypatch.setattr(engine, "held_by_machine", held_indices)
     monkeypatch.setattr(engine, "plan_install", reference_install.plan_install)
+
+
+# ----------------------------------------------------------------------
+# The argsort route: every side's live pairs argsorted, whatever the plans
+# ----------------------------------------------------------------------
+def argsort_live(keys, indexed: bool = True) -> migration.LiveKeys:
+    """A side's live tuples as one argsort of their ``(arrival index, key)`` pairs.
+
+    ``indexed`` is taken and ignored, so this stands in for
+    ``migration.sorted_live`` anywhere: the indices are always made.  A
+    :class:`~repro.streaming.migration.LiveKeys` passes through.
+    """
+    if isinstance(keys, migration.LiveKeys):
+        return keys
+    if isinstance(keys, ArrivalLog) and keys.windowed:
+        indices, keys = keys.live, keys[keys.live]
+    else:
+        base = keys.base if isinstance(keys, ArrivalLog) else 0
+        keys = np.asarray(keys.keys if isinstance(keys, ArrivalLog) else keys)
+        indices = np.arange(base, base + len(keys))
+    order = np.argsort(keys)
+    return migration.LiveKeys(indices[order], keys[order])
+
+
+def argsort_held_by_machine(partitioning, side, keys, rng, num_machines, region_to_machine):
+    """``held_by_machine`` over :func:`argsort_live`: slices or index arrays."""
+    live = argsort_live(keys)
+    shares = []
+    if partitioning is not None:
+        spans = partitioning.cut_spans(side, live.keys)
+        if spans is not None:
+            return migration._spans_to_machines(spans, region_to_machine, num_machines)
+        shares = partitioning.cut_sorted(side, live.keys, live.indices, rng)
+    placed = migration._to_machines(shares, live.keys, region_to_machine, num_machines)
+    return [indices for indices, _ in placed]
+
+
+def argsort_plan_install(
+    old_assignments1, old_assignments2, new_partitioning, keys1, keys2,
+    num_machines: int, rng: np.random.Generator, mode: str = "full",
+):
+    """``plan_install`` over :func:`argsort_live`: ``(plan, layouts, routed)``."""
+    if mode not in MIGRATION_MODES:
+        raise ValueError(
+            f"unknown migration mode {mode!r} (expected one of {MIGRATION_MODES})"
+        )
+    lives = argsort_live(keys1), argsort_live(keys2)
+    routes = [
+        migration._route(new_partitioning, side, live, rng, num_machines)
+        for side, live in zip((1, 2), lives)
+    ]
+    old_machines = max(len(old_assignments1), len(old_assignments2), num_machines)
+    olds = (
+        migration._padded(old_assignments1, old_machines),
+        migration._padded(old_assignments2, old_machines),
+    )
+    overlaps = sum(
+        migration._overlaps(*route, old, live) for route, old, live in zip(routes, olds, lives)
+    )
+    if mode == "partial":
+        region_to_machine = migration._best_region_map(overlaps[:, :num_machines])
+    else:
+        region_to_machine = np.arange(num_machines, dtype=np.int64)
+    kept = np.zeros(old_machines, dtype=np.int64)
+    kept[region_to_machine] = overlaps[np.arange(num_machines), region_to_machine]
+    held = np.zeros(num_machines, dtype=np.int64)
+    for shares, spans in routes:
+        sizes = migration._sizes(spans if shares is None else [i for i, _ in shares])
+        held[region_to_machine] += sizes
+    plan = migration.MigrationPlan(
+        per_machine_arrivals=held - kept[:num_machines],
+        per_machine_departures=migration._sizes(olds[0]) + migration._sizes(olds[1]) - kept,
+        region_to_machine=region_to_machine,
+        mode=mode,
+    )
+    layouts = tuple(
+        side_layout(new_partitioning, side, region_to_machine, num_machines)
+        for side in (1, 2)
+    )
+    routed = []
+    for side, (shares, spans), live, layout in zip((1, 2), routes, lives, layouts):
+        if spans is None:
+            routed.append(
+                _grouped(
+                    new_partitioning, side, shares, layout, region_to_machine,
+                    num_machines,
+                )
+            )
+        else:
+            placed = migration._spans_to_machines(spans, region_to_machine, num_machines)
+            routed.append(RoutedSide(live.keys, placed.starts, placed.stops, layout))
+    return plan, layouts, tuple(routed)
+
+
+def argsort_route_live(partitioning, live1, live2, rng, region_to_machine, num_machines):
+    """``route_live`` over :func:`argsort_live`: ``(layouts, routed)``."""
+    layouts = tuple(
+        side_layout(partitioning, side, region_to_machine, num_machines)
+        for side in (1, 2)
+    )
+    routed = tuple(
+        route_sorted(
+            partitioning, side, live.keys, live.indices, rng, layout,
+            region_to_machine, num_machines,
+        )
+        for side, live, layout in (
+            (1, argsort_live(live1), layouts[0]),
+            (2, argsort_live(live2), layouts[1]),
+        )
+    )
+    return layouts, routed

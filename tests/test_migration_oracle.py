@@ -49,6 +49,7 @@ from repro.partitioning import (
     build_one_bucket_partitioning,
 )
 from repro.partitioning.base import Spans
+from repro.partitioning.routing import reads_indices
 from repro.streaming import (
     ArrivalLog,
     DriftAdaptiveEWHPolicy,
@@ -181,22 +182,26 @@ def test_square_overlap_matrix_equals_the_sort_based_one(
 # ----------------------------------------------------------------------
 # Overlaps of grid plans: span arithmetic, and the marks pass elsewhere
 # ----------------------------------------------------------------------
-def _old_and_new_overlaps(old_scheme, new_scheme, live, old_machines, num_machines, remap):
+def _old_and_new_overlaps(old_scheme, new_scheme, log, old_machines, num_machines, remap):
     """Production overlaps (with the path taken) and the sort-based matrix.
 
     The old plan's regions sit on ``remap`` (a permutation of the old fleet);
-    both plans cut the one sort ``live``.
+    both plans cut one production sort of ``log``, indexed only when a plan
+    reads indices.  The reference names a slice's tuples from its own
+    argsort: a key range holds the same tuples in any tie order.
     """
     rng = np.random.default_rng(0)
+    live = sorted_live(log, reads_indices(old_scheme) or reads_indices(new_scheme))
     held = held_by_machine(old_scheme, 1, live, rng, old_machines, remap)
     routed, spans = migration._route(new_scheme, 1, live, rng, num_machines)
     width = max(old_machines, num_machines)
     ours = migration._overlaps(routed, spans, migration._padded(held, width), live)
-    shares = routed if spans is None else spans.columns(live.indices, live.keys)
+    reference = reference_migration.argsort_live(log)
+    shares = routed if spans is None else spans.columns(reference.indices, reference.keys)
     expected = reference_migration.overlap_matrix(
         pad_assignments([indices for indices, _ in shares], width),
         pad_assignments(
-            reference_migration.held_indices(old_scheme, 1, live, rng, old_machines, remap),
+            reference_migration.held_indices(old_scheme, 1, log, rng, old_machines, remap),
             width,
         ),
         width,
@@ -242,7 +247,7 @@ def test_ewh_to_ewh_overlaps_are_spans_equal_to_the_sort_based_matrix(
     live = sorted_live(log)
     region_map = _remap(old_machines, old_machines, remap)
     ours, expected, spanned = _old_and_new_overlaps(
-        old, new, live, old_machines, num_machines, region_map
+        old, new, log, old_machines, num_machines, region_map
     )
     assert spanned
     np.testing.assert_array_equal(ours, expected)
@@ -253,7 +258,7 @@ def test_ewh_to_ewh_overlaps_are_spans_equal_to_the_sort_based_matrix(
         held_by_machine(old, side, live, rng, old_machines, region_map) for side in (1, 2)
     ]
     indices = [
-        reference_migration.held_indices(old, side, live, rng, old_machines, region_map)
+        reference_migration.held_indices(old, side, log, rng, old_machines, region_map)
         for side in (1, 2)
     ]
     for mode in MIGRATION_MODES:
@@ -300,7 +305,7 @@ def test_overlaps_equal_the_sort_based_matrix_and_1_bucket_takes_the_marks_pass(
 
     old, new = scheme(old_kind, old_machines), scheme(new_kind, num_machines)
     ours, expected, spanned = _old_and_new_overlaps(
-        old, new, sorted_live(log), old_machines, num_machines,
+        old, new, log, old_machines, num_machines,
         _remap(seed, old_machines, remap),
     )
     assert spanned == (old_kind == new_kind == "grid")

@@ -18,6 +18,7 @@ from reference_planner import (
 )
 
 from repro.core.coarsening import coarsen
+from repro.core.grid import BandGrid
 from repro.core.sample_matrix import (
     SampleMatrix,
     build_sample_matrix,
@@ -330,3 +331,58 @@ def test_a_sampled_cell_outside_the_run_is_a_run_of_its_own():
     assert grid.entry_col.tolist() == [0, 3]
     assert grid.entry_value.tolist() == [5.0, 5.0]
     assert grid.num_candidate_cells == dense_grid(grid).num_candidate_cells == 3 + 3 + 3 + 2
+
+
+def _band(**changes):
+    """A valid 2 x 3 band with ``changes`` applied: row 0 runs [0, 2) and
+    [2, 3) (touching), row 1 runs [1, 3); entries at (0, 1), (0, 2), (1, 2)."""
+    fields = dict(
+        row_input=[1.0, 2.0], col_input=[3.0, 0.0, 4.0],
+        run_ptr=[0, 2, 3], run_lo=[0, 2, 1], run_hi=[2, 3, 3],
+        entry_ptr=[0, 2, 3], entry_col=[1, 2, 2], entry_value=[5.0, 1.0, 0.5],
+    )
+    fields.update(changes)
+    return BandGrid(**fields)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"row_input": [1.0, np.nan]}, "row_input must be finite"),
+        ({"col_input": [3.0, np.inf, 4.0]}, "col_input must be finite"),
+        ({"col_input": [3.0, -0.5, 4.0], "entry_value": [np.nan, 1.0, 0.5]},
+         "col_input must be finite"),
+        ({"entry_value": [5.0, -np.inf, 0.5]}, "entry_value must be finite"),
+        ({"run_ptr": [0, 3]}, "run_ptr must rise"),
+        ({"run_ptr": [1, 2, 3]}, "run_ptr must rise"),
+        ({"run_ptr": [0, 2, 2]}, "run_ptr must rise"),
+        ({"run_ptr": [0, 4, 3], "run_lo": [0, 2, 1, 1], "run_hi": [2, 3, 3, 3]},
+         "run_ptr must rise"),
+        ({"entry_ptr": [0, 3, 2]}, "entry_ptr must rise"),
+        ({"run_hi": [2, 3]}, "run_lo/run_hi and entry_col/entry_value"),
+        ({"entry_value": [5.0, 1.0]}, "run_lo/run_hi and entry_col/entry_value"),
+        ({"run_lo": [-1, 2, 1]}, "runs must be non-empty"),
+        ({"run_hi": [2, 3, 4]}, "runs must be non-empty"),
+        ({"run_hi": [2, 2, 3]}, "runs must be non-empty"),
+        ({"run_lo": [0, 1, 1]}, "runs must be non-empty"),
+        ({"run_lo": [2, 0, 1], "run_hi": [3, 2, 3]}, "runs must be non-empty"),
+        ({"entry_col": [-1, 2, 2]}, "entry columns must be distinct"),
+        ({"entry_col": [1, 2, 3]}, "entry columns must be distinct"),
+        ({"entry_col": [2, 1, 2]}, "entry columns must be distinct"),
+        ({"entry_col": [1, 1, 2]}, "entry columns must be distinct"),
+        ({"entry_ptr": [0, 1, 3], "entry_col": [1, 0, 2]}, "non-candidate cells"),
+        ({"run_ptr": [0, 1, 1], "run_lo": [0], "run_hi": [2], "entry_col": [0, 1, 2],
+          "entry_ptr": [0, 2, 3]}, "non-candidate cells"),
+    ],
+)
+def test_a_band_grid_refuses_what_is_not_a_band(changes, message):
+    """Every check of ``BandGrid`` refuses by its own message; the base band passes."""
+    assert _band().num_candidate_cells == 2 + 1 + 2
+    with pytest.raises(ValueError, match=message):
+        _band(**changes)
+
+
+def test_a_band_grid_of_no_rows_or_no_entries_is_a_band():
+    empty = BandGrid([], [], [0], [], [], [0], [], [])
+    assert empty.shape == (0, 0) and empty.num_candidate_cells == 0
+    assert _band(entry_ptr=[0, 0, 0], entry_col=[], entry_value=[]).total_output == 0.0

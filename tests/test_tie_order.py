@@ -1,10 +1,12 @@
 """Arrivals are sorted by key alone: the order among equal keys is unobservable.
 
 ``repro.partitioning.base.sort_arrivals``,
-``GridRoutedPartitioning.sorted_arrivals`` and
+``GridRoutedPartitioning.sorted_arrivals``,
 ``repro.partitioning.routing.route_batch`` (which sorts a key-range plan's
-batch keys alone) sort unsorted arrivals with numpy's default sort, so equal
-keys reach the state in an order nobody specifies.  The first half runs
+batch keys alone) and ``repro.streaming.migration.sorted_live`` (which sorts
+a key-range plan's live keys alone for the initial build, a migration and a
+restore) sort unsorted arrivals with numpy's default sort, so equal keys
+reach the state in an order nobody specifies.  The first half runs
 whole engines twice -- once as they are, once with those sorts emitting
 every run of equal keys in *reverse* arrival order -- and asks for the same
 per-batch deltas, loads,
@@ -15,7 +17,9 @@ of ties: one key only, fewer distinct keys than machines, ``-0.0`` beside
 
 The second half is a call-count proxy for the speed-up: one steady batch
 and one migration make no stable sort (a run merge sorts nothing: the
-compiled kernel merges the sorted runs in one pass).
+compiled kernel merges the sorted runs in one pass), and under a key-range
+plan a migration and a restore sort each side's live keys as values, with
+no argsort; a 1-Bucket migration, which routes by arrival index, argsorts.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from repro.streaming import (
     MicroBatch,
     SimulatedBackend,
     StaticEWHPolicy,
+    StaticOneBucketPolicy,
     StickyWorkerBackend,
     StreamingJoinEngine,
 )
@@ -56,8 +61,9 @@ NUM_BATCHES, PER_SIDE, CHECKPOINT_AT = 10, 120, 5
 #: The sorts whose tie order is unspecified: the callers of the patched argsort.
 ARRIVAL_SORTS = ("sort_arrivals", "sorted_arrivals", "_sort_then_cut")
 
-#: The callers of the patched ``np.sort``: a key-range plan's batch route.
-KEY_SORTS = ("route_batch",)
+#: The callers of the patched ``np.sort``: a key-range plan's batch route
+#: and its live sort (initial build, migration, restore).
+KEY_SORTS = ("route_batch", "sorted_live")
 
 _argsort = np.argsort
 _sort = np.sort
@@ -106,7 +112,7 @@ def _reversed_ties(keys, *args, **kwargs):
 
 
 def _reversed_key_ties(keys, *args, **kwargs):
-    """``np.sort``, except that the batch route gets equal keys reversed."""
+    """``np.sort``, except that the batch route and the live sort get equal keys reversed."""
     if args or kwargs or sys._getframe(1).f_code.co_name not in KEY_SORTS:
         return _sort(keys, *args, **kwargs)
 
@@ -204,13 +210,14 @@ def test_sticky_reversed_ties_leave_runs_and_checkpoints_unchanged(
 
 def test_the_streams_repartition_and_hold_ties(monkeypatch):
     """What the matrix above exercises: a drift migration, and ties on every path."""
-    reversed_ties = 0
+    reversed_ties: "dict[str, int]" = {}
 
     def counting(sort, callers):
         def sorting(keys, *args, **kwargs):
-            nonlocal reversed_ties
-            if not args and not kwargs and sys._getframe(1).f_code.co_name in callers:
-                reversed_ties += int(len(np.unique(keys)) < len(keys))
+            caller = sys._getframe(1).f_code.co_name
+            if not args and not kwargs and caller in callers:
+                tied = int(len(np.unique(keys)) < len(keys))
+                reversed_ties[caller] = reversed_ties.get(caller, 0) + tied
             return sort(keys, *args, **kwargs)
 
         return sorting
@@ -219,9 +226,12 @@ def test_the_streams_repartition_and_hold_ties(monkeypatch):
     monkeypatch.setattr(np, "sort", counting(_sort, KEY_SORTS))
     result, _, _ = _run("adaptive", "batches:3", "signed_zeros", SimulatedBackend, monkeypatch)
     assert result.num_repartitions >= 1
-    # Two sides per routed batch and per expired slice, the initial build's
-    # and each migration's live sorts, and the restore's.
-    assert reversed_ties >= 2 * NUM_BATCHES
+    # Two sides per routed batch and per expired slice.
+    assert reversed_ties["route_batch"] >= 2 * NUM_BATCHES
+    # Two sides' live keys at the initial build, at each migration and at
+    # the restore: the values sort, never an argsort.
+    assert reversed_ties["sorted_live"] >= 2 * (result.num_repartitions + 2)
+    assert "sort_arrivals" not in reversed_ties
 
 
 # ----------------------------------------------------------------------
@@ -250,9 +260,10 @@ def test_unsorted_arrivals_take_no_stable_sort(monkeypatch):
     A steady batch sorts the keys of each side's
     arrivals and of each side's expired slice once -- four default-kind
     ``np.sort`` calls: a key-range plan reads no arrival index -- and a
-    migration argsorts each side's live history once, for the old plan's
-    placement and the new plan's route alike -- two; with the stable sort
-    on arrivals they made stable ones.
+    migration between key-range plans sorts each side's live keys once,
+    for the old plan's placement and the new plan's route alike -- two
+    ``np.sort`` calls and no argsort; with the stable sort on arrivals they
+    made stable ones.
     """
     batches = _drifting_batches(40, redraw_every=12)
     engine = StreamingJoinEngine(
@@ -287,4 +298,40 @@ def test_unsorted_arrivals_take_no_stable_sort(monkeypatch):
     migration = migrations[0]
     print(f"argsorts outside run merges: steady batch {steady}, migration {migration}")
     assert steady == {"sort default": 4}
-    assert migration == {"argsort default": 2}
+    assert migration == {"sort default": 2}
+
+
+def test_an_ewh_restore_sorts_each_side_s_live_keys_once(monkeypatch):
+    """``resume_from`` on an EWH plan: one values sort per side, no argsort."""
+    batches = _drifting_batches(24, redraw_every=12)
+    engine = _drifting_engine()
+    engine.start()
+    for batch in batches:
+        engine.process_batch(batch)
+    checkpoint = engine.checkpoint()
+    engine.close()
+    assert checkpoint.partitioning.scheme_name != "CI"
+    with monkeypatch.context() as patch:
+        restore = _argsorts_by_kind(patch)
+        StreamingJoinEngine.resume_from(checkpoint).close()
+    print(f"sorts in an EWH restore: {restore}")
+    assert restore == {"sort default": 2}
+
+
+def test_a_1_bucket_migration_still_argsorts(monkeypatch):
+    """1-Bucket draws from arrival indices: a resize argsorts each side's live pairs once."""
+    engine = StreamingJoinEngine(
+        MACHINES, BAND, WEIGHTS,
+        policy=StaticOneBucketPolicy(MACHINES), window="batches:4", seed=3,
+    )
+    engine.start()
+    for batch in _stream("two_keys")[:6]:
+        engine.process_batch(batch)
+    with monkeypatch.context() as patch:
+        resize = _argsorts_by_kind(patch)
+        engine.resize(MACHINES + 2)
+    engine.close()
+    print(f"sorts in a 1-Bucket resize: {resize}")
+    # The np.sort calls order each draw group's machine ids (side_layout),
+    # one per grid row and column of the new 2 x 3 fleet.
+    assert resize == {"argsort default": 2, "sort default": 2 + 3}
