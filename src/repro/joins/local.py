@@ -16,8 +16,10 @@ Three algorithms are provided:
   tests as ground truth.
 
 For the simulator we rarely need materialised pairs, only their number:
-routed needles are counted against sorted runs with two binary searches
-per needle and run, in the compiled kernel's fold
+routed needles are counted against sorted runs with two searches per
+needle and run -- sorted needles each start where the previous one's answer
+was, so an answer a few keys away costs a short walk and a farther one
+``O(log gap)`` -- in the compiled kernel's fold
 (:func:`repro.joins.native.fold`).  :func:`search_half` states one half
 of a count as the fold takes it -- a stream batch's two halves ride one
 fold with the batch's run merges

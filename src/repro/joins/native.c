@@ -107,21 +107,42 @@ struct run {
 #define BEFORE_RIGHT(x, v) (!((v) < (x)))
 
 /*
+ * How many keys right of `from` a search compares one at a time before it
+ * gallops.  A stream_growth needle's answer lies about 7 keys past the
+ * previous one's (2,000 sorted needles against runs of ~13.8K keys), where
+ * a walk's predictable compares beat a gallop's log2(gap) unpredictable
+ * ones.  Replaying recorded folds on a 2-core Xeon, the count's two halves
+ * took 274 -> 205 us per growth fold and 53 -> 38 us per stream_steady
+ * fold with this walk (best of five rounds).  Walks of 16 or 32 keys read
+ * 193 / 41 and 188 / 43 us, but no better end to end (32: growth 1.03x,
+ * steady 1.02x, stream_drift 0.98x); a branch-free count of the 8 keys
+ * read 241 / 47 us, and growth 0.93x end to end.
+ */
+#define WALK 8
+
+/*
  * The first i in [0, size) whose keys[i] is not BEFORE v, or size, for
- * keys ascending and free of NaN, each compared as a BOUND.  It gallops
- * from `from` (the previous needle's answer) in whichever direction the
- * answer lies, then bisects, so sorted needles cost O(log gap) each and
- * any order stays exact.
+ * keys ascending and free of NaN, each compared as a BOUND.  Starting at
+ * `from`, it walks up to WALK keys rightwards one at a time, and only past
+ * them gallops (from the last key walked, or leftwards from `from`) and
+ * then bisects.  So a needle whose answer lies within the walk costs a few
+ * compares, a farther one O(log gap), and any `from` gives the exact
+ * answer.
  */
 #define GALLOP(NAME, KEY, BOUND, BEFORE)                                       \
     static int64_t NAME(const KEY *keys, int64_t size, BOUND v, int64_t from)  \
     {                                                                          \
-        int64_t lo, hi, step = 1;                                              \
+        int64_t lo, hi, last, step = 1;                                        \
         if (from > size)                                                       \
             from = size;                                                       \
         if (from < size && BEFORE((BOUND)keys[from], v)) {                     \
-            /* Right of from: keys[lo - 1] is before v. */                     \
-            lo = hi = from + 1;                                                \
+            /* Right of from: walk to last, the end of the window. */          \
+            last = size - from > WALK ? from + WALK : size - 1;                \
+            for (lo = from + 1; lo <= last; lo++)                              \
+                if (!BEFORE((BOUND)keys[lo], v))                               \
+                    return lo;                                                 \
+            /* Past it: keys[lo - 1] is before v. */                           \
+            hi = lo;                                                           \
             while (hi < size && BEFORE((BOUND)keys[hi], v)) {                  \
                 lo = hi + 1;                                                   \
                 hi = size - hi > step ? hi + step : size;                      \
@@ -295,7 +316,11 @@ RUNS(i64, int64_t, NEVER_NAN)
  * One search: S names the (run key, bound) pair -- f64 (double, double),
  * i64 (int64, int64) or mixed (int64 keys, double bounds).  Each needle of
  * the spans [spans[2 u], spans[2 u + 1]) gets its [lo, hi) in the run once,
- * written to lo_at / hi_at.
+ * written to lo_at / hi_at.  Its lo search starts at the previous needle's
+ * lo; its hi search at the previous hi or this needle's lo, whichever is
+ * further right, since a high bound not below the low one answers there or
+ * past it.  Sorted needles a few keys apart thus cost a short walk each, and
+ * an inequality's infinite high bound one compare at the previous hi.
  */
 #define SEARCH(S, KEY, BOUND, IS_NAN)                                          \
     GALLOP(lower_##S, KEY, BOUND, BEFORE_LEFT)                                 \
@@ -314,7 +339,8 @@ RUNS(i64, int64_t, NEVER_NAN)
                 BOUND high = ((const BOUND *)highs)[j];                        \
                 lo = IS_NAN(low) ? tail : lower_##S(keys, tail, low, lo);      \
                 hi = IS_NAN(high) ? run.size                                   \
-                                  : upper_##S(keys, tail, high, hi);           \
+                                  : upper_##S(keys, tail, high,                \
+                                              hi > lo ? hi : lo);              \
                 lo_at[j] = lo;                                                 \
                 hi_at[j] = hi;                                                 \
             }                                                                  \

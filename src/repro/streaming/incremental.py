@@ -12,7 +12,9 @@ both live here:
   held once per side by each state owner
   (:class:`~repro.streaming.backends.StateOwner`), every machine reading it
   through its key range -- so the engine counts a batch's incremental
-  output with ``O(new * runs * log distinct)`` binary searches and folds
+  output with two searches per new key and run, each a short walk when
+  its answer lies a few keys past the previous key's and ``O(log gap)``
+  farther (``O(new * runs * log distinct)`` at worst), and folds
   the batch in for an amortised ``O(new * ratio * log_ratio(distinct /
   new))`` copies -- instead of re-sorting and re-scanning the whole state
   every batch (``O(state log state)``) or re-copying it (``O(state)``).

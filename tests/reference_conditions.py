@@ -89,7 +89,10 @@ def _bisect_inverse(pending: np.ndarray, beta: float, lower: bool) -> np.ndarray
     for _ in range(66):
         mid = _ordinal_midpoint(lo, hi)
         x = _from_ordinal(mid)
-        satisfied = (x + beta) >= pending if lower else (x - beta) <= pending
+        # A probe near the largest double may round past it to +-inf: that
+        # is the sum the band test rounds to (see _band_lower_inverse).
+        with np.errstate(over="ignore"):
+            satisfied = (x + beta) >= pending if lower else (x - beta) <= pending
         if lower:
             hi = np.where(satisfied, mid, hi)
             lo = np.where(satisfied, lo, mid)
@@ -134,18 +137,22 @@ def _band_lower_inverse(keys2: np.ndarray, beta: float) -> np.ndarray:
     (:func:`_bisect_cached`), guaranteed to terminate.
     """
     keys2 = np.asarray(keys2, dtype=np.float64)  # repro: ignore[KEY001]  # band inverse works in the keys' float64 image
-    x = keys2 - beta
-    for _ in range(4):
-        unsatisfied = (x + beta) < keys2
-        if unsatisfied.any():
-            x = np.where(unsatisfied, np.nextafter(x, np.inf), x)
-            continue
-        predecessor = np.nextafter(x, -np.inf)
-        movable = (predecessor + beta) >= keys2
-        if not movable.any():
-            return x
-        x = np.where(movable, predecessor, x)
-    settled = ((x + beta) >= keys2) & ((np.nextafter(x, -np.inf) + beta) < keys2)
+    # A nudge past the largest double, or a sum beyond it, is +-inf by IEEE
+    # rounding, and that is the step the nudges mean to take: the overflow
+    # is the answer, not an error.
+    with np.errstate(over="ignore"):
+        x = keys2 - beta
+        for _ in range(4):
+            unsatisfied = (x + beta) < keys2
+            if unsatisfied.any():
+                x = np.where(unsatisfied, np.nextafter(x, np.inf), x)
+                continue
+            predecessor = np.nextafter(x, -np.inf)
+            movable = (predecessor + beta) >= keys2
+            if not movable.any():
+                return x
+            x = np.where(movable, predecessor, x)
+        settled = ((x + beta) >= keys2) & ((np.nextafter(x, -np.inf) + beta) < keys2)
     if not settled.all():
         x = x.copy()
         pending = ~settled
@@ -160,18 +167,20 @@ def _band_upper_inverse(keys2: np.ndarray, beta: float) -> np.ndarray:
     half of the band test, with the same nudge-then-bisect structure.
     """
     keys2 = np.asarray(keys2, dtype=np.float64)  # repro: ignore[KEY001]  # band inverse works in the keys' float64 image
-    x = keys2 + beta
-    for _ in range(4):
-        unsatisfied = (x - beta) > keys2
-        if unsatisfied.any():
-            x = np.where(unsatisfied, np.nextafter(x, -np.inf), x)
-            continue
-        successor = np.nextafter(x, np.inf)
-        movable = (successor - beta) <= keys2
-        if not movable.any():
-            return x
-        x = np.where(movable, successor, x)
-    settled = ((x - beta) <= keys2) & ((np.nextafter(x, np.inf) - beta) > keys2)
+    # As in _band_lower_inverse: overflowing to +-inf is the step meant.
+    with np.errstate(over="ignore"):
+        x = keys2 + beta
+        for _ in range(4):
+            unsatisfied = (x - beta) > keys2
+            if unsatisfied.any():
+                x = np.where(unsatisfied, np.nextafter(x, -np.inf), x)
+                continue
+            successor = np.nextafter(x, np.inf)
+            movable = (successor - beta) <= keys2
+            if not movable.any():
+                return x
+            x = np.where(movable, successor, x)
+        settled = ((x - beta) <= keys2) & ((np.nextafter(x, np.inf) - beta) > keys2)
     if not settled.all():
         x = x.copy()
         pending = ~settled
@@ -209,13 +218,21 @@ class Band:
         row_hi = np.asarray(row_hi, dtype=np.float64)
         col_lo = np.asarray(col_lo, dtype=np.float64)
         col_hi = np.asarray(col_hi, dtype=np.float64)
-        too_high = col_lo[None, :] - row_hi[:, None] > self.beta
-        too_low = row_lo[:, None] - col_hi[None, :] > self.beta
+        # Two ends at the same infinity (an open outer bucket) subtract to
+        # NaN, which is not > beta: such a pair never separates a cell, and
+        # the cell stays a candidate.  Finite ends further apart than the
+        # largest double subtract to inf, which is > beta, as the exact
+        # difference is.
+        with np.errstate(invalid="ignore", over="ignore"):
+            too_high = col_lo[None, :] - row_hi[:, None] > self.beta
+            too_low = row_lo[:, None] - col_hi[None, :] > self.beta
         return ~(too_high | too_low)
 
     def joinable_bounds(self, keys1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         keys1 = np.asarray(keys1, dtype=np.float64)
-        return keys1 - self.beta, keys1 + self.beta
+        # Past the largest double the rounded bound is +-inf, as in matches().
+        with np.errstate(over="ignore"):
+            return keys1 - self.beta, keys1 + self.beta
 
 
 @dataclass(frozen=True)
@@ -264,13 +281,16 @@ class Inequality:
     def joinable_bounds(self, keys1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         keys1 = np.asarray(keys1, dtype=np.float64)  # repro: ignore[KEY001]  # inequality predicates are float-ordered by definition
         inf = np.full(len(keys1), np.inf)
-        if self.op is InequalityOp.LT:
-            return np.nextafter(keys1, np.inf), inf
-        if self.op is InequalityOp.LE:
-            return keys1, inf
-        if self.op is InequalityOp.GT:
-            return -inf, np.nextafter(keys1, -np.inf)
-        return -inf, keys1
+        # The strict bound of the largest double is +-inf (only an infinite
+        # key lies strictly beyond it): nextafter overflows to it on purpose.
+        with np.errstate(over="ignore"):
+            if self.op is InequalityOp.LT:
+                return np.nextafter(keys1, np.inf), inf
+            if self.op is InequalityOp.LE:
+                return keys1, inf
+            if self.op is InequalityOp.GT:
+                return -inf, np.nextafter(keys1, -np.inf)
+            return -inf, keys1
 
 
 @dataclass(frozen=True)

@@ -21,17 +21,20 @@ growth and shrinkage alike.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import pickle
 import struct
 import sys
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.histogram import EquiWeightHistogram
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import BandJoinCondition
 from repro.obs.metrics import MetricsRegistry
@@ -352,6 +355,39 @@ def test_checkpoint_roundtrip(seed, stop_after, window):
     # The loaded checkpoint resumes bit-identically to the original run.
     resumed = resume_and_finish(loaded, source)
     assert_equivalent_runs(resumed, uninterrupted)
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through instances and containers
+    (not through classes, modules or functions)."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+        stack.extend(getattr(obj, "__dict__", {}).values())
+    return found
+
+
+@pytest.mark.parametrize("stop_after", [2, 6])
+def test_a_restore_reads_no_histogram_artefact(stop_after):
+    """An EWH plan's sample matrix, coarsening and regionalization are
+    pickled into every checkpoint, but a restore reads none of them: nulled
+    in every plan a loaded checkpoint of a drift-adaptive run holds (the
+    initial build's, or a rebuild's), the resumed run -- which repartitions
+    away from that plan later -- is still the uninterrupted one."""
+    source = make_source(seed=11)
+    uninterrupted, checkpoint = run_with_checkpoint(source, stop_after, seed=11)
+    assert any(batch.repartitioned for batch in uninterrupted.batches[stop_after + 1 :])
+    loaded = StreamCheckpoint.from_bytes(checkpoint.to_bytes())
+    histograms = [obj for obj in _reachable(loaded) if isinstance(obj, EquiWeightHistogram)]
+    assert any(histogram is loaded.partitioning.histogram for histogram in histograms)
+    for histogram in histograms:
+        histogram.sample_matrix = histogram.coarsening = histogram.regionalization = None
+    assert_equivalent_runs(resume_and_finish(loaded, source), uninterrupted)
 
 
 def test_checkpoint_save_and_load_file(tmp_path):

@@ -28,13 +28,20 @@ byte and totals equal, over:
   then before its start; one half or two in a call;
 * arrays passed as trimmed copies -- each its own allocation, so a read
   past its end is the sanitizers' to report -- and as views into larger
-  parents whose spare entries would change the count if read.
+  parents whose spare entries would change the count if read;
+* answers on either side of the search's walk (the keys it compares one
+  at a time before it gallops): at its last key and one past it, at a NaN
+  tail and at a run's end, for equal needles, a high bound answered at its
+  low's answer and a NaN low under a finite high -- named examples, and
+  every ascending run of up to 20 keys over five values and NaN.
 
 A reader that is no machine, a share outside the needles and a slice
 bound that indexes no cut raise by name, having written nothing.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -55,7 +62,7 @@ NEGATIVE_NAN = np.array([0xFFF8000000000001], dtype=np.uint64).view(np.float64)[
 FLOAT_POOL = np.concatenate(
     [[-0.0, 0.0, np.nan, NEGATIVE_NAN, -np.inf, np.inf, -1e308, 1e308], np.arange(-8, 9) / 2.0]
 )
-NEG_ZERO, ZERO = 0, 1
+NEG_ZERO, ZERO, NAN, INF = 0, 1, 2, 5
 INT_POOL = np.array(
     list(range(-8, 9)) + [-(2**63), 2**63 - 1, 2**53, 2**53 + 1, 2**53 - 1], dtype=np.int64
 )
@@ -63,7 +70,28 @@ INT_POOL = np.array(
 BIG_POOL = 2**53 + np.arange(-6, 7, dtype=np.int64)
 POOLS = {"float": FLOAT_POOL, "int": INT_POOL, "int_float_bounds": BIG_POOL}
 
+
+def _at(value: float) -> int:
+    """The FLOAT_POOL index of a multiple of 0.5 in [-4, 4] (an example's key)."""
+    return 16 + int(2 * value)
+
+
+def _fresh(*values: float):
+    """A fresh run of FLOAT_POOL keys, each counted once (an example's run)."""
+    return ("fresh", [(_at(value) if np.isfinite(value) else NAN, 1) for value in values])
+
+
+#: -4, -3.5, ..., 4: 17 keys, so a search from 0 walks past 8 of them.
+HALVES = [value / 2 for value in range(-8, 9)]
+
 KEY = st.integers(0, 63)
+#: A needle's high bound: its low ("point") or the larger of the two keys
+#: ("wide"), so it is never answered left of the low bound, as production's
+#: bounds never are (a NaN key's are NaN and +inf).  An example may take
+#: the second key as it is ("free") under a cut: the kernel counts an
+#: interval answered backwards as empty, and the reference clamps it so
+#: only where it clips to a cut.
+SHAPE = st.sampled_from(["point", "wide"])
 #: A run: its kind and (key, count) entries; a fresh or tombstone run's counts are its own.
 RUN = st.tuples(
     st.sampled_from(["fresh", "counted", "tombstone"]),
@@ -117,7 +145,7 @@ def _run(pool: np.ndarray, kind: str, entries, trimmed: bool):
     cascades=st.lists(st.lists(RUN, min_size=1, max_size=4), max_size=2),
     groups=st.lists(GROUP, min_size=1, max_size=3),
     machines=st.integers(1, 5),
-    needles=st.lists(st.tuples(KEY, KEY, st.booleans()), max_size=10),
+    needles=st.lists(st.tuples(KEY, KEY, SHAPE), max_size=10),
     shares=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=5, max_size=5),
     cut=st.none()
     | st.tuples(
@@ -136,7 +164,7 @@ def _run(pool: np.ndarray, kind: str, entries, trimmed: bool):
     cascades=[[("fresh", [(ZERO, 1)]), ("fresh", [(ZERO, 1)]), ("tombstone", [(NEG_ZERO, 1)])]],
     groups=[([], 0, [0])],
     machines=1,
-    needles=[(ZERO, ZERO, False)],
+    needles=[(ZERO, ZERO, "point")],
     shares=[(0, 1)] * 5,
     cut=None,
     halves=1,
@@ -151,7 +179,7 @@ def _run(pool: np.ndarray, kind: str, entries, trimmed: bool):
     cascades=[],
     groups=[([("fresh", [(key, 1) for key in range(16, 25)])], -1, [1, 3])],
     machines=4,
-    needles=[(4, 5, True), (9, 20, True)],
+    needles=[(4, 5, "wide"), (9, 20, "wide")],
     shares=[(0, 0), (0, 2), (0, 0), (0, 2), (0, 0)],
     cut=([16, 19], [(0, 1), (1, 3), (2, 2), (2, 2)]),
     halves=1,
@@ -164,8 +192,65 @@ def _run(pool: np.ndarray, kind: str, entries, trimmed: bool):
     cascades=[],
     groups=[([("fresh", [(key, 1) for key in range(8, 25)])], -1, [0, 1])],
     machines=2,
-    needles=[(key, key + 2, True) for key in range(10, 16)],
+    needles=[(key, key + 2, "wide") for key in range(10, 16)],
     shares=[(0, 2), (4, 6), (0, 0), (0, 0), (0, 0)],
+    cut=None,
+    halves=1,
+    trimmed=True,
+)
+# The search walks 8 keys past where it starts before it gallops.  0.0's
+# answer from 0 is run A's last key walked (8), one past it in B (9) and
+# past the walk in C (11, where a search that skipped the gallop would stop
+# at 9); 4.0's is the last key walked from 0.0's answer, and its high bound
+# each run's end, where the walk is clamped (trimmed copies, so a read past
+# a run's end is the sanitizers' to report).
+@example(
+    keys="float",
+    cascades=[],
+    groups=[([_fresh(*HALVES), _fresh(-4, *HALVES), _fresh(-4, -4, -4, *HALVES)], -1, [0])],
+    machines=1,
+    needles=[(_at(value), 0, "point") for value in (-4, 0, 4)],
+    shares=[(0, 3)] * 5,
+    cut=None,
+    halves=1,
+    trimmed=True,
+)
+# A run with a NaN tail and a short one without: equal needles (-1 twice),
+# a high bound answered at its low's answer (0.5, in neither run), an
+# answer at the tail and at the run's end (4.0 and +inf; the short run's
+# walk is clamped at its end), a NaN high, a NaN low under a finite high
+# (its high answered left of its low, so the cut -- every reader reads
+# each run whole -- clamps it empty in the reference too), and a NaN
+# needle.
+@example(
+    keys="float",
+    cascades=[],
+    groups=[([_fresh(-4, -3, -2, -1, 0, 1, 2, 3, 4, np.nan, np.nan), _fresh(-1, 0, 1)], -1, [0])],
+    machines=1,
+    needles=[
+        (_at(-1), 0, "point"),
+        (_at(-1), 0, "point"),
+        (_at(0.5), 0, "point"),
+        (_at(4), NAN, "wide"),
+        (INF, 0, "point"),
+        (NAN, _at(0), "free"),
+        (NAN, 0, "point"),
+    ],
+    shares=[(0, 7)] * 5,
+    cut=([0], [(1, 2)] * 4),
+    halves=1,
+    trimmed=True,
+)
+# Int64 keys above 2**53, each twice, under the float64 band bounds of
+# sorted needles: the answers cross the walk from every start, and float64
+# rounds neighbouring keys (and the bounds) onto each other.
+@example(
+    keys="int_float_bounds",
+    cascades=[],
+    groups=[([("fresh", [(key, 1) for key in range(13) for _ in range(2)])], -1, [0])],
+    machines=1,
+    needles=[(key, 0, "point") for key in (0, 4, 5, 6, 10, 12)],
+    shares=[(0, 6)] * 5,
     cut=None,
     halves=1,
     trimmed=True,
@@ -184,8 +269,8 @@ def test_count_half_is_the_per_task_count_summed_per_machine(
     else:
         lows = needle_keys
         other = pool[[high % pool.size for _, high, _ in needles]].astype(pool.dtype)
-        wide = np.array([flag for _, _, flag in needles], dtype=bool)
-        highs = np.where(wide, np.maximum(lows, other), lows)
+        shapes = np.array([shape for _, _, shape in needles], dtype=object)
+        highs = np.where(shapes == "point", lows, np.where(shapes == "wide", np.maximum(lows, other), other))
     count = lows.size
     starts = np.array([start % (count + 1) for start, _ in shares[:machines]], dtype=np.int64)
     stops = np.array([stop % (count + 1) for _, stop in shares[:machines]], dtype=np.int64)
@@ -234,6 +319,37 @@ def test_count_half_is_the_per_task_count_summed_per_machine(
         assert mine[0].dtype == expected[0].dtype and mine[1].dtype == expected[1].dtype
         assert mine[0].tobytes() == expected[0].tobytes()
         assert mine[1].tobytes() == expected[1].tobytes()
+
+
+def test_every_short_run_counts_as_the_reference_does():
+    """Every ascending run of 0-20 keys over five values and NaN (NaN tails
+    of every length among them), each read by a machine of its own, against
+    sorted needles: each low bound (every key, a value between two keys,
+    beyond either end, +-inf) with the high bounds low, low + 1 and +inf,
+    and a NaN key's bounds (NaN and +inf).  Answers fall at every position
+    within the search's walk and past it, from every start."""
+    domain = [-1.0, 0.0, 0.5, 1.0, 2.0, np.nan]
+    lows = [-np.inf, -2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, np.inf]
+    needles = [(low, high) for low in lows for high in (low, low + 1.0, np.inf)]
+    needles += [(np.nan, np.nan), (np.nan, np.inf)]
+    lows, highs = (np.array(bounds) for bounds in zip(*needles))
+    runs = [
+        np.array(keys, dtype=np.float64)
+        for size in range(21)
+        for keys in itertools.combinations_with_replacement(domain, size)
+    ]
+    assert len(runs) == 230_230
+    for start in range(0, len(runs), 10_000):
+        chunk = runs[start : start + 10_000]
+        machines = np.arange(len(chunk), dtype=np.int64)
+        starts = np.zeros(len(chunk), dtype=np.int64)
+        stops = np.full(len(chunk), lows.size, dtype=np.int64)
+        groups = [([(keys, None)], machines[m : m + 1], None, None) for m, keys in enumerate(chunk)]
+        ours = np.zeros(len(chunk), dtype=np.int64)
+        native.fold([], [(lows, highs, starts, stops, groups)], ours)
+        theirs = np.zeros(len(chunk), dtype=np.int64)
+        _reference(lows, highs, starts, stops, groups, theirs)
+        np.testing.assert_array_equal(ours, theirs)
 
 
 def _small_half():
