@@ -35,11 +35,16 @@
  *
  * The file is in two parts.  The first is the loops, in plain C over
  * pointers and lengths.  The second (at the end) is the module: one
- * function per entry point, which takes the numpy arrays as objects,
- * checks each with numpy's C API -- dtype, C-contiguous and aligned,
- * writable where a loop writes it, sizes and index ranges -- and raises
- * TypeError, ValueError or MemoryError naming what it refused, having
- * written nothing; then it releases the GIL around the loop it calls.
+ * function per entry point, which takes the numpy arrays as objects and
+ * passes each through one check, take() -- an ndarray, of the dtype its
+ * loop reads in native byte order, C-contiguous and aligned, writable
+ * where the loop writes it -- then checks sizes and index ranges itself.
+ * A refusal is a TypeError (an object or a dtype) or a ValueError (a
+ * layout, a size, an index) that starts with the entry point's name; an
+ * object, dtype or layout refusal reads "<entry>: <argument> is <found>,
+ * not <expected>".  Nothing is written before every check has passed;
+ * then the entry point releases the GIL around the loop it calls (a loop
+ * that cannot have its scratch memory raises MemoryError).
  *
  * Keys are doubles (f64) or int64_t (i64); the macros below write each loop
  * for both, and the search once more for int64 runs searched with double
@@ -1304,12 +1309,16 @@ static int64_t tile(const int64_t *offsets, const int64_t *children,
 
 /* ---------------------------------------------------------------------- */
 /* The module: each entry point checks its arguments, then runs its loop
- * with the GIL released. */
+ * with the GIL released.  Every array argument goes through take(); every
+ * refusal names its entry point first: "<entry>: ...". */
 
 /* An array's dtype, for a message's %S. */
 #define DTYPE(array) ((PyObject *)PyArray_DESCR(array))
-/* What every array a fold reads or writes is called in a layout error. */
-#define FOLD_ARRAYS "out, a bound, a share, a run, a reader or a slice rule"
+#define SIZE(array) ((Py_ssize_t)PyArray_SIZE(array))
+/* The dtypes take() accepts, as a mask of key dtypes. */
+#define F64_ONLY (1 << F64)
+#define I64_ONLY (1 << I64)
+#define ANY_KEY (F64_ONLY | I64_ONLY)
 
 static const char *key_name(int dtype)
 {
@@ -1329,34 +1338,42 @@ static int key_dtype(PyArrayObject *array)
     return NO_KEY;
 }
 
-#define IS_F64(array) (key_dtype(array) == F64)
-#define IS_I64(array) (key_dtype(array) == I64)
-#define SIZE(array) ((Py_ssize_t)PyArray_SIZE(array))
-
-/* obj as an array (borrowed), or NULL with a TypeError naming it. */
-static PyArrayObject *array_arg(PyObject *obj, const char *name)
+/*
+ * Entry point `entry`'s array argument `name`: obj itself (borrowed) when
+ * a loop may read it through a pointer -- an ndarray of one of the key
+ * dtypes in `dtypes` in native byte order, C-contiguous and aligned, and
+ * writable when `written`.  Otherwise NULL with a TypeError (the object,
+ * the dtype) or a ValueError (the layout) that reads "<entry>: <name> is
+ * <found>, not <expected>".
+ */
+static PyArrayObject *take(const char *entry, const char *name, PyObject *obj, int dtypes,
+                           int written)
 {
-    if (PyArray_Check(obj))
-        return (PyArrayObject *)obj;
-    PyErr_Format(PyExc_TypeError, "%s is a %.200s, not a numpy array", name,
-                 Py_TYPE(obj)->tp_name);
-    return NULL;
-}
-
-/* Whether a loop may read the array through a pointer -- C-contiguous and
- * aligned -- and write it when `written`; 0 with a ValueError naming it
- * otherwise. */
-static int laid_out(PyArrayObject *array, const char *name, int written)
-{
-    if (!PyArray_IS_C_CONTIGUOUS(array) || !PyArray_ISALIGNED(array)) {
-        PyErr_Format(PyExc_ValueError, "%s is not C-contiguous and aligned", name);
-        return 0;
+    PyArrayObject *array = (PyArrayObject *)obj;
+    const char *layout;
+    int dtype;
+    if (!PyArray_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "%s: %s is a %.200s, not a numpy array", entry, name,
+                     Py_TYPE(obj)->tp_name);
+        return NULL;
     }
-    if (written && !PyArray_ISWRITEABLE(array)) {
-        PyErr_Format(PyExc_ValueError, "%s is read-only, and the kernel writes it", name);
-        return 0;
+    dtype = key_dtype(array);
+    if (dtype == NO_KEY || !(dtypes & 1 << dtype)) {
+        PyErr_Format(PyExc_TypeError, "%s: %s is %S, not %s", entry, name, DTYPE(array),
+                     dtypes == ANY_KEY    ? "float64 or int64"
+                     : dtypes == F64_ONLY ? "float64"
+                                          : "int64");
+        return NULL;
     }
-    return 1;
+    layout = !PyArray_IS_C_CONTIGUOUS(array) ? "strided, not C-contiguous"
+           : !PyArray_ISALIGNED(array) ? "unaligned, not aligned"
+           : written && !PyArray_ISWRITEABLE(array) ? "read-only, not writable"
+           : NULL;
+    if (layout) {
+        PyErr_Format(PyExc_ValueError, "%s: %s is %s", entry, name, layout);
+        return NULL;
+    }
+    return array;
 }
 
 /* An array's shape as Python prints the tuple: "(6, 3)", "(4,)", "()". */
@@ -1408,75 +1425,55 @@ static int shrink(PyArrayObject *array, npy_intp size)
 }
 
 /*
- * fold's parse.  Structs go to pools that grow as the walk meets them, so
- * a merge, a group and a half refer to their runs and groups by index until
- * the walk is done; every object the loop reads through is held, so no
- * other thread frees a buffer while the GIL is released.
+ * fold's parse.  Each level of the tree -- the merges, the halves, a half's
+ * groups, a cascade's or a group's runs -- is allocated zeroed at its
+ * sequence's length when the walk meets it, so every struct is filled in
+ * where the loop reads it, and parse_free's one walk frees them all.
+ * `held` holds every object the loop reads through, so no other thread
+ * frees a buffer while the GIL is released.
  */
-struct pool {
-    char *items;
-    Py_ssize_t size, room;
-    size_t width;
-};
-
-/* The pool's next item, or NULL with a MemoryError. */
-static void *pool_add(struct pool *pool)
-{
-    if (pool->size == pool->room) {
-        Py_ssize_t room = pool->room ? 2 * pool->room : 32;
-        char *items = PyMem_Realloc(pool->items, (size_t)room * pool->width);
-        if (!items) {
-            PyErr_NoMemory();
-            return NULL;
-        }
-        pool->items = items;
-        pool->room = room;
-    }
-    return pool->items + pool->width * (size_t)pool->size++;
-}
-
-#define POOL(type) {NULL, 0, 0, sizeof(type)}
-/* Item i of a pool (NULL for an empty pool, which has no items). */
-#define AT(pool, type, i) ((pool).items ? (type *)(pool).items + (i) : NULL)
-
 struct parse {
-    struct pool runs, merges, groups, halves, held;
+    PyObject *held;
     Py_ssize_t machines;
-    /* Each merge's, half's and group's first run or group, in the order
-     * the walk met them, kept apart from the structs the loop reads. */
-    struct pool firsts;
+    struct merge *merges;
+    struct half *halves;
+    int64_t merge_count, half_count;
+    int64_t needles, readers; /* the most of any half, of any group */
 };
 
-/* Hold a new reference until the fold is done (stolen).  0, or -1 with a
- * MemoryError (the reference dropped). */
-static int hold(struct parse *parse, PyObject *obj)
+/* A zeroed level of `count` structs of `width` bytes, or NULL with a
+ * MemoryError. */
+static void *level_of(Py_ssize_t count, size_t width)
 {
-    PyObject **slot = pool_add(&parse->held);
-    if (!slot) {
-        Py_DECREF(obj);
-        return -1;
+    void *level = PyMem_Calloc(count ? (size_t)count : 1, width);
+    if (!level)
+        PyErr_NoMemory();
+    return level;
+}
+
+/* obj's items as a held list or tuple, or NULL with a TypeError naming it. */
+static PyObject *items_of(struct parse *parse, PyObject *obj, const char *name)
+{
+    PyObject *items = PySequence_Fast(obj, "");
+    int failed;
+    if (!items) {
+        if (PyErr_ExceptionMatches(PyExc_TypeError)) {
+            PyErr_Clear();
+            PyErr_Format(PyExc_TypeError, "fold: %s is a %.200s, not a sequence", name,
+                         Py_TYPE(obj)->tp_name);
+        }
+        return NULL;
     }
-    *slot = obj;
-    return 0;
+    failed = PyList_Append(parse->held, items);
+    Py_DECREF(items);
+    return failed ? NULL : items;
 }
 
-/* obj's items as a held list or tuple, or NULL with a TypeError. */
-static PyObject *items_of(struct parse *parse, PyObject *obj, const char *what)
+/* take()'s array for fold, held until the fold is done. */
+static PyArrayObject *held(struct parse *parse, const char *name, PyObject *obj, int dtypes)
 {
-    PyObject *items = PySequence_Fast(obj, what);
-    if (!items || hold(parse, items))
-        return NULL;
-    return items;
-}
-
-/* obj as a held array, or NULL with a TypeError naming it. */
-static PyArrayObject *held_array(struct parse *parse, PyObject *obj, const char *name)
-{
-    PyArrayObject *array = array_arg(obj, name);
-    if (!array)
-        return NULL;
-    Py_INCREF(obj);
-    return hold(parse, obj) ? NULL : array;
+    PyArrayObject *array = take("fold", name, obj, dtypes, 0);
+    return array && !PyList_Append(parse->held, obj) ? array : NULL;
 }
 
 /* obj's n items into parts (borrowed from a held sequence).  0, or -1 with
@@ -1489,7 +1486,7 @@ static int unpack(struct parse *parse, PyObject *obj, Py_ssize_t n, const char *
     if (!items)
         return -1;
     if (PySequence_Fast_GET_SIZE(items) != n) {
-        PyErr_Format(PyExc_ValueError, "%s is %zd items, not %zd", what,
+        PyErr_Format(PyExc_ValueError, "fold: %s is %zd items, not %zd", what,
                      PySequence_Fast_GET_SIZE(items), n);
         return -1;
     }
@@ -1498,283 +1495,197 @@ static int unpack(struct parse *parse, PyObject *obj, Py_ssize_t n, const char *
     return 0;
 }
 
-/* The keys of a run sequence's first run: a new reference, or NULL with a
- * ValueError saying `none` when there is no run, or another error. */
-static PyArrayObject *first_keys(PyObject *runs, const char *none)
+/*
+ * The (keys, cum) runs of `obj`, into a level of their own (*runs, their
+ * number in *count): the first run's keys of one of `dtypes`, every other
+ * run's of its dtype (in *dtype; left as it is when there is no run).
+ * `none`, unless NULL, refuses a sequence of no runs.  0, or -1 with an
+ * error set.
+ */
+static int parse_runs(struct parse *parse, PyObject *obj, int dtypes, const char *none,
+                      int *dtype, const struct run **runs, int64_t *count)
 {
-    PyObject *run, *keys;
-    Py_ssize_t count = PySequence_Size(runs);
-    if (count < 1) {
-        if (count == 0)
-            PyErr_SetString(PyExc_ValueError, none);
-        return NULL;
-    }
-    if (!(run = PySequence_GetItem(runs, 0)))
-        return NULL;
-    keys = PySequence_GetItem(run, 0);
-    Py_DECREF(run);
-    if (keys && !array_arg(keys, "a run's keys"))
-        Py_CLEAR(keys);
-    return (PyArrayObject *)keys;
-}
-
-/* Each (keys, cum) run of `obj` added to the pool, keys of `dtype`: the
- * index of the first in *first, their number in *count and their keys
- * added to *total.  0, or -1 with an error set. */
-static int parse_runs(struct parse *parse, PyObject *obj, int dtype, Py_ssize_t *first,
-                      int64_t *count, int64_t *total)
-{
-    PyObject *items = items_of(parse, obj, "runs are not a sequence");
-    Py_ssize_t i;
+    PyObject *items = items_of(parse, obj, "runs");
+    struct run *level;
+    Py_ssize_t i, n;
     if (!items)
         return -1;
-    *first = parse->runs.size;
-    *count = PySequence_Fast_GET_SIZE(items);
-    for (i = 0; i < *count; i++) {
+    n = PySequence_Fast_GET_SIZE(items);
+    if (!n && none) {
+        PyErr_Format(PyExc_ValueError, "fold: %s", none);
+        return -1;
+    }
+    if (!(level = level_of(n, sizeof *level)))
+        return -1;
+    *runs = level;
+    *count = n;
+    for (i = 0; i < n; i++) {
         PyObject *pair[2];
         PyArrayObject *keys, *cum = NULL;
-        struct run *run;
         if (unpack(parse, PySequence_Fast_GET_ITEM(items, i), 2, "a run", pair)
-            || !(keys = held_array(parse, pair[0], "a run's keys")))
+            || !(keys = held(parse, "keys", pair[0], dtypes))
+            || (pair[1] != Py_None && !(cum = held(parse, "cum", pair[1], I64_ONLY))))
             return -1;
-        if (key_dtype(keys) != dtype) {
-            PyErr_Format(PyExc_TypeError, "a run's keys are %S, not its group's %s",
-                         DTYPE(keys), key_name(dtype));
+        if (cum && SIZE(cum) != SIZE(keys) + 1) {
+            PyErr_Format(PyExc_ValueError, "fold: cum is %zd %S, not %zd int64", SIZE(cum),
+                         DTYPE(cum), SIZE(keys) + 1);
             return -1;
         }
-        if (pair[1] != Py_None) {
-            if (!(cum = held_array(parse, pair[1], "cum")))
-                return -1;
-            if (!IS_I64(cum) || SIZE(cum) != SIZE(keys) + 1) {
-                PyErr_Format(PyExc_ValueError, "cum is %zd %S, not %zd int64", SIZE(cum),
-                             DTYPE(cum), SIZE(keys) + 1);
-                return -1;
-            }
-        }
-        if (!laid_out(keys, FOLD_ARRAYS, 0) || (cum && !laid_out(cum, FOLD_ARRAYS, 0))
-            || !(run = pool_add(&parse->runs)))
-            return -1;
-        run->keys = PyArray_DATA(keys);
-        run->size = SIZE(keys);
-        run->cum = cum ? (const int64_t *)PyArray_DATA(cum) : NULL;
-        *total += run->size;
+        dtypes = 1 << (*dtype = key_dtype(keys));
+        level[i].keys = PyArray_DATA(keys);
+        level[i].size = SIZE(keys);
+        level[i].cum = cum ? (const int64_t *)PyArray_DATA(cum) : NULL;
     }
     return 0;
 }
 
-/* One merge cascade: its runs, oldest first. */
-static int parse_merge(struct parse *parse, PyObject *obj)
-{
-    PyArrayObject *keys = first_keys(obj, "a cascade merges no run");
-    struct merge *merge;
-    Py_ssize_t *first;
-    int dtype;
-    if (!keys)
-        return -1;
-    dtype = key_dtype(keys);
-    if (dtype == NO_KEY)
-        PyErr_Format(PyExc_TypeError,
-                     "run keys are %S: the kernel merges float64 or int64 keys", DTYPE(keys));
-    Py_DECREF(keys);
-    if (dtype == NO_KEY || !(merge = pool_add(&parse->merges))
-        || !(first = pool_add(&parse->firsts)))
-        return -1;
-    merge->dtype = dtype;
-    merge->keys = NULL;
-    merge->cum = NULL;
-    /* Its run total, until fold_results makes its arrays. */
-    merge->entries = 0;
-    return parse_runs(parse, obj, dtype, first, &merge->count, &merge->entries);
-}
-
 /*
- * One group of a half whose bounds are `bound` and whose shares are
- * starts / stops over `needles` needles: its dtype the bounds' (or int64
- * under float64 bounds), every reader a machine whose share lies inside
- * the needles, every slice bound an index of the cuts.
+ * One group of `half`: its dtype the bounds' (or int64 under float64
+ * bounds), every reader a machine whose share lies inside the half's
+ * needles, every slice bound an index of the cuts.
  */
-static int parse_group(struct parse *parse, PyObject *obj, int bound, int64_t needles,
-                       const int64_t *starts, const int64_t *stops)
+static int parse_group(struct parse *parse, PyObject *obj, const struct half *half,
+                       struct group *group)
 {
+    static const char *rule_names[3] = {"cut_keys", "first", "last"};
     PyObject *parts[4]; /* runs, readers, cut, merge */
-    PyArrayObject *readers, *cut[3] = {NULL, NULL, NULL};
-    struct group group;
-    Py_ssize_t i, *first;
-    int64_t total = 0;
+    PyArrayObject *readers, *cut[3];
+    int dtypes = half->dtype == F64 ? ANY_KEY : I64_ONLY;
+    Py_ssize_t i;
     if (unpack(parse, obj, 4, "a group", parts))
         return -1;
-    group.merge = -1;
-    if (parts[3] == Py_None) {
-        PyArrayObject *keys = first_keys(parts[0], "a group searches no run");
-        if (!keys)
-            return -1;
-        group.dtype = key_dtype(keys);
-        if (!(group.dtype == bound || (group.dtype == I64 && bound == F64)))
-            PyErr_Format(PyExc_TypeError, "a run's keys are %S, not the bounds' %s",
-                         DTYPE(keys), key_name(bound));
-        Py_DECREF(keys);
-        if (PyErr_Occurred())
-            return -1;
-    } else {
-        Py_ssize_t merge = PyNumber_AsSsize_t(parts[3], NULL);
-        if (merge == -1 && PyErr_Occurred())
-            return -1;
-        if (merge < 0 || merge >= parse->merges.size) {
-            PyErr_Format(PyExc_ValueError, "merge %zd is not one of the %zd cascades", merge,
-                         parse->merges.size);
+    group->merge = -1;
+    if (parts[3] != Py_None) {
+        Py_ssize_t merge;
+        if (!PyIndex_Check(parts[3])) {
+            PyErr_Format(PyExc_TypeError, "fold: merge is a %.200s, not an int",
+                         Py_TYPE(parts[3])->tp_name);
             return -1;
         }
-        group.merge = merge;
-        group.dtype = AT(parse->merges, struct merge, merge)->dtype;
-        if (!(group.dtype == bound || (group.dtype == I64 && bound == F64))) {
-            PyErr_Format(PyExc_TypeError, "a run's keys are %s, not the bounds' %s",
-                         key_name(group.dtype), key_name(bound));
+        if ((merge = PyNumber_AsSsize_t(parts[3], NULL)) == -1 && PyErr_Occurred())
+            return -1;
+        if (merge < 0 || merge >= parse->merge_count) {
+            PyErr_Format(PyExc_ValueError, "fold: merge %zd is not one of the %zd cascades",
+                         merge, (Py_ssize_t)parse->merge_count);
             return -1;
         }
+        group->merge = merge;
+        group->dtype = parse->merges[merge].dtype;
+        if (!(dtypes & 1 << group->dtype)) {
+            PyErr_Format(PyExc_TypeError, "fold: a run's keys are %s, not the bounds' %s",
+                         key_name(group->dtype), key_name(half->dtype));
+            return -1;
+        }
+        dtypes = 1 << group->dtype;
     }
-    if (!(readers = held_array(parse, parts[1], "a group's readers")))
+    if (!(readers = held(parse, "readers", parts[1], I64_ONLY)))
         return -1;
-    if (!IS_I64(readers)) {
-        PyErr_Format(PyExc_TypeError, "a group's readers are %S, not int64", DTYPE(readers));
-        return -1;
-    }
-    group.readers = PyArray_DATA(readers);
-    group.count = SIZE(readers);
-    group.cut_keys = NULL;
-    group.cuts = 0;
-    group.first = group.last = NULL;
+    group->readers = PyArray_DATA(readers);
+    group->count = SIZE(readers);
     if (parts[2] != Py_None) {
         PyObject *rule[3];
         if (unpack(parse, parts[2], 3, "a slice rule", rule))
             return -1;
         for (i = 0; i < 3; i++)
-            if (!(cut[i] = held_array(parse, rule[i], "a slice rule")))
+            if (!(cut[i] = held(parse, rule_names[i], rule[i], i ? I64_ONLY : F64_ONLY)))
                 return -1;
-        if (!IS_F64(cut[0]) || !IS_I64(cut[1]) || !IS_I64(cut[2])) {
-            PyErr_SetString(PyExc_TypeError,
-                            "a slice rule takes float64 cut keys and int64 bounds");
+        if (SIZE(cut[1]) < group->count || SIZE(cut[2]) < group->count) {
+            PyErr_Format(PyExc_ValueError, "fold: a slice rule needs %zd firsts and lasts",
+                         (Py_ssize_t)group->count);
             return -1;
         }
-        if (SIZE(cut[1]) < group.count || SIZE(cut[2]) < group.count) {
-            PyErr_Format(PyExc_ValueError, "a slice rule needs %zd firsts and lasts",
-                         (Py_ssize_t)group.count);
-            return -1;
-        }
-        group.cut_keys = PyArray_DATA(cut[0]);
-        group.cuts = SIZE(cut[0]);
-        group.first = PyArray_DATA(cut[1]);
-        group.last = PyArray_DATA(cut[2]);
+        group->cut_keys = PyArray_DATA(cut[0]);
+        group->cuts = SIZE(cut[0]);
+        group->first = PyArray_DATA(cut[1]);
+        group->last = PyArray_DATA(cut[2]);
     }
-    if (!(first = pool_add(&parse->firsts))
-        || parse_runs(parse, parts[0], group.dtype, first, &group.runs_count, &total))
+    if (parse_runs(parse, parts[0], dtypes, group->merge < 0 ? "a group searches no run" : NULL,
+                   &group->dtype, &group->runs, &group->runs_count))
         return -1;
-    if (!laid_out(readers, FOLD_ARRAYS, 0))
-        return -1;
-    for (i = 0; i < 3; i++)
-        if (cut[i] && !laid_out(cut[i], FOLD_ARRAYS, 0))
-            return -1;
-    for (i = 0; i < group.count; i++) {
-        int64_t m = group.readers[i];
+    for (i = 0; i < group->count; i++) {
+        int64_t m = group->readers[i];
         if ((uint64_t)m >= (uint64_t)parse->machines) {
-            PyErr_SetString(PyExc_ValueError, "a group's reader is not one of the machines");
+            PyErr_SetString(PyExc_ValueError, "fold: a group's reader is not one of the machines");
             return -1;
         }
-        if ((uint64_t)starts[m] > (uint64_t)needles || (uint64_t)stops[m] > (uint64_t)needles) {
-            PyErr_SetString(PyExc_ValueError, "a machine's share lies outside the needles");
+        if ((uint64_t)half->starts[m] > (uint64_t)half->needles
+            || (uint64_t)half->stops[m] > (uint64_t)half->needles) {
+            PyErr_SetString(PyExc_ValueError, "fold: a machine's share lies outside the needles");
             return -1;
         }
-        if (group.cut_keys
-            && ((uint64_t)group.first[i] > (uint64_t)group.cuts + 1
-                || (uint64_t)group.last[i] > (uint64_t)group.cuts + 1)) {
-            PyErr_SetString(PyExc_ValueError, "a reader's slice bound indexes no cut");
+        if (group->cut_keys
+            && ((uint64_t)group->first[i] > (uint64_t)group->cuts + 1
+                || (uint64_t)group->last[i] > (uint64_t)group->cuts + 1)) {
+            PyErr_SetString(PyExc_ValueError, "fold: a reader's slice bound indexes no cut");
             return -1;
         }
     }
-    group.runs = NULL;
-    {
-        struct group *slot = pool_add(&parse->groups);
-        if (!slot)
-            return -1;
-        *slot = group;
-    }
+    if (group->count > parse->readers)
+        parse->readers = group->count;
     return 0;
 }
 
 /* One half: (lows, highs, starts, stops, groups). */
-static int parse_half(struct parse *parse, PyObject *obj)
+static int parse_half(struct parse *parse, PyObject *obj, struct half *half)
 {
     PyObject *parts[5], *groups;
     PyArrayObject *array[4]; /* lows, highs, starts, stops */
-    static const char *names[4] = {"lows", "highs", "starts", "stops"};
-    struct half half;
-    Py_ssize_t i, *first;
-    if (unpack(parse, obj, 5, "a half", parts))
+    struct group *level;
+    Py_ssize_t i;
+    if (unpack(parse, obj, 5, "a half", parts)
+        || !(array[0] = held(parse, "lows", parts[0], ANY_KEY)))
         return -1;
-    for (i = 0; i < 4; i++)
-        if (!(array[i] = held_array(parse, parts[i], names[i])))
-            return -1;
-    half.dtype = key_dtype(array[0]);
-    if (half.dtype == NO_KEY) {
-        PyErr_Format(PyExc_TypeError, "lows are %S: the kernel counts float64 or int64 keys",
-                     DTYPE(array[0]));
+    half->dtype = key_dtype(array[0]);
+    if (!(array[1] = held(parse, "highs", parts[1], 1 << half->dtype))
+        || !(array[2] = held(parse, "starts", parts[2], I64_ONLY))
+        || !(array[3] = held(parse, "stops", parts[3], I64_ONLY)))
         return -1;
-    }
-    if (key_dtype(array[1]) != half.dtype || SIZE(array[1]) != SIZE(array[0])) {
-        PyErr_Format(PyExc_ValueError, "%zd %S lows but %zd %S highs", SIZE(array[0]),
+    if (SIZE(array[1]) != SIZE(array[0])) {
+        PyErr_Format(PyExc_ValueError, "fold: %zd %S lows but %zd %S highs", SIZE(array[0]),
                      DTYPE(array[0]), SIZE(array[1]), DTYPE(array[1]));
         return -1;
     }
-    if (!IS_I64(array[2]) || !IS_I64(array[3])) {
-        PyErr_Format(PyExc_TypeError, "starts %S, stops %S: not int64", DTYPE(array[2]),
-                     DTYPE(array[3]));
-        return -1;
-    }
     if (SIZE(array[2]) != parse->machines || SIZE(array[3]) != parse->machines) {
-        PyErr_Format(PyExc_ValueError, "%zd starts and %zd stops for %zd machines",
+        PyErr_Format(PyExc_ValueError, "fold: %zd starts and %zd stops for %zd machines",
                      SIZE(array[2]), SIZE(array[3]), parse->machines);
         return -1;
     }
-    for (i = 0; i < 4; i++)
-        if (!laid_out(array[i], FOLD_ARRAYS, 0))
-            return -1;
-    half.lows = PyArray_DATA(array[0]);
-    half.highs = PyArray_DATA(array[1]);
-    half.needles = SIZE(array[0]);
-    half.starts = PyArray_DATA(array[2]);
-    half.stops = PyArray_DATA(array[3]);
-    half.groups = NULL;
-    if (!(groups = items_of(parse, parts[4], "a half's groups are not a sequence"))
-        || !(first = pool_add(&parse->firsts)))
+    half->lows = PyArray_DATA(array[0]);
+    half->highs = PyArray_DATA(array[1]);
+    half->needles = SIZE(array[0]);
+    half->starts = PyArray_DATA(array[2]);
+    half->stops = PyArray_DATA(array[3]);
+    if (half->needles > parse->needles)
+        parse->needles = half->needles;
+    if (!(groups = items_of(parse, parts[4], "groups"))
+        || !(level = level_of(PySequence_Fast_GET_SIZE(groups), sizeof *level)))
         return -1;
-    *first = parse->groups.size;
-    half.count = PySequence_Fast_GET_SIZE(groups);
-    for (i = 0; i < half.count; i++)
-        if (parse_group(parse, PySequence_Fast_GET_ITEM(groups, i), half.dtype, half.needles,
-                        half.starts, half.stops))
+    half->groups = level;
+    half->count = PySequence_Fast_GET_SIZE(groups);
+    for (i = 0; i < half->count; i++)
+        if (parse_group(parse, PySequence_Fast_GET_ITEM(groups, i), half, level + i))
             return -1;
-    {
-        struct half *slot = pool_add(&parse->halves);
-        if (!slot)
-            return -1;
-        *slot = half;
-    }
     return 0;
 }
 
-/* Each merge's output arrays, room for every key of its runs (its
- * `entries` until then): the results list of (keys, cum) pairs, the loop
- * pointed at them.  NULL with an error set. */
+/* Each merge's output arrays, room for every key of its runs: the results
+ * list of (keys, cum) pairs, the loop pointed at them.  NULL with an error
+ * set. */
 static PyObject *fold_results(struct parse *parse)
 {
-    PyObject *results = PyList_New(parse->merges.size);
-    Py_ssize_t i;
+    PyObject *results = PyList_New(parse->merge_count);
+    Py_ssize_t i, j;
     if (!results)
         return NULL;
-    for (i = 0; i < parse->merges.size; i++) {
-        struct merge *merge = AT(parse->merges, struct merge, i);
-        npy_intp total = merge->entries, room = total + 1;
-        PyArrayObject *keys = new_array(1, &total, merge->dtype == F64 ? NPY_DOUBLE : NPY_INT64);
-        PyArrayObject *cum = keys ? new_array(1, &room, NPY_INT64) : NULL;
+    for (i = 0; i < parse->merge_count; i++) {
+        struct merge *merge = parse->merges + i;
+        npy_intp total = 0, room;
+        PyArrayObject *keys, *cum;
+        for (j = 0; j < merge->count; j++)
+            total += merge->runs[j].size;
+        room = total + 1;
+        keys = new_array(1, &total, merge->dtype == F64 ? NPY_DOUBLE : NPY_INT64);
+        cum = keys ? new_array(1, &room, NPY_INT64) : NULL;
         if (!cum) {
             Py_XDECREF(keys);
             Py_DECREF(results);
@@ -1791,17 +1702,20 @@ static PyObject *fold_results(struct parse *parse)
     return results;
 }
 
+/* Free every level the parse allocated and drop what it held. */
 static void parse_free(struct parse *parse)
 {
-    Py_ssize_t i;
-    for (i = 0; i < parse->held.size; i++)
-        Py_DECREF(*AT(parse->held, PyObject *, i));
-    PyMem_Free(parse->runs.items);
-    PyMem_Free(parse->merges.items);
-    PyMem_Free(parse->groups.items);
-    PyMem_Free(parse->halves.items);
-    PyMem_Free(parse->held.items);
-    PyMem_Free(parse->firsts.items);
+    int64_t i, j;
+    for (i = 0; i < parse->merge_count; i++)
+        PyMem_Free((void *)parse->merges[i].runs);
+    for (i = 0; i < parse->half_count; i++) {
+        for (j = 0; j < parse->halves[i].count; j++)
+            PyMem_Free((void *)parse->halves[i].groups[j].runs);
+        PyMem_Free((void *)parse->halves[i].groups);
+    }
+    PyMem_Free(parse->merges);
+    PyMem_Free(parse->halves);
+    Py_XDECREF(parse->held);
 }
 
 PyDoc_STRVAR(fold_doc,
@@ -1849,65 +1763,44 @@ static PyObject *py_fold(PyObject *Py_UNUSED(module), PyObject *args, PyObject *
     static char *keywords[] = {"merges", "halves", "out", NULL};
     PyObject *merges_obj, *halves_obj, *out_obj, *items, *results = NULL;
     PyArrayObject *out;
-    struct parse parse = {POOL(struct run), POOL(struct merge), POOL(struct group),
-                          POOL(struct half), POOL(PyObject *), 0, POOL(Py_ssize_t)};
-    Py_ssize_t i, j, at = 0;
-    int64_t needles = 0, readers = 0;
+    struct parse parse = {NULL, 0, NULL, NULL, 0, 0, 0, 0};
+    Py_ssize_t i;
     int status;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:fold", keywords,
                                      &merges_obj, &halves_obj, &out_obj)
-        || !(out = array_arg(out_obj, "out")))
-        return NULL;
-    if (!IS_I64(out)) {
-        PyErr_Format(PyExc_TypeError, "out is %S, not int64", DTYPE(out));
-        return NULL;
-    }
-    if (!laid_out(out, FOLD_ARRAYS, 1))
+        || !(out = take("fold", "out", out_obj, I64_ONLY, 1)) || !(parse.held = PyList_New(0)))
         return NULL;
     parse.machines = SIZE(out);
-    if (!(items = items_of(&parse, merges_obj, "merges are not a sequence")))
+    if (!(items = items_of(&parse, merges_obj, "merges"))
+        || !(parse.merges = level_of(PySequence_Fast_GET_SIZE(items), sizeof *parse.merges)))
         goto done;
-    for (i = 0; i < PySequence_Fast_GET_SIZE(items); i++)
-        if (parse_merge(&parse, PySequence_Fast_GET_ITEM(items, i)))
+    parse.merge_count = PySequence_Fast_GET_SIZE(items);
+    for (i = 0; i < parse.merge_count; i++) {
+        struct merge *merge = parse.merges + i;
+        if (parse_runs(&parse, PySequence_Fast_GET_ITEM(items, i), ANY_KEY,
+                       "a cascade merges no run", &merge->dtype, &merge->runs, &merge->count))
             goto done;
-    if (!(items = items_of(&parse, halves_obj, "halves are not a sequence")))
+    }
+    if (!(items = items_of(&parse, halves_obj, "halves"))
+        || !(parse.halves = level_of(PySequence_Fast_GET_SIZE(items), sizeof *parse.halves)))
         goto done;
-    for (i = 0; i < PySequence_Fast_GET_SIZE(items); i++)
-        if (parse_half(&parse, PySequence_Fast_GET_ITEM(items, i)))
+    parse.half_count = PySequence_Fast_GET_SIZE(items);
+    for (i = 0; i < parse.half_count; i++)
+        if (parse_half(&parse, PySequence_Fast_GET_ITEM(items, i), parse.halves + i))
             goto done;
-    /* The pools are full: point each merge, group and half at its own
-     * (firsts holds their first indices in parse order: each merge's, then
-     * each half's and its groups'). */
-    for (i = 0; i < parse.merges.size; i++) {
-        struct merge *merge = AT(parse.merges, struct merge, i);
-        merge->runs = AT(parse.runs, struct run, *AT(parse.firsts, Py_ssize_t, at++));
-    }
-    for (i = 0; i < parse.halves.size; i++) {
-        struct half *half = AT(parse.halves, struct half, i);
-        half->groups = AT(parse.groups, struct group, *AT(parse.firsts, Py_ssize_t, at++));
-        for (j = 0; j < half->count; j++) {
-            struct group *group = (struct group *)half->groups + j;
-            group->runs = AT(parse.runs, struct run, *AT(parse.firsts, Py_ssize_t, at++));
-            if (group->count > readers)
-                readers = group->count;
-        }
-        if (half->needles > needles)
-            needles = half->needles;
-    }
     if (!(results = fold_results(&parse)))
         goto done;
     Py_BEGIN_ALLOW_THREADS
-    status = fold(AT(parse.merges, struct merge, 0), parse.merges.size,
-                  AT(parse.halves, struct half, 0), parse.halves.size, needles, readers,
-                  PyArray_DATA(out));
+    status = fold(parse.merges, parse.merge_count, parse.halves, parse.half_count, parse.needles,
+                  parse.readers, PyArray_DATA(out));
     Py_END_ALLOW_THREADS
     if (status) {
         PyErr_SetString(PyExc_MemoryError, "the kernel's fold could not allocate its scratch");
         Py_CLEAR(results);
         goto done;
     }
-    for (i = 0; i < parse.merges.size; i++) {
-        int64_t entries = AT(parse.merges, struct merge, i)->entries;
+    for (i = 0; i < parse.merge_count; i++) {
+        int64_t entries = parse.merges[i].entries;
         PyObject *pair = PyList_GET_ITEM(results, i);
         if (!entries) {
             Py_INCREF(Py_None);
@@ -1946,13 +1839,7 @@ static PyObject *py_band_inverse(PyObject *Py_UNUSED(module), PyObject *args, Py
     double beta;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Od:band_inverse", keywords,
                                      &keys_obj, &beta)
-        || !(keys = array_arg(keys_obj, "keys")))
-        return NULL;
-    if (!IS_F64(keys)) {
-        PyErr_Format(PyExc_TypeError, "keys are %S, not float64", DTYPE(keys));
-        return NULL;
-    }
-    if (!laid_out(keys, "keys", 0)
+        || !(keys = take("band_inverse", "keys", keys_obj, F64_ONLY, 0))
         || !(lows = new_array(PyArray_NDIM(keys), PyArray_DIMS(keys), NPY_DOUBLE)))
         return NULL;
     if (!(highs = new_array(PyArray_NDIM(keys), PyArray_DIMS(keys), NPY_DOUBLE))) {
@@ -1995,33 +1882,22 @@ static PyObject *py_offer(PyObject *Py_UNUSED(module), PyObject *args, PyObject 
                                      &counter, &objs[3], &objs[4]))
         return NULL;
     for (i = 0; i < 5; i++)
-        if (!(array[i] = array_arg(objs[i], names[i])))
+        if (!(array[i] = take("offer", names[i], objs[i], i == 1 ? I64_ONLY : F64_ONLY, i < 3)))
             return NULL;
-    if (!(IS_F64(array[3]) && IS_F64(array[4]) && IS_F64(array[0]) && IS_F64(array[2])
-          && IS_I64(array[1]))) {
-        PyErr_Format(PyExc_TypeError,
-                     "priorities %S, keys %S, heap priorities %S, heap counters %S, heap "
-                     "keys %S: the kernel takes float64 and int64 counters",
-                     DTYPE(array[3]), DTYPE(array[4]), DTYPE(array[0]), DTYPE(array[1]),
-                     DTYPE(array[2]));
-        return NULL;
-    }
     if (SIZE(array[3]) != SIZE(array[4])) {
-        PyErr_Format(PyExc_ValueError, "%zd priorities but %zd keys", SIZE(array[3]),
+        PyErr_Format(PyExc_ValueError, "offer: %zd priorities but %zd keys", SIZE(array[3]),
                      SIZE(array[4]));
         return NULL;
     }
     room = size + SIZE(array[4]) < capacity ? size + SIZE(array[4]) : capacity;
     if (SIZE(array[0]) < room || SIZE(array[1]) < room || SIZE(array[2]) < room) {
-        PyErr_Format(PyExc_ValueError, "the heap's arrays have no room for %zd entries", room);
+        PyErr_Format(PyExc_ValueError, "offer: the heap's arrays have no room for %zd entries",
+                     room);
         return NULL;
     }
-    for (i = 0; i < 5; i++)
-        if (!laid_out(array[i], names[i], i < 3))
-            return NULL;
     if (capacity <= 0 || size < 0 || size > capacity || counter < 0) {
         PyErr_Format(PyExc_ValueError,
-                     "size %zd, capacity %zd, counter %zd: a heap needs 0 <= size <= "
+                     "offer: size %zd, capacity %zd, counter %zd: a heap needs 0 <= size <= "
                      "capacity, 0 < capacity and 0 <= counter",
                      size, capacity, counter);
         return NULL;
@@ -2064,33 +1940,22 @@ static PyObject *py_group_sums(PyObject *Py_UNUSED(module), PyObject *args, PyOb
                                      &objs[0], &objs[1], &objs[2], &objs[3]))
         return NULL;
     for (i = 1; i < 5; i++)
-        if (!(array[i] = array_arg(objs[i - 1], names[i])))
+        if (!(array[i] = take("group_sums", names[i], objs[i - 1],
+                              i == 3 ? F64_ONLY : I64_ONLY, 0)))
             return NULL;
-    if (!(IS_I64(array[1]) && IS_I64(array[2]) && IS_I64(array[4]))) {
-        PyErr_Format(PyExc_TypeError, "ptr %S, index %S, bounds %S: not int64", DTYPE(array[1]),
-                     DTYPE(array[2]), DTYPE(array[4]));
-        return NULL;
-    }
-    if (!IS_F64(array[3])) {
-        PyErr_Format(PyExc_TypeError, "value is %S, not float64", DTYPE(array[3]));
-        return NULL;
-    }
     if (PyArray_NDIM(array[1]) != 1 || SIZE(array[1]) < 1 || !same_shape(array[2], array[3])
         || PyArray_NDIM(array[2]) != 1) {
-        PyErr_Format(PyExc_ValueError, "ptr %s, index %s and value %s are not one CSR",
+        PyErr_Format(PyExc_ValueError, "group_sums: ptr %s, index %s and value %s are not one CSR",
                      shape_text(array[1], shapes[0], sizeof shapes[0]),
                      shape_text(array[2], shapes[1], sizeof shapes[1]),
                      shape_text(array[3], shapes[2], sizeof shapes[2]));
         return NULL;
     }
     if (PyArray_NDIM(array[4]) != 1 || SIZE(array[4]) < 2) {
-        PyErr_Format(PyExc_ValueError, "bounds %s hold no group",
+        PyErr_Format(PyExc_ValueError, "group_sums: bounds %s hold no group",
                      shape_text(array[4], shapes[0], sizeof shapes[0]));
         return NULL;
     }
-    for (i = 1; i < 5; i++)
-        if (!laid_out(array[i], names[i], 0))
-            return NULL;
     shape[0] = SIZE(array[1]) - 1;
     shape[1] = SIZE(array[4]) - 1;
     if (!(array[0] = new_array(2, shape, NPY_DOUBLE)))
@@ -2103,8 +1968,8 @@ static PyObject *py_group_sums(PyObject *Py_UNUSED(module), PyObject *args, PyOb
     if (status) {
         Py_DECREF(array[0]);
         PyErr_SetString(PyExc_ValueError,
-                        "ptr does not run from 0 to the entries, a row's index is out of "
-                        "order or range, or the bounds do not rise from 0");
+                        "group_sums: ptr does not run from 0 to the entries, a row's index is "
+                        "out of order or range, or the bounds do not rise from 0");
         return NULL;
     }
     return (PyObject *)array[0];
@@ -2144,36 +2009,28 @@ static PyObject *py_sweep_rows(PyObject *Py_UNUSED(module), PyObject *args, PyOb
                                      &threshold, &max_groups))
         return NULL;
     for (i = 1; i < 5; i++)
-        if (!(array[i] = array_arg(objs[i - 1], names[i])))
+        if (!(array[i] = take("sweep_rows", names[i], objs[i - 1], F64_ONLY, 0)))
             return NULL;
-    if (!(IS_F64(array[1]) && IS_F64(array[2]) && IS_F64(array[3]) && IS_F64(array[4]))) {
-        PyErr_Format(PyExc_TypeError,
-                     "freq %S, cand %S, row_input %S, col_input %S: the sweep takes float64",
-                     DTYPE(array[1]), DTYPE(array[2]), DTYPE(array[3]), DTYPE(array[4]));
-        return NULL;
-    }
     if (PyArray_NDIM(array[1]) != 2 || !same_shape(array[2], array[1])) {
-        PyErr_Format(PyExc_ValueError, "freq %s and cand %s are not one matrix",
+        PyErr_Format(PyExc_ValueError, "sweep_rows: freq %s and cand %s are not one matrix",
                      shape_text(array[1], shapes[0], sizeof shapes[0]),
                      shape_text(array[2], shapes[1], sizeof shapes[1]));
         return NULL;
     }
     if (PyArray_NDIM(array[3]) != 1 || PyArray_DIM(array[3], 0) != PyArray_DIM(array[1], 0)
         || PyArray_NDIM(array[4]) != 1 || PyArray_DIM(array[4], 0) != PyArray_DIM(array[1], 1)) {
-        PyErr_Format(PyExc_ValueError, "row_input %s and col_input %s do not fit a %s matrix",
+        PyErr_Format(PyExc_ValueError,
+                     "sweep_rows: row_input %s and col_input %s do not fit a %s matrix",
                      shape_text(array[3], shapes[0], sizeof shapes[0]),
                      shape_text(array[4], shapes[1], sizeof shapes[1]),
                      shape_text(array[1], shapes[2], sizeof shapes[2]));
         return NULL;
     }
     if (max_groups < 1) {
-        PyErr_Format(PyExc_ValueError, "max_groups is %zd: a sweep needs at least one group",
-                     max_groups);
+        PyErr_Format(PyExc_ValueError,
+                     "sweep_rows: max_groups is %zd: a sweep needs at least one group", max_groups);
         return NULL;
     }
-    for (i = 1; i < 5; i++)
-        if (!laid_out(array[i], names[i], 0))
-            return NULL;
     room = max_groups + 1;
     if (!(array[0] = new_array(1, &room, NPY_INT64)))
         return NULL;
@@ -2253,22 +2110,18 @@ static PyObject *py_closure(PyObject *Py_UNUSED(module), PyObject *args, PyObjec
                                      &objs[0], &objs[1], &objs[2], &objs[3], &objs[4],
                                      &objs[5], &objs[6], &mirrored, &split))
         return NULL;
-    for (i = 0; i < 7; i++) {
-        if (!(lookup[i] = array_arg(objs[i], names[i])))
+    for (i = 0; i < 7; i++)
+        if (!(lookup[i] = take("closure", names[i], objs[i], I64_ONLY, 0)))
             return NULL;
-        if (!IS_I64(lookup[i])) {
-            PyErr_Format(PyExc_TypeError, "%s is %S, not int64", names[i], DTYPE(lookup[i]));
-            return NULL;
-        }
-    }
     if (SIZE(lookup[0]) != SIZE(lookup[1]) || SIZE(lookup[0]) != SIZE(lookup[2])) {
-        PyErr_Format(PyExc_ValueError, "%zd rows but %zd lo and %zd hi", SIZE(lookup[0]),
+        PyErr_Format(PyExc_ValueError, "closure: %zd rows but %zd lo and %zd hi", SIZE(lookup[0]),
                      SIZE(lookup[1]), SIZE(lookup[2]));
         return NULL;
     }
     if (SIZE(lookup[3]) != SIZE(lookup[4]) || SIZE(lookup[5]) != SIZE(lookup[6])) {
         PyErr_Format(PyExc_ValueError,
-                     "below / above have %zd / %zd rows and first / last %zd / %zd columns",
+                     "closure: below / above have %zd / %zd rows and first / last %zd / %zd "
+                     "columns",
                      SIZE(lookup[3]), SIZE(lookup[4]), SIZE(lookup[5]), SIZE(lookup[6]));
         return NULL;
     }
@@ -2276,13 +2129,10 @@ static PyObject *py_closure(PyObject *Py_UNUSED(module), PyObject *args, PyObjec
     num_cols = SIZE(lookup[5]);
     if (!(0 < num_rows && num_rows <= 65536 && 0 < num_cols && num_cols <= 65536)) {
         PyErr_Format(PyExc_ValueError,
-                     "a %zd x %zd grid: the closure takes 1 to 65,536 rows and columns",
+                     "closure: a %zd x %zd grid: the closure takes 1 to 65,536 rows and columns",
                      num_rows, num_cols);
         return NULL;
     }
-    for (i = 0; i < 7; i++)
-        if (!laid_out(lookup[i], names[i], 0))
-            return NULL;
     /* Room for a 24 x 24 band grid's 1,128 rectangles and 34K children; a
      * round that runs out of either is run again in twice the room. */
     if (!(keys = new_array(2, shape, NPY_INT64)) || !(offsets = new_array(1, &room, NPY_INT64))
@@ -2317,8 +2167,8 @@ static PyObject *py_closure(PyObject *Py_UNUSED(module), PyObject *args, PyObjec
             goto done;
         }
         if (status) {
-            PyErr_SetString(PyExc_ValueError, "a lookup points outside the table it indexes: "
-                                              "these are not a monotone grid's tables");
+            PyErr_SetString(PyExc_ValueError, "closure: a lookup points outside the table it "
+                                              "indexes: these are not a monotone grid's tables");
             goto done;
         }
         start = count;
@@ -2340,7 +2190,7 @@ static PyObject *py_closure(PyObject *Py_UNUSED(module), PyObject *args, PyObjec
         if (!flags)
             goto done;
         if (PyArray_NDIM(flags) > 1 || SIZE(flags) != count - start) {
-            PyErr_Format(PyExc_ValueError, "split said %s for %zd rectangles",
+            PyErr_Format(PyExc_ValueError, "closure: split said %s for %zd rectangles",
                          shape_text(flags, text, sizeof text), (Py_ssize_t)(count - start));
             goto done;
         }
@@ -2386,34 +2236,24 @@ static PyObject *py_tile(PyObject *Py_UNUSED(module), PyObject *args, PyObject *
                                      &objs[0], &objs[1], &objs[2], &root, &delta))
         return NULL;
     for (i = 2; i < 5; i++)
-        if (!(array[i] = array_arg(objs[i - 2], names[i])))
+        if (!(array[i] = take("tile", names[i], objs[i - 2], i == 4 ? F64_ONLY : I64_ONLY, 0)))
             return NULL;
-    if (!IS_I64(array[2]) || !IS_I64(array[3])) {
-        PyErr_Format(PyExc_TypeError, "offsets %S, children %S: not int64", DTYPE(array[2]),
-                     DTYPE(array[3]));
-        return NULL;
-    }
-    if (!IS_F64(array[4])) {
-        PyErr_Format(PyExc_TypeError, "leaf_thresholds is %S, not float64", DTYPE(array[4]));
-        return NULL;
-    }
     size = SIZE(array[4]);
     if (SIZE(array[2]) != size + 1) {
-        PyErr_Format(PyExc_ValueError, "%zd offsets for %zd rectangles", SIZE(array[2]), size);
+        PyErr_Format(PyExc_ValueError, "tile: %zd offsets for %zd rectangles", SIZE(array[2]),
+                     size);
         return NULL;
     }
     if (!(0 <= root && root < size)) {
-        PyErr_Format(PyExc_ValueError, "root %zd is not one of the %zd rectangles", root, size);
+        PyErr_Format(PyExc_ValueError, "tile: root %zd is not one of the %zd rectangles", root,
+                     size);
         return NULL;
     }
     if (delta != delta) {
         PyErr_SetString(PyExc_ValueError,
-                        "delta is nan: a tiling's threshold must be comparable");
+                        "tile: delta is nan: a tiling's threshold must be comparable");
         return NULL;
     }
-    for (i = 2; i < 5; i++)
-        if (!laid_out(array[i], names[i], 0))
-            return NULL;
     shape = size;
     if (!(array[0] = new_array(1, &shape, NPY_INT64)))
         return NULL;
@@ -2431,7 +2271,7 @@ static PyObject *py_tile(PyObject *Py_UNUSED(module), PyObject *args, PyObject *
         if (status == -1)
             PyErr_SetString(PyExc_MemoryError, "the kernel's tiling could not allocate its stack");
         else
-            PyErr_SetString(PyExc_ValueError, "an offset or a child lies outside what it "
+            PyErr_SetString(PyExc_ValueError, "tile: an offset or a child lies outside what it "
                                               "indexes, or a rectangle above delta has no split");
         return NULL;
     }

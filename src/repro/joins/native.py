@@ -38,15 +38,18 @@ entry (``tests/test_sampling_oracle.py``), the group sums' floats
 tilings' regions and rectangle counts (``tests/test_planner_oracle.py``).
 
 ``native.c`` is an extension module, ``repro.joins._native``: each entry
-point takes its numpy arrays as objects and checks them with numpy's C
-API -- keys float64 or int64, counts, positions, lookups and ids int64,
-every array C-contiguous and aligned, every array it writes writable,
-sizes and index ranges -- with no copy.  Anything else raises a
-:class:`TypeError` (a dtype) or :class:`ValueError` (a shape, a size, a
-layout, an index) that names the input, having written nothing; a loop
-that cannot have its scratch memory raises :class:`MemoryError`.  Each
-releases the GIL while its loop runs.  This module re-exports the seven
-(their docstrings are in ``native.c``).
+point takes its numpy arrays as objects, with no copy, and passes every
+one through one check in C -- an ndarray, keys float64 or int64 and
+counts, positions, lookups and ids int64 in native byte order,
+C-contiguous and aligned, writable where the kernel writes it -- then
+checks sizes and index ranges.  Anything else raises a
+:class:`TypeError` (an object or a dtype) or :class:`ValueError` (a
+layout, a shape, a size, an index) that starts with the entry point's
+name, having written nothing; an object, dtype or layout refusal reads
+``"<entry>: <argument> is <found>, not <expected>"`` (``"fold: cum is
+float32, not int64"``).  A loop that cannot have its scratch memory
+raises :class:`MemoryError`.  Each releases the GIL while its loop runs.
+This module re-exports the seven (their docstrings are in ``native.c``).
 
 On import the module compiles ``native.c`` with the C compiler (the ``CC``
 environment variable, else the one Python was built with, ``-O2

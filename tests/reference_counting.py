@@ -80,8 +80,9 @@ def count_half(lows, highs, starts, stops, runs, out: np.ndarray) -> None:
     ``MachineSlices``, called), the readers' needle shares gathered segment
     after segment (a needle two readers share appears in both), searched
     with two ``searchsorted`` passes over the window they lie in, clipped to
-    each reader's slice, summed per reader with ``reduceat`` and added into
-    the readers' totals.
+    each reader's slice (an interval answered backwards, a NaN low under a
+    finite high, counts empty, as in the kernel), summed per reader with
+    ``reduceat`` and added into the readers' totals.
     """
     for keys, cum, readers, cut in runs:
         first, last = starts[readers], stops[readers]
@@ -99,7 +100,7 @@ def count_half(lows, highs, starts, stops, runs, out: np.ndarray) -> None:
             clip_lows, clip_highs = cut(keys)
             np.maximum(low, clip_lows[: readers.size][segment], out=low)
             np.minimum(high, clip_highs[: readers.size][segment], out=high)
-            np.maximum(high, low, out=high)
+        np.maximum(high, low, out=high)
         counts = high - low if cum is None else cum[high] - cum[low]
         busy = sizes.nonzero()[0]
         out[readers[busy]] += np.add.reduceat(counts, begins[busy])

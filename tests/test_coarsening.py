@@ -278,21 +278,22 @@ def test_group_sums_refuse_what_they_cannot_sum():
     ptr, index, value = csr(np.array([[0.0, 2.0, 3.0], [1.0, 0.0, 0.0]]))
     bounds = np.array([0, 2, 3])
     assert native.group_sums(ptr, index, value, bounds).tolist() == [[2.0, 3.0], [1.0, 0.0]]
-    with pytest.raises(TypeError, match="not int64"):
+    with pytest.raises(TypeError, match="group_sums: ptr is int32, not int64"):
         native.group_sums(ptr.astype(np.int32), index, value, bounds)
-    with pytest.raises(TypeError, match="float64"):
+    with pytest.raises(TypeError, match="group_sums: value is float32, not float64"):
         native.group_sums(ptr, index, value.astype(np.float32), bounds)
-    with pytest.raises(ValueError, match="not one CSR"):
+    not_one_csr = r"group_sums: ptr \(3,\), index \(3,\) and value \(2,\) are not one CSR"
+    with pytest.raises(ValueError, match=not_one_csr):
         native.group_sums(ptr, index, value[:-1], bounds)
-    with pytest.raises(ValueError, match="no group"):
+    with pytest.raises(ValueError, match=r"group_sums: bounds \(1,\) hold no group"):
         native.group_sums(ptr, index, value, bounds[:1])
-    with pytest.raises(ValueError, match="C-contiguous"):
+    with pytest.raises(ValueError, match="group_sums: index is strided, not C-contiguous"):
         native.group_sums(ptr, np.repeat(index, 2)[::2], value, bounds)
     for bad in (dict(index=np.array([2, 1, 0])), dict(index=index + 1),
                 dict(bounds=np.array([0, 2, 2, 3])), dict(bounds=np.array([1, 3])),
                 dict(ptr=np.array([0, 2, 2]))):
         args = dict(ptr=ptr, index=index, value=value, bounds=bounds) | bad
-        with pytest.raises(ValueError, match="out of order or range"):
+        with pytest.raises(ValueError, match="group_sums: ptr does not run .* or range"):
             native.group_sums(**args)
 
 

@@ -85,13 +85,12 @@ def _fresh(*values: float):
 HALVES = [value / 2 for value in range(-8, 9)]
 
 KEY = st.integers(0, 63)
-#: A needle's high bound: its low ("point") or the larger of the two keys
+#: A needle's high bound: its low ("point"), the larger of the two keys
 #: ("wide"), so it is never answered left of the low bound, as production's
-#: bounds never are (a NaN key's are NaN and +inf).  An example may take
-#: the second key as it is ("free") under a cut: the kernel counts an
-#: interval answered backwards as empty, and the reference clamps it so
-#: only where it clips to a cut.
-SHAPE = st.sampled_from(["point", "wide"])
+#: bounds never are (a NaN key's are NaN and +inf), or the second key as it
+#: is ("free"), which may be: the kernel counts an interval answered
+#: backwards as empty, and so does the reference, with a cut or without.
+SHAPE = st.sampled_from(["point", "wide", "free"])
 #: A run: its kind and (key, count) entries; a fresh or tombstone run's counts are its own.
 RUN = st.tuples(
     st.sampled_from(["fresh", "counted", "tombstone"]),
@@ -219,9 +218,8 @@ def _run(pool: np.ndarray, kind: str, entries, trimmed: bool):
 # a high bound answered at its low's answer (0.5, in neither run), an
 # answer at the tail and at the run's end (4.0 and +inf; the short run's
 # walk is clamped at its end), a NaN high, a NaN low under a finite high
-# (its high answered left of its low, so the cut -- every reader reads
-# each run whole -- clamps it empty in the reference too), and a NaN
-# needle.
+# (its high answered left of its low: empty, with no cut to clip it), and
+# a NaN needle.
 @example(
     keys="float",
     cascades=[],
@@ -237,7 +235,7 @@ def _run(pool: np.ndarray, kind: str, entries, trimmed: bool):
         (NAN, 0, "point"),
     ],
     shares=[(0, 7)] * 5,
-    cut=([0], [(1, 2)] * 4),
+    cut=None,
     halves=1,
     trimmed=True,
 )
@@ -374,12 +372,14 @@ def test_indices_out_of_range_raise_by_name_and_write_nothing():
     runs, readers, cut, _ = groups[0]
     merge = [(np.arange(3.0), None), (np.arange(2.0), None)]
     refused = [
-        ("slice bound indexes no cut", (starts, stops, [(runs, readers, cut._replace(last=cut.last + 1), None)])),
-        ("slice bound indexes no cut", (starts, stops, [(runs, readers, cut._replace(first=cut.first - 3), None)])),
-        ("reader is not one of the machines", (starts, stops, [(runs, readers + 1, cut, None)])),
-        ("reader is not one of the machines", (starts, stops, [(runs, readers - 1, None, None)])),
-        ("share lies outside the needles", (starts, stops + 1, groups)),
-        ("share lies outside the needles", (starts - 1, stops, groups)),
+        ("fold: a reader's slice bound indexes no cut", (starts, stops, [(runs, readers, cut._replace(last=cut.last + 1), None)])),
+        ("fold: a reader's slice bound indexes no cut", (starts, stops, [(runs, readers, cut._replace(first=cut.first - 3), None)])),
+        ("fold: a group's reader is not one of the machines",
+         (starts, stops, [(runs, readers + 1, cut, None)])),
+        ("fold: a group's reader is not one of the machines",
+         (starts, stops, [(runs, readers - 1, None, None)])),
+        ("fold: a machine's share lies outside the needles", (starts, stops + 1, groups)),
+        ("fold: a machine's share lies outside the needles", (starts - 1, stops, groups)),
     ]
     for message, (first, last, bad) in refused:
         with pytest.raises(ValueError, match=message):
@@ -387,9 +387,9 @@ def test_indices_out_of_range_raise_by_name_and_write_nothing():
             # anything is merged or counted.
             native.fold([merge], [(lows, highs, first, last, groups + bad)], out)
         assert out.tolist() == [-7, -7]
-    with pytest.raises(ValueError, match="merge 1 is not one of the 1 cascades"):
+    with pytest.raises(ValueError, match="fold: merge 1 is not one of the 1 cascades"):
         native.fold([merge], [(lows, highs, starts, stops, [(runs, readers, cut, 1)])], out)
-    with pytest.raises(ValueError, match="a group searches no run"):
+    with pytest.raises(ValueError, match="fold: a group searches no run"):
         native.fold([], [(lows, highs, starts, stops, [([], readers, cut, None)])], out)
     assert out.tolist() == [-7, -7]
     native.fold([], [(lows, highs, starts, stops, groups)], out)
@@ -413,35 +413,49 @@ def test_inputs_it_does_not_take_raise():
         group = {"keys": keys, "cum": cum, "readers": readers, "cut": cut, **changed}
         return [([(group["keys"], group["cum"])], group["readers"], group["cut"], None)]
 
+    int_bounds = (lows.astype(np.int64), highs.astype(np.int64), starts, stops)
     refused = [
-        (TypeError, "lows are float32", (lows.astype(np.float32), highs, starts, stops, groups)),
-        (ValueError, "4 float64 lows but 3 float64 highs", (lows, highs[:3], starts, stops, groups)),
-        (TypeError, "starts int32", (lows, highs, starts.astype(np.int32), stops, groups)),
-        (ValueError, "2 starts and 1 stops for 2 machines", (lows, highs, starts, stops[:1], groups)),
-        (TypeError, "a run's keys are float64, not the bounds' int64",
-         (lows.astype(np.int64), highs.astype(np.int64), starts, stops, groups)),
-        (TypeError, "a run's keys are int32", (lows, highs, starts, stops, half(keys=keys.astype(np.int32)))),
-        (TypeError, "readers are int32", (lows, highs, starts, stops, half(readers=readers.astype(np.int32)))),
-        (ValueError, "cum is 10 int64, not 11 int64", (lows, highs, starts, stops, half(cum=np.arange(10)))),
-        (ValueError, "needs 2 firsts and lasts", (lows, highs, starts, stops, half(cut=cut._replace(first=cut.first[:1])))),
-        (TypeError, "float64 cut keys and int64 bounds", (lows, highs, starts, stops, half(cut=cut._replace(last=cut.last.astype(np.int32))))),
-        (ValueError, "is not C-contiguous", (lows, highs, starts, stops, half(keys=np.arange(20.0)[::2]))),
+        (TypeError, "fold: lows is float32, not float64 or int64",
+         (lows.astype(np.float32), highs, starts, stops, groups)),
+        (ValueError, "fold: 4 float64 lows but 3 float64 highs", (lows, highs[:3], starts, stops, groups)),
+        (TypeError, "fold: starts is int32, not int64", (lows, highs, starts.astype(np.int32), stops, groups)),
+        (ValueError, "fold: 2 starts and 1 stops for 2 machines", (lows, highs, starts, stops[:1], groups)),
+        (TypeError, "fold: keys is float64, not int64", (*int_bounds, groups)),
+        (TypeError, "fold: keys is int32, not float64 or int64",
+         (lows, highs, starts, stops, half(keys=keys.astype(np.int32)))),
+        (TypeError, "fold: readers is int32, not int64",
+         (lows, highs, starts, stops, half(readers=readers.astype(np.int32)))),
+        (ValueError, "fold: cum is 10 int64, not 11 int64",
+         (lows, highs, starts, stops, half(cum=np.arange(10)))),
+        (ValueError, "fold: a slice rule needs 2 firsts and lasts",
+         (lows, highs, starts, stops, half(cut=cut._replace(first=cut.first[:1])))),
+        (TypeError, "fold: last is int32, not int64",
+         (lows, highs, starts, stops, half(cut=cut._replace(last=cut.last.astype(np.int32))))),
+        (ValueError, "fold: keys is strided, not C-contiguous",
+         (lows, highs, starts, stops, half(keys=np.arange(20.0)[::2]))),
     ]
     for error, message, args in refused:
         with pytest.raises(error, match=message):
             native.fold([], [args], out)
-    with pytest.raises(ValueError, match="is read-only, and the kernel writes it"):
+    with pytest.raises(ValueError, match="fold: out is read-only, not writable"):
         native.fold([], [(lows, highs, starts, stops, groups)], frozen)
-    with pytest.raises(TypeError, match="out is int32"):
+    with pytest.raises(TypeError, match="fold: out is int32, not int64"):
         native.fold([], [(lows, highs, starts, stops, groups)], out.astype(np.int32))
-    with pytest.raises(TypeError, match="run keys are float32"):
+    with pytest.raises(TypeError, match="fold: keys is float32, not float64 or int64"):
         native.fold([[(keys.astype(np.float32), None)]], [], out)
-    with pytest.raises(TypeError, match="a run's keys are int64, not its group's float64"):
+    with pytest.raises(TypeError, match="fold: keys is int64, not float64"):
         native.fold([[(keys, None), (keys.astype(np.int64), None)]], [], out)
-    with pytest.raises(ValueError, match="cum is 10 int64, not 11 int64"):
+    with pytest.raises(ValueError, match="fold: cum is 10 int64, not 11 int64"):
         native.fold([[(keys, None), (keys, np.arange(10))]], [], out)
-    with pytest.raises(ValueError, match="is not C-contiguous"):
+    with pytest.raises(ValueError, match="fold: keys is strided, not C-contiguous"):
         native.fold([[(keys, None), (keys[::2], None)]], [], out)
+    # A merge's run searched under bounds of the other dtype: refused by
+    # the cascade's dtype, not by an array's.
+    cascade = [[(keys, None)]]
+    with pytest.raises(TypeError, match="fold: a run's keys are float64, not the bounds' int64"):
+        native.fold(cascade, [(*int_bounds, [([], readers, cut, 0)])], out)
+    with pytest.raises(TypeError, match="fold: merge is a str, not an int"):
+        native.fold(cascade, [(lows, highs, starts, stops, [([], readers, cut, "0")])], out)
     assert out.tolist() == [-7, -7]
     read_only = [array.copy() for array in (lows, highs, starts, stops, keys, readers)]
     for array in read_only:

@@ -173,32 +173,33 @@ def test_inputs_it_does_not_take_raise():
     frozen_out = out.copy()
     frozen_out.flags.writeable = False
     refused = [
-        (TypeError, "a run's keys are float32", (run.astype(np.float32), None, lows, highs)),
-        (ValueError, "4 int64 lows but 4 float64 highs", (run, None, lows.astype(np.int64), highs)),
-        (ValueError, "4 float64 lows but 3 float64 highs", (run, None, lows, highs[:3])),
-        (ValueError, "a slice rule is not C-contiguous", (run[::2], None, lows, highs)),
-        (ValueError, "cum is 10 int64, not 11 int64", (run, np.arange(10), lows, highs)),
+        (TypeError, "fold: keys is float32, not float64 or int64",
+         (run.astype(np.float32), None, lows, highs)),
+        (TypeError, "fold: highs is float64, not int64", (run, None, lows.astype(np.int64), highs)),
+        (ValueError, "fold: 4 float64 lows but 3 float64 highs", (run, None, lows, highs[:3])),
+        (ValueError, "fold: keys is strided, not C-contiguous", (run[::2], None, lows, highs)),
+        (ValueError, "fold: cum is 10 int64, not 11 int64", (run, np.arange(10), lows, highs)),
     ]
     for error, message, args in refused:
         with pytest.raises(error, match=message):
             _count_one(*args, out)
-    with pytest.raises(TypeError, match="out is int32, not int64"):
+    with pytest.raises(TypeError, match="fold: out is int32, not int64"):
         _count_one(run, None, lows, highs, out.astype(np.int32))
-    with pytest.raises(ValueError, match="slice rule is read-only, and the kernel writes it"):
+    with pytest.raises(ValueError, match="fold: out is read-only, not writable"):
         _count_one(run, None, lows, highs, frozen_out)
-    with pytest.raises(ValueError, match="1 starts and 1 stops for 0 machines"):
+    with pytest.raises(ValueError, match="fold: 1 starts and 1 stops for 0 machines"):
         _count_one(run, None, lows, highs, out[:0])
-    with pytest.raises(ValueError, match="a group's reader is not one of the machines"):
+    with pytest.raises(ValueError, match="fold: a group's reader is not one of the machines"):
         _count_one(run, None, lows, highs, out, readers=np.ones(1, dtype=np.int64))
     assert out.tolist() == [-7]
 
-    with pytest.raises(TypeError, match="run keys are float32"):
+    with pytest.raises(TypeError, match="fold: keys is float32, not float64 or int64"):
         _merge([(run.astype(np.float32), None)])
-    with pytest.raises(TypeError, match="a run's keys are int64, not its group's float64"):
+    with pytest.raises(TypeError, match="fold: keys is int64, not float64"):
         _merge([(run, None), (run.astype(np.int64), None)])
-    with pytest.raises(ValueError, match="cum is 10 int64, not 11 int64"):
+    with pytest.raises(ValueError, match="fold: cum is 10 int64, not 11 int64"):
         _merge([(run, None), (run, np.arange(10))])
-    with pytest.raises(ValueError, match="a run, a reader or a slice rule is not C-contiguous"):
+    with pytest.raises(ValueError, match="fold: keys is strided, not C-contiguous"):
         _merge([(run, None), (run[::2], None)])
 
     read_only = [array.copy() for array in (run, lows, highs)]
@@ -224,15 +225,22 @@ def test_offers_it_does_not_take_raise():
     frozen = heap[0].copy()
     frozen.flags.writeable = False
     refused = [
-        (TypeError, "priorities float32", (heap, 0, 4, 0, priorities.astype(np.float32), keys)),
-        (TypeError, "keys int64", (heap, 0, 4, 0, priorities, keys.astype(np.int64))),
-        (TypeError, "heap counters int32", (narrow, 0, 4, 0, priorities, keys)),
-        (ValueError, "keys is not C-contiguous", (heap, 0, 4, 0, priorities, np.arange(6.0)[::2])),
-        (ValueError, "2 priorities but 3 keys", (heap, 0, 4, 0, priorities[:2], keys)),
-        (ValueError, "no room for 4 entries", (short, 1, 4, 0, priorities, keys)),
-        (ValueError, "size 5, capacity 4, counter 0", (heap, 5, 4, 0, priorities[:0], keys[:0])),
-        (ValueError, "counter -5", (heap, 0, 4, -5, priorities, keys)),
-        (ValueError, "heap priorities is read-only", ((frozen, *heap[1:]), 0, 4, 0, priorities, keys)),
+        (TypeError, "offer: priorities is float32, not float64",
+         (heap, 0, 4, 0, priorities.astype(np.float32), keys)),
+        (TypeError, "offer: keys is int64, not float64",
+         (heap, 0, 4, 0, priorities, keys.astype(np.int64))),
+        (TypeError, "offer: heap counters is int32, not int64",
+         (narrow, 0, 4, 0, priorities, keys)),
+        (ValueError, "offer: keys is strided, not C-contiguous",
+         (heap, 0, 4, 0, priorities, np.arange(6.0)[::2])),
+        (ValueError, "offer: 2 priorities but 3 keys", (heap, 0, 4, 0, priorities[:2], keys)),
+        (ValueError, "offer: the heap's arrays have no room for 4 entries",
+         (short, 1, 4, 0, priorities, keys)),
+        (ValueError, "offer: size 5, capacity 4, counter 0",
+         (heap, 5, 4, 0, priorities[:0], keys[:0])),
+        (ValueError, "offer: size 0, capacity 4, counter -5", (heap, 0, 4, -5, priorities, keys)),
+        (ValueError, "offer: heap priorities is read-only, not writable",
+         ((frozen, *heap[1:]), 0, 4, 0, priorities, keys)),
     ]
     for error, message, args in refused:
         with pytest.raises(error, match=message):
@@ -286,21 +294,31 @@ def test_sweeps_it_does_not_take_raise():
     inputs = (freq, cand, row_input, col_input)
     before = [array.copy() for array in inputs]
     refused = [
-        (TypeError, "freq float32", (freq.astype(np.float32), cand, row_input, col_input)),
-        (TypeError, "cand int64", (freq, cand.astype(np.int64), row_input, col_input)),
-        (TypeError, "row_input int64", (freq, cand, row_input.astype(np.int64), col_input)),
-        (ValueError, "freq is not C-contiguous", (np.asfortranarray(freq), cand, row_input, col_input)),
-        (ValueError, "cand is not C-contiguous", (freq, np.ones((6, 6))[:, ::2], row_input, col_input)),
-        (ValueError, "row_input is not C-contiguous", (freq, cand, np.arange(12.0)[::2], col_input)),
-        (ValueError, "not one matrix", (freq, cand[:5], row_input, col_input)),
-        (ValueError, "do not fit", (freq, cand, row_input[:5], col_input)),
-        (ValueError, "do not fit", (freq, cand, row_input, col_input[:2])),
-        (ValueError, "not one matrix", (freq[0], cand[0], row_input[:1], col_input)),
+        (TypeError, "sweep_rows: freq is float32, not float64",
+         (freq.astype(np.float32), cand, row_input, col_input)),
+        (TypeError, "sweep_rows: cand is int64, not float64",
+         (freq, cand.astype(np.int64), row_input, col_input)),
+        (TypeError, "sweep_rows: row_input is int64, not float64",
+         (freq, cand, row_input.astype(np.int64), col_input)),
+        (ValueError, "sweep_rows: freq is strided, not C-contiguous",
+         (np.asfortranarray(freq), cand, row_input, col_input)),
+        (ValueError, "sweep_rows: cand is strided, not C-contiguous",
+         (freq, np.ones((6, 6))[:, ::2], row_input, col_input)),
+        (ValueError, "sweep_rows: row_input is strided, not C-contiguous",
+         (freq, cand, np.arange(12.0)[::2], col_input)),
+        (ValueError, r"sweep_rows: freq \(6, 3\) and cand \(5, 3\) are not one matrix",
+         (freq, cand[:5], row_input, col_input)),
+        (ValueError, r"sweep_rows: row_input \(5,\) and col_input \(3,\) do not fit",
+         (freq, cand, row_input[:5], col_input)),
+        (ValueError, r"sweep_rows: row_input \(6,\) and col_input \(2,\) do not fit",
+         (freq, cand, row_input, col_input[:2])),
+        (ValueError, r"sweep_rows: freq \(3,\) and cand \(3,\) are not one matrix",
+         (freq[0], cand[0], row_input[:1], col_input)),
     ]
     for error, message, arrays in refused:
         with pytest.raises(error, match=message):
             native.sweep_rows(*arrays, 1.0, 0.2, 5.0, 3)
-    with pytest.raises(ValueError, match="max_groups is 0"):
+    with pytest.raises(ValueError, match="sweep_rows: max_groups is 0"):
         native.sweep_rows(*inputs, 1.0, 0.2, 5.0, 0)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, before))
     expected = numpy_sweep_rows(*inputs, WeightFunction(1.0, 0.2), 5.0, 6).tolist()

@@ -385,51 +385,54 @@ def kernel_tables(grid: WeightedGrid = TIE_GRID):
 def test_closures_and_tilings_it_does_not_take_raise():
     tables, lookups = kernel_tables()
     closure_args = (*lookups, False, lambda keys: np.ones(len(keys), dtype=bool))
+    rows, grid_rows = lookups[0].size, lookups[3].size
     for at, name in enumerate(("rows", "lo", "hi", "below", "above", "first", "last")):
         args = list(closure_args)
         args[at] = lookups[at].astype(np.float64)
-        with pytest.raises(TypeError, match=f"{name} is float64"):
+        with pytest.raises(TypeError, match=f"closure: {name} is float64, not int64"):
             native.closure(*args)
-    with pytest.raises(ValueError, match="rows but"):
+    with pytest.raises(ValueError, match=f"closure: {rows - 1} rows but {rows} lo and {rows} hi"):
         native.closure(lookups[0][:-1], *closure_args[1:])
-    with pytest.raises(ValueError, match="below / above"):
+    below_above = f"closure: below / above have {grid_rows - 1} / {grid_rows} rows"
+    with pytest.raises(ValueError, match=below_above):
         native.closure(*lookups[:3], lookups[3][:-1], *closure_args[4:])
     empty = np.empty(0, dtype=np.int64)
-    with pytest.raises(ValueError, match="0 x 3 grid"):
+    with pytest.raises(ValueError, match="closure: a 0 x 3 grid"):
         native.closure(*lookups[:3], empty, empty, *closure_args[5:])
     wide = np.zeros(65_537, dtype=np.int64)
-    with pytest.raises(ValueError, match="3 x 65537 grid"):
+    with pytest.raises(ValueError, match="closure: a 3 x 65537 grid"):
         native.closure(*lookups[:5], wide, wide - 1, *closure_args[7:])
     outside = lookups[3].copy()
     outside[0] = 7
-    with pytest.raises(ValueError, match="outside the table"):
+    with pytest.raises(ValueError, match="closure: a lookup points outside the table"):
         native.closure(*lookups[:3], outside, *closure_args[4:])
     strided = np.repeat(lookups[1], 2)[::2]
-    with pytest.raises(ValueError, match="lo is not C-contiguous"):
+    with pytest.raises(ValueError, match="closure: lo is strided, not C-contiguous"):
         native.closure(lookups[0], strided, *closure_args[2:])
-    with pytest.raises(ValueError, match="split said"):
+    with pytest.raises(ValueError, match="closure: split said"):
         native.closure(*lookups, False, lambda keys: np.ones(len(keys) + 1, dtype=bool))
 
     args = (tables.offsets, tables.children, tables.leaf_thresholds, 0, 50.0)
     expected = [array.tolist() for array in native.tile(*args)]
-    with pytest.raises(TypeError, match="offsets float64"):
+    with pytest.raises(TypeError, match="tile: offsets is float64, not int64"):
         native.tile(tables.offsets.astype(np.float64), *args[1:])
-    with pytest.raises(TypeError, match="leaf_thresholds is float32"):
+    with pytest.raises(TypeError, match="tile: leaf_thresholds is float32, not float64"):
         native.tile(*args[:2], tables.leaf_thresholds.astype(np.float32), *args[3:])
-    with pytest.raises(ValueError, match="offsets for"):
+    rects = len(tables.rects)
+    with pytest.raises(ValueError, match=f"tile: {rects} offsets for {rects} rectangles"):
         native.tile(tables.offsets[:-1], *args[1:])
     for root in (-1, len(tables.rects)):
-        with pytest.raises(ValueError, match=f"root {root} is not one"):
+        with pytest.raises(ValueError, match=f"tile: root {root} is not one"):
             native.tile(*args[:3], root, 50.0)
-    with pytest.raises(ValueError, match="delta is nan"):
+    with pytest.raises(ValueError, match="tile: delta is nan"):
         native.tile(*args[:4], float("nan"))
     bad = tables.children.copy()
     bad[tables.offsets[1] - 1] = len(tables.rects)
-    with pytest.raises(ValueError, match="lies outside what it indexes"):
+    with pytest.raises(ValueError, match="tile: an offset or a child lies outside what it indexes"):
         native.tile(tables.offsets, bad, *args[2:4], -np.inf)
     unsplit = tables.offsets.copy()
     unsplit[1] = unsplit[0]
-    with pytest.raises(ValueError, match="no split"):
+    with pytest.raises(ValueError, match="tile: .* no split"):
         native.tile(unsplit, *args[1:4], -np.inf)
     # Read-only inputs are read; nothing above moved what a tiling returns.
     frozen = [array.copy() for array in args[:3]]
@@ -694,7 +697,7 @@ def test_the_kernel_sweeps_as_numpy_and_the_row_loop_do(inputs, weight_fn, fract
         if ordered[0].flags.c_contiguous:
             swept = native.sweep_rows(*ordered, row_input, col_input, *costs)
         else:
-            with pytest.raises(ValueError, match="not C-contiguous"):
+            with pytest.raises(ValueError, match="sweep_rows: freq is strided, not C-contiguous"):
                 native.sweep_rows(*ordered, row_input, col_input, *costs)
             swept = native.sweep_rows(freq, cand, row_input, col_input, *costs)
         if reference is None:

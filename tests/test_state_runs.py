@@ -596,11 +596,11 @@ def test_a_refused_fold_changes_nothing():
     good = RoutedSide(keys, *layout.cut(keys), layout)
     cut = layout.cut
     broken = [
-        ("a group's reader is not one of the machines",
+        ("fold: a group's reader is not one of the machines",
          SideLayout([np.array([0, 1, 2, 3, 4, 5, 6, 8])], cut, whole=True), None),
-        ("a reader's slice bound indexes no cut",
+        ("fold: a reader's slice bound indexes no cut",
          SideLayout(layout.readers, cut._replace(last=cut.last + 100), whole=True), None),
-        ("a machine's share lies outside the needles", layout, good.stops + keys.size),
+        ("fold: a machine's share lies outside the needles", layout, good.stops + keys.size),
     ]
 
     def snapshot():
