@@ -649,12 +649,19 @@ static void band_inverse(const double *keys, int64_t size, double beta, double *
  * keys[i] its payload (a key, or a position in Stream-Sample's pool), and
  * the arrays are the list of tuples Python's heapq would hold, entry for
  * entry, because the heap array's order is what the reservoir's keys() and
- * Stream-Sample's with-replacement draw expose.  So every step mirrors CPython's heapq: heappush sifts the new
- * entry down from the end; heapreplace puts it at the root, promotes the
- * smaller child all the way down to a leaf and sifts the entry back up from
- * there (_siftup, then _siftdown).  Entries compare as the tuples do: by
- * priority, ties by counter.  Priorities are never NaN and counters are
- * unique, so the payload is never compared.
+ * Stream-Sample's with-replacement draw expose.  So every step mirrors
+ * CPython's heapq: heappush sifts the new entry down from the end;
+ * heapreplace puts it at the root, promotes the smaller child all the way
+ * down to a leaf and sifts the entry back up from there (_siftup, then
+ * _siftdown).  Entries compare as the tuples do: by priority, ties by
+ * counter.  Counters are unique, so the payload is never compared, and
+ * priorities are never NaN (offer's binding refuses one): on ordered
+ * doubles exactly one of <, == and > holds, so heapq's "the right child
+ * unless the left sorts before it" is the right child when its priority is
+ * smaller, or equal with the smaller counter.  _siftup's descent picks the
+ * child by adding that 0 or 1 to the left child's index, with no branch to
+ * mispredict on random priorities (the guard for a lone left child is
+ * false at most once, at the last level).
  */
 static int before(double priority, int64_t counter, double other_priority,
                   int64_t other_counter)
@@ -692,10 +699,11 @@ static void sift_up(double *priorities, int64_t *counters, double *keys,
     int64_t counter = counters[0], pos = 0, child;
     while (pos < end >> 1) {
         child = 2 * pos + 1;
-        if (child + 1 < end
-            && !before(priorities[child], counters[child],
-                       priorities[child + 1], counters[child + 1]))
-            child++;
+        if (child + 1 < end) {
+            double left = priorities[child], right = priorities[child + 1];
+            child += (right < left)
+                     | ((right == left) & (counters[child + 1] < counters[child]));
+        }
         priorities[pos] = priorities[child];
         counters[pos] = counters[child];
         keys[pos] = keys[child];
@@ -1865,7 +1873,11 @@ PyDoc_STRVAR(offer_doc,
 "filter (``tests/reference_sampling.py``); the heap then\n"
 "holds ``min(capacity, size + len(keys))`` entries.  Priorities and keys\n"
 "are float64, counters int64, and the heap's arrays have room for that\n"
-"many entries; ``0 <= size <= capacity`` and ``0 <= counter``.\n"
+"many entries; ``0 <= size <= capacity`` and ``0 <= counter``.  No\n"
+"priority is NaN: neither ``heapq``'s tuple comparison nor the kernel's\n"
+"orders one, so a NaN is refused by its position before anything is\n"
+"written.  No caller makes one: ``add_batch`` drops NaN keys before it\n"
+"draws, and ``weighted_samples_wor`` offers only ``weights > 0``.\n"
 "Otherwise this raises by name and writes nothing.");
 
 static PyObject *py_offer(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
@@ -1875,7 +1887,8 @@ static PyObject *py_offer(PyObject *Py_UNUSED(module), PyObject *args, PyObject 
                                    "priorities", "keys"};
     PyObject *objs[5];
     PyArrayObject *array[5]; /* the heap's three, then the batch's two */
-    Py_ssize_t size, capacity, counter, room, i;
+    Py_ssize_t size, capacity, counter, room, n, i;
+    const double *batch;
     int64_t next;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "(OOO)nnnOO:offer", keywords,
                                      &objs[0], &objs[1], &objs[2], &size, &capacity,
@@ -1902,6 +1915,14 @@ static PyObject *py_offer(PyObject *Py_UNUSED(module), PyObject *args, PyObject 
                      size, capacity, counter);
         return NULL;
     }
+    batch = PyArray_DATA(array[3]);
+    n = SIZE(array[3]);
+    for (i = 0; i < n; i++)
+        if (isnan(batch[i])) {
+            PyErr_Format(PyExc_ValueError,
+                         "offer: priorities[%zd] is NaN, not a priority a heap can order", i);
+            return NULL;
+        }
     Py_BEGIN_ALLOW_THREADS
     next = offer(PyArray_DATA(array[0]), PyArray_DATA(array[1]), PyArray_DATA(array[2]), size,
                  capacity, counter, PyArray_DATA(array[3]), PyArray_DATA(array[4]),

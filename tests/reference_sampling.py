@@ -19,7 +19,8 @@ counter by counter, generator state by generator state.
 shipped -- a ``heapq`` list of tuples fed one key at a time -- before the
 production one became three arrays offered to by the compiled kernel.  It
 is its own class and meets the production reservoir only through its
-pickled state.
+pickled state.  Its heap loop is :func:`offer`, which
+``tests/test_heap_oracle.py`` drives against ``native.offer`` directly.
 
 :func:`stream_sample` is the other kind of reference: the sequential
 Stream-Sample *driver* ``repro.sampling`` shipped beside the parallel one,
@@ -219,6 +220,32 @@ def wor_to_wr(reservoir: TupleWeightedReservoir, size: int, rng) -> list:
     return [items[i] for i in indexes]
 
 
+def offer(heap: list, capacity: int, counter: int, priorities, payloads) -> int:
+    """:class:`TupleReservoir`'s heap loop: what ``native.offer`` computes.
+
+    Offers ``(priority, counter, payload)`` tuples, in order, to ``heap``
+    (a ``heapq`` list of at most ``capacity`` tuples, changed in place) and
+    returns the next unused counter.  When the heap starts full, only
+    entries above its minimum at that moment take a counter.
+    """
+    priorities = np.asarray(priorities, dtype=np.float64)
+    payloads = np.asarray(payloads, dtype=np.float64)
+    if len(heap) >= capacity:
+        # Entries below the current minimum can never enter (the heap
+        # minimum only rises), so drop them vectorised before the
+        # per-entry heap loop.
+        mask = priorities > heap[0][0]
+        payloads, priorities = payloads[mask], priorities[mask]
+    for payload, priority in zip(payloads, priorities):
+        entry = (float(priority), counter, float(payload))
+        counter += 1
+        if len(heap) < capacity:
+            heapq.heappush(heap, entry)
+        elif entry[0] > heap[0][0]:
+            heapq.heapreplace(heap, entry)
+    return counter
+
+
 class TupleReservoir:
     """The stream histogram's decayed reservoir as it shipped: ``heapq`` tuples.
 
@@ -277,19 +304,7 @@ class TupleReservoir:
             # -ln(-ln u): u -> 0 gives -inf (never sampled), u -> 1 gives +inf.
             priorities = -np.log(-np.log(rng.random(len(keys))))
         priorities += batch_index * self.log_inv_decay
-        if len(self.heap) >= self.capacity:
-            # Entries below the current minimum can never enter (the heap
-            # minimum only rises), so drop them vectorised before the
-            # per-entry heap loop.
-            mask = priorities > self.heap[0][0]
-            keys, priorities = keys[mask], priorities[mask]
-        for key, priority in zip(keys, priorities):
-            entry = (float(priority), self.counter, float(key))
-            self.counter += 1
-            if len(self.heap) < self.capacity:
-                heapq.heappush(self.heap, entry)
-            elif entry[0] > self.heap[0][0]:
-                heapq.heapreplace(self.heap, entry)
+        self.counter = offer(self.heap, self.capacity, self.counter, priorities, keys)
 
     def keys(self) -> np.ndarray:
         """Snapshot of the sampled keys, in heap-array order."""

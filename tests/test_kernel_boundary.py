@@ -13,7 +13,8 @@ copy, a strided view, an unaligned copy, a read-only copy (where the
 kernel writes it) and a copy one entry short (where a size relation
 holds).  Each call must raise
 ``TypeError`` or ``ValueError`` naming the entry point and the argument,
-and leave every array of the call as it was.
+and leave every array of the call as it was.  A second table holds the
+values a valid call's array may not carry, each refused the same way.
 """
 
 from __future__ import annotations
@@ -28,6 +29,24 @@ from repro.core.grid import WeightedGrid
 from repro.core.tiling_tables import TilingTables
 from repro.core.weights import WeightFunction
 from repro.joins import native
+
+
+class Value(NamedTuple):
+    """A value an entry point refuses at one position of an array argument."""
+
+    entry: str
+    path: tuple  # the array argument, as in Arg
+    at: int  # the position given the value
+    value: float
+    refusal: str  # how the ValueError starts
+
+
+#: A NaN priority last, where a check made while the loop runs would
+#: already have written the entries before it, and one with its sign bit set.
+VALUES = [
+    Value("offer", (4,), 3, np.nan, "offer: priorities[3] is NaN, "),
+    Value("offer", (4,), 0, -np.nan, "offer: priorities[0] is NaN, "),
+]
 
 
 class Arg(NamedTuple):
@@ -188,3 +207,18 @@ def test_every_array_argument_is_refused_by_name(entry):
             if what != "one short":
                 assert message.startswith(f"{entry}: {arg.name} is "), label
             assert [array.tobytes() for array in _arrays(call)] == before, label
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda value: f"{value.entry}-{value.at}")
+def test_every_refused_value_is_refused_by_name(value):
+    """A refused value raises a ValueError that names where it sits, and
+    changes no array of the call: the heap's three stay byte for byte."""
+    args, _ = _calls()[value.entry]
+    carrier = _at(args, value.path).copy()
+    carrier[value.at] = value.value
+    call = _replaced(args, value.path, carrier)
+    before = [array.tobytes() for array in _arrays(call)]
+    with pytest.raises(ValueError) as refused:
+        getattr(native, value.entry)(*call)
+    assert str(refused.value).startswith(value.refusal), str(refused.value)
+    assert [array.tobytes() for array in _arrays(call)] == before
