@@ -194,6 +194,8 @@ def build_equi_weight_histogram(
     si = input_sample_size(ns, n)
     sample1 = sample_joining_keys(keys1, si, rng)
     sample2 = sample_joining_keys(keys2, si, rng)
+    sample1.sort()  # once: the Appendix-A5 rebuild reads them sorted too
+    sample2.sort()
     hist1 = build_equidepth_histogram(sample1, ns, len(keys1))
     hist2 = build_equidepth_histogram(sample2, ns, len(keys2))
 

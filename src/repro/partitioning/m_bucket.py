@@ -202,6 +202,8 @@ def build_m_bucket_partitioning(
     si = input_sample_size(p, max(len(keys1), len(keys2)))
     sample1 = sample_joining_keys(keys1, si, rng)
     sample2 = sample_joining_keys(keys2, si, rng)
+    sample1.sort()
+    sample2.sort()
     hist1 = build_equidepth_histogram(sample1, p, len(keys1))
     hist2 = build_equidepth_histogram(sample2, p, len(keys2))
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.joins import native
+
 __all__ = [
     "EquiDepthHistogram",
     "bucket_index",
@@ -78,9 +80,11 @@ def bucket_index(boundaries: np.ndarray, keys: np.ndarray) -> np.ndarray:
     the first boundary fall in the first bucket, and keys at or above the last
     one (and NaN) in the last.  Keys are compared as float64.  The sample
     matrix, Stream-Sample's per-bucket counts and grid routing all place keys
-    by this one rule.
+    by this one rule, one :func:`repro.joins.native.search` each (a strided
+    key column, such as an output sample's, is copied first).
     """
-    index = np.searchsorted(boundaries, np.asarray(keys, dtype=np.float64), side="right") - 1
+    boundaries = np.require(boundaries, np.float64, "CA")
+    index = native.search(boundaries, np.require(keys, np.float64, "CA"), True) - 1
     return np.clip(index, 0, len(boundaries) - 2)
 
 
@@ -103,7 +107,8 @@ def sample_joining_keys(
 
     A NaN joins nothing, so it is never sampled: no histogram built from the
     sample can get a NaN boundary.  A NaN-free array costs one reduction
-    and is sampled as it stands -- no copy, the same draws.
+    and is sampled as it stands -- no copy, the same draws.  The sample is
+    a new array, which a caller may sort in place.
     """
     keys = np.asarray(keys, dtype=np.float64)
     if len(keys) and np.isnan(keys.min()):
@@ -119,15 +124,18 @@ def build_equidepth_histogram(
     Parameters
     ----------
     sample_keys:
-        Uniform random sample of the relation's join keys (need not be
-        sorted).
+        Uniform random sample of the relation's join keys.  A sorted one
+        is read as it stands (a plan build sorts each draw once, in place,
+        and may build from it twice); any other is sorted first.
     num_buckets:
         Number of buckets; clamped to the number of distinct quantile points
         the sample can support.
     num_tuples:
         Size of the full relation (used for the expected bucket size).
     """
-    sample_keys = np.sort(np.asarray(sample_keys, dtype=np.float64))
+    sample_keys = np.asarray(sample_keys, dtype=np.float64)
+    if not (sample_keys[1:] >= sample_keys[:-1]).all():  # NaN compares false: sorted last
+        sample_keys = np.sort(sample_keys)
     if len(sample_keys) == 0:
         raise ValueError("cannot build a histogram from an empty sample")
     if num_buckets <= 0:

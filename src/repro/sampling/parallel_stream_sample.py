@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.joins import native
 from repro.joins.conditions import JoinCondition
 from repro.sampling.equidepth import EquiDepthHistogram, bucket_index, build_equidepth_histogram
 from repro.sampling.reservoir import merge_reservoirs, weighted_samples_wor, wor_to_wr
@@ -116,6 +117,7 @@ def _default_histogram(keys: np.ndarray, num_workers: int) -> EquiDepthHistogram
     joining = keys[~np.isnan(keys)]
     if len(joining) == 0:
         return EquiDepthHistogram(np.array([-np.inf, np.inf]), len(keys))
+    joining.sort()
     return build_equidepth_histogram(joining, num_workers, len(keys))
 
 
@@ -136,9 +138,7 @@ def _shipped(
     starts = (np.cumsum(counts) - counts)[busy]
     highs = np.where(np.isnan(lows), np.nan, highs)
     lo = np.fmin.reduceat(lows, starts)
-    hi = np.fmax.reduceat(highs, starts)
-    left = d2_index.keys.searchsorted(lo, side="left")
-    right = d2_index.keys.searchsorted(hi, side="right")
+    left, right = d2_index.window(lo, np.fmax.reduceat(highs, starts))
     shipped[busy] = np.where(np.isnan(lo), 0, right - left)
     return shipped
 
@@ -218,8 +218,7 @@ def parallel_stream_sample(
     distinct, inverse = np.unique(keys1, return_inverse=True)
     workers = _workers(distinct, histogram1, num_workers)
     lows, highs = condition.joinable_bounds(distinct)
-    left = d2_index.keys.searchsorted(lows, side="left")
-    right = d2_index.keys.searchsorted(highs, side="right")
+    left, right = d2_index.window(lows, highs)
     stats.d2equi_entries_shipped = _shipped(
         d2_index, lows, highs, np.bincount(workers, minlength=num_workers)
     ).tolist()
@@ -262,6 +261,6 @@ def parallel_stream_sample(
     starts = prefix[left[at]]
     # Every tuple was sampled with weight d2 > 0, so its window is non-empty.
     targets = starts + rng.integers(0, prefix[right[at]] - starts)
-    sampled_keys2 = d2_index.keys[prefix.searchsorted(targets, side="right") - 1]
+    sampled_keys2 = d2_index.keys[native.search(prefix, targets, True) - 1]
     pairs = np.column_stack([keys1[order[sampled]], sampled_keys2])
     return JoinOutputSample(pairs=pairs, total_output=total_output), stats

@@ -155,7 +155,8 @@ def weighted_samples_wor(
     per-part calls draw one after the other -- and each part's reservoir
     is offered its own slice of them in one kernel call, so every heap
     array is the one its own call would build.  The reservoirs share one
-    pool, the positive-weight items.
+    pool, the positive-weight items: ``items`` and ``weights`` themselves,
+    not copies, when every weight is positive.
     """
     items = np.asarray(items)
     weights = np.asarray(weights, dtype=np.float64)
@@ -177,8 +178,11 @@ def weighted_samples_wor(
     reservoirs = [WeightedReservoir(capacity=size) for _ in lengths]
     if bounds[-1] == 0:
         return reservoirs
-    # Vectorised priority draw, then one kernel call per part.
-    pool_items, pool_weights = items[positive], weights[positive]
+    # Vectorised priority draw, then one kernel call per part.  The pool
+    # is the input itself when every weight is positive.
+    pool_items, pool_weights = (
+        (items, weights) if bounds[-1] == len(items) else (items[positive], weights[positive])
+    )
     priorities = rng.random(len(pool_weights)) ** (1.0 / pool_weights)
     positions = np.arange(len(pool_weights), dtype=np.float64)
     block = (np.empty(rooms[-1]), np.empty(rooms[-1], dtype=np.int64), np.empty(rooms[-1]))
@@ -222,9 +226,14 @@ def wor_to_wr(
     """Convert a WOR reservoir to a with-replacement weighted sample of ``size``.
 
     Returns the drawn items as an array of the reservoir's items (empty when
-    it holds none).  A held ``inf`` weight (``add`` and
-    :func:`weighted_sample_wor` take one) is refused by name: no draw is
-    proportional to it.
+    it holds none).  The draw is ``rng.choice(len(held), size, p=weights /
+    total)`` written as the steps it takes -- the normalised cumulative
+    weights searched "right" for ``rng.random(size)``
+    (:func:`repro.joins.native.search`) -- so the indexes and the generator
+    state after are ``rng.choice``'s (``tests/reference_sampling.py``
+    keeps that form).  A held ``inf`` weight (``add`` and
+    :func:`weighted_sample_wor` take one), or finite weights whose total
+    overflows, is refused by name: no draw is proportional to it.
     """
     held = reservoir._held()
     if not held.size:
@@ -236,6 +245,13 @@ def wor_to_wr(
             f"cannot draw in proportion to an infinite weight: heap entry {entry} "
             f"of the reservoir's {held.size} has weight {weights[entry]}"
         )
-    probabilities = weights / weights.sum()
-    indexes = rng.choice(held.size, size=size, replace=True, p=probabilities)
-    return reservoir._items[held[indexes]]
+    with np.errstate(over="ignore"):  # an overflowing total is inf, refused next
+        total = weights.sum()
+    if not np.isfinite(total):
+        raise ValueError(
+            f"cannot draw in proportion to weights whose total is {total}: "
+            f"the reservoir's {held.size} weights overflow float64"
+        )
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    return reservoir._items[held[native.search(cdf, rng.random(size), True)]]

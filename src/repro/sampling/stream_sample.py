@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.joins import native
 from repro.joins.conditions import JoinCondition
 
 __all__ = [
@@ -58,10 +59,18 @@ class D2Index:
         """Number of distinct R2 join keys."""
         return len(self.keys)
 
+    def window(self, lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each closed interval ``[lows[i], highs[i]]``'s distinct keys: ``keys[left:right]``.
+
+        ``left`` / ``right`` are ``searchsorted``'s "left" of the lows and
+        "right" of the highs, by :func:`repro.joins.native.search`: the
+        bounds are float64 and C-contiguous, as the keys are.
+        """
+        return native.search(self.keys, lows, False), native.search(self.keys, highs, True)
+
     def count_within(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """R2 tuples with keys in each closed interval ``[lows[i], highs[i]]``."""
-        left = self.keys.searchsorted(lows, side="left")
-        right = self.keys.searchsorted(highs, side="right")
+        left, right = self.window(lows, highs)
         return self.prefix[right] - self.prefix[left]
 
 
@@ -115,7 +124,7 @@ def compute_joinable_set_sizes(
     keys1: np.ndarray, d2_index: D2Index, condition: JoinCondition
 ) -> np.ndarray:
     """Compute ``d2(t1)`` for every R1 key: the size of its joinable set in R2."""
-    keys1 = np.asarray(keys1, dtype=np.float64)
+    keys1 = np.ascontiguousarray(keys1, dtype=np.float64)
     if len(keys1) == 0 or d2_index.num_distinct == 0:
         return np.zeros(len(keys1), dtype=np.int64)
     return d2_index.count_within(*condition.joinable_bounds(keys1)).astype(np.int64)

@@ -1,7 +1,9 @@
 """Every array argument of every kernel entry point, refused at the boundary.
 
-``repro.joins.native``'s seven entry points read their numpy arrays through
-pointers, so each array is checked once on the way in (``take`` in
+``repro.joins.native``'s eight entry points read their numpy arrays through
+pointers (``search``, the eighth, serves the plan build's searches:
+``bucket_index``, Stream-Sample's d2equi windows and job 3, the
+with-replacement draw), so each array is checked once on the way in (``take`` in
 ``native.c``): an ndarray, of the dtype the loop reads in native byte
 order, C-contiguous and aligned, writable where the loop writes it.  A
 refusal reads ``"<entry>: <argument> is <found>, not <expected>"``; a size
@@ -15,6 +17,8 @@ holds).  Each call must raise
 ``TypeError`` or ``ValueError`` naming the entry point and the argument,
 and leave every array of the call as it was.  A second table holds the
 values a valid call's array may not carry, each refused the same way.
+Every entry point ``native.__all__`` exports has a row, so a new one
+cannot skip the table.
 """
 
 from __future__ import annotations
@@ -129,6 +133,11 @@ def _calls() -> "dict[str, tuple[tuple, list[Arg]]]":
             Arg((1,), "children"),
             Arg((2,), "leaf_thresholds", short="rectangles"),
         ]),
+        # Any number of needles searches any number of keys: no size relation.
+        "search": ((np.array([0.0, 1.0, 2.0]), np.array([2.0, 0.5]), True), [
+            Arg((0,), "keys"),
+            Arg((1,), "needles"),
+        ]),
     }
 
 
@@ -176,6 +185,26 @@ def _variants(array: np.ndarray, arg: Arg):
         yield "read-only", ValueError, frozen
     if arg.short is not None:
         yield "one short", ValueError, array[:-1].copy()
+
+
+def test_every_entry_point_has_a_row():
+    assert set(native.__all__) - {"KernelUnavailable"} == set(_calls())
+
+
+@pytest.mark.parametrize("keys, needles, error, refusal", [
+    (np.arange(3.0), np.arange(2), TypeError,
+     "search: needles is int64, not float64 as the keys are"),
+    (np.arange(3), np.arange(2.0), TypeError,
+     "search: needles is float64, not int64 as the keys are"),
+    (np.zeros((2, 2)), np.arange(2.0), ValueError,
+     "search: keys has shape (2, 2), not one axis"),
+])
+def test_a_search_refuses_keys_and_needles_that_do_not_match(keys, needles, error, refusal):
+    """Keys and needles are compared as one dtype, so a mismatch is
+    refused by name, as is a key array of more than one axis."""
+    with pytest.raises(error) as refused:
+        native.search(keys, needles, False)
+    assert str(refused.value) == refusal
 
 
 def test_every_valid_call_is_taken():

@@ -7,10 +7,12 @@ before their per-tuple interpreter work was removed, and both reservoirs as
 ``TupleReservoir`` for the stream histogram), which the production
 ``WeightedReservoir`` and ``DecayedReservoir`` now hold as three arrays
 offered to by the compiled kernel.  The rewrite must be invisible: equal outputs, equal heap
-*arrays* entry by entry (heap order feeds ``wor_to_wr``'s ``rng.choice`` and
+*arrays* entry by entry (heap order feeds ``wor_to_wr``'s draw and
 ``DecayedReservoir.keys()``), equal counters, and the generator left in the
 same state -- so every sample, plan and checkpoint downstream is unchanged.
-The first test pins the numpy fact the vectorised draw stands on.  The
+The first test pins the numpy fact the vectorised draw stands on; another,
+that ``wor_to_wr``'s draw, written as ``rng.choice``'s own steps over
+``native.search``, is ``rng.choice``'s.  The
 numpy forms the key-order passes replaced -- ``np.quantile``'s equi-depth
 boundaries, the per-tuple worker search ``by_worker`` and the per-tuple
 window search ``numpy_sample_joinable_keys`` -- are references here too.
@@ -595,6 +597,44 @@ def test_the_driver_is_the_per_worker_driver(
     assert sample.pairs.dtype == expected.pairs.dtype
     assert stats == expected_stats
     assert _same_state(rng, reference_rng)
+
+
+draw_weights = st.one_of(
+    st.lists(st.floats(5e-324, 1e-300), min_size=1, max_size=40),  # tiny, subnormal too
+    st.lists(st.floats(1e300, 1.7e308), min_size=1, max_size=40),  # huge: totals overflow
+    st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40),
+    st.builds(lambda weight, count: [weight] * count,  # all equal
+              st.floats(1e-300, 1e300), st.integers(1, 40)),
+    st.floats(5e-324, 1.7e308).map(lambda weight: [weight]),  # one entry
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=seeds, weights=draw_weights, draws=st.integers(0, 300))
+def test_the_draw_is_rng_choice_step_for_step(seed, weights, draws):
+    """``wor_to_wr`` writes ``rng.choice(n, size, replace=True, p=weights /
+    total)`` as the steps it takes: the same indexes, and the generator left
+    in the same state.  A total that overflows is refused by name, where
+    ``rng.choice`` would refuse probabilities that do not sum to 1."""
+    weights = np.array(weights)
+    reservoir = WeightedReservoir(capacity=weights.size)
+    for item, weight in enumerate(weights):  # given priorities: 1 / 5e-324 overflows
+        reservoir.add_with_priority(item, weight, (item + 1) / (weights.size + 1))
+    held = reservoir._held()
+    rng, choice_rng = _twin_generators(seed + 1)
+    with np.errstate(over="ignore"):
+        overflows = np.isinf(weights.sum())
+    if overflows:
+        with pytest.raises(ValueError, match="weights whose total is inf: .* overflow float64"):
+            wor_to_wr(reservoir, draws, rng)
+        return
+    drawn = wor_to_wr(reservoir, draws, rng)
+    held_weights = weights[held]
+    chosen = choice_rng.choice(
+        held.size, size=draws, replace=True, p=held_weights / held_weights.sum()
+    )
+    np.testing.assert_array_equal(drawn, held[chosen])
+    assert _same_state(rng, choice_rng)
 
 
 @pytest.mark.parametrize("workers", [1, 8, 16])
