@@ -89,8 +89,14 @@ class CoarseningResult:
 
 
 def _even_boundaries(size: int, groups: int) -> np.ndarray:
-    """Evenly spaced group boundaries (length ``groups + 1``) over ``size`` items."""
-    return np.unique(np.linspace(0, size, groups + 1).round().astype(np.int64))
+    """Evenly spaced group boundaries (length ``groups + 1``) over ``size`` items.
+
+    The rounded points never descend, so one compare of neighbours drops
+    the repeats ``np.unique`` would (without its sort, or its lazy import
+    of ``numpy.ma``).
+    """
+    points = np.linspace(0, size, groups + 1).round().astype(np.int64)
+    return points[np.r_[True, points[1:] != points[:-1]]]
 
 
 #: A pass's aggregates of its lines by group: frequencies, candidate

@@ -202,9 +202,14 @@ def build_equi_weight_histogram(
     spans = histogram_spans(hist1, hist2, condition)
     nsc = candidate_cell_count(hist1, hist2, condition, spans)
     so = output_sample_size(nsc, multiple=config.output_sample_multiple)
+    # A sample of a whole relation is the relation sorted (a NaN is never
+    # drawn, so a relation holding one is sampled short): Stream-Sample
+    # reads its distinct keys there instead of sorting the relation again.
     output_sample, sampling_stats = parallel_stream_sample(
         keys1, keys2, condition, so, num_machines, rng,
         histogram1=hist1, histogram2=hist2,
+        sorted1=sample1 if len(sample1) == len(keys1) else None,
+        sorted2=sample2 if len(sample2) == len(keys2) else None,
     )
 
     # Appendix A5: once m is known, a high output/input ratio lets us shrink

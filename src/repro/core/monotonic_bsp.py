@@ -28,8 +28,9 @@ least one on.  The DP at one threshold is
 then one call of the compiled kernel (:func:`repro.joins.native.tile`): it
 walks the child table with its own stack, so its depth (at most rows +
 columns) meets no recursion limit, compares each rectangle's leaf threshold
-with ``delta`` and adds region counts -- no float is formed in it.  Python
-reads the leaves off the counts it returns.  The pure-Python DP it replaced
+with ``delta`` and adds region counts -- no float is formed in it
+(:func:`region_counts`).  Python reads the leaves off the counts it returns
+(:func:`tiling_of`), once per tiling it keeps.  The pure-Python DP it replaced
 is the differential oracle in ``tests/reference_planner.py``.
 """
 
@@ -44,7 +45,12 @@ from repro.core.tiling_tables import TilingTables
 from repro.core.weights import WeightFunction
 from repro.joins import native
 
-__all__ = ["enumerate_minimal_candidate_rectangles", "monotonic_bsp_partition"]
+__all__ = [
+    "enumerate_minimal_candidate_rectangles",
+    "monotonic_bsp_partition",
+    "region_counts",
+    "tiling_of",
+]
 
 
 def enumerate_minimal_candidate_rectangles(grid: WeightedGrid) -> list[GridRegion]:
@@ -102,16 +108,31 @@ def monotonic_bsp_tiling(tables: TilingTables, delta: float) -> BSPResult:
     ``delta`` must not be below the tables' ``least_delta``: a rectangle
     one region there has no children in them.
     """
+    if tables.root < 0:
+        return BSPResult(regions=[], max_region_weight=0.0, rectangles_evaluated=0)
+    return tiling_of(tables, *region_counts(tables, delta))
+
+
+def region_counts(tables: TilingTables, delta: float) -> "tuple[np.ndarray, np.ndarray]":
+    """The DP at ``delta``: each rectangle's region count and best split.
+
+    One kernel call (:func:`repro.joins.native.tile`); ``counts[tables.root]``
+    is the tiling's region count, so a threshold search can accept or
+    reject ``delta`` without reading a region.  The tables have a root
+    (a candidate cell), and ``delta`` is not below their ``least_delta``.
+    """
     if delta < tables.least_delta:
         raise ValueError(f"delta {delta} is below the {tables.least_delta} the tables "
                          "were built for")
-    root = tables.root
-    if root < 0:
-        return BSPResult(regions=[], max_region_weight=0.0, rectangles_evaluated=0)
+    return native.tile(tables.offsets, tables.children, tables.leaf_thresholds, tables.root,
+                       delta)
+
+
+def tiling_of(tables: TilingTables, counts: np.ndarray, splits: np.ndarray) -> BSPResult:
+    """The tiling :func:`region_counts` found: its leaves, read from the root down."""
     children = tables.children
-    counts, splits = native.tile(tables.offsets, children, tables.leaf_thresholds, root, delta)
     leaves: list[int] = []
-    pending = [root]
+    pending = [tables.root]
     while pending:
         rect = pending.pop()
         if counts[rect] == 1:

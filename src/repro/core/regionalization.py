@@ -18,8 +18,10 @@ to, weighs and splits into does not depend on the threshold.  So one
 every threshold from the lower bound on -- the closure of the child
 relation from the root, a round of rectangles per call of the compiled
 kernel, each round weighed in one numpy pass -- and every step is one more
-kernel call (:func:`repro.joins.native.tile`) over that child table, then
-the tables are dropped.  The baseline BSP solves the same dual problem on small
+kernel call (:func:`repro.joins.native.tile`) over that child table, whose
+root region count alone accepts or rejects the threshold: the regions are
+read once, for the threshold the search returns, then the tables are
+dropped.  The baseline BSP solves the same dual problem on small
 grids only; Table III reaches it through
 :func:`~repro.core.bsp.bsp_partition`.
 """
@@ -28,9 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.bsp import BSPResult
+import numpy as np
+
 from repro.core.grid import WeightedGrid, smallest_feasible
-from repro.core.monotonic_bsp import monotonic_bsp_tiling
+from repro.core.monotonic_bsp import region_counts, tiling_of
 from repro.core.region import GridRegion
 from repro.core.tiling_tables import TilingTables
 from repro.core.weights import WeightFunction
@@ -102,12 +105,13 @@ def regionalize(
     tables = TilingTables(grid, weight_fn, lower)  # every step's delta is >= lower
     upper = max(float(tables.weights[tables.root]), lower)
 
-    def feasible(delta: float) -> BSPResult | None:
-        tiling = monotonic_bsp_tiling(tables, delta)
-        return tiling if tiling.num_regions <= num_machines else None
+    def feasible(delta: float) -> "tuple[np.ndarray, np.ndarray] | None":
+        counts, splits = region_counts(tables, delta)
+        return (counts, splits) if counts[tables.root] <= num_machines else None
 
-    delta, best, steps = smallest_feasible(feasible, lower, upper, MAX_MIDPOINTS)
-    assert best is not None  # one region covering everything always fits
+    delta, found, steps = smallest_feasible(feasible, lower, upper, MAX_MIDPOINTS)
+    assert found is not None  # one region covering everything always fits
+    best = tiling_of(tables, *found)
     return RegionalizationResult(
         regions=best.regions,
         delta=delta,

@@ -15,11 +15,14 @@ joinable bounds (the ``_bounds`` hook behind ``joinable_bounds(keys1)``)
     The count kernel binary-searches these, and Stream-Sample reads its
     joinable-set sizes d2 from them.
 
-the candidate rule (the ``_excluded`` hook behind ``candidate_spans``)
+the candidate rule (the ``_rule`` hook behind ``candidate_spans``)
     For a cell of key ranges ``[row_lo, row_hi] x [col_lo, col_hi]``, does
     it lie left or right of every pair its row can join?  A cell that does
     neither is a *candidate*: some pair in it may join.  Non-candidate cells
-    are never assigned to a machine by the content-sensitive schemes.
+    are never assigned to a machine by the content-sensitive schemes.  The
+    rule is named, not coded: the band family's ``fl(row_lo - col_hi) >
+    beta`` / ``fl(col_lo - row_hi) > beta`` or an inequality's operator,
+    which the compiled kernel evaluates (:func:`repro.joins.native.spans`).
 
 :class:`JoinCondition` derives every other view from those two, once:
 ``matches`` and ``matches_many`` test ``lo <= k2 <= hi``,
@@ -33,11 +36,10 @@ A monotone condition's candidate cells form one run per row.  The rule is
 the rounded test the dense mask used to evaluate cell by cell (``fl(col_lo
 - row_hi) > beta`` for a band), and rounding is monotone, so on ascending
 edges each half of it holds on a prefix (left) or a suffix (right) of the
-columns.  ``candidate_spans`` finds both ends exactly with a vectorised
-search over all rows: three rounds, each testing a few
-columns per row, so the number of numpy calls does not grow with the grid.
-Searching shifted boundaries (``searchsorted(col_hi, row_lo - beta)``)
-rounds differently from the test and is not exact.
+columns.  ``candidate_spans`` finds both ends exactly in one kernel call,
+two bisections per row on the rule itself.  Searching shifted boundaries
+(``searchsorted(col_hi, row_lo - beta)``) rounds differently from the
+test and is not exact.
 
 Keys that join nothing are ruled on once, in
 :meth:`JoinCondition.joinable_bounds`: they get the empty interval
@@ -153,25 +155,15 @@ def _empty_interval(shape, dtype: np.dtype) -> "tuple[np.ndarray, np.ndarray]":
 
 
 def _edges(*edges) -> "list[np.ndarray]":
-    """Cell edges of a candidate grid as float64 arrays."""
-    return [np.asarray(edge, dtype=np.float64) for edge in edges]
-
-
-#: Rounds of :meth:`JoinCondition.candidate_spans`' search.  Each round
-#: tests ``b - 1`` columns per row, ``b`` the smallest base with ``b **
-#: rounds`` at least the column count plus one, and cuts each row's range
-#: of possible answers to a ``b``-th.  A grid narrower than
-#: ``_ONE_ROUND_COLUMNS`` takes one round that tests every column: fewer
-#: numpy calls, over at most that many columns per row.
-_SPAN_ROUNDS = 3
-_ONE_ROUND_COLUMNS = 64
+    """Cell edges of a candidate grid as C-contiguous float64 arrays."""
+    return [np.require(edge, np.float64, "CA") for edge in edges]
 
 
 class JoinCondition:
     """Abstract base class for monotonic join conditions.
 
     A subclass states its predicate twice -- ``_bounds`` (the joinable
-    bounds of keys that join something) and ``_excluded`` (the candidate
+    bounds of keys that join something) and ``_rule`` (the candidate
     rule) -- plus :attr:`transposed`.  Everything else is derived here,
     once.
     """
@@ -193,21 +185,15 @@ class JoinCondition:
             return np.isnan(keys1)
         return None
 
-    def _excluded(
-        self,
-        row_lo: np.ndarray,
-        row_hi: np.ndarray,
-        col_lo: np.ndarray,
-        col_hi: np.ndarray,
-    ) -> "tuple[np.ndarray | None, np.ndarray | None]":
-        """The candidate rule, elementwise over broadcast cell edges.
+    def _rule(self) -> "tuple[str, float]":
+        """The candidate rule as :func:`repro.joins.native.spans` names it: ``(rule, beta)``.
 
-        Returns ``(left, right)``: whether each cell lies left of every pair
-        its row joins (even its highest key ``col_hi`` is too low) and
-        whether it lies right of them (even ``col_lo`` is too high); ``None``
-        for a side the condition never excludes.  ``left`` reads only the
-        row edges and ``col_hi``, ``right`` only the row edges and
-        ``col_lo``, so one call can test two different columns per row.
+        ``"band"`` excludes a cell lying left of every pair its row joins
+        (``fl(row_lo - col_hi) > beta``: even its highest key is too low)
+        and one lying right of them (``fl(col_lo - row_hi) > beta``);
+        ``"<"`` / ``"<="`` exclude the cells left of ``row_lo``, ``">"`` /
+        ``">="`` those right of ``row_hi``, by the operator's comparison.
+        ``beta`` is read by the band alone.
         """
         raise NotImplementedError
 
@@ -221,49 +207,16 @@ class JoinCondition:
         """Each grid row's candidate columns ``[first, stop)`` (``stop >= first``).
 
         Rows are R1 key ranges ``[row_lo[i], row_hi[i]]``, columns R2 key
-        ranges, each edge array ascending as a grid's are.  ``left`` of
-        :meth:`_excluded` holds on a prefix of a row's columns and
-        ``right`` on a suffix, so ``first`` is where ``left`` stops holding
-        and ``stop`` where ``right`` starts.  Each of a few rounds tests
-        evenly spaced columns inside every row's range of possible answers
-        with one call of the rule; the columns found on the wrong side of an
-        end narrow that range, and the last round leaves one answer.  The rule is the one the dense mask evaluated, so the
-        spans are its runs cell for cell.
+        ranges, each edge array ascending as a grid's are.  The left half
+        of :meth:`_rule` holds on a prefix of a row's columns and the right
+        half on a suffix, so ``first`` is where the left stops holding and
+        ``stop`` where the right starts: one kernel call
+        (:func:`repro.joins.native.spans`) bisects both per row.  The rule
+        is the one the dense mask evaluated, rounded as numpy rounds it, so
+        the spans are its runs cell for cell.
         """
-        row_lo, row_hi, col_lo, col_hi = _edges(row_lo, row_hi, col_lo, col_hi)
-        rows, columns = row_lo.size, col_lo.size
-        first = np.zeros(rows, dtype=np.int64)
-        stop = np.full(rows, columns, dtype=np.int64)
-        if not rows or not columns:
-            return first, np.maximum(first, stop)
-        rounds = 1 if columns < _ONE_ROUND_COLUMNS else _SPAN_ROUNDS
-        base = 2
-        while base**rounds <= columns:
-            base += 1
-        # Each row's answers lie in [first, first_last] and [stop_first, stop].
-        first_last, stop_first = stop.copy(), first.copy()
-        row_lo, row_hi = row_lo[:, None], row_hi[:, None]
-        width = columns + 1
-        for _ in range(rounds):
-            width = -(-width // base)
-            offsets = np.arange(width - 1, (base - 1) * width, width)
-            at_first = first[:, None] + offsets
-            at_stop = stop_first[:, None] + offsets
-            left, right = self._excluded(
-                row_lo, row_hi,
-                col_lo.take(at_stop, mode="clip"), col_hi.take(at_first, mode="clip"),
-            )
-            # A tested column past the grid is its last: on the wrong side
-            # only when the answer is the column count, which the clamps keep.
-            if left is not None:
-                passed = left.sum(axis=1) * width
-                first_last = np.minimum(first_last, first + passed + (width - 1))
-                first = np.minimum(first + passed, first_last)
-            if right is not None:
-                passed = (~right).sum(axis=1) * width
-                stop = np.minimum(stop, stop_first + passed + (width - 1))
-                stop_first = np.minimum(stop_first + passed, stop)
-        return first, np.maximum(first, stop)
+        rule, beta = self._rule()
+        return native.spans(*_edges(row_lo, row_hi, col_lo, col_hi), rule, beta)
 
     def candidate_grid(
         self,
@@ -429,19 +382,18 @@ class BandJoinCondition(JoinCondition):
         highs[keys1 > _INT64_MAX - beta] = _INT64_MAX
         return lows, highs
 
-    def _excluded(self, row_lo, row_hi, col_lo, col_hi):
+    def _rule(self) -> "tuple[str, float]":
         """A cell may join unless its ranges are more than beta apart.
 
         Edges may be infinite (a histogram's open ends).  IEEE 754 makes
-        the difference of two infinities of one sign NaN (an invalid
-        operation) and ``NaN > beta`` false, so such a cell is never
-        excluded -- rightly: both ranges reach the same infinite key, and
-        ``inf`` joins ``inf``.  A finite difference past the largest double
-        rounds to ``+-inf`` (an overflow), which compares as the true
-        difference does.  Neither is an error here, so neither warns.
+        the difference of two infinities of one sign NaN and ``NaN > beta``
+        false, so such a cell is never excluded -- rightly: both ranges
+        reach the same infinite key, and ``inf`` joins ``inf``.  A finite
+        difference past the largest double rounds to ``+-inf``, which
+        compares as the true difference does.  The width is compared as
+        the float64 numpy would convert it to.
         """
-        with np.errstate(invalid="ignore", over="ignore"):
-            return row_lo - col_hi > self.beta, col_lo - row_hi > self.beta
+        return "band", float(self.beta)
 
     def __repr__(self) -> str:
         return f"BandJoinCondition(beta={self.beta!r})"
@@ -545,18 +497,14 @@ class InequalityJoinCondition(JoinCondition):
         ends = np.full_like(keys1, far)
         return (near, ends) if self._above else (ends, near)
 
-    def _excluded(self, row_lo, row_hi, col_lo, col_hi):
+    def _rule(self) -> "tuple[str, float]":
         """A cell may join iff its most favourable pair does.
 
-        Above ``k1`` the cells too far left are excluded, below it those
-        too far right.
+        Above ``k1`` the cells too far left are excluded (``row_lo`` against
+        ``col_hi``), below it those too far right (``col_lo`` against
+        ``row_hi``): the operator's own symbol.
         """
-        if self._above:
-            lower, upper = row_lo, col_hi
-        else:
-            lower, upper = col_lo, row_hi
-        joins = lower < upper if self._strict else lower <= upper
-        return (~joins, None) if self._above else (None, ~joins)
+        return self.op.value, 0.0
 
     def __repr__(self) -> str:
         return f"InequalityJoinCondition(op=InequalityOp.{self.op.name})"
@@ -676,14 +624,14 @@ class _TransposedBandCondition(JoinCondition):
         keys1 = np.ascontiguousarray(keys1, dtype=np.float64)  # repro: ignore[KEY001]  # band inverse works in the keys' float64 image
         return native.band_inverse(keys1, float(self.base.beta))
 
-    def _excluded(self, row_lo, row_hi, col_lo, col_hi):
+    def _rule(self) -> "tuple[str, float]":
         """The base condition's rule, unchanged.
 
         The base grid with the sides swapped and transposed tests
         ``fl(row_lo - col_hi) > beta`` and ``fl(col_lo - row_hi) > beta``
         on each cell: the base's two halves, each on the other side.
         """
-        return self.base._excluded(row_lo, row_hi, col_lo, col_hi)
+        return self.base._rule()
 
     def __repr__(self) -> str:
         return f"_TransposedBandCondition({self.base!r})"

@@ -35,6 +35,9 @@
  * search     numpy's searchsorted of needles into ascending keys: the plan
  *            build's searches (bucket_index, Stream-Sample's d2equi windows
  *            and job 3, the with-replacement draw).
+ * spans      each grid row's candidate columns by bisection on the join
+ *            condition's rule: the sample matrix's band, once per
+ *            histogram pair of a plan build.
  *
  * The file is in two parts.  The first is the loops, in plain C over
  * pointers and lengths.  The second (at the end) is the module: one
@@ -67,8 +70,9 @@
  * first one out of range.
  *
  * group_sums and sweep_rows are the kernel's floating-point arithmetic
- * (closure is integers only, and tile only compares a rectangle's leaf
- * threshold with delta; its weights are numpy's, summed before the call),
+ * (closure is integers only, tile only compares a rectangle's leaf
+ * threshold with delta -- its weights are numpy's, summed before the call
+ * -- and spans rounds one difference per test, as numpy's subtraction does),
  * and they must round as numpy does: every product and sum once, in
  * numpy's order.  So the library is built with -ffp-contract=off.  Otherwise a compiler for a
  * target with fused multiply-add (aarch64, x86-64 with -mfma) may fuse
@@ -1403,6 +1407,65 @@ static int64_t tile(const int64_t *offsets, const int64_t *children,
     return 0;
 }
 
+/*
+ * The candidate rules spans reads, each in two halves over a cell of key
+ * ranges [lo, hi] x [col_lo, col_hi]: LEFT (the cell lies left of every
+ * pair its row joins) reads col_hi, RIGHT (it lies right of them) col_lo,
+ * each as the condition's numpy rule rounds it.  A band: the rounded
+ * difference is more than beta (inf - inf is NaN, so never).  An
+ * inequality excludes one side only, where its comparison fails.
+ */
+enum rule { BAND, LESS, LESS_EQUAL, GREATER, GREATER_EQUAL, RULES };
+#define NEVER(lo, hi, c, beta) 0
+#define BAND_LEFT(lo, hi, c, beta) ((lo) - (c) > (beta))
+#define BAND_RIGHT(lo, hi, c, beta) ((c) - (hi) > (beta))
+#define LESS_LEFT(lo, hi, c, beta) (!((lo) < (c)))
+#define LESS_EQUAL_LEFT(lo, hi, c, beta) (!((lo) <= (c)))
+#define GREATER_RIGHT(lo, hi, c, beta) (!((c) < (hi)))
+#define GREATER_EQUAL_RIGHT(lo, hi, c, beta) (!((c) <= (hi)))
+
+/*
+ * Each grid row's candidate columns [first, stop), stop >= first, for
+ * edge arrays that ascend.  Rounding is monotone, so on ascending columns
+ * LEFT holds on a prefix of a row's columns and RIGHT on a suffix: first
+ * is where LEFT stops holding and stop where RIGHT starts, each found by
+ * bisection.  Every edge read lies in [0, cols), whatever the edges.
+ */
+#define SPANS(NAME, LEFT, RIGHT)                                               \
+    static void spans_##NAME(const double *row_lo, const double *row_hi,      \
+                             int64_t rows, const double *col_lo,              \
+                             const double *col_hi, int64_t cols, double beta, \
+                             int64_t *first, int64_t *stop)                   \
+    {                                                                          \
+        int64_t i, lo, hi, mid;                                                \
+        /* An inequality's rule reads only some of them. */                   \
+        (void)row_lo, (void)row_hi, (void)col_lo, (void)col_hi, (void)beta;    \
+        for (i = 0; i < rows; i++) {                                           \
+            for (lo = 0, hi = cols; lo < hi;) {                                \
+                mid = lo + (hi - lo) / 2;                                      \
+                if (LEFT(row_lo[i], row_hi[i], col_hi[mid], beta))             \
+                    lo = mid + 1;                                              \
+                else                                                           \
+                    hi = mid;                                                  \
+            }                                                                  \
+            first[i] = lo;                                                     \
+            for (lo = first[i], hi = cols; lo < hi;) {                         \
+                mid = lo + (hi - lo) / 2;                                      \
+                if (RIGHT(row_lo[i], row_hi[i], col_lo[mid], beta))            \
+                    hi = mid;                                                  \
+                else                                                           \
+                    lo = mid + 1;                                              \
+            }                                                                  \
+            stop[i] = lo;                                                      \
+        }                                                                      \
+    }
+
+SPANS(band, BAND_LEFT, BAND_RIGHT)
+SPANS(less, LESS_LEFT, NEVER)
+SPANS(less_equal, LESS_EQUAL_LEFT, NEVER)
+SPANS(greater, NEVER, GREATER_RIGHT)
+SPANS(greater_equal, NEVER, GREATER_EQUAL_RIGHT)
+
 /* ---------------------------------------------------------------------- */
 /* The module: each entry point checks its arguments, then runs its loop
  * with the GIL released.  Every array argument goes through take(); every
@@ -2438,6 +2501,97 @@ static PyObject *py_search(PyObject *Py_UNUSED(module), PyObject *args, PyObject
     return (PyObject *)out;
 }
 
+PyDoc_STRVAR(spans_doc,
+"spans(row_lo, row_hi, col_lo, col_hi, rule, beta)\n--\n\n"
+"Each grid row's candidate columns ``(first, stop)``, int64, ``stop >= first``.\n\n"
+":meth:`~repro.joins.conditions.JoinCondition.candidate_spans`: rows are\n"
+"R1 key ranges ``[row_lo[i], row_hi[i]]``, columns R2 key ranges, every\n"
+"edge array float64 and ascending, each pair of one size.  ``rule`` is\n"
+"the condition's: ``\"band\"`` excludes a cell when ``fl(row_lo - col_hi)``\n"
+"or ``fl(col_lo - row_hi)`` is more than ``beta`` (the band family: band,\n"
+"equi, composite and the transposed band), ``\"<\"`` / ``\"<=\"`` when\n"
+"``row_lo`` is not below / not at most ``col_hi``, ``\">\"`` / ``\">=\"``\n"
+"when ``col_lo`` is not below / not at most ``row_hi``; ``beta`` is read\n"
+"by the band alone.  Each end is found by bisection on the rule as numpy\n"
+"rounds it, so every span is the run of the dense mask's candidate cells\n"
+"(``tests/test_spans_oracle.py`` holds it to the numpy search it\n"
+"replaced).  Anything else raises by name.");
+
+/*
+ * The rule `name` spells, or RULES for none.  Compared here, not by
+ * strcmp: a libc function the library did not import adds a PLT slot
+ * before .text, which moves every loop 16 bytes, count_run's off the
+ * 32-byte boundary it had (stream_steady read 0.978x tuples_per_s, 0/4
+ * pairs on a 2-core Xeon, until this loop replaced strcmp).
+ */
+static int rule_of(const char *name)
+{
+    static const char *rules[RULES] = {"band", "<", "<=", ">", ">="};
+    int rule, i;
+    for (rule = 0; rule < RULES; rule++) {
+        for (i = 0; name[i] && name[i] == rules[rule][i]; i++)
+            ;
+        if (name[i] == rules[rule][i])
+            break;
+    }
+    return rule;
+}
+
+static PyObject *py_spans(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
+{
+    static char *keywords[] = {"row_lo", "row_hi", "col_lo", "col_hi", "rule", "beta", NULL};
+    static const char *names[4] = {"row_lo", "row_hi", "col_lo", "col_hi"};
+    PyObject *objs[4];
+    PyArrayObject *array[4], *first, *stop;
+    const double *edge[4];
+    const char *rule_name;
+    npy_intp rows;
+    int64_t cols;
+    double beta;
+    int i, rule;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOsd:spans", keywords, &objs[0],
+                                     &objs[1], &objs[2], &objs[3], &rule_name, &beta))
+        return NULL;
+    for (i = 0; i < 4; i++) {
+        if (!(array[i] = take("spans", names[i], objs[i], F64_ONLY, 0)))
+            return NULL;
+        edge[i] = PyArray_DATA(array[i]);
+    }
+    for (i = 0; i < 4; i += 2)
+        if (SIZE(array[i]) != SIZE(array[i + 1])) {
+            PyErr_Format(PyExc_ValueError, "spans: %s has %zd edges and %s %zd, not as many",
+                         names[i], SIZE(array[i]), names[i + 1], SIZE(array[i + 1]));
+            return NULL;
+        }
+    if ((rule = rule_of(rule_name)) == RULES) {
+        PyErr_Format(PyExc_ValueError, "spans: rule is '%s', not band, <, <=, > or >=",
+                     rule_name);
+        return NULL;
+    }
+    rows = SIZE(array[0]);
+    cols = SIZE(array[2]);
+    if (!(first = new_array(1, &rows, NPY_INT64)))
+        return NULL;
+    if (!(stop = new_array(1, &rows, NPY_INT64))) {
+        Py_DECREF(first);
+        return NULL;
+    }
+    Py_BEGIN_ALLOW_THREADS
+#define CALL(NAME)                                                             \
+    spans_##NAME(edge[0], edge[1], rows, edge[2], edge[3], cols, beta,        \
+                 PyArray_DATA(first), PyArray_DATA(stop))
+    switch (rule) {
+    case BAND: CALL(band); break;
+    case LESS: CALL(less); break;
+    case LESS_EQUAL: CALL(less_equal); break;
+    case GREATER: CALL(greater); break;
+    default: CALL(greater_equal);
+    }
+#undef CALL
+    Py_END_ALLOW_THREADS
+    return Py_BuildValue("NN", first, stop);
+}
+
 /* An entry point taking positional and keyword arguments. */
 #define ENTRY(name) (PyCFunction)(void (*)(void))py_##name, METH_VARARGS | METH_KEYWORDS, name##_doc
 
@@ -2450,6 +2604,7 @@ static PyMethodDef methods[] = {
     {"closure", ENTRY(closure)},
     {"tile", ENTRY(tile)},
     {"search", ENTRY(search)},
+    {"spans", ENTRY(spans)},
     {NULL, NULL, 0, NULL},
 };
 

@@ -32,17 +32,21 @@ rectangles that need children), and :func:`search` for the plan build's
 ``np.searchsorted`` calls (:func:`~repro.sampling.equidepth.bucket_index`,
 Stream-Sample's d2equi windows and job 3, the with-replacement draw of
 :func:`~repro.sampling.reservoir.wor_to_wr`): needles that never descend
-walk from the previous answer, any others bisect without a branch.  The
-numpy, ``heapq`` and Python
+walk from the previous answer, any others bisect without a branch -- and
+:func:`spans` for each grid row's candidate columns
+(:meth:`~repro.joins.conditions.JoinCondition.candidate_spans`: the
+sample matrix's band), two bisections per row on the condition's rule.
+The numpy, ``heapq`` and Python
 forms they replaced live in the test harness (``tests/reference_*.py``),
 which holds the kernel to them bit for bit: counts and merged runs
 (``tests/test_native_kernel.py``, ``tests/test_count_half.py``), the
 band inverses (``tests/test_condition_properties.py``), both reservoirs' heap arrays entry for
 entry (``tests/test_sampling_oracle.py``), the group sums' floats
-(``tests/test_coarsening.py``), and the sweep's boundaries and the
+(``tests/test_coarsening.py``), the sweep's boundaries and the
 tilings' regions and rectangle counts (``tests/test_planner_oracle.py``),
-and the searches' answers (``tests/test_search_oracle.py``, against
-``np.searchsorted`` itself).
+the searches' answers (``tests/test_search_oracle.py``, against
+``np.searchsorted`` itself) and the candidate spans
+(``tests/test_spans_oracle.py``, against the multi-way numpy search).
 
 ``native.c`` is an extension module, ``repro.joins._native``: each entry
 point takes its numpy arrays as objects, with no copy, and passes every
@@ -56,7 +60,7 @@ name, having written nothing; an object, dtype or layout refusal reads
 ``"<entry>: <argument> is <found>, not <expected>"`` (``"fold: cum is
 float32, not int64"``).  A loop that cannot have its scratch memory
 raises :class:`MemoryError`.  Each releases the GIL while its loop runs.
-This module re-exports the eight (their docstrings are in ``native.c``).
+This module re-exports the nine (their docstrings are in ``native.c``).
 
 On import the module compiles ``native.c`` with the C compiler (the ``CC``
 environment variable, else the one Python was built with, ``-O2
@@ -93,7 +97,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["KernelUnavailable", "band_inverse", "closure", "fold", "group_sums", "offer",
-           "search", "sweep_rows", "tile"]
+           "search", "spans", "sweep_rows", "tile"]
 
 SOURCE = Path(__file__).with_name("native.c")
 #: The extension module's name; ``native.c`` defines ``PyInit__native``.
@@ -201,3 +205,4 @@ sweep_rows = _KERNEL.sweep_rows
 closure = _KERNEL.closure
 tile = _KERNEL.tile
 search = _KERNEL.search
+spans = _KERNEL.spans

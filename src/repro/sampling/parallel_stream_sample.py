@@ -31,7 +31,10 @@ reservoirs stay per worker: their heap arrays feed the merge and the WOR ->
 WR draw.  A sampled item is a position in the worker-ordered R1, so job 3
 gathers each sampled tuple's worker and window instead of searching for them.
 It also records per-worker scan counts so the engine can charge the
-statistics phase to the cost model.  ``num_workers=1`` is the one-machine
+statistics phase to the cost model.  A plan build whose stage-1 sample is
+a whole NaN-free relation has sorted it already; it passes the sorted keys
+in, and the relation's distinct keys come from one compare of neighbours
+there instead of ``np.unique``'s own sort (:func:`_distinct_sorted`).  ``num_workers=1`` is the one-machine
 algorithm: one partition, one reservoir, the same draws in the same order.
 (``tests/reference_sampling.py`` keeps the per-worker loop as the oracle.)
 """
@@ -121,6 +124,21 @@ def _default_histogram(keys: np.ndarray, num_workers: int) -> EquiDepthHistogram
     return build_equidepth_histogram(joining, num_workers, len(keys))
 
 
+def _distinct_sorted(sorted_keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Ascending NaN-free keys' distinct values, and where each one's run starts.
+
+    The starts end with the keys' number, so they are the d2equi prefix
+    of the runs.  One compare of neighbours: what ``np.unique`` keeps after
+    its sort, bit for bit but for a zero's sign (of ``-0.0`` and ``0.0``
+    each keeps whichever its sort put first; keys are only ever compared).
+    """
+    first = np.empty(len(sorted_keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return sorted_keys[starts], np.append(starts, len(sorted_keys))
+
+
 def _shipped(
     d2_index: D2Index, lows: np.ndarray, highs: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
@@ -152,6 +170,8 @@ def parallel_stream_sample(
     rng: np.random.Generator,
     histogram1: EquiDepthHistogram | None = None,
     histogram2: EquiDepthHistogram | None = None,
+    sorted1: np.ndarray | None = None,
+    sorted2: np.ndarray | None = None,
 ) -> tuple[JoinOutputSample, ParallelSampleStats]:
     """Run the 3-job parallel Stream-Sample and return the sample plus statistics.
 
@@ -172,6 +192,13 @@ def parallel_stream_sample(
         Pre-built approximate equi-depth histograms on R1 and R2 (the join
         operator shares these with the sample-matrix construction).  When not
         given, exact histograms with ``num_workers`` buckets are built.
+    sorted1, sorted2:
+        Each relation's keys sorted ascending, when the caller has them and
+        they hold no NaN (a plan build's stage-1 sample of a whole
+        relation).  Given, the relation's distinct keys are read off them
+        and R1's keys are searched among them; otherwise ``np.unique``
+        sorts the relation.  Either way the sample, the statistics and the
+        generator's draws are the same.
     """
     if num_workers <= 0:
         raise ValueError("num_workers must be positive")
@@ -196,7 +223,11 @@ def parallel_stream_sample(
     # laid end to end in worker order are the global one, and a worker scans
     # the multiplicities of its distinct keys.
     # ------------------------------------------------------------------
-    d2_index = build_d2_index(keys2)
+    if sorted2 is None:
+        d2_index = build_d2_index(keys2)
+    else:
+        distinct2, prefix2 = _distinct_sorted(sorted2)
+        d2_index = D2Index(keys=distinct2, multiplicities=np.diff(prefix2), prefix=prefix2)
     stats.r2_tuples_scanned = (
         np.bincount(
             _workers(d2_index.keys, histogram2, num_workers),
@@ -215,7 +246,12 @@ def parallel_stream_sample(
     # worker, bounds and window, so each distinct key is searched once, in
     # key order, and a tuple gathers its key's.
     # ------------------------------------------------------------------
-    distinct, inverse = np.unique(keys1, return_inverse=True)
+    if sorted1 is None:
+        distinct, inverse = np.unique(keys1, return_inverse=True)
+    else:
+        # Every key equals one distinct key, which a left search finds.
+        distinct, _ = _distinct_sorted(sorted1)
+        inverse = native.search(distinct, np.require(keys1, np.float64, "CA"), False)
     workers = _workers(distinct, histogram1, num_workers)
     lows, highs = condition.joinable_bounds(distinct)
     left, right = d2_index.window(lows, highs)

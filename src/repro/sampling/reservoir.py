@@ -183,7 +183,11 @@ def weighted_samples_wor(
     pool_items, pool_weights = (
         (items, weights) if bounds[-1] == len(items) else (items[positive], weights[positive])
     )
-    priorities = rng.random(len(pool_weights)) ** (1.0 / pool_weights)
+    # A subnormal weight's exponent 1 / w rounds to inf (an overflow), and
+    # u ** inf is 0.0 for every u < 1: the priority of a weight that small,
+    # computed without a warning.  The flag changes no value.
+    with np.errstate(over="ignore"):
+        priorities = rng.random(len(pool_weights)) ** (1.0 / pool_weights)
     positions = np.arange(len(pool_weights), dtype=np.float64)
     block = (np.empty(rooms[-1]), np.empty(rooms[-1], dtype=np.int64), np.empty(rooms[-1]))
     parts = zip(reservoirs, bounds, bounds[1:], rooms, rooms[1:])

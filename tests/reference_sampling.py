@@ -378,8 +378,15 @@ def parallel_stream_sample(
     rng: np.random.Generator,
     histogram1=None,
     histogram2=None,
+    sorted1=None,
+    sorted2=None,
 ):
-    """Run the 3-job parallel Stream-Sample, one loop iteration per worker."""
+    """Run the 3-job parallel Stream-Sample, one loop iteration per worker.
+
+    A plan build also hands in its relations sorted (``sorted1`` /
+    ``sorted2``, when its stage-1 sample is the whole relation); this loop
+    ignores them, each worker finding its own slice's distinct keys.
+    """
     if num_workers <= 0:
         raise ValueError("num_workers must be positive")
     if sample_size < 0:

@@ -142,6 +142,45 @@ def test_the_batch_operator_loads_no_streaming_module():
     assert not _within(loaded, "repro.streaming")
 
 
+def test_a_plan_build_loads_no_numpy_ma():
+    """A bare ``np.unique`` imports ``numpy.ma`` on first use (numpy 2.4's
+    ``_unique1d`` asks ``np.ma.is_masked``), ~13.5 ms of a cold start.  No
+    plan build calls one: neither a ``CSIOOperator.run`` (one whose stage 1
+    samples each relation whole and one that samples it short) nor a
+    ``stream_steady``-shaped warm-up (J = 8, a 16-batch window, 1,000 Zipf
+    keys per side and batch, the initial build inside) loads it."""
+    batch = _loaded_by(
+        "import numpy as np\n"
+        "from repro import BandJoinCondition, CSIOOperator, EWHConfig, WeightFunction\n"
+        "rng = np.random.default_rng(0)\n"
+        "keys1, keys2 = rng.integers(0, 500, 3_000), rng.integers(0, 500, 3_000)\n"
+        "for config in (None, EWHConfig(sample_matrix_size=16)):\n"
+        "    result = CSIOOperator(num_machines=4, config=config).run(\n"
+        "        keys1, keys2, BandJoinCondition(beta=1.0), WeightFunction(1.0, 0.2), rng=rng\n"
+        "    )\n"
+        "    assert result.output_correct"
+    )
+    assert "repro.core.histogram" in batch
+    assert "numpy.ma" not in batch
+    stream = _loaded_by(
+        "import numpy as np\n"
+        "from repro import BandJoinCondition, MicroBatch, StaticEWHPolicy, StreamingJoinEngine\n"
+        "from repro import WeightFunction\n"
+        "rng = np.random.default_rng(0)\n"
+        "mass = 1.0 / np.arange(1, 2_001) ** 0.8\n"
+        "engine = StreamingJoinEngine(8, BandJoinCondition(beta=1.0), WeightFunction(1.0, 0.2),\n"
+        "                             policy=StaticEWHPolicy(), window='batches:16', seed=0)\n"
+        "engine.start()\n"
+        "for index in range(20):\n"
+        "    keys1, keys2 = (rng.choice(2_000, 1_000, p=mass / mass.sum()).astype(float)\n"
+        "                    for _ in range(2))\n"
+        "    engine.process_batch(MicroBatch(index, keys1, keys2))\n"
+        "engine.close()"
+    )
+    assert "repro.core.histogram" in stream
+    assert "numpy.ma" not in stream
+
+
 def test_the_stream_engine_loads_only_what_it_runs():
     loaded = _loaded_by("from repro import StreamingJoinEngine")
     assert not _within(

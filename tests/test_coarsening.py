@@ -340,8 +340,8 @@ def test_a_band_sample_matrix_builds_and_coarsens_at_n_s_32768_in_bounded_memory
 def test_a_band_build_and_coarsen_make_the_same_calls_at_n_s_512_and_4096():
     """Building MS (spans, binning, the band) and one refinement pass of
     coarsening (aggregates, the two sweeps, the coarse grid) make as many
-    interpreter calls at n_s = 512 as at 4,096: the spans search a fixed
-    number of rounds and every per-row loop is numpy's or the kernel's.  Each
+    interpreter calls at n_s = 512 as at 4,096: the spans are one kernel
+    call and every per-row loop is numpy's or the kernel's.  Each
     axis's threshold search is held to one probe here; one probe's own calls
     are pinned above.  ``-s`` prints the counts."""
     def one_probe(feasible, low, high, max_midpoints):

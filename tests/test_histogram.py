@@ -282,11 +282,51 @@ def test_a_tiling_probe_makes_the_same_calls_at_any_grid_size():
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(regionalization, "smallest_feasible", measured)
-            regionalization.regionalize(diagonal_grid(size), 4, SPARSE_J12_WEIGHTS)
-        (tiling, calls[size]), = probes
-        assert tiling.num_regions == 4
+            result = regionalization.regionalize(diagonal_grid(size), 4, SPARSE_J12_WEIGHTS)
+        (accepted, calls[size]), = probes
+        assert accepted is not None and result.num_regions == 4
     print("tiling probe: " + ", ".join(f"{size} x {size} {calls[size]} calls" for size in calls))
     assert calls[16] == calls[32]
+
+
+def test_a_regionalize_reads_regions_only_for_the_threshold_it_returns(sparse_j12_build):
+    """The δ search accepts or rejects a threshold by the kernel's root
+    region count alone: a rejected probe makes as many interpreter calls
+    as an accepted one, whatever the number of regions its tiling has, and
+    the whole search constructs a ``GridRegion`` only for each region of
+    the tiling it returns.  ``-s`` prints the calls."""
+    import repro.core.monotonic_bsp as monotonic_bsp
+    import repro.core.regionalization as regionalization
+
+    probes = []
+    constructed = []
+
+    def measured(feasible, low, high, max_midpoints):
+        # The lowest threshold is rejected on this grid: its tiling has
+        # more regions than the budget.
+        found = smallest_feasible(feasible, low, high, max_midpoints)
+        probes.append(interpreter_calls(feasible, low))
+        probes.append(interpreter_calls(feasible, found[0]))
+        return found
+
+    def counted_region(*corners):
+        constructed.append(corners)
+        return GridRegion(*corners)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regionalization, "smallest_feasible", measured)
+        patch.setattr(monotonic_bsp, "GridRegion", counted_region)
+        result = regionalization.regionalize(
+            sparse_j12_build.coarsening.grid, 12, SPARSE_J12_WEIGHTS
+        )
+    (rejected, rejected_calls), (accepted, accepted_calls) = probes
+    print(f"\nregionalize: {result.search_steps} probes, {rejected_calls} calls rejected, "
+          f"{accepted_calls} accepted, {len(constructed)} regions constructed")
+    assert rejected is None and accepted is not None
+    assert result.search_steps > 2
+    assert rejected_calls == accepted_calls
+    assert len(constructed) == result.num_regions
+    assert result.regions == sparse_j12_build.grid_regions
 
 
 def diagonal_grid(size: int) -> WeightedGrid:

@@ -1,9 +1,10 @@
 """Every array argument of every kernel entry point, refused at the boundary.
 
-``repro.joins.native``'s eight entry points read their numpy arrays through
-pointers (``search``, the eighth, serves the plan build's searches:
-``bucket_index``, Stream-Sample's d2equi windows and job 3, the
-with-replacement draw), so each array is checked once on the way in (``take`` in
+``repro.joins.native``'s nine entry points read their numpy arrays through
+pointers (``search`` serves the plan build's searches: ``bucket_index``,
+Stream-Sample's d2equi windows and job 3, the with-replacement draw;
+``spans``, the ninth, the sample matrix's candidate spans), so each array
+is checked once on the way in (``take`` in
 ``native.c``): an ndarray, of the dtype the loop reads in native byte
 order, C-contiguous and aligned, writable where the loop writes it.  A
 refusal reads ``"<entry>: <argument> is <found>, not <expected>"``; a size
@@ -138,6 +139,14 @@ def _calls() -> "dict[str, tuple[tuple, list[Arg]]]":
             Arg((0,), "keys"),
             Arg((1,), "needles"),
         ]),
+        # A row's two edges pair up, as do a column's.
+        "spans": ((np.array([-np.inf, 1.0, 2.0]), np.array([1.0, 2.0, np.inf]),
+                   np.array([-np.inf, 0.5]), np.array([0.5, np.inf]), "band", 1.0), [
+            Arg((0,), "row_lo", short="row_lo"),
+            Arg((1,), "row_hi", short="row_hi"),
+            Arg((2,), "col_lo", short="col_lo"),
+            Arg((3,), "col_hi", short="col_hi"),
+        ]),
     }
 
 
@@ -205,6 +214,15 @@ def test_a_search_refuses_keys_and_needles_that_do_not_match(keys, needles, erro
     with pytest.raises(error) as refused:
         native.search(keys, needles, False)
     assert str(refused.value) == refusal
+
+
+@pytest.mark.parametrize("rule", ["", "=", "<>", "Band", "band "])
+def test_spans_refuse_a_rule_they_do_not_name(rule):
+    """A rule is one of the five the kernel evaluates, named exactly."""
+    edges = np.array([0.0, 1.0]), np.array([1.0, 2.0])
+    with pytest.raises(ValueError) as refused:
+        native.spans(*edges, *edges, rule, 0.0)
+    assert str(refused.value) == f"spans: rule is '{rule}', not band, <, <=, > or >="
 
 
 def test_every_valid_call_is_taken():

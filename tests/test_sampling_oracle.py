@@ -15,7 +15,9 @@ that ``wor_to_wr``'s draw, written as ``rng.choice``'s own steps over
 ``native.search``, is ``rng.choice``'s.  The
 numpy forms the key-order passes replaced -- ``np.quantile``'s equi-depth
 boundaries, the per-tuple worker search ``by_worker`` and the per-tuple
-window search ``numpy_sample_joinable_keys`` -- are references here too.
+window search ``numpy_sample_joinable_keys`` -- are references here too,
+and so is ``np.unique``, which Stream-Sample skips when a plan build hands
+it the relations its stage 1 has sorted.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from hypothesis import strategies as st
 from streaming_harness import interpreter_calls
 
 import repro.core.histogram as histogram_module
+from repro.core.histogram import EWHConfig
 from repro.core.weights import WeightFunction
+from repro.joins import native
 from repro.joins.conditions import (
     BandJoinCondition,
     EquiJoinCondition,
@@ -39,7 +43,7 @@ from repro.joins.conditions import (
     InequalityOp,
 )
 from repro.sampling.equidepth import build_equidepth_histogram
-from repro.sampling.parallel_stream_sample import parallel_stream_sample
+from repro.sampling.parallel_stream_sample import _distinct_sorted, parallel_stream_sample
 from repro.sampling.reservoir import (
     WeightedReservoir,
     merge_reservoirs,
@@ -266,6 +270,27 @@ def test_weighted_sample_wor_equals_the_per_tuple_pass(seed, weights, size):
     # ``==`` cannot tell ``np.float64(1.0)`` from ``1.0``: the one intended
     # difference from the reference is that items go through ``tolist()``.
     assert all(type(item) is float for item in reservoir.items())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("weights", [[5e-324], [5e-324, 1.0, 5e-324, 2.5], [1e-310, 3.0, 0.5]])
+def test_a_subnormal_weight_draws_priority_zero_without_a_warning(weights):
+    """A weight so small that its exponent ``1 / w`` overflows to inf draws
+    priority ``u ** inf == 0.0``, and nothing warns, even with every
+    ``RuntimeWarning`` an error.  The flag changes no value: every held
+    priority is the plain draw's, bit for bit, and the generator is where
+    one ``rng.random`` leaves it."""
+    weights = np.array(weights)
+    rng, twin = _twin_generators(7)
+    reservoir = weighted_samples_wor(
+        np.arange(weights.size), weights, weights.size, rng, [weights.size]
+    )[0]
+    with np.errstate(over="ignore"):
+        expected = twin.random(weights.size) ** (1.0 / weights)
+    assert (expected[weights < 1e-308] == 0.0).all()
+    held = reservoir._held()
+    assert reservoir._priorities[: len(reservoir)].tobytes() == expected[held].tobytes()
+    assert _same_state(rng, twin)
 
 
 @settings(max_examples=100, deadline=None)
@@ -879,3 +904,184 @@ def test_the_sequential_driver_is_gone_from_the_package():
     assert not callable(repro.sampling.stream_sample)
     with pytest.raises(ImportError):
         from repro.sampling.stream_sample import stream_sample  # noqa: F401
+
+
+# ----------------------------------------------------------------------
+# One sort per relation: Stream-Sample fed stage 1's sorted relations
+# ----------------------------------------------------------------------
+#: Keys the sorted path must read as ``np.unique`` does: a small integer
+#: domain (many duplicates), zeros of both signs, the infinities and a
+#: huge key.  No NaN: a relation holding one is never sampled whole.
+sorted_path_keys = st.lists(
+    st.one_of(
+        st.integers(min_value=-6, max_value=12).map(float),
+        st.sampled_from([-0.0, 0.0, np.inf, -np.inf, 1e300, 0.5]),
+    ),
+    max_size=80,
+).map(lambda values: np.array(values, dtype=np.float64))
+
+
+def _stage_one_sort(keys: np.ndarray, seed: int) -> np.ndarray:
+    """``keys`` as stage 1 sorts them: a permutation (the whole-relation
+    draw), sorted in place -- equal keys, and so the two zeros, in the
+    order that sort leaves them."""
+    sample = np.random.default_rng(seed).permutation(keys)
+    sample.sort()
+    return sample
+
+
+def _same_but_zero_signs(ours: np.ndarray, expected: np.ndarray) -> None:
+    """Equal as values, and bit for bit wherever the value is not zero."""
+    np.testing.assert_array_equal(ours, expected)
+    differ = ours.view(np.int64) != expected.view(np.int64)
+    assert (ours[differ] == 0).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=seeds, keys=sorted_path_keys.filter(len))
+def test_a_sorted_relation_gives_np_uniques_distinct_keys_and_inverse(seed, keys):
+    """One compare of neighbours in the sorted relation gives ``np.unique``'s
+    distinct keys (a zero's sign aside) and, as the d2equi prefix, the
+    running sum of its counts bit for bit; a left search of every key among
+    them is its inverse."""
+    distinct, prefix = _distinct_sorted(_stage_one_sort(keys, seed))
+    expected, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    _same_but_zero_signs(distinct, expected)
+    assert prefix.dtype == np.int64
+    assert prefix.tobytes() == np.concatenate([[0], np.cumsum(counts)]).tobytes()
+    assert np.diff(prefix).tobytes() == counts.tobytes()
+    searched = native.search(distinct, keys, False)
+    assert searched.tobytes() == inverse.astype(np.int64).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=seeds,
+    workers=st.sampled_from([1, 2, 5, 12]),
+    keys1=sorted_path_keys,
+    keys2=sorted_path_keys,
+    condition=conditions,
+    size=st.sampled_from([0, 3, 40]),
+)
+@example(  # zeros of both signs on both sides: the one difference the path may make
+    seed=1, workers=2, keys1=np.array([0.0, -0.0, 1.0, -0.0, 0.0]),
+    keys2=np.array([-0.0, 0.0, 0.0, 2.0, -0.0]), condition=EquiJoinCondition(), size=40,
+)
+def test_stream_sample_fed_sorted_relations_is_the_np_unique_path(
+    seed, workers, keys1, keys2, condition, size
+):
+    """Stage 1's sorted relations in, the ``np.unique`` path's answer out:
+    ``m``, the four stats lists and the generator state bit for bit, and the
+    output pairs as values -- an R2 key of a pair is a distinct key, so a
+    zero may come out with the other sign."""
+    histograms = {}
+    if len(keys1) and len(keys2):
+        histograms = {
+            "histogram1": build_equidepth_histogram(np.sort(keys1), 4, len(keys1)),
+            "histogram2": build_equidepth_histogram(np.sort(keys2), 4, len(keys2)),
+        }
+    arguments = (keys1, keys2, condition, size, workers)
+    rng, reference_rng = _twin_generators(seed)
+    sample, stats = parallel_stream_sample(
+        *arguments, rng, **histograms,
+        sorted1=_stage_one_sort(keys1, seed), sorted2=_stage_one_sort(keys2, seed + 1),
+    )
+    expected, expected_stats = parallel_stream_sample(*arguments, reference_rng, **histograms)
+    assert sample.total_output == expected.total_output
+    assert stats == expected_stats
+    assert _same_state(rng, reference_rng)
+    assert sample.pairs.shape == expected.pairs.shape
+    _same_but_zero_signs(sample.pairs, expected.pairs)
+
+
+def _recorded_builds(monkeypatch, keys1, keys2, config=None, rewrite=None):
+    """Build a histogram, recording what the build hands Stream-Sample.
+
+    ``rewrite(sorted1, sorted2)`` may replace the sorted relations first.
+    Returns the histogram, the generator after it, the sorted arguments and
+    the output sample.
+    """
+    seen = {}
+    driver = histogram_module.parallel_stream_sample
+
+    def recorded(*args, sorted1=None, sorted2=None, **kwargs):
+        if rewrite is not None:
+            sorted1, sorted2 = rewrite(sorted1, sorted2)
+        seen["sorted"] = (sorted1, sorted2)
+        seen["sample"], stats = driver(*args, sorted1=sorted1, sorted2=sorted2, **kwargs)
+        return seen["sample"], stats
+
+    monkeypatch.setattr(histogram_module, "parallel_stream_sample", recorded)
+    rng = np.random.default_rng(11)
+    histogram = histogram_module.build_equi_weight_histogram(
+        keys1, keys2, BandJoinCondition(beta=1.0), 4, WeightFunction(1.0, 0.2),
+        config=config, rng=rng,
+    )
+    monkeypatch.undo()
+    return histogram, rng, seen["sorted"], seen["sample"]
+
+
+def test_a_build_hands_stream_sample_its_sample_only_when_it_is_the_relation(monkeypatch):
+    """A whole NaN-free relation's sample is that relation sorted, and goes
+    in; a relation with a NaN (never drawn, so sampled short) or one larger
+    than the sample takes the ``np.unique`` path."""
+    data = np.random.default_rng(2)
+    keys1, keys2 = (data.integers(0, 500, 2_000).astype(np.float64) for _ in range(2))
+    _, _, (sorted1, sorted2), _ = _recorded_builds(monkeypatch, keys1, keys2)
+    assert sorted1.tobytes() == np.sort(keys1).tobytes()
+    assert sorted2.tobytes() == np.sort(keys2).tobytes()
+
+    with_nan = keys1.copy()
+    with_nan[7] = np.nan
+    _, _, (sorted1, sorted2), _ = _recorded_builds(monkeypatch, with_nan, keys2)
+    assert sorted1 is None and sorted2.tobytes() == np.sort(keys2).tobytes()
+
+    # n_s = 8 draws 4 n_s ln n ~ 243 keys of each 2,000.
+    small = EWHConfig(sample_matrix_size=8)
+    _, _, (sorted1, sorted2), _ = _recorded_builds(monkeypatch, keys1, keys2, small)
+    assert sorted1 is None and sorted2 is None
+
+
+def test_a_zeros_sign_in_the_sorted_sample_reaches_no_plan(monkeypatch):
+    """Keys are only compared, never read as bits, so the sign a distinct
+    zero keeps cannot move a plan: the ``np.unique`` path, the sorted path
+    and the sorted path with every zero's sign flipped build the same
+    boundaries, sample matrix, regions and estimate and leave the generator
+    in the same state -- while the flipped run's output pairs do differ in
+    their zeros' bits."""
+
+    def flipped(*relations):
+        flips = []
+        for keys in relations:
+            keys = keys.copy()
+            zero = keys == 0
+            keys[zero] = -keys[zero]
+            flips.append(keys)
+        return flips
+
+    data = np.random.default_rng(6)
+    keys1, keys2 = (data.integers(-4, 5, 1_500).astype(np.float64) for _ in range(2))
+    for keys in (keys1, keys2):
+        keys[::3] *= -1.0  # a third of the zeros become -0.0
+    builds = [
+        _recorded_builds(monkeypatch, keys1, keys2, rewrite=lambda *_: (None, None)),
+        _recorded_builds(monkeypatch, keys1, keys2),
+        _recorded_builds(monkeypatch, keys1, keys2, rewrite=flipped),
+    ]
+    plans = []
+    for histogram, rng, _, _ in builds:
+        grid = histogram.sample_matrix.grid
+        plans.append((
+            [array.tobytes() for array in (
+                histogram.mc_row_boundaries, histogram.mc_col_boundaries,
+                histogram.sample_matrix.row_boundaries, histogram.sample_matrix.col_boundaries,
+                grid.entry_ptr, grid.entry_col, grid.entry_value, grid.run_lo, grid.run_hi,
+            )],
+            histogram.grid_regions, float(histogram.estimated_max_weight).hex(),
+            histogram.total_output, histogram.sampling_stats, rng.bit_generator.state,
+        ))
+    assert plans[0] == plans[1] == plans[2]
+    assert builds[1][2][0] is not None  # the sorted runs took the sorted path
+    sorted_pairs, flipped_pairs = builds[1][3].pairs, builds[2][3].pairs
+    _same_but_zero_signs(flipped_pairs, sorted_pairs)
+    assert flipped_pairs.tobytes() != sorted_pairs.tobytes()
