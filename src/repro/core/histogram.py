@@ -2,7 +2,7 @@
 
 ``build_equi_weight_histogram`` chains the three stages:
 
-1. **Sampling** -- Bernoulli input samples feed approximate equi-depth
+1. **Sampling** -- uniform input samples feed approximate equi-depth
    histograms with ``n_s = sqrt(2 n J)`` buckets per relation; the parallel
    Stream-Sample produces a uniform join-output sample of size
    ``s_o = Theta(n_s)`` plus the exact output size ``m``; together they form
@@ -69,15 +69,13 @@ class EWHConfig:
     Parameters
     ----------
     sample_matrix_size:
-        Override for ``n_s`` (default: the Lemma 3.1 formula).
+        Override for ``n_s`` (default: the Lemma 3.1 formula, resized by the
+        Appendix A5 optimisation once ``m`` is known: shrunk by
+        ``sqrt(m/n)`` when the join produces more output than input).
     max_sample_matrix_size:
         Upper cap on ``n_s``.
     max_coarsened_size:
         Upper cap on ``n_c`` (default ``2J`` uncapped).
-    adjust_for_output_ratio:
-        Apply the Appendix A5 optimisation: once ``m`` is known, shrink
-        ``n_s`` by ``sqrt(m/n)`` when the join produces more output than
-        input.
     output_sample_multiple:
         ``s_o`` as a multiple of the number of candidate MS cells (the paper
         uses 2).
@@ -89,7 +87,6 @@ class EWHConfig:
     sample_matrix_size: int | None = None
     max_sample_matrix_size: int = 4096
     max_coarsened_size: int | None = None
-    adjust_for_output_ratio: bool = True
     output_sample_multiple: float = 2.0
     seed: int = 2016
 
@@ -214,7 +211,7 @@ def build_equi_weight_histogram(
 
     # Appendix A5: once m is known, a high output/input ratio lets us shrink
     # n_s (and a low one forces us to grow it) while keeping Lemma 3.1.
-    if config.adjust_for_output_ratio and config.sample_matrix_size is None:
+    if config.sample_matrix_size is None:
         m = output_sample.total_output
         if m > 0:
             ratio = m / n

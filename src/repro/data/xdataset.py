@@ -48,11 +48,6 @@ class XDatasetConfig:
             raise ValueError("small_segment_size must be at least 6")
 
     @property
-    def relation_size(self) -> int:
-        """Total tuples per relation (``5 * x``)."""
-        return 5 * self.small_segment_size
-
-    @property
     def large_segment_size(self) -> int:
         """Tuples in the second segment (``4 * x``)."""
         return 4 * self.small_segment_size

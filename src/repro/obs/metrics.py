@@ -257,12 +257,6 @@ class MetricsRegistry:
             for name in sorted(self._instruments)
         }
 
-    def write_snapshot(self, path: str) -> None:
-        """Write :meth:`snapshot` to ``path`` as deterministic JSON."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.snapshot(), handle, sort_keys=True, indent=2)
-            handle.write("\n")
-
 
 class SnapshotReporter:
     """Capture a registry snapshot every ``every`` pulses.

@@ -3,8 +3,8 @@
 The equi-weight histogram needs two kinds of statistics (paper, section IV):
 
 * the *input* distribution of each relation, captured by approximate
-  equi-depth histograms built from small Bernoulli samples
-  (:mod:`repro.sampling.equidepth`, :mod:`repro.sampling.bernoulli`), and
+  equi-depth histograms built from small uniform samples
+  (:mod:`repro.sampling.equidepth`), and
 * a uniform random sample of the *join output*, which cannot be obtained by
   joining input samples (Chaudhuri et al.); instead the Stream-Sample
   algorithm is used, extended to band/inequality joins and parallelised.
@@ -27,7 +27,6 @@ from repro import lazy_exports
 from repro.sampling.parallel_stream_sample import parallel_stream_sample
 
 _EXPORTS = {
-    "bernoulli_sample": "repro.sampling.bernoulli",
     "EquiDepthHistogram": "repro.sampling.equidepth",
     "build_equidepth_histogram": "repro.sampling.equidepth",
     "WeightedReservoir": "repro.sampling.reservoir",

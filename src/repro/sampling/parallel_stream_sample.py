@@ -81,17 +81,6 @@ class ParallelSampleStats:
         """Total input tuples scanned by the statistics phase."""
         return sum(self.r1_tuples_scanned) + sum(self.r2_tuples_scanned)
 
-    @property
-    def max_worker_scan(self) -> int:
-        """Scan work of the busiest worker (drives the stats-phase latency)."""
-        per_worker = [
-            r1 + r2
-            for r1, r2 in zip(
-                self.r1_tuples_scanned or [0], self.r2_tuples_scanned or [0]
-            )
-        ]
-        return max(per_worker) if per_worker else 0
-
 
 def _workers(
     keys: np.ndarray, histogram: EquiDepthHistogram, num_workers: int

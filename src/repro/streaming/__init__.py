@@ -76,7 +76,6 @@ _EXPORTS = {
     "IncrementalHistogram": "repro.streaming.incremental",
     "SortedRegionState": "repro.streaming.incremental",
     "DriftDetector": "repro.streaming.drift",
-    "DriftObservation": "repro.streaming.drift",
     "MigrationPlan": "repro.streaming.migration",
     "plan_install": "repro.streaming.migration",
     "ArrivalLog": "repro.streaming.arrivals",

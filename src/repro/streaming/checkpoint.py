@@ -41,14 +41,18 @@ migration from nothing, the logs routed by the captured plan
 backend, so a checkpoint taken on one backend restores onto any other, and
 a dead worker cannot fail a checkpoint.  Every stored arrival index is
 global (:mod:`repro.streaming.arrivals`); ``base1`` / ``base2`` say which
-index the retained keys start at.  The histogram's two sample reservoirs
-are pickled as the live entries of their heap arrays (priorities,
-counters, keys), with no spare room, so two saves of one state are the
-same bytes.  Version 1 (verbatim key-sorted state columns and a counting
-mode), version 2 (three engine options that no longer exist), version 3
-(indices shifted by the trimmed history, no bases), version 4 (per-machine
-arrival indices, ``state_index*``) and version 5 (the sample reservoirs as
-lists of heap tuples) are refused by name.
+index the retained keys start at.  The plan is routing only -- a
+:class:`~repro.partitioning.grid_routed.GridRoutedPartitioning`'s key
+boundaries and regions, or 1-Bucket's grid shape and draw key -- so no
+histogram build artefact (sample matrix, coarsening, regionalization) is
+pickled: the sample state a rebuild reads is the histogram's two
+reservoirs, pickled as the live entries of their heap arrays
+(priorities, counters, keys), with no spare room, so two saves of one
+state are the same bytes.  Version 1 (verbatim key-sorted state columns
+and a counting mode), version 2 (three engine options that no longer
+exist), version 3 (indices shifted by the trimmed history, no bases),
+version 4 (per-machine arrival indices, ``state_index*``) and version 5
+(the sample reservoirs as lists of heap tuples) are refused by name.
 
 Driving a crash-survivable run
 ------------------------------
@@ -171,9 +175,12 @@ class StreamCheckpoint:
     condition, weight_fn, policy, window, histogram, partitioning:
         The engine's live collaborator objects, deep-copied at capture so
         later batches cannot mutate the checkpoint retroactively.  The
-        policy carries its drift detector's EWMA/cooldown, the histogram
-        its decayed reservoirs; ``partitioning`` is ``None`` before the
-        initial build.
+        policy carries its drift detector's EWMA and last trigger, the
+        histogram (an :class:`~repro.streaming.incremental.IncrementalHistogram`)
+        its decayed reservoirs and the last build's predicted imbalance --
+        no built histogram.  ``partitioning`` is the plan's routing alone
+        (a :class:`~repro.partitioning.grid_routed.GridRoutedPartitioning`
+        under the EWH policies), ``None`` before the initial build.
     rng_state:
         The engine generator's ``bit_generator.state`` dict -- restoring it
         replays routing, reservoir sampling and decay-window survival draws
@@ -409,14 +416,14 @@ def resume(
     The body of
     :meth:`~repro.streaming.engine.StreamingJoinEngine.resume_from` (see
     there for the arguments): construct the engine from the captured
-    configuration, adopt the captured run state, and rebuild the join state
-    on ``backend`` through ``bind`` / ``install_state`` -- a migration from
-    nothing: the live logs routed by the captured plan and placed by its
-    ``region_to_machine``, which reproduces every machine's key multiset
-    as it stood when the checkpoint was taken.  The resident count is
-    that of the state installed.  The checkpoint is
-    deep-copied first, so one checkpoint can seed any number of resumed
-    runs.
+    configuration, adopt the captured sample state (the engine's
+    ``histogram`` becomes the checkpoint's) and run state, and rebuild the
+    join state on ``backend`` through ``bind`` / ``install_state`` -- a
+    migration from nothing: the live logs routed by the captured plan and
+    placed by its ``region_to_machine``, which reproduces every machine's
+    key multiset as it stood when the checkpoint was taken.  The resident
+    count is that of the state installed.  The checkpoint is deep-copied
+    first, so one checkpoint can seed any number of resumed runs.
     """
     checkpoint = copy.deepcopy(checkpoint)
     engine = engine_cls(
@@ -426,12 +433,12 @@ def resume(
         policy=checkpoint.policy,
         backend=backend,
         window=checkpoint.window,
-        histogram=checkpoint.histogram,
         migration_cost_factor=checkpoint.migration_cost_factor,
         seed=checkpoint.seed,
         tracer=tracer,
         metrics=metrics,
     )
+    engine.histogram = checkpoint.histogram
     engine._consumed = True
     s = RunState()
     s.rng = np.random.default_rng(engine.seed)

@@ -15,18 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["DriftObservation", "DriftDetector"]
-
-
-@dataclass(frozen=True)
-class DriftObservation:
-    """One batch's drift bookkeeping (kept for reports and tests)."""
-
-    batch_index: int
-    live_imbalance: float
-    smoothed_imbalance: float
-    predicted_imbalance: float
-    triggered: bool
+__all__ = ["DriftDetector"]
 
 
 @dataclass
@@ -47,13 +36,17 @@ class DriftDetector:
     cooldown_batches:
         Minimum batches between two triggers, giving a fresh partitioning
         time to show its effect before it can be declared stale.
+
+    Between batches it holds two numbers, the EWMA and the batch of its
+    last trigger, and no per-batch record: each batch's live imbalance and
+    whether it repartitioned are in the run's
+    :class:`~repro.streaming.metrics.BatchMetrics`.
     """
 
     threshold: float = 1.5
     ewma_alpha: float = 0.5
     warmup_batches: int = 2
     cooldown_batches: int = 3
-    history: list[DriftObservation] = field(default_factory=list)
     _smoothed: float | None = field(default=None, repr=False)
     _last_trigger: int | None = field(default=None, repr=False)
 
@@ -89,24 +82,14 @@ class DriftDetector:
             self._last_trigger is not None
             and batch_index - self._last_trigger < self.cooldown_batches
         )
-        smoothed_at_decision = self._smoothed
         triggered = (
             not in_warmup
             and not in_cooldown
-            and smoothed_at_decision > self.threshold * max(predicted_imbalance, 1.0)
+            and self._smoothed > self.threshold * max(predicted_imbalance, 1.0)
         )
         if triggered:
             self._last_trigger = batch_index
             # The repartitioning resets the live load profile; restart the
             # EWMA so stale pre-rebuild imbalance cannot re-trigger.
             self._smoothed = None
-        self.history.append(
-            DriftObservation(
-                batch_index=batch_index,
-                live_imbalance=live_imbalance,
-                smoothed_imbalance=smoothed_at_decision,
-                predicted_imbalance=predicted_imbalance,
-                triggered=triggered,
-            )
-        )
         return triggered

@@ -143,12 +143,9 @@ class StreamingJoinEngine:
         :func:`~repro.streaming.window.make_window` (``"batches:8"``,
         ``"tuples:5000"``, ``"decay:0.9"``).  ``None`` retains the full
         history (unbounded).
-    histogram:
-        Optional pre-configured :class:`IncrementalHistogram`; built from
-        ``sample_capacity`` / ``sample_decay`` / ``ewh_config`` when omitted.
     sample_capacity, sample_decay:
         Per-side reservoir capacity and per-batch decay of the maintained
-        sample state.
+        sample state (the engine's :class:`IncrementalHistogram`).
     ewh_config:
         Histogram configuration used by (re)builds.
     migration_cost_factor:
@@ -188,7 +185,6 @@ class StreamingJoinEngine:
         policy: RepartitioningPolicy | None = None,
         backend: ExecutionBackend | None = None,
         window: WindowPolicy | str | None = None,
-        histogram: IncrementalHistogram | None = None,
         sample_capacity: int = 2048,
         sample_decay: float = 0.8,
         ewh_config: EWHConfig | None = None,
@@ -209,7 +205,7 @@ class StreamingJoinEngine:
         self.policy = policy or DriftAdaptiveEWHPolicy()
         self._owns_backend = backend is None
         self.backend = backend or SimulatedBackend()
-        self.histogram = histogram or IncrementalHistogram(
+        self.histogram = IncrementalHistogram(
             num_machines,
             weight_fn,
             capacity=sample_capacity,

@@ -40,9 +40,12 @@ alive across micro-batches and rebuilds the histogram from it on demand:
   (:func:`~repro.core.histogram.build_equi_weight_histogram`) over the two
   reservoir snapshots.  The cost is proportional to the reservoir capacity,
   not to the stream length -- the whole point of maintaining the state
-  incrementally.
+  incrementally.  What a rebuild keeps is the plan's routing (a
+  :class:`~repro.partitioning.grid_routed.GridRoutedPartitioning`) and one
+  number, the predicted imbalance; the sample and coarsened matrices are
+  intermediate results and are dropped.
 
-The rebuilt histogram routes *real* keys correctly because the outermost
+The rebuilt plan routes *real* keys correctly because the outermost
 region boundaries are opened to +-infinity, and its predicted region-weight
 imbalance (a scale-free ratio) is what the drift detector compares against
 the live load imbalance.
@@ -54,15 +57,11 @@ import math
 
 import numpy as np
 
-from repro.core.histogram import (
-    EWHConfig,
-    EquiWeightHistogram,
-    build_equi_weight_histogram,
-)
+from repro.core.histogram import EWHConfig, build_equi_weight_histogram
 from repro.core.weights import WeightFunction
 from repro.joins import native
 from repro.joins.conditions import JoinCondition
-from repro.partitioning.ewh import EWHPartitioning
+from repro.partitioning.grid_routed import GridRoutedPartitioning
 from repro.streaming.source import MicroBatch
 
 __all__ = ["DecayedReservoir", "IncrementalHistogram", "SortedRegionState"]
@@ -476,7 +475,6 @@ class IncrementalHistogram:
         self.reservoir2 = DecayedReservoir(capacity, decay)
         self.batches_observed = 0
         self.rebuilds = 0
-        self.last_histogram: EquiWeightHistogram | None = None
         self._predicted_imbalance = 1.0
 
     @property
@@ -508,12 +506,18 @@ class IncrementalHistogram:
 
     def build_partitioning(
         self, condition: JoinCondition, rng: np.random.Generator
-    ) -> EWHPartitioning:
-        """Rebuild the EWH partitioning from the current sample state.
+    ) -> GridRoutedPartitioning:
+        """Rebuild the CSIO plan from the current sample state.
 
         Runs sampling/coarsening/regionalization over the reservoir
         snapshots; cost is ``O(capacity)`` work regardless of how long the
-        stream has run.
+        stream has run.  The plan is its routing alone -- the coarsened
+        grid's key boundaries and the at most ``J`` regions over it -- and
+        the build's sample matrix, coarsening and regionalization are
+        dropped once it is made: the next batch reads the routing, the
+        drift detector the predicted imbalance (:meth:`predicted_imbalance`),
+        and nothing else of the build is kept, in the engine or in a
+        checkpoint.
         """
         if not self.can_build():
             raise ValueError(
@@ -528,7 +532,6 @@ class IncrementalHistogram:
             config=self.config,
             rng=rng,
         )
-        self.last_histogram = histogram
         self.rebuilds += 1
         # Freeze the predicted imbalance at build time: the ratio of the
         # estimated maximum region weight to the no-replication lower bound
@@ -542,7 +545,12 @@ class IncrementalHistogram:
             )
         else:
             self._predicted_imbalance = 1.0
-        return EWHPartitioning(histogram)
+        return GridRoutedPartitioning(
+            histogram.mc_row_boundaries,
+            histogram.mc_col_boundaries,
+            histogram.grid_regions,
+            scheme_name="CSIO",
+        )
 
     def predicted_imbalance(self) -> float:
         """The last build's predicted max/mean region-weight ratio.

@@ -83,10 +83,10 @@ class BatchMetrics:
         time under the simulated one; partly *modeled* under a
         virtual-delay :class:`~repro.streaming.backends.SlowConsumerBackend`
         -- see ``join_clock``).
-    wall_clock, join_clock, queue_clock:
+    join_clock, queue_clock:
         The clock domain each duration group was measured in: ``"real"``
         (a wall clock actually ticked) or ``"simulated"`` (a modeled or
-        discrete-event clock).  ``wall_clock`` covers ``wall_seconds``,
+        discrete-event clock).  ``wall_seconds`` is always real;
         ``join_clock`` covers ``join_seconds`` /
         ``per_machine_join_seconds`` (it is the backend's
         ``clock_domain``), and ``queue_clock`` covers
@@ -168,7 +168,6 @@ class BatchMetrics:
     predicted_imbalance: float = 1.0
     wall_seconds: float = 0.0
     join_seconds: float = 0.0
-    wall_clock: str = "real"
     join_clock: str = "real"
     queue_clock: str = "real"
     bytes_pickled: int | None = None
@@ -274,9 +273,9 @@ class StreamRunResult:
         The pipeline's queue bound in batches (``None`` for synchronous
         runs *and* for pipelined runs with an unbounded queue -- check
         ``backpressure`` to distinguish them).
-    wall_clock, join_clock:
-        Clock domains of the run's wall and join timings (``"real"`` or
-        ``"simulated"``; the batch-level tags, hoisted) -- see
+    join_clock:
+        Clock domain of the run's join timings (``"real"`` or
+        ``"simulated"``; the batch-level tag, hoisted) -- see
         :class:`BatchMetrics`.
     queue_clock:
         Clock domain of the queue timings (stall/idle); ``None`` for
@@ -300,7 +299,6 @@ class StreamRunResult:
     output_correct: bool | None = None
     backpressure: str | None = None
     queue_batches: int | None = None
-    wall_clock: str = "real"
     join_clock: str = "real"
     queue_clock: str | None = None
     checkpoints_taken: int = 0
@@ -468,11 +466,9 @@ class StreamRunResult:
         otherwise the simulated groups are named explicitly (e.g.
         ``"queue:sim"`` for a simulated-clock pipeline whose wall and join
         times are real) so no table can pass a modeled second off as a
-        measured one.
+        measured one.  Wall times are always real.
         """
         parts = []
-        if self.wall_clock != "real":
-            parts.append("wall:sim")
         if self.join_clock != "real":
             parts.append("join:sim")
         if self.queue_clock is not None and self.queue_clock != "real":

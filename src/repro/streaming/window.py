@@ -235,11 +235,13 @@ class ExponentialDecayWindow(WindowPolicy):
 def surviving(held: np.ndarray, expired: np.ndarray) -> np.ndarray:
     """Boolean mask over ``held``: which arrival indices are *not* expired.
 
-    The one membership test behind eviction: each sorted run of
-    :class:`~repro.streaming.incremental.SortedRegionState`, and a live set
-    whose eviction is not a prefix of it (a sliding window's is, and
-    :meth:`~repro.streaming.arrivals.ArrivalLog.expire` slices it off
-    instead).  ``expired`` must be non-empty, sorted ascending and unique
+    The membership test behind :func:`drop_expired`, its one production
+    caller: a live set whose eviction is not a prefix of it (a sliding
+    window's is, and :meth:`~repro.streaming.arrivals.ArrivalLog.expire`
+    slices it off instead).  Retained join state holds keys, not arrival
+    indices, so it is never masked: an eviction is a tombstone run
+    (:meth:`~repro.streaming.incremental.SortedRegionState.tombstone`).
+    ``expired`` must be non-empty, sorted ascending and unique
     (every window policy's eviction set is); ``held`` may be in any order
     and ``expired`` need not be a subset of it.
 

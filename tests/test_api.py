@@ -186,8 +186,8 @@ def test_the_stream_engine_loads_only_what_it_runs():
     assert not _within(
         loaded,
         "repro.engine.operators", "repro.joins.multiway", "repro.workloads",
-        "repro.data", "repro.partitioning.one_bucket", "repro.streaming.pipeline",
-        "repro.streaming.shm", "secrets", "hmac",
+        "repro.data", "repro.partitioning.one_bucket", "repro.partitioning.ewh",
+        "repro.streaming.pipeline", "repro.streaming.shm", "secrets", "hmac",
     )
 
 

@@ -38,6 +38,7 @@ from repro.core.histogram import EquiWeightHistogram
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import BandJoinCondition
 from repro.obs.metrics import MetricsRegistry
+from repro.partitioning.grid_routed import GridRoutedPartitioning
 from repro.streaming import (
     CHECKPOINT_VERSION,
     DecayedReservoir,
@@ -373,20 +374,19 @@ def _reachable(root):
 
 
 @pytest.mark.parametrize("stop_after", [2, 6])
-def test_a_restore_reads_no_histogram_artefact(stop_after):
-    """An EWH plan's sample matrix, coarsening and regionalization are
-    pickled into every checkpoint, but a restore reads none of them: nulled
-    in every plan a loaded checkpoint of a drift-adaptive run holds (the
-    initial build's, or a rebuild's), the resumed run -- which repartitions
-    away from that plan later -- is still the uninterrupted one."""
+def test_a_checkpoint_holds_a_routing_only_plan(stop_after):
+    """A stream plan is its routing: in a loaded checkpoint of a
+    drift-adaptive run (the initial build's plan, or a rebuild's) the plan
+    is a bare grid-routed partitioning, no built histogram -- sample
+    matrix, coarsening, regionalization -- is reachable from anything the
+    checkpoint holds, and the resumed run, which repartitions away from
+    that plan later, is still the uninterrupted one."""
     source = make_source(seed=11)
     uninterrupted, checkpoint = run_with_checkpoint(source, stop_after, seed=11)
     assert any(batch.repartitioned for batch in uninterrupted.batches[stop_after + 1 :])
     loaded = StreamCheckpoint.from_bytes(checkpoint.to_bytes())
-    histograms = [obj for obj in _reachable(loaded) if isinstance(obj, EquiWeightHistogram)]
-    assert any(histogram is loaded.partitioning.histogram for histogram in histograms)
-    for histogram in histograms:
-        histogram.sample_matrix = histogram.coarsening = histogram.regionalization = None
+    assert type(loaded.partitioning) is GridRoutedPartitioning
+    assert not [obj for obj in _reachable(loaded) if isinstance(obj, EquiWeightHistogram)]
     assert_equivalent_runs(resume_and_finish(loaded, source), uninterrupted)
 
 

@@ -106,7 +106,7 @@ class TestBuildEquiWeightHistogram:
 class TestConfiguration:
     def test_sample_matrix_size_override(self, skewed_inputs):
         keys1, keys2 = skewed_inputs
-        config = EWHConfig(sample_matrix_size=32, adjust_for_output_ratio=False)
+        config = EWHConfig(sample_matrix_size=32)
         histogram = build_equi_weight_histogram(
             keys1, keys2, BandJoinCondition(beta=2.0), 4,
             WeightFunction(), config=config, rng=np.random.default_rng(1),

@@ -122,9 +122,7 @@ class TestScalingBehaviour:
         expected = workload.exact_output_size()
 
         def run(ns):
-            return CSIOOperator(
-                8, config=EWHConfig(sample_matrix_size=ns, adjust_for_output_ratio=False)
-            ).run(
+            return CSIOOperator(8, config=EWHConfig(sample_matrix_size=ns)).run(
                 workload.keys1, workload.keys2, workload.condition,
                 workload.weight_fn, rng=np.random.default_rng(1),
                 expected_output=expected,

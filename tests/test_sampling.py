@@ -1,4 +1,4 @@
-"""Tests for the sampling substrates: sizes, Bernoulli, equi-depth, reservoir,
+"""Tests for the sampling substrates: sizes, equi-depth, reservoir,
 and the Stream-Sample driver's statistical contract on one machine and several."""
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.joins.conditions import (
     InequalityJoinCondition,
     InequalityOp,
 )
-from repro.sampling.bernoulli import bernoulli_sample, bernoulli_sample_rate
 from repro.sampling.equidepth import (
     EquiDepthHistogram,
     bucket_index,
@@ -89,33 +88,6 @@ class TestSampleSizes:
         ns = sample_matrix_size(n, j, min_size=1)
         cell_side = n / ns
         assert cell_side**2 <= n / (2 * j) * 1.05 + 1  # small slack for ceiling
-
-
-class TestBernoulliSampling:
-    def test_rate_zero_and_one(self, rng):
-        values = np.arange(100)
-        assert len(bernoulli_sample(values, 0.0, rng)) == 0
-        np.testing.assert_array_equal(bernoulli_sample(values, 1.0, rng), values)
-
-    def test_invalid_rate(self, rng):
-        with pytest.raises(ValueError):
-            bernoulli_sample(np.arange(5), 1.5, rng)
-
-    def test_expected_size(self, rng):
-        values = np.arange(100_000)
-        sample = bernoulli_sample(values, 0.1, rng)
-        assert abs(len(sample) - 10_000) < 600
-
-    def test_preserves_order(self, rng):
-        values = np.arange(1000)
-        sample = bernoulli_sample(values, 0.5, rng)
-        assert np.all(np.diff(sample) > 0)
-
-    def test_rate_helper(self):
-        assert bernoulli_sample_rate(100, 1000) == 0.1
-        assert bernoulli_sample_rate(2000, 1000) == 1.0
-        with pytest.raises(ValueError):
-            bernoulli_sample_rate(10, 0)
 
 
 class TestEquiDepthHistogram:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -447,8 +448,8 @@ class TestDriftDetector:
         )
         fired = [detector.update(index, 5.0, 1.0) for index in range(5)]
         assert fired == [False, False, True, False, False]
-        assert sum(obs.triggered for obs in detector.history) == 1
-        assert detector.history[2].triggered
+        # The trigger restarted the EWMA; batches 3 and 4 refilled it.
+        assert detector.smoothed_imbalance == pytest.approx(5.0)
         # The cooldown boundary itself: batch 2 + cooldown 3 = batch 5.
         assert detector.update(5, 5.0, 1.0)
 
@@ -459,10 +460,27 @@ class TestDriftDetector:
         assert not detector.update(0, 1.0, 1.0)
         # One spike is damped below the threshold by the EWMA...
         assert not detector.update(1, 6.0, 1.0)
-        # ...but a sustained shift accumulates and triggers.
+        assert detector.smoothed_imbalance == pytest.approx(0.2 * 6.0 + 0.8 * 1.0)
+        # ...but a sustained shift accumulates and triggers (EWMA 2.8), and
+        # again once the cooldown of 3 batches has passed.
         triggered = [detector.update(2 + i, 6.0, 1.0) for i in range(6)]
-        assert any(triggered)
-        assert len(detector.history) == 8
+        assert triggered == [True, False, False, True, False, False]
+
+    def test_updates_retain_no_per_batch_record(self):
+        # The detector holds its EWMA and last trigger, not one record per
+        # batch: 10,000 updates, one trigger every few among them, leave
+        # at most 32 B per call behind.
+        detector = DriftDetector(threshold=1.2, warmup_batches=0, cooldown_batches=3)
+        calls = 10_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(calls):
+                detector.update(index, 1.0 + (index % 7), 1.0)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= 32 * calls, f"{retained / calls:.0f} B retained per update"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -899,16 +917,15 @@ class TestStreamingReporting:
         table = format_streaming_table({"empty": result})
         assert "inf" not in table
 
-    def test_drift_history_records_the_triggering_ewma(self):
+    def test_drift_decides_on_the_ewma_not_the_raw_imbalance(self):
         detector = DriftDetector(
-            threshold=4.0, warmup_batches=0, ewma_alpha=0.5
+            threshold=7.0, warmup_batches=0, ewma_alpha=0.5
         )
         assert not detector.update(0, 2.0, 1.0)
-        triggered = detector.update(1, 10.0, 1.0)
-        assert triggered
-        # EWMA at the decision: 0.5*10 + 0.5*2 = 6, not the raw 10.
-        assert detector.history[-1].smoothed_imbalance == pytest.approx(6.0)
-        assert detector.history[-1].triggered
+        # The raw 10 exceeds the threshold of 7; the EWMA at the decision,
+        # 0.5*10 + 0.5*2 = 6, does not.
+        assert not detector.update(1, 10.0, 1.0)
+        assert detector.smoothed_imbalance == pytest.approx(6.0)
 
 
 class TestCompareStreamingSchemes:
