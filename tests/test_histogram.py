@@ -20,6 +20,7 @@ from repro.joins import native
 from repro.joins.conditions import BandJoinCondition, CompositeEquiBandCondition
 from repro.joins.local import count_join_output
 from repro.sampling.equidepth import sample_joining_keys
+from repro.sampling.sizes import sample_matrix_size
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +113,21 @@ class TestConfiguration:
             WeightFunction(), config=config, rng=np.random.default_rng(1),
         )
         assert histogram.sample_matrix.grid.num_rows <= 32
+
+    def test_the_output_ratio_resizes_the_sample_matrix_by_default(self):
+        # Appendix A5: with n_s left unset, the build resizes the Lemma 3.1
+        # n_s by the sampled output/input ratio; a wide band (m >> n) shrinks it.
+        rng = np.random.default_rng(3)
+        keys1, keys2 = rng.uniform(0, 1000, 3000), rng.uniform(0, 1000, 3000)
+        condition = BandJoinCondition(beta=20.0)
+        histogram = build_equi_weight_histogram(
+            keys1, keys2, condition, 4, WeightFunction(), rng=np.random.default_rng(1),
+        )
+        ratio = count_join_output(keys1, keys2, condition) / 3000
+        lemma = sample_matrix_size(3000, 4)
+        resized = sample_matrix_size(3000, 4, output_input_ratio=ratio)
+        assert resized < lemma
+        assert histogram.sample_matrix.grid.num_rows == resized
 
     def test_max_sample_matrix_size_cap(self, skewed_inputs):
         keys1, keys2 = skewed_inputs

@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import pickle
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 from repro.bench.reporting import format_streaming_batches, format_streaming_table
+from repro.core.histogram import EquiWeightHistogram, EWHConfig, build_equi_weight_histogram
 from repro.core.weights import WeightFunction
 from repro.joins.conditions import BandJoinCondition
 from repro.joins.local import count_join_output
 from repro.partitioning.base import Partitioning
+from repro.partitioning.grid_routed import GridRoutedPartitioning
 from repro.partitioning.one_bucket import build_one_bucket_partitioning
 from repro.joins.conditions import EquiJoinCondition
 from repro.streaming import (
@@ -44,6 +49,25 @@ from repro.workloads.definitions import make_bcb
 
 UNIT = WeightFunction(1.0, 1.0)
 BAND = BandJoinCondition(beta=1.0)
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through instances and containers
+    (not through classes, modules or functions)."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+        stack.extend(getattr(obj, "__dict__", {}).values())
+    return found
+
+
+def _holds_a_built_histogram(root) -> bool:
+    return any(isinstance(obj, EquiWeightHistogram) for obj in _reachable(root))
 
 
 # ----------------------------------------------------------------------
@@ -403,6 +427,28 @@ class TestIncrementalHistogram:
         partitioning = histogram.build_partitioning(BAND, rng)
         assert partitioning.num_regions <= 4
 
+    def test_a_build_keeps_its_routing_and_nothing_else(self):
+        # The plan is the build's coarsened grid and regions, and neither the
+        # plan nor the incremental histogram holds on to the build itself.
+        keys = np.random.default_rng(5).uniform(0, 200, 600)
+        histogram = IncrementalHistogram(4, UNIT, capacity=256)
+        histogram.observe(
+            MicroBatch(index=0, keys1=keys, keys2=keys[::-1]), np.random.default_rng(6)
+        )
+        partitioning = histogram.build_partitioning(BAND, np.random.default_rng(7))
+        built = build_equi_weight_histogram(
+            histogram.reservoir1.keys(), histogram.reservoir2.keys(), BAND, 4, UNIT,
+            config=histogram.config, rng=np.random.default_rng(7),
+        )
+        assert type(partitioning) is GridRoutedPartitioning
+        assert partitioning.scheme_name == "CSIO"
+        np.testing.assert_array_equal(partitioning.row_boundaries, built.mc_row_boundaries)
+        np.testing.assert_array_equal(partitioning.col_boundaries, built.mc_col_boundaries)
+        assert partitioning.regions == built.grid_regions
+        assert not hasattr(histogram, "last_histogram")
+        assert not _holds_a_built_histogram(histogram)
+        assert not _holds_a_built_histogram(partitioning)
+
 
 # ----------------------------------------------------------------------
 # Drift detection
@@ -616,6 +662,47 @@ class TestOversizedPlans:
         engine.close()
 
 
+class TestRoutingOnlyPlans:
+    """Every plan a drift-adaptive engine adopts -- the initial build, a
+    drift rebuild, a resize -- is a bare grid-routed partitioning, and no
+    built histogram is reachable from the engine."""
+
+    @staticmethod
+    def _source() -> DriftingZipfSource:
+        return DriftingZipfSource(
+            num_batches=10, tuples_per_batch=400, num_values=120,
+            z_initial=0.1, z_final=1.2, shift_at_batch=4, seed=11,
+        )
+
+    @pytest.mark.parametrize("stage", ["initial", "rebuild", "resize"])
+    def test_every_adopted_plan_is_routing_only(self, stage):
+        policy = DriftAdaptiveEWHPolicy(
+            DriftDetector(threshold=1.3, warmup_batches=1, cooldown_batches=2)
+        )
+        engine = StreamingJoinEngine(8, BAND, UNIT, policy=policy, sample_capacity=512, seed=4)
+        engine.start()
+        batches = iter(self._source().batches())
+        engine.process_batch(next(batches))
+        if stage == "rebuild":
+            for batch in batches:
+                if engine.process_batch(batch).repartitioned:
+                    break
+            else:
+                pytest.fail("the drifting stream never triggered a rebuild")
+        elif stage == "resize":
+            engine.process_batch(next(batches))
+            engine.resize(5)
+        plan = engine._state.partitioning
+        try:
+            assert type(plan) is GridRoutedPartitioning
+            assert plan.scheme_name == "CSIO"
+            assert plan.num_regions <= engine.num_machines
+            assert len(pickle.dumps(plan)) <= 1300
+            assert not _holds_a_built_histogram(engine)
+        finally:
+            engine.close()
+
+
 # ----------------------------------------------------------------------
 # Engine
 # ----------------------------------------------------------------------
@@ -750,9 +837,12 @@ class TestStreamingJoinEngine:
             {"compact_history": False},
             {"repartition_mode": "full"},
             {"rebuild_scan_factor": 0.5},
+            {"histogram": IncrementalHistogram(2, UNIT)},
         ):
             with pytest.raises(TypeError, match=next(iter(removed))):
                 StreamingJoinEngine(2, BAND, UNIT, **removed)
+        with pytest.raises(TypeError, match="adjust_for_output_ratio"):
+            EWHConfig(adjust_for_output_ratio=False)
         with pytest.raises(TypeError, match="dialect"):
             parse_sql("SELECT COUNT(*) FROM a JOIN b ON a.x = b.x", dialect="sqlglot")
         with pytest.raises(ValueError, match="available: simulated, sticky"):
