@@ -205,10 +205,10 @@ def format_streaming_table(
     ``shm KB`` is the payload the sticky backend moved through its
     shared-memory arena instead -- the two columns together show *where*
     each run's data travelled.  ``clock`` says which clock domain each
-    run's timed quantities live in: ``real`` throughout, or the simulated
-    parts (``join:sim`` for a virtual-delay backend, ``queue:sim`` for a
-    simulated pipeline) -- so a table can never silently compare simulated
-    seconds against wall-clock seconds.
+    run's timed quantities live in: ``real`` throughout, or ``queue:sim``
+    for a simulated pipeline, whose stall seconds are modeled -- so a
+    table can never silently compare simulated seconds against wall-clock
+    seconds.
 
     ``golden=True`` renders every *measured* (real-clock) duration as
     ``-``, so the table is byte-stable when committed as a benchmark
@@ -255,7 +255,6 @@ def format_streaming_table(
     ]
     rows = []
     for scheme, result in results.items():
-        hide_join = golden and result.join_clock == "real"
         hide_stall = golden and result.queue_clock != "simulated"
         row = [
             scheme,
@@ -298,7 +297,7 @@ def format_streaming_table(
             ]
         row += [
             _format_ratio(result.mean_throughput),
-            measured_seconds(result.join_seconds, golden=hide_join),
+            measured_seconds(result.join_seconds, golden=golden),
             "-"
             if result.total_bytes_pickled is None
             else f"{result.total_bytes_pickled / 1024:,.1f}",

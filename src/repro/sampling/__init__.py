@@ -8,7 +8,7 @@ The equi-weight histogram needs two kinds of statistics (paper, section IV):
 * a uniform random sample of the *join output*, which cannot be obtained by
   joining input samples (Chaudhuri et al.); instead the Stream-Sample
   algorithm is used, extended to band/inequality joins and parallelised.
-  Its structures (the ``d2equi`` index, joinable-set sizes) live in
+  Its structures (the ``d2equi`` index, the output sample) live in
   :mod:`repro.sampling.stream_sample`; the one driver, draws included, is
   :func:`~repro.sampling.parallel_stream_sample.parallel_stream_sample`,
   the paper's three jobs over ``J`` machines, with ``num_workers=1`` as the
@@ -34,7 +34,6 @@ _EXPORTS = {
     "wor_to_wr": "repro.sampling.reservoir",
     "merge_reservoirs": "repro.sampling.reservoir",
     "JoinOutputSample": "repro.sampling.stream_sample",
-    "compute_joinable_set_sizes": "repro.sampling.stream_sample",
     "parallel_stream_sample": "repro.sampling.parallel_stream_sample",
     "sample_matrix_size": "repro.sampling.sizes",
     "input_sample_size": "repro.sampling.sizes",

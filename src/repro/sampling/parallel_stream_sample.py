@@ -31,11 +31,13 @@ reservoirs stay per worker: their heap arrays feed the merge and the WOR ->
 WR draw.  A sampled item is a position in the worker-ordered R1, so job 3
 gathers each sampled tuple's worker and window instead of searching for them.
 It also records per-worker scan counts so the engine can charge the
-statistics phase to the cost model.  A plan build whose stage-1 sample is
-a whole NaN-free relation has sorted it already; it passes the sorted keys
-in, and the relation's distinct keys come from one compare of neighbours
-there instead of ``np.unique``'s own sort (:func:`_distinct_sorted`).  ``num_workers=1`` is the one-machine
-algorithm: one partition, one reservoir, the same draws in the same order.
+statistics phase to the cost model.  Each relation's distinct keys come
+from one compare of neighbours in the relation sorted
+(:func:`_distinct_sorted`), and R1's tuples find theirs with one search; a
+plan build whose stage-1 sample is a whole NaN-free relation has sorted it
+already and passes it in, and otherwise the driver sorts the relation
+itself.  ``num_workers=1`` is the one-machine algorithm: one partition,
+one reservoir, the same draws in the same order.
 (``tests/reference_sampling.py`` keeps the per-worker loop as the oracle.)
 """
 
@@ -49,7 +51,7 @@ from repro.joins import native
 from repro.joins.conditions import JoinCondition
 from repro.sampling.equidepth import EquiDepthHistogram, bucket_index, build_equidepth_histogram
 from repro.sampling.reservoir import merge_reservoirs, weighted_samples_wor, wor_to_wr
-from repro.sampling.stream_sample import D2Index, JoinOutputSample, build_d2_index
+from repro.sampling.stream_sample import D2Index, JoinOutputSample
 
 __all__ = ["ParallelSampleStats", "parallel_stream_sample"]
 
@@ -114,12 +116,15 @@ def _default_histogram(keys: np.ndarray, num_workers: int) -> EquiDepthHistogram
 
 
 def _distinct_sorted(sorted_keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """Ascending NaN-free keys' distinct values, and where each one's run starts.
+    """Ascending keys' distinct values, and where each one's run starts.
 
     The starts end with the keys' number, so they are the d2equi prefix
     of the runs.  One compare of neighbours: what ``np.unique`` keeps after
     its sort, bit for bit but for a zero's sign (of ``-0.0`` and ``0.0``
-    each keeps whichever its sort put first; keys are only ever compared).
+    each keeps whichever its sort put first; keys are only ever compared)
+    and for NaN.  NaNs sort last and equal nothing, so each NaN gets an
+    entry of its own there; a NaN joins nothing, so no joinable window
+    reaches those entries, and a search of a NaN finds the first of them.
     """
     first = np.empty(len(sorted_keys), dtype=bool)
     first[:1] = True
@@ -182,12 +187,12 @@ def parallel_stream_sample(
         operator shares these with the sample-matrix construction).  When not
         given, exact histograms with ``num_workers`` buckets are built.
     sorted1, sorted2:
-        Each relation's keys sorted ascending, when the caller has them and
-        they hold no NaN (a plan build's stage-1 sample of a whole
-        relation).  Given, the relation's distinct keys are read off them
-        and R1's keys are searched among them; otherwise ``np.unique``
-        sorts the relation.  Either way the sample, the statistics and the
-        generator's draws are the same.
+        Each relation's keys sorted ascending (NaN last), when the caller
+        has them (a plan build's stage-1 sample of a whole relation);
+        otherwise the driver sorts the relation itself.  The relation's
+        distinct keys are read off the sorted keys and R1's keys are
+        searched among them, so either way the sample, the statistics and
+        the generator's draws are the same.
     """
     if num_workers <= 0:
         raise ValueError("num_workers must be positive")
@@ -212,11 +217,8 @@ def parallel_stream_sample(
     # laid end to end in worker order are the global one, and a worker scans
     # the multiplicities of its distinct keys.
     # ------------------------------------------------------------------
-    if sorted2 is None:
-        d2_index = build_d2_index(keys2)
-    else:
-        distinct2, prefix2 = _distinct_sorted(sorted2)
-        d2_index = D2Index(keys=distinct2, multiplicities=np.diff(prefix2), prefix=prefix2)
+    distinct2, prefix2 = _distinct_sorted(np.sort(keys2) if sorted2 is None else sorted2)
+    d2_index = D2Index(keys=distinct2, multiplicities=np.diff(prefix2), prefix=prefix2)
     stats.r2_tuples_scanned = (
         np.bincount(
             _workers(d2_index.keys, histogram2, num_workers),
@@ -235,12 +237,9 @@ def parallel_stream_sample(
     # worker, bounds and window, so each distinct key is searched once, in
     # key order, and a tuple gathers its key's.
     # ------------------------------------------------------------------
-    if sorted1 is None:
-        distinct, inverse = np.unique(keys1, return_inverse=True)
-    else:
-        # Every key equals one distinct key, which a left search finds.
-        distinct, _ = _distinct_sorted(sorted1)
-        inverse = native.search(distinct, np.require(keys1, np.float64, "CA"), False)
+    # Every key equals one distinct key, which a left search finds.
+    distinct, _ = _distinct_sorted(np.sort(keys1) if sorted1 is None else sorted1)
+    inverse = native.search(distinct, np.require(keys1, np.float64, "CA"), False)
     workers = _workers(distinct, histogram1, num_workers)
     lows, highs = condition.joinable_bounds(distinct)
     left, right = d2_index.window(lows, highs)

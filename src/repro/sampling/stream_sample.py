@@ -6,8 +6,8 @@ Stream-Sample algorithm for equi-joins.  The paper extends it to band and
 inequality joins by generalising the *joinable set* of an R1 tuple to every
 R2 tuple whose key lies inside the joinable interval of the condition.
 
-The algorithm, whose ``d2equi`` index and joinable-set sizes live here (the
-one driver, which also makes the draws, is
+The algorithm, whose ``d2equi`` index and output sample live here (the
+one driver, which builds the index from R2 sorted and makes the draws, is
 :func:`repro.sampling.parallel_stream_sample.parallel_stream_sample`, the
 paper's three jobs over ``J`` machines; ``num_workers=1`` is one machine):
 
@@ -30,14 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.joins import native
-from repro.joins.conditions import JoinCondition
 
-__all__ = [
-    "D2Index",
-    "JoinOutputSample",
-    "build_d2_index",
-    "compute_joinable_set_sizes",
-]
+__all__ = ["D2Index", "JoinOutputSample"]
 
 
 @dataclass(frozen=True)
@@ -54,11 +48,6 @@ class D2Index:
     multiplicities: np.ndarray
     prefix: np.ndarray
 
-    @property
-    def num_distinct(self) -> int:
-        """Number of distinct R2 join keys."""
-        return len(self.keys)
-
     def window(self, lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each closed interval ``[lows[i], highs[i]]``'s distinct keys: ``keys[left:right]``.
 
@@ -67,11 +56,6 @@ class D2Index:
         bounds are float64 and C-contiguous, as the keys are.
         """
         return native.search(self.keys, lows, False), native.search(self.keys, highs, True)
-
-    def count_within(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """R2 tuples with keys in each closed interval ``[lows[i], highs[i]]``."""
-        left, right = self.window(lows, highs)
-        return self.prefix[right] - self.prefix[left]
 
 
 @dataclass(frozen=True)
@@ -105,27 +89,3 @@ class JoinOutputSample:
     def r2_keys(self) -> np.ndarray:
         """R2-side keys of the sampled pairs."""
         return self.pairs[:, 1]
-
-
-def build_d2_index(keys2: np.ndarray) -> D2Index:
-    """Build the ``d2equi`` index (distinct keys + multiplicities) of R2."""
-    keys2 = np.asarray(keys2, dtype=np.float64)
-    if len(keys2) == 0:
-        return D2Index(
-            keys=np.empty(0), multiplicities=np.empty(0, dtype=np.int64),
-            prefix=np.zeros(1, dtype=np.int64),
-        )
-    distinct, counts = np.unique(keys2, return_counts=True)
-    prefix = np.concatenate([[0], np.cumsum(counts)])
-    return D2Index(keys=distinct, multiplicities=counts, prefix=prefix)
-
-
-def compute_joinable_set_sizes(
-    keys1: np.ndarray, d2_index: D2Index, condition: JoinCondition
-) -> np.ndarray:
-    """Compute ``d2(t1)`` for every R1 key: the size of its joinable set in R2."""
-    keys1 = np.ascontiguousarray(keys1, dtype=np.float64)
-    if len(keys1) == 0 or d2_index.num_distinct == 0:
-        return np.zeros(len(keys1), dtype=np.int64)
-    return d2_index.count_within(*condition.joinable_bounds(keys1)).astype(np.int64)
-

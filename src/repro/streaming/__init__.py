@@ -53,7 +53,6 @@ _EXPORTS = {
     "ExecutionBackend": "repro.streaming.backends",
     "SimulatedBackend": "repro.streaming.backends",
     "StickyWorkerBackend": "repro.streaming.backends",
-    "SlowConsumerBackend": "repro.streaming.backends",
     "RegionJoinResult": "repro.engine.executor",
     "ShmArena": "repro.streaming.shm",
     "ShmReader": "repro.streaming.shm",

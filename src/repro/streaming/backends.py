@@ -46,8 +46,6 @@ bit-identical deltas; only the measured timings and byte counts differ
 (``tests/test_backends.py``).  Every backend reports a
 :class:`~repro.engine.executor.RegionJoinResult` (re-exported here); the
 batch executor is a sticky backend's first batch into empty state.
-:class:`SlowConsumerBackend` forwards the protocol to another backend and
-adds a deterministic delay to every batch.
 
 Select a backend by passing it to :class:`StreamingJoinEngine` (default:
 simulated) or by name through :func:`make_backend`::
@@ -60,7 +58,6 @@ simulated) or by name through :func:`make_backend`::
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -84,7 +81,6 @@ __all__ = [
     "ExecutionBackend",
     "SimulatedBackend",
     "StickyWorkerBackend",
-    "SlowConsumerBackend",
     "WorkerCrashError",
     "default_mp_context",
     "make_backend",
@@ -386,10 +382,9 @@ class ExecutionBackend:
     :meth:`drain_channel_bytes` for byte metering.  The default keeps one
     :class:`StateOwner` of every machine in-process and counts each batch
     with it (:meth:`StateOwner.count`).  A backend that keeps the state
-    elsewhere (:class:`StickyWorkerBackend`) or decorates another
-    (:class:`SlowConsumerBackend`) overrides the whole protocol; overriding
-    part of it leaves half the state remote, which the static analyser
-    rejects (API001).
+    elsewhere (:class:`StickyWorkerBackend`) overrides the whole protocol;
+    overriding part of it leaves half the state remote, which the static
+    analyser rejects (API001).
 
     Backends are resources: :class:`StickyWorkerBackend` owns worker
     processes and a shared-memory segment, so every backend supports
@@ -406,11 +401,6 @@ class ExecutionBackend:
 
     #: Reporting name recorded on the run result.
     name: str = "backend"
-
-    #: Which clock domain the backend's reported timings live in:
-    #: ``"real"`` for measured wall-clock seconds, ``"simulated"`` for
-    #: modeled ones (see ``docs/observability.md`` on clock domains).
-    clock_domain: str = "real"
 
     #: Set by :meth:`close`; class-level default so subclasses need no
     #: ``__init__`` chaining.
@@ -1012,93 +1002,6 @@ class StickyWorkerBackend(ExecutionBackend):
         if self._arena is not None:
             self._arena.close()
             self._arena = None
-        super().close()
-
-
-class SlowConsumerBackend(ExecutionBackend):
-    """Decorate a backend with a deterministic per-batch slowdown.
-
-    Backpressure only matters when the consumer cannot keep up, so the
-    pipeline tests and benchmarks need a consumer whose slowness is a
-    *parameter*, not an accident of the host machine.  This wrapper
-    forwards the state-ownership protocol to ``inner`` -- which keeps the
-    state -- and adds ``seconds_per_call + seconds_per_tuple * routed``
-    to every ``count_batch``, ``routed`` being the batch's routed arrivals
-    (a replicated tuple once per machine it reaches).
-
-    By default the delay is **virtual**: it is added to the reported
-    ``wall_seconds`` without stalling anything, so simulated-clock tests
-    stay instant and exact.  Pass ``sleep=time.sleep`` to really stall the
-    calling thread, which is what the real-thread pipeline smoke test uses
-    to provoke genuine queue growth.
-
-    Counting results are the inner backend's, untouched: the decorator
-    slows the consumer down, it never changes what the consumer computes.
-    """
-
-    def __init__(
-        self,
-        inner: ExecutionBackend,
-        seconds_per_call: float = 0.0,
-        seconds_per_tuple: float = 0.0,
-        sleep=None,
-    ) -> None:
-        if seconds_per_call < 0 or seconds_per_tuple < 0:
-            raise ValueError("slowdown seconds must be non-negative")
-        self.inner = inner
-        self.seconds_per_call = seconds_per_call
-        self.seconds_per_tuple = seconds_per_tuple
-        self._sleep = sleep
-        self.name = f"slow({inner.name})"
-        # A virtual delay makes the reported wall time a *model*, not a
-        # measurement; a real sleep keeps the inner backend's domain.
-        self.clock_domain = (
-            inner.clock_domain if sleep is not None else "simulated"
-        )
-
-    def _delay(self, tuples: int) -> float:
-        """The slowdown for ``tuples`` probed tuples; stalls when really sleeping."""
-        delay = self.seconds_per_call + self.seconds_per_tuple * tuples
-        if self._sleep is not None and delay > 0:
-            self._sleep(delay)
-        return delay
-
-    def bind(
-        self,
-        num_machines: int,
-        condition: JoinCondition,
-        transposed: JoinCondition,
-    ) -> None:
-        """Bind the inner backend."""
-        self._ensure_open()
-        self.inner.bind(num_machines, condition, transposed)
-
-    def count_batch(self, new1: RoutedSide, new2: RoutedSide) -> RegionJoinResult:
-        """Count on the inner backend, slowed per routed arrival."""
-        self._ensure_open()
-        delay = self._delay(int(new1.sizes.sum() + new2.sizes.sum()))
-        result = self.inner.count_batch(new1, new2)
-        return replace(result, wall_seconds=result.wall_seconds + delay)
-
-    def evict_state(self, expired1: RoutedSide, expired2: RoutedSide) -> int:
-        """Evict on the inner backend."""
-        self._ensure_open()
-        return self.inner.evict_state(expired1, expired2)
-
-    def install_state(self, state1: RoutedSide, state2: RoutedSide) -> None:
-        """Install on the inner backend."""
-        self._ensure_open()
-        self.inner.install_state(state1, state2)
-
-    def drain_channel_bytes(
-        self,
-    ) -> "tuple[int | None, int | None, int | None]":
-        """The inner backend's channel bytes."""
-        return self.inner.drain_channel_bytes()
-
-    def close(self) -> None:
-        """Close the wrapped backend along with the decorator."""
-        self.inner.close()
         super().close()
 
 

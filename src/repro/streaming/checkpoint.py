@@ -459,7 +459,6 @@ def resume(
     s.pending_resize = checkpoint.pending_resize
     s.result.restores += 1
     s.result.backend = engine.backend.name
-    s.result.join_clock = engine.backend.clock_domain
     engine._state = s
     engine._phase = "running"
     # Replayed source batches at or below this index were already consumed

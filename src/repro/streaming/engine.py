@@ -449,7 +449,6 @@ class StreamingJoinEngine:
             num_machines=J,
             backend=self.backend.name,
             window=self.window.name,
-            join_clock=self.backend.clock_domain,
         )
         s.cumulative = np.zeros(J, dtype=np.float64)
         s.pending_resize = None
@@ -721,7 +720,6 @@ class StreamingJoinEngine:
             ),
             predicted_imbalance=self.policy.predicted_imbalance(self.histogram),
             per_machine_output_delta=deltas if routed is not None else None,
-            join_clock=self.backend.clock_domain,
         )
         if execution is not None:
             metrics.join_seconds = execution.wall_seconds

@@ -80,21 +80,15 @@ class BatchMetrics:
     join_seconds:
         Time the execution backend spent running this batch's per-region
         joins (worker wall clock under the sticky backend; in-process
-        time under the simulated one; partly *modeled* under a
-        virtual-delay :class:`~repro.streaming.backends.SlowConsumerBackend`
-        -- see ``join_clock``).
-    join_clock, queue_clock:
-        The clock domain each duration group was measured in: ``"real"``
-        (a wall clock actually ticked) or ``"simulated"`` (a modeled or
-        discrete-event clock).  ``wall_seconds`` is always real;
-        ``join_clock`` covers ``join_seconds`` /
-        ``per_machine_join_seconds`` (it is the backend's
-        ``clock_domain``), and ``queue_clock`` covers
-        ``producer_stall_seconds`` / ``consumer_idle_seconds`` (tagged by
-        the pipeline; ``"simulated"`` under ``mode="simulated"``).
-        Summing or comparing seconds across different domains is a
-        category error -- the streaming tables render the domains
-        explicitly so the mix is visible.
+        time under the simulated one).  Always measured on a real clock.
+    queue_clock:
+        The clock domain of ``producer_stall_seconds`` /
+        ``consumer_idle_seconds``: ``"real"`` (a wall clock actually
+        ticked) or ``"simulated"`` (the pipeline's discrete-event clock
+        under ``mode="simulated"``).  Every other duration is real.
+        Summing or comparing seconds across the two domains is a category
+        error -- the streaming tables render the domain explicitly so the
+        mix is visible.
     bytes_pickled, bytes_unpickled:
         Bytes this batch shipped through the execution backend's
         serialization channel: commands or task payloads out
@@ -114,10 +108,11 @@ class BatchMetrics:
         whole delta here.
     per_machine_join_seconds:
         The backend's per-machine timings of the batch's incremental
-        count, where it measured any; ``None`` otherwise -- never zeros.
-        The in-process backends count every machine in one pass and the
-        sticky workers time per worker (traced as worker spans), so both
-        leave it ``None``.
+        count, where it measured any; ``None`` otherwise.  The in-process
+        backend counts every machine in one pass and leaves it ``None``;
+        a sticky worker times each of its machines that received
+        arrivals, so the sticky backend reports one entry per machine,
+        ``0.0`` for a machine that received none.
     per_machine_output_delta:
         Exact incremental output produced by each machine in this batch
         (``output_delta`` is its sum); ``None`` before the first build.
@@ -168,7 +163,6 @@ class BatchMetrics:
     predicted_imbalance: float = 1.0
     wall_seconds: float = 0.0
     join_seconds: float = 0.0
-    join_clock: str = "real"
     queue_clock: str = "real"
     bytes_pickled: int | None = None
     bytes_unpickled: int | None = None
@@ -273,10 +267,6 @@ class StreamRunResult:
         The pipeline's queue bound in batches (``None`` for synchronous
         runs *and* for pipelined runs with an unbounded queue -- check
         ``backpressure`` to distinguish them).
-    join_clock:
-        Clock domain of the run's join timings (``"real"`` or
-        ``"simulated"``; the batch-level tag, hoisted) -- see
-        :class:`BatchMetrics`.
     queue_clock:
         Clock domain of the queue timings (stall/idle); ``None`` for
         synchronous runs, which have no queue.
@@ -299,7 +289,6 @@ class StreamRunResult:
     output_correct: bool | None = None
     backpressure: str | None = None
     queue_batches: int | None = None
-    join_clock: str = "real"
     queue_clock: str | None = None
     checkpoints_taken: int = 0
     restores: int = 0
@@ -460,20 +449,14 @@ class StreamRunResult:
 
     @property
     def clock_domains(self) -> str:
-        """Compact clock-domain label: ``"real"`` or the simulated parts.
+        """Compact clock-domain label: ``"queue:sim"`` or ``"real"``.
 
-        ``"real"`` when every duration group was measured on a real clock;
-        otherwise the simulated groups are named explicitly (e.g.
-        ``"queue:sim"`` for a simulated-clock pipeline whose wall and join
-        times are real) so no table can pass a modeled second off as a
-        measured one.  Wall times are always real.
+        ``"queue:sim"`` for a simulated-clock pipeline, whose queue
+        seconds are modeled while its wall and join seconds are real, so
+        no table can pass a modeled second off as a measured one;
+        ``"real"`` for every other run.
         """
-        parts = []
-        if self.join_clock != "real":
-            parts.append("join:sim")
-        if self.queue_clock is not None and self.queue_clock != "real":
-            parts.append("queue:sim")
-        return " ".join(parts) if parts else "real"
+        return "queue:sim" if self.queue_clock == "simulated" else "real"
 
     @property
     def peak_queue_depth(self) -> int:

@@ -47,7 +47,7 @@ Two execution modes share all of that policy logic:
   what the tier-1 tests and the backpressure benchmark assert against.
 * ``mode="thread"`` (the default) runs the producer on a real
   ``threading.Thread`` against a condition-variable bounded queue and
-  measures stalls and idle time with a real (injectable) clock.  Behaviour
+  measures stalls and idle time with a real clock.  Behaviour
   under ``block`` is still bit-identical to the synchronous engine --
   losslessness does not depend on timing -- while ``shed``/``coalesce``
   decisions naturally depend on real machine speed.
@@ -332,15 +332,9 @@ class _BoundedBuffer:
     :meth:`cancel` unblocks both ends (consumer died mid-run).
     """
 
-    def __init__(
-        self,
-        maxsize: "int | None",
-        policy: BackpressurePolicy,
-        clock: "Callable[[], float]",
-    ) -> None:
+    def __init__(self, maxsize: "int | None", policy: BackpressurePolicy) -> None:
         self._maxsize = maxsize
         self._policy = policy
-        self._clock = clock
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
@@ -366,13 +360,13 @@ class _BoundedBuffer:
                 and not self._cancelled
             ):
                 if self._policy.blocks_producer:
-                    stalled_from = self._clock()
+                    stalled_from = perf_counter()
                     while (
                         len(self._items) >= self._maxsize
                         and not self._cancelled
                     ):
                         self._not_full.wait(timeout=0.1)
-                    self._pending_stall += self._clock() - stalled_from
+                    self._pending_stall += perf_counter() - stalled_from
                 else:
                     if self._policy.on_full(self._items, batch):
                         # Absorbed in place (coalesced), within the bound.
@@ -402,10 +396,10 @@ class _BoundedBuffer:
     def pop(self) -> "_PopRecord | None":
         """Consumer side: wait for the next batch; ``None`` at end of stream."""
         with self._lock:
-            waiting_from = self._clock()
+            waiting_from = perf_counter()
             while not self._items and not self._done and not self._cancelled:
                 self._not_empty.wait(timeout=0.1)
-            idle = self._clock() - waiting_from
+            idle = perf_counter() - waiting_from
             if not self._items:
                 return None
             batch = self._items.popleft()
@@ -455,16 +449,13 @@ class StreamingPipeline:
         Simulated mode's consumer cost: seconds per popped batch, as a
         constant or a ``batch -> seconds`` callable.  Ignored (and
         refused) in threaded mode, where the engine's real processing time
-        plays this role -- slow the consumer deliberately with
-        :class:`~repro.streaming.backends.SlowConsumerBackend`.
+        plays this role.
     allow_gaps:
         Forwarded to ``engine.run`` for sources whose own numbering
         legitimately skips values (renumbered or strided replays).  Gaps
         introduced by the queue itself -- shedding or coalescing -- are
         declared automatically; this flag is only for gaps already present
         in the source.
-    clock, sleep:
-        Threaded mode's time source and delayer (injectable for tests).
     """
 
     def __init__(
@@ -477,8 +468,6 @@ class StreamingPipeline:
         mode: str = "thread",
         service_model: "Callable[[MicroBatch], float] | float | None" = None,
         allow_gaps: bool = False,
-        clock: "Callable[[], float]" = perf_counter,
-        sleep: "Callable[[float], None]" = time.sleep,
     ) -> None:
         if mode not in ("thread", "simulated"):
             raise ValueError(
@@ -495,8 +484,7 @@ class StreamingPipeline:
         if mode == "thread" and service_model is not None:
             raise ValueError(
                 "service_model only applies to mode='simulated'; in threaded "
-                "mode the engine's real processing time is the service time "
-                "(use SlowConsumerBackend to slow the consumer down)"
+                "mode the engine's real processing time is the service time"
             )
         self.source = source
         self.engine = engine
@@ -509,8 +497,6 @@ class StreamingPipeline:
         else:
             seconds = float(service_model)
             self._service_model = lambda batch: seconds
-        self._clock = clock
-        self._sleep = sleep
 
     def run(self, verify: bool = True) -> StreamRunResult:
         """Produce, queue and consume the stream; return the annotated result.
@@ -579,20 +565,18 @@ class StreamingPipeline:
         self, verify: bool
     ) -> "tuple[StreamRunResult, list[_PopRecord]]":
         """Real-thread execution: producer thread, engine on this thread."""
-        buffer = _BoundedBuffer(self.queue_batches, self.policy, self._clock)
+        buffer = _BoundedBuffer(self.queue_batches, self.policy)
         arrival = getattr(self.source, "arrival_time", None)
-        started_at = self._clock()
+        started_at = perf_counter()
         producer_error: "list[BaseException]" = []
 
         def produce() -> None:
             try:
                 for position, batch in enumerate(self.source.batches()):
                     if arrival is not None:
-                        delay = arrival(position) - (
-                            self._clock() - started_at
-                        )
+                        delay = arrival(position) - (perf_counter() - started_at)
                         if delay > 0:
-                            self._sleep(delay)
+                            time.sleep(delay)
                     if buffer.cancelled:
                         return
                     buffer.put(batch)

@@ -25,7 +25,8 @@ pickled state.  Its heap loop is :func:`offer`, which
 :func:`stream_sample` is the other kind of reference: the sequential
 Stream-Sample *driver* ``repro.sampling`` shipped beside the parallel one,
 kept as the oracle ``parallel_stream_sample(num_workers=1)`` is pinned
-against.  It runs the production kernels, so only the driver differs.
+against.  It runs the production reservoir and the ``np.unique`` d2equi
+below, so only the driver and its distinct keys differ.
 
 :func:`parallel_stream_sample` is the parallel driver as it shipped with
 its workers simulated as loop iterations: one boolean mask per worker and
@@ -38,7 +39,9 @@ One fix since: a worker's hull is taken over the keys that join something,
 so a NaN key (whose low bound is NaN) no longer empties its worker's slice.
 
 The numpy forms the one-pass driver and the histogram build replaced are
-kept too: :func:`numpy_sample_joinable_keys` and :func:`by_worker` search
+kept too: :func:`build_d2_index` and :func:`compute_joinable_set_sizes`
+find distinct keys with ``np.unique`` where the driver compares
+neighbours in the relation sorted, :func:`numpy_sample_joinable_keys` and :func:`by_worker` search
 every sampled and every R1 tuple where the driver now searches each
 distinct key once and gathers, and :func:`quantile_histogram` reads the
 equi-depth boundaries through ``np.quantile`` where the build now reads
@@ -61,13 +64,30 @@ from repro.sampling.parallel_stream_sample import (
     _default_histogram,
     _workers,
 )
-from repro.sampling.stream_sample import (
-    D2Index,
-    JoinOutputSample,
-    build_d2_index,
-    compute_joinable_set_sizes,
-)
+from repro.sampling.stream_sample import D2Index, JoinOutputSample
 from repro.streaming.incremental import DecayedReservoir
+
+
+def build_d2_index(keys2) -> D2Index:
+    """Build the ``d2equi`` index (distinct keys + multiplicities) of R2."""
+    keys2 = np.asarray(keys2, dtype=np.float64)
+    if len(keys2) == 0:
+        return D2Index(
+            keys=np.empty(0), multiplicities=np.empty(0, dtype=np.int64),
+            prefix=np.zeros(1, dtype=np.int64),
+        )
+    distinct, counts = np.unique(keys2, return_counts=True)
+    prefix = np.concatenate([[0], np.cumsum(counts)])
+    return D2Index(keys=distinct, multiplicities=counts, prefix=prefix)
+
+
+def compute_joinable_set_sizes(keys1, d2_index: D2Index, condition) -> np.ndarray:
+    """Compute ``d2(t1)`` for every R1 key: the size of its joinable set in R2."""
+    keys1 = np.ascontiguousarray(keys1, dtype=np.float64)
+    if len(keys1) == 0 or len(d2_index.keys) == 0:
+        return np.zeros(len(keys1), dtype=np.int64)
+    left, right = d2_index.window(*condition.joinable_bounds(keys1))
+    return (d2_index.prefix[right] - d2_index.prefix[left]).astype(np.int64)
 
 
 def sample_joinable_keys(sampled_keys1, d2_index, condition, rng) -> np.ndarray:
@@ -338,8 +358,8 @@ def stream_sample(keys1, keys2, condition, sample_size, rng):
     if sample_size < 0:
         raise ValueError("sample_size must be non-negative")
     keys1 = np.asarray(keys1, dtype=np.float64)
-    d2_index = production_kernels.build_d2_index(keys2)
-    d2 = production_kernels.compute_joinable_set_sizes(keys1, d2_index, condition)
+    d2_index = build_d2_index(keys2)
+    d2 = compute_joinable_set_sizes(keys1, d2_index, condition)
     total_output = int(d2.sum())
     if total_output == 0 or sample_size == 0:
         return production_kernels.JoinOutputSample(
@@ -449,7 +469,7 @@ def parallel_stream_sample(
                 [[0], np.cumsum(d2_index.multiplicities[left:right])]
             ),
         )
-        stats.d2equi_entries_shipped.append(local_d2equi.num_distinct)
+        stats.d2equi_entries_shipped.append(len(local_d2equi.keys))
         d2_local = compute_joinable_set_sizes(part, local_d2equi, condition)
         total_output += int(d2_local.sum())
         if sample_size:

@@ -25,7 +25,9 @@ fixed number of calls and then recovers (a transient fault).  Both wrap any
 :class:`~repro.streaming.backends.ExecutionBackend` -- simulated for fast
 deterministic tests, sticky for end-to-end ones -- and forward
 the full state-ownership protocol, so the engine cannot tell them from the
-real thing until the fault fires.
+real thing until the fault fires.  :class:`SleepingBackend` is the third
+decorator on the same base: it really sleeps before every count, a
+consumer slow by a parameter rather than by the host machine.
 
 :class:`RecountingBackend` is the reference implementation of the count
 itself, living here rather than as a mode of the production engine: a
@@ -49,6 +51,7 @@ from __future__ import annotations
 import gc
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
@@ -84,6 +87,7 @@ __all__ = [
     "assert_equivalent_runs",
     "CrashingBackend",
     "FlakyBackend",
+    "SleepingBackend",
     "RecountingBackend",
     "NoTrimWindow",
     "PositionalRebuildEngine",
@@ -283,8 +287,8 @@ class _ForwardingBackend(ExecutionBackend):
     The join state stays in the inner backend (in-process or sticky
     alike); every state-ownership call is passed through.  Subclasses hook
     :meth:`_before`, which runs ahead of every *work* call (the operations
-    in :data:`FAULT_OPS`).  Everything else -- identity, clock domain, byte
-    metering -- is forwarded verbatim, so the engine drives the wrapped
+    in :data:`FAULT_OPS`).  Everything else -- identity, byte metering --
+    is forwarded verbatim, so the engine drives the wrapped
     backend exactly as it would drive the inner one.
     """
 
@@ -300,11 +304,6 @@ class _ForwardingBackend(ExecutionBackend):
     def name(self) -> str:  # type: ignore[override]
         """Reporting name: the wrapper composed over the inner backend's."""
         return f"{self.wrapper_name}({self.inner.name})"
-
-    @property
-    def clock_domain(self) -> str:  # type: ignore[override]
-        """The inner backend's clock domain, forwarded."""
-        return self.inner.clock_domain
 
     def _before(self, op: str) -> None:
         """Fault hook; called before each work call with its operation name."""
@@ -427,6 +426,25 @@ class FlakyBackend(_ForwardingBackend):
                 f"injected transient fault at work call {self.calls} "
                 f"({op!r}); {self.failures_remaining} more will fail"
             )
+
+
+class SleepingBackend(_ForwardingBackend):
+    """A slow consumer: really sleep ``seconds`` before every batch count.
+
+    The count itself is the inner backend's, untouched; the sleep stalls
+    the calling thread, so a threaded pipeline's queue genuinely backs up.
+    """
+
+    wrapper_name = "sleeping"
+
+    def __init__(self, inner: ExecutionBackend, seconds: float) -> None:
+        super().__init__(inner)
+        self.seconds = seconds
+
+    def _before(self, op: str) -> None:
+        """Stall ahead of each count."""
+        if op == "count":
+            time.sleep(self.seconds)
 
 
 class RecountingBackend(_ForwardingBackend):

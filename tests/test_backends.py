@@ -17,7 +17,6 @@ from __future__ import annotations
 import os
 import signal
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +30,8 @@ from repro.streaming import (
     DriftAdaptiveEWHPolicy,
     DriftDetector,
     DriftingZipfSource,
-    RegionJoinResult,
+    ExecutionBackend,
     SimulatedBackend,
-    SlowConsumerBackend,
     SortedRegionState,
     StickyWorkerBackend,
     StreamingJoinEngine,
@@ -42,6 +40,7 @@ from repro.streaming import (
     make_backend,
 )
 from repro.partitioning.routing import RoutedSide
+from repro.streaming import backends
 from repro.streaming.backends import StateOwner, _StickyWorkerState
 from repro.streaming.shm import SEGMENT_PREFIX
 from reference_state import state_layout
@@ -107,74 +106,6 @@ class TestSimulatedBackend:
             backend.count_batch(*batch)
 
 
-class TestSlowConsumerBackend:
-    def test_results_unchanged_and_wall_time_inflated(self, rng):
-        batch = _first_batch(_region_keys(rng))
-        reference = _bound(SimulatedBackend()).count_batch(*batch)
-        slow = SlowConsumerBackend(
-            SimulatedBackend(), seconds_per_call=2.0, seconds_per_tuple=0.5
-        )
-        result = _bound(slow).count_batch(*batch)
-        np.testing.assert_array_equal(
-            result.per_machine_output, reference.per_machine_output
-        )
-        routed = int(batch[0].sizes.sum() + batch[1].sizes.sum())
-        expected_delay = 2.0 + 0.5 * routed
-        assert result.wall_seconds >= expected_delay
-        assert slow.name == "slow(simulated)"
-
-    def test_virtual_by_default_real_with_sleep(self, rng):
-        slept = []
-        slow = SlowConsumerBackend(
-            SimulatedBackend(), seconds_per_call=0.25, sleep=slept.append
-        )
-        batch = _first_batch(_region_keys(rng, size=10))
-        _bound(slow).count_batch(*batch)
-        assert slept == [0.25]
-        # Without a sleep callable, nothing stalls: only the report inflates.
-        virtual = SlowConsumerBackend(SimulatedBackend(), seconds_per_call=10.0)
-        result = _bound(virtual).count_batch(*batch)
-        assert result.wall_seconds >= 10.0
-
-    def test_every_field_of_the_inner_execution_survives(self):
-        # Only wall_seconds may change: bytes_shm and worker_seconds used to
-        # be dropped on the way to the engine's metering and span stitching.
-        inner_result = RegionJoinResult(
-            per_machine_output=np.array([3, 5]),
-            per_machine_seconds=np.array([0.1, 0.2]),
-            wall_seconds=1.0,
-            bytes_pickled=11,
-            bytes_unpickled=13,
-            bytes_shm=4096,
-            worker_pids=np.array([101, 102]),
-            worker_seconds=np.array([0.7, 0.9]),
-        )
-
-        class Stub(SimulatedBackend):
-            def count_batch(self, new1, new2):
-                return inner_result
-
-        nothing = RoutedSide.of([np.empty(0)] * 2)
-        result = SlowConsumerBackend(Stub(), seconds_per_call=2.0).count_batch(
-            nothing, nothing
-        )
-        assert result == replace(inner_result, wall_seconds=3.0)
-        assert result.bytes_shm == 4096 and result.worker_seconds[1] == 0.9
-
-    def test_close_closes_the_inner_backend_and_is_final(self, rng):
-        inner = SimulatedBackend()
-        slow = _bound(SlowConsumerBackend(inner, seconds_per_call=0.01))
-        slow.close()
-        slow.close()  # idempotent
-        assert inner.closed and slow.closed
-        with pytest.raises(RuntimeError, match="closed"):
-            slow.count_batch(*_first_batch(_region_keys(rng, size=10)))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SlowConsumerBackend(SimulatedBackend(), seconds_per_call=-1.0)
-
-
 class TestMakeBackend:
     def test_by_name(self):
         assert isinstance(make_backend("simulated"), SimulatedBackend)
@@ -189,6 +120,22 @@ class TestMakeBackend:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend("gpu")
+
+    def test_every_backend_the_module_defines_is_built_by_name(self):
+        """The production module holds only backends a run can select;
+        decorators and test doubles live in ``tests/streaming_harness.py``."""
+        defined = [
+            cls
+            for cls in vars(backends).values()
+            if isinstance(cls, type)
+            and issubclass(cls, ExecutionBackend)
+            and cls is not ExecutionBackend
+            and cls.__module__ == backends.__name__
+        ]
+        assert {cls.__name__ for cls in defined} >= {"SimulatedBackend", "StickyWorkerBackend"}
+        for cls in defined:
+            with make_backend(cls.name) as backend:
+                assert type(backend) is cls
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
@@ -531,23 +478,6 @@ class TestInProcessStateProtocol:
         again = backend.count_batch(*batch)
         np.testing.assert_array_equal(
             first.per_machine_output, again.per_machine_output
-        )
-
-    def test_slow_consumer_keeps_its_delay_through_the_protocol(self, rng):
-        history1, history2, split = self._traffic(rng)
-        slow = SlowConsumerBackend(
-            SimulatedBackend(), seconds_per_call=2.0, seconds_per_tuple=0.5
-        )
-        slow.bind(2, BAND, BAND.transposed)
-        batch = arrivals(split, history1), arrivals(split, history2)
-        result = slow.count_batch(*batch)
-        # probe tuples = every task's first-side keys = the batch's arrivals.
-        assert result.wall_seconds >= 2.0 + 0.5 * 160
-        reference = SimulatedBackend()
-        reference.bind(2, BAND, BAND.transposed)
-        np.testing.assert_array_equal(
-            result.per_machine_output,
-            reference.count_batch(*batch).per_machine_output,
         )
 
 

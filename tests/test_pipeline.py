@@ -12,8 +12,6 @@ CI matrix, run by the full job).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,14 +28,13 @@ from repro.streaming import (
     RateLimitedSource,
     ShedPolicy,
     SimulatedBackend,
-    SlowConsumerBackend,
     StaticEWHPolicy,
     StreamingJoinEngine,
     StreamingPipeline,
     make_backpressure,
     merge_batches,
 )
-from streaming_harness import assert_equivalent_runs
+from streaming_harness import SleepingBackend, assert_equivalent_runs
 
 UNIT = WeightFunction(1.0, 1.0)
 BAND = BandJoinCondition(beta=1.0)
@@ -447,9 +444,7 @@ class TestThreadedPipeline:
         most of the stream must be dropped, and the engine still verifies
         the batches it did receive.
         """
-        backend = SlowConsumerBackend(
-            SimulatedBackend(), seconds_per_call=0.05, sleep=time.sleep
-        )
+        backend = SleepingBackend(SimulatedBackend(), seconds=0.05)
         piped = StreamingPipeline(
             RateLimitedSource(drift_source(num_batches=10), 0.002),
             make_engine(backend=backend),

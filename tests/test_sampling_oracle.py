@@ -16,8 +16,8 @@ that ``wor_to_wr``'s draw, written as ``rng.choice``'s own steps over
 numpy forms the key-order passes replaced -- ``np.quantile``'s equi-depth
 boundaries, the per-tuple worker search ``by_worker`` and the per-tuple
 window search ``numpy_sample_joinable_keys`` -- are references here too,
-and so is ``np.unique``, which Stream-Sample skips when a plan build hands
-it the relations its stage 1 has sorted.
+and so is ``np.unique``, where Stream-Sample compares neighbours in each
+relation sorted (its own sort, or the one a plan build's stage 1 made).
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from repro.sampling.reservoir import (
     weighted_samples_wor,
     wor_to_wr,
 )
-from repro.sampling.stream_sample import build_d2_index, compute_joinable_set_sizes
 from repro.streaming.incremental import DecayedReservoir, IncrementalHistogram
 from repro.streaming.source import MicroBatch
 
@@ -185,8 +184,8 @@ def test_an_equidepth_build_makes_the_same_calls_at_any_size():
 @settings(max_examples=150, deadline=None)
 @given(seed=seeds, keys1=key_arrays, keys2=key_arrays, condition=conditions)
 def test_sample_joinable_keys_equals_the_scalar_loop(seed, keys1, keys2, condition):
-    index = build_d2_index(keys2)
-    sampled = keys1[compute_joinable_set_sizes(keys1, index, condition) > 0]
+    index = reference.build_d2_index(keys2)
+    sampled = keys1[reference.compute_joinable_set_sizes(keys1, index, condition) > 0]
     rng, reference_rng = _twin_generators(seed)
     picked = reference.numpy_sample_joinable_keys(sampled, index, condition, rng)
     expected = reference.sample_joinable_keys(sampled, index, condition, reference_rng)
@@ -725,7 +724,7 @@ def test_job_3_gathers_what_the_searches_found(workers, condition, monkeypatch):
         worker_ordered[drawn["positions"]], histogram1, workers
     )
     sampled_keys2 = reference.numpy_sample_joinable_keys(
-        sampled_keys1, build_d2_index(keys2), condition, reference_rng
+        sampled_keys1, reference.build_d2_index(keys2), condition, reference_rng
     )
     assert sample.size == 700
     assert _bits(sample.r1_keys) == _bits(sampled_keys1)
@@ -911,7 +910,8 @@ def test_the_sequential_driver_is_gone_from_the_package():
 # ----------------------------------------------------------------------
 #: Keys the sorted path must read as ``np.unique`` does: a small integer
 #: domain (many duplicates), zeros of both signs, the infinities and a
-#: huge key.  No NaN: a relation holding one is never sampled whole.
+#: huge key.  No NaN: ``np.unique`` makes all NaNs one key, the sorted
+#: path one key each (``test_each_nan_is_a_distinct_key_of_its_own``).
 sorted_path_keys = st.lists(
     st.one_of(
         st.integers(min_value=-6, max_value=12).map(float),
@@ -954,6 +954,16 @@ def test_a_sorted_relation_gives_np_uniques_distinct_keys_and_inverse(seed, keys
     assert searched.tobytes() == inverse.astype(np.int64).tobytes()
 
 
+def test_each_nan_is_a_distinct_key_of_its_own():
+    """NaNs sort last and equal nothing: one entry each, past every key
+    that joins, and a search of a NaN finds the first of them."""
+    keys = np.array([np.nan, 2.0, np.nan, 1.0, 2.0])
+    distinct, prefix = _distinct_sorted(np.sort(keys))
+    np.testing.assert_array_equal(distinct, [1.0, 2.0, np.nan, np.nan])
+    assert prefix.tolist() == [0, 1, 3, 4, 5]
+    assert native.search(distinct, keys, False).tolist() == [2, 1, 2, 0, 1]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     seed=seeds,
@@ -967,13 +977,15 @@ def test_a_sorted_relation_gives_np_uniques_distinct_keys_and_inverse(seed, keys
     seed=1, workers=2, keys1=np.array([0.0, -0.0, 1.0, -0.0, 0.0]),
     keys2=np.array([-0.0, 0.0, 0.0, 2.0, -0.0]), condition=EquiJoinCondition(), size=40,
 )
-def test_stream_sample_fed_sorted_relations_is_the_np_unique_path(
+def test_stream_sample_fed_sorted_relations_is_its_own_sort(
     seed, workers, keys1, keys2, condition, size
 ):
-    """Stage 1's sorted relations in, the ``np.unique`` path's answer out:
-    ``m``, the four stats lists and the generator state bit for bit, and the
-    output pairs as values -- an R2 key of a pair is a distinct key, so a
-    zero may come out with the other sign."""
+    """Stage 1's sorted relations in, the answer of the driver's own sort
+    out: ``m``, the four stats lists and the generator state bit for bit,
+    and the output pairs as values -- an R2 key of a pair is a distinct
+    key, and the two sorts may leave the zeros in different orders, so a
+    zero may come out with the other sign.  (Either answer is the
+    per-worker ``np.unique`` loop's: ``test_the_driver_is_the_per_worker_driver``.)"""
     histograms = {}
     if len(keys1) and len(keys2):
         histograms = {
@@ -1024,7 +1036,7 @@ def _recorded_builds(monkeypatch, keys1, keys2, config=None, rewrite=None):
 def test_a_build_hands_stream_sample_its_sample_only_when_it_is_the_relation(monkeypatch):
     """A whole NaN-free relation's sample is that relation sorted, and goes
     in; a relation with a NaN (never drawn, so sampled short) or one larger
-    than the sample takes the ``np.unique`` path."""
+    than the sample is sorted by the driver itself."""
     data = np.random.default_rng(2)
     keys1, keys2 = (data.integers(0, 500, 2_000).astype(np.float64) for _ in range(2))
     _, _, (sorted1, sorted2), _ = _recorded_builds(monkeypatch, keys1, keys2)

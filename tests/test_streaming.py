@@ -830,8 +830,10 @@ class TestStreamingJoinEngine:
         )
 
     def test_removed_options_are_gone_by_name(self):
-        """The deleted knobs, dialect and backend are not silently accepted."""
+        """The deleted knobs, dialect and backends are not silently accepted."""
+        import repro.streaming
         from repro.query import parse_sql
+        from repro.streaming import BatchMetrics, StreamingPipeline
 
         for removed in (
             {"compact_history": False},
@@ -847,6 +849,14 @@ class TestStreamingJoinEngine:
             parse_sql("SELECT COUNT(*) FROM a JOIN b ON a.x = b.x", dialect="sqlglot")
         with pytest.raises(ValueError, match="available: simulated, sticky"):
             make_backend("multiprocess")
+        source = ArrayStreamSource(np.arange(4.0), np.arange(4.0), 2)
+        for removed in ({"clock": lambda: 0.0}, {"sleep": lambda seconds: None}):
+            with pytest.raises(TypeError, match=next(iter(removed))):
+                StreamingPipeline(source, StreamingJoinEngine(2, BAND, UNIT), **removed)
+        with pytest.raises(TypeError, match="join_clock"):
+            BatchMetrics(0, 0, np.zeros(2), 0, join_clock="real")
+        with pytest.raises(AttributeError, match="SlowConsumerBackend"):
+            repro.streaming.SlowConsumerBackend
 
     def test_single_machine(self, rng):
         keys = rng.uniform(0, 50, 200)
@@ -961,7 +971,7 @@ class TestStreamingReporting:
         result = StreamingJoinEngine(
             2, BAND, UNIT, policy=StaticEWHPolicy(), sample_capacity=128
         ).run(ArrayStreamSource(keys, keys, 2))
-        assert result.join_clock == "real"
+        assert result.clock_domains == "real"
         exact = format_streaming_table({"run": result})
         golden = format_streaming_table({"run": result}, golden=True)
         assert f"{result.join_seconds:.3f}" in exact
