@@ -31,6 +31,7 @@ from repro.streaming import (
     DriftDetector,
     DriftingZipfSource,
     ExecutionBackend,
+    RegionJoinResult,
     SimulatedBackend,
     SortedRegionState,
     StickyWorkerBackend,
@@ -44,7 +45,8 @@ from repro.streaming import backends
 from repro.streaming.backends import StateOwner, _StickyWorkerState
 from repro.streaming.shm import SEGMENT_PREFIX
 from reference_state import state_layout
-from streaming_harness import _ForwardingBackend, arrivals
+import streaming_harness
+from streaming_harness import SleepingBackend, _ForwardingBackend, arrivals
 
 UNIT = WeightFunction(1.0, 1.0)
 BAND = BandJoinCondition(beta=1.0)
@@ -104,6 +106,79 @@ class TestSimulatedBackend:
         # backend refuses work instead of silently coming back to life.
         with pytest.raises(RuntimeError, match="closed"):
             backend.count_batch(*batch)
+
+
+class TestSleepingBackend:
+    """The harness's slow consumer: a forwarding decorator that sleeps."""
+
+    def test_results_unchanged_and_the_count_really_stalls(self, rng):
+        batch = _first_batch(_region_keys(rng))
+        reference = _bound(SimulatedBackend()).count_batch(*batch)
+        slow = _bound(SleepingBackend(SimulatedBackend(), seconds=0.05))
+        start = time.perf_counter()
+        result = slow.count_batch(*batch)
+        assert time.perf_counter() - start >= 0.05
+        np.testing.assert_array_equal(
+            result.per_machine_output, reference.per_machine_output
+        )
+        assert slow.name == "sleeping(simulated)"
+
+    def test_every_field_of_the_inner_execution_survives(self):
+        # The decorator returns the inner result as it is: bytes_shm and
+        # worker_seconds reach the engine's metering and span stitching.
+        inner_result = RegionJoinResult(
+            per_machine_output=np.array([3, 5]),
+            per_machine_seconds=np.array([0.1, 0.2]),
+            wall_seconds=1.0,
+            bytes_pickled=11,
+            bytes_unpickled=13,
+            bytes_shm=4096,
+            worker_pids=np.array([101, 102]),
+            worker_seconds=np.array([0.7, 0.9]),
+        )
+
+        class Stub(SimulatedBackend):
+            def count_batch(self, new1, new2):
+                return inner_result
+
+        nothing = RoutedSide.of([np.empty(0)] * 2)
+        result = SleepingBackend(Stub(), seconds=0.0).count_batch(nothing, nothing)
+        assert result is inner_result
+
+    def test_close_closes_the_inner_backend_and_is_final(self, rng):
+        inner = SimulatedBackend()
+        slow = _bound(SleepingBackend(inner, seconds=0.0))
+        slow.close()
+        slow.close()  # idempotent
+        assert inner.closed and slow.closed
+        with pytest.raises(RuntimeError, match="closed"):
+            slow.count_batch(*_first_batch(_region_keys(rng, size=10)))
+
+    def test_sleeps_before_counts_only_through_the_protocol(self, rng, monkeypatch):
+        slept = []
+        monkeypatch.setattr(streaming_harness.time, "sleep", slept.append)
+        history1, history2 = rng.uniform(0, 50, 80), rng.uniform(0, 50, 80)
+        split = [np.arange(0, 40, dtype=np.int64), np.arange(40, 80, dtype=np.int64)]
+        slow = SleepingBackend(SimulatedBackend(), seconds=0.25)
+        reference = SimulatedBackend()
+        for backend in (slow, reference):
+            backend.bind(2, BAND, BAND.transposed)
+        batch = arrivals(split, history1), arrivals(split, history2)
+        np.testing.assert_array_equal(
+            slow.count_batch(*batch).per_machine_output,
+            reference.count_batch(*batch).per_machine_output,
+        )
+        assert slept == [0.25]
+        expired = [np.arange(0, 10, dtype=np.int64), np.empty(0, dtype=np.int64)]
+        assert slow.evict_state(
+            arrivals(expired, history1), arrivals(expired, history2)
+        ) == 20
+        swapped = [split[1], split[0]]
+        slow.install_state(arrivals(swapped, history1), arrivals(swapped, history2))
+        assert slept == [0.25]
+        np.testing.assert_array_equal(
+            slow.inner._owner.view(0, 0), np.sort(history1[split[1]])
+        )
 
 
 class TestMakeBackend:
@@ -547,6 +622,25 @@ class TestStickyWorkerBackend:
             backend.bind(2, BAND, BAND.transposed)
             result = backend.count_batch(*batch)
         assert result.per_machine_output.tolist() == expected
+
+    def test_a_machine_without_arrivals_is_timed_at_zero(self, rng):
+        """One measured entry per machine: real seconds where a machine
+        received arrivals, ``0.0`` where it received none."""
+        history = rng.uniform(0, 50, 80)
+        split = [
+            np.arange(0, 40, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.arange(40, 80, dtype=np.int64),
+        ]
+        with StickyWorkerBackend(max_workers=2) as backend:
+            backend.bind(3, BAND, BAND.transposed)
+            result = backend.count_batch(
+                arrivals(split, history), arrivals(split, history)
+            )
+        seconds = result.per_machine_seconds
+        assert seconds is not None and seconds.shape == (3,)
+        assert seconds[1] == 0.0 and (seconds[[0, 2]] > 0).all()
+        assert result.per_machine_output[1] == 0
 
     def test_worker_counts_match_the_in_process_view_after_every_verb(self):
         """Sticky workers hold the only copy; what the backend knows of it is the twin's.
