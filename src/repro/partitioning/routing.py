@@ -72,8 +72,8 @@ class RoutedSide(NamedTuple):
     last).  Slices may overlap -- a replicated tuple is in several -- and a
     machine holding no region has an empty one.  ``layout`` is the plan's
     :class:`SideLayout` (``None`` before any plan exists: nothing is
-    routed, nothing held).  Keys are read, never written, and never kept:
-    the state copies what it appends.
+    routed, nothing held).  Keys are read, never written, and never kept
+    by a backend: the state copies what it appends.
     """
 
     keys: np.ndarray

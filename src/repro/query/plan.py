@@ -121,7 +121,7 @@ def _steady_state(
                 keep = np.ones(len(live), dtype=bool)
                 keep[np.searchsorted(live, expired)] = False
                 live = live[keep]
-    return peak, int(window.trim_point(live, total))
+    return peak, int(window.trim_point(live[0] if len(live) else total))
 
 
 def _match_probability(

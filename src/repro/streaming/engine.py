@@ -627,7 +627,10 @@ class StreamingJoinEngine:
 
         Per side, the batch's keys sorted once and every machine's share a
         slice of them, as ``count_batch`` folds them in (:meth:`_routed`;
-        the logs are not read).
+        the logs are not read).  A key-range plan's sort is handed to the
+        side's log to keep while the batch is live
+        (:meth:`~repro.streaming.arrivals.ArrivalLog.keep_sorted`): its
+        eviction cuts it again instead of sorting the batch a second time.
 
         ``None`` while one side is still entirely unseen: no partitioning
         can be built and no output is possible yet, so the arrivals just
@@ -649,10 +652,14 @@ class StreamingJoinEngine:
                     s.partitioning, s.log1, s.log2, s.rng, s.region_to_machine, J
                 )
                 return routed
-            return (
+            routed = (
                 self._routed(s, 1, batch.keys1, offsets[0]),
                 self._routed(s, 2, batch.keys2, offsets[1]),
             )
+            for log, first, side in zip((s.log1, s.log2), offsets, routed):
+                if side.layout.cut is not None:
+                    log.keep_sorted(first, side.keys)
+            return routed
 
     def _routed(
         self, s: RunState, side: int, keys, offset: "int | np.ndarray"
@@ -661,7 +668,7 @@ class StreamingJoinEngine:
 
         The one route of tuples the machines already agree on: a batch's
         arrivals (``offset`` the first one's arrival index) and an expired
-        slice (``offset`` its arrival indices) alike
+        slice (the first index of a range, the indices of any other) alike
         (:func:`~repro.partitioning.routing.route_batch`: each region's
         share to the machine holding it).
         """
@@ -669,6 +676,24 @@ class StreamingJoinEngine:
             s.partitioning, side, keys, s.rng, offset, s.layouts[side - 1],
             s.region_to_machine, self.num_machines,
         )
+
+    def _expired(
+        self, s: RunState, side: int, log: ArrivalLog, expired: "np.ndarray | range"
+    ) -> RoutedSide:
+        """The current plan's route of an expired slice: what ``evict_state`` takes.
+
+        A key-range plan cuts the route stage's own sort of the batch when
+        the slice is exactly one batch the log kept
+        (:meth:`~repro.streaming.arrivals.ArrivalLog.kept_sorted`);
+        anything else is gathered from the log and routed like a batch
+        (:meth:`_routed`), which sorts the same keys in the same order.
+        """
+        layout = s.layouts[side - 1]
+        keys = log.kept_sorted(expired) if layout.cut is not None else None
+        if keys is not None:
+            return RoutedSide(keys, *layout.cut(keys), layout)
+        offset = expired.start if isinstance(expired, range) else expired
+        return self._routed(s, side, log[expired], offset)
 
     def _count(
         self,
@@ -739,10 +764,11 @@ class StreamingJoinEngine:
         repartitioning, so a migration only ever ships live state.  The
         live sets shrink here, and the expired slices -- their keys still
         in the logs until the trim -- are routed through the current plan
-        like a batch (:meth:`_routed`): every machine tombstones exactly
+        like a batch (:meth:`_expired`): every machine tombstones exactly
         the keys it received when those tuples arrived, and the count of
         them is charged as ``tuples_evicted`` / ``bytes_freed``.  Each log
-        then gives up the dead prefix the eviction exposed.
+        then gives up the dead prefix the eviction exposed, and the sorted
+        batches it kept for it.
         """
         if self.window.is_unbounded:
             return
@@ -751,8 +777,8 @@ class StreamingJoinEngine:
             expired2 = s.log2.expire(self.window, s.rng)
             if s.partitioning is not None and (len(expired1) or len(expired2)):
                 metrics.tuples_evicted = self.backend.evict_state(
-                    self._routed(s, 1, s.log1[expired1], expired1),
-                    self._routed(s, 2, s.log2[expired2], expired2),
+                    self._expired(s, 1, s.log1, expired1),
+                    self._expired(s, 2, s.log2, expired2),
                 )
                 metrics.bytes_freed = (
                     metrics.tuples_evicted * BatchMetrics.STATE_BYTES
@@ -810,7 +836,7 @@ class StreamingJoinEngine:
         metrics.bytes_shm = shm
         metrics.resident_tuples = s.resident_tuples
         metrics.resident_history_tuples = s.log1.retained + s.log2.retained
-        metrics.resident_live_entries = len(s.log1.live) + len(s.log2.live)
+        metrics.resident_live_entries = s.log1.live_entries + s.log2.live_entries
         metrics.wall_seconds = perf_counter() - start
 
     def finish(self, verify: bool = True) -> StreamRunResult:

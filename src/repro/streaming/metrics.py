@@ -83,9 +83,10 @@ class BatchMetrics:
         time under the simulated one).  Always measured on a real clock.
     queue_clock:
         The clock domain of ``producer_stall_seconds`` /
-        ``consumer_idle_seconds``: ``"real"`` (a wall clock actually
-        ticked) or ``"simulated"`` (the pipeline's discrete-event clock
-        under ``mode="simulated"``).  Every other duration is real.
+        ``consumer_idle_seconds`` in a pipelined run: ``"real"`` (a wall
+        clock actually ticked) or ``"simulated"`` (the pipeline's
+        discrete-event clock under ``mode="simulated"``); ``None`` for a
+        synchronous batch, which has no queue.  Every other duration is real.
         Summing or comparing seconds across the two domains is a category
         error -- the streaming tables render the domain explicitly so the
         mix is visible.
@@ -163,7 +164,7 @@ class BatchMetrics:
     predicted_imbalance: float = 1.0
     wall_seconds: float = 0.0
     join_seconds: float = 0.0
-    queue_clock: str = "real"
+    queue_clock: str | None = None
     bytes_pickled: int | None = None
     bytes_unpickled: int | None = None
     bytes_shm: int | None = None

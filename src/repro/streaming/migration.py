@@ -327,16 +327,14 @@ def sorted_live(
                 "which a plan that is not key ranges routes by"
             )
         return keys
-    if isinstance(keys, ArrivalLog) and keys.windowed:
-        indices, keys = keys.live, keys[keys.live]
+    if isinstance(keys, ArrivalLog):
+        indices = keys.live_indices() if indexed else None
+        keys = keys.live_keys()
     else:
-        base = keys.base if isinstance(keys, ArrivalLog) else 0
-        keys = np.asarray(keys.keys if isinstance(keys, ArrivalLog) else keys)
-        indices = None
+        keys = np.asarray(keys)
+        indices = np.arange(len(keys)) if indexed else None
     if not indexed:
         return LiveKeys(None, np.sort(keys))
-    if indices is None:
-        indices = np.arange(base, base + len(keys))
     return LiveKeys(*sort_arrivals(indices, keys))
 
 

@@ -16,7 +16,10 @@ the arrival-index prefix that no liveness bookkeeping can ever reference
 again.  Each side's :class:`~repro.streaming.arrivals.ArrivalLog` gives up
 the keys and batch starts below it, so a windowed run's total footprint
 (history + live sets + state) is O(window), not O(stream).  Every index here
-is a global arrival index (:mod:`repro.streaming.arrivals`).
+is a global arrival index (:mod:`repro.streaming.arrivals`).  A policy
+whose evictions are always the prefix below one index states that index
+(:meth:`WindowPolicy.cutoff`), so a log holding its live set as a range
+expires by moving the range's start.
 
 Three policies are provided:
 
@@ -129,17 +132,33 @@ class WindowPolicy(abc.ABC):
         ascending, so any mask or prefix of it qualifies).
         """
 
-    def trim_point(self, live: np.ndarray, total_arrived: int) -> int:
+    def cutoff(self, batch_starts: list[int], total_arrived: int) -> "int | None":
+        """The arrival index everything below which has expired, or ``None``.
+
+        A policy whose every eviction set is the live prefix below one
+        global index states that index here (the arguments are
+        :meth:`evictions`' own); an arrival log holding its live set as a
+        range then expires it by moving a pointer, and never builds the
+        array :meth:`evictions` takes (:meth:`ArrivalLog.expire
+        <repro.streaming.arrivals.ArrivalLog.expire>`).  ``None``, the
+        default, says the policy decides per tuple: :meth:`evictions` is
+        asked.  A subclass that overrides :meth:`evictions` of a policy
+        stating a cutoff must override this too.
+        """
+        return None
+
+    def trim_point(self, oldest_live: int) -> int:
         """The arrival-index prefix that is safe to trim away.
 
-        Everything strictly below the returned index can never be referenced
-        again: ``live`` is sorted and eviction cutoffs only move forward, so
-        ``live[0]`` (or the full history length once nothing is live) is a
-        safe bound for every provided policy.  Override only for a policy
-        whose future cutoffs can move *backwards* -- such a policy must
-        return the smallest index it may still reference.
+        ``oldest_live`` is the smallest live arrival index, or the side's
+        arrival count once nothing is live.  Everything strictly below the
+        returned index can never be referenced again: eviction cutoffs only
+        move forward, so ``oldest_live`` itself is a safe bound for every
+        provided policy.  Override only for a policy whose future cutoffs
+        can move *backwards* -- such a policy must return the smallest
+        index it may still reference.
         """
-        return int(live[0]) if len(live) else int(total_arrived)
+        return int(oldest_live)
 
 
 class UnboundedWindow(WindowPolicy):
@@ -182,23 +201,24 @@ class SlidingWindow(WindowPolicy):
         self.tuples = tuples
         self.name = f"batches:{batches}" if batches is not None else f"tuples:{tuples}"
 
-    def evictions(self, live, batch_starts, total_arrived, rng):
-        """Evict everything older than the batch- or tuple-count cutoff.
+    def cutoff(self, batch_starts, total_arrived):
+        """The batch- or tuple-count cutoff: everything below it has expired.
 
         The batch cutoff is positional from the *end* of ``batch_starts``
         (the engine's processed-batch count), so it is independent of any
         ``MicroBatch.index`` numbering and survives the list's dead prefix
-        being trimmed.
+        being trimmed.  Before the window has filled it is 0: nothing
+        expires.
         """
         if self.batches is not None:
             if len(batch_starts) < self.batches:
-                return np.empty(0, dtype=np.int64)
-            cutoff = batch_starts[-self.batches]
-        else:
-            cutoff = total_arrived - self.tuples
-        if cutoff <= 0:
-            return np.empty(0, dtype=np.int64)
-        return live[:np.searchsorted(live, cutoff)]
+                return 0
+            return batch_starts[-self.batches]
+        return max(0, total_arrived - self.tuples)
+
+    def evictions(self, live, batch_starts, total_arrived, rng):
+        """Evict the live prefix below :meth:`cutoff`."""
+        return live[: np.searchsorted(live, self.cutoff(batch_starts, total_arrived))]
 
 
 class ExponentialDecayWindow(WindowPolicy):
@@ -238,8 +258,8 @@ def surviving(held: np.ndarray, expired: np.ndarray) -> np.ndarray:
     The membership test behind :func:`drop_expired`, its one production
     caller: a live set whose eviction is not a prefix of it (a sliding
     window's is, and :meth:`~repro.streaming.arrivals.ArrivalLog.expire`
-    slices it off instead).  Retained join state holds keys, not arrival
-    indices, so it is never masked: an eviction is a tombstone run
+    moves the live set's start instead).  Retained join state holds keys,
+    not arrival indices, so it is never masked: an eviction is a tombstone run
     (:meth:`~repro.streaming.incremental.SortedRegionState.tombstone`).
     ``expired`` must be non-empty, sorted ascending and unique
     (every window policy's eviction set is); ``held`` may be in any order

@@ -568,7 +568,7 @@ class NoTrimWindow(WindowPolicy):
         """The inner policy's evictions, unchanged."""
         return self.inner.evictions(live, batch_starts, total_arrived, rng)
 
-    def trim_point(self, live, total_arrived) -> int:
+    def trim_point(self, oldest_live) -> int:
         """Nothing is ever safe to trim."""
         return 0
 

@@ -68,8 +68,8 @@ def test_arrival_log_keeps_global_indices_exact_and_its_buffer_bounded():
     # A policy whose trim point overshoots a live tuple is refused at the
     # trim: that tuple's index would resolve to some other key later.
     class Overshooting(SlidingWindow):
-        def trim_point(self, live, total_arrived):
-            return int(live[0]) + 1
+        def trim_point(self, oldest_live):
+            return int(oldest_live) + 1
 
     with pytest.raises(ValueError, match="past the oldest live arrival"):
         log.trim(Overshooting(tuples=300))

@@ -436,6 +436,7 @@ def test_clock_domains_tag_simulated_queue_time():
     sync = make_engine().run(make_source())
     assert sync.clock_domains == "real"
     assert sync.queue_clock is None
+    assert all(b.queue_clock is None for b in sync.batches)
 
     piped = StreamingPipeline(
         RateLimitedSource(make_source(), 1.0),

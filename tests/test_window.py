@@ -14,6 +14,7 @@ from repro.joins.conditions import (
 )
 from repro.streaming import (
     ArrayStreamSource,
+    ArrivalLog,
     DriftAdaptiveEWHPolicy,
     DriftDetector,
     DriftingZipfSource,
@@ -125,10 +126,12 @@ class TestWindowPolicies:
 
     def test_trim_point_is_min_live_or_everything(self):
         window = SlidingWindow(batches=2)
-        live = np.array([7, 9, 13], dtype=np.int64)
-        assert window.trim_point(live, 20) == 7
+        assert window.trim_point(7) == 7
+        log = ArrivalLog(True, keys=np.zeros(20), live=np.array([7, 9, 13]))
+        assert log.trim(window) == 7 and log.base == 7
         # Nothing live: the whole retained history is dead.
-        assert window.trim_point(np.empty(0, dtype=np.int64), 20) == 20
+        log = ArrivalLog(True, keys=np.zeros(20), live=np.empty(0, dtype=np.int64))
+        assert log.trim(window) == 20 and log.base == 20
 
     def test_batch_cutoff_is_positional_from_the_end(self, rng):
         # The cutoff is batch_starts[-batches], so it neither depends on a
