@@ -186,14 +186,14 @@ class WeightedGrid:
         rows, cols = self.frequency.shape
         if self.candidate.shape != (rows, cols):
             raise ValueError("candidate mask shape must match frequency shape")
-        if len(self.row_input) != rows or len(self.col_input) != cols:
+        if self.row_input.shape != (rows,) or self.col_input.shape != (cols,):
             raise ValueError("row_input/col_input lengths must match the grid shape")
-        for name, values in (("frequency", self.frequency),
-                             ("row_input", self.row_input),
-                             ("col_input", self.col_input)):
-            # ``>= 0`` is False for NaN; the finiteness pass catches +inf.
-            if not ((values >= 0).all() and np.isfinite(values).all()):
-                raise ValueError(f"{name} must be finite and non-negative")
+        # One check reads the three arrays at once; a failure names the first offender.
+        floats = (("frequency", self.frequency.ravel()), ("row_input", self.row_input),
+                  ("col_input", self.col_input))
+        if not _finite_non_negative(np.concatenate([values for _, values in floats])):
+            name = next(name for name, values in floats if not _finite_non_negative(values))
+            raise ValueError(f"{name} must be finite and non-negative")
         if np.any(self.frequency[~self.candidate] > 0):
             raise ValueError("non-candidate cells cannot carry output frequency")
 
@@ -553,14 +553,18 @@ class BandGrid:
         if candidates_only:
             if not self.run_lo.size:
                 return 0.0
-            # Each run's largest column input: maxima over [lo, hi) pairs.
-            bounds = np.column_stack([self.run_lo, self.run_hi]).ravel()
-            col_max = np.maximum.reduceat(np.append(self.col_input, 0.0), bounds)[::2]
+            # Each run's largest column input: maxima over [lo, hi) pairs,
+            # over the column inputs and a closing 0.0.
+            bounds = np.empty(2 * self.run_lo.size, dtype=np.int64)
+            bounds[0::2], bounds[1::2] = self.run_lo, self.run_hi
+            padded = np.zeros(self.num_cols + 1)
+            padded[:-1] = self.col_input
+            col_max = np.maximum.reduceat(padded, bounds)[::2]
             row = self.row_input[self.run_rows]
         else:
             col_max, row = self.col_input.max(), self.row_input.max()
         empty = w_i * (row + col_max) + w_o * 0.0
-        return float(max(np.max(empty), np.max(heaviest, initial=-np.inf)))
+        return float(max(empty.max(), heaviest.max(initial=-np.inf)))
 
     @cached_property
     def run_rows(self) -> np.ndarray:

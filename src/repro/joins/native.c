@@ -21,12 +21,11 @@
  *            (payload: the key) and repro.sampling.reservoir's
  *            WeightedReservoir (payload: the entry's position in the
  *            offered pool), one call per Stream-Sample worker and merge.
- * group_sums sums a sparse matrix's rows by column group as np.add.reduceat
- *            sums its dense form: coarsening's aggregates of the band
- *            sample matrix, a few calls per refinement pass.
- * sweep_rows groups consecutive rows of a column-aggregated sample matrix
- *            so that no candidate block outweighs a threshold: one greedy
- *            sweep of repro.core.coarsening's per-axis threshold search.
+ * coarsen    repro.core.coarsening's whole search over the band sample
+ *            matrix: the even starting grid, the alternating row and column
+ *            passes -- each pass's aggregates by group (np.add.reduceat's
+ *            sums), each axis's threshold search over a greedy sweep -- and
+ *            the coarse grid they end in.  One call per plan build.
  * closure    builds every minimal candidate rectangle MonotonicBSP can
  *            reach from a grid's root, with its child pairs: once per
  *            repro.core.tiling_tables.TilingTables.
@@ -69,12 +68,12 @@
  * closure and tile check each index as they read it, and return -2 at the
  * first one out of range.
  *
- * group_sums and sweep_rows are the kernel's floating-point arithmetic
- * (closure is integers only, tile only compares a rectangle's leaf
- * threshold with delta -- its weights are numpy's, summed before the call
- * -- and spans rounds one difference per test, as numpy's subtraction does),
- * and they must round as numpy does: every product and sum once, in
- * numpy's order.  So the library is built with -ffp-contract=off.  Otherwise a compiler for a
+ * coarsen is the kernel's floating-point arithmetic (closure is integers
+ * only, tile only compares a rectangle's leaf threshold with delta -- its
+ * weights are numpy's, summed before the call -- and spans rounds one
+ * difference per test, as numpy's subtraction does), and it must round as
+ * numpy does: every product and sum once, in numpy's order.  So the
+ * library is built with -ffp-contract=off.  Otherwise a compiler for a
  * target with fused multiply-add (aarch64, x86-64 with -mfma) may fuse
  * a * b + c * d into one instruction that rounds once where numpy rounds
  * twice, and a block weight lands on the other side of the threshold.
@@ -85,6 +84,7 @@
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
 #include <numpy/arrayobject.h>
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -854,14 +854,17 @@ static int64_t offer(double *priorities, int64_t *counters, double *keys,
 
 /*
  * numpy's pairwise sum (pairwise_sum_DOUBLE in its umath loops) of the n
- * dense values at positions [p, p + n) of a sparse row, whose nonzero
+ * dense values at positions [p, p + n) of a sparse line, whose nonzero
  * entries are index[e0:e1) (ascending, every one inside) with their values.
- * Below 8 values numpy adds them in order to 0.0; up to 128 it keeps eight
- * lanes (position i in lane i % 8) over the first n - n % 8 positions,
- * combines them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and
- * adds the rest in order; above that it splits at n / 2 rounded down to a
- * multiple of 8.  The values are non-negative, so a zero left out adds
- * 0.0 exactly: walking the entries through the same tree is the same sum.
+ * Below 8 values numpy adds them in order to -0.0; up to 128 it keeps eight
+ * lanes (position i in lane i % 8, each starting from its first value)
+ * over the first n - n % 8 positions, combines them as ((r0 + r1) + (r2 +
+ * r3)) + ((r4 + r5) + (r6 + r7)) and adds the rest in order; above that
+ * it splits at n / 2 rounded down to a multiple of 8.  The values are
+ * non-negative, so a zero left out adds 0.0 exactly, and a lane that meets
+ * no entry stays -0.0, which adding anything else rounds away: walking the
+ * entries through the same tree is the same sum.  A dense line is the
+ * line whose every position is an entry (index[e] = e).
  */
 static double pairwise(const int64_t *index, const double *value, int64_t e0,
                        int64_t e1, int64_t p, int64_t n)
@@ -870,13 +873,13 @@ static double pairwise(const int64_t *index, const double *value, int64_t e0,
     if (e0 == e1)
         return 0.0;
     if (n < 8) {
-        double res = 0.0;
+        double res = -0.0;
         for (e = e0; e < e1; e++)
             res += value[e];
         return res;
     }
     if (n <= 128) {
-        double r[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0}, res;
+        double r[8] = {-0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0}, res;
         int64_t blocked = p + n - n % 8;
         for (e = e0; e < e1 && index[e] < blocked; e++)
             r[(index[e] - p) % 8] += value[e];
@@ -901,111 +904,112 @@ static double pairwise(const int64_t *index, const double *value, int64_t e0,
            + pairwise(index, value, lo, e1, p + half, n - half);
 }
 
+/* Whether a sum of non-negative values overflowed (NaN included). */
+#define OVERFLOWED(x) (!((x) <= DBL_MAX))
+
 /*
- * A sparse matrix's sums by column group, as np.add.reduceat sums its dense
- * form along the columns: coarsening's aggregates of the band sample
- * matrix, row-major (entries sorted by row, then column) or column-major.
- * Row m holds the entries ptr[m]..ptr[m + 1] of index (their columns,
- * ascending) and value (non-negative); group g covers columns
- * bounds[g]..bounds[g + 1], with bounds[0] = 0 and bounds[groups] the column
- * count.  reduceat copies a segment's first value and adds numpy's pairwise
- * sum of the rest to it, so out[m * groups + g] is that first value (0.0
- * without an entry there) plus pairwise() of the rest, and equals the dense
- * reduceat bit for bit on either axis and any stride.
- *
- * Writes all rows x groups sums.  Returns 0, or -2 (out untouched past the
- * row it stopped at) when ptr does not run from 0 up to entries, a row's
- * columns are not ascending inside [0, bounds[groups]), or the bounds do
- * not rise from 0.
+ * A sparse matrix's sums by group, as np.add.reduceat sums its dense form
+ * along the groups: coarsening's frequencies by column group (the band's
+ * entries row by row) or by row group (its entries column by column).
+ * Line m holds the entries ptr[m]..ptr[m + 1] of index (their positions,
+ * ascending and inside the line) and value (non-negative); group g covers
+ * positions bounds[g]..bounds[g + 1], with bounds[0] = 0 and
+ * bounds[groups] the line's length.  reduceat copies a segment's first
+ * value and adds numpy's pairwise sum of the rest to it, so out[m * groups
+ * + g] is that first value (0.0 without an entry there) plus pairwise() of
+ * the rest, the dense reduceat bit for bit on either axis and any stride.
+ * Returns 0, or 1 when a sum overflowed.
  */
-static int64_t group_sums(const int64_t *ptr, const int64_t *index,
-                          const double *value, int64_t rows, int64_t entries,
-                          const int64_t *bounds, int64_t groups, double *out)
+static int group_sums(const int64_t *ptr, const int64_t *index, const double *value,
+                      int64_t lines, const int64_t *bounds, int64_t groups, double *out)
 {
     int64_t m, g, e;
-    if (rows < 0 || groups < 1 || bounds[0] != 0 || ptr[0] != 0
-        || ptr[rows] != entries)
-        return -2;
-    for (g = 0; g < groups; g++)
-        if (bounds[g + 1] <= bounds[g])
-            return -2;
-    for (m = 0; m < rows; m++) {
-        int64_t start = ptr[m], stop = ptr[m + 1];
-        if (stop < start || stop > entries)
-            return -2;
-        for (e = start; e < stop; e++)
-            if (index[e] < (e > start ? index[e - 1] + 1 : 0)
-                || index[e] >= bounds[groups])
-                return -2;
-        e = start;
+    for (m = 0; m < lines; m++) {
+        int64_t stop = ptr[m + 1];
+        e = ptr[m];
         for (g = 0; g < groups; g++) {
             int64_t p = bounds[g], end = bounds[g + 1], rest;
-            double head = 0.0;
+            double head = 0.0, sum;
             if (e < stop && index[e] == p)
                 head = value[e++];
             rest = e;
             while (e < stop && index[e] < end)
                 e++;
-            /* A one-column segment is its first value, nothing added. */
-            out[m * groups + g] =
-                end - p > 1 ? head + pairwise(index, value, rest, e, p + 1, end - p - 1)
-                            : head;
+            /* A one-position segment is its first value, nothing added. */
+            sum = end - p > 1 ? head + pairwise(index, value, rest, e, p + 1, end - p - 1) : head;
+            if (OVERFLOWED(sum))
+                return 1;
+            out[m * groups + g] = sum;
         }
     }
     return 0;
 }
 
 /*
- * One greedy sweep of coarsening's per-axis threshold search:
- * repro.core.coarsening's feasibility probe.  freq and cand are rows x cols,
- * row-major: each row's output frequency and candidate count per column
- * group; row_input has rows entries and col_input cols.  A group takes rows
- * while each column's block -- the group's rows in that column -- weighs
+ * np.add.reduceat(values, bounds[:-1]) of a dense line: each group's first
+ * value plus pairwise() of the rest, over iota (iota[i] = i, at least the
+ * line's length).  Returns 0, or 1 when a sum overflowed.
+ */
+static int dense_sums(const int64_t *iota, const double *values, const int64_t *bounds,
+                      int64_t groups, double *out)
+{
+    int64_t g;
+    for (g = 0; g < groups; g++) {
+        int64_t p = bounds[g], end = bounds[g + 1];
+        double sum = end - p > 1
+                         ? values[p] + pairwise(iota, values, p + 1, end, p + 1, end - p - 1)
+                         : values[p];
+        if (OVERFLOWED(sum))
+            return 1;
+        out[g] = sum;
+    }
+    return 0;
+}
+
+/*
+ * One greedy sweep of coarsening's per-axis threshold search.  freq and
+ * cand are lines x groups, row-major: each line's output frequency per
+ * group and whether it holds a candidate cell there; line_input has the
+ * lines' input and group_input the groups'.  A group of lines takes lines
+ * while each group's block -- the group's lines in that group -- weighs
  *
- *     w_i * (input + col_input[g]) + w_o * freq[g]
+ *     w_i * (input + group_input[g]) + w_o * freq[g]
  *
  * at most `threshold`, where input and freq[g] are running sums from the
- * group's first row, added in row order (np.cumsum's order).  Only a column
- * whose candidate count since the group opened is above 0 is compared.
- * Counts are whole and non-negative (reduceat sums of a boolean mask), so
- * these running sums are exact and agree with the numpy sweep's differences
- * of one prefix sum.  A row overfills when such a column weighs more than
- * threshold and none of them weighs NaN (numpy's max of the row is then
- * NaN, never above).  An overfilling row met while the group's input is 0.0
- * and no candidate has been seen is taken anyway (the row that opens a
- * group always is); any other closes the group before it, and the next
- * group opens there.
+ * block's first line, added in line order (np.cumsum's order).  Only a
+ * block holding a candidate cell is compared.  A line overfills when such
+ * a block weighs more than threshold and none of them weighs NaN (numpy's
+ * max of the line is then NaN, never above).  An overfilling line met while
+ * the block's input is 0.0 and no candidate has been seen is taken anyway
+ * (the line that opens a block always is); any other closes the block
+ * before it, and the next block opens there.  sums and seen are scratch of
+ * `groups` entries each.
  *
  * out has room for max_groups + 1 entries.  Returns the boundaries
- * written -- out[0] = 0, one per group start, out[last] = rows -- or 0 when
- * more than max_groups groups are needed, or -1 (nothing computed) unless
- * 1 <= max_groups and scratch memory could be had.
+ * written -- out[0] = 0, one per block start, out[last] = lines -- or 0
+ * when more than max_groups blocks are needed.
  */
-static int64_t sweep_rows(const double *freq, const double *cand,
-                          const double *row_input, const double *col_input,
-                          int64_t rows, int64_t cols, double w_i, double w_o,
-                          double threshold, int64_t max_groups, int64_t *out)
+static int64_t sweep(const double *freq, const unsigned char *cand, const double *line_input,
+                     const double *group_input, int64_t lines, int64_t groups, double w_i,
+                     double w_o, double threshold, int64_t max_groups, double *sums,
+                     unsigned char *seen_in, int64_t *out)
 {
-    /* The group's block frequencies and candidate counts so far. */
-    double *sums, *counts, input = 0.0;
-    int64_t row = 0, m = 1, g;
+    double input = 0.0;
+    int64_t line = 0, m = 1, g;
     int seen = 0;
-    if (max_groups < 1)
-        return -1;
-    sums = calloc(2 * (size_t)(cols > 0 ? cols : 1), sizeof *sums);
-    if (!sums)
-        return -1;
-    counts = sums + cols;
+    memset(sums, 0, (size_t)groups * sizeof *sums);
+    memset(seen_in, 0, (size_t)groups);
     out[0] = 0;
-    while (row < rows) {
-        const double *f = freq + row * cols, *c = cand + row * cols;
-        double after = input + row_input[row];
+    while (line < lines) {
+        const double *f = freq + line * groups;
+        const unsigned char *c = cand + line * groups;
+        double after = input + line_input[line];
         int over = 0, nan = 0, seen_after = 0;
-        for (g = 0; g < cols; g++) {
+        for (g = 0; g < groups; g++) {
             sums[g] += f[g];
-            counts[g] += c[g];
-            if (counts[g] > 0) {
-                double weight = w_i * (after + col_input[g]) + w_o * sums[g];
+            seen_in[g] |= c[g];
+            if (seen_in[g]) {
+                double weight = w_i * (after + group_input[g]) + w_o * sums[g];
                 seen_after = 1;
                 if (weight != weight)
                     nan = 1;
@@ -1014,24 +1018,411 @@ static int64_t sweep_rows(const double *freq, const double *cand,
             }
         }
         if (over && !nan && (input != 0.0 || seen)) {
-            /* Close the group before this row; the row opens the next. */
-            if (m >= max_groups) {
-                free(sums);
+            /* Close the block before this line; the line opens the next. */
+            if (m >= max_groups)
                 return 0;
-            }
-            out[m++] = row;
-            memset(sums, 0, 2 * (size_t)cols * sizeof *sums);
+            out[m++] = line;
+            memset(sums, 0, (size_t)groups * sizeof *sums);
+            memset(seen_in, 0, (size_t)groups);
             input = 0.0;
             seen = 0;
             continue;
         }
         input = after;
         seen = seen_after;
-        row++;
+        line++;
     }
-    out[m++] = rows;
-    free(sums);
+    out[m++] = lines;
     return m;
+}
+
+/*
+ * coarsen: repro.core.coarsening's whole search over a band sample matrix
+ * (repro.core.grid.BandGrid): rows and cols lines of input, each row's
+ * candidate runs [run_lo, run_hi) and nonzero entries (column, value),
+ * both by run_ptr / entry_ptr, and the same entries column by column
+ * (col_ptr, col_row, col_value), which coarsen() builds.  The
+ * scalars are those Python computes: the cost model's w_i and w_o, the
+ * group counts (at most each side), the threshold search's low end (the
+ * heaviest candidate cell) and each axis's high end (the total weight as
+ * that axis's dense grid adds it up), and the search's budget.
+ */
+struct band {
+    int64_t rows, cols;
+    const double *row_input, *col_input;
+    const int64_t *run_ptr, *run_lo, *run_hi;
+    const int64_t *entry_ptr, *entry_col;
+    const double *entry_value;
+    const int64_t *col_ptr, *col_row;
+    const double *col_value;
+    double w_i, w_o;
+};
+
+/* One axis's aggregates by the other axis's groups: lines x groups
+ * frequencies and candidate flags, the groups' input. */
+struct aggregates {
+    double *freq;
+    unsigned char *cand;
+    double *input;
+    int64_t groups;
+};
+
+/* The coarse grid: rows x cols frequencies, candidate flags and input. */
+struct coarse {
+    double *freq, *row_input, *col_input, weight;
+    unsigned char *cand;
+    int64_t *row_bounds, *col_bounds, rows, cols;
+};
+
+/* What a coarsen call leaves: the grid it returns, or an error. */
+enum {
+    COARSEN_OK = 0,
+    COARSEN_NO_MEMORY = -1,
+    COARSEN_NO_COVER = -2, /* a search found no cover, not even at its high end */
+    COARSEN_ROW_INPUT = -3, /* a sum overflowed */
+    COARSEN_COL_INPUT = -4,
+    COARSEN_ENTRY_VALUE = -5,
+};
+
+/*
+ * np.linspace(0, size, groups + 1).round() as int64, each repeat dropped:
+ * the even starting bounds.  i * (size / groups) rounded to even by the
+ * 2**52 trick (exact for 0 <= x < 2**52), the last point size itself.
+ * Returns the bounds written.
+ */
+static int64_t even_bounds(int64_t size, int64_t groups, int64_t *out)
+{
+    const double shift = 4503599627370496.0; /* 2**52 */
+    double step = (double)size / (double)groups;
+    int64_t i, written = 0;
+    for (i = 0; i <= groups; i++) {
+        double x = i == groups ? (double)size : (double)i * step;
+        int64_t point = (int64_t)((x + shift) - shift);
+        if (!written || point != out[written - 1])
+            out[written++] = point;
+    }
+    return written;
+}
+
+/*
+ * Each row's frequencies and candidate flags by column group, and the
+ * groups' input: the dense grid's reduceat along the columns.  group_of is
+ * scratch of cols entries.
+ */
+static int by_columns(const struct band *band, const int64_t *bounds, int64_t groups,
+                      const int64_t *iota, int64_t *group_of, struct aggregates *out)
+{
+    int64_t r, g, c, i;
+    out->groups = groups;
+    if (group_sums(band->entry_ptr, band->entry_col, band->entry_value, band->rows, bounds,
+                   groups, out->freq))
+        return COARSEN_ENTRY_VALUE;
+    for (g = 0; g < groups; g++)
+        for (c = bounds[g]; c < bounds[g + 1]; c++)
+            group_of[c] = g;
+    memset(out->cand, 0, (size_t)(band->rows * groups));
+    for (r = 0; r < band->rows; r++)
+        for (i = band->run_ptr[r]; i < band->run_ptr[r + 1]; i++)
+            for (g = group_of[band->run_lo[i]]; g <= group_of[band->run_hi[i] - 1]; g++)
+                out->cand[r * groups + g] = 1;
+    return dense_sums(iota, band->col_input, bounds, groups, out->input) ? COARSEN_COL_INPUT
+                                                                          : COARSEN_OK;
+}
+
+/*
+ * Each column's frequencies and candidate flags by row group, and the
+ * groups' input: the dense grid's reduceat down the rows, transposed.  A
+ * row group's candidate columns come from one difference array (cols + 1
+ * entries of scratch): each run adds 1 at its first column and -1 past its
+ * last.
+ */
+static int by_rows(const struct band *band, const int64_t *bounds, int64_t groups,
+                   const int64_t *iota, int64_t *diff, struct aggregates *out)
+{
+    int64_t g, c, i;
+    out->groups = groups;
+    if (group_sums(band->col_ptr, band->col_row, band->col_value, band->cols, bounds, groups,
+                   out->freq))
+        return COARSEN_ENTRY_VALUE;
+    for (g = 0; g < groups; g++) {
+        int64_t open = 0;
+        memset(diff, 0, (size_t)(band->cols + 1) * sizeof *diff);
+        for (i = band->run_ptr[bounds[g]]; i < band->run_ptr[bounds[g + 1]]; i++) {
+            diff[band->run_lo[i]]++;
+            diff[band->run_hi[i]]--;
+        }
+        for (c = 0; c < band->cols; c++) {
+            open += diff[c];
+            out->cand[c * groups + g] = open > 0;
+        }
+    }
+    return dense_sums(iota, band->row_input, bounds, groups, out->input) ? COARSEN_ROW_INPUT
+                                                                          : COARSEN_OK;
+}
+
+/*
+ * The coarse grid of the columns' aggregates by row group (by_rows) and
+ * the column bounds: the dense grid's column pass, reduceat along the rows
+ * of that aggregate transposed, so each row group's column is gathered
+ * into line (cols entries of scratch) and summed as a dense line.  Then
+ * its heaviest candidate cell, w_i * (row + col) + w_o * frequency as
+ * numpy's max finds it (NaN if any is; 0.0 without a candidate).
+ */
+static int build_coarse(const struct band *band, const struct aggregates *rows_of,
+                        const int64_t *col_bounds, int64_t col_groups, const int64_t *iota,
+                        double *line, struct coarse *out)
+{
+    int64_t r, g, c, groups = rows_of->groups;
+    int any = 0;
+    double heaviest = 0.0;
+    out->rows = groups;
+    out->cols = col_groups;
+    memcpy(out->row_input, rows_of->input, (size_t)groups * sizeof *out->row_input);
+    if (dense_sums(iota, band->col_input, col_bounds, col_groups, out->col_input))
+        return COARSEN_COL_INPUT;
+    for (r = 0; r < groups; r++) {
+        for (c = 0; c < band->cols; c++)
+            line[c] = rows_of->freq[c * groups + r];
+        if (dense_sums(iota, line, col_bounds, col_groups, out->freq + r * col_groups))
+            return COARSEN_ENTRY_VALUE;
+        for (g = 0; g < col_groups; g++) {
+            unsigned char flag = 0;
+            for (c = col_bounds[g]; c < col_bounds[g + 1]; c++)
+                flag |= rows_of->cand[c * groups + r];
+            out->cand[r * col_groups + g] = flag;
+        }
+    }
+    for (r = 0; r < groups; r++)
+        for (g = 0; g < col_groups; g++)
+            if (out->cand[r * col_groups + g]) {
+                double weight = band->w_i * (out->row_input[r] + out->col_input[g])
+                                + band->w_o * out->freq[r * col_groups + g];
+                if (weight != weight) {
+                    out->weight = weight;
+                    return COARSEN_OK;
+                }
+                if (!any || weight > heaviest)
+                    heaviest = weight;
+                any = 1;
+            }
+    out->weight = heaviest;
+    return COARSEN_OK;
+}
+
+/* Scratch for one axis's search: the sweep's running sums and flags, and
+ * two boundary arrays of max_groups + 1 entries (the cover kept, the probe). */
+struct search {
+    double *sums;
+    unsigned char *seen;
+    int64_t *cover, *probe;
+};
+
+/*
+ * One axis's bounds for fixed groups on the other: repro.core.grid's
+ * smallest_feasible over the sweep.  The sweep at low, then at high, then
+ * at most max_midpoints midpoints (low + high) / 2.0 while high - low is
+ * above tolerance * max(high, 1.0); the lowest fitting threshold tried
+ * wins.  One group needs no search (a block summed line by line can round
+ * one step above the total weight the search ends at).  Returns the bounds
+ * written to search->cover, or 0 when nothing fits.
+ */
+static int64_t optimize_axis(const struct band *band, const struct aggregates *agg,
+                             const double *line_input, int64_t lines, int64_t max_groups,
+                             double low, double high, int64_t max_midpoints, double tolerance,
+                             struct search *search)
+{
+    int64_t found, tried, i, *spare;
+#define SWEEP(threshold, out)                                                          \
+    sweep(agg->freq, agg->cand, line_input, agg->input, lines, agg->groups, band->w_i, \
+          band->w_o, threshold, max_groups, search->sums, search->seen, out)
+    if (max_groups == 1) {
+        search->cover[0] = 0;
+        search->cover[1] = lines;
+        return 2;
+    }
+    if ((found = SWEEP(low, search->cover)))
+        return found;
+    found = SWEEP(high, search->cover);
+    for (i = 0; i < max_midpoints; i++) {
+        double mid;
+        if (high - low <= tolerance * (1.0 > high ? 1.0 : high))
+            break;
+        mid = (low + high) / 2.0;
+        if (!(tried = SWEEP(mid, search->probe))) {
+            low = mid;
+            continue;
+        }
+        high = mid;
+        found = tried;
+        spare = search->cover;
+        search->cover = search->probe;
+        search->probe = spare;
+    }
+#undef SWEEP
+    return found;
+}
+
+/* Scratch arrays, zeroed and freed together: grab() hands out each (NULL,
+ * and `failed` set, once one could not be had), release() frees them all. */
+#define SCRATCH_BLOCKS 40
+
+struct scratch {
+    void *block[SCRATCH_BLOCKS];
+    int count, failed;
+};
+
+static void *grab(struct scratch *scratch, size_t count, size_t width)
+{
+    void *block = NULL;
+    if (!scratch->failed && scratch->count < SCRATCH_BLOCKS)
+        block = calloc(count ? count : 1, width);
+    if (!block)
+        scratch->failed = 1;
+    else
+        scratch->block[scratch->count++] = block;
+    return block;
+}
+
+static void release(struct scratch *scratch)
+{
+    while (scratch->count)
+        free(scratch->block[--scratch->count]);
+}
+
+/* The scalars of a coarsen call. */
+struct plan {
+    int64_t row_groups, col_groups, max_iterations, max_midpoints;
+    double low, row_high, col_high, tolerance;
+};
+
+/* The arrays of a coarse grid of at most rows x cols groups.  This and
+ * grab_search are inline: emitted on their own they would sit between
+ * count_run and py_fold and move the fold 16 bytes off the 32-byte
+ * boundary it has had (stream_steady read 0.982x tuples_per_s, 1/6 pairs
+ * on a 2-core box, with them emitted; 0.995x, 3/6, inlined). */
+static inline void grab_coarse(struct scratch *scratch, int64_t rows, int64_t cols, struct coarse *grid)
+{
+    grid->freq = grab(scratch, (size_t)(rows * cols), sizeof *grid->freq);
+    grid->cand = grab(scratch, (size_t)(rows * cols), 1);
+    grid->row_input = grab(scratch, (size_t)rows, sizeof *grid->row_input);
+    grid->col_input = grab(scratch, (size_t)cols, sizeof *grid->col_input);
+    grid->row_bounds = grab(scratch, (size_t)rows + 1, sizeof *grid->row_bounds);
+    grid->col_bounds = grab(scratch, (size_t)cols + 1, sizeof *grid->col_bounds);
+}
+
+/* The scratch of one axis's search over at most `groups` groups of lines
+ * aggregated by at most `across` groups. */
+static inline void grab_search(struct scratch *scratch, int64_t groups, int64_t across,
+                               struct search *search)
+{
+    search->sums = grab(scratch, (size_t)across, sizeof *search->sums);
+    search->seen = grab(scratch, (size_t)across, 1);
+    search->cover = grab(scratch, (size_t)groups + 1, sizeof *search->cover);
+    search->probe = grab(scratch, (size_t)groups + 1, sizeof *search->probe);
+}
+
+/*
+ * repro.core.coarsening.coarsen's loop: the even starting grid, then at
+ * most max_iterations alternating passes -- the rows' bounds searched over
+ * the column aggregates, the columns' over the row aggregates of those
+ * bounds, the coarse grid built from the same aggregates -- until a pass
+ * does not lower the heaviest candidate cell by more than 1e-12.  Builds
+ * the band's entries column by column first (a counting sort, each
+ * column's rows ascending).  Leaves the best grid in *best, its arrays in
+ * *scratch (the caller releases them), and the passes run in
+ * *iterations.  Returns COARSEN_OK or an error.
+ */
+static int coarsen(struct band *band, const struct plan *plan, struct scratch *scratch,
+                   struct coarse *best, int64_t *iterations)
+{
+    int64_t rows = band->rows, cols = band->cols, side = rows > cols ? rows : cols;
+    int64_t nr = plan->row_groups, nc = plan->col_groups, entries = band->entry_ptr[rows];
+    int64_t *iota, *group_of, *diff, *row_bounds, *col_bounds, *col_ptr, *col_row;
+    int64_t i, r, it, found, row_count, col_count;
+    double *line, *col_value;
+    struct aggregates across, down;
+    struct search row_search, col_search;
+    struct coarse grid, swap;
+    int status;
+
+    iota = grab(scratch, (size_t)side, sizeof *iota);
+    group_of = grab(scratch, (size_t)cols, sizeof *group_of);
+    diff = grab(scratch, (size_t)cols + 1, sizeof *diff);
+    row_bounds = grab(scratch, (size_t)nr + 1, sizeof *row_bounds);
+    col_bounds = grab(scratch, (size_t)nc + 1, sizeof *col_bounds);
+    col_ptr = grab(scratch, (size_t)cols + 1, sizeof *col_ptr);
+    col_row = grab(scratch, (size_t)entries, sizeof *col_row);
+    col_value = grab(scratch, (size_t)entries, sizeof *col_value);
+    line = grab(scratch, (size_t)cols, sizeof *line);
+    across.freq = grab(scratch, (size_t)(rows * nc), sizeof *across.freq);
+    across.cand = grab(scratch, (size_t)(rows * nc), 1);
+    across.input = grab(scratch, (size_t)nc, sizeof *across.input);
+    down.freq = grab(scratch, (size_t)(cols * nr), sizeof *down.freq);
+    down.cand = grab(scratch, (size_t)(cols * nr), 1);
+    down.input = grab(scratch, (size_t)nr, sizeof *down.input);
+    grab_search(scratch, nr, nc, &row_search);
+    grab_search(scratch, nc, nr, &col_search);
+    grab_coarse(scratch, nr, nc, &grid);
+    grab_coarse(scratch, nr, nc, best);
+    if (scratch->failed)
+        return COARSEN_NO_MEMORY;
+
+    for (i = 0; i < side; i++)
+        iota[i] = i;
+    memset(col_ptr, 0, (size_t)(cols + 1) * sizeof *col_ptr);
+    for (i = 0; i < entries; i++)
+        col_ptr[band->entry_col[i] + 1]++;
+    for (i = 0; i < cols; i++)
+        col_ptr[i + 1] += col_ptr[i];
+    memcpy(group_of, col_ptr, (size_t)cols * sizeof *group_of);
+    for (r = 0; r < rows; r++)
+        for (i = band->entry_ptr[r]; i < band->entry_ptr[r + 1]; i++) {
+            int64_t at = group_of[band->entry_col[i]]++;
+            col_row[at] = r;
+            col_value[at] = band->entry_value[i];
+        }
+    band->col_ptr = col_ptr;
+    band->col_row = col_row;
+    band->col_value = col_value;
+
+    row_count = even_bounds(rows, nr, row_bounds);
+    col_count = even_bounds(cols, nc, col_bounds);
+    if ((status = by_rows(band, row_bounds, row_count - 1, iota, diff, &down))
+        || (status = build_coarse(band, &down, col_bounds, col_count - 1, iota, line, best)))
+        return status;
+    memcpy(best->row_bounds, row_bounds, (size_t)row_count * sizeof *row_bounds);
+    memcpy(best->col_bounds, col_bounds, (size_t)col_count * sizeof *col_bounds);
+    *iterations = 0;
+    for (it = 0; it < plan->max_iterations; it++) {
+        *iterations = it + 1;
+        if ((status = by_columns(band, col_bounds, col_count - 1, iota, group_of, &across)))
+            return status;
+        if (!(found = optimize_axis(band, &across, band->row_input, rows, nr, plan->low,
+                                    plan->row_high, plan->max_midpoints, plan->tolerance,
+                                    &row_search)))
+            return COARSEN_NO_COVER;
+        row_count = found;
+        memcpy(row_bounds, row_search.cover, (size_t)row_count * sizeof *row_bounds);
+        /* The columns' search and the coarse grid's row pass share it. */
+        if ((status = by_rows(band, row_bounds, row_count - 1, iota, diff, &down)))
+            return status;
+        if (!(found = optimize_axis(band, &down, band->col_input, cols, nc, plan->low,
+                                    plan->col_high, plan->max_midpoints, plan->tolerance,
+                                    &col_search)))
+            return COARSEN_NO_COVER;
+        col_count = found;
+        memcpy(col_bounds, col_search.cover, (size_t)col_count * sizeof *col_bounds);
+        if ((status = build_coarse(band, &down, col_bounds, col_count - 1, iota, line, &grid)))
+            return status;
+        if (!(grid.weight < best->weight - 1e-12))
+            break;
+        memcpy(grid.row_bounds, row_bounds, (size_t)row_count * sizeof *row_bounds);
+        memcpy(grid.col_bounds, col_bounds, (size_t)col_count * sizeof *col_bounds);
+        swap = *best;
+        *best = grid;
+        grid = swap;
+    }
+    return COARSEN_OK;
 }
 
 /*
@@ -1548,17 +1939,6 @@ static const char *shape_text(PyArrayObject *array, char *text, size_t room)
     if (at < room)
         snprintf(text + at, room - at, ndim == 1 ? ",)" : ")");
     return text;
-}
-
-static int same_shape(PyArrayObject *a, PyArrayObject *b)
-{
-    int i;
-    if (PyArray_NDIM(a) != PyArray_NDIM(b))
-        return 0;
-    for (i = 0; i < PyArray_NDIM(a); i++)
-        if (PyArray_DIM(a, i) != PyArray_DIM(b, i))
-            return 0;
-    return 1;
 }
 
 /* A new C-ordered array, or NULL with an error set. */
@@ -2082,147 +2462,216 @@ static PyObject *py_offer(PyObject *Py_UNUSED(module), PyObject *args, PyObject 
     return PyLong_FromLongLong(next);
 }
 
-PyDoc_STRVAR(group_sums_doc,
-"group_sums(ptr, index, value, bounds)\n--\n\n"
-"A sparse matrix's row sums by column group, equal to the dense ``np.add.reduceat``.\n\n"
-"Row ``m`` holds the entries ``ptr[m]:ptr[m + 1]`` of ``index`` (their\n"
-"columns, ascending) and ``value`` (non-negative); ``bounds`` runs from 0\n"
-"up through each group's first column to the column count.  Returns the\n"
-"rows x groups float64 array, C-ordered, whose ``[m, g]`` is\n"
-"``np.add.reduceat(dense, bounds[:-1], axis=1)[m, g]`` bit for bit:\n"
-"numpy's pairwise sum walked over the nonzero entries only (adding 0.0\n"
-"is exact).  The same call with the entries by column gives the\n"
-"transposed aggregate ``np.add.reduceat(dense, bounds[:-1], axis=0).T``.\n"
-"``ptr``, ``index`` and ``bounds`` are int64, ``value`` float64,\n"
-"``index`` and ``value`` one length, with at least one group; a ``ptr``\n"
-"that does not run from 0 up to that length, a row's columns out of\n"
-"order or range, or bounds that do not rise from 0 raise by name.");
+PyDoc_STRVAR(coarsen_doc,
+"coarsen(row_input, col_input, run_ptr, run_lo, run_hi, entry_ptr, entry_col,\n"
+"        entry_value, w_i, w_o, row_groups, col_groups, low, row_high, col_high,\n"
+"        max_iterations, max_midpoints, tolerance)\n--\n\n"
+"Coarsening's whole search over a band sample matrix, in one call.\n\n"
+"The first eight arguments are a :class:`~repro.core.grid.BandGrid`'s\n"
+"arrays: the rows' and columns' input (float64), each row's candidate\n"
+"runs ``[run_lo, run_hi)`` by ``run_ptr`` and its entries (``entry_col``,\n"
+"``entry_value``) by ``entry_ptr`` (int64 but the values).  ``w_i`` /\n"
+"``w_o`` are the cost model's coefficients, ``row_groups`` /\n"
+"``col_groups`` the groups wanted (at most each side, at least one),\n"
+"``low`` the heaviest candidate cell, ``row_high`` / ``col_high`` each\n"
+"axis's total weight, and the last three the passes' and each search's\n"
+"budget and its stopping gap.  Runs ``repro.core.coarsening.coarsen``'s\n"
+"loop as ``tests/reference_planner.py`` keeps it -- the even starting\n"
+"grid, then alternating row and column passes, each axis's bounds the\n"
+"greedy sweep at the smallest threshold ``smallest_feasible`` finds --\n"
+"with every aggregate numpy's ``np.add.reduceat`` bit for bit.  Returns\n"
+"``(row_groups, col_groups, frequency, row_input, col_input, candidate,\n"
+"max_cell_weight, iterations)`` -- the best grid's bounds and arrays --\n"
+"or ``None`` when an axis's search finds no cover even at its high end.\n"
+"Arrays of another dtype or layout, sizes that do not fit, a pointer\n"
+"array that does not rise from 0 to its items, runs or entries out of\n"
+"order or outside the grid, a negative or non-finite value, or a sum\n"
+"that overflows raise by name.");
 
-static PyObject *py_group_sums(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
+/* The word for a value a grid may not hold. */
+static const char *unfit_word(double value)
 {
-    static char *keywords[] = {"ptr", "index", "value", "bounds", NULL};
-    static const char *names[5] = {"out", "ptr", "index", "value", "bounds"};
-    PyObject *objs[4];
-    PyArrayObject *array[5]; /* out, then the four inputs */
-    char shapes[3][160];
-    npy_intp shape[2];
-    int64_t status;
-    int i;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOO:group_sums", keywords,
-                                     &objs[0], &objs[1], &objs[2], &objs[3]))
-        return NULL;
-    for (i = 1; i < 5; i++)
-        if (!(array[i] = take("group_sums", names[i], objs[i - 1],
-                              i == 3 ? F64_ONLY : I64_ONLY, 0)))
-            return NULL;
-    if (PyArray_NDIM(array[1]) != 1 || SIZE(array[1]) < 1 || !same_shape(array[2], array[3])
-        || PyArray_NDIM(array[2]) != 1) {
-        PyErr_Format(PyExc_ValueError, "group_sums: ptr %s, index %s and value %s are not one CSR",
-                     shape_text(array[1], shapes[0], sizeof shapes[0]),
-                     shape_text(array[2], shapes[1], sizeof shapes[1]),
-                     shape_text(array[3], shapes[2], sizeof shapes[2]));
-        return NULL;
-    }
-    if (PyArray_NDIM(array[4]) != 1 || SIZE(array[4]) < 2) {
-        PyErr_Format(PyExc_ValueError, "group_sums: bounds %s hold no group",
-                     shape_text(array[4], shapes[0], sizeof shapes[0]));
-        return NULL;
-    }
-    shape[0] = SIZE(array[1]) - 1;
-    shape[1] = SIZE(array[4]) - 1;
-    if (!(array[0] = new_array(2, shape, NPY_DOUBLE)))
-        return NULL;
-    Py_BEGIN_ALLOW_THREADS
-    status = group_sums(PyArray_DATA(array[1]), PyArray_DATA(array[2]), PyArray_DATA(array[3]),
-                        shape[0], SIZE(array[2]), PyArray_DATA(array[4]), shape[1],
-                        PyArray_DATA(array[0]));
-    Py_END_ALLOW_THREADS
-    if (status) {
-        Py_DECREF(array[0]);
-        PyErr_SetString(PyExc_ValueError,
-                        "group_sums: ptr does not run from 0 to the entries, a row's index is "
-                        "out of order or range, or the bounds do not rise from 0");
-        return NULL;
-    }
-    return (PyObject *)array[0];
+    return value != value ? "NaN" : value > 0 ? "inf" : value < -DBL_MAX ? "-inf" : "negative";
 }
 
-PyDoc_STRVAR(sweep_rows_doc,
-"sweep_rows(freq, cand, row_input, col_input, w_i, w_o, threshold, max_groups)\n--\n\n"
-"One greedy sweep of coarsening's per-axis threshold search.\n\n"
-"``freq`` / ``cand`` are the rows' frequencies and candidate counts by\n"
-"column group (rows x groups), ``row_input`` / ``col_input`` the rows'\n"
-"and the groups' input, ``w_i`` / ``w_o`` the cost model's coefficients.\n"
-"Returns the boundary array -- 0, each group's first row, the row count\n"
-"-- or ``None`` when more than ``max_groups`` groups are needed.  Every\n"
-"array is float64 of matching shape and C order (an F-ordered aggregate\n"
-"raises, never read with the wrong strides: the caller makes its arrays\n"
-"C-contiguous once per axis), and ``max_groups`` at least 1; otherwise\n"
-"this raises by name.  Candidate counts must be whole and non-negative,\n"
-"as coarsening's column aggregates make them: the kernel sums them from\n"
-"each group's first row.  ``tests/reference_planner.py`` holds the numpy\n"
-"sweep and the row-by-row loop it equals boundary for boundary.");
-
-static PyObject *py_sweep_rows(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
+/* Does ptr rise from 0 to count over rows + 1 entries? */
+static int rises(const int64_t *ptr, int64_t rows, int64_t count)
 {
-    static char *keywords[] = {"freq", "cand", "row_input", "col_input", "w_i", "w_o",
-                               "threshold", "max_groups", NULL};
-    static const char *names[5] = {"out", "freq", "cand", "row_input", "col_input"};
-    PyObject *objs[4];
-    PyArrayObject *array[5]; /* out, then the four inputs */
+    int64_t r;
+    if (ptr[0] != 0 || ptr[rows] != count)
+        return 0;
+    for (r = 0; r < rows; r++)
+        if (ptr[r + 1] < ptr[r])
+            return 0;
+    return 1;
+}
+
+static PyObject *py_coarsen(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
+{
+    static char *keywords[] = {"row_input", "col_input", "run_ptr", "run_lo", "run_hi",
+                               "entry_ptr", "entry_col", "entry_value", "w_i", "w_o",
+                               "row_groups", "col_groups", "low", "row_high", "col_high",
+                               "max_iterations", "max_midpoints", "tolerance", NULL};
+    static const char *names[8] = {"row_input", "col_input", "run_ptr", "run_lo", "run_hi",
+                                   "entry_ptr", "entry_col", "entry_value"};
+    static const int dtypes[8] = {F64_ONLY, F64_ONLY, I64_ONLY, I64_ONLY,
+                                  I64_ONLY, I64_ONLY, I64_ONLY, F64_ONLY};
+    PyObject *objs[8], *out[6];
+    const void *sources[6]; /* what each of out is copied from */
+    PyArrayObject *array[8];
     char shapes[3][160];
-    double w_i, w_o, threshold;
-    Py_ssize_t max_groups;
-    npy_intp room;
-    int64_t written;
-    int i;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOdddn:sweep_rows", keywords,
-                                     &objs[0], &objs[1], &objs[2], &objs[3], &w_i, &w_o,
-                                     &threshold, &max_groups))
+    const int64_t *run_ptr, *run_lo, *run_hi, *entry_ptr, *entry_col;
+    struct band band;
+    struct plan plan;
+    struct scratch scratch = {{NULL}, 0, 0};
+    struct coarse best;
+    Py_ssize_t row_groups, col_groups, max_iterations, max_midpoints, i, r;
+    npy_intp shape[2];
+    int64_t rows, cols, iterations = 0;
+    int status;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOOOOddnndddnnd:coarsen", keywords,
+                                     &objs[0], &objs[1], &objs[2], &objs[3], &objs[4],
+                                     &objs[5], &objs[6], &objs[7], &band.w_i, &band.w_o,
+                                     &row_groups, &col_groups, &plan.low, &plan.row_high,
+                                     &plan.col_high, &max_iterations, &max_midpoints,
+                                     &plan.tolerance))
         return NULL;
-    for (i = 1; i < 5; i++)
-        if (!(array[i] = take("sweep_rows", names[i], objs[i - 1], F64_ONLY, 0)))
+    for (i = 0; i < 8; i++) {
+        if (!(array[i] = take("coarsen", names[i], objs[i], dtypes[i], 0)))
             return NULL;
-    if (PyArray_NDIM(array[1]) != 2 || !same_shape(array[2], array[1])) {
-        PyErr_Format(PyExc_ValueError, "sweep_rows: freq %s and cand %s are not one matrix",
-                     shape_text(array[1], shapes[0], sizeof shapes[0]),
-                     shape_text(array[2], shapes[1], sizeof shapes[1]));
+        if (PyArray_NDIM(array[i]) != 1) {
+            PyErr_Format(PyExc_ValueError, "coarsen: %s has shape %s, not one axis", names[i],
+                         shape_text(array[i], shapes[0], sizeof shapes[0]));
+            return NULL;
+        }
+    }
+    rows = SIZE(array[0]);
+    cols = SIZE(array[1]);
+    if (SIZE(array[2]) != rows + 1 || SIZE(array[5]) != rows + 1) {
+        PyErr_Format(PyExc_ValueError, "coarsen: run_ptr %s and entry_ptr %s do not fit row_input %s",
+                     shape_text(array[2], shapes[0], sizeof shapes[0]),
+                     shape_text(array[5], shapes[1], sizeof shapes[1]),
+                     shape_text(array[0], shapes[2], sizeof shapes[2]));
         return NULL;
     }
-    if (PyArray_NDIM(array[3]) != 1 || PyArray_DIM(array[3], 0) != PyArray_DIM(array[1], 0)
-        || PyArray_NDIM(array[4]) != 1 || PyArray_DIM(array[4], 0) != PyArray_DIM(array[1], 1)) {
+    for (i = 3; i < 7; i += 3)
+        if (SIZE(array[i]) != SIZE(array[i + 1])) {
+            PyErr_Format(PyExc_ValueError, "coarsen: %s %s and %s %s are not one %s list",
+                         names[i], shape_text(array[i], shapes[0], sizeof shapes[0]),
+                         names[i + 1], shape_text(array[i + 1], shapes[1], sizeof shapes[1]),
+                         i == 3 ? "run" : "entry");
+            return NULL;
+        }
+    if (!rows || !cols) {
+        PyErr_Format(PyExc_ValueError, "coarsen: row_input %s and col_input %s hold no cell",
+                     shape_text(array[0], shapes[0], sizeof shapes[0]),
+                     shape_text(array[1], shapes[1], sizeof shapes[1]));
+        return NULL;
+    }
+    if (row_groups < 1 || col_groups < 1) {
         PyErr_Format(PyExc_ValueError,
-                     "sweep_rows: row_input %s and col_input %s do not fit a %s matrix",
-                     shape_text(array[3], shapes[0], sizeof shapes[0]),
-                     shape_text(array[4], shapes[1], sizeof shapes[1]),
-                     shape_text(array[1], shapes[2], sizeof shapes[2]));
+                     "coarsen: row_groups %zd and col_groups %zd: each axis needs a group",
+                     row_groups, col_groups);
         return NULL;
     }
-    if (max_groups < 1) {
-        PyErr_Format(PyExc_ValueError,
-                     "sweep_rows: max_groups is %zd: a sweep needs at least one group", max_groups);
-        return NULL;
+    for (i = 0; i < 8; i++) {
+        const double *values = PyArray_DATA(array[i]);
+        Py_ssize_t at, size = dtypes[i] == F64_ONLY ? SIZE(array[i]) : 0;
+        for (at = 0; at < size; at++)
+            if (!(values[at] >= 0.0 && values[at] <= DBL_MAX)) {
+                PyErr_Format(PyExc_ValueError, "coarsen: %s[%zd] is %s, not finite and non-negative",
+                             names[i], at, unfit_word(values[at]));
+                return NULL;
+            }
     }
-    room = max_groups + 1;
-    if (!(array[0] = new_array(1, &room, NPY_INT64)))
-        return NULL;
+    run_ptr = PyArray_DATA(array[2]);
+    run_lo = PyArray_DATA(array[3]);
+    run_hi = PyArray_DATA(array[4]);
+    entry_ptr = PyArray_DATA(array[5]);
+    entry_col = PyArray_DATA(array[6]);
+    for (i = 2; i < 6; i += 3)
+        if (!rises(PyArray_DATA(array[i]), rows, SIZE(array[i + 1]))) {
+            PyErr_Format(PyExc_ValueError, "coarsen: %s does not rise from 0 to the %zd %s",
+                         names[i], SIZE(array[i + 1]), i == 2 ? "runs" : "entries");
+            return NULL;
+        }
+    for (r = 0; r < rows; r++) {
+        for (i = run_ptr[r]; i < run_ptr[r + 1]; i++)
+            if (run_lo[i] < (i > run_ptr[r] ? run_hi[i - 1] : 0) || run_hi[i] <= run_lo[i]
+                || run_hi[i] > cols) {
+                PyErr_Format(PyExc_ValueError,
+                             "coarsen: row %zd's runs are not disjoint ascending ranges of the "
+                             "col_input's %zd columns", r, (Py_ssize_t)cols);
+                return NULL;
+            }
+        for (i = entry_ptr[r]; i < entry_ptr[r + 1]; i++)
+            if (entry_col[i] < (i > entry_ptr[r] ? entry_col[i - 1] + 1 : 0)
+                || entry_col[i] >= cols) {
+                PyErr_Format(PyExc_ValueError,
+                             "coarsen: row %zd's entry_col is not ascending inside the "
+                             "col_input's %zd columns", r, (Py_ssize_t)cols);
+                return NULL;
+            }
+    }
+    band.rows = rows;
+    band.cols = cols;
+    band.row_input = PyArray_DATA(array[0]);
+    band.col_input = PyArray_DATA(array[1]);
+    band.run_ptr = run_ptr;
+    band.run_lo = run_lo;
+    band.run_hi = run_hi;
+    band.entry_ptr = entry_ptr;
+    band.entry_col = entry_col;
+    band.entry_value = PyArray_DATA(array[7]);
+    plan.row_groups = row_groups < rows ? row_groups : rows;
+    plan.col_groups = col_groups < cols ? col_groups : cols;
+    plan.max_iterations = max_iterations;
+    plan.max_midpoints = max_midpoints;
     Py_BEGIN_ALLOW_THREADS
-    written = sweep_rows(PyArray_DATA(array[1]), PyArray_DATA(array[2]), PyArray_DATA(array[3]),
-                         PyArray_DATA(array[4]), PyArray_DIM(array[1], 0),
-                         PyArray_DIM(array[1], 1), w_i, w_o, threshold, max_groups,
-                         PyArray_DATA(array[0]));
+    status = coarsen(&band, &plan, &scratch, &best, &iterations);
     Py_END_ALLOW_THREADS
-    if (written <= 0) {
-        Py_DECREF(array[0]);
-        if (written < 0)
+    if (status) {
+        release(&scratch);
+        if (status == COARSEN_NO_MEMORY)
             return PyErr_NoMemory();
-        Py_RETURN_NONE;
-    }
-    if (shrink(array[0], written)) {
-        Py_DECREF(array[0]);
+        if (status == COARSEN_NO_COVER)
+            Py_RETURN_NONE;
+        PyErr_Format(PyExc_ValueError, "coarsen: %s adds up to a non-finite aggregate",
+                     status == COARSEN_ROW_INPUT   ? "row_input"
+                     : status == COARSEN_COL_INPUT ? "col_input"
+                                                   : "entry_value");
         return NULL;
     }
-    return (PyObject *)array[0];
+    sources[0] = best.row_bounds;
+    sources[1] = best.col_bounds;
+    sources[2] = best.freq;
+    sources[3] = best.row_input;
+    sources[4] = best.col_input;
+    sources[5] = best.cand;
+    shape[0] = best.rows + 1;
+    out[0] = (PyObject *)new_array(1, shape, NPY_INT64);
+    shape[0] = best.cols + 1;
+    out[1] = (PyObject *)new_array(1, shape, NPY_INT64);
+    shape[0] = best.rows;
+    shape[1] = best.cols;
+    out[2] = (PyObject *)new_array(2, shape, NPY_DOUBLE);
+    out[3] = (PyObject *)new_array(1, &shape[0], NPY_DOUBLE);
+    out[4] = (PyObject *)new_array(1, &shape[1], NPY_DOUBLE);
+    out[5] = (PyObject *)new_array(2, shape, NPY_BOOL);
+    for (i = 0; i < 6 && out[i]; i++)
+        ;
+    if (i < 6) {
+        for (i = 0; i < 6; i++)
+            Py_XDECREF(out[i]);
+        release(&scratch);
+        return NULL;
+    }
+    for (i = 0; i < 6; i++)
+        memcpy(PyArray_DATA((PyArrayObject *)out[i]), sources[i],
+               (size_t)PyArray_NBYTES((PyArrayObject *)out[i]));
+    release(&scratch);
+    return Py_BuildValue("NNNNNNdn", out[0], out[1], out[2], out[3], out[4], out[5], best.weight,
+                         (Py_ssize_t)iterations);
 }
 
 /* A copy of an array with `rows` entries along its first axis, the first
@@ -2599,8 +3048,7 @@ static PyMethodDef methods[] = {
     {"fold", ENTRY(fold)},
     {"band_inverse", ENTRY(band_inverse)},
     {"offer", ENTRY(offer)},
-    {"group_sums", ENTRY(group_sums)},
-    {"sweep_rows", ENTRY(sweep_rows)},
+    {"coarsen", ENTRY(coarsen)},
     {"closure", ENTRY(closure)},
     {"tile", ENTRY(tile)},
     {"search", ENTRY(search)},

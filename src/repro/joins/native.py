@@ -8,9 +8,11 @@ cut, its needles searched and its counts summed), a transposed band's
 exact inverse bounds, the offer of entries to an Efraimidis--Spirakis
 reservoir (the stream histogram's per batch, Stream-Sample's per worker
 and per merge), a ``heapq`` push / ``heapreplace`` per entry,
-coarsening's sums of the band sample matrix by group, numpy's pairwise
-``reduceat`` tree over the sampled entries only, its greedy sweep, a group
-of small cumulative sums per window of rows, and MonotonicBSP's tiling DP, a stack walk over a grid's minimal
+coarsening's search -- each refinement pass's sums of the band sample
+matrix by group (numpy's pairwise ``reduceat`` tree over the sampled
+entries only), each threshold probe's greedy sweep (a group of small
+cumulative sums per window of rows) and the bisection around them --
+and MonotonicBSP's tiling DP, a stack walk over a grid's minimal
 rectangles per threshold.  ``native.c`` does each in one call, and each
 call is the only way production runs that loop: :func:`fold` for every
 merge and count -- a stream batch's
@@ -23,9 +25,9 @@ a batch into empty state) and a merge of
 :meth:`~repro.streaming.incremental.DecayedReservoir.add_batch` and for
 :class:`~repro.sampling.reservoir.WeightedReservoir`'s offers (its payload
 an entry's position in the offered pool),
-:func:`group_sums` for coarsening's aggregates of the band sample matrix
-(the dense ``np.add.reduceat`` it equals bit for bit), :func:`sweep_rows`
-for one threshold probe of coarsening's per-axis search, :func:`tile` for
+:func:`coarsen` for all of :func:`~repro.core.coarsening.coarsen`'s loop
+(its aggregates the dense ``np.add.reduceat`` bit for bit, its search
+``smallest_feasible``'s steps), :func:`tile` for
 one threshold probe of regionalization's, over the child table
 :func:`closure` builds once per grid (a few calls, one per round of
 rectangles that need children), and :func:`search` for the plan build's
@@ -41,9 +43,11 @@ forms they replaced live in the test harness (``tests/reference_*.py``),
 which holds the kernel to them bit for bit: counts and merged runs
 (``tests/test_native_kernel.py``, ``tests/test_count_half.py``), the
 band inverses (``tests/test_condition_properties.py``), both reservoirs' heap arrays entry for
-entry (``tests/test_sampling_oracle.py``), the group sums' floats
-(``tests/test_coarsening.py``), the sweep's boundaries and the
-tilings' regions and rectangle counts (``tests/test_planner_oracle.py``),
+entry (``tests/test_sampling_oracle.py``), the coarse grid's floats
+(``tests/test_coarsening.py``), coarsening's bounds, passes and grid
+against the band loop it replaced, its sweep's fit against the row loop,
+and the tilings' regions and rectangle counts
+(``tests/test_planner_oracle.py``),
 the searches' answers (``tests/test_search_oracle.py``, against
 ``np.searchsorted`` itself) and the candidate spans
 (``tests/test_spans_oracle.py``, against the multi-way numpy search).
@@ -60,12 +64,12 @@ name, having written nothing; an object, dtype or layout refusal reads
 ``"<entry>: <argument> is <found>, not <expected>"`` (``"fold: cum is
 float32, not int64"``).  A loop that cannot have its scratch memory
 raises :class:`MemoryError`.  Each releases the GIL while its loop runs.
-This module re-exports the nine (their docstrings are in ``native.c``).
+This module re-exports the eight (their docstrings are in ``native.c``).
 
 On import the module compiles ``native.c`` with the C compiler (the ``CC``
 environment variable, else the one Python was built with, ``-O2
 -ffp-contract=off -shared -fPIC`` and the include directories of Python's
-and numpy's headers: the sweep must round every product and sum on its
+and numpy's headers: coarsening must round every product and sum on its
 own, as numpy does) into this package's own ``__pycache__/``, named by a
 SHA-256 of the source, the compiler's argv, the platform, the
 interpreter's ABI tag (``SOABI``) and numpy's version (:func:`_digest`),
@@ -96,8 +100,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["KernelUnavailable", "band_inverse", "closure", "fold", "group_sums", "offer",
-           "search", "spans", "sweep_rows", "tile"]
+__all__ = ["KernelUnavailable", "band_inverse", "closure", "coarsen", "fold", "offer",
+           "search", "spans", "tile"]
 
 SOURCE = Path(__file__).with_name("native.c")
 #: The extension module's name; ``native.c`` defines ``PyInit__native``.
@@ -200,8 +204,7 @@ _KERNEL = _build()
 fold = _KERNEL.fold
 band_inverse = _KERNEL.band_inverse
 offer = _KERNEL.offer
-group_sums = _KERNEL.group_sums
-sweep_rows = _KERNEL.sweep_rows
+coarsen = _KERNEL.coarsen
 closure = _KERNEL.closure
 tile = _KERNEL.tile
 search = _KERNEL.search

@@ -31,6 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.query.compiler import CompiledPlan
+from repro.streaming.arrivals import ArrivalLog
 
 __all__ = [
     "PlanReport",
@@ -99,29 +100,27 @@ def _steady_state(
     """Drive the plan's window policy; return (peak live, trim point).
 
     One side is simulated (the policies treat sides independently and
-    identically): arrivals land ``batch_size`` per batch, the policy's
-    ``evictions`` prunes the live set after each batch exactly as the
-    engine would, and ``trim_point`` is read at the horizon.
+    identically) on the engine's own bookkeeping, an
+    :class:`~repro.streaming.arrivals.ArrivalLog`: ``batch_size`` arrivals
+    land per batch, the live count is read before the window expires the
+    batch's share (:meth:`~repro.streaming.arrivals.ArrivalLog.expire`, a
+    seeded generator for a decay window's draws), and the log trims after
+    each batch as the engine's does, so its base at the horizon is the trim
+    point.  Under an unbounded window nothing is live-tracked or trimmed:
+    every arrival is resident and the trim point is 0.
     """
     window = plan.window
     rng = np.random.default_rng(seed)
-    live = np.empty(0, dtype=np.int64)
-    batch_starts: list[int] = []
-    total = 0
+    log = ArrivalLog(windowed=not window.is_unbounded)
+    arrivals = np.zeros(batch_size)
     peak = 0
     for _ in range(horizon_batches):
-        batch_starts.append(total)
-        arrivals = np.arange(total, total + batch_size, dtype=np.int64)
-        total += batch_size
-        live = np.concatenate([live, arrivals])
-        peak = max(peak, len(live))
-        if not window.is_unbounded:
-            expired = window.evictions(live, batch_starts, total, rng)
-            if len(expired):
-                keep = np.ones(len(live), dtype=bool)
-                keep[np.searchsorted(live, expired)] = False
-                live = live[keep]
-    return peak, int(window.trim_point(live[0] if len(live) else total))
+        log.append(arrivals)
+        if log.windowed:
+            peak = max(peak, log.live_entries)
+            log.expire(window, rng)
+            log.trim(window)
+    return (peak if log.windowed else log.retained), log.base
 
 
 def _match_probability(

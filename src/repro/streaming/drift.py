@@ -40,7 +40,8 @@ class DriftDetector:
     Between batches it holds two numbers, the EWMA and the batch of its
     last trigger, and no per-batch record: each batch's live imbalance and
     whether it repartitioned are in the run's
-    :class:`~repro.streaming.metrics.BatchMetrics`.
+    :class:`~repro.streaming.metrics.BatchMetrics`.  The EWMA the last
+    trigger fired on stays readable (:attr:`fired_imbalance`).
     """
 
     threshold: float = 1.5
@@ -49,6 +50,7 @@ class DriftDetector:
     cooldown_batches: int = 3
     _smoothed: float | None = field(default=None, repr=False)
     _last_trigger: int | None = field(default=None, repr=False)
+    _fired: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         """Validate the threshold and smoothing parameters."""
@@ -61,6 +63,23 @@ class DriftDetector:
     def smoothed_imbalance(self) -> float:
         """Current EWMA of the live imbalance (1.0 before any update)."""
         return self._smoothed if self._smoothed is not None else 1.0
+
+    @property
+    def fired_imbalance(self) -> float | None:
+        """The EWMA the last trigger fired on (``None`` before any trigger).
+
+        A trigger restarts the EWMA, so :attr:`smoothed_imbalance` reads
+        1.0 right after it; this keeps the value the decision was taken on.
+        It describes that decision, not the state the next batch reads, so
+        a pickle (a checkpoint) leaves it out.
+        """
+        return self._fired
+
+    def __getstate__(self) -> dict:
+        """The pickled state: every field but :attr:`fired_imbalance`'s."""
+        state = dict(self.__dict__)
+        state.pop("_fired", None)
+        return state
 
     def update(
         self,
@@ -89,6 +108,7 @@ class DriftDetector:
         )
         if triggered:
             self._last_trigger = batch_index
+            self._fired = self._smoothed
             # The repartitioning resets the live load profile; restart the
             # EWMA so stale pre-rebuild imbalance cannot re-trigger.
             self._smoothed = None

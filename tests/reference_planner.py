@@ -31,8 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.bsp import BSPResult
-from repro.core.coarsening import CoarseningResult, _even_boundaries
-from repro.core.grid import BandGrid, WeightedGrid
+from repro.core.coarsening import CoarseningResult
+from repro.core.grid import BandGrid, WeightedGrid, smallest_feasible
 from repro.core.region import GridRegion
 from repro.core.regionalization import RegionalizationResult
 from repro.core.tiling_tables import Rect
@@ -727,6 +727,16 @@ def numpy_sweep_rows(
 # Coarsening: the dense aggregates, the per-axis threshold search and the
 # alternating passes
 # ----------------------------------------------------------------------
+def even_boundaries(size: int, groups: int) -> np.ndarray:
+    """Evenly spaced group boundaries (length ``groups + 1``) over ``size`` items.
+
+    The rounded points never descend, so one compare of neighbours drops
+    the repeats ``np.unique`` would.
+    """
+    points = np.linspace(0, size, groups + 1).round().astype(np.int64)
+    return points[np.r_[True, points[1:] != points[:-1]]]
+
+
 def dense_grid(band: BandGrid) -> WeightedGrid:
     """The dense grid a band stands for: its runs' mask, its entries' frequencies."""
     rows, cols = band.shape
@@ -855,8 +865,8 @@ def reference_coarsen(
     num_row_groups = max(1, min(num_row_groups, grid.num_rows))
     num_col_groups = max(1, min(num_col_groups, grid.num_cols))
 
-    row_bounds = _even_boundaries(grid.num_rows, num_row_groups)
-    col_bounds = _even_boundaries(grid.num_cols, num_col_groups)
+    row_bounds = even_boundaries(grid.num_rows, num_row_groups)
+    col_bounds = even_boundaries(grid.num_cols, num_col_groups)
 
     best_grid = _build_coarse_grid(grid, row_bounds, col_bounds)
     best_weight = best_grid.max_cell_weight(weight_fn, candidates_only=True)
@@ -883,6 +893,189 @@ def reference_coarsen(
             tolerance, max_search_steps,
         )
         coarse = _build_coarse_grid(grid, row_bounds, col_bounds)
+        weight = coarse.max_cell_weight(weight_fn, candidates_only=True)
+        if weight < best_weight - 1e-12:
+            best_weight = weight
+            best_grid = coarse
+            best_bounds = (row_bounds, col_bounds)
+        else:
+            break
+
+    return CoarseningResult(
+        grid=best_grid,
+        row_groups=np.asarray(best_bounds[0], dtype=np.int64),
+        col_groups=np.asarray(best_bounds[1], dtype=np.int64),
+        max_cell_weight=float(best_weight),
+        iterations=iterations_run,
+    )
+
+
+# ----------------------------------------------------------------------
+# Coarsening on the band: the loop as production ran it in Python before
+# the compiled kernel's ``coarsen`` took it whole
+# ----------------------------------------------------------------------
+#: A pass's aggregates of its lines by group: frequencies, candidate
+#: counts (both lines x groups, C order) and the groups' input.
+Aggregates = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def numpy_group_sums(ptr: np.ndarray, index: np.ndarray, value: np.ndarray,
+                     bounds: np.ndarray, width: int) -> np.ndarray:
+    """A sparse matrix's sums by group: ``np.add.reduceat`` of its dense form.
+
+    Line ``m`` holds ``value[ptr[m]:ptr[m + 1]]`` at positions ``index[...]``
+    of ``width``; the kernel's group sums stood for exactly this.
+    """
+    dense = np.zeros((ptr.size - 1, width))
+    dense[np.repeat(np.arange(ptr.size - 1), np.diff(ptr)), index] = value
+    return np.add.reduceat(dense, bounds[:-1], axis=1)
+
+
+def band_group_columns(grid: BandGrid, bounds: np.ndarray) -> Aggregates:
+    """Each row's frequency, candidate count and the input by column group.
+
+    ``rows x groups`` C-ordered float64 arrays plus the groups' input: the
+    dense grid's ``np.add.reduceat`` along the columns bit for bit.  The
+    counts are each run's overlap with each group (whole numbers, exact in
+    any order).
+    """
+    freq = numpy_group_sums(grid.entry_ptr, grid.entry_col, grid.entry_value, bounds,
+                            grid.num_cols)
+    groups = bounds.size - 1
+    clipped = np.clip(bounds, grid.run_lo[:, None], grid.run_hi[:, None])
+    overlap = np.empty((grid.run_lo.size, groups))
+    np.subtract(clipped[:, 1:], clipped[:, :-1], out=overlap)
+    del clipped
+    cand = np.zeros((grid.num_rows, groups))
+    rows = np.flatnonzero(np.diff(grid.run_ptr))
+    if rows.size:
+        cand[rows] = np.add.reduceat(overlap, grid.run_ptr[rows], axis=0)
+    return freq, cand, np.add.reduceat(grid.col_input, bounds[:-1])
+
+
+def band_group_rows(grid: BandGrid, bounds: np.ndarray) -> Aggregates:
+    """:func:`band_group_columns` of the transposed grid: ``columns x groups``.
+
+    The dense reduceat down the rows, transposed.  The counts come from one
+    difference array per row group, each run adding 1 at its first column
+    and -1 past its last.
+    """
+    freq = numpy_group_sums(*grid.entries_by_column, bounds, grid.num_rows)
+    groups, width = bounds.size - 1, grid.num_cols + 1
+    steps = np.searchsorted(bounds, grid.run_rows, side="right") * width - width
+    counts = np.bincount(steps + grid.run_lo, minlength=groups * width)
+    counts -= np.bincount(steps + grid.run_hi, minlength=groups * width)
+    counts = counts.reshape(groups, width)
+    np.cumsum(counts, axis=1, out=counts)
+    cand = np.ascontiguousarray(counts[:, :-1].T, dtype=np.float64)
+    return freq, cand, np.add.reduceat(grid.row_input, bounds[:-1])
+
+
+def band_optimize_axis(
+    aggregates: Aggregates,
+    line_input: np.ndarray,
+    weight_fn: WeightFunction,
+    max_groups: int,
+    low: float,
+    high: float,
+    max_midpoints: int = 25,
+) -> np.ndarray:
+    """Choose line boundaries minimising the max candidate-block weight for fixed groups.
+
+    ``low`` is the threshold search's lower end, the grid's heaviest
+    candidate cell; ``high`` the grid's total weight as that axis's dense
+    grid summed it.  One group is the only cover ``max_groups == 1``
+    allows, so it is returned without a search.
+    """
+    if max_groups == 1:
+        return np.array([0, line_input.size], dtype=np.int64)
+    freq_by_group, cand_by_group, input_by_group = aggregates
+
+    def feasible(threshold: float) -> np.ndarray | None:
+        return numpy_sweep_rows(freq_by_group, cand_by_group, line_input, input_by_group,
+                                weight_fn, threshold, max_groups)
+
+    _, bounds, _ = smallest_feasible(feasible, low, high, max_midpoints)
+    if bounds is None:
+        raise RuntimeError("coarsening sweep failed at the trivial threshold")
+    return bounds
+
+
+def band_build_coarse_grid(by_rows: Aggregates, col_bounds: np.ndarray,
+                           col_input: np.ndarray) -> WeightedGrid:
+    """The coarse grid from the columns' aggregates by row group (:func:`band_group_rows`).
+
+    The dense grid's row pass, ``np.add.reduceat`` down the rows, is that
+    aggregate transposed, so only the column pass runs here, over its
+    strided transpose.
+    """
+    freq_t, cand_t, row_input = by_rows
+    starts = col_bounds[:-1]
+    return WeightedGrid(
+        frequency=np.ascontiguousarray(np.add.reduceat(freq_t.T, starts, axis=1)),
+        row_input=row_input,
+        col_input=np.add.reduceat(col_input, starts),
+        candidate=np.add.reduceat(cand_t.T, starts, axis=1) > 0,
+    )
+
+
+def band_search_ends(grid: BandGrid, weight_fn: WeightFunction) -> tuple[float, float, float]:
+    """The searches' ends as production computes them: the heaviest candidate
+    cell, then each axis's total weight (at least that cell)."""
+    heaviest_cell = grid.max_cell_weight(weight_fn, candidates_only=True)
+    total_input = grid.total_input
+    row_high = max(weight_fn.weight(total_input, grid.total_output), heaviest_cell)
+    col_high = max(weight_fn.weight(total_input, grid.transposed_total_output), heaviest_cell)
+    return heaviest_cell, row_high, col_high
+
+
+def band_coarsen(
+    grid: BandGrid | WeightedGrid,
+    num_row_groups: int,
+    num_col_groups: int | None = None,
+    weight_fn: WeightFunction | None = None,
+    ends: tuple[float, float, float] | None = None,
+    max_iterations: int = 4,
+    max_midpoints: int = 25,
+) -> CoarseningResult:
+    """``repro.core.coarsening.coarsen`` as it ran in Python over the band.
+
+    ``ends`` -- ``(low, row_high, col_high)`` -- replaces the searches' ends
+    production computes (:func:`band_search_ends`), as the kernel's
+    arguments can.
+    """
+    weight_fn = weight_fn or WeightFunction()
+    if num_col_groups is None:
+        num_col_groups = num_row_groups
+    if isinstance(grid, WeightedGrid):
+        grid = BandGrid.from_dense(grid)
+    num_row_groups = max(1, min(num_row_groups, grid.num_rows))
+    num_col_groups = max(1, min(num_col_groups, grid.num_cols))
+
+    row_bounds = even_boundaries(grid.num_rows, num_row_groups)
+    col_bounds = even_boundaries(grid.num_cols, num_col_groups)
+
+    best_grid = band_build_coarse_grid(band_group_rows(grid, row_bounds), col_bounds,
+                                       grid.col_input)
+    best_weight = best_grid.max_cell_weight(weight_fn, candidates_only=True)
+    best_bounds = (row_bounds, col_bounds)
+    iterations_run = 0
+
+    heaviest_cell, row_high, col_high = ends or band_search_ends(grid, weight_fn)
+
+    for iteration in range(max_iterations):
+        iterations_run = iteration + 1
+        row_bounds = band_optimize_axis(
+            band_group_columns(grid, col_bounds), grid.row_input, weight_fn,
+            num_row_groups, heaviest_cell, row_high, max_midpoints,
+        )
+        # The columns' sweep and the coarse grid's row pass share it.
+        by_rows = band_group_rows(grid, row_bounds)
+        col_bounds = band_optimize_axis(
+            by_rows, grid.col_input, weight_fn, num_col_groups, heaviest_cell, col_high,
+            max_midpoints,
+        )
+        coarse = band_build_coarse_grid(by_rows, col_bounds, grid.col_input)
         weight = coarse.max_cell_weight(weight_fn, candidates_only=True)
         if weight < best_weight - 1e-12:
             best_weight = weight

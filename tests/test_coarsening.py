@@ -9,14 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference_planner import band_coarsen
 from streaming_harness import interpreter_calls
 
-from repro.core import coarsening
 from repro.core.coarsening import MAX_ITERATIONS, coarsen, coarsened_size
-from repro.core.grid import WeightedGrid, smallest_feasible
+from repro.core.grid import BandGrid, WeightedGrid
 from repro.core.sample_matrix import build_sample_matrix
 from repro.core.weights import BAND_JOIN_WEIGHTS, WeightFunction
-from repro.joins import native
 from repro.joins.conditions import BandJoinCondition
 from repro.sampling.equidepth import EquiDepthHistogram
 from repro.sampling.stream_sample import JoinOutputSample
@@ -187,32 +186,38 @@ class TestCoarsen:
         ) >= fine_max - 1e-9
 
 
-def test_a_threshold_probe_makes_the_same_calls_at_any_sample_size():
-    """One threshold probe of coarsening's search (``feasible``) is one kernel
-    call: it makes as many interpreter calls at n_s = 1,024 as at 128.  ``-s``
-    prints them."""
+#: The interpreter calls one coarsen makes, whatever the grid's size: the
+#: searches' ends, one kernel call, one WeightedGrid (74 measured; 583 while
+#: each threshold probe and each pass's aggregates were calls of their own).
+COARSEN_CALLS_BOUND = 81
+
+
+def test_one_coarsen_makes_the_same_few_calls_at_any_sample_size():
+    """All of coarsening's search is one kernel call: one coarsen of a band
+    (the sample matrix's form) makes as many interpreter calls at n_s = 128
+    as at 1,024, J = 16 or 6, on a band join's sample matrix and on an
+    inequality's, and no more than the bound.  ``-s`` prints them."""
     calls = {}
     for size in (128, 1_024):
-        probes = []
-
-        def measured(feasible, low, high, max_midpoints):
-            # The probe at the threshold the search settles on: the
-            # sweep that closes the most groups.
-            found = smallest_feasible(feasible, low, high, max_midpoints)
-            if not probes:
-                probes.append(interpreter_calls(feasible, found[0])[1])
-            return found
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(coarsening, "smallest_feasible", measured)
-            coarsen(band_grid(size, beta=20.0, seed=11), 16)
-        calls[size] = probes[0]
-    print("coarsening probe: " + ", ".join(f"n_s {size:,} {calls[size]} calls" for size in calls))
-    assert calls[128] == calls[1_024]
+        for machines in (16, 6):
+            grid = BandGrid.from_dense(band_grid(size, beta=20.0, seed=11))
+            _, calls[size, machines, "band"] = interpreter_calls(
+                coarsen, grid, 2 * machines, weight_fn=BAND_JOIN_WEIGHTS)
+        upper = np.triu(np.ones((size // 8, size // 8), dtype=bool))
+        rng = np.random.default_rng(size)
+        triangle = BandGrid.from_dense(WeightedGrid(
+            np.where(upper, rng.random(upper.shape), 0.0), rng.random(size // 8),
+            rng.random(size // 8), upper))
+        _, calls[size, 12, "inequality"] = interpreter_calls(
+            coarsen, triangle, 24, weight_fn=BAND_JOIN_WEIGHTS)
+    print("coarsen: " + ", ".join(f"{shape} n_s {size:,} J {machines}: {count} calls"
+                                  for (size, machines, shape), count in calls.items()))
+    assert len(set(calls.values())) == 1
+    assert max(calls.values()) <= COARSEN_CALLS_BOUND
 
 
 # ----------------------------------------------------------------------
-# The kernel's group sums against numpy's reduceat
+# The kernel's sums against numpy's reduceat
 # ----------------------------------------------------------------------
 #: Segment lengths around numpy's pairwise-sum edges: its 8 lanes and its
 #: 128-value blocks, and one long enough to split several times.
@@ -221,32 +226,24 @@ SEGMENT_LENGTHS = [1, 7, 8, 9, 127, 128, 129, 4_096]
 
 @st.composite
 def sparse_lines(draw):
-    """A lines x length matrix, mostly zeros, and group bounds over its length.
+    """A lines x length matrix, mostly zeros, its length made of segments.
 
     Values span ten decades, so the order they are added in shows in the
-    last bits; some lines and some groups are all zero.
+    last bits; a line and a segment are all zero.
     """
     lengths = draw(st.lists(st.sampled_from(SEGMENT_LENGTHS) | st.integers(1, 300),
                             min_size=1, max_size=4))
-    lines = draw(st.integers(0, 4))
+    lines = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = sum(lengths)
     density = draw(st.sampled_from([0.0, 0.002, 0.05, 0.5, 1.0]))
     values = rng.random((lines, size)) * 10.0 ** rng.integers(-3, 7, size=(lines, size))
     dense = np.where(rng.random((lines, size)) < density, values, 0.0)
     bounds = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-    if lines:
-        dense[rng.integers(0, lines)] = 0.0
-        group = rng.integers(0, len(lengths))
-        dense[:, bounds[group]:bounds[group + 1]] = 0.0
-    return dense, bounds
-
-
-def csr(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero entries of a 2-D array, row by row: ``(ptr, columns, values)``."""
-    rows, cols = np.nonzero(dense)
-    ptr = np.searchsorted(rows, np.arange(dense.shape[0] + 1))
-    return ptr, np.ascontiguousarray(cols), dense[rows, cols]
+    dense[rng.integers(0, lines)] = 0.0
+    group = rng.integers(0, len(lengths))
+    dense[:, bounds[group]:bounds[group + 1]] = 0.0
+    return dense
 
 
 def same_bits(ours: np.ndarray, expected: np.ndarray) -> bool:
@@ -254,47 +251,57 @@ def same_bits(ours: np.ndarray, expected: np.ndarray) -> bool:
     return ours.shape == expected.shape and ours.tobytes() == expected.tobytes()
 
 
-@given(case=sparse_lines())
-@example(case=(np.zeros((0, 9)), np.array([0, 9])))
-@example(case=(np.zeros((2, 129)), np.array([0, 1, 129])))
+def sums_grid(dense: np.ndarray) -> WeightedGrid:
+    """A grid whose every cell is a candidate carrying ``dense``, and whose
+    inputs span ten decades and hold zeros as well."""
+    rng = np.random.default_rng(dense.size)
+    rows, cols = dense.shape
+    row_input = rng.random(rows) * 10.0 ** rng.integers(-3, 7, size=rows)
+    col_input = np.where(rng.random(cols) < 0.1, 0.0,
+                         rng.random(cols) * 10.0 ** rng.integers(-3, 7, size=cols))
+    return WeightedGrid(dense, row_input, col_input, np.ones(dense.shape, dtype=bool))
+
+
+@given(dense=sparse_lines(), transpose=st.booleans(), groups=st.integers(1, 5))
+@example(dense=np.zeros((2, 129)), transpose=False, groups=1)
+@example(dense=np.zeros((2, 129)), transpose=True, groups=1)
 @settings(max_examples=200, deadline=None)
-def test_group_sums_are_numpys_reduceat_bit_for_bit(case):
-    """``native.group_sums`` == ``np.add.reduceat`` along the groups on a
-    C-ordered array, on the same values F-ordered (a transposed grid's
-    view), and down the rows of the transpose (the coarse grid's row pass),
-    to the last bit; a sequential sum misses some of these."""
-    dense, bounds = case
-    ours = native.group_sums(*csr(dense), bounds)
-    assert ours.flags.c_contiguous
-    starts = bounds[:-1]
-    assert same_bits(ours, np.add.reduceat(dense, starts, axis=1))
-    transposed = np.ascontiguousarray(dense.T)
-    assert transposed.T.flags.f_contiguous or transposed.size == 0
-    assert same_bits(ours, np.add.reduceat(transposed.T, starts, axis=1))
-    assert same_bits(ours, np.add.reduceat(transposed, starts, axis=0).T)
+def test_the_coarse_grid_is_numpys_reduceat_bit_for_bit(dense, transpose, groups):
+    """A coarse grid (over a lines x length matrix or its transpose, so the
+    long sums run along the columns or down the rows) equals the dense
+    ``np.add.reduceat`` down the rows, then along the columns, at its own
+    bounds, to the last bit, and so do its inputs; one group per axis sums
+    each whole axis.  A sequential sum misses some of these."""
+    dense = dense.T.copy() if transpose else dense
+    grid = sums_grid(dense)
+    for rows, cols in ((1, 1), (groups, groups), (groups, 1), (1, groups)):
+        try:
+            result = coarsen(grid, rows, cols)
+        except RuntimeError:
+            # A sweep summing the inputs in another order than the total
+            # can find no cover; the band loop (held to the kernel in
+            # test_planner_oracle.py) finds none either.
+            with pytest.raises(RuntimeError):
+                band_coarsen(grid, rows, cols)
+            continue
+        row_starts, col_starts = result.row_groups[:-1], result.col_groups[:-1]
+        by_rows = np.add.reduceat(dense, row_starts, axis=0)
+        assert same_bits(result.grid.frequency, np.add.reduceat(by_rows, col_starts, axis=1))
+        assert same_bits(result.grid.row_input, np.add.reduceat(grid.row_input, row_starts))
+        assert same_bits(result.grid.col_input, np.add.reduceat(grid.col_input, col_starts))
+        assert result.grid.candidate.all()
 
 
-def test_group_sums_refuse_what_they_cannot_sum():
-    ptr, index, value = csr(np.array([[0.0, 2.0, 3.0], [1.0, 0.0, 0.0]]))
-    bounds = np.array([0, 2, 3])
-    assert native.group_sums(ptr, index, value, bounds).tolist() == [[2.0, 3.0], [1.0, 0.0]]
-    with pytest.raises(TypeError, match="group_sums: ptr is int32, not int64"):
-        native.group_sums(ptr.astype(np.int32), index, value, bounds)
-    with pytest.raises(TypeError, match="group_sums: value is float32, not float64"):
-        native.group_sums(ptr, index, value.astype(np.float32), bounds)
-    not_one_csr = r"group_sums: ptr \(3,\), index \(3,\) and value \(2,\) are not one CSR"
-    with pytest.raises(ValueError, match=not_one_csr):
-        native.group_sums(ptr, index, value[:-1], bounds)
-    with pytest.raises(ValueError, match=r"group_sums: bounds \(1,\) hold no group"):
-        native.group_sums(ptr, index, value, bounds[:1])
-    with pytest.raises(ValueError, match="group_sums: index is strided, not C-contiguous"):
-        native.group_sums(ptr, np.repeat(index, 2)[::2], value, bounds)
-    for bad in (dict(index=np.array([2, 1, 0])), dict(index=index + 1),
-                dict(bounds=np.array([0, 2, 2, 3])), dict(bounds=np.array([1, 3])),
-                dict(ptr=np.array([0, 2, 2]))):
-        args = dict(ptr=ptr, index=index, value=value, bounds=bounds) | bad
-        with pytest.raises(ValueError, match="group_sums: ptr does not run .* or range"):
-            native.group_sums(**args)
+def test_a_negative_zero_input_sums_as_numpy_sums_it():
+    """A column input of -0.0 passes as non-negative; numpy's pairwise sum
+    starts from -0.0, so a group of them sums to -0.0, as the kernel's."""
+    col_input = np.full(20, -0.0)
+    col_input[0] = 1.0
+    grid = WeightedGrid(np.zeros((2, 20)), np.ones(2), col_input, np.ones((2, 20), dtype=bool))
+    for cols in (2, 3, 20):
+        result = coarsen(grid, 1, cols)
+        assert same_bits(result.grid.col_input,
+                         np.add.reduceat(col_input, result.col_groups[:-1]))
 
 
 # ----------------------------------------------------------------------
@@ -338,15 +345,11 @@ def test_a_band_sample_matrix_builds_and_coarsens_at_n_s_32768_in_bounded_memory
 
 
 def test_a_band_build_and_coarsen_make_the_same_calls_at_n_s_512_and_4096():
-    """Building MS (spans, binning, the band) and one refinement pass of
-    coarsening (aggregates, the two sweeps, the coarse grid) make as many
+    """Building MS (spans, binning, the band) and coarsening it (its whole
+    search, one kernel call) make as many
     interpreter calls at n_s = 512 as at 4,096: the spans are one kernel
-    call and every per-row loop is numpy's or the kernel's.  Each
-    axis's threshold search is held to one probe here; one probe's own calls
-    are pinned above.  ``-s`` prints the counts."""
-    def one_probe(feasible, low, high, max_midpoints):
-        return high, feasible(high), 1
-
+    call and every per-row loop is numpy's or the kernel's.  ``-s`` prints
+    the counts."""
     calls = {}
     for size in (512, 4_096):
         histogram = EquiDepthHistogram(np.arange(size + 1, dtype=np.float64), 10 * size)
@@ -359,10 +362,7 @@ def test_a_band_build_and_coarsen_make_the_same_calls_at_n_s_512_and_4096():
         matrix, build = interpreter_calls(
             build_sample_matrix, histogram, histogram, sample, condition
         )
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(coarsening, "smallest_feasible", one_probe)
-            patch.setattr(coarsening, "MAX_ITERATIONS", 1)
-            _, coarse = interpreter_calls(coarsen, matrix.grid, 16, weight_fn=BAND_JOIN_WEIGHTS)
+        _, coarse = interpreter_calls(coarsen, matrix.grid, 16, weight_fn=BAND_JOIN_WEIGHTS)
         calls[size] = (build, coarse)
     print("band build, coarsen: " + ", ".join(
         f"n_s {size:,} {build} and {coarse} calls" for size, (build, coarse) in calls.items()))

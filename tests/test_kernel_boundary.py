@@ -1,9 +1,10 @@
 """Every array argument of every kernel entry point, refused at the boundary.
 
-``repro.joins.native``'s nine entry points read their numpy arrays through
+``repro.joins.native``'s eight entry points read their numpy arrays through
 pointers (``search`` serves the plan build's searches: ``bucket_index``,
 Stream-Sample's d2equi windows and job 3, the with-replacement draw;
-``spans``, the ninth, the sample matrix's candidate spans), so each array
+``spans``, the sample matrix's candidate spans; ``coarsen``, coarsening's
+whole search over the band sample matrix), so each array
 is checked once on the way in (``take`` in
 ``native.c``): an ndarray, of the dtype the loop reads in native byte
 order, C-contiguous and aligned, writable where the loop writes it.  A
@@ -17,9 +18,9 @@ kernel writes it) and a copy one entry short (where a size relation
 holds).  Each call must raise
 ``TypeError`` or ``ValueError`` naming the entry point and the argument,
 and leave every array of the call as it was.  A second table holds the
-values a valid call's array may not carry, each refused the same way.
-Every entry point ``native.__all__`` exports has a row, so a new one
-cannot skip the table.
+values a valid call's array may not carry, each refused the same way, and
+a third the layouts ``coarsen`` cannot walk.  Every entry point
+``native.__all__`` exports has a row, so a new one cannot skip the table.
 """
 
 from __future__ import annotations
@@ -48,9 +49,18 @@ class Value(NamedTuple):
 
 #: A NaN priority last, where a check made while the loop runs would
 #: already have written the entries before it, and one with its sign bit set.
+#: A grid's input or frequency that is not finite and non-negative, by
+#: position; and a second entry of 1e308 beside the valid call's first, in
+#: the same coarse cell: each is finite, their sum is not.
 VALUES = [
     Value("offer", (4,), 3, np.nan, "offer: priorities[3] is NaN, "),
     Value("offer", (4,), 0, -np.nan, "offer: priorities[0] is NaN, "),
+    Value("coarsen", (0,), 2, np.nan, "coarsen: row_input[2] is NaN, "),
+    Value("coarsen", (1,), 3, np.inf, "coarsen: col_input[3] is inf, "),
+    Value("coarsen", (1,), 0, -0.5, "coarsen: col_input[0] is negative, "),
+    Value("coarsen", (7,), 4, -np.inf, "coarsen: entry_value[4] is -inf, "),
+    Value("coarsen", (7,), 1, 1e308,
+          "coarsen: entry_value adds up to a non-finite aggregate"),
 ]
 
 
@@ -71,6 +81,25 @@ def _tables() -> TilingTables:
     return TilingTables(grid, WeightFunction(), -np.inf)
 
 
+def coarsen_call(**changes) -> tuple:
+    """A valid ``coarsen`` call over a 4 x 4 band grid, with ``changes`` to its arguments.
+
+    Entry 0 (row 0, column 0) carries 1e308: finite, and the largest a
+    coarse cell can hold beside the small entries.
+    """
+    i64 = np.int64
+    args = dict(
+        row_input=np.array([1.0, 2.0, 0.0, 3.0]), col_input=np.array([2.0, 1.0, 1.0, 4.0]),
+        run_ptr=np.array([0, 1, 2, 3, 4], dtype=i64), run_lo=np.array([0, 0, 1, 2], dtype=i64),
+        run_hi=np.array([2, 3, 4, 4], dtype=i64), entry_ptr=np.array([0, 2, 3, 4, 5], dtype=i64),
+        entry_col=np.array([0, 1, 2, 3, 3], dtype=i64),
+        entry_value=np.array([1e308, 0.5, 2.0, 1.5, 0.25]),
+        w_i=1.0, w_o=0.2, row_groups=2, col_groups=2, low=0.0, row_high=1e308, col_high=1e308,
+        max_iterations=4, max_midpoints=25, tolerance=0.01,
+    )
+    return tuple((args | changes).values())
+
+
 def _calls() -> "dict[str, tuple[tuple, list[Arg]]]":
     """Per entry point: a valid small call's arguments (fresh arrays) and its array arguments."""
     i64 = np.int64
@@ -81,7 +110,6 @@ def _calls() -> "dict[str, tuple[tuple, list[Arg]]]":
             np.array([0, 1], dtype=i64), np.array([2, 3], dtype=i64), [group])
     merges = [[(np.arange(4.0), np.arange(5, dtype=i64)), (np.arange(4.0) + 0.5, None)]]
     heap = (np.zeros(4), np.zeros(4, dtype=i64), np.zeros(4))
-    rng = np.random.default_rng(0)
     tables = _tables()
     lookups = tuple(array.copy() for array in tables._lookups)
     return {
@@ -109,19 +137,16 @@ def _calls() -> "dict[str, tuple[tuple, list[Arg]]]":
             Arg((4,), "priorities", short="priorities"),
             Arg((5,), "keys", short="keys"),
         ]),
-        "group_sums": ((np.array([0, 2, 3], dtype=i64), np.array([0, 2, 1], dtype=i64),
-                        np.array([1.0, 2.0, 3.0]), np.array([0, 2, 3], dtype=i64)), [
-            Arg((0,), "ptr", short="ptr"),
-            Arg((1,), "index", short="index"),
-            Arg((2,), "value", short="value"),
-            Arg((3,), "bounds", short="bounds"),
-        ]),
-        "sweep_rows": ((rng.random((4, 2)), np.ones((4, 2)), rng.random(4), rng.random(2),
-                        1.0, 0.2, 5.0, 3), [
-            Arg((0,), "freq", short="freq"),
-            Arg((1,), "cand", short="cand"),
-            Arg((2,), "row_input", short="row_input"),
-            Arg((3,), "col_input", short="col_input"),
+        # A run reaches the last column: one column short, it leaves the grid.
+        "coarsen": (coarsen_call(), [
+            Arg((0,), "row_input", short="row_input"),
+            Arg((1,), "col_input", short="col_input"),
+            Arg((2,), "run_ptr", short="run_ptr"),
+            Arg((3,), "run_lo", short="run_lo"),
+            Arg((4,), "run_hi", short="run_hi"),
+            Arg((5,), "entry_ptr", short="entry_ptr"),
+            Arg((6,), "entry_col", short="entry_col"),
+            Arg((7,), "entry_value", short="entry_value"),
         ]),
         "closure": ((*lookups, False, lambda keys: np.ones(len(keys), dtype=bool)), [
             Arg((at,), name, short=name)
@@ -184,7 +209,9 @@ def _variants(array: np.ndarray, arg: Arg):
     unaligned[...] = array
     assert not unaligned.flags.aligned
     yield "a list", TypeError, array.tolist()
-    yield "narrow", TypeError, array.astype(narrow)
+    with np.errstate(over="ignore"):  # the dtype is refused, whatever the values become
+        narrowed = array.astype(narrow)
+    yield "narrow", TypeError, narrowed
     yield "byte-swapped", TypeError, array.astype(array.dtype.newbyteorder())
     yield "strided", ValueError, strided
     yield "unaligned", ValueError, unaligned
@@ -268,4 +295,51 @@ def test_every_refused_value_is_refused_by_name(value):
     with pytest.raises(ValueError) as refused:
         getattr(native, value.entry)(*call)
     assert str(refused.value).startswith(value.refusal), str(refused.value)
+    assert [array.tobytes() for array in _arrays(call)] == before
+
+
+#: coarsen's layouts it cannot walk, each changed from the valid call, and
+#: the refusal each reads.
+LAYOUTS = [
+    (dict(row_input=np.ones((4, 1))), "coarsen: row_input has shape (4, 1), not one axis"),
+    (dict(row_input=np.ones(0), run_ptr=np.zeros(1, dtype=np.int64),
+          entry_ptr=np.zeros(1, dtype=np.int64), run_lo=np.zeros(0, dtype=np.int64),
+          run_hi=np.zeros(0, dtype=np.int64), entry_col=np.zeros(0, dtype=np.int64),
+          entry_value=np.zeros(0)),
+     "coarsen: row_input (0,) and col_input (4,) hold no cell"),
+    (dict(row_groups=0), "coarsen: row_groups 0 and col_groups 2: each axis needs a group"),
+    (dict(col_groups=-1), "coarsen: row_groups 2 and col_groups -1: each axis needs a group"),
+    (dict(run_ptr=np.array([1, 1, 2, 3, 4])),
+     "coarsen: run_ptr does not rise from 0 to the 4 runs"),
+    (dict(run_ptr=np.array([0, 2, 1, 3, 4])),
+     "coarsen: run_ptr does not rise from 0 to the 4 runs"),
+    (dict(entry_ptr=np.array([0, 2, 3, 4, 4])),
+     "coarsen: entry_ptr does not rise from 0 to the 5 entries"),
+    (dict(run_lo=np.array([0, 0, 4, 2])),
+     "coarsen: row 2's runs are not disjoint ascending ranges of the col_input's 4 columns"),
+    (dict(run_lo=np.array([0, -1, 1, 2])),
+     "coarsen: row 1's runs are not disjoint ascending ranges of the col_input's 4 columns"),
+    (dict(run_ptr=np.array([0, 2, 2, 3, 4]), run_lo=np.array([0, 1, 1, 2]),
+          run_hi=np.array([2, 3, 4, 4])),
+     "coarsen: row 0's runs are not disjoint ascending ranges of the col_input's 4 columns"),
+    (dict(entry_col=np.array([1, 0, 2, 3, 3])),
+     "coarsen: row 0's entry_col is not ascending inside the col_input's 4 columns"),
+    (dict(entry_col=np.array([0, 0, 2, 3, 3])),
+     "coarsen: row 0's entry_col is not ascending inside the col_input's 4 columns"),
+    (dict(entry_col=np.array([0, 1, 2, 3, 4])),
+     "coarsen: row 3's entry_col is not ascending inside the col_input's 4 columns"),
+]
+
+
+@pytest.mark.parametrize("changes, refusal", LAYOUTS, ids=lambda item: str(item)[:40])
+def test_coarsen_refuses_a_layout_it_cannot_walk(changes, refusal):
+    """A grid of no cell, no group, a pointer array that does not rise from 0
+    to its items, runs empty, overlapping, descending or outside the
+    columns, entries out of order or outside: a ``ValueError`` that reads as
+    its refusal, and every array as it was."""
+    call = coarsen_call(**changes)
+    before = [array.tobytes() for array in _arrays(call)]
+    with pytest.raises(ValueError) as refused:
+        native.coarsen(*call)
+    assert str(refused.value) == refusal
     assert [array.tobytes() for array in _arrays(call)] == before

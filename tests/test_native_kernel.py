@@ -14,8 +14,8 @@ take -- other dtypes and sizes, strided arrays -- raise by name and leave
 everything untouched; read-only inputs are read.  (Many readers, runs,
 cuts and cascades at once -- a stream batch's fold -- are
 ``tests/test_count_half.py``'s subject.)
-Coarsening's sweep (``native.sweep_rows``) is held to the numpy sweep and
-the row loop of ``tests/reference_planner.py`` in
+Coarsening's whole search (``native.coarsen``) is held to the band loop,
+the numpy sweep and the row loop of ``tests/reference_planner.py`` in
 ``tests/test_planner_oracle.py``; here are the inputs it refuses and the
 rounding its build must keep.  Without a C compiler, or with a cache anyone
 could write to, the import raises ``KernelUnavailable``.
@@ -40,6 +40,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_planner import numpy_sweep_rows
 
+from repro.core.grid import BandGrid, WeightedGrid
 from repro.core.weights import WeightFunction
 from repro.joins import native
 from repro.streaming import incremental
@@ -284,48 +285,60 @@ def test_a_batch_the_kernel_declines_leaves_the_same_heap(monkeypatch):
     assert pickle.dumps(reservoirs[1]) == pickle.dumps(reservoirs[0])
 
 
-def test_sweeps_it_does_not_take_raise():
-    """Other dtypes, strided or F-ordered arrays, mismatched shapes, fewer
+def band_arrays(grid: WeightedGrid) -> tuple:
+    """A dense grid's band as ``native.coarsen``'s eight array arguments."""
+    band = BandGrid.from_dense(grid)
+    return (band.row_input, band.col_input, band.run_ptr, band.run_lo, band.run_hi,
+            band.entry_ptr, band.entry_col, band.entry_value)
+
+
+def test_coarsenings_it_does_not_take_raise():
+    """Other dtypes, strided or 2-D arrays, sizes that do not fit, fewer
     than one group: a ``TypeError`` / ``ValueError`` naming the input,
     nothing computed and nothing written.  A read-only input is read."""
     rng = np.random.default_rng(3)
-    freq, cand = rng.random((6, 3)), np.ones((6, 3))
-    row_input, col_input = rng.random(6), rng.random(3)
-    inputs = (freq, cand, row_input, col_input)
-    before = [array.copy() for array in inputs]
+    candidate = np.ones((6, 3), dtype=bool)
+    arrays = band_arrays(WeightedGrid(rng.random((6, 3)), rng.random(6), rng.random(3),
+                                      candidate))
+    row_input, col_input, run_ptr, run_lo, run_hi, entry_ptr, entry_col, entry_value = arrays
+    scalars = (1.0, 0.2, 3, 3, 0.5, 30.0, 30.0, 4, 25, 0.01)
+    before = [array.copy() for array in arrays]
     refused = [
-        (TypeError, "sweep_rows: freq is float32, not float64",
-         (freq.astype(np.float32), cand, row_input, col_input)),
-        (TypeError, "sweep_rows: cand is int64, not float64",
-         (freq, cand.astype(np.int64), row_input, col_input)),
-        (TypeError, "sweep_rows: row_input is int64, not float64",
-         (freq, cand, row_input.astype(np.int64), col_input)),
-        (ValueError, "sweep_rows: freq is strided, not C-contiguous",
-         (np.asfortranarray(freq), cand, row_input, col_input)),
-        (ValueError, "sweep_rows: cand is strided, not C-contiguous",
-         (freq, np.ones((6, 6))[:, ::2], row_input, col_input)),
-        (ValueError, "sweep_rows: row_input is strided, not C-contiguous",
-         (freq, cand, np.arange(12.0)[::2], col_input)),
-        (ValueError, r"sweep_rows: freq \(6, 3\) and cand \(5, 3\) are not one matrix",
-         (freq, cand[:5], row_input, col_input)),
-        (ValueError, r"sweep_rows: row_input \(5,\) and col_input \(3,\) do not fit",
-         (freq, cand, row_input[:5], col_input)),
-        (ValueError, r"sweep_rows: row_input \(6,\) and col_input \(2,\) do not fit",
-         (freq, cand, row_input, col_input[:2])),
-        (ValueError, r"sweep_rows: freq \(3,\) and cand \(3,\) are not one matrix",
-         (freq[0], cand[0], row_input[:1], col_input)),
+        (TypeError, "coarsen: row_input is float32, not float64",
+         dict(row_input=row_input.astype(np.float32))),
+        (TypeError, "coarsen: run_lo is float64, not int64",
+         dict(run_lo=run_lo.astype(np.float64))),
+        (TypeError, "coarsen: entry_value is int64, not float64",
+         dict(entry_value=entry_value.astype(np.int64))),
+        (ValueError, "coarsen: col_input is strided, not C-contiguous",
+         dict(col_input=np.repeat(col_input, 2)[::2])),
+        (ValueError, "coarsen: entry_col is strided, not C-contiguous",
+         dict(entry_col=np.repeat(entry_col, 2)[::2])),
+        (ValueError, r"coarsen: entry_value has shape \(18, 1\), not one axis",
+         dict(entry_value=entry_value[:, None].copy())),
+        (ValueError, r"coarsen: run_ptr \(7,\) and entry_ptr \(7,\) do not fit row_input \(5,\)",
+         dict(row_input=row_input[:5].copy())),
+        (ValueError, r"coarsen: run_lo \(5,\) and run_hi \(6,\) are not one run list",
+         dict(run_lo=run_lo[:5].copy())),
+        (ValueError, r"coarsen: entry_col \(18,\) and entry_value \(17,\) are not one entry list",
+         dict(entry_value=entry_value[:17].copy())),
+        (ValueError, "coarsen: row 0's runs are not disjoint ascending ranges of the "
+                     "col_input's 2 columns", dict(col_input=col_input[:2].copy())),
     ]
-    for error, message, arrays in refused:
+    names = ("row_input", "col_input", "run_ptr", "run_lo", "run_hi", "entry_ptr",
+             "entry_col", "entry_value")
+    for error, message, changes in refused:
+        call = tuple(changes.get(name, array) for name, array in zip(names, arrays))
         with pytest.raises(error, match=message):
-            native.sweep_rows(*arrays, 1.0, 0.2, 5.0, 3)
-    with pytest.raises(ValueError, match="sweep_rows: max_groups is 0"):
-        native.sweep_rows(*inputs, 1.0, 0.2, 5.0, 0)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, before))
-    expected = numpy_sweep_rows(*inputs, WeightFunction(1.0, 0.2), 5.0, 6).tolist()
-    assert native.sweep_rows(*inputs, 1.0, 0.2, 5.0, 6).tolist() == expected
+            native.coarsen(*call, *scalars)
+    with pytest.raises(ValueError, match="coarsen: row_groups 0 and col_groups 3"):
+        native.coarsen(*arrays, 1.0, 0.2, 0, 3, *scalars[4:])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, before))
+    expected = native.coarsen(*arrays, *scalars)
     frozen = row_input.copy()
     frozen.flags.writeable = False
-    assert native.sweep_rows(freq, cand, frozen, col_input, 1.0, 0.2, 5.0, 6).tolist() == expected
+    again = native.coarsen(frozen, *arrays[1:], *scalars)
+    assert all(np.array_equal(ours, theirs) for ours, theirs in zip(again, expected))
 
 
 def test_a_block_weight_rounds_twice_as_numpy_rounds_it():
@@ -336,23 +349,31 @@ def test_a_block_weight_rounds_twice_as_numpy_rounds_it():
     Both products are inexact: 0.2 * 5 rounds down to 1.0, and 0.2 *
     5 * 2**-53 down to 2**-53.  Rounded each, their sum is the midpoint
     1 + 2**-53, which rounds to even, 1.0: not above the threshold, so the
-    second row joins the first.  Fusing either product leaves the sum above
-    the midpoint, 1 + 2**-52, and the row would open a second group.  (A
+    second row joins the first, the third opens a second group and two
+    groups fit.  Fusing either product leaves the sum above the midpoint,
+    1 + 2**-52: the second row would open a group and the third a third,
+    and a search whose ends are both 1.0 would find no cover.  The coarse
+    grid's heaviest cell is that block's weight: 1.0, not 1 + 2**-52.  (A
     target without FMA instructions never fuses.)
     """
     tiny = 2.0**-53
-    freq = np.array([[2 * tiny], [3 * tiny]])
-    row_input = np.array([2.0, 3.0])
-    cand, col_input = np.ones((2, 1)), np.zeros(1)
+    freq = np.array([[2 * tiny], [3 * tiny], [0.0]])
+    row_input = np.array([2.0, 3.0, 3.0])
+    cand, col_input = np.ones((3, 1)), np.zeros(1)
     w, threshold = 0.2, 1.0
-    exact_input = Fraction(w) * Fraction(row_input.sum())
+    exact_input = Fraction(w) * Fraction(row_input[:2].sum())
     exact_output = Fraction(w) * Fraction(freq.sum())
     assert float(exact_input) + float(exact_output) == threshold
     assert float(exact_input + Fraction(float(exact_output))) > threshold
     assert float(Fraction(float(exact_input)) + exact_output) > threshold
     args = (freq, cand, row_input, col_input)
-    assert numpy_sweep_rows(*args, WeightFunction(w, w), threshold, 2).tolist() == [0, 2]
-    assert native.sweep_rows(*args, w, w, threshold, 2).tolist() == [0, 2]
+    assert numpy_sweep_rows(*args, WeightFunction(w, w), threshold, 2).tolist() == [0, 2, 3]
+    grid = WeightedGrid(freq, row_input, col_input, cand > 0)
+    found = native.coarsen(*band_arrays(grid), w, w, 2, 1, threshold, threshold, threshold,
+                           4, 25, 0.01)
+    assert found is not None
+    assert found[0].tolist() == [0, 2, 3]
+    assert found[6] == threshold
 
 
 #: Imports the kernel in a fresh interpreter; prints the error's name and message.

@@ -3,10 +3,16 @@
 ``tests/reference_planner.py`` holds the tiling DPs and the coarsening sweep
 as they were before they were rewritten for speed, and the three threshold
 searches (regionalization, coarsening, M-Bucket) as each was written out
-before they became one ``smallest_feasible``.  The coarsening sweep has a
-third form, the compiled kernel's (``repro.joins.native.sweep_rows``), held
-to both.  Every property here asks for
-*identical* results -- regions in the same order, floats equal to the last
+before they became one ``smallest_feasible``.  Coarsening's whole search now
+runs in the compiled kernel (``repro.joins.native.coarsen``); the band loop
+it replaced (``band_coarsen``: numpy's group sums, the numpy sweep,
+``smallest_feasible``) holds it bit for bit, and the sweeps' row loop holds
+its sweep's fit at every tie.  Planted in a scratch copy of the kernel,
+these mutants are caught here: the sweep's ``>`` as ``>=`` (five tests),
+the pairwise split at ``n / 2`` not rounded down to a multiple of 8
+(``LONG_GRID``; also ``tests/test_coarsening.py``'s reduceat test) and the
+bisection's stop ``<=`` as ``<`` (``STOP_GRID``).  Every property here asks
+for *identical* results -- regions in the same order, floats equal to the last
 bit, the same rectangle counts and search steps -- because the plans the
 benchmarks and goldens pin depend on which of two equally good splits comes
 first, on how a weight rounds against a threshold and on where a search
@@ -26,7 +32,12 @@ from reference_planner import (
     LazyTilingTables,
     _aggregate_columns,
     _Primitives,
+    band_coarsen,
+    band_group_columns,
+    band_group_rows,
+    band_search_ends,
     dense_grid,
+    even_boundaries,
     lazy_monotonic_bsp_tiling,
     reference_bsp,
     reference_coarsen,
@@ -38,8 +49,14 @@ from reference_planner import (
 )
 
 from repro.core.bsp import bsp_partition
-from repro.core.coarsening import _even_boundaries, _group_columns, _group_rows, coarsen
-from repro.core.grid import BandGrid, WeightedGrid, candidate_spans, shrink_to_candidates
+from repro.core.coarsening import MAX_ITERATIONS, MAX_MIDPOINTS, CoarseningResult, coarsen
+from repro.core.grid import (
+    SEARCH_TOLERANCE,
+    BandGrid,
+    WeightedGrid,
+    candidate_spans,
+    shrink_to_candidates,
+)
 from repro.core.monotonic_bsp import monotonic_bsp_partition, monotonic_bsp_tiling
 from repro.core.region import GridRegion
 from repro.core.regionalization import regionalize
@@ -526,9 +543,10 @@ def same_bits(ours: np.ndarray, expected: np.ndarray) -> bool:
 @settings(max_examples=120, deadline=None)
 def test_the_band_coarsens_as_the_dense_grid_does(grid, weight_fn, row_groups, col_groups):
     """A grid's band (holes split a row's run in two, empty rows have none)
-    is the grid again; its totals, heaviest cells and aggregates by column
-    and by row group are the dense reduceats' floats; and coarsening it is
-    the dense reference's coarsening, boundary for boundary."""
+    is the grid again; its totals, heaviest cells and the band loop's
+    aggregates by column and by row group are the dense reduceats' floats;
+    and coarsening it is the dense reference's coarsening, boundary for
+    boundary."""
     band = BandGrid.from_dense(grid)
     view = dense_grid(band)
     assert same_bits(view.frequency, grid.frequency)
@@ -541,11 +559,11 @@ def test_the_band_coarsens_as_the_dense_grid_does(grid, weight_fn, row_groups, c
     for candidates_only in (True, False):
         assert same_float(band.max_cell_weight(weight_fn, candidates_only),
                           grid.max_cell_weight(weight_fn, candidates_only))
-    col_bounds = _even_boundaries(grid.num_cols, min(col_groups, grid.num_cols))
-    row_bounds = _even_boundaries(grid.num_rows, min(row_groups, grid.num_rows))
+    col_bounds = even_boundaries(grid.num_cols, min(col_groups, grid.num_cols))
+    row_bounds = even_boundaries(grid.num_rows, min(row_groups, grid.num_rows))
     for ours, expected in (
-        (_group_columns(band, col_bounds), _aggregate_columns(grid, col_bounds)),
-        (_group_rows(band, row_bounds), _aggregate_columns(transposed, row_bounds)),
+        (band_group_columns(band, col_bounds), _aggregate_columns(grid, col_bounds)),
+        (band_group_rows(band, row_bounds), _aggregate_columns(transposed, row_bounds)),
     ):
         assert all(same_bits(*pair) for pair in zip(ours, expected))
     try:
@@ -582,10 +600,24 @@ def sweep_inputs(draw):
     return freq, cand, row_input, col_input
 
 
-def kernel_sweep(freq, cand, row_input, col_input, weight_fn, threshold, max_groups):
-    """``native.sweep_rows`` called with the reference sweeps' arguments."""
-    costs = (weight_fn.input_cost, weight_fn.output_cost, threshold, max_groups)
-    return native.sweep_rows(freq, cand, row_input, col_input, *costs)
+def kernel_fits(freq, cand, row_input, col_input, weight_fn, threshold, max_groups) -> bool:
+    """Whether the kernel's sweep at ``threshold`` fits ``max_groups`` groups of rows.
+
+    The sweep inputs are a grid whose columns are their groups (each
+    column group one column: its aggregates are the inputs themselves, and
+    ``cand > 0`` the candidates); ``native.coarsen`` searching both axes
+    between the ends ``threshold`` and ``threshold`` sweeps the rows there
+    only, and a column sweep always fits one group per column, so the call
+    finds no cover exactly when the row sweep does not fit.
+    """
+    grid = BandGrid.from_dense(WeightedGrid(freq, row_input, col_input, cand > 0))
+    found = native.coarsen(
+        grid.row_input, grid.col_input, grid.run_ptr, grid.run_lo, grid.run_hi,
+        grid.entry_ptr, grid.entry_col, grid.entry_value, weight_fn.input_cost,
+        weight_fn.output_cost, max_groups, grid.num_cols, threshold, threshold, threshold,
+        MAX_ITERATIONS, MAX_MIDPOINTS, SEARCH_TOLERANCE,
+    )
+    return found is not None
 
 
 def block_weights(freq, cand, row_input, col_input, weight_fn, start, stop):
@@ -612,16 +644,20 @@ def test_sweep_matches_the_row_loop(inputs, weight_fn, fraction, max_groups, dat
     candidates.extend(block_weights(freq, cand, row_input, col_input, weight_fn, start, stop))
     for threshold in candidates:
         args = (freq, cand, row_input, col_input, weight_fn, float(threshold), max_groups)
-        ours, reference = kernel_sweep(*args), reference_sweep_rows(*args)
+        ours, reference = numpy_sweep_rows(*args), reference_sweep_rows(*args)
         if reference is None:
             assert ours is None
         else:
             assert ours is not None and ours.dtype == reference.dtype
             assert ours.tolist() == reference.tolist()
+        if min(max_groups, rows) > 1:  # one group is never searched
+            assert kernel_fits(*args) == (reference is not None)
 
 
 def test_sweep_runs_out_of_groups_exactly_when_the_row_loop_does():
-    """``max_groups`` exhaustion: None below the group count, boundaries at it."""
+    """``max_groups`` exhaustion: None below the group count, boundaries at
+    it, for the numpy sweep and the row loop; the kernel's fits exactly
+    when theirs do."""
     rng = np.random.default_rng(7)
     rows, groups = 60, 4
     cand = np.ones((rows, groups))
@@ -633,11 +669,12 @@ def test_sweep_runs_out_of_groups_exactly_when_the_row_loop_does():
     unlimited = reference_sweep_rows(freq, cand, row_input, col_input, weight_fn, threshold, rows)
     needed = len(unlimited) - 1
     assert needed > 3
-    for max_groups in (1, needed - 1, needed, needed + 1):
+    for max_groups in (2, needed - 1, needed, needed + 1):
         args = (freq, cand, row_input, col_input, weight_fn, threshold, max_groups)
-        ours, reference = kernel_sweep(*args), reference_sweep_rows(*args)
+        ours, reference = numpy_sweep_rows(*args), reference_sweep_rows(*args)
         assert (reference is None) == (max_groups < needed)
         assert (ours is None) == (reference is None)
+        assert kernel_fits(*args) == (reference is not None)
         if reference is not None:
             assert ours.tolist() == reference.tolist() == unlimited.tolist()
 
@@ -671,13 +708,13 @@ def met_weights(freq, cand, row_input, col_input, weight_fn, bounds) -> list:
 
 
 @given(inputs=edged_sweep_inputs(), weight_fn=st.sampled_from(WEIGHT_FUNCTIONS),
-       fraction=st.floats(0.0, 1.0), order=st.sampled_from("CF"), data=st.data())
+       fraction=st.floats(0.0, 1.0), data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_the_kernel_sweeps_as_numpy_and_the_row_loop_do(inputs, weight_fn, fraction, order, data):
-    """``native.sweep_rows`` == the numpy sweep == the row loop, boundary for
-    boundary and on running out of groups.  Thresholds are the exact block
-    weights a sweep meets, so every ``>`` meets its tie; an F-ordered input
-    raises, never read with the wrong strides."""
+def test_the_kernel_sweeps_as_numpy_and_the_row_loop_do(inputs, weight_fn, fraction, data):
+    """The numpy sweep == the row loop, boundary for boundary and on running
+    out of groups, and the kernel's sweep fits exactly when they do.
+    Thresholds are the exact block weights a sweep meets, so every ``>``
+    meets its tie."""
     freq, cand, row_input, col_input = inputs
     rows = len(row_input)
     first = fraction * float(
@@ -688,20 +725,134 @@ def test_the_kernel_sweeps_as_numpy_and_the_row_loop_do(inputs, weight_fn, fract
     thresholds = [first, *data.draw(st.lists(st.sampled_from(met), max_size=4) if met
                                     else st.just([]))]
     max_groups = data.draw(st.integers(min(2, rows), rows))
-    ordered = [np.asarray(array, order=order) for array in (freq, cand)]
     for threshold in thresholds:
         args = (row_input, col_input, weight_fn, float(threshold), max_groups)
         reference = reference_sweep_rows(freq, cand, *args)
         ours = numpy_sweep_rows(freq, cand, *args)
-        costs = (weight_fn.input_cost, weight_fn.output_cost, float(threshold), max_groups)
-        if ordered[0].flags.c_contiguous:
-            swept = native.sweep_rows(*ordered, row_input, col_input, *costs)
-        else:
-            with pytest.raises(ValueError, match="sweep_rows: freq is strided, not C-contiguous"):
-                native.sweep_rows(*ordered, row_input, col_input, *costs)
-            swept = native.sweep_rows(freq, cand, row_input, col_input, *costs)
         if reference is None:
-            assert ours is None and swept is None
+            assert ours is None
         else:
-            assert swept.dtype == ours.dtype == reference.dtype
-            assert swept.tolist() == ours.tolist() == reference.tolist()
+            assert ours.dtype == reference.dtype
+            assert ours.tolist() == reference.tolist()
+        if max_groups > 1:
+            assert kernel_fits(freq, cand, *args) == (reference is not None)
+
+
+# ----------------------------------------------------------------------
+# The kernel's coarsening against the band loop it replaced
+# ----------------------------------------------------------------------
+def assert_same_coarsening(ours, reference) -> None:
+    """Bounds, passes, the heaviest cell and every array of the coarse grid, to the bit."""
+    assert ours.row_groups.dtype == reference.row_groups.dtype == np.int64
+    assert ours.row_groups.tolist() == reference.row_groups.tolist()
+    assert ours.col_groups.tolist() == reference.col_groups.tolist()
+    assert ours.iterations == reference.iterations
+    assert same_float(ours.max_cell_weight, reference.max_cell_weight)
+    for name in ("frequency", "row_input", "col_input"):
+        assert same_bits(getattr(ours.grid, name), getattr(reference.grid, name)), name
+    np.testing.assert_array_equal(ours.grid.candidate, reference.grid.candidate)
+
+
+def coarsened(coarsen_fn, *args, **kwargs):
+    """``coarsen_fn``'s result, or ``None`` when an axis's search finds no cover."""
+    try:
+        return coarsen_fn(*args, **kwargs)
+    except RuntimeError as error:
+        assert str(error) == "coarsening sweep failed at the trivial threshold"
+        return None
+
+
+#: A grid whose search finds no cover: its one row group's input, summed
+#: as reduceat sums it, rounds above the total the search ends at, so every
+#: column outweighs the end and three columns need three groups.
+NO_COVER_GRID = WeightedGrid(np.zeros((3, 3)), [1e6, 0.009000000000000001, 0.002], [0.0] * 3,
+                             np.ones((3, 3), dtype=bool))
+#: One row of 300 candidates whose frequencies span twelve decades: the
+#: sums along it split as numpy's pairwise sum splits (at 144, a multiple
+#: of 8), and another split rounds otherwise.
+LONG_GRID = WeightedGrid(
+    [[10.0 ** (column % 13 - 6) * (1.0 + column / 7.0) for column in range(300)]],
+    [1.0], np.linspace(0.0, 3.0, 300), np.ones((1, 300), dtype=bool),
+)
+#: Every cell a candidate and the two sides' inputs apart by decades.
+SIDES_GRID = WeightedGrid(np.arange(20.0).reshape(4, 5), [1.0, 0.0, 3.0, 1e4],
+                          [2.0, 7.5, 0.0, 0.5, 1e-3], np.ones((4, 5), dtype=bool))
+
+
+@given(grid=st.one_of(monotone_grids(), span_monotone_grids()),
+       weight_fn=st.sampled_from(WEIGHT_FUNCTIONS),
+       row_groups=st.integers(1, 16), col_groups=st.integers(1, 16))
+@example(grid=NO_COVER_GRID, weight_fn=WeightFunction(), row_groups=1, col_groups=2)
+@example(grid=LONG_GRID, weight_fn=WeightFunction(1.0, 0.2), row_groups=1, col_groups=1)
+@example(grid=WeightedGrid(LONG_GRID.frequency.T.copy(), LONG_GRID.col_input,
+                          LONG_GRID.row_input, LONG_GRID.candidate.T.copy()),
+         weight_fn=WeightFunction(1.0, 0.2), row_groups=1, col_groups=1)
+@example(grid=SIDES_GRID, weight_fn=WeightFunction(1.0, 0.2), row_groups=1, col_groups=1)
+@example(grid=SIDES_GRID, weight_fn=WeightFunction(0.7, 0.0), row_groups=9, col_groups=9)
+@example(grid=span_grid([-1, -1], [-1, -1], 3), weight_fn=WeightFunction(1.0, 0.2),
+         row_groups=2, col_groups=2)
+@example(grid=TIE_GRID, weight_fn=WeightFunction(1.0, 1.0), row_groups=2, col_groups=2)
+@settings(max_examples=300, deadline=None)
+def test_the_kernel_coarsens_as_the_band_loop_does(grid, weight_fn, row_groups, col_groups):
+    """``coarsen`` (one kernel call) == the band loop it replaced, to the
+    bit: one group per axis, more groups than a side has, an empty band, no
+    output cost, and the search that finds no cover, which both refuse."""
+    band = BandGrid.from_dense(grid)
+    ours = coarsened(coarsen, band, row_groups, col_groups, weight_fn)
+    reference = coarsened(band_coarsen, band, row_groups, col_groups, weight_fn)
+    assert (ours is None) == (reference is None)
+    if ours is not None:
+        assert_same_coarsening(ours, reference)
+
+
+def kernel_coarsen(band: BandGrid, weight_fn: WeightFunction, row_groups: int,
+                   col_groups: int, ends: tuple, max_iterations: int = MAX_ITERATIONS,
+                   max_midpoints: int = MAX_MIDPOINTS):
+    """``native.coarsen`` at the searches' ends ``ends``, as a ``CoarseningResult``."""
+    found = native.coarsen(
+        band.row_input, band.col_input, band.run_ptr, band.run_lo, band.run_hi,
+        band.entry_ptr, band.entry_col, band.entry_value, weight_fn.input_cost,
+        weight_fn.output_cost, row_groups, col_groups, *ends, max_iterations, max_midpoints,
+        SEARCH_TOLERANCE,
+    )
+    if found is None:
+        raise RuntimeError("coarsening sweep failed at the trivial threshold")
+    rows, cols, frequency, row_input, col_input, candidate, weight, passes = found
+    return CoarseningResult(WeightedGrid(frequency, row_input, col_input, candidate),
+                            rows, cols, weight, passes)
+
+
+#: Three rows and a search between 99 and 100, whose gap is exactly its
+#: stopping tolerance (1.0 = 0.01 * 100.0): it must stop there, with the
+#: rows' cover at 100 ({0, 1}, {2}, weighing 99.75).  One more midpoint,
+#: 99.5, would fit the lighter cover {0}, {1, 2} (99.25).
+STOP_GRID = WeightedGrid(np.zeros((3, 1)), [50.0, 49.75, 49.5], [0.0],
+                         np.ones((3, 1), dtype=bool))
+
+
+@given(grid=st.one_of(monotone_grids(max_side=10), span_monotone_grids()),
+       weight_fn=st.sampled_from(WEIGHT_FUNCTIONS),
+       row_groups=st.integers(1, 6), col_groups=st.integers(1, 6),
+       scales=st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1.5), st.floats(0.0, 1.5)),
+       budget=st.sampled_from([(MAX_ITERATIONS, MAX_MIDPOINTS), (0, 25), (1, 0), (2, 3)]),
+       fixed_ends=st.none())
+@example(grid=STOP_GRID, weight_fn=WeightFunction(), row_groups=2, col_groups=1,
+         scales=(1.0, 1.0, 1.0), budget=(MAX_ITERATIONS, MAX_MIDPOINTS),
+         fixed_ends=(99.0, 100.0, 100.0))
+@settings(max_examples=300, deadline=None)
+def test_the_kernel_searches_as_the_band_loop_does_between_any_ends(
+        grid, weight_fn, row_groups, col_groups, scales, budget, fixed_ends):
+    """The kernel and the band loop handed the same ends -- scaled from the
+    grid's own, so a search may find no cover, start above its end or stop
+    at once, or fixed where the gap ties the stopping tolerance -- and the
+    same budget of passes and midpoints: the same coarsening, or no cover
+    for both."""
+    band = BandGrid.from_dense(grid)
+    low, row_high, col_high = band_search_ends(band, weight_fn)
+    top = max(row_high, col_high)
+    ends = fixed_ends or (scales[0] * top, scales[1] * top, scales[2] * top)
+    ours = coarsened(kernel_coarsen, band, weight_fn, row_groups, col_groups, ends, *budget)
+    reference = coarsened(band_coarsen, band, row_groups, col_groups, weight_fn, ends, *budget)
+    assert (ours is None) == (reference is None)
+    if ours is not None:
+        assert_same_coarsening(ours, reference)

@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 from textwrap import dedent
 
+import numpy as np
 import pytest
 
 from repro.joins.conditions import (
@@ -45,8 +46,10 @@ from repro.query import (
 )
 from repro.query.cli import main
 from repro.query.nodes import BandPredicate, Comparison
-from repro.query.plan import format_plan_report, plan_report_to_json
-from repro.streaming.window import SlidingWindow, UnboundedWindow
+from repro.core.weights import WeightFunction
+from repro.query.plan import _steady_state, format_plan_report, plan_report_to_json
+from repro.streaming import MicroBatch, StaticOneBucketPolicy, StreamingJoinEngine
+from repro.streaming.window import ExponentialDecayWindow, SlidingWindow, UnboundedWindow
 
 REPO = Path(__file__).resolve().parent.parent
 QUERIES = REPO / "examples" / "queries"
@@ -323,6 +326,49 @@ class TestAdmissionRules:
 # ---------------------------------------------------------------------------
 # Plan estimator
 # ---------------------------------------------------------------------------
+def mask_steady_state(window, batch_size: int, horizon_batches: int, seed: int):
+    """The estimator's window simulation as it ran before it drove an
+    ``ArrivalLog``: the live set concatenated and masked once a batch."""
+    rng = np.random.default_rng(seed)
+    live = np.empty(0, dtype=np.int64)
+    batch_starts: list[int] = []
+    total = peak = 0
+    for _ in range(horizon_batches):
+        batch_starts.append(total)
+        arrivals = np.arange(total, total + batch_size, dtype=np.int64)
+        total += batch_size
+        live = np.concatenate([live, arrivals])
+        peak = max(peak, len(live))
+        if not window.is_unbounded:
+            expired = window.evictions(live, batch_starts, total, rng)
+            if len(expired):
+                keep = np.ones(len(live), dtype=bool)
+                keep[np.searchsorted(live, expired)] = False
+                live = live[keep]
+    return peak, int(window.trim_point(live[0] if len(live) else total))
+
+
+class SideSeededDecay(ExponentialDecayWindow):
+    """A decay window drawing each side's survivals from its own generator.
+
+    The engine expires side 1, then side 2, once a batch, on its shared
+    generator; this one answers the calls in turn from two generators
+    seeded alike, so side 1 meets the draws a one-sided simulation seeded
+    the same way makes.
+    """
+
+    def __init__(self, survival: float, seed: int) -> None:
+        super().__init__(survival)
+        self._rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
+        self._calls = 0
+
+    def evictions(self, live, batch_starts, total_arrived, rng):
+        """The decay's evictions on this side's own generator."""
+        side_rng = self._rngs[self._calls % 2]
+        self._calls += 1
+        return super().evictions(live, batch_starts, total_arrived, side_rng)
+
+
 class TestPlanEstimator:
     def test_windowed_state_is_bounded(self):
         plan = compile_sql(EQUI + " WINDOW 'batches:4'")
@@ -353,6 +399,40 @@ class TestPlanEstimator:
             compile_sql("SELECT COUNT(*) FROM a JOIN b ON ABS(a.k - b.k) <= 50")
         )
         assert wide.match_probability > narrow.match_probability
+
+    @pytest.mark.parametrize("window", ["batches:4", "batches:1", "tuples:250", "tuples:64",
+                                        "decay:0.9", "decay:0.5", "unbounded"])
+    def test_the_window_report_is_an_engines_log(self, window):
+        """The estimator's (peak live, trim point) is what an engine's side-1
+        log shows on the same arrivals: the live count after each batch
+        lands, before it expires, at its most, and the log's base at the
+        horizon.  A decay window draws side 1's survivals from the
+        estimator's seeded generator here (``SideSeededDecay``), so the two
+        logs meet the same draws; the per-batch mask the estimator used to
+        run gives the same pair too."""
+        batch_size, horizon, seed = 100, 24, 5
+        plan = compile_sql(EQUI + ("" if window == "unbounded" else f" WINDOW '{window}'"))
+        peak, trim = _steady_state(plan, batch_size, horizon, seed)
+        assert (peak, trim) == mask_steady_state(plan.window, batch_size, horizon, seed)
+        engine_window = plan.window
+        if isinstance(engine_window, ExponentialDecayWindow):
+            engine_window = SideSeededDecay(engine_window.survival, seed)
+        engine = StreamingJoinEngine(2, plan.condition, WeightFunction(),
+                                     policy=StaticOneBucketPolicy(2), window=engine_window)
+        engine.start()
+        rng = np.random.default_rng(0)
+        engine_peak = 0
+        for index in range(horizon):
+            live = engine._state.log1.live_entries  # 0 where nothing is live-tracked
+            keys = rng.integers(0, 1_000, size=(2, batch_size))
+            engine.process_batch(MicroBatch(index, keys[0], keys[1]))
+            engine_peak = max(engine_peak, live + batch_size)
+        log = engine._state.log1
+        engine.finish()
+        if engine_window.is_unbounded:
+            engine_peak = log.retained
+        assert (peak, trim) == (engine_peak, log.base)
+        assert trim == 0 if engine_window.is_unbounded else 0 < trim < horizon * batch_size
 
     def test_deterministic_and_renderable(self):
         plan = compile_sql(EQUI + " WINDOW 'decay:0.9'")

@@ -499,6 +499,37 @@ class TestDriftDetector:
         # The cooldown boundary itself: batch 2 + cooldown 3 = batch 5.
         assert detector.update(5, 5.0, 1.0)
 
+    def test_a_trigger_keeps_the_ewma_it_fired_on(self):
+        """At threshold 4 the EWMA 6 fires; the trigger restarts the EWMA
+        (1.0 again) but keeps 6 where a decision record reads it, read-only
+        and out of the pickle a checkpoint writes."""
+        detector = DriftDetector(threshold=4.0, warmup_batches=0, ewma_alpha=0.5)
+        unfired = pickle.dumps(detector)
+        assert detector.fired_imbalance is None
+        assert not detector.update(0, 2.0, 1.0)
+        # EWMA 0.5 * 6 + 0.5 * 2 = 4: at the threshold, not above it.
+        assert not detector.update(1, 6.0, 1.0)
+        assert detector.fired_imbalance is None
+        # EWMA 0.5 * 8 + 0.5 * 4 = 6 fires.
+        assert detector.update(2, 8.0, 1.0)
+        assert detector.fired_imbalance == 6.0
+        assert detector.smoothed_imbalance == 1.0
+        with pytest.raises(AttributeError):
+            detector.fired_imbalance = 2.0
+        restored = pickle.loads(pickle.dumps(detector))
+        assert restored.fired_imbalance is None
+        assert restored == detector
+        # The pickle holds what it held before the trigger existed: the
+        # EWMA (restarted) and the last trigger's batch.
+        twin = pickle.loads(unfired)
+        twin._last_trigger = 2
+        assert pickle.dumps(detector) == pickle.dumps(twin)
+        # The next trigger replaces it.
+        assert not detector.update(3, 9.0, 1.0)
+        assert not detector.update(4, 9.0, 1.0)
+        assert detector.update(5, 9.0, 1.0)
+        assert detector.fired_imbalance == 9.0
+
     def test_ewma_smooths_single_spikes(self):
         detector = DriftDetector(
             threshold=2.0, warmup_batches=0, ewma_alpha=0.2
