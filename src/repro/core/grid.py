@@ -82,6 +82,10 @@ def smallest_feasible(
     when ``low`` fits, otherwise the lowest fitting threshold tried and its
     cover -- ``high`` and ``None`` when neither ``high`` nor a midpoint fits,
     which leaves the fallback to the caller.
+
+    Coarsening runs these steps in the compiled kernel (``optimize_axis`` in
+    ``repro/joins/native.c``, a copy of them): a change here is a change
+    there too.
     """
     cover = feasible(low)
     if cover is not None:

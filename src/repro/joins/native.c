@@ -1219,10 +1219,12 @@ struct search {
 
 /*
  * One axis's bounds for fixed groups on the other: repro.core.grid's
- * smallest_feasible over the sweep.  The sweep at low, then at high, then
- * at most max_midpoints midpoints (low + high) / 2.0 while high - low is
- * above tolerance * max(high, 1.0); the lowest fitting threshold tried
- * wins.  One group needs no search (a block summed line by line can round
+ * smallest_feasible over the sweep, its steps copied (a change to one is a
+ * change to both; tests/test_planner_oracle.py holds this to the band loop
+ * that calls smallest_feasible, between any ends).  The sweep at low, then
+ * at high, then at most max_midpoints midpoints (low + high) / 2.0 while
+ * high - low is above tolerance * max(high, 1.0); the lowest fitting
+ * threshold tried wins.  One group needs no search (a block summed line by line can round
  * one step above the total weight the search ends at).  Returns the bounds
  * written to search->cover, or 0 when nothing fits.
  */
@@ -1295,12 +1297,8 @@ struct plan {
     double low, row_high, col_high, tolerance;
 };
 
-/* The arrays of a coarse grid of at most rows x cols groups.  This and
- * grab_search are inline: emitted on their own they would sit between
- * count_run and py_fold and move the fold 16 bytes off the 32-byte
- * boundary it has had (stream_steady read 0.982x tuples_per_s, 1/6 pairs
- * on a 2-core box, with them emitted; 0.995x, 3/6, inlined). */
-static inline void grab_coarse(struct scratch *scratch, int64_t rows, int64_t cols, struct coarse *grid)
+/* The arrays of a coarse grid of at most rows x cols groups. */
+static void grab_coarse(struct scratch *scratch, int64_t rows, int64_t cols, struct coarse *grid)
 {
     grid->freq = grab(scratch, (size_t)(rows * cols), sizeof *grid->freq);
     grid->cand = grab(scratch, (size_t)(rows * cols), 1);
@@ -1312,7 +1310,7 @@ static inline void grab_coarse(struct scratch *scratch, int64_t rows, int64_t co
 
 /* The scratch of one axis's search over at most `groups` groups of lines
  * aggregated by at most `across` groups. */
-static inline void grab_search(struct scratch *scratch, int64_t groups, int64_t across,
+static void grab_search(struct scratch *scratch, int64_t groups, int64_t across,
                                struct search *search)
 {
     search->sums = grab(scratch, (size_t)across, sizeof *search->sums);

@@ -45,8 +45,8 @@ which holds the kernel to them bit for bit: counts and merged runs
 band inverses (``tests/test_condition_properties.py``), both reservoirs' heap arrays entry for
 entry (``tests/test_sampling_oracle.py``), the coarse grid's floats
 (``tests/test_coarsening.py``), coarsening's bounds, passes and grid
-against the band loop it replaced, its sweep's fit against the row loop,
-and the tilings' regions and rectangle counts
+against the band loop it replaced, its sweep's bounds against the row
+loop's at every tie, and the tilings' regions and rectangle counts
 (``tests/test_planner_oracle.py``),
 the searches' answers (``tests/test_search_oracle.py``, against
 ``np.searchsorted`` itself) and the candidate spans

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_planner import band_coarsen
+from reference_planner import band_coarsen, band_search_ends
 from streaming_harness import interpreter_calls
 
-from repro.core.coarsening import MAX_ITERATIONS, coarsen, coarsened_size
-from repro.core.grid import BandGrid, WeightedGrid
+from repro.core.coarsening import MAX_ITERATIONS, MAX_MIDPOINTS, coarsen, coarsened_size
+from repro.core.grid import SEARCH_TOLERANCE, BandGrid, WeightedGrid
 from repro.core.sample_matrix import build_sample_matrix
 from repro.core.weights import BAND_JOIN_WEIGHTS, WeightFunction
+from repro.joins import native
 from repro.joins.conditions import BandJoinCondition
 from repro.sampling.equidepth import EquiDepthHistogram
 from repro.sampling.stream_sample import JoinOutputSample
@@ -290,6 +291,63 @@ def test_the_coarse_grid_is_numpys_reduceat_bit_for_bit(dense, transpose, groups
         assert same_bits(result.grid.row_input, np.add.reduceat(grid.row_input, row_starts))
         assert same_bits(result.grid.col_input, np.add.reduceat(grid.col_input, col_starts))
         assert result.grid.candidate.all()
+
+
+@st.composite
+def segmented_lines(draw):
+    """A lines x length matrix whose length is some equal segments, each as
+    long as one of numpy's pairwise-sum edges, and their count.
+
+    Values span ten decades; a line and a segment are all zero.
+    """
+    length = draw(st.sampled_from(SEGMENT_LENGTHS) | st.integers(1, 300))
+    segments = draw(st.integers(1, 2 if length > 300 else 4))
+    lines = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = segments * length
+    density = draw(st.sampled_from([0.0, 0.002, 0.05, 0.5, 1.0]))
+    values = rng.random((lines, size)) * 10.0 ** rng.integers(-3, 7, size=(lines, size))
+    dense = np.where(rng.random((lines, size)) < density, values, 0.0)
+    dense[rng.integers(0, lines)] = 0.0
+    zeroed = rng.integers(0, segments) * length
+    dense[:, zeroed : zeroed + length] = 0.0
+    return dense, segments
+
+
+@given(case=segmented_lines(), transpose=st.booleans(), across=st.integers(1, 4))
+@example(case=(np.ones((2, 2 * 129)), 2), transpose=True, across=2)
+@settings(max_examples=200, deadline=None)
+def test_the_starting_grid_sums_its_groups_as_reduceat_does(case, transpose, across):
+    """With no pass to run, ``native.coarsen`` returns its even starting
+    grid: over lines of equal segments, one group a segment, so each group
+    after the first starts at a nonzero multiple of a pairwise-sum edge's
+    length.  Its frequencies and inputs equal ``np.add.reduceat`` at those
+    bounds to the last bit, with the long sums along the columns or down
+    the rows."""
+    dense, segments = case
+    across = min(across, dense.shape[0])
+    row_groups, col_groups = (segments, across) if transpose else (across, segments)
+    if transpose:
+        dense = dense.T.copy()
+    grid = sums_grid(dense)
+    band = BandGrid.from_dense(grid)
+    weight_fn = WeightFunction()
+    found = native.coarsen(
+        band.row_input, band.col_input, band.run_ptr, band.run_lo, band.run_hi,
+        band.entry_ptr, band.entry_col, band.entry_value, weight_fn.input_cost,
+        weight_fn.output_cost, row_groups, col_groups, *band_search_ends(band, weight_fn),
+        0, MAX_MIDPOINTS, SEARCH_TOLERANCE,
+    )
+    row_bounds, col_bounds, frequency, row_input, col_input, candidate, _, passes = found
+    assert passes == 0
+    length = dense.shape[0 if transpose else 1] // segments
+    long_bounds = row_bounds if transpose else col_bounds
+    assert long_bounds.tolist() == list(range(0, segments * length + 1, length))
+    by_rows = np.add.reduceat(dense, row_bounds[:-1], axis=0)
+    assert same_bits(frequency, np.add.reduceat(by_rows, col_bounds[:-1], axis=1))
+    assert same_bits(row_input, np.add.reduceat(grid.row_input, row_bounds[:-1]))
+    assert same_bits(col_input, np.add.reduceat(grid.col_input, col_bounds[:-1]))
+    assert candidate.all()
 
 
 def test_a_negative_zero_input_sums_as_numpy_sums_it():

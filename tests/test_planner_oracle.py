@@ -7,11 +7,12 @@ before they became one ``smallest_feasible``.  Coarsening's whole search now
 runs in the compiled kernel (``repro.joins.native.coarsen``); the band loop
 it replaced (``band_coarsen``: numpy's group sums, the numpy sweep,
 ``smallest_feasible``) holds it bit for bit, and the sweeps' row loop holds
-its sweep's fit at every tie.  Planted in a scratch copy of the kernel,
-these mutants are caught here: the sweep's ``>`` as ``>=`` (five tests),
-the pairwise split at ``n / 2`` not rounded down to a multiple of 8
-(``LONG_GRID``; also ``tests/test_coarsening.py``'s reduceat test) and the
-bisection's stop ``<=`` as ``<`` (``STOP_GRID``).  Every property here asks
+its sweep's boundaries at every tie, wherever they reach its result.
+Planted in a scratch copy of the kernel, these mutants are caught here:
+the sweep's ``>`` as ``>=`` (five tests), the pairwise split at ``n / 2``
+not rounded down to a multiple of 8 (``LONG_GRID``; also
+``tests/test_coarsening.py``'s reduceat tests) and the bisection's stop
+``<=`` as ``<`` (``STOP_GRID``).  Every property here asks
 for *identical* results -- regions in the same order, floats equal to the last
 bit, the same rectangle counts and search steps -- because the plans the
 benchmarks and goldens pin depend on which of two equally good splits comes
@@ -600,24 +601,50 @@ def sweep_inputs(draw):
     return freq, cand, row_input, col_input
 
 
-def kernel_fits(freq, cand, row_input, col_input, weight_fn, threshold, max_groups) -> bool:
-    """Whether the kernel's sweep at ``threshold`` fits ``max_groups`` groups of rows.
+def kernel_sweep(freq, cand, row_input, col_input, weight_fn, threshold, max_groups):
+    """The kernel's one pass at ``threshold`` over the sweep inputs' grid,
+    held to the band loop's pass to the bit: its coarsening, or ``None``
+    when no cover fits.
 
-    The sweep inputs are a grid whose columns are their groups (each
-    column group one column: its aggregates are the inputs themselves, and
-    ``cand > 0`` the candidates); ``native.coarsen`` searching both axes
-    between the ends ``threshold`` and ``threshold`` sweeps the rows there
-    only, and a column sweep always fits one group per column, so the call
-    finds no cover exactly when the row sweep does not fit.
+    The sweep inputs are a grid whose columns are their groups (each column
+    group one column: its aggregates are the inputs themselves, and ``cand
+    > 0`` the candidates).  One pass between the ends ``threshold`` and
+    ``threshold`` sweeps the rows there only, and the columns' sweep, with a
+    group for every column, always fits; so the pass finds no cover exactly
+    when the row sweep does not fit, and otherwise its row bounds are the
+    result's unless the pass leaves the even starting grid the lighter.
     """
-    grid = BandGrid.from_dense(WeightedGrid(freq, row_input, col_input, cand > 0))
-    found = native.coarsen(
-        grid.row_input, grid.col_input, grid.run_ptr, grid.run_lo, grid.run_hi,
-        grid.entry_ptr, grid.entry_col, grid.entry_value, weight_fn.input_cost,
-        weight_fn.output_cost, max_groups, grid.num_cols, threshold, threshold, threshold,
-        MAX_ITERATIONS, MAX_MIDPOINTS, SEARCH_TOLERANCE,
-    )
-    return found is not None
+    band = BandGrid.from_dense(WeightedGrid(freq, row_input, col_input, cand > 0))
+    ends = (threshold, threshold, threshold)
+    ours = coarsened(kernel_coarsen, band, weight_fn, max_groups, band.num_cols, ends, 1)
+    reference = coarsened(band_coarsen, band, max_groups, band.num_cols, weight_fn, ends, 1)
+    assert (ours is None) == (reference is None)
+    if ours is not None:
+        assert_same_coarsening(ours, reference)
+    return ours
+
+
+def check_kernel_sweep(*args) -> int:
+    """Assert the kernel's sweep at ``args`` is the row loop's, at their
+    ``max_groups`` and at exactly the groups the row loop needs there
+    (where the even grid of as many groups is the likelier to be heavier):
+    no cover where the loop finds none, and the loop's bounds wherever the
+    kernel's reach its result.  One group is never searched, so it checks
+    nothing there.  Returns at how many of the two the bounds reached it."""
+    *inputs, max_groups = args
+    rows = len(inputs[2])
+    reached = 0
+    for groups in {max_groups, len(reference_sweep_rows(*inputs, rows)) - 1}:
+        if min(groups, rows) == 1:
+            continue
+        bounds = reference_sweep_rows(*inputs, groups)
+        ours = kernel_sweep(*inputs, groups)
+        assert (ours is None) == (bounds is None)
+        if ours is not None and ours.row_groups.tolist() != even_boundaries(
+                rows, min(groups, rows)).tolist():
+            assert ours.row_groups.tolist() == bounds.tolist()
+            reached += 1
+    return reached
 
 
 def block_weights(freq, cand, row_input, col_input, weight_fn, start, stop):
@@ -650,14 +677,12 @@ def test_sweep_matches_the_row_loop(inputs, weight_fn, fraction, max_groups, dat
         else:
             assert ours is not None and ours.dtype == reference.dtype
             assert ours.tolist() == reference.tolist()
-        if min(max_groups, rows) > 1:  # one group is never searched
-            assert kernel_fits(*args) == (reference is not None)
+        check_kernel_sweep(*args)
 
 
 def test_sweep_runs_out_of_groups_exactly_when_the_row_loop_does():
     """``max_groups`` exhaustion: None below the group count, boundaries at
-    it, for the numpy sweep and the row loop; the kernel's fits exactly
-    when theirs do."""
+    it, for the numpy sweep, the row loop and the kernel."""
     rng = np.random.default_rng(7)
     rows, groups = 60, 4
     cand = np.ones((rows, groups))
@@ -674,7 +699,9 @@ def test_sweep_runs_out_of_groups_exactly_when_the_row_loop_does():
         ours, reference = numpy_sweep_rows(*args), reference_sweep_rows(*args)
         assert (reference is None) == (max_groups < needed)
         assert (ours is None) == (reference is None)
-        assert kernel_fits(*args) == (reference is not None)
+        # Every cover at 12.0 is lighter than the even grid's: the kernel's
+        # bounds reach the result at each group count it finds one for.
+        assert check_kernel_sweep(*args) == len({max_groups, needed}) - (reference is None)
         if reference is not None:
             assert ours.tolist() == reference.tolist() == unlimited.tolist()
 
@@ -711,10 +738,10 @@ def met_weights(freq, cand, row_input, col_input, weight_fn, bounds) -> list:
        fraction=st.floats(0.0, 1.0), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_the_kernel_sweeps_as_numpy_and_the_row_loop_do(inputs, weight_fn, fraction, data):
-    """The numpy sweep == the row loop, boundary for boundary and on running
-    out of groups, and the kernel's sweep fits exactly when they do.
-    Thresholds are the exact block weights a sweep meets, so every ``>``
-    meets its tie."""
+    """The numpy sweep == the row loop == the kernel's sweep, boundary for
+    boundary and on running out of groups (the kernel's bounds wherever
+    they reach its result).  Thresholds are the exact block weights a sweep
+    meets, so every ``>`` meets its tie."""
     freq, cand, row_input, col_input = inputs
     rows = len(row_input)
     first = fraction * float(
@@ -734,8 +761,7 @@ def test_the_kernel_sweeps_as_numpy_and_the_row_loop_do(inputs, weight_fn, fract
         else:
             assert ours.dtype == reference.dtype
             assert ours.tolist() == reference.tolist()
-        if max_groups > 1:
-            assert kernel_fits(freq, cand, *args) == (reference is not None)
+        check_kernel_sweep(freq, cand, *args)
 
 
 # ----------------------------------------------------------------------
