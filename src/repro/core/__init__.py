@@ -7,8 +7,9 @@ Modules, in the order the 3-stage histogram algorithm uses them:
   coarsened matrix MC (per-row/column input sizes, per-cell output
   frequencies, candidate mask, O(1) rectangle weights via prefix sums),
   :class:`~repro.core.grid.BandGrid`, the sample matrix MS as its candidate
-  runs and sampled entries, and ``smallest_feasible``, the one threshold
-  search of coarsening, regionalization and M-Bucket.
+  runs and sampled entries, and ``smallest_feasible``, M-Bucket's threshold
+  search (coarsening and regionalization run the same steps in the compiled
+  kernel).
 * :mod:`repro.core.region` -- rectangular regions and minimal candidate
   rectangles.
 * :mod:`repro.core.sample_matrix` -- stage 1 (sampling): build MS from

@@ -21,52 +21,18 @@ and for the Table III comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.grid import WeightedGrid
+from repro.core.monotonic_bsp import BSPResult, check_threshold
 from repro.core.region import GridRegion
 from repro.core.tiling_tables import Rect, TilingTables
 from repro.core.weights import WeightFunction
 
-__all__ = ["BSPResult", "bsp_partition", "check_threshold"]
+__all__ = ["bsp_partition"]
 
 #: Default refusal threshold on the grid side length for the baseline DP.
 DEFAULT_MAX_GRID_SIZE = 28
-
-
-@dataclass
-class BSPResult:
-    """Result of one tiling run at a fixed weight threshold ``delta``.
-
-    Attributes
-    ----------
-    regions:
-        The covering regions (each shrunk to its minimal candidate
-        rectangle).  Empty when the grid has no candidate cells.
-    max_region_weight:
-        The largest region weight actually achieved (it can exceed ``delta``
-        only when a single cell already exceeds it).
-    rectangles_evaluated:
-        Number of rectangles the dynamic program evaluated; used by the
-        Table III complexity benchmark.
-    """
-
-    regions: list[GridRegion]
-    max_region_weight: float
-    rectangles_evaluated: int
-
-    @property
-    def num_regions(self) -> int:
-        """Number of regions in the partitioning."""
-        return len(self.regions)
-
-
-def check_threshold(delta: float) -> None:
-    """Refuse a NaN ``delta``: nothing compares below it, so no cell is ever a leaf."""
-    if delta != delta:
-        raise ValueError(f"delta is {delta}: a tiling's threshold must be comparable")
 
 
 def bsp_partition(

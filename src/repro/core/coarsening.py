@@ -7,8 +7,12 @@ MAX-WEIGHT-ID metric (Muthukrishnan & Suel); the best known approximation has
 ratio 2.  The implementation follows the standard iterative-refinement
 recipe: alternately re-optimise the row boundaries for fixed column
 boundaries and vice versa, where each 1-D optimisation is a binary search
-over the cell-weight threshold (:func:`~repro.core.grid.smallest_feasible`'s
-steps) combined with a greedy sweep.
+over the cell-weight threshold combined with a greedy sweep: the planner's
+one threshold search, which regionalization's delta search runs too, in the
+compiled kernel (:func:`~repro.core.grid.smallest_feasible` is its Python
+form).  Where no threshold up to the axis's total weight fits -- a block
+summed in another order than the total can round above it -- the axis
+takes one group, the cover one group allows without a search.
 
 The paper's **MonotonicCoarsening** observation -- non-candidate cells weigh
 zero, so only candidate cells need their weights computed -- is applied
@@ -103,7 +107,8 @@ def coarsen(
     At most ``MAX_ITERATIONS`` alternating row/column refinement passes run;
     the first pass that does not lower the maximum cell weight ends them.
     Each axis's search tries at most ``MAX_MIDPOINTS`` midpoints between the
-    heaviest candidate cell and the axis's total weight.  All of it is one
+    heaviest candidate cell and the axis's total weight, and an axis no
+    threshold fits takes one group.  All of it is one
     :func:`repro.joins.native.coarsen` call.
 
     Parameters
@@ -116,12 +121,6 @@ def coarsen(
         ``num_col_groups`` defaults (``None``) to ``num_row_groups``.
     weight_fn:
         Cost model; defaults to unit input and output costs.
-
-    Raises
-    ------
-    RuntimeError
-        When an axis's search finds no cover, not even at its high end (a
-        block summed in another order than the total can round above it).
     """
     if num_col_groups is None:
         num_col_groups = num_row_groups
@@ -138,15 +137,14 @@ def coarsen(
     total_input = grid.total_input
     row_high = max(weight_fn.weight(total_input, grid.total_output), heaviest_cell)
     col_high = max(weight_fn.weight(total_input, grid.transposed_total_output), heaviest_cell)
-    found = native.coarsen(
-        grid.row_input, grid.col_input, grid.run_ptr, grid.run_lo, grid.run_hi,
-        grid.entry_ptr, grid.entry_col, grid.entry_value,
-        weight_fn.input_cost, weight_fn.output_cost, num_row_groups, num_col_groups,
-        heaviest_cell, row_high, col_high, MAX_ITERATIONS, MAX_MIDPOINTS, SEARCH_TOLERANCE,
+    row_groups, col_groups, frequency, row_input, col_input, candidate, weight, passes = (
+        native.coarsen(
+            grid.row_input, grid.col_input, grid.run_ptr, grid.run_lo, grid.run_hi,
+            grid.entry_ptr, grid.entry_col, grid.entry_value,
+            weight_fn.input_cost, weight_fn.output_cost, num_row_groups, num_col_groups,
+            heaviest_cell, row_high, col_high, MAX_ITERATIONS, MAX_MIDPOINTS, SEARCH_TOLERANCE,
+        )
     )
-    if found is None:
-        raise RuntimeError("coarsening sweep failed at the trivial threshold")
-    row_groups, col_groups, frequency, row_input, col_input, candidate, weight, passes = found
     return CoarseningResult(
         grid=WeightedGrid(frequency, row_input, col_input, candidate),
         row_groups=row_groups,

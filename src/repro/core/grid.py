@@ -41,8 +41,9 @@ floats the dense arrays gave.  The ``n_s x n_s`` sample matrix and
 coarsening's transposed copy never build one.
 
 Coarsening, regionalization and M-Bucket each look for the smallest weight
-threshold at which a greedy cover of a grid fits; :func:`smallest_feasible`
-is that one binary search.
+threshold at which a greedy cover of a grid fits, by one binary search:
+the compiled kernel runs it for the first two, and :func:`smallest_feasible`
+is its Python form, for M-Bucket and the test oracle.
 """
 
 from __future__ import annotations
@@ -83,9 +84,12 @@ def smallest_feasible(
     cover -- ``high`` and ``None`` when neither ``high`` nor a midpoint fits,
     which leaves the fallback to the caller.
 
-    Coarsening runs these steps in the compiled kernel (``optimize_axis`` in
-    ``repro/joins/native.c``, a copy of them): a change here is a change
-    there too.
+    The planner's own search is ``smallest_feasible`` in
+    ``repro/joins/native.c``, the one compiled copy of these steps: each of
+    coarsening's axis searches and regionalization's delta search run it.
+    This Python form serves M-Bucket, a baseline whose predicate is Python,
+    and the test oracle that holds the kernel's searches to it (a change
+    to the steps is a change to both).
     """
     cover = feasible(low)
     if cover is not None:
@@ -303,10 +307,6 @@ class WeightedGrid:
             + p[region.row_lo, region.col_lo]
         )
 
-    def cell_weight(self, row: int, col: int, weight_fn: WeightFunction) -> float:
-        """Weight of the single cell ``(row, col)``."""
-        return self.region_weight(GridRegion(row, row, col, col), weight_fn)
-
     def max_cell_weight(self, weight_fn: WeightFunction,
                         candidates_only: bool = False) -> float:
         """Maximum single-cell weight, optionally restricted to candidate cells."""
@@ -331,10 +331,6 @@ class WeightedGrid:
         if lo < 0:
             return None
         return lo, int(span_hi[row])
-
-    def candidate_rows(self) -> np.ndarray:
-        """Indexes of rows containing at least one candidate cell."""
-        return np.flatnonzero(self._row_cand_spans[0] >= 0)
 
     def is_monotonic(self) -> bool:
         """Check the paper's monotonicity property of the candidate mask.

@@ -24,33 +24,72 @@ Everything about a rectangle that does not depend on the threshold -- what
 it shrinks to, what it weighs, which halves its splits leave -- comes from a
 :class:`~repro.core.tiling_tables.TilingTables`, which builds the closure of
 the child relation from the root once per grid, for every threshold from a
-least one on.  The DP at one threshold is
-then one call of the compiled kernel (:func:`repro.joins.native.tile`): it
-walks the child table with its own stack, so its depth (at most rows +
-columns) meets no recursion limit, compares each rectangle's leaf threshold
-with ``delta`` and adds region counts -- no float is formed in it
-(:func:`region_counts`).  Python reads the leaves off the counts it returns
-(:func:`tiling_of`), once per tiling it keeps.  The pure-Python DP it replaced
-is the differential oracle in ``tests/reference_planner.py``.
+least one on.  The DP then runs in the compiled kernel
+(:func:`repro.joins.native.tile`), one call per tiling kept
+(:func:`smallest_tiling`): it walks the child table with its own stack, so
+its depth (at most rows + columns) meets no recursion limit, compares each
+rectangle's leaf threshold with ``delta`` and adds region counts -- no float
+is formed in it -- at each threshold of a search between two ends (one
+threshold when they are equal), and hands back the chosen tiling's leaves.
+The pure-Python DP it replaced is the differential oracle in
+``tests/reference_planner.py``.
+
+:class:`BSPResult` and :func:`check_threshold` live here, with the DP every
+plan build runs; the baseline :mod:`repro.core.bsp` imports them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.core.bsp import BSPResult, check_threshold
-from repro.core.grid import WeightedGrid
+from repro.core.grid import SEARCH_TOLERANCE, WeightedGrid
 from repro.core.region import GridRegion
 from repro.core.tiling_tables import TilingTables
 from repro.core.weights import WeightFunction
 from repro.joins import native
 
 __all__ = [
+    "BSPResult",
+    "check_threshold",
     "enumerate_minimal_candidate_rectangles",
     "monotonic_bsp_partition",
-    "region_counts",
-    "tiling_of",
+    "smallest_tiling",
 ]
+
+
+@dataclass
+class BSPResult:
+    """Result of one tiling run at a fixed weight threshold ``delta``.
+
+    Attributes
+    ----------
+    regions:
+        The covering regions (each shrunk to its minimal candidate
+        rectangle).  Empty when the grid has no candidate cells.
+    max_region_weight:
+        The largest region weight actually achieved (it can exceed ``delta``
+        only when a single cell already exceeds it).
+    rectangles_evaluated:
+        Number of rectangles the dynamic program evaluated; used by the
+        Table III complexity benchmark.
+    """
+
+    regions: list[GridRegion]
+    max_region_weight: float
+    rectangles_evaluated: int
+
+    @property
+    def num_regions(self) -> int:
+        """Number of regions in the partitioning."""
+        return len(self.regions)
+
+
+def check_threshold(delta: float) -> None:
+    """Refuse a NaN ``delta``: nothing compares below it, so no cell is ever a leaf."""
+    if delta != delta:
+        raise ValueError(f"delta is {delta}: a tiling's threshold must be comparable")
 
 
 def enumerate_minimal_candidate_rectangles(grid: WeightedGrid) -> list[GridRegion]:
@@ -110,38 +149,33 @@ def monotonic_bsp_tiling(tables: TilingTables, delta: float) -> BSPResult:
     """
     if tables.root < 0:
         return BSPResult(regions=[], max_region_weight=0.0, rectangles_evaluated=0)
-    return tiling_of(tables, *region_counts(tables, delta))
-
-
-def region_counts(tables: TilingTables, delta: float) -> "tuple[np.ndarray, np.ndarray]":
-    """The DP at ``delta``: each rectangle's region count and best split.
-
-    One kernel call (:func:`repro.joins.native.tile`); ``counts[tables.root]``
-    is the tiling's region count, so a threshold search can accept or
-    reject ``delta`` without reading a region.  The tables have a root
-    (a candidate cell), and ``delta`` is not below their ``least_delta``.
-    """
     if delta < tables.least_delta:
         raise ValueError(f"delta {delta} is below the {tables.least_delta} the tables "
                          "were built for")
-    return native.tile(tables.offsets, tables.children, tables.leaf_thresholds, tables.root,
-                       delta)
+    # A search from delta to delta under a budget no tiling exceeds (each
+    # region is a rectangle of the tables).
+    return smallest_tiling(tables, delta, delta, tables.leaf_thresholds.size, 0)[2]
 
 
-def tiling_of(tables: TilingTables, counts: np.ndarray, splits: np.ndarray) -> BSPResult:
-    """The tiling :func:`region_counts` found: its leaves, read from the root down."""
-    children = tables.children
-    leaves: list[int] = []
-    pending = [tables.root]
-    while pending:
-        rect = pending.pop()
-        if counts[rect] == 1:
-            leaves.append(rect)
-        else:
-            best = splits[rect]
-            pending += children[best], children[best + 1]
-    return BSPResult(
+def smallest_tiling(tables: TilingTables, low: float, high: float, budget: int,
+                    max_midpoints: int) -> "tuple[float, int, BSPResult]":
+    """The tiling of at most ``budget`` regions at the smallest threshold found.
+
+    One kernel call (:func:`repro.joins.native.tile`) runs the planner's
+    threshold search from ``low`` to ``high`` (at most ``max_midpoints``
+    midpoints, stopping at :data:`~repro.core.grid.SEARCH_TOLERANCE`), a
+    probe the DP at one threshold, accepted by the root's region count
+    alone.  Returns ``(delta, probes, tiling)``, regions built only for the
+    tiling returned.  The tables have a root (a candidate cell), ``low`` is
+    not below their ``least_delta`` and some probe fits (one region
+    covering everything does at the root's weight).
+    """
+    delta, probes, leaves, evaluated = native.tile(
+        tables.offsets, tables.children, tables.leaf_thresholds, tables.root, low, high,
+        budget, max_midpoints, SEARCH_TOLERANCE,
+    )
+    return delta, probes, BSPResult(
         regions=[GridRegion(*rect) for rect in tables.rects[leaves].tolist()],
         max_region_weight=max(tables.weights[leaves].tolist()),
-        rectangles_evaluated=int(np.count_nonzero(counts)),
+        rectangles_evaluated=evaluated,
     )

@@ -16,7 +16,6 @@ Two coordinate systems appear:
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -114,18 +113,6 @@ class KeyRegion:
     def __post_init__(self) -> None:
         if self.r1_lo > self.r1_hi or self.r2_lo > self.r2_hi:
             raise ValueError(f"degenerate key region {self!r}")
-
-    def contains_r1_key(self, key: float) -> bool:
-        """Whether an R1 tuple with ``key`` is routed to this region's row range."""
-        if math.isinf(self.r1_hi):
-            return key >= self.r1_lo
-        return self.r1_lo <= key < self.r1_hi
-
-    def contains_r2_key(self, key: float) -> bool:
-        """Whether an R2 tuple with ``key`` is routed to this region's column range."""
-        if math.isinf(self.r2_hi):
-            return key >= self.r2_lo
-        return self.r2_lo <= key < self.r2_hi
 
 
 def key_regions(

@@ -3,9 +3,8 @@
 MonotonicBSP solves the *dual* problem: given a maximum region weight
 ``delta``, minimise the number of regions.  The histogram needs the primal:
 given J machines, minimise the maximum region weight.  Regionalization
-therefore binary-searches over ``delta``
-(:func:`~repro.core.grid.smallest_feasible`) until the tiling returns at most
-J regions, starting from the natural lower bound
+therefore binary-searches over ``delta`` until the tiling returns at most J
+regions, starting from the natural lower bound
 
     max( w_OPT lower bound, maximum candidate-cell weight )
 
@@ -17,11 +16,16 @@ to, weighs and splits into does not depend on the threshold.  So one
 :class:`~repro.core.tiling_tables.TilingTables` is built per call, for
 every threshold from the lower bound on -- the closure of the child
 relation from the root, a round of rectangles per call of the compiled
-kernel, each round weighed in one numpy pass -- and every step is one more
-kernel call (:func:`repro.joins.native.tile`) over that child table, whose
-root region count alone accepts or rejects the threshold: the regions are
-read once, for the threshold the search returns, then the tables are
-dropped.  The baseline BSP solves the same dual problem on small
+kernel, each round weighed in one numpy pass -- and the whole search is one
+more kernel call (:func:`repro.joins.native.tile`, through
+:func:`~repro.core.monotonic_bsp.smallest_tiling`) over that child table: the
+planner's one threshold search (the function coarsening's axis searches run
+too; :func:`~repro.core.grid.smallest_feasible` is its Python form), each
+probe the DP at one threshold, accepted or rejected by the root's region
+count alone.  The regions are read once, for the threshold the search
+returns, then the tables are dropped.  ``tests/reference_planner.py`` keeps
+the search as it ran in Python, one kernel probe per step, and holds this
+to it bit for bit.  The baseline BSP solves the same dual problem on small
 grids only; Table III reaches it through
 :func:`~repro.core.bsp.bsp_partition`.
 """
@@ -30,10 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.grid import WeightedGrid, smallest_feasible
-from repro.core.monotonic_bsp import region_counts, tiling_of
+from repro.core.grid import WeightedGrid
+from repro.core.monotonic_bsp import smallest_tiling
 from repro.core.region import GridRegion
 from repro.core.tiling_tables import TilingTables
 from repro.core.weights import WeightFunction
@@ -104,14 +106,7 @@ def regionalize(
     )
     tables = TilingTables(grid, weight_fn, lower)  # every step's delta is >= lower
     upper = max(float(tables.weights[tables.root]), lower)
-
-    def feasible(delta: float) -> "tuple[np.ndarray, np.ndarray] | None":
-        counts, splits = region_counts(tables, delta)
-        return (counts, splits) if counts[tables.root] <= num_machines else None
-
-    delta, found, steps = smallest_feasible(feasible, lower, upper, MAX_MIDPOINTS)
-    assert found is not None  # one region covering everything always fits
-    best = tiling_of(tables, *found)
+    delta, steps, best = smallest_tiling(tables, lower, upper, num_machines, MAX_MIDPOINTS)
     return RegionalizationResult(
         regions=best.regions,
         delta=delta,

@@ -21,9 +21,6 @@ _EXPORTS = {
     "InequalityOp": "repro.joins.conditions",
     "CompositeEquiBandCondition": "repro.joins.conditions",
     "Relation": "repro.joins.relations",
-    "sort_merge_band_join": "repro.joins.local",
-    "hash_equi_join": "repro.joins.local",
-    "nested_loop_join": "repro.joins.local",
     "join_output_pairs": "repro.joins.local",
     "count_join_output": "repro.joins.local",
 }

@@ -6,14 +6,9 @@ to the choice of local algorithm (paper, section IV): as long as every worker
 runs the same algorithm, only the *amount* of input and output per worker
 matters for load balance.
 
-Three algorithms are provided:
-
-* :func:`sort_merge_band_join` -- the default for band/inequality joins;
-  sorts both sides and sweeps a window.
-* :func:`hash_equi_join` -- classic hash join, valid only for equality
-  conditions.
-* :func:`nested_loop_join` -- O(n*m) reference implementation used by the
-  tests as ground truth.
+:func:`join_output_pairs` materialises the output pairs (the multiway
+helper's intermediate results): a sort-merge join, or a hash join's output
+for an equality condition.
 
 For the simulator we rarely need materialised pairs, only their number:
 routed needles are counted against sorted runs with two searches per
@@ -47,9 +42,6 @@ if TYPE_CHECKING:
     from repro.partitioning.grid_routed import MachineSlices
 
 __all__ = [
-    "nested_loop_join",
-    "sort_merge_band_join",
-    "hash_equi_join",
     "join_output_pairs",
     "count_join_output",
     "count_runs",
@@ -57,80 +49,32 @@ __all__ = [
 ]
 
 
-def nested_loop_join(
-    keys1: np.ndarray, keys2: np.ndarray, condition: JoinCondition
-) -> list[tuple[float, float]]:
-    """Join two key arrays by testing every pair, in row-major order.
-
-    Quadratic (one broadcast ``matches_many`` over the whole join matrix);
-    only suitable for small inputs.  Used as the reference implementation
-    in tests.
-    """
-    keys1 = np.asarray(keys1, dtype=np.float64)  # repro: ignore[KEY001]  # reference oracle is float-keyed by design
-    keys2 = np.asarray(keys2, dtype=np.float64)  # repro: ignore[KEY001]  # reference oracle is float-keyed by design
-    rows, cols = np.nonzero(condition.matches_many(keys1[:, None], keys2[None, :]))
-    return list(zip(keys1[rows].tolist(), keys2[cols].tolist()))
-
-
-def sort_merge_band_join(
-    keys1: np.ndarray, keys2: np.ndarray, condition: JoinCondition
-) -> list[tuple[float, float]]:
-    """Sort-merge join for monotonic conditions.
-
-    Both inputs are sorted; for every R1 key the joinable R2 window is found
-    with binary search, so the cost is ``O(n log n + output)``.
-    """
-    keys1 = np.sort(np.asarray(keys1, dtype=np.float64))  # repro: ignore[KEY001]  # reference oracle is float-keyed by design
-    keys2 = np.sort(np.asarray(keys2, dtype=np.float64))  # repro: ignore[KEY001]  # reference oracle is float-keyed by design
-    if len(keys1) == 0 or len(keys2) == 0:
-        return []
-    lows, highs = condition.joinable_bounds(keys1)
-    left = np.searchsorted(keys2, lows, side="left")
-    right = np.searchsorted(keys2, highs, side="right")
-    out: list[tuple[float, float]] = []
-    for k1, lo_idx, hi_idx in zip(keys1, left, right):
-        for j in range(lo_idx, hi_idx):
-            out.append((float(k1), float(keys2[j])))  # repro: ignore[KEY001]  # pair materialisation in the float oracle
-    return out
-
-
-def hash_equi_join(
-    keys1: np.ndarray, keys2: np.ndarray, condition: JoinCondition | None = None
-) -> list[tuple[float, float]]:
-    """Hash join; valid only for equality conditions.
-
-    ``condition`` may be passed for interface uniformity but must be an
-    equi-join (band width zero) if given.
-    """
-    if condition is not None:
-        is_equi = isinstance(condition, EquiJoinCondition) or (
-            isinstance(condition, BandJoinCondition) and condition.beta == 0
-        )
-        if not is_equi:
-            raise ValueError("hash_equi_join only supports equality conditions")
-    keys1 = np.asarray(keys1, dtype=np.float64)  # repro: ignore[KEY001]  # reference oracle is float-keyed by design
-    keys2 = np.asarray(keys2, dtype=np.float64)  # repro: ignore[KEY001]  # reference oracle is float-keyed by design
-    table: dict[float, int] = {}
-    for k in keys2:
-        table[float(k)] = table.get(float(k), 0) + 1
-    out: list[tuple[float, float]] = []
-    for k in keys1:
-        k = float(k)
-        if k in table:
-            out.extend((k, k) for _ in range(table[k]))
-    return out
-
-
 def join_output_pairs(
     keys1: np.ndarray, keys2: np.ndarray, condition: JoinCondition
 ) -> list[tuple[float, float]]:
-    """Produce all output key pairs using the best applicable algorithm."""
+    """Produce all output key pairs, as float64 keys.
+
+    Each R1 key's joinable window of sorted R2 is found by binary search, so
+    the cost is ``O(n log m + output)``.  An equality condition keeps R1's
+    order and pairs each key with itself (a hash join's output); any other
+    sorts R1 first (a sort-merge join's).
+    """
     is_equi = isinstance(condition, EquiJoinCondition) or (
         isinstance(condition, BandJoinCondition) and condition.beta == 0
     )
-    if is_equi:
-        return hash_equi_join(keys1, keys2)
-    return sort_merge_band_join(keys1, keys2, condition)
+    keys1 = np.asarray(keys1, dtype=np.float64)  # repro: ignore[KEY001]  # pairs are float-keyed by design
+    keys2 = np.sort(np.asarray(keys2, dtype=np.float64))  # repro: ignore[KEY001]  # pairs are float-keyed by design
+    if not is_equi:
+        keys1 = np.sort(keys1)
+    if len(keys1) == 0 or len(keys2) == 0:
+        return []
+    lows, highs = condition.joinable_bounds(keys1)
+    left = np.searchsorted(keys2, lows, side="left").tolist()
+    right = np.searchsorted(keys2, highs, side="right").tolist()
+    out: list[tuple[float, float]] = []
+    for k1, lo, hi in zip(keys1.tolist(), left, right):
+        out.extend((k1, k1 if is_equi else k2) for k2 in keys2[lo:hi].tolist())
+    return out
 
 
 def count_join_output(

@@ -29,8 +29,10 @@
  * closure    builds every minimal candidate rectangle MonotonicBSP can
  *            reach from a grid's root, with its child pairs: once per
  *            repro.core.tiling_tables.TilingTables.
- * tile       runs MonotonicBSP's dynamic program over that closure at one
- *            threshold: once per probe of regionalization's search.
+ * tile       runs regionalization's threshold search over that closure,
+ *            MonotonicBSP's dynamic program at each probe, and reads the
+ *            kept tiling's leaves: once per plan build.  Its search and
+ *            coarsen's are one function, smallest_feasible.
  * search     numpy's searchsorted of needles into ascending keys: the plan
  *            build's searches (bucket_index, Stream-Sample's d2equi windows
  *            and job 3, the with-replacement draw).
@@ -69,8 +71,9 @@
  * first one out of range.
  *
  * coarsen is the kernel's floating-point arithmetic (closure is integers
- * only, tile only compares a rectangle's leaf threshold with delta -- its
- * weights are numpy's, summed before the call -- and spans rounds one
+ * only, tile compares a rectangle's leaf threshold with delta and forms
+ * the search's midpoints as coarsen does -- its weights are numpy's,
+ * summed before the call -- and spans rounds one
  * difference per test, as numpy's subtraction does), and it must round as
  * numpy does: every product and sum once, in numpy's order.  So the
  * library is built with -ffp-contract=off.  Otherwise a compiler for a
@@ -1078,10 +1081,9 @@ struct coarse {
 enum {
     COARSEN_OK = 0,
     COARSEN_NO_MEMORY = -1,
-    COARSEN_NO_COVER = -2, /* a search found no cover, not even at its high end */
-    COARSEN_ROW_INPUT = -3, /* a sum overflowed */
-    COARSEN_COL_INPUT = -4,
-    COARSEN_ENTRY_VALUE = -5,
+    COARSEN_ROW_INPUT = -2, /* a sum overflowed */
+    COARSEN_COL_INPUT = -3,
+    COARSEN_ENTRY_VALUE = -4,
 };
 
 /*
@@ -1209,59 +1211,98 @@ static int build_coarse(const struct band *band, const struct aggregates *rows_o
     return COARSEN_OK;
 }
 
-/* Scratch for one axis's search: the sweep's running sums and flags, and
- * two boundary arrays of max_groups + 1 entries (the cover kept, the probe). */
-struct search {
-    double *sums;
-    unsigned char *seen;
-    int64_t *cover, *probe;
-};
-
 /*
- * One axis's bounds for fixed groups on the other: repro.core.grid's
- * smallest_feasible over the sweep, its steps copied (a change to one is a
- * change to both; tests/test_planner_oracle.py holds this to the band loop
- * that calls smallest_feasible, between any ends).  The sweep at low, then
- * at high, then at most max_midpoints midpoints (low + high) / 2.0 while
- * high - low is above tolerance * max(high, 1.0); the lowest fitting
- * threshold tried wins.  One group needs no search (a block summed line by line can round
- * one step above the total weight the search ends at).  Returns the bounds
- * written to search->cover, or 0 when nothing fits.
+ * The planner's threshold search, the one copy of its steps: coarsening's
+ * two axis searches (the sweep as the probe) and regionalization's delta
+ * search (the tiling DP) both run it.  probe(context, threshold) returns 1
+ * when a cover fits at threshold, 0 when none does, or a negative error;
+ * it keeps nothing, so the caller probes the threshold found once more for
+ * its cover.  The probe at low, then at high, then at most max_midpoints
+ * midpoints (low + high) / 2.0 while high - low is above tolerance *
+ * max(high, 1.0).  Leaves in *threshold low when it fits, else the lowest
+ * fitting threshold tried, else high, which then stands for the caller's
+ * fallback.  Returns the probes made, or the first error.
+ * repro.core.grid.smallest_feasible is M-Bucket's Python form of it, and
+ * tests/test_planner_oracle.py holds each caller to a Python loop over it.
  */
-static int64_t optimize_axis(const struct band *band, const struct aggregates *agg,
-                             const double *line_input, int64_t lines, int64_t max_groups,
-                             double low, double high, int64_t max_midpoints, double tolerance,
-                             struct search *search)
+typedef int (*probe_fn)(void *context, double threshold);
+
+static int64_t smallest_feasible(probe_fn probe, void *context, double low, double high,
+                                 int64_t max_midpoints, double tolerance, double *threshold)
 {
-    int64_t found, tried, i, *spare;
-#define SWEEP(threshold, out)                                                          \
-    sweep(agg->freq, agg->cand, line_input, agg->input, lines, agg->groups, band->w_i, \
-          band->w_o, threshold, max_groups, search->sums, search->seen, out)
-    if (max_groups == 1) {
-        search->cover[0] = 0;
-        search->cover[1] = lines;
-        return 2;
-    }
-    if ((found = SWEEP(low, search->cover)))
-        return found;
-    found = SWEEP(high, search->cover);
+    int64_t probes = 2, i;
+    int fits = probe(context, low);
+    *threshold = low;
+    if (fits)
+        return fits < 0 ? fits : 1;
+    if ((fits = probe(context, high)) < 0)
+        return fits;
     for (i = 0; i < max_midpoints; i++) {
         double mid;
         if (high - low <= tolerance * (1.0 > high ? 1.0 : high))
             break;
         mid = (low + high) / 2.0;
-        if (!(tried = SWEEP(mid, search->probe))) {
+        probes++;
+        if ((fits = probe(context, mid)) < 0)
+            return fits;
+        if (fits)
+            high = mid;
+        else
             low = mid;
-            continue;
-        }
-        high = mid;
-        found = tried;
-        spare = search->cover;
-        search->cover = search->probe;
-        search->probe = spare;
     }
-#undef SWEEP
-    return found;
+    *threshold = high;
+    return probes;
+}
+
+/* One axis's search: its lines (line_input, lines of them) aggregated by
+ * the other axis's groups, at most max_groups groups, the sweep's running
+ * sums and flags, and the cover (max_groups + 1 entries) it writes. */
+struct search {
+    const struct band *band;
+    const struct aggregates *agg;
+    const double *line_input;
+    int64_t lines, max_groups;
+    double *sums;
+    unsigned char *seen;
+    int64_t *cover;
+};
+
+/* The sweep at threshold into search->cover: the bounds written, or 0. */
+static int64_t sweep_at(const struct search *search, double threshold)
+{
+    return sweep(search->agg->freq, search->agg->cand, search->line_input, search->agg->input,
+                 search->lines, search->agg->groups, search->band->w_i, search->band->w_o,
+                 threshold, search->max_groups, search->sums, search->seen, search->cover);
+}
+
+static int sweep_probe(void *search, double threshold)
+{
+    return sweep_at(search, threshold) != 0;
+}
+
+/*
+ * One axis's bounds for fixed groups on the other: the sweep at the
+ * smallest threshold smallest_feasible finds from low to high.  Where no
+ * threshold fits -- a block summed line by line can round one step above
+ * the total weight the search ends at -- the axis takes one group, the
+ * only cover max_groups == 1 allows, which needs no search.  Returns the
+ * bounds written to search->cover.
+ */
+static int64_t optimize_axis(const struct search *search, double low, double high,
+                             int64_t max_midpoints, double tolerance)
+{
+    int64_t found = 0;
+    double threshold;
+    if (search->max_groups > 1) {
+        smallest_feasible(sweep_probe, (void *)search, low, high, max_midpoints, tolerance,
+                          &threshold);
+        found = sweep_at(search, threshold);
+    }
+    if (found)
+        return found;
+    search->cover[0] = 0;
+    search->cover[1] = search->lines;
+    return 2;
 }
 
 /* Scratch arrays, zeroed and freed together: grab() hands out each (NULL,
@@ -1308,15 +1349,16 @@ static void grab_coarse(struct scratch *scratch, int64_t rows, int64_t cols, str
     grid->col_bounds = grab(scratch, (size_t)cols + 1, sizeof *grid->col_bounds);
 }
 
-/* The scratch of one axis's search over at most `groups` groups of lines
- * aggregated by at most `across` groups. */
-static void grab_search(struct scratch *scratch, int64_t groups, int64_t across,
-                               struct search *search)
+/* The scratch of one axis's search over lines aggregated by agg into at
+ * most `groups` groups. */
+static void grab_search(struct scratch *scratch, const struct band *band,
+                        const struct aggregates *agg, const double *line_input, int64_t lines,
+                        int64_t groups, int64_t across, struct search *search)
 {
+    *search = (struct search){band, agg, line_input, lines, groups, NULL, NULL, NULL};
     search->sums = grab(scratch, (size_t)across, sizeof *search->sums);
     search->seen = grab(scratch, (size_t)across, 1);
     search->cover = grab(scratch, (size_t)groups + 1, sizeof *search->cover);
-    search->probe = grab(scratch, (size_t)groups + 1, sizeof *search->probe);
 }
 
 /*
@@ -1336,7 +1378,7 @@ static int coarsen(struct band *band, const struct plan *plan, struct scratch *s
     int64_t rows = band->rows, cols = band->cols, side = rows > cols ? rows : cols;
     int64_t nr = plan->row_groups, nc = plan->col_groups, entries = band->entry_ptr[rows];
     int64_t *iota, *group_of, *diff, *row_bounds, *col_bounds, *col_ptr, *col_row;
-    int64_t i, r, it, found, row_count, col_count;
+    int64_t i, r, it, row_count, col_count;
     double *line, *col_value;
     struct aggregates across, down;
     struct search row_search, col_search;
@@ -1358,8 +1400,8 @@ static int coarsen(struct band *band, const struct plan *plan, struct scratch *s
     down.freq = grab(scratch, (size_t)(cols * nr), sizeof *down.freq);
     down.cand = grab(scratch, (size_t)(cols * nr), 1);
     down.input = grab(scratch, (size_t)nr, sizeof *down.input);
-    grab_search(scratch, nr, nc, &row_search);
-    grab_search(scratch, nc, nr, &col_search);
+    grab_search(scratch, band, &across, band->row_input, rows, nr, nc, &row_search);
+    grab_search(scratch, band, &down, band->col_input, cols, nc, nr, &col_search);
     grab_coarse(scratch, nr, nc, &grid);
     grab_coarse(scratch, nr, nc, best);
     if (scratch->failed)
@@ -1395,20 +1437,14 @@ static int coarsen(struct band *band, const struct plan *plan, struct scratch *s
         *iterations = it + 1;
         if ((status = by_columns(band, col_bounds, col_count - 1, iota, group_of, &across)))
             return status;
-        if (!(found = optimize_axis(band, &across, band->row_input, rows, nr, plan->low,
-                                    plan->row_high, plan->max_midpoints, plan->tolerance,
-                                    &row_search)))
-            return COARSEN_NO_COVER;
-        row_count = found;
+        row_count = optimize_axis(&row_search, plan->low, plan->row_high, plan->max_midpoints,
+                                  plan->tolerance);
         memcpy(row_bounds, row_search.cover, (size_t)row_count * sizeof *row_bounds);
         /* The columns' search and the coarse grid's row pass share it. */
         if ((status = by_rows(band, row_bounds, row_count - 1, iota, diff, &down)))
             return status;
-        if (!(found = optimize_axis(band, &down, band->col_input, cols, nc, plan->low,
-                                    plan->col_high, plan->max_midpoints, plan->tolerance,
-                                    &col_search)))
-            return COARSEN_NO_COVER;
-        col_count = found;
+        col_count = optimize_axis(&col_search, plan->low, plan->col_high, plan->max_midpoints,
+                                  plan->tolerance);
         memcpy(col_bounds, col_search.cover, (size_t)col_count * sizeof *col_bounds);
         if ((status = build_coarse(band, &down, col_bounds, col_count - 1, iota, line, &grid)))
             return status;
@@ -1709,8 +1745,9 @@ out:
  * counts and splits have n entries.  On return counts[x] is x's region
  * count (0: never met) and splits[x], for a split x, the offset into
  * children of its best pair (0 for any other).  Returns 0, -1 when the stack could not be
- * had, or -2 when an offset or a child lies outside what it indexes or a
- * rectangle above delta has no pair to split by.
+ * had, or -2 when an offset or a child lies outside what it indexes, a
+ * rectangle above delta has no pair to split by or a count would pass n
+ * (each region of a tiling is a rectangle of its own).
  */
 static int64_t tile(const int64_t *offsets, const int64_t *children,
                     const double *leaf_thresholds, int64_t n, int64_t m,
@@ -1771,6 +1808,11 @@ static int64_t tile(const int64_t *offsets, const int64_t *children,
                 }
                 counts[second] = second_count = 1;
             }
+            if (first_count > n - second_count) {
+                /* More regions than rectangles: no closure's table. */
+                free(stack);
+                return -2;
+            }
             if (first_count + second_count < best) {
                 best = first_count + second_count;
                 best_offset = offset;
@@ -1794,6 +1836,43 @@ static int64_t tile(const int64_t *offsets, const int64_t *children,
 #undef PUSH
     free(stack);
     return 0;
+}
+
+/* The tiling DP as a probe of smallest_feasible, into counts and splits:
+ * it fits when the root needs at most budget regions. */
+struct tiling {
+    const int64_t *offsets, *children;
+    const double *leaf_thresholds;
+    int64_t n, m, root, budget, *counts, *splits;
+};
+
+static int tile_probe(void *context, double delta)
+{
+    const struct tiling *t = context;
+    int64_t status = tile(t->offsets, t->children, t->leaf_thresholds, t->n, t->m, t->root,
+                          delta, t->counts, t->splits);
+    return status ? (int)status : t->counts[t->root] <= t->budget;
+}
+
+/*
+ * The probed tiling's leaves into `leaves`, read from the root down (a
+ * stack: a split's second half first) -- at most counts[root] of them,
+ * and the stack, `pending`, never holds more.  Returns the leaves.
+ */
+static int64_t leaves_of(const struct tiling *t, int64_t *pending, int64_t *leaves)
+{
+    int64_t depth = 1, found = 0;
+    pending[0] = t->root;
+    while (depth) {
+        int64_t rect = pending[--depth];
+        if (t->counts[rect] == 1) {
+            leaves[found++] = rect;
+            continue;
+        }
+        pending[depth++] = t->children[t->splits[rect]];
+        pending[depth++] = t->children[t->splits[rect] + 1];
+    }
+    return found;
 }
 
 /*
@@ -2476,11 +2555,11 @@ PyDoc_STRVAR(coarsen_doc,
 "budget and its stopping gap.  Runs ``repro.core.coarsening.coarsen``'s\n"
 "loop as ``tests/reference_planner.py`` keeps it -- the even starting\n"
 "grid, then alternating row and column passes, each axis's bounds the\n"
-"greedy sweep at the smallest threshold ``smallest_feasible`` finds --\n"
-"with every aggregate numpy's ``np.add.reduceat`` bit for bit.  Returns\n"
-"``(row_groups, col_groups, frequency, row_input, col_input, candidate,\n"
-"max_cell_weight, iterations)`` -- the best grid's bounds and arrays --\n"
-"or ``None`` when an axis's search finds no cover even at its high end.\n"
+"greedy sweep at the smallest threshold ``smallest_feasible`` finds,\n"
+"or one group where none fits up to its high end -- with every aggregate\n"
+"numpy's ``np.add.reduceat`` bit for bit.  Returns ``(row_groups,\n"
+"col_groups, frequency, row_input, col_input, candidate,\n"
+"max_cell_weight, iterations)``: the best grid's bounds and arrays.\n"
 "Arrays of another dtype or layout, sizes that do not fit, a pointer\n"
 "array that does not rise from 0 to its items, runs or entries out of\n"
 "order or outside the grid, a negative or non-finite value, or a sum\n"
@@ -2632,8 +2711,6 @@ static PyObject *py_coarsen(PyObject *Py_UNUSED(module), PyObject *args, PyObjec
         release(&scratch);
         if (status == COARSEN_NO_MEMORY)
             return PyErr_NoMemory();
-        if (status == COARSEN_NO_COVER)
-            Py_RETURN_NONE;
         PyErr_Format(PyExc_ValueError, "coarsen: %s adds up to a non-finite aggregate",
                      status == COARSEN_ROW_INPUT   ? "row_input"
                      : status == COARSEN_COL_INPUT ? "col_input"
@@ -2826,40 +2903,52 @@ done:
 }
 
 PyDoc_STRVAR(tile_doc,
-"tile(offsets, children, leaf_thresholds, root, delta)\n--\n\n"
-"MonotonicBSP's dynamic program at threshold ``delta`` over a :func:`closure`.\n\n"
-"``offsets`` / ``children`` are the closure's child table,\n"
+"tile(offsets, children, leaf_thresholds, root, low, high, budget, max_midpoints, tolerance)\n"
+"--\n\n"
+"MonotonicBSP's tiling at the smallest threshold that fits ``budget`` regions.\n\n"
+"``offsets`` / ``children`` are a :func:`closure`'s child table,\n"
 "``leaf_thresholds[x]`` the smallest threshold at which rectangle ``x``\n"
 "is one region (its weight; ``-inf`` for a single cell) and ``root`` the\n"
-"rectangle to cover.  Returns ``(counts, splits)``: ``counts[x]`` is the\n"
-"fewest regions covering ``x`` (0: the search never met it), and for a\n"
-"rectangle that splits (``counts[x] > 1``) ``children[splits[x]]`` and\n"
-"``children[splits[x] + 1]`` are the halves of its best split (``splits``\n"
-"is 0 elsewhere).  Offsets and children are int64 and index what they\n"
-"index, thresholds float64, ``offsets`` one longer than them, ``root`` a\n"
-"rectangle and ``delta`` not NaN (no rectangle is one region at a NaN\n"
-"threshold, not even a single cell); otherwise this raises by name.");
+"rectangle to cover.  A probe is the dynamic program at one threshold\n"
+"(the fewest regions no heavier than it covering ``root``, a tie kept by\n"
+"the first split in the table's order), and it fits when ``root`` needs\n"
+"at most ``budget`` regions.  The thresholds probed are the planner's one\n"
+"search, the function coarsening's axis searches run too: ``low``, then\n"
+"``high``, then at most ``max_midpoints`` midpoints while ``high - low``\n"
+"is above ``tolerance * max(high, 1.0)``; ``low == high`` tiles at one\n"
+"threshold.  Returns ``(delta, steps, leaves, evaluated)``: the threshold\n"
+"found, the probes made, the chosen tiling's regions as rectangle ids\n"
+"(read from the root down, a split's second half first) and the number\n"
+"of rectangles its dynamic program met.  Offsets and children are int64\n"
+"and index what they index, thresholds float64, ``offsets`` one longer\n"
+"than them, ``root`` a rectangle, the ends comparable and in order,\n"
+"``budget`` positive, ``max_midpoints`` and ``tolerance`` not negative,\n"
+"and some probe must fit; otherwise this raises by name.");
 
 static PyObject *py_tile(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
 {
-    static char *keywords[] = {"offsets", "children", "leaf_thresholds", "root", "delta", NULL};
-    static const char *names[5] = {"counts", "splits", "offsets", "children", "leaf_thresholds"};
-    PyObject *objs[3];
-    PyArrayObject *array[5]; /* counts, splits, then the three inputs */
-    Py_ssize_t root, size;
-    npy_intp shape;
-    double delta;
-    int64_t status;
+    static char *keywords[] = {"offsets", "children", "leaf_thresholds", "root", "low", "high",
+                               "budget", "max_midpoints", "tolerance", NULL};
+    static const char *names[3] = {"offsets", "children", "leaf_thresholds"};
+    PyObject *objs[3], *result = NULL;
+    PyArrayObject *array[3], *leaves;
+    Py_ssize_t root, budget, max_midpoints, size;
+    npy_intp found = 0;
+    double low, high, tolerance, delta;
+    int64_t steps, evaluated = 0, x, *scratch;
+    const char *unfit;
+    struct tiling t;
     int i;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOnd:tile", keywords,
-                                     &objs[0], &objs[1], &objs[2], &root, &delta))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOnddnnd:tile", keywords, &objs[0],
+                                     &objs[1], &objs[2], &root, &low, &high, &budget,
+                                     &max_midpoints, &tolerance))
         return NULL;
-    for (i = 2; i < 5; i++)
-        if (!(array[i] = take("tile", names[i], objs[i - 2], i == 4 ? F64_ONLY : I64_ONLY, 0)))
+    for (i = 0; i < 3; i++)
+        if (!(array[i] = take("tile", names[i], objs[i], i == 2 ? F64_ONLY : I64_ONLY, 0)))
             return NULL;
-    size = SIZE(array[4]);
-    if (SIZE(array[2]) != size + 1) {
-        PyErr_Format(PyExc_ValueError, "tile: %zd offsets for %zd rectangles", SIZE(array[2]),
+    size = SIZE(array[2]);
+    if (SIZE(array[0]) != size + 1) {
+        PyErr_Format(PyExc_ValueError, "tile: %zd offsets for %zd rectangles", SIZE(array[0]),
                      size);
         return NULL;
     }
@@ -2868,33 +2957,48 @@ static PyObject *py_tile(PyObject *Py_UNUSED(module), PyObject *args, PyObject *
                      size);
         return NULL;
     }
-    if (delta != delta) {
-        PyErr_SetString(PyExc_ValueError,
-                        "tile: delta is nan: a tiling's threshold must be comparable");
+    unfit = low != low              ? "low is NaN"
+            : high != high          ? "high is NaN"
+            : low > high            ? "low is above high"
+            : budget < 1            ? "budget is not a positive number of regions"
+            : max_midpoints < 0     ? "max_midpoints is negative"
+            : !(tolerance >= 0.0)   ? "tolerance is negative or NaN"
+                                    : NULL;
+    if (unfit) {
+        PyErr_Format(PyExc_ValueError, "tile: %s: the search cannot run", unfit);
         return NULL;
     }
-    shape = size;
-    if (!(array[0] = new_array(1, &shape, NPY_INT64)))
-        return NULL;
-    if (!(array[1] = new_array(1, &shape, NPY_INT64))) {
-        Py_DECREF(array[0]);
-        return NULL;
-    }
+    /* The probe's counts and splits, then the stack and the leaves (tile
+     * keeps every count within size). */
+    if (!(scratch = malloc((size_t)size * 4 * sizeof *scratch)))
+        return PyErr_NoMemory();
+    t = (struct tiling){PyArray_DATA(array[0]), PyArray_DATA(array[1]), PyArray_DATA(array[2]),
+                        size, SIZE(array[1]), root, budget, scratch, scratch + size};
     Py_BEGIN_ALLOW_THREADS
-    status = tile(PyArray_DATA(array[2]), PyArray_DATA(array[3]), PyArray_DATA(array[4]), size,
-                  SIZE(array[3]), root, delta, PyArray_DATA(array[0]), PyArray_DATA(array[1]));
-    Py_END_ALLOW_THREADS
-    if (status) {
-        Py_DECREF(array[0]);
-        Py_DECREF(array[1]);
-        if (status == -1)
-            PyErr_SetString(PyExc_MemoryError, "the kernel's tiling could not allocate its stack");
-        else
-            PyErr_SetString(PyExc_ValueError, "tile: an offset or a child lies outside what it "
-                                              "indexes, or a rectangle above delta has no split");
-        return NULL;
+    steps = smallest_feasible(tile_probe, &t, low, high, max_midpoints, tolerance, &delta);
+    if (steps > 0 && (i = tile_probe(&t, delta)) <= 0)
+        steps = i ? i : -3; /* an error, or nothing fit */
+    if (steps > 0) {
+        found = leaves_of(&t, scratch + 2 * size, scratch + 3 * size);
+        for (x = 0; x < size; x++)
+            evaluated += t.counts[x] != 0;
     }
-    return Py_BuildValue("NN", array[0], array[1]);
+    Py_END_ALLOW_THREADS
+    if (steps == -1)
+        PyErr_SetString(PyExc_MemoryError, "the kernel's tiling could not allocate its stack");
+    else if (steps == -2)
+        PyErr_SetString(PyExc_ValueError, "tile: an offset or a child lies outside what it "
+                                          "indexes, a rectangle above delta has no split or "
+                                          "the regions outnumber the rectangles");
+    else if (steps < 0)
+        PyErr_Format(PyExc_ValueError, "tile: no threshold up to high tiles root in %zd regions",
+                     budget);
+    else if ((leaves = new_array(1, &found, NPY_INT64))) {
+        memcpy(PyArray_DATA(leaves), scratch + 3 * size, (size_t)found * sizeof *scratch);
+        result = Py_BuildValue("dnNn", delta, (Py_ssize_t)steps, leaves, (Py_ssize_t)evaluated);
+    }
+    free(scratch);
+    return result;
 }
 
 PyDoc_STRVAR(search_doc,

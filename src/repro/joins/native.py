@@ -12,8 +12,11 @@ coarsening's search -- each refinement pass's sums of the band sample
 matrix by group (numpy's pairwise ``reduceat`` tree over the sampled
 entries only), each threshold probe's greedy sweep (a group of small
 cumulative sums per window of rows) and the bisection around them --
-and MonotonicBSP's tiling DP, a stack walk over a grid's minimal
-rectangles per threshold.  ``native.c`` does each in one call, and each
+and regionalization's, MonotonicBSP's tiling DP (a stack walk over a
+grid's minimal rectangles) per threshold and the bisection around it.
+Both bisections are one C function, the planner's one threshold search
+(``smallest_feasible``; :func:`repro.core.grid.smallest_feasible` is its
+Python form, for M-Bucket).  ``native.c`` does each in one call, and each
 call is the only way production runs that loop: :func:`fold` for every
 merge and count -- a stream batch's
 (:meth:`~repro.streaming.backends.StateOwner.count`: both sides'
@@ -26,11 +29,10 @@ a batch into empty state) and a merge of
 :class:`~repro.sampling.reservoir.WeightedReservoir`'s offers (its payload
 an entry's position in the offered pool),
 :func:`coarsen` for all of :func:`~repro.core.coarsening.coarsen`'s loop
-(its aggregates the dense ``np.add.reduceat`` bit for bit, its search
-``smallest_feasible``'s steps), :func:`tile` for
-one threshold probe of regionalization's, over the child table
-:func:`closure` builds once per grid (a few calls, one per round of
-rectangles that need children), and :func:`search` for the plan build's
+(its aggregates the dense ``np.add.reduceat`` bit for bit), :func:`tile`
+for regionalization's whole threshold search and the tiling it keeps,
+over the child table :func:`closure` builds once per grid (a few calls,
+one per round of rectangles that need children), and :func:`search` for the plan build's
 ``np.searchsorted`` calls (:func:`~repro.sampling.equidepth.bucket_index`,
 Stream-Sample's d2equi windows and job 3, the with-replacement draw of
 :func:`~repro.sampling.reservoir.wor_to_wr`): needles that never descend
@@ -46,8 +48,9 @@ band inverses (``tests/test_condition_properties.py``), both reservoirs' heap ar
 entry (``tests/test_sampling_oracle.py``), the coarse grid's floats
 (``tests/test_coarsening.py``), coarsening's bounds, passes and grid
 against the band loop it replaced, its sweep's bounds against the row
-loop's at every tie, and the tilings' regions and rectangle counts
-(``tests/test_planner_oracle.py``),
+loop's at every tie, the tilings' regions and rectangle counts, and the
+threshold search's thresholds and steps against the Python loop over
+``smallest_feasible`` (``tests/test_planner_oracle.py``),
 the searches' answers (``tests/test_search_oracle.py``, against
 ``np.searchsorted`` itself) and the candidate spans
 (``tests/test_spans_oracle.py``, against the multi-way numpy search).

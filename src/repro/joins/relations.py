@@ -9,7 +9,7 @@ Tuples never materialise as Python objects on the hot paths.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Mapping
 
 import numpy as np
 
@@ -78,13 +78,6 @@ class Relation:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.column(name)
 
-    def iter_rows(self) -> Iterator[dict]:
-        """Yield rows as dictionaries (slow; intended for tests and examples)."""
-        names = self.column_names
-        cols = [self._columns[n] for n in names]
-        for i in range(len(self)):
-            yield {n: c[i] for n, c in zip(names, cols)}
-
     # ------------------------------------------------------------------
     # Derivation
     # ------------------------------------------------------------------
@@ -110,22 +103,6 @@ class Relation:
         new_cols = {k: v[mask] for k, v in self._columns.items()}
         return Relation(name or self.name, new_cols, self.key_column)
 
-    def with_column(self, name: str, values: np.ndarray,
-                    as_key: bool = False) -> "Relation":
-        """Return a copy of the relation with an added (or replaced) column."""
-        values = np.asarray(values)
-        if len(values) != len(self):
-            raise ValueError(
-                f"new column {name!r} has length {len(values)}, expected {len(self)}"
-            )
-        cols = dict(self._columns)
-        cols[name] = values
-        return Relation(self.name, cols, name if as_key else self.key_column)
-
-    def with_key_column(self, key_column: str) -> "Relation":
-        """Return a view of the relation with a different designated key column."""
-        return Relation(self.name, self._columns, key_column)
-
     def sample(self, size: int, rng: np.random.Generator,
                replace: bool = False) -> "Relation":
         """Uniform random sample of ``size`` tuples."""
@@ -134,11 +111,6 @@ class Relation:
         size = min(size, len(self)) if not replace else size
         idx = rng.choice(len(self), size=size, replace=replace)
         return self.select(idx, name=f"{self.name}_sample")
-
-    def sorted_by_key(self) -> "Relation":
-        """Return a copy of the relation sorted ascending by the join key."""
-        order = np.argsort(self.keys, kind="stable")
-        return self.select(order, name=self.name)
 
     # ------------------------------------------------------------------
     # Construction helpers

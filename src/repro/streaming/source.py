@@ -123,11 +123,6 @@ class ArrayStreamSource(StreamSource):
         self.keys2 = _as_key_array(keys2)
         self._num_batches = num_batches
 
-    @classmethod
-    def from_workload(cls, workload, num_batches: int) -> "ArrayStreamSource":
-        """Replay a :class:`~repro.workloads.definitions.JoinWorkload`."""
-        return cls(workload.keys1, workload.keys2, num_batches)
-
     @property
     def num_batches(self) -> int:
         """Number of slices the arrays are replayed as."""

@@ -17,6 +17,11 @@ filled on first use, list lookups) with the Python DP over them
 (``lazy_monotonic_bsp_tiling``), kept verbatim as the kernel's
 ``closure`` / ``tile`` reference.
 
+Two searches are kept as they ran in Python before the compiled kernel
+took them over, each a loop over ``smallest_feasible``: coarsening's over
+the band (``band_coarsen``) and regionalization's δ search over one kernel
+tiling per probe (``python_regionalize``).
+
 The dense sample matrix and coarsening's dense aggregates
 (``dense_sample_matrix``, ``_aggregate_columns``, ``_build_coarse_grid``)
 are kept too: production holds MS as its candidate band and must give the
@@ -30,12 +35,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bsp import BSPResult
 from repro.core.coarsening import CoarseningResult
 from repro.core.grid import BandGrid, WeightedGrid, smallest_feasible
+from repro.core.monotonic_bsp import BSPResult, monotonic_bsp_tiling
 from repro.core.region import GridRegion
-from repro.core.regionalization import RegionalizationResult
-from repro.core.tiling_tables import Rect
+from repro.core.regionalization import MAX_MIDPOINTS, RegionalizationResult
+from repro.core.tiling_tables import Rect, TilingTables
 from repro.core.weights import WeightFunction
 from repro.sampling.equidepth import bucket_index
 
@@ -591,6 +596,46 @@ def reference_regionalize(
     )
 
 
+def python_regionalize(
+    grid: WeightedGrid,
+    num_machines: int,
+    weight_fn: WeightFunction,
+    probed: "list[float] | None" = None,
+) -> RegionalizationResult:
+    """``regionalize`` with its delta search in Python, as it ran before the
+    search moved into the kernel: ``smallest_feasible`` over one kernel
+    tiling per probe (each delta tried is appended to ``probed``)."""
+    if num_machines <= 0:
+        raise ValueError("num_machines must be positive")
+    if grid.num_candidate_cells == 0:
+        return RegionalizationResult(
+            regions=[], delta=0.0, max_region_weight=0.0, search_steps=0
+        )
+
+    total_weight = weight_fn.weight(grid.total_input, grid.total_output)
+    lower = max(
+        grid.max_cell_weight(weight_fn, candidates_only=True),
+        total_weight / num_machines,
+    )
+    tables = TilingTables(grid, weight_fn, lower)  # every step's delta is >= lower
+    upper = max(float(tables.weights[tables.root]), lower)
+
+    def feasible(delta: float) -> "BSPResult | None":
+        if probed is not None:
+            probed.append(delta)
+        tiling = monotonic_bsp_tiling(tables, delta)
+        return tiling if tiling.num_regions <= num_machines else None
+
+    delta, found, steps = smallest_feasible(feasible, lower, upper, MAX_MIDPOINTS)
+    assert found is not None  # one region covering everything always fits
+    return RegionalizationResult(
+        regions=found.regions,
+        delta=delta,
+        max_region_weight=found.max_region_weight,
+        search_steps=steps,
+    )
+
+
 # ----------------------------------------------------------------------
 # Coarsening: one Python iteration per sample row
 # ----------------------------------------------------------------------
@@ -985,10 +1030,13 @@ def band_optimize_axis(
     ``low`` is the threshold search's lower end, the grid's heaviest
     candidate cell; ``high`` the grid's total weight as that axis's dense
     grid summed it.  One group is the only cover ``max_groups == 1``
-    allows, so it is returned without a search.
+    allows, so it is returned without a search, and the cover taken where
+    no threshold up to ``high`` fits (a block summed in another order than
+    the total can round above it).
     """
+    one_group = np.array([0, line_input.size], dtype=np.int64)
     if max_groups == 1:
-        return np.array([0, line_input.size], dtype=np.int64)
+        return one_group
     freq_by_group, cand_by_group, input_by_group = aggregates
 
     def feasible(threshold: float) -> np.ndarray | None:
@@ -996,9 +1044,7 @@ def band_optimize_axis(
                                 weight_fn, threshold, max_groups)
 
     _, bounds, _ = smallest_feasible(feasible, low, high, max_midpoints)
-    if bounds is None:
-        raise RuntimeError("coarsening sweep failed at the trivial threshold")
-    return bounds
+    return one_group if bounds is None else bounds
 
 
 def band_build_coarse_grid(by_rows: Aggregates, col_bounds: np.ndarray,

@@ -181,6 +181,25 @@ def test_a_plan_build_loads_no_numpy_ma():
     assert "numpy.ma" not in stream
 
 
+def test_neither_a_plan_build_nor_the_engine_loads_the_baseline_bsp():
+    """The baseline BSP (Table III, the ablation) takes no part in a plan:
+    a CSIO build runs MonotonicBSP, where the tiling result type lives, and
+    neither it nor the stream engine's import loads ``repro.core.bsp``."""
+    build = _loaded_by(
+        "import numpy as np\n"
+        "from repro import BandJoinCondition, CSIOOperator, WeightFunction\n"
+        "rng = np.random.default_rng(0)\n"
+        "keys1, keys2 = rng.integers(0, 500, 3_000), rng.integers(0, 500, 3_000)\n"
+        "result = CSIOOperator(num_machines=4).run(\n"
+        "    keys1, keys2, BandJoinCondition(beta=1.0), WeightFunction(1.0, 0.2), rng=rng\n"
+        ")\n"
+        "assert result.output_correct"
+    )
+    assert "repro.core.monotonic_bsp" in build
+    assert "repro.core.bsp" not in build
+    assert "repro.core.bsp" not in _loaded_by("from repro import StreamingJoinEngine")
+
+
 def test_the_stream_engine_loads_only_what_it_runs():
     loaded = _loaded_by("from repro import StreamingJoinEngine")
     assert not _within(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_planner import band_coarsen, band_search_ends
+from reference_planner import band_search_ends
 from streaming_harness import interpreter_calls
 
 from repro.core.coarsening import MAX_ITERATIONS, MAX_MIDPOINTS, coarsen, coarsened_size
@@ -276,15 +276,7 @@ def test_the_coarse_grid_is_numpys_reduceat_bit_for_bit(dense, transpose, groups
     dense = dense.T.copy() if transpose else dense
     grid = sums_grid(dense)
     for rows, cols in ((1, 1), (groups, groups), (groups, 1), (1, groups)):
-        try:
-            result = coarsen(grid, rows, cols)
-        except RuntimeError:
-            # A sweep summing the inputs in another order than the total
-            # can find no cover; the band loop (held to the kernel in
-            # test_planner_oracle.py) finds none either.
-            with pytest.raises(RuntimeError):
-                band_coarsen(grid, rows, cols)
-            continue
+        result = coarsen(grid, rows, cols)
         row_starts, col_starts = result.row_groups[:-1], result.col_groups[:-1]
         by_rows = np.add.reduceat(dense, row_starts, axis=0)
         assert same_bits(result.grid.frequency, np.add.reduceat(by_rows, col_starts, axis=1))

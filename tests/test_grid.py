@@ -121,15 +121,6 @@ class TestRegionMetrics:
             2.0 * 7 + 0.5 * 5
         )
 
-    def test_cell_weight_equals_single_cell_region(self):
-        grid = band_grid(6, beta=6.0, seed=1)
-        fn = WeightFunction(1.0, 0.3)
-        for row in range(grid.num_rows):
-            for col in range(grid.num_cols):
-                assert grid.cell_weight(row, col, fn) == pytest.approx(
-                    grid.region_weight(GridRegion(row, row, col, col), fn)
-                )
-
     def test_candidate_count(self):
         grid = make_grid([[1, 0, 2], [0, 0, 3]])
         assert grid.candidate_count(GridRegion(0, 1, 0, 2)) == 3
@@ -148,6 +139,19 @@ class TestRegionMetrics:
         # to candidates it is the 9-output cell (2 + 9).
         assert grid.max_cell_weight(fn) == pytest.approx(200.0)
         assert grid.max_cell_weight(fn, candidates_only=True) == pytest.approx(11.0)
+
+    def test_max_cell_weight_is_the_heaviest_single_cell_region(self):
+        grid = band_grid(6, beta=6.0, seed=1)
+        fn = WeightFunction(1.0, 0.3)
+        cells = [GridRegion(row, row, col, col)
+                 for row in range(grid.num_rows) for col in range(grid.num_cols)]
+        assert grid.max_cell_weight(fn) == pytest.approx(
+            max(grid.region_weight(cell, fn) for cell in cells)
+        )
+        assert grid.max_cell_weight(fn, candidates_only=True) == pytest.approx(
+            max(grid.region_weight(cell, fn) for cell in cells
+                if grid.candidate[cell.row_lo, cell.col_lo])
+        )
 
     def test_max_cell_weight_no_candidates(self):
         grid = make_grid(np.zeros((2, 2)), candidate=np.zeros((2, 2), dtype=bool))
@@ -176,10 +180,6 @@ class TestCandidateStructure:
         assert grid.row_candidate_span(0) == (1, 2)
         assert grid.row_candidate_span(1) is None
         assert grid.row_candidate_span(2) == (0, 1)
-
-    def test_candidate_rows(self):
-        grid = make_grid([[0, 0], [1, 0], [0, 1]])
-        np.testing.assert_array_equal(grid.candidate_rows(), np.array([1, 2]))
 
     def test_band_grid_is_monotonic(self):
         grid = band_grid(10, beta=10.0, seed=3)

@@ -7,10 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from reference_planner import LazyTilingTables, lazy_monotonic_bsp_tiling
+from reference_planner import LazyTilingTables, lazy_monotonic_bsp_tiling, python_regionalize
 from streaming_harness import interpreter_calls
 
-from repro.core.grid import WeightedGrid, smallest_feasible
+from repro.core.grid import WeightedGrid
 from repro.core.histogram import EWHConfig, build_equi_weight_histogram
 from repro.core.region import GridRegion
 from repro.core.tiling_tables import TilingTables
@@ -250,18 +250,14 @@ def test_a_regionalize_shrinks_by_lookup_alone(sparse_j12_build, monkeypatch):
             super().__init__(*args)
             built.append(self)
 
-    deltas = []
-    tile = native.tile
-
-    def recorded_tile(offsets, children, leaf_thresholds, root, delta):
-        deltas.append(delta)
-        return tile(offsets, children, leaf_thresholds, root, delta)
-
     monkeypatch.setattr(regionalization, "TilingTables", RecordedTables)
-    monkeypatch.setattr(native, "tile", recorded_tile)
     grid = sparse_j12_build.coarsening.grid
     result = regionalization.regionalize(grid, 12, SPARSE_J12_WEIGHTS)
     (tables,) = built
+    # The thresholds the kernel's search probed: the Python loop's, which
+    # tests/test_planner_oracle.py holds it to step for step.
+    deltas = []
+    assert python_regionalize(grid, 12, SPARSE_J12_WEIGHTS, deltas).delta == result.delta
     scanned = len(scans)
     print(f"\ncoarse grid {grid.shape}: {scanned} row scans, "
           f"{len(tables.rects)} minimal rectangles, {tables.children.size} children, "
@@ -279,70 +275,91 @@ def test_a_regionalize_shrinks_by_lookup_alone(sparse_j12_build, monkeypatch):
     assert set(lazy.rects) == rects
 
 
-def test_a_tiling_probe_makes_the_same_calls_at_any_grid_size():
-    """One probe of regionalization's search (``feasible``) is one kernel call
-    over the tables' child table: it makes as many interpreter calls on a
-    32 x 32 coarse grid as on a 16 x 16 one (the Python DP's calls grew with
-    the rectangles it split).  ``-s`` prints them."""
+def test_the_delta_search_makes_the_same_calls_at_any_grid_size():
+    """Regionalization's whole threshold search is one kernel call over the
+    tables' child table: it makes as many interpreter calls on a 32 x 32
+    coarse grid as on a 16 x 16 one, whatever its probes (one probe was a
+    Python call of 4 interpreter calls; the Python DP's grew with the
+    rectangles it split).  ``-s`` prints them."""
     import repro.core.regionalization as regionalization
 
-    calls = {}
+    calls, steps = {}, {}
+    tile = native.tile
     for size in (16, 32):
-        probes = []
+        searches = []
 
-        def measured(feasible, low, high, max_midpoints):
-            # The probe at the threshold the search settles on.
-            found = smallest_feasible(feasible, low, high, max_midpoints)
-            probes.append(interpreter_calls(feasible, found[0]))
+        def measured(*args):
+            found, count = interpreter_calls(tile, *args)
+            searches.append(count)
             return found
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(regionalization, "smallest_feasible", measured)
+            patch.setattr(native, "tile", measured)
             result = regionalization.regionalize(diagonal_grid(size), 4, SPARSE_J12_WEIGHTS)
-        (accepted, calls[size]), = probes
-        assert accepted is not None and result.num_regions == 4
-    print("tiling probe: " + ", ".join(f"{size} x {size} {calls[size]} calls" for size in calls))
+        (calls[size],) = searches
+        steps[size] = result.search_steps
+        assert result.num_regions == 4 and result.search_steps > 2
+    print("delta search: " + ", ".join(f"{size} x {size} {steps[size]} probes in "
+                                       f"{calls[size]} calls" for size in calls))
     assert calls[16] == calls[32]
 
 
 def test_a_regionalize_reads_regions_only_for_the_threshold_it_returns(sparse_j12_build):
     """The δ search accepts or rejects a threshold by the kernel's root
-    region count alone: a rejected probe makes as many interpreter calls
-    as an accepted one, whatever the number of regions its tiling has, and
-    the whole search constructs a ``GridRegion`` only for each region of
-    the tiling it returns.  ``-s`` prints the calls."""
+    region count alone: its one kernel call, which rejects probes on this
+    grid, makes as many interpreter calls as a search whose first probe is
+    accepted, and constructs a ``GridRegion`` only for each region of the
+    tiling it returns.  ``-s`` prints the calls."""
     import repro.core.monotonic_bsp as monotonic_bsp
     import repro.core.regionalization as regionalization
 
-    probes = []
+    searches = []
     constructed = []
+    tile = native.tile
 
-    def measured(feasible, low, high, max_midpoints):
-        # The lowest threshold is rejected on this grid: its tiling has
-        # more regions than the budget.
-        found = smallest_feasible(feasible, low, high, max_midpoints)
-        probes.append(interpreter_calls(feasible, low))
-        probes.append(interpreter_calls(feasible, found[0]))
-        return found
+    def measured(*args):
+        searches.append((args, *interpreter_calls(tile, *args)))
+        return searches[-1][1]
 
     def counted_region(*corners):
         constructed.append(corners)
         return GridRegion(*corners)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(regionalization, "smallest_feasible", measured)
+        patch.setattr(native, "tile", measured)
         patch.setattr(monotonic_bsp, "GridRegion", counted_region)
         result = regionalization.regionalize(
             sparse_j12_build.coarsening.grid, 12, SPARSE_J12_WEIGHTS
         )
-    (rejected, rejected_calls), (accepted, accepted_calls) = probes
-    print(f"\nregionalize: {result.search_steps} probes, {rejected_calls} calls rejected, "
-          f"{accepted_calls} accepted, {len(constructed)} regions constructed")
-    assert rejected is None and accepted is not None
-    assert result.search_steps > 2
-    assert rejected_calls == accepted_calls
+    ((args, found, search_calls),) = searches
+    # The same search started at the threshold it found: one accepted probe.
+    delta = found[0]
+    accepted, accepted_calls = interpreter_calls(tile, *args[:4], delta, delta, *args[6:])
+    print(f"\nregionalize: {result.search_steps} probes in {search_calls} calls, one "
+          f"accepted probe in {accepted_calls}, {len(constructed)} regions constructed")
+    assert result.search_steps > 2 and accepted[1] == 1
+    assert accepted[2].tolist() == found[2].tolist()
+    assert search_calls == accepted_calls
     assert len(constructed) == result.num_regions
     assert result.regions == sparse_j12_build.grid_regions
+
+
+#: Interpreter calls of one regionalize of the sparse J=12 coarse grid: 153
+#: with the δ search one kernel call (238 while each probe was a Python
+#: call), bound 10% above.
+REGIONALIZE_CALLS_BOUND = 168
+
+
+def test_one_regionalize_makes_few_calls(sparse_j12_build):
+    """One regionalize -- the tiling tables' closure rounds, the one search
+    call, the regions read -- stays under its bound.  ``-s`` prints it."""
+    from repro.core.regionalization import regionalize
+
+    grid = sparse_j12_build.coarsening.grid
+    result, calls = interpreter_calls(regionalize, grid, 12, SPARSE_J12_WEIGHTS)
+    print(f"\nregionalize: {calls} calls, {result.search_steps} probes")
+    assert result.regions == sparse_j12_build.grid_regions
+    assert calls <= REGIONALIZE_CALLS_BOUND
 
 
 def diagonal_grid(size: int) -> WeightedGrid:

@@ -18,7 +18,7 @@ kernel writes it) and a copy one entry short (where a size relation
 holds).  Each call must raise
 ``TypeError`` or ``ValueError`` naming the entry point and the argument,
 and leave every array of the call as it was.  A second table holds the
-values a valid call's array may not carry, each refused the same way, and
+values a valid call's array or scalar may not carry, each refused the same way, and
 a third the layouts ``coarsen`` cannot walk.  Every entry point
 ``native.__all__`` exports has a row, so a new one cannot skip the table.
 """
@@ -38,11 +38,12 @@ from repro.joins import native
 
 
 class Value(NamedTuple):
-    """A value an entry point refuses at one position of an array argument."""
+    """A value an entry point refuses at one position of an array argument,
+    or as a scalar argument."""
 
     entry: str
-    path: tuple  # the array argument, as in Arg
-    at: int  # the position given the value
+    path: tuple  # the argument, as in Arg
+    at: int | None  # the array position given the value (None: the scalar itself)
     value: float
     refusal: str  # how the ValueError starts
 
@@ -51,7 +52,9 @@ class Value(NamedTuple):
 #: already have written the entries before it, and one with its sign bit set.
 #: A grid's input or frequency that is not finite and non-negative, by
 #: position; and a second entry of 1e308 beside the valid call's first, in
-#: the same coarse cell: each is finite, their sum is not.
+#: the same coarse cell: each is finite, their sum is not.  A tiling
+#: search's ends that do not compare or are out of order, no region to
+#: spend, a negative number of midpoints and a gap below zero or NaN.
 VALUES = [
     Value("offer", (4,), 3, np.nan, "offer: priorities[3] is NaN, "),
     Value("offer", (4,), 0, -np.nan, "offer: priorities[0] is NaN, "),
@@ -61,6 +64,15 @@ VALUES = [
     Value("coarsen", (7,), 4, -np.inf, "coarsen: entry_value[4] is -inf, "),
     Value("coarsen", (7,), 1, 1e308,
           "coarsen: entry_value adds up to a non-finite aggregate"),
+    Value("tile", (4,), None, np.nan, "tile: low is NaN: "),
+    Value("tile", (5,), None, np.nan, "tile: high is NaN: "),
+    Value("tile", (4,), None, 200.0, "tile: low is above high: "),
+    Value("tile", (5,), None, -np.inf, "tile: low is above high: "),
+    Value("tile", (6,), None, 0, "tile: budget is not a positive number of regions: "),
+    Value("tile", (6,), None, -3, "tile: budget is not a positive number of regions: "),
+    Value("tile", (7,), None, -1, "tile: max_midpoints is negative: "),
+    Value("tile", (8,), None, -0.5, "tile: tolerance is negative or NaN: "),
+    Value("tile", (8,), None, np.nan, "tile: tolerance is negative or NaN: "),
 ]
 
 
@@ -153,7 +165,7 @@ def _calls() -> "dict[str, tuple[tuple, list[Arg]]]":
             for at, name in enumerate(("rows", "lo", "hi", "below", "above", "first", "last"))
         ]),
         "tile": ((tables.offsets.copy(), tables.children.copy(), tables.leaf_thresholds.copy(),
-                  0, 1.0), [
+                  0, 1.0, 100.0, 5, 25, 0.01), [
             Arg((0,), "offsets", short="offsets"),
             # Each child is checked as the DP reads it: no size relation.
             Arg((1,), "children"),
@@ -283,13 +295,15 @@ def test_every_array_argument_is_refused_by_name(entry):
             assert [array.tobytes() for array in _arrays(call)] == before, label
 
 
-@pytest.mark.parametrize("value", VALUES, ids=lambda value: f"{value.entry}-{value.at}")
+@pytest.mark.parametrize("value", VALUES, ids=lambda value: f"{value.entry}-{value.path[0]}-{value.at}")
 def test_every_refused_value_is_refused_by_name(value):
     """A refused value raises a ValueError that names where it sits, and
     changes no array of the call: the heap's three stay byte for byte."""
     args, _ = _calls()[value.entry]
-    carrier = _at(args, value.path).copy()
-    carrier[value.at] = value.value
+    carrier = value.value
+    if value.at is not None:
+        carrier = _at(args, value.path).copy()
+        carrier[value.at] = value.value
     call = _replaced(args, value.path, carrier)
     before = [array.tobytes() for array in _arrays(call)]
     with pytest.raises(ValueError) as refused:

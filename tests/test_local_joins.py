@@ -3,39 +3,41 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_joins import nested_loop_join
 from repro.joins.conditions import (
     BandJoinCondition,
     EquiJoinCondition,
     InequalityJoinCondition,
     InequalityOp,
 )
-from repro.joins.local import (
-    count_join_output,
-    hash_equi_join,
-    join_output_pairs,
-    nested_loop_join,
-    sort_merge_band_join,
-)
+from repro.joins.local import count_join_output, join_output_pairs
 
 small_key_arrays = st.lists(
     st.integers(min_value=-50, max_value=50), min_size=0, max_size=40
 ).map(lambda xs: np.array(xs, dtype=np.float64))
 
 
-class TestSortMergeBandJoin:
+class TestJoinOutputPairs:
     def test_simple_band_join(self):
         cond = BandJoinCondition(beta=1.0)
-        pairs = sort_merge_band_join([1, 5], [2, 7, 5], cond)
-        assert sorted(pairs) == [(1.0, 2.0), (5.0, 5.0)]
+        pairs = join_output_pairs([1, 5], [2, 7, 5], cond)
+        assert pairs == [(1.0, 2.0), (5.0, 5.0)]
 
     def test_empty_inputs(self):
         cond = BandJoinCondition(beta=1.0)
-        assert sort_merge_band_join([], [1, 2], cond) == []
-        assert sort_merge_band_join([1, 2], [], cond) == []
+        assert join_output_pairs([], [1, 2], cond) == []
+        assert join_output_pairs([1, 2], [], cond) == []
+
+    def test_equi_pairs_keep_the_first_sides_order(self):
+        pairs = join_output_pairs([3, 2, 1, 2], [2, 2, 4, 1], EquiJoinCondition())
+        assert pairs == [(2.0, 2.0)] * 2 + [(1.0, 1.0)] + [(2.0, 2.0)] * 2
+
+    def test_a_band_join_sorts_the_first_side(self):
+        pairs = join_output_pairs([5, 1], [2, 5], BandJoinCondition(beta=1.0))
+        assert pairs == [(1.0, 2.0), (5.0, 5.0)]
 
     @given(keys1=small_key_arrays, keys2=small_key_arrays,
            beta=st.floats(0, 10))
@@ -43,7 +45,15 @@ class TestSortMergeBandJoin:
     def test_matches_nested_loop(self, keys1, keys2, beta):
         cond = BandJoinCondition(beta=beta)
         expected = sorted(nested_loop_join(keys1, keys2, cond))
-        got = sorted(sort_merge_band_join(keys1, keys2, cond))
+        got = sorted(join_output_pairs(keys1, keys2, cond))
+        assert got == expected
+
+    @given(keys1=small_key_arrays, keys2=small_key_arrays)
+    @settings(max_examples=80)
+    def test_equi_matches_nested_loop(self, keys1, keys2):
+        cond = EquiJoinCondition()
+        expected = sorted(nested_loop_join(keys1, keys2, cond))
+        got = sorted(join_output_pairs(keys1, keys2, cond))
         assert got == expected
 
     @given(keys1=small_key_arrays, keys2=small_key_arrays)
@@ -51,39 +61,17 @@ class TestSortMergeBandJoin:
     def test_inequality_matches_nested_loop(self, keys1, keys2):
         cond = InequalityJoinCondition(InequalityOp.LE)
         expected = len(nested_loop_join(keys1, keys2, cond))
-        got = len(sort_merge_band_join(keys1, keys2, cond))
+        got = len(join_output_pairs(keys1, keys2, cond))
         assert got == expected
 
-
-class TestHashEquiJoin:
-    def test_produces_all_equal_pairs(self):
-        pairs = hash_equi_join([1, 2, 2, 3], [2, 2, 4])
-        assert sorted(pairs) == [(2.0, 2.0)] * 4
-
-    def test_rejects_non_equi_condition(self):
-        with pytest.raises(ValueError):
-            hash_equi_join([1], [1], BandJoinCondition(beta=2.0))
-
-    def test_accepts_equi_condition(self):
-        assert hash_equi_join([1], [1], EquiJoinCondition()) == [(1.0, 1.0)]
-
-    @given(keys1=small_key_arrays, keys2=small_key_arrays)
+    @given(keys1=small_key_arrays, keys2=small_key_arrays,
+           op=st.sampled_from(list(InequalityOp)))
     @settings(max_examples=80)
-    def test_matches_nested_loop(self, keys1, keys2):
-        cond = EquiJoinCondition()
+    def test_every_inequality_pairs_as_nested_loop(self, keys1, keys2, op):
+        cond = InequalityJoinCondition(op)
         expected = sorted(nested_loop_join(keys1, keys2, cond))
-        got = sorted(hash_equi_join(keys1, keys2))
+        got = sorted(join_output_pairs(keys1, keys2, cond))
         assert got == expected
-
-
-class TestJoinOutputPairs:
-    def test_dispatches_to_hash_for_equi(self):
-        pairs = join_output_pairs([1, 1], [1], EquiJoinCondition())
-        assert pairs == [(1.0, 1.0), (1.0, 1.0)]
-
-    def test_dispatches_to_sort_merge_for_band(self):
-        pairs = join_output_pairs([1], [2], BandJoinCondition(beta=1.0))
-        assert pairs == [(1.0, 2.0)]
 
 
 class TestCountJoinOutput:
@@ -92,7 +80,7 @@ class TestCountJoinOutput:
         keys2 = rng.integers(0, 100, size=300).astype(float)
         cond = BandJoinCondition(beta=3.0)
         assert count_join_output(keys1, keys2, cond) == len(
-            sort_merge_band_join(keys1, keys2, cond)
+            join_output_pairs(keys1, keys2, cond)
         )
 
     def test_empty_inputs_count_zero(self):

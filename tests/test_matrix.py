@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_joins import nested_loop_join
 from reference_matrix import JoinMatrix
 from repro.core.region import GridRegion
 from repro.joins.conditions import BandJoinCondition, EquiJoinCondition
-from repro.joins.local import nested_loop_join
 
 small_keys = st.lists(
     st.integers(min_value=0, max_value=60), min_size=1, max_size=20

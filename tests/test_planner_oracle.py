@@ -3,16 +3,20 @@
 ``tests/reference_planner.py`` holds the tiling DPs and the coarsening sweep
 as they were before they were rewritten for speed, and the three threshold
 searches (regionalization, coarsening, M-Bucket) as each was written out
-before they became one ``smallest_feasible``.  Coarsening's whole search now
-runs in the compiled kernel (``repro.joins.native.coarsen``); the band loop
-it replaced (``band_coarsen``: numpy's group sums, the numpy sweep,
-``smallest_feasible``) holds it bit for bit, and the sweeps' row loop holds
-its sweep's boundaries at every tie, wherever they reach its result.
+before they became one ``smallest_feasible``.  Coarsening's whole search and
+regionalization's δ search now run in the compiled kernel, both through its
+one ``smallest_feasible``: the band loop coarsening replaced
+(``band_coarsen``: numpy's group sums, the numpy sweep, the Python
+``smallest_feasible``) holds ``native.coarsen`` bit for bit, the sweeps' row
+loop holds its sweep's boundaries at every tie, wherever they reach its
+result, and the Python δ loop (``python_regionalize``: the Python search
+over one kernel tiling per probe) holds ``native.tile``'s search.
 Planted in a scratch copy of the kernel, these mutants are caught here:
 the sweep's ``>`` as ``>=`` (five tests), the pairwise split at ``n / 2``
 not rounded down to a multiple of 8 (``LONG_GRID``; also
 ``tests/test_coarsening.py``'s reduceat tests) and the bisection's stop
-``<=`` as ``<`` (``STOP_GRID``).  Every property here asks
+``<=`` as ``<`` (``STOP_GRID`` for coarsening, ``TIE_GRID`` for the δ
+search).  Every property here asks
 for *identical* results -- regions in the same order, floats equal to the last
 bit, the same rectangle counts and search steps -- because the plans the
 benchmarks and goldens pin depend on which of two equally good splits comes
@@ -40,6 +44,7 @@ from reference_planner import (
     dense_grid,
     even_boundaries,
     lazy_monotonic_bsp_tiling,
+    python_regionalize,
     reference_bsp,
     reference_coarsen,
     reference_m_bucket_regions,
@@ -188,6 +193,24 @@ def test_regionalize_matches_the_per_step_search(grid, weight_fn, machines):
 
 
 @given(grid=monotone_grids(), weight_fn=st.sampled_from(WEIGHT_FUNCTIONS),
+       machines=st.integers(1, 8))
+@example(grid=TIE_GRID, weight_fn=WeightFunction(1.0, 1.0), machines=3)
+@example(grid=DEEP_GRID, weight_fn=WeightFunction(1.0, 0.0), machines=2)
+@settings(max_examples=80, deadline=None)
+def test_the_kernel_searches_delta_as_the_python_loop_does(grid, weight_fn, machines):
+    """One ``native.tile`` search == ``smallest_feasible`` over one kernel
+    tiling per probe, to the bit: the threshold, the probes, the regions in
+    order and the estimate -- where the gap ties the stopping tolerance
+    (``TIE_GRID``) and where the midpoints run out (``DEEP_GRID``)."""
+    ours = regionalize(grid, machines, weight_fn)
+    reference = python_regionalize(grid, machines, weight_fn)
+    assert ours.regions == reference.regions
+    assert same_float(ours.delta, reference.delta)
+    assert same_float(ours.max_region_weight, reference.max_region_weight)
+    assert ours.search_steps == reference.search_steps
+
+
+@given(grid=monotone_grids(), weight_fn=st.sampled_from(WEIGHT_FUNCTIONS),
        row_groups=st.integers(1, 8), col_groups=st.integers(1, 8))
 @settings(max_examples=60, deadline=None)
 def test_coarsen_matches_the_per_axis_search(grid, weight_fn, row_groups, col_groups):
@@ -196,7 +219,7 @@ def test_coarsen_matches_the_per_axis_search(grid, weight_fn, row_groups, col_gr
     except RuntimeError:
         # A one-group sweep can sum a block one rounding above the total
         # weight, so even the search's upper end fails.  One group is the
-        # only cover that allows, and ours returns it without a search.
+        # only cover that allows, and ours takes it where nothing fits.
         assert 1 in (min(row_groups, grid.num_rows), min(col_groups, grid.num_cols))
         coarsen(grid, row_groups, col_groups, weight_fn)
         return
@@ -430,8 +453,10 @@ def test_closures_and_tilings_it_does_not_take_raise():
     with pytest.raises(ValueError, match="closure: split said"):
         native.closure(*lookups, False, lambda keys: np.ones(len(keys) + 1, dtype=bool))
 
-    args = (tables.offsets, tables.children, tables.leaf_thresholds, 0, 50.0)
-    expected = [array.tolist() for array in native.tile(*args)]
+    args = (tables.offsets, tables.children, tables.leaf_thresholds, 0, 50.0, 50.0,
+            len(tables.rects), 0, SEARCH_TOLERANCE)
+    expected = native.tile(*args)
+    expected = (*expected[:2], expected[2].tolist(), expected[3])
     with pytest.raises(TypeError, match="tile: offsets is float64, not int64"):
         native.tile(tables.offsets.astype(np.float64), *args[1:])
     with pytest.raises(TypeError, match="tile: leaf_thresholds is float32, not float64"):
@@ -441,22 +466,36 @@ def test_closures_and_tilings_it_does_not_take_raise():
         native.tile(tables.offsets[:-1], *args[1:])
     for root in (-1, len(tables.rects)):
         with pytest.raises(ValueError, match=f"tile: root {root} is not one"):
-            native.tile(*args[:3], root, 50.0)
-    with pytest.raises(ValueError, match="tile: delta is nan"):
-        native.tile(*args[:4], float("nan"))
+            native.tile(*args[:3], root, *args[4:])
+    with pytest.raises(ValueError, match="tile: low is NaN"):
+        native.tile(*args[:4], float("nan"), *args[5:])
     bad = tables.children.copy()
     bad[tables.offsets[1] - 1] = len(tables.rects)
     with pytest.raises(ValueError, match="tile: an offset or a child lies outside what it indexes"):
-        native.tile(tables.offsets, bad, *args[2:4], -np.inf)
+        native.tile(tables.offsets, bad, *args[2:4], -np.inf, -np.inf, *args[6:])
     unsplit = tables.offsets.copy()
     unsplit[1] = unsplit[0]
     with pytest.raises(ValueError, match="tile: .* no split"):
-        native.tile(unsplit, *args[1:4], -np.inf)
+        native.tile(unsplit, *args[1:4], -np.inf, -np.inf, *args[6:])
+    # No threshold up to the root's weight tiles it in one region of a
+    # grid whose cells each outweigh the low end.
+    with pytest.raises(ValueError, match="tile: no threshold up to high tiles root in 1 regions"):
+        native.tile(*args[:4], 0.0, 1.0, 1, *args[7:])
+    # A child table that is no closure's: each half of a split is the same
+    # rectangle, so a count doubles down every level.  It passes the
+    # rectangles, which no tiling's regions outnumber, before it can pass
+    # int64 (70 levels).
+    for levels in (3, 70):
+        doubling = (np.minimum(2 * np.arange(levels + 1), 2 * levels - 2),
+                    np.repeat(np.arange(1, levels), 2), np.r_[np.full(levels - 1, 5.0), -np.inf])
+        with pytest.raises(ValueError, match="tile: .* the regions outnumber the rectangles"):
+            native.tile(*doubling, 0, 0.0, 0.0, 10, 0, SEARCH_TOLERANCE)
     # Read-only inputs are read; nothing above moved what a tiling returns.
     frozen = [array.copy() for array in args[:3]]
     for array in frozen:
         array.flags.writeable = False
-    assert [array.tolist() for array in native.tile(*frozen, *args[3:])] == expected
+    found = native.tile(*frozen, *args[3:])
+    assert (*found[:2], found[2].tolist(), found[3]) == expected
     with pytest.raises(ValueError, match="below the"):
         monotonic_bsp_tiling(TilingTables(TIE_GRID, WeightFunction(), 50.0), 49.0)
 
@@ -603,24 +642,21 @@ def sweep_inputs(draw):
 
 def kernel_sweep(freq, cand, row_input, col_input, weight_fn, threshold, max_groups):
     """The kernel's one pass at ``threshold`` over the sweep inputs' grid,
-    held to the band loop's pass to the bit: its coarsening, or ``None``
-    when no cover fits.
+    held to the band loop's pass to the bit: its coarsening.
 
     The sweep inputs are a grid whose columns are their groups (each column
     group one column: its aggregates are the inputs themselves, and ``cand
     > 0`` the candidates).  One pass between the ends ``threshold`` and
     ``threshold`` sweeps the rows there only, and the columns' sweep, with a
-    group for every column, always fits; so the pass finds no cover exactly
-    when the row sweep does not fit, and otherwise its row bounds are the
+    group for every column, always fits; so the pass's row bounds are the
+    row sweep's, or one group where it does not fit, and they are the
     result's unless the pass leaves the even starting grid the lighter.
     """
     band = BandGrid.from_dense(WeightedGrid(freq, row_input, col_input, cand > 0))
     ends = (threshold, threshold, threshold)
-    ours = coarsened(kernel_coarsen, band, weight_fn, max_groups, band.num_cols, ends, 1)
-    reference = coarsened(band_coarsen, band, max_groups, band.num_cols, weight_fn, ends, 1)
-    assert (ours is None) == (reference is None)
-    if ours is not None:
-        assert_same_coarsening(ours, reference)
+    ours = kernel_coarsen(band, weight_fn, max_groups, band.num_cols, ends, 1)
+    assert_same_coarsening(ours, band_coarsen(band, max_groups, band.num_cols, weight_fn,
+                                              ends, 1))
     return ours
 
 
@@ -628,9 +664,10 @@ def check_kernel_sweep(*args) -> int:
     """Assert the kernel's sweep at ``args`` is the row loop's, at their
     ``max_groups`` and at exactly the groups the row loop needs there
     (where the even grid of as many groups is the likelier to be heavier):
-    no cover where the loop finds none, and the loop's bounds wherever the
-    kernel's reach its result.  One group is never searched, so it checks
-    nothing there.  Returns at how many of the two the bounds reached it."""
+    wherever the kernel's bounds reach its result they are the loop's, or
+    one group where the loop finds no cover.  One group is never searched,
+    so it checks nothing there.  Returns at how many of the two the bounds
+    reached it."""
     *inputs, max_groups = args
     rows = len(inputs[2])
     reached = 0
@@ -638,11 +675,10 @@ def check_kernel_sweep(*args) -> int:
         if min(groups, rows) == 1:
             continue
         bounds = reference_sweep_rows(*inputs, groups)
-        ours = kernel_sweep(*inputs, groups)
-        assert (ours is None) == (bounds is None)
-        if ours is not None and ours.row_groups.tolist() != even_boundaries(
-                rows, min(groups, rows)).tolist():
-            assert ours.row_groups.tolist() == bounds.tolist()
+        expected = [0, rows] if bounds is None else bounds.tolist()
+        ours = kernel_sweep(*inputs, groups).row_groups.tolist()
+        if ours != even_boundaries(rows, min(groups, rows)).tolist():
+            assert ours == expected
             reached += 1
     return reached
 
@@ -779,18 +815,10 @@ def assert_same_coarsening(ours, reference) -> None:
     np.testing.assert_array_equal(ours.grid.candidate, reference.grid.candidate)
 
 
-def coarsened(coarsen_fn, *args, **kwargs):
-    """``coarsen_fn``'s result, or ``None`` when an axis's search finds no cover."""
-    try:
-        return coarsen_fn(*args, **kwargs)
-    except RuntimeError as error:
-        assert str(error) == "coarsening sweep failed at the trivial threshold"
-        return None
-
-
-#: A grid whose search finds no cover: its one row group's input, summed
-#: as reduceat sums it, rounds above the total the search ends at, so every
-#: column outweighs the end and three columns need three groups.
+#: A grid whose column search finds no cover: its one row group's input,
+#: summed as reduceat sums it, rounds above the total the search ends at,
+#: so every column outweighs the end and three columns need three groups;
+#: the columns take one group.
 NO_COVER_GRID = WeightedGrid(np.zeros((3, 3)), [1e6, 0.009000000000000001, 0.002], [0.0] * 3,
                              np.ones((3, 3), dtype=bool))
 #: One row of 300 candidates whose frequencies span twelve decades: the
@@ -822,28 +850,23 @@ SIDES_GRID = WeightedGrid(np.arange(20.0).reshape(4, 5), [1.0, 0.0, 3.0, 1e4],
 def test_the_kernel_coarsens_as_the_band_loop_does(grid, weight_fn, row_groups, col_groups):
     """``coarsen`` (one kernel call) == the band loop it replaced, to the
     bit: one group per axis, more groups than a side has, an empty band, no
-    output cost, and the search that finds no cover, which both refuse."""
+    output cost, and the search that finds no cover, where both take one
+    group."""
     band = BandGrid.from_dense(grid)
-    ours = coarsened(coarsen, band, row_groups, col_groups, weight_fn)
-    reference = coarsened(band_coarsen, band, row_groups, col_groups, weight_fn)
-    assert (ours is None) == (reference is None)
-    if ours is not None:
-        assert_same_coarsening(ours, reference)
+    assert_same_coarsening(coarsen(band, row_groups, col_groups, weight_fn),
+                           band_coarsen(band, row_groups, col_groups, weight_fn))
 
 
 def kernel_coarsen(band: BandGrid, weight_fn: WeightFunction, row_groups: int,
                    col_groups: int, ends: tuple, max_iterations: int = MAX_ITERATIONS,
                    max_midpoints: int = MAX_MIDPOINTS):
     """``native.coarsen`` at the searches' ends ``ends``, as a ``CoarseningResult``."""
-    found = native.coarsen(
+    rows, cols, frequency, row_input, col_input, candidate, weight, passes = native.coarsen(
         band.row_input, band.col_input, band.run_ptr, band.run_lo, band.run_hi,
         band.entry_ptr, band.entry_col, band.entry_value, weight_fn.input_cost,
         weight_fn.output_cost, row_groups, col_groups, *ends, max_iterations, max_midpoints,
         SEARCH_TOLERANCE,
     )
-    if found is None:
-        raise RuntimeError("coarsening sweep failed at the trivial threshold")
-    rows, cols, frequency, row_input, col_input, candidate, weight, passes = found
     return CoarseningResult(WeightedGrid(frequency, row_input, col_input, candidate),
                             rows, cols, weight, passes)
 
@@ -871,14 +894,13 @@ def test_the_kernel_searches_as_the_band_loop_does_between_any_ends(
     """The kernel and the band loop handed the same ends -- scaled from the
     grid's own, so a search may find no cover, start above its end or stop
     at once, or fixed where the gap ties the stopping tolerance -- and the
-    same budget of passes and midpoints: the same coarsening, or no cover
-    for both."""
+    same budget of passes and midpoints: the same coarsening, one group on
+    an axis where no threshold fits."""
     band = BandGrid.from_dense(grid)
     low, row_high, col_high = band_search_ends(band, weight_fn)
     top = max(row_high, col_high)
     ends = fixed_ends or (scales[0] * top, scales[1] * top, scales[2] * top)
-    ours = coarsened(kernel_coarsen, band, weight_fn, row_groups, col_groups, ends, *budget)
-    reference = coarsened(band_coarsen, band, row_groups, col_groups, weight_fn, ends, *budget)
-    assert (ours is None) == (reference is None)
-    if ours is not None:
-        assert_same_coarsening(ours, reference)
+    assert_same_coarsening(
+        kernel_coarsen(band, weight_fn, row_groups, col_groups, ends, *budget),
+        band_coarsen(band, row_groups, col_groups, weight_fn, ends, *budget),
+    )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -117,20 +116,6 @@ class TestGridRegion:
 
 
 class TestKeyRegion:
-    def test_contains_half_open(self):
-        region = KeyRegion(r1_lo=0.0, r1_hi=10.0, r2_lo=5.0, r2_hi=7.0)
-        assert region.contains_r1_key(0.0)
-        assert region.contains_r1_key(9.999)
-        assert not region.contains_r1_key(10.0)
-        assert region.contains_r2_key(5.0)
-        assert not region.contains_r2_key(7.0)
-
-    def test_infinite_upper_bound_is_closed(self):
-        region = KeyRegion(r1_lo=0.0, r1_hi=math.inf, r2_lo=-math.inf, r2_hi=3.0)
-        assert region.contains_r1_key(1e18)
-        assert region.contains_r2_key(-1e18)
-        assert not region.contains_r2_key(3.0)
-
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             KeyRegion(r1_lo=5.0, r1_hi=1.0, r2_lo=0.0, r2_hi=1.0)

@@ -66,29 +66,6 @@ class TestDerivation:
         selected = rel.select(np.array([0, 2, 4]))
         np.testing.assert_array_equal(selected.keys, [0, 2, 4])
 
-    def test_with_column_adds_column(self):
-        rel = make_relation(4)
-        extended = rel.with_column("tripled", rel.keys * 3)
-        np.testing.assert_array_equal(extended.column("tripled"), rel.keys * 3)
-        # The original is unchanged.
-        assert "tripled" not in rel.column_names
-
-    def test_with_column_as_key(self):
-        rel = make_relation(4)
-        extended = rel.with_column("k2", rel.keys + 100, as_key=True)
-        assert extended.key_column == "k2"
-        np.testing.assert_array_equal(extended.keys, rel.keys + 100)
-
-    def test_with_column_wrong_length_rejected(self):
-        rel = make_relation(4)
-        with pytest.raises(ValueError):
-            rel.with_column("bad", np.arange(3))
-
-    def test_with_key_column(self):
-        rel = make_relation(4)
-        switched = rel.with_key_column("value")
-        assert switched.key_column == "value"
-
     def test_sample_without_replacement(self, rng):
         rel = make_relation(100)
         sampled = rel.sample(10, rng)
@@ -103,14 +80,3 @@ class TestDerivation:
     def test_sample_negative_rejected(self, rng):
         with pytest.raises(ValueError):
             make_relation().sample(-1, rng)
-
-    def test_sorted_by_key(self, rng):
-        keys = rng.permutation(np.arange(20))
-        rel = Relation.from_keys("r", keys)
-        assert np.all(np.diff(rel.sorted_by_key().keys) >= 0)
-
-    def test_iter_rows(self):
-        rel = make_relation(3)
-        rows = list(rel.iter_rows())
-        assert rows[1]["key"] == 1
-        assert rows[1]["value"] == 2.0

@@ -45,7 +45,6 @@ from streaming_harness import (
     RecountingBackend,
     assert_equivalent_runs,
 )
-from repro.workloads.definitions import make_bcb
 
 UNIT = WeightFunction(1.0, 1.0)
 BAND = BandJoinCondition(beta=1.0)
@@ -93,11 +92,6 @@ class TestArrayStreamSource:
         first = [b.keys1.tolist() for b in source.batches()]
         second = [b.keys1.tolist() for b in source.batches()]
         assert first == second
-
-    def test_from_workload(self):
-        workload = make_bcb(beta=1, small_segment_size=400)
-        source = ArrayStreamSource.from_workload(workload, num_batches=4)
-        assert source.total_tuples == workload.num_input_tuples
 
     def test_invalid_batches(self):
         with pytest.raises(ValueError):
