@@ -12,8 +12,9 @@ vectorised, plus its :attr:`~JoinCondition.transposed`:
 
 joinable bounds (the ``_bounds`` hook behind ``joinable_bounds(keys1)``)
     For each R1 key, the closed interval ``[lo, hi]`` of R2 keys it joins.
-    The count kernel binary-searches these, and Stream-Sample reads its
-    joinable-set sizes d2 from them.
+    Stream-Sample reads its joinable-set sizes d2 from them.  The count
+    kernel computes the same bounds itself, bit for bit, from the rule
+    :meth:`~JoinCondition.bound_rule` names, and binary-searches them.
 
 the candidate rule (the ``_rule`` hook behind ``candidate_spans``)
     For a cell of key ranges ``[row_lo, row_hi] x [col_lo, col_hi]``, does
@@ -184,6 +185,21 @@ class JoinCondition:
         if keys1.dtype.kind == "f" and np.isnan(keys1.min()):
             return np.isnan(keys1)
         return None
+
+    def bound_rule(self) -> "tuple[str, int | float]":
+        """The joinable bounds as :func:`repro.joins.native.fold` computes them: ``(rule, beta)``.
+
+        The kernel bounds a count's needles by this rule, bit for bit as
+        :meth:`joinable_bounds` bounds them: ``"band"`` by ``[k - beta, k +
+        beta]``, ``"band_inverse"`` by the transposed band's exact
+        inverses, an inequality's operator by ``[k, far]`` or ``[far, k]``.
+        ``beta`` is an int when the width is integral (int64 needles meeting
+        int64 runs are then bounded in exact int64 arithmetic, a width
+        above 2**53 included) and a float otherwise, which bounds float64
+        needles only (:func:`repro.joins.local.fold_half` converts integer
+        ones, as numpy's float arithmetic on them would).
+        """
+        raise NotImplementedError
 
     def _rule(self) -> "tuple[str, float]":
         """The candidate rule as :func:`repro.joins.native.spans` names it: ``(rule, beta)``.
@@ -382,6 +398,11 @@ class BandJoinCondition(JoinCondition):
         highs[keys1 > _INT64_MAX - beta] = _INT64_MAX
         return lows, highs
 
+    def bound_rule(self) -> "tuple[str, int | float]":
+        """``("band", beta)``: :meth:`_bounds`' ``k +- beta``, beta an int when integral."""
+        beta = self._integral_beta()
+        return "band", float(self.beta) if beta is None else int(beta)
+
     def _rule(self) -> "tuple[str, float]":
         """A cell may join unless its ranges are more than beta apart.
 
@@ -496,6 +517,10 @@ class InequalityJoinCondition(JoinCondition):
                 near = keys1 + (1 if self._above else -1)
         ends = np.full_like(keys1, far)
         return (near, ends) if self._above else (ends, near)
+
+    def bound_rule(self) -> "tuple[str, int | float]":
+        """The operator's own symbol: :meth:`_bounds`' rule, with no width."""
+        return self.op.value, 0
 
     def _rule(self) -> "tuple[str, float]":
         """A cell may join iff its most favourable pair does.
@@ -623,6 +648,10 @@ class _TransposedBandCondition(JoinCondition):
             return self.base._bounds(keys1)
         keys1 = np.ascontiguousarray(keys1, dtype=np.float64)  # repro: ignore[KEY001]  # band inverse works in the keys' float64 image
         return native.band_inverse(keys1, float(self.base.beta))
+
+    def bound_rule(self) -> "tuple[str, int | float]":
+        """``("band_inverse", beta)``: :meth:`_bounds`' inverses, the base's width."""
+        return "band_inverse", self.base.bound_rule()[1]
 
     def _rule(self) -> "tuple[str, float]":
         """The base condition's rule, unchanged.

@@ -15,9 +15,10 @@ routed needles are counted against sorted runs with two searches per
 needle and run -- sorted needles each start where the previous one's answer
 was, so an answer a few keys away costs a short walk and a farther one
 ``O(log gap)`` -- in the compiled kernel's fold
-(:func:`repro.joins.native.fold`).  :func:`search_half` states one half
-of a count as the fold takes it -- a stream batch's two halves ride one
-fold with the batch's run merges
+(:func:`repro.joins.native.fold`), which bounds the needles itself by the
+condition's rule (:meth:`~repro.joins.conditions.JoinCondition.bound_rule`).
+:func:`fold_half` states one half of a count as the fold takes it -- a
+stream batch's two halves ride one fold with the batch's run cascades
 (:meth:`~repro.streaming.backends.StateOwner.count`) -- and
 :func:`count_runs` is a count with no state to fold in: a batch join
 (:func:`~repro.engine.cluster.run_partitioned_join`) and
@@ -26,7 +27,7 @@ fold with the batch's run merges
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,7 +46,7 @@ __all__ = [
     "join_output_pairs",
     "count_join_output",
     "count_runs",
-    "search_half",
+    "fold_half",
 ]
 
 
@@ -102,59 +103,27 @@ def count_join_output(
 _FIRST = np.zeros(1, dtype=np.int64)
 
 
-def _bounds(
-    condition: JoinCondition, keys: np.ndarray, dtype: np.dtype
-) -> "tuple[np.ndarray, np.ndarray]":
-    """``condition``'s joinable bounds of ``keys`` brought to their common dtype with ``dtype``.
-
-    Integer needles meeting float runs are bounded as floats, so a strict
-    integer step ``k +- 1`` never skips a fractional key.
-    """
-    needles = normalise_keys(keys)
-    return condition.joinable_bounds(
-        needles.astype(np.promote_types(needles.dtype, dtype), copy=False)
-    )
-
-
-def search_half(
-    condition: JoinCondition,
+def fold_half(
+    rule: "tuple[str, int | float]",
     needles: np.ndarray,
     starts: np.ndarray,
     stops: np.ndarray,
-    groups: "Iterable[tuple[list, np.ndarray, int | None, np.dtype]]",
-    cut: "MachineSlices | None",
-    bounds: "dict | None" = None,
-) -> "Iterable[tuple]":
-    """One half of a count as :func:`repro.joins.native.fold` takes it: its entries.
+    groups: list,
+) -> tuple:
+    """One half of a count as :func:`repro.joins.native.fold` takes it.
 
-    Machine ``m``'s needles are ``needles[starts[m]:stops[m]]``.
-    ``groups`` lists, per group of the searched side, its ``(keys, cum)``
-    runs -- ascending keys, float64 or int64, ``cum`` their cumulative
-    counts (``cum[0] == 0``, any sign) or ``None`` when every key counts
-    once -- the machines reading it, the fold cascade whose merged run it
-    searches too (or ``None``) and the dtype of its keys; ``cut`` is the
-    slice rule the readers read every run through
-    (:class:`~repro.partitioning.grid_routed.MachineSlices`), or ``None``
-    when each reads its group whole.  A group with nothing to search or no
-    readers is left out: its readers count zero.  The needles are bounded
-    in one ``joinable_bounds`` pass per key dtype, in their common dtype
-    with the keys (:func:`_bounds`; an integer run meeting float bounds is
-    searched as float64, as ``searchsorted`` would cast it), so the half is
-    one fold entry per key dtype.  ``bounds`` (a dict, key dtype -> the
-    bounds) keeps them for the next call over the same needles.
+    ``(needles, rule, starts, stops, groups)``: machine ``m``'s needles are
+    ``needles[starts[m]:stops[m]]`` (float64 or int64, normalised), bounded
+    in the kernel by ``rule``, a condition's
+    :meth:`~repro.joins.conditions.JoinCondition.bound_rule`, and
+    ``groups`` the groups they search, each ``(runs, readers, cut,
+    cascade)``.  A band's fractional width bounds integer needles in
+    float64, as numpy's arithmetic on them does, so they are converted
+    here: the kernel bounds int64 needles in int64 only.
     """
-    bounds = {} if bounds is None else bounds
-    # A key dtype -> the bounds its groups are searched with, and the groups.
-    halves: "dict[np.dtype, tuple]" = {}
-    for runs, readers, merge, dtype in groups:
-        if not (runs or merge is not None) or not readers.size:
-            continue
-        if dtype not in halves:
-            if dtype not in bounds:
-                bounds[dtype] = _bounds(condition, needles, dtype)
-            halves[dtype] = (*bounds[dtype], starts, stops, [])
-        halves[dtype][4].append((runs, readers, cut, merge))
-    return halves.values()
+    if needles.dtype.kind != "f" and isinstance(rule[1], float):
+        needles = needles.astype(np.float64)
+    return needles, rule, starts, stops, groups
 
 
 def count_runs(
@@ -162,7 +131,7 @@ def count_runs(
     needles: np.ndarray,
     starts: np.ndarray,
     stops: np.ndarray,
-    groups: "Iterable[tuple[list[tuple[np.ndarray, np.ndarray | None]], np.ndarray]]",
+    groups: "list[tuple[list[tuple[np.ndarray, np.ndarray | None]], np.ndarray]]",
     cut: "MachineSlices | None",
     out: np.ndarray,
 ) -> None:
@@ -173,10 +142,14 @@ def count_runs(
     a batch into empty state) and :func:`count_join_output` (one reader,
     one run).  ``groups`` lists, per group of the searched side, its
     ``(keys, cum)`` runs (one dtype per group) and the machines reading
-    it; the rest is :func:`search_half`'s.  It is one
-    :func:`repro.joins.native.fold` call with one half and no merge, which
-    adds each machine's counts straight into its total.
+    it, read through ``cut`` (a
+    :class:`~repro.partitioning.grid_routed.MachineSlices`, or ``None``:
+    whole); machine ``m``'s needles are ``needles[starts[m]:stops[m]]``.
+    It is one :func:`repro.joins.native.fold` call with one half
+    (:func:`fold_half`) and no cascade, which adds each machine's counts
+    straight into its total.
     """
     if needles.size:
-        groups = [(runs, readers, None, runs[0][0].dtype) for runs, readers in groups if runs]
-        native.fold([], search_half(condition, needles, starts, stops, groups, cut), out)
+        groups = [(runs, readers, cut, None) for runs, readers in groups]
+        half = fold_half(condition.bound_rule(), normalise_keys(needles), starts, stops, groups)
+        native.fold([], [half], out)

@@ -3,18 +3,23 @@
  * repro.joins._native: compiled on first use by repro/joins/native.py and
  * loaded as any extension module is.
  *
- * fold       a stream batch's state work and count in one call: each merge
- *            cascade the batch's arrivals start (the runs of a group they
- *            fold into, merged into one counted run), then each half of the
- *            count -- routed needles searched in the runs of every group
- *            they meet (numpy's searchsorted, side "left" for the low bound
- *            and "right" for the high one), each answer clipped to every
- *            reader's slice of the run and summed into its total.  One call
- *            per stream batch (one per machine where each machine is timed
- *            on its own), one with a half and no merge per batch join (the
- *            first half of a batch into empty state) and pool task, one with
- *            a merge and no half for repro.streaming.incremental's appends.
- * band_inverse  the transposed band's exact inverse bounds.
+ * fold       a stream batch's state work and count in one call: each
+ *            group's cascade (its runs and the batch's arrivals: how far
+ *            the arrivals merge, RUN_MERGE_RATIO's rule, and the merge into
+ *            one counted run), then each half of the count -- routed
+ *            needles bounded by the condition's rule (joinable_bounds' k
+ *            -+ beta, the transposed band's inverses, an inequality's
+ *            operator) and searched in the runs of every group they meet
+ *            (numpy's searchsorted, side "left" for the low bound and
+ *            "right" for the high one), each answer clipped to every
+ *            reader's slice of the run and summed into its total -- and the
+ *            run list each group holds next.  One call per stream batch
+ *            (one per machine where each machine is timed on its own), one
+ *            with a half and no cascade per batch join (the first half of a
+ *            batch into empty state), one with a cascade and no half for
+ *            repro.streaming.incremental's appends and merges.
+ * band_inverse  the transposed band's exact inverse bounds, by the loop
+ *            fold's bounds share.
  * offer      offers one batch of entries to a bounded Efraimidis-Spirakis
  *            min-heap held as three parallel arrays (priority, counter,
  *            payload): repro.streaming.incremental.DecayedReservoir.add_batch
@@ -451,18 +456,41 @@ FIND(f64, double, FLOAT_IS_NAN)
 FIND(i64, int64_t, NEVER_NAN)
 
 /*
- * A fold, as the module parses it: the merges, then the halves.  Machine
- * m's needles are [starts[m], stops[m]) of a half's lows / highs.  A
- * group's readers read its runs and, unless merge is -1, the run that merge
- * made, each through its slice: where it starts and stops is a slice
- * bound, an index of the cut keys, their number for 0 or their number + 1
- * for the run's length (cut_keys NULL: every reader reads the runs whole).
+ * A cascade merges a group's arrivals into the run before them while that
+ * run holds fewer than RUN_MERGE_RATIO times the keys merged so far, and
+ * then into the run before that, on the same rule.  The module exports the
+ * value; repro.streaming.incremental.RUN_MERGE_RATIO reads it there and
+ * keeps its measurements.
  */
-struct merge {
+#define RUN_MERGE_RATIO 8
+
+/*
+ * The rules a condition's joinable bounds follow (fold) and the candidate
+ * rules of its grid cells (spans, which takes the first five).  The band
+ * family's band, the inequalities' operators, and the transposed band's
+ * exact inverse of a band.
+ */
+enum rule { BAND, LESS, LESS_EQUAL, GREATER, GREATER_EQUAL, RULES, INVERSE = RULES, FOLD_RULES };
+
+/*
+ * A fold, as the module parses it: the cascades, then the halves.
+ *
+ * A cascade is a group's runs, oldest first, then its arrivals as a fresh
+ * run (count of them in all), or only the runs when every one merges (no
+ * arrivals).  The merge takes runs [first, count), or nothing when first
+ * is count; held of the runs are the group's own.  Machine m's needles are
+ * [starts[m], stops[m]) of a half's needles, bounded by the half's rule.
+ * A group's readers read its runs and, unless cascade is -1, the runs that
+ * cascade leaves, each through its slice: where it starts and stops is a
+ * slice bound, an index of the cut keys, their number for 0 or their
+ * number + 1 for the run's length (cut_keys NULL: every reader reads the
+ * runs whole).
+ */
+struct cascade {
     int dtype;
-    const struct run *runs; /* oldest first */
-    int64_t count;
-    void *keys;   /* room for every key of the runs */
+    struct run *runs;
+    int64_t count, first, held;
+    void *keys;   /* the merged run: room for every key it takes */
     int64_t *cum; /* and one more */
     int64_t entries;
 };
@@ -474,155 +502,41 @@ struct group {
     const double *cut_keys;
     int64_t cuts;
     const int64_t *first, *last;
-    int64_t merge;
-    const struct run *runs;
+    int64_t cascade;
+    struct run *runs;
     int64_t runs_count;
 };
 
 struct half {
-    int dtype;
-    const void *lows, *highs;
-    int64_t needles;
+    int dtype; /* the needles' */
+    const void *needles;
+    int64_t size;
+    int rule;
+    double beta;      /* the width as a double */
+    int64_t int_beta; /* and as an int64, or -1 when it was a float */
     const int64_t *starts, *stops;
     const struct group *groups;
     int64_t count;
 };
 
-/* A reader's slice bound: cut `at` of the run, or 0, or its length. */
-static int64_t slice_bound(struct run run, int dtype, int64_t tail,
-                           const struct group *group, int64_t at)
-{
-    if (at == group->cuts)
-        return 0;
-    if (at > group->cuts)
-        return run.size;
-    return dtype == F64 ? cut_f64((const double *)run.keys, tail, group->cut_keys[at])
-                        : cut_i64((const int64_t *)run.keys, tail, group->cut_keys[at]);
-}
-
 /*
- * Count one run of a group: each needle its readers hold searched once
- * (spans: the union of their shares), then every reader's needles clipped
- * to its slice of the run and summed into its total.
+ * Where a cascade's merge starts: the arrivals swallow the run before them
+ * while it holds fewer than RUN_MERGE_RATIO times the keys merged so far.
+ * count when nothing merges (no arrivals, or a run before them large
+ * enough); 0 for a cascade with no arrivals, which merges every run.
  */
-static void count_run(const struct half *half, const struct group *group,
-                      struct run run, const int64_t *spans, int64_t count,
-                      int64_t *lo_at, int64_t *hi_at, int64_t *out)
+static int64_t merge_start(const struct run *runs, int64_t count, int arrivals)
 {
-    int64_t tail, i, j;
-    if (group->dtype == F64) {
-        tail = nan_tail_f64((const double *)run.keys, run.size);
-        search_f64(half->lows, half->highs, spans, count, run, tail, lo_at, hi_at);
-    } else {
-        tail = run.size; /* int64 keys have no NaN */
-        if (half->dtype == I64)
-            search_i64(half->lows, half->highs, spans, count, run, tail, lo_at, hi_at);
-        else
-            search_mixed(half->lows, half->highs, spans, count, run, tail, lo_at, hi_at);
-    }
-    for (i = 0; i < group->count; i++) {
-        int64_t m = group->readers[i], first = 0, last = run.size;
-        uint64_t sum = 0;
-        if (group->cut_keys) {
-            first = slice_bound(run, group->dtype, tail, group, group->first[i]);
-            last = slice_bound(run, group->dtype, tail, group, group->last[i]);
-        }
-        for (j = half->starts[m]; j < half->stops[m]; j++) {
-            int64_t a = lo_at[j] < first ? first : lo_at[j];
-            int64_t b = hi_at[j] > last ? last : hi_at[j];
-            if (b > a)
-                sum += SPAN(run.cum, a, b);
-        }
-        out[m] = (int64_t)((uint64_t)out[m] + sum);
-    }
-}
-
-/* The union of a group's readers' shares as disjoint ascending spans, two
- * words each; returns how many. */
-static int64_t shares_of(const struct half *half, const struct group *group,
-                         int64_t *spans)
-{
-    int64_t i, k, count = 0;
-    for (i = 0; i < group->count; i++) {
-        int64_t m = group->readers[i], start = half->starts[m], stop = half->stops[m];
-        if (start >= stop)
-            continue;
-        /* Insert by start (readers come nearly sorted: few moves). */
-        for (k = count; k > 0 && spans[2 * k - 2] > start; k--) {
-            spans[2 * k] = spans[2 * k - 2];
-            spans[2 * k + 1] = spans[2 * k - 1];
-        }
-        spans[2 * k] = start;
-        spans[2 * k + 1] = stop;
-        count++;
-    }
-    /* Merge the overlapping and touching ones. */
-    for (i = k = 0; i < count; i++) {
-        if (k && spans[2 * i] <= spans[2 * k - 1]) {
-            if (spans[2 * i + 1] > spans[2 * k - 1])
-                spans[2 * k - 1] = spans[2 * i + 1];
-        } else {
-            spans[2 * k] = spans[2 * i];
-            spans[2 * k + 1] = spans[2 * i + 1];
-            k++;
-        }
-    }
-    return k;
-}
-
-/*
- * A stream batch's state work and count in one call, over a parsed fold
- * whose indices are all in range.  First every merge: its runs merged into
- * its keys and cum (merge_<t>), the entries written stored in its entries;
- * then every half: each group's runs -- and the run its merge made --
- * searched for the needles its readers hold, once per needle and run, each
- * answer clipped to every reader's slice and the counts added to
- * out[reader].  `needles` is the most needles of a half, `readers` the
- * most readers of a group.  Returns 0, or -1 if scratch memory could not
- * be had.
- */
-static int fold(struct merge *merges, int64_t merge_count, const struct half *halves,
-                int64_t half_count, int64_t needles, int64_t readers, int64_t *out)
-{
-    int64_t i, h, g, r;
-    int64_t *scratch, *spans, *lo_at, *hi_at;
-    for (i = 0; i < merge_count; i++) {
-        struct merge *merge = merges + i;
-        merge->entries = merge->dtype == F64
-            ? merge_f64(merge->runs, merge->count, (double *)merge->keys, merge->cum)
-            : merge_i64(merge->runs, merge->count, (int64_t *)merge->keys, merge->cum);
-        if (merge->entries < 0)
-            return -1;
-    }
-    if (!half_count)
+    int64_t first, merged;
+    if (!arrivals)
         return 0;
-    scratch = malloc(((size_t)2 * needles + 2 * (size_t)readers + 1) * sizeof *scratch);
-    if (!scratch)
-        return -1;
-    lo_at = scratch;
-    hi_at = lo_at + needles;
-    spans = hi_at + needles;
-    for (h = 0; h < half_count; h++) {
-        const struct half *half = halves + h;
-        for (g = 0; g < half->count; g++) {
-            const struct group *group = half->groups + g;
-            int64_t count = shares_of(half, group, spans);
-            if (!count)
-                continue;
-            for (r = 0; r < group->runs_count; r++)
-                count_run(half, group, group->runs[r], spans, count, lo_at, hi_at, out);
-            if (group->merge >= 0) {
-                const struct merge *merge = merges + group->merge;
-                struct run run;
-                run.keys = merge->keys;
-                run.size = merge->entries;
-                run.cum = merge->cum;
-                count_run(half, group, run, spans, count, lo_at, hi_at, out);
-            }
-        }
+    first = count - 1;
+    merged = runs[first].size;
+    while (merged && first && runs[first - 1].size < RUN_MERGE_RATIO * merged) {
+        first--;
+        merged += runs[first].size;
     }
-    free(scratch);
-    return 0;
+    return first == count - 1 ? count : first;
 }
 
 /*
@@ -728,16 +642,300 @@ static double upper_inverse(double k, double beta)
     return from_ordinal(lo);
 }
 
-/* lows[i] = L(keys[i]) and highs[i] = U(keys[i]), for keys that are not NaN. */
+/*
+ * lows[i] = L(keys[i]) and highs[i] = U(keys[i]); a NaN key joins nothing:
+ * (NaN, +inf).  The loop of the band_inverse entry point and of fold's
+ * transposed-band bounds, which may pass lows as keys: each key is read
+ * before its bounds are written.
+ */
 static void band_inverse(const double *keys, int64_t size, double beta, double *lows,
                          double *highs)
 {
     int64_t i;
     for (i = 0; i < size; i++) {
-        lows[i] = lower_inverse(keys[i], beta);
-        highs[i] = upper_inverse(keys[i], beta);
+        double k = keys[i];
+        if (FLOAT_IS_NAN(k)) {
+            lows[i] = NAN;
+            highs[i] = INFINITY;
+        } else {
+            lows[i] = lower_inverse(k, beta);
+            highs[i] = upper_inverse(k, beta);
+        }
     }
 }
+
+/*
+ * The joinable bounds of the needles in the spans, under the half's rule,
+ * bit for bit as JoinCondition.joinable_bounds gives them: each needle j
+ * its closed interval [lows[j], highs[j]] of keys it joins.  A needle that
+ * joins nothing -- NaN, or a strict inequality's needle at the far end of
+ * its domain -- gets the empty interval: (NaN, +inf) in doubles, (int64
+ * max, int64 max - 1) in int64.
+ *
+ * In doubles: k -+ beta (a band), L(k) and U(k) (the transposed band, by
+ * band_inverse's loop), or an inequality's [k, +inf] / [-inf, k], a strict
+ * one starting one step away (nextafter).  int64 needles are bounded as
+ * the doubles they convert to (numpy's astype), which is how they meet
+ * float64 runs.  lows is where they are converted, so each loop reads a
+ * key before it writes its bounds.
+ */
+static void bounds_f64(const struct half *half, const int64_t *spans, int64_t count,
+                       double *lows, double *highs)
+{
+    double beta = half->beta;
+    int64_t u, j;
+    for (u = 0; u < count; u++) {
+        int64_t start = spans[2 * u], stop = spans[2 * u + 1];
+        const double *keys = (const double *)half->needles;
+        if (half->dtype == I64) {
+            for (j = start; j < stop; j++)
+                lows[j] = (double)((const int64_t *)half->needles)[j];
+            keys = lows;
+        }
+        switch (half->rule) {
+        case BAND:
+            for (j = start; j < stop; j++) {
+                double k = keys[j];
+                lows[j] = k - beta;
+                highs[j] = FLOAT_IS_NAN(k) ? INFINITY : k + beta;
+            }
+            break;
+        case INVERSE:
+            band_inverse(keys + start, stop - start, beta, lows + start, highs + start);
+            break;
+        case LESS:
+            for (j = start; j < stop; j++) {
+                double k = keys[j];
+                lows[j] = FLOAT_IS_NAN(k) || k == INFINITY ? NAN : step(k, 1);
+                highs[j] = INFINITY;
+            }
+            break;
+        case LESS_EQUAL:
+            for (j = start; j < stop; j++) {
+                lows[j] = keys[j]; /* a NaN low is the empty interval's */
+                highs[j] = INFINITY;
+            }
+            break;
+        case GREATER:
+            for (j = start; j < stop; j++) {
+                double k = keys[j];
+                int nothing = FLOAT_IS_NAN(k) || k == -INFINITY;
+                lows[j] = nothing ? NAN : -INFINITY;
+                highs[j] = nothing ? INFINITY : step(k, 0);
+            }
+            break;
+        default: /* GREATER_EQUAL */
+            for (j = start; j < stop; j++) {
+                double k = keys[j];
+                int nothing = FLOAT_IS_NAN(k);
+                lows[j] = nothing ? NAN : -INFINITY;
+                highs[j] = nothing ? INFINITY : k;
+            }
+        }
+    }
+}
+
+/*
+ * In int64, for int64 needles meeting int64 runs: k -+ beta saturating at
+ * the int64 extremes (no key lies past them, so the bound is exact where
+ * the wrapped sum would turn the interval inside out) -- a band and its
+ * transpose alike, as the integer band test rounds nothing -- or an
+ * inequality's [k, max] / [min, k], a strict one starting at k +- 1.
+ */
+static void bounds_i64(const struct half *half, const int64_t *spans, int64_t count,
+                       int64_t *lows, int64_t *highs)
+{
+    const int64_t *keys = (const int64_t *)half->needles;
+    int64_t beta = half->int_beta, u, j;
+    for (u = 0; u < count; u++)
+        for (j = spans[2 * u]; j < spans[2 * u + 1]; j++) {
+            int64_t k = keys[j];
+            switch (half->rule) {
+            case BAND:
+            case INVERSE:
+                lows[j] = k < INT64_MIN + beta ? INT64_MIN : k - beta;
+                highs[j] = k > INT64_MAX - beta ? INT64_MAX : k + beta;
+                break;
+            case LESS:
+                lows[j] = k == INT64_MAX ? INT64_MAX : k + 1;
+                highs[j] = k == INT64_MAX ? INT64_MAX - 1 : INT64_MAX;
+                break;
+            case LESS_EQUAL:
+                lows[j] = k;
+                highs[j] = INT64_MAX;
+                break;
+            case GREATER:
+                lows[j] = k == INT64_MIN ? INT64_MAX : INT64_MIN;
+                highs[j] = k == INT64_MIN ? INT64_MAX - 1 : k - 1;
+                break;
+            default: /* GREATER_EQUAL */
+                lows[j] = INT64_MIN;
+                highs[j] = k;
+            }
+        }
+}
+
+/* A reader's slice bound: cut `at` of the run, or 0, or its length. */
+static int64_t slice_bound(struct run run, int dtype, int64_t tail,
+                           const struct group *group, int64_t at)
+{
+    if (at == group->cuts)
+        return 0;
+    if (at > group->cuts)
+        return run.size;
+    return dtype == F64 ? cut_f64((const double *)run.keys, tail, group->cut_keys[at])
+                        : cut_i64((const int64_t *)run.keys, tail, group->cut_keys[at]);
+}
+
+/*
+ * Count one run of a group: each needle its readers hold searched once
+ * (spans: the union of their shares) with the bounds of `bound` dtype,
+ * then every reader's needles clipped to its slice of the run and summed
+ * into its total.
+ */
+static void count_run(const struct half *half, const struct group *group, int bound,
+                      const void *lows, const void *highs, struct run run,
+                      const int64_t *spans, int64_t count, int64_t *lo_at, int64_t *hi_at,
+                      int64_t *out)
+{
+    int64_t tail, i, j;
+    if (!run.size)
+        return;
+    if (group->dtype == F64) {
+        tail = nan_tail_f64((const double *)run.keys, run.size);
+        search_f64(lows, highs, spans, count, run, tail, lo_at, hi_at);
+    } else {
+        tail = run.size; /* int64 keys have no NaN */
+        if (bound == I64)
+            search_i64(lows, highs, spans, count, run, tail, lo_at, hi_at);
+        else
+            search_mixed(lows, highs, spans, count, run, tail, lo_at, hi_at);
+    }
+    for (i = 0; i < group->count; i++) {
+        int64_t m = group->readers[i], first = 0, last = run.size;
+        uint64_t sum = 0;
+        if (group->cut_keys) {
+            first = slice_bound(run, group->dtype, tail, group, group->first[i]);
+            last = slice_bound(run, group->dtype, tail, group, group->last[i]);
+        }
+        for (j = half->starts[m]; j < half->stops[m]; j++) {
+            int64_t a = lo_at[j] < first ? first : lo_at[j];
+            int64_t b = hi_at[j] > last ? last : hi_at[j];
+            if (b > a)
+                sum += SPAN(run.cum, a, b);
+        }
+        out[m] = (int64_t)((uint64_t)out[m] + sum);
+    }
+}
+
+/* The union of a group's readers' shares as disjoint ascending spans, two
+ * words each; returns how many. */
+static int64_t shares_of(const struct half *half, const struct group *group,
+                         int64_t *spans)
+{
+    int64_t i, k, count = 0;
+    for (i = 0; i < group->count; i++) {
+        int64_t m = group->readers[i], start = half->starts[m], stop = half->stops[m];
+        if (start >= stop)
+            continue;
+        /* Insert by start (readers come nearly sorted: few moves). */
+        for (k = count; k > 0 && spans[2 * k - 2] > start; k--) {
+            spans[2 * k] = spans[2 * k - 2];
+            spans[2 * k + 1] = spans[2 * k - 1];
+        }
+        spans[2 * k] = start;
+        spans[2 * k + 1] = stop;
+        count++;
+    }
+    /* Merge the overlapping and touching ones. */
+    for (i = k = 0; i < count; i++) {
+        if (k && spans[2 * i] <= spans[2 * k - 1]) {
+            if (spans[2 * i + 1] > spans[2 * k - 1])
+                spans[2 * k - 1] = spans[2 * i + 1];
+        } else {
+            spans[2 * k] = spans[2 * i];
+            spans[2 * k + 1] = spans[2 * i + 1];
+            k++;
+        }
+    }
+    return k;
+}
+
+/*
+ * A stream batch's state work and count in one call, over a parsed fold
+ * whose indices are all in range.  First every cascade: runs [first,
+ * count) merged into its keys and cum (merge_<t>), the entries written
+ * stored in its entries.  Then every half, group by group: the needles its
+ * readers hold bounded by the half's rule -- in int64 where int64 needles
+ * meet int64 runs, else in doubles -- and searched once per run the group
+ * reads (its own, then the runs its cascade leaves: those before the
+ * merge, then the merged run or the arrivals), each answer clipped to
+ * every reader's slice and the counts added to out[reader].  `needles` is
+ * the most needles of a half, `readers` the most readers of a group.
+ * Returns 0, or -1 if scratch memory could not be had.
+ */
+static int fold(struct cascade *cascades, int64_t cascade_count, const struct half *halves,
+                int64_t half_count, int64_t needles, int64_t readers, int64_t *out)
+{
+    int64_t i, h, g, r;
+    int64_t *scratch, *spans, *lo_at, *hi_at, *lows, *highs;
+    for (i = 0; i < cascade_count; i++) {
+        struct cascade *c = cascades + i;
+        if (c->first == c->count)
+            continue;
+        c->entries = c->dtype == F64
+            ? merge_f64(c->runs + c->first, c->count - c->first, (double *)c->keys, c->cum)
+            : merge_i64(c->runs + c->first, c->count - c->first, (int64_t *)c->keys, c->cum);
+        if (c->entries < 0)
+            return -1;
+    }
+    if (!half_count)
+        return 0;
+    scratch = malloc(((size_t)4 * needles + 2 * (size_t)readers + 1) * sizeof *scratch);
+    if (!scratch)
+        return -1;
+    lo_at = scratch;
+    hi_at = lo_at + needles;
+    lows = hi_at + needles; /* doubles or int64s: one word each */
+    highs = lows + needles;
+    spans = highs + needles;
+    for (h = 0; h < half_count; h++) {
+        const struct half *half = halves + h;
+        for (g = 0; g < half->count; g++) {
+            const struct group *group = half->groups + g;
+            const struct cascade *c = group->cascade < 0 ? NULL : cascades + group->cascade;
+            int bound = half->dtype == I64 && group->dtype == I64 ? I64 : F64;
+            int64_t count;
+            if (!group->runs_count && !c)
+                continue;
+            if (!(count = shares_of(half, group, spans)))
+                continue;
+            if (bound == I64)
+                bounds_i64(half, spans, count, lows, highs);
+            else
+                bounds_f64(half, spans, count, (double *)lows, (double *)highs);
+#define COUNT(RUN) \
+    count_run(half, group, bound, lows, highs, RUN, spans, count, lo_at, hi_at, out)
+            for (r = 0; r < group->runs_count; r++)
+                COUNT(group->runs[r]);
+            if (c) {
+                struct run merged;
+                for (r = 0; r < c->first && r < c->count; r++)
+                    COUNT(c->runs[r]);
+                if (c->first < c->count) {
+                    merged.keys = c->keys;
+                    merged.size = c->entries;
+                    merged.cum = c->cum;
+                    COUNT(merged);
+                }
+            }
+#undef COUNT
+        }
+    }
+    free(scratch);
+    return 0;
+}
+
 
 /*
  * The reservoir heap.  Entry i is (priorities[i], counters[i], keys[i]),
@@ -1883,7 +2081,6 @@ static int64_t leaves_of(const struct tiling *t, int64_t *pending, int64_t *leav
  * difference is more than beta (inf - inf is NaN, so never).  An
  * inequality excludes one side only, where its comparison fails.
  */
-enum rule { BAND, LESS, LESS_EQUAL, GREATER, GREATER_EQUAL, RULES };
 #define NEVER(lo, hi, c, beta) 0
 #define BAND_LEFT(lo, hi, c, beta) ((lo) - (c) > (beta))
 #define BAND_RIGHT(lo, hi, c, beta) ((c) - (hi) > (beta))
@@ -2041,19 +2238,22 @@ static int shrink(PyArrayObject *array, npy_intp size)
 }
 
 /*
- * fold's parse.  Each level of the tree -- the merges, the halves, a half's
- * groups, a cascade's or a group's runs -- is allocated zeroed at its
- * sequence's length when the walk meets it, so every struct is filled in
- * where the loop reads it, and parse_free's one walk frees them all.
+ * fold's parse.  Each level of the tree -- the cascades, the halves, a
+ * half's groups, a cascade's or a group's runs -- is allocated zeroed at
+ * its sequence's length when the walk meets it, so every struct is filled
+ * in where the loop reads it, and parse_free's one walk frees them all.
  * `held` holds every object the loop reads through, so no other thread
- * frees a buffer while the GIL is released.
+ * frees a buffer while the GIL is released; `items` and `arrivals` are a
+ * cascade's runs and arrivals as objects (borrowed from `held`), for the
+ * run lists it returns.
  */
 struct parse {
     PyObject *held;
     Py_ssize_t machines;
-    struct merge *merges;
+    struct cascade *cascades;
+    PyObject **items, **arrivals;
     struct half *halves;
-    int64_t merge_count, half_count;
+    int64_t cascade_count, half_count;
     int64_t needles, readers; /* the most of any half, of any group */
 };
 
@@ -2111,15 +2311,37 @@ static int unpack(struct parse *parse, PyObject *obj, Py_ssize_t n, const char *
     return 0;
 }
 
+/* One run's (keys, cum) into *run: keys of one of `dtypes` (their dtype in
+ * *dtype).  0, or -1 with an error set. */
+static int parse_run(struct parse *parse, PyObject *obj, int dtypes, int *dtype,
+                     struct run *run)
+{
+    PyObject *pair[2];
+    PyArrayObject *keys, *cum = NULL;
+    if (unpack(parse, obj, 2, "a run", pair) || !(keys = held(parse, "keys", pair[0], dtypes))
+        || (pair[1] != Py_None && !(cum = held(parse, "cum", pair[1], I64_ONLY))))
+        return -1;
+    if (cum && SIZE(cum) != SIZE(keys) + 1) {
+        PyErr_Format(PyExc_ValueError, "fold: cum is %zd %S, not %zd int64", SIZE(cum),
+                     DTYPE(cum), SIZE(keys) + 1);
+        return -1;
+    }
+    *dtype = key_dtype(keys);
+    run->keys = PyArray_DATA(keys);
+    run->size = SIZE(keys);
+    run->cum = cum ? (const int64_t *)PyArray_DATA(cum) : NULL;
+    return 0;
+}
+
 /*
- * The (keys, cum) runs of `obj`, into a level of their own (*runs, their
- * number in *count): the first run's keys of one of `dtypes`, every other
- * run's of its dtype (in *dtype; left as it is when there is no run).
- * `none`, unless NULL, refuses a sequence of no runs.  0, or -1 with an
- * error set.
+ * The (keys, cum) runs of `obj`, into a level of their own with `spare`
+ * more runs after them (*runs, the runs in *count): the first run's keys
+ * of one of `dtypes`, every other run's of its dtype (in *dtype; left as
+ * it is when there is no run).  The held sequence in *items unless NULL.
+ * 0, or -1 with an error set.
  */
-static int parse_runs(struct parse *parse, PyObject *obj, int dtypes, const char *none,
-                      int *dtype, const struct run **runs, int64_t *count)
+static int parse_runs(struct parse *parse, PyObject *obj, int dtypes, Py_ssize_t spare,
+                      int *dtype, struct run **runs, int64_t *count, PyObject **items_out)
 {
     PyObject *items = items_of(parse, obj, "runs");
     struct run *level;
@@ -2127,73 +2349,97 @@ static int parse_runs(struct parse *parse, PyObject *obj, int dtypes, const char
     if (!items)
         return -1;
     n = PySequence_Fast_GET_SIZE(items);
-    if (!n && none) {
-        PyErr_Format(PyExc_ValueError, "fold: %s", none);
-        return -1;
-    }
-    if (!(level = level_of(n, sizeof *level)))
+    if (!(level = level_of(n + spare, sizeof *level)))
         return -1;
     *runs = level;
     *count = n;
+    if (items_out)
+        *items_out = items;
     for (i = 0; i < n; i++) {
-        PyObject *pair[2];
-        PyArrayObject *keys, *cum = NULL;
-        if (unpack(parse, PySequence_Fast_GET_ITEM(items, i), 2, "a run", pair)
-            || !(keys = held(parse, "keys", pair[0], dtypes))
-            || (pair[1] != Py_None && !(cum = held(parse, "cum", pair[1], I64_ONLY))))
+        if (parse_run(parse, PySequence_Fast_GET_ITEM(items, i), dtypes, dtype, level + i))
             return -1;
-        if (cum && SIZE(cum) != SIZE(keys) + 1) {
-            PyErr_Format(PyExc_ValueError, "fold: cum is %zd %S, not %zd int64", SIZE(cum),
-                         DTYPE(cum), SIZE(keys) + 1);
-            return -1;
-        }
-        dtypes = 1 << (*dtype = key_dtype(keys));
-        level[i].keys = PyArray_DATA(keys);
-        level[i].size = SIZE(keys);
-        level[i].cum = cum ? (const int64_t *)PyArray_DATA(cum) : NULL;
+        dtypes = 1 << *dtype;
     }
     return 0;
 }
 
 /*
- * One group of `half`: its dtype the bounds' (or int64 under float64
- * bounds), every reader a machine whose share lies inside the half's
- * needles, every slice bound an index of the cuts.
+ * One cascade: (runs, arrivals) -- a group's runs and its key-sorted
+ * arrivals in their dtype, or None for a cascade that merges every run.
+ * Where its merge starts is decided here, from run lengths alone.
+ */
+static int parse_cascade(struct parse *parse, PyObject *obj, struct cascade *cascade,
+                         PyObject **items, PyObject **arrivals_out)
+{
+    PyObject *parts[2];
+    PyArrayObject *arrivals;
+    struct run *runs;
+    if (unpack(parse, obj, 2, "a cascade", parts)
+        || parse_runs(parse, parts[0], ANY_KEY, 1, &cascade->dtype, &cascade->runs,
+                      &cascade->count, items))
+        return -1;
+    runs = cascade->runs;
+    cascade->held = cascade->count;
+    if (parts[1] == Py_None) {
+        if (!cascade->count) {
+            PyErr_SetString(PyExc_ValueError, "fold: a cascade merges no run");
+            return -1;
+        }
+    } else {
+        if (!(arrivals = held(parse, "arrivals", parts[1],
+                              cascade->count ? 1 << cascade->dtype : ANY_KEY)))
+            return -1;
+        cascade->dtype = key_dtype(arrivals);
+        runs[cascade->count].keys = PyArray_DATA(arrivals);
+        runs[cascade->count].size = SIZE(arrivals);
+        cascade->count++;
+        *arrivals_out = parts[1];
+    }
+    cascade->first = merge_start(runs, cascade->count, parts[1] != Py_None);
+    return 0;
+}
+
+/* An index the loop reads one of `count` things by, from a group's item
+ * `what`; -1 (and no error) for None.  -2 with an error set. */
+static int64_t index_of(PyObject *obj, const char *what, int64_t count, const char *things)
+{
+    Py_ssize_t at;
+    if (obj == Py_None)
+        return -1;
+    if (!PyIndex_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "fold: %s is a %.200s, not an int", what,
+                     Py_TYPE(obj)->tp_name);
+        return -2;
+    }
+    if ((at = PyNumber_AsSsize_t(obj, NULL)) == -1 && PyErr_Occurred())
+        return -2;
+    if (at < 0 || at >= count) {
+        PyErr_Format(PyExc_ValueError, "fold: %s %zd is not one of the %zd %s", what, at,
+                     (Py_ssize_t)count, things);
+        return -2;
+    }
+    return at;
+}
+
+/*
+ * One group of `half`: its runs of one dtype (its cascade's, if it reads
+ * one), every reader a machine whose share lies inside the half's needles,
+ * every slice bound an index of the cuts.
  */
 static int parse_group(struct parse *parse, PyObject *obj, const struct half *half,
                        struct group *group)
 {
     static const char *rule_names[3] = {"cut_keys", "first", "last"};
-    PyObject *parts[4]; /* runs, readers, cut, merge */
+    PyObject *parts[4]; /* runs, readers, cut, cascade */
     PyArrayObject *readers, *cut[3];
-    int dtypes = half->dtype == F64 ? ANY_KEY : I64_ONLY;
+    int dtypes = ANY_KEY;
     Py_ssize_t i;
-    if (unpack(parse, obj, 4, "a group", parts))
+    if (unpack(parse, obj, 4, "a group", parts)
+        || (group->cascade = index_of(parts[3], "cascade", parse->cascade_count, "cascades"))
+               == -2)
         return -1;
-    group->merge = -1;
-    if (parts[3] != Py_None) {
-        Py_ssize_t merge;
-        if (!PyIndex_Check(parts[3])) {
-            PyErr_Format(PyExc_TypeError, "fold: merge is a %.200s, not an int",
-                         Py_TYPE(parts[3])->tp_name);
-            return -1;
-        }
-        if ((merge = PyNumber_AsSsize_t(parts[3], NULL)) == -1 && PyErr_Occurred())
-            return -1;
-        if (merge < 0 || merge >= parse->merge_count) {
-            PyErr_Format(PyExc_ValueError, "fold: merge %zd is not one of the %zd cascades",
-                         merge, (Py_ssize_t)parse->merge_count);
-            return -1;
-        }
-        group->merge = merge;
-        group->dtype = parse->merges[merge].dtype;
-        if (!(dtypes & 1 << group->dtype)) {
-            PyErr_Format(PyExc_TypeError, "fold: a run's keys are %s, not the bounds' %s",
-                         key_name(group->dtype), key_name(half->dtype));
-            return -1;
-        }
-        dtypes = 1 << group->dtype;
-    }
+    if (group->cascade >= 0)
+        dtypes = 1 << (group->dtype = parse->cascades[group->cascade].dtype);
     if (!(readers = held(parse, "readers", parts[1], I64_ONLY)))
         return -1;
     group->readers = PyArray_DATA(readers);
@@ -2215,8 +2461,8 @@ static int parse_group(struct parse *parse, PyObject *obj, const struct half *ha
         group->first = PyArray_DATA(cut[1]);
         group->last = PyArray_DATA(cut[2]);
     }
-    if (parse_runs(parse, parts[0], dtypes, group->merge < 0 ? "a group searches no run" : NULL,
-                   &group->dtype, &group->runs, &group->runs_count))
+    if (parse_runs(parse, parts[0], dtypes, 0, &group->dtype, &group->runs, &group->runs_count,
+                   NULL))
         return -1;
     for (i = 0; i < group->count; i++) {
         int64_t m = group->readers[i];
@@ -2224,8 +2470,8 @@ static int parse_group(struct parse *parse, PyObject *obj, const struct half *ha
             PyErr_SetString(PyExc_ValueError, "fold: a group's reader is not one of the machines");
             return -1;
         }
-        if ((uint64_t)half->starts[m] > (uint64_t)half->needles
-            || (uint64_t)half->stops[m] > (uint64_t)half->needles) {
+        if ((uint64_t)half->starts[m] > (uint64_t)half->size
+            || (uint64_t)half->stops[m] > (uint64_t)half->size) {
             PyErr_SetString(PyExc_ValueError, "fold: a machine's share lies outside the needles");
             return -1;
         }
@@ -2241,38 +2487,92 @@ static int parse_group(struct parse *parse, PyObject *obj, const struct half *ha
     return 0;
 }
 
-/* One half: (lows, highs, starts, stops, groups). */
+static int rule_of(const char *name);
+
+/*
+ * A half's bound rule: (name, beta), the name one of the fold's rules and
+ * beta a width that is not NaN or negative -- an int (exact: the int64
+ * bounds of int64 needles) or a float, which bounds float64 needles only
+ * under a band's rule.
+ */
+static int parse_rule(struct parse *parse, PyObject *obj, struct half *half)
+{
+    PyObject *parts[2];
+    const char *name;
+    if (unpack(parse, obj, 2, "a rule", parts))
+        return -1;
+    if (!PyUnicode_Check(parts[0])) {
+        PyErr_Format(PyExc_TypeError, "fold: a rule's name is a %.200s, not a str",
+                     Py_TYPE(parts[0])->tp_name);
+        return -1;
+    }
+    if (!(name = PyUnicode_AsUTF8(parts[0])))
+        return -1;
+    if ((half->rule = rule_of(name)) >= FOLD_RULES) {
+        PyErr_Format(PyExc_ValueError,
+                     "fold: rule is '%s', not band, band_inverse, <, <=, > or >=", name);
+        return -1;
+    }
+    if (PyFloat_Check(parts[1])) {
+        half->int_beta = -1;
+        half->beta = PyFloat_AS_DOUBLE(parts[1]);
+        if (FLOAT_IS_NAN(half->beta) || half->beta < 0) {
+            PyErr_Format(PyExc_ValueError, "fold: beta is %R, not a width", parts[1]);
+            return -1;
+        }
+    } else if (PyIndex_Check(parts[1])) {
+        PyObject *index = PyNumber_Index(parts[1]);
+        int overflow = 0;
+        long long beta = index ? PyLong_AsLongLongAndOverflow(index, &overflow) : -1;
+        Py_XDECREF(index);
+        if (beta == -1 && PyErr_Occurred())
+            return -1;
+        if (overflow || beta < 0) {
+            PyErr_Format(PyExc_ValueError, "fold: beta is %R, not a width in int64", parts[1]);
+            return -1;
+        }
+        half->int_beta = (int64_t)beta;
+        half->beta = (double)beta;
+    } else {
+        PyErr_Format(PyExc_TypeError, "fold: beta is a %.200s, not an int or a float",
+                     Py_TYPE(parts[1])->tp_name);
+        return -1;
+    }
+    if (half->int_beta < 0 && half->dtype == I64 && (half->rule == BAND || half->rule == INVERSE)) {
+        PyErr_Format(PyExc_ValueError,
+                     "fold: beta is %R, a float, on int64 needles: their band takes an int",
+                     parts[1]);
+        return -1;
+    }
+    return 0;
+}
+
+/* One half: (needles, rule, starts, stops, groups). */
 static int parse_half(struct parse *parse, PyObject *obj, struct half *half)
 {
     PyObject *parts[5], *groups;
-    PyArrayObject *array[4]; /* lows, highs, starts, stops */
+    PyArrayObject *array[3]; /* needles, starts, stops */
     struct group *level;
     Py_ssize_t i;
     if (unpack(parse, obj, 5, "a half", parts)
-        || !(array[0] = held(parse, "lows", parts[0], ANY_KEY)))
+        || !(array[0] = held(parse, "needles", parts[0], ANY_KEY)))
         return -1;
     half->dtype = key_dtype(array[0]);
-    if (!(array[1] = held(parse, "highs", parts[1], 1 << half->dtype))
-        || !(array[2] = held(parse, "starts", parts[2], I64_ONLY))
-        || !(array[3] = held(parse, "stops", parts[3], I64_ONLY)))
+    if (parse_rule(parse, parts[1], half)
+        || !(array[1] = held(parse, "starts", parts[2], I64_ONLY))
+        || !(array[2] = held(parse, "stops", parts[3], I64_ONLY)))
         return -1;
-    if (SIZE(array[1]) != SIZE(array[0])) {
-        PyErr_Format(PyExc_ValueError, "fold: %zd %S lows but %zd %S highs", SIZE(array[0]),
-                     DTYPE(array[0]), SIZE(array[1]), DTYPE(array[1]));
-        return -1;
-    }
-    if (SIZE(array[2]) != parse->machines || SIZE(array[3]) != parse->machines) {
+    if (SIZE(array[1]) != parse->machines || SIZE(array[2]) != parse->machines) {
         PyErr_Format(PyExc_ValueError, "fold: %zd starts and %zd stops for %zd machines",
-                     SIZE(array[2]), SIZE(array[3]), parse->machines);
+                     SIZE(array[1]), SIZE(array[2]), parse->machines);
         return -1;
     }
-    half->lows = PyArray_DATA(array[0]);
-    half->highs = PyArray_DATA(array[1]);
-    half->needles = SIZE(array[0]);
-    half->starts = PyArray_DATA(array[2]);
-    half->stops = PyArray_DATA(array[3]);
-    if (half->needles > parse->needles)
-        parse->needles = half->needles;
+    half->needles = PyArray_DATA(array[0]);
+    half->size = SIZE(array[0]);
+    half->starts = PyArray_DATA(array[1]);
+    half->stops = PyArray_DATA(array[2]);
+    if (half->size > parse->needles)
+        parse->needles = half->size;
     if (!(groups = items_of(parse, parts[4], "groups"))
         || !(level = level_of(PySequence_Fast_GET_SIZE(groups), sizeof *level)))
         return -1;
@@ -2284,91 +2584,134 @@ static int parse_half(struct parse *parse, PyObject *obj, struct half *half)
     return 0;
 }
 
-/* Each merge's output arrays, room for every key of its runs: the results
- * list of (keys, cum) pairs, the loop pointed at them.  NULL with an error
- * set. */
+/*
+ * Each cascade's run list, as the fold will leave it: the runs before its
+ * merge (the objects it was given), then the merged run -- output arrays
+ * with room for every key it takes, the loop pointed at them -- or a copy
+ * of the arrivals, fresh, when nothing merges and some arrived.  NULL with
+ * an error set.
+ */
 static PyObject *fold_results(struct parse *parse)
 {
-    PyObject *results = PyList_New(parse->merge_count);
+    PyObject *results = PyList_New(parse->cascade_count);
     Py_ssize_t i, j;
     if (!results)
         return NULL;
-    for (i = 0; i < parse->merge_count; i++) {
-        struct merge *merge = parse->merges + i;
-        npy_intp total = 0, room;
-        PyArrayObject *keys, *cum;
-        for (j = 0; j < merge->count; j++)
-            total += merge->runs[j].size;
-        room = total + 1;
-        keys = new_array(1, &total, merge->dtype == F64 ? NPY_DOUBLE : NPY_INT64);
-        cum = keys ? new_array(1, &room, NPY_INT64) : NULL;
-        if (!cum) {
-            Py_XDECREF(keys);
-            Py_DECREF(results);
-            return NULL;
+    for (i = 0; i < parse->cascade_count; i++) {
+        struct cascade *c = parse->cascades + i;
+        int64_t kept = c->first < c->held ? c->first : c->held;
+        int merging = c->first < c->count;
+        int fresh = !merging && c->count > c->held && c->runs[c->held].size;
+        PyObject *list = PyList_New(kept + (merging || fresh)), *last = NULL;
+        if (!list)
+            goto failed;
+        PyList_SET_ITEM(results, i, list);
+        for (j = 0; j < kept; j++) {
+            PyObject *run = PySequence_Fast_GET_ITEM(parse->items[i], j);
+            Py_INCREF(run);
+            PyList_SET_ITEM(list, j, run);
         }
-        PyList_SET_ITEM(results, i, Py_BuildValue("NN", keys, cum));
-        if (!PyList_GET_ITEM(results, i)) {
-            Py_DECREF(results);
-            return NULL;
+        if (merging) {
+            npy_intp total = 0, room;
+            PyArrayObject *keys, *cum;
+            for (j = c->first; j < c->count; j++)
+                total += c->runs[j].size;
+            room = total + 1;
+            keys = new_array(1, &total, c->dtype == F64 ? NPY_DOUBLE : NPY_INT64);
+            cum = keys ? new_array(1, &room, NPY_INT64) : NULL;
+            if (!cum) {
+                Py_XDECREF(keys);
+                goto failed;
+            }
+            last = Py_BuildValue("NN", keys, cum);
+            c->keys = PyArray_DATA(keys);
+            c->cum = PyArray_DATA(cum);
+        } else if (fresh) {
+            PyObject *copy = PyArray_NewCopy((PyArrayObject *)parse->arrivals[i], NPY_CORDER);
+            last = copy ? Py_BuildValue("NO", copy, Py_None) : NULL;
         }
-        merge->keys = PyArray_DATA(keys);
-        merge->cum = PyArray_DATA(cum);
+        if (merging || fresh) {
+            if (!last)
+                goto failed;
+            PyList_SET_ITEM(list, kept, last);
+        }
     }
     return results;
+failed:
+    Py_DECREF(results);
+    return NULL;
 }
 
 /* Free every level the parse allocated and drop what it held. */
 static void parse_free(struct parse *parse)
 {
     int64_t i, j;
-    for (i = 0; i < parse->merge_count; i++)
-        PyMem_Free((void *)parse->merges[i].runs);
+    for (i = 0; i < parse->cascade_count; i++)
+        PyMem_Free((void *)parse->cascades[i].runs);
     for (i = 0; i < parse->half_count; i++) {
         for (j = 0; j < parse->halves[i].count; j++)
             PyMem_Free((void *)parse->halves[i].groups[j].runs);
         PyMem_Free((void *)parse->halves[i].groups);
     }
-    PyMem_Free(parse->merges);
+    PyMem_Free(parse->cascades);
+    PyMem_Free(parse->items);
+    PyMem_Free(parse->arrivals);
     PyMem_Free(parse->halves);
     Py_XDECREF(parse->held);
 }
 
 PyDoc_STRVAR(fold_doc,
-"fold(merges, halves, out)\n--\n\n"
-"A stream batch's merges and count in one kernel call; the merged runs.\n\n"
-"``merges`` lists run cascades, each the ``(keys, cum)`` runs of one\n"
-"group, oldest first, that fold into one counted run: ascending keys and\n"
-"their cumulative counts (``None``: every key counts once).  The kernel\n"
-"merges each as a right fold of two-way merges, the newest pair first,\n"
+"fold(cascades, halves, out)\n--\n\n"
+"A stream batch's state work and count in one kernel call; each cascade's runs.\n\n"
+"``cascades`` lists the groups a batch appends to, each ``(runs,\n"
+"arrivals)``: the group's ``(keys, cum)`` runs, oldest first -- ascending\n"
+"keys and their cumulative counts (``None``: every key counts once) --\n"
+"and its key-sorted arrivals in their dtype.  The arrivals swallow the\n"
+"run before them while it holds fewer than ``RUN_MERGE_RATIO`` times the\n"
+"keys merged so far (the module's constant), and the kernel merges that\n"
+"suffix as a right fold of two-way merges, the newest pair first,\n"
 "keeping the key that comes last in (run, position) order for every\n"
 "stretch of equal keys (all NaNs one) and dropping the zero counts at\n"
-"the last step only -- the stable-sort merge kept in\n"
-"``tests/reference_state.py``, byte for byte.  It returns, per cascade,\n"
-"the merged ``(keys, cum)``, or ``None`` when every count cancelled.\n\n"
-"``halves`` lists the count's halves, each ``(lows, highs, starts,\n"
-"stops, groups)``: the joinable bounds of a side's routed keys, machine\n"
-"``m``'s share of them ``[starts[m], stops[m])``, and the groups they\n"
-"search, each ``(runs, readers, cut, merge)`` -- its ``(keys, cum)``\n"
-"runs, the machines reading it, the slice rule they read every run\n"
-"through (a :class:`~repro.partitioning.grid_routed.MachineSlices`\n"
+"the last step only -- the cascade and the stable-sort merge kept in\n"
+"``tests/reference_state.py``, byte for byte.  Arrivals ``None`` merge\n"
+"every run.  It returns, per cascade, the run list to hold: the runs\n"
+"before the merge (the objects given), then the merged run (none when\n"
+"every count cancelled) or, when nothing merges, a copy of the arrivals\n"
+"as a fresh run ``(keys, None)``.\n\n"
+"``halves`` lists the count's halves, each ``(needles, rule, starts,\n"
+"stops, groups)``: a side's routed keys, the condition's bound rule,\n"
+"machine ``m``'s share of the needles ``[starts[m], stops[m])``, and the\n"
+"groups they search, each ``(runs, readers, cut, cascade)`` -- its\n"
+"``(keys, cum)`` runs, the machines reading it, the slice rule they read\n"
+"every run through (a :class:`~repro.partitioning.grid_routed.MachineSlices`\n"
 "whose ``first[i]`` / ``last[i]`` say where reader ``i``'s slice starts\n"
 "and stops, or ``None``: each reads the runs whole) and the index of a\n"
-"cascade whose merged run it searches too (or ``None``).  After the\n"
-"merges, the kernel searches each needle its readers hold once in each\n"
-"run (numpy's ``searchsorted``, side \"left\" for the low bound and\n"
-"\"right\" for the high one), clips the answer to every reader's slice\n"
-"and adds the counts into ``out[reader]`` -- one C call however many\n"
-"cascades, groups, runs and machines there are, with nothing gathered or\n"
+"cascade whose run list it searches too (or ``None``).  The rule is\n"
+"``(name, beta)`` as :meth:`~repro.joins.conditions.JoinCondition.bound_rule`\n"
+"gives it: ``\"band\"`` bounds a needle ``k`` by ``[k - beta, k + beta]``,\n"
+"``\"band_inverse\"`` by the transposed band's exact inverses (what\n"
+":func:`band_inverse` returns), ``\"<\"`` / ``\"<=\"`` by ``[k, +inf]`` and\n"
+"``\">\"`` / ``\">=\"`` by ``[-inf, k]``, a strict one a step from ``k``\n"
+"(``nextafter``; ``k +- 1`` in int64), and a needle that joins nothing\n"
+"(NaN, or a strict needle at the far end) by the empty interval --\n"
+":meth:`~repro.joins.conditions.JoinCondition.joinable_bounds` bit for\n"
+"bit.  int64 needles meeting int64 runs are bounded in int64 (a band's\n"
+"``k +- beta`` saturating at the extremes), every other pair in float64,\n"
+"int64 needles as the doubles they convert to.  ``beta`` is a width, not\n"
+"NaN or negative: an int (exact in int64) or a float, which bounds no\n"
+"int64 needle under a band's rule.  After the merges, the kernel bounds\n"
+"each needle a group's readers hold, searches it once in each run\n"
+"(numpy's ``searchsorted``, side \"left\" for the low bound and \"right\"\n"
+"for the high one), clips the answer to every reader's slice and adds the\n"
+"counts into ``out[reader]`` -- one C call however many cascades,\n"
+"groups, runs and machines there are, with nothing gathered or\n"
 "materialised per needle; ``tests/reference_counting.py`` holds the\n"
 "per-task numpy form it equals.\n\n"
-"Keys are float64 or int64, one dtype per cascade and per group, and\n"
-"the bounds float64 or int64: a group's keys in the bounds' dtype, or\n"
-"int64 keys searched with float64 bounds (each compared as the float64\n"
-"it casts to, as ``searchsorted`` casts it).  Cut keys are float64;\n"
-"``starts``, ``stops``, ``out``, ``cum``, readers and slice bounds are\n"
-"int64, ``starts`` / ``stops`` one entry per machine of ``out``, ``cum``\n"
-"one longer than its run and ``first`` / ``last`` at least one entry per\n"
+"Keys and needles are float64 or int64, one dtype per cascade and per\n"
+"group, any needles meeting any runs.  Cut keys are float64; ``starts``,\n"
+"``stops``, ``out``, ``cum``, readers and slice bounds are int64,\n"
+"``starts`` / ``stops`` one entry per machine of ``out``, ``cum`` one\n"
+"longer than its run and ``first`` / ``last`` at least one entry per\n"
 "reader; every array C-contiguous and aligned, ``out`` writable.\n"
 "Otherwise, or when a reader is no machine, a share lies outside the\n"
 "needles or a slice bound indexes no cut, this raises by name having\n"
@@ -2376,27 +2719,31 @@ PyDoc_STRVAR(fold_doc,
 
 static PyObject *py_fold(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
 {
-    static char *keywords[] = {"merges", "halves", "out", NULL};
-    PyObject *merges_obj, *halves_obj, *out_obj, *items, *results = NULL;
+    static char *keywords[] = {"cascades", "halves", "out", NULL};
+    PyObject *cascades_obj, *halves_obj, *out_obj, *items, *results = NULL;
     PyArrayObject *out;
-    struct parse parse = {NULL, 0, NULL, NULL, 0, 0, 0, 0};
+    struct parse parse;
     Py_ssize_t i;
     int status;
+    memset(&parse, 0, sizeof parse);
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:fold", keywords,
-                                     &merges_obj, &halves_obj, &out_obj)
+                                     &cascades_obj, &halves_obj, &out_obj)
         || !(out = take("fold", "out", out_obj, I64_ONLY, 1)) || !(parse.held = PyList_New(0)))
         return NULL;
     parse.machines = SIZE(out);
-    if (!(items = items_of(&parse, merges_obj, "merges"))
-        || !(parse.merges = level_of(PySequence_Fast_GET_SIZE(items), sizeof *parse.merges)))
+    if (!(items = items_of(&parse, cascades_obj, "cascades")))
         goto done;
-    parse.merge_count = PySequence_Fast_GET_SIZE(items);
-    for (i = 0; i < parse.merge_count; i++) {
-        struct merge *merge = parse.merges + i;
-        if (parse_runs(&parse, PySequence_Fast_GET_ITEM(items, i), ANY_KEY,
-                       "a cascade merges no run", &merge->dtype, &merge->runs, &merge->count))
-            goto done;
+    parse.cascade_count = PySequence_Fast_GET_SIZE(items);
+    if (!(parse.cascades = level_of(parse.cascade_count, sizeof *parse.cascades))
+        || !(parse.items = level_of(parse.cascade_count, sizeof *parse.items))
+        || !(parse.arrivals = level_of(parse.cascade_count, sizeof *parse.arrivals))) {
+        parse.cascade_count = 0;
+        goto done;
     }
+    for (i = 0; i < parse.cascade_count; i++)
+        if (parse_cascade(&parse, PySequence_Fast_GET_ITEM(items, i), parse.cascades + i,
+                          parse.items + i, parse.arrivals + i))
+            goto done;
     if (!(items = items_of(&parse, halves_obj, "halves"))
         || !(parse.halves = level_of(PySequence_Fast_GET_SIZE(items), sizeof *parse.halves)))
         goto done;
@@ -2407,23 +2754,25 @@ static PyObject *py_fold(PyObject *Py_UNUSED(module), PyObject *args, PyObject *
     if (!(results = fold_results(&parse)))
         goto done;
     Py_BEGIN_ALLOW_THREADS
-    status = fold(parse.merges, parse.merge_count, parse.halves, parse.half_count, parse.needles,
-                  parse.readers, PyArray_DATA(out));
+    status = fold(parse.cascades, parse.cascade_count, parse.halves, parse.half_count,
+                  parse.needles, parse.readers, PyArray_DATA(out));
     Py_END_ALLOW_THREADS
     if (status) {
         PyErr_SetString(PyExc_MemoryError, "the kernel's fold could not allocate its scratch");
         Py_CLEAR(results);
         goto done;
     }
-    for (i = 0; i < parse.merge_count; i++) {
-        int64_t entries = parse.merges[i].entries;
-        PyObject *pair = PyList_GET_ITEM(results, i);
-        if (!entries) {
-            Py_INCREF(Py_None);
-            PyList_SET_ITEM(results, i, Py_None);
-            Py_DECREF(pair);
-        } else if (shrink((PyArrayObject *)PyTuple_GET_ITEM(pair, 0), entries)
-                   || shrink((PyArrayObject *)PyTuple_GET_ITEM(pair, 1), entries + 1)) {
+    for (i = 0; i < parse.cascade_count; i++) {
+        const struct cascade *c = parse.cascades + i;
+        PyObject *list = PyList_GET_ITEM(results, i), *pair;
+        Py_ssize_t last = PyList_GET_SIZE(list) - 1;
+        if (c->first == c->count)
+            continue;
+        pair = PyList_GET_ITEM(list, last);
+        if (!c->entries ? PyList_SetSlice(list, last, last + 1, NULL)
+                        : shrink((PyArrayObject *)PyTuple_GET_ITEM(pair, 0), c->entries)
+                              || shrink((PyArrayObject *)PyTuple_GET_ITEM(pair, 1),
+                                        c->entries + 1)) {
             Py_CLEAR(results);
             goto done;
         }
@@ -3069,7 +3418,8 @@ PyDoc_STRVAR(spans_doc,
 "replaced).  Anything else raises by name.");
 
 /*
- * The rule `name` spells, or RULES for none.  Compared here, not by
+ * The rule `name` spells (band_inverse: INVERSE, fold's alone), or
+ * FOLD_RULES for none.  Compared here, not by
  * strcmp: a libc function the library did not import adds a PLT slot
  * before .text, which moves every loop 16 bytes, count_run's off the
  * 32-byte boundary it had (stream_steady read 0.978x tuples_per_s, 0/4
@@ -3077,9 +3427,9 @@ PyDoc_STRVAR(spans_doc,
  */
 static int rule_of(const char *name)
 {
-    static const char *rules[RULES] = {"band", "<", "<=", ">", ">="};
+    static const char *rules[FOLD_RULES] = {"band", "<", "<=", ">", ">=", "band_inverse"};
     int rule, i;
-    for (rule = 0; rule < RULES; rule++) {
+    for (rule = 0; rule < FOLD_RULES; rule++) {
         for (i = 0; name[i] && name[i] == rules[rule][i]; i++)
             ;
         if (name[i] == rules[rule][i])
@@ -3114,7 +3464,7 @@ static PyObject *py_spans(PyObject *Py_UNUSED(module), PyObject *args, PyObject 
                          names[i], SIZE(array[i]), names[i + 1], SIZE(array[i + 1]));
             return NULL;
         }
-    if ((rule = rule_of(rule_name)) == RULES) {
+    if ((rule = rule_of(rule_name)) >= RULES) {
         PyErr_Format(PyExc_ValueError, "spans: rule is '%s', not band, <, <=, > or >=",
                      rule_name);
         return NULL;
@@ -3166,6 +3516,12 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__native(void)
 {
+    PyObject *kernel;
     import_array();
-    return PyModule_Create(&module);
+    if ((kernel = PyModule_Create(&module))
+        && PyModule_AddIntConstant(kernel, "RUN_MERGE_RATIO", RUN_MERGE_RATIO)) {
+        Py_DECREF(kernel);
+        return NULL;
+    }
+    return kernel;
 }

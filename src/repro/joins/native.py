@@ -3,9 +3,10 @@
 The stream batch and the plan build spend most of their interpreter time
 in inner loops that numpy can only run as a dozen small-array calls
 each, or as one Python-level step per element: a batch's state work and
-count (each side's run cascade merged, each machine's slice of every run
-cut, its needles searched and its counts summed), a transposed band's
-exact inverse bounds, the offer of entries to an Efraimidis--Spirakis
+count (each group's run cascade settled and merged, each half's needles
+bounded by the condition's rule, each machine's slice of every run cut,
+its needles searched and its counts summed), a transposed band's exact
+inverse bounds, the offer of entries to an Efraimidis--Spirakis
 reservoir (the stream histogram's per batch, Stream-Sample's per worker
 and per merge), a ``heapq`` push / ``heapreplace`` per entry,
 coarsening's search -- each refinement pass's sums of the band sample
@@ -19,12 +20,16 @@ Both bisections are one C function, the planner's one threshold search
 Python form, for M-Bucket).  ``native.c`` does each in one call, and each
 call is the only way production runs that loop: :func:`fold` for every
 merge and count -- a stream batch's
-(:meth:`~repro.streaming.backends.StateOwner.count`: both sides'
-cascades and both halves), a count through
+(:meth:`~repro.streaming.backends.StateOwner.count`: each group's runs
+and arrivals, whose cascade it settles, merges and returns as the run
+list to hold, and both halves as routed needles and the condition's
+bound rule, :meth:`~repro.joins.conditions.JoinCondition.bound_rule`,
+whose bounds it computes), a count through
 :func:`~repro.joins.local.count_runs` (a batch join as the first half of
 a batch into empty state) and a merge of
 :class:`~repro.streaming.incremental.SortedRegionState` --
-:func:`band_inverse` for the transposed band's bounds, :func:`offer` for
+:func:`band_inverse` for the transposed band's bounds
+(``joinable_bounds``; ``fold`` runs the same loop), :func:`offer` for
 :meth:`~repro.streaming.incremental.DecayedReservoir.add_batch` and for
 :class:`~repro.sampling.reservoir.WeightedReservoir`'s offers (its payload
 an entry's position in the offered pool),
@@ -44,6 +49,8 @@ The numpy, ``heapq`` and Python
 forms they replaced live in the test harness (``tests/reference_*.py``),
 which holds the kernel to them bit for bit: counts and merged runs
 (``tests/test_native_kernel.py``, ``tests/test_count_half.py``), the
+bounds and cascades against the ``joinable_bounds`` pass and the Python
+cascade they replaced (``tests/test_fold_rules.py``), the
 band inverses (``tests/test_condition_properties.py``), both reservoirs' heap arrays entry for
 entry (``tests/test_sampling_oracle.py``), the coarse grid's floats
 (``tests/test_coarsening.py``), coarsening's bounds, passes and grid
@@ -67,7 +74,8 @@ name, having written nothing; an object, dtype or layout refusal reads
 ``"<entry>: <argument> is <found>, not <expected>"`` (``"fold: cum is
 float32, not int64"``).  A loop that cannot have its scratch memory
 raises :class:`MemoryError`.  Each releases the GIL while its loop runs.
-This module re-exports the eight (their docstrings are in ``native.c``).
+This module re-exports the eight (their docstrings are in ``native.c``)
+and :data:`RUN_MERGE_RATIO`, the cascade rule's constant.
 
 On import the module compiles ``native.c`` with the C compiler (the ``CC``
 environment variable, else the one Python was built with, ``-O2
@@ -212,3 +220,6 @@ closure = _KERNEL.closure
 tile = _KERNEL.tile
 search = _KERNEL.search
 spans = _KERNEL.spans
+#: How far a fold's cascade reaches (``native.c``'s constant):
+#: :data:`repro.streaming.incremental.RUN_MERGE_RATIO` reads it here.
+RUN_MERGE_RATIO: int = _KERNEL.RUN_MERGE_RATIO

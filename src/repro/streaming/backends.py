@@ -65,7 +65,7 @@ import numpy as np
 from repro.engine.executor import RegionJoinResult, pickled_nbytes
 from repro.joins.conditions import JoinCondition
 from repro.joins import native
-from repro.joins.local import search_half
+from repro.joins.local import fold_half
 from repro.obs.clock import perf_counter
 from repro.partitioning.routing import RoutedSide, SideLayout
 from repro.streaming.incremental import SortedRegionState
@@ -163,6 +163,9 @@ class StateOwner:
     def __init__(self) -> None:
         self.states: "tuple[list[SortedRegionState], list[SortedRegionState]]" = ([], [])
         self.layouts: "list[SideLayout | None]" = [None, None]
+        #: The conditions last counted with and their bound rules, worked
+        #: out once: a stream counts every batch with the same pair.
+        self._rules: tuple = (None, ())
 
     def _reading(self, sides: "tuple[RoutedSide, RoutedSide]") -> list:
         """Each side's ``(layout, groups)`` as it reads the routed ``sides``; nothing changed yet.
@@ -205,92 +208,79 @@ class StateOwner:
         R2 state per new R1 key under ``conditions[0]``, its second the
         *pre-append* R1 state per new R2 key under ``conditions[1]`` (the
         transposed condition).  A half's needles are the batch's routed
-        keys of its side, bounded in one ``joinable_bounds`` pass
-        (:func:`~repro.joins.local.search_half`); each machine searches its
+        keys of its side with the condition's bound rule
+        (:func:`~repro.joins.local.fold_half`); each machine searches its
         share of them in every run of the group it reads, clipped to its key
-        range on that run.  The whole batch -- each group's merge cascade
-        (:meth:`SortedRegionState.cascade
-        <repro.streaming.incremental.SortedRegionState.cascade>`) and both
-        halves -- is one call of the compiled kernel
-        (:func:`repro.joins.native.fold`), which merges first, then searches
-        each needle once per run for all the machines reading it and adds
-        each machine's counts straight into its total.  A group with no runs
-        or no readers is not searched: its readers count zero.  The merged
-        runs and any new layout are swapped in only after the call
+        range on that run.  The whole batch -- each group's runs and
+        arrivals (:meth:`SortedRegionState.arriving
+        <repro.streaming.incremental.SortedRegionState.arriving>`), whose
+        cascade the kernel settles and merges, and both halves, whose bounds
+        it computes -- is one call of the compiled kernel
+        (:func:`repro.joins.native.fold`), which merges first, then bounds
+        and searches each needle once per run for all the machines reading
+        it and adds each machine's counts straight into its total.  A group
+        with no runs or no readers counts zero.  The run lists the call
+        returns and any new layout are swapped in only after every call
         succeeds, so a refused fold leaves the state as it was.
 
         With ``seconds`` (a float per machine), each group is folded in a
         call of its own -- group ``g`` of both sides, one machine's, as a
         sticky worker's are (:meth:`RoutedSide.of`) -- and its time is added
         to that machine's entry: a real per-machine clock.  A machine that
-        received no arrivals is neither folded nor timed.
+        received no arrivals is neither folded nor timed.  Both paths are
+        one loop over groups (:meth:`_fold`).
         """
         reading = self._reading((new1, new2))
-        cascades = [
-            [state.cascade(new.group_keys(group)) for group, state in enumerate(states)]
+        arriving = [
+            [state.arriving(new.group_keys(group)) for group, state in enumerate(states)]
             for (_, states), new in zip(reading, (new1, new2))
         ]
+        if conditions is not self._rules[0]:
+            self._rules = (conditions, [condition.bound_rule() for condition in conditions])
         totals = np.zeros(len(new1.starts), dtype=np.int64)
-        bounds: "tuple[dict, dict]" = ({}, {})  # per half, however many calls fold it
-
-        def fold_groups(groups) -> list:
-            """Fold ``groups`` (per side, group indices) in one kernel call; ``(side, group, run)``.
-
-            Each cascade that merges is one of the call's merges; the first
-            half searches the R2 groups after the append (the runs the
-            cascade keeps, then its merged run or the arrivals), the second
-            the R1 groups before it.  ``run`` is a group's merged run
-            (``None``: everything cancelled) or a copy of its arrivals.
-            """
-            searched: "tuple[list, list]" = ([], [])
-            merges: list = []
-            merged: list = []
-            fresh: list = []
-            for side, indices in enumerate(groups):
-                layout, states = reading[side]
-                for group in indices:
-                    kept, merging, keys = cascades[side][group]
-                    merge = None
-                    if merging is not None:
-                        merge = len(merges)
-                        merges += (merging,)
-                        merged += ((side, group),)
-                    elif keys.size:
-                        fresh += ((side, group, (keys.copy(), None)),)
-                    if side == 0:  # the second half searches R1 before the append
-                        runs, merge = states[group].runs, None
-                    else:
-                        runs = kept if merge is not None or not keys.size else [*kept, (keys, None)]
-                    dtype = runs[0][0].dtype if runs else keys.dtype
-                    searched[side].append((runs, layout.readers[group], merge, dtype))
-            halves: list = []
-            for half, (condition, needles, side) in enumerate(
-                ((conditions[0], new1, 1), (conditions[1], new2, 0))
-            ):
-                if needles.keys.size:
-                    layout = reading[side][0]
-                    halves += search_half(
-                        condition, needles.keys, needles.starts, needles.stops, searched[side],
-                        layout.cut if layout else None, bounds[half],
-                    )
-            runs = native.fold(merges, halves, totals)
-            return fresh + [(side, group, run) for (side, group), run in zip(merged, runs)]
-
+        fold = (reading, arriving, (new1, new2), self._rules[1], totals)
         if seconds is None:
-            folded = fold_groups([range(len(cascade)) for cascade in cascades])
+            held = self._fold(*fold, range(len(arriving[0])), range(len(arriving[1])))
         else:
-            if len(cascades[0]) != len(cascades[1]):
+            if len(arriving[0]) != len(arriving[1]):
                 raise ValueError("a timed count folds one machine's group of each side at a time")
-            folded = []
-            for group, (mine1, mine2) in enumerate(zip(*cascades)):
-                if mine1[2].size or mine2[2].size:
+            held = []
+            for group, (mine1, mine2) in enumerate(zip(*arriving)):
+                if mine1[1].size or mine2[1].size:
                     started = perf_counter()
-                    folded += fold_groups([[group], [group]])
+                    held += self._fold(*fold, (group,), (group,))
                     seconds[reading[0][0].readers[group][0]] += perf_counter() - started
-        for side, group, run in folded:
-            reading[side][1][group].commit(cascades[side][group][0], run)
+        for state, runs in held:
+            state.commit(runs)
         self._adopt(reading)
         return totals
+
+    @staticmethod
+    def _fold(reading, arriving, sides, rules, totals, ones, twos) -> list:
+        """Fold groups ``ones`` of R1 and ``twos`` of R2 in one kernel call; ``(state, runs)`` each.
+
+        Each group's ``(runs, arrivals)`` is one of the call's cascades; the
+        first half searches the R2 groups after the append (the run lists
+        their cascades leave), the second the R1 groups before it.  ``runs``
+        is the run list a group's state holds next.
+        """
+        (layout1, states1), (layout2, states2) = reading
+        new1, new2 = sides
+        cascades, states, first, second = [], [], [], []
+        for group in ones:
+            cascade = arriving[0][group]
+            second.append((cascade[0], layout1.readers[group], layout1.cut, None))
+            cascades.append(cascade)
+            states.append(states1[group])
+        for group in twos:
+            first.append(([], layout2.readers[group], layout2.cut, len(cascades)))
+            cascades.append(arriving[1][group])
+            states.append(states2[group])
+        halves = [
+            fold_half(rules[0], new1.keys, new1.starts, new1.stops, first),
+            fold_half(rules[1], new2.keys, new2.starts, new2.stops, second),
+        ]
+        return list(zip(states, native.fold(cascades, halves, totals)))
 
     def evict(self, expired1: RoutedSide, expired2: RoutedSide) -> None:
         """Tombstone the expired keys: one run per group, each key once."""

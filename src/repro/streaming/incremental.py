@@ -68,8 +68,10 @@ __all__ = ["DecayedReservoir", "IncrementalHistogram", "SortedRegionState"]
 
 
 #: A new run is merged into its predecessor while the predecessor holds
-#: fewer than this many times the *distinct* keys merged so far.  Measured,
-#: not tunable: every run is its own search per needle, so a small ratio
+#: fewer than this many times the *distinct* keys merged so far: the
+#: compiled kernel's cascade rule, read from it (``native.c`` defines it,
+#: and :func:`repro.joins.native.fold` applies it).  Measured, not
+#: tunable: every run is its own search per needle, so a small ratio
 #: buys cheap merges with many searches.  Re-measured under the compiled
 #: kernel's linear merge, over five interleaved runs each
 #: (``docs/streaming.md``, "State layout"): 16 read ahead of 8 on
@@ -78,7 +80,7 @@ __all__ = ["DecayedReservoir", "IncrementalHistogram", "SortedRegionState"]
 #: (3,993K, 3,307K), so none beat 8 on both.  Applied to tuple totals
 #: instead of distinct lengths it read 20% slower per
 #: ``stream_growth``-shaped batch (per-machine runs, PR 31).
-RUN_MERGE_RATIO = 8
+RUN_MERGE_RATIO: int = native.RUN_MERGE_RATIO
 
 
 def _group_ends(keys: np.ndarray) -> np.ndarray:
@@ -92,31 +94,6 @@ def _group_ends(keys: np.ndarray) -> np.ndarray:
     if keys.dtype.kind == "f" and keys[-1] != keys[-1]:
         last[keys.searchsorted(keys[-1]) : -1] = False
     return last.nonzero()[0]
-
-
-def _merge_sorted(
-    runs: "list[tuple[np.ndarray, np.ndarray | None]]",
-) -> "tuple[np.ndarray, np.ndarray] | None":
-    """Merge key-sorted runs, oldest first, into one counted run.
-
-    Equal keys -- every NaN among them -- become one entry whose count is
-    the sum of their multiplicities (1 per key of a fresh run, ``cum[i +
-    1] - cum[i]`` of a counted or tombstone run), keeping the key that
-    comes last in (run, position) order; keys whose count sums to zero (a
-    tombstone meeting the tuple it expires) are dropped.  Returns distinct
-    ascending keys and their cumulative counts (``cum[0] == 0``), or
-    ``None`` when everything cancelled.  ``-0.0`` and ``0.0`` compare equal
-    and share an entry: counts read values, nothing reads bit patterns.  No
-    input is modified, so a reader still holding an old run keeps a valid
-    snapshot.
-
-    It is one compiled-kernel fold with this cascade and no half
-    (:func:`repro.joins.native.fold`: a right fold of two-way merges, the
-    newest pair first); ``tests/reference_state.py`` keeps the stable-sort
-    form it equals byte for byte.  A stream batch's merges ride the
-    batch's own fold (:meth:`~repro.streaming.backends.StateOwner.count`).
-    """
-    return native.fold([runs], [], _NO_MACHINES)[0]
 
 
 #: The totals of a fold that counts nothing.
@@ -152,8 +129,10 @@ class SortedRegionState:
     :meth:`insert` sorts for callers that hold them unsorted) and are
     appended as the newest run, which then swallows its predecessor while
     the predecessor holds fewer than :data:`RUN_MERGE_RATIO` times its
-    distinct keys -- the cascade settled first (:meth:`cascade`) and merged
-    in one kernel call, inside a stream batch's own fold (the Bentley--Saxe
+    distinct keys -- the cascade settled and merged by the compiled kernel
+    (:func:`repro.joins.native.fold`, handed the runs and the arrivals,
+    :meth:`arriving`), inside a stream batch's own fold, which returns the
+    run list the state then holds (:meth:`commit`; the Bentley--Saxe
     logarithmic method, the sorted runs of an LSM tree, O'Neil et al. 1996,
     whose tombstones the negative runs are).  Under skew a merged run is
     many times shorter than the tuples it counts, so a side settles at one
@@ -222,10 +201,10 @@ class SortedRegionState:
         keys, cum = self._runs[0]
         if len(self._runs) == 1 and cum is None:
             return keys
-        merged = _merge_sorted(self._runs)
-        if merged is None:
+        merged = native.fold([(self._runs, None)], [], _NO_MACHINES)[0]
+        if not merged:
             return keys[:0]
-        keys, cum = merged
+        ((keys, cum),) = merged
         return np.repeat(keys, np.diff(cum))
 
     def insert(self, *columns: np.ndarray) -> np.ndarray:
@@ -246,15 +225,16 @@ class SortedRegionState:
         self.tombstone(keys)
         return len(keys)
 
-    def _conform(self, keys: np.ndarray) -> "tuple[list, np.ndarray]":
-        """The runs and ``keys`` in one dtype, promoting *every* run on a mismatch.
+    def arriving(self, keys: np.ndarray) -> "tuple[list, np.ndarray]":
+        """The runs and key-sorted arrivals in one dtype: a cascade as the fold takes it.
 
         The first keys into empty state set the dtype (exact integers stay
-        integers); a later mismatch promotes all runs, so a mixed int/float
-        stream never truncates a float key into an integer slot.  The runs
-        come back as a list the caller may hold (promoted copies on a
-        mismatch): nothing is swapped in until the caller commits, and no
-        list of runs is ever changed in place.
+        integers); a later mismatch promotes *every* run, so a mixed
+        int/float stream never truncates a float key into an integer slot.
+        The promotion runs only when the dtypes differ.  The runs come back
+        as a list the caller may hold (promoted copies on a mismatch):
+        nothing is swapped in until the caller commits the fold's run list
+        (:meth:`commit`), and no list of runs is ever changed in place.
         """
         runs = self._runs
         if runs and runs[0][0].dtype != keys.dtype:
@@ -263,49 +243,23 @@ class SortedRegionState:
             keys = keys.astype(target)
         return runs, keys
 
-    def cascade(self, keys: np.ndarray) -> "tuple[list, list | None, np.ndarray]":
-        """Where key-sorted arrivals go: ``(kept, merging, keys)``, nothing changed yet.
-
-        The new run is merged into its predecessor while the predecessor
-        holds fewer than :data:`RUN_MERGE_RATIO` times the distinct keys
-        merged so far, so the amortised copy cost is ``O(new * ratio *
-        log_ratio(distinct / new))``.  How far that cascade reaches depends
-        on run lengths alone, so it is decided here, before anything is
-        copied: ``kept`` are the runs it leaves alone, ``merging`` the runs
-        it merges, oldest first and the arrivals last -- ``None`` when the
-        arrivals become a run of their own -- and ``keys`` the arrivals in
-        the runs' dtype.  The caller merges ``merging`` (in a batch's fold,
-        or :func:`_merge_sorted`) and hands the result to :meth:`commit`.
-        """
-        runs = self._runs
-        if runs and keys.size and runs[0][0].dtype != keys.dtype:
-            runs, keys = self._conform(keys)
-        first = last = len(runs)
-        merged = keys.size
-        while merged and first and runs[first - 1][0].size < RUN_MERGE_RATIO * merged:
-            first -= 1
-            merged += runs[first][0].size
-        if first == last:
-            return runs, None, keys
-        return runs[:first], [*runs[first:], (keys, None)], keys
-
-    def commit(self, kept: list, run: "tuple[np.ndarray, np.ndarray | None] | None") -> None:
-        """Hold ``kept`` and then ``run`` (``None``: nothing more) as the runs."""
-        self._runs = kept if run is None else [*kept, run]
+    def commit(self, runs: list) -> None:
+        """Hold ``runs``, the run list a fold of this state's cascade returned."""
+        self._runs = runs
 
     def append_sorted(self, keys: np.ndarray) -> None:
         """Add key-sorted arrivals as the newest run; merge geometrically.
 
         ``keys`` ascend (NaN last).  They are not kept: they may be a slice
         of a routed batch or a view into a transient shared segment, so the
-        run holds a copy -- the merge's fresh arrays, or an explicit one
-        when nothing merges.  The cascade is :meth:`cascade`'s, the whole
-        suffix of runs merged in one fold (:func:`_merge_sorted`).
+        run holds a copy -- the merge's fresh arrays, or the kernel's copy
+        when nothing merges.  The cascade (``(runs, keys)``, :meth:`arriving`)
+        is one fold with no half: the kernel decides how far it reaches,
+        merges that suffix of runs and returns the run list to hold.
         """
         if keys.size == 0:
             return
-        kept, merging, keys = self.cascade(keys)
-        self.commit(kept, (keys.copy(), None) if merging is None else _merge_sorted(merging))
+        (self._runs,) = native.fold([self.arriving(keys)], [], _NO_MACHINES)
 
     def install(self, keys: np.ndarray) -> None:
         """Become exactly the key-sorted multiset ``keys``, as one counted run.
@@ -335,7 +289,7 @@ class SortedRegionState:
         """
         if keys.size == 0:
             return
-        runs, keys = self._conform(keys)
+        runs, keys = self.arriving(keys)
         self._runs = [*runs, (keys.copy(), -np.arange(keys.size + 1, dtype=np.int64))]
 
 

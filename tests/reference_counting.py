@@ -20,6 +20,14 @@ with ``reduceat``, then added into the machines' totals.
 ``tests/test_native_kernel.py`` and ``tests/test_count_half.py`` hold the
 kernel to them bit for bit.
 
+:func:`search_half` and :func:`_bounds` are the bounds path a stream
+batch and a batch join took before the kernel bounded needles itself by
+the condition's named rule (``repro.joins.local`` held them): one
+``joinable_bounds`` pass per half and key dtype, in the needles' common
+dtype with the runs.  :func:`count_halves` counts its entries with
+:func:`count_half`, so ``tests/test_fold_rules.py`` holds the rule-form
+fold to ``joinable_bounds`` bit for bit.
+
 ``perf_counter`` is looked up in this module's globals at call time, so a
 test can give the reference its own tick clock.
 """
@@ -104,3 +112,64 @@ def count_half(lows, highs, starts, stops, runs, out: np.ndarray) -> None:
         counts = high - low if cum is None else cum[high] - cum[low]
         busy = sizes.nonzero()[0]
         out[readers[busy]] += np.add.reduceat(counts, begins[busy])
+
+
+def _bounds(condition, keys: np.ndarray, dtype: np.dtype) -> "tuple[np.ndarray, np.ndarray]":
+    """``condition``'s joinable bounds of ``keys`` brought to their common dtype with ``dtype``.
+
+    Integer needles meeting float runs are bounded as floats, so a strict
+    integer step ``k +- 1`` never skips a fractional key.
+    """
+    needles = normalise_keys(keys)
+    return condition.joinable_bounds(
+        needles.astype(np.promote_types(needles.dtype, dtype), copy=False)
+    )
+
+
+def search_half(condition, needles, starts, stops, groups, cut, bounds=None):
+    """One half of a count as the fold took it with its bounds computed first: its entries.
+
+    Machine ``m``'s needles are ``needles[starts[m]:stops[m]]``.
+    ``groups`` lists, per group of the searched side, its ``(keys, cum)``
+    runs -- ascending keys, float64 or int64, ``cum`` their cumulative
+    counts (``cum[0] == 0``, any sign) or ``None`` when every key counts
+    once -- the machines reading it, the fold cascade whose merged run it
+    searches too (or ``None``) and the dtype of its keys; ``cut`` is the
+    slice rule the readers read every run through
+    (:class:`~repro.partitioning.grid_routed.MachineSlices`), or ``None``
+    when each reads its group whole.  A group with nothing to search or no
+    readers is left out: its readers count zero.  The needles are bounded
+    in one ``joinable_bounds`` pass per key dtype, in their common dtype
+    with the keys (:func:`_bounds`; an integer run meeting float bounds is
+    searched as float64, as ``searchsorted`` would cast it), so the half is
+    one fold entry per key dtype, ``(lows, highs, starts, stops, groups)``.
+    ``bounds`` (a dict, key dtype -> the bounds) keeps them for the next
+    call over the same needles.
+    """
+    bounds = {} if bounds is None else bounds
+    # A key dtype -> the bounds its groups are searched with, and the groups.
+    halves: "dict[np.dtype, tuple]" = {}
+    for runs, readers, merge, dtype in groups:
+        if not (runs or merge is not None) or not readers.size:
+            continue
+        if dtype not in halves:
+            if dtype not in bounds:
+                bounds[dtype] = _bounds(condition, needles, dtype)
+            halves[dtype] = (*bounds[dtype], starts, stops, [])
+        halves[dtype][4].append((runs, readers, cut, merge))
+    return halves.values()
+
+
+def count_halves(entries, merged, out: np.ndarray) -> None:
+    """Add :func:`search_half`'s entries' counts into ``out`` with :func:`count_half`.
+
+    A group's ``merge`` indexes ``merged``, the run lists its cascades
+    left, whose runs it searches after its own.
+    """
+    for lows, highs, starts, stops, groups in entries:
+        runs = [
+            (keys, cum, readers, cut)
+            for own, readers, cut, merge in groups
+            for keys, cum in own + ([] if merge is None else merged[merge])
+        ]
+        count_half(lows, highs, starts, stops, runs, out)

@@ -20,6 +20,10 @@ evicts by tombstones; these hold or merge the same state the obvious way.
 * :func:`merge_sorted` -- one merge of counted runs by a stable sort, as it
   ran before the compiled kernel (``repro.joins.native.merge``), which
   ``tests/test_native_kernel.py`` holds to it byte for byte.
+* :func:`cascade` -- how far a batch's arrivals merge, decided in Python
+  as ``SortedRegionState.cascade`` did before the kernel's fold settled
+  cascades itself, and :func:`committed`, the run list it left
+  (``tests/test_fold_rules.py`` holds the fold's to it byte for byte).
 * :class:`RegionStateTable` -- the join state as the engine held it before
   a side was held once per owner: a counted-run pair per *machine*, fed
   each machine's own sorted keys, and its fold (one search task per
@@ -239,6 +243,57 @@ def merge_sorted(
         last = last[kept]
         cum = np.concatenate([cum[:1], cum[1:][kept]])
     return keys[last], cum
+
+
+def _conform(runs: list, keys: np.ndarray) -> "tuple[list, np.ndarray]":
+    """The runs and ``keys`` in one dtype, promoting *every* run on a mismatch.
+
+    The first keys into empty state set the dtype (exact integers stay
+    integers); a later mismatch promotes all runs, so a mixed int/float
+    stream never truncates a float key into an integer slot.  The runs
+    come back as a list the caller may hold (promoted copies on a
+    mismatch): nothing is swapped in until the caller commits, and no
+    list of runs is ever changed in place.
+    """
+    if runs and runs[0][0].dtype != keys.dtype:
+        target = np.promote_types(runs[0][0].dtype, keys.dtype)
+        runs = [(run.astype(target), cum) for run, cum in runs]
+        keys = keys.astype(target)
+    return runs, keys
+
+
+def cascade(runs: list, keys: np.ndarray) -> "tuple[list, list | None, np.ndarray]":
+    """Where key-sorted arrivals go: ``(kept, merging, keys)``, nothing changed yet.
+
+    The new run is merged into its predecessor while the predecessor
+    holds fewer than :data:`RUN_MERGE_RATIO` times the distinct keys
+    merged so far, so the amortised copy cost is ``O(new * ratio *
+    log_ratio(distinct / new))``.  How far that cascade reaches depends
+    on run lengths alone, so it is decided here, before anything is
+    copied: ``kept`` are the runs it leaves alone, ``merging`` the runs
+    it merges, oldest first and the arrivals last -- ``None`` when the
+    arrivals become a run of their own -- and ``keys`` the arrivals in
+    the runs' dtype.  The caller merges ``merging`` and commits the result.
+    """
+    if runs and keys.size and runs[0][0].dtype != keys.dtype:
+        runs, keys = _conform(runs, keys)
+    first = last = len(runs)
+    merged = keys.size
+    while merged and first and runs[first - 1][0].size < RUN_MERGE_RATIO * merged:
+        first -= 1
+        merged += runs[first][0].size
+    if first == last:
+        return runs, None, keys
+    return runs[:first], [*runs[first:], (keys, None)], keys
+
+
+def committed(runs: list, keys: np.ndarray) -> list:
+    """The run list :func:`cascade` leaves: kept runs, then the merged run or the arrivals."""
+    kept, merging, keys = cascade(runs, keys)
+    if merging is None:
+        return kept + ([(keys.copy(), None)] if keys.size else [])
+    merged = merge_sorted(merging)
+    return kept + ([] if merged is None else [merged])
 
 
 def _merge_pair(older, newer) -> "tuple[np.ndarray, np.ndarray] | None":

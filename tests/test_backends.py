@@ -34,9 +34,12 @@ from repro.streaming import (
     RegionJoinResult,
     SimulatedBackend,
     SortedRegionState,
+    StaticEWHPolicy,
+    StaticOneBucketPolicy,
     StickyWorkerBackend,
     StreamingJoinEngine,
     StreamingPipeline,
+    MicroBatch,
     default_mp_context,
     make_backend,
 )
@@ -44,6 +47,7 @@ from repro.partitioning.routing import RoutedSide
 from repro.streaming import backends
 from repro.streaming.backends import StateOwner, _StickyWorkerState
 from repro.streaming.shm import SEGMENT_PREFIX
+import reference_state
 from reference_state import state_layout
 import streaming_harness
 from streaming_harness import SleepingBackend, _ForwardingBackend, arrivals
@@ -287,10 +291,10 @@ class TestStickyWorkerState:
         calls = []
         fold = native.fold
 
-        def spy(merges, halves, out):
-            merged = fold(merges, halves, out)
-            calls.append((halves, merged))
-            return merged
+        def spy(cascades, halves, out):
+            held = fold(cascades, halves, out)
+            calls.append((halves, held))
+            return held
 
         monkeypatch.setattr(native, "fold", spy)
         runs_per_half = []
@@ -307,31 +311,33 @@ class TestStickyWorkerState:
                 expected += count_join_output(keys2, old_keys1, BAND.transposed)
             state1.insert(keys1)
             # The owner makes one kernel call: both halves, each over every
-            # sorted run of the searched state (the merged run the fold
-            # makes among them), the batch's sorted arrivals the needles --
-            # and no half whose searched state is still empty.
+            # sorted run of the searched state (the run list the fold's
+            # cascade leaves, for the first), the batch's sorted arrivals the
+            # needles with the condition's rule -- a half whose searched
+            # state is still empty searching no run.
             layout = [np.sort(keys1), np.sort(keys2)]
-            halves = [(keys1, state2.keys)] + [(keys2, old_keys1)] * bool(len(old_keys1))
+            halves = [(keys1, state2.keys, ("band", 1)), (keys2, old_keys1, ("band_inverse", 1))]
             calls.clear()
             outputs = owner.count(
                 RoutedSide.of([layout[0]]), RoutedSide.of([layout[1]]), (BAND, BAND.transposed)
             )
             assert outputs.tolist() == [expected]
             assert len(calls) == 1
-            seen, merged = calls[0]
+            seen, held = calls[0]
             assert len(seen) == len(halves)
             searched_runs = []
-            for (_, _, starts, stops, groups), (needles, searched) in zip(seen, halves):
+            for (_, rule, starts, stops, groups), (needles, searched, named) in zip(seen, halves):
+                assert rule == named
                 assert (starts.tolist(), stops.tolist()) == ([0], [len(needles)])
-                ((runs, readers, clip, merge),) = groups
+                ((runs, readers, clip, cascade),) = groups
                 assert readers.tolist() == [0] and clip is None  # read whole
-                runs = runs + ([] if merge is None else [merged[merge]])
+                runs = runs + ([] if cascade is None else held[cascade])
                 for run, _ in runs:
                     assert np.all(np.diff(run) >= 0)
                 expanded = [run if cum is None else np.repeat(run, np.diff(cum)) for run, cum in runs]
-                np.testing.assert_array_equal(np.sort(np.concatenate(expanded)), searched)
+                np.testing.assert_array_equal(np.sort(np.concatenate([[], *expanded])), searched)
                 searched_runs.append(len(runs))
-            runs_per_half.append(searched_runs + [0] * (2 - len(searched_runs)))
+            runs_per_half.append(searched_runs)
             # ... and the worker counts them the same way, per machine.
             outputs, seconds = worker.count(layout)
             assert outputs == [expected]
@@ -459,12 +465,14 @@ class TestInProcessStateProtocol:
         calls = []
         fold = native.fold
 
-        def spy(merges, halves, out):
+        def spy(cascades, halves, out):
+            held = fold(cascades, halves, out)
             calls.append(
-                [sum(len(runs) + (merge is not None) for runs, *_, merge in groups)
+                [sum(len(runs) + (0 if cascade is None else len(held[cascade]))
+                     for runs, *_, cascade in groups)
                  for *_, groups in halves]
             )
-            return fold(merges, halves, out)
+            return held
 
         monkeypatch.setattr(native, "fold", spy)
         backend = SimulatedBackend()
@@ -474,8 +482,8 @@ class TestInProcessStateProtocol:
         )
         # One call, a half over every machine's group and run of the R2
         # state; the R1 state was empty before the batch, so the second
-        # half searches nothing and is left out.
-        assert calls == [[2]]
+        # half's groups search no run.
+        assert calls == [[2, 0]]
         expected = [
             count_join_output(history1[idx], history2[idx], BAND)
             for idx in split
@@ -1086,3 +1094,141 @@ class TestThreadedPipelineOverProcessBackends:
         assert piped.total_output == sync.total_output
         assert piped.total_tuples_shed == 0
         np.testing.assert_allclose(piped.cumulative_load, sync.cumulative_load)
+
+
+# ----------------------------------------------------------------------
+# One call or a call per group: the cascades settled in the kernel
+# ----------------------------------------------------------------------
+def _depths(states, sides) -> "list[int]":
+    """Per group, how many runs its arrivals merge (0: they are appended or none came)."""
+    depths = []
+    for group, state in enumerate(states):
+        _, merging, _ = reference_state.cascade(state.runs, sides.group_keys(group))
+        depths.append(0 if merging is None else len(merging))
+    return depths
+
+
+def _same_state(owner: StateOwner, other: StateOwner) -> None:
+    """Both owners hold the same runs, group for group, byte for byte."""
+    for states, others in zip(owner.states, other.states):
+        assert len(states) == len(others)
+        for state, twin in zip(states, others):
+            assert len(state.runs) == len(twin.runs)
+            for (keys, cum), (twin_keys, twin_cum) in zip(state.runs, twin.runs):
+                assert keys.tobytes() == twin_keys.tobytes()
+                assert (cum is None) == (twin_cum is None)
+                assert cum is None or cum.tobytes() == twin_cum.tobytes()
+
+
+def test_one_call_and_a_call_per_group_commit_the_same_runs():
+    """Two owners fed one batch in per-machine arrays: one folds every group
+    in one call, the other times each machine's group in a call of its own
+    (a sticky worker's).  Machine 0's R1 arrivals are appended (its run of
+    100 keys holds at least 8 times the 5 that arrive) while its R2
+    arrivals swallow the 3-key run before them and stop at the 100-key run:
+    the two sides' cascades reach different depths in one batch, and both
+    owners commit the same runs and count the same."""
+    conditions = (BAND, BAND.transposed)
+    owners = StateOwner(), StateOwner()
+    base = np.arange(0.0, 100.0)
+    for owner in owners:
+        owner.install(RoutedSide.of([base, base + 0.5]), RoutedSide.of([base, base + 0.5]))
+        owner.count(
+            RoutedSide.of([np.empty(0), np.empty(0)]),
+            RoutedSide.of([np.array([1.25, 2.25, 3.25]), np.array([7.75])]),
+            conditions,
+        )
+    batch = (
+        RoutedSide.of([np.array([0.5, 1.5, 2.5, 3.5, 4.5]), np.array([10.0])]),
+        RoutedSide.of([np.array([0.25, 1.75, 2.25, 5.0, 9.5]), np.empty(0)]),
+    )
+    assert _depths(owners[0].states[0], batch[0]) == [0, 0]
+    assert _depths(owners[0].states[1], batch[1]) == [2, 0]
+    seconds = np.zeros(2)
+    one = owners[0].count(*batch, conditions)
+    timed = owners[1].count(*batch, conditions, seconds)
+    assert one.tolist() == timed.tolist() and one.sum() > 0
+    assert seconds[0] > 0 and seconds[1] > 0
+    _same_state(*owners)
+    # R1: a run appended; R2: the merged run after the 100 keys it left alone.
+    assert [len(state.runs) for state in owners[0].states[0]] == [2, 2]
+    assert [len(state.runs) for state in owners[0].states[1]] == [2, 2]
+    assert owners[0].states[0][0].runs[-1][1] is None
+    assert owners[0].states[1][0].runs[-1][1] is not None
+
+
+class _CascadeTwins(_ForwardingBackend):
+    """The engine's backend, and two owners fed its traffic as per-machine arrays.
+
+    One folds every machine's group in one call, the other each in a call
+    of its own (``seconds``, as a sticky worker does): after every batch
+    both must have counted what the engine's backend counted and hold the
+    same runs.  ``depths`` collects, per batch and machine, how many runs
+    each side's arrivals merged.
+    """
+
+    wrapper_name = "cascade twins"
+
+    def bind(self, num_machines, condition, transposed) -> None:
+        super().bind(num_machines, condition, transposed)
+        self.conditions = (condition, transposed)
+        self.owners = (StateOwner(), StateOwner())
+        self.depths: "list[tuple[int, int]]" = []
+
+    @staticmethod
+    def _sides(side1, side2) -> "tuple[RoutedSide, RoutedSide]":
+        layout = backends._per_machine(side1, side2)
+        return RoutedSide.of(layout[0::2]), RoutedSide.of(layout[1::2])
+
+    def count_batch(self, new1, new2):
+        result = super().count_batch(new1, new2)
+        sides = self._sides(new1, new2)
+        whole, timed = self.owners
+        if whole.states[0]:
+            self.depths += zip(*(_depths(whole.states[s], sides[s]) for s in (0, 1)))
+        seconds = np.zeros(len(new1.starts))
+        outputs = whole.count(*sides, self.conditions)
+        assert outputs.tolist() == timed.count(*sides, self.conditions, seconds).tolist()
+        assert outputs.tolist() == result.per_machine_output.tolist()
+        _same_state(whole, timed)
+        return result
+
+    def evict_state(self, expired1, expired2) -> int:
+        for owner in self.owners:
+            owner.evict(*self._sides(expired1, expired2))
+        return super().evict_state(expired1, expired2)
+
+    def install_state(self, state1, state2):
+        for owner in self.owners:
+            owner.install(*self._sides(state1, state2))
+        return super().install_state(state1, state2)
+
+
+@pytest.mark.parametrize("window", ["batches:3", "tuples:40", "decay:0.9", "unbounded"])
+@pytest.mark.parametrize("plan", ["ewh", "one_bucket"])
+def test_one_call_and_a_call_per_group_agree_batch_after_batch(plan, window):
+    """The cascade twins over a stream: per batch, the same counts and runs.
+
+    Batches of a few to a few dozen tuples per side over four machines,
+    the two sides' sizes out of step, so a machine's arrivals now stand as
+    a run of their own and now merge one run or more, and within one batch
+    the two sides' cascades reach different depths.
+    """
+    policy = StaticEWHPolicy() if plan == "ewh" else StaticOneBucketPolicy(4)
+    twins = _CascadeTwins(SimulatedBackend())
+    engine = StreamingJoinEngine(
+        4, BAND, UNIT, policy=policy, backend=twins, window=window,
+        sample_capacity=256, seed=7,
+    )
+    rng = np.random.default_rng(3)
+    sizes = [40, 3, 3, 12, 40, 2, 6, 30, 4, 4, 50, 8, 3, 20]
+    engine.start()
+    for index, size in enumerate(sizes):
+        engine.process_batch(MicroBatch(
+            index,
+            rng.integers(0, 120, size).astype(np.float64),
+            rng.integers(0, 120, sizes[-1 - index]).astype(np.float64),
+        ))
+    engine.close()
+    # One side appends (or merges nothing) while the other merges two runs.
+    assert any(sorted(pair) == [0, 2] for pair in twins.depths), twins.depths

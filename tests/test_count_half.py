@@ -3,11 +3,13 @@
 ``repro.joins.native.fold`` does a stream batch's state work and count in
 one C call: each cascade of runs merged into one counted run (a right fold
 of two-way merges, the newest pair first), then each half -- every
-machine's share of the routed needles searched in each run it reads, the
-merged runs among them, clipped to its slice of the run (cut by the slice
-rule in C) and summed into its total.  The oracle is the two steps as they
-ran before the kernel: ``reference_state.merge_sorted`` (one stable sort,
-byte for byte) for every cascade, then ``reference_counting.count_half``
+machine's share of the routed needles, bounded by the condition's rule in
+C, searched in each run it reads, the merged runs among them, clipped to
+its slice of the run (cut by the slice rule in C) and summed into its
+total.  The oracle is the steps as they ran before the kernel:
+``reference_state.merge_sorted`` (one stable sort, byte for byte) for
+every cascade, the bounds ``joinable_bounds`` gives
+(``reference_counting._bounds``), then ``reference_counting.count_half``
 (one task per run, each run cut by the slice rule's numpy form --
 ``MachineSlices`` called -- needles gathered segment after segment, two
 ``searchsorted`` passes, the clip ufuncs and a ``reduceat`` per reader)
@@ -16,7 +18,9 @@ byte and totals equal, over:
 
 * float64 and int64 keys, and int64 keys searched with float64 bounds
   (exact integer needles above 2**53 under a fractional band);
-* NaN (two payloads), +-inf, -0.0 and 0.0 keys and bounds in any order,
+* the bound rules of a point (equi), an integral band, its transpose and
+  two inequalities, one strict;
+* NaN (two payloads), +-inf, -0.0 and 0.0 keys and needles in any order,
   the int64 extremes and keys around 2**53;
 * cascades of one to four fresh, counted (negative counts too) and
   tombstone runs, tombstones that meet no tuple among them;
@@ -31,9 +35,9 @@ byte and totals equal, over:
   parents whose spare entries would change the count if read;
 * answers on either side of the search's walk (the keys it compares one
   at a time before it gallops): at its last key and one past it, at a NaN
-  tail and at a run's end, for equal needles, a high bound answered at its
-  low's answer and a NaN low under a finite high -- named examples, and
-  every ascending run of up to 20 keys over five values and NaN.
+  tail and at a run's end, for equal needles and a high bound answered
+  at its low's answer -- named examples, and every ascending run of up to
+  20 keys over five values and NaN under four rules.
 
 A reader that is no machine, a share outside the needles and a slice
 bound that indexes no cut raise by name, having written nothing.
@@ -51,8 +55,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.joins import native
-from repro.joins.conditions import BandJoinCondition
-from repro.joins.local import _bounds
+from repro.joins.conditions import (
+    BandJoinCondition,
+    EquiJoinCondition,
+    InequalityJoinCondition,
+    InequalityOp,
+)
+from repro.joins.local import fold_half
 from repro.partitioning.grid_routed import MachineSlices
 
 #: A NaN with the sign bit set: a second payload, so a merge that kept the
@@ -85,12 +94,20 @@ def _fresh(*values: float):
 HALVES = [value / 2 for value in range(-8, 9)]
 
 KEY = st.integers(0, 63)
-#: A needle's high bound: its low ("point"), the larger of the two keys
-#: ("wide"), so it is never answered left of the low bound, as production's
-#: bounds never are (a NaN key's are NaN and +inf), or the second key as it
-#: is ("free"), which may be: the kernel counts an interval answered
-#: backwards as empty, and so does the reference, with a cut or without.
-SHAPE = st.sampled_from(["point", "wide", "free"])
+#: The conditions whose bound rules a half takes: a point (equi: each
+#: needle joins its own key, its high bound answered at its low's answer),
+#: an integral band (int64 needles bounded in int64), its transpose (the
+#: exact inverses), an inequality whose high bound is every run's end and a
+#: strict one a step below each needle.  Under "int_float_bounds" keys a
+#: band is fractional: int64 needles bounded in float64.
+CONDITIONS = {
+    "point": EquiJoinCondition(),
+    "band": BandJoinCondition(beta=2),
+    "inverse": BandJoinCondition(beta=2).transposed,
+    "above": InequalityJoinCondition(InequalityOp.LE),
+    "strictly below": InequalityJoinCondition(InequalityOp.GT),
+}
+FRACTIONAL = {"band": BandJoinCondition(beta=1.5), "inverse": BandJoinCondition(beta=1.5).transposed}
 #: A run: its kind and (key, count) entries; a fresh or tombstone run's counts are its own.
 RUN = st.tuples(
     st.sampled_from(["fresh", "counted", "tombstone"]),
@@ -144,7 +161,8 @@ def _run(pool: np.ndarray, kind: str, entries, trimmed: bool):
     cascades=st.lists(st.lists(RUN, min_size=1, max_size=4), max_size=2),
     groups=st.lists(GROUP, min_size=1, max_size=3),
     machines=st.integers(1, 5),
-    needles=st.lists(st.tuples(KEY, KEY, SHAPE), max_size=10),
+    needles=st.lists(KEY, max_size=10),
+    condition=st.sampled_from(sorted(CONDITIONS)),
     shares=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=5, max_size=5),
     cut=st.none()
     | st.tuples(
@@ -163,22 +181,25 @@ def _run(pool: np.ndarray, kind: str, entries, trimmed: bool):
     cascades=[[("fresh", [(ZERO, 1)]), ("fresh", [(ZERO, 1)]), ("tombstone", [(NEG_ZERO, 1)])]],
     groups=[([], 0, [0])],
     machines=1,
-    needles=[(ZERO, ZERO, "point")],
+    needles=[ZERO],
+    condition="point",
     shares=[(0, 1)] * 5,
     cut=None,
     halves=1,
     trimmed=True,
 )
 # Two readers, machines 1 and 3, share every needle but read different
-# slices of one run: machine 1 [cut 0, cut 1), machine 3 [cut 1, the end).
-# A reader clipped with another's slice (or its machine's entry of the
-# slice rule) counts differently.
+# slices of one run: machine 1 [cut 0, cut 1) = [1.0, 2.5), machine 3
+# [cut 1, the end).  Needles 1.5 and 3.0 under a band of 2 count 6 in the
+# first and 7 in the second: a reader clipped with another's slice (or its
+# machine's entry of the slice rule) counts differently.
 @example(
     keys="float",
     cascades=[],
     groups=[([("fresh", [(key, 1) for key in range(16, 25)])], -1, [1, 3])],
     machines=4,
-    needles=[(4, 5, "wide"), (9, 20, "wide")],
+    needles=[_at(1.5), _at(3.0)],
+    condition="band",
     shares=[(0, 0), (0, 2), (0, 0), (0, 2), (0, 0)],
     cut=([16, 19], [(0, 1), (1, 3), (2, 2), (2, 2)]),
     halves=1,
@@ -191,7 +212,8 @@ def _run(pool: np.ndarray, kind: str, entries, trimmed: bool):
     cascades=[],
     groups=[([("fresh", [(key, 1) for key in range(8, 25)])], -1, [0, 1])],
     machines=2,
-    needles=[(key, key + 2, "wide") for key in range(10, 16)],
+    needles=list(range(10, 16)),
+    condition="point",
     shares=[(0, 2), (4, 6), (0, 0), (0, 0), (0, 0)],
     cut=None,
     halves=1,
@@ -208,7 +230,8 @@ def _run(pool: np.ndarray, kind: str, entries, trimmed: bool):
     cascades=[],
     groups=[([_fresh(*HALVES), _fresh(-4, *HALVES), _fresh(-4, -4, -4, *HALVES)], -1, [0])],
     machines=1,
-    needles=[(_at(value), 0, "point") for value in (-4, 0, 4)],
+    needles=[_at(value) for value in (-4, 0, 4)],
+    condition="point",
     shares=[(0, 3)] * 5,
     cut=None,
     halves=1,
@@ -217,24 +240,16 @@ def _run(pool: np.ndarray, kind: str, entries, trimmed: bool):
 # A run with a NaN tail and a short one without: equal needles (-1 twice),
 # a high bound answered at its low's answer (0.5, in neither run), an
 # answer at the tail and at the run's end (4.0 and +inf; the short run's
-# walk is clamped at its end), a NaN high, a NaN low under a finite high
-# (its high answered left of its low: empty, with no cut to clip it), and
-# a NaN needle.
+# walk is clamped at its end), and a NaN needle (the empty interval: a NaN
+# low under an infinite high).
 @example(
     keys="float",
     cascades=[],
     groups=[([_fresh(-4, -3, -2, -1, 0, 1, 2, 3, 4, np.nan, np.nan), _fresh(-1, 0, 1)], -1, [0])],
     machines=1,
-    needles=[
-        (_at(-1), 0, "point"),
-        (_at(-1), 0, "point"),
-        (_at(0.5), 0, "point"),
-        (_at(4), NAN, "wide"),
-        (INF, 0, "point"),
-        (NAN, _at(0), "free"),
-        (NAN, 0, "point"),
-    ],
-    shares=[(0, 7)] * 5,
+    needles=[_at(-1), _at(-1), _at(0.5), _at(4), INF, NAN],
+    condition="point",
+    shares=[(0, 6)] * 5,
     cut=None,
     halves=1,
     trimmed=True,
@@ -247,32 +262,32 @@ def _run(pool: np.ndarray, kind: str, entries, trimmed: bool):
     cascades=[],
     groups=[([("fresh", [(key, 1) for key in range(13) for _ in range(2)])], -1, [0])],
     machines=1,
-    needles=[(key, 0, "point") for key in (0, 4, 5, 6, 10, 12)],
+    needles=[0, 4, 5, 6, 10, 12],
+    condition="band",
     shares=[(0, 6)] * 5,
     cut=None,
     halves=1,
     trimmed=True,
 )
 def test_count_half_is_the_per_task_count_summed_per_machine(
-    keys, cascades, groups, machines, needles, shares, cut, halves, trimmed
+    keys, cascades, groups, machines, needles, condition, shares, cut, halves, trimmed
 ):
     """Merged runs byte for byte and every machine's total, written into its entry only."""
     pool = POOLS[keys]
-    needle_keys = pool[[low % pool.size for low, _, _ in needles]].astype(pool.dtype)
+    needle_keys = pool[[key % pool.size for key in needles]].astype(pool.dtype)
     if keys == "int_float_bounds":
-        # Exact integer needles against a fractional band: float bounds,
-        # and the integer runs searched with them as float64.
-        lows, highs = _bounds(BandJoinCondition(beta=1.5), _sorted(needle_keys), np.dtype(np.int64))
-        assert lows.dtype == np.float64
+        # Exact integer needles, sorted, against a fractional band: float
+        # bounds, and the integer runs searched with them as float64.
+        needle_keys = _sorted(needle_keys)
+        condition = FRACTIONAL.get(condition, CONDITIONS[condition])
     else:
-        lows = needle_keys
-        other = pool[[high % pool.size for _, high, _ in needles]].astype(pool.dtype)
-        shapes = np.array([shape for _, _, shape in needles], dtype=object)
-        highs = np.where(shapes == "point", lows, np.where(shapes == "wide", np.maximum(lows, other), other))
-    count = lows.size
+        condition = CONDITIONS[condition]
+    lows, highs = reference_counting._bounds(condition, needle_keys, pool.dtype)
+    count = needle_keys.size
     starts = np.array([start % (count + 1) for start, _ in shares[:machines]], dtype=np.int64)
     stops = np.array([stop % (count + 1) for _, stop in shares[:machines]], dtype=np.int64)
 
+    # Cascades that merge every run (no arrivals): the stable-sort merge's subject.
     merges = [[_run(pool, kind, entries, trimmed) for kind, entries in cascade] for cascade in cascades]
     for runs in merges:
         if not any(run_keys.size for run_keys, _ in runs):  # the state never merges nothing
@@ -299,21 +314,20 @@ def test_count_half_is_the_per_task_count_summed_per_machine(
         table_groups.append((runs, readers, slices, merge))
         searched = runs + ([] if merge is None or theirs_merged[merge] is None else [theirs_merged[merge]])
         reference_runs += [(run_keys, cum, readers, slices) for run_keys, cum in searched]
-    lows, highs = _copy(lows, trimmed, pool[0]), _copy(highs, trimmed, pool[-1])
     starts, stops = _copy(starts, trimmed, 0), _copy(stops, trimmed, count)
-    half = (lows, highs, starts, stops, table_groups)
+    half = fold_half(condition.bound_rule(), _copy(needle_keys, trimmed, pool[0]), starts, stops, table_groups)
     ours = np.full(machines, 7, dtype=np.int64)
     theirs = ours.copy()
-    ours_merged = native.fold(merges, [half] * halves, ours)
+    ours_merged = native.fold([(runs, None) for runs in merges], [half] * halves, ours)
     for _ in range(halves):
         reference_counting.count_half(lows, highs, starts, stops, reference_runs, theirs)
     np.testing.assert_array_equal(ours, theirs)
     assert len(ours_merged) == len(theirs_merged)
-    for mine, expected in zip(ours_merged, theirs_merged):
+    for held, expected in zip(ours_merged, theirs_merged):
         if expected is None:
-            assert mine is None
+            assert held == []
             continue
-        assert mine is not None
+        (mine,) = held
         assert mine[0].dtype == expected[0].dtype and mine[1].dtype == expected[1].dtype
         assert mine[0].tobytes() == expected[0].tobytes()
         assert mine[1].tobytes() == expected[1].tobytes()
@@ -322,42 +336,70 @@ def test_count_half_is_the_per_task_count_summed_per_machine(
 def test_every_short_run_counts_as_the_reference_does():
     """Every ascending run of 0-20 keys over five values and NaN (NaN tails
     of every length among them), each read by a machine of its own, against
-    sorted needles: each low bound (every key, a value between two keys,
-    beyond either end, +-inf) with the high bounds low, low + 1 and +inf,
-    and a NaN key's bounds (NaN and +inf).  Answers fall at every position
-    within the search's walk and past it, from every start."""
+    sorted needles -- every key, a value between two keys, beyond either
+    end, +-inf and NaN -- under four rules: a point (high bound the low),
+    a band of 1 (low - 1 to low + 1), ``<=`` (high bound +inf) and ``>``
+    (low bound -inf, high a step below), and a NaN needle's empty interval
+    (NaN and +inf).  Answers fall at every position within the search's
+    walk and past it, from every start."""
     domain = [-1.0, 0.0, 0.5, 1.0, 2.0, np.nan]
-    lows = [-np.inf, -2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, np.inf]
-    needles = [(low, high) for low in lows for high in (low, low + 1.0, np.inf)]
-    needles += [(np.nan, np.nan), (np.nan, np.inf)]
-    lows, highs = (np.array(bounds) for bounds in zip(*needles))
+    needles = np.array(
+        [-np.inf, -2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, np.inf, np.nan]
+    )
+    conditions = [
+        EquiJoinCondition(), BandJoinCondition(beta=1),
+        InequalityJoinCondition(InequalityOp.LE), InequalityJoinCondition(InequalityOp.GT),
+    ]
     runs = [
         np.array(keys, dtype=np.float64)
         for size in range(21)
         for keys in itertools.combinations_with_replacement(domain, size)
     ]
     assert len(runs) == 230_230
+    # Machine 4 r + c reads run r under condition c: its share is all the
+    # needles in half c (one half per rule) and, for the reference, the
+    # c-th block of the four rules' bounds laid end to end.
+    bounds = [condition.joinable_bounds(needles) for condition in conditions]
+    lows, highs = (np.concatenate(side) for side in zip(*bounds))
+    rules = len(conditions)
     for start in range(0, len(runs), 10_000):
         chunk = runs[start : start + 10_000]
-        machines = np.arange(len(chunk), dtype=np.int64)
-        starts = np.zeros(len(chunk), dtype=np.int64)
-        stops = np.full(len(chunk), lows.size, dtype=np.int64)
-        groups = [([(keys, None)], machines[m : m + 1], None, None) for m, keys in enumerate(chunk)]
-        ours = np.zeros(len(chunk), dtype=np.int64)
-        native.fold([], [(lows, highs, starts, stops, groups)], ours)
-        theirs = np.zeros(len(chunk), dtype=np.int64)
-        _reference(lows, highs, starts, stops, groups, theirs)
+        machines = np.arange(rules * len(chunk), dtype=np.int64)
+        condition_of = machines % rules
+        groups = [
+            ([(keys, None)], machines[rules * m : rules * (m + 1)], None, None)
+            for m, keys in enumerate(chunk)
+        ]
+        halves = [
+            fold_half(
+                condition.bound_rule(),
+                needles,
+                np.zeros(machines.size, dtype=np.int64),
+                np.where(condition_of == c, needles.size, 0),
+                groups,
+            )
+            for c, condition in enumerate(conditions)
+        ]
+        ours = np.zeros(machines.size, dtype=np.int64)
+        native.fold([], halves, ours)
+        theirs = np.zeros(machines.size, dtype=np.int64)
+        starts = condition_of * needles.size
+        _reference(lows, highs, starts, starts + needles.size, groups, theirs)
         np.testing.assert_array_equal(ours, theirs)
+
+
+#: The band whose rule the small half's needles take: each needle k joins [k - 1, k + 1].
+_BAND = ("band", 1)
 
 
 def _small_half():
     """Two machines, four needles, one fresh run of ten keys both read through a slice rule."""
-    lows, highs = np.arange(4.0), np.arange(4.0) + 2
+    needles = np.arange(4.0) + 1
     starts, stops = np.array([0, 2], dtype=np.int64), np.array([3, 4], dtype=np.int64)
     readers = np.arange(2, dtype=np.int64)
     # Machine 0 reads [0, 4.5), machine 1 [2.5, the end).
     cut = MachineSlices(np.array([2.5, 4.5]), np.array([2, 0]), np.array([1, 3]))
-    return lows, highs, starts, stops, [([(np.arange(10.0), None)], readers, cut, None)]
+    return needles, _BAND, starts, stops, [([(np.arange(10.0), None)], readers, cut, None)]
 
 
 def _reference(lows, highs, starts, stops, groups, out) -> None:
@@ -366,11 +408,16 @@ def _reference(lows, highs, starts, stops, groups, out) -> None:
     reference_counting.count_half(lows, highs, starts, stops, runs, out)
 
 
+def _small_reference(needles, starts, stops, groups, out) -> None:
+    """:func:`_reference` of the small half: its needles bounded by the band of 1."""
+    _reference(needles - 1, needles + 1, starts, stops, groups, out)
+
+
 def test_indices_out_of_range_raise_by_name_and_write_nothing():
-    lows, highs, starts, stops, groups = _small_half()
+    needles, rule, starts, stops, groups = _small_half()
     out = np.full(2, -7, dtype=np.int64)
     runs, readers, cut, _ = groups[0]
-    merge = [(np.arange(3.0), None), (np.arange(2.0), None)]
+    cascade = ([(np.arange(3.0), None)], np.arange(2.0))
     refused = [
         ("fold: a reader's slice bound indexes no cut", (starts, stops, [(runs, readers, cut._replace(last=cut.last + 1), None)])),
         ("fold: a reader's slice bound indexes no cut", (starts, stops, [(runs, readers, cut._replace(first=cut.first - 3), None)])),
@@ -383,26 +430,29 @@ def test_indices_out_of_range_raise_by_name_and_write_nothing():
     ]
     for message, (first, last, bad) in refused:
         with pytest.raises(ValueError, match=message):
-            # A good group and a merge first: the refusal comes before
+            # A good group and a cascade first: the refusal comes before
             # anything is merged or counted.
-            native.fold([merge], [(lows, highs, first, last, groups + bad)], out)
+            native.fold([cascade], [(needles, rule, first, last, groups + bad)], out)
         assert out.tolist() == [-7, -7]
-    with pytest.raises(ValueError, match="fold: merge 1 is not one of the 1 cascades"):
-        native.fold([merge], [(lows, highs, starts, stops, [(runs, readers, cut, 1)])], out)
-    with pytest.raises(ValueError, match="fold: a group searches no run"):
-        native.fold([], [(lows, highs, starts, stops, [([], readers, cut, None)])], out)
+    with pytest.raises(ValueError, match="fold: cascade 1 is not one of the 1 cascades"):
+        native.fold([cascade], [(needles, rule, starts, stops, [(runs, readers, cut, 1)])], out)
+    with pytest.raises(ValueError, match="fold: a cascade merges no run"):
+        native.fold([([], None)], [(needles, rule, starts, stops, groups)], out)
     assert out.tolist() == [-7, -7]
-    native.fold([], [(lows, highs, starts, stops, groups)], out)
+    # A group with no run to search counts nothing.
+    native.fold([], [(needles, rule, starts, stops, [([], readers, cut, None)])], out)
+    assert out.tolist() == [-7, -7]
+    native.fold([], [(needles, rule, starts, stops, groups)], out)
     expected = np.full(2, -7, dtype=np.int64)
-    _reference(lows, highs, starts, stops, groups, expected)
+    _small_reference(needles, starts, stops, groups, expected)
     assert out.tolist() == expected.tolist() != [-7, -7]
 
 
 def test_inputs_it_does_not_take_raise():
-    """Other dtypes and sizes, strided arrays, a read-only output: a
-    ``TypeError`` / ``ValueError`` naming the input, nothing written.
-    Read-only inputs are read."""
-    lows, highs, starts, stops, groups = _small_half()
+    """Other dtypes and sizes, strided arrays, a read-only output, a rule
+    the kernel does not bound by: a ``TypeError`` / ``ValueError`` naming
+    the input, nothing written.  Read-only inputs are read."""
+    needles, rule, starts, stops, groups = _small_half()
     runs, readers, cut, _ = groups[0]
     (keys, cum), = runs
     out = np.full(2, -7, dtype=np.int64)
@@ -413,60 +463,75 @@ def test_inputs_it_does_not_take_raise():
         group = {"keys": keys, "cum": cum, "readers": readers, "cut": cut, **changed}
         return [([(group["keys"], group["cum"])], group["readers"], group["cut"], None)]
 
-    int_bounds = (lows.astype(np.int64), highs.astype(np.int64), starts, stops)
     refused = [
-        (TypeError, "fold: lows is float32, not float64 or int64",
-         (lows.astype(np.float32), highs, starts, stops, groups)),
-        (ValueError, "fold: 4 float64 lows but 3 float64 highs", (lows, highs[:3], starts, stops, groups)),
-        (TypeError, "fold: starts is int32, not int64", (lows, highs, starts.astype(np.int32), stops, groups)),
-        (ValueError, "fold: 2 starts and 1 stops for 2 machines", (lows, highs, starts, stops[:1], groups)),
-        (TypeError, "fold: keys is float64, not int64", (*int_bounds, groups)),
+        (TypeError, "fold: needles is float32, not float64 or int64",
+         (needles.astype(np.float32), rule, starts, stops, groups)),
+        (TypeError, "fold: needles is uint64, not float64 or int64",
+         (needles.astype(np.uint64), rule, starts, stops, groups)),
+        (ValueError, "fold: rule is 'Band', not band, band_inverse, <, <=, > or >=",
+         (needles, ("Band", 1), starts, stops, groups)),
+        (TypeError, "fold: a rule's name is a int, not a str", (needles, (1, 1), starts, stops, groups)),
+        (ValueError, "fold: a rule is 1 items, not 2", (needles, ("band",), starts, stops, groups)),
+        (TypeError, "fold: beta is a str, not an int or a float",
+         (needles, ("band", "1"), starts, stops, groups)),
+        (ValueError, "fold: beta is nan, not a width", (needles, ("band", np.nan), starts, stops, groups)),
+        (ValueError, "fold: beta is -1, not a width in int64", (needles, ("<", -1), starts, stops, groups)),
+        (ValueError, "fold: beta is 18446744073709551616, not a width in int64",
+         (needles, ("band", 2**64), starts, stops, groups)),
+        (ValueError, "fold: beta is 1.5, a float, on int64 needles",
+         (needles.astype(np.int64), ("band_inverse", 1.5), starts, stops, groups)),
+        (TypeError, "fold: starts is int32, not int64", (needles, rule, starts.astype(np.int32), stops, groups)),
+        (ValueError, "fold: 2 starts and 1 stops for 2 machines", (needles, rule, starts, stops[:1], groups)),
         (TypeError, "fold: keys is int32, not float64 or int64",
-         (lows, highs, starts, stops, half(keys=keys.astype(np.int32)))),
+         (needles, rule, starts, stops, half(keys=keys.astype(np.int32)))),
         (TypeError, "fold: readers is int32, not int64",
-         (lows, highs, starts, stops, half(readers=readers.astype(np.int32)))),
+         (needles, rule, starts, stops, half(readers=readers.astype(np.int32)))),
         (ValueError, "fold: cum is 10 int64, not 11 int64",
-         (lows, highs, starts, stops, half(cum=np.arange(10)))),
+         (needles, rule, starts, stops, half(cum=np.arange(10)))),
         (ValueError, "fold: a slice rule needs 2 firsts and lasts",
-         (lows, highs, starts, stops, half(cut=cut._replace(first=cut.first[:1])))),
+         (needles, rule, starts, stops, half(cut=cut._replace(first=cut.first[:1])))),
         (TypeError, "fold: last is int32, not int64",
-         (lows, highs, starts, stops, half(cut=cut._replace(last=cut.last.astype(np.int32))))),
+         (needles, rule, starts, stops, half(cut=cut._replace(last=cut.last.astype(np.int32))))),
         (ValueError, "fold: keys is strided, not C-contiguous",
-         (lows, highs, starts, stops, half(keys=np.arange(20.0)[::2]))),
+         (needles, rule, starts, stops, half(keys=np.arange(20.0)[::2]))),
     ]
     for error, message, args in refused:
         with pytest.raises(error, match=message):
             native.fold([], [args], out)
     with pytest.raises(ValueError, match="fold: out is read-only, not writable"):
-        native.fold([], [(lows, highs, starts, stops, groups)], frozen)
+        native.fold([], [(needles, rule, starts, stops, groups)], frozen)
     with pytest.raises(TypeError, match="fold: out is int32, not int64"):
-        native.fold([], [(lows, highs, starts, stops, groups)], out.astype(np.int32))
+        native.fold([], [(needles, rule, starts, stops, groups)], out.astype(np.int32))
     with pytest.raises(TypeError, match="fold: keys is float32, not float64 or int64"):
-        native.fold([[(keys.astype(np.float32), None)]], [], out)
+        native.fold([([(keys.astype(np.float32), None)], None)], [], out)
     with pytest.raises(TypeError, match="fold: keys is int64, not float64"):
-        native.fold([[(keys, None), (keys.astype(np.int64), None)]], [], out)
+        native.fold([([(keys, None), (keys.astype(np.int64), None)], None)], [], out)
+    with pytest.raises(TypeError, match="fold: arrivals is int64, not float64"):
+        native.fold([([(keys, None)], keys.astype(np.int64))], [], out)
     with pytest.raises(ValueError, match="fold: cum is 10 int64, not 11 int64"):
-        native.fold([[(keys, None), (keys, np.arange(10))]], [], out)
+        native.fold([([(keys, None), (keys, np.arange(10))], None)], [], out)
     with pytest.raises(ValueError, match="fold: keys is strided, not C-contiguous"):
-        native.fold([[(keys, None), (keys[::2], None)]], [], out)
-    # A merge's run searched under bounds of the other dtype: refused by
-    # the cascade's dtype, not by an array's.
-    cascade = [[(keys, None)]]
-    with pytest.raises(TypeError, match="fold: a run's keys are float64, not the bounds' int64"):
-        native.fold(cascade, [(*int_bounds, [([], readers, cut, 0)])], out)
-    with pytest.raises(TypeError, match="fold: merge is a str, not an int"):
-        native.fold(cascade, [(lows, highs, starts, stops, [([], readers, cut, "0")])], out)
+        native.fold([([(keys, None), (keys[::2], None)], None)], [], out)
+    with pytest.raises(ValueError, match="fold: a cascade is 1 items, not 2"):
+        native.fold([[(keys, None)]], [], out)
+    cascade = [([(keys, None)], None)]
+    with pytest.raises(TypeError, match="fold: cascade is a str, not an int"):
+        native.fold(cascade, [(needles, rule, starts, stops, [([], readers, cut, "0")])], out)
     assert out.tolist() == [-7, -7]
-    read_only = [array.copy() for array in (lows, highs, starts, stops, keys, readers)]
+    # int64 needles meet the float64 runs as the doubles they convert to.
+    native.fold(cascade, [(needles.astype(np.int64), rule, starts, stops, [([], readers, cut, 0)])], out)
+    expected = np.full(2, -7, dtype=np.int64)
+    _small_reference(needles, starts, stops, groups, expected)
+    assert out.tolist() == expected.tolist()
+    out[:] = -7
+    read_only = [array.copy() for array in (needles, starts, stops, keys, readers)]
     for array in read_only:
         array.flags.writeable = False
-    *bounds, first, last, frozen_keys, frozen_readers = read_only
-    merged = native.fold(
-        [[(frozen_keys, None), (frozen_keys, -np.arange(11, dtype=np.int64))]],
-        [(*bounds, first, last, [([(frozen_keys, cum)], frozen_readers, cut, None)])],
+    frozen_needles, first, last, frozen_keys, frozen_readers = read_only
+    held = native.fold(
+        [([(frozen_keys, None), (frozen_keys, -np.arange(11, dtype=np.int64))], None)],
+        [(frozen_needles, rule, first, last, [([(frozen_keys, cum)], frozen_readers, cut, None)])],
         out,
     )
-    assert merged == [None]  # a tombstone of every key cancels them all
-    expected = np.full(2, -7, dtype=np.int64)
-    _reference(lows, highs, starts, stops, groups, expected)
+    assert held == [[]]  # a tombstone of every key cancels them all
     assert out.tolist() == expected.tolist()

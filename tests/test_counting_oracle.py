@@ -49,7 +49,7 @@ from repro.joins import native
 from repro.joins.conditions import normalise_keys
 from repro.streaming import backends as production
 from repro.partitioning.grid_routed import MachineSlices
-from repro.joins.local import _bounds
+from repro.joins.local import fold_half
 from repro.streaming.backends import _StickyWorkerState
 
 BAND = BandJoinCondition(beta=2.0)  # integral: exact on int64 keys above 2**53
@@ -167,9 +167,11 @@ def test_a_clipped_task_counts_each_segment_on_its_slice(
 ):
     """Per reader: the reference's count of its needles against its run slice.
 
-    One half of a batch as the state owner counts it
-    (a :func:`repro.joins.native.fold` half, bounded as the owner bounds
-    them), against the reference's per-task loop over every reader's needle
+    One half of a batch as the state owner counts it (a
+    :func:`repro.joins.native.fold` half of needles and the condition's
+    bound rule, :func:`repro.joins.local.fold_half`), against the
+    reference's per-task loop -- bounds recomputed per task by
+    ``count_matches_per_key`` -- over every reader's needle
     segment and its slice of each run.  Segments overlap, nest, repeat and
     are empty; slices are empty, whole, or anywhere in the run; runs are
     counted (negative counts too) or fresh, and of any key style, so
@@ -183,8 +185,6 @@ def test_a_clipped_task_counts_each_segment_on_its_slice(
     readers = np.arange(segments, dtype=np.int64)
     tasks, expected_tasks = [], []
     run_style = style if rng.random() < 0.5 else rng.choice(KEY_STYLES)
-    dtype = normalise_keys(_draw_keys(rng, run_style, 0)).dtype
-    lows, highs = _bounds(condition, needles, dtype)
     # Key ranges as an EWH plan's slice rule cuts them: a cut pair per
     # reader, or an open end (0 or the run's length).
     cut_keys = np.sort(normalise_keys(_draw_keys(rng, run_style, 2 * segments))).astype(np.float64)
@@ -197,8 +197,8 @@ def test_a_clipped_task_counts_each_segment_on_its_slice(
         if counted:
             cum = np.concatenate([[0], np.cumsum(rng.integers(-2, 4, len(run)))])
         cut = None if rng.random() < 0.3 else slices
-        # An integer run meeting float bounds is searched as it is: the
-        # kernel compares each key as the float64 it casts to.
+        # An integer run meeting float needles or bounds is searched as it
+        # is: the kernel compares each key as the float64 it casts to.
         tasks.append(([(run, cum)], readers, cut, None))
         clip_lows, clip_highs = slices(run)
         for start, stop, low, high in zip(
@@ -209,7 +209,7 @@ def test_a_clipped_task_counts_each_segment_on_its_slice(
             sliced = None if cum is None else cum[low : high + 1] - cum[low]
             expected_tasks.append((needles[start:stop], run[low:high], sliced))
     outputs = np.zeros(segments, dtype=np.int64)
-    native.fold([], [(lows, highs, starts, stops, tasks)], outputs)
+    native.fold([], [fold_half(condition.bound_rule(), normalise_keys(needles), starts, stops, tasks)], outputs)
     expected, _ = reference.count_regions(expected_tasks, [condition] * len(expected_tasks))
     np.testing.assert_array_equal(outputs, expected.reshape(runs, segments).sum(axis=0))
 

@@ -39,13 +39,14 @@ from repro.joins import native
 
 class Value(NamedTuple):
     """A value an entry point refuses at one position of an array argument,
-    or as a scalar argument."""
+    or in an argument's place."""
 
     entry: str
     path: tuple  # the argument, as in Arg
-    at: int | None  # the array position given the value (None: the scalar itself)
-    value: float
-    refusal: str  # how the ValueError starts
+    at: int | None  # the array position given the value (None: the argument itself)
+    value: object
+    refusal: str  # how the error starts
+    error: type = ValueError
 
 
 #: A NaN priority last, where a check made while the loop runs would
@@ -54,8 +55,22 @@ class Value(NamedTuple):
 #: position; and a second entry of 1e308 beside the valid call's first, in
 #: the same coarse cell: each is finite, their sum is not.  A tiling
 #: search's ends that do not compare or are out of order, no region to
-#: spend, a negative number of midpoints and a gap below zero or NaN.
+#: spend, a negative number of midpoints and a gap below zero or NaN.  A
+#: fold half's rule it does not name, a width that is NaN or negative, a
+#: fractional width on int64 needles (bounded in int64 only by an int),
+#: and needles of a dtype it does not bound.
 VALUES = [
+    Value("fold", (1, 0, 1, 0), None, "Band",
+          "fold: rule is 'Band', not band, band_inverse, <, <=, > or >="),
+    Value("fold", (1, 0, 1, 0), None, "band inverse",
+          "fold: rule is 'band inverse', not band, band_inverse, <, <=, > or >="),
+    Value("fold", (1, 0, 1, 1), None, np.nan, "fold: beta is nan, not a width"),
+    Value("fold", (1, 0, 1, 1), None, -0.5, "fold: beta is -0.5, not a width"),
+    Value("fold", (1, 0, 1, 1), None, -1, "fold: beta is -1, not a width in int64"),
+    Value("fold", (1, 0, 0), None, np.array([0, 1, 2], dtype=np.int64),
+          "fold: beta is 1.5, a float, on int64 needles: their band takes an int"),
+    Value("fold", (1, 0, 0), None, np.array([0, 1, 2], dtype=np.uint64),
+          "fold: needles is uint64, not float64 or int64", TypeError),
     Value("offer", (4,), 3, np.nan, "offer: priorities[3] is NaN, "),
     Value("offer", (4,), 0, -np.nan, "offer: priorities[0] is NaN, "),
     Value("coarsen", (0,), 2, np.nan, "coarsen: row_input[2] is NaN, "),
@@ -118,19 +133,22 @@ def _calls() -> "dict[str, tuple[tuple, list[Arg]]]":
     run = (np.arange(5.0), np.arange(6, dtype=i64))
     cut = (np.array([1.5, 2.5]), np.array([2, 0], dtype=i64), np.array([1, 3], dtype=i64))
     group = ([run], np.array([0, 1], dtype=i64), cut, 0)
-    half = (np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]),
+    half = (np.array([0.0, 1.0, 2.0]), ("band", 1.5),
             np.array([0, 1], dtype=i64), np.array([2, 3], dtype=i64), [group])
-    merges = [[(np.arange(4.0), np.arange(5, dtype=i64)), (np.arange(4.0) + 0.5, None)]]
+    # The arrivals swallow both runs (each under 8 times the two arrivals).
+    cascades = [([(np.arange(4.0), np.arange(5, dtype=i64)), (np.arange(4.0) + 0.5, None)],
+                 np.array([0.25, 1.25]))]
     heap = (np.zeros(4), np.zeros(4, dtype=i64), np.zeros(4))
     tables = _tables()
     lookups = tuple(array.copy() for array in tables._lookups)
     return {
-        "fold": ((merges, [half], np.zeros(2, dtype=i64)), [
-            Arg((0, 0, 0, 0), "keys", short="cum"),
-            Arg((0, 0, 0, 1), "cum", short="cum"),
-            Arg((0, 0, 1, 0), "keys"),
-            Arg((1, 0, 0), "lows", short="lows"),
-            Arg((1, 0, 1), "highs", short="highs"),
+        "fold": ((cascades, [half], np.zeros(2, dtype=i64)), [
+            Arg((0, 0, 0, 0, 0), "keys", short="cum"),
+            Arg((0, 0, 0, 0, 1), "cum", short="cum"),
+            Arg((0, 0, 0, 1, 0), "keys"),
+            # Any number of arrivals joins a cascade: no size relation.
+            Arg((0, 0, 1), "arrivals"),
+            Arg((1, 0, 0), "needles", short="needles"),
             Arg((1, 0, 2), "starts", short="starts"),
             Arg((1, 0, 3), "stops", short="stops"),
             Arg((1, 0, 4, 0, 0, 0, 0), "keys", short="cum"),
@@ -295,10 +313,13 @@ def test_every_array_argument_is_refused_by_name(entry):
             assert [array.tobytes() for array in _arrays(call)] == before, label
 
 
-@pytest.mark.parametrize("value", VALUES, ids=lambda value: f"{value.entry}-{value.path[0]}-{value.at}")
+@pytest.mark.parametrize(
+    "value", VALUES, ids=lambda value: f"{value.entry}-{'.'.join(map(str, value.path))}-{value.at}"
+)
 def test_every_refused_value_is_refused_by_name(value):
-    """A refused value raises a ValueError that names where it sits, and
-    changes no array of the call: the heap's three stay byte for byte."""
+    """A refused value raises a ValueError (a TypeError for a dtype) that
+    names where it sits, and changes no array of the call: the heap's three
+    stay byte for byte, and a fold writes nothing into ``out``."""
     args, _ = _calls()[value.entry]
     carrier = value.value
     if value.at is not None:
@@ -306,7 +327,7 @@ def test_every_refused_value_is_refused_by_name(value):
         carrier[value.at] = value.value
     call = _replaced(args, value.path, carrier)
     before = [array.tobytes() for array in _arrays(call)]
-    with pytest.raises(ValueError) as refused:
+    with pytest.raises(value.error) as refused:
         getattr(native, value.entry)(*call)
     assert str(refused.value).startswith(value.refusal), str(refused.value)
     assert [array.tobytes() for array in _arrays(call)] == before

@@ -25,9 +25,10 @@ from repro.joins import native
 SIZE = 1_000
 
 
-def _half(keys, readers=None, cut="whole", merge=None, starts=None, stops=None, lows=None):
+def _half(keys, readers=None, cut="whole", cascade=None, starts=None, stops=None, needles=None,
+          rule=("band", 1)):
     """A half of two machines over ``keys``: four needles, the group read whole or sliced."""
-    lows = np.arange(4.0) if lows is None else lows
+    needles = np.arange(4.0) if needles is None else needles
     starts = np.array([0, 2], dtype=np.int64) if starts is None else starts
     stops = np.array([3, 4], dtype=np.int64) if stops is None else stops
     readers = np.arange(2, dtype=np.int64) if readers is None else readers
@@ -37,7 +38,7 @@ def _half(keys, readers=None, cut="whole", merge=None, starts=None, stops=None, 
         cut = (np.array([2.5, 4.5]), np.array([2, 0], dtype=np.int64),
                np.array([1, 3], dtype=np.int64))
     runs = [] if keys is None else [(keys, None)]
-    return (lows, lows + 2, starts, stops, [(runs, readers, cut, merge)])
+    return (needles, rule, starts, stops, [(runs, readers, cut, cascade)])
 
 
 def _folds():
@@ -47,36 +48,43 @@ def _folds():
     out = np.zeros(2, dtype=np.int64)
     frozen = out.copy()
     frozen.flags.writeable = False
-    cancelled = [(keys, None), (keys, -np.arange(SIZE + 1, dtype=np.int64))]
-    merge = [(keys, None), (keys + 0.5, None), (keys[: SIZE // 2], None)]
+    cancelled = ([(keys, None), (keys, -np.arange(SIZE + 1, dtype=np.int64))], None)
+    merge = ([(keys, None), (keys + 0.5, None)], keys[: SIZE // 2])
+    append = ([(keys, None)], keys[:4] + 0.25)  # 1,000 keys stay a run of their own
     return [
-        # Accepted: merges and a count, a sliced count, everything cancelled.
-        (None, [merge], [_half(keys, merge=0)], out),
+        # Accepted: a cascade and a count, a sliced count, an append, everything cancelled.
+        (None, [merge], [_half(keys, cascade=0)], out),
         (None, [], [_half(keys, cut=None)], out),
+        (None, [append], [_half(None, cascade=0, rule=("band_inverse", 0.5))], out),
         (None, [cancelled], [], out),
         # Refused: the output.
         (TypeError, [], [_half(keys)], out.astype(np.int32)),
         (ValueError, [], [_half(keys)], frozen),
         (TypeError, [], [], [0, 0]),
         # Refused: a cascade.
-        (TypeError, [[(keys.astype(np.float32), None)]], [], out),
-        (TypeError, [[(keys, None), (ints, None)]], [], out),
-        (ValueError, [[(keys, None), (keys, np.arange(SIZE))]], [], out),
-        (ValueError, [[(keys, None), (keys[::2], None)]], [], out),
-        (ValueError, [[]], [], out),
-        (ValueError, [[(keys,)]], [], out),
-        (TypeError, [[(list(keys), None)]], [], out),
+        (TypeError, [([(keys.astype(np.float32), None)], None)], [], out),
+        (TypeError, [([(keys, None), (ints, None)], None)], [], out),
+        (TypeError, [([(keys, None)], ints)], [], out),
+        (ValueError, [([(keys, None), (keys, np.arange(SIZE))], None)], [], out),
+        (ValueError, [([(keys, None), (keys[::2], None)], None)], [], out),
+        (ValueError, [([], None)], [], out),
+        (ValueError, [([(keys,)], None)], [], out),
+        (ValueError, [[(keys, None)]], [], out),
+        (TypeError, [([(list(keys), None)], None)], [], out),
         (TypeError, 7, [], out),
         # Refused: a half, after a cascade that is fine.
-        (TypeError, [merge], [_half(keys, lows=np.arange(4, dtype=np.float32))], out),
+        (TypeError, [merge], [_half(keys, needles=np.arange(4, dtype=np.float32))], out),
+        (ValueError, [merge], [_half(keys, rule=("=", 0))], out),
+        (ValueError, [merge], [_half(keys, rule=("band", np.nan))], out),
+        (ValueError, [merge], [_half(keys, rule=("band", -1))], out),
+        (ValueError, [merge], [_half(keys, needles=ints[:4], rule=("band", 0.5))], out),
+        (TypeError, [merge], [_half(keys, rule=("band", None))], out),
         (TypeError, [merge], [_half(keys, starts=np.array([0, 2], dtype=np.int32))], out),
         (ValueError, [merge], [_half(keys, stops=np.array([4], dtype=np.int64))], out),
         (ValueError, [merge], [_half(keys, stops=np.array([3, 5], dtype=np.int64))], out),
         (TypeError, [merge], [_half(keys, readers=np.arange(2, dtype=np.int32))], out),
         (ValueError, [merge], [_half(keys, readers=np.array([0, 2], dtype=np.int64))], out),
-        (ValueError, [merge], [_half(keys, merge=1)], out),
-        (ValueError, [merge], [_half(None)], out),
-        (TypeError, [merge], [_half(ints, lows=np.arange(4, dtype=np.int64), merge=0)], out),
+        (ValueError, [merge], [_half(keys, cascade=1)], out),
         (ValueError, [merge], [_half(keys[::2])], out),
         (ValueError, [merge], [_half(keys, cut=(np.ones(2), np.array([5, 0]), np.array([1, 3])))], out),
         (TypeError, [merge], [_half(keys, cut=(np.ones(2), np.ones(2), np.ones(2)))], out),
@@ -91,12 +99,12 @@ def test_folds_and_their_refusals_hold_no_memory():
     def run(calls: int) -> None:
         done = 0
         while done < calls:
-            for error, merges, halves, out in _folds():
+            for error, cascades, halves, out in _folds():
                 if error is None:
-                    native.fold(merges, halves, out)
+                    native.fold(cascades, halves, out)
                 else:
                     with pytest.raises(error):
-                        native.fold(merges, halves, out)
+                        native.fold(cascades, halves, out)
                 done += 1
 
     tracemalloc.start()
@@ -137,7 +145,7 @@ def test_a_large_merge_releases_the_gil():
         while not stamps:
             time.sleep(0.001)
         started = time.perf_counter()
-        (merged,) = native.fold([runs], [], np.zeros(0, dtype=np.int64))
+        ((merged,),) = native.fold([(runs, None)], [], np.zeros(0, dtype=np.int64))
         ended = time.perf_counter()
     finally:
         stop.set()

@@ -8,7 +8,7 @@ against one run, with no cut) and ``reference_state.merge_sorted`` (a fold
 of one cascade and no half).  Outputs must be equal and merged runs
 equal **byte for byte** (keys and cumulative counts), over float64 and int64
 keys with NaN (two payloads), +-inf, -0.0 and 0.0, the int64 extremes and
-2**53 + 1; unsorted needles and bounds in any order; empty runs and
+2**53 + 1; unsorted needles under every bound rule; empty runs and
 needles; fresh, counted and tombstone runs.  Inputs the kernel does not
 take -- other dtypes and sizes, strided arrays -- raise by name and leave
 everything untouched; read-only inputs are read.  (Many readers, runs,
@@ -43,6 +43,13 @@ from reference_planner import numpy_sweep_rows
 from repro.core.grid import BandGrid, WeightedGrid
 from repro.core.weights import WeightFunction
 from repro.joins import native
+from repro.joins.conditions import (
+    BandJoinCondition,
+    EquiJoinCondition,
+    InequalityJoinCondition,
+    InequalityOp,
+)
+from repro.joins.local import fold_half
 from repro.streaming import incremental
 
 #: A NaN with the sign bit set: a second payload, so a merge that kept the
@@ -87,6 +94,18 @@ def _run(rng: np.random.Generator, dtype: str, kind: str, size: int):
     return keys, np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
 
 
+#: A condition of each bound rule: a point (equi), an integral and a
+#: fractional band, their transposes and the four inequalities.
+CONDITIONS = [
+    EquiJoinCondition(),
+    BandJoinCondition(beta=2),
+    BandJoinCondition(beta=1.5),
+    BandJoinCondition(beta=2).transposed,
+    BandJoinCondition(beta=1.5).transposed,
+    *(InequalityJoinCondition(op) for op in InequalityOp),
+]
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -94,18 +113,19 @@ def _run(rng: np.random.Generator, dtype: str, kind: str, size: int):
     kind=st.sampled_from(["fresh", "counted", "tombstone"]),
     size=st.sampled_from([0, 1, 2, 9, 60]),
     needles=st.sampled_from([0, 1, 3, 40]),
+    condition=st.sampled_from(CONDITIONS),
 )
-@example(seed=1, dtype="float", kind="counted", size=0, needles=3)
-@example(seed=2, dtype="int", kind="tombstone", size=1, needles=0)
-def test_a_task_counts_what_numpy_counts(seed, dtype, kind, size, needles):
-    """Any bounds (NaN, +-inf, low above high), in any order, on any run."""
+@example(seed=1, dtype="float", kind="counted", size=0, needles=3, condition=CONDITIONS[0])
+@example(seed=2, dtype="int", kind="tombstone", size=1, needles=0, condition=CONDITIONS[2])
+def test_a_task_counts_what_numpy_counts(seed, dtype, kind, size, needles, condition):
+    """Any needles (NaN, +-inf, the int64 extremes), in any order, on any run,
+    bounded by each rule as ``joinable_bounds`` bounds them."""
     rng = np.random.default_rng(seed)
     run, cum = _run(rng, dtype, kind, size)
-    lows = _keys(rng, dtype, needles)
-    highs = np.where(rng.random(needles) < 0.8, np.maximum(lows, _keys(rng, dtype, needles)), lows)
+    keys = _keys(rng, dtype, needles)
     ours, theirs = np.full(1, -7, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    _count_one(run, cum, lows, highs, ours)
-    reference_counting.count_task(run, cum, lows, highs, theirs)
+    _count_one(run, cum, *fold_half(condition.bound_rule(), keys, _ONE, _ONE, [])[:2], ours)
+    reference_counting.count_task(run, cum, *reference_counting._bounds(condition, keys, run.dtype), theirs)
     # The kernel adds into its output: what it counted is the change.
     np.testing.assert_array_equal(ours + 7, theirs)
 
@@ -114,15 +134,16 @@ def test_a_task_counts_what_numpy_counts(seed, dtype, kind, size, needles):
 _ONE = np.zeros(1, dtype=np.int64)
 
 
-def _count_one(run, cum, lows, highs, out, readers=_ONE) -> None:
-    """Every needle one machine's, one run searched whole: a fold of one task and no merge."""
-    stops = np.array([lows.size], dtype=np.int64)
-    native.fold([], [(lows, highs, _ONE, stops, [([(run, cum)], readers, None, None)])], out)
+def _count_one(run, cum, needles, rule, out, readers=_ONE) -> None:
+    """Every needle one machine's, one run searched whole: a fold of one task and no cascade."""
+    stops = np.array([needles.size], dtype=np.int64)
+    native.fold([], [(needles, rule, _ONE, stops, [([(run, cum)], readers, None, None)])], out)
 
 
 def _merge(runs):
-    """A fold of one cascade and no half: the merged ``(keys, cum)``, or ``None``."""
-    return native.fold([runs], [], np.zeros(0, dtype=np.int64))[0]
+    """A fold of one cascade that merges every run and no half: the merged ``(keys, cum)``, or ``None``."""
+    (held,) = native.fold([(runs, None)], [], np.zeros(0, dtype=np.int64))
+    return held[0] if held else None
 
 
 @settings(max_examples=400, deadline=None)
@@ -169,29 +190,33 @@ def test_inputs_it_does_not_take_raise():
     ``TypeError`` / ``ValueError`` naming the input, nothing written.
     Read-only inputs are read."""
     run = np.arange(10.0)
-    lows, highs = np.arange(4.0), np.arange(4.0) + 2
+    needles, band = np.arange(4.0), ("band", 1)
     out = np.full(1, -7, dtype=np.int64)
     frozen_out = out.copy()
     frozen_out.flags.writeable = False
     refused = [
         (TypeError, "fold: keys is float32, not float64 or int64",
-         (run.astype(np.float32), None, lows, highs)),
-        (TypeError, "fold: highs is float64, not int64", (run, None, lows.astype(np.int64), highs)),
-        (ValueError, "fold: 4 float64 lows but 3 float64 highs", (run, None, lows, highs[:3])),
-        (ValueError, "fold: keys is strided, not C-contiguous", (run[::2], None, lows, highs)),
-        (ValueError, "fold: cum is 10 int64, not 11 int64", (run, np.arange(10), lows, highs)),
+         (run.astype(np.float32), None, needles, band)),
+        (TypeError, "fold: needles is float32, not float64 or int64",
+         (run, None, needles.astype(np.float32), band)),
+        (ValueError, "fold: beta is 1.5, a float, on int64 needles",
+         (run, None, needles.astype(np.int64), ("band", 1.5))),
+        (ValueError, "fold: rule is '=', not band, band_inverse, <, <=, > or >=",
+         (run, None, needles, ("=", 0))),
+        (ValueError, "fold: keys is strided, not C-contiguous", (run[::2], None, needles, band)),
+        (ValueError, "fold: cum is 10 int64, not 11 int64", (run, np.arange(10), needles, band)),
     ]
     for error, message, args in refused:
         with pytest.raises(error, match=message):
             _count_one(*args, out)
     with pytest.raises(TypeError, match="fold: out is int32, not int64"):
-        _count_one(run, None, lows, highs, out.astype(np.int32))
+        _count_one(run, None, needles, band, out.astype(np.int32))
     with pytest.raises(ValueError, match="fold: out is read-only, not writable"):
-        _count_one(run, None, lows, highs, frozen_out)
+        _count_one(run, None, needles, band, frozen_out)
     with pytest.raises(ValueError, match="fold: 1 starts and 1 stops for 0 machines"):
-        _count_one(run, None, lows, highs, out[:0])
+        _count_one(run, None, needles, band, out[:0])
     with pytest.raises(ValueError, match="fold: a group's reader is not one of the machines"):
-        _count_one(run, None, lows, highs, out, readers=np.ones(1, dtype=np.int64))
+        _count_one(run, None, needles, band, out, readers=np.ones(1, dtype=np.int64))
     assert out.tolist() == [-7]
 
     with pytest.raises(TypeError, match="fold: keys is float32, not float64 or int64"):
@@ -203,14 +228,14 @@ def test_inputs_it_does_not_take_raise():
     with pytest.raises(ValueError, match="fold: keys is strided, not C-contiguous"):
         _merge([(run, None), (run[::2], None)])
 
-    read_only = [array.copy() for array in (run, lows, highs)]
+    read_only = [array.copy() for array in (run, needles)]
     for array in read_only:
         array.flags.writeable = False
     expected = np.zeros(1, dtype=np.int64)
-    reference_counting.count_task(run, None, lows, highs, expected)
+    reference_counting.count_task(run, None, needles - 1, needles + 1, expected)
     out[:] = 0
-    _count_one(read_only[0], None, read_only[1], read_only[2], out)
-    assert out.tolist() == expected.tolist()
+    _count_one(read_only[0], None, read_only[1], band, out)
+    assert out.tolist() == expected.tolist() == [11]
     runs = [(read_only[0], None), (run, -np.arange(11, dtype=np.int64))]
     assert _merge(runs) is None is reference_state.merge_sorted(runs)
 

@@ -376,9 +376,14 @@ def test_a_steady_batch_stays_call_light():
     it about 288.  Holding each live set as a range -- no index array
     appended, searched or compared -- and evicting each expired batch from
     the sort its route already made -- no gather, no second sort -- makes
-    it about 251; the bound is that plus 10%, 276.  And every batch
-    computes its bounds exactly twice, once per half, and calls the kernel
-    exactly once, however many runs it merged and searched.
+    it about 251 (bound 276).  Handing the kernel each half's needles
+    and the condition's bound rule, and each group's runs and arrivals
+    -- the bounds and the run cascades computed in C, no
+    ``joinable_bounds`` pass and no cascade settled in Python -- makes it
+    about 199; the bound is that plus 10%, 219.  And no batch computes a
+    bound in Python, and every batch calls the kernel exactly once,
+    handing it about eight runs (each cascade's runs, its arrivals among
+    them, and the second half's), however many it merged and searched.
     """
     rng = np.random.default_rng([14, 1])
     values = rng.permutation(2_000)
@@ -430,11 +435,10 @@ def test_a_steady_batch_stays_call_light():
                 bookkeeping += 1
             elif arg is native.fold:  # a builtin: its arguments are the caller's locals
                 kernels += 1
-                runs += sum(
-                    len(group_runs) + (merge is not None)
-                    for *_, groups in frame.f_locals["halves"]
-                    for group_runs, _, _, merge in groups
-                )
+                # The runs the fold reads: each cascade's, its arrivals
+                # among them, and each second-half group's own.
+                runs += sum(len(cascade) + 1 for cascade, _ in frame.f_locals["cascades"])
+                runs += sum(len(own) for own, *_ in frame.f_locals["halves"][1][4])
 
     previous = sys.getprofile()
     route_sorts = 0
@@ -445,8 +449,8 @@ def test_a_steady_batch_stays_call_light():
             engine.process_batch(batch)
         finally:
             sys.setprofile(previous)
-        # One bounds pass per half, and one kernel call for the batch.
-        assert bounds == 2 and kernels == 1
+        # One kernel call for the batch, which bounds both halves itself.
+        assert bounds == 0 and kernels == 1
         # The router sorts the keys of each side of the batch once and hands
         # out slices; each side's expired slice is a batch the route stage
         # sorted, so nothing is gathered out of the logs or sorted again,
@@ -463,9 +467,9 @@ def test_a_steady_batch_stays_call_light():
         f"batch, 1 kernel call over {runs / measured:.1f} runs, "
         f"{route_sorts / measured:.0f} sorts, no gather from the arrival logs"
     )
-    # A few runs per side, each searched once for every machine.
-    assert 2 * measured <= runs <= 4 * measured
-    assert calls / measured <= 276
+    # A few runs per side, each read once for every machine.
+    assert 5 * measured <= runs <= 10 * measured
+    assert calls / measured <= 219
 
 
 def test_a_growth_batch_searches_distinct_keys(monkeypatch):
@@ -489,14 +493,13 @@ def test_a_growth_batch_searches_distinct_keys(monkeypatch):
     searched: "list[int]" = []
     fold = native.fold
 
-    def searching(merges, halves, out):
-        merged = fold(merges, halves, out)
+    def searching(cascades, halves, out):
+        held = fold(cascades, halves, out)
         for *_, groups in halves:
-            for runs, _, _, merge in groups:
-                searched[-1] += sum(len(keys) for keys, _ in runs)
-                if merge is not None and merged[merge] is not None:
-                    searched[-1] += len(merged[merge][0])
-        return merged
+            for runs, _, _, cascade in groups:
+                searched_runs = runs + ([] if cascade is None else held[cascade])
+                searched[-1] += sum(len(keys) for keys, _ in searched_runs)
+        return held
 
     monkeypatch.setattr(native, "fold", searching)
     backend = SimulatedBackend()
@@ -535,6 +538,11 @@ def test_a_growth_batch_searches_distinct_keys(monkeypatch):
     )
 
 
+#: The pair a growth-shaped owner counts with, one tuple for every batch as
+#: a backend's.
+GROWTH_CONDITIONS = (BAND, BAND.transposed)
+
+
 def _growth_owner(machines: int, runs: int):
     """A state owner in ``stream_growth``'s layout, each side ``runs`` runs, and a batch.
 
@@ -561,18 +569,22 @@ def _growth_owner(machines: int, runs: int):
 
     owner = StateOwner()
     owner.install(routed(100_000), routed(100_000))
-    for size in (10_000, 1_000)[: runs - 1]:
-        owner.count(routed(size), routed(size), (BAND, BAND.transposed))
+    # A first batch of nothing: the owner works out the conditions' bound
+    # rules once, as a stream's first batch does.
+    for size in (0, 10_000, 1_000)[:runs]:
+        owner.count(routed(size), routed(size), GROWTH_CONDITIONS)
     assert [len(states[0].runs) for states in owner.states] == [runs, runs]
     return owner, routed(100), routed(100)
+
 
 
 def test_a_batch_count_makes_the_same_calls_at_any_fleet_size_and_run_count():
     """A deterministic proxy for the count's fixed cost: no clock, no ``perf/``.
 
     A ``stream_growth``-shaped batch's count (``StateOwner.count``: each
-    side's cascade settled, each half bounded once, one fold call for the
-    batch) makes the same interpreter calls at J = 8 and J = 16, and with
+    side's runs and arrivals and each half's needles and bound rule handed
+    to one fold call for the batch, which settles the cascades and bounds
+    the needles) makes the same interpreter calls at J = 8 and J = 16, and with
     one run per side or three: the kernel cuts each machine's slice from
     each run and sums it into the machine's total, so nothing in the
     interpreter is done per machine or per run, and the kernel reads each
@@ -584,9 +596,7 @@ def test_a_batch_count_makes_the_same_calls_at_any_fleet_size_and_run_count():
     for machines in (8, 16):
         for runs in (1, 3):
             owner, new1, new2 = _growth_owner(machines, runs)
-            _, calls[machines, runs] = interpreter_calls(
-                owner.count, new1, new2, (BAND, BAND.transposed)
-            )
+            _, calls[machines, runs] = interpreter_calls(owner.count, new1, new2, GROWTH_CONDITIONS)
     print(f"a growth batch's count: {calls} interpreter calls (J, runs per side)")
     assert len(set(calls.values())) == 1
 
@@ -805,9 +815,9 @@ def test_an_in_process_migration_moves_nothing(monkeypatch):
         moved["install"] += adopting
         return install(self, keys)
 
-    def counted_fold(merges, halves, out):
-        moved["merge"] += adopting * len(merges)
-        return fold(merges, halves, out)
+    def counted_fold(cascades, halves, out):
+        moved["merge"] += adopting * len(cascades)
+        return fold(cascades, halves, out)
 
     monkeypatch.setattr(SortedRegionState, "install", counted_install)
     monkeypatch.setattr(native, "fold", counted_fold)
