@@ -7,29 +7,34 @@ inequality joins (``<``, ``<=``, ``>``, ``>=``) all belong to this class, as
 do conjunctions of an equality condition with a band condition when keys are
 encoded lexicographically (the BE_OCD join of the paper).
 
-Every concrete condition states its predicate exactly twice, both
-vectorised, plus its :attr:`~JoinCondition.transposed`:
+Every concrete condition states its predicate once, as a rule the compiled
+kernel evaluates, plus its :attr:`~JoinCondition.transposed`.  The rule
+(:meth:`~JoinCondition.rule`) is ``(name, beta)``: ``"band"`` with the band
+family's width (band, equi and composite), ``"band_inverse"`` with the
+width of the band it transposes, or an inequality's own symbol with width
+0.  The kernel reads it two ways:
 
-joinable bounds (the ``_bounds`` hook behind ``joinable_bounds(keys1)``)
-    For each R1 key, the closed interval ``[lo, hi]`` of R2 keys it joins.
-    Stream-Sample reads its joinable-set sizes d2 from them.  The count
-    kernel computes the same bounds itself, bit for bit, from the rule
-    :meth:`~JoinCondition.bound_rule` names, and binary-searches them.
+joinable bounds (``joinable_bounds(keys1)``, :func:`repro.joins.native.bounds`)
+    For each R1 key, the closed interval ``[lo, hi]`` of R2 keys it joins:
+    a band's ``[k - beta, k + beta]``, the transposed band's exact inverses
+    of those rounded bounds, an inequality's ``[k, far]`` or ``[far, k]``,
+    a strict one a step from ``k``.  Stream-Sample reads its joinable-set
+    sizes d2 from them, and the count kernel (:func:`repro.joins.native.fold`)
+    bounds its needles with the same loops.
 
-the candidate rule (the ``_rule`` hook behind ``candidate_spans``)
+candidate spans (``candidate_spans``, :func:`repro.joins.native.spans`)
     For a cell of key ranges ``[row_lo, row_hi] x [col_lo, col_hi]``, does
     it lie left or right of every pair its row can join?  A cell that does
     neither is a *candidate*: some pair in it may join.  Non-candidate cells
     are never assigned to a machine by the content-sensitive schemes.  The
-    rule is named, not coded: the band family's ``fl(row_lo - col_hi) >
-    beta`` / ``fl(col_lo - row_hi) > beta`` or an inequality's operator,
-    which the compiled kernel evaluates (:func:`repro.joins.native.spans`).
+    band family's test is ``fl(row_lo - col_hi) > beta`` / ``fl(col_lo -
+    row_hi) > beta`` (the transposed band's too), an inequality's its
+    operator.
 
 :class:`JoinCondition` derives every other view from those two, once:
 ``matches`` and ``matches_many`` test ``lo <= k2 <= hi``,
-``joinable_interval`` is one key's bounds, ``candidate_spans`` is each grid
-row's run of candidate columns ``[first, stop)``, ``candidate_grid`` the
-mask of those runs, ``cell_is_candidate`` a 1x1 grid and
+``joinable_interval`` is one key's bounds, ``candidate_grid`` is the mask
+of the spans' runs, ``cell_is_candidate`` a 1x1 grid and
 ``count_matches_per_key`` two searches.  The kernel, the samplers, the
 planner and the scalar test therefore cannot disagree about a pair.
 
@@ -42,16 +47,15 @@ two bisections per row on the rule itself.  Searching shifted boundaries
 (``searchsorted(col_hi, row_lo - beta)``) rounds differently from the
 test and is not exact.
 
-Keys that join nothing are ruled on once, in
-:meth:`JoinCondition.joinable_bounds`: they get the empty interval
-(:func:`_empty_interval`; ``(nan, +inf)`` for floats), so every count path
-counts zero for them and ``_bounds`` never sees one.  A NaN key joins
-nothing under every condition, and a strict inequality key at the far end
-of its domain (``+-inf``, or the int64 extremes) joins nothing because
-nothing lies beyond it.
+A key that joins nothing gets the empty interval (``(nan, +inf)`` for
+floats, ``(int64 max, int64 max - 1)`` for integers), so every count path
+counts zero for it: a NaN key under every condition, and a strict
+inequality's key at the far end of its domain (``+-inf``, or the int64
+extremes), since nothing lies beyond it.
 
-Bounds are in the keys' normalised dtype (:func:`normalise_keys`), to be
-searched in a side of the same dtype: ``matches_many``,
+Bounds are in the keys' normalised dtype (:func:`normalise_keys`) -- int64
+when the keys are integers and the width an int, float64 otherwise -- to
+be searched in a side of the same dtype: ``matches_many``,
 ``count_matches_per_key`` and the count kernel bring both sides to their
 common dtype first, so integer keys meet a float side as floats (``5 <
 5.5``, though the integer step ``5 + 1`` is not ``<= 5.5``).
@@ -140,21 +144,6 @@ def _common_keys(keys1, keys2) -> "tuple[np.ndarray, np.ndarray]":
     return keys1.astype(dtype, copy=False), keys2.astype(dtype, copy=False)
 
 
-_INT64_MIN = np.int64(np.iinfo(np.int64).min)
-_INT64_MAX = np.int64(np.iinfo(np.int64).max)
-
-
-def _empty_interval(shape, dtype: np.dtype) -> "tuple[np.ndarray, np.ndarray]":
-    """Bounds of keys that join nothing: ``(top, just below top)`` each.
-
-    ``top`` sorts last in ``dtype`` -- NaN for floats, the int64 maximum for
-    integers -- so no key lies in the interval, and on a sorted run of the
-    same dtype both bounds search to the same index.
-    """
-    top, below = (np.nan, np.inf) if dtype.kind == "f" else (_INT64_MAX, _INT64_MAX - 1)
-    return np.full(shape, top, dtype), np.full(shape, below, dtype)
-
-
 def _edges(*edges) -> "list[np.ndarray]":
     """Cell edges of a candidate grid as C-contiguous float64 arrays."""
     return [np.require(edge, np.float64, "CA") for edge in edges]
@@ -163,53 +152,28 @@ def _edges(*edges) -> "list[np.ndarray]":
 class JoinCondition:
     """Abstract base class for monotonic join conditions.
 
-    A subclass states its predicate twice -- ``_bounds`` (the joinable
-    bounds of keys that join something) and ``_rule`` (the candidate
-    rule) -- plus :attr:`transposed`.  Everything else is derived here,
-    once.
+    A subclass states its predicate once, as :meth:`rule`, plus
+    :attr:`transposed`.  Everything else is derived here, once.
     """
 
     #: Human-readable name used in reports and benchmark output.
     name: str = "join"
 
-    def _bounds(self, keys1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Closed joinable bounds of normalised R1 keys that join something."""
-        raise NotImplementedError
+    def rule(self) -> "tuple[str, int | float]":
+        """The condition's rule, as the compiled kernel evaluates it: ``(name, beta)``.
 
-    def _joins_nothing(self, keys1: np.ndarray) -> "np.ndarray | None":
-        """Mask of the normalised, non-empty ``keys1`` that join nothing, or ``None``.
-
-        A NaN key joins nothing.  A NaN-free array costs one reduction
-        (``min`` propagates NaN) and no allocation.
-        """
-        if keys1.dtype.kind == "f" and np.isnan(keys1.min()):
-            return np.isnan(keys1)
-        return None
-
-    def bound_rule(self) -> "tuple[str, int | float]":
-        """The joinable bounds as :func:`repro.joins.native.fold` computes them: ``(rule, beta)``.
-
-        The kernel bounds a count's needles by this rule, bit for bit as
-        :meth:`joinable_bounds` bounds them: ``"band"`` by ``[k - beta, k +
-        beta]``, ``"band_inverse"`` by the transposed band's exact
-        inverses, an inequality's operator by ``[k, far]`` or ``[far, k]``.
-        ``beta`` is an int when the width is integral (int64 needles meeting
-        int64 runs are then bounded in exact int64 arithmetic, a width
-        above 2**53 included) and a float otherwise, which bounds float64
-        needles only (:func:`repro.joins.local.fold_half` converts integer
-        ones, as numpy's float arithmetic on them would).
-        """
-        raise NotImplementedError
-
-    def _rule(self) -> "tuple[str, float]":
-        """The candidate rule as :func:`repro.joins.native.spans` names it: ``(rule, beta)``.
-
-        ``"band"`` excludes a cell lying left of every pair its row joins
-        (``fl(row_lo - col_hi) > beta``: even its highest key is too low)
-        and one lying right of them (``fl(col_lo - row_hi) > beta``);
-        ``"<"`` / ``"<="`` exclude the cells left of ``row_lo``, ``">"`` /
-        ``">="`` those right of ``row_hi``, by the operator's comparison.
-        ``beta`` is read by the band alone.
+        ``"band"`` bounds a key by ``[k - beta, k + beta]`` and excludes a
+        cell lying left of every pair its row joins (``fl(row_lo - col_hi)
+        > beta``: even its highest key is too low) or right of them
+        (``fl(col_lo - row_hi) > beta``); ``"band_inverse"`` bounds a key by
+        the transposed band's exact inverses and excludes the band's cells;
+        ``"<"`` / ``"<="`` bound by ``[k, far]`` and exclude the cells left
+        of ``row_lo``, ``">"`` / ``">="`` bound by ``[far, k]`` and exclude
+        those right of ``row_hi``, by the operator's comparison.  ``beta``
+        is an int when the width is integral (int64 keys are then bounded
+        in exact int64 arithmetic, a width above 2**53 included) and a float
+        otherwise, which bounds integer keys as float64; the inequalities'
+        is 0.
         """
         raise NotImplementedError
 
@@ -224,15 +188,14 @@ class JoinCondition:
 
         Rows are R1 key ranges ``[row_lo[i], row_hi[i]]``, columns R2 key
         ranges, each edge array ascending as a grid's are.  The left half
-        of :meth:`_rule` holds on a prefix of a row's columns and the right
+        of :meth:`rule` holds on a prefix of a row's columns and the right
         half on a suffix, so ``first`` is where the left stops holding and
         ``stop`` where the right starts: one kernel call
         (:func:`repro.joins.native.spans`) bisects both per row.  The rule
         is the one the dense mask evaluated, rounded as numpy rounds it, so
         the spans are its runs cell for cell.
         """
-        rule, beta = self._rule()
-        return native.spans(*_edges(row_lo, row_hi, col_lo, col_hi), rule, beta)
+        return native.spans(*_edges(row_lo, row_hi, col_lo, col_hi), *self.rule())
 
     def candidate_grid(
         self,
@@ -272,20 +235,13 @@ class JoinCondition:
     def joinable_bounds(self, keys1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-key closed bounds ``[lo, hi]`` of the R2 keys each R1 key joins.
 
-        Keys are normalised (:func:`normalise_keys`) and the bounds are in
-        their dtype.  The one rule for keys that join nothing lives here:
-        the keys :meth:`_joins_nothing` marks get the empty interval
-        (:func:`_empty_interval`) and never reach ``_bounds``.
+        Keys are normalised (:func:`normalise_keys`), of any shape, and
+        bounded by :meth:`rule` in one kernel call
+        (:func:`repro.joins.native.bounds`): int64 bounds for integer keys
+        under an int width, float64 otherwise, in the keys' shape.
         """
-        keys1 = normalise_keys(keys1)
-        nothing = self._joins_nothing(keys1) if keys1.size else None
-        if nothing is None:
-            return self._bounds(keys1)
-        joins = ~nothing
-        some_lows, some_highs = self._bounds(keys1[joins])
-        lows, highs = _empty_interval(keys1.shape, some_lows.dtype)
-        lows[joins], highs[joins] = some_lows, some_highs
-        return lows, highs
+        keys1 = np.require(normalise_keys(keys1), requirements="CA")
+        return native.bounds(keys1, *self.rule())
 
     def joinable_interval(self, k1: float) -> tuple[float, float]:
         """Return the closed interval ``[lo, hi]`` of R2 keys joinable with ``k1``."""
@@ -344,7 +300,7 @@ class BandJoinCondition(JoinCondition):
     beta: float
 
     def __post_init__(self) -> None:
-        if self.beta < 0:
+        if not self.beta >= 0:  # NaN too: it bounds nothing
             raise ValueError(f"band width must be non-negative, got {self.beta}")
 
     @property
@@ -359,61 +315,25 @@ class BandJoinCondition(JoinCondition):
         # _TransposedBandCondition) so both orientations agree bit-for-bit.
         return _TransposedBandCondition(self)
 
-    def _integral_beta(self) -> "np.int64 | None":
-        """The band width as an exact int64, or ``None`` if not integral.
+    def rule(self) -> "tuple[str, int | float]":
+        """``("band", beta)``, beta an int when integral.
 
+        Integer keys with an integral band width are bounded in exact int64
+        arithmetic (unsigned arrays via their exact int64 image): casting
+        integer keys above 2**53 to float64 rounds them, which can move a
+        key across the band boundary and change the join output.  ``k +-
+        beta`` past the int64 range saturates at its extremes -- no int64
+        key lies beyond them.  Float keys, or a fractional width, bound in
+        float64.  Cell edges may be infinite (a histogram's open ends):
+        IEEE 754 makes the difference of two infinities of one sign NaN and
+        ``NaN > beta`` false, so such a cell is never excluded -- rightly:
+        both ranges reach the same infinite key, and ``inf`` joins ``inf``.
         A width given as a Python int converts directly -- routing it
         through ``float`` first would round widths above 2**53, silently
         changing which keys fall inside the band.
         """
-        if isinstance(self.beta, (int, np.integer)) and not isinstance(
-            self.beta, bool
-        ):
-            if abs(int(self.beta)) < 2**62:
-                return np.int64(self.beta)
-            return None
-        beta = float(self.beta)
-        if beta.is_integer() and abs(beta) < 2**62:
-            return np.int64(beta)
-        return None
-
-    def _bounds(self, keys1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-key closed bounds ``[k - beta, k + beta]``, dtype-aware.
-
-        Integer keys with an integral band width are bounded in exact
-        int64 arithmetic (unsigned arrays via their exact int64 image):
-        casting integer keys above 2**53 to float64 rounds them, which can
-        move a key across the band boundary and change the join output.
-        ``k +- beta`` past the int64 range saturates at its extremes -- no
-        int64 key lies beyond them, so the bound is exact, where the
-        wrapped sum would silently turn the interval inside out.  Float
-        keys, or a fractional width, bound in float64.
-        """
-        beta = self._integral_beta()
-        if beta is None or keys1.dtype.kind == "f":
-            beta = float(self.beta)
-            return keys1 - beta, keys1 + beta
-        lows, highs = keys1 - beta, keys1 + beta
-        lows[keys1 < _INT64_MIN + beta] = _INT64_MIN
-        highs[keys1 > _INT64_MAX - beta] = _INT64_MAX
-        return lows, highs
-
-    def bound_rule(self) -> "tuple[str, int | float]":
-        """``("band", beta)``: :meth:`_bounds`' ``k +- beta``, beta an int when integral."""
-        beta = self._integral_beta()
-        return "band", float(self.beta) if beta is None else int(beta)
-
-    def _rule(self) -> "tuple[str, float]":
-        """A cell may join unless its ranges are more than beta apart.
-
-        Edges may be infinite (a histogram's open ends).  IEEE 754 makes
-        the difference of two infinities of one sign NaN and ``NaN > beta``
-        false, so such a cell is never excluded -- rightly: both ranges
-        reach the same infinite key, and ``inf`` joins ``inf``.  A finite
-        difference past the largest double rounds to ``+-inf``, which
-        compares as the true difference does.  The width is compared as
-        the float64 numpy would convert it to.
-        """
+        if abs(self.beta) < 2**62 and float(self.beta).is_integer():
+            return "band", int(self.beta)
         return "band", float(self.beta)
 
     def __repr__(self) -> str:
@@ -463,73 +383,20 @@ class InequalityJoinCondition(JoinCondition):
         return f"inequality({self.op.value})"
 
     @property
-    def _above(self) -> bool:
-        """Whether ``k1`` joins the R2 keys above it (``<``, ``<=``)."""
-        return self.op in (InequalityOp.LT, InequalityOp.LE)
-
-    @property
-    def _strict(self) -> bool:
-        """Whether ``k1`` itself is excluded (``<``, ``>``)."""
-        return self.op in (InequalityOp.LT, InequalityOp.GT)
-
-    @property
     def transposed(self) -> "InequalityJoinCondition":
         # k1 < k2 seen from the R2 side is k2 > k1: flip the operator.
         return InequalityJoinCondition(InequalityOp(self.op.value.translate(_FLIP)))
 
-    def _far(self, keys1: np.ndarray) -> "float | int":
-        """The end of the keys' domain ``k1`` looks towards.
+    def rule(self) -> "tuple[str, int | float]":
+        """The operator's own symbol, with no width.
 
-        ``+-inf`` for float keys, the int64 extremes for integer keys.
+        Above ``k1`` the bounds are ``[k1 (+ step), far]`` and the cells too
+        far left are excluded (``row_lo`` against ``col_hi``), below it
+        ``[far, k1 (- step)]`` and those too far right (``col_lo`` against
+        ``row_hi``).  Integer keys step by 1 and end at the int64 extremes,
+        float keys step by one ulp (``nextafter``) and end at ``+-inf``.
         """
-        ends = (-np.inf, np.inf) if keys1.dtype.kind == "f" else (_INT64_MIN, _INT64_MAX)
-        return ends[self._above]
-
-    def _joins_nothing(self, keys1: np.ndarray) -> "np.ndarray | None":
-        """NaN keys, and strict keys at the far end: nothing lies beyond it.
-
-        ``fmax`` / ``fmin`` skip NaN, so the check is one more reduction.
-        """
-        nothing = super()._joins_nothing(keys1)
-        far = self._far(keys1)
-        if self._strict and (np.fmax if self._above else np.fmin).reduce(keys1) == far:
-            beyond = keys1 == far
-            nothing = beyond if nothing is None else beyond | nothing
-        return nothing
-
-    def _bounds(self, keys1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``[k1 (+ step), far]`` above ``k1`` or ``[far, k1 (- step)]`` below.
-
-        Integer keys are bounded in exact int64 arithmetic with ``k +- 1`` as
-        the strict step (a key at the far end joins nothing, so the step
-        never overflows); float keys step by one ulp (``nextafter``).
-        """
-        far = self._far(keys1)
-        near = keys1
-        if self._strict:
-            if keys1.dtype.kind == "f":
-                # IEEE 754's nextafter from the largest finite double toward
-                # inf is inf, flagged as an overflow: the exact strict bound,
-                # since no finite key lies beyond it.
-                with np.errstate(over="ignore"):
-                    near = np.nextafter(keys1, far)
-            else:
-                near = keys1 + (1 if self._above else -1)
-        ends = np.full_like(keys1, far)
-        return (near, ends) if self._above else (ends, near)
-
-    def bound_rule(self) -> "tuple[str, int | float]":
-        """The operator's own symbol: :meth:`_bounds`' rule, with no width."""
         return self.op.value, 0
-
-    def _rule(self) -> "tuple[str, float]":
-        """A cell may join iff its most favourable pair does.
-
-        Above ``k1`` the cells too far left are excluded (``row_lo`` against
-        ``col_hi``), below it those too far right (``col_lo`` against
-        ``row_hi``): the operator's own symbol.
-        """
-        return self.op.value, 0.0
 
     def __repr__(self) -> str:
         return f"InequalityJoinCondition(op=InequalityOp.{self.op.name})"
@@ -615,8 +482,8 @@ class _TransposedBandCondition(JoinCondition):
     fl(k1 + beta)``, evaluated per R1 key.  Counting from the R2 side needs
     the set of R1 keys matching a given ``k2`` -- and because the bounds are
     *rounded* functions of ``k1``, that set is ``[L(k2), U(k2)]`` for the
-    exact inverses the compiled kernel computes
-    (:func:`repro.joins.native.band_inverse`), not the naively mirrored
+    exact inverses the compiled kernel computes under the ``"band_inverse"``
+    rule (:func:`repro.joins.native.bounds`), not the naively mirrored
     ``[fl(k2 - beta), fl(k2 + beta)]`` (which can disagree by one ulp
     exactly at a band boundary).  With this wrapper both orientations agree bit-for-bit on
     every float input, which the streaming engine's incremental counting
@@ -635,32 +502,19 @@ class _TransposedBandCondition(JoinCondition):
         """Transposing twice restores the original orientation."""
         return self.base
 
-    def _bounds(self, keys1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised exact inverse bounds (what incremental counting uses).
+    def rule(self) -> "tuple[str, int | float]":
+        """``("band_inverse", beta)``, the base's width.
 
-        NaN keys never get here (:meth:`JoinCondition.joinable_bounds`), so
-        none is bisected.  Integer keys with an integral band width take the
-        base's exact int64 path: the integer band test rounds nothing in
-        ``k +- beta``, so it is its own inverse -- the float-ordinal
-        inversion machinery exists only because *float* bounds round.
+        Float keys are bounded by the exact inverses, bisected where a few
+        one-ulp nudges do not settle them.  Integer keys with an integral
+        width take the base's exact int64 bounds: the integer band test
+        rounds nothing in ``k +- beta``, so it is its own inverse.  Cells
+        are excluded by the base's test: the base grid with the sides
+        swapped and transposed tests ``fl(row_lo - col_hi) > beta`` and
+        ``fl(col_lo - row_hi) > beta`` on each cell, the base's two halves,
+        each on the other side.
         """
-        if keys1.dtype.kind == "i" and self.base._integral_beta() is not None:
-            return self.base._bounds(keys1)
-        keys1 = np.ascontiguousarray(keys1, dtype=np.float64)  # repro: ignore[KEY001]  # band inverse works in the keys' float64 image
-        return native.band_inverse(keys1, float(self.base.beta))
-
-    def bound_rule(self) -> "tuple[str, int | float]":
-        """``("band_inverse", beta)``: :meth:`_bounds`' inverses, the base's width."""
-        return "band_inverse", self.base.bound_rule()[1]
-
-    def _rule(self) -> "tuple[str, float]":
-        """The base condition's rule, unchanged.
-
-        The base grid with the sides swapped and transposed tests
-        ``fl(row_lo - col_hi) > beta`` and ``fl(col_lo - row_hi) > beta``
-        on each cell: the base's two halves, each on the other side.
-        """
-        return self.base._rule()
+        return "band_inverse", self.base.rule()[1]
 
     def __repr__(self) -> str:
         return f"_TransposedBandCondition({self.base!r})"

@@ -16,7 +16,7 @@ needle and run -- sorted needles each start where the previous one's answer
 was, so an answer a few keys away costs a short walk and a farther one
 ``O(log gap)`` -- in the compiled kernel's fold
 (:func:`repro.joins.native.fold`), which bounds the needles itself by the
-condition's rule (:meth:`~repro.joins.conditions.JoinCondition.bound_rule`).
+condition's rule (:meth:`~repro.joins.conditions.JoinCondition.rule`).
 :func:`fold_half` states one half of a count as the fold takes it -- a
 stream batch's two halves ride one fold with the batch's run cascades
 (:meth:`~repro.streaming.backends.StateOwner.count`) -- and
@@ -115,7 +115,7 @@ def fold_half(
     ``(needles, rule, starts, stops, groups)``: machine ``m``'s needles are
     ``needles[starts[m]:stops[m]]`` (float64 or int64, normalised), bounded
     in the kernel by ``rule``, a condition's
-    :meth:`~repro.joins.conditions.JoinCondition.bound_rule`, and
+    :meth:`~repro.joins.conditions.JoinCondition.rule`, and
     ``groups`` the groups they search, each ``(runs, readers, cut,
     cascade)``.  A band's fractional width bounds integer needles in
     float64, as numpy's arithmetic on them does, so they are converted
@@ -151,5 +151,5 @@ def count_runs(
     """
     if needles.size:
         groups = [(runs, readers, cut, None) for runs, readers in groups]
-        half = fold_half(condition.bound_rule(), normalise_keys(needles), starts, stops, groups)
+        half = fold_half(condition.rule(), normalise_keys(needles), starts, stops, groups)
         native.fold([], [half], out)

@@ -18,8 +18,8 @@
  *            with a half and no cascade per batch join (the first half of a
  *            batch into empty state), one with a cascade and no half for
  *            repro.streaming.incremental's appends and merges.
- * band_inverse  the transposed band's exact inverse bounds, by the loop
- *            fold's bounds share.
+ * bounds     a condition's joinable bounds of any needles, by the loops
+ *            fold's bounds share: JoinCondition.joinable_bounds.
  * offer      offers one batch of entries to a bounded Efraimidis-Spirakis
  *            min-heap held as three parallel arrays (priority, counter,
  *            payload): repro.streaming.incremental.DecayedReservoir.add_batch
@@ -465,10 +465,10 @@ FIND(i64, int64_t, NEVER_NAN)
 #define RUN_MERGE_RATIO 8
 
 /*
- * The rules a condition's joinable bounds follow (fold) and the candidate
- * rules of its grid cells (spans, which takes the first five).  The band
- * family's band, the inequalities' operators, and the transposed band's
- * exact inverse of a band.
+ * The rules a condition's joinable bounds follow (fold, bounds) and the
+ * candidate rules of its grid cells (spans, which reads the transposed
+ * band's as the band's).  The band family's band, the inequalities'
+ * operators, and the transposed band's exact inverse of a band.
  */
 enum rule { BAND, LESS, LESS_EQUAL, GREATER, GREATER_EQUAL, RULES, INVERSE = RULES, FOLD_RULES };
 
@@ -644,8 +644,8 @@ static double upper_inverse(double k, double beta)
 
 /*
  * lows[i] = L(keys[i]) and highs[i] = U(keys[i]); a NaN key joins nothing:
- * (NaN, +inf).  The loop of the band_inverse entry point and of fold's
- * transposed-band bounds, which may pass lows as keys: each key is read
+ * (NaN, +inf).  The loop of the transposed band's bounds (fold's and the
+ * bounds entry point's), which may pass lows as keys: each key is read
  * before its bounds are written.
  */
 static void band_inverse(const double *keys, int64_t size, double beta, double *lows,
@@ -2487,61 +2487,71 @@ static int parse_group(struct parse *parse, PyObject *obj, const struct half *ha
     return 0;
 }
 
-static int rule_of(const char *name);
+/*
+ * The rule `name` spells, or FOLD_RULES for none.  Compared here, not by
+ * strcmp: a libc function the library did not import adds a PLT slot
+ * before .text, which moves every loop 16 bytes, count_run's off the
+ * 32-byte boundary it had (stream_steady read 0.978x tuples_per_s, 0/4
+ * pairs on a 2-core Xeon, until this loop replaced strcmp).
+ */
+static int rule_of(const char *name)
+{
+    static const char *rules[FOLD_RULES] = {"band", "<", "<=", ">", ">=", "band_inverse"};
+    int rule, i;
+    for (rule = 0; rule < FOLD_RULES; rule++) {
+        for (i = 0; name[i] && name[i] == rules[rule][i]; i++)
+            ;
+        if (name[i] == rules[rule][i])
+            break;
+    }
+    return rule;
+}
 
 /*
- * A half's bound rule: (name, beta), the name one of the fold's rules and
- * beta a width that is not NaN or negative -- an int (exact: the int64
- * bounds of int64 needles) or a float, which bounds float64 needles only
- * under a band's rule.
+ * A condition's rule, as JoinCondition.rule gives it to fold, bounds and
+ * spans: its name, one of the six rules, into half->rule, and its width
+ * beta, not NaN or negative -- an int (exact: int_beta, which bounds int64
+ * needles in int64) or a float (int_beta -1), each also as a double.  0,
+ * or -1 with an error that starts with `entry`.
  */
-static int parse_rule(struct parse *parse, PyObject *obj, struct half *half)
+static int parse_rule(const char *entry, PyObject *name_obj, PyObject *beta, struct half *half)
 {
-    PyObject *parts[2];
     const char *name;
-    if (unpack(parse, obj, 2, "a rule", parts))
-        return -1;
-    if (!PyUnicode_Check(parts[0])) {
-        PyErr_Format(PyExc_TypeError, "fold: a rule's name is a %.200s, not a str",
-                     Py_TYPE(parts[0])->tp_name);
+    if (!PyUnicode_Check(name_obj)) {
+        PyErr_Format(PyExc_TypeError, "%s: a rule's name is a %.200s, not a str", entry,
+                     Py_TYPE(name_obj)->tp_name);
         return -1;
     }
-    if (!(name = PyUnicode_AsUTF8(parts[0])))
+    if (!(name = PyUnicode_AsUTF8(name_obj)))
         return -1;
     if ((half->rule = rule_of(name)) >= FOLD_RULES) {
         PyErr_Format(PyExc_ValueError,
-                     "fold: rule is '%s', not band, band_inverse, <, <=, > or >=", name);
+                     "%s: rule is '%s', not band, band_inverse, <, <=, > or >=", entry, name);
         return -1;
     }
-    if (PyFloat_Check(parts[1])) {
+    if (PyFloat_Check(beta)) {
         half->int_beta = -1;
-        half->beta = PyFloat_AS_DOUBLE(parts[1]);
+        half->beta = PyFloat_AS_DOUBLE(beta);
         if (FLOAT_IS_NAN(half->beta) || half->beta < 0) {
-            PyErr_Format(PyExc_ValueError, "fold: beta is %R, not a width", parts[1]);
+            PyErr_Format(PyExc_ValueError, "%s: beta is %R, not a width", entry, beta);
             return -1;
         }
-    } else if (PyIndex_Check(parts[1])) {
-        PyObject *index = PyNumber_Index(parts[1]);
+    } else if (PyIndex_Check(beta)) {
+        PyObject *index = PyNumber_Index(beta);
         int overflow = 0;
-        long long beta = index ? PyLong_AsLongLongAndOverflow(index, &overflow) : -1;
+        long long value = index ? PyLong_AsLongLongAndOverflow(index, &overflow) : -1;
         Py_XDECREF(index);
-        if (beta == -1 && PyErr_Occurred())
+        if (value == -1 && PyErr_Occurred())
             return -1;
-        if (overflow || beta < 0) {
-            PyErr_Format(PyExc_ValueError, "fold: beta is %R, not a width in int64", parts[1]);
+        if (overflow || value < 0) {
+            PyErr_Format(PyExc_ValueError, "%s: beta is %R, not a width in int64", entry, beta);
             return -1;
         }
-        half->int_beta = (int64_t)beta;
-        half->beta = (double)beta;
+        half->int_beta = (int64_t)value;
+        half->beta = (double)value;
     } else {
-        PyErr_Format(PyExc_TypeError, "fold: beta is a %.200s, not an int or a float",
-                     Py_TYPE(parts[1])->tp_name);
-        return -1;
-    }
-    if (half->int_beta < 0 && half->dtype == I64 && (half->rule == BAND || half->rule == INVERSE)) {
-        PyErr_Format(PyExc_ValueError,
-                     "fold: beta is %R, a float, on int64 needles: their band takes an int",
-                     parts[1]);
+        PyErr_Format(PyExc_TypeError, "%s: beta is a %.200s, not an int or a float", entry,
+                     Py_TYPE(beta)->tp_name);
         return -1;
     }
     return 0;
@@ -2550,7 +2560,7 @@ static int parse_rule(struct parse *parse, PyObject *obj, struct half *half)
 /* One half: (needles, rule, starts, stops, groups). */
 static int parse_half(struct parse *parse, PyObject *obj, struct half *half)
 {
-    PyObject *parts[5], *groups;
+    PyObject *parts[5], *rule[2], *groups;
     PyArrayObject *array[3]; /* needles, starts, stops */
     struct group *level;
     Py_ssize_t i;
@@ -2558,8 +2568,17 @@ static int parse_half(struct parse *parse, PyObject *obj, struct half *half)
         || !(array[0] = held(parse, "needles", parts[0], ANY_KEY)))
         return -1;
     half->dtype = key_dtype(array[0]);
-    if (parse_rule(parse, parts[1], half)
-        || !(array[1] = held(parse, "starts", parts[2], I64_ONLY))
+    if (unpack(parse, parts[1], 2, "a rule", rule) || parse_rule("fold", rule[0], rule[1], half))
+        return -1;
+    /* fold bounds int64 needles in int64 only: local.fold_half converts
+     * them for a fractional width. */
+    if (half->int_beta < 0 && half->dtype == I64 && (half->rule == BAND || half->rule == INVERSE)) {
+        PyErr_Format(PyExc_ValueError,
+                     "fold: beta is %R, a float, on int64 needles: their band takes an int",
+                     rule[1]);
+        return -1;
+    }
+    if (!(array[1] = held(parse, "starts", parts[2], I64_ONLY))
         || !(array[2] = held(parse, "stops", parts[3], I64_ONLY)))
         return -1;
     if (SIZE(array[1]) != parse->machines || SIZE(array[2]) != parse->machines) {
@@ -2687,10 +2706,11 @@ PyDoc_STRVAR(fold_doc,
 "whose ``first[i]`` / ``last[i]`` say where reader ``i``'s slice starts\n"
 "and stops, or ``None``: each reads the runs whole) and the index of a\n"
 "cascade whose run list it searches too (or ``None``).  The rule is\n"
-"``(name, beta)`` as :meth:`~repro.joins.conditions.JoinCondition.bound_rule`\n"
+"``(name, beta)`` as :meth:`~repro.joins.conditions.JoinCondition.rule`\n"
 "gives it: ``\"band\"`` bounds a needle ``k`` by ``[k - beta, k + beta]``,\n"
-"``\"band_inverse\"`` by the transposed band's exact inverses (what\n"
-":func:`band_inverse` returns), ``\"<\"`` / ``\"<=\"`` by ``[k, +inf]`` and\n"
+"``\"band_inverse\"`` by the transposed band's exact inverses (the\n"
+"smallest ``x`` with ``fl(x + beta) >= k``, the largest with ``fl(x -\n"
+"beta) <= k``), ``\"<\"`` / ``\"<=\"`` by ``[k, +inf]`` and\n"
 "``\">\"`` / ``\">=\"`` by ``[-inf, k]``, a strict one a step from ``k``\n"
 "(``nextafter``; ``k +- 1`` in int64), and a needle that joins nothing\n"
 "(NaN, or a strict needle at the far end) by the empty interval --\n"
@@ -2782,37 +2802,51 @@ done:
     return results;
 }
 
-PyDoc_STRVAR(band_inverse_doc,
-"band_inverse(keys, beta)\n--\n\n"
-"A band's exact inverse bounds ``(L, U)``: the R1 keys each R2 key in ``keys`` joins.\n\n"
-"The band test from the R1 side is ``fl(k1 - beta) <= k2 <= fl(k1 +\n"
-"beta)``; from the R2 side it is ``L(k2) <= k1 <= U(k2)``, ``L(k)`` the\n"
-"smallest ``x`` with ``fl(x + beta) >= k`` and ``U(k)`` the largest with\n"
-"``fl(x - beta) <= k``.  Each is a few one-ulp steps from ``fl(k -+\n"
-"beta)``, or a bisection over the doubles' ordinals where the key's ulp\n"
-"is far finer than the sum's; no step overflows (the step above the\n"
-"largest double is ``inf``) and nothing warns.  Both are float64 in the\n"
-"keys' shape.  ``keys`` are float64, C-contiguous and not NaN; otherwise\n"
-"this raises by name.  ``tests/reference_conditions.py`` keeps the numpy\n"
-"form they equal bit for bit.");
+PyDoc_STRVAR(bounds_doc,
+"bounds(needles, rule, beta)\n--\n\n"
+"A condition's joinable bounds ``(lows, highs)``: the keys each needle joins.\n\n"
+":meth:`~repro.joins.conditions.JoinCondition.joinable_bounds`, by the\n"
+"loops that bound :func:`fold`'s needles: ``(rule, beta)`` is the\n"
+"condition's rule, parsed and applied as :func:`fold` applies it, and a\n"
+"needle that joins nothing gets the empty interval.  The bounds are int64\n"
+"when the needles are int64 and ``beta`` an int, and float64 otherwise\n"
+"(int64 needles bounded as the doubles they convert to), in the needles'\n"
+"shape; nothing overflows and nothing warns.  ``needles`` are float64 or\n"
+"int64 of any shape, C-contiguous and aligned; otherwise this raises by\n"
+"name.  ``tests/reference_conditions.py`` keeps the numpy twins they equal\n"
+"bit for bit.");
 
-static PyObject *py_band_inverse(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
+static PyObject *py_bounds(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
 {
-    static char *keywords[] = {"keys", "beta", NULL};
-    PyObject *keys_obj;
-    PyArrayObject *keys, *lows, *highs;
-    double beta;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Od:band_inverse", keywords,
-                                     &keys_obj, &beta)
-        || !(keys = take("band_inverse", "keys", keys_obj, F64_ONLY, 0))
-        || !(lows = new_array(PyArray_NDIM(keys), PyArray_DIMS(keys), NPY_DOUBLE)))
+    static char *keywords[] = {"needles", "rule", "beta", NULL};
+    PyObject *needles_obj, *rule_obj, *beta_obj;
+    PyArrayObject *needles, *lows, *highs;
+    struct half half;
+    int64_t whole[2];
+    int type;
+    memset(&half, 0, sizeof half);
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:bounds", keywords, &needles_obj,
+                                     &rule_obj, &beta_obj)
+        || !(needles = take("bounds", "needles", needles_obj, ANY_KEY, 0)))
         return NULL;
-    if (!(highs = new_array(PyArray_NDIM(keys), PyArray_DIMS(keys), NPY_DOUBLE))) {
+    half.dtype = key_dtype(needles);
+    if (parse_rule("bounds", rule_obj, beta_obj, &half))
+        return NULL;
+    type = half.dtype == I64 && half.int_beta >= 0 ? NPY_INT64 : NPY_DOUBLE;
+    if (!(lows = new_array(PyArray_NDIM(needles), PyArray_DIMS(needles), type)))
+        return NULL;
+    if (!(highs = new_array(PyArray_NDIM(needles), PyArray_DIMS(needles), type))) {
         Py_DECREF(lows);
         return NULL;
     }
+    half.needles = PyArray_DATA(needles);
+    whole[0] = 0;
+    whole[1] = SIZE(needles);
     Py_BEGIN_ALLOW_THREADS
-    band_inverse(PyArray_DATA(keys), SIZE(keys), beta, PyArray_DATA(lows), PyArray_DATA(highs));
+    if (type == NPY_INT64)
+        bounds_i64(&half, whole, 1, PyArray_DATA(lows), PyArray_DATA(highs));
+    else
+        bounds_f64(&half, whole, 1, PyArray_DATA(lows), PyArray_DATA(highs));
     Py_END_ALLOW_THREADS
     return Py_BuildValue("NN", lows, highs);
 }
@@ -3406,52 +3440,32 @@ PyDoc_STRVAR(spans_doc,
 "Each grid row's candidate columns ``(first, stop)``, int64, ``stop >= first``.\n\n"
 ":meth:`~repro.joins.conditions.JoinCondition.candidate_spans`: rows are\n"
 "R1 key ranges ``[row_lo[i], row_hi[i]]``, columns R2 key ranges, every\n"
-"edge array float64 and ascending, each pair of one size.  ``rule`` is\n"
-"the condition's: ``\"band\"`` excludes a cell when ``fl(row_lo - col_hi)``\n"
-"or ``fl(col_lo - row_hi)`` is more than ``beta`` (the band family: band,\n"
-"equi, composite and the transposed band), ``\"<\"`` / ``\"<=\"`` when\n"
-"``row_lo`` is not below / not at most ``col_hi``, ``\">\"`` / ``\">=\"``\n"
-"when ``col_lo`` is not below / not at most ``row_hi``; ``beta`` is read\n"
-"by the band alone.  Each end is found by bisection on the rule as numpy\n"
+"edge array float64 and ascending, each pair of one size.  ``(rule,\n"
+"beta)`` is the condition's rule, parsed as :func:`bounds` parses it:\n"
+"``\"band\"`` excludes a cell when ``fl(row_lo - col_hi)`` or ``fl(col_lo -\n"
+"row_hi)`` is more than ``beta`` (the band family: band, equi and\n"
+"composite; ``\"band_inverse\"``, the transposed band's, excludes the same\n"
+"cells), ``\"<\"`` / ``\"<=\"`` when ``row_lo`` is not below / not at most\n"
+"``col_hi``, ``\">\"`` / ``\">=\"`` when ``col_lo`` is not below / not at\n"
+"most ``row_hi``; ``beta`` is read by the band alone, as a double.  Each\n"
+"end is found by bisection on the rule as numpy\n"
 "rounds it, so every span is the run of the dense mask's candidate cells\n"
 "(``tests/test_spans_oracle.py`` holds it to the numpy search it\n"
 "replaced).  Anything else raises by name.");
-
-/*
- * The rule `name` spells (band_inverse: INVERSE, fold's alone), or
- * FOLD_RULES for none.  Compared here, not by
- * strcmp: a libc function the library did not import adds a PLT slot
- * before .text, which moves every loop 16 bytes, count_run's off the
- * 32-byte boundary it had (stream_steady read 0.978x tuples_per_s, 0/4
- * pairs on a 2-core Xeon, until this loop replaced strcmp).
- */
-static int rule_of(const char *name)
-{
-    static const char *rules[FOLD_RULES] = {"band", "<", "<=", ">", ">=", "band_inverse"};
-    int rule, i;
-    for (rule = 0; rule < FOLD_RULES; rule++) {
-        for (i = 0; name[i] && name[i] == rules[rule][i]; i++)
-            ;
-        if (name[i] == rules[rule][i])
-            break;
-    }
-    return rule;
-}
 
 static PyObject *py_spans(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
 {
     static char *keywords[] = {"row_lo", "row_hi", "col_lo", "col_hi", "rule", "beta", NULL};
     static const char *names[4] = {"row_lo", "row_hi", "col_lo", "col_hi"};
-    PyObject *objs[4];
+    PyObject *objs[4], *rule_obj, *beta_obj;
     PyArrayObject *array[4], *first, *stop;
     const double *edge[4];
-    const char *rule_name;
+    struct half rule;
     npy_intp rows;
     int64_t cols;
-    double beta;
-    int i, rule;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOsd:spans", keywords, &objs[0],
-                                     &objs[1], &objs[2], &objs[3], &rule_name, &beta))
+    int i;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOO:spans", keywords, &objs[0],
+                                     &objs[1], &objs[2], &objs[3], &rule_obj, &beta_obj))
         return NULL;
     for (i = 0; i < 4; i++) {
         if (!(array[i] = take("spans", names[i], objs[i], F64_ONLY, 0)))
@@ -3464,11 +3478,8 @@ static PyObject *py_spans(PyObject *Py_UNUSED(module), PyObject *args, PyObject 
                          names[i], SIZE(array[i]), names[i + 1], SIZE(array[i + 1]));
             return NULL;
         }
-    if ((rule = rule_of(rule_name)) >= RULES) {
-        PyErr_Format(PyExc_ValueError, "spans: rule is '%s', not band, <, <=, > or >=",
-                     rule_name);
+    if (parse_rule("spans", rule_obj, beta_obj, &rule))
         return NULL;
-    }
     rows = SIZE(array[0]);
     cols = SIZE(array[2]);
     if (!(first = new_array(1, &rows, NPY_INT64)))
@@ -3479,10 +3490,10 @@ static PyObject *py_spans(PyObject *Py_UNUSED(module), PyObject *args, PyObject 
     }
     Py_BEGIN_ALLOW_THREADS
 #define CALL(NAME)                                                             \
-    spans_##NAME(edge[0], edge[1], rows, edge[2], edge[3], cols, beta,        \
+    spans_##NAME(edge[0], edge[1], rows, edge[2], edge[3], cols, rule.beta,   \
                  PyArray_DATA(first), PyArray_DATA(stop))
-    switch (rule) {
-    case BAND: CALL(band); break;
+    switch (rule.rule) {
+    case BAND: case INVERSE: CALL(band); break;
     case LESS: CALL(less); break;
     case LESS_EQUAL: CALL(less_equal); break;
     case GREATER: CALL(greater); break;
@@ -3498,7 +3509,7 @@ static PyObject *py_spans(PyObject *Py_UNUSED(module), PyObject *args, PyObject 
 
 static PyMethodDef methods[] = {
     {"fold", ENTRY(fold)},
-    {"band_inverse", ENTRY(band_inverse)},
+    {"bounds", ENTRY(bounds)},
     {"offer", ENTRY(offer)},
     {"coarsen", ENTRY(coarsen)},
     {"closure", ENTRY(closure)},

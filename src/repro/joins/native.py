@@ -5,8 +5,8 @@ in inner loops that numpy can only run as a dozen small-array calls
 each, or as one Python-level step per element: a batch's state work and
 count (each group's run cascade settled and merged, each half's needles
 bounded by the condition's rule, each machine's slice of every run cut,
-its needles searched and its counts summed), a transposed band's exact
-inverse bounds, the offer of entries to an Efraimidis--Spirakis
+its needles searched and its counts summed), a condition's joinable
+bounds, the offer of entries to an Efraimidis--Spirakis
 reservoir (the stream histogram's per batch, Stream-Sample's per worker
 and per merge), a ``heapq`` push / ``heapreplace`` per entry,
 coarsening's search -- each refinement pass's sums of the band sample
@@ -23,13 +23,14 @@ merge and count -- a stream batch's
 (:meth:`~repro.streaming.backends.StateOwner.count`: each group's runs
 and arrivals, whose cascade it settles, merges and returns as the run
 list to hold, and both halves as routed needles and the condition's
-bound rule, :meth:`~repro.joins.conditions.JoinCondition.bound_rule`,
-whose bounds it computes), a count through
+rule, :meth:`~repro.joins.conditions.JoinCondition.rule`, whose bounds
+it computes), a count through
 :func:`~repro.joins.local.count_runs` (a batch join as the first half of
 a batch into empty state) and a merge of
 :class:`~repro.streaming.incremental.SortedRegionState` --
-:func:`band_inverse` for the transposed band's bounds
-(``joinable_bounds``; ``fold`` runs the same loop), :func:`offer` for
+:func:`bounds` for every other joinable bound (all of
+:meth:`~repro.joins.conditions.JoinCondition.joinable_bounds`, by the
+loops ``fold`` bounds its needles with), :func:`offer` for
 :meth:`~repro.streaming.incremental.DecayedReservoir.add_batch` and for
 :class:`~repro.sampling.reservoir.WeightedReservoir`'s offers (its payload
 an entry's position in the offered pool),
@@ -45,13 +46,15 @@ walk from the previous answer, any others bisect without a branch -- and
 :func:`spans` for each grid row's candidate columns
 (:meth:`~repro.joins.conditions.JoinCondition.candidate_spans`: the
 sample matrix's band), two bisections per row on the condition's rule.
+``fold``, ``bounds`` and ``spans`` parse that rule one way.
 The numpy, ``heapq`` and Python
 forms they replaced live in the test harness (``tests/reference_*.py``),
 which holds the kernel to them bit for bit: counts and merged runs
 (``tests/test_native_kernel.py``, ``tests/test_count_half.py``), the
-bounds and cascades against the ``joinable_bounds`` pass and the Python
-cascade they replaced (``tests/test_fold_rules.py``), the
-band inverses (``tests/test_condition_properties.py``), both reservoirs' heap arrays entry for
+fold's bounds and cascades against the bounds of the conditions' numpy
+twins and the Python cascade they replaced (``tests/test_fold_rules.py``),
+every joinable bound against those twins (``tests/test_bound_identity.py``,
+``tests/test_condition_properties.py``), both reservoirs' heap arrays entry for
 entry (``tests/test_sampling_oracle.py``), the coarse grid's floats
 (``tests/test_coarsening.py``), coarsening's bounds, passes and grid
 against the band loop it replaced, its sweep's bounds against the row
@@ -111,7 +114,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["KernelUnavailable", "band_inverse", "closure", "coarsen", "fold", "offer",
+__all__ = ["KernelUnavailable", "bounds", "closure", "coarsen", "fold", "offer",
            "search", "spans", "tile"]
 
 SOURCE = Path(__file__).with_name("native.c")
@@ -213,7 +216,7 @@ def _build():
 
 _KERNEL = _build()
 fold = _KERNEL.fold
-band_inverse = _KERNEL.band_inverse
+bounds = _KERNEL.bounds
 offer = _KERNEL.offer
 coarsen = _KERNEL.coarsen
 closure = _KERNEL.closure

@@ -236,7 +236,7 @@ class StateOwner:
             for (_, states), new in zip(reading, (new1, new2))
         ]
         if conditions is not self._rules[0]:
-            self._rules = (conditions, [condition.bound_rule() for condition in conditions])
+            self._rules = (conditions, [condition.rule() for condition in conditions])
         totals = np.zeros(len(new1.starts), dtype=np.int64)
         fold = (reading, arriving, (new1, new2), self._rules[1], totals)
         if seconds is None:

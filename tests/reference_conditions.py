@@ -1,19 +1,27 @@
-"""Reference predicates: every condition's scalar test and grid, stated directly.
+"""Reference predicates: every condition's scalar test, grid and bounds, stated directly.
 
-Test-only.  Production conditions state each predicate once, as joinable
-bounds plus a candidate grid, and derive ``matches`` from the bounds -- so
-``matches`` is no longer independent of the count kernel.  These are the
-``matches``, ``cell_is_candidate`` and ``candidate_grid`` bodies each class
-had before that, kept verbatim as the independent oracle
+Test-only.  Production conditions state each predicate once, as the rule
+the compiled kernel evaluates (``JoinCondition.rule``), and derive
+``matches``, the joinable bounds and the candidate grid from it -- so none
+of them is independent of the kernel.  These are the ``matches``,
+``cell_is_candidate`` and ``candidate_grid`` bodies each class had before
+that, kept verbatim as the independent oracle
 (``tests/test_condition_properties.py``): a band's interval test, an
 inequality's comparison, and a transposed band that swaps the arguments of
 its base (``CompositeEquiBandCondition`` carried the band's copies, so it
-maps to :class:`Band`).  The inequality's float ``joinable_bounds`` is kept
-too, to pin production's bounds of finite float keys bit for bit, and so is
-the transposed band's: :func:`_band_lower_inverse` /
+maps to :class:`Band`).  Their ``joinable_bounds`` are the numpy bounds
+production computed before ``repro.joins.native.bounds`` took them all,
+kept whole: the joins-nothing rule (:class:`_Bounds`: a NaN key, or a
+strict inequality's key at the far end of its domain, gets the empty
+interval), a band's float ``k -+ beta`` and its exact saturating int64
+bounds under an integral width, an inequality's float and int64 bounds,
+and the transposed band's: :func:`_band_lower_inverse` /
 :func:`_band_upper_inverse` are the numpy inverses (a few ``nextafter``
-nudges, then a memoised float-ordinal bisection) production computed before
-the compiled kernel's ``repro.joins.native.band_inverse``.
+nudges, then a memoised float-ordinal bisection), and integer keys under
+an integral width take the base's int64 bounds.
+``tests/test_bound_identity.py`` holds the kernel's bounds to them bit for
+bit, and ``tests/reference_counting.py`` bounds its needles with them, so
+the kernel is never its own oracle.
 
 :func:`reference_count` is the brute-force count over Python scalars
 (``tolist``), whose int/int and int/float comparisons are exact.
@@ -32,10 +40,12 @@ from repro.joins.conditions import (
     InequalityOp,
     JoinCondition,
     _TransposedBandCondition,
+    normalise_keys,
 )
 from repro.sampling.equidepth import open_ends
 
 _INT64_MIN = np.int64(np.iinfo(np.int64).min)
+_INT64_MAX = np.int64(np.iinfo(np.int64).max)
 
 
 def _to_ordinal(x: np.ndarray) -> np.ndarray:
@@ -188,11 +198,49 @@ def _band_upper_inverse(keys2: np.ndarray, beta: float) -> np.ndarray:
     return x
 
 
+def _empty_interval(shape, dtype: np.dtype) -> "tuple[np.ndarray, np.ndarray]":
+    """Bounds of keys that join nothing: ``(top, just below top)`` each.
+
+    ``top`` sorts last in ``dtype`` -- NaN for floats, the int64 maximum for
+    integers -- so no key lies in the interval, and on a sorted run of the
+    same dtype both bounds search to the same index.
+    """
+    top, below = (np.nan, np.inf) if dtype.kind == "f" else (_INT64_MAX, _INT64_MAX - 1)
+    return np.full(shape, top, dtype), np.full(shape, below, dtype)
+
+
+class _Bounds:
+    """The joins-nothing rule, once for every twin's ``joinable_bounds``.
+
+    Keys are normalised (``normalise_keys``); the keys
+    :meth:`_joins_nothing` marks get the empty interval and the others
+    the twin's ``_bounds``, in their dtype and shape.
+    """
+
+    def _joins_nothing(self, keys1: np.ndarray) -> np.ndarray:
+        """A NaN key joins nothing."""
+        return np.isnan(keys1) if keys1.dtype.kind == "f" else np.zeros(keys1.shape, bool)
+
+    def joinable_bounds(self, keys1) -> "tuple[np.ndarray, np.ndarray]":
+        keys1 = normalise_keys(keys1)
+        joins = ~self._joins_nothing(keys1)
+        some_lows, some_highs = self._bounds(keys1[joins])
+        lows, highs = _empty_interval(keys1.shape, some_lows.dtype)
+        lows[joins], highs[joins] = some_lows, some_highs
+        return lows, highs
+
+
 @dataclass(frozen=True)
-class Band:
+class Band(_Bounds):
     """Band, equi and composite (on encoded keys): ``|k1 - k2| <= beta``."""
 
     beta: float
+
+    def exact_beta(self) -> "np.int64 | None":
+        """The width as an int64 when it is an int below 2**62, else ``None``."""
+        if isinstance(self.beta, int) and abs(self.beta) < 2**62:
+            return np.int64(self.beta)
+        return None
 
     def matches(self, k1: float, k2: float) -> bool:
         # Phrased as the interval test (not abs(k1 - k2) <= beta) so that
@@ -228,18 +276,47 @@ class Band:
             too_low = row_lo[:, None] - col_hi[None, :] > self.beta
         return ~(too_high | too_low)
 
-    def joinable_bounds(self, keys1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        keys1 = np.asarray(keys1, dtype=np.float64)
-        # Past the largest double the rounded bound is +-inf, as in matches().
-        with np.errstate(over="ignore"):
-            return keys1 - self.beta, keys1 + self.beta
+    def _bounds(self, keys1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``[k - beta, k + beta]``: in int64 for integer keys under an exact
+        width, saturating at the int64 extremes (the wrapped sum would turn
+        the interval inside out), else in float64."""
+        beta = self.exact_beta()
+        if beta is None or keys1.dtype.kind == "f":
+            keys1 = keys1.astype(np.float64)
+            # Past the largest double the rounded bound is +-inf, as in matches().
+            with np.errstate(over="ignore"):
+                return keys1 - float(self.beta), keys1 + float(self.beta)
+        lows, highs = keys1 - beta, keys1 + beta
+        lows[keys1 < _INT64_MIN + beta] = _INT64_MIN
+        highs[keys1 > _INT64_MAX - beta] = _INT64_MAX
+        return lows, highs
 
 
 @dataclass(frozen=True)
-class Inequality:
+class Inequality(_Bounds):
     """``k1 <op> k2``."""
 
     op: InequalityOp
+
+    @property
+    def above(self) -> bool:
+        """Whether ``k1`` joins the keys above it (``<``, ``<=``)."""
+        return self.op in (InequalityOp.LT, InequalityOp.LE)
+
+    @property
+    def strict(self) -> bool:
+        """Whether ``k1`` itself is excluded (``<``, ``>``)."""
+        return self.op in (InequalityOp.LT, InequalityOp.GT)
+
+    def _far(self, keys1: np.ndarray):
+        """The end of the keys' domain ``k1`` looks towards: +-inf, or an int64 extreme."""
+        ends = (-np.inf, np.inf) if keys1.dtype.kind == "f" else (_INT64_MIN, _INT64_MAX)
+        return ends[self.above]
+
+    def _joins_nothing(self, keys1: np.ndarray) -> np.ndarray:
+        """NaN keys, and a strict operator's keys at the far end: nothing lies beyond it."""
+        nothing = super()._joins_nothing(keys1)
+        return nothing | (keys1 == self._far(keys1)) if self.strict else nothing
 
     def matches(self, k1: float, k2: float) -> bool:
         if self.op is InequalityOp.LT:
@@ -278,23 +355,26 @@ class Inequality:
             return row_hi[:, None] > col_lo[None, :]
         return row_hi[:, None] >= col_lo[None, :]
 
-    def joinable_bounds(self, keys1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        keys1 = np.asarray(keys1, dtype=np.float64)  # repro: ignore[KEY001]  # inequality predicates are float-ordered by definition
-        inf = np.full(len(keys1), np.inf)
-        # The strict bound of the largest double is +-inf (only an infinite
-        # key lies strictly beyond it): nextafter overflows to it on purpose.
-        with np.errstate(over="ignore"):
-            if self.op is InequalityOp.LT:
-                return np.nextafter(keys1, np.inf), inf
-            if self.op is InequalityOp.LE:
-                return keys1, inf
-            if self.op is InequalityOp.GT:
-                return -inf, np.nextafter(keys1, -np.inf)
-            return -inf, keys1
+    def _bounds(self, keys1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``[k1 (+ step), far]`` above ``k1`` or ``[far, k1 (- step)]`` below:
+        integer keys step by 1, float keys by one ulp (``nextafter``)."""
+        far = self._far(keys1)
+        near = keys1
+        if self.strict:
+            if keys1.dtype.kind == "f":
+                # The strict bound of the largest double is +-inf (only an
+                # infinite key lies strictly beyond it): nextafter overflows
+                # to it on purpose.
+                with np.errstate(over="ignore"):
+                    near = np.nextafter(keys1, far)
+            else:
+                near = keys1 + (1 if self.above else -1)
+        ends = np.full_like(keys1, far)
+        return (near, ends) if self.above else (ends, near)
 
 
 @dataclass(frozen=True)
-class Transposed:
+class Transposed(_Bounds):
     """A band seen from the R2 side: the base's test with the sides swapped."""
 
     base: Band
@@ -329,9 +409,13 @@ class Transposed:
                 )
         return mask
 
-    def joinable_bounds(self, keys1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        keys1 = np.asarray(keys1, dtype=np.float64)
-        beta = self.base.beta
+    def _bounds(self, keys1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The exact inverses of the base's float bounds; integer keys under
+        an exact width take the base's int64 bounds, their own inverse."""
+        if keys1.dtype.kind == "i" and self.base.exact_beta() is not None:
+            return self.base._bounds(keys1)
+        keys1 = keys1.astype(np.float64)
+        beta = float(self.base.beta)
         return _band_lower_inverse(keys1, beta), _band_upper_inverse(keys1, beta)
 
 

@@ -6,7 +6,8 @@ and ``RegionStateTable.sum_halves`` had before the bounds were hoisted out
 of the per-task loop, kept as the
 differential oracle (``tests/test_counting_oracle.py``): every non-empty
 task normalises both of its sides, recomputes its own joinable bounds
-through ``count_matches_per_key`` and is timed around the lot, and
+(``count_matches_per_key``'s two searches, over the twins' bounds,
+:func:`_bounds`) and is timed around the lot, and
 per-task values are scattered into their halves with an unbuffered
 ``np.add.at``.  The production kernel must return the same per-task
 outputs and read the clock exactly as often -- twice per non-empty task, in
@@ -24,7 +25,8 @@ kernel to them bit for bit.
 batch and a batch join took before the kernel bounded needles itself by
 the condition's named rule (``repro.joins.local`` held them): one
 ``joinable_bounds`` pass per half and key dtype, in the needles' common
-dtype with the runs.  :func:`count_halves` counts its entries with
+dtype with the runs -- the twin's pass (``reference_conditions``), which
+the kernel's bounds must equal.  :func:`count_halves` counts its entries with
 :func:`count_half`, so ``tests/test_fold_rules.py`` holds the rule-form
 fold to ``joinable_bounds`` bit for bit.
 
@@ -35,6 +37,7 @@ test can give the reference its own tick clock.
 from __future__ import annotations
 
 import numpy as np
+from reference_conditions import reference
 
 from repro.joins.conditions import normalise_keys
 from repro.obs.clock import perf_counter
@@ -54,13 +57,14 @@ def count_regions(region_keys, conditions):
             continue
         started = perf_counter()
         counts = np.diff(cum[0]) if cum and cum[0] is not None else np.ones(len(keys2), int)
+        needles = normalise_keys(keys1)
         for sign in (1, -1):
-            side = np.repeat(keys2, np.clip(sign * counts, 0, None))
+            side = normalise_keys(np.repeat(keys2, np.clip(sign * counts, 0, None)))
+            lows, highs = _bounds(conditions[region], needles, side.dtype)
+            side = side.astype(np.promote_types(needles.dtype, side.dtype), copy=False)
             outputs[region] += sign * (
-                conditions[region]
-                .count_matches_per_key(normalise_keys(keys1), normalise_keys(side))
-                .sum()
-            )
+                side.searchsorted(highs, "right") - side.searchsorted(lows, "left")
+            ).sum()
         seconds[region] = perf_counter() - started
     return outputs, seconds
 
@@ -117,11 +121,12 @@ def count_half(lows, highs, starts, stops, runs, out: np.ndarray) -> None:
 def _bounds(condition, keys: np.ndarray, dtype: np.dtype) -> "tuple[np.ndarray, np.ndarray]":
     """``condition``'s joinable bounds of ``keys`` brought to their common dtype with ``dtype``.
 
-    Integer needles meeting float runs are bounded as floats, so a strict
-    integer step ``k +- 1`` never skips a fractional key.
+    The bounds of the condition's twin in ``reference_conditions``, not the
+    kernel's.  Integer needles meeting float runs are bounded as floats, so
+    a strict integer step ``k +- 1`` never skips a fractional key.
     """
     needles = normalise_keys(keys)
-    return condition.joinable_bounds(
+    return reference(condition).joinable_bounds(
         needles.astype(np.promote_types(needles.dtype, dtype), copy=False)
     )
 

@@ -14,6 +14,7 @@ it row for row.
 from __future__ import annotations
 
 import numpy as np
+from reference_conditions import Inequality
 
 from repro.joins.conditions import (
     BandJoinCondition,
@@ -51,12 +52,13 @@ def excluded(condition: JoinCondition, row_lo, row_hi, col_lo, col_hi):
         with np.errstate(invalid="ignore", over="ignore"):
             return row_lo - col_hi > condition.beta, col_lo - row_hi > condition.beta
     if isinstance(condition, InequalityJoinCondition):
-        if condition._above:
+        twin = Inequality(condition.op)
+        if twin.above:
             lower, upper = row_lo, col_hi
         else:
             lower, upper = col_lo, row_hi
-        joins = lower < upper if condition._strict else lower <= upper
-        return (~joins, None) if condition._above else (None, ~joins)
+        joins = lower < upper if twin.strict else lower <= upper
+        return (~joins, None) if twin.above else (None, ~joins)
     raise TypeError(f"no reference rule for {condition!r}")
 
 

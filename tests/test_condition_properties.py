@@ -102,7 +102,7 @@ STYLE_PAIRS = [
 def _inexact_width(condition) -> bool:
     """A fractional band width, which bounds integer keys in float64."""
     base = getattr(condition, "base", condition)
-    return isinstance(base, BandJoinCondition) and base._integral_beta() is None
+    return isinstance(base, BandJoinCondition) and isinstance(base.rule()[1], float)
 
 
 def _exact_at_the_extremes(condition) -> bool:

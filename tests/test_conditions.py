@@ -35,8 +35,10 @@ class TestBandJoinCondition:
         assert not cond.matches(10, 7.5)
 
     def test_negative_beta_rejected(self):
-        with pytest.raises(ValueError):
-            BandJoinCondition(beta=-1.0)
+        # A NaN width bounds nothing either: refused with the negatives.
+        for beta in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="band width must be non-negative"):
+                BandJoinCondition(beta=beta)
 
     def test_joinable_interval(self):
         cond = BandJoinCondition(beta=3.0)

@@ -51,6 +51,7 @@ import numpy as np
 import pytest
 import reference_counting
 import reference_state
+from reference_conditions import reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -315,7 +316,7 @@ def test_count_half_is_the_per_task_count_summed_per_machine(
         searched = runs + ([] if merge is None or theirs_merged[merge] is None else [theirs_merged[merge]])
         reference_runs += [(run_keys, cum, readers, slices) for run_keys, cum in searched]
     starts, stops = _copy(starts, trimmed, 0), _copy(stops, trimmed, count)
-    half = fold_half(condition.bound_rule(), _copy(needle_keys, trimmed, pool[0]), starts, stops, table_groups)
+    half = fold_half(condition.rule(), _copy(needle_keys, trimmed, pool[0]), starts, stops, table_groups)
     ours = np.full(machines, 7, dtype=np.int64)
     theirs = ours.copy()
     ours_merged = native.fold([(runs, None) for runs in merges], [half] * halves, ours)
@@ -359,7 +360,7 @@ def test_every_short_run_counts_as_the_reference_does():
     # Machine 4 r + c reads run r under condition c: its share is all the
     # needles in half c (one half per rule) and, for the reference, the
     # c-th block of the four rules' bounds laid end to end.
-    bounds = [condition.joinable_bounds(needles) for condition in conditions]
+    bounds = [reference(condition).joinable_bounds(needles) for condition in conditions]
     lows, highs = (np.concatenate(side) for side in zip(*bounds))
     rules = len(conditions)
     for start in range(0, len(runs), 10_000):
@@ -372,7 +373,7 @@ def test_every_short_run_counts_as_the_reference_does():
         ]
         halves = [
             fold_half(
-                condition.bound_rule(),
+                condition.rule(),
                 needles,
                 np.zeros(machines.size, dtype=np.int64),
                 np.where(condition_of == c, needles.size, 0),

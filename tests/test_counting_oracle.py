@@ -209,7 +209,7 @@ def test_a_clipped_task_counts_each_segment_on_its_slice(
             sliced = None if cum is None else cum[low : high + 1] - cum[low]
             expected_tasks.append((needles[start:stop], run[low:high], sliced))
     outputs = np.zeros(segments, dtype=np.int64)
-    native.fold([], [fold_half(condition.bound_rule(), normalise_keys(needles), starts, stops, tasks)], outputs)
+    native.fold([], [fold_half(condition.rule(), normalise_keys(needles), starts, stops, tasks)], outputs)
     expected, _ = reference.count_regions(expected_tasks, [condition] * len(expected_tasks))
     np.testing.assert_array_equal(outputs, expected.reshape(runs, segments).sum(axis=0))
 

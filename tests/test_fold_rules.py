@@ -1,13 +1,14 @@
 """Differential tests: the fold's bound rules and cascades against the Python path they replaced.
 
 ``repro.joins.native.fold`` takes a half as its routed needles and the
-condition's bound rule (``JoinCondition.bound_rule``, handed over by
+condition's rule (``JoinCondition.rule``, handed over by
 ``repro.joins.local.fold_half``) and bounds the needles itself, and takes
 each group's runs and arrivals and settles the cascade itself, returning
 the run list the state holds next.  The oracle is the path that did both
 in Python, kept in the test harness: ``reference_counting.search_half``
-(one ``joinable_bounds`` pass per half and key dtype, in the needles'
-common dtype with the runs), counted by ``reference_counting.count_half``,
+(one ``joinable_bounds`` pass per half and key dtype, by the condition's
+numpy twin in ``reference_conditions``, in the needles' common dtype with
+the runs), counted by ``reference_counting.count_half``,
 and ``reference_state.cascade`` merged by ``reference_state.merge_sorted``
 (``reference_state.committed``).  Per-machine counts must be equal and
 every committed run equal byte for byte, over:
@@ -214,7 +215,7 @@ def test_a_rule_form_fold_is_the_bounds_path_it_replaced(
         their_groups.append((searched, readers, None, pool.dtype))
     ours = np.full(machines, 7, dtype=np.int64)
     theirs = ours.copy()
-    held = native.fold(folded, [fold_half(condition.bound_rule(), needle_keys, starts, stops, ours_groups)], ours)
+    held = native.fold(folded, [fold_half(condition.rule(), needle_keys, starts, stops, ours_groups)], ours)
     entries = reference_counting.search_half(condition, needle_keys, starts, stops, their_groups, slices)
     reference_counting.count_halves(entries, [], theirs)
     np.testing.assert_array_equal(ours, theirs)
@@ -239,13 +240,13 @@ def test_every_kind_counts_its_whole_join_as_the_bounds_path_does(condition):
 def test_an_integral_width_above_2_53_stays_exact():
     """The rule hands the width over as an int: 2**53 + 1 is not rounded to 2**53."""
     band = make_condition("band", beta=BIG + 1)
-    assert band.bound_rule() == ("band", BIG + 1)
+    assert band.rule() == ("band", BIG + 1)
     needles = np.array([1], dtype=np.int64)
     keys = np.array([BIG + 1, BIG + 2], dtype=np.int64)
     assert count_join_output(needles, keys, band) == 2
     # Past the integral path the width is a float, and so are the bounds.
     wide = make_condition("band", beta=2**62 + 5)
-    assert wide.bound_rule() == ("band", float(2**62 + 5))
-    assert band.transposed.bound_rule() == ("band_inverse", BIG + 1)
-    assert make_condition("band", beta=1.5).transposed.bound_rule() == ("band_inverse", 1.5)
-    assert make_condition("inequality", op="<").bound_rule() == ("<", 0)
+    assert wide.rule() == ("band", float(2**62 + 5))
+    assert band.transposed.rule() == ("band_inverse", BIG + 1)
+    assert make_condition("band", beta=1.5).transposed.rule() == ("band_inverse", 1.5)
+    assert make_condition("inequality", op="<").rule() == ("<", 0)

@@ -26,15 +26,18 @@ a third the layouts ``coarsen`` cannot walk.  Every entry point
 from __future__ import annotations
 
 import re
+import warnings
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from reference_conditions import Band, Inequality, Transposed
 
 from repro.core.grid import WeightedGrid
 from repro.core.tiling_tables import TilingTables
 from repro.core.weights import WeightFunction
 from repro.joins import native
+from repro.joins.conditions import InequalityOp
 
 
 class Value(NamedTuple):
@@ -58,7 +61,9 @@ class Value(NamedTuple):
 #: spend, a negative number of midpoints and a gap below zero or NaN.  A
 #: fold half's rule it does not name, a width that is NaN or negative, a
 #: fractional width on int64 needles (bounded in int64 only by an int),
-#: and needles of a dtype it does not bound.
+#: and needles of a dtype it does not bound.  The same rule refused by
+#: ``bounds`` (and a width past int64 or of no number type), and needles it
+#: does not bound: unsigned, narrow or strided.
 VALUES = [
     Value("fold", (1, 0, 1, 0), None, "Band",
           "fold: rule is 'Band', not band, band_inverse, <, <=, > or >="),
@@ -71,6 +76,23 @@ VALUES = [
           "fold: beta is 1.5, a float, on int64 needles: their band takes an int"),
     Value("fold", (1, 0, 0), None, np.array([0, 1, 2], dtype=np.uint64),
           "fold: needles is uint64, not float64 or int64", TypeError),
+    Value("bounds", (1,), None, "Band",
+          "bounds: rule is 'Band', not band, band_inverse, <, <=, > or >="),
+    Value("bounds", (1,), None, "band inverse",
+          "bounds: rule is 'band inverse', not band, band_inverse, <, <=, > or >="),
+    Value("bounds", (1,), None, 1, "bounds: a rule's name is a int, not a str", TypeError),
+    Value("bounds", (2,), None, np.nan, "bounds: beta is nan, not a width"),
+    Value("bounds", (2,), None, -0.5, "bounds: beta is -0.5, not a width"),
+    Value("bounds", (2,), None, 2**63, "bounds: beta is 9223372036854775808, not a width in int64"),
+    Value("bounds", (2,), None, 2**64 + 1,
+          "bounds: beta is 18446744073709551617, not a width in int64"),
+    Value("bounds", (2,), None, "1", "bounds: beta is a str, not an int or a float", TypeError),
+    Value("bounds", (0,), None, np.array([0, 1, 2], dtype=np.uint64),
+          "bounds: needles is uint64, not float64 or int64", TypeError),
+    Value("bounds", (0,), None, np.array([0.0, 1.0, 2.0], dtype=np.float32),
+          "bounds: needles is float32, not float64 or int64", TypeError),
+    Value("bounds", (0,), None, np.arange(6.0)[::2],
+          "bounds: needles is strided, not C-contiguous"),
     Value("offer", (4,), 3, np.nan, "offer: priorities[3] is NaN, "),
     Value("offer", (4,), 0, -np.nan, "offer: priorities[0] is NaN, "),
     Value("coarsen", (0,), 2, np.nan, "coarsen: row_input[2] is NaN, "),
@@ -159,7 +181,8 @@ def _calls() -> "dict[str, tuple[tuple, list[Arg]]]":
             Arg((1, 0, 4, 0, 2, 2), "last", short="lasts"),
             Arg((2,), "out", written=True, short="machines"),
         ]),
-        "band_inverse": ((np.array([0.0, 1.0, 2.5]), 1.0), [Arg((0,), "keys")]),
+        # Any shape of needles is bounded: no size relation.
+        "bounds": ((np.array([0.0, 1.0, 2.5]), "band", 1.5), [Arg((0,), "needles")]),
         "offer": ((heap, 0, 4, 0, np.array([0.5, 0.25, 0.75, 0.125]), np.arange(4.0)), [
             Arg((0, 0), "heap priorities", written=True, short="heap"),
             Arg((0, 1), "heap counters", written=True, short="heap"),
@@ -275,11 +298,77 @@ def test_a_search_refuses_keys_and_needles_that_do_not_match(keys, needles, erro
 
 @pytest.mark.parametrize("rule", ["", "=", "<>", "Band", "band "])
 def test_spans_refuse_a_rule_they_do_not_name(rule):
-    """A rule is one of the five the kernel evaluates, named exactly."""
+    """A rule is one of the six the kernel evaluates, named exactly."""
     edges = np.array([0.0, 1.0]), np.array([1.0, 2.0])
     with pytest.raises(ValueError) as refused:
         native.spans(*edges, *edges, rule, 0.0)
-    assert str(refused.value) == f"spans: rule is '{rule}', not band, <, <=, > or >="
+    assert str(refused.value) == f"spans: rule is '{rule}', not band, band_inverse, <, <=, > or >="
+
+
+def test_spans_read_the_transposed_band_as_the_band():
+    """``band_inverse`` excludes the band's cells, and an int width is the
+    double it converts to: the rule ``JoinCondition.rule`` gives spans."""
+    rows = np.array([-np.inf, -1.0, 0.0, 2.5]), np.array([-1.0, 0.0, 2.5, np.inf])
+    cols = np.array([-np.inf, 0.5, 1.0, 4.0]), np.array([0.5, 1.0, 4.0, np.inf])
+    expected = native.spans(*rows, *cols, "band", 1.0)
+    for rule, beta in (("band_inverse", 1.0), ("band", 1), ("band_inverse", 1)):
+        for ours, theirs in zip(native.spans(*rows, *cols, rule, beta), expected):
+            np.testing.assert_array_equal(ours, theirs)
+    with pytest.raises(ValueError, match=r"^spans: beta is -1, not a width in int64$"):
+        native.spans(*rows, *cols, "band", -1)
+
+
+INT64_MIN, INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+LARGEST = np.finfo(np.float64).max
+#: Needles at the kernel's boundary that it bounds: 0-d and empty arrays,
+#: the infinities, both zeros, NaN, the largest double and the int64
+#: extremes.
+BOUNDARY_NEEDLES = {
+    "0-d": np.array(2.5),
+    "0-d int": np.array(INT64_MAX, dtype=np.int64),
+    "empty": np.zeros(0),
+    "empty int": np.zeros(0, dtype=np.int64),
+    "empty 2-d": np.zeros((0, 3)),
+    "specials": np.array([np.inf, -np.inf, -0.0, 0.0, np.nan, LARGEST, -LARGEST, 5e-324]),
+    "int64 extremes": np.array(
+        [INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX], dtype=np.int64
+    ),
+}
+BOUNDARY_RULES = [
+    ("band", 0), ("band", 1), ("band", 1.5), ("band", 2.0), ("band", 0.0),
+    ("band_inverse", 1), ("band_inverse", 0.5), ("band_inverse", 0),
+    ("<", 0), ("<=", 0), (">", 0), (">=", 0),
+]
+
+
+def _twin_bounds(needles: np.ndarray, rule: str, beta):
+    """The bounds of the rule's numpy twin (``reference_conditions``):
+    int64 needles under a float width are bounded as the doubles they
+    convert to, as the kernel bounds them."""
+    if needles.dtype.kind == "i" and isinstance(beta, float):
+        needles = needles.astype(np.float64)
+    if rule in ("band", "band_inverse"):
+        twin = Band(beta)
+        return (Transposed(twin) if rule == "band_inverse" else twin).joinable_bounds(needles)
+    return Inequality(InequalityOp(rule)).joinable_bounds(needles)
+
+
+@pytest.mark.parametrize("rule, beta", BOUNDARY_RULES, ids=str)
+@pytest.mark.parametrize("what", sorted(BOUNDARY_NEEDLES))
+def test_bounds_at_the_boundary_equal_the_twins(what, rule, beta):
+    """Each boundary array under each rule: the twin's bounds, bit for bit
+    (NaN and -0.0 compared by their bits), in its dtype and shape, with no
+    warning and the needles as they were."""
+    needles = BOUNDARY_NEEDLES[what]
+    before = needles.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = native.bounds(needles, rule, beta)
+    theirs = _twin_bounds(needles, rule, beta)
+    assert needles.tobytes() == before
+    for mine, expected in zip(ours, theirs):
+        assert mine.dtype == expected.dtype and mine.shape == expected.shape
+        assert mine.view(np.int64).tobytes() == expected.view(np.int64).tobytes()
 
 
 def test_every_valid_call_is_taken():

@@ -124,7 +124,7 @@ def test_a_task_counts_what_numpy_counts(seed, dtype, kind, size, needles, condi
     run, cum = _run(rng, dtype, kind, size)
     keys = _keys(rng, dtype, needles)
     ours, theirs = np.full(1, -7, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    _count_one(run, cum, *fold_half(condition.bound_rule(), keys, _ONE, _ONE, [])[:2], ours)
+    _count_one(run, cum, *fold_half(condition.rule(), keys, _ONE, _ONE, [])[:2], ours)
     reference_counting.count_task(run, cum, *reference_counting._bounds(condition, keys, run.dtype), theirs)
     # The kernel adds into its output: what it counted is the change.
     np.testing.assert_array_equal(ours + 7, theirs)

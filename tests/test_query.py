@@ -172,7 +172,7 @@ class TestCompiler:
         )
         assert isinstance(plan.condition, BandJoinCondition)
         assert isinstance(plan.spec.beta, int)
-        assert int(plan.condition._integral_beta()) == big
+        assert plan.condition.rule() == ("band", big)
 
     def test_inequality_orientation_normalises(self):
         forward = compile_sql(

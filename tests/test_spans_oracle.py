@@ -8,8 +8,9 @@ rule), and here the two must give every row the same ``[first, stop)``.
 
 The exhaustive part takes every ascending boundary array of 0-4 cells over
 ``{-inf, -1, -0.0, 0.0, 1, +inf}`` for both axes, under a band of every
-width in ``{0, 5e-324, 1, 1e300, inf}`` (the band family shares one rule:
-the transposed band is checked too) and each inequality operator.  A row's
+width in ``{0, 5e-324, 1, 1e300, inf}`` (the band family shares one
+candidate test: the transposed band's rule, ``band_inverse``, is checked
+too) and each inequality operator.  A row's
 span reads only its own edges, so the rows of every row array are laid end
 to end and searched in one call per column array and condition: each row
 array is a stretch of that call, and so is each pair of rows that follow
@@ -77,15 +78,17 @@ def test_every_small_grid_over_the_specials_spans_as_the_numpy_search(condition)
 
 
 def test_the_band_family_names_one_rule():
-    """Equi, composite and both orientations of a band reach the kernel as
-    the band rule with their width; an inequality as its own symbol."""
+    """Equi, composite and a band reach the kernel as the band rule with
+    their width, the transposed band as its inverse with the same width,
+    and an inequality as its own symbol."""
     band = BandJoinCondition(beta=2)
-    assert band._rule() == band.transposed._rule() == ("band", 2.0)
-    assert EquiJoinCondition()._rule() == ("band", 0.0)
+    assert band.rule() == ("band", 2)
+    assert band.transposed.rule() == ("band_inverse", 2)
+    assert EquiJoinCondition().rule() == ("band", 0)
     composite = CompositeEquiBandCondition(beta=1.5, scale=100.0, band_key_max=10.0)
-    assert composite._rule() == ("band", 1.5)
+    assert composite.rule() == ("band", 1.5)
     for op in InequalityOp:
-        assert InequalityJoinCondition(op)._rule() == (op.value, 0.0)
+        assert InequalityJoinCondition(op).rule() == (op.value, 0)
 
 
 _SPECIALS = st.sampled_from([-np.inf, np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300])
