@@ -17,9 +17,8 @@ was, so an answer a few keys away costs a short walk and a farther one
 ``O(log gap)`` -- in the compiled kernel's fold
 (:func:`repro.joins.native.fold`), which bounds the needles itself by the
 condition's rule (:meth:`~repro.joins.conditions.JoinCondition.rule`).
-:func:`fold_half` states one half of a count as the fold takes it -- a
-stream batch's two halves ride one fold with the batch's run cascades
-(:meth:`~repro.streaming.backends.StateOwner.count`) -- and
+A stream batch's two halves ride one fold with the batch's run cascades
+(:meth:`~repro.streaming.backends.StateOwner.count`), and
 :func:`count_runs` is a count with no state to fold in: a batch join
 (:func:`~repro.engine.cluster.run_partitioned_join`) and
 :func:`count_join_output`.
@@ -46,7 +45,6 @@ __all__ = [
     "join_output_pairs",
     "count_join_output",
     "count_runs",
-    "fold_half",
 ]
 
 
@@ -103,29 +101,6 @@ def count_join_output(
 _FIRST = np.zeros(1, dtype=np.int64)
 
 
-def fold_half(
-    rule: "tuple[str, int | float]",
-    needles: np.ndarray,
-    starts: np.ndarray,
-    stops: np.ndarray,
-    groups: list,
-) -> tuple:
-    """One half of a count as :func:`repro.joins.native.fold` takes it.
-
-    ``(needles, rule, starts, stops, groups)``: machine ``m``'s needles are
-    ``needles[starts[m]:stops[m]]`` (float64 or int64, normalised), bounded
-    in the kernel by ``rule``, a condition's
-    :meth:`~repro.joins.conditions.JoinCondition.rule`, and
-    ``groups`` the groups they search, each ``(runs, readers, cut,
-    cascade)``.  A band's fractional width bounds integer needles in
-    float64, as numpy's arithmetic on them does, so they are converted
-    here: the kernel bounds int64 needles in int64 only.
-    """
-    if needles.dtype.kind != "f" and isinstance(rule[1], float):
-        needles = needles.astype(np.float64)
-    return needles, rule, starts, stops, groups
-
-
 def count_runs(
     condition: JoinCondition,
     needles: np.ndarray,
@@ -145,11 +120,12 @@ def count_runs(
     it, read through ``cut`` (a
     :class:`~repro.partitioning.grid_routed.MachineSlices`, or ``None``:
     whole); machine ``m``'s needles are ``needles[starts[m]:stops[m]]``.
-    It is one :func:`repro.joins.native.fold` call with one half
-    (:func:`fold_half`) and no cascade, which adds each machine's counts
-    straight into its total.
+    It is one :func:`repro.joins.native.fold` call with one half --
+    ``(needles, rule, starts, stops, groups)``, the needles normalised and
+    bounded in the kernel by the condition's rule -- and no cascade, which
+    adds each machine's counts straight into its total.
     """
     if needles.size:
         groups = [(runs, readers, cut, None) for runs, readers in groups]
-        half = fold_half(condition.rule(), normalise_keys(needles), starts, stops, groups)
+        half = (normalise_keys(needles), condition.rule(), starts, stops, groups)
         native.fold([], [half], out)

@@ -22,10 +22,9 @@
  *            fold's bounds share: JoinCondition.joinable_bounds.
  * offer      offers one batch of entries to a bounded Efraimidis-Spirakis
  *            min-heap held as three parallel arrays (priority, counter,
- *            payload): repro.streaming.incremental.DecayedReservoir.add_batch
- *            (payload: the key) and repro.sampling.reservoir's
- *            WeightedReservoir (payload: the entry's position in the
- *            offered pool), one call per Stream-Sample worker and merge.
+ *            payload): repro.sampling.reservoir.WeightedReservoir.offer,
+ *            one call per stream batch and side (payload: the key) and per
+ *            Stream-Sample worker and merge (payload: a position).
  * coarsen    repro.core.coarsening's whole search over the band sample
  *            matrix: the even starting grid, the alternating row and column
  *            passes -- each pass's aggregates by group (np.add.reduceat's
@@ -867,10 +866,11 @@ static int64_t shares_of(const struct half *half, const struct group *group,
  * count) merged into its keys and cum (merge_<t>), the entries written
  * stored in its entries.  Then every half, group by group: the needles its
  * readers hold bounded by the half's rule -- in int64 where int64 needles
- * meet int64 runs, else in doubles -- and searched once per run the group
- * reads (its own, then the runs its cascade leaves: those before the
- * merge, then the merged run or the arrivals), each answer clipped to
- * every reader's slice and the counts added to out[reader].  `needles` is
+ * meet int64 runs under an int width (bounds' own rule), else in doubles --
+ * and searched once per run the group reads (its own, then the runs its
+ * cascade leaves: those before the merge, then the merged run or the
+ * arrivals), each answer clipped to every reader's slice and the counts
+ * added to out[reader].  `needles` is
  * the most needles of a half, `readers` the most readers of a group.
  * Returns 0, or -1 if scratch memory could not be had.
  */
@@ -904,7 +904,7 @@ static int fold(struct cascade *cascades, int64_t cascade_count, const struct ha
         for (g = 0; g < half->count; g++) {
             const struct group *group = half->groups + g;
             const struct cascade *c = group->cascade < 0 ? NULL : cascades + group->cascade;
-            int bound = half->dtype == I64 && group->dtype == I64 ? I64 : F64;
+            int bound = half->dtype == I64 && group->dtype == I64 && half->int_beta >= 0 ? I64 : F64;
             int64_t count;
             if (!group->runs_count && !c)
                 continue;
@@ -939,13 +939,13 @@ static int fold(struct cascade *cascades, int64_t cascade_count, const struct ha
 
 /*
  * The reservoir heap.  Entry i is (priorities[i], counters[i], keys[i]),
- * keys[i] its payload (a key, or a position in Stream-Sample's pool), and
- * the arrays are the list of tuples Python's heapq would hold, entry for
- * entry, because the heap array's order is what the reservoir's keys() and
- * Stream-Sample's with-replacement draw expose.  So every step mirrors
- * CPython's heapq: heappush sifts the new entry down from the end;
- * heapreplace puts it at the root, promotes the smaller child all the way
- * down to a leaf and sifts the entry back up from there (_siftup, then
+ * keys[i] its payload (a key, or a position in Stream-Sample's weights),
+ * and the arrays are the list of tuples Python's heapq would hold, entry
+ * for entry, because the heap array's order is what the reservoir's
+ * payloads() and Stream-Sample's with-replacement draw expose.  So every
+ * step mirrors CPython's heapq: heappush sifts the new entry down from the
+ * end; heapreplace puts it at the root, promotes the smaller child all the
+ * way down to a leaf and sifts the entry back up from there (_siftup, then
  * _siftdown).  Entries compare as the tuples do: by priority, ties by
  * counter.  Counters are unique, so the payload is never compared, and
  * priorities are never NaN (offer's binding refuses one): on ordered
@@ -1010,12 +1010,11 @@ static void sift_up(double *priorities, int64_t *counters, double *keys,
 
 /*
  * Offer n entries, in order, to a heap of `size` entries and room for
- * `capacity`: a heapq push / heapreplace loop behind
- * DecayedReservoir.add_batch's batch-start filter (a WeightedReservoir
- * offers several entries only to an empty heap).  When the heap starts
- * the batch full, only entries whose priority is above its minimum at that
- * moment take a counter; otherwise every entry does.  An entry with a
- * counter is pushed while the heap holds fewer than `capacity`, and
+ * `capacity`: a heapq push / heapreplace loop behind a batch-start
+ * filter.  When the heap starts the batch full, only entries whose
+ * priority is above its minimum at that moment take a counter; otherwise
+ * every entry does.  An entry with a counter is pushed while the heap
+ * holds fewer than `capacity`, and
  * afterwards replaces the minimum when its priority is strictly larger.
  * The arrays must hold room for min(capacity, size + n) entries.  Returns
  * the next unused counter, or -1 (nothing written) unless 0 <= size <=
@@ -2570,14 +2569,6 @@ static int parse_half(struct parse *parse, PyObject *obj, struct half *half)
     half->dtype = key_dtype(array[0]);
     if (unpack(parse, parts[1], 2, "a rule", rule) || parse_rule("fold", rule[0], rule[1], half))
         return -1;
-    /* fold bounds int64 needles in int64 only: local.fold_half converts
-     * them for a fractional width. */
-    if (half->int_beta < 0 && half->dtype == I64 && (half->rule == BAND || half->rule == INVERSE)) {
-        PyErr_Format(PyExc_ValueError,
-                     "fold: beta is %R, a float, on int64 needles: their band takes an int",
-                     rule[1]);
-        return -1;
-    }
     if (!(array[1] = held(parse, "starts", parts[2], I64_ONLY))
         || !(array[2] = held(parse, "stops", parts[3], I64_ONLY)))
         return -1;
@@ -2854,9 +2845,9 @@ static PyObject *py_bounds(PyObject *Py_UNUSED(module), PyObject *args, PyObject
 PyDoc_STRVAR(offer_doc,
 "offer(heap, size, capacity, counter, priorities, keys)\n--\n\n"
 "A reservoir's heap loop over a batch of entries; the next counter.\n\n"
-"The loop of :meth:`~repro.streaming.incremental.DecayedReservoir.add_batch`\n"
-"(payload: keys) and of :class:`~repro.sampling.reservoir.WeightedReservoir`'s\n"
-"offers (payload: pool positions).  ``heap`` is the reservoir's\n"
+"The loop of :meth:`~repro.sampling.reservoir.WeightedReservoir.offer`\n"
+"(payload: a stream key, or a position in Stream-Sample's weights).\n"
+"``heap`` is the reservoir's\n"
 "``(priorities, counters, keys)`` arrays, whose first ``size`` entries\n"
 "are the heap, ``counter`` its next unused counter, and ``priorities`` /\n"
 "``keys`` the batch's entries and payloads in offer order.  The kernel\n"

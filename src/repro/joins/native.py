@@ -31,9 +31,8 @@ a batch into empty state) and a merge of
 :func:`bounds` for every other joinable bound (all of
 :meth:`~repro.joins.conditions.JoinCondition.joinable_bounds`, by the
 loops ``fold`` bounds its needles with), :func:`offer` for
-:meth:`~repro.streaming.incremental.DecayedReservoir.add_batch` and for
-:class:`~repro.sampling.reservoir.WeightedReservoir`'s offers (its payload
-an entry's position in the offered pool),
+:meth:`~repro.sampling.reservoir.WeightedReservoir.offer`, the one E--S
+heap (its payload a stream key or a position in Stream-Sample's weights),
 :func:`coarsen` for all of :func:`~repro.core.coarsening.coarsen`'s loop
 (its aggregates the dense ``np.add.reduceat`` bit for bit), :func:`tile`
 for regionalization's whole threshold search and the tiling it keeps,
@@ -54,8 +53,8 @@ which holds the kernel to them bit for bit: counts and merged runs
 fold's bounds and cascades against the bounds of the conditions' numpy
 twins and the Python cascade they replaced (``tests/test_fold_rules.py``),
 every joinable bound against those twins (``tests/test_bound_identity.py``,
-``tests/test_condition_properties.py``), both reservoirs' heap arrays entry for
-entry (``tests/test_sampling_oracle.py``), the coarse grid's floats
+``tests/test_condition_properties.py``), the reservoir's heap arrays entry for
+entry (``tests/test_sampling_oracle.py``, ``tests/test_heap_oracle.py``), the coarse grid's floats
 (``tests/test_coarsening.py``), coarsening's bounds, passes and grid
 against the band loop it replaced, its sweep's bounds against the row
 loop's at every tie, the tilings' regions and rectangle counts, and the

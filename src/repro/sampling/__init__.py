@@ -13,7 +13,8 @@ The equi-weight histogram needs two kinds of statistics (paper, section IV):
   :func:`~repro.sampling.parallel_stream_sample.parallel_stream_sample`,
   the paper's three jobs over ``J`` machines, with ``num_workers=1`` as the
   one-machine case.  Weighted reservoir sampling (Efraimidis--Spirakis)
-  underpins the parallel weighted sample (:mod:`repro.sampling.reservoir`).
+  underpins the parallel weighted sample and the stream histogram's
+  decayed one (:mod:`repro.sampling.reservoir`).
 
 :mod:`repro.sampling.sizes` centralises the sample-size formulas of the
 paper (s_i = Theta(n_s log n), s_o = Theta(n_s), n_s = sqrt(2 n J)).
@@ -30,7 +31,7 @@ _EXPORTS = {
     "EquiDepthHistogram": "repro.sampling.equidepth",
     "build_equidepth_histogram": "repro.sampling.equidepth",
     "WeightedReservoir": "repro.sampling.reservoir",
-    "weighted_sample_wor": "repro.sampling.reservoir",
+    "weighted_samples_wor": "repro.sampling.reservoir",
     "wor_to_wr": "repro.sampling.reservoir",
     "merge_reservoirs": "repro.sampling.reservoir",
     "JoinOutputSample": "repro.sampling.stream_sample",

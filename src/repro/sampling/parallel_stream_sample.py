@@ -28,8 +28,9 @@ tuple gathers its key's answers.  One stable sort lays R1's partitions end to
 end in worker order, and every local computation runs over that one array --
 worker ``w``'s slice is what worker ``w`` would compute.  Only the E--S
 reservoirs stay per worker: their heap arrays feed the merge and the WOR ->
-WR draw.  A sampled item is a position in the worker-ordered R1, so job 3
-gathers each sampled tuple's worker and window instead of searching for them.
+WR draw.  A reservoir's payload is a position in the worker-ordered R1, so
+job 3 gathers each sampled tuple's worker and window instead of searching
+for them.
 It also records per-worker scan counts so the engine can charge the
 statistics phase to the cost model.  Each relation's distinct keys come
 from one compare of neighbours in the relation sorted
@@ -262,12 +263,11 @@ def parallel_stream_sample(
         return empty, stats
 
     # One E-S reservoir per worker, merged by the largest priorities.  The
-    # items are positions in the worker-ordered R1.
-    reservoirs = weighted_samples_wor(
-        np.arange(len(held)), d2.astype(np.float64), sample_size, rng, scanned
-    )
+    # payloads are positions in the worker-ordered R1.
+    weights = d2.astype(np.float64)
+    reservoirs = weighted_samples_wor(weights, sample_size, rng, scanned)
     merged = merge_reservoirs(reservoirs, capacity=sample_size)
-    sampled = wor_to_wr(merged, sample_size, rng)
+    sampled = wor_to_wr(merged, weights, sample_size, rng)
 
     # ------------------------------------------------------------------
     # Job 3: map-only production of output key pairs.  A sampled tuple's

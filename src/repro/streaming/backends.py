@@ -65,7 +65,6 @@ import numpy as np
 from repro.engine.executor import RegionJoinResult, pickled_nbytes
 from repro.joins.conditions import JoinCondition
 from repro.joins import native
-from repro.joins.local import fold_half
 from repro.obs.clock import perf_counter
 from repro.partitioning.routing import RoutedSide, SideLayout
 from repro.streaming.incremental import SortedRegionState
@@ -209,9 +208,9 @@ class StateOwner:
         *pre-append* R1 state per new R2 key under ``conditions[1]`` (the
         transposed condition).  A half's needles are the batch's routed
         keys of its side with the condition's bound rule
-        (:func:`~repro.joins.local.fold_half`); each machine searches its
-        share of them in every run of the group it reads, clipped to its key
-        range on that run.  The whole batch -- each group's runs and
+        (:meth:`~repro.joins.conditions.JoinCondition.rule`); each machine
+        searches its share of them in every run of the group it reads,
+        clipped to its key range on that run.  The whole batch -- each group's runs and
         arrivals (:meth:`SortedRegionState.arriving
         <repro.streaming.incremental.SortedRegionState.arriving>`), whose
         cascade the kernel settles and merges, and both halves, whose bounds
@@ -277,8 +276,8 @@ class StateOwner:
             cascades.append(arriving[1][group])
             states.append(states2[group])
         halves = [
-            fold_half(rules[0], new1.keys, new1.starts, new1.stops, first),
-            fold_half(rules[1], new2.keys, new2.starts, new2.stops, second),
+            (new1.keys, rules[0], new1.starts, new1.stops, first),
+            (new2.keys, rules[1], new2.starts, new2.stops, second),
         ]
         return list(zip(states, native.fold(cascades, halves, totals)))
 

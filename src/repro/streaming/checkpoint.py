@@ -47,12 +47,14 @@ boundaries and regions, or 1-Bucket's grid shape and draw key -- so no
 histogram build artefact (sample matrix, coarsening, regionalization) is
 pickled: the sample state a rebuild reads is the histogram's two
 reservoirs, pickled as the live entries of their heap arrays
-(priorities, counters, keys), with no spare room, so two saves of one
-state are the same bytes.  Version 1 (verbatim key-sorted state columns
-and a counting mode), version 2 (three engine options that no longer
-exist), version 3 (indices shifted by the trimmed history, no bases),
-version 4 (per-machine arrival indices, ``state_index*``) and version 5
-(the sample reservoirs as lists of heap tuples) are refused by name.
+(priorities, counters, payloads: the keys), with no spare room, so two
+saves of one state are the same bytes.  Version 1 (verbatim key-sorted
+state columns and a counting mode), version 2 (three engine options that
+no longer exist), version 3 (indices shifted by the trimmed history, no
+bases), version 4 (per-machine arrival indices, ``state_index*``),
+version 5 (the sample reservoirs as lists of heap tuples) and version 6
+(their sampled keys as an array of their own, ``_keys``) are refused by
+name.
 
 Driving a crash-survivable run
 ------------------------------
@@ -110,8 +112,9 @@ _MAGIC = b"RPSC"
 #: refuses anything else (version 1 predates index-only state, version 2
 #: carried three since-removed engine options, version 3 stored indices
 #: shifted down by the trimmed history, version 4 stored every machine's
-#: arrival indices, version 5 stored the sample reservoirs as heap tuples).
-CHECKPOINT_VERSION = 6
+#: arrival indices, version 5 stored the sample reservoirs as heap tuples,
+#: version 6 their sampled keys as ``_keys``, not heap payloads).
+CHECKPOINT_VERSION = 7
 
 #: Pickle protocol pinned for deterministic bytes (same state, same process,
 #: same serialization).
@@ -280,7 +283,8 @@ class StreamCheckpoint:
                 "version 3 stored arrival indices shifted by the trimmed "
                 "history; version 4 stored per-machine arrival indices, "
                 "state_index*; version 5 stored the sample reservoirs as "
-                "heap tuples -- re-take the checkpoint)"
+                "heap tuples; version 6 stored their sampled keys as _keys, "
+                "not heap payloads -- re-take the checkpoint)"
             )
         payload = raw[_HEADER.size :]
         if len(payload) != length:

@@ -31,9 +31,10 @@ alive across micro-batches and rebuilds the histogram from it on demand:
   ``decay ** a``, so the reservoir tracks the *recent* key distribution and
   forgets stale phases at a configurable half-life.  Priorities are kept in
   log space (``ln(u) / w``) so the geometric weights never overflow or lose
-  float resolution.  Its heap is three arrays, and a batch is one call of
-  the compiled kernel (:func:`repro.joins.native.offer`) -- the same heap
-  array the ``heapq`` loop it replaces builds, entry for entry -- so
+  float resolution.  Its heap is Stream-Sample's
+  (:class:`~repro.sampling.reservoir.WeightedReservoir`), and a batch is one
+  call of the compiled kernel (:func:`repro.joins.native.offer`) -- the same
+  heap array the ``heapq`` loop it replaces builds, entry for entry -- so
   observing a batch costs a fixed number of interpreter calls per side,
   however many keys it offers.
 * Rebuilding runs the ordinary 3-stage pipeline
@@ -62,6 +63,7 @@ from repro.core.weights import WeightFunction
 from repro.joins import native
 from repro.joins.conditions import JoinCondition
 from repro.partitioning.grid_routed import GridRoutedPartitioning
+from repro.sampling.reservoir import WeightedReservoir
 from repro.streaming.source import MicroBatch
 
 __all__ = ["DecayedReservoir", "IncrementalHistogram", "SortedRegionState"]
@@ -293,15 +295,16 @@ class SortedRegionState:
         self._runs = [*runs, (keys.copy(), -np.arange(keys.size + 1, dtype=np.int64))]
 
 
-class DecayedReservoir:
+class DecayedReservoir(WeightedReservoir):
     """A bounded weighted reservoir that favours recent arrivals.
 
-    Entries are ``(priority_key, counter, key)`` triples in a min-heap of
-    bounded size.  The Efraimidis--Spirakis priority of an item offered in
-    batch ``b`` with weight ``w = decay ** -b`` is ``u ** (1/w)``; comparing
-    those directly (or their logs ``ln(u) * decay**b``) underflows once
-    ``decay**b`` hits the float floor, which would silently freeze the sample
-    on long streams.  Only the *order* matters, so the heap stores the
+    The Efraimidis--Spirakis heap of
+    :class:`~repro.sampling.reservoir.WeightedReservoir`, its payloads the
+    sampled keys.  The priority of an item offered in batch ``b`` with
+    weight ``w = decay ** -b`` is ``u ** (1/w)``; comparing those directly
+    (or their logs ``ln(u) * decay**b``) underflows once ``decay**b`` hits
+    the float floor, which would silently freeze the sample on long
+    streams.  Only the *order* matters, so the heap stores the
     doubly-logarithmic rebasing
 
         priority_key = -ln(-ln(u)) + b * ln(1/decay)
@@ -309,56 +312,15 @@ class DecayedReservoir:
     which is strictly increasing in the original priority and grows only
     linearly with the batch index.  The retained set is exactly the weighted
     sample without replacement.
-
-    The heap is held as three parallel arrays -- priorities (float64),
-    counters (int64) and keys (float64) -- whose first ``len(self)``
-    entries are, entry for entry, the list of tuples ``heapq`` would hold
-    (``tests/reference_sampling.py``): :meth:`keys` exposes heap order to
-    the rebuild's sampler.  A batch is one call of the compiled kernel
-    (:func:`repro.joins.native.offer`), which mirrors ``heapq``'s steps.  A
-    pickle (a checkpoint) holds the heap's entries and no spare room.
     """
 
-    #: The heap's parallel arrays, in tuple order.
-    _HEAP = ("_priorities", "_counters", "_keys")
-
     def __init__(self, capacity: int, decay: float = 1.0) -> None:
-        if capacity <= 0:
-            raise ValueError("reservoir capacity must be positive")
+        super().__init__(capacity)
         if not 0.0 < decay <= 1.0:
             raise ValueError("decay must be in (0, 1]")
-        self.capacity = capacity
         self.decay = decay
         self._log_inv_decay = -math.log(decay)
-        self._size = 0
-        self._priorities = np.empty(capacity, dtype=np.float64)
-        self._counters = np.empty(capacity, dtype=np.int64)
-        self._keys = np.empty(capacity, dtype=np.float64)
-        self._counter = 0
         self.tuples_seen = 0
-
-    def __len__(self) -> int:
-        """Number of keys currently held in the reservoir."""
-        return self._size
-
-    def __getstate__(self) -> dict:
-        """The fields, each heap array cut to the heap's entries."""
-        state = self.__dict__.copy()
-        for name in self._HEAP:
-            state[name] = state[name][: self._size]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        """The fields, each heap array an own one of ``capacity`` entries.
-
-        The kernel writes the heap in place, up to ``capacity`` entries.
-        """
-        self.__dict__.update(state)
-        for name in self._HEAP:
-            live = state[name]
-            array = np.empty(self.capacity, dtype=live.dtype)
-            array[: live.size] = live
-            setattr(self, name, array)
 
     def add_batch(
         self, keys: np.ndarray, batch_index: int, rng: np.random.Generator
@@ -380,15 +342,7 @@ class DecayedReservoir:
             # -ln(-ln u): u -> 0 gives -inf (never sampled), u -> 1 gives +inf.
             priorities = -np.log(-np.log(rng.random(len(keys))))
         priorities += batch_index * self._log_inv_decay
-        heap = (self._priorities, self._counters, self._keys)
-        self._counter = native.offer(
-            heap, self._size, self.capacity, self._counter, priorities, keys
-        )
-        self._size = min(self.capacity, self._size + len(keys))
-
-    def keys(self) -> np.ndarray:
-        """Snapshot of the sampled keys, in heap-array order."""
-        return self._keys[: self._size].copy()
+        self.offer(priorities, keys)
 
 
 class IncrementalHistogram:
@@ -478,8 +432,8 @@ class IncrementalHistogram:
                 "cannot build a histogram before both sides have been observed"
             )
         histogram = build_equi_weight_histogram(
-            self.reservoir1.keys(),
-            self.reservoir2.keys(),
+            self.reservoir1.payloads(),
+            self.reservoir2.payloads(),
             condition,
             self.num_machines,
             self.weight_fn,

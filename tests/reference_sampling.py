@@ -13,14 +13,16 @@ before the production ``WeightedReservoir`` became three arrays offered to
 by the compiled kernel; :func:`weighted_sample_wor`,
 :func:`merge_reservoirs` and :func:`wor_to_wr` run on it, so a reference
 pass and a production pass can be compared heap entry by heap entry,
-counter by counter, generator state by generator state.
+counter by counter, generator state by generator state.  Offered positions
+as its items, it holds what the production heap holds as payloads.
 
 :class:`TupleReservoir` is the stream histogram's decayed reservoir as it
 shipped -- a ``heapq`` list of tuples fed one key at a time -- before the
-production one became three arrays offered to by the compiled kernel.  It
+production one became a ``WeightedReservoir`` whose payloads are keys.  It
 is its own class and meets the production reservoir only through its
 pickled state.  Its heap loop is :func:`offer`, which
-``tests/test_heap_oracle.py`` drives against ``native.offer`` directly.
+``tests/test_heap_oracle.py`` drives against ``native.offer`` directly and
+``tests/test_sampling_oracle.py`` against ``WeightedReservoir.offer``.
 
 :func:`stream_sample` is the other kind of reference: the sequential
 Stream-Sample *driver* ``repro.sampling`` shipped beside the parallel one,
@@ -293,7 +295,7 @@ class TupleReservoir:
             zip(
                 state["_priorities"].tolist(),
                 state["_counters"].tolist(),
-                state["_keys"].tolist(),
+                state["_payloads"].tolist(),
             )
         )
         reservoir.counter = state["_counter"]
@@ -308,7 +310,7 @@ class TupleReservoir:
             "_size": len(self.heap),
             "_priorities": np.array(columns[0], dtype=np.float64),
             "_counters": np.array(columns[1], dtype=np.int64),
-            "_keys": np.array(columns[2], dtype=np.float64),
+            "_payloads": np.array(columns[2], dtype=np.float64),
             "_counter": self.counter,
             "tuples_seen": self.tuples_seen,
         }
@@ -335,16 +337,16 @@ def add_batch(self: DecayedReservoir, keys, batch_index: int, rng) -> None:
     """``DecayedReservoir.add_batch`` run by :class:`TupleReservoir`.
 
     The production reservoir's pickled state in, the reference's heap and
-    counts back through ``__setstate__``.
+    counts back as an unpickle sets them.
     """
     state = self.__getstate__()
     reference = TupleReservoir.from_state(state)
     reference.add_batch(keys, batch_index, rng)
-    self.__setstate__(reference.state(state))
+    self.__dict__.update(reference.state(state))
 
 
 def decayed_keys(self: DecayedReservoir) -> np.ndarray:
-    """``DecayedReservoir.keys`` read by :class:`TupleReservoir`."""
+    """``DecayedReservoir.payloads`` read by :class:`TupleReservoir`."""
     return TupleReservoir.from_state(self.__getstate__()).keys()
 
 
@@ -366,12 +368,11 @@ def stream_sample(keys1, keys2, condition, sample_size, rng):
             pairs=np.empty((0, 2)), total_output=total_output
         )
 
-    reservoir = production_reservoir.weighted_sample_wor(
-        keys1, d2.astype(np.float64), sample_size, rng
+    weights = d2.astype(np.float64)
+    (reservoir,) = production_reservoir.weighted_samples_wor(
+        weights, sample_size, rng, [len(keys1)]
     )
-    sampled_keys1 = np.asarray(
-        production_reservoir.wor_to_wr(reservoir, sample_size, rng), dtype=np.float64
-    )
+    sampled_keys1 = keys1[production_reservoir.wor_to_wr(reservoir, weights, sample_size, rng)]
     sampled_keys2 = numpy_sample_joinable_keys(sampled_keys1, d2_index, condition, rng)
     pairs = np.column_stack([sampled_keys1, sampled_keys2])
     return production_kernels.JoinOutputSample(pairs=pairs, total_output=total_output)
@@ -506,4 +507,4 @@ def install(monkeypatch) -> None:
     """
     monkeypatch.setattr(histogram_module, "parallel_stream_sample", parallel_stream_sample)
     monkeypatch.setattr(DecayedReservoir, "add_batch", add_batch)
-    monkeypatch.setattr(DecayedReservoir, "keys", decayed_keys)
+    monkeypatch.setattr(DecayedReservoir, "payloads", decayed_keys)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -208,6 +209,41 @@ def test_the_stream_engine_loads_only_what_it_runs():
         "repro.data", "repro.partitioning.one_bucket", "repro.partitioning.ewh",
         "repro.streaming.pipeline", "repro.streaming.shm", "secrets", "hmac",
     )
+
+
+def test_one_class_holds_the_efraimidis_spirakis_heap():
+    """The package's one E-S heap: exactly one expression in ``src/repro``
+    reads ``native.offer``, a call inside ``WeightedReservoir``; only its
+    module writes the heap's arrays; the stream histogram's reservoir is
+    one, and the single-offer API is gone."""
+    from repro.sampling import reservoir
+    from repro.streaming.incremental import DecayedReservoir
+
+    root = Path(repro.__file__).parent
+    reads, writers = [], set()
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = {
+            id(inner): node.name
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for inner in ast.walk(node)
+        }
+        calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Store) and node.attr in reservoir.WeightedReservoir._HEAP:
+                writers.add(name)
+            if node.attr == "offer" and getattr(node.value, "id", None) == "native":
+                reads.append((name, owners.get(id(node)), id(node) in calls))
+    assert reads == [("sampling/reservoir.py", "WeightedReservoir", True)]
+    assert writers == {"sampling/reservoir.py"}
+    assert issubclass(DecayedReservoir, reservoir.WeightedReservoir)
+    gone = ("add", "add_with_priority", "items", "weights", "keys", "__setstate__")
+    assert not [name for name in gone if hasattr(reservoir.WeightedReservoir, name)]
+    assert not [name for name in gone if name in vars(DecayedReservoir)]
+    assert not hasattr(reservoir, "weighted_sample_wor")
 
 
 def test_readme_quickstart_flow():

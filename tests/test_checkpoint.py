@@ -439,15 +439,16 @@ def test_from_bytes_refuses_garbage():
         StreamCheckpoint.from_bytes(bytes(versioned))
     # Versions 1 (key-sorted state columns, a counting mode), 2 (three
     # removed engine options), 3 (arrival indices shifted by the trimmed
-    # history), 4 (per-machine arrival indices) and 5 (reservoirs as heap
-    # tuples) are refused by name, with the version this build does read.
-    assert CHECKPOINT_VERSION == 6
-    for stale in (1, 2, 3, 4, 5):
+    # history), 4 (per-machine arrival indices), 5 (reservoirs as heap
+    # tuples) and 6 (their keys as ``_keys``) are refused by name, with the
+    # version this build does read.
+    assert CHECKPOINT_VERSION == 7
+    for stale in (1, 2, 3, 4, 5, 6):
         versioned[4:8] = stale.to_bytes(4, "little")
         with pytest.raises(
             ValueError,
-            match=rf"version {stale};.*reads version 6 only"
-            r".*version 1.*version 2.*version 3.*version 4.*version 5",
+            match=rf"version {stale};.*reads version 7 only"
+            r".*version 1.*version 2.*version 3.*version 4.*version 5.*version 6",
         ):
             StreamCheckpoint.from_bytes(bytes(versioned))
     corrupted = bytearray(payload)
@@ -501,7 +502,7 @@ def test_a_version_4_checkpoint_is_refused_by_name():
     stale = header.pack(magic, 4, len(payload), hashlib.sha256(payload).digest()) + payload
     with pytest.raises(
         ValueError,
-        match=r"version 4; this build reads version 6 only.*"
+        match=r"version 4; this build reads version 7 only.*"
         r"version 4 stored per-machine arrival indices, state_index\*",
     ):
         StreamCheckpoint.from_bytes(stale)
@@ -514,7 +515,7 @@ def _as_version_5(reservoir: DecayedReservoir) -> DecayedReservoir:
     heap = zip(
         state.pop("_priorities").tolist(),
         state.pop("_counters").tolist(),
-        state.pop("_keys").tolist(),
+        state.pop("_payloads").tolist(),
     )
     del state["_size"]
     stale = DecayedReservoir.__new__(DecayedReservoir)
@@ -538,7 +539,7 @@ def test_a_version_5_checkpoint_is_refused_by_name(monkeypatch):
     histogram.reservoir2 = _as_version_5(histogram.reservoir2)
     with monkeypatch.context() as patch:
         # Pickled as version 5 pickled it: the instance dict as it is.
-        patch.delattr(DecayedReservoir, "__getstate__")
+        patch.setattr(DecayedReservoir, "__getstate__", lambda self: self.__dict__)
         payload = pickle.dumps(captured, protocol=4)
     assert b"_heap" in payload and b"_priorities" not in payload
     stale = header.pack(magic, 5, len(payload), hashlib.sha256(payload).digest()) + payload
@@ -549,8 +550,42 @@ def test_a_version_5_checkpoint_is_refused_by_name(monkeypatch):
     monkeypatch.setattr(pickle, "loads", unpickled)
     with pytest.raises(
         ValueError,
-        match=r"version 5; this build reads version 6 only.*"
+        match=r"version 5; this build reads version 7 only.*"
         r"version 5 stored the sample reservoirs as heap tuples",
+    ):
+        StreamCheckpoint.from_bytes(stale)
+
+
+def test_a_version_6_checkpoint_is_refused_by_name(monkeypatch):
+    """A digest-valid version-6 container -- this build's fields with each
+    sample reservoir's keys in an array of its own, ``_keys``, where this
+    build's heap holds them as payloads -- is refused, naming what version
+    6 held, before anything is unpickled."""
+    source = make_source(seed=3)
+    _, checkpoint = run_with_checkpoint(source, 4, seed=3)
+    raw = checkpoint.to_bytes()
+    header = struct.Struct("<4sIQ32s")
+    magic, _, _, _ = header.unpack_from(raw)
+    captured = pickle.loads(raw[header.size :])
+    histogram = captured["histogram"]
+    assert len(histogram.reservoir1) and len(histogram.reservoir2)
+    for reservoir in (histogram.reservoir1, histogram.reservoir2):
+        reservoir._keys = reservoir.__dict__.pop("_payloads")
+    with monkeypatch.context() as patch:
+        # Pickled as version 6 pickled it: the heap arrays cut, ``_keys`` among them.
+        patch.setattr(DecayedReservoir, "_HEAP", ("_priorities", "_counters", "_keys"))
+        payload = pickle.dumps(captured, protocol=4)
+    assert b"_keys" in payload and b"_payloads" not in payload
+    stale = header.pack(magic, 6, len(payload), hashlib.sha256(payload).digest()) + payload
+
+    def unpickled(*args, **kwargs):
+        raise AssertionError("a stale payload was unpickled")
+
+    monkeypatch.setattr(pickle, "loads", unpickled)
+    with pytest.raises(
+        ValueError,
+        match=r"version 6; this build reads version 7 only.*"
+        r"version 6 stored their sampled keys as _keys, not heap payloads",
     ):
         StreamCheckpoint.from_bytes(stale)
 

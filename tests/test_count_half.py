@@ -62,7 +62,6 @@ from repro.joins.conditions import (
     InequalityJoinCondition,
     InequalityOp,
 )
-from repro.joins.local import fold_half
 from repro.partitioning.grid_routed import MachineSlices
 
 #: A NaN with the sign bit set: a second payload, so a merge that kept the
@@ -316,7 +315,7 @@ def test_count_half_is_the_per_task_count_summed_per_machine(
         searched = runs + ([] if merge is None or theirs_merged[merge] is None else [theirs_merged[merge]])
         reference_runs += [(run_keys, cum, readers, slices) for run_keys, cum in searched]
     starts, stops = _copy(starts, trimmed, 0), _copy(stops, trimmed, count)
-    half = fold_half(condition.rule(), _copy(needle_keys, trimmed, pool[0]), starts, stops, table_groups)
+    half = (_copy(needle_keys, trimmed, pool[0]), condition.rule(), starts, stops, table_groups)
     ours = np.full(machines, 7, dtype=np.int64)
     theirs = ours.copy()
     ours_merged = native.fold([(runs, None) for runs in merges], [half] * halves, ours)
@@ -372,9 +371,9 @@ def test_every_short_run_counts_as_the_reference_does():
             for m, keys in enumerate(chunk)
         ]
         halves = [
-            fold_half(
-                condition.rule(),
+            (
                 needles,
+                condition.rule(),
                 np.zeros(machines.size, dtype=np.int64),
                 np.where(condition_of == c, needles.size, 0),
                 groups,
@@ -479,8 +478,6 @@ def test_inputs_it_does_not_take_raise():
         (ValueError, "fold: beta is -1, not a width in int64", (needles, ("<", -1), starts, stops, groups)),
         (ValueError, "fold: beta is 18446744073709551616, not a width in int64",
          (needles, ("band", 2**64), starts, stops, groups)),
-        (ValueError, "fold: beta is 1.5, a float, on int64 needles",
-         (needles.astype(np.int64), ("band_inverse", 1.5), starts, stops, groups)),
         (TypeError, "fold: starts is int32, not int64", (needles, rule, starts.astype(np.int32), stops, groups)),
         (ValueError, "fold: 2 starts and 1 stops for 2 machines", (needles, rule, starts, stops[:1], groups)),
         (TypeError, "fold: keys is int32, not float64 or int64",

@@ -49,7 +49,6 @@ from repro.joins import native
 from repro.joins.conditions import normalise_keys
 from repro.streaming import backends as production
 from repro.partitioning.grid_routed import MachineSlices
-from repro.joins.local import fold_half
 from repro.streaming.backends import _StickyWorkerState
 
 BAND = BandJoinCondition(beta=2.0)  # integral: exact on int64 keys above 2**53
@@ -169,11 +168,10 @@ def test_a_clipped_task_counts_each_segment_on_its_slice(
 
     One half of a batch as the state owner counts it (a
     :func:`repro.joins.native.fold` half of needles and the condition's
-    bound rule, :func:`repro.joins.local.fold_half`), against the
-    reference's per-task loop -- bounds recomputed per task by
-    ``count_matches_per_key`` -- over every reader's needle
-    segment and its slice of each run.  Segments overlap, nest, repeat and
-    are empty; slices are empty, whole, or anywhere in the run; runs are
+    bound rule), against the reference's per-task loop -- bounds
+    recomputed per task by ``count_matches_per_key`` -- over every reader's
+    needle segment and its slice of each run.  Segments overlap, nest,
+    repeat and are empty; slices are empty, whole, or anywhere in the run; runs are
     counted (negative counts too) or fresh, and of any key style, so
     integer needles meet float runs.
     """
@@ -209,7 +207,7 @@ def test_a_clipped_task_counts_each_segment_on_its_slice(
             sliced = None if cum is None else cum[low : high + 1] - cum[low]
             expected_tasks.append((needles[start:stop], run[low:high], sliced))
     outputs = np.zeros(segments, dtype=np.int64)
-    native.fold([], [fold_half(condition.rule(), normalise_keys(needles), starts, stops, tasks)], outputs)
+    native.fold([], [(normalise_keys(needles), condition.rule(), starts, stops, tasks)], outputs)
     expected, _ = reference.count_regions(expected_tasks, [condition] * len(expected_tasks))
     np.testing.assert_array_equal(outputs, expected.reshape(runs, segments).sum(axis=0))
 

@@ -1,8 +1,8 @@
 """Differential tests: the fold's bound rules and cascades against the Python path they replaced.
 
 ``repro.joins.native.fold`` takes a half as its routed needles and the
-condition's rule (``JoinCondition.rule``, handed over by
-``repro.joins.local.fold_half``) and bounds the needles itself, and takes
+condition's rule (``JoinCondition.rule``) and bounds the needles itself
+-- int64 needles in int64 under an int width, else as doubles -- and takes
 each group's runs and arrivals and settles the cascade itself, returning
 the run list the state holds next.  The oracle is the path that did both
 in Python, kept in the test harness: ``reference_counting.search_half``
@@ -42,7 +42,7 @@ from repro.joins.conditions import (
     make_condition,
     normalise_keys,
 )
-from repro.joins.local import count_join_output, fold_half
+from repro.joins.local import count_join_output
 from repro.partitioning.grid_routed import MachineSlices
 
 BIG = 2**53
@@ -180,6 +180,18 @@ def _same_runs(ours: list, theirs: list) -> None:
     shares=[(0, 2), (0, 2), (0, 0), (0, 0)],
     cut=None,
 )
+# A fractional width on int64 needles and int64 runs: bounded as doubles.
+@example(
+    condition=CONDITIONS[0],
+    needle_pool="int64",
+    run_pool="int64",
+    needles=[6, 7, 17, 18, 19],
+    cascades=[],
+    groups=[([("fresh", [(5, 1), (6, 1), (7, 1), (17, 1), (18, 1), (19, 1)])], -1, [0])],
+    machines=1,
+    shares=[(0, 5)] * 4,
+    cut=None,
+)
 def test_a_rule_form_fold_is_the_bounds_path_it_replaced(
     condition, needle_pool, run_pool, needles, cascades, groups, machines, shares, cut
 ):
@@ -215,7 +227,7 @@ def test_a_rule_form_fold_is_the_bounds_path_it_replaced(
         their_groups.append((searched, readers, None, pool.dtype))
     ours = np.full(machines, 7, dtype=np.int64)
     theirs = ours.copy()
-    held = native.fold(folded, [fold_half(condition.rule(), needle_keys, starts, stops, ours_groups)], ours)
+    held = native.fold(folded, [(needle_keys, condition.rule(), starts, stops, ours_groups)], ours)
     entries = reference_counting.search_half(condition, needle_keys, starts, stops, their_groups, slices)
     reference_counting.count_halves(entries, [], theirs)
     np.testing.assert_array_equal(ours, theirs)
@@ -235,6 +247,32 @@ def test_every_kind_counts_its_whole_join_as_the_bounds_path_does(condition):
             out = np.zeros(1, dtype=np.int64)
             reference_counting.count_task(np.sort(keys), None, lows, highs, out)
             assert count_join_output(needle_pool, run_pool, condition) == out[0]
+
+
+@pytest.mark.parametrize(
+    "condition", [CONDITIONS[0], CONDITIONS[0].transposed, CONDITIONS[2]], ids=repr
+)
+@pytest.mark.parametrize("run_pool", ["int64", "float64"])
+def test_int64_needles_under_a_fractional_band_count_as_the_twins_bound_them(condition, run_pool):
+    """A fractional width bounds int64 needles as the doubles they convert
+    to, against int64 runs as against float64 ones -- ``bounds``' own rule.
+    The fold takes the needles as they are (it refused them, and the caller
+    converted them first): every total is the count by the twins' bounds,
+    and the count of the needles given as float64."""
+    needles = np.sort(INT_POOL)
+    keys = _sorted(normalise_keys(POOLS[run_pool]))
+    whole = np.zeros(1, dtype=np.int64), np.array([needles.size], dtype=np.int64)
+    counts = []
+    for given in (needles, needles.astype(np.float64)):
+        out = np.zeros(1, dtype=np.int64)
+        group = ([(keys, None)], np.zeros(1, dtype=np.int64), None, None)
+        native.fold([], [(given, condition.rule(), *whole, [group])], out)
+        counts.append(int(out[0]))
+    theirs = np.zeros(1, dtype=np.int64)
+    reference_counting.count_task(
+        keys, None, *reference_counting._bounds(condition, needles, keys.dtype), theirs
+    )
+    assert counts == [int(theirs[0])] * 2 and counts[0] > 0
 
 
 def test_an_integral_width_above_2_53_stays_exact():

@@ -59,9 +59,8 @@ class Value(NamedTuple):
 #: the same coarse cell: each is finite, their sum is not.  A tiling
 #: search's ends that do not compare or are out of order, no region to
 #: spend, a negative number of midpoints and a gap below zero or NaN.  A
-#: fold half's rule it does not name, a width that is NaN or negative, a
-#: fractional width on int64 needles (bounded in int64 only by an int),
-#: and needles of a dtype it does not bound.  The same rule refused by
+#: fold half's rule it does not name, a width that is NaN or negative, and
+#: needles of a dtype it does not bound.  The same rule refused by
 #: ``bounds`` (and a width past int64 or of no number type), and needles it
 #: does not bound: unsigned, narrow or strided.
 VALUES = [
@@ -72,8 +71,6 @@ VALUES = [
     Value("fold", (1, 0, 1, 1), None, np.nan, "fold: beta is nan, not a width"),
     Value("fold", (1, 0, 1, 1), None, -0.5, "fold: beta is -0.5, not a width"),
     Value("fold", (1, 0, 1, 1), None, -1, "fold: beta is -1, not a width in int64"),
-    Value("fold", (1, 0, 0), None, np.array([0, 1, 2], dtype=np.int64),
-          "fold: beta is 1.5, a float, on int64 needles: their band takes an int"),
     Value("fold", (1, 0, 0), None, np.array([0, 1, 2], dtype=np.uint64),
           "fold: needles is uint64, not float64 or int64", TypeError),
     Value("bounds", (1,), None, "Band",
@@ -369,6 +366,24 @@ def test_bounds_at_the_boundary_equal_the_twins(what, rule, beta):
     for mine, expected in zip(ours, theirs):
         assert mine.dtype == expected.dtype and mine.shape == expected.shape
         assert mine.view(np.int64).tobytes() == expected.view(np.int64).tobytes()
+
+
+@pytest.mark.parametrize("rule", ["band", "band_inverse"])
+def test_a_fold_bounds_int64_needles_under_a_float_width_as_the_twins_do(rule):
+    """The valid fold call with its needles int64 and its group's run int64
+    too, under the width 1.5: taken, as ``bounds`` takes it -- each machine
+    counts the run keys inside the twin's bounds of its needles, the int64
+    needles bounded as the doubles they convert to."""
+    (cascades, (half,), out), _ = _calls()["fold"]
+    needles = np.array([0, 1, 2], dtype=np.int64)
+    run = np.arange(5, dtype=np.int64)
+    group = ([(run, None)], half[4][0][1], None, None)
+    native.fold([], [(needles, (rule, 1.5), half[2], half[3], [group])], out)
+    lows, highs = _twin_bounds(needles, rule, 1.5)
+    keys = run.astype(np.float64)
+    counts = keys.searchsorted(highs, "right") - keys.searchsorted(lows, "left")
+    assert out.tolist() == [counts[start:stop].sum() for start, stop in zip(half[2], half[3])]
+    assert out.tolist() != [0, 0]
 
 
 def test_every_valid_call_is_taken():

@@ -52,11 +52,13 @@ def _folds():
     merge = ([(keys, None), (keys + 0.5, None)], keys[: SIZE // 2])
     append = ([(keys, None)], keys[:4] + 0.25)  # 1,000 keys stay a run of their own
     return [
-        # Accepted: a cascade and a count, a sliced count, an append, everything cancelled.
+        # Accepted: a cascade and a count, a sliced count, an append, everything
+        # cancelled, int64 needles and runs under a fractional width.
         (None, [merge], [_half(keys, cascade=0)], out),
         (None, [], [_half(keys, cut=None)], out),
         (None, [append], [_half(None, cascade=0, rule=("band_inverse", 0.5))], out),
         (None, [cancelled], [], out),
+        (None, [], [_half(ints, needles=ints[:4], rule=("band", 0.5))], out),
         # Refused: the output.
         (TypeError, [], [_half(keys)], out.astype(np.int32)),
         (ValueError, [], [_half(keys)], frozen),
@@ -77,7 +79,6 @@ def _folds():
         (ValueError, [merge], [_half(keys, rule=("=", 0))], out),
         (ValueError, [merge], [_half(keys, rule=("band", np.nan))], out),
         (ValueError, [merge], [_half(keys, rule=("band", -1))], out),
-        (ValueError, [merge], [_half(keys, needles=ints[:4], rule=("band", 0.5))], out),
         (TypeError, [merge], [_half(keys, rule=("band", None))], out),
         (TypeError, [merge], [_half(keys, starts=np.array([0, 2], dtype=np.int32))], out),
         (ValueError, [merge], [_half(keys, stops=np.array([4], dtype=np.int64))], out),

@@ -26,7 +26,6 @@ from repro.sampling.parallel_stream_sample import parallel_stream_sample
 from repro.sampling.reservoir import (
     WeightedReservoir,
     merge_reservoirs,
-    weighted_sample_wor,
     weighted_samples_wor,
     wor_to_wr,
 )
@@ -164,13 +163,11 @@ class TestWeightedReservoir:
     def test_capacity_respected(self, rng):
         reservoir = WeightedReservoir(capacity=5)
         for i in range(100):
-            reservoir.add(i, weight=1.0, rng=rng)
+            reservoir.offer(rng.random(1), np.array([float(i)]))
         assert len(reservoir) == 5
 
     def test_zero_weight_items_never_sampled(self, rng):
-        reservoir = WeightedReservoir(capacity=10)
-        for i in range(20):
-            reservoir.add(i, weight=0.0, rng=rng)
+        (reservoir,) = weighted_samples_wor(np.zeros(20), 10, rng, [20])
         assert len(reservoir) == 0
 
     def test_invalid_capacity(self):
@@ -183,17 +180,12 @@ class TestWeightedReservoir:
         trials = 400
         for trial in range(trials):
             local = np.random.default_rng(trial)
-            items = np.arange(20)
             weights = np.ones(20)
             weights[0] = 50.0
-            reservoir = weighted_sample_wor(items, weights, 5, local)
-            if 0 in reservoir.items():
+            (reservoir,) = weighted_samples_wor(weights, 5, local, [20])
+            if 0 in reservoir.payloads():
                 heavy_count += 1
         assert heavy_count > 0.9 * trials
-
-    def test_weighted_sample_wor_validates_lengths(self, rng):
-        with pytest.raises(ValueError):
-            weighted_sample_wor(np.arange(3), np.ones(4), 2, rng)
 
     @pytest.mark.parametrize(
         "lengths", [[2], [-1, 6], [4, 4]], ids=["dropping-3", "negative", "past-the-end"]
@@ -201,43 +193,42 @@ class TestWeightedReservoir:
     def test_weighted_samples_wor_refuses_lengths_that_do_not_cover_the_items(
         self, rng, lengths
     ):
-        """Parts are the next ``lengths[i]`` items: non-negative lengths
-        summing to the 5 items, or a ``ValueError`` naming them (they used
+        """Parts are the next ``lengths[i]`` weights: non-negative lengths
+        summing to the 5 weights, or a ``ValueError`` naming them (they used
         to drop items, shift them between parts, or raise an ``IndexError``)."""
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match=r"^lengths \["):
-            weighted_samples_wor(np.arange(5.0), np.ones(5), 2, rng, lengths)
+            weighted_samples_wor(np.ones(5), 2, rng, lengths)
         assert rng.bit_generator.state == before
 
     def test_merge_reservoirs_keeps_top_priorities(self, rng):
         r1 = WeightedReservoir(capacity=3)
         r2 = WeightedReservoir(capacity=3)
-        r1.add_with_priority("a", 1.0, 0.9)
-        r1.add_with_priority("b", 1.0, 0.1)
-        r2.add_with_priority("c", 1.0, 0.8)
-        r2.add_with_priority("d", 1.0, 0.2)
+        r1.offer(np.array([0.9, 0.1]), np.array([0.0, 1.0]))
+        r2.offer(np.array([0.8, 0.2]), np.array([2.0, 3.0]))
         merged = merge_reservoirs([r1, r2], capacity=2)
-        items = set(merged.items())
-        assert items == {"a", "c"}
+        assert set(merged.payloads()) == {0.0, 2.0}
 
     def test_merge_empty_list_rejected(self):
         with pytest.raises(ValueError):
             merge_reservoirs([])
 
     def test_wor_to_wr_size_and_membership(self, rng):
-        reservoir = weighted_sample_wor(np.arange(10), np.ones(10), 5, rng)
-        wr = wor_to_wr(reservoir, 20, rng)
+        weights = np.ones(10)
+        (reservoir,) = weighted_samples_wor(weights, 5, rng, [10])
+        wr = wor_to_wr(reservoir, weights, 20, rng)
         assert len(wr) == 20
-        assert set(wr) <= set(reservoir.items())
+        assert set(wr) <= set(reservoir.payloads())
 
     def test_wor_to_wr_empty(self, rng):
-        assert wor_to_wr(WeightedReservoir(capacity=3), 5, rng).tolist() == []
+        assert wor_to_wr(WeightedReservoir(capacity=3), np.ones(3), 5, rng).tolist() == []
 
     def test_wor_to_wr_refuses_an_infinite_weight_by_name(self, rng):
-        reservoir = weighted_sample_wor(np.arange(3.0), np.array([1.0, np.inf, 2.0]), 3, rng)
+        weights = np.array([1.0, np.inf, 2.0])
+        (reservoir,) = weighted_samples_wor(weights, 3, rng, [3])
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match="infinite weight: heap entry [0-2] .* weight inf"):
-            wor_to_wr(reservoir, 5, rng)
+            wor_to_wr(reservoir, weights, 5, rng)
         assert rng.bit_generator.state == before
 
 
@@ -410,7 +401,7 @@ class TestDecayedReservoirRetention:
             assert len(reservoir) == capacity
             assert reservoir.tuples_seen == batches * per_batch
             retained += np.bincount(
-                reservoir.keys().astype(np.int64), minlength=batches
+                reservoir.payloads().astype(np.int64), minlength=batches
             )
         share = decay ** (batches - 1 - np.arange(batches))
         expected = share / share.sum() * retained.sum()

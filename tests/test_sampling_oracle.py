@@ -4,12 +4,13 @@
 ``weighted_sample_wor``, ``merge_reservoirs`` and ``wor_to_wr`` shipped
 before their per-tuple interpreter work was removed, and both reservoirs as
 ``heapq`` lists of tuples (``TupleWeightedReservoir`` for Stream-Sample,
-``TupleReservoir`` for the stream histogram), which the production
-``WeightedReservoir`` and ``DecayedReservoir`` now hold as three arrays
-offered to by the compiled kernel.  The rewrite must be invisible: equal outputs, equal heap
-*arrays* entry by entry (heap order feeds ``wor_to_wr``'s draw and
-``DecayedReservoir.keys()``), equal counters, and the generator left in the
-same state -- so every sample, plan and checkpoint downstream is unchanged.
+``TupleReservoir`` for the stream histogram), which production holds as
+one heap of three arrays offered to by the compiled kernel
+(``WeightedReservoir``; ``DecayedReservoir`` is one whose payloads are
+keys).  The rewrite must be invisible: equal outputs, equal heap *arrays*
+entry by entry (heap order feeds ``wor_to_wr``'s draw and a rebuild's
+sample), equal counters, and the generator left in the same state -- so
+every sample, plan and checkpoint downstream is unchanged.
 The first test pins the numpy fact the vectorised draw stands on; another,
 that ``wor_to_wr``'s draw, written as ``rng.choice``'s own steps over
 ``native.search``, is ``rng.choice``'s.  The
@@ -23,6 +24,7 @@ relation sorted (its own sort, or the one a plan build's stage 1 made).
 from __future__ import annotations
 
 import importlib
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -47,7 +49,6 @@ from repro.sampling.parallel_stream_sample import _distinct_sorted, parallel_str
 from repro.sampling.reservoir import (
     WeightedReservoir,
     merge_reservoirs,
-    weighted_sample_wor,
     weighted_samples_wor,
     wor_to_wr,
 )
@@ -201,40 +202,31 @@ def _bits(values) -> "list[int]":
     return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
 
 
-def _heap(reservoir) -> tuple:
-    """A production ``WeightedReservoir``'s heap array -- priority bits,
-    counter, item, weight bits per entry, items and weights gathered by
-    position -- and its next counter."""
-    size = reservoir._size
-    held = reservoir._positions[:size].astype(np.int64)
-    assert (held == reservoir._positions[:size]).all()  # whole positions
+def _heap(reservoir: WeightedReservoir) -> tuple:
+    """A production reservoir's heap array -- priority bits, counter and
+    payload per entry -- and its next counter."""
+    state = reservoir.__getstate__()
     heap = list(
-        zip(
-            _bits(reservoir._priorities[:size]),
-            reservoir._counters[:size].tolist(),
-            reservoir._items[held].tolist(),
-            _bits(reservoir._weights[held]),
-        )
+        zip(_bits(state["_priorities"]), state["_counters"].tolist(), state["_payloads"].tolist())
     )
     assert len(heap) == len(reservoir)
-    return heap, reservoir._counter
+    return heap, state["_counter"]
 
 
 def _reference_heap(expected: "reference.TupleWeightedReservoir") -> tuple:
-    """:func:`_heap` of the reference's list of tuples."""
-    priorities, counters, items, weights = zip(*expected.heap) if expected.heap else [()] * 4
-    heap = list(zip(_bits(priorities), counters, _plain(items), _bits(weights)))
+    """:func:`_heap` of the reference's list of tuples, offered positions as items."""
+    heap = [(_bits([p])[0], counter, float(item)) for p, counter, item, _ in expected.heap]
     return heap, expected.counter
-
-
-def _plain(items) -> list:
-    """Items as ``tolist()`` gives them (the reference holds numpy scalars and rows)."""
-    return [np.asarray(item).tolist() for item in items]
 
 
 def _assert_same_reservoir(reservoir, expected) -> None:
     assert reservoir.capacity == expected.capacity
     assert _heap(reservoir) == _reference_heap(expected)  # the heap array, entry by entry
+
+
+def _positions(weights: np.ndarray) -> np.ndarray:
+    """The reference's items: each weight's position, as the payload holds it."""
+    return np.arange(weights.size, dtype=np.float64)
 
 
 weight_arrays = st.lists(
@@ -257,18 +249,15 @@ edge_weights = st.lists(
 
 @settings(max_examples=150, deadline=None)
 @given(seed=seeds, weights=weight_arrays, size=st.integers(1, 30))
-def test_weighted_sample_wor_equals_the_per_tuple_pass(seed, weights, size):
-    items = np.arange(len(weights), dtype=np.float64) * 0.5
+def test_one_part_equals_the_per_tuple_pass(seed, weights, size):
+    """One part's reservoir holds each sampled weight's position: the heap
+    array, counters and generator equal the per-tuple pass's over the
+    positions as items."""
     rng, reference_rng = _twin_generators(seed)
-    reservoir = weighted_sample_wor(items, weights, size, rng)
-    expected = reference.weighted_sample_wor(items, weights, size, reference_rng)
+    reservoir = weighted_samples_wor(weights, size, rng, [weights.size])[0]
+    expected = reference.weighted_sample_wor(_positions(weights), weights, size, reference_rng)
     _assert_same_reservoir(reservoir, expected)
     assert _same_state(rng, reference_rng)
-    np.testing.assert_array_equal(reservoir.weights(), expected.weights())
-    assert reservoir.items() == expected.items()
-    # ``==`` cannot tell ``np.float64(1.0)`` from ``1.0``: the one intended
-    # difference from the reference is that items go through ``tolist()``.
-    assert all(type(item) is float for item in reservoir.items())
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -281,14 +270,12 @@ def test_a_subnormal_weight_draws_priority_zero_without_a_warning(weights):
     one ``rng.random`` leaves it."""
     weights = np.array(weights)
     rng, twin = _twin_generators(7)
-    reservoir = weighted_samples_wor(
-        np.arange(weights.size), weights, weights.size, rng, [weights.size]
-    )[0]
+    reservoir = weighted_samples_wor(weights, weights.size, rng, [weights.size])[0]
     with np.errstate(over="ignore"):
         expected = twin.random(weights.size) ** (1.0 / weights)
     assert (expected[weights < 1e-308] == 0.0).all()
-    held = reservoir._held()
-    assert reservoir._priorities[: len(reservoir)].tobytes() == expected[held].tobytes()
+    held = reservoir.payloads().astype(np.int64)
+    assert reservoir.__getstate__()["_priorities"].tobytes() == expected[held].tobytes()
     assert _same_state(rng, twin)
 
 
@@ -300,12 +287,15 @@ def test_a_subnormal_weight_draws_priority_zero_without_a_warning(weights):
     capacity=st.one_of(st.none(), st.integers(1, 25)),
 )
 def test_merge_reservoirs_equals_the_per_entry_merge(seed, parts, size, capacity):
+    """Reservoirs drawn one after the other, each over its own weights,
+    merge as the per-entry merge does: the payloads carry over."""
     rng, reference_rng = _twin_generators(seed)
     reservoirs, expected = [], []
-    for i, weights in enumerate(parts):
-        items = np.arange(len(weights)) + 100.0 * i
-        reservoirs.append(weighted_sample_wor(items, weights, size, rng))
-        expected.append(reference.weighted_sample_wor(items, weights, size, reference_rng))
+    for weights in parts:
+        reservoirs.append(weighted_samples_wor(weights, size, rng, [weights.size])[0])
+        expected.append(
+            reference.weighted_sample_wor(_positions(weights), weights, size, reference_rng)
+        )
     _assert_same_reservoir(
         merge_reservoirs(reservoirs, capacity), reference.merge_reservoirs(expected, capacity)
     )
@@ -318,37 +308,32 @@ def test_merge_reservoirs_equals_the_per_entry_merge(seed, parts, size, capacity
     parts=st.lists(edge_weights, min_size=1, max_size=6),
     size=st.one_of(st.integers(1, 12), st.just(300)),
     capacity=st.one_of(st.none(), st.integers(1, 30), st.just(300)),
-    columns=st.sampled_from([None, 2]),
     draws=st.integers(0, 40),
 )
 @example(  # every priority 1.0: the counters alone order the heaps
-    seed=0, parts=[np.full(9, np.inf), np.full(5, np.inf)], size=4, capacity=None,
-    columns=None, draws=10,
+    seed=0, parts=[np.full(9, np.inf), np.full(5, np.inf)], size=4, capacity=None, draws=10,
 )
 @example(  # empty parts, and a part of zero weights only
     seed=1, parts=[np.empty(0), np.zeros(4), np.ones(3), np.empty(0)], size=2, capacity=3,
-    columns=2, draws=5,
+    draws=5,
 )
-def test_parts_merge_and_draw_equal_the_per_tuple_passes(
-    seed, parts, size, capacity, columns, draws
-):
+def test_parts_merge_and_draw_equal_the_per_tuple_passes(seed, parts, size, capacity, draws):
     """``weighted_samples_wor`` over consecutive parts, their merge and the
     WR draw: heap arrays entry by entry, counters, the sample and the
     generator equal the reference's per-part passes, per-entry merge and
-    list draw (an ``inf`` weight held makes both draws refuse: production
-    by name, before the divide; the reference as numpy does).  ``size``
-    300 holds every entry (capacity >= n); 2-D items are carried as rows."""
+    list draw over the positions as items (an ``inf`` weight held makes
+    both draws refuse: production by name, before the divide; the
+    reference as numpy does).  ``size`` 300 holds every entry (capacity >=
+    n)."""
     weights = np.concatenate(parts)
-    items = np.arange(weights.size, dtype=np.float64) * 0.25
-    if columns:
-        items = np.column_stack([items, -items])
+    positions = _positions(weights)
     lengths = [part.size for part in parts]
     rng, reference_rng = _twin_generators(seed)
-    reservoirs = weighted_samples_wor(items, weights, size, rng, lengths)
+    reservoirs = weighted_samples_wor(weights, size, rng, lengths)
     expected, start = [], 0
     for length in lengths:
         expected.append(reference.weighted_sample_wor(
-            items[start:start + length], weights[start:start + length], size, reference_rng
+            positions[start:start + length], weights[start:start + length], size, reference_rng
         ))
         start += length
     for reservoir, reference_reservoir in zip(reservoirs, expected, strict=True):
@@ -357,62 +342,66 @@ def test_parts_merge_and_draw_equal_the_per_tuple_passes(
     merged = merge_reservoirs(reservoirs, capacity)
     reference_merged = reference.merge_reservoirs(expected, capacity)
     _assert_same_reservoir(merged, reference_merged)
-    if np.isinf(merged.weights()).any():  # no proportional draw: both refuse it
+    if np.isinf(reference_merged.weights()).any():  # no proportional draw: both refuse it
         with pytest.raises(ValueError, match="infinite weight: heap entry .* weight inf"):
-            wor_to_wr(merged, draws, rng)
+            wor_to_wr(merged, weights, draws, rng)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
             reference.wor_to_wr(reference_merged, draws, reference_rng)
     else:
-        sample = wor_to_wr(merged, draws, rng)
-        assert isinstance(sample, np.ndarray)
-        assert sample.tolist() == _plain(reference.wor_to_wr(reference_merged, draws, reference_rng))
+        sample = wor_to_wr(merged, weights, draws, rng)
+        assert sample.dtype == np.int64
+        assert sample.tolist() == [
+            int(item) for item in reference.wor_to_wr(reference_merged, draws, reference_rng)
+        ]
     assert _same_state(rng, reference_rng)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    seed=seeds,
     offers=st.lists(
-        st.tuples(
-            st.sampled_from(["a", "b", "c", 7, 2.5]),
-            st.one_of(st.floats(0.01, 10.0), st.sampled_from([0.0, -2.0, np.inf])),
-            st.one_of(st.none(), st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+        st.lists(
+            st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 1.0, -np.inf])),
+            max_size=12,
         ),
-        max_size=30,
+        max_size=8,
     ),
-    capacity=st.integers(1, 6),
+    capacity=st.one_of(st.integers(1, 6), st.just(40)),
 )
-def test_add_drives_the_kernel_as_the_per_entry_loop(seed, offers, capacity):
-    """``add`` (a drawn priority) and ``add_with_priority`` (a given one,
-    tied ones too) offer one entry per kernel call: the heap array, the
-    counters -- a lone entry a full heap drops still uses one -- and the
-    generator equal the ``heapq`` loop's after every offer."""
-    rng, reference_rng = _twin_generators(seed)
-    reservoir = WeightedReservoir(capacity=capacity)
-    expected = reference.TupleWeightedReservoir(capacity=capacity)
-    for item, weight, priority in offers:
-        if priority is None:
-            reservoir.add(item, weight, rng)
-            expected.add(item, weight, reference_rng)
-        elif weight > 0:
-            reservoir.add_with_priority(item, weight, priority)
-            expected.add_with_priority(item, weight, priority)
-        _assert_same_reservoir(reservoir, expected)
-        assert _same_state(rng, reference_rng)
-    assert reservoir.items() == expected.items()
+@example(offers=[[0.5], [0.25], [0.5], [0.75], [0.25]], capacity=3)  # ties, one entry at a time
+def test_successive_offers_equal_the_heapq_loop(offers, capacity):
+    """``offer`` after ``offer``: each one kernel call on arrays that grow
+    from nothing to ``capacity`` (at least doubling), and after every
+    offer the heap array, the counters -- a full heap's batch gives none
+    to what it drops -- and the next counter equal ``reference.offer``'s
+    ``heapq`` list."""
+    reservoir, heap, counter, payload = WeightedReservoir(capacity), [], 0, 0.0
+    for priorities in offers:
+        priorities = np.array(priorities, dtype=np.float64)
+        payloads = payload + np.arange(priorities.size, dtype=np.float64)
+        payload += priorities.size
+        reservoir.offer(priorities, payloads)
+        counter = reference.offer(heap, capacity, counter, priorities, payloads)
+        assert _heap(reservoir) == ([(_bits([p])[0], c, k) for p, c, k in heap], counter)
+        assert reservoir.payloads().tolist() == [entry[2] for entry in heap]
 
 
-def test_add_with_priority_is_the_one_entry_form():
-    reservoir = WeightedReservoir(capacity=3)
-    expected = reference.TupleWeightedReservoir(capacity=3)
-    offers = [("a", 1.0, 0.5), ("b", 2.0, 0.9), ("c", 1.0, 0.1), ("d", 1.0, 0.1),
-              ("e", 3.0, 0.7), ("f", 1.0, 0.05)]
-    for item, weight, priority in offers:
-        reservoir.add_with_priority(item, weight, priority)
-        expected.add_with_priority(item, weight, priority)
-        _assert_same_reservoir(reservoir, expected)
-    assert sorted(reservoir.items()) == ["a", "b", "e"]
-    assert reservoir._counter == len(offers)
+def test_a_pickle_holds_the_heap_entries_and_offers_on():
+    """A pickle holds each heap array cut to the heap's entries, no spare
+    room; the restored reservoir offers on as the original does."""
+    rng = np.random.default_rng(3)
+    reservoir = WeightedReservoir(capacity=50)
+    reservoir.offer(rng.random(20), np.arange(20.0))
+    reservoir.offer(rng.random(10), np.arange(20.0, 30.0))  # the arrays double to 40
+    assert reservoir._priorities.size > len(reservoir) == 30
+    state = reservoir.__getstate__()
+    assert [state[name].size for name in WeightedReservoir._HEAP] == [30, 30, 30]
+    restored = pickle.loads(pickle.dumps(reservoir))
+    assert _heap(restored) == _heap(reservoir)
+    more = rng.random(40), np.arange(30.0, 70.0)
+    reservoir.offer(*more)
+    restored.offer(*more)
+    assert _heap(restored) == _heap(reservoir) and len(restored) == 50
+    assert pickle.dumps(restored) == pickle.dumps(reservoir)
 
 
 # ----------------------------------------------------------------------
@@ -423,7 +412,7 @@ def _entries(reservoir) -> tuple:
     bits per entry -- its next counter and tuples seen, as pickled."""
     state = reservoir.__getstate__()
     heap = list(
-        zip(_bits(state["_priorities"]), state["_counters"].tolist(), _bits(state["_keys"]))
+        zip(_bits(state["_priorities"]), state["_counters"].tolist(), _bits(state["_payloads"]))
     )
     assert len(heap) == len(reservoir) == state["_size"]
     return heap, state["_counter"], state["tuples_seen"]
@@ -449,7 +438,7 @@ def _assert_offers_equal(make_rng, capacity, decay, batches) -> DecayedReservoir
         expected.add_batch(keys, batch_index, reference_rng)
         assert _entries(reservoir) == _reference_entries(expected)
         assert _same_state(rng, reference_rng)
-        assert _bits(reservoir.keys()) == _bits(expected.keys())
+        assert _bits(reservoir.payloads()) == _bits(expected.keys())
     return reservoir
 
 
@@ -642,17 +631,17 @@ def test_the_draw_is_rng_choice_step_for_step(seed, weights, draws):
     ``rng.choice`` would refuse probabilities that do not sum to 1."""
     weights = np.array(weights)
     reservoir = WeightedReservoir(capacity=weights.size)
-    for item, weight in enumerate(weights):  # given priorities: 1 / 5e-324 overflows
-        reservoir.add_with_priority(item, weight, (item + 1) / (weights.size + 1))
-    held = reservoir._held()
+    positions = np.arange(weights.size, dtype=np.float64)
+    reservoir.offer((positions + 1) / (weights.size + 1), positions)  # 1 / 5e-324 overflows
+    held = reservoir.payloads().astype(np.int64)
     rng, choice_rng = _twin_generators(seed + 1)
     with np.errstate(over="ignore"):
         overflows = np.isinf(weights.sum())
     if overflows:
         with pytest.raises(ValueError, match="weights whose total is inf: .* overflow float64"):
-            wor_to_wr(reservoir, draws, rng)
+            wor_to_wr(reservoir, weights, draws, rng)
         return
-    drawn = wor_to_wr(reservoir, draws, rng)
+    drawn = wor_to_wr(reservoir, weights, draws, rng)
     held_weights = weights[held]
     chosen = choice_rng.choice(
         held.size, size=draws, replace=True, p=held_weights / held_weights.sum()
@@ -704,8 +693,8 @@ def test_job_3_gathers_what_the_searches_found(workers, condition, monkeypatch):
     histogram1 = build_equidepth_histogram(keys1[~np.isnan(keys1)], 3 * workers, 2_000)
     drawn = {}
 
-    def recording_wor_to_wr(reservoir, size, rng):
-        drawn["positions"] = wor_to_wr(reservoir, size, rng)
+    def recording_wor_to_wr(reservoir, weights, size, rng):
+        drawn["positions"] = wor_to_wr(reservoir, weights, size, rng)
         drawn["state"] = rng.bit_generator.state
         return drawn["positions"]
 
@@ -785,8 +774,8 @@ def _calls_per_extra_worker(driver) -> float:
 def test_stream_sample_calls_per_extra_worker_stay_few():
     """A simulated worker is a slice of one pass, plus its own E-S reservoir.
 
-    Measured: 8.8 calls per extra worker (its reservoir, that reservoir's
-    kernel offer, and the gather of what it holds in the merge), bound 12.
+    Measured: 5.0 calls per extra worker (its reservoir, that reservoir's
+    kernel offer, and the slices of its heap the merge reads), bound 12.
     The per-worker loop this replaced cost 175.6 at the same inputs; with
     the per-tuple reference kernels it costs about 158.
     """
@@ -803,8 +792,8 @@ def test_stream_sample_makes_the_same_calls_at_any_input_size():
     """No per-tuple interpreter work is left in Stream-Sample: one
     ``parallel_stream_sample`` makes as many interpreter calls at 20,000
     keys per side as at 1,000 (J = 8, band 2, a 500-tuple output sample,
-    so every worker's reservoir fills): 481 and 481, with the jobs in key
-    order (586 while job 3 searched).  The ``heapq`` reservoirs made one
+    so every worker's reservoir fills): 480 and 480, with the jobs in key
+    order and one reservoir class (586 while job 3 searched).  The ``heapq`` reservoirs made one
     push or replace per offered tuple: 2,393 and 12,603 calls.  ``-s``
     prints them."""
     calls = {}

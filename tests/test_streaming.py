@@ -361,7 +361,7 @@ class TestDecayedReservoir:
             reservoir.add_batch(np.zeros(200), index, rng)
         for index in range(20, 25):
             reservoir.add_batch(np.ones(200), index, rng)
-        keys = reservoir.keys()
+        keys = reservoir.payloads()
         assert keys.mean() > 0.8
 
     def test_long_streams_do_not_freeze_the_sample(self, rng):
@@ -371,14 +371,14 @@ class TestDecayedReservoir:
         reservoir = DecayedReservoir(capacity=50, decay=0.8)
         reservoir.add_batch(np.zeros(200), 0, rng)
         reservoir.add_batch(np.ones(200), 5_000, rng)
-        keys = reservoir.keys()
+        keys = reservoir.payloads()
         assert keys.mean() > 0.9
 
     def test_no_decay_is_uniform_reservoir(self, rng):
         reservoir = DecayedReservoir(capacity=200, decay=1.0)
         for index in range(10):
             reservoir.add_batch(np.full(100, float(index)), index, rng)
-        keys = reservoir.keys()
+        keys = reservoir.payloads()
         # Every batch should be represented roughly equally.
         assert len(np.unique(keys)) == 10
 
@@ -431,7 +431,7 @@ class TestIncrementalHistogram:
         )
         partitioning = histogram.build_partitioning(BAND, np.random.default_rng(7))
         built = build_equi_weight_histogram(
-            histogram.reservoir1.keys(), histogram.reservoir2.keys(), BAND, 4, UNIT,
+            histogram.reservoir1.payloads(), histogram.reservoir2.payloads(), BAND, 4, UNIT,
             config=histogram.config, rng=np.random.default_rng(7),
         )
         assert type(partitioning) is GridRoutedPartitioning
